@@ -9,17 +9,17 @@
 //!   state, tree-walking guard/update evaluation;
 //! * `seq_fp` — the current sequential engine: fingerprinted visited
 //!   set, compiled successor stepper, reused buffers;
-//! * `par_fp` — the level-synchronous parallel engine
-//!   ([`opentla_check::explore_parallel`]) in fingerprint mode with
-//!   the machine's available workers, the canonical renumbering pass
-//!   included in the measured time. (On a single-hardware-thread
-//!   machine this engine delegates to the sequential implementation —
-//!   one level-synchronous worker *is* sequential BFS; each engine
-//!   entry's `workers` field says what a given JSON captured.)
-//! * `par_ws` — the work-stealing engine
-//!   ([`opentla_check::explore_parallel_ws`]): packed state layouts,
-//!   per-worker deques, no level barriers; its graph is asserted
-//!   byte-identical to `seq_fp`'s on every scenario.
+//! * `par_fp` — the level-synchronous parallel engine (the default
+//!   [`Engine::LevelSync`] at more than one thread) in fingerprint
+//!   mode with the machine's available workers, the canonical
+//!   renumbering pass included in the measured time. (On a
+//!   single-hardware-thread machine the plan resolves to the
+//!   sequential loop — one level-synchronous worker *is* sequential
+//!   BFS; each engine entry's `workers` field says what a given JSON
+//!   captured.)
+//! * `par_ws` — the work-stealing engine ([`Engine::WorkStealing`]):
+//!   packed state layouts, per-worker deques, no level barriers; its
+//!   graph is asserted byte-identical to `seq_fp`'s on every scenario.
 //!
 //! A thread-scaling curve (both parallel engines at 1/2/4/8 workers
 //! per scenario) lands in `BENCH_scaling.json`, and a work-stealing
@@ -53,28 +53,23 @@
 //! verdict matches the full graph's, and — in full mode — gates that
 //! at least one of ring/mutex/chain4 shrinks by ≥ 2×.
 //!
-//! Two observability artifacts ride along (PR 3):
-//!
-//! * an **overhead gate** — the current engine with a [`NullRecorder`]
-//!   must stay within 5% of `plain`, a verbatim copy of the PR2
-//!   fingerprinted engine with no observability layer at all, on the
-//!   largest queue chain of the run;
-//! * `OBS_explore.jsonl` — the largest chain explored under a
-//!   [`JsonlRecorder`] by three engines (sequential fingerprinted,
-//!   sequential exact, 4-thread parallel), schema-validated, with
-//!   state/transition totals asserted identical across all three.
+//! One observability artifact rides along: `OBS_explore.jsonl` — the
+//! largest chain explored under a [`JsonlRecorder`] by three engines
+//! (sequential fingerprinted, sequential exact, 4-thread parallel),
+//! schema-validated, with state/transition totals asserted identical
+//! across all three. (What a recorder costs is measured, with spread,
+//! by `benchmark/`: `check.obs.counting_overhead` and
+//! `check.obs.jsonl_overhead`.)
 //!
 //! Usage: `bench_explore [--smoke]`. `--smoke` runs a reduced scenario
 //! set with one timing iteration — the CI configuration; full runs use
 //! the best of three iterations per engine.
 
-use fxhash::FxHashMap;
 use opentla_bench::ms;
 use opentla_check::{
-    check_invariant, explore_governed_with, explore_parallel, explore_resumable, obs,
-    Budget, CheckError, CompiledSystem, CountingRecorder, Engine, EvalScratch,
-    ExploreOptions, JsonlRecorder, Meter, RecorderHandle, Reduction, StateGraph, System,
-    VisitedMode, DEFAULT_CHECKPOINT_CADENCE,
+    check_invariant, explore_governed_with, explore_resumable, obs, Budget, CheckError,
+    CountingRecorder, Engine, ExploreOptions, JsonlRecorder, Meter, RecorderHandle, Reduction,
+    StateGraph, System, VisitedMode, DEFAULT_CHECKPOINT_CADENCE,
 };
 use opentla_kernel::Expr;
 use opentla_kernel::State;
@@ -132,65 +127,9 @@ fn explore_seed(system: &System, max_states: usize) -> Result<(usize, usize), Ch
     Ok((states.len(), edges.iter().map(Vec::len).sum()))
 }
 
-/// The PR2 sequential fingerprinted engine, reimplemented verbatim
-/// *without* the observability layer (no `Meter`, no recorder, no
-/// phase events): the un-instrumented baseline the `NullRecorder`
-/// overhead gate compares the shipping engine against.
-fn explore_plain(
-    system: &System,
-    max_states: usize,
-) -> Result<(usize, usize), CheckError> {
-    use std::collections::hash_map::Entry;
-    use std::ops::ControlFlow;
-
-    let init_states = system.init().states(system.universe())?;
-    if init_states.is_empty() {
-        return Err(CheckError::NoInitialStates);
-    }
-    let compiled = CompiledSystem::compile(system);
-    let mut scratch = EvalScratch::new();
-    let mut map: FxHashMap<u64, usize> = FxHashMap::default();
-    let mut states: Vec<State> = Vec::new();
-    let mut fps: Vec<u64> = Vec::new();
-    let mut transitions = 0usize;
-    let mut queue = std::collections::VecDeque::new();
-    for s in init_states {
-        let fp = s.fingerprint();
-        if let Entry::Vacant(e) = map.entry(fp) {
-            assert!(states.len() < max_states, "plain run exceeded {max_states} states");
-            let id = states.len();
-            e.insert(id);
-            states.push(s);
-            fps.push(fp);
-            queue.push_back(id);
-        }
-    }
-    while let Some(id) = queue.pop_front() {
-        let parent = states[id].clone();
-        let parent_fp = fps[id];
-        compiled.for_each_successor(&parent, &mut scratch, |_action, assignments| {
-            transitions += 1;
-            let child_fp = parent.fingerprint_with(parent_fp, assignments);
-            if let Entry::Vacant(e) = map.entry(child_fp) {
-                assert!(
-                    states.len() < max_states,
-                    "plain run exceeded {max_states} states"
-                );
-                let nid = states.len();
-                e.insert(nid);
-                states.push(parent.with(assignments));
-                fps.push(child_fp);
-                queue.push_back(nid);
-            }
-            ControlFlow::<std::convert::Infallible>::Continue(())
-        })?;
-    }
-    Ok((states.len(), transitions))
-}
-
 /// The shipping engine with an explicitly null recorder — immune to an
-/// ambient `OPENTLA_OBS` setting, so timings measure the disabled-path
-/// overhead and nothing else.
+/// ambient `OPENTLA_OBS` setting, so timings never include a
+/// recorder.
 fn explore_null(
     system: &System,
     options: &ExploreOptions,
@@ -420,26 +359,21 @@ fn main() {
         })
         .max(1);
     let options = ExploreOptions::default();
-    let par_options = ExploreOptions {
-        threads: Some(threads),
-        ..ExploreOptions::default()
-    };
 
     println!(
         "# bench_explore ({} mode, {iters} iteration(s), {threads} thread(s))\n",
         if smoke { "smoke" } else { "full" }
     );
-    println!("| scenario | states | transitions | seed | plain | seq_fp | par_fp | par_ws | seq_spill | par_spill | seq_red | seq_fp× | par_fp× | par_ws× | red× | null-ovh | ckpt-ovh |");
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("| scenario | states | transitions | seed | seq_fp | par_fp | par_ws | seq_spill | par_spill | seq_red | seq_fp× | par_fp× | par_ws× | red× | ckpt-ovh |");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
 
     let mut rows = Vec::new();
     let mut acceptance: Option<(String, f64)> = None;
-    let mut overhead: Option<(String, f64)> = None;
     let mut best_reduction: Option<(&'static str, f64)> = None;
     let all = scenarios(smoke);
-    // The overhead gate runs on the largest chain of the active set
-    // (chain4 full, chain3 smoke) — the scenario big enough for the
-    // per-checkpoint branch to show up if it ever costs anything.
+    // The largest chain of the active set (chain4 full, chain3 smoke):
+    // the scenario the checkpoint-arming comparison and the
+    // observability report run on.
     let gate_name = all
         .iter()
         .rev()
@@ -453,35 +387,10 @@ fn main() {
         let gate_iters = if sc.name == gate_name { iters.max(5) } else { iters };
         let (seed_t, seed_counts) =
             time_best(iters, || explore_seed(&sc.system, max).expect("seed explores"));
-        // Plain and seq_fp are compared within 5% by the overhead
-        // gate, so their samples interleave — block-to-block drift
-        // (frequency scaling, neighbors on shared runners) cancels
-        // out of the ratio instead of landing in it.
-        let (plain_t, seq_t, plain_counts, seq_graph) = {
-            let mut plain_best = Duration::MAX;
-            let mut seq_best = Duration::MAX;
-            let mut counts = None;
-            let mut graph = None;
-            for _ in 0..gate_iters {
-                let t = Instant::now();
-                let c = explore_plain(&sc.system, max).expect("plain explores");
-                plain_best = plain_best.min(t.elapsed());
-                counts = Some(c);
-                let t = Instant::now();
-                let g = explore_null(&sc.system, &options, 1);
-                seq_best = seq_best.min(t.elapsed());
-                graph = Some(g);
-            }
-            (
-                plain_best,
-                seq_best,
-                counts.expect("at least one iteration"),
-                graph.expect("at least one iteration"),
-            )
-        };
-        let (par_t, par_graph) = time_best(iters, || {
-            explore_parallel(&sc.system, &par_options).expect("par_fp explores")
-        });
+        let (seq_t, seq_graph) =
+            time_best(gate_iters, || explore_null(&sc.system, &options, 1));
+        let (par_t, par_graph) =
+            time_best(iters, || explore_null(&sc.system, &options, threads));
         let (ws_t, ws_graph) = time_best(iters, || explore_ws_null(&sc.system, &options, threads));
         let (spill_t, spill_graph) =
             time_best(iters, || explore_spill_null(&sc.system, &options));
@@ -522,12 +431,6 @@ fn main() {
         };
         let _ = std::fs::remove_file(&ck_path);
         let (states, transitions) = seed_counts;
-        assert_eq!(
-            plain_counts,
-            (states, transitions),
-            "{}: plain disagrees with seed",
-            sc.name
-        );
         assert_eq!(
             graph_counts(&seq_graph),
             (states, transitions),
@@ -590,7 +493,7 @@ fn main() {
             states_per_sec: states as f64 / d.as_secs_f64().max(1e-9),
             workers,
         };
-        let (seed, plain, seq) = (run(seed_t, 1), run(plain_t, 1), run(seq_t, 1));
+        let (seed, seq) = (run(seed_t, 1), run(seq_t, 1));
         let (par, ws) = (run(par_t, threads), run(ws_t, threads));
         let spill = run(spill_t, 1);
         let pspill = run(pspill_t, threads);
@@ -602,21 +505,16 @@ fn main() {
         let seq_x = seq.states_per_sec / seed.states_per_sec;
         let par_x = par.states_per_sec / seed.states_per_sec;
         let ws_x = ws.states_per_sec / seed.states_per_sec;
-        // Disabled-recorder overhead: how much throughput the shipping
-        // engine gives up against the un-instrumented PR2 copy (< 0
-        // means it measured faster).
-        let null_ovh = 1.0 - seq.states_per_sec / plain.states_per_sec;
         // Resume overhead: what arming checkpointing at the default
         // cadence costs against the same engine with it off.
         let ck = run(ck_t, 1);
         let resume_ovh = 1.0 - seq_resume_t.as_secs_f64() / ck_t.as_secs_f64().max(1e-9);
         println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}× | {:.2}× | {:.2}× | {:.2}× | {:+.1}% | {:+.1}% |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}× | {:.2}× | {:.2}× | {:.2}× | {:+.1}% |",
             sc.name,
             states,
             transitions,
             ms(seed_t),
-            ms(plain_t),
             ms(seq_t),
             ms(par_t),
             ms(ws_t),
@@ -627,14 +525,10 @@ fn main() {
             par_x,
             ws_x,
             red_factor,
-            null_ovh * 100.0,
             resume_ovh * 100.0,
         );
         if sc.is_acceptance {
             acceptance = Some((sc.name.to_string(), par_x));
-        }
-        if sc.name == gate_name {
-            overhead = Some((sc.name.to_string(), null_ovh));
         }
         if matches!(sc.name, "ring" | "mutex" | "chain4")
             && best_reduction.is_none_or(|(_, f)| red_factor > f)
@@ -642,12 +536,11 @@ fn main() {
             best_reduction = Some((sc.name, red_factor));
         }
         rows.push(format!(
-            "    {{\n      \"scenario\": \"{}\",\n      \"states\": {},\n      \"transitions\": {},\n      \"seed\": {},\n      \"plain\": {},\n      \"seq_fp\": {},\n      \"par_fp\": {},\n      \"par_ws\": {},\n      \"seq_ckpt\": {},\n      \"seq_spill\": {},\n      \"par_spill\": {},\n      \"speedup_seq_fp\": {:.2},\n      \"speedup_par_fp\": {:.2},\n      \"speedup_par_ws\": {:.2},\n      \"null_recorder_overhead\": {:.4},\n      \"resume_overhead\": {:.4},\n      \"acceptance\": {},\n      \"reduction\": {{\n        \"config\": \"{}\",\n        \"states_full\": {},\n        \"states_reduced\": {},\n        \"reduction_factor\": {:.2},\n        \"seq_red\": {},\n        \"ample_states\": {},\n        \"full_states\": {},\n        \"skipped_transitions\": {},\n        \"canon_hits\": {},\n        \"verdict_matches_full\": true\n      }}\n    }}",
+            "    {{\n      \"scenario\": \"{}\",\n      \"states\": {},\n      \"transitions\": {},\n      \"seed\": {},\n      \"seq_fp\": {},\n      \"par_fp\": {},\n      \"par_ws\": {},\n      \"seq_ckpt\": {},\n      \"seq_spill\": {},\n      \"par_spill\": {},\n      \"speedup_seq_fp\": {:.2},\n      \"speedup_par_fp\": {:.2},\n      \"speedup_par_ws\": {:.2},\n      \"resume_overhead\": {:.4},\n      \"acceptance\": {},\n      \"reduction\": {{\n        \"config\": \"{}\",\n        \"states_full\": {},\n        \"states_reduced\": {},\n        \"reduction_factor\": {:.2},\n        \"seq_red\": {},\n        \"ample_states\": {},\n        \"full_states\": {},\n        \"skipped_transitions\": {},\n        \"canon_hits\": {},\n        \"verdict_matches_full\": true\n      }}\n    }}",
             sc.name,
             states,
             transitions,
             engine_json(&seed),
-            engine_json(&plain),
             engine_json(&seq),
             engine_json(&par),
             engine_json(&ws),
@@ -657,7 +550,6 @@ fn main() {
             seq_x,
             par_x,
             ws_x,
-            null_ovh,
             resume_ovh,
             sc.is_acceptance,
             sc.reduction_desc,
@@ -681,8 +573,6 @@ fn main() {
     let obs_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../OBS_explore.jsonl");
     let obs_totals = write_obs_report(&obs_scenario.system, obs_path);
     println!("\nwrote {obs_path} ({gate_name}: {obs_totals})");
-
-    let (overhead_name, null_ovh) = overhead.expect("the gate scenario always runs");
 
     // --- resume-overhead gate: full-size chain4, even in smoke mode ---
     // The smoke scenarios finish in single-digit milliseconds — far
@@ -892,7 +782,7 @@ fn main() {
             .to_string()
     };
     let json = format!(
-        "{{\n  \"benchmark\": \"explore\",\n  \"smoke\": {smoke},\n  \"iterations\": {iters},\n  \"threads\": {threads},\n  \"engines\": {{\n    \"seed\": \"seed sequential BFS: exact SipHash visited set, interpretive successors\",\n    \"plain\": \"PR2 copy: fingerprinted + compiled, no observability layer (overhead baseline)\",\n    \"seq_fp\": \"sequential, fingerprinted visited set + compiled successor stepper, NullRecorder\",\n    \"par_fp\": \"level-synchronous parallel engine, fingerprint mode (delegates to sequential when 1 worker)\",\n    \"par_ws\": \"work-stealing engine: packed state layouts, per-worker deques, no level barriers\",\n    \"seq_ckpt\": \"seq_fp with checkpointing armed at DEFAULT_CHECKPOINT_CADENCE (crash-tolerance arming cost)\",\n    \"seq_spill\": \"bounded-memory spill engine at the default budget: disk-backed arena/edges, two-tier visited set\",\n    \"par_spill\": \"parallel bounded-memory engine: work-stealing workers over sharded hot tiers draining to sorted fingerprint runs\",\n    \"seq_red\": \"sequential engine under the scenario's Reduction (ample-set POR and/or symmetry), NullRecorder\"\n  }},\n  \"obs\": {{\n    \"report\": \"OBS_explore.jsonl\",\n    \"scenario\": \"{gate_name}\",\n    \"null_recorder_overhead\": {null_ovh:.4}\n  }},\n  \"resume\": {{\n    \"scenario\": \"{resume_name}\",\n    \"cadence\": {DEFAULT_CHECKPOINT_CADENCE},\n    \"resume_overhead\": {resume_ovh:.4}\n  }},\n  \"ws_gate\": {{\n    \"scenario\": \"{ws_name}\",\n    \"workers\": {ws_gate_workers},\n    \"hardware_threads\": {hardware},\n    \"speedup_vs_seq_fp\": {ws_vs_seq:.2},\n    \"speedup_vs_par_fp\": {ws_vs_par:.2},\n    \"asserted\": {ws_asserted},\n    \"skip_reason\": {ws_skip_reason}\n  }},\n  \"spill_gate\": {{\n    \"scenario\": \"{spill_name}\",\n    \"workers\": 1,\n    \"budget\": \"default (unconstrained)\",\n    \"overhead_vs_seq_fp\": {spill_ovh:.4},\n    \"limit\": 0.10,\n    \"asserted\": true,\n    \"skip_reason\": null\n  }},\n  \"par_spill_gate\": {{\n    \"scenario\": \"{par_spill_name}\",\n    \"workers\": {par_spill_workers},\n    \"hardware_threads\": {hardware},\n    \"speedup_vs_seq_spill\": {par_spill_speedup:.2},\n    \"limit\": 1.5,\n    \"spilled_bytes_at_256KiB\": {par_spill_bytes},\n    \"asserted\": {ws_asserted},\n    \"skip_reason\": {ws_skip_reason}\n  }},\n  \"scaling\": \"BENCH_scaling.json\",\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"explore\",\n  \"smoke\": {smoke},\n  \"iterations\": {iters},\n  \"threads\": {threads},\n  \"engines\": {{\n    \"seed\": \"seed sequential BFS: exact SipHash visited set, interpretive successors\",\n    \"seq_fp\": \"sequential, fingerprinted visited set + compiled successor stepper, NullRecorder\",\n    \"par_fp\": \"level-synchronous parallel engine, fingerprint mode (the sequential loop when 1 worker)\",\n    \"par_ws\": \"work-stealing engine: packed state layouts, per-worker deques, no level barriers\",\n    \"seq_ckpt\": \"seq_fp with checkpointing armed at DEFAULT_CHECKPOINT_CADENCE (crash-tolerance arming cost)\",\n    \"seq_spill\": \"bounded-memory spill engine at the default budget: disk-backed arena/edges, two-tier visited set\",\n    \"par_spill\": \"parallel bounded-memory engine: work-stealing workers over sharded hot tiers draining to sorted fingerprint runs\",\n    \"seq_red\": \"sequential engine under the scenario's Reduction (ample-set POR and/or symmetry), NullRecorder\"\n  }},\n  \"obs\": {{\n    \"report\": \"OBS_explore.jsonl\",\n    \"scenario\": \"{gate_name}\"\n  }},\n  \"resume\": {{\n    \"scenario\": \"{resume_name}\",\n    \"cadence\": {DEFAULT_CHECKPOINT_CADENCE},\n    \"resume_overhead\": {resume_ovh:.4}\n  }},\n  \"ws_gate\": {{\n    \"scenario\": \"{ws_name}\",\n    \"workers\": {ws_gate_workers},\n    \"hardware_threads\": {hardware},\n    \"speedup_vs_seq_fp\": {ws_vs_seq:.2},\n    \"speedup_vs_par_fp\": {ws_vs_par:.2},\n    \"asserted\": {ws_asserted},\n    \"skip_reason\": {ws_skip_reason}\n  }},\n  \"spill_gate\": {{\n    \"scenario\": \"{spill_name}\",\n    \"workers\": 1,\n    \"budget\": \"default (unconstrained)\",\n    \"overhead_vs_seq_fp\": {spill_ovh:.4},\n    \"limit\": 0.10,\n    \"asserted\": true,\n    \"skip_reason\": null\n  }},\n  \"par_spill_gate\": {{\n    \"scenario\": \"{par_spill_name}\",\n    \"workers\": {par_spill_workers},\n    \"hardware_threads\": {hardware},\n    \"speedup_vs_seq_spill\": {par_spill_speedup:.2},\n    \"limit\": 1.5,\n    \"spilled_bytes_at_256KiB\": {par_spill_bytes},\n    \"asserted\": {ws_asserted},\n    \"skip_reason\": {ws_skip_reason}\n  }},\n  \"scaling\": \"BENCH_scaling.json\",\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
 
@@ -921,17 +811,6 @@ fn main() {
             );
         }
     }
-    println!(
-        "overhead gate ({overhead_name}): NullRecorder engine gives up {:.1}% \
-         vs the un-instrumented PR2 copy (limit 5%)",
-        null_ovh * 100.0
-    );
-    assert!(
-        null_ovh <= 0.05,
-        "observability regression: NullRecorder path is {:.1}% slower than the \
-         un-instrumented engine on {overhead_name} (limit 5%)",
-        null_ovh * 100.0
-    );
     println!(
         "resume gate ({resume_name}): checkpointing at the default cadence gives up \
          {:.1}% vs the unarmed engine (limit 5%)",

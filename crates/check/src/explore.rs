@@ -1,18 +1,39 @@
 //! Breadth-first state-space exploration.
 //!
-//! Two engines produce the same [`StateGraph`]:
+//! Every entry point resolves its [`ExploreOptions`] — and the
+//! `OPENTLA_EXPLORE_THREADS` / `OPENTLA_MEM_BUDGET` overrides — once
+//! into one of five plans (`plan.rs`), each a scheduler loop over a
+//! store:
 //!
-//! * a **sequential** engine — the reference implementation: plain BFS
-//!   over the compiled successor stepper
-//!   ([`crate::CompiledSystem`]);
-//! * a **parallel** engine ([`explore_parallel`]) — level-synchronous
-//!   BFS over a sharded visited set, followed by a deterministic
-//!   renumbering pass that replays the discovery order sequentially.
-//!   On complete runs the result is **byte-identical** to the
-//!   sequential engine: same state indices, same edge lists, same
-//!   [`GraphStats`], same counterexample traces.
+//! | plan (`RunStart.engine`) | scheduler loop        | states, edges, visited set                        |
+//! |--------------------------|-----------------------|---------------------------------------------------|
+//! | `explore_sequential`     | `seq::explore_seq`    | `seq::RamStore`: `Vec` arena, hash-map visited    |
+//! | `explore_spill`          | `seq::explore_seq`    | `spill::SpillStore`: segment files, two-tier set  |
+//! | `explore_parallel_ws`    | `ws::run_workers`     | `ws`: striped packed (or tree) arenas in RAM      |
+//! | `explore_spill_ws`       | `ws::run_workers`     | `spill_ws`: shared segment files, striped two-tier|
+//! | `explore_parallel`       | level-synchronous     | striped `State` arenas in RAM                     |
 //!
-//! Both engines deduplicate states through a [`VisitedMode`]: either
+//! One thread without a memory budget gets the first plan; a budget
+//! (or [`Engine::SpillBfs`]) the second; [`Engine::WorkStealing`] the
+//! third, or with a budget (or as [`Engine::SpillWs`]) the fourth;
+//! more than one thread under the default [`Engine::LevelSync`] the
+//! last, or with a budget the fourth. Reduced and panic-injection runs
+//! always get the first or the last.
+//!
+//! The sequential loop is the reference implementation: plain BFS over
+//! the compiled successor stepper ([`crate::CompiledSystem`]). The
+//! three parallel plans record `(parent, action, child)` edges under
+//! provisional ids and finish with a deterministic renumbering pass
+//! that replays the discovery order sequentially, so on complete runs
+//! every plan's result is **byte-identical**: same state indices, same
+//! edge lists, same [`GraphStats`], same counterexample traces.
+//!
+//! Reduced runs ([`Reduction`]) have loops of their own —
+//! `explore_sequential_reduced` and the level-synchronous engine's
+//! reduced worker — because the cycle proviso needs BFS level
+//! boundaries; they are served by the first and last plan only.
+//!
+//! Every plan deduplicates states through a [`VisitedMode`]: either
 //! **fingerprinting** (the default — 64-bit hashes in the visited set,
 //! full states only in an append-only arena) or an **exact** fallback
 //! that keys the visited set by the full state. See [`VisitedMode`]
@@ -21,7 +42,9 @@
 use crate::budget::{Budget, ExhaustReason, Governed, Meter, Outcome};
 use crate::checkpoint::{self, Checkpointer, ResumeToken, Snapshot};
 use crate::compiled::{CompiledSystem, EvalScratch};
-use crate::obs::{Event, Phase, PhaseGuard, ProgressSnapshot, RunReport, OBS_SCHEMA_VERSION};
+use crate::obs::{
+    Event, Phase, PhaseGuard, ProgressSnapshot, RecorderHandle, RunReport, OBS_SCHEMA_VERSION,
+};
 use crate::reduction::{AmpleScratch, Canonicalize, PreparedReduction, Reduction, ReductionStats};
 use crate::{CheckError, System};
 use fxhash::FxHashMap;
@@ -40,9 +63,14 @@ use std::sync::{Arc, Mutex, PoisonError};
 // into a whole-run abort.
 use crate::sync::{lock, Striped, NUM_SHARDS};
 
+mod plan;
+mod seq;
 mod spill;
 mod spill_ws;
 mod ws;
+
+pub(crate) use plan::env_threads;
+use plan::{Plan, Route};
 
 /// How the explorer remembers which states it has already seen.
 ///
@@ -107,9 +135,9 @@ pub struct ExploreOptions {
     /// Which parallel engine runs when the resolved thread count calls
     /// for one. Default [`Engine::LevelSync`] — bit-for-bit the
     /// pre-existing behavior. [`Engine::WorkStealing`] selects the
-    /// barrier-free packed-state engine (see [`explore_parallel_ws`]);
-    /// reduced runs and [`WorkerPanic`] injection always fall back to
-    /// the level-synchronous path, which remains the reduced/proviso
+    /// barrier-free packed-state engine at any thread count; reduced
+    /// runs and [`WorkerPanic`] injection always fall back to the
+    /// level-synchronous path, which remains the reduced/proviso
     /// engine.
     pub engine: Engine,
     /// Graphs that stay below this many states are explored
@@ -217,58 +245,6 @@ impl ExploreOptions {
     fn mask(&self) -> u64 {
         fp_mask(self.fp_bits)
     }
-
-    /// Whether this configuration routes to the work-stealing engine:
-    /// reduction and panic-injection runs stay on the level-sync path
-    /// (the former by design — the proviso needs level boundaries —
-    /// the latter because the injection hook instruments that
-    /// engine's claim counter).
-    fn ws_routed(&self) -> bool {
-        self.engine == Engine::WorkStealing
-            && !self.reduction.is_active()
-            && self.worker_panic.is_none()
-    }
-
-    /// The memory budget in force: the explicit option wins, the
-    /// `OPENTLA_MEM_BUDGET` environment override fills in otherwise.
-    pub(crate) fn resolved_mem_budget(&self) -> Option<usize> {
-        self.mem_budget_bytes.or_else(env_mem_budget)
-    }
-
-    /// Whether this configuration routes to the bounded-memory spill
-    /// engine. Reduction and panic-injection runs never do (they stay
-    /// on level-sync, like [`ws_routed`](Self::ws_routed)); an explicit
-    /// [`Engine::SpillBfs`] always does; otherwise a memory budget
-    /// routes the default engine's single-threaded runs there.
-    fn spill_routed(&self, threads: usize) -> bool {
-        if self.reduction.is_active() || self.worker_panic.is_some() {
-            return false;
-        }
-        match self.engine {
-            Engine::SpillBfs => true,
-            Engine::LevelSync => threads == 1 && self.resolved_mem_budget().is_some(),
-            Engine::WorkStealing | Engine::SpillWs => false,
-        }
-    }
-
-    /// Whether this configuration routes to the parallel bounded-memory
-    /// engine. Reduction and panic-injection runs never do; an explicit
-    /// [`Engine::SpillWs`] always does; otherwise a memory budget
-    /// routes the configurations the sequential spill engine does not
-    /// cover — multi-threaded default-engine runs and work-stealing
-    /// runs — so a budget is honored at *every* thread count instead of
-    /// silently disabling parallelism (or being ignored).
-    fn spill_ws_routed(&self, threads: usize) -> bool {
-        if self.reduction.is_active() || self.worker_panic.is_some() {
-            return false;
-        }
-        match self.engine {
-            Engine::SpillWs => true,
-            Engine::LevelSync => threads > 1 && self.resolved_mem_budget().is_some(),
-            Engine::WorkStealing => self.resolved_mem_budget().is_some(),
-            Engine::SpillBfs => false,
-        }
-    }
 }
 
 fn fp_mask(fp_bits: u32) -> u64 {
@@ -283,29 +259,6 @@ fn fp_mask(fp_bits: u32) -> u64 {
 /// exploration runs sequentially instead (see
 /// [`ExploreOptions::small_graph_cutoff`]).
 pub const PAR_SMALL_GRAPH_CUTOFF: usize = 256;
-
-/// The `OPENTLA_EXPLORE_THREADS` override, if set to a positive
-/// integer.
-pub(crate) fn env_threads() -> Option<usize> {
-    std::env::var("OPENTLA_EXPLORE_THREADS")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&n: &usize| n >= 1)
-}
-
-/// The `OPENTLA_MEM_BUDGET` override, if set to a positive byte
-/// count. Mirrors [`env_threads`]: an explicit
-/// [`ExploreOptions::mem_budget_bytes`] wins over the environment.
-pub(crate) fn env_mem_budget() -> Option<usize> {
-    std::env::var("OPENTLA_MEM_BUDGET")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&n: &usize| n >= 1)
-}
 
 /// Summary statistics of a reachability graph; see
 /// [`StateGraph::stats`].
@@ -373,6 +326,12 @@ impl Visited {
                 (map.get(&fp).copied(), fp)
             }
         }
+    }
+
+    /// The exact-mode visited set of a finished arena, which lists
+    /// every state exactly once.
+    fn exact_of(states: &[State]) -> Visited {
+        Visited::Exact(states.iter().cloned().zip(0..).collect())
     }
 
     /// Records a state under the key computed by [`Visited::lookup`].
@@ -688,8 +647,7 @@ pub fn explore_governed_with(
     budget: &Budget,
     options: &ExploreOptions,
 ) -> Result<Exploration, CheckError> {
-    let threads = options.threads.or_else(env_threads).unwrap_or(1).max(1);
-    explore_observed(system, budget, options, threads, None)
+    explore_observed(system, budget, options, &Plan::from_env(options), None)
 }
 
 /// Crash-tolerant exploration: continues from the snapshot at the
@@ -755,15 +713,15 @@ pub fn resume_exploration(
     snapshot: &Snapshot,
 ) -> Result<Exploration, CheckError> {
     snapshot.validate(system, options)?;
-    let threads = options.threads.or_else(env_threads).unwrap_or(1).max(1);
+    let plan = Plan::from_env(options);
     if snapshot.spill.is_some() {
         // A spill snapshot references on-disk segment files; expand it
         // to the in-RAM form once, here, so every engine resumes from
         // the same materialized arena.
         let materialized = snapshot.clone().materialize(system)?;
-        return explore_observed(system, budget, options, threads, Some(&materialized));
+        return explore_observed(system, budget, options, &plan, Some(&materialized));
     }
-    explore_observed(system, budget, options, threads, Some(snapshot))
+    explore_observed(system, budget, options, &plan, Some(snapshot))
 }
 
 /// [`escalate`](crate::escalate) specialized to exploration, with the
@@ -788,68 +746,59 @@ pub fn explore_escalating(
     attempts: usize,
     options: &ExploreOptions,
 ) -> Result<Exploration, CheckError> {
-    let threads = options.threads.or_else(env_threads).unwrap_or(1).max(1);
+    let plan = Plan::from_env(options);
     let mut current = budget.clone();
-    let mut result = explore_observed(system, &current, options, threads, None)?;
+    let mut result = explore_observed(system, &current, options, &plan, None)?;
     for _ in 1..attempts.max(1) {
         if result.outcome.is_complete() {
             break;
         }
         current = current.escalated(factor);
         let snap = result.snapshot.take();
-        result = explore_observed(system, &current, options, threads, snap.as_deref())?;
+        result = explore_observed(system, &current, options, &plan, snap.as_deref())?;
     }
     Ok(result)
 }
 
-/// Routes to the engine picked by `threads`, preparing the reduction
-/// tables once (a no-op `None` when reduction is off, so the default
-/// path is exactly the pre-reduction code).
+/// Runs the plan's engine. The reduction tables are prepared once,
+/// here (a no-op `None` when reduction is off, so the default path is
+/// exactly the unreduced code).
 fn explore_dispatch(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
-    threads: usize,
+    plan: &Plan,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
-    if options.spill_routed(threads) {
-        return spill::explore_spill(system, budget, options, resume);
-    }
-    if options.spill_ws_routed(threads) {
-        return spill_ws::explore_spill_ws(system, budget, options, threads, resume);
-    }
-    if let Some(bytes) = options.resolved_mem_budget() {
-        // Neither spill engine took the run, so the budget cannot be
-        // honored (reduction-active or panic-injection configs, which
-        // are pinned to the in-RAM level-sync engine). Never ignore it
-        // silently: report it, and refuse outright when the caller
-        // asked explicitly rather than via the environment.
-        let reason = if options.reduction.is_active() {
-            "reduction-active runs are pinned to the in-RAM level-synchronous engine"
-        } else {
-            "panic-injection runs are pinned to the in-RAM level-synchronous engine"
-        };
+    if let Some(unhonored) = plan.unhonored {
+        // Never ignore a budget silently: report it, and refuse
+        // outright when the caller asked explicitly rather than via
+        // the environment.
         budget.recorder.record(&Event::BudgetIgnored {
-            budget_bytes: bytes as u64,
-            reason,
+            budget_bytes: unhonored.bytes as u64,
+            reason: unhonored.reason,
         });
-        if options.mem_budget_bytes.is_some() {
-            return Err(CheckError::Precondition {
-                message: format!(
-                    "mem_budget_bytes = {bytes} cannot be honored: {reason}; drop the \
-                     budget or disable the conflicting option"
-                ),
-            });
+        if let Some(refusal) = plan.refusal() {
+            return Err(refusal);
         }
     }
-    if options.ws_routed() {
-        return ws::explore_ws(system, budget, options, threads, resume);
-    }
-    let prepared = options.reduction.prepare(system);
-    if threads > 1 {
-        explore_parallel_impl(system, budget, options, threads, prepared.as_ref(), resume)
-    } else {
-        explore_sequential(system, budget, options, prepared.as_ref(), resume)
+    match plan.route {
+        Route::SpillBfs { mem_budget } => {
+            spill::explore_spill(system, budget, options, mem_budget, resume)
+        }
+        Route::SpillWs { mem_budget } => {
+            spill_ws::explore_spill_ws(system, budget, options, plan.threads, mem_budget, resume)
+        }
+        Route::WorkStealing => ws::explore_ws(system, budget, options, plan.threads, resume),
+        Route::LevelSync | Route::Sequential => {
+            let prepared = options.reduction.prepare(system);
+            let prepared = prepared.as_ref();
+            if plan.route == Route::LevelSync {
+                explore_parallel_impl(system, budget, options, plan.threads, prepared, resume)
+            } else {
+                explore_sequential(system, budget, options, prepared, resume)
+            }
+        }
     }
 }
 
@@ -863,24 +812,15 @@ fn explore_observed(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
-    threads: usize,
+    plan: &Plan,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
     let rec = budget.recorder.clone();
     if !rec.enabled() {
-        return explore_dispatch(system, budget, options, threads, resume);
+        return explore_dispatch(system, budget, options, plan, resume);
     }
-    let engine = if options.spill_routed(threads) {
-        "explore_spill"
-    } else if options.spill_ws_routed(threads) {
-        "explore_spill_ws"
-    } else if options.ws_routed() {
-        "explore_parallel_ws"
-    } else if threads > 1 {
-        "explore_parallel"
-    } else {
-        "explore_sequential"
-    };
+    let engine = plan.label();
+    let threads = plan.threads;
     let mode = match options.mode {
         VisitedMode::Fingerprint => "fingerprint",
         VisitedMode::Exact => "exact",
@@ -899,7 +839,7 @@ fn explore_observed(
         });
     }
     let start = std::time::Instant::now();
-    let result = explore_dispatch(system, budget, options, threads, resume);
+    let result = explore_dispatch(system, budget, options, plan, resume);
     let report = match &result {
         Ok(run) => {
             let stats = run.graph.stats();
@@ -979,132 +919,6 @@ pub fn explore(system: &System, options: &ExploreOptions) -> Result<StateGraph, 
     }
 }
 
-/// Explores with the parallel engine unconditionally (worker count
-/// from `options.threads`, the `OPENTLA_EXPLORE_THREADS` environment
-/// variable, or the machine's available parallelism, in that order).
-///
-/// On complete runs the result is byte-identical to [`explore`]: the
-/// level-synchronous workers record edges per parent in action order,
-/// and a sequential renumbering pass replays the canonical BFS
-/// discovery order over those records. When only one worker is
-/// available the engine delegates to the sequential implementation
-/// outright — a single-worker level-synchronous BFS *is* sequential
-/// BFS, so the coordination machinery would be pure overhead.
-///
-/// # Errors
-///
-/// As [`explore`].
-pub fn explore_parallel(
-    system: &System,
-    options: &ExploreOptions,
-) -> Result<StateGraph, CheckError> {
-    let run = explore_parallel_governed(
-        system,
-        &Budget::default().states(options.max_states),
-        options,
-    )?;
-    match run.outcome {
-        Outcome::Complete => Ok(run.graph),
-        Outcome::Exhausted { .. } => Err(CheckError::TooManyStates {
-            limit: options.max_states,
-        }),
-    }
-}
-
-/// [`explore_parallel`] under a [`Budget`], returning partial results
-/// on exhaustion.
-///
-/// Exhausted runs yield a valid partial graph (every recorded state
-/// and edge is genuinely reachable, the frontier honestly lists every
-/// discovered-but-unexpanded state), but — unlike complete runs —
-/// *which* states made it under the limit depends on worker
-/// scheduling.
-///
-/// # Errors
-///
-/// As [`explore_governed`].
-pub fn explore_parallel_governed(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
-) -> Result<Exploration, CheckError> {
-    let threads = options
-        .threads
-        .or_else(env_threads)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        })
-        .max(1);
-    explore_observed(system, budget, options, threads, None)
-}
-
-/// Explores with the barrier-free work-stealing engine over packed
-/// state buffers (worker count resolved as in [`explore_parallel`]).
-///
-/// Workers pull parents from per-worker deques, stealing from each
-/// other when their own runs dry, and terminate by quiescence
-/// detection instead of level barriers; states live as fixed-width
-/// packed byte runs (see [`opentla_kernel::PackedLayout`]) in
-/// lock-striped arenas, fingerprinted directly over the bytes. A
-/// deterministic canonical renumbering post-pass makes the resulting
-/// graph **byte-identical** to the sequential engine's, exactly as
-/// the level-synchronous engine's is.
-///
-/// Unlike [`explore_parallel`], a single worker does *not* delegate
-/// to the tree-state sequential engine — the packed representation is
-/// most of the speedup, so the engine runs its own machinery at any
-/// worker count. Reduced (ample-set/symmetry) configurations fall
-/// back to the level-synchronous path, which remains the only engine
-/// implementing the cycle proviso.
-///
-/// # Errors
-///
-/// As [`explore`].
-pub fn explore_parallel_ws(
-    system: &System,
-    options: &ExploreOptions,
-) -> Result<StateGraph, CheckError> {
-    let run = explore_parallel_ws_governed(
-        system,
-        &Budget::default().states(options.max_states),
-        options,
-    )?;
-    match run.outcome {
-        Outcome::Complete => Ok(run.graph),
-        Outcome::Exhausted { .. } => Err(CheckError::TooManyStates {
-            limit: options.max_states,
-        }),
-    }
-}
-
-/// [`explore_parallel_ws`] under a [`Budget`], returning partial
-/// results on exhaustion. Checkpointing budgets write an `OTLASNAP`
-/// snapshot at the exhaustion point (a quiescent point — the
-/// barrier-free engine takes no mid-run snapshots), resumable by any
-/// engine.
-///
-/// # Errors
-///
-/// As [`explore_governed`].
-pub fn explore_parallel_ws_governed(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
-) -> Result<Exploration, CheckError> {
-    let options = ExploreOptions {
-        engine: Engine::WorkStealing,
-        ..options.clone()
-    };
-    let threads = options
-        .threads
-        .or_else(env_threads)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        })
-        .max(1);
-    explore_observed(system, budget, &options, threads, None)
-}
-
 // ---------------------------------------------------------------------
 // Sequential engine
 // ---------------------------------------------------------------------
@@ -1119,31 +933,19 @@ fn explore_sequential(
     if let Some(red) = prepared {
         return explore_sequential_reduced(system, budget, options, red, resume);
     }
-    match options.mode {
-        VisitedMode::Fingerprint => explore_sequential_fp(system, budget, options, resume),
-        VisitedMode::Exact => explore_sequential_exact(system, budget, options, resume),
-    }
+    let (meter, seed) = seq::begin(system, budget, resume)?;
+    let store = seq::RamStore::new(system, options, &meter);
+    seq::explore_seq(system, budget, &meter, seed, store)
 }
 
-/// Why sequential resumption needs no renumbering pass: every snapshot
-/// — from any engine — stores its arena in canonical (sequential
-/// discovery) order with the frontier as the arena's *tail*. For
-/// sequential-origin snapshots the BFS queue is always the most
-/// recently discovered suffix of the arena; parallel-origin snapshots
-/// are captured from the canonical replay rolled back to a level
-/// boundary, whose frontier (the last complete level) is likewise the
-/// tail. Re-seeding the queue with the frontier in id order therefore
-/// continues the *exact* sequential discovery order, and new states
-/// extend the arena precisely as an uninterrupted run would.
-///
-/// Builds the final snapshot of an exhausted sequential run (shared by
-/// all three sequential engines): `keep`/`frontier` follow the
-/// engine's cut discipline, and the snapshot is written to disk when a
-/// checkpoint spec is active.
+/// Builds the final in-RAM-format snapshot of an exhausted run (shared
+/// by every engine): `keep`/`frontier` follow the engine's cut
+/// discipline, and the snapshot is written to disk when a checkpoint
+/// spec is active.
 #[allow(clippy::too_many_arguments)]
 fn seq_exhaustion_snapshot(
     ck: &mut Checkpointer,
-    budget: &Budget,
+    recorder: &RecorderHandle,
     states: &[State],
     init: &[usize],
     edges: &[Vec<Edge>],
@@ -1170,347 +972,11 @@ fn seq_exhaustion_snapshot(
         reduction,
     );
     let token = if ck.active() {
-        ck.write(snap.clone(), &budget.recorder)
+        ck.write(snap.clone(), recorder)
     } else {
         None
     };
     (Some(Box::new(snap)), token)
-}
-
-/// The fingerprinted hot path: successor fingerprints are derived
-/// incrementally from the parent's
-/// ([`State::fingerprint_with`]), so an already-visited successor
-/// costs one hash-of-deltas and one `u64` map probe — it is never
-/// materialized as a [`State`] at all. Only genuinely new states are
-/// constructed and pushed into the arena.
-fn explore_sequential_fp(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
-    resume: Option<&Snapshot>,
-) -> Result<Exploration, CheckError> {
-    use std::collections::hash_map::Entry;
-    use std::ops::ControlFlow;
-
-    let compiled = CompiledSystem::compile(system);
-    let mut scratch = EvalScratch::new();
-    let mask = options.mask();
-    let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let mut map: FxHashMap<u64, usize> = FxHashMap::default();
-    let mut states: Vec<State> = Vec::new();
-    // Unmasked fingerprint per state id, for incremental derivation.
-    let mut fps: Vec<u64> = Vec::new();
-    let mut edges: Vec<Vec<Edge>> = Vec::new();
-    let mut parents: Vec<Option<(usize, usize)>> = Vec::new();
-    let mut init: Vec<usize> = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    let mut exhausted: Option<ExhaustReason> = None;
-    let mut exhausted_in_init = false;
-    let meter;
-    if let Some(snap) = resume {
-        // Re-seed from the snapshot: arena, edges, and BFS tree come
-        // back verbatim; the visited map is rebuilt by
-        // re-fingerprinting the arena (deterministic across
-        // processes), preserving first-id-wins collision behavior; the
-        // frontier becomes the queue; the meter is pre-charged with
-        // the banked work so cumulative budgets keep their meaning.
-        states = snap.states.clone();
-        edges = snap.edges.clone();
-        parents = snap.parents.clone();
-        init = snap.init.clone();
-        for (id, s) in states.iter().enumerate() {
-            let fp = s.fingerprint();
-            fps.push(fp);
-            map.entry(fp & mask).or_insert(id);
-        }
-        queue.extend(snap.frontier.iter().copied());
-        meter = Meter::start_resumed(budget, snap.states_used(), snap.transitions_used());
-    } else {
-        let init_states = system.init().states(system.universe())?;
-        if init_states.is_empty() {
-            return Err(CheckError::NoInitialStates);
-        }
-        meter = Meter::start(budget);
-        let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
-        for s in init_states {
-            let fp = s.fingerprint();
-            match map.entry(fp & mask) {
-                Entry::Occupied(_) => {}
-                Entry::Vacant(e) => {
-                    if let Some(reason) = meter.charge_state() {
-                        exhausted = Some(reason);
-                        exhausted_in_init = true;
-                        break;
-                    }
-                    let id = states.len();
-                    e.insert(id);
-                    states.push(s);
-                    fps.push(fp);
-                    edges.push(Vec::new());
-                    parents.push(None);
-                    init.push(id);
-                    queue.push_back(id);
-                }
-            }
-        }
-    }
-    let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
-    'bfs: while exhausted.is_none() {
-        if let Some(reason) = meter.checkpoint() {
-            exhausted = Some(reason);
-            break;
-        }
-        // Periodic snapshot at the loop head: the queue is a clean cut
-        // (everything off-queue is fully expanded).
-        if ck.due(1) {
-            let snap = checkpoint::capture(
-                &states,
-                &init,
-                &edges,
-                &parents,
-                states.len(),
-                queue.make_contiguous(),
-                options.mode,
-                false,
-                sys_hash,
-                options.fp_bits.clamp(1, 64),
-                0,
-                None,
-            );
-            ck.write(snap, &budget.recorder);
-        }
-        let Some(id) = queue.pop_front() else {
-            break;
-        };
-        // An Arc bump, not a copy: releases the arena borrow so the
-        // visitor below may push new states into it.
-        let parent = states[id].clone();
-        let parent_fp = fps[id];
-        let cut = compiled.for_each_successor(&parent, &mut scratch, |action, assignments| {
-            if let Some(reason) = meter.charge_transition() {
-                return ControlFlow::Break(reason);
-            }
-            let child_fp = parent.fingerprint_with(parent_fp, assignments);
-            let target = match map.entry(child_fp & mask) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    if let Some(reason) = meter.charge_state() {
-                        return ControlFlow::Break(reason);
-                    }
-                    let nid = states.len();
-                    e.insert(nid);
-                    states.push(parent.with(assignments));
-                    fps.push(child_fp);
-                    edges.push(Vec::new());
-                    parents.push(Some((id, action)));
-                    queue.push_back(nid);
-                    nid
-                }
-            };
-            edges[id].push(Edge { action, target });
-            ControlFlow::Continue(())
-        })?;
-        if let Some(reason) = cut {
-            // Re-queue the half-expanded state so the frontier
-            // honestly reports it as uncovered.
-            queue.push_front(id);
-            exhausted = Some(reason);
-            break 'bfs;
-        }
-    }
-    drop(expand_phase);
-    let (snapshot, resume_token) = match &exhausted {
-        Some(_) if !exhausted_in_init => seq_exhaustion_snapshot(
-            &mut ck,
-            budget,
-            &states,
-            &init,
-            &edges,
-            &parents,
-            states.len(),
-            queue.make_contiguous(),
-            options,
-            false,
-            sys_hash,
-            None,
-        ),
-        _ => (None, None),
-    };
-    let graph = StateGraph {
-        states,
-        visited: Visited::Fingerprint { map, mask },
-        init,
-        edges,
-        parents,
-        reduced: false,
-        canon: None,
-    };
-    let outcome = match exhausted {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Exhausted {
-            reason,
-            frontier_size: queue.len(),
-            stats: graph.stats(),
-            resume: resume_token,
-        },
-    };
-    Ok(Exploration {
-        frontier: queue.into_iter().collect(),
-        graph,
-        outcome,
-        reduction: None,
-        snapshot,
-    })
-}
-
-/// The exact fallback: the visited set is keyed by whole states, so
-/// every successor is materialized and hashed in full. Collision-free
-/// by construction, at a throughput cost.
-fn explore_sequential_exact(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
-    resume: Option<&Snapshot>,
-) -> Result<Exploration, CheckError> {
-    let compiled = CompiledSystem::compile(system);
-    let mut scratch = EvalScratch::new();
-    let mut succ: Vec<(usize, State)> = Vec::new();
-    let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let mut graph = StateGraph::new(options.mode, options.mask());
-    let mut queue = std::collections::VecDeque::new();
-    let mut exhausted: Option<ExhaustReason> = None;
-    let mut exhausted_in_init = false;
-    let meter;
-    if let Some(snap) = resume {
-        graph.states = snap.states.clone();
-        graph.edges = snap.edges.clone();
-        graph.parents = snap.parents.clone();
-        graph.init = snap.init.clone();
-        for id in 0..graph.states.len() {
-            let (_, fp) = graph.visited.lookup(&graph.states[id]);
-            let s = graph.states[id].clone();
-            graph.visited.insert(&s, fp, id);
-        }
-        queue.extend(snap.frontier.iter().copied());
-        meter = Meter::start_resumed(budget, snap.states_used(), snap.transitions_used());
-    } else {
-        let init_states = system.init().states(system.universe())?;
-        if init_states.is_empty() {
-            return Err(CheckError::NoInitialStates);
-        }
-        meter = Meter::start(budget);
-        let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
-        for s in init_states {
-            let (seen, fp) = graph.visited.lookup(&s);
-            if seen.is_some() {
-                continue;
-            }
-            if let Some(reason) = meter.charge_state() {
-                exhausted = Some(reason);
-                exhausted_in_init = true;
-                break;
-            }
-            let id = graph.states.len();
-            graph.visited.insert(&s, fp, id);
-            graph.states.push(s);
-            graph.edges.push(Vec::new());
-            graph.parents.push(None);
-            graph.init.push(id);
-            queue.push_back(id);
-        }
-    }
-    let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
-    'bfs: while exhausted.is_none() {
-        if let Some(reason) = meter.checkpoint() {
-            exhausted = Some(reason);
-            break;
-        }
-        if ck.due(1) {
-            let snap = checkpoint::capture(
-                &graph.states,
-                &graph.init,
-                &graph.edges,
-                &graph.parents,
-                graph.states.len(),
-                queue.make_contiguous(),
-                options.mode,
-                false,
-                sys_hash,
-                options.fp_bits.clamp(1, 64),
-                0,
-                None,
-            );
-            ck.write(snap, &budget.recorder);
-        }
-        let Some(id) = queue.pop_front() else {
-            break;
-        };
-        compiled.successors_into(&graph.states[id], &mut succ, &mut scratch)?;
-        for (action, t) in succ.drain(..) {
-            if let Some(reason) = meter.charge_transition() {
-                // Re-queue the half-expanded state so the frontier
-                // honestly reports it as uncovered.
-                queue.push_front(id);
-                exhausted = Some(reason);
-                break 'bfs;
-            }
-            let (seen, fp) = graph.visited.lookup(&t);
-            let target = match seen {
-                Some(existing) => existing,
-                None => {
-                    if let Some(reason) = meter.charge_state() {
-                        queue.push_front(id);
-                        exhausted = Some(reason);
-                        break 'bfs;
-                    }
-                    let nid = graph.states.len();
-                    graph.visited.insert(&t, fp, nid);
-                    graph.states.push(t);
-                    graph.edges.push(Vec::new());
-                    graph.parents.push(Some((id, action)));
-                    queue.push_back(nid);
-                    nid
-                }
-            };
-            graph.edges[id].push(Edge { action, target });
-        }
-    }
-    drop(expand_phase);
-    let (snapshot, resume_token) = match &exhausted {
-        Some(_) if !exhausted_in_init => seq_exhaustion_snapshot(
-            &mut ck,
-            budget,
-            &graph.states,
-            &graph.init,
-            &graph.edges,
-            &graph.parents,
-            graph.states.len(),
-            queue.make_contiguous(),
-            options,
-            false,
-            sys_hash,
-            None,
-        ),
-        _ => (None, None),
-    };
-    let outcome = match exhausted {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Exhausted {
-            reason,
-            frontier_size: queue.len(),
-            stats: graph.stats(),
-            resume: resume_token,
-        },
-    };
-    Ok(Exploration {
-        frontier: queue.into_iter().collect(),
-        graph,
-        outcome,
-        reduction: None,
-        snapshot,
-    })
 }
 
 /// The reduced sequential engine: level-synchronous BFS (explicit
@@ -1718,7 +1184,7 @@ fn explore_sequential_reduced(
     let (snapshot, resume_token) = match &exhausted {
         Some(_) if !exhausted_in_init => seq_exhaustion_snapshot(
             &mut ck,
-            budget,
+            &budget.recorder,
             &graph.states,
             &graph.init,
             &graph.edges,
@@ -2141,13 +1607,6 @@ fn explore_parallel_impl(
     prepared: Option<&PreparedReduction>,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
-    if threads <= 1 {
-        // With a single worker, level-synchronous BFS degenerates to
-        // plain sequential BFS — same discovery order, same graph — so
-        // the sharding and renumbering machinery would be pure
-        // overhead. Delegate.
-        return explore_sequential(system, budget, options, prepared, resume);
-    }
     // Small-graph routing: probe sequentially up to the cutoff; only a
     // graph that outgrows it (sequential exhaustion exactly at the
     // probe's state cap, with headroom left in the real budget) pays
@@ -2483,7 +1942,7 @@ fn explore_parallel_impl(
             });
             seq_exhaustion_snapshot(
                 &mut ck,
-                budget,
+                &budget.recorder,
                 &states,
                 &init,
                 &edges,
@@ -2546,6 +2005,29 @@ fn explore_parallel_impl(
     };
     drop(renumber_phase);
 
+    Ok(parallel_exploration(
+        graph,
+        reason,
+        pending,
+        &canon,
+        prepared.map(|_| total_stats),
+        snapshot,
+        resume_token,
+    ))
+}
+
+/// The result of a parallel run, for all three parallel engines: the
+/// outcome, plus the pending pids mapped onto the canonical graph as
+/// its frontier.
+fn parallel_exploration(
+    graph: StateGraph,
+    reason: Option<ExhaustReason>,
+    mut pending: Vec<Pid>,
+    canon: &[Vec<u32>],
+    reduction: Option<ReductionStats>,
+    snapshot: Option<Box<Snapshot>>,
+    resume: Option<ResumeToken>,
+) -> Exploration {
     let outcome = match reason {
         None => Outcome::Complete,
         Some(reason) => Outcome::Exhausted {
@@ -2556,7 +2038,7 @@ fn explore_parallel_impl(
                 pending.len()
             },
             stats: graph.stats(),
-            resume: resume_token,
+            resume,
         },
     };
     // A pending pid can be unreachable in the replay (its recording
@@ -2572,13 +2054,13 @@ fn explore_parallel_impl(
         .collect();
     frontier.sort_unstable();
     frontier.dedup();
-    Ok(Exploration {
+    Exploration {
         graph,
         outcome,
         frontier,
-        reduction: prepared.map(|_| total_stats),
+        reduction,
         snapshot,
-    })
+    }
 }
 
 /// One worker's share of a level: claim parents through the cursor,
@@ -2857,10 +2339,17 @@ mod tests {
             explore(&sys, &ExploreOptions::default()),
             Err(CheckError::NoInitialStates)
         ));
-        assert!(matches!(
-            explore_parallel(&sys, &ExploreOptions::default()),
-            Err(CheckError::NoInitialStates)
-        ));
+        for engine in [Engine::LevelSync, Engine::WorkStealing, Engine::SpillWs] {
+            let parallel = ExploreOptions {
+                threads: Some(2),
+                engine,
+                ..ExploreOptions::default()
+            };
+            assert!(matches!(
+                explore(&sys, &parallel),
+                Err(CheckError::NoInitialStates)
+            ));
+        }
     }
 
     #[test]
@@ -3022,7 +2511,7 @@ mod tests {
     fn parallel_matches_sequential_byte_for_byte() {
         for threads in [1, 2, 4] {
             let seq = explore(&grid(4), &ExploreOptions::default()).unwrap();
-            let par = explore_parallel(
+            let par = explore(
                 &grid(4),
                 &ExploreOptions {
                     threads: Some(threads),
@@ -3042,7 +2531,7 @@ mod tests {
 
     #[test]
     fn parallel_governed_exhaustion_is_honest() {
-        let run = explore_parallel_governed(
+        let run = explore_governed_with(
             &grid(6),
             &Budget::default().states(10),
             &ExploreOptions {
@@ -3138,7 +2627,7 @@ mod tests {
                 small_graph_cutoff: cutoff,
                 ..ExploreOptions::default()
             };
-            let run = explore_parallel_governed(sys, &budget, &opts).unwrap();
+            let run = explore_governed_with(sys, &budget, &opts).unwrap();
             assert!(run.outcome.is_complete());
             (run.graph, counting.worker_levels())
         };
@@ -3162,5 +2651,100 @@ mod tests {
         let (big, big_levels) = run_counting(&grid(20), None);
         assert_eq!(big.len(), 441);
         assert!(big_levels > 0, "large graph must still fan out");
+    }
+
+    /// Collects what the routing tests look at: every `RunStart`
+    /// engine label and every ignored-budget report.
+    #[derive(Default)]
+    struct RoutingLog {
+        engines: Mutex<Vec<String>>,
+        ignored: Mutex<Vec<(u64, String)>>,
+    }
+
+    impl crate::obs::Recorder for RoutingLog {
+        fn record(&self, event: &Event<'_>) {
+            match *event {
+                Event::RunStart { engine, .. } => lock(&self.engines).push(engine.to_string()),
+                Event::BudgetIgnored {
+                    budget_bytes,
+                    reason,
+                } => lock(&self.ignored).push((budget_bytes, reason.to_string())),
+                _ => {}
+            }
+        }
+    }
+
+    /// Runs `options` under the plan resolved against a *given*
+    /// environment — the process environment is never consulted, so
+    /// the CI legs that export the overrides see the same routing.
+    fn run_planned(
+        options: &ExploreOptions,
+        env_budget: Option<usize>,
+    ) -> (Plan, Arc<RoutingLog>, Result<Exploration, CheckError>) {
+        let log = Arc::new(RoutingLog::default());
+        let budget = Budget::default().with_recorder(RecorderHandle::new(log.clone()));
+        let plan = Plan::resolve(options, None, env_budget);
+        let run = explore_observed(&grid(3), &budget, options, &plan, None);
+        (plan, log, run)
+    }
+
+    #[test]
+    fn run_start_names_the_plan() {
+        let with = |engine, threads| ExploreOptions {
+            engine,
+            threads: Some(threads),
+            small_graph_cutoff: Some(0),
+            ..ExploreOptions::default()
+        };
+        let cases = [
+            (with(Engine::LevelSync, 1), Route::Sequential, "explore_sequential"),
+            (with(Engine::LevelSync, 2), Route::LevelSync, "explore_parallel"),
+            (with(Engine::WorkStealing, 2), Route::WorkStealing, "explore_parallel_ws"),
+            (
+                ExploreOptions {
+                    mem_budget_bytes: Some(1 << 20),
+                    ..with(Engine::SpillBfs, 1)
+                },
+                Route::SpillBfs { mem_budget: 1 << 20 },
+                "explore_spill",
+            ),
+            (
+                ExploreOptions {
+                    mem_budget_bytes: Some(1 << 20),
+                    ..with(Engine::SpillWs, 2)
+                },
+                Route::SpillWs { mem_budget: 1 << 20 },
+                "explore_spill_ws",
+            ),
+        ];
+        let reference = explore(&grid(3), &with(Engine::LevelSync, 1)).unwrap();
+        for (options, route, label) in cases {
+            let (plan, log, run) = run_planned(&options, None);
+            assert_eq!(plan.route, route);
+            assert_eq!(plan.label(), label);
+            assert_eq!(*lock(&log.engines), [label]);
+            assert_eq!(run.unwrap().graph.states(), reference.states(), "{label}");
+        }
+    }
+
+    /// An inherited budget that a pinned configuration cannot honor is
+    /// reported and the run proceeds in RAM; the same budget set
+    /// explicitly is refused (the table test in `plan.rs` covers the
+    /// refusal itself).
+    #[test]
+    fn unhonorable_env_budget_is_reported_not_refused() {
+        let pinned = ExploreOptions {
+            threads: Some(2),
+            worker_panic: Some(WorkerPanic { after_claims: 1 }),
+            small_graph_cutoff: Some(0),
+            ..ExploreOptions::default()
+        };
+        let (plan, log, run) = run_planned(&pinned, Some(1 << 20));
+        assert_eq!(plan.route, Route::LevelSync);
+        assert!(run.unwrap().outcome.is_complete());
+        let ignored = lock(&log.ignored);
+        assert_eq!(ignored.len(), 1);
+        assert_eq!(ignored[0].0, 1 << 20);
+        assert!(ignored[0].1.starts_with("panic-injection"), "{}", ignored[0].1);
     }
 }

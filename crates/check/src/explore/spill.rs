@@ -1,9 +1,9 @@
-//! The bounded-memory exploration engine.
+//! The bounded-memory store of the sequential scheduler.
 //!
-//! Same BFS discovery order, charge discipline, and outcomes as the
-//! in-RAM sequential engines (`explore_sequential_fp` /
-//! `explore_sequential_exact`), but the working set is held to an
-//! approximate byte budget:
+//! [`SpillStore`] runs under the same loop ([`super::seq::explore_seq`])
+//! as the in-RAM store — same BFS discovery order, charge discipline,
+//! and outcomes — but the working set is held to an approximate byte
+//! budget:
 //!
 //! * the **state arena** and **edge lists** are append-only
 //!   [`SegmentStore`]s — sealed segments live on disk and are read
@@ -32,23 +32,19 @@
 //! references, which surfaces as a typed I/O error on the next
 //! resume, never a wrong graph.
 
+use super::seq::{self, Finished, Interned, SeqStore, Stop};
 use super::{seq_exhaustion_snapshot, Edge, ExploreOptions, Exploration, StateGraph, Visited};
-use crate::budget::{Budget, ExhaustReason, Meter, Outcome};
+use crate::budget::{Budget, Meter};
 use crate::checkpoint::{self, CheckpointError, Checkpointer, Snapshot, SpillManifest};
-use crate::compiled::{CompiledSystem, EvalScratch};
-use crate::obs::{Event, Phase, PhaseGuard, RecorderHandle};
+use crate::obs::Event;
 use crate::{CheckError, System, VisitedMode};
 use fxhash::FxHashMap;
 use opentla_kernel::store::{self, FingerprintRun, SegmentMeta, SegmentStore, StoreError};
+use crate::sync::lock;
 use opentla_kernel::{PackedLayout, State};
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
 use std::path::{Path, PathBuf};
-
-/// Budget assumed when [`super::Engine::SpillBfs`] is selected without
-/// an explicit [`ExploreOptions::mem_budget_bytes`]: generous enough
-/// that typical models never seal a segment, so the engine runs at
-/// in-RAM speed while keeping the spill machinery live.
-pub(super) const DEFAULT_SPILL_BUDGET: usize = 256 << 20;
+use std::sync::{Arc, Mutex};
 
 /// How one memory budget splits across the engine's tiers (shared
 /// with the parallel spill engine, which divides the visited-tier
@@ -121,8 +117,9 @@ pub(super) struct SpillInfo {
     pub(super) bytes: u64,
 }
 
-pub(super) fn note_spill(meter: &Meter, rec: &RecorderHandle, info: &SpillInfo) {
+pub(super) fn note_spill(meter: &Meter, info: &SpillInfo) {
     meter.add_spilled_bytes(info.bytes);
+    let rec = meter.recorder();
     if rec.enabled() {
         rec.record(&Event::Spill {
             tier: info.tier,
@@ -143,81 +140,116 @@ pub(super) fn seal_info(tier: &'static str, store: &SegmentStore, meta: &Segment
     }
 }
 
+/// Allocates the `visited-NNNNN.run` names of one segment directory.
+/// One allocator sits behind every two-tier set of a run — the single
+/// set of the sequential store, all stripes of the parallel one — so
+/// concurrent drains never collide on a path; its lock is held only to
+/// take the next name, never across the write.
+pub(super) struct RunNames {
+    dir: PathBuf,
+    seq: u64,
+}
+
+impl RunNames {
+    /// Removes stale `visited-*.run` files an earlier process left in
+    /// `dir` (mirroring `SegmentStore::create`'s stale-segment
+    /// cleanup) and starts the sequence at 0.
+    pub(super) fn create(dir: &Path) -> Result<Arc<Mutex<RunNames>>, StoreError> {
+        let io = |path: &Path, e: std::io::Error| StoreError::Io {
+            path: path.to_path_buf(),
+            message: e.to_string(),
+        };
+        for entry in std::fs::read_dir(dir).map_err(|e| io(dir, e))? {
+            let entry = entry.map_err(|e| io(dir, e))?;
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if name.starts_with("visited-") && name.ends_with(".run") {
+                let path = entry.path();
+                std::fs::remove_file(&path).map_err(|e| io(&path, e))?;
+            }
+        }
+        Ok(Arc::new(Mutex::new(RunNames {
+            dir: dir.to_path_buf(),
+            seq: 0,
+        })))
+    }
+}
+
 /// The two-tier visited set. In fingerprint mode each (masked) key is
 /// inserted at most once, so the tiers hold disjoint keys and a
 /// lookup's first answer is *the* answer. In exact mode a key may
 /// carry several candidate ids (genuine fingerprint collisions); the
 /// caller verifies candidates against the arena.
-struct SpillVisited {
+///
+/// A drain moves keys between tiers; it never changes *membership*, so
+/// a lookup's answer is independent of when drains fired. The drain
+/// threshold is itself a pure function of the insert stream (drain
+/// after `hot_cap` inserts), not of timing.
+pub(super) struct SpillVisited {
     /// First id recorded per key. In fingerprint mode — where each key
     /// is inserted exactly once — this is, verbatim, the engine's
-    /// first-id-wins visited map: an in-budget completed run *moves* it
-    /// into the final [`StateGraph`] instead of rebuilding one.
+    /// first-id-wins visited map: an in-budget completed sequential run
+    /// *moves* it into the final [`StateGraph`] instead of rebuilding
+    /// one.
     hot: FxHashMap<u64, usize>,
     /// Exact-mode extras: second and later ids under a genuinely
     /// colliding key (rare). Every key here is also in `hot`.
     dups: FxHashMap<u64, Vec<u64>>,
+    /// Ids recorded since the last drain.
+    hot_len: usize,
     hot_cap: usize,
-    /// Created at the first drain — a run that never spills never pays
+    /// Created at the first drain — a set that never spills never pays
     /// for zeroing (or walking) the filter's bit array.
     filter: Option<Filter>,
     filter_bytes: usize,
     runs: Vec<FingerprintRun>,
-    dir: PathBuf,
+    names: Arc<Mutex<RunNames>>,
     probe: Vec<u64>,
 }
 
-/// Removes stale `visited-*.run` files an earlier process left in
-/// `dir`, mirroring `SegmentStore::create`'s stale-segment cleanup.
-/// Shared by both spill engines' visited-set constructors.
-pub(super) fn clean_visited_runs(dir: &Path) -> Result<(), StoreError> {
-    for entry in std::fs::read_dir(dir).map_err(|e| StoreError::Io {
-        path: dir.to_path_buf(),
-        message: e.to_string(),
-    })? {
-        let entry = entry.map_err(|e| StoreError::Io {
-            path: dir.to_path_buf(),
-            message: e.to_string(),
-        })?;
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("visited-") && name.ends_with(".run") {
-            let path = entry.path();
-            std::fs::remove_file(&path).map_err(|e| StoreError::Io {
-                path,
-                message: e.to_string(),
-            })?;
-        }
-    }
-    Ok(())
+/// What [`SpillVisited::fp_entry`] did with the key.
+pub(super) enum FpEntry {
+    /// The key was already recorded, in either tier, for this id.
+    Found(usize),
+    /// A full miss, admitted and recorded under this id; carries the
+    /// accounting of the drain the insert triggered, if any.
+    Inserted(usize, Option<SpillInfo>),
 }
 
 impl SpillVisited {
-    fn create(dir: &Path, t: &Tuning) -> Result<SpillVisited, StoreError> {
-        clean_visited_runs(dir)?;
-        Ok(SpillVisited {
+    pub(super) fn new(
+        names: Arc<Mutex<RunNames>>,
+        hot_cap: usize,
+        filter_bytes: usize,
+    ) -> SpillVisited {
+        SpillVisited {
             hot: FxHashMap::default(),
             dups: FxHashMap::default(),
-            hot_cap: t.hot_cap,
+            hot_len: 0,
+            hot_cap,
             filter: None,
-            filter_bytes: t.filter_bytes,
+            filter_bytes,
             runs: Vec::new(),
-            dir: dir.to_path_buf(),
+            names,
             probe: Vec::new(),
-        })
+        }
     }
 
-    /// Fingerprint-mode lookup: the id recorded for `key`, if any.
-    fn lookup_fp(&mut self, key: u64) -> Result<Option<u64>, StoreError> {
-        if let Some(&id) = self.hot.get(&key) {
-            return Ok(Some(id as u64));
-        }
-        if !self.runs.is_empty() && self.filter.as_ref().is_some_and(|f| f.maybe(key)) {
-            self.probe.clear();
-            for run in &mut self.runs {
-                run.lookup(key, &mut self.probe)?;
-                if let Some(&id) = self.probe.first() {
-                    return Ok(Some(id));
+    /// The id a spilled run records for `key`, if any. Takes the
+    /// spilled tier's fields, not `self`, so [`fp_entry`](Self::fp_entry)
+    /// can probe while it holds the hot tier's vacant entry.
+    fn lookup_runs(
+        runs: &mut [FingerprintRun],
+        filter: &Option<Filter>,
+        probe: &mut Vec<u64>,
+        key: u64,
+    ) -> Result<Option<usize>, StoreError> {
+        if !runs.is_empty() && filter.as_ref().is_some_and(|f| f.maybe(key)) {
+            probe.clear();
+            for run in runs {
+                run.lookup(key, probe)?;
+                if let Some(&id) = probe.first() {
+                    return Ok(Some(id as usize));
                 }
             }
         }
@@ -226,7 +258,7 @@ impl SpillVisited {
 
     /// Exact-mode lookup: every candidate id recorded under `key`,
     /// appended to `out` (cleared first).
-    fn candidates(&mut self, key: u64, out: &mut Vec<u64>) -> Result<(), StoreError> {
+    pub(super) fn candidates(&mut self, key: u64, out: &mut Vec<u64>) -> Result<(), StoreError> {
         out.clear();
         if let Some(&id) = self.hot.get(&key) {
             out.push(id as u64);
@@ -242,60 +274,79 @@ impl SpillVisited {
         Ok(())
     }
 
-    /// Records `id` under `key` in the hot tier, spilling the tier to
-    /// a sorted run file when it reaches capacity. Returns the spill's
-    /// accounting info when one happened.
-    fn insert(&mut self, key: u64, id: u64) -> Result<Option<SpillInfo>, StoreError> {
+    /// Records `id` under `key` in the hot tier (keeping every id of a
+    /// colliding key), spilling the tier to a sorted run file when it
+    /// reaches capacity. Returns the spill's accounting info when one
+    /// happened.
+    pub(super) fn insert(&mut self, key: u64, id: usize) -> Result<Option<SpillInfo>, StoreError> {
         match self.hot.entry(key) {
-            std::collections::hash_map::Entry::Occupied(_) => {
-                self.dups.entry(key).or_default().push(id);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(id as usize);
+            Entry::Occupied(_) => self.dups.entry(key).or_default().push(id as u64),
+            Entry::Vacant(e) => {
+                e.insert(id);
             }
         }
-        if self.hot.len() < self.hot_cap {
+        self.inserted()
+    }
+
+    fn inserted(&mut self) -> Result<Option<SpillInfo>, StoreError> {
+        self.hot_len += 1;
+        if self.hot_len < self.hot_cap {
             return Ok(None);
         }
         self.drain_hot().map(Some)
     }
 
+    /// Resume seeding, meter-free, for both spill engines: records
+    /// `id` for a snapshot state with fingerprint `fp` under the
+    /// run's insertion discipline — first-id-wins on the masked key in
+    /// fingerprint mode, every id under the unmasked key in exact
+    /// mode.
+    pub(super) fn seed(
+        &mut self,
+        mode: VisitedMode,
+        fp: u64,
+        mask: u64,
+        id: usize,
+    ) -> Result<Option<SpillInfo>, StoreError> {
+        match mode {
+            VisitedMode::Exact => self.insert(fp, id),
+            VisitedMode::Fingerprint => {
+                let key = fp & mask;
+                if self.hot.contains_key(&key)
+                    || Self::lookup_runs(&mut self.runs, &self.filter, &mut self.probe, key)?
+                        .is_some()
+                {
+                    return Ok(None);
+                }
+                self.insert(key, id)
+            }
+        }
+    }
+
     /// Fingerprint-mode lookup-or-insert with one hot-tier hash probe —
-    /// the engine's innermost visited operation, cost-matched to the
-    /// sequential engine's single `HashMap::entry`. On a full miss
-    /// `charge` decides admission: `Ok(())` records `next_id` under
-    /// `key`, `Err(reason)` leaves the set untouched (the budget cut
-    /// happens *before* the insert, exactly like the in-RAM engine).
-    fn fp_entry(
+    /// the engines' innermost visited operation, cost-matched to the
+    /// in-RAM store's single `HashMap::entry`. On a full miss `admit`
+    /// decides admission: `Ok(id)` (the meter charged, the id
+    /// allocated) records `id` under `key`; `Err` leaves the set
+    /// untouched — the budget cut happens *before* the insert, exactly
+    /// like the in-RAM store.
+    #[inline]
+    pub(super) fn fp_entry<E: From<StoreError>>(
         &mut self,
         key: u64,
-        next_id: u64,
-        charge: impl FnOnce() -> Result<(), ExhaustReason>,
-    ) -> Result<(FpOutcome, Option<SpillInfo>), StoreError> {
+        admit: impl FnOnce() -> Result<usize, E>,
+    ) -> Result<FpEntry, E> {
         match self.hot.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                Ok((FpOutcome::Found(*e.get() as u64), None))
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                if !self.runs.is_empty()
-                    && self.filter.as_ref().is_some_and(|f| f.maybe(key))
+            Entry::Occupied(e) => Ok(FpEntry::Found(*e.get())),
+            Entry::Vacant(e) => {
+                if let Some(id) =
+                    Self::lookup_runs(&mut self.runs, &self.filter, &mut self.probe, key)?
                 {
-                    self.probe.clear();
-                    for run in &mut self.runs {
-                        run.lookup(key, &mut self.probe)?;
-                        if let Some(&id) = self.probe.first() {
-                            return Ok((FpOutcome::Found(id), None));
-                        }
-                    }
+                    return Ok(FpEntry::Found(id));
                 }
-                if let Err(reason) = charge() {
-                    return Ok((FpOutcome::Cut(reason), None));
-                }
-                e.insert(next_id as usize);
-                if self.hot.len() < self.hot_cap {
-                    return Ok((FpOutcome::Inserted, None));
-                }
-                self.drain_hot().map(|info| (FpOutcome::Inserted, Some(info)))
+                let id = admit()?;
+                e.insert(id);
+                Ok(FpEntry::Inserted(id, self.inserted()?))
             }
         }
     }
@@ -318,27 +369,23 @@ impl SpillVisited {
             entries.extend(ids.into_iter().map(|id| (key, id)));
         }
         entries.sort_unstable();
-        let path = self.dir.join(format!("visited-{:05}.run", self.runs.len()));
+        self.hot_len = 0;
+        let (seq, path) = {
+            let mut names = lock(&self.names);
+            let seq = names.seq;
+            names.seq += 1;
+            (seq, names.dir.join(format!("visited-{seq:05}.run")))
+        };
         let run = FingerprintRun::write(&path, &entries)?;
         let info = SpillInfo {
             tier: "visited",
-            seq: self.runs.len() as u64,
+            seq,
             records: entries.len() as u64,
             bytes: run.bytes(),
         };
         self.runs.push(run);
         Ok(info)
     }
-}
-
-/// What [`SpillVisited::fp_entry`] did with the key.
-enum FpOutcome {
-    /// The key was already recorded, in either tier, for this id.
-    Found(u64),
-    /// A full miss, admitted: `next_id` is now recorded.
-    Inserted,
-    /// A full miss the budget refused; nothing was recorded.
-    Cut(ExhaustReason),
 }
 
 /// The disk-backed state arena, with a resident mirror kept until the
@@ -407,7 +454,6 @@ impl Arena {
         fp: u64,
         parent: Option<(usize, usize)>,
         meter: &Meter,
-        rec: &RecorderHandle,
     ) -> Result<(), StoreError> {
         self.count += 1;
         if let Some(cost) = self.deferred_cost {
@@ -418,7 +464,7 @@ impl Arena {
             if self.count * cost >= self.seg_target {
                 // The mirror no longer fits one segment: materialize
                 // the byte stream and run eagerly from here on.
-                self.flush_deferred(meter, rec)?;
+                self.flush_deferred(meter)?;
             }
             return Ok(());
         }
@@ -431,7 +477,7 @@ impl Arena {
             &mut self.rec_buf,
         );
         if let Some(meta) = self.store.append(&self.rec_buf)? {
-            note_spill(meter, rec, &seal_info("arena", &self.store, &meta));
+            note_spill(meter, &seal_info("arena", &self.store, &meta));
             // First seal: the arena no longer fits the budget, so the
             // mirror goes too. Reads fall back to the store.
             self.resident = None;
@@ -446,7 +492,7 @@ impl Arena {
     /// Encodes and appends every deferred record, producing exactly the
     /// byte stream (and so exactly the segment boundaries) an eager run
     /// would have. No-op when encoding is not deferred.
-    fn flush_deferred(&mut self, meter: &Meter, rec: &RecorderHandle) -> Result<(), StoreError> {
+    fn flush_deferred(&mut self, meter: &Meter) -> Result<(), StoreError> {
         if self.deferred_cost.take().is_none() {
             return Ok(());
         }
@@ -462,7 +508,7 @@ impl Arena {
                     &mut self.rec_buf,
                 );
                 if let Some(meta) = self.store.append(&self.rec_buf)? {
-                    note_spill(meter, rec, &seal_info("arena", &self.store, &meta));
+                    note_spill(meter, &seal_info("arena", &self.store, &meta));
                     sealed_any = true;
                 }
             }
@@ -557,20 +603,19 @@ impl EdgeSink {
         id: usize,
         edges: &[Edge],
         meter: &Meter,
-        rec: &RecorderHandle,
     ) -> Result<(), StoreError> {
         if let Some(m) = &mut self.mirror {
             // 4-byte store prefix + 8-byte record header + 8 per edge.
             self.mirror_bytes += 12 + 8 * edges.len();
             m.push((id as u32, edges.to_vec()));
             if self.mirror_bytes >= self.seg_target {
-                self.flush_deferred(meter, rec)?;
+                self.flush_deferred(meter)?;
             }
             return Ok(());
         }
         checkpoint::encode_edge_record(id, edges, &mut self.rec_buf);
         if let Some(meta) = self.store.append(&self.rec_buf)? {
-            note_spill(meter, rec, &seal_info("edges", &self.store, &meta));
+            note_spill(meter, &seal_info("edges", &self.store, &meta));
         }
         Ok(())
     }
@@ -578,14 +623,14 @@ impl EdgeSink {
     /// Encodes and appends every mirrored record in recorded order —
     /// exactly the byte stream an eager run would have produced. No-op
     /// when the mirror is already gone.
-    fn flush_deferred(&mut self, meter: &Meter, rec: &RecorderHandle) -> Result<(), StoreError> {
+    fn flush_deferred(&mut self, meter: &Meter) -> Result<(), StoreError> {
         let Some(m) = self.mirror.take() else {
             return Ok(());
         };
         for (id, es) in &m {
             checkpoint::encode_edge_record(*id as usize, es, &mut self.rec_buf);
             if let Some(meta) = self.store.append(&self.rec_buf)? {
-                note_spill(meter, rec, &seal_info("edges", &self.store, &meta));
+                note_spill(meter, &seal_info("edges", &self.store, &meta));
             }
         }
         Ok(())
@@ -624,50 +669,6 @@ pub(super) fn collect_edges(store: &SegmentStore, n: usize) -> Result<Vec<Vec<Ed
     Ok(edges)
 }
 
-/// Builds the O(hot tier) periodic checkpoint: sealed segments by
-/// reference, unsealed tails inline. Deferred arena records are
-/// materialized first — a snapshot embeds real store bytes.
-#[allow(clippy::too_many_arguments)]
-fn spill_snapshot(
-    arena: &mut Arena,
-    edge_store: &mut EdgeSink,
-    init: &[usize],
-    queue: &VecDeque<usize>,
-    options: &ExploreOptions,
-    sys_hash: u64,
-    transitions: u64,
-    meter: &Meter,
-    rec: &RecorderHandle,
-) -> Result<Snapshot, StoreError> {
-    arena.flush_deferred(meter, rec)?;
-    edge_store.flush_deferred(meter, rec)?;
-    let mut frontier: Vec<usize> = queue.iter().copied().collect();
-    frontier.sort_unstable();
-    frontier.dedup();
-    Ok(Snapshot {
-        fp_bits: options.fp_bits.clamp(1, 64),
-        mode: options.mode,
-        reduced: false,
-        system_hash: sys_hash,
-        seq: 0,
-        states: Vec::new(),
-        init: init.to_vec(),
-        edges: Vec::new(),
-        parents: Vec::new(),
-        frontier,
-        reduction: None,
-        spill: Some(SpillManifest {
-            dir: arena.store.dir().to_path_buf(),
-            states: arena.store.len(),
-            transitions,
-            arena_segments: arena.store.sealed().to_vec(),
-            arena_hot: arena.store.hot_records().map(<[u8]>::to_vec).collect(),
-            edge_segments: edge_store.store.sealed().to_vec(),
-            edge_hot: edge_store.store.hot_records().map(<[u8]>::to_vec).collect(),
-        }),
-    })
-}
-
 /// Where the segment files live: next to the checkpoint when one is
 /// configured (so a resumed process finds them), otherwise a
 /// process-private temp directory removed when the run returns.
@@ -684,609 +685,331 @@ pub(super) fn spill_dir(budget: &Budget) -> (PathBuf, bool) {
     )
 }
 
-/// Re-seeds the stores from a materialized snapshot, mirroring the
-/// in-RAM engines' resume paths: arena records are re-appended in id
-/// order, the visited set is rebuilt with the same first-id-wins
-/// insertion discipline, and every *non-frontier* state gets its edge
-/// record back (frontier states re-expand, so they must have none).
-#[allow(clippy::too_many_arguments)]
-fn reingest(
-    snap: &Snapshot,
-    options: &ExploreOptions,
-    mask: u64,
-    arena: &mut Arena,
-    edge_store: &mut EdgeSink,
-    visited: &mut SpillVisited,
-    init: &mut Vec<usize>,
-    queue: &mut VecDeque<usize>,
-    transitions_total: &mut u64,
-    meter: &Meter,
-    rec: &RecorderHandle,
-) -> Result<(), CheckError> {
-    let n = snap.states.len();
-    let mut in_frontier = vec![false; n];
-    for &f in &snap.frontier {
-        in_frontier[f] = true;
+/// Emits the run's segment-cache totals, for both spill engines.
+pub(super) fn note_cache_stats(meter: &Meter, arena: &SegmentStore, edges: &SegmentStore) {
+    let rec = meter.recorder();
+    if rec.enabled() {
+        let a = arena.cache_stats();
+        let e = edges.cache_stats();
+        rec.record(&Event::CacheStats {
+            hits: a.hits + e.hits,
+            misses: a.misses + e.misses,
+            evictions: a.evictions + e.evictions,
+            resident_bytes: a.resident_bytes + e.resident_bytes,
+            spilled_bytes: meter.spilled_bytes(),
+        });
     }
-    for (id, s) in snap.states.iter().enumerate() {
-        let fp = s.fingerprint();
-        let spilled = match options.mode {
-            VisitedMode::Fingerprint => {
-                let key = fp & mask;
-                match visited.lookup_fp(key).map_err(CheckpointError::from)? {
-                    Some(_) => None,
-                    None => visited
-                        .insert(key, id as u64)
-                        .map_err(CheckpointError::from)?,
-                }
-            }
-            VisitedMode::Exact => visited.insert(fp, id as u64).map_err(CheckpointError::from)?,
-        };
-        if let Some(info) = spilled {
-            note_spill(meter, rec, &info);
-        }
-        arena
-            .push(s, fp, snap.parents[id], meter, rec)
-            .map_err(CheckpointError::from)?;
-        if !in_frontier[id] {
-            edge_store
-                .push(id, &snap.edges[id], meter, rec)
-                .map_err(CheckpointError::from)?;
-        }
-    }
-    *init = snap.init.clone();
-    queue.extend(snap.frontier.iter().copied());
-    *transitions_total = snap.transitions_used() as u64;
-    Ok(())
 }
 
-/// Routes one spill exploration by visited mode and cleans up an
-/// ephemeral segment directory afterwards.
+/// A snapshot in the spill wire format over an arena and an edge
+/// store holding canonical ids: sealed segments go in by reference
+/// (name and checksum), only the unsealed tails are embedded.
+pub(super) fn manifest_snapshot(
+    options: &ExploreOptions,
+    sys_hash: u64,
+    init: &[usize],
+    frontier: Vec<usize>,
+    arena: &SegmentStore,
+    edges: &SegmentStore,
+    transitions: u64,
+) -> Snapshot {
+    Snapshot {
+        fp_bits: options.fp_bits.clamp(1, 64),
+        mode: options.mode,
+        reduced: false,
+        system_hash: sys_hash,
+        seq: 0,
+        states: Vec::new(),
+        init: init.to_vec(),
+        edges: Vec::new(),
+        parents: Vec::new(),
+        frontier,
+        reduction: None,
+        spill: Some(SpillManifest {
+            dir: arena.dir().to_path_buf(),
+            states: arena.len(),
+            transitions,
+            arena_segments: arena.sealed().to_vec(),
+            arena_hot: arena.hot_records().map(<[u8]>::to_vec).collect(),
+            edge_segments: edges.sealed().to_vec(),
+            edge_hot: edges.hot_records().map(<[u8]>::to_vec).collect(),
+        }),
+    }
+}
+
+/// Runs the sequential scheduler over a [`SpillStore`] tuned to
+/// `mem_budget` bytes, and cleans up an ephemeral segment directory
+/// afterwards.
 pub(super) fn explore_spill(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
+    mem_budget: usize,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
-    let mem = options
-        .resolved_mem_budget()
-        .unwrap_or(DEFAULT_SPILL_BUDGET);
     let (dir, ephemeral) = spill_dir(budget);
-    let result = match options.mode {
-        VisitedMode::Fingerprint => explore_spill_fp(system, budget, options, resume, mem, &dir),
-        VisitedMode::Exact => explore_spill_exact(system, budget, options, resume, mem, &dir),
-    };
+    let result = seq::begin(system, budget, resume).and_then(|(meter, seed)| {
+        let store = SpillStore::create(system, options, &dir, mem_budget, &meter)
+            .map_err(CheckpointError::from)?;
+        seq::explore_seq(system, budget, &meter, seed, store)
+    });
     if ephemeral {
         let _ = std::fs::remove_dir_all(&dir);
     }
     result
 }
 
-/// Why a successor sweep stopped early: a budget cut (normal, mirrors
-/// the in-RAM engines) or a store failure (typed error).
-enum Stop {
-    Cut(ExhaustReason),
-    Fail(CheckpointError),
+/// The disk-backed [`SeqStore`]: arena and edge records in segment
+/// stores, the visited set in two tiers. In [`VisitedMode::Exact`] the
+/// whole-state visited map of the in-RAM store is replaced by
+/// fingerprint candidates verified against arena bytes —
+/// collision-free like the original, bounded like the store.
+struct SpillStore<'a> {
+    arena: Arena,
+    edges: EdgeSink,
+    visited: SpillVisited,
+    init: Vec<usize>,
+    /// Transitions banked in the edge store (a snapshot's total).
+    transitions: u64,
+    cand: Vec<u64>,
+    mask: u64,
+    options: &'a ExploreOptions,
+    sys_hash: u64,
+    meter: &'a Meter,
 }
 
-/// The fingerprint-mode engine; mirrors `explore_sequential_fp`
-/// statement for statement so completed graphs are byte-identical.
-fn explore_spill_fp(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
-    resume: Option<&Snapshot>,
-    mem: usize,
-    dir: &Path,
-) -> Result<Exploration, CheckError> {
-    use std::ops::ControlFlow;
-
-    let compiled = CompiledSystem::compile(system);
-    let mut scratch = EvalScratch::new();
-    let mask = options.mask();
-    let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let rec = budget.recorder.clone();
-    let t = Tuning::for_budget(mem);
-    let mut arena = Arena::create(system, dir, &t).map_err(CheckpointError::from)?;
-    let mut edge_store = EdgeSink::create(dir, &t).map_err(CheckpointError::from)?;
-    let mut visited = SpillVisited::create(dir, &t).map_err(CheckpointError::from)?;
-    let mut init: Vec<usize> = Vec::new();
-    let mut queue = VecDeque::new();
-    let mut transitions_total: u64 = 0;
-    let mut exhausted: Option<ExhaustReason> = None;
-    let mut exhausted_in_init = false;
-    let mut cut_edges: Option<(usize, Vec<Edge>)> = None;
-    let mut edge_buf: Vec<Edge> = Vec::new();
-    let meter;
-    if let Some(snap) = resume {
-        meter = Meter::start_resumed(budget, snap.states_used(), snap.transitions_used());
-        reingest(
-            snap,
+impl<'a> SpillStore<'a> {
+    fn create(
+        system: &System,
+        options: &'a ExploreOptions,
+        dir: &Path,
+        mem_budget: usize,
+        meter: &'a Meter,
+    ) -> Result<SpillStore<'a>, StoreError> {
+        let t = Tuning::for_budget(mem_budget);
+        Ok(SpillStore {
+            arena: Arena::create(system, dir, &t)?,
+            edges: EdgeSink::create(dir, &t)?,
+            visited: SpillVisited::new(RunNames::create(dir)?, t.hot_cap, t.filter_bytes),
+            init: Vec::new(),
+            transitions: 0,
+            cand: Vec::new(),
+            mask: options.mask(),
             options,
-            mask,
-            &mut arena,
-            &mut edge_store,
-            &mut visited,
-            &mut init,
-            &mut queue,
-            &mut transitions_total,
-            &meter,
-            &rec,
-        )?;
-    } else {
-        let init_states = system.init().states(system.universe())?;
-        if init_states.is_empty() {
-            return Err(CheckError::NoInitialStates);
+            sys_hash: checkpoint::system_hash(system),
+            meter,
+        })
+    }
+
+    /// The O(hot tier) checkpoint. Deferred records are materialized
+    /// first — a snapshot embeds real store bytes.
+    fn spill_snapshot(&mut self, queue: &[usize]) -> Result<Snapshot, StoreError> {
+        self.arena.flush_deferred(self.meter)?;
+        self.edges.flush_deferred(self.meter)?;
+        let mut frontier = queue.to_vec();
+        frontier.sort_unstable();
+        frontier.dedup();
+        Ok(manifest_snapshot(
+            self.options,
+            self.sys_hash,
+            &self.init,
+            frontier,
+            &self.arena.store,
+            &self.edges.store,
+            self.transitions,
+        ))
+    }
+
+    /// Exact-mode membership: gathers fingerprint candidates from both
+    /// visited tiers, then verifies each against the arena. Returns
+    /// the id whose record *is* `s`, or `None` — fingerprint
+    /// collisions give false candidates, never false answers.
+    fn find_exact(&mut self, s: &State, fp: u64) -> Result<Option<usize>, CheckpointError> {
+        self.visited.candidates(fp, &mut self.cand)?;
+        for &cid in &self.cand {
+            if self.arena.holds(cid as usize, s)? {
+                return Ok(Some(cid as usize));
+            }
         }
-        meter = Meter::start(budget);
-        let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
-        for s in init_states {
+        Ok(None)
+    }
+}
+
+impl SeqStore for SpillStore<'_> {
+    /// Arena records are re-appended in id order, the visited set is
+    /// rebuilt with the same first-id-wins insertion discipline, and
+    /// every *non-frontier* state gets its edge record back (frontier
+    /// states re-expand, so they must have none).
+    fn reseed(&mut self, snap: &Snapshot) -> Result<(), CheckError> {
+        let meter = self.meter;
+        let mut in_frontier = vec![false; snap.states.len()];
+        for &f in &snap.frontier {
+            in_frontier[f] = true;
+        }
+        for (id, s) in snap.states.iter().enumerate() {
             let fp = s.fingerprint();
-            let key = fp & mask;
-            let id = arena.len();
-            let (out, spilled) = visited
-                .fp_entry(key, id as u64, || meter.charge_state().map_or(Ok(()), Err))
+            let spilled = self
+                .visited
+                .seed(self.options.mode, fp, self.mask, id)
                 .map_err(CheckpointError::from)?;
             if let Some(info) = spilled {
-                note_spill(&meter, &rec, &info);
+                note_spill(meter, &info);
             }
-            match out {
-                FpOutcome::Found(_) => continue,
-                FpOutcome::Cut(reason) => {
-                    exhausted = Some(reason);
-                    exhausted_in_init = true;
-                    break;
-                }
-                FpOutcome::Inserted => {
-                    arena
-                        .push(&s, fp, None, &meter, &rec)
-                        .map_err(CheckpointError::from)?;
-                    init.push(id);
-                    queue.push_back(id);
-                }
-            }
-        }
-    }
-    let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
-    'bfs: while exhausted.is_none() {
-        if let Some(reason) = meter.checkpoint() {
-            exhausted = Some(reason);
-            break;
-        }
-        // Periodic snapshot at the loop head — a clean cut, like the
-        // in-RAM engines, but O(hot tier): sealed segments go in by
-        // reference.
-        if ck.due(1) {
-            let snap = spill_snapshot(
-                &mut arena,
-                &mut edge_store,
-                &init,
-                &queue,
-                options,
-                sys_hash,
-                transitions_total,
-                &meter,
-                &rec,
-            )
-            .map_err(CheckpointError::from)?;
-            ck.write(snap, &budget.recorder);
-        }
-        let Some(id) = queue.pop_front() else {
-            break;
-        };
-        let (parent, parent_fp) = arena.entry(id)?;
-        edge_buf.clear();
-        let stop = compiled.for_each_successor(&parent, &mut scratch, |action, assignments| {
-            if let Some(reason) = meter.charge_transition() {
-                return ControlFlow::Break(Stop::Cut(reason));
-            }
-            let child_fp = parent.fingerprint_with(parent_fp, assignments);
-            let key = child_fp & mask;
-            let nid = arena.len();
-            let (out, spilled) = match visited.fp_entry(key, nid as u64, || {
-                meter.charge_state().map_or(Ok(()), Err)
-            }) {
-                Ok(v) => v,
-                Err(e) => return ControlFlow::Break(Stop::Fail(e.into())),
-            };
-            if let Some(info) = spilled {
-                note_spill(&meter, &rec, &info);
-            }
-            let target = match out {
-                FpOutcome::Found(existing) => existing as usize,
-                FpOutcome::Cut(reason) => return ControlFlow::Break(Stop::Cut(reason)),
-                FpOutcome::Inserted => {
-                    if let Err(e) = arena.push(
-                        &parent.with(assignments),
-                        child_fp,
-                        Some((id, action)),
-                        &meter,
-                        &rec,
-                    ) {
-                        return ControlFlow::Break(Stop::Fail(e.into()));
-                    }
-                    queue.push_back(nid);
-                    nid
-                }
-            };
-            edge_buf.push(Edge { action, target });
-            ControlFlow::Continue(())
-        })?;
-        match stop {
-            None => {
-                edge_store
-                    .push(id, &edge_buf, &meter, &rec)
+            self.arena
+                .push(s, fp, snap.parents[id], meter)
+                .map_err(CheckpointError::from)?;
+            if !in_frontier[id] {
+                self.edges
+                    .push(id, &snap.edges[id], meter)
                     .map_err(CheckpointError::from)?;
-                transitions_total += edge_buf.len() as u64;
             }
-            Some(Stop::Cut(reason)) => {
-                // Re-queue the half-expanded state so the frontier
-                // honestly reports it as uncovered; its partial edges
-                // go to the in-RAM graph only, never the store.
-                queue.push_front(id);
-                cut_edges = Some((id, std::mem::take(&mut edge_buf)));
-                exhausted = Some(reason);
-                break 'bfs;
-            }
-            Some(Stop::Fail(e)) => return Err(e.into()),
         }
+        self.init = snap.init.clone();
+        self.transitions = snap.transitions_used() as u64;
+        Ok(())
     }
-    drop(expand_phase);
-    if rec.enabled() {
-        let a = arena.store.cache_stats();
-        let e = edge_store.store.cache_stats();
-        rec.record(&Event::CacheStats {
-            hits: a.hits + e.hits,
-            misses: a.misses + e.misses,
-            evictions: a.evictions + e.evictions,
-            resident_bytes: a.resident_bytes + e.resident_bytes,
-            spilled_bytes: meter.spilled_bytes(),
-        });
-    }
-    // Exhaustion snapshot, spill form: when a checkpoint spec keeps
-    // the segment directory alive the final snapshot references the
-    // sealed segments too — O(hot tier), like the periodic ones. With
-    // an ephemeral directory (about to be removed) the in-memory
-    // snapshot must be self-contained, so the shared v1 path below
-    // takes over after materialization.
-    let spill_exh = if exhausted.is_some() && !exhausted_in_init && ck.active() {
-        let snap = spill_snapshot(
-            &mut arena,
-            &mut edge_store,
-            &init,
-            &queue,
-            options,
-            sys_hash,
-            transitions_total,
-            &meter,
-            &rec,
-        )
-        .map_err(CheckpointError::from)?;
-        let token = ck.write(snap.clone(), &budget.recorder);
-        Some((Some(Box::new(snap)), token))
-    } else {
-        None
-    };
-    let n = arena.len();
-    let (states, fps, parents) = arena.into_parts()?;
-    let mut edges = edge_store.into_edges(n)?;
-    if let Some((id, partial)) = cut_edges {
-        edges[id] = partial;
-    }
-    let (snapshot, resume_token) = match spill_exh {
-        Some(pair) => pair,
-        None => match &exhausted {
-            Some(_) if !exhausted_in_init => seq_exhaustion_snapshot(
-                &mut ck,
-                budget,
-                &states,
-                &init,
-                &edges,
-                &parents,
-                states.len(),
-                queue.make_contiguous(),
-                options,
-                false,
-                sys_hash,
-                None,
-            ),
-            _ => (None, None),
-        },
-    };
-    // The final visited map: with no spilled runs the hot tier *is*
-    // the first-id-wins map — move it. Otherwise rebuild it from the
-    // fingerprints, exactly like the resume path does.
-    let map: FxHashMap<u64, usize> = if visited.runs.is_empty() {
-        visited.hot
-    } else {
-        let mut map = FxHashMap::default();
-        for (id, &fp) in fps.iter().enumerate() {
-            map.entry(fp & mask).or_insert(id);
-        }
-        map
-    };
-    let graph = StateGraph {
-        states,
-        visited: Visited::Fingerprint { map, mask },
-        init,
-        edges,
-        parents,
-        reduced: false,
-        canon: None,
-    };
-    let outcome = match exhausted {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Exhausted {
-            reason,
-            frontier_size: queue.len(),
-            stats: graph.stats(),
-            resume: resume_token,
-        },
-    };
-    Ok(Exploration {
-        frontier: queue.into_iter().collect(),
-        graph,
-        outcome,
-        reduction: None,
-        snapshot,
-    })
-}
 
-/// The exact-mode engine; mirrors `explore_sequential_exact`, with the
-/// whole-state visited map replaced by fingerprint candidates verified
-/// against arena bytes — collision-free like the original, bounded
-/// like the store.
-fn explore_spill_exact(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
-    resume: Option<&Snapshot>,
-    mem: usize,
-    dir: &Path,
-) -> Result<Exploration, CheckError> {
-    let compiled = CompiledSystem::compile(system);
-    let mut scratch = EvalScratch::new();
-    let mut succ: Vec<(usize, State)> = Vec::new();
-    let mask = options.mask();
-    let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let rec = budget.recorder.clone();
-    let t = Tuning::for_budget(mem);
-    let mut arena = Arena::create(system, dir, &t).map_err(CheckpointError::from)?;
-    let mut edge_store = EdgeSink::create(dir, &t).map_err(CheckpointError::from)?;
-    let mut visited = SpillVisited::create(dir, &t).map_err(CheckpointError::from)?;
-    let mut init: Vec<usize> = Vec::new();
-    let mut queue = VecDeque::new();
-    let mut transitions_total: u64 = 0;
-    let mut exhausted: Option<ExhaustReason> = None;
-    let mut exhausted_in_init = false;
-    let mut cut_edges: Option<(usize, Vec<Edge>)> = None;
-    let mut edge_buf: Vec<Edge> = Vec::new();
-    let mut cand: Vec<u64> = Vec::new();
-    let meter;
-    if let Some(snap) = resume {
-        meter = Meter::start_resumed(budget, snap.states_used(), snap.transitions_used());
-        reingest(
-            snap,
-            options,
-            mask,
-            &mut arena,
-            &mut edge_store,
-            &mut visited,
-            &mut init,
-            &mut queue,
-            &mut transitions_total,
-            &meter,
-            &rec,
-        )?;
-    } else {
-        let init_states = system.init().states(system.universe())?;
-        if init_states.is_empty() {
-            return Err(CheckError::NoInitialStates);
-        }
-        meter = Meter::start(budget);
-        let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
-        for s in init_states {
-            let fp = s.fingerprint();
-            if find_exact(&mut visited, &mut arena, &mut cand, &s, fp)?.is_some() {
-                continue;
-            }
-            if let Some(reason) = meter.charge_state() {
-                exhausted = Some(reason);
-                exhausted_in_init = true;
-                break;
-            }
-            let id = arena.len();
-            if let Some(info) = visited.insert(fp, id as u64).map_err(CheckpointError::from)? {
-                note_spill(&meter, &rec, &info);
-            }
-            arena
-                .push(&s, fp, None, &meter, &rec)
-                .map_err(CheckpointError::from)?;
-            init.push(id);
-            queue.push_back(id);
-        }
+    fn entry(&mut self, id: usize) -> Result<(State, u64), CheckError> {
+        Ok(self.arena.entry(id)?)
     }
-    let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
-    'bfs: while exhausted.is_none() {
-        if let Some(reason) = meter.checkpoint() {
-            exhausted = Some(reason);
-            break;
-        }
-        if ck.due(1) {
-            let snap = spill_snapshot(
-                &mut arena,
-                &mut edge_store,
-                &init,
-                &queue,
-                options,
-                sys_hash,
-                transitions_total,
-                &meter,
-                &rec,
-            )
-            .map_err(CheckpointError::from)?;
-            ck.write(snap, &budget.recorder);
-        }
-        let Some(id) = queue.pop_front() else {
-            break;
-        };
-        let (parent, _) = arena.entry(id)?;
-        compiled.successors_into(&parent, &mut succ, &mut scratch)?;
-        edge_buf.clear();
-        let mut cut = false;
-        for (action, s) in succ.drain(..) {
-            if let Some(reason) = meter.charge_transition() {
-                queue.push_front(id);
-                exhausted = Some(reason);
-                cut = true;
-                break;
-            }
-            let fp = s.fingerprint();
-            let target = match find_exact(&mut visited, &mut arena, &mut cand, &s, fp)? {
-                Some(existing) => existing,
-                None => {
-                    if let Some(reason) = meter.charge_state() {
-                        queue.push_front(id);
-                        exhausted = Some(reason);
-                        cut = true;
-                        break;
+
+    // Inlined into the loop's successor visitor, like the in-RAM
+    // store's, so the probe-before-materialize path stays call-free.
+    #[inline]
+    fn intern(
+        &mut self,
+        fp: u64,
+        from: Option<(usize, usize)>,
+        make: impl FnOnce() -> State,
+    ) -> Result<Interned, Stop> {
+        let meter = self.meter;
+        let id = self.arena.len();
+        match self.options.mode {
+            VisitedMode::Fingerprint => {
+                let entry = self.visited.fp_entry(fp & self.mask, || {
+                    meter.charge_state().map_or(Ok(id), |reason| Err(Stop::Cut(reason)))
+                })?;
+                match entry {
+                    FpEntry::Found(existing) => return Ok(Interned::Found(existing)),
+                    FpEntry::Inserted(_, spilled) => {
+                        if let Some(info) = spilled {
+                            note_spill(meter, &info);
+                        }
+                        self.arena.push(&make(), fp, from, meter)?;
                     }
-                    let nid = arena.len();
-                    if let Some(info) =
-                        visited.insert(fp, nid as u64).map_err(CheckpointError::from)?
-                    {
-                        note_spill(&meter, &rec, &info);
-                    }
-                    arena
-                        .push(&s, fp, Some((id, action)), &meter, &rec)
-                        .map_err(CheckpointError::from)?;
-                    queue.push_back(nid);
-                    nid
                 }
-            };
-            edge_buf.push(Edge { action, target });
+            }
+            VisitedMode::Exact => {
+                let state = make();
+                if let Some(existing) = self.find_exact(&state, fp)? {
+                    return Ok(Interned::Found(existing));
+                }
+                if let Some(reason) = meter.charge_state() {
+                    return Err(Stop::Cut(reason));
+                }
+                if let Some(info) = self.visited.insert(fp, id)? {
+                    note_spill(meter, &info);
+                }
+                self.arena.push(&state, fp, from, meter)?;
+            }
         }
-        if cut {
-            cut_edges = Some((id, std::mem::take(&mut edge_buf)));
-            break 'bfs;
+        if from.is_none() {
+            self.init.push(id);
         }
-        edge_store
-            .push(id, &edge_buf, &meter, &rec)
+        Ok(Interned::Inserted(id))
+    }
+
+    fn push_edges(&mut self, id: usize, edges: &[Edge]) -> Result<(), CheckError> {
+        self.edges
+            .push(id, edges, self.meter)
             .map_err(CheckpointError::from)?;
-        transitions_total += edge_buf.len() as u64;
+        self.transitions += edges.len() as u64;
+        Ok(())
     }
-    drop(expand_phase);
-    if rec.enabled() {
-        let a = arena.store.cache_stats();
-        let e = edge_store.store.cache_stats();
-        rec.record(&Event::CacheStats {
-            hits: a.hits + e.hits,
-            misses: a.misses + e.misses,
-            evictions: a.evictions + e.evictions,
-            resident_bytes: a.resident_bytes + e.resident_bytes,
-            spilled_bytes: meter.spilled_bytes(),
-        });
+
+    fn snapshot(&mut self, queue: &[usize]) -> Result<Snapshot, CheckError> {
+        Ok(self.spill_snapshot(queue).map_err(CheckpointError::from)?)
     }
-    // Exhaustion snapshot, spill form: when a checkpoint spec keeps
-    // the segment directory alive the final snapshot references the
-    // sealed segments too — O(hot tier), like the periodic ones. With
-    // an ephemeral directory (about to be removed) the in-memory
-    // snapshot must be self-contained, so the shared v1 path below
-    // takes over after materialization.
-    let spill_exh = if exhausted.is_some() && !exhausted_in_init && ck.active() {
-        let snap = spill_snapshot(
-            &mut arena,
-            &mut edge_store,
-            &init,
-            &queue,
-            options,
-            sys_hash,
-            transitions_total,
-            &meter,
-            &rec,
-        )
-        .map_err(CheckpointError::from)?;
-        let token = ck.write(snap.clone(), &budget.recorder);
-        Some((Some(Box::new(snap)), token))
-    } else {
-        None
-    };
-    let n = arena.len();
-    let (states, _, parents) = arena.into_parts()?;
-    let mut edges = edge_store.into_edges(n)?;
-    if let Some((id, partial)) = cut_edges {
-        edges[id] = partial;
-    }
-    let (snapshot, resume_token) = match spill_exh {
-        Some(pair) => pair,
-        None => match &exhausted {
-            Some(_) if !exhausted_in_init => seq_exhaustion_snapshot(
-                &mut ck,
-                budget,
+
+    fn finish(
+        mut self,
+        cut: Option<(usize, Vec<Edge>)>,
+        frontier: Option<&[usize]>,
+        ck: &mut Checkpointer,
+    ) -> Result<Finished, CheckError> {
+        let meter = self.meter;
+        note_cache_stats(meter, &self.arena.store, &self.edges.store);
+        // Exhaustion snapshot, spill form: when a checkpoint spec keeps
+        // the segment directory alive the final snapshot references the
+        // sealed segments too — O(hot tier), like the periodic ones.
+        // With an ephemeral directory (about to be removed) the
+        // in-memory snapshot must be self-contained, so the shared
+        // in-RAM format below takes over after materialization.
+        let spill_exh = match frontier {
+            Some(queue) if ck.active() => {
+                let snap = self.spill_snapshot(queue).map_err(CheckpointError::from)?;
+                let token = ck.write(snap.clone(), meter.recorder());
+                Some((Some(Box::new(snap)), token))
+            }
+            _ => None,
+        };
+        let n = self.arena.len();
+        let (states, fps, parents) = self.arena.into_parts()?;
+        let mut edges = self.edges.into_edges(n)?;
+        if let Some((id, partial)) = cut {
+            edges[id] = partial;
+        }
+        let (snapshot, resume) = match (spill_exh, frontier) {
+            (Some(pair), _) => pair,
+            (None, Some(queue)) => seq_exhaustion_snapshot(
+                ck,
+                meter.recorder(),
                 &states,
-                &init,
+                &self.init,
                 &edges,
                 &parents,
                 states.len(),
-                queue.make_contiguous(),
-                options,
+                queue,
+                self.options,
                 false,
-                sys_hash,
+                self.sys_hash,
                 None,
             ),
-            _ => (None, None),
-        },
-    };
-    let mut exact = std::collections::HashMap::new();
-    for (id, s) in states.iter().enumerate() {
-        exact.insert(s.clone(), id);
+            (None, None) => (None, None),
+        };
+        let visited = match self.options.mode {
+            // With no spilled runs the hot tier *is* the first-id-wins
+            // map — move it. Otherwise rebuild it from the
+            // fingerprints, exactly like the resume path does.
+            VisitedMode::Fingerprint => {
+                let map = if self.visited.runs.is_empty() {
+                    self.visited.hot
+                } else {
+                    let mut map = FxHashMap::default();
+                    for (id, &fp) in fps.iter().enumerate() {
+                        map.entry(fp & self.mask).or_insert(id);
+                    }
+                    map
+                };
+                Visited::Fingerprint {
+                    map,
+                    mask: self.mask,
+                }
+            }
+            VisitedMode::Exact => Visited::exact_of(&states),
+        };
+        Ok(Finished {
+            graph: StateGraph {
+                states,
+                visited,
+                init: self.init,
+                edges,
+                parents,
+                reduced: false,
+                canon: None,
+            },
+            snapshot,
+            resume,
+        })
     }
-    let graph = StateGraph {
-        states,
-        visited: Visited::Exact(exact),
-        init,
-        edges,
-        parents,
-        reduced: false,
-        canon: None,
-    };
-    let outcome = match exhausted {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Exhausted {
-            reason,
-            frontier_size: queue.len(),
-            stats: graph.stats(),
-            resume: resume_token,
-        },
-    };
-    Ok(Exploration {
-        frontier: queue.into_iter().collect(),
-        graph,
-        outcome,
-        reduction: None,
-        snapshot,
-    })
-}
-
-/// Exact-mode membership: gathers fingerprint candidates from both
-/// visited tiers, then verifies each against the arena. Returns the
-/// id whose record *is* `s`, or `None` — fingerprint collisions give
-/// false candidates, never false answers.
-fn find_exact(
-    visited: &mut SpillVisited,
-    arena: &mut Arena,
-    cand: &mut Vec<u64>,
-    s: &State,
-    fp: u64,
-) -> Result<Option<usize>, CheckpointError> {
-    visited.candidates(fp, cand)?;
-    for &cid in cand.iter() {
-        let id = cid as usize;
-        if arena.holds(id, s)? {
-            return Ok(Some(id));
-        }
-    }
-    Ok(None)
 }

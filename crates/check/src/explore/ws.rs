@@ -1,10 +1,13 @@
-//! The barrier-free work-stealing exploration engine
-//! ([`explore_parallel_ws`](crate::explore_parallel_ws)).
+//! The work-stealing scheduler ([`run_workers`] over an [`Expand`]
+//! implementation) and its in-RAM engine
+//! ([`Engine::WorkStealing`](super::Engine::WorkStealing)). The
+//! disk-backed engine in [`super::spill_ws`] runs the same scheduler
+//! over its own two [`Expand`] implementations.
 //!
 //! Where the level-synchronous engine alternates compute levels with
 //! full barriers (every worker idles while the slowest finishes the
 //! level, then a renumber/checkpoint window runs single-threaded),
-//! this engine keeps every worker continuously fed:
+//! this scheduler keeps every worker continuously fed:
 //!
 //! * **Per-worker deques, work stealing.** Each worker owns a deque of
 //!   discovered-but-unexpanded states. It pops from the front of its
@@ -12,12 +15,12 @@
 //!   dry it steals from the *back* of a peer's. There is no frontier
 //!   cursor and no level boundary.
 //! * **Quiescence termination.** A shared `in_flight` counter tracks
-//!   states that are queued or mid-expansion (incremented when a new
-//!   state is interned, decremented when its expansion completes —
-//!   children are counted before the parent is released, so the
-//!   counter cannot transiently hit zero while work remains). Workers
-//!   that find nothing to claim spin-yield until `in_flight == 0`,
-//!   which proves global exhaustion.
+//!   states that are queued or mid-expansion (a parent's newborn
+//!   children are added, then the parent itself released — children
+//!   are counted before the parent is released, so the counter cannot
+//!   transiently hit zero while work remains). Workers that find
+//!   nothing to claim spin-yield until `in_flight == 0`, which proves
+//!   global exhaustion.
 //! * **Packed states.** When the system's declared domains compile to
 //!   a [`PackedLayout`], states live as fixed-width packed byte runs
 //!   in per-shard arenas: guards and updates evaluate against a
@@ -49,10 +52,322 @@
 //! stop flag so its peers quiesce, then the panic propagates to the
 //! caller instead of deadlocking quiescence detection.
 
+use super::seq::{self, Seed};
 use super::*;
-use opentla_kernel::{PackedLayout, Value};
+use opentla_kernel::{PackedLayout, Value, VarId};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
+
+// ---------------------------------------------------------------------
+// The scheduler
+// ---------------------------------------------------------------------
+
+/// How one parent's expansion ended.
+pub(super) enum Expanded {
+    /// Every successor was interned and recorded.
+    Done,
+    /// The budget cut the expansion short; the parent stays pending.
+    Cut(ExhaustReason),
+}
+
+/// "Expand one parent": what the work-stealing scheduler runs. An
+/// implementation owns the stores; the scheduler owns claiming,
+/// quiescence, budget stops and error propagation.
+pub(super) trait Expand: Sync {
+    /// One worker's reusable buffers. They live and die on the worker
+    /// thread: an allocation that outlives its thread pins that
+    /// thread's allocator arena, which shows up as a higher and
+    /// run-to-run unstable peak RSS.
+    type Scratch: Default;
+    /// What a worker hands back to the coordinator.
+    type Records: Send + Default;
+
+    /// Expands `parent`: charges each transition, interns each
+    /// successor (charging genuinely new states *before* recording
+    /// them), records the edges, and pushes every newly interned child
+    /// onto `born`. An `Err` stops the whole run.
+    fn expand(
+        &self,
+        parent: Pid,
+        scratch: &mut Self::Scratch,
+        records: &mut Self::Records,
+        born: &mut Vec<Pid>,
+    ) -> Result<Expanded, CheckError>;
+}
+
+/// Shared coordination state of one work-stealing run.
+struct Sched<'a> {
+    /// One deque per worker; owners pop the front, thieves the back.
+    deques: Vec<Mutex<VecDeque<Pid>>>,
+    /// Queued-or-expanding state count; zero proves quiescence.
+    in_flight: AtomicUsize,
+    meter: &'a Meter,
+    stop: AtomicBool,
+    reason: Mutex<Option<ExhaustReason>>,
+    error: Mutex<Option<CheckError>>,
+}
+
+impl Sched<'_> {
+    fn note_exhaustion(&self, r: ExhaustReason) {
+        lock(&self.reason).get_or_insert(r);
+        self.stop.store(true, Ordering::Relaxed);
+    }
+
+    fn note_error(&self, e: CheckError) {
+        lock(&self.error).get_or_insert(e);
+        self.stop.store(true, Ordering::Relaxed);
+    }
+
+    /// Claims the next parent: own deque front first, then a sweep
+    /// stealing from the backs of the peers'.
+    fn claim(&self, me: usize) -> Option<Pid> {
+        if let Some(p) = lock(&self.deques[me]).pop_front() {
+            return Some(p);
+        }
+        let n = self.deques.len();
+        for k in 1..n {
+            if let Some(p) = lock(&self.deques[(me + k) % n]).pop_back() {
+                return Some(p);
+            }
+        }
+        None
+    }
+}
+
+/// One worker's tally, next to its [`Expand::Records`].
+struct Tally<R> {
+    records: R,
+    /// Parents whose expansion was cut short by budget exhaustion.
+    interrupted: Vec<Pid>,
+    claimed: u64,
+    inserted: u64,
+}
+
+/// The worker loop: claim a parent, expand it, release it.
+fn work<X: Expand>(sched: &Sched<'_>, x: &X, me: usize, tally: &mut Tally<X::Records>) {
+    let mut scratch = X::Scratch::default();
+    // Children discovered while expanding the current parent, pushed
+    // to the deque in one batch (one lock per parent, not per child).
+    let mut born: Vec<Pid> = Vec::new();
+    loop {
+        if sched.stop.load(Ordering::Relaxed) {
+            break;
+        }
+        if let Some(reason) = sched.meter.checkpoint() {
+            sched.note_exhaustion(reason);
+            break;
+        }
+        let Some(parent) = sched.claim(me) else {
+            if sched.in_flight.load(Ordering::Acquire) == 0 {
+                break;
+            }
+            std::thread::yield_now();
+            continue;
+        };
+        tally.claimed += 1;
+        let result = x.expand(parent, &mut scratch, &mut tally.records, &mut born);
+        // Flush on every exit path — an interned-but-unqueued child
+        // would drop out of the resume frontier — and count the
+        // children before releasing the parent, or quiescence could be
+        // declared with work still queued.
+        if !born.is_empty() {
+            tally.inserted += born.len() as u64;
+            sched.in_flight.fetch_add(born.len(), Ordering::AcqRel);
+            lock(&sched.deques[me]).extend(born.drain(..));
+        }
+        sched.in_flight.fetch_sub(1, Ordering::AcqRel);
+        match result {
+            Ok(Expanded::Done) => {}
+            Ok(Expanded::Cut(reason)) => {
+                sched.note_exhaustion(reason);
+                tally.interrupted.push(parent);
+            }
+            Err(e) => {
+                sched.note_error(e);
+                break;
+            }
+        }
+    }
+}
+
+/// What a work-stealing run leaves behind.
+pub(super) struct WsRun<R> {
+    /// Every worker's records (empty when the run was cut during
+    /// initial-state interning and no worker started).
+    pub(super) records: Vec<R>,
+    /// Discovered-but-unexpanded pids once the run stops early.
+    pub(super) pending: Vec<Pid>,
+    pub(super) reason: Option<ExhaustReason>,
+}
+
+/// Runs `threads` workers from `seed` to quiescence or a budget stop.
+/// `init_cut` is the exhaustion that already ended initial-state
+/// interning, if any: the seed is then all pending and no worker runs.
+///
+/// Worker panics are *not* survived degraded here (that is the
+/// level-synchronous engine's feature): a panicking worker raises the
+/// stop flag so its peers quiesce, then the panic propagates to the
+/// caller instead of deadlocking quiescence detection.
+pub(super) fn run_workers<X: Expand>(
+    budget: &Budget,
+    meter: &Meter,
+    threads: usize,
+    seed: &[Pid],
+    init_cut: Option<ExhaustReason>,
+    x: &X,
+) -> Result<WsRun<X::Records>, CheckError> {
+    if init_cut.is_some() {
+        return Ok(WsRun {
+            records: Vec::new(),
+            pending: seed.to_vec(),
+            reason: init_cut,
+        });
+    }
+    let sched = Sched {
+        deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+        // Prime the quiescence counter with the seeded work.
+        in_flight: AtomicUsize::new(seed.len()),
+        meter,
+        stop: AtomicBool::new(false),
+        reason: Mutex::new(None),
+        error: Mutex::new(None),
+    };
+    // Seed the deques round-robin (ownership is only a locality hint —
+    // stealing erases any imbalance).
+    for (i, &p) in seed.iter().enumerate() {
+        lock(&sched.deques[i % threads]).push_back(p);
+    }
+    let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
+    let tallies: Vec<Tally<X::Records>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|me| {
+                let sched = &sched;
+                scope.spawn(move || {
+                    let mut tally = Tally {
+                        records: X::Records::default(),
+                        interrupted: Vec::new(),
+                        claimed: 0,
+                        inserted: 0,
+                    };
+                    let body =
+                        std::panic::AssertUnwindSafe(|| work(sched, x, me, &mut tally));
+                    if let Err(payload) = std::panic::catch_unwind(body) {
+                        // Backstop, not panic *tolerance*: raise the
+                        // stop flag so the peers' quiescence spin
+                        // terminates (this worker's in_flight
+                        // contribution is lost with it), note the
+                        // casualty, then let the panic surface through
+                        // the scope.
+                        sched.stop.store(true, Ordering::Relaxed);
+                        if budget.recorder.enabled() {
+                            budget.recorder.record(&Event::WorkerFailure {
+                                worker: me,
+                                level: 0,
+                                requeued: 0,
+                            });
+                        }
+                        std::panic::resume_unwind(payload);
+                    }
+                    tally
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    });
+    drop(expand_phase);
+    let mut pending: Vec<Pid> = Vec::new();
+    let mut records = Vec::with_capacity(threads);
+    for (worker, mut tally) in tallies.into_iter().enumerate() {
+        if meter.observed() {
+            budget.recorder.record(&Event::WorkerLevel {
+                worker,
+                level: 0,
+                claimed: tally.claimed,
+                inserted: tally.inserted,
+            });
+        }
+        pending.append(&mut tally.interrupted);
+        records.push(tally.records);
+    }
+    // Deque remnants after a budget stop are honestly pending.
+    for d in &sched.deques {
+        pending.extend(lock(d).drain(..));
+    }
+    if let Some(e) = lock(&sched.error).take() {
+        return Err(e);
+    }
+    Ok(WsRun {
+        records,
+        pending,
+        reason: sched.reason.into_inner().unwrap_or_else(PoisonError::into_inner),
+    })
+}
+
+/// Layout election, for both work-stealing engines: packed when the
+/// declared domains compile *and* every seed state actually packs (any
+/// state this repo's engines produce is in-domain, but the contract is
+/// checked, not assumed — an out-of-domain seed falls the whole run
+/// back to trees).
+pub(super) fn elect_layout(system: &System, seed: &Seed<'_>) -> Option<PackedLayout> {
+    PackedLayout::compile(system.vars()).filter(|l| {
+        let states = match seed {
+            Seed::Fresh(states) => states,
+            Seed::Resume(snap) => &snap.states,
+        };
+        states.iter().all(|s| l.pack(s).is_some())
+    })
+}
+
+/// The packed successor of `parent` under `assignments`, as a delta:
+/// fills `updates` with the `(slot, new code)` pairs that differ from
+/// the parent — duplicate-free because `GuardedAction` rejects
+/// duplicate update targets, so old codes can be read from the parent
+/// bytes — and returns the child's fingerprint, derived from the
+/// parent's by the layout's incremental Zobrist delta.
+pub(super) fn packed_delta(
+    layout: &PackedLayout,
+    parent: &[u8],
+    parent_fp: u64,
+    assignments: &[(VarId, Value)],
+    updates: &mut Vec<(usize, u32)>,
+) -> u64 {
+    let mut child_fp = parent_fp;
+    updates.clear();
+    for (v, val) in assignments {
+        let slot = v.index();
+        let old = layout.read_code(parent, slot);
+        let new = layout
+            .code_of(slot, val)
+            .expect("stepper domain-checks every update value");
+        if new != old {
+            child_fp ^= layout.fingerprint_delta(slot, old, new);
+            updates.push((slot, new));
+        }
+    }
+    child_fp
+}
+
+/// Appends the child `parent` ⊕ `updates` to `out`.
+pub(super) fn append_packed_child(
+    layout: &PackedLayout,
+    parent: &[u8],
+    updates: &[(usize, u32)],
+    out: &mut Vec<u8>,
+) {
+    let start = out.len();
+    out.extend_from_slice(parent);
+    for &(slot, new) in updates {
+        layout.write_code(&mut out[start..], slot, new);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The in-RAM stores
+// ---------------------------------------------------------------------
 
 /// One stripe of the concurrent visited set: dedup keys plus the
 /// append-only arena behind them. Exactly one of `packed` / `states`
@@ -99,31 +414,29 @@ impl WsShard {
     }
 }
 
-/// Shared coordination state of one work-stealing run.
-struct WsShared<'a> {
+/// The lock-striped visited set and arenas of one in-RAM run.
+///
+/// Every `intern_*` takes `charged`: worker and initial-state interns
+/// charge the meter for genuinely new states (see
+/// [`ParShared::intern_with`] for the shared discipline); resume
+/// seeding passes `false` — the meter is pre-charged with the
+/// snapshot's banked totals — and keeps first-id-wins on
+/// masked-fingerprint collisions, as in [`ParShared::seed`].
+struct WsStore<'a> {
     shards: Striped<WsShard>,
-    /// One deque per worker; owners pop the front, thieves the back.
-    deques: Vec<Mutex<VecDeque<Pid>>>,
-    /// Queued-or-expanding state count; zero proves quiescence.
-    in_flight: AtomicUsize,
     /// Packed size of one state (0 on the tree fallback).
     stride: usize,
     mask: u64,
+    mode: VisitedMode,
     meter: &'a Meter,
-    stop: AtomicBool,
-    reason: Mutex<Option<ExhaustReason>>,
-    error: Mutex<Option<CheckError>>,
 }
 
-impl WsShared<'_> {
-    fn note_exhaustion(&self, r: ExhaustReason) {
-        lock(&self.reason).get_or_insert(r);
-        self.stop.store(true, Ordering::Relaxed);
-    }
-
-    fn note_error(&self, e: CheckError) {
-        lock(&self.error).get_or_insert(e);
-        self.stop.store(true, Ordering::Relaxed);
+impl WsStore<'_> {
+    fn charge(&self, charged: bool) -> Result<(), ExhaustReason> {
+        if !charged {
+            return Ok(());
+        }
+        self.meter.charge_state().map_or(Ok(()), Err)
     }
 
     /// Fingerprint-mode intern over packed arenas: probes by
@@ -137,6 +450,7 @@ impl WsShared<'_> {
         &self,
         fp: u64,
         append: impl FnOnce(&mut Vec<u8>),
+        charged: bool,
     ) -> Result<(Pid, bool), ExhaustReason> {
         let key = fp & self.mask;
         let (shard_i, mut shard) = self.shards.lock_key(key);
@@ -147,9 +461,7 @@ impl WsShared<'_> {
             WsKeys::Fingerprint(map) => match map.entry(key) {
                 Entry::Occupied(e) => Ok((pid(shard_i, *e.get() as usize), false)),
                 Entry::Vacant(e) => {
-                    if let Some(reason) = self.meter.charge_state() {
-                        return Err(reason);
-                    }
+                    self.charge(charged)?;
                     let local = fps.len();
                     append(packed);
                     fps.push(fp);
@@ -162,10 +474,13 @@ impl WsShared<'_> {
     }
 
     /// Exact-mode intern of a fully-built packed state (the bytes are
-    /// the dedup key, so they must exist before the probe), charging
-    /// the meter for genuinely new states (see [`ParShared::intern_with`]
-    /// for the shared discipline).
-    fn intern_packed(&self, fp: u64, child: &[u8]) -> Result<(Pid, bool), ExhaustReason> {
+    /// the dedup key, so they must exist before the probe).
+    fn intern_packed(
+        &self,
+        fp: u64,
+        child: &[u8],
+        charged: bool,
+    ) -> Result<(Pid, bool), ExhaustReason> {
         let key = fp & self.mask;
         let (shard_i, mut shard) = self.shards.lock_key(key);
         let WsShard {
@@ -176,9 +491,7 @@ impl WsShared<'_> {
                 if let Some(&local) = map.get(child) {
                     return Ok((pid(shard_i, local as usize), false));
                 }
-                if let Some(reason) = self.meter.charge_state() {
-                    return Err(reason);
-                }
+                self.charge(charged)?;
                 let local = fps.len();
                 packed.extend_from_slice(child);
                 fps.push(fp);
@@ -194,6 +507,7 @@ impl WsShared<'_> {
         &self,
         fp: u64,
         make: impl FnOnce() -> State,
+        charged: bool,
     ) -> Result<(Pid, bool), ExhaustReason> {
         let key = fp & self.mask;
         let (shard_i, mut shard) = self.shards.lock_key(key);
@@ -204,9 +518,7 @@ impl WsShared<'_> {
             WsKeys::Fingerprint(map) => match map.entry(key) {
                 Entry::Occupied(e) => Ok((pid(shard_i, *e.get() as usize), false)),
                 Entry::Vacant(e) => {
-                    if let Some(reason) = self.meter.charge_state() {
-                        return Err(reason);
-                    }
+                    self.charge(charged)?;
                     let local = fps.len();
                     states.push(make());
                     fps.push(fp);
@@ -219,9 +531,7 @@ impl WsShared<'_> {
                 if let Some(&local) = map.get(&t) {
                     return Ok((pid(shard_i, local as usize), false));
                 }
-                if let Some(reason) = self.meter.charge_state() {
-                    return Err(reason);
-                }
+                self.charge(charged)?;
                 let local = fps.len();
                 states.push(t.clone());
                 fps.push(fp);
@@ -232,295 +542,172 @@ impl WsShared<'_> {
         }
     }
 
-    /// Resume seeding for packed arenas — no meter charge (the meter
-    /// is pre-charged with the snapshot's banked totals), first-id
-    /// wins on masked-fingerprint collisions, as in [`ParShared::seed`].
-    fn seed_packed(&self, fp: u64, bytes: &[u8]) -> Pid {
-        let key = fp & self.mask;
-        let (shard_i, mut shard) = self.shards.lock_key(key);
-        let WsShard {
-            keys, packed, fps, ..
-        } = &mut *shard;
-        match keys {
-            WsKeys::Fingerprint(map) => match map.entry(key) {
-                Entry::Occupied(e) => pid(shard_i, *e.get() as usize),
-                Entry::Vacant(e) => {
-                    let local = fps.len();
-                    packed.extend_from_slice(bytes);
-                    fps.push(fp);
-                    e.insert(local as u32);
-                    pid(shard_i, local)
-                }
-            },
-            WsKeys::PackedExact(map) => {
-                if let Some(&local) = map.get(bytes) {
-                    return pid(shard_i, local as usize);
-                }
-                let local = fps.len();
-                packed.extend_from_slice(bytes);
-                fps.push(fp);
-                map.insert(bytes.into(), local as u32);
-                pid(shard_i, local)
-            }
-            WsKeys::TreeExact(_) => unreachable!("packed seed on a tree-mode shard"),
-        }
-    }
-
-    /// Resume seeding for tree arenas.
-    fn seed_tree(&self, s: &State, fp: u64) -> Pid {
-        let key = fp & self.mask;
-        let (shard_i, mut shard) = self.shards.lock_key(key);
-        let WsShard {
-            keys, states, fps, ..
-        } = &mut *shard;
-        match keys {
-            WsKeys::Fingerprint(map) => match map.entry(key) {
-                Entry::Occupied(e) => pid(shard_i, *e.get() as usize),
-                Entry::Vacant(e) => {
-                    let local = fps.len();
-                    states.push(s.clone());
-                    fps.push(fp);
-                    e.insert(local as u32);
-                    pid(shard_i, local)
-                }
-            },
-            WsKeys::TreeExact(map) => {
-                if let Some(&local) = map.get(s) {
-                    return pid(shard_i, local as usize);
-                }
-                let local = fps.len();
-                states.push(s.clone());
-                fps.push(fp);
-                map.insert(s.clone(), local as u32);
-                pid(shard_i, local)
-            }
-            WsKeys::PackedExact(_) => unreachable!("tree seed on a packed-mode shard"),
-        }
-    }
-}
-
-/// One worker's accumulated output (owned by the coordinator, like
-/// the level-synchronous engine's `WorkerOut`).
-#[derive(Default)]
-struct WsOut {
-    /// `(parent, action, child)` records — each state is claimed by
-    /// exactly one worker (deque pop is exclusive), so its edges form
-    /// one contiguous run in action order in exactly one of these.
-    edges: Vec<(Pid, u32, Pid)>,
-    /// Parents whose expansion was cut short by budget exhaustion.
-    interrupted: Vec<Pid>,
-    claimed: u64,
-    inserted: u64,
-}
-
-/// Claims the next parent: own deque front first, then a sweep
-/// stealing from the backs of the peers'.
-fn claim(shared: &WsShared<'_>, me: usize) -> Option<Pid> {
-    if let Some(p) = lock(&shared.deques[me]).pop_front() {
-        return Some(p);
-    }
-    let n = shared.deques.len();
-    for k in 1..n {
-        if let Some(p) = lock(&shared.deques[(me + k) % n]).pop_back() {
-            return Some(p);
-        }
-    }
-    None
-}
-
-/// The worker loop over packed arenas: copy the parent's bytes out of
-/// its shard, unpack into a reused value buffer, evaluate successors,
-/// derive child fingerprints incrementally, intern child bytes.
-fn run_ws_worker_packed(
-    shared: &WsShared<'_>,
-    compiled: &CompiledSystem<'_>,
-    layout: &PackedLayout,
-    mode: VisitedMode,
-    me: usize,
-    out: &mut WsOut,
-) {
-    use std::ops::ControlFlow;
-
-    let stride = shared.stride;
-    let fp_probe = matches!(mode, VisitedMode::Fingerprint);
-    let mut scratch = EvalScratch::new();
-    let mut parent_buf: Vec<u8> = Vec::with_capacity(stride);
-    let mut child_buf: Vec<u8> = Vec::with_capacity(stride);
-    let mut values: Vec<Value> = Vec::new();
-    // `(slot, new code)` deltas of the successor under construction —
-    // duplicate-free because `GuardedAction` rejects duplicate update
-    // targets, so old codes can be read from the parent bytes.
-    let mut updates: Vec<(usize, u32)> = Vec::new();
-    // Children discovered while expanding the current parent, pushed
-    // to the deque in one batch (one lock per parent, not per child).
-    let mut born: Vec<Pid> = Vec::new();
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        if let Some(reason) = shared.meter.checkpoint() {
-            shared.note_exhaustion(reason);
-            break;
-        }
-        let Some(parent) = claim(shared, me) else {
-            if shared.in_flight.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            std::thread::yield_now();
-            continue;
+    /// Interns a whole seed state (initial or snapshot) in whichever
+    /// representation the run elected.
+    fn intern_state(
+        &self,
+        s: &State,
+        layout: Option<&PackedLayout>,
+        buf: &mut Vec<u8>,
+        charged: bool,
+    ) -> Result<(Pid, bool), ExhaustReason> {
+        let fp = s.fingerprint();
+        let Some(l) = layout else {
+            return self.intern_tree(fp, || s.clone(), charged);
         };
-        out.claimed += 1;
+        let ok = l.pack_into(s.values(), buf);
+        debug_assert!(ok, "layout election verified seed states pack");
+        match self.mode {
+            VisitedMode::Fingerprint => {
+                self.intern_packed_fp(fp, |arena| arena.extend_from_slice(buf), charged)
+            }
+            VisitedMode::Exact => self.intern_packed(fp, buf, charged),
+        }
+    }
+}
+
+/// One in-RAM worker's scratch buffers (the packed buffers stay empty
+/// on the tree fallback).
+#[derive(Default)]
+struct RamScratch {
+    eval: EvalScratch,
+    parent_buf: Vec<u8>,
+    child_buf: Vec<u8>,
+    values: Vec<Value>,
+    updates: Vec<(usize, u32)>,
+}
+
+/// One in-RAM worker's `(parent, action, child)` records — each state
+/// is claimed by exactly one worker (deque pop is exclusive), so its
+/// edges form one contiguous run in action order in exactly one of
+/// these.
+type EdgeRecords = Vec<(Pid, u32, Pid)>;
+
+/// Expansion over packed arenas: copy the parent's bytes out of its
+/// shard, unpack into a reused value buffer, evaluate successors,
+/// derive child fingerprints incrementally, intern child bytes.
+struct RamPacked<'a> {
+    store: &'a WsStore<'a>,
+    compiled: &'a CompiledSystem<'a>,
+    layout: &'a PackedLayout,
+}
+
+impl Expand for RamPacked<'_> {
+    type Scratch = RamScratch;
+    type Records = EdgeRecords;
+
+    fn expand(
+        &self,
+        parent: Pid,
+        scratch: &mut RamScratch,
+        edges: &mut EdgeRecords,
+        born: &mut Vec<Pid>,
+    ) -> Result<Expanded, CheckError> {
+        let RamPacked {
+            store,
+            compiled,
+            layout,
+        } = *self;
+        let RamScratch {
+            eval,
+            parent_buf,
+            child_buf,
+            values,
+            updates,
+        } = scratch;
+        let stride = store.stride;
         let parent_fp = {
-            let shard = shared.shards.lock_shard(shard_of(parent));
+            let shard = store.shards.lock_shard(shard_of(parent));
             let local = local_of(parent);
             parent_buf.clear();
             parent_buf.extend_from_slice(&shard.packed[local * stride..(local + 1) * stride]);
             shard.fps[local]
         };
-        layout.unpack_into(&parent_buf, &mut values);
-        let result = compiled.for_each_successor_values(&values, &mut scratch, |action, assignments| {
-            if let Some(reason) = shared.meter.charge_transition() {
-                shared.note_exhaustion(reason);
-                out.interrupted.push(parent);
-                return ControlFlow::Break(());
+        layout.unpack_into(parent_buf, values);
+        let cut = compiled.for_each_successor_values(values, eval, |action, assignments| {
+            if let Some(reason) = store.meter.charge_transition() {
+                return ControlFlow::Break(reason);
             }
-            let mut child_fp = parent_fp;
-            updates.clear();
-            for (v, val) in assignments {
-                let slot = v.index();
-                let old = layout.read_code(&parent_buf, slot);
-                let new = layout
-                    .code_of(slot, val)
-                    .expect("stepper domain-checks every update value");
-                if new != old {
-                    child_fp ^= layout.fingerprint_delta(slot, old, new);
-                    updates.push((slot, new));
-                }
-            }
-            let interned = if fp_probe {
+            let child_fp = packed_delta(layout, parent_buf, parent_fp, assignments, updates);
+            let interned = match store.mode {
                 // Fingerprint dedup: probe first, build the child's
                 // bytes only if it is genuinely new.
-                shared.intern_packed_fp(child_fp, |arena| {
-                    let start = arena.len();
-                    arena.extend_from_slice(&parent_buf);
-                    for &(slot, new) in &updates {
-                        layout.write_code(&mut arena[start..], slot, new);
-                    }
-                })
-            } else {
+                VisitedMode::Fingerprint => store.intern_packed_fp(
+                    child_fp,
+                    |arena| append_packed_child(layout, parent_buf, updates, arena),
+                    true,
+                ),
                 // Exact dedup keys on the bytes themselves, so they
                 // must exist before the probe.
-                child_buf.clear();
-                child_buf.extend_from_slice(&parent_buf);
-                for &(slot, new) in &updates {
-                    layout.write_code(&mut child_buf, slot, new);
+                VisitedMode::Exact => {
+                    child_buf.clear();
+                    append_packed_child(layout, parent_buf, updates, child_buf);
+                    store.intern_packed(child_fp, child_buf, true)
                 }
-                shared.intern_packed(child_fp, &child_buf)
             };
             match interned {
                 Ok((child, is_new)) => {
                     if is_new {
-                        out.inserted += 1;
-                        shared.in_flight.fetch_add(1, Ordering::AcqRel);
                         born.push(child);
                     }
-                    out.edges.push((parent, action as u32, child));
+                    edges.push((parent, action as u32, child));
                     ControlFlow::Continue(())
                 }
-                Err(reason) => {
-                    shared.note_exhaustion(reason);
-                    out.interrupted.push(parent);
-                    ControlFlow::Break(())
-                }
+                Err(reason) => ControlFlow::Break(reason),
             }
-        });
-        // Flush on every exit path — a counted-but-unqueued child
-        // would wedge quiescence or drop out of the resume frontier.
-        if !born.is_empty() {
-            lock(&shared.deques[me]).extend(born.drain(..));
-        }
-        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-        if let Err(e) = result {
-            shared.note_error(e);
-            break;
-        }
+        })?;
+        Ok(cut.map_or(Expanded::Done, Expanded::Cut))
     }
 }
 
-/// The worker loop for the tree fallback: as the packed loop, but
-/// states clone out of the arena and child fingerprints come from
+/// Expansion for the tree fallback: as the packed one, but states
+/// clone out of the arena and child fingerprints come from
 /// [`State::fingerprint_with`].
-fn run_ws_worker_tree(
-    shared: &WsShared<'_>,
-    compiled: &CompiledSystem<'_>,
-    me: usize,
-    out: &mut WsOut,
-) {
-    use std::ops::ControlFlow;
+struct RamTree<'a> {
+    store: &'a WsStore<'a>,
+    compiled: &'a CompiledSystem<'a>,
+}
 
-    let mut scratch = EvalScratch::new();
-    let mut born: Vec<Pid> = Vec::new();
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        if let Some(reason) = shared.meter.checkpoint() {
-            shared.note_exhaustion(reason);
-            break;
-        }
-        let Some(parent) = claim(shared, me) else {
-            if shared.in_flight.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            std::thread::yield_now();
-            continue;
-        };
-        out.claimed += 1;
+impl Expand for RamTree<'_> {
+    type Scratch = RamScratch;
+    type Records = EdgeRecords;
+
+    fn expand(
+        &self,
+        parent: Pid,
+        scratch: &mut RamScratch,
+        edges: &mut EdgeRecords,
+        born: &mut Vec<Pid>,
+    ) -> Result<Expanded, CheckError> {
+        let store = self.store;
         let (s, s_fp) = {
-            let shard = shared.shards.lock_shard(shard_of(parent));
+            let shard = store.shards.lock_shard(shard_of(parent));
             let local = local_of(parent);
             (shard.states[local].clone(), shard.fps[local])
         };
-        let result = compiled.for_each_successor(&s, &mut scratch, |action, assignments| {
-            if let Some(reason) = shared.meter.charge_transition() {
-                shared.note_exhaustion(reason);
-                out.interrupted.push(parent);
-                return ControlFlow::Break(());
-            }
-            let child_fp = s.fingerprint_with(s_fp, assignments);
-            match shared.intern_tree(child_fp, || s.with(assignments)) {
-                Ok((child, is_new)) => {
-                    if is_new {
-                        out.inserted += 1;
-                        shared.in_flight.fetch_add(1, Ordering::AcqRel);
-                        born.push(child);
+        let cut = self
+            .compiled
+            .for_each_successor(&s, &mut scratch.eval, |action, assignments| {
+                if let Some(reason) = store.meter.charge_transition() {
+                    return ControlFlow::Break(reason);
+                }
+                let child_fp = s.fingerprint_with(s_fp, assignments);
+                match store.intern_tree(child_fp, || s.with(assignments), true) {
+                    Ok((child, is_new)) => {
+                        if is_new {
+                            born.push(child);
+                        }
+                        edges.push((parent, action as u32, child));
+                        ControlFlow::Continue(())
                     }
-                    out.edges.push((parent, action as u32, child));
-                    ControlFlow::Continue(())
+                    Err(reason) => ControlFlow::Break(reason),
                 }
-                Err(reason) => {
-                    shared.note_exhaustion(reason);
-                    out.interrupted.push(parent);
-                    ControlFlow::Break(())
-                }
-            }
-        });
-        // Flush on every exit path — a counted-but-unqueued child
-        // would wedge quiescence or drop out of the resume frontier.
-        if !born.is_empty() {
-            lock(&shared.deques[me]).extend(born.drain(..));
-        }
-        shared.in_flight.fetch_sub(1, Ordering::AcqRel);
-        if let Err(e) = result {
-            shared.note_error(e);
-            break;
-        }
+            })?;
+        Ok(cut.map_or(Expanded::Done, Expanded::Cut))
     }
 }
 
-/// The work-stealing engine entry point; see the module docs. Called
-/// by `explore_dispatch` whenever [`ExploreOptions::engine`] routes
-/// here (reduction and panic-injection runs never do).
+/// The in-RAM work-stealing engine; see the module docs.
 pub(super) fn explore_ws(
     system: &System,
     budget: &Budget,
@@ -528,80 +715,40 @@ pub(super) fn explore_ws(
     threads: usize,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
-    let threads = threads.max(1);
     let compiled = CompiledSystem::compile(system);
     let sys_hash = checkpoint::system_hash(system);
     let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let meter = match resume {
-        Some(snap) => Meter::start_resumed(budget, snap.states_used(), snap.transitions_used()),
-        None => Meter::start(budget),
-    };
-
-    let init_states: Option<Vec<State>> = match resume {
-        Some(_) => None,
-        None => {
-            let states = system.init().states(system.universe())?;
-            if states.is_empty() {
-                return Err(CheckError::NoInitialStates);
-            }
-            Some(states)
-        }
-    };
-
-    // Layout election: packed when the declared domains compile *and*
-    // every seed state actually packs (any state this repo's engines
-    // produce is in-domain, but the contract is checked, not assumed —
-    // an out-of-domain seed falls the whole run back to trees).
-    let layout_owned = PackedLayout::compile(system.vars()).filter(|l| {
-        let packs = |s: &State| l.pack(s).is_some();
-        match (&init_states, resume) {
-            (Some(states), _) => states.iter().all(packs),
-            (None, Some(snap)) => snap.states.iter().all(packs),
-            (None, None) => true,
-        }
-    });
+    let (meter, seed) = seq::begin(system, budget, resume)?;
+    let layout_owned = elect_layout(system, &seed);
     let layout = layout_owned.as_ref();
     let stride = layout.map_or(0, |l| l.stride());
-
-    let shared = WsShared {
+    let store = WsStore {
         shards: Striped::new(|| WsShard::new(options.mode, layout.is_some())),
-        deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        in_flight: AtomicUsize::new(0),
         stride,
         mask: options.mask(),
+        mode: options.mode,
         meter: &meter,
-        stop: AtomicBool::new(false),
-        reason: Mutex::new(None),
-        error: Mutex::new(None),
     };
 
     let mut init_pids: Vec<Pid> = Vec::new();
     let mut all_edges: Vec<Vec<(Pid, u32, Pid)>> = Vec::new();
-    let mut exhausted_in_init = false;
+    let mut init_cut: Option<ExhaustReason> = None;
     let frontier_seed: Vec<Pid>;
     let mut buf: Vec<u8> = Vec::new();
-    match (init_states, resume) {
-        (None, Some(snap)) => {
+    match seed {
+        Seed::Resume(snap) => {
             // Resume: seed the shards with the snapshot arena in
             // canonical order (reproducing first-id-wins fingerprint
             // dedup) and turn the snapshot's edges into one
             // pre-recorded run vector, exactly as the level engine
             // does — the canonical replay cannot tell banked work from
-            // new work. Seeding is meter-free; the meter was
-            // pre-charged above.
+            // new work.
             let pid_of: Vec<Pid> = snap
                 .states
                 .iter()
-                .map(|s| {
-                    let fp = s.fingerprint();
-                    match layout {
-                        Some(l) => {
-                            let ok = l.pack_into(s.values(), &mut buf);
-                            debug_assert!(ok, "layout election verified snapshot states pack");
-                            shared.seed_packed(fp, &buf)
-                        }
-                        None => shared.seed_tree(s, fp),
-                    }
+                .map(|s| match store.intern_state(s, layout, &mut buf, false) {
+                    Ok((p, _)) => p,
+                    Err(_) => unreachable!("uncharged interns are never cut"),
                 })
                 .collect();
             init_pids = snap.init.iter().map(|&i| pid_of[i]).collect();
@@ -616,114 +763,49 @@ pub(super) fn explore_ws(
             }
             frontier_seed = snap.frontier.iter().map(|&i| pid_of[i]).collect();
         }
-        (Some(states), _) => {
+        Seed::Fresh(states) => {
             // Initial states intern sequentially so their canonical
             // order is the enumeration order, as in every engine.
             let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
-            for s in states {
-                let fp = s.fingerprint();
-                let r = match layout {
-                    Some(l) => {
-                        let ok = l.pack_into(s.values(), &mut buf);
-                        debug_assert!(ok, "layout election verified init states pack");
-                        match options.mode {
-                            VisitedMode::Fingerprint => shared
-                                .intern_packed_fp(fp, |arena| arena.extend_from_slice(&buf)),
-                            VisitedMode::Exact => shared.intern_packed(fp, &buf),
-                        }
-                    }
-                    None => shared.intern_tree(fp, move || s),
-                };
-                match r {
+            for s in &states {
+                match store.intern_state(s, layout, &mut buf, true) {
                     Ok((p, true)) => init_pids.push(p),
                     Ok((_, false)) => {}
                     Err(reason) => {
-                        shared.note_exhaustion(reason);
-                        exhausted_in_init = true;
+                        init_cut = Some(reason);
                         break;
                     }
                 }
             }
             frontier_seed = init_pids.clone();
         }
-        (None, None) => unreachable!("fresh runs enumerate initial states above"),
     }
 
-    let observe = meter.observed();
-    let mut pending: Vec<Pid> = Vec::new();
-    if exhausted_in_init {
-        pending.extend(&frontier_seed);
-    } else {
-        // Seed the deques round-robin (ownership is only a locality
-        // hint — stealing erases any imbalance) and prime the
-        // quiescence counter with the seeded work.
-        for (i, &p) in frontier_seed.iter().enumerate() {
-            lock(&shared.deques[i % threads]).push_back(p);
+    let exhausted_in_init = init_cut.is_some();
+    let run = match layout {
+        Some(layout) => {
+            let x = RamPacked {
+                store: &store,
+                compiled: &compiled,
+                layout,
+            };
+            run_workers(budget, &meter, threads, &frontier_seed, init_cut, &x)
         }
-        shared
-            .in_flight
-            .store(frontier_seed.len(), Ordering::Release);
-        let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
-        let outs: Vec<WsOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|me| {
-                    let shared = &shared;
-                    let compiled = &compiled;
-                    scope.spawn(move || {
-                        let mut out = WsOut::default();
-                        let body = std::panic::AssertUnwindSafe(|| match layout {
-                            Some(l) => {
-                                run_ws_worker_packed(shared, compiled, l, options.mode, me, &mut out)
-                            }
-                            None => run_ws_worker_tree(shared, compiled, me, &mut out),
-                        });
-                        if let Err(payload) = std::panic::catch_unwind(body) {
-                            // Backstop, not panic *tolerance*: raise
-                            // the stop flag so the peers' quiescence
-                            // spin terminates (this worker's in_flight
-                            // contribution is lost with it), then let
-                            // the panic surface through the scope.
-                            shared.stop.store(true, Ordering::Relaxed);
-                            std::panic::resume_unwind(payload);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| -> WsOut { std::panic::resume_unwind(p) }))
-                .collect()
-        });
-        drop(expand_phase);
-        for (worker, out) in outs.iter().enumerate() {
-            if observe {
-                budget.recorder.record(&Event::WorkerLevel {
-                    worker,
-                    level: 0,
-                    claimed: out.claimed,
-                    inserted: out.inserted,
-                });
-            }
+        None => {
+            let x = RamTree {
+                store: &store,
+                compiled: &compiled,
+            };
+            run_workers(budget, &meter, threads, &frontier_seed, init_cut, &x)
         }
-        for mut out in outs {
-            if !out.edges.is_empty() {
-                all_edges.push(std::mem::take(&mut out.edges));
-            }
-            pending.append(&mut out.interrupted);
-        }
-        // Deque remnants after a budget stop are honestly pending.
-        for d in &shared.deques {
-            pending.extend(lock(d).drain(..));
-        }
-    }
-
-    if let Some(e) = lock(&shared.error).take() {
-        return Err(e);
-    }
-    let WsShared { shards, reason, .. } = shared;
-    let shards: Vec<WsShard> = shards.into_shards();
-    let reason = reason.into_inner().unwrap_or_else(PoisonError::into_inner);
+    }?;
+    let WsRun {
+        records,
+        pending,
+        reason,
+    } = run;
+    all_edges.extend(records.into_iter().filter(|e| !e.is_empty()));
+    let shards: Vec<WsShard> = store.shards.into_shards();
 
     let renumber_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
     let arena_lens: Vec<usize> = shards.iter().map(WsShard::len).collect();
@@ -777,7 +859,7 @@ pub(super) fn explore_ws(
             let (keep, frontier_ids) = rollback_cut(&canon, &depth, states.len(), &pending);
             seq_exhaustion_snapshot(
                 &mut ck,
-                budget,
+                &budget.recorder,
                 &states,
                 &init,
                 &edges,
@@ -812,17 +894,11 @@ pub(super) fn explore_ws(
                 mask: options.mask(),
             }
         }
-        VisitedMode::Exact => {
-            // Exact keys are the states themselves, and the canonical
-            // arena lists each exactly once — rebuilding from it is
-            // equivalent to remapping the shard maps (and avoids
-            // unpacking the packed keys a second time).
-            let mut map: HashMap<State, usize> = HashMap::with_capacity(states.len());
-            for (id, s) in states.iter().enumerate() {
-                map.insert(s.clone(), id);
-            }
-            Visited::Exact(map)
-        }
+        // Exact keys are the states themselves, and the canonical
+        // arena lists each exactly once — rebuilding from it is
+        // equivalent to remapping the shard maps (and avoids unpacking
+        // the packed keys a second time).
+        VisitedMode::Exact => Visited::exact_of(&states),
     };
     let graph = StateGraph {
         states,
@@ -834,34 +910,13 @@ pub(super) fn explore_ws(
         canon: None,
     };
     drop(renumber_phase);
-
-    let outcome = match reason {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Exhausted {
-            reason,
-            frontier_size: {
-                pending.sort_unstable();
-                pending.dedup();
-                pending.len()
-            },
-            stats: graph.stats(),
-            resume: resume_token,
-        },
-    };
-    let mut frontier: Vec<usize> = pending
-        .iter()
-        .filter_map(|&p| {
-            let c = canon[shard_of(p)][local_of(p)];
-            (c != u32::MAX).then_some(c as usize)
-        })
-        .collect();
-    frontier.sort_unstable();
-    frontier.dedup();
-    Ok(Exploration {
+    Ok(parallel_exploration(
         graph,
-        outcome,
-        frontier,
-        reduction: None,
+        reason,
+        pending,
+        &canon,
+        None,
         snapshot,
-    })
+        resume_token,
+    ))
 }

@@ -91,11 +91,9 @@ pub use compiled::{CompiledExpr, CompiledSystem, EvalScratch};
 pub use counterexample::Counterexample;
 pub use error::CheckError;
 pub use explore::{
-    explore, explore_escalating, explore_governed, explore_governed_with,
-    explore_parallel, explore_parallel_governed, explore_parallel_ws,
-    explore_parallel_ws_governed, explore_resumable, resume_exploration, Edge, Engine,
-    Exploration, ExploreOptions, GraphStats, StateGraph, VisitedMode, WorkerPanic,
-    PAR_SMALL_GRAPH_CUTOFF,
+    explore, explore_escalating, explore_governed, explore_governed_with, explore_resumable,
+    resume_exploration, Edge, Engine, Exploration, ExploreOptions, GraphStats, StateGraph,
+    VisitedMode, WorkerPanic, PAR_SMALL_GRAPH_CUTOFF,
 };
 pub use invariant::{check_invariant, check_step_invariant};
 pub use reduction::{

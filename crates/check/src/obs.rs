@@ -65,7 +65,10 @@ pub enum Phase {
     ExploreInit,
     /// The BFS expansion loop (sequential or level-synchronous).
     ExploreExpand,
-    /// The parallel engine's canonical renumbering pass.
+    /// Turning engine-private storage into the canonical
+    /// [`StateGraph`](crate::StateGraph): the parallel engines'
+    /// renumbering pass, the spill stores' read-back, the in-RAM
+    /// store's hand-over.
     ExploreRenumber,
     /// Fairness-aware liveness analysis (SCC search).
     Liveness,

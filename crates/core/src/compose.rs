@@ -6,7 +6,7 @@ use crate::{
     ObligationStatus, SpecError,
 };
 use opentla_check::{
-    check_liveness_governed, check_simulation_governed, explore_governed, Budget,
+    check_liveness_governed, check_simulation_governed, explore_governed_with, Budget,
     ExploreOptions, LiveTarget, Verdict,
 };
 use opentla_kernel::{Formula, Substitution, Vars};
@@ -14,7 +14,12 @@ use opentla_kernel::{Formula, Substitution, Vars};
 /// Options for the composition engine.
 #[derive(Clone, Debug, Default)]
 pub struct CompositionOptions {
-    /// Exploration limits for the complete system.
+    /// How the complete system is explored: engine, thread count,
+    /// visited-set mode, memory budget, and the `max_states` limit
+    /// (which narrows [`CompositionOptions::budget`]). The default
+    /// resolves to the sequential in-RAM engine unless the
+    /// `OPENTLA_EXPLORE_THREADS` / `OPENTLA_MEM_BUDGET` overrides say
+    /// otherwise.
     pub explore: ExploreOptions,
     /// Whether to check the liveness half of hypothesis 2(b). Defaults
     /// to `true`; disable only for safety-only studies.
@@ -221,7 +226,7 @@ fn build_certificate(
     let rec = budget.recorder.clone();
     let _phase =
         opentla_check::obs::PhaseGuard::enter(&rec, opentla_check::obs::Phase::Compose);
-    let exploration = explore_governed(&product, &budget)?;
+    let exploration = explore_governed_with(&product, &budget, &options.explore)?;
     let graph = &exploration.graph;
 
     let mut obligations = Vec::new();

@@ -12,7 +12,7 @@
 //! every reachable state.
 
 use opentla_check::{
-    check_invariant, explore, explore_parallel, CompiledSystem, EvalScratch, ExploreOptions,
+    check_invariant, explore, CompiledSystem, EvalScratch, ExploreOptions,
     StateGraph, System, VisitedMode,
 };
 use opentla_kernel::Expr;
@@ -93,7 +93,7 @@ fn parallel_engine_is_identical_to_sequential_everywhere() {
         let seq = explore(&sys, &ExploreOptions::default()).unwrap();
         for threads in [1, 2, 4] {
             for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-                let par = explore_parallel(
+                let par = explore(
                     &sys,
                     &ExploreOptions {
                         threads: Some(threads),
@@ -116,7 +116,7 @@ fn parallel_engine_is_identical_to_sequential_everywhere() {
 fn counterexample_traces_do_not_depend_on_the_engine() {
     for (name, sys) in scenarios() {
         let seq = explore(&sys, &ExploreOptions::default()).unwrap();
-        let par = explore_parallel(
+        let par = explore(
             &sys,
             &ExploreOptions {
                 threads: Some(3),
@@ -158,7 +158,7 @@ fn forced_collisions_underapproximate_and_exact_mode_recovers() {
         .expect("chain builds");
     let full = explore(&sys, &ExploreOptions::default()).unwrap();
     for threads in [1, 4] {
-        let collided = explore_parallel(
+        let collided = explore(
             &sys,
             &ExploreOptions {
                 fp_bits: 8,
@@ -178,7 +178,7 @@ fn forced_collisions_underapproximate_and_exact_mode_recovers() {
                 "collided run reported an unreachable state"
             );
         }
-        let exact = explore_parallel(
+        let exact = explore(
             &sys,
             &ExploreOptions {
                 fp_bits: 8,

@@ -1,9 +1,10 @@
 //! End-to-end queue experiments at larger parameters than the unit
 //! tests, plus negative controls.
 
-use opentla::CompositionOptions;
+use opentla::{Certificate, CompositionOptions};
 use opentla_check::{
-    check_invariant, check_liveness, explore, ExploreOptions, LiveTarget,
+    check_invariant, check_liveness, explore, Budget, Engine, Event, ExploreOptions, LiveTarget,
+    Recorder, RecorderHandle,
 };
 use opentla_kernel::Expr;
 use opentla_queue::{DoubleQueue, FairnessStyle, QueueChain, SingleQueue};
@@ -36,6 +37,57 @@ fn double_queue_composition_n2() {
     let cert = w.prove_composition(&CompositionOptions::default()).unwrap();
     assert!(cert.holds(), "{}", cert.display(w.vars()));
     assert!(cert.product_states > 500, "got {}", cert.product_states);
+}
+
+/// Keeps the engine label of every `RunStart`.
+#[derive(Default)]
+struct EngineLog(std::sync::Mutex<Vec<String>>);
+
+impl Recorder for EngineLog {
+    fn record(&self, event: &Event<'_>) {
+        if let Event::RunStart { engine, .. } = event {
+            self.0.lock().unwrap().push(engine.to_string());
+        }
+    }
+}
+
+/// `CompositionOptions::explore` is the exploration plan of the
+/// paper's pipeline, not just a state limit: an explicit engine and
+/// thread count reach the product exploration (visible in `RunStart`)
+/// and the certificate does not depend on them.
+#[test]
+fn composition_honours_the_callers_exploration_plan() {
+    let w = DoubleQueue::new(2, 3, FairnessStyle::Joint);
+    let prove = |explore: ExploreOptions| -> (Certificate, Vec<String>) {
+        let log = std::sync::Arc::new(EngineLog::default());
+        let options = CompositionOptions {
+            explore,
+            budget: Budget::unlimited().with_recorder(RecorderHandle::new(log.clone())),
+            ..CompositionOptions::default()
+        };
+        let cert = w.prove_composition(&options).unwrap();
+        let engines = log.0.lock().unwrap().clone();
+        (cert, engines)
+    };
+    let (reference, _) = prove(ExploreOptions::default());
+    let (cert, engines) = prove(ExploreOptions {
+        engine: Engine::WorkStealing,
+        threads: Some(2),
+        ..ExploreOptions::default()
+    });
+    assert_eq!(engines, ["explore_parallel_ws"]);
+    assert!(cert.holds(), "{}", cert.display(w.vars()));
+    assert_eq!(
+        (cert.product_states, cert.product_edges),
+        (reference.product_states, reference.product_edges)
+    );
+    let summary = |c: &Certificate| -> Vec<String> {
+        c.obligations
+            .iter()
+            .map(|o| format!("{} | {} | {} | {:?}", o.id, o.description, o.method, o.status))
+            .collect()
+    };
+    assert_eq!(summary(&cert), summary(&reference));
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Records the exploration-engine benchmark trajectory:
 //! `BENCH_explore.json` at the repository root.
 //!
-//! Four engines run over the same scenario set:
+//! Three engines run over the same scenario set:
 //!
 //! * `seed` — a faithful reimplementation of the pre-optimization
 //!   sequential BFS: SipHash-keyed `HashMap<State, usize>` visited
@@ -9,23 +9,18 @@
 //!   state, tree-walking guard/update evaluation;
 //! * `seq_fp` — the current sequential engine: fingerprinted visited
 //!   set, compiled successor stepper, reused buffers;
-//! * `par_fp` — the level-synchronous parallel engine (the default
-//!   [`Engine::LevelSync`] at more than one thread) in fingerprint
-//!   mode with the machine's available workers, the canonical
-//!   renumbering pass included in the measured time. (On a
-//!   single-hardware-thread machine the plan resolves to the
-//!   sequential loop — one level-synchronous worker *is* sequential
-//!   BFS; each engine entry's `workers` field says what a given JSON
-//!   captured.)
-//! * `par_ws` — the work-stealing engine ([`Engine::WorkStealing`]):
-//!   packed state layouts, per-worker deques, no level barriers; its
-//!   graph is asserted byte-identical to `seq_fp`'s on every scenario.
+//! * `par_ws` — the work-stealing engine ([`Engine::WorkStealing`],
+//!   what default options resolve to at more than one thread) with
+//!   the machine's available workers: packed state layouts, per-worker
+//!   deques, the canonical renumbering pass included in the measured
+//!   time; its graph is asserted byte-identical to `seq_fp`'s on every
+//!   scenario. (Each engine entry's `workers` field says what a given
+//!   JSON captured.)
 //!
-//! A thread-scaling curve (both parallel engines at 1/2/4/8 workers
-//! per scenario) lands in `BENCH_scaling.json`, and a work-stealing
-//! gate always measures the full chain4 at 4 workers: byte-identity
-//! always, and — with ≥ 2 hardware threads — `par_ws` ≥ 1.5× `seq_fp`
-//! and ≥ 1.8× `par_fp` at the same worker count.
+//! A thread-scaling curve (`par_ws` at 1/2/4/8 workers per scenario)
+//! lands in `BENCH_scaling.json`, and a work-stealing gate always
+//! measures the full chain4 at 4 workers: byte-identity always, and —
+//! with ≥ 2 hardware threads — `par_ws` ≥ 1.5× `seq_fp`.
 //!
 //! A `seq_spill` column runs the bounded-memory spill engine
 //! ([`Engine::SpillBfs`]) at the default budget on every scenario,
@@ -41,7 +36,7 @@
 //! passing gate from a skipped one without knowing the skip
 //! conditions.
 //!
-//! Every run cross-checks that all three engines agree on the state
+//! Every run cross-checks that all engines agree on the state
 //! and transition counts (the fingerprint/parallel engines are exact
 //! reformulations, not approximations, on these state-space sizes).
 //!
@@ -55,7 +50,8 @@
 //!
 //! One observability artifact rides along: `OBS_explore.jsonl` — the
 //! largest chain explored under a [`JsonlRecorder`] by three engines
-//! (sequential fingerprinted, sequential exact, 4-thread parallel),
+//! (sequential fingerprinted, sequential exact, 4-worker
+//! work-stealing),
 //! schema-validated, with state/transition totals asserted identical
 //! across all three. (What a recorder costs is measured, with spread,
 //! by `benchmark/`: `check.obs.counting_overhead` and
@@ -242,7 +238,7 @@ struct Scenario {
     name: &'static str,
     system: System,
     /// The acceptance scenario: the largest queue chain, where the
-    /// parallel fingerprinted engine must clear 2× the seed throughput.
+    /// work-stealing engine must clear 2× the seed throughput.
     is_acceptance: bool,
     /// The reduction this scenario is benchmarked under, with a short
     /// description for the JSON, and the invariant whose verdict must
@@ -364,8 +360,8 @@ fn main() {
         "# bench_explore ({} mode, {iters} iteration(s), {threads} thread(s))\n",
         if smoke { "smoke" } else { "full" }
     );
-    println!("| scenario | states | transitions | seed | seq_fp | par_fp | par_ws | seq_spill | par_spill | seq_red | seq_fp× | par_fp× | par_ws× | red× | ckpt-ovh |");
-    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|");
+    println!("| scenario | states | transitions | seed | seq_fp | par_ws | seq_spill | par_spill | seq_red | seq_fp× | par_ws× | red× | ckpt-ovh |");
+    println!("|---|---|---|---|---|---|---|---|---|---|---|---|---|");
 
     let mut rows = Vec::new();
     let mut acceptance: Option<(String, f64)> = None;
@@ -389,8 +385,6 @@ fn main() {
             time_best(iters, || explore_seed(&sc.system, max).expect("seed explores"));
         let (seq_t, seq_graph) =
             time_best(gate_iters, || explore_null(&sc.system, &options, 1));
-        let (par_t, par_graph) =
-            time_best(iters, || explore_null(&sc.system, &options, threads));
         let (ws_t, ws_graph) = time_best(iters, || explore_ws_null(&sc.system, &options, threads));
         let (spill_t, spill_graph) =
             time_best(iters, || explore_spill_null(&sc.system, &options));
@@ -435,12 +429,6 @@ fn main() {
             graph_counts(&seq_graph),
             (states, transitions),
             "{}: seq_fp disagrees with seed",
-            sc.name
-        );
-        assert_eq!(
-            graph_counts(&par_graph),
-            (states, transitions),
-            "{}: par_fp disagrees with seed",
             sc.name
         );
         assert_eq!(
@@ -494,7 +482,7 @@ fn main() {
             workers,
         };
         let (seed, seq) = (run(seed_t, 1), run(seq_t, 1));
-        let (par, ws) = (run(par_t, threads), run(ws_t, threads));
+        let ws = run(ws_t, threads);
         let spill = run(spill_t, 1);
         let pspill = run(pspill_t, threads);
         let red = EngineRun {
@@ -503,32 +491,29 @@ fn main() {
             workers: 1,
         };
         let seq_x = seq.states_per_sec / seed.states_per_sec;
-        let par_x = par.states_per_sec / seed.states_per_sec;
         let ws_x = ws.states_per_sec / seed.states_per_sec;
         // Resume overhead: what arming checkpointing at the default
         // cadence costs against the same engine with it off.
         let ck = run(ck_t, 1);
         let resume_ovh = 1.0 - seq_resume_t.as_secs_f64() / ck_t.as_secs_f64().max(1e-9);
         println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}× | {:.2}× | {:.2}× | {:.2}× | {:+.1}% |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} | {} | {:.2}× | {:.2}× | {:.2}× | {:+.1}% |",
             sc.name,
             states,
             transitions,
             ms(seed_t),
             ms(seq_t),
-            ms(par_t),
             ms(ws_t),
             ms(spill_t),
             ms(pspill_t),
             ms(red_t),
             seq_x,
-            par_x,
             ws_x,
             red_factor,
             resume_ovh * 100.0,
         );
         if sc.is_acceptance {
-            acceptance = Some((sc.name.to_string(), par_x));
+            acceptance = Some((sc.name.to_string(), ws_x));
         }
         if matches!(sc.name, "ring" | "mutex" | "chain4")
             && best_reduction.is_none_or(|(_, f)| red_factor > f)
@@ -536,19 +521,17 @@ fn main() {
             best_reduction = Some((sc.name, red_factor));
         }
         rows.push(format!(
-            "    {{\n      \"scenario\": \"{}\",\n      \"states\": {},\n      \"transitions\": {},\n      \"seed\": {},\n      \"seq_fp\": {},\n      \"par_fp\": {},\n      \"par_ws\": {},\n      \"seq_ckpt\": {},\n      \"seq_spill\": {},\n      \"par_spill\": {},\n      \"speedup_seq_fp\": {:.2},\n      \"speedup_par_fp\": {:.2},\n      \"speedup_par_ws\": {:.2},\n      \"resume_overhead\": {:.4},\n      \"acceptance\": {},\n      \"reduction\": {{\n        \"config\": \"{}\",\n        \"states_full\": {},\n        \"states_reduced\": {},\n        \"reduction_factor\": {:.2},\n        \"seq_red\": {},\n        \"ample_states\": {},\n        \"full_states\": {},\n        \"skipped_transitions\": {},\n        \"canon_hits\": {},\n        \"verdict_matches_full\": true\n      }}\n    }}",
+            "    {{\n      \"scenario\": \"{}\",\n      \"states\": {},\n      \"transitions\": {},\n      \"seed\": {},\n      \"seq_fp\": {},\n      \"par_ws\": {},\n      \"seq_ckpt\": {},\n      \"seq_spill\": {},\n      \"par_spill\": {},\n      \"speedup_seq_fp\": {:.2},\n      \"speedup_par_ws\": {:.2},\n      \"resume_overhead\": {:.4},\n      \"acceptance\": {},\n      \"reduction\": {{\n        \"config\": \"{}\",\n        \"states_full\": {},\n        \"states_reduced\": {},\n        \"reduction_factor\": {:.2},\n        \"seq_red\": {},\n        \"ample_states\": {},\n        \"full_states\": {},\n        \"skipped_transitions\": {},\n        \"canon_hits\": {},\n        \"verdict_matches_full\": true\n      }}\n    }}",
             sc.name,
             states,
             transitions,
             engine_json(&seed),
             engine_json(&seq),
-            engine_json(&par),
             engine_json(&ws),
             engine_json(&ck),
             engine_json(&spill),
             engine_json(&pspill),
             seq_x,
-            par_x,
             ws_x,
             resume_ovh,
             sc.is_acceptance,
@@ -611,43 +594,31 @@ fn main() {
     // --- work-stealing gate: full chain4 at 4 workers, always ---------
     // As with the resume gate, the smoke scenarios are far too small to
     // support a speedup assertion, so the gate always measures the full
-    // acceptance chain, interleaving the three engines so block-to-block
-    // drift cancels out of the ratios. The asserts themselves only fire
+    // acceptance chain, interleaving the two engines so block-to-block
+    // drift cancels out of the ratio. The assert itself only fires
     // with real hardware parallelism: on a single-hardware-thread
-    // machine every "worker count" time-slices one core and the ratios
-    // are pure scheduling noise — the measured numbers are still
-    // printed and recorded in the JSON either way.
+    // machine every "worker count" time-slices one core and the ratio
+    // is pure scheduling noise — the measured number is still printed
+    // and recorded in the JSON either way.
     let ws_gate_workers = 4usize;
     let hardware = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let ws_name = "chain4";
-    let (ws_vs_seq, ws_vs_par) = {
+    let ws_vs_seq = {
         let gate_sys = QueueChain::new(4, 1, 2, FairnessStyle::Joint)
             .complete_system()
             .expect("chain4 builds");
         let mut seq_best = Duration::MAX;
-        let mut par_best = Duration::MAX;
         let mut ws_best = Duration::MAX;
         for _ in 0..iters.max(5) {
             let t = Instant::now();
             let seq_g = explore_null(&gate_sys, &options, 1);
             seq_best = seq_best.min(t.elapsed());
             let t = Instant::now();
-            let par_g = explore_null(&gate_sys, &options, ws_gate_workers);
-            par_best = par_best.min(t.elapsed());
-            let t = Instant::now();
             let ws_g = explore_ws_null(&gate_sys, &options, ws_gate_workers);
             ws_best = ws_best.min(t.elapsed());
             assert_graphs_identical(&seq_g, &ws_g, "ws gate (chain4)");
-            assert_eq!(
-                graph_counts(&par_g),
-                graph_counts(&seq_g),
-                "ws gate: par_fp disagrees on chain4"
-            );
         }
-        (
-            seq_best.as_secs_f64() / ws_best.as_secs_f64().max(1e-9),
-            par_best.as_secs_f64() / ws_best.as_secs_f64().max(1e-9),
-        )
+        seq_best.as_secs_f64() / ws_best.as_secs_f64().max(1e-9)
     };
 
     // --- spill gate: full chain4, in-RAM vs bounded-memory engine -----
@@ -729,14 +700,13 @@ fn main() {
         )
     };
 
-    // --- thread-scaling curve: both parallel engines, 1/2/4/8 workers --
+    // --- thread-scaling curve: work-stealing at 1/2/4/8 workers --------
     // One descriptive sample per point (the gates above are what is
     // asserted); every point re-checks the state count so a scaling
     // entry can never come from a wrong graph.
     let worker_counts: [usize; 4] = [1, 2, 4, 8];
     let mut scaling_rows = Vec::new();
     for sc in scenarios(smoke) {
-        let mut fp_entries = Vec::new();
         let mut ws_entries = Vec::new();
         let mut states = 0usize;
         for &w in &worker_counts {
@@ -747,23 +717,24 @@ fn main() {
                     n as f64 / t.as_secs_f64().max(1e-9)
                 )
             };
-            let (t, g) = time_best(1, || explore_null(&sc.system, &options, w));
-            states = g.len();
-            fp_entries.push(entry(t, states, w));
             let (t, g) = time_best(1, || explore_ws_null(&sc.system, &options, w));
-            assert_eq!(g.len(), states, "{}: scaling run disagrees", sc.name);
+            assert!(
+                states == 0 || g.len() == states,
+                "{}: scaling run disagrees",
+                sc.name
+            );
+            states = g.len();
             ws_entries.push(entry(t, states, w));
         }
         scaling_rows.push(format!(
-            "    {{\n      \"scenario\": \"{}\",\n      \"states\": {},\n      \"par_fp\": [{}],\n      \"par_ws\": [{}]\n    }}",
+            "    {{\n      \"scenario\": \"{}\",\n      \"states\": {},\n      \"par_ws\": [{}]\n    }}",
             sc.name,
             states,
-            fp_entries.join(", "),
             ws_entries.join(", ")
         ));
     }
     let scaling_json = format!(
-        "{{\n  \"benchmark\": \"explore_scaling\",\n  \"smoke\": {smoke},\n  \"iterations\": 1,\n  \"hardware_threads\": {hardware},\n  \"worker_counts\": [1, 2, 4, 8],\n  \"engines\": {{\n    \"par_fp\": \"level-synchronous parallel engine, fingerprint mode\",\n    \"par_ws\": \"work-stealing engine (packed layouts, barrier-free)\"\n  }},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"explore_scaling\",\n  \"smoke\": {smoke},\n  \"iterations\": 1,\n  \"hardware_threads\": {hardware},\n  \"worker_counts\": [1, 2, 4, 8],\n  \"engines\": {{\n    \"par_ws\": \"work-stealing engine (packed layouts, barrier-free)\"\n  }},\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         scaling_rows.join(",\n")
     );
     let scaling_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scaling.json");
@@ -782,7 +753,7 @@ fn main() {
             .to_string()
     };
     let json = format!(
-        "{{\n  \"benchmark\": \"explore\",\n  \"smoke\": {smoke},\n  \"iterations\": {iters},\n  \"threads\": {threads},\n  \"engines\": {{\n    \"seed\": \"seed sequential BFS: exact SipHash visited set, interpretive successors\",\n    \"seq_fp\": \"sequential, fingerprinted visited set + compiled successor stepper, NullRecorder\",\n    \"par_fp\": \"level-synchronous parallel engine, fingerprint mode (the sequential loop when 1 worker)\",\n    \"par_ws\": \"work-stealing engine: packed state layouts, per-worker deques, no level barriers\",\n    \"seq_ckpt\": \"seq_fp with checkpointing armed at DEFAULT_CHECKPOINT_CADENCE (crash-tolerance arming cost)\",\n    \"seq_spill\": \"bounded-memory spill engine at the default budget: disk-backed arena/edges, two-tier visited set\",\n    \"par_spill\": \"parallel bounded-memory engine: work-stealing workers over sharded hot tiers draining to sorted fingerprint runs\",\n    \"seq_red\": \"sequential engine under the scenario's Reduction (ample-set POR and/or symmetry), NullRecorder\"\n  }},\n  \"obs\": {{\n    \"report\": \"OBS_explore.jsonl\",\n    \"scenario\": \"{gate_name}\"\n  }},\n  \"resume\": {{\n    \"scenario\": \"{resume_name}\",\n    \"cadence\": {DEFAULT_CHECKPOINT_CADENCE},\n    \"resume_overhead\": {resume_ovh:.4}\n  }},\n  \"ws_gate\": {{\n    \"scenario\": \"{ws_name}\",\n    \"workers\": {ws_gate_workers},\n    \"hardware_threads\": {hardware},\n    \"speedup_vs_seq_fp\": {ws_vs_seq:.2},\n    \"speedup_vs_par_fp\": {ws_vs_par:.2},\n    \"asserted\": {ws_asserted},\n    \"skip_reason\": {ws_skip_reason}\n  }},\n  \"spill_gate\": {{\n    \"scenario\": \"{spill_name}\",\n    \"workers\": 1,\n    \"budget\": \"default (unconstrained)\",\n    \"overhead_vs_seq_fp\": {spill_ovh:.4},\n    \"limit\": 0.10,\n    \"asserted\": true,\n    \"skip_reason\": null\n  }},\n  \"par_spill_gate\": {{\n    \"scenario\": \"{par_spill_name}\",\n    \"workers\": {par_spill_workers},\n    \"hardware_threads\": {hardware},\n    \"speedup_vs_seq_spill\": {par_spill_speedup:.2},\n    \"limit\": 1.5,\n    \"spilled_bytes_at_256KiB\": {par_spill_bytes},\n    \"asserted\": {ws_asserted},\n    \"skip_reason\": {ws_skip_reason}\n  }},\n  \"scaling\": \"BENCH_scaling.json\",\n  \"scenarios\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"benchmark\": \"explore\",\n  \"smoke\": {smoke},\n  \"iterations\": {iters},\n  \"threads\": {threads},\n  \"engines\": {{\n    \"seed\": \"seed sequential BFS: exact SipHash visited set, interpretive successors\",\n    \"seq_fp\": \"sequential, fingerprinted visited set + compiled successor stepper, NullRecorder\",\n    \"par_ws\": \"work-stealing engine: packed state layouts, per-worker deques, no level barriers\",\n    \"seq_ckpt\": \"seq_fp with checkpointing armed at DEFAULT_CHECKPOINT_CADENCE (crash-tolerance arming cost)\",\n    \"seq_spill\": \"bounded-memory spill engine at the default budget: disk-backed arena/edges, two-tier visited set\",\n    \"par_spill\": \"parallel bounded-memory engine: work-stealing workers over sharded hot tiers draining to sorted fingerprint runs\",\n    \"seq_red\": \"sequential engine under the scenario's Reduction (ample-set POR and/or symmetry), NullRecorder\"\n  }},\n  \"obs\": {{\n    \"report\": \"OBS_explore.jsonl\",\n    \"scenario\": \"{gate_name}\"\n  }},\n  \"resume\": {{\n    \"scenario\": \"{resume_name}\",\n    \"cadence\": {DEFAULT_CHECKPOINT_CADENCE},\n    \"resume_overhead\": {resume_ovh:.4}\n  }},\n  \"ws_gate\": {{\n    \"scenario\": \"{ws_name}\",\n    \"workers\": {ws_gate_workers},\n    \"hardware_threads\": {hardware},\n    \"speedup_vs_seq_fp\": {ws_vs_seq:.2},\n    \"asserted\": {ws_asserted},\n    \"skip_reason\": {ws_skip_reason}\n  }},\n  \"spill_gate\": {{\n    \"scenario\": \"{spill_name}\",\n    \"workers\": 1,\n    \"budget\": \"default (unconstrained)\",\n    \"overhead_vs_seq_fp\": {spill_ovh:.4},\n    \"limit\": 0.10,\n    \"asserted\": true,\n    \"skip_reason\": null\n  }},\n  \"par_spill_gate\": {{\n    \"scenario\": \"{par_spill_name}\",\n    \"workers\": {par_spill_workers},\n    \"hardware_threads\": {hardware},\n    \"speedup_vs_seq_spill\": {par_spill_speedup:.2},\n    \"limit\": 1.5,\n    \"spilled_bytes_at_256KiB\": {par_spill_bytes},\n    \"asserted\": {ws_asserted},\n    \"skip_reason\": {ws_skip_reason}\n  }},\n  \"scaling\": \"BENCH_scaling.json\",\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
 
@@ -790,11 +761,11 @@ fn main() {
     std::fs::write(path, &json).expect("write BENCH_explore.json");
     println!("wrote {path}");
 
-    if let Some((name, par_x)) = acceptance {
-        println!("\nacceptance ({name}): par_fp is {par_x:.2}× the seed throughput");
+    if let Some((name, ws_x)) = acceptance {
+        println!("\nacceptance ({name}): par_ws is {ws_x:.2}× the seed throughput");
         assert!(
-            par_x >= 2.0,
-            "acceptance regression: par_fp only {par_x:.2}× seed on {name} (need ≥ 2×)"
+            ws_x >= 2.0,
+            "acceptance regression: par_ws only {ws_x:.2}× seed on {name} (need ≥ 2×)"
         );
     }
     // Reduction acceptance: at least one of ring/mutex/chain4 must
@@ -824,7 +795,7 @@ fn main() {
     );
     println!(
         "ws gate ({ws_name}, {ws_gate_workers} workers): par_ws is {ws_vs_seq:.2}× seq_fp \
-         and {ws_vs_par:.2}× par_fp ({hardware} hardware thread(s))"
+         ({hardware} hardware thread(s))"
     );
     if hardware >= 2 {
         assert!(
@@ -832,14 +803,9 @@ fn main() {
             "work-stealing regression: par_ws only {ws_vs_seq:.2}× seq_fp on {ws_name} \
              at {ws_gate_workers} workers (need ≥ 1.5×)"
         );
-        assert!(
-            ws_vs_par >= 1.8,
-            "work-stealing regression: par_ws only {ws_vs_par:.2}× par_fp on {ws_name} \
-             at {ws_gate_workers} workers (need ≥ 1.8×)"
-        );
     } else {
         println!(
-            "ws gate speedup asserts skipped (single hardware thread — byte-identity \
+            "ws gate speedup assert skipped (single hardware thread — byte-identity \
              was still checked)"
         );
     }
@@ -874,7 +840,8 @@ fn main() {
 }
 
 /// Explores `system` under a [`JsonlRecorder`] with three engines —
-/// sequential fingerprinted, sequential exact, and 4-thread parallel —
+/// sequential fingerprinted, sequential exact, and 4-worker
+/// work-stealing —
 /// into one JSONL stream at `path`; validates the stream against the
 /// schema and asserts the three run reports carry identical
 /// state/transition totals. Returns the shared `states/transitions`

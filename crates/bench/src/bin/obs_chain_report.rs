@@ -1,7 +1,7 @@
 //! Writes the chain4 observability run report — `OBS_chain4.jsonl`
 //! at the repository root — by exploring the 4-queue chain under a
 //! [`JsonlRecorder`] with three engines: sequential fingerprinted,
-//! sequential exact, and 4-thread parallel. The stream is validated
+//! sequential exact, and 4-worker work-stealing. The stream is validated
 //! against the schema and the three run reports must carry identical
 //! state/transition totals (the PR 3 acceptance criterion); CI uploads
 //! the file as a workflow artifact.

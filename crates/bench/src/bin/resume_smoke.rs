@@ -9,9 +9,10 @@
 //!    (54 358 states / 164 736 transitions / depth 55);
 //! 3. the resumed graph must be byte-identical to an uninterrupted
 //!    run's — states, initial states, edges, everything;
-//! 4. the same round trip with the 4-thread level-synchronous parallel
-//!    engine, the 4-worker work-stealing engine, the bounded-memory
-//!    spill engine under a 256 KiB budget, and the *parallel*
+//! 4. the same round trip at 4 threads (default options: the
+//!    work-stealing scheduler, whose periodic mid-run snapshots the
+//!    8 192-claim cadence exercises), with the bounded-memory spill
+//!    engine under a 256 KiB budget, and with the *parallel*
 //!    bounded-memory engine (4 work-stealing workers over the spill
 //!    tiers, resumed at 2 workers) — each spill kill lands after at
 //!    least one sealed arena segment, so its resume genuinely
@@ -23,7 +24,7 @@
 //!    transition budget (leaving `CKPT_chain4_live.snap`), resumed by
 //!    the 4-worker parallel liveness engine, and must reproduce the
 //!    uninterrupted sequential verdict and lasso byte-for-byte;
-//! 6. all ten exploration runs plus the liveness events stream into
+//! 6. all eight exploration runs plus the liveness events stream into
 //!    `OBS_resume.jsonl` through a [`JsonlRecorder`], and the stream
 //!    must validate against the observability schema.
 //!
@@ -74,16 +75,8 @@ fn main() {
     };
 
     for (label, threads, resume_threads, engine, mem, snap_name) in [
-        ("sequential", 1usize, 1usize, Engine::LevelSync, None, "CKPT_chain4.snap"),
-        ("parallel(4)", 4, 4, Engine::LevelSync, None, "CKPT_chain4_par.snap"),
-        (
-            "work-stealing(4)",
-            4,
-            4,
-            Engine::WorkStealing,
-            None,
-            "CKPT_chain4_ws.snap",
-        ),
+        ("sequential", 1usize, 1usize, Engine::Auto, None, "CKPT_chain4.snap"),
+        ("work-stealing(4)", 4, 4, Engine::Auto, None, "CKPT_chain4_ws.snap"),
         (
             "spill(256KiB)",
             1,
@@ -266,11 +259,11 @@ fn main() {
     });
     assert_eq!(
         summary.runs.len(),
-        10,
-        "five interrupted + five resumed runs must be reported"
+        8,
+        "four interrupted + four resumed runs must be reported"
     );
     let complete: Vec<_> = summary.runs.iter().filter(|r| r.complete).collect();
-    assert_eq!(complete.len(), 5, "exactly the five resumed runs complete");
+    assert_eq!(complete.len(), 4, "exactly the four resumed runs complete");
     assert!(
         complete
             .iter()

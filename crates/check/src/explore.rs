@@ -2,7 +2,7 @@
 //!
 //! Every entry point resolves its [`ExploreOptions`] — and the
 //! `OPENTLA_EXPLORE_THREADS` / `OPENTLA_MEM_BUDGET` overrides — once
-//! into one of five plans (`plan.rs`), each a scheduler loop over a
+//! into one of four plans (`plan.rs`), each a scheduler loop over a
 //! store:
 //!
 //! | plan (`RunStart.engine`) | scheduler loop        | states, edges, visited set                        |
@@ -11,27 +11,25 @@
 //! | `explore_spill`          | `seq::explore_seq`    | `spill::SpillStore`: segment files, two-tier set  |
 //! | `explore_parallel_ws`    | `ws::run_workers`     | `ws`: striped packed (or tree) arenas in RAM      |
 //! | `explore_spill_ws`       | `ws::run_workers`     | `spill_ws`: shared segment files, striped two-tier|
-//! | `explore_parallel`       | level-synchronous     | striped `State` arenas in RAM                     |
 //!
-//! One thread without a memory budget gets the first plan; a budget
-//! (or [`Engine::SpillBfs`]) the second; [`Engine::WorkStealing`] the
-//! third, or with a budget (or as [`Engine::SpillWs`]) the fourth;
-//! more than one thread under the default [`Engine::LevelSync`] the
-//! last, or with a budget the fourth. Reduced and panic-injection runs
-//! always get the first or the last.
+//! The routing rule: an active [`Reduction`] → the first plan, on the
+//! third loop (`explore_sequential_reduced`); otherwise `(more than
+//! one thread, a memory budget)` picks the row — (no, no) the first,
+//! (no, yes) the second, (yes, no) the third, (yes, yes) the fourth.
+//! An explicit [`Engine`] other than [`Engine::Auto`] forces its row.
 //!
 //! The sequential loop is the reference implementation: plain BFS over
-//! the compiled successor stepper ([`crate::CompiledSystem`]). The
-//! three parallel plans record `(parent, action, child)` edges under
+//! the compiled successor stepper ([`crate::CompiledSystem`]). The two
+//! work-stealing plans record `(parent, action, child)` edges under
 //! provisional ids and finish with a deterministic renumbering pass
 //! that replays the discovery order sequentially, so on complete runs
 //! every plan's result is **byte-identical**: same state indices, same
 //! edge lists, same [`GraphStats`], same counterexample traces.
 //!
-//! Reduced runs ([`Reduction`]) have loops of their own —
-//! `explore_sequential_reduced` and the level-synchronous engine's
-//! reduced worker — because the cycle proviso needs BFS level
-//! boundaries; they are served by the first and last plan only.
+//! Reduced runs ([`Reduction`]) have a loop of their own —
+//! `explore_sequential_reduced` — because the cycle proviso needs BFS
+//! level boundaries; they are sequential at any requested thread
+//! count.
 //!
 //! Every plan deduplicates states through a [`VisitedMode`]: either
 //! **fingerprinting** (the default — 64-bit hashes in the visited set,
@@ -53,14 +51,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-// Every lock in the parallel engines guards state that is kept
-// consistent *within* each critical section (pushes and map inserts
-// happen together; see [`ParShared::intern_with`]), so the shared
-// poison-recovering [`lock`] is safe here: a panic that poisons a
-// lock leaves the protected data structurally sound — the worker's
-// in-flight *results* are discarded separately by the panic-isolation
-// path. Propagating the poison would instead turn one worker's bug
-// into a whole-run abort.
+// Every lock in the work-stealing engines guards state that is kept
+// consistent *within* each critical section (arena pushes and map
+// inserts happen together), so the shared poison-recovering [`lock`]
+// is safe here: a panic that poisons a lock leaves the protected data
+// structurally sound — the worker's in-flight *records* are rolled
+// back separately by the scheduler's panic isolation. Propagating the
+// poison would instead turn one worker's bug into a whole-run abort.
 use crate::sync::{lock, Striped, NUM_SHARDS};
 
 mod plan;
@@ -110,8 +107,10 @@ pub struct ExploreOptions {
     pub mode: VisitedMode,
     /// Worker threads. `None` (the default) consults the
     /// `OPENTLA_EXPLORE_THREADS` environment variable, falling back to
-    /// 1 (sequential). Any resolved value above 1 routes [`explore`] /
-    /// [`explore_governed`] through the parallel engine.
+    /// 1 (sequential). Any resolved value above 1 routes an unreduced
+    /// run to the work-stealing scheduler (in RAM, or over the spill
+    /// tiers under a memory budget); reduced runs are sequential at
+    /// any value.
     pub threads: Option<usize>,
     /// Fingerprint width in bits, 1..=64 (default 64). Values below 64
     /// mask the fingerprint, deliberately *forcing* collisions — a test
@@ -126,102 +125,93 @@ pub struct ExploreOptions {
     /// subsystem existed. Reduced graphs answer state-invariant
     /// queries only — liveness and step-invariant checks refuse them.
     pub reduction: Reduction,
-    /// Fault-injection knob for the parallel engine's panic isolation:
-    /// when set, exactly one worker deliberately panics mid-expansion
-    /// (see [`WorkerPanic`]). The run must survive degraded — this
-    /// exists so tests can prove it does. `None` (the default) injects
-    /// nothing; the sequential engines ignore it.
+    /// Fault-injection knob for the work-stealing scheduler's panic
+    /// isolation: when set, exactly one worker deliberately panics
+    /// mid-expansion (see [`WorkerPanic`]). The run must survive
+    /// degraded — this exists so tests can prove it does, with and
+    /// without a memory budget. `None` (the default) injects nothing;
+    /// the sequential loops ignore it.
     pub worker_panic: Option<WorkerPanic>,
-    /// Which parallel engine runs when the resolved thread count calls
-    /// for one. Default [`Engine::LevelSync`] — bit-for-bit the
-    /// pre-existing behavior. [`Engine::WorkStealing`] selects the
-    /// barrier-free packed-state engine at any thread count; reduced
-    /// runs and [`WorkerPanic`] injection always fall back to the
-    /// level-synchronous path, which remains the reduced/proviso
-    /// engine.
+    /// Forces a plan. The default [`Engine::Auto`] derives it from
+    /// what the run asks for — threads, memory budget, reduction (see
+    /// the module docs); the other values pin one of the three
+    /// non-default plans whatever the thread count and budget say.
+    /// Reduced runs are sequential under every value.
     pub engine: Engine,
-    /// Graphs that stay below this many states are explored
-    /// sequentially even when a parallel engine was requested: worker
-    /// setup costs orders of magnitude more than the whole exploration
-    /// on dozen-state graphs. The parallel engine probes sequentially
-    /// up to the cutoff and only pays for workers once the graph
-    /// outgrows it. `None` (the default) uses
-    /// [`PAR_SMALL_GRAPH_CUTOFF`]; `Some(0)` disables the routing
-    /// (tests that must exercise parallel machinery on tiny graphs
-    /// do). Checkpointed, resumed, and panic-injection runs never
-    /// probe — their semantics are pinned to the parallel engine.
-    pub small_graph_cutoff: Option<usize>,
     /// Approximate RAM ceiling, in bytes, for the exploration's state
     /// arena, edge lists, and visited set. Setting it (or exporting
     /// `OPENTLA_MEM_BUDGET`) routes unreduced runs to a bounded-memory
-    /// engine — single-threaded runs to [`Engine::SpillBfs`], parallel
+    /// plan — single-threaded runs to [`Engine::SpillBfs`], threaded
     /// runs to [`Engine::SpillWs`] — which spills sealed arena
     /// segments and sorted fingerprint runs to disk and keeps only a
     /// budget-sized working set in RAM. `None` (the default) keeps
     /// everything in RAM; an explicit spill engine with `None` uses a
-    /// generous default budget. Configurations that *cannot* honor a
-    /// budget (reduction-active or panic-injection runs, which are
-    /// pinned to the in-RAM level-synchronous engine) refuse an
-    /// explicit budget with [`CheckError::Precondition`] and report an
-    /// environment-derived one as ignored via
-    /// [`Event::BudgetIgnored`](crate::Event) rather than silently
-    /// exploring unbounded.
+    /// generous default budget. The one configuration that *cannot*
+    /// honor a budget — a reduction-active run, whose loop is in-RAM
+    /// only — refuses an explicit budget with
+    /// [`CheckError::Precondition`] and reports an environment-derived
+    /// one as ignored via [`Event::BudgetIgnored`](crate::Event)
+    /// rather than silently exploring unbounded.
     pub mem_budget_bytes: Option<usize>,
 }
 
-/// Selects the parallel exploration engine; see
-/// [`ExploreOptions::engine`].
+/// Forces an exploration plan; see [`ExploreOptions::engine`].
+///
+/// One caveat holds for both work-stealing plans: they intern
+/// first-insert-wins under a stripe lock, so under *forced*
+/// fingerprint collisions (a narrowed [`ExploreOptions::fp_bits`] in
+/// [`VisitedMode::Fingerprint`]) which member of a collision class
+/// survives depends on worker scheduling at two or more workers.
+/// [`VisitedMode::Exact`] is deterministic at every worker count, and
+/// so is fingerprint mode at one worker.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// The PR2 level-synchronous engine: BFS levels end in a barrier
-    /// plus canonical renumbering. The only engine that runs reduced
-    /// (ample-set / symmetry) explorations.
+    /// Derive the plan from threads, memory budget and reduction.
     #[default]
-    LevelSync,
-    /// The barrier-free work-stealing engine over packed state
-    /// buffers: per-worker deques, quiescence-based termination, one
-    /// canonical renumbering post-pass. Produces graphs byte-identical
-    /// to the sequential engine. Falls back to the `Value`-tree state
-    /// representation when the system's domains do not compile to a
-    /// [`opentla_kernel::PackedLayout`].
+    Auto,
+    /// The work-stealing scheduler over packed state buffers in RAM,
+    /// at any thread count: per-worker deques, quiescence-based
+    /// termination, one canonical renumbering post-pass. Produces
+    /// graphs byte-identical to the sequential loop. Falls back to the
+    /// `Value`-tree state representation when the system's domains do
+    /// not compile to a [`opentla_kernel::PackedLayout`]. With a
+    /// memory budget in force this is [`Engine::SpillWs`].
     WorkStealing,
-    /// The bounded-memory sequential engine: same BFS order and charge
-    /// discipline as the in-RAM sequential engine, but the state arena
+    /// The bounded-memory sequential plan: same BFS order and charge
+    /// discipline as the in-RAM sequential loop, but the state arena
     /// and edge lists live in an append-only disk-backed segment store
     /// (read back through an LRU cache) and the visited set spills
     /// sorted fingerprint runs once its hot tier fills. Completed
-    /// graphs are byte-identical to the sequential engine's in both
+    /// graphs are byte-identical to the sequential loop's in both
     /// [`VisitedMode`]s. Selecting it explicitly forces the spill path
-    /// even without a [`ExploreOptions::mem_budget_bytes`] budget;
-    /// reduced and panic-injection runs fall back to level-sync.
+    /// even without a [`ExploreOptions::mem_budget_bytes`] budget.
     SpillBfs,
-    /// The parallel bounded-memory engine: the work-stealing scheduler
+    /// The parallel bounded-memory plan: the work-stealing scheduler
     /// of [`Engine::WorkStealing`] running over the disk-backed tiers
     /// of [`Engine::SpillBfs`]. The hot fingerprint tier is sharded
-    /// across the same 64 lock stripes as the in-RAM parallel visited
-    /// sets, each shard draining to shared sorted fingerprint runs at
-    /// a deterministic byte threshold; arena and edge records funnel
-    /// through shared sealed-segment writers. Completed graphs are
+    /// across the same 64 lock stripes as the in-RAM visited set, each
+    /// shard draining to shared sorted fingerprint runs at a
+    /// deterministic threshold; arena and edge records funnel through
+    /// shared sealed-segment writers. Completed graphs are
     /// byte-identical to [`Engine::SpillBfs`] and to the sequential
-    /// engine in both [`VisitedMode`]s. Selecting it explicitly forces
-    /// the parallel spill path even without a budget; reduced and
-    /// panic-injection runs fall back to level-sync.
+    /// loop in both [`VisitedMode`]s. Selecting it explicitly forces
+    /// the parallel spill path even without a budget.
     SpillWs,
 }
 
-/// Instructs one parallel worker to panic mid-expansion — test
-/// instrumentation for the engine's panic isolation (see
+/// Instructs one work-stealing worker to panic mid-expansion — test
+/// instrumentation for the scheduler's panic isolation (see
 /// [`ExploreOptions::worker_panic`]). The victim is whichever worker
-/// makes the first frontier claim past `after_claims`, counted
-/// globally across all workers and levels (a fire-once flag guarantees
-/// exactly one panic per run). The panic fires inside the successor
-/// callback, *after* at least one edge of the current parent was
-/// recorded, so it exercises the coordinator's truncate-and-requeue
-/// recovery rather than a clean boundary.
+/// makes the first claim past `after_claims`, counted run-wide across
+/// all workers (a fire-once flag guarantees exactly one panic per
+/// run). The panic fires inside the successor callback, *after* at
+/// least one edge of the current parent was recorded, so it exercises
+/// the scheduler's roll-back-and-requeue recovery rather than a clean
+/// boundary.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerPanic {
-    /// The panic arms once this many frontier entries have been
-    /// claimed run-wide (0 = panic during the first claimed parent).
+    /// The panic arms once this many parents have been claimed
+    /// run-wide (0 = panic during the first claimed parent).
     pub after_claims: u64,
 }
 
@@ -234,8 +224,7 @@ impl Default for ExploreOptions {
             fp_bits: 64,
             reduction: Reduction::none(),
             worker_panic: None,
-            engine: Engine::LevelSync,
-            small_graph_cutoff: None,
+            engine: Engine::Auto,
             mem_budget_bytes: None,
         }
     }
@@ -254,11 +243,6 @@ fn fp_mask(fp_bits: u32) -> u64 {
         (1u64 << fp_bits.max(1)) - 1
     }
 }
-
-/// Default state-count cutoff below which a requested parallel
-/// exploration runs sequentially instead (see
-/// [`ExploreOptions::small_graph_cutoff`]).
-pub const PAR_SMALL_GRAPH_CUTOFF: usize = 256;
 
 /// Summary statistics of a reachability graph; see
 /// [`StateGraph::stats`].
@@ -630,6 +614,8 @@ impl Governed for Exploration {
 ///
 /// * [`CheckError::NoInitialStates`] if the initial specification is
 ///   empty;
+/// * [`CheckError::Precondition`] if `OPENTLA_EXPLORE_THREADS` or
+///   `OPENTLA_MEM_BUDGET` is set to anything but a positive integer;
 /// * evaluation/domain errors from firing actions.
 pub fn explore_governed(system: &System, budget: &Budget) -> Result<Exploration, CheckError> {
     explore_governed_with(system, budget, &ExploreOptions::default())
@@ -647,7 +633,7 @@ pub fn explore_governed_with(
     budget: &Budget,
     options: &ExploreOptions,
 ) -> Result<Exploration, CheckError> {
-    explore_observed(system, budget, options, &Plan::from_env(options), None)
+    explore_observed(system, budget, options, &Plan::from_env(options)?, None)
 }
 
 /// Crash-tolerant exploration: continues from the snapshot at the
@@ -713,7 +699,7 @@ pub fn resume_exploration(
     snapshot: &Snapshot,
 ) -> Result<Exploration, CheckError> {
     snapshot.validate(system, options)?;
-    let plan = Plan::from_env(options);
+    let plan = Plan::from_env(options)?;
     if snapshot.spill.is_some() {
         // A spill snapshot references on-disk segment files; expand it
         // to the in-RAM form once, here, so every engine resumes from
@@ -746,7 +732,7 @@ pub fn explore_escalating(
     attempts: usize,
     options: &ExploreOptions,
 ) -> Result<Exploration, CheckError> {
-    let plan = Plan::from_env(options);
+    let plan = Plan::from_env(options)?;
     let mut current = budget.clone();
     let mut result = explore_observed(system, &current, options, &plan, None)?;
     for _ in 1..attempts.max(1) {
@@ -790,14 +776,9 @@ fn explore_dispatch(
             spill_ws::explore_spill_ws(system, budget, options, plan.threads, mem_budget, resume)
         }
         Route::WorkStealing => ws::explore_ws(system, budget, options, plan.threads, resume),
-        Route::LevelSync | Route::Sequential => {
+        Route::Sequential => {
             let prepared = options.reduction.prepare(system);
-            let prepared = prepared.as_ref();
-            if plan.route == Route::LevelSync {
-                explore_parallel_impl(system, budget, options, plan.threads, prepared, resume)
-            } else {
-                explore_sequential(system, budget, options, prepared, resume)
-            }
+            explore_sequential(system, budget, options, prepared.as_ref(), resume)
         }
     }
 }
@@ -979,7 +960,7 @@ fn seq_exhaustion_snapshot(
     (Some(Box::new(snap)), token)
 }
 
-/// The reduced sequential engine: level-synchronous BFS (explicit
+/// The reduced sequential engine: level-by-level BFS (explicit
 /// level boundaries feed the cycle proviso) over canonicalized states,
 /// expanding each state through its chosen ample cluster — or fully
 /// when no eligible proper cluster exists or the proviso fires.
@@ -987,9 +968,7 @@ fn seq_exhaustion_snapshot(
 /// Used for both [`VisitedMode`]s: symmetry reduction must
 /// canonicalize the materialized successor anyway, so the incremental
 /// fingerprint shortcut of the unreduced fast path does not apply.
-/// Discovery order is plain BFS over kept actions in action order —
-/// exactly the order the parallel engine's renumbering pass replays,
-/// so both engines produce byte-identical reduced graphs.
+/// Discovery order is plain BFS over kept actions in action order.
 fn explore_sequential_reduced(
     system: &System,
     budget: &Budget,
@@ -1121,10 +1100,7 @@ fn explore_sequential_reduced(
             let chosen =
                 por.choose_ample(succ.iter().map(|(a, _)| *a), &mut ample_scratch)?;
             // The proviso: an ample successor already in a completed
-            // level closes a potential cycle — expand fully. Only
-            // completed levels are consulted, so the parallel engine
-            // (which sees racy partial knowledge of the *current*
-            // level) decides identically.
+            // level closes a potential cycle — expand fully.
             let closes_level = succ.iter().any(|(a, child)| {
                 por.cluster_of(*a) == chosen
                     && graph
@@ -1217,7 +1193,8 @@ fn explore_sequential_reduced(
 }
 
 // ---------------------------------------------------------------------
-// Parallel engine
+// Shared by the work-stealing plans: provisional ids, the canonical
+// replay, the rollback cut
 // ---------------------------------------------------------------------
 
 /// Provisional state id used during parallel exploration:
@@ -1237,205 +1214,6 @@ fn local_of(p: Pid) -> usize {
     (p & 0xffff_ffff) as usize
 }
 
-/// One shard of the parallel visited set: a keyed dedup map, the
-/// shard's slice of the state arena, and the unmasked fingerprint of
-/// each arena entry (kept so workers can derive successor fingerprints
-/// incrementally with [`State::fingerprint_with`]).
-#[derive(Debug)]
-struct Shard {
-    keys: ShardKeys,
-    arena: Vec<State>,
-    fps: Vec<u64>,
-}
-
-#[derive(Debug)]
-enum ShardKeys {
-    Exact(HashMap<State, u32>),
-    Fingerprint(FxHashMap<u64, u32>),
-}
-
-impl Shard {
-    fn new(mode: VisitedMode) -> Shard {
-        Shard {
-            keys: match mode {
-                VisitedMode::Exact => ShardKeys::Exact(HashMap::new()),
-                VisitedMode::Fingerprint => ShardKeys::Fingerprint(FxHashMap::default()),
-            },
-            arena: Vec::new(),
-            fps: Vec::new(),
-        }
-    }
-}
-
-/// What each worker accumulated during one level.
-#[derive(Debug, Default)]
-struct WorkerOut {
-    /// `(parent, action, child)` records, contiguous and in action
-    /// order per parent — each parent is expanded by exactly one
-    /// worker, so these splice into per-parent edge lists losslessly.
-    edges: Vec<(Pid, u32, Pid)>,
-    /// States inserted by this worker: the next level's frontier.
-    next: Vec<Pid>,
-    /// Parents whose expansion was cut short by budget exhaustion
-    /// (requeued on the reported frontier).
-    interrupted: Vec<Pid>,
-    /// Frontier entries this worker claimed (for per-worker
-    /// throughput reporting).
-    claimed: u64,
-    /// Reduction counters for the parents this worker expanded
-    /// (all-zero when reduction is off).
-    stats: ReductionStats,
-    /// The parent currently being expanded, with the `edges` length and
-    /// `stats` value at the moment it was claimed. `Some` only while an
-    /// expansion is in flight — so if the worker panics, the
-    /// coordinator can truncate the half-recorded expansion back to
-    /// this mark and re-queue the parent.
-    current: Option<(Pid, usize, ReductionStats)>,
-}
-
-/// Shared coordination state of one parallel run.
-struct ParShared<'a> {
-    shards: Striped<Shard>,
-    mask: u64,
-    meter: &'a Meter,
-    stop: AtomicBool,
-    reason: Mutex<Option<ExhaustReason>>,
-    error: Mutex<Option<CheckError>>,
-    /// Fault-injection bookkeeping for [`WorkerPanic`]: frontier claims
-    /// made run-wide, and whether the injected panic already fired
-    /// (fire-once, whichever worker crosses the threshold first).
-    fault_claims: AtomicU64,
-    fault_fired: AtomicBool,
-}
-
-impl ParShared<'_> {
-    /// Records the first exhaustion reason and raises the stop flag.
-    fn note_exhaustion(&self, r: ExhaustReason) {
-        lock(&self.reason).get_or_insert(r);
-        self.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// Records the first engine error and raises the stop flag.
-    fn note_error(&self, e: CheckError) {
-        lock(&self.error).get_or_insert(e);
-        self.stop.store(true, Ordering::Relaxed);
-    }
-
-    /// The state behind a pid, with its unmasked fingerprint.
-    fn state_of(&self, p: Pid) -> (State, u64) {
-        let shard = self.shards.lock_shard(shard_of(p));
-        let local = local_of(p);
-        (shard.arena[local].clone(), shard.fps[local])
-    }
-
-    /// Looks up / inserts a state by its (unmasked) fingerprint,
-    /// charging the meter for genuinely new states. `make` materializes
-    /// the state and is only called when it must be: in fingerprint
-    /// mode an already-visited successor is recognized — and skipped —
-    /// without ever being constructed. Returns the pid and whether it
-    /// was new, or the exhaustion reason if the state limit cut the
-    /// insertion off.
-    fn intern_with(
-        &self,
-        fp: u64,
-        make: impl FnOnce() -> State,
-    ) -> Result<(Pid, bool), ExhaustReason> {
-        let key = fp & self.mask;
-        let (shard_i, mut shard) = self.shards.lock_key(key);
-        let Shard { keys, arena, fps } = &mut *shard;
-        match keys {
-            ShardKeys::Fingerprint(map) => match map.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    Ok((pid(shard_i, *e.get() as usize), false))
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    if let Some(reason) = self.meter.charge_state() {
-                        return Err(reason);
-                    }
-                    let local = arena.len();
-                    arena.push(make());
-                    fps.push(fp);
-                    e.insert(local as u32);
-                    Ok((pid(shard_i, local), true))
-                }
-            },
-            ShardKeys::Exact(map) => {
-                // Exact mode needs the full state as the dedup key, so
-                // it is always materialized. Sharding by (masked)
-                // fingerprint stays consistent — equal states have
-                // equal fingerprints — and dedup stays exact even when
-                // `fp_bits` forces fingerprint collisions.
-                let t = make();
-                if let Some(&local) = map.get(&t) {
-                    return Ok((pid(shard_i, local as usize), false));
-                }
-                if let Some(reason) = self.meter.charge_state() {
-                    return Err(reason);
-                }
-                let local = arena.len();
-                arena.push(t.clone());
-                fps.push(fp);
-                map.insert(t, local as u32);
-                Ok((pid(shard_i, local), true))
-            }
-        }
-    }
-
-    /// Inserts a snapshot state during resume seeding, *without*
-    /// charging the meter — the resumed [`Meter`] was pre-charged with
-    /// the snapshot's banked totals, so seeding must not count again.
-    /// Returns the pid; a masked-fingerprint collision maps to the
-    /// first occupant (the same first-id-wins rule the snapshot's
-    /// canonical order encodes), so collision behavior survives the
-    /// round trip.
-    fn seed(&self, s: &State) -> Pid {
-        let fp = s.fingerprint();
-        let key = fp & self.mask;
-        let (shard_i, mut shard) = self.shards.lock_key(key);
-        let Shard { keys, arena, fps } = &mut *shard;
-        match keys {
-            ShardKeys::Fingerprint(map) => match map.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    pid(shard_i, *e.get() as usize)
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    let local = arena.len();
-                    arena.push(s.clone());
-                    fps.push(fp);
-                    e.insert(local as u32);
-                    pid(shard_i, local)
-                }
-            },
-            ShardKeys::Exact(map) => {
-                if let Some(&local) = map.get(s) {
-                    return pid(shard_i, local as usize);
-                }
-                let local = arena.len();
-                arena.push(s.clone());
-                fps.push(fp);
-                map.insert(s.clone(), local as u32);
-                pid(shard_i, local)
-            }
-        }
-    }
-
-    /// Whether `s` was interned before the current level began — the
-    /// parallel form of the sequential `id < boundary` cycle-proviso
-    /// test. `bounds` holds every shard's arena length snapshotted at
-    /// level start, so the answer is frozen for the whole level and
-    /// independent of insertions racing within it: both engines decide
-    /// the proviso on the identical set of states.
-    fn in_completed_level(&self, s: &State, bounds: &[usize]) -> bool {
-        let key = s.fingerprint() & self.mask;
-        let (shard_i, shard) = self.shards.lock_key(key);
-        let local = match &shard.keys {
-            ShardKeys::Fingerprint(map) => map.get(&key).copied(),
-            ShardKeys::Exact(map) => map.get(s).copied(),
-        };
-        local.is_some_and(|l| (l as usize) < bounds[shard_i])
-    }
-}
-
 /// The canonical replay of a parallel run's edge records, shared by
 /// the final renumbering pass and mid-run checkpoint captures.
 ///
@@ -1445,8 +1223,9 @@ impl ParShared<'_> {
 /// action order) — so ids, edges, parents, and traces coincide with a
 /// sequential run's. `canon[shard][local]` maps pids to canonical ids
 /// (`u32::MAX` = unreachable from the records, e.g. a child whose
-/// recording worker died mid-expansion before the make-up pass ran);
-/// `depth` is each state's BFS level, non-decreasing in id order.
+/// recording worker died mid-expansion and whose parent was not
+/// re-expanded before the run stopped); `depth` is each state's BFS
+/// level, non-decreasing in id order.
 struct Replay {
     canon: Vec<Vec<u32>>,
     states: Vec<State>,
@@ -1456,30 +1235,16 @@ struct Replay {
     depth: Vec<u32>,
 }
 
-/// Builds the [`Replay`]. Each parent's run is indexed first:
-/// `edge_index[shard][local]` is `(which vector, start, length)`,
-/// `u32::MAX` marking "no edges". Every interned state has a recorded
-/// incoming edge (interning and edge-recording are adjacent in the
-/// worker, and a panic's truncated records are re-recorded by the
-/// make-up pass) or is initial, so the replay reaches every interned
-/// state of every *closed* level.
-fn replay_records(
-    arena_lens: &[usize],
-    state_of: impl Fn(Pid) -> State,
-    all_edges: &[Vec<(Pid, u32, Pid)>],
-    init_pids: &[Pid],
-) -> Replay {
-    let (mut r, order) = replay_records_order(arena_lens, all_edges, init_pids);
-    r.states = order.iter().map(|&p| state_of(p)).collect();
-    r
-}
-
-/// The structural core of [`replay_records`]: everything except state
-/// materialization. Returns the [`Replay`] with `states` empty plus
-/// the pids in canonical id order, so callers choose how to
-/// materialize — sequentially ([`replay_records`]) or fanned out
-/// across workers (the work-stealing engine, where each state is an
-/// independent unpack once the order is fixed).
+/// Builds the [`Replay`], all but its `states`: returns it with
+/// `states` empty plus the pids in canonical id order, so callers
+/// choose how to materialize (each state is an independent unpack or
+/// decode once the order is fixed). Each parent's run is indexed
+/// first: `edge_index[shard][local]` is `(which vector, start,
+/// length)`, `u32::MAX` marking "no edges". Every interned state has a
+/// recorded incoming edge (interning and edge-recording are adjacent
+/// in the worker, and a panicked worker's truncated records are
+/// re-recorded when its parent is re-expanded) or is initial, so the
+/// replay reaches every interned state of a complete run.
 fn replay_records_order(
     arena_lens: &[usize],
     all_edges: &[Vec<(Pid, u32, Pid)>],
@@ -1552,8 +1317,8 @@ fn replay_records_order(
     (r, order)
 }
 
-/// The deepest consistent level-boundary rollback of an exhausted
-/// parallel run, shared by both parallel engines: given the canonical
+/// The deepest consistent level-boundary rollback of a stopped
+/// work-stealing run, shared by both of its engines: given the canonical
 /// replay's pid→id map and per-id BFS depths, plus the
 /// discovered-but-unexpanded pids, returns `(keep, frontier_ids)` for
 /// [`checkpoint::capture`]. The cut level L is the shallowest pending
@@ -1586,437 +1351,37 @@ fn rollback_cut(
     }
 }
 
-/// Level-synchronous parallel BFS: scoped workers drain the current
-/// frontier through an atomic cursor, interning successors into the
-/// sharded visited set; when a level is exhausted the workers'
-/// newly-inserted states become the next frontier. A final sequential
-/// renumbering pass replays the BFS over the recorded per-parent edge
-/// lists, producing canonical (sequential-identical) state indices.
-///
-/// Workers are panic-isolated: a panicking worker loses only its
-/// in-flight expansion (truncated back to the claim mark and made up
-/// by the coordinator before the level closes), the run degrades to
-/// the surviving workers, and every shared lock is poison-tolerant —
-/// the critical sections keep the shards internally consistent, so a
-/// poisoned mutex carries no torn data.
-fn explore_parallel_impl(
-    system: &System,
-    budget: &Budget,
+/// The in-RAM-format snapshot of a stopped work-stealing run, for both
+/// of its engines: the canonical replay rolled back to its
+/// [`rollback_cut`], written through `ck` when checkpointing is
+/// active.
+fn rolled_back_snapshot(
+    ck: &mut Checkpointer,
+    recorder: &RecorderHandle,
+    replay: &Replay,
+    pending: &[Pid],
     options: &ExploreOptions,
-    threads: usize,
-    prepared: Option<&PreparedReduction>,
-    resume: Option<&Snapshot>,
-) -> Result<Exploration, CheckError> {
-    // Small-graph routing: probe sequentially up to the cutoff; only a
-    // graph that outgrows it (sequential exhaustion exactly at the
-    // probe's state cap, with headroom left in the real budget) pays
-    // for worker setup. The graphs are byte-identical either way, so
-    // the only observable difference is the absence of worker-level
-    // events. Checkpointed, resumed, and panic-injection runs skip the
-    // probe: their on-disk and fault-isolation semantics belong to the
-    // parallel engine.
-    let cutoff = options.small_graph_cutoff.unwrap_or(PAR_SMALL_GRAPH_CUTOFF);
-    if cutoff > 0
-        && resume.is_none()
-        && options.worker_panic.is_none()
-        && budget.checkpoint.is_none()
-    {
-        let cap = budget.max_states.min(cutoff);
-        let probe_budget = Budget {
-            max_states: cap,
-            ..budget.clone()
-        };
-        let probed = explore_sequential(system, &probe_budget, options, prepared, None)?;
-        let outgrew = cap < budget.max_states
-            && matches!(
-                probed.outcome.exhaustion(),
-                Some(ExhaustReason::StateLimit { .. })
-            );
-        if !outgrew {
-            return Ok(probed);
-        }
-    }
-    let compiled = CompiledSystem::compile(system);
-    let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let meter = match resume {
-        Some(snap) => Meter::start_resumed(budget, snap.states_used(), snap.transitions_used()),
-        None => Meter::start(budget),
-    };
-    let shared = ParShared {
-        shards: Striped::new(|| Shard::new(options.mode)),
-        mask: options.mask(),
-        meter: &meter,
-        stop: AtomicBool::new(false),
-        reason: Mutex::new(None),
-        error: Mutex::new(None),
-        fault_claims: AtomicU64::new(0),
-        fault_fired: AtomicBool::new(false),
-    };
-
-    let mut init_pids: Vec<Pid> = Vec::new();
-    // Every worker's edge vector, kept whole: each parent is expanded
-    // by exactly one worker, so its edges form one contiguous run (in
-    // action order) inside exactly one of these vectors.
-    let mut all_edges: Vec<Vec<(Pid, u32, Pid)>> = Vec::new();
-    let mut total_stats = ReductionStats::default();
-    let mut exhausted_in_init = false;
-    let frontier_seed: Vec<Pid>;
-    if let Some(snap) = resume {
-        // Resume: seed the shards with the snapshot arena (canonical
-        // order, so fingerprint first-id-wins dedup is reproduced) and
-        // turn the snapshot's edges into one pre-recorded run vector —
-        // the canonical replay then cannot tell banked work from new
-        // work. The meter was pre-charged above, so seeding is free.
-        let pid_of: Vec<Pid> = snap.states.iter().map(|s| shared.seed(s)).collect();
-        init_pids = snap.init.iter().map(|&i| pid_of[i]).collect();
-        let mut records: Vec<(Pid, u32, Pid)> = Vec::new();
-        for (id, run) in snap.edges.iter().enumerate() {
-            for e in run {
-                records.push((pid_of[id], e.action as u32, pid_of[e.target]));
-            }
-        }
-        if !records.is_empty() {
-            all_edges.push(records);
-        }
-        total_stats = snap.reduction.unwrap_or_default();
-        frontier_seed = snap.frontier.iter().map(|&i| pid_of[i]).collect();
-    } else {
-        let init_states = system.init().states(system.universe())?;
-        if init_states.is_empty() {
-            return Err(CheckError::NoInitialStates);
-        }
-        // Initial states: interned sequentially so their canonical
-        // order is the enumeration order, exactly as in the sequential
-        // engine.
-        let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
-        for s in init_states {
-            let s = match prepared {
-                Some(r) => r.canonical(s),
-                None => s,
-            };
-            let fp = s.fingerprint();
-            match shared.intern_with(fp, move || s) {
-                Ok((p, true)) => init_pids.push(p),
-                Ok((_, false)) => {}
-                Err(reason) => {
-                    shared.note_exhaustion(reason);
-                    exhausted_in_init = true;
-                    break;
-                }
-            }
-        }
-        frontier_seed = init_pids.clone();
-    }
-
-    let mut frontier: Vec<Pid> = frontier_seed;
-    // Discovered-but-unexpanded pids once the run stops early.
-    let mut pending: Vec<Pid> = Vec::new();
-    let observe = meter.observed();
-    let mut level: u64 = 0;
-    // Live worker count: shrinks when workers die, never below one.
-    let mut alive = threads;
-    let mut fault = options.worker_panic;
-    // For the exhaustion snapshot's reduction counters: the totals as
-    // of the last level boundary, and whether the final level lost
-    // work (was cut mid-level), which decides which boundary the
-    // rollback lands on.
-    let mut stats_before_level = total_stats;
-    let mut level_lost_work = false;
-    let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
-    while !frontier.is_empty() && !shared.stop.load(Ordering::Relaxed) {
-        let cursor = AtomicUsize::new(0);
-        stats_before_level = total_stats;
-        let pending_before = pending.len();
-        // With POR on, snapshot each shard's arena length before the
-        // level runs: the cycle proviso asks "was this successor
-        // interned before the current level began?", and the snapshot
-        // freezes that answer for the whole level.
-        let bounds: Option<Vec<usize>> =
-            prepared.filter(|r| r.por.is_some()).map(|_| {
-                shared.shards.iter_locked().map(|s| s.arena.len()).collect()
-            });
-        // Each worker owns its output and reports whether it panicked;
-        // a panic destroys neither the output accumulated so far nor
-        // the run. `AssertUnwindSafe` is justified because the repair
-        // below rolls the output back to the claim mark and the shard
-        // critical sections never expose partial insertions.
-        let outs: Vec<(WorkerOut, bool)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..alive)
-                .map(|_| {
-                    let shared = &shared;
-                    let compiled = &compiled;
-                    let frontier = &frontier;
-                    let cursor = &cursor;
-                    let bounds = bounds.as_deref();
-                    scope.spawn(move || {
-                        let mut out = WorkerOut::default();
-                        let body = std::panic::AssertUnwindSafe(|| match prepared {
-                            Some(red) => run_worker_reduced(
-                                shared, compiled, frontier, cursor, red, bounds,
-                                &mut out, fault,
-                            ),
-                            None => run_worker(
-                                shared, compiled, frontier, cursor, &mut out, fault,
-                            ),
-                        });
-                        let panicked = std::panic::catch_unwind(body).is_err();
-                        (out, panicked)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|_| (WorkerOut::default(), true)))
-                .collect()
-        });
-        let mut next: Vec<Pid> = Vec::new();
-        let mut makeup: Vec<Pid> = Vec::new();
-        let mut failures = 0usize;
-        for (worker, (mut out, panicked)) in outs.into_iter().enumerate() {
-            if panicked {
-                failures += 1;
-                // Repair: the half-recorded expansion rolls back to
-                // the claim mark (edges truncated, reduction counters
-                // restored) and the parent is re-queued. Children it
-                // already interned stay in the shards — the make-up
-                // expansion re-records their edges, and `is_new` is
-                // false the second time, so nothing double-counts.
-                let mut requeued = 0u64;
-                if let Some((parent, edges_mark, stats_mark)) = out.current.take() {
-                    out.edges.truncate(edges_mark);
-                    out.stats = stats_mark;
-                    makeup.push(parent);
-                    requeued = 1;
-                }
-                if observe {
-                    budget.recorder.record(&Event::WorkerFailure {
-                        worker,
-                        level,
-                        requeued,
-                    });
-                }
-            }
-            if observe {
-                budget.recorder.record(&Event::WorkerLevel {
-                    worker,
-                    level,
-                    claimed: out.claimed,
-                    inserted: out.next.len() as u64,
-                });
-            }
-            total_stats.absorb(&out.stats);
-            if !out.edges.is_empty() {
-                all_edges.push(out.edges);
-            }
-            next.extend(out.next);
-            pending.extend(out.interrupted);
-        }
-        // Frontier entries never claimed before the level ended: on a
-        // budget stop they are honestly-pending frontier, but when a
-        // worker died *without* the stop flag they are work the dead
-        // worker would have claimed — they must be made up now, or the
-        // run would report Complete while silently dropping states.
-        let claimed = cursor.load(Ordering::Relaxed).min(frontier.len());
-        if shared.stop.load(Ordering::Relaxed) {
-            pending.extend(&frontier[claimed..]);
-            pending.append(&mut makeup);
-        } else if failures > 0 {
-            makeup.extend_from_slice(&frontier[claimed..]);
-        }
-        if !makeup.is_empty() {
-            // Make-up pass: the coordinator re-expands the dead
-            // workers' lost claims itself (same level, same proviso
-            // bounds, no fault injection), so the level still closes
-            // complete.
-            let mk_cursor = AtomicUsize::new(0);
-            let mut out = WorkerOut::default();
-            match prepared {
-                Some(red) => run_worker_reduced(
-                    &shared, &compiled, &makeup, &mk_cursor, red, bounds.as_deref(),
-                    &mut out, None,
-                ),
-                None => run_worker(&shared, &compiled, &makeup, &mk_cursor, &mut out, None),
-            }
-            let done = mk_cursor.load(Ordering::Relaxed).min(makeup.len());
-            pending.extend(&makeup[done..]);
-            total_stats.absorb(&out.stats);
-            if !out.edges.is_empty() {
-                all_edges.push(out.edges);
-            }
-            next.extend(out.next);
-            pending.extend(out.interrupted);
-        }
-        if failures > 0 {
-            alive = alive.saturating_sub(failures).max(1);
-            fault = None;
-        }
-        level_lost_work = pending.len() > pending_before;
-        frontier = next;
-        if observe {
-            meter.emit_progress(Some(frontier.len() as u64), Some(level), None);
-        }
-        level += 1;
-        if ck.due(claimed as u64) && !shared.stop.load(Ordering::Relaxed) {
-            // Periodic checkpoint at the level boundary: replay the
-            // records into canonical form — the just-formed next
-            // frontier is the canonical arena's tail there, which is
-            // exactly the cut the resume paths expect.
-            let arena_lens: Vec<usize> =
-                shared.shards.iter_locked().map(|s| s.arena.len()).collect();
-            let replay =
-                replay_records(&arena_lens, |p| shared.state_of(p).0, &all_edges, &init_pids);
-            let frontier_ids: Vec<usize> = frontier
-                .iter()
-                .filter_map(|&p| {
-                    let c = replay.canon[shard_of(p)][local_of(p)];
-                    (c != u32::MAX).then_some(c as usize)
-                })
-                .collect();
-            let snap = checkpoint::capture(
-                &replay.states,
-                &replay.init,
-                &replay.edges,
-                &replay.parents,
-                replay.states.len(),
-                &frontier_ids,
-                options.mode,
-                prepared.is_some(),
-                sys_hash,
-                options.fp_bits.clamp(1, 64),
-                0,
-                prepared.map(|_| total_stats),
-            );
-            ck.write(snap, &budget.recorder);
-        }
-    }
-    drop(expand_phase);
-    if let Some(e) = lock(&shared.error).take() {
-        return Err(e);
-    }
-    // A level discovered but never entered (stop rose between levels).
-    pending.extend(frontier);
-
-    // Workers are done: take the shards (and the exhaustion record)
-    // out of their locks.
-    let ParShared { shards, reason, .. } = shared;
-    let shards: Vec<Shard> = shards.into_shards();
-    let reason = reason.into_inner().unwrap_or_else(PoisonError::into_inner);
-
-    let renumber_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
-    let arena_lens: Vec<usize> = shards.iter().map(|sh| sh.arena.len()).collect();
-    let replay = replay_records(
-        &arena_lens,
-        |p| shards[shard_of(p)].arena[local_of(p)].clone(),
-        &all_edges,
-        &init_pids,
-    );
-    let Replay {
-        canon,
-        states,
-        edges,
-        parents,
-        init,
-        depth,
-    } = replay;
-
-    // On a resumable exhaustion, roll the canonical graph back to the
-    // deepest consistent level boundary and snapshot it. The cut level
-    // L is the shallowest pending state's BFS depth: everything above
-    // L is fully expanded, everything below L is partial work redone
-    // on resume (bounded by one level), and the frontier is *all* of
-    // level L — replay depth is non-decreasing in canonical id order,
-    // so the frontier is an id range and lands on the arena's tail.
-    let (snapshot, resume_token) = match reason {
-        Some(_) if !exhausted_in_init => {
-            let (keep, frontier_ids) = rollback_cut(&canon, &depth, states.len(), &pending);
-            // If the final level was cut mid-way, the rollback lands
-            // on the boundary *before* it — whose reduction counters
-            // are the pre-level totals; otherwise the totals stand.
-            let red_stats = prepared.map(|_| {
-                if level_lost_work {
-                    stats_before_level
-                } else {
-                    total_stats
-                }
-            });
-            seq_exhaustion_snapshot(
-                &mut ck,
-                &budget.recorder,
-                &states,
-                &init,
-                &edges,
-                &parents,
-                keep,
-                &frontier_ids,
-                options,
-                prepared.is_some(),
-                sys_hash,
-                red_stats,
-            )
-        }
-        _ => (None, None),
-    };
-
-    // The final visited set comes straight from the shard key maps,
-    // remapped through `canon` — no state is rehashed.
-    let visited = match options.mode {
-        VisitedMode::Fingerprint => {
-            let mut map: FxHashMap<u64, usize> = FxHashMap::default();
-            map.reserve(states.len());
-            for (si, shard) in shards.iter().enumerate() {
-                if let ShardKeys::Fingerprint(m) = &shard.keys {
-                    for (&fp, &local) in m {
-                        let id = canon[si][local as usize];
-                        if id != u32::MAX {
-                            map.insert(fp, id as usize);
-                        }
-                    }
-                }
-            }
-            Visited::Fingerprint {
-                map,
-                mask: options.mask(),
-            }
-        }
-        VisitedMode::Exact => {
-            let mut map: HashMap<State, usize> = HashMap::with_capacity(states.len());
-            for (si, shard) in shards.iter().enumerate() {
-                if let ShardKeys::Exact(m) = &shard.keys {
-                    for (s, &local) in m {
-                        let id = canon[si][local as usize];
-                        if id != u32::MAX {
-                            map.insert(s.clone(), id as usize);
-                        }
-                    }
-                }
-            }
-            Visited::Exact(map)
-        }
-    };
-    let graph = StateGraph {
-        states,
-        visited,
-        init,
-        edges,
-        parents,
-        reduced: prepared.is_some(),
-        canon: prepared.and_then(|r| r.canon.clone()),
-    };
-    drop(renumber_phase);
-
-    Ok(parallel_exploration(
-        graph,
-        reason,
-        pending,
-        &canon,
-        prepared.map(|_| total_stats),
-        snapshot,
-        resume_token,
-    ))
+    sys_hash: u64,
+) -> (Option<Box<Snapshot>>, Option<ResumeToken>) {
+    let (keep, frontier) =
+        rollback_cut(&replay.canon, &replay.depth, replay.states.len(), pending);
+    seq_exhaustion_snapshot(
+        ck,
+        recorder,
+        &replay.states,
+        &replay.init,
+        &replay.edges,
+        &replay.parents,
+        keep,
+        &frontier,
+        options,
+        false,
+        sys_hash,
+        None,
+    )
 }
 
-/// The result of a parallel run, for all three parallel engines: the
+/// The result of a work-stealing run, for both of its engines: the
 /// outcome, plus the pending pids mapped onto the canonical graph as
 /// its frontier.
 fn parallel_exploration(
@@ -2024,7 +1389,6 @@ fn parallel_exploration(
     reason: Option<ExhaustReason>,
     mut pending: Vec<Pid>,
     canon: &[Vec<u32>],
-    reduction: Option<ReductionStats>,
     snapshot: Option<Box<Snapshot>>,
     resume: Option<ResumeToken>,
 ) -> Exploration {
@@ -2043,8 +1407,9 @@ fn parallel_exploration(
     };
     // A pending pid can be unreachable in the replay (its recording
     // worker died mid-expansion and the run then stopped before the
-    // make-up re-recorded it); such orphans are simply not part of the
-    // canonical graph, so they cannot be listed on its frontier.
+    // re-queued parent re-recorded it); such orphans are simply not
+    // part of the canonical graph, so they cannot be listed on its
+    // frontier.
     let mut frontier: Vec<usize> = pending
         .iter()
         .filter_map(|&p| {
@@ -2058,200 +1423,8 @@ fn parallel_exploration(
         graph,
         outcome,
         frontier,
-        reduction,
+        reduction: None,
         snapshot,
-    }
-}
-
-/// One worker's share of a level: claim parents through the cursor,
-/// expand them with the compiled stepper, intern the children.
-///
-/// Children's fingerprints are derived incrementally from the parent's
-/// ([`State::fingerprint_with`]), so in fingerprint mode an
-/// already-visited child is recognized without ever being constructed.
-/// Interning a child and recording its edge are adjacent — nothing can
-/// interrupt between them — which is what guarantees the renumbering
-/// pass reaches every interned state.
-///
-/// Output accumulates into `out`, which the *caller* owns: if this
-/// worker panics (`fault` injects one deterministically for testing),
-/// the coordinator repairs `out` from its `current` claim mark instead
-/// of losing the level.
-fn run_worker(
-    shared: &ParShared<'_>,
-    compiled: &CompiledSystem<'_>,
-    frontier: &[Pid],
-    cursor: &AtomicUsize,
-    out: &mut WorkerOut,
-    fault: Option<WorkerPanic>,
-) {
-    use std::ops::ControlFlow;
-
-    let mut scratch = EvalScratch::new();
-    loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        if let Some(reason) = shared.meter.checkpoint() {
-            shared.note_exhaustion(reason);
-            break;
-        }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(&parent) = frontier.get(i) else {
-            break;
-        };
-        out.claimed += 1;
-        out.current = Some((parent, out.edges.len(), out.stats));
-        let armed = fault.is_some_and(|f| {
-            shared.fault_claims.fetch_add(1, Ordering::Relaxed) >= f.after_claims
-        });
-        let (s, s_fp) = shared.state_of(parent);
-        let result = compiled.for_each_successor(&s, &mut scratch, |action, assignments| {
-            if let Some(reason) = shared.meter.charge_transition() {
-                shared.note_exhaustion(reason);
-                out.interrupted.push(parent);
-                return ControlFlow::Break(());
-            }
-            let child_fp = s.fingerprint_with(s_fp, assignments);
-            match shared.intern_with(child_fp, || s.with(assignments)) {
-                Ok((child, is_new)) => {
-                    if is_new {
-                        out.next.push(child);
-                    }
-                    out.edges.push((parent, action as u32, child));
-                    if armed && !shared.fault_fired.swap(true, Ordering::Relaxed) {
-                        panic!("injected worker panic");
-                    }
-                    ControlFlow::Continue(())
-                }
-                Err(reason) => {
-                    shared.note_exhaustion(reason);
-                    out.interrupted.push(parent);
-                    ControlFlow::Break(())
-                }
-            }
-        });
-        out.current = None;
-        match result {
-            Ok(None) => {}
-            Ok(Some(())) => break,
-            Err(e) => {
-                shared.note_error(e);
-                break;
-            }
-        }
-    }
-}
-
-/// The reduced worker: like [`run_worker`], but every successor is
-/// materialized and canonicalized before interning (so the incremental
-/// fingerprint shortcut does not apply), and — when partial-order
-/// reduction is on — each parent expands only its chosen ample cluster
-/// unless the cycle proviso forces full expansion. Successors are
-/// buffered per parent because the ample choice needs the full enabled
-/// set before any edge is committed.
-#[allow(clippy::too_many_arguments)]
-fn run_worker_reduced(
-    shared: &ParShared<'_>,
-    compiled: &CompiledSystem<'_>,
-    frontier: &[Pid],
-    cursor: &AtomicUsize,
-    red: &PreparedReduction,
-    bounds: Option<&[usize]>,
-    out: &mut WorkerOut,
-    fault: Option<WorkerPanic>,
-) {
-    use std::ops::ControlFlow;
-
-    let mut scratch = EvalScratch::new();
-    let mut succ: Vec<(usize, State)> = Vec::new();
-    let mut ample_scratch = AmpleScratch::default();
-    'level: loop {
-        if shared.stop.load(Ordering::Relaxed) {
-            break;
-        }
-        if let Some(reason) = shared.meter.checkpoint() {
-            shared.note_exhaustion(reason);
-            break;
-        }
-        let i = cursor.fetch_add(1, Ordering::Relaxed);
-        let Some(&parent) = frontier.get(i) else {
-            break;
-        };
-        out.claimed += 1;
-        out.current = Some((parent, out.edges.len(), out.stats));
-        let armed = fault.is_some_and(|f| {
-            shared.fault_claims.fetch_add(1, Ordering::Relaxed) >= f.after_claims
-        });
-        let (s, _) = shared.state_of(parent);
-        succ.clear();
-        let result = compiled.for_each_successor(&s, &mut scratch, |action, assignments| {
-            let child = s.with(assignments);
-            let child = match &red.canon {
-                Some(c) => {
-                    let canonical = c.canonicalize(&child);
-                    if canonical != child {
-                        out.stats.canon_hits += 1;
-                    }
-                    canonical
-                }
-                None => child,
-            };
-            succ.push((action, child));
-            ControlFlow::<std::convert::Infallible>::Continue(())
-        });
-        if let Err(e) = result {
-            out.current = None;
-            shared.note_error(e);
-            break;
-        }
-        let keep_cluster = red.por.as_ref().and_then(|por| {
-            let chosen =
-                por.choose_ample(succ.iter().map(|(a, _)| *a), &mut ample_scratch)?;
-            let bounds = bounds.expect("bounds snapshot exists whenever POR is on");
-            let closes_level = succ.iter().any(|(a, child)| {
-                por.cluster_of(*a) == chosen && shared.in_completed_level(child, bounds)
-            });
-            (!closes_level).then_some(chosen)
-        });
-        if keep_cluster.is_some() {
-            out.stats.ample_states += 1;
-        } else {
-            out.stats.full_states += 1;
-        }
-        for (action, child) in succ.drain(..) {
-            if let Some(c) = keep_cluster {
-                if red.por.as_ref().map(|p| p.cluster_of(action)) != Some(c) {
-                    out.stats.skipped_transitions += 1;
-                    continue;
-                }
-            }
-            if let Some(reason) = shared.meter.charge_transition() {
-                shared.note_exhaustion(reason);
-                out.interrupted.push(parent);
-                out.current = None;
-                break 'level;
-            }
-            let child_fp = child.fingerprint();
-            match shared.intern_with(child_fp, move || child) {
-                Ok((cp, is_new)) => {
-                    if is_new {
-                        out.next.push(cp);
-                    }
-                    out.edges.push((parent, action as u32, cp));
-                    if armed && !shared.fault_fired.swap(true, Ordering::Relaxed) {
-                        panic!("injected worker panic");
-                    }
-                }
-                Err(reason) => {
-                    shared.note_exhaustion(reason);
-                    out.interrupted.push(parent);
-                    out.current = None;
-                    break 'level;
-                }
-            }
-        }
-        out.current = None;
     }
 }
 
@@ -2339,7 +1512,7 @@ mod tests {
             explore(&sys, &ExploreOptions::default()),
             Err(CheckError::NoInitialStates)
         ));
-        for engine in [Engine::LevelSync, Engine::WorkStealing, Engine::SpillWs] {
+        for engine in [Engine::Auto, Engine::WorkStealing, Engine::SpillWs] {
             let parallel = ExploreOptions {
                 threads: Some(2),
                 engine,
@@ -2610,61 +1783,20 @@ mod tests {
         }
     }
 
-    /// Small graphs requested under a parallel engine route to the
-    /// sequential path (no worker events); graphs that outgrow the
-    /// cutoff — or runs that opt out with `Some(0)` — still fan out.
-    #[test]
-    fn small_graphs_skip_worker_machinery() {
-        use crate::obs::{CountingRecorder, RecorderHandle};
-        use std::sync::Arc;
-
-        let run_counting = |sys: &System, cutoff: Option<usize>| {
-            let counting = Arc::new(CountingRecorder::new());
-            let handle = RecorderHandle::new(counting.clone());
-            let budget = Budget::default().with_recorder(handle);
-            let opts = ExploreOptions {
-                threads: Some(4),
-                small_graph_cutoff: cutoff,
-                ..ExploreOptions::default()
-            };
-            let run = explore_governed_with(sys, &budget, &opts).unwrap();
-            assert!(run.outcome.is_complete());
-            (run.graph, counting.worker_levels())
-        };
-
-        // 9 states: probe completes under the default 256 cutoff, so
-        // no worker levels are ever recorded.
-        let small = grid(2);
-        let (routed, levels) = run_counting(&small, None);
-        assert_eq!(levels, 0, "small graph should route sequentially");
-        // Opting out with Some(0) restores the parallel machinery.
-        let (forced, forced_levels) = run_counting(&small, Some(0));
-        assert!(forced_levels > 0, "cutoff 0 must force the parallel engine");
-        assert_eq!(routed.len(), forced.len());
-        assert_eq!(routed.edge_count(), forced.edge_count());
-        for id in 0..routed.len() {
-            assert_eq!(routed.state(id), forced.state(id));
-        }
-
-        // 441 states: the probe outgrows the cutoff, the parallel
-        // engine takes over, and worker levels appear.
-        let (big, big_levels) = run_counting(&grid(20), None);
-        assert_eq!(big.len(), 441);
-        assert!(big_levels > 0, "large graph must still fan out");
-    }
-
     /// Collects what the routing tests look at: every `RunStart`
-    /// engine label and every ignored-budget report.
+    /// engine label and worker count, and every ignored-budget report.
     #[derive(Default)]
     struct RoutingLog {
-        engines: Mutex<Vec<String>>,
+        engines: Mutex<Vec<(String, usize)>>,
         ignored: Mutex<Vec<(u64, String)>>,
     }
 
     impl crate::obs::Recorder for RoutingLog {
         fn record(&self, event: &Event<'_>) {
             match *event {
-                Event::RunStart { engine, .. } => lock(&self.engines).push(engine.to_string()),
+                Event::RunStart {
+                    engine, threads, ..
+                } => lock(&self.engines).push((engine.to_string(), threads)),
                 Event::BudgetIgnored {
                     budget_bytes,
                     reason,
@@ -2688,25 +1820,27 @@ mod tests {
         (plan, log, run)
     }
 
+    /// `RunStart` names the plan that ran and the workers it ran —
+    /// not the workers that were asked for.
     #[test]
     fn run_start_names_the_plan() {
         let with = |engine, threads| ExploreOptions {
             engine,
             threads: Some(threads),
-            small_graph_cutoff: Some(0),
             ..ExploreOptions::default()
         };
         let cases = [
-            (with(Engine::LevelSync, 1), Route::Sequential, "explore_sequential"),
-            (with(Engine::LevelSync, 2), Route::LevelSync, "explore_parallel"),
-            (with(Engine::WorkStealing, 2), Route::WorkStealing, "explore_parallel_ws"),
+            (with(Engine::Auto, 1), Route::Sequential, "explore_sequential", 1),
+            (with(Engine::Auto, 2), Route::WorkStealing, "explore_parallel_ws", 2),
+            (with(Engine::WorkStealing, 1), Route::WorkStealing, "explore_parallel_ws", 1),
             (
                 ExploreOptions {
                     mem_budget_bytes: Some(1 << 20),
-                    ..with(Engine::SpillBfs, 1)
+                    ..with(Engine::SpillBfs, 4)
                 },
                 Route::SpillBfs { mem_budget: 1 << 20 },
                 "explore_spill",
+                1,
             ),
             (
                 ExploreOptions {
@@ -2715,16 +1849,27 @@ mod tests {
                 },
                 Route::SpillWs { mem_budget: 1 << 20 },
                 "explore_spill_ws",
+                2,
             ),
         ];
-        let reference = explore(&grid(3), &with(Engine::LevelSync, 1)).unwrap();
-        for (options, route, label) in cases {
+        let reference = explore(&grid(3), &with(Engine::Auto, 1)).unwrap();
+        for (options, route, label, workers) in cases {
             let (plan, log, run) = run_planned(&options, None);
             assert_eq!(plan.route, route);
             assert_eq!(plan.label(), label);
-            assert_eq!(*lock(&log.engines), [label]);
+            assert_eq!(*lock(&log.engines), [(label.to_string(), workers)]);
             assert_eq!(run.unwrap().graph.states(), reference.states(), "{label}");
         }
+        // A reduced run is sequential whatever was asked for, and says
+        // so: one worker, not four.
+        let reduced = ExploreOptions {
+            reduction: Reduction::none().with_por(opentla_kernel::VarSet::new()),
+            ..with(Engine::Auto, 4)
+        };
+        let (plan, log, run) = run_planned(&reduced, None);
+        assert_eq!((plan.route, plan.threads), (Route::Sequential, 1));
+        assert_eq!(*lock(&log.engines), [("explore_sequential".to_string(), 1)]);
+        assert!(run.unwrap().graph.is_reduced());
     }
 
     /// An inherited budget that a pinned configuration cannot honor is
@@ -2735,16 +1880,15 @@ mod tests {
     fn unhonorable_env_budget_is_reported_not_refused() {
         let pinned = ExploreOptions {
             threads: Some(2),
-            worker_panic: Some(WorkerPanic { after_claims: 1 }),
-            small_graph_cutoff: Some(0),
+            reduction: Reduction::none().with_por(opentla_kernel::VarSet::new()),
             ..ExploreOptions::default()
         };
         let (plan, log, run) = run_planned(&pinned, Some(1 << 20));
-        assert_eq!(plan.route, Route::LevelSync);
+        assert_eq!(plan.route, Route::Sequential);
         assert!(run.unwrap().outcome.is_complete());
         let ignored = lock(&log.ignored);
         assert_eq!(ignored.len(), 1);
         assert_eq!(ignored[0].0, 1 << 20);
-        assert!(ignored[0].1.starts_with("panic-injection"), "{}", ignored[0].1);
+        assert!(ignored[0].1.starts_with("reduction-active"), "{}", ignored[0].1);
     }
 }

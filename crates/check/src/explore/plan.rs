@@ -6,8 +6,8 @@
 //! routing table is unit-testable without touching the process
 //! environment. Every entry point resolves one [`Plan`] and hands it
 //! down: the dispatcher matches on it, the `RunStart`/`RunEnd` engine
-//! label is read off it, and the spill engines take their budget from
-//! it.
+//! label and worker count are read off it, and the spill engines take
+//! their budget from it.
 
 use super::{Engine, ExploreOptions};
 use crate::CheckError;
@@ -18,27 +18,35 @@ use crate::CheckError;
 /// while keeping the spill machinery live.
 const DEFAULT_SPILL_BUDGET: usize = 256 << 20;
 
-/// The `OPENTLA_EXPLORE_THREADS` override, if set to a positive
-/// integer.
-pub(crate) fn env_threads() -> Option<usize> {
-    std::env::var("OPENTLA_EXPLORE_THREADS")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&n: &usize| n >= 1)
+/// Parses the value of an override variable: a positive integer, or a
+/// typed error naming the variable and what it held. A variable that
+/// is set to something else must not read as "no override" — a
+/// mistyped `OPENTLA_MEM_BUDGET=64M` would silently unbound the run.
+fn parse_override(name: &str, raw: &str) -> Result<usize, CheckError> {
+    match raw.trim().parse::<usize>() {
+        Ok(n) if n >= 1 => Ok(n),
+        _ => Err(CheckError::Precondition {
+            message: format!("{name} is set to {raw:?}, which is not a positive integer"),
+        }),
+    }
 }
 
-/// The `OPENTLA_MEM_BUDGET` override, if set to a positive byte
-/// count. Mirrors [`env_threads`]: an explicit
-/// [`ExploreOptions::mem_budget_bytes`] wins over the environment.
-fn env_mem_budget() -> Option<usize> {
-    std::env::var("OPENTLA_MEM_BUDGET")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()
-        .filter(|&n: &usize| n >= 1)
+/// Reads an override variable: `None` when unset.
+fn env_override(name: &str) -> Result<Option<usize>, CheckError> {
+    match std::env::var_os(name) {
+        None => Ok(None),
+        Some(raw) => parse_override(name, &raw.to_string_lossy()).map(Some),
+    }
+}
+
+/// The `OPENTLA_EXPLORE_THREADS` override.
+///
+/// # Errors
+///
+/// [`CheckError::Precondition`] when the variable is set to anything
+/// but a positive integer.
+pub(crate) fn env_threads() -> Result<Option<usize>, CheckError> {
+    env_override("OPENTLA_EXPLORE_THREADS")
 }
 
 /// Which scheduler loop runs, over which stores. Spill routes carry
@@ -48,8 +56,6 @@ pub(crate) enum Route {
     /// The sequential loop over the in-RAM store (or
     /// `explore_sequential_reduced` when a reduction is active).
     Sequential,
-    /// The level-synchronous parallel engine.
-    LevelSync,
     /// The work-stealing loop over in-RAM striped arenas.
     WorkStealing,
     /// The sequential loop over the disk-backed store.
@@ -59,7 +65,7 @@ pub(crate) enum Route {
 }
 
 /// A memory budget that is in force but that the resolved plan cannot
-/// honor, because the configuration is pinned to an in-RAM engine.
+/// honor, because the configuration is pinned to an in-RAM loop.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct UnhonoredBudget {
     pub(crate) bytes: usize,
@@ -74,72 +80,72 @@ pub(crate) struct UnhonoredBudget {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Plan {
     pub(crate) route: Route,
-    /// The resolved worker count (explicit option, else environment,
-    /// else 1). Sequential routes run one worker whatever this says;
-    /// it is still what `RunStart` reports.
+    /// The workers the plan runs — what `RunStart` and the run report
+    /// carry: the requested count (explicit option, else environment,
+    /// else 1) on the work-stealing routes, 1 on the sequential ones
+    /// whatever was requested.
     pub(crate) threads: usize,
     pub(crate) unhonored: Option<UnhonoredBudget>,
 }
 
 impl Plan {
     /// Resolves `options` against the process environment.
-    pub(crate) fn from_env(options: &ExploreOptions) -> Plan {
-        Plan::resolve(options, env_threads(), env_mem_budget())
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::Precondition`] when an override variable is set
+    /// but malformed — even if an explicit option would have beaten
+    /// it: a misconfigured environment is reported, not worked around.
+    pub(crate) fn from_env(options: &ExploreOptions) -> Result<Plan, CheckError> {
+        let env_budget = env_override("OPENTLA_MEM_BUDGET")?;
+        Ok(Plan::resolve(options, env_threads()?, env_budget))
     }
 
     /// The routing table. Explicit options beat the environment.
     ///
-    /// Reduction and panic-injection runs are pinned to the in-RAM
-    /// sequential/level-synchronous pair (the former by design — the
-    /// cycle proviso needs level boundaries — the latter because the
-    /// injection hook instruments that engine's claim counter), so no
-    /// budget can be honored there. Otherwise an explicit spill engine
-    /// always spills, and a budget routes every remaining
-    /// configuration to the spill engine of matching parallelism — a
-    /// budget is honored at *every* thread count instead of silently
-    /// disabling parallelism (or being ignored).
+    /// A reduction-active run is sequential and in RAM (the cycle
+    /// proviso needs BFS level boundaries, which only
+    /// `explore_sequential_reduced` has), so no budget can be honored
+    /// there. Otherwise the route is a function of two facts: whether
+    /// more than one worker runs, and whether a byte budget is in
+    /// force — a budget is honored at *every* thread count instead of
+    /// silently disabling parallelism (or being ignored). An explicit
+    /// [`Engine`] pins either fact.
     pub(crate) fn resolve(
         options: &ExploreOptions,
         env_threads: Option<usize>,
         env_budget: Option<usize>,
     ) -> Plan {
-        let threads = options.threads.or(env_threads).unwrap_or(1).max(1);
+        let requested = options.threads.or(env_threads).unwrap_or(1).max(1);
         let budget = options.mem_budget_bytes.or(env_budget);
-        let in_ram = if threads > 1 {
-            Route::LevelSync
-        } else {
-            Route::Sequential
-        };
-        let pinned = if options.reduction.is_active() {
-            Some("reduction-active runs are pinned to the in-RAM level-synchronous engine")
-        } else if options.worker_panic.is_some() {
-            Some("panic-injection runs are pinned to the in-RAM level-synchronous engine")
-        } else {
-            None
-        };
-        if let Some(reason) = pinned {
+        if options.reduction.is_active() {
             return Plan {
-                route: in_ram,
-                threads,
+                route: Route::Sequential,
+                threads: 1,
                 unhonored: budget.map(|bytes| UnhonoredBudget {
                     bytes,
-                    reason,
+                    reason: "reduction-active runs are pinned to the in-RAM sequential loop",
                     explicit: options.mem_budget_bytes.is_some(),
                 }),
             };
         }
+        let parallel = match options.engine {
+            Engine::Auto => requested > 1,
+            Engine::WorkStealing | Engine::SpillWs => true,
+            Engine::SpillBfs => false,
+        };
+        let spill =
+            budget.is_some() || matches!(options.engine, Engine::SpillBfs | Engine::SpillWs);
         let mem_budget = budget.unwrap_or(DEFAULT_SPILL_BUDGET);
-        let route = match (options.engine, budget) {
-            (Engine::SpillBfs, _) => Route::SpillBfs { mem_budget },
-            (Engine::SpillWs, _) | (Engine::WorkStealing, Some(_)) => Route::SpillWs { mem_budget },
-            (Engine::LevelSync, Some(_)) if threads > 1 => Route::SpillWs { mem_budget },
-            (Engine::LevelSync, Some(_)) => Route::SpillBfs { mem_budget },
-            (Engine::WorkStealing, None) => Route::WorkStealing,
-            (Engine::LevelSync, None) => in_ram,
+        let route = match (parallel, spill) {
+            (false, false) => Route::Sequential,
+            (false, true) => Route::SpillBfs { mem_budget },
+            (true, false) => Route::WorkStealing,
+            (true, true) => Route::SpillWs { mem_budget },
         };
         Plan {
             route,
-            threads,
+            threads: if parallel { requested } else { 1 },
             unhonored: None,
         }
     }
@@ -148,7 +154,6 @@ impl Plan {
     pub(crate) fn label(&self) -> &'static str {
         match self.route {
             Route::Sequential => "explore_sequential",
-            Route::LevelSync => "explore_parallel",
             Route::WorkStealing => "explore_parallel_ws",
             Route::SpillBfs { .. } => "explore_spill",
             Route::SpillWs { .. } => "explore_spill_ws",
@@ -183,7 +188,7 @@ mod tests {
     #[test]
     fn routing_table() {
         let engines = [
-            Engine::LevelSync,
+            Engine::Auto,
             Engine::WorkStealing,
             Engine::SpillBfs,
             Engine::SpillWs,
@@ -221,14 +226,12 @@ mod tests {
                                 "{engine:?} threads={threads} explicit={explicit:?} \
                                  env={env:?} reduced={reduced} panic={panic}"
                             );
-                            assert_eq!(plan.threads, threads, "{what}");
-                            let in_ram = if threads > 1 {
-                                Route::LevelSync
-                            } else {
-                                Route::Sequential
-                            };
-                            if reduced || panic {
-                                assert_eq!(plan.route, in_ram, "{what}");
+                            if reduced {
+                                // Sequential at any thread count and
+                                // under every engine; a budget cannot
+                                // be honored.
+                                assert_eq!(plan.route, Route::Sequential, "{what}");
+                                assert_eq!(plan.threads, 1, "{what}");
                                 match in_force {
                                     None => {
                                         assert_eq!(plan.unhonored, None, "{what}");
@@ -238,9 +241,8 @@ mod tests {
                                         let u = plan.unhonored.expect(&what);
                                         assert_eq!(u.bytes, bytes, "{what}");
                                         assert_eq!(u.explicit, explicit.is_some(), "{what}");
-                                        assert_eq!(
+                                        assert!(
                                             u.reason.starts_with("reduction-active"),
-                                            reduced,
                                             "{what}"
                                         );
                                         match plan.refusal() {
@@ -257,6 +259,8 @@ mod tests {
                                     }
                                 }
                             } else {
+                                // Panic injection pins nothing: the
+                                // cell routes as its twin without it.
                                 assert_eq!(plan.unhonored, None, "{what}");
                                 let mem_budget = in_force.unwrap_or(DEFAULT_SPILL_BUDGET);
                                 let expected = match (engine, in_force.is_some(), threads) {
@@ -266,11 +270,18 @@ mod tests {
                                         Route::SpillWs { mem_budget }
                                     }
                                     (Engine::WorkStealing, false, _) => Route::WorkStealing,
-                                    (Engine::LevelSync, true, 1) => Route::SpillBfs { mem_budget },
-                                    (Engine::LevelSync, true, _) => Route::SpillWs { mem_budget },
-                                    (Engine::LevelSync, false, _) => in_ram,
+                                    (Engine::Auto, true, 1) => Route::SpillBfs { mem_budget },
+                                    (Engine::Auto, true, _) => Route::SpillWs { mem_budget },
+                                    (Engine::Auto, false, 1) => Route::Sequential,
+                                    (Engine::Auto, false, _) => Route::WorkStealing,
                                 };
                                 assert_eq!(plan.route, expected, "{what}");
+                                // The plan reports the workers it runs.
+                                let workers = match expected {
+                                    Route::Sequential | Route::SpillBfs { .. } => 1,
+                                    Route::WorkStealing | Route::SpillWs { .. } => threads,
+                                };
+                                assert_eq!(plan.threads, workers, "{what}");
                             }
                             cases += 1;
                         }
@@ -284,7 +295,7 @@ mod tests {
     #[test]
     fn environment_fills_in_unset_threads() {
         let plan = Plan::resolve(&ExploreOptions::default(), Some(4), None);
-        assert_eq!((plan.route, plan.threads), (Route::LevelSync, 4));
+        assert_eq!((plan.route, plan.threads), (Route::WorkStealing, 4));
         let plan = Plan::resolve(&ExploreOptions::default(), None, None);
         assert_eq!((plan.route, plan.threads), (Route::Sequential, 1));
         // A zero thread count is clamped, not trusted.
@@ -293,5 +304,28 @@ mod tests {
             ..ExploreOptions::default()
         };
         assert_eq!(Plan::resolve(&zero, Some(4), None).threads, 1);
+    }
+
+    /// A variable that is set must parse: anything but a positive
+    /// integer is a typed error naming the variable and its value,
+    /// never "no override".
+    #[test]
+    fn malformed_overrides_are_typed_errors() {
+        assert_eq!(parse_override("OPENTLA_MEM_BUDGET", " 1048576 ").unwrap(), 1 << 20);
+        for (name, raw) in [
+            ("OPENTLA_MEM_BUDGET", "64M"),
+            ("OPENTLA_MEM_BUDGET", "0"),
+            ("OPENTLA_MEM_BUDGET", ""),
+            ("OPENTLA_EXPLORE_THREADS", "four"),
+            ("OPENTLA_EXPLORE_THREADS", "-2"),
+        ] {
+            match parse_override(name, raw) {
+                Err(CheckError::Precondition { message }) => {
+                    assert!(message.contains(name), "{message}");
+                    assert!(message.contains(&format!("{raw:?}")), "{message}");
+                }
+                other => panic!("{name}={raw:?}: {other:?}"),
+            }
+        }
     }
 }

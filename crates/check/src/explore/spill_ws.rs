@@ -6,9 +6,11 @@
 //! * **Scheduling** is the work-stealing engine's own loop
 //!   ([`ws::run_workers`]): per-worker deques (owners pop the front,
 //!   thieves the back), quiescence via a shared `in_flight` counter, a
-//!   stop flag for budget cuts, and a panic backstop that raises the
-//!   stop flag before propagating. This module supplies the two
-//!   [`Expand`] implementations (packed and tree records) it runs.
+//!   stop flag for budget cuts, and per-parent panic isolation (the
+//!   panicked parent is re-queued and re-expanded by a surviving
+//!   worker; an edge record it had already banked is simply banked
+//!   again, and read-back keeps the last). This module supplies the
+//!   two [`Expand`] implementations (packed and tree records) it runs.
 //! * **The state arena and edge records** live in two shared
 //!   [`SegmentStore`]s (`wsarena-*` / `wsedges-*` segments) behind
 //!   plain mutexes: every worker funnels its encoded records through
@@ -36,7 +38,7 @@
 //! pure function of the stripe's insert stream (drain after a fixed
 //! number of inserts), not of timing. Nondeterministic
 //! arrival ids are then erased by the same canonical renumbering
-//! replay the other parallel engines use: a completed run's
+//! replay the in-RAM work-stealing engine uses: a completed run's
 //! [`StateGraph`] is **byte-identical** to the sequential spill
 //! engine's and to plain sequential exploration. (Sole exception,
 //! shared with the in-RAM work-stealing engine: under *forced*
@@ -46,20 +48,23 @@
 //! exact mode verifies candidates against their arena bytes and stays
 //! deterministic at every worker count.)
 //!
-//! Checkpointing: like the work-stealing engine there are no level
-//! boundaries, so no mid-run snapshots are taken; a checkpointing
-//! budget gets one snapshot at the exhaustion point (a quiescent
-//! point), rolled back to the deepest consistent level boundary. When
-//! the segment directory is persistent the snapshot is written in the
-//! spill wire format — the rolled-back canonical graph is re-encoded
-//! into fresh `arena-*` / `edges-*` stores and referenced by name, so
-//! the snapshot costs O(unsealed tail) to embed and **any** engine
-//! (sequential, spill, work-stealing, or this one, at any thread
-//! count) can resume it.
+//! Checkpointing: a checkpointing budget gets one snapshot at the
+//! exhaustion point (a quiescent point), rolled back to the deepest
+//! consistent level boundary. When the segment directory is
+//! persistent the snapshot is written in the spill wire format — the
+//! rolled-back canonical graph is re-encoded into fresh `arena-*` /
+//! `edges-*` stores and referenced by name, so the snapshot costs
+//! O(unsealed tail) to embed and **any** engine (sequential, spill,
+//! work-stealing, or this one, at any thread count) can resume it.
+//! This engine runs the scheduler in one epoch — it takes no periodic
+//! snapshots: its stores are in arrival order, so a canonical snapshot
+//! means reading the whole arena back into RAM, which is what the
+//! budget exists to avoid while the run is still exploring (ROADMAP
+//! item 3).
 
 use super::seq::{self, Seed, Stop};
 use super::spill::{self, FpEntry, RunNames, SpillVisited, Tuning};
-use super::ws::{self, Expand, Expanded, WsRun};
+use super::ws::{self, Expand, Expanded, Tripwire, WsRun};
 use super::*;
 use crate::checkpoint::{ArenaRecord, CheckpointError};
 use opentla_kernel::store::{self, SegmentStore, StoreError};
@@ -209,10 +214,10 @@ struct SpillScratch {
     edge_list: Vec<Edge>,
 }
 
-/// One worker's cut parents with their partial edge runs — kept in RAM
-/// only, never written to the edge store (same invariant as the
-/// sequential scheduler's `cut_edges`).
-type CutRuns = Vec<(Pid, Vec<Edge>)>;
+/// A cut parent with its partial edge run — kept in RAM only, never
+/// written to the edge store (same invariant as the sequential
+/// scheduler's `cut_edges`).
+type CutRun = (Pid, Vec<Edge>);
 
 impl SpillWsStore<'_> {
     /// Reads `parent`'s arena record through the cache.
@@ -228,6 +233,7 @@ impl SpillWsStore<'_> {
         action: usize,
         edge_list: &mut Vec<Edge>,
         born: &mut Vec<Pid>,
+        wire: Tripwire<'_>,
     ) -> ControlFlow<Stop> {
         match interned {
             Ok((child, is_new)) => {
@@ -238,6 +244,7 @@ impl SpillWsStore<'_> {
                     action,
                     target: child,
                 });
+                ws::trip(wire);
                 ControlFlow::Continue(())
             }
             Err(stop) => ControlFlow::Break(stop),
@@ -250,7 +257,7 @@ impl SpillWsStore<'_> {
         &self,
         parent: Pid,
         w: &mut SpillScratch,
-        cut: &mut CutRuns,
+        cut: &mut Vec<CutRun>,
         stop: Option<Stop>,
     ) -> Result<Expanded, CheckError> {
         match stop {
@@ -280,14 +287,15 @@ struct SpillPacked<'a> {
 
 impl Expand for SpillPacked<'_> {
     type Scratch = SpillScratch;
-    type Records = CutRuns;
+    type Record = CutRun;
 
     fn expand(
         &self,
         parent: Pid,
         w: &mut SpillScratch,
-        cut: &mut CutRuns,
+        cut: &mut Vec<CutRun>,
         born: &mut Vec<Pid>,
+        wire: Tripwire<'_>,
     ) -> Result<Expanded, CheckError> {
         let SpillPacked {
             store,
@@ -332,7 +340,7 @@ impl Expand for SpillPacked<'_> {
                         store.intern_exact(child_fp, rec_buf, None, Some(layout), read_buf, cand)
                     }
                 };
-                SpillWsStore::record(interned, action, edge_list, born)
+                SpillWsStore::record(interned, action, edge_list, born, wire)
             },
         )?;
         store.settle(parent, w, cut, stop)
@@ -348,14 +356,15 @@ struct SpillTree<'a> {
 
 impl Expand for SpillTree<'_> {
     type Scratch = SpillScratch;
-    type Records = CutRuns;
+    type Record = CutRun;
 
     fn expand(
         &self,
         parent: Pid,
         w: &mut SpillScratch,
-        cut: &mut CutRuns,
+        cut: &mut Vec<CutRun>,
         born: &mut Vec<Pid>,
+        wire: Tripwire<'_>,
     ) -> Result<Expanded, CheckError> {
         let store = self.store;
         store.read_parent(parent, &mut w.parent_rec)?;
@@ -406,7 +415,7 @@ impl Expand for SpillTree<'_> {
                         store.intern_exact(child_fp, rec_buf, Some(&child), None, read_buf, cand)
                     }
                 };
-                SpillWsStore::record(interned, action, edge_list, born)
+                SpillWsStore::record(interned, action, edge_list, born, wire)
             })?;
         store.settle(parent, w, cut, stop)
     }
@@ -618,6 +627,7 @@ fn explore_spill_ws_in(
     }
 
     let exhausted_in_init = init_cut.is_some();
+    let fault = options.worker_panic;
     let run = match layout {
         Some(layout) => {
             let x = SpillPacked {
@@ -625,14 +635,14 @@ fn explore_spill_ws_in(
                 compiled: &compiled,
                 layout,
             };
-            ws::run_workers(budget, &meter, threads, &frontier_seed, init_cut, &x)
+            ws::run_workers(&meter, threads, fault, frontier_seed, init_cut, Vec::new(), None, &x)
         }
         None => {
             let x = SpillTree {
                 store: &store,
                 compiled: &compiled,
             };
-            ws::run_workers(budget, &meter, threads, &frontier_seed, init_cut, &x)
+            ws::run_workers(&meter, threads, fault, frontier_seed, init_cut, Vec::new(), None, &x)
         }
     }?;
     let WsRun {
@@ -640,7 +650,7 @@ fn explore_spill_ws_in(
         pending,
         reason,
     } = run;
-    let cut_partials: CutRuns = records.into_iter().flatten().collect();
+    let cut_partials: Vec<CutRun> = records.into_iter().flatten().collect();
     let arena_store = store.arena.into_inner().unwrap_or_else(PoisonError::into_inner);
     let edge_store = store.edges.into_inner().unwrap_or_else(PoisonError::into_inner);
     spill::note_cache_stats(&meter, &arena_store, &edge_store);
@@ -707,58 +717,44 @@ fn explore_spill_ws_in(
                 .expect("each arrival id appears once in the canonical order")
         })
         .collect();
+    // Exhaustion snapshot at the quiescent point, rolled back to the
+    // deepest consistent level boundary of the canonical graph.
+    let (snapshot, resume_token) = match reason {
+        Some(_) if !exhausted_in_init && ck.active() => {
+            let (keep, frontier_ids) =
+                rollback_cut(&replay.canon, &replay.depth, replay.states.len(), &pending);
+            let canon_fps: Vec<u64> = order.iter().map(|&p| arr_fps[local_of(p)]).collect();
+            let snap = spill_exhaustion_snapshot(
+                dir,
+                &t,
+                &replay.states,
+                &canon_fps,
+                &replay.init,
+                &replay.edges,
+                &replay.parents,
+                keep,
+                &frontier_ids,
+                options,
+                sys_hash,
+                layout,
+                &meter,
+            )?;
+            let token = ck.write((*snap).clone(), &budget.recorder);
+            (Some(snap), token)
+        }
+        Some(_) if !exhausted_in_init => {
+            rolled_back_snapshot(&mut ck, &budget.recorder, &replay, &pending, options, sys_hash)
+        }
+        _ => (None, None),
+    };
     let Replay {
         canon,
         states,
         edges,
         parents,
         init,
-        depth,
+        ..
     } = replay;
-
-    // Exhaustion snapshot at the quiescent point, rolled back to the
-    // deepest consistent level boundary of the canonical graph.
-    let (snapshot, resume_token) = match reason {
-        Some(_) if !exhausted_in_init => {
-            let (keep, frontier_ids) = rollback_cut(&canon, &depth, states.len(), &pending);
-            if ck.active() {
-                let canon_fps: Vec<u64> = order.iter().map(|&p| arr_fps[local_of(p)]).collect();
-                let snap = spill_exhaustion_snapshot(
-                    dir,
-                    &t,
-                    &states,
-                    &canon_fps,
-                    &init,
-                    &edges,
-                    &parents,
-                    keep,
-                    &frontier_ids,
-                    options,
-                    sys_hash,
-                    layout,
-                    &meter,
-                )?;
-                let token = ck.write((*snap).clone(), &budget.recorder);
-                (Some(snap), token)
-            } else {
-                seq_exhaustion_snapshot(
-                    &mut ck,
-                    &budget.recorder,
-                    &states,
-                    &init,
-                    &edges,
-                    &parents,
-                    keep,
-                    &frontier_ids,
-                    options,
-                    false,
-                    sys_hash,
-                    None,
-                )
-            }
-        }
-        _ => (None, None),
-    };
 
     // The final visited map, rebuilt from the canonical order — the
     // same first-id-wins map the sequential spill engine produces
@@ -791,7 +787,6 @@ fn explore_spill_ws_in(
         reason,
         pending,
         &canon,
-        None,
         snapshot,
         resume_token,
     ))

@@ -4,11 +4,6 @@
 //! disk-backed engine in [`super::spill_ws`] runs the same scheduler
 //! over its own two [`Expand`] implementations.
 //!
-//! Where the level-synchronous engine alternates compute levels with
-//! full barriers (every worker idles while the slowest finishes the
-//! level, then a renumber/checkpoint window runs single-threaded),
-//! this scheduler keeps every worker continuously fed:
-//!
 //! * **Per-worker deques, work stealing.** Each worker owns a deque of
 //!   discovered-but-unexpanded states. It pops from the front of its
 //!   own deque and pushes children to the back; when its deque runs
@@ -32,25 +27,33 @@
 //!   representation transparently.
 //! * **Lock-striped visited set.** The visited set is sharded by
 //!   fingerprint prefix into [`NUM_SHARDS`] independently-locked
-//!   stripes (reusing the provisional-id scheme of the
-//!   level-synchronous engine), so interning scales with workers.
+//!   stripes, a state's provisional id naming its stripe and its
+//!   index there, so interning scales with workers.
 //!
 //! Determinism is recovered after the fact, not maintained during the
-//! run: workers record `(parent, action, child)` edges exactly as the
-//! level-synchronous engine does, and the same canonical renumbering
-//! replay ([`replay_records`]) rebuilds the sequential BFS discovery
-//! order — the finished graph is **byte-identical** to the sequential
-//! engine's.
+//! run: workers record `(parent, action, child)` edges, and the
+//! canonical renumbering replay ([`replay_records_order`]) rebuilds
+//! the sequential BFS discovery order — the finished graph is
+//! **byte-identical** to the sequential engine's.
 //!
-//! Checkpointing: the engine has no level boundaries, so it takes no
-//! mid-run snapshots; a checkpointing budget gets one `OTLASNAP`
-//! snapshot at the exhaustion point (a quiescent point — all workers
-//! stopped), rolled back to the deepest consistent level boundary by
-//! the shared [`rollback_cut`], and resumable by any engine. Worker
-//! panics are *not* survived degraded here (that is the
-//! level-synchronous engine's feature): a panicking worker raises the
-//! stop flag so its peers quiesce, then the panic propagates to the
-//! caller instead of deadlocking quiescence detection.
+//! **Panic isolation.** A panic inside one parent's expansion is
+//! caught there: the worker's records roll back to where they stood
+//! when it claimed the parent, the children it had already interned
+//! are queued like any others, the parent goes back on a deque still
+//! counted in `in_flight`, one `worker_failure` event is recorded, and
+//! the worker retires — the run completes, degraded, on the others.
+//! Re-expanding the parent finds those children already interned, so
+//! nothing is counted twice. The last worker alive cannot retire: its
+//! panic propagates to the caller.
+//!
+//! **Checkpointing.** An exhausted run snapshots at its stopping point
+//! (a quiescent point — all workers stopped), rolled back to the
+//! deepest consistent level boundary by the shared [`rollback_cut`],
+//! and resumable by any engine. When the budget arms periodic
+//! checkpoints the in-RAM engine also runs in *epochs*: every
+//! `cadence` claims the workers stop at a quiescent point, the
+//! coordinator snapshots the same way, and the run goes on from the
+//! pending states. Unarmed runs are one epoch.
 
 use super::seq::{self, Seed};
 use super::*;
@@ -58,6 +61,7 @@ use opentla_kernel::{PackedLayout, Value, VarId};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
+use std::sync::MutexGuard;
 
 // ---------------------------------------------------------------------
 // The scheduler
@@ -71,28 +75,45 @@ pub(super) enum Expanded {
     Cut(ExhaustReason),
 }
 
+/// The [`WorkerPanic`] hook, handed to an expansion the injection has
+/// armed: the first recorded edge to [`trip`] it panics, once per run.
+pub(super) type Tripwire<'a> = Option<&'a AtomicBool>;
+
+/// Fires an armed [`Tripwire`]; called right after an edge is
+/// recorded.
+#[inline]
+pub(super) fn trip(wire: Tripwire<'_>) {
+    if wire.is_some_and(|fired| !fired.swap(true, Ordering::Relaxed)) {
+        panic!("injected worker panic");
+    }
+}
+
 /// "Expand one parent": what the work-stealing scheduler runs. An
 /// implementation owns the stores; the scheduler owns claiming,
-/// quiescence, budget stops and error propagation.
+/// quiescence, budget stops, panic isolation and error propagation.
 pub(super) trait Expand: Sync {
     /// One worker's reusable buffers. They live and die on the worker
     /// thread: an allocation that outlives its thread pins that
     /// thread's allocator arena, which shows up as a higher and
     /// run-to-run unstable peak RSS.
     type Scratch: Default;
-    /// What a worker hands back to the coordinator.
-    type Records: Send + Default;
+    /// What a worker records, one `Vec` of them handed back to the
+    /// coordinator. A panicking expansion's records are truncated away
+    /// by the scheduler, so its re-expansion records them exactly once.
+    type Record: Send;
 
     /// Expands `parent`: charges each transition, interns each
     /// successor (charging genuinely new states *before* recording
-    /// them), records the edges, and pushes every newly interned child
-    /// onto `born`. An `Err` stops the whole run.
+    /// them), records the edges ([`trip`]ping `wire` after each), and
+    /// pushes every newly interned child onto `born`. An `Err` stops
+    /// the whole run.
     fn expand(
         &self,
         parent: Pid,
         scratch: &mut Self::Scratch,
-        records: &mut Self::Records,
+        records: &mut Vec<Self::Record>,
         born: &mut Vec<Pid>,
+        wire: Tripwire<'_>,
     ) -> Result<Expanded, CheckError>;
 }
 
@@ -106,6 +127,17 @@ struct Sched<'a> {
     stop: AtomicBool,
     reason: Mutex<Option<ExhaustReason>>,
     error: Mutex<Option<CheckError>>,
+    /// Parents claimed run-wide — counted only when `pause_at` or
+    /// `fault` needs the count.
+    claims: AtomicU64,
+    /// The claim count that ends the current epoch (`u64::MAX`: none
+    /// does). Ending an epoch raises `stop` with no `reason`.
+    pause_at: u64,
+    epoch: u64,
+    fault: Option<WorkerPanic>,
+    fault_fired: AtomicBool,
+    /// Workers that have not retired after a panic.
+    alive: AtomicUsize,
 }
 
 impl Sched<'_> {
@@ -120,7 +152,8 @@ impl Sched<'_> {
     }
 
     /// Claims the next parent: own deque front first, then a sweep
-    /// stealing from the backs of the peers'.
+    /// stealing from the backs of the peers' (a retired worker's
+    /// included).
     fn claim(&self, me: usize) -> Option<Pid> {
         if let Some(p) = lock(&self.deques[me]).pop_front() {
             return Some(p);
@@ -133,11 +166,26 @@ impl Sched<'_> {
         }
         None
     }
+
+    /// Counts a claim when something needs the count: ends the epoch
+    /// at its cadence, and arms the injected panic past its threshold.
+    fn count_claim(&self) -> Tripwire<'_> {
+        if self.pause_at == u64::MAX && self.fault.is_none() {
+            return None;
+        }
+        let before = self.claims.fetch_add(1, Ordering::Relaxed);
+        if before + 1 >= self.pause_at {
+            self.stop.store(true, Ordering::Relaxed);
+        }
+        let armed = self.fault.is_some_and(|f| before >= f.after_claims)
+            && !self.fault_fired.load(Ordering::Relaxed);
+        armed.then_some(&self.fault_fired)
+    }
 }
 
-/// One worker's tally, next to its [`Expand::Records`].
+/// One worker's tally, next to its [`Expand::Record`]s.
 struct Tally<R> {
-    records: R,
+    records: Vec<R>,
     /// Parents whose expansion was cut short by budget exhaustion.
     interrupted: Vec<Pid>,
     claimed: u64,
@@ -145,7 +193,7 @@ struct Tally<R> {
 }
 
 /// The worker loop: claim a parent, expand it, release it.
-fn work<X: Expand>(sched: &Sched<'_>, x: &X, me: usize, tally: &mut Tally<X::Records>) {
+fn work<X: Expand>(sched: &Sched<'_>, x: &X, me: usize, tally: &mut Tally<X::Record>) {
     let mut scratch = X::Scratch::default();
     // Children discovered while expanding the current parent, pushed
     // to the deque in one batch (one lock per parent, not per child).
@@ -166,7 +214,14 @@ fn work<X: Expand>(sched: &Sched<'_>, x: &X, me: usize, tally: &mut Tally<X::Rec
             continue;
         };
         tally.claimed += 1;
-        let result = x.expand(parent, &mut scratch, &mut tally.records, &mut born);
+        let wire = sched.count_claim();
+        let mark = tally.records.len();
+        // `AssertUnwindSafe`: a panic leaves `records` to the rollback
+        // below and `scratch` to die with this worker, and the stores'
+        // critical sections never expose partial insertions.
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            x.expand(parent, &mut scratch, &mut tally.records, &mut born, wire)
+        }));
         // Flush on every exit path — an interned-but-unqueued child
         // would drop out of the resume frontier — and count the
         // children before releasing the parent, or quiescence could be
@@ -176,6 +231,29 @@ fn work<X: Expand>(sched: &Sched<'_>, x: &X, me: usize, tally: &mut Tally<X::Rec
             sched.in_flight.fetch_add(born.len(), Ordering::AcqRel);
             lock(&sched.deques[me]).extend(born.drain(..));
         }
+        let result = match result {
+            Ok(result) => result,
+            Err(payload) => {
+                if sched.alive.fetch_sub(1, Ordering::AcqRel) == 1 {
+                    // Nobody is left to take the parent over.
+                    std::panic::resume_unwind(payload);
+                }
+                // The parent goes back unreleased — still counted in
+                // `in_flight`, so no peer can declare quiescence before
+                // one of them has re-expanded it — and this worker
+                // retires.
+                tally.records.truncate(mark);
+                lock(&sched.deques[me]).push_front(parent);
+                if sched.meter.recorder().enabled() {
+                    sched.meter.recorder().record(&Event::WorkerFailure {
+                        worker: me,
+                        level: sched.epoch,
+                        requeued: 1,
+                    });
+                }
+                return;
+            }
+        };
         sched.in_flight.fetch_sub(1, Ordering::AcqRel);
         match result {
             Ok(Expanded::Done) => {}
@@ -193,110 +271,155 @@ fn work<X: Expand>(sched: &Sched<'_>, x: &X, me: usize, tally: &mut Tally<X::Rec
 
 /// What a work-stealing run leaves behind.
 pub(super) struct WsRun<R> {
-    /// Every worker's records (empty when the run was cut during
+    /// Every worker's records, epoch by epoch, after the ones the run
+    /// started from (none but those when the run was cut during
     /// initial-state interning and no worker started).
-    pub(super) records: Vec<R>,
+    pub(super) records: Vec<Vec<R>>,
     /// Discovered-but-unexpanded pids once the run stops early.
     pub(super) pending: Vec<Pid>,
     pub(super) reason: Option<ExhaustReason>,
 }
 
-/// Runs `threads` workers from `seed` to quiescence or a budget stop.
-/// `init_cut` is the exhaustion that already ended initial-state
-/// interning, if any: the seed is then all pending and no worker runs.
-///
-/// Worker panics are *not* survived degraded here (that is the
-/// level-synchronous engine's feature): a panicking worker raises the
-/// stop flag so its peers quiesce, then the panic propagates to the
-/// caller instead of deadlocking quiescence detection.
+/// An engine's snapshot of a paused run: given every record so far and
+/// the pending pids, it returns whether checkpointing is still healthy
+/// (an unhealthy run stops pausing).
+pub(super) type PauseSnapshot<'a, R> = &'a mut dyn FnMut(&[Vec<R>], &[Pid]) -> bool;
+
+/// Periodic checkpoints, for [`run_workers`]: the claims between two
+/// snapshots, and how to take one.
+pub(super) struct Epochs<'a, R> {
+    pub(super) cadence: u64,
+    pub(super) snapshot: PauseSnapshot<'a, R>,
+}
+
+/// Runs `threads` workers from `seed` to quiescence or a budget stop,
+/// pausing for a snapshot every `epochs.cadence` claims if asked to.
+/// `records` are the ones the run starts from (a resumed snapshot's
+/// banked edges). `init_cut` is the exhaustion that already ended
+/// initial-state interning, if any: the seed is then all pending and
+/// no worker runs.
+#[allow(clippy::too_many_arguments)]
 pub(super) fn run_workers<X: Expand>(
-    budget: &Budget,
     meter: &Meter,
     threads: usize,
-    seed: &[Pid],
+    fault: Option<WorkerPanic>,
+    seed: Vec<Pid>,
     init_cut: Option<ExhaustReason>,
+    mut records: Vec<Vec<X::Record>>,
+    mut epochs: Option<Epochs<'_, X::Record>>,
     x: &X,
-) -> Result<WsRun<X::Records>, CheckError> {
+) -> Result<WsRun<X::Record>, CheckError> {
     if init_cut.is_some() {
         return Ok(WsRun {
-            records: Vec::new(),
-            pending: seed.to_vec(),
+            records,
+            pending: seed,
             reason: init_cut,
         });
     }
-    let sched = Sched {
+    let mut sched = Sched {
         deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
-        // Prime the quiescence counter with the seeded work.
-        in_flight: AtomicUsize::new(seed.len()),
+        in_flight: AtomicUsize::new(0),
         meter,
         stop: AtomicBool::new(false),
         reason: Mutex::new(None),
         error: Mutex::new(None),
+        claims: AtomicU64::new(0),
+        pause_at: u64::MAX,
+        epoch: 0,
+        fault,
+        fault_fired: AtomicBool::new(false),
+        alive: AtomicUsize::new(threads),
     };
-    // Seed the deques round-robin (ownership is only a locality hint —
-    // stealing erases any imbalance).
-    for (i, &p) in seed.iter().enumerate() {
-        lock(&sched.deques[i % threads]).push_back(p);
-    }
-    let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
-    let tallies: Vec<Tally<X::Records>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|me| {
-                let sched = &sched;
-                scope.spawn(move || {
-                    let mut tally = Tally {
-                        records: X::Records::default(),
-                        interrupted: Vec::new(),
-                        claimed: 0,
-                        inserted: 0,
-                    };
-                    let body =
-                        std::panic::AssertUnwindSafe(|| work(sched, x, me, &mut tally));
-                    if let Err(payload) = std::panic::catch_unwind(body) {
-                        // Backstop, not panic *tolerance*: raise the
-                        // stop flag so the peers' quiescence spin
-                        // terminates (this worker's in_flight
-                        // contribution is lost with it), note the
-                        // casualty, then let the panic surface through
-                        // the scope.
-                        sched.stop.store(true, Ordering::Relaxed);
-                        if budget.recorder.enabled() {
-                            budget.recorder.record(&Event::WorkerFailure {
-                                worker: me,
-                                level: 0,
-                                requeued: 0,
-                            });
-                        }
-                        std::panic::resume_unwind(payload);
-                    }
-                    tally
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    drop(expand_phase);
-    let mut pending: Vec<Pid> = Vec::new();
-    let mut records = Vec::with_capacity(threads);
-    for (worker, mut tally) in tallies.into_iter().enumerate() {
-        if meter.observed() {
-            budget.recorder.record(&Event::WorkerLevel {
-                worker,
-                level: 0,
-                claimed: tally.claimed,
-                inserted: tally.inserted,
-            });
+    let mut pending = seed;
+    let expand_phase = PhaseGuard::enter(meter.recorder(), Phase::ExploreExpand);
+    loop {
+        // Prime the quiescence counter with the seeded work and deal it
+        // round-robin (ownership is only a locality hint — stealing
+        // erases any imbalance).
+        *sched.in_flight.get_mut() = pending.len();
+        for (i, p) in pending.drain(..).enumerate() {
+            lock(&sched.deques[i % threads]).push_back(p);
         }
-        pending.append(&mut tally.interrupted);
-        records.push(tally.records);
+        *sched.stop.get_mut() = false;
+        if let Some(e) = &epochs {
+            sched.pause_at = *sched.claims.get_mut() + e.cadence;
+        }
+        let workers = *sched.alive.get_mut();
+        let tallies: Vec<Tally<X::Record>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|me| {
+                    let sched = &sched;
+                    scope.spawn(move || {
+                        let mut tally = Tally {
+                            records: Vec::new(),
+                            interrupted: Vec::new(),
+                            claimed: 0,
+                            inserted: 0,
+                        };
+                        let body =
+                            std::panic::AssertUnwindSafe(|| work(sched, x, me, &mut tally));
+                        if let Err(payload) = std::panic::catch_unwind(body) {
+                            // Backstop for what the per-parent
+                            // isolation does not absorb — a panic
+                            // outside an expansion, or in the last
+                            // worker alive: raise the stop flag so the
+                            // peers' quiescence spin terminates (this
+                            // worker's in_flight contribution is lost
+                            // with it), note the casualty, then let the
+                            // panic surface through the scope.
+                            sched.stop.store(true, Ordering::Relaxed);
+                            if meter.recorder().enabled() {
+                                meter.recorder().record(&Event::WorkerFailure {
+                                    worker: me,
+                                    level: sched.epoch,
+                                    requeued: 0,
+                                });
+                            }
+                            std::panic::resume_unwind(payload);
+                        }
+                        tally
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        });
+        for (worker, mut tally) in tallies.into_iter().enumerate() {
+            if meter.observed() {
+                meter.recorder().record(&Event::WorkerLevel {
+                    worker,
+                    level: sched.epoch,
+                    claimed: tally.claimed,
+                    inserted: tally.inserted,
+                });
+            }
+            pending.append(&mut tally.interrupted);
+            if !tally.records.is_empty() {
+                records.push(tally.records);
+            }
+        }
+        // Deque remnants after a stop are honestly pending.
+        for d in &sched.deques {
+            pending.extend(lock(d).drain(..));
+        }
+        if pending.is_empty() || lock(&sched.reason).is_some() || lock(&sched.error).is_some() {
+            break;
+        }
+        // Otherwise this is a pause: every claimed parent is fully
+        // expanded, so the records and `pending` describe a consistent
+        // partial graph.
+        let Some(e) = &mut epochs else {
+            unreachable!("only an armed cadence pauses a run");
+        };
+        if !(e.snapshot)(&records, &pending) {
+            epochs = None;
+            sched.pause_at = u64::MAX;
+        }
+        sched.epoch += 1;
     }
-    // Deque remnants after a budget stop are honestly pending.
-    for d in &sched.deques {
-        pending.extend(lock(d).drain(..));
-    }
+    drop(expand_phase);
     if let Some(e) = lock(&sched.error).take() {
         return Err(e);
     }
@@ -416,12 +539,15 @@ impl WsShard {
 
 /// The lock-striped visited set and arenas of one in-RAM run.
 ///
-/// Every `intern_*` takes `charged`: worker and initial-state interns
-/// charge the meter for genuinely new states (see
-/// [`ParShared::intern_with`] for the shared discipline); resume
+/// Every `intern_*` returns the pid and whether the state was new, or
+/// the exhaustion reason if the state limit cut the insertion off, and
+/// takes `charged`: worker and initial-state interns charge the meter
+/// for genuinely new states, *before* anything is inserted; resume
 /// seeding passes `false` — the meter is pre-charged with the
-/// snapshot's banked totals — and keeps first-id-wins on
-/// masked-fingerprint collisions, as in [`ParShared::seed`].
+/// snapshot's banked totals — and a masked-fingerprint collision maps
+/// to the first occupant (the same first-id-wins rule the snapshot's
+/// canonical order encodes), so collision behavior survives the round
+/// trip.
 struct WsStore<'a> {
     shards: Striped<WsShard>,
     /// Packed size of one state (0 on the tree fallback).
@@ -445,7 +571,7 @@ impl WsStore<'_> {
     /// vacant insert. Already-visited successors (the majority, once
     /// the frontier is deep) never build their bytes at all, the
     /// packed analogue of what [`State::fingerprint_with`] buys the
-    /// sequential engine.
+    /// sequential loop.
     fn intern_packed_fp(
         &self,
         fp: u64,
@@ -502,7 +628,12 @@ impl WsStore<'_> {
         }
     }
 
-    /// The tree-fallback intern, mirroring [`ParShared::intern_with`].
+    /// The tree-fallback intern: `make` materializes the state and is
+    /// called only when it must be — fingerprint dedup probes first;
+    /// exact dedup needs the full state as its key. Sharding by
+    /// (masked) fingerprint stays consistent in exact mode — equal
+    /// states have equal fingerprints — and dedup stays exact even
+    /// when `fp_bits` forces fingerprint collisions.
     fn intern_tree(
         &self,
         fp: u64,
@@ -577,11 +708,12 @@ struct RamScratch {
     updates: Vec<(usize, u32)>,
 }
 
-/// One in-RAM worker's `(parent, action, child)` records — each state
-/// is claimed by exactly one worker (deque pop is exclusive), so its
-/// edges form one contiguous run in action order in exactly one of
-/// these.
-type EdgeRecords = Vec<(Pid, u32, Pid)>;
+/// One in-RAM `(parent, action, child)` record — each state is
+/// expanded to completion by exactly one worker (deque pop is
+/// exclusive; a panicked expansion's records are truncated), so its
+/// edges form one contiguous run in action order in exactly one
+/// worker's records.
+type EdgeRecord = (Pid, u32, Pid);
 
 /// Expansion over packed arenas: copy the parent's bytes out of its
 /// shard, unpack into a reused value buffer, evaluate successors,
@@ -594,14 +726,15 @@ struct RamPacked<'a> {
 
 impl Expand for RamPacked<'_> {
     type Scratch = RamScratch;
-    type Records = EdgeRecords;
+    type Record = EdgeRecord;
 
     fn expand(
         &self,
         parent: Pid,
         scratch: &mut RamScratch,
-        edges: &mut EdgeRecords,
+        edges: &mut Vec<EdgeRecord>,
         born: &mut Vec<Pid>,
+        wire: Tripwire<'_>,
     ) -> Result<Expanded, CheckError> {
         let RamPacked {
             store,
@@ -651,6 +784,7 @@ impl Expand for RamPacked<'_> {
                         born.push(child);
                     }
                     edges.push((parent, action as u32, child));
+                    trip(wire);
                     ControlFlow::Continue(())
                 }
                 Err(reason) => ControlFlow::Break(reason),
@@ -670,14 +804,15 @@ struct RamTree<'a> {
 
 impl Expand for RamTree<'_> {
     type Scratch = RamScratch;
-    type Records = EdgeRecords;
+    type Record = EdgeRecord;
 
     fn expand(
         &self,
         parent: Pid,
         scratch: &mut RamScratch,
-        edges: &mut EdgeRecords,
+        edges: &mut Vec<EdgeRecord>,
         born: &mut Vec<Pid>,
+        wire: Tripwire<'_>,
     ) -> Result<Expanded, CheckError> {
         let store = self.store;
         let (s, s_fp) = {
@@ -698,6 +833,7 @@ impl Expand for RamTree<'_> {
                             born.push(child);
                         }
                         edges.push((parent, action as u32, child));
+                        trip(wire);
                         ControlFlow::Continue(())
                     }
                     Err(reason) => ControlFlow::Break(reason),
@@ -707,114 +843,22 @@ impl Expand for RamTree<'_> {
     }
 }
 
-/// The in-RAM work-stealing engine; see the module docs.
-pub(super) fn explore_ws(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
+/// The canonical graph of everything recorded so far: the replay with
+/// its states materialized from the (quiescent) shard arenas.
+fn canonical(
+    shards: &[MutexGuard<'_, WsShard>],
+    layout: Option<&PackedLayout>,
     threads: usize,
-    resume: Option<&Snapshot>,
-) -> Result<Exploration, CheckError> {
-    let compiled = CompiledSystem::compile(system);
-    let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let (meter, seed) = seq::begin(system, budget, resume)?;
-    let layout_owned = elect_layout(system, &seed);
-    let layout = layout_owned.as_ref();
-    let stride = layout.map_or(0, |l| l.stride());
-    let store = WsStore {
-        shards: Striped::new(|| WsShard::new(options.mode, layout.is_some())),
-        stride,
-        mask: options.mask(),
-        mode: options.mode,
-        meter: &meter,
-    };
-
-    let mut init_pids: Vec<Pid> = Vec::new();
-    let mut all_edges: Vec<Vec<(Pid, u32, Pid)>> = Vec::new();
-    let mut init_cut: Option<ExhaustReason> = None;
-    let frontier_seed: Vec<Pid>;
-    let mut buf: Vec<u8> = Vec::new();
-    match seed {
-        Seed::Resume(snap) => {
-            // Resume: seed the shards with the snapshot arena in
-            // canonical order (reproducing first-id-wins fingerprint
-            // dedup) and turn the snapshot's edges into one
-            // pre-recorded run vector, exactly as the level engine
-            // does — the canonical replay cannot tell banked work from
-            // new work.
-            let pid_of: Vec<Pid> = snap
-                .states
-                .iter()
-                .map(|s| match store.intern_state(s, layout, &mut buf, false) {
-                    Ok((p, _)) => p,
-                    Err(_) => unreachable!("uncharged interns are never cut"),
-                })
-                .collect();
-            init_pids = snap.init.iter().map(|&i| pid_of[i]).collect();
-            let mut records: Vec<(Pid, u32, Pid)> = Vec::new();
-            for (id, run) in snap.edges.iter().enumerate() {
-                for e in run {
-                    records.push((pid_of[id], e.action as u32, pid_of[e.target]));
-                }
-            }
-            if !records.is_empty() {
-                all_edges.push(records);
-            }
-            frontier_seed = snap.frontier.iter().map(|&i| pid_of[i]).collect();
-        }
-        Seed::Fresh(states) => {
-            // Initial states intern sequentially so their canonical
-            // order is the enumeration order, as in every engine.
-            let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
-            for s in &states {
-                match store.intern_state(s, layout, &mut buf, true) {
-                    Ok((p, true)) => init_pids.push(p),
-                    Ok((_, false)) => {}
-                    Err(reason) => {
-                        init_cut = Some(reason);
-                        break;
-                    }
-                }
-            }
-            frontier_seed = init_pids.clone();
-        }
-    }
-
-    let exhausted_in_init = init_cut.is_some();
-    let run = match layout {
-        Some(layout) => {
-            let x = RamPacked {
-                store: &store,
-                compiled: &compiled,
-                layout,
-            };
-            run_workers(budget, &meter, threads, &frontier_seed, init_cut, &x)
-        }
-        None => {
-            let x = RamTree {
-                store: &store,
-                compiled: &compiled,
-            };
-            run_workers(budget, &meter, threads, &frontier_seed, init_cut, &x)
-        }
-    }?;
-    let WsRun {
-        records,
-        pending,
-        reason,
-    } = run;
-    all_edges.extend(records.into_iter().filter(|e| !e.is_empty()));
-    let shards: Vec<WsShard> = store.shards.into_shards();
-
-    let renumber_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
-    let arena_lens: Vec<usize> = shards.iter().map(WsShard::len).collect();
-    let (mut replay, order) = replay_records_order(&arena_lens, &all_edges, &init_pids);
+    all_edges: &[Vec<EdgeRecord>],
+    init_pids: &[Pid],
+) -> Replay {
+    let arena_lens: Vec<usize> = shards.iter().map(|sh| sh.len()).collect();
+    let (mut replay, order) = replay_records_order(&arena_lens, all_edges, init_pids);
     let state_of = |p: Pid| {
         let sh = &shards[shard_of(p)];
         let local = local_of(p);
         match layout {
-            Some(l) => l.unpack(&sh.packed[local * stride..(local + 1) * stride]),
+            Some(l) => l.unpack(&sh.packed[local * l.stride()..(local + 1) * l.stride()]),
             None => sh.states[local].clone(),
         }
     };
@@ -840,40 +884,140 @@ pub(super) fn explore_ws(
     } else {
         order.iter().map(|&p| state_of(p)).collect()
     };
+    replay
+}
+
+/// The in-RAM work-stealing engine; see the module docs.
+pub(super) fn explore_ws(
+    system: &System,
+    budget: &Budget,
+    options: &ExploreOptions,
+    threads: usize,
+    resume: Option<&Snapshot>,
+) -> Result<Exploration, CheckError> {
+    let compiled = CompiledSystem::compile(system);
+    let sys_hash = checkpoint::system_hash(system);
+    let mut ck = Checkpointer::new(budget.checkpoint.clone());
+    let (meter, seed) = seq::begin(system, budget, resume)?;
+    let layout_owned = elect_layout(system, &seed);
+    let layout = layout_owned.as_ref();
+    let store = WsStore {
+        shards: Striped::new(|| WsShard::new(options.mode, layout.is_some())),
+        stride: layout.map_or(0, |l| l.stride()),
+        mask: options.mask(),
+        mode: options.mode,
+        meter: &meter,
+    };
+
+    let mut init_pids: Vec<Pid> = Vec::new();
+    let mut banked: Vec<Vec<EdgeRecord>> = Vec::new();
+    let mut init_cut: Option<ExhaustReason> = None;
+    let frontier_seed: Vec<Pid>;
+    let mut buf: Vec<u8> = Vec::new();
+    match seed {
+        Seed::Resume(snap) => {
+            // Resume: seed the shards with the snapshot arena in
+            // canonical order (reproducing first-id-wins fingerprint
+            // dedup) and turn the snapshot's edges into one
+            // pre-recorded run vector — the canonical replay cannot
+            // tell banked work from new work.
+            let pid_of: Vec<Pid> = snap
+                .states
+                .iter()
+                .map(|s| match store.intern_state(s, layout, &mut buf, false) {
+                    Ok((p, _)) => p,
+                    Err(_) => unreachable!("uncharged interns are never cut"),
+                })
+                .collect();
+            init_pids = snap.init.iter().map(|&i| pid_of[i]).collect();
+            let mut records: Vec<EdgeRecord> = Vec::new();
+            for (id, run) in snap.edges.iter().enumerate() {
+                for e in run {
+                    records.push((pid_of[id], e.action as u32, pid_of[e.target]));
+                }
+            }
+            if !records.is_empty() {
+                banked.push(records);
+            }
+            frontier_seed = snap.frontier.iter().map(|&i| pid_of[i]).collect();
+        }
+        Seed::Fresh(states) => {
+            // Initial states intern sequentially so their canonical
+            // order is the enumeration order, as in every engine.
+            let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
+            for s in &states {
+                match store.intern_state(s, layout, &mut buf, true) {
+                    Ok((p, true)) => init_pids.push(p),
+                    Ok((_, false)) => {}
+                    Err(reason) => {
+                        init_cut = Some(reason);
+                        break;
+                    }
+                }
+            }
+            frontier_seed = init_pids.clone();
+        }
+    }
+
+    let exhausted_in_init = init_cut.is_some();
+    // A periodic checkpoint at a pause: as the exhaustion snapshot
+    // below, but the run then goes on with everything it has.
+    let mut checkpoint_at_pause = |records: &[Vec<EdgeRecord>], pending: &[Pid]| {
+        let shards: Vec<_> = store.shards.iter_locked().collect();
+        let replay = canonical(&shards, layout, threads, records, &init_pids);
+        rolled_back_snapshot(&mut ck, &budget.recorder, &replay, pending, options, sys_hash);
+        ck.active()
+    };
+    let epochs = budget.checkpoint.as_ref().map(|spec| Epochs {
+        cadence: spec.cadence,
+        snapshot: &mut checkpoint_at_pause,
+    });
+    let fault = options.worker_panic;
+    let run = match layout {
+        Some(layout) => {
+            let x = RamPacked {
+                store: &store,
+                compiled: &compiled,
+                layout,
+            };
+            run_workers(&meter, threads, fault, frontier_seed, init_cut, banked, epochs, &x)
+        }
+        None => {
+            let x = RamTree {
+                store: &store,
+                compiled: &compiled,
+            };
+            run_workers(&meter, threads, fault, frontier_seed, init_cut, banked, epochs, &x)
+        }
+    }?;
+    let WsRun {
+        records,
+        pending,
+        reason,
+    } = run;
+
+    let renumber_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
+    let shards: Vec<_> = store.shards.iter_locked().collect();
+    let replay = canonical(&shards, layout, threads, &records, &init_pids);
+
+    // Exhaustion snapshot at the quiescent point: the shared rollback
+    // cut lands on the deepest consistent level boundary of the
+    // *canonical* graph — the cut is computed on replay depths, not on
+    // the nondeterministic discovery order.
+    let (snapshot, resume_token) = match reason {
+        Some(_) if !exhausted_in_init => {
+            rolled_back_snapshot(&mut ck, &budget.recorder, &replay, &pending, options, sys_hash)
+        }
+        _ => (None, None),
+    };
     let Replay {
         canon,
         states,
         edges,
         parents,
         init,
-        depth,
+        ..
     } = replay;
-
-    // Exhaustion snapshot at the quiescent point: the shared rollback
-    // cut lands on the deepest consistent level boundary of the
-    // *canonical* graph — sound here for the same reason as in the
-    // level engine, because the cut is computed on replay depths, not
-    // on the nondeterministic discovery order.
-    let (snapshot, resume_token) = match reason {
-        Some(_) if !exhausted_in_init => {
-            let (keep, frontier_ids) = rollback_cut(&canon, &depth, states.len(), &pending);
-            seq_exhaustion_snapshot(
-                &mut ck,
-                &budget.recorder,
-                &states,
-                &init,
-                &edges,
-                &parents,
-                keep,
-                &frontier_ids,
-                options,
-                false,
-                sys_hash,
-                None,
-            )
-        }
-        _ => (None, None),
-    };
 
     let visited = match options.mode {
         VisitedMode::Fingerprint => {
@@ -915,7 +1059,6 @@ pub(super) fn explore_ws(
         reason,
         pending,
         &canon,
-        None,
         snapshot,
         resume_token,
     ))

@@ -93,7 +93,7 @@ pub use error::CheckError;
 pub use explore::{
     explore, explore_escalating, explore_governed, explore_governed_with, explore_resumable,
     resume_exploration, Edge, Engine, Exploration, ExploreOptions, GraphStats, StateGraph,
-    VisitedMode, WorkerPanic, PAR_SMALL_GRAPH_CUTOFF,
+    VisitedMode, WorkerPanic,
 };
 pub use invariant::{check_invariant, check_step_invariant};
 pub use reduction::{

@@ -65,9 +65,7 @@ use opentla_kernel::{Expr, Fairness, FairnessKind, SccScratch};
 
 /// Graphs smaller than this many states always take the sequential
 /// engine, whatever the requested thread count: spawning workers costs
-/// more than the whole check on graphs this small (the `par_fp`
-/// columns of `BENCH_scaling.json` put the overhead at 10–100× on
-/// ≤ 12-state graphs).
+/// more than the whole check on graphs this small.
 pub const LIVENESS_SMALL_GRAPH_CUTOFF: usize = 256;
 
 /// Why the metered liveness core stopped: budget exhaustion (with the
@@ -185,7 +183,9 @@ impl LiveTarget {
 #[derive(Clone, Debug, Default)]
 pub struct LivenessOptions {
     /// Worker count. `None` falls back to the `OPENTLA_EXPLORE_THREADS`
-    /// environment override, then to 1 (sequential).
+    /// environment override, then to 1 (sequential). The variable, when
+    /// set, must hold a positive integer: anything else is a
+    /// [`CheckError::Precondition`], not "no override".
     pub threads: Option<usize>,
     /// Graphs with fewer states than this always run sequentially;
     /// `None` uses [`LIVENESS_SMALL_GRAPH_CUTOFF`]. Set to `Some(0)`
@@ -208,13 +208,9 @@ impl LivenessOptions {
     }
 
     /// The worker count to actually use for a graph of `graph_len`
-    /// states.
-    fn resolve_threads(&self, graph_len: usize) -> usize {
-        let requested = self
-            .threads
-            .or_else(crate::explore::env_threads)
-            .unwrap_or(1)
-            .max(1);
+    /// states, given the `OPENTLA_EXPLORE_THREADS` override.
+    fn resolve_threads(&self, graph_len: usize, env_threads: Option<usize>) -> usize {
+        let requested = self.threads.or(env_threads).unwrap_or(1).max(1);
         let cutoff = self
             .small_graph_cutoff
             .unwrap_or(LIVENESS_SMALL_GRAPH_CUTOFF);
@@ -442,8 +438,8 @@ fn liveness_driver(
     if let Some(snap) = resume {
         snap.validate(system, graph)?;
     }
+    let threads = options.resolve_threads(graph.len(), crate::explore::env_threads()?);
     let _phase = PhaseGuard::enter(&budget.recorder, Phase::Liveness);
-    let threads = options.resolve_threads(graph.len());
     let charge = if resume.is_some() {
         Charge::Banked
     } else {
@@ -1424,14 +1420,15 @@ mod tests {
     fn small_graphs_route_sequentially() {
         // Below the cutoff the requested thread count is ignored.
         let opts = LivenessOptions::default().threads(4);
-        assert_eq!(opts.resolve_threads(10), 1);
-        assert_eq!(opts.resolve_threads(LIVENESS_SMALL_GRAPH_CUTOFF), 4);
+        assert_eq!(opts.resolve_threads(10, None), 1);
+        assert_eq!(opts.resolve_threads(LIVENESS_SMALL_GRAPH_CUTOFF, None), 4);
         // An explicit zero cutoff forces the parallel engine anywhere.
         let opts = LivenessOptions::default().threads(4).small_graph_cutoff(0);
-        assert_eq!(opts.resolve_threads(10), 4);
-        // Unset thread count resolves to at least one worker.
+        assert_eq!(opts.resolve_threads(10, None), 4);
+        // An unset thread count takes the environment's, else one.
         let opts = LivenessOptions::default().small_graph_cutoff(0);
-        assert!(opts.resolve_threads(10) >= 1);
+        assert_eq!(opts.resolve_threads(10, Some(3)), 3);
+        assert_eq!(opts.resolve_threads(10, None), 1);
     }
 
     #[test]

@@ -63,10 +63,11 @@ pub const PROGRESS_SAMPLE: u64 = 1024;
 pub enum Phase {
     /// Enumerating and interning the initial states.
     ExploreInit,
-    /// The BFS expansion loop (sequential or level-synchronous).
+    /// The expansion loop (sequential BFS or work-stealing workers;
+    /// an epoch run's periodic snapshots fall inside it).
     ExploreExpand,
     /// Turning engine-private storage into the canonical
-    /// [`StateGraph`](crate::StateGraph): the parallel engines'
+    /// [`StateGraph`](crate::StateGraph): the work-stealing engines'
     /// renumbering pass, the spill stores' read-back, the in-RAM
     /// store's hand-over.
     ExploreRenumber,
@@ -153,8 +154,9 @@ impl ProgressSnapshot {
 pub struct RunReport {
     /// Schema version ([`OBS_SCHEMA_VERSION`]).
     pub schema_version: u64,
-    /// Which engine ran (`"explore_sequential"`, `"explore_parallel"`,
-    /// …).
+    /// Which plan ran: `"explore_sequential"`, `"explore_spill"`,
+    /// `"explore_parallel_ws"` or `"explore_spill_ws"` for an
+    /// exploration; other checks name themselves likewise.
     pub engine: String,
     /// Worker threads used.
     pub threads: usize,
@@ -228,13 +230,15 @@ pub enum Event<'a> {
         /// The measurement.
         snapshot: ProgressSnapshot,
     },
-    /// Per-worker throughput for one BFS level of the parallel engine.
+    /// Per-worker throughput for one epoch of the work-stealing
+    /// scheduler (a run has one epoch unless periodic checkpoints are
+    /// armed).
     WorkerLevel {
         /// Worker index.
         worker: usize,
-        /// Which level was processed.
+        /// Which epoch was processed.
         level: u64,
-        /// Frontier entries this worker claimed.
+        /// Parents this worker claimed.
         claimed: u64,
         /// New states this worker interned.
         inserted: u64,
@@ -301,14 +305,17 @@ pub enum Event<'a> {
         /// Discovered-but-unexpanded states awaiting resume.
         frontier: u64,
     },
-    /// A parallel worker panicked; its in-flight work was re-queued
-    /// and the run continued degraded on the surviving workers.
+    /// A work-stealing worker panicked. With `requeued: 1` the parent
+    /// it was expanding went back on a deque and the run continued
+    /// degraded on the surviving workers; with `requeued: 0` nothing
+    /// could be salvaged (the last worker alive, or a panic outside an
+    /// expansion) and the panic propagated.
     WorkerFailure {
         /// Worker index that died.
         worker: usize,
-        /// BFS level being processed when it died.
+        /// Scheduler epoch being processed when it died.
         level: u64,
-        /// Frontier entries re-queued for make-up expansion.
+        /// Parents re-queued for re-expansion (0 or 1).
         requeued: u64,
     },
     /// An exploration resumed from an on-disk snapshot instead of
@@ -348,9 +355,8 @@ pub enum Event<'a> {
         total_spilled_bytes: u64,
     },
     /// A configured memory budget could not be honored by the selected
-    /// configuration (reduction-active or panic-injection runs are
-    /// pinned to the in-RAM level-synchronous engine), so the run
-    /// proceeds unbounded. An explicit `mem_budget_bytes` option
+    /// configuration (reduction-active runs are pinned to the in-RAM
+    /// sequential loop), so the run proceeds unbounded. An explicit `mem_budget_bytes` option
     /// additionally fails the run with a precondition error; this
     /// event alone marks an environment-derived budget being dropped.
     BudgetIgnored {
@@ -1867,7 +1873,7 @@ mod tests {
     fn report_json_is_parseable() {
         let report = RunReport {
             schema_version: OBS_SCHEMA_VERSION,
-            engine: "explore_parallel".into(),
+            engine: "explore_parallel_ws".into(),
             threads: 4,
             mode: "exact".into(),
             states: 10,
@@ -1880,7 +1886,7 @@ mod tests {
         };
         let parsed = Json::parse(&report.to_json()).unwrap();
         assert_eq!(parsed.get("states").unwrap().as_u64(), Some(10));
-        assert_eq!(parsed.get("engine").unwrap().as_str(), Some("explore_parallel"));
+        assert_eq!(parsed.get("engine").unwrap().as_str(), Some("explore_parallel_ws"));
         assert_eq!(parsed.get("complete").unwrap().as_bool(), Some(false));
     }
 

@@ -23,13 +23,12 @@
 //!      variable — so deferring the visible rest never hides a
 //!      property change (checked per cluster when preparing);
 //!   3. the **cycle proviso**: a deferred action must not be deferred
-//!      forever around a cycle (the *ignoring problem*). The BFS
-//!      engines use a level-based test: any state with an ample
+//!      forever around a cycle (the *ignoring problem*). The reduced
+//!      BFS loop uses a level-based test: any state with an ample
 //!      successor that closes a frontier level (lands in an
 //!      already-completed BFS level, which every cycle must) is
-//!      expanded fully. The test only consults levels finished before
-//!      the current one began, so sequential and parallel engines
-//!      decide it identically.
+//!      expanded fully. The test needs BFS level boundaries, so
+//!      reduced runs are sequential at any requested thread count.
 //!
 //! * **Symmetry reduction** ([`Reduction::with_symmetry`]). A
 //!   pluggable [`Canonicalize`]r maps each state to a canonical orbit
@@ -306,17 +305,7 @@ pub struct ReductionStats {
     pub canon_hits: usize,
 }
 
-impl ReductionStats {
-    pub(crate) fn absorb(&mut self, other: &ReductionStats) {
-        self.ample_states += other.ample_states;
-        self.full_states += other.full_states;
-        self.skipped_transitions += other.skipped_transitions;
-        self.canon_hits += other.canon_hits;
-    }
-}
-
-/// Per-system reduction tables shared by the sequential and parallel
-/// engines.
+/// Per-system reduction tables, prepared once per run.
 #[derive(Clone, Debug)]
 pub(crate) struct PreparedReduction {
     pub(crate) por: Option<PreparedPor>,

@@ -11,7 +11,7 @@
 use opentla_check::{
     check_invariant, explore_governed_with, explore_resumable, resume_exploration, Budget,
     CheckError, CountingRecorder, Engine, ExploreOptions, Outcome, RecorderHandle, Reduction,
-    StateGraph, System, Verdict, VisitedMode, WorkerPanic,
+    StateGraph, System, Verdict, VisitedMode,
 };
 use opentla_kernel::Expr;
 use opentla_queue::{FairnessStyle, QueueChain};
@@ -423,9 +423,10 @@ fn spill_ws_resumes_a_sequential_spill_snapshot() {
     remove_spill_artifacts(&path);
 }
 
-/// The never-silently-ignore diagnostic: configurations pinned to the
-/// in-RAM level-synchronous engine (reduction-active, panic-injection)
-/// refuse an explicit `mem_budget_bytes` with a typed
+/// The never-silently-ignore diagnostic: the one configuration pinned
+/// to an in-RAM loop (reduction-active; panic injection is honoured by
+/// the spill engines, see `crash_resume`) refuses an explicit
+/// `mem_budget_bytes` with a typed
 /// [`CheckError::Precondition`], and the refusal is observable — a
 /// `budget_ignored` event carrying the byte count fires first.
 #[test]
@@ -433,26 +434,15 @@ fn unhonorable_explicit_budget_is_refused_not_ignored() {
     let ring = TokenRing::new(3);
     let sys = ring.complete_system().expect("ring builds");
     let por = Reduction::none().with_por(ring.mutual_exclusion().unprimed_vars());
-    let cases: Vec<(&str, ExploreOptions)> = vec![
-        (
-            "reduction",
-            ExploreOptions {
-                threads: Some(2),
-                reduction: por,
-                mem_budget_bytes: Some(1 << 20),
-                ..ExploreOptions::default()
-            },
-        ),
-        (
-            "panic-injection",
-            ExploreOptions {
-                threads: Some(2),
-                worker_panic: Some(WorkerPanic { after_claims: 5 }),
-                mem_budget_bytes: Some(1 << 20),
-                ..ExploreOptions::default()
-            },
-        ),
-    ];
+    let cases: Vec<(&str, ExploreOptions)> = vec![(
+        "reduction",
+        ExploreOptions {
+            threads: Some(2),
+            reduction: por,
+            mem_budget_bytes: Some(1 << 20),
+            ..ExploreOptions::default()
+        },
+    )];
     for (what, opts) in cases {
         let recorder = Arc::new(CountingRecorder::new());
         let err = explore_governed_with(

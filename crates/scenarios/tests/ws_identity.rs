@@ -158,12 +158,12 @@ fn ws_exact_mode_survives_forced_collisions() {
     }
 }
 
-/// Reduced (ample-set) configurations must fall back to the
-/// level-synchronous engine — the only one implementing the cycle
-/// proviso — and produce exactly the reduced graph the level engine
-/// produces, regardless of the requested engine.
+/// Reduced (ample-set) configurations resolve to the sequential plan —
+/// the only loop implementing the cycle proviso — and produce exactly
+/// the reduced graph a 1-thread run produces, regardless of the
+/// requested engine and thread count.
 #[test]
-fn ws_falls_back_to_level_sync_under_reduction() {
+fn ws_resolves_to_the_sequential_plan_under_reduction() {
     let ring = TokenRing::new(3);
     let system = ring.complete_system().expect("ring builds");
     let reduction = Reduction::none().with_por(ring.mutual_exclusion().unprimed_vars());
@@ -171,7 +171,7 @@ fn ws_falls_back_to_level_sync_under_reduction() {
         &system,
         &Budget::unlimited(),
         &ExploreOptions {
-            threads: Some(2),
+            threads: Some(1),
             reduction: reduction.clone(),
             ..ExploreOptions::default()
         },
@@ -188,5 +188,6 @@ fn ws_falls_back_to_level_sync_under_reduction() {
         },
     )
     .expect("reduced exploration succeeds");
+    assert!(routed.graph.is_reduced());
     assert_graphs_identical(&level.graph, &routed.graph, "ring reduced fallback");
 }

@@ -1,8 +1,9 @@
 //! Crash-tolerance end-to-end: interrupt/resume byte-identity across
 //! every engine configuration, snapshot save→load round trips,
 //! typed errors for corrupted or mismatched snapshots, panic-isolated
-//! parallel workers, and frontier-preserving escalation whose total
-//! work is O(final state space).
+//! work-stealing workers and their periodic mid-run checkpoints, and
+//! frontier-preserving escalation whose total work is O(final state
+//! space).
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -180,19 +181,22 @@ fn interrupt_resume_identity_reduced() {
 
 /// The collision knob is pinned in the snapshot header: a resumed
 /// collision-forcing run reproduces the uninterrupted collision-forcing
-/// run exactly (first-id-wins conflation and all).
+/// run exactly (first-id-wins conflation and all) — wherever the
+/// uninterrupted run is itself reproducible: fingerprint mode at one
+/// worker, exact mode at any worker count (see `Engine`'s docs for why
+/// fingerprint mode at two or more workers is not).
 #[test]
 fn interrupt_resume_identity_with_forced_collisions() {
     let system = QueueChain::new(2, 1, 2, FairnessStyle::Joint)
         .complete_system()
         .unwrap();
-    for threads in [1usize, 2] {
-        let label = format!("chain2/fp12/threads={threads}");
-        interrupt_and_resume(
-            &label,
-            &system,
-            &options(threads, VisitedMode::Fingerprint, Reduction::none(), 12),
-        );
+    for (mode, threads) in [
+        (VisitedMode::Fingerprint, 1usize),
+        (VisitedMode::Exact, 1),
+        (VisitedMode::Exact, 2),
+    ] {
+        let label = format!("chain2/fp12/{mode:?}/threads={threads}");
+        interrupt_and_resume(&label, &system, &options(threads, mode, Reduction::none(), 12));
     }
 }
 
@@ -330,68 +334,140 @@ fn mismatched_snapshot_is_refused() {
 // ---------------------------------------------------------------------
 
 /// An injected worker panic mid-expansion must not lose states, edges,
-/// or the run: the coordinator repairs the level, the run degrades to
-/// the surviving workers, and the final graph is byte-identical to the
-/// sequential one.
+/// or the run: the scheduler rolls the worker's records back and
+/// re-queues its parent, the run degrades to the surviving workers,
+/// and the final graph is byte-identical to the sequential one — in
+/// RAM and over the spill tiers, at 2 and 4 workers, in both visited
+/// modes.
 #[test]
 fn worker_panic_degrades_gracefully_without_losing_states() {
     for (name, system) in &scenarios() {
-        let reference = run_unlimited(
-            system,
-            &options(1, VisitedMode::Fingerprint, Reduction::none(), 64),
-        );
-        for after_claims in [0u64, 5] {
-            let recorder = Arc::new(CountingRecorder::new());
-            let mut opts = options(4, VisitedMode::Fingerprint, Reduction::none(), 64);
-            opts.worker_panic = Some(WorkerPanic { after_claims });
-            let run = explore_governed_with(
-                system,
-                &Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone())),
-                &opts,
-            )
-            .expect("run survives the worker panic");
-            assert!(
-                matches!(run.outcome, Outcome::Complete),
-                "{name}: degraded run still completes"
-            );
-            assert_eq!(
-                recorder.worker_failures(),
-                1,
-                "{name}: exactly one worker failure is reported"
-            );
-            assert_identical(
-                &format!("{name}/panic-after-{after_claims}"),
-                &reference.graph,
-                &run.graph,
-            );
+        for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
+            let reference = run_unlimited(system, &options(1, mode, Reduction::none(), 64));
+            for mem_budget_bytes in [None, Some(1usize << 20)] {
+                for threads in [2usize, 4] {
+                    for after_claims in [0u64, 5] {
+                        let label = format!(
+                            "{name}/{mode:?}/budget={mem_budget_bytes:?}/threads={threads}\
+                             /panic-after-{after_claims}"
+                        );
+                        let recorder = Arc::new(CountingRecorder::new());
+                        let opts = ExploreOptions {
+                            worker_panic: Some(WorkerPanic { after_claims }),
+                            mem_budget_bytes,
+                            ..options(threads, mode, Reduction::none(), 64)
+                        };
+                        let run = explore_governed_with(
+                            system,
+                            &Budget::unlimited()
+                                .with_recorder(RecorderHandle::new(recorder.clone())),
+                            &opts,
+                        )
+                        .unwrap_or_else(|e| panic!("{label}: run must survive the panic: {e}"));
+                        assert!(
+                            matches!(run.outcome, Outcome::Complete),
+                            "{label}: degraded run still completes"
+                        );
+                        assert_eq!(
+                            recorder.worker_failures(),
+                            1,
+                            "{label}: exactly one worker failure is reported"
+                        );
+                        assert_identical(&label, &reference.graph, &run.graph);
+                    }
+                }
+            }
         }
     }
 }
 
-/// Panic isolation under reduction: the reduced worker's counters roll
-/// back to the claim mark, so the repaired run's reduction stats match
-/// the healthy run's.
+// ---------------------------------------------------------------------
+// Periodic checkpoints on the work-stealing scheduler
+// ---------------------------------------------------------------------
+
+/// Copies the snapshot file aside the first time a `checkpoint` event
+/// arrives — i.e. a *periodic* snapshot, taken while the run is still
+/// going — and counts the checkpoints seen before `run_end`.
+struct MidRunCopy {
+    from: PathBuf,
+    to: PathBuf,
+    before_run_end: std::sync::atomic::AtomicU64,
+    ended: std::sync::atomic::AtomicBool,
+}
+
+impl opentla_check::Recorder for MidRunCopy {
+    fn record(&self, event: &opentla_check::Event<'_>) {
+        use opentla_check::Event;
+        use std::sync::atomic::Ordering::Relaxed;
+        if matches!(event, Event::RunEnd { .. }) {
+            self.ended.store(true, Relaxed);
+        } else if matches!(event, Event::Checkpoint { .. })
+            && !self.ended.load(Relaxed)
+            && self.before_run_end.fetch_add(1, Relaxed) == 0
+        {
+            std::fs::copy(&self.from, &self.to).expect("copy the mid-run snapshot");
+        }
+    }
+}
+
+/// A checkpoint-armed 4-worker run with a cadence far below the graph
+/// size writes snapshots *while it runs* (what a `kill -9` would leave
+/// behind), and such a mid-run snapshot resumes, at another worker
+/// count, to the byte-identical graph.
 #[test]
-fn worker_panic_under_reduction_keeps_stats_consistent() {
-    let system = TokenRing::new(3).complete_system().unwrap();
-    let por = por_on_first_var(&system);
-    let reference = run_unlimited(&system, &options(1, VisitedMode::Fingerprint, por.clone(), 64));
-    let recorder = Arc::new(CountingRecorder::new());
-    let mut opts = options(3, VisitedMode::Fingerprint, por, 64);
-    opts.worker_panic = Some(WorkerPanic { after_claims: 1 });
-    let run = explore_governed_with(
-        &system,
-        &Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone())),
-        &opts,
-    )
-    .unwrap();
-    assert!(matches!(run.outcome, Outcome::Complete));
-    assert_eq!(recorder.worker_failures(), 1);
-    assert_identical("ring/panic-reduced", &reference.graph, &run.graph);
-    assert_eq!(
-        reference.reduction, run.reduction,
-        "reduction stats must not double-count the repaired expansion"
-    );
+fn threaded_run_checkpoints_mid_run_and_resumes_at_another_worker_count() {
+    let system = QueueChain::new(3, 1, 2, FairnessStyle::Joint)
+        .complete_system()
+        .unwrap();
+    for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
+        let reference = run_unlimited(&system, &options(1, mode, Reduction::none(), 64));
+        let path = snap_path("midrun");
+        let copy = snap_path("midrun-copy");
+        let recorder = Arc::new(MidRunCopy {
+            from: path.clone(),
+            to: copy.clone(),
+            before_run_end: Default::default(),
+            ended: Default::default(),
+        });
+        let armed = explore_resumable(
+            &system,
+            &Budget::unlimited()
+                .with_checkpoint(&path, 256)
+                .with_recorder(RecorderHandle::new(recorder.clone())),
+            &options(4, mode, Reduction::none(), 64),
+        )
+        .unwrap();
+        assert!(matches!(armed.outcome, Outcome::Complete));
+        assert_identical("midrun/armed", &reference.graph, &armed.graph);
+        let periodic = recorder.before_run_end.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(
+            periodic >= 1,
+            "{mode:?}: a {}-state run at cadence 256 must checkpoint before run_end",
+            reference.graph.len()
+        );
+
+        // The copy is what a kill right after that checkpoint leaves.
+        let snap = Snapshot::load(&copy).expect("mid-run snapshot loads");
+        assert!(snap.frontier_len() > 0, "{mode:?}: a mid-run snapshot has a frontier");
+        assert!(snap.states_used() < reference.graph.len());
+        for threads in [1usize, 2] {
+            let resumed = resume_exploration(
+                &system,
+                &Budget::unlimited(),
+                &options(threads, mode, Reduction::none(), 64),
+                &snap,
+            )
+            .unwrap();
+            assert!(matches!(resumed.outcome, Outcome::Complete));
+            assert_identical(
+                &format!("midrun/{mode:?}/resumed@{threads}"),
+                &reference.graph,
+                &resumed.graph,
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&copy);
+    }
 }
 
 // ---------------------------------------------------------------------

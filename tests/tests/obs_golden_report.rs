@@ -51,10 +51,6 @@ fn recorded_stream(sys: &System) -> (String, StreamSummary) {
         let opts = ExploreOptions {
             mode,
             threads: Some(threads),
-            // The golden shape deliberately pins parallel
-            // instrumentation (worker_level events) on a tiny graph,
-            // so disable the small-graph sequential routing here.
-            small_graph_cutoff: Some(0),
             ..ExploreOptions::default()
         };
         let run = explore_governed_with(sys, &budget, &opts).expect("explores");
@@ -105,7 +101,7 @@ fn golden_streams_validate_and_engines_agree() {
         assert_eq!(summary.runs[0].mode, "fingerprint");
         assert_eq!(summary.runs[1].engine, "explore_sequential");
         assert_eq!(summary.runs[1].mode, "exact");
-        assert_eq!(summary.runs[2].engine, "explore_parallel");
+        assert_eq!(summary.runs[2].engine, "explore_parallel_ws");
         assert_eq!(summary.runs[2].threads, 4, "{name}");
     }
 }

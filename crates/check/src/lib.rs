@@ -35,6 +35,9 @@
 //!   resume from the preserved frontier instead of restarting, with
 //!   panic-isolated parallel workers degrading gracefully instead of
 //!   aborting the run;
+//! * [`image`] — image classes: simulation and fairness-target checks
+//!   decide each obligation once per abstract step under the
+//!   refinement mapping instead of once per concrete edge;
 //! * [`obs`] — the observability layer: structured run events, live
 //!   progress metrics, and exportable schema-versioned [`RunReport`]s
 //!   from every engine, routed by `OPENTLA_OBS=/path.jsonl` or an
@@ -68,6 +71,7 @@ mod counterexample;
 mod error;
 mod explore;
 pub mod faults;
+pub mod image;
 mod invariant;
 mod liveness;
 pub mod obs;

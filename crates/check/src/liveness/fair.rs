@@ -15,8 +15,11 @@
 
 use super::{par, scc::tarjan_sccs, Charge, Stop};
 use crate::budget::Meter;
+use crate::image::{Classes, Memo};
 use crate::{CheckError, StateGraph, System};
-use opentla_kernel::{Expr, Fairness, FairnessKind, SccScratch, StatePair};
+use opentla_kernel::{
+    Expr, Fairness, FairnessKind, Formula, SccScratch, StatePair, Substitution,
+};
 
 /// Per-fairness-requirement facts about the graph.
 pub(super) struct FairInfo {
@@ -41,7 +44,7 @@ pub(super) fn system_fair_infos(
         .fairness()
         .iter()
         .map(|f| {
-            let angle = par::table_rows(graph.len(), threads, &|id: usize| {
+            let angle = par::table_rows(graph.len(), threads, &|| (), &|(), id: usize| {
                 let s = graph.state(id);
                 graph
                     .edges(id)
@@ -80,53 +83,90 @@ pub(super) fn system_fair_infos(
 }
 
 /// Facts about the target fairness condition (semantic, since the
-/// action may be an abstract action under a refinement mapping).
+/// action may be an abstract action under a refinement mapping):
+/// `(angle, enabled)`, shaped like the fields of [`FairInfo`].
+///
+/// `fair` and `enabled_with` are over the target's own variables and
+/// `mapping` eliminates the abstract ones. Each entry is decided once
+/// per image class (pair) of the unsubstituted expressions; a miss
+/// evaluates the substituted expression on that concrete state or
+/// edge. Charges and polls stay per concrete edge and row.
+#[allow(clippy::too_many_arguments)]
 pub(super) fn target_fair_info(
     system: &System,
     graph: &StateGraph,
     fair: &Fairness,
     enabled_with: Option<&Expr>,
+    mapping: &Substitution,
     meter: &Meter,
     charge: Charge,
     threads: usize,
 ) -> Result<(Vec<Vec<bool>>, Vec<bool>), Stop> {
-    let angle_expr = fair.angle_action();
-    let rows = par::table_rows(graph.len(), threads, &|id: usize| {
-        let s = graph.state(id);
-        if let Some(reason) = meter.checkpoint() {
-            return Err(Stop::exhausted(reason));
-        }
-        let flags: Vec<bool> = graph
-            .edges(id)
-            .iter()
-            .map(|e| {
-                charge.edge(meter)?;
-                angle_expr
-                    .holds_action(StatePair::new(s, graph.state(e.target)))
-                    .map_err(|e| Stop::Error(e.into()))
-            })
-            .collect::<Result<_, Stop>>()?;
-        let enabled = match enabled_with {
-            Some(pred) => pred.holds_state(s).map_err(CheckError::from)?,
-            // An ⟨A⟩_v graph edge is itself an in-universe witness, so
-            // the per-state `Enabled` search only runs where no edge
-            // fires (e.g. an abstract action enabled toward a successor
-            // no concrete step reaches).
-            None if flags.iter().any(|b| *b) => true,
-            None => system
-                .universe()
-                .enabled(&angle_expr, s)
-                .map_err(CheckError::from)?,
+    let (angle_expr, enabled_pred) = if mapping.is_empty() {
+        (fair.angle_action(), enabled_with.cloned())
+    } else {
+        let Some(enabled) = enabled_with else {
+            return Err(Stop::Error(CheckError::Precondition {
+                message: "a fairness target under a refinement mapping needs an \
+                          explicit enabledness predicate: Enabled does not \
+                          commute with substitution (LiveTarget::fair_mapped)"
+                    .to_string(),
+            }));
         };
-        Ok((flags, enabled))
-    })?;
-    let mut angle = Vec::with_capacity(rows.len());
-    let mut enabled = Vec::with_capacity(rows.len());
-    for (flags, e) in rows {
-        angle.push(flags);
-        enabled.push(e);
+        let mapped = mapping
+            .formula(&Formula::Fair(fair.clone()))
+            .map_err(CheckError::from)?;
+        let Formula::Fair(mapped) = mapped else {
+            unreachable!("substitution preserves the Fair constructor");
+        };
+        let enabled = mapping.expr(enabled).map_err(CheckError::from)?;
+        (mapped.angle_action(), Some(enabled))
+    };
+    let mut footprint = fair.angle_action().all_vars();
+    if let Some(pred) = enabled_with {
+        footprint.union_with(&pred.all_vars());
     }
-    Ok((angle, enabled))
+    let classes = Classes::of_graph(graph, &footprint, mapping);
+    let memos = || (Memo::new(&classes), Memo::new(&classes));
+    let rows = par::table_rows(
+        graph.len(),
+        threads,
+        &memos,
+        &|(is_angle, is_enabled), id: usize| {
+            let s = graph.state(id);
+            if let Some(reason) = meter.checkpoint() {
+                return Err(Stop::exhausted(reason));
+            }
+            let flags: Vec<bool> = graph
+                .edges(id)
+                .iter()
+                .map(|e| {
+                    charge.edge(meter)?;
+                    let pair = StatePair::new(s, graph.state(e.target));
+                    is_angle
+                        .step(id, e.target, || angle_expr.holds_action(pair))
+                        .map_err(|e| Stop::Error(e.into()))
+                })
+                .collect::<Result<_, Stop>>()?;
+            let enabled = match &enabled_pred {
+                Some(pred) => is_enabled
+                    .state(id, || pred.holds_state(s))
+                    .map_err(CheckError::from)?,
+                // An ⟨A⟩_v graph edge is itself an in-universe witness, so
+                // the per-state `Enabled` search only runs where no edge
+                // fires (e.g. an abstract action enabled toward a successor
+                // no concrete step reaches). The mapping is empty here, so
+                // the search is a function of the state's class too.
+                None if flags.iter().any(|b| *b) => true,
+                None => is_enabled
+                    .state(id, || system.universe().enabled(&angle_expr, s))
+                    .map_err(CheckError::from)?,
+            };
+            Ok((flags, enabled))
+        },
+    );
+    classes.report(meter.recorder(), "liveness");
+    Ok(rows?.into_iter().unzip())
 }
 
 /// A witness that a fairness requirement is satisfied by the cycle.
@@ -166,7 +206,9 @@ pub(super) fn fair_subcomponent(
             return Ok(None);
         }
     }
-    let in_scc = |n: usize| scc.contains(&n);
+    // Tarjan components are sorted ascending (also in the recursion
+    // below), so membership is a binary search, not a scan.
+    let in_scc = |n: usize| scc.binary_search(&n).is_ok();
     let mut waypoints = Vec::new();
     if let Some(req) = must_contain {
         let node = scc.iter().copied().find(|n| req[*n]).expect("checked");

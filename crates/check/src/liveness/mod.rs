@@ -58,10 +58,11 @@ mod scc;
 
 use crate::budget::{Budget, ExhaustReason, Governed, Meter, Outcome};
 use crate::checkpoint::{system_hash, CheckpointSpec, LiveSnapshot, ResumeToken};
+use crate::image::{Classes, Memo};
 use crate::obs::{Event, Phase, PhaseGuard, RecorderHandle};
 use crate::{CheckError, Counterexample, StateGraph, System, Verdict};
 use fair::{fair_subcomponent, FairInfo, Waypoint};
-use opentla_kernel::{Expr, Fairness, FairnessKind, SccScratch};
+use opentla_kernel::{Expr, Fairness, FairnessKind, SccScratch, Substitution};
 
 /// Graphs smaller than this many states always take the sequential
 /// engine, whatever the requested thread count: spawning workers costs
@@ -126,7 +127,22 @@ impl Charge {
 #[derive(Clone, Debug)]
 pub enum LiveTarget {
     /// The system guarantees this fairness condition (typically an
-    /// abstract `WF`/`SF` obligation after a refinement mapping).
+    /// abstract `WF`/`SF` obligation under a refinement mapping).
+    ///
+    /// # Mapped and pre-substituted targets
+    ///
+    /// A target over *abstract* variables comes with the refinement
+    /// `mapping` that eliminates them: `fair` and `enabled_with` are
+    /// the **un**substituted abstract condition and predicate, and the
+    /// check substitutes. That is what lets it decide each table entry
+    /// once per [image class](crate::image) — the abstract expressions
+    /// say which variables the obligation looks at, and every other
+    /// variable of the product is ignored — instead of once per
+    /// concrete edge. A caller may also substitute itself and pass the
+    /// result with an empty mapping ([`LiveTarget::fair_with_enabled`]);
+    /// the verdict and the lasso are the same, but the substituted
+    /// expressions mention the mapping's concrete variables, so states
+    /// rarely share a class and the check evaluates per edge.
     ///
     /// `enabled_with`, if given, is the state predicate to use as
     /// `Enabled ⟨A⟩_v` instead of the brute-force next-state search
@@ -140,13 +156,18 @@ pub enum LiveTarget {
     /// engine supplies exactly that predicate. An over-approximation of
     /// the true enabledness keeps `Holds` verdicts sound (more
     /// violation candidates are searched); an under-approximation would
-    /// not.
+    /// not. For the same reason a non-empty `mapping` without
+    /// `enabled_with` is refused ([`CheckError::Precondition`]): the
+    /// universe search would push `Enabled` through the substitution.
     Fair {
         /// The fairness condition to establish.
         fair: Fairness,
         /// Optional explicit enabledness predicate for the angle
         /// action.
         enabled_with: Option<Expr>,
+        /// The refinement mapping to apply to both (empty: they are
+        /// already over the system's variables).
+        mapping: Substitution,
     },
     /// `◇P`.
     Eventually(Expr),
@@ -166,15 +187,24 @@ impl LiveTarget {
         LiveTarget::Fair {
             fair,
             enabled_with: None,
+            mapping: Substitution::default(),
         }
     }
 
-    /// A fairness target with an explicit enabledness predicate (see
-    /// [`LiveTarget::Fair`] — required under refinement mappings).
+    /// A fairness target over the system's own variables with an
+    /// explicit enabledness predicate: [`LiveTarget::fair_mapped`]
+    /// under the empty mapping.
     pub fn fair_with_enabled(fair: Fairness, enabled: Expr) -> Self {
+        LiveTarget::fair_mapped(fair, enabled, Substitution::default())
+    }
+
+    /// An abstract fairness target under a refinement mapping: `fair`
+    /// and `enabled` are unsubstituted (see [`LiveTarget::Fair`]).
+    pub fn fair_mapped(fair: Fairness, enabled: Expr, mapping: Substitution) -> Self {
         LiveTarget::Fair {
             fair,
             enabled_with: Some(enabled),
+            mapping,
         }
     }
 }
@@ -229,8 +259,9 @@ pub(crate) struct Violation {
     reason: String,
     /// States the cycle may visit.
     cycle_node_ok: Vec<bool>,
-    /// Edges the cycle may take (`None` = all).
-    cycle_edge_ok: Option<Vec<Vec<bool>>>,
+    /// Edges the cycle may *not* take, as `banned[s][i]` (`None` = it
+    /// may take all): the target's own angle table, not a negated copy.
+    cycle_edge_banned: Option<Vec<Vec<bool>>>,
     /// States the (post-`starts`) path may visit (`None` = all).
     path_node_ok: Option<Vec<bool>>,
     /// Where the violating suffix may begin (each must be reachable;
@@ -239,6 +270,18 @@ pub(crate) struct Violation {
     /// The cycle must contain a state from this set (`None` = no
     /// requirement).
     must_contain: Option<Vec<bool>>,
+}
+
+impl Violation {
+    /// Whether a violating cycle may take the `i`-th edge of `s`.
+    fn edge_ok(&self, graph: &StateGraph, s: usize, i: usize) -> bool {
+        self.cycle_node_ok[s]
+            && self.cycle_node_ok[graph.edges(s)[i].target]
+            && self
+                .cycle_edge_banned
+                .as_ref()
+                .is_none_or(|banned| !banned[s][i])
+    }
 }
 
 /// FNV-1a over the violation's restriction tables: pins a
@@ -678,12 +721,23 @@ impl<'a> LiveCheckpointer<'a> {
     }
 }
 
-fn eval_pred(graph: &StateGraph, p: &Expr) -> Result<Vec<bool>, CheckError> {
-    graph
+/// `p` at every state, decided once per class of `p`'s variables.
+fn eval_pred(
+    graph: &StateGraph,
+    p: &Expr,
+    recorder: &RecorderHandle,
+) -> Result<Vec<bool>, CheckError> {
+    let classes = Classes::of_graph(graph, &p.all_vars(), &Substitution::default());
+    let mut holds = Memo::new(&classes);
+    let table = graph
         .states()
         .iter()
-        .map(|s| p.holds_state(s).map_err(CheckError::from))
-        .collect()
+        .enumerate()
+        .map(|(id, s)| holds.state(id, || p.holds_state(s)).map_err(CheckError::from))
+        .collect();
+    drop(holds);
+    classes.report(recorder, "liveness");
+    table
 }
 
 fn build_violation(
@@ -696,26 +750,27 @@ fn build_violation(
 ) -> Result<Violation, Stop> {
     let all = vec![true; graph.len()];
     Ok(match target {
-        LiveTarget::Fair { fair, enabled_with } => {
+        LiveTarget::Fair {
+            fair,
+            enabled_with,
+            mapping,
+        } => {
             let (angle, enabled) = fair::target_fair_info(
                 system,
                 graph,
                 fair,
                 enabled_with.as_ref(),
+                mapping,
                 meter,
                 charge,
                 threads,
             )?;
-            let not_angle: Vec<Vec<bool>> = angle
-                .iter()
-                .map(|row| row.iter().map(|b| !b).collect())
-                .collect();
             match fair.kind {
                 FairnessKind::Weak => Violation {
                     reason: "target WF violated: its action stays enabled but is never taken"
                         .into(),
                     cycle_node_ok: enabled,
-                    cycle_edge_ok: Some(not_angle),
+                    cycle_edge_banned: Some(angle),
                     path_node_ok: None,
                     starts: graph.init().to_vec(),
                     must_contain: None,
@@ -725,7 +780,7 @@ fn build_violation(
                         "target SF violated: its action is enabled infinitely often but taken only finitely often"
                             .into(),
                     cycle_node_ok: all,
-                    cycle_edge_ok: Some(not_angle),
+                    cycle_edge_banned: Some(angle),
                     path_node_ok: None,
                     starts: graph.init().to_vec(),
                     must_contain: Some(enabled),
@@ -733,12 +788,12 @@ fn build_violation(
             }
         }
         LiveTarget::Eventually(p) => {
-            let pv = eval_pred(graph, p)?;
+            let pv = eval_pred(graph, p, meter.recorder())?;
             let not_p: Vec<bool> = pv.iter().map(|b| !b).collect();
             Violation {
                 reason: format!("◇({}) violated", p.display(system.vars())),
                 cycle_node_ok: not_p.clone(),
-                cycle_edge_ok: None,
+                cycle_edge_banned: None,
                 path_node_ok: Some(not_p.clone()),
                 starts: graph
                     .init()
@@ -750,32 +805,32 @@ fn build_violation(
             }
         }
         LiveTarget::AlwaysEventually(p) => {
-            let pv = eval_pred(graph, p)?;
+            let pv = eval_pred(graph, p, meter.recorder())?;
             let not_p: Vec<bool> = pv.iter().map(|b| !b).collect();
             Violation {
                 reason: format!("□◇({}) violated", p.display(system.vars())),
                 cycle_node_ok: not_p,
-                cycle_edge_ok: None,
+                cycle_edge_banned: None,
                 path_node_ok: None,
                 starts: graph.init().to_vec(),
                 must_contain: None,
             }
         }
         LiveTarget::EventuallyAlways(p) => {
-            let pv = eval_pred(graph, p)?;
+            let pv = eval_pred(graph, p, meter.recorder())?;
             let not_p: Vec<bool> = pv.iter().map(|b| !b).collect();
             Violation {
                 reason: format!("◇□({}) violated", p.display(system.vars())),
                 cycle_node_ok: all,
-                cycle_edge_ok: None,
+                cycle_edge_banned: None,
                 path_node_ok: None,
                 starts: graph.init().to_vec(),
                 must_contain: Some(not_p),
             }
         }
         LiveTarget::LeadsTo(p, q) => {
-            let pv = eval_pred(graph, p)?;
-            let qv = eval_pred(graph, q)?;
+            let pv = eval_pred(graph, p, meter.recorder())?;
+            let qv = eval_pred(graph, q, meter.recorder())?;
             let not_q: Vec<bool> = qv.iter().map(|b| !b).collect();
             let starts: Vec<usize> = (0..graph.len())
                 .filter(|i| pv[*i] && not_q[*i])
@@ -787,7 +842,7 @@ fn build_violation(
                     q.display(system.vars())
                 ),
                 cycle_node_ok: not_q.clone(),
-                cycle_edge_ok: None,
+                cycle_edge_banned: None,
                 path_node_ok: Some(not_q),
                 starts,
                 must_contain: None,
@@ -810,11 +865,7 @@ fn find_violation(
     if v.starts.is_empty() {
         return Ok(None);
     }
-    let edge_ok = |s: usize, i: usize| -> bool {
-        v.cycle_node_ok[s]
-            && v.cycle_node_ok[graph.edges(s)[i].target]
-            && v.cycle_edge_ok.as_ref().is_none_or(|rows| rows[s][i])
-    };
+    let edge_ok = |s: usize, i: usize| v.edge_ok(graph, s, i);
     // SCCs of the restricted graph.
     let mut scratch = SccScratch::new();
     let sccs = scc::tarjan_sccs(graph, &v.cycle_node_ok, &edge_ok, meter, charge, &mut scratch)?;
@@ -992,7 +1043,8 @@ fn build_counterexample(
     let loop_start = ids.len() - 1; // Index of `entry` in the trace.
 
     // Cycle: visit every waypoint inside the component, then return.
-    let in_nodes = |n: usize| nodes.contains(&n);
+    // `nodes` is a Tarjan component: sorted ascending.
+    let in_nodes = |n: usize| nodes.binary_search(&n).is_ok();
     let comp_edge_ok = |s: usize, i: usize| edge_ok(s, i) && in_nodes(graph.edges(s)[i].target);
     let mut cur = entry;
     let append_path_to = |goal: usize, ids: &mut Vec<(Option<usize>, usize)>, cur: &mut usize| {
@@ -1526,6 +1578,27 @@ mod tests {
         assert_eq!(
             live_target_hash(&LiveTarget::Eventually(p.clone())),
             live_target_hash(&LiveTarget::Eventually(p)),
+        );
+    }
+
+    #[test]
+    fn target_hash_covers_the_mapping_whatever_its_insertion_order() {
+        let mut vars = Vars::new();
+        let [x, y, n, m] = ["x", "y", "n", "m"].map(|v| vars.declare(v, Domain::bits()));
+        let fair = Fairness::weak(Expr::prime(n).eq(Expr::var(m)), vec![n]);
+        let under = |pairs: [(VarId, Expr); 2]| {
+            live_target_hash(&LiveTarget::fair_mapped(
+                fair.clone(),
+                Expr::bool(true),
+                Substitution::new(pairs),
+            ))
+        };
+        let a = under([(n, Expr::var(x)), (m, Expr::var(y))]);
+        assert_eq!(a, under([(m, Expr::var(y)), (n, Expr::var(x))]));
+        assert_ne!(a, under([(n, Expr::var(y)), (m, Expr::var(x))]));
+        assert_ne!(
+            a,
+            live_target_hash(&LiveTarget::fair_with_enabled(fair, Expr::bool(true)))
         );
     }
 

@@ -45,8 +45,10 @@ use std::sync::Mutex;
 /// States per table chunk / frontier slice a worker claims at once.
 const CHUNK: usize = 256;
 
-/// Computes `row(id)` for every `id in 0..n`, in parallel on more than
-/// one thread, returning the rows in id order.
+/// Computes `row(scratch, id)` for every `id in 0..n`, in parallel on
+/// more than one thread, returning the rows in id order. Every worker
+/// makes its own `scratch()` (the image-class memos of a target table:
+/// unshared, so no lock) and drops it on its own thread.
 ///
 /// On failure the reported `pending` is exact in state units: the
 /// number of states whose rows were not fully committed (sequentially
@@ -54,15 +56,17 @@ const CHUNK: usize = 256;
 /// completed chunks count as pending because their rows are
 /// discarded). When several workers fail, the failure at the smallest
 /// chunk start wins, keeping the surfaced error independent of timing.
-pub(super) fn table_rows<T: Send>(
+pub(super) fn table_rows<T: Send, S>(
     n: usize,
     threads: usize,
-    row: &(dyn Fn(usize) -> Result<T, Stop> + Sync),
+    scratch: &(dyn Fn() -> S + Sync),
+    row: &(dyn Fn(&mut S, usize) -> Result<T, Stop> + Sync),
 ) -> Result<Vec<T>, Stop> {
     if threads <= 1 || n == 0 {
         let mut out = Vec::with_capacity(n);
+        let mut scratch = scratch();
         for id in 0..n {
-            match row(id) {
+            match row(&mut scratch, id) {
                 Ok(t) => out.push(t),
                 Err(stop) => return Err(stop.with_pending(n - id)),
             }
@@ -76,38 +80,41 @@ pub(super) fn table_rows<T: Send>(
     let failed: Mutex<Option<(usize, Stop)>> = Mutex::new(None);
     std::thread::scope(|scope| {
         for _ in 0..threads.min(chunks) {
-            scope.spawn(|| loop {
-                if lock(&failed).is_some() {
-                    break;
-                }
-                let c = cursor.fetch_add(1, Ordering::SeqCst);
-                if c >= chunks {
-                    break;
-                }
-                let lo = c * CHUNK;
-                let hi = (lo + CHUNK).min(n);
-                let mut rows = Vec::with_capacity(hi - lo);
-                let mut err = None;
-                for id in lo..hi {
-                    match row(id) {
-                        Ok(t) => rows.push(t),
-                        Err(stop) => {
-                            err = Some(stop);
-                            break;
-                        }
-                    }
-                }
-                match err {
-                    Some(stop) => {
-                        let mut slot = lock(&failed);
-                        if slot.as_ref().is_none_or(|(start, _)| lo < *start) {
-                            *slot = Some((lo, stop));
-                        }
+            scope.spawn(|| {
+                let mut scratch = scratch();
+                loop {
+                    if lock(&failed).is_some() {
                         break;
                     }
-                    None => {
-                        committed.fetch_add(hi - lo, Ordering::SeqCst);
-                        *lock(&slots[c]) = Some(rows);
+                    let c = cursor.fetch_add(1, Ordering::SeqCst);
+                    if c >= chunks {
+                        break;
+                    }
+                    let lo = c * CHUNK;
+                    let hi = (lo + CHUNK).min(n);
+                    let mut rows = Vec::with_capacity(hi - lo);
+                    let mut err = None;
+                    for id in lo..hi {
+                        match row(&mut scratch, id) {
+                            Ok(t) => rows.push(t),
+                            Err(stop) => {
+                                err = Some(stop);
+                                break;
+                            }
+                        }
+                    }
+                    match err {
+                        Some(stop) => {
+                            let mut slot = lock(&failed);
+                            if slot.as_ref().is_none_or(|(start, _)| lo < *start) {
+                                *slot = Some((lo, stop));
+                            }
+                            break;
+                        }
+                        None => {
+                            committed.fetch_add(hi - lo, Ordering::SeqCst);
+                            *lock(&slots[c]) = Some(rows);
+                        }
                     }
                 }
             });
@@ -216,11 +223,7 @@ pub(super) fn find_violation_par(
     if v.starts.is_empty() {
         return Ok(None);
     }
-    let edge_ok = |s: usize, i: usize| -> bool {
-        v.cycle_node_ok[s]
-            && v.cycle_node_ok[graph.edges(s)[i].target]
-            && v.cycle_edge_ok.as_ref().is_none_or(|rows| rows[s][i])
-    };
+    let edge_ok = |s: usize, i: usize| v.edge_ok(graph, s, i);
     // The SCC decomposition stays sequential and shared: its completion
     // order is the deterministic tie-break, so it must not depend on
     // thread count (and it is a single O(V + E) pass — the expensive

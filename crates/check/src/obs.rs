@@ -379,6 +379,27 @@ pub enum Event<'a> {
         /// Total bytes spilled to disk over the run.
         spilled_bytes: u64,
     },
+    /// One image-class pass of an obligation check (see
+    /// [`image`](crate::image)): why the check was cheap, or was not.
+    /// A simulation emits one; a liveness check one per table it
+    /// builds from the target (`edges` and `distinct_pairs` are 0 for
+    /// a table of a state predicate).
+    ImageMemo {
+        /// Which check ran the pass (`"simulation"` / `"liveness"`).
+        check: &'a str,
+        /// Distinct image classes among the graph's states.
+        classes: u64,
+        /// Step evaluations actually run: the distinct class pairs
+        /// met (counted once per worker that met them), plus every
+        /// step that bypassed the memo. `1 - distinct_pairs / edges`
+        /// is the hit ratio.
+        distinct_pairs: u64,
+        /// Steps looked up — the edges the check examined.
+        edges: u64,
+        /// Whether no two states shared a class, so every lookup
+        /// evaluated.
+        skipped: bool,
+    },
     /// The engine run ended; carries the full report.
     RunEnd {
         /// The final report.
@@ -406,6 +427,7 @@ impl Event<'_> {
             Event::Spill { .. } => "spill",
             Event::BudgetIgnored { .. } => "budget_ignored",
             Event::CacheStats { .. } => "cache_stats",
+            Event::ImageMemo { .. } => "image_memo",
             Event::RunEnd { .. } => "run_end",
         }
     }
@@ -474,6 +496,7 @@ pub struct CountingRecorder {
     spills: AtomicU64,
     budget_ignored_events: AtomicU64,
     cache_stats_events: AtomicU64,
+    image_memo_events: AtomicU64,
     /// Cumulative spilled bytes of the most recent spill event.
     spilled_bytes: AtomicU64,
     /// Ample/full/skipped/canon totals of the most recent reduction
@@ -519,6 +542,7 @@ impl CountingRecorder {
             spills: AtomicU64::new(0),
             budget_ignored_events: AtomicU64::new(0),
             cache_stats_events: AtomicU64::new(0),
+            image_memo_events: AtomicU64::new(0),
             spilled_bytes: AtomicU64::new(0),
             red_ample_states: AtomicU64::new(0),
             red_full_states: AtomicU64::new(0),
@@ -614,6 +638,11 @@ impl CountingRecorder {
     /// Cache-stats events recorded.
     pub fn cache_stats_events(&self) -> u64 {
         self.cache_stats_events.load(Ordering::Relaxed)
+    }
+
+    /// Image-class passes recorded.
+    pub fn image_memo_events(&self) -> u64 {
+        self.image_memo_events.load(Ordering::Relaxed)
     }
 
     /// Cumulative spilled bytes reported by the most recent spill
@@ -722,6 +751,9 @@ impl Recorder for CountingRecorder {
             }
             Event::CacheStats { .. } => {
                 self.cache_stats_events.fetch_add(1, Ordering::Relaxed);
+            }
+            Event::ImageMemo { .. } => {
+                self.image_memo_events.fetch_add(1, Ordering::Relaxed);
             }
             Event::PhaseEnter { phase } => {
                 self.phase_entered[phase.index()]
@@ -981,6 +1013,20 @@ impl Recorder for JsonlRecorder {
                 body.push_str(&format!(
                     ",\"hits\":{hits},\"misses\":{misses},\"evictions\":{evictions},\
                      \"resident_bytes\":{resident_bytes},\"spilled_bytes\":{spilled_bytes}"
+                ));
+            }
+            Event::ImageMemo {
+                check,
+                classes,
+                distinct_pairs,
+                edges,
+                skipped,
+            } => {
+                body.push_str(&format!(
+                    ",\"check\":{},\"classes\":{classes},\
+                     \"distinct_pairs\":{distinct_pairs},\"edges\":{edges},\
+                     \"skipped\":{skipped}",
+                    json_str(check)
                 ));
             }
             Event::RunEnd { report } => {
@@ -1647,6 +1693,27 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                 req_u64(&obj, "resident_bytes", line)?;
                 req_u64(&obj, "spilled_bytes", line)?;
             }
+            "image_memo" => {
+                req_str(&obj, "check", line)?;
+                req_u64(&obj, "classes", line)?;
+                let pairs = req_u64(&obj, "distinct_pairs", line)?;
+                let edges = req_u64(&obj, "edges", line)?;
+                let skipped = obj
+                    .get("skipped")
+                    .and_then(Json::as_bool)
+                    .ok_or_else(|| format!("line {line}: image_memo missing skipped"))?;
+                if pairs > edges {
+                    return Err(format!(
+                        "line {line}: {pairs} step evaluations for {edges} edges"
+                    ));
+                }
+                if skipped && pairs != edges {
+                    return Err(format!(
+                        "line {line}: a skipped memo evaluates every edge \
+                         ({pairs} of {edges})"
+                    ));
+                }
+            }
             other => return Err(format!("line {line}: unknown event kind \"{other}\"")),
         }
     }
@@ -1662,6 +1729,18 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A writer the test can read back.
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+    impl Write for Shared {
+        fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(data);
+            Ok(data.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
 
     #[test]
     fn null_recorder_is_disabled_and_silent() {
@@ -1715,16 +1794,6 @@ mod tests {
     #[test]
     fn jsonl_round_trips_through_the_validator() {
         let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
         let rec = JsonlRecorder::from_writer(Shared(Arc::clone(&buf)));
         rec.record(&Event::RunStart {
             engine: "explore_sequential",
@@ -1782,16 +1851,6 @@ mod tests {
         assert_eq!(rec.events(), 1);
 
         let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
-        struct Shared(Arc<Mutex<Vec<u8>>>);
-        impl Write for Shared {
-            fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(data);
-                Ok(data.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
         let rec = JsonlRecorder::from_writer(Shared(Arc::clone(&buf)));
         rec.record(&Event::LivenessWorker {
             worker: 2,
@@ -1805,6 +1864,38 @@ mod tests {
         // The fields are required: dropping one fails validation.
         let bad = "{\"v\":1,\"t\":1,\"ev\":\"liveness_worker\",\"worker\":0,\"components\":3}\n";
         assert!(validate_stream(bad).unwrap_err().contains("candidates"));
+    }
+
+    #[test]
+    fn image_memo_event_counts_serializes_and_validates() {
+        let event = Event::ImageMemo {
+            check: "simulation",
+            classes: 58,
+            distinct_pairs: 178,
+            edges: 1_699_992,
+            skipped: false,
+        };
+        let rec = CountingRecorder::new();
+        rec.record(&event);
+        assert_eq!(rec.image_memo_events(), 1);
+        assert_eq!(rec.events(), 1);
+
+        let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
+        let rec = JsonlRecorder::from_writer(Shared(Arc::clone(&buf)));
+        rec.record(&event);
+        rec.flush();
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let summary = validate_stream(&text).expect("stream validates");
+        assert_eq!(summary.kinds["image_memo"], 1);
+        // More evaluations than edges, or a skipped memo that did not
+        // evaluate every edge, is not a stream this crate writes.
+        let head = "{\"v\":1,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
+        let bad = format!("{head},\"distinct_pairs\":9,\"edges\":8,\"skipped\":false}}\n");
+        assert!(validate_stream(&bad).unwrap_err().contains("evaluations"));
+        let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8,\"skipped\":true}}\n");
+        assert!(validate_stream(&bad).unwrap_err().contains("skipped"));
+        let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8}}\n");
+        assert!(validate_stream(&bad).unwrap_err().contains("skipped"));
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! discharged.
 
 use crate::budget::{Budget, Governed, Meter, Outcome};
+use crate::image::{Classes, Memo};
 use crate::invariant::trace_counterexample;
 use crate::{CheckError, Counterexample, ExhaustReason, StateGraph, System, Verdict};
-use opentla_kernel::{box_action, Formula, StatePair, Substitution};
-use opentla_semantics::safety_canonical;
+use opentla_kernel::{box_action, EvalError, Expr, Formula, StatePair, Substitution};
+use opentla_semantics::{safety_canonical, SafetyCanonical};
 
 /// The result of a simulation check, with workload statistics.
 #[derive(Clone, Debug)]
@@ -165,31 +166,72 @@ pub fn check_simulation_governed(
             }
         }
     }
+    // 2–3. Invariants on every state and step boxes on every edge, each
+    // decided once per image class (pair) of the *un*substituted target.
+    let classes = Classes::of_graph(graph, &target.free_vars(), mapping);
+    let run = check_states_and_edges(
+        system, graph, &sc, &classes, meter, &exhausted, &violated,
+    );
+    classes.report(&budget.recorder, "simulation");
+    run
+}
+
+/// Index of the first of `preds` that `holds` refutes.
+fn first_refuted(
+    preds: &[Expr],
+    holds: impl Fn(&Expr) -> Result<bool, EvalError>,
+) -> Result<Option<usize>, EvalError> {
+    for (i, p) in preds.iter().enumerate() {
+        if !holds(p)? {
+            return Ok(Some(i));
+        }
+    }
+    Ok(None)
+}
+
+/// Steps 2 and 3 of [`check_simulation_governed`]. Charges, polls and
+/// scan order are per concrete state and edge; only the evaluation of
+/// the mapped predicates goes through the class memos.
+fn check_states_and_edges(
+    system: &System,
+    graph: &StateGraph,
+    sc: &SafetyCanonical,
+    classes: &Classes,
+    meter: &Meter,
+    exhausted: &dyn Fn(ExhaustReason, usize) -> SimulationRun,
+    violated: &dyn Fn(Counterexample, usize) -> SimulationRun,
+) -> Result<SimulationRun, CheckError> {
+    let vars = system.vars();
     // 2. Invariants.
+    let mut invariants_hold = Memo::new(classes);
     for (id, s) in graph.states().iter().enumerate() {
         if let Some(reason) =
             meter.checkpoint().or_else(|| meter.charge_state())
         {
             return Ok(exhausted(reason, graph.len() - id));
         }
-        for p in &sc.invariants {
-            if !p.holds_state(s)? {
-                let cx = trace_counterexample(
-                    system,
-                    graph,
-                    id,
-                    format!("target invariant fails: {}", p.display(vars)),
-                );
-                return Ok(violated(cx, meter.transitions_used()));
-            }
+        let refuted = || first_refuted(&sc.invariants, |p| p.holds_state(s));
+        if !sc.invariants.is_empty()
+            && !invariants_hold.state(id, || refuted().map(|r| r.is_none()))?
+        {
+            let p = &sc.invariants[refuted()?.expect("just refuted at this state")];
+            let cx = trace_counterexample(
+                system,
+                graph,
+                id,
+                format!("target invariant fails: {}", p.display(vars)),
+            );
+            return Ok(violated(cx, meter.transitions_used()));
         }
     }
+    drop(invariants_hold);
     // 3. Step boxes on every edge.
     let boxes: Vec<_> = sc
         .boxes
         .iter()
         .map(|(a, sub)| box_action(a.clone(), sub))
         .collect();
+    let mut boxes_hold = Memo::new(classes);
     for (id, s) in graph.states().iter().enumerate() {
         if let Some(reason) = meter.checkpoint() {
             return Ok(exhausted(reason, graph.len() - id));
@@ -199,31 +241,31 @@ pub fn check_simulation_governed(
                 return Ok(exhausted(reason, graph.len() - id));
             }
             let t = graph.state(e.target);
-            let pair = StatePair::new(s, t);
-            for (bi, b) in boxes.iter().enumerate() {
-                if !b.holds_action(pair)? {
-                    let base = trace_counterexample(
-                        system,
-                        graph,
-                        id,
-                        format!(
-                            "step of action {} violates target box #{bi}: {}",
-                            system.actions()[e.action].name(),
-                            sc.boxes[bi].0.display(vars),
-                        ),
-                    );
-                    let mut states = base.states().to_vec();
-                    let mut actions = base.actions().to_vec();
-                    states.push(t.clone());
-                    actions.push(Some(system.actions()[e.action].name().to_string()));
-                    let cx = Counterexample::new(
-                        base.reason().to_string(),
-                        states,
-                        actions,
-                        None,
-                    );
-                    return Ok(violated(cx, meter.transitions_used()));
-                }
+            let refuted =
+                || first_refuted(&boxes, |b| b.holds_action(StatePair::new(s, t)));
+            if !boxes_hold.step(id, e.target, || refuted().map(|r| r.is_none()))? {
+                let bi = refuted()?.expect("just refuted on this step");
+                let base = trace_counterexample(
+                    system,
+                    graph,
+                    id,
+                    format!(
+                        "step of action {} violates target box #{bi}: {}",
+                        system.actions()[e.action].name(),
+                        sc.boxes[bi].0.display(vars),
+                    ),
+                );
+                let mut states = base.states().to_vec();
+                let mut actions = base.actions().to_vec();
+                states.push(t.clone());
+                actions.push(Some(system.actions()[e.action].name().to_string()));
+                let cx = Counterexample::new(
+                    base.reason().to_string(),
+                    states,
+                    actions,
+                    None,
+                );
+                return Ok(violated(cx, meter.transitions_used()));
             }
         }
     }

@@ -9,7 +9,7 @@ use opentla_check::{
     check_liveness_governed, check_simulation_governed, explore_governed_with, Budget,
     ExploreOptions, LiveTarget, Verdict,
 };
-use opentla_kernel::{Formula, Substitution, Vars};
+use opentla_kernel::{Substitution, Vars};
 
 /// Options for the composition engine.
 #[derive(Clone, Debug, Default)]
@@ -366,25 +366,24 @@ fn build_certificate(
     // --- hypothesis 2(b): E ∧ ∧ M_j ⇒ M (liveness half) -------------------
     if !options.skip_liveness {
         for i in 0..target_sys.fairness().len() {
-            let fair_formula = Formula::Fair(target_sys.fairness_condition(i));
-            let mapped = problem.mapping.formula(&fair_formula)?;
-            let Formula::Fair(mapped_fair) = mapped else {
-                unreachable!("substitution preserves the Fair constructor");
-            };
-            // Enabledness: `Enabled` does not commute with
-            // substitution, so the mapped angle action's enabledness is
-            // computed *abstractly* (guard holds and the update would
-            // change an owned variable — exact for guarded commands)
-            // and then mapped. Using concrete-successor enabledness
+            // The checker gets the abstract condition and the mapping
+            // apart, so it can decide each step once per image of the
+            // mapping rather than once per product edge. Enabledness:
+            // `Enabled` does not commute with substitution, so the
+            // angle action's enabledness is the *abstract* predicate
+            // (guard holds and the update would change an owned
+            // variable — exact for guarded commands), mapped like any
+            // state function. Using concrete-successor enabledness
             // here would be unsound: an abstract action can be enabled
             // at states the concrete implementation has saturated.
-            let enabled = problem
-                .mapping
-                .expr(&target_sys.fairness_enabled_expr(i))?;
             let run = check_liveness_governed(
                 &product,
                 graph,
-                &LiveTarget::fair_with_enabled(mapped_fair, enabled),
+                &LiveTarget::fair_mapped(
+                    target_sys.fairness_condition(i),
+                    target_sys.fairness_enabled_expr(i),
+                    problem.mapping.clone(),
+                ),
                 &budget,
             )?;
             obligations.push(Obligation {

@@ -62,16 +62,14 @@ pub fn check_component_refinement(
     let mut liveness = Vec::new();
     for c in abstracts {
         for k in 0..c.fairness().len() {
-            let fair = Formula::Fair(c.fairness_condition(k));
-            let mapped = mapping.formula(&fair)?;
-            let Formula::Fair(mapped_fair) = mapped else {
-                unreachable!("substitution preserves Fair")
-            };
-            let enabled = mapping.expr(&c.fairness_enabled_expr(k))?;
             let verdict = check_liveness(
                 system,
                 graph,
-                &LiveTarget::fair_with_enabled(mapped_fair, enabled),
+                &LiveTarget::fair_mapped(
+                    c.fairness_condition(k),
+                    c.fairness_enabled_expr(k),
+                    mapping.clone(),
+                ),
             )?;
             liveness.push((format!("{}/fairness[{k}]", c.name()), verdict));
         }

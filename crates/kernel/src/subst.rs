@@ -13,7 +13,7 @@
 
 use crate::formula::Fairness;
 use crate::{Expr, Formula, KernelError, VarId, VarSet};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Converts a state function into its primed form: every unprimed
 /// variable becomes primed.
@@ -165,7 +165,10 @@ impl Renaming {
 /// preserves the semantics of `[A]_v`).
 #[derive(Clone, Debug, Default)]
 pub struct Substitution {
-    map: HashMap<VarId, Expr>,
+    /// Ordered, so that [`Substitution::domain`] and the `Debug`
+    /// rendering (which liveness snapshots hash to pin their target)
+    /// are the same in every process.
+    map: BTreeMap<VarId, Expr>,
 }
 
 impl Substitution {
@@ -176,7 +179,7 @@ impl Substitution {
     /// Panics if a replacement expression contains a primed variable:
     /// refinement mappings are state functions by definition.
     pub fn new(pairs: impl IntoIterator<Item = (VarId, Expr)>) -> Self {
-        let map: HashMap<VarId, Expr> = pairs.into_iter().collect();
+        let map: BTreeMap<VarId, Expr> = pairs.into_iter().collect();
         for (v, e) in &map {
             assert!(
                 e.is_state_fn(),
@@ -187,9 +190,14 @@ impl Substitution {
         Substitution { map }
     }
 
-    /// The variables this substitution replaces.
+    /// The variables this substitution replaces, in ascending order.
     pub fn domain(&self) -> impl Iterator<Item = VarId> + '_ {
         self.map.keys().copied()
+    }
+
+    /// Whether this is the identity (it replaces no variable).
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
     }
 
     /// The replacement for `v`, if any.

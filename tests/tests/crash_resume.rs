@@ -728,6 +728,77 @@ fn corrupted_or_mismatched_live_snapshot_is_refused() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The refinement mapping is part of the target: a snapshot taken
+/// while checking an abstract fairness condition under mapping A is
+/// refused under mapping B (its cleared components were computed from
+/// A's angle table), and still resumes under A.
+#[test]
+fn live_snapshot_refuses_a_different_mapping() {
+    let chain = QueueChain::new(2, 1, 2, FairnessStyle::Joint);
+    let system = chain.complete_system().unwrap();
+    let graph = explore(&system, &ExploreOptions::default()).unwrap();
+    let ch = chain.channels();
+    let big = opentla_queue::queue_component(
+        "QM[big]",
+        &ch[0],
+        &ch[2],
+        chain.q_big(),
+        chain.big_capacity(),
+        FairnessStyle::Joint,
+    )
+    .unwrap();
+    let under = |mapping: opentla_kernel::Substitution| {
+        LiveTarget::fair_mapped(
+            big.fairness_condition(0),
+            big.fairness_enabled_expr(0),
+            mapping,
+        )
+    };
+    let mapping_a = chain.refinement_mapping();
+    // B forgets the value in flight between the two queues.
+    let q = |name: &str| Expr::var(chain.vars().find(name).unwrap());
+    let mapping_b = opentla_kernel::Substitution::new([(chain.q_big(), q("q2").concat(q("q1")))]);
+
+    let path = snap_path("live-mapping");
+    let run = check_liveness_resumable(
+        &system,
+        &graph,
+        &under(mapping_a.clone()),
+        &Budget::default().transitions(40).with_checkpoint(&path, 8),
+        &LivenessOptions::default(),
+    )
+    .unwrap();
+    assert!(run.outcome.resume_token().is_some(), "run must interrupt");
+
+    let err = check_liveness_resumable(
+        &system,
+        &graph,
+        &under(mapping_b),
+        &Budget::unlimited().with_checkpoint(&path, 8),
+        &LivenessOptions::default(),
+    )
+    .unwrap_err();
+    assert!(
+        matches!(err, CheckError::Checkpoint(CheckpointError::Mismatch { .. })),
+        "{err}"
+    );
+
+    let resumed = check_liveness_resumable(
+        &system,
+        &graph,
+        &under(mapping_a.clone()),
+        &Budget::unlimited().with_checkpoint(&path, 8),
+        &LivenessOptions::default(),
+    )
+    .unwrap();
+    assert_same_liveness_verdict(
+        "chain2/mapped-resume",
+        &check_liveness(&system, &graph, &under(mapping_a)).unwrap(),
+        &resumed.verdict.expect("an unlimited budget decides"),
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
 // ---------------------------------------------------------------------
 // Property-based round trip on random systems
 // ---------------------------------------------------------------------

@@ -149,6 +149,70 @@ fn golden_stream_shape() {
     assert_eq!(summary.max_phase_depth, 1);
 }
 
+/// A certificate narrates its obligation checks: one `image_memo` per
+/// simulation (two H1s, H2a) and one per target fairness table (H2b),
+/// each with the golden field set, inside the phase of its check. The
+/// counts are the chain's own and do not depend on timing.
+#[test]
+fn golden_image_memo_events_of_a_certificate() {
+    let buf = Arc::new(Mutex::new(Vec::new()));
+    let recorder = Arc::new(JsonlRecorder::from_writer(SharedBuf(buf.clone())));
+    let chain = QueueChain::new(2, 1, 2, FairnessStyle::Joint);
+    let options = opentla::CompositionOptions {
+        budget: Budget::default().with_recorder(RecorderHandle::new(recorder.clone())),
+        ..Default::default()
+    };
+    let cert = chain.prove_composition(&options).expect("chain2 is well-formed");
+    assert!(cert.holds());
+    recorder.flush();
+    let text = String::from_utf8(buf.lock().unwrap().clone()).expect("utf-8 stream");
+    let summary = validate_stream(&text)
+        .unwrap_or_else(|e| panic!("stream fails schema validation: {e}\n{text}"));
+    assert_eq!(summary.kinds["image_memo"], 4);
+    let fields: Vec<&str> = summary.fields["image_memo"].iter().map(String::as_str).collect();
+    assert_eq!(
+        fields,
+        ["v", "t", "ev", "check", "classes", "distinct_pairs", "edges", "skipped"]
+    );
+
+    let mut phase = Vec::new();
+    let mut passes = Vec::new();
+    for line in text.lines() {
+        let obj = opentla_check::obs::Json::parse(line).expect("valid line");
+        let str_of = |k: &str| obj.get(k).and_then(|j| j.as_str()).map(str::to_string);
+        let num = |k: &str| obj.get(k).and_then(|j| j.as_u64()).expect("a count");
+        match str_of("ev").as_deref() {
+            Some("phase_enter") => phase.push(str_of("phase").unwrap()),
+            Some("phase_exit") => {
+                phase.pop();
+            }
+            Some("image_memo") => {
+                let check = str_of("check").unwrap();
+                assert_eq!(phase.last(), Some(&check), "emitted inside its check's phase");
+                assert_eq!(obj.get("skipped").and_then(|j| j.as_bool()), Some(false));
+                assert_eq!(num("edges"), cert.product_edges as u64);
+                passes.push((check, num("classes"), num("distinct_pairs")));
+            }
+            _ => {}
+        }
+    }
+    let checks: Vec<&str> = passes.iter().map(|(c, ..)| c.as_str()).collect();
+    assert_eq!(checks, ["simulation", "simulation", "simulation", "liveness"]);
+    // H2a and H2b look at the same abstract variables through the same
+    // mapping: same classes, and the same abstract steps (on several
+    // liveness workers each counts the steps it met itself) — fewer of
+    // either than the product has states and edges.
+    assert_eq!(passes[2].1, passes[3].1);
+    assert!(passes[2].2 <= passes[3].2, "{passes:?}");
+    for (check, classes, pairs) in &passes {
+        assert!(*classes < cert.product_states as u64, "{passes:?}");
+        assert!(*pairs <= cert.product_edges as u64, "{passes:?}");
+        if check == "simulation" {
+            assert!(*pairs < cert.product_edges as u64, "{passes:?}");
+        }
+    }
+}
+
 /// Event ordering within each run is golden: run_start first, then the
 /// exploration phases in engine order, a final exact progress
 /// snapshot, and run_end last.

@@ -7,10 +7,10 @@
 //! the parallel engine is an exact reformulation of sequential BFS.
 
 use opentla_check::{
-    explore_governed_with, Budget, CountingRecorder, ExploreOptions, GraphStats,
-    GuardedAction, Init, Phase, RecorderHandle, System,
+    check_simulation_governed, explore_governed_with, Budget, CountingRecorder, Event,
+    ExploreOptions, GraphStats, GuardedAction, Init, Phase, Recorder, RecorderHandle, System,
 };
-use opentla_kernel::{Domain, Expr, Value, Vars};
+use opentla_kernel::{Domain, Expr, Formula, Substitution, Value, Vars};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -130,6 +130,75 @@ proptest! {
             let (stats_n, totals_n) = counted_run(&sys, threads);
             prop_assert_eq!(stats_n, stats1, "stats differ at {} threads", threads);
             prop_assert_eq!(totals_n, totals1, "totals differ at {} threads", threads);
+        }
+    }
+}
+
+/// Keeps the one `image_memo` event of a simulation.
+#[derive(Default)]
+struct LastPass(std::sync::Mutex<Option<(u64, u64, u64, bool)>>);
+
+impl Recorder for LastPass {
+    fn record(&self, event: &Event<'_>) {
+        if let Event::ImageMemo {
+            classes,
+            distinct_pairs,
+            edges,
+            skipped,
+            ..
+        } = event
+        {
+            let previous = self
+                .0
+                .lock()
+                .unwrap()
+                .replace((*classes, *distinct_pairs, *edges, *skipped));
+            assert!(previous.is_none(), "one pass per simulation");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The `image_memo` counts are the check's own: a simulation that
+    /// holds looked up every edge once, evaluated no more steps than
+    /// it looked up, found no more classes than the footprint has
+    /// values — and skipped the memo exactly when the footprint
+    /// separates every state.
+    #[test]
+    fn image_memo_counts_match_the_check(
+        specs in proptest::collection::vec(arb_action_spec(), 1..4),
+        footprint_is_everything in 0..2u8,
+    ) {
+        let sys = build_system(&specs);
+        let (a, b) = (sys.vars().find("a").unwrap(), sys.vars().find("b").unwrap());
+        let graph = explore_governed_with(&sys, &Budget::default(), &ExploreOptions::default())
+            .expect("explores")
+            .graph;
+        // □[TRUE]_a looks at `a` only; □[TRUE]_⟨a,b⟩ at the whole state.
+        let sub = if footprint_is_everything == 1 { vec![a, b] } else { vec![a] };
+        let target = Formula::act_box(Expr::bool(true), sub.clone());
+        let pass = Arc::new(LastPass::default());
+        let run = check_simulation_governed(
+            &sys,
+            &graph,
+            &target,
+            &Substitution::default(),
+            &Budget::default().with_recorder(RecorderHandle::new(pass.clone())),
+        )
+        .expect("simulates");
+        prop_assert!(run.report.expect("unbudgeted").holds());
+        let (classes, pairs, edges, skipped) =
+            pass.0.lock().unwrap().expect("a simulation emits its pass");
+        prop_assert_eq!(edges, graph.edge_count() as u64);
+        prop_assert!(pairs <= edges);
+        prop_assert!(classes <= 2u64.pow(sub.len() as u32));
+        prop_assert_eq!(skipped, classes == graph.len() as u64);
+        if skipped {
+            prop_assert_eq!(pairs, edges);
+        } else {
+            prop_assert!(pairs <= classes * classes);
         }
     }
 }

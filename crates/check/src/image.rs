@@ -1,8 +1,9 @@
 //! Image classes: an obligation is checked once per *abstract* step,
-//! not once per concrete edge.
+//! not once per concrete edge, and the refinement mapping is evaluated
+//! once per graph.
 //!
 //! The hypotheses of the Composition Theorem are evaluated over one
-//! explored graph under a refinement mapping `σ` (`q̄ ↦ q₂ ∘ mid ∘ q₁`
+//! explored graph under one refinement mapping `σ` (`q̄ ↦ q₂ ∘ mid ∘ q₁`
 //! and the like). A step box `[A]_v`, an angle action `⟨A⟩_v` or an
 //! enabledness predicate of the *abstract* specification depends on a
 //! concrete step `⟨s, t⟩` only through the **image** of `s` and `t`:
@@ -10,21 +11,43 @@
 //! mentions, and `s[v]` for each unmapped one. That is the substitution
 //! lemma behind the refinement-mapping argument (the paper's ref.
 //! \[10\]): evaluating the substituted expression on `⟨s, t⟩` equals
-//! evaluating the unsubstituted one on `⟨s̄, t̄⟩`. A product of `k`
-//! components has far fewer images than states — the obligation does
-//! not look at most of them.
+//! evaluating the unsubstituted one on `⟨s̄, t̄⟩`, where `s̄` is `s` with
+//! every mapped variable set to its image. A product of `k` components
+//! has far fewer images than states — the obligation does not look at
+//! most of them. This module uses the lemma in both directions.
 //!
-//! So, for an obligation with footprint `F` (the variables, primed or
-//! not, of its *un*substituted expressions), [`Classes::of_graph`]
-//! gives every graph state a class: the interned tuple
-//! `⟨ v ∈ F : σ(v)(s) if v ∈ dom σ else s[v] ⟩`. A [`Memo`] then maps
+//! **The mapping, once.** [`Images::of_graph`] evaluates each `σ(v)` at
+//! every state of a graph (through [`CompiledExpr`]: it is a state
+//! function) and keeps the result as one `u32` column per mapped
+//! variable into a table of the distinct values. Every obligation
+//! checked under that mapping reads the column; none evaluates `σ`
+//! again. A certificate builds one and hands it to hypothesis 2(a) and
+//! to every condition of 2(b); a stand-alone check builds its own.
+//!
+//! **Substituted → abstract: classes.** For an obligation with footprint
+//! `F` (the variables, primed or not, of its *un*substituted
+//! expressions), [`Classes::of_graph`] gives every graph state a class:
+//! the interned tuple `⟨ v ∈ F : σ(v)(s) if v ∈ dom σ else s[v] ⟩`,
+//! mapped slots read from the [`Images`] column. A [`Memo`] then maps
 //! `(class[s], class[t])` — or `class[s]` for a state predicate — to
-//! the obligation's boolean, and on a miss runs the caller's own
-//! evaluation of its own substituted expression on that concrete pair.
-//! There is no second evaluator and no new semantics, only fewer calls.
+//! the obligation's boolean.
 //!
-//! Two cases fall back to the evaluation the caller would have done
-//! anyway:
+//! **Abstract → substituted: misses.** A pair met for the first time is
+//! decided on `⟨s̄, t̄⟩` itself: the caller's *un*substituted expression,
+//! evaluated by the same [`Expr::holds_action`](opentla_kernel::Expr)
+//! / `holds_state` on the two abstract states, which cost two slot
+//! writes each because the images are already there. The substituted
+//! expression re-evaluates `σ(v)` at every occurrence of `v` and `v'`.
+//! A substituted box carries a third disjunct, `UNCHANGED` of the
+//! concrete variables `σ(v)` reads; it implies `σ(v)' = σ(v)`, the
+//! second, so dropping it cannot change a result. When the abstract
+//! evaluation errs, the caller's substituted expression is evaluated
+//! on the concrete pair and *its* result — value or typed error — is
+//! the answer, so errors are those of the per-edge check. There is
+//! still no second evaluator and no new semantics.
+//!
+//! Two cases evaluate the substituted expression directly, as a check
+//! without this module would:
 //!
 //! * a state whose key cannot be computed (a partial mapping such as
 //!   `Head` of a possibly-empty sequence, or an unbound variable) has
@@ -34,8 +57,8 @@
 //!   mapping itself, so `F` covers every varying variable) the memo is
 //!   **skipped**: no class is kept and every lookup evaluates.
 //!
-//! The class pass charges no budget and polls nothing, and a lookup
-//! never replaces a charge: meter accounting, scan order, and hence
+//! Neither pass charges a budget or polls anything, and a lookup never
+//! replaces a charge: meter accounting, scan order, and hence
 //! first-violation edges, traces, lassos and exhaustion frontiers are
 //! those of the per-edge evaluation.
 //!
@@ -45,21 +68,165 @@
 //! supplies, which is an ordinary state function and so has images like
 //! any other.
 
+use crate::compiled::{CompiledExpr, EvalScratch};
 use crate::obs::{Event, RecorderHandle};
-use crate::StateGraph;
+use crate::{CheckError, StateGraph};
 use fxhash::FxHashMap;
-use opentla_kernel::{Expr, State, Substitution, Value, VarId, VarSet};
+use opentla_kernel::{State, StatePair, Substitution, Value, VarId, VarSet};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
-/// "This state has no class": its key could not be computed.
-const NO_CLASS: u32 = u32::MAX;
+/// "This state has no class": its key could not be computed. Also
+/// "`σ(v)` is undefined at this state" in an [`Images`] column.
+const NONE: u32 = u32::MAX;
+
+/// `σ(v)(s)` for every mapped variable `v` and every state `s` of one
+/// graph, evaluated once: a `u32` per state and mapped variable into
+/// the table of distinct values. The default is the images of the
+/// empty mapping: none, whatever the graph.
+#[derive(Debug, Default)]
+pub struct Images {
+    mapping: Substitution,
+    /// One column per mapped variable, ascending; [`NONE`] where the
+    /// image is undefined.
+    columns: Vec<(VarId, Vec<u32>)>,
+    /// The distinct values, by id.
+    values: Vec<Value>,
+}
+
+impl Images {
+    /// One pass over `graph`, evaluating every `σ(v)` of `mapping` at
+    /// every state and reporting itself as an [`Event::ImagePass`]. The
+    /// value interner's hash map is dropped before this returns: what
+    /// stays resident is four bytes per state and mapped variable, plus
+    /// the distinct values. The empty mapping has no images: nothing is
+    /// evaluated and nothing reported.
+    pub fn of_graph(
+        graph: &StateGraph,
+        mapping: &Substitution,
+        recorder: &RecorderHandle,
+    ) -> Images {
+        let started = Instant::now();
+        let programs: Vec<(VarId, CompiledExpr)> = mapping
+            .domain()
+            .map(|v| {
+                let image = mapping.get(v).expect("a variable of the domain");
+                (v, CompiledExpr::compile(image))
+            })
+            .collect();
+        let mut columns: Vec<(VarId, Vec<u32>)> = programs
+            .iter()
+            .map(|(v, _)| (*v, Vec::with_capacity(graph.len())))
+            .collect();
+        let mut ids: FxHashMap<Value, u32> = FxHashMap::default();
+        let mut values = Vec::new();
+        let mut scratch = EvalScratch::new();
+        let mut undefined = 0u64;
+        for s in graph.states() {
+            for ((_, program), (_, column)) in programs.iter().zip(&mut columns) {
+                column.push(match program.eval(s, &mut scratch) {
+                    Ok(value) => {
+                        let id = intern(&mut ids, &value);
+                        if id as usize == values.len() {
+                            values.push(value);
+                        }
+                        id
+                    }
+                    Err(_) => {
+                        undefined += 1;
+                        NONE
+                    }
+                });
+            }
+        }
+        if !programs.is_empty() && recorder.enabled() {
+            recorder.record(&Event::ImagePass {
+                states: graph.len() as u64,
+                mapped_vars: programs.len() as u64,
+                distinct_values: values.len() as u64,
+                undefined,
+                nanos: started.elapsed().as_nanos() as u64,
+            });
+        }
+        Images {
+            mapping: mapping.clone(),
+            columns,
+            values,
+        }
+    }
+
+    /// The mapping these are the images of.
+    pub fn mapping(&self) -> &Substitution {
+        &self.mapping
+    }
+
+    /// `given` if they are images of `graph` under `mapping`, as far as
+    /// can be told (the mapping is theirs and the state counts agree);
+    /// the images evaluated here, into `own`, if none are given.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::Precondition`] for images of another graph or
+    /// mapping.
+    pub(crate) fn given_or_own<'a>(
+        given: Option<&'a Images>,
+        own: &'a mut Option<Images>,
+        graph: &StateGraph,
+        mapping: &Substitution,
+        recorder: &RecorderHandle,
+    ) -> Result<&'a Images, CheckError> {
+        let Some(images) = given else {
+            return Ok(own.insert(Images::of_graph(graph, mapping, recorder)));
+        };
+        let fit = images.mapping == *mapping
+            && images.columns.iter().all(|(_, c)| c.len() == graph.len());
+        if fit {
+            Ok(images)
+        } else {
+            Err(CheckError::Precondition {
+                message: "the images handed to this check are of another graph or \
+                          another refinement mapping (Images::of_graph)"
+                    .to_string(),
+            })
+        }
+    }
+
+    /// Distinct values among the images.
+    pub fn distinct_values(&self) -> usize {
+        self.values.len()
+    }
+
+    fn column(&self, v: VarId) -> Option<&[u32]> {
+        self.columns
+            .iter()
+            .find(|(mapped, _)| *mapped == v)
+            .map(|(_, column)| column.as_slice())
+    }
+
+    /// `s̄`: state `id` (which is `s`) with every mapped variable set to
+    /// its image. `None` where some image is undefined or `s` has no
+    /// slot for a mapped variable.
+    fn abstract_state(&self, s: &State, id: usize) -> Option<State> {
+        if self.columns.is_empty() {
+            return Some(s.clone());
+        }
+        let mut values = s.values().to_vec();
+        for (v, column) in &self.columns {
+            let image = self.values.get(column[id] as usize)?;
+            *values.get_mut(v.index())? = image.clone();
+        }
+        Some(State::new(values))
+    }
+}
 
 /// The class of every state of a graph under one footprint and one
 /// mapping, plus the tallies its [`Memo`]s leave behind for
 /// [`Event::ImageMemo`].
 #[derive(Debug)]
-pub struct Classes {
-    /// Class per state ([`NO_CLASS`] where the key is not computable);
+pub struct Classes<'g> {
+    graph: &'g StateGraph,
+    images: &'g Images,
+    /// Class per state ([`NONE`] where the key is not computable);
     /// empty when the memo is skipped.
     of: Vec<u32>,
     /// Distinct classes found.
@@ -69,23 +236,28 @@ pub struct Classes {
     evaluated: AtomicU64,
 }
 
-impl Classes {
+impl<'g> Classes<'g> {
     /// One pass over `graph`: interns each state's image tuple over
-    /// `footprint` under `mapping`. Values are interned to `u32`s and
+    /// `footprint`, a mapped slot read from `images` and an unmapped
+    /// one from the state. Unmapped values are interned to `u32`s and
     /// the tuples keyed as `Box<[u32]>`; both interners are dropped
     /// before this returns, so what stays resident is four bytes per
     /// state (nothing when skipped).
-    pub fn of_graph(graph: &StateGraph, footprint: &VarSet, mapping: &Substitution) -> Classes {
-        let slots: Vec<(VarId, Option<&Expr>)> =
-            footprint.iter().map(|v| (v, mapping.get(v))).collect();
+    ///
+    /// # Panics
+    ///
+    /// If `images` are of a graph with fewer states.
+    pub fn of_graph(graph: &'g StateGraph, footprint: &VarSet, images: &'g Images) -> Classes<'g> {
+        let slots: Vec<(VarId, Option<&[u32]>)> =
+            footprint.iter().map(|v| (v, images.column(v))).collect();
         let mut values: FxHashMap<Value, u32> = FxHashMap::default();
         let mut keys: FxHashMap<Box<[u32]>, u32> = FxHashMap::default();
         let mut key = Vec::with_capacity(slots.len());
         let mut of = Vec::with_capacity(graph.len());
         let mut classed = 0usize;
-        for s in graph.states() {
-            if !image_key(s, &slots, &mut values, &mut key) {
-                of.push(NO_CLASS);
+        for (id, s) in graph.states().iter().enumerate() {
+            if !image_key(s, id, &slots, &mut values, &mut key) {
+                of.push(NONE);
                 continue;
             }
             classed += 1;
@@ -105,6 +277,8 @@ impl Classes {
             of = Vec::new();
         }
         Classes {
+            graph,
+            images,
             of,
             count,
             steps: AtomicU64::new(0),
@@ -125,7 +299,12 @@ impl Classes {
     /// The class of state `id`; `None` when its key is not computable
     /// or the memo is skipped.
     pub fn get(&self, id: usize) -> Option<u32> {
-        self.of.get(id).copied().filter(|class| *class != NO_CLASS)
+        self.of.get(id).copied().filter(|class| *class != NONE)
+    }
+
+    /// `s̄` for state `id`, see [`Images`].
+    fn abstract_state(&self, id: usize) -> Option<State> {
+        self.images.abstract_state(self.graph.state(id), id)
     }
 
     /// Emits the pass's [`Event::ImageMemo`] for check `check`. Call
@@ -143,27 +322,28 @@ impl Classes {
     }
 }
 
-/// Writes the image tuple of `s` into `key`; `false` if some component
-/// has no value at `s`.
+/// Writes the image tuple of `s` (state `id`) into `key`; `false` if
+/// some component has no value there.
 fn image_key(
     s: &State,
-    slots: &[(VarId, Option<&Expr>)],
+    id: usize,
+    slots: &[(VarId, Option<&[u32]>)],
     values: &mut FxHashMap<Value, u32>,
     key: &mut Vec<u32>,
 ) -> bool {
     key.clear();
-    for (v, image) in slots {
-        let id = match image {
-            Some(e) => match e.eval_state(s) {
-                Ok(value) => intern(values, &value),
-                Err(_) => return false,
-            },
+    for (v, column) in slots {
+        let component = match column {
+            Some(column) => column[id],
             None => match s.try_get(*v) {
                 Some(value) => intern(values, value),
-                None => return false,
+                None => NONE,
             },
         };
-        key.push(id);
+        if component == NONE {
+            return false;
+        }
+        key.push(component);
     }
     true
 }
@@ -180,11 +360,18 @@ fn intern(values: &mut FxHashMap<Value, u32>, value: &Value) -> u32 {
 /// One predicate's answers by class, filled on demand. A check keeps
 /// one memo per predicate (and per worker: memos are not shared, so
 /// there is no lock).
+///
+/// A lookup takes the predicate twice: `abstractly`, the unsubstituted
+/// expression to run on the abstract state(s), and `directly`, the
+/// caller's evaluation of its substituted expression on the concrete
+/// state or step at hand. A first meeting of a class (pair) runs
+/// `abstractly` and, should that err, `directly`; a state without a
+/// class, and every state of a skipped memo, runs `directly` alone.
 #[derive(Debug)]
 pub struct Memo<'c> {
-    classes: &'c Classes,
-    /// `(class[s], class[t])`, or `(class[s], NO_CLASS)` for a state
-    /// predicate — no class id equals [`NO_CLASS`].
+    classes: &'c Classes<'c>,
+    /// `(class[s], class[t])`, or `(class[s], NONE)` for a state
+    /// predicate — no class id equals [`NONE`].
     seen: FxHashMap<(u32, u32), bool>,
     steps: u64,
     evaluated: u64,
@@ -192,7 +379,7 @@ pub struct Memo<'c> {
 
 impl<'c> Memo<'c> {
     /// An empty memo over `classes`.
-    pub fn new(classes: &'c Classes) -> Self {
+    pub fn new(classes: &'c Classes<'c>) -> Self {
         Memo {
             classes,
             seen: FxHashMap::default(),
@@ -202,26 +389,27 @@ impl<'c> Memo<'c> {
     }
 
     /// The predicate's value on the step `⟨s, t⟩`: the remembered
-    /// answer of its class pair, else `eval()` (the caller's direct
-    /// evaluation on this concrete pair), remembered if both states
-    /// have a class.
+    /// answer of its class pair, else an evaluation, remembered if both
+    /// states have a class.
     ///
     /// # Errors
     ///
-    /// Whatever `eval` returns; errors are not remembered.
+    /// Whatever `directly` returns; errors are not remembered.
     pub fn step<E>(
         &mut self,
         s: usize,
         t: usize,
-        eval: impl FnOnce() -> Result<bool, E>,
+        abstractly: impl FnOnce(StatePair<'_>) -> Result<bool, E>,
+        directly: impl FnOnce() -> Result<bool, E>,
     ) -> Result<bool, E> {
         self.steps += 1;
-        let key = self.classes.get(s).zip(self.classes.get(t));
-        let mut ran = false;
-        let value = self.lookup(key, || {
-            ran = true;
-            eval()
-        })?;
+        let classes = self.classes;
+        let key = classes.get(s).zip(classes.get(t));
+        let on_images = || {
+            let (s, t) = (classes.abstract_state(s)?, classes.abstract_state(t)?);
+            abstractly(StatePair::new(&s, &t)).ok()
+        };
+        let (value, ran) = self.lookup(key, on_images, directly)?;
         self.evaluated += u64::from(ran);
         Ok(value)
     }
@@ -231,30 +419,38 @@ impl<'c> Memo<'c> {
     ///
     /// # Errors
     ///
-    /// Whatever `eval` returns; errors are not remembered.
+    /// Whatever `directly` returns; errors are not remembered.
     pub fn state<E>(
         &mut self,
         s: usize,
-        eval: impl FnOnce() -> Result<bool, E>,
+        abstractly: impl FnOnce(&State) -> Result<bool, E>,
+        directly: impl FnOnce() -> Result<bool, E>,
     ) -> Result<bool, E> {
-        let key = self.classes.get(s).map(|class| (class, NO_CLASS));
-        self.lookup(key, eval)
+        let classes = self.classes;
+        let key = classes.get(s).map(|class| (class, NONE));
+        let on_image = || abstractly(&classes.abstract_state(s)?).ok();
+        Ok(self.lookup(key, on_image, directly)?.0)
     }
 
+    /// The answer under `key` and whether an evaluation ran for it.
     fn lookup<E>(
         &mut self,
         key: Option<(u32, u32)>,
-        eval: impl FnOnce() -> Result<bool, E>,
-    ) -> Result<bool, E> {
+        on_images: impl FnOnce() -> Option<bool>,
+        directly: impl FnOnce() -> Result<bool, E>,
+    ) -> Result<(bool, bool), E> {
         let Some(key) = key else {
-            return eval();
+            return Ok((directly()?, true));
         };
         if let Some(value) = self.seen.get(&key) {
-            return Ok(*value);
+            return Ok((*value, false));
         }
-        let value = eval()?;
+        let value = match on_images() {
+            Some(value) => value,
+            None => directly()?,
+        };
         self.seen.insert(key, value);
-        Ok(value)
+        Ok((value, true))
     }
 }
 
@@ -273,8 +469,12 @@ impl Drop for Memo<'_> {
 mod tests {
     use super::*;
     use crate::{explore, ExploreOptions, GuardedAction, Init, System};
-    use opentla_kernel::{Domain, Vars};
+    use opentla_kernel::{Domain, Expr, Vars};
     use std::convert::Infallible;
+
+    fn images(graph: &StateGraph, mapping: &Substitution) -> Images {
+        Images::of_graph(graph, mapping, &RecorderHandle::default())
+    }
 
     /// `x` counts 0..=3 while `y` toggles: 8 states.
     fn counter_and_toggle() -> (System, VarId, VarId) {
@@ -304,7 +504,7 @@ mod tests {
         let (sys, x, y) = counter_and_toggle();
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         assert_eq!(graph.len(), 8);
-        let id = Substitution::default();
+        let id = images(&graph, &Substitution::default());
         let on_x = Classes::of_graph(&graph, &[x].into_iter().collect(), &id);
         assert_eq!(on_x.count(), 4);
         assert!(!on_x.skipped());
@@ -329,9 +529,20 @@ mod tests {
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         // x ↦ x ÷ 2 has two images; y is not in the footprint.
         let half = Substitution::new([(x, Expr::var(x).div(Expr::int(2)))]);
+        let half = images(&graph, &half);
+        assert_eq!(half.distinct_values(), 2);
         let classes = Classes::of_graph(&graph, &[x].into_iter().collect(), &half);
         assert_eq!(classes.count(), 2);
-        let _ = y;
+        // The abstract state carries the image in x's slot and leaves y.
+        for id in 0..graph.len() {
+            let s = graph.state(id);
+            let abstracted = classes.abstract_state(id).expect("the mapping is total");
+            assert_eq!(
+                abstracted.get(x),
+                &Expr::var(x).div(Expr::int(2)).eval_state(s).unwrap()
+            );
+            assert_eq!(abstracted.get(y), s.get(y));
+        }
     }
 
     #[test]
@@ -340,6 +551,7 @@ mod tests {
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         // 6 ÷ x is undefined where x = 0 (two of the eight states).
         let partial = Substitution::new([(x, Expr::int(6).div(Expr::var(x)))]);
+        let partial = images(&graph, &partial);
         let classes = Classes::of_graph(&graph, &[x].into_iter().collect(), &partial);
         assert_eq!(classes.count(), 3);
         let unclassed: Vec<usize> = (0..graph.len())
@@ -349,10 +561,14 @@ mod tests {
         let mut memo = Memo::new(&classes);
         let mut calls = 0;
         for _ in 0..3 {
-            let got = memo.state(unclassed[0], || {
-                calls += 1;
-                Ok::<_, Infallible>(true)
-            });
+            let got = memo.state(
+                unclassed[0],
+                |_| unreachable!("no abstract state to evaluate on"),
+                || {
+                    calls += 1;
+                    Ok::<_, Infallible>(true)
+                },
+            );
             assert_eq!(got, Ok(true));
         }
         assert_eq!(calls, 3, "no class, so every lookup evaluates");
@@ -362,8 +578,8 @@ mod tests {
     fn a_class_pair_is_evaluated_once_and_tallied() {
         let (sys, x, _) = counter_and_toggle();
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let classes =
-            Classes::of_graph(&graph, &[x].into_iter().collect(), &Substitution::default());
+        let id = images(&graph, &Substitution::default());
+        let classes = Classes::of_graph(&graph, &[x].into_iter().collect(), &id);
         let mut edges = 0u64;
         let mut calls = 0u64;
         {
@@ -372,10 +588,15 @@ mod tests {
                 for e in graph.edges(s) {
                     edges += 1;
                     let same = graph.state(s).get(x) == graph.state(e.target).get(x);
-                    let got = memo.step(s, e.target, || {
-                        calls += 1;
-                        Ok::<_, Infallible>(same)
-                    });
+                    let got = memo.step(
+                        s,
+                        e.target,
+                        |pair| {
+                            calls += 1;
+                            Ok::<_, Infallible>(pair.old.get(x) == pair.new.get(x))
+                        },
+                        || unreachable!("the abstract evaluation succeeds"),
+                    );
                     assert_eq!(got, Ok(same));
                 }
             }
@@ -385,9 +606,15 @@ mod tests {
         assert_eq!(calls, 7);
         assert_eq!(classes.steps.load(Ordering::Relaxed), edges);
         assert_eq!(classes.evaluated.load(Ordering::Relaxed), calls);
-        // An error is returned and not remembered.
+        // An abstract error falls back to the direct evaluation, whose
+        // error is returned and not remembered.
         let mut memo = Memo::new(&classes);
-        assert_eq!(memo.step(0, 0, || Err::<bool, _>("boom")), Err("boom"));
-        assert_eq!(memo.step(0, 0, || Ok::<_, &str>(true)), Ok(true));
+        let boom = |_: StatePair<'_>| Err::<bool, _>("abstract");
+        assert_eq!(memo.step(0, 0, boom, || Err("boom")), Err("boom"));
+        assert_eq!(memo.step(0, 0, boom, || Ok(true)), Ok(true));
+        assert_eq!(
+            memo.step(0, 0, boom, || unreachable!("remembered")),
+            Ok(true)
+        );
     }
 }

@@ -37,7 +37,10 @@
 //!   aborting the run;
 //! * [`image`] — image classes: simulation and fairness-target checks
 //!   decide each obligation once per abstract step under the
-//!   refinement mapping instead of once per concrete edge;
+//!   refinement mapping instead of once per concrete edge, and read
+//!   the mapping from one evaluation per graph that several checks can
+//!   share ([`check_simulation_with_images`],
+//!   [`check_liveness_with_images`]);
 //! * [`obs`] — the observability layer: structured run events, live
 //!   progress metrics, and exportable schema-versioned [`RunReport`]s
 //!   from every engine, routed by `OPENTLA_OBS=/path.jsonl` or an
@@ -105,12 +108,13 @@ pub use reduction::{
 };
 pub use liveness::{
     check_liveness, check_liveness_governed, check_liveness_governed_with,
-    check_liveness_resumable, LiveTarget, LivenessOptions, LivenessRun,
+    check_liveness_resumable, check_liveness_with_images, LiveTarget, LivenessOptions, LivenessRun,
     LIVENESS_SMALL_GRAPH_CUTOFF,
 };
 pub use sample::sample_behavior;
 pub use simulate::{
-    check_simulation, check_simulation_governed, SimulationReport, SimulationRun,
+    check_simulation, check_simulation_governed, check_simulation_with_images,
+    SimulationReport, SimulationRun,
 };
 pub use system::{GuardedAction, Init, System, SystemFairness};
 

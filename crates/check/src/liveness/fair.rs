@@ -5,7 +5,10 @@
 //! share them, and on multiple threads the per-state rows are computed
 //! in parallel (the rows are independent, and for semantic targets each
 //! row performs an `Enabled` next-state search over the universe — the
-//! dominant cost on large graphs).
+//! dominant cost on large graphs). A per-edge table is flat: one
+//! [`EdgeTable`] flag per graph edge, every table of a run addressed
+//! through the run's one [`EdgeOffsets`], so a table costs a byte per
+//! edge and one allocation instead of a heap row per state.
 //!
 //! [`fair_subcomponent`] is the per-component satisfiability check,
 //! including the Streett-style `SF` removal recursion. It is a pure
@@ -15,17 +18,67 @@
 
 use super::{par, scc::tarjan_sccs, Charge, Stop};
 use crate::budget::Meter;
-use crate::image::{Classes, Memo};
+use crate::image::{Classes, Images, Memo};
 use crate::{CheckError, StateGraph, System};
 use opentla_kernel::{
-    Expr, Fairness, FairnessKind, Formula, SccScratch, StatePair, Substitution,
+    Expr, Fairness, FairnessKind, Formula, SccScratch, State, StatePair, Substitution,
 };
 
+/// Where each state's edges start in a flat per-edge table: the
+/// out-degree prefix sums of the graph, computed once per liveness run.
+pub(super) struct EdgeOffsets(Vec<usize>);
+
+impl EdgeOffsets {
+    pub(super) fn of(graph: &StateGraph) -> Self {
+        let mut offsets = Vec::with_capacity(graph.len() + 1);
+        let mut edges = 0;
+        offsets.push(edges);
+        for id in 0..graph.len() {
+            edges += graph.edges(id).len();
+            offsets.push(edges);
+        }
+        EdgeOffsets(offsets)
+    }
+
+    /// States of the graph.
+    pub(super) fn states(&self) -> usize {
+        self.0.len() - 1
+    }
+
+    /// Edges leaving the states `lo..hi`.
+    pub(super) fn edges(&self, lo: usize, hi: usize) -> usize {
+        self.0[hi] - self.0[lo]
+    }
+}
+
+/// One flag per graph edge, in graph order.
+pub(super) struct EdgeTable<'o> {
+    offsets: &'o EdgeOffsets,
+    flags: Vec<bool>,
+}
+
+impl<'o> EdgeTable<'o> {
+    /// `flags` holds the flags of every state's edges, by state.
+    pub(super) fn new(offsets: &'o EdgeOffsets, flags: Vec<bool>) -> Self {
+        assert_eq!(
+            flags.len(),
+            offsets.edges(0, offsets.states()),
+            "a flag per graph edge"
+        );
+        EdgeTable { offsets, flags }
+    }
+
+    /// The flag of the `i`-th edge of `s`.
+    pub(super) fn get(&self, s: usize, i: usize) -> bool {
+        self.flags[self.offsets.0[s] + i]
+    }
+}
+
 /// Per-fairness-requirement facts about the graph.
-pub(super) struct FairInfo {
+pub(super) struct FairInfo<'o> {
     pub(super) kind: FairnessKind,
-    /// `angle[s][i]`: is the i-th edge of `s` an `⟨A⟩_v` step?
-    pub(super) angle: Vec<Vec<bool>>,
+    /// Is the i-th edge of `s` an `⟨A⟩_v` step?
+    pub(super) angle: EdgeTable<'o>,
     /// Is `⟨A⟩_v` enabled in state `s`?
     pub(super) enabled: Vec<bool>,
     /// Human-readable name for diagnostics.
@@ -33,33 +86,31 @@ pub(super) struct FairInfo {
     pub(super) name: String,
 }
 
-pub(super) fn system_fair_infos(
+pub(super) fn system_fair_infos<'o>(
     system: &System,
     graph: &StateGraph,
+    offsets: &'o EdgeOffsets,
     meter: &Meter,
     charge: Charge,
     threads: usize,
-) -> Result<Vec<FairInfo>, Stop> {
+) -> Result<Vec<FairInfo<'o>>, Stop> {
     system
         .fairness()
         .iter()
         .map(|f| {
-            let angle = par::table_rows(graph.len(), threads, &|| (), &|(), id: usize| {
-                let s = graph.state(id);
-                graph
-                    .edges(id)
-                    .iter()
-                    .map(|e| {
+            let (angle, enabled) =
+                par::table_rows(offsets, threads, &|| (), &|(), id: usize, flags| {
+                    let s = graph.state(id);
+                    let mut fires = false;
+                    for e in graph.edges(id) {
                         charge.edge(meter)?;
-                        Ok(f.action_ids.contains(&e.action)
-                            && !s.agrees_with(graph.state(e.target), &f.sub))
-                    })
-                    .collect::<Result<Vec<bool>, Stop>>()
-            })?;
-            let enabled = angle
-                .iter()
-                .map(|flags| flags.iter().any(|b| *b))
-                .collect();
+                        let angle = f.action_ids.contains(&e.action)
+                            && !s.agrees_with(graph.state(e.target), &f.sub);
+                        flags.push(angle);
+                        fires |= angle;
+                    }
+                    Ok(fires)
+                })?;
             let names: Vec<&str> = f
                 .action_ids
                 .iter()
@@ -87,23 +138,28 @@ pub(super) fn system_fair_infos(
 /// `(angle, enabled)`, shaped like the fields of [`FairInfo`].
 ///
 /// `fair` and `enabled_with` are over the target's own variables and
-/// `mapping` eliminates the abstract ones. Each entry is decided once
-/// per image class (pair) of the unsubstituted expressions; a miss
-/// evaluates the substituted expression on that concrete state or
-/// edge. Charges and polls stay per concrete edge and row.
+/// `mapping` eliminates the abstract ones; `images`, if given, are of
+/// it. Each entry is decided once per image class (pair) of the
+/// unsubstituted expressions, by evaluating those on the abstract
+/// state or step; the substituted expression runs on the concrete one
+/// only where [`Memo`] says it must (no class, or the abstract
+/// evaluation erred). Charges and polls stay per concrete edge and row.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn target_fair_info(
+pub(super) fn target_fair_info<'o>(
     system: &System,
     graph: &StateGraph,
+    offsets: &'o EdgeOffsets,
     fair: &Fairness,
     enabled_with: Option<&Expr>,
     mapping: &Substitution,
+    images: Option<&Images>,
     meter: &Meter,
     charge: Charge,
     threads: usize,
-) -> Result<(Vec<Vec<bool>>, Vec<bool>), Stop> {
+) -> Result<(EdgeTable<'o>, Vec<bool>), Stop> {
+    let abstract_angle = fair.angle_action();
     let (angle_expr, enabled_pred) = if mapping.is_empty() {
-        (fair.angle_action(), enabled_with.cloned())
+        (abstract_angle.clone(), enabled_with.cloned())
     } else {
         let Some(enabled) = enabled_with else {
             return Err(Stop::Error(CheckError::Precondition {
@@ -122,51 +178,64 @@ pub(super) fn target_fair_info(
         let enabled = mapping.expr(enabled).map_err(CheckError::from)?;
         (mapped.angle_action(), Some(enabled))
     };
-    let mut footprint = fair.angle_action().all_vars();
+    let mut footprint = abstract_angle.all_vars();
     if let Some(pred) = enabled_with {
         footprint.union_with(&pred.all_vars());
     }
-    let classes = Classes::of_graph(graph, &footprint, mapping);
+    let mut own = None;
+    let images = Images::given_or_own(images, &mut own, graph, mapping, meter.recorder())?;
+    let classes = Classes::of_graph(graph, &footprint, images);
     let memos = || (Memo::new(&classes), Memo::new(&classes));
-    let rows = par::table_rows(
-        graph.len(),
+    let table = par::table_rows(
+        offsets,
         threads,
         &memos,
-        &|(is_angle, is_enabled), id: usize| {
+        &|(is_angle, is_enabled), id: usize, flags| {
             let s = graph.state(id);
             if let Some(reason) = meter.checkpoint() {
                 return Err(Stop::exhausted(reason));
             }
-            let flags: Vec<bool> = graph
-                .edges(id)
-                .iter()
-                .map(|e| {
-                    charge.edge(meter)?;
-                    let pair = StatePair::new(s, graph.state(e.target));
-                    is_angle
-                        .step(id, e.target, || angle_expr.holds_action(pair))
-                        .map_err(|e| Stop::Error(e.into()))
-                })
-                .collect::<Result<_, Stop>>()?;
-            let enabled = match &enabled_pred {
-                Some(pred) => is_enabled
-                    .state(id, || pred.holds_state(s))
+            let mut fires = false;
+            for e in graph.edges(id) {
+                charge.edge(meter)?;
+                let step = StatePair::new(s, graph.state(e.target));
+                let angle = is_angle
+                    .step(
+                        id,
+                        e.target,
+                        |images| abstract_angle.holds_action(images),
+                        || angle_expr.holds_action(step),
+                    )
+                    .map_err(CheckError::from)?;
+                flags.push(angle);
+                fires |= angle;
+            }
+            let enabled = match (enabled_with, &enabled_pred) {
+                (Some(abstract_pred), Some(pred)) => is_enabled
+                    .state(
+                        id,
+                        |image| abstract_pred.holds_state(image),
+                        || pred.holds_state(s),
+                    )
                     .map_err(CheckError::from)?,
                 // An ⟨A⟩_v graph edge is itself an in-universe witness, so
                 // the per-state `Enabled` search only runs where no edge
                 // fires (e.g. an abstract action enabled toward a successor
                 // no concrete step reaches). The mapping is empty here, so
                 // the search is a function of the state's class too.
-                None if flags.iter().any(|b| *b) => true,
-                None => is_enabled
-                    .state(id, || system.universe().enabled(&angle_expr, s))
-                    .map_err(CheckError::from)?,
+                _ if fires => true,
+                _ => {
+                    let search = |s: &State| system.universe().enabled(&angle_expr, s);
+                    is_enabled
+                        .state(id, search, || search(s))
+                        .map_err(CheckError::from)?
+                }
             };
-            Ok((flags, enabled))
+            Ok(enabled)
         },
     );
     classes.report(meter.recorder(), "liveness");
-    Ok(rows?.into_iter().unzip())
+    table
 }
 
 /// A witness that a fairness requirement is satisfied by the cycle.
@@ -191,7 +260,7 @@ pub(super) type FairWitness = (Vec<usize>, Vec<Waypoint>);
 /// resumed run (only already-*cleared* components are skipped there).
 pub(super) fn fair_subcomponent(
     graph: &StateGraph,
-    fair_infos: &[FairInfo],
+    fair_infos: &[FairInfo<'_>],
     edge_ok: &dyn Fn(usize, usize) -> bool,
     scc: &[usize],
     must_contain: Option<&[bool]>,
@@ -222,7 +291,7 @@ pub(super) fn fair_subcomponent(
                 if let Some(reason) = meter.charge_transition() {
                     return Err(Stop::exhausted(reason));
                 }
-                if info.angle[s][i] && edge_ok(s, i) && in_scc(e.target) {
+                if info.angle.get(s, i) && edge_ok(s, i) && in_scc(e.target) {
                     edge_witness = Some(Waypoint::Edge(s, i));
                     break 'search;
                 }
@@ -282,4 +351,154 @@ pub(super) fn fair_subcomponent(
         }
     }
     Ok(Some((scc.to_vec(), waypoints)))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{explore, Budget, ExhaustReason, ExploreOptions, GuardedAction, Init};
+    use crate::{SystemFairness, Verdict};
+    use opentla_kernel::{Domain, Value, Vars};
+
+    /// Counters `a` and `b` up to `top` that `halt` freezes for good:
+    /// every halted state — half the graph — has no edge. `WF(inc_a)`
+    /// and `SF(inc_b)` give two tables.
+    fn halting_counters(top: i64) -> System {
+        let mut vars = Vars::new();
+        let a = vars.declare("a", Domain::int_range(0, top));
+        let b = vars.declare("b", Domain::int_range(0, top));
+        let h = vars.declare("h", Domain::bits());
+        let running = Expr::var(h).eq(Expr::int(0));
+        let inc = |name: &str, v| {
+            GuardedAction::new(
+                name,
+                Expr::all([running.clone(), Expr::var(v).lt(Expr::int(top))]),
+                vec![(v, Expr::var(v).add(Expr::int(1)))],
+            )
+        };
+        let halt = GuardedAction::new("halt", running.clone(), vec![(h, Expr::int(1))]);
+        System::new(
+            vars,
+            Init::new([(a, Value::Int(0)), (b, Value::Int(0)), (h, Value::Int(0))]),
+            vec![inc("inc_a", a), inc("inc_b", b), halt],
+        )
+        .with_fairness(SystemFairness::weak(vec![0], vec![a]))
+        .with_fairness(SystemFairness::strong(vec![1], vec![b]))
+    }
+
+    /// The tables as one heap row per state, built by the plain loop:
+    /// per requirement `(angle rows, enabled)`, or where the budget
+    /// stopped it — the reason and the states not yet done.
+    type RowTables = Vec<(Vec<Vec<bool>>, Vec<bool>)>;
+    fn row_tables(
+        system: &System,
+        graph: &StateGraph,
+        budget: &Budget,
+    ) -> Result<RowTables, (ExhaustReason, usize)> {
+        let meter = Meter::start(budget);
+        let mut tables = Vec::new();
+        for f in system.fairness() {
+            let mut rows = Vec::new();
+            for (id, s) in graph.states().iter().enumerate() {
+                let mut row = Vec::new();
+                for e in graph.edges(id) {
+                    if let Some(reason) = meter.charge_transition() {
+                        return Err((reason, graph.len() - id));
+                    }
+                    row.push(
+                        f.action_ids.contains(&e.action)
+                            && !s.agrees_with(graph.state(e.target), &f.sub),
+                    );
+                }
+                rows.push(row);
+            }
+            let enabled = rows.iter().map(|row| row.contains(&true)).collect();
+            tables.push((rows, enabled));
+        }
+        Ok(tables)
+    }
+
+    #[test]
+    fn flat_tables_are_the_row_tables_at_one_and_four_workers() {
+        for top in [9, 19] {
+            let system = halting_counters(top);
+            let graph = explore(&system, &ExploreOptions::default()).unwrap();
+            let n = graph.len();
+            assert_eq!(n as i64, 2 * (top + 1) * (top + 1));
+            assert_eq!(graph.deadlocks().len(), n / 2, "the halted states");
+            let offsets = EdgeOffsets::of(&graph);
+            assert_eq!(offsets.states(), n);
+            assert_eq!(offsets.edges(0, n), graph.edge_count());
+            let rows = row_tables(&system, &graph, &Budget::default()).expect("unbudgeted");
+            for workers in [1, 4] {
+                let meter = Meter::start(&Budget::default());
+                let infos =
+                    system_fair_infos(&system, &graph, &offsets, &meter, Charge::Metered, workers)
+                        .unwrap_or_else(|_| panic!("unbudgeted at {workers} workers"));
+                assert_eq!(meter.transitions_used(), 2 * graph.edge_count());
+                for (info, (angle, enabled)) in infos.iter().zip(&rows) {
+                    assert_eq!(&info.enabled, enabled, "{workers} workers");
+                    for (s, row) in angle.iter().enumerate() {
+                        for (i, flag) in row.iter().enumerate() {
+                            assert_eq!(info.angle.get(s, i), *flag, "{workers} workers: {s}/{i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_tight_budget_stops_the_flat_tables_where_it_stopped_the_rows() {
+        // 200 states: one chunk, so at four workers nothing commits.
+        let system = halting_counters(9);
+        let graph = explore(&system, &ExploreOptions::default()).unwrap();
+        let offsets = EdgeOffsets::of(&graph);
+        // Mid first table, on its last edge, and mid second table.
+        for limit in [37, graph.edge_count() - 1, graph.edge_count() + 37] {
+            let budget = Budget::default().transitions(limit);
+            let (reason, pending) =
+                row_tables(&system, &graph, &budget).expect_err("the budget is tight");
+            assert_eq!(reason, ExhaustReason::TransitionLimit { limit });
+            for (workers, pending) in [(1, pending), (4, graph.len())] {
+                let meter = Meter::start(&budget);
+                match system_fair_infos(&system, &graph, &offsets, &meter, Charge::Metered, workers)
+                {
+                    Err(Stop::Exhausted { reason: r, pending: p }) => {
+                        assert_eq!((r, p), (reason.clone(), pending), "{workers} workers");
+                    }
+                    _ => panic!("{workers} workers: a budget of {limit} must run out"),
+                }
+            }
+            // And through the whole check: the frontier is the table's.
+            for (workers, pending) in [(1, pending), (4, graph.len())] {
+                let run = crate::check_liveness_governed_with(
+                    &system,
+                    &graph,
+                    &crate::LiveTarget::Eventually(Expr::bool(false)),
+                    &budget,
+                    &crate::LivenessOptions::default()
+                        .threads(workers)
+                        .small_graph_cutoff(0),
+                )
+                .unwrap();
+                assert!(run.verdict.is_none());
+                match run.outcome {
+                    crate::Outcome::Exhausted { reason: r, frontier_size, .. } => {
+                        assert_eq!((r, frontier_size), (reason.clone(), pending), "{workers}w");
+                    }
+                    other => panic!("{workers} workers: {other:?}"),
+                }
+            }
+        }
+        // Unbudgeted, the halted states (no edge) satisfy both
+        // requirements by staying put: ◇FALSE fails there.
+        let verdict = crate::check_liveness(
+            &system,
+            &graph,
+            &crate::LiveTarget::Eventually(Expr::bool(false)),
+        )
+        .unwrap();
+        assert!(matches!(verdict, Verdict::Violated(_)));
+    }
 }

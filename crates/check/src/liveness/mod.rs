@@ -58,10 +58,10 @@ mod scc;
 
 use crate::budget::{Budget, ExhaustReason, Governed, Meter, Outcome};
 use crate::checkpoint::{system_hash, CheckpointSpec, LiveSnapshot, ResumeToken};
-use crate::image::{Classes, Memo};
+use crate::image::{Classes, Images, Memo};
 use crate::obs::{Event, Phase, PhaseGuard, RecorderHandle};
 use crate::{CheckError, Counterexample, StateGraph, System, Verdict};
-use fair::{fair_subcomponent, FairInfo, Waypoint};
+use fair::{fair_subcomponent, EdgeOffsets, EdgeTable, FairInfo, Waypoint};
 use opentla_kernel::{Expr, Fairness, FairnessKind, SccScratch, Substitution};
 
 /// Graphs smaller than this many states always take the sequential
@@ -254,14 +254,14 @@ impl LivenessOptions {
 
 /// Per-fairness-requirement facts about the graph live in [`fair`];
 /// what the violating cycle must look like, beyond fairness:
-pub(crate) struct Violation {
+pub(crate) struct Violation<'o> {
     /// Description for the counterexample.
     reason: String,
     /// States the cycle may visit.
     cycle_node_ok: Vec<bool>,
-    /// Edges the cycle may *not* take, as `banned[s][i]` (`None` = it
-    /// may take all): the target's own angle table, not a negated copy.
-    cycle_edge_banned: Option<Vec<Vec<bool>>>,
+    /// Edges the cycle may *not* take (`None` = it may take all): the
+    /// target's own angle table, not a negated copy.
+    cycle_edge_banned: Option<EdgeTable<'o>>,
     /// States the (post-`starts`) path may visit (`None` = all).
     path_node_ok: Option<Vec<bool>>,
     /// Where the violating suffix may begin (each must be reachable;
@@ -272,7 +272,7 @@ pub(crate) struct Violation {
     must_contain: Option<Vec<bool>>,
 }
 
-impl Violation {
+impl Violation<'_> {
     /// Whether a violating cycle may take the `i`-th edge of `s`.
     fn edge_ok(&self, graph: &StateGraph, s: usize, i: usize) -> bool {
         self.cycle_node_ok[s]
@@ -280,7 +280,7 @@ impl Violation {
             && self
                 .cycle_edge_banned
                 .as_ref()
-                .is_none_or(|banned| !banned[s][i])
+                .is_none_or(|banned| !banned.get(s, i))
     }
 }
 
@@ -417,7 +417,30 @@ pub fn check_liveness_governed_with(
     budget: &Budget,
     options: &LivenessOptions,
 ) -> Result<LivenessRun, CheckError> {
-    liveness_driver(system, graph, target, budget, options, None)
+    liveness_driver(system, graph, target, None, budget, options, None)
+}
+
+/// [`check_liveness_governed_with`] for a [`LiveTarget::Fair`] under a
+/// refinement mapping, the mapping's values read from `images` instead
+/// of evaluated: how several obligations over one graph share one
+/// evaluation of their mapping (the Composition Theorem's hypotheses
+/// 2(a) and 2(b) do). Verdict, lasso, charges and errors are those of
+/// [`check_liveness_governed_with`]; other targets have no mapping and
+/// ignore `images`.
+///
+/// # Errors
+///
+/// As [`check_liveness`], and [`CheckError::Precondition`] if `images`
+/// are not of `graph` under the target's mapping.
+pub fn check_liveness_with_images(
+    system: &System,
+    graph: &StateGraph,
+    target: &LiveTarget,
+    images: &Images,
+    budget: &Budget,
+    options: &LivenessOptions,
+) -> Result<LivenessRun, CheckError> {
+    liveness_driver(system, graph, target, Some(images), budget, options, None)
 }
 
 /// Runs a liveness check that can continue an interrupted one: if the
@@ -450,9 +473,9 @@ pub fn check_liveness_resumable(
     };
     if spec.path.exists() {
         let snap = LiveSnapshot::load(&spec.path)?;
-        liveness_driver(system, graph, target, budget, options, Some(&snap))
+        liveness_driver(system, graph, target, None, budget, options, Some(&snap))
     } else {
-        liveness_driver(system, graph, target, budget, options, None)
+        liveness_driver(system, graph, target, None, budget, options, None)
     }
 }
 
@@ -460,6 +483,7 @@ fn liveness_driver(
     system: &System,
     graph: &StateGraph,
     target: &LiveTarget,
+    images: Option<&Images>,
     budget: &Budget,
     options: &LivenessOptions,
     resume: Option<&LiveSnapshot>,
@@ -497,6 +521,7 @@ fn liveness_driver(
         system,
         graph,
         target,
+        images,
         &budget.recorder,
         &meter,
         charge,
@@ -557,6 +582,7 @@ fn decide(
     system: &System,
     graph: &StateGraph,
     target: &LiveTarget,
+    images: Option<&Images>,
     recorder: &RecorderHandle,
     meter: &Meter,
     charge: Charge,
@@ -580,8 +606,10 @@ fn decide(
             });
         }
     }
-    let violation = build_violation(system, graph, target, meter, charge, threads)?;
-    let fair_infos = fair::system_fair_infos(system, graph, meter, charge, threads)?;
+    let offsets = EdgeOffsets::of(graph);
+    let violation =
+        build_violation(system, graph, &offsets, target, images, meter, charge, threads)?;
+    let fair_infos = fair::system_fair_infos(system, graph, &offsets, meter, charge, threads)?;
     let found = if threads > 1 {
         par::find_violation_par(
             system,
@@ -727,27 +755,35 @@ fn eval_pred(
     p: &Expr,
     recorder: &RecorderHandle,
 ) -> Result<Vec<bool>, CheckError> {
-    let classes = Classes::of_graph(graph, &p.all_vars(), &Substitution::default());
+    let unmapped = Images::default();
+    let classes = Classes::of_graph(graph, &p.all_vars(), &unmapped);
     let mut holds = Memo::new(&classes);
     let table = graph
         .states()
         .iter()
         .enumerate()
-        .map(|(id, s)| holds.state(id, || p.holds_state(s)).map_err(CheckError::from))
+        .map(|(id, s)| {
+            holds
+                .state(id, |image| p.holds_state(image), || p.holds_state(s))
+                .map_err(CheckError::from)
+        })
         .collect();
     drop(holds);
     classes.report(recorder, "liveness");
     table
 }
 
-fn build_violation(
+#[allow(clippy::too_many_arguments)]
+fn build_violation<'o>(
     system: &System,
     graph: &StateGraph,
+    offsets: &'o EdgeOffsets,
     target: &LiveTarget,
+    images: Option<&Images>,
     meter: &Meter,
     charge: Charge,
     threads: usize,
-) -> Result<Violation, Stop> {
+) -> Result<Violation<'o>, Stop> {
     let all = vec![true; graph.len()];
     Ok(match target {
         LiveTarget::Fair {
@@ -758,9 +794,11 @@ fn build_violation(
             let (angle, enabled) = fair::target_fair_info(
                 system,
                 graph,
+                offsets,
                 fair,
                 enabled_with.as_ref(),
                 mapping,
+                images,
                 meter,
                 charge,
                 threads,
@@ -855,8 +893,8 @@ fn build_violation(
 fn find_violation(
     system: &System,
     graph: &StateGraph,
-    fair_infos: &[FairInfo],
-    v: &Violation,
+    fair_infos: &[FairInfo<'_>],
+    v: &Violation<'_>,
     meter: &Meter,
     charge: Charge,
     resume: Option<&LiveSnapshot>,
@@ -1010,7 +1048,7 @@ fn path_filtered(
 fn build_counterexample(
     system: &System,
     graph: &StateGraph,
-    v: &Violation,
+    v: &Violation<'_>,
     nodes: &[usize],
     waypoints: &[Waypoint],
     entry: usize,
@@ -1600,6 +1638,39 @@ mod tests {
             a,
             live_target_hash(&LiveTarget::fair_with_enabled(fair, Expr::bool(true)))
         );
+    }
+
+    #[test]
+    fn handed_images_must_be_of_the_targets_mapping() {
+        use crate::Budget;
+        // x ↦ 3 − x: WF of "x̄ decreases" holds under WF(incr).
+        let (sys, x) = counter(true);
+        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
+        let fair = Fairness::weak(Expr::prime(x).lt(Expr::var(x)), vec![x]);
+        let enabled = Expr::var(x).gt(Expr::int(0));
+        let mirror = Substitution::new([(x, Expr::int(3).sub(Expr::var(x)))]);
+        let target = LiveTarget::fair_mapped(fair, enabled, mirror.clone());
+        let own = check_liveness(&sys, &graph, &target).unwrap();
+        assert!(own.holds());
+        let run = |images: &Images| {
+            check_liveness_with_images(
+                &sys,
+                &graph,
+                &target,
+                images,
+                &Budget::default(),
+                &LivenessOptions::default(),
+            )
+        };
+        let images = Images::of_graph(&graph, &mirror, &RecorderHandle::default());
+        assert!(run(&images).unwrap().verdict.unwrap().holds());
+        let other = Substitution::new([(x, Expr::var(x))]);
+        let images = Images::of_graph(&graph, &other, &RecorderHandle::default());
+        assert!(matches!(run(&images), Err(CheckError::Precondition { .. })));
+        assert!(matches!(
+            run(&Images::default()),
+            Err(CheckError::Precondition { .. })
+        ));
     }
 
     #[test]

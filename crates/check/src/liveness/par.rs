@@ -6,8 +6,9 @@
 //! 1. **Fairness tables** — per-state rows are independent, so
 //!    [`table_rows`] deals them to workers in fixed-size chunks claimed
 //!    from an atomic cursor (work-stealing-style: fast workers take
-//!    more chunks). Row order in the result is by state id regardless
-//!    of which worker computed it.
+//!    more chunks). Each chunk is flat, and the chunks are concatenated
+//!    in chunk order, so the table is by state id regardless of which
+//!    worker computed what.
 //! 2. **Path-region reachability** — [`reachable_from_par`] runs a
 //!    level-synchronous BFS over visited flags striped across the same
 //!    64-shard layout the parallel explorer uses. Reachability is a
@@ -31,7 +32,7 @@
 //! final checkpoint of the cleared-component set so the run can
 //! resume).
 
-use super::fair::{fair_subcomponent, FairInfo, FairWitness};
+use super::fair::{fair_subcomponent, EdgeOffsets, EdgeTable, FairInfo, FairWitness};
 use super::{scc, Charge, LiveCheckpointer, Stop, Violation};
 use crate::budget::Meter;
 use crate::checkpoint::LiveSnapshot;
@@ -45,10 +46,17 @@ use std::sync::Mutex;
 /// States per table chunk / frontier slice a worker claims at once.
 const CHUNK: usize = 256;
 
-/// Computes `row(scratch, id)` for every `id in 0..n`, in parallel on
-/// more than one thread, returning the rows in id order. Every worker
-/// makes its own `scratch()` (the image-class memos of a target table:
-/// unshared, so no lock) and drops it on its own thread.
+/// One row of a fairness table, see [`table_rows`].
+pub(super) type TableRow<'a, S> =
+    dyn Fn(&mut S, usize, &mut Vec<bool>) -> Result<bool, Stop> + Sync + 'a;
+
+/// Runs `row(scratch, id, flags)` for every state `id` of the graph
+/// `offsets` are of, in parallel on more than one thread. A row pushes
+/// one flag per edge of its state onto `flags` and returns the state's
+/// own flag; the result is the flat per-edge table and the per-state
+/// flags, both in id order. Every worker makes its own `scratch()` (the
+/// image-class memos of a target table: unshared, so no lock) and
+/// drops it on its own thread.
 ///
 /// On failure the reported `pending` is exact in state units: the
 /// number of states whose rows were not fully committed (sequentially
@@ -56,25 +64,34 @@ const CHUNK: usize = 256;
 /// completed chunks count as pending because their rows are
 /// discarded). When several workers fail, the failure at the smallest
 /// chunk start wins, keeping the surfaced error independent of timing.
-pub(super) fn table_rows<T: Send, S>(
-    n: usize,
+pub(super) fn table_rows<'o, S>(
+    offsets: &'o EdgeOffsets,
     threads: usize,
     scratch: &(dyn Fn() -> S + Sync),
-    row: &(dyn Fn(&mut S, usize) -> Result<T, Stop> + Sync),
-) -> Result<Vec<T>, Stop> {
-    if threads <= 1 || n == 0 {
-        let mut out = Vec::with_capacity(n);
-        let mut scratch = scratch();
-        for id in 0..n {
-            match row(&mut scratch, id) {
-                Ok(t) => out.push(t),
-                Err(stop) => return Err(stop.with_pending(n - id)),
+    row: &TableRow<'_, S>,
+) -> Result<(EdgeTable<'o>, Vec<bool>), Stop> {
+    let n = offsets.states();
+    // The rows of states `lo..hi`, flat.
+    let rows = |scratch: &mut S, lo: usize, hi: usize| {
+        let mut edges = Vec::with_capacity(offsets.edges(lo, hi));
+        let mut states = Vec::with_capacity(hi - lo);
+        for id in lo..hi {
+            match row(scratch, id, &mut edges) {
+                Ok(flag) => states.push(flag),
+                Err(stop) => return Err((id, stop)),
             }
         }
-        return Ok(out);
+        Ok((edges, states))
+    };
+    if threads <= 1 || n == 0 {
+        return match rows(&mut scratch(), 0, n) {
+            Ok((edges, states)) => Ok((EdgeTable::new(offsets, edges), states)),
+            Err((id, stop)) => Err(stop.with_pending(n - id)),
+        };
     }
     let chunks = n.div_ceil(CHUNK);
-    let slots: Vec<Mutex<Option<Vec<T>>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
+    type Rows = (Vec<bool>, Vec<bool>);
+    let slots: Vec<Mutex<Option<Rows>>> = (0..chunks).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     let committed = AtomicUsize::new(0);
     let failed: Mutex<Option<(usize, Stop)>> = Mutex::new(None);
@@ -92,28 +109,17 @@ pub(super) fn table_rows<T: Send, S>(
                     }
                     let lo = c * CHUNK;
                     let hi = (lo + CHUNK).min(n);
-                    let mut rows = Vec::with_capacity(hi - lo);
-                    let mut err = None;
-                    for id in lo..hi {
-                        match row(&mut scratch, id) {
-                            Ok(t) => rows.push(t),
-                            Err(stop) => {
-                                err = Some(stop);
-                                break;
-                            }
-                        }
-                    }
-                    match err {
-                        Some(stop) => {
+                    match rows(&mut scratch, lo, hi) {
+                        Err((_, stop)) => {
                             let mut slot = lock(&failed);
                             if slot.as_ref().is_none_or(|(start, _)| lo < *start) {
                                 *slot = Some((lo, stop));
                             }
                             break;
                         }
-                        None => {
+                        Ok(chunk) => {
                             committed.fetch_add(hi - lo, Ordering::SeqCst);
-                            *lock(&slots[c]) = Some(rows);
+                            *lock(&slots[c]) = Some(chunk);
                         }
                     }
                 }
@@ -124,15 +130,17 @@ pub(super) fn table_rows<T: Send, S>(
     if let Some((_, stop)) = failed {
         return Err(stop.with_pending(n - committed.load(Ordering::SeqCst)));
     }
-    let mut out = Vec::with_capacity(n);
+    let mut edges = Vec::with_capacity(offsets.edges(0, n));
+    let mut states = Vec::with_capacity(n);
     for slot in slots {
-        let rows = slot
+        let (chunk_edges, chunk_states) = slot
             .into_inner()
             .unwrap_or_else(|e| e.into_inner())
             .expect("every chunk committed");
-        out.extend(rows);
+        edges.extend(chunk_edges);
+        states.extend(chunk_states);
     }
-    Ok(out)
+    Ok((EdgeTable::new(offsets, edges), states))
 }
 
 /// Parallel [`reachable_from`](super::reachable_from): the same
@@ -211,8 +219,8 @@ pub(super) fn reachable_from_par(
 pub(super) fn find_violation_par(
     system: &System,
     graph: &StateGraph,
-    fair_infos: &[FairInfo],
-    v: &Violation,
+    fair_infos: &[FairInfo<'_>],
+    v: &Violation<'_>,
     meter: &Meter,
     threads: usize,
     charge: Charge,

@@ -379,6 +379,22 @@ pub enum Event<'a> {
         /// Total bytes spilled to disk over the run.
         spilled_bytes: u64,
     },
+    /// One evaluation of a refinement mapping over a graph (see
+    /// [`Images`](crate::image::Images)): a certificate emits one, which
+    /// its hypotheses 2(a) and 2(b) share; a stand-alone check under a
+    /// non-empty mapping emits its own, inside its phase.
+    ImagePass {
+        /// States the mapping was evaluated at.
+        states: u64,
+        /// Variables the mapping replaces.
+        mapped_vars: u64,
+        /// Distinct values among the `states × mapped_vars` images.
+        distinct_values: u64,
+        /// Images that are undefined (the evaluation erred there).
+        undefined: u64,
+        /// What the pass took.
+        nanos: u64,
+    },
     /// One image-class pass of an obligation check (see
     /// [`image`](crate::image)): why the check was cheap, or was not.
     /// A simulation emits one; a liveness check one per table it
@@ -427,6 +443,7 @@ impl Event<'_> {
             Event::Spill { .. } => "spill",
             Event::BudgetIgnored { .. } => "budget_ignored",
             Event::CacheStats { .. } => "cache_stats",
+            Event::ImagePass { .. } => "image_pass",
             Event::ImageMemo { .. } => "image_memo",
             Event::RunEnd { .. } => "run_end",
         }
@@ -496,6 +513,7 @@ pub struct CountingRecorder {
     spills: AtomicU64,
     budget_ignored_events: AtomicU64,
     cache_stats_events: AtomicU64,
+    image_pass_events: AtomicU64,
     image_memo_events: AtomicU64,
     /// Cumulative spilled bytes of the most recent spill event.
     spilled_bytes: AtomicU64,
@@ -542,6 +560,7 @@ impl CountingRecorder {
             spills: AtomicU64::new(0),
             budget_ignored_events: AtomicU64::new(0),
             cache_stats_events: AtomicU64::new(0),
+            image_pass_events: AtomicU64::new(0),
             image_memo_events: AtomicU64::new(0),
             spilled_bytes: AtomicU64::new(0),
             red_ample_states: AtomicU64::new(0),
@@ -638,6 +657,11 @@ impl CountingRecorder {
     /// Cache-stats events recorded.
     pub fn cache_stats_events(&self) -> u64 {
         self.cache_stats_events.load(Ordering::Relaxed)
+    }
+
+    /// Evaluations of a refinement mapping over a graph recorded.
+    pub fn image_pass_events(&self) -> u64 {
+        self.image_pass_events.load(Ordering::Relaxed)
     }
 
     /// Image-class passes recorded.
@@ -751,6 +775,9 @@ impl Recorder for CountingRecorder {
             }
             Event::CacheStats { .. } => {
                 self.cache_stats_events.fetch_add(1, Ordering::Relaxed);
+            }
+            Event::ImagePass { .. } => {
+                self.image_pass_events.fetch_add(1, Ordering::Relaxed);
             }
             Event::ImageMemo { .. } => {
                 self.image_memo_events.fetch_add(1, Ordering::Relaxed);
@@ -1013,6 +1040,19 @@ impl Recorder for JsonlRecorder {
                 body.push_str(&format!(
                     ",\"hits\":{hits},\"misses\":{misses},\"evictions\":{evictions},\
                      \"resident_bytes\":{resident_bytes},\"spilled_bytes\":{spilled_bytes}"
+                ));
+            }
+            Event::ImagePass {
+                states,
+                mapped_vars,
+                distinct_values,
+                undefined,
+                nanos,
+            } => {
+                body.push_str(&format!(
+                    ",\"states\":{states},\"mapped_vars\":{mapped_vars},\
+                     \"distinct_values\":{distinct_values},\
+                     \"undefined\":{undefined},\"nanos\":{nanos}"
                 ));
             }
             Event::ImageMemo {
@@ -1693,6 +1733,20 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                 req_u64(&obj, "resident_bytes", line)?;
                 req_u64(&obj, "spilled_bytes", line)?;
             }
+            "image_pass" => {
+                let states = req_u64(&obj, "states", line)?;
+                let mapped_vars = req_u64(&obj, "mapped_vars", line)?;
+                let distinct = req_u64(&obj, "distinct_values", line)?;
+                let undefined = req_u64(&obj, "undefined", line)?;
+                req_u64(&obj, "nanos", line)?;
+                let images = states.saturating_mul(mapped_vars);
+                if distinct.saturating_add(undefined) > images {
+                    return Err(format!(
+                        "line {line}: {distinct} distinct values and {undefined} \
+                         undefined among {images} images"
+                    ));
+                }
+            }
             "image_memo" => {
                 req_str(&obj, "check", line)?;
                 req_u64(&obj, "classes", line)?;
@@ -1896,6 +1950,38 @@ mod tests {
         assert!(validate_stream(&bad).unwrap_err().contains("skipped"));
         let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("skipped"));
+    }
+
+    #[test]
+    fn image_pass_event_counts_serializes_and_validates() {
+        let event = Event::ImagePass {
+            states: 489_254,
+            mapped_vars: 1,
+            distinct_values: 1_023,
+            undefined: 0,
+            nanos: 650_000_000,
+        };
+        let rec = CountingRecorder::new();
+        rec.record(&event);
+        assert_eq!(rec.image_pass_events(), 1);
+        assert_eq!(rec.events(), 1);
+
+        let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
+        let rec = JsonlRecorder::from_writer(Shared(Arc::clone(&buf)));
+        rec.record(&event);
+        rec.flush();
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let summary = validate_stream(&text).expect("stream validates");
+        assert_eq!(summary.kinds["image_pass"], 1);
+        // More distinct (or undefined) values than images evaluated, or
+        // a missing field, is not a stream this crate writes.
+        let head = "{\"v\":1,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
+        let bad = format!("{head},\"distinct_values\":9,\"undefined\":0,\"nanos\":5}}\n");
+        assert!(validate_stream(&bad).unwrap_err().contains("distinct"));
+        let bad = format!("{head},\"distinct_values\":6,\"undefined\":3,\"nanos\":5}}\n");
+        assert!(validate_stream(&bad).unwrap_err().contains("undefined"));
+        let bad = format!("{head},\"distinct_values\":6,\"undefined\":0}}\n");
+        assert!(validate_stream(&bad).unwrap_err().contains("nanos"));
     }
 
     #[test]

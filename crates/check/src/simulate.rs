@@ -16,10 +16,10 @@
 //! discharged.
 
 use crate::budget::{Budget, Governed, Meter, Outcome};
-use crate::image::{Classes, Memo};
+use crate::image::{Classes, Images, Memo};
 use crate::invariant::trace_counterexample;
 use crate::{CheckError, Counterexample, ExhaustReason, StateGraph, System, Verdict};
-use opentla_kernel::{box_action, EvalError, Expr, Formula, StatePair, Substitution};
+use opentla_kernel::{EvalError, Expr, Formula, State, StatePair, Substitution};
 use opentla_semantics::{safety_canonical, SafetyCanonical};
 
 /// The result of a simulation check, with workload statistics.
@@ -103,6 +103,40 @@ pub fn check_simulation_governed(
     mapping: &Substitution,
     budget: &Budget,
 ) -> Result<SimulationRun, CheckError> {
+    simulate(system, graph, target, mapping, None, budget)
+}
+
+/// [`check_simulation_governed`] under the mapping `images` are of,
+/// its values read from them instead of evaluated: how several
+/// obligations over one graph share one evaluation of their mapping
+/// (the Composition Theorem's hypotheses 2(a) and 2(b) do). Verdict,
+/// counterexample, charges and errors are those of
+/// [`check_simulation_governed`] under `images.mapping()`.
+///
+/// # Errors
+///
+/// As [`check_simulation`], and [`CheckError::Precondition`] if
+/// `images` are not of `graph`.
+pub fn check_simulation_with_images(
+    system: &System,
+    graph: &StateGraph,
+    target: &Formula,
+    images: &Images,
+    budget: &Budget,
+) -> Result<SimulationRun, CheckError> {
+    simulate(system, graph, target, images.mapping(), Some(images), budget)
+}
+
+/// The one simulation check. `images`, if given, are of `mapping`;
+/// otherwise the check evaluates the mapping itself, once.
+fn simulate(
+    system: &System,
+    graph: &StateGraph,
+    target: &Formula,
+    mapping: &Substitution,
+    images: Option<&Images>,
+    budget: &Budget,
+) -> Result<SimulationRun, CheckError> {
     let _phase =
         crate::obs::PhaseGuard::enter(&budget.recorder, crate::obs::Phase::Simulation);
     // Step-box obligations are per-edge: a reduced graph omits edges
@@ -117,7 +151,10 @@ pub fn check_simulation_governed(
         });
     }
     let mapped = mapping.formula(target)?;
-    let Some(sc) = safety_canonical(&mapped) else {
+    // Substitution keeps a formula's shape, so the two sets of parts
+    // line up: `sc` is over the system's variables, `abs` the same
+    // predicates and boxes over the target's own.
+    let (Some(sc), Some(abs)) = (safety_canonical(&mapped), safety_canonical(target)) else {
         return Err(CheckError::NotCanonical {
             context: "check_simulation",
         });
@@ -168,9 +205,11 @@ pub fn check_simulation_governed(
     }
     // 2–3. Invariants on every state and step boxes on every edge, each
     // decided once per image class (pair) of the *un*substituted target.
-    let classes = Classes::of_graph(graph, &target.free_vars(), mapping);
+    let mut own = None;
+    let images = Images::given_or_own(images, &mut own, graph, mapping, &budget.recorder)?;
+    let classes = Classes::of_graph(graph, &target.free_vars(), images);
     let run = check_states_and_edges(
-        system, graph, &sc, &classes, meter, &exhausted, &violated,
+        system, graph, &sc, &abs, &classes, meter, &exhausted, &violated,
     );
     classes.report(&budget.recorder, "simulation");
     run
@@ -191,12 +230,16 @@ fn first_refuted(
 
 /// Steps 2 and 3 of [`check_simulation_governed`]. Charges, polls and
 /// scan order are per concrete state and edge; only the evaluation of
-/// the mapped predicates goes through the class memos.
+/// the mapped predicates goes through the class memos, which decide a
+/// class on `abs` over its abstract states and everything else on `sc`
+/// over the concrete ones.
+#[allow(clippy::too_many_arguments)]
 fn check_states_and_edges(
     system: &System,
     graph: &StateGraph,
     sc: &SafetyCanonical,
-    classes: &Classes,
+    abs: &SafetyCanonical,
+    classes: &Classes<'_>,
     meter: &Meter,
     exhausted: &dyn Fn(ExhaustReason, usize) -> SimulationRun,
     violated: &dyn Fn(Counterexample, usize) -> SimulationRun,
@@ -210,11 +253,17 @@ fn check_states_and_edges(
         {
             return Ok(exhausted(reason, graph.len() - id));
         }
-        let refuted = || first_refuted(&sc.invariants, |p| p.holds_state(s));
+        let refuted = |sc: &SafetyCanonical, s: &State| {
+            first_refuted(&sc.invariants, |p| p.holds_state(s))
+        };
         if !sc.invariants.is_empty()
-            && !invariants_hold.state(id, || refuted().map(|r| r.is_none()))?
+            && !invariants_hold.state(
+                id,
+                |image| refuted(abs, image).map(|r| r.is_none()),
+                || refuted(sc, s).map(|r| r.is_none()),
+            )?
         {
-            let p = &sc.invariants[refuted()?.expect("just refuted at this state")];
+            let p = &sc.invariants[refuted(sc, s)?.expect("just refuted at this state")];
             let cx = trace_counterexample(
                 system,
                 graph,
@@ -226,11 +275,10 @@ fn check_states_and_edges(
     }
     drop(invariants_hold);
     // 3. Step boxes on every edge.
-    let boxes: Vec<_> = sc
-        .boxes
-        .iter()
-        .map(|(a, sub)| box_action(a.clone(), sub))
-        .collect();
+    let (boxes, abs_boxes) = (sc.step_boxes(), abs.step_boxes());
+    let refuted = |boxes: &[Expr], step: StatePair<'_>| {
+        first_refuted(boxes, |b| b.holds_action(step))
+    };
     let mut boxes_hold = Memo::new(classes);
     for (id, s) in graph.states().iter().enumerate() {
         if let Some(reason) = meter.checkpoint() {
@@ -241,10 +289,14 @@ fn check_states_and_edges(
                 return Ok(exhausted(reason, graph.len() - id));
             }
             let t = graph.state(e.target);
-            let refuted =
-                || first_refuted(&boxes, |b| b.holds_action(StatePair::new(s, t)));
-            if !boxes_hold.step(id, e.target, || refuted().map(|r| r.is_none()))? {
-                let bi = refuted()?.expect("just refuted on this step");
+            let step = StatePair::new(s, t);
+            if !boxes_hold.step(
+                id,
+                e.target,
+                |images| refuted(&abs_boxes, images).map(|r| r.is_none()),
+                || refuted(&boxes, step).map(|r| r.is_none()),
+            )? {
+                let bi = refuted(&boxes, step)?.expect("just refuted on this step");
                 let base = trace_counterexample(
                     system,
                     graph,
@@ -433,6 +485,41 @@ mod tests {
         .unwrap();
         assert!(run.report.is_none());
         assert!(!run.outcome.is_complete());
+    }
+
+    #[test]
+    fn handed_images_replace_the_evaluation_of_the_mapping() {
+        use crate::{explore_governed, Budget, CountingRecorder, RecorderHandle};
+        use std::sync::Arc;
+        let (sys, lo, hi, n) = setup();
+        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
+        let mapping = Substitution::new([(
+            n,
+            Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)),
+        )]);
+        let counting = Arc::new(CountingRecorder::new());
+        let budget = Budget::default().with_recorder(RecorderHandle::new(counting.clone()));
+        let images = Images::of_graph(&graph, &mapping, &budget.recorder);
+        assert_eq!(images.distinct_values(), 4);
+        // Two checks, one evaluation of the mapping — and a third pass
+        // only when a check is left to evaluate it itself.
+        let spec = abstract_spec(n);
+        for _ in 0..2 {
+            let run = check_simulation_with_images(&sys, &graph, &spec, &images, &budget).unwrap();
+            assert!(run.report.unwrap().holds());
+        }
+        assert_eq!(counting.image_pass_events(), 1);
+        let run = check_simulation_governed(&sys, &graph, &spec, &mapping, &budget).unwrap();
+        assert!(run.report.unwrap().holds());
+        assert_eq!(counting.image_pass_events(), 2);
+        // Images of another graph (the first two states of this one)
+        // are refused, typed.
+        let partial = explore_governed(&sys, &Budget::default().states(2)).unwrap().graph;
+        assert_eq!(partial.len(), 2);
+        assert!(matches!(
+            check_simulation_with_images(&sys, &partial, &spec, &images, &budget),
+            Err(CheckError::Precondition { .. })
+        ));
     }
 
     #[test]

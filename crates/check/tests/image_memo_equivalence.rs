@@ -4,13 +4,17 @@
 //! substituted obligation on every concrete state and edge — verdict,
 //! counterexample, workload statistics, and where a tight budget
 //! stops it. The references live in `support`; `Classes` / `Memo` are
-//! also exercised edge by edge on random systems, which is the
-//! substitution lemma made executable.
+//! also exercised edge by edge, on the corpus and on random systems,
+//! which is the substitution lemma made executable in both directions:
+//! a class pair's remembered answer is the substituted expression's on
+//! every concrete step of the pair, and the unsubstituted expression on
+//! the abstract pair (what decides a miss) has the substituted
+//! expression's result, errors included.
 
 mod support;
 
-use opentla::{closed_product, ComponentSpec};
-use opentla_check::image::{Classes, Memo};
+use opentla::{closed_product, ComponentSpec, CompositionOptions};
+use opentla_check::image::{Classes, Images, Memo};
 use opentla_check::{
     check_liveness_governed_with, check_simulation_governed, explore, Budget, CheckError,
     ExploreOptions, GuardedAction, Init, LiveTarget, LivenessOptions, LivenessRun, Outcome,
@@ -24,7 +28,10 @@ use opentla_scenarios::{AlternatingBit, ArbiterFairness, ClockWorld, Fig1, Mutex
 use opentla_semantics::safety_canonical;
 use proptest::prelude::*;
 use std::sync::Arc;
-use support::{direct_fair_target, direct_pred, direct_simulation, Passes};
+use support::{
+    direct_fair_target, direct_pred, direct_simulation, lemma_on_every_state, lemma_on_every_step,
+    mapped_fairness, Passes,
+};
 
 // ---------------------------------------------------------------------
 // The corpus
@@ -514,6 +521,238 @@ fn mapped_target_without_enabled_predicate_is_refused() {
 }
 
 // ---------------------------------------------------------------------
+// The lemma in the other direction: a miss is decided on the abstract pair
+// ---------------------------------------------------------------------
+
+fn quiet_images(graph: &StateGraph, mapping: &Substitution) -> Images {
+    Images::of_graph(graph, mapping, &RecorderHandle::default())
+}
+
+/// Every obligation of the corpus, part by part: the unsubstituted
+/// init predicate, invariant, step box, angle action or `Enabled`
+/// predicate on the abstract state(s) has the result of the substituted
+/// one on the concrete state(s), on every edge and every stuttering
+/// step (of every 16th state on the large rungs).
+#[test]
+fn abstract_evaluation_matches_substituted_evaluation_on_every_step() {
+    let mut mapped_steps = 0usize;
+    for case in corpus() {
+        let graph = explore(&case.system, &ExploreOptions::default())
+            .unwrap_or_else(|e| panic!("{}: explore fails: {e}", case.name));
+        let stride = if case.large { 16 } else { 1 };
+        for (label, target, mapping) in &case.safety {
+            let ctx = format!("{}/{label}", case.name);
+            let images = quiet_images(&graph, mapping);
+            let classes = Classes::of_graph(&graph, &target.free_vars(), &images);
+            let abstractly = safety_canonical(target).expect("the corpus is safety-canonical");
+            let substituted = safety_canonical(&mapping.formula(target).expect("it applies"))
+                .expect("substitution keeps the shape");
+            let mut compared = 0;
+            for (a, b) in abstractly
+                .step_boxes()
+                .iter()
+                .zip(&substituted.step_boxes())
+            {
+                compared += lemma_on_every_step(&ctx, &graph, &classes, stride, a, b);
+            }
+            let preds = |sc: &opentla_semantics::SafetyCanonical| {
+                sc.init
+                    .iter()
+                    .chain(&sc.invariants)
+                    .cloned()
+                    .collect::<Vec<Expr>>()
+            };
+            for (a, b) in preds(&abstractly).iter().zip(&preds(&substituted)) {
+                compared += lemma_on_every_state(&ctx, &graph, &classes, stride, a, b);
+            }
+            if !mapping.is_empty() {
+                assert!(compared > 0, "{ctx}: a mapped target must share classes");
+                mapped_steps += compared;
+            }
+        }
+        for (label, fair, enabled, mapping) in &case.fair {
+            let ctx = format!("{}/{label}", case.name);
+            let images = quiet_images(&graph, mapping);
+            let mut footprint = fair.angle_action().all_vars();
+            if let Some(pred) = enabled {
+                footprint.union_with(&pred.all_vars());
+            }
+            let classes = Classes::of_graph(&graph, &footprint, &images);
+            let mut compared = lemma_on_every_step(
+                &ctx,
+                &graph,
+                &classes,
+                stride,
+                &fair.angle_action(),
+                &mapped_fairness(fair, mapping).angle_action(),
+            );
+            if let Some(pred) = enabled {
+                let substituted = mapping.expr(pred).expect("the mapping applies to Enabled");
+                compared +=
+                    lemma_on_every_state(&ctx, &graph, &classes, stride, pred, &substituted);
+            }
+            if !mapping.is_empty() {
+                assert!(compared > 0, "{ctx}: a mapped target must share classes");
+                mapped_steps += compared;
+            }
+        }
+    }
+    assert!(
+        mapped_steps >= 100_000,
+        "the corpus must exercise mapped obligations ({mapped_steps} steps did)"
+    );
+}
+
+/// A total mapping whose *abstract* expression errs: `q̄ ↦ q`, and a
+/// box reading `Head(q̄)`, undefined on an empty image. The abstract
+/// evaluation errs exactly where the substituted one does, with the
+/// same error, and the check returns the substituted one's.
+#[test]
+fn an_abstract_error_is_the_substituted_expressions_error() {
+    let (system, q, h, _) = head_of_queue();
+    let graph = explore(&system, &ExploreOptions::default()).unwrap();
+    let mapping = Substitution::new([(h, Expr::var(q))]);
+    let same_head = Expr::prime(h).head().eq(Expr::var(h).head());
+    let targets = [
+        ("unguarded", same_head.clone(), true),
+        (
+            "guarded",
+            Expr::any([
+                Expr::var(h).len().eq(Expr::int(0)),
+                Expr::prime(h).len().eq(Expr::int(0)),
+                same_head,
+            ]),
+            false,
+        ),
+    ];
+    for (label, action, errs) in targets {
+        let target = Formula::act_box(action.clone(), vec![h]);
+        let images = quiet_images(&graph, &mapping);
+        let classes = Classes::of_graph(&graph, &target.free_vars(), &images);
+        let mapped = mapping.formula(&target).unwrap();
+        let substituted = safety_canonical(&mapped).unwrap().step_boxes().remove(0);
+        let compared = lemma_on_every_step(
+            label,
+            &graph,
+            &classes,
+            1,
+            &box_action(action, &[h]),
+            &substituted,
+        );
+        assert_eq!(
+            compared,
+            graph.edge_count() + graph.len(),
+            "{label}: the mapping is total"
+        );
+        let erring = (0..graph.len())
+            .flat_map(|s| graph.edges(s).iter().map(move |e| (s, e.target)))
+            .filter(|(s, t)| {
+                substituted
+                    .holds_action(StatePair::new(graph.state(*s), graph.state(*t)))
+                    .is_err()
+            })
+            .count();
+        assert_eq!(erring > 0, errs, "{label}: {erring} edges err");
+        let memo =
+            check_simulation_governed(&system, &graph, &target, &mapping, &Budget::default());
+        let direct = direct_simulation(&system, &graph, &target, &mapping, &Budget::default());
+        assert_same_simulation(label, &memo, &direct);
+        assert_eq!(
+            matches!(memo, Err(CheckError::Eval(_))),
+            errs,
+            "{label}: {memo:?}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// One evaluation of the mapping per certificate
+// ---------------------------------------------------------------------
+
+/// The `image_pass` and `image_memo` events of a certificate that
+/// `prove` builds under the given options, which must hold.
+fn certified(prove: impl FnOnce(&CompositionOptions) -> bool) -> Arc<Passes> {
+    let passes = Arc::new(Passes::default());
+    let options = CompositionOptions {
+        budget: Budget::unlimited().with_recorder(RecorderHandle::new(passes.clone())),
+        ..CompositionOptions::default()
+    };
+    assert!(prove(&options), "the certificate holds");
+    passes
+}
+
+/// One evaluation of the mapping, and `(classes, distinct_pairs,
+/// edges)` per obligation as `expected`, H2b last.
+fn assert_one_image_pass(name: &str, passes: &Passes, expected: &[(u64, u64, u64)]) {
+    assert_eq!(
+        passes.counting().image_pass_events(),
+        1,
+        "{name}: one evaluation of the mapping"
+    );
+    let memos = passes.take();
+    assert_eq!(memos.len(), expected.len(), "{name}: {memos:?}");
+    let (h2b, simulations) = memos.split_last().expect("H2b comes last");
+    let (h2b_expected, simulations_expected) = expected.split_last().expect("nonempty");
+    for (memo, expected) in simulations.iter().zip(simulations_expected) {
+        assert_eq!(
+            (memo.classes, memo.distinct_pairs, memo.edges),
+            *expected,
+            "{name}: {memo:?}"
+        );
+    }
+    assert_eq!(
+        (h2b.classes, h2b.edges),
+        (h2b_expected.0, h2b_expected.2),
+        "{name}: {h2b:?}"
+    );
+    // Each table worker of H2b counts the pairs it met itself.
+    if std::env::var_os("OPENTLA_EXPLORE_THREADS").is_none() {
+        assert_eq!(h2b.distinct_pairs, h2b_expected.1, "{name}: {h2b:?}");
+    } else {
+        assert!(h2b.distinct_pairs >= h2b_expected.1, "{name}: {h2b:?}");
+    }
+}
+
+/// A certificate evaluates its refinement mapping in exactly one pass,
+/// which hypotheses 2(a) and 2(b) share, and decides what it decided
+/// before: the `image_memo` counts per obligation are those of the
+/// commit that evaluated the mapping once per obligation.
+#[test]
+fn a_certificate_evaluates_its_mapping_in_one_pass() {
+    let chain3 = QueueChain::new(3, 1, 2, FairnessStyle::Joint);
+    let passes = certified(|options| {
+        let certificate = chain3.prove_composition(options);
+        certificate.expect("chain3 is well-formed").holds()
+    });
+    assert_one_image_pass(
+        "chain3",
+        &passes,
+        &[
+            (58, 176, 15_624),
+            (58, 178, 15_624),
+            (58, 178, 15_624),
+            (1_514, 3_728, 15_624),
+            (1_514, 3_728, 15_624),
+        ],
+    );
+    let fig9 = DoubleQueue::new(2, 2, FairnessStyle::Joint);
+    let passes = certified(|options| {
+        let certificate = fig9.prove_composition(options);
+        certificate.expect("fig9 is well-formed").holds()
+    });
+    assert_one_image_pass(
+        "fig9(2,2)",
+        &passes,
+        &[
+            (64, 248, 8_736),
+            (64, 248, 8_736),
+            (1_514, 3_728, 8_736),
+            (1_514, 3_728, 8_736),
+        ],
+    );
+}
+
+// ---------------------------------------------------------------------
 // A partial mapping
 // ---------------------------------------------------------------------
 
@@ -617,7 +856,8 @@ fn partial_mapping_gives_the_same_error_or_verdict_as_direct_evaluation() {
             _ => assert!(memo.unwrap().report.unwrap().holds(), "{label}"),
         }
     }
-    let classes = Classes::of_graph(&graph, &[h].into_iter().collect(), &mapping);
+    let images = Images::of_graph(&graph, &mapping, &RecorderHandle::default());
+    let classes = Classes::of_graph(&graph, &[h].into_iter().collect(), &images);
     assert_eq!(classes.count(), 2, "heads 0 and 1");
     assert_eq!(
         (0..graph.len())
@@ -742,15 +982,41 @@ proptest! {
             direct_box.holds_action(StatePair::new(graph.state(s), graph.state(t)))
         };
 
-        let classes = Classes::of_graph(&graph, &target.free_vars(), &mapping);
+        let abstract_sc = safety_canonical(&target).expect("a box is safety-canonical");
+        let (action, sub) = &abstract_sc.boxes[0];
+        let abstract_box = box_action(action.clone(), sub);
+        let images = Images::of_graph(&graph, &mapping, &RecorderHandle::default());
+        let classes = Classes::of_graph(&graph, &target.free_vars(), &images);
         let mut memo = Memo::new(&classes);
         for s in 0..graph.len() {
             let steps = graph.edges(s).iter().map(|e| e.target).chain([s]);
             for t in steps {
-                let remembered = memo.step(s, t, || direct(s, t)).unwrap();
+                let remembered = memo
+                    .step(s, t, |images| abstract_box.holds_action(images), || direct(s, t))
+                    .unwrap();
                 prop_assert_eq!(remembered, direct(s, t).unwrap(), "step {} -> {}", s, t);
             }
         }
+
+        // The other direction, for the box, the angle action of the
+        // same action and a predicate over the image: what a miss
+        // evaluates on the abstract pair is the substituted result.
+        let steps = graph.edge_count() + graph.len();
+        let fair = Fairness::weak(action.clone(), sub.clone());
+        let stepwise = [
+            (abstract_box.clone(), direct_box.clone()),
+            (fair.angle_action(), mapped_fairness(&fair, &mapping).angle_action()),
+        ];
+        for (abstractly, substituted) in &stepwise {
+            let compared =
+                lemma_on_every_step("random", &graph, &classes, 1, abstractly, substituted);
+            prop_assert!(classes.skipped() || compared == steps);
+        }
+        let small = Expr::var(n).le(Expr::int(i64::from(action_kind)));
+        let compared = lemma_on_every_state(
+            "random", &graph, &classes, 1, &small, &mapping.expr(&small).unwrap(),
+        );
+        prop_assert!(classes.skipped() || compared == graph.len());
 
         let memoized = check_simulation_governed(
             &system, &graph, &target, &mapping, &Budget::default(),

@@ -9,13 +9,19 @@
 //!   applied here, and a conjunct that is true everywhere but mentions
 //!   every variable widens the footprint until no two states share an
 //!   image class. [`Passes`] records the checker's `image_memo` events,
-//!   so a test can assert that the reference really ran unmemoized.
+//!   so a test can assert that the reference really ran unmemoized, and
+//!   tallies every event in a `CountingRecorder`.
+//! * [`lemma_on_every_step`] / [`lemma_on_every_state`] are the
+//!   substitution lemma read the other way: the unsubstituted
+//!   expression on the abstract state(s) the checker builds equals the
+//!   substituted one on the concrete state(s), as results.
 
+use opentla_check::image::{Classes, Memo};
 use opentla_check::{
-    Budget, CheckError, Counterexample, Event, ExhaustReason, LiveTarget, Meter, Outcome, Recorder,
-    SimulationReport, SimulationRun, StateGraph, System, Verdict,
+    Budget, CheckError, Counterexample, CountingRecorder, Event, ExhaustReason, LiveTarget, Meter,
+    Outcome, Recorder, SimulationReport, SimulationRun, StateGraph, System, Verdict,
 };
-use opentla_kernel::{box_action, Expr, Fairness, Formula, StatePair, Substitution};
+use opentla_kernel::{box_action, EvalError, Expr, Fairness, Formula, StatePair, Substitution};
 use opentla_semantics::safety_canonical;
 use std::sync::Mutex;
 
@@ -149,6 +155,17 @@ fn mentions_every_variable(system: &System, graph: &StateGraph) -> Expr {
     all.clone().eq(all)
 }
 
+/// `fair` under `mapping`, as the checker substitutes it.
+pub fn mapped_fairness(fair: &Fairness, mapping: &Substitution) -> Fairness {
+    let mapped = mapping
+        .formula(&Formula::Fair(fair.clone()))
+        .expect("the mapping applies to the fairness condition");
+    let Formula::Fair(mapped) = mapped else {
+        unreachable!("substitution preserves the Fair constructor");
+    };
+    mapped
+}
+
 /// The fairness target `fair` / `enabled` under `mapping`, substituted
 /// here and widened so that the checker evaluates it per edge.
 pub fn direct_fair_target(
@@ -158,12 +175,7 @@ pub fn direct_fair_target(
     enabled: Option<&Expr>,
     mapping: &Substitution,
 ) -> LiveTarget {
-    let mapped = mapping
-        .formula(&Formula::Fair(fair.clone()))
-        .expect("the mapping applies to the fairness condition");
-    let Formula::Fair(mapped) = mapped else {
-        unreachable!("substitution preserves the Fair constructor");
-    };
+    let mapped = mapped_fairness(fair, mapping);
     let wide = Fairness {
         action: Expr::all([mapped.action, mentions_every_variable(system, graph)]),
         ..mapped
@@ -192,19 +204,26 @@ pub struct Pass {
     pub skipped: bool,
 }
 
-/// Collects the `image_memo` events of the checks run under it.
+/// Collects the `image_memo` events of the checks run under it, and
+/// counts every event.
 #[derive(Default)]
-pub struct Passes(Mutex<Vec<Pass>>);
+pub struct Passes(Mutex<Vec<Pass>>, CountingRecorder);
 
 impl Passes {
     /// The events since the last call.
     pub fn take(&self) -> Vec<Pass> {
         std::mem::take(&mut *self.0.lock().unwrap())
     }
+
+    /// The tallies of every event recorded.
+    pub fn counting(&self) -> &CountingRecorder {
+        &self.1
+    }
 }
 
 impl Recorder for Passes {
     fn record(&self, event: &Event<'_>) {
+        self.1.record(event);
         if let Event::ImageMemo {
             classes,
             distinct_pairs,
@@ -221,4 +240,95 @@ impl Recorder for Passes {
             });
         }
     }
+}
+
+/// Steps of `graph` to run a lemma on: every edge and every stuttering
+/// step of every `stride`-th state.
+fn steps(graph: &StateGraph, stride: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+    (0..graph.len()).step_by(stride).flat_map(move |s| {
+        graph
+            .edges(s)
+            .iter()
+            .map(|e| e.target)
+            .chain([s])
+            .map(move |t| (s, t))
+    })
+}
+
+/// What one lookup must satisfy: the memo's `answer` is the `direct`
+/// result, and so is the result `on_images`, if the abstract evaluation
+/// ran. Returns whether it ran.
+fn agree(
+    ctx: &str,
+    at: &str,
+    answer: Result<bool, EvalError>,
+    on_images: Option<Result<bool, EvalError>>,
+    direct: Result<bool, EvalError>,
+) -> usize {
+    assert_eq!(answer, direct, "{ctx}: {at}: the memo's answer");
+    if let Some(on_images) = &on_images {
+        assert_eq!(*on_images, direct, "{ctx}: {at}: on the abstract state(s)");
+    }
+    usize::from(on_images.is_some())
+}
+
+/// On each of those steps whose endpoints both have a class:
+/// `abstractly` on the abstract pair the checker builds for a miss
+/// equals `substituted` on the concrete pair — as results, so an error
+/// of the one is the same error of the other. Returns the steps
+/// compared.
+pub fn lemma_on_every_step(
+    ctx: &str,
+    graph: &StateGraph,
+    classes: &Classes<'_>,
+    stride: usize,
+    abstractly: &Expr,
+    substituted: &Expr,
+) -> usize {
+    let mut compared = 0;
+    for (s, t) in steps(graph, stride) {
+        let direct = substituted.holds_action(StatePair::new(graph.state(s), graph.state(t)));
+        let mut on_images = None;
+        // A memo of its own: every step is a miss.
+        let answer = Memo::new(classes).step(
+            s,
+            t,
+            |images| {
+                let result = abstractly.holds_action(images);
+                on_images = Some(result.clone());
+                result
+            },
+            || direct.clone(),
+        );
+        compared += agree(ctx, &format!("step {s} -> {t}"), answer, on_images, direct);
+    }
+    compared
+}
+
+/// [`lemma_on_every_step`] for a state predicate, on every `stride`-th
+/// state.
+pub fn lemma_on_every_state(
+    ctx: &str,
+    graph: &StateGraph,
+    classes: &Classes<'_>,
+    stride: usize,
+    abstractly: &Expr,
+    substituted: &Expr,
+) -> usize {
+    let mut compared = 0;
+    for s in (0..graph.len()).step_by(stride) {
+        let direct = substituted.holds_state(graph.state(s));
+        let mut on_image = None;
+        let answer = Memo::new(classes).state(
+            s,
+            |image| {
+                let result = abstractly.holds_state(image);
+                on_image = Some(result.clone());
+                result
+            },
+            || direct.clone(),
+        );
+        compared += agree(ctx, &format!("state {s}"), answer, on_image, direct);
+    }
+    compared
 }

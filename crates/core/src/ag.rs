@@ -5,7 +5,7 @@ use crate::{ComponentSpec, SpecError};
 use opentla_check::{
     Counterexample, GuardedAction, StateGraph, System, Verdict,
 };
-use opentla_kernel::{Formula, Renaming, State, StatePair, VarId, Vars};
+use opentla_kernel::{Expr, Formula, Renaming, State, StatePair, VarId, Vars};
 use opentla_semantics::{safety_canonical, SafetyCanonical};
 use std::collections::HashMap;
 
@@ -165,9 +165,8 @@ pub fn chaos_environment(
         for value in vars.domain(*v).iter() {
             builder = builder.action(GuardedAction::new(
                 format!("chaos[{} := {}]", vars.name(*v), value),
-                opentla_kernel::Expr::var(*v)
-                    .ne(opentla_kernel::Expr::con(value.clone())),
-                vec![(*v, opentla_kernel::Expr::con(value.clone()))],
+                Expr::var(*v).ne(Expr::con(value.clone())),
+                vec![(*v, Expr::con(value.clone()))],
             ));
         }
     }
@@ -259,14 +258,16 @@ fn failing_state_conjunct(
 }
 
 /// The first conjunct of `sc` (step box or invariant) failing on the
-/// transition `pair`, rendered with `vars` names.
+/// transition `pair`, rendered with `vars` names. `boxes` are
+/// `sc.step_boxes()`, built once per monitor run.
 fn failing_step_conjunct(
     sc: &SafetyCanonical,
+    boxes: &[Expr],
     pair: StatePair<'_>,
     vars: &Vars,
 ) -> Result<Option<String>, SpecError> {
-    for (a, sub) in &sc.boxes {
-        if !opentla_kernel::box_action(a.clone(), sub)
+    for ((a, sub), step_box) in sc.boxes.iter().zip(boxes) {
+        if !step_box
             .holds_action(pair)
             .map_err(opentla_check::CheckError::from)?
         {
@@ -376,6 +377,7 @@ fn ag_monitor(
     let sys_sc = safety_canonical(sys).ok_or(opentla_check::CheckError::NotCanonical {
         context: "check_ag_safety (guarantee)",
     })?;
+    let (env_boxes, sys_boxes) = (env_sc.step_boxes(), sys_sc.step_boxes());
     let vars = system.vars();
 
     // Monitor state: false = both intact, true = assumption broken.
@@ -453,7 +455,7 @@ fn ag_monitor(
         for e in graph.edges(id) {
             let t = graph.state(e.target);
             let pair = StatePair::new(s, t);
-            if let Some(conjunct) = failing_step_conjunct(&sys_sc, pair, vars)? {
+            if let Some(conjunct) = failing_step_conjunct(&sys_sc, &sys_boxes, pair, vars)? {
                 // Violation: reconstruct the trace through the monitor.
                 let action = system.actions()[e.action].name().to_string();
                 let base = rebuild(&seen, (id, env_broken), String::new());
@@ -477,7 +479,7 @@ fn ag_monitor(
                     env_break: None,
                 });
             }
-            let broken_conjunct = failing_step_conjunct(&env_sc, pair, vars)?;
+            let broken_conjunct = failing_step_conjunct(&env_sc, &env_boxes, pair, vars)?;
             let next_broken = broken_conjunct.is_some();
             let key = (e.target, next_broken);
             if let std::collections::hash_map::Entry::Vacant(entry) = seen.entry(key) {

@@ -5,9 +5,10 @@ use crate::{
     closed_product, AgSpec, Certificate, ComponentSpec, Method, Obligation,
     ObligationStatus, SpecError,
 };
+use opentla_check::image::Images;
 use opentla_check::{
-    check_liveness_governed, check_simulation_governed, explore_governed_with, Budget,
-    ExploreOptions, LiveTarget, Verdict,
+    check_liveness_with_images, check_simulation_governed, check_simulation_with_images,
+    explore_governed_with, Budget, ExploreOptions, LiveTarget, LivenessOptions, Verdict,
 };
 use opentla_kernel::{Substitution, Vars};
 
@@ -344,12 +345,15 @@ fn build_certificate(
         method: Method::InitialStates,
         status: init_status,
     });
-    // Proposition 3 then reduces 2(a) to the +‑free simulation.
-    let run = check_simulation_governed(
+    // Proposition 3 then reduces 2(a) to the +‑free simulation. The
+    // refinement mapping is evaluated over the graph here, once: 2(a)
+    // and every condition of 2(b) read the same images.
+    let images = Images::of_graph(graph, &problem.mapping, &rec);
+    let run = check_simulation_with_images(
         &product,
         graph,
         &target_sys.safety_formula(),
-        &problem.mapping,
+        &images,
         &budget,
     )?;
     obligations.push(Obligation {
@@ -376,7 +380,7 @@ fn build_certificate(
             // state function. Using concrete-successor enabledness
             // here would be unsound: an abstract action can be enabled
             // at states the concrete implementation has saturated.
-            let run = check_liveness_governed(
+            let run = check_liveness_with_images(
                 &product,
                 graph,
                 &LiveTarget::fair_mapped(
@@ -384,7 +388,9 @@ fn build_certificate(
                     target_sys.fairness_enabled_expr(i),
                     problem.mapping.clone(),
                 ),
+                &images,
                 &budget,
+                &LivenessOptions::default(),
             )?;
             obligations.push(Obligation {
                 id: format!("H2b/fairness[{i}]"),

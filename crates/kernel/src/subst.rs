@@ -163,7 +163,7 @@ impl Renaming {
 /// subscript components become expression equalities, and the subscript
 /// is widened to the free variables of the replacements (which
 /// preserves the semantics of `[A]_v`).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Substitution {
     /// Ordered, so that [`Substitution::domain`] and the `Debug`
     /// rendering (which liveness snapshots hash to pin their target)

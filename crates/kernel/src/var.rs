@@ -1,6 +1,7 @@
 //! Flexible variables, variable sets, and finite domains.
 
 use crate::Value;
+use std::collections::HashSet;
 use std::fmt;
 
 /// An interned flexible variable.
@@ -54,11 +55,9 @@ impl Domain {
     /// entries would silently skew enumeration counts.
     pub fn new(values: Vec<Value>) -> Self {
         assert!(!values.is_empty(), "domain must be nonempty");
-        for (i, v) in values.iter().enumerate() {
-            assert!(
-                !values[..i].contains(v),
-                "domain contains duplicate value {v}"
-            );
+        let mut seen = HashSet::with_capacity(values.len());
+        for v in &values {
+            assert!(seen.insert(v), "domain contains duplicate value {v}");
         }
         Domain { values }
     }

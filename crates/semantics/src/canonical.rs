@@ -28,6 +28,16 @@ pub struct SafetyCanonical {
 }
 
 impl SafetyCanonical {
+    /// The step boxes as actions `[A]_v ≜ A ∨ UNCHANGED v`, in
+    /// [`boxes`](Self::boxes) order. Each is a deep copy of its action:
+    /// a check over a graph builds them once, not once per edge.
+    pub fn step_boxes(&self) -> Vec<Expr> {
+        self.boxes
+            .iter()
+            .map(|(a, sub)| box_action(a.clone(), sub))
+            .collect()
+    }
+
     /// Whether a nonempty finite behavior satisfies the formula, i.e.
     /// can be extended to an infinite behavior satisfying it.
     ///

@@ -151,8 +151,10 @@ fn golden_stream_shape() {
 
 /// A certificate narrates its obligation checks: one `image_memo` per
 /// simulation (two H1s, H2a) and one per target fairness table (H2b),
-/// each with the golden field set, inside the phase of its check. The
-/// counts are the chain's own and do not depend on timing.
+/// each with the golden field set, inside the phase of its check; and
+/// one `image_pass`, the evaluation of the refinement mapping that H2a
+/// and H2b share, between the H1s and H2a and inside neither check.
+/// The counts are the chain's own and do not depend on timing.
 #[test]
 fn golden_image_memo_events_of_a_certificate() {
     let buf = Arc::new(Mutex::new(Vec::new()));
@@ -174,6 +176,12 @@ fn golden_image_memo_events_of_a_certificate() {
         fields,
         ["v", "t", "ev", "check", "classes", "distinct_pairs", "edges", "skipped"]
     );
+    assert_eq!(summary.kinds["image_pass"], 1);
+    let fields: Vec<&str> = summary.fields["image_pass"].iter().map(String::as_str).collect();
+    assert_eq!(
+        fields,
+        ["v", "t", "ev", "states", "mapped_vars", "distinct_values", "undefined", "nanos"]
+    );
 
     let mut phase = Vec::new();
     let mut passes = Vec::new();
@@ -185,6 +193,15 @@ fn golden_image_memo_events_of_a_certificate() {
             Some("phase_enter") => phase.push(str_of("phase").unwrap()),
             Some("phase_exit") => {
                 phase.pop();
+            }
+            Some("image_pass") => {
+                assert_eq!(phase.last().map(String::as_str), Some("compose"));
+                assert_eq!(passes.len(), 2, "after the H1s, before H2a: {passes:?}");
+                assert_eq!(num("states"), cert.product_states as u64);
+                assert_eq!((num("mapped_vars"), num("undefined")), (1, 0));
+                // q̄ is a sequence over two values, and two one-place
+                // queues with the channel between them hold up to three.
+                assert!(num("distinct_values") <= 1 + 2 + 4 + 8);
             }
             Some("image_memo") => {
                 let check = str_of("check").unwrap();

@@ -134,26 +134,52 @@ proptest! {
     }
 }
 
-/// Keeps the one `image_memo` event of a simulation.
+/// Keeps the one `image_memo` event of a simulation, and its one
+/// `image_pass` event `(states, mapped_vars, distinct_values,
+/// undefined)` if it evaluated a mapping.
 #[derive(Default)]
-struct LastPass(std::sync::Mutex<Option<(u64, u64, u64, bool)>>);
+struct LastPass(
+    std::sync::Mutex<Option<(u64, u64, u64, bool)>>,
+    std::sync::Mutex<Option<(u64, u64, u64, u64)>>,
+);
 
 impl Recorder for LastPass {
     fn record(&self, event: &Event<'_>) {
-        if let Event::ImageMemo {
-            classes,
-            distinct_pairs,
-            edges,
-            skipped,
-            ..
-        } = event
-        {
-            let previous = self
-                .0
-                .lock()
-                .unwrap()
-                .replace((*classes, *distinct_pairs, *edges, *skipped));
-            assert!(previous.is_none(), "one pass per simulation");
+        match event {
+            Event::ImageMemo {
+                classes,
+                distinct_pairs,
+                edges,
+                skipped,
+                ..
+            } => {
+                let previous = self
+                    .0
+                    .lock()
+                    .unwrap()
+                    .replace((*classes, *distinct_pairs, *edges, *skipped));
+                assert!(previous.is_none(), "one pass per simulation");
+            }
+            Event::ImagePass {
+                states,
+                mapped_vars,
+                distinct_values,
+                undefined,
+                ..
+            } => {
+                assert!(
+                    self.0.lock().unwrap().is_none(),
+                    "the mapping is evaluated before the classes are keyed"
+                );
+                let previous = self.1.lock().unwrap().replace((
+                    *states,
+                    *mapped_vars,
+                    *distinct_values,
+                    *undefined,
+                ));
+                assert!(previous.is_none(), "one evaluation of the mapping per simulation");
+            }
+            _ => {}
         }
     }
 }
@@ -165,11 +191,13 @@ proptest! {
     /// holds looked up every edge once, evaluated no more steps than
     /// it looked up, found no more classes than the footprint has
     /// values — and skipped the memo exactly when the footprint
-    /// separates every state.
+    /// separates every state. Under a mapping it evaluated the mapping
+    /// in one pass over the graph's states, and under none in none.
     #[test]
     fn image_memo_counts_match_the_check(
         specs in proptest::collection::vec(arb_action_spec(), 1..4),
         footprint_is_everything in 0..2u8,
+        mapped in 0..2u8,
     ) {
         let sys = build_system(&specs);
         let (a, b) = (sys.vars().find("a").unwrap(), sys.vars().find("b").unwrap());
@@ -179,12 +207,18 @@ proptest! {
         // □[TRUE]_a looks at `a` only; □[TRUE]_⟨a,b⟩ at the whole state.
         let sub = if footprint_is_everything == 1 { vec![a, b] } else { vec![a] };
         let target = Formula::act_box(Expr::bool(true), sub.clone());
+        // b ↦ 1 − a: a total state function with at most two values.
+        let mapping = if mapped == 1 {
+            Substitution::new([(b, Expr::int(1).sub(Expr::var(a)))])
+        } else {
+            Substitution::default()
+        };
         let pass = Arc::new(LastPass::default());
         let run = check_simulation_governed(
             &sys,
             &graph,
             &target,
-            &Substitution::default(),
+            &mapping,
             &Budget::default().with_recorder(RecorderHandle::new(pass.clone())),
         )
         .expect("simulates");
@@ -199,6 +233,15 @@ proptest! {
             prop_assert_eq!(pairs, edges);
         } else {
             prop_assert!(pairs <= classes * classes);
+        }
+        let image_pass = *pass.1.lock().unwrap();
+        if mapped == 1 {
+            let (states, mapped_vars, distinct, undefined) =
+                image_pass.expect("a mapped simulation evaluates its mapping");
+            prop_assert_eq!((states, mapped_vars, undefined), (graph.len() as u64, 1, 0));
+            prop_assert!((1..=2).contains(&distinct));
+        } else {
+            prop_assert_eq!(image_pass, None);
         }
     }
 }

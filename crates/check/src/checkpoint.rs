@@ -7,8 +7,8 @@
 //! under a [`Budget`](crate::Budget) with
 //! [`Budget::with_checkpoint`](crate::Budget::with_checkpoint)
 //! periodically serialize their resumable core — the state arena, the
-//! recorded edges and BFS tree, the unexpanded frontier, and the
-//! reduction statistics — to a [`Snapshot`], and
+//! recorded edges and BFS tree, the unexpanded frontier, and what a
+//! symmetry reduction has banked — to a [`Snapshot`], and
 //! [`explore_resumable`](crate::explore_resumable) continues from the
 //! preserved frontier instead of restarting.
 //!
@@ -26,7 +26,9 @@
 //! be trusted for a resume*: the system's structural hash, the
 //! fingerprint width (`fp_bits` — a snapshot taken under forced
 //! collisions must not silently resume a full-width run), the
-//! [`VisitedMode`], and whether a reduction was active. [`Snapshot::load`]
+//! [`VisitedMode`], whether a reduction was active, and — in the
+//! trailing reduction block — the name of the symmetry canonicalizer
+//! the arena is canonical under. [`Snapshot::load`]
 //! verifies magic, version, and checksum; [`Snapshot::validate`]
 //! refuses any mismatch with a typed [`CheckpointError`] — never a
 //! panic, and never a silent wrong-configuration resume.
@@ -49,7 +51,7 @@
 
 use crate::explore::Edge;
 use crate::obs::{Event, RecorderHandle};
-use crate::reduction::ReductionStats;
+use crate::reduction::Canonicalize;
 use crate::{ExploreOptions, System, VisitedMode};
 use opentla_kernel::codec::{self, Reader};
 use opentla_kernel::store::{self, SegmentMeta, StoreError};
@@ -269,7 +271,8 @@ pub struct Snapshot {
     pub(crate) edges: Vec<Vec<Edge>>,
     pub(crate) parents: Vec<Option<(usize, usize)>>,
     pub(crate) frontier: Vec<usize>,
-    pub(crate) reduction: Option<ReductionStats>,
+    /// `Some` exactly when `reduced`.
+    pub(crate) reduction: Option<ReducedRun>,
     /// `Some` for a bounded-memory (spill) snapshot: the arena and
     /// edge lists live in sealed segment files referenced by name and
     /// checksum, plus the embedded unsealed tails. `states`, `edges`,
@@ -277,6 +280,24 @@ pub struct Snapshot {
     /// them from the segments.
     pub(crate) spill: Option<SpillManifest>,
 }
+
+/// What a symmetry-reduced run banks in its snapshots.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct ReducedRun {
+    /// [`Canonicalize::name`] of the canonicalizer the arena is
+    /// canonical under: continuing it under another group would build
+    /// a graph that is canonical under neither.
+    pub(crate) canonicalizer: String,
+    /// [`ReductionStats::canon_hits`](crate::ReductionStats) of the
+    /// fully expanded states.
+    pub(crate) canon_hits: usize,
+}
+
+/// Tag of a present reduction block. Tag 1 was the four-counter block
+/// of the builds that also had ample-set reduction: a snapshot carrying
+/// it may hold a partial-order-reduced arena, which nothing here can
+/// continue, so it is refused rather than read.
+const REDUCTION_BLOCK_TAG: u8 = 2;
 
 /// What a spill snapshot records instead of the in-RAM arena: where
 /// the sealed segment files live and how to verify them, plus the
@@ -324,9 +345,9 @@ impl Snapshot {
     }
 
     /// Refuses to resume under a different system or configuration:
-    /// the structural hash, fingerprint width, visited mode, and
-    /// reduction activity must all match what the snapshot was taken
-    /// under.
+    /// the structural hash, fingerprint width, visited mode, reduction
+    /// activity, and symmetry canonicalizer (by name) must all match
+    /// what the snapshot was taken under.
     ///
     /// # Errors
     ///
@@ -373,7 +394,36 @@ impl Snapshot {
                 options.reduction.is_active().to_string(),
             );
         }
+        if let (Some(run), Some(canon)) = (&self.reduction, &options.reduction.symmetry) {
+            if run.canonicalizer != canon.name() {
+                return mismatch(
+                    "symmetry canonicalizer",
+                    run.canonicalizer.clone(),
+                    canon.name().to_string(),
+                );
+            }
+        }
         Ok(())
+    }
+
+    /// Refuses a (materialized) arena that is not canonical under
+    /// `canon`: the name matched, the group behind it did not.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Mismatch`] naming the first such state.
+    pub(crate) fn validate_canonical(
+        &self,
+        canon: &dyn Canonicalize,
+    ) -> Result<(), CheckpointError> {
+        match self.states.iter().position(|s| &canon.canonicalize(s) != s) {
+            None => Ok(()),
+            Some(id) => Err(CheckpointError::Mismatch {
+                field: "symmetry canonicalizer",
+                snapshot: format!("state {id} is not an orbit representative"),
+                requested: canon.name().to_string(),
+            }),
+        }
     }
 
     /// Serializes the snapshot body (everything between magic and
@@ -404,6 +454,16 @@ impl Snapshot {
             out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
             out.extend_from_slice(bytes);
         };
+        // The trailing reduction block: a tag byte, then (when present)
+        // the banked hits and the canonicalizer's name.
+        let push_reduction = |out: &mut Vec<u8>, reduction: &Option<ReducedRun>| match reduction {
+            None => out.push(0),
+            Some(r) => {
+                out.push(REDUCTION_BLOCK_TAG);
+                out.extend_from_slice(&(r.canon_hits as u64).to_le_bytes());
+                push_bytes(out, r.canonicalizer.as_bytes());
+            }
+        };
         if let Some(m) = &self.spill {
             push_bytes(&mut out, m.dir.to_string_lossy().as_bytes());
             out.extend_from_slice(&m.states.to_le_bytes());
@@ -425,20 +485,7 @@ impl Snapshot {
             }
             push_ids(&mut out, &self.init);
             push_ids(&mut out, &self.frontier);
-            match &self.reduction {
-                None => out.push(0),
-                Some(r) => {
-                    out.push(1);
-                    for n in [
-                        r.ample_states,
-                        r.full_states,
-                        r.skipped_transitions,
-                        r.canon_hits,
-                    ] {
-                        out.extend_from_slice(&(n as u64).to_le_bytes());
-                    }
-                }
-            }
+            push_reduction(&mut out, &self.reduction);
             return out;
         }
         out.extend_from_slice(&(self.states.len() as u32).to_le_bytes());
@@ -464,20 +511,7 @@ impl Snapshot {
             }
         }
         push_ids(&mut out, &self.frontier);
-        match &self.reduction {
-            None => out.push(0),
-            Some(r) => {
-                out.push(1);
-                for n in [
-                    r.ample_states,
-                    r.full_states,
-                    r.skipped_transitions,
-                    r.canon_hits,
-                ] {
-                    out.extend_from_slice(&(n as u64).to_le_bytes());
-                }
-            }
-        }
+        push_reduction(&mut out, &self.reduction);
         out
     }
 
@@ -622,7 +656,7 @@ impl Snapshot {
             edges,
             parents,
             frontier: self.frontier.clone(),
-            reduction: self.reduction,
+            reduction: self.reduction.clone(),
             spill: None,
         })
     }
@@ -697,18 +731,33 @@ impl SnapshotReader<'_> {
         Ok((fp_bits, mode, reduced, system_hash, seq))
     }
 
-    /// Reads the trailing reduction-stats block.
-    fn reduction(&mut self) -> Result<Option<ReductionStats>, CheckpointError> {
-        match self.u8("reduction tag")? {
-            0 => Ok(None),
-            1 => Ok(Some(ReductionStats {
-                ample_states: self.u64("ample states")? as usize,
-                full_states: self.u64("full states")? as usize,
-                skipped_transitions: self.u64("skipped transitions")? as usize,
-                canon_hits: self.u64("canon hits")? as usize,
-            })),
-            t => Self::corrupt(format!("bad reduction tag {t}")),
+    /// Reads the trailing reduction block, which must be present
+    /// exactly when the header says the run was `reduced`.
+    fn reduction(&mut self, reduced: bool) -> Result<Option<ReducedRun>, CheckpointError> {
+        let block = match self.u8("reduction tag")? {
+            0 => None,
+            REDUCTION_BLOCK_TAG => {
+                let canon_hits = self.u64("canon hits")? as usize;
+                Some(ReducedRun {
+                    canonicalizer: self.string("canonicalizer name")?,
+                    canon_hits,
+                })
+            }
+            1 => {
+                return Self::corrupt(
+                    "reduction block tag 1: written by a build with ample-set \
+                     partial-order reduction, whose snapshots this build cannot resume",
+                )
+            }
+            t => return Self::corrupt(format!("bad reduction tag {t}")),
+        };
+        if block.is_some() != reduced {
+            return Self::corrupt(format!(
+                "reduced flag is {reduced} but the reduction block is {}",
+                if block.is_some() { "present" } else { "absent" }
+            ));
         }
+        Ok(block)
     }
 
     fn bytes(&mut self, ctx: &'static str) -> Result<Vec<u8>, CheckpointError> {
@@ -716,6 +765,12 @@ impl SnapshotReader<'_> {
             .bytes(ctx)
             .map(<[u8]>::to_vec)
             .map_err(|e| CheckpointError::Corrupt { detail: e.to_string() })
+    }
+
+    fn string(&mut self, ctx: &'static str) -> Result<String, CheckpointError> {
+        String::from_utf8(self.bytes(ctx)?).map_err(|_| CheckpointError::Corrupt {
+            detail: format!("{ctx} is not valid UTF-8"),
+        })
     }
 
     fn finish(&mut self) -> Result<Snapshot, CheckpointError> {
@@ -753,7 +808,7 @@ impl SnapshotReader<'_> {
             });
         }
         let frontier = self.ids("frontier id", n)?;
-        let reduction = self.reduction()?;
+        let reduction = self.reduction(reduced)?;
         if !self.r.is_empty() {
             return Self::corrupt(format!(
                 "{} trailing byte(s) after the snapshot body",
@@ -778,23 +833,14 @@ impl SnapshotReader<'_> {
 
     fn finish_spill(&mut self) -> Result<Snapshot, CheckpointError> {
         let (fp_bits, mode, reduced, system_hash, seq) = self.header()?;
-        let dir = PathBuf::from(
-            String::from_utf8(self.bytes("spill directory")?)
-                .map_err(|_| CheckpointError::Corrupt {
-                    detail: "spill directory is not valid UTF-8".into(),
-                })?,
-        );
+        let dir = PathBuf::from(self.string("spill directory")?);
         let states = self.u64("spill state count")?;
         let transitions = self.u64("spill transition count")?;
         let mut segments = || -> Result<Vec<SegmentMeta>, CheckpointError> {
             let count = self.u32("segment count")? as usize;
             let mut list = Vec::with_capacity(count.min(1 << 20));
             for _ in 0..count {
-                let name = String::from_utf8(self.bytes("segment name")?).map_err(|_| {
-                    CheckpointError::Corrupt {
-                        detail: "segment name is not valid UTF-8".into(),
-                    }
-                })?;
+                let name = self.string("segment name")?;
                 if name.contains('/') || name.contains('\\') || name.contains("..") {
                     return Self::corrupt(format!("segment name {name:?} escapes the spill dir"));
                 }
@@ -830,7 +876,7 @@ impl SnapshotReader<'_> {
         }
         let init = self.ids("initial state id", n)?;
         let frontier = self.ids("frontier id", n)?;
-        let reduction = self.reduction()?;
+        let reduction = self.reduction(reduced)?;
         if !self.r.is_empty() {
             return Self::corrupt(format!(
                 "{} trailing byte(s) after the snapshot body",
@@ -865,9 +911,10 @@ impl SnapshotReader<'_> {
 /// Captures a snapshot from a (possibly partial) exploration whose
 /// only incomplete states are the `frontier` ones: their (possibly
 /// partial) edge lists are cleared so they fully re-expand on resume.
-/// `keep` truncates the arena to a prefix — the reduced engines roll
-/// back to the last complete BFS level boundary (every kept edge then
-/// points inside the prefix); unreduced captures pass the full length.
+/// `keep` truncates the arena to a prefix — the work-stealing engines
+/// roll back to the last complete BFS level boundary (every kept edge
+/// then points inside the prefix); sequential captures pass the full
+/// length. `reduction` is `Some` for a symmetry-reduced run.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn capture(
     states: &[State],
@@ -877,11 +924,10 @@ pub(crate) fn capture(
     keep: usize,
     frontier: &[usize],
     mode: VisitedMode,
-    reduced: bool,
     system_hash: u64,
     fp_bits: u32,
     seq: u64,
-    reduction: Option<ReductionStats>,
+    reduction: Option<ReducedRun>,
 ) -> Snapshot {
     let mut is_frontier = vec![false; keep];
     for &f in frontier {
@@ -902,7 +948,7 @@ pub(crate) fn capture(
     Snapshot {
         fp_bits,
         mode,
-        reduced,
+        reduced: reduction.is_some(),
         system_hash,
         seq,
         states: states[..keep].to_vec(),
@@ -1427,10 +1473,8 @@ mod tests {
             ],
             parents: vec![None, Some((0, 0)), Some((0, 1))],
             frontier: vec![1, 2],
-            reduction: Some(ReductionStats {
-                ample_states: 1,
-                full_states: 2,
-                skipped_transitions: 3,
+            reduction: Some(ReducedRun {
+                canonicalizer: "sample-group".into(),
                 canon_hits: 4,
             }),
             spill: None,
@@ -1518,6 +1562,48 @@ mod tests {
             Snapshot::load(&dir.join("no_such.snap")).unwrap_err(),
             CheckpointError::Io { .. }
         ));
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Rewrites the sample's trailing reduction block and re-checksums
+    /// the file, so the decoder gets past the integrity check.
+    fn with_reduction_block(path: &Path, block: &[u8]) {
+        let snap = sample();
+        snap.save(path).unwrap();
+        let file = std::fs::read(path).unwrap();
+        let name = &snap.reduction.as_ref().unwrap().canonicalizer;
+        let old_block = 1 + 8 + 4 + name.len();
+        let mut body = file[MAGIC.len()..file.len() - 8 - old_block].to_vec();
+        body.extend_from_slice(block);
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&body);
+        out.extend_from_slice(&fnv1a(&body).to_le_bytes());
+        std::fs::write(path, out).unwrap();
+    }
+
+    #[test]
+    fn reduction_block_of_a_por_build_is_refused_not_misread() {
+        let dir = std::env::temp_dir().join("opentla_ckpt_redblock");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("old_block.snap");
+        // Tag 1: the four counters ample-set builds wrote.
+        let mut old = vec![1u8];
+        for n in [1u64, 2, 3, 4] {
+            old.extend_from_slice(&n.to_le_bytes());
+        }
+        with_reduction_block(&path, &old);
+        match Snapshot::load(&path).unwrap_err() {
+            CheckpointError::Corrupt { detail } => {
+                assert!(detail.contains("partial-order reduction"), "{detail}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // A `reduced` header without its block.
+        with_reduction_block(&path, &[0]);
+        match Snapshot::load(&path).unwrap_err() {
+            CheckpointError::Corrupt { detail } => assert!(detail.contains("reduced flag"), "{detail}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

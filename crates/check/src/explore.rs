@@ -9,14 +9,19 @@
 //! |--------------------------|-----------------------|---------------------------------------------------|
 //! | `explore_sequential`     | `seq::explore_seq`    | `seq::RamStore`: `Vec` arena, hash-map visited    |
 //! | `explore_spill`          | `seq::explore_seq`    | `spill::SpillStore`: segment files, two-tier set  |
-//! | `explore_parallel_ws`    | `ws::run_workers`     | `ws`: striped packed (or tree) arenas in RAM      |
+//! | `explore_parallel_ws`    | `ws::run_workers`     | `ws`: striped packed arenas in RAM                |
 //! | `explore_spill_ws`       | `ws::run_workers`     | `spill_ws`: shared segment files, striped two-tier|
 //!
-//! The routing rule: an active [`Reduction`] → the first plan, on the
-//! third loop (`explore_sequential_reduced`); otherwise `(more than
-//! one thread, a memory budget)` picks the row — (no, no) the first,
-//! (no, yes) the second, (yes, no) the third, (yes, yes) the fourth.
-//! An explicit [`Engine`] other than [`Engine::Auto`] forces its row.
+//! The routing rule: an active [`Reduction`] → the first plan;
+//! otherwise `(more than one thread, a memory budget)` picks the row —
+//! (no, no) the first, (no, yes) the second, (yes, no) the third,
+//! (yes, yes) the fourth. An explicit [`Engine`] other than
+//! [`Engine::Auto`] forces its row. The work-stealing loop runs over
+//! packed states only: a system whose states do not pack (domains too
+//! wide for a [`PackedLayout`](opentla_kernel::PackedLayout), or a
+//! start state outside them) runs the sequential loop of the same
+//! store family instead — third row → first, fourth → second — and
+//! `RunStart` names that loop.
 //!
 //! The sequential loop is the reference implementation: plain BFS over
 //! the compiled successor stepper ([`crate::CompiledSystem`]). The two
@@ -26,10 +31,10 @@
 //! every plan's result is **byte-identical**: same state indices, same
 //! edge lists, same [`GraphStats`], same counterexample traces.
 //!
-//! Reduced runs ([`Reduction`]) have a loop of their own —
-//! `explore_sequential_reduced` — because the cycle proviso needs BFS
-//! level boundaries; they are sequential at any requested thread
-//! count.
+//! A symmetry-reduced run ([`Reduction`]) is the sequential loop over
+//! the in-RAM store, which canonicalizes each successor before it is
+//! fingerprinted and interned; it is sequential at any requested
+//! thread count.
 //!
 //! Every plan deduplicates states through a [`VisitedMode`]: either
 //! **fingerprinting** (the default — 64-bit hashes in the visited set,
@@ -38,12 +43,12 @@
 //! for the soundness trade-off.
 
 use crate::budget::{Budget, ExhaustReason, Governed, Meter, Outcome};
-use crate::checkpoint::{self, Checkpointer, ResumeToken, Snapshot};
+use crate::checkpoint::{self, Checkpointer, ReducedRun, ResumeToken, Snapshot};
 use crate::compiled::{CompiledSystem, EvalScratch};
 use crate::obs::{
     Event, Phase, PhaseGuard, ProgressSnapshot, RecorderHandle, RunReport, OBS_SCHEMA_VERSION,
 };
-use crate::reduction::{AmpleScratch, Canonicalize, PreparedReduction, Reduction, ReductionStats};
+use crate::reduction::{Canonicalize, Reduction, ReductionStats};
 use crate::{CheckError, System};
 use fxhash::FxHashMap;
 use opentla_kernel::State;
@@ -67,7 +72,7 @@ mod spill_ws;
 mod ws;
 
 pub(crate) use plan::env_threads;
-use plan::{Plan, Route};
+use plan::{Plan, Route, Start};
 
 /// How the explorer remembers which states it has already seen.
 ///
@@ -118,12 +123,11 @@ pub struct ExploreOptions {
     /// [`VisitedMode::Exact`] fallback; production runs should leave
     /// this at 64.
     pub fp_bits: u32,
-    /// State-space reduction (ample-set partial-order and/or symmetry
-    /// reduction; see [`Reduction`]). Defaults to [`Reduction::none`]:
-    /// the engines then take exactly their unreduced code paths and
-    /// produce bit-for-bit the same graphs as before the reduction
-    /// subsystem existed. Reduced graphs answer state-invariant
-    /// queries only — liveness and step-invariant checks refuse them.
+    /// State-space reduction (symmetry; see [`Reduction`]). Defaults
+    /// to [`Reduction::none`]: the engines then take exactly their
+    /// unreduced code paths. Reduced graphs answer state-invariant
+    /// queries only — simulation, liveness and step-invariant checks
+    /// refuse them.
     pub reduction: Reduction,
     /// Fault-injection knob for the work-stealing scheduler's panic
     /// isolation: when set, exactly one worker deliberately panics
@@ -172,10 +176,10 @@ pub enum Engine {
     /// The work-stealing scheduler over packed state buffers in RAM,
     /// at any thread count: per-worker deques, quiescence-based
     /// termination, one canonical renumbering post-pass. Produces
-    /// graphs byte-identical to the sequential loop. Falls back to the
-    /// `Value`-tree state representation when the system's domains do
-    /// not compile to a [`opentla_kernel::PackedLayout`]. With a
-    /// memory budget in force this is [`Engine::SpillWs`].
+    /// graphs byte-identical to the sequential loop — and *is* the
+    /// sequential loop when the system's states do not pack into a
+    /// [`opentla_kernel::PackedLayout`]. With a memory budget in force
+    /// this is [`Engine::SpillWs`].
     WorkStealing,
     /// The bounded-memory sequential plan: same BFS order and charge
     /// discipline as the in-RAM sequential loop, but the state arena
@@ -195,7 +199,8 @@ pub enum Engine {
     /// shared sealed-segment writers. Completed graphs are
     /// byte-identical to [`Engine::SpillBfs`] and to the sequential
     /// loop in both [`VisitedMode`]s. Selecting it explicitly forces
-    /// the parallel spill path even without a budget.
+    /// the parallel spill path even without a budget; states that do
+    /// not pack run [`Engine::SpillBfs`] instead.
     SpillWs,
 }
 
@@ -300,15 +305,11 @@ impl Visited {
     }
 
     /// Looks up a state, returning its id if (a state with the same
-    /// key as) it was seen, plus the fingerprint key for a subsequent
-    /// [`Visited::insert`] (0 in exact mode).
-    fn lookup(&self, s: &State) -> (Option<usize>, u64) {
+    /// key as) it was seen.
+    fn lookup(&self, s: &State) -> Option<usize> {
         match self {
-            Visited::Exact(map) => (map.get(s).copied(), 0),
-            Visited::Fingerprint { map, mask } => {
-                let fp = s.fingerprint() & mask;
-                (map.get(&fp).copied(), fp)
-            }
+            Visited::Exact(map) => map.get(s).copied(),
+            Visited::Fingerprint { map, mask } => map.get(&(s.fingerprint() & mask)).copied(),
         }
     }
 
@@ -317,19 +318,6 @@ impl Visited {
     fn exact_of(states: &[State]) -> Visited {
         Visited::Exact(states.iter().cloned().zip(0..).collect())
     }
-
-    /// Records a state under the key computed by [`Visited::lookup`].
-    fn insert(&mut self, s: &State, fp: u64, id: usize) {
-        match self {
-            Visited::Exact(map) => {
-                map.insert(s.clone(), id);
-            }
-            Visited::Fingerprint { map, .. } => {
-                map.insert(fp, id);
-            }
-        }
-    }
-
 }
 
 /// The reachable state graph of a [`System`], with a BFS tree for
@@ -356,18 +344,6 @@ pub struct StateGraph {
 }
 
 impl StateGraph {
-    fn new(mode: VisitedMode, mask: u64) -> StateGraph {
-        StateGraph {
-            states: Vec::new(),
-            visited: Visited::new(mode, mask),
-            init: Vec::new(),
-            edges: Vec::new(),
-            parents: Vec::new(),
-            reduced: false,
-            canon: None,
-        }
-    }
-
     /// Number of reachable states.
     pub fn len(&self) -> usize {
         self.states.len()
@@ -414,8 +390,7 @@ impl StateGraph {
             }
             None => s,
         };
-        let (candidate, _) = self.visited.lookup(s);
-        let id = candidate?;
+        let id = self.visited.lookup(s)?;
         match &self.visited {
             Visited::Exact(_) => Some(id),
             Visited::Fingerprint { .. } => (&self.states[id] == s).then_some(id),
@@ -424,11 +399,11 @@ impl StateGraph {
 
     /// Whether this graph was built under an active [`Reduction`]. A
     /// reduced graph soundly answers *state-invariant* reachability
-    /// (for properties respecting the reduction's observability and
-    /// symmetry obligations), but omits interleavings — so
-    /// [`crate::check_liveness`] and [`crate::check_step_invariant`]
-    /// refuse it and require a full exploration instead (the ignoring
-    /// problem; see [`crate::Reduction`]).
+    /// (for properties symmetric under the reduction's group), but its
+    /// edges join orbit representatives — so
+    /// [`crate::check_simulation`], [`crate::check_liveness`] and
+    /// [`crate::check_step_invariant`] refuse it and require a full
+    /// exploration instead (see [`crate::Reduction`]).
     pub fn is_reduced(&self) -> bool {
         self.reduced
     }
@@ -680,11 +655,11 @@ pub fn explore_resumable(
 /// [`explore_resumable`] for the load-from-disk path).
 ///
 /// The snapshot is validated first: resuming under a different system,
-/// fingerprint width, [`VisitedMode`], or reduction activity is
-/// refused with a typed error rather than silently producing a wrong
-/// graph. Any engine may resume any snapshot — thread count is not
-/// pinned, because the parallel engine's canonical renumbering makes
-/// the result independent of it.
+/// fingerprint width, [`VisitedMode`], reduction activity, or symmetry
+/// canonicalizer is refused with a typed error rather than silently
+/// producing a wrong graph. Any engine may resume any snapshot —
+/// thread count is not pinned, because the parallel engine's canonical
+/// renumbering makes the result independent of it.
 ///
 /// # Errors
 ///
@@ -700,12 +675,18 @@ pub fn resume_exploration(
 ) -> Result<Exploration, CheckError> {
     snapshot.validate(system, options)?;
     let plan = Plan::from_env(options)?;
-    if snapshot.spill.is_some() {
-        // A spill snapshot references on-disk segment files; expand it
-        // to the in-RAM form once, here, so every engine resumes from
-        // the same materialized arena.
-        let materialized = snapshot.clone().materialize(system)?;
-        return explore_observed(system, budget, options, &plan, Some(&materialized));
+    // A spill snapshot references on-disk segment files; expand it to
+    // the in-RAM form once, here, so every engine resumes from the
+    // same materialized arena.
+    let materialized;
+    let snapshot = if snapshot.spill.is_some() {
+        materialized = snapshot.clone().materialize(system)?;
+        &materialized
+    } else {
+        snapshot
+    };
+    if let Some(canon) = &options.reduction.symmetry {
+        snapshot.validate_canonical(&**canon)?;
     }
     explore_observed(system, budget, options, &plan, Some(snapshot))
 }
@@ -746,39 +727,46 @@ pub fn explore_escalating(
     Ok(result)
 }
 
-/// Runs the plan's engine. The reduction tables are prepared once,
-/// here (a no-op `None` when reduction is off, so the default path is
-/// exactly the unreduced code).
+/// Runs the settled plan's engine, `requested` being the plan before
+/// [`Plan::start`] settled it.
 fn explore_dispatch(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
-    plan: &Plan,
-    resume: Option<&Snapshot>,
+    requested: &Plan,
+    launch: Result<Start<'_>, CheckError>,
 ) -> Result<Exploration, CheckError> {
-    if let Some(unhonored) = plan.unhonored {
-        // Never ignore a budget silently: report it, and refuse
-        // outright when the caller asked explicitly rather than via
-        // the environment.
+    if let Some(unhonored) = requested.unhonored {
+        // Never ignore a budget silently: report it — `Plan::start`
+        // has refused outright when the caller asked explicitly rather
+        // than via the environment.
         budget.recorder.record(&Event::BudgetIgnored {
             budget_bytes: unhonored.bytes as u64,
             reason: unhonored.reason,
         });
-        if let Some(refusal) = plan.refusal() {
-            return Err(refusal);
-        }
     }
+    let Start { plan, seed, layout } = launch?;
+    let packed = || layout.as_ref().expect("a work-stealing plan starts over a packed layout");
     match plan.route {
         Route::SpillBfs { mem_budget } => {
-            spill::explore_spill(system, budget, options, mem_budget, resume)
+            spill::explore_spill(system, budget, options, mem_budget, seed, layout)
         }
-        Route::SpillWs { mem_budget } => {
-            spill_ws::explore_spill_ws(system, budget, options, plan.threads, mem_budget, resume)
+        Route::SpillWs { mem_budget } => spill_ws::explore_spill_ws(
+            system,
+            budget,
+            options,
+            plan.threads,
+            mem_budget,
+            seed,
+            packed(),
+        ),
+        Route::WorkStealing => {
+            ws::explore_ws(system, budget, options, plan.threads, seed, packed())
         }
-        Route::WorkStealing => ws::explore_ws(system, budget, options, plan.threads, resume),
         Route::Sequential => {
-            let prepared = options.reduction.prepare(system);
-            explore_sequential(system, budget, options, prepared.as_ref(), resume)
+            let meter = seed.meter(budget);
+            let store = seq::RamStore::new(system, options, &meter);
+            seq::explore_seq(system, budget, &meter, seed, store)
         }
     }
 }
@@ -796,12 +784,16 @@ fn explore_observed(
     plan: &Plan,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
+    // Settled before anything is reported, so `RunStart` and the run
+    // report name the loop that runs.
+    let launch = plan.start(system, resume);
+    let settled = launch.as_ref().map_or(*plan, |s| s.plan);
     let rec = budget.recorder.clone();
     if !rec.enabled() {
-        return explore_dispatch(system, budget, options, plan, resume);
+        return explore_dispatch(system, budget, options, plan, launch);
     }
-    let engine = plan.label();
-    let threads = plan.threads;
+    let engine = settled.label();
+    let threads = settled.threads;
     let mode = match options.mode {
         VisitedMode::Fingerprint => "fingerprint",
         VisitedMode::Exact => "exact",
@@ -820,15 +812,12 @@ fn explore_observed(
         });
     }
     let start = std::time::Instant::now();
-    let result = explore_dispatch(system, budget, options, plan, resume);
+    let result = explore_dispatch(system, budget, options, plan, launch);
     let report = match &result {
         Ok(run) => {
             let stats = run.graph.stats();
             if let Some(red) = &run.reduction {
                 rec.record(&Event::Reduction {
-                    ample_states: red.ample_states as u64,
-                    full_states: red.full_states as u64,
-                    skipped_transitions: red.skipped_transitions as u64,
                     canon_hits: red.canon_hits as u64,
                 });
             }
@@ -900,25 +889,6 @@ pub fn explore(system: &System, options: &ExploreOptions) -> Result<StateGraph, 
     }
 }
 
-// ---------------------------------------------------------------------
-// Sequential engine
-// ---------------------------------------------------------------------
-
-fn explore_sequential(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
-    prepared: Option<&PreparedReduction>,
-    resume: Option<&Snapshot>,
-) -> Result<Exploration, CheckError> {
-    if let Some(red) = prepared {
-        return explore_sequential_reduced(system, budget, options, red, resume);
-    }
-    let (meter, seed) = seq::begin(system, budget, resume)?;
-    let store = seq::RamStore::new(system, options, &meter);
-    seq::explore_seq(system, budget, &meter, seed, store)
-}
-
 /// Builds the final in-RAM-format snapshot of an exhausted run (shared
 /// by every engine): `keep`/`frontier` follow the engine's cut
 /// discipline, and the snapshot is written to disk when a checkpoint
@@ -934,9 +904,8 @@ fn seq_exhaustion_snapshot(
     keep: usize,
     frontier: &[usize],
     options: &ExploreOptions,
-    reduced: bool,
     sys_hash: u64,
-    reduction: Option<ReductionStats>,
+    reduction: Option<ReducedRun>,
 ) -> (Option<Box<Snapshot>>, Option<ResumeToken>) {
     let snap = checkpoint::capture(
         states,
@@ -946,7 +915,6 @@ fn seq_exhaustion_snapshot(
         keep,
         frontier,
         options.mode,
-        reduced,
         sys_hash,
         options.fp_bits.clamp(1, 64),
         0,
@@ -958,238 +926,6 @@ fn seq_exhaustion_snapshot(
         None
     };
     (Some(Box::new(snap)), token)
-}
-
-/// The reduced sequential engine: level-by-level BFS (explicit
-/// level boundaries feed the cycle proviso) over canonicalized states,
-/// expanding each state through its chosen ample cluster — or fully
-/// when no eligible proper cluster exists or the proviso fires.
-///
-/// Used for both [`VisitedMode`]s: symmetry reduction must
-/// canonicalize the materialized successor anyway, so the incremental
-/// fingerprint shortcut of the unreduced fast path does not apply.
-/// Discovery order is plain BFS over kept actions in action order.
-fn explore_sequential_reduced(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
-    red: &PreparedReduction,
-    resume: Option<&Snapshot>,
-) -> Result<Exploration, CheckError> {
-    use std::ops::ControlFlow;
-
-    let compiled = CompiledSystem::compile(system);
-    let mut scratch = EvalScratch::new();
-    let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let mut graph = StateGraph::new(options.mode, options.mask());
-    graph.reduced = true;
-    graph.canon = red.canon.clone();
-    let mut stats = ReductionStats::default();
-    let mut queue = std::collections::VecDeque::new();
-    let mut exhausted: Option<ExhaustReason> = None;
-    let mut exhausted_in_init = false;
-    let meter;
-    if let Some(snap) = resume {
-        // Arena states were stored post-canonicalization, so they seed
-        // the visited set directly. The snapshot's frontier is exactly
-        // the last complete BFS level (reduced captures roll back to
-        // the level boundary), so the proviso bookkeeping restarts
-        // cleanly: the whole arena belongs to completed levels.
-        graph.states = snap.states.clone();
-        graph.edges = snap.edges.clone();
-        graph.parents = snap.parents.clone();
-        graph.init = snap.init.clone();
-        for id in 0..graph.states.len() {
-            let (_, fp) = graph.visited.lookup(&graph.states[id]);
-            let s = graph.states[id].clone();
-            graph.visited.insert(&s, fp, id);
-        }
-        queue.extend(snap.frontier.iter().copied());
-        stats = snap.reduction.unwrap_or_default();
-        meter = Meter::start_resumed(budget, snap.states_used(), snap.transitions_used());
-    } else {
-        let init_states = system.init().states(system.universe())?;
-        if init_states.is_empty() {
-            return Err(CheckError::NoInitialStates);
-        }
-        meter = Meter::start(budget);
-        let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
-        for s in init_states {
-            let s = red.canonical(s);
-            let (seen, fp) = graph.visited.lookup(&s);
-            if seen.is_some() {
-                continue;
-            }
-            if let Some(reason) = meter.charge_state() {
-                exhausted = Some(reason);
-                exhausted_in_init = true;
-                break;
-            }
-            let id = graph.states.len();
-            graph.visited.insert(&s, fp, id);
-            graph.states.push(s);
-            graph.edges.push(Vec::new());
-            graph.parents.push(None);
-            graph.init.push(id);
-            queue.push_back(id);
-        }
-    }
-    // Cycle-proviso bookkeeping: states with id < `boundary` belong to
-    // BFS levels completed before the current one began. Every cycle
-    // of the reduced graph must contain an edge into such a level, so
-    // fully expanding each state whose ample set would record one
-    // guarantees no enabled action is ignored forever.
-    let mut boundary = graph.states.len();
-    let mut remaining = queue.len();
-    // Checkpoint bookkeeping: the level being expanded consists of ids
-    // [level_start, boundary); a snapshot rolls the arena back to
-    // `boundary` and re-queues that whole range, so resumption always
-    // restarts the level from its beginning (at most one level of work
-    // is re-done). The reduction counters snapshotted at the rollover
-    // match that cut.
-    let mut level_start = boundary - queue.len();
-    let mut stats_at_level_start = stats;
-    let mut succ: Vec<(usize, State)> = Vec::new();
-    let mut ample_scratch = AmpleScratch::default();
-    let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
-    'bfs: while exhausted.is_none() {
-        if let Some(reason) = meter.checkpoint() {
-            exhausted = Some(reason);
-            break;
-        }
-        if ck.due(1) {
-            let frontier: Vec<usize> = (level_start..boundary).collect();
-            let snap = checkpoint::capture(
-                &graph.states,
-                &graph.init,
-                &graph.edges,
-                &graph.parents,
-                boundary,
-                &frontier,
-                options.mode,
-                true,
-                sys_hash,
-                options.fp_bits.clamp(1, 64),
-                0,
-                Some(stats_at_level_start),
-            );
-            ck.write(snap, &budget.recorder);
-        }
-        let Some(id) = queue.pop_front() else {
-            break;
-        };
-        let parent = graph.states[id].clone();
-        succ.clear();
-        compiled.for_each_successor(&parent, &mut scratch, |action, assignments| {
-            let child = parent.with(assignments);
-            let child = match &red.canon {
-                Some(c) => {
-                    let canonical = c.canonicalize(&child);
-                    if canonical != child {
-                        stats.canon_hits += 1;
-                    }
-                    canonical
-                }
-                None => child,
-            };
-            succ.push((action, child));
-            ControlFlow::<std::convert::Infallible>::Continue(())
-        })?;
-        let keep_cluster = red.por.as_ref().and_then(|por| {
-            let chosen =
-                por.choose_ample(succ.iter().map(|(a, _)| *a), &mut ample_scratch)?;
-            // The proviso: an ample successor already in a completed
-            // level closes a potential cycle — expand fully.
-            let closes_level = succ.iter().any(|(a, child)| {
-                por.cluster_of(*a) == chosen
-                    && graph
-                        .visited
-                        .lookup(child)
-                        .0
-                        .is_some_and(|t| t < boundary)
-            });
-            (!closes_level).then_some(chosen)
-        });
-        if keep_cluster.is_some() {
-            stats.ample_states += 1;
-        } else {
-            stats.full_states += 1;
-        }
-        for (action, child) in succ.drain(..) {
-            if let Some(c) = keep_cluster {
-                if red.por.as_ref().map(|p| p.cluster_of(action)) != Some(c) {
-                    stats.skipped_transitions += 1;
-                    continue;
-                }
-            }
-            if let Some(reason) = meter.charge_transition() {
-                queue.push_front(id);
-                exhausted = Some(reason);
-                break 'bfs;
-            }
-            let (seen, fp) = graph.visited.lookup(&child);
-            let target = match seen {
-                Some(existing) => existing,
-                None => {
-                    if let Some(reason) = meter.charge_state() {
-                        queue.push_front(id);
-                        exhausted = Some(reason);
-                        break 'bfs;
-                    }
-                    let nid = graph.states.len();
-                    graph.visited.insert(&child, fp, nid);
-                    graph.states.push(child);
-                    graph.edges.push(Vec::new());
-                    graph.parents.push(Some((id, action)));
-                    queue.push_back(nid);
-                    nid
-                }
-            };
-            graph.edges[id].push(Edge { action, target });
-        }
-        remaining -= 1;
-        if remaining == 0 {
-            level_start = boundary;
-            boundary = graph.states.len();
-            remaining = queue.len();
-            stats_at_level_start = stats;
-        }
-    }
-    drop(expand_phase);
-    let (snapshot, resume_token) = match &exhausted {
-        Some(_) if !exhausted_in_init => seq_exhaustion_snapshot(
-            &mut ck,
-            &budget.recorder,
-            &graph.states,
-            &graph.init,
-            &graph.edges,
-            &graph.parents,
-            boundary,
-            &(level_start..boundary).collect::<Vec<_>>(),
-            options,
-            true,
-            sys_hash,
-            Some(stats_at_level_start),
-        ),
-        _ => (None, None),
-    };
-    let outcome = match exhausted {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Exhausted {
-            reason,
-            frontier_size: queue.len(),
-            stats: graph.stats(),
-            resume: resume_token,
-        },
-    };
-    Ok(Exploration {
-        frontier: queue.into_iter().collect(),
-        graph,
-        outcome,
-        reduction: Some(stats),
-        snapshot,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -1375,7 +1111,6 @@ fn rolled_back_snapshot(
         keep,
         &frontier,
         options,
-        false,
         sys_hash,
         None,
     )
@@ -1820,6 +1555,16 @@ mod tests {
         (plan, log, run)
     }
 
+    /// A symmetry reduction under the trivial group of `grid`'s two
+    /// slots: active, and pruning nothing.
+    fn identity_symmetry() -> Reduction {
+        Reduction::none().with_symmetry(Arc::new(crate::SlotPermutations::new(
+            "identity",
+            2,
+            Vec::new(),
+        )))
+    }
+
     /// `RunStart` names the plan that ran and the workers it ran —
     /// not the workers that were asked for.
     #[test]
@@ -1863,7 +1608,7 @@ mod tests {
         // A reduced run is sequential whatever was asked for, and says
         // so: one worker, not four.
         let reduced = ExploreOptions {
-            reduction: Reduction::none().with_por(opentla_kernel::VarSet::new()),
+            reduction: identity_symmetry(),
             ..with(Engine::Auto, 4)
         };
         let (plan, log, run) = run_planned(&reduced, None);
@@ -1880,7 +1625,7 @@ mod tests {
     fn unhonorable_env_budget_is_reported_not_refused() {
         let pinned = ExploreOptions {
             threads: Some(2),
-            reduction: Reduction::none().with_por(opentla_kernel::VarSet::new()),
+            reduction: identity_symmetry(),
             ..ExploreOptions::default()
         };
         let (plan, log, run) = run_planned(&pinned, Some(1 << 20));

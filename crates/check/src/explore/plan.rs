@@ -4,13 +4,18 @@
 //! [`Plan::resolve`] is a pure function of the caller's
 //! [`ExploreOptions`] and the two environment overrides, so the whole
 //! routing table is unit-testable without touching the process
-//! environment. Every entry point resolves one [`Plan`] and hands it
-//! down: the dispatcher matches on it, the `RunStart`/`RunEnd` engine
-//! label and worker count are read off it, and the spill engines take
-//! their budget from it.
+//! environment. Every entry point resolves one [`Plan`];
+//! [`Plan::start`] then settles it against the system — the
+//! work-stealing loops run over packed states only — and hands it
+//! down with what the run starts from: the dispatcher matches on it,
+//! the `RunStart`/`RunEnd` engine label and worker count are read off
+//! it, and the spill engines take their budget from it.
 
+use super::seq::Seed;
 use super::{Engine, ExploreOptions};
-use crate::CheckError;
+use crate::checkpoint::Snapshot;
+use crate::{CheckError, System};
+use opentla_kernel::PackedLayout;
 
 /// Budget assumed when a spill engine is selected without an explicit
 /// [`ExploreOptions::mem_budget_bytes`]: generous enough that typical
@@ -53,8 +58,8 @@ pub(crate) fn env_threads() -> Result<Option<usize>, CheckError> {
 /// the byte budget their tiers are tuned to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Route {
-    /// The sequential loop over the in-RAM store (or
-    /// `explore_sequential_reduced` when a reduction is active).
+    /// The sequential loop over the in-RAM store, which is also where
+    /// a symmetry reduction canonicalizes.
     Sequential,
     /// The work-stealing loop over in-RAM striped arenas.
     WorkStealing,
@@ -88,6 +93,17 @@ pub(crate) struct Plan {
     pub(crate) unhonored: Option<UnhonoredBudget>,
 }
 
+/// A settled plan and what its run starts from; see [`Plan::start`].
+pub(crate) struct Start<'a> {
+    pub(crate) plan: Plan,
+    pub(crate) seed: Seed<'a>,
+    /// The packed layout of the system's states, where it compiles.
+    /// Always `Some` on the work-stealing routes, which run over it;
+    /// the disk-backed sequential store packs the records it can; the
+    /// in-RAM sequential store has no use for one (`None`).
+    pub(crate) layout: Option<PackedLayout>,
+}
+
 impl Plan {
     /// Resolves `options` against the process environment.
     ///
@@ -103,10 +119,9 @@ impl Plan {
 
     /// The routing table. Explicit options beat the environment.
     ///
-    /// A reduction-active run is sequential and in RAM (the cycle
-    /// proviso needs BFS level boundaries, which only
-    /// `explore_sequential_reduced` has), so no budget can be honored
-    /// there. Otherwise the route is a function of two facts: whether
+    /// A reduction-active run is sequential and in RAM (only the
+    /// in-RAM sequential store canonicalizes), so no budget can be
+    /// honored there. Otherwise the route is a function of two facts: whether
     /// more than one worker runs, and whether a byte budget is in
     /// force — a budget is honored at *every* thread count instead of
     /// silently disabling parallelism (or being ignored). An explicit
@@ -150,6 +165,58 @@ impl Plan {
         }
     }
 
+    /// Settles the plan against `system` and what the run starts from,
+    /// before anything is reported: the work-stealing loops run over
+    /// packed states only, so when the system's domains do not compile
+    /// to a [`PackedLayout`], or a seed state lies outside its declared
+    /// domain ([`Init::new`](crate::Init::new) can pin one), a threaded
+    /// plan falls back to the sequential loop of the same store family.
+    /// The seed is enumerated and the layout compiled once, here, and
+    /// handed down.
+    ///
+    /// # Errors
+    ///
+    /// The plan's [refusal](Plan::refusal), or what enumerating the
+    /// initial states reports.
+    pub(crate) fn start<'a>(
+        self,
+        system: &System,
+        resume: Option<&'a Snapshot>,
+    ) -> Result<Start<'a>, CheckError> {
+        if let Some(refusal) = self.refusal() {
+            return Err(refusal);
+        }
+        let seed = Seed::of(system, resume)?;
+        let layout = match self.route {
+            Route::Sequential => None,
+            _ => PackedLayout::compile(system.vars()),
+        };
+        let mut buf = Vec::new();
+        let packs = layout
+            .as_ref()
+            .is_some_and(|l| seed.states().iter().all(|s| l.pack_into(s.values(), &mut buf)));
+        Ok(Start {
+            plan: self.over_packed_states(packs),
+            seed,
+            layout,
+        })
+    }
+
+    /// This plan if every state it starts from packs, else its
+    /// sequential fallback.
+    fn over_packed_states(self, packs: bool) -> Plan {
+        let route = match self.route {
+            Route::WorkStealing if !packs => Route::Sequential,
+            Route::SpillWs { mem_budget } if !packs => Route::SpillBfs { mem_budget },
+            _ => return self,
+        };
+        Plan {
+            route,
+            threads: 1,
+            ..self
+        }
+    }
+
     /// The engine name `RunStart` and `RunEnd` carry.
     pub(crate) fn label(&self) -> &'static str {
         match self.route {
@@ -176,8 +243,8 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Reduction, WorkerPanic};
-    use opentla_kernel::VarSet;
+    use crate::{Reduction, SlotPermutations, WorkerPanic};
+    use std::sync::Arc;
 
     const EXPLICIT: usize = 1 << 20;
     const ENV: usize = 2 << 20;
@@ -212,7 +279,9 @@ mod tests {
                                 threads: Some(threads),
                                 mem_budget_bytes: explicit,
                                 reduction: if reduced {
-                                    Reduction::none().with_por(VarSet::new())
+                                    Reduction::none().with_symmetry(Arc::new(
+                                        SlotPermutations::new("identity", 0, Vec::new()),
+                                    ))
                                 } else {
                                     Reduction::none()
                                 },
@@ -290,6 +359,50 @@ mod tests {
             }
         }
         assert_eq!(cases, 4 * 2 * 4 * 2 * 2);
+    }
+
+    /// The fact "the states do not pack" alone — a layout that does
+    /// not compile, no seed state involved — settles a threaded plan on
+    /// the sequential loop of the same store family with one worker,
+    /// and leaves every other plan alone. (The fact is handed in: a
+    /// `Vars` one slot past the packed width cap takes half a minute to
+    /// build here. `packed_roundtrip.rs` reaches the same fall-back
+    /// from a real system, through an out-of-domain seed.)
+    #[test]
+    fn states_that_do_not_pack_settle_on_the_sequential_loops() {
+        let mem_budget = EXPLICIT;
+        for (engine, threads, asked, settled) in [
+            (Engine::Auto, 2, Route::WorkStealing, Route::Sequential),
+            (Engine::WorkStealing, 1, Route::WorkStealing, Route::Sequential),
+            (
+                Engine::SpillWs,
+                4,
+                Route::SpillWs { mem_budget },
+                Route::SpillBfs { mem_budget },
+            ),
+            (Engine::Auto, 1, Route::Sequential, Route::Sequential),
+            (
+                Engine::SpillBfs,
+                1,
+                Route::SpillBfs { mem_budget },
+                Route::SpillBfs { mem_budget },
+            ),
+        ] {
+            let spill = !matches!(asked, Route::WorkStealing | Route::Sequential);
+            let options = ExploreOptions {
+                engine,
+                threads: Some(threads),
+                mem_budget_bytes: spill.then_some(mem_budget),
+                ..ExploreOptions::default()
+            };
+            let plan = Plan::resolve(&options, None, None);
+            assert_eq!(plan.route, asked, "{engine:?}/{threads}");
+            assert_eq!(plan.over_packed_states(true), plan, "{engine:?}/{threads}");
+            let fallback = plan.over_packed_states(false);
+            assert_eq!(fallback.route, settled, "{engine:?}/{threads}");
+            assert_eq!(fallback.threads, 1, "{engine:?}/{threads}");
+            assert_eq!(fallback.unhonored, None, "{engine:?}/{threads}");
+        }
     }
 
     #[test]

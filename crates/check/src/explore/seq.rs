@@ -7,19 +7,23 @@
 //! store owns where states, edges and the visited set live. Both
 //! stores serve both [`VisitedMode`]s, so completed graphs are
 //! byte-identical across the four combinations by construction: there
-//! is one discovery order, this loop's.
+//! is one discovery order, this loop's. A symmetry-reduced run
+//! ([`crate::Reduction`]) is this loop too: the in-RAM store keys each
+//! state by its orbit representative.
 
 use super::{seq_exhaustion_snapshot, Edge, Exploration, ExploreOptions, StateGraph, Visited};
 use crate::budget::{Budget, ExhaustReason, Meter, Outcome};
-use crate::checkpoint::{self, CheckpointError, Checkpointer, ResumeToken, Snapshot};
+use crate::checkpoint::{self, CheckpointError, Checkpointer, ReducedRun, ResumeToken, Snapshot};
 use crate::compiled::{CompiledSystem, EvalScratch};
 use crate::obs::{Phase, PhaseGuard};
+use crate::reduction::{Canonicalize, ReductionStats};
 use crate::{CheckError, System};
 use opentla_kernel::store::StoreError;
 use opentla_kernel::State;
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// What a run starts from.
 pub(super) enum Seed<'a> {
@@ -29,26 +33,40 @@ pub(super) enum Seed<'a> {
     Resume(&'a Snapshot),
 }
 
-/// Enumerates the seed and starts the meter, for every unreduced
-/// engine. A resumed meter is pre-charged with the snapshot's banked
-/// work so cumulative budgets keep their meaning; a fresh meter's
-/// deadline clock starts after initial-state enumeration.
-pub(super) fn begin<'a>(
-    system: &System,
-    budget: &Budget,
-    resume: Option<&'a Snapshot>,
-) -> Result<(Meter, Seed<'a>), CheckError> {
-    match resume {
-        Some(snap) => Ok((
-            Meter::start_resumed(budget, snap.states_used(), snap.transitions_used()),
-            Seed::Resume(snap),
-        )),
-        None => {
-            let init_states = system.init().states(system.universe())?;
-            if init_states.is_empty() {
-                return Err(CheckError::NoInitialStates);
+impl<'a> Seed<'a> {
+    /// Enumerates the initial states of a fresh run, or adopts the
+    /// materialized snapshot of a resumed one.
+    pub(super) fn of(system: &System, resume: Option<&'a Snapshot>) -> Result<Seed<'a>, CheckError> {
+        match resume {
+            Some(snap) => Ok(Seed::Resume(snap)),
+            None => {
+                let init_states = system.init().states(system.universe())?;
+                if init_states.is_empty() {
+                    return Err(CheckError::NoInitialStates);
+                }
+                Ok(Seed::Fresh(init_states))
             }
-            Ok((Meter::start(budget), Seed::Fresh(init_states)))
+        }
+    }
+
+    /// Every state the run starts from.
+    pub(super) fn states(&self) -> &[State] {
+        match self {
+            Seed::Fresh(states) => states,
+            Seed::Resume(snap) => &snap.states,
+        }
+    }
+
+    /// Starts the run's meter. A resumed meter is pre-charged with the
+    /// snapshot's banked work so cumulative budgets keep their meaning;
+    /// a fresh meter's deadline clock starts here, after initial-state
+    /// enumeration.
+    pub(super) fn meter(&self, budget: &Budget) -> Meter {
+        match self {
+            Seed::Fresh(_) => Meter::start(budget),
+            Seed::Resume(snap) => {
+                Meter::start_resumed(budget, snap.states_used(), snap.transitions_used())
+            }
         }
     }
 }
@@ -67,6 +85,8 @@ pub(super) struct Finished {
     pub(super) graph: StateGraph,
     pub(super) snapshot: Option<Box<Snapshot>>,
     pub(super) resume: Option<ResumeToken>,
+    /// What a symmetry reduction pruned (`None` on unreduced runs).
+    pub(super) reduction: Option<ReductionStats>,
 }
 
 /// Where a sequential exploration keeps its states, edges, BFS tree
@@ -136,8 +156,7 @@ impl From<StoreError> for Stop {
     }
 }
 
-/// The sequential BFS loop, shared by every unreduced sequential
-/// configuration.
+/// The sequential BFS loop, shared by every sequential configuration.
 ///
 /// Why resumption needs no renumbering pass: every snapshot — from any
 /// engine — stores its arena in canonical (sequential discovery) order
@@ -244,6 +263,7 @@ pub(super) fn explore_seq<S: SeqStore>(
         graph,
         snapshot,
         resume,
+        reduction,
     } = store.finish(
         cut_edges,
         resumable.then_some(&*queue.make_contiguous()),
@@ -263,13 +283,17 @@ pub(super) fn explore_seq<S: SeqStore>(
         frontier: queue.into_iter().collect(),
         graph,
         outcome,
-        reduction: None,
+        reduction,
         snapshot,
     })
 }
 
 /// The in-RAM store: a `Vec` arena and the graph's own [`Visited`]
 /// set, moved into the finished [`StateGraph`] without a copy.
+///
+/// Under a symmetry reduction it keys every state by its orbit
+/// representative: the arena, the visited set and every snapshot hold
+/// canonical states only.
 pub(super) struct RamStore<'a> {
     states: Vec<State>,
     /// Unmasked fingerprint per state id, for incremental derivation.
@@ -281,6 +305,14 @@ pub(super) struct RamStore<'a> {
     options: &'a ExploreOptions,
     sys_hash: u64,
     meter: &'a Meter,
+    canon: Option<Arc<dyn Canonicalize>>,
+    /// Successors of fully expanded parents that canonicalization
+    /// changed.
+    canon_hits: usize,
+    /// The same count for the parent being expanded: banked with its
+    /// edges, dropped with them when a budget cuts it half-way, so a
+    /// resumed run counts that parent once.
+    pending_hits: usize,
 }
 
 impl<'a> RamStore<'a> {
@@ -299,6 +331,9 @@ impl<'a> RamStore<'a> {
             options,
             sys_hash: checkpoint::system_hash(system),
             meter,
+            canon: options.reduction.symmetry.clone(),
+            canon_hits: 0,
+            pending_hits: 0,
         }
     }
 
@@ -313,39 +348,11 @@ impl<'a> RamStore<'a> {
         }
         id
     }
-}
 
-impl SeqStore for RamStore<'_> {
-    fn reseed(&mut self, snap: &Snapshot) -> Result<(), CheckError> {
-        self.states = snap.states.clone();
-        self.edges = snap.edges.clone();
-        self.parents = snap.parents.clone();
-        self.init = snap.init.clone();
-        for (id, s) in self.states.iter().enumerate() {
-            let fp = s.fingerprint();
-            self.fps.push(fp);
-            match &mut self.visited {
-                Visited::Fingerprint { map, mask } => {
-                    map.entry(fp & *mask).or_insert(id);
-                }
-                Visited::Exact(map) => {
-                    map.insert(s.clone(), id);
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn entry(&mut self, id: usize) -> Result<(State, u64), CheckError> {
-        // An Arc bump, not a copy: releases the arena borrow so
-        // `intern` may push new states into it.
-        Ok((self.states[id].clone(), self.fps[id]))
-    }
-
-    // Inlined into the loop's successor visitor: left as a call, the
-    // fingerprint probe costs the sequential benchmark a few percent.
+    /// Looks up or records a state under the key it is to be
+    /// deduplicated by; see [`SeqStore::intern`].
     #[inline]
-    fn intern(
+    fn intern_keyed(
         &mut self,
         fp: u64,
         from: Option<(usize, usize)>,
@@ -384,7 +391,77 @@ impl SeqStore for RamStore<'_> {
         Ok(Interned::Inserted(self.record(state, fp, from)))
     }
 
+    /// The symmetric intern: `raw` is keyed by its orbit representative,
+    /// which has to be materialized to be found — the loop's incremental
+    /// fingerprint of `raw` does not apply.
+    fn intern_orbit(
+        &mut self,
+        canon: &dyn Canonicalize,
+        from: Option<(usize, usize)>,
+        raw: State,
+    ) -> Result<Interned, Stop> {
+        let state = canon.canonicalize(&raw);
+        if from.is_some() && state != raw {
+            self.pending_hits += 1;
+        }
+        self.intern_keyed(state.fingerprint(), from, move || state)
+    }
+
+    /// What a snapshot of this store banks about its reduction.
+    fn reduced_run(&self) -> Option<ReducedRun> {
+        self.canon.as_ref().map(|c| ReducedRun {
+            canonicalizer: c.name().to_string(),
+            canon_hits: self.canon_hits,
+        })
+    }
+}
+
+impl SeqStore for RamStore<'_> {
+    fn reseed(&mut self, snap: &Snapshot) -> Result<(), CheckError> {
+        self.states = snap.states.clone();
+        self.edges = snap.edges.clone();
+        self.parents = snap.parents.clone();
+        self.init = snap.init.clone();
+        self.canon_hits = snap.reduction.as_ref().map_or(0, |r| r.canon_hits);
+        for (id, s) in self.states.iter().enumerate() {
+            let fp = s.fingerprint();
+            self.fps.push(fp);
+            match &mut self.visited {
+                Visited::Fingerprint { map, mask } => {
+                    map.entry(fp & *mask).or_insert(id);
+                }
+                Visited::Exact(map) => {
+                    map.insert(s.clone(), id);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    fn entry(&mut self, id: usize) -> Result<(State, u64), CheckError> {
+        // An Arc bump, not a copy: releases the arena borrow so
+        // `intern` may push new states into it.
+        Ok((self.states[id].clone(), self.fps[id]))
+    }
+
+    // Inlined into the loop's successor visitor: left as a call, the
+    // fingerprint probe costs the sequential benchmark a few percent.
+    // The symmetric branch is loop-invariant and stays a call.
+    #[inline]
+    fn intern(
+        &mut self,
+        fp: u64,
+        from: Option<(usize, usize)>,
+        make: impl FnOnce() -> State,
+    ) -> Result<Interned, Stop> {
+        if let Some(canon) = self.canon.clone() {
+            return self.intern_orbit(&*canon, from, make());
+        }
+        self.intern_keyed(fp, from, make)
+    }
+
     fn push_edges(&mut self, id: usize, edges: &[Edge]) -> Result<(), CheckError> {
+        self.canon_hits += std::mem::take(&mut self.pending_hits);
         if !edges.is_empty() {
             // Sized as `Vec::push` growth would have left it (a power
             // of two, at least 4) rather than exactly: the few uniform
@@ -407,11 +484,10 @@ impl SeqStore for RamStore<'_> {
             self.states.len(),
             queue,
             self.options.mode,
-            false,
             self.sys_hash,
             self.options.fp_bits.clamp(1, 64),
             0,
-            None,
+            self.reduced_run(),
         ))
     }
 
@@ -435,21 +511,23 @@ impl SeqStore for RamStore<'_> {
                 self.states.len(),
                 frontier,
                 self.options,
-                false,
                 self.sys_hash,
-                None,
+                self.reduced_run(),
             ),
             None => (None, None),
         };
         Ok(Finished {
+            reduction: self.canon.as_ref().map(|_| ReductionStats {
+                canon_hits: self.canon_hits,
+            }),
             graph: StateGraph {
                 states: self.states,
                 visited: self.visited,
                 init: self.init,
                 edges: self.edges,
                 parents: self.parents,
-                reduced: false,
-                canon: None,
+                reduced: self.canon.is_some(),
+                canon: self.canon,
             },
             snapshot,
             resume,

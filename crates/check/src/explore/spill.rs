@@ -32,7 +32,7 @@
 //! references, which surfaces as a typed I/O error on the next
 //! resume, never a wrong graph.
 
-use super::seq::{self, Finished, Interned, SeqStore, Stop};
+use super::seq::{self, Finished, Interned, Seed, SeqStore, Stop};
 use super::{seq_exhaustion_snapshot, Edge, ExploreOptions, Exploration, StateGraph, Visited};
 use crate::budget::{Budget, Meter};
 use crate::checkpoint::{self, CheckpointError, Checkpointer, Snapshot, SpillManifest};
@@ -423,8 +423,7 @@ struct Resident {
 }
 
 impl Arena {
-    fn create(system: &System, dir: &Path, t: &Tuning) -> Result<Arena, StoreError> {
-        let layout = PackedLayout::compile(system.vars());
+    fn create(layout: Option<PackedLayout>, dir: &Path, t: &Tuning) -> Result<Arena, StoreError> {
         // 4-byte store length prefix + 17-byte record header + payload.
         let deferred_cost = layout.as_ref().map(|l| 4 + 17 + l.stride());
         Ok(Arena {
@@ -739,20 +738,22 @@ pub(super) fn manifest_snapshot(
 
 /// Runs the sequential scheduler over a [`SpillStore`] tuned to
 /// `mem_budget` bytes, and cleans up an ephemeral segment directory
-/// afterwards.
+/// afterwards. Arena records pack under `layout` where they can; with
+/// `None`, or for a state outside its declared domain, a record
+/// carries the state in the general codec encoding.
 pub(super) fn explore_spill(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
     mem_budget: usize,
-    resume: Option<&Snapshot>,
+    seed: Seed<'_>,
+    layout: Option<PackedLayout>,
 ) -> Result<Exploration, CheckError> {
     let (dir, ephemeral) = spill_dir(budget);
-    let result = seq::begin(system, budget, resume).and_then(|(meter, seed)| {
-        let store = SpillStore::create(system, options, &dir, mem_budget, &meter)
-            .map_err(CheckpointError::from)?;
-        seq::explore_seq(system, budget, &meter, seed, store)
-    });
+    let meter = seed.meter(budget);
+    let result = SpillStore::create(system, options, layout, &dir, mem_budget, &meter)
+        .map_err(|e| CheckpointError::from(e).into())
+        .and_then(|store| seq::explore_seq(system, budget, &meter, seed, store));
     if ephemeral {
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -782,13 +783,14 @@ impl<'a> SpillStore<'a> {
     fn create(
         system: &System,
         options: &'a ExploreOptions,
+        layout: Option<PackedLayout>,
         dir: &Path,
         mem_budget: usize,
         meter: &'a Meter,
     ) -> Result<SpillStore<'a>, StoreError> {
         let t = Tuning::for_budget(mem_budget);
         Ok(SpillStore {
-            arena: Arena::create(system, dir, &t)?,
+            arena: Arena::create(layout, dir, &t)?,
             edges: EdgeSink::create(dir, &t)?,
             visited: SpillVisited::new(RunNames::create(dir)?, t.hot_cap, t.filter_bytes),
             init: Vec::new(),
@@ -971,7 +973,6 @@ impl SeqStore for SpillStore<'_> {
                 states.len(),
                 queue,
                 self.options,
-                false,
                 self.sys_hash,
                 None,
             ),
@@ -1010,6 +1011,7 @@ impl SeqStore for SpillStore<'_> {
             },
             snapshot,
             resume,
+            reduction: None,
         })
     }
 }

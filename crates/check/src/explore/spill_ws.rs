@@ -10,7 +10,7 @@
 //!   panicked parent is re-queued and re-expanded by a surviving
 //!   worker; an edge record it had already banked is simply banked
 //!   again, and read-back keeps the last). This module supplies the
-//!   two [`Expand`] implementations (packed and tree records) it runs.
+//!   [`Expand`] implementation (over packed records) it runs.
 //! * **The state arena and edge records** live in two shared
 //!   [`SegmentStore`]s (`wsarena-*` / `wsedges-*` segments) behind
 //!   plain mutexes: every worker funnels its encoded records through
@@ -62,11 +62,11 @@
 //! budget exists to avoid while the run is still exploring (ROADMAP
 //! item 3).
 
-use super::seq::{self, Seed, Stop};
+use super::seq::{Seed, Stop};
 use super::spill::{self, FpEntry, RunNames, SpillVisited, Tuning};
 use super::ws::{self, Expand, Expanded, Tripwire, WsRun};
 use super::*;
-use crate::checkpoint::{ArenaRecord, CheckpointError};
+use crate::checkpoint::CheckpointError;
 use opentla_kernel::store::{self, SegmentStore, StoreError};
 use opentla_kernel::{PackedLayout, Value};
 use std::ops::ControlFlow;
@@ -153,15 +153,12 @@ impl SpillWsStore<'_> {
     /// candidates, each verified against its arena record before the
     /// probe state is declared visited — forced collisions give false
     /// candidates, never false answers. The caller pre-encodes the
-    /// probe's full record (`rec_buf`); on the packed path equality is
-    /// decided on the payload bytes (packing is injective on in-domain
-    /// states), on the tree path by decoding the candidate.
+    /// probe's full record (`rec_buf`); equality is decided on the
+    /// payload bytes (packing is injective on in-domain states).
     fn intern_exact(
         &self,
         fp: u64,
         rec_buf: &[u8],
-        child: Option<&State>,
-        layout: Option<&PackedLayout>,
         read_buf: &mut Vec<u8>,
         cand: &mut Vec<u64>,
     ) -> Result<(usize, bool), Stop> {
@@ -171,16 +168,8 @@ impl SpillWsStore<'_> {
         // admit the same state between our probe and our insert.
         for &cid in cand.iter() {
             lock(&self.arena).read(cid, read_buf)?;
-            let held = match child {
-                // Packed payloads start at byte 17 in both records.
-                None => read_buf[17..] == rec_buf[17..],
-                Some(s) => {
-                    let r = checkpoint::decode_arena_record(read_buf, layout)
-                        .map_err(|e| Stop::Fail(e.into()))?;
-                    &r.state == s
-                }
-            };
-            if held {
+            // Packed payloads start at byte 17 in both records.
+            if read_buf[17..] == rec_buf[17..] {
                 return Ok((cid as usize, false));
             }
         }
@@ -197,8 +186,7 @@ impl SpillWsStore<'_> {
     }
 }
 
-/// One worker's scratch buffers (the packed buffers stay empty on the
-/// tree fallback, and vice versa).
+/// One worker's scratch buffers.
 #[derive(Default)]
 struct SpillScratch {
     eval: EvalScratch,
@@ -207,7 +195,6 @@ struct SpillScratch {
     read_buf: Vec<u8>,
     cand: Vec<u64>,
     edge_rec_buf: Vec<u8>,
-    pack_scratch: Vec<u8>,
     values: Vec<Value>,
     updates: Vec<(usize, u32)>,
     /// The successor list of the parent being expanded.
@@ -337,86 +324,12 @@ impl Expand for SpillPacked<'_> {
                     VisitedMode::Fingerprint => store.intern_fp(child_fp, encode, rec_buf),
                     VisitedMode::Exact => {
                         encode(rec_buf);
-                        store.intern_exact(child_fp, rec_buf, None, Some(layout), read_buf, cand)
+                        store.intern_exact(child_fp, rec_buf, read_buf, cand)
                     }
                 };
                 SpillWsStore::record(interned, action, edge_list, born, wire)
             },
         )?;
-        store.settle(parent, w, cut, stop)
-    }
-}
-
-/// Expansion for the tree fallback: records carry codec-encoded
-/// states, child fingerprints come from [`State::fingerprint_with`].
-struct SpillTree<'a> {
-    store: &'a SpillWsStore<'a>,
-    compiled: &'a CompiledSystem<'a>,
-}
-
-impl Expand for SpillTree<'_> {
-    type Scratch = SpillScratch;
-    type Record = CutRun;
-
-    fn expand(
-        &self,
-        parent: Pid,
-        w: &mut SpillScratch,
-        cut: &mut Vec<CutRun>,
-        born: &mut Vec<Pid>,
-        wire: Tripwire<'_>,
-    ) -> Result<Expanded, CheckError> {
-        let store = self.store;
-        store.read_parent(parent, &mut w.parent_rec)?;
-        let ArenaRecord {
-            state: s, fp: s_fp, ..
-        } = checkpoint::decode_arena_record(&w.parent_rec, None)?;
-        w.edge_list.clear();
-        let (pack_scratch, rec_buf, read_buf, cand, edge_list) = (
-            &mut w.pack_scratch,
-            &mut w.rec_buf,
-            &mut w.read_buf,
-            &mut w.cand,
-            &mut w.edge_list,
-        );
-        let stop = self
-            .compiled
-            .for_each_successor(&s, &mut w.eval, |action, assignments| {
-                if let Some(reason) = store.meter.charge_transition() {
-                    return ControlFlow::Break(Stop::Cut(reason));
-                }
-                let child_fp = s.fingerprint_with(s_fp, assignments);
-                let from = Some((local_of(parent), action));
-                let interned = match store.mode {
-                    VisitedMode::Fingerprint => store.intern_fp(
-                        child_fp,
-                        |buf| {
-                            checkpoint::encode_arena_record(
-                                &s.with(assignments),
-                                child_fp,
-                                from,
-                                None,
-                                pack_scratch,
-                                buf,
-                            );
-                        },
-                        rec_buf,
-                    ),
-                    VisitedMode::Exact => {
-                        let child = s.with(assignments);
-                        checkpoint::encode_arena_record(
-                            &child,
-                            child_fp,
-                            from,
-                            None,
-                            pack_scratch,
-                            rec_buf,
-                        );
-                        store.intern_exact(child_fp, rec_buf, Some(&child), None, read_buf, cand)
-                    }
-                };
-                SpillWsStore::record(interned, action, edge_list, born, wire)
-            })?;
         store.settle(parent, w, cut, stop)
     }
 }
@@ -440,7 +353,7 @@ fn spill_exhaustion_snapshot(
     frontier: &[usize],
     options: &ExploreOptions,
     sys_hash: u64,
-    layout: Option<&PackedLayout>,
+    layout: &PackedLayout,
     meter: &Meter,
 ) -> Result<Box<Snapshot>, CheckError> {
     let mut arena = SegmentStore::create(dir, "arena", t.seg_target, t.arena_cache)
@@ -455,7 +368,8 @@ fn spill_exhaustion_snapshot(
     let mut buf = Vec::new();
     let mut transitions: u64 = 0;
     for i in 0..keep {
-        checkpoint::encode_arena_record(&states[i], fps[i], parents[i], layout, &mut scratch, &mut buf);
+        let packed = Some(layout);
+        checkpoint::encode_arena_record(&states[i], fps[i], parents[i], packed, &mut scratch, &mut buf);
         if let Some(meta) = arena.append(&buf).map_err(CheckpointError::from)? {
             spill::note_spill(meter, &spill::seal_info("arena", &arena, &meta));
         }
@@ -490,22 +404,26 @@ pub(super) fn explore_spill_ws(
     options: &ExploreOptions,
     threads: usize,
     mem_budget: usize,
-    resume: Option<&Snapshot>,
+    seed: Seed<'_>,
+    layout: &PackedLayout,
 ) -> Result<Exploration, CheckError> {
     let (dir, ephemeral) = spill::spill_dir(budget);
-    let result = explore_spill_ws_in(system, budget, options, threads, resume, mem_budget, &dir);
+    let result =
+        explore_spill_ws_in(system, budget, options, threads, seed, layout, mem_budget, &dir);
     if ephemeral {
         let _ = std::fs::remove_dir_all(&dir);
     }
     result
 }
 
+#[allow(clippy::too_many_arguments)]
 fn explore_spill_ws_in(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
     threads: usize,
-    resume: Option<&Snapshot>,
+    seed: Seed<'_>,
+    layout: &PackedLayout,
     mem_budget: usize,
     dir: &Path,
 ) -> Result<Exploration, CheckError> {
@@ -513,9 +431,7 @@ fn explore_spill_ws_in(
     let sys_hash = checkpoint::system_hash(system);
     let mut ck = Checkpointer::new(budget.checkpoint.clone());
     let t = Tuning::for_budget(mem_budget);
-    let (meter, seed) = seq::begin(system, budget, resume)?;
-    let layout_owned = ws::elect_layout(system, &seed);
-    let layout = layout_owned.as_ref();
+    let meter = seed.meter(budget);
 
     let arena_store = SegmentStore::create(dir, "wsarena", t.seg_target, t.arena_cache)
         .map_err(CheckpointError::from)?;
@@ -573,7 +489,7 @@ fn explore_spill_ws_in(
                     s,
                     fp,
                     snap.parents[id],
-                    layout,
+                    Some(layout),
                     &mut pack_scratch,
                     &mut rec_buf,
                 );
@@ -596,20 +512,14 @@ fn explore_spill_ws_in(
             for s in &states {
                 let fp = s.fingerprint();
                 let mut encode = |buf: &mut Vec<u8>| {
-                    checkpoint::encode_arena_record(s, fp, None, layout, &mut pack_scratch, buf);
+                    let packed = Some(layout);
+                    checkpoint::encode_arena_record(s, fp, None, packed, &mut pack_scratch, buf);
                 };
                 let r = match options.mode {
                     VisitedMode::Fingerprint => store.intern_fp(fp, encode, &mut rec_buf),
                     VisitedMode::Exact => {
                         encode(&mut rec_buf);
-                        store.intern_exact(
-                            fp,
-                            &rec_buf,
-                            if layout.is_some() { None } else { Some(s) },
-                            layout,
-                            &mut read_buf,
-                            &mut cand,
-                        )
+                        store.intern_exact(fp, &rec_buf, &mut read_buf, &mut cand)
                     }
                 };
                 match r {
@@ -628,28 +538,16 @@ fn explore_spill_ws_in(
 
     let exhausted_in_init = init_cut.is_some();
     let fault = options.worker_panic;
-    let run = match layout {
-        Some(layout) => {
-            let x = SpillPacked {
-                store: &store,
-                compiled: &compiled,
-                layout,
-            };
-            ws::run_workers(&meter, threads, fault, frontier_seed, init_cut, Vec::new(), None, &x)
-        }
-        None => {
-            let x = SpillTree {
-                store: &store,
-                compiled: &compiled,
-            };
-            ws::run_workers(&meter, threads, fault, frontier_seed, init_cut, Vec::new(), None, &x)
-        }
-    }?;
+    let x = SpillPacked {
+        store: &store,
+        compiled: &compiled,
+        layout,
+    };
     let WsRun {
         records,
         pending,
         reason,
-    } = run;
+    } = ws::run_workers(&meter, threads, fault, frontier_seed, init_cut, Vec::new(), None, &x)?;
     let cut_partials: Vec<CutRun> = records.into_iter().flatten().collect();
     let arena_store = store.arena.into_inner().unwrap_or_else(PoisonError::into_inner);
     let edge_store = store.edges.into_inner().unwrap_or_else(PoisonError::into_inner);
@@ -663,7 +561,7 @@ fn explore_spill_ws_in(
     let mut arr_fps: Vec<u64> = Vec::with_capacity(n);
     {
         let mut take = |bytes: &[u8]| -> Result<(), CheckpointError> {
-            let r = checkpoint::decode_arena_record(bytes, layout)?;
+            let r = checkpoint::decode_arena_record(bytes, Some(layout))?;
             arr_states.push(Some(r.state));
             arr_fps.push(r.fp);
             Ok(())

@@ -16,15 +16,14 @@
 //!   transiently hit zero while work remains). Workers that find
 //!   nothing to claim spin-yield until `in_flight == 0`, which proves
 //!   global exhaustion.
-//! * **Packed states.** When the system's declared domains compile to
-//!   a [`PackedLayout`], states live as fixed-width packed byte runs
-//!   in per-shard arenas: guards and updates evaluate against a
-//!   buffer unpacked into a *reused* `Vec<Value>`
+//! * **Packed states.** States live as fixed-width packed byte runs
+//!   ([`PackedLayout`]) in per-shard arenas: guards and updates
+//!   evaluate against a buffer unpacked into a *reused* `Vec<Value>`
 //!   ([`CompiledSystem::for_each_successor_values`]), child
 //!   fingerprints come from the layout's incremental Zobrist delta,
-//!   and the hot path allocates no `Value` trees at all. Systems
-//!   whose domains do not compile fall back to the `Value`-tree
-//!   representation transparently.
+//!   and the hot path allocates no `Value` trees at all. A system
+//!   whose states do not pack never gets here: its plan settles on
+//!   the sequential loop (`Plan::start`).
 //! * **Lock-striped visited set.** The visited set is sharded by
 //!   fingerprint prefix into [`NUM_SHARDS`] independently-locked
 //!   stripes, a state's provisional id naming its stripe and its
@@ -55,7 +54,7 @@
 //! coordinator snapshots the same way, and the run goes on from the
 //! pending states. Unarmed runs are one epoch.
 
-use super::seq::{self, Seed};
+use super::seq::Seed;
 use super::*;
 use opentla_kernel::{PackedLayout, Value, VarId};
 use std::collections::hash_map::Entry;
@@ -430,21 +429,6 @@ pub(super) fn run_workers<X: Expand>(
     })
 }
 
-/// Layout election, for both work-stealing engines: packed when the
-/// declared domains compile *and* every seed state actually packs (any
-/// state this repo's engines produce is in-domain, but the contract is
-/// checked, not assumed — an out-of-domain seed falls the whole run
-/// back to trees).
-pub(super) fn elect_layout(system: &System, seed: &Seed<'_>) -> Option<PackedLayout> {
-    PackedLayout::compile(system.vars()).filter(|l| {
-        let states = match seed {
-            Seed::Fresh(states) => states,
-            Seed::Resume(snap) => &snap.states,
-        };
-        states.iter().all(|s| l.pack(s).is_some())
-    })
-}
-
 /// The packed successor of `parent` under `assignments`, as a delta:
 /// fills `updates` with the `(slot, new code)` pairs that differ from
 /// the parent — duplicate-free because `GuardedAction` rejects
@@ -493,41 +477,32 @@ pub(super) fn append_packed_child(
 // ---------------------------------------------------------------------
 
 /// One stripe of the concurrent visited set: dedup keys plus the
-/// append-only arena behind them. Exactly one of `packed` / `states`
-/// is in use per run, decided by whether a [`PackedLayout`] compiled.
+/// append-only packed arena behind them.
 struct WsShard {
     keys: WsKeys,
-    /// Packed arena: `fps.len()` states of `stride` bytes each.
+    /// `fps.len()` states of `stride` bytes each.
     packed: Vec<u8>,
-    /// Tree arena (layout fallback).
-    states: Vec<State>,
     /// Unmasked fingerprints, indexed by local id.
     fps: Vec<u64>,
 }
 
 enum WsKeys {
-    /// Fingerprint mode: masked fingerprint → local id, for either
-    /// arena representation.
+    /// Fingerprint mode: masked fingerprint → local id.
     Fingerprint(FxHashMap<u64, u32>),
-    /// Exact mode over packed arenas: the packed bytes *are* the key —
-    /// packing is injective on in-domain states, so this is exact even
-    /// under forced fingerprint collisions, with no tree states built.
+    /// Exact mode: the packed bytes *are* the key — packing is
+    /// injective on in-domain states, so this is exact even under
+    /// forced fingerprint collisions, with no tree states built.
     PackedExact(FxHashMap<Box<[u8]>, u32>),
-    /// Exact mode over tree arenas: full-state keys, as in the other
-    /// engines.
-    TreeExact(HashMap<State, u32>),
 }
 
 impl WsShard {
-    fn new(mode: VisitedMode, packed: bool) -> WsShard {
+    fn new(mode: VisitedMode) -> WsShard {
         WsShard {
-            keys: match (mode, packed) {
-                (VisitedMode::Fingerprint, _) => WsKeys::Fingerprint(FxHashMap::default()),
-                (VisitedMode::Exact, true) => WsKeys::PackedExact(FxHashMap::default()),
-                (VisitedMode::Exact, false) => WsKeys::TreeExact(HashMap::new()),
+            keys: match mode {
+                VisitedMode::Fingerprint => WsKeys::Fingerprint(FxHashMap::default()),
+                VisitedMode::Exact => WsKeys::PackedExact(FxHashMap::default()),
             },
             packed: Vec::new(),
-            states: Vec::new(),
             fps: Vec::new(),
         }
     }
@@ -550,8 +525,6 @@ impl WsShard {
 /// trip.
 struct WsStore<'a> {
     shards: Striped<WsShard>,
-    /// Packed size of one state (0 on the tree fallback).
-    stride: usize,
     mask: u64,
     mode: VisitedMode,
     meter: &'a Meter,
@@ -595,7 +568,7 @@ impl WsStore<'_> {
                     Ok((pid(shard_i, local), true))
                 }
             },
-            _ => unreachable!("fingerprint intern on an exact-mode shard"),
+            WsKeys::PackedExact(_) => unreachable!("fingerprint intern on an exact-mode shard"),
         }
     }
 
@@ -624,70 +597,21 @@ impl WsStore<'_> {
                 map.insert(child.into(), local as u32);
                 Ok((pid(shard_i, local), true))
             }
-            _ => unreachable!("exact packed intern on a non-packed-exact shard"),
+            WsKeys::Fingerprint(_) => unreachable!("exact intern on a fingerprint-mode shard"),
         }
     }
 
-    /// The tree-fallback intern: `make` materializes the state and is
-    /// called only when it must be — fingerprint dedup probes first;
-    /// exact dedup needs the full state as its key. Sharding by
-    /// (masked) fingerprint stays consistent in exact mode — equal
-    /// states have equal fingerprints — and dedup stays exact even
-    /// when `fp_bits` forces fingerprint collisions.
-    fn intern_tree(
-        &self,
-        fp: u64,
-        make: impl FnOnce() -> State,
-        charged: bool,
-    ) -> Result<(Pid, bool), ExhaustReason> {
-        let key = fp & self.mask;
-        let (shard_i, mut shard) = self.shards.lock_key(key);
-        let WsShard {
-            keys, states, fps, ..
-        } = &mut *shard;
-        match keys {
-            WsKeys::Fingerprint(map) => match map.entry(key) {
-                Entry::Occupied(e) => Ok((pid(shard_i, *e.get() as usize), false)),
-                Entry::Vacant(e) => {
-                    self.charge(charged)?;
-                    let local = fps.len();
-                    states.push(make());
-                    fps.push(fp);
-                    e.insert(local as u32);
-                    Ok((pid(shard_i, local), true))
-                }
-            },
-            WsKeys::TreeExact(map) => {
-                let t = make();
-                if let Some(&local) = map.get(&t) {
-                    return Ok((pid(shard_i, local as usize), false));
-                }
-                self.charge(charged)?;
-                let local = fps.len();
-                states.push(t.clone());
-                fps.push(fp);
-                map.insert(t, local as u32);
-                Ok((pid(shard_i, local), true))
-            }
-            WsKeys::PackedExact(_) => unreachable!("tree intern on a packed-mode shard"),
-        }
-    }
-
-    /// Interns a whole seed state (initial or snapshot) in whichever
-    /// representation the run elected.
+    /// Interns a whole seed state (initial or snapshot).
     fn intern_state(
         &self,
         s: &State,
-        layout: Option<&PackedLayout>,
+        layout: &PackedLayout,
         buf: &mut Vec<u8>,
         charged: bool,
     ) -> Result<(Pid, bool), ExhaustReason> {
         let fp = s.fingerprint();
-        let Some(l) = layout else {
-            return self.intern_tree(fp, || s.clone(), charged);
-        };
-        let ok = l.pack_into(s.values(), buf);
-        debug_assert!(ok, "layout election verified seed states pack");
+        let ok = layout.pack_into(s.values(), buf);
+        debug_assert!(ok, "the plan settled on packed states: every seed state packs");
         match self.mode {
             VisitedMode::Fingerprint => {
                 self.intern_packed_fp(fp, |arena| arena.extend_from_slice(buf), charged)
@@ -697,8 +621,7 @@ impl WsStore<'_> {
     }
 }
 
-/// One in-RAM worker's scratch buffers (the packed buffers stay empty
-/// on the tree fallback).
+/// One in-RAM worker's scratch buffers.
 #[derive(Default)]
 struct RamScratch {
     eval: EvalScratch,
@@ -748,7 +671,7 @@ impl Expand for RamPacked<'_> {
             values,
             updates,
         } = scratch;
-        let stride = store.stride;
+        let stride = layout.stride();
         let parent_fp = {
             let shard = store.shards.lock_shard(shard_of(parent));
             let local = local_of(parent);
@@ -794,77 +717,25 @@ impl Expand for RamPacked<'_> {
     }
 }
 
-/// Expansion for the tree fallback: as the packed one, but states
-/// clone out of the arena and child fingerprints come from
-/// [`State::fingerprint_with`].
-struct RamTree<'a> {
-    store: &'a WsStore<'a>,
-    compiled: &'a CompiledSystem<'a>,
-}
-
-impl Expand for RamTree<'_> {
-    type Scratch = RamScratch;
-    type Record = EdgeRecord;
-
-    fn expand(
-        &self,
-        parent: Pid,
-        scratch: &mut RamScratch,
-        edges: &mut Vec<EdgeRecord>,
-        born: &mut Vec<Pid>,
-        wire: Tripwire<'_>,
-    ) -> Result<Expanded, CheckError> {
-        let store = self.store;
-        let (s, s_fp) = {
-            let shard = store.shards.lock_shard(shard_of(parent));
-            let local = local_of(parent);
-            (shard.states[local].clone(), shard.fps[local])
-        };
-        let cut = self
-            .compiled
-            .for_each_successor(&s, &mut scratch.eval, |action, assignments| {
-                if let Some(reason) = store.meter.charge_transition() {
-                    return ControlFlow::Break(reason);
-                }
-                let child_fp = s.fingerprint_with(s_fp, assignments);
-                match store.intern_tree(child_fp, || s.with(assignments), true) {
-                    Ok((child, is_new)) => {
-                        if is_new {
-                            born.push(child);
-                        }
-                        edges.push((parent, action as u32, child));
-                        trip(wire);
-                        ControlFlow::Continue(())
-                    }
-                    Err(reason) => ControlFlow::Break(reason),
-                }
-            })?;
-        Ok(cut.map_or(Expanded::Done, Expanded::Cut))
-    }
-}
-
 /// The canonical graph of everything recorded so far: the replay with
 /// its states materialized from the (quiescent) shard arenas.
 fn canonical(
     shards: &[MutexGuard<'_, WsShard>],
-    layout: Option<&PackedLayout>,
+    layout: &PackedLayout,
     threads: usize,
     all_edges: &[Vec<EdgeRecord>],
     init_pids: &[Pid],
 ) -> Replay {
     let arena_lens: Vec<usize> = shards.iter().map(|sh| sh.len()).collect();
     let (mut replay, order) = replay_records_order(&arena_lens, all_edges, init_pids);
+    let stride = layout.stride();
     let state_of = |p: Pid| {
-        let sh = &shards[shard_of(p)];
         let local = local_of(p);
-        match layout {
-            Some(l) => l.unpack(&sh.packed[local * l.stride()..(local + 1) * l.stride()]),
-            None => sh.states[local].clone(),
-        }
+        layout.unpack(&shards[shard_of(p)].packed[local * stride..(local + 1) * stride])
     };
-    // Materialization is the renumber pass's dominant cost on packed
-    // runs (one unpack + tree allocation per state) and each state is
-    // independent once the canonical order is fixed — fan it out.
+    // Materialization is the renumber pass's dominant cost (one unpack
+    // + tree allocation per state) and each state is independent once
+    // the canonical order is fixed — fan it out.
     replay.states = if threads > 1 && order.len() >= 4096 {
         let chunk = order.len().div_ceil(threads);
         let mut states: Vec<State> = Vec::with_capacity(order.len());
@@ -893,17 +764,15 @@ pub(super) fn explore_ws(
     budget: &Budget,
     options: &ExploreOptions,
     threads: usize,
-    resume: Option<&Snapshot>,
+    seed: Seed<'_>,
+    layout: &PackedLayout,
 ) -> Result<Exploration, CheckError> {
     let compiled = CompiledSystem::compile(system);
     let sys_hash = checkpoint::system_hash(system);
     let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let (meter, seed) = seq::begin(system, budget, resume)?;
-    let layout_owned = elect_layout(system, &seed);
-    let layout = layout_owned.as_ref();
+    let meter = seed.meter(budget);
     let store = WsStore {
-        shards: Striped::new(|| WsShard::new(options.mode, layout.is_some())),
-        stride: layout.map_or(0, |l| l.stride()),
+        shards: Striped::new(|| WsShard::new(options.mode)),
         mask: options.mask(),
         mode: options.mode,
         meter: &meter,
@@ -973,28 +842,16 @@ pub(super) fn explore_ws(
         snapshot: &mut checkpoint_at_pause,
     });
     let fault = options.worker_panic;
-    let run = match layout {
-        Some(layout) => {
-            let x = RamPacked {
-                store: &store,
-                compiled: &compiled,
-                layout,
-            };
-            run_workers(&meter, threads, fault, frontier_seed, init_cut, banked, epochs, &x)
-        }
-        None => {
-            let x = RamTree {
-                store: &store,
-                compiled: &compiled,
-            };
-            run_workers(&meter, threads, fault, frontier_seed, init_cut, banked, epochs, &x)
-        }
-    }?;
+    let x = RamPacked {
+        store: &store,
+        compiled: &compiled,
+        layout,
+    };
     let WsRun {
         records,
         pending,
         reason,
-    } = run;
+    } = run_workers(&meter, threads, fault, frontier_seed, init_cut, banked, epochs, &x)?;
 
     let renumber_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
     let shards: Vec<_> = store.shards.iter_locked().collect();

@@ -90,9 +90,9 @@ pub fn check_invariant(
 ///
 /// Propagates evaluation errors. Rejects reduced graphs with
 /// [`CheckError::Precondition`]: a reduced graph's edges are not the
-/// system's full transition relation (partial-order reduction omits
-/// transitions; symmetry edges connect canonical representatives rather
-/// than genuine step endpoints), so a per-edge property cannot be
+/// system's transition relation (symmetry edges connect canonical
+/// representatives rather than genuine step endpoints), so a per-edge
+/// property cannot be
 /// decided on one — re-explore with [`Reduction::none`](crate::Reduction::none).
 pub fn check_step_invariant(
     system: &System,

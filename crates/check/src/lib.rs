@@ -104,7 +104,7 @@ pub use explore::{
 };
 pub use invariant::{check_invariant, check_step_invariant};
 pub use reduction::{
-    Canonicalize, PorConfig, Reduction, ReductionStats, SlotPermutations,
+    Canonicalize, Reduction, ReductionStats, SlotPermutations,
 };
 pub use liveness::{
     check_liveness, check_liveness_governed, check_liveness_governed_with,

@@ -488,12 +488,10 @@ fn liveness_driver(
     options: &LivenessOptions,
     resume: Option<&LiveSnapshot>,
 ) -> Result<LivenessRun, CheckError> {
-    // Liveness on a reduced graph hits the *ignoring problem*: an ample
-    // set may defer an action forever along a cycle, and symmetry edges
-    // connect canonical representatives rather than genuine step
-    // endpoints — fair-cycle detection over such a graph is unsound in
-    // both directions. We refuse rather than fight it: re-explore with
-    // `Reduction::none()` for liveness.
+    // A reduced graph's edges connect canonical orbit representatives
+    // rather than genuine step endpoints — fair-cycle detection over
+    // such a graph is unsound in both directions. We refuse rather than
+    // fight it: re-explore with `Reduction::none()` for liveness.
     if graph.is_reduced() {
         return Err(CheckError::Precondition {
             message: "liveness checking needs the full state graph; this graph \

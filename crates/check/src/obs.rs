@@ -42,7 +42,7 @@ use std::time::Instant;
 /// Version tag carried by every serialized event (`"v"`) and by
 /// [`RunReport::schema_version`]. Bump when the event schema changes
 /// shape.
-pub const OBS_SCHEMA_VERSION: u64 = 1;
+pub const OBS_SCHEMA_VERSION: u64 = 2;
 
 /// A [`Event::Progress`] snapshot is emitted every this many meter
 /// checkpoints (when a recorder is enabled). Checkpoints run once per
@@ -283,13 +283,6 @@ pub enum Event<'a> {
     /// the run's final progress event, only when a
     /// [`Reduction`](crate::Reduction) was active).
     Reduction {
-        /// States expanded through a proper ample set.
-        ample_states: u64,
-        /// States expanded fully (no eligible proper cluster, or the
-        /// cycle proviso fired).
-        full_states: u64,
-        /// Enabled transitions pruned by the ample sets.
-        skipped_transitions: u64,
         /// Generated successors changed by symmetry canonicalization.
         canon_hits: u64,
     },
@@ -517,11 +510,7 @@ pub struct CountingRecorder {
     image_memo_events: AtomicU64,
     /// Cumulative spilled bytes of the most recent spill event.
     spilled_bytes: AtomicU64,
-    /// Ample/full/skipped/canon totals of the most recent reduction
-    /// event.
-    red_ample_states: AtomicU64,
-    red_full_states: AtomicU64,
-    red_skipped_transitions: AtomicU64,
+    /// `canon_hits` of the most recent reduction event.
     red_canon_hits: AtomicU64,
     /// Totals of the most recent run report.
     states: AtomicU64,
@@ -563,9 +552,6 @@ impl CountingRecorder {
             image_pass_events: AtomicU64::new(0),
             image_memo_events: AtomicU64::new(0),
             spilled_bytes: AtomicU64::new(0),
-            red_ample_states: AtomicU64::new(0),
-            red_full_states: AtomicU64::new(0),
-            red_skipped_transitions: AtomicU64::new(0),
             red_canon_hits: AtomicU64::new(0),
             states: AtomicU64::new(0),
             transitions: AtomicU64::new(0),
@@ -675,16 +661,10 @@ impl CountingRecorder {
         self.spilled_bytes.load(Ordering::Relaxed)
     }
 
-    /// `(ample_states, full_states, skipped_transitions, canon_hits)`
-    /// of the most recent reduction event (all zero if none was
-    /// recorded).
-    pub fn reduction_totals(&self) -> (u64, u64, u64, u64) {
-        (
-            self.red_ample_states.load(Ordering::Relaxed),
-            self.red_full_states.load(Ordering::Relaxed),
-            self.red_skipped_transitions.load(Ordering::Relaxed),
-            self.red_canon_hits.load(Ordering::Relaxed),
-        )
+    /// `canon_hits` of the most recent reduction event (zero if none
+    /// was recorded).
+    pub fn reduction_totals(&self) -> u64 {
+        self.red_canon_hits.load(Ordering::Relaxed)
     }
 
     /// Unique states of the last completed run.
@@ -737,17 +717,8 @@ impl Recorder for CountingRecorder {
             Event::Check { .. } => {
                 self.checks.fetch_add(1, Ordering::Relaxed);
             }
-            Event::Reduction {
-                ample_states,
-                full_states,
-                skipped_transitions,
-                canon_hits,
-            } => {
+            Event::Reduction { canon_hits } => {
                 self.reductions.fetch_add(1, Ordering::Relaxed);
-                self.red_ample_states.store(*ample_states, Ordering::Relaxed);
-                self.red_full_states.store(*full_states, Ordering::Relaxed);
-                self.red_skipped_transitions
-                    .store(*skipped_transitions, Ordering::Relaxed);
                 self.red_canon_hits.store(*canon_hits, Ordering::Relaxed);
             }
             Event::Checkpoint { .. } => {
@@ -960,17 +931,8 @@ impl Recorder for JsonlRecorder {
                     json_str(name)
                 ));
             }
-            Event::Reduction {
-                ample_states,
-                full_states,
-                skipped_transitions,
-                canon_hits,
-            } => {
-                body.push_str(&format!(
-                    ",\"ample_states\":{ample_states},\"full_states\":{full_states},\
-                     \"skipped_transitions\":{skipped_transitions},\
-                     \"canon_hits\":{canon_hits}"
-                ));
+            Event::Reduction { canon_hits } => {
+                body.push_str(&format!(",\"canon_hits\":{canon_hits}"));
             }
             Event::Checkpoint {
                 seq,
@@ -1691,9 +1653,6 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                     .ok_or_else(|| format!("line {line}: check missing holds"))?;
             }
             "reduction" => {
-                req_u64(&obj, "ample_states", line)?;
-                req_u64(&obj, "full_states", line)?;
-                req_u64(&obj, "skipped_transitions", line)?;
                 req_u64(&obj, "canon_hits", line)?;
             }
             "checkpoint" | "resume" => {
@@ -1916,7 +1875,7 @@ mod tests {
         let summary = validate_stream(&text).expect("stream validates");
         assert_eq!(summary.kinds["liveness_worker"], 1);
         // The fields are required: dropping one fails validation.
-        let bad = "{\"v\":1,\"t\":1,\"ev\":\"liveness_worker\",\"worker\":0,\"components\":3}\n";
+        let bad = "{\"v\":2,\"t\":1,\"ev\":\"liveness_worker\",\"worker\":0,\"components\":3}\n";
         assert!(validate_stream(bad).unwrap_err().contains("candidates"));
     }
 
@@ -1943,7 +1902,7 @@ mod tests {
         assert_eq!(summary.kinds["image_memo"], 1);
         // More evaluations than edges, or a skipped memo that did not
         // evaluate every edge, is not a stream this crate writes.
-        let head = "{\"v\":1,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
+        let head = "{\"v\":2,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
         let bad = format!("{head},\"distinct_pairs\":9,\"edges\":8,\"skipped\":false}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("evaluations"));
         let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8,\"skipped\":true}}\n");
@@ -1975,7 +1934,7 @@ mod tests {
         assert_eq!(summary.kinds["image_pass"], 1);
         // More distinct (or undefined) values than images evaluated, or
         // a missing field, is not a stream this crate writes.
-        let head = "{\"v\":1,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
+        let head = "{\"v\":2,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
         let bad = format!("{head},\"distinct_values\":9,\"undefined\":0,\"nanos\":5}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("distinct"));
         let bad = format!("{head},\"distinct_values\":6,\"undefined\":3,\"nanos\":5}}\n");
@@ -1987,21 +1946,26 @@ mod tests {
     #[test]
     fn validator_rejects_malformed_streams() {
         // Backwards timestamp.
-        let bad = "{\"v\":1,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":1,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
+        let bad = "{\"v\":2,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":2,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("backwards"));
         // Mismatched phase nesting.
-        let bad = "{\"v\":1,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":1,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
+        let bad = "{\"v\":2,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":2,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("closes"));
         // Unclosed run.
-        let bad = "{\"v\":1,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
+        let bad = "{\"v\":2,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("open run"));
         // Wrong version.
         let bad = "{\"v\":99,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\"elapsed_nanos\":0}\n";
         assert!(validate_stream(bad).unwrap_err().contains("schema version"));
+        // The previous version's `reduction` event (it carried three
+        // ample-set counters) is refused on its version, not half-read.
+        let bad = "{\"v\":1,\"t\":1,\"ev\":\"reduction\",\"ample_states\":0,\"full_states\":9,\
+                   \"skipped_transitions\":0,\"canon_hits\":4}\n";
+        assert!(validate_stream(bad).unwrap_err().contains("schema version 1"));
         // Unknown kind.
-        let bad = "{\"v\":1,\"t\":1,\"ev\":\"mystery\"}\n";
+        let bad = "{\"v\":2,\"t\":1,\"ev\":\"mystery\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("unknown event"));
     }
 

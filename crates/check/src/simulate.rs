@@ -139,9 +139,9 @@ fn simulate(
 ) -> Result<SimulationRun, CheckError> {
     let _phase =
         crate::obs::PhaseGuard::enter(&budget.recorder, crate::obs::Phase::Simulation);
-    // Step-box obligations are per-edge: a reduced graph omits edges
-    // (POR) or replaces their endpoints by canonical representatives
-    // (symmetry), so simulation cannot be decided on one.
+    // Step-box obligations are per-edge: a reduced graph replaces edge
+    // endpoints by canonical orbit representatives, so simulation
+    // cannot be decided on one.
     if graph.is_reduced() {
         return Err(CheckError::Precondition {
             message: "simulation checking needs the full state graph; this \

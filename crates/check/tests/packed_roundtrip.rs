@@ -1,14 +1,16 @@
 //! Property-based tests for the packed state layout: pack/unpack
 //! round-trips, packed-vs-tree fingerprint agreement, and
 //! work-stealing/sequential graph identity over randomly generated
-//! bounded systems.
+//! bounded systems — and the one fixture whose states do *not* pack,
+//! which a threaded plan must run on the sequential loop and say so.
 
 use opentla_check::{
-    explore_governed_with, Budget, Engine, ExploreOptions, GuardedAction, Init,
-    StateGraph, System, VisitedMode,
+    explore_governed_with, resume_exploration, Budget, Engine, Event, ExploreOptions,
+    GuardedAction, Init, Recorder, RecorderHandle, StateGraph, System, VisitedMode,
 };
 use opentla_kernel::{Domain, Expr, PackedLayout, State, Value, Vars};
 use proptest::prelude::*;
+use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------
 // Random domains and states (no exploration): the layout must encode
@@ -236,5 +238,134 @@ proptest! {
                 assert_graphs_identical(&seq.graph, &ws.graph)?;
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// States that do not pack
+// ---------------------------------------------------------------------
+
+/// Two bit variables, `x` toggling — and `y` pinned by `Init::new` to
+/// 7, outside its declared domain. The layout compiles; the one seed
+/// state does not pack.
+fn system_with_an_out_of_domain_seed() -> System {
+    let mut vars = Vars::new();
+    let x = vars.declare("x", Domain::bits());
+    let y = vars.declare("y", Domain::bits());
+    let toggle = GuardedAction::new(
+        "toggle",
+        Expr::bool(true),
+        vec![(x, Expr::int(1).sub(Expr::var(x)))],
+    );
+    System::new(
+        vars,
+        Init::new([(x, Value::Int(0)), (y, Value::Int(7))]),
+        vec![toggle],
+    )
+}
+
+/// `(engine, threads)` of every `run_start` and of every `run_end`
+/// report.
+#[derive(Default)]
+struct Runs {
+    started: Mutex<Vec<(String, usize)>>,
+    reported: Mutex<Vec<(String, usize)>>,
+}
+
+impl Recorder for Runs {
+    fn record(&self, event: &Event<'_>) {
+        match event {
+            Event::RunStart {
+                engine, threads, ..
+            } => self.started.lock().unwrap().push((engine.to_string(), *threads)),
+            Event::RunEnd { report } => self
+                .reported
+                .lock()
+                .unwrap()
+                .push((report.engine.clone(), report.threads)),
+            _ => {}
+        }
+    }
+}
+
+/// The work-stealing loops run over packed states only. A system that
+/// starts from a state its layout cannot pack runs the sequential loop
+/// of the same store family at any requested thread count — in RAM, or
+/// over the spill store under a memory budget — builds the graph one
+/// thread builds, and its `run_start` and report name that loop and
+/// its one worker, not the plan that was asked for.
+#[test]
+fn unpackable_states_run_the_sequential_loop_and_say_so() {
+    let sys = system_with_an_out_of_domain_seed();
+    let layout = PackedLayout::compile(sys.vars()).expect("two bit slots compile");
+    let seed = sys.init().states(sys.universe()).unwrap();
+    assert_eq!(seed.len(), 1);
+    assert!(layout.pack(&seed[0]).is_none(), "y = 7 is outside 0..=1");
+
+    for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
+        let reference = explore_governed_with(
+            &sys,
+            &Budget::unlimited(),
+            &ExploreOptions {
+                threads: Some(1),
+                mode,
+                ..ExploreOptions::default()
+            },
+        )
+        .unwrap();
+        assert_eq!(reference.graph.len(), 2);
+        for threads in [2usize, 4] {
+            for (mem_budget_bytes, loop_name) in [
+                (None, "explore_sequential"),
+                (Some(1usize << 20), "explore_spill"),
+            ] {
+                for engine in [Engine::Auto, Engine::WorkStealing] {
+                    let label = format!("{mode:?}/threads={threads}/{mem_budget_bytes:?}/{engine:?}");
+                    let runs = Arc::new(Runs::default());
+                    let run = explore_governed_with(
+                        &sys,
+                        &Budget::unlimited().with_recorder(RecorderHandle::new(runs.clone())),
+                        &ExploreOptions {
+                            threads: Some(threads),
+                            mode,
+                            engine,
+                            mem_budget_bytes,
+                            ..ExploreOptions::default()
+                        },
+                    )
+                    .unwrap();
+                    assert!(run.outcome.is_complete(), "{label}");
+                    assert_graphs_identical(&reference.graph, &run.graph)
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    let ran = [(loop_name.to_string(), 1)];
+                    assert_eq!(*runs.started.lock().unwrap(), ran, "{label}: run_start");
+                    assert_eq!(*runs.reported.lock().unwrap(), ran, "{label}: report");
+                }
+            }
+        }
+        // A resumed run starts from its snapshot's arena, which holds
+        // the same unpackable state.
+        let options = ExploreOptions {
+            threads: Some(2),
+            mode,
+            ..ExploreOptions::default()
+        };
+        let cut = explore_governed_with(&sys, &Budget::default().states(1), &options).unwrap();
+        let snapshot = cut.snapshot.as_deref().expect("a resumable cut");
+        let runs = Arc::new(Runs::default());
+        let resumed = resume_exploration(
+            &sys,
+            &Budget::unlimited().with_recorder(RecorderHandle::new(runs.clone())),
+            &options,
+            snapshot,
+        )
+        .unwrap();
+        assert_graphs_identical(&reference.graph, &resumed.graph)
+            .unwrap_or_else(|e| panic!("{mode:?}/resumed: {e}"));
+        assert_eq!(
+            *runs.started.lock().unwrap(),
+            [("explore_sequential".to_string(), 1)],
+            "{mode:?}/resumed"
+        );
     }
 }

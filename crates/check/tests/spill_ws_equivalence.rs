@@ -433,12 +433,12 @@ fn spill_ws_resumes_a_sequential_spill_snapshot() {
 fn unhonorable_explicit_budget_is_refused_not_ignored() {
     let ring = TokenRing::new(3);
     let sys = ring.complete_system().expect("ring builds");
-    let por = Reduction::none().with_por(ring.mutual_exclusion().unprimed_vars());
+    let symmetry = Reduction::none().with_symmetry(Arc::new(ring.rotation_symmetry()));
     let cases: Vec<(&str, ExploreOptions)> = vec![(
         "reduction",
         ExploreOptions {
             threads: Some(2),
-            reduction: por,
+            reduction: symmetry,
             mem_budget_bytes: Some(1 << 20),
             ..ExploreOptions::default()
         },

@@ -104,6 +104,6 @@ pub use opentla_check::{
     CountingRecorder, JsonlRecorder, NullRecorder, Recorder, RecorderHandle, RunReport,
 };
 
-// Reduction layer: ample-set partial-order reduction and pluggable
-// symmetry canonicalization for the explorer, off by default.
-pub use opentla_check::{Canonicalize, PorConfig, Reduction, ReductionStats, SlotPermutations};
+// Reduction layer: pluggable symmetry canonicalization for the
+// explorer, off by default.
+pub use opentla_check::{Canonicalize, Reduction, ReductionStats, SlotPermutations};

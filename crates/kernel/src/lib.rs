@@ -49,7 +49,6 @@ mod action;
 pub mod codec;
 mod error;
 mod expr;
-mod footprint;
 mod formula;
 mod packed;
 pub mod scc;
@@ -62,7 +61,6 @@ mod var;
 pub use action::{box_action, determined_primes, enabled_vars, unchanged};
 pub use error::{EvalError, KernelError};
 pub use expr::{expect_bool, BinOp, Expr, ExprDisplay, UnOp};
-pub use footprint::Footprint;
 pub use packed::PackedLayout;
 pub use scc::{tarjan_sccs_with, SccScratch};
 pub use formula::FormulaDisplay;

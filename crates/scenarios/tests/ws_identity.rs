@@ -16,6 +16,7 @@ use opentla_check::{
 use opentla_check::System;
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, Mutex, TokenRing};
+use std::sync::Arc;
 
 fn assert_graphs_identical(a: &StateGraph, b: &StateGraph, what: &str) {
     assert_eq!(a.stats(), b.stats(), "{what}: stats differ");
@@ -158,15 +159,15 @@ fn ws_exact_mode_survives_forced_collisions() {
     }
 }
 
-/// Reduced (ample-set) configurations resolve to the sequential plan —
-/// the only loop implementing the cycle proviso — and produce exactly
-/// the reduced graph a 1-thread run produces, regardless of the
-/// requested engine and thread count.
+/// Reduced (symmetry) configurations resolve to the sequential plan —
+/// the only store that canonicalizes — and produce exactly the reduced
+/// graph a 1-thread run produces, regardless of the requested engine
+/// and thread count.
 #[test]
 fn ws_resolves_to_the_sequential_plan_under_reduction() {
     let ring = TokenRing::new(3);
     let system = ring.complete_system().expect("ring builds");
-    let reduction = Reduction::none().with_por(ring.mutual_exclusion().unprimed_vars());
+    let reduction = Reduction::none().with_symmetry(Arc::new(ring.rotation_symmetry()));
     let level = explore_governed_with(
         &system,
         &Budget::unlimited(),

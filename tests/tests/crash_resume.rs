@@ -10,12 +10,12 @@ use std::sync::Arc;
 
 use opentla_check::{
     check_liveness, check_liveness_resumable, explore, explore_escalating,
-    explore_governed_with, explore_resumable, resume_exploration, Budget, CheckError,
-    CheckpointError, CountingRecorder, Exploration, ExploreOptions, GuardedAction, Init,
-    LiveSnapshot, LiveTarget, LivenessOptions, Outcome, RecorderHandle, Reduction,
-    Snapshot, StateGraph, System, VisitedMode, WorkerPanic,
+    explore_governed_with, explore_resumable, resume_exploration, Budget, Canonicalize,
+    CheckError, CheckpointError, CountingRecorder, Exploration, ExploreOptions,
+    GuardedAction, Init, LiveSnapshot, LiveTarget, LivenessOptions, Outcome, RecorderHandle,
+    Reduction, SlotPermutations, Snapshot, StateGraph, System, VisitedMode, WorkerPanic,
 };
-use opentla_kernel::{Domain, Expr, Value, VarId, Vars};
+use opentla_kernel::{Domain, Expr, State, Value, VarId, Vars};
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, Mutex, TokenRing};
 use proptest::prelude::*;
@@ -71,11 +71,24 @@ fn run_unlimited(system: &System, opts: &ExploreOptions) -> Exploration {
     run
 }
 
-/// POR over the system's first variable as the observable set — enough
-/// to make the ample machinery genuinely fire.
-fn por_on_first_var(system: &System) -> Reduction {
-    let v0 = system.vars().iter().next().expect("system has variables");
-    Reduction::none().with_por(Expr::var(v0).eq(Expr::int(0)).unprimed_vars())
+/// The two scenarios with a symmetry of their own: mutex(3) under its
+/// client permutations (32 → 10 states, 12 canonicalization hits) and
+/// ring(3) under rotation (no orbit collapse, 3 hits).
+fn symmetric_scenarios() -> Vec<(&'static str, System, Reduction)> {
+    let mutex = Mutex::with_clients(3, ArbiterFairness::Weak);
+    let ring = TokenRing::new(3);
+    vec![
+        (
+            "mutex",
+            mutex.product().unwrap(),
+            Reduction::none().with_symmetry(Arc::new(mutex.client_symmetry())),
+        ),
+        (
+            "ring",
+            ring.complete_system().unwrap(),
+            Reduction::none().with_symmetry(Arc::new(ring.rotation_symmetry())),
+        ),
+    ]
 }
 
 fn scenarios() -> Vec<(&'static str, System)> {
@@ -136,6 +149,10 @@ fn interrupt_and_resume(label: &str, system: &System, opts: &ExploreOptions) {
     );
     assert_eq!(recorder.resumes(), 1, "{label}: resume event must be emitted");
     assert_identical(label, &reference.graph, &resumed.graph);
+    // The resumed run's report carries the whole graph's totals, not
+    // just what it explored after the cut.
+    assert_eq!(recorder.states(), reference.graph.len() as u64, "{label}");
+    assert_eq!(recorder.transitions(), reference.graph.edge_count() as u64, "{label}");
     assert_eq!(
         reference.reduction, resumed.reduction,
         "{label}: reduction stats must survive the round trip"
@@ -168,12 +185,48 @@ fn interrupt_resume_identity_unreduced() {
 
 #[test]
 fn interrupt_resume_identity_reduced() {
-    for (name, system) in &scenarios() {
-        let por = por_on_first_var(system);
+    for (name, system, symmetry) in &symmetric_scenarios() {
         for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
             for threads in [1usize, 2, 4] {
-                let label = format!("{name}/por/{mode:?}/threads={threads}");
-                interrupt_and_resume(&label, system, &options(threads, mode, por.clone(), 64));
+                let label = format!("{name}/symmetry/{mode:?}/threads={threads}");
+                interrupt_and_resume(
+                    &label,
+                    system,
+                    &options(threads, mode, symmetry.clone(), 64),
+                );
+            }
+        }
+    }
+}
+
+/// A symmetric run cut at *every* transition count — so the cut lands
+/// between parents and in the middle of each one — resumes to the
+/// byte-identical graph with the same `canon_hits`: a half-expanded
+/// parent's hits are not banked, and not counted twice when it
+/// re-expands.
+#[test]
+fn symmetric_run_cut_mid_parent_does_not_double_count_hits() {
+    for (name, system, symmetry) in &symmetric_scenarios() {
+        for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
+            let opts = options(1, mode, symmetry.clone(), 64);
+            let reference = run_unlimited(system, &opts);
+            let hits = reference.reduction.expect("reduced run reports stats").canon_hits;
+            assert!(hits > 0, "{name}: canonicalization must fire");
+            for cut in 1..reference.graph.edge_count() {
+                let label = format!("{name}/{mode:?}/transitions={cut}");
+                let interrupted =
+                    explore_governed_with(system, &Budget::default().transitions(cut), &opts)
+                        .unwrap();
+                assert!(!interrupted.outcome.is_complete(), "{label}");
+                let banked = interrupted.reduction.unwrap().canon_hits;
+                assert!(banked <= hits, "{label}: banked {banked} of {hits} hits");
+                let snap = interrupted.snapshot.as_deref().expect("in-memory snapshot");
+                assert!(snap.reduced, "{label}");
+                let resumed =
+                    resume_exploration(system, &Budget::unlimited(), &opts, snap).unwrap();
+                assert!(resumed.outcome.is_complete(), "{label}");
+                assert_identical(&label, &reference.graph, &resumed.graph);
+                assert_eq!(reference.reduction, resumed.reduction, "{label}");
             }
         }
     }
@@ -314,10 +367,16 @@ fn mismatched_snapshot_is_refused() {
     ));
 
     // Different fingerprint width, visited mode, or reduction activity.
+    let trivial_group = SlotPermutations::new("identity", system.vars().len(), Vec::new());
     for opts in [
         options(1, VisitedMode::Fingerprint, Reduction::none(), 32),
         options(1, VisitedMode::Exact, Reduction::none(), 64),
-        options(1, VisitedMode::Fingerprint, por_on_first_var(&system), 64),
+        options(
+            1,
+            VisitedMode::Fingerprint,
+            Reduction::none().with_symmetry(Arc::new(trivial_group)),
+            64,
+        ),
     ] {
         let err = resume_exploration(&system, &Budget::unlimited(), &opts, &snap).unwrap_err();
         assert!(
@@ -326,6 +385,103 @@ fn mismatched_snapshot_is_refused() {
         );
     }
 
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A canonicalizer that answers to another's name but picks the
+/// lexicographically *largest* member of each orbit.
+#[derive(Debug)]
+struct Impostor {
+    name: String,
+    perms: Vec<Vec<usize>>,
+}
+
+impl Canonicalize for Impostor {
+    fn canonicalize(&self, s: &State) -> State {
+        self.perms
+            .iter()
+            .map(|p| State::new(p.iter().map(|&j| s.values()[j].clone()).collect::<Vec<_>>()))
+            .max_by(|a, b| a.values().cmp(b.values()))
+            .expect("the group has an identity")
+    }
+
+    fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+/// A snapshot's arena is canonical under the group it was explored
+/// under; continuing it under another would build a graph that is
+/// canonical under neither. The snapshot pins the canonicalizer's name,
+/// and the arena itself is checked against the one requested.
+#[test]
+fn snapshot_taken_under_one_symmetry_is_refused_under_another() {
+    let mutex = Mutex::with_clients(3, ArbiterFairness::Weak);
+    let system = mutex.product().unwrap();
+    let clients = mutex.client_symmetry();
+    let under = |canon: Arc<dyn Canonicalize>| {
+        options(
+            1,
+            VisitedMode::Fingerprint,
+            Reduction::none().with_symmetry(canon),
+            64,
+        )
+    };
+    let path = snap_path("symmetry-mismatch");
+    let interrupted = explore_resumable(
+        &system,
+        &Budget::default().states(5).with_checkpoint(&path, 64),
+        &under(Arc::new(clients.clone())),
+    )
+    .unwrap();
+    assert!(interrupted.outcome.resume_token().is_some());
+    let snap = Snapshot::load(&path).unwrap();
+    assert!(snap.reduced);
+    let refused = |opts: &ExploreOptions, why: &str| {
+        match resume_exploration(&system, &Budget::unlimited(), opts, &snap) {
+            Err(CheckError::Checkpoint(CheckpointError::Mismatch { field, .. })) => {
+                assert_eq!(field, "symmetry canonicalizer", "{why}");
+            }
+            other => panic!("{why}: expected a Mismatch, got {other:?}"),
+        }
+    };
+
+    // Another group under another name: refused on the name.
+    let n = system.vars().len();
+    let trivial = SlotPermutations::new("identity", n, Vec::new());
+    refused(&under(Arc::new(trivial)), "differently named group");
+
+    // The same name over a different canonical form: refused on the
+    // arena, whose states are not that canonicalizer's representatives.
+    let all = 0..n;
+    let perms: Vec<Vec<usize>> = SlotPermutations::all_index_permutations(3)
+        .iter()
+        .map(|sigma| {
+            let mut p: Vec<usize> = all.clone().collect();
+            for i in 1..=3 {
+                p[mutex.r(i).index()] = mutex.r(sigma[i - 1] + 1).index();
+                p[mutex.g(i).index()] = mutex.g(sigma[i - 1] + 1).index();
+            }
+            p
+        })
+        .collect();
+    let impostor = Impostor {
+        name: clients.name().to_string(),
+        perms,
+    };
+    refused(&under(Arc::new(impostor)), "same name, different representatives");
+
+    // The canonicalizer it was taken under resumes, from disk too.
+    let opts = under(Arc::new(clients));
+    let reference = run_unlimited(&system, &opts);
+    let resumed = explore_resumable(
+        &system,
+        &Budget::unlimited().with_checkpoint(&path, 1 << 20),
+        &opts,
+    )
+    .unwrap();
+    assert_identical("symmetry/same", &reference.graph, &resumed.graph);
+    assert_eq!(reference.reduction, resumed.reduction);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -385,12 +541,14 @@ fn worker_panic_degrades_gracefully_without_losing_states() {
 // Periodic checkpoints on the work-stealing scheduler
 // ---------------------------------------------------------------------
 
-/// Copies the snapshot file aside the first time a `checkpoint` event
-/// arrives — i.e. a *periodic* snapshot, taken while the run is still
-/// going — and counts the checkpoints seen before `run_end`.
+/// Copies the snapshot file aside when the `copy_at`-th (0-based)
+/// `checkpoint` event arrives — i.e. a *periodic* snapshot, taken while
+/// the run is still going — and counts the checkpoints seen before
+/// `run_end`.
 struct MidRunCopy {
     from: PathBuf,
     to: PathBuf,
+    copy_at: u64,
     before_run_end: std::sync::atomic::AtomicU64,
     ended: std::sync::atomic::AtomicBool,
 }
@@ -403,7 +561,7 @@ impl opentla_check::Recorder for MidRunCopy {
             self.ended.store(true, Relaxed);
         } else if matches!(event, Event::Checkpoint { .. })
             && !self.ended.load(Relaxed)
-            && self.before_run_end.fetch_add(1, Relaxed) == 0
+            && self.before_run_end.fetch_add(1, Relaxed) == self.copy_at
         {
             std::fs::copy(&self.from, &self.to).expect("copy the mid-run snapshot");
         }
@@ -426,6 +584,7 @@ fn threaded_run_checkpoints_mid_run_and_resumes_at_another_worker_count() {
         let recorder = Arc::new(MidRunCopy {
             from: path.clone(),
             to: copy.clone(),
+            copy_at: 0,
             before_run_end: Default::default(),
             ended: Default::default(),
         });
@@ -467,6 +626,57 @@ fn threaded_run_checkpoints_mid_run_and_resumes_at_another_worker_count() {
         }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&copy);
+    }
+}
+
+/// The shared sequential loop checkpoints a symmetric run at its queue
+/// cut: armed at cadence 1 it snapshots before every expansion, and a
+/// snapshot from the middle of the run — canonical arena, `reduced`
+/// flag, the hits banked so far — resumes to the byte-identical
+/// reduced graph with the same `canon_hits`.
+#[test]
+fn symmetric_run_checkpoints_at_every_expansion_and_resumes() {
+    for (name, system, symmetry) in &symmetric_scenarios() {
+        for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
+            let label = format!("{name}/{mode:?}");
+            let opts = options(1, mode, symmetry.clone(), 64);
+            let reference = run_unlimited(system, &opts);
+            let path = snap_path("sym-midrun");
+            let copy = snap_path("sym-midrun-copy");
+            let recorder = Arc::new(MidRunCopy {
+                from: path.clone(),
+                to: copy.clone(),
+                copy_at: reference.graph.len() as u64 / 2,
+                before_run_end: Default::default(),
+                ended: Default::default(),
+            });
+            let armed = explore_resumable(
+                system,
+                &Budget::unlimited()
+                    .with_checkpoint(&path, 1)
+                    .with_recorder(RecorderHandle::new(recorder.clone())),
+                &opts,
+            )
+            .unwrap();
+            assert!(matches!(armed.outcome, Outcome::Complete));
+            assert_identical(&format!("{label}/armed"), &reference.graph, &armed.graph);
+            assert_eq!(reference.reduction, armed.reduction, "{label}/armed");
+            assert!(
+                recorder.before_run_end.load(std::sync::atomic::Ordering::Relaxed)
+                    >= reference.graph.len() as u64,
+                "{label}: cadence 1 snapshots before every expansion"
+            );
+
+            let snap = Snapshot::load(&copy).expect("mid-run snapshot loads");
+            assert!(snap.reduced, "{label}");
+            assert!(snap.frontier_len() > 0 && snap.states_used() <= reference.graph.len());
+            let resumed = resume_exploration(system, &Budget::unlimited(), &opts, &snap).unwrap();
+            assert!(matches!(resumed.outcome, Outcome::Complete));
+            assert_identical(&format!("{label}/resumed"), &reference.graph, &resumed.graph);
+            assert_eq!(reference.reduction, resumed.reduction, "{label}/resumed");
+            let _ = std::fs::remove_file(&path);
+            let _ = std::fs::remove_file(&copy);
+        }
     }
 }
 
@@ -840,7 +1050,16 @@ proptest! {
         let system = random_system(seed);
         let threads = [1usize, 2, 4][(seed % 3) as usize];
         let mode = if seed & 1 == 0 { VisitedMode::Fingerprint } else { VisitedMode::Exact };
-        let reduction = if seed & 2 == 0 { Reduction::none() } else { por_on_first_var(&system) };
+        // Swapping the first two slots is no automorphism of a random
+        // system, but round-trip identity needs none: the reduced graph
+        // is whatever canonicalizing under that group builds.
+        let n = system.vars().len();
+        let swap: Vec<usize> = [1, 0].into_iter().chain(2..n).collect();
+        let reduction = if seed & 2 == 0 {
+            Reduction::none()
+        } else {
+            Reduction::none().with_symmetry(Arc::new(SlotPermutations::new("swap01", n, vec![swap])))
+        };
         let opts = options(threads, mode, reduction, 64);
         let reference = run_unlimited(&system, &opts);
         let total = reference.graph.len();

@@ -1,15 +1,17 @@
 //! Differential engine-equivalence for the Reduction subsystem:
-//! exploring under ample-set partial-order reduction and/or symmetry
-//! canonicalization must return *the same invariant verdicts* as full
-//! exploration — with semantically replayable counterexamples — on
-//! every scenario in the repository, in both visited-set modes. A
-//! reduced run is sequential at any requested thread count, so the
-//! reduced graph at 4 threads must be byte-identical to the 1-thread
-//! one.
+//! exploring under symmetry canonicalization must return *the same
+//! invariant verdicts* as full exploration — with semantically
+//! replayable counterexamples — on every scenario in the repository, in
+//! both visited-set modes. A reduced run is sequential at any requested
+//! thread count, so the reduced graph at 4 threads must be
+//! byte-identical to the 1-thread one. Every scenario also runs under
+//! the *trivial* group, which drives the canonicalizing store over the
+//! whole state space and must rebuild the full graph exactly.
 //!
-//! Also here: the golden regression pinning `Reduction::none()` to the
-//! exact pre-reduction chain4 numbers, and property-based checks that
-//! POR never flips a verdict on random small systems and that
+//! Also here: the symmetric graphs pinned to the digests the dedicated
+//! reduced loop built before symmetry moved onto the shared sequential
+//! loop, the golden regression pinning `Reduction::none()` to the exact
+//! pre-reduction chain4 numbers, and a property-based check that
 //! symmetry-reduced counterexamples replay under the trace semantics.
 
 use std::sync::Arc;
@@ -20,7 +22,7 @@ use opentla_check::{
     StateGraph, System, VisitedMode,
 };
 use opentla_check::{GuardedAction, Init};
-use opentla_kernel::{Domain, Expr, Formula, Value, VarId, VarSet, Vars};
+use opentla_kernel::{codec, Domain, Expr, Formula, Value, VarId, Vars};
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{
     AlternatingBit, ArbiterFairness, ClockWorld, Fig1, Mutex, TokenRing,
@@ -41,14 +43,17 @@ struct Case {
     reductions: Vec<(&'static str, Reduction)>,
 }
 
-/// The POR configuration for a case: observable = every variable any
-/// of its invariants mentions (ample actions must not write these).
-fn por_for(invariants: &[(&'static str, Expr)]) -> Reduction {
-    let mut observable = VarSet::new();
-    for (_, inv) in invariants {
-        observable.union_with(&inv.unprimed_vars());
-    }
-    Reduction::none().with_por(observable)
+/// The label of the trivial-group leg every case gets.
+const IDENTITY: &str = "identity";
+
+/// Symmetry under the trivial group: canonicalization runs on every
+/// successor and changes none.
+fn identity_symmetry(system: &System) -> Reduction {
+    Reduction::none().with_symmetry(Arc::new(SlotPermutations::new(
+        IDENTITY,
+        system.vars().len(),
+        Vec::new(),
+    )))
 }
 
 fn cases() -> Vec<Case> {
@@ -62,7 +67,7 @@ fn cases() -> Vec<Case> {
     out.push(Case {
         name: "abp",
         system: abp.complete_system().expect("abp builds"),
-        reductions: vec![("por", por_for(&invariants))],
+        reductions: Vec::new(),
         invariants,
     });
 
@@ -78,11 +83,7 @@ fn cases() -> Vec<Case> {
     let symmetry: Arc<SlotPermutations> = Arc::new(mutex.client_symmetry());
     out.push(Case {
         name: "mutex",
-        reductions: vec![
-            ("por", por_for(&invariants)),
-            ("symmetry", Reduction::none().with_symmetry(symmetry.clone())),
-            ("por+symmetry", por_for(&invariants).with_symmetry(symmetry)),
-        ],
+        reductions: vec![("symmetry", Reduction::none().with_symmetry(symmetry))],
         system: mutex.product().expect("mutex builds"),
         invariants,
     });
@@ -100,11 +101,7 @@ fn cases() -> Vec<Case> {
     let symmetry: Arc<SlotPermutations> = Arc::new(ring.rotation_symmetry());
     out.push(Case {
         name: "ring",
-        reductions: vec![
-            ("por", por_for(&invariants)),
-            ("symmetry", Reduction::none().with_symmetry(symmetry.clone())),
-            ("por+symmetry", por_for(&invariants).with_symmetry(symmetry)),
-        ],
+        reductions: vec![("symmetry", Reduction::none().with_symmetry(symmetry))],
         system: ring.complete_system().expect("ring builds"),
         invariants,
     });
@@ -118,7 +115,7 @@ fn cases() -> Vec<Case> {
     out.push(Case {
         name: "clock",
         system: clock.product().expect("clock builds"),
-        reductions: vec![("por", por_for(&invariants))],
+        reductions: Vec::new(),
         invariants,
     });
 
@@ -134,7 +131,7 @@ fn cases() -> Vec<Case> {
         name: "fig1",
         system: opentla::closed_product(fig1.vars(), &[&fig1.pi_c(), &fig1.pi_d()])
             .expect("fig1 builds"),
-        reductions: vec![("por", por_for(&invariants))],
+        reductions: Vec::new(),
         invariants,
     });
 
@@ -157,9 +154,12 @@ fn cases() -> Vec<Case> {
         out.push(Case {
             name,
             system: sys,
-            reductions: vec![("por", por_for(&invariants))],
+            reductions: Vec::new(),
             invariants,
         });
+    }
+    for case in &mut out {
+        case.reductions.push((IDENTITY, identity_symmetry(&case.system)));
     }
     out
 }
@@ -223,9 +223,10 @@ fn assert_replayable(label: &str, system: &System, inv: &Expr, cx: &Counterexamp
 /// explore under each reduction at 1 and 4 requested threads (both
 /// resolve to the sequential plan) in both visited modes, and demand
 /// (a) the reduced graph is the same in every configuration,
-/// (b) it is never larger than the full graph, (c) every invariant
-/// verdict matches the full graph's, and (d) violated verdicts come
-/// with replayable counterexamples.
+/// (b) it is never larger than the full graph — and *is* the full
+/// graph under the trivial group — (c) every invariant verdict matches
+/// the full graph's, and (d) violated verdicts come with replayable
+/// counterexamples.
 fn differential(case: &Case) {
     let full = run(&case.system, Reduction::none(), 1, VisitedMode::Fingerprint);
     assert!(full.reduction.is_none(), "{}: stats without reduction", case.name);
@@ -266,6 +267,11 @@ fn differential(case: &Case) {
             }
         }
         let red = reference.expect("at least one engine configuration ran");
+        if *red_label == IDENTITY {
+            let label = format!("{}/{red_label}", case.name);
+            assert_identical(&label, &full.graph, &red.graph);
+            assert_eq!(red.reduction.unwrap().canon_hits, 0, "{label}");
+        }
         for ((inv_label, inv), full_holds) in case.invariants.iter().zip(&full_verdicts) {
             let label = format!("{}/{red_label}/{inv_label}", case.name);
             let verdict = check_invariant(&case.system, &red.graph, inv).unwrap();
@@ -433,10 +439,7 @@ fn reduction_event_reaches_the_recorder() {
     .unwrap();
     let stats = run.reduction.expect("reduced run reports stats");
     assert_eq!(recorder.reductions(), 1);
-    let (ample, full, skipped, canon) = recorder.reduction_totals();
-    assert_eq!(ample, stats.ample_states as u64);
-    assert_eq!(full, stats.full_states as u64);
-    assert_eq!(skipped, stats.skipped_transitions as u64);
+    let canon = recorder.reduction_totals();
     assert_eq!(canon, stats.canon_hits as u64);
 }
 
@@ -474,77 +477,110 @@ fn reduced_graphs_are_rejected_by_edge_sensitive_checks() {
 }
 
 // ---------------------------------------------------------------------
-// Property-based checks over random small systems
+// Togglers: `k` identical processes under the full permutation group
 // ---------------------------------------------------------------------
 
-/// A random small boolean system, deterministic in `seed`: `n` bit
-/// variables, flip-style actions with random read/write footprints
-/// (so the conflict-graph clustering varies per seed), and a random
-/// initial state drawn through `opentla_semantics::random_state`.
-fn random_system(seed: u64) -> (System, Expr) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let n_vars = rng.gen_range(2..=4usize);
-    let build_vars = || {
-        let mut vars = Vars::new();
-        let vs: Vec<VarId> = (0..n_vars)
-            .map(|i| vars.declare(format!("v{i}"), Domain::bits()))
-            .collect();
-        (vars, vs)
-    };
-    let (vars, vs) = build_vars();
-    let n_actions = rng.gen_range(2..=5usize);
-    let actions: Vec<GuardedAction> = (0..n_actions)
-        .map(|a| {
-            let read = vs[rng.gen_range(0..n_vars)];
-            let write = vs[rng.gen_range(0..n_vars)];
-            let want = rng.gen_range(0..=1i64);
-            GuardedAction::new(
-                format!("a{a}"),
-                Expr::var(read).eq(Expr::int(want)),
-                vec![(write, Expr::int(1).sub(Expr::var(write)))],
-            )
-        })
+/// `k` identical two-step processes (`set` then `mark`), with the `y`
+/// variables the "nobody marks" invariant reads and the canonicalizer
+/// of all `k!` process permutations.
+fn togglers(k: usize) -> (System, Vec<VarId>, SlotPermutations) {
+    let mut vars = Vars::new();
+    let xs: Vec<VarId> = (0..k)
+        .map(|i| vars.declare(format!("x{i}"), Domain::bits()))
         .collect();
-    // A throwaway closed system over the same registry yields the
-    // universe that `random_state` draws the initial state from.
-    let probe = System::new(
-        build_vars().0,
-        Init::new(vs.iter().map(|v| (*v, Value::Int(0)))),
-        actions.clone(),
+    let ys: Vec<VarId> = (0..k)
+        .map(|i| vars.declare(format!("y{i}"), Domain::bits()))
+        .collect();
+    let mut actions = Vec::new();
+    for i in 0..k {
+        actions.push(GuardedAction::new(
+            format!("set{i}"),
+            Expr::var(xs[i]).eq(Expr::int(0)),
+            vec![(xs[i], Expr::int(1))],
+        ));
+        actions.push(GuardedAction::new(
+            format!("mark{i}"),
+            Expr::all([
+                Expr::var(xs[i]).eq(Expr::int(1)),
+                Expr::var(ys[i]).eq(Expr::int(0)),
+            ]),
+            vec![(ys[i], Expr::int(1))],
+        ));
+    }
+    let init = Init::new(xs.iter().chain(ys.iter()).map(|v| (*v, Value::Int(0))));
+    let n_slots = vars.len();
+    let sys = System::new(vars, init, actions);
+    let canon = SlotPermutations::processes(
+        "togglers",
+        n_slots,
+        &[&xs, &ys],
+        &SlotPermutations::all_index_permutations(k),
     );
-    let init_state = opentla_semantics::random_state(probe.universe(), &mut rng);
-    let init = Init::new(vs.iter().map(|v| (*v, init_state.get(*v).clone())));
-    let system = System::new(vars, init, actions);
-    let invariant = Expr::var(vs[rng.gen_range(0..n_vars)]).eq(Expr::int(rng.gen_range(0..=1i64)));
-    (system, invariant)
+    (sys, ys, canon)
 }
+
+/// FNV-1a over everything `assert_identical` compares: every state (in
+/// the snapshot codec's encoding), the initial ids, every edge list and
+/// every BFS-tree trace, in id order.
+fn graph_digest(g: &StateGraph) -> u64 {
+    let mut bytes = Vec::new();
+    for s in g.states() {
+        codec::encode_state(s, &mut bytes);
+    }
+    let mut word = |n: usize| bytes.extend_from_slice(&(n as u64).to_le_bytes());
+    for &i in g.init() {
+        word(i);
+    }
+    for id in 0..g.len() {
+        for e in g.edges(id) {
+            word(e.action);
+            word(e.target);
+        }
+        for (action, state) in g.trace_to(id) {
+            word(action.unwrap_or(usize::MAX));
+            word(state);
+        }
+    }
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Symmetry on the shared sequential loop builds, byte for byte, the
+/// graphs the dedicated reduced loop built: sizes, `canon_hits` and
+/// digests recorded at the last commit that had that loop (7d54295),
+/// in both visited modes.
+#[test]
+fn symmetric_graphs_match_the_digests_of_the_dedicated_loop() {
+    let pinned = |name, system: &System, canon: SlotPermutations, shape: [usize; 3], digest: u64| {
+        let canon = Arc::new(canon);
+        for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
+            let label = format!("{name}/{mode:?}");
+            let red = run(system, Reduction::none().with_symmetry(canon.clone()), 1, mode);
+            let hits = red.reduction.unwrap().canon_hits;
+            assert_eq!([red.graph.len(), red.graph.edge_count(), hits], shape, "{label}");
+            assert_eq!(graph_digest(&red.graph), digest, "{label}: graph changed");
+        }
+    };
+    // [states, transitions, canon_hits], digest
+    let mutex = Mutex::with_clients(3, ArbiterFairness::Weak);
+    let (system, canon) = (mutex.product().unwrap(), mutex.client_symmetry());
+    pinned("mutex(3)", &system, canon, [10, 24, 12], 0xdc09_3268_c942_3665);
+    let ring = TokenRing::new(3);
+    let (system, canon) = (ring.complete_system().unwrap(), ring.rotation_symmetry());
+    pinned("ring(3)", &system, canon, [12, 12, 3], 0x0e44_3f7e_1c87_126f);
+    let (system, _, canon) = togglers(2);
+    pinned("togglers(2)", &system, canon, [6, 8, 2], 0x62a1_4909_ef0e_6160);
+    let (system, _, canon) = togglers(3);
+    pinned("togglers(3)", &system, canon, [10, 20, 8], 0xc6c9_bd41_a973_6ddd);
+}
+
+// ---------------------------------------------------------------------
+// Property-based checks
+// ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// POR never flips an invariant verdict: on random systems whose
-    /// footprints produce genuinely varied cluster structure, the
-    /// reduced graph agrees with the full graph on whether the
-    /// invariant holds, and violated verdicts replay semantically.
-    #[test]
-    fn por_never_flips_a_verdict(seed in any::<u64>()) {
-        let (sys, inv) = random_system(seed);
-        let por = Reduction::none().with_por(inv.unprimed_vars());
-        let full = run(&sys, Reduction::none(), 1, VisitedMode::Fingerprint);
-        let full_holds = check_invariant(&sys, &full.graph, &inv).unwrap().holds();
-        let red = run(&sys, por, 1, VisitedMode::Fingerprint);
-        prop_assert!(red.graph.len() <= full.graph.len());
-        let verdict = check_invariant(&sys, &red.graph, &inv).unwrap();
-        prop_assert_eq!(
-            verdict.holds(),
-            full_holds,
-            "seed {}: POR flipped the verdict",
-            seed
-        );
-        if let Some(cx) = verdict.counterexample() {
-            assert_replayable(&format!("random/{seed}"), &sys, &inv, cx);
-        }
-    }
 
     /// Symmetry-canonicalized counterexamples replay under the trace
     /// semantics: a ring of `k` identical togglers, reduced by the
@@ -553,41 +589,7 @@ proptest! {
     #[test]
     fn symmetry_counterexamples_replay(seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let k = rng.gen_range(2..=3usize);
-        let mut vars = Vars::new();
-        let xs: Vec<VarId> = (0..k)
-            .map(|i| vars.declare(format!("x{i}"), Domain::bits()))
-            .collect();
-        let ys: Vec<VarId> = (0..k)
-            .map(|i| vars.declare(format!("y{i}"), Domain::bits()))
-            .collect();
-        let mut actions = Vec::new();
-        for i in 0..k {
-            actions.push(GuardedAction::new(
-                format!("set{i}"),
-                Expr::var(xs[i]).eq(Expr::int(0)),
-                vec![(xs[i], Expr::int(1))],
-            ));
-            actions.push(GuardedAction::new(
-                format!("mark{i}"),
-                Expr::all([
-                    Expr::var(xs[i]).eq(Expr::int(1)),
-                    Expr::var(ys[i]).eq(Expr::int(0)),
-                ]),
-                vec![(ys[i], Expr::int(1))],
-            ));
-        }
-        let init = Init::new(
-            xs.iter().chain(ys.iter()).map(|v| (*v, Value::Int(0))),
-        );
-        let n_slots = vars.len();
-        let sys = System::new(vars, init, actions);
-        let canon = SlotPermutations::processes(
-            "togglers",
-            n_slots,
-            &[&xs, &ys],
-            &SlotPermutations::all_index_permutations(k),
-        );
+        let (sys, ys, canon) = togglers(rng.gen_range(2..=3usize));
         let red = run(
             &sys,
             Reduction::none().with_symmetry(Arc::new(canon)),

@@ -1271,7 +1271,7 @@ impl LiveSnapshot {
                 graph.len().to_string(),
             );
         }
-        let transitions = graph.stats().transitions as u64;
+        let transitions = graph.edge_count() as u64;
         if self.graph_transitions != transitions {
             return mismatch(
                 "graph transition count",

@@ -71,7 +71,6 @@ mod spill;
 mod spill_ws;
 mod ws;
 
-pub(crate) use plan::env_threads;
 use plan::{Plan, Route, Start};
 
 /// How the explorer remembers which states it has already seen.

@@ -44,16 +44,6 @@ fn env_override(name: &str) -> Result<Option<usize>, CheckError> {
     }
 }
 
-/// The `OPENTLA_EXPLORE_THREADS` override.
-///
-/// # Errors
-///
-/// [`CheckError::Precondition`] when the variable is set to anything
-/// but a positive integer.
-pub(crate) fn env_threads() -> Result<Option<usize>, CheckError> {
-    env_override("OPENTLA_EXPLORE_THREADS")
-}
-
 /// Which scheduler loop runs, over which stores. Spill routes carry
 /// the byte budget their tiers are tuned to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -113,8 +103,9 @@ impl Plan {
     /// but malformed — even if an explicit option would have beaten
     /// it: a misconfigured environment is reported, not worked around.
     pub(crate) fn from_env(options: &ExploreOptions) -> Result<Plan, CheckError> {
+        let env_threads = env_override("OPENTLA_EXPLORE_THREADS")?;
         let env_budget = env_override("OPENTLA_MEM_BUDGET")?;
-        Ok(Plan::resolve(options, env_threads()?, env_budget))
+        Ok(Plan::resolve(options, env_threads, env_budget))
     }
 
     /// The routing table. Explicit options beat the environment.

@@ -358,8 +358,7 @@ fn intern(values: &mut FxHashMap<Value, u32>, value: &Value) -> u32 {
 }
 
 /// One predicate's answers by class, filled on demand. A check keeps
-/// one memo per predicate (and per worker: memos are not shared, so
-/// there is no lock).
+/// one memo per predicate.
 ///
 /// A lookup takes the predicate twice: `abstractly`, the unsubstituted
 /// expression to run on the abstract state(s), and `directly`, the
@@ -455,8 +454,7 @@ impl<'c> Memo<'c> {
 }
 
 impl Drop for Memo<'_> {
-    /// Folds this memo's step tallies into its [`Classes`] — on the
-    /// thread that used it, so a worker's memo dies with the worker.
+    /// Folds this memo's step tallies into its [`Classes`].
     fn drop(&mut self) {
         self.classes.steps.fetch_add(self.steps, Ordering::Relaxed);
         self.classes

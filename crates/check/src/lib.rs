@@ -109,7 +109,6 @@ pub use reduction::{
 pub use liveness::{
     check_liveness, check_liveness_governed, check_liveness_governed_with,
     check_liveness_resumable, check_liveness_with_images, LiveTarget, LivenessOptions, LivenessRun,
-    LIVENESS_SMALL_GRAPH_CUTOFF,
 };
 pub use sample::sample_behavior;
 pub use simulate::{

@@ -1,22 +1,17 @@
 //! Fairness tables and per-component fairness satisfiability.
 //!
 //! The table builders precompute, per fairness requirement, which graph
-//! edges are `⟨A⟩_v` steps and where the action is enabled; both engines
-//! share them, and on multiple threads the per-state rows are computed
-//! in parallel (the rows are independent, and for semantic targets each
-//! row performs an `Enabled` next-state search over the universe — the
-//! dominant cost on large graphs). A per-edge table is flat: one
-//! [`EdgeTable`] flag per graph edge, every table of a run addressed
+//! edges are `⟨A⟩_v` steps and where the action is enabled, one state
+//! row at a time in id order ([`table_rows`]). A per-edge table is flat:
+//! one [`EdgeTable`] flag per graph edge, every table of a run addressed
 //! through the run's one [`EdgeOffsets`], so a table costs a byte per
 //! edge and one allocation instead of a heap row per state.
 //!
 //! [`fair_subcomponent`] is the per-component satisfiability check,
 //! including the Streett-style `SF` removal recursion. It is a pure
-//! function of the component (plus the shared tables and meter), which
-//! is what lets the parallel engine hand whole components to workers
-//! while keeping verdicts deterministic.
+//! function of the component (plus the tables and the meter).
 
-use super::{par, scc::tarjan_sccs, Charge, Stop};
+use super::{scc::tarjan_sccs, Charge, Stop};
 use crate::budget::Meter;
 use crate::image::{Classes, Images, Memo};
 use crate::{CheckError, StateGraph, System};
@@ -45,9 +40,9 @@ impl EdgeOffsets {
         self.0.len() - 1
     }
 
-    /// Edges leaving the states `lo..hi`.
-    pub(super) fn edges(&self, lo: usize, hi: usize) -> usize {
-        self.0[hi] - self.0[lo]
+    /// Edges of the graph.
+    pub(super) fn edges(&self) -> usize {
+        self.0[self.states()]
     }
 }
 
@@ -60,11 +55,7 @@ pub(super) struct EdgeTable<'o> {
 impl<'o> EdgeTable<'o> {
     /// `flags` holds the flags of every state's edges, by state.
     pub(super) fn new(offsets: &'o EdgeOffsets, flags: Vec<bool>) -> Self {
-        assert_eq!(
-            flags.len(),
-            offsets.edges(0, offsets.states()),
-            "a flag per graph edge"
-        );
+        assert_eq!(flags.len(), offsets.edges(), "a flag per graph edge");
         EdgeTable { offsets, flags }
     }
 
@@ -72,6 +63,26 @@ impl<'o> EdgeTable<'o> {
     pub(super) fn get(&self, s: usize, i: usize) -> bool {
         self.flags[self.offsets.0[s] + i]
     }
+}
+
+/// Runs `row(id, flags)` for every state `id` of the graph `offsets`
+/// are of, in id order. A row pushes one flag per edge of its state
+/// onto `flags` and returns the state's own flag; the result is the
+/// flat per-edge table and the per-state flags.
+///
+/// On failure the reported `pending` is exact in state units: the
+/// states whose rows were not finished, `n - id` at the failing row.
+fn table_rows<'o>(
+    offsets: &'o EdgeOffsets,
+    mut row: impl FnMut(usize, &mut Vec<bool>) -> Result<bool, Stop>,
+) -> Result<(EdgeTable<'o>, Vec<bool>), Stop> {
+    let n = offsets.states();
+    let mut edges = Vec::with_capacity(offsets.edges());
+    let mut states = Vec::with_capacity(n);
+    for id in 0..n {
+        states.push(row(id, &mut edges).map_err(|stop| stop.with_pending(n - id))?);
+    }
+    Ok((EdgeTable::new(offsets, edges), states))
 }
 
 /// Per-fairness-requirement facts about the graph.
@@ -92,25 +103,23 @@ pub(super) fn system_fair_infos<'o>(
     offsets: &'o EdgeOffsets,
     meter: &Meter,
     charge: Charge,
-    threads: usize,
 ) -> Result<Vec<FairInfo<'o>>, Stop> {
     system
         .fairness()
         .iter()
         .map(|f| {
-            let (angle, enabled) =
-                par::table_rows(offsets, threads, &|| (), &|(), id: usize, flags| {
-                    let s = graph.state(id);
-                    let mut fires = false;
-                    for e in graph.edges(id) {
-                        charge.edge(meter)?;
-                        let angle = f.action_ids.contains(&e.action)
-                            && !s.agrees_with(graph.state(e.target), &f.sub);
-                        flags.push(angle);
-                        fires |= angle;
-                    }
-                    Ok(fires)
-                })?;
+            let (angle, enabled) = table_rows(offsets, |id, flags| {
+                let s = graph.state(id);
+                let mut fires = false;
+                for e in graph.edges(id) {
+                    charge.edge(meter)?;
+                    let angle = f.action_ids.contains(&e.action)
+                        && !s.agrees_with(graph.state(e.target), &f.sub);
+                    flags.push(angle);
+                    fires |= angle;
+                }
+                Ok(fires)
+            })?;
             let names: Vec<&str> = f
                 .action_ids
                 .iter()
@@ -155,7 +164,6 @@ pub(super) fn target_fair_info<'o>(
     images: Option<&Images>,
     meter: &Meter,
     charge: Charge,
-    threads: usize,
 ) -> Result<(EdgeTable<'o>, Vec<bool>), Stop> {
     let abstract_angle = fair.angle_action();
     let (angle_expr, enabled_pred) = if mapping.is_empty() {
@@ -185,55 +193,52 @@ pub(super) fn target_fair_info<'o>(
     let mut own = None;
     let images = Images::given_or_own(images, &mut own, graph, mapping, meter.recorder())?;
     let classes = Classes::of_graph(graph, &footprint, images);
-    let memos = || (Memo::new(&classes), Memo::new(&classes));
-    let table = par::table_rows(
-        offsets,
-        threads,
-        &memos,
-        &|(is_angle, is_enabled), id: usize, flags| {
-            let s = graph.state(id);
-            if let Some(reason) = meter.checkpoint() {
-                return Err(Stop::exhausted(reason));
+    let mut is_angle = Memo::new(&classes);
+    let mut is_enabled = Memo::new(&classes);
+    let table = table_rows(offsets, |id, flags| {
+        let s = graph.state(id);
+        if let Some(reason) = meter.checkpoint() {
+            return Err(Stop::exhausted(reason));
+        }
+        let mut fires = false;
+        for e in graph.edges(id) {
+            charge.edge(meter)?;
+            let step = StatePair::new(s, graph.state(e.target));
+            let angle = is_angle
+                .step(
+                    id,
+                    e.target,
+                    |images| abstract_angle.holds_action(images),
+                    || angle_expr.holds_action(step),
+                )
+                .map_err(CheckError::from)?;
+            flags.push(angle);
+            fires |= angle;
+        }
+        let enabled = match (enabled_with, &enabled_pred) {
+            (Some(abstract_pred), Some(pred)) => is_enabled
+                .state(
+                    id,
+                    |image| abstract_pred.holds_state(image),
+                    || pred.holds_state(s),
+                )
+                .map_err(CheckError::from)?,
+            // An ⟨A⟩_v graph edge is itself an in-universe witness, so
+            // the per-state `Enabled` search only runs where no edge
+            // fires (e.g. an abstract action enabled toward a successor
+            // no concrete step reaches). The mapping is empty here, so
+            // the search is a function of the state's class too.
+            _ if fires => true,
+            _ => {
+                let search = |s: &State| system.universe().enabled(&angle_expr, s);
+                is_enabled
+                    .state(id, search, || search(s))
+                    .map_err(CheckError::from)?
             }
-            let mut fires = false;
-            for e in graph.edges(id) {
-                charge.edge(meter)?;
-                let step = StatePair::new(s, graph.state(e.target));
-                let angle = is_angle
-                    .step(
-                        id,
-                        e.target,
-                        |images| abstract_angle.holds_action(images),
-                        || angle_expr.holds_action(step),
-                    )
-                    .map_err(CheckError::from)?;
-                flags.push(angle);
-                fires |= angle;
-            }
-            let enabled = match (enabled_with, &enabled_pred) {
-                (Some(abstract_pred), Some(pred)) => is_enabled
-                    .state(
-                        id,
-                        |image| abstract_pred.holds_state(image),
-                        || pred.holds_state(s),
-                    )
-                    .map_err(CheckError::from)?,
-                // An ⟨A⟩_v graph edge is itself an in-universe witness, so
-                // the per-state `Enabled` search only runs where no edge
-                // fires (e.g. an abstract action enabled toward a successor
-                // no concrete step reaches). The mapping is empty here, so
-                // the search is a function of the state's class too.
-                _ if fires => true,
-                _ => {
-                    let search = |s: &State| system.universe().enabled(&angle_expr, s);
-                    is_enabled
-                        .state(id, search, || search(s))
-                        .map_err(CheckError::from)?
-                }
-            };
-            Ok(enabled)
-        },
-    );
+        };
+        Ok(enabled)
+    });
+    drop((is_angle, is_enabled));
     classes.report(meter.recorder(), "liveness");
     table
 }
@@ -419,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_tables_are_the_row_tables_at_one_and_four_workers() {
+    fn flat_tables_are_the_row_tables() {
         for top in [9, 19] {
             let system = halting_counters(top);
             let graph = explore(&system, &ExploreOptions::default()).unwrap();
@@ -428,20 +433,17 @@ mod tests {
             assert_eq!(graph.deadlocks().len(), n / 2, "the halted states");
             let offsets = EdgeOffsets::of(&graph);
             assert_eq!(offsets.states(), n);
-            assert_eq!(offsets.edges(0, n), graph.edge_count());
+            assert_eq!(offsets.edges(), graph.edge_count());
             let rows = row_tables(&system, &graph, &Budget::default()).expect("unbudgeted");
-            for workers in [1, 4] {
-                let meter = Meter::start(&Budget::default());
-                let infos =
-                    system_fair_infos(&system, &graph, &offsets, &meter, Charge::Metered, workers)
-                        .unwrap_or_else(|_| panic!("unbudgeted at {workers} workers"));
-                assert_eq!(meter.transitions_used(), 2 * graph.edge_count());
-                for (info, (angle, enabled)) in infos.iter().zip(&rows) {
-                    assert_eq!(&info.enabled, enabled, "{workers} workers");
-                    for (s, row) in angle.iter().enumerate() {
-                        for (i, flag) in row.iter().enumerate() {
-                            assert_eq!(info.angle.get(s, i), *flag, "{workers} workers: {s}/{i}");
-                        }
+            let meter = Meter::start(&Budget::default());
+            let infos = system_fair_infos(&system, &graph, &offsets, &meter, Charge::Metered)
+                .unwrap_or_else(|_| panic!("unbudgeted"));
+            assert_eq!(meter.transitions_used(), 2 * graph.edge_count());
+            for (info, (angle, enabled)) in infos.iter().zip(&rows) {
+                assert_eq!(&info.enabled, enabled);
+                for (s, row) in angle.iter().enumerate() {
+                    for (i, flag) in row.iter().enumerate() {
+                        assert_eq!(info.angle.get(s, i), *flag, "{s}/{i}");
                     }
                 }
             }
@@ -450,7 +452,6 @@ mod tests {
 
     #[test]
     fn a_tight_budget_stops_the_flat_tables_where_it_stopped_the_rows() {
-        // 200 states: one chunk, so at four workers nothing commits.
         let system = halting_counters(9);
         let graph = explore(&system, &ExploreOptions::default()).unwrap();
         let offsets = EdgeOffsets::of(&graph);
@@ -460,35 +461,27 @@ mod tests {
             let (reason, pending) =
                 row_tables(&system, &graph, &budget).expect_err("the budget is tight");
             assert_eq!(reason, ExhaustReason::TransitionLimit { limit });
-            for (workers, pending) in [(1, pending), (4, graph.len())] {
-                let meter = Meter::start(&budget);
-                match system_fair_infos(&system, &graph, &offsets, &meter, Charge::Metered, workers)
-                {
-                    Err(Stop::Exhausted { reason: r, pending: p }) => {
-                        assert_eq!((r, p), (reason.clone(), pending), "{workers} workers");
-                    }
-                    _ => panic!("{workers} workers: a budget of {limit} must run out"),
+            let meter = Meter::start(&budget);
+            match system_fair_infos(&system, &graph, &offsets, &meter, Charge::Metered) {
+                Err(Stop::Exhausted { reason: r, pending: p }) => {
+                    assert_eq!((r, p), (reason.clone(), pending));
                 }
+                _ => panic!("a budget of {limit} must run out"),
             }
             // And through the whole check: the frontier is the table's.
-            for (workers, pending) in [(1, pending), (4, graph.len())] {
-                let run = crate::check_liveness_governed_with(
-                    &system,
-                    &graph,
-                    &crate::LiveTarget::Eventually(Expr::bool(false)),
-                    &budget,
-                    &crate::LivenessOptions::default()
-                        .threads(workers)
-                        .small_graph_cutoff(0),
-                )
-                .unwrap();
-                assert!(run.verdict.is_none());
-                match run.outcome {
-                    crate::Outcome::Exhausted { reason: r, frontier_size, .. } => {
-                        assert_eq!((r, frontier_size), (reason.clone(), pending), "{workers}w");
-                    }
-                    other => panic!("{workers} workers: {other:?}"),
+            let run = crate::check_liveness_governed(
+                &system,
+                &graph,
+                &crate::LiveTarget::Eventually(Expr::bool(false)),
+                &budget,
+            )
+            .unwrap();
+            assert!(run.verdict.is_none());
+            match run.outcome {
+                crate::Outcome::Exhausted { reason: r, frontier_size, .. } => {
+                    assert_eq!((r, frontier_size), (reason, pending));
                 }
+                other => panic!("{other:?}"),
             }
         }
         // Unbudgeted, the halted states (no edge) satisfy both

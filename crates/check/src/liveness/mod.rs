@@ -23,22 +23,14 @@
 //! against the trace semantics of `opentla-semantics` — the test suite
 //! does exactly that.
 //!
-//! # Engines
+//! # One engine
 //!
-//! The module houses two engines over the same phases. The sequential
-//! one lives here; the parallel one in [`par`] fans the fairness
-//! tables, the path-region reachability, and the per-component
-//! analysis out to workers while keeping the SCC decomposition (the
-//! deterministic tie-break) shared and sequential. Which engine runs
-//! is decided by [`LivenessOptions`] (or the `OPENTLA_EXPLORE_THREADS`
-//! override), except that graphs below
-//! [`LIVENESS_SMALL_GRAPH_CUTOFF`] always take the sequential path —
-//! thread setup costs orders of magnitude more than checking a
-//! dozen-state graph. Both engines return **byte-identical** verdicts
-//! and lassos: the parallel engine resolves races by reporting the
-//! minimum fairness-satisfiable component index in Tarjan completion
-//! order, which is exactly the component the sequential scan reaches
-//! first.
+//! The search is one sequential pass over one stored graph: flat
+//! fairness tables ([`fair`]), one iterative Tarjan decomposition
+//! ([`scc`]), then the components in Tarjan completion order, the first
+//! fairness-satisfiable one with a reachable entry giving the lasso.
+//! It reads no environment variable and has no engine selection;
+//! [`LivenessOptions`] survives as an inert shape.
 //!
 //! # Interruption and resume
 //!
@@ -53,7 +45,6 @@
 //! components), not O(total).
 
 mod fair;
-mod par;
 mod scc;
 
 use crate::budget::{Budget, ExhaustReason, Governed, Meter, Outcome};
@@ -63,11 +54,6 @@ use crate::obs::{Event, Phase, PhaseGuard, RecorderHandle};
 use crate::{CheckError, Counterexample, StateGraph, System, Verdict};
 use fair::{fair_subcomponent, EdgeOffsets, EdgeTable, FairInfo, Waypoint};
 use opentla_kernel::{Expr, Fairness, FairnessKind, SccScratch, Substitution};
-
-/// Graphs smaller than this many states always take the sequential
-/// engine, whatever the requested thread count: spawning workers costs
-/// more than the whole check on graphs this small.
-pub const LIVENESS_SMALL_GRAPH_CUTOFF: usize = 256;
 
 /// Why the metered liveness core stopped: budget exhaustion (with the
 /// exact count of pending work items in the interrupted phase) or a
@@ -209,47 +195,14 @@ impl LiveTarget {
     }
 }
 
-/// Engine selection for a liveness check.
+/// The options [`check_liveness_governed_with`] accepts. None selects
+/// anything: liveness has one engine.
 #[derive(Clone, Debug, Default)]
 pub struct LivenessOptions {
-    /// Worker count. `None` falls back to the `OPENTLA_EXPLORE_THREADS`
-    /// environment override, then to 1 (sequential). The variable, when
-    /// set, must hold a positive integer: anything else is a
-    /// [`CheckError::Precondition`], not "no override".
+    /// Accepted and ignored. It requested workers of a parallel engine
+    /// that measured slower than this one and was deleted; the field
+    /// stays until the benchmark harness that names it stops doing so.
     pub threads: Option<usize>,
-    /// Graphs with fewer states than this always run sequentially;
-    /// `None` uses [`LIVENESS_SMALL_GRAPH_CUTOFF`]. Set to `Some(0)`
-    /// to force the parallel engine onto tiny graphs (the differential
-    /// tests do).
-    pub small_graph_cutoff: Option<usize>,
-}
-
-impl LivenessOptions {
-    /// Requests `n` workers.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n);
-        self
-    }
-
-    /// Overrides the small-graph sequential cutoff.
-    pub fn small_graph_cutoff(mut self, states: usize) -> Self {
-        self.small_graph_cutoff = Some(states);
-        self
-    }
-
-    /// The worker count to actually use for a graph of `graph_len`
-    /// states, given the `OPENTLA_EXPLORE_THREADS` override.
-    fn resolve_threads(&self, graph_len: usize, env_threads: Option<usize>) -> usize {
-        let requested = self.threads.or(env_threads).unwrap_or(1).max(1);
-        let cutoff = self
-            .small_graph_cutoff
-            .unwrap_or(LIVENESS_SMALL_GRAPH_CUTOFF);
-        if graph_len < cutoff {
-            1
-        } else {
-            requested
-        }
-    }
 }
 
 /// Per-fairness-requirement facts about the graph live in [`fair`];
@@ -284,11 +237,9 @@ impl Violation<'_> {
     }
 }
 
-/// FNV-1a over the violation's restriction tables: pins a
-/// [`LiveSnapshot`] to the target it was taken under (resuming a
-/// `◇P` run into a `□◇P` check would silently mis-skip components).
-/// A structural hash of the liveness target, pinning snapshots to the
-/// target they were taken under.
+/// A structural hash (FNV-1a) of the liveness target, pinning a
+/// [`LiveSnapshot`] to the target it was taken under (resuming a `◇P`
+/// run into a `□◇P` check would silently mis-skip components).
 ///
 /// The restriction tables are a deterministic function of (system,
 /// graph, target), and the snapshot header already pins the first two,
@@ -389,10 +340,6 @@ impl Governed for LivenessRun {
 /// [`Outcome::Exhausted`] tag — never a hard error — so callers can
 /// [`escalate`](crate::escalate) or report partial coverage.
 ///
-/// Engine selection follows [`LivenessOptions::default`]: sequential
-/// unless `OPENTLA_EXPLORE_THREADS` requests workers and the graph
-/// clears the small-graph cutoff.
-///
 /// # Errors
 ///
 /// Propagates evaluation errors, as [`check_liveness`] does.
@@ -402,10 +349,11 @@ pub fn check_liveness_governed(
     target: &LiveTarget,
     budget: &Budget,
 ) -> Result<LivenessRun, CheckError> {
-    check_liveness_governed_with(system, graph, target, budget, &LivenessOptions::default())
+    liveness_driver(system, graph, target, None, budget, None)
 }
 
-/// [`check_liveness_governed`] with explicit engine selection.
+/// [`check_liveness_governed`]; `options` are ignored (see
+/// [`LivenessOptions`]).
 ///
 /// # Errors
 ///
@@ -415,17 +363,17 @@ pub fn check_liveness_governed_with(
     graph: &StateGraph,
     target: &LiveTarget,
     budget: &Budget,
-    options: &LivenessOptions,
+    _options: &LivenessOptions,
 ) -> Result<LivenessRun, CheckError> {
-    liveness_driver(system, graph, target, None, budget, options, None)
+    check_liveness_governed(system, graph, target, budget)
 }
 
-/// [`check_liveness_governed_with`] for a [`LiveTarget::Fair`] under a
+/// [`check_liveness_governed`] for a [`LiveTarget::Fair`] under a
 /// refinement mapping, the mapping's values read from `images` instead
 /// of evaluated: how several obligations over one graph share one
 /// evaluation of their mapping (the Composition Theorem's hypotheses
 /// 2(a) and 2(b) do). Verdict, lasso, charges and errors are those of
-/// [`check_liveness_governed_with`]; other targets have no mapping and
+/// [`check_liveness_governed`]; other targets have no mapping and
 /// ignore `images`.
 ///
 /// # Errors
@@ -438,9 +386,8 @@ pub fn check_liveness_with_images(
     target: &LiveTarget,
     images: &Images,
     budget: &Budget,
-    options: &LivenessOptions,
 ) -> Result<LivenessRun, CheckError> {
-    liveness_driver(system, graph, target, Some(images), budget, options, None)
+    liveness_driver(system, graph, target, Some(images), budget, None)
 }
 
 /// Runs a liveness check that can continue an interrupted one: if the
@@ -462,7 +409,6 @@ pub fn check_liveness_resumable(
     graph: &StateGraph,
     target: &LiveTarget,
     budget: &Budget,
-    options: &LivenessOptions,
 ) -> Result<LivenessRun, CheckError> {
     let Some(spec) = &budget.checkpoint else {
         return Err(CheckError::Precondition {
@@ -473,9 +419,9 @@ pub fn check_liveness_resumable(
     };
     if spec.path.exists() {
         let snap = LiveSnapshot::load(&spec.path)?;
-        liveness_driver(system, graph, target, None, budget, options, Some(&snap))
+        liveness_driver(system, graph, target, None, budget, Some(&snap))
     } else {
-        liveness_driver(system, graph, target, None, budget, options, None)
+        liveness_driver(system, graph, target, None, budget, None)
     }
 }
 
@@ -485,7 +431,6 @@ fn liveness_driver(
     target: &LiveTarget,
     images: Option<&Images>,
     budget: &Budget,
-    options: &LivenessOptions,
     resume: Option<&LiveSnapshot>,
 ) -> Result<LivenessRun, CheckError> {
     // A reduced graph's edges connect canonical orbit representatives
@@ -503,7 +448,6 @@ fn liveness_driver(
     if let Some(snap) = resume {
         snap.validate(system, graph)?;
     }
-    let threads = options.resolve_threads(graph.len(), crate::explore::env_threads()?);
     let _phase = PhaseGuard::enter(&budget.recorder, Phase::Liveness);
     let charge = if resume.is_some() {
         Charge::Banked
@@ -523,7 +467,6 @@ fn liveness_driver(
         &budget.recorder,
         &meter,
         charge,
-        threads,
         resume,
         &mut ck,
     );
@@ -584,7 +527,6 @@ fn decide(
     recorder: &RecorderHandle,
     meter: &Meter,
     charge: Charge,
-    threads: usize,
     resume: Option<&LiveSnapshot>,
     ck: &mut LiveCheckpointer<'_>,
 ) -> Result<Verdict, Stop> {
@@ -605,41 +547,25 @@ fn decide(
         }
     }
     let offsets = EdgeOffsets::of(graph);
-    let violation =
-        build_violation(system, graph, &offsets, target, images, meter, charge, threads)?;
-    let fair_infos = fair::system_fair_infos(system, graph, &offsets, meter, charge, threads)?;
-    let found = if threads > 1 {
-        par::find_violation_par(
-            system,
-            graph,
-            &fair_infos,
-            &violation,
-            meter,
-            threads,
-            charge,
-            resume,
-            ck,
-            recorder,
-        )?
-    } else {
-        find_violation(
-            system,
-            graph,
-            &fair_infos,
-            &violation,
-            meter,
-            charge,
-            resume,
-            ck,
-        )?
-    };
+    let violation = build_violation(system, graph, &offsets, target, images, meter, charge)?;
+    let fair_infos = fair::system_fair_infos(system, graph, &offsets, meter, charge)?;
+    let found = find_violation(
+        system,
+        graph,
+        &fair_infos,
+        &violation,
+        meter,
+        charge,
+        resume,
+        ck,
+    )?;
     match found {
         Some(cx) => Ok(Verdict::Violated(cx)),
         None => Ok(Verdict::Holds),
     }
 }
 
-/// The liveness engines' checkpoint driver: counts cleared components
+/// The liveness check's checkpoint driver: counts cleared components
 /// against the cadence, stamps sequence numbers, writes
 /// [`LiveSnapshot`]s, and emits [`Event::Checkpoint`]. A write failure
 /// is reported once on stderr and disables further writes —
@@ -660,17 +586,12 @@ pub(crate) struct LiveCheckpointer<'a> {
 
 impl<'a> LiveCheckpointer<'a> {
     fn new(budget: &'a Budget, system: &System, graph: &StateGraph, base_seq: u64) -> Self {
-        let stats = if budget.checkpoint.is_some() {
-            graph.stats().transitions as u64
-        } else {
-            0 // Not consulted without a spec; skip the O(V + E) count.
-        };
         LiveCheckpointer {
             spec: budget.checkpoint.clone(),
             recorder: &budget.recorder,
             system_hash: system_hash(system),
             graph_states: graph.len() as u64,
-            graph_transitions: stats,
+            graph_transitions: graph.edge_count() as u64,
             target_hash: 0,
             seq: base_seq,
             since: 0,
@@ -771,7 +692,6 @@ fn eval_pred(
     table
 }
 
-#[allow(clippy::too_many_arguments)]
 fn build_violation<'o>(
     system: &System,
     graph: &StateGraph,
@@ -780,7 +700,6 @@ fn build_violation<'o>(
     images: Option<&Images>,
     meter: &Meter,
     charge: Charge,
-    threads: usize,
 ) -> Result<Violation<'o>, Stop> {
     let all = vec![true; graph.len()];
     Ok(match target {
@@ -799,7 +718,6 @@ fn build_violation<'o>(
                 images,
                 meter,
                 charge,
-                threads,
             )?;
             match fair.kind {
                 FairnessKind::Weak => Violation {
@@ -1001,8 +919,8 @@ fn reachable_from(
     seen
 }
 
-/// BFS path inside a filtered graph, returning `(edge index, node)`
-/// hops after `from`.
+/// BFS path inside a filtered graph, returning `(action id, node)`
+/// hops after `from` (as [`StateGraph::path_within`] does).
 fn path_filtered(
     graph: &StateGraph,
     from: usize,
@@ -1024,13 +942,13 @@ fn path_filtered(
             if e.target == from || prev.contains_key(&e.target) {
                 continue;
             }
-            prev.insert(e.target, (s, i));
+            prev.insert(e.target, (s, e.action));
             if goal(e.target) {
                 let mut rev = Vec::new();
                 let mut cur = e.target;
                 while cur != from {
-                    let (p, i) = prev[&cur];
-                    rev.push((i, cur));
+                    let (p, action) = prev[&cur];
+                    rev.push((action, cur));
                     cur = p;
                 }
                 rev.reverse();
@@ -1074,7 +992,7 @@ fn build_counterexample(
         &|_, _| true,
     )
     .expect("reachability established");
-    ids.extend(to_entry.iter().map(|(i, n)| (Some(*i), *n)));
+    ids.extend(to_entry.iter().map(|(a, n)| (Some(*a), *n)));
 
     let loop_start = ids.len() - 1; // Index of `entry` in the trace.
 
@@ -1086,7 +1004,7 @@ fn build_counterexample(
     let append_path_to = |goal: usize, ids: &mut Vec<(Option<usize>, usize)>, cur: &mut usize| {
         let hops = path_filtered(graph, *cur, &|n| n == goal, &in_nodes, &comp_edge_ok)
             .expect("component is strongly connected");
-        ids.extend(hops.iter().map(|(i, n)| (Some(*i), *n)));
+        ids.extend(hops.iter().map(|(a, n)| (Some(*a), *n)));
         *cur = goal;
     };
     for wp in waypoints {
@@ -1137,9 +1055,15 @@ mod tests {
         (sys, x)
     }
 
-    fn confirm_semantically(system: &System, cx: &Counterexample, target: &Formula) {
+    fn confirm_semantically(
+        system: &System,
+        graph: &StateGraph,
+        cx: &Counterexample,
+        target: &Formula,
+    ) {
         // The counterexample must be a real fair behavior of the system
-        // that violates the target.
+        // that violates the target, each labelled hop a step of the
+        // action it names.
         let lasso = cx.to_lasso();
         let ctx = EvalCtx::with_universe(system.universe().clone());
         let spec = system.formula();
@@ -1151,6 +1075,18 @@ mod tests {
             !eval(target, &lasso, &ctx).unwrap(),
             "counterexample must violate the target"
         );
+        let id = |k: usize| graph.index_of(&cx.states()[k]).expect("a graph state");
+        for (k, label) in cx.actions().iter().enumerate().skip(1) {
+            let Some(label) = label else { continue };
+            let (from, to) = (id(k - 1), id(k));
+            assert!(
+                graph
+                    .edges(from)
+                    .iter()
+                    .any(|e| e.target == to && system.actions()[e.action].name() == label),
+                "hop {k} is labelled {label:?}, which has no edge {from} → {to}"
+            );
+        }
     }
 
     #[test]
@@ -1161,7 +1097,7 @@ mod tests {
         let verdict =
             check_liveness(&sys, &graph, &LiveTarget::Eventually(p.clone())).unwrap();
         let cx = verdict.counterexample().expect("stuttering violates ◇");
-        confirm_semantically(&sys, cx, &Formula::pred(p).eventually());
+        confirm_semantically(&sys, &graph, cx, &Formula::pred(p).eventually());
     }
 
     #[test]
@@ -1243,7 +1179,7 @@ mod tests {
         let cx = verdict.counterexample().expect("3 never leads to 1");
         confirm_semantically(
             &sys,
-            cx,
+            &graph, cx,
             &Formula::pred(q).leads_to(Formula::pred(p)),
         );
     }
@@ -1267,7 +1203,7 @@ mod tests {
         let cx = verdict.counterexample().expect("x leaves 0 forever");
         confirm_semantically(
             &sys,
-            cx,
+            &graph, cx,
             &Formula::pred(z).eventually().always(),
         );
     }
@@ -1307,7 +1243,7 @@ mod tests {
         let verdict =
             check_liveness(&sys, &graph, &LiveTarget::fair(target.clone())).unwrap();
         let cx = verdict.counterexample().expect("y-toggling starves set_x");
-        confirm_semantically(&sys, cx, &Formula::Fair(target.clone()));
+        confirm_semantically(&sys, &graph, cx, &Formula::Fair(target.clone()));
 
         // With WF on set_x as a system requirement, the obligation
         // holds.
@@ -1368,7 +1304,7 @@ mod tests {
         let cx = sf_verdict
             .counterexample()
             .expect("SF target fails: toggling starves grab fairly");
-        confirm_semantically(&sys, cx, &Formula::Fair(sf_target));
+        confirm_semantically(&sys, &graph, cx, &Formula::Fair(sf_target));
     }
 
     #[test]
@@ -1493,7 +1429,7 @@ mod tests {
         let cx = verdict
             .counterexample()
             .expect("looping below y=2 keeps mark disabled");
-        confirm_semantically(&sys, cx, &Formula::pred(p.clone()).eventually());
+        confirm_semantically(&sys, &graph, cx, &Formula::pred(p.clone()).eventually());
 
         // Adding WF(spin) forces y to keep cycling, so mark is enabled
         // infinitely often and SF(mark) forces it: ◇(x = 1) holds.
@@ -1502,21 +1438,6 @@ mod tests {
         assert!(check_liveness(&sys, &graph, &LiveTarget::Eventually(p))
             .unwrap()
             .holds());
-    }
-
-    #[test]
-    fn small_graphs_route_sequentially() {
-        // Below the cutoff the requested thread count is ignored.
-        let opts = LivenessOptions::default().threads(4);
-        assert_eq!(opts.resolve_threads(10, None), 1);
-        assert_eq!(opts.resolve_threads(LIVENESS_SMALL_GRAPH_CUTOFF, None), 4);
-        // An explicit zero cutoff forces the parallel engine anywhere.
-        let opts = LivenessOptions::default().threads(4).small_graph_cutoff(0);
-        assert_eq!(opts.resolve_threads(10, None), 4);
-        // An unset thread count takes the environment's, else one.
-        let opts = LivenessOptions::default().small_graph_cutoff(0);
-        assert_eq!(opts.resolve_threads(10, Some(3)), 3);
-        assert_eq!(opts.resolve_threads(10, None), 1);
     }
 
     #[test]
@@ -1651,14 +1572,7 @@ mod tests {
         let own = check_liveness(&sys, &graph, &target).unwrap();
         assert!(own.holds());
         let run = |images: &Images| {
-            check_liveness_with_images(
-                &sys,
-                &graph,
-                &target,
-                images,
-                &Budget::default(),
-                &LivenessOptions::default(),
-            )
+            check_liveness_with_images(&sys, &graph, &target, images, &Budget::default())
         };
         let images = Images::of_graph(&graph, &mirror, &RecorderHandle::default());
         assert!(run(&images).unwrap().verdict.unwrap().holds());
@@ -1681,36 +1595,8 @@ mod tests {
             &graph,
             &LiveTarget::Eventually(Expr::var(x).eq(Expr::int(3))),
             &Budget::default(),
-            &LivenessOptions::default(),
         )
         .unwrap_err();
         assert!(matches!(err, CheckError::Precondition { .. }));
-    }
-
-    #[test]
-    fn forced_parallel_engine_matches_sequential_on_tiny_graph() {
-        use crate::Budget;
-        let (sys, x) = counter(false);
-        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let target = LiveTarget::Eventually(Expr::var(x).eq(Expr::int(3)));
-        let seq = check_liveness(&sys, &graph, &target).unwrap();
-        let par = check_liveness_governed_with(
-            &sys,
-            &graph,
-            &target,
-            &Budget::unlimited(),
-            &LivenessOptions::default().threads(4).small_graph_cutoff(0),
-        )
-        .unwrap()
-        .verdict
-        .expect("unlimited budget decides");
-        let (s, p) = (
-            seq.counterexample().expect("◇ fails without fairness"),
-            par.counterexample().expect("engines agree on the verdict"),
-        );
-        assert_eq!(s.reason(), p.reason());
-        assert_eq!(s.states(), p.states());
-        assert_eq!(s.actions(), p.actions());
-        assert_eq!(s.loop_start(), p.loop_start());
     }
 }

@@ -4,8 +4,8 @@
 //! ([`opentla_kernel::tarjan_sccs_with`]): the checker supplies the
 //! node/edge restriction and its budget accounting, the kernel supplies
 //! the stack-safe DFS. Components come back in Tarjan completion order
-//! (each sorted ascending) — the order both liveness engines use for
-//! deterministic tie-breaking, so it must never depend on thread count.
+//! (each sorted ascending) — the order the component loop scans them
+//! in, so the first violating component is deterministic.
 
 use super::{Charge, Stop};
 use crate::budget::Meter;

@@ -42,7 +42,7 @@ use std::time::Instant;
 /// Version tag carried by every serialized event (`"v"`) and by
 /// [`RunReport::schema_version`]. Bump when the event schema changes
 /// shape.
-pub const OBS_SCHEMA_VERSION: u64 = 2;
+pub const OBS_SCHEMA_VERSION: u64 = 3;
 
 /// A [`Event::Progress`] snapshot is emitted every this many meter
 /// checkpoints (when a recorder is enabled). Checkpoints run once per
@@ -323,16 +323,6 @@ pub enum Event<'a> {
         /// Frontier states awaiting expansion.
         frontier: u64,
     },
-    /// A parallel liveness worker finished its component-claiming
-    /// loop.
-    LivenessWorker {
-        /// Worker index.
-        worker: usize,
-        /// Components the worker claimed and analyzed.
-        components: u64,
-        /// Fairness-satisfiable violation candidates it found.
-        candidates: u64,
-    },
     /// The bounded-memory engine spilled a tier to disk (sealed an
     /// arena/edge segment or wrote a visited-set fingerprint run).
     Spill {
@@ -399,9 +389,8 @@ pub enum Event<'a> {
         /// Distinct image classes among the graph's states.
         classes: u64,
         /// Step evaluations actually run: the distinct class pairs
-        /// met (counted once per worker that met them), plus every
-        /// step that bypassed the memo. `1 - distinct_pairs / edges`
-        /// is the hit ratio.
+        /// met, plus every step that bypassed the memo.
+        /// `1 - distinct_pairs / edges` is the hit ratio.
         distinct_pairs: u64,
         /// Steps looked up — the edges the check examined.
         edges: u64,
@@ -432,7 +421,6 @@ impl Event<'_> {
             Event::Checkpoint { .. } => "checkpoint",
             Event::WorkerFailure { .. } => "worker_failure",
             Event::Resume { .. } => "resume",
-            Event::LivenessWorker { .. } => "liveness_worker",
             Event::Spill { .. } => "spill",
             Event::BudgetIgnored { .. } => "budget_ignored",
             Event::CacheStats { .. } => "cache_stats",
@@ -502,7 +490,6 @@ pub struct CountingRecorder {
     checkpoints: AtomicU64,
     worker_failures: AtomicU64,
     resumes: AtomicU64,
-    liveness_workers: AtomicU64,
     spills: AtomicU64,
     budget_ignored_events: AtomicU64,
     cache_stats_events: AtomicU64,
@@ -545,7 +532,6 @@ impl CountingRecorder {
             checkpoints: AtomicU64::new(0),
             worker_failures: AtomicU64::new(0),
             resumes: AtomicU64::new(0),
-            liveness_workers: AtomicU64::new(0),
             spills: AtomicU64::new(0),
             budget_ignored_events: AtomicU64::new(0),
             cache_stats_events: AtomicU64::new(0),
@@ -623,11 +609,6 @@ impl CountingRecorder {
     /// Resume events recorded.
     pub fn resumes(&self) -> u64 {
         self.resumes.load(Ordering::Relaxed)
-    }
-
-    /// Liveness-worker summaries recorded.
-    pub fn liveness_worker_events(&self) -> u64 {
-        self.liveness_workers.load(Ordering::Relaxed)
     }
 
     /// Spill events recorded.
@@ -729,9 +710,6 @@ impl Recorder for CountingRecorder {
             }
             Event::Resume { .. } => {
                 self.resumes.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::LivenessWorker { .. } => {
-                self.liveness_workers.fetch_add(1, Ordering::Relaxed);
             }
             Event::Spill {
                 total_spilled_bytes,
@@ -958,16 +936,6 @@ impl Recorder for JsonlRecorder {
             } => {
                 body.push_str(&format!(
                     ",\"worker\":{worker},\"level\":{level},\"requeued\":{requeued}"
-                ));
-            }
-            Event::LivenessWorker {
-                worker,
-                components,
-                candidates,
-            } => {
-                body.push_str(&format!(
-                    ",\"worker\":{worker},\"components\":{components},\
-                     \"candidates\":{candidates}"
                 ));
             }
             Event::Spill {
@@ -1666,11 +1634,6 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                 req_u64(&obj, "level", line)?;
                 req_u64(&obj, "requeued", line)?;
             }
-            "liveness_worker" => {
-                req_u64(&obj, "worker", line)?;
-                req_u64(&obj, "components", line)?;
-                req_u64(&obj, "candidates", line)?;
-            }
             "spill" => {
                 let tier = req_str(&obj, "tier", line)?;
                 if !matches!(tier, "arena" | "edges" | "visited") {
@@ -1853,33 +1816,6 @@ mod tests {
     }
 
     #[test]
-    fn liveness_worker_event_counts_serializes_and_validates() {
-        let rec = CountingRecorder::new();
-        rec.record(&Event::LivenessWorker {
-            worker: 2,
-            components: 17,
-            candidates: 1,
-        });
-        assert_eq!(rec.liveness_worker_events(), 1);
-        assert_eq!(rec.events(), 1);
-
-        let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
-        let rec = JsonlRecorder::from_writer(Shared(Arc::clone(&buf)));
-        rec.record(&Event::LivenessWorker {
-            worker: 2,
-            components: 17,
-            candidates: 1,
-        });
-        rec.flush();
-        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
-        let summary = validate_stream(&text).expect("stream validates");
-        assert_eq!(summary.kinds["liveness_worker"], 1);
-        // The fields are required: dropping one fails validation.
-        let bad = "{\"v\":2,\"t\":1,\"ev\":\"liveness_worker\",\"worker\":0,\"components\":3}\n";
-        assert!(validate_stream(bad).unwrap_err().contains("candidates"));
-    }
-
-    #[test]
     fn image_memo_event_counts_serializes_and_validates() {
         let event = Event::ImageMemo {
             check: "simulation",
@@ -1902,7 +1838,7 @@ mod tests {
         assert_eq!(summary.kinds["image_memo"], 1);
         // More evaluations than edges, or a skipped memo that did not
         // evaluate every edge, is not a stream this crate writes.
-        let head = "{\"v\":2,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
+        let head = "{\"v\":3,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
         let bad = format!("{head},\"distinct_pairs\":9,\"edges\":8,\"skipped\":false}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("evaluations"));
         let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8,\"skipped\":true}}\n");
@@ -1934,7 +1870,7 @@ mod tests {
         assert_eq!(summary.kinds["image_pass"], 1);
         // More distinct (or undefined) values than images evaluated, or
         // a missing field, is not a stream this crate writes.
-        let head = "{\"v\":2,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
+        let head = "{\"v\":3,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
         let bad = format!("{head},\"distinct_values\":9,\"undefined\":0,\"nanos\":5}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("distinct"));
         let bad = format!("{head},\"distinct_values\":6,\"undefined\":3,\"nanos\":5}}\n");
@@ -1946,26 +1882,26 @@ mod tests {
     #[test]
     fn validator_rejects_malformed_streams() {
         // Backwards timestamp.
-        let bad = "{\"v\":2,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":2,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
+        let bad = "{\"v\":3,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":3,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("backwards"));
         // Mismatched phase nesting.
-        let bad = "{\"v\":2,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":2,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
+        let bad = "{\"v\":3,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":3,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("closes"));
         // Unclosed run.
-        let bad = "{\"v\":2,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
+        let bad = "{\"v\":3,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("open run"));
         // Wrong version.
         let bad = "{\"v\":99,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\"elapsed_nanos\":0}\n";
         assert!(validate_stream(bad).unwrap_err().contains("schema version"));
-        // The previous version's `reduction` event (it carried three
+        // An earlier version's `reduction` event (it carried three
         // ample-set counters) is refused on its version, not half-read.
         let bad = "{\"v\":1,\"t\":1,\"ev\":\"reduction\",\"ample_states\":0,\"full_states\":9,\
                    \"skipped_transitions\":0,\"canon_hits\":4}\n";
         assert!(validate_stream(bad).unwrap_err().contains("schema version 1"));
         // Unknown kind.
-        let bad = "{\"v\":2,\"t\":1,\"ev\":\"mystery\"}\n";
+        let bad = "{\"v\":3,\"t\":1,\"ev\":\"mystery\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("unknown event"));
     }
 

@@ -1,5 +1,5 @@
-//! Small synchronization utilities shared by the exploration and
-//! liveness engines: the poison-recovering [`lock`] helper and the
+//! Small synchronization utilities shared by the exploration
+//! engines: the poison-recovering [`lock`] helper and the
 //! [`Striped`] lock-striping building block every parallel visited
 //! set in this crate is built on.
 
@@ -16,8 +16,7 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Shard count of every lock-striped structure in this crate (a power
 /// of two; shards are picked from a key's low bits, see [`shard_for`]).
 /// The work-stealing and parallel-spill visited sets stripe across
-/// this many locks, and the liveness engine's
-/// parallel reachability pass stripes its visited flags the same way.
+/// this many locks.
 pub(crate) const NUM_SHARDS: usize = 64;
 
 /// The shard a (masked-fingerprint) key lands in.
@@ -60,15 +59,5 @@ impl<T> Striped<T> {
     /// Locks each stripe in shard order, one at a time.
     pub(crate) fn iter_locked(&self) -> impl Iterator<Item = MutexGuard<'_, T>> {
         self.shards.iter().map(lock)
-    }
-
-    /// Tears the striping down into the plain shard values (poison
-    /// recovered), in shard order. Callers hold the only reference by
-    /// then — workers are joined — so no lock is contended.
-    pub(crate) fn into_shards(self) -> Vec<T> {
-        self.shards
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect()
     }
 }

@@ -16,9 +16,9 @@ mod support;
 use opentla::{closed_product, ComponentSpec, CompositionOptions};
 use opentla_check::image::{Classes, Images, Memo};
 use opentla_check::{
-    check_liveness_governed_with, check_simulation_governed, explore, Budget, CheckError,
-    ExploreOptions, GuardedAction, Init, LiveTarget, LivenessOptions, LivenessRun, Outcome,
-    RecorderHandle, SimulationRun, StateGraph, System, Verdict,
+    check_liveness_governed, check_simulation_governed, explore, Budget, CheckError,
+    ExploreOptions, GuardedAction, Init, LiveTarget, LivenessRun, Outcome, RecorderHandle,
+    SimulationRun, StateGraph, System, Verdict,
 };
 use opentla_kernel::{
     box_action, Domain, Expr, Fairness, Formula, StatePair, Substitution, Value, VarId, Vars,
@@ -261,7 +261,7 @@ fn assert_same_verdict(ctx: &str, a: &Verdict, b: &Verdict, with_reason: bool) {
 }
 
 /// Exhaustion reason and frontier (or completion) must agree.
-fn assert_same_outcome(ctx: &str, a: &Outcome, b: &Outcome, frontier_too: bool) {
+fn assert_same_outcome(ctx: &str, a: &Outcome, b: &Outcome) {
     match (a, b) {
         (Outcome::Complete, Outcome::Complete) => {}
         (
@@ -277,9 +277,7 @@ fn assert_same_outcome(ctx: &str, a: &Outcome, b: &Outcome, frontier_too: bool) 
             },
         ) => {
             assert_eq!(ra, rb, "{ctx}: exhaustion reason diverges");
-            if frontier_too {
-                assert_eq!(fa, fb, "{ctx}: exhaustion frontier diverges");
-            }
+            assert_eq!(fa, fb, "{ctx}: exhaustion frontier diverges");
         }
         (a, b) => panic!("{ctx}: outcomes diverge: memo {a:?}, direct {b:?}"),
     }
@@ -298,7 +296,7 @@ fn assert_same_simulation(
         }
         (m, d) => panic!("{ctx}: memo {m:?} but direct {d:?}"),
     };
-    assert_same_outcome(ctx, &memo.outcome, &direct.outcome, true);
+    assert_same_outcome(ctx, &memo.outcome, &direct.outcome);
     match (&memo.report, &direct.report) {
         (None, None) => {}
         (Some(m), Some(d)) => {
@@ -315,9 +313,8 @@ fn assert_same_liveness(
     memo: &LivenessRun,
     direct: &LivenessRun,
     with_reason: bool,
-    frontier_too: bool,
 ) {
-    assert_same_outcome(ctx, &memo.outcome, &direct.outcome, frontier_too);
+    assert_same_outcome(ctx, &memo.outcome, &direct.outcome);
     match (&memo.verdict, &direct.verdict) {
         (None, None) => {}
         (Some(m), Some(d)) => assert_same_verdict(ctx, m, d, with_reason),
@@ -403,49 +400,28 @@ fn memoized_fairness_targets_match_direct_evaluation() {
             };
             let direct_target =
                 direct_fair_target(&case.system, &graph, fair, enabled.as_ref(), mapping);
-            for workers in [1usize, 4] {
-                let options = LivenessOptions::default()
-                    .threads(workers)
-                    .small_graph_cutoff(0);
-                // A liveness check charges transitions only.
-                let by_transitions = budgets(&case, &graph)
-                    .into_iter()
-                    .filter(|b| b.max_states == usize::MAX);
-                for budget in by_transitions {
-                    let ctx = format!(
-                        "{}/{label}/{workers}w/t{}",
-                        case.name, budget.max_transitions
-                    );
-                    let observed = budget
-                        .clone()
-                        .with_recorder(RecorderHandle::new(passes.clone()));
-                    let memo = check_liveness_governed_with(
-                        &case.system,
-                        &graph,
-                        &memo_target,
-                        &observed,
-                        &options,
-                    )
+            // A liveness check charges transitions only.
+            let by_transitions = budgets(&case, &graph)
+                .into_iter()
+                .filter(|b| b.max_states == usize::MAX);
+            for budget in by_transitions {
+                let ctx = format!("{}/{label}/t{}", case.name, budget.max_transitions);
+                let observed = budget
+                    .clone()
+                    .with_recorder(RecorderHandle::new(passes.clone()));
+                let memo = check_liveness_governed(&case.system, &graph, &memo_target, &observed)
                     .unwrap_or_else(|e| panic!("{ctx}: memo fails: {e}"));
-                    shared += passes.take().iter().filter(|p| !p.skipped).count();
-                    let direct = check_liveness_governed_with(
-                        &case.system,
-                        &graph,
-                        &direct_target,
-                        &observed,
-                        &options,
-                    )
-                    .unwrap_or_else(|e| panic!("{ctx}: direct fails: {e}"));
-                    for pass in passes.take() {
-                        assert!(
-                            pass.skipped && pass.distinct_pairs == pass.edges,
-                            "{ctx}: the reference must evaluate per edge: {pass:?}"
-                        );
-                    }
-                    // Which chunks commit before a parallel table
-                    // build stops is a race; the reason is not.
-                    assert_same_liveness(&ctx, &memo, &direct, true, workers == 1);
+                shared += passes.take().iter().filter(|p| !p.skipped).count();
+                let direct =
+                    check_liveness_governed(&case.system, &graph, &direct_target, &observed)
+                        .unwrap_or_else(|e| panic!("{ctx}: direct fails: {e}"));
+                for pass in passes.take() {
+                    assert!(
+                        pass.skipped && pass.distinct_pairs == pass.edges,
+                        "{ctx}: the reference must evaluate per edge: {pass:?}"
+                    );
                 }
+                assert_same_liveness(&ctx, &memo, &direct, true);
             }
         }
     }
@@ -482,16 +458,10 @@ fn memoized_state_predicates_match_direct_evaluation() {
             for (memo_target, direct_target) in pairs {
                 let ctx = format!("{}/{memo_target:?}", case.name);
                 let run = |target: &LiveTarget| {
-                    check_liveness_governed_with(
-                        &case.system,
-                        &graph,
-                        target,
-                        &Budget::default(),
-                        &LivenessOptions::default(),
-                    )
-                    .unwrap_or_else(|e| panic!("{ctx}: fails: {e}"))
+                    check_liveness_governed(&case.system, &graph, target, &Budget::default())
+                        .unwrap_or_else(|e| panic!("{ctx}: fails: {e}"))
                 };
-                assert_same_liveness(&ctx, &run(&memo_target), &run(&direct_target), false, true);
+                assert_same_liveness(&ctx, &run(&memo_target), &run(&direct_target), false);
             }
         }
     }
@@ -505,7 +475,7 @@ fn mapped_target_without_enabled_predicate_is_refused() {
     let graph = explore(&case.system, &ExploreOptions::default()).unwrap();
     let (_, fair, _, mapping) = case.fair.last().expect("the mapped condition");
     assert!(!mapping.is_empty());
-    let err = check_liveness_governed_with(
+    let err = check_liveness_governed(
         &case.system,
         &graph,
         &LiveTarget::Fair {
@@ -514,7 +484,6 @@ fn mapped_target_without_enabled_predicate_is_refused() {
             mapping: mapping.clone(),
         },
         &Budget::default(),
-        &LivenessOptions::default(),
     )
     .unwrap_err();
     assert!(matches!(err, CheckError::Precondition { .. }), "{err}");
@@ -705,12 +674,7 @@ fn assert_one_image_pass(name: &str, passes: &Passes, expected: &[(u64, u64, u64
         (h2b_expected.0, h2b_expected.2),
         "{name}: {h2b:?}"
     );
-    // Each table worker of H2b counts the pairs it met itself.
-    if std::env::var_os("OPENTLA_EXPLORE_THREADS").is_none() {
-        assert_eq!(h2b.distinct_pairs, h2b_expected.1, "{name}: {h2b:?}");
-    } else {
-        assert!(h2b.distinct_pairs >= h2b_expected.1, "{name}: {h2b:?}");
-    }
+    assert_eq!(h2b.distinct_pairs, h2b_expected.1, "{name}: {h2b:?}");
 }
 
 /// A certificate evaluates its refinement mapping in exactly one pass,

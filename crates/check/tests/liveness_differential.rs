@@ -1,31 +1,46 @@
-//! Differential liveness harness: the parallel fair-cycle engine must
-//! agree with the sequential one — verdict for verdict, lasso for
-//! lasso — across real scenarios, fairness shapes, worker counts, and
-//! both visited-set modes.
-//!
-//! Every violated target's counterexample is additionally replayed
-//! through `opentla-semantics`: the lasso must be a fair behavior of
-//! the system (so the engine found a *real* run) that falsifies the
-//! target (so it is a *real* violation). The lasso comparison is
-//! field-wise over every observable of a [`Counterexample`] — reason
-//! string, state sequence, action labels, loop start — which is
-//! byte-identity for its wire rendering.
+//! Liveness harness with an oracle that shares no code with the
+//! checker: across real scenarios, fairness shapes and both
+//! visited-set modes, every violated target's counterexample is
+//! replayed through `opentla-semantics`. The lasso must be a fair
+//! behavior of the system (so the check found a *real* run) that
+//! falsifies the target (so it is a *real* violation), and every
+//! action label on it must name an action that takes that very step in
+//! the graph.
 
 use opentla_check::{
-    check_liveness, check_liveness_governed_with, explore, Budget, Counterexample,
-    ExploreOptions, LiveTarget, LivenessOptions, System, Verdict, VisitedMode,
+    check_liveness, explore, Counterexample, ExploreOptions, GuardedAction, Init, LiveTarget,
+    StateGraph, System, SystemFairness, VisitedMode,
 };
-use opentla_kernel::{Fairness, Formula};
+use opentla_kernel::{Domain, Expr, Fairness, Formula, Value, Vars};
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, ClockWorld, Fig1, Mutex, TokenRing};
 use opentla_semantics::{eval, EvalCtx};
 
+/// `x` steps `0 → 1 → 2 → 3 → 1 → …`, one action per step under one
+/// joint `WF`: every action but `a` fires from a state where the
+/// actions before it are disabled, so its edge index there (0) is not
+/// its action id.
+fn four_action_ring() -> System {
+    let mut vars = Vars::new();
+    let x = vars.declare("x", Domain::int_range(0, 3));
+    let step = |name: &str, from: i64, to: i64| {
+        GuardedAction::new(name, Expr::var(x).eq(Expr::int(from)), vec![(x, Expr::int(to))])
+    };
+    System::new(
+        vars,
+        Init::new([(x, Value::Int(0))]),
+        vec![step("a", 0, 1), step("b", 1, 2), step("c", 2, 3), step("d", 3, 1)],
+    )
+    .with_fairness(SystemFairness::weak(vec![0, 1, 2, 3], vec![x]))
+}
+
 /// The scenario matrix: protocol, arbiter, ring, law-of-nature clock,
-/// the paper's Figure 1 circular pair, and queue chains from
-/// dozen-state to tens-of-thousands-of-states scale.
+/// the paper's Figure 1 circular pair, queue chains from dozen-state
+/// to tens-of-thousands-of-states scale, and the four-action ring.
 fn systems() -> Vec<(&'static str, System)> {
     let fig1 = Fig1::new();
     vec![
+        ("ring4", four_action_ring()),
         (
             "abp",
             AlternatingBit::new(2).complete_system().expect("abp builds"),
@@ -69,15 +84,16 @@ fn systems() -> Vec<(&'static str, System)> {
 
 /// Generic targets derived from the system's own action structure, so
 /// every scenario is exercised under a WF obligation, an SF obligation,
-/// and a plain `◇P` — each paired with the temporal formula used for
-/// the semantic replay.
+/// a plain `◇P` and a `□◇P` — each paired with the temporal formula
+/// used for the semantic replay.
 fn targets(sys: &System) -> Vec<(String, LiveTarget, Formula)> {
     let frame = sys.frame();
     let first = &sys.actions()[0];
     let last = sys.actions().last().expect("systems have actions");
     let wf = Fairness::weak(first.action_expr(&frame), first.touched().collect());
     let sf = Fairness::strong(last.action_expr(&frame), last.touched().collect());
-    let p = first.guard().clone().not();
+    let g = first.guard().clone();
+    let p = g.clone().not();
     vec![
         (
             format!("WF({})", first.name()),
@@ -94,12 +110,17 @@ fn targets(sys: &System) -> Vec<(String, LiveTarget, Formula)> {
             LiveTarget::Eventually(p.clone()),
             Formula::pred(p).eventually(),
         ),
+        (
+            format!("infinitely often {}-enabled", first.name()),
+            LiveTarget::AlwaysEventually(g.clone()),
+            Formula::pred(g).eventually().always(),
+        ),
     ]
 }
 
 /// The counterexample must be a real fair behavior of the system that
-/// violates the target.
-fn confirm_semantically(sys: &System, cx: &Counterexample, target: &Formula) {
+/// violates the target, each labelled hop a step of the action it names.
+fn confirm_semantically(sys: &System, graph: &StateGraph, cx: &Counterexample, target: &Formula) {
     let lasso = cx.to_lasso();
     let ctx = EvalCtx::with_universe(sys.universe().clone());
     assert!(
@@ -110,31 +131,24 @@ fn confirm_semantically(sys: &System, cx: &Counterexample, target: &Formula) {
         !eval(target, &lasso, &ctx).unwrap(),
         "counterexample must violate the target"
     );
-}
-
-/// Field-wise identity over everything a [`Counterexample`] renders.
-fn assert_same_verdict(ctx: &str, seq: &Verdict, par: &Verdict) {
-    match (seq, par) {
-        (Verdict::Holds, Verdict::Holds) => {}
-        (Verdict::Violated(a), Verdict::Violated(b)) => {
-            assert_eq!(a.reason(), b.reason(), "{ctx}: reason diverges");
-            assert_eq!(a.states(), b.states(), "{ctx}: lasso states diverge");
-            assert_eq!(a.actions(), b.actions(), "{ctx}: lasso actions diverge");
-            assert_eq!(a.loop_start(), b.loop_start(), "{ctx}: loop start diverges");
-        }
-        (a, b) => panic!(
-            "{ctx}: verdicts diverge (sequential holds={}, parallel holds={})",
-            a.holds(),
-            b.holds()
-        ),
+    let id = |k: usize| graph.index_of(&cx.states()[k]).expect("a lasso state is a graph state");
+    for (k, label) in cx.actions().iter().enumerate().skip(1) {
+        let Some(label) = label else { continue };
+        let (from, to) = (id(k - 1), id(k));
+        assert!(
+            graph
+                .edges(from)
+                .iter()
+                .any(|e| e.target == to && sys.actions()[e.action].name() == label),
+            "hop {k} is labelled {label:?}, which has no edge {from} → {to}"
+        );
     }
 }
 
-/// The full differential matrix. `small_graph_cutoff(0)` forces the
-/// parallel engine even on the dozen-state scenarios, so the worker
-/// machinery itself — not just the routing — is what's differenced.
+/// The full matrix: every system under every target, over the graph of
+/// either visited-set mode.
 #[test]
-fn parallel_engine_matches_sequential_across_matrix() {
+fn every_lasso_across_the_matrix_replays_semantically() {
     for (name, sys) in systems() {
         for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
             let graph = explore(
@@ -146,67 +160,12 @@ fn parallel_engine_matches_sequential_across_matrix() {
             )
             .unwrap_or_else(|e| panic!("{name}: explore fails: {e}"));
             for (tname, target, formula) in targets(&sys) {
-                let seq = check_liveness(&sys, &graph, &target)
-                    .unwrap_or_else(|e| panic!("{name}/{tname}: sequential fails: {e}"));
-                if let Some(cx) = seq.counterexample() {
-                    confirm_semantically(&sys, cx, &formula);
-                }
-                for workers in [1usize, 2, 4] {
-                    let opts = LivenessOptions::default()
-                        .threads(workers)
-                        .small_graph_cutoff(0);
-                    let run = check_liveness_governed_with(
-                        &sys,
-                        &graph,
-                        &target,
-                        &Budget::default(),
-                        &opts,
-                    )
-                    .unwrap_or_else(|e| {
-                        panic!("{name}/{tname}/{workers}w: parallel fails: {e}")
-                    });
-                    assert!(
-                        run.outcome.is_complete(),
-                        "{name}/{tname}/{workers}w: unbudgeted run must complete"
-                    );
-                    let ctx = format!("{name}/{tname}/{mode:?}/{workers}w");
-                    let verdict = run.verdict.expect("complete runs carry a verdict");
-                    assert_same_verdict(&ctx, &seq, &verdict);
-                    if let Some(cx) = verdict.counterexample() {
-                        confirm_semantically(&sys, cx, &formula);
-                    }
+                let verdict = check_liveness(&sys, &graph, &target)
+                    .unwrap_or_else(|e| panic!("{name}/{tname}/{mode:?}: check fails: {e}"));
+                if let Some(cx) = verdict.counterexample() {
+                    confirm_semantically(&sys, &graph, cx, &formula);
                 }
             }
         }
-    }
-}
-
-/// Default routing: below [`opentla_check::LIVENESS_SMALL_GRAPH_CUTOFF`]
-/// states a 4-worker request runs sequentially and still produces the
-/// identical verdict — the regression test for the small-graph
-/// parallel-overhead fix on the liveness side.
-#[test]
-fn small_graphs_route_sequentially_with_identical_verdicts() {
-    let sys = TokenRing::new(3).complete_system().expect("ring builds");
-    let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-    assert!(
-        graph.len() < opentla_check::LIVENESS_SMALL_GRAPH_CUTOFF,
-        "fixture must sit below the routing cutoff"
-    );
-    for (tname, target, _) in targets(&sys) {
-        let seq = check_liveness(&sys, &graph, &target).unwrap();
-        // Default options: the 4-worker request routes to the
-        // sequential engine (resolve_threads clamps to 1).
-        let routed = check_liveness_governed_with(
-            &sys,
-            &graph,
-            &target,
-            &Budget::default(),
-            &LivenessOptions::default().threads(4),
-        )
-        .unwrap();
-        assert!(routed.outcome.is_complete());
-        let verdict = routed.verdict.expect("complete runs carry a verdict");
-        assert_same_verdict(&format!("ring/{tname}/routed"), &seq, &verdict);
     }
 }

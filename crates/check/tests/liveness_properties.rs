@@ -1,23 +1,24 @@
-//! Property-based tests for the liveness engines over randomly
+//! Property-based tests for the liveness check over randomly
 //! generated flip-systems carrying randomly sampled fairness sets:
 //!
-//! * the parallel engine's verdict and lasso equal the sequential
-//!   engine's, for every sampled system × fairness set × target;
+//! * every `Violated` lasso is a fair behaviour of the system that
+//!   falsifies the target, judged by `opentla-semantics` — for every
+//!   sampled system × fairness set × target;
 //! * the strong-fairness removal recursion (the Streett decomposition)
 //!   terminates on arbitrary SF sets — the checks return, they don't
 //!   spin or overflow;
 //! * `LivenessRun.frontier_size` under exhaustion is exact pending
-//!   work: deterministic across identical runs, engine-independent,
-//!   bounded by the graph, and the run completes monotonically once
-//!   the budget clears the true total — no `pending: 0` placeholders
-//!   masquerading as progress.
+//!   work: deterministic across identical runs, bounded by the graph,
+//!   and the run completes monotonically once the budget clears the
+//!   true total — no `pending: 0` placeholders masquerading as
+//!   progress.
 
 use opentla_check::{
-    check_liveness, check_liveness_governed_with, explore, Budget, ExhaustReason,
-    ExploreOptions, GuardedAction, Init, LiveTarget, LivenessOptions, Outcome, System,
-    SystemFairness, Verdict,
+    check_liveness, check_liveness_governed, explore, Budget, ExhaustReason, ExploreOptions,
+    GuardedAction, Init, LiveTarget, Outcome, System, SystemFairness, Verdict,
 };
-use opentla_kernel::{Domain, Expr, Fairness, Value, VarId};
+use opentla_kernel::{Domain, Expr, Fairness, Formula, Value, VarId};
+use opentla_semantics::{eval, EvalCtx};
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -129,82 +130,76 @@ fn build_system(specs: &[ActionSpec], fair: &[FairSpec]) -> System {
     sys
 }
 
-fn build_target(sys: &System, spec: &TargetSpec) -> LiveTarget {
+/// The sampled target and the temporal formula it checks.
+fn build_target(sys: &System, spec: &TargetSpec) -> (LiveTarget, Formula) {
     let a = sys.vars().find("a").unwrap();
+    let a_is = |v: i64| Expr::var(a).eq(Expr::int(v));
     match spec {
-        TargetSpec::Eventually(v) => LiveTarget::Eventually(Expr::var(a).eq(Expr::int(*v))),
-        TargetSpec::AlwaysEventually(v) => {
-            LiveTarget::AlwaysEventually(Expr::var(a).eq(Expr::int(*v)))
-        }
-        TargetSpec::LeadsTo(p, q) => LiveTarget::LeadsTo(
-            Expr::var(a).eq(Expr::int(*p)),
-            Expr::var(a).eq(Expr::int(*q)),
+        TargetSpec::Eventually(v) => (
+            LiveTarget::Eventually(a_is(*v)),
+            Formula::pred(a_is(*v)).eventually(),
+        ),
+        TargetSpec::AlwaysEventually(v) => (
+            LiveTarget::AlwaysEventually(a_is(*v)),
+            Formula::pred(a_is(*v)).eventually().always(),
+        ),
+        TargetSpec::LeadsTo(p, q) => (
+            LiveTarget::LeadsTo(a_is(*p), a_is(*q)),
+            Formula::pred(a_is(*p)).leads_to(Formula::pred(a_is(*q))),
         ),
         TargetSpec::FairFirst { strong } => {
             let frame = sys.frame();
             let ga = &sys.actions()[0];
             let expr = ga.action_expr(&frame);
             let sub: Vec<VarId> = ga.touched().collect();
-            LiveTarget::fair(if *strong {
+            let fair = if *strong {
                 Fairness::strong(expr, sub)
             } else {
                 Fairness::weak(expr, sub)
-            })
+            };
+            (LiveTarget::fair(fair.clone()), Formula::Fair(fair))
         }
     }
 }
 
-fn assert_same_verdict(seq: &Verdict, par: &Verdict) -> Result<(), TestCaseError> {
-    match (seq, par) {
-        (Verdict::Holds, Verdict::Holds) => Ok(()),
-        (Verdict::Violated(a), Verdict::Violated(b)) => {
-            prop_assert_eq!(a.reason(), b.reason());
-            prop_assert_eq!(a.states(), b.states());
-            prop_assert_eq!(a.actions(), b.actions());
-            prop_assert_eq!(a.loop_start(), b.loop_start());
-            Ok(())
-        }
-        _ => {
-            prop_assert!(false, "verdicts diverge");
-            Ok(())
-        }
-    }
+/// A `Violated` verdict's lasso must satisfy the system's formula,
+/// fairness included, and falsify the target.
+fn assert_real_violation(
+    sys: &System,
+    verdict: &Verdict,
+    target: &Formula,
+) -> Result<(), TestCaseError> {
+    let Some(cx) = verdict.counterexample() else {
+        return Ok(());
+    };
+    let lasso = cx.to_lasso();
+    let ctx = EvalCtx::with_universe(sys.universe().clone());
+    prop_assert!(eval(&sys.formula(), &lasso, &ctx).unwrap(), "not a fair behaviour");
+    prop_assert!(!eval(target, &lasso, &ctx).unwrap(), "the target holds on the lasso");
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Parallel verdicts and lassos equal sequential ones on random
-    /// systems with random fairness sets, for every target shape and
-    /// 2/3 workers forced past the small-graph routing.
+    /// On random systems with random fairness sets, for every target
+    /// shape, a violation is one by the trace semantics.
     #[test]
-    fn parallel_equals_sequential(
+    fn violated_lassos_are_fair_behaviours_that_falsify_the_target(
         specs in proptest::collection::vec(arb_action_spec(), 1..4),
         fair in proptest::collection::vec(arb_fair_spec(3), 0..3),
         tspec in arb_target(),
     ) {
         let sys = build_system(&specs, &fair);
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let target = build_target(&sys, &tspec);
-        let seq = check_liveness(&sys, &graph, &target).unwrap();
-        for workers in [2usize, 3] {
-            let run = check_liveness_governed_with(
-                &sys,
-                &graph,
-                &target,
-                &Budget::default(),
-                &LivenessOptions::default().threads(workers).small_graph_cutoff(0),
-            )
-            .unwrap();
-            prop_assert!(run.outcome.is_complete());
-            let par = run.verdict.expect("complete runs carry a verdict");
-            assert_same_verdict(&seq, &par)?;
-        }
+        let (target, formula) = build_target(&sys, &tspec);
+        let verdict = check_liveness(&sys, &graph, &target).unwrap();
+        assert_real_violation(&sys, &verdict, &formula)?;
     }
 
     /// The SF-removal recursion terminates on arbitrary strong-fairness
     /// sets: stacking SF requirements on every action still returns a
-    /// verdict (and the engines still agree on it).
+    /// verdict (and a violation is a real one).
     #[test]
     fn sf_recursion_terminates(
         specs in proptest::collection::vec(arb_action_spec(), 1..4),
@@ -222,21 +217,9 @@ proptest! {
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         let frame = sys.frame();
         let ga = &sys.actions()[specs.len() - 1];
-        let target = LiveTarget::fair(Fairness::strong(
-            ga.action_expr(&frame),
-            ga.touched().collect(),
-        ));
-        let seq = check_liveness(&sys, &graph, &target).unwrap();
-        let run = check_liveness_governed_with(
-            &sys,
-            &graph,
-            &target,
-            &Budget::default(),
-            &LivenessOptions::default().threads(2).small_graph_cutoff(0),
-        )
-        .unwrap();
-        prop_assert!(run.outcome.is_complete());
-        assert_same_verdict(&seq, &run.verdict.expect("complete"))?;
+        let fair = Fairness::strong(ga.action_expr(&frame), ga.touched().collect());
+        let verdict = check_liveness(&sys, &graph, &LiveTarget::fair(fair.clone())).unwrap();
+        assert_real_violation(&sys, &verdict, &Formula::Fair(fair))?;
     }
 
     /// `frontier_size` under exhaustion is exact pending work:
@@ -251,18 +234,12 @@ proptest! {
     ) {
         let sys = build_system(&specs, &fair);
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let target = build_target(&sys, &tspec);
+        let (target, _) = build_target(&sys, &tspec);
         let mut completed = false;
         for t in 1..512usize {
             let run_at = |t: usize| {
-                check_liveness_governed_with(
-                    &sys,
-                    &graph,
-                    &target,
-                    &Budget::default().transitions(t),
-                    &LivenessOptions::default(),
-                )
-                .unwrap()
+                check_liveness_governed(&sys, &graph, &target, &Budget::default().transitions(t))
+                    .unwrap()
             };
             let run = run_at(t);
             if run.outcome.is_complete() {

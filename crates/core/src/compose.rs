@@ -8,7 +8,7 @@ use crate::{
 use opentla_check::image::Images;
 use opentla_check::{
     check_liveness_with_images, check_simulation_governed, check_simulation_with_images,
-    explore_governed_with, Budget, ExploreOptions, LiveTarget, LivenessOptions, Verdict,
+    explore_governed_with, Budget, ExploreOptions, LiveTarget, Verdict,
 };
 use opentla_kernel::{Substitution, Vars};
 
@@ -390,7 +390,6 @@ fn build_certificate(
                 ),
                 &images,
                 &budget,
-                &LivenessOptions::default(),
             )?;
             obligations.push(Obligation {
                 id: format!("H2b/fairness[{i}]"),

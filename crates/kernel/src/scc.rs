@@ -1,6 +1,6 @@
 //! Iterative strongly-connected-component decomposition.
 //!
-//! The liveness engines of `opentla-check` repeatedly decompose
+//! The liveness check of `opentla-check` repeatedly decomposes
 //! property-restricted subgraphs into SCCs — once per target, and again
 //! inside every Streett (`SF`) recursion step. This module provides the
 //! shared machinery: a reusable [`SccScratch`] buffer set and a fully
@@ -26,8 +26,7 @@ const UNVISITED: usize = usize::MAX;
 ///
 /// A decomposition over `n` nodes needs five `O(n)` buffers; callers
 /// that decompose many subgraphs of the same arena (the Streett
-/// recursion, the parallel liveness engine's per-worker loops) reuse
-/// one scratch instead of reallocating per call.
+/// recursion) reuse one scratch instead of reallocating per call.
 #[derive(Clone, Debug, Default)]
 pub struct SccScratch {
     /// Tarjan discovery index per node (`UNVISITED` = not yet seen).

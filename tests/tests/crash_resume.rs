@@ -12,7 +12,7 @@ use opentla_check::{
     check_liveness, check_liveness_resumable, explore, explore_escalating,
     explore_governed_with, explore_resumable, resume_exploration, Budget, Canonicalize,
     CheckError, CheckpointError, CountingRecorder, Exploration, ExploreOptions,
-    GuardedAction, Init, LiveSnapshot, LiveTarget, LivenessOptions, Outcome, RecorderHandle,
+    GuardedAction, Init, LiveSnapshot, LiveTarget, Outcome, RecorderHandle,
     Reduction, SlotPermutations, Snapshot, StateGraph, System, VisitedMode, WorkerPanic,
 };
 use opentla_kernel::{Domain, Expr, State, Value, VarId, Vars};
@@ -811,7 +811,6 @@ fn liveness_interrupt_and_resume_reproduces_verdict() {
                 .transitions(budget_t)
                 .with_checkpoint(&path, 8)
                 .with_recorder(RecorderHandle::new(recorder.clone())),
-            &LivenessOptions::default(),
         )
         .expect("liveness legs succeed");
         legs += 1;
@@ -865,7 +864,6 @@ fn corrupted_or_mismatched_live_snapshot_is_refused() {
         &graph,
         &target,
         &Budget::default().transitions(40).with_checkpoint(&path, 8),
-        &LivenessOptions::default(),
     )
     .unwrap();
     assert!(run.outcome.resume_token().is_some(), "run must interrupt");
@@ -886,7 +884,6 @@ fn corrupted_or_mismatched_live_snapshot_is_refused() {
         &graph,
         &target,
         &Budget::unlimited().with_checkpoint(&path, 8),
-        &LivenessOptions::default(),
     )
     .unwrap_err();
     assert!(matches!(
@@ -904,7 +901,6 @@ fn corrupted_or_mismatched_live_snapshot_is_refused() {
         &graph,
         &other,
         &Budget::unlimited().with_checkpoint(&path, 8),
-        &LivenessOptions::default(),
     )
     .unwrap_err();
     assert!(matches!(
@@ -920,7 +916,6 @@ fn corrupted_or_mismatched_live_snapshot_is_refused() {
         &ring_graph,
         &live_target(&ring),
         &Budget::unlimited().with_checkpoint(&path, 8),
-        &LivenessOptions::default(),
     )
     .unwrap_err();
     assert!(matches!(
@@ -975,7 +970,6 @@ fn live_snapshot_refuses_a_different_mapping() {
         &graph,
         &under(mapping_a.clone()),
         &Budget::default().transitions(40).with_checkpoint(&path, 8),
-        &LivenessOptions::default(),
     )
     .unwrap();
     assert!(run.outcome.resume_token().is_some(), "run must interrupt");
@@ -985,7 +979,6 @@ fn live_snapshot_refuses_a_different_mapping() {
         &graph,
         &under(mapping_b),
         &Budget::unlimited().with_checkpoint(&path, 8),
-        &LivenessOptions::default(),
     )
     .unwrap_err();
     assert!(
@@ -998,7 +991,6 @@ fn live_snapshot_refuses_a_different_mapping() {
         &graph,
         &under(mapping_a.clone()),
         &Budget::unlimited().with_checkpoint(&path, 8),
-        &LivenessOptions::default(),
     )
     .unwrap();
     assert_same_liveness_verdict(

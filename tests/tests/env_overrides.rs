@@ -1,8 +1,9 @@
 //! The environment overrides, end to end: a variable that is *set*
 //! must hold a positive integer — anything else is a typed
-//! `Precondition` naming the variable and its value, for exploration
-//! and liveness alike, never a run that silently proceeds without the
-//! budget (or the workers) the user asked for.
+//! `Precondition` naming the variable and its value, never an
+//! exploration that silently proceeds without the budget (or the
+//! workers) the user asked for. Liveness over a built graph reads
+//! neither variable.
 //!
 //! This file holds exactly one test: it mutates the process
 //! environment, which is only sound while no other test of the same
@@ -54,11 +55,10 @@ fn malformed_overrides_are_refused_not_dropped() {
         std::env::set_var(THREADS, raw);
         let err = explore_governed(&system, &Budget::unlimited()).unwrap_err();
         assert_names(err, THREADS, raw);
-        assert_names(check_liveness(&system, &graph, &target).unwrap_err(), THREADS, raw);
+        check_liveness(&system, &graph, &target).expect("liveness does not read the variable");
     }
     std::env::set_var(THREADS, "2");
     let threaded = explore(&system, &ExploreOptions::default()).expect("2 workers: explores");
     assert_eq!(threaded.states(), graph.states());
-    check_liveness(&system, &graph, &target).expect("2 workers: liveness runs");
     std::env::remove_var(THREADS);
 }

@@ -216,11 +216,10 @@ fn golden_image_memo_events_of_a_certificate() {
     let checks: Vec<&str> = passes.iter().map(|(c, ..)| c.as_str()).collect();
     assert_eq!(checks, ["simulation", "simulation", "simulation", "liveness"]);
     // H2a and H2b look at the same abstract variables through the same
-    // mapping: same classes, and the same abstract steps (on several
-    // liveness workers each counts the steps it met itself) — fewer of
+    // mapping: same classes, and the same abstract steps — fewer of
     // either than the product has states and edges.
     assert_eq!(passes[2].1, passes[3].1);
-    assert!(passes[2].2 <= passes[3].2, "{passes:?}");
+    assert_eq!(passes[2].2, passes[3].2, "{passes:?}");
     for (check, classes, pairs) in &passes {
         assert!(*classes < cert.product_states as u64, "{passes:?}");
         assert!(*pairs <= cert.product_edges as u64, "{passes:?}");

@@ -302,8 +302,8 @@ fn main() {
 /// work-stealing —
 /// into one JSONL stream at `path`; validates the stream against the
 /// schema and asserts the three run reports carry identical
-/// state/transition totals. Returns the shared `states/transitions`
-/// rendering.
+/// state/transition/depth totals. Returns the shared
+/// `states/transitions` rendering.
 fn write_obs_report(system: &System, path: &str) -> String {
     let recorder = Arc::new(JsonlRecorder::create(path).expect("create OBS_explore.jsonl"));
     let handle = RecorderHandle::new(recorder.clone());
@@ -331,7 +331,7 @@ fn write_obs_report(system: &System, path: &str) -> String {
     let totals: Vec<String> = summary
         .runs
         .iter()
-        .map(|r| format!("{}/{}", r.states, r.transitions))
+        .map(|r| format!("{}/{}/{}", r.states, r.transitions, r.depth))
         .collect();
     assert!(
         totals.iter().all(|t| t == &totals[0]),

@@ -54,7 +54,7 @@ use crate::obs::{Event, RecorderHandle};
 use crate::reduction::Canonicalize;
 use crate::{ExploreOptions, System, VisitedMode};
 use opentla_kernel::codec::{self, Reader};
-use opentla_kernel::store::{self, SegmentMeta, StoreError};
+use opentla_kernel::store::{self, fnv1a, SegmentMeta, StoreError};
 use opentla_kernel::{PackedLayout, State};
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
@@ -214,15 +214,75 @@ fn io_err(path: &Path, e: std::io::Error) -> CheckpointError {
     }
 }
 
-/// FNV-1a over `bytes` — a zero-dependency integrity check (this
-/// guards against truncation and bit rot, not adversaries).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+fn corrupt(detail: impl Into<String>) -> CheckpointError {
+    CheckpointError::Corrupt {
+        detail: detail.into(),
     }
-    h
+}
+
+/// Refuses bytes left over once `what` has been decoded.
+fn expect_end(r: &Reader<'_>, what: &str) -> Result<(), CheckpointError> {
+    if r.is_empty() {
+        return Ok(());
+    }
+    Err(corrupt(format!("{} trailing byte(s) after {what}", r.remaining())))
+}
+
+/// The refusal to resume under a different `field`.
+fn mismatch(
+    field: &'static str,
+    snapshot: String,
+    requested: String,
+) -> Result<(), CheckpointError> {
+    Err(CheckpointError::Mismatch {
+        field,
+        snapshot,
+        requested,
+    })
+}
+
+/// A decode failure under a valid checksum (or in a record read back
+/// from a verified segment) is structural corruption.
+impl From<codec::DecodeError> for CheckpointError {
+    fn from(e: codec::DecodeError) -> CheckpointError {
+        corrupt(e.to_string())
+    }
+}
+
+/// Writes `magic`, `body` and the FNV-1a checksum of `body` (a
+/// zero-dependency integrity check: it guards against truncation and
+/// bit rot, not adversaries) to `path` atomically: the bytes go to a
+/// temporary file in the same directory, which is then renamed over
+/// `path` — a crash mid-write leaves any previous file intact.
+fn write_framed(path: &Path, magic: &[u8; 8], body: &[u8]) -> Result<(), CheckpointError> {
+    let mut file = Vec::with_capacity(body.len() + 16);
+    file.extend_from_slice(magic);
+    file.extend_from_slice(body);
+    file.extend_from_slice(&fnv1a(body).to_le_bytes());
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    std::fs::write(&tmp, &file).map_err(|e| io_err(&tmp, e))?;
+    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+}
+
+/// Reads a file [`write_framed`] wrote and, having verified length,
+/// magic and checksum, hands its body to `decode`.
+fn read_framed<T>(
+    path: &Path,
+    magic: &[u8; 8],
+    decode: fn(&[u8]) -> Result<T, CheckpointError>,
+) -> Result<T, CheckpointError> {
+    let file = std::fs::read(path).map_err(|e| io_err(path, e))?;
+    if file.len() < magic.len() + 8 || &file[..magic.len()] != magic {
+        return Err(CheckpointError::BadMagic);
+    }
+    let (body, tail) = file[magic.len()..].split_at(file.len() - magic.len() - 8);
+    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte checksum tail"));
+    if fnv1a(body) != stored {
+        return Err(CheckpointError::ChecksumMismatch);
+    }
+    decode(body)
 }
 
 /// A structural hash of a [`System`] — variable names and action
@@ -358,13 +418,6 @@ impl Snapshot {
         system: &System,
         options: &ExploreOptions,
     ) -> Result<(), CheckpointError> {
-        let mismatch = |field, snapshot: String, requested: String| {
-            Err(CheckpointError::Mismatch {
-                field,
-                snapshot,
-                requested,
-            })
-        };
         let requested_hash = system_hash(system);
         if self.system_hash != requested_hash {
             return mismatch(
@@ -418,11 +471,11 @@ impl Snapshot {
     ) -> Result<(), CheckpointError> {
         match self.states.iter().position(|s| &canon.canonicalize(s) != s) {
             None => Ok(()),
-            Some(id) => Err(CheckpointError::Mismatch {
-                field: "symmetry canonicalizer",
-                snapshot: format!("state {id} is not an orbit representative"),
-                requested: canon.name().to_string(),
-            }),
+            Some(id) => mismatch(
+                "symmetry canonicalizer",
+                format!("state {id} is not an orbit representative"),
+                canon.name().to_string(),
+            ),
         }
     }
 
@@ -516,11 +569,8 @@ impl Snapshot {
     }
 
     fn decode_body(body: &[u8]) -> Result<Snapshot, CheckpointError> {
-        let corrupt = |detail: String| CheckpointError::Corrupt { detail };
         let mut r = Reader::new(body);
-        let version = r
-            .u32("version")
-            .map_err(|e| corrupt(e.to_string()))?;
+        let version = r.u32("version")?;
         if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_SPILL {
             return Err(CheckpointError::UnsupportedVersion { found: version });
         }
@@ -542,16 +592,7 @@ impl Snapshot {
     ///
     /// [`CheckpointError::Io`] if the filesystem refuses.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let body = self.encode_body();
-        let mut file = Vec::with_capacity(body.len() + 16);
-        file.extend_from_slice(MAGIC);
-        file.extend_from_slice(&body);
-        file.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, &file).map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+        write_framed(path, MAGIC, &self.encode_body())
     }
 
     /// Loads and verifies a snapshot: magic, format version, checksum,
@@ -563,16 +604,7 @@ impl Snapshot {
     /// Any [`CheckpointError`] except `Mismatch` (configuration
     /// validation is [`Snapshot::validate`]'s job).
     pub fn load(path: &Path) -> Result<Snapshot, CheckpointError> {
-        let file = std::fs::read(path).map_err(|e| io_err(path, e))?;
-        if file.len() < MAGIC.len() + 8 || &file[..MAGIC.len()] != MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let (body, tail) = file[MAGIC.len()..].split_at(file.len() - MAGIC.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte checksum tail"));
-        if fnv1a(body) != stored {
-            return Err(CheckpointError::ChecksumMismatch);
-        }
-        Snapshot::decode_body(body)
+        read_framed(path, MAGIC, Snapshot::decode_body)
     }
 
     /// Expands a spill snapshot into the in-RAM (version-1) form by
@@ -590,7 +622,6 @@ impl Snapshot {
         let Some(m) = &self.spill else {
             return Ok(self);
         };
-        let corrupt = |detail: String| CheckpointError::Corrupt { detail };
         let layout = PackedLayout::compile(system.vars());
         let n = m.states as usize;
         let mut states = Vec::with_capacity(n);
@@ -646,18 +677,11 @@ impl Snapshot {
             )));
         }
         Ok(Snapshot {
-            fp_bits: self.fp_bits,
-            mode: self.mode,
-            reduced: self.reduced,
-            system_hash: self.system_hash,
-            seq: self.seq,
             states,
-            init: self.init.clone(),
             edges,
             parents,
-            frontier: self.frontier.clone(),
-            reduction: self.reduction.clone(),
             spill: None,
+            ..self
         })
     }
 }
@@ -668,42 +692,18 @@ struct SnapshotReader<'a> {
 }
 
 impl SnapshotReader<'_> {
-    fn corrupt<T>(detail: impl Into<String>) -> Result<T, CheckpointError> {
-        Err(CheckpointError::Corrupt {
-            detail: detail.into(),
-        })
-    }
-
-    fn u8(&mut self, ctx: &'static str) -> Result<u8, CheckpointError> {
-        self.r
-            .u8(ctx)
-            .map_err(|e| CheckpointError::Corrupt { detail: e.to_string() })
-    }
-
-    fn u32(&mut self, ctx: &'static str) -> Result<u32, CheckpointError> {
-        self.r
-            .u32(ctx)
-            .map_err(|e| CheckpointError::Corrupt { detail: e.to_string() })
-    }
-
-    fn u64(&mut self, ctx: &'static str) -> Result<u64, CheckpointError> {
-        self.r
-            .u64(ctx)
-            .map_err(|e| CheckpointError::Corrupt { detail: e.to_string() })
-    }
-
     fn id(&mut self, ctx: &'static str, bound: usize) -> Result<usize, CheckpointError> {
-        let id = self.u32(ctx)? as usize;
+        let id = self.r.u32(ctx)? as usize;
         if id >= bound {
-            return Self::corrupt(format!("{ctx} {id} out of range (< {bound})"));
+            return Err(corrupt(format!("{ctx} {id} out of range (< {bound})")));
         }
         Ok(id)
     }
 
     fn ids(&mut self, ctx: &'static str, bound: usize) -> Result<Vec<usize>, CheckpointError> {
-        let n = self.u32(ctx)? as usize;
+        let n = self.r.u32(ctx)? as usize;
         if n > bound {
-            return Self::corrupt(format!("{ctx} count {n} exceeds state count {bound}"));
+            return Err(corrupt(format!("{ctx} count {n} exceeds state count {bound}")));
         }
         (0..n).map(|_| self.id(ctx, bound)).collect()
     }
@@ -712,84 +712,76 @@ impl SnapshotReader<'_> {
     /// `(fp_bits, mode, reduced, system_hash, seq)`.
     #[allow(clippy::type_complexity)]
     fn header(&mut self) -> Result<(u32, VisitedMode, bool, u64, u64), CheckpointError> {
-        let fp_bits = self.u32("fp_bits")?;
+        let fp_bits = self.r.u32("fp_bits")?;
         if fp_bits == 0 || fp_bits > 64 {
-            return Self::corrupt(format!("fp_bits {fp_bits} outside 1..=64"));
+            return Err(corrupt(format!("fp_bits {fp_bits} outside 1..=64")));
         }
-        let mode = match self.u8("visited mode")? {
+        let mode = match self.r.u8("visited mode")? {
             0 => VisitedMode::Fingerprint,
             1 => VisitedMode::Exact,
-            m => return Self::corrupt(format!("unknown visited mode tag {m}")),
+            m => return Err(corrupt(format!("unknown visited mode tag {m}"))),
         };
-        let reduced = match self.u8("reduced flag")? {
+        let reduced = match self.r.u8("reduced flag")? {
             0 => false,
             1 => true,
-            b => return Self::corrupt(format!("bad reduced flag {b}")),
+            b => return Err(corrupt(format!("bad reduced flag {b}"))),
         };
-        let system_hash = self.u64("system hash")?;
-        let seq = self.u64("sequence number")?;
+        let system_hash = self.r.u64("system hash")?;
+        let seq = self.r.u64("sequence number")?;
         Ok((fp_bits, mode, reduced, system_hash, seq))
     }
 
     /// Reads the trailing reduction block, which must be present
     /// exactly when the header says the run was `reduced`.
     fn reduction(&mut self, reduced: bool) -> Result<Option<ReducedRun>, CheckpointError> {
-        let block = match self.u8("reduction tag")? {
+        let block = match self.r.u8("reduction tag")? {
             0 => None,
             REDUCTION_BLOCK_TAG => {
-                let canon_hits = self.u64("canon hits")? as usize;
+                let canon_hits = self.r.u64("canon hits")? as usize;
                 Some(ReducedRun {
                     canonicalizer: self.string("canonicalizer name")?,
                     canon_hits,
                 })
             }
             1 => {
-                return Self::corrupt(
+                return Err(corrupt(
                     "reduction block tag 1: written by a build with ample-set \
                      partial-order reduction, whose snapshots this build cannot resume",
-                )
+                ))
             }
-            t => return Self::corrupt(format!("bad reduction tag {t}")),
+            t => return Err(corrupt(format!("bad reduction tag {t}"))),
         };
         if block.is_some() != reduced {
-            return Self::corrupt(format!(
+            return Err(corrupt(format!(
                 "reduced flag is {reduced} but the reduction block is {}",
                 if block.is_some() { "present" } else { "absent" }
-            ));
+            )));
         }
         Ok(block)
     }
 
     fn bytes(&mut self, ctx: &'static str) -> Result<Vec<u8>, CheckpointError> {
-        self.r
-            .bytes(ctx)
-            .map(<[u8]>::to_vec)
-            .map_err(|e| CheckpointError::Corrupt { detail: e.to_string() })
+        Ok(self.r.bytes(ctx)?.to_vec())
     }
 
     fn string(&mut self, ctx: &'static str) -> Result<String, CheckpointError> {
-        String::from_utf8(self.bytes(ctx)?).map_err(|_| CheckpointError::Corrupt {
-            detail: format!("{ctx} is not valid UTF-8"),
-        })
+        String::from_utf8(self.bytes(ctx)?).map_err(|_| corrupt(format!("{ctx} is not valid UTF-8")))
     }
 
     fn finish(&mut self) -> Result<Snapshot, CheckpointError> {
         let (fp_bits, mode, reduced, system_hash, seq) = self.header()?;
-        let n = self.u32("state count")? as usize;
+        let n = self.r.u32("state count")? as usize;
         let mut states = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
-            states.push(
-                codec::decode_state(&mut self.r)
-                    .map_err(|e| CheckpointError::Corrupt { detail: e.to_string() })?,
-            );
+            states.push(codec::decode_state(&mut self.r)?);
         }
         let init = self.ids("initial state id", n)?;
         let mut edges = Vec::with_capacity(n);
         for _ in 0..n {
-            let k = self.u32("edge count")? as usize;
+            let k = self.r.u32("edge count")? as usize;
             let mut es = Vec::with_capacity(k.min(1 << 20));
             for _ in 0..k {
-                let action = self.u32("edge action")? as usize;
+                let action = self.r.u32("edge action")? as usize;
                 let target = self.id("edge target", n)?;
                 es.push(Edge { action, target });
             }
@@ -797,24 +789,19 @@ impl SnapshotReader<'_> {
         }
         let mut parents = Vec::with_capacity(n);
         for i in 0..n {
-            parents.push(match self.u8("parent tag")? {
+            parents.push(match self.r.u8("parent tag")? {
                 0 => None,
                 1 => {
                     let parent = self.id("parent id", i.max(1))?;
-                    let action = self.u32("parent action")? as usize;
+                    let action = self.r.u32("parent action")? as usize;
                     Some((parent, action))
                 }
-                t => return Self::corrupt(format!("bad parent tag {t}")),
+                t => return Err(corrupt(format!("bad parent tag {t}"))),
             });
         }
         let frontier = self.ids("frontier id", n)?;
         let reduction = self.reduction(reduced)?;
-        if !self.r.is_empty() {
-            return Self::corrupt(format!(
-                "{} trailing byte(s) after the snapshot body",
-                self.r.remaining()
-            ));
-        }
+        expect_end(&self.r, "the snapshot body")?;
         Ok(Snapshot {
             fp_bits,
             mode,
@@ -834,22 +821,22 @@ impl SnapshotReader<'_> {
     fn finish_spill(&mut self) -> Result<Snapshot, CheckpointError> {
         let (fp_bits, mode, reduced, system_hash, seq) = self.header()?;
         let dir = PathBuf::from(self.string("spill directory")?);
-        let states = self.u64("spill state count")?;
-        let transitions = self.u64("spill transition count")?;
+        let states = self.r.u64("spill state count")?;
+        let transitions = self.r.u64("spill transition count")?;
         let mut segments = || -> Result<Vec<SegmentMeta>, CheckpointError> {
-            let count = self.u32("segment count")? as usize;
+            let count = self.r.u32("segment count")? as usize;
             let mut list = Vec::with_capacity(count.min(1 << 20));
             for _ in 0..count {
                 let name = self.string("segment name")?;
                 if name.contains('/') || name.contains('\\') || name.contains("..") {
-                    return Self::corrupt(format!("segment name {name:?} escapes the spill dir"));
+                    return Err(corrupt(format!("segment name {name:?} escapes the spill dir")));
                 }
                 list.push(SegmentMeta {
                     name,
-                    first: self.u64("segment first id")?,
-                    records: self.u64("segment record count")?,
-                    payload_len: self.u64("segment payload length")?,
-                    payload_checksum: self.u64("segment payload checksum")?,
+                    first: self.r.u64("segment first id")?,
+                    records: self.r.u64("segment record count")?,
+                    payload_len: self.r.u64("segment payload length")?,
+                    payload_checksum: self.r.u64("segment payload checksum")?,
                 });
             }
             Ok(list)
@@ -857,32 +844,26 @@ impl SnapshotReader<'_> {
         let arena_segments = segments()?;
         let edge_segments = segments()?;
         let mut hot = || -> Result<Vec<Vec<u8>>, CheckpointError> {
-            let count = self.u32("hot record count")? as usize;
+            let count = self.r.u32("hot record count")? as usize;
             (0..count).map(|_| self.bytes("hot record")).collect()
         };
         let arena_hot = hot()?;
         let edge_hot = hot()?;
-        let n = usize::try_from(states)
-            .map_err(|_| CheckpointError::Corrupt {
-                detail: format!("spill state count {states} exceeds the address space"),
-            })?;
+        let n = usize::try_from(states).map_err(|_| {
+            corrupt(format!("spill state count {states} exceeds the address space"))
+        })?;
         let sealed: u64 = arena_segments.iter().map(|s| s.records).sum();
         if sealed + arena_hot.len() as u64 != states {
-            return Self::corrupt(format!(
+            return Err(corrupt(format!(
                 "spill manifest claims {states} states but references {} ({sealed} sealed + {} hot)",
                 sealed + arena_hot.len() as u64,
                 arena_hot.len()
-            ));
+            )));
         }
         let init = self.ids("initial state id", n)?;
         let frontier = self.ids("frontier id", n)?;
         let reduction = self.reduction(reduced)?;
-        if !self.r.is_empty() {
-            return Self::corrupt(format!(
-                "{} trailing byte(s) after the snapshot body",
-                self.r.remaining()
-            ));
-        }
+        expect_end(&self.r, "the snapshot body")?;
         Ok(Snapshot {
             fp_bits,
             mode,
@@ -1004,32 +985,20 @@ pub(crate) fn decode_arena_record(
     bytes: &[u8],
     layout: Option<&PackedLayout>,
 ) -> Result<ArenaRecord, CheckpointError> {
-    let corrupt = |detail: String| CheckpointError::Corrupt { detail };
     let mut r = Reader::new(bytes);
-    let tag = r.u8("arena record tag").map_err(|e| corrupt(e.to_string()))?;
-    let parent_word = r
-        .u32("arena record parent")
-        .map_err(|e| corrupt(e.to_string()))?;
-    let action = r
-        .u32("arena record action")
-        .map_err(|e| corrupt(e.to_string()))?;
-    let fp = r
-        .u64("arena record fingerprint")
-        .map_err(|e| corrupt(e.to_string()))?;
+    let tag = r.u8("arena record tag")?;
+    let parent_word = r.u32("arena record parent")?;
+    let action = r.u32("arena record action")?;
+    let fp = r.u64("arena record fingerprint")?;
     let state = match tag {
         0 => {
-            let state = codec::decode_state(&mut r).map_err(|e| corrupt(e.to_string()))?;
-            if !r.is_empty() {
-                return Err(corrupt(format!(
-                    "{} trailing byte(s) after an arena record",
-                    r.remaining()
-                )));
-            }
+            let state = codec::decode_state(&mut r)?;
+            expect_end(&r, "an arena record")?;
             state
         }
         1 => {
             let layout = layout.ok_or_else(|| {
-                corrupt("packed arena record but no layout compiles for this system".into())
+                corrupt("packed arena record but no layout compiles for this system")
             })?;
             let payload = &bytes[17..];
             if payload.len() != layout.stride() {
@@ -1070,19 +1039,16 @@ pub(crate) fn decode_edge_record(
     bytes: &[u8],
     bound: usize,
 ) -> Result<(usize, Vec<Edge>), CheckpointError> {
-    let corrupt = |detail: String| CheckpointError::Corrupt { detail };
     let mut r = Reader::new(bytes);
-    let id = r.u32("edge record id").map_err(|e| corrupt(e.to_string()))? as usize;
+    let id = r.u32("edge record id")? as usize;
     if id >= bound {
         return Err(corrupt(format!("edge record id {id} out of range (< {bound})")));
     }
-    let k = r
-        .u32("edge record count")
-        .map_err(|e| corrupt(e.to_string()))? as usize;
+    let k = r.u32("edge record count")? as usize;
     let mut edges = Vec::with_capacity(k.min(1 << 20));
     for _ in 0..k {
-        let action = r.u32("edge action").map_err(|e| corrupt(e.to_string()))? as usize;
-        let target = r.u32("edge target").map_err(|e| corrupt(e.to_string()))? as usize;
+        let action = r.u32("edge action")? as usize;
+        let target = r.u32("edge target")? as usize;
         if target >= bound {
             return Err(corrupt(format!(
                 "edge target {target} out of range (< {bound})"
@@ -1090,20 +1056,17 @@ pub(crate) fn decode_edge_record(
         }
         edges.push(Edge { action, target });
     }
-    if !r.is_empty() {
-        return Err(corrupt(format!(
-            "{} trailing byte(s) after an edge record",
-            r.remaining()
-        )));
-    }
+    expect_end(&r, "an edge record")?;
     Ok((id, edges))
 }
 
-/// The engines' checkpoint driver: counts expansions against the
-/// cadence, stamps sequence numbers, writes snapshots, and emits
-/// [`Event::Checkpoint`]. A write failure is reported once on stderr
-/// and disables further periodic writes — checkpointing is a
-/// best-effort safety net, never a reason to abort a healthy run.
+/// The checkpoint driver: counts work against the cadence, stamps
+/// sequence numbers, and runs the writes. A write failure is reported
+/// once on stderr and disables further writes — checkpointing is a
+/// best-effort safety net, never a reason to abort a healthy run. The
+/// exploration engines write [`Snapshot`]s through
+/// [`Checkpointer::write`]; the liveness check owns one as its cadence
+/// and saves [`LiveSnapshot`]s through [`Checkpointer::write_with`].
 pub(crate) struct Checkpointer {
     spec: Option<CheckpointSpec>,
     seq: u64,
@@ -1112,10 +1075,11 @@ pub(crate) struct Checkpointer {
 }
 
 impl Checkpointer {
-    pub(crate) fn new(spec: Option<CheckpointSpec>) -> Checkpointer {
+    /// A driver whose first write is stamped `base_seq + 1`.
+    pub(crate) fn new(spec: Option<CheckpointSpec>, base_seq: u64) -> Checkpointer {
         Checkpointer {
             spec,
-            seq: 0,
+            seq: base_seq,
             since: 0,
             failed: false,
         }
@@ -1126,8 +1090,9 @@ impl Checkpointer {
         self.spec.is_some() && !self.failed
     }
 
-    /// Records `n` more expansions; true when a periodic snapshot is
-    /// due (the counter resets on the next [`Checkpointer::write`]).
+    /// Records `n` more units of work (state expansions, cleared
+    /// components); true when a periodic snapshot is due (the counter
+    /// resets on the next write).
     pub(crate) fn due(&mut self, n: u64) -> bool {
         match &self.spec {
             Some(spec) if !self.failed => {
@@ -1138,6 +1103,32 @@ impl Checkpointer {
         }
     }
 
+    /// Stamps the next sequence number and has `save` write a snapshot
+    /// carrying it to the configured path. Returns the resume token, or
+    /// `None` if checkpointing is off, had failed, or `save` fails —
+    /// which is reported as "`what` disabled" and ends checkpointing.
+    pub(crate) fn write_with(
+        &mut self,
+        what: &str,
+        save: impl FnOnce(&Path, u64) -> Result<(), CheckpointError>,
+    ) -> Option<ResumeToken> {
+        let spec = self.spec.as_ref()?;
+        if self.failed {
+            return None;
+        }
+        self.seq += 1;
+        self.since = 0;
+        if let Err(e) = save(&spec.path, self.seq) {
+            eprintln!("opentla-check: {what} disabled: {e}");
+            self.failed = true;
+            return None;
+        }
+        Some(ResumeToken {
+            path: spec.path.clone(),
+            seq: self.seq,
+        })
+    }
+
     /// Writes `snap` to the configured path (stamping the next
     /// sequence number) and emits [`Event::Checkpoint`]. Returns the
     /// resume token, or `None` if checkpointing is off or has failed.
@@ -1146,30 +1137,19 @@ impl Checkpointer {
         mut snap: Snapshot,
         recorder: &RecorderHandle,
     ) -> Option<ResumeToken> {
-        let spec = self.spec.as_ref()?;
-        if self.failed {
-            return None;
-        }
-        self.seq += 1;
-        self.since = 0;
-        snap.seq = self.seq;
-        if let Err(e) = snap.save(&spec.path) {
-            eprintln!("opentla-check: checkpointing disabled: {e}");
-            self.failed = true;
-            return None;
-        }
+        let token = self.write_with("checkpointing", |path, seq| {
+            snap.seq = seq;
+            snap.save(path)
+        })?;
         if recorder.enabled() {
             recorder.record(&Event::Checkpoint {
-                seq: self.seq,
+                seq: token.seq,
                 states: snap.states_used() as u64,
                 transitions: snap.transitions_used() as u64,
                 frontier: snap.frontier_len() as u64,
             });
         }
-        Some(ResumeToken {
-            path: spec.path.clone(),
-            seq: self.seq,
-        })
+        Some(token)
     }
 }
 
@@ -1249,13 +1229,6 @@ impl LiveSnapshot {
         system: &System,
         graph: &crate::StateGraph,
     ) -> Result<(), CheckpointError> {
-        let mismatch = |field, snapshot: String, requested: String| {
-            Err(CheckpointError::Mismatch {
-                field,
-                snapshot,
-                requested,
-            })
-        };
         let requested_hash = system_hash(system);
         if self.system_hash != requested_hash {
             return mismatch(
@@ -1289,11 +1262,11 @@ impl LiveSnapshot {
     /// [`CheckpointError::Mismatch`] on disagreement.
     pub(crate) fn validate_target(&self, requested: u64) -> Result<(), CheckpointError> {
         if self.target_hash != requested {
-            return Err(CheckpointError::Mismatch {
-                field: "liveness target",
-                snapshot: format!("{:#018x}", self.target_hash),
-                requested: format!("{requested:#018x}"),
-            });
+            return mismatch(
+                "liveness target",
+                format!("{:#018x}", self.target_hash),
+                format!("{requested:#018x}"),
+            );
         }
         Ok(())
     }
@@ -1316,11 +1289,11 @@ impl LiveSnapshot {
             return Ok(());
         }
         if self.components != derived {
-            return Err(CheckpointError::Mismatch {
-                field: "component count",
-                snapshot: self.components.to_string(),
-                requested: derived.to_string(),
-            });
+            return mismatch(
+                "component count",
+                self.components.to_string(),
+                derived.to_string(),
+            );
         }
         Ok(())
     }
@@ -1347,23 +1320,19 @@ impl LiveSnapshot {
     }
 
     fn decode_body(body: &[u8]) -> Result<LiveSnapshot, CheckpointError> {
-        let corrupt = |detail: String| CheckpointError::Corrupt { detail };
         let mut r = Reader::new(body);
-        let version = r.u32("version").map_err(|e| corrupt(e.to_string()))?;
+        let version = r.u32("version")?;
         if version != LIVE_SNAPSHOT_VERSION {
             return Err(CheckpointError::UnsupportedVersion { found: version });
         }
-        let mut word = |ctx: &'static str| r.u64(ctx).map_err(|e| corrupt(e.to_string()));
-        let system_hash = word("system hash")?;
-        let graph_states = word("graph state count")?;
-        let graph_transitions = word("graph transition count")?;
-        let target_hash = word("target hash")?;
-        let seq = word("sequence number")?;
-        let transitions_used = word("banked transitions")?;
-        let components = word("component count")?;
-        let n = r
-            .u32("cleared count")
-            .map_err(|e| corrupt(e.to_string()))? as usize;
+        let system_hash = r.u64("system hash")?;
+        let graph_states = r.u64("graph state count")?;
+        let graph_transitions = r.u64("graph transition count")?;
+        let target_hash = r.u64("target hash")?;
+        let seq = r.u64("sequence number")?;
+        let transitions_used = r.u64("banked transitions")?;
+        let components = r.u64("component count")?;
+        let n = r.u32("cleared count")? as usize;
         if n as u64 > components {
             return Err(corrupt(format!(
                 "cleared count {n} exceeds component count {components}"
@@ -1371,9 +1340,7 @@ impl LiveSnapshot {
         }
         let mut cleared = Vec::with_capacity(n.min(1 << 20));
         for _ in 0..n {
-            let c = r
-                .u64("cleared component")
-                .map_err(|e| corrupt(e.to_string()))?;
+            let c = r.u64("cleared component")?;
             if c >= components {
                 return Err(corrupt(format!(
                     "cleared component {c} out of range (< {components})"
@@ -1386,12 +1353,7 @@ impl LiveSnapshot {
             }
             cleared.push(c);
         }
-        if !r.is_empty() {
-            return Err(corrupt(format!(
-                "{} trailing byte(s) after the liveness snapshot body",
-                r.remaining()
-            )));
-        }
+        expect_end(&r, "the liveness snapshot body")?;
         Ok(LiveSnapshot {
             system_hash,
             graph_states,
@@ -1411,16 +1373,7 @@ impl LiveSnapshot {
     ///
     /// [`CheckpointError::Io`] if the filesystem refuses.
     pub(crate) fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let body = self.encode_body();
-        let mut file = Vec::with_capacity(body.len() + 16);
-        file.extend_from_slice(LIVE_MAGIC);
-        file.extend_from_slice(&body);
-        file.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, &file).map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+        write_framed(path, LIVE_MAGIC, &self.encode_body())
     }
 
     /// Loads and verifies a liveness snapshot: magic, format version,
@@ -1432,16 +1385,7 @@ impl LiveSnapshot {
     /// Any [`CheckpointError`] except `Mismatch` (configuration
     /// validation is [`LiveSnapshot::validate`]'s job).
     pub fn load(path: &Path) -> Result<LiveSnapshot, CheckpointError> {
-        let file = std::fs::read(path).map_err(|e| io_err(path, e))?;
-        if file.len() < LIVE_MAGIC.len() + 8 || &file[..LIVE_MAGIC.len()] != LIVE_MAGIC {
-            return Err(CheckpointError::BadMagic);
-        }
-        let (body, tail) = file[LIVE_MAGIC.len()..].split_at(file.len() - LIVE_MAGIC.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte checksum tail"));
-        if fnv1a(body) != stored {
-            return Err(CheckpointError::ChecksumMismatch);
-        }
-        LiveSnapshot::decode_body(body)
+        read_framed(path, LIVE_MAGIC, LiveSnapshot::decode_body)
     }
 }
 
@@ -1633,6 +1577,39 @@ mod tests {
             components: 42,
             cleared: vec![0, 2, 5, 41],
         }
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The files `sample()` and `live_sample()` save are, byte for
+    /// byte, the ones commit 667e7d3 (which framed and checksummed each
+    /// format in its own copy of the code) wrote for them.
+    #[test]
+    fn snapshot_files_are_byte_identical_to_the_recorded_ones() {
+        let dir = std::env::temp_dir().join("opentla_ckpt_pinned");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pinned.snap");
+        sample().save(&path).unwrap();
+        assert_eq!(
+            hex(&std::fs::read(&path).unwrap()),
+            "4f544c41534e4150010000004000000000010df0fecaefbeadde070000000000\
+             0000030000000200000001000000000000000000000200000001010000000000\
+             0000000002000000010100000000000000000101000000000000000200000000\
+             0000000100000001000000020000000000000000000000000100000000000000\
+             000100000000010000000200000001000000020000000204000000000000000c\
+             00000073616d706c652d67726f75709718fe4416ba0640"
+        );
+        live_sample().save(&path).unwrap();
+        assert_eq!(
+            hex(&std::fs::read(&path).unwrap()),
+            "4f544c414c49564501000000f0debc9a78563412e803000000000000c4090000\
+             0000000021433412f0f00f0f030000000000000009030000000000002a000000\
+             0000000004000000000000000000000002000000000000000500000000000000\
+             2900000000000000edf771de13318143"
+        );
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -480,47 +480,6 @@ impl StateGraph {
         rev.reverse();
         rev
     }
-
-    /// Shortest path (sequence of `(action, state)` hops) from `from`
-    /// to `to` inside the subgraph induced by `allowed` (a predicate on
-    /// state indices). Returns `None` if unreachable.
-    ///
-    /// The path starts *after* `from`: an empty path means
-    /// `from == to`.
-    pub fn path_within(
-        &self,
-        from: usize,
-        to: usize,
-        mut allowed: impl FnMut(usize) -> bool,
-    ) -> Option<Vec<(usize, usize)>> {
-        if from == to {
-            return Some(Vec::new());
-        }
-        let mut prev: HashMap<usize, (usize, usize)> = HashMap::new();
-        let mut queue = std::collections::VecDeque::from([from]);
-        while let Some(s) = queue.pop_front() {
-            for e in &self.edges[s] {
-                if !allowed(e.target) || prev.contains_key(&e.target) || e.target == from
-                {
-                    continue;
-                }
-                prev.insert(e.target, (s, e.action));
-                if e.target == to {
-                    let mut rev = Vec::new();
-                    let mut cur = to;
-                    while cur != from {
-                        let (p, a) = prev[&cur];
-                        rev.push((a, cur));
-                        cur = p;
-                    }
-                    rev.reverse();
-                    return Some(rev);
-                }
-                queue.push_back(e.target);
-            }
-        }
-        None
-    }
 }
 
 /// A (possibly partial) exploration: the graph built so far, how the
@@ -1271,13 +1230,10 @@ mod tests {
         let sys = System::new(vars, Init::new([(x, Value::Int(0))]), vec![toggle]);
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         assert_eq!(graph.len(), 2);
-        // Path 0 → 1 within the full graph.
-        let p = graph.path_within(0, 1, |_| true).unwrap();
-        assert_eq!(p.len(), 1);
-        // Path 0 → 0: empty.
-        assert_eq!(graph.path_within(0, 0, |_| true).unwrap().len(), 0);
-        // With state 1 forbidden, 0 → 1 is unreachable.
-        assert!(graph.path_within(0, 1, |s| s != 1).is_none());
+        // The initial state is its own trace; state 1 is one toggle
+        // away from it.
+        assert_eq!(graph.trace_to(0), vec![(None, 0)]);
+        assert_eq!(graph.trace_to(1), vec![(None, 0), (Some(0), 1)]);
     }
 
     #[test]

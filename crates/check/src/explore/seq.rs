@@ -177,7 +177,7 @@ pub(super) fn explore_seq<S: SeqStore>(
 ) -> Result<Exploration, CheckError> {
     let compiled = CompiledSystem::compile(system);
     let mut scratch = EvalScratch::new();
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
+    let mut ck = Checkpointer::new(budget.checkpoint.clone(), 0);
     let mut queue: VecDeque<usize> = VecDeque::new();
     let mut exhausted: Option<ExhaustReason> = None;
     let mut exhausted_in_init = false;

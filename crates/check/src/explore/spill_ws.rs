@@ -429,7 +429,7 @@ fn explore_spill_ws_in(
 ) -> Result<Exploration, CheckError> {
     let compiled = CompiledSystem::compile(system);
     let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
+    let mut ck = Checkpointer::new(budget.checkpoint.clone(), 0);
     let t = Tuning::for_budget(mem_budget);
     let meter = seed.meter(budget);
 

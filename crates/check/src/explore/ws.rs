@@ -769,7 +769,7 @@ pub(super) fn explore_ws(
 ) -> Result<Exploration, CheckError> {
     let compiled = CompiledSystem::compile(system);
     let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
+    let mut ck = Checkpointer::new(budget.checkpoint.clone(), 0);
     let meter = seed.meter(budget);
     let store = WsStore {
         shards: Striped::new(|| WsShard::new(options.mode)),

@@ -91,8 +91,8 @@ pub use checkpoint::{
     SNAPSHOT_VERSION_SPILL,
 };
 pub use obs::{
-    CountingRecorder, Event, JsonlRecorder, NullRecorder, Phase, ProgressSnapshot,
-    Recorder, RecorderHandle, RunReport,
+    CountingRecorder, Event, JsonlRecorder, Phase, ProgressSnapshot, Recorder,
+    RecorderHandle, RunReport,
 };
 pub use compiled::{CompiledExpr, CompiledSystem, EvalScratch};
 pub use counterexample::Counterexample;

@@ -48,7 +48,7 @@ mod fair;
 mod scc;
 
 use crate::budget::{Budget, ExhaustReason, Governed, Meter, Outcome};
-use crate::checkpoint::{system_hash, CheckpointSpec, LiveSnapshot, ResumeToken};
+use crate::checkpoint::{system_hash, Checkpointer, LiveSnapshot, ResumeToken};
 use crate::image::{Classes, Images, Memo};
 use crate::obs::{Event, Phase, PhaseGuard, RecorderHandle};
 use crate::{CheckError, Counterexample, StateGraph, System, Verdict};
@@ -250,12 +250,7 @@ impl Violation<'_> {
 /// given crate version; snapshots are already version-gated by
 /// [`LIVE_SNAPSHOT_VERSION`](crate::LIVE_SNAPSHOT_VERSION).
 fn live_target_hash(target: &LiveTarget) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in format!("{target:?}").as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    opentla_kernel::store::fnv1a(format!("{target:?}").as_bytes())
 }
 
 /// Checks a liveness property of the system.
@@ -566,36 +561,28 @@ fn decide(
 }
 
 /// The liveness check's checkpoint driver: counts cleared components
-/// against the cadence, stamps sequence numbers, writes
-/// [`LiveSnapshot`]s, and emits [`Event::Checkpoint`]. A write failure
-/// is reported once on stderr and disables further writes —
-/// checkpointing is a best-effort safety net, never a reason to abort
-/// a healthy run.
+/// against the cadence of its [`Checkpointer`] (which also stamps the
+/// sequence numbers and stops after a failed write), saves
+/// [`LiveSnapshot`]s, and emits [`Event::Checkpoint`].
 pub(crate) struct LiveCheckpointer<'a> {
-    spec: Option<CheckpointSpec>,
+    cadence: Checkpointer,
     recorder: &'a RecorderHandle,
     system_hash: u64,
     graph_states: u64,
     graph_transitions: u64,
     target_hash: u64,
-    seq: u64,
-    since: u64,
-    failed: bool,
     token: Option<ResumeToken>,
 }
 
 impl<'a> LiveCheckpointer<'a> {
     fn new(budget: &'a Budget, system: &System, graph: &StateGraph, base_seq: u64) -> Self {
         LiveCheckpointer {
-            spec: budget.checkpoint.clone(),
+            cadence: Checkpointer::new(budget.checkpoint.clone(), base_seq),
             recorder: &budget.recorder,
             system_hash: system_hash(system),
             graph_states: graph.len() as u64,
             graph_transitions: graph.edge_count() as u64,
             target_hash: 0,
-            seq: base_seq,
-            since: 0,
-            failed: false,
             token: None,
         }
     }
@@ -607,60 +594,48 @@ impl<'a> LiveCheckpointer<'a> {
     /// Records `n` more cleared components; true when a periodic
     /// snapshot is due (the counter resets on the next write).
     pub(crate) fn due(&mut self, n: u64) -> bool {
-        match &self.spec {
-            Some(spec) if !self.failed => {
-                self.since += n;
-                self.since >= spec.cadence
-            }
-            _ => false,
-        }
+        self.cadence.due(n)
     }
 
     /// Writes the cleared-component set to the configured path and
     /// emits [`Event::Checkpoint`] (`frontier` = components still
     /// pending). No-op without a spec or after a write failure.
     pub(crate) fn write(&mut self, cleared: &[bool], meter: &Meter) {
-        let Some(spec) = self.spec.clone() else {
-            return;
-        };
-        if self.failed {
+        if !self.cadence.active() {
             return;
         }
-        self.seq += 1;
-        self.since = 0;
         let cleared_ids: Vec<u64> = cleared
             .iter()
             .enumerate()
             .filter_map(|(i, c)| c.then_some(i as u64))
             .collect();
         let pending = cleared.len() as u64 - cleared_ids.len() as u64;
-        let snap = LiveSnapshot {
-            system_hash: self.system_hash,
-            graph_states: self.graph_states,
-            graph_transitions: self.graph_transitions,
-            target_hash: self.target_hash,
-            seq: self.seq,
-            transitions_used: meter.transitions_used() as u64,
-            components: cleared.len() as u64,
-            cleared: cleared_ids,
-        };
-        if let Err(e) = snap.save(&spec.path) {
-            eprintln!("opentla-check: liveness checkpointing disabled: {e}");
-            self.failed = true;
+        let transitions_used = meter.transitions_used() as u64;
+        let written = self.cadence.write_with("liveness checkpointing", |path, seq| {
+            LiveSnapshot {
+                system_hash: self.system_hash,
+                graph_states: self.graph_states,
+                graph_transitions: self.graph_transitions,
+                target_hash: self.target_hash,
+                seq,
+                transitions_used,
+                components: cleared.len() as u64,
+                cleared: cleared_ids,
+            }
+            .save(path)
+        });
+        let Some(token) = written else {
             return;
-        }
+        };
         if self.recorder.enabled() {
             self.recorder.record(&Event::Checkpoint {
-                seq: self.seq,
+                seq: token.seq,
                 states: self.graph_states,
-                transitions: snap.transitions_used,
+                transitions: transitions_used,
                 frontier: pending,
             });
         }
-        self.token = Some(ResumeToken {
-            path: spec.path,
-            seq: self.seq,
-        });
+        self.token = Some(token);
     }
 
     fn take_token(&mut self) -> Option<ResumeToken> {
@@ -920,7 +895,7 @@ fn reachable_from(
 }
 
 /// BFS path inside a filtered graph, returning `(action id, node)`
-/// hops after `from` (as [`StateGraph::path_within`] does).
+/// hops after `from`: an empty path means `from` is the goal.
 fn path_filtered(
     graph: &StateGraph,
     from: usize,

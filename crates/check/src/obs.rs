@@ -5,16 +5,26 @@
 //! through a [`Recorder`] — a zero-dependency, lock-free-friendly sink
 //! for [`Event`]s:
 //!
-//! * [`NullRecorder`] (the default) discards everything; engines gate
-//!   their instrumentation on [`Recorder::enabled`], so the hot loops
-//!   pay a single predictable branch and stay allocation-free;
-//! * [`CountingRecorder`] tallies events in `AtomicU64` counters and
-//!   accumulates monotonic per-[`Phase`] timers — cheap enough to leave
-//!   on in tests, and exact: its state/transition/depth totals come
-//!   from the engine's own final statistics;
+//! * the null [`RecorderHandle`] (the default) holds no recorder;
+//!   engines gate their instrumentation on [`RecorderHandle::enabled`],
+//!   so the hot loops pay a single predictable branch and stay
+//!   allocation-free;
+//! * [`CountingRecorder`] tallies events per kind in `AtomicU64`
+//!   counters ([`CountingRecorder::count`]) and accumulates monotonic
+//!   per-[`Phase`] timers — cheap enough to leave on in tests, and
+//!   exact: its state/transition/depth totals come from the engine's
+//!   own final statistics;
 //! * [`JsonlRecorder`] serializes every event as one JSON line
 //!   (schema-versioned, see [`OBS_SCHEMA_VERSION`]), the same
 //!   progress-statistics discipline TLC earns trust with.
+//!
+//! Every event kind is described once, in [`SCHEMA`]: its wire name and
+//! its fields with their wire types. The JSONL writer, the stream
+//! validator and the counting recorder are all driven by that table and
+//! by [`Event::for_each_field`], which walks one event's fields in wire
+//! order. Adding an event: the variant, and its entry in the
+//! `describe_events!` list below the enum — which is at once its
+//! [`SCHEMA`] row and its [`Event::for_each_field`] arm — nothing else.
 //!
 //! Events sample the hot path by piggybacking on the existing
 //! [`Meter`](crate::Meter) checkpoint cadence: the meter emits a
@@ -28,8 +38,9 @@
 //!
 //! The module also ships its own consumer: [`validate_stream`] parses a
 //! JSONL event stream back (with the built-in minimal [`Json`] parser —
-//! no serde), checks it against the schema (known event kinds, required
-//! fields, monotonic timestamps, well-formed phase nesting, every run
+//! no serde), checks it against the schema (known event kinds, every
+//! member typed as its [`SCHEMA`] row says and none the row does not
+//! list, monotonic timestamps, well-formed phase nesting, every run
 //! closed by a report whose totals match the final snapshot), and
 //! returns a [`StreamSummary`] for golden-shape tests and CI gates.
 
@@ -405,29 +416,236 @@ pub enum Event<'a> {
     },
 }
 
+/// How a field's value is written on the wire — the type column of
+/// [`SCHEMA`], and what [`validate_stream`] demands of a member.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Wire {
+    /// A non-negative integer.
+    U64,
+    /// A JSON string.
+    Str,
+    /// `true` / `false`.
+    Bool,
+    /// A non-negative number written without a fraction (`{:.0}` of an
+    /// `f64`, so it may exceed the `u64` range).
+    Rate,
+    /// A nested [`RunReport`] object.
+    Report,
+}
+
+/// Whether every event of a kind carries a field.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Presence {
+    /// Always written.
+    Required,
+    /// Written only when the engine knows the value.
+    Optional,
+}
+
+/// One field of one event as [`Event::for_each_field`] hands it to its
+/// visitor, under the variant named like its [`Wire`] type; `Display`
+/// renders the value's JSON text.
+#[derive(Clone, Copy, Debug)]
+pub enum Field<'a> {
+    /// A [`Wire::U64`] value.
+    U64(u64),
+    /// A [`Wire::Str`] value, unescaped.
+    Str(&'a str),
+    /// A [`Wire::Bool`] value.
+    Bool(bool),
+    /// A [`Wire::Rate`] value.
+    Rate(f64),
+    /// A [`Wire::Report`] value.
+    Report(&'a RunReport),
+}
+
+impl std::fmt::Display for Field<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Field::U64(n) => write!(f, "{n}"),
+            Field::Str(s) => f.write_str(&json_str(s)),
+            Field::Bool(b) => write!(f, "{b}"),
+            Field::Rate(r) => write!(f, "{r:.0}"),
+            Field::Report(report) => f.write_str(&report.to_json()),
+        }
+    }
+}
+
+/// Visits one field: always when `Required`; when `Optional`, only if
+/// its value is known.
+macro_rules! visit_field {
+    ($visit:ident, Required, $name:expr, $wire:ident, $value:expr) => {
+        $visit($name, Field::$wire($value))
+    };
+    ($visit:ident, Optional, $name:expr, $wire:ident, $value:expr) => {
+        if let Some(known) = $value {
+            $visit($name, Field::$wire(known))
+        }
+    };
+}
+
+/// Emits everything that is per event kind — the [`SCHEMA`] table,
+/// [`Event::kind_index`] and [`Event::for_each_field`] — from the one
+/// list below it: per kind, the [`Event`] variant with the fields it
+/// binds, the wire name, and each wire field in wire order as
+/// `name: Wire Presence = value`.
+macro_rules! describe_events {
+    ($(
+        $variant:ident { $($bound:ident),* } => $kind:literal {
+            $($field:ident: $wire:ident $presence:ident = $value:expr,)*
+        }
+    )*) => {
+        /// The one description of every event kind: its wire name (the
+        /// `"ev"` member) and its fields in wire order, each with its
+        /// wire type and whether it is always present. Rows are in
+        /// [`Event`] declaration order; a row's index is its event's
+        /// [`Event::kind_index`]. [`JsonlRecorder`] writes exactly these
+        /// members (through [`Event::for_each_field`]),
+        /// [`validate_stream`] accepts exactly these, and
+        /// [`CountingRecorder`] keeps one counter per row.
+        #[allow(clippy::type_complexity)]
+        pub const SCHEMA: &[(&str, &[(&str, Wire, Presence)])] = &[$(
+            ($kind, &[$((stringify!($field), Wire::$wire, Presence::$presence)),*]),
+        )*];
+
+        /// [`Event`]'s variants without their fields: a variant's
+        /// discriminant is its event's row in [`SCHEMA`].
+        enum Row {
+            $($variant),*
+        }
+
+        impl Event<'_> {
+            /// Dense index, `0..SCHEMA.len()`: the event's row in
+            /// [`SCHEMA`].
+            pub fn kind_index(&self) -> usize {
+                match self {
+                    $(Event::$variant { .. } => Row::$variant as usize),*
+                }
+            }
+
+            /// Calls `visit` with the name and value of each field of
+            /// this event, in wire order: exactly the event's [`SCHEMA`]
+            /// row, minus the optional fields that are unknown. A
+            /// progress snapshot is flattened; a run report is one
+            /// field.
+            pub fn for_each_field(&self, mut visit: impl FnMut(&'static str, Field<'_>)) {
+                match *self {$(
+                    Event::$variant { $($bound),* } => {
+                        $(visit_field!(visit, $presence, stringify!($field), $wire, $value);)*
+                    }
+                )*}
+            }
+        }
+    };
+}
+
+describe_events! {
+    RunStart { engine, threads, mode } => "run_start" {
+        engine: Str Required = engine,
+        threads: U64 Required = threads as u64,
+        mode: Str Required = mode,
+    }
+    PhaseEnter { phase } => "phase_enter" {
+        phase: Str Required = phase.name(),
+    }
+    PhaseExit { phase } => "phase_exit" {
+        phase: Str Required = phase.name(),
+    }
+    Progress { snapshot } => "progress" {
+        states: U64 Required = snapshot.states,
+        transitions: U64 Required = snapshot.transitions,
+        elapsed_nanos: U64 Required = snapshot.elapsed_nanos,
+        states_per_sec: Rate Required = snapshot.states_per_sec(),
+        frontier: U64 Optional = snapshot.frontier,
+        level: U64 Optional = snapshot.level,
+        worker: U64 Optional = snapshot.worker,
+        budget_states: U64 Optional = snapshot.budget_states,
+        budget_transitions: U64 Optional = snapshot.budget_transitions,
+    }
+    WorkerLevel { worker, level, claimed, inserted } => "worker_level" {
+        worker: U64 Required = worker as u64,
+        level: U64 Required = level,
+        claimed: U64 Required = claimed,
+        inserted: U64 Required = inserted,
+    }
+    FaultActivation { action, step, kind } => "fault_activation" {
+        action: Str Required = action,
+        step: U64 Required = step,
+        kind: Str Required = kind,
+    }
+    Counterexample { kind, reason, length, loop_start, fault_steps } => "counterexample" {
+        kind: Str Required = kind,
+        reason: Str Required = reason,
+        length: U64 Required = length as u64,
+        fault_steps: U64 Required = fault_steps as u64,
+        loop_start: U64 Optional = loop_start.map(|at| at as u64),
+    }
+    Check { kind, name, holds } => "check" {
+        kind: Str Required = kind,
+        name: Str Required = name,
+        holds: Bool Required = holds,
+    }
+    Reduction { canon_hits } => "reduction" {
+        canon_hits: U64 Required = canon_hits,
+    }
+    Checkpoint { seq, states, transitions, frontier } => "checkpoint" {
+        seq: U64 Required = seq,
+        states: U64 Required = states,
+        transitions: U64 Required = transitions,
+        frontier: U64 Required = frontier,
+    }
+    WorkerFailure { worker, level, requeued } => "worker_failure" {
+        worker: U64 Required = worker as u64,
+        level: U64 Required = level,
+        requeued: U64 Required = requeued,
+    }
+    Resume { seq, states, transitions, frontier } => "resume" {
+        seq: U64 Required = seq,
+        states: U64 Required = states,
+        transitions: U64 Required = transitions,
+        frontier: U64 Required = frontier,
+    }
+    Spill { tier, seq, records, bytes, total_spilled_bytes } => "spill" {
+        tier: Str Required = tier,
+        seq: U64 Required = seq,
+        records: U64 Required = records,
+        bytes: U64 Required = bytes,
+        total_spilled_bytes: U64 Required = total_spilled_bytes,
+    }
+    BudgetIgnored { budget_bytes, reason } => "budget_ignored" {
+        budget_bytes: U64 Required = budget_bytes,
+        reason: Str Required = reason,
+    }
+    CacheStats { hits, misses, evictions, resident_bytes, spilled_bytes } => "cache_stats" {
+        hits: U64 Required = hits,
+        misses: U64 Required = misses,
+        evictions: U64 Required = evictions,
+        resident_bytes: U64 Required = resident_bytes,
+        spilled_bytes: U64 Required = spilled_bytes,
+    }
+    ImagePass { states, mapped_vars, distinct_values, undefined, nanos } => "image_pass" {
+        states: U64 Required = states,
+        mapped_vars: U64 Required = mapped_vars,
+        distinct_values: U64 Required = distinct_values,
+        undefined: U64 Required = undefined,
+        nanos: U64 Required = nanos,
+    }
+    ImageMemo { check, classes, distinct_pairs, edges, skipped } => "image_memo" {
+        check: Str Required = check,
+        classes: U64 Required = classes,
+        distinct_pairs: U64 Required = distinct_pairs,
+        edges: U64 Required = edges,
+        skipped: Bool Required = skipped,
+    }
+    RunEnd { report } => "run_end" {
+        report: Report Required = report,
+    }
+}
+
 impl Event<'_> {
     /// Stable wire name (the `"ev"` field).
     pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RunStart { .. } => "run_start",
-            Event::PhaseEnter { .. } => "phase_enter",
-            Event::PhaseExit { .. } => "phase_exit",
-            Event::Progress { .. } => "progress",
-            Event::WorkerLevel { .. } => "worker_level",
-            Event::FaultActivation { .. } => "fault_activation",
-            Event::Counterexample { .. } => "counterexample",
-            Event::Check { .. } => "check",
-            Event::Reduction { .. } => "reduction",
-            Event::Checkpoint { .. } => "checkpoint",
-            Event::WorkerFailure { .. } => "worker_failure",
-            Event::Resume { .. } => "resume",
-            Event::Spill { .. } => "spill",
-            Event::BudgetIgnored { .. } => "budget_ignored",
-            Event::CacheStats { .. } => "cache_stats",
-            Event::ImagePass { .. } => "image_pass",
-            Event::ImageMemo { .. } => "image_memo",
-            Event::RunEnd { .. } => "run_end",
-        }
+        SCHEMA[self.kind_index()].0
     }
 }
 
@@ -455,22 +673,9 @@ pub trait Recorder: Send + Sync {
     fn record(&self, event: &Event<'_>);
 }
 
-/// The default recorder: discards everything,
-/// [`Recorder::enabled`]` == false`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&self, _event: &Event<'_>) {}
-}
-
-/// Lock-free tallying recorder: event counts in `AtomicU64`s, plus
-/// monotonic per-phase wall-clock accumulators and the totals of the
-/// last [`RunReport`] seen.
+/// Lock-free tallying recorder: one `AtomicU64` event count per kind,
+/// plus monotonic per-phase wall-clock accumulators and the totals of
+/// the last [`RunReport`] seen.
 ///
 /// The state/transition/depth totals come from the engine's final
 /// report — the same [`GraphStats`](crate::GraphStats) the sequential
@@ -478,23 +683,8 @@ impl Recorder for NullRecorder {
 #[derive(Debug)]
 pub struct CountingRecorder {
     epoch: Instant,
-    events: AtomicU64,
-    run_starts: AtomicU64,
-    run_ends: AtomicU64,
-    progress: AtomicU64,
-    worker_levels: AtomicU64,
-    faults: AtomicU64,
-    counterexamples: AtomicU64,
-    checks: AtomicU64,
-    reductions: AtomicU64,
-    checkpoints: AtomicU64,
-    worker_failures: AtomicU64,
-    resumes: AtomicU64,
-    spills: AtomicU64,
-    budget_ignored_events: AtomicU64,
-    cache_stats_events: AtomicU64,
-    image_pass_events: AtomicU64,
-    image_memo_events: AtomicU64,
+    /// Events recorded per kind, indexed by [`Event::kind_index`].
+    counts: [AtomicU64; SCHEMA.len()],
     /// Cumulative spilled bytes of the most recent spill event.
     spilled_bytes: AtomicU64,
     /// `canon_hits` of the most recent reduction event.
@@ -520,23 +710,7 @@ impl CountingRecorder {
     pub fn new() -> Self {
         CountingRecorder {
             epoch: Instant::now(),
-            events: AtomicU64::new(0),
-            run_starts: AtomicU64::new(0),
-            run_ends: AtomicU64::new(0),
-            progress: AtomicU64::new(0),
-            worker_levels: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
-            counterexamples: AtomicU64::new(0),
-            checks: AtomicU64::new(0),
-            reductions: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
-            worker_failures: AtomicU64::new(0),
-            resumes: AtomicU64::new(0),
-            spills: AtomicU64::new(0),
-            budget_ignored_events: AtomicU64::new(0),
-            cache_stats_events: AtomicU64::new(0),
-            image_pass_events: AtomicU64::new(0),
-            image_memo_events: AtomicU64::new(0),
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
             spilled_bytes: AtomicU64::new(0),
             red_canon_hits: AtomicU64::new(0),
             states: AtomicU64::new(0),
@@ -553,87 +727,22 @@ impl CountingRecorder {
 
     /// Total events recorded.
     pub fn events(&self) -> u64 {
-        self.events.load(Ordering::Relaxed)
+        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
-    /// `run_start` events recorded.
-    pub fn run_starts(&self) -> u64 {
-        self.run_starts.load(Ordering::Relaxed)
-    }
-
-    /// `run_end` events recorded.
-    pub fn run_ends(&self) -> u64 {
-        self.run_ends.load(Ordering::Relaxed)
-    }
-
-    /// Progress snapshots recorded.
-    pub fn progress_events(&self) -> u64 {
-        self.progress.load(Ordering::Relaxed)
-    }
-
-    /// Per-worker level reports recorded.
-    pub fn worker_levels(&self) -> u64 {
-        self.worker_levels.load(Ordering::Relaxed)
-    }
-
-    /// Fault activations recorded.
-    pub fn fault_activations(&self) -> u64 {
-        self.faults.load(Ordering::Relaxed)
-    }
-
-    /// Counterexamples recorded.
-    pub fn counterexamples(&self) -> u64 {
-        self.counterexamples.load(Ordering::Relaxed)
-    }
-
-    /// Check results recorded.
-    pub fn checks(&self) -> u64 {
-        self.checks.load(Ordering::Relaxed)
-    }
-
-    /// Reduction events recorded.
-    pub fn reductions(&self) -> u64 {
-        self.reductions.load(Ordering::Relaxed)
-    }
-
-    /// Checkpoint snapshots recorded.
-    pub fn checkpoints(&self) -> u64 {
-        self.checkpoints.load(Ordering::Relaxed)
-    }
-
-    /// Worker failures recorded.
-    pub fn worker_failures(&self) -> u64 {
-        self.worker_failures.load(Ordering::Relaxed)
-    }
-
-    /// Resume events recorded.
-    pub fn resumes(&self) -> u64 {
-        self.resumes.load(Ordering::Relaxed)
-    }
-
-    /// Spill events recorded.
-    pub fn spills(&self) -> u64 {
-        self.spills.load(Ordering::Relaxed)
-    }
-
-    /// Budget-ignored diagnostics recorded.
-    pub fn budget_ignored_events(&self) -> u64 {
-        self.budget_ignored_events.load(Ordering::Relaxed)
-    }
-
-    /// Cache-stats events recorded.
-    pub fn cache_stats_events(&self) -> u64 {
-        self.cache_stats_events.load(Ordering::Relaxed)
-    }
-
-    /// Evaluations of a refinement mapping over a graph recorded.
-    pub fn image_pass_events(&self) -> u64 {
-        self.image_pass_events.load(Ordering::Relaxed)
-    }
-
-    /// Image-class passes recorded.
-    pub fn image_memo_events(&self) -> u64 {
-        self.image_memo_events.load(Ordering::Relaxed)
+    /// Events of `kind` recorded, by wire name (`"run_start"`,
+    /// `"checkpoint"`, … — the names of [`SCHEMA`]).
+    ///
+    /// # Panics
+    ///
+    /// If `kind` is not an event kind: a misspelt name must not read
+    /// as "none recorded".
+    pub fn count(&self, kind: &str) -> u64 {
+        let index = SCHEMA
+            .iter()
+            .position(|(name, _)| *name == kind)
+            .unwrap_or_else(|| panic!("\"{kind}\" is not an event kind"));
+        self.counts[index].load(Ordering::Relaxed)
     }
 
     /// Cumulative spilled bytes reported by the most recent spill
@@ -671,65 +780,24 @@ impl CountingRecorder {
 
 impl Recorder for CountingRecorder {
     fn record(&self, event: &Event<'_>) {
-        self.events.fetch_add(1, Ordering::Relaxed);
+        self.counts[event.kind_index()].fetch_add(1, Ordering::Relaxed);
+        // The last-value cells and phase timers: what is not a count.
         match event {
-            Event::RunStart { .. } => {
-                self.run_starts.fetch_add(1, Ordering::Relaxed);
-            }
             Event::RunEnd { report } => {
-                self.run_ends.fetch_add(1, Ordering::Relaxed);
                 self.states.store(report.states as u64, Ordering::Relaxed);
                 self.transitions
                     .store(report.transitions as u64, Ordering::Relaxed);
                 self.depth.store(report.depth as u64, Ordering::Relaxed);
             }
-            Event::Progress { .. } => {
-                self.progress.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::WorkerLevel { .. } => {
-                self.worker_levels.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::FaultActivation { .. } => {
-                self.faults.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::Counterexample { .. } => {
-                self.counterexamples.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::Check { .. } => {
-                self.checks.fetch_add(1, Ordering::Relaxed);
-            }
             Event::Reduction { canon_hits } => {
-                self.reductions.fetch_add(1, Ordering::Relaxed);
                 self.red_canon_hits.store(*canon_hits, Ordering::Relaxed);
-            }
-            Event::Checkpoint { .. } => {
-                self.checkpoints.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::WorkerFailure { .. } => {
-                self.worker_failures.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::Resume { .. } => {
-                self.resumes.fetch_add(1, Ordering::Relaxed);
             }
             Event::Spill {
                 total_spilled_bytes,
                 ..
             } => {
-                self.spills.fetch_add(1, Ordering::Relaxed);
                 self.spilled_bytes
                     .store(*total_spilled_bytes, Ordering::Relaxed);
-            }
-            Event::BudgetIgnored { .. } => {
-                self.budget_ignored_events.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::CacheStats { .. } => {
-                self.cache_stats_events.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::ImagePass { .. } => {
-                self.image_pass_events.fetch_add(1, Ordering::Relaxed);
-            }
-            Event::ImageMemo { .. } => {
-                self.image_memo_events.fetch_add(1, Ordering::Relaxed);
             }
             Event::PhaseEnter { phase } => {
                 self.phase_entered[phase.index()]
@@ -743,6 +811,7 @@ impl Recorder for CountingRecorder {
                     self.phase_nanos[phase.index()].fetch_add(spent, Ordering::Relaxed);
                 }
             }
+            _ => {}
         }
     }
 }
@@ -827,182 +896,11 @@ impl Drop for JsonlRecorder {
 
 impl Recorder for JsonlRecorder {
     fn record(&self, event: &Event<'_>) {
+        use std::fmt::Write as _;
         let mut body = format!("\"ev\":\"{}\"", event.kind());
-        match event {
-            Event::RunStart {
-                engine,
-                threads,
-                mode,
-            } => {
-                body.push_str(&format!(
-                    ",\"engine\":{},\"threads\":{threads},\"mode\":{}",
-                    json_str(engine),
-                    json_str(mode)
-                ));
-            }
-            Event::PhaseEnter { phase } | Event::PhaseExit { phase } => {
-                body.push_str(&format!(",\"phase\":\"{}\"", phase.name()));
-            }
-            Event::Progress { snapshot } => {
-                body.push_str(&format!(
-                    ",\"states\":{},\"transitions\":{},\"elapsed_nanos\":{},\
-                     \"states_per_sec\":{:.0}",
-                    snapshot.states,
-                    snapshot.transitions,
-                    snapshot.elapsed_nanos,
-                    snapshot.states_per_sec()
-                ));
-                if let Some(f) = snapshot.frontier {
-                    body.push_str(&format!(",\"frontier\":{f}"));
-                }
-                if let Some(l) = snapshot.level {
-                    body.push_str(&format!(",\"level\":{l}"));
-                }
-                if let Some(w) = snapshot.worker {
-                    body.push_str(&format!(",\"worker\":{w}"));
-                }
-                if let Some(b) = snapshot.budget_states {
-                    body.push_str(&format!(",\"budget_states\":{b}"));
-                }
-                if let Some(b) = snapshot.budget_transitions {
-                    body.push_str(&format!(",\"budget_transitions\":{b}"));
-                }
-            }
-            Event::WorkerLevel {
-                worker,
-                level,
-                claimed,
-                inserted,
-            } => {
-                body.push_str(&format!(
-                    ",\"worker\":{worker},\"level\":{level},\"claimed\":{claimed},\
-                     \"inserted\":{inserted}"
-                ));
-            }
-            Event::FaultActivation { action, step, kind } => {
-                body.push_str(&format!(
-                    ",\"action\":{},\"step\":{step},\"kind\":{}",
-                    json_str(action),
-                    json_str(kind)
-                ));
-            }
-            Event::Counterexample {
-                kind,
-                reason,
-                length,
-                loop_start,
-                fault_steps,
-            } => {
-                body.push_str(&format!(
-                    ",\"kind\":{},\"reason\":{},\"length\":{length},\"fault_steps\":{fault_steps}",
-                    json_str(kind),
-                    json_str(reason)
-                ));
-                if let Some(l) = loop_start {
-                    body.push_str(&format!(",\"loop_start\":{l}"));
-                }
-            }
-            Event::Check { kind, name, holds } => {
-                body.push_str(&format!(
-                    ",\"kind\":{},\"name\":{},\"holds\":{holds}",
-                    json_str(kind),
-                    json_str(name)
-                ));
-            }
-            Event::Reduction { canon_hits } => {
-                body.push_str(&format!(",\"canon_hits\":{canon_hits}"));
-            }
-            Event::Checkpoint {
-                seq,
-                states,
-                transitions,
-                frontier,
-            }
-            | Event::Resume {
-                seq,
-                states,
-                transitions,
-                frontier,
-            } => {
-                body.push_str(&format!(
-                    ",\"seq\":{seq},\"states\":{states},\
-                     \"transitions\":{transitions},\"frontier\":{frontier}"
-                ));
-            }
-            Event::WorkerFailure {
-                worker,
-                level,
-                requeued,
-            } => {
-                body.push_str(&format!(
-                    ",\"worker\":{worker},\"level\":{level},\"requeued\":{requeued}"
-                ));
-            }
-            Event::Spill {
-                tier,
-                seq,
-                records,
-                bytes,
-                total_spilled_bytes,
-            } => {
-                body.push_str(&format!(
-                    ",\"tier\":{},\"seq\":{seq},\"records\":{records},\"bytes\":{bytes},\
-                     \"total_spilled_bytes\":{total_spilled_bytes}",
-                    json_str(tier)
-                ));
-            }
-            Event::BudgetIgnored {
-                budget_bytes,
-                reason,
-            } => {
-                body.push_str(&format!(
-                    ",\"budget_bytes\":{budget_bytes},\"reason\":{}",
-                    json_str(reason)
-                ));
-            }
-            Event::CacheStats {
-                hits,
-                misses,
-                evictions,
-                resident_bytes,
-                spilled_bytes,
-            } => {
-                body.push_str(&format!(
-                    ",\"hits\":{hits},\"misses\":{misses},\"evictions\":{evictions},\
-                     \"resident_bytes\":{resident_bytes},\"spilled_bytes\":{spilled_bytes}"
-                ));
-            }
-            Event::ImagePass {
-                states,
-                mapped_vars,
-                distinct_values,
-                undefined,
-                nanos,
-            } => {
-                body.push_str(&format!(
-                    ",\"states\":{states},\"mapped_vars\":{mapped_vars},\
-                     \"distinct_values\":{distinct_values},\
-                     \"undefined\":{undefined},\"nanos\":{nanos}"
-                ));
-            }
-            Event::ImageMemo {
-                check,
-                classes,
-                distinct_pairs,
-                edges,
-                skipped,
-            } => {
-                body.push_str(&format!(
-                    ",\"check\":{},\"classes\":{classes},\
-                     \"distinct_pairs\":{distinct_pairs},\"edges\":{edges},\
-                     \"skipped\":{skipped}",
-                    json_str(check)
-                ));
-            }
-            Event::RunEnd { report } => {
-                body.push_str(&format!(",\"report\":{}", report.to_json()));
-            }
-        }
+        event.for_each_field(|name, value| {
+            let _ = write!(body, ",\"{name}\":{value}");
+        });
         self.write_line(&body);
     }
 }
@@ -1450,16 +1348,66 @@ pub struct StreamSummary {
     pub max_phase_depth: usize,
 }
 
+fn invalid(key: &str, line: usize) -> String {
+    format!("line {line}: missing/invalid \"{key}\"")
+}
+
 fn req_u64(obj: &Json, key: &str, line: usize) -> Result<u64, String> {
     obj.get(key)
         .and_then(Json::as_u64)
-        .ok_or_else(|| format!("line {line}: missing/invalid \"{key}\""))
+        .ok_or_else(|| invalid(key, line))
 }
 
 fn req_str<'j>(obj: &'j Json, key: &str, line: usize) -> Result<&'j str, String> {
     obj.get(key)
         .and_then(Json::as_str)
-        .ok_or_else(|| format!("line {line}: missing/invalid \"{key}\""))
+        .ok_or_else(|| invalid(key, line))
+}
+
+fn req_bool(obj: &Json, key: &str, line: usize) -> Result<bool, String> {
+    obj.get(key)
+        .and_then(Json::as_bool)
+        .ok_or_else(|| invalid(key, line))
+}
+
+/// The generic half of [`validate_stream`]: every member of the event
+/// object `obj` (past the `v`/`t`/`ev` envelope) is listed in the
+/// kind's [`SCHEMA`] row `fields` and typed as the row says, and every
+/// required field of the row is present.
+fn check_fields(
+    obj: &Json,
+    kind: &str,
+    fields: &[(&str, Wire, Presence)],
+    line: usize,
+) -> Result<(), String> {
+    let Json::Obj(members) = obj else {
+        return Err(format!("line {line}: an event is a JSON object"));
+    };
+    for (key, value) in members {
+        if matches!(key.as_str(), "v" | "t" | "ev") {
+            continue;
+        }
+        let Some((_, wire, _)) = fields.iter().find(|(name, ..)| name == key) else {
+            return Err(format!("line {line}: unknown member \"{key}\" on {kind}"));
+        };
+        let well_typed = match wire {
+            Wire::U64 => value.as_u64().is_some(),
+            Wire::Str => value.as_str().is_some(),
+            Wire::Bool => value.as_bool().is_some(),
+            Wire::Rate => matches!(value, Json::Num(n) if *n >= 0.0),
+            Wire::Report => matches!(value, Json::Obj(_)),
+        };
+        if !well_typed {
+            return Err(invalid(key, line));
+        }
+    }
+    match fields
+        .iter()
+        .find(|(name, _, presence)| *presence == Presence::Required && obj.get(name).is_none())
+    {
+        Some((name, ..)) => Err(invalid(name, line)),
+        None => Ok(()),
+    }
 }
 
 /// Validates a JSONL event stream against the schema.
@@ -1467,7 +1415,9 @@ fn req_str<'j>(obj: &'j Json, key: &str, line: usize) -> Result<&'j str, String>
 /// Checks, per line: it parses; `"v"` equals [`OBS_SCHEMA_VERSION`];
 /// `"t"` is present and non-decreasing in file order (the recorder
 /// timestamps under its write lock, so this holds across threads);
-/// `"ev"` is a known kind carrying its required fields. Structurally:
+/// `"ev"` is a known kind whose members are exactly what its [`SCHEMA`]
+/// row allows — every required field present, every present field of
+/// the row's wire type, no member the row does not list. Structurally:
 /// phase enter/exit events obey stack discipline, runs do not nest,
 /// every `run_start` is closed by a `run_end` whose engine matches,
 /// and the last `progress` snapshot inside a run agrees with the final
@@ -1502,20 +1452,24 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
             ));
         }
         last_t = t;
-        let ev = req_str(&obj, "ev", line)?.to_string();
+        let ev = req_str(&obj, "ev", line)?;
+        let Some((_, fields)) = SCHEMA.iter().find(|(kind, _)| *kind == ev) else {
+            return Err(format!("line {line}: unknown event kind \"{ev}\""));
+        };
+        check_fields(&obj, ev, fields, line)?;
         summary.events += 1;
-        *summary.kinds.entry(ev.clone()).or_insert(0) += 1;
-        let fields = summary.fields.entry(ev.clone()).or_default();
+        *summary.kinds.entry(ev.to_string()).or_insert(0) += 1;
+        let seen = summary.fields.entry(ev.to_string()).or_default();
         for k in obj.keys() {
-            if !fields.iter().any(|f| f == k) {
-                fields.push(k.to_string());
+            if !seen.iter().any(|f| f == k) {
+                seen.push(k.to_string());
             }
         }
-        match ev.as_str() {
+        // Only the rules that relate one field to another, or one line
+        // to another, are left to write by hand.
+        match ev {
             "run_start" => {
                 let engine = req_str(&obj, "engine", line)?;
-                req_u64(&obj, "threads", line)?;
-                req_str(&obj, "mode", line)?;
                 if let Some(open) = &open_run {
                     return Err(format!(
                         "line {line}: run_start({engine}) inside open run {open}"
@@ -1525,9 +1479,7 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                 last_progress = None;
             }
             "run_end" => {
-                let report = obj
-                    .get("report")
-                    .ok_or_else(|| format!("line {line}: run_end without report"))?;
+                let report = obj.get("report").ok_or_else(|| invalid("report", line))?;
                 let engine = req_str(report, "engine", line)?;
                 let sv = req_u64(report, "schema_version", line)?;
                 if sv != OBS_SCHEMA_VERSION {
@@ -1551,10 +1503,7 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                     states: req_u64(report, "states", line)?,
                     transitions: req_u64(report, "transitions", line)?,
                     depth: req_u64(report, "depth", line)?,
-                    complete: report
-                        .get("complete")
-                        .and_then(Json::as_bool)
-                        .ok_or_else(|| format!("line {line}: report missing complete"))?,
+                    complete: req_bool(report, "complete", line)?,
                 };
                 req_u64(report, "duration_nanos", line)?;
                 req_str(report, "outcome", line)?;
@@ -1591,77 +1540,22 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                 }
             }
             "progress" => {
-                let states = req_u64(&obj, "states", line)?;
-                let transitions = req_u64(&obj, "transitions", line)?;
-                req_u64(&obj, "elapsed_nanos", line)?;
-                last_progress = Some((states, transitions));
-            }
-            "worker_level" => {
-                req_u64(&obj, "worker", line)?;
-                req_u64(&obj, "level", line)?;
-                req_u64(&obj, "claimed", line)?;
-                req_u64(&obj, "inserted", line)?;
-            }
-            "fault_activation" => {
-                req_str(&obj, "action", line)?;
-                req_u64(&obj, "step", line)?;
-                req_str(&obj, "kind", line)?;
-            }
-            "counterexample" => {
-                req_str(&obj, "kind", line)?;
-                req_str(&obj, "reason", line)?;
-                req_u64(&obj, "length", line)?;
-                req_u64(&obj, "fault_steps", line)?;
-            }
-            "check" => {
-                req_str(&obj, "kind", line)?;
-                req_str(&obj, "name", line)?;
-                obj.get("holds")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| format!("line {line}: check missing holds"))?;
-            }
-            "reduction" => {
-                req_u64(&obj, "canon_hits", line)?;
-            }
-            "checkpoint" | "resume" => {
-                req_u64(&obj, "seq", line)?;
-                req_u64(&obj, "states", line)?;
-                req_u64(&obj, "transitions", line)?;
-                req_u64(&obj, "frontier", line)?;
-            }
-            "worker_failure" => {
-                req_u64(&obj, "worker", line)?;
-                req_u64(&obj, "level", line)?;
-                req_u64(&obj, "requeued", line)?;
+                last_progress = Some((
+                    req_u64(&obj, "states", line)?,
+                    req_u64(&obj, "transitions", line)?,
+                ));
             }
             "spill" => {
                 let tier = req_str(&obj, "tier", line)?;
                 if !matches!(tier, "arena" | "edges" | "visited") {
                     return Err(format!("line {line}: unknown spill tier \"{tier}\""));
                 }
-                req_u64(&obj, "seq", line)?;
-                req_u64(&obj, "records", line)?;
-                req_u64(&obj, "bytes", line)?;
-                req_u64(&obj, "total_spilled_bytes", line)?;
-            }
-            "budget_ignored" => {
-                req_u64(&obj, "budget_bytes", line)?;
-                req_str(&obj, "reason", line)?;
-            }
-            "cache_stats" => {
-                req_u64(&obj, "hits", line)?;
-                req_u64(&obj, "misses", line)?;
-                req_u64(&obj, "evictions", line)?;
-                req_u64(&obj, "resident_bytes", line)?;
-                req_u64(&obj, "spilled_bytes", line)?;
             }
             "image_pass" => {
-                let states = req_u64(&obj, "states", line)?;
-                let mapped_vars = req_u64(&obj, "mapped_vars", line)?;
                 let distinct = req_u64(&obj, "distinct_values", line)?;
                 let undefined = req_u64(&obj, "undefined", line)?;
-                req_u64(&obj, "nanos", line)?;
-                let images = states.saturating_mul(mapped_vars);
+                let images = req_u64(&obj, "states", line)?
+                    .saturating_mul(req_u64(&obj, "mapped_vars", line)?);
                 if distinct.saturating_add(undefined) > images {
                     return Err(format!(
                         "line {line}: {distinct} distinct values and {undefined} \
@@ -1670,27 +1564,21 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                 }
             }
             "image_memo" => {
-                req_str(&obj, "check", line)?;
-                req_u64(&obj, "classes", line)?;
                 let pairs = req_u64(&obj, "distinct_pairs", line)?;
                 let edges = req_u64(&obj, "edges", line)?;
-                let skipped = obj
-                    .get("skipped")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| format!("line {line}: image_memo missing skipped"))?;
                 if pairs > edges {
                     return Err(format!(
                         "line {line}: {pairs} step evaluations for {edges} edges"
                     ));
                 }
-                if skipped && pairs != edges {
+                if req_bool(&obj, "skipped", line)? && pairs != edges {
                     return Err(format!(
                         "line {line}: a skipped memo evaluates every edge \
                          ({pairs} of {edges})"
                     ));
                 }
             }
-            other => return Err(format!("line {line}: unknown event kind \"{other}\"")),
+            _ => {}
         }
     }
     if let Some(open) = open_run {
@@ -1715,6 +1603,206 @@ mod tests {
         }
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
+        }
+    }
+
+    fn sample_report() -> RunReport {
+        RunReport {
+            schema_version: OBS_SCHEMA_VERSION,
+            engine: "explore_sequential".into(),
+            threads: 1,
+            mode: "fingerprint".into(),
+            states: 5,
+            transitions: 4,
+            depth: 2,
+            deadlocks: 1,
+            outcome: "complete".into(),
+            complete: true,
+            duration_nanos: 11,
+        }
+    }
+
+    /// One event of every kind, in [`SCHEMA`] order, with every
+    /// optional field set — and, read top to bottom, a well-formed
+    /// stream. 5 states in 2 s is 2.5 states/s, which `{:.0}` writes as
+    /// `2`; the counterexample's reason needs every escape.
+    fn samples(report: &RunReport) -> [Event<'_>; 18] {
+        [
+            Event::RunStart { engine: "explore_sequential", threads: 1, mode: "fingerprint" },
+            Event::PhaseEnter { phase: Phase::ExploreExpand },
+            Event::PhaseExit { phase: Phase::ExploreExpand },
+            Event::Progress {
+                snapshot: ProgressSnapshot {
+                    states: 5,
+                    transitions: 4,
+                    elapsed_nanos: 2_000_000_000,
+                    frontier: Some(1),
+                    level: Some(2),
+                    worker: Some(0),
+                    budget_states: Some(100),
+                    budget_transitions: Some(200),
+                },
+            },
+            Event::WorkerLevel { worker: 1, level: 0, claimed: 2, inserted: 3 },
+            Event::FaultActivation { action: "fault:lossy[sync]", step: 4, kind: "fired" },
+            Event::Counterexample {
+                kind: "liveness",
+                reason: "a \"quoted\"\\ reason\n\twith ⊳ and \u{1}",
+                length: 5,
+                loop_start: Some(2),
+                fault_steps: 1,
+            },
+            Event::Check { kind: "obligation", name: "H2a/P4", holds: true },
+            Event::Reduction { canon_hits: 12 },
+            Event::Checkpoint { seq: 1, states: 3, transitions: 2, frontier: 1 },
+            Event::WorkerFailure { worker: 1, level: 0, requeued: 1 },
+            Event::Resume { seq: 1, states: 3, transitions: 2, frontier: 1 },
+            Event::Spill { tier: "arena", seq: 0, records: 64, bytes: 4096, total_spilled_bytes: 8192 },
+            Event::BudgetIgnored { budget_bytes: 1_048_576, reason: "reduction pins the run to RAM" },
+            Event::CacheStats { hits: 9, misses: 1, evictions: 0, resident_bytes: 4096, spilled_bytes: 8192 },
+            Event::ImagePass { states: 3, mapped_vars: 1, distinct_values: 2, undefined: 0, nanos: 650 },
+            Event::ImageMemo { check: "simulation", classes: 2, distinct_pairs: 2, edges: 2, skipped: false },
+            Event::RunEnd { report },
+        ]
+    }
+
+    /// The JSONL bodies (everything after `"t":…,`) of [`samples`], as
+    /// the hand-written per-kind writer of commit 667e7d3 produced them.
+    const PINNED_BODIES: [&str; 18] = [
+        "\"ev\":\"run_start\",\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\"",
+        "\"ev\":\"phase_enter\",\"phase\":\"explore_expand\"",
+        "\"ev\":\"phase_exit\",\"phase\":\"explore_expand\"",
+        "\"ev\":\"progress\",\"states\":5,\"transitions\":4,\"elapsed_nanos\":2000000000,\"states_per_sec\":2,\"frontier\":1,\"level\":2,\"worker\":0,\"budget_states\":100,\"budget_transitions\":200",
+        "\"ev\":\"worker_level\",\"worker\":1,\"level\":0,\"claimed\":2,\"inserted\":3",
+        "\"ev\":\"fault_activation\",\"action\":\"fault:lossy[sync]\",\"step\":4,\"kind\":\"fired\"",
+        "\"ev\":\"counterexample\",\"kind\":\"liveness\",\"reason\":\"a \\\"quoted\\\"\\\\ reason\\n\\twith ⊳ and \\u0001\",\"length\":5,\"fault_steps\":1,\"loop_start\":2",
+        "\"ev\":\"check\",\"kind\":\"obligation\",\"name\":\"H2a/P4\",\"holds\":true",
+        "\"ev\":\"reduction\",\"canon_hits\":12",
+        "\"ev\":\"checkpoint\",\"seq\":1,\"states\":3,\"transitions\":2,\"frontier\":1",
+        "\"ev\":\"worker_failure\",\"worker\":1,\"level\":0,\"requeued\":1",
+        "\"ev\":\"resume\",\"seq\":1,\"states\":3,\"transitions\":2,\"frontier\":1",
+        "\"ev\":\"spill\",\"tier\":\"arena\",\"seq\":0,\"records\":64,\"bytes\":4096,\"total_spilled_bytes\":8192",
+        "\"ev\":\"budget_ignored\",\"budget_bytes\":1048576,\"reason\":\"reduction pins the run to RAM\"",
+        "\"ev\":\"cache_stats\",\"hits\":9,\"misses\":1,\"evictions\":0,\"resident_bytes\":4096,\"spilled_bytes\":8192",
+        "\"ev\":\"image_pass\",\"states\":3,\"mapped_vars\":1,\"distinct_values\":2,\"undefined\":0,\"nanos\":650",
+        "\"ev\":\"image_memo\",\"check\":\"simulation\",\"classes\":2,\"distinct_pairs\":2,\"edges\":2,\"skipped\":false",
+        "\"ev\":\"run_end\",\"report\":{\"schema_version\":3,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
+    ];
+
+    #[test]
+    fn schema_rows_are_exactly_what_each_event_emits() {
+        let report = sample_report();
+        for (i, event) in samples(&report).iter().enumerate() {
+            let (kind, row) = SCHEMA[i];
+            assert_eq!(event.kind_index(), i, "{kind}");
+            assert_eq!(event.kind(), kind);
+            let mut visited = Vec::new();
+            event.for_each_field(|name, value| {
+                let wire = match value {
+                    Field::U64(_) => Wire::U64,
+                    Field::Str(_) => Wire::Str,
+                    Field::Bool(_) => Wire::Bool,
+                    Field::Rate(_) => Wire::Rate,
+                    Field::Report(_) => Wire::Report,
+                };
+                visited.push((name, wire));
+            });
+            let listed: Vec<_> = row.iter().map(|(name, wire, _)| (*name, *wire)).collect();
+            assert_eq!(visited, listed, "{kind}: emitter and SCHEMA row differ");
+        }
+        // An unknown optional is not visited.
+        let bare = Event::Progress {
+            snapshot: ProgressSnapshot::default(),
+        };
+        let mut visited = 0;
+        bare.for_each_field(|_, _| visited += 1);
+        assert_eq!(visited, 4);
+    }
+
+    #[test]
+    fn wire_format_is_pinned_for_every_kind() {
+        let report = sample_report();
+        let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
+        let rec = JsonlRecorder::from_writer(Shared(Arc::clone(&buf)));
+        for event in samples(&report) {
+            rec.record(&event);
+        }
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), PINNED_BODIES.len());
+        for (line, (pinned, (kind, _))) in lines.iter().zip(PINNED_BODIES.iter().zip(SCHEMA)) {
+            let head = format!("{{\"v\":{OBS_SCHEMA_VERSION},\"t\":");
+            assert!(line.starts_with(&head), "{kind}: {line}");
+            let body = &line[line.find("\"ev\"").unwrap()..line.len() - 1];
+            assert_eq!(body, *pinned, "{kind}");
+        }
+        let summary = validate_stream(&text).expect("the samples are a well-formed stream");
+        assert!(SCHEMA.iter().all(|(kind, _)| summary.kinds[*kind] == 1));
+    }
+
+    /// One line of `event` with `field` dropped (`retyped: None`) or
+    /// rewritten as `retyped`.
+    fn line_with(event: &Event<'_>, field: &str, retyped: Option<&str>) -> String {
+        let mut line = format!("{{\"v\":3,\"t\":1,\"ev\":\"{}\"", event.kind());
+        event.for_each_field(|name, value| match retyped {
+            _ if name != field => line.push_str(&format!(",\"{name}\":{value}")),
+            Some(other) => line.push_str(&format!(",\"{name}\":{other}")),
+            None => {}
+        });
+        line + "}\n"
+    }
+
+    #[test]
+    fn every_required_field_must_be_present_and_well_typed() {
+        let report = sample_report();
+        for event in samples(&report) {
+            for (field, wire, presence) in SCHEMA[event.kind_index()].1 {
+                let naming_it = format!("line 1: missing/invalid \"{field}\"");
+                let retyped = if *wire == Wire::Str { "7" } else { "\"x\"" };
+                let err = validate_stream(&line_with(&event, field, Some(retyped))).unwrap_err();
+                assert_eq!(err, naming_it, "{} retyped", event.kind());
+                if *presence == Presence::Required {
+                    let err = validate_stream(&line_with(&event, field, None)).unwrap_err();
+                    assert_eq!(err, naming_it, "{} removed", event.kind());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validator_rejects_mistyped_optionals_and_unlisted_members() {
+        let progress = "{\"v\":3,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\
+                        \"elapsed_nanos\":0,\"states_per_sec\":0";
+        assert!(validate_stream(&format!("{progress}}}\n")).is_ok());
+        let err = validate_stream(&format!("{progress},\"frontier\":\"x\"}}\n")).unwrap_err();
+        assert_eq!(err, "line 1: missing/invalid \"frontier\"");
+        let cx = "{\"v\":3,\"t\":1,\"ev\":\"counterexample\",\"kind\":\"liveness\",\
+                  \"reason\":\"r\",\"length\":3,\"fault_steps\":0";
+        assert!(validate_stream(&format!("{cx},\"loop_start\":1}}\n")).is_ok());
+        let err = validate_stream(&format!("{cx},\"loop_start\":-1}}\n")).unwrap_err();
+        assert_eq!(err, "line 1: missing/invalid \"loop_start\"");
+        // A member the kind's row does not list, on the second line.
+        let err = validate_stream(&format!(
+            "{cx}}}\n{{\"v\":3,\"t\":2,\"ev\":\"reduction\",\"canon_hits\":4,\"ample_states\":0}}\n"
+        ))
+        .unwrap_err();
+        assert_eq!(err, "line 2: unknown member \"ample_states\" on reduction");
+    }
+
+    #[test]
+    #[should_panic(expected = "not an event kind")]
+    fn counting_an_unknown_kind_is_a_bug_not_a_zero() {
+        CountingRecorder::new().count("resumes");
+    }
+
+    #[test]
+    fn readme_observability_section_names_every_event_kind() {
+        let readme = include_str!("../../../README.md");
+        let start = readme.find("\n## Observability").expect("README has the section");
+        let section = &readme[start + 1..];
+        let section = &section[..section.find("\n## ").unwrap_or(section.len())];
+        for (kind, _) in SCHEMA {
+            assert!(section.contains(&format!("`{kind}`")), "README \"Observability\" omits `{kind}`");
         }
     }
 
@@ -1757,8 +1845,9 @@ mod tests {
             duration_nanos: 5,
         };
         rec.record(&Event::RunEnd { report: &report });
-        assert_eq!(rec.run_starts(), 1);
-        assert_eq!(rec.run_ends(), 1);
+        assert_eq!(rec.count("run_start"), 1);
+        assert_eq!(rec.count("run_end"), 1);
+        assert_eq!(rec.count("progress"), 0);
         assert_eq!(rec.states(), 42);
         assert_eq!(rec.transitions(), 99);
         assert_eq!(rec.depth(), 7);
@@ -1826,7 +1915,7 @@ mod tests {
         };
         let rec = CountingRecorder::new();
         rec.record(&event);
-        assert_eq!(rec.image_memo_events(), 1);
+        assert_eq!(rec.count("image_memo"), 1);
         assert_eq!(rec.events(), 1);
 
         let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
@@ -1858,7 +1947,7 @@ mod tests {
         };
         let rec = CountingRecorder::new();
         rec.record(&event);
-        assert_eq!(rec.image_pass_events(), 1);
+        assert_eq!(rec.count("image_pass"), 1);
         assert_eq!(rec.events(), 1);
 
         let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
@@ -1942,8 +2031,8 @@ mod tests {
             None,
         );
         emit_counterexample(&handle, "liveness", &cx);
-        assert_eq!(counting.counterexamples(), 1);
-        assert_eq!(counting.fault_activations(), 2);
+        assert_eq!(counting.count("counterexample"), 1);
+        assert_eq!(counting.count("fault_activation"), 2);
     }
 
     #[test]

@@ -508,10 +508,10 @@ mod tests {
             let run = check_simulation_with_images(&sys, &graph, &spec, &images, &budget).unwrap();
             assert!(run.report.unwrap().holds());
         }
-        assert_eq!(counting.image_pass_events(), 1);
+        assert_eq!(counting.count("image_pass"), 1);
         let run = check_simulation_governed(&sys, &graph, &spec, &mapping, &budget).unwrap();
         assert!(run.report.unwrap().holds());
-        assert_eq!(counting.image_pass_events(), 2);
+        assert_eq!(counting.count("image_pass"), 2);
         // Images of another graph (the first two states of this one)
         // are refused, typed.
         let partial = explore_governed(&sys, &Budget::default().states(2)).unwrap().graph;

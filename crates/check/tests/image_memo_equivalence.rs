@@ -654,7 +654,7 @@ fn certified(prove: impl FnOnce(&CompositionOptions) -> bool) -> Arc<Passes> {
 /// edges)` per obligation as `expected`, H2b last.
 fn assert_one_image_pass(name: &str, passes: &Passes, expected: &[(u64, u64, u64)]) {
     assert_eq!(
-        passes.counting().image_pass_events(),
+        passes.counting().count("image_pass"),
         1,
         "{name}: one evaluation of the mapping"
     );

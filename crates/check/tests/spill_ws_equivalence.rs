@@ -350,7 +350,7 @@ fn spill_ws_interrupt_resume_identity() {
         )
         .expect("resumed run succeeds");
         assert!(matches!(resumed.outcome, Outcome::Complete));
-        assert_eq!(recorder.resumes(), 1, "{label}: resume event must fire");
+        assert_eq!(recorder.count("resume"), 1, "{label}: resume event must fire");
         assert_identical(&label, &reference, &resumed.graph);
 
         // Cross-engine, from the in-memory snapshot: the sequential
@@ -461,7 +461,7 @@ fn unhonorable_explicit_budget_is_refused_not_ignored() {
             other => panic!("{what}: expected Precondition, got {other:?}"),
         }
         assert_eq!(
-            recorder.budget_ignored_events(),
+            recorder.count("budget_ignored"),
             1,
             "{what}: the refusal must be observable as a budget_ignored event"
         );

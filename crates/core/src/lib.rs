@@ -100,9 +100,7 @@ pub use opentla_check::{escalate, Budget, ExhaustReason, Governed, Outcome};
 // and exportable run reports, routed by `OPENTLA_OBS=/path.jsonl` or
 // an explicit recorder on the [`Budget`].
 pub use opentla_check::obs;
-pub use opentla_check::{
-    CountingRecorder, JsonlRecorder, NullRecorder, Recorder, RecorderHandle, RunReport,
-};
+pub use opentla_check::{CountingRecorder, JsonlRecorder, Recorder, RecorderHandle, RunReport};
 
 // Reduction layer: pluggable symmetry canonicalization for the
 // explorer, off by default.

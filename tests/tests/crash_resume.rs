@@ -147,7 +147,7 @@ fn interrupt_and_resume(label: &str, system: &System, opts: &ExploreOptions) {
         matches!(resumed.outcome, Outcome::Complete),
         "{label}: resumed run must complete"
     );
-    assert_eq!(recorder.resumes(), 1, "{label}: resume event must be emitted");
+    assert_eq!(recorder.count("resume"), 1, "{label}: resume event must be emitted");
     assert_identical(label, &reference.graph, &resumed.graph);
     // The resumed run's report carries the whole graph's totals, not
     // just what it explored after the cut.
@@ -525,7 +525,7 @@ fn worker_panic_degrades_gracefully_without_losing_states() {
                             "{label}: degraded run still completes"
                         );
                         assert_eq!(
-                            recorder.worker_failures(),
+                            recorder.count("worker_failure"),
                             1,
                             "{label}: exactly one worker failure is reported"
                         );
@@ -711,7 +711,7 @@ fn escalation_resumes_from_the_preserved_frontier() {
     )
     .unwrap();
     assert!(matches!(direct.outcome, Outcome::Complete));
-    let direct_work = direct_recorder.checkpoints();
+    let direct_work = direct_recorder.count("checkpoint");
     let _ = std::fs::remove_file(&direct_path);
 
     let path = snap_path("escalate");
@@ -734,17 +734,17 @@ fn escalation_resumes_from_the_preserved_frontier() {
     );
     assert_identical("escalate/chain3", &reference.graph, &escalated.graph);
     assert!(
-        recorder.resumes() >= 2,
+        recorder.count("resume") >= 2,
         "attempts must resume, not restart (saw {} resumes)",
-        recorder.resumes()
+        recorder.count("resume")
     );
     // The regression: escalated work ≤ uninterrupted work + one
     // cadence of slack per attempt. A restart-based escalation would
     // blow through this bound by a factor of attempts.
     assert!(
-        recorder.checkpoints() <= direct_work + attempts as u64,
+        recorder.count("checkpoint") <= direct_work + attempts as u64,
         "escalation re-did too much work: {} checkpoints vs {} direct + {} slack",
-        recorder.checkpoints(),
+        recorder.count("checkpoint"),
         direct_work,
         attempts
     );
@@ -836,9 +836,9 @@ fn liveness_interrupt_and_resume_reproduces_verdict() {
     };
     assert!(legs >= 2, "the first budget must actually interrupt the check");
     assert!(
-        recorder.resumes() >= 1,
+        recorder.count("resume") >= 1,
         "resumed legs must emit resume events (saw {})",
-        recorder.resumes()
+        recorder.count("resume")
     );
     assert_same_liveness_verdict(
         "chain3/liveness-resume",

@@ -90,8 +90,8 @@ fn counted_run(sys: &System, threads: usize) -> (GraphStats, (u64, u64, u64)) {
     };
     let run = explore_governed_with(sys, &budget, &opts).expect("explores");
     assert!(run.outcome.is_complete(), "tiny systems never exhaust");
-    assert_eq!(counter.run_starts(), 1);
-    assert_eq!(counter.run_ends(), 1);
+    assert_eq!(counter.count("run_start"), 1);
+    assert_eq!(counter.count("run_end"), 1);
     (
         run.graph.stats(),
         (counter.states(), counter.transitions(), counter.depth()),

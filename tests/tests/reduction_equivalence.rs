@@ -410,12 +410,12 @@ fn golden_chain4_unreduced_stats_and_report() {
     assert_eq!(stats.transitions, 164736, "chain4 transition count regressed");
     assert_eq!(stats.depth, 55, "chain4 BFS depth regressed");
     // The RunReport totals routed through the recorder agree exactly.
-    assert_eq!(recorder.run_ends(), 1);
+    assert_eq!(recorder.count("run_end"), 1);
     assert_eq!(recorder.states(), 54358);
     assert_eq!(recorder.transitions(), 164736);
     assert_eq!(recorder.depth(), 55);
     // No reduction event is emitted when reduction is off.
-    assert_eq!(recorder.reductions(), 0);
+    assert_eq!(recorder.count("reduction"), 0);
 }
 
 /// With a reduction active, the stats flow through the observability
@@ -438,7 +438,7 @@ fn reduction_event_reaches_the_recorder() {
     )
     .unwrap();
     let stats = run.reduction.expect("reduced run reports stats");
-    assert_eq!(recorder.reductions(), 1);
+    assert_eq!(recorder.count("reduction"), 1);
     let canon = recorder.reduction_totals();
     assert_eq!(canon, stats.canon_hits as u64);
 }

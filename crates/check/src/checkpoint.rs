@@ -49,7 +49,7 @@
 //! discovery order, which is why a resumed run's graph is
 //! byte-identical to an uninterrupted one.
 
-use crate::explore::Edge;
+use crate::explore::{Edge, StateGraph};
 use crate::obs::{Event, RecorderHandle};
 use crate::reduction::Canonicalize;
 use crate::{ExploreOptions, System, VisitedMode};
@@ -326,19 +326,58 @@ pub struct Snapshot {
     pub system_hash: u64,
     /// Sequence number of this snapshot within its run.
     pub seq: u64,
-    pub(crate) states: Vec<State>,
-    pub(crate) init: Vec<usize>,
-    pub(crate) edges: Vec<Vec<Edge>>,
-    pub(crate) parents: Vec<Option<(usize, usize)>>,
+    /// The arena, recorded edges and BFS tree, in canonical order.
+    pub(crate) graph: StateGraph,
     pub(crate) frontier: Vec<usize>,
     /// `Some` exactly when `reduced`.
     pub(crate) reduction: Option<ReducedRun>,
     /// `Some` for a bounded-memory (spill) snapshot: the arena and
     /// edge lists live in sealed segment files referenced by name and
-    /// checksum, plus the embedded unsealed tails. `states`, `edges`,
-    /// and `parents` are empty until [`Snapshot::materialize`] expands
-    /// them from the segments.
+    /// checksum, plus the embedded unsealed tails. `graph` is empty
+    /// until [`Snapshot::materialize`] builds it from the segments.
     pub(crate) spill: Option<SpillManifest>,
+}
+
+/// What pins a snapshot to the run that takes it: the header fields
+/// [`Snapshot::validate`] compares on resume.
+pub(crate) struct RunHeader {
+    pub(crate) mode: VisitedMode,
+    pub(crate) fp_bits: u32,
+    pub(crate) system_hash: u64,
+    /// `Some` for a symmetry-reduced run.
+    pub(crate) reduction: Option<ReducedRun>,
+}
+
+impl RunHeader {
+    /// The header of an unreduced run of the system with `system_hash`.
+    pub(crate) fn of(options: &ExploreOptions, system_hash: u64) -> RunHeader {
+        RunHeader {
+            mode: options.mode,
+            fp_bits: options.fp_bits.clamp(1, 64),
+            system_hash,
+            reduction: None,
+        }
+    }
+
+    /// A snapshot of this run, first in its sequence.
+    pub(crate) fn snapshot(
+        self,
+        graph: StateGraph,
+        frontier: Vec<usize>,
+        spill: Option<SpillManifest>,
+    ) -> Snapshot {
+        Snapshot {
+            fp_bits: self.fp_bits,
+            mode: self.mode,
+            reduced: self.reduction.is_some(),
+            system_hash: self.system_hash,
+            seq: 0,
+            graph,
+            frontier,
+            reduction: self.reduction,
+            spill,
+        }
+    }
 }
 
 /// What a symmetry-reduced run banks in its snapshots.
@@ -371,6 +410,8 @@ pub(crate) struct SpillManifest {
     pub(crate) states: u64,
     /// Total committed transitions across all edge records.
     pub(crate) transitions: u64,
+    /// Ids of the initial states.
+    pub(crate) init: Vec<usize>,
     /// Sealed arena segments, in id order.
     pub(crate) arena_segments: Vec<SegmentMeta>,
     /// Unsealed arena records (ids follow the last sealed segment).
@@ -387,7 +428,7 @@ impl Snapshot {
     pub fn states_used(&self) -> usize {
         match &self.spill {
             Some(m) => m.states as usize,
-            None => self.states.len(),
+            None => self.graph.len(),
         }
     }
 
@@ -395,7 +436,7 @@ impl Snapshot {
     pub fn transitions_used(&self) -> usize {
         match &self.spill {
             Some(m) => m.transitions as usize,
-            None => self.edges.iter().map(Vec::len).sum(),
+            None => self.graph.edge_count(),
         }
     }
 
@@ -469,7 +510,7 @@ impl Snapshot {
         &self,
         canon: &dyn Canonicalize,
     ) -> Result<(), CheckpointError> {
-        match self.states.iter().position(|s| &canon.canonicalize(s) != s) {
+        match self.graph.states().iter().position(|s| &canon.canonicalize(s) != s) {
             None => Ok(()),
             Some(id) => mismatch(
                 "symmetry canonicalizer",
@@ -536,30 +577,32 @@ impl Snapshot {
                     push_bytes(&mut out, rec);
                 }
             }
-            push_ids(&mut out, &self.init);
+            push_ids(&mut out, &m.init);
             push_ids(&mut out, &self.frontier);
             push_reduction(&mut out, &self.reduction);
             return out;
         }
-        out.extend_from_slice(&(self.states.len() as u32).to_le_bytes());
-        for s in &self.states {
+        let graph = &self.graph;
+        out.extend_from_slice(&(graph.len() as u32).to_le_bytes());
+        for s in graph.states() {
             codec::encode_state(s, &mut out);
         }
-        push_ids(&mut out, &self.init);
-        for es in &self.edges {
+        push_ids(&mut out, graph.init());
+        for id in 0..graph.len() {
+            let es = graph.edges(id);
             out.extend_from_slice(&(es.len() as u32).to_le_bytes());
             for e in es {
                 out.extend_from_slice(&(e.action as u32).to_le_bytes());
                 out.extend_from_slice(&(e.target as u32).to_le_bytes());
             }
         }
-        for p in &self.parents {
-            match p {
+        for id in 0..graph.len() {
+            match graph.parent(id) {
                 None => out.push(0),
                 Some((parent, action)) => {
                     out.push(1);
-                    out.extend_from_slice(&(*parent as u32).to_le_bytes());
-                    out.extend_from_slice(&(*action as u32).to_le_bytes());
+                    out.extend_from_slice(&(parent as u32).to_le_bytes());
+                    out.extend_from_slice(&(action as u32).to_le_bytes());
                 }
             }
         }
@@ -624,62 +667,40 @@ impl Snapshot {
         };
         let layout = PackedLayout::compile(system.vars());
         let n = m.states as usize;
-        let mut states = Vec::with_capacity(n);
-        let mut parents = Vec::with_capacity(n);
-        {
-            let mut take = |bytes: &[u8]| -> Result<(), CheckpointError> {
-                let rec = decode_arena_record(bytes, layout.as_ref())?;
-                states.push(rec.state);
-                parents.push(rec.parent);
-                Ok(())
-            };
-            for meta in &m.arena_segments {
-                for rec in store::read_segment(&m.dir.join(&meta.name), Some(meta))? {
-                    take(&rec)?;
-                }
-            }
-            for rec in &m.arena_hot {
-                take(rec)?;
-            }
+        let mut graph = StateGraph::with_capacity(n.min(1 << 20));
+        fn hot(tail: &[Vec<u8>]) -> impl Iterator<Item = &[u8]> {
+            tail.iter().map(Vec::as_slice)
         }
-        if states.len() != n {
+        for_each_record((&m.dir, &m.arena_segments, hot(&m.arena_hot)), |bytes| {
+            let rec = decode_arena_record(bytes, layout.as_ref())?;
+            graph.push_state(rec.state, rec.parent).map(drop)
+        })?;
+        if graph.len() != n {
             return Err(corrupt(format!(
                 "spill manifest claims {n} states, segments held {}",
-                states.len()
+                graph.len()
             )));
         }
-        let mut edges = vec![Vec::new(); n];
-        let mut expanded = vec![false; n];
-        let mut transitions = 0u64;
-        {
-            let mut take = |bytes: &[u8]| -> Result<(), CheckpointError> {
-                let (id, es) = decode_edge_record(bytes, n)?;
-                if std::mem::replace(&mut expanded[id], true) {
-                    return Err(corrupt(format!("duplicate edge record for state {id}")));
-                }
-                transitions += es.len() as u64;
-                edges[id] = es;
-                Ok(())
-            };
-            for meta in &m.edge_segments {
-                for rec in store::read_segment(&m.dir.join(&meta.name), Some(meta))? {
-                    take(&rec)?;
-                }
-            }
-            for rec in &m.edge_hot {
-                take(rec)?;
-            }
+        if graph.init() != m.init {
+            return Err(corrupt("spill manifest and arena records disagree on the initial states"));
         }
-        if transitions != m.transitions {
+        let mut expanded = vec![false; n];
+        for_each_edge_record((&m.dir, &m.edge_segments, hot(&m.edge_hot)), n, |id, es| {
+            if std::mem::replace(&mut expanded[id], true) {
+                return Err(corrupt(format!("duplicate edge record for state {id}")));
+            }
+            graph.set_edges(id, es);
+            Ok(())
+        })?;
+        if graph.edge_count() as u64 != m.transitions {
             return Err(corrupt(format!(
-                "spill manifest claims {} transitions, edge records held {transitions}",
-                m.transitions
+                "spill manifest claims {} transitions, edge records held {}",
+                m.transitions,
+                graph.edge_count()
             )));
         }
         Ok(Snapshot {
-            states,
-            edges,
-            parents,
+            graph,
             spill: None,
             ..self
         })
@@ -776,28 +797,38 @@ impl SnapshotReader<'_> {
             states.push(codec::decode_state(&mut self.r)?);
         }
         let init = self.ids("initial state id", n)?;
-        let mut edges = Vec::with_capacity(n);
+        // The edge lists sit between the arena and the BFS tree its
+        // states are pushed with: skipped here, read once those are in.
+        let mut edges = SnapshotReader { r: self.r };
         for _ in 0..n {
-            let k = self.r.u32("edge count")? as usize;
-            let mut es = Vec::with_capacity(k.min(1 << 20));
-            for _ in 0..k {
-                let action = self.r.u32("edge action")? as usize;
-                let target = self.id("edge target", n)?;
-                es.push(Edge { action, target });
+            for _ in 0..self.r.u32("edge count")? {
+                self.r.u64("edge")?;
             }
-            edges.push(es);
         }
-        let mut parents = Vec::with_capacity(n);
-        for i in 0..n {
-            parents.push(match self.r.u8("parent tag")? {
+        let mut graph = StateGraph::with_capacity(states.len());
+        for state in states {
+            let parent = match self.r.u8("parent tag")? {
                 0 => None,
                 1 => {
-                    let parent = self.id("parent id", i.max(1))?;
-                    let action = self.r.u32("parent action")? as usize;
-                    Some((parent, action))
+                    let parent = self.r.u32("parent id")? as usize;
+                    Some((parent, self.r.u32("parent action")? as usize))
                 }
                 t => return Err(corrupt(format!("bad parent tag {t}"))),
-            });
+            };
+            graph.push_state(state, parent)?;
+        }
+        if graph.init() != init {
+            return Err(corrupt("initial state ids disagree with the parentless states"));
+        }
+        let mut list = Vec::new();
+        for id in 0..n {
+            list.clear();
+            for _ in 0..edges.r.u32("edge count")? {
+                let action = edges.r.u32("edge action")? as usize;
+                let target = edges.id("edge target", n)?;
+                list.push(Edge { action, target });
+            }
+            graph.set_edges(id, &list);
         }
         let frontier = self.ids("frontier id", n)?;
         let reduction = self.reduction(reduced)?;
@@ -808,10 +839,7 @@ impl SnapshotReader<'_> {
             reduced,
             system_hash,
             seq,
-            states,
-            init,
-            edges,
-            parents,
+            graph,
             frontier,
             reduction,
             spill: None,
@@ -870,16 +898,14 @@ impl SnapshotReader<'_> {
             reduced,
             system_hash,
             seq,
-            states: Vec::new(),
-            init,
-            edges: Vec::new(),
-            parents: Vec::new(),
+            graph: StateGraph::with_capacity(0),
             frontier,
             reduction,
             spill: Some(SpillManifest {
                 dir,
                 states,
                 transitions,
+                init,
                 arena_segments,
                 arena_hot,
                 edge_segments,
@@ -895,51 +921,49 @@ impl SnapshotReader<'_> {
 /// `keep` truncates the arena to a prefix — the work-stealing engines
 /// roll back to the last complete BFS level boundary (every kept edge
 /// then points inside the prefix); sequential captures pass the full
-/// length. `reduction` is `Some` for a symmetry-reduced run.
-#[allow(clippy::too_many_arguments)]
+/// length.
 pub(crate) fn capture(
-    states: &[State],
-    init: &[usize],
-    edges: &[Vec<Edge>],
-    parents: &[Option<(usize, usize)>],
+    graph: &StateGraph,
     keep: usize,
     frontier: &[usize],
-    mode: VisitedMode,
-    system_hash: u64,
-    fp_bits: u32,
-    seq: u64,
-    reduction: Option<ReducedRun>,
+    header: RunHeader,
 ) -> Snapshot {
-    let mut is_frontier = vec![false; keep];
-    for &f in frontier {
-        is_frontier[f] = true;
-    }
-    let edges = (0..keep)
-        .map(|i| {
-            if is_frontier[i] {
-                Vec::new()
-            } else {
-                edges[i].clone()
-            }
-        })
-        .collect();
     let mut frontier = frontier.to_vec();
     frontier.sort_unstable();
     frontier.dedup();
-    Snapshot {
-        fp_bits,
-        mode,
-        reduced: reduction.is_some(),
-        system_hash,
-        seq,
-        states: states[..keep].to_vec(),
-        init: init.to_vec(),
-        edges,
-        parents: parents[..keep].to_vec(),
-        frontier,
-        reduction,
-        spill: None,
+    let mut graph = graph.prefix(keep);
+    graph.clear_edges(&frontier);
+    header.snapshot(graph, frontier, None)
+}
+
+/// Hands `take` every record of a segmented store `(dir, sealed,
+/// hot)`, in id order: the sealed segments under `dir`, each verified
+/// against its `sealed` entry as it is read, then the unsealed `hot`
+/// tail.
+pub(crate) fn for_each_record<'a>(
+    (dir, sealed, hot): (&Path, &[SegmentMeta], impl Iterator<Item = &'a [u8]>),
+    mut take: impl FnMut(&[u8]) -> Result<(), CheckpointError>,
+) -> Result<(), CheckpointError> {
+    for meta in sealed {
+        for rec in store::read_segment(&dir.join(&meta.name), Some(meta))? {
+            take(&rec)?;
+        }
     }
+    hot.into_iter().try_for_each(take)
+}
+
+/// [`for_each_record`] over edge records: `take(id, successors)`, ids
+/// and targets below `bound`.
+pub(crate) fn for_each_edge_record<'a>(
+    records: (&Path, &[SegmentMeta], impl Iterator<Item = &'a [u8]>),
+    bound: usize,
+    mut take: impl FnMut(usize, &[Edge]) -> Result<(), CheckpointError>,
+) -> Result<(), CheckpointError> {
+    let mut list = Vec::new();
+    for_each_record(records, |bytes| {
+        let id = decode_edge_record(bytes, bound, &mut list)?;
+        take(id, &list)
+    })
 }
 
 /// One arena record in the spill store: `[tag u8][parent u32, with
@@ -1035,18 +1059,20 @@ pub(crate) fn encode_edge_record(id: usize, edges: &[Edge], out: &mut Vec<u8>) {
     }
 }
 
-pub(crate) fn decode_edge_record(
+/// Decodes one edge record into `edges` (cleared first); returns the
+/// state it belongs to.
+fn decode_edge_record(
     bytes: &[u8],
     bound: usize,
-) -> Result<(usize, Vec<Edge>), CheckpointError> {
+    edges: &mut Vec<Edge>,
+) -> Result<usize, CheckpointError> {
     let mut r = Reader::new(bytes);
     let id = r.u32("edge record id")? as usize;
     if id >= bound {
         return Err(corrupt(format!("edge record id {id} out of range (< {bound})")));
     }
-    let k = r.u32("edge record count")? as usize;
-    let mut edges = Vec::with_capacity(k.min(1 << 20));
-    for _ in 0..k {
+    edges.clear();
+    for _ in 0..r.u32("edge record count")? {
         let action = r.u32("edge action")? as usize;
         let target = r.u32("edge target")? as usize;
         if target >= bound {
@@ -1057,7 +1083,7 @@ pub(crate) fn decode_edge_record(
         edges.push(Edge { action, target });
     }
     expect_end(&r, "an edge record")?;
-    Ok((id, edges))
+    Ok(id)
 }
 
 /// The checkpoint driver: counts work against the cadence, stamps
@@ -1394,6 +1420,19 @@ mod tests {
     use super::*;
     use opentla_kernel::Value;
 
+    /// Three states: 0 initial and expanded, 1 and 2 reached from it.
+    fn sample_graph() -> StateGraph {
+        let mut graph = StateGraph::with_capacity(3);
+        let states = [(0, false, None), (1, false, Some((0, 0))), (1, true, Some((0, 1)))];
+        for (x, y, parent) in states {
+            let state = State::new(vec![Value::Int(x), Value::Bool(y)]);
+            graph.push_state(state, parent).unwrap();
+        }
+        let successors = [Edge { action: 0, target: 1 }, Edge { action: 1, target: 2 }];
+        graph.set_edges(0, &successors);
+        graph
+    }
+
     fn sample() -> Snapshot {
         Snapshot {
             fp_bits: 64,
@@ -1401,21 +1440,7 @@ mod tests {
             reduced: true,
             system_hash: 0xdead_beef_cafe_f00d,
             seq: 7,
-            states: vec![
-                State::new(vec![Value::Int(0), Value::Bool(false)]),
-                State::new(vec![Value::Int(1), Value::Bool(false)]),
-                State::new(vec![Value::Int(1), Value::Bool(true)]),
-            ],
-            init: vec![0],
-            edges: vec![
-                vec![
-                    Edge { action: 0, target: 1 },
-                    Edge { action: 1, target: 2 },
-                ],
-                Vec::new(),
-                Vec::new(),
-            ],
-            parents: vec![None, Some((0, 0)), Some((0, 1))],
+            graph: sample_graph(),
             frontier: vec![1, 2],
             reduction: Some(ReducedRun {
                 canonicalizer: "sample-group".into(),
@@ -1431,10 +1456,12 @@ mod tests {
         assert_eq!(a.reduced, b.reduced);
         assert_eq!(a.system_hash, b.system_hash);
         assert_eq!(a.seq, b.seq);
-        assert_eq!(a.states, b.states);
-        assert_eq!(a.init, b.init);
-        assert_eq!(a.edges, b.edges);
-        assert_eq!(a.parents, b.parents);
+        assert_eq!(a.graph.states(), b.graph.states());
+        assert_eq!(a.graph.init(), b.graph.init());
+        for id in 0..a.graph.len() {
+            assert_eq!(a.graph.edges(id), b.graph.edges(id));
+            assert_eq!(a.graph.parent(id), b.graph.parent(id));
+        }
         assert_eq!(a.frontier, b.frontier);
         assert_eq!(a.reduction, b.reduction);
     }
@@ -1548,6 +1575,79 @@ mod tests {
             CheckpointError::Corrupt { detail } => assert!(detail.contains("reduced flag"), "{detail}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    fn corrupt_detail(result: Result<Snapshot, CheckpointError>) -> String {
+        match result {
+            Err(CheckpointError::Corrupt { detail }) => detail,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    /// `trace_to` follows parents until it meets an initial state, so
+    /// a state that names itself would hang it. A valid checksum does
+    /// not vouch for the tree: FNV-1a guards against rot, not against
+    /// whatever wrote the file.
+    #[test]
+    fn v1_state_zero_naming_a_parent_is_corrupt() {
+        let dir = std::env::temp_dir().join("opentla_ckpt_parent_v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("self_parent.snap");
+        let mut body = sample().encode_body();
+        // The sample's BFS tree: state 0 initial, 1 and 2 reached from
+        // it by actions 0 and 1.
+        let tree = [0u8, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0];
+        let at = body.windows(tree.len()).rposition(|w| w == tree).unwrap();
+        body.splice(at..at + 1, [1, 0, 0, 0, 0, 0, 0, 0, 0]);
+        write_framed(&path, MAGIC, &body).unwrap();
+        let detail = corrupt_detail(Snapshot::load(&path));
+        assert!(detail.contains("state 0 names state 0"), "{detail}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A spill manifest's arena records carry their parents as raw
+    /// words; one past the arena would index `trace_to` out of bounds.
+    #[test]
+    fn v2_arena_record_naming_a_later_parent_is_corrupt() {
+        use opentla_kernel::{Domain, Vars};
+        let dir = std::env::temp_dir().join("opentla_ckpt_parent_v2");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("far_parent.snap");
+        let graph = sample_graph();
+        let (mut scratch, mut rec) = (Vec::new(), Vec::new());
+        let arena_hot = [None, Some((0, 0)), Some((999, 1))]
+            .into_iter()
+            .enumerate()
+            .map(|(id, parent)| {
+                let (state, fp) = (graph.state(id), graph.state(id).fingerprint());
+                encode_arena_record(state, fp, parent, None, &mut scratch, &mut rec);
+                rec.clone()
+            })
+            .collect();
+        let snap = Snapshot {
+            graph: StateGraph::with_capacity(0),
+            frontier: vec![0],
+            spill: Some(SpillManifest {
+                dir: dir.clone(),
+                states: 3,
+                transitions: 0,
+                init: vec![0],
+                arena_segments: Vec::new(),
+                arena_hot,
+                edge_segments: Vec::new(),
+                edge_hot: Vec::new(),
+            }),
+            ..sample()
+        };
+        snap.save(&path).unwrap();
+        let mut vars = Vars::new();
+        vars.declare("x", Domain::int_range(0, 1));
+        vars.declare("y", Domain::booleans());
+        let system = System::new(vars, crate::Init::new([]), vec![]);
+        let loaded = Snapshot::load(&path).unwrap();
+        let detail = corrupt_detail(loaded.materialize(&system));
+        assert!(detail.contains("state 2 names state 999"), "{detail}");
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -5,12 +5,16 @@
 //! into one of four plans (`plan.rs`), each a scheduler loop over a
 //! store:
 //!
-//! | plan (`RunStart.engine`) | scheduler loop        | states, edges, visited set                        |
-//! |--------------------------|-----------------------|---------------------------------------------------|
-//! | `explore_sequential`     | `seq::explore_seq`    | `seq::RamStore`: `Vec` arena, hash-map visited    |
-//! | `explore_spill`          | `seq::explore_seq`    | `spill::SpillStore`: segment files, two-tier set  |
-//! | `explore_parallel_ws`    | `ws::run_workers`     | `ws`: striped packed arenas in RAM                |
-//! | `explore_spill_ws`       | `ws::run_workers`     | `spill_ws`: shared segment files, striped two-tier|
+//! | plan (`RunStart.engine`) | scheduler loop        | states, edges, dedup index                         |
+//! |--------------------------|-----------------------|----------------------------------------------------|
+//! | `explore_sequential`     | `seq::explore_seq`    | `seq::RamStore`: a [`StateGraph`], one index       |
+//! | `explore_spill`          | `seq::explore_seq`    | `spill::SpillStore`: segment files, two-tier index |
+//! | `explore_parallel_ws`    | `ws::run_workers`     | `ws`: striped packed arenas in RAM, striped index  |
+//! | `explore_spill_ws`       | `ws::run_workers`     | `spill_ws`: shared segment files, striped two-tier |
+//!
+//! Every plan ends in one [`StateGraph`] (`graph.rs`, the only code
+//! that knows its layout): states, edges and the BFS tree. The dedup
+//! index (`index.rs`) is private to the store and dropped with it.
 //!
 //! The routing rule: an active [`Reduction`] → the first plan;
 //! otherwise `(more than one thread, a memory budget)` picks the row —
@@ -36,25 +40,23 @@
 //! fingerprinted and interned; it is sequential at any requested
 //! thread count.
 //!
-//! Every plan deduplicates states through a [`VisitedMode`]: either
-//! **fingerprinting** (the default — 64-bit hashes in the visited set,
-//! full states only in an append-only arena) or an **exact** fallback
-//! that keys the visited set by the full state. See [`VisitedMode`]
-//! for the soundness trade-off.
+//! Every plan deduplicates states through a [`VisitedMode`] over one
+//! index design, masked fingerprint → first id: **fingerprinting**
+//! (the default) trusts a hit, the **exact** fallback verifies it
+//! against the arena and chains the ids of genuinely colliding states
+//! under their key. See [`VisitedMode`] for the soundness trade-off.
 
 use crate::budget::{Budget, ExhaustReason, Governed, Meter, Outcome};
-use crate::checkpoint::{self, Checkpointer, ReducedRun, ResumeToken, Snapshot};
+use crate::checkpoint::{self, Checkpointer, ResumeToken, RunHeader, Snapshot};
 use crate::compiled::{CompiledSystem, EvalScratch};
 use crate::obs::{
     Event, Phase, PhaseGuard, ProgressSnapshot, RecorderHandle, RunReport, OBS_SCHEMA_VERSION,
 };
-use crate::reduction::{Canonicalize, Reduction, ReductionStats};
+use crate::reduction::{Reduction, ReductionStats};
 use crate::{CheckError, System};
-use fxhash::FxHashMap;
 use opentla_kernel::State;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 // Every lock in the work-stealing engines guards state that is kept
 // consistent *within* each critical section (arena pushes and map
@@ -65,12 +67,15 @@ use std::sync::{Arc, Mutex, PoisonError};
 // poison would instead turn one worker's bug into a whole-run abort.
 use crate::sync::{lock, Striped, NUM_SHARDS};
 
+mod graph;
+mod index;
 mod plan;
 mod seq;
 mod spill;
 mod spill_ws;
 mod ws;
 
+pub use graph::{Edge, GraphStats, StateGraph};
 use plan::{Plan, Route, Start};
 
 /// How the explorer remembers which states it has already seen.
@@ -86,17 +91,21 @@ use plan::{Plan, Route, Start};
 ///   probability of any collision is about `n² / 2⁶⁵` (birthday
 ///   bound): ≈ 3 × 10⁻⁸ at a million states. This mirrors TLC, which
 ///   has run on this design for twenty-five years.
-/// * [`VisitedMode::Exact`] keys the visited set by the full state:
-///   no collisions possible, at the cost of hashing and storing whole
-///   states. Use it when a run must be collision-free by construction
-///   (e.g. when a check's verdict feeds a proof).
+/// * [`VisitedMode::Exact`] uses the same fingerprint index but
+///   verifies every hit against the arena — state equality in RAM,
+///   packed bytes in the work-stealing stores, the record read back in
+///   the disk-backed one — and records a state that differs from every
+///   id under its fingerprint as new: no two states are ever
+///   conflated, at the cost of materializing and comparing each
+///   successor. Use it when a run must be collision-free by
+///   construction (e.g. when a check's verdict feeds a proof).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum VisitedMode {
     /// 64-bit fingerprints in the visited set (fast; collisions
     /// under-approximate with probability ≈ n²/2⁶⁵).
     #[default]
     Fingerprint,
-    /// Full states in the visited set (slower; exact).
+    /// Fingerprint hits verified against the arena (slower; exact).
     Exact,
 }
 
@@ -245,240 +254,6 @@ fn fp_mask(fp_bits: u32) -> u64 {
         u64::MAX
     } else {
         (1u64 << fp_bits.max(1)) - 1
-    }
-}
-
-/// Summary statistics of a reachability graph; see
-/// [`StateGraph::stats`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GraphStats {
-    /// Number of reachable states.
-    pub states: usize,
-    /// Number of (non-stuttering) transitions.
-    pub transitions: usize,
-    /// Number of states without outgoing transitions.
-    pub deadlocks: usize,
-    /// Longest shortest path from an initial state (BFS depth).
-    pub depth: usize,
-}
-
-impl std::fmt::Display for GraphStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} states, {} transitions, depth {}, {} deadlocks",
-            self.states, self.transitions, self.depth, self.deadlocks
-        )
-    }
-}
-
-/// An edge of the reachability graph: which action fired and where it
-/// leads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Edge {
-    /// Index of the action in the system's action list.
-    pub action: usize,
-    /// Index of the target state in the graph.
-    pub target: usize,
-}
-
-/// The visited set of a [`StateGraph`], in either representation.
-#[derive(Clone, Debug)]
-enum Visited {
-    Exact(HashMap<State, usize>),
-    Fingerprint {
-        map: FxHashMap<u64, usize>,
-        mask: u64,
-    },
-}
-
-impl Visited {
-    fn new(mode: VisitedMode, mask: u64) -> Visited {
-        match mode {
-            VisitedMode::Exact => Visited::Exact(HashMap::new()),
-            VisitedMode::Fingerprint => Visited::Fingerprint {
-                map: FxHashMap::default(),
-                mask,
-            },
-        }
-    }
-
-    /// Looks up a state, returning its id if (a state with the same
-    /// key as) it was seen.
-    fn lookup(&self, s: &State) -> Option<usize> {
-        match self {
-            Visited::Exact(map) => map.get(s).copied(),
-            Visited::Fingerprint { map, mask } => map.get(&(s.fingerprint() & mask)).copied(),
-        }
-    }
-
-    /// The exact-mode visited set of a finished arena, which lists
-    /// every state exactly once.
-    fn exact_of(states: &[State]) -> Visited {
-        Visited::Exact(states.iter().cloned().zip(0..).collect())
-    }
-}
-
-/// The reachable state graph of a [`System`], with a BFS tree for
-/// shortest-trace reconstruction.
-///
-/// Exploration order is deterministic (BFS over the system's action
-/// order), so state indices — and therefore counterexamples — are
-/// reproducible. The parallel engine preserves this: its renumbering
-/// pass restores the exact sequential ordering.
-#[derive(Clone, Debug)]
-pub struct StateGraph {
-    states: Vec<State>,
-    visited: Visited,
-    init: Vec<usize>,
-    edges: Vec<Vec<Edge>>,
-    parents: Vec<Option<(usize, usize)>>,
-    /// Whether any reduction pruned this graph (see
-    /// [`StateGraph::is_reduced`]).
-    reduced: bool,
-    /// The symmetry canonicalizer the exploration ran under, if any —
-    /// kept so lookups and counterexample concretization can map
-    /// through orbits.
-    canon: Option<Arc<dyn Canonicalize>>,
-}
-
-impl StateGraph {
-    /// Number of reachable states.
-    pub fn len(&self) -> usize {
-        self.states.len()
-    }
-
-    /// Whether the graph is empty (no initial states).
-    pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
-    }
-
-    /// Total number of (non-stuttering) transitions.
-    pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
-    }
-
-    /// The state with the given index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn state(&self, id: usize) -> &State {
-        &self.states[id]
-    }
-
-    /// All reachable states in discovery order.
-    pub fn states(&self) -> &[State] {
-        &self.states
-    }
-
-    /// The index of a state, if recorded.
-    ///
-    /// In fingerprint mode the candidate found by fingerprint is
-    /// verified against the arena, so this never misattributes an
-    /// index: a state displaced by a fingerprint collision (not
-    /// recorded) answers `None`. On a symmetry-reduced graph the state
-    /// is canonicalized first, so any member of a recorded orbit finds
-    /// its representative.
-    pub fn index_of(&self, s: &State) -> Option<usize> {
-        let canonical;
-        let s = match &self.canon {
-            Some(c) => {
-                canonical = c.canonicalize(s);
-                &canonical
-            }
-            None => s,
-        };
-        let id = self.visited.lookup(s)?;
-        match &self.visited {
-            Visited::Exact(_) => Some(id),
-            Visited::Fingerprint { .. } => (&self.states[id] == s).then_some(id),
-        }
-    }
-
-    /// Whether this graph was built under an active [`Reduction`]. A
-    /// reduced graph soundly answers *state-invariant* reachability
-    /// (for properties symmetric under the reduction's group), but its
-    /// edges join orbit representatives — so
-    /// [`crate::check_simulation`], [`crate::check_liveness`] and
-    /// [`crate::check_step_invariant`] refuse it and require a full
-    /// exploration instead (see [`crate::Reduction`]).
-    pub fn is_reduced(&self) -> bool {
-        self.reduced
-    }
-
-    /// The symmetry canonicalizer this graph was explored under.
-    pub(crate) fn canonicalizer(&self) -> Option<&dyn Canonicalize> {
-        self.canon.as_deref()
-    }
-
-    /// Indices of the initial states.
-    pub fn init(&self) -> &[usize] {
-        &self.init
-    }
-
-    /// Outgoing edges of a state.
-    pub fn edges(&self, id: usize) -> &[Edge] {
-        &self.edges[id]
-    }
-
-    /// States with no outgoing transition — "deadlocks" in the TLC
-    /// sense. In TLA semantics these states merely stutter forever,
-    /// which is often legitimate (a terminated protocol), but an
-    /// unexpected deadlock usually signals an over-constrained guard.
-    pub fn deadlocks(&self) -> Vec<usize> {
-        (0..self.len()).filter(|i| self.edges[*i].is_empty()).collect()
-    }
-
-    /// Summary statistics of the graph: states, transitions, deadlock
-    /// count, and the BFS depth (longest shortest path from an initial
-    /// state).
-    pub fn stats(&self) -> GraphStats {
-        // BFS depth from all initial states.
-        let mut depth = vec![usize::MAX; self.len()];
-        let mut queue = std::collections::VecDeque::new();
-        for &i in &self.init {
-            depth[i] = 0;
-            queue.push_back(i);
-        }
-        let mut max_depth = 0;
-        while let Some(s) = queue.pop_front() {
-            for e in &self.edges[s] {
-                if depth[e.target] == usize::MAX {
-                    depth[e.target] = depth[s] + 1;
-                    max_depth = max_depth.max(depth[e.target]);
-                    queue.push_back(e.target);
-                }
-            }
-        }
-        GraphStats {
-            states: self.len(),
-            transitions: self.edge_count(),
-            deadlocks: self.deadlocks().len(),
-            depth: max_depth,
-        }
-    }
-
-    /// The shortest trace from an initial state to `id`, as
-    /// `(action index leading into the state, state index)` pairs; the
-    /// first entry has no action.
-    pub fn trace_to(&self, id: usize) -> Vec<(Option<usize>, usize)> {
-        let mut rev = Vec::new();
-        let mut cur = id;
-        loop {
-            match self.parents[cur] {
-                Some((pred, action)) => {
-                    rev.push((Some(action), cur));
-                    cur = pred;
-                }
-                None => {
-                    rev.push((None, cur));
-                    break;
-                }
-            }
-        }
-        rev.reverse();
-        rev
     }
 }
 
@@ -851,33 +626,15 @@ pub fn explore(system: &System, options: &ExploreOptions) -> Result<StateGraph, 
 /// by every engine): `keep`/`frontier` follow the engine's cut
 /// discipline, and the snapshot is written to disk when a checkpoint
 /// spec is active.
-#[allow(clippy::too_many_arguments)]
 fn seq_exhaustion_snapshot(
     ck: &mut Checkpointer,
     recorder: &RecorderHandle,
-    states: &[State],
-    init: &[usize],
-    edges: &[Vec<Edge>],
-    parents: &[Option<(usize, usize)>],
+    graph: &StateGraph,
     keep: usize,
     frontier: &[usize],
-    options: &ExploreOptions,
-    sys_hash: u64,
-    reduction: Option<ReducedRun>,
+    header: RunHeader,
 ) -> (Option<Box<Snapshot>>, Option<ResumeToken>) {
-    let snap = checkpoint::capture(
-        states,
-        init,
-        edges,
-        parents,
-        keep,
-        frontier,
-        options.mode,
-        sys_hash,
-        options.fp_bits.clamp(1, 64),
-        0,
-        reduction,
-    );
+    let snap = checkpoint::capture(graph, keep, frontier, header);
     let token = if ck.active() {
         ck.write(snap.clone(), recorder)
     } else {
@@ -922,28 +679,27 @@ fn local_of(p: Pid) -> usize {
 /// level, non-decreasing in id order.
 struct Replay {
     canon: Vec<Vec<u32>>,
-    states: Vec<State>,
-    edges: Vec<Vec<Edge>>,
-    parents: Vec<Option<(usize, usize)>>,
-    init: Vec<usize>,
+    graph: StateGraph,
     depth: Vec<u32>,
 }
 
-/// Builds the [`Replay`], all but its `states`: returns it with
-/// `states` empty plus the pids in canonical id order, so callers
-/// choose how to materialize (each state is an independent unpack or
-/// decode once the order is fixed). Each parent's run is indexed
-/// first: `edge_index[shard][local]` is `(which vector, start,
-/// length)`, `u32::MAX` marking "no edges". Every interned state has a
-/// recorded incoming edge (interning and edge-recording are adjacent
-/// in the worker, and a panicked worker's truncated records are
-/// re-recorded when its parent is re-expanded) or is initial, so the
-/// replay reaches every interned state of a complete run.
-fn replay_records_order(
+/// Builds the [`Replay`]. The discovery order is fixed first, over
+/// pids alone; `materialize` then turns the pids, in canonical id
+/// order, into their states however the caller's arena allows (each
+/// state is an independent unpack or decode once the order is fixed).
+/// Each parent's run is indexed first: `edge_index[shard][local]` is
+/// `(which vector, start, length)`, `u32::MAX` marking "no edges".
+/// Every interned state has a recorded incoming edge (interning and
+/// edge-recording are adjacent in the worker, and a panicked worker's
+/// truncated records are re-recorded when its parent is re-expanded)
+/// or is initial, so the replay reaches every interned state of a
+/// complete run.
+fn replay_records(
     arena_lens: &[usize],
     all_edges: &[Vec<(Pid, u32, Pid)>],
     init_pids: &[Pid],
-) -> (Replay, Vec<Pid>) {
+    materialize: impl FnOnce(&[Pid]) -> Vec<State>,
+) -> Replay {
     const NO_RUN: (u32, u32, u32) = (u32::MAX, 0, 0);
     let mut edge_index: Vec<Vec<(u32, u32, u32)>> =
         arena_lens.iter().map(|&n| vec![NO_RUN; n]).collect();
@@ -960,74 +716,69 @@ fn replay_records_order(
             i = j;
         }
     }
-
-    let mut r = Replay {
-        canon: arena_lens.iter().map(|&n| vec![u32::MAX; n]).collect(),
-        states: Vec::new(),
-        edges: Vec::new(),
-        parents: Vec::new(),
-        init: Vec::new(),
-        depth: Vec::new(),
-    };
-    let mut order: Vec<Pid> = Vec::new();
-    let mut queue = std::collections::VecDeque::new();
-    for &p in init_pids {
-        let id = order.len();
-        r.canon[shard_of(p)][local_of(p)] = id as u32;
-        order.push(p);
-        r.edges.push(Vec::new());
-        r.parents.push(None);
-        r.depth.push(0);
-        r.init.push(id);
-        queue.push_back(p);
-    }
-    while let Some(p) = queue.pop_front() {
-        let id = r.canon[shard_of(p)][local_of(p)] as usize;
+    let run_of = |p: Pid| {
         let (vi, start, len) = edge_index[shard_of(p)][local_of(p)];
-        if vi == u32::MAX {
-            continue;
+        match vi {
+            u32::MAX => &[][..],
+            _ => &all_edges[vi as usize][start as usize..(start + len) as usize],
         }
-        let run = &all_edges[vi as usize][start as usize..(start + len) as usize];
-        for &(_, action, child) in run {
-            let slot = &mut r.canon[shard_of(child)][local_of(child)];
-            let target = if *slot == u32::MAX {
-                let nid = order.len();
-                *slot = nid as u32;
-                order.push(child);
-                r.edges.push(Vec::new());
-                r.parents.push(Some((id, action as usize)));
-                r.depth.push(r.depth[id] + 1);
-                queue.push_back(child);
-                nid
-            } else {
-                *slot as usize
-            };
-            r.edges[id].push(Edge {
-                action: action as usize,
-                target,
-            });
-        }
+    };
+
+    let mut canon: Vec<Vec<u32>> = arena_lens.iter().map(|&n| vec![u32::MAX; n]).collect();
+    let mut depth: Vec<u32> = vec![0; init_pids.len()];
+    // The pids in canonical id order — also the BFS queue, `next` its
+    // head — and how each was discovered.
+    let mut order: Vec<Pid> = init_pids.to_vec();
+    let mut from: Vec<Option<(u32, u32)>> = vec![None; init_pids.len()];
+    for (id, &p) in init_pids.iter().enumerate() {
+        canon[shard_of(p)][local_of(p)] = id as u32;
     }
-    (r, order)
+    let mut next = 0;
+    while let Some(&p) = order.get(next) {
+        for &(_, action, child) in run_of(p) {
+            let slot = &mut canon[shard_of(child)][local_of(child)];
+            if *slot == u32::MAX {
+                *slot = order.len() as u32;
+                order.push(child);
+                from.push(Some((next as u32, action)));
+                depth.push(depth[next] + 1);
+            }
+        }
+        next += 1;
+    }
+
+    let mut graph = StateGraph::with_capacity(order.len());
+    for (state, from) in materialize(&order).into_iter().zip(from) {
+        let parent = from.map(|(id, action)| (id as usize, action as usize));
+        graph
+            .push_state(state, parent)
+            .expect("a replayed state is discovered from an earlier one");
+    }
+    let mut list: Vec<Edge> = Vec::new();
+    for (id, &p) in order.iter().enumerate() {
+        list.clear();
+        list.extend(run_of(p).iter().map(|&(_, action, child)| Edge {
+            action: action as usize,
+            target: canon[shard_of(child)][local_of(child)] as usize,
+        }));
+        graph.set_edges(id, &list);
+    }
+    Replay { canon, graph, depth }
 }
 
 /// The deepest consistent level-boundary rollback of a stopped
-/// work-stealing run, shared by both of its engines: given the canonical
-/// replay's pid→id map and per-id BFS depths, plus the
-/// discovered-but-unexpanded pids, returns `(keep, frontier_ids)` for
-/// [`checkpoint::capture`]. The cut level L is the shallowest pending
-/// state's depth — everything above L is fully expanded, and the
-/// frontier is *all* of level L (replay depth is non-decreasing in
-/// canonical id order, so that is an id range landing on the arena's
-/// tail, exactly the cut the resume paths expect). Pending pids
-/// unreachable in the replay are ignored; with no reachable pending
-/// state at all, the whole graph is kept with an empty frontier.
-fn rollback_cut(
-    canon: &[Vec<u32>],
-    depth: &[u32],
-    states_len: usize,
-    pending: &[Pid],
-) -> (usize, Vec<usize>) {
+/// work-stealing run, shared by both of its engines: given the
+/// canonical replay and the discovered-but-unexpanded pids, returns
+/// `(keep, frontier_ids)` for [`checkpoint::capture`]. The cut level L
+/// is the shallowest pending state's depth — everything above L is
+/// fully expanded, and the frontier is *all* of level L (replay depth
+/// is non-decreasing in canonical id order, so that is an id range
+/// landing on the arena's tail, exactly the cut the resume paths
+/// expect). Pending pids unreachable in the replay are ignored; with
+/// no reachable pending state at all, the whole graph is kept with an
+/// empty frontier.
+fn rollback_cut(replay: &Replay, pending: &[Pid]) -> (usize, Vec<usize>) {
+    let Replay { canon, graph, depth } = replay;
     let cut = pending
         .iter()
         .filter_map(|&p| {
@@ -1036,7 +787,7 @@ fn rollback_cut(
         })
         .min();
     match cut {
-        None => (states_len, Vec::new()),
+        None => (graph.len(), Vec::new()),
         Some(l) => {
             let keep = depth.partition_point(|&d| d <= l);
             let first = depth.partition_point(|&d| d < l);
@@ -1054,24 +805,10 @@ fn rolled_back_snapshot(
     recorder: &RecorderHandle,
     replay: &Replay,
     pending: &[Pid],
-    options: &ExploreOptions,
-    sys_hash: u64,
+    header: RunHeader,
 ) -> (Option<Box<Snapshot>>, Option<ResumeToken>) {
-    let (keep, frontier) =
-        rollback_cut(&replay.canon, &replay.depth, replay.states.len(), pending);
-    seq_exhaustion_snapshot(
-        ck,
-        recorder,
-        &replay.states,
-        &replay.init,
-        &replay.edges,
-        &replay.parents,
-        keep,
-        &frontier,
-        options,
-        sys_hash,
-        None,
-    )
+    let (keep, frontier) = rollback_cut(replay, pending);
+    seq_exhaustion_snapshot(ck, recorder, &replay.graph, keep, &frontier, header)
 }
 
 /// The result of a work-stealing run, for both of its engines: the
@@ -1126,6 +863,7 @@ mod tests {
     use super::*;
     use crate::{GuardedAction, Init};
     use opentla_kernel::{Domain, Expr, Value, Vars};
+    use std::sync::Arc;
 
     fn counter(max: i64) -> System {
         let mut vars = Vars::new();
@@ -1347,7 +1085,7 @@ mod tests {
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         assert_eq!(graph.len(), 2);
         assert_eq!(graph.init().len(), 2);
-        assert!(graph.index_of(graph.state(0)).is_some());
+        assert_ne!(graph.state(0), graph.state(1));
         let _ = x;
     }
 
@@ -1437,7 +1175,7 @@ mod tests {
         assert!(collided.len() <= 2);
         // Every state the collided run kept is genuinely reachable.
         for s in collided.states() {
-            assert!(full.index_of(s).is_some());
+            assert!(full.states().contains(s));
         }
         let exact = explore(
             &grid(4),
@@ -1449,28 +1187,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(exact.len(), full.len());
-    }
-
-    #[test]
-    fn index_of_verifies_under_collisions() {
-        // With forced collisions, index_of must refuse to misattribute
-        // a displaced state to its collision partner's index.
-        let collided = explore(
-            &grid(4),
-            &ExploreOptions {
-                fp_bits: 1,
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        let full = explore(&grid(4), &ExploreOptions::default()).unwrap();
-        for s in full.states() {
-            // A state displaced by a collision is honestly absent
-            // (None); a found index must point at the exact state.
-            if let Some(id) = collided.index_of(s) {
-                assert_eq!(collided.state(id), s);
-            }
-        }
     }
 
     /// Collects what the routing tests look at: every `RunStart`

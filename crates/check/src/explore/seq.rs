@@ -4,24 +4,27 @@
 //!
 //! The loop owns everything the stores share — queue, budget cuts,
 //! half-expanded-parent re-queue, checkpoint cadence, phases — and a
-//! store owns where states, edges and the visited set live. Both
+//! store owns where states, edges and the dedup index live. Both
 //! stores serve both [`VisitedMode`]s, so completed graphs are
 //! byte-identical across the four combinations by construction: there
 //! is one discovery order, this loop's. A symmetry-reduced run
 //! ([`crate::Reduction`]) is this loop too: the in-RAM store keys each
 //! state by its orbit representative.
 
-use super::{seq_exhaustion_snapshot, Edge, Exploration, ExploreOptions, StateGraph, Visited};
+use super::index::FpIndex;
+use super::{seq_exhaustion_snapshot, Edge, Exploration, ExploreOptions, StateGraph, VisitedMode};
 use crate::budget::{Budget, ExhaustReason, Meter, Outcome};
-use crate::checkpoint::{self, CheckpointError, Checkpointer, ReducedRun, ResumeToken, Snapshot};
+use crate::checkpoint::{
+    self, CheckpointError, Checkpointer, ReducedRun, ResumeToken, RunHeader, Snapshot,
+};
 use crate::compiled::{CompiledSystem, EvalScratch};
 use crate::obs::{Phase, PhaseGuard};
 use crate::reduction::{Canonicalize, ReductionStats};
 use crate::{CheckError, System};
 use opentla_kernel::store::StoreError;
 use opentla_kernel::State;
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -53,7 +56,7 @@ impl<'a> Seed<'a> {
     pub(super) fn states(&self) -> &[State] {
         match self {
             Seed::Fresh(states) => states,
-            Seed::Resume(snap) => &snap.states,
+            Seed::Resume(snap) => snap.graph.states(),
         }
     }
 
@@ -90,10 +93,10 @@ pub(super) struct Finished {
 }
 
 /// Where a sequential exploration keeps its states, edges, BFS tree
-/// and visited set. Ids are dense and assigned in insertion order.
+/// and dedup index. Ids are dense and assigned in insertion order.
 pub(super) trait SeqStore {
     /// Re-seeds from a materialized snapshot: arena, edges and BFS
-    /// tree come back verbatim, the visited set is rebuilt by
+    /// tree come back verbatim, the dedup index is rebuilt by
     /// re-fingerprinting the arena (deterministic across processes)
     /// with first-id-wins collision behavior. Meter-free — the
     /// resumed meter is already pre-charged.
@@ -288,20 +291,18 @@ pub(super) fn explore_seq<S: SeqStore>(
     })
 }
 
-/// The in-RAM store: a `Vec` arena and the graph's own [`Visited`]
-/// set, moved into the finished [`StateGraph`] without a copy.
+/// The in-RAM store: the [`StateGraph`] under construction, moved out
+/// finished without a copy, and its dedup index.
 ///
 /// Under a symmetry reduction it keys every state by its orbit
-/// representative: the arena, the visited set and every snapshot hold
+/// representative: the arena, the index and every snapshot hold
 /// canonical states only.
 pub(super) struct RamStore<'a> {
-    states: Vec<State>,
+    graph: StateGraph,
     /// Unmasked fingerprint per state id, for incremental derivation.
     fps: Vec<u64>,
-    edges: Vec<Vec<Edge>>,
-    parents: Vec<Option<(usize, usize)>>,
-    init: Vec<usize>,
-    visited: Visited,
+    index: FpIndex,
+    mask: u64,
     options: &'a ExploreOptions,
     sys_hash: u64,
     meter: &'a Meter,
@@ -322,12 +323,10 @@ impl<'a> RamStore<'a> {
         meter: &'a Meter,
     ) -> RamStore<'a> {
         RamStore {
-            states: Vec::new(),
+            graph: StateGraph::with_capacity(0),
             fps: Vec::new(),
-            edges: Vec::new(),
-            parents: Vec::new(),
-            init: Vec::new(),
-            visited: Visited::new(options.mode, options.mask()),
+            index: FpIndex::default(),
+            mask: options.mask(),
             options,
             sys_hash: checkpoint::system_hash(system),
             meter,
@@ -335,18 +334,6 @@ impl<'a> RamStore<'a> {
             canon_hits: 0,
             pending_hits: 0,
         }
-    }
-
-    fn record(&mut self, state: State, fp: u64, from: Option<(usize, usize)>) -> usize {
-        let id = self.states.len();
-        self.states.push(state);
-        self.fps.push(fp);
-        self.edges.push(Vec::new());
-        self.parents.push(from);
-        if from.is_none() {
-            self.init.push(id);
-        }
-        id
     }
 
     /// Looks up or records a state under the key it is to be
@@ -358,37 +345,36 @@ impl<'a> RamStore<'a> {
         from: Option<(usize, usize)>,
         make: impl FnOnce() -> State,
     ) -> Result<Interned, Stop> {
-        let next = self.states.len();
-        let state = match &mut self.visited {
-            // The fingerprinted hot path: only genuinely new states
-            // are constructed and pushed into the arena.
-            Visited::Fingerprint { map, mask } => match map.entry(fp & *mask) {
-                Entry::Occupied(e) => return Ok(Interned::Found(*e.get())),
-                Entry::Vacant(e) => {
-                    if let Some(reason) = self.meter.charge_state() {
-                        return Err(Stop::Cut(reason));
-                    }
-                    e.insert(next);
-                    make()
+        let (graph, meter) = (&self.graph, self.meter);
+        let key = fp & self.mask;
+        let admit = || match meter.charge_state() {
+            Some(reason) => Err(Stop::Cut(reason)),
+            None => Ok(graph.len()),
+        };
+        let state = match self.options.mode {
+            // The fingerprinted hot path: one probe, and only
+            // genuinely new states are constructed and pushed into the
+            // arena.
+            VisitedMode::Fingerprint => {
+                match self.index.intern(key, |_| Ok(true), |_| Ok(None), admit)? {
+                    (existing, false) => return Ok(Interned::Found(existing)),
+                    (_, true) => make(),
                 }
-            },
-            // The exact fallback: the visited set is keyed by whole
-            // states, so every successor is materialized and hashed in
-            // full. Collision-free by construction, at a throughput
-            // cost.
-            Visited::Exact(map) => {
+            }
+            // The exact fallback: every successor is materialized so a
+            // hit can be verified against the arena. Collision-free by
+            // construction, at a throughput cost.
+            VisitedMode::Exact => {
                 let state = make();
-                if let Some(&existing) = map.get(&state) {
-                    return Ok(Interned::Found(existing));
+                let same = |id| Ok(graph.state(id) == &state);
+                match self.index.intern(key, same, |_| Ok(None), admit)? {
+                    (existing, false) => return Ok(Interned::Found(existing)),
+                    (_, true) => state,
                 }
-                if let Some(reason) = self.meter.charge_state() {
-                    return Err(Stop::Cut(reason));
-                }
-                map.insert(state.clone(), next);
-                state
             }
         };
-        Ok(Interned::Inserted(self.record(state, fp, from)))
+        self.fps.push(fp);
+        Ok(Interned::Inserted(self.graph.push_state(state, from)?))
     }
 
     /// The symmetric intern: `raw` is keyed by its orbit representative,
@@ -407,33 +393,31 @@ impl<'a> RamStore<'a> {
         self.intern_keyed(state.fingerprint(), from, move || state)
     }
 
-    /// What a snapshot of this store banks about its reduction.
-    fn reduced_run(&self) -> Option<ReducedRun> {
-        self.canon.as_ref().map(|c| ReducedRun {
-            canonicalizer: c.name().to_string(),
-            canon_hits: self.canon_hits,
-        })
+    /// What a snapshot of this store is stamped with, its reduction
+    /// included.
+    fn header(&self) -> RunHeader {
+        RunHeader {
+            reduction: self.canon.as_ref().map(|c| ReducedRun {
+                canonicalizer: c.name().to_string(),
+                canon_hits: self.canon_hits,
+            }),
+            ..RunHeader::of(self.options, self.sys_hash)
+        }
     }
 }
 
 impl SeqStore for RamStore<'_> {
     fn reseed(&mut self, snap: &Snapshot) -> Result<(), CheckError> {
-        self.states = snap.states.clone();
-        self.edges = snap.edges.clone();
-        self.parents = snap.parents.clone();
-        self.init = snap.init.clone();
+        self.graph = snap.graph.clone();
         self.canon_hits = snap.reduction.as_ref().map_or(0, |r| r.canon_hits);
-        for (id, s) in self.states.iter().enumerate() {
+        // Fingerprint mode keeps the first id under a key, exact mode
+        // chains them all: a snapshot lists each state once.
+        let trust = self.options.mode == VisitedMode::Fingerprint;
+        for (id, s) in self.graph.states().iter().enumerate() {
             let fp = s.fingerprint();
             self.fps.push(fp);
-            match &mut self.visited {
-                Visited::Fingerprint { map, mask } => {
-                    map.entry(fp & *mask).or_insert(id);
-                }
-                Visited::Exact(map) => {
-                    map.insert(s.clone(), id);
-                }
-            }
+            let trust = |_| Ok::<_, Infallible>(trust);
+            let Ok(_) = self.index.intern(fp & self.mask, trust, |_| Ok(None), || Ok(id));
         }
         Ok(())
     }
@@ -441,7 +425,7 @@ impl SeqStore for RamStore<'_> {
     fn entry(&mut self, id: usize) -> Result<(State, u64), CheckError> {
         // An Arc bump, not a copy: releases the arena borrow so
         // `intern` may push new states into it.
-        Ok((self.states[id].clone(), self.fps[id]))
+        Ok((self.graph.state(id).clone(), self.fps[id]))
     }
 
     // Inlined into the loop's successor visitor: left as a call, the
@@ -462,33 +446,12 @@ impl SeqStore for RamStore<'_> {
 
     fn push_edges(&mut self, id: usize, edges: &[Edge]) -> Result<(), CheckError> {
         self.canon_hits += std::mem::take(&mut self.pending_hits);
-        if !edges.is_empty() {
-            // Sized as `Vec::push` growth would have left it (a power
-            // of two, at least 4) rather than exactly: the few uniform
-            // size classes keep the allocator's free lists hot, where
-            // exact-size lists measured ~7 % slower once a previous
-            // graph's memory is being reused.
-            let mut list = Vec::with_capacity(edges.len().next_power_of_two().max(4));
-            list.extend_from_slice(edges);
-            self.edges[id] = list;
-        }
+        self.graph.set_edges(id, edges);
         Ok(())
     }
 
     fn snapshot(&mut self, queue: &[usize]) -> Result<Snapshot, CheckError> {
-        Ok(checkpoint::capture(
-            &self.states,
-            &self.init,
-            &self.edges,
-            &self.parents,
-            self.states.len(),
-            queue,
-            self.options.mode,
-            self.sys_hash,
-            self.options.fp_bits.clamp(1, 64),
-            0,
-            self.reduced_run(),
-        ))
+        Ok(checkpoint::capture(&self.graph, self.graph.len(), queue, self.header()))
     }
 
     fn finish(
@@ -498,37 +461,27 @@ impl SeqStore for RamStore<'_> {
         ck: &mut Checkpointer,
     ) -> Result<Finished, CheckError> {
         if let Some((id, partial)) = cut {
-            self.edges[id] = partial;
+            self.graph.set_edges(id, &partial);
         }
         let (snapshot, resume) = match frontier {
             Some(frontier) => seq_exhaustion_snapshot(
                 ck,
                 self.meter.recorder(),
-                &self.states,
-                &self.init,
-                &self.edges,
-                &self.parents,
-                self.states.len(),
+                &self.graph,
+                self.graph.len(),
                 frontier,
-                self.options,
-                self.sys_hash,
-                self.reduced_run(),
+                self.header(),
             ),
             None => (None, None),
         };
+        if let Some(canon) = &self.canon {
+            self.graph.reduced_under(canon.clone());
+        }
         Ok(Finished {
             reduction: self.canon.as_ref().map(|_| ReductionStats {
                 canon_hits: self.canon_hits,
             }),
-            graph: StateGraph {
-                states: self.states,
-                visited: self.visited,
-                init: self.init,
-                edges: self.edges,
-                parents: self.parents,
-                reduced: self.canon.is_some(),
-                canon: self.canon,
-            },
+            graph: self.graph,
             snapshot,
             resume,
         })

@@ -9,18 +9,18 @@
 //!   [`SegmentStore`]s — sealed segments live on disk and are read
 //!   back through an LRU cache; only the unsealed tail (and, until
 //!   the first seal, a resident mirror of the arena) stays in RAM;
-//! * the **visited set** is two-tier: a hot in-RAM fingerprint table
+//! * the **dedup index** is two-tier: the hot in-RAM [`FpIndex`]
 //!   that, when full, drains into sorted on-disk
 //!   [`FingerprintRun`]s probed behind a one-bit in-RAM filter.
 //!
-//! Soundness of the two-tier visited set is the same first-id-wins
+//! Soundness of the two-tier index is the same first-id-wins
 //! argument the resume path already relies on: a fingerprint key is
 //! inserted at most once globally (hot and spilled tiers hold
 //! disjoint keys), so lookups across both tiers answer exactly what
 //! one big map would. In [`VisitedMode::Exact`] the fingerprint is
-//! only a candidate index — every hit is verified by comparing the
-//! probe state against the arena record read back through the cache,
-//! so collisions never conflate states.
+//! only a candidate index — every hit, in either tier, is verified by
+//! comparing the probe state against the arena record read back
+//! through the cache, so collisions never conflate states.
 //!
 //! Checkpoints are written in the spill wire format
 //! ([`crate::checkpoint::SNAPSHOT_VERSION_SPILL`]): sealed segments
@@ -32,17 +32,18 @@
 //! references, which surfaces as a typed I/O error on the next
 //! resume, never a wrong graph.
 
+use super::index::FpIndex;
 use super::seq::{self, Finished, Interned, Seed, SeqStore, Stop};
-use super::{seq_exhaustion_snapshot, Edge, ExploreOptions, Exploration, StateGraph, Visited};
+use super::{seq_exhaustion_snapshot, Edge, ExploreOptions, Exploration, StateGraph};
 use crate::budget::{Budget, Meter};
-use crate::checkpoint::{self, CheckpointError, Checkpointer, Snapshot, SpillManifest};
+use crate::checkpoint::{
+    self, CheckpointError, Checkpointer, RunHeader, Snapshot, SpillManifest,
+};
 use crate::obs::Event;
 use crate::{CheckError, System, VisitedMode};
-use fxhash::FxHashMap;
-use opentla_kernel::store::{self, FingerprintRun, SegmentMeta, SegmentStore, StoreError};
+use opentla_kernel::store::{FingerprintRun, SegmentMeta, SegmentStore, StoreError};
 use crate::sync::lock;
 use opentla_kernel::{PackedLayout, State};
-use std::collections::hash_map::Entry;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -175,26 +176,19 @@ impl RunNames {
     }
 }
 
-/// The two-tier visited set. In fingerprint mode each (masked) key is
+/// The two-tier dedup index. In fingerprint mode each (masked) key is
 /// inserted at most once, so the tiers hold disjoint keys and a
-/// lookup's first answer is *the* answer. In exact mode a key may
-/// carry several candidate ids (genuine fingerprint collisions); the
-/// caller verifies candidates against the arena.
+/// lookup's first answer is *the* answer. In exact mode a key carries
+/// the id of every state that genuinely collides under it, spread over
+/// the tiers by the drains between their inserts; the caller's `same`
+/// verifies candidates against the arena.
 ///
 /// A drain moves keys between tiers; it never changes *membership*, so
 /// a lookup's answer is independent of when drains fired. The drain
 /// threshold is itself a pure function of the insert stream (drain
 /// after `hot_cap` inserts), not of timing.
 pub(super) struct SpillVisited {
-    /// First id recorded per key. In fingerprint mode — where each key
-    /// is inserted exactly once — this is, verbatim, the engine's
-    /// first-id-wins visited map: an in-budget completed sequential run
-    /// *moves* it into the final [`StateGraph`] instead of rebuilding
-    /// one.
-    hot: FxHashMap<u64, usize>,
-    /// Exact-mode extras: second and later ids under a genuinely
-    /// colliding key (rare). Every key here is also in `hot`.
-    dups: FxHashMap<u64, Vec<u64>>,
+    hot: FpIndex,
     /// Ids recorded since the last drain.
     hot_len: usize,
     hot_cap: usize,
@@ -209,11 +203,27 @@ pub(super) struct SpillVisited {
 
 /// What [`SpillVisited::fp_entry`] did with the key.
 pub(super) enum FpEntry {
-    /// The key was already recorded, in either tier, for this id.
+    /// The state was already recorded, in either tier, under this id.
     Found(usize),
     /// A full miss, admitted and recorded under this id; carries the
     /// accounting of the drain the insert triggered, if any.
     Inserted(usize, Option<SpillInfo>),
+}
+
+impl FpEntry {
+    /// `(id, whether it is new)`, the drain an insert triggered
+    /// reported to `meter`.
+    pub(super) fn noted(self, meter: &Meter) -> (usize, bool) {
+        match self {
+            FpEntry::Found(id) => (id, false),
+            FpEntry::Inserted(id, spilled) => {
+                if let Some(info) = spilled {
+                    note_spill(meter, &info);
+                }
+                (id, true)
+            }
+        }
+    }
 }
 
 impl SpillVisited {
@@ -223,8 +233,7 @@ impl SpillVisited {
         filter_bytes: usize,
     ) -> SpillVisited {
         SpillVisited {
-            hot: FxHashMap::default(),
-            dups: FxHashMap::default(),
+            hot: FpIndex::default(),
             hot_len: 0,
             hot_cap,
             filter: None,
@@ -235,138 +244,79 @@ impl SpillVisited {
         }
     }
 
-    /// The id a spilled run records for `key`, if any. Takes the
-    /// spilled tier's fields, not `self`, so [`fp_entry`](Self::fp_entry)
-    /// can probe while it holds the hot tier's vacant entry.
-    fn lookup_runs(
-        runs: &mut [FingerprintRun],
-        filter: &Option<Filter>,
-        probe: &mut Vec<u64>,
-        key: u64,
-    ) -> Result<Option<usize>, StoreError> {
-        if !runs.is_empty() && filter.as_ref().is_some_and(|f| f.maybe(key)) {
-            probe.clear();
-            for run in runs {
-                run.lookup(key, probe)?;
-                if let Some(&id) = probe.first() {
-                    return Ok(Some(id as usize));
-                }
-            }
-        }
-        Ok(None)
-    }
-
-    /// Exact-mode lookup: every candidate id recorded under `key`,
-    /// appended to `out` (cleared first).
-    pub(super) fn candidates(&mut self, key: u64, out: &mut Vec<u64>) -> Result<(), StoreError> {
-        out.clear();
-        if let Some(&id) = self.hot.get(&key) {
-            out.push(id as u64);
-            if let Some(extra) = self.dups.get(&key) {
-                out.extend_from_slice(extra);
-            }
-        }
-        if !self.runs.is_empty() && self.filter.as_ref().is_some_and(|f| f.maybe(key)) {
-            for run in &mut self.runs {
-                run.lookup(key, out)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Records `id` under `key` in the hot tier (keeping every id of a
-    /// colliding key), spilling the tier to a sorted run file when it
-    /// reaches capacity. Returns the spill's accounting info when one
-    /// happened.
-    pub(super) fn insert(&mut self, key: u64, id: usize) -> Result<Option<SpillInfo>, StoreError> {
-        match self.hot.entry(key) {
-            Entry::Occupied(_) => self.dups.entry(key).or_default().push(id as u64),
-            Entry::Vacant(e) => {
-                e.insert(id);
-            }
-        }
-        self.inserted()
-    }
-
-    fn inserted(&mut self) -> Result<Option<SpillInfo>, StoreError> {
-        self.hot_len += 1;
-        if self.hot_len < self.hot_cap {
-            return Ok(None);
-        }
-        self.drain_hot().map(Some)
-    }
-
     /// Resume seeding, meter-free, for both spill engines: records
-    /// `id` for a snapshot state with fingerprint `fp` under the
-    /// run's insertion discipline — first-id-wins on the masked key in
-    /// fingerprint mode, every id under the unmasked key in exact
-    /// mode.
+    /// `id` for a snapshot state with masked fingerprint `key` under
+    /// the run's insertion discipline — first-id-wins in fingerprint
+    /// mode, every id in exact mode (a snapshot lists each state once).
     pub(super) fn seed(
         &mut self,
         mode: VisitedMode,
-        fp: u64,
-        mask: u64,
+        key: u64,
         id: usize,
-    ) -> Result<Option<SpillInfo>, StoreError> {
-        match mode {
-            VisitedMode::Exact => self.insert(fp, id),
-            VisitedMode::Fingerprint => {
-                let key = fp & mask;
-                if self.hot.contains_key(&key)
-                    || Self::lookup_runs(&mut self.runs, &self.filter, &mut self.probe, key)?
-                        .is_some()
-                {
-                    return Ok(None);
-                }
-                self.insert(key, id)
-            }
-        }
+        meter: &Meter,
+    ) -> Result<(), StoreError> {
+        let trust = mode == VisitedMode::Fingerprint;
+        self.fp_entry(key, |_| Ok::<_, StoreError>(trust), || Ok(id))?.noted(meter);
+        Ok(())
     }
 
-    /// Fingerprint-mode lookup-or-insert with one hot-tier hash probe —
-    /// the engines' innermost visited operation, cost-matched to the
-    /// in-RAM store's single `HashMap::entry`. On a full miss `admit`
-    /// decides admission: `Ok(id)` (the meter charged, the id
-    /// allocated) records `id` under `key`; `Err` leaves the set
-    /// untouched — the budget cut happens *before* the insert, exactly
-    /// like the in-RAM store.
+    /// Lookup-or-insert across both tiers — the engines' innermost
+    /// dedup operation; in fingerprint mode (`same` trusts every hit)
+    /// it is one hot-tier hash probe, cost-matched to the in-RAM
+    /// store's. `same(id)` says whether the probe state is the one
+    /// recorded under `id`. On a full miss `admit` decides admission:
+    /// `Ok(id)` (the meter charged, the id allocated) records `id`
+    /// under `key`; `Err` leaves the set untouched — the budget cut
+    /// happens *before* the insert, exactly like the in-RAM store.
     #[inline]
-    pub(super) fn fp_entry<E: From<StoreError>>(
+    pub(super) fn fp_entry<E: From<StoreError>, S: FnMut(usize) -> Result<bool, E>>(
         &mut self,
         key: u64,
+        same: S,
         admit: impl FnOnce() -> Result<usize, E>,
     ) -> Result<FpEntry, E> {
-        match self.hot.entry(key) {
-            Entry::Occupied(e) => Ok(FpEntry::Found(*e.get())),
-            Entry::Vacant(e) => {
-                if let Some(id) =
-                    Self::lookup_runs(&mut self.runs, &self.filter, &mut self.probe, key)?
-                {
-                    return Ok(FpEntry::Found(id));
+        let SpillVisited {
+            hot,
+            runs,
+            filter,
+            probe,
+            ..
+        } = self;
+        let spilled = |same: &mut S| {
+            if !runs.is_empty() && filter.as_ref().is_some_and(|f| f.maybe(key)) {
+                probe.clear();
+                for run in runs {
+                    let seen = probe.len();
+                    run.lookup(key, probe)?;
+                    for &id in &probe[seen..] {
+                        if same(id as usize)? {
+                            return Ok(Some(id as usize));
+                        }
+                    }
                 }
-                let id = admit()?;
-                e.insert(id);
-                Ok(FpEntry::Inserted(id, self.inserted()?))
+            }
+            Ok(None)
+        };
+        match hot.intern(key, same, spilled, admit)? {
+            (id, false) => Ok(FpEntry::Found(id)),
+            (id, true) => {
+                self.hot_len += 1;
+                let drained = self.hot_len >= self.hot_cap;
+                Ok(FpEntry::Inserted(id, drained.then(|| self.drain_hot()).transpose()?))
             }
         }
     }
 
-    /// Drains the hot tier (and exact-mode dups) into a sorted run
-    /// file, setting the filter bits of every drained key.
+    /// Drains the hot tier into a sorted run file, setting the filter
+    /// bits of every drained key.
     fn drain_hot(&mut self) -> Result<SpillInfo, StoreError> {
         let filter = self
             .filter
             .get_or_insert_with(|| Filter::new(self.filter_bytes));
         let mut entries: Vec<(u64, u64)> =
-            Vec::with_capacity(self.hot.len() + self.dups.len());
-        for (key, id) in self.hot.drain() {
+            self.hot.drain().map(|(key, id)| (key, id as u64)).collect();
+        for &(key, _) in &entries {
             filter.set(key);
-            entries.push((key, id as u64));
-        }
-        // Dup keys are a subset of the drained hot keys, so their
-        // filter bits are already set.
-        for (key, ids) in self.dups.drain() {
-            entries.extend(ids.into_iter().map(|id| (key, id)));
         }
         entries.sort_unstable();
         self.hot_len = 0;
@@ -416,10 +366,22 @@ struct Arena {
     read_buf: Vec<u8>,
 }
 
+/// The arena's states and BFS tree, and each state's fingerprint.
 struct Resident {
-    states: Vec<State>,
+    graph: StateGraph,
     fps: Vec<u64>,
-    parents: Vec<Option<(usize, usize)>>,
+}
+
+impl Resident {
+    fn push(
+        &mut self,
+        state: &State,
+        fp: u64,
+        parent: Option<(usize, usize)>,
+    ) -> Result<(), CheckpointError> {
+        self.fps.push(fp);
+        self.graph.push_state(state.clone(), parent).map(drop)
+    }
 }
 
 impl Arena {
@@ -429,9 +391,8 @@ impl Arena {
         Ok(Arena {
             store: SegmentStore::create(dir, "arena", t.seg_target, t.arena_cache)?,
             resident: Some(Resident {
-                states: Vec::new(),
+                graph: StateGraph::with_capacity(0),
                 fps: Vec::new(),
-                parents: Vec::new(),
             }),
             layout,
             deferred_cost,
@@ -453,13 +414,11 @@ impl Arena {
         fp: u64,
         parent: Option<(usize, usize)>,
         meter: &Meter,
-    ) -> Result<(), StoreError> {
+    ) -> Result<(), CheckpointError> {
         self.count += 1;
         if let Some(cost) = self.deferred_cost {
             let r = self.resident.as_mut().expect("deferred implies resident");
-            r.states.push(state.clone());
-            r.fps.push(fp);
-            r.parents.push(parent);
+            r.push(state, fp, parent)?;
             if self.count * cost >= self.seg_target {
                 // The mirror no longer fits one segment: materialize
                 // the byte stream and run eagerly from here on.
@@ -481,9 +440,7 @@ impl Arena {
             // mirror goes too. Reads fall back to the store.
             self.resident = None;
         } else if let Some(r) = &mut self.resident {
-            r.states.push(state.clone());
-            r.fps.push(fp);
-            r.parents.push(parent);
+            r.push(state, fp, parent)?;
         }
         Ok(())
     }
@@ -497,11 +454,11 @@ impl Arena {
         }
         let mut sealed_any = false;
         if let Some(r) = &self.resident {
-            for i in 0..r.states.len() {
+            for i in 0..r.graph.len() {
                 checkpoint::encode_arena_record(
-                    &r.states[i],
+                    r.graph.state(i),
                     r.fps[i],
-                    r.parents[i],
+                    r.graph.parent(i),
                     self.layout.as_ref(),
                     &mut self.pack_scratch,
                     &mut self.rec_buf,
@@ -521,7 +478,7 @@ impl Arena {
     /// The state and (unmasked) fingerprint of record `id`.
     fn entry(&mut self, id: usize) -> Result<(State, u64), CheckpointError> {
         if let Some(r) = &self.resident {
-            return Ok((r.states[id].clone(), r.fps[id]));
+            return Ok((r.graph.state(id).clone(), r.fps[id]));
         }
         self.store.read(id as u64, &mut self.read_buf)?;
         let rec = checkpoint::decode_arena_record(&self.read_buf, self.layout.as_ref())?;
@@ -533,64 +490,65 @@ impl Arena {
     /// resident mirror is gone.
     fn holds(&mut self, id: usize, state: &State) -> Result<bool, CheckpointError> {
         if let Some(r) = &self.resident {
-            return Ok(&r.states[id] == state);
+            return Ok(r.graph.state(id) == state);
         }
         self.entry(id).map(|(s, _)| &s == state)
     }
 
-    /// Tears the arena down into `(states, fps, parents)` in id order,
-    /// for final graph materialization. With the mirror alive this is a
-    /// move; otherwise every record is decoded.
-    #[allow(clippy::type_complexity)]
-    fn into_parts(
-        self,
-    ) -> Result<(Vec<State>, Vec<u64>, Vec<Option<(usize, usize)>>), CheckpointError> {
-        let n = self.len();
+    /// Tears the arena down into the finished graph's states and BFS
+    /// tree, in id order. With the mirror alive this is a move;
+    /// otherwise every record is decoded.
+    fn into_graph(self) -> Result<StateGraph, CheckpointError> {
         if let Some(r) = self.resident {
-            return Ok((r.states, r.fps, r.parents));
+            return Ok(r.graph);
         }
-        let mut parents = Vec::with_capacity(n);
-        let mut states = Vec::with_capacity(n);
-        let mut fps = Vec::with_capacity(n);
-        let mut take = |rec: &[u8]| -> Result<(), CheckpointError> {
-            let rec = checkpoint::decode_arena_record(rec, self.layout.as_ref())?;
-            states.push(rec.state);
-            fps.push(rec.fp);
-            parents.push(rec.parent);
-            Ok(())
-        };
-        for meta in self.store.sealed() {
-            for rec in store::read_segment(&self.store.dir().join(&meta.name), Some(meta))? {
-                take(&rec)?;
-            }
-        }
-        for rec in self.store.hot_records() {
-            take(rec)?;
-        }
-        Ok((states, fps, parents))
+        let mut graph = StateGraph::with_capacity(self.len());
+        checkpoint::for_each_record(records(&self.store), |bytes| {
+            let rec = checkpoint::decode_arena_record(bytes, self.layout.as_ref())?;
+            graph.push_state(rec.state, rec.parent).map(drop)
+        })?;
+        Ok(graph)
     }
 }
 
 /// The edge store plus a deferred mirror, the same trick the arena
-/// plays: while every record still fits one segment, records live as
-/// `(id, edges)` pairs in RAM and the encoded byte stream — identical,
-/// since encoding depends only on the pairs — is produced the first
-/// time a snapshot or the size budget demands it. A completed
-/// in-budget run assembles its final edge lists by moving the mirror
-/// into place, never decoding a record.
+/// plays: while every record still fits one segment, records live in
+/// RAM and the encoded byte stream — identical, since encoding depends
+/// only on the `(id, edges)` pairs — is produced the first time a
+/// snapshot or the size budget demands it. A completed in-budget run
+/// sets its final edge lists from the mirror, never decoding a record.
 struct EdgeSink {
     store: SegmentStore,
-    mirror: Option<Vec<(u32, Vec<Edge>)>>,
+    mirror: Option<EdgeMirror>,
     mirror_bytes: usize,
     seg_target: usize,
     rec_buf: Vec<u8>,
+}
+
+/// Edge records in recorded order: `(id, successor count)` runs over
+/// one flat list of the successors.
+#[derive(Default)]
+struct EdgeMirror {
+    runs: Vec<(u32, u32)>,
+    flat: Vec<Edge>,
+}
+
+impl EdgeMirror {
+    fn records(&self) -> impl Iterator<Item = (usize, &[Edge])> {
+        let mut rest = &self.flat[..];
+        self.runs.iter().map(move |&(id, len)| {
+            let (edges, tail) = rest.split_at(len as usize);
+            rest = tail;
+            (id as usize, edges)
+        })
+    }
 }
 
 impl EdgeSink {
     fn create(dir: &Path, t: &Tuning) -> Result<EdgeSink, StoreError> {
         Ok(EdgeSink {
             store: SegmentStore::create(dir, "edges", t.seg_target, t.edge_cache)?,
-            mirror: Some(Vec::new()),
+            mirror: Some(EdgeMirror::default()),
             mirror_bytes: 0,
             seg_target: t.seg_target,
             rec_buf: Vec::new(),
@@ -606,7 +564,8 @@ impl EdgeSink {
         if let Some(m) = &mut self.mirror {
             // 4-byte store prefix + 8-byte record header + 8 per edge.
             self.mirror_bytes += 12 + 8 * edges.len();
-            m.push((id as u32, edges.to_vec()));
+            m.runs.push((id as u32, edges.len() as u32));
+            m.flat.extend_from_slice(edges);
             if self.mirror_bytes >= self.seg_target {
                 self.flush_deferred(meter)?;
             }
@@ -626,8 +585,8 @@ impl EdgeSink {
         let Some(m) = self.mirror.take() else {
             return Ok(());
         };
-        for (id, es) in &m {
-            checkpoint::encode_edge_record(*id as usize, es, &mut self.rec_buf);
+        for (id, es) in m.records() {
+            checkpoint::encode_edge_record(id, es, &mut self.rec_buf);
             if let Some(meta) = self.store.append(&self.rec_buf)? {
                 note_spill(meter, &seal_info("edges", &self.store, &meta));
             }
@@ -635,37 +594,29 @@ impl EdgeSink {
         Ok(())
     }
 
-    /// Tears the sink down into per-state edge lists: a move when the
-    /// mirror survived, a full record decode otherwise.
-    fn into_edges(self, n: usize) -> Result<Vec<Vec<Edge>>, CheckpointError> {
+    /// Tears the sink down onto `graph`, which holds the arena's
+    /// states: straight from the mirror while it survived, a full
+    /// record decode otherwise.
+    fn fill(self, graph: &mut StateGraph) -> Result<(), CheckpointError> {
         if let Some(m) = self.mirror {
-            let mut edges = vec![Vec::new(); n];
-            for (id, es) in m {
-                edges[id as usize] = es;
+            for (id, es) in m.records() {
+                graph.set_edges(id, es);
             }
-            return Ok(edges);
+            return Ok(());
         }
-        collect_edges(&self.store, n)
+        checkpoint::for_each_edge_record(records(&self.store), graph.len(), |id, es| {
+            graph.set_edges(id, es);
+            Ok(())
+        })
     }
 }
 
-/// Reassembles the per-state edge lists from the edge store's records.
-pub(super) fn collect_edges(store: &SegmentStore, n: usize) -> Result<Vec<Vec<Edge>>, CheckpointError> {
-    let mut edges = vec![Vec::new(); n];
-    let mut take = |rec: &[u8]| -> Result<(), CheckpointError> {
-        let (id, es) = checkpoint::decode_edge_record(rec, n)?;
-        edges[id] = es;
-        Ok(())
-    };
-    for meta in store.sealed() {
-        for rec in store::read_segment(&store.dir().join(&meta.name), Some(meta))? {
-            take(&rec)?;
-        }
-    }
-    for rec in store.hot_records() {
-        take(rec)?;
-    }
-    Ok(edges)
+/// A store's records as [`checkpoint::for_each_record`] reads them
+/// back.
+pub(super) fn records(
+    store: &SegmentStore,
+) -> (&Path, &[SegmentMeta], impl Iterator<Item = &[u8]>) {
+    (store.dir(), store.sealed(), store.hot_records())
 }
 
 /// Where the segment files live: next to the checkpoint when one is
@@ -704,36 +655,24 @@ pub(super) fn note_cache_stats(meter: &Meter, arena: &SegmentStore, edges: &Segm
 /// store holding canonical ids: sealed segments go in by reference
 /// (name and checksum), only the unsealed tails are embedded.
 pub(super) fn manifest_snapshot(
-    options: &ExploreOptions,
-    sys_hash: u64,
+    header: RunHeader,
     init: &[usize],
     frontier: Vec<usize>,
     arena: &SegmentStore,
     edges: &SegmentStore,
     transitions: u64,
 ) -> Snapshot {
-    Snapshot {
-        fp_bits: options.fp_bits.clamp(1, 64),
-        mode: options.mode,
-        reduced: false,
-        system_hash: sys_hash,
-        seq: 0,
-        states: Vec::new(),
+    let manifest = SpillManifest {
+        dir: arena.dir().to_path_buf(),
+        states: arena.len(),
+        transitions,
         init: init.to_vec(),
-        edges: Vec::new(),
-        parents: Vec::new(),
-        frontier,
-        reduction: None,
-        spill: Some(SpillManifest {
-            dir: arena.dir().to_path_buf(),
-            states: arena.len(),
-            transitions,
-            arena_segments: arena.sealed().to_vec(),
-            arena_hot: arena.hot_records().map(<[u8]>::to_vec).collect(),
-            edge_segments: edges.sealed().to_vec(),
-            edge_hot: edges.hot_records().map(<[u8]>::to_vec).collect(),
-        }),
-    }
+        arena_segments: arena.sealed().to_vec(),
+        arena_hot: arena.hot_records().map(<[u8]>::to_vec).collect(),
+        edge_segments: edges.sealed().to_vec(),
+        edge_hot: edges.hot_records().map(<[u8]>::to_vec).collect(),
+    };
+    header.snapshot(StateGraph::with_capacity(0), frontier, Some(manifest))
 }
 
 /// Runs the sequential scheduler over a [`SpillStore`] tuned to
@@ -761,10 +700,9 @@ pub(super) fn explore_spill(
 }
 
 /// The disk-backed [`SeqStore`]: arena and edge records in segment
-/// stores, the visited set in two tiers. In [`VisitedMode::Exact`] the
-/// whole-state visited map of the in-RAM store is replaced by
-/// fingerprint candidates verified against arena bytes —
-/// collision-free like the original, bounded like the store.
+/// stores, the dedup index in two tiers. In [`VisitedMode::Exact`] a
+/// fingerprint hit is verified against the arena record read back —
+/// collision-free like the in-RAM store, bounded like this one.
 struct SpillStore<'a> {
     arena: Arena,
     edges: EdgeSink,
@@ -772,7 +710,6 @@ struct SpillStore<'a> {
     init: Vec<usize>,
     /// Transitions banked in the edge store (a snapshot's total).
     transitions: u64,
-    cand: Vec<u64>,
     mask: u64,
     options: &'a ExploreOptions,
     sys_hash: u64,
@@ -795,7 +732,6 @@ impl<'a> SpillStore<'a> {
             visited: SpillVisited::new(RunNames::create(dir)?, t.hot_cap, t.filter_bytes),
             init: Vec::new(),
             transitions: 0,
-            cand: Vec::new(),
             mask: options.mask(),
             options,
             sys_hash: checkpoint::system_hash(system),
@@ -812,28 +748,13 @@ impl<'a> SpillStore<'a> {
         frontier.sort_unstable();
         frontier.dedup();
         Ok(manifest_snapshot(
-            self.options,
-            self.sys_hash,
+            RunHeader::of(self.options, self.sys_hash),
             &self.init,
             frontier,
             &self.arena.store,
             &self.edges.store,
             self.transitions,
         ))
-    }
-
-    /// Exact-mode membership: gathers fingerprint candidates from both
-    /// visited tiers, then verifies each against the arena. Returns
-    /// the id whose record *is* `s`, or `None` — fingerprint
-    /// collisions give false candidates, never false answers.
-    fn find_exact(&mut self, s: &State, fp: u64) -> Result<Option<usize>, CheckpointError> {
-        self.visited.candidates(fp, &mut self.cand)?;
-        for &cid in &self.cand {
-            if self.arena.holds(cid as usize, s)? {
-                return Ok(Some(cid as usize));
-            }
-        }
-        Ok(None)
     }
 }
 
@@ -844,29 +765,24 @@ impl SeqStore for SpillStore<'_> {
     /// states re-expand, so they must have none).
     fn reseed(&mut self, snap: &Snapshot) -> Result<(), CheckError> {
         let meter = self.meter;
-        let mut in_frontier = vec![false; snap.states.len()];
+        let graph = &snap.graph;
+        let mut in_frontier = vec![false; graph.len()];
         for &f in &snap.frontier {
             in_frontier[f] = true;
         }
-        for (id, s) in snap.states.iter().enumerate() {
+        for (id, s) in graph.states().iter().enumerate() {
             let fp = s.fingerprint();
-            let spilled = self
-                .visited
-                .seed(self.options.mode, fp, self.mask, id)
+            self.visited
+                .seed(self.options.mode, fp & self.mask, id, meter)
                 .map_err(CheckpointError::from)?;
-            if let Some(info) = spilled {
-                note_spill(meter, &info);
-            }
-            self.arena
-                .push(s, fp, snap.parents[id], meter)
-                .map_err(CheckpointError::from)?;
+            self.arena.push(s, fp, graph.parent(id), meter)?;
             if !in_frontier[id] {
                 self.edges
-                    .push(id, &snap.edges[id], meter)
+                    .push(id, graph.edges(id), meter)
                     .map_err(CheckpointError::from)?;
             }
         }
-        self.init = snap.init.clone();
+        self.init = graph.init().to_vec();
         self.transitions = snap.transitions_used() as u64;
         Ok(())
     }
@@ -886,35 +802,25 @@ impl SeqStore for SpillStore<'_> {
     ) -> Result<Interned, Stop> {
         let meter = self.meter;
         let id = self.arena.len();
-        match self.options.mode {
+        let key = fp & self.mask;
+        let admit = || meter.charge_state().map_or(Ok(id), |reason| Err(Stop::Cut(reason)));
+        let state = match self.options.mode {
             VisitedMode::Fingerprint => {
-                let entry = self.visited.fp_entry(fp & self.mask, || {
-                    meter.charge_state().map_or(Ok(id), |reason| Err(Stop::Cut(reason)))
-                })?;
-                match entry {
-                    FpEntry::Found(existing) => return Ok(Interned::Found(existing)),
-                    FpEntry::Inserted(_, spilled) => {
-                        if let Some(info) = spilled {
-                            note_spill(meter, &info);
-                        }
-                        self.arena.push(&make(), fp, from, meter)?;
-                    }
+                match self.visited.fp_entry(key, |_| Ok(true), admit)?.noted(meter) {
+                    (existing, false) => return Ok(Interned::Found(existing)),
+                    (_, true) => make(),
                 }
             }
             VisitedMode::Exact => {
-                let state = make();
-                if let Some(existing) = self.find_exact(&state, fp)? {
-                    return Ok(Interned::Found(existing));
+                let (state, arena) = (make(), &mut self.arena);
+                let same = |cand| Ok(arena.holds(cand, &state)?);
+                match self.visited.fp_entry(key, same, admit)?.noted(meter) {
+                    (existing, false) => return Ok(Interned::Found(existing)),
+                    (_, true) => state,
                 }
-                if let Some(reason) = meter.charge_state() {
-                    return Err(Stop::Cut(reason));
-                }
-                if let Some(info) = self.visited.insert(fp, id)? {
-                    note_spill(meter, &info);
-                }
-                self.arena.push(&state, fp, from, meter)?;
             }
-        }
+        };
+        self.arena.push(&state, fp, from, meter)?;
         if from.is_none() {
             self.init.push(id);
         }
@@ -955,60 +861,25 @@ impl SeqStore for SpillStore<'_> {
             }
             _ => None,
         };
-        let n = self.arena.len();
-        let (states, fps, parents) = self.arena.into_parts()?;
-        let mut edges = self.edges.into_edges(n)?;
+        let mut graph = self.arena.into_graph()?;
+        self.edges.fill(&mut graph)?;
         if let Some((id, partial)) = cut {
-            edges[id] = partial;
+            graph.set_edges(id, &partial);
         }
         let (snapshot, resume) = match (spill_exh, frontier) {
             (Some(pair), _) => pair,
             (None, Some(queue)) => seq_exhaustion_snapshot(
                 ck,
                 meter.recorder(),
-                &states,
-                &self.init,
-                &edges,
-                &parents,
-                states.len(),
+                &graph,
+                graph.len(),
                 queue,
-                self.options,
-                self.sys_hash,
-                None,
+                RunHeader::of(self.options, self.sys_hash),
             ),
             (None, None) => (None, None),
         };
-        let visited = match self.options.mode {
-            // With no spilled runs the hot tier *is* the first-id-wins
-            // map — move it. Otherwise rebuild it from the
-            // fingerprints, exactly like the resume path does.
-            VisitedMode::Fingerprint => {
-                let map = if self.visited.runs.is_empty() {
-                    self.visited.hot
-                } else {
-                    let mut map = FxHashMap::default();
-                    for (id, &fp) in fps.iter().enumerate() {
-                        map.entry(fp & self.mask).or_insert(id);
-                    }
-                    map
-                };
-                Visited::Fingerprint {
-                    map,
-                    mask: self.mask,
-                }
-            }
-            VisitedMode::Exact => Visited::exact_of(&states),
-        };
         Ok(Finished {
-            graph: StateGraph {
-                states,
-                visited,
-                init: self.init,
-                edges,
-                parents,
-                reduced: false,
-                canon: None,
-            },
+            graph,
             snapshot,
             resume,
             reduction: None,

@@ -9,8 +9,9 @@
 //!   stop flag for budget cuts, and per-parent panic isolation (the
 //!   panicked parent is re-queued and re-expanded by a surviving
 //!   worker; an edge record it had already banked is simply banked
-//!   again, and read-back keeps the last). This module supplies the
-//!   [`Expand`] implementation (over packed records) it runs.
+//!   again, equal to the first, and read-back keeps one). This module
+//!   supplies the [`Expand`] implementation (over packed records) it
+//!   runs.
 //! * **The state arena and edge records** live in two shared
 //!   [`SegmentStore`]s (`wsarena-*` / `wsedges-*` segments) behind
 //!   plain mutexes: every worker funnels its encoded records through
@@ -19,9 +20,9 @@
 //!   exchange. Parents are read back through the store's LRU cache, so
 //!   the working set stays within the byte budget even while many
 //!   workers expand concurrently.
-//! * **The visited set** is the sequential spill store's own two-tier
+//! * **The dedup index** is the sequential spill store's own two-tier
 //!   [`SpillVisited`], one per [`NUM_SHARDS`] lock stripe: each stripe
-//!   owns a hot fingerprint map and its own one-bit filter, and drains
+//!   owns a hot fingerprint index and its own one-bit filter, and drains
 //!   to a sorted [`FingerprintRun`](opentla_kernel::store::FingerprintRun)
 //!   file once it has taken its share of the budget's hot-tier
 //!   entries. Run files are globally sequenced by one shared name
@@ -63,11 +64,11 @@
 //! item 3).
 
 use super::seq::{Seed, Stop};
-use super::spill::{self, FpEntry, RunNames, SpillVisited, Tuning};
+use super::spill::{self, RunNames, SpillVisited, Tuning};
 use super::ws::{self, Expand, Expanded, Tripwire, WsRun};
 use super::*;
 use crate::checkpoint::CheckpointError;
-use opentla_kernel::store::{self, SegmentStore, StoreError};
+use opentla_kernel::store::{SegmentStore, StoreError};
 use opentla_kernel::{PackedLayout, Value};
 use std::ops::ControlFlow;
 use std::path::Path;
@@ -117,72 +118,57 @@ impl SpillWsStore<'_> {
         Ok(())
     }
 
-    /// Fingerprint-mode intern: probe the key's stripe across both
-    /// tiers, and only on an admitted full miss run `encode` to build
-    /// the record and append it to the arena — already-visited
-    /// successors never materialize their bytes. The charge-then-admit
-    /// order is [`SpillVisited::fp_entry`]'s.
-    fn intern_fp(
+    /// Looks up or records the state with fingerprint `fp` whose arena
+    /// record `encode` builds: `(arrival id, whether it is new)`.
+    ///
+    /// Fingerprint mode probes the key's stripe across both tiers, and
+    /// only on an admitted full miss runs `encode` and appends the
+    /// record to the arena — already-visited successors never
+    /// materialize their bytes. Exact mode encodes the probe's record
+    /// first and verifies every candidate under the key against its
+    /// arena record before the probe state is declared visited —
+    /// forced collisions give false candidates, never false answers;
+    /// equality is decided on the payload bytes (packing is injective
+    /// on in-domain states). The charge-then-admit order is
+    /// [`SpillVisited::fp_entry`]'s.
+    fn intern(
         &self,
         fp: u64,
         encode: impl FnOnce(&mut Vec<u8>),
         rec_buf: &mut Vec<u8>,
+        read_buf: &mut Vec<u8>,
     ) -> Result<(usize, bool), Stop> {
         let key = fp & self.mask;
+        let charge = || self.meter.charge_state().map_or(Ok(()), |reason| Err(Stop::Cut(reason)));
         let (_si, mut shard) = self.visited.lock_key(key);
-        let entry = shard.fp_entry(key, || {
-            if let Some(reason) = self.meter.charge_state() {
-                return Err(Stop::Cut(reason));
+        let entry: Result<_, Stop> = match self.mode {
+            VisitedMode::Fingerprint => shard.fp_entry(
+                key,
+                |_| Ok(true),
+                || {
+                    charge()?;
+                    encode(rec_buf);
+                    Ok(self.append_arena(rec_buf)?)
+                },
+            ),
+            VisitedMode::Exact => {
+                encode(rec_buf);
+                // Verification happens under the stripe lock so no
+                // peer can admit the same state between our probe and
+                // our insert.
+                let same = |cand: usize| {
+                    lock(&self.arena).read(cand as u64, read_buf)?;
+                    // Packed payloads start at byte 17 in both records.
+                    Ok(read_buf[17..] == rec_buf[17..])
+                };
+                shard.fp_entry(key, same, || {
+                    charge()?;
+                    Ok(self.append_arena(rec_buf)?)
+                })
             }
-            encode(rec_buf);
-            Ok(self.append_arena(rec_buf)?)
-        })?;
+        };
         drop(shard);
-        match entry {
-            FpEntry::Found(id) => Ok((id, false)),
-            FpEntry::Inserted(id, spilled) => {
-                if let Some(info) = spilled {
-                    spill::note_spill(self.meter, &info);
-                }
-                Ok((id, true))
-            }
-        }
-    }
-
-    /// Exact-mode intern: the unmasked fingerprint only *indexes*
-    /// candidates, each verified against its arena record before the
-    /// probe state is declared visited — forced collisions give false
-    /// candidates, never false answers. The caller pre-encodes the
-    /// probe's full record (`rec_buf`); equality is decided on the
-    /// payload bytes (packing is injective on in-domain states).
-    fn intern_exact(
-        &self,
-        fp: u64,
-        rec_buf: &[u8],
-        read_buf: &mut Vec<u8>,
-        cand: &mut Vec<u64>,
-    ) -> Result<(usize, bool), Stop> {
-        let (_si, mut shard) = self.visited.lock_key(fp & self.mask);
-        shard.candidates(fp, cand)?;
-        // Verification happens under the stripe lock so no peer can
-        // admit the same state between our probe and our insert.
-        for &cid in cand.iter() {
-            lock(&self.arena).read(cid, read_buf)?;
-            // Packed payloads start at byte 17 in both records.
-            if read_buf[17..] == rec_buf[17..] {
-                return Ok((cid as usize, false));
-            }
-        }
-        if let Some(reason) = self.meter.charge_state() {
-            return Err(Stop::Cut(reason));
-        }
-        let id = self.append_arena(rec_buf)?;
-        let spilled = shard.insert(fp, id)?;
-        drop(shard);
-        if let Some(info) = spilled {
-            spill::note_spill(self.meter, &info);
-        }
-        Ok((id, true))
+        Ok(entry?.noted(self.meter))
     }
 }
 
@@ -193,7 +179,6 @@ struct SpillScratch {
     parent_rec: Vec<u8>,
     rec_buf: Vec<u8>,
     read_buf: Vec<u8>,
-    cand: Vec<u64>,
     edge_rec_buf: Vec<u8>,
     values: Vec<Value>,
     updates: Vec<(usize, u32)>,
@@ -296,13 +281,8 @@ impl Expand for SpillPacked<'_> {
         let parent_bytes = &w.parent_rec[17..];
         layout.unpack_into(parent_bytes, &mut w.values);
         w.edge_list.clear();
-        let (updates, rec_buf, read_buf, cand, edge_list) = (
-            &mut w.updates,
-            &mut w.rec_buf,
-            &mut w.read_buf,
-            &mut w.cand,
-            &mut w.edge_list,
-        );
+        let (updates, rec_buf, read_buf, edge_list) =
+            (&mut w.updates, &mut w.rec_buf, &mut w.read_buf, &mut w.edge_list);
         let stop = compiled.for_each_successor_values(
             &w.values,
             &mut w.eval,
@@ -320,13 +300,7 @@ impl Expand for SpillPacked<'_> {
                     buf.extend_from_slice(&child_fp.to_le_bytes());
                     ws::append_packed_child(layout, parent_bytes, updates, buf);
                 };
-                let interned = match store.mode {
-                    VisitedMode::Fingerprint => store.intern_fp(child_fp, encode, rec_buf),
-                    VisitedMode::Exact => {
-                        encode(rec_buf);
-                        store.intern_exact(child_fp, rec_buf, read_buf, cand)
-                    }
-                };
+                let interned = store.intern(child_fp, encode, rec_buf, read_buf);
                 SpillWsStore::record(interned, action, edge_list, born, wire)
             },
         )?;
@@ -344,15 +318,10 @@ impl Expand for SpillPacked<'_> {
 fn spill_exhaustion_snapshot(
     dir: &Path,
     t: &Tuning,
-    states: &[State],
-    fps: &[u64],
-    init: &[usize],
-    edges: &[Vec<Edge>],
-    parents: &[Option<(usize, usize)>],
+    graph: &StateGraph,
     keep: usize,
     frontier: &[usize],
-    options: &ExploreOptions,
-    sys_hash: u64,
+    header: RunHeader,
     layout: &PackedLayout,
     meter: &Meter,
 ) -> Result<Box<Snapshot>, CheckError> {
@@ -367,9 +336,10 @@ fn spill_exhaustion_snapshot(
     let mut scratch = Vec::new();
     let mut buf = Vec::new();
     let mut transitions: u64 = 0;
-    for i in 0..keep {
-        let packed = Some(layout);
-        checkpoint::encode_arena_record(&states[i], fps[i], parents[i], packed, &mut scratch, &mut buf);
+    for (i, state) in graph.states()[..keep].iter().enumerate() {
+        // A packed state's stored fingerprint is its tree fingerprint.
+        let (fp, packed) = (state.fingerprint(), Some(layout));
+        checkpoint::encode_arena_record(state, fp, graph.parent(i), packed, &mut scratch, &mut buf);
         if let Some(meta) = arena.append(&buf).map_err(CheckpointError::from)? {
             spill::note_spill(meter, &spill::seal_info("arena", &arena, &meta));
         }
@@ -377,17 +347,16 @@ fn spill_exhaustion_snapshot(
         // banked edge record — the invariant `capture` enforces by
         // clearing frontier edge lists.
         if !in_frontier[i] {
-            checkpoint::encode_edge_record(i, &edges[i], &mut buf);
+            checkpoint::encode_edge_record(i, graph.edges(i), &mut buf);
             if let Some(meta) = edge_out.append(&buf).map_err(CheckpointError::from)? {
                 spill::note_spill(meter, &spill::seal_info("edges", &edge_out, &meta));
             }
-            transitions += edges[i].len() as u64;
+            transitions += graph.edges(i).len() as u64;
         }
     }
     Ok(Box::new(spill::manifest_snapshot(
-        options,
-        sys_hash,
-        init,
+        header,
+        graph.init(),
         frontier.to_vec(),
         &arena,
         &edge_out,
@@ -432,6 +401,7 @@ fn explore_spill_ws_in(
     let mut ck = Checkpointer::new(budget.checkpoint.clone(), 0);
     let t = Tuning::for_budget(mem_budget);
     let meter = seed.meter(budget);
+    let header = || RunHeader::of(options, sys_hash);
 
     let arena_store = SegmentStore::create(dir, "wsarena", t.seg_target, t.arena_cache)
         .map_err(CheckpointError::from)?;
@@ -469,26 +439,21 @@ fn explore_spill_ws_in(
             // first-id-wins inserts, and every non-frontier state gets
             // its edge record banked — the finalization read-back then
             // cannot tell banked work from new work.
-            let n = snap.states.len();
-            let mut in_frontier = vec![false; n];
+            let graph = &snap.graph;
+            let mut in_frontier = vec![false; graph.len()];
             for &f in &snap.frontier {
                 in_frontier[f] = true;
             }
-            for (id, s) in snap.states.iter().enumerate() {
+            for (id, s) in graph.states().iter().enumerate() {
                 let fp = s.fingerprint();
-                let spilled = store
-                    .visited
-                    .lock_key(fp & store.mask)
-                    .1
-                    .seed(options.mode, fp, store.mask, id)
-                    .map_err(CheckpointError::from)?;
-                if let Some(info) = spilled {
-                    spill::note_spill(&meter, &info);
-                }
+                let key = fp & store.mask;
+                let mut stripe = store.visited.lock_key(key).1;
+                stripe.seed(options.mode, key, id, &meter).map_err(CheckpointError::from)?;
+                drop(stripe);
                 checkpoint::encode_arena_record(
                     s,
                     fp,
-                    snap.parents[id],
+                    graph.parent(id),
                     Some(layout),
                     &mut pack_scratch,
                     &mut rec_buf,
@@ -496,11 +461,11 @@ fn explore_spill_ws_in(
                 let got = store.append_arena(&rec_buf).map_err(CheckpointError::from)?;
                 debug_assert_eq!(got, id, "seeding assigns arrival ids in order");
                 if !in_frontier[id] {
-                    checkpoint::encode_edge_record(id, &snap.edges[id], &mut rec_buf);
+                    checkpoint::encode_edge_record(id, graph.edges(id), &mut rec_buf);
                     store.append_edges(&rec_buf).map_err(CheckpointError::from)?;
                 }
             }
-            init_ids = snap.init.clone();
+            init_ids = graph.init().to_vec();
             frontier_seed = snap.frontier.iter().map(|&i| pid(0, i)).collect();
         }
         Seed::Fresh(states) => {
@@ -508,21 +473,13 @@ fn explore_spill_ws_in(
             // order is the enumeration order, as in every engine.
             let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
             let mut read_buf: Vec<u8> = Vec::new();
-            let mut cand: Vec<u64> = Vec::new();
             for s in &states {
                 let fp = s.fingerprint();
-                let mut encode = |buf: &mut Vec<u8>| {
+                let encode = |buf: &mut Vec<u8>| {
                     let packed = Some(layout);
                     checkpoint::encode_arena_record(s, fp, None, packed, &mut pack_scratch, buf);
                 };
-                let r = match options.mode {
-                    VisitedMode::Fingerprint => store.intern_fp(fp, encode, &mut rec_buf),
-                    VisitedMode::Exact => {
-                        encode(&mut rec_buf);
-                        store.intern_exact(fp, &rec_buf, &mut read_buf, &mut cand)
-                    }
-                };
-                match r {
+                match store.intern(fp, encode, &mut rec_buf, &mut read_buf) {
                     Ok((id, true)) => init_ids.push(id),
                     Ok((_, false)) => {}
                     Err(Stop::Cut(reason)) => {
@@ -558,47 +515,27 @@ fn explore_spill_ws_in(
     // Decode the arena stream in arrival order (sealed segments, then
     // the unsealed tail), like the sequential engine's teardown.
     let mut arr_states: Vec<Option<State>> = Vec::with_capacity(n);
-    let mut arr_fps: Vec<u64> = Vec::with_capacity(n);
-    {
-        let mut take = |bytes: &[u8]| -> Result<(), CheckpointError> {
-            let r = checkpoint::decode_arena_record(bytes, Some(layout))?;
-            arr_states.push(Some(r.state));
-            arr_fps.push(r.fp);
-            Ok(())
-        };
-        for meta in arena_store.sealed() {
-            let segment = store::read_segment(&arena_store.dir().join(&meta.name), Some(meta))
-                .map_err(CheckpointError::from)?;
-            for bytes in segment {
-                take(&bytes)?;
-            }
-        }
-        for bytes in arena_store.hot_records() {
-            take(bytes)?;
-        }
-    }
+    checkpoint::for_each_record(spill::records(&arena_store), |bytes| {
+        arr_states.push(Some(checkpoint::decode_arena_record(bytes, Some(layout))?.state));
+        Ok(())
+    })?;
 
     // Rebuild the edge-record runs: banked records (one contiguous run
-    // per completed parent, in id order) plus the in-RAM partial runs
-    // of cut parents — cut parents never wrote a record, so the runs
-    // are disjoint and the replay sees each parent's edges exactly
-    // once.
-    let banked_edges = spill::collect_edges(&edge_store, n)?;
-    let mut all_edges: Vec<Vec<(Pid, u32, Pid)>> = Vec::new();
-    let total: usize = banked_edges.iter().map(Vec::len).sum();
-    let mut recs: Vec<(Pid, u32, Pid)> = Vec::with_capacity(total);
-    for (id, es) in banked_edges.iter().enumerate() {
-        for e in es {
-            recs.push((pid(0, id), e.action as u32, pid(0, e.target)));
+    // per completed parent) plus the in-RAM partial runs of cut
+    // parents — cut parents never wrote a record, so the runs are
+    // disjoint and the replay sees each parent's edges exactly once.
+    let mut recs: Vec<(Pid, u32, Pid)> = Vec::with_capacity(meter.transitions_used());
+    let mut banked = vec![false; n];
+    checkpoint::for_each_edge_record(spill::records(&edge_store), n, |id, es| {
+        // A parent re-expanded after its worker died has interned the
+        // same children again: a second record repeats the first.
+        if !std::mem::replace(&mut banked[id], true) {
+            recs.extend(es.iter().map(|e| (pid(0, id), e.action as u32, pid(0, e.target))));
         }
-    }
-    if !recs.is_empty() {
-        all_edges.push(recs);
-    }
+        Ok(())
+    })?;
+    let mut all_edges = vec![recs];
     for (parent, es) in &cut_partials {
-        if es.is_empty() {
-            continue;
-        }
         all_edges.push(
             es.iter()
                 .map(|e| (*parent, e.action as u32, pid(0, e.target)))
@@ -606,34 +543,28 @@ fn explore_spill_ws_in(
         );
     }
     let init_pids: Vec<Pid> = init_ids.iter().map(|&i| pid(0, i)).collect();
-    let (mut replay, order) = replay_records_order(&[n], &all_edges, &init_pids);
-    replay.states = order
-        .iter()
-        .map(|&p| {
-            arr_states[local_of(p)]
-                .take()
-                .expect("each arrival id appears once in the canonical order")
-        })
-        .collect();
+    let replay = replay_records(&[n], &all_edges, &init_pids, |order| {
+        order
+            .iter()
+            .map(|&p| {
+                arr_states[local_of(p)]
+                    .take()
+                    .expect("each arrival id appears once in the canonical order")
+            })
+            .collect()
+    });
     // Exhaustion snapshot at the quiescent point, rolled back to the
     // deepest consistent level boundary of the canonical graph.
     let (snapshot, resume_token) = match reason {
         Some(_) if !exhausted_in_init && ck.active() => {
-            let (keep, frontier_ids) =
-                rollback_cut(&replay.canon, &replay.depth, replay.states.len(), &pending);
-            let canon_fps: Vec<u64> = order.iter().map(|&p| arr_fps[local_of(p)]).collect();
+            let (keep, frontier_ids) = rollback_cut(&replay, &pending);
             let snap = spill_exhaustion_snapshot(
                 dir,
                 &t,
-                &replay.states,
-                &canon_fps,
-                &replay.init,
-                &replay.edges,
-                &replay.parents,
+                &replay.graph,
                 keep,
                 &frontier_ids,
-                options,
-                sys_hash,
+                header(),
                 layout,
                 &meter,
             )?;
@@ -641,43 +572,11 @@ fn explore_spill_ws_in(
             (Some(snap), token)
         }
         Some(_) if !exhausted_in_init => {
-            rolled_back_snapshot(&mut ck, &budget.recorder, &replay, &pending, options, sys_hash)
+            rolled_back_snapshot(&mut ck, &budget.recorder, &replay, &pending, header())
         }
         _ => (None, None),
     };
-    let Replay {
-        canon,
-        states,
-        edges,
-        parents,
-        init,
-        ..
-    } = replay;
-
-    // The final visited map, rebuilt from the canonical order — the
-    // same first-id-wins map the sequential spill engine produces
-    // (its hot-tier move is this map when nothing ever drained).
-    let visited = match options.mode {
-        VisitedMode::Fingerprint => {
-            let mask = options.mask();
-            let mut map: FxHashMap<u64, usize> = FxHashMap::default();
-            map.reserve(states.len());
-            for (id, &p) in order.iter().enumerate() {
-                map.entry(arr_fps[local_of(p)] & mask).or_insert(id);
-            }
-            Visited::Fingerprint { map, mask }
-        }
-        VisitedMode::Exact => Visited::exact_of(&states),
-    };
-    let graph = StateGraph {
-        states,
-        visited,
-        init,
-        edges,
-        parents,
-        reduced: false,
-        canon: None,
-    };
+    let Replay { canon, graph, .. } = replay;
     drop(renumber_phase);
 
     Ok(parallel_exploration(

@@ -24,14 +24,14 @@
 //!   and the hot path allocates no `Value` trees at all. A system
 //!   whose states do not pack never gets here: its plan settles on
 //!   the sequential loop (`Plan::start`).
-//! * **Lock-striped visited set.** The visited set is sharded by
+//! * **Lock-striped dedup index.** The index is sharded by
 //!   fingerprint prefix into [`NUM_SHARDS`] independently-locked
 //!   stripes, a state's provisional id naming its stripe and its
 //!   index there, so interning scales with workers.
 //!
 //! Determinism is recovered after the fact, not maintained during the
 //! run: workers record `(parent, action, child)` edges, and the
-//! canonical renumbering replay ([`replay_records_order`]) rebuilds
+//! canonical renumbering replay ([`replay_records`]) rebuilds
 //! the sequential BFS discovery order — the finished graph is
 //! **byte-identical** to the sequential engine's.
 //!
@@ -54,10 +54,10 @@
 //! coordinator snapshots the same way, and the run goes on from the
 //! pending states. Unarmed runs are one epoch.
 
+use super::index::FpIndex;
 use super::seq::Seed;
 use super::*;
 use opentla_kernel::{PackedLayout, Value, VarId};
-use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::MutexGuard;
@@ -476,53 +476,25 @@ pub(super) fn append_packed_child(
 // The in-RAM stores
 // ---------------------------------------------------------------------
 
-/// One stripe of the concurrent visited set: dedup keys plus the
-/// append-only packed arena behind them.
+/// One stripe of the concurrent store: the dedup index (masked
+/// fingerprint → local id) plus the append-only packed arena behind
+/// it.
+#[derive(Default)]
 struct WsShard {
-    keys: WsKeys,
+    index: FpIndex,
     /// `fps.len()` states of `stride` bytes each.
     packed: Vec<u8>,
     /// Unmasked fingerprints, indexed by local id.
     fps: Vec<u64>,
 }
 
-enum WsKeys {
-    /// Fingerprint mode: masked fingerprint → local id.
-    Fingerprint(FxHashMap<u64, u32>),
-    /// Exact mode: the packed bytes *are* the key — packing is
-    /// injective on in-domain states, so this is exact even under
-    /// forced fingerprint collisions, with no tree states built.
-    PackedExact(FxHashMap<Box<[u8]>, u32>),
-}
-
 impl WsShard {
-    fn new(mode: VisitedMode) -> WsShard {
-        WsShard {
-            keys: match mode {
-                VisitedMode::Fingerprint => WsKeys::Fingerprint(FxHashMap::default()),
-                VisitedMode::Exact => WsKeys::PackedExact(FxHashMap::default()),
-            },
-            packed: Vec::new(),
-            fps: Vec::new(),
-        }
-    }
-
     fn len(&self) -> usize {
         self.fps.len()
     }
 }
 
-/// The lock-striped visited set and arenas of one in-RAM run.
-///
-/// Every `intern_*` returns the pid and whether the state was new, or
-/// the exhaustion reason if the state limit cut the insertion off, and
-/// takes `charged`: worker and initial-state interns charge the meter
-/// for genuinely new states, *before* anything is inserted; resume
-/// seeding passes `false` — the meter is pre-charged with the
-/// snapshot's banked totals — and a masked-fingerprint collision maps
-/// to the first occupant (the same first-id-wins rule the snapshot's
-/// canonical order encodes), so collision behavior survives the round
-/// trip.
+/// The lock-striped dedup index and arenas of one in-RAM run.
 struct WsStore<'a> {
     shards: Striped<WsShard>,
     mask: u64,
@@ -531,74 +503,64 @@ struct WsStore<'a> {
 }
 
 impl WsStore<'_> {
-    fn charge(&self, charged: bool) -> Result<(), ExhaustReason> {
-        if !charged {
-            return Ok(());
-        }
-        self.meter.charge_state().map_or(Ok(()), Err)
-    }
-
-    /// Fingerprint-mode intern over packed arenas: probes by
-    /// fingerprint alone and materializes the child bytes — via
-    /// `append`, writing directly into the shard arena — only on a
-    /// vacant insert. Already-visited successors (the majority, once
-    /// the frontier is deep) never build their bytes at all, the
-    /// packed analogue of what [`State::fingerprint_with`] buys the
-    /// sequential loop.
-    fn intern_packed_fp(
+    /// Looks up or records the packed state with fingerprint `fp`
+    /// whose bytes `append` writes: the pid and whether the state was
+    /// new, or the exhaustion reason if the state limit cut the
+    /// insertion off. Worker and initial-state interns are `charged`:
+    /// the meter is charged for a genuinely new state *before*
+    /// anything is inserted. Resume seeding is not — the meter is
+    /// pre-charged with the snapshot's banked totals — and a
+    /// masked-fingerprint collision maps to the first occupant (the
+    /// same first-id-wins rule the snapshot's canonical order
+    /// encodes), so collision behavior survives the round trip.
+    ///
+    /// Fingerprint mode probes by fingerprint alone and runs `append`
+    /// — writing directly into the shard arena — only on a vacant
+    /// insert. Already-visited successors (the majority, once the
+    /// frontier is deep) never build their bytes at all, the packed
+    /// analogue of what [`State::fingerprint_with`] buys the
+    /// sequential loop. Exact mode builds them in `scratch` first and
+    /// verifies a hit against the arena's: packing is injective on
+    /// in-domain states, so equal bytes are equal states, with no tree
+    /// states built.
+    fn intern(
         &self,
         fp: u64,
         append: impl FnOnce(&mut Vec<u8>),
+        scratch: &mut Vec<u8>,
         charged: bool,
     ) -> Result<(Pid, bool), ExhaustReason> {
         let key = fp & self.mask;
         let (shard_i, mut shard) = self.shards.lock_key(key);
-        let WsShard {
-            keys, packed, fps, ..
-        } = &mut *shard;
-        match keys {
-            WsKeys::Fingerprint(map) => match map.entry(key) {
-                Entry::Occupied(e) => Ok((pid(shard_i, *e.get() as usize), false)),
-                Entry::Vacant(e) => {
-                    self.charge(charged)?;
-                    let local = fps.len();
+        let WsShard { index, packed, fps } = &mut *shard;
+        let admit = || match charged.then(|| self.meter.charge_state()).flatten() {
+            Some(reason) => Err(reason),
+            None => Ok(fps.len()),
+        };
+        let (local, is_new) = match self.mode {
+            VisitedMode::Fingerprint => {
+                let hit = index.intern(key, |_| Ok(true), |_| Ok(None), admit)?;
+                if hit.1 {
                     append(packed);
-                    fps.push(fp);
-                    e.insert(local as u32);
-                    Ok((pid(shard_i, local), true))
                 }
-            },
-            WsKeys::PackedExact(_) => unreachable!("fingerprint intern on an exact-mode shard"),
-        }
-    }
-
-    /// Exact-mode intern of a fully-built packed state (the bytes are
-    /// the dedup key, so they must exist before the probe).
-    fn intern_packed(
-        &self,
-        fp: u64,
-        child: &[u8],
-        charged: bool,
-    ) -> Result<(Pid, bool), ExhaustReason> {
-        let key = fp & self.mask;
-        let (shard_i, mut shard) = self.shards.lock_key(key);
-        let WsShard {
-            keys, packed, fps, ..
-        } = &mut *shard;
-        match keys {
-            WsKeys::PackedExact(map) => {
-                if let Some(&local) = map.get(child) {
-                    return Ok((pid(shard_i, local as usize), false));
-                }
-                self.charge(charged)?;
-                let local = fps.len();
-                packed.extend_from_slice(child);
-                fps.push(fp);
-                map.insert(child.into(), local as u32);
-                Ok((pid(shard_i, local), true))
+                hit
             }
-            WsKeys::Fingerprint(_) => unreachable!("exact intern on a fingerprint-mode shard"),
+            VisitedMode::Exact => {
+                scratch.clear();
+                append(scratch);
+                let stride = scratch.len();
+                let same = |local: usize| Ok(packed[local * stride..][..stride] == scratch[..]);
+                let hit = index.intern(key, same, |_| Ok(None), admit)?;
+                if hit.1 {
+                    packed.extend_from_slice(scratch);
+                }
+                hit
+            }
+        };
+        if is_new {
+            fps.push(fp);
         }
+        Ok((pid(shard_i, local), is_new))
     }
 
     /// Interns a whole seed state (initial or snapshot).
@@ -609,15 +571,10 @@ impl WsStore<'_> {
         buf: &mut Vec<u8>,
         charged: bool,
     ) -> Result<(Pid, bool), ExhaustReason> {
-        let fp = s.fingerprint();
         let ok = layout.pack_into(s.values(), buf);
         debug_assert!(ok, "the plan settled on packed states: every seed state packs");
-        match self.mode {
-            VisitedMode::Fingerprint => {
-                self.intern_packed_fp(fp, |arena| arena.extend_from_slice(buf), charged)
-            }
-            VisitedMode::Exact => self.intern_packed(fp, buf, charged),
-        }
+        let append = |arena: &mut Vec<u8>| arena.extend_from_slice(buf);
+        self.intern(s.fingerprint(), append, &mut Vec::new(), charged)
     }
 }
 
@@ -685,23 +642,8 @@ impl Expand for RamPacked<'_> {
                 return ControlFlow::Break(reason);
             }
             let child_fp = packed_delta(layout, parent_buf, parent_fp, assignments, updates);
-            let interned = match store.mode {
-                // Fingerprint dedup: probe first, build the child's
-                // bytes only if it is genuinely new.
-                VisitedMode::Fingerprint => store.intern_packed_fp(
-                    child_fp,
-                    |arena| append_packed_child(layout, parent_buf, updates, arena),
-                    true,
-                ),
-                // Exact dedup keys on the bytes themselves, so they
-                // must exist before the probe.
-                VisitedMode::Exact => {
-                    child_buf.clear();
-                    append_packed_child(layout, parent_buf, updates, child_buf);
-                    store.intern_packed(child_fp, child_buf, true)
-                }
-            };
-            match interned {
+            let append = |out: &mut Vec<u8>| append_packed_child(layout, parent_buf, updates, out);
+            match store.intern(child_fp, append, child_buf, true) {
                 Ok((child, is_new)) => {
                     if is_new {
                         born.push(child);
@@ -727,7 +669,6 @@ fn canonical(
     init_pids: &[Pid],
 ) -> Replay {
     let arena_lens: Vec<usize> = shards.iter().map(|sh| sh.len()).collect();
-    let (mut replay, order) = replay_records_order(&arena_lens, all_edges, init_pids);
     let stride = layout.stride();
     let state_of = |p: Pid| {
         let local = local_of(p);
@@ -736,7 +677,10 @@ fn canonical(
     // Materialization is the renumber pass's dominant cost (one unpack
     // + tree allocation per state) and each state is independent once
     // the canonical order is fixed — fan it out.
-    replay.states = if threads > 1 && order.len() >= 4096 {
+    replay_records(&arena_lens, all_edges, init_pids, |order| {
+        if threads <= 1 || order.len() < 4096 {
+            return order.iter().map(|&p| state_of(p)).collect();
+        }
         let chunk = order.len().div_ceil(threads);
         let mut states: Vec<State> = Vec::with_capacity(order.len());
         std::thread::scope(|scope| {
@@ -752,10 +696,7 @@ fn canonical(
             }
         });
         states
-    } else {
-        order.iter().map(|&p| state_of(p)).collect()
-    };
-    replay
+    })
 }
 
 /// The in-RAM work-stealing engine; see the module docs.
@@ -771,8 +712,9 @@ pub(super) fn explore_ws(
     let sys_hash = checkpoint::system_hash(system);
     let mut ck = Checkpointer::new(budget.checkpoint.clone(), 0);
     let meter = seed.meter(budget);
+    let header = || RunHeader::of(options, sys_hash);
     let store = WsStore {
-        shards: Striped::new(|| WsShard::new(options.mode)),
+        shards: Striped::new(WsShard::default),
         mask: options.mask(),
         mode: options.mode,
         meter: &meter,
@@ -790,19 +732,20 @@ pub(super) fn explore_ws(
             // dedup) and turn the snapshot's edges into one
             // pre-recorded run vector — the canonical replay cannot
             // tell banked work from new work.
-            let pid_of: Vec<Pid> = snap
-                .states
+            let graph = &snap.graph;
+            let pid_of: Vec<Pid> = graph
+                .states()
                 .iter()
                 .map(|s| match store.intern_state(s, layout, &mut buf, false) {
                     Ok((p, _)) => p,
                     Err(_) => unreachable!("uncharged interns are never cut"),
                 })
                 .collect();
-            init_pids = snap.init.iter().map(|&i| pid_of[i]).collect();
-            let mut records: Vec<EdgeRecord> = Vec::new();
-            for (id, run) in snap.edges.iter().enumerate() {
-                for e in run {
-                    records.push((pid_of[id], e.action as u32, pid_of[e.target]));
+            init_pids = graph.init().iter().map(|&i| pid_of[i]).collect();
+            let mut records: Vec<EdgeRecord> = Vec::with_capacity(graph.edge_count());
+            for (id, &parent) in pid_of.iter().enumerate() {
+                for e in graph.edges(id) {
+                    records.push((parent, e.action as u32, pid_of[e.target]));
                 }
             }
             if !records.is_empty() {
@@ -834,7 +777,7 @@ pub(super) fn explore_ws(
     let mut checkpoint_at_pause = |records: &[Vec<EdgeRecord>], pending: &[Pid]| {
         let shards: Vec<_> = store.shards.iter_locked().collect();
         let replay = canonical(&shards, layout, threads, records, &init_pids);
-        rolled_back_snapshot(&mut ck, &budget.recorder, &replay, pending, options, sys_hash);
+        rolled_back_snapshot(&mut ck, &budget.recorder, &replay, pending, header());
         ck.active()
     };
     let epochs = budget.checkpoint.as_ref().map(|spec| Epochs {
@@ -863,53 +806,11 @@ pub(super) fn explore_ws(
     // the nondeterministic discovery order.
     let (snapshot, resume_token) = match reason {
         Some(_) if !exhausted_in_init => {
-            rolled_back_snapshot(&mut ck, &budget.recorder, &replay, &pending, options, sys_hash)
+            rolled_back_snapshot(&mut ck, &budget.recorder, &replay, &pending, header())
         }
         _ => (None, None),
     };
-    let Replay {
-        canon,
-        states,
-        edges,
-        parents,
-        init,
-        ..
-    } = replay;
-
-    let visited = match options.mode {
-        VisitedMode::Fingerprint => {
-            let mut map: FxHashMap<u64, usize> = FxHashMap::default();
-            map.reserve(states.len());
-            for (si, shard) in shards.iter().enumerate() {
-                if let WsKeys::Fingerprint(m) = &shard.keys {
-                    for (&fp, &local) in m {
-                        let id = canon[si][local as usize];
-                        if id != u32::MAX {
-                            map.insert(fp, id as usize);
-                        }
-                    }
-                }
-            }
-            Visited::Fingerprint {
-                map,
-                mask: options.mask(),
-            }
-        }
-        // Exact keys are the states themselves, and the canonical
-        // arena lists each exactly once — rebuilding from it is
-        // equivalent to remapping the shard maps (and avoids unpacking
-        // the packed keys a second time).
-        VisitedMode::Exact => Visited::exact_of(&states),
-    };
-    let graph = StateGraph {
-        states,
-        visited,
-        init,
-        edges,
-        parents,
-        reduced: false,
-        canon: None,
-    };
+    let Replay { canon, graph, .. } = replay;
     drop(renumber_phase);
     Ok(parallel_exploration(
         graph,

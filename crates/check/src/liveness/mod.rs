@@ -1050,7 +1050,10 @@ mod tests {
             !eval(target, &lasso, &ctx).unwrap(),
             "counterexample must violate the target"
         );
-        let id = |k: usize| graph.index_of(&cx.states()[k]).expect("a graph state");
+        let id = |k: usize| {
+            let at = graph.states().iter().position(|s| s == &cx.states()[k]);
+            at.expect("a graph state")
+        };
         for (k, label) in cx.actions().iter().enumerate().skip(1) {
             let Some(label) = label else { continue };
             let (from, to) = (id(k - 1), id(k));

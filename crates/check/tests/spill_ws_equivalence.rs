@@ -254,10 +254,13 @@ fn spill_ws_golden_chain4() {
     remove_spill_artifacts(&path);
 }
 
-/// Narrow fingerprints (12 bits) force real collisions. Exact mode
-/// must verify every candidate against its arena record and keep the
-/// graph identical to the uncollided full-width one at *every* worker
-/// count. Fingerprint mode under forced collisions is only
+/// Narrow fingerprints (12 bits) force real collisions, in both modes:
+/// the index is keyed by the masked fingerprint. Exact mode must
+/// verify a hit against its arena record, chain the state that differs
+/// under the same key, and keep the graph identical to the uncollided
+/// full-width one at *every* worker count (the matrix test below does
+/// the same for every store, and at 1 bit, where nearly every intern
+/// walks a chain). Fingerprint mode under forced collisions is only
 /// deterministic single-worker: first-insert-wins picks the class
 /// representative, and with concurrent workers the winner — and
 /// therefore the abstract graph itself — depends on arrival order (the
@@ -294,6 +297,68 @@ fn spill_ws_survives_forced_collisions() {
             },
         );
         assert_identical("fp12/workers=1", &seq12, &par12);
+    }
+}
+
+/// The one dedup index design, under all four stores: in
+/// [`VisitedMode::Exact`] a store looks a state up by its *masked*
+/// fingerprint, verifies the hit against its arena, and chains a state
+/// that differs from every id under the key. At 12 bits a few interns
+/// take the verify-and-reject path; at 1 bit nearly all of them do,
+/// walking chains as long as half the graph — and in the two
+/// disk-backed stores, whose 32 KiB hot tiers drain, finding their
+/// candidates in the spilled runs. Whatever the width, no two states
+/// may be conflated: every graph must be byte-identical to the
+/// full-width sequential exact one.
+#[test]
+fn exact_mode_verifies_and_chains_in_every_store() {
+    let systems = [
+        ("ring3", TokenRing::new(3).complete_system().expect("ring builds")),
+        (
+            "chain2",
+            QueueChain::new(2, 1, 2, FairnessStyle::Joint)
+                .complete_system()
+                .expect("chain2 builds"),
+        ),
+        (
+            "mutex3",
+            Mutex::with_clients(3, ArbiterFairness::Weak)
+                .product()
+                .expect("mutex builds"),
+        ),
+    ];
+    let stores = [
+        ("sequential", Engine::Auto, 1, None),
+        ("spill", Engine::SpillBfs, 1, Some(32 << 10)),
+        ("ws@1", Engine::WorkStealing, 1, None),
+        ("ws@4", Engine::WorkStealing, 4, None),
+        ("spill-ws@1", Engine::SpillWs, 1, Some(32 << 10)),
+        ("spill-ws@4", Engine::SpillWs, 4, Some(32 << 10)),
+    ];
+    for (name, sys) in &systems {
+        let full = explore_seq(sys, VisitedMode::Exact, 64);
+        for fp_bits in [1, 12] {
+            for (store, engine, workers, mem_budget_bytes) in stores {
+                let options = ExploreOptions {
+                    mode: VisitedMode::Exact,
+                    fp_bits,
+                    engine,
+                    threads: Some(workers),
+                    mem_budget_bytes,
+                    ..ExploreOptions::default()
+                };
+                // Bounded, so a store that fails to recognise a state
+                // it holds exhausts instead of re-expanding it forever.
+                let budget = Budget::default().states(full.len());
+                let run = explore_governed_with(sys, &budget, &options).expect("exact run succeeds");
+                let label = format!("{name}/{store}/fp{fp_bits}");
+                assert!(matches!(run.outcome, Outcome::Complete), "{label}: {}", run.outcome);
+                assert_identical(&label, &full, &run.graph);
+                for id in 0..full.len() {
+                    assert_eq!(full.trace_to(id), run.graph.trace_to(id), "{label}: trace to {id}");
+                }
+            }
+        }
     }
 }
 

@@ -1100,12 +1100,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(fp.stats(), exact.stats());
-        assert_eq!(fp.states(), exact.states());
-        for id in 0..fp.len() {
-            assert_eq!(fp.edges(id), exact.edges(id));
-            assert_eq!(fp.trace_to(id), exact.trace_to(id));
-        }
+        assert_eq!(fp.first_difference(&exact), None);
     }
 
     #[test]
@@ -1120,13 +1115,7 @@ mod tests {
                 },
             )
             .unwrap();
-            assert_eq!(seq.stats(), par.stats(), "threads = {threads}");
-            assert_eq!(seq.states(), par.states(), "threads = {threads}");
-            assert_eq!(seq.init(), par.init(), "threads = {threads}");
-            for id in 0..seq.len() {
-                assert_eq!(seq.edges(id), par.edges(id), "threads = {threads}");
-                assert_eq!(seq.trace_to(id), par.trace_to(id), "threads = {threads}");
-            }
+            assert_eq!(seq.first_difference(&par), None, "threads = {threads}");
         }
     }
 
@@ -1274,7 +1263,7 @@ mod tests {
             assert_eq!(plan.route, route);
             assert_eq!(plan.label(), label);
             assert_eq!(*lock(&log.engines), [(label.to_string(), workers)]);
-            assert_eq!(run.unwrap().graph.states(), reference.states(), "{label}");
+            assert_eq!(run.unwrap().graph.first_difference(&reference), None, "{label}");
         }
         // A reduced run is sequential whatever was asked for, and says
         // so: one worker, not four.

@@ -283,4 +283,36 @@ impl StateGraph {
         rev.reverse();
         rev
     }
+
+    /// Where `self` and `other` first differ in anything a graph
+    /// stores — the states in id order, each state's edge list, the
+    /// BFS tree (whose parentless states are the initial ones), and
+    /// last the name of the canonicalizer it was reduced under, if
+    /// any — or `None` when they are the same graph. The description
+    /// names one id and one state, edge list or parent of each side,
+    /// whatever the graphs' size.
+    pub fn first_difference(&self, other: &StateGraph) -> Option<String> {
+        if self.len() != other.len() {
+            return Some(format!("{} states vs {}", self.len(), other.len()));
+        }
+        let per_state = (0..self.len()).find_map(|id| {
+            let differ = |what: &str, a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
+                Some(format!("{what} of state {id}: {a:?} vs {b:?}"))
+            };
+            if self.states[id] != other.states[id] {
+                differ("value", &self.states[id], &other.states[id])
+            } else if self.edges[id] != other.edges[id] {
+                differ("edges", &self.edges[id], &other.edges[id])
+            } else if self.parents[id] != other.parents[id] {
+                differ("BFS parent", &self.parents[id], &other.parents[id])
+            } else {
+                None
+            }
+        });
+        per_state.or_else(|| {
+            let a = self.canonicalizer().map(Canonicalize::name);
+            let b = other.canonicalizer().map(Canonicalize::name);
+            (a != b).then(|| format!("reduced under {a:?} vs {b:?}"))
+        })
+    }
 }

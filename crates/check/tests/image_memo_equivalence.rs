@@ -11,7 +11,9 @@
 //! the abstract pair (what decides a miss) has the substituted
 //! expression's result, errors included.
 
-mod support;
+mod support {
+    pub mod direct;
+}
 
 use opentla::{closed_product, ComponentSpec, CompositionOptions};
 use opentla_check::image::{Classes, Images, Memo};
@@ -28,7 +30,7 @@ use opentla_scenarios::{AlternatingBit, ArbiterFairness, ClockWorld, Fig1, Mutex
 use opentla_semantics::safety_canonical;
 use proptest::prelude::*;
 use std::sync::Arc;
-use support::{
+use support::direct::{
     direct_fair_target, direct_pred, direct_simulation, lemma_on_every_state, lemma_on_every_step,
     mapped_fairness, Passes,
 };

@@ -13,28 +13,20 @@
 //!   true total — no `pending: 0` placeholders masquerading as
 //!   progress.
 
+mod support {
+    pub mod random_system;
+}
+
 use opentla_check::{
     check_liveness, check_liveness_governed, explore, Budget, ExhaustReason, ExploreOptions,
-    GuardedAction, Init, LiveTarget, Outcome, System, SystemFairness, Verdict,
+    LiveTarget, Outcome, System, SystemFairness, Verdict,
 };
-use opentla_kernel::{Domain, Expr, Fairness, Formula, Value, VarId};
+use opentla_kernel::{Expr, Fairness, Formula, VarId};
 use opentla_semantics::{eval, EvalCtx};
 use proptest::prelude::*;
+use support::random_system::{self, arb_action_spec, ActionSpec, Family};
 
-#[derive(Clone, Debug)]
-struct ActionSpec {
-    guard_var: usize,
-    guard_val: i64,
-    target_var: usize,
-    update: UpdateKind,
-}
-
-#[derive(Clone, Debug)]
-enum UpdateKind {
-    Constant(i64),
-    CopyOther,
-    Toggle,
-}
+const BITS: Family = Family { vars: 2, top: 1 };
 
 /// Which actions get a fairness requirement, and of which kind.
 #[derive(Clone, Debug)]
@@ -49,25 +41,6 @@ enum TargetSpec {
     AlwaysEventually(i64),
     LeadsTo(i64, i64),
     FairFirst { strong: bool },
-}
-
-fn arb_action_spec() -> impl Strategy<Value = ActionSpec> {
-    (
-        0..2usize,
-        0..2i64,
-        0..2usize,
-        prop_oneof![
-            (0..2i64).prop_map(UpdateKind::Constant),
-            Just(UpdateKind::CopyOther),
-            Just(UpdateKind::Toggle),
-        ],
-    )
-        .prop_map(|(guard_var, guard_val, target_var, update)| ActionSpec {
-            guard_var,
-            guard_val,
-            target_var,
-            update,
-        })
 }
 
 fn arb_fair_spec(actions: usize) -> impl Strategy<Value = FairSpec> {
@@ -87,43 +60,14 @@ fn arb_target() -> impl Strategy<Value = TargetSpec> {
 /// sampled fairness requirements attached (subscript = the variables
 /// the action writes).
 fn build_system(specs: &[ActionSpec], fair: &[FairSpec]) -> System {
-    let mut vars = opentla_kernel::Vars::new();
-    let a = vars.declare("a", Domain::bits());
-    let b = vars.declare("b", Domain::bits());
-    let ids = [a, b];
-    let actions: Vec<GuardedAction> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let target = ids[spec.target_var];
-            let other = ids[1 - spec.target_var];
-            let update = match spec.update {
-                UpdateKind::Constant(v) => Expr::int(v),
-                UpdateKind::CopyOther => Expr::var(other),
-                UpdateKind::Toggle => Expr::int(1).sub(Expr::var(target)),
-            };
-            GuardedAction::new(
-                format!("act{i}"),
-                Expr::var(ids[spec.guard_var]).eq(Expr::int(spec.guard_val)),
-                vec![(target, update)],
-            )
-        })
-        .collect();
-    let subs: Vec<Vec<VarId>> = actions
-        .iter()
-        .map(|ga| ga.touched().collect())
-        .collect();
-    let mut sys = System::new(
-        vars,
-        Init::new([(a, Value::Int(0)), (b, Value::Int(0))]),
-        actions,
-    );
+    let mut sys = random_system::build_system(BITS, specs);
     for f in fair {
         let i = f.action % specs.len();
+        let subscript: Vec<VarId> = sys.actions()[i].touched().collect();
         let req = if f.strong {
-            SystemFairness::strong(vec![i], subs[i].clone())
+            SystemFairness::strong(vec![i], subscript)
         } else {
-            SystemFairness::weak(vec![i], subs[i].clone())
+            SystemFairness::weak(vec![i], subscript)
         };
         sys = sys.with_fairness(req);
     }
@@ -186,7 +130,7 @@ proptest! {
     /// shape, a violation is one by the trace semantics.
     #[test]
     fn violated_lassos_are_fair_behaviours_that_falsify_the_target(
-        specs in proptest::collection::vec(arb_action_spec(), 1..4),
+        specs in proptest::collection::vec(arb_action_spec(BITS), 1..4),
         fair in proptest::collection::vec(arb_fair_spec(3), 0..3),
         tspec in arb_target(),
     ) {
@@ -202,7 +146,7 @@ proptest! {
     /// verdict (and a violation is a real one).
     #[test]
     fn sf_recursion_terminates(
-        specs in proptest::collection::vec(arb_action_spec(), 1..4),
+        specs in proptest::collection::vec(arb_action_spec(BITS), 1..4),
         extra_weak in any::<bool>(),
     ) {
         // All-SF fairness maximizes the Streett decomposition depth.
@@ -228,7 +172,7 @@ proptest! {
     /// charge total (completion is monotone in the budget).
     #[test]
     fn exhaustion_frontier_is_exact_and_monotone(
-        specs in proptest::collection::vec(arb_action_spec(), 1..4),
+        specs in proptest::collection::vec(arb_action_spec(BITS), 1..4),
         fair in proptest::collection::vec(arb_fair_spec(3), 0..2),
         tspec in arb_target(),
     ) {

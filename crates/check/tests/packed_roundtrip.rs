@@ -4,13 +4,20 @@
 //! bounded systems — and the one fixture whose states do *not* pack,
 //! which a threaded plan must run on the sequential loop and say so.
 
+mod support {
+    pub mod random_system;
+}
+
 use opentla_check::{
     explore_governed_with, resume_exploration, Budget, Engine, Event, ExploreOptions,
-    GuardedAction, Init, Recorder, RecorderHandle, StateGraph, System, VisitedMode,
+    GuardedAction, Init, Recorder, RecorderHandle, System, VisitedMode,
 };
 use opentla_kernel::{Domain, Expr, PackedLayout, State, Value, Vars};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
+use support::random_system::{arb_action_spec, build_system, Family};
+
+const SMALL_INTS: Family = Family { vars: 3, top: 3 };
 
 // ---------------------------------------------------------------------
 // Random domains and states (no exploration): the layout must encode
@@ -103,100 +110,16 @@ proptest! {
 // work-stealing engine must reproduce the sequential graph exactly.
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug)]
-struct ActionSpec {
-    guard_var: usize,
-    guard_val: i64,
-    target_var: usize,
-    update: UpdateKind,
-}
-
-#[derive(Clone, Debug)]
-enum UpdateKind {
-    Constant(i64),
-    CopyOther,
-    Increment,
-}
-
-fn arb_action_spec() -> impl Strategy<Value = ActionSpec> {
-    (
-        0..3usize,
-        0..3i64,
-        0..3usize,
-        prop_oneof![
-            (0..3i64).prop_map(UpdateKind::Constant),
-            Just(UpdateKind::CopyOther),
-            Just(UpdateKind::Increment),
-        ],
-    )
-        .prop_map(|(guard_var, guard_val, target_var, update)| ActionSpec {
-            guard_var,
-            guard_val,
-            target_var,
-            update,
-        })
-}
-
-/// Three integer variables over `0..=3` (so every update stays
-/// in-domain under clamping guards) driven by random guarded actions.
-fn build_system(specs: &[ActionSpec]) -> System {
-    let mut vars = Vars::new();
-    let a = vars.declare("a", Domain::int_range(0, 3));
-    let b = vars.declare("b", Domain::int_range(0, 3));
-    let c = vars.declare("c", Domain::int_range(0, 3));
-    let ids = [a, b, c];
-    let actions: Vec<GuardedAction> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let target = ids[spec.target_var];
-            let other = ids[(spec.target_var + 1) % ids.len()];
-            let (guard_extra, update) = match spec.update {
-                UpdateKind::Constant(v) => (None, Expr::int(v)),
-                UpdateKind::CopyOther => (None, Expr::var(other)),
-                // Guard the increment so the successor stays in
-                // domain.
-                UpdateKind::Increment => (
-                    Some(Expr::var(target).lt(Expr::int(3))),
-                    Expr::var(target).add(Expr::int(1)),
-                ),
-            };
-            let mut guard = Expr::var(ids[spec.guard_var]).eq(Expr::int(spec.guard_val));
-            if let Some(extra) = guard_extra {
-                guard = guard.and(extra);
-            }
-            GuardedAction::new(format!("act{i}"), guard, vec![(target, update)])
-        })
-        .collect();
-    System::new(
-        vars,
-        Init::new([(a, Value::Int(0)), (b, Value::Int(0)), (c, Value::Int(0))]),
-        actions,
-    )
-}
-
-/// The repo's byte-identity notion: statistics, canonical state
-/// order, initial ids, and per-state edge lists all agree. (The
-/// `visited` lookup map is rebuilt in shard order by the parallel
-/// engines, so whole-struct comparison is deliberately *not* used.)
-fn assert_graphs_identical(a: &StateGraph, b: &StateGraph) -> Result<(), TestCaseError> {
-    prop_assert_eq!(a.stats(), b.stats());
-    prop_assert_eq!(a.states(), b.states());
-    prop_assert_eq!(a.init(), b.init());
-    for id in 0..a.len() {
-        prop_assert_eq!(a.edges(id), b.edges(id));
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every reachable state of a random bounded system packs,
     /// round-trips, and fingerprints identically to the tree path.
     #[test]
-    fn reachable_states_roundtrip(specs in proptest::collection::vec(arb_action_spec(), 1..5)) {
-        let sys = build_system(&specs);
+    fn reachable_states_roundtrip(
+        specs in proptest::collection::vec(arb_action_spec(SMALL_INTS), 1..5),
+    ) {
+        let sys = build_system(SMALL_INTS, &specs);
         let graph = opentla_check::explore(&sys, &ExploreOptions::default()).unwrap();
         let layout = PackedLayout::compile(sys.vars()).expect("bounded ints pack");
         let mut buf = Vec::new();
@@ -212,8 +135,10 @@ proptest! {
     /// sequential engine on random systems, at every worker count and
     /// in both visited-set modes.
     #[test]
-    fn ws_matches_sequential_random(specs in proptest::collection::vec(arb_action_spec(), 1..5)) {
-        let sys = build_system(&specs);
+    fn ws_matches_sequential_random(
+        specs in proptest::collection::vec(arb_action_spec(SMALL_INTS), 1..5),
+    ) {
+        let sys = build_system(SMALL_INTS, &specs);
         let budget = Budget::unlimited();
         let seq = explore_governed_with(
             &sys,
@@ -235,7 +160,7 @@ proptest! {
                 )
                 .unwrap();
                 prop_assert!(ws.outcome.is_complete());
-                assert_graphs_identical(&seq.graph, &ws.graph)?;
+                prop_assert_eq!(seq.graph.first_difference(&ws.graph), None);
             }
         }
     }
@@ -335,8 +260,7 @@ fn unpackable_states_run_the_sequential_loop_and_say_so() {
                     )
                     .unwrap();
                     assert!(run.outcome.is_complete(), "{label}");
-                    assert_graphs_identical(&reference.graph, &run.graph)
-                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert_eq!(reference.graph.first_difference(&run.graph), None, "{label}");
                     let ran = [(loop_name.to_string(), 1)];
                     assert_eq!(*runs.started.lock().unwrap(), ran, "{label}: run_start");
                     assert_eq!(*runs.reported.lock().unwrap(), ran, "{label}: report");
@@ -360,8 +284,11 @@ fn unpackable_states_run_the_sequential_loop_and_say_so() {
             snapshot,
         )
         .unwrap();
-        assert_graphs_identical(&reference.graph, &resumed.graph)
-            .unwrap_or_else(|e| panic!("{mode:?}/resumed: {e}"));
+        assert_eq!(
+            reference.graph.first_difference(&resumed.graph),
+            None,
+            "{mode:?}/resumed"
+        );
         assert_eq!(
             *runs.started.lock().unwrap(),
             [("explore_sequential".to_string(), 1)],

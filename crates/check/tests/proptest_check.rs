@@ -2,79 +2,19 @@
 //! guarded-command systems: graph/semantics agreement, invariant
 //! verdicts vs brute force, and counterexample replay.
 
-use opentla_check::{
-    check_invariant, explore, sample_behavior, ExploreOptions, GuardedAction, Init,
-    System,
-};
-use opentla_kernel::{Domain, Expr, Formula, StatePair, Value, VarId, Vars};
+mod support {
+    pub mod random_system;
+}
+
+use opentla_check::{check_invariant, explore, sample_behavior, ExploreOptions};
+use opentla_kernel::{Expr, Formula, StatePair, VarId, Vars};
 use opentla_semantics::{eval, EvalCtx};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use support::random_system::{arb_action_spec, build_system, Family};
 
-#[derive(Clone, Debug)]
-struct ActionSpec {
-    guard_var: usize,
-    guard_val: i64,
-    target_var: usize,
-    update: UpdateKind,
-}
-
-#[derive(Clone, Debug)]
-enum UpdateKind {
-    Constant(i64),
-    CopyOther,
-    Toggle,
-}
-
-fn arb_action_spec() -> impl Strategy<Value = ActionSpec> {
-    (
-        0..2usize,
-        0..2i64,
-        0..2usize,
-        prop_oneof![
-            (0..2i64).prop_map(UpdateKind::Constant),
-            Just(UpdateKind::CopyOther),
-            Just(UpdateKind::Toggle),
-        ],
-    )
-        .prop_map(|(guard_var, guard_val, target_var, update)| ActionSpec {
-            guard_var,
-            guard_val,
-            target_var,
-            update,
-        })
-}
-
-fn build_system(specs: &[ActionSpec]) -> System {
-    let mut vars = Vars::new();
-    let a = vars.declare("a", Domain::bits());
-    let b = vars.declare("b", Domain::bits());
-    let ids = [a, b];
-    let actions: Vec<GuardedAction> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let target = ids[spec.target_var];
-            let other = ids[1 - spec.target_var];
-            let update = match spec.update {
-                UpdateKind::Constant(v) => Expr::int(v),
-                UpdateKind::CopyOther => Expr::var(other),
-                UpdateKind::Toggle => Expr::int(1).sub(Expr::var(target)),
-            };
-            GuardedAction::new(
-                format!("act{i}"),
-                Expr::var(ids[spec.guard_var]).eq(Expr::int(spec.guard_val)),
-                vec![(target, update)],
-            )
-        })
-        .collect();
-    System::new(
-        vars,
-        Init::new([(a, Value::Int(0)), (b, Value::Int(0))]),
-        actions,
-    )
-}
+const BITS: Family = Family { vars: 2, top: 1 };
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -83,8 +23,8 @@ proptest! {
     /// next-state expression, and every pair of distinct reachable
     /// states *not* connected by an edge fails it (graph = relation).
     #[test]
-    fn graph_matches_next_expr(specs in proptest::collection::vec(arb_action_spec(), 1..4)) {
-        let sys = build_system(&specs);
+    fn graph_matches_next_expr(specs in proptest::collection::vec(arb_action_spec(BITS), 1..4)) {
+        let sys = build_system(BITS, &specs);
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         let next = sys.next_expr();
         for (id, s) in graph.states().iter().enumerate() {
@@ -116,10 +56,10 @@ proptest! {
     /// replays semantically.
     #[test]
     fn invariant_agrees_with_bruteforce(
-        specs in proptest::collection::vec(arb_action_spec(), 1..4),
+        specs in proptest::collection::vec(arb_action_spec(BITS), 1..4),
         pv in 0..2i64,
     ) {
-        let sys = build_system(&specs);
+        let sys = build_system(BITS, &specs);
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         let a = sys.vars().find("a").unwrap();
         let inv = Expr::var(a).eq(Expr::int(pv));
@@ -146,10 +86,10 @@ proptest! {
     /// formula.
     #[test]
     fn sampled_behaviors_are_behaviors(
-        specs in proptest::collection::vec(arb_action_spec(), 1..4),
+        specs in proptest::collection::vec(arb_action_spec(BITS), 1..4),
         seed in any::<u64>(),
     ) {
-        let sys = build_system(&specs);
+        let sys = build_system(BITS, &specs);
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         let spec = Formula::pred(sys.init().as_pred())
             .and(Formula::act_box(sys.next_expr(), sys.frame()));
@@ -163,15 +103,11 @@ proptest! {
 
     /// Exploration is deterministic: two runs produce identical graphs.
     #[test]
-    fn exploration_deterministic(specs in proptest::collection::vec(arb_action_spec(), 1..4)) {
-        let sys = build_system(&specs);
+    fn exploration_deterministic(specs in proptest::collection::vec(arb_action_spec(BITS), 1..4)) {
+        let sys = build_system(BITS, &specs);
         let g1 = explore(&sys, &ExploreOptions::default()).unwrap();
         let g2 = explore(&sys, &ExploreOptions::default()).unwrap();
-        prop_assert_eq!(g1.states(), g2.states());
-        prop_assert_eq!(g1.edge_count(), g2.edge_count());
-        for id in 0..g1.len() {
-            prop_assert_eq!(g1.edges(id), g2.edges(id));
-        }
+        prop_assert_eq!(g1.first_difference(&g2), None);
     }
 }
 

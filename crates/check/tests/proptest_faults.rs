@@ -4,73 +4,16 @@
 //! next-state expression stays well-typed over every reachable state
 //! pair.
 
-use opentla_check::{explore, faults, ExploreOptions, GuardedAction, Init, System};
-use opentla_kernel::{Domain, Expr, StatePair, Value, VarId, Vars};
+mod support {
+    pub mod random_system;
+}
+
+use opentla_check::{explore, faults, ExploreOptions, System};
+use opentla_kernel::{Expr, StatePair, Value, VarId, Vars};
 use proptest::prelude::*;
+use support::random_system::{arb_action_spec, build_system, Family};
 
-#[derive(Clone, Debug)]
-struct ActionSpec {
-    guard_var: usize,
-    guard_val: i64,
-    target_var: usize,
-    update: UpdateKind,
-}
-
-#[derive(Clone, Debug)]
-enum UpdateKind {
-    Constant(i64),
-    CopyOther,
-    Toggle,
-}
-
-fn arb_action_spec() -> impl Strategy<Value = ActionSpec> {
-    (
-        0..2usize,
-        0..2i64,
-        0..2usize,
-        prop_oneof![
-            (0..2i64).prop_map(UpdateKind::Constant),
-            Just(UpdateKind::CopyOther),
-            Just(UpdateKind::Toggle),
-        ],
-    )
-        .prop_map(|(guard_var, guard_val, target_var, update)| ActionSpec {
-            guard_var,
-            guard_val,
-            target_var,
-            update,
-        })
-}
-
-fn build_system(specs: &[ActionSpec]) -> System {
-    let mut vars = Vars::new();
-    let a = vars.declare("a", Domain::bits());
-    let b = vars.declare("b", Domain::bits());
-    let ids = [a, b];
-    let actions: Vec<GuardedAction> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let target = ids[spec.target_var];
-            let other = ids[1 - spec.target_var];
-            let update = match spec.update {
-                UpdateKind::Constant(v) => Expr::int(v),
-                UpdateKind::CopyOther => Expr::var(other),
-                UpdateKind::Toggle => Expr::int(1).sub(Expr::var(target)),
-            };
-            GuardedAction::new(
-                format!("act{i}"),
-                Expr::var(ids[spec.guard_var]).eq(Expr::int(spec.guard_val)),
-                vec![(target, update)],
-            )
-        })
-        .collect();
-    System::new(
-        vars,
-        Init::new([(a, Value::Int(0)), (b, Value::Int(0))]),
-        actions,
-    )
-}
+const BITS: Family = Family { vars: 2, top: 1 };
 
 /// Which combinator a test case applies.
 #[derive(Clone, Debug)]
@@ -119,10 +62,10 @@ proptest! {
     /// indices (hence BFS tie-breaking) intact.
     #[test]
     fn fault_injection_yields_state_space_superset(
-        specs in proptest::collection::vec(arb_action_spec(), 1..4),
+        specs in proptest::collection::vec(arb_action_spec(BITS), 1..4),
         kind in arb_fault(),
     ) {
-        let sys = build_system(&specs);
+        let sys = build_system(BITS, &specs);
         let faulted = apply_fault(&sys, &kind);
         // Original actions survive, in order, under their own names.
         prop_assert!(faulted.actions().len() >= sys.actions().len());
@@ -149,16 +92,13 @@ proptest! {
     /// original: identical graphs on repeated runs.
     #[test]
     fn faulted_exploration_deterministic(
-        specs in proptest::collection::vec(arb_action_spec(), 1..4),
+        specs in proptest::collection::vec(arb_action_spec(BITS), 1..4),
         kind in arb_fault(),
     ) {
-        let faulted = apply_fault(&build_system(&specs), &kind);
+        let faulted = apply_fault(&build_system(BITS, &specs), &kind);
         let g1 = explore(&faulted, &ExploreOptions::default()).unwrap();
         let g2 = explore(&faulted, &ExploreOptions::default()).unwrap();
-        prop_assert_eq!(g1.states(), g2.states());
-        for id in 0..g1.len() {
-            prop_assert_eq!(g1.edges(id), g2.edges(id));
-        }
+        prop_assert_eq!(g1.first_difference(&g2), None);
     }
 
     /// The faulted system's next-state expression stays well-typed:
@@ -167,10 +107,10 @@ proptest! {
     /// variables' domains.
     #[test]
     fn faulted_next_expr_is_well_typed(
-        specs in proptest::collection::vec(arb_action_spec(), 1..4),
+        specs in proptest::collection::vec(arb_action_spec(BITS), 1..4),
         kind in arb_fault(),
     ) {
-        let faulted = apply_fault(&build_system(&specs), &kind);
+        let faulted = apply_fault(&build_system(BITS, &specs), &kind);
         let graph = explore(&faulted, &ExploreOptions::default()).unwrap();
         let next = faulted.next_expr();
         for (id, s) in graph.states().iter().enumerate() {
@@ -196,10 +136,10 @@ proptest! {
     /// chosen step, and keeps everything deterministic.
     #[test]
     fn hostile_env_clock_is_monotone_and_bounded(
-        specs in proptest::collection::vec(arb_action_spec(), 1..4),
+        specs in proptest::collection::vec(arb_action_spec(BITS), 1..4),
         break_at in 0..3i64,
     ) {
-        let sys = build_system(&specs);
+        let sys = build_system(BITS, &specs);
         let a = var(sys.vars(), "a");
         // `a = 0` is always falsifiable over bits.
         let assumption = Expr::var(a).eq(Expr::int(0));

@@ -7,17 +7,26 @@
 //! randomized budgets and over the segment/run file formats
 //! themselves (round-trip, truncation, corruption).
 
+mod support {
+    pub mod random_system;
+    pub mod segments;
+}
+
 use opentla_check::{
-    check_invariant, explore_governed_with, Budget, Engine, ExploreOptions,
-    GuardedAction, Init, Outcome, StateGraph, System, Verdict, VisitedMode,
+    check_invariant, explore_governed_with, Budget, Engine, ExploreOptions, Outcome, StateGraph,
+    System, Verdict, VisitedMode,
 };
 use opentla_kernel::store::{read_segment, FingerprintRun, SegmentStore, StoreError};
-use opentla_kernel::{Domain, Expr, Value, Vars};
+use opentla_kernel::Expr;
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, ClockWorld, Fig1, Mutex, TokenRing};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use support::random_system::{arb_action_spec, build_system, Family};
+use support::segments::sealed_segments;
+
+const SMALL_INTS: Family = Family { vars: 3, top: 3 };
 
 /// The scenario matrix, mirroring the liveness differential harness:
 /// protocol, arbiter, ring, law-of-nature clock, the paper's Figure 1
@@ -64,18 +73,6 @@ fn systems() -> Vec<(&'static str, System)> {
                 .expect("chain4 builds"),
         ),
     ]
-}
-
-/// The repo's byte-identity notion, as in the other engine
-/// differentials: statistics, canonical state order, initial ids, and
-/// per-state edge lists all agree.
-fn assert_identical(label: &str, a: &StateGraph, b: &StateGraph) {
-    assert_eq!(a.stats(), b.stats(), "{label}: stats diverge");
-    assert_eq!(a.states(), b.states(), "{label}: state order diverges");
-    assert_eq!(a.init(), b.init(), "{label}: initial ids diverge");
-    for id in 0..a.len() {
-        assert_eq!(a.edges(id), b.edges(id), "{label}: edges of {id} diverge");
-    }
 }
 
 fn explore_spill(sys: &System, mode: VisitedMode, budget_bytes: usize) -> StateGraph {
@@ -134,7 +131,7 @@ fn spill_matches_sequential_across_matrix() {
             let label = format!("{name}/{mode:?}");
             let seq = explore_seq(&sys, mode);
             let spill = explore_spill(&sys, mode, 1 << 20);
-            assert_identical(&label, &seq, &spill);
+            assert_eq!(seq.first_difference(&spill), None, "{label}");
 
             // Counterexample identity: same violated invariant, same
             // trace through both graphs (exercises the parent chains
@@ -174,7 +171,7 @@ fn explicit_spill_engine_matches_sequential() {
         )
         .expect("spill run succeeds");
         assert!(matches!(run.outcome, Outcome::Complete));
-        assert_identical(&format!("ring/{mode:?}/explicit"), &seq, &run.graph);
+        assert_eq!(seq.first_difference(&run.graph), None, "ring/{mode:?}/explicit");
     }
 }
 
@@ -187,7 +184,7 @@ fn golden_chain4_under_spill() {
     let sys = QueueChain::new(4, 1, 2, FairnessStyle::Joint)
         .complete_system()
         .expect("chain4 builds");
-    let path = fresh_dir("golden").join("CKPT_chain4.snap");
+    let path = fresh_dir("golden").join("chain4.snap");
     let run = explore_governed_with(
         &sys,
         &Budget::unlimited().with_checkpoint(&path, 1 << 30),
@@ -205,100 +202,20 @@ fn golden_chain4_under_spill() {
     assert_eq!(stats.transitions, 164736, "golden chain4 transition count");
     assert_eq!(stats.depth, 55, "golden chain4 depth");
 
-    let segs_dir = PathBuf::from(format!("{}.segs", path.display()));
-    let sealed_arena = std::fs::read_dir(&segs_dir)
-        .expect("segment dir exists next to the checkpoint path")
-        .filter_map(|e| e.ok())
-        .filter(|e| {
-            let n = e.file_name();
-            let n = n.to_string_lossy().into_owned();
-            n.starts_with("arena-") && n.ends_with(".seg")
-        })
-        .count();
+    let sealed_arena = sealed_segments(&path, "arena-");
     assert!(
         sealed_arena >= 2,
         "budget must force >= 2 sealed arena segments, saw {sealed_arena}"
     );
 
     let seq = explore_seq(&sys, VisitedMode::Fingerprint);
-    assert_identical("chain4/golden", &seq, &run.graph);
+    assert_eq!(seq.first_difference(&run.graph), None, "chain4/golden");
     let _ = std::fs::remove_dir_all(path.parent().expect("has parent"));
 }
 
 // ---------------------------------------------------------------------
-// Random guarded-command systems at randomized budgets — the same
-// generator shape the packed-roundtrip differential uses.
+// Random guarded-command systems at randomized budgets.
 // ---------------------------------------------------------------------
-
-#[derive(Clone, Debug)]
-struct ActionSpec {
-    guard_var: usize,
-    guard_val: i64,
-    target_var: usize,
-    update: UpdateKind,
-}
-
-#[derive(Clone, Debug)]
-enum UpdateKind {
-    Constant(i64),
-    CopyOther,
-    Increment,
-}
-
-fn arb_action_spec() -> impl Strategy<Value = ActionSpec> {
-    (
-        0..3usize,
-        0..3i64,
-        0..3usize,
-        prop_oneof![
-            (0..3i64).prop_map(UpdateKind::Constant),
-            Just(UpdateKind::CopyOther),
-            Just(UpdateKind::Increment),
-        ],
-    )
-        .prop_map(|(guard_var, guard_val, target_var, update)| ActionSpec {
-            guard_var,
-            guard_val,
-            target_var,
-            update,
-        })
-}
-
-/// Three integer variables over `0..=3` driven by random guarded
-/// actions; every update stays in-domain under clamping guards.
-fn build_system(specs: &[ActionSpec]) -> System {
-    let mut vars = Vars::new();
-    let a = vars.declare("a", Domain::int_range(0, 3));
-    let b = vars.declare("b", Domain::int_range(0, 3));
-    let c = vars.declare("c", Domain::int_range(0, 3));
-    let ids = [a, b, c];
-    let actions: Vec<GuardedAction> = specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let target = ids[spec.target_var];
-            let other = ids[(spec.target_var + 1) % ids.len()];
-            let (guard_extra, update) = match spec.update {
-                UpdateKind::Constant(v) => (None, Expr::int(v)),
-                UpdateKind::CopyOther => (None, Expr::var(other)),
-                UpdateKind::Increment => (
-                    Some(Expr::var(target).lt(Expr::int(3))),
-                    Expr::var(target).add(Expr::int(1)),
-                ),
-            };
-            let mut guard = Expr::var(ids[spec.guard_var]).eq(Expr::int(spec.guard_val));
-            if let Some(extra) = guard_extra {
-                guard = guard.and(extra);
-            }
-            GuardedAction::new(format!("act{i}"), guard, vec![(target, update)])
-        })
-        .collect();
-    System::new(
-        vars,
-        Init::new([(a, Value::Int(0)), (b, Value::Int(0)), (c, Value::Int(0))]),
-        actions,
-    )
-}
 
 /// A unique scratch directory per call; tests run in parallel, so the
 /// name mixes the pid with a process-wide counter.
@@ -321,19 +238,14 @@ proptest! {
     /// graph identity against unbounded RAM, both visited modes.
     #[test]
     fn spill_matches_sequential_random(
-        specs in proptest::collection::vec(arb_action_spec(), 1..5),
+        specs in proptest::collection::vec(arb_action_spec(SMALL_INTS), 1..5),
         budget in 512usize..16384,
     ) {
-        let sys = build_system(&specs);
+        let sys = build_system(SMALL_INTS, &specs);
         for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
             let seq = explore_seq(&sys, mode);
             let spill = explore_spill(&sys, mode, budget);
-            prop_assert_eq!(seq.stats(), spill.stats());
-            prop_assert_eq!(seq.states(), spill.states());
-            prop_assert_eq!(seq.init(), spill.init());
-            for id in 0..seq.len() {
-                prop_assert_eq!(seq.edges(id), spill.edges(id));
-            }
+            prop_assert_eq!(seq.first_difference(&spill), None);
         }
     }
 

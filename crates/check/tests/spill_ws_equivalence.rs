@@ -8,6 +8,10 @@
 //! (including resuming at a different worker count and on different
 //! engines), and the never-silently-ignore-a-budget diagnostic.
 
+mod support {
+    pub mod segments;
+}
+
 use opentla_check::{
     check_invariant, explore_governed_with, explore_resumable, resume_exploration, Budget,
     CheckError, CountingRecorder, Engine, ExploreOptions, Outcome, RecorderHandle, Reduction,
@@ -18,6 +22,7 @@ use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, Mutex, TokenRing};
 use std::path::PathBuf;
 use std::sync::Arc;
+use support::segments::sealed_segments;
 
 /// The small-scenario matrix: every budget × worker × mode combination
 /// runs on these; the 54 358-state chain4 gets the acceptance
@@ -58,15 +63,6 @@ fn chain4() -> System {
     QueueChain::new(4, 1, 2, FairnessStyle::Joint)
         .complete_system()
         .expect("chain4 builds")
-}
-
-fn assert_identical(label: &str, a: &StateGraph, b: &StateGraph) {
-    assert_eq!(a.stats(), b.stats(), "{label}: stats diverge");
-    assert_eq!(a.states(), b.states(), "{label}: state order diverges");
-    assert_eq!(a.init(), b.init(), "{label}: initial ids diverge");
-    for id in 0..a.len() {
-        assert_eq!(a.edges(id), b.edges(id), "{label}: edges of {id} diverge");
-    }
 }
 
 fn explore_seq(sys: &System, mode: VisitedMode, fp_bits: u32) -> StateGraph {
@@ -120,23 +116,6 @@ fn remove_spill_artifacts(snap_path: &std::path::Path) {
     let _ = std::fs::remove_dir_all(format!("{}.segs", snap_path.display()));
 }
 
-/// Count of sealed segment files with the given prefix in the segment
-/// directory pinned next to a checkpoint path.
-fn sealed_segments(snap_path: &std::path::Path, prefix: &str) -> usize {
-    let dir = PathBuf::from(format!("{}.segs", snap_path.display()));
-    std::fs::read_dir(dir)
-        .map(|rd| {
-            rd.filter_map(|e| e.ok())
-                .filter(|e| {
-                    let n = e.file_name();
-                    let n = n.to_string_lossy().into_owned();
-                    n.starts_with(prefix) && n.ends_with(".seg")
-                })
-                .count()
-        })
-        .unwrap_or(0)
-}
-
 /// The acceptance matrix on the small scenarios: byte budgets tight
 /// (256 KiB), loose (4 MiB), and the engine default, at 1/2/4 workers
 /// in both visited modes, against the in-RAM sequential baseline —
@@ -163,16 +142,16 @@ fn spill_ws_matches_spill_and_sequential_across_matrix() {
                     )
                     .expect("sequential spill run succeeds");
                     assert!(matches!(spill.outcome, Outcome::Complete));
-                    assert_identical(
-                        &format!("{name}/{mode:?}/seq-spill@{bytes}"),
-                        &seq,
-                        &spill.graph,
+                    assert_eq!(
+                        seq.first_difference(&spill.graph),
+                        None,
+                        "{name}/{mode:?}/seq-spill@{bytes}"
                     );
                 }
                 for workers in [1usize, 2, 4] {
                     let label = format!("{name}/{mode:?}/mem={mem:?}/workers={workers}");
                     let par = explore_spill_ws(&sys, &spill_ws_opts(mode, workers, mem));
-                    assert_identical(&label, &seq, &par);
+                    assert_eq!(seq.first_difference(&par), None, "{label}");
                 }
             }
         }
@@ -246,11 +225,11 @@ fn spill_ws_golden_chain4() {
         sealed_segments(&path, "wsarena-") >= 2,
         "the budget must force >= 2 sealed shared arena segments"
     );
-    assert_identical("chain4/golden", &seq, &run.graph);
+    assert_eq!(seq.first_difference(&run.graph), None, "chain4/golden");
 
     // The loose-budget, 2-worker point of the acceptance sweep.
     let par2 = explore_spill_ws(&sys, &spill_ws_opts(VisitedMode::Fingerprint, 2, Some(4 << 20)));
-    assert_identical("chain4/4MiB/2", &seq, &par2);
+    assert_eq!(seq.first_difference(&par2), None, "chain4/4MiB/2");
     remove_spill_artifacts(&path);
 }
 
@@ -284,7 +263,7 @@ fn spill_ws_survives_forced_collisions() {
                     ..spill_ws_opts(VisitedMode::Exact, workers, Some(32 << 10))
                 },
             );
-            assert_identical(&format!("exact-fp12/workers={workers}"), &full, &par);
+            assert_eq!(full.first_difference(&par), None, "exact-fp12/workers={workers}");
         }
         // Fingerprint mode, single worker (BFS claim order): the same
         // deterministic conflation as the sequential engine's.
@@ -296,7 +275,7 @@ fn spill_ws_survives_forced_collisions() {
                 ..spill_ws_opts(VisitedMode::Fingerprint, 1, Some(32 << 10))
             },
         );
-        assert_identical("fp12/workers=1", &seq12, &par12);
+        assert_eq!(seq12.first_difference(&par12), None, "fp12/workers=1");
     }
 }
 
@@ -353,10 +332,7 @@ fn exact_mode_verifies_and_chains_in_every_store() {
                 let run = explore_governed_with(sys, &budget, &options).expect("exact run succeeds");
                 let label = format!("{name}/{store}/fp{fp_bits}");
                 assert!(matches!(run.outcome, Outcome::Complete), "{label}: {}", run.outcome);
-                assert_identical(&label, &full, &run.graph);
-                for id in 0..full.len() {
-                    assert_eq!(full.trace_to(id), run.graph.trace_to(id), "{label}: trace to {id}");
-                }
+                assert_eq!(full.first_difference(&run.graph), None, "{label}");
             }
         }
     }
@@ -416,7 +392,7 @@ fn spill_ws_interrupt_resume_identity() {
         .expect("resumed run succeeds");
         assert!(matches!(resumed.outcome, Outcome::Complete));
         assert_eq!(recorder.count("resume"), 1, "{label}: resume event must fire");
-        assert_identical(&label, &reference, &resumed.graph);
+        assert_eq!(reference.first_difference(&resumed.graph), None, "{label}");
 
         // Cross-engine, from the in-memory snapshot: the sequential
         // spill engine and the plain in-RAM engine both pick it up.
@@ -434,7 +410,7 @@ fn spill_ws_interrupt_resume_identity() {
             snap,
         )
         .expect("sequential spill resume succeeds");
-        assert_identical(&format!("{label}/seq-spill"), &reference, &seq_spill.graph);
+        assert_eq!(reference.first_difference(&seq_spill.graph), None, "{label}/seq-spill");
         let in_ram = resume_exploration(
             &sys,
             &Budget::unlimited(),
@@ -446,7 +422,7 @@ fn spill_ws_interrupt_resume_identity() {
             snap,
         )
         .expect("in-RAM resume succeeds");
-        assert_identical(&format!("{label}/in-ram"), &reference, &in_ram.graph);
+        assert_eq!(reference.first_difference(&in_ram.graph), None, "{label}/in-ram");
 
         remove_spill_artifacts(&path);
     }
@@ -484,7 +460,7 @@ fn spill_ws_resumes_a_sequential_spill_snapshot() {
     )
     .expect("parallel resume succeeds");
     assert!(matches!(resumed.outcome, Outcome::Complete));
-    assert_identical("handoff", &reference, &resumed.graph);
+    assert_eq!(reference.first_difference(&resumed.graph), None, "handoff");
     remove_spill_artifacts(&path);
 }
 

@@ -18,15 +18,6 @@ use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, Mutex, TokenRing};
 use std::sync::Arc;
 
-fn assert_graphs_identical(a: &StateGraph, b: &StateGraph, what: &str) {
-    assert_eq!(a.stats(), b.stats(), "{what}: stats differ");
-    assert_eq!(a.states(), b.states(), "{what}: canonical state order differs");
-    assert_eq!(a.init(), b.init(), "{what}: initial ids differ");
-    for id in 0..a.len() {
-        assert_eq!(a.edges(id), b.edges(id), "{what}: edges differ at state {id}");
-    }
-}
-
 fn seq_graph(system: &System) -> StateGraph {
     explore_governed_with(
         system,
@@ -55,11 +46,7 @@ fn assert_ws_matrix(system: &System, name: &str) {
             )
             .expect("work-stealing exploration succeeds");
             assert!(run.outcome.is_complete(), "{name}: ws run must complete");
-            assert_graphs_identical(
-                &seq,
-                &run.graph,
-                &format!("{name} ws({workers}, {mode:?})"),
-            );
+            assert_eq!(seq.first_difference(&run.graph), None, "{name} ws({workers}, {mode:?})");
         }
     }
 }
@@ -121,7 +108,7 @@ fn ws_matches_sequential_chain4() {
     )
     .expect("work-stealing exploration succeeds");
     assert!(run.outcome.is_complete());
-    assert_graphs_identical(&seq, &run.graph, "chain4 ws(4, Fingerprint)");
+    assert_eq!(seq.first_difference(&run.graph), None, "chain4 ws(4, Fingerprint)");
 }
 
 /// Narrow fingerprints deliberately force collisions; `Exact` mode
@@ -151,11 +138,7 @@ fn ws_exact_mode_survives_forced_collisions() {
         )
         .expect("work-stealing exploration succeeds");
         assert!(run.outcome.is_complete());
-        assert_graphs_identical(
-            &seq,
-            &run.graph,
-            &format!("ring exact fp12 ws({workers})"),
-        );
+        assert_eq!(seq.first_difference(&run.graph), None, "ring exact fp12 ws({workers})");
     }
 }
 
@@ -190,5 +173,5 @@ fn ws_resolves_to_the_sequential_plan_under_reduction() {
     )
     .expect("reduced exploration succeeds");
     assert!(routed.graph.is_reduced());
-    assert_graphs_identical(&level.graph, &routed.graph, "ring reduced fallback");
+    assert_eq!(level.graph.first_difference(&routed.graph), None, "ring reduced fallback");
 }

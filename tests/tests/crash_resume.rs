@@ -13,7 +13,8 @@ use opentla_check::{
     explore_governed_with, explore_resumable, resume_exploration, Budget, Canonicalize,
     CheckError, CheckpointError, CountingRecorder, Exploration, ExploreOptions,
     GuardedAction, Init, LiveSnapshot, LiveTarget, Outcome, RecorderHandle,
-    Reduction, SlotPermutations, Snapshot, StateGraph, System, VisitedMode, WorkerPanic,
+    Reduction, SlotPermutations, Snapshot, System, VisitedMode, WorkerPanic,
+    DEFAULT_CHECKPOINT_CADENCE,
 };
 use opentla_kernel::{Domain, Expr, State, Value, VarId, Vars};
 use opentla_queue::{FairnessStyle, QueueChain};
@@ -31,22 +32,6 @@ fn snap_path(tag: &str) -> PathBuf {
         "opentla_crash_resume_{}_{tag}_{n}.snap",
         std::process::id()
     ))
-}
-
-/// Byte-for-byte graph equality: statistics, state arena order,
-/// initial states, edges, and the BFS tree.
-fn assert_identical(label: &str, a: &StateGraph, b: &StateGraph) {
-    assert_eq!(a.stats(), b.stats(), "{label}: stats differ");
-    assert_eq!(a.states(), b.states(), "{label}: state order differs");
-    assert_eq!(a.init(), b.init(), "{label}: initial states differ");
-    for id in 0..a.len() {
-        assert_eq!(a.edges(id), b.edges(id), "{label}: edges of {id} differ");
-        assert_eq!(
-            a.trace_to(id),
-            b.trace_to(id),
-            "{label}: shortest trace to {id} differs"
-        );
-    }
 }
 
 fn options(
@@ -148,7 +133,7 @@ fn interrupt_and_resume(label: &str, system: &System, opts: &ExploreOptions) {
         "{label}: resumed run must complete"
     );
     assert_eq!(recorder.count("resume"), 1, "{label}: resume event must be emitted");
-    assert_identical(label, &reference.graph, &resumed.graph);
+    assert_eq!(reference.graph.first_difference(&resumed.graph), None, "{label}");
     // The resumed run's report carries the whole graph's totals, not
     // just what it explored after the cut.
     assert_eq!(recorder.states(), reference.graph.len() as u64, "{label}");
@@ -162,7 +147,7 @@ fn interrupt_and_resume(label: &str, system: &System, opts: &ExploreOptions) {
     let snap = interrupted.snapshot.as_deref().expect("in-memory snapshot");
     let resumed_mem = resume_exploration(system, &Budget::unlimited(), opts, snap)
         .expect("in-memory resume succeeds");
-    assert_identical(&format!("{label}/mem"), &reference.graph, &resumed_mem.graph);
+    assert_eq!(reference.graph.first_difference(&resumed_mem.graph), None, "{label}/mem");
 
     let _ = std::fs::remove_file(&path);
 }
@@ -225,10 +210,33 @@ fn symmetric_run_cut_mid_parent_does_not_double_count_hits() {
                 let resumed =
                     resume_exploration(system, &Budget::unlimited(), &opts, snap).unwrap();
                 assert!(resumed.outcome.is_complete(), "{label}");
-                assert_identical(&label, &reference.graph, &resumed.graph);
+                assert_eq!(reference.graph.first_difference(&resumed.graph), None, "{label}");
                 assert_eq!(reference.reduction, resumed.reduction, "{label}");
             }
         }
+    }
+}
+
+/// A checkpoint-armed sequential run that ends inside its first
+/// cadence interval is the unarmed run: the same graph, no snapshot
+/// file, no resume token.
+#[test]
+fn armed_run_shorter_than_the_cadence_writes_no_snapshot() {
+    for (name, system) in &scenarios() {
+        let opts = options(1, VisitedMode::Fingerprint, Reduction::none(), 64);
+        let reference = run_unlimited(system, &opts);
+        assert!((reference.graph.len() as u64) < DEFAULT_CHECKPOINT_CADENCE, "{name}");
+        let path = snap_path("armed-short");
+        let armed = explore_resumable(
+            system,
+            &Budget::unlimited().with_checkpoint(&path, DEFAULT_CHECKPOINT_CADENCE),
+            &opts,
+        )
+        .unwrap();
+        assert!(matches!(armed.outcome, Outcome::Complete), "{name}");
+        assert!(armed.outcome.resume_token().is_none(), "{name}");
+        assert_eq!(reference.graph.first_difference(&armed.graph), None, "{name}");
+        assert!(!path.exists(), "{name}: no cadence elapsed, so nothing is written");
     }
 }
 
@@ -480,7 +488,7 @@ fn snapshot_taken_under_one_symmetry_is_refused_under_another() {
         &opts,
     )
     .unwrap();
-    assert_identical("symmetry/same", &reference.graph, &resumed.graph);
+    assert_eq!(reference.graph.first_difference(&resumed.graph), None, "symmetry/same");
     assert_eq!(reference.reduction, resumed.reduction);
     let _ = std::fs::remove_file(&path);
 }
@@ -529,7 +537,7 @@ fn worker_panic_degrades_gracefully_without_losing_states() {
                             1,
                             "{label}: exactly one worker failure is reported"
                         );
-                        assert_identical(&label, &reference.graph, &run.graph);
+                        assert_eq!(reference.graph.first_difference(&run.graph), None, "{label}");
                     }
                 }
             }
@@ -597,7 +605,7 @@ fn threaded_run_checkpoints_mid_run_and_resumes_at_another_worker_count() {
         )
         .unwrap();
         assert!(matches!(armed.outcome, Outcome::Complete));
-        assert_identical("midrun/armed", &reference.graph, &armed.graph);
+        assert_eq!(reference.graph.first_difference(&armed.graph), None, "midrun/armed");
         let periodic = recorder.before_run_end.load(std::sync::atomic::Ordering::Relaxed);
         assert!(
             periodic >= 1,
@@ -618,10 +626,10 @@ fn threaded_run_checkpoints_mid_run_and_resumes_at_another_worker_count() {
             )
             .unwrap();
             assert!(matches!(resumed.outcome, Outcome::Complete));
-            assert_identical(
-                &format!("midrun/{mode:?}/resumed@{threads}"),
-                &reference.graph,
-                &resumed.graph,
+            assert_eq!(
+                reference.graph.first_difference(&resumed.graph),
+                None,
+                "midrun/{mode:?}/resumed@{threads}"
             );
         }
         let _ = std::fs::remove_file(&path);
@@ -659,7 +667,7 @@ fn symmetric_run_checkpoints_at_every_expansion_and_resumes() {
             )
             .unwrap();
             assert!(matches!(armed.outcome, Outcome::Complete));
-            assert_identical(&format!("{label}/armed"), &reference.graph, &armed.graph);
+            assert_eq!(reference.graph.first_difference(&armed.graph), None, "{label}/armed");
             assert_eq!(reference.reduction, armed.reduction, "{label}/armed");
             assert!(
                 recorder.before_run_end.load(std::sync::atomic::Ordering::Relaxed)
@@ -672,7 +680,7 @@ fn symmetric_run_checkpoints_at_every_expansion_and_resumes() {
             assert!(snap.frontier_len() > 0 && snap.states_used() <= reference.graph.len());
             let resumed = resume_exploration(system, &Budget::unlimited(), &opts, &snap).unwrap();
             assert!(matches!(resumed.outcome, Outcome::Complete));
-            assert_identical(&format!("{label}/resumed"), &reference.graph, &resumed.graph);
+            assert_eq!(reference.graph.first_difference(&resumed.graph), None, "{label}/resumed");
             assert_eq!(reference.reduction, resumed.reduction, "{label}/resumed");
             let _ = std::fs::remove_file(&path);
             let _ = std::fs::remove_file(&copy);
@@ -732,7 +740,7 @@ fn escalation_resumes_from_the_preserved_frontier() {
         matches!(escalated.outcome, Outcome::Complete),
         "12 doublings from total/10 must complete"
     );
-    assert_identical("escalate/chain3", &reference.graph, &escalated.graph);
+    assert_eq!(reference.graph.first_difference(&escalated.graph), None, "escalate/chain3");
     assert!(
         recorder.count("resume") >= 2,
         "attempts must resume, not restart (saw {} resumes)",
@@ -1071,7 +1079,7 @@ proptest! {
                 &opts,
             ).unwrap();
             prop_assert!(matches!(resumed.outcome, Outcome::Complete));
-            assert_identical(&format!("prop/{seed}"), &reference.graph, &resumed.graph);
+            assert_eq!(reference.graph.first_difference(&resumed.graph), None, "prop/{seed}");
             prop_assert_eq!(reference.reduction, resumed.reduction);
         }
         let _ = std::fs::remove_file(&path);
@@ -1164,14 +1172,14 @@ fn spill_interrupt_resume_identity() {
             matches!(resumed.outcome, Outcome::Complete),
             "{label}: resumed run must complete"
         );
-        assert_identical(&label, &reference.graph, &resumed.graph);
+        assert_eq!(reference.graph.first_difference(&resumed.graph), None, "{label}");
 
         // Cross-engine: the in-memory spill snapshot materializes and
         // resumes on the plain in-RAM engine too.
         let snap = interrupted.snapshot.as_deref().expect("in-memory snapshot");
         let cross = resume_exploration(&system, &Budget::unlimited(), &base, snap)
             .expect("cross-engine resume succeeds");
-        assert_identical(&format!("{label}/cross"), &reference.graph, &cross.graph);
+        assert_eq!(reference.graph.first_difference(&cross.graph), None, "{label}/cross");
 
         remove_spill_artifacts(&path);
     }

@@ -12,14 +12,14 @@
 //! every reachable state.
 
 use opentla_check::{
-    check_invariant, explore, CompiledSystem, EvalScratch, ExploreOptions,
-    StateGraph, System, VisitedMode,
+    check_invariant, explore, CompiledSystem, Engine, EvalScratch, ExploreOptions, System,
+    VisitedMode,
 };
 use opentla_kernel::{Expr, State};
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, Mutex, TokenRing};
 use proptest::prelude::*;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Every scenario family in the repo, at sizes that keep the whole
 /// file fast while still giving the parallel engine real breadth.
@@ -54,22 +54,71 @@ fn scenarios() -> Vec<(&'static str, System)> {
     ]
 }
 
-/// Byte-for-byte graph equality: statistics, state arena (order
-/// included), initial states, every edge list, and the BFS tree as
-/// observed through shortest traces.
-fn assert_identical(name: &str, a: &StateGraph, b: &StateGraph) {
-    assert_eq!(a.stats(), b.stats(), "{name}: stats differ");
-    assert_eq!(a.states(), b.states(), "{name}: state order differs");
-    assert_eq!(a.init(), b.init(), "{name}: initial states differ");
-    for id in 0..a.len() {
-        assert_eq!(a.edges(id), b.edges(id), "{name}: edges of {id} differ");
-        assert_eq!(
-            a.trace_to(id),
-            b.trace_to(id),
-            "{name}: shortest trace to {id} differs"
-        );
+/// The seed explorer: a BFS over the interpretive
+/// [`System::successors`] with an exact `HashMap<State, usize>` visited
+/// set. It shares no stepper, fingerprint, index or renumbering pass
+/// with the engines, so agreeing with it is not agreeing with
+/// themselves. Returns the states in discovery order and each state's
+/// `(action, target)` list.
+fn explore_seed(system: &System) -> (Vec<State>, Vec<Vec<(usize, usize)>>) {
+    let mut index: HashMap<State, usize> = HashMap::new();
+    // Discovery order is queue order: `states[expanded..]` is the queue.
+    let mut states: Vec<State> = Vec::new();
+    for s in system.init().states(system.universe()).expect("initial states enumerate") {
+        if !index.contains_key(&s) {
+            index.insert(s.clone(), states.len());
+            states.push(s);
+        }
     }
-    assert_eq!(a.deadlocks(), b.deadlocks(), "{name}: deadlocks differ");
+    let mut edges = Vec::new();
+    while edges.len() < states.len() {
+        let successors = system.successors(&states[edges.len()]).expect("successors evaluate");
+        let out = successors
+            .into_iter()
+            .map(|(action, t)| {
+                let fresh = states.len();
+                let target = *index.entry(t.clone()).or_insert(fresh);
+                if target == fresh {
+                    states.push(t);
+                }
+                (action, target)
+            })
+            .collect();
+        edges.push(out);
+    }
+    (states, edges)
+}
+
+/// Each of the four plans — pinned by engine and worker count, the
+/// disk-backed ones under a 32 KiB budget, which the chains overflow —
+/// builds the seed explorer's graph: the same states in the same order,
+/// the same edge lists.
+#[test]
+fn every_plan_builds_the_seed_explorers_graph() {
+    let plans = [
+        ("sequential", Engine::Auto, 1, None),
+        ("work-stealing", Engine::WorkStealing, 4, None),
+        ("spill", Engine::SpillBfs, 1, Some(32 << 10)),
+        ("spill-ws", Engine::SpillWs, 4, Some(32 << 10)),
+    ];
+    for (name, sys) in scenarios() {
+        let (states, edges) = explore_seed(&sys);
+        for (plan, engine, threads, mem_budget_bytes) in plans {
+            let options = ExploreOptions {
+                engine,
+                threads: Some(threads),
+                mem_budget_bytes,
+                ..ExploreOptions::default()
+            };
+            let graph = explore(&sys, &options).unwrap();
+            assert_eq!(graph.len(), states.len(), "{name}/{plan}: state count");
+            for (id, state) in states.iter().enumerate() {
+                assert_eq!(graph.state(id), state, "{name}/{plan}: state {id}");
+                let out: Vec<_> = graph.edges(id).iter().map(|e| (e.action, e.target)).collect();
+                assert_eq!(out, edges[id], "{name}/{plan}: edges of state {id}");
+            }
+        }
+    }
 }
 
 #[test]
@@ -84,7 +133,7 @@ fn exact_mode_is_identical_to_fingerprint_mode_everywhere() {
             },
         )
         .unwrap();
-        assert_identical(name, &fp, &exact);
+        assert_eq!(fp.first_difference(&exact), None, "{name}");
     }
 }
 
@@ -103,7 +152,7 @@ fn parallel_engine_is_identical_to_sequential_everywhere() {
                     },
                 )
                 .unwrap();
-                assert_identical(&format!("{name}/threads={threads}/{mode:?}"), &seq, &par);
+                assert_eq!(seq.first_difference(&par), None, "{name}/threads={threads}/{mode:?}");
             }
         }
     }
@@ -190,7 +239,7 @@ fn forced_collisions_underapproximate_and_exact_mode_recovers() {
             },
         )
         .unwrap();
-        assert_identical("exact recovery", &full, &exact);
+        assert_eq!(full.first_difference(&exact), None, "exact recovery");
     }
 }
 

@@ -4,13 +4,16 @@
 //! against the schema — phase nesting well-formed, timestamps
 //! monotonic, final progress snapshot equal to the run report — and
 //! the stream's *shape* (event kinds, field sets, run ordering)
-//! snapshotted. Timings are never asserted, so the test is
-//! deterministic.
+//! snapshotted — and one stream spanning an interrupted and a resumed
+//! run of each of the four plans. Timings are never asserted, so the
+//! test is deterministic.
 
 use opentla_check::{
-    explore_governed_with, obs::validate_stream, obs::StreamSummary, Budget, ExploreOptions,
-    JsonlRecorder, RecorderHandle, System, VisitedMode,
+    check_liveness_resumable, explore_governed_with, explore_resumable, obs::validate_stream,
+    obs::StreamSummary, Budget, Engine, ExploreOptions, JsonlRecorder, LiveTarget, RecorderHandle,
+    System, VisitedMode,
 };
+use opentla_kernel::Expr;
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::AlternatingBit;
 use std::io::Write;
@@ -40,27 +43,33 @@ const CONFIGS: [(VisitedMode, usize); 3] = [
     (VisitedMode::Fingerprint, 4),
 ];
 
-/// Explores `sys` under all of [`CONFIGS`] into one JSONL stream and
-/// returns the raw text plus its validated summary.
-fn recorded_stream(sys: &System) -> (String, StreamSummary) {
+/// Runs `record` under a [`JsonlRecorder`] and returns the stream it
+/// wrote plus its validated summary.
+fn stream_of(record: impl FnOnce(RecorderHandle)) -> (String, StreamSummary) {
     let buf = Arc::new(Mutex::new(Vec::new()));
     let recorder = Arc::new(JsonlRecorder::from_writer(SharedBuf(buf.clone())));
-    let handle = RecorderHandle::new(recorder.clone());
-    for (mode, threads) in CONFIGS {
-        let budget = Budget::default().with_recorder(handle.clone());
-        let opts = ExploreOptions {
-            mode,
-            threads: Some(threads),
-            ..ExploreOptions::default()
-        };
-        let run = explore_governed_with(sys, &budget, &opts).expect("explores");
-        assert!(run.outcome.is_complete());
-    }
+    record(RecorderHandle::new(recorder.clone()));
     recorder.flush();
     let text = String::from_utf8(buf.lock().unwrap().clone()).expect("utf-8 stream");
     let summary = validate_stream(&text)
         .unwrap_or_else(|e| panic!("stream fails schema validation: {e}\n{text}"));
     (text, summary)
+}
+
+/// Explores `sys` under all of [`CONFIGS`] into one JSONL stream.
+fn recorded_stream(sys: &System) -> (String, StreamSummary) {
+    stream_of(|handle| {
+        for (mode, threads) in CONFIGS {
+            let budget = Budget::default().with_recorder(handle.clone());
+            let opts = ExploreOptions {
+                mode,
+                threads: Some(threads),
+                ..ExploreOptions::default()
+            };
+            let run = explore_governed_with(sys, &budget, &opts).expect("explores");
+            assert!(run.outcome.is_complete());
+        }
+    })
 }
 
 fn scenarios() -> Vec<(&'static str, System)> {
@@ -104,6 +113,77 @@ fn golden_streams_validate_and_engines_agree() {
         assert_eq!(summary.runs[2].engine, "explore_parallel_ws");
         assert_eq!(summary.runs[2].threads, 4, "{name}");
     }
+}
+
+/// One stream narrates a kill and a recovery on each of the four plans:
+/// chain2 cut at two fifths of its states with checkpointing on, then
+/// the same call with the budget lifted. Eight run reports, of which
+/// exactly the resumed ones are complete and carry the uninterrupted
+/// totals; one `resume` per recovery, that of an interrupted liveness
+/// check included; the disk-backed plans, under an 8 KiB budget, spill
+/// and report their cache once per run.
+#[test]
+fn golden_stream_spans_interrupted_and_resumed_runs_of_every_plan() {
+    let sys = scenarios().remove(1).1;
+    let whole = explore_governed_with(&sys, &Budget::unlimited(), &ExploreOptions::default())
+        .expect("explores")
+        .graph;
+    let plans = [
+        (Engine::Auto, 1, None),
+        (Engine::WorkStealing, 4, None),
+        (Engine::SpillBfs, 1, Some(8 << 10)),
+        (Engine::SpillWs, 4, Some(8 << 10)),
+    ];
+    let dir = std::env::temp_dir().join(format!("opentla_obs_resume_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir creates");
+    let (_text, summary) = stream_of(|handle| {
+        for (i, (engine, threads, mem_budget_bytes)) in plans.into_iter().enumerate() {
+            let path = dir.join(format!("plan{i}.snap"));
+            let opts = ExploreOptions {
+                engine,
+                threads: Some(threads),
+                mem_budget_bytes,
+                ..ExploreOptions::default()
+            };
+            let cut = Budget::default().states(whole.len() * 2 / 5);
+            for budget in [cut, Budget::unlimited()] {
+                let budget = budget.with_checkpoint(&path, 64).with_recorder(handle.clone());
+                explore_resumable(&sys, &budget, &opts).expect("explores");
+            }
+        }
+        // And on a fair-cycle search of the finished graph.
+        let path = dir.join("live.snap");
+        let target = LiveTarget::Eventually(Expr::bool(false));
+        let cut = (Budget::default().transitions(40), false);
+        for (budget, completes) in [cut, (Budget::unlimited(), true)] {
+            let budget = budget.with_checkpoint(&path, 8).with_recorder(handle.clone());
+            let run = check_liveness_resumable(&sys, &whole, &target, &budget).expect("checks");
+            assert_eq!(run.outcome.is_complete(), completes);
+        }
+    });
+    std::fs::remove_dir_all(&dir).expect("scratch dir removes");
+
+    assert_eq!(summary.runs.len(), 2 * plans.len());
+    for (i, run) in summary.runs.iter().enumerate() {
+        let resumed = i % 2 == 1;
+        assert_eq!(run.complete, resumed, "run {i} ({})", run.engine);
+        if resumed {
+            assert_eq!(
+                (run.states, run.transitions),
+                (whole.len() as u64, whole.edge_count() as u64),
+                "run {i} ({})",
+                run.engine
+            );
+        }
+    }
+    let engines: Vec<&str> = summary.runs.iter().step_by(2).map(|r| r.engine.as_str()).collect();
+    assert_eq!(
+        engines,
+        ["explore_sequential", "explore_parallel_ws", "explore_spill", "explore_spill_ws"]
+    );
+    assert_eq!(summary.kinds["resume"], plans.len() + 1, "each plan, and the liveness check");
+    assert!(summary.kinds["spill"] >= 1);
+    assert_eq!(summary.kinds["cache_stats"], 4, "two disk-backed plans, two runs each");
 }
 
 /// The stream's shape — which event kinds appear and which fields each

@@ -14,13 +14,23 @@
 //!
 //! # Format and integrity
 //!
-//! The snapshot is a zero-dependency binary file:
+//! There is one on-disk format, a zero-dependency binary file:
 //!
 //! ```text
 //! magic    8 bytes  b"OTLASNAP"
-//! body     version (u32 LE) + header + payload
+//! body     version (u32 LE) + header + manifest + frontier + reduction
 //! checksum 8 bytes  FNV-1a over the body
 //! ```
+//!
+//! The manifest is the record stream the disk-backed stores write
+//! anyway — one arena record per state, one edge record per fully
+//! expanded state — with sealed segment files *referenced* (name,
+//! record count, checksum) and everything else inline. The
+//! sequential disk-backed engine references its sealed segments, so
+//! its periodic checkpoint costs O(hot tier), not O(state space); an
+//! engine whose graph is in RAM writes a manifest with no sealed
+//! segment. Either way [`Snapshot::load`] → [`Snapshot::validate`] →
+//! `materialize` → engine is the only way a file becomes a run.
 //!
 //! The header pins everything that decides *whether the snapshot may
 //! be trusted for a resume*: the system's structural hash, the
@@ -35,6 +45,15 @@
 //!
 //! Writes are atomic (temp file in the same directory, then rename),
 //! so a crash mid-write leaves the previous snapshot intact.
+//!
+//! # What restarts instead
+//!
+//! Only exploration checkpoints. A liveness check over a finished
+//! graph spends its time in the fairness tables and the SCC pass, which
+//! a resume would have to re-derive anyway (measured: the component
+//! loop a snapshot could skip is at most 13 % of the phase on the
+//! certificate graphs), so an interrupted one is simply run again —
+//! [`escalate`](crate::escalate) under a larger budget.
 //!
 //! # Why resuming preserves soundness
 //!
@@ -56,27 +75,21 @@ use crate::{ExploreOptions, System, VisitedMode};
 use opentla_kernel::codec::{self, Reader};
 use opentla_kernel::store::{self, fnv1a, SegmentMeta, StoreError};
 use opentla_kernel::{PackedLayout, State};
+use std::borrow::Cow;
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 
 /// Default checkpoint cadence, in state expansions between snapshot
 /// writes. At typical sequential throughput this is a snapshot every
 /// few hundred milliseconds of exploration — frequent enough that an
-/// interrupted run loses little, rare enough that the write cost
-/// stays well under the 5 % overhead gate.
+/// interrupted run loses little, rare enough that the writes stay a
+/// small share of the run.
 pub const DEFAULT_CHECKPOINT_CADENCE: u64 = 65_536;
 
-/// Snapshot wire-format version accepted by this build.
-pub const SNAPSHOT_VERSION: u32 = 1;
-
-/// Wire-format version of *spill* snapshots — taken by the
-/// bounded-memory engine, which snapshots by **referencing** its
-/// sealed segment files (name + record count + checksum) and embedding
-/// only the unsealed in-RAM tail, so a periodic checkpoint costs
-/// O(hot tier), not O(state space). [`Snapshot::load`] reads both
-/// versions; a spill snapshot is expanded back to the in-RAM form by
-/// `materialize` before any engine resumes from it.
-pub const SNAPSHOT_VERSION_SPILL: u32 = 2;
+/// Snapshot wire-format version written and accepted by this build.
+/// Version 1 carried the graph as a tree-state body of its own; it is
+/// refused, not read.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 const MAGIC: &[u8; 8] = b"OTLASNAP";
 
@@ -181,8 +194,8 @@ impl std::fmt::Display for CheckpointError {
 impl std::error::Error for CheckpointError {}
 
 /// Segment-store failures surface through the same typed vocabulary:
-/// a corrupt or truncated segment file referenced by a spill snapshot
-/// is a checkpoint problem to its caller.
+/// a corrupt or truncated segment file referenced by a snapshot is a
+/// checkpoint problem to its caller.
 impl From<StoreError> for CheckpointError {
     fn from(e: StoreError) -> CheckpointError {
         match e {
@@ -249,14 +262,14 @@ impl From<codec::DecodeError> for CheckpointError {
     }
 }
 
-/// Writes `magic`, `body` and the FNV-1a checksum of `body` (a
+/// Writes the magic, `body` and the FNV-1a checksum of `body` (a
 /// zero-dependency integrity check: it guards against truncation and
 /// bit rot, not adversaries) to `path` atomically: the bytes go to a
 /// temporary file in the same directory, which is then renamed over
 /// `path` — a crash mid-write leaves any previous file intact.
-fn write_framed(path: &Path, magic: &[u8; 8], body: &[u8]) -> Result<(), CheckpointError> {
+fn write_framed(path: &Path, body: &[u8]) -> Result<(), CheckpointError> {
     let mut file = Vec::with_capacity(body.len() + 16);
-    file.extend_from_slice(magic);
+    file.extend_from_slice(MAGIC);
     file.extend_from_slice(body);
     file.extend_from_slice(&fnv1a(body).to_le_bytes());
     let mut tmp = path.as_os_str().to_owned();
@@ -264,25 +277,6 @@ fn write_framed(path: &Path, magic: &[u8; 8], body: &[u8]) -> Result<(), Checkpo
     let tmp = PathBuf::from(tmp);
     std::fs::write(&tmp, &file).map_err(|e| io_err(&tmp, e))?;
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
-}
-
-/// Reads a file [`write_framed`] wrote and, having verified length,
-/// magic and checksum, hands its body to `decode`.
-fn read_framed<T>(
-    path: &Path,
-    magic: &[u8; 8],
-    decode: fn(&[u8]) -> Result<T, CheckpointError>,
-) -> Result<T, CheckpointError> {
-    let file = std::fs::read(path).map_err(|e| io_err(path, e))?;
-    if file.len() < magic.len() + 8 || &file[..magic.len()] != magic {
-        return Err(CheckpointError::BadMagic);
-    }
-    let (body, tail) = file[magic.len()..].split_at(file.len() - magic.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8-byte checksum tail"));
-    if fnv1a(body) != stored {
-        return Err(CheckpointError::ChecksumMismatch);
-    }
-    decode(body)
 }
 
 /// A structural hash of a [`System`] — variable names and action
@@ -326,16 +320,22 @@ pub struct Snapshot {
     pub system_hash: u64,
     /// Sequence number of this snapshot within its run.
     pub seq: u64,
-    /// The arena, recorded edges and BFS tree, in canonical order.
-    pub(crate) graph: StateGraph,
+    pub(crate) body: Body,
+    /// The unexpanded states: the arena's last ids, ascending.
     pub(crate) frontier: Vec<usize>,
     /// `Some` exactly when `reduced`.
     pub(crate) reduction: Option<ReducedRun>,
-    /// `Some` for a bounded-memory (spill) snapshot: the arena and
-    /// edge lists live in sealed segment files referenced by name and
-    /// checksum, plus the embedded unsealed tails. `graph` is empty
-    /// until [`Snapshot::materialize`] builds it from the segments.
-    pub(crate) spill: Option<SpillManifest>,
+}
+
+/// The arena, recorded edges and BFS tree of a [`Snapshot`], in
+/// canonical order.
+#[derive(Clone, Debug)]
+pub(crate) enum Body {
+    /// In RAM: what an engine captures and what it resumes from.
+    Graph(StateGraph),
+    /// As records: what a file holds, and what the sequential
+    /// disk-backed engine captures over its own segment files.
+    Manifest(Manifest),
 }
 
 /// What pins a snapshot to the run that takes it: the header fields
@@ -360,22 +360,16 @@ impl RunHeader {
     }
 
     /// A snapshot of this run, first in its sequence.
-    pub(crate) fn snapshot(
-        self,
-        graph: StateGraph,
-        frontier: Vec<usize>,
-        spill: Option<SpillManifest>,
-    ) -> Snapshot {
+    pub(crate) fn snapshot(self, body: Body, frontier: Vec<usize>) -> Snapshot {
         Snapshot {
             fp_bits: self.fp_bits,
             mode: self.mode,
             reduced: self.reduction.is_some(),
             system_hash: self.system_hash,
             seq: 0,
-            graph,
+            body,
             frontier,
             reduction: self.reduction,
-            spill,
         }
     }
 }
@@ -398,15 +392,50 @@ pub(crate) struct ReducedRun {
 /// continue, so it is refused rather than read.
 const REDUCTION_BLOCK_TAG: u8 = 2;
 
-/// What a spill snapshot records instead of the in-RAM arena: where
-/// the sealed segment files live and how to verify them, plus the
-/// unsealed hot tails copied inline (cheap — O(one segment), by
-/// construction smaller than the seal threshold).
+/// Records held inline, the way a segment store holds its unsealed
+/// tail: one flat buffer and where each record ends.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Records {
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
+}
+
+impl Records {
+    fn push(&mut self, record: &[u8]) {
+        self.bytes.extend_from_slice(record);
+        self.ends.push(self.bytes.len());
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let record = &self.bytes[start..end];
+            start = end;
+            record
+        })
+    }
+}
+
+impl<'a> FromIterator<&'a [u8]> for Records {
+    fn from_iter<I: IntoIterator<Item = &'a [u8]>>(records: I) -> Records {
+        let mut held = Records::default();
+        records.into_iter().for_each(|r| held.push(r));
+        held
+    }
+}
+
+/// A graph as the record stream of the disk-backed stores: where the
+/// sealed segment files live and how to verify them, and every record
+/// no sealed segment holds, inline.
 #[derive(Clone, Debug)]
-pub(crate) struct SpillManifest {
-    /// Directory holding the run's segment files.
+pub(crate) struct Manifest {
+    /// Directory holding the sealed segment files.
     pub(crate) dir: PathBuf,
-    /// Total arena states (sealed + hot).
+    /// Total arena states (sealed + inline).
     pub(crate) states: u64,
     /// Total committed transitions across all edge records.
     pub(crate) transitions: u64,
@@ -414,35 +443,116 @@ pub(crate) struct SpillManifest {
     pub(crate) init: Vec<usize>,
     /// Sealed arena segments, in id order.
     pub(crate) arena_segments: Vec<SegmentMeta>,
-    /// Unsealed arena records (ids follow the last sealed segment).
-    pub(crate) arena_hot: Vec<Vec<u8>>,
+    /// The arena records after them (ids follow the last sealed one).
+    pub(crate) arena_hot: Records,
     /// Sealed edge-record segments.
     pub(crate) edge_segments: Vec<SegmentMeta>,
-    /// Unsealed edge records.
-    pub(crate) edge_hot: Vec<Vec<u8>>,
+    /// The edge records after them.
+    pub(crate) edge_hot: Records,
+}
+
+impl Manifest {
+    /// `graph` with no sealed segment: every arena record inline, and
+    /// an edge record for every state off the (ascending) `frontier`.
+    fn inline(graph: &StateGraph, frontier: &[usize]) -> Manifest {
+        let (mut scratch, mut record) = (Vec::new(), Vec::new());
+        let (mut arena_hot, mut edge_hot) = (Records::default(), Records::default());
+        let mut unexpanded = frontier.iter().peekable();
+        let mut transitions = 0;
+        for (id, state) in graph.states().iter().enumerate() {
+            let (fp, parent) = (state.fingerprint(), graph.parent(id));
+            encode_arena_record(state, fp, parent, None, &mut scratch, &mut record);
+            arena_hot.push(&record);
+            if unexpanded.next_if_eq(&&id).is_none() {
+                encode_edge_record(id, graph.edges(id), &mut record);
+                edge_hot.push(&record);
+                transitions += graph.edges(id).len() as u64;
+            }
+        }
+        Manifest {
+            dir: PathBuf::new(),
+            states: graph.len() as u64,
+            transitions,
+            init: graph.init().to_vec(),
+            arena_segments: Vec::new(),
+            arena_hot,
+            edge_segments: Vec::new(),
+            edge_hot,
+        }
+    }
+
+    /// Reads every record back — sealed segments through the store's
+    /// verified reader — into the graph they describe.
+    fn materialize(&self, system: &System) -> Result<StateGraph, CheckpointError> {
+        let layout = PackedLayout::compile(system.vars());
+        let n = self.states as usize;
+        let mut graph = StateGraph::with_capacity(n.min(1 << 20));
+        for_each_record((&self.dir, &self.arena_segments, self.arena_hot.iter()), |bytes| {
+            let rec = decode_arena_record(bytes, layout.as_ref())?;
+            graph.push_state(rec.state, rec.parent).map(drop)
+        })?;
+        if graph.len() != n {
+            return Err(corrupt(format!(
+                "manifest claims {n} states, its records held {}",
+                graph.len()
+            )));
+        }
+        if graph.init() != self.init {
+            return Err(corrupt("manifest and arena records disagree on the initial states"));
+        }
+        let mut expanded = vec![false; n];
+        for_each_edge_record((&self.dir, &self.edge_segments, self.edge_hot.iter()), n, |id, es| {
+            if std::mem::replace(&mut expanded[id], true) {
+                return Err(corrupt(format!("duplicate edge record for state {id}")));
+            }
+            graph.set_edges(id, es);
+            Ok(())
+        })?;
+        if graph.edge_count() as u64 != self.transitions {
+            return Err(corrupt(format!(
+                "manifest claims {} transitions, edge records held {}",
+                self.transitions,
+                graph.edge_count()
+            )));
+        }
+        Ok(graph)
+    }
 }
 
 impl Snapshot {
     /// States banked in the snapshot (what the resumed meter is
     /// pre-charged with).
     pub fn states_used(&self) -> usize {
-        match &self.spill {
-            Some(m) => m.states as usize,
-            None => self.graph.len(),
+        match &self.body {
+            Body::Graph(graph) => graph.len(),
+            Body::Manifest(m) => m.states as usize,
         }
     }
 
     /// Fully-committed transitions banked in the snapshot.
     pub fn transitions_used(&self) -> usize {
-        match &self.spill {
-            Some(m) => m.transitions as usize,
-            None => self.graph.edge_count(),
+        match &self.body {
+            Body::Graph(graph) => graph.edge_count(),
+            Body::Manifest(m) => m.transitions as usize,
         }
     }
 
     /// Number of discovered-but-unexpanded states awaiting resume.
     pub fn frontier_len(&self) -> usize {
         self.frontier.len()
+    }
+
+    /// The graph of a materialized snapshot.
+    ///
+    /// # Panics
+    ///
+    /// On a manifest: `explore_observed` materializes before any
+    /// engine sees the snapshot.
+    pub(crate) fn graph(&self) -> &StateGraph {
+        match &self.body {
+            Body::Graph(graph) => graph,
+            Body::Manifest(_) => panic!("engines resume materialized snapshots"),
+        }
     }
 
     /// Refuses to resume under a different system or configuration:
@@ -510,7 +620,7 @@ impl Snapshot {
         &self,
         canon: &dyn Canonicalize,
     ) -> Result<(), CheckpointError> {
-        match self.graph.states().iter().position(|s| &canon.canonicalize(s) != s) {
+        match self.graph().states().iter().position(|s| &canon.canonicalize(s) != s) {
             None => Ok(()),
             Some(id) => mismatch(
                 "symmetry canonicalizer",
@@ -523,13 +633,16 @@ impl Snapshot {
     /// Serializes the snapshot body (everything between magic and
     /// checksum).
     fn encode_body(&self) -> Vec<u8> {
-        let version = if self.spill.is_some() {
-            SNAPSHOT_VERSION_SPILL
-        } else {
-            SNAPSHOT_VERSION
+        let inline;
+        let m = match &self.body {
+            Body::Manifest(m) => m,
+            Body::Graph(graph) => {
+                inline = Manifest::inline(graph, &self.frontier);
+                &inline
+            }
         };
         let mut out = Vec::new();
-        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.fp_bits.to_le_bytes());
         out.push(match self.mode {
             VisitedMode::Fingerprint => 0,
@@ -548,82 +661,37 @@ impl Snapshot {
             out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
             out.extend_from_slice(bytes);
         };
+        push_bytes(&mut out, m.dir.to_string_lossy().as_bytes());
+        out.extend_from_slice(&m.states.to_le_bytes());
+        out.extend_from_slice(&m.transitions.to_le_bytes());
+        for segments in [&m.arena_segments, &m.edge_segments] {
+            out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
+            for seg in segments.iter() {
+                push_bytes(&mut out, seg.name.as_bytes());
+                for word in [seg.first, seg.records, seg.payload_len, seg.payload_checksum] {
+                    out.extend_from_slice(&word.to_le_bytes());
+                }
+            }
+        }
+        for hot in [&m.arena_hot, &m.edge_hot] {
+            out.extend_from_slice(&(hot.len() as u32).to_le_bytes());
+            for rec in hot.iter() {
+                push_bytes(&mut out, rec);
+            }
+        }
+        push_ids(&mut out, &m.init);
+        push_ids(&mut out, &self.frontier);
         // The trailing reduction block: a tag byte, then (when present)
         // the banked hits and the canonicalizer's name.
-        let push_reduction = |out: &mut Vec<u8>, reduction: &Option<ReducedRun>| match reduction {
+        match &self.reduction {
             None => out.push(0),
             Some(r) => {
                 out.push(REDUCTION_BLOCK_TAG);
                 out.extend_from_slice(&(r.canon_hits as u64).to_le_bytes());
-                push_bytes(out, r.canonicalizer.as_bytes());
-            }
-        };
-        if let Some(m) = &self.spill {
-            push_bytes(&mut out, m.dir.to_string_lossy().as_bytes());
-            out.extend_from_slice(&m.states.to_le_bytes());
-            out.extend_from_slice(&m.transitions.to_le_bytes());
-            for segments in [&m.arena_segments, &m.edge_segments] {
-                out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
-                for seg in segments.iter() {
-                    push_bytes(&mut out, seg.name.as_bytes());
-                    for word in [seg.first, seg.records, seg.payload_len, seg.payload_checksum] {
-                        out.extend_from_slice(&word.to_le_bytes());
-                    }
-                }
-            }
-            for hot in [&m.arena_hot, &m.edge_hot] {
-                out.extend_from_slice(&(hot.len() as u32).to_le_bytes());
-                for rec in hot.iter() {
-                    push_bytes(&mut out, rec);
-                }
-            }
-            push_ids(&mut out, &m.init);
-            push_ids(&mut out, &self.frontier);
-            push_reduction(&mut out, &self.reduction);
-            return out;
-        }
-        let graph = &self.graph;
-        out.extend_from_slice(&(graph.len() as u32).to_le_bytes());
-        for s in graph.states() {
-            codec::encode_state(s, &mut out);
-        }
-        push_ids(&mut out, graph.init());
-        for id in 0..graph.len() {
-            let es = graph.edges(id);
-            out.extend_from_slice(&(es.len() as u32).to_le_bytes());
-            for e in es {
-                out.extend_from_slice(&(e.action as u32).to_le_bytes());
-                out.extend_from_slice(&(e.target as u32).to_le_bytes());
+                push_bytes(&mut out, r.canonicalizer.as_bytes());
             }
         }
-        for id in 0..graph.len() {
-            match graph.parent(id) {
-                None => out.push(0),
-                Some((parent, action)) => {
-                    out.push(1);
-                    out.extend_from_slice(&(parent as u32).to_le_bytes());
-                    out.extend_from_slice(&(action as u32).to_le_bytes());
-                }
-            }
-        }
-        push_ids(&mut out, &self.frontier);
-        push_reduction(&mut out, &self.reduction);
         out
-    }
-
-    fn decode_body(body: &[u8]) -> Result<Snapshot, CheckpointError> {
-        let mut r = Reader::new(body);
-        let version = r.u32("version")?;
-        if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_SPILL {
-            return Err(CheckpointError::UnsupportedVersion { found: version });
-        }
-        // From here every decode error is structural corruption.
-        let mut read = SnapshotReader { r };
-        if version == SNAPSHOT_VERSION_SPILL {
-            read.finish_spill()
-        } else {
-            read.finish()
-        }
     }
 
     /// Writes the snapshot to `path` atomically: the encoding goes to
@@ -635,75 +703,56 @@ impl Snapshot {
     ///
     /// [`CheckpointError::Io`] if the filesystem refuses.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        write_framed(path, MAGIC, &self.encode_body())
+        write_framed(path, &self.encode_body())
     }
 
-    /// Loads and verifies a snapshot: magic, format version, checksum,
-    /// and structural bounds (every id in range). Corrupt or truncated
-    /// files yield a typed error, never a panic.
+    /// Loads and verifies a snapshot: magic, checksum, format version,
+    /// and structural bounds (every id in range, the frontier the
+    /// arena's tail). Corrupt or truncated files yield a typed error,
+    /// never a panic.
     ///
     /// # Errors
     ///
     /// Any [`CheckpointError`] except `Mismatch` (configuration
     /// validation is [`Snapshot::validate`]'s job).
     pub fn load(path: &Path) -> Result<Snapshot, CheckpointError> {
-        read_framed(path, MAGIC, Snapshot::decode_body)
+        let file = std::fs::read(path).map_err(|e| io_err(path, e))?;
+        if file.len() < MAGIC.len() + 8 || &file[..MAGIC.len()] != MAGIC {
+            return Err(CheckpointError::BadMagic);
+        }
+        let (body, tail) = file[MAGIC.len()..].split_at(file.len() - MAGIC.len() - 8);
+        let stored = u64::from_le_bytes(tail.try_into().expect("8-byte checksum tail"));
+        if fnv1a(body) != stored {
+            return Err(CheckpointError::ChecksumMismatch);
+        }
+        let mut r = Reader::new(body);
+        let version = r.u32("version")?;
+        if version != SNAPSHOT_VERSION {
+            return Err(CheckpointError::UnsupportedVersion { found: version });
+        }
+        // From here every decode error is structural corruption.
+        SnapshotReader { r }.finish()
     }
 
-    /// Expands a spill snapshot into the in-RAM (version-1) form by
-    /// reading every referenced segment file back through the store's
-    /// verified reader, so the engines only ever resume from a fully
-    /// materialized arena. Already-materialized snapshots are returned
-    /// unchanged.
+    /// The snapshot with its graph in RAM, which is what the engines
+    /// resume from: a manifest's records are read back, sealed
+    /// segments through the store's verified reader.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] when a referenced segment file is gone,
     /// or any corruption-class error when one fails verification or
     /// disagrees with the manifest.
-    pub(crate) fn materialize(self, system: &System) -> Result<Snapshot, CheckpointError> {
-        let Some(m) = &self.spill else {
-            return Ok(self);
+    pub(crate) fn materialize(&self, system: &System) -> Result<Cow<'_, Snapshot>, CheckpointError> {
+        let Body::Manifest(m) = &self.body else {
+            return Ok(Cow::Borrowed(self));
         };
-        let layout = PackedLayout::compile(system.vars());
-        let n = m.states as usize;
-        let mut graph = StateGraph::with_capacity(n.min(1 << 20));
-        fn hot(tail: &[Vec<u8>]) -> impl Iterator<Item = &[u8]> {
-            tail.iter().map(Vec::as_slice)
-        }
-        for_each_record((&m.dir, &m.arena_segments, hot(&m.arena_hot)), |bytes| {
-            let rec = decode_arena_record(bytes, layout.as_ref())?;
-            graph.push_state(rec.state, rec.parent).map(drop)
-        })?;
-        if graph.len() != n {
-            return Err(corrupt(format!(
-                "spill manifest claims {n} states, segments held {}",
-                graph.len()
-            )));
-        }
-        if graph.init() != m.init {
-            return Err(corrupt("spill manifest and arena records disagree on the initial states"));
-        }
-        let mut expanded = vec![false; n];
-        for_each_edge_record((&m.dir, &m.edge_segments, hot(&m.edge_hot)), n, |id, es| {
-            if std::mem::replace(&mut expanded[id], true) {
-                return Err(corrupt(format!("duplicate edge record for state {id}")));
-            }
-            graph.set_edges(id, es);
-            Ok(())
-        })?;
-        if graph.edge_count() as u64 != m.transitions {
-            return Err(corrupt(format!(
-                "spill manifest claims {} transitions, edge records held {}",
-                m.transitions,
-                graph.edge_count()
-            )));
-        }
-        Ok(Snapshot {
-            graph,
-            spill: None,
-            ..self
-        })
+        Ok(Cow::Owned(Snapshot {
+            body: Body::Graph(m.materialize(system)?),
+            frontier: self.frontier.clone(),
+            reduction: self.reduction.clone(),
+            ..*self
+        }))
     }
 }
 
@@ -713,43 +762,20 @@ struct SnapshotReader<'a> {
 }
 
 impl SnapshotReader<'_> {
-    fn id(&mut self, ctx: &'static str, bound: usize) -> Result<usize, CheckpointError> {
-        let id = self.r.u32(ctx)? as usize;
-        if id >= bound {
-            return Err(corrupt(format!("{ctx} {id} out of range (< {bound})")));
-        }
-        Ok(id)
-    }
-
     fn ids(&mut self, ctx: &'static str, bound: usize) -> Result<Vec<usize>, CheckpointError> {
         let n = self.r.u32(ctx)? as usize;
         if n > bound {
             return Err(corrupt(format!("{ctx} count {n} exceeds state count {bound}")));
         }
-        (0..n).map(|_| self.id(ctx, bound)).collect()
-    }
-
-    /// Reads the header fields shared by both snapshot versions:
-    /// `(fp_bits, mode, reduced, system_hash, seq)`.
-    #[allow(clippy::type_complexity)]
-    fn header(&mut self) -> Result<(u32, VisitedMode, bool, u64, u64), CheckpointError> {
-        let fp_bits = self.r.u32("fp_bits")?;
-        if fp_bits == 0 || fp_bits > 64 {
-            return Err(corrupt(format!("fp_bits {fp_bits} outside 1..=64")));
+        let mut ids = Vec::with_capacity(n);
+        for _ in 0..n {
+            let id = self.r.u32(ctx)? as usize;
+            if id >= bound {
+                return Err(corrupt(format!("{ctx} {id} out of range (< {bound})")));
+            }
+            ids.push(id);
         }
-        let mode = match self.r.u8("visited mode")? {
-            0 => VisitedMode::Fingerprint,
-            1 => VisitedMode::Exact,
-            m => return Err(corrupt(format!("unknown visited mode tag {m}"))),
-        };
-        let reduced = match self.r.u8("reduced flag")? {
-            0 => false,
-            1 => true,
-            b => return Err(corrupt(format!("bad reduced flag {b}"))),
-        };
-        let system_hash = self.r.u64("system hash")?;
-        let seq = self.r.u64("sequence number")?;
-        Ok((fp_bits, mode, reduced, system_hash, seq))
+        Ok(ids)
     }
 
     /// Reads the trailing reduction block, which must be present
@@ -781,112 +807,68 @@ impl SnapshotReader<'_> {
         Ok(block)
     }
 
-    fn bytes(&mut self, ctx: &'static str) -> Result<Vec<u8>, CheckpointError> {
-        Ok(self.r.bytes(ctx)?.to_vec())
+    fn string(&mut self, ctx: &'static str) -> Result<String, CheckpointError> {
+        String::from_utf8(self.r.bytes(ctx)?.to_vec())
+            .map_err(|_| corrupt(format!("{ctx} is not valid UTF-8")))
     }
 
-    fn string(&mut self, ctx: &'static str) -> Result<String, CheckpointError> {
-        String::from_utf8(self.bytes(ctx)?).map_err(|_| corrupt(format!("{ctx} is not valid UTF-8")))
+    fn segments(&mut self) -> Result<Vec<SegmentMeta>, CheckpointError> {
+        let count = self.r.u32("segment count")? as usize;
+        let mut list = Vec::with_capacity(count.min(1 << 20));
+        for _ in 0..count {
+            let name = self.string("segment name")?;
+            if name.contains('/') || name.contains('\\') || name.contains("..") {
+                return Err(corrupt(format!("segment name {name:?} escapes the spill dir")));
+            }
+            list.push(SegmentMeta {
+                name,
+                first: self.r.u64("segment first id")?,
+                records: self.r.u64("segment record count")?,
+                payload_len: self.r.u64("segment payload length")?,
+                payload_checksum: self.r.u64("segment payload checksum")?,
+            });
+        }
+        Ok(list)
+    }
+
+    fn records(&mut self) -> Result<Records, CheckpointError> {
+        let count = self.r.u32("inline record count")?;
+        (0..count).map(|_| Ok(self.r.bytes("inline record")?)).collect()
     }
 
     fn finish(&mut self) -> Result<Snapshot, CheckpointError> {
-        let (fp_bits, mode, reduced, system_hash, seq) = self.header()?;
-        let n = self.r.u32("state count")? as usize;
-        let mut states = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            states.push(codec::decode_state(&mut self.r)?);
+        let fp_bits = self.r.u32("fp_bits")?;
+        if fp_bits == 0 || fp_bits > 64 {
+            return Err(corrupt(format!("fp_bits {fp_bits} outside 1..=64")));
         }
-        let init = self.ids("initial state id", n)?;
-        // The edge lists sit between the arena and the BFS tree its
-        // states are pushed with: skipped here, read once those are in.
-        let mut edges = SnapshotReader { r: self.r };
-        for _ in 0..n {
-            for _ in 0..self.r.u32("edge count")? {
-                self.r.u64("edge")?;
-            }
-        }
-        let mut graph = StateGraph::with_capacity(states.len());
-        for state in states {
-            let parent = match self.r.u8("parent tag")? {
-                0 => None,
-                1 => {
-                    let parent = self.r.u32("parent id")? as usize;
-                    Some((parent, self.r.u32("parent action")? as usize))
-                }
-                t => return Err(corrupt(format!("bad parent tag {t}"))),
-            };
-            graph.push_state(state, parent)?;
-        }
-        if graph.init() != init {
-            return Err(corrupt("initial state ids disagree with the parentless states"));
-        }
-        let mut list = Vec::new();
-        for id in 0..n {
-            list.clear();
-            for _ in 0..edges.r.u32("edge count")? {
-                let action = edges.r.u32("edge action")? as usize;
-                let target = edges.id("edge target", n)?;
-                list.push(Edge { action, target });
-            }
-            graph.set_edges(id, &list);
-        }
-        let frontier = self.ids("frontier id", n)?;
-        let reduction = self.reduction(reduced)?;
-        expect_end(&self.r, "the snapshot body")?;
-        Ok(Snapshot {
-            fp_bits,
-            mode,
-            reduced,
-            system_hash,
-            seq,
-            graph,
-            frontier,
-            reduction,
-            spill: None,
-        })
-    }
-
-    fn finish_spill(&mut self) -> Result<Snapshot, CheckpointError> {
-        let (fp_bits, mode, reduced, system_hash, seq) = self.header()?;
-        let dir = PathBuf::from(self.string("spill directory")?);
-        let states = self.r.u64("spill state count")?;
-        let transitions = self.r.u64("spill transition count")?;
-        let mut segments = || -> Result<Vec<SegmentMeta>, CheckpointError> {
-            let count = self.r.u32("segment count")? as usize;
-            let mut list = Vec::with_capacity(count.min(1 << 20));
-            for _ in 0..count {
-                let name = self.string("segment name")?;
-                if name.contains('/') || name.contains('\\') || name.contains("..") {
-                    return Err(corrupt(format!("segment name {name:?} escapes the spill dir")));
-                }
-                list.push(SegmentMeta {
-                    name,
-                    first: self.r.u64("segment first id")?,
-                    records: self.r.u64("segment record count")?,
-                    payload_len: self.r.u64("segment payload length")?,
-                    payload_checksum: self.r.u64("segment payload checksum")?,
-                });
-            }
-            Ok(list)
+        let mode = match self.r.u8("visited mode")? {
+            0 => VisitedMode::Fingerprint,
+            1 => VisitedMode::Exact,
+            m => return Err(corrupt(format!("unknown visited mode tag {m}"))),
         };
-        let arena_segments = segments()?;
-        let edge_segments = segments()?;
-        let mut hot = || -> Result<Vec<Vec<u8>>, CheckpointError> {
-            let count = self.r.u32("hot record count")? as usize;
-            (0..count).map(|_| self.bytes("hot record")).collect()
+        let reduced = match self.r.u8("reduced flag")? {
+            0 => false,
+            1 => true,
+            b => return Err(corrupt(format!("bad reduced flag {b}"))),
         };
-        let arena_hot = hot()?;
-        let edge_hot = hot()?;
-        let n = usize::try_from(states).map_err(|_| {
-            corrupt(format!("spill state count {states} exceeds the address space"))
-        })?;
+        let system_hash = self.r.u64("system hash")?;
+        let seq = self.r.u64("sequence number")?;
+        let dir = PathBuf::from(self.string("segment directory")?);
+        let states = self.r.u64("state count")?;
+        let transitions = self.r.u64("transition count")?;
+        let arena_segments = self.segments()?;
+        let edge_segments = self.segments()?;
+        let arena_hot = self.records()?;
+        let edge_hot = self.records()?;
+        let n = usize::try_from(states)
+            .map_err(|_| corrupt(format!("state count {states} exceeds the address space")))?;
         // Checked: the record counts are the file's own words.
         let referenced = arena_segments
             .iter()
             .try_fold(arena_hot.len() as u64, |sum, s| sum.checked_add(s.records));
         if referenced != Some(states) {
             return Err(corrupt(format!(
-                "spill manifest claims {states} states but its arena segments and {} hot records \
+                "manifest claims {states} states but its arena segments and {} inline records \
                  hold {}",
                 arena_hot.len(),
                 referenced.map_or("more than u64::MAX".to_string(), |r| r.to_string()),
@@ -894,27 +876,40 @@ impl SnapshotReader<'_> {
         }
         let init = self.ids("initial state id", n)?;
         let frontier = self.ids("frontier id", n)?;
+        // Every writer lists the unexpanded states once each, and they
+        // are the arena's tail (what the resume argument of
+        // `explore_seq` rests on): a repeated id would expand, and be
+        // charged, twice.
+        let expanded = n - frontier.len();
+        if let Some(at) = frontier.iter().enumerate().position(|(i, &id)| id != expanded + i) {
+            return Err(corrupt(format!(
+                "frontier id {} at position {at} is not the arena's tail in ascending order \
+                 (expected {})",
+                frontier[at],
+                expanded + at
+            )));
+        }
         let reduction = self.reduction(reduced)?;
         expect_end(&self.r, "the snapshot body")?;
+        let manifest = Manifest {
+            dir,
+            states,
+            transitions,
+            init,
+            arena_segments,
+            arena_hot,
+            edge_segments,
+            edge_hot,
+        };
         Ok(Snapshot {
             fp_bits,
             mode,
             reduced,
             system_hash,
             seq,
-            graph: StateGraph::with_capacity(0),
+            body: Body::Manifest(manifest),
             frontier,
             reduction,
-            spill: Some(SpillManifest {
-                dir,
-                states,
-                transitions,
-                init,
-                arena_segments,
-                arena_hot,
-                edge_segments,
-                edge_hot,
-            }),
         })
     }
 }
@@ -937,7 +932,7 @@ pub(crate) fn capture(
     frontier.dedup();
     let mut graph = graph.prefix(keep);
     graph.clear_edges(&frontier);
-    header.snapshot(graph, frontier, None)
+    header.snapshot(Body::Graph(graph), frontier)
 }
 
 /// Hands `take` every record of a segmented store `(dir, sealed,
@@ -970,18 +965,33 @@ pub(crate) fn for_each_edge_record<'a>(
     })
 }
 
-/// One arena record in the spill store: `[tag u8][parent u32, with
-/// `u32::MAX` for "initial"][action u32][fingerprint u64][state
-/// payload]`. Tag 0 carries the state in the general [`codec`]
-/// encoding; tag 1 carries the fixed-width packed form (only written
-/// when a [`PackedLayout`] compiled and the state packs). The
-/// fingerprint is stored rather than recomputed so spilled parents
-/// can be re-expanded without rehashing, and so the visited set can
-/// be rebuilt from the arena alone.
+/// One arena record: `[tag u8][parent u32, with `u32::MAX` for
+/// "initial"][action u32][fingerprint u64][state payload]`. Tag 0
+/// carries the state in the general [`codec`] encoding; tag 1 carries
+/// the fixed-width packed form (only written when a [`PackedLayout`]
+/// compiled and the state packs). The fingerprint is stored rather
+/// than recomputed so spilled parents can be re-expanded without
+/// rehashing. This file alone knows the offsets.
 pub(crate) struct ArenaRecord {
     pub(crate) parent: Option<(usize, usize)>,
     pub(crate) fp: u64,
     pub(crate) state: State,
+}
+
+/// Bytes of an arena record ahead of its payload.
+const ARENA_RECORD_HEADER: usize = 17;
+
+/// Starts an arena record in `out`: everything but the payload.
+fn begin_arena_record(tag: u8, parent: Option<(usize, usize)>, fp: u64, out: &mut Vec<u8>) {
+    let (parent_word, action_word) = match parent {
+        Some((p, a)) => (p as u32, a as u32),
+        None => (u32::MAX, 0),
+    };
+    out.clear();
+    out.push(tag);
+    out.extend_from_slice(&parent_word.to_le_bytes());
+    out.extend_from_slice(&action_word.to_le_bytes());
+    out.extend_from_slice(&fp.to_le_bytes());
 }
 
 pub(crate) fn encode_arena_record(
@@ -992,21 +1002,44 @@ pub(crate) fn encode_arena_record(
     scratch: &mut Vec<u8>,
     out: &mut Vec<u8>,
 ) {
-    let (parent_word, action_word) = match parent {
-        Some((p, a)) => (p as u32, a as u32),
-        None => (u32::MAX, 0),
-    };
     let packed = layout.is_some_and(|l| l.pack_into(state.values(), scratch));
-    out.clear();
-    out.push(u8::from(packed));
-    out.extend_from_slice(&parent_word.to_le_bytes());
-    out.extend_from_slice(&action_word.to_le_bytes());
-    out.extend_from_slice(&fp.to_le_bytes());
+    begin_arena_record(u8::from(packed), parent, fp, out);
     if packed {
         out.extend_from_slice(scratch);
     } else {
         codec::encode_state(state, out);
     }
+}
+
+/// The packed (tag 1) record of the state reached from `parent` by
+/// `action`, `payload` appending its packed bytes.
+pub(crate) fn encode_packed_record(
+    parent: usize,
+    action: usize,
+    fp: u64,
+    payload: impl FnOnce(&mut Vec<u8>),
+    out: &mut Vec<u8>,
+) {
+    begin_arena_record(1, Some((parent, action)), fp, out);
+    payload(out);
+}
+
+/// The fingerprint stored in an arena record.
+pub(crate) fn record_fingerprint(record: &[u8]) -> u64 {
+    let word = &record[ARENA_RECORD_HEADER - 8..ARENA_RECORD_HEADER];
+    u64::from_le_bytes(word.try_into().expect("an 8-byte word"))
+}
+
+/// The packed bytes of a tag-1 arena record.
+pub(crate) fn packed_payload(record: &[u8]) -> &[u8] {
+    debug_assert_eq!(record[0], 1, "a packed arena record");
+    &record[ARENA_RECORD_HEADER..]
+}
+
+/// What a segment store counts for one packed arena record under
+/// `layout`: its 4-byte length prefix, the header, the payload.
+pub(crate) fn packed_record_bytes(layout: &PackedLayout) -> usize {
+    4 + ARENA_RECORD_HEADER + layout.stride()
 }
 
 pub(crate) fn decode_arena_record(
@@ -1028,7 +1061,7 @@ pub(crate) fn decode_arena_record(
             let layout = layout.ok_or_else(|| {
                 corrupt("packed arena record but no layout compiles for this system")
             })?;
-            let payload = &bytes[17..];
+            let payload = &bytes[ARENA_RECORD_HEADER..];
             if payload.len() != layout.stride() {
                 return Err(corrupt(format!(
                     "packed arena record payload is {} byte(s), layout stride is {}",
@@ -1048,7 +1081,7 @@ pub(crate) fn decode_arena_record(
     Ok(ArenaRecord { parent, fp, state })
 }
 
-/// One edge record in the spill store: `[id u32][k u32][(action u32,
+/// One edge record: `[id u32][k u32][(action u32,
 /// target u32) × k]`. A record is appended exactly once per state,
 /// when its expansion completes — frontier states have no record,
 /// which is the same invariant [`capture`] enforces by clearing
@@ -1061,6 +1094,12 @@ pub(crate) fn encode_edge_record(id: usize, edges: &[Edge], out: &mut Vec<u8>) {
         out.extend_from_slice(&(e.action as u32).to_le_bytes());
         out.extend_from_slice(&(e.target as u32).to_le_bytes());
     }
+}
+
+/// What a segment store counts for the edge record of `k`
+/// successors: its 4-byte length prefix, id and count, the pairs.
+pub(crate) fn edge_record_bytes(k: usize) -> usize {
+    4 + 8 + 8 * k
 }
 
 /// Decodes one edge record into `edges` (cleared first); returns the
@@ -1090,13 +1129,11 @@ fn decode_edge_record(
     Ok(id)
 }
 
-/// The checkpoint driver: counts work against the cadence, stamps
-/// sequence numbers, and runs the writes. A write failure is reported
-/// once on stderr and disables further writes — checkpointing is a
-/// best-effort safety net, never a reason to abort a healthy run. The
-/// exploration engines write [`Snapshot`]s through
-/// [`Checkpointer::write`]; the liveness check owns one as its cadence
-/// and saves [`LiveSnapshot`]s through [`Checkpointer::write_with`].
+/// The checkpoint driver: counts state expansions against the
+/// cadence, stamps sequence numbers, and runs the writes. A write
+/// failure is reported once on stderr and disables further writes —
+/// checkpointing is a best-effort safety net, never a reason to abort
+/// a healthy run.
 pub(crate) struct Checkpointer {
     spec: Option<CheckpointSpec>,
     seq: u64,
@@ -1105,11 +1142,10 @@ pub(crate) struct Checkpointer {
 }
 
 impl Checkpointer {
-    /// A driver whose first write is stamped `base_seq + 1`.
-    pub(crate) fn new(spec: Option<CheckpointSpec>, base_seq: u64) -> Checkpointer {
+    pub(crate) fn new(spec: Option<CheckpointSpec>) -> Checkpointer {
         Checkpointer {
             spec,
-            seq: base_seq,
+            seq: 0,
             since: 0,
             failed: false,
         }
@@ -1120,9 +1156,8 @@ impl Checkpointer {
         self.spec.is_some() && !self.failed
     }
 
-    /// Records `n` more units of work (state expansions, cleared
-    /// components); true when a periodic snapshot is due (the counter
-    /// resets on the next write).
+    /// Records `n` more state expansions; true when a periodic
+    /// snapshot is due (the counter resets on the next write).
     pub(crate) fn due(&mut self, n: u64) -> bool {
         match &self.spec {
             Some(spec) if !self.failed => {
@@ -1133,14 +1168,14 @@ impl Checkpointer {
         }
     }
 
-    /// Stamps the next sequence number and has `save` write a snapshot
-    /// carrying it to the configured path. Returns the resume token, or
-    /// `None` if checkpointing is off, had failed, or `save` fails —
-    /// which is reported as "`what` disabled" and ends checkpointing.
-    pub(crate) fn write_with(
+    /// Writes `snap` to the configured path (stamping the next
+    /// sequence number) and emits [`Event::Checkpoint`]. Returns the
+    /// resume token, or `None` if checkpointing is off, had failed, or
+    /// fails now — which is reported and ends checkpointing.
+    pub(crate) fn write(
         &mut self,
-        what: &str,
-        save: impl FnOnce(&Path, u64) -> Result<(), CheckpointError>,
+        mut snap: Snapshot,
+        recorder: &RecorderHandle,
     ) -> Option<ResumeToken> {
         let spec = self.spec.as_ref()?;
         if self.failed {
@@ -1148,281 +1183,31 @@ impl Checkpointer {
         }
         self.seq += 1;
         self.since = 0;
-        if let Err(e) = save(&spec.path, self.seq) {
-            eprintln!("opentla-check: {what} disabled: {e}");
+        snap.seq = self.seq;
+        if let Err(e) = snap.save(&spec.path) {
+            eprintln!("opentla-check: checkpointing disabled: {e}");
             self.failed = true;
             return None;
+        }
+        if recorder.enabled() {
+            recorder.record(&Event::Checkpoint {
+                seq: self.seq,
+                states: snap.states_used() as u64,
+                transitions: snap.transitions_used() as u64,
+                frontier: snap.frontier_len() as u64,
+            });
         }
         Some(ResumeToken {
             path: spec.path.clone(),
             seq: self.seq,
         })
     }
-
-    /// Writes `snap` to the configured path (stamping the next
-    /// sequence number) and emits [`Event::Checkpoint`]. Returns the
-    /// resume token, or `None` if checkpointing is off or has failed.
-    pub(crate) fn write(
-        &mut self,
-        mut snap: Snapshot,
-        recorder: &RecorderHandle,
-    ) -> Option<ResumeToken> {
-        let token = self.write_with("checkpointing", |path, seq| {
-            snap.seq = seq;
-            snap.save(path)
-        })?;
-        if recorder.enabled() {
-            recorder.record(&Event::Checkpoint {
-                seq: token.seq,
-                states: snap.states_used() as u64,
-                transitions: snap.transitions_used() as u64,
-                frontier: snap.frontier_len() as u64,
-            });
-        }
-        Some(token)
-    }
-}
-
-const LIVE_MAGIC: &[u8; 8] = b"OTLALIVE";
-
-/// Liveness snapshot wire-format version accepted by this build.
-pub const LIVE_SNAPSHOT_VERSION: u32 = 1;
-
-/// The resumable core of an interrupted liveness check: which
-/// components of the property-restricted graph have already been
-/// analyzed and *cleared* (no fairness-satisfiable violation entered
-/// through them).
-///
-/// Unlike an exploration [`Snapshot`], a liveness snapshot stores no
-/// states — the state graph is the caller's input, and the fairness
-/// tables plus the SCC decomposition are deterministic functions of it,
-/// so a resume re-derives them (without re-charging the meter; the
-/// snapshot banks the transitions the original run paid) and skips the
-/// cleared components. The header therefore pins the graph's
-/// dimensions and a hash of the *target's* restriction tables: a
-/// snapshot taken while checking `◇P` must not skip components of a
-/// `□◇P` run.
-///
-/// Same file discipline as [`Snapshot`]: magic (`b"OTLALIVE"`), body,
-/// FNV-1a checksum; atomic temp-file-and-rename writes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct LiveSnapshot {
-    /// Structural hash of the checked system.
-    pub(crate) system_hash: u64,
-    /// State count of the graph the check ran over.
-    pub(crate) graph_states: u64,
-    /// Transition count of that graph.
-    pub(crate) graph_transitions: u64,
-    /// Hash of the target's violation-restriction tables.
-    pub(crate) target_hash: u64,
-    /// Sequence number of this snapshot within its run.
-    pub(crate) seq: u64,
-    /// Transitions banked in the snapshot (what the resumed meter is
-    /// pre-charged with).
-    pub(crate) transitions_used: u64,
-    /// Total component count of the restricted graph's decomposition.
-    pub(crate) components: u64,
-    /// Indices (in Tarjan completion order) of cleared components,
-    /// ascending.
-    pub(crate) cleared: Vec<u64>,
-}
-
-impl LiveSnapshot {
-    /// Sequence number of this snapshot within its run.
-    pub fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// Transitions banked in the snapshot.
-    pub fn transitions_used(&self) -> u64 {
-        self.transitions_used
-    }
-
-    /// Total component count of the restricted graph's decomposition.
-    pub fn components(&self) -> u64 {
-        self.components
-    }
-
-    /// Indices of already-cleared components, ascending.
-    pub fn cleared(&self) -> &[u64] {
-        &self.cleared
-    }
-
-    /// Refuses to resume against a different system or graph.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Mismatch`] naming the first disagreeing
-    /// field.
-    pub(crate) fn validate(
-        &self,
-        system: &System,
-        graph: &crate::StateGraph,
-    ) -> Result<(), CheckpointError> {
-        let requested_hash = system_hash(system);
-        if self.system_hash != requested_hash {
-            return mismatch(
-                "system",
-                format!("{:#018x}", self.system_hash),
-                format!("{requested_hash:#018x}"),
-            );
-        }
-        if self.graph_states != graph.len() as u64 {
-            return mismatch(
-                "graph state count",
-                self.graph_states.to_string(),
-                graph.len().to_string(),
-            );
-        }
-        let transitions = graph.edge_count() as u64;
-        if self.graph_transitions != transitions {
-            return mismatch(
-                "graph transition count",
-                self.graph_transitions.to_string(),
-                transitions.to_string(),
-            );
-        }
-        Ok(())
-    }
-
-    /// Refuses to resume a run over a different liveness target.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Mismatch`] on disagreement.
-    pub(crate) fn validate_target(&self, requested: u64) -> Result<(), CheckpointError> {
-        if self.target_hash != requested {
-            return mismatch(
-                "liveness target",
-                format!("{:#018x}", self.target_hash),
-                format!("{requested:#018x}"),
-            );
-        }
-        Ok(())
-    }
-
-    /// Refuses to resume when the freshly-derived decomposition has a
-    /// different component count than the snapshot was taken under
-    /// (which would mean the graph or target changed despite matching
-    /// headers — defense in depth).
-    ///
-    /// A snapshot with zero components and no cleared entries was taken
-    /// before the decomposition existed (the run exhausted mid table
-    /// construction); it constrains nothing, so any derived count is
-    /// compatible.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Mismatch`] on disagreement.
-    pub(crate) fn validate_components(&self, derived: u64) -> Result<(), CheckpointError> {
-        if self.components == 0 && self.cleared.is_empty() {
-            return Ok(());
-        }
-        if self.components != derived {
-            return mismatch(
-                "component count",
-                self.components.to_string(),
-                derived.to_string(),
-            );
-        }
-        Ok(())
-    }
-
-    fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&LIVE_SNAPSHOT_VERSION.to_le_bytes());
-        for word in [
-            self.system_hash,
-            self.graph_states,
-            self.graph_transitions,
-            self.target_hash,
-            self.seq,
-            self.transitions_used,
-            self.components,
-        ] {
-            out.extend_from_slice(&word.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.cleared.len() as u32).to_le_bytes());
-        for &c in &self.cleared {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-        out
-    }
-
-    fn decode_body(body: &[u8]) -> Result<LiveSnapshot, CheckpointError> {
-        let mut r = Reader::new(body);
-        let version = r.u32("version")?;
-        if version != LIVE_SNAPSHOT_VERSION {
-            return Err(CheckpointError::UnsupportedVersion { found: version });
-        }
-        let system_hash = r.u64("system hash")?;
-        let graph_states = r.u64("graph state count")?;
-        let graph_transitions = r.u64("graph transition count")?;
-        let target_hash = r.u64("target hash")?;
-        let seq = r.u64("sequence number")?;
-        let transitions_used = r.u64("banked transitions")?;
-        let components = r.u64("component count")?;
-        let n = r.u32("cleared count")? as usize;
-        if n as u64 > components {
-            return Err(corrupt(format!(
-                "cleared count {n} exceeds component count {components}"
-            )));
-        }
-        let mut cleared = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            let c = r.u64("cleared component")?;
-            if c >= components {
-                return Err(corrupt(format!(
-                    "cleared component {c} out of range (< {components})"
-                )));
-            }
-            if cleared.last().is_some_and(|&last| last >= c) {
-                return Err(corrupt(format!(
-                    "cleared components not strictly ascending at {c}"
-                )));
-            }
-            cleared.push(c);
-        }
-        expect_end(&r, "the liveness snapshot body")?;
-        Ok(LiveSnapshot {
-            system_hash,
-            graph_states,
-            graph_transitions,
-            target_hash,
-            seq,
-            transitions_used,
-            components,
-            cleared,
-        })
-    }
-
-    /// Writes the snapshot to `path` atomically (same temp-and-rename
-    /// discipline as [`Snapshot::save`]).
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] if the filesystem refuses.
-    pub(crate) fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        write_framed(path, LIVE_MAGIC, &self.encode_body())
-    }
-
-    /// Loads and verifies a liveness snapshot: magic, format version,
-    /// checksum, and structural bounds. Corrupt or truncated files
-    /// yield a typed error, never a panic.
-    ///
-    /// # Errors
-    ///
-    /// Any [`CheckpointError`] except `Mismatch` (configuration
-    /// validation is [`LiveSnapshot::validate`]'s job).
-    pub fn load(path: &Path) -> Result<LiveSnapshot, CheckpointError> {
-        read_framed(path, LIVE_MAGIC, LiveSnapshot::decode_body)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opentla_kernel::Value;
+    use opentla_kernel::{Domain, Value, Vars};
 
     /// Three states: 0 initial and expanded, 1 and 2 reached from it.
     fn sample_graph() -> StateGraph {
@@ -1437,6 +1222,16 @@ mod tests {
         graph
     }
 
+    /// A system over the variables of [`sample_graph`], to materialize
+    /// under.
+    fn sample_system() -> System {
+        let mut vars = Vars::new();
+        vars.declare("x", Domain::int_range(0, 1));
+        vars.declare("y", Domain::booleans());
+        System::new(vars, crate::Init::new([]), vec![])
+    }
+
+    /// In RAM, as an engine captures it.
     fn sample() -> Snapshot {
         Snapshot {
             fp_bits: 64,
@@ -1444,25 +1239,71 @@ mod tests {
             reduced: true,
             system_hash: 0xdead_beef_cafe_f00d,
             seq: 7,
-            graph: sample_graph(),
+            body: Body::Graph(sample_graph()),
             frontier: vec![1, 2],
             reduction: Some(ReducedRun {
                 canonicalizer: "sample-group".into(),
                 canon_hits: 4,
             }),
-            spill: None,
         }
     }
 
-    fn assert_snapshots_equal(a: &Snapshot, b: &Snapshot) {
-        assert_eq!(a.fp_bits, b.fp_bits);
-        assert_eq!(a.mode, b.mode);
-        assert_eq!(a.reduced, b.reduced);
-        assert_eq!(a.system_hash, b.system_hash);
-        assert_eq!(a.seq, b.seq);
-        assert_eq!(a.graph.first_difference(&b.graph), None);
-        assert_eq!(a.frontier, b.frontier);
-        assert_eq!(a.reduction, b.reduction);
+    /// The arena record of `sample_graph`'s state `id`, reached as
+    /// `parent` says.
+    fn arena_record(id: usize, parent: Option<(usize, usize)>) -> Vec<u8> {
+        let graph = sample_graph();
+        let (state, mut rec) = (graph.state(id), Vec::new());
+        encode_arena_record(state, state.fingerprint(), parent, None, &mut Vec::new(), &mut rec);
+        rec
+    }
+
+    /// [`sample`] over inline `arena` records, no edge recorded.
+    fn over_arena_records(arena: &[Vec<u8>], frontier: Vec<usize>) -> Snapshot {
+        Snapshot {
+            body: Body::Manifest(Manifest {
+                dir: PathBuf::new(),
+                states: arena.len() as u64,
+                transitions: 0,
+                init: vec![0],
+                arena_segments: Vec::new(),
+                arena_hot: arena.iter().map(Vec::as_slice).collect(),
+                edge_segments: Vec::new(),
+                edge_hot: Records::default(),
+            }),
+            frontier,
+            ..sample()
+        }
+    }
+
+    /// The same run as the sequential disk-backed store captures it
+    /// once state 0 has been sealed into `arena-00000.seg`: that
+    /// segment by reference, the rest inline.
+    fn manifest_sample() -> Snapshot {
+        let graph = sample_graph();
+        let arena: Vec<Vec<u8>> = (0..3).map(|id| arena_record(id, graph.parent(id))).collect();
+        let mut sealed = (arena[0].len() as u32).to_le_bytes().to_vec();
+        sealed.extend_from_slice(&arena[0]);
+        let mut edges = Vec::new();
+        encode_edge_record(0, graph.edges(0), &mut edges);
+        Snapshot {
+            body: Body::Manifest(Manifest {
+                dir: PathBuf::from("pinned.snap.segs"),
+                states: 3,
+                transitions: 2,
+                init: vec![0],
+                arena_segments: vec![SegmentMeta {
+                    name: "arena-00000.seg".into(),
+                    first: 0,
+                    records: 1,
+                    payload_len: sealed.len() as u64,
+                    payload_checksum: fnv1a(&sealed),
+                }],
+                arena_hot: arena[1..].iter().map(Vec::as_slice).collect(),
+                edge_segments: Vec::new(),
+                edge_hot: [&edges[..]].into_iter().collect(),
+            }),
+            ..sample()
+        }
     }
 
     #[test]
@@ -1473,10 +1314,19 @@ mod tests {
         let snap = sample();
         snap.save(&path).unwrap();
         let back = Snapshot::load(&path).unwrap();
-        assert_snapshots_equal(&snap, &back);
+        assert_eq!(
+            (back.fp_bits, back.mode, back.reduced, back.system_hash, back.seq),
+            (snap.fp_bits, snap.mode, snap.reduced, snap.system_hash, snap.seq)
+        );
+        assert_eq!(back.frontier, snap.frontier);
+        assert_eq!(back.reduction, snap.reduction);
         assert_eq!(back.states_used(), 3);
         assert_eq!(back.transitions_used(), 2);
         assert_eq!(back.frontier_len(), 2);
+        // A file holds records; the graph they describe is the saved one.
+        assert!(matches!(back.body, Body::Manifest(_)));
+        let back = back.materialize(&sample_system()).unwrap();
+        assert_eq!(back.graph().first_difference(snap.graph()), None);
         // No temp file left behind.
         assert!(!dir.join("round_trip.snap.tmp").exists());
         std::fs::remove_file(&path).unwrap();
@@ -1517,12 +1367,9 @@ mod tests {
         std::fs::write(&path, &bad).unwrap();
         assert_eq!(Snapshot::load(&path).unwrap_err(), CheckpointError::BadMagic);
         // Unsupported version (re-checksummed, so it parses that far).
-        let mut versioned = pristine.clone();
-        versioned[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let body_end = versioned.len() - 8;
-        let sum = fnv1a(&versioned[8..body_end]);
-        versioned[body_end..].copy_from_slice(&sum.to_le_bytes());
-        std::fs::write(&path, &versioned).unwrap();
+        let mut body = pristine[MAGIC.len()..pristine.len() - 8].to_vec();
+        body[..4].copy_from_slice(&99u32.to_le_bytes());
+        write_framed(&path, &body).unwrap();
         assert_eq!(
             Snapshot::load(&path).unwrap_err(),
             CheckpointError::UnsupportedVersion { found: 99 }
@@ -1539,16 +1386,12 @@ mod tests {
     /// the file, so the decoder gets past the integrity check.
     fn with_reduction_block(path: &Path, block: &[u8]) {
         let snap = sample();
-        snap.save(path).unwrap();
-        let file = std::fs::read(path).unwrap();
         let name = &snap.reduction.as_ref().unwrap().canonicalizer;
         let old_block = 1 + 8 + 4 + name.len();
-        let mut body = file[MAGIC.len()..file.len() - 8 - old_block].to_vec();
+        let mut body = snap.encode_body();
+        body.truncate(body.len() - old_block);
         body.extend_from_slice(block);
-        let mut out = MAGIC.to_vec();
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        std::fs::write(path, out).unwrap();
+        write_framed(path, &body).unwrap();
     }
 
     #[test]
@@ -1577,77 +1420,67 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    fn corrupt_detail(result: Result<Snapshot, CheckpointError>) -> String {
+    fn corrupt_detail<T: std::fmt::Debug>(result: Result<T, CheckpointError>) -> String {
         match result {
             Err(CheckpointError::Corrupt { detail }) => detail,
             other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 
+    /// Saves `snap`, loads it back and materializes it: what a resume
+    /// does with a file.
+    fn through_a_file(tag: &str, snap: &Snapshot) -> Result<Snapshot, CheckpointError> {
+        let dir = std::env::temp_dir().join(format!("opentla_ckpt_{tag}"));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("through.snap");
+        snap.save(&path).unwrap();
+        let loaded = Snapshot::load(&path);
+        std::fs::remove_file(&path).unwrap();
+        Ok(loaded?.materialize(&sample_system())?.into_owned())
+    }
+
     /// `trace_to` follows parents until it meets an initial state, so
     /// a state that names itself would hang it. A valid checksum does
     /// not vouch for the tree: FNV-1a guards against rot, not against
-    /// whatever wrote the file.
+    /// whatever wrote the file. (Version 1 had a reader of its own for
+    /// the tree; the one reader refuses the same file.)
     #[test]
     fn v1_state_zero_naming_a_parent_is_corrupt() {
-        let dir = std::env::temp_dir().join("opentla_ckpt_parent_v1");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("self_parent.snap");
-        let mut body = sample().encode_body();
-        // The sample's BFS tree: state 0 initial, 1 and 2 reached from
-        // it by actions 0 and 1.
-        let tree = [0u8, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0];
-        let at = body.windows(tree.len()).rposition(|w| w == tree).unwrap();
-        body.splice(at..at + 1, [1, 0, 0, 0, 0, 0, 0, 0, 0]);
-        write_framed(&path, MAGIC, &body).unwrap();
-        let detail = corrupt_detail(Snapshot::load(&path));
+        let arena = [arena_record(0, Some((0, 0))), arena_record(1, Some((0, 0)))];
+        let snap = over_arena_records(&arena, vec![0, 1]);
+        let detail = corrupt_detail(through_a_file("parent_v1", &snap));
         assert!(detail.contains("state 0 names state 0"), "{detail}");
-        std::fs::remove_file(&path).unwrap();
     }
 
-    /// A spill manifest's arena records carry their parents as raw
-    /// words; one past the arena would index `trace_to` out of bounds.
+    /// Arena records carry their parents as raw words; one past the
+    /// arena would index `trace_to` out of bounds.
     #[test]
     fn v2_arena_record_naming_a_later_parent_is_corrupt() {
-        use opentla_kernel::{Domain, Vars};
-        let dir = std::env::temp_dir().join("opentla_ckpt_parent_v2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("far_parent.snap");
-        let graph = sample_graph();
-        let (mut scratch, mut rec) = (Vec::new(), Vec::new());
-        let arena_hot = [None, Some((0, 0)), Some((999, 1))]
-            .into_iter()
-            .enumerate()
-            .map(|(id, parent)| {
-                let (state, fp) = (graph.state(id), graph.state(id).fingerprint());
-                encode_arena_record(state, fp, parent, None, &mut scratch, &mut rec);
-                rec.clone()
-            })
-            .collect();
-        let snap = Snapshot {
-            graph: StateGraph::with_capacity(0),
-            frontier: vec![0],
-            spill: Some(SpillManifest {
-                dir: dir.clone(),
-                states: 3,
-                transitions: 0,
-                init: vec![0],
-                arena_segments: Vec::new(),
-                arena_hot,
-                edge_segments: Vec::new(),
-                edge_hot: Vec::new(),
-            }),
-            ..sample()
-        };
-        snap.save(&path).unwrap();
-        let mut vars = Vars::new();
-        vars.declare("x", Domain::int_range(0, 1));
-        vars.declare("y", Domain::booleans());
-        let system = System::new(vars, crate::Init::new([]), vec![]);
-        let loaded = Snapshot::load(&path).unwrap();
-        let detail = corrupt_detail(loaded.materialize(&system));
+        let arena = [None, Some((0, 0)), Some((999, 1))];
+        let arena: Vec<_> = (0..3).map(|id| arena_record(id, arena[id])).collect();
+        let snap = over_arena_records(&arena, vec![0, 1, 2]);
+        let detail = corrupt_detail(through_a_file("parent_v2", &snap));
         assert!(detail.contains("state 2 names state 999"), "{detail}");
-        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every writer sorts and dedups the frontier, and it is the
+    /// arena's tail. A file listing an id twice would expand that state
+    /// twice — its transitions charged twice, a second edge record
+    /// banked by the disk-backed store — and one listing an expanded
+    /// state would re-expand it on top of its recorded edges.
+    #[test]
+    fn frontier_that_repeats_or_reorders_an_id_is_corrupt() {
+        let graph = sample_graph();
+        let arena: Vec<Vec<u8>> = (0..3).map(|id| arena_record(id, graph.parent(id))).collect();
+        for frontier in [vec![2, 2], vec![2, 1], vec![0, 2], vec![1]] {
+            let snap = over_arena_records(&arena, frontier.clone());
+            let detail = corrupt_detail(through_a_file("frontier", &snap));
+            assert!(detail.contains("frontier id"), "{frontier:?}: {detail}");
+        }
+        for frontier in [vec![], vec![2], vec![1, 2], vec![0, 1, 2]] {
+            let snap = over_arena_records(&arena, frontier.clone());
+            assert_eq!(through_a_file("frontier", &snap).unwrap().frontier, frontier);
+        }
     }
 
     /// The manifest's segment record counts are words of the file: two
@@ -1655,9 +1488,6 @@ mod tests {
     /// in a release build and overflow in a debug one.
     #[test]
     fn v2_segment_counts_that_overflow_are_corrupt() {
-        let dir = std::env::temp_dir().join("opentla_ckpt_overflow_v2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("overflow.snap");
         let segment = |records| SegmentMeta {
             name: "arena-0.seg".into(),
             first: 0,
@@ -1665,25 +1495,12 @@ mod tests {
             payload_len: 0,
             payload_checksum: 0,
         };
-        let snap = Snapshot {
-            graph: StateGraph::with_capacity(0),
-            frontier: vec![0],
-            spill: Some(SpillManifest {
-                dir: dir.clone(),
-                states: 1,
-                transitions: 0,
-                init: vec![0],
-                arena_segments: vec![segment(u64::MAX), segment(2)],
-                arena_hot: Vec::new(),
-                edge_segments: Vec::new(),
-                edge_hot: Vec::new(),
-            }),
-            ..sample()
-        };
-        snap.save(&path).unwrap();
-        let detail = corrupt_detail(Snapshot::load(&path));
+        let mut snap = over_arena_records(&[], vec![0]);
+        let Body::Manifest(m) = &mut snap.body else { unreachable!() };
+        m.states = 1;
+        m.arena_segments = vec![segment(u64::MAX), segment(2)];
+        let detail = corrupt_detail(through_a_file("overflow_v2", &snap));
         assert!(detail.contains("claims 1 states"), "{detail}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1701,133 +1518,80 @@ mod tests {
             .contains('3'));
     }
 
-    fn live_sample() -> LiveSnapshot {
-        LiveSnapshot {
-            system_hash: 0x1234_5678_9abc_def0,
-            graph_states: 1000,
-            graph_transitions: 2500,
-            target_hash: 0x0f0f_f0f0_1234_4321,
-            seq: 3,
-            transitions_used: 777,
-            components: 42,
-            cleared: vec![0, 2, 5, 41],
-        }
-    }
-
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
-    /// The files `sample()` and `live_sample()` save are, byte for
-    /// byte, the ones commit 667e7d3 (which framed and checksummed each
-    /// format in its own copy of the code) wrote for them.
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect()
+    }
+
+    /// The file `manifest_sample()` saves is, byte for byte, the one
+    /// commit 983d0c0 — which wrote this body as its version 2, beside
+    /// a tree-state version 1 — saved for the same manifest: snapshots
+    /// taken by the disk-backed engine of earlier builds still load.
+    /// `sample()`'s file, the same run captured in RAM, is recorded as
+    /// this build first wrote it.
     #[test]
     fn snapshot_files_are_byte_identical_to_the_recorded_ones() {
         let dir = std::env::temp_dir().join("opentla_ckpt_pinned");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("pinned.snap");
+        manifest_sample().save(&path).unwrap();
+        assert_eq!(
+            hex(&std::fs::read(&path).unwrap()),
+            "4f544c41534e4150020000004000000000010df0fecaefbeadde070000000000\
+             00001000000070696e6e65642e736e61702e7365677303000000000000000200\
+             000000000000010000000f0000006172656e612d30303030302e736567000000\
+             00000000000100000000000000240000000000000033054bd9e3695844000000\
+             00020000002000000000000000000000000052ee4f0a6c2a83c9020000000101\
+             00000000000000000020000000000000000001000000c7d06d53b76b061b0200\
+             0000010100000000000000000101000000180000000000000002000000000000\
+             0001000000010000000200000001000000000000000200000001000000020000\
+             000204000000000000000c00000073616d706c652d67726f75709df98ecf12e0\
+             9e64"
+        );
         sample().save(&path).unwrap();
         assert_eq!(
             hex(&std::fs::read(&path).unwrap()),
+            "4f544c41534e4150020000004000000000010df0fecaefbeadde070000000000\
+             0000000000000300000000000000020000000000000000000000000000000300\
+             00002000000000ffffffff0000000027e569232768049a020000000100000000\
+             0000000000002000000000000000000000000052ee4f0a6c2a83c90200000001\
+             0100000000000000000020000000000000000001000000c7d06d53b76b061b02\
+             0000000101000000000000000001010000001800000000000000020000000000\
+             0000010000000100000002000000010000000000000002000000010000000200\
+             00000204000000000000000c00000073616d706c652d67726f75700c7682d3bb\
+             676cc6"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// What commit 667e7d3 saved for `sample()` in the version-1 format
+    /// (tree states, edge lists and parents as sections of their own).
+    /// It has no reader any more: the version word is all that is
+    /// looked at.
+    #[test]
+    fn a_version_1_file_is_refused_not_misread() {
+        let dir = std::env::temp_dir().join("opentla_ckpt_v1");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v1.snap");
+        let recorded = unhex(
             "4f544c41534e4150010000004000000000010df0fecaefbeadde070000000000\
              0000030000000200000001000000000000000000000200000001010000000000\
              0000000002000000010100000000000000000101000000000000000200000000\
              0000000100000001000000020000000000000000000000000100000000000000\
              000100000000010000000200000001000000020000000204000000000000000c\
-             00000073616d706c652d67726f75709718fe4416ba0640"
+             00000073616d706c652d67726f75709718fe4416ba0640",
         );
-        live_sample().save(&path).unwrap();
-        assert_eq!(
-            hex(&std::fs::read(&path).unwrap()),
-            "4f544c414c49564501000000f0debc9a78563412e803000000000000c4090000\
-             0000000021433412f0f00f0f030000000000000009030000000000002a000000\
-             0000000004000000000000000000000002000000000000000500000000000000\
-             2900000000000000edf771de13318143"
-        );
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn live_snapshot_round_trip() {
-        let dir = std::env::temp_dir().join("opentla_live_ckpt_rt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("live_rt.snap");
-        let snap = live_sample();
-        snap.save(&path).unwrap();
-        let back = LiveSnapshot::load(&path).unwrap();
-        assert_eq!(snap, back);
-        assert_eq!(back.seq(), 3);
-        assert_eq!(back.transitions_used(), 777);
-        assert_eq!(back.components(), 42);
-        assert_eq!(back.cleared(), &[0, 2, 5, 41]);
-        assert!(!dir.join("live_rt.snap.tmp").exists());
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn live_snapshot_rejects_corruption_and_mismatch() {
-        let dir = std::env::temp_dir().join("opentla_live_ckpt_bad");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("live_bad.snap");
-        live_sample().save(&path).unwrap();
-        let pristine = std::fs::read(&path).unwrap();
-
-        // An exploration snapshot is not a liveness snapshot: the magic
-        // differs, so cross-loading is refused outright.
+        std::fs::write(&path, recorded).unwrap();
         assert_eq!(
             Snapshot::load(&path).unwrap_err(),
-            CheckpointError::BadMagic
+            CheckpointError::UnsupportedVersion { found: 1 }
         );
-
-        for cut in [0, 4, 8, pristine.len() / 2, pristine.len() - 1] {
-            std::fs::write(&path, &pristine[..cut]).unwrap();
-            let err = LiveSnapshot::load(&path).unwrap_err();
-            assert!(
-                matches!(
-                    err,
-                    CheckpointError::BadMagic | CheckpointError::ChecksumMismatch
-                ),
-                "cut at {cut}: {err}"
-            );
-        }
-        let mut flipped = pristine.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x10;
-        std::fs::write(&path, &flipped).unwrap();
-        assert_eq!(
-            LiveSnapshot::load(&path).unwrap_err(),
-            CheckpointError::ChecksumMismatch
-        );
-
-        // Unsorted cleared list: checksum fine, structure refused.
-        let mut bad = live_sample();
-        bad.cleared = vec![5, 2];
-        bad.save(&path).unwrap();
-        assert!(matches!(
-            LiveSnapshot::load(&path).unwrap_err(),
-            CheckpointError::Corrupt { .. }
-        ));
-        // Cleared index out of component range.
-        let mut bad = live_sample();
-        bad.cleared = vec![42];
-        bad.save(&path).unwrap();
-        assert!(matches!(
-            LiveSnapshot::load(&path).unwrap_err(),
-            CheckpointError::Corrupt { .. }
-        ));
-
-        // Target/component validation is typed, never a panic.
-        let snap = live_sample();
-        assert!(snap.validate_target(snap.target_hash).is_ok());
-        assert!(matches!(
-            snap.validate_target(snap.target_hash ^ 1).unwrap_err(),
-            CheckpointError::Mismatch { field: "liveness target", .. }
-        ));
-        assert!(snap.validate_components(42).is_ok());
-        assert!(matches!(
-            snap.validate_components(41).unwrap_err(),
-            CheckpointError::Mismatch { field: "component count", .. }
-        ));
         std::fs::remove_file(&path).unwrap();
     }
 }

@@ -408,20 +408,14 @@ pub fn resume_exploration(
 ) -> Result<Exploration, CheckError> {
     snapshot.validate(system, options)?;
     let plan = Plan::from_env(options)?;
-    // A spill snapshot references on-disk segment files; expand it to
-    // the in-RAM form once, here, so every engine resumes from the
-    // same materialized arena.
-    let materialized;
-    let snapshot = if snapshot.spill.is_some() {
-        materialized = snapshot.clone().materialize(system)?;
-        &materialized
-    } else {
-        snapshot
-    };
+    // The arena itself is checked against the canonicalizer, so it
+    // is read back here already (`explore_observed` then finds it in
+    // RAM).
+    let snapshot = snapshot.materialize(system)?;
     if let Some(canon) = &options.reduction.symmetry {
         snapshot.validate_canonical(&**canon)?;
     }
-    explore_observed(system, budget, options, &plan, Some(snapshot))
+    explore_observed(system, budget, options, &plan, Some(&snapshot))
 }
 
 /// [`escalate`](crate::escalate) specialized to exploration, with the
@@ -517,6 +511,12 @@ fn explore_observed(
     plan: &Plan,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
+    // Engines resume from a graph in RAM. A manifest — a loaded file,
+    // or the disk-backed store's hand-over to the next escalation
+    // attempt — is records, some of them in segment files on disk:
+    // read them back once, here.
+    let resume = resume.map(|snap| snap.materialize(system)).transpose()?;
+    let resume = resume.as_deref();
     // Settled before anything is reported, so `RunStart` and the run
     // report name the loop that runs.
     let launch = plan.start(system, resume);
@@ -622,8 +622,8 @@ pub fn explore(system: &System, options: &ExploreOptions) -> Result<StateGraph, 
     }
 }
 
-/// Builds the final in-RAM-format snapshot of an exhausted run (shared
-/// by every engine): `keep`/`frontier` follow the engine's cut
+/// Builds the final in-RAM snapshot of an exhausted run (shared by
+/// every engine): `keep`/`frontier` follow the engine's cut
 /// discipline, and the snapshot is written to disk when a checkpoint
 /// spec is active.
 fn seq_exhaustion_snapshot(
@@ -796,8 +796,8 @@ fn rollback_cut(replay: &Replay, pending: &[Pid]) -> (usize, Vec<usize>) {
     }
 }
 
-/// The in-RAM-format snapshot of a stopped work-stealing run, for both
-/// of its engines: the canonical replay rolled back to its
+/// The in-RAM snapshot of a stopped work-stealing run, for both of its
+/// engines: the canonical replay rolled back to its
 /// [`rollback_cut`], written through `ck` when checkpointing is
 /// active.
 fn rolled_back_snapshot(

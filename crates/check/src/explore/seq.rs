@@ -56,7 +56,7 @@ impl<'a> Seed<'a> {
     pub(super) fn states(&self) -> &[State] {
         match self {
             Seed::Fresh(states) => states,
-            Seed::Resume(snap) => snap.graph.states(),
+            Seed::Resume(snap) => snap.graph().states(),
         }
     }
 
@@ -180,7 +180,7 @@ pub(super) fn explore_seq<S: SeqStore>(
 ) -> Result<Exploration, CheckError> {
     let compiled = CompiledSystem::compile(system);
     let mut scratch = EvalScratch::new();
-    let mut ck = Checkpointer::new(budget.checkpoint.clone(), 0);
+    let mut ck = Checkpointer::new(budget.checkpoint.clone());
     let mut queue: VecDeque<usize> = VecDeque::new();
     let mut exhausted: Option<ExhaustReason> = None;
     let mut exhausted_in_init = false;
@@ -408,7 +408,7 @@ impl<'a> RamStore<'a> {
 
 impl SeqStore for RamStore<'_> {
     fn reseed(&mut self, snap: &Snapshot) -> Result<(), CheckError> {
-        self.graph = snap.graph.clone();
+        self.graph = snap.graph().clone();
         self.canon_hits = snap.reduction.as_ref().map_or(0, |r| r.canon_hits);
         // Fingerprint mode keeps the first id under a key, exact mode
         // chains them all: a snapshot lists each state once.

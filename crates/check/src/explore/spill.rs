@@ -22,12 +22,11 @@
 //! comparing the probe state against the arena record read back
 //! through the cache, so collisions never conflate states.
 //!
-//! Checkpoints are written in the spill wire format
-//! ([`crate::checkpoint::SNAPSHOT_VERSION_SPILL`]): sealed segments
-//! are *referenced* by name and checksum, and only the unsealed tails
-//! are embedded — a periodic snapshot costs O(hot tier), not O(state
+//! Checkpoints *reference* the sealed segments by name and checksum
+//! and embed only the unsealed tails (a [`Manifest`] over this store's
+//! own files) — a periodic snapshot costs O(hot tier), not O(state
 //! space). Resume materializes the snapshot first (in
-//! [`super::resume_exploration`]) and re-ingests it here; a crash
+//! `explore_observed`) and re-ingests it here; a crash
 //! *during* that re-ingest can invalidate the old snapshot's segment
 //! references, which surfaces as a typed I/O error on the next
 //! resume, never a wrong graph.
@@ -37,7 +36,7 @@ use super::seq::{self, Finished, Interned, Seed, SeqStore, Stop};
 use super::{seq_exhaustion_snapshot, Edge, ExploreOptions, Exploration, StateGraph};
 use crate::budget::{Budget, Meter};
 use crate::checkpoint::{
-    self, CheckpointError, Checkpointer, RunHeader, Snapshot, SpillManifest,
+    self, Body, CheckpointError, Checkpointer, Manifest, RunHeader, Snapshot,
 };
 use crate::obs::Event;
 use crate::{CheckError, System, VisitedMode};
@@ -386,8 +385,7 @@ impl Resident {
 
 impl Arena {
     fn create(layout: Option<PackedLayout>, dir: &Path, t: &Tuning) -> Result<Arena, StoreError> {
-        // 4-byte store length prefix + 17-byte record header + payload.
-        let deferred_cost = layout.as_ref().map(|l| 4 + 17 + l.stride());
+        let deferred_cost = layout.as_ref().map(checkpoint::packed_record_bytes);
         Ok(Arena {
             store: SegmentStore::create(dir, "arena", t.seg_target, t.arena_cache)?,
             resident: Some(Resident {
@@ -562,8 +560,7 @@ impl EdgeSink {
         meter: &Meter,
     ) -> Result<(), StoreError> {
         if let Some(m) = &mut self.mirror {
-            // 4-byte store prefix + 8-byte record header + 8 per edge.
-            self.mirror_bytes += 12 + 8 * edges.len();
+            self.mirror_bytes += checkpoint::edge_record_bytes(edges.len());
             m.runs.push((id as u32, edges.len() as u32));
             m.flat.extend_from_slice(edges);
             if self.mirror_bytes >= self.seg_target {
@@ -651,30 +648,6 @@ pub(super) fn note_cache_stats(meter: &Meter, arena: &SegmentStore, edges: &Segm
     }
 }
 
-/// A snapshot in the spill wire format over an arena and an edge
-/// store holding canonical ids: sealed segments go in by reference
-/// (name and checksum), only the unsealed tails are embedded.
-pub(super) fn manifest_snapshot(
-    header: RunHeader,
-    init: &[usize],
-    frontier: Vec<usize>,
-    arena: &SegmentStore,
-    edges: &SegmentStore,
-    transitions: u64,
-) -> Snapshot {
-    let manifest = SpillManifest {
-        dir: arena.dir().to_path_buf(),
-        states: arena.len(),
-        transitions,
-        init: init.to_vec(),
-        arena_segments: arena.sealed().to_vec(),
-        arena_hot: arena.hot_records().map(<[u8]>::to_vec).collect(),
-        edge_segments: edges.sealed().to_vec(),
-        edge_hot: edges.hot_records().map(<[u8]>::to_vec).collect(),
-    };
-    header.snapshot(StateGraph::with_capacity(0), frontier, Some(manifest))
-}
-
 /// Runs the sequential scheduler over a [`SpillStore`] tuned to
 /// `mem_budget` bytes, and cleans up an ephemeral segment directory
 /// afterwards. Arena records pack under `layout` where they can; with
@@ -739,22 +712,28 @@ impl<'a> SpillStore<'a> {
         })
     }
 
-    /// The O(hot tier) checkpoint. Deferred records are materialized
-    /// first — a snapshot embeds real store bytes.
+    /// The O(hot tier) checkpoint: sealed segments go in by reference
+    /// (name and checksum), only the unsealed tails are embedded.
+    /// Deferred records are materialized first — a snapshot embeds real
+    /// store bytes.
     fn spill_snapshot(&mut self, queue: &[usize]) -> Result<Snapshot, StoreError> {
         self.arena.flush_deferred(self.meter)?;
         self.edges.flush_deferred(self.meter)?;
         let mut frontier = queue.to_vec();
         frontier.sort_unstable();
         frontier.dedup();
-        Ok(manifest_snapshot(
-            RunHeader::of(self.options, self.sys_hash),
-            &self.init,
-            frontier,
-            &self.arena.store,
-            &self.edges.store,
-            self.transitions,
-        ))
+        let (arena, edges) = (&self.arena.store, &self.edges.store);
+        let manifest = Manifest {
+            dir: arena.dir().to_path_buf(),
+            states: arena.len(),
+            transitions: self.transitions,
+            init: self.init.clone(),
+            arena_segments: arena.sealed().to_vec(),
+            arena_hot: arena.hot_records().collect(),
+            edge_segments: edges.sealed().to_vec(),
+            edge_hot: edges.hot_records().collect(),
+        };
+        Ok(RunHeader::of(self.options, self.sys_hash).snapshot(Body::Manifest(manifest), frontier))
     }
 }
 
@@ -765,7 +744,7 @@ impl SeqStore for SpillStore<'_> {
     /// states re-expand, so they must have none).
     fn reseed(&mut self, snap: &Snapshot) -> Result<(), CheckError> {
         let meter = self.meter;
-        let graph = &snap.graph;
+        let graph = snap.graph();
         let mut in_frontier = vec![false; graph.len()];
         for &f in &snap.frontier {
             in_frontier[f] = true;
@@ -847,12 +826,12 @@ impl SeqStore for SpillStore<'_> {
     ) -> Result<Finished, CheckError> {
         let meter = self.meter;
         note_cache_stats(meter, &self.arena.store, &self.edges.store);
-        // Exhaustion snapshot, spill form: when a checkpoint spec keeps
-        // the segment directory alive the final snapshot references the
-        // sealed segments too — O(hot tier), like the periodic ones.
-        // With an ephemeral directory (about to be removed) the
-        // in-memory snapshot must be self-contained, so the shared
-        // in-RAM format below takes over after materialization.
+        // Exhaustion snapshot: when a checkpoint spec keeps the segment
+        // directory alive the final snapshot references the sealed
+        // segments too — O(hot tier), like the periodic ones. With an
+        // ephemeral directory (about to be removed) the in-memory
+        // snapshot must be self-contained, so the shared in-RAM capture
+        // below takes over once the graph is built.
         let spill_exh = match frontier {
             Some(queue) if ck.active() => {
                 let snap = self.spill_snapshot(queue).map_err(CheckpointError::from)?;

@@ -51,17 +51,14 @@
 //!
 //! Checkpointing: a checkpointing budget gets one snapshot at the
 //! exhaustion point (a quiescent point), rolled back to the deepest
-//! consistent level boundary. When the segment directory is
-//! persistent the snapshot is written in the spill wire format — the
-//! rolled-back canonical graph is re-encoded into fresh `arena-*` /
-//! `edges-*` stores and referenced by name, so the snapshot costs
-//! O(unsealed tail) to embed and **any** engine (sequential, spill,
-//! work-stealing, or this one, at any thread count) can resume it.
-//! This engine runs the scheduler in one epoch — it takes no periodic
-//! snapshots: its stores are in arrival order, so a canonical snapshot
-//! means reading the whole arena back into RAM, which is what the
-//! budget exists to avoid while the run is still exploring (ROADMAP
-//! item 3).
+//! consistent level boundary of the canonical graph the replay has
+//! just built in RAM — the capture every work-stealing run takes, so
+//! **any** engine (sequential, spill, work-stealing, or this one, at
+//! any thread count) can resume it. This engine runs the scheduler in
+//! one epoch — it takes no periodic snapshots: its stores are in
+//! arrival order, so a canonical snapshot means reading the whole
+//! arena back into RAM, which is what the budget exists to avoid while
+//! the run is still exploring (ROADMAP item 2).
 
 use super::seq::{Seed, Stop};
 use super::spill::{self, RunNames, SpillVisited, Tuning};
@@ -158,8 +155,7 @@ impl SpillWsStore<'_> {
                 // our insert.
                 let same = |cand: usize| {
                     lock(&self.arena).read(cand as u64, read_buf)?;
-                    // Packed payloads start at byte 17 in both records.
-                    Ok(read_buf[17..] == rec_buf[17..])
+                    Ok(checkpoint::packed_payload(read_buf) == checkpoint::packed_payload(rec_buf))
                 };
                 shard.fp_entry(key, same, || {
                     charge()?;
@@ -275,10 +271,8 @@ impl Expand for SpillPacked<'_> {
             layout,
         } = *self;
         store.read_parent(parent, &mut w.parent_rec)?;
-        debug_assert_eq!(w.parent_rec[0], 1, "packed runs write only tag-1 records");
-        let parent_fp = u64::from_le_bytes(w.parent_rec[9..17].try_into().unwrap());
-        // Packed payloads start at byte 17 of a record.
-        let parent_bytes = &w.parent_rec[17..];
+        let parent_fp = checkpoint::record_fingerprint(&w.parent_rec);
+        let parent_bytes = checkpoint::packed_payload(&w.parent_rec);
         layout.unpack_into(parent_bytes, &mut w.values);
         w.edge_list.clear();
         let (updates, rec_buf, read_buf, edge_list) =
@@ -293,12 +287,10 @@ impl Expand for SpillPacked<'_> {
                 let child_fp =
                     ws::packed_delta(layout, parent_bytes, parent_fp, assignments, updates);
                 let encode = |buf: &mut Vec<u8>| {
-                    buf.clear();
-                    buf.push(1u8);
-                    buf.extend_from_slice(&(local_of(parent) as u32).to_le_bytes());
-                    buf.extend_from_slice(&(action as u32).to_le_bytes());
-                    buf.extend_from_slice(&child_fp.to_le_bytes());
-                    ws::append_packed_child(layout, parent_bytes, updates, buf);
+                    let child = |buf: &mut Vec<u8>| {
+                        ws::append_packed_child(layout, parent_bytes, updates, buf)
+                    };
+                    checkpoint::encode_packed_record(local_of(parent), action, child_fp, child, buf);
                 };
                 let interned = store.intern(child_fp, encode, rec_buf, read_buf);
                 SpillWsStore::record(interned, action, edge_list, born, wire)
@@ -306,62 +298,6 @@ impl Expand for SpillPacked<'_> {
         )?;
         store.settle(parent, w, cut, stop)
     }
-}
-
-/// Writes the exhaustion snapshot in the spill wire format: the
-/// rolled-back canonical graph re-encoded, in canonical id order, into
-/// fresh `arena-*` / `edges-*` stores (sealed segments referenced by
-/// name, unsealed tails embedded). Because ids, parents, and edges are
-/// all canonical, the manifest is indistinguishable from one the
-/// sequential spill engine would have written — any engine resumes it.
-#[allow(clippy::too_many_arguments)]
-fn spill_exhaustion_snapshot(
-    dir: &Path,
-    t: &Tuning,
-    graph: &StateGraph,
-    keep: usize,
-    frontier: &[usize],
-    header: RunHeader,
-    layout: &PackedLayout,
-    meter: &Meter,
-) -> Result<Box<Snapshot>, CheckError> {
-    let mut arena = SegmentStore::create(dir, "arena", t.seg_target, t.arena_cache)
-        .map_err(CheckpointError::from)?;
-    let mut edge_out = SegmentStore::create(dir, "edges", t.seg_target, t.edge_cache)
-        .map_err(CheckpointError::from)?;
-    let mut in_frontier = vec![false; keep];
-    for &f in frontier {
-        in_frontier[f] = true;
-    }
-    let mut scratch = Vec::new();
-    let mut buf = Vec::new();
-    let mut transitions: u64 = 0;
-    for (i, state) in graph.states()[..keep].iter().enumerate() {
-        // A packed state's stored fingerprint is its tree fingerprint.
-        let (fp, packed) = (state.fingerprint(), Some(layout));
-        checkpoint::encode_arena_record(state, fp, graph.parent(i), packed, &mut scratch, &mut buf);
-        if let Some(meta) = arena.append(&buf).map_err(CheckpointError::from)? {
-            spill::note_spill(meter, &spill::seal_info("arena", &arena, &meta));
-        }
-        // Frontier states re-expand on resume, so they must have no
-        // banked edge record — the invariant `capture` enforces by
-        // clearing frontier edge lists.
-        if !in_frontier[i] {
-            checkpoint::encode_edge_record(i, graph.edges(i), &mut buf);
-            if let Some(meta) = edge_out.append(&buf).map_err(CheckpointError::from)? {
-                spill::note_spill(meter, &spill::seal_info("edges", &edge_out, &meta));
-            }
-            transitions += graph.edges(i).len() as u64;
-        }
-    }
-    Ok(Box::new(spill::manifest_snapshot(
-        header,
-        graph.init(),
-        frontier.to_vec(),
-        &arena,
-        &edge_out,
-        transitions,
-    )))
 }
 
 /// The engine entry point; see the module docs. Wraps the run with
@@ -398,7 +334,7 @@ fn explore_spill_ws_in(
 ) -> Result<Exploration, CheckError> {
     let compiled = CompiledSystem::compile(system);
     let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone(), 0);
+    let mut ck = Checkpointer::new(budget.checkpoint.clone());
     let t = Tuning::for_budget(mem_budget);
     let meter = seed.meter(budget);
     let header = || RunHeader::of(options, sys_hash);
@@ -439,7 +375,7 @@ fn explore_spill_ws_in(
             // first-id-wins inserts, and every non-frontier state gets
             // its edge record banked — the finalization read-back then
             // cannot tell banked work from new work.
-            let graph = &snap.graph;
+            let graph = snap.graph();
             let mut in_frontier = vec![false; graph.len()];
             for &f in &snap.frontier {
                 in_frontier[f] = true;
@@ -556,21 +492,6 @@ fn explore_spill_ws_in(
     // Exhaustion snapshot at the quiescent point, rolled back to the
     // deepest consistent level boundary of the canonical graph.
     let (snapshot, resume_token) = match reason {
-        Some(_) if !exhausted_in_init && ck.active() => {
-            let (keep, frontier_ids) = rollback_cut(&replay, &pending);
-            let snap = spill_exhaustion_snapshot(
-                dir,
-                &t,
-                &replay.graph,
-                keep,
-                &frontier_ids,
-                header(),
-                layout,
-                &meter,
-            )?;
-            let token = ck.write((*snap).clone(), &budget.recorder);
-            (Some(snap), token)
-        }
         Some(_) if !exhausted_in_init => {
             rolled_back_snapshot(&mut ck, &budget.recorder, &replay, &pending, header())
         }

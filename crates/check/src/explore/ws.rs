@@ -710,7 +710,7 @@ pub(super) fn explore_ws(
 ) -> Result<Exploration, CheckError> {
     let compiled = CompiledSystem::compile(system);
     let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone(), 0);
+    let mut ck = Checkpointer::new(budget.checkpoint.clone());
     let meter = seed.meter(budget);
     let header = || RunHeader::of(options, sys_hash);
     let store = WsStore {
@@ -732,7 +732,7 @@ pub(super) fn explore_ws(
             // dedup) and turn the snapshot's edges into one
             // pre-recorded run vector — the canonical replay cannot
             // tell banked work from new work.
-            let graph = &snap.graph;
+            let graph = snap.graph();
             let pid_of: Vec<Pid> = graph
                 .states()
                 .iter()

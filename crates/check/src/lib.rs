@@ -30,11 +30,13 @@
 //!   partial results instead of an error, with [`escalate`] for
 //!   geometric-retry loops;
 //! * [`Snapshot`] / [`explore_resumable`] — crash tolerance: budgeted
-//!   runs periodically checkpoint their resumable core to a versioned,
-//!   checksummed on-disk snapshot ([`Budget::with_checkpoint`]) and
-//!   resume from the preserved frontier instead of restarting, with
-//!   panic-isolated parallel workers degrading gracefully instead of
-//!   aborting the run;
+//!   explorations periodically checkpoint their resumable core to a
+//!   versioned, checksummed on-disk snapshot
+//!   ([`Budget::with_checkpoint`]; one format, whichever engine wrote
+//!   it) and resume from the preserved frontier instead of restarting,
+//!   with panic-isolated parallel workers degrading gracefully instead
+//!   of aborting the run; an interrupted check *over* a finished graph
+//!   restarts ([`escalate`]);
 //! * [`image`] — image classes: simulation and fairness-target checks
 //!   decide each obligation once per abstract step under the
 //!   refinement mapping instead of once per concrete edge, and read
@@ -86,9 +88,8 @@ mod system;
 
 pub use budget::{escalate, Budget, ExhaustReason, Governed, Meter, Outcome};
 pub use checkpoint::{
-    CheckpointError, CheckpointSpec, LiveSnapshot, ResumeToken, Snapshot,
-    DEFAULT_CHECKPOINT_CADENCE, LIVE_SNAPSHOT_VERSION, SNAPSHOT_VERSION,
-    SNAPSHOT_VERSION_SPILL,
+    CheckpointError, CheckpointSpec, ResumeToken, Snapshot, DEFAULT_CHECKPOINT_CADENCE,
+    SNAPSHOT_VERSION,
 };
 pub use obs::{
     CountingRecorder, Event, JsonlRecorder, Phase, ProgressSnapshot, Recorder,
@@ -108,7 +109,7 @@ pub use reduction::{
 };
 pub use liveness::{
     check_liveness, check_liveness_governed, check_liveness_governed_with,
-    check_liveness_resumable, check_liveness_with_images, LiveTarget, LivenessOptions, LivenessRun,
+    check_liveness_with_images, LiveTarget, LivenessOptions, LivenessRun,
 };
 pub use sample::sample_behavior;
 pub use simulate::{

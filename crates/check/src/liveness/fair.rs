@@ -11,7 +11,7 @@
 //! including the Streett-style `SF` removal recursion. It is a pure
 //! function of the component (plus the tables and the meter).
 
-use super::{scc::tarjan_sccs, Charge, Stop};
+use super::{charge_edge, scc::tarjan_sccs, Stop};
 use crate::budget::Meter;
 use crate::image::{Classes, Images, Memo};
 use crate::{CheckError, StateGraph, System};
@@ -102,7 +102,6 @@ pub(super) fn system_fair_infos<'o>(
     graph: &StateGraph,
     offsets: &'o EdgeOffsets,
     meter: &Meter,
-    charge: Charge,
 ) -> Result<Vec<FairInfo<'o>>, Stop> {
     system
         .fairness()
@@ -112,7 +111,7 @@ pub(super) fn system_fair_infos<'o>(
                 let s = graph.state(id);
                 let mut fires = false;
                 for e in graph.edges(id) {
-                    charge.edge(meter)?;
+                    charge_edge(meter)?;
                     let angle = f.action_ids.contains(&e.action)
                         && !s.agrees_with(graph.state(e.target), &f.sub);
                     flags.push(angle);
@@ -163,7 +162,6 @@ pub(super) fn target_fair_info<'o>(
     mapping: &Substitution,
     images: Option<&Images>,
     meter: &Meter,
-    charge: Charge,
 ) -> Result<(EdgeTable<'o>, Vec<bool>), Stop> {
     let abstract_angle = fair.angle_action();
     let (angle_expr, enabled_pred) = if mapping.is_empty() {
@@ -202,7 +200,7 @@ pub(super) fn target_fair_info<'o>(
         }
         let mut fires = false;
         for e in graph.edges(id) {
-            charge.edge(meter)?;
+            charge_edge(meter)?;
             let step = StatePair::new(s, graph.state(e.target));
             let angle = is_angle
                 .step(
@@ -260,9 +258,6 @@ pub(super) type FairWitness = (Vec<usize>, Vec<Waypoint>);
 /// in which every fairness requirement is satisfiable and the
 /// `must_contain` requirement holds. Returns the node set plus one
 /// waypoint per fairness requirement that needs an explicit witness.
-///
-/// Always charges the meter — component analysis is new work even on a
-/// resumed run (only already-*cleared* components are skipped there).
 pub(super) fn fair_subcomponent(
     graph: &StateGraph,
     fair_infos: &[FairInfo<'_>],
@@ -293,9 +288,7 @@ pub(super) fn fair_subcomponent(
         let mut edge_witness = None;
         'search: for &s in scc {
             for (i, e) in graph.edges(s).iter().enumerate() {
-                if let Some(reason) = meter.charge_transition() {
-                    return Err(Stop::exhausted(reason));
-                }
+                charge_edge(meter)?;
                 if info.angle.get(s, i) && edge_ok(s, i) && in_scc(e.target) {
                     edge_witness = Some(Waypoint::Edge(s, i));
                     break 'search;
@@ -336,9 +329,7 @@ pub(super) fn fair_subcomponent(
                 }
                 let sub_edge_ok =
                     |s: usize, i: usize| edge_ok(s, i) && node_ok[graph.edges(s)[i].target];
-                for sub in
-                    tarjan_sccs(graph, &node_ok, &sub_edge_ok, meter, Charge::Metered, scratch)?
-                {
+                for sub in tarjan_sccs(graph, &node_ok, &sub_edge_ok, meter, scratch)? {
                     if let Some(found) = fair_subcomponent(
                         graph,
                         fair_infos,
@@ -436,7 +427,7 @@ mod tests {
             assert_eq!(offsets.edges(), graph.edge_count());
             let rows = row_tables(&system, &graph, &Budget::default()).expect("unbudgeted");
             let meter = Meter::start(&Budget::default());
-            let infos = system_fair_infos(&system, &graph, &offsets, &meter, Charge::Metered)
+            let infos = system_fair_infos(&system, &graph, &offsets, &meter)
                 .unwrap_or_else(|_| panic!("unbudgeted"));
             assert_eq!(meter.transitions_used(), 2 * graph.edge_count());
             for (info, (angle, enabled)) in infos.iter().zip(&rows) {
@@ -462,7 +453,7 @@ mod tests {
                 row_tables(&system, &graph, &budget).expect_err("the budget is tight");
             assert_eq!(reason, ExhaustReason::TransitionLimit { limit });
             let meter = Meter::start(&budget);
-            match system_fair_infos(&system, &graph, &offsets, &meter, Charge::Metered) {
+            match system_fair_infos(&system, &graph, &offsets, &meter) {
                 Err(Stop::Exhausted { reason: r, pending: p }) => {
                     assert_eq!((r, p), (reason.clone(), pending));
                 }

@@ -32,25 +32,21 @@
 //! It reads no environment variable and has no engine selection;
 //! [`LivenessOptions`] survives as an inert shape.
 //!
-//! # Interruption and resume
+//! # Interruption
 //!
-//! Under a [`Budget::with_checkpoint`] budget, the component loop
-//! periodically snapshots the set of *cleared* (analyzed, no violation
-//! entered through them) components to a [`LiveSnapshot`], and
-//! exhaustion surfaces a [`ResumeToken`](crate::ResumeToken) in
-//! [`Outcome::Exhausted`]. [`check_liveness_resumable`] rebuilds the
-//! fairness tables and the SCC decomposition without re-charging the
-//! meter (that work is banked in the snapshot's transition count) and
-//! skips the cleared components — resuming costs O(remaining
-//! components), not O(total).
+//! A budget that runs out leaves `verdict: None` and an
+//! [`Outcome::Exhausted`] whose `frontier_size` counts the interrupted
+//! phase's pending work exactly. Nothing is checkpointed: the tables
+//! and the SCC pass, which a resume would have to re-derive, are most
+//! of the phase, so an interrupted check is run again —
+//! [`escalate`](crate::escalate) retries under a larger budget.
 
 mod fair;
 mod scc;
 
 use crate::budget::{Budget, ExhaustReason, Governed, Meter, Outcome};
-use crate::checkpoint::{system_hash, Checkpointer, LiveSnapshot, ResumeToken};
 use crate::image::{Classes, Images, Memo};
-use crate::obs::{Event, Phase, PhaseGuard, RecorderHandle};
+use crate::obs::{Phase, PhaseGuard, RecorderHandle};
 use crate::{CheckError, Counterexample, StateGraph, System, Verdict};
 use fair::{fair_subcomponent, EdgeOffsets, EdgeTable, FairInfo, Waypoint};
 use opentla_kernel::{Expr, Fairness, FairnessKind, SccScratch, Substitution};
@@ -86,27 +82,11 @@ impl From<CheckError> for Stop {
     }
 }
 
-/// How table/SCC edge probes hit the meter.
-#[derive(Clone, Copy)]
-pub(crate) enum Charge {
-    /// Fresh run: every edge probe charges one transition.
-    Metered,
-    /// Resume: the fairness tables and the SCC pass re-derive work the
-    /// snapshot already banked into its transition count (the meter
-    /// was pre-charged with that total), so re-deriving is free.
-    /// Deadline/cancellation polls still fire.
-    Banked,
-}
-
-impl Charge {
-    fn edge(self, meter: &Meter) -> Result<(), Stop> {
-        match self {
-            Charge::Metered => meter
-                .charge_transition()
-                .map_or(Ok(()), |r| Err(Stop::exhausted(r))),
-            Charge::Banked => Ok(()),
-        }
-    }
+/// Charges one edge probe of the tables or a component scan.
+fn charge_edge(meter: &Meter) -> Result<(), Stop> {
+    meter
+        .charge_transition()
+        .map_or(Ok(()), |reason| Err(Stop::exhausted(reason)))
 }
 
 /// The liveness property to verify. `Expr`s are state predicates.
@@ -237,22 +217,6 @@ impl Violation<'_> {
     }
 }
 
-/// A structural hash (FNV-1a) of the liveness target, pinning a
-/// [`LiveSnapshot`] to the target it was taken under (resuming a `◇P`
-/// run into a `□◇P` check would silently mis-skip components).
-///
-/// The restriction tables are a deterministic function of (system,
-/// graph, target), and the snapshot header already pins the first two,
-/// so structural target equality implies identical tables — and unlike
-/// a table-content hash it is available *before* the tables are built,
-/// which lets a run interrupted mid table construction still write a
-/// resumable snapshot. Hashing the `Debug` rendering is stable for a
-/// given crate version; snapshots are already version-gated by
-/// [`LIVE_SNAPSHOT_VERSION`](crate::LIVE_SNAPSHOT_VERSION).
-fn live_target_hash(target: &LiveTarget) -> u64 {
-    opentla_kernel::store::fnv1a(format!("{target:?}").as_bytes())
-}
-
 /// Checks a liveness property of the system.
 ///
 /// # Errors
@@ -317,7 +281,8 @@ pub struct LivenessRun {
     /// pending work items of the interrupted phase exactly: states
     /// whose fairness-table rows were not yet committed, subgraph
     /// nodes the SCC pass had not yet visited, or components not yet
-    /// analyzed.
+    /// analyzed. It carries no resume token: an interrupted check is
+    /// run again.
     pub outcome: Outcome,
 }
 
@@ -344,7 +309,7 @@ pub fn check_liveness_governed(
     target: &LiveTarget,
     budget: &Budget,
 ) -> Result<LivenessRun, CheckError> {
-    liveness_driver(system, graph, target, None, budget, None)
+    liveness_driver(system, graph, target, None, budget)
 }
 
 /// [`check_liveness_governed`]; `options` are ignored (see
@@ -382,42 +347,7 @@ pub fn check_liveness_with_images(
     images: &Images,
     budget: &Budget,
 ) -> Result<LivenessRun, CheckError> {
-    liveness_driver(system, graph, target, Some(images), budget, None)
-}
-
-/// Runs a liveness check that can continue an interrupted one: if the
-/// budget's checkpoint path holds a [`LiveSnapshot`], the components
-/// it cleared are skipped (after validating that the snapshot matches
-/// this system, graph, and target), and the meter is pre-charged with
-/// the snapshot's banked transitions so escalation budgets compose the
-/// way they do for exploration.
-///
-/// # Errors
-///
-/// [`CheckError::Precondition`] without a checkpoint spec on the
-/// budget; a [`CheckpointError`](crate::CheckpointError) (via
-/// [`CheckError`]) when the snapshot exists but is corrupt or was
-/// taken under a different system/graph/target; evaluation errors as
-/// [`check_liveness`].
-pub fn check_liveness_resumable(
-    system: &System,
-    graph: &StateGraph,
-    target: &LiveTarget,
-    budget: &Budget,
-) -> Result<LivenessRun, CheckError> {
-    let Some(spec) = &budget.checkpoint else {
-        return Err(CheckError::Precondition {
-            message: "check_liveness_resumable requires a budget with a checkpoint \
-                      spec (Budget::with_checkpoint)"
-                .to_string(),
-        });
-    };
-    if spec.path.exists() {
-        let snap = LiveSnapshot::load(&spec.path)?;
-        liveness_driver(system, graph, target, None, budget, Some(&snap))
-    } else {
-        liveness_driver(system, graph, target, None, budget, None)
-    }
+    liveness_driver(system, graph, target, Some(images), budget)
 }
 
 fn liveness_driver(
@@ -426,7 +356,6 @@ fn liveness_driver(
     target: &LiveTarget,
     images: Option<&Images>,
     budget: &Budget,
-    resume: Option<&LiveSnapshot>,
 ) -> Result<LivenessRun, CheckError> {
     // A reduced graph's edges connect canonical orbit representatives
     // rather than genuine step endpoints — fair-cycle detection over
@@ -440,31 +369,9 @@ fn liveness_driver(
                 .to_string(),
         });
     }
-    if let Some(snap) = resume {
-        snap.validate(system, graph)?;
-    }
     let _phase = PhaseGuard::enter(&budget.recorder, Phase::Liveness);
-    let charge = if resume.is_some() {
-        Charge::Banked
-    } else {
-        Charge::Metered
-    };
-    let meter = match resume {
-        Some(snap) => Meter::start_resumed(budget, 0, snap.transitions_used() as usize),
-        None => Meter::start(budget),
-    };
-    let mut ck = LiveCheckpointer::new(budget, system, graph, resume.map_or(0, LiveSnapshot::seq));
-    let decided = decide(
-        system,
-        graph,
-        target,
-        images,
-        &budget.recorder,
-        &meter,
-        charge,
-        resume,
-        &mut ck,
-    );
+    let meter = Meter::start(budget);
+    let decided = decide(system, graph, target, images, &meter);
     if let Ok(Verdict::Violated(cx)) = &decided {
         crate::obs::emit_counterexample(&budget.recorder, "liveness", cx);
     }
@@ -473,173 +380,32 @@ fn liveness_driver(
             verdict: Some(verdict),
             outcome: Outcome::Complete,
         }),
-        Err(Stop::Exhausted { reason, pending }) => {
-            let mut token = ck.take_token();
-            if token.is_none() {
-                match (resume, &budget.checkpoint) {
-                    // A prior leg's snapshot is on disk and still
-                    // authoritative (this leg exhausted before clearing
-                    // anything new) — point the token at it rather than
-                    // overwriting its progress.
-                    (Some(snap), Some(spec)) => {
-                        token = Some(ResumeToken {
-                            path: spec.path.clone(),
-                            seq: snap.seq(),
-                        });
-                    }
-                    // Exhausted before the first component was cleared
-                    // (e.g. mid table construction): persist an
-                    // empty-progress snapshot so the interruption is
-                    // still resumable — it banks the transitions spent
-                    // and pins the target.
-                    (None, Some(_)) => {
-                        ck.write(&[], &meter);
-                        token = ck.take_token();
-                    }
-                    (_, None) => {}
-                }
-            }
-            Ok(LivenessRun {
-                verdict: None,
-                outcome: Outcome::Exhausted {
-                    reason,
-                    frontier_size: pending,
-                    stats: graph.stats(),
-                    resume: token,
-                },
-            })
-        }
+        Err(Stop::Exhausted { reason, pending }) => Ok(LivenessRun {
+            verdict: None,
+            outcome: Outcome::Exhausted {
+                reason,
+                frontier_size: pending,
+                stats: graph.stats(),
+                resume: None,
+            },
+        }),
         Err(Stop::Error(e)) => Err(e),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn decide(
     system: &System,
     graph: &StateGraph,
     target: &LiveTarget,
     images: Option<&Images>,
-    recorder: &RecorderHandle,
     meter: &Meter,
-    charge: Charge,
-    resume: Option<&LiveSnapshot>,
-    ck: &mut LiveCheckpointer<'_>,
 ) -> Result<Verdict, Stop> {
-    // Pin the target *before* the tables are built, so a run
-    // interrupted mid table construction can still write a resumable
-    // snapshot, and a mismatched resume fails before any table work.
-    ck.set_target_hash(live_target_hash(target));
-    if let Some(snap) = resume {
-        snap.validate_target(ck.target_hash)
-            .map_err(|e| Stop::Error(e.into()))?;
-        if recorder.enabled() {
-            recorder.record(&Event::Resume {
-                seq: snap.seq(),
-                states: graph.len() as u64,
-                transitions: snap.transitions_used(),
-                frontier: snap.components() - snap.cleared().len() as u64,
-            });
-        }
-    }
     let offsets = EdgeOffsets::of(graph);
-    let violation = build_violation(system, graph, &offsets, target, images, meter, charge)?;
-    let fair_infos = fair::system_fair_infos(system, graph, &offsets, meter, charge)?;
-    let found = find_violation(
-        system,
-        graph,
-        &fair_infos,
-        &violation,
-        meter,
-        charge,
-        resume,
-        ck,
-    )?;
-    match found {
+    let violation = build_violation(system, graph, &offsets, target, images, meter)?;
+    let fair_infos = fair::system_fair_infos(system, graph, &offsets, meter)?;
+    match find_violation(system, graph, &fair_infos, &violation, meter)? {
         Some(cx) => Ok(Verdict::Violated(cx)),
         None => Ok(Verdict::Holds),
-    }
-}
-
-/// The liveness check's checkpoint driver: counts cleared components
-/// against the cadence of its [`Checkpointer`] (which also stamps the
-/// sequence numbers and stops after a failed write), saves
-/// [`LiveSnapshot`]s, and emits [`Event::Checkpoint`].
-pub(crate) struct LiveCheckpointer<'a> {
-    cadence: Checkpointer,
-    recorder: &'a RecorderHandle,
-    system_hash: u64,
-    graph_states: u64,
-    graph_transitions: u64,
-    target_hash: u64,
-    token: Option<ResumeToken>,
-}
-
-impl<'a> LiveCheckpointer<'a> {
-    fn new(budget: &'a Budget, system: &System, graph: &StateGraph, base_seq: u64) -> Self {
-        LiveCheckpointer {
-            cadence: Checkpointer::new(budget.checkpoint.clone(), base_seq),
-            recorder: &budget.recorder,
-            system_hash: system_hash(system),
-            graph_states: graph.len() as u64,
-            graph_transitions: graph.edge_count() as u64,
-            target_hash: 0,
-            token: None,
-        }
-    }
-
-    fn set_target_hash(&mut self, hash: u64) {
-        self.target_hash = hash;
-    }
-
-    /// Records `n` more cleared components; true when a periodic
-    /// snapshot is due (the counter resets on the next write).
-    pub(crate) fn due(&mut self, n: u64) -> bool {
-        self.cadence.due(n)
-    }
-
-    /// Writes the cleared-component set to the configured path and
-    /// emits [`Event::Checkpoint`] (`frontier` = components still
-    /// pending). No-op without a spec or after a write failure.
-    pub(crate) fn write(&mut self, cleared: &[bool], meter: &Meter) {
-        if !self.cadence.active() {
-            return;
-        }
-        let cleared_ids: Vec<u64> = cleared
-            .iter()
-            .enumerate()
-            .filter_map(|(i, c)| c.then_some(i as u64))
-            .collect();
-        let pending = cleared.len() as u64 - cleared_ids.len() as u64;
-        let transitions_used = meter.transitions_used() as u64;
-        let written = self.cadence.write_with("liveness checkpointing", |path, seq| {
-            LiveSnapshot {
-                system_hash: self.system_hash,
-                graph_states: self.graph_states,
-                graph_transitions: self.graph_transitions,
-                target_hash: self.target_hash,
-                seq,
-                transitions_used,
-                components: cleared.len() as u64,
-                cleared: cleared_ids,
-            }
-            .save(path)
-        });
-        let Some(token) = written else {
-            return;
-        };
-        if self.recorder.enabled() {
-            self.recorder.record(&Event::Checkpoint {
-                seq: token.seq,
-                states: self.graph_states,
-                transitions: transitions_used,
-                frontier: pending,
-            });
-        }
-        self.token = Some(token);
-    }
-
-    fn take_token(&mut self) -> Option<ResumeToken> {
-        self.token.take()
     }
 }
 
@@ -674,7 +440,6 @@ fn build_violation<'o>(
     target: &LiveTarget,
     images: Option<&Images>,
     meter: &Meter,
-    charge: Charge,
 ) -> Result<Violation<'o>, Stop> {
     let all = vec![true; graph.len()];
     Ok(match target {
@@ -692,7 +457,6 @@ fn build_violation<'o>(
                 mapping,
                 images,
                 meter,
-                charge,
             )?;
             match fair.kind {
                 FairnessKind::Weak => Violation {
@@ -780,16 +544,12 @@ fn build_violation<'o>(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn find_violation(
     system: &System,
     graph: &StateGraph,
     fair_infos: &[FairInfo<'_>],
     v: &Violation<'_>,
     meter: &Meter,
-    charge: Charge,
-    resume: Option<&LiveSnapshot>,
-    ck: &mut LiveCheckpointer<'_>,
 ) -> Result<Option<Counterexample>, Stop> {
     if v.starts.is_empty() {
         return Ok(None);
@@ -797,37 +557,16 @@ fn find_violation(
     let edge_ok = |s: usize, i: usize| v.edge_ok(graph, s, i);
     // SCCs of the restricted graph.
     let mut scratch = SccScratch::new();
-    let sccs = scc::tarjan_sccs(graph, &v.cycle_node_ok, &edge_ok, meter, charge, &mut scratch)?;
-    if let Some(snap) = resume {
-        snap.validate_components(sccs.len() as u64)
-            .map_err(|e| Stop::Error(e.into()))?;
-    }
+    let sccs = scc::tarjan_sccs(graph, &v.cycle_node_ok, &edge_ok, meter, &mut scratch)?;
     // Which states can begin the violating suffix (path constraint).
     let path_region = reachable_from(graph, &v.starts, v.path_node_ok.as_deref());
-    let total = sccs.len();
-    let mut cleared = vec![false; total];
-    let mut done = 0usize;
-    if let Some(snap) = resume {
-        for &i in snap.cleared() {
-            let i = i as usize;
-            if i < total && !cleared[i] {
-                cleared[i] = true;
-                done += 1;
-            }
-        }
-    }
     for (idx, scc_nodes) in sccs.iter().enumerate() {
-        if cleared[idx] {
-            continue;
-        }
+        // Exact: this component and the ones after it.
+        let pending = sccs.len() - idx;
         if let Some(reason) = meter.checkpoint() {
-            ck.write(&cleared, meter);
-            return Err(Stop::Exhausted {
-                reason,
-                pending: total - done,
-            });
+            return Err(Stop::Exhausted { reason, pending });
         }
-        match fair_subcomponent(
+        let fair = fair_subcomponent(
             graph,
             fair_infos,
             &edge_ok,
@@ -835,33 +574,15 @@ fn find_violation(
             v.must_contain.as_deref(),
             meter,
             &mut scratch,
-        ) {
-            Err(stop) => {
-                if matches!(stop, Stop::Exhausted { .. }) {
-                    ck.write(&cleared, meter);
-                }
-                return Err(stop.with_pending(total - done));
-            }
-            Ok(Some((nodes, waypoints))) => {
-                // Entry: a node of the component reachable under the
-                // path constraint.
-                if let Some(&entry) = nodes.iter().find(|n| path_region[**n]) {
-                    return Ok(Some(build_counterexample(
-                        system, graph, v, &nodes, &waypoints, entry, &edge_ok,
-                    )));
-                }
-                cleared[idx] = true;
-                done += 1;
-                if ck.due(1) {
-                    ck.write(&cleared, meter);
-                }
-            }
-            Ok(None) => {
-                cleared[idx] = true;
-                done += 1;
-                if ck.due(1) {
-                    ck.write(&cleared, meter);
-                }
+        )
+        .map_err(|stop| stop.with_pending(pending))?;
+        if let Some((nodes, waypoints)) = fair {
+            // Entry: a node of the component reachable under the path
+            // constraint.
+            if let Some(&entry) = nodes.iter().find(|n| path_region[**n]) {
+                return Ok(Some(build_counterexample(
+                    system, graph, v, &nodes, &waypoints, entry, &edge_ok,
+                )));
             }
         }
     }
@@ -1493,51 +1214,6 @@ mod tests {
     }
 
     #[test]
-    fn target_hash_distinguishes_targets() {
-        let (_, x) = counter(true);
-        let p = Expr::var(x).eq(Expr::int(3));
-        let mut hashes: Vec<u64> = [
-            LiveTarget::Eventually(p.clone()),
-            LiveTarget::AlwaysEventually(p.clone()),
-            LiveTarget::EventuallyAlways(p.clone()),
-            LiveTarget::LeadsTo(Expr::var(x).eq(Expr::int(1)), p.clone()),
-            LiveTarget::Eventually(Expr::var(x).eq(Expr::int(2))),
-        ]
-        .iter()
-        .map(live_target_hash)
-        .collect();
-        hashes.sort_unstable();
-        hashes.dedup();
-        assert_eq!(hashes.len(), 5, "each target hashes distinctly");
-        // The hash is a pure function of the target's structure.
-        assert_eq!(
-            live_target_hash(&LiveTarget::Eventually(p.clone())),
-            live_target_hash(&LiveTarget::Eventually(p)),
-        );
-    }
-
-    #[test]
-    fn target_hash_covers_the_mapping_whatever_its_insertion_order() {
-        let mut vars = Vars::new();
-        let [x, y, n, m] = ["x", "y", "n", "m"].map(|v| vars.declare(v, Domain::bits()));
-        let fair = Fairness::weak(Expr::prime(n).eq(Expr::var(m)), vec![n]);
-        let under = |pairs: [(VarId, Expr); 2]| {
-            live_target_hash(&LiveTarget::fair_mapped(
-                fair.clone(),
-                Expr::bool(true),
-                Substitution::new(pairs),
-            ))
-        };
-        let a = under([(n, Expr::var(x)), (m, Expr::var(y))]);
-        assert_eq!(a, under([(m, Expr::var(y)), (n, Expr::var(x))]));
-        assert_ne!(a, under([(n, Expr::var(y)), (m, Expr::var(x))]));
-        assert_ne!(
-            a,
-            live_target_hash(&LiveTarget::fair_with_enabled(fair, Expr::bool(true)))
-        );
-    }
-
-    #[test]
     fn handed_images_must_be_of_the_targets_mapping() {
         use crate::Budget;
         // x ↦ 3 − x: WF of "x̄ decreases" holds under WF(incr).
@@ -1561,20 +1237,5 @@ mod tests {
             run(&Images::default()),
             Err(CheckError::Precondition { .. })
         ));
-    }
-
-    #[test]
-    fn resumable_requires_checkpoint_budget() {
-        use crate::Budget;
-        let (sys, x) = counter(true);
-        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let err = check_liveness_resumable(
-            &sys,
-            &graph,
-            &LiveTarget::Eventually(Expr::var(x).eq(Expr::int(3))),
-            &Budget::default(),
-        )
-        .unwrap_err();
-        assert!(matches!(err, CheckError::Precondition { .. }));
     }
 }

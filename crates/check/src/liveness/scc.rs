@@ -7,7 +7,7 @@
 //! (each sorted ascending) — the order the component loop scans them
 //! in, so the first violating component is deterministic.
 
-use super::{Charge, Stop};
+use super::Stop;
 use crate::budget::Meter;
 use crate::StateGraph;
 use opentla_kernel::{tarjan_sccs_with, SccScratch};
@@ -16,17 +16,15 @@ use opentla_kernel::{tarjan_sccs_with, SccScratch};
 /// their own (TLA behaviors may stutter forever, so every node carries
 /// an implicit self-loop).
 ///
-/// Each edge slot charges one transition under [`Charge::Metered`];
-/// under [`Charge::Banked`] (a resume re-deriving tables already paid
-/// for) only the deadline/cancellation poll at each DFS root remains.
-/// On exhaustion the reported `pending` is exact: the number of
-/// subgraph nodes not yet visited by the DFS.
+/// Each edge slot charges one transition, and each DFS root polls the
+/// deadline and the cancellation flag. On exhaustion the reported
+/// `pending` is exact: the number of subgraph nodes not yet visited by
+/// the DFS.
 pub(super) fn tarjan_sccs(
     graph: &StateGraph,
     node_ok: &[bool],
     edge_ok: &dyn Fn(usize, usize) -> bool,
     meter: &Meter,
-    charge: Charge,
     scratch: &mut SccScratch,
 ) -> Result<Vec<Vec<usize>>, Stop> {
     let n = graph.len();
@@ -43,13 +41,11 @@ pub(super) fn tarjan_sccs(
         &|v| node_ok[v],
         &|v| graph.edges(v).len(),
         &mut |v, i| {
-            if let Charge::Metered = charge {
-                if let Some(reason) = meter.charge_transition() {
-                    return Err(Stop::Exhausted {
-                        reason,
-                        pending: unvisited.get(),
-                    });
-                }
+            if let Some(reason) = meter.charge_transition() {
+                return Err(Stop::Exhausted {
+                    reason,
+                    pending: unvisited.get(),
+                });
             }
             if !edge_ok(v, i) {
                 return Ok(None);

@@ -9,12 +9,10 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use opentla_check::{
-    check_liveness, check_liveness_resumable, explore, explore_escalating,
-    explore_governed_with, explore_resumable, resume_exploration, Budget, Canonicalize,
-    CheckError, CheckpointError, CountingRecorder, Exploration, ExploreOptions,
-    GuardedAction, Init, LiveSnapshot, LiveTarget, Outcome, RecorderHandle,
-    Reduction, SlotPermutations, Snapshot, System, VisitedMode, WorkerPanic,
-    DEFAULT_CHECKPOINT_CADENCE,
+    explore_escalating, explore_governed_with, explore_resumable, resume_exploration, Budget,
+    Canonicalize, CheckError, CheckpointError, CountingRecorder, Exploration, ExploreOptions,
+    GuardedAction, Init, Outcome, RecorderHandle, Reduction, SlotPermutations, Snapshot, System,
+    VisitedMode, WorkerPanic, DEFAULT_CHECKPOINT_CADENCE,
 };
 use opentla_kernel::{Domain, Expr, State, Value, VarId, Vars};
 use opentla_queue::{FairnessStyle, QueueChain};
@@ -697,316 +695,73 @@ fn symmetric_run_checkpoints_at_every_expansion_and_resumes() {
 /// previous one's work (resume events fire), and — measured in
 /// checkpoint cadence units — the total work stays O(final state
 /// space) + one cadence per attempt, not O(attempts × state space).
+/// On the disk-backed store too, whose in-memory hand-over under a
+/// checkpoint spec is a manifest of its segment files.
 #[test]
 fn escalation_resumes_from_the_preserved_frontier() {
     let system = QueueChain::new(3, 1, 2, FairnessStyle::Joint)
         .complete_system()
         .unwrap();
-    let opts = options(1, VisitedMode::Fingerprint, Reduction::none(), 64);
-    let reference = run_unlimited(&system, &opts);
+    let in_ram = options(1, VisitedMode::Fingerprint, Reduction::none(), 64);
+    let spilling = ExploreOptions {
+        mem_budget_bytes: Some(8 << 10),
+        ..in_ram.clone()
+    };
+    let reference = run_unlimited(&system, &in_ram);
     let total = reference.graph.len();
-
-    const CADENCE: u64 = 64;
-    // Work meter for the uninterrupted run, in cadence units.
-    let direct_path = snap_path("esc-direct");
-    let direct_recorder = Arc::new(CountingRecorder::new());
-    let direct = explore_resumable(
-        &system,
-        &Budget::unlimited()
-            .with_checkpoint(&direct_path, CADENCE)
-            .with_recorder(RecorderHandle::new(direct_recorder.clone())),
-        &opts,
-    )
-    .unwrap();
-    assert!(matches!(direct.outcome, Outcome::Complete));
-    let direct_work = direct_recorder.count("checkpoint");
-    let _ = std::fs::remove_file(&direct_path);
-
-    let path = snap_path("escalate");
-    let recorder = Arc::new(CountingRecorder::new());
-    let attempts = 12usize;
-    let escalated = explore_escalating(
-        &system,
-        &Budget::default()
-            .states((total / 10).max(2))
-            .with_checkpoint(&path, CADENCE)
-            .with_recorder(RecorderHandle::new(recorder.clone())),
-        2,
-        attempts,
-        &opts,
-    )
-    .unwrap();
-    assert!(
-        matches!(escalated.outcome, Outcome::Complete),
-        "12 doublings from total/10 must complete"
-    );
-    assert_eq!(reference.graph.first_difference(&escalated.graph), None, "escalate/chain3");
-    assert!(
-        recorder.count("resume") >= 2,
-        "attempts must resume, not restart (saw {} resumes)",
-        recorder.count("resume")
-    );
-    // The regression: escalated work ≤ uninterrupted work + one
-    // cadence of slack per attempt. A restart-based escalation would
-    // blow through this bound by a factor of attempts.
-    assert!(
-        recorder.count("checkpoint") <= direct_work + attempts as u64,
-        "escalation re-did too much work: {} checkpoints vs {} direct + {} slack",
-        recorder.count("checkpoint"),
-        direct_work,
-        attempts
-    );
-    let _ = std::fs::remove_file(&path);
-}
-
-// ---------------------------------------------------------------------
-// Liveness interrupt/resume
-// ---------------------------------------------------------------------
-
-/// A strong-fairness obligation on the system's last action — the
-/// target shape that exercises every liveness phase (fairness tables,
-/// SCC pass, per-component scans, Streett recursion).
-fn live_target(system: &System) -> LiveTarget {
-    let frame = system.frame();
-    let last = system.actions().last().expect("system has actions");
-    LiveTarget::fair(opentla_kernel::Fairness::strong(
-        last.action_expr(&frame),
-        last.touched().collect(),
-    ))
-}
-
-fn assert_same_liveness_verdict(
-    label: &str,
-    a: &opentla_check::Verdict,
-    b: &opentla_check::Verdict,
-) {
-    match (a, b) {
-        (opentla_check::Verdict::Holds, opentla_check::Verdict::Holds) => {}
-        (opentla_check::Verdict::Violated(x), opentla_check::Verdict::Violated(y)) => {
-            assert_eq!(x.reason(), y.reason(), "{label}: reason differs");
-            assert_eq!(x.states(), y.states(), "{label}: lasso states differ");
-            assert_eq!(x.actions(), y.actions(), "{label}: lasso actions differ");
-            assert_eq!(x.loop_start(), y.loop_start(), "{label}: loop start differs");
-        }
-        _ => panic!("{label}: verdicts diverge"),
-    }
-}
-
-/// Interrupt a liveness check mid-run, resume from its on-disk
-/// [`LiveSnapshot`] with escalating budgets until it completes: the
-/// final verdict and lasso must be identical to the uninterrupted
-/// check's, resume events must fire, and the first interruption must
-/// report real pending work.
-#[test]
-fn liveness_interrupt_and_resume_reproduces_verdict() {
-    let system = QueueChain::new(3, 1, 2, FairnessStyle::Joint)
-        .complete_system()
-        .unwrap();
-    let graph = explore(&system, &ExploreOptions::default()).unwrap();
-    let target = live_target(&system);
-    let reference = check_liveness(&system, &graph, &target).unwrap();
-
-    let path = snap_path("liveness");
-    let recorder = Arc::new(CountingRecorder::new());
-    let mut budget_t = 500usize;
-    let mut legs = 0usize;
-    let final_run = loop {
-        let run = check_liveness_resumable(
+    for (label, opts) in [("in-ram", in_ram), ("spill", spilling)] {
+        const CADENCE: u64 = 64;
+        // Work meter for the uninterrupted run, in cadence units.
+        let direct_path = snap_path("esc-direct");
+        let direct_recorder = Arc::new(CountingRecorder::new());
+        let direct = explore_resumable(
             &system,
-            &graph,
-            &target,
-            &Budget::default()
-                .transitions(budget_t)
-                .with_checkpoint(&path, 8)
-                .with_recorder(RecorderHandle::new(recorder.clone())),
+            &Budget::unlimited()
+                .with_checkpoint(&direct_path, CADENCE)
+                .with_recorder(RecorderHandle::new(direct_recorder.clone())),
+            &opts,
         )
-        .expect("liveness legs succeed");
-        legs += 1;
-        if run.outcome.is_complete() {
-            break run;
-        }
-        let token = run
-            .outcome
-            .resume_token()
-            .expect("exhausted liveness run must leave a resume token");
-        assert_eq!(token.path, path, "token points at the spec path");
-        assert!(path.exists(), "liveness snapshot file must exist");
-        if legs == 1 {
-            if let Outcome::Exhausted { frontier_size, .. } = &run.outcome {
-                assert!(
-                    *frontier_size >= 1,
-                    "a freshly interrupted table scan has pending rows"
-                );
-            }
-        }
-        budget_t *= 2;
-        assert!(legs < 30, "budget doubling must terminate");
-    };
-    assert!(legs >= 2, "the first budget must actually interrupt the check");
-    assert!(
-        recorder.count("resume") >= 1,
-        "resumed legs must emit resume events (saw {})",
-        recorder.count("resume")
-    );
-    assert_same_liveness_verdict(
-        "chain3/liveness-resume",
-        &reference,
-        &final_run.verdict.expect("complete runs carry a verdict"),
-    );
-    let _ = std::fs::remove_file(&path);
-}
-
-/// Corrupted or mismatched liveness snapshots are typed errors through
-/// both the loader and the resumable entry point — never panics, never
-/// silently-wrong verdicts.
-#[test]
-fn corrupted_or_mismatched_live_snapshot_is_refused() {
-    let system = QueueChain::new(2, 1, 2, FairnessStyle::Joint)
-        .complete_system()
         .unwrap();
-    let graph = explore(&system, &ExploreOptions::default()).unwrap();
-    let target = live_target(&system);
-    let path = snap_path("live-corrupt");
-    let run = check_liveness_resumable(
-        &system,
-        &graph,
-        &target,
-        &Budget::default().transitions(40).with_checkpoint(&path, 8),
-    )
-    .unwrap();
-    assert!(run.outcome.resume_token().is_some(), "run must interrupt");
-    let original = std::fs::read(&path).unwrap();
+        assert!(matches!(direct.outcome, Outcome::Complete));
+        let direct_work = direct_recorder.count("checkpoint");
+        remove_spill_artifacts(&direct_path);
 
-    // Flip a byte mid-body: checksum catches it, typed, through both
-    // entry points.
-    let mut flipped = original.clone();
-    let mid = flipped.len() / 2;
-    flipped[mid] ^= 0xff;
-    std::fs::write(&path, &flipped).unwrap();
-    assert!(matches!(
-        LiveSnapshot::load(&path),
-        Err(CheckpointError::ChecksumMismatch)
-    ));
-    let err = check_liveness_resumable(
-        &system,
-        &graph,
-        &target,
-        &Budget::unlimited().with_checkpoint(&path, 8),
-    )
-    .unwrap_err();
-    assert!(matches!(
-        err,
-        CheckError::Checkpoint(CheckpointError::ChecksumMismatch)
-    ));
-
-    // A healthy snapshot resumed under a *different target* is refused:
-    // cleared-component sets are only valid for the restriction tables
-    // they were computed under.
-    std::fs::write(&path, &original).unwrap();
-    let other = LiveTarget::Eventually(Expr::int(1).eq(Expr::int(2)));
-    let err = check_liveness_resumable(
-        &system,
-        &graph,
-        &other,
-        &Budget::unlimited().with_checkpoint(&path, 8),
-    )
-    .unwrap_err();
-    assert!(matches!(
-        err,
-        CheckError::Checkpoint(CheckpointError::Mismatch { .. })
-    ));
-
-    // ...and under a different system/graph likewise.
-    let ring = TokenRing::new(3).complete_system().unwrap();
-    let ring_graph = explore(&ring, &ExploreOptions::default()).unwrap();
-    let err = check_liveness_resumable(
-        &ring,
-        &ring_graph,
-        &live_target(&ring),
-        &Budget::unlimited().with_checkpoint(&path, 8),
-    )
-    .unwrap_err();
-    assert!(matches!(
-        err,
-        CheckError::Checkpoint(CheckpointError::Mismatch { .. })
-    ));
-
-    // Not a liveness snapshot at all.
-    std::fs::write(&path, b"definitely not a snapshot").unwrap();
-    assert!(matches!(
-        LiveSnapshot::load(&path),
-        Err(CheckpointError::BadMagic)
-    ));
-
-    let _ = std::fs::remove_file(&path);
-}
-
-/// The refinement mapping is part of the target: a snapshot taken
-/// while checking an abstract fairness condition under mapping A is
-/// refused under mapping B (its cleared components were computed from
-/// A's angle table), and still resumes under A.
-#[test]
-fn live_snapshot_refuses_a_different_mapping() {
-    let chain = QueueChain::new(2, 1, 2, FairnessStyle::Joint);
-    let system = chain.complete_system().unwrap();
-    let graph = explore(&system, &ExploreOptions::default()).unwrap();
-    let ch = chain.channels();
-    let big = opentla_queue::queue_component(
-        "QM[big]",
-        &ch[0],
-        &ch[2],
-        chain.q_big(),
-        chain.big_capacity(),
-        FairnessStyle::Joint,
-    )
-    .unwrap();
-    let under = |mapping: opentla_kernel::Substitution| {
-        LiveTarget::fair_mapped(
-            big.fairness_condition(0),
-            big.fairness_enabled_expr(0),
-            mapping,
+        let path = snap_path("escalate");
+        let recorder = Arc::new(CountingRecorder::new());
+        let attempts = 12usize;
+        let escalated = explore_escalating(
+            &system,
+            &Budget::default()
+                .states((total / 10).max(2))
+                .with_checkpoint(&path, CADENCE)
+                .with_recorder(RecorderHandle::new(recorder.clone())),
+            2,
+            attempts,
+            &opts,
         )
-    };
-    let mapping_a = chain.refinement_mapping();
-    // B forgets the value in flight between the two queues.
-    let q = |name: &str| Expr::var(chain.vars().find(name).unwrap());
-    let mapping_b = opentla_kernel::Substitution::new([(chain.q_big(), q("q2").concat(q("q1")))]);
-
-    let path = snap_path("live-mapping");
-    let run = check_liveness_resumable(
-        &system,
-        &graph,
-        &under(mapping_a.clone()),
-        &Budget::default().transitions(40).with_checkpoint(&path, 8),
-    )
-    .unwrap();
-    assert!(run.outcome.resume_token().is_some(), "run must interrupt");
-
-    let err = check_liveness_resumable(
-        &system,
-        &graph,
-        &under(mapping_b),
-        &Budget::unlimited().with_checkpoint(&path, 8),
-    )
-    .unwrap_err();
-    assert!(
-        matches!(err, CheckError::Checkpoint(CheckpointError::Mismatch { .. })),
-        "{err}"
-    );
-
-    let resumed = check_liveness_resumable(
-        &system,
-        &graph,
-        &under(mapping_a.clone()),
-        &Budget::unlimited().with_checkpoint(&path, 8),
-    )
-    .unwrap();
-    assert_same_liveness_verdict(
-        "chain2/mapped-resume",
-        &check_liveness(&system, &graph, &under(mapping_a)).unwrap(),
-        &resumed.verdict.expect("an unlimited budget decides"),
-    );
-    let _ = std::fs::remove_file(&path);
+        .unwrap();
+        assert!(
+            matches!(escalated.outcome, Outcome::Complete),
+            "{label}: 12 doublings from total/10 must complete"
+        );
+        assert_eq!(reference.graph.first_difference(&escalated.graph), None, "escalate/{label}");
+        assert!(
+            recorder.count("resume") >= 2,
+            "{label}: attempts must resume, not restart (saw {} resumes)",
+            recorder.count("resume")
+        );
+        // The regression: escalated work ≤ uninterrupted work + one
+        // cadence of slack per attempt. A restart-based escalation would
+        // blow through this bound by a factor of attempts.
+        assert!(
+            recorder.count("checkpoint") <= direct_work + attempts as u64,
+            "{label}: escalation re-did too much work: {} checkpoints vs {} direct + {} slack",
+            recorder.count("checkpoint"),
+            direct_work,
+            attempts
+        );
+        remove_spill_artifacts(&path);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -1113,11 +868,11 @@ fn remove_spill_artifacts(snap_path: &std::path::Path) {
 }
 
 /// Kill-mid-spill: a bounded-memory run interrupted after its first
-/// sealed segment leaves a spill-format snapshot on disk that
-/// *references* the sealed files (version [`SNAPSHOT_VERSION_SPILL`]),
-/// and resuming from it — with the spill engine or, via the
-/// materializer, with the plain in-RAM engine — completes to a graph
-/// byte-identical to the unbounded run's.
+/// sealed segment leaves a snapshot on disk that *references* the
+/// sealed files instead of copying them, and resuming from it — with
+/// the spill engine or, once materialized, with the plain in-RAM
+/// engine — completes to a graph byte-identical to the unbounded
+/// run's.
 #[test]
 fn spill_interrupt_resume_identity() {
     let system = QueueChain::new(2, 1, 2, FairnessStyle::Joint)
@@ -1151,14 +906,22 @@ fn spill_interrupt_resume_identity() {
             sealed_arena_segments(&path) >= 1,
             "{label}: the kill must land after the first sealed segment"
         );
-        // The on-disk snapshot is the O(hot tier) spill form: magic,
-        // then the spill version number.
-        let head = std::fs::read(&path).expect("snapshot readable");
-        assert_eq!(&head[..8], b"OTLASNAP", "{label}: snapshot magic");
-        assert_eq!(
-            u32::from_le_bytes(head[8..12].try_into().unwrap()),
-            opentla_check::SNAPSHOT_VERSION_SPILL,
-            "{label}: exhaustion snapshot must be the spill format"
+        // The on-disk snapshot is O(hot tier): it names the sealed
+        // arena segment rather than holding its records, so it is
+        // smaller than the records it describes.
+        let file = std::fs::read(&path).expect("snapshot readable");
+        assert_eq!(&file[..8], b"OTLASNAP", "{label}: snapshot magic");
+        let names = |needle: &[u8]| file.windows(needle.len()).any(|w| w == needle);
+        assert!(names(b"arena-00000.seg"), "{label}: the sealed segment goes in by reference");
+        let segs = PathBuf::from(format!("{}.segs", path.display()));
+        let sealed_bytes: u64 = std::fs::read_dir(segs)
+            .expect("segment dir exists")
+            .map(|e| e.expect("dir entry").metadata().expect("metadata").len())
+            .sum();
+        assert!(
+            (file.len() as u64) < sealed_bytes,
+            "{label}: a {}-byte snapshot over {sealed_bytes} sealed bytes",
+            file.len()
         );
 
         // Resume from disk with the spill engine.
@@ -1174,8 +937,9 @@ fn spill_interrupt_resume_identity() {
         );
         assert_eq!(reference.graph.first_difference(&resumed.graph), None, "{label}");
 
-        // Cross-engine: the in-memory spill snapshot materializes and
-        // resumes on the plain in-RAM engine too.
+        // Cross-engine: the in-memory snapshot, a manifest over the
+        // same segment files, materializes and resumes on the plain
+        // in-RAM engine too.
         let snap = interrupted.snapshot.as_deref().expect("in-memory snapshot");
         let cross = resume_exploration(&system, &Budget::unlimited(), &base, snap)
             .expect("cross-engine resume succeeds");

@@ -26,7 +26,7 @@
 //! anyway — one arena record per state, one edge record per fully
 //! expanded state — with sealed segment files *referenced* (name,
 //! record count, checksum) and everything else inline. The
-//! sequential disk-backed engine references its sealed segments, so
+//! sequential store, once on disk, references its sealed segments, so
 //! its periodic checkpoint costs O(hot tier), not O(state space); an
 //! engine whose graph is in RAM writes a manifest with no sealed
 //! segment. Either way [`Snapshot::load`] → [`Snapshot::validate`] →
@@ -359,8 +359,11 @@ impl RunHeader {
         }
     }
 
-    /// A snapshot of this run, first in its sequence.
-    pub(crate) fn snapshot(self, body: Body, frontier: Vec<usize>) -> Snapshot {
+    /// A snapshot of this run, first in its sequence, the `frontier`
+    /// in whatever order the engine holds it.
+    pub(crate) fn snapshot(self, body: Body, mut frontier: Vec<usize>) -> Snapshot {
+        frontier.sort_unstable();
+        frontier.dedup();
         Snapshot {
             fp_bits: self.fp_bits,
             mode: self.mode,
@@ -452,28 +455,25 @@ pub(crate) struct Manifest {
 }
 
 impl Manifest {
-    /// `graph` with no sealed segment: every arena record inline, and
-    /// an edge record for every state off the (ascending) `frontier`.
-    fn inline(graph: &StateGraph, frontier: &[usize]) -> Manifest {
-        let (mut scratch, mut record) = (Vec::new(), Vec::new());
+    /// A materialized snapshot with no sealed segment: every arena
+    /// record inline, and the edge record of every expanded state.
+    fn inline(snap: &Snapshot) -> Manifest {
+        let (mut scratch, mut record, mut transitions) = (Vec::new(), Vec::new(), 0);
         let (mut arena_hot, mut edge_hot) = (Records::default(), Records::default());
-        let mut unexpanded = frontier.iter().peekable();
-        let mut transitions = 0;
-        for (id, state) in graph.states().iter().enumerate() {
-            let (fp, parent) = (state.fingerprint(), graph.parent(id));
-            encode_arena_record(state, fp, parent, None, &mut scratch, &mut record);
+        for (id, state, parent, edges) in snap.records() {
+            encode_arena_record(state, state.fingerprint(), parent, None, &mut scratch, &mut record);
             arena_hot.push(&record);
-            if unexpanded.next_if_eq(&&id).is_none() {
-                encode_edge_record(id, graph.edges(id), &mut record);
+            if let Some(edges) = edges {
+                encode_edge_record(id, edges, &mut record);
                 edge_hot.push(&record);
-                transitions += graph.edges(id).len() as u64;
+                transitions += edges.len() as u64;
             }
         }
         Manifest {
             dir: PathBuf::new(),
-            states: graph.len() as u64,
+            states: arena_hot.len() as u64,
             transitions,
-            init: graph.init().to_vec(),
+            init: snap.graph().init().to_vec(),
             arena_segments: Vec::new(),
             arena_hot,
             edge_segments: Vec::new(),
@@ -553,6 +553,20 @@ impl Snapshot {
             Body::Graph(graph) => graph,
             Body::Manifest(_) => panic!("engines resume materialized snapshots"),
         }
+    }
+
+    /// The one walk of a materialized snapshot, in id order: `(id, state,
+    /// BFS parent, successors — `None` on the frontier, which re-expands)`.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn records(
+        &self,
+    ) -> impl Iterator<Item = (usize, &State, Option<(usize, usize)>, Option<&[Edge]>)> {
+        let graph = self.graph();
+        let mut unexpanded = self.frontier.iter().peekable();
+        graph.states().iter().enumerate().map(move |(id, state)| {
+            let expanded = unexpanded.next_if_eq(&&id).is_none();
+            (id, state, graph.parent(id), expanded.then(|| graph.edges(id)))
+        })
     }
 
     /// Refuses to resume under a different system or configuration:
@@ -636,8 +650,8 @@ impl Snapshot {
         let inline;
         let m = match &self.body {
             Body::Manifest(m) => m,
-            Body::Graph(graph) => {
-                inline = Manifest::inline(graph, &self.frontier);
+            Body::Graph(_) => {
+                inline = Manifest::inline(self);
                 &inline
             }
         };
@@ -927,12 +941,9 @@ pub(crate) fn capture(
     frontier: &[usize],
     header: RunHeader,
 ) -> Snapshot {
-    let mut frontier = frontier.to_vec();
-    frontier.sort_unstable();
-    frontier.dedup();
     let mut graph = graph.prefix(keep);
-    graph.clear_edges(&frontier);
-    header.snapshot(Body::Graph(graph), frontier)
+    graph.clear_edges(frontier);
+    header.snapshot(Body::Graph(graph), frontier.to_vec())
 }
 
 /// Hands `take` every record of a segmented store `(dir, sealed,
@@ -1036,10 +1047,17 @@ pub(crate) fn packed_payload(record: &[u8]) -> &[u8] {
     &record[ARENA_RECORD_HEADER..]
 }
 
-/// What a segment store counts for one packed arena record under
-/// `layout`: its 4-byte length prefix, the header, the payload.
-pub(crate) fn packed_record_bytes(layout: &PackedLayout) -> usize {
-    4 + ARENA_RECORD_HEADER + layout.stride()
+/// What a segment store counts for `state`'s arena record — 4-byte
+/// length prefix, header, payload: the packed width under a `layout`,
+/// nothing encoded (a state outside its domain is written wider, which
+/// moves a store's spill, never its bytes), else the measured payload.
+pub(crate) fn arena_record_bytes(state: &State, layout: Option<&PackedLayout>) -> usize {
+    let measured = || {
+        let mut payload = Vec::new();
+        codec::encode_state(state, &mut payload);
+        payload.len()
+    };
+    4 + ARENA_RECORD_HEADER + layout.map_or_else(measured, PackedLayout::stride)
 }
 
 pub(crate) fn decode_arena_record(

@@ -2,15 +2,16 @@
 //!
 //! Every entry point resolves its [`ExploreOptions`] — and the
 //! `OPENTLA_EXPLORE_THREADS` / `OPENTLA_MEM_BUDGET` overrides — once
-//! into one of four plans (`plan.rs`), each a scheduler loop over a
-//! store:
+//! into one of four plans (`plan.rs`): two scheduler loops, over one
+//! sequential store in its two bodies and over two striped stores.
 //!
-//! | plan (`RunStart.engine`) | scheduler loop        | states, edges, dedup index                         |
-//! |--------------------------|-----------------------|----------------------------------------------------|
-//! | `explore_sequential`     | `seq::explore_seq`    | `seq::RamStore`: a [`StateGraph`], one index       |
-//! | `explore_spill`          | `seq::explore_seq`    | `spill::SpillStore`: segment files, two-tier index |
-//! | `explore_parallel_ws`    | `ws::run_workers`     | `ws`: striped packed arenas in RAM, striped index  |
-//! | `explore_spill_ws`       | `ws::run_workers`     | `spill_ws`: shared segment files, striped two-tier |
+//! | plan (`RunStart.engine`) | scheduler loop        | states, edges, dedup index                             |
+//! |--------------------------|-----------------------|--------------------------------------------------------|
+//! | `explore_sequential`     | `seq::explore_seq`    | `seq::Store`, no budget: a [`StateGraph`], one index   |
+//! | `explore_spill`          | `seq::explore_seq`    | `seq::Store`, budgeted: the same until its records     |
+//! |                          |                       | fill a segment, then segment files, two-tier index     |
+//! | `explore_parallel_ws`    | `ws::run_workers`     | `ws`: striped packed arenas in RAM, striped index      |
+//! | `explore_spill_ws`       | `ws::run_workers`     | `spill_ws`: shared segment files, striped two-tier     |
 //!
 //! Every plan ends in one [`StateGraph`] (`graph.rs`, the only code
 //! that knows its layout): states, edges and the BFS tree. The dedup
@@ -23,8 +24,8 @@
 //! [`Engine::Auto`] forces its row. The work-stealing loop runs over
 //! packed states only: a system whose states do not pack (domains too
 //! wide for a [`PackedLayout`](opentla_kernel::PackedLayout), or a
-//! start state outside them) runs the sequential loop of the same
-//! store family instead — third row → first, fourth → second — and
+//! start state outside them) runs the sequential loop under the same
+//! budget instead — third row → first, fourth → second — and
 //! `RunStart` names that loop.
 //!
 //! The sequential loop is the reference implementation: plain BFS over
@@ -35,10 +36,10 @@
 //! every plan's result is **byte-identical**: same state indices, same
 //! edge lists, same [`GraphStats`], same counterexample traces.
 //!
-//! A symmetry-reduced run ([`Reduction`]) is the sequential loop over
-//! the in-RAM store, which canonicalizes each successor before it is
-//! fingerprinted and interned; it is sequential at any requested
-//! thread count.
+//! A symmetry-reduced run ([`Reduction`]) is the sequential loop,
+//! whose store canonicalizes each successor before it is fingerprinted
+//! and interned; it is sequential at any requested thread count, and
+//! the plan gives it no budget.
 //!
 //! Every plan deduplicates states through a [`VisitedMode`] over one
 //! index design, masked fingerprint → first id: **fingerprinting**
@@ -158,9 +159,8 @@ pub struct ExploreOptions {
     /// segments and sorted fingerprint runs to disk and keeps only a
     /// budget-sized working set in RAM. `None` (the default) keeps
     /// everything in RAM; an explicit spill engine with `None` uses a
-    /// generous default budget. The one configuration that *cannot*
-    /// honor a budget — a reduction-active run, whose loop is in-RAM
-    /// only — refuses an explicit budget with
+    /// generous default budget. The one configuration the plan gives
+    /// no budget — a reduction-active run — refuses an explicit one with
     /// [`CheckError::Precondition`] and reports an environment-derived
     /// one as ignored via [`Event::BudgetIgnored`](crate::Event)
     /// rather than silently exploring unbounded.
@@ -356,6 +356,13 @@ pub fn explore_governed_with(
 /// complete — its [`StateGraph`] are byte-identical to an
 /// uninterrupted run's.
 ///
+/// Nothing is cleaned up on completion: a run that *completes* leaves
+/// its last periodic snapshot at the path (none if it was shorter than
+/// the cadence) and, when the sequential store went to disk, its whole
+/// `<path>.segs` directory. A further call with the same path resumes
+/// from that snapshot and re-expands its tail to the same graph;
+/// remove both to start over.
+///
 /// # Errors
 ///
 /// * [`CheckError::Precondition`] if the budget has no
@@ -475,8 +482,8 @@ fn explore_dispatch(
     let Start { plan, seed, layout } = launch?;
     let packed = || layout.as_ref().expect("a work-stealing plan starts over a packed layout");
     match plan.route {
-        Route::SpillBfs { mem_budget } => {
-            spill::explore_spill(system, budget, options, mem_budget, seed, layout)
+        Route::Sequential | Route::SpillBfs { .. } => {
+            seq::explore_seq(system, budget, options, plan.route.mem_budget(), seed, layout)
         }
         Route::SpillWs { mem_budget } => spill_ws::explore_spill_ws(
             system,
@@ -489,11 +496,6 @@ fn explore_dispatch(
         ),
         Route::WorkStealing => {
             ws::explore_ws(system, budget, options, plan.threads, seed, packed())
-        }
-        Route::Sequential => {
-            let meter = seed.meter(budget);
-            let store = seq::RamStore::new(system, options, &meter);
-            seq::explore_seq(system, budget, &meter, seed, store)
         }
     }
 }

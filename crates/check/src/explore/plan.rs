@@ -48,15 +48,25 @@ fn env_override(name: &str) -> Result<Option<usize>, CheckError> {
 /// the byte budget their tiers are tuned to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Route {
-    /// The sequential loop over the in-RAM store, which is also where
-    /// a symmetry reduction canonicalizes.
+    /// The sequential loop over its store with no budget: it never
+    /// leaves RAM. Also where a symmetry reduction runs.
     Sequential,
     /// The work-stealing loop over in-RAM striped arenas.
     WorkStealing,
-    /// The sequential loop over the disk-backed store.
+    /// The sequential loop over the same store with a budget.
     SpillBfs { mem_budget: usize },
     /// The work-stealing loop over the shared disk-backed stores.
     SpillWs { mem_budget: usize },
+}
+
+impl Route {
+    /// The byte budget a spill route's tiers are tuned to.
+    pub(crate) fn mem_budget(self) -> Option<usize> {
+        match self {
+            Route::Sequential | Route::WorkStealing => None,
+            Route::SpillBfs { mem_budget } | Route::SpillWs { mem_budget } => Some(mem_budget),
+        }
+    }
 }
 
 /// A memory budget that is in force but that the resolved plan cannot
@@ -89,8 +99,8 @@ pub(crate) struct Start<'a> {
     pub(crate) seed: Seed<'a>,
     /// The packed layout of the system's states, where it compiles.
     /// Always `Some` on the work-stealing routes, which run over it;
-    /// the disk-backed sequential store packs the records it can; the
-    /// in-RAM sequential store has no use for one (`None`).
+    /// the sequential store packs the records it can once on disk, and
+    /// has no use for one without a budget (`None`).
     pub(crate) layout: Option<PackedLayout>,
 }
 
@@ -110,9 +120,10 @@ impl Plan {
 
     /// The routing table. Explicit options beat the environment.
     ///
-    /// A reduction-active run is sequential and in RAM (only the
-    /// in-RAM sequential store canonicalizes), so no budget can be
-    /// honored there. Otherwise the route is a function of two facts: whether
+    /// A reduction-active run is sequential and gets no budget — a
+    /// policy of this table, not a limit of the sequential store,
+    /// which canonicalizes in either body. Otherwise the route is a
+    /// function of two facts: whether
     /// more than one worker runs, and whether a byte budget is in
     /// force — a budget is honored at *every* thread count instead of
     /// silently disabling parallelism (or being ignored). An explicit
@@ -161,7 +172,7 @@ impl Plan {
     /// packed states only, so when the system's domains do not compile
     /// to a [`PackedLayout`], or a seed state lies outside its declared
     /// domain ([`Init::new`](crate::Init::new) can pin one), a threaded
-    /// plan falls back to the sequential loop of the same store family.
+    /// plan falls back to the sequential loop under the same budget.
     /// The seed is enumerated and the layout compiled once, here, and
     /// handed down.
     ///

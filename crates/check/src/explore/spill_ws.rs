@@ -20,7 +20,7 @@
 //!   exchange. Parents are read back through the store's LRU cache, so
 //!   the working set stays within the byte budget even while many
 //!   workers expand concurrently.
-//! * **The dedup index** is the sequential spill store's own two-tier
+//! * **The dedup index** is the sequential store's own two-tier
 //!   [`SpillVisited`], one per [`NUM_SHARDS`] lock stripe: each stripe
 //!   owns a hot fingerprint index and its own one-bit filter, and drains
 //!   to a sorted [`FingerprintRun`](opentla_kernel::store::FingerprintRun)
@@ -58,17 +58,19 @@
 //! one epoch — it takes no periodic snapshots: its stores are in
 //! arrival order, so a canonical snapshot means reading the whole
 //! arena back into RAM, which is what the budget exists to avoid while
-//! the run is still exploring (ROADMAP item 2).
+//! the run is still exploring (ROADMAP item 2). No snapshot references
+//! a segment of this engine, so its segment directory is ephemeral
+//! under every budget: created in the temp dir, removed when the run
+//! returns.
 
 use super::seq::{Seed, Stop};
-use super::spill::{self, RunNames, SpillVisited, Tuning};
+use super::spill::{self, RunNames, SpillDir, SpillVisited, Tuning};
 use super::ws::{self, Expand, Expanded, Tripwire, WsRun};
 use super::*;
 use crate::checkpoint::CheckpointError;
 use opentla_kernel::store::{SegmentStore, StoreError};
 use opentla_kernel::{PackedLayout, Value};
 use std::ops::ControlFlow;
-use std::path::Path;
 
 /// The shared disk-backed stores of one parallel spill run.
 struct SpillWsStore<'a> {
@@ -300,9 +302,7 @@ impl Expand for SpillPacked<'_> {
     }
 }
 
-/// The engine entry point; see the module docs. Wraps the run with
-/// the shared segment-directory policy (persistent next to a
-/// checkpoint, ephemeral otherwise).
+/// The engine entry point; see the module docs.
 pub(super) fn explore_spill_ws(
     system: &System,
     budget: &Budget,
@@ -312,26 +312,11 @@ pub(super) fn explore_spill_ws(
     seed: Seed<'_>,
     layout: &PackedLayout,
 ) -> Result<Exploration, CheckError> {
-    let (dir, ephemeral) = spill::spill_dir(budget);
-    let result =
-        explore_spill_ws_in(system, budget, options, threads, seed, layout, mem_budget, &dir);
-    if ephemeral {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    result
-}
-
-#[allow(clippy::too_many_arguments)]
-fn explore_spill_ws_in(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
-    threads: usize,
-    seed: Seed<'_>,
-    layout: &PackedLayout,
-    mem_budget: usize,
-    dir: &Path,
-) -> Result<Exploration, CheckError> {
+    // Ephemeral whatever the budget's checkpoint spec says: this
+    // engine's snapshots are self-contained, so nothing would read the
+    // directory again.
+    let ephemeral = SpillDir::new(None);
+    let dir = ephemeral.path();
     let compiled = CompiledSystem::compile(system);
     let sys_hash = checkpoint::system_hash(system);
     let mut ck = Checkpointer::new(budget.checkpoint.clone());
@@ -370,17 +355,12 @@ fn explore_spill_ws_in(
     match seed {
         Seed::Resume(snap) => {
             // Re-ingest the materialized snapshot in canonical order,
-            // exactly as the sequential spill store does: arrival ids
-            // equal canonical ids, the visited set is rebuilt with
+            // exactly as the sequential store does: arrival ids equal
+            // canonical ids, the visited set is rebuilt with
             // first-id-wins inserts, and every non-frontier state gets
             // its edge record banked — the finalization read-back then
             // cannot tell banked work from new work.
-            let graph = snap.graph();
-            let mut in_frontier = vec![false; graph.len()];
-            for &f in &snap.frontier {
-                in_frontier[f] = true;
-            }
-            for (id, s) in graph.states().iter().enumerate() {
+            for (id, s, parent, edges) in snap.records() {
                 let fp = s.fingerprint();
                 let key = fp & store.mask;
                 let mut stripe = store.visited.lock_key(key).1;
@@ -389,19 +369,19 @@ fn explore_spill_ws_in(
                 checkpoint::encode_arena_record(
                     s,
                     fp,
-                    graph.parent(id),
+                    parent,
                     Some(layout),
                     &mut pack_scratch,
                     &mut rec_buf,
                 );
                 let got = store.append_arena(&rec_buf).map_err(CheckpointError::from)?;
                 debug_assert_eq!(got, id, "seeding assigns arrival ids in order");
-                if !in_frontier[id] {
-                    checkpoint::encode_edge_record(id, graph.edges(id), &mut rec_buf);
+                if let Some(edges) = edges {
+                    checkpoint::encode_edge_record(id, edges, &mut rec_buf);
                     store.append_edges(&rec_buf).map_err(CheckpointError::from)?;
                 }
             }
-            init_ids = graph.init().to_vec();
+            init_ids = snap.graph().init().to_vec();
             frontier_seed = snap.frontier.iter().map(|&i| pid(0, i)).collect();
         }
         Seed::Fresh(states) => {

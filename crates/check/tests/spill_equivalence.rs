@@ -10,11 +10,12 @@
 mod support {
     pub mod random_system;
     pub mod segments;
+    pub mod spill_log;
 }
 
 use opentla_check::{
-    check_invariant, explore_governed_with, Budget, Engine, ExploreOptions, Outcome, StateGraph,
-    System, Verdict, VisitedMode,
+    check_invariant, explore_governed_with, Budget, Engine, ExploreOptions, Outcome, RecorderHandle,
+    StateGraph, System, Verdict, VisitedMode,
 };
 use opentla_kernel::store::{read_segment, FingerprintRun, SegmentStore, StoreError};
 use opentla_kernel::Expr;
@@ -23,8 +24,10 @@ use opentla_scenarios::{AlternatingBit, ArbiterFairness, ClockWorld, Fig1, Mutex
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use support::random_system::{arb_action_spec, build_system, Family};
 use support::segments::sealed_segments;
+use support::spill_log::SpillLog;
 
 const SMALL_INTS: Family = Family { vars: 3, top: 3 };
 
@@ -76,9 +79,19 @@ fn systems() -> Vec<(&'static str, System)> {
 }
 
 fn explore_spill(sys: &System, mode: VisitedMode, budget_bytes: usize) -> StateGraph {
+    explore_spill_logged(sys, mode, budget_bytes).0
+}
+
+/// [`explore_spill`], and what the run spilled.
+fn explore_spill_logged(
+    sys: &System,
+    mode: VisitedMode,
+    budget_bytes: usize,
+) -> (StateGraph, Arc<SpillLog>) {
+    let log = Arc::new(SpillLog::default());
     let run = explore_governed_with(
         sys,
-        &Budget::unlimited(),
+        &Budget::unlimited().with_recorder(RecorderHandle::new(log.clone())),
         &ExploreOptions {
             mode,
             threads: Some(1),
@@ -91,7 +104,7 @@ fn explore_spill(sys: &System, mode: VisitedMode, budget_bytes: usize) -> StateG
         matches!(run.outcome, Outcome::Complete),
         "unbudgeted spill run must complete"
     );
-    run.graph
+    (run.graph, log)
 }
 
 fn explore_seq(sys: &System, mode: VisitedMode) -> StateGraph {
@@ -122,31 +135,54 @@ fn last_state_invariant(sys: &System, graph: &StateGraph) -> Expr {
 
 /// Full matrix under a 1 MiB budget — small enough that the larger
 /// chains spill multiple arena segments and visited runs, large
-/// enough to keep the suite quick. Graphs and counterexample traces
-/// must match the in-RAM engine field for field.
+/// enough to keep the suite quick — and again under 8 KiB, where the
+/// smallest chain does too. Graphs and counterexample traces must
+/// match the in-RAM engine field for field.
+///
+/// The store starts in RAM and moves to disk once, when its arena or
+/// edge records fill a segment, so a run that sealed an arena segment
+/// interned states in RAM first and read them back from disk records
+/// afterwards — in `Exact` mode, candidates verified where they live
+/// by then. Every scenario that can fill the smallest segment there is
+/// (1 KiB; the others are a few dozen states) must have done so under
+/// one of the budgets, in both modes.
 #[test]
 fn spill_matches_sequential_across_matrix() {
     for (name, sys) in systems() {
         for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-            let label = format!("{name}/{mode:?}");
             let seq = explore_seq(&sys, mode);
-            let spill = explore_spill(&sys, mode, 1 << 20);
-            assert_eq!(seq.first_difference(&spill), None, "{label}");
-
-            // Counterexample identity: same violated invariant, same
-            // trace through both graphs (exercises the parent chains
-            // the spill engine reassembled from arena records).
-            let pred = last_state_invariant(&sys, &seq);
-            let a = check_invariant(&sys, &seq, &pred).expect("seq invariant runs");
-            let b = check_invariant(&sys, &spill, &pred).expect("spill invariant runs");
-            match (&a, &b) {
-                (Verdict::Violated(ca), Verdict::Violated(cb)) => {
-                    assert_eq!(ca.reason(), cb.reason(), "{label}: reason diverges");
-                    assert_eq!(ca.states(), cb.states(), "{label}: trace diverges");
-                    assert_eq!(ca.actions(), cb.actions(), "{label}: actions diverge");
+            let mut sealed_an_arena_segment = false;
+            for budget in [1 << 20, 8 << 10] {
+                // 8 KiB puts chain4 in 7 000 one-kilobyte files.
+                if budget < 1 << 20 && seq.len() > 10_000 {
+                    continue;
                 }
-                _ => panic!("{label}: last-state invariant must be violated in both"),
+                let label = format!("{name}/{mode:?}@{budget}");
+                let (spill, spilled) = explore_spill_logged(&sys, mode, budget);
+                assert_eq!(seq.first_difference(&spill), None, "{label}");
+                sealed_an_arena_segment |= spilled.sealed("arena") >= 1;
+
+                // Counterexample identity: same violated invariant, same
+                // trace through both graphs (exercises the parent chains
+                // the spill engine reassembled from arena records).
+                let pred = last_state_invariant(&sys, &seq);
+                let a = check_invariant(&sys, &seq, &pred).expect("seq invariant runs");
+                let b = check_invariant(&sys, &spill, &pred).expect("spill invariant runs");
+                match (&a, &b) {
+                    (Verdict::Violated(ca), Verdict::Violated(cb)) => {
+                        assert_eq!(ca.reason(), cb.reason(), "{label}: reason diverges");
+                        assert_eq!(ca.states(), cb.states(), "{label}: trace diverges");
+                        assert_eq!(ca.actions(), cb.actions(), "{label}: actions diverge");
+                    }
+                    _ => panic!("{label}: last-state invariant must be violated in both"),
+                }
             }
+            assert_eq!(
+                sealed_an_arena_segment,
+                seq.len() >= 100,
+                "{name}/{mode:?}: {} states",
+                seq.len()
+            );
         }
     }
 }
@@ -211,6 +247,15 @@ fn golden_chain4_under_spill() {
     let seq = explore_seq(&sys, VisitedMode::Fingerprint);
     assert_eq!(seq.first_difference(&run.graph), None, "chain4/golden");
     let _ = std::fs::remove_dir_all(path.parent().expect("has parent"));
+
+    // Under 32 MiB — the benchmark's `explore-spill` warm-up rung —
+    // chain4 fits one segment of each tier: the store must stay in RAM
+    // from first state to last, which is what that workload's
+    // `setup_s` rests on.
+    let (roomy, spilled) = explore_spill_logged(&sys, VisitedMode::Fingerprint, 32 << 20);
+    assert_eq!(seq.first_difference(&roomy), None, "chain4/32MiB");
+    let sealed = (spilled.sealed("arena"), spilled.sealed("edges"));
+    assert_eq!(sealed, (0, 0), "chain4 left RAM under 32 MiB");
 }
 
 // ---------------------------------------------------------------------

@@ -9,7 +9,7 @@
 //! engines), and the never-silently-ignore-a-budget diagnostic.
 
 mod support {
-    pub mod segments;
+    pub mod spill_log;
 }
 
 use opentla_check::{
@@ -22,7 +22,7 @@ use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, Mutex, TokenRing};
 use std::path::PathBuf;
 use std::sync::Arc;
-use support::segments::sealed_segments;
+use support::spill_log::SpillLog;
 
 /// The small-scenario matrix: every budget × worker × mode combination
 /// runs on these; the 54 358-state chain4 gets the acceptance
@@ -202,17 +202,20 @@ fn spill_ws_counterexample_traces_match() {
 /// The acceptance golden on the big benchmark: chain4 under a 256 KiB
 /// budget at 4 workers reproduces 54358 / 164736 / 55 byte-identically
 /// while the live run seals multiple shared arena segments (counted
-/// via a checkpoint-pinned segment directory — the parallel engine's
-/// stores use the `wsarena-` prefix).
+/// from its `spill` events: the engine's segment directory is gone
+/// when the run returns).
 #[test]
 fn spill_ws_golden_chain4() {
     let sys = chain4();
     let seq = explore_seq(&sys, VisitedMode::Fingerprint, 64);
     let path = snap_path("golden");
     remove_spill_artifacts(&path);
+    let log = Arc::new(SpillLog::default());
     let run = explore_governed_with(
         &sys,
-        &Budget::unlimited().with_checkpoint(&path, 1 << 30),
+        &Budget::unlimited()
+            .with_checkpoint(&path, 1 << 30)
+            .with_recorder(RecorderHandle::new(log.clone())),
         &spill_ws_opts(VisitedMode::Fingerprint, 4, Some(256 << 10)),
     )
     .expect("parallel spill run succeeds");
@@ -222,7 +225,7 @@ fn spill_ws_golden_chain4() {
     assert_eq!(stats.transitions, 164736, "golden chain4 transition count");
     assert_eq!(stats.depth, 55, "golden chain4 depth");
     assert!(
-        sealed_segments(&path, "wsarena-") >= 2,
+        log.sealed("arena") >= 2,
         "the budget must force >= 2 sealed shared arena segments"
     );
     assert_eq!(seq.first_difference(&run.graph), None, "chain4/golden");
@@ -356,11 +359,13 @@ fn spill_ws_interrupt_resume_identity() {
         let path = snap_path("resume");
         remove_spill_artifacts(&path);
 
+        let log = Arc::new(SpillLog::default());
         let interrupted = explore_resumable(
             &sys,
             &Budget::default()
                 .states((total * 2 / 5).max(2))
-                .with_checkpoint(&path, 64),
+                .with_checkpoint(&path, 64)
+                .with_recorder(RecorderHandle::new(log.clone())),
             &opts4,
         )
         .expect("interrupted run still succeeds");
@@ -369,7 +374,7 @@ fn spill_ws_interrupt_resume_identity() {
             "{label}: exhausted run must leave a resume token"
         );
         assert!(
-            sealed_segments(&path, "wsarena-") >= 1,
+            log.sealed("arena") >= 1,
             "{label}: the kill must land after the first sealed live segment"
         );
         // The live segments hold arrival ids, which mean nothing to
@@ -425,6 +430,42 @@ fn spill_ws_interrupt_resume_identity() {
         .expect("in-RAM resume succeeds");
         assert_eq!(reference.first_difference(&in_ram.graph), None, "{label}/in-ram");
 
+        remove_spill_artifacts(&path);
+    }
+}
+
+/// This engine's snapshots are self-contained, so nothing would ever
+/// read its segment directory again: it is ephemeral even under a
+/// checkpoint spec — which pins the *sequential* disk-backed store's
+/// directory, whose manifests do reference sealed segments. Neither a
+/// completed nor an exhausted run leaves a `<path>.segs` behind, and
+/// only the exhausted one leaves a snapshot.
+#[test]
+fn a_checkpointing_parallel_spill_run_leaves_no_segment_directory() {
+    let sys = QueueChain::new(3, 1, 2, FairnessStyle::Joint)
+        .complete_system()
+        .expect("chain3 builds");
+    let total = explore_seq(&sys, VisitedMode::Fingerprint, 64).len();
+    for (leg, budget) in [
+        ("complete", Budget::unlimited()),
+        ("exhausted", Budget::default().states(total / 2)),
+    ] {
+        let path = snap_path("leak");
+        remove_spill_artifacts(&path);
+        let log = Arc::new(SpillLog::default());
+        let run = explore_governed_with(
+            &sys,
+            &budget
+                .with_checkpoint(&path, 500)
+                .with_recorder(RecorderHandle::new(log.clone())),
+            &spill_ws_opts(VisitedMode::Fingerprint, 2, Some(64 << 10)),
+        )
+        .expect("parallel spill run succeeds");
+        assert!(log.sealed("arena") >= 1, "{leg}: the run must have sealed segments somewhere");
+        assert_eq!(run.outcome.is_complete(), leg == "complete", "{leg}");
+        assert_eq!(path.exists(), leg == "exhausted", "{leg}: snapshot file");
+        let segs = PathBuf::from(format!("{}.segs", path.display()));
+        assert!(!segs.exists(), "{leg}: {} was left behind", segs.display());
         remove_spill_artifacts(&path);
     }
 }

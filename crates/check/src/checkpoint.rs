@@ -227,7 +227,8 @@ fn io_err(path: &Path, e: std::io::Error) -> CheckpointError {
     }
 }
 
-fn corrupt(detail: impl Into<String>) -> CheckpointError {
+#[cold]
+pub(crate) fn corrupt(detail: impl Into<String>) -> CheckpointError {
     CheckpointError::Corrupt {
         detail: detail.into(),
     }
@@ -486,11 +487,8 @@ impl Manifest {
     fn materialize(&self, system: &System) -> Result<StateGraph, CheckpointError> {
         let layout = PackedLayout::compile(system.vars());
         let n = self.states as usize;
-        let mut graph = StateGraph::with_capacity(n.min(1 << 20));
-        for_each_record((&self.dir, &self.arena_segments, self.arena_hot.iter()), |bytes| {
-            let rec = decode_arena_record(bytes, layout.as_ref())?;
-            graph.push_state(rec.state, rec.parent).map(drop)
-        })?;
+        let arena = (&*self.dir, &*self.arena_segments, self.arena_hot.iter());
+        let mut graph = graph_of_arena(arena, n.min(1 << 20), layout.as_ref())?;
         if graph.len() != n {
             return Err(corrupt(format!(
                 "manifest claims {n} states, its records held {}",
@@ -500,20 +498,24 @@ impl Manifest {
         if graph.init() != self.init {
             return Err(corrupt("manifest and arena records disagree on the initial states"));
         }
-        let mut expanded = vec![false; n];
-        for_each_edge_record((&self.dir, &self.edge_segments, self.edge_hot.iter()), n, |id, es| {
-            if std::mem::replace(&mut expanded[id], true) {
-                return Err(corrupt(format!("duplicate edge record for state {id}")));
-            }
-            graph.set_edges(id, es);
-            Ok(())
-        })?;
+        fill_edges(&mut graph, (&self.dir, &self.edge_segments, self.edge_hot.iter()))?;
         if graph.edge_count() as u64 != self.transitions {
             return Err(corrupt(format!(
                 "manifest claims {} transitions, edge records held {}",
                 self.transitions,
                 graph.edge_count()
             )));
+        }
+        // Counterexamples index the system's actions by these words.
+        let actions = system.actions().len();
+        for id in 0..n {
+            let led_in = graph.parent(id).map(|(_, action)| action);
+            let fired = graph.edges(id).iter().map(|e| e.action);
+            if let Some(action) = led_in.into_iter().chain(fired).find(|&a| a >= actions) {
+                return Err(corrupt(format!(
+                    "state {id} records action {action} of a system with {actions}"
+                )));
+            }
         }
         Ok(graph)
     }
@@ -962,6 +964,31 @@ pub(crate) fn for_each_record<'a>(
     hot.into_iter().try_for_each(take)
 }
 
+/// The one records → graph reader, in two steps so a store can drop
+/// its arena between them. First every arena record, in id order, as a
+/// state of a graph with room for `capacity` and no edges yet.
+pub(crate) fn graph_of_arena<'a>(
+    records: (&Path, &[SegmentMeta], impl Iterator<Item = &'a [u8]>),
+    capacity: usize,
+    layout: Option<&PackedLayout>,
+) -> Result<StateGraph, CheckpointError> {
+    let mut graph = StateGraph::with_capacity(capacity);
+    for_each_record(records, |bytes| {
+        let rec = decode_arena_record(bytes, layout)?;
+        graph.push_state(rec.state, rec.parent).map(drop)
+    })?;
+    Ok(graph)
+}
+
+/// Then every edge record as a row of `graph`, which refuses one out
+/// of ascending id order — as every writer emits them.
+pub(crate) fn fill_edges<'a>(
+    graph: &mut StateGraph,
+    records: (&Path, &[SegmentMeta], impl Iterator<Item = &'a [u8]>),
+) -> Result<(), CheckpointError> {
+    for_each_edge_record(records, graph.len(), |id, es| graph.set_edges(id, es))
+}
+
 /// [`for_each_record`] over edge records: `take(id, successors)`, ids
 /// and targets below `bound`.
 pub(crate) fn for_each_edge_record<'a>(
@@ -1087,7 +1114,9 @@ pub(crate) fn decode_arena_record(
                     layout.stride()
                 )));
             }
-            layout.unpack(payload)
+            let mut values = Vec::new();
+            layout.try_unpack_into(payload, &mut values)?;
+            State::new(values)
         }
         t => return Err(corrupt(format!("unknown arena record tag {t}"))),
     };
@@ -1236,17 +1265,19 @@ mod tests {
             graph.push_state(state, parent).unwrap();
         }
         let successors = [Edge { action: 0, target: 1 }, Edge { action: 1, target: 2 }];
-        graph.set_edges(0, &successors);
+        graph.set_edges(0, &successors).unwrap();
         graph
     }
 
-    /// A system over the variables of [`sample_graph`], to materialize
-    /// under.
+    /// A system over the variables of [`sample_graph`] with the two
+    /// actions its edges name, to materialize under. `x` has a third
+    /// value: its two bits have room for a code outside the domain.
     fn sample_system() -> System {
         let mut vars = Vars::new();
-        vars.declare("x", Domain::int_range(0, 1));
+        vars.declare("x", Domain::int_range(0, 2));
         vars.declare("y", Domain::booleans());
-        System::new(vars, crate::Init::new([]), vec![])
+        let action = |name| crate::GuardedAction::new(name, opentla_kernel::Expr::bool(true), vec![]);
+        System::new(vars, crate::Init::new([]), vec![action("a0"), action("a1")])
     }
 
     /// In RAM, as an engine captures it.
@@ -1499,6 +1530,71 @@ mod tests {
             let snap = over_arena_records(&arena, frontier.clone());
             assert_eq!(through_a_file("frontier", &snap).unwrap().frontier, frontier);
         }
+    }
+
+    /// [`over_arena_records`] of every state of [`sample_graph`], all
+    /// expanded, with these inline edge records.
+    fn over_edge_records(edges: &[(usize, &[Edge])]) -> Snapshot {
+        let graph = sample_graph();
+        let arena: Vec<Vec<u8>> = (0..3).map(|id| arena_record(id, graph.parent(id))).collect();
+        let mut snap = over_arena_records(&arena, vec![]);
+        let Body::Manifest(m) = &mut snap.body else { unreachable!() };
+        let mut record = Vec::new();
+        for &(id, successors) in edges {
+            encode_edge_record(id, successors, &mut record);
+            m.edge_hot.push(&record);
+            m.transitions += successors.len() as u64;
+        }
+        snap
+    }
+
+    /// Every writer emits edge records in ascending id order, once per
+    /// state, and the graph's rows are filled that way: a file that
+    /// reorders or repeats one is refused, not read into a wrong graph.
+    #[test]
+    fn edge_records_out_of_id_order_are_corrupt() {
+        let graph = sample_graph();
+        let (fan, none): (&[Edge], &[Edge]) = (graph.edges(0), &[]);
+        for edges in [vec![(1, none), (0, fan)], vec![(0, fan), (0, none)], vec![(0, fan), (2, none), (1, none)]] {
+            let detail = corrupt_detail(through_a_file("edge_order", &over_edge_records(&edges)));
+            assert!(detail.contains("ascending id order"), "{edges:?}: {detail}");
+        }
+        // In order, rows skipped over stay empty.
+        for edges in [vec![(0, fan), (1, none), (2, none)], vec![(0, fan), (2, none)]] {
+            let back = through_a_file("edge_order", &over_edge_records(&edges)).unwrap();
+            assert_eq!(back.graph().first_difference(&graph), None, "{edges:?}");
+        }
+    }
+
+    /// A packed record is checked for its length only before it is
+    /// unpacked, and `x`'s two bits can hold a code its three-value
+    /// domain does not: the table lookup behind it must not index.
+    #[test]
+    fn packed_record_holding_a_code_outside_its_domain_is_corrupt() {
+        let mut record = Vec::new();
+        begin_arena_record(1, None, 0, &mut record);
+        record.push(0b011);
+        let snap = over_arena_records(&[record.clone()], vec![0]);
+        let detail = corrupt_detail(through_a_file("bad_code", &snap));
+        assert!(detail.contains("slot 0 holds code 3"), "{detail}");
+        // The code below it is the domain's last value.
+        *record.last_mut().unwrap() = 0b010;
+        let back = through_a_file("bad_code", &over_arena_records(&[record], vec![0])).unwrap();
+        assert_eq!(back.graph().state(0).values(), [Value::Int(2), Value::Bool(false)]);
+    }
+
+    /// Counterexample rendering indexes the system's actions by the
+    /// action words of the BFS tree and of the edges: a file naming an
+    /// action the system does not have is refused when it is read.
+    #[test]
+    fn record_naming_an_action_the_system_lacks_is_corrupt() {
+        let arena = [None, Some((0, 0)), Some((0, 7))];
+        let arena: Vec<_> = (0..3).map(|id| arena_record(id, arena[id])).collect();
+        let detail = corrupt_detail(through_a_file("action", &over_arena_records(&arena, vec![0, 1, 2])));
+        assert!(detail.contains("state 2 records action 7 of a system with 2"), "{detail}");
+        let edges: &[Edge] = &[Edge { action: 0, target: 1 }, Edge { action: 2, target: 2 }];
+        let detail = corrupt_detail(through_a_file("action", &over_edge_records(&[(0, edges)])));
+        assert!(detail.contains("state 0 records action 2 of a system with 2"), "{detail}");
     }
 
     /// The manifest's segment record counts are words of the file: two

@@ -17,11 +17,11 @@
 //! that knows its layout): states, edges and the BFS tree. The dedup
 //! index (`index.rs`) is private to the store and dropped with it.
 //!
-//! The routing rule: an active [`Reduction`] → the first plan;
-//! otherwise `(more than one thread, a memory budget)` picks the row —
-//! (no, no) the first, (no, yes) the second, (yes, no) the third,
-//! (yes, yes) the fourth. An explicit [`Engine`] other than
-//! [`Engine::Auto`] forces its row. The work-stealing loop runs over
+//! The routing rule: `(more than one thread, a memory budget)` picks
+//! the row — (no, no) the first, (no, yes) the second, (yes, no) the
+//! third, (yes, yes) the fourth. An explicit [`Engine`] other than
+//! [`Engine::Auto`] forces its row; an active [`Reduction`] counts as
+//! one thread whatever was asked. The work-stealing loop runs over
 //! packed states only: a system whose states do not pack (domains too
 //! wide for a [`PackedLayout`](opentla_kernel::PackedLayout), or a
 //! start state outside them) runs the sequential loop under the same
@@ -38,8 +38,8 @@
 //!
 //! A symmetry-reduced run ([`Reduction`]) is the sequential loop,
 //! whose store canonicalizes each successor before it is fingerprinted
-//! and interned; it is sequential at any requested thread count, and
-//! the plan gives it no budget.
+//! and interned, in RAM or on disk; it is sequential at any requested
+//! thread count, under a memory budget like any other one-worker run.
 //!
 //! Every plan deduplicates states through a [`VisitedMode`] over one
 //! index design, masked fingerprint → first id: **fingerprinting**
@@ -153,17 +153,13 @@ pub struct ExploreOptions {
     pub engine: Engine,
     /// Approximate RAM ceiling, in bytes, for the exploration's state
     /// arena, edge lists, and visited set. Setting it (or exporting
-    /// `OPENTLA_MEM_BUDGET`) routes unreduced runs to a bounded-memory
-    /// plan — single-threaded runs to [`Engine::SpillBfs`], threaded
-    /// runs to [`Engine::SpillWs`] — which spills sealed arena
-    /// segments and sorted fingerprint runs to disk and keeps only a
-    /// budget-sized working set in RAM. `None` (the default) keeps
-    /// everything in RAM; an explicit spill engine with `None` uses a
-    /// generous default budget. The one configuration the plan gives
-    /// no budget — a reduction-active run — refuses an explicit one with
-    /// [`CheckError::Precondition`] and reports an environment-derived
-    /// one as ignored via [`Event::BudgetIgnored`](crate::Event)
-    /// rather than silently exploring unbounded.
+    /// `OPENTLA_MEM_BUDGET`) routes the run to a bounded-memory plan —
+    /// single-threaded and reduced runs to [`Engine::SpillBfs`],
+    /// threaded runs to [`Engine::SpillWs`] — which spills sealed
+    /// arena segments and sorted fingerprint runs to disk and keeps
+    /// only a budget-sized working set in RAM. `None` (the default)
+    /// keeps everything in RAM; an explicit spill engine with `None`
+    /// uses a generous default budget.
     pub mem_budget_bytes: Option<usize>,
 }
 
@@ -461,24 +457,13 @@ pub fn explore_escalating(
     Ok(result)
 }
 
-/// Runs the settled plan's engine, `requested` being the plan before
-/// [`Plan::start`] settled it.
+/// Runs the settled plan's engine.
 fn explore_dispatch(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
-    requested: &Plan,
     launch: Result<Start<'_>, CheckError>,
 ) -> Result<Exploration, CheckError> {
-    if let Some(unhonored) = requested.unhonored {
-        // Never ignore a budget silently: report it — `Plan::start`
-        // has refused outright when the caller asked explicitly rather
-        // than via the environment.
-        budget.recorder.record(&Event::BudgetIgnored {
-            budget_bytes: unhonored.bytes as u64,
-            reason: unhonored.reason,
-        });
-    }
     let Start { plan, seed, layout } = launch?;
     let packed = || layout.as_ref().expect("a work-stealing plan starts over a packed layout");
     match plan.route {
@@ -525,7 +510,7 @@ fn explore_observed(
     let settled = launch.as_ref().map_or(*plan, |s| s.plan);
     let rec = budget.recorder.clone();
     if !rec.enabled() {
-        return explore_dispatch(system, budget, options, plan, launch);
+        return explore_dispatch(system, budget, options, launch);
     }
     let engine = settled.label();
     let threads = settled.threads;
@@ -547,7 +532,7 @@ fn explore_observed(
         });
     }
     let start = std::time::Instant::now();
-    let result = explore_dispatch(system, budget, options, plan, launch);
+    let result = explore_dispatch(system, budget, options, launch);
     let report = match &result {
         Ok(run) => {
             let stats = run.graph.stats();
@@ -698,7 +683,7 @@ struct Replay {
 /// complete run.
 fn replay_records(
     arena_lens: &[usize],
-    all_edges: &[Vec<(Pid, u32, Pid)>],
+    all_edges: &[Vec<ws::EdgeRecord>],
     init_pids: &[Pid],
     materialize: impl FnOnce(&[Pid]) -> Vec<State>,
 ) -> Replay {
@@ -763,7 +748,7 @@ fn replay_records(
             action: action as usize,
             target: canon[shard_of(child)][local_of(child)] as usize,
         }));
-        graph.set_edges(id, &list);
+        graph.set_edges(id, &list).expect("the replay fills rows in id order");
     }
     Replay { canon, graph, depth }
 }
@@ -1181,24 +1166,16 @@ mod tests {
     }
 
     /// Collects what the routing tests look at: every `RunStart`
-    /// engine label and worker count, and every ignored-budget report.
+    /// engine label and worker count.
     #[derive(Default)]
     struct RoutingLog {
         engines: Mutex<Vec<(String, usize)>>,
-        ignored: Mutex<Vec<(u64, String)>>,
     }
 
     impl crate::obs::Recorder for RoutingLog {
         fn record(&self, event: &Event<'_>) {
-            match *event {
-                Event::RunStart {
-                    engine, threads, ..
-                } => lock(&self.engines).push((engine.to_string(), threads)),
-                Event::BudgetIgnored {
-                    budget_bytes,
-                    reason,
-                } => lock(&self.ignored).push((budget_bytes, reason.to_string())),
-                _ => {}
+            if let Event::RunStart { engine, threads, .. } = *event {
+                lock(&self.engines).push((engine.to_string(), threads));
             }
         }
     }
@@ -1279,23 +1256,29 @@ mod tests {
         assert!(run.unwrap().graph.is_reduced());
     }
 
-    /// An inherited budget that a pinned configuration cannot honor is
-    /// reported and the run proceeds in RAM; the same budget set
-    /// explicitly is refused (the table test in `plan.rs` covers the
-    /// refusal itself).
+    /// A reduced run honors a memory budget, inherited or explicit,
+    /// like any other one-worker run: it explores on `explore_spill`
+    /// and returns the graph of the unbudgeted reduced run
+    /// (`reduction_equivalence` drives the same through real spills).
     #[test]
-    fn unhonorable_env_budget_is_reported_not_refused() {
-        let pinned = ExploreOptions {
+    fn a_reduced_run_honors_a_memory_budget() {
+        let reduced = |mem_budget_bytes| ExploreOptions {
             threads: Some(2),
             reduction: identity_symmetry(),
+            mem_budget_bytes,
             ..ExploreOptions::default()
         };
-        let (plan, log, run) = run_planned(&pinned, Some(1 << 20));
+        let (plan, _, unbudgeted) = run_planned(&reduced(None), None);
         assert_eq!(plan.route, Route::Sequential);
-        assert!(run.unwrap().outcome.is_complete());
-        let ignored = lock(&log.ignored);
-        assert_eq!(ignored.len(), 1);
-        assert_eq!(ignored[0].0, 1 << 20);
-        assert!(ignored[0].1.starts_with("reduction-active"), "{}", ignored[0].1);
+        let unbudgeted = unbudgeted.unwrap();
+        for (options, env_budget) in [(reduced(None), Some(4 << 10)), (reduced(Some(4 << 10)), None)] {
+            let (plan, log, run) = run_planned(&options, env_budget);
+            assert_eq!(plan.route, Route::SpillBfs { mem_budget: 4 << 10 });
+            assert_eq!(*lock(&log.engines), [("explore_spill".to_string(), 1)]);
+            let run = run.unwrap();
+            assert!(run.outcome.is_complete() && run.graph.is_reduced());
+            assert_eq!(run.graph.first_difference(&unbudgeted.graph), None);
+            assert_eq!(run.reduction, unbudgeted.reduction);
+        }
     }
 }

@@ -3,8 +3,16 @@
 //! paths build a [`StateGraph`] through the crate-internal methods
 //! below and read it through its accessors, so the representation can
 //! change in this file alone.
+//!
+//! A graph is its states plus flat columns: every successor list back
+//! to back under a row index, and the BFS tree as the two words an
+//! arena record stores. Rows are filled once each in ascending id
+//! order and only a tail of them is ever cleared — how every engine
+//! and snapshot writer works, and all [`StateGraph::set_edges`] takes.
+//! A check's per-edge table (`liveness/fair.rs`) costs a byte an edge,
+//! addressed through [`StateGraph::edge_base`].
 
-use crate::checkpoint::CheckpointError;
+use crate::checkpoint::{corrupt, CheckpointError};
 use crate::reduction::Canonicalize;
 use opentla_kernel::State;
 use std::sync::Arc;
@@ -55,22 +63,22 @@ pub struct StateGraph {
     states: Vec<State>,
     /// The states pushed without a parent, in id order.
     init: Vec<usize>,
-    edges: Vec<Vec<Edge>>,
-    /// The sum of the `edges` lengths, kept where they change.
-    edge_count: usize,
-    /// `(parent id, action)` of the BFS tree; always an earlier state.
-    parents: Vec<Option<(usize, usize)>>,
+    /// Every filled row, back to back in id order.
+    edges: Vec<Edge>,
+    /// Where each filled row starts in `edges`, and where the last one
+    /// ends: one entry more than there are filled rows. A state past
+    /// them has no edges yet.
+    row_start: Vec<usize>,
+    /// The BFS tree: each state's `(parent id, action)` — always an
+    /// earlier state, [`NO_PARENT`] for an initial one.
+    tree: Vec<(u32, u32)>,
     /// The symmetry canonicalizer the exploration ran under, if any —
     /// kept so counterexample concretization can map through orbits.
     canon: Option<Arc<dyn Canonicalize>>,
 }
 
-#[cold]
-fn bad_parent(id: usize, parent: usize) -> CheckpointError {
-    CheckpointError::Corrupt {
-        detail: format!("state {id} names state {parent} as its BFS parent, not an earlier state"),
-    }
-}
+/// The parent word of an initial state, as in an arena record.
+const NO_PARENT: u32 = u32::MAX;
 
 impl StateGraph {
     /// An empty graph with room for `n` states.
@@ -78,9 +86,9 @@ impl StateGraph {
         StateGraph {
             states: Vec::with_capacity(n),
             init: Vec::new(),
-            edges: Vec::with_capacity(n),
-            edge_count: 0,
-            parents: Vec::with_capacity(n),
+            edges: Vec::new(),
+            row_start: vec![0],
+            tree: Vec::with_capacity(n),
             canon: None,
         }
     }
@@ -94,7 +102,8 @@ impl StateGraph {
     /// # Errors
     ///
     /// [`CheckpointError::Corrupt`] naming the state, when `parent` is
-    /// not an earlier one — which only bytes read from disk can cause.
+    /// not an earlier one (or does not fit a record's words) — which
+    /// only bytes read from disk can cause.
     // `#[inline]`, like `set_edges`: both sit in the sequential loop's
     // per-state path, which the stores' interns are inlined into.
     #[inline]
@@ -104,55 +113,71 @@ impl StateGraph {
         parent: Option<(usize, usize)>,
     ) -> Result<usize, CheckpointError> {
         let id = self.states.len();
-        match parent {
-            None => self.init.push(id),
-            Some((p, _)) if p < id => {}
-            Some((p, _)) => return Err(bad_parent(id, p)),
-        }
+        let words = match parent {
+            None => {
+                self.init.push(id);
+                (NO_PARENT, 0)
+            }
+            Some((p, a)) => match (u32::try_from(p), u32::try_from(a)) {
+                (Ok(p32), Ok(a32)) if p < id && p32 != NO_PARENT => (p32, a32),
+                _ => {
+                    return Err(corrupt(format!(
+                        "state {id} names state {p} as its BFS parent, not an earlier state"
+                    )))
+                }
+            },
+        };
         self.states.push(state);
-        self.edges.push(Vec::new());
-        self.parents.push(parent);
+        self.tree.push(words);
         Ok(id)
     }
 
-    /// Replaces the successor list of `id` with `edges`, complete and
-    /// in action order.
+    /// Fills the next row: the successor list of `id`, complete and in
+    /// action order. The rows skipped over stay empty.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Corrupt`] when `id` is not a state past the
+    /// filled rows — as edge records read from disk can say; an engine
+    /// that does has a bug, and `expect`s.
     #[inline]
-    pub(crate) fn set_edges(&mut self, id: usize, edges: &[Edge]) {
-        self.edge_count = self.edge_count - self.edges[id].len() + edges.len();
-        self.edges[id] = if edges.is_empty() {
-            Vec::new()
-        } else {
-            // Sized as `Vec::push` growth would have left it (a power
-            // of two, at least 4) rather than exactly: the few uniform
-            // size classes keep the allocator's free lists hot, where
-            // exact-size lists measured ~7 % slower once a previous
-            // graph's memory is being reused.
-            let mut list = Vec::with_capacity(edges.len().next_power_of_two().max(4));
-            list.extend_from_slice(edges);
-            list
-        };
+    pub(crate) fn set_edges(&mut self, id: usize, edges: &[Edge]) -> Result<(), CheckpointError> {
+        let (rows, n) = (self.row_start.len() - 1, self.states.len());
+        if id < rows || id >= n {
+            return Err(corrupt(format!(
+                "edges of state {id} after {rows} row(s) of {n}: rows are filled once each, in \
+                 ascending id order"
+            )));
+        }
+        self.row_start.resize(id + 1, self.edges.len());
+        self.edges.extend_from_slice(edges);
+        self.row_start.push(self.edges.len());
+        Ok(())
     }
 
-    /// Empties the successor lists of `ids`: the states a snapshot
-    /// leaves to be expanded again.
+    /// Empties the successor lists of `ids`, the arena's tail in
+    /// ascending order: the states a snapshot leaves to be expanded
+    /// again.
     pub(crate) fn clear_edges(&mut self, ids: &[usize]) {
-        for &id in ids {
-            self.edge_count -= std::mem::take(&mut self.edges[id]).len();
-        }
+        let Some(&first) = ids.first() else {
+            return;
+        };
+        assert!(ids.iter().copied().eq(first..self.len()), "cleared rows are the arena's tail");
+        self.edges.truncate(self.edge_base(first));
+        self.row_start.truncate(first + 1);
     }
 
     /// A copy of the first `keep` states, nothing past them cloned.
     /// Edges of kept states are copied as they are: the caller cuts
     /// where none of them leads past `keep`.
     pub(crate) fn prefix(&self, keep: usize) -> StateGraph {
-        let edges = self.edges[..keep].to_vec();
+        let rows = keep.min(self.row_start.len() - 1);
         StateGraph {
             states: self.states[..keep].to_vec(),
             init: self.init.iter().copied().filter(|&i| i < keep).collect(),
-            edge_count: edges.iter().map(Vec::len).sum(),
-            edges,
-            parents: self.parents[..keep].to_vec(),
+            edges: self.edges[..self.row_start[rows]].to_vec(),
+            row_start: self.row_start[..=rows].to_vec(),
+            tree: self.tree[..keep].to_vec(),
             canon: self.canon.clone(),
         }
     }
@@ -166,7 +191,16 @@ impl StateGraph {
     /// The BFS-tree entry of `id`: `(parent id, action)`, or `None`
     /// for an initial state.
     pub(crate) fn parent(&self, id: usize) -> Option<(usize, usize)> {
-        self.parents[id]
+        let (parent, action) = self.tree[id];
+        (parent != NO_PARENT).then_some((parent as usize, action as usize))
+    }
+
+    /// Where the edges of `id` start among all the graph's edges in
+    /// graph order — the index of its first edge in a table with one
+    /// entry per edge.
+    #[inline]
+    pub(crate) fn edge_base(&self, id: usize) -> usize {
+        self.row_start.get(id).copied().unwrap_or(self.edges.len())
     }
 
     /// Number of reachable states.
@@ -181,7 +215,7 @@ impl StateGraph {
 
     /// Total number of (non-stuttering) transitions.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.edges.len()
     }
 
     /// The state with the given index.
@@ -221,8 +255,9 @@ impl StateGraph {
     }
 
     /// Outgoing edges of a state.
+    #[inline]
     pub fn edges(&self, id: usize) -> &[Edge] {
-        &self.edges[id]
+        &self.edges[self.edge_base(id)..self.edge_base(id + 1)]
     }
 
     /// States with no outgoing transition — "deadlocks" in the TLC
@@ -230,7 +265,7 @@ impl StateGraph {
     /// which is often legitimate (a terminated protocol), but an
     /// unexpected deadlock usually signals an over-constrained guard.
     pub fn deadlocks(&self) -> Vec<usize> {
-        (0..self.len()).filter(|i| self.edges[*i].is_empty()).collect()
+        (0..self.len()).filter(|i| self.edges(*i).is_empty()).collect()
     }
 
     /// Summary statistics of the graph: states, transitions, deadlock
@@ -246,7 +281,7 @@ impl StateGraph {
         }
         let mut max_depth = 0;
         while let Some(s) = queue.pop_front() {
-            for e in &self.edges[s] {
+            for e in self.edges(s) {
                 if depth[e.target] == usize::MAX {
                     depth[e.target] = depth[s] + 1;
                     max_depth = max_depth.max(depth[e.target]);
@@ -269,7 +304,7 @@ impl StateGraph {
         let mut rev = Vec::new();
         let mut cur = id;
         loop {
-            match self.parents[cur] {
+            match self.parent(cur) {
                 Some((pred, action)) => {
                     rev.push((Some(action), cur));
                     cur = pred;
@@ -301,10 +336,10 @@ impl StateGraph {
             };
             if self.states[id] != other.states[id] {
                 differ("value", &self.states[id], &other.states[id])
-            } else if self.edges[id] != other.edges[id] {
-                differ("edges", &self.edges[id], &other.edges[id])
-            } else if self.parents[id] != other.parents[id] {
-                differ("BFS parent", &self.parents[id], &other.parents[id])
+            } else if self.edges(id) != other.edges(id) {
+                differ("edges", &self.edges(id), &other.edges(id))
+            } else if self.parent(id) != other.parent(id) {
+                differ("BFS parent", &self.parent(id), &other.parent(id))
             } else {
                 None
             }
@@ -314,5 +349,191 @@ impl StateGraph {
             let b = other.canonicalizer().map(Canonicalize::name);
             (a != b).then(|| format!("reduced under {a:?} vs {b:?}"))
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use opentla_kernel::Value;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The graph as a heap row and a tree entry per state.
+    #[derive(Default)]
+    struct Model {
+        states: Vec<State>,
+        rows: Vec<Vec<Edge>>,
+        parents: Vec<Option<(usize, usize)>>,
+        /// Rows before this one are filled (possibly with no edge).
+        filled: usize,
+    }
+
+    impl Model {
+        fn stats(&self) -> GraphStats {
+            let mut depth: Vec<Option<usize>> =
+                self.parents.iter().map(|p| p.is_none().then_some(0)).collect();
+            let mut queue: std::collections::VecDeque<usize> =
+                (0..depth.len()).filter(|&i| depth[i].is_some()).collect();
+            while let Some(s) = queue.pop_front() {
+                for e in &self.rows[s] {
+                    if depth[e.target].is_none() {
+                        depth[e.target] = depth[s].map(|d| d + 1);
+                        queue.push_back(e.target);
+                    }
+                }
+            }
+            GraphStats {
+                states: self.states.len(),
+                transitions: self.rows.iter().map(Vec::len).sum(),
+                deadlocks: self.rows.iter().filter(|row| row.is_empty()).count(),
+                depth: depth.into_iter().flatten().max().unwrap_or(0),
+            }
+        }
+
+        fn trace_to(&self, id: usize) -> Vec<(Option<usize>, usize)> {
+            match self.parents[id] {
+                None => vec![(None, id)],
+                Some((p, action)) => {
+                    let mut trace = self.trace_to(p);
+                    trace.push((Some(action), id));
+                    trace
+                }
+            }
+        }
+
+        /// The same graph built in one go: every state, then the rows.
+        fn graph(&self) -> StateGraph {
+            let mut graph = StateGraph::with_capacity(self.states.len());
+            for (state, parent) in self.states.iter().zip(&self.parents) {
+                graph.push_state(state.clone(), *parent).unwrap();
+            }
+            for id in 0..self.filled {
+                graph.set_edges(id, &self.rows[id]).unwrap();
+            }
+            graph
+        }
+
+        fn check(&self, graph: &StateGraph, step: &str) {
+            let n = self.states.len();
+            assert_eq!(graph.len(), n, "{step}");
+            assert_eq!(graph.states(), &self.states[..], "{step}");
+            let mut base = 0;
+            for id in 0..n {
+                assert_eq!(graph.edges(id), &self.rows[id][..], "{step}: edges of {id}");
+                assert_eq!(graph.edge_base(id), base, "{step}: base of {id}");
+                assert_eq!(graph.parent(id), self.parents[id], "{step}: parent of {id}");
+                assert_eq!(graph.trace_to(id), self.trace_to(id), "{step}: trace to {id}");
+                base += self.rows[id].len();
+            }
+            assert_eq!((graph.edge_base(n), graph.edge_count()), (base, base), "{step}");
+            let init: Vec<usize> = (0..n).filter(|&i| self.parents[i].is_none()).collect();
+            assert_eq!(graph.init(), init, "{step}");
+            let deadlocks: Vec<usize> = (0..n).filter(|&i| self.rows[i].is_empty()).collect();
+            assert_eq!(graph.deadlocks(), deadlocks, "{step}");
+            assert_eq!(graph.stats(), self.stats(), "{step}");
+            assert_eq!(graph.first_difference(&self.graph()), None, "{step}");
+        }
+    }
+
+    /// Random `push_state` / `set_edges` (the next row, or one past a
+    /// gap) / `clear_edges` (a tail) / `prefix` sequences leave the flat
+    /// columns reading exactly as the row-per-state model does, and the
+    /// calls the layout rules out are refused with the graph untouched.
+    #[test]
+    fn flat_columns_read_as_the_row_per_state_model() {
+        for seed in 0..40 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (mut graph, mut model) = (StateGraph::with_capacity(0), Model::default());
+            for step in 0..120 {
+                let n = model.states.len();
+                let what = match rng.gen_range(0..10) {
+                    0..=3 => {
+                        let parent = (n > 0 && rng.gen_range(0..4) > 0)
+                            .then(|| (rng.gen_range(0..n), rng.gen_range(0..3)));
+                        let state = State::new(vec![Value::Int((seed * 1000 + step) as i64)]);
+                        assert_eq!(graph.push_state(state.clone(), parent).unwrap(), n);
+                        model.states.push(state);
+                        model.rows.push(Vec::new());
+                        model.parents.push(parent);
+                        "push_state"
+                    }
+                    4..=6 if model.filled < n => {
+                        // Mostly the next row; sometimes past a gap.
+                        let id = match rng.gen_range(0..4) {
+                            0 => rng.gen_range(model.filled..n),
+                            _ => model.filled,
+                        };
+                        let row: Vec<Edge> = (0..rng.gen_range(0..4))
+                            .map(|action| Edge { action, target: rng.gen_range(0..n) })
+                            .collect();
+                        graph.set_edges(id, &row).unwrap();
+                        model.rows[id] = row;
+                        model.filled = id + 1;
+                        "set_edges"
+                    }
+                    7 => {
+                        let first = rng.gen_range(0..=n);
+                        graph.clear_edges(&(first..n).collect::<Vec<_>>());
+                        model.rows[first..].iter_mut().for_each(Vec::clear);
+                        model.filled = model.filled.min(first);
+                        "clear_edges"
+                    }
+                    8 => {
+                        // A cut no kept edge leads past, as callers choose it.
+                        let closed = |keep: usize| {
+                            model.rows[..keep].iter().flatten().all(|e| e.target < keep)
+                        };
+                        let keeps: Vec<usize> = (0..=n).filter(|&k| closed(k)).collect();
+                        let keep = keeps[rng.gen_range(0..keeps.len())];
+                        graph = graph.prefix(keep);
+                        model.states.truncate(keep);
+                        model.rows.truncate(keep);
+                        model.parents.truncate(keep);
+                        model.filled = model.filled.min(keep);
+                        "prefix"
+                    }
+                    _ => {
+                        // A filled row, a state that does not exist, a
+                        // parent that is not earlier: refused, no trace.
+                        let edge = [Edge { action: 0, target: 0 }];
+                        for id in (0..model.filled).chain([n, n + 3]) {
+                            let err = graph.set_edges(id, &edge).unwrap_err();
+                            assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
+                        }
+                        let state = State::new(vec![Value::Int(-1)]);
+                        for p in [n, n + 1, u32::MAX as usize] {
+                            graph.push_state(state.clone(), Some((p, 0))).unwrap_err();
+                        }
+                        "refusals"
+                    }
+                };
+                model.check(&graph, &format!("seed {seed}, step {step}: {what}"));
+            }
+        }
+    }
+
+    #[test]
+    fn first_difference_names_the_column_that_differs() {
+        let state = |x| State::new(vec![Value::Int(x)]);
+        let build = |third: i64, action: usize, target: usize| {
+            let mut graph = StateGraph::with_capacity(3);
+            graph.push_state(state(0), None).unwrap();
+            graph.push_state(state(1), Some((0, 0))).unwrap();
+            graph.push_state(state(third), Some((0, action))).unwrap();
+            graph.set_edges(0, &[Edge { action: 0, target: 1 }, Edge { action: 1, target }]).unwrap();
+            graph
+        };
+        let graph = build(2, 1, 2);
+        assert_eq!(graph.first_difference(&build(2, 1, 2)), None);
+        for (other, what) in [
+            (build(7, 1, 2), "value of state 2"),
+            (build(2, 1, 0), "edges of state 0"),
+            (build(2, 0, 2), "BFS parent of state 2"),
+            (graph.prefix(2), "3 states vs 2"),
+        ] {
+            let found = graph.first_difference(&other).expect(what);
+            assert!(found.starts_with(what), "{found}");
+        }
     }
 }

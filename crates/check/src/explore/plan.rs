@@ -49,7 +49,7 @@ fn env_override(name: &str) -> Result<Option<usize>, CheckError> {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Route {
     /// The sequential loop over its store with no budget: it never
-    /// leaves RAM. Also where a symmetry reduction runs.
+    /// leaves RAM.
     Sequential,
     /// The work-stealing loop over in-RAM striped arenas.
     WorkStealing,
@@ -69,18 +69,6 @@ impl Route {
     }
 }
 
-/// A memory budget that is in force but that the resolved plan cannot
-/// honor, because the configuration is pinned to an in-RAM loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct UnhonoredBudget {
-    pub(crate) bytes: usize,
-    pub(crate) reason: &'static str,
-    /// Whether the caller set it (`mem_budget_bytes`) rather than the
-    /// environment: an explicit budget is refused, an inherited one is
-    /// reported and ignored.
-    pub(crate) explicit: bool,
-}
-
 /// One run's resolved routing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Plan {
@@ -90,7 +78,6 @@ pub(crate) struct Plan {
     /// else 1) on the work-stealing routes, 1 on the sequential ones
     /// whatever was requested.
     pub(crate) threads: usize,
-    pub(crate) unhonored: Option<UnhonoredBudget>,
 }
 
 /// A settled plan and what its run starts from; see [`Plan::start`].
@@ -120,14 +107,12 @@ impl Plan {
 
     /// The routing table. Explicit options beat the environment.
     ///
-    /// A reduction-active run is sequential and gets no budget — a
-    /// policy of this table, not a limit of the sequential store,
-    /// which canonicalizes in either body. Otherwise the route is a
-    /// function of two facts: whether
-    /// more than one worker runs, and whether a byte budget is in
-    /// force — a budget is honored at *every* thread count instead of
-    /// silently disabling parallelism (or being ignored). An explicit
-    /// [`Engine`] pins either fact.
+    /// The route is a function of two facts: whether more than one
+    /// worker runs, and whether a byte budget is in force — a budget
+    /// is honored at *every* thread count instead of silently
+    /// disabling parallelism (or being ignored). An explicit [`Engine`]
+    /// pins either fact, and a reduction-active run the first: only
+    /// the sequential store canonicalizes, in RAM or on disk.
     pub(crate) fn resolve(
         options: &ExploreOptions,
         env_threads: Option<usize>,
@@ -135,22 +120,12 @@ impl Plan {
     ) -> Plan {
         let requested = options.threads.or(env_threads).unwrap_or(1).max(1);
         let budget = options.mem_budget_bytes.or(env_budget);
-        if options.reduction.is_active() {
-            return Plan {
-                route: Route::Sequential,
-                threads: 1,
-                unhonored: budget.map(|bytes| UnhonoredBudget {
-                    bytes,
-                    reason: "reduction-active runs are pinned to the in-RAM sequential loop",
-                    explicit: options.mem_budget_bytes.is_some(),
-                }),
+        let parallel = !options.reduction.is_active()
+            && match options.engine {
+                Engine::Auto => requested > 1,
+                Engine::WorkStealing | Engine::SpillWs => true,
+                Engine::SpillBfs => false,
             };
-        }
-        let parallel = match options.engine {
-            Engine::Auto => requested > 1,
-            Engine::WorkStealing | Engine::SpillWs => true,
-            Engine::SpillBfs => false,
-        };
         let spill =
             budget.is_some() || matches!(options.engine, Engine::SpillBfs | Engine::SpillWs);
         let mem_budget = budget.unwrap_or(DEFAULT_SPILL_BUDGET);
@@ -163,7 +138,6 @@ impl Plan {
         Plan {
             route,
             threads: if parallel { requested } else { 1 },
-            unhonored: None,
         }
     }
 
@@ -178,16 +152,12 @@ impl Plan {
     ///
     /// # Errors
     ///
-    /// The plan's [refusal](Plan::refusal), or what enumerating the
-    /// initial states reports.
+    /// What enumerating the initial states reports.
     pub(crate) fn start<'a>(
         self,
         system: &System,
         resume: Option<&'a Snapshot>,
     ) -> Result<Start<'a>, CheckError> {
-        if let Some(refusal) = self.refusal() {
-            return Err(refusal);
-        }
         let seed = Seed::of(system, resume)?;
         let layout = match self.route {
             Route::Sequential => None,
@@ -212,11 +182,7 @@ impl Plan {
             Route::SpillWs { mem_budget } if !packs => Route::SpillBfs { mem_budget },
             _ => return self,
         };
-        Plan {
-            route,
-            threads: 1,
-            ..self
-        }
+        Plan { route, threads: 1 }
     }
 
     /// The engine name `RunStart` and `RunEnd` carry.
@@ -227,18 +193,6 @@ impl Plan {
             Route::SpillBfs { .. } => "explore_spill",
             Route::SpillWs { .. } => "explore_spill_ws",
         }
-    }
-
-    /// The typed refusal of an explicit budget this plan cannot honor.
-    pub(crate) fn refusal(&self) -> Option<CheckError> {
-        let u = self.unhonored.filter(|u| u.explicit)?;
-        Some(CheckError::Precondition {
-            message: format!(
-                "mem_budget_bytes = {} cannot be honored: {}; drop the budget or disable \
-                 the conflicting option",
-                u.bytes, u.reason
-            ),
-        })
     }
 }
 
@@ -297,63 +251,37 @@ mod tests {
                                 "{engine:?} threads={threads} explicit={explicit:?} \
                                  env={env:?} reduced={reduced} panic={panic}"
                             );
-                            if reduced {
-                                // Sequential at any thread count and
-                                // under every engine; a budget cannot
-                                // be honored.
-                                assert_eq!(plan.route, Route::Sequential, "{what}");
-                                assert_eq!(plan.threads, 1, "{what}");
-                                match in_force {
-                                    None => {
-                                        assert_eq!(plan.unhonored, None, "{what}");
-                                        assert!(plan.refusal().is_none(), "{what}");
-                                    }
-                                    Some(bytes) => {
-                                        let u = plan.unhonored.expect(&what);
-                                        assert_eq!(u.bytes, bytes, "{what}");
-                                        assert_eq!(u.explicit, explicit.is_some(), "{what}");
-                                        assert!(
-                                            u.reason.starts_with("reduction-active"),
-                                            "{what}"
-                                        );
-                                        match plan.refusal() {
-                                            Some(CheckError::Precondition { message }) => {
-                                                assert!(explicit.is_some(), "{what}");
-                                                assert!(
-                                                    message.contains("cannot be honored"),
-                                                    "{what}: {message}"
-                                                );
-                                            }
-                                            None => assert!(explicit.is_none(), "{what}"),
-                                            Some(other) => panic!("{what}: {other:?}"),
-                                        }
-                                    }
-                                }
-                            } else {
-                                // Panic injection pins nothing: the
-                                // cell routes as its twin without it.
-                                assert_eq!(plan.unhonored, None, "{what}");
-                                let mem_budget = in_force.unwrap_or(DEFAULT_SPILL_BUDGET);
-                                let expected = match (engine, in_force.is_some(), threads) {
-                                    (Engine::SpillBfs, _, _) => Route::SpillBfs { mem_budget },
-                                    (Engine::SpillWs, _, _) => Route::SpillWs { mem_budget },
-                                    (Engine::WorkStealing, true, _) => {
-                                        Route::SpillWs { mem_budget }
-                                    }
-                                    (Engine::WorkStealing, false, _) => Route::WorkStealing,
-                                    (Engine::Auto, true, 1) => Route::SpillBfs { mem_budget },
-                                    (Engine::Auto, true, _) => Route::SpillWs { mem_budget },
-                                    (Engine::Auto, false, 1) => Route::Sequential,
-                                    (Engine::Auto, false, _) => Route::WorkStealing,
-                                };
-                                assert_eq!(plan.route, expected, "{what}");
-                                // The plan reports the workers it runs.
-                                let workers = match expected {
-                                    Route::Sequential | Route::SpillBfs { .. } => 1,
-                                    Route::WorkStealing | Route::SpillWs { .. } => threads,
-                                };
-                                assert_eq!(plan.threads, workers, "{what}");
-                            }
+                            // A reduced cell routes as its one-worker
+                            // twin — sequential at any thread count
+                            // and under every engine — so under the
+                            // budget in force like any other: the
+                            // store canonicalizes on disk too.
+                            let (engine, threads) = match (reduced, engine) {
+                                (false, _) => (engine, threads),
+                                (true, Engine::WorkStealing) => (Engine::Auto, 1),
+                                (true, Engine::SpillWs) => (Engine::SpillBfs, 1),
+                                (true, _) => (engine, 1),
+                            };
+                            // Panic injection pins nothing: the cell
+                            // routes as its twin without it.
+                            let mem_budget = in_force.unwrap_or(DEFAULT_SPILL_BUDGET);
+                            let expected = match (engine, in_force.is_some(), threads) {
+                                (Engine::SpillBfs, _, _) => Route::SpillBfs { mem_budget },
+                                (Engine::SpillWs, _, _) => Route::SpillWs { mem_budget },
+                                (Engine::WorkStealing, true, _) => Route::SpillWs { mem_budget },
+                                (Engine::WorkStealing, false, _) => Route::WorkStealing,
+                                (Engine::Auto, true, 1) => Route::SpillBfs { mem_budget },
+                                (Engine::Auto, true, _) => Route::SpillWs { mem_budget },
+                                (Engine::Auto, false, 1) => Route::Sequential,
+                                (Engine::Auto, false, _) => Route::WorkStealing,
+                            };
+                            assert_eq!(plan.route, expected, "{what}");
+                            // The plan reports the workers it runs.
+                            let workers = match expected {
+                                Route::Sequential | Route::SpillBfs { .. } => 1,
+                                Route::WorkStealing | Route::SpillWs { .. } => threads,
+                            };
+                            assert_eq!(plan.threads, workers, "{what}");
                             cases += 1;
                         }
                     }
@@ -403,7 +331,6 @@ mod tests {
             let fallback = plan.over_packed_states(false);
             assert_eq!(fallback.route, settled, "{engine:?}/{threads}");
             assert_eq!(fallback.threads, 1, "{engine:?}/{threads}");
-            assert_eq!(fallback.unhonored, None, "{engine:?}/{threads}");
         }
     }
 

@@ -510,13 +510,12 @@ impl<'a> Store<'a> {
 
     /// Records the complete successor list of a fully expanded state.
     fn push_edges(&mut self, id: usize, edges: &[Edge]) -> Result<(), CheckpointError> {
-        debug_assert_eq!(id, self.expanded, "the loop expands in id order");
         self.canon_hits += std::mem::take(&mut self.pending_hits);
         self.expanded += 1;
         self.transitions += edges.len() as u64;
         match &mut self.body {
             Body::Ram { graph, .. } => {
-                graph.set_edges(id, edges);
+                graph.set_edges(id, edges).expect("the loop expands in id order");
                 if self.disk.is_some() {
                     self.edge_bytes += checkpoint::edge_record_bytes(edges.len());
                 }
@@ -601,21 +600,16 @@ impl<'a> Store<'a> {
                 // The graph is about to take the budget's place: the
                 // index, and each tier's cache once read, go first.
                 drop(self.visited);
-                let mut graph = StateGraph::with_capacity(arena.len() as usize);
-                checkpoint::for_each_record(spill::records(&arena), |bytes| {
-                    let rec = checkpoint::decode_arena_record(bytes, self.layout.as_ref())?;
-                    graph.push_state(rec.state, rec.parent).map(drop)
-                })?;
+                let n = arena.len() as usize;
+                let mut graph =
+                    checkpoint::graph_of_arena(spill::records(&arena), n, self.layout.as_ref())?;
                 drop(arena);
-                checkpoint::for_each_edge_record(spill::records(&edges), graph.len(), |id, es| {
-                    graph.set_edges(id, es);
-                    Ok(())
-                })?;
+                checkpoint::fill_edges(&mut graph, spill::records(&edges))?;
                 graph
             }
         };
         if let Some((id, partial)) = cut {
-            graph.set_edges(id, &partial);
+            graph.set_edges(id, &partial).expect("the cut parent is the next to expand");
         }
         let (snapshot, resume) = match (by_reference, frontier) {
             (Some(pair), _) => pair,

@@ -65,7 +65,7 @@
 
 use super::seq::{Seed, Stop};
 use super::spill::{self, RunNames, SpillDir, SpillVisited, Tuning};
-use super::ws::{self, Expand, Expanded, Tripwire, WsRun};
+use super::ws::{self, EdgeRecord, Expand, Expanded, Tripwire, WsRun};
 use super::*;
 use crate::checkpoint::CheckpointError;
 use opentla_kernel::store::{SegmentStore, StoreError};
@@ -184,11 +184,6 @@ struct SpillScratch {
     edge_list: Vec<Edge>,
 }
 
-/// A cut parent with its partial edge run — kept in RAM only, never
-/// written to the edge store (same invariant as the sequential
-/// scheduler's `cut_edges`).
-type CutRun = (Pid, Vec<Edge>);
-
 impl SpillWsStore<'_> {
     /// Reads `parent`'s arena record through the cache.
     fn read_parent(&self, parent: Pid, buf: &mut Vec<u8>) -> Result<(), CheckError> {
@@ -222,12 +217,14 @@ impl SpillWsStore<'_> {
     }
 
     /// Ends one parent's expansion: a completed parent banks its edge
-    /// record, a cut one keeps its partial run in RAM.
+    /// record; a cut one keeps its partial run in RAM only, as the
+    /// worker's records — never in the edge store (same invariant as
+    /// the sequential scheduler's `cut_edges`).
     fn settle(
         &self,
         parent: Pid,
         w: &mut SpillScratch,
-        cut: &mut Vec<CutRun>,
+        cut: &mut Vec<EdgeRecord>,
         stop: Option<Stop>,
     ) -> Result<Expanded, CheckError> {
         match stop {
@@ -238,7 +235,8 @@ impl SpillWsStore<'_> {
                 Ok(Expanded::Done)
             }
             Some(Stop::Cut(reason)) => {
-                cut.push((parent, std::mem::take(&mut w.edge_list)));
+                let run = w.edge_list.iter();
+                cut.extend(run.map(|e| (parent, e.action as u32, pid(0, e.target))));
                 Ok(Expanded::Cut(reason))
             }
             Some(Stop::Fail(e)) => Err(e),
@@ -257,13 +255,12 @@ struct SpillPacked<'a> {
 
 impl Expand for SpillPacked<'_> {
     type Scratch = SpillScratch;
-    type Record = CutRun;
 
     fn expand(
         &self,
         parent: Pid,
         w: &mut SpillScratch,
-        cut: &mut Vec<CutRun>,
+        cut: &mut Vec<EdgeRecord>,
         born: &mut Vec<Pid>,
         wire: Tripwire<'_>,
     ) -> Result<Expanded, CheckError> {
@@ -275,7 +272,9 @@ impl Expand for SpillPacked<'_> {
         store.read_parent(parent, &mut w.parent_rec)?;
         let parent_fp = checkpoint::record_fingerprint(&w.parent_rec);
         let parent_bytes = checkpoint::packed_payload(&w.parent_rec);
-        layout.unpack_into(parent_bytes, &mut w.values);
+        layout
+            .try_unpack_into(parent_bytes, &mut w.values)
+            .map_err(CheckpointError::from)?;
         w.edge_list.clear();
         let (updates, rec_buf, read_buf, edge_list) =
             (&mut w.updates, &mut w.rec_buf, &mut w.read_buf, &mut w.edge_list);
@@ -421,7 +420,6 @@ pub(super) fn explore_spill_ws(
         pending,
         reason,
     } = ws::run_workers(&meter, threads, fault, frontier_seed, init_cut, Vec::new(), None, &x)?;
-    let cut_partials: Vec<CutRun> = records.into_iter().flatten().collect();
     let arena_store = store.arena.into_inner().unwrap_or_else(PoisonError::into_inner);
     let edge_store = store.edges.into_inner().unwrap_or_else(PoisonError::into_inner);
     spill::note_cache_stats(&meter, &arena_store, &edge_store);
@@ -437,10 +435,10 @@ pub(super) fn explore_spill_ws(
     })?;
 
     // Rebuild the edge-record runs: banked records (one contiguous run
-    // per completed parent) plus the in-RAM partial runs of cut
-    // parents — cut parents never wrote a record, so the runs are
+    // per completed parent) plus the workers' records, the partial
+    // runs of cut parents — those never wrote a record, so the runs are
     // disjoint and the replay sees each parent's edges exactly once.
-    let mut recs: Vec<(Pid, u32, Pid)> = Vec::with_capacity(meter.transitions_used());
+    let mut recs: Vec<EdgeRecord> = Vec::with_capacity(meter.transitions_used());
     let mut banked = vec![false; n];
     checkpoint::for_each_edge_record(spill::records(&edge_store), n, |id, es| {
         // A parent re-expanded after its worker died has interned the
@@ -451,13 +449,7 @@ pub(super) fn explore_spill_ws(
         Ok(())
     })?;
     let mut all_edges = vec![recs];
-    for (parent, es) in &cut_partials {
-        all_edges.push(
-            es.iter()
-                .map(|e| (*parent, e.action as u32, pid(0, e.target)))
-                .collect(),
-        );
-    }
+    all_edges.extend(records);
     let init_pids: Vec<Pid> = init_ids.iter().map(|&i| pid(0, i)).collect();
     let replay = replay_records(&[n], &all_edges, &init_pids, |order| {
         order

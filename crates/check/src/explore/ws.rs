@@ -87,6 +87,13 @@ pub(super) fn trip(wire: Tripwire<'_>) {
     }
 }
 
+/// What a worker records: one `(parent, action, child)` edge. Each
+/// state is expanded to completion by exactly one worker (deque pop is
+/// exclusive; a panicked expansion's records are truncated), so its
+/// edges form one contiguous run in action order in exactly one
+/// worker's records — what [`replay_records`] reads.
+pub(super) type EdgeRecord = (Pid, u32, Pid);
+
 /// "Expand one parent": what the work-stealing scheduler runs. An
 /// implementation owns the stores; the scheduler owns claiming,
 /// quiescence, budget stops, panic isolation and error propagation.
@@ -96,21 +103,19 @@ pub(super) trait Expand: Sync {
     /// thread's allocator arena, which shows up as a higher and
     /// run-to-run unstable peak RSS.
     type Scratch: Default;
-    /// What a worker records, one `Vec` of them handed back to the
-    /// coordinator. A panicking expansion's records are truncated away
-    /// by the scheduler, so its re-expansion records them exactly once.
-    type Record: Send;
 
     /// Expands `parent`: charges each transition, interns each
     /// successor (charging genuinely new states *before* recording
     /// them), records the edges ([`trip`]ping `wire` after each), and
     /// pushes every newly interned child onto `born`. An `Err` stops
-    /// the whole run.
+    /// the whole run. `records` is the worker's own, handed back to the
+    /// coordinator: a panicking expansion's records are truncated away
+    /// by the scheduler, so its re-expansion records them exactly once.
     fn expand(
         &self,
         parent: Pid,
         scratch: &mut Self::Scratch,
-        records: &mut Vec<Self::Record>,
+        records: &mut Vec<EdgeRecord>,
         born: &mut Vec<Pid>,
         wire: Tripwire<'_>,
     ) -> Result<Expanded, CheckError>;
@@ -182,9 +187,9 @@ impl Sched<'_> {
     }
 }
 
-/// One worker's tally, next to its [`Expand::Record`]s.
-struct Tally<R> {
-    records: Vec<R>,
+/// One worker's tally, next to its records.
+struct Tally {
+    records: Vec<EdgeRecord>,
     /// Parents whose expansion was cut short by budget exhaustion.
     interrupted: Vec<Pid>,
     claimed: u64,
@@ -192,7 +197,7 @@ struct Tally<R> {
 }
 
 /// The worker loop: claim a parent, expand it, release it.
-fn work<X: Expand>(sched: &Sched<'_>, x: &X, me: usize, tally: &mut Tally<X::Record>) {
+fn work<X: Expand>(sched: &Sched<'_>, x: &X, me: usize, tally: &mut Tally) {
     let mut scratch = X::Scratch::default();
     // Children discovered while expanding the current parent, pushed
     // to the deque in one batch (one lock per parent, not per child).
@@ -269,11 +274,11 @@ fn work<X: Expand>(sched: &Sched<'_>, x: &X, me: usize, tally: &mut Tally<X::Rec
 }
 
 /// What a work-stealing run leaves behind.
-pub(super) struct WsRun<R> {
+pub(super) struct WsRun {
     /// Every worker's records, epoch by epoch, after the ones the run
     /// started from (none but those when the run was cut during
     /// initial-state interning and no worker started).
-    pub(super) records: Vec<Vec<R>>,
+    pub(super) records: Vec<Vec<EdgeRecord>>,
     /// Discovered-but-unexpanded pids once the run stops early.
     pub(super) pending: Vec<Pid>,
     pub(super) reason: Option<ExhaustReason>,
@@ -282,13 +287,13 @@ pub(super) struct WsRun<R> {
 /// An engine's snapshot of a paused run: given every record so far and
 /// the pending pids, it returns whether checkpointing is still healthy
 /// (an unhealthy run stops pausing).
-pub(super) type PauseSnapshot<'a, R> = &'a mut dyn FnMut(&[Vec<R>], &[Pid]) -> bool;
+pub(super) type PauseSnapshot<'a> = &'a mut dyn FnMut(&[Vec<EdgeRecord>], &[Pid]) -> bool;
 
 /// Periodic checkpoints, for [`run_workers`]: the claims between two
 /// snapshots, and how to take one.
-pub(super) struct Epochs<'a, R> {
+pub(super) struct Epochs<'a> {
     pub(super) cadence: u64,
-    pub(super) snapshot: PauseSnapshot<'a, R>,
+    pub(super) snapshot: PauseSnapshot<'a>,
 }
 
 /// Runs `threads` workers from `seed` to quiescence or a budget stop,
@@ -304,10 +309,10 @@ pub(super) fn run_workers<X: Expand>(
     fault: Option<WorkerPanic>,
     seed: Vec<Pid>,
     init_cut: Option<ExhaustReason>,
-    mut records: Vec<Vec<X::Record>>,
-    mut epochs: Option<Epochs<'_, X::Record>>,
+    mut records: Vec<Vec<EdgeRecord>>,
+    mut epochs: Option<Epochs<'_>>,
     x: &X,
-) -> Result<WsRun<X::Record>, CheckError> {
+) -> Result<WsRun, CheckError> {
     if init_cut.is_some() {
         return Ok(WsRun {
             records,
@@ -344,7 +349,7 @@ pub(super) fn run_workers<X: Expand>(
             sched.pause_at = *sched.claims.get_mut() + e.cadence;
         }
         let workers = *sched.alive.get_mut();
-        let tallies: Vec<Tally<X::Record>> = std::thread::scope(|scope| {
+        let tallies: Vec<Tally> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|me| {
                     let sched = &sched;
@@ -588,13 +593,6 @@ struct RamScratch {
     updates: Vec<(usize, u32)>,
 }
 
-/// One in-RAM `(parent, action, child)` record — each state is
-/// expanded to completion by exactly one worker (deque pop is
-/// exclusive; a panicked expansion's records are truncated), so its
-/// edges form one contiguous run in action order in exactly one
-/// worker's records.
-type EdgeRecord = (Pid, u32, Pid);
-
 /// Expansion over packed arenas: copy the parent's bytes out of its
 /// shard, unpack into a reused value buffer, evaluate successors,
 /// derive child fingerprints incrementally, intern child bytes.
@@ -606,7 +604,6 @@ struct RamPacked<'a> {
 
 impl Expand for RamPacked<'_> {
     type Scratch = RamScratch;
-    type Record = EdgeRecord;
 
     fn expand(
         &self,

@@ -3,9 +3,10 @@
 //! The table builders precompute, per fairness requirement, which graph
 //! edges are `⟨A⟩_v` steps and where the action is enabled, one state
 //! row at a time in id order ([`table_rows`]). A per-edge table is flat:
-//! one [`EdgeTable`] flag per graph edge, every table of a run addressed
-//! through the run's one [`EdgeOffsets`], so a table costs a byte per
-//! edge and one allocation instead of a heap row per state.
+//! one [`EdgeTable`] flag per graph edge, addressed through the graph's
+//! own row index ([`StateGraph::edge_base`]), so a table costs a byte
+//! per edge and one allocation — no heap row per state, no index of
+//! its own.
 //!
 //! [`fair_subcomponent`] is the per-component satisfiability check,
 //! including the Streett-style `SF` removal recursion. It is a pure
@@ -19,77 +20,43 @@ use opentla_kernel::{
     Expr, Fairness, FairnessKind, Formula, SccScratch, State, StatePair, Substitution,
 };
 
-/// Where each state's edges start in a flat per-edge table: the
-/// out-degree prefix sums of the graph, computed once per liveness run.
-pub(super) struct EdgeOffsets(Vec<usize>);
-
-impl EdgeOffsets {
-    pub(super) fn of(graph: &StateGraph) -> Self {
-        let mut offsets = Vec::with_capacity(graph.len() + 1);
-        let mut edges = 0;
-        offsets.push(edges);
-        for id in 0..graph.len() {
-            edges += graph.edges(id).len();
-            offsets.push(edges);
-        }
-        EdgeOffsets(offsets)
-    }
-
-    /// States of the graph.
-    pub(super) fn states(&self) -> usize {
-        self.0.len() - 1
-    }
-
-    /// Edges of the graph.
-    pub(super) fn edges(&self) -> usize {
-        self.0[self.states()]
-    }
-}
-
 /// One flag per graph edge, in graph order.
-pub(super) struct EdgeTable<'o> {
-    offsets: &'o EdgeOffsets,
-    flags: Vec<bool>,
-}
+pub(super) struct EdgeTable(Vec<bool>);
 
-impl<'o> EdgeTable<'o> {
-    /// `flags` holds the flags of every state's edges, by state.
-    pub(super) fn new(offsets: &'o EdgeOffsets, flags: Vec<bool>) -> Self {
-        assert_eq!(flags.len(), offsets.edges(), "a flag per graph edge");
-        EdgeTable { offsets, flags }
-    }
-
-    /// The flag of the `i`-th edge of `s`.
-    pub(super) fn get(&self, s: usize, i: usize) -> bool {
-        self.flags[self.offsets.0[s] + i]
+impl EdgeTable {
+    /// The flag of the `i`-th edge of `s` in `graph`, the graph the
+    /// table was built over.
+    pub(super) fn get(&self, graph: &StateGraph, s: usize, i: usize) -> bool {
+        self.0[graph.edge_base(s) + i]
     }
 }
 
-/// Runs `row(id, flags)` for every state `id` of the graph `offsets`
-/// are of, in id order. A row pushes one flag per edge of its state
-/// onto `flags` and returns the state's own flag; the result is the
-/// flat per-edge table and the per-state flags.
+/// Runs `row(id, flags)` for every state `id` of `graph`, in id order.
+/// A row pushes one flag per edge of its state onto `flags` and returns
+/// the state's own flag; the result is the flat per-edge table and the
+/// per-state flags.
 ///
 /// On failure the reported `pending` is exact in state units: the
 /// states whose rows were not finished, `n - id` at the failing row.
-fn table_rows<'o>(
-    offsets: &'o EdgeOffsets,
+fn table_rows(
+    graph: &StateGraph,
     mut row: impl FnMut(usize, &mut Vec<bool>) -> Result<bool, Stop>,
-) -> Result<(EdgeTable<'o>, Vec<bool>), Stop> {
-    let n = offsets.states();
-    let mut edges = Vec::with_capacity(offsets.edges());
+) -> Result<(EdgeTable, Vec<bool>), Stop> {
+    let n = graph.len();
+    let mut edges = Vec::with_capacity(graph.edge_count());
     let mut states = Vec::with_capacity(n);
     for id in 0..n {
         states.push(row(id, &mut edges).map_err(|stop| stop.with_pending(n - id))?);
     }
-    Ok((EdgeTable::new(offsets, edges), states))
+    assert_eq!(edges.len(), graph.edge_count(), "a flag per graph edge");
+    Ok((EdgeTable(edges), states))
 }
 
 /// Per-fairness-requirement facts about the graph.
-pub(super) struct FairInfo<'o> {
+pub(super) struct FairInfo {
     pub(super) kind: FairnessKind,
     /// Is the i-th edge of `s` an `⟨A⟩_v` step?
-    pub(super) angle: EdgeTable<'o>,
+    pub(super) angle: EdgeTable,
     /// Is `⟨A⟩_v` enabled in state `s`?
     pub(super) enabled: Vec<bool>,
     /// Human-readable name for diagnostics.
@@ -97,17 +64,16 @@ pub(super) struct FairInfo<'o> {
     pub(super) name: String,
 }
 
-pub(super) fn system_fair_infos<'o>(
+pub(super) fn system_fair_infos(
     system: &System,
     graph: &StateGraph,
-    offsets: &'o EdgeOffsets,
     meter: &Meter,
-) -> Result<Vec<FairInfo<'o>>, Stop> {
+) -> Result<Vec<FairInfo>, Stop> {
     system
         .fairness()
         .iter()
         .map(|f| {
-            let (angle, enabled) = table_rows(offsets, |id, flags| {
+            let (angle, enabled) = table_rows(graph, |id, flags| {
                 let s = graph.state(id);
                 let mut fires = false;
                 for e in graph.edges(id) {
@@ -152,17 +118,15 @@ pub(super) fn system_fair_infos<'o>(
 /// state or step; the substituted expression runs on the concrete one
 /// only where [`Memo`] says it must (no class, or the abstract
 /// evaluation erred). Charges and polls stay per concrete edge and row.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn target_fair_info<'o>(
+pub(super) fn target_fair_info(
     system: &System,
     graph: &StateGraph,
-    offsets: &'o EdgeOffsets,
     fair: &Fairness,
     enabled_with: Option<&Expr>,
     mapping: &Substitution,
     images: Option<&Images>,
     meter: &Meter,
-) -> Result<(EdgeTable<'o>, Vec<bool>), Stop> {
+) -> Result<(EdgeTable, Vec<bool>), Stop> {
     let abstract_angle = fair.angle_action();
     let (angle_expr, enabled_pred) = if mapping.is_empty() {
         (abstract_angle.clone(), enabled_with.cloned())
@@ -193,7 +157,7 @@ pub(super) fn target_fair_info<'o>(
     let classes = Classes::of_graph(graph, &footprint, images);
     let mut is_angle = Memo::new(&classes);
     let mut is_enabled = Memo::new(&classes);
-    let table = table_rows(offsets, |id, flags| {
+    let table = table_rows(graph, |id, flags| {
         let s = graph.state(id);
         if let Some(reason) = meter.checkpoint() {
             return Err(Stop::exhausted(reason));
@@ -260,7 +224,7 @@ pub(super) type FairWitness = (Vec<usize>, Vec<Waypoint>);
 /// waypoint per fairness requirement that needs an explicit witness.
 pub(super) fn fair_subcomponent(
     graph: &StateGraph,
-    fair_infos: &[FairInfo<'_>],
+    fair_infos: &[FairInfo],
     edge_ok: &dyn Fn(usize, usize) -> bool,
     scc: &[usize],
     must_contain: Option<&[bool]>,
@@ -289,7 +253,7 @@ pub(super) fn fair_subcomponent(
         'search: for &s in scc {
             for (i, e) in graph.edges(s).iter().enumerate() {
                 charge_edge(meter)?;
-                if info.angle.get(s, i) && edge_ok(s, i) && in_scc(e.target) {
+                if info.angle.get(graph, s, i) && edge_ok(s, i) && in_scc(e.target) {
                     edge_witness = Some(Waypoint::Edge(s, i));
                     break 'search;
                 }
@@ -422,19 +386,17 @@ mod tests {
             let n = graph.len();
             assert_eq!(n as i64, 2 * (top + 1) * (top + 1));
             assert_eq!(graph.deadlocks().len(), n / 2, "the halted states");
-            let offsets = EdgeOffsets::of(&graph);
-            assert_eq!(offsets.states(), n);
-            assert_eq!(offsets.edges(), graph.edge_count());
+            assert_eq!(graph.edge_base(n), graph.edge_count());
             let rows = row_tables(&system, &graph, &Budget::default()).expect("unbudgeted");
             let meter = Meter::start(&Budget::default());
-            let infos = system_fair_infos(&system, &graph, &offsets, &meter)
+            let infos = system_fair_infos(&system, &graph, &meter)
                 .unwrap_or_else(|_| panic!("unbudgeted"));
             assert_eq!(meter.transitions_used(), 2 * graph.edge_count());
             for (info, (angle, enabled)) in infos.iter().zip(&rows) {
                 assert_eq!(&info.enabled, enabled);
                 for (s, row) in angle.iter().enumerate() {
                     for (i, flag) in row.iter().enumerate() {
-                        assert_eq!(info.angle.get(s, i), *flag, "{s}/{i}");
+                        assert_eq!(info.angle.get(&graph, s, i), *flag, "{s}/{i}");
                     }
                 }
             }
@@ -445,7 +407,6 @@ mod tests {
     fn a_tight_budget_stops_the_flat_tables_where_it_stopped_the_rows() {
         let system = halting_counters(9);
         let graph = explore(&system, &ExploreOptions::default()).unwrap();
-        let offsets = EdgeOffsets::of(&graph);
         // Mid first table, on its last edge, and mid second table.
         for limit in [37, graph.edge_count() - 1, graph.edge_count() + 37] {
             let budget = Budget::default().transitions(limit);
@@ -453,7 +414,7 @@ mod tests {
                 row_tables(&system, &graph, &budget).expect_err("the budget is tight");
             assert_eq!(reason, ExhaustReason::TransitionLimit { limit });
             let meter = Meter::start(&budget);
-            match system_fair_infos(&system, &graph, &offsets, &meter) {
+            match system_fair_infos(&system, &graph, &meter) {
                 Err(Stop::Exhausted { reason: r, pending: p }) => {
                     assert_eq!((r, p), (reason.clone(), pending));
                 }

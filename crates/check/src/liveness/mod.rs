@@ -48,7 +48,7 @@ use crate::budget::{Budget, ExhaustReason, Governed, Meter, Outcome};
 use crate::image::{Classes, Images, Memo};
 use crate::obs::{Phase, PhaseGuard, RecorderHandle};
 use crate::{CheckError, Counterexample, StateGraph, System, Verdict};
-use fair::{fair_subcomponent, EdgeOffsets, EdgeTable, FairInfo, Waypoint};
+use fair::{fair_subcomponent, EdgeTable, FairInfo, Waypoint};
 use opentla_kernel::{Expr, Fairness, FairnessKind, SccScratch, Substitution};
 
 /// Why the metered liveness core stopped: budget exhaustion (with the
@@ -187,14 +187,14 @@ pub struct LivenessOptions {
 
 /// Per-fairness-requirement facts about the graph live in [`fair`];
 /// what the violating cycle must look like, beyond fairness:
-pub(crate) struct Violation<'o> {
+pub(crate) struct Violation {
     /// Description for the counterexample.
     reason: String,
     /// States the cycle may visit.
     cycle_node_ok: Vec<bool>,
     /// Edges the cycle may *not* take (`None` = it may take all): the
     /// target's own angle table, not a negated copy.
-    cycle_edge_banned: Option<EdgeTable<'o>>,
+    cycle_edge_banned: Option<EdgeTable>,
     /// States the (post-`starts`) path may visit (`None` = all).
     path_node_ok: Option<Vec<bool>>,
     /// Where the violating suffix may begin (each must be reachable;
@@ -205,7 +205,7 @@ pub(crate) struct Violation<'o> {
     must_contain: Option<Vec<bool>>,
 }
 
-impl Violation<'_> {
+impl Violation {
     /// Whether a violating cycle may take the `i`-th edge of `s`.
     fn edge_ok(&self, graph: &StateGraph, s: usize, i: usize) -> bool {
         self.cycle_node_ok[s]
@@ -213,7 +213,7 @@ impl Violation<'_> {
             && self
                 .cycle_edge_banned
                 .as_ref()
-                .is_none_or(|banned| !banned.get(s, i))
+                .is_none_or(|banned| !banned.get(graph, s, i))
     }
 }
 
@@ -400,9 +400,8 @@ fn decide(
     images: Option<&Images>,
     meter: &Meter,
 ) -> Result<Verdict, Stop> {
-    let offsets = EdgeOffsets::of(graph);
-    let violation = build_violation(system, graph, &offsets, target, images, meter)?;
-    let fair_infos = fair::system_fair_infos(system, graph, &offsets, meter)?;
+    let violation = build_violation(system, graph, target, images, meter)?;
+    let fair_infos = fair::system_fair_infos(system, graph, meter)?;
     match find_violation(system, graph, &fair_infos, &violation, meter)? {
         Some(cx) => Ok(Verdict::Violated(cx)),
         None => Ok(Verdict::Holds),
@@ -433,14 +432,13 @@ fn eval_pred(
     table
 }
 
-fn build_violation<'o>(
+fn build_violation(
     system: &System,
     graph: &StateGraph,
-    offsets: &'o EdgeOffsets,
     target: &LiveTarget,
     images: Option<&Images>,
     meter: &Meter,
-) -> Result<Violation<'o>, Stop> {
+) -> Result<Violation, Stop> {
     let all = vec![true; graph.len()];
     Ok(match target {
         LiveTarget::Fair {
@@ -451,7 +449,6 @@ fn build_violation<'o>(
             let (angle, enabled) = fair::target_fair_info(
                 system,
                 graph,
-                offsets,
                 fair,
                 enabled_with.as_ref(),
                 mapping,
@@ -547,8 +544,8 @@ fn build_violation<'o>(
 fn find_violation(
     system: &System,
     graph: &StateGraph,
-    fair_infos: &[FairInfo<'_>],
-    v: &Violation<'_>,
+    fair_infos: &[FairInfo],
+    v: &Violation,
     meter: &Meter,
 ) -> Result<Option<Counterexample>, Stop> {
     if v.starts.is_empty() {
@@ -660,7 +657,7 @@ fn path_filtered(
 fn build_counterexample(
     system: &System,
     graph: &StateGraph,
-    v: &Violation<'_>,
+    v: &Violation,
     nodes: &[usize],
     waypoints: &[Waypoint],
     entry: usize,

@@ -53,7 +53,7 @@ use std::time::Instant;
 /// Version tag carried by every serialized event (`"v"`) and by
 /// [`RunReport::schema_version`]. Bump when the event schema changes
 /// shape.
-pub const OBS_SCHEMA_VERSION: u64 = 3;
+pub const OBS_SCHEMA_VERSION: u64 = 4;
 
 /// A [`Event::Progress`] snapshot is emitted every this many meter
 /// checkpoints (when a recorder is enabled). Checkpoints run once per
@@ -348,17 +348,6 @@ pub enum Event<'a> {
         /// Cumulative bytes spilled across all tiers so far.
         total_spilled_bytes: u64,
     },
-    /// A configured memory budget could not be honored by the selected
-    /// configuration (reduction-active runs are pinned to the in-RAM
-    /// sequential loop), so the run proceeds unbounded. An explicit `mem_budget_bytes` option
-    /// additionally fails the run with a precondition error; this
-    /// event alone marks an environment-derived budget being dropped.
-    BudgetIgnored {
-        /// The budget, in bytes, that is not being enforced.
-        budget_bytes: u64,
-        /// Why the selected configuration cannot honor it.
-        reason: &'a str,
-    },
     /// Segment-cache counters of a bounded-memory run (emitted once,
     /// before the run's final progress event).
     CacheStats {
@@ -611,10 +600,6 @@ describe_events! {
         records: U64 Required = records,
         bytes: U64 Required = bytes,
         total_spilled_bytes: U64 Required = total_spilled_bytes,
-    }
-    BudgetIgnored { budget_bytes, reason } => "budget_ignored" {
-        budget_bytes: U64 Required = budget_bytes,
-        reason: Str Required = reason,
     }
     CacheStats { hits, misses, evictions, resident_bytes, spilled_bytes } => "cache_stats" {
         hits: U64 Required = hits,
@@ -1626,7 +1611,7 @@ mod tests {
     /// optional field set — and, read top to bottom, a well-formed
     /// stream. 5 states in 2 s is 2.5 states/s, which `{:.0}` writes as
     /// `2`; the counterexample's reason needs every escape.
-    fn samples(report: &RunReport) -> [Event<'_>; 18] {
+    fn samples(report: &RunReport) -> [Event<'_>; 17] {
         [
             Event::RunStart { engine: "explore_sequential", threads: 1, mode: "fingerprint" },
             Event::PhaseEnter { phase: Phase::ExploreExpand },
@@ -1658,7 +1643,6 @@ mod tests {
             Event::WorkerFailure { worker: 1, level: 0, requeued: 1 },
             Event::Resume { seq: 1, states: 3, transitions: 2, frontier: 1 },
             Event::Spill { tier: "arena", seq: 0, records: 64, bytes: 4096, total_spilled_bytes: 8192 },
-            Event::BudgetIgnored { budget_bytes: 1_048_576, reason: "reduction pins the run to RAM" },
             Event::CacheStats { hits: 9, misses: 1, evictions: 0, resident_bytes: 4096, spilled_bytes: 8192 },
             Event::ImagePass { states: 3, mapped_vars: 1, distinct_values: 2, undefined: 0, nanos: 650 },
             Event::ImageMemo { check: "simulation", classes: 2, distinct_pairs: 2, edges: 2, skipped: false },
@@ -1668,7 +1652,7 @@ mod tests {
 
     /// The JSONL bodies (everything after `"t":…,`) of [`samples`], as
     /// the hand-written per-kind writer of commit 667e7d3 produced them.
-    const PINNED_BODIES: [&str; 18] = [
+    const PINNED_BODIES: [&str; 17] = [
         "\"ev\":\"run_start\",\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\"",
         "\"ev\":\"phase_enter\",\"phase\":\"explore_expand\"",
         "\"ev\":\"phase_exit\",\"phase\":\"explore_expand\"",
@@ -1682,11 +1666,10 @@ mod tests {
         "\"ev\":\"worker_failure\",\"worker\":1,\"level\":0,\"requeued\":1",
         "\"ev\":\"resume\",\"seq\":1,\"states\":3,\"transitions\":2,\"frontier\":1",
         "\"ev\":\"spill\",\"tier\":\"arena\",\"seq\":0,\"records\":64,\"bytes\":4096,\"total_spilled_bytes\":8192",
-        "\"ev\":\"budget_ignored\",\"budget_bytes\":1048576,\"reason\":\"reduction pins the run to RAM\"",
         "\"ev\":\"cache_stats\",\"hits\":9,\"misses\":1,\"evictions\":0,\"resident_bytes\":4096,\"spilled_bytes\":8192",
         "\"ev\":\"image_pass\",\"states\":3,\"mapped_vars\":1,\"distinct_values\":2,\"undefined\":0,\"nanos\":650",
         "\"ev\":\"image_memo\",\"check\":\"simulation\",\"classes\":2,\"distinct_pairs\":2,\"edges\":2,\"skipped\":false",
-        "\"ev\":\"run_end\",\"report\":{\"schema_version\":3,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
+        "\"ev\":\"run_end\",\"report\":{\"schema_version\":4,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
     ];
 
     #[test]
@@ -1743,7 +1726,7 @@ mod tests {
     /// One line of `event` with `field` dropped (`retyped: None`) or
     /// rewritten as `retyped`.
     fn line_with(event: &Event<'_>, field: &str, retyped: Option<&str>) -> String {
-        let mut line = format!("{{\"v\":3,\"t\":1,\"ev\":\"{}\"", event.kind());
+        let mut line = format!("{{\"v\":4,\"t\":1,\"ev\":\"{}\"", event.kind());
         event.for_each_field(|name, value| match retyped {
             _ if name != field => line.push_str(&format!(",\"{name}\":{value}")),
             Some(other) => line.push_str(&format!(",\"{name}\":{other}")),
@@ -1771,19 +1754,19 @@ mod tests {
 
     #[test]
     fn validator_rejects_mistyped_optionals_and_unlisted_members() {
-        let progress = "{\"v\":3,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\
+        let progress = "{\"v\":4,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\
                         \"elapsed_nanos\":0,\"states_per_sec\":0";
         assert!(validate_stream(&format!("{progress}}}\n")).is_ok());
         let err = validate_stream(&format!("{progress},\"frontier\":\"x\"}}\n")).unwrap_err();
         assert_eq!(err, "line 1: missing/invalid \"frontier\"");
-        let cx = "{\"v\":3,\"t\":1,\"ev\":\"counterexample\",\"kind\":\"liveness\",\
+        let cx = "{\"v\":4,\"t\":1,\"ev\":\"counterexample\",\"kind\":\"liveness\",\
                   \"reason\":\"r\",\"length\":3,\"fault_steps\":0";
         assert!(validate_stream(&format!("{cx},\"loop_start\":1}}\n")).is_ok());
         let err = validate_stream(&format!("{cx},\"loop_start\":-1}}\n")).unwrap_err();
         assert_eq!(err, "line 1: missing/invalid \"loop_start\"");
         // A member the kind's row does not list, on the second line.
         let err = validate_stream(&format!(
-            "{cx}}}\n{{\"v\":3,\"t\":2,\"ev\":\"reduction\",\"canon_hits\":4,\"ample_states\":0}}\n"
+            "{cx}}}\n{{\"v\":4,\"t\":2,\"ev\":\"reduction\",\"canon_hits\":4,\"ample_states\":0}}\n"
         ))
         .unwrap_err();
         assert_eq!(err, "line 2: unknown member \"ample_states\" on reduction");
@@ -1927,7 +1910,7 @@ mod tests {
         assert_eq!(summary.kinds["image_memo"], 1);
         // More evaluations than edges, or a skipped memo that did not
         // evaluate every edge, is not a stream this crate writes.
-        let head = "{\"v\":3,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
+        let head = "{\"v\":4,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
         let bad = format!("{head},\"distinct_pairs\":9,\"edges\":8,\"skipped\":false}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("evaluations"));
         let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8,\"skipped\":true}}\n");
@@ -1959,7 +1942,7 @@ mod tests {
         assert_eq!(summary.kinds["image_pass"], 1);
         // More distinct (or undefined) values than images evaluated, or
         // a missing field, is not a stream this crate writes.
-        let head = "{\"v\":3,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
+        let head = "{\"v\":4,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
         let bad = format!("{head},\"distinct_values\":9,\"undefined\":0,\"nanos\":5}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("distinct"));
         let bad = format!("{head},\"distinct_values\":6,\"undefined\":3,\"nanos\":5}}\n");
@@ -1971,15 +1954,15 @@ mod tests {
     #[test]
     fn validator_rejects_malformed_streams() {
         // Backwards timestamp.
-        let bad = "{\"v\":3,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":3,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
+        let bad = "{\"v\":4,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":4,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("backwards"));
         // Mismatched phase nesting.
-        let bad = "{\"v\":3,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":3,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
+        let bad = "{\"v\":4,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":4,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("closes"));
         // Unclosed run.
-        let bad = "{\"v\":3,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
+        let bad = "{\"v\":4,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("open run"));
         // Wrong version.
         let bad = "{\"v\":99,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\"elapsed_nanos\":0}\n";
@@ -1990,7 +1973,7 @@ mod tests {
                    \"skipped_transitions\":0,\"canon_hits\":4}\n";
         assert!(validate_stream(bad).unwrap_err().contains("schema version 1"));
         // Unknown kind.
-        let bad = "{\"v\":3,\"t\":1,\"ev\":\"mystery\"}\n";
+        let bad = "{\"v\":4,\"t\":1,\"ev\":\"mystery\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("unknown event"));
     }
 

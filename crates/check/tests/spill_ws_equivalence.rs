@@ -14,7 +14,7 @@ mod support {
 
 use opentla_check::{
     check_invariant, explore_governed_with, explore_resumable, resume_exploration, Budget,
-    CheckError, CountingRecorder, Engine, ExploreOptions, Outcome, RecorderHandle, Reduction,
+    CountingRecorder, Engine, ExploreOptions, Outcome, RecorderHandle, Reduction,
     StateGraph, System, Verdict, VisitedMode,
 };
 use opentla_kernel::Expr;
@@ -506,47 +506,33 @@ fn spill_ws_resumes_a_sequential_spill_snapshot() {
     remove_spill_artifacts(&path);
 }
 
-/// The never-silently-ignore diagnostic: the one configuration pinned
-/// to an in-RAM loop (reduction-active; panic injection is honoured by
-/// the spill engines, see `crash_resume`) refuses an explicit
-/// `mem_budget_bytes` with a typed
-/// [`CheckError::Precondition`], and the refusal is observable — a
-/// `budget_ignored` event carrying the byte count fires first.
+/// No configuration refuses a memory budget: a reduction-active run —
+/// sequential at any requested thread count — explores under an
+/// explicit `mem_budget_bytes` and returns the reduced graph of the
+/// unbudgeted run, with nothing reported as ignored on the way
+/// (`reduction_equivalence` drives larger ones through real spills).
 #[test]
-fn unhonorable_explicit_budget_is_refused_not_ignored() {
+fn a_reduced_run_explores_under_an_explicit_budget() {
     let ring = TokenRing::new(3);
     let sys = ring.complete_system().expect("ring builds");
-    let symmetry = Reduction::none().with_symmetry(Arc::new(ring.rotation_symmetry()));
-    let cases: Vec<(&str, ExploreOptions)> = vec![(
-        "reduction",
-        ExploreOptions {
-            threads: Some(2),
-            reduction: symmetry,
-            mem_budget_bytes: Some(1 << 20),
-            ..ExploreOptions::default()
-        },
-    )];
-    for (what, opts) in cases {
-        let recorder = Arc::new(CountingRecorder::new());
-        let err = explore_governed_with(
-            &sys,
-            &Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone())),
-            &opts,
-        )
-        .expect_err("an unhonorable explicit budget must be refused");
-        match err {
-            CheckError::Precondition { message } => {
-                assert!(
-                    message.contains("cannot be honored"),
-                    "{what}: diagnostic names the conflict, got: {message}"
-                );
-            }
-            other => panic!("{what}: expected Precondition, got {other:?}"),
-        }
-        assert_eq!(
-            recorder.count("budget_ignored"),
-            1,
-            "{what}: the refusal must be observable as a budget_ignored event"
-        );
-    }
+    let reduced = |mem_budget_bytes| ExploreOptions {
+        threads: Some(2),
+        reduction: Reduction::none().with_symmetry(Arc::new(ring.rotation_symmetry())),
+        mem_budget_bytes,
+        ..ExploreOptions::default()
+    };
+    let unbudgeted = explore_governed_with(&sys, &Budget::unlimited(), &reduced(None))
+        .expect("the unbudgeted reduced run succeeds");
+    let recorder = Arc::new(CountingRecorder::new());
+    let budgeted = explore_governed_with(
+        &sys,
+        &Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone())),
+        &reduced(Some(8 << 10)),
+    )
+    .expect("a reduced run honors an explicit budget");
+    assert!(matches!(budgeted.outcome, Outcome::Complete));
+    assert_eq!(budgeted.graph.first_difference(&unbudgeted.graph), None);
+    assert_eq!(budgeted.reduction, unbudgeted.reduction);
+    assert!(budgeted.graph.is_reduced());
+    assert_eq!((recorder.count("run_start"), recorder.count("run_end")), (1, 1));
 }

@@ -45,6 +45,14 @@ pub enum DecodeError {
         /// Bytes actually remaining.
         remaining: usize,
     },
+    /// A slot of a packed state holds a code past its domain (a
+    /// `k`-value domain's bit width leaves room for codes `≥ k`).
+    BadCode {
+        /// The variable slot.
+        slot: usize,
+        /// The code found there.
+        code: u32,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -59,6 +67,9 @@ impl std::fmt::Display for DecodeError {
                 f,
                 "length prefix {claimed} exceeds the {remaining} byte(s) remaining"
             ),
+            DecodeError::BadCode { slot, code } => {
+                write!(f, "packed slot {slot} holds code {code}, outside its domain")
+            }
         }
     }
 }

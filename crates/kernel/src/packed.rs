@@ -32,6 +32,7 @@
 //! explicit domains, so compilation virtually always succeeds, but
 //! the fallback keeps the engine honest about the contract.
 
+use crate::codec::DecodeError;
 use crate::state::{slot_fingerprint, State};
 use crate::value::Value;
 use crate::var::Vars;
@@ -240,13 +241,37 @@ impl PackedLayout {
         self.pack_into(s.values(), &mut buf).then_some(buf)
     }
 
-    /// Unpacks one packed state into `out` (cleared first).
-    pub fn unpack_into(&self, buf: &[u8], out: &mut Vec<Value>) {
+    /// Unpacks one packed state into `out` (cleared first), checking
+    /// what [`unpack_into`](Self::unpack_into) trusts: the decoder for
+    /// bytes read back from a file.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError::Truncated`] when `buf` is shorter than one stride,
+    /// [`DecodeError::BadCode`] naming the first slot whose code lies
+    /// outside its domain.
+    pub fn try_unpack_into(&self, buf: &[u8], out: &mut Vec<Value>) -> Result<(), DecodeError> {
+        if buf.len() < self.stride {
+            return Err(DecodeError::Truncated { context: "packed state" });
+        }
         out.clear();
         out.reserve(self.slots.len());
         for slot in 0..self.slots.len() {
             let code = self.read_code(buf, slot);
-            out.push(self.decode[slot][code as usize].clone());
+            let value = self.decode[slot].get(code as usize);
+            out.push(value.ok_or(DecodeError::BadCode { slot, code })?.clone());
+        }
+        Ok(())
+    }
+
+    /// Unpacks one packed state into `out` (cleared first).
+    ///
+    /// Panics on bytes [`pack_into`](Self::pack_into) and
+    /// [`write_code`](Self::write_code) did not produce; see
+    /// [`try_unpack_into`](Self::try_unpack_into).
+    pub fn unpack_into(&self, buf: &[u8], out: &mut Vec<Value>) {
+        if let Err(e) = self.try_unpack_into(buf, out) {
+            panic!("{e}");
         }
     }
 

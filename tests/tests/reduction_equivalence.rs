@@ -6,7 +6,10 @@
 //! thread count, so the reduced graph at 4 threads must be
 //! byte-identical to the 1-thread one. Every scenario also runs under
 //! the *trivial* group, which drives the canonicalizing store over the
-//! whole state space and must rebuild the full graph exactly.
+//! whole state space and must rebuild the full graph exactly. Under a
+//! memory budget a reduced run is the same loop over the same store
+//! once it has left RAM: the symmetric scenarios rebuild their reduced
+//! graph under 8 KiB and 1 MiB, and across an interruption.
 //!
 //! Also here: the symmetric graphs pinned to the digests the dedicated
 //! reduced loop built before symmetry moved onto the shared sequential
@@ -17,9 +20,9 @@
 use std::sync::Arc;
 
 use opentla_check::{
-    check_invariant, explore_governed_with, Budget, Counterexample, CountingRecorder,
-    Exploration, ExploreOptions, Outcome, RecorderHandle, Reduction, SlotPermutations,
-    StateGraph, System, VisitedMode,
+    check_invariant, explore_governed_with, explore_resumable, Budget, Counterexample,
+    CountingRecorder, Exploration, ExploreOptions, Outcome, RecorderHandle, Reduction,
+    SlotPermutations, StateGraph, System, VisitedMode,
 };
 use opentla_check::{GuardedAction, Init};
 use opentla_kernel::{codec, Domain, Expr, Formula, Value, VarId, Vars};
@@ -314,6 +317,123 @@ fn differential_chain3() {
 #[test]
 fn differential_chain4() {
     differential(&cases().remove(7));
+}
+
+/// `k` identical counters to `top`, stepped independently, under all
+/// `k!` permutations of them: the reduced states are the sorted tuples.
+/// `counters(3, 9)` keeps 220 of 1 000 states — the one symmetric
+/// scenario here whose reduced arena outgrows a 1 KiB segment.
+fn counters(k: usize, top: i64) -> (System, Reduction) {
+    let mut vars = Vars::new();
+    let xs: Vec<VarId> = (0..k)
+        .map(|i| vars.declare(format!("c{i}"), Domain::int_range(0, top)))
+        .collect();
+    let step = |i: usize| {
+        let x = Expr::var(xs[i]);
+        GuardedAction::new(format!("inc{i}"), x.clone().lt(Expr::int(top)), vec![(xs[i], x.add(Expr::int(1)))])
+    };
+    let actions = (0..k).map(step).collect();
+    let init = Init::new(xs.iter().map(|v| (*v, Value::Int(0))));
+    let canon = SlotPermutations::processes(
+        "counters",
+        vars.len(),
+        &[&xs],
+        &SlotPermutations::all_index_permutations(k),
+    );
+    (System::new(vars, init, actions), Reduction::none().with_symmetry(Arc::new(canon)))
+}
+
+/// The scenarios with a symmetry group of their own, under it.
+fn symmetric_scenarios() -> Vec<(&'static str, System, Reduction)> {
+    let mut out: Vec<_> = cases()
+        .into_iter()
+        .filter(|case| case.reductions.len() > 1)
+        .map(|mut case| (case.name, case.system, case.reductions.remove(0).1))
+        .collect();
+    let (system, reduction) = counters(3, 9);
+    out.push(("counters", system, reduction));
+    assert_eq!(out.iter().map(|c| c.0).collect::<Vec<_>>(), ["mutex", "ring", "counters"]);
+    out
+}
+
+/// A memory budget changes where a reduced run keeps its states, not
+/// what it builds: under 8 KiB and 1 MiB, in both visited modes, on
+/// `explore_spill`, the graph and the banked `canon_hits` are the
+/// unbudgeted reduced run's — and 8 KiB really leaves RAM where there
+/// are states enough to fill a segment.
+#[test]
+fn budgeted_reduced_runs_build_the_unbudgeted_reduced_graph() {
+    let mut spilled = Vec::new();
+    for (name, system, reduction) in symmetric_scenarios() {
+        for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
+            let unbudgeted = run(&system, reduction.clone(), 4, mode);
+            for mem_budget in [8usize << 10, 1 << 20] {
+                let label = format!("{name}/{mode:?}/{mem_budget}");
+                let recorder = Arc::new(CountingRecorder::new());
+                let budgeted = explore_governed_with(
+                    &system,
+                    &Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone())),
+                    &ExploreOptions {
+                        threads: Some(4),
+                        mode,
+                        reduction: reduction.clone(),
+                        mem_budget_bytes: Some(mem_budget),
+                        ..ExploreOptions::default()
+                    },
+                )
+                .expect(&label);
+                assert!(matches!(budgeted.outcome, Outcome::Complete), "{label}");
+                assert_eq!(budgeted.graph.first_difference(&unbudgeted.graph), None, "{label}");
+                assert_eq!(budgeted.reduction, unbudgeted.reduction, "{label}");
+                if mem_budget == 8 << 10 && unbudgeted.graph.len() >= 100 {
+                    assert!(recorder.count("spill") >= 1, "{label}: 8 KiB must spill");
+                    spilled.push(name);
+                }
+            }
+        }
+    }
+    assert_eq!(spilled, ["counters", "counters"], "one scenario is large enough to spill");
+}
+
+/// A budgeted reduced run cut half-way leaves a manifest over its own
+/// sealed segments; resuming it — canonical arena read back, hits
+/// banked — ends in the graph of the uninterrupted run.
+#[test]
+fn budgeted_reduced_run_resumes_from_its_manifest() {
+    let (system, reduction) = counters(3, 9);
+    let unbudgeted = run(&system, reduction.clone(), 1, VisitedMode::Fingerprint);
+    assert!(unbudgeted.reduction.unwrap().canon_hits > 0);
+    let path = std::env::temp_dir()
+        .join(format!("opentla_reduction_{}_manifest.snap", std::process::id()));
+    let segs = std::path::PathBuf::from(format!("{}.segs", path.display()));
+    let _ = std::fs::remove_file(&path);
+    let options = ExploreOptions {
+        threads: Some(1),
+        reduction,
+        mem_budget_bytes: Some(8 << 10),
+        ..ExploreOptions::default()
+    };
+    let cut = Budget::default()
+        .states(unbudgeted.graph.len() * 3 / 4)
+        .with_checkpoint(&path, 16);
+    let interrupted = explore_resumable(&system, &cut, &options).expect("the cut run succeeds");
+    assert!(interrupted.outcome.resume_token().is_some());
+    let sealed = |dir: &std::path::Path| {
+        let names = std::fs::read_dir(dir).expect("the store's directory is pinned");
+        names.filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".seg")).count()
+    };
+    assert!(sealed(&segs) >= 1, "the manifest references sealed segments");
+    let resumed = explore_resumable(
+        &system,
+        &Budget::unlimited().with_checkpoint(&path, 1 << 20),
+        &options,
+    )
+    .expect("the resumed run succeeds");
+    assert!(matches!(resumed.outcome, Outcome::Complete));
+    assert_eq!(resumed.graph.first_difference(&unbudgeted.graph), None);
+    assert_eq!(resumed.reduction, unbudgeted.reduction);
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&segs);
 }
 
 /// Symmetry must actually shrink a symmetric scenario — this is the

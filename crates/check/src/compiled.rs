@@ -1,44 +1,88 @@
-//! A compiled stepper: guards and updates flattened to stack-machine
-//! programs.
+//! Compiled programs: state functions and actions flattened to
+//! stack-machine programs.
 //!
 //! The tree-walking evaluator in `opentla-kernel` chases `Box` pointers
 //! and pays a recursive call per AST node — fine for checking a single
 //! invariant, dominant in an exploration hot loop that fires every
-//! action in every reachable state. [`CompiledSystem`] compiles each
-//! action's guard and update expressions **once** into flat postfix
-//! programs ([`CompiledExpr`]) executed over a reusable value stack
-//! ([`EvalScratch`]), eliminating per-node allocation and recursion
-//! from successor computation.
+//! action in every reachable state, or in an obligation check that
+//! decides a box per abstract step. [`CompiledExpr`] compiles an
+//! expression **once** into a flat postfix program executed over a
+//! reusable value stack ([`EvalScratch`]), eliminating per-node
+//! allocation and recursion. [`CompiledSystem`] is every action's guard
+//! and updates compiled that way: the successor stepper.
+//!
+//! There is one evaluator loop, generic over where a program reads its
+//! variables (a slot source): a bare `[Value]` slice — the stepper, which
+//! unpacks packed states into a reused buffer — a [`State`], or
+//! [`ImageView`](crate::image::ImageView), a graph state whose mapped
+//! slots are read from the refinement mapping's image column (what an
+//! obligation's memo miss is decided on). The loop is monomorphized per
+//! source, so the stepper's load is a slice index, as it always was.
 //!
 //! The compiled form is semantics-preserving by construction: operator
 //! application delegates to the kernel's own [`UnOp::apply`] /
 //! [`BinOp::apply`], and short-circuiting (`∧`, `∨`, `⇒`, `IF`) is
 //! reproduced with explicit jumps, so evaluation order, verdicts, *and
-//! errors* are identical to [`Expr::eval_state`] — a property pinned
-//! down by the `proptest_compiled` suite.
+//! errors* are identical to [`Expr::eval_state`] on a state and to
+//! [`Expr::eval_action`] on a step ([`CompiledExpr::eval_step`]). The
+//! interpreter is the oracle: `crates/check/tests/proptest_compiled.rs`
+//! compares the two, as `Result`s, on random expressions over random
+//! variables, states, steps and image views.
 //!
-//! Only state functions can be compiled; guards and updates are state
-//! functions by construction ([`crate::GuardedAction::new`] asserts
-//! it). A primed variable compiles to an instruction that reproduces
-//! the interpreter's lazy [`EvalError::PrimeInStateContext`] — lazily,
-//! so primes in short-circuited branches stay unobserved, exactly as in
-//! the tree walker.
+//! A primed variable compiles to a primed load: on a step it reads the
+//! successor; evaluated as a state function it raises the
+//! interpreter's [`EvalError::PrimeInStateContext`] — lazily, so primes
+//! in short-circuited branches stay unobserved, exactly as in the tree
+//! walker.
 
 use crate::{CheckError, System};
 use opentla_kernel::{expect_bool, BinOp, EvalError, Expr, State, UnOp, Value, VarId};
 
-/// One instruction of a compiled state-function program.
+/// Where a running program reads its variables: one slot per
+/// [`VarId`]. The evaluator is monomorphized per implementation. Not
+/// re-exported: the implementations are the three sources above.
+pub trait Slots {
+    /// The value in `v`'s slot; `None` past the last slot.
+    fn slot(&self, v: VarId) -> Option<&Value>;
+    /// The number of slots (an unbound variable's `state_len`).
+    fn slot_count(&self) -> usize;
+}
+
+impl Slots for [Value] {
+    #[inline]
+    fn slot(&self, v: VarId) -> Option<&Value> {
+        self.get(v.index())
+    }
+
+    #[inline]
+    fn slot_count(&self) -> usize {
+        self.len()
+    }
+}
+
+impl Slots for State {
+    #[inline]
+    fn slot(&self, v: VarId) -> Option<&Value> {
+        self.try_get(v)
+    }
+
+    #[inline]
+    fn slot_count(&self) -> usize {
+        self.len()
+    }
+}
+
+/// One instruction of a compiled program.
 #[derive(Clone, Debug)]
 enum Op {
     /// Push a constant.
     Const(Value),
     /// Push the value of an unprimed variable.
     Load(VarId),
-    /// Reproduce the interpreter's error for a primed variable in a
-    /// state context (guards/updates are state functions, so this only
-    /// executes for malformed expressions — and then with the same
-    /// error and the same laziness as the tree walker).
-    PrimeErr(VarId),
+    /// Push the value of a primed variable: the successor's slot on a
+    /// step; on a state, the interpreter's error for a primed variable
+    /// in a state context (with the same laziness as the tree walker).
+    LoadPrimed(VarId),
     /// Pop the operand, push `op(operand)`.
     Unary(UnOp),
     /// Pop both operands, push `op(a, b)`.
@@ -69,46 +113,92 @@ enum Op {
     InSet(Vec<Value>),
 }
 
-/// A state function compiled to a flat postfix program.
+/// An expression compiled to a flat postfix program.
 ///
-/// Build with [`CompiledExpr::compile`], run with
-/// [`CompiledExpr::eval`] against a reusable [`EvalScratch`].
+/// Build with [`CompiledExpr::compile`]; run a state function with
+/// [`CompiledExpr::eval`] and an action with [`CompiledExpr::eval_step`],
+/// against a reusable [`EvalScratch`]. Either reads a bare value slice,
+/// a [`State`] or an [`ImageView`](crate::image::ImageView).
 #[derive(Clone, Debug)]
 pub struct CompiledExpr {
     ops: Vec<Op>,
 }
 
 impl CompiledExpr {
-    /// Compiles a state function. Any expression is accepted; primed
-    /// variables produce programs that fail at evaluation time exactly
-    /// like the interpreter does.
+    /// Compiles an expression. Any expression is accepted; a primed
+    /// variable evaluated as a state function fails at evaluation time
+    /// exactly like the interpreter does.
     pub fn compile(expr: &Expr) -> CompiledExpr {
         let mut ops = Vec::new();
         emit(expr, &mut ops);
         CompiledExpr { ops }
     }
 
-    /// Evaluates the program on a state.
+    /// Evaluates the program as a state function on `s`.
     ///
     /// # Errors
     ///
     /// The same evaluation errors, in the same evaluation order, as
     /// [`Expr::eval_state`] on the source expression.
-    pub fn eval(&self, s: &State, scratch: &mut EvalScratch) -> Result<Value, EvalError> {
-        self.eval_on(s.values(), scratch)
+    pub fn eval<S: Slots + ?Sized>(
+        &self,
+        s: &S,
+        scratch: &mut EvalScratch,
+    ) -> Result<Value, EvalError> {
+        self.run(s, None, scratch)
     }
 
-    /// Evaluates the program on a bare value slice indexed by
-    /// [`VarId`] — the packed-state engines unpack a buffer into a
-    /// reused `Vec<Value>` and evaluate here without materializing a
-    /// [`State`] (no `Arc` allocation on the hot path).
+    /// Evaluates the program as an action on the step `⟨old, new⟩`:
+    /// unprimed variables read `old`, primed ones `new`.
     ///
     /// # Errors
     ///
-    /// As [`CompiledExpr::eval`].
-    pub fn eval_on(
+    /// The same evaluation errors, in the same evaluation order, as
+    /// [`Expr::eval_action`] on the source expression.
+    pub fn eval_step<S: Slots + ?Sized>(
         &self,
-        values: &[Value],
+        old: &S,
+        new: &S,
+        scratch: &mut EvalScratch,
+    ) -> Result<Value, EvalError> {
+        self.run(old, Some(new), scratch)
+    }
+
+    /// Evaluates the program as a boolean state function (a guard).
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledExpr::eval`], plus "boolean context" if the result
+    /// is not a boolean — those of [`Expr::holds_state`].
+    pub fn holds<S: Slots + ?Sized>(
+        &self,
+        s: &S,
+        scratch: &mut EvalScratch,
+    ) -> Result<bool, EvalError> {
+        expect_bool(self.eval(s, scratch)?)
+    }
+
+    /// Evaluates the program as a boolean action on `⟨old, new⟩`.
+    ///
+    /// # Errors
+    ///
+    /// As [`CompiledExpr::eval_step`], plus "boolean context" if the
+    /// result is not a boolean — those of [`Expr::holds_action`].
+    pub fn holds_step<S: Slots + ?Sized>(
+        &self,
+        old: &S,
+        new: &S,
+        scratch: &mut EvalScratch,
+    ) -> Result<bool, EvalError> {
+        expect_bool(self.eval_step(old, new, scratch)?)
+    }
+
+    /// The one evaluator loop. `new` is the successor on a step, `None`
+    /// for a state function.
+    fn run<S: Slots + ?Sized>(
+        &self,
+        old: &S,
+        new: Option<&S>,
         scratch: &mut EvalScratch,
     ) -> Result<Value, EvalError> {
         let stack = &mut scratch.stack;
@@ -118,18 +208,17 @@ impl CompiledExpr {
             pc += 1;
             match op {
                 Op::Const(v) => stack.push(v.clone()),
-                Op::Load(v) => match values.get(v.index()) {
+                Op::Load(v) => match old.slot(*v) {
                     Some(value) => stack.push(value.clone()),
-                    None => {
-                        return Err(EvalError::UnboundVar {
-                            var: *v,
-                            state_len: values.len(),
-                        })
-                    }
+                    None => return Err(unbound(old, *v)),
                 },
-                Op::PrimeErr(v) => {
-                    return Err(EvalError::PrimeInStateContext { var: *v })
-                }
+                Op::LoadPrimed(v) => match new {
+                    Some(new) => match new.slot(*v) {
+                        Some(value) => stack.push(value.clone()),
+                        None => return Err(unbound(new, *v)),
+                    },
+                    None => return Err(EvalError::PrimeInStateContext { var: *v }),
+                },
                 Op::Unary(un) => {
                     let v = pop(stack);
                     stack.push(un.apply(v)?);
@@ -185,28 +274,14 @@ impl CompiledExpr {
         debug_assert_eq!(stack.len(), 1, "compiled program left a ragged stack");
         Ok(pop(stack))
     }
+}
 
-    /// Evaluates the program as a boolean (guard) on a state.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledExpr::eval`], plus "boolean context" if the result
-    /// is not a boolean.
-    pub fn holds(&self, s: &State, scratch: &mut EvalScratch) -> Result<bool, EvalError> {
-        expect_bool(self.eval(s, scratch)?)
-    }
-
-    /// Evaluates the program as a boolean on a bare value slice.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledExpr::holds`].
-    pub fn holds_on(
-        &self,
-        values: &[Value],
-        scratch: &mut EvalScratch,
-    ) -> Result<bool, EvalError> {
-        expect_bool(self.eval_on(values, scratch)?)
+/// The interpreter's error for a variable `s` has no slot for.
+#[cold]
+fn unbound<S: Slots + ?Sized>(s: &S, var: VarId) -> EvalError {
+    EvalError::UnboundVar {
+        var,
+        state_len: s.slot_count(),
     }
 }
 
@@ -219,7 +294,7 @@ fn emit(expr: &Expr, ops: &mut Vec<Op>) {
     match expr {
         Expr::Const(v) => ops.push(Op::Const(v.clone())),
         Expr::Var(v) => ops.push(Op::Load(*v)),
-        Expr::Prime(v) => ops.push(Op::PrimeErr(*v)),
+        Expr::Prime(v) => ops.push(Op::LoadPrimed(*v)),
         Expr::Unary(op, e) => {
             emit(e, ops);
             ops.push(Op::Unary(*op));
@@ -407,12 +482,12 @@ impl<'a> CompiledSystem<'a> {
     ) -> Result<Option<B>, CheckError> {
         let vars = self.system.vars();
         for (i, ca) in self.actions.iter().enumerate() {
-            if !ca.guard.holds_on(values, scratch)? {
+            if !ca.guard.holds(values, scratch)? {
                 continue;
             }
             scratch.assignments.clear();
             for (v, e) in &ca.updates {
-                let value = e.eval_on(values, scratch)?;
+                let value = e.eval(values, scratch)?;
                 if !vars.domain(*v).contains(&value) {
                     return Err(CheckError::OutOfDomain {
                         action: self.system.actions()[i].name().to_string(),

@@ -34,17 +34,22 @@
 //!
 //! **Abstract → substituted: misses.** A pair met for the first time is
 //! decided on `⟨s̄, t̄⟩` itself: the caller's *un*substituted expression,
-//! evaluated by the same [`Expr::holds_action`](opentla_kernel::Expr)
-//! / `holds_state` on the two abstract states, which cost two slot
-//! writes each because the images are already there. The substituted
-//! expression re-evaluates `σ(v)` at every occurrence of `v` and `v'`.
-//! A substituted box carries a third disjunct, `UNCHANGED` of the
+//! compiled once per check ([`CompiledExpr`]), runs on two
+//! [`ImageView`]s — `s` and `t` borrowed from the graph, each mapped
+//! slot read from its [`Images`] column. No abstract state is built and
+//! no expression tree is walked. The substituted expression would
+//! re-evaluate `σ(v)` at every occurrence of `v` and `v'`. A
+//! substituted box carries a third disjunct, `UNCHANGED` of the
 //! concrete variables `σ(v)` reads; it implies `σ(v)' = σ(v)`, the
 //! second, so dropping it cannot change a result. When the abstract
 //! evaluation errs, the caller's substituted expression is evaluated
-//! on the concrete pair and *its* result — value or typed error — is
-//! the answer, so errors are those of the per-edge check. There is
-//! still no second evaluator and no new semantics.
+//! by the interpreter ([`Expr::holds_action`](opentla_kernel::Expr) /
+//! `holds_state`) on the concrete pair and *its* result — value or
+//! typed error — is the answer, so errors are those of the per-edge
+//! check. The interpreter is also the compiled programs' oracle
+//! (`proptest_compiled`, and `image_memo_equivalence` compares the
+//! compiled unsubstituted program on the views against the interpreted
+//! substituted expression on every step of its corpus).
 //!
 //! Two cases evaluate the substituted expression directly, as a check
 //! without this module would:
@@ -68,11 +73,12 @@
 //! supplies, which is an ordinary state function and so has images like
 //! any other.
 
-use crate::compiled::{CompiledExpr, EvalScratch};
+use crate::compiled::{CompiledExpr, EvalScratch, Slots};
 use crate::obs::{Event, RecorderHandle};
 use crate::{CheckError, StateGraph};
 use fxhash::FxHashMap;
-use opentla_kernel::{State, StatePair, Substitution, Value, VarId, VarSet};
+use opentla_kernel::{State, Substitution, Value, VarId, VarSet};
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -90,6 +96,9 @@ pub struct Images {
     /// One column per mapped variable, ascending; [`NONE`] where the
     /// image is undefined.
     columns: Vec<(VarId, Vec<u32>)>,
+    /// The column of each variable, by [`VarId`] index up to the last
+    /// mapped one; [`NONE`] for an unmapped variable.
+    column_of: Vec<u32>,
     /// The distinct values, by id.
     values: Vec<Value>,
 }
@@ -148,9 +157,17 @@ impl Images {
                 nanos: started.elapsed().as_nanos() as u64,
             });
         }
+        let mut column_of = Vec::new();
+        for (c, (v, _)) in columns.iter().enumerate() {
+            if column_of.len() <= v.index() {
+                column_of.resize(v.index() + 1, NONE);
+            }
+            column_of[v.index()] = c as u32;
+        }
         Images {
             mapping: mapping.clone(),
             columns,
+            column_of,
             values,
         }
     }
@@ -196,26 +213,53 @@ impl Images {
         self.values.len()
     }
 
+    /// The image column of `v`; `None` for an unmapped variable.
     fn column(&self, v: VarId) -> Option<&[u32]> {
-        self.columns
+        match self.column_of.get(v.index()) {
+            Some(&column) if column != NONE => Some(&self.columns[column as usize].1),
+            _ => None,
+        }
+    }
+}
+
+/// `s̄` borrowed: state `id` of a graph, each mapped variable's slot
+/// read from its [`Images`] column and every other slot from the state.
+/// What a [`Memo`] miss is decided on, by a [`CompiledExpr`]; nothing
+/// is copied.
+#[derive(Clone, Copy, Debug)]
+pub struct ImageView<'a> {
+    values: &'a [Value],
+    images: &'a Images,
+    id: usize,
+}
+
+impl<'a> ImageView<'a> {
+    /// The view of state `id` of `graph` under `images` (which must be
+    /// of that graph). `None` where some image is undefined or the
+    /// state has no slot for a mapped variable: that state has no
+    /// abstract evaluation.
+    pub fn new(images: &'a Images, graph: &'a StateGraph, id: usize) -> Option<ImageView<'a>> {
+        let values = graph.state(id).values();
+        let defined = images
+            .columns
             .iter()
-            .find(|(mapped, _)| *mapped == v)
-            .map(|(_, column)| column.as_slice())
+            .all(|(v, column)| column[id] != NONE && v.index() < values.len());
+        defined.then_some(ImageView { values, images, id })
+    }
+}
+
+impl Slots for ImageView<'_> {
+    #[inline]
+    fn slot(&self, v: VarId) -> Option<&Value> {
+        match self.images.column(v) {
+            Some(column) => Some(&self.images.values[column[self.id] as usize]),
+            None => self.values.get(v.index()),
+        }
     }
 
-    /// `s̄`: state `id` (which is `s`) with every mapped variable set to
-    /// its image. `None` where some image is undefined or `s` has no
-    /// slot for a mapped variable.
-    fn abstract_state(&self, s: &State, id: usize) -> Option<State> {
-        if self.columns.is_empty() {
-            return Some(s.clone());
-        }
-        let mut values = s.values().to_vec();
-        for (v, column) in &self.columns {
-            let image = self.values.get(column[id] as usize)?;
-            *values.get_mut(v.index())? = image.clone();
-        }
-        Some(State::new(values))
+    #[inline]
+    fn slot_count(&self) -> usize {
+        self.values.len()
     }
 }
 
@@ -302,9 +346,9 @@ impl<'g> Classes<'g> {
         self.of.get(id).copied().filter(|class| *class != NONE)
     }
 
-    /// `s̄` for state `id`, see [`Images`].
-    fn abstract_state(&self, id: usize) -> Option<State> {
-        self.images.abstract_state(self.graph.state(id), id)
+    /// `s̄` for state `id`, see [`ImageView`].
+    fn view(&self, id: usize) -> Option<ImageView<'g>> {
+        ImageView::new(self.images, self.graph, id)
     }
 
     /// Emits the pass's [`Event::ImageMemo`] for check `check`. Call
@@ -361,11 +405,12 @@ fn intern(values: &mut FxHashMap<Value, u32>, value: &Value) -> u32 {
 /// one memo per predicate.
 ///
 /// A lookup takes the predicate twice: `abstractly`, the unsubstituted
-/// expression to run on the abstract state(s), and `directly`, the
-/// caller's evaluation of its substituted expression on the concrete
-/// state or step at hand. A first meeting of a class (pair) runs
-/// `abstractly` and, should that err, `directly`; a state without a
-/// class, and every state of a skipped memo, runs `directly` alone.
+/// expression to run on the [`ImageView`]s of the abstract state(s),
+/// and `directly`, the caller's evaluation of its substituted
+/// expression on the concrete state or step at hand. A first meeting
+/// of a class (pair) runs `abstractly` and, should that err,
+/// `directly`; a state without a class, and every state of a skipped
+/// memo, runs `directly` alone.
 #[derive(Debug)]
 pub struct Memo<'c> {
     classes: &'c Classes<'c>,
@@ -398,16 +443,13 @@ impl<'c> Memo<'c> {
         &mut self,
         s: usize,
         t: usize,
-        abstractly: impl FnOnce(StatePair<'_>) -> Result<bool, E>,
+        abstractly: impl FnOnce(ImageView<'_>, ImageView<'_>) -> Result<bool, E>,
         directly: impl FnOnce() -> Result<bool, E>,
     ) -> Result<bool, E> {
         self.steps += 1;
         let classes = self.classes;
         let key = classes.get(s).zip(classes.get(t));
-        let on_images = || {
-            let (s, t) = (classes.abstract_state(s)?, classes.abstract_state(t)?);
-            abstractly(StatePair::new(&s, &t)).ok()
-        };
+        let on_images = || abstractly(classes.view(s)?, classes.view(t)?).ok();
         let (value, ran) = self.lookup(key, on_images, directly)?;
         self.evaluated += u64::from(ran);
         Ok(value)
@@ -422,12 +464,12 @@ impl<'c> Memo<'c> {
     pub fn state<E>(
         &mut self,
         s: usize,
-        abstractly: impl FnOnce(&State) -> Result<bool, E>,
+        abstractly: impl FnOnce(ImageView<'_>) -> Result<bool, E>,
         directly: impl FnOnce() -> Result<bool, E>,
     ) -> Result<bool, E> {
         let classes = self.classes;
         let key = classes.get(s).map(|class| (class, NONE));
-        let on_image = || abstractly(&classes.abstract_state(s)?).ok();
+        let on_image = || abstractly(classes.view(s)?).ok();
         Ok(self.lookup(key, on_image, directly)?.0)
     }
 
@@ -441,14 +483,15 @@ impl<'c> Memo<'c> {
         let Some(key) = key else {
             return Ok((directly()?, true));
         };
-        if let Some(value) = self.seen.get(&key) {
-            return Ok((*value, false));
-        }
+        let slot = match self.seen.entry(key) {
+            Entry::Occupied(known) => return Ok((*known.get(), false)),
+            Entry::Vacant(slot) => slot,
+        };
         let value = match on_images() {
             Some(value) => value,
             None => directly()?,
         };
-        self.seen.insert(key, value);
+        slot.insert(value);
         Ok((value, true))
     }
 }
@@ -531,15 +574,16 @@ mod tests {
         assert_eq!(half.distinct_values(), 2);
         let classes = Classes::of_graph(&graph, &[x].into_iter().collect(), &half);
         assert_eq!(classes.count(), 2);
-        // The abstract state carries the image in x's slot and leaves y.
+        // The view reads the image in x's slot and y's from the state.
         for id in 0..graph.len() {
             let s = graph.state(id);
-            let abstracted = classes.abstract_state(id).expect("the mapping is total");
+            let view = classes.view(id).expect("the mapping is total");
             assert_eq!(
-                abstracted.get(x),
-                &Expr::var(x).div(Expr::int(2)).eval_state(s).unwrap()
+                view.slot(x),
+                Some(&Expr::var(x).div(Expr::int(2)).eval_state(s).unwrap())
             );
-            assert_eq!(abstracted.get(y), s.get(y));
+            assert_eq!(view.slot(y), Some(s.get(y)));
+            assert_eq!(view.slot_count(), s.len());
         }
     }
 
@@ -589,9 +633,9 @@ mod tests {
                     let got = memo.step(
                         s,
                         e.target,
-                        |pair| {
+                        |old, new| {
                             calls += 1;
-                            Ok::<_, Infallible>(pair.old.get(x) == pair.new.get(x))
+                            Ok::<_, Infallible>(old.slot(x) == new.slot(x))
                         },
                         || unreachable!("the abstract evaluation succeeds"),
                     );
@@ -607,7 +651,7 @@ mod tests {
         // An abstract error falls back to the direct evaluation, whose
         // error is returned and not remembered.
         let mut memo = Memo::new(&classes);
-        let boom = |_: StatePair<'_>| Err::<bool, _>("abstract");
+        let boom = |_: ImageView<'_>, _: ImageView<'_>| Err::<bool, _>("abstract");
         assert_eq!(memo.step(0, 0, boom, || Err("boom")), Err("boom"));
         assert_eq!(memo.step(0, 0, boom, || Ok(true)), Ok(true));
         assert_eq!(

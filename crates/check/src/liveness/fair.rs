@@ -14,11 +14,10 @@
 
 use super::{charge_edge, scc::tarjan_sccs, Stop};
 use crate::budget::Meter;
+use crate::compiled::{CompiledExpr, EvalScratch};
 use crate::image::{Classes, Images, Memo};
 use crate::{CheckError, StateGraph, System};
-use opentla_kernel::{
-    Expr, Fairness, FairnessKind, Formula, SccScratch, State, StatePair, Substitution,
-};
+use opentla_kernel::{Expr, Fairness, FairnessKind, Formula, SccScratch, StatePair, Substitution};
 
 /// One flag per graph edge, in graph order.
 pub(super) struct EdgeTable(Vec<bool>);
@@ -114,10 +113,11 @@ pub(super) fn system_fair_infos(
 /// `fair` and `enabled_with` are over the target's own variables and
 /// `mapping` eliminates the abstract ones; `images`, if given, are of
 /// it. Each entry is decided once per image class (pair) of the
-/// unsubstituted expressions, by evaluating those on the abstract
-/// state or step; the substituted expression runs on the concrete one
-/// only where [`Memo`] says it must (no class, or the abstract
-/// evaluation erred). Charges and polls stay per concrete edge and row.
+/// unsubstituted expressions, by running those compiled on the views of
+/// the abstract state or step; the substituted expression is
+/// interpreted on the concrete one only where [`Memo`] says it must (no
+/// class, or the abstract evaluation erred). Charges and polls stay per
+/// concrete edge and row.
 pub(super) fn target_fair_info(
     system: &System,
     graph: &StateGraph,
@@ -155,6 +155,9 @@ pub(super) fn target_fair_info(
     let mut own = None;
     let images = Images::given_or_own(images, &mut own, graph, mapping, meter.recorder())?;
     let classes = Classes::of_graph(graph, &footprint, images);
+    let angle_program = CompiledExpr::compile(&abstract_angle);
+    let enabled_program = enabled_with.map(CompiledExpr::compile);
+    let scratch = &mut EvalScratch::new();
     let mut is_angle = Memo::new(&classes);
     let mut is_enabled = Memo::new(&classes);
     let table = table_rows(graph, |id, flags| {
@@ -170,18 +173,18 @@ pub(super) fn target_fair_info(
                 .step(
                     id,
                     e.target,
-                    |images| abstract_angle.holds_action(images),
+                    |s_bar, t_bar| angle_program.holds_step(&s_bar, &t_bar, scratch),
                     || angle_expr.holds_action(step),
                 )
                 .map_err(CheckError::from)?;
             flags.push(angle);
             fires |= angle;
         }
-        let enabled = match (enabled_with, &enabled_pred) {
+        let enabled = match (&enabled_program, &enabled_pred) {
             (Some(abstract_pred), Some(pred)) => is_enabled
                 .state(
                     id,
-                    |image| abstract_pred.holds_state(image),
+                    |s_bar| abstract_pred.holds(&s_bar, scratch),
                     || pred.holds_state(s),
                 )
                 .map_err(CheckError::from)?,
@@ -189,12 +192,13 @@ pub(super) fn target_fair_info(
             // the per-state `Enabled` search only runs where no edge
             // fires (e.g. an abstract action enabled toward a successor
             // no concrete step reaches). The mapping is empty here, so
-            // the search is a function of the state's class too.
+            // `s̄ = s`: the search runs on the concrete state and is a
+            // function of the state's class too.
             _ if fires => true,
             _ => {
-                let search = |s: &State| system.universe().enabled(&angle_expr, s);
+                let search = || system.universe().enabled(&angle_expr, s);
                 is_enabled
-                    .state(id, search, || search(s))
+                    .state(id, |_| search(), search)
                     .map_err(CheckError::from)?
             }
         };

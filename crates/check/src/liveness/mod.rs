@@ -45,6 +45,7 @@ mod fair;
 mod scc;
 
 use crate::budget::{Budget, ExhaustReason, Governed, Meter, Outcome};
+use crate::compiled::{CompiledExpr, EvalScratch};
 use crate::image::{Classes, Images, Memo};
 use crate::obs::{Phase, PhaseGuard, RecorderHandle};
 use crate::{CheckError, Counterexample, StateGraph, System, Verdict};
@@ -408,7 +409,9 @@ fn decide(
     }
 }
 
-/// `p` at every state, decided once per class of `p`'s variables.
+/// `p` at every state, decided once per class of `p`'s variables: by
+/// `p` compiled, on a miss, and by the interpreter where that errs or
+/// the state has no class.
 fn eval_pred(
     graph: &StateGraph,
     p: &Expr,
@@ -416,6 +419,8 @@ fn eval_pred(
 ) -> Result<Vec<bool>, CheckError> {
     let unmapped = Images::default();
     let classes = Classes::of_graph(graph, &p.all_vars(), &unmapped);
+    let program = CompiledExpr::compile(p);
+    let scratch = &mut EvalScratch::new();
     let mut holds = Memo::new(&classes);
     let table = graph
         .states()
@@ -423,7 +428,11 @@ fn eval_pred(
         .enumerate()
         .map(|(id, s)| {
             holds
-                .state(id, |image| p.holds_state(image), || p.holds_state(s))
+                .state(
+                    id,
+                    |s_bar| program.holds(&s_bar, scratch),
+                    || p.holds_state(s),
+                )
                 .map_err(CheckError::from)
         })
         .collect();

@@ -16,6 +16,7 @@
 //! discharged.
 
 use crate::budget::{Budget, Governed, Meter, Outcome};
+use crate::compiled::{CompiledExpr, EvalScratch};
 use crate::image::{Classes, Images, Memo};
 use crate::invariant::trace_counterexample;
 use crate::{CheckError, Counterexample, ExhaustReason, StateGraph, System, Verdict};
@@ -216,9 +217,9 @@ fn simulate(
 }
 
 /// Index of the first of `preds` that `holds` refutes.
-fn first_refuted(
-    preds: &[Expr],
-    holds: impl Fn(&Expr) -> Result<bool, EvalError>,
+fn first_refuted<P>(
+    preds: &[P],
+    mut holds: impl FnMut(&P) -> Result<bool, EvalError>,
 ) -> Result<Option<usize>, EvalError> {
     for (i, p) in preds.iter().enumerate() {
         if !holds(p)? {
@@ -231,8 +232,8 @@ fn first_refuted(
 /// Steps 2 and 3 of [`check_simulation_governed`]. Charges, polls and
 /// scan order are per concrete state and edge; only the evaluation of
 /// the mapped predicates goes through the class memos, which decide a
-/// class on `abs` over its abstract states and everything else on `sc`
-/// over the concrete ones.
+/// class by `abs` compiled, on the views of its abstract states, and
+/// everything else by `sc` interpreted, on the concrete ones.
 #[allow(clippy::too_many_arguments)]
 fn check_states_and_edges(
     system: &System,
@@ -245,7 +246,10 @@ fn check_states_and_edges(
     violated: &dyn Fn(Counterexample, usize) -> SimulationRun,
 ) -> Result<SimulationRun, CheckError> {
     let vars = system.vars();
+    let compile = |es: &[Expr]| es.iter().map(CompiledExpr::compile).collect::<Vec<_>>();
+    let scratch = &mut EvalScratch::new();
     // 2. Invariants.
+    let abs_invariants = compile(&abs.invariants);
     let mut invariants_hold = Memo::new(classes);
     for (id, s) in graph.states().iter().enumerate() {
         if let Some(reason) =
@@ -253,17 +257,18 @@ fn check_states_and_edges(
         {
             return Ok(exhausted(reason, graph.len() - id));
         }
-        let refuted = |sc: &SafetyCanonical, s: &State| {
-            first_refuted(&sc.invariants, |p| p.holds_state(s))
-        };
+        let refuted = |s: &State| first_refuted(&sc.invariants, |p| p.holds_state(s));
         if !sc.invariants.is_empty()
             && !invariants_hold.state(
                 id,
-                |image| refuted(abs, image).map(|r| r.is_none()),
-                || refuted(sc, s).map(|r| r.is_none()),
+                |s_bar| {
+                    first_refuted(&abs_invariants, |p| p.holds(&s_bar, scratch))
+                        .map(|r| r.is_none())
+                },
+                || refuted(s).map(|r| r.is_none()),
             )?
         {
-            let p = &sc.invariants[refuted(sc, s)?.expect("just refuted at this state")];
+            let p = &sc.invariants[refuted(s)?.expect("just refuted at this state")];
             let cx = trace_counterexample(
                 system,
                 graph,
@@ -275,10 +280,8 @@ fn check_states_and_edges(
     }
     drop(invariants_hold);
     // 3. Step boxes on every edge.
-    let (boxes, abs_boxes) = (sc.step_boxes(), abs.step_boxes());
-    let refuted = |boxes: &[Expr], step: StatePair<'_>| {
-        first_refuted(boxes, |b| b.holds_action(step))
-    };
+    let (boxes, abs_boxes) = (sc.step_boxes(), compile(&abs.step_boxes()));
+    let refuted = |step: StatePair<'_>| first_refuted(&boxes, |b| b.holds_action(step));
     let mut boxes_hold = Memo::new(classes);
     for (id, s) in graph.states().iter().enumerate() {
         if let Some(reason) = meter.checkpoint() {
@@ -293,10 +296,13 @@ fn check_states_and_edges(
             if !boxes_hold.step(
                 id,
                 e.target,
-                |images| refuted(&abs_boxes, images).map(|r| r.is_none()),
-                || refuted(&boxes, step).map(|r| r.is_none()),
+                |s_bar, t_bar| {
+                    first_refuted(&abs_boxes, |b| b.holds_step(&s_bar, &t_bar, scratch))
+                        .map(|r| r.is_none())
+                },
+                || refuted(step).map(|r| r.is_none()),
             )? {
-                let bi = refuted(&boxes, step)?.expect("just refuted on this step");
+                let bi = refuted(step)?.expect("just refuted on this step");
                 let base = trace_counterexample(
                     system,
                     graph,

@@ -7,20 +7,21 @@
 //! also exercised edge by edge, on the corpus and on random systems,
 //! which is the substitution lemma made executable in both directions:
 //! a class pair's remembered answer is the substituted expression's on
-//! every concrete step of the pair, and the unsubstituted expression on
-//! the abstract pair (what decides a miss) has the substituted
-//! expression's result, errors included.
+//! every concrete step of the pair, and the unsubstituted expression
+//! compiled, on the views of the abstract pair (what decides a miss),
+//! has the substituted expression's interpreted result, errors
+//! included.
 
 mod support {
     pub mod direct;
 }
 
 use opentla::{closed_product, ComponentSpec, CompositionOptions};
-use opentla_check::image::{Classes, Images, Memo};
+use opentla_check::image::{Classes, ImageView, Images, Memo};
 use opentla_check::{
-    check_liveness_governed, check_simulation_governed, explore, Budget, CheckError,
-    ExploreOptions, GuardedAction, Init, LiveTarget, LivenessRun, Outcome, RecorderHandle,
-    SimulationRun, StateGraph, System, Verdict,
+    check_liveness_governed, check_simulation_governed, explore, Budget, CheckError, CompiledExpr,
+    EvalScratch, ExploreOptions, GuardedAction, Init, LiveTarget, LivenessRun, Outcome,
+    RecorderHandle, SimulationRun, StateGraph, System, Verdict,
 };
 use opentla_kernel::{
     box_action, Domain, Expr, Fairness, Formula, StatePair, Substitution, Value, VarId, Vars,
@@ -953,13 +954,15 @@ proptest! {
         let abstract_box = box_action(action.clone(), sub);
         let images = Images::of_graph(&graph, &mapping, &RecorderHandle::default());
         let classes = Classes::of_graph(&graph, &target.free_vars(), &images);
+        let (compiled_box, mut scratch) = (CompiledExpr::compile(&abstract_box), EvalScratch::new());
         let mut memo = Memo::new(&classes);
         for s in 0..graph.len() {
             let steps = graph.edges(s).iter().map(|e| e.target).chain([s]);
             for t in steps {
-                let remembered = memo
-                    .step(s, t, |images| abstract_box.holds_action(images), || direct(s, t))
-                    .unwrap();
+                let on_views = |s_bar: ImageView<'_>, t_bar: ImageView<'_>| {
+                    compiled_box.holds_step(&s_bar, &t_bar, &mut scratch)
+                };
+                let remembered = memo.step(s, t, on_views, || direct(s, t)).unwrap();
                 prop_assert_eq!(remembered, direct(s, t).unwrap(), "step {} -> {}", s, t);
             }
         }

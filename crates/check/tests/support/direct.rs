@@ -12,14 +12,16 @@
 //!   so a test can assert that the reference really ran unmemoized, and
 //!   tallies every event in a `CountingRecorder`.
 //! * [`lemma_on_every_step`] / [`lemma_on_every_state`] are the
-//!   substitution lemma read the other way: the unsubstituted
-//!   expression on the abstract state(s) the checker builds equals the
-//!   substituted one on the concrete state(s), as results.
+//!   substitution lemma read the other way, across the two evaluators:
+//!   the unsubstituted expression, compiled, on the views of the
+//!   abstract state(s) a miss is decided on, equals the substituted one,
+//!   interpreted, on the concrete state(s), as results.
 
 use opentla_check::image::{Classes, Memo};
 use opentla_check::{
-    Budget, CheckError, Counterexample, CountingRecorder, Event, ExhaustReason, LiveTarget, Meter,
-    Outcome, Recorder, SimulationReport, SimulationRun, StateGraph, System, Verdict,
+    Budget, CheckError, CompiledExpr, Counterexample, CountingRecorder, EvalScratch, Event,
+    ExhaustReason, LiveTarget, Meter, Outcome, Recorder, SimulationReport, SimulationRun,
+    StateGraph, System, Verdict,
 };
 use opentla_kernel::{box_action, EvalError, Expr, Fairness, Formula, StatePair, Substitution};
 use opentla_semantics::safety_canonical;
@@ -273,9 +275,9 @@ fn agree(
 }
 
 /// On each of those steps whose endpoints both have a class:
-/// `abstractly` on the abstract pair the checker builds for a miss
-/// equals `substituted` on the concrete pair — as results, so an error
-/// of the one is the same error of the other. Returns the steps
+/// `abstractly`, compiled, on the views a miss is decided on equals
+/// `substituted`, interpreted, on the concrete pair — as results, so an
+/// error of the one is the same error of the other. Returns the steps
 /// compared.
 pub fn lemma_on_every_step(
     ctx: &str,
@@ -285,6 +287,7 @@ pub fn lemma_on_every_step(
     abstractly: &Expr,
     substituted: &Expr,
 ) -> usize {
+    let (program, mut scratch) = (CompiledExpr::compile(abstractly), EvalScratch::new());
     let mut compared = 0;
     for (s, t) in steps(graph, stride) {
         let direct = substituted.holds_action(StatePair::new(graph.state(s), graph.state(t)));
@@ -293,8 +296,8 @@ pub fn lemma_on_every_step(
         let answer = Memo::new(classes).step(
             s,
             t,
-            |images| {
-                let result = abstractly.holds_action(images);
+            |s_bar, t_bar| {
+                let result = program.holds_step(&s_bar, &t_bar, &mut scratch);
                 on_images = Some(result.clone());
                 result
             },
@@ -315,14 +318,15 @@ pub fn lemma_on_every_state(
     abstractly: &Expr,
     substituted: &Expr,
 ) -> usize {
+    let (program, mut scratch) = (CompiledExpr::compile(abstractly), EvalScratch::new());
     let mut compared = 0;
     for s in (0..graph.len()).step_by(stride) {
         let direct = substituted.holds_state(graph.state(s));
         let mut on_image = None;
         let answer = Memo::new(classes).state(
             s,
-            |image| {
-                let result = abstractly.holds_state(image);
+            |s_bar| {
+                let result = program.holds(&s_bar, &mut scratch);
                 on_image = Some(result.clone());
                 result
             },

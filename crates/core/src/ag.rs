@@ -3,9 +3,10 @@
 
 use crate::{ComponentSpec, SpecError};
 use opentla_check::{
-    Counterexample, GuardedAction, StateGraph, System, Verdict,
+    CheckError, CompiledExpr, Counterexample, EvalScratch, GuardedAction, StateGraph, System,
+    Verdict,
 };
-use opentla_kernel::{Expr, Formula, Renaming, State, StatePair, VarId, Vars};
+use opentla_kernel::{Expr, Formula, Renaming, State, VarId, Vars};
 use opentla_semantics::{safety_canonical, SafetyCanonical};
 use std::collections::HashMap;
 
@@ -242,52 +243,73 @@ impl AgReport {
     }
 }
 
-/// The first conjunct of `sc` (initial predicate or invariant) failing
-/// in state `s`, rendered with `vars` names.
-fn failing_state_conjunct(
-    sc: &SafetyCanonical,
-    s: &State,
-    vars: &Vars,
-) -> Result<Option<String>, SpecError> {
-    for p in sc.init.iter().chain(sc.invariants.iter()) {
-        if !p.holds_state(s).map_err(opentla_check::CheckError::from)? {
-            return Ok(Some(p.display(vars).to_string()));
-        }
-    }
-    Ok(None)
+/// One side of the monitor, `E` or `M`: its safety-canonical form,
+/// which names the conjuncts, and each conjunct compiled once per run.
+struct Side {
+    sc: SafetyCanonical,
+    init: Vec<CompiledExpr>,
+    invariants: Vec<CompiledExpr>,
+    boxes: Vec<CompiledExpr>,
 }
 
-/// The first conjunct of `sc` (step box or invariant) failing on the
-/// transition `pair`, rendered with `vars` names. `boxes` are
-/// `sc.step_boxes()`, built once per monitor run.
-fn failing_step_conjunct(
-    sc: &SafetyCanonical,
-    boxes: &[Expr],
-    pair: StatePair<'_>,
-    vars: &Vars,
-) -> Result<Option<String>, SpecError> {
-    for ((a, sub), step_box) in sc.boxes.iter().zip(boxes) {
-        if !step_box
-            .holds_action(pair)
-            .map_err(opentla_check::CheckError::from)?
-        {
-            let subscript: Vec<&str> = sub.iter().map(|v| vars.name(*v)).collect();
-            return Ok(Some(format!(
-                "□[{}]_⟨{}⟩",
-                a.display(vars),
-                subscript.join(", ")
-            )));
+impl Side {
+    fn compile(sc: SafetyCanonical) -> Side {
+        let compile = |es: &[Expr]| es.iter().map(CompiledExpr::compile).collect();
+        Side {
+            init: compile(&sc.init),
+            invariants: compile(&sc.invariants),
+            boxes: compile(&sc.step_boxes()),
+            sc,
         }
     }
-    for p in &sc.invariants {
-        if !p
-            .holds_state(pair.new)
-            .map_err(opentla_check::CheckError::from)?
-        {
-            return Ok(Some(p.display(vars).to_string()));
+
+    /// The first conjunct (initial predicate or invariant) failing in
+    /// state `s`, rendered with `vars` names.
+    fn failing_state_conjunct(
+        &self,
+        s: &State,
+        vars: &Vars,
+        scratch: &mut EvalScratch,
+    ) -> Result<Option<String>, SpecError> {
+        let preds = self.sc.init.iter().chain(&self.sc.invariants);
+        let programs = self.init.iter().chain(&self.invariants);
+        for (p, program) in preds.zip(programs) {
+            if !program.holds(s, scratch).map_err(CheckError::from)? {
+                return Ok(Some(p.display(vars).to_string()));
+            }
         }
+        Ok(None)
     }
-    Ok(None)
+
+    /// The first conjunct (step box or invariant) failing on the
+    /// transition `⟨s, t⟩`, rendered with `vars` names.
+    fn failing_step_conjunct(
+        &self,
+        s: &State,
+        t: &State,
+        vars: &Vars,
+        scratch: &mut EvalScratch,
+    ) -> Result<Option<String>, SpecError> {
+        for ((a, sub), step_box) in self.sc.boxes.iter().zip(&self.boxes) {
+            if !step_box
+                .holds_step(s, t, scratch)
+                .map_err(CheckError::from)?
+            {
+                let subscript: Vec<&str> = sub.iter().map(|v| vars.name(*v)).collect();
+                return Ok(Some(format!(
+                    "□[{}]_⟨{}⟩",
+                    a.display(vars),
+                    subscript.join(", ")
+                )));
+            }
+        }
+        for (p, program) in self.sc.invariants.iter().zip(&self.invariants) {
+            if !program.holds(t, scratch).map_err(CheckError::from)? {
+                return Ok(Some(p.display(vars).to_string()));
+            }
+        }
+        Ok(None)
+    }
 }
 
 /// Checks the safety part of "`system` realizes `E ⊳ M`": on every
@@ -307,8 +329,6 @@ fn failing_step_conjunct(
 /// [`SpecError`] wrapping a [`CheckError::NotCanonical`]
 /// (via [`SpecError::Check`]) if either formula is not
 /// safety-canonical, or evaluation errors.
-///
-/// [`CheckError::NotCanonical`]: opentla_check::CheckError::NotCanonical
 pub fn check_ag_safety(
     system: &System,
     graph: &StateGraph,
@@ -371,14 +391,14 @@ fn ag_monitor(
     env: &Formula,
     sys: &Formula,
 ) -> Result<AgReport, SpecError> {
-    let env_sc = safety_canonical(env).ok_or(opentla_check::CheckError::NotCanonical {
+    let env_side = Side::compile(safety_canonical(env).ok_or(CheckError::NotCanonical {
         context: "check_ag_safety (assumption)",
-    })?;
-    let sys_sc = safety_canonical(sys).ok_or(opentla_check::CheckError::NotCanonical {
+    })?);
+    let sys_side = Side::compile(safety_canonical(sys).ok_or(CheckError::NotCanonical {
         context: "check_ag_safety (guarantee)",
-    })?;
-    let (env_boxes, sys_boxes) = (env_sc.step_boxes(), sys_sc.step_boxes());
+    })?);
     let vars = system.vars();
+    let scratch = &mut EvalScratch::new();
 
     // Monitor state: false = both intact, true = assumption broken.
     // (Guarantee breaking while the assumption is intact — or on the
@@ -419,7 +439,7 @@ fn ag_monitor(
 
     for &id in graph.init() {
         let s = graph.state(id);
-        if let Some(conjunct) = failing_state_conjunct(&sys_sc, s, vars)? {
+        if let Some(conjunct) = sys_side.failing_state_conjunct(s, vars, scratch)? {
             // m₀ = 1 ≤ n₀ always.
             return Ok(AgReport {
                 verdict: Verdict::Violated(Counterexample::new(
@@ -435,7 +455,7 @@ fn ag_monitor(
                 env_break: None,
             });
         }
-        let broken_conjunct = failing_state_conjunct(&env_sc, s, vars)?;
+        let broken_conjunct = env_side.failing_state_conjunct(s, vars, scratch)?;
         let env_broken = broken_conjunct.is_some();
         if seen.insert((id, env_broken), None).is_none() {
             queue.push_back((id, env_broken));
@@ -454,8 +474,7 @@ fn ag_monitor(
         let s = graph.state(id);
         for e in graph.edges(id) {
             let t = graph.state(e.target);
-            let pair = StatePair::new(s, t);
-            if let Some(conjunct) = failing_step_conjunct(&sys_sc, &sys_boxes, pair, vars)? {
+            if let Some(conjunct) = sys_side.failing_step_conjunct(s, t, vars, scratch)? {
                 // Violation: reconstruct the trace through the monitor.
                 let action = system.actions()[e.action].name().to_string();
                 let base = rebuild(&seen, (id, env_broken), String::new());
@@ -479,7 +498,7 @@ fn ag_monitor(
                     env_break: None,
                 });
             }
-            let broken_conjunct = failing_step_conjunct(&env_sc, &env_boxes, pair, vars)?;
+            let broken_conjunct = env_side.failing_step_conjunct(s, t, vars, scratch)?;
             let next_broken = broken_conjunct.is_some();
             let key = (e.target, next_broken);
             if let std::collections::hash_map::Entry::Vacant(entry) = seen.entry(key) {

@@ -80,7 +80,11 @@ fn bench_init_representation(c: &mut Criterion) {
         System::new(cdq.vars().clone(), init, cdq.actions().to_vec())
     };
     group.bench_function("filtered_product", |b| {
-        b.iter(|| explore(&filtered, &ExploreOptions::default()).unwrap().len())
+        b.iter(|| {
+            explore(&filtered, &ExploreOptions::default())
+                .unwrap()
+                .len()
+        })
     });
 
     group.finish();

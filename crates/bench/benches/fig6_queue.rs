@@ -13,15 +13,11 @@ fn bench_queue(c: &mut Criterion) {
 
     for (n, v) in [(1usize, 2i64), (2, 2), (3, 2), (2, 3)] {
         let id = format!("N{n}_V{v}");
-        group.bench_with_input(
-            BenchmarkId::new("explore", &id),
-            &(n, v),
-            |b, &(n, v)| {
-                let world = SingleQueue::new(n, v, FairnessStyle::Joint);
-                let sys = world.complete_system().unwrap();
-                b.iter(|| explore_all(&sys).len())
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("explore", &id), &(n, v), |b, &(n, v)| {
+            let world = SingleQueue::new(n, v, FairnessStyle::Joint);
+            let sys = world.complete_system().unwrap();
+            b.iter(|| explore_all(&sys).len())
+        });
         group.bench_with_input(
             BenchmarkId::new("capacity_invariant", &id),
             &(n, v),

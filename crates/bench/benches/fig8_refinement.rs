@@ -12,19 +12,22 @@ fn bench_refinement(c: &mut Criterion) {
 
     for (n, v) in [(1usize, 2i64), (2, 2)] {
         let id = format!("N{n}_V{v}");
-        group.bench_with_input(BenchmarkId::new("explore_cdq", &id), &(n, v), |b, &(n, v)| {
-            let w = DoubleQueue::new(n, v, FairnessStyle::Joint);
-            let sys = w.cdq_system().unwrap();
-            b.iter(|| explore_all(&sys).len())
-        });
+        group.bench_with_input(
+            BenchmarkId::new("explore_cdq", &id),
+            &(n, v),
+            |b, &(n, v)| {
+                let w = DoubleQueue::new(n, v, FairnessStyle::Joint);
+                let sys = w.cdq_system().unwrap();
+                b.iter(|| explore_all(&sys).len())
+            },
+        );
         group.bench_with_input(
             BenchmarkId::new("refinement", &id),
             &(n, v),
             |b, &(n, v)| {
                 let w = DoubleQueue::new(n, v, FairnessStyle::Joint);
                 b.iter(|| {
-                    let report =
-                        w.prove_refinement(&ExploreOptions::default()).unwrap();
+                    let report = w.prove_refinement(&ExploreOptions::default()).unwrap();
                     assert!(report.holds());
                     report.simulation.states
                 })

@@ -42,14 +42,7 @@ fn bench_props(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("eval_256_lassos", name),
             &formula,
-            |b, f| {
-                b.iter(|| {
-                    lassos
-                        .iter()
-                        .filter(|s| eval(f, s, &ctx).unwrap())
-                        .count()
-                })
-            },
+            |b, f| b.iter(|| lassos.iter().filter(|s| eval(f, s, &ctx).unwrap()).count()),
         );
     }
 

@@ -47,12 +47,8 @@ fn main() {
             ..ExploreOptions::default()
         };
         let t = Instant::now();
-        let run = explore_governed_with(
-            &system,
-            &Budget::unlimited().with_recorder(handle),
-            &opts,
-        )
-        .expect("spill run explores");
+        let run = explore_governed_with(&system, &Budget::unlimited().with_recorder(handle), &opts)
+            .expect("spill run explores");
         let secs = t.elapsed().as_secs_f64();
         rec.flush();
         let text = std::fs::read_to_string(&obs_path).expect("read obs");
@@ -70,7 +66,11 @@ fn main() {
             })
             .max()
             .unwrap_or(0);
-        assert_eq!(run.graph.first_difference(&base.graph), None, "budget {budget:?}");
+        assert_eq!(
+            run.graph.first_difference(&base.graph),
+            None,
+            "budget {budget:?}"
+        );
         println!(
             "budget={:>12} time={:.3}s (x{:.2} vs seq_fp) spill_events={} spilled={:.1} MiB",
             budget.map_or("default".into(), |b| format!("{b}")),

@@ -310,7 +310,9 @@ fn clock() {
 
 fn ring() {
     heading("X4 — token ring (extension): the k-cycle of assumptions");
-    println!("| nodes | composition (mutex) | token conservation | circulation □◇crit | states | time |");
+    println!(
+        "| nodes | composition (mutex) | token conservation | circulation □◇crit | states | time |"
+    );
     println!("|---|---|---|---|---|---|");
     for k in [2usize, 3, 4] {
         let t = Instant::now();
@@ -325,9 +327,7 @@ fn ring() {
             check_liveness(
                 &sys,
                 &graph,
-                &LiveTarget::AlwaysEventually(
-                    Expr::var(w.crit(i)).eq(Expr::int(1)),
-                ),
+                &LiveTarget::AlwaysEventually(Expr::var(w.crit(i)).eq(Expr::int(1))),
             )
             .unwrap()
             .holds()
@@ -399,16 +399,16 @@ fn adversarial() {
         &w.receiver_guarantee(),
     )
     .unwrap();
-    let diagnosis = report
-        .env_break
-        .as_ref()
-        .map_or_else(|| "cooperative".to_string(), |b| {
+    let diagnosis = report.env_break.as_ref().map_or_else(
+        || "cooperative".to_string(),
+        |b| {
             format!(
                 "E broken at step {} by {}",
                 b.step,
                 b.action.as_deref().unwrap_or("(init)")
             )
-        });
+        },
+    );
     println!(
         "{}",
         row(&[
@@ -423,8 +423,16 @@ fn adversarial() {
     // Crash–restart queue chain, from both sides of ⊳.
     let chain = QueueChain::new(2, 1, 2, FairnessStyle::None);
     for (label, sys, expect_holds) in [
-        ("chain, crashing environment", chain.crashy_env_system().unwrap(), true),
-        ("chain, crashing queue 1", chain.crashy_queue_system(1).unwrap(), false),
+        (
+            "chain, crashing environment",
+            chain.crashy_env_system().unwrap(),
+            true,
+        ),
+        (
+            "chain, crashing queue 1",
+            chain.crashy_queue_system(1).unwrap(),
+            false,
+        ),
     ] {
         let t = Instant::now();
         let graph = explore_all(&sys);
@@ -437,11 +445,7 @@ fn adversarial() {
         .unwrap();
         assert_eq!(report.holds(), expect_holds);
         let diagnosis = match (&report.env_break, report.verdict.counterexample()) {
-            (Some(b), _) => format!(
-                "E broken at step {}, M held {} steps",
-                b.step,
-                b.step + 1
-            ),
+            (Some(b), _) => format!("E broken at step {}, M held {} steps", b.step, b.step + 1),
             (None, Some(cx)) => cx.reason().chars().take(60).collect(),
             (None, None) => "cooperative".to_string(),
         };
@@ -462,8 +466,16 @@ fn adversarial() {
     let t = Instant::now();
     let run = opentla_check::explore_governed(&lossy, &Budget::default().states(3)).unwrap();
     let partial = match &run.outcome {
-        Outcome::Exhausted { reason, frontier_size, stats, .. } => {
-            format!("{reason}; {} frontier, {} states seen", frontier_size, stats.states)
+        Outcome::Exhausted {
+            reason,
+            frontier_size,
+            stats,
+            ..
+        } => {
+            format!(
+                "{reason}; {} frontier, {} states seen",
+                frontier_size, stats.states
+            )
         }
         Outcome::Complete => "complete".to_string(),
     };

@@ -36,11 +36,7 @@ pub fn handshake_system(num_values: i64) -> Result<(Vars, Channel, System), Spec
         .outputs([c.ack])
         .inputs([c.sig, c.val])
         .init(Init::new([(c.ack, opentla_kernel::Value::Int(0))]))
-        .action(GuardedAction::new(
-            "Ack",
-            c.ready_to_ack(),
-            c.ack_updates(),
-        ))
+        .action(GuardedAction::new("Ack", c.ready_to_ack(), c.ack_updates()))
         .build()?;
     let system = closed_product(&vars, &[&sender, &receiver])?;
     Ok((vars, c, system))

@@ -117,11 +117,7 @@ impl Budget {
     ///
     /// The write is atomic (temp file + rename) and checksummed; see
     /// [`crate::Snapshot`]. Resume with [`crate::explore_resumable`].
-    pub fn with_checkpoint(
-        mut self,
-        path: impl Into<std::path::PathBuf>,
-        cadence: u64,
-    ) -> Self {
+    pub fn with_checkpoint(mut self, path: impl Into<std::path::PathBuf>, cadence: u64) -> Self {
         self.checkpoint = Some(CheckpointSpec {
             path: path.into(),
             cadence: cadence.max(1),
@@ -397,12 +393,7 @@ impl Meter {
     /// Emits one [`Event::Progress`] snapshot with the current counts
     /// (no-op when the recorder is disabled). Engines that know their
     /// frontier size, BFS level, or worker index pass them here.
-    pub fn emit_progress(
-        &self,
-        frontier: Option<u64>,
-        level: Option<u64>,
-        worker: Option<u64>,
-    ) {
+    pub fn emit_progress(&self, frontier: Option<u64>, level: Option<u64>, worker: Option<u64>) {
         if !self.observe {
             return;
         }
@@ -601,17 +592,16 @@ mod tests {
             }
         }
         let mut budgets_seen = Vec::new();
-        let result: Result<Fake, ()> =
-            escalate(&Budget::default().states(1), 3, 4, |b| {
-                budgets_seen.push(b.max_states);
-                if b.max_states >= 9 {
-                    Ok(Fake(None))
-                } else {
-                    Ok(Fake(Some(ExhaustReason::StateLimit {
-                        limit: b.max_states,
-                    })))
-                }
-            });
+        let result: Result<Fake, ()> = escalate(&Budget::default().states(1), 3, 4, |b| {
+            budgets_seen.push(b.max_states);
+            if b.max_states >= 9 {
+                Ok(Fake(None))
+            } else {
+                Ok(Fake(Some(ExhaustReason::StateLimit {
+                    limit: b.max_states,
+                })))
+            }
+        });
         assert!(result.unwrap().exhaustion().is_none());
         assert_eq!(budgets_seen, vec![1, 3, 9]);
     }

@@ -239,7 +239,10 @@ fn expect_end(r: &Reader<'_>, what: &str) -> Result<(), CheckpointError> {
     if r.is_empty() {
         return Ok(());
     }
-    Err(corrupt(format!("{} trailing byte(s) after {what}", r.remaining())))
+    Err(corrupt(format!(
+        "{} trailing byte(s) after {what}",
+        r.remaining()
+    )))
 }
 
 /// The refusal to resume under a different `field`.
@@ -462,7 +465,14 @@ impl Manifest {
         let (mut scratch, mut record, mut transitions) = (Vec::new(), Vec::new(), 0);
         let (mut arena_hot, mut edge_hot) = (Records::default(), Records::default());
         for (id, state, parent, edges) in snap.records() {
-            encode_arena_record(state, state.fingerprint(), parent, None, &mut scratch, &mut record);
+            encode_arena_record(
+                state,
+                state.fingerprint(),
+                parent,
+                None,
+                &mut scratch,
+                &mut record,
+            );
             arena_hot.push(&record);
             if let Some(edges) = edges {
                 encode_edge_record(id, edges, &mut record);
@@ -496,9 +506,14 @@ impl Manifest {
             )));
         }
         if graph.init() != self.init {
-            return Err(corrupt("manifest and arena records disagree on the initial states"));
+            return Err(corrupt(
+                "manifest and arena records disagree on the initial states",
+            ));
         }
-        fill_edges(&mut graph, (&self.dir, &self.edge_segments, self.edge_hot.iter()))?;
+        fill_edges(
+            &mut graph,
+            (&self.dir, &self.edge_segments, self.edge_hot.iter()),
+        )?;
         if graph.edge_count() as u64 != self.transitions {
             return Err(corrupt(format!(
                 "manifest claims {} transitions, edge records held {}",
@@ -567,7 +582,12 @@ impl Snapshot {
         let mut unexpanded = self.frontier.iter().peekable();
         graph.states().iter().enumerate().map(move |(id, state)| {
             let expanded = unexpanded.next_if_eq(&&id).is_none();
-            (id, state, graph.parent(id), expanded.then(|| graph.edges(id)))
+            (
+                id,
+                state,
+                graph.parent(id),
+                expanded.then(|| graph.edges(id)),
+            )
         })
     }
 
@@ -636,7 +656,12 @@ impl Snapshot {
         &self,
         canon: &dyn Canonicalize,
     ) -> Result<(), CheckpointError> {
-        match self.graph().states().iter().position(|s| &canon.canonicalize(s) != s) {
+        match self
+            .graph()
+            .states()
+            .iter()
+            .position(|s| &canon.canonicalize(s) != s)
+        {
             None => Ok(()),
             Some(id) => mismatch(
                 "symmetry canonicalizer",
@@ -684,7 +709,12 @@ impl Snapshot {
             out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
             for seg in segments.iter() {
                 push_bytes(&mut out, seg.name.as_bytes());
-                for word in [seg.first, seg.records, seg.payload_len, seg.payload_checksum] {
+                for word in [
+                    seg.first,
+                    seg.records,
+                    seg.payload_len,
+                    seg.payload_checksum,
+                ] {
                     out.extend_from_slice(&word.to_le_bytes());
                 }
             }
@@ -759,7 +789,10 @@ impl Snapshot {
     /// [`CheckpointError::Io`] when a referenced segment file is gone,
     /// or any corruption-class error when one fails verification or
     /// disagrees with the manifest.
-    pub(crate) fn materialize(&self, system: &System) -> Result<Cow<'_, Snapshot>, CheckpointError> {
+    pub(crate) fn materialize(
+        &self,
+        system: &System,
+    ) -> Result<Cow<'_, Snapshot>, CheckpointError> {
         let Body::Manifest(m) = &self.body else {
             return Ok(Cow::Borrowed(self));
         };
@@ -781,7 +814,9 @@ impl SnapshotReader<'_> {
     fn ids(&mut self, ctx: &'static str, bound: usize) -> Result<Vec<usize>, CheckpointError> {
         let n = self.r.u32(ctx)? as usize;
         if n > bound {
-            return Err(corrupt(format!("{ctx} count {n} exceeds state count {bound}")));
+            return Err(corrupt(format!(
+                "{ctx} count {n} exceeds state count {bound}"
+            )));
         }
         let mut ids = Vec::with_capacity(n);
         for _ in 0..n {
@@ -834,7 +869,9 @@ impl SnapshotReader<'_> {
         for _ in 0..count {
             let name = self.string("segment name")?;
             if name.contains('/') || name.contains('\\') || name.contains("..") {
-                return Err(corrupt(format!("segment name {name:?} escapes the spill dir")));
+                return Err(corrupt(format!(
+                    "segment name {name:?} escapes the spill dir"
+                )));
             }
             list.push(SegmentMeta {
                 name,
@@ -849,7 +886,9 @@ impl SnapshotReader<'_> {
 
     fn records(&mut self) -> Result<Records, CheckpointError> {
         let count = self.r.u32("inline record count")?;
-        (0..count).map(|_| Ok(self.r.bytes("inline record")?)).collect()
+        (0..count)
+            .map(|_| Ok(self.r.bytes("inline record")?))
+            .collect()
     }
 
     fn finish(&mut self) -> Result<Snapshot, CheckpointError> {
@@ -897,7 +936,11 @@ impl SnapshotReader<'_> {
         // `explore_seq` rests on): a repeated id would expand, and be
         // charged, twice.
         let expanded = n - frontier.len();
-        if let Some(at) = frontier.iter().enumerate().position(|(i, &id)| id != expanded + i) {
+        if let Some(at) = frontier
+            .iter()
+            .enumerate()
+            .position(|(i, &id)| id != expanded + i)
+        {
             return Err(corrupt(format!(
                 "frontier id {} at position {at} is not the arena's tail in ascending order \
                  (expected {})",
@@ -1159,7 +1202,9 @@ fn decode_edge_record(
     let mut r = Reader::new(bytes);
     let id = r.u32("edge record id")? as usize;
     if id >= bound {
-        return Err(corrupt(format!("edge record id {id} out of range (< {bound})")));
+        return Err(corrupt(format!(
+            "edge record id {id} out of range (< {bound})"
+        )));
     }
     edges.clear();
     for _ in 0..r.u32("edge record count")? {
@@ -1259,12 +1304,25 @@ mod tests {
     /// Three states: 0 initial and expanded, 1 and 2 reached from it.
     fn sample_graph() -> StateGraph {
         let mut graph = StateGraph::with_capacity(3);
-        let states = [(0, false, None), (1, false, Some((0, 0))), (1, true, Some((0, 1)))];
+        let states = [
+            (0, false, None),
+            (1, false, Some((0, 0))),
+            (1, true, Some((0, 1))),
+        ];
         for (x, y, parent) in states {
             let state = State::new(vec![Value::Int(x), Value::Bool(y)]);
             graph.push_state(state, parent).unwrap();
         }
-        let successors = [Edge { action: 0, target: 1 }, Edge { action: 1, target: 2 }];
+        let successors = [
+            Edge {
+                action: 0,
+                target: 1,
+            },
+            Edge {
+                action: 1,
+                target: 2,
+            },
+        ];
         graph.set_edges(0, &successors).unwrap();
         graph
     }
@@ -1276,7 +1334,8 @@ mod tests {
         let mut vars = Vars::new();
         vars.declare("x", Domain::int_range(0, 2));
         vars.declare("y", Domain::booleans());
-        let action = |name| crate::GuardedAction::new(name, opentla_kernel::Expr::bool(true), vec![]);
+        let action =
+            |name| crate::GuardedAction::new(name, opentla_kernel::Expr::bool(true), vec![]);
         System::new(vars, crate::Init::new([]), vec![action("a0"), action("a1")])
     }
 
@@ -1302,7 +1361,14 @@ mod tests {
     fn arena_record(id: usize, parent: Option<(usize, usize)>) -> Vec<u8> {
         let graph = sample_graph();
         let (state, mut rec) = (graph.state(id), Vec::new());
-        encode_arena_record(state, state.fingerprint(), parent, None, &mut Vec::new(), &mut rec);
+        encode_arena_record(
+            state,
+            state.fingerprint(),
+            parent,
+            None,
+            &mut Vec::new(),
+            &mut rec,
+        );
         rec
     }
 
@@ -1329,7 +1395,9 @@ mod tests {
     /// segment by reference, the rest inline.
     fn manifest_sample() -> Snapshot {
         let graph = sample_graph();
-        let arena: Vec<Vec<u8>> = (0..3).map(|id| arena_record(id, graph.parent(id))).collect();
+        let arena: Vec<Vec<u8>> = (0..3)
+            .map(|id| arena_record(id, graph.parent(id)))
+            .collect();
         let mut sealed = (arena[0].len() as u32).to_le_bytes().to_vec();
         sealed.extend_from_slice(&arena[0]);
         let mut edges = Vec::new();
@@ -1364,8 +1432,20 @@ mod tests {
         snap.save(&path).unwrap();
         let back = Snapshot::load(&path).unwrap();
         assert_eq!(
-            (back.fp_bits, back.mode, back.reduced, back.system_hash, back.seq),
-            (snap.fp_bits, snap.mode, snap.reduced, snap.system_hash, snap.seq)
+            (
+                back.fp_bits,
+                back.mode,
+                back.reduced,
+                back.system_hash,
+                back.seq
+            ),
+            (
+                snap.fp_bits,
+                snap.mode,
+                snap.reduced,
+                snap.system_hash,
+                snap.seq
+            )
         );
         assert_eq!(back.frontier, snap.frontier);
         assert_eq!(back.reduction, snap.reduction);
@@ -1414,7 +1494,10 @@ mod tests {
         let mut bad = pristine.clone();
         bad[0] = b'X';
         std::fs::write(&path, &bad).unwrap();
-        assert_eq!(Snapshot::load(&path).unwrap_err(), CheckpointError::BadMagic);
+        assert_eq!(
+            Snapshot::load(&path).unwrap_err(),
+            CheckpointError::BadMagic
+        );
         // Unsupported version (re-checksummed, so it parses that far).
         let mut body = pristine[MAGIC.len()..pristine.len() - 8].to_vec();
         body[..4].copy_from_slice(&99u32.to_le_bytes());
@@ -1463,7 +1546,9 @@ mod tests {
         // A `reduced` header without its block.
         with_reduction_block(&path, &[0]);
         match Snapshot::load(&path).unwrap_err() {
-            CheckpointError::Corrupt { detail } => assert!(detail.contains("reduced flag"), "{detail}"),
+            CheckpointError::Corrupt { detail } => {
+                assert!(detail.contains("reduced flag"), "{detail}")
+            }
             other => panic!("expected Corrupt, got {other:?}"),
         }
         std::fs::remove_file(&path).unwrap();
@@ -1520,7 +1605,9 @@ mod tests {
     #[test]
     fn frontier_that_repeats_or_reorders_an_id_is_corrupt() {
         let graph = sample_graph();
-        let arena: Vec<Vec<u8>> = (0..3).map(|id| arena_record(id, graph.parent(id))).collect();
+        let arena: Vec<Vec<u8>> = (0..3)
+            .map(|id| arena_record(id, graph.parent(id)))
+            .collect();
         for frontier in [vec![2, 2], vec![2, 1], vec![0, 2], vec![1]] {
             let snap = over_arena_records(&arena, frontier.clone());
             let detail = corrupt_detail(through_a_file("frontier", &snap));
@@ -1528,7 +1615,10 @@ mod tests {
         }
         for frontier in [vec![], vec![2], vec![1, 2], vec![0, 1, 2]] {
             let snap = over_arena_records(&arena, frontier.clone());
-            assert_eq!(through_a_file("frontier", &snap).unwrap().frontier, frontier);
+            assert_eq!(
+                through_a_file("frontier", &snap).unwrap().frontier,
+                frontier
+            );
         }
     }
 
@@ -1536,9 +1626,13 @@ mod tests {
     /// expanded, with these inline edge records.
     fn over_edge_records(edges: &[(usize, &[Edge])]) -> Snapshot {
         let graph = sample_graph();
-        let arena: Vec<Vec<u8>> = (0..3).map(|id| arena_record(id, graph.parent(id))).collect();
+        let arena: Vec<Vec<u8>> = (0..3)
+            .map(|id| arena_record(id, graph.parent(id)))
+            .collect();
         let mut snap = over_arena_records(&arena, vec![]);
-        let Body::Manifest(m) = &mut snap.body else { unreachable!() };
+        let Body::Manifest(m) = &mut snap.body else {
+            unreachable!()
+        };
         let mut record = Vec::new();
         for &(id, successors) in edges {
             encode_edge_record(id, successors, &mut record);
@@ -1555,12 +1649,19 @@ mod tests {
     fn edge_records_out_of_id_order_are_corrupt() {
         let graph = sample_graph();
         let (fan, none): (&[Edge], &[Edge]) = (graph.edges(0), &[]);
-        for edges in [vec![(1, none), (0, fan)], vec![(0, fan), (0, none)], vec![(0, fan), (2, none), (1, none)]] {
+        for edges in [
+            vec![(1, none), (0, fan)],
+            vec![(0, fan), (0, none)],
+            vec![(0, fan), (2, none), (1, none)],
+        ] {
             let detail = corrupt_detail(through_a_file("edge_order", &over_edge_records(&edges)));
             assert!(detail.contains("ascending id order"), "{edges:?}: {detail}");
         }
         // In order, rows skipped over stay empty.
-        for edges in [vec![(0, fan), (1, none), (2, none)], vec![(0, fan), (2, none)]] {
+        for edges in [
+            vec![(0, fan), (1, none), (2, none)],
+            vec![(0, fan), (2, none)],
+        ] {
             let back = through_a_file("edge_order", &over_edge_records(&edges)).unwrap();
             assert_eq!(back.graph().first_difference(&graph), None, "{edges:?}");
         }
@@ -1580,7 +1681,10 @@ mod tests {
         // The code below it is the domain's last value.
         *record.last_mut().unwrap() = 0b010;
         let back = through_a_file("bad_code", &over_arena_records(&[record], vec![0])).unwrap();
-        assert_eq!(back.graph().state(0).values(), [Value::Int(2), Value::Bool(false)]);
+        assert_eq!(
+            back.graph().state(0).values(),
+            [Value::Int(2), Value::Bool(false)]
+        );
     }
 
     /// Counterexample rendering indexes the system's actions by the
@@ -1590,11 +1694,29 @@ mod tests {
     fn record_naming_an_action_the_system_lacks_is_corrupt() {
         let arena = [None, Some((0, 0)), Some((0, 7))];
         let arena: Vec<_> = (0..3).map(|id| arena_record(id, arena[id])).collect();
-        let detail = corrupt_detail(through_a_file("action", &over_arena_records(&arena, vec![0, 1, 2])));
-        assert!(detail.contains("state 2 records action 7 of a system with 2"), "{detail}");
-        let edges: &[Edge] = &[Edge { action: 0, target: 1 }, Edge { action: 2, target: 2 }];
+        let detail = corrupt_detail(through_a_file(
+            "action",
+            &over_arena_records(&arena, vec![0, 1, 2]),
+        ));
+        assert!(
+            detail.contains("state 2 records action 7 of a system with 2"),
+            "{detail}"
+        );
+        let edges: &[Edge] = &[
+            Edge {
+                action: 0,
+                target: 1,
+            },
+            Edge {
+                action: 2,
+                target: 2,
+            },
+        ];
         let detail = corrupt_detail(through_a_file("action", &over_edge_records(&[(0, edges)])));
-        assert!(detail.contains("state 0 records action 2 of a system with 2"), "{detail}");
+        assert!(
+            detail.contains("state 0 records action 2 of a system with 2"),
+            "{detail}"
+        );
     }
 
     /// The manifest's segment record counts are words of the file: two
@@ -1610,7 +1732,9 @@ mod tests {
             payload_checksum: 0,
         };
         let mut snap = over_arena_records(&[], vec![0]);
-        let Body::Manifest(m) = &mut snap.body else { unreachable!() };
+        let Body::Manifest(m) = &mut snap.body else {
+            unreachable!()
+        };
         m.states = 1;
         m.arena_segments = vec![segment(u64::MAX), segment(2)];
         let detail = corrupt_detail(through_a_file("overflow_v2", &snap));
@@ -1625,8 +1749,13 @@ mod tests {
             requested: "0xbbbb".into(),
         };
         let text = e.to_string();
-        assert!(text.contains("system") && text.contains("refusing"), "{text}");
-        assert!(CheckpointError::ChecksumMismatch.to_string().contains("checksum"));
+        assert!(
+            text.contains("system") && text.contains("refusing"),
+            "{text}"
+        );
+        assert!(CheckpointError::ChecksumMismatch
+            .to_string()
+            .contains("checksum"));
         assert!(CheckpointError::UnsupportedVersion { found: 3 }
             .to_string()
             .contains('3'));

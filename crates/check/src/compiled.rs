@@ -559,10 +559,7 @@ mod tests {
         assert_agree(&Expr::var(q).len(), &s);
         assert_agree(&Expr::var(q).head(), &s);
         assert_agree(&Expr::var(q).tail(), &s);
-        assert_agree(
-            &Expr::var(q).concat(Expr::MkSeq(vec![Expr::int(0)])),
-            &s,
-        );
+        assert_agree(&Expr::var(q).concat(Expr::MkSeq(vec![Expr::int(0)])), &s);
         assert_agree(&Expr::Tuple(vec![Expr::var(x), Expr::int(9)]), &s);
     }
 
@@ -627,14 +624,20 @@ mod tests {
                 vec![(y, Expr::int(1).sub(Expr::var(y)))],
             ),
         ];
-        let sys = System::new(vars, Init::new([(x, Value::Int(0)), (y, Value::Int(0))]), actions);
+        let sys = System::new(
+            vars,
+            Init::new([(x, Value::Int(0)), (y, Value::Int(0))]),
+            actions,
+        );
         let compiled = CompiledSystem::compile(&sys);
         let mut scratch = EvalScratch::new();
         let mut out = Vec::new();
         for xv in 0..=3 {
             for yv in 0..=1 {
                 let s = State::new(vec![Value::Int(xv), Value::Int(yv)]);
-                compiled.successors_into(&s, &mut out, &mut scratch).unwrap();
+                compiled
+                    .successors_into(&s, &mut out, &mut scratch)
+                    .unwrap();
                 assert_eq!(out, sys.successors(&s).unwrap(), "at x={xv} y={yv}");
             }
         }

@@ -63,10 +63,9 @@ impl fmt::Display for CheckError {
             CheckError::TooManyStates { limit } => {
                 write!(f, "exploration exceeded the state limit of {limit}")
             }
-            CheckError::NotCanonical { context } => write!(
-                f,
-                "{context} requires a safety-canonical specification"
-            ),
+            CheckError::NotCanonical { context } => {
+                write!(f, "{context} requires a safety-canonical specification")
+            }
             CheckError::NoInitialStates => write!(f, "the system has no initial states"),
             CheckError::Checkpoint(e) => write!(f, "checkpoint error: {e}"),
             CheckError::Precondition { message } => write!(f, "{message}"),
@@ -121,7 +120,9 @@ mod tests {
         assert!(std::error::Error::source(&e).is_none());
         let e = CheckError::from(EvalError::EmptySeq { op: "Head" });
         assert!(std::error::Error::source(&e).is_some());
-        let e = CheckError::NotCanonical { context: "simulation" };
+        let e = CheckError::NotCanonical {
+            context: "simulation",
+        };
         assert!(e.to_string().contains("simulation"));
     }
 }

@@ -465,11 +465,20 @@ fn explore_dispatch(
     launch: Result<Start<'_>, CheckError>,
 ) -> Result<Exploration, CheckError> {
     let Start { plan, seed, layout } = launch?;
-    let packed = || layout.as_ref().expect("a work-stealing plan starts over a packed layout");
+    let packed = || {
+        layout
+            .as_ref()
+            .expect("a work-stealing plan starts over a packed layout")
+    };
     match plan.route {
-        Route::Sequential | Route::SpillBfs { .. } => {
-            seq::explore_seq(system, budget, options, plan.route.mem_budget(), seed, layout)
-        }
+        Route::Sequential | Route::SpillBfs { .. } => seq::explore_seq(
+            system,
+            budget,
+            options,
+            plan.route.mem_budget(),
+            seed,
+            layout,
+        ),
         Route::SpillWs { mem_budget } => spill_ws::explore_spill_ws(
             system,
             budget,
@@ -698,8 +707,7 @@ fn replay_records(
             while j < recs.len() && recs[j].0 == parent {
                 j += 1;
             }
-            edge_index[shard_of(parent)][local_of(parent)] =
-                (vi as u32, i as u32, (j - i) as u32);
+            edge_index[shard_of(parent)][local_of(parent)] = (vi as u32, i as u32, (j - i) as u32);
             i = j;
         }
     }
@@ -748,9 +756,15 @@ fn replay_records(
             action: action as usize,
             target: canon[shard_of(child)][local_of(child)] as usize,
         }));
-        graph.set_edges(id, &list).expect("the replay fills rows in id order");
+        graph
+            .set_edges(id, &list)
+            .expect("the replay fills rows in id order");
     }
-    Replay { canon, graph, depth }
+    Replay {
+        canon,
+        graph,
+        depth,
+    }
 }
 
 /// The deepest consistent level-boundary rollback of a stopped
@@ -765,7 +779,11 @@ fn replay_records(
 /// no reachable pending state at all, the whole graph is kept with an
 /// empty frontier.
 fn rollback_cut(replay: &Replay, pending: &[Pid]) -> (usize, Vec<usize>) {
-    let Replay { canon, graph, depth } = replay;
+    let Replay {
+        canon,
+        graph,
+        depth,
+    } = replay;
     let cut = pending
         .iter()
         .filter_map(|&p| {
@@ -972,7 +990,10 @@ mod tests {
         assert_eq!(stats.deadlocks, 1);
         assert_eq!(stats.depth, 5);
         let text = stats.to_string();
-        assert!(text.contains("6 states") && text.contains("depth 5"), "{text}");
+        assert!(
+            text.contains("6 states") && text.contains("depth 5"),
+            "{text}"
+        );
     }
 
     #[test]
@@ -1030,8 +1051,7 @@ mod tests {
 
     #[test]
     fn transition_budget_requeues_interrupted_state() {
-        let run =
-            explore_governed(&counter(10), &Budget::default().transitions(2)).unwrap();
+        let run = explore_governed(&counter(10), &Budget::default().transitions(2)).unwrap();
         assert_eq!(run.graph.edge_count(), 2);
         assert!(matches!(
             run.outcome.exhaustion(),
@@ -1174,7 +1194,10 @@ mod tests {
 
     impl crate::obs::Recorder for RoutingLog {
         fn record(&self, event: &Event<'_>) {
-            if let Event::RunStart { engine, threads, .. } = *event {
+            if let Event::RunStart {
+                engine, threads, ..
+            } = *event
+            {
                 lock(&self.engines).push((engine.to_string(), threads));
             }
         }
@@ -1214,15 +1237,32 @@ mod tests {
             ..ExploreOptions::default()
         };
         let cases = [
-            (with(Engine::Auto, 1), Route::Sequential, "explore_sequential", 1),
-            (with(Engine::Auto, 2), Route::WorkStealing, "explore_parallel_ws", 2),
-            (with(Engine::WorkStealing, 1), Route::WorkStealing, "explore_parallel_ws", 1),
+            (
+                with(Engine::Auto, 1),
+                Route::Sequential,
+                "explore_sequential",
+                1,
+            ),
+            (
+                with(Engine::Auto, 2),
+                Route::WorkStealing,
+                "explore_parallel_ws",
+                2,
+            ),
+            (
+                with(Engine::WorkStealing, 1),
+                Route::WorkStealing,
+                "explore_parallel_ws",
+                1,
+            ),
             (
                 ExploreOptions {
                     mem_budget_bytes: Some(1 << 20),
                     ..with(Engine::SpillBfs, 4)
                 },
-                Route::SpillBfs { mem_budget: 1 << 20 },
+                Route::SpillBfs {
+                    mem_budget: 1 << 20,
+                },
                 "explore_spill",
                 1,
             ),
@@ -1231,7 +1271,9 @@ mod tests {
                     mem_budget_bytes: Some(1 << 20),
                     ..with(Engine::SpillWs, 2)
                 },
-                Route::SpillWs { mem_budget: 1 << 20 },
+                Route::SpillWs {
+                    mem_budget: 1 << 20,
+                },
                 "explore_spill_ws",
                 2,
             ),
@@ -1242,7 +1284,11 @@ mod tests {
             assert_eq!(plan.route, route);
             assert_eq!(plan.label(), label);
             assert_eq!(*lock(&log.engines), [(label.to_string(), workers)]);
-            assert_eq!(run.unwrap().graph.first_difference(&reference), None, "{label}");
+            assert_eq!(
+                run.unwrap().graph.first_difference(&reference),
+                None,
+                "{label}"
+            );
         }
         // A reduced run is sequential whatever was asked for, and says
         // so: one worker, not four.
@@ -1271,9 +1317,17 @@ mod tests {
         let (plan, _, unbudgeted) = run_planned(&reduced(None), None);
         assert_eq!(plan.route, Route::Sequential);
         let unbudgeted = unbudgeted.unwrap();
-        for (options, env_budget) in [(reduced(None), Some(4 << 10)), (reduced(Some(4 << 10)), None)] {
+        for (options, env_budget) in [
+            (reduced(None), Some(4 << 10)),
+            (reduced(Some(4 << 10)), None),
+        ] {
             let (plan, log, run) = run_planned(&options, env_budget);
-            assert_eq!(plan.route, Route::SpillBfs { mem_budget: 4 << 10 });
+            assert_eq!(
+                plan.route,
+                Route::SpillBfs {
+                    mem_budget: 4 << 10
+                }
+            );
             assert_eq!(*lock(&log.engines), [("explore_spill".to_string(), 1)]);
             let run = run.unwrap();
             assert!(run.outcome.is_complete() && run.graph.is_reduced());

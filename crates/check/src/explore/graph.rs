@@ -162,7 +162,10 @@ impl StateGraph {
         let Some(&first) = ids.first() else {
             return;
         };
-        assert!(ids.iter().copied().eq(first..self.len()), "cleared rows are the arena's tail");
+        assert!(
+            ids.iter().copied().eq(first..self.len()),
+            "cleared rows are the arena's tail"
+        );
         self.edges.truncate(self.edge_base(first));
         self.row_start.truncate(first + 1);
     }
@@ -265,7 +268,9 @@ impl StateGraph {
     /// which is often legitimate (a terminated protocol), but an
     /// unexpected deadlock usually signals an over-constrained guard.
     pub fn deadlocks(&self) -> Vec<usize> {
-        (0..self.len()).filter(|i| self.edges(*i).is_empty()).collect()
+        (0..self.len())
+            .filter(|i| self.edges(*i).is_empty())
+            .collect()
     }
 
     /// Summary statistics of the graph: states, transitions, deadlock
@@ -371,8 +376,11 @@ mod tests {
 
     impl Model {
         fn stats(&self) -> GraphStats {
-            let mut depth: Vec<Option<usize>> =
-                self.parents.iter().map(|p| p.is_none().then_some(0)).collect();
+            let mut depth: Vec<Option<usize>> = self
+                .parents
+                .iter()
+                .map(|p| p.is_none().then_some(0))
+                .collect();
             let mut queue: std::collections::VecDeque<usize> =
                 (0..depth.len()).filter(|&i| depth[i].is_some()).collect();
             while let Some(s) = queue.pop_front() {
@@ -423,10 +431,18 @@ mod tests {
                 assert_eq!(graph.edges(id), &self.rows[id][..], "{step}: edges of {id}");
                 assert_eq!(graph.edge_base(id), base, "{step}: base of {id}");
                 assert_eq!(graph.parent(id), self.parents[id], "{step}: parent of {id}");
-                assert_eq!(graph.trace_to(id), self.trace_to(id), "{step}: trace to {id}");
+                assert_eq!(
+                    graph.trace_to(id),
+                    self.trace_to(id),
+                    "{step}: trace to {id}"
+                );
                 base += self.rows[id].len();
             }
-            assert_eq!((graph.edge_base(n), graph.edge_count()), (base, base), "{step}");
+            assert_eq!(
+                (graph.edge_base(n), graph.edge_count()),
+                (base, base),
+                "{step}"
+            );
             let init: Vec<usize> = (0..n).filter(|&i| self.parents[i].is_none()).collect();
             assert_eq!(graph.init(), init, "{step}");
             let deadlocks: Vec<usize> = (0..n).filter(|&i| self.rows[i].is_empty()).collect();
@@ -465,7 +481,10 @@ mod tests {
                             _ => model.filled,
                         };
                         let row: Vec<Edge> = (0..rng.gen_range(0..4))
-                            .map(|action| Edge { action, target: rng.gen_range(0..n) })
+                            .map(|action| Edge {
+                                action,
+                                target: rng.gen_range(0..n),
+                            })
                             .collect();
                         graph.set_edges(id, &row).unwrap();
                         model.rows[id] = row;
@@ -496,7 +515,10 @@ mod tests {
                     _ => {
                         // A filled row, a state that does not exist, a
                         // parent that is not earlier: refused, no trace.
-                        let edge = [Edge { action: 0, target: 0 }];
+                        let edge = [Edge {
+                            action: 0,
+                            target: 0,
+                        }];
                         for id in (0..model.filled).chain([n, n + 3]) {
                             let err = graph.set_edges(id, &edge).unwrap_err();
                             assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
@@ -521,7 +543,18 @@ mod tests {
             graph.push_state(state(0), None).unwrap();
             graph.push_state(state(1), Some((0, 0))).unwrap();
             graph.push_state(state(third), Some((0, action))).unwrap();
-            graph.set_edges(0, &[Edge { action: 0, target: 1 }, Edge { action: 1, target }]).unwrap();
+            graph
+                .set_edges(
+                    0,
+                    &[
+                        Edge {
+                            action: 0,
+                            target: 1,
+                        },
+                        Edge { action: 1, target },
+                    ],
+                )
+                .unwrap();
             graph
         };
         let graph = build(2, 1, 2);

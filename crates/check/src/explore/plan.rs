@@ -164,9 +164,11 @@ impl Plan {
             _ => PackedLayout::compile(system.vars()),
         };
         let mut buf = Vec::new();
-        let packs = layout
-            .as_ref()
-            .is_some_and(|l| seed.states().iter().all(|s| l.pack_into(s.values(), &mut buf)));
+        let packs = layout.as_ref().is_some_and(|l| {
+            seed.states()
+                .iter()
+                .all(|s| l.pack_into(s.values(), &mut buf))
+        });
         Ok(Start {
             plan: self.over_packed_states(packs),
             seed,
@@ -303,7 +305,12 @@ mod tests {
         let mem_budget = EXPLICIT;
         for (engine, threads, asked, settled) in [
             (Engine::Auto, 2, Route::WorkStealing, Route::Sequential),
-            (Engine::WorkStealing, 1, Route::WorkStealing, Route::Sequential),
+            (
+                Engine::WorkStealing,
+                1,
+                Route::WorkStealing,
+                Route::Sequential,
+            ),
             (
                 Engine::SpillWs,
                 4,
@@ -353,7 +360,10 @@ mod tests {
     /// never "no override".
     #[test]
     fn malformed_overrides_are_typed_errors() {
-        assert_eq!(parse_override("OPENTLA_MEM_BUDGET", " 1048576 ").unwrap(), 1 << 20);
+        assert_eq!(
+            parse_override("OPENTLA_MEM_BUDGET", " 1048576 ").unwrap(),
+            1 << 20
+        );
         for (name, raw) in [
             ("OPENTLA_MEM_BUDGET", "64M"),
             ("OPENTLA_MEM_BUDGET", "0"),

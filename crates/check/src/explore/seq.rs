@@ -39,7 +39,10 @@ pub(super) enum Seed<'a> {
 impl<'a> Seed<'a> {
     /// Enumerates the initial states of a fresh run, or adopts the
     /// materialized snapshot of a resumed one.
-    pub(super) fn of(system: &System, resume: Option<&'a Snapshot>) -> Result<Seed<'a>, CheckError> {
+    pub(super) fn of(
+        system: &System,
+        resume: Option<&'a Snapshot>,
+    ) -> Result<Seed<'a>, CheckError> {
         match resume {
             Some(snap) => Ok(Seed::Resume(snap)),
             None => {
@@ -122,7 +125,12 @@ pub(super) fn explore_seq(
     let meter = &seed.meter(budget);
     // This store's manifests reference its sealed segments, so under a
     // checkpoint spec the directory outlives the run.
-    let disk = mem_budget.map(|m| (SpillDir::new(budget.checkpoint.as_ref()), Tuning::for_budget(m)));
+    let disk = mem_budget.map(|m| {
+        (
+            SpillDir::new(budget.checkpoint.as_ref()),
+            Tuning::for_budget(m),
+        )
+    });
     let mut store =
         Store::create(system, options, meter, layout, disk).map_err(CheckpointError::from)?;
     let compiled = CompiledSystem::compile(system);
@@ -414,7 +422,8 @@ impl<'a> Store<'a> {
         self.canon_hits = snap.reduction.as_ref().map_or(0, |r| r.canon_hits);
         for (id, state, parent, edges) in snap.records() {
             let fp = state.fingerprint();
-            self.visited.seed(self.options.mode, fp & self.mask, id, self.meter)?;
+            self.visited
+                .seed(self.options.mode, fp & self.mask, id, self.meter)?;
             self.push_state(state.clone(), fp, parent)?;
             if let Some(edges) = edges {
                 self.push_edges(id, edges)?;
@@ -424,7 +433,9 @@ impl<'a> Store<'a> {
     }
 
     fn entry(&mut self, id: usize) -> Result<(State, u64), CheckError> {
-        Ok(self.body.entry(id, self.layout.as_ref(), &mut self.rec_buf)?)
+        Ok(self
+            .body
+            .entry(id, self.layout.as_ref(), &mut self.rec_buf)?)
     }
 
     /// Looks up or records the state whose unmasked fingerprint is
@@ -464,12 +475,20 @@ impl<'a> Store<'a> {
             Body::Ram { graph, .. } => graph.len(),
             Body::Disk { arena, .. } => arena.len() as usize,
         };
-        let admit = || meter.charge_state().map_or(Ok(next), |reason| Err(Stop::Cut(reason)));
+        let admit = || {
+            meter
+                .charge_state()
+                .map_or(Ok(next), |reason| Err(Stop::Cut(reason)))
+        };
         let state = match self.options.mode {
             // The fingerprinted hot path: one probe, and only
             // genuinely new states are constructed and recorded.
             VisitedMode::Fingerprint => {
-                match self.visited.fp_entry(key, |_| Ok(true), admit)?.noted(meter) {
+                match self
+                    .visited
+                    .fp_entry(key, |_| Ok(true), admit)?
+                    .noted(meter)
+                {
                     (_, true) => make(),
                     found => return Ok(found),
                 }
@@ -515,7 +534,9 @@ impl<'a> Store<'a> {
         self.transitions += edges.len() as u64;
         match &mut self.body {
             Body::Ram { graph, .. } => {
-                graph.set_edges(id, edges).expect("the loop expands in id order");
+                graph
+                    .set_edges(id, edges)
+                    .expect("the loop expands in id order");
                 if self.disk.is_some() {
                     self.edge_bytes += checkpoint::edge_record_bytes(edges.len());
                 }
@@ -546,7 +567,9 @@ impl<'a> Store<'a> {
     /// unsealed tails are embedded — O(hot tier), not O(state space).
     fn snapshot(&self, queue: &[usize]) -> Snapshot {
         match &self.body {
-            Body::Ram { graph, .. } => checkpoint::capture(graph, graph.len(), queue, self.header()),
+            Body::Ram { graph, .. } => {
+                checkpoint::capture(graph, graph.len(), queue, self.header())
+            }
             Body::Disk { arena, edges, init } => {
                 let manifest = Manifest {
                     dir: arena.dir().to_path_buf(),
@@ -558,7 +581,8 @@ impl<'a> Store<'a> {
                     edge_segments: edges.sealed().to_vec(),
                     edge_hot: edges.hot_records().collect(),
                 };
-                self.header().snapshot(checkpoint::Body::Manifest(manifest), queue.to_vec())
+                self.header()
+                    .snapshot(checkpoint::Body::Manifest(manifest), queue.to_vec())
             }
         }
     }
@@ -609,7 +633,9 @@ impl<'a> Store<'a> {
             }
         };
         if let Some((id, partial)) = cut {
-            graph.set_edges(id, &partial).expect("the cut parent is the next to expand");
+            graph
+                .set_edges(id, &partial)
+                .expect("the cut parent is the next to expand");
         }
         let (snapshot, resume) = match (by_reference, frontier) {
             (Some(pair), _) => pair,
@@ -668,16 +694,20 @@ mod tests {
                 panic!("an integer slot");
             };
             let mut edges = Vec::new();
-            for (action, y) in [(x + 1) % N, (x + N - 1) % N, (x + 2) % N, x].into_iter().enumerate() {
-                let target = match store.intern(state(y).fingerprint(), Some((id, action)), || state(y)) {
-                    Ok((target, is_new)) => {
-                        if is_new {
-                            queue.push_back(target);
+            for (action, y) in [(x + 1) % N, (x + N - 1) % N, (x + 2) % N, x]
+                .into_iter()
+                .enumerate()
+            {
+                let target =
+                    match store.intern(state(y).fingerprint(), Some((id, action)), || state(y)) {
+                        Ok((target, is_new)) => {
+                            if is_new {
+                                queue.push_back(target);
+                            }
+                            target
                         }
-                        target
-                    }
-                    Err(_) => panic!("an unlimited meter and a healthy disk"),
-                };
+                        Err(_) => panic!("an unlimited meter and a healthy disk"),
+                    };
                 edges.push(Edge { action, target });
             }
             store.push_edges(id, &edges).unwrap();
@@ -713,7 +743,10 @@ mod tests {
             }
             drive(&mut store);
             // The counters stop where the store left RAM.
-            let tripped = (store.arena_bytes >= seg_target, store.edge_bytes >= seg_target);
+            let tripped = (
+                store.arena_bytes >= seg_target,
+                store.edge_bytes >= seg_target,
+            );
             let expected = match way {
                 "before the first state" => (false, false),
                 "edge bytes" => (false, true),
@@ -725,8 +758,16 @@ mod tests {
             };
             assert_eq!(init, &[0], "{way}");
             assert_eq!((arena.len(), edges.len()), (N as u64, N as u64), "{way}");
-            assert!(arena.sealed().len() >= 2 && edges.sealed().len() >= 2, "{way}");
-            let stream = |s: &SegmentStore| (s.sealed().to_vec(), s.hot_records().map(<[u8]>::to_vec).collect());
+            assert!(
+                arena.sealed().len() >= 2 && edges.sealed().len() >= 2,
+                "{way}"
+            );
+            let stream = |s: &SegmentStore| {
+                (
+                    s.sealed().to_vec(),
+                    s.hot_records().map(<[u8]>::to_vec).collect(),
+                )
+            };
             streams.push((stream(arena), stream(edges)));
         }
         assert_eq!(streams[0], streams[1], "forced vs edge-triggered");

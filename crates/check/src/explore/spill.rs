@@ -256,7 +256,8 @@ impl SpillVisited {
         meter: &Meter,
     ) -> Result<(), StoreError> {
         let trust = mode == VisitedMode::Fingerprint;
-        self.fp_entry(key, |_| Ok::<_, StoreError>(trust), || Ok(id))?.noted(meter);
+        self.fp_entry(key, |_| Ok::<_, StoreError>(trust), || Ok(id))?
+            .noted(meter);
         Ok(())
     }
 
@@ -302,7 +303,10 @@ impl SpillVisited {
             (id, true) => {
                 self.hot_len += 1;
                 let drained = self.hot_len >= self.hot_cap;
-                Ok(FpEntry::Inserted(id, drained.then(|| self.drain_hot()).transpose()?))
+                Ok(FpEntry::Inserted(
+                    id,
+                    drained.then(|| self.drain_hot()).transpose()?,
+                ))
             }
         }
     }
@@ -364,7 +368,8 @@ impl SpillDir {
             std::env::temp_dir().join(format!("opentla-spill-{}-{n}", std::process::id()))
         };
         SpillDir {
-            path: pinned_by.map_or_else(temp, |spec| format!("{}.segs", spec.path.display()).into()),
+            path: pinned_by
+                .map_or_else(temp, |spec| format!("{}.segs", spec.path.display()).into()),
             ephemeral: pinned_by.is_none(),
         }
     }

@@ -138,7 +138,11 @@ impl SpillWsStore<'_> {
         read_buf: &mut Vec<u8>,
     ) -> Result<(usize, bool), Stop> {
         let key = fp & self.mask;
-        let charge = || self.meter.charge_state().map_or(Ok(()), |reason| Err(Stop::Cut(reason)));
+        let charge = || {
+            self.meter
+                .charge_state()
+                .map_or(Ok(()), |reason| Err(Stop::Cut(reason)))
+        };
         let (_si, mut shard) = self.visited.lock_key(key);
         let entry: Result<_, Stop> = match self.mode {
             VisitedMode::Fingerprint => shard.fp_entry(
@@ -276,12 +280,14 @@ impl Expand for SpillPacked<'_> {
             .try_unpack_into(parent_bytes, &mut w.values)
             .map_err(CheckpointError::from)?;
         w.edge_list.clear();
-        let (updates, rec_buf, read_buf, edge_list) =
-            (&mut w.updates, &mut w.rec_buf, &mut w.read_buf, &mut w.edge_list);
-        let stop = compiled.for_each_successor_values(
-            &w.values,
-            &mut w.eval,
-            |action, assignments| {
+        let (updates, rec_buf, read_buf, edge_list) = (
+            &mut w.updates,
+            &mut w.rec_buf,
+            &mut w.read_buf,
+            &mut w.edge_list,
+        );
+        let stop =
+            compiled.for_each_successor_values(&w.values, &mut w.eval, |action, assignments| {
                 if let Some(reason) = store.meter.charge_transition() {
                     return ControlFlow::Break(Stop::Cut(reason));
                 }
@@ -291,12 +297,17 @@ impl Expand for SpillPacked<'_> {
                     let child = |buf: &mut Vec<u8>| {
                         ws::append_packed_child(layout, parent_bytes, updates, buf)
                     };
-                    checkpoint::encode_packed_record(local_of(parent), action, child_fp, child, buf);
+                    checkpoint::encode_packed_record(
+                        local_of(parent),
+                        action,
+                        child_fp,
+                        child,
+                        buf,
+                    );
                 };
                 let interned = store.intern(child_fp, encode, rec_buf, read_buf);
                 SpillWsStore::record(interned, action, edge_list, born, wire)
-            },
-        )?;
+            })?;
         store.settle(parent, w, cut, stop)
     }
 }
@@ -363,7 +374,9 @@ pub(super) fn explore_spill_ws(
                 let fp = s.fingerprint();
                 let key = fp & store.mask;
                 let mut stripe = store.visited.lock_key(key).1;
-                stripe.seed(options.mode, key, id, &meter).map_err(CheckpointError::from)?;
+                stripe
+                    .seed(options.mode, key, id, &meter)
+                    .map_err(CheckpointError::from)?;
                 drop(stripe);
                 checkpoint::encode_arena_record(
                     s,
@@ -373,11 +386,15 @@ pub(super) fn explore_spill_ws(
                     &mut pack_scratch,
                     &mut rec_buf,
                 );
-                let got = store.append_arena(&rec_buf).map_err(CheckpointError::from)?;
+                let got = store
+                    .append_arena(&rec_buf)
+                    .map_err(CheckpointError::from)?;
                 debug_assert_eq!(got, id, "seeding assigns arrival ids in order");
                 if let Some(edges) = edges {
                     checkpoint::encode_edge_record(id, edges, &mut rec_buf);
-                    store.append_edges(&rec_buf).map_err(CheckpointError::from)?;
+                    store
+                        .append_edges(&rec_buf)
+                        .map_err(CheckpointError::from)?;
                 }
             }
             init_ids = snap.graph().init().to_vec();
@@ -419,9 +436,24 @@ pub(super) fn explore_spill_ws(
         records,
         pending,
         reason,
-    } = ws::run_workers(&meter, threads, fault, frontier_seed, init_cut, Vec::new(), None, &x)?;
-    let arena_store = store.arena.into_inner().unwrap_or_else(PoisonError::into_inner);
-    let edge_store = store.edges.into_inner().unwrap_or_else(PoisonError::into_inner);
+    } = ws::run_workers(
+        &meter,
+        threads,
+        fault,
+        frontier_seed,
+        init_cut,
+        Vec::new(),
+        None,
+        &x,
+    )?;
+    let arena_store = store
+        .arena
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    let edge_store = store
+        .edges
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     spill::note_cache_stats(&meter, &arena_store, &edge_store);
 
     let renumber_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
@@ -430,7 +462,9 @@ pub(super) fn explore_spill_ws(
     // the unsealed tail), like the sequential engine's teardown.
     let mut arr_states: Vec<Option<State>> = Vec::with_capacity(n);
     checkpoint::for_each_record(spill::records(&arena_store), |bytes| {
-        arr_states.push(Some(checkpoint::decode_arena_record(bytes, Some(layout))?.state));
+        arr_states.push(Some(
+            checkpoint::decode_arena_record(bytes, Some(layout))?.state,
+        ));
         Ok(())
     })?;
 
@@ -444,7 +478,10 @@ pub(super) fn explore_spill_ws(
         // A parent re-expanded after its worker died has interned the
         // same children again: a second record repeats the first.
         if !std::mem::replace(&mut banked[id], true) {
-            recs.extend(es.iter().map(|e| (pid(0, id), e.action as u32, pid(0, e.target))));
+            recs.extend(
+                es.iter()
+                    .map(|e| (pid(0, id), e.action as u32, pid(0, e.target))),
+            );
         }
         Ok(())
     })?;

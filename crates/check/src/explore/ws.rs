@@ -360,8 +360,7 @@ pub(super) fn run_workers<X: Expand>(
                             claimed: 0,
                             inserted: 0,
                         };
-                        let body =
-                            std::panic::AssertUnwindSafe(|| work(sched, x, me, &mut tally));
+                        let body = std::panic::AssertUnwindSafe(|| work(sched, x, me, &mut tally));
                         if let Err(payload) = std::panic::catch_unwind(body) {
                             // Backstop for what the per-parent
                             // isolation does not absorb — a panic
@@ -430,7 +429,10 @@ pub(super) fn run_workers<X: Expand>(
     Ok(WsRun {
         records,
         pending,
-        reason: sched.reason.into_inner().unwrap_or_else(PoisonError::into_inner),
+        reason: sched
+            .reason
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner),
     })
 }
 
@@ -577,7 +579,10 @@ impl WsStore<'_> {
         charged: bool,
     ) -> Result<(Pid, bool), ExhaustReason> {
         let ok = layout.pack_into(s.values(), buf);
-        debug_assert!(ok, "the plan settled on packed states: every seed state packs");
+        debug_assert!(
+            ok,
+            "the plan settled on packed states: every seed state packs"
+        );
         let append = |arena: &mut Vec<u8>| arena.extend_from_slice(buf);
         self.intern(s.fingerprint(), append, &mut Vec::new(), charged)
     }
@@ -791,7 +796,16 @@ pub(super) fn explore_ws(
         records,
         pending,
         reason,
-    } = run_workers(&meter, threads, fault, frontier_seed, init_cut, banked, epochs, &x)?;
+    } = run_workers(
+        &meter,
+        threads,
+        fault,
+        frontier_seed,
+        init_cut,
+        banked,
+        epochs,
+        &x,
+    )?;
 
     let renumber_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
     let shards: Vec<_> = store.shards.iter_locked().collect();

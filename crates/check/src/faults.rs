@@ -298,12 +298,7 @@ pub fn hostile_env(
         }
         let state = State::new(scratch.clone());
         if !assumption.holds_state(&state)? {
-            falsifying.push(
-                support
-                    .iter()
-                    .map(|v| scratch[v.index()].clone())
-                    .collect(),
-            );
+            falsifying.push(support.iter().map(|v| scratch[v.index()].clone()).collect());
         }
         // Advance the mixed-radix counter over the support domains.
         let mut i = 0;
@@ -346,7 +341,10 @@ pub fn hostile_env(
     }
     note_armed(&actions[saboteurs_from..]);
 
-    let init = system.init().clone().merge(&Init::new([(clock, Value::Int(0))]));
+    let init = system
+        .init()
+        .clone()
+        .merge(&Init::new([(clock, Value::Int(0))]));
     let mut faulted = System::new(vars, init, actions);
     for f in system.fairness() {
         faulted = faulted.with_fairness(f.clone());
@@ -392,8 +390,8 @@ mod tests {
         let fault = &faulted.actions()[2];
         assert!(is_fault_action(fault.name()));
         assert_eq!(fault.updates().len(), 1); // data dropped, flag kept
-        // The faulted system reaches a state the original cannot:
-        // flag = 1 with data still 0.
+                                              // The faulted system reaches a state the original cannot:
+                                              // flag = 1 with data still 0.
         let base = explore(&sys, &ExploreOptions::default()).unwrap();
         let bad = explore(&faulted, &ExploreOptions::default()).unwrap();
         assert!(bad.len() > base.len());
@@ -488,9 +486,7 @@ mod tests {
                 if is_fault_action(faulted.actions()[e.action].name()) {
                     saw_sabotage = true;
                     assert_eq!(graph.state(id).get(clock), &Value::Int(2));
-                    assert!(!assumption
-                        .holds_state(graph.state(e.target))
-                        .unwrap());
+                    assert!(!assumption.holds_state(graph.state(e.target)).unwrap());
                 }
             }
         }
@@ -516,9 +512,12 @@ mod tests {
     fn faulted_systems_respect_budgets_too() {
         let (sys, flag, data) = handshake();
         let faulted = lossy(&sys, &[0, 1], &[data]).unwrap();
-        let faulted =
-            crash_restart(&faulted, &[flag, data], &[(flag, Value::Int(0)), (data, Value::Int(0))])
-                .unwrap();
+        let faulted = crash_restart(
+            &faulted,
+            &[flag, data],
+            &[(flag, Value::Int(0)), (data, Value::Int(0))],
+        )
+        .unwrap();
         let run = explore_governed(&faulted, &Budget::default().states(2)).unwrap();
         assert_eq!(run.graph.len(), 2);
         assert!(run.outcome.exhaustion().is_some());

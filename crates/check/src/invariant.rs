@@ -20,10 +20,7 @@ pub(crate) fn trace_counterexample(
     reason: String,
 ) -> Counterexample {
     let trace = graph.trace_to(id);
-    let states: Vec<_> = trace
-        .iter()
-        .map(|(_, s)| graph.state(*s).clone())
-        .collect();
+    let states: Vec<_> = trace.iter().map(|(_, s)| graph.state(*s).clone()).collect();
     if let Some(canon) = graph.canonicalizer() {
         if let Some((concrete, actions)) = concretize_trace(system, canon, &states) {
             return Counterexample::new(reason, concrete, actions, None);

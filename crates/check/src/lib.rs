@@ -91,10 +91,6 @@ pub use checkpoint::{
     CheckpointError, CheckpointSpec, ResumeToken, Snapshot, DEFAULT_CHECKPOINT_CADENCE,
     SNAPSHOT_VERSION,
 };
-pub use obs::{
-    CountingRecorder, Event, JsonlRecorder, Phase, ProgressSnapshot, Recorder,
-    RecorderHandle, RunReport,
-};
 pub use compiled::{CompiledExpr, CompiledSystem, EvalScratch};
 pub use counterexample::Counterexample;
 pub use error::CheckError;
@@ -104,17 +100,19 @@ pub use explore::{
     VisitedMode, WorkerPanic,
 };
 pub use invariant::{check_invariant, check_step_invariant};
-pub use reduction::{
-    Canonicalize, Reduction, ReductionStats, SlotPermutations,
-};
 pub use liveness::{
     check_liveness, check_liveness_governed, check_liveness_governed_with,
     check_liveness_with_images, LiveTarget, LivenessOptions, LivenessRun,
 };
+pub use obs::{
+    CountingRecorder, Event, JsonlRecorder, Phase, ProgressSnapshot, Recorder, RecorderHandle,
+    RunReport,
+};
+pub use reduction::{Canonicalize, Reduction, ReductionStats, SlotPermutations};
 pub use sample::sample_behavior;
 pub use simulate::{
-    check_simulation, check_simulation_governed, check_simulation_with_images,
-    SimulationReport, SimulationRun,
+    check_simulation, check_simulation_governed, check_simulation_with_images, SimulationReport,
+    SimulationRun,
 };
 pub use system::{GuardedAction, Init, System, SystemFairness};
 

@@ -283,11 +283,8 @@ pub(super) fn fair_subcomponent(
                 if scc.iter().all(|n| !info.enabled[*n]) {
                     continue; // Satisfied without a waypoint.
                 }
-                let survivors: Vec<usize> = scc
-                    .iter()
-                    .copied()
-                    .filter(|n| !info.enabled[*n])
-                    .collect();
+                let survivors: Vec<usize> =
+                    scc.iter().copied().filter(|n| !info.enabled[*n]).collect();
                 if survivors.is_empty() {
                     return Ok(None);
                 }
@@ -393,8 +390,8 @@ mod tests {
             assert_eq!(graph.edge_base(n), graph.edge_count());
             let rows = row_tables(&system, &graph, &Budget::default()).expect("unbudgeted");
             let meter = Meter::start(&Budget::default());
-            let infos = system_fair_infos(&system, &graph, &meter)
-                .unwrap_or_else(|_| panic!("unbudgeted"));
+            let infos =
+                system_fair_infos(&system, &graph, &meter).unwrap_or_else(|_| panic!("unbudgeted"));
             assert_eq!(meter.transitions_used(), 2 * graph.edge_count());
             for (info, (angle, enabled)) in infos.iter().zip(&rows) {
                 assert_eq!(&info.enabled, enabled);
@@ -419,7 +416,10 @@ mod tests {
             assert_eq!(reason, ExhaustReason::TransitionLimit { limit });
             let meter = Meter::start(&budget);
             match system_fair_infos(&system, &graph, &meter) {
-                Err(Stop::Exhausted { reason: r, pending: p }) => {
+                Err(Stop::Exhausted {
+                    reason: r,
+                    pending: p,
+                }) => {
                     assert_eq!((r, p), (reason.clone(), pending));
                 }
                 _ => panic!("a budget of {limit} must run out"),
@@ -434,7 +434,11 @@ mod tests {
             .unwrap();
             assert!(run.verdict.is_none());
             match run.outcome {
-                crate::Outcome::Exhausted { reason: r, frontier_size, .. } => {
+                crate::Outcome::Exhausted {
+                    reason: r,
+                    frontier_size,
+                    ..
+                } => {
                     assert_eq!((r, frontier_size), (reason, pending));
                 }
                 other => panic!("{other:?}"),

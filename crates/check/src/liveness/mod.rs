@@ -56,7 +56,10 @@ use opentla_kernel::{Expr, Fairness, FairnessKind, SccScratch, Substitution};
 /// exact count of pending work items in the interrupted phase) or a
 /// hard error.
 pub(crate) enum Stop {
-    Exhausted { reason: ExhaustReason, pending: usize },
+    Exhausted {
+        reason: ExhaustReason,
+        pending: usize,
+    },
     Error(CheckError),
 }
 
@@ -494,12 +497,7 @@ fn build_violation(
                 cycle_node_ok: not_p.clone(),
                 cycle_edge_banned: None,
                 path_node_ok: Some(not_p.clone()),
-                starts: graph
-                    .init()
-                    .iter()
-                    .copied()
-                    .filter(|i| not_p[*i])
-                    .collect(),
+                starts: graph.init().iter().copied().filter(|i| not_p[*i]).collect(),
                 must_contain: None,
             }
         }
@@ -531,9 +529,7 @@ fn build_violation(
             let pv = eval_pred(graph, p, meter.recorder())?;
             let qv = eval_pred(graph, q, meter.recorder())?;
             let not_q: Vec<bool> = qv.iter().map(|b| !b).collect();
-            let starts: Vec<usize> = (0..graph.len())
-                .filter(|i| pv[*i] && not_q[*i])
-                .collect();
+            let starts: Vec<usize> = (0..graph.len()).filter(|i| pv[*i] && not_q[*i]).collect();
             Violation {
                 reason: format!(
                     "({}) ↝ ({}) violated",
@@ -597,11 +593,7 @@ fn find_violation(
 
 /// States reachable from `starts` through states satisfying
 /// `node_ok` (`None` = all). Start states must satisfy it themselves.
-fn reachable_from(
-    graph: &StateGraph,
-    starts: &[usize],
-    node_ok: Option<&[bool]>,
-) -> Vec<bool> {
+fn reachable_from(graph: &StateGraph, starts: &[usize], node_ok: Option<&[bool]>) -> Vec<bool> {
     let ok = |n: usize| node_ok.is_none_or(|f| f[n]);
     let mut seen = vec![false; graph.len()];
     let mut queue: std::collections::VecDeque<usize> = starts
@@ -672,8 +664,7 @@ fn build_counterexample(
     entry: usize,
     edge_ok: &dyn Fn(usize, usize) -> bool,
 ) -> Counterexample {
-    let action_name =
-        |i: usize| -> Option<String> { Some(system.actions()[i].name().to_string()) };
+    let action_name = |i: usize| -> Option<String> { Some(system.actions()[i].name().to_string()) };
     // Prefix: unrestricted shortest trace to the suffix start, then a
     // path (under the path constraint) from the start to the entry.
     let start = *v
@@ -686,14 +677,8 @@ fn build_counterexample(
         .expect("entry was reachable from some start");
     let mut ids: Vec<(Option<usize>, usize)> = graph.trace_to(start);
     let path_ok = |n: usize| v.path_node_ok.as_ref().is_none_or(|f| f[n]);
-    let to_entry = path_filtered(
-        graph,
-        start,
-        &|n| n == entry,
-        &path_ok,
-        &|_, _| true,
-    )
-    .expect("reachability established");
+    let to_entry = path_filtered(graph, start, &|n| n == entry, &path_ok, &|_, _| true)
+        .expect("reachability established");
     ids.extend(to_entry.iter().map(|(a, n)| (Some(*a), *n)));
 
     let loop_start = ids.len() - 1; // Index of `entry` in the trace.
@@ -726,10 +711,7 @@ fn build_counterexample(
         ids.pop();
     }
     let states = ids.iter().map(|(_, n)| graph.state(*n).clone()).collect();
-    let actions = ids
-        .iter()
-        .map(|(a, _)| a.and_then(action_name))
-        .collect();
+    let actions = ids.iter().map(|(a, _)| a.and_then(action_name)).collect();
     Counterexample::new(v.reason.clone(), states, actions, Some(loop_start))
 }
 
@@ -799,8 +781,7 @@ mod tests {
         let (sys, x) = counter(false);
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         let p = Expr::var(x).eq(Expr::int(3));
-        let verdict =
-            check_liveness(&sys, &graph, &LiveTarget::Eventually(p.clone())).unwrap();
+        let verdict = check_liveness(&sys, &graph, &LiveTarget::Eventually(p.clone())).unwrap();
         let cx = verdict.counterexample().expect("stuttering violates ◇");
         confirm_semantically(&sys, &graph, cx, &Formula::pred(p).eventually());
     }
@@ -814,13 +795,8 @@ mod tests {
         let target = LiveTarget::Eventually(p);
         // A transition budget of 1 cannot even build the fairness
         // tables: the verdict is undecided, the outcome explains why.
-        let run = check_liveness_governed(
-            &sys,
-            &graph,
-            &target,
-            &Budget::default().transitions(1),
-        )
-        .unwrap();
+        let run = check_liveness_governed(&sys, &graph, &target, &Budget::default().transitions(1))
+            .unwrap();
         assert!(run.verdict.is_none());
         assert!(matches!(
             run.outcome.exhaustion(),
@@ -879,12 +855,12 @@ mod tests {
         // Reverse direction is violated: x = 3 is terminal (only
         // stuttering remains), so ◇(x = 1) fails from there.
         let verdict =
-            check_liveness(&sys, &graph, &LiveTarget::LeadsTo(q.clone(), p.clone()))
-                .unwrap();
+            check_liveness(&sys, &graph, &LiveTarget::LeadsTo(q.clone(), p.clone())).unwrap();
         let cx = verdict.counterexample().expect("3 never leads to 1");
         confirm_semantically(
             &sys,
-            &graph, cx,
+            &graph,
+            cx,
             &Formula::pred(q).leads_to(Formula::pred(p)),
         );
     }
@@ -903,14 +879,9 @@ mod tests {
         // □◇(x = 0): fails — x never returns to 0.
         let z = Expr::var(x).eq(Expr::int(0));
         let verdict =
-            check_liveness(&sys, &graph, &LiveTarget::AlwaysEventually(z.clone()))
-                .unwrap();
+            check_liveness(&sys, &graph, &LiveTarget::AlwaysEventually(z.clone())).unwrap();
         let cx = verdict.counterexample().expect("x leaves 0 forever");
-        confirm_semantically(
-            &sys,
-            &graph, cx,
-            &Formula::pred(z).eventually().always(),
-        );
+        confirm_semantically(&sys, &graph, cx, &Formula::pred(z).eventually().always());
     }
 
     /// Toggle system with two actions; weak fairness on one of them.
@@ -945,8 +916,7 @@ mod tests {
         let frame = sys.frame();
         let set_x_expr = sys.actions()[0].action_expr(&frame);
         let target = Fairness::weak(set_x_expr.clone(), vec![x]);
-        let verdict =
-            check_liveness(&sys, &graph, &LiveTarget::fair(target.clone())).unwrap();
+        let verdict = check_liveness(&sys, &graph, &LiveTarget::fair(target.clone())).unwrap();
         let cx = verdict.counterexample().expect("y-toggling starves set_x");
         confirm_semantically(&sys, &graph, cx, &Formula::Fair(target.clone()));
 
@@ -990,9 +960,11 @@ mod tests {
         let sf_target = Fairness::strong(grab_expr.clone(), vec![x]);
         // Neither obligation holds for the bare system (stuttering or
         // staying at y=0 starves grab while it is enabled).
-        assert!(!check_liveness(&sys, &graph, &LiveTarget::fair(wf_target.clone()))
-            .unwrap()
-            .holds());
+        assert!(
+            !check_liveness(&sys, &graph, &LiveTarget::fair(wf_target.clone()))
+                .unwrap()
+                .holds()
+        );
         // Under system WF(toggle_y) + WF(grab): grab can still starve?
         // No: WF(grab) forces it whenever continuously enabled; but
         // toggling makes it non-continuously enabled, so WF(grab) is
@@ -1057,10 +1029,7 @@ mod tests {
             let y = vars.declare("y", Domain::bits());
             let grab = GuardedAction::new(
                 "grab",
-                Expr::all([
-                    Expr::var(y).eq(Expr::int(0)),
-                    Expr::var(x).eq(Expr::int(0)),
-                ]),
+                Expr::all([Expr::var(y).eq(Expr::int(0)), Expr::var(x).eq(Expr::int(0))]),
                 vec![(x, Expr::int(1))],
             );
             let toggle_y = GuardedAction::new(
@@ -1077,8 +1046,7 @@ mod tests {
             .with_fairness(SystemFairness::weak(vec![1], vec![y]))
         };
         let graph2 = explore(&sys2, &ExploreOptions::default()).unwrap();
-        let verdict =
-            check_liveness(&sys2, &graph2, &LiveTarget::Eventually(p)).unwrap();
+        let verdict = check_liveness(&sys2, &graph2, &LiveTarget::Eventually(p)).unwrap();
         assert!(!verdict.holds(), "WF(grab) is too weak");
     }
 
@@ -1102,10 +1070,7 @@ mod tests {
             );
             let mark = GuardedAction::new(
                 "mark",
-                Expr::all([
-                    Expr::var(y).eq(Expr::int(2)),
-                    Expr::var(x).eq(Expr::int(0)),
-                ]),
+                Expr::all([Expr::var(y).eq(Expr::int(2)), Expr::var(x).eq(Expr::int(0))]),
                 vec![(x, Expr::int(1))],
             );
             let mut sys = System::new(
@@ -1129,8 +1094,7 @@ mod tests {
         let sys = make(false);
         let p = Expr::var(x_of(&sys)).eq(Expr::int(1));
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let verdict =
-            check_liveness(&sys, &graph, &LiveTarget::Eventually(p.clone())).unwrap();
+        let verdict = check_liveness(&sys, &graph, &LiveTarget::Eventually(p.clone())).unwrap();
         let cx = verdict
             .counterexample()
             .expect("looping below y=2 keeps mark disabled");
@@ -1155,13 +1119,8 @@ mod tests {
         let (sys, x) = counter(true);
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         let target = LiveTarget::Eventually(Expr::var(x).eq(Expr::int(3)));
-        let run = check_liveness_governed(
-            &sys,
-            &graph,
-            &target,
-            &Budget::default().transitions(1),
-        )
-        .unwrap();
+        let run = check_liveness_governed(&sys, &graph, &target, &Budget::default().transitions(1))
+            .unwrap();
         assert!(run.verdict.is_none());
         match &run.outcome {
             Outcome::Exhausted { frontier_size, .. } => assert_eq!(*frontier_size, 3),
@@ -1178,13 +1137,8 @@ mod tests {
         let (sys, x) = counter(true);
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         let target = LiveTarget::Eventually(Expr::var(x).eq(Expr::int(3)));
-        let run = check_liveness_governed(
-            &sys,
-            &graph,
-            &target,
-            &Budget::default().transitions(4),
-        )
-        .unwrap();
+        let run = check_liveness_governed(&sys, &graph, &target, &Budget::default().transitions(4))
+            .unwrap();
         assert!(run.verdict.is_none());
         match &run.outcome {
             Outcome::Exhausted { frontier_size, .. } => assert_eq!(*frontier_size, 1),
@@ -1201,13 +1155,8 @@ mod tests {
         let (sys, x) = counter(true);
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         let target = LiveTarget::Eventually(Expr::var(x).eq(Expr::int(3)));
-        let run = check_liveness_governed(
-            &sys,
-            &graph,
-            &target,
-            &Budget::default().transitions(7),
-        )
-        .unwrap();
+        let run = check_liveness_governed(&sys, &graph, &target, &Budget::default().transitions(7))
+            .unwrap();
         assert!(run.verdict.is_none());
         assert!(matches!(
             run.outcome.exhaustion(),

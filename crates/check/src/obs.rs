@@ -785,12 +785,10 @@ impl Recorder for CountingRecorder {
                     .store(*total_spilled_bytes, Ordering::Relaxed);
             }
             Event::PhaseEnter { phase } => {
-                self.phase_entered[phase.index()]
-                    .store(self.now_nanos(), Ordering::Relaxed);
+                self.phase_entered[phase.index()].store(self.now_nanos(), Ordering::Relaxed);
             }
             Event::PhaseExit { phase } => {
-                let entered =
-                    self.phase_entered[phase.index()].swap(u64::MAX, Ordering::Relaxed);
+                let entered = self.phase_entered[phase.index()].swap(u64::MAX, Ordering::Relaxed);
                 if entered != u64::MAX {
                     let spent = self.now_nanos().saturating_sub(entered);
                     self.phase_nanos[phase.index()].fetch_add(spent, Ordering::Relaxed);
@@ -848,7 +846,10 @@ impl JsonlRecorder {
     /// I/O errors from opening the file.
     pub fn append(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
         Ok(JsonlRecorder::from_writer(std::io::BufWriter::new(
-            std::fs::OpenOptions::new().create(true).append(true).open(path)?,
+            std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)?,
         )))
     }
 
@@ -989,8 +990,7 @@ pub fn global() -> RecorderHandle {
     static GLOBAL: OnceLock<RecorderHandle> = OnceLock::new();
     GLOBAL
         .get_or_init(|| match std::env::var(OBS_ENV) {
-            Ok(path) if !path.trim().is_empty() => match JsonlRecorder::append(path.trim())
-            {
+            Ok(path) if !path.trim().is_empty() => match JsonlRecorder::append(path.trim()) {
                 Ok(rec) => RecorderHandle::new(Arc::new(rec)),
                 Err(e) => {
                     eprintln!("opentla: {OBS_ENV}={path}: {e}; observability disabled");
@@ -1227,22 +1227,17 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                             b'b' => out.push('\u{8}'),
                             b'f' => out.push('\u{c}'),
                             b'u' => {
-                                let hex = bytes
-                                    .get(*pos..*pos + 4)
-                                    .ok_or("truncated \\u escape")?;
+                                let hex =
+                                    bytes.get(*pos..*pos + 4).ok_or("truncated \\u escape")?;
                                 let code = u32::from_str_radix(
                                     std::str::from_utf8(hex).map_err(|e| e.to_string())?,
                                     16,
                                 )
                                 .map_err(|e| e.to_string())?;
                                 *pos += 4;
-                                out.push(
-                                    char::from_u32(code).unwrap_or('\u{fffd}'),
-                                );
+                                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                             }
-                            other => {
-                                return Err(format!("bad escape '\\{}'", other as char))
-                            }
+                            other => return Err(format!("bad escape '\\{}'", other as char)),
                         }
                     }
                     c => {
@@ -1259,9 +1254,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                             let slice = bytes
                                 .get(start..start + width)
                                 .ok_or("truncated UTF-8 sequence")?;
-                            out.push_str(
-                                std::str::from_utf8(slice).map_err(|e| e.to_string())?,
-                            );
+                            out.push_str(std::str::from_utf8(slice).map_err(|e| e.to_string())?);
                             *pos = start + width;
                         }
                     }
@@ -1477,9 +1470,7 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                             "line {line}: run_end({engine}) closes run_start({open})"
                         ))
                     }
-                    None => {
-                        return Err(format!("line {line}: run_end without run_start"))
-                    }
+                    None => return Err(format!("line {line}: run_end without run_start")),
                 }
                 let totals = RunTotals {
                     engine: engine.to_string(),
@@ -1493,8 +1484,7 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                 req_u64(report, "duration_nanos", line)?;
                 req_str(report, "outcome", line)?;
                 if let Some((ps, pt)) = last_progress {
-                    if totals.complete && (ps != totals.states || pt != totals.transitions)
-                    {
+                    if totals.complete && (ps != totals.states || pt != totals.transitions) {
                         return Err(format!(
                             "line {line}: final snapshot ({ps} states, {pt} transitions) \
                              disagrees with report ({} states, {} transitions)",
@@ -1539,8 +1529,11 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
             "image_pass" => {
                 let distinct = req_u64(&obj, "distinct_values", line)?;
                 let undefined = req_u64(&obj, "undefined", line)?;
-                let images = req_u64(&obj, "states", line)?
-                    .saturating_mul(req_u64(&obj, "mapped_vars", line)?);
+                let images = req_u64(&obj, "states", line)?.saturating_mul(req_u64(
+                    &obj,
+                    "mapped_vars",
+                    line,
+                )?);
                 if distinct.saturating_add(undefined) > images {
                     return Err(format!(
                         "line {line}: {distinct} distinct values and {undefined} \
@@ -1613,9 +1606,17 @@ mod tests {
     /// `2`; the counterexample's reason needs every escape.
     fn samples(report: &RunReport) -> [Event<'_>; 17] {
         [
-            Event::RunStart { engine: "explore_sequential", threads: 1, mode: "fingerprint" },
-            Event::PhaseEnter { phase: Phase::ExploreExpand },
-            Event::PhaseExit { phase: Phase::ExploreExpand },
+            Event::RunStart {
+                engine: "explore_sequential",
+                threads: 1,
+                mode: "fingerprint",
+            },
+            Event::PhaseEnter {
+                phase: Phase::ExploreExpand,
+            },
+            Event::PhaseExit {
+                phase: Phase::ExploreExpand,
+            },
             Event::Progress {
                 snapshot: ProgressSnapshot {
                     states: 5,
@@ -1628,8 +1629,17 @@ mod tests {
                     budget_transitions: Some(200),
                 },
             },
-            Event::WorkerLevel { worker: 1, level: 0, claimed: 2, inserted: 3 },
-            Event::FaultActivation { action: "fault:lossy[sync]", step: 4, kind: "fired" },
+            Event::WorkerLevel {
+                worker: 1,
+                level: 0,
+                claimed: 2,
+                inserted: 3,
+            },
+            Event::FaultActivation {
+                action: "fault:lossy[sync]",
+                step: 4,
+                kind: "fired",
+            },
             Event::Counterexample {
                 kind: "liveness",
                 reason: "a \"quoted\"\\ reason\n\twith ⊳ and \u{1}",
@@ -1637,15 +1647,57 @@ mod tests {
                 loop_start: Some(2),
                 fault_steps: 1,
             },
-            Event::Check { kind: "obligation", name: "H2a/P4", holds: true },
+            Event::Check {
+                kind: "obligation",
+                name: "H2a/P4",
+                holds: true,
+            },
             Event::Reduction { canon_hits: 12 },
-            Event::Checkpoint { seq: 1, states: 3, transitions: 2, frontier: 1 },
-            Event::WorkerFailure { worker: 1, level: 0, requeued: 1 },
-            Event::Resume { seq: 1, states: 3, transitions: 2, frontier: 1 },
-            Event::Spill { tier: "arena", seq: 0, records: 64, bytes: 4096, total_spilled_bytes: 8192 },
-            Event::CacheStats { hits: 9, misses: 1, evictions: 0, resident_bytes: 4096, spilled_bytes: 8192 },
-            Event::ImagePass { states: 3, mapped_vars: 1, distinct_values: 2, undefined: 0, nanos: 650 },
-            Event::ImageMemo { check: "simulation", classes: 2, distinct_pairs: 2, edges: 2, skipped: false },
+            Event::Checkpoint {
+                seq: 1,
+                states: 3,
+                transitions: 2,
+                frontier: 1,
+            },
+            Event::WorkerFailure {
+                worker: 1,
+                level: 0,
+                requeued: 1,
+            },
+            Event::Resume {
+                seq: 1,
+                states: 3,
+                transitions: 2,
+                frontier: 1,
+            },
+            Event::Spill {
+                tier: "arena",
+                seq: 0,
+                records: 64,
+                bytes: 4096,
+                total_spilled_bytes: 8192,
+            },
+            Event::CacheStats {
+                hits: 9,
+                misses: 1,
+                evictions: 0,
+                resident_bytes: 4096,
+                spilled_bytes: 8192,
+            },
+            Event::ImagePass {
+                states: 3,
+                mapped_vars: 1,
+                distinct_values: 2,
+                undefined: 0,
+                nanos: 650,
+            },
+            Event::ImageMemo {
+                check: "simulation",
+                classes: 2,
+                distinct_pairs: 2,
+                edges: 2,
+                skipped: false,
+            },
             Event::RunEnd { report },
         ]
     }
@@ -1781,11 +1833,16 @@ mod tests {
     #[test]
     fn readme_observability_section_names_every_event_kind() {
         let readme = include_str!("../../../README.md");
-        let start = readme.find("\n## Observability").expect("README has the section");
+        let start = readme
+            .find("\n## Observability")
+            .expect("README has the section");
         let section = &readme[start + 1..];
         let section = &section[..section.find("\n## ").unwrap_or(section.len())];
         for (kind, _) in SCHEMA {
-            assert!(section.contains(&format!("`{kind}`")), "README \"Observability\" omits `{kind}`");
+            assert!(
+                section.contains(&format!("`{kind}`")),
+                "README \"Observability\" omits `{kind}`"
+            );
         }
     }
 
@@ -1971,7 +2028,9 @@ mod tests {
         // ample-set counters) is refused on its version, not half-read.
         let bad = "{\"v\":1,\"t\":1,\"ev\":\"reduction\",\"ample_states\":0,\"full_states\":9,\
                    \"skipped_transitions\":0,\"canon_hits\":4}\n";
-        assert!(validate_stream(bad).unwrap_err().contains("schema version 1"));
+        assert!(validate_stream(bad)
+            .unwrap_err()
+            .contains("schema version 1"));
         // Unknown kind.
         let bad = "{\"v\":4,\"t\":1,\"ev\":\"mystery\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("unknown event"));
@@ -1983,11 +2042,14 @@ mod tests {
             "{\"a\": [1, 2.5, -3], \"s\": \"x\\n\\\"y\\\" ⊳\", \"b\": true, \"n\": null}",
         )
         .unwrap();
-        assert_eq!(v.get("a"), Some(&Json::Arr(vec![
-            Json::Num(1.0),
-            Json::Num(2.5),
-            Json::Num(-3.0)
-        ])));
+        assert_eq!(
+            v.get("a"),
+            Some(&Json::Arr(vec![
+                Json::Num(1.0),
+                Json::Num(2.5),
+                Json::Num(-3.0)
+            ]))
+        );
         assert_eq!(v.get("s").unwrap().as_str(), Some("x\n\"y\" ⊳"));
         assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("n"), Some(&Json::Null));
@@ -2035,7 +2097,10 @@ mod tests {
         };
         let parsed = Json::parse(&report.to_json()).unwrap();
         assert_eq!(parsed.get("states").unwrap().as_u64(), Some(10));
-        assert_eq!(parsed.get("engine").unwrap().as_str(), Some("explore_parallel_ws"));
+        assert_eq!(
+            parsed.get("engine").unwrap().as_str(),
+            Some("explore_parallel_ws")
+        );
         assert_eq!(parsed.get("complete").unwrap().as_bool(), Some(false));
     }
 

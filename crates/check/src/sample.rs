@@ -109,8 +109,8 @@ mod tests {
     fn samples_satisfy_the_safety_part() {
         let sys = toggle_system();
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let safety = Formula::pred(sys.init().as_pred())
-            .and(Formula::act_box(sys.next_expr(), sys.frame()));
+        let safety =
+            Formula::pred(sys.init().as_pred()).and(Formula::act_box(sys.next_expr(), sys.frame()));
         let ctx = EvalCtx::default();
         let mut rng = StdRng::seed_from_u64(4);
         for _ in 0..200 {

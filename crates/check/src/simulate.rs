@@ -78,8 +78,7 @@ pub fn check_simulation(
     target: &Formula,
     mapping: &Substitution,
 ) -> Result<SimulationReport, CheckError> {
-    let run =
-        check_simulation_governed(system, graph, target, mapping, &Budget::unlimited())?;
+    let run = check_simulation_governed(system, graph, target, mapping, &Budget::unlimited())?;
     Ok(run
         .report
         .expect("unlimited budget always reaches a report"))
@@ -125,7 +124,14 @@ pub fn check_simulation_with_images(
     images: &Images,
     budget: &Budget,
 ) -> Result<SimulationRun, CheckError> {
-    simulate(system, graph, target, images.mapping(), Some(images), budget)
+    simulate(
+        system,
+        graph,
+        target,
+        images.mapping(),
+        Some(images),
+        budget,
+    )
 }
 
 /// The one simulation check. `images`, if given, are of `mapping`;
@@ -138,8 +144,7 @@ fn simulate(
     images: Option<&Images>,
     budget: &Budget,
 ) -> Result<SimulationRun, CheckError> {
-    let _phase =
-        crate::obs::PhaseGuard::enter(&budget.recorder, crate::obs::Phase::Simulation);
+    let _phase = crate::obs::PhaseGuard::enter(&budget.recorder, crate::obs::Phase::Simulation);
     // Step-box obligations are per-edge: a reduced graph replaces edge
     // endpoints by canonical orbit representatives, so simulation
     // cannot be decided on one.
@@ -195,10 +200,7 @@ fn simulate(
                     system,
                     graph,
                     *id,
-                    format!(
-                        "initial condition of the target fails: {}",
-                        p.display(vars)
-                    ),
+                    format!("initial condition of the target fails: {}", p.display(vars)),
                 );
                 return Ok(violated(cx, meter.transitions_used()));
             }
@@ -252,9 +254,7 @@ fn check_states_and_edges(
     let abs_invariants = compile(&abs.invariants);
     let mut invariants_hold = Memo::new(classes);
     for (id, s) in graph.states().iter().enumerate() {
-        if let Some(reason) =
-            meter.checkpoint().or_else(|| meter.charge_state())
-        {
+        if let Some(reason) = meter.checkpoint().or_else(|| meter.charge_state()) {
             return Ok(exhausted(reason, graph.len() - id));
         }
         let refuted = |s: &State| first_refuted(&sc.invariants, |p| p.holds_state(s));
@@ -317,12 +317,7 @@ fn check_states_and_edges(
                 let mut actions = base.actions().to_vec();
                 states.push(t.clone());
                 actions.push(Some(system.actions()[e.action].name().to_string()));
-                let cx = Counterexample::new(
-                    base.reason().to_string(),
-                    states,
-                    actions,
-                    None,
-                );
+                let cx = Counterexample::new(base.reason().to_string(), states, actions, None);
                 return Ok(violated(cx, meter.transitions_used()));
             }
         }
@@ -390,12 +385,8 @@ mod tests {
         let (sys, lo, hi, n) = setup();
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         // Mapping: n ↦ 2*hi + lo.
-        let mapping = Substitution::new([(
-            n,
-            Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)),
-        )]);
-        let report =
-            check_simulation(&sys, &graph, &abstract_spec(n), &mapping).unwrap();
+        let mapping = Substitution::new([(n, Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)))]);
+        let report = check_simulation(&sys, &graph, &abstract_spec(n), &mapping).unwrap();
         assert!(report.holds(), "{:?}", report.verdict);
         assert!(report.edges > 0);
     }
@@ -407,8 +398,7 @@ mod tests {
         // Bogus mapping: n ↦ lo. The step from lo=1 wraps to 0, which
         // the abstract spec only allows from n = 3.
         let mapping = Substitution::new([(n, Expr::var(lo))]);
-        let report =
-            check_simulation(&sys, &graph, &abstract_spec(n), &mapping).unwrap();
+        let report = check_simulation(&sys, &graph, &abstract_spec(n), &mapping).unwrap();
         let cx = report.verdict.counterexample().expect("must fail");
         assert!(cx.reason().contains("box"));
         assert!(cx.states().len() >= 2);
@@ -429,13 +419,12 @@ mod tests {
     fn invariant_part_checked() {
         let (sys, lo, hi, n) = setup();
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let mapping = Substitution::new([(
-            n,
-            Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)),
-        )]);
+        let mapping = Substitution::new([(n, Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)))]);
         // Target: □(n ≤ 3) — holds.
         let ok = Formula::pred(Expr::var(n).le(Expr::int(3))).always();
-        assert!(check_simulation(&sys, &graph, &ok, &mapping).unwrap().holds());
+        assert!(check_simulation(&sys, &graph, &ok, &mapping)
+            .unwrap()
+            .holds());
         // Target: □(n ≤ 2) — fails at n = 3.
         let bad = Formula::pred(Expr::var(n).le(Expr::int(2))).always();
         let report = check_simulation(&sys, &graph, &bad, &mapping).unwrap();
@@ -447,15 +436,11 @@ mod tests {
         use crate::{escalate, Budget, ExhaustReason};
         let (sys, lo, hi, n) = setup();
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let mapping = Substitution::new([(
-            n,
-            Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)),
-        )]);
+        let mapping = Substitution::new([(n, Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)))]);
         let spec = abstract_spec(n);
         // One transition is not enough for the 4 edges of the graph.
         let budget = Budget::default().transitions(1);
-        let run = check_simulation_governed(&sys, &graph, &spec, &mapping, &budget)
-            .unwrap();
+        let run = check_simulation_governed(&sys, &graph, &spec, &mapping, &budget).unwrap();
         assert!(run.report.is_none());
         assert_eq!(
             run.outcome.exhaustion(),
@@ -475,20 +460,11 @@ mod tests {
         use crate::Budget;
         let (sys, lo, hi, n) = setup();
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let mapping = Substitution::new([(
-            n,
-            Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)),
-        )]);
+        let mapping = Substitution::new([(n, Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)))]);
         let budget = Budget::default();
         budget.request_cancel();
-        let run = check_simulation_governed(
-            &sys,
-            &graph,
-            &abstract_spec(n),
-            &mapping,
-            &budget,
-        )
-        .unwrap();
+        let run =
+            check_simulation_governed(&sys, &graph, &abstract_spec(n), &mapping, &budget).unwrap();
         assert!(run.report.is_none());
         assert!(!run.outcome.is_complete());
     }
@@ -499,10 +475,7 @@ mod tests {
         use std::sync::Arc;
         let (sys, lo, hi, n) = setup();
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let mapping = Substitution::new([(
-            n,
-            Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)),
-        )]);
+        let mapping = Substitution::new([(n, Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)))]);
         let counting = Arc::new(CountingRecorder::new());
         let budget = Budget::default().with_recorder(RecorderHandle::new(counting.clone()));
         let images = Images::of_graph(&graph, &mapping, &budget.recorder);
@@ -520,7 +493,9 @@ mod tests {
         assert_eq!(counting.count("image_pass"), 2);
         // Images of another graph (the first two states of this one)
         // are refused, typed.
-        let partial = explore_governed(&sys, &Budget::default().states(2)).unwrap().graph;
+        let partial = explore_governed(&sys, &Budget::default().states(2))
+            .unwrap()
+            .graph;
         assert_eq!(partial.len(), 2);
         assert!(matches!(
             check_simulation_with_images(&sys, &partial, &spec, &images, &budget),

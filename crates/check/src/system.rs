@@ -1,9 +1,7 @@
 //! Transition systems in guarded-command form.
 
 use crate::CheckError;
-use opentla_kernel::{
-    unchanged, Expr, Fairness, FairnessKind, Formula, State, Value, VarId, Vars,
-};
+use opentla_kernel::{unchanged, Expr, Fairness, FairnessKind, Formula, State, Value, VarId, Vars};
 use opentla_semantics::Universe;
 
 /// One atomic action: a guard (a state predicate) plus a deterministic
@@ -29,11 +27,7 @@ impl GuardedAction {
     /// Panics if the guard or any update expression contains primed
     /// variables, or if a variable is updated twice — all of these are
     /// malformed specifications.
-    pub fn new(
-        name: impl Into<String>,
-        guard: Expr,
-        updates: Vec<(VarId, Expr)>,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, guard: Expr, updates: Vec<(VarId, Expr)>) -> Self {
         let name = name.into();
         assert!(
             guard.is_state_fn(),
@@ -448,7 +442,10 @@ mod tests {
             Expr::var(x).lt(Expr::int(3)),
             vec![(x, Expr::var(x).add(Expr::int(1)))],
         );
-        (System::new(vars, Init::new([(x, Value::Int(0))]), vec![incr]), x)
+        (
+            System::new(vars, Init::new([(x, Value::Int(0))]), vec![incr]),
+            x,
+        )
     }
 
     #[test]
@@ -500,8 +497,7 @@ mod tests {
         let y = vars.declare("y", Domain::int_range(0, 2));
         let sys = System::new(
             vars,
-            Init::new([(x, Value::Int(0))])
-                .with_constraint(Expr::var(y).ne(Expr::int(1))),
+            Init::new([(x, Value::Int(0))]).with_constraint(Expr::var(y).ne(Expr::int(1))),
             vec![],
         );
         let states = sys.init().states(sys.universe()).unwrap();
@@ -530,11 +526,9 @@ mod tests {
     fn family_expansion() {
         let mut vars = Vars::new();
         let x = vars.declare("x", Domain::int_range(0, 2));
-        let puts = GuardedAction::family(
-            "put",
-            Domain::int_range(0, 2).values().to_vec(),
-            |v| (Expr::bool(true), vec![(x, Expr::con(v.clone()))]),
-        );
+        let puts = GuardedAction::family("put", Domain::int_range(0, 2).values().to_vec(), |v| {
+            (Expr::bool(true), vec![(x, Expr::con(v.clone()))])
+        });
         assert_eq!(puts.len(), 3);
         assert_eq!(puts[1].name(), "put(1)");
         let s = State::new(vec![Value::Int(0)]);

@@ -311,12 +311,7 @@ fn assert_same_simulation(
     }
 }
 
-fn assert_same_liveness(
-    ctx: &str,
-    memo: &LivenessRun,
-    direct: &LivenessRun,
-    with_reason: bool,
-) {
+fn assert_same_liveness(ctx: &str, memo: &LivenessRun, direct: &LivenessRun, with_reason: bool) {
     assert_same_outcome(ctx, &memo.outcome, &direct.outcome);
     match (&memo.verdict, &direct.verdict) {
         (None, None) => {}

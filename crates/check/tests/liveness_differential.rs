@@ -24,12 +24,21 @@ fn four_action_ring() -> System {
     let mut vars = Vars::new();
     let x = vars.declare("x", Domain::int_range(0, 3));
     let step = |name: &str, from: i64, to: i64| {
-        GuardedAction::new(name, Expr::var(x).eq(Expr::int(from)), vec![(x, Expr::int(to))])
+        GuardedAction::new(
+            name,
+            Expr::var(x).eq(Expr::int(from)),
+            vec![(x, Expr::int(to))],
+        )
     };
     System::new(
         vars,
         Init::new([(x, Value::Int(0))]),
-        vec![step("a", 0, 1), step("b", 1, 2), step("c", 2, 3), step("d", 3, 1)],
+        vec![
+            step("a", 0, 1),
+            step("b", 1, 2),
+            step("c", 2, 3),
+            step("d", 3, 1),
+        ],
     )
     .with_fairness(SystemFairness::weak(vec![0, 1, 2, 3], vec![x]))
 }
@@ -43,7 +52,9 @@ fn systems() -> Vec<(&'static str, System)> {
         ("ring4", four_action_ring()),
         (
             "abp",
-            AlternatingBit::new(2).complete_system().expect("abp builds"),
+            AlternatingBit::new(2)
+                .complete_system()
+                .expect("abp builds"),
         ),
         (
             "mutex",
@@ -55,7 +66,10 @@ fn systems() -> Vec<(&'static str, System)> {
             "ring",
             TokenRing::new(3).complete_system().expect("ring builds"),
         ),
-        ("clock", ClockWorld::new(2, 3).product().expect("clock builds")),
+        (
+            "clock",
+            ClockWorld::new(2, 3).product().expect("clock builds"),
+        ),
         (
             "fig1",
             opentla::closed_product(fig1.vars(), &[&fig1.pi_c(), &fig1.pi_d()])

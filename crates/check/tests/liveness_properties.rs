@@ -118,8 +118,14 @@ fn assert_real_violation(
     };
     let lasso = cx.to_lasso();
     let ctx = EvalCtx::with_universe(sys.universe().clone());
-    prop_assert!(eval(&sys.formula(), &lasso, &ctx).unwrap(), "not a fair behaviour");
-    prop_assert!(!eval(target, &lasso, &ctx).unwrap(), "the target holds on the lasso");
+    prop_assert!(
+        eval(&sys.formula(), &lasso, &ctx).unwrap(),
+        "not a fair behaviour"
+    );
+    prop_assert!(
+        !eval(target, &lasso, &ctx).unwrap(),
+        "the target holds on the lasso"
+    );
     Ok(())
 }
 

@@ -42,17 +42,14 @@ impl DomainSpec {
         match *self {
             DomainSpec::IntRange { lo, width } => Domain::int_range(lo, lo + width),
             DomainSpec::Booleans => Domain::booleans(),
-            DomainSpec::Seqs { max_len } => {
-                Domain::seqs_up_to(&Domain::bits(), max_len)
-            }
+            DomainSpec::Seqs { max_len } => Domain::seqs_up_to(&Domain::bits(), max_len),
         }
     }
 }
 
 fn arb_domain_spec() -> impl Strategy<Value = DomainSpec> {
     prop_oneof![
-        (-4..4i64, 0..9i64)
-            .prop_map(|(lo, width)| DomainSpec::IntRange { lo, width }),
+        (-4..4i64, 0..9i64).prop_map(|(lo, width)| DomainSpec::IntRange { lo, width }),
         Just(DomainSpec::Booleans),
         (1..3usize).prop_map(|max_len| DomainSpec::Seqs { max_len }),
     ]
@@ -202,7 +199,11 @@ impl Recorder for Runs {
         match event {
             Event::RunStart {
                 engine, threads, ..
-            } => self.started.lock().unwrap().push((engine.to_string(), *threads)),
+            } => self
+                .started
+                .lock()
+                .unwrap()
+                .push((engine.to_string(), *threads)),
             Event::RunEnd { report } => self
                 .reported
                 .lock()
@@ -245,7 +246,8 @@ fn unpackable_states_run_the_sequential_loop_and_say_so() {
                 (Some(1usize << 20), "explore_spill"),
             ] {
                 for engine in [Engine::Auto, Engine::WorkStealing] {
-                    let label = format!("{mode:?}/threads={threads}/{mem_budget_bytes:?}/{engine:?}");
+                    let label =
+                        format!("{mode:?}/threads={threads}/{mem_budget_bytes:?}/{engine:?}");
                     let runs = Arc::new(Runs::default());
                     let run = explore_governed_with(
                         &sys,
@@ -260,7 +262,11 @@ fn unpackable_states_run_the_sequential_loop_and_say_so() {
                     )
                     .unwrap();
                     assert!(run.outcome.is_complete(), "{label}");
-                    assert_eq!(reference.graph.first_difference(&run.graph), None, "{label}");
+                    assert_eq!(
+                        reference.graph.first_difference(&run.graph),
+                        None,
+                        "{label}"
+                    );
                     let ran = [(loop_name.to_string(), 1)];
                     assert_eq!(*runs.started.lock().unwrap(), ran, "{label}: run_start");
                     assert_eq!(*runs.reported.lock().unwrap(), ran, "{label}: report");

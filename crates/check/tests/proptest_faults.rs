@@ -40,12 +40,9 @@ fn apply_fault(sys: &System, kind: &FaultKind) -> System {
             faults::lossy(sys, &all, &[dropped]).unwrap()
         }
         FaultKind::Duplicate => faults::duplicate(sys, &all).unwrap(),
-        FaultKind::CrashRestart => faults::crash_restart(
-            sys,
-            &[a, b],
-            &[(a, Value::Int(0)), (b, Value::Int(0))],
-        )
-        .unwrap(),
+        FaultKind::CrashRestart => {
+            faults::crash_restart(sys, &[a, b], &[(a, Value::Int(0)), (b, Value::Int(0))]).unwrap()
+        }
     }
 }
 

@@ -14,8 +14,8 @@ mod support {
 }
 
 use opentla_check::{
-    check_invariant, explore_governed_with, Budget, Engine, ExploreOptions, Outcome, RecorderHandle,
-    StateGraph, System, Verdict, VisitedMode,
+    check_invariant, explore_governed_with, Budget, Engine, ExploreOptions, Outcome,
+    RecorderHandle, StateGraph, System, Verdict, VisitedMode,
 };
 use opentla_kernel::store::{read_segment, FingerprintRun, SegmentStore, StoreError};
 use opentla_kernel::Expr;
@@ -39,7 +39,9 @@ fn systems() -> Vec<(&'static str, System)> {
     vec![
         (
             "abp",
-            AlternatingBit::new(2).complete_system().expect("abp builds"),
+            AlternatingBit::new(2)
+                .complete_system()
+                .expect("abp builds"),
         ),
         (
             "mutex",
@@ -51,7 +53,10 @@ fn systems() -> Vec<(&'static str, System)> {
             "ring",
             TokenRing::new(3).complete_system().expect("ring builds"),
         ),
-        ("clock", ClockWorld::new(2, 3).product().expect("clock builds")),
+        (
+            "clock",
+            ClockWorld::new(2, 3).product().expect("clock builds"),
+        ),
         (
             "fig1",
             opentla::closed_product(fig1.vars(), &[&fig1.pi_c(), &fig1.pi_d()])
@@ -207,7 +212,11 @@ fn explicit_spill_engine_matches_sequential() {
         )
         .expect("spill run succeeds");
         assert!(matches!(run.outcome, Outcome::Complete));
-        assert_eq!(seq.first_difference(&run.graph), None, "ring/{mode:?}/explicit");
+        assert_eq!(
+            seq.first_difference(&run.graph),
+            None,
+            "ring/{mode:?}/explicit"
+        );
     }
 }
 

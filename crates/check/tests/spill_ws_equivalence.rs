@@ -14,8 +14,8 @@ mod support {
 
 use opentla_check::{
     check_invariant, explore_governed_with, explore_resumable, resume_exploration, Budget,
-    CountingRecorder, Engine, ExploreOptions, Outcome, RecorderHandle, Reduction,
-    StateGraph, System, Verdict, VisitedMode,
+    CountingRecorder, Engine, ExploreOptions, Outcome, RecorderHandle, Reduction, StateGraph,
+    System, Verdict, VisitedMode,
 };
 use opentla_kernel::Expr;
 use opentla_queue::{FairnessStyle, QueueChain};
@@ -32,7 +32,9 @@ fn systems() -> Vec<(&'static str, System)> {
     vec![
         (
             "abp",
-            AlternatingBit::new(2).complete_system().expect("abp builds"),
+            AlternatingBit::new(2)
+                .complete_system()
+                .expect("abp builds"),
         ),
         (
             "mutex",
@@ -231,7 +233,10 @@ fn spill_ws_golden_chain4() {
     assert_eq!(seq.first_difference(&run.graph), None, "chain4/golden");
 
     // The loose-budget, 2-worker point of the acceptance sweep.
-    let par2 = explore_spill_ws(&sys, &spill_ws_opts(VisitedMode::Fingerprint, 2, Some(4 << 20)));
+    let par2 = explore_spill_ws(
+        &sys,
+        &spill_ws_opts(VisitedMode::Fingerprint, 2, Some(4 << 20)),
+    );
     assert_eq!(seq.first_difference(&par2), None, "chain4/4MiB/2");
     remove_spill_artifacts(&path);
 }
@@ -266,7 +271,11 @@ fn spill_ws_survives_forced_collisions() {
                     ..spill_ws_opts(VisitedMode::Exact, workers, Some(32 << 10))
                 },
             );
-            assert_eq!(full.first_difference(&par), None, "exact-fp12/workers={workers}");
+            assert_eq!(
+                full.first_difference(&par),
+                None,
+                "exact-fp12/workers={workers}"
+            );
         }
         // Fingerprint mode, single worker (BFS claim order): the same
         // deterministic conflation as the sequential engine's.
@@ -295,7 +304,10 @@ fn spill_ws_survives_forced_collisions() {
 #[test]
 fn exact_mode_verifies_and_chains_in_every_store() {
     let systems = [
-        ("ring3", TokenRing::new(3).complete_system().expect("ring builds")),
+        (
+            "ring3",
+            TokenRing::new(3).complete_system().expect("ring builds"),
+        ),
         (
             "chain2",
             QueueChain::new(2, 1, 2, FairnessStyle::Joint)
@@ -332,9 +344,14 @@ fn exact_mode_verifies_and_chains_in_every_store() {
                 // Bounded, so a store that fails to recognise a state
                 // it holds exhausts instead of re-expanding it forever.
                 let budget = Budget::default().states(full.len());
-                let run = explore_governed_with(sys, &budget, &options).expect("exact run succeeds");
+                let run =
+                    explore_governed_with(sys, &budget, &options).expect("exact run succeeds");
                 let label = format!("{name}/{store}/fp{fp_bits}");
-                assert!(matches!(run.outcome, Outcome::Complete), "{label}: {}", run.outcome);
+                assert!(
+                    matches!(run.outcome, Outcome::Complete),
+                    "{label}: {}",
+                    run.outcome
+                );
                 assert_eq!(full.first_difference(&run.graph), None, "{label}");
             }
         }
@@ -397,7 +414,11 @@ fn spill_ws_interrupt_resume_identity() {
         )
         .expect("resumed run succeeds");
         assert!(matches!(resumed.outcome, Outcome::Complete));
-        assert_eq!(recorder.count("resume"), 1, "{label}: resume event must fire");
+        assert_eq!(
+            recorder.count("resume"),
+            1,
+            "{label}: resume event must fire"
+        );
         assert_eq!(reference.first_difference(&resumed.graph), None, "{label}");
 
         // Cross-engine, from the in-memory snapshot: the sequential
@@ -416,7 +437,11 @@ fn spill_ws_interrupt_resume_identity() {
             snap,
         )
         .expect("sequential spill resume succeeds");
-        assert_eq!(reference.first_difference(&seq_spill.graph), None, "{label}/seq-spill");
+        assert_eq!(
+            reference.first_difference(&seq_spill.graph),
+            None,
+            "{label}/seq-spill"
+        );
         let in_ram = resume_exploration(
             &sys,
             &Budget::unlimited(),
@@ -428,7 +453,11 @@ fn spill_ws_interrupt_resume_identity() {
             snap,
         )
         .expect("in-RAM resume succeeds");
-        assert_eq!(reference.first_difference(&in_ram.graph), None, "{label}/in-ram");
+        assert_eq!(
+            reference.first_difference(&in_ram.graph),
+            None,
+            "{label}/in-ram"
+        );
 
         remove_spill_artifacts(&path);
     }
@@ -461,7 +490,10 @@ fn a_checkpointing_parallel_spill_run_leaves_no_segment_directory() {
             &spill_ws_opts(VisitedMode::Fingerprint, 2, Some(64 << 10)),
         )
         .expect("parallel spill run succeeds");
-        assert!(log.sealed("arena") >= 1, "{leg}: the run must have sealed segments somewhere");
+        assert!(
+            log.sealed("arena") >= 1,
+            "{leg}: the run must have sealed segments somewhere"
+        );
         assert_eq!(run.outcome.is_complete(), leg == "complete", "{leg}");
         assert_eq!(path.exists(), leg == "exhausted", "{leg}: snapshot file");
         let segs = PathBuf::from(format!("{}.segs", path.display()));
@@ -534,5 +566,8 @@ fn a_reduced_run_explores_under_an_explicit_budget() {
     assert_eq!(budgeted.graph.first_difference(&unbudgeted.graph), None);
     assert_eq!(budgeted.reduction, unbudgeted.reduction);
     assert!(budgeted.graph.is_reduced());
-    assert_eq!((recorder.count("run_start"), recorder.count("run_end")), (1, 1));
+    assert_eq!(
+        (recorder.count("run_start"), recorder.count("run_end")),
+        (1, 1)
+    );
 }

@@ -138,10 +138,7 @@ impl AgSpec {
             self.sys.inputs(),
         );
         let system = crate::closed_product(vars, &[implementation, &chaos])?;
-        let graph = opentla_check::explore(
-            &system,
-            &opentla_check::ExploreOptions::default(),
-        )?;
+        let graph = opentla_check::explore(&system, &opentla_check::ExploreOptions::default())?;
         let env_f = mapping.formula(&self.env.safety_formula())?;
         let sys_f = mapping.formula(&self.sys.safety_formula())?;
         check_ag_safety(&system, &graph, &env_f, &sys_f)
@@ -155,11 +152,7 @@ impl AgSpec {
 /// Used for *realization* checks: an implementation satisfies `E ⊳ M`
 /// iff it does so against every environment, and the chaos environment
 /// exhibits them all.
-pub fn chaos_environment(
-    name: impl Into<String>,
-    vars: &Vars,
-    outputs: &[VarId],
-) -> ComponentSpec {
+pub fn chaos_environment(name: impl Into<String>, vars: &Vars, outputs: &[VarId]) -> ComponentSpec {
     let name = name.into();
     let mut builder = ComponentSpec::builder(name.clone()).outputs(outputs.iter().copied());
     for v in outputs {
@@ -355,8 +348,7 @@ pub fn check_ag_safety_diagnosed(
     sys: &Formula,
 ) -> Result<AgReport, SpecError> {
     let rec = opentla_check::obs::global();
-    let _phase =
-        opentla_check::obs::PhaseGuard::enter(&rec, opentla_check::obs::Phase::AgMonitor);
+    let _phase = opentla_check::obs::PhaseGuard::enter(&rec, opentla_check::obs::Phase::AgMonitor);
     let report = ag_monitor(system, graph, env, sys)?;
     if rec.enabled() {
         rec.record(&opentla_check::Event::Check {
@@ -584,7 +576,11 @@ mod tests {
         let d = vars.declare("d", Domain::bits());
         let env = ComponentSpec::builder("env")
             .outputs([d])
-            .action(GuardedAction::new("a", Expr::bool(true), vec![(d, Expr::int(0))]))
+            .action(GuardedAction::new(
+                "a",
+                Expr::bool(true),
+                vec![(d, Expr::int(0))],
+            ))
             .weak_fairness([0])
             .build()
             .unwrap();
@@ -814,8 +810,7 @@ mod tests {
         let c = vars.declare("c", Domain::bits());
         let d = vars.declare("d", Domain::bits());
         let sys =
-            closed_product(&vars, &[&stays_zero("Mc", c, d), &stays_zero("Md", d, c)])
-                .unwrap();
+            closed_product(&vars, &[&stays_zero("Mc", c, d), &stays_zero("Md", d, c)]).unwrap();
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         let e = stays_zero("E", d, c).safety_formula();
         let m = stays_zero("M", c, d).safety_formula();

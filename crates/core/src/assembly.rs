@@ -66,10 +66,7 @@ use std::collections::HashMap;
 /// # Ok(())
 /// # }
 /// ```
-pub fn closed_product(
-    vars: &Vars,
-    components: &[&ComponentSpec],
-) -> Result<System, SpecError> {
+pub fn closed_product(vars: &Vars, components: &[&ComponentSpec]) -> Result<System, SpecError> {
     // Ownership check.
     let mut owner: HashMap<VarId, &str> = HashMap::new();
     for c in components {

@@ -2,9 +2,7 @@
 
 use crate::SpecError;
 use opentla_check::{GuardedAction, Init};
-use opentla_kernel::{
-    Expr, Fairness, FairnessKind, Formula, Renaming, VarId, VarSet,
-};
+use opentla_kernel::{Expr, Fairness, FairnessKind, Formula, Renaming, VarId, VarSet};
 
 /// A component specification in the paper's canonical form
 /// `∃x : Init ∧ □[N]_{⟨m,x⟩} ∧ L`:
@@ -186,8 +184,7 @@ impl ComponentSpec {
 
     /// The safety part `Init ∧ □[N]_{⟨m,x⟩}` (internals visible).
     pub fn safety_formula(&self) -> Formula {
-        Formula::pred(self.init.as_pred())
-            .and(Formula::act_box(self.next_expr(), self.owned()))
+        Formula::pred(self.init.as_pred()).and(Formula::act_box(self.next_expr(), self.owned()))
     }
 
     /// The full canonical formula `Init ∧ □[N]_v ∧ L` (internals

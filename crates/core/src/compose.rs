@@ -2,8 +2,8 @@
 
 use crate::props::{proposition_2_sides, proposition_4_initial_condition};
 use crate::{
-    closed_product, AgSpec, Certificate, ComponentSpec, Method, Obligation,
-    ObligationStatus, SpecError,
+    closed_product, AgSpec, Certificate, ComponentSpec, Method, Obligation, ObligationStatus,
+    SpecError,
 };
 use opentla_check::image::Images;
 use opentla_check::{
@@ -209,8 +209,7 @@ fn build_certificate(
     }
 
     // Proposition 2 side conditions: product internals are private.
-    let guarantees: Vec<&ComponentSpec> =
-        problem.components.iter().map(|ag| ag.sys()).collect();
+    let guarantees: Vec<&ComponentSpec> = problem.components.iter().map(|ag| ag.sys()).collect();
     proposition_2_sides(&guarantees, target_sys)?;
 
     // --- the complete system  C(E) ∧ ∧ C(M_j) ----------------------------
@@ -225,8 +224,7 @@ fn build_certificate(
         options.budget.clone()
     };
     let rec = budget.recorder.clone();
-    let _phase =
-        opentla_check::obs::PhaseGuard::enter(&rec, opentla_check::obs::Phase::Compose);
+    let _phase = opentla_check::obs::PhaseGuard::enter(&rec, opentla_check::obs::Phase::Compose);
     let exploration = explore_governed_with(&product, &budget, &options.explore)?;
     let graph = &exploration.graph;
 
@@ -236,11 +234,7 @@ fn build_certificate(
     let tuples: Vec<String> = members
         .iter()
         .map(|c| {
-            let names: Vec<&str> = c
-                .outputs()
-                .iter()
-                .map(|v| problem.vars.name(*v))
-                .collect();
+            let names: Vec<&str> = c.outputs().iter().map(|v| problem.vars.name(*v)).collect();
             format!("⟨{}⟩", names.join(", "))
         })
         .collect();
@@ -280,9 +274,7 @@ fn build_certificate(
         emit_obligations(&rec, &obligations);
         return Ok(Certificate {
             rule: rule.to_string(),
-            conclusion: conclusion_override.unwrap_or_else(|| {
-                default_conclusion(problem)
-            }),
+            conclusion: conclusion_override.unwrap_or_else(|| default_conclusion(problem)),
             obligations,
             product_states: graph.len(),
             product_edges: graph.edge_count(),
@@ -315,10 +307,7 @@ fn build_certificate(
     // Proposition 4: orthogonality from structural disjointness + the
     // initial condition Init_E ∨ Init_M (mapped).
     let mapped_sys_init = problem.mapping.expr(&target_sys.init().as_pred())?;
-    let init_cond = proposition_4_initial_condition(
-        target_env.init().as_pred(),
-        mapped_sys_init,
-    );
+    let init_cond = proposition_4_initial_condition(target_env.init().as_pred(), mapped_sys_init);
     let mut init_status = ObligationStatus::Proved {
         states: graph.init().len(),
     };
@@ -412,8 +401,7 @@ fn build_certificate(
         }
     }
 
-    let conclusion =
-        conclusion_override.unwrap_or_else(|| default_conclusion(problem));
+    let conclusion = conclusion_override.unwrap_or_else(|| default_conclusion(problem));
     emit_obligations(&rec, &obligations);
     Ok(Certificate {
         rule: rule.to_string(),

@@ -175,11 +175,7 @@ fn action_def(vars: &Vars, component: &ComponentSpec, a: &GuardedAction) -> Stri
 /// # Ok(())
 /// # }
 /// ```
-pub fn to_tla_module(
-    module_name: &str,
-    vars: &Vars,
-    components: &[&ComponentSpec],
-) -> String {
+pub fn to_tla_module(module_name: &str, vars: &Vars, components: &[&ComponentSpec]) -> String {
     let mut out = String::new();
     let title = format!("---- MODULE {module_name} ----");
     out.push_str(&title);
@@ -299,9 +295,7 @@ pub fn trace_to_tla_module(
                 format!(
                     "{} |-> {}",
                     tla_name(vars, v),
-                    state
-                        .try_get(v)
-                        .map_or("?".to_string(), tla_value)
+                    state.try_get(v).map_or("?".to_string(), tla_value)
                 )
             })
             .collect();

@@ -83,12 +83,12 @@ pub use component::{ComponentBuilder, ComponentSpec};
 pub use compose::{compose, refine, CompositionOptions, CompositionProblem};
 pub use error::SpecError;
 pub use export::{tla_expr, to_tla_module, trace_to_tla_module};
-pub use refinement::{check_component_refinement, RefinementReport};
-pub use suite::{CheckKind, Suite, SuiteEntry};
 pub use props::{
     disjoint, proposition_1, proposition_2_sides, proposition_3_reduction,
     proposition_4_initial_condition, Prop3Reduction,
 };
+pub use refinement::{check_component_refinement, RefinementReport};
+pub use suite::{CheckKind, Suite, SuiteEntry};
 
 // Robustness layer, re-exported from `opentla-check` so open-system
 // studies can inject faults and govern resources without a direct

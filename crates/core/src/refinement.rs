@@ -13,8 +13,7 @@
 
 use crate::{ComponentSpec, SpecError};
 use opentla_check::{
-    check_liveness, check_simulation, LiveTarget, SimulationReport, StateGraph, System,
-    Verdict,
+    check_liveness, check_simulation, LiveTarget, SimulationReport, StateGraph, System, Verdict,
 };
 use opentla_kernel::{Formula, Substitution};
 
@@ -139,13 +138,9 @@ mod tests {
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         let lo = vars.find("lo").unwrap();
         let hi = vars.find("hi").unwrap();
-        let mapping = Substitution::new([(
-            n,
-            Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)),
-        )]);
+        let mapping = Substitution::new([(n, Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)))]);
         let report =
-            check_component_refinement(&sys, &graph, &[&abstract_counter], &mapping)
-                .unwrap();
+            check_component_refinement(&sys, &graph, &[&abstract_counter], &mapping).unwrap();
         assert!(report.holds(), "{:?}", report);
         assert_eq!(report.liveness.len(), 1);
         assert!(report.liveness[0].0.contains("counter"));
@@ -167,13 +162,9 @@ mod tests {
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         let lo = vars.find("lo").unwrap();
         let hi = vars.find("hi").unwrap();
-        let mapping = Substitution::new([(
-            n,
-            Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)),
-        )]);
+        let mapping = Substitution::new([(n, Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)))]);
         let report =
-            check_component_refinement(&sys, &graph, &[&abstract_counter], &mapping)
-                .unwrap();
+            check_component_refinement(&sys, &graph, &[&abstract_counter], &mapping).unwrap();
         assert!(report.simulation.holds(), "safety half is unaffected");
         assert!(!report.holds(), "liveness half must fail");
         let (_, verdict) = &report.liveness[0];

@@ -8,8 +8,8 @@
 
 use crate::{Certificate, SpecError};
 use opentla_check::{
-    check_invariant, check_liveness, check_liveness_governed, check_step_invariant,
-    Budget, LiveTarget, StateGraph, System,
+    check_invariant, check_liveness, check_liveness_governed, check_step_invariant, Budget,
+    LiveTarget, StateGraph, System,
 };
 use opentla_kernel::{Expr, VarId};
 use std::fmt;
@@ -138,10 +138,8 @@ impl Suite {
     fn push(&mut self, entry: SuiteEntry) {
         let rec = opentla_check::obs::global();
         if rec.enabled() {
-            let _phase = opentla_check::obs::PhaseGuard::enter(
-                &rec,
-                opentla_check::obs::Phase::Suite,
-            );
+            let _phase =
+                opentla_check::obs::PhaseGuard::enter(&rec, opentla_check::obs::Phase::Suite);
             rec.record(&opentla_check::Event::Check {
                 kind: entry.kind.wire_name(),
                 name: &entry.name,
@@ -170,9 +168,10 @@ impl Suite {
             name: name.into(),
             kind: CheckKind::Invariant,
             holds,
-            detail: verdict
-                .counterexample()
-                .map_or_else(|| format!("{} states", graph.len()), |c| c.reason().to_string()),
+            detail: verdict.counterexample().map_or_else(
+                || format!("{} states", graph.len()),
+                |c| c.reason().to_string(),
+            ),
         });
         Ok(holds)
     }
@@ -196,11 +195,10 @@ impl Suite {
             name: name.into(),
             kind: CheckKind::StepInvariant,
             holds,
-            detail: verdict
-                .counterexample()
-                .map_or_else(|| format!("{} transitions", graph.edge_count()), |c| {
-                    c.reason().to_string()
-                }),
+            detail: verdict.counterexample().map_or_else(
+                || format!("{} transitions", graph.edge_count()),
+                |c| c.reason().to_string(),
+            ),
         });
         Ok(holds)
     }
@@ -223,9 +221,10 @@ impl Suite {
             name: name.into(),
             kind: CheckKind::Liveness,
             holds,
-            detail: verdict
-                .counterexample()
-                .map_or_else(|| "no fair violation".to_string(), |c| c.reason().to_string()),
+            detail: verdict.counterexample().map_or_else(
+                || "no fair violation".to_string(),
+                |c| c.reason().to_string(),
+            ),
         });
         Ok(holds)
     }

@@ -10,9 +10,7 @@
 //! fail are fine (the theorem is sound, not complete); what must never
 //! happen is a certified conclusion that a behavior refutes.
 
-use opentla::{
-    compose, disjoint, AgSpec, ComponentSpec, CompositionOptions, CompositionProblem,
-};
+use opentla::{compose, disjoint, AgSpec, ComponentSpec, CompositionOptions, CompositionProblem};
 use opentla_check::{GuardedAction, Init};
 use opentla_kernel::{Domain, Expr, Formula, Substitution, Value, VarId, Vars};
 use opentla_semantics::{all_lassos, eval, EvalCtx, Universe};

@@ -14,10 +14,7 @@ use crate::{Expr, VarId, VarSet};
 /// assert!(unchanged(&[x]).holds_action(StatePair::stutter(&s)).unwrap());
 /// ```
 pub fn unchanged(vars: &[VarId]) -> Expr {
-    Expr::all(
-        vars.iter()
-            .map(|v| Expr::prime(*v).eq(Expr::var(*v))),
-    )
+    Expr::all(vars.iter().map(|v| Expr::prime(*v).eq(Expr::var(*v))))
 }
 
 /// The action `[A]_v ≜ A ∨ (v' = v)`: an `A` step or a step leaving the
@@ -82,7 +79,9 @@ mod tests {
         let (_, x, y) = setup();
         let s = State::new(vec![Value::Int(0), Value::Int(0)]);
         let t = s.with(&[(y, Value::Int(1))]);
-        assert!(unchanged(&[x]).holds_action(StatePair::new(&s, &t)).unwrap());
+        assert!(unchanged(&[x])
+            .holds_action(StatePair::new(&s, &t))
+            .unwrap());
         assert!(!unchanged(&[x, y])
             .holds_action(StatePair::new(&s, &t))
             .unwrap());
@@ -93,7 +92,9 @@ mod tests {
     #[test]
     fn boxed_action_allows_stutter() {
         let (_, x, y) = setup();
-        let a = Expr::prime(x).eq(Expr::int(1)).and(Expr::var(x).eq(Expr::int(0)));
+        let a = Expr::prime(x)
+            .eq(Expr::int(1))
+            .and(Expr::var(x).eq(Expr::int(0)));
         let boxed = box_action(a, &[x]);
         let s = State::new(vec![Value::Int(0), Value::Int(0)]);
         let t = s.with(&[(x, Value::Int(1))]);

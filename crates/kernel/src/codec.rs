@@ -68,7 +68,10 @@ impl std::fmt::Display for DecodeError {
                 "length prefix {claimed} exceeds the {remaining} byte(s) remaining"
             ),
             DecodeError::BadCode { slot, code } => {
-                write!(f, "packed slot {slot} holds code {code}, outside its domain")
+                write!(
+                    f,
+                    "packed slot {slot} holds code {code}, outside its domain"
+                )
             }
         }
     }
@@ -372,6 +375,8 @@ mod tests {
         ));
         // Errors display something readable.
         assert!(DecodeError::BadUtf8.to_string().contains("UTF-8"));
-        assert!(DecodeError::Truncated { context: "x" }.to_string().contains('x'));
+        assert!(DecodeError::Truncated { context: "x" }
+            .to_string()
+            .contains('x'));
     }
 }

@@ -348,13 +348,10 @@ impl Expr {
     fn eval(&self, old: &State, new: Option<&State>) -> Result<Value, EvalError> {
         match self {
             Expr::Const(v) => Ok(v.clone()),
-            Expr::Var(v) => old
-                .try_get(*v)
-                .cloned()
-                .ok_or(EvalError::UnboundVar {
-                    var: *v,
-                    state_len: old.len(),
-                }),
+            Expr::Var(v) => old.try_get(*v).cloned().ok_or(EvalError::UnboundVar {
+                var: *v,
+                state_len: old.len(),
+            }),
             Expr::Prime(v) => match new {
                 None => Err(EvalError::PrimeInStateContext { var: *v }),
                 Some(n) => n.try_get(*v).cloned().ok_or(EvalError::UnboundVar {
@@ -372,9 +369,7 @@ impl Expr {
                     Ok(Value::Bool(true))
                 }
             }
-            Expr::Binary(op, a, b) => {
-                eval_binary(*op, a.eval(old, new)?, b.eval(old, new)?)
-            }
+            Expr::Binary(op, a, b) => eval_binary(*op, a.eval(old, new)?, b.eval(old, new)?),
             Expr::And(es) => {
                 for e in es {
                     if !expect_bool(e.eval(old, new)?)? {
@@ -494,8 +489,7 @@ pub fn expect_bool(v: Value) -> Result<bool, EvalError> {
 }
 
 fn expect_int(op: &'static str, v: Value) -> Result<i64, EvalError> {
-    v.as_int()
-        .ok_or(EvalError::TypeMismatch { op, value: v })
+    v.as_int().ok_or(EvalError::TypeMismatch { op, value: v })
 }
 
 impl UnOp {
@@ -536,7 +530,10 @@ fn eval_unary(op: UnOp, v: Value) -> Result<Value, EvalError> {
         UnOp::Len => v
             .len()
             .map(|n| Value::Int(n as i64))
-            .ok_or(EvalError::TypeMismatch { op: "Len", value: v }),
+            .ok_or(EvalError::TypeMismatch {
+                op: "Len",
+                value: v,
+            }),
         UnOp::Head => match v.as_items() {
             None => Err(EvalError::TypeMismatch {
                 op: "Head",
@@ -556,28 +553,41 @@ fn eval_unary(op: UnOp, v: Value) -> Result<Value, EvalError> {
 
 fn eval_binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
     let int2 = |op_name| -> Result<(i64, i64), EvalError> {
-        Ok((expect_int(op_name, a.clone())?, expect_int(op_name, b.clone())?))
+        Ok((
+            expect_int(op_name, a.clone())?,
+            expect_int(op_name, b.clone())?,
+        ))
     };
     match op {
         BinOp::Add => {
             let (x, y) = int2("+")?;
-            Ok(Value::Int(x.checked_add(y).ok_or(EvalError::Overflow { op: "+" })?))
+            Ok(Value::Int(
+                x.checked_add(y).ok_or(EvalError::Overflow { op: "+" })?,
+            ))
         }
         BinOp::Sub => {
             let (x, y) = int2("-")?;
-            Ok(Value::Int(x.checked_sub(y).ok_or(EvalError::Overflow { op: "-" })?))
+            Ok(Value::Int(
+                x.checked_sub(y).ok_or(EvalError::Overflow { op: "-" })?,
+            ))
         }
         BinOp::Mul => {
             let (x, y) = int2("*")?;
-            Ok(Value::Int(x.checked_mul(y).ok_or(EvalError::Overflow { op: "*" })?))
+            Ok(Value::Int(
+                x.checked_mul(y).ok_or(EvalError::Overflow { op: "*" })?,
+            ))
         }
         BinOp::Div => {
             let (x, y) = int2("÷")?;
-            Ok(Value::Int(x.checked_div(y).ok_or(EvalError::DivisionByZero)?))
+            Ok(Value::Int(
+                x.checked_div(y).ok_or(EvalError::DivisionByZero)?,
+            ))
         }
         BinOp::Mod => {
             let (x, y) = int2("%")?;
-            Ok(Value::Int(x.checked_rem(y).ok_or(EvalError::DivisionByZero)?))
+            Ok(Value::Int(
+                x.checked_rem(y).ok_or(EvalError::DivisionByZero)?,
+            ))
         }
         BinOp::Eq => Ok(Value::Bool(a == b)),
         BinOp::Ne => Ok(Value::Bool(a != b)),
@@ -600,8 +610,7 @@ fn eval_binary(op: BinOp, a: Value, b: Value) -> Result<Value, EvalError> {
         BinOp::Implies => Ok(Value::Bool(!expect_bool(a)? || expect_bool(b)?)),
         BinOp::Equiv => Ok(Value::Bool(expect_bool(a)? == expect_bool(b)?)),
         BinOp::Concat => a.concat(&b).ok_or(EvalError::TypeMismatch {
-            op: "∘",
-            value: a,
+            op: "∘", value: a
         }),
     }
 }
@@ -815,14 +824,8 @@ mod tests {
     fn sequence_operators() {
         let (_, _, q) = setup();
         let s = st(0, Value::seq(vec![Value::Int(1), Value::Int(0)]));
-        assert_eq!(
-            Expr::var(q).len().eval_state(&s).unwrap(),
-            Value::Int(2)
-        );
-        assert_eq!(
-            Expr::var(q).head().eval_state(&s).unwrap(),
-            Value::Int(1)
-        );
+        assert_eq!(Expr::var(q).len().eval_state(&s).unwrap(), Value::Int(2));
+        assert_eq!(Expr::var(q).head().eval_state(&s).unwrap(), Value::Int(1));
         assert_eq!(
             Expr::var(q).tail().eval_state(&s).unwrap(),
             Value::seq(vec![Value::Int(0)])

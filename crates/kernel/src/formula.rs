@@ -53,10 +53,7 @@ impl Fairness {
 
 /// `⟨A⟩_v ≜ A ∧ ¬(v' = v)`: an `A` step that changes the tuple `v`.
 pub(crate) fn angle(action: &Expr, sub: &[VarId]) -> Expr {
-    Expr::all([
-        action.clone(),
-        crate::unchanged(sub).not(),
-    ])
+    Expr::all([action.clone(), crate::unchanged(sub).not()])
 }
 
 /// A TLA formula of the fragment mechanized by this workspace.
@@ -306,18 +303,15 @@ impl Formula {
                     primed.insert(*v);
                 }
             }
-            Formula::Not(f)
-            | Formula::Always(f)
-            | Formula::Eventually(f)
-            | Formula::Closure(f) => f.vars_into(unprimed, primed),
+            Formula::Not(f) | Formula::Always(f) | Formula::Eventually(f) | Formula::Closure(f) => {
+                f.vars_into(unprimed, primed)
+            }
             Formula::And(fs) | Formula::Or(fs) => {
                 for f in fs {
                     f.vars_into(unprimed, primed);
                 }
             }
-            Formula::Implies(a, b)
-            | Formula::Equiv(a, b)
-            | Formula::Ortho(a, b) => {
+            Formula::Implies(a, b) | Formula::Equiv(a, b) | Formula::Ortho(a, b) => {
                 a.vars_into(unprimed, primed);
                 b.vars_into(unprimed, primed);
             }
@@ -369,7 +363,10 @@ impl Formula {
 
     /// Renders the formula with variable names from `vars`.
     pub fn display<'a>(&'a self, vars: &'a Vars) -> FormulaDisplay<'a> {
-        FormulaDisplay { formula: self, vars }
+        FormulaDisplay {
+            formula: self,
+            vars,
+        }
     }
 }
 
@@ -621,11 +618,7 @@ mod tests {
         let angle = fair.angle_action();
         let s = crate::State::new(vec![crate::Value::Int(0), crate::Value::Int(0)]);
         let t = s.with(&[(c, crate::Value::Int(1))]);
-        assert!(angle
-            .holds_action(crate::StatePair::new(&s, &t))
-            .unwrap());
-        assert!(!angle
-            .holds_action(crate::StatePair::stutter(&s))
-            .unwrap());
+        assert!(angle.holds_action(crate::StatePair::new(&s, &t)).unwrap());
+        assert!(!angle.holds_action(crate::StatePair::stutter(&s)).unwrap());
     }
 }

@@ -61,11 +61,11 @@ mod var;
 pub use action::{box_action, determined_primes, enabled_vars, unchanged};
 pub use error::{EvalError, KernelError};
 pub use expr::{expect_bool, BinOp, Expr, ExprDisplay, UnOp};
+pub use formula::FormulaDisplay;
+pub use formula::{Fairness, FairnessKind, Formula};
 pub use packed::PackedLayout;
 pub use scc::{tarjan_sccs_with, SccScratch};
-pub use formula::FormulaDisplay;
 pub use state::StateDisplay;
-pub use formula::{Fairness, FairnessKind, Formula};
 pub use state::{State, StatePair};
 pub use subst::{prime_expr, Renaming, Substitution};
 pub use value::Value;

@@ -150,10 +150,7 @@ impl PackedLayout {
 
     /// Total packed width of one state, in bits.
     pub fn state_bits(&self) -> usize {
-        self.slots
-            .iter()
-            .map(|s| s.width as usize)
-            .sum()
+        self.slots.iter().map(|s| s.width as usize).sum()
     }
 
     /// The domain index of `value` in `slot`, or `None` when the
@@ -252,7 +249,9 @@ impl PackedLayout {
     /// outside its domain.
     pub fn try_unpack_into(&self, buf: &[u8], out: &mut Vec<Value>) -> Result<(), DecodeError> {
         if buf.len() < self.stride {
-            return Err(DecodeError::Truncated { context: "packed state" });
+            return Err(DecodeError::Truncated {
+                context: "packed state",
+            });
         }
         out.clear();
         out.reserve(self.slots.len());
@@ -285,10 +284,9 @@ impl PackedLayout {
     /// The Zobrist fingerprint of a packed state — exactly equal to
     /// [`State::fingerprint`] of the unpacked state.
     pub fn fingerprint(&self, buf: &[u8]) -> u64 {
-        (0..self.slots.len())
-            .fold(0, |fp, slot| {
-                fp ^ self.zobrist[slot][self.read_code(buf, slot) as usize]
-            })
+        (0..self.slots.len()).fold(0, |fp, slot| {
+            fp ^ self.zobrist[slot][self.read_code(buf, slot) as usize]
+        })
     }
 
     /// The fingerprint change from rewriting `slot` from `old` to

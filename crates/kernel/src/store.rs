@@ -296,11 +296,7 @@ impl SegmentStore {
     /// Current cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         let mut stats = self.stats;
-        stats.resident_bytes = self
-            .cache
-            .values()
-            .map(|s| s.resident_bytes() as u64)
-            .sum();
+        stats.resident_bytes = self.cache.values().map(|s| s.resident_bytes() as u64).sum();
         stats
     }
 
@@ -754,7 +750,9 @@ impl FingerprintRun {
                     u64::from_le_bytes(buf[i * RUN_ENTRY..i * RUN_ENTRY + 8].try_into().unwrap());
                 if e_fp == fp {
                     out.push(u64::from_le_bytes(
-                        buf[i * RUN_ENTRY + 8..(i + 1) * RUN_ENTRY].try_into().unwrap(),
+                        buf[i * RUN_ENTRY + 8..(i + 1) * RUN_ENTRY]
+                            .try_into()
+                            .unwrap(),
                     ));
                 } else if e_fp > fp {
                     return Ok(());
@@ -772,10 +770,7 @@ mod tests {
     use proptest::prelude::*;
 
     fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "opentla-store-{tag}-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("opentla-store-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("create temp dir");
         dir
@@ -786,12 +781,22 @@ mod tests {
         let dir = tmp_dir("roundtrip");
         let mut store = SegmentStore::create(&dir, "arena", 64, 1 << 20).expect("create");
         let records: Vec<Vec<u8>> = (0..200u32)
-            .map(|i| i.to_le_bytes().iter().cycle().take(3 + (i as usize % 13)).copied().collect())
+            .map(|i| {
+                i.to_le_bytes()
+                    .iter()
+                    .cycle()
+                    .take(3 + (i as usize % 13))
+                    .copied()
+                    .collect()
+            })
             .collect();
         for r in &records {
             store.append(r).expect("append");
         }
-        assert!(store.sealed().len() >= 2, "tiny target must seal >1 segment");
+        assert!(
+            store.sealed().len() >= 2,
+            "tiny target must seal >1 segment"
+        );
         assert_eq!(store.len(), records.len() as u64);
         let mut buf = Vec::new();
         // Read in a scattered order to exercise cache loads/evictions.
@@ -905,7 +910,8 @@ mod tests {
         run.lookup(1, &mut out).expect("lookup miss");
         assert!(out.is_empty());
         out.clear();
-        run.lookup((RUN_BLOCK as u64 - 1) * 3, &mut out).expect("dup lookup");
+        run.lookup((RUN_BLOCK as u64 - 1) * 3, &mut out)
+            .expect("dup lookup");
         assert_eq!(out.len(), 5, "one original + four duplicates");
         // Reopen path verifies checksum and answers identically.
         let mut reopened = FingerprintRun::open(&path).expect("reopen");

@@ -227,12 +227,8 @@ impl Substitution {
             Expr::Binary(op, a, b) => {
                 Expr::Binary(*op, Box::new(self.expr(a)?), Box::new(self.expr(b)?))
             }
-            Expr::And(es) => {
-                Expr::And(es.iter().map(|x| self.expr(x)).collect::<Result<_, _>>()?)
-            }
-            Expr::Or(es) => {
-                Expr::Or(es.iter().map(|x| self.expr(x)).collect::<Result<_, _>>()?)
-            }
+            Expr::And(es) => Expr::And(es.iter().map(|x| self.expr(x)).collect::<Result<_, _>>()?),
+            Expr::Or(es) => Expr::Or(es.iter().map(|x| self.expr(x)).collect::<Result<_, _>>()?),
             Expr::Ite(c, a, b) => Expr::Ite(
                 Box::new(self.expr(c)?),
                 Box::new(self.expr(a)?),
@@ -487,14 +483,8 @@ mod tests {
         // Action must now require the *sum* to change.
         let s0 = State::new(vec![Value::Int(0), Value::Int(0), Value::Int(1)]);
         let s1 = State::new(vec![Value::Int(0), Value::Int(1), Value::Int(0)]);
-        assert!(!fair
-            .action
-            .holds_action(StatePair::new(&s0, &s1))
-            .unwrap());
+        assert!(!fair.action.holds_action(StatePair::new(&s0, &s1)).unwrap());
         let s2 = State::new(vec![Value::Int(0), Value::Int(1), Value::Int(1)]);
-        assert!(fair
-            .action
-            .holds_action(StatePair::new(&s0, &s2))
-            .unwrap());
+        assert!(fair.action.holds_action(StatePair::new(&s0, &s2)).unwrap());
     }
 }

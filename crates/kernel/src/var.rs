@@ -315,7 +315,9 @@ impl Extend<VarId> for VarSet {
 
 impl fmt::Debug for VarSet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_set().entries(self.iter().map(|v| v.index())).finish()
+        f.debug_set()
+            .entries(self.iter().map(|v| v.index()))
+            .finish()
     }
 }
 

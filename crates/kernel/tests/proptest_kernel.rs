@@ -3,8 +3,7 @@
 //! generated expressions.
 
 use opentla_kernel::{
-    prime_expr, Domain, Expr, Renaming, State, StatePair, Substitution, Value, VarId,
-    Vars,
+    prime_expr, Domain, Expr, Renaming, State, StatePair, Substitution, Value, VarId, Vars,
 };
 use proptest::prelude::*;
 

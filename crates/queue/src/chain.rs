@@ -321,7 +321,10 @@ mod tests {
         let brk = report.env_break.expect("the crash must break QE");
         assert_eq!(brk.action.as_deref(), Some("fault:crash_restart"));
         let text = brk.to_string();
-        assert!(text.contains(&format!("E broken at step {}", brk.step)), "{text}");
+        assert!(
+            text.contains(&format!("E broken at step {}", brk.step)),
+            "{text}"
+        );
         assert!(
             text.contains(&format!("M held {} steps", brk.step + 1)),
             "{text}"
@@ -345,7 +348,11 @@ mod tests {
             opentla_check::Verdict::Violated(cx) => cx,
             other => panic!("expected a violation, got {other:?}"),
         };
-        assert!(cx.reason().contains("fault:crash_restart"), "{}", cx.reason());
+        assert!(
+            cx.reason().contains("fault:crash_restart"),
+            "{}",
+            cx.reason()
+        );
         assert!(cx.reason().contains("violated conjunct"), "{}", cx.reason());
     }
 

@@ -204,10 +204,7 @@ mod tests {
         let (_, c) = setup();
         let idle = State::new(vec![Value::Int(0), Value::Int(0), Value::Int(0)]);
         let pending = State::new(vec![Value::Int(1), Value::Int(0), Value::Int(2)]);
-        assert_eq!(
-            c.in_flight().eval_state(&idle).unwrap(),
-            Value::empty_seq()
-        );
+        assert_eq!(c.in_flight().eval_state(&idle).unwrap(), Value::empty_seq());
         assert_eq!(
             c.in_flight().eval_state(&pending).unwrap(),
             Value::seq(vec![Value::Int(2)])

@@ -64,10 +64,7 @@ pub fn queue_component(
     );
     let deq = GuardedAction::new(
         "Deq",
-        Expr::all([
-            output.ready_to_send(),
-            Expr::var(q).len().gt(Expr::int(0)),
-        ]),
+        Expr::all([output.ready_to_send(), Expr::var(q).len().gt(Expr::int(0))]),
         [
             output.send_expr_updates(Expr::var(q).head()),
             vec![(q, Expr::var(q).tail())],

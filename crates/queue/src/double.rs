@@ -76,39 +76,21 @@ impl DoubleQueue {
         let q_dbl = vars.declare("q_dbl", Domain::seqs_up_to(&values, 2 * capacity + 1));
 
         // The base specifications QM and QE over (i, o, q).
-        let base_queue = queue_component("QM", &i, &o, q, capacity, style)
-            .expect("base queue is well-formed");
-        let base_env =
-            env_component("QE", &i, &o, &values).expect("base env is well-formed");
+        let base_queue =
+            queue_component("QM", &i, &o, q, capacity, style).expect("base queue is well-formed");
+        let base_env = env_component("QE", &i, &o, &values).expect("base env is well-formed");
 
         // F[1] = F[z/o, q1/q]; F[2] = F[z/i, q2/q].
-        let to1 = Renaming::new([
-            (o.sig, z.sig),
-            (o.ack, z.ack),
-            (o.val, z.val),
-            (q, q1),
-        ]);
-        let to2 = Renaming::new([
-            (i.sig, z.sig),
-            (i.ack, z.ack),
-            (i.val, z.val),
-            (q, q2),
-        ]);
+        let to1 = Renaming::new([(o.sig, z.sig), (o.ack, z.ack), (o.val, z.val), (q, q1)]);
+        let to2 = Renaming::new([(i.sig, z.sig), (i.ack, z.ack), (i.val, z.val), (q, q2)]);
         let queue1 = base_queue.rename("QM[1]", &to1);
         let queue2 = base_queue.rename("QM[2]", &to2);
         let env1 = base_env.rename("QE[1]", &to1);
         let env2 = base_env.rename("QE[2]", &to2);
 
         // F[dbl] = F[(2N+1)/N] with internal variable q_dbl.
-        let big_queue = queue_component(
-            "QM[dbl]",
-            &i,
-            &o,
-            q_dbl,
-            2 * capacity + 1,
-            style,
-        )
-        .expect("big queue is well-formed");
+        let big_queue = queue_component("QM[dbl]", &i, &o, q_dbl, 2 * capacity + 1, style)
+            .expect("big queue is well-formed");
         let env = base_env; // QE[dbl] = QE (it does not mention N or q).
 
         DoubleQueue {
@@ -355,10 +337,7 @@ mod tests {
         // in-flight slot overflows it.
         let w = small();
         let mut vars = w.vars().clone();
-        let q_small = vars.declare(
-            "q_small",
-            Domain::seqs_up_to(w.values(), 2 * w.capacity()),
-        );
+        let q_small = vars.declare("q_small", Domain::seqs_up_to(w.values(), 2 * w.capacity()));
         let wrong_big = queue_component(
             "QM[2N]",
             w.i(),
@@ -387,9 +366,7 @@ mod tests {
     #[test]
     fn figure_9_composition_proof() {
         let w = small();
-        let cert = w
-            .prove_composition(&CompositionOptions::default())
-            .unwrap();
+        let cert = w.prove_composition(&CompositionOptions::default()).unwrap();
         assert!(cert.holds(), "{}", cert.display(w.vars()));
         // Shape of the proof: G, P1+P2, two H1s (step 1), H2a/P4
         // (step 2.1), H2a (step 2.2), one H2b fairness (step 3).

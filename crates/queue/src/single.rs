@@ -162,9 +162,7 @@ impl SingleQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opentla_check::{
-        check_invariant, check_liveness, explore, ExploreOptions, LiveTarget,
-    };
+    use opentla_check::{check_invariant, check_liveness, explore, ExploreOptions, LiveTarget};
 
     #[test]
     fn cq_state_space_is_finite_and_explored() {
@@ -180,8 +178,7 @@ mod tests {
         let world = SingleQueue::new(2, 2, FairnessStyle::Joint);
         let sys = world.complete_system().unwrap();
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let verdict =
-            check_invariant(&sys, &graph, &world.capacity_invariant()).unwrap();
+        let verdict = check_invariant(&sys, &graph, &world.capacity_invariant()).unwrap();
         assert!(verdict.holds());
     }
 
@@ -212,9 +209,12 @@ mod tests {
             Expr::var(world.q()).len().lt(Expr::int(1)),
         ]);
         let q = world.input().ready_to_send();
-        let verdict =
-            check_liveness(&sys, &graph, &LiveTarget::LeadsTo(p, q)).unwrap();
-        assert!(verdict.holds(), "{:?}", verdict.counterexample().map(|c| c.reason().to_string()));
+        let verdict = check_liveness(&sys, &graph, &LiveTarget::LeadsTo(p, q)).unwrap();
+        assert!(
+            verdict.holds(),
+            "{:?}",
+            verdict.counterexample().map(|c| c.reason().to_string())
+        );
     }
 
     #[test]
@@ -227,8 +227,7 @@ mod tests {
             Expr::var(world.q()).len().lt(Expr::int(1)),
         ]);
         let q = world.input().ready_to_send();
-        let verdict =
-            check_liveness(&sys, &graph, &LiveTarget::LeadsTo(p, q)).unwrap();
+        let verdict = check_liveness(&sys, &graph, &LiveTarget::LeadsTo(p, q)).unwrap();
         assert!(!verdict.holds(), "without WF the queue may stutter forever");
     }
 
@@ -266,7 +265,11 @@ mod tests {
         let e = world.env().safety_formula();
         let m = world.queue().safety_formula();
         let verdict = opentla::check_ag_safety(&sys, &graph, &e, &m).unwrap();
-        assert!(verdict.holds(), "{:?}", verdict.counterexample().map(|c| c.reason().to_string()));
+        assert!(
+            verdict.holds(),
+            "{:?}",
+            verdict.counterexample().map(|c| c.reason().to_string())
+        );
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! exactly the reference head; and the spec's internal `q` variable
 //! must mirror the reference contents at every state.
 
-use opentla_queue::{FairnessStyle, SingleQueue};
 use opentla_check::{explore, ExploreOptions};
 use opentla_kernel::Value;
+use opentla_queue::{FairnessStyle, SingleQueue};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,11 +56,7 @@ fn walk_and_check(n: usize, v: i64, seed: u64, steps: usize) {
             _ => {} // Put(v) / Get don't touch the queue content.
         }
         // The spec's q mirrors the reference at every state.
-        let spec_q: Vec<Value> = t
-            .get(q)
-            .as_items()
-            .expect("q is a sequence")
-            .to_vec();
+        let spec_q: Vec<Value> = t.get(q).as_items().expect("q is a sequence").to_vec();
         let model_q: Vec<Value> = reference.iter().cloned().collect();
         assert_eq!(spec_q, model_q, "q diverged from the reference FIFO");
         cur = e.target;

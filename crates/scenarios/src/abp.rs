@@ -176,19 +176,15 @@ impl AlternatingBit {
     /// by a proper transmission — new payload plus bit flip, and only
     /// when the handshake round-trip has completed (`a.bit = s.bit`).
     pub fn forward_env(&self) -> ComponentSpec {
-        let sends = GuardedAction::family(
-            "send",
-            (0..self.messages).map(Value::Int),
-            |v| {
-                (
-                    Expr::var(self.a_bit).eq(Expr::var(self.s_bit)),
-                    vec![
-                        (self.s_val, Expr::con(v.clone())),
-                        (self.s_bit, Expr::int(1).sub(Expr::var(self.s_bit))),
-                    ],
-                )
-            },
-        );
+        let sends = GuardedAction::family("send", (0..self.messages).map(Value::Int), |v| {
+            (
+                Expr::var(self.a_bit).eq(Expr::var(self.s_bit)),
+                vec![
+                    (self.s_val, Expr::con(v.clone())),
+                    (self.s_bit, Expr::int(1).sub(Expr::var(self.s_bit))),
+                ],
+            )
+        });
         ComponentSpec::builder("send-discipline")
             .outputs([self.s_bit, self.s_val])
             .inputs([self.a_bit])
@@ -420,9 +416,7 @@ impl AlternatingBit {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opentla_check::{
-        check_invariant, check_liveness, explore, ExploreOptions, LiveTarget,
-    };
+    use opentla_check::{check_invariant, check_liveness, explore, ExploreOptions, LiveTarget};
 
     #[test]
     fn composition_certifies_reliable_delivery() {
@@ -459,11 +453,9 @@ mod tests {
         let sys = w.complete_system().unwrap();
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         let done = Expr::var(w.recv()).eq(Expr::int(2));
-        assert!(
-            check_liveness(&sys, &graph, &LiveTarget::Eventually(done))
-                .unwrap()
-                .holds()
-        );
+        assert!(check_liveness(&sys, &graph, &LiveTarget::Eventually(done))
+            .unwrap()
+            .holds());
     }
 
     #[test]
@@ -481,13 +473,10 @@ mod tests {
             .unwrap();
         let recv = w.receiver();
         let ack = w.ack_wire();
-        let sys =
-            opentla::closed_product(w.vars(), &[&sender, &lazy_fwd, &recv, &ack])
-                .unwrap();
+        let sys = opentla::closed_product(w.vars(), &[&sender, &lazy_fwd, &recv, &ack]).unwrap();
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();
         let done = Expr::var(w.recv()).eq(Expr::int(2));
-        let verdict =
-            check_liveness(&sys, &graph, &LiveTarget::Eventually(done)).unwrap();
+        let verdict = check_liveness(&sys, &graph, &LiveTarget::Eventually(done)).unwrap();
         assert!(!verdict.holds(), "an unfair wire may lose every message");
     }
 
@@ -518,7 +507,10 @@ mod tests {
         let brk = report.env_break.expect("the lossy wire must break E_r");
         assert_eq!(brk.action.as_deref(), Some("fault:lossy[sync_f]"));
         let text = brk.to_string();
-        assert!(text.contains("assumption violated by environment"), "{text}");
+        assert!(
+            text.contains("assumption violated by environment"),
+            "{text}"
+        );
         assert!(
             text.contains(&format!("M held {} steps", brk.step + 1)),
             "{text}"

@@ -14,7 +14,9 @@
 //! `now`" — is certified by composing the stampers with the clock
 //! supplied as a `TRUE ⊳ G` component.
 
-use opentla::{AgSpec, Certificate, ComponentSpec, CompositionOptions, CompositionProblem, SpecError};
+use opentla::{
+    AgSpec, Certificate, ComponentSpec, CompositionOptions, CompositionProblem, SpecError,
+};
 use opentla_check::{GuardedAction, Init, System};
 use opentla_kernel::{Domain, Expr, Substitution, Value, VarId, Vars};
 
@@ -115,9 +117,7 @@ impl ClockWorld {
         let mut builder = ComponentSpec::builder("monotone-stamps")
             .outputs(self.stamps.iter().copied())
             .inputs([self.now])
-            .init(Init::new(
-                self.stamps.iter().map(|t| (*t, Value::Int(0))),
-            ));
+            .init(Init::new(self.stamps.iter().map(|t| (*t, Value::Int(0)))));
         for (idx, t) in self.stamps.iter().enumerate() {
             for v in 0..=self.horizon {
                 builder = builder.action(GuardedAction::new(

@@ -172,9 +172,7 @@ mod tests {
     use opentla::{
         check_ag_safety, closed_product, compose, CompositionOptions, CompositionProblem,
     };
-    use opentla_check::{
-        check_invariant, check_liveness, explore, ExploreOptions, LiveTarget,
-    };
+    use opentla_check::{check_invariant, check_liveness, explore, ExploreOptions, LiveTarget};
     use opentla_kernel::Substitution;
 
     #[test]

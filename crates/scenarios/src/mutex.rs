@@ -21,7 +21,9 @@
 //! client's enabledness. This is the textbook WF-vs-SF distinction,
 //! machine-checked.
 
-use opentla::{AgSpec, Certificate, ComponentSpec, CompositionOptions, CompositionProblem, SpecError};
+use opentla::{
+    AgSpec, Certificate, ComponentSpec, CompositionOptions, CompositionProblem, SpecError,
+};
 use opentla_check::{GuardedAction, Init, System};
 use opentla_kernel::{Domain, Expr, Substitution, Value, VarId, Vars};
 
@@ -111,18 +113,12 @@ impl Mutex {
             .init(Init::new([(r, Value::Int(0))]))
             .action(GuardedAction::new(
                 "request",
-                Expr::all([
-                    Expr::var(r).eq(Expr::int(0)),
-                    Expr::var(g).eq(Expr::int(0)),
-                ]),
+                Expr::all([Expr::var(r).eq(Expr::int(0)), Expr::var(g).eq(Expr::int(0))]),
                 vec![(r, Expr::int(1))],
             ))
             .action(GuardedAction::new(
                 "release",
-                Expr::all([
-                    Expr::var(r).eq(Expr::int(1)),
-                    Expr::var(g).eq(Expr::int(1)),
-                ]),
+                Expr::all([Expr::var(r).eq(Expr::int(1)), Expr::var(g).eq(Expr::int(1))]),
                 vec![(r, Expr::int(0))],
             ))
             .weak_fairness([1])
@@ -140,18 +136,12 @@ impl Mutex {
             .init(Init::new([(g, Value::Int(0))]))
             .action(GuardedAction::new(
                 "raise",
-                Expr::all([
-                    Expr::var(r).eq(Expr::int(1)),
-                    Expr::var(g).eq(Expr::int(0)),
-                ]),
+                Expr::all([Expr::var(r).eq(Expr::int(1)), Expr::var(g).eq(Expr::int(0))]),
                 vec![(g, Expr::int(1))],
             ))
             .action(GuardedAction::new(
                 "lower",
-                Expr::all([
-                    Expr::var(r).eq(Expr::int(0)),
-                    Expr::var(g).eq(Expr::int(1)),
-                ]),
+                Expr::all([Expr::var(r).eq(Expr::int(0)), Expr::var(g).eq(Expr::int(1))]),
                 vec![(g, Expr::int(0))],
             ))
             .build()
@@ -163,10 +153,7 @@ impl Mutex {
         let mut actions = Vec::new();
         for i in 1..=k {
             let (r, g) = (self.r(i), self.g(i));
-            let mut conj = vec![
-                Expr::var(r).eq(Expr::int(1)),
-                Expr::var(g).eq(Expr::int(0)),
-            ];
+            let mut conj = vec![Expr::var(r).eq(Expr::int(1)), Expr::var(g).eq(Expr::int(0))];
             conj.extend(
                 (1..=k)
                     .filter(|j| *j != i)
@@ -182,10 +169,7 @@ impl Mutex {
             let (r, g) = (self.r(i), self.g(i));
             actions.push(GuardedAction::new(
                 format!("revoke{i}"),
-                Expr::all([
-                    Expr::var(g).eq(Expr::int(1)),
-                    Expr::var(r).eq(Expr::int(0)),
-                ]),
+                Expr::all([Expr::var(g).eq(Expr::int(1)), Expr::var(r).eq(Expr::int(0))]),
                 vec![(g, Expr::int(0))],
             ));
         }
@@ -200,9 +184,7 @@ impl Mutex {
         let mut builder = ComponentSpec::builder("arbiter")
             .outputs(self.g.iter().copied())
             .inputs(self.r.iter().copied())
-            .init(Init::new(
-                self.g.iter().map(|g| (*g, Value::Int(0))),
-            ))
+            .init(Init::new(self.g.iter().map(|g| (*g, Value::Int(0)))))
             .actions(self.grant_actions());
         for i in 0..k {
             builder = match self.fairness {
@@ -221,26 +203,18 @@ impl Mutex {
         let mut builder = ComponentSpec::builder("request-discipline")
             .outputs(self.r.iter().copied())
             .inputs(self.g.iter().copied())
-            .init(Init::new(
-                self.r.iter().map(|r| (*r, Value::Int(0))),
-            ));
+            .init(Init::new(self.r.iter().map(|r| (*r, Value::Int(0)))));
         for i in 1..=self.clients() {
             let (r, g) = (self.r(i), self.g(i));
             builder = builder
                 .action(GuardedAction::new(
                     format!("raise{i}"),
-                    Expr::all([
-                        Expr::var(r).eq(Expr::int(0)),
-                        Expr::var(g).eq(Expr::int(0)),
-                    ]),
+                    Expr::all([Expr::var(r).eq(Expr::int(0)), Expr::var(g).eq(Expr::int(0))]),
                     vec![(r, Expr::int(1))],
                 ))
                 .action(GuardedAction::new(
                     format!("drop{i}"),
-                    Expr::all([
-                        Expr::var(r).eq(Expr::int(1)),
-                        Expr::var(g).eq(Expr::int(1)),
-                    ]),
+                    Expr::all([Expr::var(r).eq(Expr::int(1)), Expr::var(g).eq(Expr::int(1))]),
                     vec![(r, Expr::int(0))],
                 ));
         }
@@ -255,9 +229,7 @@ impl Mutex {
         let mut builder = ComponentSpec::builder("safe-grants")
             .outputs(self.g.iter().copied())
             .inputs(self.r.iter().copied())
-            .init(Init::new(
-                self.g.iter().map(|g| (*g, Value::Int(0))),
-            ))
+            .init(Init::new(self.g.iter().map(|g| (*g, Value::Int(0)))))
             .actions(self.grant_actions());
         // The target always demands *strong* grant fairness — that is
         // the service guarantee being sold. Whether the hypothesis can
@@ -303,8 +275,7 @@ impl Mutex {
     ///
     /// Never fails for these components.
     pub fn product(&self) -> Result<System, SpecError> {
-        let clients: Vec<ComponentSpec> =
-            (1..=self.clients()).map(|i| self.client(i)).collect();
+        let clients: Vec<ComponentSpec> = (1..=self.clients()).map(|i| self.client(i)).collect();
         let arbiter = self.arbiter();
         let mut members: Vec<&ComponentSpec> = clients.iter().collect();
         members.push(&arbiter);
@@ -363,9 +334,7 @@ impl Mutex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opentla_check::{
-        check_invariant, check_liveness, explore, ExploreOptions, LiveTarget,
-    };
+    use opentla_check::{check_invariant, check_liveness, explore, ExploreOptions, LiveTarget};
     use opentla_semantics::{eval, EvalCtx};
 
     #[test]
@@ -441,8 +410,7 @@ mod tests {
         // Mutual exclusion across all pairs.
         let sys = w.product().unwrap();
         let graph =
-            opentla_check::explore(&sys, &opentla_check::ExploreOptions::default())
-                .unwrap();
+            opentla_check::explore(&sys, &opentla_check::ExploreOptions::default()).unwrap();
         assert!(
             opentla_check::check_invariant(&sys, &graph, &w.mutual_exclusion())
                 .unwrap()

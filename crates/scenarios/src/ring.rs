@@ -14,7 +14,9 @@
 //! circulation liveness (`□◇ critᵢ` under `WF`) is model-checked on
 //! the complete system.
 
-use opentla::{AgSpec, Certificate, ComponentSpec, CompositionOptions, CompositionProblem, SpecError};
+use opentla::{
+    AgSpec, Certificate, ComponentSpec, CompositionOptions, CompositionProblem, SpecError,
+};
 use opentla_check::{GuardedAction, Init, System};
 use opentla_kernel::{Domain, Expr, Substitution, Value, VarId, Vars};
 
@@ -174,9 +176,7 @@ impl TokenRing {
         let k = self.len();
         let mut builder = ComponentSpec::builder("mutual-exclusion")
             .outputs(self.crits.iter().copied())
-            .init(Init::new(
-                self.crits.iter().map(|c| (*c, Value::Int(0))),
-            ));
+            .init(Init::new(self.crits.iter().map(|c| (*c, Value::Int(0)))));
         for i in 0..k {
             let mut guard = vec![Expr::var(self.crits[i]).eq(Expr::int(0))];
             guard.extend(
@@ -206,10 +206,7 @@ impl TokenRing {
     /// # Errors
     ///
     /// Structural errors only.
-    pub fn prove_mutex(
-        &self,
-        options: &CompositionOptions,
-    ) -> Result<Certificate, SpecError> {
+    pub fn prove_mutex(&self, options: &CompositionOptions) -> Result<Certificate, SpecError> {
         let ags: Vec<AgSpec> = (0..self.len())
             .map(|i| AgSpec::new(self.node_env(i), self.node(i)))
             .collect::<Result<_, _>>()?;
@@ -294,9 +291,7 @@ impl TokenRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opentla_check::{
-        check_invariant, check_liveness, explore, ExploreOptions, LiveTarget,
-    };
+    use opentla_check::{check_invariant, check_liveness, explore, ExploreOptions, LiveTarget};
 
     #[test]
     fn ring_composes_mutex() {
@@ -338,7 +333,10 @@ mod tests {
                 &LiveTarget::AlwaysEventually(Expr::var(w.crit(i)).eq(Expr::int(1))),
             )
             .unwrap();
-            assert!(verdict.holds(), "node {i} must be critical infinitely often");
+            assert!(
+                verdict.holds(),
+                "node {i} must be critical infinitely often"
+            );
         }
     }
 

@@ -9,11 +9,10 @@
 //! `visited` lookup map in shard order, which legitimately differs in
 //! iteration order while holding identical contents.
 
-use opentla_check::{
-    explore_governed_with, Budget, Engine, ExploreOptions, Reduction, StateGraph,
-    VisitedMode,
-};
 use opentla_check::System;
+use opentla_check::{
+    explore_governed_with, Budget, Engine, ExploreOptions, Reduction, StateGraph, VisitedMode,
+};
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, Mutex, TokenRing};
 use std::sync::Arc;
@@ -22,7 +21,10 @@ fn seq_graph(system: &System) -> StateGraph {
     explore_governed_with(
         system,
         &Budget::unlimited(),
-        &ExploreOptions { threads: Some(1), ..ExploreOptions::default() },
+        &ExploreOptions {
+            threads: Some(1),
+            ..ExploreOptions::default()
+        },
     )
     .expect("sequential exploration succeeds")
     .graph
@@ -46,14 +48,20 @@ fn assert_ws_matrix(system: &System, name: &str) {
             )
             .expect("work-stealing exploration succeeds");
             assert!(run.outcome.is_complete(), "{name}: ws run must complete");
-            assert_eq!(seq.first_difference(&run.graph), None, "{name} ws({workers}, {mode:?})");
+            assert_eq!(
+                seq.first_difference(&run.graph),
+                None,
+                "{name} ws({workers}, {mode:?})"
+            );
         }
     }
 }
 
 #[test]
 fn ws_matches_sequential_abp() {
-    let system = AlternatingBit::new(2).complete_system().expect("abp builds");
+    let system = AlternatingBit::new(2)
+        .complete_system()
+        .expect("abp builds");
     assert_ws_matrix(&system, "abp");
 }
 
@@ -108,7 +116,11 @@ fn ws_matches_sequential_chain4() {
     )
     .expect("work-stealing exploration succeeds");
     assert!(run.outcome.is_complete());
-    assert_eq!(seq.first_difference(&run.graph), None, "chain4 ws(4, Fingerprint)");
+    assert_eq!(
+        seq.first_difference(&run.graph),
+        None,
+        "chain4 ws(4, Fingerprint)"
+    );
 }
 
 /// Narrow fingerprints deliberately force collisions; `Exact` mode
@@ -138,7 +150,11 @@ fn ws_exact_mode_survives_forced_collisions() {
         )
         .expect("work-stealing exploration succeeds");
         assert!(run.outcome.is_complete());
-        assert_eq!(seq.first_difference(&run.graph), None, "ring exact fp12 ws({workers})");
+        assert_eq!(
+            seq.first_difference(&run.graph),
+            None,
+            "ring exact fp12 ws({workers})"
+        );
     }
 }
 
@@ -173,5 +189,9 @@ fn ws_resolves_to_the_sequential_plan_under_reduction() {
     )
     .expect("reduced exploration succeeds");
     assert!(routed.graph.is_reduced());
-    assert_eq!(level.graph.first_difference(&routed.graph), None, "ring reduced fallback");
+    assert_eq!(
+        level.graph.first_difference(&routed.graph),
+        None,
+        "ring reduced fallback"
+    );
 }

@@ -137,7 +137,13 @@ impl Lasso {
     /// at a later position repeats one of these.
     pub fn steps(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         let k = self.states.len();
-        (0..k).map(move |i| if i + 1 < k { (i, i + 1) } else { (i, self.loop_start) })
+        (0..k).map(move |i| {
+            if i + 1 < k {
+                (i, i + 1)
+            } else {
+                (i, self.loop_start)
+            }
+        })
     }
 
     /// Renders the lasso with variable names.

@@ -110,10 +110,7 @@ impl SafetyCanonical {
     /// # Errors
     ///
     /// Propagates expression evaluation errors.
-    pub fn first_failing_prefix(
-        &self,
-        sigma: &Lasso,
-    ) -> Result<Option<usize>, SemanticsError> {
+    pub fn first_failing_prefix(&self, sigma: &Lasso) -> Result<Option<usize>, SemanticsError> {
         // Initial predicates and the first state's invariants fail at
         // prefix length 1.
         let first = sigma.state(0);
@@ -284,10 +281,7 @@ mod tests {
         let (_, x) = setup();
         // □[x' = x + 1]_x with lasso 0 (1 2)^ω: the wrap step 2→1 is
         // illegal; it is step index 2, prefix length 4.
-        let f = Formula::act_box(
-            Expr::prime(x).eq(Expr::var(x).add(Expr::int(1))),
-            vec![x],
-        );
+        let f = Formula::act_box(Expr::prime(x).eq(Expr::var(x).add(Expr::int(1))), vec![x]);
         let sc = safety_canonical(&f).unwrap();
         let sigma = Lasso::new(vec![st(0), st(1), st(2)], 1).unwrap();
         assert_eq!(sc.first_failing_prefix(&sigma).unwrap(), Some(4));

@@ -76,7 +76,9 @@ mod tests {
 
     #[test]
     fn displays() {
-        assert!(SemanticsError::EmptyBehavior.to_string().contains("nonempty"));
+        assert!(SemanticsError::EmptyBehavior
+            .to_string()
+            .contains("nonempty"));
         let e = SemanticsError::NeedsUniverse { construct: "WF" };
         assert!(e.to_string().contains("WF"));
         let e = SemanticsError::SearchBudgetExceeded {

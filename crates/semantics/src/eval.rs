@@ -2,9 +2,7 @@
 
 use crate::prefix::first_failing_prefix;
 use crate::{Lasso, SemanticsError, Universe};
-use opentla_kernel::{
-    box_action, Fairness, FairnessKind, Formula, State, StatePair, VarId,
-};
+use opentla_kernel::{box_action, Fairness, FairnessKind, Formula, State, StatePair, VarId};
 
 /// The context for evaluating formulas over behaviors.
 ///
@@ -170,10 +168,7 @@ pub fn eval(f: &Formula, sigma: &Lasso, ctx: &EvalCtx) -> Result<bool, Semantics
 
 /// The first position from which the tuple `sub` never changes again,
 /// or `None` if it changes infinitely often (i.e. within the cycle).
-fn stabilization_point(
-    sigma: &Lasso,
-    sub: &[VarId],
-) -> Result<Option<usize>, SemanticsError> {
+fn stabilization_point(sigma: &Lasso, sub: &[VarId]) -> Result<Option<usize>, SemanticsError> {
     let mut last_change: Option<usize> = None;
     for (i, j) in sigma.steps() {
         if !sigma.state(i).agrees_with(sigma.state(j), sub) {
@@ -186,11 +181,7 @@ fn stabilization_point(
     Ok(Some(last_change.map_or(0, |i| i + 1)))
 }
 
-fn fairness_holds(
-    fair: &Fairness,
-    sigma: &Lasso,
-    ctx: &EvalCtx,
-) -> Result<bool, SemanticsError> {
+fn fairness_holds(fair: &Fairness, sigma: &Lasso, ctx: &EvalCtx) -> Result<bool, SemanticsError> {
     let universe = ctx.universe(match fair.kind {
         FairnessKind::Weak => "WF",
         FairnessKind::Strong => "SF",
@@ -302,7 +293,15 @@ fn search_hidden(
     for assignment in &stack {
         acc.push(base[pos].with(assignment));
         let found = search_hidden(
-            universe, hidden, body, base, loop_start, pos + 1, acc, ctx, budget,
+            universe,
+            hidden,
+            body,
+            base,
+            loop_start,
+            pos + 1,
+            acc,
+            ctx,
+            budget,
         )?;
         acc.pop();
         if found {
@@ -396,8 +395,14 @@ mod tests {
         let sigma = Lasso::new(vec![st(0, 0), st(0, 1)], 0).unwrap();
         let wf = Formula::wf(a.clone(), vec![x]);
         let sf = Formula::sf(a, vec![x]);
-        assert!(eval(&wf, &sigma, &ctx).unwrap(), "WF satisfied by recurring disabledness");
-        assert!(!eval(&sf, &sigma, &ctx).unwrap(), "SF violated: enabled infinitely often, never taken");
+        assert!(
+            eval(&wf, &sigma, &ctx).unwrap(),
+            "WF satisfied by recurring disabledness"
+        );
+        assert!(
+            !eval(&sf, &sigma, &ctx).unwrap(),
+            "SF violated: enabled infinitely often, never taken"
+        );
     }
 
     #[test]
@@ -430,8 +435,7 @@ mod tests {
         assert!(eval(&ag, &Lasso::stutter(st(0, 0)), &ctx).unwrap());
         // Env breaks first (y changes at step 0), system follows suit:
         // allowed.
-        let env_first =
-            Lasso::new(vec![st(0, 0), st(0, 1), st(1, 1)], 2).unwrap();
+        let env_first = Lasso::new(vec![st(0, 0), st(0, 1), st(1, 1)], 2).unwrap();
         assert!(eval(&ag, &env_first, &ctx).unwrap());
         // System breaks while env is still fine: violation.
         let sys_first = Lasso::new(vec![st(0, 0), st(1, 0)], 1).unwrap();
@@ -477,16 +481,13 @@ mod tests {
         assert!(eval(&plus, &Lasso::stutter(st(0, 0)), &ctx).unwrap());
         // F fails at step 0 (y flips) and x never changes after: +
         // holds.
-        let env_breaks_x_frozen =
-            Lasso::new(vec![st(0, 0), st(0, 1)], 1).unwrap();
+        let env_breaks_x_frozen = Lasso::new(vec![st(0, 0), st(0, 1)], 1).unwrap();
         assert!(eval(&plus, &env_breaks_x_frozen, &ctx).unwrap());
         // F fails at step 0 and x changes afterwards: + fails.
-        let x_moves_after =
-            Lasso::new(vec![st(0, 0), st(0, 1), st(1, 1)], 2).unwrap();
+        let x_moves_after = Lasso::new(vec![st(0, 0), st(0, 1), st(1, 1)], 2).unwrap();
         assert!(!eval(&plus, &x_moves_after, &ctx).unwrap());
         // x changes exactly while F still holds, then freezes: fine.
-        let x_moves_before =
-            Lasso::new(vec![st(0, 0), st(1, 0), st(1, 1)], 2).unwrap();
+        let x_moves_before = Lasso::new(vec![st(0, 0), st(1, 0), st(1, 1)], 2).unwrap();
         assert!(eval(&plus, &x_moves_before, &ctx).unwrap());
     }
 
@@ -502,8 +503,7 @@ mod tests {
         let same = Lasso::new(vec![st(0, 0), st(1, 1)], 1).unwrap();
         assert!(!eval(&e.clone().ortho(m.clone()), &same, &ctx).unwrap());
         // Separate violations: orthogonal.
-        let separate =
-            Lasso::new(vec![st(0, 0), st(0, 1), st(1, 1)], 2).unwrap();
+        let separate = Lasso::new(vec![st(0, 0), st(0, 1), st(1, 1)], 2).unwrap();
         assert!(eval(&e.clone().ortho(m.clone()), &separate, &ctx).unwrap());
         // No violations at all: orthogonal.
         assert!(eval(&e.ortho(m), &Lasso::stutter(st(0, 0)), &ctx).unwrap());
@@ -560,7 +560,11 @@ mod tests {
         let (vars, _x, y) = setup();
         let ctx = EvalCtx::with_universe(Universe::new(vars));
         let body = Formula::all([
-            Formula::pred(Expr::var(y).eq(Expr::int(0)).or(Expr::var(y).eq(Expr::int(1)))),
+            Formula::pred(
+                Expr::var(y)
+                    .eq(Expr::int(0))
+                    .or(Expr::var(y).eq(Expr::int(1))),
+            ),
             Formula::pred(Expr::var(y).eq(Expr::int(1))).eventually(),
             Formula::pred(Expr::var(y).eq(Expr::int(0))).eventually(),
         ]);

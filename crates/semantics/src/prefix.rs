@@ -43,11 +43,7 @@ use opentla_kernel::{Formula, State};
 ///   and the context has no universe;
 /// * [`SemanticsError::SearchBudgetExceeded`] if the bounded search
 ///   would have to give an untrustworthy answer.
-pub fn prefix_sat(
-    f: &Formula,
-    prefix: &[State],
-    ctx: &EvalCtx,
-) -> Result<bool, SemanticsError> {
+pub fn prefix_sat(f: &Formula, prefix: &[State], ctx: &EvalCtx) -> Result<bool, SemanticsError> {
     if prefix.is_empty() {
         return Ok(true);
     }
@@ -58,17 +54,10 @@ pub fn prefix_sat(
 }
 
 /// Bounded lasso-extension search for non-canonical formulas.
-fn search_extension(
-    f: &Formula,
-    prefix: &[State],
-    ctx: &EvalCtx,
-) -> Result<bool, SemanticsError> {
-    let universe = ctx
-        .universe
-        .as_ref()
-        .ok_or(SemanticsError::NeedsUniverse {
-            construct: "prefix satisfaction",
-        })?;
+fn search_extension(f: &Formula, prefix: &[State], ctx: &EvalCtx) -> Result<bool, SemanticsError> {
+    let universe = ctx.universe.as_ref().ok_or(SemanticsError::NeedsUniverse {
+        construct: "prefix satisfaction",
+    })?;
     let all_states: Vec<State> = universe.states().collect();
     let mut budget = ctx.search_budget;
 
@@ -88,8 +77,8 @@ fn search_extension(
                     });
                 }
                 budget -= 1;
-                let sigma = Lasso::new(states.clone(), loop_start)
-                    .expect("nonempty by construction");
+                let sigma =
+                    Lasso::new(states.clone(), loop_start).expect("nonempty by construction");
                 if eval(f, &sigma, ctx)? {
                     return Ok(true);
                 }

@@ -27,11 +27,7 @@ pub fn random_state<R: Rng + ?Sized>(universe: &Universe, rng: &mut R) -> State 
 /// # Panics
 ///
 /// Panics if `max_len` is zero.
-pub fn random_lasso<R: Rng + ?Sized>(
-    universe: &Universe,
-    max_len: usize,
-    rng: &mut R,
-) -> Lasso {
+pub fn random_lasso<R: Rng + ?Sized>(universe: &Universe, max_len: usize, rng: &mut R) -> Lasso {
     assert!(max_len > 0, "max_len must be positive");
     let len = rng.gen_range(1..=max_len);
     let states: Vec<State> = (0..len).map(|_| random_state(universe, rng)).collect();
@@ -57,9 +53,7 @@ pub fn all_lassos(universe: &Universe, max_len: usize) -> Vec<Lasso> {
                 let mut longer = seq.clone();
                 longer.push(s.clone());
                 for loop_start in 0..longer.len() {
-                    out.push(
-                        Lasso::new(longer.clone(), loop_start).expect("nonempty"),
-                    );
+                    out.push(Lasso::new(longer.clone(), loop_start).expect("nonempty"));
                 }
                 next.push(longer);
             }

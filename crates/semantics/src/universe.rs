@@ -293,10 +293,7 @@ mod tests {
         assert!(!u.enabled(&joint, &neither).unwrap());
         // ⟨A ∨ B⟩_{x,y} nests the disjunction under a conjunction — the
         // distribution rule must still find each branch's witnesses.
-        let angle = Expr::all([
-            joint,
-            opentla_kernel::unchanged(&[x, y]).not(),
-        ]);
+        let angle = Expr::all([joint, opentla_kernel::unchanged(&[x, y]).not()]);
         assert!(u.enabled(&angle, &s0).unwrap());
         assert!(u.enabled(&angle, &s1).unwrap());
         assert!(!u.enabled(&angle, &neither).unwrap());

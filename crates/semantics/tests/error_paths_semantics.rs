@@ -19,10 +19,16 @@ fn fairness_needs_a_universe() {
     let (_, x) = bit_world();
     let wf = Formula::wf(Expr::prime(x).ne(Expr::var(x)), vec![x]);
     let err = eval(&wf, &stutter0(), &EvalCtx::default()).unwrap_err();
-    assert!(matches!(err, SemanticsError::NeedsUniverse { construct: "WF" }));
+    assert!(matches!(
+        err,
+        SemanticsError::NeedsUniverse { construct: "WF" }
+    ));
     let sf = Formula::sf(Expr::prime(x).ne(Expr::var(x)), vec![x]);
     let err = eval(&sf, &stutter0(), &EvalCtx::default()).unwrap_err();
-    assert!(matches!(err, SemanticsError::NeedsUniverse { construct: "SF" }));
+    assert!(matches!(
+        err,
+        SemanticsError::NeedsUniverse { construct: "SF" }
+    ));
 }
 
 #[test]
@@ -30,7 +36,10 @@ fn exists_needs_a_universe() {
     let (_, x) = bit_world();
     let f = Formula::exists(vec![x], Formula::pred(Expr::var(x).eq(Expr::int(1))));
     let err = eval(&f, &stutter0(), &EvalCtx::default()).unwrap_err();
-    assert!(matches!(err, SemanticsError::NeedsUniverse { construct: "∃" }));
+    assert!(matches!(
+        err,
+        SemanticsError::NeedsUniverse { construct: "∃" }
+    ));
 }
 
 #[test]
@@ -42,7 +51,9 @@ fn exists_budget_is_typed() {
     let err = eval(&f, &stutter0(), &ctx).unwrap_err();
     assert!(matches!(
         err,
-        SemanticsError::SearchBudgetExceeded { construct: "∃", .. }
+        SemanticsError::SearchBudgetExceeded {
+            construct: "∃", ..
+        }
     ));
 }
 

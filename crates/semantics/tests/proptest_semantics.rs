@@ -2,9 +2,7 @@
 //! boolean homomorphism, prefix monotonicity, and closure coherence.
 
 use opentla_kernel::{Domain, Expr, Formula, VarId, Vars};
-use opentla_semantics::{
-    eval, first_failing_prefix, prefix_sat, random_lasso, EvalCtx, Universe,
-};
+use opentla_semantics::{eval, first_failing_prefix, prefix_sat, random_lasso, EvalCtx, Universe};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,10 +18,9 @@ fn canonical(x: VarId, y: VarId) -> Formula {
     // x starts 0 and every step copies y's parity into x (or stutters).
     Formula::pred(Expr::var(x).eq(Expr::int(0))).and(Formula::act_box(
         Expr::all([
-            Expr::prime(x).eq(Expr::var(y).eq(Expr::int(1)).ite(
-                Expr::int(1),
-                Expr::int(0),
-            )),
+            Expr::prime(x).eq(Expr::var(y)
+                .eq(Expr::int(1))
+                .ite(Expr::int(1), Expr::int(0))),
             Expr::prime(y).eq(Expr::var(y)),
         ]),
         vec![x],

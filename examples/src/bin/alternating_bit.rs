@@ -33,7 +33,10 @@ fn main() {
     let delivered = check_liveness(&sys, &graph, &LiveTarget::Eventually(done))
         .expect("checkable")
         .holds();
-    println!("all {k} messages eventually delivered: {}", verdict(delivered));
+    println!(
+        "all {k} messages eventually delivered: {}",
+        verdict(delivered)
+    );
 }
 
 fn verdict(ok: bool) -> &'static str {

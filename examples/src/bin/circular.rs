@@ -4,7 +4,7 @@
 //! Run with `cargo run -p opentla-examples --bin circular`.
 
 use opentla::{
-    check_ag_safety, chaos_environment, closed_product, compose, CompositionOptions,
+    chaos_environment, check_ag_safety, closed_product, compose, CompositionOptions,
     CompositionProblem,
 };
 use opentla_check::{check_liveness, explore, ExploreOptions, LiveTarget};
@@ -31,7 +31,11 @@ fn main() {
     .expect("checkable");
     println!(
         "Π_c ⊨ (M⁰_d ⊳ M⁰_c) against a hostile environment: {}",
-        if verdict.holds() { "REALIZED" } else { "FAILED" }
+        if verdict.holds() {
+            "REALIZED"
+        } else {
+            "FAILED"
+        }
     );
 
     // The Composition Theorem closes the circle.

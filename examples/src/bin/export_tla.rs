@@ -7,10 +7,6 @@ use opentla_queue::{FairnessStyle, SingleQueue};
 
 fn main() {
     let world = SingleQueue::new(2, 2, FairnessStyle::Joint);
-    let module = to_tla_module(
-        "CompleteQueue",
-        world.vars(),
-        &[world.env(), world.queue()],
-    );
+    let module = to_tla_module("CompleteQueue", world.vars(), &[world.env(), world.queue()]);
     println!("{module}");
 }

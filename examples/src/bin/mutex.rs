@@ -30,8 +30,7 @@ fn main() {
             .holds();
         println!("mutual exclusion invariant: {}", verdict(mutex_ok));
         let (p, q) = w.request_served(1);
-        let served = check_liveness(&sys, &graph, &LiveTarget::LeadsTo(p, q))
-            .expect("checkable");
+        let served = check_liveness(&sys, &graph, &LiveTarget::LeadsTo(p, q)).expect("checkable");
         println!("service (r1 = 1 ↝ g1 = 1): {}", verdict(served.holds()));
         if let Some(cx) = served.counterexample() {
             println!("starvation witness:\n{}", cx.display(w.vars()));

@@ -41,7 +41,11 @@ fn main() {
         "safety simulation over {} states / {} transitions: {}",
         report.simulation.states,
         report.simulation.edges,
-        if report.simulation.holds() { "PROVED" } else { "FAILED" }
+        if report.simulation.holds() {
+            "PROVED"
+        } else {
+            "FAILED"
+        }
     );
     for (label, verdict) in &report.liveness {
         println!(

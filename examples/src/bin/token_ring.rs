@@ -18,7 +18,9 @@ fn main() {
     for k in [2usize, 3, 4] {
         let w = TokenRing::new(k);
         println!("=== {k}-node ring ===");
-        let cert = w.prove_mutex(&CompositionOptions::default()).expect("well-posed");
+        let cert = w
+            .prove_mutex(&CompositionOptions::default())
+            .expect("well-posed");
         println!(
             "mutual exclusion composed from {} circular assumptions: {}",
             k,
@@ -29,7 +31,10 @@ fn main() {
         let conserved = check_invariant(&sys, &graph, &w.token_conservation())
             .expect("checkable")
             .holds();
-        println!("token conservation: {}", if conserved { "HOLDS" } else { "VIOLATED" });
+        println!(
+            "token conservation: {}",
+            if conserved { "HOLDS" } else { "VIOLATED" }
+        );
         for i in 0..k {
             let verdict = check_liveness(
                 &sys,

@@ -148,7 +148,10 @@ mod tests {
     #[test]
     fn byte_streams_distinguish_boundaries() {
         assert_ne!(hash_of(&"ab"), hash_of(&"a"));
-        assert_ne!(hash_of(&b"abcdefgh".as_slice()), hash_of(&b"abcdefg".as_slice()));
+        assert_ne!(
+            hash_of(&b"abcdefgh".as_slice()),
+            hash_of(&b"abcdefg".as_slice())
+        );
         // Longer-than-word inputs exercise the chunked path.
         assert_ne!(
             hash_of(&b"abcdefghijklmnop".as_slice()),

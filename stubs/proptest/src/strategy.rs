@@ -244,20 +244,29 @@ pub struct SizeRange {
 
 impl From<usize> for SizeRange {
     fn from(exact: usize) -> Self {
-        SizeRange { lo: exact, hi: exact }
+        SizeRange {
+            lo: exact,
+            hi: exact,
+        }
     }
 }
 
 impl From<core::ops::Range<usize>> for SizeRange {
     fn from(range: core::ops::Range<usize>) -> Self {
         assert!(range.start < range.end, "empty vec size range");
-        SizeRange { lo: range.start, hi: range.end - 1 }
+        SizeRange {
+            lo: range.start,
+            hi: range.end - 1,
+        }
     }
 }
 
 impl From<core::ops::RangeInclusive<usize>> for SizeRange {
     fn from(range: core::ops::RangeInclusive<usize>) -> Self {
-        SizeRange { lo: *range.start(), hi: *range.end() }
+        SizeRange {
+            lo: *range.start(),
+            hi: *range.end(),
+        }
     }
 }
 
@@ -269,7 +278,10 @@ pub struct VecStrategy<S> {
 }
 
 pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S> {
-    VecStrategy { element, size: size.into() }
+    VecStrategy {
+        element,
+        size: size.into(),
+    }
 }
 
 impl<S: Strategy> Strategy for VecStrategy<S> {
@@ -323,8 +335,7 @@ mod tests {
         }
         let leaf = (0..4i64).prop_map(Tree::Leaf);
         let strat = leaf.prop_recursive(3, 24, 2, |inner| {
-            (inner.clone(), inner)
-                .prop_map(|(l, r)| Tree::Node(Box::new(l), Box::new(r)))
+            (inner.clone(), inner).prop_map(|(l, r)| Tree::Node(Box::new(l), Box::new(r)))
         });
         let mut rng = TestRng::for_test("recursive");
         let mut max_depth = 0;

@@ -39,7 +39,10 @@ fn lossy_abp_wire_produces_a_one_step_longer_diagnosis() {
     let brk = report.env_break.expect("the fault must break E_r");
     assert_eq!(brk.action.as_deref(), Some("fault:lossy[sync_f]"));
     let text = brk.to_string();
-    assert!(text.contains(&format!("E broken at step {}", brk.step)), "{text}");
+    assert!(
+        text.contains(&format!("E broken at step {}", brk.step)),
+        "{text}"
+    );
     assert!(
         text.contains(&format!("M held {} steps", brk.step + 1)),
         "{text}"
@@ -92,7 +95,11 @@ fn crash_restart_queue_is_refuted_with_action_and_step() {
     };
     // The improved diagnosis names the offending action, the step it
     // struck, and the violated conjunct of the guarantee.
-    assert!(cx.reason().contains("fault:crash_restart"), "{}", cx.reason());
+    assert!(
+        cx.reason().contains("fault:crash_restart"),
+        "{}",
+        cx.reason()
+    );
     assert!(cx.reason().contains("step"), "{}", cx.reason());
     assert!(cx.reason().contains("violated conjunct"), "{}", cx.reason());
 }
@@ -109,13 +116,7 @@ fn hostile_env_saboteur_breaks_the_assumption_on_schedule() {
     let sys = faults::hostile_env(&base, &w.in_order_invariant(), break_at).unwrap();
     let graph = explore(&sys, &ExploreOptions::default()).unwrap();
     let env = Formula::pred(w.in_order_invariant()).always();
-    let report = check_ag_safety_diagnosed(
-        &sys,
-        &graph,
-        &env,
-        &w.sender_guarantee(),
-    )
-    .unwrap();
+    let report = check_ag_safety_diagnosed(&sys, &graph, &env, &w.sender_guarantee()).unwrap();
     assert!(report.holds(), "the saboteur leaves the sender untouched");
     let brk = report.env_break.expect("the saboteur must break E");
     let action = brk.action.as_deref().unwrap();

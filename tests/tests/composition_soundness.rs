@@ -30,8 +30,7 @@ fn fig1_conclusion_is_semantically_valid() {
     // Reconstruct the certified conclusion as a formula:
     //   G ∧ (E_c ⊳ M_c) ∧ (E_d ⊳ M_d) ⇒ (TRUE ⊳ M_both)
     let g = disjoint(&[vec![w.c()], vec![w.d()]]);
-    let conclusion = Formula::all([g, ag_c.formula(), ag_d.formula()])
-        .implies(target.formula());
+    let conclusion = Formula::all([g, ag_c.formula(), ag_d.formula()]).implies(target.formula());
 
     // Exhaustively check it over all lassos (≤ 4 stored states) of the
     // two-bit universe.
@@ -61,10 +60,7 @@ fn refuted_conclusion_really_fails_semantically() {
     let ag_d = w.ag_d().unwrap();
     let wrong = ComponentSpec::builder("wrong")
         .outputs([w.c(), w.d()])
-        .init(Init::new([
-            (w.c(), Value::Int(1)),
-            (w.d(), Value::Int(0)),
-        ]))
+        .init(Init::new([(w.c(), Value::Int(1)), (w.d(), Value::Int(0))]))
         .build()
         .unwrap();
     let true_env = ComponentSpec::builder("TRUE").build().unwrap();
@@ -79,8 +75,7 @@ fn refuted_conclusion_really_fails_semantically() {
     assert!(!cert.holds());
 
     let g = disjoint(&[vec![w.c()], vec![w.d()]]);
-    let conclusion = Formula::all([g, ag_c.formula(), ag_d.formula()])
-        .implies(target.formula());
+    let conclusion = Formula::all([g, ag_c.formula(), ag_d.formula()]).implies(target.formula());
     let universe = Universe::new(w.vars().clone());
     let ctx = EvalCtx::with_universe(universe.clone());
     // The all-zero stutter satisfies the antecedent but violates the

@@ -48,8 +48,8 @@ fn options(
 }
 
 fn run_unlimited(system: &System, opts: &ExploreOptions) -> Exploration {
-    let run = explore_governed_with(system, &Budget::unlimited(), opts)
-        .expect("exploration succeeds");
+    let run =
+        explore_governed_with(system, &Budget::unlimited(), opts).expect("exploration succeeds");
     assert!(matches!(run.outcome, Outcome::Complete));
     run
 }
@@ -80,7 +80,9 @@ fn scenarios() -> Vec<(&'static str, System)> {
         ("ring", TokenRing::new(3).complete_system().unwrap()),
         (
             "mutex",
-            Mutex::with_clients(3, ArbiterFairness::Weak).product().unwrap(),
+            Mutex::with_clients(3, ArbiterFairness::Weak)
+                .product()
+                .unwrap(),
         ),
         (
             "chain2",
@@ -130,12 +132,24 @@ fn interrupt_and_resume(label: &str, system: &System, opts: &ExploreOptions) {
         matches!(resumed.outcome, Outcome::Complete),
         "{label}: resumed run must complete"
     );
-    assert_eq!(recorder.count("resume"), 1, "{label}: resume event must be emitted");
-    assert_eq!(reference.graph.first_difference(&resumed.graph), None, "{label}");
+    assert_eq!(
+        recorder.count("resume"),
+        1,
+        "{label}: resume event must be emitted"
+    );
+    assert_eq!(
+        reference.graph.first_difference(&resumed.graph),
+        None,
+        "{label}"
+    );
     // The resumed run's report carries the whole graph's totals, not
     // just what it explored after the cut.
     assert_eq!(recorder.states(), reference.graph.len() as u64, "{label}");
-    assert_eq!(recorder.transitions(), reference.graph.edge_count() as u64, "{label}");
+    assert_eq!(
+        recorder.transitions(),
+        reference.graph.edge_count() as u64,
+        "{label}"
+    );
     assert_eq!(
         reference.reduction, resumed.reduction,
         "{label}: reduction stats must survive the round trip"
@@ -145,7 +159,11 @@ fn interrupt_and_resume(label: &str, system: &System, opts: &ExploreOptions) {
     let snap = interrupted.snapshot.as_deref().expect("in-memory snapshot");
     let resumed_mem = resume_exploration(system, &Budget::unlimited(), opts, snap)
         .expect("in-memory resume succeeds");
-    assert_eq!(reference.graph.first_difference(&resumed_mem.graph), None, "{label}/mem");
+    assert_eq!(
+        reference.graph.first_difference(&resumed_mem.graph),
+        None,
+        "{label}/mem"
+    );
 
     let _ = std::fs::remove_file(&path);
 }
@@ -193,7 +211,10 @@ fn symmetric_run_cut_mid_parent_does_not_double_count_hits() {
         for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
             let opts = options(1, mode, symmetry.clone(), 64);
             let reference = run_unlimited(system, &opts);
-            let hits = reference.reduction.expect("reduced run reports stats").canon_hits;
+            let hits = reference
+                .reduction
+                .expect("reduced run reports stats")
+                .canon_hits;
             assert!(hits > 0, "{name}: canonicalization must fire");
             for cut in 1..reference.graph.edge_count() {
                 let label = format!("{name}/{mode:?}/transitions={cut}");
@@ -208,7 +229,11 @@ fn symmetric_run_cut_mid_parent_does_not_double_count_hits() {
                 let resumed =
                     resume_exploration(system, &Budget::unlimited(), &opts, snap).unwrap();
                 assert!(resumed.outcome.is_complete(), "{label}");
-                assert_eq!(reference.graph.first_difference(&resumed.graph), None, "{label}");
+                assert_eq!(
+                    reference.graph.first_difference(&resumed.graph),
+                    None,
+                    "{label}"
+                );
                 assert_eq!(reference.reduction, resumed.reduction, "{label}");
             }
         }
@@ -223,7 +248,10 @@ fn armed_run_shorter_than_the_cadence_writes_no_snapshot() {
     for (name, system) in &scenarios() {
         let opts = options(1, VisitedMode::Fingerprint, Reduction::none(), 64);
         let reference = run_unlimited(system, &opts);
-        assert!((reference.graph.len() as u64) < DEFAULT_CHECKPOINT_CADENCE, "{name}");
+        assert!(
+            (reference.graph.len() as u64) < DEFAULT_CHECKPOINT_CADENCE,
+            "{name}"
+        );
         let path = snap_path("armed-short");
         let armed = explore_resumable(
             system,
@@ -233,8 +261,15 @@ fn armed_run_shorter_than_the_cadence_writes_no_snapshot() {
         .unwrap();
         assert!(matches!(armed.outcome, Outcome::Complete), "{name}");
         assert!(armed.outcome.resume_token().is_none(), "{name}");
-        assert_eq!(reference.graph.first_difference(&armed.graph), None, "{name}");
-        assert!(!path.exists(), "{name}: no cadence elapsed, so nothing is written");
+        assert_eq!(
+            reference.graph.first_difference(&armed.graph),
+            None,
+            "{name}"
+        );
+        assert!(
+            !path.exists(),
+            "{name}: no cadence elapsed, so nothing is written"
+        );
     }
 }
 
@@ -255,7 +290,11 @@ fn interrupt_resume_identity_with_forced_collisions() {
         (VisitedMode::Exact, 2),
     ] {
         let label = format!("chain2/fp12/{mode:?}/threads={threads}");
-        interrupt_and_resume(&label, &system, &options(threads, mode, Reduction::none(), 12));
+        interrupt_and_resume(
+            &label,
+            &system,
+            &options(threads, mode, Reduction::none(), 12),
+        );
     }
 }
 
@@ -271,7 +310,9 @@ fn golden_chain4_survives_parallel_interrupt_and_thread_change() {
     let opts2 = options(2, VisitedMode::Fingerprint, Reduction::none(), 64);
     let interrupted = explore_resumable(
         &system,
-        &Budget::default().states(20_000).with_checkpoint(&path, 4096),
+        &Budget::default()
+            .states(20_000)
+            .with_checkpoint(&path, 4096),
         &opts2,
     )
     .unwrap();
@@ -288,7 +329,10 @@ fn golden_chain4_survives_parallel_interrupt_and_thread_change() {
     assert!(matches!(resumed.outcome, Outcome::Complete));
     let stats = resumed.graph.stats();
     assert_eq!(stats.states, 54358, "chain4 state count regressed");
-    assert_eq!(stats.transitions, 164736, "chain4 transition count regressed");
+    assert_eq!(
+        stats.transitions, 164736,
+        "chain4 transition count regressed"
+    );
     assert_eq!(stats.depth, 55, "chain4 BFS depth regressed");
     let _ = std::fs::remove_file(&path);
 }
@@ -353,7 +397,10 @@ fn corrupted_snapshot_is_a_typed_error_not_a_panic() {
 
     // Not a snapshot at all.
     std::fs::write(&path, b"definitely not a snapshot").unwrap();
-    assert!(matches!(Snapshot::load(&path), Err(CheckpointError::BadMagic)));
+    assert!(matches!(
+        Snapshot::load(&path),
+        Err(CheckpointError::BadMagic)
+    ));
 
     let _ = std::fs::remove_file(&path);
 }
@@ -365,8 +412,13 @@ fn mismatched_snapshot_is_refused() {
 
     // Different system.
     let other = TokenRing::new(3).complete_system().unwrap();
-    let err = resume_exploration(&other, &Budget::unlimited(), &ExploreOptions::default(), &snap)
-        .unwrap_err();
+    let err = resume_exploration(
+        &other,
+        &Budget::unlimited(),
+        &ExploreOptions::default(),
+        &snap,
+    )
+    .unwrap_err();
     assert!(matches!(
         err,
         CheckError::Checkpoint(CheckpointError::Mismatch { .. })
@@ -386,7 +438,10 @@ fn mismatched_snapshot_is_refused() {
     ] {
         let err = resume_exploration(&system, &Budget::unlimited(), &opts, &snap).unwrap_err();
         assert!(
-            matches!(err, CheckError::Checkpoint(CheckpointError::Mismatch { .. })),
+            matches!(
+                err,
+                CheckError::Checkpoint(CheckpointError::Mismatch { .. })
+            ),
             "resume under different configuration must be refused"
         );
     }
@@ -443,13 +498,16 @@ fn snapshot_taken_under_one_symmetry_is_refused_under_another() {
     assert!(interrupted.outcome.resume_token().is_some());
     let snap = Snapshot::load(&path).unwrap();
     assert!(snap.reduced);
-    let refused = |opts: &ExploreOptions, why: &str| {
-        match resume_exploration(&system, &Budget::unlimited(), opts, &snap) {
-            Err(CheckError::Checkpoint(CheckpointError::Mismatch { field, .. })) => {
-                assert_eq!(field, "symmetry canonicalizer", "{why}");
-            }
-            other => panic!("{why}: expected a Mismatch, got {other:?}"),
+    let refused = |opts: &ExploreOptions, why: &str| match resume_exploration(
+        &system,
+        &Budget::unlimited(),
+        opts,
+        &snap,
+    ) {
+        Err(CheckError::Checkpoint(CheckpointError::Mismatch { field, .. })) => {
+            assert_eq!(field, "symmetry canonicalizer", "{why}");
         }
+        other => panic!("{why}: expected a Mismatch, got {other:?}"),
     };
 
     // Another group under another name: refused on the name.
@@ -475,7 +533,10 @@ fn snapshot_taken_under_one_symmetry_is_refused_under_another() {
         name: clients.name().to_string(),
         perms,
     };
-    refused(&under(Arc::new(impostor)), "same name, different representatives");
+    refused(
+        &under(Arc::new(impostor)),
+        "same name, different representatives",
+    );
 
     // The canonicalizer it was taken under resumes, from disk too.
     let opts = under(Arc::new(clients));
@@ -486,7 +547,11 @@ fn snapshot_taken_under_one_symmetry_is_refused_under_another() {
         &opts,
     )
     .unwrap();
-    assert_eq!(reference.graph.first_difference(&resumed.graph), None, "symmetry/same");
+    assert_eq!(
+        reference.graph.first_difference(&resumed.graph),
+        None,
+        "symmetry/same"
+    );
     assert_eq!(reference.reduction, resumed.reduction);
     let _ = std::fs::remove_file(&path);
 }
@@ -535,7 +600,11 @@ fn worker_panic_degrades_gracefully_without_losing_states() {
                             1,
                             "{label}: exactly one worker failure is reported"
                         );
-                        assert_eq!(reference.graph.first_difference(&run.graph), None, "{label}");
+                        assert_eq!(
+                            reference.graph.first_difference(&run.graph),
+                            None,
+                            "{label}"
+                        );
                     }
                 }
             }
@@ -603,8 +672,14 @@ fn threaded_run_checkpoints_mid_run_and_resumes_at_another_worker_count() {
         )
         .unwrap();
         assert!(matches!(armed.outcome, Outcome::Complete));
-        assert_eq!(reference.graph.first_difference(&armed.graph), None, "midrun/armed");
-        let periodic = recorder.before_run_end.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(
+            reference.graph.first_difference(&armed.graph),
+            None,
+            "midrun/armed"
+        );
+        let periodic = recorder
+            .before_run_end
+            .load(std::sync::atomic::Ordering::Relaxed);
         assert!(
             periodic >= 1,
             "{mode:?}: a {}-state run at cadence 256 must checkpoint before run_end",
@@ -613,7 +688,10 @@ fn threaded_run_checkpoints_mid_run_and_resumes_at_another_worker_count() {
 
         // The copy is what a kill right after that checkpoint leaves.
         let snap = Snapshot::load(&copy).expect("mid-run snapshot loads");
-        assert!(snap.frontier_len() > 0, "{mode:?}: a mid-run snapshot has a frontier");
+        assert!(
+            snap.frontier_len() > 0,
+            "{mode:?}: a mid-run snapshot has a frontier"
+        );
         assert!(snap.states_used() < reference.graph.len());
         for threads in [1usize, 2] {
             let resumed = resume_exploration(
@@ -665,10 +743,16 @@ fn symmetric_run_checkpoints_at_every_expansion_and_resumes() {
             )
             .unwrap();
             assert!(matches!(armed.outcome, Outcome::Complete));
-            assert_eq!(reference.graph.first_difference(&armed.graph), None, "{label}/armed");
+            assert_eq!(
+                reference.graph.first_difference(&armed.graph),
+                None,
+                "{label}/armed"
+            );
             assert_eq!(reference.reduction, armed.reduction, "{label}/armed");
             assert!(
-                recorder.before_run_end.load(std::sync::atomic::Ordering::Relaxed)
+                recorder
+                    .before_run_end
+                    .load(std::sync::atomic::Ordering::Relaxed)
                     >= reference.graph.len() as u64,
                 "{label}: cadence 1 snapshots before every expansion"
             );
@@ -678,7 +762,11 @@ fn symmetric_run_checkpoints_at_every_expansion_and_resumes() {
             assert!(snap.frontier_len() > 0 && snap.states_used() <= reference.graph.len());
             let resumed = resume_exploration(system, &Budget::unlimited(), &opts, &snap).unwrap();
             assert!(matches!(resumed.outcome, Outcome::Complete));
-            assert_eq!(reference.graph.first_difference(&resumed.graph), None, "{label}/resumed");
+            assert_eq!(
+                reference.graph.first_difference(&resumed.graph),
+                None,
+                "{label}/resumed"
+            );
             assert_eq!(reference.reduction, resumed.reduction, "{label}/resumed");
             let _ = std::fs::remove_file(&path);
             let _ = std::fs::remove_file(&copy);
@@ -744,7 +832,11 @@ fn escalation_resumes_from_the_preserved_frontier() {
             matches!(escalated.outcome, Outcome::Complete),
             "{label}: 12 doublings from total/10 must complete"
         );
-        assert_eq!(reference.graph.first_difference(&escalated.graph), None, "escalate/{label}");
+        assert_eq!(
+            reference.graph.first_difference(&escalated.graph),
+            None,
+            "escalate/{label}"
+        );
         assert!(
             recorder.count("resume") >= 2,
             "{label}: attempts must resume, not restart (saw {} resumes)",
@@ -912,7 +1004,10 @@ fn spill_interrupt_resume_identity() {
         let file = std::fs::read(&path).expect("snapshot readable");
         assert_eq!(&file[..8], b"OTLASNAP", "{label}: snapshot magic");
         let names = |needle: &[u8]| file.windows(needle.len()).any(|w| w == needle);
-        assert!(names(b"arena-00000.seg"), "{label}: the sealed segment goes in by reference");
+        assert!(
+            names(b"arena-00000.seg"),
+            "{label}: the sealed segment goes in by reference"
+        );
         let segs = PathBuf::from(format!("{}.segs", path.display()));
         let sealed_bytes: u64 = std::fs::read_dir(segs)
             .expect("segment dir exists")
@@ -935,7 +1030,11 @@ fn spill_interrupt_resume_identity() {
             matches!(resumed.outcome, Outcome::Complete),
             "{label}: resumed run must complete"
         );
-        assert_eq!(reference.graph.first_difference(&resumed.graph), None, "{label}");
+        assert_eq!(
+            reference.graph.first_difference(&resumed.graph),
+            None,
+            "{label}"
+        );
 
         // Cross-engine: the in-memory snapshot, a manifest over the
         // same segment files, materializes and resumes on the plain
@@ -943,7 +1042,11 @@ fn spill_interrupt_resume_identity() {
         let snap = interrupted.snapshot.as_deref().expect("in-memory snapshot");
         let cross = resume_exploration(&system, &Budget::unlimited(), &base, snap)
             .expect("cross-engine resume succeeds");
-        assert_eq!(reference.graph.first_difference(&cross.graph), None, "{label}/cross");
+        assert_eq!(
+            reference.graph.first_difference(&cross.graph),
+            None,
+            "{label}/cross"
+        );
 
         remove_spill_artifacts(&path);
     }
@@ -984,7 +1087,11 @@ fn corrupted_spill_segment_is_typed_error() {
         .filter_map(|e| e.ok())
         .map(|e| e.path())
         .find(|p| {
-            let n = p.file_name().unwrap_or_default().to_string_lossy().into_owned();
+            let n = p
+                .file_name()
+                .unwrap_or_default()
+                .to_string_lossy()
+                .into_owned();
             n.starts_with("arena-") && n.ends_with(".seg")
         })
         .expect("at least one sealed arena segment");

@@ -1,8 +1,6 @@
 //! Edge cases and error paths of the public API, end to end.
 
-use opentla::{
-    compose, AgSpec, ComponentSpec, CompositionOptions, CompositionProblem, SpecError,
-};
+use opentla::{compose, AgSpec, ComponentSpec, CompositionOptions, CompositionProblem, SpecError};
 use opentla_check::{CheckError, ExploreOptions, GuardedAction, Init};
 use opentla_kernel::{Domain, Expr, Substitution, Value, Vars};
 use opentla_scenarios::Fig1;
@@ -51,10 +49,7 @@ fn non_closed_composition_is_rejected() {
         .init(Init::new([(c, Value::Int(0))]))
         .build()
         .unwrap();
-    let env = ComponentSpec::builder("E")
-        .inputs([c])
-        .build()
-        .unwrap();
+    let env = ComponentSpec::builder("E").inputs([c]).build().unwrap();
     let ag = AgSpec::new(env, reader).unwrap();
     let true_env = ComponentSpec::builder("TRUE").build().unwrap();
     let target_sys = ComponentSpec::builder("T")
@@ -69,8 +64,8 @@ fn non_closed_composition_is_rejected() {
         target: &target,
         mapping: Substitution::default(),
     };
-    let err = compose(&problem, &CompositionOptions::default())
-        .expect_err("ghost input is unproduced");
+    let err =
+        compose(&problem, &CompositionOptions::default()).expect_err("ghost input is unproduced");
     assert!(matches!(err, SpecError::NotClosed { .. }), "{err}");
 }
 
@@ -110,7 +105,10 @@ fn assumption_with_internals_needs_witness() {
         mapping: Substitution::default(),
     };
     let err = compose(&problem, &CompositionOptions::default()).expect_err("no witness");
-    assert!(matches!(err, SpecError::AssumptionNeedsWitness { .. }), "{err}");
+    assert!(
+        matches!(err, SpecError::AssumptionNeedsWitness { .. }),
+        "{err}"
+    );
 }
 
 #[test]
@@ -124,13 +122,9 @@ fn type_errors_surface_as_check_errors() {
         Expr::var(x).add(Expr::int(1)), // non-boolean guard
         vec![],
     );
-    let sys = opentla_check::System::new(
-        vars,
-        Init::new([(x, Value::Int(0))]),
-        vec![bad],
-    );
-    let err = opentla_check::explore(&sys, &ExploreOptions::default())
-        .expect_err("non-boolean guard");
+    let sys = opentla_check::System::new(vars, Init::new([(x, Value::Int(0))]), vec![bad]);
+    let err =
+        opentla_check::explore(&sys, &ExploreOptions::default()).expect_err("non-boolean guard");
     assert!(matches!(err, CheckError::Eval(_)), "{err}");
 }
 
@@ -168,6 +162,8 @@ fn stress_chain_of_four() {
     use opentla_queue::{FairnessStyle, QueueChain};
     let chain = QueueChain::new(4, 1, 2, FairnessStyle::Joint);
     assert_eq!(chain.big_capacity(), 7);
-    let cert = chain.prove_composition(&CompositionOptions::default()).unwrap();
+    let cert = chain
+        .prove_composition(&CompositionOptions::default())
+        .unwrap();
     assert!(cert.holds());
 }

@@ -27,7 +27,9 @@ fn scenarios() -> Vec<(&'static str, System)> {
     vec![
         (
             "abp",
-            AlternatingBit::new(2).complete_system().expect("abp builds"),
+            AlternatingBit::new(2)
+                .complete_system()
+                .expect("abp builds"),
         ),
         (
             "mutex",
@@ -64,7 +66,11 @@ fn explore_seed(system: &System) -> (Vec<State>, Vec<Vec<(usize, usize)>>) {
     let mut index: HashMap<State, usize> = HashMap::new();
     // Discovery order is queue order: `states[expanded..]` is the queue.
     let mut states: Vec<State> = Vec::new();
-    for s in system.init().states(system.universe()).expect("initial states enumerate") {
+    for s in system
+        .init()
+        .states(system.universe())
+        .expect("initial states enumerate")
+    {
         if !index.contains_key(&s) {
             index.insert(s.clone(), states.len());
             states.push(s);
@@ -72,7 +78,9 @@ fn explore_seed(system: &System) -> (Vec<State>, Vec<Vec<(usize, usize)>>) {
     }
     let mut edges = Vec::new();
     while edges.len() < states.len() {
-        let successors = system.successors(&states[edges.len()]).expect("successors evaluate");
+        let successors = system
+            .successors(&states[edges.len()])
+            .expect("successors evaluate");
         let out = successors
             .into_iter()
             .map(|(action, t)| {
@@ -114,7 +122,11 @@ fn every_plan_builds_the_seed_explorers_graph() {
             assert_eq!(graph.len(), states.len(), "{name}/{plan}: state count");
             for (id, state) in states.iter().enumerate() {
                 assert_eq!(graph.state(id), state, "{name}/{plan}: state {id}");
-                let out: Vec<_> = graph.edges(id).iter().map(|e| (e.action, e.target)).collect();
+                let out: Vec<_> = graph
+                    .edges(id)
+                    .iter()
+                    .map(|e| (e.action, e.target))
+                    .collect();
                 assert_eq!(out, edges[id], "{name}/{plan}: edges of state {id}");
             }
         }
@@ -152,7 +164,11 @@ fn parallel_engine_is_identical_to_sequential_everywhere() {
                     },
                 )
                 .unwrap();
-                assert_eq!(seq.first_difference(&par), None, "{name}/threads={threads}/{mode:?}");
+                assert_eq!(
+                    seq.first_difference(&par),
+                    None,
+                    "{name}/threads={threads}/{mode:?}"
+                );
             }
         }
     }

@@ -74,7 +74,9 @@ fn scenarios() -> Vec<(&'static str, System)> {
     vec![
         (
             "abp",
-            AlternatingBit::new(2).complete_system().expect("abp builds"),
+            AlternatingBit::new(2)
+                .complete_system()
+                .expect("abp builds"),
         ),
         (
             "chain2",
@@ -92,9 +94,16 @@ fn scenarios() -> Vec<(&'static str, System)> {
 fn golden_streams_validate_and_engines_agree() {
     for (name, sys) in scenarios() {
         let (_text, summary) = recorded_stream(&sys);
-        assert_eq!(summary.runs.len(), CONFIGS.len(), "{name}: one report per engine");
+        assert_eq!(
+            summary.runs.len(),
+            CONFIGS.len(),
+            "{name}: one report per engine"
+        );
         let first = &summary.runs[0];
-        assert!(first.states > 0 && first.transitions > 0, "{name}: empty run");
+        assert!(
+            first.states > 0 && first.transitions > 0,
+            "{name}: empty run"
+        );
         for run in &summary.runs {
             assert!(run.complete, "{name}: {} did not complete", run.engine);
             let (a, b) = (
@@ -144,7 +153,9 @@ fn golden_stream_spans_interrupted_and_resumed_runs_of_every_plan() {
             };
             let cut = Budget::default().states(whole.len() * 2 / 5);
             for budget in [cut, Budget::unlimited()] {
-                let budget = budget.with_checkpoint(&path, 64).with_recorder(handle.clone());
+                let budget = budget
+                    .with_checkpoint(&path, 64)
+                    .with_recorder(handle.clone());
                 explore_resumable(&sys, &budget, &opts).expect("explores");
             }
         }
@@ -164,14 +175,27 @@ fn golden_stream_spans_interrupted_and_resumed_runs_of_every_plan() {
             );
         }
     }
-    let engines: Vec<&str> = summary.runs.iter().step_by(2).map(|r| r.engine.as_str()).collect();
+    let engines: Vec<&str> = summary
+        .runs
+        .iter()
+        .step_by(2)
+        .map(|r| r.engine.as_str())
+        .collect();
     assert_eq!(
         engines,
-        ["explore_sequential", "explore_parallel_ws", "explore_spill", "explore_spill_ws"]
+        [
+            "explore_sequential",
+            "explore_parallel_ws",
+            "explore_spill",
+            "explore_spill_ws"
+        ]
     );
     assert_eq!(summary.kinds["resume"], plans.len(), "one per plan");
     assert!(summary.kinds["spill"] >= 1);
-    assert_eq!(summary.kinds["cache_stats"], 4, "two disk-backed plans, two runs each");
+    assert_eq!(
+        summary.kinds["cache_stats"], 4,
+        "two disk-backed plans, two runs each"
+    );
 }
 
 /// The stream's shape — which event kinds appear and which fields each
@@ -195,10 +219,12 @@ fn golden_stream_shape() {
         "event-kind set changed — update the golden shape deliberately"
     );
 
-    let fields = |kind: &str| -> Vec<&str> {
-        summary.fields[kind].iter().map(String::as_str).collect()
-    };
-    assert_eq!(fields("run_start"), ["v", "t", "ev", "engine", "threads", "mode"]);
+    let fields =
+        |kind: &str| -> Vec<&str> { summary.fields[kind].iter().map(String::as_str).collect() };
+    assert_eq!(
+        fields("run_start"),
+        ["v", "t", "ev", "engine", "threads", "mode"]
+    );
     assert_eq!(fields("run_end"), ["v", "t", "ev", "report"]);
     assert_eq!(fields("phase_enter"), ["v", "t", "ev", "phase"]);
     assert_eq!(fields("phase_exit"), ["v", "t", "ev", "phase"]);
@@ -209,8 +235,19 @@ fn golden_stream_shape() {
     // Progress fields: the core four always, the optional
     // frontier/level context on the per-level snapshots.
     let progress = fields("progress");
-    for required in ["v", "t", "ev", "states", "transitions", "elapsed_nanos", "states_per_sec"] {
-        assert!(progress.contains(&required), "progress missing {required}: {progress:?}");
+    for required in [
+        "v",
+        "t",
+        "ev",
+        "states",
+        "transitions",
+        "elapsed_nanos",
+        "states_per_sec",
+    ] {
+        assert!(
+            progress.contains(&required),
+            "progress missing {required}: {progress:?}"
+        );
     }
 
     // Phase nesting: exploration phases never nest inside each other.
@@ -232,23 +269,49 @@ fn golden_image_memo_events_of_a_certificate() {
         budget: Budget::default().with_recorder(RecorderHandle::new(recorder.clone())),
         ..Default::default()
     };
-    let cert = chain.prove_composition(&options).expect("chain2 is well-formed");
+    let cert = chain
+        .prove_composition(&options)
+        .expect("chain2 is well-formed");
     assert!(cert.holds());
     recorder.flush();
     let text = String::from_utf8(buf.lock().unwrap().clone()).expect("utf-8 stream");
     let summary = validate_stream(&text)
         .unwrap_or_else(|e| panic!("stream fails schema validation: {e}\n{text}"));
     assert_eq!(summary.kinds["image_memo"], 4);
-    let fields: Vec<&str> = summary.fields["image_memo"].iter().map(String::as_str).collect();
+    let fields: Vec<&str> = summary.fields["image_memo"]
+        .iter()
+        .map(String::as_str)
+        .collect();
     assert_eq!(
         fields,
-        ["v", "t", "ev", "check", "classes", "distinct_pairs", "edges", "skipped"]
+        [
+            "v",
+            "t",
+            "ev",
+            "check",
+            "classes",
+            "distinct_pairs",
+            "edges",
+            "skipped"
+        ]
     );
     assert_eq!(summary.kinds["image_pass"], 1);
-    let fields: Vec<&str> = summary.fields["image_pass"].iter().map(String::as_str).collect();
+    let fields: Vec<&str> = summary.fields["image_pass"]
+        .iter()
+        .map(String::as_str)
+        .collect();
     assert_eq!(
         fields,
-        ["v", "t", "ev", "states", "mapped_vars", "distinct_values", "undefined", "nanos"]
+        [
+            "v",
+            "t",
+            "ev",
+            "states",
+            "mapped_vars",
+            "distinct_values",
+            "undefined",
+            "nanos"
+        ]
     );
 
     let mut phase = Vec::new();
@@ -273,7 +336,11 @@ fn golden_image_memo_events_of_a_certificate() {
             }
             Some("image_memo") => {
                 let check = str_of("check").unwrap();
-                assert_eq!(phase.last(), Some(&check), "emitted inside its check's phase");
+                assert_eq!(
+                    phase.last(),
+                    Some(&check),
+                    "emitted inside its check's phase"
+                );
                 assert_eq!(obj.get("skipped").and_then(|j| j.as_bool()), Some(false));
                 assert_eq!(num("edges"), cert.product_edges as u64);
                 passes.push((check, num("classes"), num("distinct_pairs")));
@@ -282,7 +349,10 @@ fn golden_image_memo_events_of_a_certificate() {
         }
     }
     let checks: Vec<&str> = passes.iter().map(|(c, ..)| c.as_str()).collect();
-    assert_eq!(checks, ["simulation", "simulation", "simulation", "liveness"]);
+    assert_eq!(
+        checks,
+        ["simulation", "simulation", "simulation", "liveness"]
+    );
     // H2a and H2b look at the same abstract variables through the same
     // mapping: same classes, and the same abstract steps — fewer of
     // either than the product has states and edges.
@@ -308,10 +378,16 @@ fn golden_event_ordering() {
         .filter(|l| !l.trim().is_empty())
         .map(|l| {
             let obj = opentla_check::obs::Json::parse(l).expect("valid line");
-            obj.get("ev").and_then(|j| j.as_str()).expect("ev field").to_string()
+            obj.get("ev")
+                .and_then(|j| j.as_str())
+                .expect("ev field")
+                .to_string()
         })
         .collect();
-    assert_eq!(kinds_in_order.first().map(String::as_str), Some("run_start"));
+    assert_eq!(
+        kinds_in_order.first().map(String::as_str),
+        Some("run_start")
+    );
     assert_eq!(kinds_in_order.last().map(String::as_str), Some("run_end"));
     // Each run_end is immediately preceded by the final exact progress
     // snapshot explore emits from the finished graph's statistics.
@@ -328,7 +404,11 @@ fn golden_event_ordering() {
     // opens the stream).
     for (i, kind) in kinds_in_order.iter().enumerate() {
         if kind == "run_start" && i > 0 {
-            assert_eq!(kinds_in_order[i - 1], "run_end", "run_start at event {i} nested");
+            assert_eq!(
+                kinds_in_order[i - 1],
+                "run_end",
+                "run_start at event {i} nested"
+            );
         }
     }
 }

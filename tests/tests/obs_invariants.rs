@@ -153,11 +153,11 @@ impl Recorder for LastPass {
                 skipped,
                 ..
             } => {
-                let previous = self
-                    .0
-                    .lock()
-                    .unwrap()
-                    .replace((*classes, *distinct_pairs, *edges, *skipped));
+                let previous =
+                    self.0
+                        .lock()
+                        .unwrap()
+                        .replace((*classes, *distinct_pairs, *edges, *skipped));
                 assert!(previous.is_none(), "one pass per simulation");
             }
             Event::ImagePass {
@@ -177,7 +177,10 @@ impl Recorder for LastPass {
                     *distinct_values,
                     *undefined,
                 ));
-                assert!(previous.is_none(), "one evaluation of the mapping per simulation");
+                assert!(
+                    previous.is_none(),
+                    "one evaluation of the mapping per simulation"
+                );
             }
             _ => {}
         }
@@ -259,8 +262,7 @@ fn phase_timers_cover_exploration_only() {
     }]);
     let counter = Arc::new(CountingRecorder::new());
     let budget = Budget::default().with_recorder(RecorderHandle::new(counter.clone()));
-    let run =
-        explore_governed_with(&sys, &budget, &ExploreOptions::default()).expect("explores");
+    let run = explore_governed_with(&sys, &budget, &ExploreOptions::default()).expect("explores");
     assert!(run.outcome.is_complete());
     assert!(counter.phase_nanos(Phase::ExploreExpand) > 0);
     assert_eq!(counter.phase_nanos(Phase::Liveness), 0);

@@ -2,7 +2,7 @@
 //! generated canonical components and exhaustively enumerated behavior
 //! sets — the syntactic proof rules checked against the trace oracle.
 
-use opentla::{ComponentSpec, disjoint, proposition_3_reduction};
+use opentla::{disjoint, proposition_3_reduction, ComponentSpec};
 use opentla_check::{GuardedAction, Init};
 use opentla_kernel::{Domain, Expr, Formula, Value, VarId, Vars};
 use opentla_semantics::{all_lassos, eval, EvalCtx, Universe};
@@ -141,7 +141,12 @@ fn proposition_3_validity_combinations() {
             vec![out],
         ))
     };
-    let candidates_r = [Formula::tt(), follower(a, b), stays(a), disjoint(&[vec![a], vec![b]])];
+    let candidates_r = [
+        Formula::tt(),
+        follower(a, b),
+        stays(a),
+        disjoint(&[vec![a], vec![b]]),
+    ];
     let lassos = all_lassos(&universe, 3);
     let mut checked = 0;
     for r in &candidates_r {
@@ -162,7 +167,10 @@ fn proposition_3_validity_combinations() {
             }
         }
     }
-    assert!(checked >= 1, "at least one R must make the hypotheses valid");
+    assert!(
+        checked >= 1,
+        "at least one R must make the hypotheses valid"
+    );
 }
 
 /// The `Disjoint` guarantee of a closed product holds semantically on
@@ -173,8 +181,7 @@ fn closed_product_satisfies_disjoint_semantically() {
     use opentla_scenarios::Fig1;
     let w = Fig1::new();
     let sys = opentla::closed_product(w.vars(), &[&w.pi_c(), &w.pi_d()]).unwrap();
-    let graph = opentla_check::explore(&sys, &opentla_check::ExploreOptions::default())
-        .unwrap();
+    let graph = opentla_check::explore(&sys, &opentla_check::ExploreOptions::default()).unwrap();
     let g = disjoint(&[vec![w.c()], vec![w.d()]]);
     let ctx = EvalCtx::default();
     // Walk a few behaviors of the product and evaluate G on them.

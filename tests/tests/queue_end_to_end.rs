@@ -25,8 +25,7 @@ fn single_queue_scales_with_capacity_and_values() {
             graph.len()
         );
         last = graph.len();
-        let verdict =
-            check_invariant(&sys, &graph, &world.capacity_invariant()).unwrap();
+        let verdict = check_invariant(&sys, &graph, &world.capacity_invariant()).unwrap();
         assert!(verdict.holds(), "capacity invariant at N = {n}");
     }
 }
@@ -84,7 +83,12 @@ fn composition_honours_the_callers_exploration_plan() {
     let summary = |c: &Certificate| -> Vec<String> {
         c.obligations
             .iter()
-            .map(|o| format!("{} | {} | {} | {:?}", o.id, o.description, o.method, o.status))
+            .map(|o| {
+                format!(
+                    "{} | {} | {} | {:?}",
+                    o.id, o.description, o.method, o.status
+                )
+            })
             .collect()
     };
     assert_eq!(summary(&cert), summary(&reference));
@@ -127,14 +131,11 @@ fn value_transmission_is_faithful() {
     // equals Head(q).
     let o = world.output();
     let q = world.q();
-    let deq_emits_head = Expr::all([
-        Expr::prime(o.sig).ne(Expr::var(o.sig)),
-    ])
-    .implies(Expr::prime(o.val).eq(Expr::var(q).head()));
+    let deq_emits_head = Expr::all([Expr::prime(o.sig).ne(Expr::var(o.sig))])
+        .implies(Expr::prime(o.val).eq(Expr::var(q).head()));
     let all_vars: Vec<_> = world.vars().iter().collect();
     let verdict =
-        opentla_check::check_step_invariant(&sys, &graph, &deq_emits_head, &all_vars)
-            .unwrap();
+        opentla_check::check_step_invariant(&sys, &graph, &deq_emits_head, &all_vars).unwrap();
     assert!(verdict.holds());
 }
 
@@ -155,8 +156,7 @@ fn pending_output_is_drained() {
         Expr::var(world.q()).len().gt(Expr::int(0)),
     ]);
     let sent = o.ready_to_ack();
-    let verdict =
-        check_liveness(&sys, &graph, &LiveTarget::LeadsTo(p, sent)).unwrap();
+    let verdict = check_liveness(&sys, &graph, &LiveTarget::LeadsTo(p, sent)).unwrap();
     assert!(verdict.holds());
 
     // And the negative control: "a pending output is eventually
@@ -179,10 +179,14 @@ fn chain_matches_double_at_k2() {
     // QueueChain with k = 2 proves the same statement as DoubleQueue.
     let chain = QueueChain::new(2, 1, 2, FairnessStyle::Joint);
     assert_eq!(chain.big_capacity(), 3);
-    let cert = chain.prove_composition(&CompositionOptions::default()).unwrap();
+    let cert = chain
+        .prove_composition(&CompositionOptions::default())
+        .unwrap();
     assert!(cert.holds());
     let dbl = DoubleQueue::new(1, 2, FairnessStyle::Joint);
-    let cert2 = dbl.prove_composition(&CompositionOptions::default()).unwrap();
+    let cert2 = dbl
+        .prove_composition(&CompositionOptions::default())
+        .unwrap();
     assert_eq!(cert.product_states, cert2.product_states);
 }
 
@@ -198,8 +202,8 @@ fn composition_counterexamples_replay_semantically() {
     let w = DoubleQueue::new(1, 2, FairnessStyle::Joint);
     let mut vars: Vars = w.vars().clone();
     let q_big = vars.declare("q_too_big", Domain::seqs_up_to(w.values(), 4));
-    let too_big = queue_component("QM[2N+2]", w.i(), w.o(), q_big, 4, FairnessStyle::Joint)
-        .unwrap();
+    let too_big =
+        queue_component("QM[2N+2]", w.i(), w.o(), q_big, 4, FairnessStyle::Joint).unwrap();
     let target = AgSpec::new(w.env().clone(), too_big).unwrap();
     let ag1 = w.ag1().unwrap();
     let ag2 = w.ag2().unwrap();
@@ -227,11 +231,7 @@ fn composition_counterexamples_replay_semantically() {
         panic!("failed obligation must carry a counterexample");
     };
     // Replay: the lasso is a fair behavior of the product.
-    let product = opentla::closed_product(
-        &vars,
-        &[w.env(), w.queue1(), w.queue2()],
-    )
-    .unwrap();
+    let product = opentla::closed_product(&vars, &[w.env(), w.queue1(), w.queue2()]).unwrap();
     let lasso = cx.to_lasso();
     let ctx = EvalCtx::with_universe(product.universe().clone());
     assert!(eval(&product.formula(), &lasso, &ctx).unwrap());

@@ -27,9 +27,7 @@ use opentla_check::{
 use opentla_check::{GuardedAction, Init};
 use opentla_kernel::{codec, Domain, Expr, Formula, Value, VarId, Vars};
 use opentla_queue::{FairnessStyle, QueueChain};
-use opentla_scenarios::{
-    AlternatingBit, ArbiterFairness, ClockWorld, Fig1, Mutex, TokenRing,
-};
+use opentla_scenarios::{AlternatingBit, ArbiterFairness, ClockWorld, Fig1, Mutex, TokenRing};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,9 +73,7 @@ fn cases() -> Vec<Case> {
     });
 
     let mutex = Mutex::with_clients(3, ArbiterFairness::Weak);
-    let no_grants = Expr::all(
-        (1..=3).map(|i| Expr::var(mutex.g(i)).eq(Expr::int(0))),
-    );
+    let no_grants = Expr::all((1..=3).map(|i| Expr::var(mutex.g(i)).eq(Expr::int(0))));
     let invariants = vec![
         ("mutual_exclusion", mutex.mutual_exclusion()),
         // Violated, and symmetric under client permutation.
@@ -92,9 +88,7 @@ fn cases() -> Vec<Case> {
     });
 
     let ring = TokenRing::new(3);
-    let nobody_critical = Expr::all(
-        (0..3).map(|i| Expr::var(ring.crit(i)).eq(Expr::int(0))),
-    );
+    let nobody_critical = Expr::all((0..3).map(|i| Expr::var(ring.crit(i)).eq(Expr::int(0))));
     let invariants = vec![
         ("mutual_exclusion", ring.mutual_exclusion()),
         ("token_conservation", ring.token_conservation()),
@@ -162,7 +156,8 @@ fn cases() -> Vec<Case> {
         });
     }
     for case in &mut out {
-        case.reductions.push((IDENTITY, identity_symmetry(&case.system)));
+        case.reductions
+            .push((IDENTITY, identity_symmetry(&case.system)));
     }
     out
 }
@@ -216,7 +211,11 @@ fn assert_replayable(label: &str, system: &System, inv: &Expr, cx: &Counterexamp
 /// counterexamples.
 fn differential(case: &Case) {
     let full = run(&case.system, Reduction::none(), 1, VisitedMode::Fingerprint);
-    assert!(full.reduction.is_none(), "{}: stats without reduction", case.name);
+    assert!(
+        full.reduction.is_none(),
+        "{}: stats without reduction",
+        case.name
+    );
     assert!(!full.graph.is_reduced());
     let full_verdicts: Vec<bool> = case
         .invariants
@@ -330,7 +329,11 @@ fn counters(k: usize, top: i64) -> (System, Reduction) {
         .collect();
     let step = |i: usize| {
         let x = Expr::var(xs[i]);
-        GuardedAction::new(format!("inc{i}"), x.clone().lt(Expr::int(top)), vec![(xs[i], x.add(Expr::int(1)))])
+        GuardedAction::new(
+            format!("inc{i}"),
+            x.clone().lt(Expr::int(top)),
+            vec![(xs[i], x.add(Expr::int(1)))],
+        )
     };
     let actions = (0..k).map(step).collect();
     let init = Init::new(xs.iter().map(|v| (*v, Value::Int(0))));
@@ -340,7 +343,10 @@ fn counters(k: usize, top: i64) -> (System, Reduction) {
         &[&xs],
         &SlotPermutations::all_index_permutations(k),
     );
-    (System::new(vars, init, actions), Reduction::none().with_symmetry(Arc::new(canon)))
+    (
+        System::new(vars, init, actions),
+        Reduction::none().with_symmetry(Arc::new(canon)),
+    )
 }
 
 /// The scenarios with a symmetry group of their own, under it.
@@ -352,7 +358,10 @@ fn symmetric_scenarios() -> Vec<(&'static str, System, Reduction)> {
         .collect();
     let (system, reduction) = counters(3, 9);
     out.push(("counters", system, reduction));
-    assert_eq!(out.iter().map(|c| c.0).collect::<Vec<_>>(), ["mutex", "ring", "counters"]);
+    assert_eq!(
+        out.iter().map(|c| c.0).collect::<Vec<_>>(),
+        ["mutex", "ring", "counters"]
+    );
     out
 }
 
@@ -383,7 +392,11 @@ fn budgeted_reduced_runs_build_the_unbudgeted_reduced_graph() {
                 )
                 .expect(&label);
                 assert!(matches!(budgeted.outcome, Outcome::Complete), "{label}");
-                assert_eq!(budgeted.graph.first_difference(&unbudgeted.graph), None, "{label}");
+                assert_eq!(
+                    budgeted.graph.first_difference(&unbudgeted.graph),
+                    None,
+                    "{label}"
+                );
                 assert_eq!(budgeted.reduction, unbudgeted.reduction, "{label}");
                 if mem_budget == 8 << 10 && unbudgeted.graph.len() >= 100 {
                     assert!(recorder.count("spill") >= 1, "{label}: 8 KiB must spill");
@@ -392,7 +405,11 @@ fn budgeted_reduced_runs_build_the_unbudgeted_reduced_graph() {
             }
         }
     }
-    assert_eq!(spilled, ["counters", "counters"], "one scenario is large enough to spill");
+    assert_eq!(
+        spilled,
+        ["counters", "counters"],
+        "one scenario is large enough to spill"
+    );
 }
 
 /// A budgeted reduced run cut half-way leaves a manifest over its own
@@ -403,8 +420,10 @@ fn budgeted_reduced_run_resumes_from_its_manifest() {
     let (system, reduction) = counters(3, 9);
     let unbudgeted = run(&system, reduction.clone(), 1, VisitedMode::Fingerprint);
     assert!(unbudgeted.reduction.unwrap().canon_hits > 0);
-    let path = std::env::temp_dir()
-        .join(format!("opentla_reduction_{}_manifest.snap", std::process::id()));
+    let path = std::env::temp_dir().join(format!(
+        "opentla_reduction_{}_manifest.snap",
+        std::process::id()
+    ));
     let segs = std::path::PathBuf::from(format!("{}.segs", path.display()));
     let _ = std::fs::remove_file(&path);
     let options = ExploreOptions {
@@ -420,9 +439,20 @@ fn budgeted_reduced_run_resumes_from_its_manifest() {
     assert!(interrupted.outcome.resume_token().is_some());
     let sealed = |dir: &std::path::Path| {
         let names = std::fs::read_dir(dir).expect("the store's directory is pinned");
-        names.filter(|e| e.as_ref().unwrap().file_name().to_string_lossy().ends_with(".seg")).count()
+        names
+            .filter(|e| {
+                e.as_ref()
+                    .unwrap()
+                    .file_name()
+                    .to_string_lossy()
+                    .ends_with(".seg")
+            })
+            .count()
     };
-    assert!(sealed(&segs) >= 1, "the manifest references sealed segments");
+    assert!(
+        sealed(&segs) >= 1,
+        "the manifest references sealed segments"
+    );
     let resumed = explore_resumable(
         &system,
         &Budget::unlimited().with_checkpoint(&path, 1 << 20),
@@ -500,8 +530,7 @@ fn golden_chain4_unreduced_stats_and_report() {
         .complete_system()
         .expect("chain4 builds");
     let recorder = Arc::new(CountingRecorder::new());
-    let budget =
-        Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone()));
+    let budget = Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone()));
     let run = explore_governed_with(
         &sys,
         &budget,
@@ -516,7 +545,10 @@ fn golden_chain4_unreduced_stats_and_report() {
     assert!(run.reduction.is_none());
     let stats = run.graph.stats();
     assert_eq!(stats.states, 54358, "chain4 state count regressed");
-    assert_eq!(stats.transitions, 164736, "chain4 transition count regressed");
+    assert_eq!(
+        stats.transitions, 164736,
+        "chain4 transition count regressed"
+    );
     assert_eq!(stats.depth, 55, "chain4 BFS depth regressed");
     // The RunReport totals routed through the recorder agree exactly.
     assert_eq!(recorder.count("run_end"), 1);
@@ -534,8 +566,7 @@ fn reduction_event_reaches_the_recorder() {
     let mutex = Mutex::with_clients(3, ArbiterFairness::Weak);
     let sys = mutex.product().unwrap();
     let recorder = Arc::new(CountingRecorder::new());
-    let budget =
-        Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone()));
+    let budget = Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone()));
     let run = explore_governed_with(
         &sys,
         &budget,
@@ -566,23 +597,22 @@ fn reduced_graphs_are_rejected_by_edge_sensitive_checks() {
         VisitedMode::Fingerprint,
     );
     let all_vars: Vec<VarId> = sys.vars().iter().collect();
-    let err = opentla_check::check_step_invariant(
-        &sys,
-        &red.graph,
-        &Expr::bool(true),
-        &all_vars,
-    )
-    .unwrap_err();
-    assert!(matches!(err, opentla_check::CheckError::Precondition { .. }));
+    let err = opentla_check::check_step_invariant(&sys, &red.graph, &Expr::bool(true), &all_vars)
+        .unwrap_err();
+    assert!(matches!(
+        err,
+        opentla_check::CheckError::Precondition { .. }
+    ));
     let err = opentla_check::check_liveness(
         &sys,
         &red.graph,
-        &opentla_check::LiveTarget::AlwaysEventually(
-            Expr::var(ring.crit(0)).eq(Expr::int(1)),
-        ),
+        &opentla_check::LiveTarget::AlwaysEventually(Expr::var(ring.crit(0)).eq(Expr::int(1))),
     )
     .unwrap_err();
-    assert!(matches!(err, opentla_check::CheckError::Precondition { .. }));
+    assert!(matches!(
+        err,
+        opentla_check::CheckError::Precondition { .. }
+    ));
 }
 
 // ---------------------------------------------------------------------
@@ -661,27 +691,61 @@ fn graph_digest(g: &StateGraph) -> u64 {
 /// in both visited modes.
 #[test]
 fn symmetric_graphs_match_the_digests_of_the_dedicated_loop() {
-    let pinned = |name, system: &System, canon: SlotPermutations, shape: [usize; 3], digest: u64| {
-        let canon = Arc::new(canon);
-        for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-            let label = format!("{name}/{mode:?}");
-            let red = run(system, Reduction::none().with_symmetry(canon.clone()), 1, mode);
-            let hits = red.reduction.unwrap().canon_hits;
-            assert_eq!([red.graph.len(), red.graph.edge_count(), hits], shape, "{label}");
-            assert_eq!(graph_digest(&red.graph), digest, "{label}: graph changed");
-        }
-    };
+    let pinned =
+        |name, system: &System, canon: SlotPermutations, shape: [usize; 3], digest: u64| {
+            let canon = Arc::new(canon);
+            for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
+                let label = format!("{name}/{mode:?}");
+                let red = run(
+                    system,
+                    Reduction::none().with_symmetry(canon.clone()),
+                    1,
+                    mode,
+                );
+                let hits = red.reduction.unwrap().canon_hits;
+                assert_eq!(
+                    [red.graph.len(), red.graph.edge_count(), hits],
+                    shape,
+                    "{label}"
+                );
+                assert_eq!(graph_digest(&red.graph), digest, "{label}: graph changed");
+            }
+        };
     // [states, transitions, canon_hits], digest
     let mutex = Mutex::with_clients(3, ArbiterFairness::Weak);
     let (system, canon) = (mutex.product().unwrap(), mutex.client_symmetry());
-    pinned("mutex(3)", &system, canon, [10, 24, 12], 0xdc09_3268_c942_3665);
+    pinned(
+        "mutex(3)",
+        &system,
+        canon,
+        [10, 24, 12],
+        0xdc09_3268_c942_3665,
+    );
     let ring = TokenRing::new(3);
     let (system, canon) = (ring.complete_system().unwrap(), ring.rotation_symmetry());
-    pinned("ring(3)", &system, canon, [12, 12, 3], 0x0e44_3f7e_1c87_126f);
+    pinned(
+        "ring(3)",
+        &system,
+        canon,
+        [12, 12, 3],
+        0x0e44_3f7e_1c87_126f,
+    );
     let (system, _, canon) = togglers(2);
-    pinned("togglers(2)", &system, canon, [6, 8, 2], 0x62a1_4909_ef0e_6160);
+    pinned(
+        "togglers(2)",
+        &system,
+        canon,
+        [6, 8, 2],
+        0x62a1_4909_ef0e_6160,
+    );
     let (system, _, canon) = togglers(3);
-    pinned("togglers(3)", &system, canon, [10, 20, 8], 0xc6c9_bd41_a973_6ddd);
+    pinned(
+        "togglers(3)",
+        &system,
+        canon,
+        [10, 20, 8],
+        0xc6c9_bd41_a973_6ddd,
+    );
 }
 
 // ---------------------------------------------------------------------

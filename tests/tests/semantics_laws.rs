@@ -21,8 +21,7 @@ fn world() -> (Universe, VarId, VarId) {
 
 /// `v` stays 0: the canonical safety spec used throughout.
 fn stays_zero(v: VarId) -> Formula {
-    Formula::pred(Expr::var(v).eq(Expr::int(0)))
-        .and(Formula::act_box(Expr::bool(false), vec![v]))
+    Formula::pred(Expr::var(v).eq(Expr::int(0))).and(Formula::act_box(Expr::bool(false), vec![v]))
 }
 
 fn lassos(seed: u64, count: usize) -> Vec<Lasso> {

@@ -69,7 +69,12 @@ fn suite_surfaces_failures_with_reasons() {
     let graph = explore(&sys, &ExploreOptions::default()).unwrap();
     let (p, q) = world.input_served();
     let held = suite
-        .liveness("served without fairness", &sys, &graph, &LiveTarget::LeadsTo(p, q))
+        .liveness(
+            "served without fairness",
+            &sys,
+            &graph,
+            &LiveTarget::LeadsTo(p, q),
+        )
         .unwrap();
     assert!(!held);
     assert!(!suite.holds());

@@ -58,7 +58,7 @@
 //! one epoch — it takes no periodic snapshots: its stores are in
 //! arrival order, so a canonical snapshot means reading the whole
 //! arena back into RAM, which is what the budget exists to avoid while
-//! the run is still exploring (ROADMAP item 2). No snapshot references
+//! the run is still exploring (ROADMAP item 3). No snapshot references
 //! a segment of this engine, so its segment directory is ephemeral
 //! under every budget: created in the temp dir, removed when the run
 //! returns.

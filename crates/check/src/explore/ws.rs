@@ -2,7 +2,7 @@
 //! implementation) and its in-RAM engine
 //! ([`Engine::WorkStealing`](super::Engine::WorkStealing)). The
 //! disk-backed engine in [`super::spill_ws`] runs the same scheduler
-//! over its own two [`Expand`] implementations.
+//! over its own [`Expand`] implementation.
 //!
 //! * **Per-worker deques, work stealing.** Each worker owns a deque of
 //!   discovered-but-unexpanded states. It pops from the front of its

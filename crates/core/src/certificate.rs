@@ -182,6 +182,10 @@ impl fmt::Display for CertificateDisplay<'_> {
         )?;
         for o in &c.obligations {
             match &o.status {
+                // A structural fact examines no state: no count to show.
+                ObligationStatus::Proved { .. } if o.method == Method::Structural => {
+                    writeln!(f, "  ✓ {} [{}]  {}", o.id, o.method, o.description)?;
+                }
                 ObligationStatus::Proved { states } => {
                     writeln!(
                         f,
@@ -308,5 +312,32 @@ mod tests {
         assert!(text.contains("PROVED"));
         assert!(text.contains("3 states"));
         assert!(text.contains('✓'));
+    }
+
+    #[test]
+    fn structural_obligations_show_no_state_count() {
+        let mut vars = Vars::new();
+        vars.declare("x", Domain::bits());
+        let cert = Certificate {
+            rule: "Composition Theorem".into(),
+            conclusion: "E ⊳ M".into(),
+            obligations: vec![
+                Obligation {
+                    id: "G".into(),
+                    description: "Disjoint(x)".into(),
+                    method: Method::Structural,
+                    status: ObligationStatus::Proved { states: 0 },
+                },
+                proved("H1"),
+            ],
+            product_states: 3,
+            product_edges: 4,
+        };
+        let text = cert.display(&vars).to_string();
+        assert!(text.contains("  ✓ G [structural]  Disjoint(x)\n"), "{text}");
+        assert!(
+            text.contains("  ✓ H1 [simulation; 7 states]  test\n"),
+            "{text}"
+        );
     }
 }

@@ -3,8 +3,9 @@
 //! Reproductions and regression baselines typically run *many* checks
 //! against one system — invariants, step invariants, liveness targets,
 //! and composition certificates. A [`Suite`] collects them with names
-//! and produces a single pass/fail report (the `experiments` binary of
-//! `opentla-bench` is essentially a hand-rolled one of these).
+//! and produces a single pass/fail report (the table of
+//! `EXPERIMENTS.md`, `opentla_bench::experiments`, is a hand-rolled
+//! one of these).
 
 use crate::{Certificate, SpecError};
 use opentla_check::{

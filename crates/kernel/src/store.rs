@@ -649,7 +649,9 @@ impl FingerprintRun {
         let count = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
         let checksum = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes"));
         let body = &bytes[RUN_HEADER_LEN..];
-        if body.len() as u64 != count * RUN_ENTRY as u64 {
+        // The count is outside the checksum: a wrapped product could
+        // match a short body and send the scan below past its end.
+        if count.checked_mul(RUN_ENTRY as u64) != Some(body.len() as u64) {
             return Err(StoreError::Corrupt {
                 detail: format!(
                     "{}: header claims {count} entries, body holds {} byte(s)",
@@ -926,6 +928,22 @@ mod tests {
         assert!(matches!(
             FingerprintRun::open(&path),
             Err(StoreError::ChecksumMismatch { .. })
+        ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn run_count_overflowing_the_body_length_is_corrupt() {
+        let dir = tmp_dir("run-count");
+        let path = dir.join("visited-0.run");
+        FingerprintRun::write(&path, &[(7, 0)]).expect("write");
+        // 2⁶⁰ + 1 entries of 16 bytes wrap to the one-entry body's 16.
+        let mut bytes = fs::read(&path).expect("read");
+        bytes[12..20].copy_from_slice(&((1u64 << 60) + 1).to_le_bytes());
+        fs::write(&path, &bytes).expect("re-stamp count");
+        assert!(matches!(
+            FingerprintRun::open(&path),
+            Err(StoreError::Corrupt { .. })
         ));
         let _ = fs::remove_dir_all(&dir);
     }

@@ -521,9 +521,16 @@ impl Manifest {
                 graph.edge_count()
             )));
         }
-        // Counterexamples index the system's actions by these words.
-        let actions = system.actions().len();
+        // Counterexamples index the system's actions by these words,
+        // and every engine a state's slots by the system's variables.
+        let (actions, width) = (system.actions().len(), system.vars().len());
         for id in 0..n {
+            let slots = graph.state(id).values().len();
+            if slots != width {
+                return Err(corrupt(format!(
+                    "state {id} holds {slots} value(s) for a system of {width} variable(s)"
+                )));
+            }
             let led_in = graph.parent(id).map(|(_, action)| action);
             let fired = graph.edges(id).iter().map(|e| e.action);
             if let Some(action) = led_in.into_iter().chain(fired).find(|&a| a >= actions) {
@@ -1092,16 +1099,11 @@ pub(crate) fn encode_arena_record(
     }
 }
 
-/// The packed (tag 1) record of the state reached from `parent` by
-/// `action`, `payload` appending its packed bytes.
-pub(crate) fn encode_packed_record(
-    parent: usize,
-    action: usize,
-    fp: u64,
-    payload: impl FnOnce(&mut Vec<u8>),
-    out: &mut Vec<u8>,
-) {
-    begin_arena_record(1, Some((parent, action)), fp, out);
+/// A packed (tag 1) record with no BFS parent, `payload` appending its
+/// packed bytes: what the parallel disk-backed store keeps, whose ids
+/// are provisional until the replay rebuilds the tree.
+pub(crate) fn encode_packed_record(fp: u64, payload: impl FnOnce(&mut Vec<u8>), out: &mut Vec<u8>) {
+    begin_arena_record(1, None, fp, out);
     payload(out);
 }
 
@@ -1685,6 +1687,32 @@ mod tests {
             back.graph().state(0).values(),
             [Value::Int(2), Value::Bool(false)]
         );
+    }
+
+    /// A tree-encoded (tag 0) record states its own slot count, and
+    /// every engine indexes a state's slots by the system's variables:
+    /// a state a slot short or a slot long is refused when it is read,
+    /// not stepped into an out-of-bounds panic.
+    #[test]
+    fn tree_record_of_the_wrong_width_is_corrupt() {
+        let (short, long) = (
+            vec![Value::Int(0)],
+            vec![Value::Int(0), Value::Bool(false), Value::Int(1)],
+        );
+        for values in [short, long] {
+            let (slots, state) = (values.len(), State::new(values));
+            let mut record = Vec::new();
+            let fp = state.fingerprint();
+            encode_arena_record(&state, fp, None, None, &mut Vec::new(), &mut record);
+            let snap = over_arena_records(&[record], vec![0]);
+            let detail = corrupt_detail(through_a_file("width", &snap));
+            assert!(
+                detail.contains(&format!(
+                    "state 0 holds {slots} value(s) for a system of 2 variable(s)"
+                )),
+                "{detail}"
+            );
+        }
     }
 
     /// Counterexample rendering indexes the system's actions by the

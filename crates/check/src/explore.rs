@@ -2,16 +2,18 @@
 //!
 //! Every entry point resolves its [`ExploreOptions`] — and the
 //! `OPENTLA_EXPLORE_THREADS` / `OPENTLA_MEM_BUDGET` overrides — once
-//! into one of four plans (`plan.rs`): two scheduler loops, over one
-//! sequential store in its two bodies and over two striped stores.
+//! into one of four plans (`plan.rs`): two engines, each over a RAM and
+//! a disk-backed form of its store — the sequential loop over one store
+//! in its two bodies, the work-stealing engine over two stores.
 //!
-//! | plan (`RunStart.engine`) | scheduler loop        | states, edges, dedup index                             |
-//! |--------------------------|-----------------------|--------------------------------------------------------|
-//! | `explore_sequential`     | `seq::explore_seq`    | `seq::Store`, no budget: a [`StateGraph`], one index   |
-//! | `explore_spill`          | `seq::explore_seq`    | `seq::Store`, budgeted: the same until its records     |
-//! |                          |                       | fill a segment, then segment files, two-tier index     |
-//! | `explore_parallel_ws`    | `ws::run_workers`     | `ws`: striped packed arenas in RAM, striped index      |
-//! | `explore_spill_ws`       | `ws::run_workers`     | `spill_ws`: shared segment files, striped two-tier     |
+//! | plan (`RunStart.engine`) | engine             | states, edges, dedup index                                |
+//! |--------------------------|--------------------|-----------------------------------------------------------|
+//! | `explore_sequential`     | `seq::explore_seq` | `seq::Store`, no budget: a [`StateGraph`], one index      |
+//! | `explore_spill`          | `seq::explore_seq` | `seq::Store`, budgeted: the same until its records        |
+//! |                          |                    | fill a segment, then segment files, two-tier index        |
+//! | `explore_parallel_ws`    | `ws::explore_ws`   | `ws::Shards`: striped packed arenas in RAM, striped index |
+//! | `explore_spill_ws`       | `ws::explore_ws`   | `spill_ws::SpillWsStore`: shared segment files, striped   |
+//! |                          |                    | two-tier index                                            |
 //!
 //! Every plan ends in one [`StateGraph`] (`graph.rs`, the only code
 //! that knows its layout): states, edges and the BFS tree. The dedup
@@ -29,12 +31,14 @@
 //! `RunStart` names that loop.
 //!
 //! The sequential loop is the reference implementation: plain BFS over
-//! the compiled successor stepper ([`crate::CompiledSystem`]). The two
-//! work-stealing plans record `(parent, action, child)` edges under
-//! provisional ids and finish with a deterministic renumbering pass
-//! that replays the discovery order sequentially, so on complete runs
-//! every plan's result is **byte-identical**: same state indices, same
-//! edge lists, same [`GraphStats`], same counterexample traces.
+//! the compiled successor stepper ([`crate::CompiledSystem`]). The
+//! work-stealing engine — one driver, one scheduler and one packed
+//! expansion over either store — records `(parent, action, child)`
+//! edges under provisional ids and finishes with a deterministic
+//! renumbering pass that replays the discovery order sequentially, so
+//! on complete runs every plan's result is **byte-identical**: same
+//! state indices, same edge lists, same [`GraphStats`], same
+//! counterexample traces.
 //!
 //! A symmetry-reduced run ([`Reduction`]) is the sequential loop,
 //! whose store canonicalizes each successor before it is fingerprinted
@@ -59,7 +63,7 @@ use opentla_kernel::State;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-// Every lock in the work-stealing engines guards state that is kept
+// Every lock in the work-stealing engine guards state that is kept
 // consistent *within* each critical section (arena pushes and map
 // inserts happen together), so the shared poison-recovering [`lock`]
 // is safe here: a panic that poisons a lock leaves the protected data
@@ -194,9 +198,9 @@ pub enum Engine {
     /// [`VisitedMode`]s. Selecting it explicitly forces the spill path
     /// even without a [`ExploreOptions::mem_budget_bytes`] budget.
     SpillBfs,
-    /// The parallel bounded-memory plan: the work-stealing scheduler
-    /// of [`Engine::WorkStealing`] running over the disk-backed tiers
-    /// of [`Engine::SpillBfs`]. The hot fingerprint tier is sharded
+    /// The parallel bounded-memory plan: the work-stealing engine of
+    /// [`Engine::WorkStealing`] over a store built from the disk-backed
+    /// tiers of [`Engine::SpillBfs`]. The hot fingerprint tier is sharded
     /// across the same 64 lock stripes as the in-RAM visited set, each
     /// shard draining to shared sorted fingerprint runs at a
     /// deterministic threshold; arena and edge records funnel through
@@ -457,7 +461,7 @@ pub fn explore_escalating(
     Ok(result)
 }
 
-/// Runs the settled plan's engine.
+/// Runs the settled plan: its loop over its store.
 fn explore_dispatch(
     system: &System,
     budget: &Budget,
@@ -465,31 +469,23 @@ fn explore_dispatch(
     launch: Result<Start<'_>, CheckError>,
 ) -> Result<Exploration, CheckError> {
     let Start { plan, seed, layout } = launch?;
-    let packed = || {
-        layout
+    let mem_budget = plan.route.mem_budget();
+    if let Route::Sequential | Route::SpillBfs { .. } = plan.route {
+        return seq::explore_seq(system, budget, options, mem_budget, seed, layout);
+    }
+    let run = ws::Run {
+        options,
+        threads: plan.threads,
+        layout: layout
             .as_ref()
-            .expect("a work-stealing plan starts over a packed layout")
+            .expect("a work-stealing plan starts over a packed layout"),
+        meter: seed.meter(budget),
     };
-    match plan.route {
-        Route::Sequential | Route::SpillBfs { .. } => seq::explore_seq(
-            system,
-            budget,
-            options,
-            plan.route.mem_budget(),
-            seed,
-            layout,
-        ),
-        Route::SpillWs { mem_budget } => spill_ws::explore_spill_ws(
-            system,
-            budget,
-            options,
-            plan.threads,
-            mem_budget,
-            seed,
-            packed(),
-        ),
-        Route::WorkStealing => {
-            ws::explore_ws(system, budget, options, plan.threads, seed, packed())
+    match mem_budget {
+        None => ws::explore_ws(system, budget, &run, seed, &ws::Shards::new(&run)),
+        Some(mem_budget) => {
+            let store = spill_ws::SpillWsStore::create(&run, mem_budget)?;
+            ws::explore_ws(system, budget, &run, seed, &store)
         }
     }
 }
@@ -640,8 +636,8 @@ fn seq_exhaustion_snapshot(
 }
 
 // ---------------------------------------------------------------------
-// Shared by the work-stealing plans: provisional ids, the canonical
-// replay, the rollback cut
+// The work-stealing engine's provisional ids, canonical replay and
+// rollback cut, which its stores share
 // ---------------------------------------------------------------------
 
 /// Provisional state id used during parallel exploration:
@@ -677,6 +673,14 @@ struct Replay {
     canon: Vec<Vec<u32>>,
     graph: StateGraph,
     depth: Vec<u32>,
+}
+
+impl Replay {
+    /// The canonical id of `p`, if the replay reached it.
+    fn id_of(&self, p: Pid) -> Option<usize> {
+        let c = self.canon[shard_of(p)][local_of(p)];
+        (c != u32::MAX).then_some(c as usize)
+    }
 }
 
 /// Builds the [`Replay`]. The discovery order is fixed first, over
@@ -767,9 +771,9 @@ fn replay_records(
     }
 }
 
-/// The deepest consistent level-boundary rollback of a stopped
-/// work-stealing run, shared by both of its engines: given the
-/// canonical replay and the discovered-but-unexpanded pids, returns
+/// The deepest consistent level-boundary rollback of a stopped or
+/// paused work-stealing run: given the canonical replay and the
+/// discovered-but-unexpanded pids, returns
 /// `(keep, frontier_ids)` for [`checkpoint::capture`]. The cut level L
 /// is the shallowest pending state's depth — everything above L is
 /// fully expanded, and the frontier is *all* of level L (replay depth
@@ -779,87 +783,15 @@ fn replay_records(
 /// no reachable pending state at all, the whole graph is kept with an
 /// empty frontier.
 fn rollback_cut(replay: &Replay, pending: &[Pid]) -> (usize, Vec<usize>) {
-    let Replay {
-        canon,
-        graph,
-        depth,
-    } = replay;
-    let cut = pending
-        .iter()
-        .filter_map(|&p| {
-            let c = canon[shard_of(p)][local_of(p)];
-            (c != u32::MAX).then(|| depth[c as usize])
-        })
-        .min();
-    match cut {
-        None => (graph.len(), Vec::new()),
+    let depth = &replay.depth;
+    let cut = pending.iter().filter_map(|&p| replay.id_of(p)).min();
+    match cut.map(|id| depth[id]) {
+        None => (replay.graph.len(), Vec::new()),
         Some(l) => {
             let keep = depth.partition_point(|&d| d <= l);
             let first = depth.partition_point(|&d| d < l);
             (keep, (first..keep).collect())
         }
-    }
-}
-
-/// The in-RAM snapshot of a stopped work-stealing run, for both of its
-/// engines: the canonical replay rolled back to its
-/// [`rollback_cut`], written through `ck` when checkpointing is
-/// active.
-fn rolled_back_snapshot(
-    ck: &mut Checkpointer,
-    recorder: &RecorderHandle,
-    replay: &Replay,
-    pending: &[Pid],
-    header: RunHeader,
-) -> (Option<Box<Snapshot>>, Option<ResumeToken>) {
-    let (keep, frontier) = rollback_cut(replay, pending);
-    seq_exhaustion_snapshot(ck, recorder, &replay.graph, keep, &frontier, header)
-}
-
-/// The result of a work-stealing run, for both of its engines: the
-/// outcome, plus the pending pids mapped onto the canonical graph as
-/// its frontier.
-fn parallel_exploration(
-    graph: StateGraph,
-    reason: Option<ExhaustReason>,
-    mut pending: Vec<Pid>,
-    canon: &[Vec<u32>],
-    snapshot: Option<Box<Snapshot>>,
-    resume: Option<ResumeToken>,
-) -> Exploration {
-    let outcome = match reason {
-        None => Outcome::Complete,
-        Some(reason) => Outcome::Exhausted {
-            reason,
-            frontier_size: {
-                pending.sort_unstable();
-                pending.dedup();
-                pending.len()
-            },
-            stats: graph.stats(),
-            resume,
-        },
-    };
-    // A pending pid can be unreachable in the replay (its recording
-    // worker died mid-expansion and the run then stopped before the
-    // re-queued parent re-recorded it); such orphans are simply not
-    // part of the canonical graph, so they cannot be listed on its
-    // frontier.
-    let mut frontier: Vec<usize> = pending
-        .iter()
-        .filter_map(|&p| {
-            let c = canon[shard_of(p)][local_of(p)];
-            (c != u32::MAX).then_some(c as usize)
-        })
-        .collect();
-    frontier.sort_unstable();
-    frontier.dedup();
-    Exploration {
-        graph,
-        outcome,
-        frontier,
-        reduction: None,
-        snapshot,
     }
 }
 

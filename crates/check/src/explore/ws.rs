@@ -1,8 +1,10 @@
-//! The work-stealing scheduler ([`run_workers`] over an [`Expand`]
-//! implementation) and its in-RAM engine
-//! ([`Engine::WorkStealing`](super::Engine::WorkStealing)). The
-//! disk-backed engine in [`super::spill_ws`] runs the same scheduler
-//! over its own [`Expand`] implementation.
+//! The work-stealing engine ([`Engine::WorkStealing`](super::Engine::WorkStealing)
+//! and [`Engine::SpillWs`](super::Engine::SpillWs)): one driver
+//! ([`explore_ws`]) runs one scheduler ([`run_workers`]) over one packed
+//! expansion, generic over a [`WsStore`] — the in-RAM striped arenas
+//! below ([`Shards`]), or the disk-backed segment stores of
+//! [`super::spill_ws`]. The store is the only difference between the two
+//! plans.
 //!
 //! * **Per-worker deques, work stealing.** Each worker owns a deque of
 //!   discovered-but-unexpanded states. It pops from the front of its
@@ -16,24 +18,28 @@
 //!   transiently hit zero while work remains). Workers that find
 //!   nothing to claim spin-yield until `in_flight == 0`, which proves
 //!   global exhaustion.
-//! * **Packed states.** States live as fixed-width packed byte runs
-//!   ([`PackedLayout`]) in per-shard arenas: guards and updates
-//!   evaluate against a buffer unpacked into a *reused* `Vec<Value>`
-//!   ([`CompiledSystem::for_each_successor_values`]), child
-//!   fingerprints come from the layout's incremental Zobrist delta,
-//!   and the hot path allocates no `Value` trees at all. A system
-//!   whose states do not pack never gets here: its plan settles on
-//!   the sequential loop (`Plan::start`).
-//! * **Lock-striped dedup index.** The index is sharded by
-//!   fingerprint prefix into [`NUM_SHARDS`] independently-locked
-//!   stripes, a state's provisional id naming its stripe and its
-//!   index there, so interning scales with workers.
+//! * **Packed states.** States are fixed-width packed byte runs
+//!   ([`PackedLayout`]) in either store: the expansion copies a
+//!   parent's bytes out, evaluates guards and updates against them
+//!   unpacked into a *reused* `Vec<Value>`
+//!   ([`CompiledSystem::for_each_successor_values`]), derives each
+//!   child's fingerprint by the layout's incremental Zobrist delta, and
+//!   hands the store the child's bytes to intern — no `Value` tree is
+//!   allocated on the hot path. A system whose states do not pack never
+//!   gets here: its plan settles on the sequential loop (`Plan::start`).
+//! * **Lock-striped dedup index.** Both stores shard their index by
+//!   fingerprint into [`NUM_SHARDS`] independently-locked stripes, so
+//!   interning scales with workers.
+//! * **Edges.** A worker pushes `(parent, action, child)` onto its own
+//!   records as it interns, and the store settles a fully expanded
+//!   parent's run: the in-RAM store keeps it there, the disk-backed one
+//!   appends it as one edge record and truncates it away. A parent the
+//!   budget cut short keeps its partial run in the records in both.
 //!
 //! Determinism is recovered after the fact, not maintained during the
-//! run: workers record `(parent, action, child)` edges, and the
-//! canonical renumbering replay ([`replay_records`]) rebuilds
-//! the sequential BFS discovery order — the finished graph is
-//! **byte-identical** to the sequential engine's.
+//! run: the canonical renumbering replay ([`replay_records`]) of every
+//! run rebuilds the sequential BFS discovery order — the finished
+//! graph is **byte-identical** to the sequential engine's.
 //!
 //! **Panic isolation.** A panic inside one parent's expansion is
 //! caught there: the worker's records roll back to where they stood
@@ -48,40 +54,33 @@
 //! **Checkpointing.** An exhausted run snapshots at its stopping point
 //! (a quiescent point — all workers stopped), rolled back to the
 //! deepest consistent level boundary by the shared [`rollback_cut`],
-//! and resumable by any engine. When the budget arms periodic
-//! checkpoints the in-RAM engine also runs in *epochs*: every
-//! `cadence` claims the workers stop at a quiescent point, the
-//! coordinator snapshots the same way, and the run goes on from the
-//! pending states. Unarmed runs are one epoch.
+//! and resumable by any plan. When the budget arms periodic
+//! checkpoints and the store keeps its states in RAM
+//! ([`WsStore::IN_RAM`]), the run also goes in *epochs*: every
+//! `cadence` claims the workers stop at a quiescent point, the driver
+//! snapshots the same way, and the run goes on from the pending states.
+//! Otherwise a run is one epoch.
 
 use super::index::FpIndex;
-use super::seq::Seed;
+use super::seq::{Seed, Stop};
 use super::*;
+use crate::checkpoint::CheckpointError;
 use opentla_kernel::{PackedLayout, Value, VarId};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
-use std::sync::MutexGuard;
 
 // ---------------------------------------------------------------------
 // The scheduler
 // ---------------------------------------------------------------------
 
-/// How one parent's expansion ended.
-pub(super) enum Expanded {
-    /// Every successor was interned and recorded.
-    Done,
-    /// The budget cut the expansion short; the parent stays pending.
-    Cut(ExhaustReason),
-}
-
 /// The [`WorkerPanic`] hook, handed to an expansion the injection has
 /// armed: the first recorded edge to [`trip`] it panics, once per run.
-pub(super) type Tripwire<'a> = Option<&'a AtomicBool>;
+type Tripwire<'a> = Option<&'a AtomicBool>;
 
 /// Fires an armed [`Tripwire`]; called right after an edge is
 /// recorded.
 #[inline]
-pub(super) fn trip(wire: Tripwire<'_>) {
+fn trip(wire: Tripwire<'_>) {
     if wire.is_some_and(|fired| !fired.swap(true, Ordering::Relaxed)) {
         panic!("injected worker panic");
     }
@@ -90,36 +89,10 @@ pub(super) fn trip(wire: Tripwire<'_>) {
 /// What a worker records: one `(parent, action, child)` edge. Each
 /// state is expanded to completion by exactly one worker (deque pop is
 /// exclusive; a panicked expansion's records are truncated), so its
-/// edges form one contiguous run in action order in exactly one
-/// worker's records — what [`replay_records`] reads.
+/// edges form one contiguous run in action order — in exactly one
+/// worker's records, or settled away by the store — which is what
+/// [`replay_records`] reads.
 pub(super) type EdgeRecord = (Pid, u32, Pid);
-
-/// "Expand one parent": what the work-stealing scheduler runs. An
-/// implementation owns the stores; the scheduler owns claiming,
-/// quiescence, budget stops, panic isolation and error propagation.
-pub(super) trait Expand: Sync {
-    /// One worker's reusable buffers. They live and die on the worker
-    /// thread: an allocation that outlives its thread pins that
-    /// thread's allocator arena, which shows up as a higher and
-    /// run-to-run unstable peak RSS.
-    type Scratch: Default;
-
-    /// Expands `parent`: charges each transition, interns each
-    /// successor (charging genuinely new states *before* recording
-    /// them), records the edges ([`trip`]ping `wire` after each), and
-    /// pushes every newly interned child onto `born`. An `Err` stops
-    /// the whole run. `records` is the worker's own, handed back to the
-    /// coordinator: a panicking expansion's records are truncated away
-    /// by the scheduler, so its re-expansion records them exactly once.
-    fn expand(
-        &self,
-        parent: Pid,
-        scratch: &mut Self::Scratch,
-        records: &mut Vec<EdgeRecord>,
-        born: &mut Vec<Pid>,
-        wire: Tripwire<'_>,
-    ) -> Result<Expanded, CheckError>;
-}
 
 /// Shared coordination state of one work-stealing run.
 struct Sched<'a> {
@@ -197,8 +170,8 @@ struct Tally {
 }
 
 /// The worker loop: claim a parent, expand it, release it.
-fn work<X: Expand>(sched: &Sched<'_>, x: &X, me: usize, tally: &mut Tally) {
-    let mut scratch = X::Scratch::default();
+fn work<S: WsStore>(sched: &Sched<'_>, x: &Packed<'_, S>, me: usize, tally: &mut Tally) {
+    let mut scratch = Scratch::default();
     // Children discovered while expanding the current parent, pushed
     // to the deque in one batch (one lock per parent, not per child).
     let mut born: Vec<Pid> = Vec::new();
@@ -260,8 +233,10 @@ fn work<X: Expand>(sched: &Sched<'_>, x: &X, me: usize, tally: &mut Tally) {
         };
         sched.in_flight.fetch_sub(1, Ordering::AcqRel);
         match result {
-            Ok(Expanded::Done) => {}
-            Ok(Expanded::Cut(reason)) => {
+            Ok(None) => {}
+            // The budget cut the expansion short; the parent stays
+            // pending.
+            Ok(Some(reason)) => {
                 sched.note_exhaustion(reason);
                 tally.interrupted.push(parent);
             }
@@ -273,53 +248,26 @@ fn work<X: Expand>(sched: &Sched<'_>, x: &X, me: usize, tally: &mut Tally) {
     }
 }
 
-/// What a work-stealing run leaves behind.
-pub(super) struct WsRun {
-    /// Every worker's records, epoch by epoch, after the ones the run
-    /// started from (none but those when the run was cut during
-    /// initial-state interning and no worker started).
-    pub(super) records: Vec<Vec<EdgeRecord>>,
-    /// Discovered-but-unexpanded pids once the run stops early.
-    pub(super) pending: Vec<Pid>,
-    pub(super) reason: Option<ExhaustReason>,
-}
+/// What a work-stealing run leaves behind: every worker's records,
+/// epoch by epoch, after the ones the run started from; the
+/// discovered-but-unexpanded pids once it stops early; and why it
+/// stopped early.
+type WsRun = (Vec<Vec<EdgeRecord>>, Vec<Pid>, Option<ExhaustReason>);
 
-/// An engine's snapshot of a paused run: given every record so far and
-/// the pending pids, it returns whether checkpointing is still healthy
+/// Runs the workers over `x` from `pending` to quiescence or a budget
+/// stop. `records` are the ones the run starts from (a resumed
+/// snapshot's banked runs). With a `cadence`, the run pauses every
+/// that many claims for a `snapshot`: given every record so far and
+/// the pending pids, it says whether checkpointing is still healthy
 /// (an unhealthy run stops pausing).
-pub(super) type PauseSnapshot<'a> = &'a mut dyn FnMut(&[Vec<EdgeRecord>], &[Pid]) -> bool;
-
-/// Periodic checkpoints, for [`run_workers`]: the claims between two
-/// snapshots, and how to take one.
-pub(super) struct Epochs<'a> {
-    pub(super) cadence: u64,
-    pub(super) snapshot: PauseSnapshot<'a>,
-}
-
-/// Runs `threads` workers from `seed` to quiescence or a budget stop,
-/// pausing for a snapshot every `epochs.cadence` claims if asked to.
-/// `records` are the ones the run starts from (a resumed snapshot's
-/// banked edges). `init_cut` is the exhaustion that already ended
-/// initial-state interning, if any: the seed is then all pending and
-/// no worker runs.
-#[allow(clippy::too_many_arguments)]
-pub(super) fn run_workers<X: Expand>(
-    meter: &Meter,
-    threads: usize,
-    fault: Option<WorkerPanic>,
-    seed: Vec<Pid>,
-    init_cut: Option<ExhaustReason>,
+fn run_workers<S: WsStore>(
+    x: &Packed<'_, S>,
+    mut pending: Vec<Pid>,
     mut records: Vec<Vec<EdgeRecord>>,
-    mut epochs: Option<Epochs<'_>>,
-    x: &X,
+    mut cadence: Option<u64>,
+    mut snapshot: impl FnMut(&[Vec<EdgeRecord>], &[Pid]) -> Result<bool, CheckError>,
 ) -> Result<WsRun, CheckError> {
-    if init_cut.is_some() {
-        return Ok(WsRun {
-            records,
-            pending: seed,
-            reason: init_cut,
-        });
-    }
+    let (meter, threads) = (&x.run.meter, x.run.threads);
     let mut sched = Sched {
         deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
         in_flight: AtomicUsize::new(0),
@@ -330,11 +278,10 @@ pub(super) fn run_workers<X: Expand>(
         claims: AtomicU64::new(0),
         pause_at: u64::MAX,
         epoch: 0,
-        fault,
+        fault: x.run.options.worker_panic,
         fault_fired: AtomicBool::new(false),
         alive: AtomicUsize::new(threads),
     };
-    let mut pending = seed;
     let expand_phase = PhaseGuard::enter(meter.recorder(), Phase::ExploreExpand);
     loop {
         // Prime the quiescence counter with the seeded work and deal it
@@ -345,8 +292,8 @@ pub(super) fn run_workers<X: Expand>(
             lock(&sched.deques[i % threads]).push_back(p);
         }
         *sched.stop.get_mut() = false;
-        if let Some(e) = &epochs {
-            sched.pause_at = *sched.claims.get_mut() + e.cadence;
+        if let Some(cadence) = cadence {
+            sched.pause_at = *sched.claims.get_mut() + cadence;
         }
         let workers = *sched.alive.get_mut();
         let tallies: Vec<Tally> = std::thread::scope(|scope| {
@@ -413,11 +360,9 @@ pub(super) fn run_workers<X: Expand>(
         // Otherwise this is a pause: every claimed parent is fully
         // expanded, so the records and `pending` describe a consistent
         // partial graph.
-        let Some(e) = &mut epochs else {
-            unreachable!("only an armed cadence pauses a run");
-        };
-        if !(e.snapshot)(&records, &pending) {
-            epochs = None;
+        assert!(cadence.is_some(), "only an armed cadence pauses a run");
+        if !snapshot(&records, &pending)? {
+            cadence = None;
             sched.pause_at = u64::MAX;
         }
         sched.epoch += 1;
@@ -426,14 +371,175 @@ pub(super) fn run_workers<X: Expand>(
     if let Some(e) = lock(&sched.error).take() {
         return Err(e);
     }
-    Ok(WsRun {
-        records,
-        pending,
-        reason: sched
-            .reason
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner),
-    })
+    let reason = sched
+        .reason
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
+    Ok((records, pending, reason))
+}
+
+// ---------------------------------------------------------------------
+// The packed expansion, and what it asks of a store
+// ---------------------------------------------------------------------
+
+/// What one work-stealing run is over, fixed from its seed to its
+/// result: read by the driver, the workers and the store.
+pub(super) struct Run<'a> {
+    pub(super) options: &'a ExploreOptions,
+    /// Workers.
+    pub(super) threads: usize,
+    pub(super) layout: &'a PackedLayout,
+    /// A resumed run's is pre-charged with the snapshot's banked work.
+    pub(super) meter: Meter,
+}
+
+/// Where a work-stealing run keeps its states, dedup index and settled
+/// edge runs — the one difference between the two parallel plans.
+/// States are named by provisional [`Pid`]s; every method but
+/// [`reseed`](Self::reseed) and [`replay`](Self::replay) is called by
+/// many workers at once.
+pub(super) trait WsStore: Sync {
+    /// One worker's buffers for the store's own use.
+    type Scratch: Default;
+    /// Whether states and settled runs live in RAM: then a paused run
+    /// replays cheaply, so periodic checkpoints run in epochs.
+    const IN_RAM: bool;
+
+    /// Copies `parent`'s packed bytes into `bytes`; returns its
+    /// unmasked fingerprint.
+    fn parent(
+        &self,
+        parent: Pid,
+        bytes: &mut Vec<u8>,
+        w: &mut Self::Scratch,
+    ) -> Result<u64, CheckError>;
+
+    /// Looks up or records the state with unmasked fingerprint `fp`
+    /// whose packed bytes `write` appends: its pid and whether it is
+    /// new. A genuinely new state is charged to the meter
+    /// *before* anything is recorded, so a [`Stop::Cut`] leaves the
+    /// store untouched. Fingerprint mode trusts a hit and writes the
+    /// bytes of a new state only; exact mode writes them first and
+    /// verifies every candidate under the key against its stored bytes
+    /// (packing is injective on in-domain states).
+    fn intern(
+        &self,
+        fp: u64,
+        write: impl FnOnce(&mut Vec<u8>),
+        w: &mut Self::Scratch,
+    ) -> Result<(Pid, bool), Stop>;
+
+    /// Settles `parent`'s run, `records[mark..]` (empty for a state
+    /// with no successor), now that it is fully expanded. By default
+    /// the run stays in the records.
+    fn settle(
+        &self,
+        _parent: Pid,
+        _records: &mut Vec<EdgeRecord>,
+        _mark: usize,
+        _w: &mut Self::Scratch,
+    ) -> Result<(), CheckError> {
+        Ok(())
+    }
+
+    /// Re-ingests state `id` of a resumed snapshot — called in id
+    /// order, meter-free (the meter is pre-charged) — from its packed
+    /// `bytes` and fingerprint. A masked-fingerprint
+    /// collision maps to the first occupant, the first-id-wins rule the
+    /// snapshot's canonical order encodes, so collision behavior
+    /// survives the round trip.
+    fn reseed(
+        &self,
+        id: usize,
+        fp: u64,
+        bytes: &[u8],
+        w: &mut Self::Scratch,
+    ) -> Result<Pid, CheckError>;
+
+    /// The canonical [`Replay`], from the initial pids `init`, of
+    /// `records` and every run the store settled away. Called with the
+    /// workers stopped.
+    fn replay(&self, records: &[Vec<EdgeRecord>], init: &[Pid]) -> Result<Replay, CheckError>;
+}
+
+/// One worker's reusable buffers. They live and die on the worker
+/// thread: an allocation that outlives its thread pins that thread's
+/// allocator arena, which shows up as a higher and run-to-run unstable
+/// peak RSS.
+#[derive(Default)]
+struct Scratch<T> {
+    eval: EvalScratch,
+    parent: Vec<u8>,
+    values: Vec<Value>,
+    updates: Vec<(usize, u32)>,
+    store: T,
+}
+
+/// The one packed expansion, over any store.
+struct Packed<'a, S> {
+    run: &'a Run<'a>,
+    store: &'a S,
+    compiled: CompiledSystem<'a>,
+}
+
+impl<S: WsStore> Packed<'_, S> {
+    /// Expands `parent`: charges each transition, interns each
+    /// successor, pushes its edge onto `records` ([`trip`]ping `wire`
+    /// after each) and every newly interned child onto `born`, then has
+    /// the store settle the run of a parent the budget did not cut. An
+    /// `Err` stops the whole run. `records` are the worker's own: a
+    /// panicking expansion's are truncated away by the scheduler, so
+    /// its re-expansion records them exactly once.
+    fn expand(
+        &self,
+        parent: Pid,
+        w: &mut Scratch<S::Scratch>,
+        records: &mut Vec<EdgeRecord>,
+        born: &mut Vec<Pid>,
+        wire: Tripwire<'_>,
+    ) -> Result<Option<ExhaustReason>, CheckError> {
+        let Packed {
+            run,
+            store,
+            compiled,
+        } = self;
+        let Scratch {
+            eval,
+            parent: bytes,
+            values,
+            updates,
+            store: sw,
+        } = w;
+        let parent_fp = store.parent(parent, bytes, sw)?;
+        let layout = run.layout;
+        layout
+            .try_unpack_into(bytes, values)
+            .map_err(CheckpointError::from)?;
+        let mark = records.len();
+        let stop = compiled.for_each_successor_values(values, eval, |action, assignments| {
+            if let Some(reason) = run.meter.charge_transition() {
+                return ControlFlow::Break(Stop::Cut(reason));
+            }
+            let child_fp = packed_delta(layout, bytes, parent_fp, assignments, updates);
+            let write = |out: &mut Vec<u8>| append_packed_child(layout, bytes, updates, out);
+            match store.intern(child_fp, write, sw) {
+                Ok((child, is_new)) => {
+                    if is_new {
+                        born.push(child);
+                    }
+                    records.push((parent, action as u32, child));
+                    trip(wire);
+                    ControlFlow::Continue(())
+                }
+                Err(stop) => ControlFlow::Break(stop),
+            }
+        })?;
+        match stop {
+            None => store.settle(parent, records, mark, sw).map(|()| None),
+            Some(Stop::Cut(reason)) => Ok(Some(reason)),
+            Some(Stop::Fail(e)) => Err(e),
+        }
+    }
 }
 
 /// The packed successor of `parent` under `assignments`, as a delta:
@@ -442,7 +548,7 @@ pub(super) fn run_workers<X: Expand>(
 /// duplicate update targets, so old codes can be read from the parent
 /// bytes — and returns the child's fingerprint, derived from the
 /// parent's by the layout's incremental Zobrist delta.
-pub(super) fn packed_delta(
+fn packed_delta(
     layout: &PackedLayout,
     parent: &[u8],
     parent_fp: u64,
@@ -466,7 +572,7 @@ pub(super) fn packed_delta(
 }
 
 /// Appends the child `parent` ⊕ `updates` to `out`.
-pub(super) fn append_packed_child(
+fn append_packed_child(
     layout: &PackedLayout,
     parent: &[u8],
     updates: &[(usize, u32)],
@@ -480,10 +586,168 @@ pub(super) fn append_packed_child(
 }
 
 // ---------------------------------------------------------------------
-// The in-RAM stores
+// The driver
 // ---------------------------------------------------------------------
 
-/// One stripe of the concurrent store: the dedup index (masked
+/// The work-stealing engine over `store`; see the module docs.
+pub(super) fn explore_ws<S: WsStore>(
+    system: &System,
+    budget: &Budget,
+    run: &Run<'_>,
+    seed: Seed<'_>,
+    store: &S,
+) -> Result<Exploration, CheckError> {
+    let sys_hash = checkpoint::system_hash(system);
+    let header = || RunHeader::of(run.options, sys_hash);
+    let mut ck = Checkpointer::new(budget.checkpoint.clone());
+    let (mut w, mut buf) = (S::Scratch::default(), Vec::new());
+    let pack = |s: &State, buf: &mut Vec<u8>| {
+        let ok = run.layout.pack_into(s.values(), buf);
+        debug_assert!(
+            ok,
+            "the plan settled on packed states: every seed state packs"
+        );
+    };
+    let mut init: Vec<Pid> = Vec::new();
+    let mut records: Vec<Vec<EdgeRecord>> = Vec::new();
+    let mut init_cut: Option<ExhaustReason> = None;
+    let seeded: Vec<Pid> = match seed {
+        Seed::Resume(snap) => {
+            // Re-ingest the snapshot arena in canonical order, then
+            // settle each expanded state's edges as its run — the
+            // replay cannot tell banked work from new work.
+            let graph = snap.graph();
+            let mut pid_of: Vec<Pid> = Vec::with_capacity(graph.len());
+            for (id, s) in graph.states().iter().enumerate() {
+                pack(s, &mut buf);
+                pid_of.push(store.reseed(id, s.fingerprint(), &buf, &mut w)?);
+            }
+            // Only a store in RAM keeps the banked runs in the records.
+            let room = if S::IN_RAM { graph.edge_count() } else { 0 };
+            let mut banked: Vec<EdgeRecord> = Vec::with_capacity(room);
+            for (id, _, _, edges) in snap.records() {
+                let (Some(edges), parent) = (edges, pid_of[id]) else {
+                    continue;
+                };
+                let mark = banked.len();
+                banked.extend(
+                    edges
+                        .iter()
+                        .map(|e| (parent, e.action as u32, pid_of[e.target])),
+                );
+                store.settle(parent, &mut banked, mark, &mut w)?;
+            }
+            records.push(banked);
+            init = graph.init().iter().map(|&i| pid_of[i]).collect();
+            snap.frontier.iter().map(|&i| pid_of[i]).collect()
+        }
+        Seed::Fresh(states) => {
+            // Initial states intern sequentially so their canonical
+            // order is the enumeration order, as in every plan.
+            let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
+            for s in &states {
+                pack(s, &mut buf);
+                let write = |out: &mut Vec<u8>| out.extend_from_slice(&buf);
+                match store.intern(s.fingerprint(), write, &mut w) {
+                    Ok((p, true)) => init.push(p),
+                    Ok((_, false)) => {}
+                    Err(Stop::Cut(reason)) => {
+                        init_cut = Some(reason);
+                        break;
+                    }
+                    Err(Stop::Fail(e)) => return Err(e),
+                }
+            }
+            init.clone()
+        }
+    };
+
+    // A partial init enumeration cannot be resumed soundly.
+    let resumable = init_cut.is_none();
+    let x = Packed {
+        run,
+        store,
+        compiled: CompiledSystem::compile(system),
+    };
+    let (records, mut pending, reason) = match init_cut {
+        // Cut during initial-state interning: the seed is all pending
+        // and no worker runs.
+        Some(reason) => (records, seeded, Some(reason)),
+        None => {
+            let cadence = budget
+                .checkpoint
+                .as_ref()
+                .filter(|_| S::IN_RAM)
+                .map(|spec| spec.cadence);
+            // A periodic checkpoint at a pause: as the exhaustion
+            // snapshot below, but the run then goes on.
+            let at_pause = |records: &[Vec<EdgeRecord>], pending: &[Pid]| {
+                let replay = store.replay(records, &init)?;
+                let (keep, frontier) = rollback_cut(&replay, pending);
+                let snap = checkpoint::capture(&replay.graph, keep, &frontier, header());
+                ck.write(snap, &budget.recorder);
+                Ok(ck.active())
+            };
+            run_workers(&x, seeded, records, cadence, at_pause)?
+        }
+    };
+
+    let renumber_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
+    let replay = store.replay(&records, &init)?;
+    // The exhaustion snapshot at the quiescent point: the rollback cut
+    // lands on the deepest consistent level boundary of the *canonical*
+    // graph — it is computed on replay depths, not on the
+    // nondeterministic discovery order.
+    let (snapshot, resume) = match reason {
+        Some(_) if resumable => {
+            let (keep, frontier) = rollback_cut(&replay, &pending);
+            seq_exhaustion_snapshot(
+                &mut ck,
+                &budget.recorder,
+                &replay.graph,
+                keep,
+                &frontier,
+                header(),
+            )
+        }
+        _ => (None, None),
+    };
+    // A pending pid can be unreachable in the replay (its recording
+    // worker died mid-expansion and the run then stopped before the
+    // re-queued parent re-recorded it); such orphans are not part of
+    // the canonical graph, so they cannot be listed on its frontier.
+    let mut frontier: Vec<usize> = pending.iter().filter_map(|&p| replay.id_of(p)).collect();
+    frontier.sort_unstable();
+    frontier.dedup();
+    let graph = replay.graph;
+    drop(renumber_phase);
+    let outcome = match reason {
+        None => Outcome::Complete,
+        Some(reason) => Outcome::Exhausted {
+            reason,
+            frontier_size: {
+                pending.sort_unstable();
+                pending.dedup();
+                pending.len()
+            },
+            stats: graph.stats(),
+            resume,
+        },
+    };
+    Ok(Exploration {
+        graph,
+        outcome,
+        frontier,
+        reduction: None,
+        snapshot,
+    })
+}
+
+// ---------------------------------------------------------------------
+// The in-RAM store
+// ---------------------------------------------------------------------
+
+/// One stripe of the in-RAM store: the dedup index (masked
 /// fingerprint → local id) plus the append-only packed arena behind
 /// it.
 #[derive(Default)]
@@ -495,56 +759,47 @@ struct WsShard {
     fps: Vec<u64>,
 }
 
-impl WsShard {
-    fn len(&self) -> usize {
-        self.fps.len()
-    }
-}
-
-/// The lock-striped dedup index and arenas of one in-RAM run.
-struct WsStore<'a> {
+/// The in-RAM store: [`NUM_SHARDS`] lock-striped packed arenas, each
+/// behind its own dedup index. A state's pid names its stripe and its
+/// index there; a settled run stays in the worker's records.
+pub(super) struct Shards<'a> {
     shards: Striped<WsShard>,
     mask: u64,
-    mode: VisitedMode,
-    meter: &'a Meter,
+    run: &'a Run<'a>,
 }
 
-impl WsStore<'_> {
-    /// Looks up or records the packed state with fingerprint `fp`
-    /// whose bytes `append` writes: the pid and whether the state was
-    /// new, or the exhaustion reason if the state limit cut the
-    /// insertion off. Worker and initial-state interns are `charged`:
-    /// the meter is charged for a genuinely new state *before*
-    /// anything is inserted. Resume seeding is not — the meter is
-    /// pre-charged with the snapshot's banked totals — and a
-    /// masked-fingerprint collision maps to the first occupant (the
-    /// same first-id-wins rule the snapshot's canonical order
-    /// encodes), so collision behavior survives the round trip.
-    ///
-    /// Fingerprint mode probes by fingerprint alone and runs `append`
-    /// — writing directly into the shard arena — only on a vacant
-    /// insert. Already-visited successors (the majority, once the
-    /// frontier is deep) never build their bytes at all, the packed
-    /// analogue of what [`State::fingerprint_with`] buys the
-    /// sequential loop. Exact mode builds them in `scratch` first and
-    /// verifies a hit against the arena's: packing is injective on
-    /// in-domain states, so equal bytes are equal states, with no tree
-    /// states built.
-    fn intern(
+impl<'a> Shards<'a> {
+    pub(super) fn new(run: &'a Run<'a>) -> Shards<'a> {
+        Shards {
+            shards: Striped::new(WsShard::default),
+            mask: run.options.mask(),
+            run,
+        }
+    }
+
+    /// [`WsStore::intern`], the meter charged only if `charged` (resume
+    /// seeding is not) and the only failure a cut. Fingerprint mode
+    /// runs `append` — writing directly into the shard arena — only on
+    /// a vacant insert, so already-visited successors never build their
+    /// bytes at all, the packed analogue of what
+    /// [`State::fingerprint_with`] buys the sequential loop; exact mode
+    /// builds them in `probe` first.
+    #[inline]
+    fn intern_bytes(
         &self,
         fp: u64,
         append: impl FnOnce(&mut Vec<u8>),
-        scratch: &mut Vec<u8>,
+        probe: &mut Vec<u8>,
         charged: bool,
     ) -> Result<(Pid, bool), ExhaustReason> {
         let key = fp & self.mask;
         let (shard_i, mut shard) = self.shards.lock_key(key);
         let WsShard { index, packed, fps } = &mut *shard;
-        let admit = || match charged.then(|| self.meter.charge_state()).flatten() {
+        let admit = || match charged.then(|| self.run.meter.charge_state()).flatten() {
             Some(reason) => Err(reason),
             None => Ok(fps.len()),
         };
-        let (local, is_new) = match self.mode {
+        let (local, is_new) = match self.run.options.mode {
             VisitedMode::Fingerprint => {
                 let hit = index.intern(key, |_| Ok(true), |_| Ok(None), admit)?;
                 if hit.1 {
@@ -553,13 +808,13 @@ impl WsStore<'_> {
                 hit
             }
             VisitedMode::Exact => {
-                scratch.clear();
-                append(scratch);
-                let stride = scratch.len();
-                let same = |local: usize| Ok(packed[local * stride..][..stride] == scratch[..]);
+                probe.clear();
+                append(probe);
+                let stride = probe.len();
+                let same = |local: usize| Ok(packed[local * stride..][..stride] == probe[..]);
                 let hit = index.intern(key, same, |_| Ok(None), admit)?;
                 if hit.1 {
-                    packed.extend_from_slice(scratch);
+                    packed.extend_from_slice(probe);
                 }
                 hit
             }
@@ -569,266 +824,77 @@ impl WsStore<'_> {
         }
         Ok((pid(shard_i, local), is_new))
     }
+}
 
-    /// Interns a whole seed state (initial or snapshot).
-    fn intern_state(
-        &self,
-        s: &State,
-        layout: &PackedLayout,
-        buf: &mut Vec<u8>,
-        charged: bool,
-    ) -> Result<(Pid, bool), ExhaustReason> {
-        let ok = layout.pack_into(s.values(), buf);
-        debug_assert!(
-            ok,
-            "the plan settled on packed states: every seed state packs"
-        );
-        let append = |arena: &mut Vec<u8>| arena.extend_from_slice(buf);
-        self.intern(s.fingerprint(), append, &mut Vec::new(), charged)
+impl WsStore for Shards<'_> {
+    /// Exact mode's probe bytes.
+    type Scratch = Vec<u8>;
+    const IN_RAM: bool = true;
+
+    fn parent(&self, parent: Pid, bytes: &mut Vec<u8>, _: &mut Vec<u8>) -> Result<u64, CheckError> {
+        let stride = self.run.layout.stride();
+        let shard = self.shards.lock_shard(shard_of(parent));
+        let local = local_of(parent);
+        bytes.clear();
+        bytes.extend_from_slice(&shard.packed[local * stride..][..stride]);
+        Ok(shard.fps[local])
     }
-}
 
-/// One in-RAM worker's scratch buffers.
-#[derive(Default)]
-struct RamScratch {
-    eval: EvalScratch,
-    parent_buf: Vec<u8>,
-    child_buf: Vec<u8>,
-    values: Vec<Value>,
-    updates: Vec<(usize, u32)>,
-}
-
-/// Expansion over packed arenas: copy the parent's bytes out of its
-/// shard, unpack into a reused value buffer, evaluate successors,
-/// derive child fingerprints incrementally, intern child bytes.
-struct RamPacked<'a> {
-    store: &'a WsStore<'a>,
-    compiled: &'a CompiledSystem<'a>,
-    layout: &'a PackedLayout,
-}
-
-impl Expand for RamPacked<'_> {
-    type Scratch = RamScratch;
-
-    fn expand(
+    #[inline]
+    fn intern(
         &self,
-        parent: Pid,
-        scratch: &mut RamScratch,
-        edges: &mut Vec<EdgeRecord>,
-        born: &mut Vec<Pid>,
-        wire: Tripwire<'_>,
-    ) -> Result<Expanded, CheckError> {
-        let RamPacked {
-            store,
-            compiled,
-            layout,
-        } = *self;
-        let RamScratch {
-            eval,
-            parent_buf,
-            child_buf,
-            values,
-            updates,
-        } = scratch;
+        fp: u64,
+        write: impl FnOnce(&mut Vec<u8>),
+        probe: &mut Vec<u8>,
+    ) -> Result<(Pid, bool), Stop> {
+        self.intern_bytes(fp, write, probe, true).map_err(Stop::Cut)
+    }
+
+    fn reseed(
+        &self,
+        _: usize,
+        fp: u64,
+        bytes: &[u8],
+        probe: &mut Vec<u8>,
+    ) -> Result<Pid, CheckError> {
+        let append = |arena: &mut Vec<u8>| arena.extend_from_slice(bytes);
+        let interned = self.intern_bytes(fp, append, probe, false);
+        Ok(interned.expect("uncharged interns are never cut").0)
+    }
+
+    /// The replay with its states materialized from the (quiescent)
+    /// shard arenas.
+    fn replay(&self, records: &[Vec<EdgeRecord>], init: &[Pid]) -> Result<Replay, CheckError> {
+        let shards: Vec<_> = self.shards.iter_locked().collect();
+        let arena_lens: Vec<usize> = shards.iter().map(|sh| sh.fps.len()).collect();
+        let (layout, threads) = (self.run.layout, self.run.threads);
         let stride = layout.stride();
-        let parent_fp = {
-            let shard = store.shards.lock_shard(shard_of(parent));
-            let local = local_of(parent);
-            parent_buf.clear();
-            parent_buf.extend_from_slice(&shard.packed[local * stride..(local + 1) * stride]);
-            shard.fps[local]
+        let state_of = |p: Pid| {
+            let local = local_of(p);
+            layout.unpack(&shards[shard_of(p)].packed[local * stride..][..stride])
         };
-        layout.unpack_into(parent_buf, values);
-        let cut = compiled.for_each_successor_values(values, eval, |action, assignments| {
-            if let Some(reason) = store.meter.charge_transition() {
-                return ControlFlow::Break(reason);
+        // Materialization is the renumber pass's dominant cost (one
+        // unpack + tree allocation per state) and each state is
+        // independent once the canonical order is fixed — fan it out.
+        Ok(replay_records(&arena_lens, records, init, |order| {
+            if threads <= 1 || order.len() < 4096 {
+                return order.iter().map(|&p| state_of(p)).collect();
             }
-            let child_fp = packed_delta(layout, parent_buf, parent_fp, assignments, updates);
-            let append = |out: &mut Vec<u8>| append_packed_child(layout, parent_buf, updates, out);
-            match store.intern(child_fp, append, child_buf, true) {
-                Ok((child, is_new)) => {
-                    if is_new {
-                        born.push(child);
-                    }
-                    edges.push((parent, action as u32, child));
-                    trip(wire);
-                    ControlFlow::Continue(())
+            let chunk = order.len().div_ceil(threads);
+            let mut states: Vec<State> = Vec::with_capacity(order.len());
+            std::thread::scope(|scope| {
+                let parts: Vec<_> = order
+                    .chunks(chunk)
+                    .map(|c| scope.spawn(|| c.iter().map(|&p| state_of(p)).collect::<Vec<_>>()))
+                    .collect();
+                for h in parts {
+                    states.extend(
+                        h.join()
+                            .unwrap_or_else(|p| -> Vec<State> { std::panic::resume_unwind(p) }),
+                    );
                 }
-                Err(reason) => ControlFlow::Break(reason),
-            }
-        })?;
-        Ok(cut.map_or(Expanded::Done, Expanded::Cut))
+            });
+            states
+        }))
     }
-}
-
-/// The canonical graph of everything recorded so far: the replay with
-/// its states materialized from the (quiescent) shard arenas.
-fn canonical(
-    shards: &[MutexGuard<'_, WsShard>],
-    layout: &PackedLayout,
-    threads: usize,
-    all_edges: &[Vec<EdgeRecord>],
-    init_pids: &[Pid],
-) -> Replay {
-    let arena_lens: Vec<usize> = shards.iter().map(|sh| sh.len()).collect();
-    let stride = layout.stride();
-    let state_of = |p: Pid| {
-        let local = local_of(p);
-        layout.unpack(&shards[shard_of(p)].packed[local * stride..(local + 1) * stride])
-    };
-    // Materialization is the renumber pass's dominant cost (one unpack
-    // + tree allocation per state) and each state is independent once
-    // the canonical order is fixed — fan it out.
-    replay_records(&arena_lens, all_edges, init_pids, |order| {
-        if threads <= 1 || order.len() < 4096 {
-            return order.iter().map(|&p| state_of(p)).collect();
-        }
-        let chunk = order.len().div_ceil(threads);
-        let mut states: Vec<State> = Vec::with_capacity(order.len());
-        std::thread::scope(|scope| {
-            let parts: Vec<_> = order
-                .chunks(chunk)
-                .map(|c| scope.spawn(|| c.iter().map(|&p| state_of(p)).collect::<Vec<_>>()))
-                .collect();
-            for h in parts {
-                states.extend(
-                    h.join()
-                        .unwrap_or_else(|p| -> Vec<State> { std::panic::resume_unwind(p) }),
-                );
-            }
-        });
-        states
-    })
-}
-
-/// The in-RAM work-stealing engine; see the module docs.
-pub(super) fn explore_ws(
-    system: &System,
-    budget: &Budget,
-    options: &ExploreOptions,
-    threads: usize,
-    seed: Seed<'_>,
-    layout: &PackedLayout,
-) -> Result<Exploration, CheckError> {
-    let compiled = CompiledSystem::compile(system);
-    let sys_hash = checkpoint::system_hash(system);
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let meter = seed.meter(budget);
-    let header = || RunHeader::of(options, sys_hash);
-    let store = WsStore {
-        shards: Striped::new(WsShard::default),
-        mask: options.mask(),
-        mode: options.mode,
-        meter: &meter,
-    };
-
-    let mut init_pids: Vec<Pid> = Vec::new();
-    let mut banked: Vec<Vec<EdgeRecord>> = Vec::new();
-    let mut init_cut: Option<ExhaustReason> = None;
-    let frontier_seed: Vec<Pid>;
-    let mut buf: Vec<u8> = Vec::new();
-    match seed {
-        Seed::Resume(snap) => {
-            // Resume: seed the shards with the snapshot arena in
-            // canonical order (reproducing first-id-wins fingerprint
-            // dedup) and turn the snapshot's edges into one
-            // pre-recorded run vector — the canonical replay cannot
-            // tell banked work from new work.
-            let graph = snap.graph();
-            let pid_of: Vec<Pid> = graph
-                .states()
-                .iter()
-                .map(|s| match store.intern_state(s, layout, &mut buf, false) {
-                    Ok((p, _)) => p,
-                    Err(_) => unreachable!("uncharged interns are never cut"),
-                })
-                .collect();
-            init_pids = graph.init().iter().map(|&i| pid_of[i]).collect();
-            let mut records: Vec<EdgeRecord> = Vec::with_capacity(graph.edge_count());
-            for (id, &parent) in pid_of.iter().enumerate() {
-                for e in graph.edges(id) {
-                    records.push((parent, e.action as u32, pid_of[e.target]));
-                }
-            }
-            if !records.is_empty() {
-                banked.push(records);
-            }
-            frontier_seed = snap.frontier.iter().map(|&i| pid_of[i]).collect();
-        }
-        Seed::Fresh(states) => {
-            // Initial states intern sequentially so their canonical
-            // order is the enumeration order, as in every engine.
-            let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
-            for s in &states {
-                match store.intern_state(s, layout, &mut buf, true) {
-                    Ok((p, true)) => init_pids.push(p),
-                    Ok((_, false)) => {}
-                    Err(reason) => {
-                        init_cut = Some(reason);
-                        break;
-                    }
-                }
-            }
-            frontier_seed = init_pids.clone();
-        }
-    }
-
-    let exhausted_in_init = init_cut.is_some();
-    // A periodic checkpoint at a pause: as the exhaustion snapshot
-    // below, but the run then goes on with everything it has.
-    let mut checkpoint_at_pause = |records: &[Vec<EdgeRecord>], pending: &[Pid]| {
-        let shards: Vec<_> = store.shards.iter_locked().collect();
-        let replay = canonical(&shards, layout, threads, records, &init_pids);
-        rolled_back_snapshot(&mut ck, &budget.recorder, &replay, pending, header());
-        ck.active()
-    };
-    let epochs = budget.checkpoint.as_ref().map(|spec| Epochs {
-        cadence: spec.cadence,
-        snapshot: &mut checkpoint_at_pause,
-    });
-    let fault = options.worker_panic;
-    let x = RamPacked {
-        store: &store,
-        compiled: &compiled,
-        layout,
-    };
-    let WsRun {
-        records,
-        pending,
-        reason,
-    } = run_workers(
-        &meter,
-        threads,
-        fault,
-        frontier_seed,
-        init_cut,
-        banked,
-        epochs,
-        &x,
-    )?;
-
-    let renumber_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
-    let shards: Vec<_> = store.shards.iter_locked().collect();
-    let replay = canonical(&shards, layout, threads, &records, &init_pids);
-
-    // Exhaustion snapshot at the quiescent point: the shared rollback
-    // cut lands on the deepest consistent level boundary of the
-    // *canonical* graph — the cut is computed on replay depths, not on
-    // the nondeterministic discovery order.
-    let (snapshot, resume_token) = match reason {
-        Some(_) if !exhausted_in_init => {
-            rolled_back_snapshot(&mut ck, &budget.recorder, &replay, &pending, header())
-        }
-        _ => (None, None),
-    };
-    let Replay { canon, graph, .. } = replay;
-    drop(renumber_phase);
-    Ok(parallel_exploration(
-        graph,
-        reason,
-        pending,
-        &canon,
-        snapshot,
-        resume_token,
-    ))
 }

@@ -16,9 +16,9 @@ use opentla_kernel::{Substitution, Vars};
 #[derive(Clone, Debug, Default)]
 pub struct CompositionOptions {
     /// How the complete system is explored: engine, thread count,
-    /// visited-set mode, memory budget, and the `max_states` limit
-    /// (which narrows [`CompositionOptions::budget`]). The default
-    /// resolves to the sequential in-RAM engine unless the
+    /// visited-set mode and memory budget. Its `max_states` is ignored:
+    /// [`CompositionOptions::budget`] governs the exploration too. The
+    /// default resolves to the sequential in-RAM engine unless the
     /// `OPENTLA_EXPLORE_THREADS` / `OPENTLA_MEM_BUDGET` overrides say
     /// otherwise.
     pub explore: ExploreOptions,
@@ -216,16 +216,11 @@ fn build_certificate(
     let mut members: Vec<&ComponentSpec> = vec![target_env];
     members.extend(guarantees.iter().copied());
     let product = closed_product(problem.vars, &members)?;
-    // The legacy `explore.max_states` option narrows the budget, so old
-    // call sites keep their limit while gaining graceful degradation.
-    let budget = if options.explore.max_states < options.budget.max_states {
-        options.budget.clone().states(options.explore.max_states)
-    } else {
-        options.budget.clone()
-    };
+    // The budget alone governs, as in every engine run below.
+    let budget = &options.budget;
     let rec = budget.recorder.clone();
     let _phase = opentla_check::obs::PhaseGuard::enter(&rec, opentla_check::obs::Phase::Compose);
-    let exploration = explore_governed_with(&product, &budget, &options.explore)?;
+    let exploration = explore_governed_with(&product, budget, &options.explore)?;
     let graph = &exploration.graph;
 
     let mut obligations = Vec::new();
@@ -284,13 +279,8 @@ fn build_certificate(
     // --- hypothesis 1: C(E) ∧ ∧ C(M_j) ⇒ E_i ------------------------------
     let empty = Substitution::default();
     for ag in &problem.components {
-        let run = check_simulation_governed(
-            &product,
-            graph,
-            &ag.env().safety_formula(),
-            &empty,
-            &budget,
-        )?;
+        let run =
+            check_simulation_governed(&product, graph, &ag.env().safety_formula(), &empty, budget)?;
         obligations.push(Obligation {
             id: format!("H1[{}]", ag.env().name()),
             description: format!(
@@ -343,7 +333,7 @@ fn build_certificate(
         graph,
         &target_sys.safety_formula(),
         &images,
-        &budget,
+        budget,
     )?;
     obligations.push(Obligation {
         id: "H2a".into(),
@@ -378,7 +368,7 @@ fn build_certificate(
                     problem.mapping.clone(),
                 ),
                 &images,
-                &budget,
+                budget,
             )?;
             obligations.push(Obligation {
                 id: format!("H2b/fairness[{i}]"),
@@ -704,6 +694,30 @@ mod tests {
         .unwrap();
         assert!(cert.holds(), "{}", cert.display(&vars));
         assert_eq!(cert.obligations.len(), 6);
+    }
+
+    /// `explore.max_states` (default 10⁶) does not cap a certificate:
+    /// a product larger than it is proved under the default, unlimited
+    /// budget, which alone governs the exploration.
+    #[test]
+    fn explore_max_states_does_not_cap_a_certificate() {
+        let (vars, ag_c, ag_d, target) = fig1_safety_setup();
+        let problem = CompositionProblem {
+            vars: &vars,
+            components: vec![&ag_c, &ag_d],
+            target: &target,
+            mapping: Substitution::default(),
+        };
+        let options = CompositionOptions {
+            explore: ExploreOptions {
+                max_states: 0,
+                ..ExploreOptions::default()
+            },
+            ..CompositionOptions::default()
+        };
+        let cert = compose(&problem, &options).unwrap();
+        assert!(cert.decided() && cert.holds(), "{}", cert.display(&vars));
+        assert!(cert.product_states > options.explore.max_states);
     }
 
     #[test]

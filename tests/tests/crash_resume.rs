@@ -10,10 +10,11 @@ use std::sync::Arc;
 
 use opentla_check::{
     explore_escalating, explore_governed_with, explore_resumable, resume_exploration, Budget,
-    Canonicalize, CheckError, CheckpointError, CountingRecorder, Exploration, ExploreOptions,
-    GuardedAction, Init, Outcome, RecorderHandle, Reduction, SlotPermutations, Snapshot, System,
-    VisitedMode, WorkerPanic, DEFAULT_CHECKPOINT_CADENCE,
+    Canonicalize, CheckError, CheckpointError, CountingRecorder, Engine, Exploration,
+    ExploreOptions, GuardedAction, Init, Outcome, RecorderHandle, Reduction, SlotPermutations,
+    Snapshot, System, VisitedMode, WorkerPanic, DEFAULT_CHECKPOINT_CADENCE,
 };
+use opentla_kernel::store::fnv1a;
 use opentla_kernel::{Domain, Expr, State, Value, VarId, Vars};
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, Mutex, TokenRing};
@@ -1124,4 +1125,165 @@ fn corrupted_spill_segment_is_typed_error() {
     assert!(matches!(err, CheckError::Checkpoint(_)));
 
     remove_spill_artifacts(&path);
+}
+
+// ---------------------------------------------------------------------
+// Every plan's snapshot under every plan, and mutated snapshots
+// ---------------------------------------------------------------------
+
+/// The four plans, as `(name, engine, workers, memory budget)`: the
+/// sequential loop in RAM and under an 8 KiB budget, and the
+/// work-stealing engine over its in-RAM and its disk-backed store.
+type PlanSpec = (&'static str, Engine, usize, Option<usize>);
+
+const PLANS: [PlanSpec; 4] = [
+    ("sequential", Engine::Auto, 1, None),
+    ("spill", Engine::SpillBfs, 1, Some(8 << 10)),
+    ("ws", Engine::WorkStealing, 2, None),
+    ("spill-ws", Engine::SpillWs, 2, Some(8 << 10)),
+];
+
+fn plan_options(
+    (_, engine, workers, mem_budget_bytes): PlanSpec,
+    mode: VisitedMode,
+) -> ExploreOptions {
+    ExploreOptions {
+        mode,
+        engine,
+        threads: Some(workers),
+        mem_budget_bytes,
+        ..ExploreOptions::default()
+    }
+}
+
+/// Any plan resumes any plan's snapshot: chain3, cut at 2/5 of its
+/// states under a checkpoint spec by each plan in both visited modes,
+/// and each file resumed under each plan, completes to the
+/// uninterrupted graph and reports the uninterrupted run's totals.
+#[test]
+fn every_plan_resumes_every_plans_snapshot() {
+    let system = QueueChain::new(3, 1, 2, FairnessStyle::Joint)
+        .complete_system()
+        .unwrap();
+    for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
+        let reference = run_unlimited(&system, &options(1, mode, Reduction::none(), 64)).graph;
+        let cut = Budget::default().states(reference.len() * 2 / 5);
+        for writer in PLANS {
+            let path = snap_path("every_plan");
+            remove_spill_artifacts(&path);
+            let interrupted = explore_resumable(
+                &system,
+                &cut.clone().with_checkpoint(&path, 64),
+                &plan_options(writer, mode),
+            )
+            .expect("the interrupted run succeeds");
+            assert!(interrupted.outcome.resume_token().is_some(), "{}", writer.0);
+            let snap = Snapshot::load(&path).expect("the written snapshot loads");
+            for reader in PLANS {
+                let label = format!("{mode:?}: {} -> {}", writer.0, reader.0);
+                let recorder = Arc::new(CountingRecorder::new());
+                let budget =
+                    Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone()));
+                let resumed =
+                    resume_exploration(&system, &budget, &plan_options(reader, mode), &snap)
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                assert!(resumed.outcome.is_complete(), "{label}");
+                assert_eq!(reference.first_difference(&resumed.graph), None, "{label}");
+                assert_eq!(
+                    (recorder.states(), recorder.transitions()),
+                    (reference.len() as u64, reference.edge_count() as u64),
+                    "{label}"
+                );
+            }
+            remove_spill_artifacts(&path);
+        }
+    }
+}
+
+/// Mutation fuzz over real snapshots of chain2, written by the in-RAM
+/// sequential store, the disk-backed one (8 KiB: sealed segments go in
+/// by reference) and the work-stealing engine at 2 workers. Each case
+/// applies seeded byte flips, overwrites, inserts and deletes to the
+/// body, re-stamps the FNV-1a trailer so the checksum passes, and
+/// resumes the file (`explore_resumable` loads it) under a deadline on
+/// one of the four plans, in a thread of its own. It must end in a
+/// typed error or a finished run: a panic fails the test with its
+/// seed, and so does a case still running after the grace period.
+#[test]
+fn mutated_snapshots_end_in_a_typed_error_or_a_finished_run() {
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
+    const CASES: u64 = 300;
+    let system = QueueChain::new(2, 1, 2, FairnessStyle::Joint)
+        .complete_system()
+        .unwrap();
+    let total = run_unlimited(
+        &system,
+        &options(1, VisitedMode::Fingerprint, Reduction::none(), 64),
+    )
+    .graph
+    .len();
+    for (source, writer) in PLANS[..3].iter().copied().enumerate() {
+        let written = snap_path("fuzz_source");
+        remove_spill_artifacts(&written);
+        explore_resumable(
+            &system,
+            &Budget::default()
+                .states(total / 2)
+                .with_checkpoint(&written, 64),
+            &plan_options(writer, VisitedMode::Fingerprint),
+        )
+        .expect("the source run succeeds");
+        let file = std::fs::read(&written).expect("the source snapshot");
+        let (magic, body) = (&file[..8], &file[8..file.len() - 8]);
+        for case in 0..CASES {
+            let seed = (source as u64) << 32 | case;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut mutated = body.to_vec();
+            for _ in 0..rng.gen_range(1..=4usize) {
+                let at = rng.gen_range(0..mutated.len());
+                // In place three times in four: an insert or a delete
+                // shifts every length prefix after it, so most such
+                // files stop at the first one.
+                match rng.gen_range(0..8u8) {
+                    0..=2 => mutated[at] ^= 1 << rng.gen_range(0..8u32),
+                    3..=5 => mutated[at] = rng.gen_range(0..=255u8),
+                    6 => mutated.insert(at, rng.gen_range(0..=255u8)),
+                    _ => drop(mutated.remove(at)),
+                }
+            }
+            let path = snap_path("fuzz_case");
+            let checksum = fnv1a(&mutated).to_le_bytes();
+            std::fs::write(&path, [magic, &mutated, &checksum].concat()).unwrap();
+            let reader = PLANS[(case % 4) as usize];
+            let (system, opts, at) = (
+                system.clone(),
+                plan_options(reader, VisitedMode::Fingerprint),
+                path.clone(),
+            );
+            // The case's thread says when it ends; a panic drops the
+            // sender unsent. Only a hung case is left unjoined.
+            let (done, ended) = std::sync::mpsc::channel();
+            let case = std::thread::spawn(move || {
+                let budget = Budget::unlimited()
+                    .with_deadline(Duration::from_secs(2))
+                    .with_checkpoint(&at, u64::MAX);
+                let typed_error_or_run = explore_resumable(&system, &budget, &opts).map(drop);
+                let _ = done.send(());
+                typed_error_or_run
+            });
+            let what = format!(
+                "seed {seed:#x}: a {} snapshot resumed on {}",
+                writer.0, reader.0
+            );
+            match ended.recv_timeout(Duration::from_secs(30)) {
+                Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+                    assert!(case.join().is_ok(), "{what} panicked")
+                }
+                Err(RecvTimeoutError::Timeout) => panic!("{what} did not finish"),
+            }
+            remove_spill_artifacts(&path);
+        }
+        remove_spill_artifacts(&written);
+    }
 }

@@ -1,7 +1,7 @@
 //! Edge cases and error paths of the public API, end to end.
 
 use opentla::{compose, AgSpec, ComponentSpec, CompositionOptions, CompositionProblem, SpecError};
-use opentla_check::{CheckError, ExploreOptions, GuardedAction, Init};
+use opentla_check::{Budget, CheckError, ExploreOptions, GuardedAction, Init};
 use opentla_kernel::{Domain, Expr, Substitution, Value, Vars};
 use opentla_scenarios::Fig1;
 
@@ -9,7 +9,8 @@ use opentla_scenarios::Fig1;
 fn state_limit_surfaces_through_compose() {
     // A starved exploration no longer aborts `compose` with an error:
     // it degrades to an honest UNDECIDED certificate recording the
-    // exhaustion, from which `escalate` can recover.
+    // exhaustion, from which `escalate` can recover. The budget starves
+    // it: `explore.max_states` does not narrow a certificate's.
     let w = Fig1::new();
     let ag_c = w.ag_c().unwrap();
     let ag_d = w.ag_d().unwrap();
@@ -21,10 +22,7 @@ fn state_limit_surfaces_through_compose() {
         mapping: Substitution::default(),
     };
     let options = CompositionOptions {
-        explore: ExploreOptions {
-            max_states: 0,
-            ..ExploreOptions::default()
-        },
+        budget: Budget::default().states(0),
         ..CompositionOptions::default()
     };
     let cert = compose(&problem, &options).expect("exhaustion is not an error");

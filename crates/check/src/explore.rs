@@ -2,18 +2,18 @@
 //!
 //! Every entry point resolves its [`ExploreOptions`] — and the
 //! `OPENTLA_EXPLORE_THREADS` / `OPENTLA_MEM_BUDGET` overrides — once
-//! into one of four plans (`plan.rs`): two engines, each over a RAM and
-//! a disk-backed form of its store — the sequential loop over one store
-//! in its two bodies, the work-stealing engine over two stores.
+//! into one of four plans (`plan.rs`): two engines, each over one store
+//! without and with a memory budget.
 //!
-//! | plan (`RunStart.engine`) | engine             | states, edges, dedup index                                |
-//! |--------------------------|--------------------|-----------------------------------------------------------|
-//! | `explore_sequential`     | `seq::explore_seq` | `seq::Store`, no budget: a [`StateGraph`], one index      |
-//! | `explore_spill`          | `seq::explore_seq` | `seq::Store`, budgeted: the same until its records        |
-//! |                          |                    | fill a segment, then segment files, two-tier index        |
-//! | `explore_parallel_ws`    | `ws::explore_ws`   | `ws::Shards`: striped packed arenas in RAM, striped index |
-//! | `explore_spill_ws`       | `ws::explore_ws`   | `spill_ws::SpillWsStore`: shared segment files, striped   |
-//! |                          |                    | two-tier index                                            |
+//! | plan (`RunStart.engine`) | engine             | states, edges, dedup index                               |
+//! |--------------------------|--------------------|----------------------------------------------------------|
+//! | `explore_sequential`     | `seq::explore_seq` | `seq::Store`, no budget: a [`StateGraph`], one index     |
+//! | `explore_spill`          | `seq::explore_seq` | `seq::Store`, budgeted: the same until its records       |
+//! |                          |                    | fill a segment, then segment files, two-tier index       |
+//! | `explore_parallel_ws`    | `ws::explore_ws`   | `stripes::Store`, no budget: 64 stripes, each an index   |
+//! |                          |                    | and a packed arena in RAM                                |
+//! | `explore_spill_ws`       | `ws::explore_ws`   | `stripes::Store`, budgeted: each stripe's arena segment  |
+//! |                          |                    | files, its index two-tier; shared edge segment files     |
 //!
 //! Every plan ends in one [`StateGraph`] (`graph.rs`, the only code
 //! that knows its layout): states, edges and the BFS tree. The dedup
@@ -33,7 +33,7 @@
 //! The sequential loop is the reference implementation: plain BFS over
 //! the compiled successor stepper ([`crate::CompiledSystem`]). The
 //! work-stealing engine — one driver, one scheduler and one packed
-//! expansion over either store — records `(parent, action, child)`
+//! expansion over one striped store — records `(parent, action, child)`
 //! edges under provisional ids and finishes with a deterministic
 //! renumbering pass that replays the discovery order sequentially, so
 //! on complete runs every plan's result is **byte-identical**: same
@@ -70,14 +70,14 @@ use std::sync::{Mutex, PoisonError};
 // structurally sound — the worker's in-flight *records* are rolled
 // back separately by the scheduler's panic isolation. Propagating the
 // poison would instead turn one worker's bug into a whole-run abort.
-use crate::sync::{lock, Striped, NUM_SHARDS};
+use crate::sync::{lock, NUM_SHARDS};
 
 mod graph;
 mod index;
 mod plan;
 mod seq;
 mod spill;
-mod spill_ws;
+mod stripes;
 mod ws;
 
 pub use graph::{Edge, GraphStats, StateGraph};
@@ -198,17 +198,16 @@ pub enum Engine {
     /// [`VisitedMode`]s. Selecting it explicitly forces the spill path
     /// even without a [`ExploreOptions::mem_budget_bytes`] budget.
     SpillBfs,
-    /// The parallel bounded-memory plan: the work-stealing engine of
-    /// [`Engine::WorkStealing`] over a store built from the disk-backed
-    /// tiers of [`Engine::SpillBfs`]. The hot fingerprint tier is sharded
-    /// across the same 64 lock stripes as the in-RAM visited set, each
-    /// shard draining to shared sorted fingerprint runs at a
-    /// deterministic threshold; arena and edge records funnel through
-    /// shared sealed-segment writers. Completed graphs are
-    /// byte-identical to [`Engine::SpillBfs`] and to the sequential
-    /// loop in both [`VisitedMode`]s. Selecting it explicitly forces
-    /// the parallel spill path even without a budget; states that do
-    /// not pack run [`Engine::SpillBfs`] instead.
+    /// The parallel bounded-memory plan: the work-stealing engine and
+    /// store of [`Engine::WorkStealing`], the store's 64 lock stripes
+    /// each keeping its index and arena in the disk-backed tiers of
+    /// [`Engine::SpillBfs`] — a hot fingerprint tier draining to sorted
+    /// runs at a deterministic threshold, an arena of sealed segments —
+    /// and settled edge runs going to one shared sealed-segment writer.
+    /// Completed graphs are byte-identical to [`Engine::SpillBfs`] and
+    /// to the sequential loop in both [`VisitedMode`]s. Selecting it
+    /// explicitly forces the parallel spill path even without a budget;
+    /// states that do not pack run [`Engine::SpillBfs`] instead.
     SpillWs,
 }
 
@@ -481,13 +480,8 @@ fn explore_dispatch(
             .expect("a work-stealing plan starts over a packed layout"),
         meter: seed.meter(budget),
     };
-    match mem_budget {
-        None => ws::explore_ws(system, budget, &run, seed, &ws::Shards::new(&run)),
-        Some(mem_budget) => {
-            let store = spill_ws::SpillWsStore::create(&run, mem_budget)?;
-            ws::explore_ws(system, budget, &run, seed, &store)
-        }
-    }
+    let store = stripes::Store::new(&run, mem_budget).map_err(checkpoint::CheckpointError::from)?;
+    ws::explore_ws(system, budget, &run, seed, &store)
 }
 
 /// Brackets an engine dispatch in [`Event::RunStart`] /
@@ -637,11 +631,11 @@ fn seq_exhaustion_snapshot(
 
 // ---------------------------------------------------------------------
 // The work-stealing engine's provisional ids, canonical replay and
-// rollback cut, which its stores share
+// rollback cut
 // ---------------------------------------------------------------------
 
 /// Provisional state id used during parallel exploration:
-/// `shard << 32 | index within the shard's arena`. Renumbering maps
+/// `stripe << 32 | index within the stripe's arena`. Renumbering maps
 /// these to canonical sequential indices afterwards.
 type Pid = u64;
 
@@ -696,7 +690,7 @@ impl Replay {
 /// complete run.
 fn replay_records(
     arena_lens: &[usize],
-    all_edges: &[Vec<ws::EdgeRecord>],
+    all_edges: &[&[ws::EdgeRecord]],
     init_pids: &[Pid],
     materialize: impl FnOnce(&[Pid]) -> Vec<State>,
 ) -> Replay {

@@ -484,11 +484,7 @@ impl<'a> Store<'a> {
             // The fingerprinted hot path: one probe, and only
             // genuinely new states are constructed and recorded.
             VisitedMode::Fingerprint => {
-                match self
-                    .visited
-                    .fp_entry(key, |_| Ok(true), admit)?
-                    .noted(meter)
-                {
+                match self.visited.fp_entry(key, |_| Ok(true), admit, meter)? {
                     (_, true) => make(),
                     found => return Ok(found),
                 }
@@ -501,7 +497,7 @@ impl<'a> Store<'a> {
                 let state = make();
                 let (body, layout, buf) = (&mut self.body, self.layout.as_ref(), &mut self.rec_buf);
                 let same = |cand| Ok(body.entry(cand, layout, buf)?.0 == state);
-                match self.visited.fp_entry(key, same, admit)?.noted(meter) {
+                match self.visited.fp_entry(key, same, admit, meter)? {
                     (_, true) => state,
                     found => return Ok(found),
                 }
@@ -604,7 +600,7 @@ impl<'a> Store<'a> {
         let (meter, header) = (self.meter, self.header());
         let frontier = (exhausted.is_some() && resumable).then_some(&*queue.make_contiguous());
         if let Body::Disk { arena, edges, .. } = &self.body {
-            spill::note_cache_stats(meter, arena, edges);
+            spill::note_cache_stats(meter, [arena, edges]);
         }
         // On disk, under a checkpoint spec (which keeps the directory),
         // the exhaustion snapshot references the sealed segments like

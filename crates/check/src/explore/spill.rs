@@ -1,6 +1,6 @@
 //! The disk tiers a memory budget buys, shared by the two budgeted
 //! stores — the sequential store's `Disk` body ([`super::seq`]) and the
-//! parallel spill engine ([`super::spill_ws`]):
+//! work-stealing engine's store under a budget ([`super::stripes`]):
 //!
 //! * how one byte budget splits across them ([`Tuning`]);
 //! * the **state arena** and **edge lists** as append-only
@@ -18,13 +18,13 @@ use crate::checkpoint::CheckpointSpec;
 use crate::obs::Event;
 use crate::sync::lock;
 use crate::VisitedMode;
-use opentla_kernel::store::{FingerprintRun, SegmentMeta, SegmentStore, StoreError};
+use opentla_kernel::store::{CacheStats, FingerprintRun, SegmentMeta, SegmentStore, StoreError};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// How one memory budget splits across the engine's tiers (shared
-/// with the parallel spill engine, which divides the visited-tier
-/// shares across its shards).
+/// How one memory budget splits across a store's tiers (shared with
+/// the work-stealing engine's store, which divides every share but the
+/// edge store's across its stripes).
 pub(super) struct Tuning {
     /// Seal threshold for both segment stores.
     pub(super) seg_target: usize,
@@ -84,39 +84,25 @@ impl Filter {
     }
 }
 
-/// One sealed spill emission, for meter accounting and the `spill`
-/// observability event.
-pub(super) struct SpillInfo {
-    pub(super) tier: &'static str,
-    pub(super) seq: u64,
-    pub(super) records: u64,
-    pub(super) bytes: u64,
-}
-
-pub(super) fn note_spill(meter: &Meter, info: &SpillInfo) {
-    meter.add_spilled_bytes(info.bytes);
+/// Accounts one spill — a sealed segment, or a drained fingerprint run
+/// — of `records` in `bytes`, the `seq`-th of its `tier` (of its
+/// stripe, for the work-stealing store's arenas), and reports it as a
+/// `spill` event.
+fn note_spill(meter: &Meter, tier: &'static str, seq: u64, records: u64, bytes: u64) {
+    meter.add_spilled_bytes(bytes);
     let rec = meter.recorder();
     if rec.enabled() {
         rec.record(&Event::Spill {
-            tier: info.tier,
-            seq: info.seq,
-            records: info.records,
-            bytes: info.bytes,
+            tier,
+            seq,
+            records,
+            bytes,
             total_spilled_bytes: meter.spilled_bytes(),
         });
     }
 }
 
-pub(super) fn seal_info(tier: &'static str, store: &SegmentStore, meta: &SegmentMeta) -> SpillInfo {
-    SpillInfo {
-        tier,
-        seq: store.sealed().len() as u64 - 1,
-        records: meta.records,
-        bytes: meta.file_len(),
-    }
-}
-
-/// Appends one record to the sequential store's `tier`, reporting the
+/// Appends one record to a budgeted store's `tier`, reporting the
 /// segment it seals, if any.
 pub(super) fn append(
     meter: &Meter,
@@ -125,7 +111,8 @@ pub(super) fn append(
     record: &[u8],
 ) -> Result<(), StoreError> {
     if let Some(meta) = store.append(record)? {
-        note_spill(meter, &seal_info(tier, store, &meta));
+        let seq = store.sealed().len() as u64 - 1;
+        note_spill(meter, tier, seq, meta.records, meta.file_len());
     }
     Ok(())
 }
@@ -191,31 +178,6 @@ pub(super) struct SpillVisited {
     probe: Vec<u64>,
 }
 
-/// What [`SpillVisited::fp_entry`] did with the key.
-pub(super) enum FpEntry {
-    /// The state was already recorded, in either tier, under this id.
-    Found(usize),
-    /// A full miss, admitted and recorded under this id; carries the
-    /// accounting of the drain the insert triggered, if any.
-    Inserted(usize, Option<SpillInfo>),
-}
-
-impl FpEntry {
-    /// `(id, whether it is new)`, the drain an insert triggered
-    /// reported to `meter`.
-    pub(super) fn noted(self, meter: &Meter) -> (usize, bool) {
-        match self {
-            FpEntry::Found(id) => (id, false),
-            FpEntry::Inserted(id, spilled) => {
-                if let Some(info) = spilled {
-                    note_spill(meter, &info);
-                }
-                (id, true)
-            }
-        }
-    }
-}
-
 impl SpillVisited {
     /// A set that never drains — no budget, so no directory: every
     /// lookup is the one hot-tier probe.
@@ -256,26 +218,26 @@ impl SpillVisited {
         meter: &Meter,
     ) -> Result<(), StoreError> {
         let trust = mode == VisitedMode::Fingerprint;
-        self.fp_entry(key, |_| Ok::<_, StoreError>(trust), || Ok(id))?
-            .noted(meter);
+        self.fp_entry(key, |_| Ok::<_, StoreError>(trust), || Ok(id), meter)?;
         Ok(())
     }
 
     /// Lookup-or-insert across both tiers — the engines' innermost
-    /// dedup operation; in fingerprint mode (`same` trusts every hit)
-    /// it is one hot-tier hash probe, cost-matched to the in-RAM
-    /// store's. `same(id)` says whether the probe state is the one
-    /// recorded under `id`. On a full miss `admit` decides admission:
-    /// `Ok(id)` (the meter charged, the id allocated) records `id`
-    /// under `key`; `Err` leaves the set untouched — the budget cut
-    /// happens *before* the insert, exactly like the in-RAM store.
+    /// dedup operation, `(id, whether it is new)`; in fingerprint mode
+    /// (`same` trusts every hit) it is one hot-tier hash probe.
+    /// `same(id)` says whether the probe state is the one recorded
+    /// under `id`. On a full miss `admit` decides admission: `Ok(id)`
+    /// (the meter charged, the id allocated) records `id` under `key`;
+    /// `Err` leaves the set untouched — the budget cut happens *before*
+    /// the insert. A drain the insert triggers is reported to `meter`.
     #[inline]
     pub(super) fn fp_entry<E: From<StoreError>, S: FnMut(usize) -> Result<bool, E>>(
         &mut self,
         key: u64,
         same: S,
         admit: impl FnOnce() -> Result<usize, E>,
-    ) -> Result<FpEntry, E> {
+        meter: &Meter,
+    ) -> Result<(usize, bool), E> {
         let SpillVisited {
             hot,
             runs,
@@ -298,22 +260,19 @@ impl SpillVisited {
             }
             Ok(None)
         };
-        match hot.intern(key, same, spilled, admit)? {
-            (id, false) => Ok(FpEntry::Found(id)),
-            (id, true) => {
-                self.hot_len += 1;
-                let drained = self.hot_len >= self.hot_cap;
-                Ok(FpEntry::Inserted(
-                    id,
-                    drained.then(|| self.drain_hot()).transpose()?,
-                ))
+        let hit = hot.intern(key, same, spilled, admit)?;
+        if hit.1 {
+            self.hot_len += 1;
+            if self.hot_len >= self.hot_cap {
+                self.drain_hot(meter)?;
             }
         }
+        Ok(hit)
     }
 
     /// Drains the hot tier into a sorted run file, setting the filter
     /// bits of every drained key.
-    fn drain_hot(&mut self) -> Result<SpillInfo, StoreError> {
+    fn drain_hot(&mut self, meter: &Meter) -> Result<(), StoreError> {
         let filter = self
             .filter
             .get_or_insert_with(|| Filter::new(self.filter_bytes));
@@ -331,14 +290,9 @@ impl SpillVisited {
             (seq, names.dir.join(format!("visited-{seq:05}.run")))
         };
         let run = FingerprintRun::write(&path, &entries)?;
-        let info = SpillInfo {
-            tier: "visited",
-            seq,
-            records: entries.len() as u64,
-            bytes: run.bytes(),
-        };
+        note_spill(meter, "visited", seq, entries.len() as u64, run.bytes());
         self.runs.push(run);
-        Ok(info)
+        Ok(())
     }
 }
 
@@ -387,17 +341,26 @@ impl Drop for SpillDir {
     }
 }
 
-/// Emits the run's segment-cache totals, for both spill engines.
-pub(super) fn note_cache_stats(meter: &Meter, arena: &SegmentStore, edges: &SegmentStore) {
+/// Emits a run's segment-cache totals, summed over its `stores`, for
+/// both budgeted stores.
+pub(super) fn note_cache_stats<'s>(
+    meter: &Meter,
+    stores: impl IntoIterator<Item = &'s SegmentStore>,
+) {
     let rec = meter.recorder();
     if rec.enabled() {
-        let a = arena.cache_stats();
-        let e = edges.cache_stats();
+        let mut sum = CacheStats::default();
+        for c in stores.into_iter().map(SegmentStore::cache_stats) {
+            sum.hits += c.hits;
+            sum.misses += c.misses;
+            sum.evictions += c.evictions;
+            sum.resident_bytes += c.resident_bytes;
+        }
         rec.record(&Event::CacheStats {
-            hits: a.hits + e.hits,
-            misses: a.misses + e.misses,
-            evictions: a.evictions + e.evictions,
-            resident_bytes: a.resident_bytes + e.resident_bytes,
+            hits: sum.hits,
+            misses: sum.misses,
+            evictions: sum.evictions,
+            resident_bytes: sum.resident_bytes,
             spilled_bytes: meter.spilled_bytes(),
         });
     }

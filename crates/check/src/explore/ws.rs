@@ -1,10 +1,9 @@
 //! The work-stealing engine ([`Engine::WorkStealing`](super::Engine::WorkStealing)
 //! and [`Engine::SpillWs`](super::Engine::SpillWs)): one driver
 //! ([`explore_ws`]) runs one scheduler ([`run_workers`]) over one packed
-//! expansion, generic over a [`WsStore`] — the in-RAM striped arenas
-//! below ([`Shards`]), or the disk-backed segment stores of
-//! [`super::spill_ws`]. The store is the only difference between the two
-//! plans.
+//! expansion and one store ([`super::stripes::Store`]), whose stripes
+//! keep their arenas in RAM, or on disk under a memory budget — the one
+//! difference between the two plans.
 //!
 //! * **Per-worker deques, work stealing.** Each worker owns a deque of
 //!   discovered-but-unexpanded states. It pops from the front of its
@@ -19,7 +18,7 @@
 //!   nothing to claim spin-yield until `in_flight == 0`, which proves
 //!   global exhaustion.
 //! * **Packed states.** States are fixed-width packed byte runs
-//!   ([`PackedLayout`]) in either store: the expansion copies a
+//!   ([`PackedLayout`]) in either arena: the expansion copies a
 //!   parent's bytes out, evaluates guards and updates against them
 //!   unpacked into a *reused* `Vec<Value>`
 //!   ([`CompiledSystem::for_each_successor_values`]), derives each
@@ -27,14 +26,14 @@
 //!   hands the store the child's bytes to intern — no `Value` tree is
 //!   allocated on the hot path. A system whose states do not pack never
 //!   gets here: its plan settles on the sequential loop (`Plan::start`).
-//! * **Lock-striped dedup index.** Both stores shard their index by
+//! * **Lock-striped store.** The store shards its index and arenas by
 //!   fingerprint into [`NUM_SHARDS`] independently-locked stripes, so
 //!   interning scales with workers.
 //! * **Edges.** A worker pushes `(parent, action, child)` onto its own
 //!   records as it interns, and the store settles a fully expanded
-//!   parent's run: the in-RAM store keeps it there, the disk-backed one
-//!   appends it as one edge record and truncates it away. A parent the
-//!   budget cut short keeps its partial run in the records in both.
+//!   parent's run: in RAM it stays there, under a budget it leaves as
+//!   one edge record. A parent the budget cut short keeps its partial
+//!   run in the records either way.
 //!
 //! Determinism is recovered after the fact, not maintained during the
 //! run: the canonical renumbering replay ([`replay_records`]) of every
@@ -55,14 +54,14 @@
 //! (a quiescent point — all workers stopped), rolled back to the
 //! deepest consistent level boundary by the shared [`rollback_cut`],
 //! and resumable by any plan. When the budget arms periodic
-//! checkpoints and the store keeps its states in RAM
-//! ([`WsStore::IN_RAM`]), the run also goes in *epochs*: every
+//! checkpoints and no memory budget put the store on disk
+//! ([`Store::budgeted`]), the run also goes in *epochs*: every
 //! `cadence` claims the workers stop at a quiescent point, the driver
 //! snapshots the same way, and the run goes on from the pending states.
 //! Otherwise a run is one epoch.
 
-use super::index::FpIndex;
 use super::seq::{Seed, Stop};
+use super::stripes::Store;
 use super::*;
 use crate::checkpoint::CheckpointError;
 use opentla_kernel::{PackedLayout, Value, VarId};
@@ -170,7 +169,7 @@ struct Tally {
 }
 
 /// The worker loop: claim a parent, expand it, release it.
-fn work<S: WsStore>(sched: &Sched<'_>, x: &Packed<'_, S>, me: usize, tally: &mut Tally) {
+fn work(sched: &Sched<'_>, x: &Packed<'_>, me: usize, tally: &mut Tally) {
     let mut scratch = Scratch::default();
     // Children discovered while expanding the current parent, pushed
     // to the deque in one batch (one lock per parent, not per child).
@@ -260,8 +259,8 @@ type WsRun = (Vec<Vec<EdgeRecord>>, Vec<Pid>, Option<ExhaustReason>);
 /// that many claims for a `snapshot`: given every record so far and
 /// the pending pids, it says whether checkpointing is still healthy
 /// (an unhealthy run stops pausing).
-fn run_workers<S: WsStore>(
-    x: &Packed<'_, S>,
+fn run_workers(
+    x: &Packed<'_>,
     mut pending: Vec<Pid>,
     mut records: Vec<Vec<EdgeRecord>>,
     mut cadence: Option<u64>,
@@ -379,7 +378,7 @@ fn run_workers<S: WsStore>(
 }
 
 // ---------------------------------------------------------------------
-// The packed expansion, and what it asks of a store
+// The packed expansion
 // ---------------------------------------------------------------------
 
 /// What one work-stealing run is over, fixed from its seed to its
@@ -393,96 +392,31 @@ pub(super) struct Run<'a> {
     pub(super) meter: Meter,
 }
 
-/// Where a work-stealing run keeps its states, dedup index and settled
-/// edge runs — the one difference between the two parallel plans.
-/// States are named by provisional [`Pid`]s; every method but
-/// [`reseed`](Self::reseed) and [`replay`](Self::replay) is called by
-/// many workers at once.
-pub(super) trait WsStore: Sync {
-    /// One worker's buffers for the store's own use.
-    type Scratch: Default;
-    /// Whether states and settled runs live in RAM: then a paused run
-    /// replays cheaply, so periodic checkpoints run in epochs.
-    const IN_RAM: bool;
-
-    /// Copies `parent`'s packed bytes into `bytes`; returns its
-    /// unmasked fingerprint.
-    fn parent(
-        &self,
-        parent: Pid,
-        bytes: &mut Vec<u8>,
-        w: &mut Self::Scratch,
-    ) -> Result<u64, CheckError>;
-
-    /// Looks up or records the state with unmasked fingerprint `fp`
-    /// whose packed bytes `write` appends: its pid and whether it is
-    /// new. A genuinely new state is charged to the meter
-    /// *before* anything is recorded, so a [`Stop::Cut`] leaves the
-    /// store untouched. Fingerprint mode trusts a hit and writes the
-    /// bytes of a new state only; exact mode writes them first and
-    /// verifies every candidate under the key against its stored bytes
-    /// (packing is injective on in-domain states).
-    fn intern(
-        &self,
-        fp: u64,
-        write: impl FnOnce(&mut Vec<u8>),
-        w: &mut Self::Scratch,
-    ) -> Result<(Pid, bool), Stop>;
-
-    /// Settles `parent`'s run, `records[mark..]` (empty for a state
-    /// with no successor), now that it is fully expanded. By default
-    /// the run stays in the records.
-    fn settle(
-        &self,
-        _parent: Pid,
-        _records: &mut Vec<EdgeRecord>,
-        _mark: usize,
-        _w: &mut Self::Scratch,
-    ) -> Result<(), CheckError> {
-        Ok(())
-    }
-
-    /// Re-ingests state `id` of a resumed snapshot — called in id
-    /// order, meter-free (the meter is pre-charged) — from its packed
-    /// `bytes` and fingerprint. A masked-fingerprint
-    /// collision maps to the first occupant, the first-id-wins rule the
-    /// snapshot's canonical order encodes, so collision behavior
-    /// survives the round trip.
-    fn reseed(
-        &self,
-        id: usize,
-        fp: u64,
-        bytes: &[u8],
-        w: &mut Self::Scratch,
-    ) -> Result<Pid, CheckError>;
-
-    /// The canonical [`Replay`], from the initial pids `init`, of
-    /// `records` and every run the store settled away. Called with the
-    /// workers stopped.
-    fn replay(&self, records: &[Vec<EdgeRecord>], init: &[Pid]) -> Result<Replay, CheckError>;
-}
-
 /// One worker's reusable buffers. They live and die on the worker
 /// thread: an allocation that outlives its thread pins that thread's
 /// allocator arena, which shows up as a higher and run-to-run unstable
 /// peak RSS.
 #[derive(Default)]
-struct Scratch<T> {
+struct Scratch {
     eval: EvalScratch,
     parent: Vec<u8>,
     values: Vec<Value>,
     updates: Vec<(usize, u32)>,
-    store: T,
+    /// The store's: exact mode's probe bytes, a disk record, an edge
+    /// run being settled.
+    probe: Vec<u8>,
+    rec: Vec<u8>,
+    edges: Vec<Edge>,
 }
 
-/// The one packed expansion, over any store.
-struct Packed<'a, S> {
+/// The one packed expansion.
+struct Packed<'a> {
     run: &'a Run<'a>,
-    store: &'a S,
+    store: &'a Store<'a>,
     compiled: CompiledSystem<'a>,
 }
 
-impl<S: WsStore> Packed<'_, S> {
+impl Packed<'_> {
     /// Expands `parent`: charges each transition, interns each
     /// successor, pushes its edge onto `records` ([`trip`]ping `wire`
     /// after each) and every newly interned child onto `born`, then has
@@ -493,7 +427,7 @@ impl<S: WsStore> Packed<'_, S> {
     fn expand(
         &self,
         parent: Pid,
-        w: &mut Scratch<S::Scratch>,
+        w: &mut Scratch,
         records: &mut Vec<EdgeRecord>,
         born: &mut Vec<Pid>,
         wire: Tripwire<'_>,
@@ -508,9 +442,11 @@ impl<S: WsStore> Packed<'_, S> {
             parent: bytes,
             values,
             updates,
-            store: sw,
+            probe,
+            rec,
+            edges,
         } = w;
-        let parent_fp = store.parent(parent, bytes, sw)?;
+        let parent_fp = store.parent(parent, bytes, rec)?;
         let layout = run.layout;
         layout
             .try_unpack_into(bytes, values)
@@ -522,7 +458,7 @@ impl<S: WsStore> Packed<'_, S> {
             }
             let child_fp = packed_delta(layout, bytes, parent_fp, assignments, updates);
             let write = |out: &mut Vec<u8>| append_packed_child(layout, bytes, updates, out);
-            match store.intern(child_fp, write, sw) {
+            match store.intern(child_fp, write, true, probe, rec) {
                 Ok((child, is_new)) => {
                     if is_new {
                         born.push(child);
@@ -535,7 +471,9 @@ impl<S: WsStore> Packed<'_, S> {
             }
         })?;
         match stop {
-            None => store.settle(parent, records, mark, sw).map(|()| None),
+            None => store
+                .settle(parent, records, mark, edges, rec)
+                .map(|()| None),
             Some(Stop::Cut(reason)) => Ok(Some(reason)),
             Some(Stop::Fail(e)) => Err(e),
         }
@@ -590,41 +528,52 @@ fn append_packed_child(
 // ---------------------------------------------------------------------
 
 /// The work-stealing engine over `store`; see the module docs.
-pub(super) fn explore_ws<S: WsStore>(
+pub(super) fn explore_ws(
     system: &System,
     budget: &Budget,
     run: &Run<'_>,
     seed: Seed<'_>,
-    store: &S,
+    store: &Store<'_>,
 ) -> Result<Exploration, CheckError> {
     let sys_hash = checkpoint::system_hash(system);
     let header = || RunHeader::of(run.options, sys_hash);
     let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let (mut w, mut buf) = (S::Scratch::default(), Vec::new());
-    let pack = |s: &State, buf: &mut Vec<u8>| {
-        let ok = run.layout.pack_into(s.values(), buf);
+    let (mut w, mut buf) = (Scratch::default(), Vec::new());
+    // Interns a seed state: charged on a fresh run, meter-free on a
+    // resumed one (its meter is pre-charged).
+    let mut intern_seed = |s: &State, charged: bool| {
+        let ok = run.layout.pack_into(s.values(), &mut buf);
         debug_assert!(
             ok,
             "the plan settled on packed states: every seed state packs"
         );
+        let write = |out: &mut Vec<u8>| out.extend_from_slice(&buf);
+        store.intern(s.fingerprint(), write, charged, &mut w.probe, &mut w.rec)
     };
     let mut init: Vec<Pid> = Vec::new();
     let mut records: Vec<Vec<EdgeRecord>> = Vec::new();
     let mut init_cut: Option<ExhaustReason> = None;
     let seeded: Vec<Pid> = match seed {
         Seed::Resume(snap) => {
-            // Re-ingest the snapshot arena in canonical order, then
-            // settle each expanded state's edges as its run — the
-            // replay cannot tell banked work from new work.
+            // Re-ingest the snapshot arena in canonical order — a
+            // masked-fingerprint collision maps to the first occupant,
+            // the first-id-wins rule that order encodes — then settle
+            // each expanded state's edges as its run: the replay cannot
+            // tell banked work from new work.
             let graph = snap.graph();
             let mut pid_of: Vec<Pid> = Vec::with_capacity(graph.len());
-            for (id, s) in graph.states().iter().enumerate() {
-                pack(s, &mut buf);
-                pid_of.push(store.reseed(id, s.fingerprint(), &buf, &mut w)?);
+            for s in graph.states() {
+                match intern_seed(s, false) {
+                    Ok((p, _)) => pid_of.push(p),
+                    Err(Stop::Fail(e)) => return Err(e),
+                    Err(Stop::Cut(_)) => unreachable!("uncharged interns are never cut"),
+                }
             }
             // Only a store in RAM keeps the banked runs in the records.
-            let room = if S::IN_RAM { graph.edge_count() } else { 0 };
-            let mut banked: Vec<EdgeRecord> = Vec::with_capacity(room);
+            let mut banked: Vec<EdgeRecord> = Vec::new();
+            if !store.budgeted() {
+                banked.reserve(graph.edge_count());
+            }
             for (id, _, _, edges) in snap.records() {
                 let (Some(edges), parent) = (edges, pid_of[id]) else {
                     continue;
@@ -635,7 +584,7 @@ pub(super) fn explore_ws<S: WsStore>(
                         .iter()
                         .map(|e| (parent, e.action as u32, pid_of[e.target])),
                 );
-                store.settle(parent, &mut banked, mark, &mut w)?;
+                store.settle(parent, &mut banked, mark, &mut w.edges, &mut w.rec)?;
             }
             records.push(banked);
             init = graph.init().iter().map(|&i| pid_of[i]).collect();
@@ -646,9 +595,7 @@ pub(super) fn explore_ws<S: WsStore>(
             // order is the enumeration order, as in every plan.
             let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
             for s in &states {
-                pack(s, &mut buf);
-                let write = |out: &mut Vec<u8>| out.extend_from_slice(&buf);
-                match store.intern(s.fingerprint(), write, &mut w) {
+                match intern_seed(s, true) {
                     Ok((p, true)) => init.push(p),
                     Ok((_, false)) => {}
                     Err(Stop::Cut(reason)) => {
@@ -677,7 +624,7 @@ pub(super) fn explore_ws<S: WsStore>(
             let cadence = budget
                 .checkpoint
                 .as_ref()
-                .filter(|_| S::IN_RAM)
+                .filter(|_| !store.budgeted())
                 .map(|spec| spec.cadence);
             // A periodic checkpoint at a pause: as the exhaustion
             // snapshot below, but the run then goes on.
@@ -741,160 +688,4 @@ pub(super) fn explore_ws<S: WsStore>(
         reduction: None,
         snapshot,
     })
-}
-
-// ---------------------------------------------------------------------
-// The in-RAM store
-// ---------------------------------------------------------------------
-
-/// One stripe of the in-RAM store: the dedup index (masked
-/// fingerprint → local id) plus the append-only packed arena behind
-/// it.
-#[derive(Default)]
-struct WsShard {
-    index: FpIndex,
-    /// `fps.len()` states of `stride` bytes each.
-    packed: Vec<u8>,
-    /// Unmasked fingerprints, indexed by local id.
-    fps: Vec<u64>,
-}
-
-/// The in-RAM store: [`NUM_SHARDS`] lock-striped packed arenas, each
-/// behind its own dedup index. A state's pid names its stripe and its
-/// index there; a settled run stays in the worker's records.
-pub(super) struct Shards<'a> {
-    shards: Striped<WsShard>,
-    mask: u64,
-    run: &'a Run<'a>,
-}
-
-impl<'a> Shards<'a> {
-    pub(super) fn new(run: &'a Run<'a>) -> Shards<'a> {
-        Shards {
-            shards: Striped::new(WsShard::default),
-            mask: run.options.mask(),
-            run,
-        }
-    }
-
-    /// [`WsStore::intern`], the meter charged only if `charged` (resume
-    /// seeding is not) and the only failure a cut. Fingerprint mode
-    /// runs `append` — writing directly into the shard arena — only on
-    /// a vacant insert, so already-visited successors never build their
-    /// bytes at all, the packed analogue of what
-    /// [`State::fingerprint_with`] buys the sequential loop; exact mode
-    /// builds them in `probe` first.
-    #[inline]
-    fn intern_bytes(
-        &self,
-        fp: u64,
-        append: impl FnOnce(&mut Vec<u8>),
-        probe: &mut Vec<u8>,
-        charged: bool,
-    ) -> Result<(Pid, bool), ExhaustReason> {
-        let key = fp & self.mask;
-        let (shard_i, mut shard) = self.shards.lock_key(key);
-        let WsShard { index, packed, fps } = &mut *shard;
-        let admit = || match charged.then(|| self.run.meter.charge_state()).flatten() {
-            Some(reason) => Err(reason),
-            None => Ok(fps.len()),
-        };
-        let (local, is_new) = match self.run.options.mode {
-            VisitedMode::Fingerprint => {
-                let hit = index.intern(key, |_| Ok(true), |_| Ok(None), admit)?;
-                if hit.1 {
-                    append(packed);
-                }
-                hit
-            }
-            VisitedMode::Exact => {
-                probe.clear();
-                append(probe);
-                let stride = probe.len();
-                let same = |local: usize| Ok(packed[local * stride..][..stride] == probe[..]);
-                let hit = index.intern(key, same, |_| Ok(None), admit)?;
-                if hit.1 {
-                    packed.extend_from_slice(probe);
-                }
-                hit
-            }
-        };
-        if is_new {
-            fps.push(fp);
-        }
-        Ok((pid(shard_i, local), is_new))
-    }
-}
-
-impl WsStore for Shards<'_> {
-    /// Exact mode's probe bytes.
-    type Scratch = Vec<u8>;
-    const IN_RAM: bool = true;
-
-    fn parent(&self, parent: Pid, bytes: &mut Vec<u8>, _: &mut Vec<u8>) -> Result<u64, CheckError> {
-        let stride = self.run.layout.stride();
-        let shard = self.shards.lock_shard(shard_of(parent));
-        let local = local_of(parent);
-        bytes.clear();
-        bytes.extend_from_slice(&shard.packed[local * stride..][..stride]);
-        Ok(shard.fps[local])
-    }
-
-    #[inline]
-    fn intern(
-        &self,
-        fp: u64,
-        write: impl FnOnce(&mut Vec<u8>),
-        probe: &mut Vec<u8>,
-    ) -> Result<(Pid, bool), Stop> {
-        self.intern_bytes(fp, write, probe, true).map_err(Stop::Cut)
-    }
-
-    fn reseed(
-        &self,
-        _: usize,
-        fp: u64,
-        bytes: &[u8],
-        probe: &mut Vec<u8>,
-    ) -> Result<Pid, CheckError> {
-        let append = |arena: &mut Vec<u8>| arena.extend_from_slice(bytes);
-        let interned = self.intern_bytes(fp, append, probe, false);
-        Ok(interned.expect("uncharged interns are never cut").0)
-    }
-
-    /// The replay with its states materialized from the (quiescent)
-    /// shard arenas.
-    fn replay(&self, records: &[Vec<EdgeRecord>], init: &[Pid]) -> Result<Replay, CheckError> {
-        let shards: Vec<_> = self.shards.iter_locked().collect();
-        let arena_lens: Vec<usize> = shards.iter().map(|sh| sh.fps.len()).collect();
-        let (layout, threads) = (self.run.layout, self.run.threads);
-        let stride = layout.stride();
-        let state_of = |p: Pid| {
-            let local = local_of(p);
-            layout.unpack(&shards[shard_of(p)].packed[local * stride..][..stride])
-        };
-        // Materialization is the renumber pass's dominant cost (one
-        // unpack + tree allocation per state) and each state is
-        // independent once the canonical order is fixed — fan it out.
-        Ok(replay_records(&arena_lens, records, init, |order| {
-            if threads <= 1 || order.len() < 4096 {
-                return order.iter().map(|&p| state_of(p)).collect();
-            }
-            let chunk = order.len().div_ceil(threads);
-            let mut states: Vec<State> = Vec::with_capacity(order.len());
-            std::thread::scope(|scope| {
-                let parts: Vec<_> = order
-                    .chunks(chunk)
-                    .map(|c| scope.spawn(|| c.iter().map(|&p| state_of(p)).collect::<Vec<_>>()))
-                    .collect();
-                for h in parts {
-                    states.extend(
-                        h.join()
-                            .unwrap_or_else(|p| -> Vec<State> { std::panic::resume_unwind(p) }),
-                    );
-                }
-            });
-            states
-        }))
-    }
 }

@@ -58,9 +58,6 @@ pub(super) struct FairInfo {
     pub(super) angle: EdgeTable,
     /// Is `⟨A⟩_v` enabled in state `s`?
     pub(super) enabled: Vec<bool>,
-    /// Human-readable name for diagnostics.
-    #[allow(dead_code)]
-    pub(super) name: String,
 }
 
 pub(super) fn system_fair_infos(
@@ -84,23 +81,10 @@ pub(super) fn system_fair_infos(
                 }
                 Ok(fires)
             })?;
-            let names: Vec<&str> = f
-                .action_ids
-                .iter()
-                .map(|i| system.actions()[*i].name())
-                .collect();
             Ok(FairInfo {
                 kind: f.kind,
                 angle,
                 enabled,
-                name: format!(
-                    "{}({})",
-                    match f.kind {
-                        FairnessKind::Weak => "WF",
-                        FairnessKind::Strong => "SF",
-                    },
-                    names.join(" ∨ ")
-                ),
             })
         })
         .collect()

@@ -339,7 +339,8 @@ pub enum Event<'a> {
     Spill {
         /// Which tier spilled: `"arena"`, `"edges"`, or `"visited"`.
         tier: &'a str,
-        /// Sequence number of the spilled artifact within its tier.
+        /// Sequence number of the spilled artifact within its tier — for
+        /// the work-stealing store's `arena`, within its stripe.
         seq: u64,
         /// Records written in this spill.
         records: u64,
@@ -1089,7 +1090,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at byte {pos}"));
@@ -1144,11 +1145,21 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// How deep arrays and objects may nest: far above anything an event
+/// carries, and shallow enough that the recursion below cannot exhaust
+/// a thread's stack.
+const MAX_NESTING: usize = 128;
+
+/// Parses the value at `pos`, inside `depth` enclosing arrays and
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     let Some(&c) = bytes.get(*pos) else {
         return Err("unexpected end of input".into());
     };
+    if matches!(c, b'{' | b'[') && depth == MAX_NESTING {
+        return Err(format!("nesting deeper than {MAX_NESTING} at byte {pos}"));
+    }
     match c {
         b'{' => {
             *pos += 1;
@@ -1160,7 +1171,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let Json::Str(key) = parse_value(bytes, pos)? else {
+                let Json::Str(key) = parse_value(bytes, pos, depth + 1)? else {
                     return Err(format!("object key must be a string at byte {pos}"));
                 };
                 skip_ws(bytes, pos);
@@ -1168,7 +1179,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 members.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -1190,7 +1201,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -2055,6 +2066,22 @@ mod tests {
         assert_eq!(v.get("n"), Some(&Json::Null));
         assert!(Json::parse("{\"a\":}").is_err());
         assert!(Json::parse("[1, 2").is_err());
+    }
+
+    /// Deep nesting is a syntax error with its byte offset, never a
+    /// stack overflow: a line of a stream is untrusted input.
+    #[test]
+    fn json_parser_refuses_deep_nesting() {
+        for (open, width) in [("[", 1), ("{\"a\":", 5)] {
+            let err = Json::parse(&open.repeat(100_000)).unwrap_err();
+            let at = format!("nesting deeper than 128 at byte {}", 128 * width);
+            assert_eq!(err, at, "{open}");
+            let line = format!("{}\n", open.repeat(100_000));
+            assert!(validate_stream(&line).unwrap_err().contains(&at), "{open}");
+        }
+        // At the limit it still parses.
+        let deep = format!("{}{}", "[".repeat(128), "]".repeat(128));
+        assert!(Json::parse(&deep).is_ok());
     }
 
     #[test]

@@ -22,9 +22,6 @@ pub struct CompositionOptions {
     /// `OPENTLA_EXPLORE_THREADS` / `OPENTLA_MEM_BUDGET` overrides say
     /// otherwise.
     pub explore: ExploreOptions,
-    /// Whether to check the liveness half of hypothesis 2(b). Defaults
-    /// to `true`; disable only for safety-only studies.
-    pub skip_liveness: bool,
     /// Resource budget for every engine run (exploration and each
     /// obligation check). Exhaustion is not an error: the affected
     /// obligations are recorded as
@@ -347,48 +344,46 @@ fn build_certificate(
     });
 
     // --- hypothesis 2(b): E ∧ ∧ M_j ⇒ M (liveness half) -------------------
-    if !options.skip_liveness {
-        for i in 0..target_sys.fairness().len() {
-            // The checker gets the abstract condition and the mapping
-            // apart, so it can decide each step once per image of the
-            // mapping rather than once per product edge. Enabledness:
-            // `Enabled` does not commute with substitution, so the
-            // angle action's enabledness is the *abstract* predicate
-            // (guard holds and the update would change an owned
-            // variable — exact for guarded commands), mapped like any
-            // state function. Using concrete-successor enabledness
-            // here would be unsound: an abstract action can be enabled
-            // at states the concrete implementation has saturated.
-            let run = check_liveness_with_images(
-                &product,
-                graph,
-                &LiveTarget::fair_mapped(
-                    target_sys.fairness_condition(i),
-                    target_sys.fairness_enabled_expr(i),
-                    problem.mapping.clone(),
-                ),
-                &images,
-                budget,
-            )?;
-            obligations.push(Obligation {
-                id: format!("H2b/fairness[{i}]"),
-                description: format!(
-                    "E ∧ ∧ M_j ⇒ fairness condition #{i} of {} \
-                     (under the refinement mapping)",
-                    target_sys.name()
-                ),
-                method: Method::Liveness,
-                status: match run.verdict {
-                    Some(Verdict::Holds) => ObligationStatus::Proved {
-                        states: graph.len(),
-                    },
-                    Some(Verdict::Violated(cx)) => ObligationStatus::Failed(cx),
-                    None => ObligationStatus::Undecided {
-                        outcome: run.outcome,
-                    },
+    for i in 0..target_sys.fairness().len() {
+        // The checker gets the abstract condition and the mapping
+        // apart, so it can decide each step once per image of the
+        // mapping rather than once per product edge. Enabledness:
+        // `Enabled` does not commute with substitution, so the
+        // angle action's enabledness is the *abstract* predicate
+        // (guard holds and the update would change an owned
+        // variable — exact for guarded commands), mapped like any
+        // state function. Using concrete-successor enabledness
+        // here would be unsound: an abstract action can be enabled
+        // at states the concrete implementation has saturated.
+        let run = check_liveness_with_images(
+            &product,
+            graph,
+            &LiveTarget::fair_mapped(
+                target_sys.fairness_condition(i),
+                target_sys.fairness_enabled_expr(i),
+                problem.mapping.clone(),
+            ),
+            &images,
+            budget,
+        )?;
+        obligations.push(Obligation {
+            id: format!("H2b/fairness[{i}]"),
+            description: format!(
+                "E ∧ ∧ M_j ⇒ fairness condition #{i} of {} \
+                 (under the refinement mapping)",
+                target_sys.name()
+            ),
+            method: Method::Liveness,
+            status: match run.verdict {
+                Some(Verdict::Holds) => ObligationStatus::Proved {
+                    states: graph.len(),
                 },
-            });
-        }
+                Some(Verdict::Violated(cx)) => ObligationStatus::Failed(cx),
+                None => ObligationStatus::Undecided {
+                    outcome: run.outcome,
+                },
+            },
+        });
     }
 
     let conclusion = conclusion_override.unwrap_or_else(|| default_conclusion(problem));
@@ -795,16 +790,5 @@ mod tests {
         let failure = cert.first_failure().unwrap();
         assert!(failure.id.starts_with("H2b"), "{}", failure.id);
         assert!(matches!(failure.method, Method::Liveness));
-        // With liveness skipped, the (unsound for liveness, but useful
-        // for safety studies) certificate passes.
-        let cert = compose(
-            &problem,
-            &CompositionOptions {
-                skip_liveness: true,
-                ..CompositionOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(cert.holds());
     }
 }

@@ -62,7 +62,6 @@ fn composition_honours_the_callers_exploration_plan() {
         let options = CompositionOptions {
             explore,
             budget: Budget::unlimited().with_recorder(RecorderHandle::new(log.clone())),
-            ..CompositionOptions::default()
         };
         let cert = w.prove_composition(&options).unwrap();
         let engines = log.0.lock().unwrap().clone();

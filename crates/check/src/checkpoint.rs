@@ -71,7 +71,7 @@
 use crate::explore::{Edge, StateGraph};
 use crate::obs::{Event, RecorderHandle};
 use crate::reduction::Canonicalize;
-use crate::{ExploreOptions, System, VisitedMode};
+use crate::{CheckError, ExploreOptions, System, VisitedMode};
 use opentla_kernel::codec::{self, Reader};
 use opentla_kernel::store::{self, fnv1a, SegmentMeta, StoreError};
 use opentla_kernel::{PackedLayout, State};
@@ -1069,7 +1069,25 @@ pub(crate) struct ArenaRecord {
 /// Bytes of an arena record ahead of its payload.
 const ARENA_RECORD_HEADER: usize = 17;
 
-/// Starts an arena record in `out`: everything but the payload.
+/// The word state `id` is named by in arena and edge records. The
+/// sequential store admits no state past it: `u32::MAX` is the "no
+/// parent" word, and an id that does not fit a word would alias another
+/// state's.
+///
+/// # Errors
+///
+/// [`CheckError::TooManyStates`] for an id at or past `u32::MAX`.
+pub(crate) fn id_word(id: usize) -> Result<u32, CheckError> {
+    u32::try_from(id)
+        .ok()
+        .filter(|&word| word != u32::MAX)
+        .ok_or(CheckError::TooManyStates {
+            limit: u32::MAX as usize,
+        })
+}
+
+/// Starts an arena record in `out`: everything but the payload. Ids
+/// are below [`id_word`]'s limit: the stores admit no other.
 fn begin_arena_record(tag: u8, parent: Option<(usize, usize)>, fp: u64, out: &mut Vec<u8>) {
     let (parent_word, action_word) = match parent {
         Some((p, a)) => (p as u32, a as u32),
@@ -1099,24 +1117,51 @@ pub(crate) fn encode_arena_record(
     }
 }
 
-/// A packed (tag 1) record with no BFS parent, `payload` appending its
-/// packed bytes: what the parallel disk-backed store keeps, whose ids
-/// are provisional until the replay rebuilds the tree.
-pub(crate) fn encode_packed_record(fp: u64, payload: impl FnOnce(&mut Vec<u8>), out: &mut Vec<u8>) {
-    begin_arena_record(1, None, fp, out);
+/// A packed (tag 1) record, `payload` appending its packed row: the
+/// bytes [`encode_arena_record`] writes for a state that packs. The
+/// parallel disk-backed store's records name no parent — their ids are
+/// provisional until the replay rebuilds the tree.
+pub(crate) fn encode_packed_record(
+    parent: Option<(usize, usize)>,
+    fp: u64,
+    payload: impl FnOnce(&mut Vec<u8>),
+    out: &mut Vec<u8>,
+) {
+    begin_arena_record(1, parent, fp, out);
     payload(out);
 }
 
-/// The fingerprint stored in an arena record.
-pub(crate) fn record_fingerprint(record: &[u8]) -> u64 {
-    let word = &record[ARENA_RECORD_HEADER - 8..ARENA_RECORD_HEADER];
-    u64::from_le_bytes(word.try_into().expect("an 8-byte word"))
-}
-
-/// The packed bytes of a tag-1 arena record.
-pub(crate) fn packed_payload(record: &[u8]) -> &[u8] {
-    debug_assert_eq!(record[0], 1, "a packed arena record");
-    &record[ARENA_RECORD_HEADER..]
+/// The packed row and fingerprint of an arena record read back from a
+/// segment, checked to be a tag-1 record of one stride of in-domain
+/// codes: what stepping keys tables on, and replays unpack, trusting
+/// every code.
+///
+/// # Errors
+///
+/// [`CheckpointError::Corrupt`] for a short record, another tag or
+/// another width, and — rendering
+/// [`BadCode`](codec::DecodeError::BadCode) — for a code outside its
+/// domain.
+pub(crate) fn packed_row<'r>(
+    record: &'r [u8],
+    layout: &PackedLayout,
+) -> Result<(&'r [u8], u64), CheckpointError> {
+    let mut r = Reader::new(record);
+    let tag = r.u8("arena record tag")?;
+    r.u32("arena record parent")?;
+    r.u32("arena record action")?;
+    let fp = r.u64("arena record fingerprint")?;
+    let row = &record[ARENA_RECORD_HEADER..];
+    if tag != 1 || row.len() != layout.stride() {
+        return Err(corrupt(format!(
+            "arena record of tag {tag} and {} payload byte(s) where a packed row of {} is \
+             expected",
+            row.len(),
+            layout.stride()
+        )));
+    }
+    layout.check(row)?;
+    Ok((row, fp))
 }
 
 /// What a segment store counts for `state`'s arena record — 4-byte
@@ -1178,6 +1223,7 @@ pub(crate) fn decode_arena_record(
 /// when its expansion completes — frontier states have no record,
 /// which is the same invariant [`capture`] enforces by clearing
 /// frontier edge lists.
+/// Ids and targets are below [`id_word`]'s limit, as in arena records.
 pub(crate) fn encode_edge_record(id: usize, edges: &[Edge], out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(&(id as u32).to_le_bytes());
@@ -1687,6 +1733,24 @@ mod tests {
             back.graph().state(0).values(),
             [Value::Int(2), Value::Bool(false)]
         );
+    }
+
+    /// Every id a record names is a `u32` word short of the "no parent"
+    /// word; one past is refused as too many states, never truncated
+    /// onto another state's word.
+    #[test]
+    fn ids_past_a_record_word_are_too_many_states() {
+        assert_eq!(id_word(0).ok(), Some(0));
+        assert_eq!(id_word(u32::MAX as usize - 1).ok(), Some(u32::MAX - 1));
+        for id in [u32::MAX as usize, u32::MAX as usize + 1, 1 << 33] {
+            assert!(
+                matches!(
+                    id_word(id),
+                    Err(CheckError::TooManyStates { limit }) if limit == u32::MAX as usize
+                ),
+                "{id}"
+            );
+        }
     }
 
     /// A tree-encoded (tag 0) record states its own slot count, and

@@ -11,9 +11,30 @@
 //! allocation and recursion. [`CompiledSystem`] is every action's guard
 //! and updates compiled that way: the successor stepper.
 //!
+//! **Stepping on slot codes.** Both exploration engines keep states as
+//! packed rows ([`PackedLayout`]) and step them with
+//! [`CompiledSystem::for_each_packed_successor`], which mostly does not
+//! evaluate at all. In the paper's interleaving products every action
+//! is one component's step: its guard and updates read a handful of
+//! slots with a few values each. So each action has a dense table,
+//! per worker ([`StepMemo`]), keyed by the mixed-radix number of the
+//! row's codes in the slots it reads (its *read set*, each slot's
+//! domain size the radix), whose entry says "disabled" or lists the
+//! `(slot, new code)` [`Effect`]s of its updates. Only a miss unpacks
+//! the row and runs the programs below; errors are never tabled. An
+//! action whose key space passes a fixed cap has no table and misses
+//! every time. The engines derive the child's fingerprint from the
+//! effects (`PackedLayout::fingerprint_delta`) and write its row; a
+//! `Value` appears only on a miss, or when a new state must be handed
+//! out as a [`State`]. This is LTSmin's transition-group cache over
+//! short dependency vectors, the read sets being the vectors.
+//! [`CompiledSystem::for_each_successor`] steps a [`State`]: what the
+//! engines fall back on for states that do not pack, and the stepper
+//! of everything else.
+//!
 //! There is one evaluator loop, generic over where a program reads its
-//! variables (a slot source): a bare `[Value]` slice — the stepper, which
-//! unpacks packed states into a reused buffer — a [`State`], or
+//! variables (a slot source): a bare `[Value]` slice — a miss's
+//! unpacked row — a [`State`], or
 //! [`ImageView`](crate::image::ImageView), a graph state whose mapped
 //! slots are read from the refinement mapping's image column (what an
 //! obligation's memo miss is decided on). The loop is monomorphized per
@@ -27,7 +48,10 @@
 //! [`Expr::eval_action`] on a step ([`CompiledExpr::eval_step`]). The
 //! interpreter is the oracle: `crates/check/tests/proptest_compiled.rs`
 //! compares the two, as `Result`s, on random expressions over random
-//! variables, states, steps and image views.
+//! variables, states, steps and image views, and
+//! `crates/check/tests/proptest_packed_step.rs` compares packed stepping,
+//! on cold and warm tables, with [`System::successors`] at every
+//! reachable state of random systems.
 //!
 //! A primed variable compiles to a primed load: on a step it reads the
 //! successor; evaluated as a state function it raises the
@@ -35,8 +59,13 @@
 //! in short-circuited branches stay unobserved, exactly as in the tree
 //! walker.
 
-use crate::{CheckError, System};
-use opentla_kernel::{expect_bool, BinOp, EvalError, Expr, State, UnOp, Value, VarId};
+use crate::checkpoint::CheckpointError;
+use crate::obs::{Event, RecorderHandle};
+use crate::{CheckError, GuardedAction, System};
+use opentla_kernel::{
+    expect_bool, BinOp, EvalError, Expr, PackedLayout, State, UnOp, Value, VarId, VarSet, Vars,
+};
+use std::ops::ControlFlow;
 
 /// Where a running program reads its variables: one slot per
 /// [`VarId`]. The evaluator is monomorphized per implementation. Not
@@ -396,12 +425,141 @@ impl EvalScratch {
     }
 }
 
+/// Cap on the keys of one action's effect table: the product of its read
+/// slots' domain sizes. An action past it has no table, and every
+/// lookup of it is a miss. A table is 4 bytes a key, allocated zeroed,
+/// so the pages a worker never touches cost nothing.
+const MAX_TABLE_KEYS: usize = 1 << 14;
+
+/// A table entry: not yet evaluated.
+const UNKNOWN: u32 = 0;
+/// A table entry: the guard is false.
+const DISABLED: u32 = 1;
+/// A table entry at or past this: enabled, its effects starting at
+/// `entry - FIRST_RUN` in the table's runs.
+const FIRST_RUN: u32 = 2;
+
 /// One compiled guarded action: the guard program plus one update
-/// program per assigned variable.
+/// program per assigned variable, and the shape of its effect table.
 #[derive(Debug)]
 struct CompiledAction {
     guard: CompiledExpr,
     updates: Vec<(VarId, CompiledExpr)>,
+    /// The key digits: each slot the guard and updates read, with its
+    /// domain size as radix, most significant first. `None` when the
+    /// action has no table — its keys pass [`MAX_TABLE_KEYS`], or it
+    /// reads a variable the system does not declare.
+    digits: Option<Vec<(usize, u32)>>,
+    /// The table's size: the product of the radices (0 without one).
+    keys: usize,
+}
+
+impl CompiledAction {
+    /// The key of `row` in this action's table, if it has one: the
+    /// mixed-radix number of the row's codes in the read slots.
+    #[inline]
+    fn key(&self, layout: &PackedLayout, row: &[u8]) -> Option<usize> {
+        let digits = self.digits.as_ref()?;
+        Some(digits.iter().fold(0, |key, &(slot, radix)| {
+            let code = layout.read_code(row, slot);
+            debug_assert!(code < radix, "rows hold in-domain codes");
+            key * radix as usize + code as usize
+        }))
+    }
+}
+
+/// The key digits of `action` over `vars` and its number of keys —
+/// `(None, 0)` when it gets no table; see [`CompiledAction::digits`].
+fn table_shape(action: &GuardedAction, vars: &Vars) -> (Option<Vec<(usize, u32)>>, usize) {
+    let (mut reads, mut primed) = (VarSet::new(), VarSet::new());
+    action.guard().vars_into(&mut reads, &mut primed);
+    for (_, e) in action.updates() {
+        e.vars_into(&mut reads, &mut primed);
+    }
+    let mut keys = 1usize;
+    let digits = reads
+        .iter()
+        .map(|v| {
+            let radix = (v.index() < vars.len()).then(|| vars.domain(v).len())?;
+            keys = keys.checked_mul(radix).filter(|&k| k <= MAX_TABLE_KEYS)?;
+            Some((v.index(), radix as u32))
+        })
+        .collect::<Option<Vec<_>>>();
+    match digits {
+        Some(digits) => (Some(digits), keys),
+        None => (None, 0),
+    }
+}
+
+/// One slot a successor rewrites: what packed stepping hands its
+/// visitor, one per update of the action, in update order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Effect {
+    /// The updated variable's slot.
+    pub slot: u32,
+    /// The code of its new value in the slot's domain.
+    pub code: u32,
+}
+
+/// One worker's effect tables for
+/// [`CompiledSystem::for_each_packed_successor`] — a dense table per
+/// action, filled as parents miss — with the buffers a miss evaluates
+/// in and the counts of the run's `step_memo` event. A memo serves one
+/// compiled system and a layout of that system's variables; it lives
+/// and dies with its worker.
+#[derive(Debug, Default)]
+pub struct StepMemo {
+    tables: Vec<Table>,
+    /// The parent of a miss, unpacked once however many actions miss.
+    values: Vec<Value>,
+    /// The effects of an action without a table.
+    effects: Vec<Effect>,
+    eval: EvalScratch,
+    stats: MemoStats,
+}
+
+impl StepMemo {
+    /// Empty tables.
+    pub fn new() -> StepMemo {
+        StepMemo::default()
+    }
+
+    /// What the tables did so far.
+    pub fn stats(&self) -> MemoStats {
+        self.stats
+    }
+}
+
+/// One action's effect table.
+#[derive(Debug, Default)]
+struct Table {
+    /// One entry per key: [`UNKNOWN`], [`DISABLED`], or [`FIRST_RUN`]
+    /// plus where the key's effects start in `runs`.
+    entries: Vec<u32>,
+    /// The enabled keys' effects, one run of the action's update count
+    /// each.
+    runs: Vec<Effect>,
+}
+
+/// What effect tables did: the counts of a `step_memo` event, for one
+/// worker's [`StepMemo`] or summed over a run's.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Entries filled.
+    pub entries: u64,
+    /// Actions looked up, one per action per parent stepped.
+    pub lookups: u64,
+    /// Lookups that evaluated: the entry was unknown, or the action
+    /// has no table.
+    pub misses: u64,
+}
+
+impl std::ops::AddAssign for MemoStats {
+    fn add_assign(&mut self, other: MemoStats) {
+        self.entries += other.entries;
+        self.lookups += other.lookups;
+        self.misses += other.misses;
+    }
 }
 
 /// A [`System`] with every action compiled for high-throughput
@@ -409,8 +567,12 @@ struct CompiledAction {
 ///
 /// Borrowing — not consuming — the system keeps the compiled form a
 /// pure accelerator: names, domains, and error reporting still come
-/// from the source system, and [`CompiledSystem::successors_into`] is
-/// observationally identical to [`System::successors`].
+/// from the source system, and both steppers are observationally
+/// identical to [`System::successors`]: [`for_each_successor`] on a
+/// [`State`], [`for_each_packed_successor`] on a packed row.
+///
+/// [`for_each_successor`]: CompiledSystem::for_each_successor
+/// [`for_each_packed_successor`]: CompiledSystem::for_each_packed_successor
 #[derive(Debug)]
 pub struct CompiledSystem<'a> {
     system: &'a System,
@@ -424,13 +586,18 @@ impl<'a> CompiledSystem<'a> {
         let actions = system
             .actions()
             .iter()
-            .map(|a| CompiledAction {
-                guard: CompiledExpr::compile(a.guard()),
-                updates: a
-                    .updates()
-                    .iter()
-                    .map(|(v, e)| (*v, CompiledExpr::compile(e)))
-                    .collect(),
+            .map(|a| {
+                let (digits, keys) = table_shape(a, system.vars());
+                CompiledAction {
+                    guard: CompiledExpr::compile(a.guard()),
+                    updates: a
+                        .updates()
+                        .iter()
+                        .map(|(v, e)| (*v, CompiledExpr::compile(e)))
+                        .collect(),
+                    digits,
+                    keys,
+                }
             })
             .collect();
         CompiledSystem { system, actions }
@@ -461,26 +628,9 @@ impl<'a> CompiledSystem<'a> {
         &self,
         s: &State,
         scratch: &mut EvalScratch,
-        visit: impl FnMut(usize, &[(VarId, Value)]) -> std::ops::ControlFlow<B>,
+        mut visit: impl FnMut(usize, &[(VarId, Value)]) -> ControlFlow<B>,
     ) -> Result<Option<B>, CheckError> {
-        self.for_each_successor_values(s.values(), scratch, visit)
-    }
-
-    /// [`CompiledSystem::for_each_successor`] over a bare value slice
-    /// indexed by [`VarId`] — the entry point for packed-state
-    /// engines, which unpack into a reused buffer and never build a
-    /// parent [`State`] at all.
-    ///
-    /// # Errors
-    ///
-    /// As [`CompiledSystem::for_each_successor`].
-    pub fn for_each_successor_values<B>(
-        &self,
-        values: &[Value],
-        scratch: &mut EvalScratch,
-        mut visit: impl FnMut(usize, &[(VarId, Value)]) -> std::ops::ControlFlow<B>,
-    ) -> Result<Option<B>, CheckError> {
-        let vars = self.system.vars();
+        let (vars, values) = (self.system.vars(), s.values());
         for (i, ca) in self.actions.iter().enumerate() {
             if !ca.guard.holds(values, scratch)? {
                 continue;
@@ -489,19 +639,168 @@ impl<'a> CompiledSystem<'a> {
             for (v, e) in &ca.updates {
                 let value = e.eval(values, scratch)?;
                 if !vars.domain(*v).contains(&value) {
-                    return Err(CheckError::OutOfDomain {
-                        action: self.system.actions()[i].name().to_string(),
-                        var: *v,
-                        value,
-                    });
+                    return Err(self.out_of_domain(i, *v, value));
                 }
                 scratch.assignments.push((*v, value));
             }
-            if let std::ops::ControlFlow::Break(b) = visit(i, &scratch.assignments) {
+            if let ControlFlow::Break(b) = visit(i, &scratch.assignments) {
                 return Ok(Some(b));
             }
         }
         Ok(None)
+    }
+
+    /// [`for_each_successor`](Self::for_each_successor) on a packed
+    /// row of `layout` (a layout of this system's variables): the
+    /// visitor gets each enabled action's index and its [`Effect`]s —
+    /// the successor is the row with each effect's slot rewritten.
+    ///
+    /// Each action is looked up in its table in `memo` under the row's
+    /// codes in the slots it reads: a guard and updates that read
+    /// nothing else cannot tell two rows that agree there apart. A
+    /// miss unpacks the row (once per row) and runs the compiled guard
+    /// and updates, as `for_each_successor` does, then fills the entry
+    /// — unless the evaluation failed: errors are returned, never
+    /// tabled, so a later row that misses there fails the same way.
+    ///
+    /// Returns the visitor's break value, if it broke early.
+    ///
+    /// # Errors
+    ///
+    /// As [`for_each_successor`](Self::for_each_successor) on the
+    /// unpacked row; [`CheckError::Checkpoint`] for a row with a code
+    /// outside its domain, which only bytes read from a file can hold
+    /// (and the stores check those as they read them).
+    pub fn for_each_packed_successor<B>(
+        &self,
+        layout: &PackedLayout,
+        row: &[u8],
+        memo: &mut StepMemo,
+        mut visit: impl FnMut(usize, &[Effect]) -> ControlFlow<B>,
+    ) -> Result<Option<B>, CheckError> {
+        if memo.tables.len() != self.actions.len() {
+            memo.tables = (self.actions.iter())
+                .map(|ca| Table {
+                    entries: vec![UNKNOWN; ca.keys],
+                    runs: Vec::new(),
+                })
+                .collect();
+        }
+        let StepMemo {
+            tables,
+            values,
+            effects,
+            eval,
+            stats,
+        } = memo;
+        let mut unpacked = false;
+        for (i, (ca, table)) in self.actions.iter().zip(tables.iter_mut()).enumerate() {
+            stats.lookups += 1;
+            let key = ca.key(layout, row);
+            let entry = key.map_or(UNKNOWN, |k| table.entries[k]);
+            let run: &[Effect] = match entry {
+                DISABLED => continue,
+                UNKNOWN => {
+                    stats.misses += 1;
+                    if !unpacked {
+                        (layout.try_unpack_into(row, values)).map_err(CheckpointError::from)?;
+                        unpacked = true;
+                    }
+                    let out = match key {
+                        Some(_) => &mut table.runs,
+                        None => {
+                            effects.clear();
+                            &mut *effects
+                        }
+                    };
+                    let start = out.len();
+                    let enabled = self.fire(i, layout, values, eval, out).inspect_err(|_| {
+                        out.truncate(start);
+                    })?;
+                    if let Some(k) = key {
+                        table.entries[k] = match enabled {
+                            true => FIRST_RUN + start as u32,
+                            false => DISABLED,
+                        };
+                        stats.entries += 1;
+                    }
+                    if !enabled {
+                        continue;
+                    }
+                    &out[start..]
+                }
+                at => {
+                    let at = (at - FIRST_RUN) as usize;
+                    &table.runs[at..at + ca.updates.len()]
+                }
+            };
+            if let ControlFlow::Break(b) = visit(i, run) {
+                return Ok(Some(b));
+            }
+        }
+        Ok(None)
+    }
+
+    /// A miss: runs action `i`'s guard and updates on an unpacked row,
+    /// pushing one effect per update onto `out`. Whether the guard
+    /// held.
+    fn fire(
+        &self,
+        i: usize,
+        layout: &PackedLayout,
+        values: &[Value],
+        eval: &mut EvalScratch,
+        out: &mut Vec<Effect>,
+    ) -> Result<bool, CheckError> {
+        let ca = &self.actions[i];
+        if !ca.guard.holds(values, eval)? {
+            return Ok(false);
+        }
+        for (v, e) in &ca.updates {
+            let value = e.eval(values, eval)?;
+            let Some(code) = layout.code_of(v.index(), &value) else {
+                return Err(self.out_of_domain(i, *v, value));
+            };
+            out.push(Effect {
+                slot: v.index() as u32,
+                code,
+            });
+        }
+        Ok(true)
+    }
+
+    /// The stepper's error for action `i` setting `var` to `value`,
+    /// outside its domain.
+    #[cold]
+    fn out_of_domain(&self, i: usize, var: VarId, value: Value) -> CheckError {
+        CheckError::OutOfDomain {
+            action: self.system.actions()[i].name().to_string(),
+            var,
+            value,
+        }
+    }
+
+    /// Records one exploration's `step_memo` event: its tables' counts
+    /// summed over its workers, or `None` for a run that stepped on
+    /// `Value`s and had no tables.
+    pub(crate) fn record_step_memo(&self, stats: Option<MemoStats>, recorder: &RecorderHandle) {
+        if !recorder.enabled() {
+            return;
+        }
+        let (tabled, stats) = match stats {
+            Some(stats) => (
+                self.actions.iter().filter(|a| a.digits.is_some()).count(),
+                stats,
+            ),
+            None => (0, MemoStats::default()),
+        };
+        recorder.record(&Event::StepMemo {
+            actions: self.actions.len() as u64,
+            tabled_actions: tabled as u64,
+            table_entries: stats.entries,
+            lookups: stats.lookups,
+            misses: stats.misses,
+        });
     }
 
     /// Appends all successors of `s` into `out` (cleared first),
@@ -520,9 +819,40 @@ impl<'a> CompiledSystem<'a> {
         out.clear();
         self.for_each_successor(s, scratch, |i, assignments| {
             out.push((i, s.with(assignments)));
-            std::ops::ControlFlow::<std::convert::Infallible>::Continue(())
+            ControlFlow::<std::convert::Infallible>::Continue(())
         })?;
         Ok(())
+    }
+}
+
+/// The fingerprint of `parent`, whose fingerprint is `fp`, with
+/// `effects` applied: the layout's incremental Zobrist delta per
+/// rewritten slot (zero for a slot rewritten to its own code).
+#[inline]
+pub(crate) fn child_fingerprint(
+    layout: &PackedLayout,
+    parent: &[u8],
+    fp: u64,
+    effects: &[Effect],
+) -> u64 {
+    effects.iter().fold(fp, |fp, e| {
+        let slot = e.slot as usize;
+        fp ^ layout.fingerprint_delta(slot, layout.read_code(parent, slot), e.code)
+    })
+}
+
+/// Appends `parent` with `effects` applied to `out`.
+#[inline]
+pub(crate) fn append_child(
+    layout: &PackedLayout,
+    parent: &[u8],
+    effects: &[Effect],
+    out: &mut Vec<u8>,
+) {
+    let start = out.len();
+    out.extend_from_slice(parent);
+    for e in effects {
+        layout.write_code(&mut out[start..], e.slot as usize, e.code);
     }
 }
 

@@ -31,7 +31,9 @@
 //! `RunStart` names that loop.
 //!
 //! The sequential loop is the reference implementation: plain BFS over
-//! the compiled successor stepper ([`crate::CompiledSystem`]). The
+//! the compiled successor stepper ([`crate::CompiledSystem`]), which
+//! both loops run on packed rows through its effect tables wherever
+//! the states pack. The
 //! work-stealing engine — one driver, one scheduler and one packed
 //! expansion over one striped store — records `(parent, action, child)`
 //! edges under provisional ids and finishes with a deterministic
@@ -53,7 +55,7 @@
 
 use crate::budget::{Budget, ExhaustReason, Governed, Meter, Outcome};
 use crate::checkpoint::{self, Checkpointer, ResumeToken, RunHeader, Snapshot};
-use crate::compiled::{CompiledSystem, EvalScratch};
+use crate::compiled::CompiledSystem;
 use crate::obs::{
     Event, Phase, PhaseGuard, ProgressSnapshot, RecorderHandle, RunReport, OBS_SCHEMA_VERSION,
 };
@@ -467,10 +469,15 @@ fn explore_dispatch(
     options: &ExploreOptions,
     launch: Result<Start<'_>, CheckError>,
 ) -> Result<Exploration, CheckError> {
-    let Start { plan, seed, layout } = launch?;
+    let Start {
+        plan,
+        seed,
+        layout,
+        packs,
+    } = launch?;
     let mem_budget = plan.route.mem_budget();
     if let Route::Sequential | Route::SpillBfs { .. } = plan.route {
-        return seq::explore_seq(system, budget, options, mem_budget, seed, layout);
+        return seq::explore_seq(system, budget, options, mem_budget, seed, layout, packs);
     }
     let run = ws::Run {
         options,

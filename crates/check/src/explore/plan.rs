@@ -6,8 +6,9 @@
 //! routing table is unit-testable without touching the process
 //! environment. Every entry point resolves one [`Plan`];
 //! [`Plan::start`] then settles it against the system — the
-//! work-stealing loops run over packed states only — and hands it
-//! down with what the run starts from: the dispatcher matches on it,
+//! work-stealing loops run over packed states only, and every loop
+//! steps on packed rows where the states pack — and hands it down with
+//! the layout and what the run starts from: the dispatcher matches on it,
 //! the `RunStart`/`RunEnd` engine label and worker count are read off
 //! it, and the spill engines take their budget from it.
 
@@ -84,11 +85,14 @@ pub(crate) struct Plan {
 pub(crate) struct Start<'a> {
     pub(crate) plan: Plan,
     pub(crate) seed: Seed<'a>,
-    /// The packed layout of the system's states, where it compiles.
-    /// Always `Some` on the work-stealing routes, which run over it;
-    /// the sequential store packs the records it can once on disk, and
-    /// has no use for one without a budget (`None`).
+    /// The packed layout of the system's states, where it compiles, on
+    /// every route: both loops step on its rows, and the sequential
+    /// store packs the disk records it can under it.
     pub(crate) layout: Option<PackedLayout>,
+    /// Whether every seed state packs under `layout` — and so every
+    /// state of the run, each successor being domain-checked: then the
+    /// loops step on rows. Always true on the work-stealing routes.
+    pub(crate) packs: bool,
 }
 
 impl Plan {
@@ -146,9 +150,9 @@ impl Plan {
     /// packed states only, so when the system's domains do not compile
     /// to a [`PackedLayout`], or a seed state lies outside its declared
     /// domain ([`Init::new`](crate::Init::new) can pin one), a threaded
-    /// plan falls back to the sequential loop under the same budget.
-    /// The seed is enumerated and the layout compiled once, here, and
-    /// handed down.
+    /// plan falls back to the sequential loop under the same budget —
+    /// which then steps on `Value`s. The seed is enumerated and the
+    /// layout compiled once, here, on every route, and handed down.
     ///
     /// # Errors
     ///
@@ -159,10 +163,7 @@ impl Plan {
         resume: Option<&'a Snapshot>,
     ) -> Result<Start<'a>, CheckError> {
         let seed = Seed::of(system, resume)?;
-        let layout = match self.route {
-            Route::Sequential => None,
-            _ => PackedLayout::compile(system.vars()),
-        };
+        let layout = PackedLayout::compile(system.vars());
         let mut buf = Vec::new();
         let packs = layout.as_ref().is_some_and(|l| {
             seed.states()
@@ -173,6 +174,7 @@ impl Plan {
             plan: self.over_packed_states(packs),
             seed,
             layout,
+            packs,
         })
     }
 

@@ -11,6 +11,17 @@
 //! completed graphs are byte-identical across bodies and
 //! [`VisitedMode`]s by construction. A symmetry-reduced run
 //! ([`crate::Reduction`]) is this loop too.
+//!
+//! The loop steps on slot codes: a parent is its packed row — in RAM a
+//! `rows` column beside the graph (stride bytes a state), on disk its
+//! arena record's payload, checked as it is read — stepped through the
+//! effect tables of [`CompiledSystem::for_each_packed_successor`], each
+//! child fingerprinted from the parent's by its effects and built as a
+//! [`State`] (from the layout's shared decode values) only when it is
+//! new. The `Value` stepper ([`CompiledSystem::for_each_successor`])
+//! is left to runs whose states do not pack — no layout compiles, or a
+//! seed lies outside its domain — and to symmetry-reduced runs; both
+//! steppers hand their successors to one intern-and-record visitor.
 
 use super::spill::{self, RunNames, SpillDir, SpillVisited, Tuning};
 use super::{seq_exhaustion_snapshot, Edge, Exploration, ExploreOptions, StateGraph, VisitedMode};
@@ -18,12 +29,14 @@ use crate::budget::{Budget, ExhaustReason, Meter, Outcome};
 use crate::checkpoint::{
     self, CheckpointError, Checkpointer, Manifest, ReducedRun, RunHeader, Snapshot,
 };
-use crate::compiled::{CompiledSystem, EvalScratch};
+use crate::compiled::{
+    append_child, child_fingerprint, CompiledSystem, Effect, EvalScratch, StepMemo,
+};
 use crate::obs::{Phase, PhaseGuard};
 use crate::reduction::{Canonicalize, ReductionStats};
 use crate::{CheckError, System};
 use opentla_kernel::store::{SegmentStore, StoreError};
-use opentla_kernel::{PackedLayout, State};
+use opentla_kernel::{PackedLayout, State, Value, VarId};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -114,6 +127,13 @@ impl From<StoreError> for Stop {
 /// past that many bytes, packing arena records under `layout` where it
 /// can (with `None`, or for a state outside its declared domain, a
 /// record carries the general codec encoding).
+///
+/// When every seed state `packs` under `layout`, the loop steps on rows
+/// ([`CompiledSystem::for_each_packed_successor`]): every successor is
+/// then in-domain — the stepper checks each update — so every state of
+/// the run has a row. A symmetry-reduced run steps on `Value`s: its
+/// store keeps the canonicalizer's orbit representatives, whatever
+/// states those are.
 pub(super) fn explore_seq(
     system: &System,
     budget: &Budget,
@@ -121,6 +141,7 @@ pub(super) fn explore_seq(
     mem_budget: Option<usize>,
     seed: Seed<'_>,
     layout: Option<PackedLayout>,
+    packs: bool,
 ) -> Result<Exploration, CheckError> {
     let meter = &seed.meter(budget);
     // This store's manifests reference its sealed segments, so under a
@@ -131,10 +152,12 @@ pub(super) fn explore_seq(
             Tuning::for_budget(m),
         )
     });
-    let mut store =
-        Store::create(system, options, meter, layout, disk).map_err(CheckpointError::from)?;
+    let rows = (layout.as_ref()).filter(|_| packs && !options.reduction.is_active());
+    let mut store = Store::create(system, options, meter, layout.as_ref(), rows, disk)
+        .map_err(CheckpointError::from)?;
     let compiled = CompiledSystem::compile(system);
-    let mut scratch = EvalScratch::new();
+    let (mut memo, mut scratch) = (StepMemo::new(), EvalScratch::new());
+    let mut parent_row: Vec<u8> = Vec::new();
     let mut ck = Checkpointer::new(budget.checkpoint.clone());
     let mut queue: VecDeque<usize> = VecDeque::new();
     let mut exhausted: Option<ExhaustReason> = None;
@@ -147,7 +170,7 @@ pub(super) fn explore_seq(
         Seed::Fresh(init_states) => {
             let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
             for s in init_states {
-                match store.intern(s.fingerprint(), None, move || s) {
+                match store.intern(s.fingerprint(), None, Child::State(s)) {
                     Ok((_, false)) => {}
                     Ok((id, true)) => queue.push_back(id),
                     Err(Stop::Cut(reason)) => {
@@ -176,29 +199,59 @@ pub(super) fn explore_seq(
         let Some(id) = queue.pop_front() else {
             break;
         };
-        let (parent, parent_fp) = store.entry(id)?;
         edge_buf.clear();
-        let stop = compiled.for_each_successor(&parent, &mut scratch, |action, assignments| {
+        // What both steppers do with a successor of fingerprint `fp`:
+        // charge it, intern it (built only if it is new), queue it if
+        // new, record the edge.
+        let mut visit = |store: &mut Store<'_>, action: usize, fp: u64, child: Child<'_>| {
             if let Some(reason) = meter.charge_transition() {
                 return ControlFlow::Break(Stop::Cut(reason));
             }
-            // Derived incrementally from the parent's, so an
-            // already-visited successor costs one hash-of-deltas and
-            // one probe.
-            let child_fp = parent.fingerprint_with(parent_fp, assignments);
-            let target =
-                match store.intern(child_fp, Some((id, action)), || parent.with(assignments)) {
-                    Ok((target, is_new)) => {
-                        if is_new {
-                            queue.push_back(target);
-                        }
-                        target
+            match store.intern(fp, Some((id, action)), child) {
+                Ok((target, is_new)) => {
+                    if is_new {
+                        queue.push_back(target);
                     }
-                    Err(stop) => return ControlFlow::Break(stop),
-                };
-            edge_buf.push(Edge { action, target });
-            ControlFlow::Continue(())
-        })?;
+                    edge_buf.push(Edge { action, target });
+                    ControlFlow::Continue(())
+                }
+                Err(stop) => ControlFlow::Break(stop),
+            }
+        };
+        // The child's fingerprint is derived from the parent's, so an
+        // already-visited successor costs a few table reads and one
+        // probe.
+        let stop = match rows {
+            Some(layout) => {
+                let fp = store.row(id, &mut parent_row)?;
+                let parent = &parent_row[..];
+                compiled.for_each_packed_successor(
+                    layout,
+                    parent,
+                    &mut memo,
+                    |action, effects| {
+                        let child_fp = child_fingerprint(layout, parent, fp, effects);
+                        let child = Child::Packed {
+                            layout,
+                            parent,
+                            effects,
+                        };
+                        visit(&mut store, action, child_fp, child)
+                    },
+                )?
+            }
+            None => {
+                let (parent, fp) = store.entry(id)?;
+                compiled.for_each_successor(&parent, &mut scratch, |action, assignments| {
+                    let child_fp = parent.fingerprint_with(fp, assignments);
+                    let child = Child::Tree {
+                        parent: &parent,
+                        assignments,
+                    };
+                    visit(&mut store, action, child_fp, child)
+                })?
+            }
+        };
         match stop {
             None => store.push_edges(id, &edge_buf)?,
             Some(Stop::Cut(reason)) => {
@@ -213,10 +266,73 @@ pub(super) fn explore_seq(
         }
     }
     drop(expand_phase);
+    compiled.record_step_memo(rows.map(|_| memo.stats()), &budget.recorder);
     let _finish_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
     // A cut during initial-state enumeration is not resumable: a
     // partial init enumeration cannot be continued soundly.
     store.finish(queue, cut_edges, exhausted, !exhausted_in_init, &mut ck)
+}
+
+/// A successor as the loop hands it to the store, which builds it only
+/// if it keeps it.
+enum Child<'c> {
+    /// A whole state: a seed, a resumed state, an orbit representative.
+    State(State),
+    /// A parent's row with an action's effects written in.
+    Packed {
+        layout: &'c PackedLayout,
+        parent: &'c [u8],
+        effects: &'c [Effect],
+    },
+    /// A parent state with an action's assignments.
+    Tree {
+        parent: &'c State,
+        assignments: &'c [(VarId, Value)],
+    },
+}
+
+impl Child<'_> {
+    /// The successor as a state; a row's is built from the layout's
+    /// decode values, shared with every other state that holds them.
+    fn state(self) -> State {
+        match self {
+            Child::State(state) => state,
+            Child::Packed {
+                layout,
+                parent,
+                effects,
+            } => {
+                let mut row = Vec::with_capacity(parent.len());
+                append_child(layout, parent, effects, &mut row);
+                layout.unpack(&row)
+            }
+            Child::Tree {
+                parent,
+                assignments,
+            } => parent.with(assignments),
+        }
+    }
+
+    /// Appends the successor's row under `layout`, in a run that steps
+    /// on rows: a successor is a parent's row and effects, or a state
+    /// the run started from, which packs.
+    fn write_row(&self, layout: &PackedLayout, out: &mut Vec<u8>) {
+        match self {
+            Child::Packed {
+                parent, effects, ..
+            } => append_child(layout, parent, effects, out),
+            Child::State(state) => {
+                let mut row = Vec::new();
+                let packs = layout.pack_into(state.values(), &mut row);
+                assert!(
+                    packs,
+                    "a run that steps on rows starts from states that pack"
+                );
+                out.extend_from_slice(&row);
+            }
+            Child::Tree { .. } => unreachable!("a run that steps on rows steps no tree"),
+        }
+    }
 }
 
 /// Where a [`Store`] keeps its states, BFS tree and edge lists. Ids
@@ -224,9 +340,14 @@ pub(super) fn explore_seq(
 #[allow(clippy::large_enum_variant)] // one per run, never moved
 enum Body {
     /// The [`StateGraph`] under construction — a run that ends here
-    /// moves it out finished, each edge list held once — and every
-    /// state's unmasked fingerprint, for incremental derivation.
-    Ram { graph: StateGraph, fps: Vec<u64> },
+    /// moves it out finished, each edge list held once — every state's
+    /// unmasked fingerprint, for incremental derivation, and, in a run
+    /// that steps on rows, every state's row (stride bytes each).
+    Ram {
+        graph: StateGraph,
+        fps: Vec<u64>,
+        rows: Vec<u8>,
+    },
     /// An arena record per state and an edge record per fully expanded
     /// state in [`SegmentStore`]s: sealed segments on disk behind an
     /// LRU cache, the unsealed tails in RAM. `init` is for manifests.
@@ -248,11 +369,33 @@ impl Body {
         match self {
             // An Arc bump, not a copy: releases the arena borrow so
             // `intern` may push new states into it.
-            Body::Ram { graph, fps } => Ok((graph.state(id).clone(), fps[id])),
+            Body::Ram { graph, fps, .. } => Ok((graph.state(id).clone(), fps[id])),
             Body::Disk { arena, .. } => {
                 arena.read(id as u64, buf)?;
                 let rec = checkpoint::decode_arena_record(buf, layout)?;
                 Ok((rec.state, rec.fp))
+            }
+        }
+    }
+
+    /// The row of state `id` under `layout` and its unmasked
+    /// fingerprint, in a run that steps on rows: the RAM body's, or the
+    /// arena record read into `buf` and checked — no code outside its
+    /// domain reaches a table key.
+    fn row<'b>(
+        &'b mut self,
+        id: usize,
+        layout: &PackedLayout,
+        buf: &'b mut Vec<u8>,
+    ) -> Result<(&'b [u8], u64), CheckpointError> {
+        match self {
+            Body::Ram { rows, fps, .. } => {
+                let stride = layout.stride();
+                Ok((&rows[id * stride..][..stride], fps[id]))
+            }
+            Body::Disk { arena, .. } => {
+                arena.read(id as u64, buf)?;
+                checkpoint::packed_row(buf, layout)
             }
         }
     }
@@ -262,7 +405,8 @@ impl Body {
 /// the dedup index over them — one [`super::index::FpIndex`] probe
 /// until a budgeted run drains it to disk ([`SpillVisited`]). In
 /// [`VisitedMode::Exact`] a fingerprint hit is verified against the
-/// body, wherever the candidate lives by then.
+/// body, wherever the candidate lives by then: rows compared as bytes
+/// in a run that steps on rows, states otherwise.
 ///
 /// Under a symmetry reduction every state is keyed by its orbit
 /// representative: the body, the index and every snapshot hold
@@ -273,7 +417,11 @@ struct Store<'a> {
     /// The segment directory and tier sizes a memory budget bought;
     /// `None` never leaves RAM.
     disk: Option<(SpillDir, Tuning)>,
-    layout: Option<PackedLayout>,
+    layout: Option<&'a PackedLayout>,
+    /// `layout` when the run steps on rows: every state packs under it,
+    /// the RAM body keeps the rows, and arena records are written from
+    /// them.
+    rows: Option<&'a PackedLayout>,
     /// What the `Ram` body's arena and edge records come to as segment
     /// bytes; counted under a budget only.
     arena_bytes: usize,
@@ -296,6 +444,8 @@ struct Store<'a> {
     pending_hits: usize,
     pack_scratch: Vec<u8>,
     rec_buf: Vec<u8>,
+    /// Exact mode's successor row, compared with a candidate's.
+    probe: Vec<u8>,
 }
 
 impl<'a> Store<'a> {
@@ -303,7 +453,8 @@ impl<'a> Store<'a> {
         system: &System,
         options: &'a ExploreOptions,
         meter: &'a Meter,
-        layout: Option<PackedLayout>,
+        layout: Option<&'a PackedLayout>,
+        rows: Option<&'a PackedLayout>,
         disk: Option<(SpillDir, Tuning)>,
     ) -> Result<Store<'a>, StoreError> {
         let visited = match &disk {
@@ -316,10 +467,12 @@ impl<'a> Store<'a> {
             body: Body::Ram {
                 graph: StateGraph::with_capacity(0),
                 fps: Vec::new(),
+                rows: Vec::new(),
             },
             visited,
             disk,
             layout,
+            rows,
             arena_bytes: 0,
             edge_bytes: 0,
             expanded: 0,
@@ -333,6 +486,7 @@ impl<'a> Store<'a> {
             pending_hits: 0,
             pack_scratch: Vec::new(),
             rec_buf: Vec::new(),
+            probe: Vec::new(),
         })
     }
 
@@ -350,7 +504,7 @@ impl<'a> Store<'a> {
     /// boundaries — are those of a store on disk from its first state
     /// (until here packed records were only counted, never encoded).
     fn spill(&mut self) -> Result<(), StoreError> {
-        let (Body::Ram { graph, fps }, Some((dir, t))) = (&self.body, &self.disk) else {
+        let (Body::Ram { graph, fps, .. }, Some((dir, t))) = (&self.body, &self.disk) else {
             unreachable!("only the RAM body of a budgeted store spills");
         };
         let mut arena = SegmentStore::create(dir.path(), "arena", t.seg_target, t.arena_cache)?;
@@ -360,7 +514,7 @@ impl<'a> Store<'a> {
                 graph.state(id),
                 fp,
                 graph.parent(id),
-                self.layout.as_ref(),
+                self.layout,
                 &mut self.pack_scratch,
                 &mut self.rec_buf,
             );
@@ -378,18 +532,29 @@ impl<'a> Store<'a> {
         Ok(())
     }
 
-    /// Records `state`, reached from `from`, under the next id.
+    /// Records `child`, reached from `from`, under the next id: in a
+    /// run that steps on rows its row is written first — into the RAM
+    /// body's rows, from which its state is read, or straight into its
+    /// disk record.
     // On the loop's per-state path, which `intern` is inlined into.
     #[inline]
     fn push_state(
         &mut self,
-        state: State,
+        child: Child<'_>,
         fp: u64,
         from: Option<(usize, usize)>,
     ) -> Result<(), CheckpointError> {
-        let layout = self.layout.as_ref();
+        let (layout, rows_layout) = (self.layout, self.rows);
         match &mut self.body {
-            Body::Ram { graph, fps } => {
+            Body::Ram { graph, fps, rows } => {
+                let state = match rows_layout {
+                    Some(layout) => {
+                        let start = rows.len();
+                        child.write_row(layout, rows);
+                        layout.unpack(&rows[start..])
+                    }
+                    None => child.state(),
+                };
                 if self.disk.is_some() {
                     self.arena_bytes += checkpoint::arena_record_bytes(&state, layout);
                 }
@@ -402,7 +567,16 @@ impl<'a> Store<'a> {
                     init.push(arena.len() as usize);
                 }
                 let (scratch, rec) = (&mut self.pack_scratch, &mut self.rec_buf);
-                checkpoint::encode_arena_record(&state, fp, from, layout, scratch, rec);
+                match rows_layout {
+                    Some(layout) => {
+                        let row = |out: &mut Vec<u8>| child.write_row(layout, out);
+                        checkpoint::encode_packed_record(from, fp, row, rec);
+                    }
+                    None => {
+                        let state = child.state();
+                        checkpoint::encode_arena_record(&state, fp, from, layout, scratch, rec);
+                    }
+                }
                 spill::append(self.meter, "arena", arena, rec)?;
             }
         }
@@ -424,7 +598,7 @@ impl<'a> Store<'a> {
             let fp = state.fingerprint();
             self.visited
                 .seed(self.options.mode, fp & self.mask, id, self.meter)?;
-            self.push_state(state.clone(), fp, parent)?;
+            self.push_state(Child::State(state.clone()), fp, parent)?;
             if let Some(edges) = edges {
                 self.push_edges(id, edges)?;
             }
@@ -433,18 +607,27 @@ impl<'a> Store<'a> {
     }
 
     fn entry(&mut self, id: usize) -> Result<(State, u64), CheckError> {
-        Ok(self
-            .body
-            .entry(id, self.layout.as_ref(), &mut self.rec_buf)?)
+        Ok(self.body.entry(id, self.layout, &mut self.rec_buf)?)
+    }
+
+    /// Copies the row of state `id` into `out`, in a run that steps on
+    /// rows; returns its unmasked fingerprint.
+    fn row(&mut self, id: usize, out: &mut Vec<u8>) -> Result<u64, CheckError> {
+        let layout = self.rows.expect("a store that steps on rows");
+        let (row, fp) = self.body.row(id, layout, &mut self.rec_buf)?;
+        out.clear();
+        out.extend_from_slice(row);
+        Ok(fp)
     }
 
     /// Looks up or records the state whose unmasked fingerprint is
     /// `fp`, reached from `from = (parent id, action)` (`None` for an
-    /// initial state). `make` materializes it and is called only when
-    /// it must be: fingerprint dedup probes first, so an
-    /// already-visited successor is never constructed. A genuinely new
-    /// state is charged to the meter *before* anything is recorded: a
-    /// [`Stop::Cut`] leaves the store untouched.
+    /// initial state). `child` is built only when it must be:
+    /// fingerprint dedup probes first, so an already-visited successor
+    /// is never constructed. A genuinely new state is charged to the
+    /// meter *before* anything is recorded: a [`Stop::Cut`] leaves the
+    /// store untouched. No state is admitted past the id a record word
+    /// can name ([`checkpoint::id_word`]).
     // Inlined into the loop's successor visitor: left as a call, the
     // fingerprint probe costs the sequential benchmark a few percent.
     // The symmetric branch is loop-invariant and stays a call.
@@ -453,12 +636,12 @@ impl<'a> Store<'a> {
         &mut self,
         fp: u64,
         from: Option<(usize, usize)>,
-        make: impl FnOnce() -> State,
+        child: Child<'_>,
     ) -> Result<(usize, bool), Stop> {
         if let Some(canon) = self.canon.clone() {
-            return self.intern_orbit(&*canon, from, make());
+            return self.intern_orbit(&*canon, from, child.state());
         }
-        self.intern_keyed(fp, from, make)
+        self.intern_keyed(fp, from, child)
     }
 
     /// [`intern`](Self::intern) under the key the state is to be
@@ -468,7 +651,7 @@ impl<'a> Store<'a> {
         &mut self,
         fp: u64,
         from: Option<(usize, usize)>,
-        make: impl FnOnce() -> State,
+        child: Child<'_>,
     ) -> Result<(usize, bool), Stop> {
         let (meter, key) = (self.meter, fp & self.mask);
         let next = match &self.body {
@@ -476,34 +659,46 @@ impl<'a> Store<'a> {
             Body::Disk { arena, .. } => arena.len() as usize,
         };
         let admit = || {
+            checkpoint::id_word(next).map_err(Stop::Fail)?;
             meter
                 .charge_state()
                 .map_or(Ok(next), |reason| Err(Stop::Cut(reason)))
         };
-        let state = match self.options.mode {
+        let child = match (self.options.mode, self.rows) {
             // The fingerprinted hot path: one probe, and only
             // genuinely new states are constructed and recorded.
-            VisitedMode::Fingerprint => {
+            (VisitedMode::Fingerprint, _) => {
                 match self.visited.fp_entry(key, |_| Ok(true), admit, meter)? {
-                    (_, true) => make(),
+                    (_, true) => child,
                     found => return Ok(found),
                 }
             }
-            // The exact fallback: every successor is materialized so a
-            // hit can be verified against the body — a candidate
-            // interned in RAM may be read back from its disk record.
-            // Collision-free by construction, at a throughput cost.
-            VisitedMode::Exact => {
-                let state = make();
-                let (body, layout, buf) = (&mut self.body, self.layout.as_ref(), &mut self.rec_buf);
+            // The exact fallback: every successor is materialized — as
+            // its row, or as a state — so a hit can be verified against
+            // the body, a candidate interned in RAM perhaps read back
+            // from its disk record. Collision-free by construction, at
+            // a throughput cost.
+            (VisitedMode::Exact, Some(layout)) => {
+                let (body, buf, probe) = (&mut self.body, &mut self.rec_buf, &mut self.probe);
+                probe.clear();
+                child.write_row(layout, probe);
+                let same = |cand| Ok(body.row(cand, layout, buf)?.0 == &probe[..]);
+                match self.visited.fp_entry(key, same, admit, meter)? {
+                    (_, true) => child,
+                    found => return Ok(found),
+                }
+            }
+            (VisitedMode::Exact, None) => {
+                let state = child.state();
+                let (body, layout, buf) = (&mut self.body, self.layout, &mut self.rec_buf);
                 let same = |cand| Ok(body.entry(cand, layout, buf)?.0 == state);
                 match self.visited.fp_entry(key, same, admit, meter)? {
-                    (_, true) => state,
+                    (_, true) => Child::State(state),
                     found => return Ok(found),
                 }
             }
         };
-        self.push_state(state, fp, from)?;
+        self.push_state(child, fp, from)?;
         Ok((next, true))
     }
 
@@ -520,7 +715,7 @@ impl<'a> Store<'a> {
         if from.is_some() && state != raw {
             self.pending_hits += 1;
         }
-        self.intern_keyed(state.fingerprint(), from, move || state)
+        self.intern_keyed(state.fingerprint(), from, Child::State(state))
     }
 
     /// Records the complete successor list of a fully expanded state.
@@ -621,8 +816,7 @@ impl<'a> Store<'a> {
                 // index, and each tier's cache once read, go first.
                 drop(self.visited);
                 let n = arena.len() as usize;
-                let mut graph =
-                    checkpoint::graph_of_arena(spill::records(&arena), n, self.layout.as_ref())?;
+                let mut graph = checkpoint::graph_of_arena(spill::records(&arena), n, self.layout)?;
                 drop(arena);
                 checkpoint::fill_edges(&mut graph, spill::records(&edges))?;
                 graph
@@ -677,96 +871,175 @@ mod tests {
     /// Breadth-first over the ring `x ∈ 0..N` from 0, each state
     /// stepping to itself and three neighbours: the frontier stays a
     /// few states wide, so the edge records (44 bytes a state) fill a
-    /// segment before the packed arena records (22 bytes) do.
+    /// segment before the packed arena records (22 bytes) do. A store
+    /// that steps on rows is driven as the loop drives it: parents read
+    /// as rows, children as a parent row and an effect.
     fn drive(store: &mut Store<'_>) {
         let state = |x: i64| State::new(vec![Value::Int(x)]);
-        let Ok((root, true)) = store.intern(state(0).fingerprint(), None, || state(0)) else {
+        let Ok((root, true)) = store.intern(state(0).fingerprint(), None, Child::State(state(0)))
+        else {
             panic!("the first state is new");
         };
         let mut queue = VecDeque::from([root]);
+        let mut row = Vec::new();
         while let Some(id) = queue.pop_front() {
-            let (parent, _) = store.entry(id).unwrap();
-            let Value::Int(x) = parent.values()[0] else {
-                panic!("an integer slot");
+            let x = match store.rows {
+                Some(layout) => {
+                    store.row(id, &mut row).unwrap();
+                    i64::from(layout.read_code(&row, 0))
+                }
+                None => match store.entry(id).unwrap().0.values()[0] {
+                    Value::Int(x) => x,
+                    _ => panic!("an integer slot"),
+                },
             };
             let mut edges = Vec::new();
             for (action, y) in [(x + 1) % N, (x + N - 1) % N, (x + 2) % N, x]
                 .into_iter()
                 .enumerate()
             {
-                let target =
-                    match store.intern(state(y).fingerprint(), Some((id, action)), || state(y)) {
-                        Ok((target, is_new)) => {
-                            if is_new {
-                                queue.push_back(target);
-                            }
-                            target
+                let effect = [Effect {
+                    slot: 0,
+                    code: y as u32,
+                }];
+                let child = match store.rows {
+                    Some(layout) => Child::Packed {
+                        layout,
+                        parent: &row,
+                        effects: &effect,
+                    },
+                    None => Child::State(state(y)),
+                };
+                let target = match store.intern(state(y).fingerprint(), Some((id, action)), child) {
+                    Ok((target, is_new)) => {
+                        if is_new {
+                            queue.push_back(target);
                         }
-                        Err(_) => panic!("an unlimited meter and a healthy disk"),
-                    };
+                        target
+                    }
+                    Err(_) => panic!("an unlimited meter and a healthy disk"),
+                };
                 edges.push(Edge { action, target });
             }
             store.push_edges(id, &edges).unwrap();
         }
     }
 
-    type Stream = (Vec<SegmentMeta>, Vec<Vec<u8>>);
-
-    /// The stream does not depend on when the store left RAM: forced
-    /// out before its first state, leaving when the edge records fill
-    /// a segment (this system's own course), or when the arena does
-    /// (its counter charged half a segment in advance), it seals the
-    /// same segments — name, records, length, checksum — and holds the
-    /// same unsealed tails, in both tiers.
-    #[test]
-    fn the_record_streams_do_not_depend_on_when_the_store_left_ram() {
+    fn ring() -> System {
         let mut vars = Vars::new();
         vars.declare("x", Domain::int_range(0, N - 1));
-        let system = System::new(vars, Init::new([]), vec![]);
+        System::new(vars, Init::new([]), vec![])
+    }
+
+    type Stream = (Vec<SegmentMeta>, Vec<Vec<u8>>);
+
+    /// The stream does not depend on when the store left RAM, nor on
+    /// whether it steps on rows: forced out before its first state,
+    /// leaving when the edge records fill a segment (this system's own
+    /// course), or when the arena does (its counter charged half a
+    /// segment in advance), it seals the same segments — name, records,
+    /// length, checksum — and holds the same unsealed tails, in both
+    /// tiers.
+    #[test]
+    fn the_record_streams_do_not_depend_on_when_the_store_left_ram() {
+        let system = ring();
         let options = ExploreOptions::default();
         let meter = Meter::start(&Budget::unlimited());
         let seg_target = Tuning::for_budget(8 << 10).seg_target;
+        let layout = PackedLayout::compile(system.vars());
+        assert!(layout.is_some(), "one small slot packs");
         let mut streams: Vec<(Stream, Stream)> = Vec::new();
-        for way in ["before the first state", "edge bytes", "arena bytes"] {
-            let disk = Some((SpillDir::new(None), Tuning::for_budget(8 << 10)));
-            let layout = PackedLayout::compile(system.vars());
-            assert!(layout.is_some(), "one small slot packs");
-            let mut store = Store::create(&system, &options, &meter, layout, disk).unwrap();
-            match way {
-                "before the first state" => store.spill().unwrap(),
-                "arena bytes" => store.arena_bytes = seg_target / 2,
-                _ => {}
+        for packed in [false, true] {
+            for way in ["before the first state", "edge bytes", "arena bytes"] {
+                let disk = Some((SpillDir::new(None), Tuning::for_budget(8 << 10)));
+                let rows = layout.as_ref().filter(|_| packed);
+                let mut store =
+                    Store::create(&system, &options, &meter, layout.as_ref(), rows, disk).unwrap();
+                match way {
+                    "before the first state" => store.spill().unwrap(),
+                    "arena bytes" => store.arena_bytes = seg_target / 2,
+                    _ => {}
+                }
+                drive(&mut store);
+                // The counters stop where the store left RAM.
+                let tripped = (
+                    store.arena_bytes >= seg_target,
+                    store.edge_bytes >= seg_target,
+                );
+                let expected = match way {
+                    "before the first state" => (false, false),
+                    "edge bytes" => (false, true),
+                    _ => (true, false),
+                };
+                assert_eq!(tripped, expected, "{way}, packed {packed}");
+                let Body::Disk { arena, edges, init } = &store.body else {
+                    panic!("{way}: {N} states outgrow a 1 KiB segment");
+                };
+                assert_eq!(init, &[0], "{way}");
+                assert_eq!((arena.len(), edges.len()), (N as u64, N as u64), "{way}");
+                assert!(
+                    arena.sealed().len() >= 2 && edges.sealed().len() >= 2,
+                    "{way}"
+                );
+                let stream = |s: &SegmentStore| {
+                    (
+                        s.sealed().to_vec(),
+                        s.hot_records().map(<[u8]>::to_vec).collect(),
+                    )
+                };
+                streams.push((stream(arena), stream(edges)));
             }
-            drive(&mut store);
-            // The counters stop where the store left RAM.
-            let tripped = (
-                store.arena_bytes >= seg_target,
-                store.edge_bytes >= seg_target,
-            );
-            let expected = match way {
-                "before the first state" => (false, false),
-                "edge bytes" => (false, true),
-                _ => (true, false),
-            };
-            assert_eq!(tripped, expected, "{way}");
-            let Body::Disk { arena, edges, init } = &store.body else {
-                panic!("{way}: {N} states outgrow a 1 KiB segment");
-            };
-            assert_eq!(init, &[0], "{way}");
-            assert_eq!((arena.len(), edges.len()), (N as u64, N as u64), "{way}");
-            assert!(
-                arena.sealed().len() >= 2 && edges.sealed().len() >= 2,
-                "{way}"
-            );
-            let stream = |s: &SegmentStore| {
-                (
-                    s.sealed().to_vec(),
-                    s.hot_records().map(<[u8]>::to_vec).collect(),
-                )
-            };
-            streams.push((stream(arena), stream(edges)));
         }
-        assert_eq!(streams[0], streams[1], "forced vs edge-triggered");
-        assert_eq!(streams[0], streams[2], "forced vs arena-triggered");
+        for (i, stream) in streams.iter().enumerate() {
+            assert_eq!(stream, &streams[0], "way {} of 3, packed {}", i % 3, i >= 3);
+        }
+    }
+
+    /// A record read back from a sealed segment whose checksums hold
+    /// but whose row has a code past its slot's domain (`x`'s eight bits
+    /// hold up to 255, its domain 150 values) is a typed error where the
+    /// loop reads a parent — never a table index past its end.
+    #[test]
+    fn a_disk_row_holding_a_code_past_its_domain_is_corrupt() {
+        let system = ring();
+        let (options, meter) = (
+            ExploreOptions::default(),
+            Meter::start(&Budget::unlimited()),
+        );
+        let layout = PackedLayout::compile(system.vars()).expect("one small slot packs");
+        let disk = Some((SpillDir::new(None), Tuning::for_budget(8 << 10)));
+        let mut store = Store::create(
+            &system,
+            &options,
+            &meter,
+            Some(&layout),
+            Some(&layout),
+            disk,
+        )
+        .unwrap();
+        store.spill().unwrap();
+        let state = State::new(vec![Value::Int(149)]);
+        store
+            .intern(state.fingerprint(), None, Child::State(state))
+            .unwrap_or_else(|_| panic!("an unlimited meter and a healthy disk"));
+        let mut row = Vec::new();
+        store.row(0, &mut row).unwrap();
+        assert_eq!(layout.read_code(&row, 0), 149);
+        layout.write_code(&mut row, 0, 200);
+        let Body::Disk { arena, .. } = &mut store.body else {
+            panic!("the store left RAM");
+        };
+        let mut record = Vec::new();
+        checkpoint::encode_packed_record(None, 0, |out| out.extend_from_slice(&row), &mut record);
+        arena.append(&record).unwrap();
+        arena.seal().unwrap();
+        assert_eq!(arena.sealed().len(), 1, "both records are on disk");
+        store.row(0, &mut row).unwrap();
+        match store.row(1, &mut row) {
+            Err(CheckError::Checkpoint(CheckpointError::Corrupt { detail })) => {
+                assert!(detail.contains("slot 0 holds code 200"), "{detail}");
+            }
+            other => panic!("{other:?}"),
+        }
     }
 }

@@ -11,9 +11,11 @@
 //! * **Arenas.** Without a budget, a stripe's packed rows back to back
 //!   in a `Vec<u8>`, plus their fingerprints: a parent read is a slice
 //!   copy. Under one, a [`SegmentStore`] of packed arena records
-//!   (`wsarena-SS-*`) read back through an LRU cache; each stripe's
-//!   segment target and cache, like its hot tier and filter, are the
-//!   budget's shares divided by [`NUM_SHARDS`].
+//!   (`wsarena-SS-*`) read back through an LRU cache, each row checked
+//!   as it is read for codes outside their domains (the stepper keys
+//!   tables on them); each stripe's segment target and cache, like its
+//!   hot tier and filter, are the budget's shares divided by
+//!   [`NUM_SHARDS`].
 //! * **Edges.** Without a budget a parent's run stays in its worker's
 //!   records. Under one, a fully expanded parent's run leaves them as
 //!   one record in the shared edge store (`wsedges-*`), each pid the
@@ -45,6 +47,7 @@ use super::*;
 use crate::checkpoint::{corrupt, CheckpointError};
 use crate::sync::shard_for;
 use opentla_kernel::store::{SegmentStore, StoreError};
+use opentla_kernel::PackedLayout;
 use std::borrow::Cow;
 
 /// One stripe: the dedup index (masked fingerprint → local index) and
@@ -89,47 +92,44 @@ impl Arena {
                 Ok(())
             }
             Arena::Disk(store) => {
-                checkpoint::encode_packed_record(fp, write, rec);
+                checkpoint::encode_packed_record(None, fp, write, rec);
                 spill::append(meter, "arena", store, rec)
             }
         }
     }
 
-    /// State `local`'s packed row and unmasked fingerprint, its record
-    /// read into `rec` first on disk.
+    /// State `local`'s packed row and unmasked fingerprint: on disk its
+    /// record is read into `rec` first and checked
+    /// ([`checkpoint::packed_row`]), so a row of this arena always holds
+    /// one stride of in-domain codes.
     fn row<'r>(
         &'r mut self,
         local: usize,
-        stride: usize,
+        layout: &PackedLayout,
         rec: &'r mut Vec<u8>,
-    ) -> Result<(&'r [u8], u64), StoreError> {
+    ) -> Result<(&'r [u8], u64), CheckpointError> {
         match self {
-            Arena::Ram { packed, fps } => Ok((&packed[local * stride..][..stride], fps[local])),
+            Arena::Ram { packed, fps } => {
+                let stride = layout.stride();
+                Ok((&packed[local * stride..][..stride], fps[local]))
+            }
             Arena::Disk(store) => {
                 store.read(local as u64, rec)?;
-                let fp = checkpoint::record_fingerprint(rec);
-                Ok((checkpoint::packed_payload(rec), fp))
+                checkpoint::packed_row(rec, layout)
             }
         }
     }
 
     /// Every row, back to back: the arena itself in RAM, its records
-    /// read back on disk.
-    fn rows(&self, stride: usize) -> Result<Cow<'_, [u8]>, CheckpointError> {
+    /// read back and checked on disk.
+    fn rows(&self, layout: &PackedLayout) -> Result<Cow<'_, [u8]>, CheckpointError> {
         let store = match self {
             Arena::Ram { packed, .. } => return Ok(Cow::Borrowed(packed)),
             Arena::Disk(store) => store,
         };
-        let mut rows = Vec::with_capacity(store.len() as usize * stride);
+        let mut rows = Vec::with_capacity(store.len() as usize * layout.stride());
         checkpoint::for_each_record(spill::records(store), |rec| {
-            let row = checkpoint::packed_payload(rec);
-            if row.len() != stride {
-                return Err(corrupt(format!(
-                    "packed arena record of {} byte(s), layout stride is {stride}",
-                    row.len()
-                )));
-            }
-            rows.extend_from_slice(row);
+            rows.extend_from_slice(checkpoint::packed_row(rec, layout)?.0);
             Ok(())
         })?;
         Ok(Cow::Owned(rows))
@@ -246,10 +246,7 @@ impl<'a> Store<'a> {
         rec: &mut Vec<u8>,
     ) -> Result<u64, CheckError> {
         let mut stripe = lock(&self.stripes[shard_of(parent)]);
-        let stride = self.run.layout.stride();
-        let (row, fp) = (stripe.arena)
-            .row(local_of(parent), stride, rec)
-            .map_err(CheckpointError::from)?;
+        let (row, fp) = (stripe.arena).row(local_of(parent), self.run.layout, rec)?;
         bytes.clear();
         bytes.extend_from_slice(row);
         Ok(fp)
@@ -295,8 +292,8 @@ impl<'a> Store<'a> {
             VisitedMode::Exact => {
                 probe.clear();
                 write(probe);
-                let stride = probe.len();
-                let same = |cand| Ok(arena.row(cand, stride, rec)?.0 == &probe[..]);
+                let layout = self.run.layout;
+                let same = |cand| Ok(arena.row(cand, layout, rec)?.0 == &probe[..]);
                 let hit = visited.fp_entry(key, same, admit, meter)?;
                 if hit.1 {
                     arena.push(fp, |out| out.extend_from_slice(probe), rec, meter)?;
@@ -378,7 +375,7 @@ impl<'a> Store<'a> {
                 Ok(())
             })?;
         }
-        let rows: Vec<Cow<'_, [u8]>> = par_map(threads, &arenas, |a| a.rows(stride))
+        let rows: Vec<Cow<'_, [u8]>> = par_map(threads, &arenas, |a| a.rows(layout))
             .into_iter()
             .collect::<Result<_, _>>()?;
         let runs: Vec<&[EdgeRecord]> = std::iter::once(&banked)
@@ -400,7 +397,7 @@ impl<'a> Store<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opentla_kernel::{Domain, PackedLayout, Value, Vars};
+    use opentla_kernel::{Domain, State, Value, Vars};
     use std::collections::VecDeque;
 
     const N: i64 = 2000;
@@ -489,6 +486,53 @@ mod tests {
             assert_eq!(from_ram.graph.len(), N as usize);
             assert_eq!(from_ram.graph.first_difference(&from_disk.graph), None);
         }
+    }
+
+    /// A record read back from a sealed stripe segment whose checksums
+    /// hold but whose row has a code past its slot's domain (`x`'s
+    /// eleven bits hold up to 2047, its domain 2000 values) is a typed
+    /// error where a worker reads a parent and where the replay reads
+    /// the arena — never a table index past its end, nor a panic.
+    #[test]
+    fn a_disk_row_holding_a_code_past_its_domain_is_corrupt() {
+        let mut vars = Vars::new();
+        vars.declare("x", Domain::int_range(0, N - 1));
+        let layout = PackedLayout::compile(&vars).expect("one small slot packs");
+        let options = ExploreOptions::default();
+        let run = Run {
+            options: &options,
+            threads: 1,
+            layout: &layout,
+            meter: Meter::start(&Budget::unlimited()),
+        };
+        let store = Store::new(&run, Some(8 << 10)).unwrap();
+        let mut bad = layout.pack(&State::new(vec![Value::Int(N - 1)])).unwrap();
+        layout.write_code(&mut bad, 0, 2047);
+        let mut rec = Vec::new();
+        checkpoint::encode_packed_record(None, 0, |out| out.extend_from_slice(&bad), &mut rec);
+        {
+            let mut stripe = lock(&store.stripes[5]);
+            let Arena::Disk(arena) = &mut stripe.arena else {
+                panic!("a budgeted store's arenas are on disk");
+            };
+            arena.append(&rec).unwrap();
+            arena.seal().unwrap();
+            assert_eq!(arena.sealed().len(), 1, "the record is on disk");
+        }
+        let corrupt_code = |e: CheckError| match e {
+            CheckError::Checkpoint(CheckpointError::Corrupt { detail }) => {
+                assert!(detail.contains("slot 0 holds code 2047"), "{detail}");
+            }
+            other => panic!("{other:?}"),
+        };
+        let (mut bytes, mut rec) = (Vec::new(), Vec::new());
+        corrupt_code(store.parent(pid(5, 0), &mut bytes, &mut rec).unwrap_err());
+        corrupt_code(
+            store
+                .replay(&[], &[pid(5, 0)])
+                .err()
+                .expect("a corrupt arena"),
+        );
     }
 
     /// Edge records carry pids as dense `u32` words; one that does not

@@ -17,15 +17,18 @@
 //!   transiently hit zero while work remains). Workers that find
 //!   nothing to claim spin-yield until `in_flight == 0`, which proves
 //!   global exhaustion.
-//! * **Packed states.** States are fixed-width packed byte runs
-//!   ([`PackedLayout`]) in either arena: the expansion copies a
-//!   parent's bytes out, evaluates guards and updates against them
-//!   unpacked into a *reused* `Vec<Value>`
-//!   ([`CompiledSystem::for_each_successor_values`]), derives each
-//!   child's fingerprint by the layout's incremental Zobrist delta, and
-//!   hands the store the child's bytes to intern — no `Value` tree is
-//!   allocated on the hot path. A system whose states do not pack never
-//!   gets here: its plan settles on the sequential loop (`Plan::start`).
+//! * **Stepping on slot codes.** States are fixed-width packed rows
+//!   ([`PackedLayout`]) in either arena, and a parent is stepped as one:
+//!   the expansion copies its row out and looks each action up in the
+//!   worker's effect tables
+//!   ([`CompiledSystem::for_each_packed_successor`]), which hand back
+//!   the `(slot, new code)` effects of every enabled action. The child's
+//!   fingerprint is the parent's under the layout's incremental Zobrist
+//!   delta of those effects, and the store is handed the parent's row
+//!   with them written in. Only a table miss unpacks the parent and
+//!   evaluates; no `Value` is built otherwise. A system whose states do
+//!   not pack never gets here: its plan settles on the sequential loop
+//!   (`Plan::start`).
 //! * **Lock-striped store.** The store shards its index and arenas by
 //!   fingerprint into [`NUM_SHARDS`] independently-locked stripes, so
 //!   interning scales with workers.
@@ -63,8 +66,8 @@
 use super::seq::{Seed, Stop};
 use super::stripes::Store;
 use super::*;
-use crate::checkpoint::CheckpointError;
-use opentla_kernel::{PackedLayout, Value, VarId};
+use crate::compiled::{append_child, child_fingerprint, MemoStats, StepMemo};
+use opentla_kernel::PackedLayout;
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 
@@ -166,6 +169,7 @@ struct Tally {
     interrupted: Vec<Pid>,
     claimed: u64,
     inserted: u64,
+    memo: MemoStats,
 }
 
 /// The worker loop: claim a parent, expand it, release it.
@@ -227,7 +231,7 @@ fn work(sched: &Sched<'_>, x: &Packed<'_>, me: usize, tally: &mut Tally) {
                         requeued: 1,
                     });
                 }
-                return;
+                break;
             }
         };
         sched.in_flight.fetch_sub(1, Ordering::AcqRel);
@@ -245,13 +249,19 @@ fn work(sched: &Sched<'_>, x: &Packed<'_>, me: usize, tally: &mut Tally) {
             }
         }
     }
+    tally.memo = scratch.memo.stats();
 }
 
 /// What a work-stealing run leaves behind: every worker's records,
 /// epoch by epoch, after the ones the run started from; the
-/// discovered-but-unexpanded pids once it stops early; and why it
-/// stopped early.
-type WsRun = (Vec<Vec<EdgeRecord>>, Vec<Pid>, Option<ExhaustReason>);
+/// discovered-but-unexpanded pids once it stops early; why it stopped
+/// early; and what the workers' effect tables did.
+type WsRun = (
+    Vec<Vec<EdgeRecord>>,
+    Vec<Pid>,
+    Option<ExhaustReason>,
+    MemoStats,
+);
 
 /// Runs the workers over `x` from `pending` to quiescence or a budget
 /// stop. `records` are the ones the run starts from (a resumed
@@ -281,6 +291,7 @@ fn run_workers(
         fault_fired: AtomicBool::new(false),
         alive: AtomicUsize::new(threads),
     };
+    let mut memo = MemoStats::default();
     let expand_phase = PhaseGuard::enter(meter.recorder(), Phase::ExploreExpand);
     loop {
         // Prime the quiescence counter with the seeded work and deal it
@@ -305,6 +316,7 @@ fn run_workers(
                             interrupted: Vec::new(),
                             claimed: 0,
                             inserted: 0,
+                            memo: MemoStats::default(),
                         };
                         let body = std::panic::AssertUnwindSafe(|| work(sched, x, me, &mut tally));
                         if let Err(payload) = std::panic::catch_unwind(body) {
@@ -344,6 +356,7 @@ fn run_workers(
                     inserted: tally.inserted,
                 });
             }
+            memo += tally.memo;
             pending.append(&mut tally.interrupted);
             if !tally.records.is_empty() {
                 records.push(tally.records);
@@ -374,7 +387,7 @@ fn run_workers(
         .reason
         .into_inner()
         .unwrap_or_else(PoisonError::into_inner);
-    Ok((records, pending, reason))
+    Ok((records, pending, reason, memo))
 }
 
 // ---------------------------------------------------------------------
@@ -398,10 +411,8 @@ pub(super) struct Run<'a> {
 /// peak RSS.
 #[derive(Default)]
 struct Scratch {
-    eval: EvalScratch,
+    memo: StepMemo,
     parent: Vec<u8>,
-    values: Vec<Value>,
-    updates: Vec<(usize, u32)>,
     /// The store's: exact mode's probe bytes, a disk record, an edge
     /// run being settled.
     probe: Vec<u8>,
@@ -438,26 +449,21 @@ impl Packed<'_> {
             compiled,
         } = self;
         let Scratch {
-            eval,
+            memo,
             parent: bytes,
-            values,
-            updates,
             probe,
             rec,
             edges,
         } = w;
         let parent_fp = store.parent(parent, bytes, rec)?;
         let layout = run.layout;
-        layout
-            .try_unpack_into(bytes, values)
-            .map_err(CheckpointError::from)?;
         let mark = records.len();
-        let stop = compiled.for_each_successor_values(values, eval, |action, assignments| {
+        let stop = compiled.for_each_packed_successor(layout, bytes, memo, |action, effects| {
             if let Some(reason) = run.meter.charge_transition() {
                 return ControlFlow::Break(Stop::Cut(reason));
             }
-            let child_fp = packed_delta(layout, bytes, parent_fp, assignments, updates);
-            let write = |out: &mut Vec<u8>| append_packed_child(layout, bytes, updates, out);
+            let child_fp = child_fingerprint(layout, bytes, parent_fp, effects);
+            let write = |out: &mut Vec<u8>| append_child(layout, bytes, effects, out);
             match store.intern(child_fp, write, true, probe, rec) {
                 Ok((child, is_new)) => {
                     if is_new {
@@ -477,49 +483,6 @@ impl Packed<'_> {
             Some(Stop::Cut(reason)) => Ok(Some(reason)),
             Some(Stop::Fail(e)) => Err(e),
         }
-    }
-}
-
-/// The packed successor of `parent` under `assignments`, as a delta:
-/// fills `updates` with the `(slot, new code)` pairs that differ from
-/// the parent — duplicate-free because `GuardedAction` rejects
-/// duplicate update targets, so old codes can be read from the parent
-/// bytes — and returns the child's fingerprint, derived from the
-/// parent's by the layout's incremental Zobrist delta.
-fn packed_delta(
-    layout: &PackedLayout,
-    parent: &[u8],
-    parent_fp: u64,
-    assignments: &[(VarId, Value)],
-    updates: &mut Vec<(usize, u32)>,
-) -> u64 {
-    let mut child_fp = parent_fp;
-    updates.clear();
-    for (v, val) in assignments {
-        let slot = v.index();
-        let old = layout.read_code(parent, slot);
-        let new = layout
-            .code_of(slot, val)
-            .expect("stepper domain-checks every update value");
-        if new != old {
-            child_fp ^= layout.fingerprint_delta(slot, old, new);
-            updates.push((slot, new));
-        }
-    }
-    child_fp
-}
-
-/// Appends the child `parent` ⊕ `updates` to `out`.
-fn append_packed_child(
-    layout: &PackedLayout,
-    parent: &[u8],
-    updates: &[(usize, u32)],
-    out: &mut Vec<u8>,
-) {
-    let start = out.len();
-    out.extend_from_slice(parent);
-    for &(slot, new) in updates {
-        layout.write_code(&mut out[start..], slot, new);
     }
 }
 
@@ -616,10 +579,10 @@ pub(super) fn explore_ws(
         store,
         compiled: CompiledSystem::compile(system),
     };
-    let (records, mut pending, reason) = match init_cut {
+    let (records, mut pending, reason, memo) = match init_cut {
         // Cut during initial-state interning: the seed is all pending
         // and no worker runs.
-        Some(reason) => (records, seeded, Some(reason)),
+        Some(reason) => (records, seeded, Some(reason), MemoStats::default()),
         None => {
             let cadence = budget
                 .checkpoint
@@ -638,6 +601,7 @@ pub(super) fn explore_ws(
             run_workers(&x, seeded, records, cadence, at_pause)?
         }
     };
+    (x.compiled).record_step_memo(Some(memo), &budget.recorder);
 
     let renumber_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
     let replay = store.replay(&records, &init)?;

@@ -91,7 +91,7 @@ pub use checkpoint::{
     CheckpointError, CheckpointSpec, ResumeToken, Snapshot, DEFAULT_CHECKPOINT_CADENCE,
     SNAPSHOT_VERSION,
 };
-pub use compiled::{CompiledExpr, CompiledSystem, EvalScratch};
+pub use compiled::{CompiledExpr, CompiledSystem, Effect, EvalScratch, MemoStats, StepMemo};
 pub use counterexample::Counterexample;
 pub use error::CheckError;
 pub use explore::{

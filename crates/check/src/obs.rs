@@ -399,6 +399,25 @@ pub enum Event<'a> {
         /// evaluated.
         skipped: bool,
     },
+    /// What the effect tables of packed stepping did over one
+    /// exploration, summed over its workers (see
+    /// [`CompiledSystem`](crate::CompiledSystem)): emitted once, before
+    /// the run's final progress event. A run that stepped on `Value`s —
+    /// its states do not pack, or a symmetry reduction is active — has
+    /// no tables and reports zero of everything but `actions`.
+    StepMemo {
+        /// Actions of the system.
+        actions: u64,
+        /// Actions with a table (the others evaluate at every lookup).
+        tabled_actions: u64,
+        /// Table entries filled.
+        table_entries: u64,
+        /// Action lookups: one per action per parent stepped.
+        lookups: u64,
+        /// Lookups that evaluated the action: unknown entries and
+        /// untabled actions. `1 - misses / lookups` is the hit ratio.
+        misses: u64,
+    },
     /// The engine run ended; carries the full report.
     RunEnd {
         /// The final report.
@@ -623,6 +642,13 @@ describe_events! {
         edges: U64 Required = edges,
         skipped: Bool Required = skipped,
     }
+    StepMemo { actions, tabled_actions, table_entries, lookups, misses } => "step_memo" {
+        actions: U64 Required = actions,
+        tabled_actions: U64 Required = tabled_actions,
+        table_entries: U64 Required = table_entries,
+        lookups: U64 Required = lookups,
+        misses: U64 Required = misses,
+    }
     RunEnd { report } => "run_end" {
         report: Report Required = report,
     }
@@ -675,6 +701,9 @@ pub struct CountingRecorder {
     spilled_bytes: AtomicU64,
     /// `canon_hits` of the most recent reduction event.
     red_canon_hits: AtomicU64,
+    /// `lookups` and `misses` of the most recent step-memo event.
+    step_lookups: AtomicU64,
+    step_misses: AtomicU64,
     /// Totals of the most recent run report.
     states: AtomicU64,
     transitions: AtomicU64,
@@ -699,6 +728,8 @@ impl CountingRecorder {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
             spilled_bytes: AtomicU64::new(0),
             red_canon_hits: AtomicU64::new(0),
+            step_lookups: AtomicU64::new(0),
+            step_misses: AtomicU64::new(0),
             states: AtomicU64::new(0),
             transitions: AtomicU64::new(0),
             depth: AtomicU64::new(0),
@@ -743,6 +774,15 @@ impl CountingRecorder {
         self.red_canon_hits.load(Ordering::Relaxed)
     }
 
+    /// `(lookups, misses)` of the most recent step-memo event (zeros if
+    /// none was recorded).
+    pub fn step_memo(&self) -> (u64, u64) {
+        (
+            self.step_lookups.load(Ordering::Relaxed),
+            self.step_misses.load(Ordering::Relaxed),
+        )
+    }
+
     /// Unique states of the last completed run.
     pub fn states(&self) -> u64 {
         self.states.load(Ordering::Relaxed)
@@ -777,6 +817,12 @@ impl Recorder for CountingRecorder {
             }
             Event::Reduction { canon_hits } => {
                 self.red_canon_hits.store(*canon_hits, Ordering::Relaxed);
+            }
+            Event::StepMemo {
+                lookups, misses, ..
+            } => {
+                self.step_lookups.store(*lookups, Ordering::Relaxed);
+                self.step_misses.store(*misses, Ordering::Relaxed);
             }
             Event::Spill {
                 total_spilled_bytes,
@@ -1567,6 +1613,18 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                     ));
                 }
             }
+            "step_memo" => {
+                let tabled = req_u64(&obj, "tabled_actions", line)?;
+                let actions = req_u64(&obj, "actions", line)?;
+                let misses = req_u64(&obj, "misses", line)?;
+                let lookups = req_u64(&obj, "lookups", line)?;
+                if tabled > actions || misses > lookups {
+                    return Err(format!(
+                        "line {line}: {tabled} tabled of {actions} actions, \
+                         {misses} misses of {lookups} lookups"
+                    ));
+                }
+            }
             _ => {}
         }
     }
@@ -1615,7 +1673,7 @@ mod tests {
     /// optional field set — and, read top to bottom, a well-formed
     /// stream. 5 states in 2 s is 2.5 states/s, which `{:.0}` writes as
     /// `2`; the counterexample's reason needs every escape.
-    fn samples(report: &RunReport) -> [Event<'_>; 17] {
+    fn samples(report: &RunReport) -> [Event<'_>; 18] {
         [
             Event::RunStart {
                 engine: "explore_sequential",
@@ -1709,13 +1767,20 @@ mod tests {
                 edges: 2,
                 skipped: false,
             },
+            Event::StepMemo {
+                actions: 13,
+                tabled_actions: 12,
+                table_entries: 171,
+                lookups: 6_360_302,
+                misses: 172,
+            },
             Event::RunEnd { report },
         ]
     }
 
     /// The JSONL bodies (everything after `"t":…,`) of [`samples`], as
     /// the hand-written per-kind writer of commit 667e7d3 produced them.
-    const PINNED_BODIES: [&str; 17] = [
+    const PINNED_BODIES: [&str; 18] = [
         "\"ev\":\"run_start\",\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\"",
         "\"ev\":\"phase_enter\",\"phase\":\"explore_expand\"",
         "\"ev\":\"phase_exit\",\"phase\":\"explore_expand\"",
@@ -1732,6 +1797,7 @@ mod tests {
         "\"ev\":\"cache_stats\",\"hits\":9,\"misses\":1,\"evictions\":0,\"resident_bytes\":4096,\"spilled_bytes\":8192",
         "\"ev\":\"image_pass\",\"states\":3,\"mapped_vars\":1,\"distinct_values\":2,\"undefined\":0,\"nanos\":650",
         "\"ev\":\"image_memo\",\"check\":\"simulation\",\"classes\":2,\"distinct_pairs\":2,\"edges\":2,\"skipped\":false",
+        "\"ev\":\"step_memo\",\"actions\":13,\"tabled_actions\":12,\"table_entries\":171,\"lookups\":6360302,\"misses\":172",
         "\"ev\":\"run_end\",\"report\":{\"schema_version\":4,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
     ];
 
@@ -1985,6 +2051,40 @@ mod tests {
         assert!(validate_stream(&bad).unwrap_err().contains("skipped"));
         let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("skipped"));
+    }
+
+    #[test]
+    fn step_memo_event_counts_serializes_and_validates() {
+        let event = Event::StepMemo {
+            actions: 8,
+            tabled_actions: 8,
+            table_entries: 984,
+            lookups: 2_465_424,
+            misses: 984,
+        };
+        let rec = CountingRecorder::new();
+        rec.record(&event);
+        assert_eq!(rec.count("step_memo"), 1);
+        assert_eq!(rec.step_memo(), (2_465_424, 984));
+
+        let buf: Arc<Mutex<Vec<u8>>> = Arc::default();
+        let rec = JsonlRecorder::from_writer(Shared(Arc::clone(&buf)));
+        rec.record(&event);
+        rec.flush();
+        let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
+        let summary = validate_stream(&text).expect("stream validates");
+        assert_eq!(summary.kinds["step_memo"], 1);
+        // More tabled actions than actions, or more misses than
+        // lookups, is not a stream this crate writes.
+        let head = "{\"v\":4,\"t\":1,\"ev\":\"step_memo\",\"actions\":2";
+        let bad = format!(
+            "{head},\"tabled_actions\":3,\"table_entries\":0,\"lookups\":0,\"misses\":0}}\n"
+        );
+        assert!(validate_stream(&bad).unwrap_err().contains("tabled"));
+        let bad = format!(
+            "{head},\"tabled_actions\":2,\"table_entries\":1,\"lookups\":4,\"misses\":5}}\n"
+        );
+        assert!(validate_stream(&bad).unwrap_err().contains("misses"));
     }
 
     #[test]

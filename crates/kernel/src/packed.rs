@@ -35,29 +35,16 @@
 use crate::codec::DecodeError;
 use crate::state::{slot_fingerprint, State};
 use crate::value::Value;
-use crate::var::Vars;
-use fxhash::FxHashMap;
+use crate::var::{Domain, Vars};
 
 /// Cap on the total packed width of one state, in bits. A state wider
 /// than this (4 KiB packed) is past the point where packing pays.
 const MAX_STATE_BITS: usize = 1 << 15;
 
 /// Cap on the total number of tabulated `(slot, code)` Zobrist
-/// entries across all slots. Each entry costs 8 bytes plus a decode
-/// `Value`; past ~4M entries the tables stop fitting hot caches.
+/// entries across all slots. Each entry costs 8 bytes; past ~4M
+/// entries the tables stop fitting hot caches.
 const MAX_TOTAL_CODES: usize = 1 << 22;
-
-/// How a slot maps a `Value` to its domain index without a table
-/// probe when the domain has recognizable structure.
-enum SlotCodec {
-    /// The domain is `lo, lo+1, …, lo+k-1` in order: code is `v - lo`.
-    IntRange {
-        /// First integer of the range.
-        lo: i64,
-    },
-    /// Arbitrary finite domain: code via hash table.
-    Table(FxHashMap<Value, u32>),
-}
 
 /// One variable's slot in the packed buffer.
 struct Slot {
@@ -65,8 +52,6 @@ struct Slot {
     offset: u32,
     /// Width in bits; `0` for singleton domains.
     width: u32,
-    /// Encoder from `Value` to domain index.
-    codec: SlotCodec,
 }
 
 /// A compiled fixed-width bit layout for the states of one `Vars`
@@ -78,8 +63,10 @@ pub struct PackedLayout {
     /// `zobrist[slot][code]` = the tree path's slot hash of the
     /// decoded value, so packed and tree fingerprints agree exactly.
     zobrist: Vec<Vec<u64>>,
-    /// `decode[slot][code]` = the domain value, for unpacking.
-    decode: Vec<Vec<Value>>,
+    /// Each slot's domain, shared with the `Vars` the layout was
+    /// compiled from: a code is a position in its value list, and its
+    /// index encodes (`Domain::index_of`).
+    domains: Vec<Domain>,
 }
 
 impl PackedLayout {
@@ -88,7 +75,7 @@ impl PackedLayout {
     pub fn compile(vars: &Vars) -> Option<PackedLayout> {
         let mut slots = Vec::with_capacity(vars.len());
         let mut zobrist = Vec::with_capacity(vars.len());
-        let mut decode = Vec::with_capacity(vars.len());
+        let mut domains = Vec::with_capacity(vars.len());
         let mut offset = 0usize;
         let mut total_codes = 0usize;
         for v in vars.iter() {
@@ -102,20 +89,9 @@ impl PackedLayout {
             } else {
                 usize::BITS - (values.len() - 1).leading_zeros()
             };
-            let codec = match int_range_lo(values) {
-                Some(lo) => SlotCodec::IntRange { lo },
-                None => SlotCodec::Table(
-                    values
-                        .iter()
-                        .enumerate()
-                        .map(|(code, val)| (val.clone(), code as u32))
-                        .collect(),
-                ),
-            };
             slots.push(Slot {
                 offset: u32::try_from(offset).ok()?,
                 width,
-                codec,
             });
             zobrist.push(
                 values
@@ -123,7 +99,7 @@ impl PackedLayout {
                     .map(|val| slot_fingerprint(v.index(), val))
                     .collect(),
             );
-            decode.push(values.to_vec());
+            domains.push(vars.domain(v).clone());
             offset += width as usize;
             if offset > MAX_STATE_BITS {
                 return None;
@@ -133,7 +109,7 @@ impl PackedLayout {
             slots,
             stride: offset.div_ceil(8),
             zobrist,
-            decode,
+            domains,
         })
     }
 
@@ -155,18 +131,10 @@ impl PackedLayout {
 
     /// The domain index of `value` in `slot`, or `None` when the
     /// value is outside the declared domain.
+    #[inline]
     pub fn code_of(&self, slot: usize, value: &Value) -> Option<u32> {
-        let n = self.decode[slot].len() as u32;
-        match &self.slots[slot].codec {
-            SlotCodec::IntRange { lo } => match value {
-                Value::Int(i) => {
-                    let code = u32::try_from(i.checked_sub(*lo)?).ok()?;
-                    (code < n).then_some(code)
-                }
-                _ => None,
-            },
-            SlotCodec::Table(map) => map.get(value).copied(),
-        }
+        // Domains past `MAX_TOTAL_CODES` values never compile.
+        self.domains[slot].index_of(value).map(|i| i as u32)
     }
 
     /// The domain value decoded from a slot code.
@@ -175,10 +143,11 @@ impl PackedLayout {
     /// buffers produced by [`pack_into`](Self::pack_into) and
     /// [`write_code`](Self::write_code) never contain such codes.
     pub fn value_of(&self, slot: usize, code: u32) -> &Value {
-        &self.decode[slot][code as usize]
+        &self.domains[slot].values()[code as usize]
     }
 
     /// Reads the code stored in `slot` of a packed buffer.
+    #[inline]
     pub fn read_code(&self, buf: &[u8], slot: usize) -> u32 {
         let s = &self.slots[slot];
         let (mut byte, mut bit) = ((s.offset / 8) as usize, s.offset % 8);
@@ -255,10 +224,34 @@ impl PackedLayout {
         }
         out.clear();
         out.reserve(self.slots.len());
-        for slot in 0..self.slots.len() {
+        for (slot, domain) in self.domains.iter().enumerate() {
             let code = self.read_code(buf, slot);
-            let value = self.decode[slot].get(code as usize);
+            let value = domain.values().get(code as usize);
             out.push(value.ok_or(DecodeError::BadCode { slot, code })?.clone());
+        }
+        Ok(())
+    }
+
+    /// Checks what [`try_unpack_into`](Self::try_unpack_into) checks
+    /// without building the values: that `buf` holds one stride and
+    /// every slot a code inside its domain. Packed buffers this layout
+    /// wrote always pass; a row read back from a file is checked here
+    /// once, before anything indexes a table by its codes.
+    ///
+    /// # Errors
+    ///
+    /// As [`try_unpack_into`](Self::try_unpack_into).
+    pub fn check(&self, buf: &[u8]) -> Result<(), DecodeError> {
+        if buf.len() < self.stride {
+            return Err(DecodeError::Truncated {
+                context: "packed state",
+            });
+        }
+        for (slot, domain) in self.domains.iter().enumerate() {
+            let code = self.read_code(buf, slot);
+            if code as usize >= domain.len() {
+                return Err(DecodeError::BadCode { slot, code });
+            }
         }
         Ok(())
     }
@@ -291,27 +284,15 @@ impl PackedLayout {
 
     /// The fingerprint change from rewriting `slot` from `old` to
     /// `new`: `fp' = fp ^ delta`. Zero when the codes are equal.
+    #[inline]
     pub fn fingerprint_delta(&self, slot: usize, old: u32, new: u32) -> u64 {
         self.zobrist[slot][old as usize] ^ self.zobrist[slot][new as usize]
     }
 }
 
-/// `Some(lo)` when `values` is exactly `lo, lo+1, …` in order.
-fn int_range_lo(values: &[Value]) -> Option<i64> {
-    let Some(Value::Int(lo)) = values.first() else {
-        return None;
-    };
-    values
-        .iter()
-        .enumerate()
-        .all(|(i, v)| matches!(v, Value::Int(x) if *x == lo.wrapping_add(i as i64)))
-        .then_some(*lo)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::var::Domain;
 
     fn mixed_vars() -> Vars {
         let mut vars = Vars::new();
@@ -404,6 +385,32 @@ mod tests {
         assert!(layout.pack(&bad).is_none());
         assert_eq!(layout.code_of(1, &Value::Int(-4)), None);
         assert_eq!(layout.code_of(3, &Value::str("mauve")), None);
+    }
+
+    /// `check` refuses exactly what `try_unpack_into` refuses: a code
+    /// past its slot's domain (here 3 in the three-colour slot, whose
+    /// two bits hold up to 3) and a buffer short of one stride.
+    #[test]
+    fn check_refuses_codes_past_the_domain() {
+        let vars = mixed_vars();
+        let layout = PackedLayout::compile(&vars).expect("compiles");
+        let s = State::new(vec![
+            Value::Bool(false),
+            Value::Int(0),
+            Value::str("only"),
+            Value::str("blue"),
+            Value::Int(7),
+        ]);
+        let mut buf = layout.pack(&s).expect("in-domain");
+        assert_eq!(layout.check(&buf), Ok(()));
+        layout.write_code(&mut buf, 3, 3);
+        let bad = Err(DecodeError::BadCode { slot: 3, code: 3 });
+        assert_eq!(layout.check(&buf), bad);
+        assert_eq!(layout.try_unpack_into(&buf, &mut Vec::new()), bad);
+        let short = Err(DecodeError::Truncated {
+            context: "packed state",
+        });
+        assert_eq!(layout.check(&buf[..1]), short);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Flexible variables, variable sets, and finite domains.
 
 use crate::Value;
-use std::collections::HashSet;
+use fxhash::FxHashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// An interned flexible variable.
 ///
@@ -40,9 +41,26 @@ impl fmt::Debug for VarId {
 /// witness search in the semantics engine. The order is the enumeration
 /// order, which makes exploration (and therefore counterexamples)
 /// deterministic.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct Domain {
+///
+/// A domain also indexes its values: [`Domain::index_of`] (and so
+/// [`Domain::contains`]) is an arithmetic check on an integer range and
+/// one hash probe otherwise, never a scan. Cloning shares the values
+/// and the index, so a [`PackedLayout`](crate::PackedLayout) encodes
+/// slot codes through the very index of its `Vars`.
+#[derive(Clone)]
+pub struct Domain(Arc<DomainRepr>);
+
+struct DomainRepr {
     values: Vec<Value>,
+    index: Index,
+}
+
+/// Where each value of a domain sits in its value list.
+enum Index {
+    /// The values are `lo, lo+1, …` in order: the index is `v - lo`.
+    Range { lo: i64 },
+    /// Any other list: the index by hash probe.
+    Table(FxHashMap<Value, usize>),
 }
 
 impl Domain {
@@ -55,11 +73,21 @@ impl Domain {
     /// entries would silently skew enumeration counts.
     pub fn new(values: Vec<Value>) -> Self {
         assert!(!values.is_empty(), "domain must be nonempty");
-        let mut seen = HashSet::with_capacity(values.len());
-        for v in &values {
-            assert!(seen.insert(v), "domain contains duplicate value {v}");
-        }
-        Domain { values }
+        let index = match int_range_lo(&values) {
+            Some(lo) => Index::Range { lo },
+            None => {
+                let mut map = FxHashMap::default();
+                map.reserve(values.len());
+                for (i, v) in values.iter().enumerate() {
+                    assert!(
+                        map.insert(v.clone(), i).is_none(),
+                        "domain contains duplicate value {v}"
+                    );
+                }
+                Index::Table(map)
+            }
+        };
+        Domain(Arc::new(DomainRepr { values, index }))
     }
 
     /// The two-element domain `{0, 1}` used for handshake bits.
@@ -104,17 +132,17 @@ impl Domain {
 
     /// The values of the domain, in enumeration order.
     pub fn values(&self) -> &[Value] {
-        &self.values
+        &self.0.values
     }
 
     /// Iterates over the values in enumeration order.
     pub fn iter(&self) -> impl Iterator<Item = &Value> {
-        self.values.iter()
+        self.values().iter()
     }
 
     /// Number of values.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.values().len()
     }
 
     /// Always `false`: domains are nonempty by construction.
@@ -122,16 +150,60 @@ impl Domain {
         false
     }
 
+    /// The position of `v` in [`Domain::values`], or `None` when `v`
+    /// is not in the domain.
+    #[inline]
+    pub fn index_of(&self, v: &Value) -> Option<usize> {
+        match &self.0.index {
+            Index::Range { lo } => match v {
+                Value::Int(i) => {
+                    let at = usize::try_from(i.checked_sub(*lo)?).ok()?;
+                    (at < self.len()).then_some(at)
+                }
+                _ => None,
+            },
+            Index::Table(map) => map.get(v).copied(),
+        }
+    }
+
     /// Whether `v` belongs to the domain.
     pub fn contains(&self, v: &Value) -> bool {
-        self.values.contains(v)
+        self.index_of(v).is_some()
+    }
+}
+
+/// `Some(lo)` when `values` is exactly `lo, lo+1, …` in order.
+fn int_range_lo(values: &[Value]) -> Option<i64> {
+    let Some(Value::Int(lo)) = values.first() else {
+        return None;
+    };
+    values
+        .iter()
+        .enumerate()
+        .all(|(i, v)| matches!(v, Value::Int(x) if Some(*x) == lo.checked_add(i as i64)))
+        .then_some(*lo)
+}
+
+impl PartialEq for Domain {
+    fn eq(&self, other: &Domain) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl Eq for Domain {}
+
+impl fmt::Debug for Domain {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Domain")
+            .field("values", &self.values())
+            .finish()
     }
 }
 
 impl fmt::Display for Domain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, v) in self.values.iter().enumerate() {
+        for (i, v) in self.values().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -359,6 +431,39 @@ mod tests {
         assert!(d.contains(&Value::seq(vec![Value::Int(1), Value::Int(0)])));
         // Shortest-first enumeration order.
         assert_eq!(d.values()[0], Value::empty_seq());
+    }
+
+    /// The index agrees with a scan of the value list: on every value
+    /// of a hashed domain and of an integer range, and on values either
+    /// lacks — a longer sequence, a neighbouring integer, another type,
+    /// the ends of `i64` — including a run of integers that wraps, which
+    /// is not a range.
+    #[test]
+    fn index_agrees_with_the_scan() {
+        let scan = |d: &Domain, v: &Value| d.values().iter().position(|w| w == v);
+        let seqs = Domain::seqs_up_to(&Domain::bits(), 3);
+        let ints = Domain::int_range(-2, 5);
+        let wrapping = Domain::new(vec![Value::Int(i64::MAX), Value::Int(i64::MIN)]);
+        let mut probes: Vec<Value> = seqs.iter().chain(ints.iter()).cloned().collect();
+        probes.extend([
+            Value::seq(vec![Value::Int(0); 4]),
+            Value::seq(vec![Value::Int(2)]),
+            Value::Int(-3),
+            Value::Int(6),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Bool(false),
+            Value::str("0"),
+        ]);
+        for d in [&seqs, &ints, &wrapping, &Domain::booleans()] {
+            for v in &probes {
+                assert_eq!(d.index_of(v), scan(d, v), "{v} in {d}");
+                assert_eq!(d.contains(v), scan(d, v).is_some(), "{v} in {d}");
+            }
+        }
+        // Clones share one index, and compare by their values.
+        assert_eq!(seqs.clone(), seqs);
+        assert_ne!(seqs, Domain::seqs_up_to(&Domain::bits(), 2));
     }
 
     #[test]

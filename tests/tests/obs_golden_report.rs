@@ -214,6 +214,7 @@ fn golden_stream_shape() {
             "progress",
             "run_end",
             "run_start",
+            "step_memo",
             "worker_level"
         ],
         "event-kind set changed — update the golden shape deliberately"
@@ -232,6 +233,21 @@ fn golden_stream_shape() {
         fields("worker_level"),
         ["v", "t", "ev", "worker", "level", "claimed", "inserted"]
     );
+    assert_eq!(
+        fields("step_memo"),
+        [
+            "v",
+            "t",
+            "ev",
+            "actions",
+            "tabled_actions",
+            "table_entries",
+            "lookups",
+            "misses"
+        ]
+    );
+    // One per exploration: three engine configurations.
+    assert_eq!(summary.kinds["step_memo"], CONFIGS.len());
     // Progress fields: the core four always, the optional
     // frontier/level context on the per-level snapshots.
     let progress = fields("progress");

@@ -1036,20 +1036,10 @@ pub(crate) fn fill_edges<'a>(
     graph: &mut StateGraph,
     records: (&Path, &[SegmentMeta], impl Iterator<Item = &'a [u8]>),
 ) -> Result<(), CheckpointError> {
-    for_each_edge_record(records, graph.len(), |id, es| graph.set_edges(id, es))
-}
-
-/// [`for_each_record`] over edge records: `take(id, successors)`, ids
-/// and targets below `bound`.
-pub(crate) fn for_each_edge_record<'a>(
-    records: (&Path, &[SegmentMeta], impl Iterator<Item = &'a [u8]>),
-    bound: usize,
-    mut take: impl FnMut(usize, &[Edge]) -> Result<(), CheckpointError>,
-) -> Result<(), CheckpointError> {
-    let mut list = Vec::new();
+    let (bound, mut list) = (graph.len(), Vec::new());
     for_each_record(records, |bytes| {
         let id = decode_edge_record(bytes, bound, &mut list)?;
-        take(id, &list)
+        graph.set_edges(id, &list)
     })
 }
 
@@ -1118,9 +1108,7 @@ pub(crate) fn encode_arena_record(
 }
 
 /// A packed (tag 1) record, `payload` appending its packed row: the
-/// bytes [`encode_arena_record`] writes for a state that packs. The
-/// parallel disk-backed store's records name no parent — their ids are
-/// provisional until the replay rebuilds the tree.
+/// bytes [`encode_arena_record`] writes for a state that packs.
 pub(crate) fn encode_packed_record(
     parent: Option<(usize, usize)>,
     fp: u64,

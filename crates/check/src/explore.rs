@@ -2,45 +2,43 @@
 //!
 //! Every entry point resolves its [`ExploreOptions`] — and the
 //! `OPENTLA_EXPLORE_THREADS` / `OPENTLA_MEM_BUDGET` overrides — once
-//! into one of four plans (`plan.rs`): two engines, each over one store
-//! without and with a memory budget.
+//! into one of three plans (`plan.rs`): the sequential engine over its
+//! store without and with a memory budget, and the work-stealing engine
+//! over its store in RAM.
 //!
 //! | plan (`RunStart.engine`) | engine             | states, edges, dedup index                               |
 //! |--------------------------|--------------------|----------------------------------------------------------|
 //! | `explore_sequential`     | `seq::explore_seq` | `seq::Store`, no budget: a [`StateGraph`], one index     |
 //! | `explore_spill`          | `seq::explore_seq` | `seq::Store`, budgeted: the same until its records       |
 //! |                          |                    | fill a segment, then segment files, two-tier index       |
-//! | `explore_parallel_ws`    | `ws::explore_ws`   | `stripes::Store`, no budget: 64 stripes, each an index   |
-//! |                          |                    | and a packed arena in RAM                                |
-//! | `explore_spill_ws`       | `ws::explore_ws`   | `stripes::Store`, budgeted: each stripe's arena segment  |
-//! |                          |                    | files, its index two-tier; shared edge segment files     |
+//! | `explore_parallel_ws`    | `ws::explore_ws`   | `stripes::Store`: 64 stripes, each an index and a packed |
+//! |                          |                    | arena in RAM                                             |
 //!
 //! Every plan ends in one [`StateGraph`] (`graph.rs`, the only code
 //! that knows its layout): states, edges and the BFS tree. The dedup
 //! index (`index.rs`) is private to the store and dropped with it.
 //!
-//! The routing rule: `(more than one thread, a memory budget)` picks
-//! the row — (no, no) the first, (no, yes) the second, (yes, no) the
-//! third, (yes, yes) the fourth. An explicit [`Engine`] other than
-//! [`Engine::Auto`] forces its row; an active [`Reduction`] counts as
-//! one thread whatever was asked. The work-stealing loop runs over
-//! packed states only: a system whose states do not pack (domains too
-//! wide for a [`PackedLayout`](opentla_kernel::PackedLayout), or a
-//! start state outside them) runs the sequential loop under the same
-//! budget instead — third row → first, fourth → second — and
-//! `RunStart` names that loop.
+//! The routing rule: a memory budget picks the second row at one
+//! worker, whatever thread count was asked for; without one, more than
+//! one thread picks the third, and one thread the first. An explicit
+//! [`Engine`] other than [`Engine::Auto`] forces its row (both spill
+//! engines the second); an active [`Reduction`] counts as one thread
+//! whatever was asked. The work-stealing loop runs over packed states
+//! only: a system whose states do not pack (domains too wide for a
+//! [`PackedLayout`](opentla_kernel::PackedLayout), or a start state
+//! outside them) runs the first row instead, and `RunStart` names that
+//! loop.
 //!
 //! The sequential loop is the reference implementation: plain BFS over
 //! the compiled successor stepper ([`crate::CompiledSystem`]), which
 //! both loops run on packed rows through its effect tables wherever
-//! the states pack. The
-//! work-stealing engine — one driver, one scheduler and one packed
-//! expansion over one striped store — records `(parent, action, child)`
-//! edges under provisional ids and finishes with a deterministic
-//! renumbering pass that replays the discovery order sequentially, so
-//! on complete runs every plan's result is **byte-identical**: same
-//! state indices, same edge lists, same [`GraphStats`], same
-//! counterexample traces.
+//! the states pack. The work-stealing engine — one driver, one
+//! scheduler and one packed expansion over one striped store — records
+//! `(parent, action, child)` edges under provisional ids and finishes
+//! with a deterministic renumbering pass that replays the discovery
+//! order sequentially, so on complete runs every plan's result is
+//! **byte-identical**: same state indices, same edge lists, same
+//! [`GraphStats`], same counterexample traces.
 //!
 //! A symmetry-reduced run ([`Reduction`]) is the sequential loop,
 //! whose store canonicalizes each successor before it is fingerprinted
@@ -100,7 +98,7 @@ use plan::{Plan, Route, Start};
 ///   has run on this design for twenty-five years.
 /// * [`VisitedMode::Exact`] uses the same fingerprint index but
 ///   verifies every hit against the arena — state equality in RAM,
-///   packed bytes in the work-stealing stores, the record read back in
+///   packed bytes in the work-stealing store, the record read back in
 ///   the disk-backed one — and records a state that differs from every
 ///   id under its fingerprint as new: no two states are ever
 ///   conflated, at the cost of materializing and comparing each
@@ -128,9 +126,8 @@ pub struct ExploreOptions {
     /// Worker threads. `None` (the default) consults the
     /// `OPENTLA_EXPLORE_THREADS` environment variable, falling back to
     /// 1 (sequential). Any resolved value above 1 routes an unreduced
-    /// run to the work-stealing scheduler (in RAM, or over the spill
-    /// tiers under a memory budget); reduced runs are sequential at
-    /// any value.
+    /// run without a memory budget to the work-stealing scheduler;
+    /// reduced and budgeted runs are sequential at any value.
     pub threads: Option<usize>,
     /// Fingerprint width in bits, 1..=64 (default 64). Values below 64
     /// mask the fingerprint, deliberately *forcing* collisions — a test
@@ -147,31 +144,31 @@ pub struct ExploreOptions {
     /// Fault-injection knob for the work-stealing scheduler's panic
     /// isolation: when set, exactly one worker deliberately panics
     /// mid-expansion (see [`WorkerPanic`]). The run must survive
-    /// degraded — this exists so tests can prove it does, with and
-    /// without a memory budget. `None` (the default) injects nothing;
-    /// the sequential loops ignore it.
+    /// degraded — this exists so tests can prove it does. `None` (the
+    /// default) injects nothing; the sequential loops (every budgeted
+    /// run's among them) ignore it.
     pub worker_panic: Option<WorkerPanic>,
     /// Forces a plan. The default [`Engine::Auto`] derives it from
     /// what the run asks for — threads, memory budget, reduction (see
-    /// the module docs); the other values pin one of the three
-    /// non-default plans whatever the thread count and budget say.
-    /// Reduced runs are sequential under every value.
+    /// the module docs); the other values pin a plan whatever the
+    /// thread count says. A memory budget runs the disk-backed
+    /// sequential plan under every value, and so does a reduced run
+    /// under every spill engine.
     pub engine: Engine,
     /// Approximate RAM ceiling, in bytes, for the exploration's state
     /// arena, edge lists, and visited set. Setting it (or exporting
-    /// `OPENTLA_MEM_BUDGET`) routes the run to a bounded-memory plan —
-    /// single-threaded and reduced runs to [`Engine::SpillBfs`],
-    /// threaded runs to [`Engine::SpillWs`] — which spills sealed
-    /// arena segments and sorted fingerprint runs to disk and keeps
-    /// only a budget-sized working set in RAM. `None` (the default)
-    /// keeps everything in RAM; an explicit spill engine with `None`
-    /// uses a generous default budget.
+    /// `OPENTLA_MEM_BUDGET`) routes the run to the bounded-memory plan,
+    /// [`Engine::SpillBfs`], at one worker whatever [`Self::threads`]
+    /// says: it spills sealed arena segments and sorted fingerprint
+    /// runs to disk and keeps only a budget-sized working set in RAM.
+    /// `None` (the default) keeps everything in RAM; an explicit spill
+    /// engine with `None` uses a generous default budget.
     pub mem_budget_bytes: Option<usize>,
 }
 
 /// Forces an exploration plan; see [`ExploreOptions::engine`].
 ///
-/// One caveat holds for both work-stealing plans: they intern
+/// One caveat holds for the work-stealing plan: it interns
 /// first-insert-wins under a stripe lock, so under *forced*
 /// fingerprint collisions (a narrowed [`ExploreOptions::fp_bits`] in
 /// [`VisitedMode::Fingerprint`]) which member of a collision class
@@ -189,7 +186,7 @@ pub enum Engine {
     /// graphs byte-identical to the sequential loop — and *is* the
     /// sequential loop when the system's states do not pack into a
     /// [`opentla_kernel::PackedLayout`]. With a memory budget in force
-    /// this is [`Engine::SpillWs`].
+    /// the run is [`Engine::SpillBfs`]'s.
     WorkStealing,
     /// The bounded-memory sequential plan: same BFS order and charge
     /// discipline as the in-RAM sequential loop, but the state arena
@@ -200,16 +197,9 @@ pub enum Engine {
     /// [`VisitedMode`]s. Selecting it explicitly forces the spill path
     /// even without a [`ExploreOptions::mem_budget_bytes`] budget.
     SpillBfs,
-    /// The parallel bounded-memory plan: the work-stealing engine and
-    /// store of [`Engine::WorkStealing`], the store's 64 lock stripes
-    /// each keeping its index and arena in the disk-backed tiers of
-    /// [`Engine::SpillBfs`] — a hot fingerprint tier draining to sorted
-    /// runs at a deterministic threshold, an arena of sealed segments —
-    /// and settled edge runs going to one shared sealed-segment writer.
-    /// Completed graphs are byte-identical to [`Engine::SpillBfs`] and
-    /// to the sequential loop in both [`VisitedMode`]s. Selecting it
-    /// explicitly forces the parallel spill path even without a budget;
-    /// states that do not pack run [`Engine::SpillBfs`] instead.
+    /// The same plan as [`Engine::SpillBfs`], at one worker whatever
+    /// [`ExploreOptions::threads`] says: one disk-backed store serves
+    /// every budgeted run.
     SpillWs,
 }
 
@@ -475,8 +465,8 @@ fn explore_dispatch(
         layout,
         packs,
     } = launch?;
-    let mem_budget = plan.route.mem_budget();
-    if let Route::Sequential | Route::SpillBfs { .. } = plan.route {
+    if plan.route != Route::WorkStealing {
+        let mem_budget = plan.route.mem_budget();
         return seq::explore_seq(system, budget, options, mem_budget, seed, layout, packs);
     }
     let run = ws::Run {
@@ -487,8 +477,7 @@ fn explore_dispatch(
             .expect("a work-stealing plan starts over a packed layout"),
         meter: seed.meter(budget),
     };
-    let store = stripes::Store::new(&run, mem_budget).map_err(checkpoint::CheckpointError::from)?;
-    ws::explore_ws(system, budget, &run, seed, &store)
+    ws::explore_ws(system, budget, &run, seed, &stripes::Store::new(&run))
 }
 
 /// Brackets an engine dispatch in [`Event::RunStart`] /
@@ -686,8 +675,8 @@ impl Replay {
 
 /// Builds the [`Replay`]. The discovery order is fixed first, over
 /// pids alone; `materialize` then turns the pids, in canonical id
-/// order, into their states however the caller's arena allows (each
-/// state is an independent unpack or decode once the order is fixed).
+/// order, into their states (each state is an independent unpack once
+/// the order is fixed).
 /// Each parent's run is indexed first: `edge_index[shard][local]` is
 /// `(which vector, start, length)`, `u32::MAX` marking "no edges".
 /// Every interned state has a recorded incoming edge (interning and
@@ -697,7 +686,7 @@ impl Replay {
 /// complete run.
 fn replay_records(
     arena_lens: &[usize],
-    all_edges: &[&[ws::EdgeRecord]],
+    all_edges: &[Vec<ws::EdgeRecord>],
     init_pids: &[Pid],
     materialize: impl FnOnce(&[Pid]) -> Vec<State>,
 ) -> Replay {
@@ -1118,20 +1107,24 @@ mod tests {
         assert_eq!(exact.len(), full.len());
     }
 
-    /// Collects what the routing tests look at: every `RunStart`
-    /// engine label and worker count.
+    /// Collects what the routing tests look at: the engine label and
+    /// worker count of every `RunStart` and of every run report.
     #[derive(Default)]
     struct RoutingLog {
-        engines: Mutex<Vec<(String, usize)>>,
+        started: Mutex<Vec<(String, usize)>>,
+        reported: Mutex<Vec<(String, usize)>>,
     }
 
     impl crate::obs::Recorder for RoutingLog {
         fn record(&self, event: &Event<'_>) {
-            if let Event::RunStart {
-                engine, threads, ..
-            } = *event
-            {
-                lock(&self.engines).push((engine.to_string(), threads));
+            match *event {
+                Event::RunStart {
+                    engine, threads, ..
+                } => lock(&self.started).push((engine.to_string(), threads)),
+                Event::RunEnd { report } => {
+                    lock(&self.reported).push((report.engine.clone(), report.threads))
+                }
+                _ => {}
             }
         }
     }
@@ -1160,8 +1153,9 @@ mod tests {
         )))
     }
 
-    /// `RunStart` names the plan that ran and the workers it ran —
-    /// not the workers that were asked for.
+    /// `RunStart` and the run report name the plan that ran and the
+    /// workers it ran — not the workers that were asked for — and every
+    /// plan builds the sequential graph.
     #[test]
     fn run_start_names_the_plan() {
         let with = |engine, threads| ExploreOptions {
@@ -1169,59 +1163,51 @@ mod tests {
             threads: Some(threads),
             ..ExploreOptions::default()
         };
-        let cases = [
-            (
-                with(Engine::Auto, 1),
-                Route::Sequential,
-                "explore_sequential",
-                1,
-            ),
-            (
-                with(Engine::Auto, 2),
-                Route::WorkStealing,
-                "explore_parallel_ws",
-                2,
-            ),
-            (
-                with(Engine::WorkStealing, 1),
-                Route::WorkStealing,
-                "explore_parallel_ws",
-                1,
-            ),
-            (
-                ExploreOptions {
-                    mem_budget_bytes: Some(1 << 20),
-                    ..with(Engine::SpillBfs, 4)
-                },
-                Route::SpillBfs {
-                    mem_budget: 1 << 20,
-                },
-                "explore_spill",
-                1,
-            ),
-            (
-                ExploreOptions {
-                    mem_budget_bytes: Some(1 << 20),
-                    ..with(Engine::SpillWs, 2)
-                },
-                Route::SpillWs {
-                    mem_budget: 1 << 20,
-                },
-                "explore_spill_ws",
-                2,
-            ),
-        ];
         let reference = explore(&grid(3), &with(Engine::Auto, 1)).unwrap();
-        for (options, route, label, workers) in cases {
-            let (plan, log, run) = run_planned(&options, None);
-            assert_eq!(plan.route, route);
-            assert_eq!(plan.label(), label);
-            assert_eq!(*lock(&log.engines), [(label.to_string(), workers)]);
-            assert_eq!(
-                run.unwrap().graph.first_difference(&reference),
-                None,
-                "{label}"
+        let check = |options: &ExploreOptions, env_budget, route, label: &str, workers| {
+            let what = format!(
+                "{:?} threads={:?} explicit={:?} env={env_budget:?}",
+                options.engine, options.threads, options.mem_budget_bytes
             );
+            let (plan, log, run) = run_planned(options, env_budget);
+            assert_eq!((plan.route, plan.label()), (route, label), "{what}");
+            let ran = [(label.to_string(), workers)];
+            assert_eq!(*lock(&log.started), ran, "{what}: run_start");
+            assert_eq!(*lock(&log.reported), ran, "{what}: run report");
+            let graph = run.unwrap().graph;
+            assert_eq!(graph.first_difference(&reference), None, "{what}");
+        };
+        let sequential = (Route::Sequential, "explore_sequential");
+        let parallel = (Route::WorkStealing, "explore_parallel_ws");
+        for (engine, threads, (route, label), workers) in [
+            (Engine::Auto, 1, sequential, 1),
+            (Engine::Auto, 2, parallel, 2),
+            (Engine::WorkStealing, 1, parallel, 1),
+            (Engine::WorkStealing, 4, parallel, 4),
+        ] {
+            check(&with(engine, threads), None, route, label, workers);
+        }
+        // A memory budget, from the option or the environment, runs the
+        // one disk-backed store at one worker under every engine and at
+        // every thread count.
+        let spill = Route::SpillBfs {
+            mem_budget: 1 << 20,
+        };
+        for engine in [
+            Engine::Auto,
+            Engine::WorkStealing,
+            Engine::SpillBfs,
+            Engine::SpillWs,
+        ] {
+            for threads in [1, 2, 4] {
+                for (explicit, env) in [(Some(1 << 20), None), (None, Some(1 << 20))] {
+                    let options = ExploreOptions {
+                        mem_budget_bytes: explicit,
+                        ..with(engine, threads)
+                    };
+                    check(&options, env, spill, "explore_spill", 1);
+                }
+            }
         }
         // A reduced run is sequential whatever was asked for, and says
         // so: one worker, not four.
@@ -1231,7 +1217,7 @@ mod tests {
         };
         let (plan, log, run) = run_planned(&reduced, None);
         assert_eq!((plan.route, plan.threads), (Route::Sequential, 1));
-        assert_eq!(*lock(&log.engines), [("explore_sequential".to_string(), 1)]);
+        assert_eq!(*lock(&log.started), [("explore_sequential".to_string(), 1)]);
         assert!(run.unwrap().graph.is_reduced());
     }
 
@@ -1261,7 +1247,7 @@ mod tests {
                     mem_budget: 4 << 10
                 }
             );
-            assert_eq!(*lock(&log.engines), [("explore_spill".to_string(), 1)]);
+            assert_eq!(*lock(&log.started), [("explore_spill".to_string(), 1)]);
             let run = run.unwrap();
             assert!(run.outcome.is_complete() && run.graph.is_reduced());
             assert_eq!(run.graph.first_difference(&unbudgeted.graph), None);

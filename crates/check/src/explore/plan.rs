@@ -6,11 +6,11 @@
 //! routing table is unit-testable without touching the process
 //! environment. Every entry point resolves one [`Plan`];
 //! [`Plan::start`] then settles it against the system — the
-//! work-stealing loops run over packed states only, and every loop
+//! work-stealing loop runs over packed states only, and every loop
 //! steps on packed rows where the states pack — and hands it down with
 //! the layout and what the run starts from: the dispatcher matches on it,
 //! the `RunStart`/`RunEnd` engine label and worker count are read off
-//! it, and the spill engines take their budget from it.
+//! it, and the disk-backed store takes its budget from it.
 
 use super::seq::Seed;
 use super::{Engine, ExploreOptions};
@@ -45,8 +45,8 @@ fn env_override(name: &str) -> Result<Option<usize>, CheckError> {
     }
 }
 
-/// Which scheduler loop runs, over which stores. Spill routes carry
-/// the byte budget their tiers are tuned to.
+/// Which scheduler loop runs, over which store. The spill route
+/// carries the byte budget its tiers are tuned to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Route {
     /// The sequential loop over its store with no budget: it never
@@ -56,16 +56,14 @@ pub(crate) enum Route {
     WorkStealing,
     /// The sequential loop over the same store with a budget.
     SpillBfs { mem_budget: usize },
-    /// The work-stealing loop over the shared disk-backed stores.
-    SpillWs { mem_budget: usize },
 }
 
 impl Route {
-    /// The byte budget a spill route's tiers are tuned to.
+    /// The byte budget the spill route's tiers are tuned to.
     pub(crate) fn mem_budget(self) -> Option<usize> {
         match self {
             Route::Sequential | Route::WorkStealing => None,
-            Route::SpillBfs { mem_budget } | Route::SpillWs { mem_budget } => Some(mem_budget),
+            Route::SpillBfs { mem_budget } => Some(mem_budget),
         }
     }
 }
@@ -76,7 +74,7 @@ pub(crate) struct Plan {
     pub(crate) route: Route,
     /// The workers the plan runs — what `RunStart` and the run report
     /// carry: the requested count (explicit option, else environment,
-    /// else 1) on the work-stealing routes, 1 on the sequential ones
+    /// else 1) on the work-stealing route, 1 on the sequential ones
     /// whatever was requested.
     pub(crate) threads: usize,
 }
@@ -91,7 +89,7 @@ pub(crate) struct Start<'a> {
     pub(crate) layout: Option<PackedLayout>,
     /// Whether every seed state packs under `layout` — and so every
     /// state of the run, each successor being domain-checked: then the
-    /// loops step on rows. Always true on the work-stealing routes.
+    /// loops step on rows. Always true on the work-stealing route.
     pub(crate) packs: bool,
 }
 
@@ -111,12 +109,14 @@ impl Plan {
 
     /// The routing table. Explicit options beat the environment.
     ///
-    /// The route is a function of two facts: whether more than one
-    /// worker runs, and whether a byte budget is in force — a budget
-    /// is honored at *every* thread count instead of silently
-    /// disabling parallelism (or being ignored). An explicit [`Engine`]
-    /// pins either fact, and a reduction-active run the first: only
-    /// the sequential store canonicalizes, in RAM or on disk.
+    /// A byte budget in force — or an explicit spill [`Engine`], under
+    /// a default one — runs the sequential loop over its disk-backed
+    /// store at one worker, whatever thread count was asked for: one
+    /// disk-backed store serves every budgeted run. Otherwise more than
+    /// one requested worker, or [`Engine::WorkStealing`], picks the
+    /// work-stealing loop in RAM. A reduction-active run is sequential
+    /// on either side: only the sequential store canonicalizes, in RAM
+    /// or on disk.
     pub(crate) fn resolve(
         options: &ExploreOptions,
         env_threads: Option<usize>,
@@ -124,20 +124,21 @@ impl Plan {
     ) -> Plan {
         let requested = options.threads.or(env_threads).unwrap_or(1).max(1);
         let budget = options.mem_budget_bytes.or(env_budget);
-        let parallel = !options.reduction.is_active()
-            && match options.engine {
-                Engine::Auto => requested > 1,
-                Engine::WorkStealing | Engine::SpillWs => true,
-                Engine::SpillBfs => false,
-            };
         let spill =
             budget.is_some() || matches!(options.engine, Engine::SpillBfs | Engine::SpillWs);
-        let mem_budget = budget.unwrap_or(DEFAULT_SPILL_BUDGET);
+        let parallel = !spill
+            && !options.reduction.is_active()
+            && match options.engine {
+                Engine::Auto => requested > 1,
+                Engine::WorkStealing => true,
+                Engine::SpillBfs | Engine::SpillWs => false,
+            };
         let route = match (parallel, spill) {
+            (true, _) => Route::WorkStealing,
+            (false, true) => Route::SpillBfs {
+                mem_budget: budget.unwrap_or(DEFAULT_SPILL_BUDGET),
+            },
             (false, false) => Route::Sequential,
-            (false, true) => Route::SpillBfs { mem_budget },
-            (true, false) => Route::WorkStealing,
-            (true, true) => Route::SpillWs { mem_budget },
         };
         Plan {
             route,
@@ -146,13 +147,13 @@ impl Plan {
     }
 
     /// Settles the plan against `system` and what the run starts from,
-    /// before anything is reported: the work-stealing loops run over
+    /// before anything is reported: the work-stealing loop runs over
     /// packed states only, so when the system's domains do not compile
     /// to a [`PackedLayout`], or a seed state lies outside its declared
     /// domain ([`Init::new`](crate::Init::new) can pin one), a threaded
-    /// plan falls back to the sequential loop under the same budget —
-    /// which then steps on `Value`s. The seed is enumerated and the
-    /// layout compiled once, here, on every route, and handed down.
+    /// plan falls back to the sequential loop in RAM — which then steps
+    /// on `Value`s. The seed is enumerated and the layout compiled
+    /// once, here, on every route, and handed down.
     ///
     /// # Errors
     ///
@@ -181,12 +182,13 @@ impl Plan {
     /// This plan if every state it starts from packs, else its
     /// sequential fallback.
     fn over_packed_states(self, packs: bool) -> Plan {
-        let route = match self.route {
-            Route::WorkStealing if !packs => Route::Sequential,
-            Route::SpillWs { mem_budget } if !packs => Route::SpillBfs { mem_budget },
-            _ => return self,
-        };
-        Plan { route, threads: 1 }
+        match self.route {
+            Route::WorkStealing if !packs => Plan {
+                route: Route::Sequential,
+                threads: 1,
+            },
+            _ => self,
+        }
     }
 
     /// The engine name `RunStart` and `RunEnd` carry.
@@ -195,7 +197,6 @@ impl Plan {
             Route::Sequential => "explore_sequential",
             Route::WorkStealing => "explore_parallel_ws",
             Route::SpillBfs { .. } => "explore_spill",
-            Route::SpillWs { .. } => "explore_spill_ws",
         }
     }
 }
@@ -211,7 +212,9 @@ mod tests {
 
     /// The whole routing table: engine × threads × budget source ×
     /// reduction × panic injection. The resolver takes the environment
-    /// as arguments, so nothing here touches `std::env`.
+    /// as arguments, so nothing here touches `std::env`. Every cell
+    /// with a budget in force, from the option or the environment,
+    /// runs the one disk-backed store at one worker.
     #[test]
     fn routing_table() {
         let engines = [
@@ -230,7 +233,7 @@ mod tests {
         ];
         let mut cases = 0;
         for engine in engines {
-            for threads in [1usize, 2] {
+            for threads in [1usize, 2, 4] {
                 for (explicit, env, in_force) in budgets {
                     for reduced in [false, true] {
                         for panic in [false, true] {
@@ -263,19 +266,18 @@ mod tests {
                             let (engine, threads) = match (reduced, engine) {
                                 (false, _) => (engine, threads),
                                 (true, Engine::WorkStealing) => (Engine::Auto, 1),
-                                (true, Engine::SpillWs) => (Engine::SpillBfs, 1),
                                 (true, _) => (engine, 1),
                             };
                             // Panic injection pins nothing: the cell
-                            // routes as its twin without it.
+                            // routes as its twin without it. A spill
+                            // engine with no budget runs under the
+                            // default one.
                             let mem_budget = in_force.unwrap_or(DEFAULT_SPILL_BUDGET);
                             let expected = match (engine, in_force.is_some(), threads) {
-                                (Engine::SpillBfs, _, _) => Route::SpillBfs { mem_budget },
-                                (Engine::SpillWs, _, _) => Route::SpillWs { mem_budget },
-                                (Engine::WorkStealing, true, _) => Route::SpillWs { mem_budget },
+                                (_, true, _) | (Engine::SpillBfs | Engine::SpillWs, ..) => {
+                                    Route::SpillBfs { mem_budget }
+                                }
                                 (Engine::WorkStealing, false, _) => Route::WorkStealing,
-                                (Engine::Auto, true, 1) => Route::SpillBfs { mem_budget },
-                                (Engine::Auto, true, _) => Route::SpillWs { mem_budget },
                                 (Engine::Auto, false, 1) => Route::Sequential,
                                 (Engine::Auto, false, _) => Route::WorkStealing,
                             };
@@ -283,7 +285,7 @@ mod tests {
                             // The plan reports the workers it runs.
                             let workers = match expected {
                                 Route::Sequential | Route::SpillBfs { .. } => 1,
-                                Route::WorkStealing | Route::SpillWs { .. } => threads,
+                                Route::WorkStealing => threads,
                             };
                             assert_eq!(plan.threads, workers, "{what}");
                             cases += 1;
@@ -292,13 +294,13 @@ mod tests {
                 }
             }
         }
-        assert_eq!(cases, 4 * 2 * 4 * 2 * 2);
+        assert_eq!(cases, 4 * 3 * 4 * 2 * 2);
     }
 
     /// The fact "the states do not pack" alone — a layout that does
     /// not compile, no seed state involved — settles a threaded plan on
-    /// the sequential loop of the same store family with one worker,
-    /// and leaves every other plan alone. (The fact is handed in: a
+    /// the sequential loop in RAM with one worker, and leaves every
+    /// other plan alone. (The fact is handed in: a
     /// `Vars` one slot past the packed width cap takes half a minute to
     /// build here. `packed_roundtrip.rs` reaches the same fall-back
     /// from a real system, through an out-of-domain seed.)
@@ -316,7 +318,7 @@ mod tests {
             (
                 Engine::SpillWs,
                 4,
-                Route::SpillWs { mem_budget },
+                Route::SpillBfs { mem_budget },
                 Route::SpillBfs { mem_budget },
             ),
             (Engine::Auto, 1, Route::Sequential, Route::Sequential),

@@ -1,6 +1,5 @@
-//! The disk tiers a memory budget buys, shared by the two budgeted
-//! stores — the sequential store's `Disk` body ([`super::seq`]) and the
-//! work-stealing engine's store under a budget ([`super::stripes`]):
+//! The disk tiers a memory budget buys for the one disk-backed store,
+//! the sequential store's `Disk` body ([`super::seq`]):
 //!
 //! * how one byte budget splits across them ([`Tuning`]);
 //! * the **state arena** and **edge lists** as append-only
@@ -16,15 +15,11 @@ use super::index::FpIndex;
 use crate::budget::Meter;
 use crate::checkpoint::CheckpointSpec;
 use crate::obs::Event;
-use crate::sync::lock;
 use crate::VisitedMode;
 use opentla_kernel::store::{CacheStats, FingerprintRun, SegmentMeta, SegmentStore, StoreError};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
-/// How one memory budget splits across a store's tiers (shared with
-/// the work-stealing engine's store, which divides every share but the
-/// edge store's across its stripes).
+/// How one memory budget splits across the store's tiers.
 pub(super) struct Tuning {
     /// Seal threshold for both segment stores.
     pub(super) seg_target: usize,
@@ -85,9 +80,8 @@ impl Filter {
 }
 
 /// Accounts one spill — a sealed segment, or a drained fingerprint run
-/// — of `records` in `bytes`, the `seq`-th of its `tier` (of its
-/// stripe, for the work-stealing store's arenas), and reports it as a
-/// `spill` event.
+/// — of `records` in `bytes`, the `seq`-th of its `tier`, and reports
+/// it as a `spill` event.
 fn note_spill(meter: &Meter, tier: &'static str, seq: u64, records: u64, bytes: u64) {
     meter.add_spilled_bytes(bytes);
     let rec = meter.recorder();
@@ -102,8 +96,8 @@ fn note_spill(meter: &Meter, tier: &'static str, seq: u64, records: u64, bytes: 
     }
 }
 
-/// Appends one record to a budgeted store's `tier`, reporting the
-/// segment it seals, if any.
+/// Appends one record to the store's `tier`, reporting the segment it
+/// seals, if any.
 pub(super) fn append(
     meter: &Meter,
     tier: &'static str,
@@ -117,11 +111,8 @@ pub(super) fn append(
     Ok(())
 }
 
-/// Allocates the `visited-NNNNN.run` names of one segment directory.
-/// One allocator sits behind every two-tier set of a run — the single
-/// set of the sequential store, all stripes of the parallel one — so
-/// concurrent drains never collide on a path; its lock is held only to
-/// take the next name, never across the write.
+/// Allocates the `visited-NNNNN.run` names of one segment directory,
+/// for the one two-tier set that drains into it.
 pub(super) struct RunNames {
     dir: PathBuf,
     seq: u64,
@@ -131,7 +122,7 @@ impl RunNames {
     /// Creates `dir` if need be, removes stale `visited-*.run` files an
     /// earlier process left in it (mirroring `SegmentStore::create`)
     /// and starts the sequence at 0.
-    pub(super) fn create(dir: &Path) -> Result<Arc<Mutex<RunNames>>, StoreError> {
+    pub(super) fn create(dir: &Path) -> Result<RunNames, StoreError> {
         let io = |path: &Path, e: std::io::Error| StoreError::Io {
             path: path.to_path_buf(),
             message: e.to_string(),
@@ -146,10 +137,10 @@ impl RunNames {
                 std::fs::remove_file(&path).map_err(|e| io(&path, e))?;
             }
         }
-        Ok(Arc::new(Mutex::new(RunNames {
+        Ok(RunNames {
             dir: dir.to_path_buf(),
             seq: 0,
-        })))
+        })
     }
 }
 
@@ -174,7 +165,7 @@ pub(super) struct SpillVisited {
     filter: Option<Filter>,
     filter_bytes: usize,
     runs: Vec<FingerprintRun>,
-    names: Arc<Mutex<RunNames>>,
+    names: RunNames,
     probe: Vec<u64>,
 }
 
@@ -186,14 +177,10 @@ impl SpillVisited {
             dir: PathBuf::new(),
             seq: 0,
         };
-        SpillVisited::new(Arc::new(Mutex::new(nowhere)), usize::MAX, 0)
+        SpillVisited::new(nowhere, usize::MAX, 0)
     }
 
-    pub(super) fn new(
-        names: Arc<Mutex<RunNames>>,
-        hot_cap: usize,
-        filter_bytes: usize,
-    ) -> SpillVisited {
+    pub(super) fn new(names: RunNames, hot_cap: usize, filter_bytes: usize) -> SpillVisited {
         SpillVisited {
             hot: FpIndex::default(),
             hot_len: 0,
@@ -206,10 +193,10 @@ impl SpillVisited {
         }
     }
 
-    /// Resume seeding, meter-free, for both spill engines: records
-    /// `id` for a snapshot state with masked fingerprint `key` under
-    /// the run's insertion discipline — first-id-wins in fingerprint
-    /// mode, every id in exact mode (a snapshot lists each state once).
+    /// Resume seeding, meter-free: records `id` for a snapshot state
+    /// with masked fingerprint `key` under the run's insertion
+    /// discipline — first-id-wins in fingerprint mode, every id in
+    /// exact mode (a snapshot lists each state once).
     pub(super) fn seed(
         &mut self,
         mode: VisitedMode,
@@ -283,12 +270,9 @@ impl SpillVisited {
         }
         entries.sort_unstable();
         self.hot_len = 0;
-        let (seq, path) = {
-            let mut names = lock(&self.names);
-            let seq = names.seq;
-            names.seq += 1;
-            (seq, names.dir.join(format!("visited-{seq:05}.run")))
-        };
+        let seq = self.names.seq;
+        self.names.seq += 1;
+        let path = self.names.dir.join(format!("visited-{seq:05}.run"));
         let run = FingerprintRun::write(&path, &entries)?;
         note_spill(meter, "visited", seq, entries.len() as u64, run.bytes());
         self.runs.push(run);
@@ -341,8 +325,7 @@ impl Drop for SpillDir {
     }
 }
 
-/// Emits a run's segment-cache totals, summed over its `stores`, for
-/// both budgeted stores.
+/// Emits a run's segment-cache totals, summed over its `stores`.
 pub(super) fn note_cache_stats<'s>(
     meter: &Meter,
     stores: impl IntoIterator<Item = &'s SegmentStore>,

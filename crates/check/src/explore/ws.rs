@@ -1,9 +1,8 @@
-//! The work-stealing engine ([`Engine::WorkStealing`](super::Engine::WorkStealing)
-//! and [`Engine::SpillWs`](super::Engine::SpillWs)): one driver
-//! ([`explore_ws`]) runs one scheduler ([`run_workers`]) over one packed
-//! expansion and one store ([`super::stripes::Store`]), whose stripes
-//! keep their arenas in RAM, or on disk under a memory budget — the one
-//! difference between the two plans.
+//! The work-stealing engine ([`Engine::WorkStealing`](super::Engine::WorkStealing)):
+//! one driver ([`explore_ws`]) runs one scheduler ([`run_workers`]) over
+//! one packed expansion and one store in RAM
+//! ([`super::stripes::Store`]). A run under a memory budget never gets
+//! here: it is the sequential loop over its disk-backed store.
 //!
 //! * **Per-worker deques, work stealing.** Each worker owns a deque of
 //!   discovered-but-unexpanded states. It pops from the front of its
@@ -18,7 +17,7 @@
 //!   nothing to claim spin-yield until `in_flight == 0`, which proves
 //!   global exhaustion.
 //! * **Stepping on slot codes.** States are fixed-width packed rows
-//!   ([`PackedLayout`]) in either arena, and a parent is stepped as one:
+//!   ([`PackedLayout`]) in the store's arenas, and a parent is stepped as one:
 //!   the expansion copies its row out and looks each action up in the
 //!   worker's effect tables
 //!   ([`CompiledSystem::for_each_packed_successor`]), which hand back
@@ -33,10 +32,8 @@
 //!   fingerprint into [`NUM_SHARDS`] independently-locked stripes, so
 //!   interning scales with workers.
 //! * **Edges.** A worker pushes `(parent, action, child)` onto its own
-//!   records as it interns, and the store settles a fully expanded
-//!   parent's run: in RAM it stays there, under a budget it leaves as
-//!   one edge record. A parent the budget cut short keeps its partial
-//!   run in the records either way.
+//!   records as it interns; a parent's run stays there, partial for a
+//!   parent the budget cut short.
 //!
 //! Determinism is recovered after the fact, not maintained during the
 //! run: the canonical renumbering replay ([`replay_records`]) of every
@@ -57,13 +54,12 @@
 //! (a quiescent point — all workers stopped), rolled back to the
 //! deepest consistent level boundary by the shared [`rollback_cut`],
 //! and resumable by any plan. When the budget arms periodic
-//! checkpoints and no memory budget put the store on disk
-//! ([`Store::budgeted`]), the run also goes in *epochs*: every
+//! checkpoints, the run also goes in *epochs*: every
 //! `cadence` claims the workers stop at a quiescent point, the driver
 //! snapshots the same way, and the run goes on from the pending states.
 //! Otherwise a run is one epoch.
 
-use super::seq::{Seed, Stop};
+use super::seq::Seed;
 use super::stripes::Store;
 use super::*;
 use crate::compiled::{append_child, child_fingerprint, MemoStats, StepMemo};
@@ -91,9 +87,8 @@ fn trip(wire: Tripwire<'_>) {
 /// What a worker records: one `(parent, action, child)` edge. Each
 /// state is expanded to completion by exactly one worker (deque pop is
 /// exclusive; a panicked expansion's records are truncated), so its
-/// edges form one contiguous run in action order — in exactly one
-/// worker's records, or settled away by the store — which is what
-/// [`replay_records`] reads.
+/// edges form one contiguous run in action order, in exactly one
+/// worker's records — which is what [`replay_records`] reads.
 pub(super) type EdgeRecord = (Pid, u32, Pid);
 
 /// Shared coordination state of one work-stealing run.
@@ -197,7 +192,7 @@ fn work(sched: &Sched<'_>, x: &Packed<'_>, me: usize, tally: &mut Tally) {
         let wire = sched.count_claim();
         let mark = tally.records.len();
         // `AssertUnwindSafe`: a panic leaves `records` to the rollback
-        // below and `scratch` to die with this worker, and the stores'
+        // below and `scratch` to die with this worker, and the store's
         // critical sections never expose partial insertions.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             x.expand(parent, &mut scratch, &mut tally.records, &mut born, wire)
@@ -274,7 +269,7 @@ fn run_workers(
     mut pending: Vec<Pid>,
     mut records: Vec<Vec<EdgeRecord>>,
     mut cadence: Option<u64>,
-    mut snapshot: impl FnMut(&[Vec<EdgeRecord>], &[Pid]) -> Result<bool, CheckError>,
+    mut snapshot: impl FnMut(&[Vec<EdgeRecord>], &[Pid]) -> bool,
 ) -> Result<WsRun, CheckError> {
     let (meter, threads) = (&x.run.meter, x.run.threads);
     let mut sched = Sched {
@@ -373,7 +368,7 @@ fn run_workers(
         // expanded, so the records and `pending` describe a consistent
         // partial graph.
         assert!(cadence.is_some(), "only an armed cadence pauses a run");
-        if !snapshot(&records, &pending)? {
+        if !snapshot(&records, &pending) {
             cadence = None;
             sched.pause_at = u64::MAX;
         }
@@ -413,11 +408,8 @@ pub(super) struct Run<'a> {
 struct Scratch {
     memo: StepMemo,
     parent: Vec<u8>,
-    /// The store's: exact mode's probe bytes, a disk record, an edge
-    /// run being settled.
+    /// The store's: exact mode's probe bytes.
     probe: Vec<u8>,
-    rec: Vec<u8>,
-    edges: Vec<Edge>,
 }
 
 /// The one packed expansion.
@@ -430,11 +422,11 @@ struct Packed<'a> {
 impl Packed<'_> {
     /// Expands `parent`: charges each transition, interns each
     /// successor, pushes its edge onto `records` ([`trip`]ping `wire`
-    /// after each) and every newly interned child onto `born`, then has
-    /// the store settle the run of a parent the budget did not cut. An
-    /// `Err` stops the whole run. `records` are the worker's own: a
-    /// panicking expansion's are truncated away by the scheduler, so
-    /// its re-expansion records them exactly once.
+    /// after each) and every newly interned child onto `born`; returns
+    /// why the budget cut it short, if it did. An `Err` stops the whole
+    /// run. `records` are the worker's own: a panicking expansion's are
+    /// truncated away by the scheduler, so its re-expansion records
+    /// them exactly once.
     fn expand(
         &self,
         parent: Pid,
@@ -452,19 +444,16 @@ impl Packed<'_> {
             memo,
             parent: bytes,
             probe,
-            rec,
-            edges,
         } = w;
-        let parent_fp = store.parent(parent, bytes, rec)?;
+        let parent_fp = store.parent(parent, bytes);
         let layout = run.layout;
-        let mark = records.len();
-        let stop = compiled.for_each_packed_successor(layout, bytes, memo, |action, effects| {
+        compiled.for_each_packed_successor(layout, bytes, memo, |action, effects| {
             if let Some(reason) = run.meter.charge_transition() {
-                return ControlFlow::Break(Stop::Cut(reason));
+                return ControlFlow::Break(reason);
             }
             let child_fp = child_fingerprint(layout, bytes, parent_fp, effects);
             let write = |out: &mut Vec<u8>| append_child(layout, bytes, effects, out);
-            match store.intern(child_fp, write, true, probe, rec) {
+            match store.intern(child_fp, write, true, probe) {
                 Ok((child, is_new)) => {
                     if is_new {
                         born.push(child);
@@ -473,16 +462,9 @@ impl Packed<'_> {
                     trip(wire);
                     ControlFlow::Continue(())
                 }
-                Err(stop) => ControlFlow::Break(stop),
+                Err(reason) => ControlFlow::Break(reason),
             }
-        })?;
-        match stop {
-            None => store
-                .settle(parent, records, mark, edges, rec)
-                .map(|()| None),
-            Some(Stop::Cut(reason)) => Ok(Some(reason)),
-            Some(Stop::Fail(e)) => Err(e),
-        }
+        })
     }
 }
 
@@ -501,7 +483,7 @@ pub(super) fn explore_ws(
     let sys_hash = checkpoint::system_hash(system);
     let header = || RunHeader::of(run.options, sys_hash);
     let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let (mut w, mut buf) = (Scratch::default(), Vec::new());
+    let (mut probe, mut buf) = (Vec::new(), Vec::new());
     // Interns a seed state: charged on a fresh run, meter-free on a
     // resumed one (its meter is pre-charged).
     let mut intern_seed = |s: &State, charged: bool| {
@@ -511,7 +493,7 @@ pub(super) fn explore_ws(
             "the plan settled on packed states: every seed state packs"
         );
         let write = |out: &mut Vec<u8>| out.extend_from_slice(&buf);
-        store.intern(s.fingerprint(), write, charged, &mut w.probe, &mut w.rec)
+        store.intern(s.fingerprint(), write, charged, &mut probe)
     };
     let mut init: Vec<Pid> = Vec::new();
     let mut records: Vec<Vec<EdgeRecord>> = Vec::new();
@@ -520,34 +502,27 @@ pub(super) fn explore_ws(
         Seed::Resume(snap) => {
             // Re-ingest the snapshot arena in canonical order — a
             // masked-fingerprint collision maps to the first occupant,
-            // the first-id-wins rule that order encodes — then settle
-            // each expanded state's edges as its run: the replay cannot
-            // tell banked work from new work.
+            // the first-id-wins rule that order encodes — then bank each
+            // expanded state's edges as its run: the replay cannot tell
+            // banked work from new work.
             let graph = snap.graph();
             let mut pid_of: Vec<Pid> = Vec::with_capacity(graph.len());
             for s in graph.states() {
-                match intern_seed(s, false) {
-                    Ok((p, _)) => pid_of.push(p),
-                    Err(Stop::Fail(e)) => return Err(e),
-                    Err(Stop::Cut(_)) => unreachable!("uncharged interns are never cut"),
-                }
+                let Ok((p, _)) = intern_seed(s, false) else {
+                    unreachable!("uncharged interns are never cut");
+                };
+                pid_of.push(p);
             }
-            // Only a store in RAM keeps the banked runs in the records.
-            let mut banked: Vec<EdgeRecord> = Vec::new();
-            if !store.budgeted() {
-                banked.reserve(graph.edge_count());
-            }
+            let mut banked: Vec<EdgeRecord> = Vec::with_capacity(graph.edge_count());
             for (id, _, _, edges) in snap.records() {
                 let (Some(edges), parent) = (edges, pid_of[id]) else {
                     continue;
                 };
-                let mark = banked.len();
                 banked.extend(
                     edges
                         .iter()
                         .map(|e| (parent, e.action as u32, pid_of[e.target])),
                 );
-                store.settle(parent, &mut banked, mark, &mut w.edges, &mut w.rec)?;
             }
             records.push(banked);
             init = graph.init().iter().map(|&i| pid_of[i]).collect();
@@ -561,11 +536,10 @@ pub(super) fn explore_ws(
                 match intern_seed(s, true) {
                     Ok((p, true)) => init.push(p),
                     Ok((_, false)) => {}
-                    Err(Stop::Cut(reason)) => {
+                    Err(reason) => {
                         init_cut = Some(reason);
                         break;
                     }
-                    Err(Stop::Fail(e)) => return Err(e),
                 }
             }
             init.clone()
@@ -584,19 +558,15 @@ pub(super) fn explore_ws(
         // and no worker runs.
         Some(reason) => (records, seeded, Some(reason), MemoStats::default()),
         None => {
-            let cadence = budget
-                .checkpoint
-                .as_ref()
-                .filter(|_| !store.budgeted())
-                .map(|spec| spec.cadence);
+            let cadence = budget.checkpoint.as_ref().map(|spec| spec.cadence);
             // A periodic checkpoint at a pause: as the exhaustion
             // snapshot below, but the run then goes on.
             let at_pause = |records: &[Vec<EdgeRecord>], pending: &[Pid]| {
-                let replay = store.replay(records, &init)?;
+                let replay = store.replay(records, &init);
                 let (keep, frontier) = rollback_cut(&replay, pending);
                 let snap = checkpoint::capture(&replay.graph, keep, &frontier, header());
                 ck.write(snap, &budget.recorder);
-                Ok(ck.active())
+                ck.active()
             };
             run_workers(&x, seeded, records, cadence, at_pause)?
         }
@@ -604,7 +574,7 @@ pub(super) fn explore_ws(
     (x.compiled).record_step_memo(Some(memo), &budget.recorder);
 
     let renumber_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
-    let replay = store.replay(&records, &init)?;
+    let replay = store.replay(&records, &init);
     // The exhaustion snapshot at the quiescent point: the rollback cut
     // lands on the deepest consistent level boundary of the *canonical*
     // graph — it is computed on replay depths, not on the

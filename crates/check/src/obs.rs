@@ -165,9 +165,9 @@ impl ProgressSnapshot {
 pub struct RunReport {
     /// Schema version ([`OBS_SCHEMA_VERSION`]).
     pub schema_version: u64,
-    /// Which plan ran: `"explore_sequential"`, `"explore_spill"`,
-    /// `"explore_parallel_ws"` or `"explore_spill_ws"` for an
-    /// exploration; other checks name themselves likewise.
+    /// Which plan ran: `"explore_sequential"`, `"explore_spill"` or
+    /// `"explore_parallel_ws"` for an exploration; other checks name
+    /// themselves likewise.
     pub engine: String,
     /// Worker threads used.
     pub threads: usize,
@@ -339,8 +339,7 @@ pub enum Event<'a> {
     Spill {
         /// Which tier spilled: `"arena"`, `"edges"`, or `"visited"`.
         tier: &'a str,
-        /// Sequence number of the spilled artifact within its tier — for
-        /// the work-stealing store's `arena`, within its stripe.
+        /// Sequence number of the spilled artifact within its tier.
         seq: u64,
         /// Records written in this spill.
         records: u64,

@@ -14,8 +14,8 @@ mod support {
 }
 
 use opentla_check::{
-    check_invariant, explore_governed_with, Budget, Engine, ExploreOptions, Outcome,
-    RecorderHandle, StateGraph, System, Verdict, VisitedMode,
+    check_invariant, explore_governed_with, Budget, CountingRecorder, Engine, ExploreOptions,
+    Outcome, RecorderHandle, Reduction, StateGraph, System, Verdict, VisitedMode,
 };
 use opentla_kernel::store::{read_segment, FingerprintRun, SegmentStore, StoreError};
 use opentla_kernel::Expr;
@@ -265,6 +265,105 @@ fn golden_chain4_under_spill() {
     assert_eq!(seq.first_difference(&roomy), None, "chain4/32MiB");
     let sealed = (spilled.sealed("arena"), spilled.sealed("edges"));
     assert_eq!(sealed, (0, 0), "chain4 left RAM under 32 MiB");
+}
+
+/// The one dedup index design, under every store: in
+/// [`VisitedMode::Exact`] a store looks a state up by its *masked*
+/// fingerprint, verifies the hit against its arena, and chains a state
+/// that differs from every id under the key. At 12 bits a few interns
+/// take the verify-and-reject path; at 1 bit nearly all of them do,
+/// walking chains as long as half the graph — and in the disk-backed
+/// store, whose 32 KiB hot tier drains, finding their candidates in
+/// the spilled runs. Whatever the width, no two states may be
+/// conflated: every graph must be byte-identical to the full-width
+/// sequential exact one.
+#[test]
+fn exact_mode_verifies_and_chains_in_every_store() {
+    let systems = [
+        (
+            "ring3",
+            TokenRing::new(3).complete_system().expect("ring builds"),
+        ),
+        (
+            "chain2",
+            QueueChain::new(2, 1, 2, FairnessStyle::Joint)
+                .complete_system()
+                .expect("chain2 builds"),
+        ),
+        (
+            "mutex3",
+            Mutex::with_clients(3, ArbiterFairness::Weak)
+                .product()
+                .expect("mutex builds"),
+        ),
+    ];
+    let stores = [
+        ("sequential", Engine::Auto, 1, None),
+        ("spill", Engine::SpillBfs, 1, Some(32 << 10)),
+        ("ws@1", Engine::WorkStealing, 1, None),
+        ("ws@4", Engine::WorkStealing, 4, None),
+    ];
+    for (name, sys) in &systems {
+        let full = explore_seq(sys, VisitedMode::Exact);
+        for fp_bits in [1, 12] {
+            for (store, engine, workers, mem_budget_bytes) in stores {
+                let options = ExploreOptions {
+                    mode: VisitedMode::Exact,
+                    fp_bits,
+                    engine,
+                    threads: Some(workers),
+                    mem_budget_bytes,
+                    ..ExploreOptions::default()
+                };
+                // Bounded, so a store that fails to recognise a state
+                // it holds exhausts instead of re-expanding it forever.
+                let budget = Budget::default().states(full.len());
+                let run =
+                    explore_governed_with(sys, &budget, &options).expect("exact run succeeds");
+                let label = format!("{name}/{store}/fp{fp_bits}");
+                assert!(
+                    matches!(run.outcome, Outcome::Complete),
+                    "{label}: {}",
+                    run.outcome
+                );
+                assert_eq!(full.first_difference(&run.graph), None, "{label}");
+            }
+        }
+    }
+}
+
+/// No configuration refuses a memory budget: a reduction-active run —
+/// sequential at any requested thread count — explores under an
+/// explicit `mem_budget_bytes` and returns the reduced graph of the
+/// unbudgeted run, with nothing reported as ignored on the way
+/// (`reduction_equivalence` drives larger ones through real spills).
+#[test]
+fn a_reduced_run_explores_under_an_explicit_budget() {
+    let ring = TokenRing::new(3);
+    let sys = ring.complete_system().expect("ring builds");
+    let reduced = |mem_budget_bytes| ExploreOptions {
+        threads: Some(2),
+        reduction: Reduction::none().with_symmetry(Arc::new(ring.rotation_symmetry())),
+        mem_budget_bytes,
+        ..ExploreOptions::default()
+    };
+    let unbudgeted = explore_governed_with(&sys, &Budget::unlimited(), &reduced(None))
+        .expect("the unbudgeted reduced run succeeds");
+    let recorder = Arc::new(CountingRecorder::new());
+    let budgeted = explore_governed_with(
+        &sys,
+        &Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone())),
+        &reduced(Some(8 << 10)),
+    )
+    .expect("a reduced run honors an explicit budget");
+    assert!(matches!(budgeted.outcome, Outcome::Complete));
+    assert_eq!(budgeted.graph.first_difference(&unbudgeted.graph), None);
+    assert_eq!(budgeted.reduction, unbudgeted.reduction);
+    assert!(budgeted.graph.is_reduced());
+    assert_eq!(
+        (recorder.count("run_start"), recorder.count("run_end")),
+        (1, 1)
+    );
 }
 
 // ---------------------------------------------------------------------

@@ -564,49 +564,42 @@ fn snapshot_taken_under_one_symmetry_is_refused_under_another() {
 /// An injected worker panic mid-expansion must not lose states, edges,
 /// or the run: the scheduler rolls the worker's records back and
 /// re-queues its parent, the run degrades to the surviving workers,
-/// and the final graph is byte-identical to the sequential one — in
-/// RAM and over the spill tiers, at 2 and 4 workers, in both visited
-/// modes.
+/// and the final graph is byte-identical to the sequential one — at 2
+/// and 4 workers, in both visited modes.
 #[test]
 fn worker_panic_degrades_gracefully_without_losing_states() {
     for (name, system) in &scenarios() {
         for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
             let reference = run_unlimited(system, &options(1, mode, Reduction::none(), 64));
-            for mem_budget_bytes in [None, Some(1usize << 20)] {
-                for threads in [2usize, 4] {
-                    for after_claims in [0u64, 5] {
-                        let label = format!(
-                            "{name}/{mode:?}/budget={mem_budget_bytes:?}/threads={threads}\
-                             /panic-after-{after_claims}"
-                        );
-                        let recorder = Arc::new(CountingRecorder::new());
-                        let opts = ExploreOptions {
-                            worker_panic: Some(WorkerPanic { after_claims }),
-                            mem_budget_bytes,
-                            ..options(threads, mode, Reduction::none(), 64)
-                        };
-                        let run = explore_governed_with(
-                            system,
-                            &Budget::unlimited()
-                                .with_recorder(RecorderHandle::new(recorder.clone())),
-                            &opts,
-                        )
-                        .unwrap_or_else(|e| panic!("{label}: run must survive the panic: {e}"));
-                        assert!(
-                            matches!(run.outcome, Outcome::Complete),
-                            "{label}: degraded run still completes"
-                        );
-                        assert_eq!(
-                            recorder.count("worker_failure"),
-                            1,
-                            "{label}: exactly one worker failure is reported"
-                        );
-                        assert_eq!(
-                            reference.graph.first_difference(&run.graph),
-                            None,
-                            "{label}"
-                        );
-                    }
+            for threads in [2usize, 4] {
+                for after_claims in [0u64, 5] {
+                    let label =
+                        format!("{name}/{mode:?}/threads={threads}/panic-after-{after_claims}");
+                    let recorder = Arc::new(CountingRecorder::new());
+                    let opts = ExploreOptions {
+                        worker_panic: Some(WorkerPanic { after_claims }),
+                        ..options(threads, mode, Reduction::none(), 64)
+                    };
+                    let run = explore_governed_with(
+                        system,
+                        &Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone())),
+                        &opts,
+                    )
+                    .unwrap_or_else(|e| panic!("{label}: run must survive the panic: {e}"));
+                    assert!(
+                        matches!(run.outcome, Outcome::Complete),
+                        "{label}: degraded run still completes"
+                    );
+                    assert_eq!(
+                        recorder.count("worker_failure"),
+                        1,
+                        "{label}: exactly one worker failure is reported"
+                    );
+                    assert_eq!(
+                        reference.graph.first_difference(&run.graph),
+                        None,
+                        "{label}"
+                    );
                 }
             }
         }
@@ -1131,16 +1124,15 @@ fn corrupted_spill_segment_is_typed_error() {
 // Every plan's snapshot under every plan, and mutated snapshots
 // ---------------------------------------------------------------------
 
-/// The four plans, as `(name, engine, workers, memory budget)`: the
+/// The three plans, as `(name, engine, workers, memory budget)`: the
 /// sequential loop in RAM and under an 8 KiB budget, and the
-/// work-stealing engine over its in-RAM and its disk-backed store.
+/// work-stealing engine.
 type PlanSpec = (&'static str, Engine, usize, Option<usize>);
 
-const PLANS: [PlanSpec; 4] = [
+const PLANS: [PlanSpec; 3] = [
     ("sequential", Engine::Auto, 1, None),
     ("spill", Engine::SpillBfs, 1, Some(8 << 10)),
     ("ws", Engine::WorkStealing, 2, None),
-    ("spill-ws", Engine::SpillWs, 2, Some(8 << 10)),
 ];
 
 fn plan_options(
@@ -1206,7 +1198,7 @@ fn every_plan_resumes_every_plans_snapshot() {
 /// applies seeded byte flips, overwrites, inserts and deletes to the
 /// body, re-stamps the FNV-1a trailer so the checksum passes, and
 /// resumes the file (`explore_resumable` loads it) under a deadline on
-/// one of the four plans, in a thread of its own. It must end in a
+/// one of the three plans, in a thread of its own. It must end in a
 /// typed error or a finished run: a panic fails the test with its
 /// seed, and so does a case still running after the grace period.
 #[test]
@@ -1223,7 +1215,7 @@ fn mutated_snapshots_end_in_a_typed_error_or_a_finished_run() {
     )
     .graph
     .len();
-    for (source, writer) in PLANS[..3].iter().copied().enumerate() {
+    for (source, writer) in PLANS.into_iter().enumerate() {
         let written = snap_path("fuzz_source");
         remove_spill_artifacts(&written);
         explore_resumable(
@@ -1255,7 +1247,7 @@ fn mutated_snapshots_end_in_a_typed_error_or_a_finished_run() {
             let path = snap_path("fuzz_case");
             let checksum = fnv1a(&mutated).to_le_bytes();
             std::fs::write(&path, [magic, &mutated, &checksum].concat()).unwrap();
-            let reader = PLANS[(case % 4) as usize];
+            let reader = PLANS[(case % 3) as usize];
             let (system, opts, at) = (
                 system.clone(),
                 plan_options(reader, VisitedMode::Fingerprint),

@@ -97,8 +97,8 @@ fn explore_seed(system: &System) -> (Vec<State>, Vec<Vec<(usize, usize)>>) {
     (states, edges)
 }
 
-/// Each of the four plans — pinned by engine and worker count, the
-/// disk-backed ones under a 32 KiB budget, which the chains overflow —
+/// Each of the three plans — pinned by engine and worker count, the
+/// disk-backed one under a 32 KiB budget, which the chains overflow —
 /// builds the seed explorer's graph: the same states in the same order,
 /// the same edge lists.
 #[test]
@@ -107,7 +107,6 @@ fn every_plan_builds_the_seed_explorers_graph() {
         ("sequential", Engine::Auto, 1, None),
         ("work-stealing", Engine::WorkStealing, 4, None),
         ("spill", Engine::SpillBfs, 1, Some(32 << 10)),
-        ("spill-ws", Engine::SpillWs, 4, Some(32 << 10)),
     ];
     for (name, sys) in scenarios() {
         let (states, edges) = explore_seed(&sys);

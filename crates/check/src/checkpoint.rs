@@ -7,8 +7,8 @@
 //! under a [`Budget`](crate::Budget) with
 //! [`Budget::with_checkpoint`](crate::Budget::with_checkpoint)
 //! periodically serialize their resumable core — the state arena, the
-//! recorded edges and BFS tree, the unexpanded frontier, and what a
-//! symmetry reduction has banked — to a [`Snapshot`], and
+//! recorded edges and BFS tree, and the unexpanded frontier — to a
+//! [`Snapshot`], and
 //! [`explore_resumable`](crate::explore_resumable) continues from the
 //! preserved frontier instead of restarting.
 //!
@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! magic    8 bytes  b"OTLASNAP"
-//! body     version (u32 LE) + header + manifest + frontier + reduction
+//! body     version (u32 LE) + header + manifest + frontier
 //! checksum 8 bytes  FNV-1a over the body
 //! ```
 //!
@@ -35,13 +35,12 @@
 //! The header pins everything that decides *whether the snapshot may
 //! be trusted for a resume*: the system's structural hash, the
 //! fingerprint width (`fp_bits` — a snapshot taken under forced
-//! collisions must not silently resume a full-width run), the
-//! [`VisitedMode`], whether a reduction was active, and — in the
-//! trailing reduction block — the name of the symmetry canonicalizer
-//! the arena is canonical under. [`Snapshot::load`]
-//! verifies magic, version, and checksum; [`Snapshot::validate`]
-//! refuses any mismatch with a typed [`CheckpointError`] — never a
-//! panic, and never a silent wrong-configuration resume.
+//! collisions must not silently resume a full-width run) and the
+//! [`VisitedMode`]. [`Snapshot::load`] verifies magic, version, and
+//! checksum; [`Snapshot::validate`] refuses any mismatch with a typed
+//! [`CheckpointError`], and reading the records back refuses a state
+//! outside the system's domains — never a panic, and never a silent
+//! wrong-configuration resume.
 //!
 //! Writes are atomic (temp file in the same directory, then rename),
 //! so a crash mid-write leaves the previous snapshot intact.
@@ -70,7 +69,6 @@
 
 use crate::explore::{Edge, StateGraph};
 use crate::obs::{Event, RecorderHandle};
-use crate::reduction::Canonicalize;
 use crate::{CheckError, ExploreOptions, System, VisitedMode};
 use opentla_kernel::codec::{self, Reader};
 use opentla_kernel::store::{self, fnv1a, SegmentMeta, StoreError};
@@ -87,9 +85,10 @@ use std::path::{Path, PathBuf};
 pub const DEFAULT_CHECKPOINT_CADENCE: u64 = 65_536;
 
 /// Snapshot wire-format version written and accepted by this build.
-/// Version 1 carried the graph as a tree-state body of its own; it is
-/// refused, not read.
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// Version 1 carried the graph as a tree-state body of its own, and
+/// version 2 a reduced flag and a trailing symmetry-reduction block;
+/// both are refused, not read.
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 const MAGIC: &[u8; 8] = b"OTLASNAP";
 
@@ -318,8 +317,6 @@ pub struct Snapshot {
     pub fp_bits: u32,
     /// Visited-set representation the run used.
     pub mode: VisitedMode,
-    /// Whether a reduction was active.
-    pub reduced: bool,
     /// Structural hash of the explored system.
     pub system_hash: u64,
     /// Sequence number of this snapshot within its run.
@@ -327,8 +324,6 @@ pub struct Snapshot {
     pub(crate) body: Body,
     /// The unexpanded states: the arena's last ids, ascending.
     pub(crate) frontier: Vec<usize>,
-    /// `Some` exactly when `reduced`.
-    pub(crate) reduction: Option<ReducedRun>,
 }
 
 /// The arena, recorded edges and BFS tree of a [`Snapshot`], in
@@ -348,18 +343,15 @@ pub(crate) struct RunHeader {
     pub(crate) mode: VisitedMode,
     pub(crate) fp_bits: u32,
     pub(crate) system_hash: u64,
-    /// `Some` for a symmetry-reduced run.
-    pub(crate) reduction: Option<ReducedRun>,
 }
 
 impl RunHeader {
-    /// The header of an unreduced run of the system with `system_hash`.
+    /// The header of a run of the system with `system_hash`.
     pub(crate) fn of(options: &ExploreOptions, system_hash: u64) -> RunHeader {
         RunHeader {
             mode: options.mode,
             fp_bits: options.fp_bits.clamp(1, 64),
             system_hash,
-            reduction: None,
         }
     }
 
@@ -371,33 +363,13 @@ impl RunHeader {
         Snapshot {
             fp_bits: self.fp_bits,
             mode: self.mode,
-            reduced: self.reduction.is_some(),
             system_hash: self.system_hash,
             seq: 0,
             body,
             frontier,
-            reduction: self.reduction,
         }
     }
 }
-
-/// What a symmetry-reduced run banks in its snapshots.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub(crate) struct ReducedRun {
-    /// [`Canonicalize::name`] of the canonicalizer the arena is
-    /// canonical under: continuing it under another group would build
-    /// a graph that is canonical under neither.
-    pub(crate) canonicalizer: String,
-    /// [`ReductionStats::canon_hits`](crate::ReductionStats) of the
-    /// fully expanded states.
-    pub(crate) canon_hits: usize,
-}
-
-/// Tag of a present reduction block. Tag 1 was the four-counter block
-/// of the builds that also had ample-set reduction: a snapshot carrying
-/// it may hold a partial-order-reduced arena, which nothing here can
-/// continue, so it is refused rather than read.
-const REDUCTION_BLOCK_TAG: u8 = 2;
 
 /// Records held inline, the way a segment store holds its unsealed
 /// tail: one flat buffer and where each record ends.
@@ -462,17 +434,10 @@ impl Manifest {
     /// A materialized snapshot with no sealed segment: every arena
     /// record inline, and the edge record of every expanded state.
     fn inline(snap: &Snapshot) -> Manifest {
-        let (mut scratch, mut record, mut transitions) = (Vec::new(), Vec::new(), 0);
+        let (mut record, mut transitions) = (Vec::new(), 0);
         let (mut arena_hot, mut edge_hot) = (Records::default(), Records::default());
         for (id, state, parent, edges) in snap.records() {
-            encode_arena_record(
-                state,
-                state.fingerprint(),
-                parent,
-                None,
-                &mut scratch,
-                &mut record,
-            );
+            encode_arena_record(state, state.fingerprint(), parent, &mut record);
             arena_hot.push(&record);
             if let Some(edges) = edges {
                 encode_edge_record(id, edges, &mut record);
@@ -522,13 +487,26 @@ impl Manifest {
             )));
         }
         // Counterexamples index the system's actions by these words,
-        // and every engine a state's slots by the system's variables.
-        let (actions, width) = (system.actions().len(), system.vars().len());
+        // and every engine a state's slots by the system's variables,
+        // stepping it on its packed row: every value lies in its domain.
+        let vars = system.vars();
+        let (actions, width) = (system.actions().len(), vars.len());
         for id in 0..n {
-            let slots = graph.state(id).values().len();
-            if slots != width {
+            let values = graph.state(id).values();
+            if values.len() != width {
                 return Err(corrupt(format!(
-                    "state {id} holds {slots} value(s) for a system of {width} variable(s)"
+                    "state {id} holds {} value(s) for a system of {width} variable(s)",
+                    values.len()
+                )));
+            }
+            let outside = vars
+                .iter()
+                .zip(values)
+                .find(|(v, val)| !vars.domain(*v).contains(val));
+            if let Some((v, value)) = outside {
+                return Err(corrupt(format!(
+                    "state {id} holds {value} for {}, outside its domain",
+                    vars.name(v)
                 )));
             }
             let led_in = graph.parent(id).map(|(_, action)| action);
@@ -599,9 +577,8 @@ impl Snapshot {
     }
 
     /// Refuses to resume under a different system or configuration:
-    /// the structural hash, fingerprint width, visited mode, reduction
-    /// activity, and symmetry canonicalizer (by name) must all match
-    /// what the snapshot was taken under.
+    /// the structural hash, fingerprint width and visited mode must all
+    /// match what the snapshot was taken under.
     ///
     /// # Errors
     ///
@@ -634,48 +611,7 @@ impl Snapshot {
                 format!("{:?}", options.mode),
             );
         }
-        if self.reduced != options.reduction.is_active() {
-            return mismatch(
-                "reduction activity",
-                self.reduced.to_string(),
-                options.reduction.is_active().to_string(),
-            );
-        }
-        if let (Some(run), Some(canon)) = (&self.reduction, &options.reduction.symmetry) {
-            if run.canonicalizer != canon.name() {
-                return mismatch(
-                    "symmetry canonicalizer",
-                    run.canonicalizer.clone(),
-                    canon.name().to_string(),
-                );
-            }
-        }
         Ok(())
-    }
-
-    /// Refuses a (materialized) arena that is not canonical under
-    /// `canon`: the name matched, the group behind it did not.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Mismatch`] naming the first such state.
-    pub(crate) fn validate_canonical(
-        &self,
-        canon: &dyn Canonicalize,
-    ) -> Result<(), CheckpointError> {
-        match self
-            .graph()
-            .states()
-            .iter()
-            .position(|s| &canon.canonicalize(s) != s)
-        {
-            None => Ok(()),
-            Some(id) => mismatch(
-                "symmetry canonicalizer",
-                format!("state {id} is not an orbit representative"),
-                canon.name().to_string(),
-            ),
-        }
     }
 
     /// Serializes the snapshot body (everything between magic and
@@ -696,7 +632,6 @@ impl Snapshot {
             VisitedMode::Fingerprint => 0,
             VisitedMode::Exact => 1,
         });
-        out.push(u8::from(self.reduced));
         out.extend_from_slice(&self.system_hash.to_le_bytes());
         out.extend_from_slice(&self.seq.to_le_bytes());
         let push_ids = |out: &mut Vec<u8>, ids: &[usize]| {
@@ -734,16 +669,6 @@ impl Snapshot {
         }
         push_ids(&mut out, &m.init);
         push_ids(&mut out, &self.frontier);
-        // The trailing reduction block: a tag byte, then (when present)
-        // the banked hits and the canonicalizer's name.
-        match &self.reduction {
-            None => out.push(0),
-            Some(r) => {
-                out.push(REDUCTION_BLOCK_TAG);
-                out.extend_from_slice(&(r.canon_hits as u64).to_le_bytes());
-                push_bytes(&mut out, r.canonicalizer.as_bytes());
-            }
-        }
         out
     }
 
@@ -795,7 +720,8 @@ impl Snapshot {
     ///
     /// [`CheckpointError::Io`] when a referenced segment file is gone,
     /// or any corruption-class error when one fails verification or
-    /// disagrees with the manifest.
+    /// disagrees with the manifest or with `system`'s variables,
+    /// actions and domains.
     pub(crate) fn materialize(
         &self,
         system: &System,
@@ -806,7 +732,6 @@ impl Snapshot {
         Ok(Cow::Owned(Snapshot {
             body: Body::Graph(m.materialize(system)?),
             frontier: self.frontier.clone(),
-            reduction: self.reduction.clone(),
             ..*self
         }))
     }
@@ -834,35 +759,6 @@ impl SnapshotReader<'_> {
             ids.push(id);
         }
         Ok(ids)
-    }
-
-    /// Reads the trailing reduction block, which must be present
-    /// exactly when the header says the run was `reduced`.
-    fn reduction(&mut self, reduced: bool) -> Result<Option<ReducedRun>, CheckpointError> {
-        let block = match self.r.u8("reduction tag")? {
-            0 => None,
-            REDUCTION_BLOCK_TAG => {
-                let canon_hits = self.r.u64("canon hits")? as usize;
-                Some(ReducedRun {
-                    canonicalizer: self.string("canonicalizer name")?,
-                    canon_hits,
-                })
-            }
-            1 => {
-                return Err(corrupt(
-                    "reduction block tag 1: written by a build with ample-set \
-                     partial-order reduction, whose snapshots this build cannot resume",
-                ))
-            }
-            t => return Err(corrupt(format!("bad reduction tag {t}"))),
-        };
-        if block.is_some() != reduced {
-            return Err(corrupt(format!(
-                "reduced flag is {reduced} but the reduction block is {}",
-                if block.is_some() { "present" } else { "absent" }
-            )));
-        }
-        Ok(block)
     }
 
     fn string(&mut self, ctx: &'static str) -> Result<String, CheckpointError> {
@@ -908,11 +804,6 @@ impl SnapshotReader<'_> {
             1 => VisitedMode::Exact,
             m => return Err(corrupt(format!("unknown visited mode tag {m}"))),
         };
-        let reduced = match self.r.u8("reduced flag")? {
-            0 => false,
-            1 => true,
-            b => return Err(corrupt(format!("bad reduced flag {b}"))),
-        };
         let system_hash = self.r.u64("system hash")?;
         let seq = self.r.u64("sequence number")?;
         let dir = PathBuf::from(self.string("segment directory")?);
@@ -955,7 +846,6 @@ impl SnapshotReader<'_> {
                 expanded + at
             )));
         }
-        let reduction = self.reduction(reduced)?;
         expect_end(&self.r, "the snapshot body")?;
         let manifest = Manifest {
             dir,
@@ -970,12 +860,10 @@ impl SnapshotReader<'_> {
         Ok(Snapshot {
             fp_bits,
             mode,
-            reduced,
             system_hash,
             seq,
             body: Body::Manifest(manifest),
             frontier,
-            reduction,
         })
     }
 }
@@ -1044,16 +932,16 @@ pub(crate) fn fill_edges<'a>(
 }
 
 /// One arena record: `[tag u8][parent u32, with `u32::MAX` for
-/// "initial"][action u32][fingerprint u64][state payload]`. Tag 0
-/// carries the state in the general [`codec`] encoding; tag 1 carries
-/// the fixed-width packed form (only written when a [`PackedLayout`]
-/// compiled and the state packs). The fingerprint is stored rather
-/// than recomputed so spilled parents can be re-expanded without
-/// rehashing. This file alone knows the offsets.
-pub(crate) struct ArenaRecord {
-    pub(crate) parent: Option<(usize, usize)>,
-    pub(crate) fp: u64,
-    pub(crate) state: State,
+/// "initial"][action u32][fingerprint u64][state payload]`. Tag 1
+/// carries the state's row under the system's [`PackedLayout`], as the
+/// stores write it; tag 0 the state in the general [`codec`] encoding,
+/// as a snapshot of a graph in RAM holds it inline (it has no layout to
+/// hand). The fingerprint is stored rather than recomputed so spilled
+/// parents can be re-expanded without rehashing. This file alone knows
+/// the offsets.
+struct ArenaRecord {
+    parent: Option<(usize, usize)>,
+    state: State,
 }
 
 /// Bytes of an arena record ahead of its payload.
@@ -1090,25 +978,13 @@ fn begin_arena_record(tag: u8, parent: Option<(usize, usize)>, fp: u64, out: &mu
     out.extend_from_slice(&fp.to_le_bytes());
 }
 
-pub(crate) fn encode_arena_record(
-    state: &State,
-    fp: u64,
-    parent: Option<(usize, usize)>,
-    layout: Option<&PackedLayout>,
-    scratch: &mut Vec<u8>,
-    out: &mut Vec<u8>,
-) {
-    let packed = layout.is_some_and(|l| l.pack_into(state.values(), scratch));
-    begin_arena_record(u8::from(packed), parent, fp, out);
-    if packed {
-        out.extend_from_slice(scratch);
-    } else {
-        codec::encode_state(state, out);
-    }
+/// A tree (tag 0) record of `state`.
+fn encode_arena_record(state: &State, fp: u64, parent: Option<(usize, usize)>, out: &mut Vec<u8>) {
+    begin_arena_record(0, parent, fp, out);
+    codec::encode_state(state, out);
 }
 
-/// A packed (tag 1) record, `payload` appending its packed row: the
-/// bytes [`encode_arena_record`] writes for a state that packs.
+/// A packed (tag 1) record, `payload` appending its packed row.
 pub(crate) fn encode_packed_record(
     parent: Option<(usize, usize)>,
     fp: u64,
@@ -1152,20 +1028,13 @@ pub(crate) fn packed_row<'r>(
     Ok((row, fp))
 }
 
-/// What a segment store counts for `state`'s arena record — 4-byte
-/// length prefix, header, payload: the packed width under a `layout`,
-/// nothing encoded (a state outside its domain is written wider, which
-/// moves a store's spill, never its bytes), else the measured payload.
-pub(crate) fn arena_record_bytes(state: &State, layout: Option<&PackedLayout>) -> usize {
-    let measured = || {
-        let mut payload = Vec::new();
-        codec::encode_state(state, &mut payload);
-        payload.len()
-    };
-    4 + ARENA_RECORD_HEADER + layout.map_or_else(measured, PackedLayout::stride)
+/// What a segment store counts for a packed arena record under
+/// `layout`: 4-byte length prefix, header, row.
+pub(crate) fn arena_record_bytes(layout: &PackedLayout) -> usize {
+    4 + ARENA_RECORD_HEADER + layout.stride()
 }
 
-pub(crate) fn decode_arena_record(
+fn decode_arena_record(
     bytes: &[u8],
     layout: Option<&PackedLayout>,
 ) -> Result<ArenaRecord, CheckpointError> {
@@ -1173,7 +1042,7 @@ pub(crate) fn decode_arena_record(
     let tag = r.u8("arena record tag")?;
     let parent_word = r.u32("arena record parent")?;
     let action = r.u32("arena record action")?;
-    let fp = r.u64("arena record fingerprint")?;
+    r.u64("arena record fingerprint")?;
     let state = match tag {
         0 => {
             let state = codec::decode_state(&mut r)?;
@@ -1203,7 +1072,7 @@ pub(crate) fn decode_arena_record(
     } else {
         Some((parent_word as usize, action as usize))
     };
-    Ok(ArenaRecord { parent, fp, state })
+    Ok(ArenaRecord { parent, state })
 }
 
 /// One edge record: `[id u32][k u32][(action u32,
@@ -1380,15 +1249,10 @@ mod tests {
         Snapshot {
             fp_bits: 64,
             mode: VisitedMode::Fingerprint,
-            reduced: true,
             system_hash: 0xdead_beef_cafe_f00d,
             seq: 7,
             body: Body::Graph(sample_graph()),
             frontier: vec![1, 2],
-            reduction: Some(ReducedRun {
-                canonicalizer: "sample-group".into(),
-                canon_hits: 4,
-            }),
         }
     }
 
@@ -1397,14 +1261,7 @@ mod tests {
     fn arena_record(id: usize, parent: Option<(usize, usize)>) -> Vec<u8> {
         let graph = sample_graph();
         let (state, mut rec) = (graph.state(id), Vec::new());
-        encode_arena_record(
-            state,
-            state.fingerprint(),
-            parent,
-            None,
-            &mut Vec::new(),
-            &mut rec,
-        );
+        encode_arena_record(state, state.fingerprint(), parent, &mut rec);
         rec
     }
 
@@ -1468,23 +1325,10 @@ mod tests {
         snap.save(&path).unwrap();
         let back = Snapshot::load(&path).unwrap();
         assert_eq!(
-            (
-                back.fp_bits,
-                back.mode,
-                back.reduced,
-                back.system_hash,
-                back.seq
-            ),
-            (
-                snap.fp_bits,
-                snap.mode,
-                snap.reduced,
-                snap.system_hash,
-                snap.seq
-            )
+            (back.fp_bits, back.mode, back.system_hash, back.seq),
+            (snap.fp_bits, snap.mode, snap.system_hash, snap.seq)
         );
         assert_eq!(back.frontier, snap.frontier);
-        assert_eq!(back.reduction, snap.reduction);
         assert_eq!(back.states_used(), 3);
         assert_eq!(back.transitions_used(), 2);
         assert_eq!(back.frontier_len(), 2);
@@ -1547,46 +1391,6 @@ mod tests {
             Snapshot::load(&dir.join("no_such.snap")).unwrap_err(),
             CheckpointError::Io { .. }
         ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    /// Rewrites the sample's trailing reduction block and re-checksums
-    /// the file, so the decoder gets past the integrity check.
-    fn with_reduction_block(path: &Path, block: &[u8]) {
-        let snap = sample();
-        let name = &snap.reduction.as_ref().unwrap().canonicalizer;
-        let old_block = 1 + 8 + 4 + name.len();
-        let mut body = snap.encode_body();
-        body.truncate(body.len() - old_block);
-        body.extend_from_slice(block);
-        write_framed(path, &body).unwrap();
-    }
-
-    #[test]
-    fn reduction_block_of_a_por_build_is_refused_not_misread() {
-        let dir = std::env::temp_dir().join("opentla_ckpt_redblock");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("old_block.snap");
-        // Tag 1: the four counters ample-set builds wrote.
-        let mut old = vec![1u8];
-        for n in [1u64, 2, 3, 4] {
-            old.extend_from_slice(&n.to_le_bytes());
-        }
-        with_reduction_block(&path, &old);
-        match Snapshot::load(&path).unwrap_err() {
-            CheckpointError::Corrupt { detail } => {
-                assert!(detail.contains("partial-order reduction"), "{detail}")
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
-        // A `reduced` header without its block.
-        with_reduction_block(&path, &[0]);
-        match Snapshot::load(&path).unwrap_err() {
-            CheckpointError::Corrupt { detail } => {
-                assert!(detail.contains("reduced flag"), "{detail}")
-            }
-            other => panic!("expected Corrupt, got {other:?}"),
-        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1754,8 +1558,7 @@ mod tests {
         for values in [short, long] {
             let (slots, state) = (values.len(), State::new(values));
             let mut record = Vec::new();
-            let fp = state.fingerprint();
-            encode_arena_record(&state, fp, None, None, &mut Vec::new(), &mut record);
+            encode_arena_record(&state, state.fingerprint(), None, &mut record);
             let snap = over_arena_records(&[record], vec![0]);
             let detail = corrupt_detail(through_a_file("width", &snap));
             assert!(
@@ -1765,6 +1568,23 @@ mod tests {
                 "{detail}"
             );
         }
+    }
+
+    /// Every engine steps a state on its packed row: a tree-encoded
+    /// (tag 0) record holding a value outside its variable's domain —
+    /// here `x = 3` of `0..=2` — is refused when it is read, and a run
+    /// never meets a state it cannot pack.
+    #[test]
+    fn tree_record_outside_its_domain_is_corrupt() {
+        let state = State::new(vec![Value::Int(3), Value::Bool(false)]);
+        let mut record = Vec::new();
+        encode_arena_record(&state, state.fingerprint(), None, &mut record);
+        let snap = over_arena_records(&[record], vec![0]);
+        let detail = corrupt_detail(through_a_file("domain", &snap));
+        assert!(
+            detail.contains("state 0 holds 3 for x, outside its domain"),
+            "{detail}"
+        );
     }
 
     /// Counterexample rendering indexes the system's actions by the
@@ -1852,12 +1672,9 @@ mod tests {
             .collect()
     }
 
-    /// The file `manifest_sample()` saves is, byte for byte, the one
-    /// commit 983d0c0 — which wrote this body as its version 2, beside
-    /// a tree-state version 1 — saved for the same manifest: snapshots
-    /// taken by the disk-backed engine of earlier builds still load.
-    /// `sample()`'s file, the same run captured in RAM, is recorded as
-    /// this build first wrote it.
+    /// The file `manifest_sample()` saves, and the one `sample()` — the
+    /// same run captured in RAM — saves, as this build first wrote them
+    /// in the version-3 format.
     #[test]
     fn snapshot_files_are_byte_identical_to_the_recorded_ones() {
         let dir = std::env::temp_dir().join("opentla_ckpt_pinned");
@@ -1866,6 +1683,42 @@ mod tests {
         manifest_sample().save(&path).unwrap();
         assert_eq!(
             hex(&std::fs::read(&path).unwrap()),
+            "4f544c41534e41500300000040000000000df0fecaefbeadde07000000000000\
+             001000000070696e6e65642e736e61702e736567730300000000000000020000\
+             0000000000010000000f0000006172656e612d30303030302e73656700000000\
+             000000000100000000000000240000000000000033054bd9e369584400000000\
+             020000002000000000000000000000000052ee4f0a6c2a83c902000000010100\
+             000000000000000020000000000000000001000000c7d06d53b76b061b020000\
+             0001010000000000000000010100000018000000000000000200000000000000\
+             0100000001000000020000000100000000000000020000000100000002000000\
+             87457229bb977313"
+        );
+        sample().save(&path).unwrap();
+        assert_eq!(
+            hex(&std::fs::read(&path).unwrap()),
+            "4f544c41534e41500300000040000000000df0fecaefbeadde07000000000000\
+             0000000000030000000000000002000000000000000000000000000000030000\
+             002000000000ffffffff0000000027e569232768049a02000000010000000000\
+             00000000002000000000000000000000000052ee4f0a6c2a83c9020000000101\
+             00000000000000000020000000000000000001000000c7d06d53b76b061b0200\
+             0000010100000000000000000101000000180000000000000002000000000000\
+             0001000000010000000200000001000000000000000200000001000000020000\
+             0008dd65b7cb246399"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// What the builds with symmetry reduction saved for
+    /// `manifest_sample()` in the version-2 format — a reduced flag in
+    /// the header, a trailing reduction block naming a canonicalizer.
+    /// No build reads it any more: the version word is all that is
+    /// looked at.
+    #[test]
+    fn a_version_2_file_is_refused_not_misread() {
+        let dir = std::env::temp_dir().join("opentla_ckpt_v2");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v2.snap");
+        let recorded = unhex(
             "4f544c41534e4150020000004000000000010df0fecaefbeadde070000000000\
              00001000000070696e6e65642e736e61702e7365677303000000000000000200\
              000000000000010000000f0000006172656e612d30303030302e736567000000\
@@ -1875,20 +1728,12 @@ mod tests {
              0000010100000000000000000101000000180000000000000002000000000000\
              0001000000010000000200000001000000000000000200000001000000020000\
              000204000000000000000c00000073616d706c652d67726f75709df98ecf12e0\
-             9e64"
+             9e64",
         );
-        sample().save(&path).unwrap();
+        std::fs::write(&path, recorded).unwrap();
         assert_eq!(
-            hex(&std::fs::read(&path).unwrap()),
-            "4f544c41534e4150020000004000000000010df0fecaefbeadde070000000000\
-             0000000000000300000000000000020000000000000000000000000000000300\
-             00002000000000ffffffff0000000027e569232768049a020000000100000000\
-             0000000000002000000000000000000000000052ee4f0a6c2a83c90200000001\
-             0100000000000000000020000000000000000001000000c7d06d53b76b061b02\
-             0000000101000000000000000001010000001800000000000000020000000000\
-             0000010000000100000002000000010000000000000002000000010000000200\
-             00000204000000000000000c00000073616d706c652d67726f75700c7682d3bb\
-             676cc6"
+            Snapshot::load(&path).unwrap_err(),
+            CheckpointError::UnsupportedVersion { found: 2 }
         );
         std::fs::remove_file(&path).unwrap();
     }

@@ -28,9 +28,8 @@
 //! `Value` appears only on a miss, or when a new state must be handed
 //! out as a [`State`]. This is LTSmin's transition-group cache over
 //! short dependency vectors, the read sets being the vectors.
-//! [`CompiledSystem::for_each_successor`] steps a [`State`]: what the
-//! engines fall back on for states that do not pack, and the stepper
-//! of everything else.
+//! [`CompiledSystem::for_each_successor`] steps a [`State`]: the
+//! stepper of everything but exploration.
 //!
 //! There is one evaluator loop, generic over where a program reads its
 //! variables (a slot source): a bare `[Value]` slice — a miss's
@@ -781,19 +780,12 @@ impl<'a> CompiledSystem<'a> {
     }
 
     /// Records one exploration's `step_memo` event: its tables' counts
-    /// summed over its workers, or `None` for a run that stepped on
-    /// `Value`s and had no tables.
-    pub(crate) fn record_step_memo(&self, stats: Option<MemoStats>, recorder: &RecorderHandle) {
+    /// summed over its workers.
+    pub(crate) fn record_step_memo(&self, stats: MemoStats, recorder: &RecorderHandle) {
         if !recorder.enabled() {
             return;
         }
-        let (tabled, stats) = match stats {
-            Some(stats) => (
-                self.actions.iter().filter(|a| a.digits.is_some()).count(),
-                stats,
-            ),
-            None => (0, MemoStats::default()),
-        };
+        let tabled = self.actions.iter().filter(|a| a.digits.is_some()).count();
         recorder.record(&Event::StepMemo {
             actions: self.actions.len() as u64,
             tabled_actions: tabled as u64,

@@ -22,28 +22,25 @@
 //! worker, whatever thread count was asked for; without one, more than
 //! one thread picks the third, and one thread the first. An explicit
 //! [`Engine`] other than [`Engine::Auto`] forces its row (both spill
-//! engines the second); an active [`Reduction`] counts as one thread
-//! whatever was asked. The work-stealing loop runs over packed states
-//! only: a system whose states do not pack (domains too wide for a
-//! [`PackedLayout`](opentla_kernel::PackedLayout), or a start state
-//! outside them) runs the first row instead, and `RunStart` names that
-//! loop.
+//! engines the second).
+//!
+//! Every run has one state representation, the packed row of the
+//! system's [`PackedLayout`](opentla_kernel::PackedLayout): every
+//! declared variable set compiles to one, and every state a run meets
+//! lies in its domains — initial states are checked as they are
+//! enumerated, successors as they are stepped, resumed states as a
+//! snapshot is read.
 //!
 //! The sequential loop is the reference implementation: plain BFS over
 //! the compiled successor stepper ([`crate::CompiledSystem`]), which
-//! both loops run on packed rows through its effect tables wherever
-//! the states pack. The work-stealing engine — one driver, one
-//! scheduler and one packed expansion over one striped store — records
+//! both loops run on packed rows through its effect tables. The
+//! work-stealing engine — one driver, one scheduler and one packed
+//! expansion over one striped store — records
 //! `(parent, action, child)` edges under provisional ids and finishes
 //! with a deterministic renumbering pass that replays the discovery
 //! order sequentially, so on complete runs every plan's result is
 //! **byte-identical**: same state indices, same edge lists, same
 //! [`GraphStats`], same counterexample traces.
-//!
-//! A symmetry-reduced run ([`Reduction`]) is the sequential loop,
-//! whose store canonicalizes each successor before it is fingerprinted
-//! and interned, in RAM or on disk; it is sequential at any requested
-//! thread count, under a memory budget like any other one-worker run.
 //!
 //! Every plan deduplicates states through a [`VisitedMode`] over one
 //! index design, masked fingerprint → first id: **fingerprinting**
@@ -57,7 +54,6 @@ use crate::compiled::CompiledSystem;
 use crate::obs::{
     Event, Phase, PhaseGuard, ProgressSnapshot, RecorderHandle, RunReport, OBS_SCHEMA_VERSION,
 };
-use crate::reduction::{Reduction, ReductionStats};
 use crate::{CheckError, System};
 use opentla_kernel::State;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -97,12 +93,11 @@ use plan::{Plan, Route, Start};
 ///   bound): ≈ 3 × 10⁻⁸ at a million states. This mirrors TLC, which
 ///   has run on this design for twenty-five years.
 /// * [`VisitedMode::Exact`] uses the same fingerprint index but
-///   verifies every hit against the arena — state equality in RAM,
-///   packed bytes in the work-stealing store, the record read back in
-///   the disk-backed one — and records a state that differs from every
-///   id under its fingerprint as new: no two states are ever
-///   conflated, at the cost of materializing and comparing each
-///   successor. Use it when a run must be collision-free by
+///   verifies every hit against the arena — the candidate's packed
+///   row, in RAM or read back from its disk record — and records a
+///   state that differs from every id under its fingerprint as new: no
+///   two states are ever conflated, at the cost of writing and
+///   comparing each successor's row. Use it when a run must be collision-free by
 ///   construction (e.g. when a check's verdict feeds a proof).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum VisitedMode {
@@ -125,9 +120,9 @@ pub struct ExploreOptions {
     pub mode: VisitedMode,
     /// Worker threads. `None` (the default) consults the
     /// `OPENTLA_EXPLORE_THREADS` environment variable, falling back to
-    /// 1 (sequential). Any resolved value above 1 routes an unreduced
-    /// run without a memory budget to the work-stealing scheduler;
-    /// reduced and budgeted runs are sequential at any value.
+    /// 1 (sequential). Any resolved value above 1 routes a run without
+    /// a memory budget to the work-stealing scheduler; budgeted runs are
+    /// sequential at any value.
     pub threads: Option<usize>,
     /// Fingerprint width in bits, 1..=64 (default 64). Values below 64
     /// mask the fingerprint, deliberately *forcing* collisions — a test
@@ -135,12 +130,6 @@ pub struct ExploreOptions {
     /// [`VisitedMode::Exact`] fallback; production runs should leave
     /// this at 64.
     pub fp_bits: u32,
-    /// State-space reduction (symmetry; see [`Reduction`]). Defaults
-    /// to [`Reduction::none`]: the engines then take exactly their
-    /// unreduced code paths. Reduced graphs answer state-invariant
-    /// queries only — simulation, liveness and step-invariant checks
-    /// refuse them.
-    pub reduction: Reduction,
     /// Fault-injection knob for the work-stealing scheduler's panic
     /// isolation: when set, exactly one worker deliberately panics
     /// mid-expansion (see [`WorkerPanic`]). The run must survive
@@ -149,11 +138,10 @@ pub struct ExploreOptions {
     /// run's among them) ignore it.
     pub worker_panic: Option<WorkerPanic>,
     /// Forces a plan. The default [`Engine::Auto`] derives it from
-    /// what the run asks for — threads, memory budget, reduction (see
-    /// the module docs); the other values pin a plan whatever the
-    /// thread count says. A memory budget runs the disk-backed
-    /// sequential plan under every value, and so does a reduced run
-    /// under every spill engine.
+    /// what the run asks for — threads and memory budget (see the
+    /// module docs); the other values pin a plan whatever the thread
+    /// count says. A memory budget runs the disk-backed sequential plan
+    /// under every value.
     pub engine: Engine,
     /// Approximate RAM ceiling, in bytes, for the exploration's state
     /// arena, edge lists, and visited set. Setting it (or exporting
@@ -177,16 +165,14 @@ pub struct ExploreOptions {
 /// so is fingerprint mode at one worker.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// Derive the plan from threads, memory budget and reduction.
+    /// Derive the plan from threads and memory budget.
     #[default]
     Auto,
     /// The work-stealing scheduler over packed state buffers in RAM,
     /// at any thread count: per-worker deques, quiescence-based
     /// termination, one canonical renumbering post-pass. Produces
-    /// graphs byte-identical to the sequential loop — and *is* the
-    /// sequential loop when the system's states do not pack into a
-    /// [`opentla_kernel::PackedLayout`]. With a memory budget in force
-    /// the run is [`Engine::SpillBfs`]'s.
+    /// graphs byte-identical to the sequential loop. With a memory
+    /// budget in force the run is [`Engine::SpillBfs`]'s.
     WorkStealing,
     /// The bounded-memory sequential plan: same BFS order and charge
     /// discipline as the in-RAM sequential loop, but the state arena
@@ -226,7 +212,6 @@ impl Default for ExploreOptions {
             mode: VisitedMode::Fingerprint,
             threads: None,
             fp_bits: 64,
-            reduction: Reduction::none(),
             worker_panic: None,
             engine: Engine::Auto,
             mem_budget_bytes: None,
@@ -267,9 +252,6 @@ pub struct Exploration {
     /// queue order; multi-worker parallel runs in ascending index
     /// order.
     pub frontier: Vec<usize>,
-    /// What the reduction pruned, when one was active (`None` on
-    /// unreduced runs).
-    pub reduction: Option<ReductionStats>,
     /// The run's resumable core, when it exhausted its budget at a
     /// resumable point (`None` on complete runs, and on runs cut off
     /// during initial-state enumeration — a partial init enumeration
@@ -386,9 +368,9 @@ pub fn explore_resumable(
 /// [`explore_resumable`] for the load-from-disk path).
 ///
 /// The snapshot is validated first: resuming under a different system,
-/// fingerprint width, [`VisitedMode`], reduction activity, or symmetry
-/// canonicalizer is refused with a typed error rather than silently
-/// producing a wrong graph. Any engine may resume any snapshot —
+/// fingerprint width or [`VisitedMode`] is refused with a typed error
+/// rather than silently producing a wrong graph, and so is a state
+/// outside the system's domains. Any engine may resume any snapshot —
 /// thread count is not pinned, because the parallel engine's canonical
 /// renumbering makes the result independent of it.
 ///
@@ -406,14 +388,7 @@ pub fn resume_exploration(
 ) -> Result<Exploration, CheckError> {
     snapshot.validate(system, options)?;
     let plan = Plan::from_env(options)?;
-    // The arena itself is checked against the canonicalizer, so it
-    // is read back here already (`explore_observed` then finds it in
-    // RAM).
-    let snapshot = snapshot.materialize(system)?;
-    if let Some(canon) = &options.reduction.symmetry {
-        snapshot.validate_canonical(&**canon)?;
-    }
-    explore_observed(system, budget, options, &plan, Some(&snapshot))
+    explore_observed(system, budget, options, &plan, Some(snapshot))
 }
 
 /// [`escalate`](crate::escalate) specialized to exploration, with the
@@ -452,29 +427,23 @@ pub fn explore_escalating(
     Ok(result)
 }
 
-/// Runs the settled plan: its loop over its store.
+/// Runs the plan: its loop over its store.
 fn explore_dispatch(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
+    plan: &Plan,
     launch: Result<Start<'_>, CheckError>,
 ) -> Result<Exploration, CheckError> {
-    let Start {
-        plan,
-        seed,
-        layout,
-        packs,
-    } = launch?;
+    let Start { seed, layout } = launch?;
     if plan.route != Route::WorkStealing {
         let mem_budget = plan.route.mem_budget();
-        return seq::explore_seq(system, budget, options, mem_budget, seed, layout, packs);
+        return seq::explore_seq(system, budget, options, mem_budget, seed, &layout);
     }
     let run = ws::Run {
         options,
         threads: plan.threads,
-        layout: layout
-            .as_ref()
-            .expect("a work-stealing plan starts over a packed layout"),
+        layout: &layout,
         meter: seed.meter(budget),
     };
     ws::explore_ws(system, budget, &run, seed, &stripes::Store::new(&run))
@@ -499,16 +468,14 @@ fn explore_observed(
     // read them back once, here.
     let resume = resume.map(|snap| snap.materialize(system)).transpose()?;
     let resume = resume.as_deref();
-    // Settled before anything is reported, so `RunStart` and the run
-    // report name the loop that runs.
-    let launch = plan.start(system, resume);
-    let settled = launch.as_ref().map_or(*plan, |s| s.plan);
+    // Outside the report's clock, as it is outside the meter's.
+    let launch = Start::of(system, resume);
     let rec = budget.recorder.clone();
     if !rec.enabled() {
-        return explore_dispatch(system, budget, options, launch);
+        return explore_dispatch(system, budget, options, plan, launch);
     }
-    let engine = settled.label();
-    let threads = settled.threads;
+    let engine = plan.label();
+    let threads = plan.threads;
     let mode = match options.mode {
         VisitedMode::Fingerprint => "fingerprint",
         VisitedMode::Exact => "exact",
@@ -527,15 +494,10 @@ fn explore_observed(
         });
     }
     let start = std::time::Instant::now();
-    let result = explore_dispatch(system, budget, options, launch);
+    let result = explore_dispatch(system, budget, options, plan, launch);
     let report = match &result {
         Ok(run) => {
             let stats = run.graph.stats();
-            if let Some(red) = &run.reduction {
-                rec.record(&Event::Reduction {
-                    canon_hits: red.canon_hits as u64,
-                });
-            }
             rec.record(&Event::Progress {
                 snapshot: ProgressSnapshot {
                     states: stats.states as u64,
@@ -1143,16 +1105,6 @@ mod tests {
         (plan, log, run)
     }
 
-    /// A symmetry reduction under the trivial group of `grid`'s two
-    /// slots: active, and pruning nothing.
-    fn identity_symmetry() -> Reduction {
-        Reduction::none().with_symmetry(Arc::new(crate::SlotPermutations::new(
-            "identity",
-            2,
-            Vec::new(),
-        )))
-    }
-
     /// `RunStart` and the run report name the plan that ran and the
     /// workers it ran — not the workers that were asked for — and every
     /// plan builds the sequential graph.
@@ -1208,50 +1160,6 @@ mod tests {
                     check(&options, env, spill, "explore_spill", 1);
                 }
             }
-        }
-        // A reduced run is sequential whatever was asked for, and says
-        // so: one worker, not four.
-        let reduced = ExploreOptions {
-            reduction: identity_symmetry(),
-            ..with(Engine::Auto, 4)
-        };
-        let (plan, log, run) = run_planned(&reduced, None);
-        assert_eq!((plan.route, plan.threads), (Route::Sequential, 1));
-        assert_eq!(*lock(&log.started), [("explore_sequential".to_string(), 1)]);
-        assert!(run.unwrap().graph.is_reduced());
-    }
-
-    /// A reduced run honors a memory budget, inherited or explicit,
-    /// like any other one-worker run: it explores on `explore_spill`
-    /// and returns the graph of the unbudgeted reduced run
-    /// (`reduction_equivalence` drives the same through real spills).
-    #[test]
-    fn a_reduced_run_honors_a_memory_budget() {
-        let reduced = |mem_budget_bytes| ExploreOptions {
-            threads: Some(2),
-            reduction: identity_symmetry(),
-            mem_budget_bytes,
-            ..ExploreOptions::default()
-        };
-        let (plan, _, unbudgeted) = run_planned(&reduced(None), None);
-        assert_eq!(plan.route, Route::Sequential);
-        let unbudgeted = unbudgeted.unwrap();
-        for (options, env_budget) in [
-            (reduced(None), Some(4 << 10)),
-            (reduced(Some(4 << 10)), None),
-        ] {
-            let (plan, log, run) = run_planned(&options, env_budget);
-            assert_eq!(
-                plan.route,
-                Route::SpillBfs {
-                    mem_budget: 4 << 10
-                }
-            );
-            assert_eq!(*lock(&log.started), [("explore_spill".to_string(), 1)]);
-            let run = run.unwrap();
-            assert!(run.outcome.is_complete() && run.graph.is_reduced());
-            assert_eq!(run.graph.first_difference(&unbudgeted.graph), None);
-            assert_eq!(run.reduction, unbudgeted.reduction);
         }
     }
 }

@@ -13,9 +13,7 @@
 //! addressed through [`StateGraph::edge_base`].
 
 use crate::checkpoint::{corrupt, CheckpointError};
-use crate::reduction::Canonicalize;
 use opentla_kernel::State;
-use std::sync::Arc;
 
 /// Summary statistics of a reachability graph; see
 /// [`StateGraph::stats`].
@@ -72,9 +70,6 @@ pub struct StateGraph {
     /// The BFS tree: each state's `(parent id, action)` — always an
     /// earlier state, [`NO_PARENT`] for an initial one.
     tree: Vec<(u32, u32)>,
-    /// The symmetry canonicalizer the exploration ran under, if any —
-    /// kept so counterexample concretization can map through orbits.
-    canon: Option<Arc<dyn Canonicalize>>,
 }
 
 /// The parent word of an initial state, as in an arena record.
@@ -89,7 +84,6 @@ impl StateGraph {
             edges: Vec::new(),
             row_start: vec![0],
             tree: Vec::with_capacity(n),
-            canon: None,
         }
     }
 
@@ -181,14 +175,7 @@ impl StateGraph {
             edges: self.edges[..self.row_start[rows]].to_vec(),
             row_start: self.row_start[..=rows].to_vec(),
             tree: self.tree[..keep].to_vec(),
-            canon: self.canon.clone(),
         }
-    }
-
-    /// Tags the graph as explored under `canon` (see
-    /// [`StateGraph::is_reduced`]).
-    pub(crate) fn reduced_under(&mut self, canon: Arc<dyn Canonicalize>) {
-        self.canon = Some(canon);
     }
 
     /// The BFS-tree entry of `id`: `(parent id, action)`, or `None`
@@ -233,23 +220,6 @@ impl StateGraph {
     /// All reachable states in discovery order.
     pub fn states(&self) -> &[State] {
         &self.states
-    }
-
-    /// Whether this graph was built under an active
-    /// [`Reduction`](crate::Reduction). A reduced graph soundly answers
-    /// *state-invariant* reachability (for properties symmetric under
-    /// the reduction's group), but its edges join orbit
-    /// representatives — so [`crate::check_simulation`],
-    /// [`crate::check_liveness`] and [`crate::check_step_invariant`]
-    /// refuse it and require a full exploration instead (see
-    /// [`crate::Reduction`]).
-    pub fn is_reduced(&self) -> bool {
-        self.canon.is_some()
-    }
-
-    /// The symmetry canonicalizer this graph was explored under.
-    pub(crate) fn canonicalizer(&self) -> Option<&dyn Canonicalize> {
-        self.canon.as_deref()
     }
 
     /// Indices of the initial states.
@@ -325,17 +295,16 @@ impl StateGraph {
     }
 
     /// Where `self` and `other` first differ in anything a graph
-    /// stores — the states in id order, each state's edge list, the
-    /// BFS tree (whose parentless states are the initial ones), and
-    /// last the name of the canonicalizer it was reduced under, if
-    /// any — or `None` when they are the same graph. The description
+    /// stores — the states in id order, each state's edge list and the
+    /// BFS tree (whose parentless states are the initial ones) — or
+    /// `None` when they are the same graph. The description
     /// names one id and one state, edge list or parent of each side,
     /// whatever the graphs' size.
     pub fn first_difference(&self, other: &StateGraph) -> Option<String> {
         if self.len() != other.len() {
             return Some(format!("{} states vs {}", self.len(), other.len()));
         }
-        let per_state = (0..self.len()).find_map(|id| {
+        (0..self.len()).find_map(|id| {
             let differ = |what: &str, a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
                 Some(format!("{what} of state {id}: {a:?} vs {b:?}"))
             };
@@ -348,11 +317,6 @@ impl StateGraph {
             } else {
                 None
             }
-        });
-        per_state.or_else(|| {
-            let a = self.canonicalizer().map(Canonicalize::name);
-            let b = other.canonicalizer().map(Canonicalize::name);
-            (a != b).then(|| format!("reduced under {a:?} vs {b:?}"))
         })
     }
 }

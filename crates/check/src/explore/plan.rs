@@ -4,13 +4,12 @@
 //! [`Plan::resolve`] is a pure function of the caller's
 //! [`ExploreOptions`] and the two environment overrides, so the whole
 //! routing table is unit-testable without touching the process
-//! environment. Every entry point resolves one [`Plan`];
-//! [`Plan::start`] then settles it against the system — the
-//! work-stealing loop runs over packed states only, and every loop
-//! steps on packed rows where the states pack — and hands it down with
-//! the layout and what the run starts from: the dispatcher matches on it,
-//! the `RunStart`/`RunEnd` engine label and worker count are read off
-//! it, and the disk-backed store takes its budget from it.
+//! environment. Every entry point resolves one [`Plan`]: the
+//! dispatcher matches on it, the `RunStart`/`RunEnd` engine label and
+//! worker count are read off it, and the disk-backed store takes its
+//! budget from it. [`Start::of`] hands every plan the same start: the
+//! system's packed layout, whose rows every loop steps on, and the
+//! seed.
 
 use super::seq::Seed;
 use super::{Engine, ExploreOptions};
@@ -79,18 +78,33 @@ pub(crate) struct Plan {
     pub(crate) threads: usize,
 }
 
-/// A settled plan and what its run starts from; see [`Plan::start`].
+/// What a run starts from, on every plan; see [`Start::of`].
 pub(crate) struct Start<'a> {
-    pub(crate) plan: Plan,
     pub(crate) seed: Seed<'a>,
-    /// The packed layout of the system's states, where it compiles, on
-    /// every route: both loops step on its rows, and the sequential
-    /// store packs the disk records it can under it.
-    pub(crate) layout: Option<PackedLayout>,
-    /// Whether every seed state packs under `layout` — and so every
-    /// state of the run, each successor being domain-checked: then the
-    /// loops step on rows. Always true on the work-stealing route.
-    pub(crate) packs: bool,
+    /// The packed layout of the system's states: every state of the
+    /// run packs under it — each seed is in its domains, and each
+    /// successor is domain-checked — so both loops step on its rows and
+    /// the stores hold them.
+    pub(crate) layout: PackedLayout,
+}
+
+impl<'a> Start<'a> {
+    /// Enumerates the seed, or adopts the materialized snapshot, and
+    /// compiles the layout.
+    ///
+    /// # Errors
+    ///
+    /// What enumerating the initial states reports, and
+    /// [`CheckError::Precondition`] for a domain whose codes do not fit
+    /// a `u32`, the one layout [`PackedLayout::compile`] refuses.
+    pub(crate) fn of(system: &System, resume: Option<&'a Snapshot>) -> Result<Self, CheckError> {
+        let seed = Seed::of(system, resume)?;
+        let layout =
+            PackedLayout::compile(system.vars()).ok_or_else(|| CheckError::Precondition {
+                message: "a variable's domain has more values than a u32 can number".into(),
+            })?;
+        Ok(Start { seed, layout })
+    }
 }
 
 impl Plan {
@@ -114,9 +128,7 @@ impl Plan {
     /// store at one worker, whatever thread count was asked for: one
     /// disk-backed store serves every budgeted run. Otherwise more than
     /// one requested worker, or [`Engine::WorkStealing`], picks the
-    /// work-stealing loop in RAM. A reduction-active run is sequential
-    /// on either side: only the sequential store canonicalizes, in RAM
-    /// or on disk.
+    /// work-stealing loop in RAM.
     pub(crate) fn resolve(
         options: &ExploreOptions,
         env_threads: Option<usize>,
@@ -127,7 +139,6 @@ impl Plan {
         let spill =
             budget.is_some() || matches!(options.engine, Engine::SpillBfs | Engine::SpillWs);
         let parallel = !spill
-            && !options.reduction.is_active()
             && match options.engine {
                 Engine::Auto => requested > 1,
                 Engine::WorkStealing => true,
@@ -146,51 +157,6 @@ impl Plan {
         }
     }
 
-    /// Settles the plan against `system` and what the run starts from,
-    /// before anything is reported: the work-stealing loop runs over
-    /// packed states only, so when the system's domains do not compile
-    /// to a [`PackedLayout`], or a seed state lies outside its declared
-    /// domain ([`Init::new`](crate::Init::new) can pin one), a threaded
-    /// plan falls back to the sequential loop in RAM — which then steps
-    /// on `Value`s. The seed is enumerated and the layout compiled
-    /// once, here, on every route, and handed down.
-    ///
-    /// # Errors
-    ///
-    /// What enumerating the initial states reports.
-    pub(crate) fn start<'a>(
-        self,
-        system: &System,
-        resume: Option<&'a Snapshot>,
-    ) -> Result<Start<'a>, CheckError> {
-        let seed = Seed::of(system, resume)?;
-        let layout = PackedLayout::compile(system.vars());
-        let mut buf = Vec::new();
-        let packs = layout.as_ref().is_some_and(|l| {
-            seed.states()
-                .iter()
-                .all(|s| l.pack_into(s.values(), &mut buf))
-        });
-        Ok(Start {
-            plan: self.over_packed_states(packs),
-            seed,
-            layout,
-            packs,
-        })
-    }
-
-    /// This plan if every state it starts from packs, else its
-    /// sequential fallback.
-    fn over_packed_states(self, packs: bool) -> Plan {
-        match self.route {
-            Route::WorkStealing if !packs => Plan {
-                route: Route::Sequential,
-                threads: 1,
-            },
-            _ => self,
-        }
-    }
-
     /// The engine name `RunStart` and `RunEnd` carry.
     pub(crate) fn label(&self) -> &'static str {
         match self.route {
@@ -204,14 +170,13 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Reduction, SlotPermutations, WorkerPanic};
-    use std::sync::Arc;
+    use crate::WorkerPanic;
 
     const EXPLICIT: usize = 1 << 20;
     const ENV: usize = 2 << 20;
 
     /// The whole routing table: engine × threads × budget source ×
-    /// reduction × panic injection. The resolver takes the environment
+    /// panic injection. The resolver takes the environment
     /// as arguments, so nothing here touches `std::env`. Every cell
     /// with a budget in force, from the option or the environment,
     /// runs the one disk-backed store at one worker.
@@ -235,114 +200,46 @@ mod tests {
         for engine in engines {
             for threads in [1usize, 2, 4] {
                 for (explicit, env, in_force) in budgets {
-                    for reduced in [false, true] {
-                        for panic in [false, true] {
-                            let options = ExploreOptions {
-                                engine,
-                                threads: Some(threads),
-                                mem_budget_bytes: explicit,
-                                reduction: if reduced {
-                                    Reduction::none().with_symmetry(Arc::new(
-                                        SlotPermutations::new("identity", 0, Vec::new()),
-                                    ))
-                                } else {
-                                    Reduction::none()
-                                },
-                                worker_panic: panic.then_some(WorkerPanic { after_claims: 0 }),
-                                ..ExploreOptions::default()
-                            };
-                            // The environment's thread count loses to
-                            // the explicit one in every cell.
-                            let plan = Plan::resolve(&options, Some(7), env);
-                            let what = format!(
-                                "{engine:?} threads={threads} explicit={explicit:?} \
-                                 env={env:?} reduced={reduced} panic={panic}"
-                            );
-                            // A reduced cell routes as its one-worker
-                            // twin — sequential at any thread count
-                            // and under every engine — so under the
-                            // budget in force like any other: the
-                            // store canonicalizes on disk too.
-                            let (engine, threads) = match (reduced, engine) {
-                                (false, _) => (engine, threads),
-                                (true, Engine::WorkStealing) => (Engine::Auto, 1),
-                                (true, _) => (engine, 1),
-                            };
-                            // Panic injection pins nothing: the cell
-                            // routes as its twin without it. A spill
-                            // engine with no budget runs under the
-                            // default one.
-                            let mem_budget = in_force.unwrap_or(DEFAULT_SPILL_BUDGET);
-                            let expected = match (engine, in_force.is_some(), threads) {
-                                (_, true, _) | (Engine::SpillBfs | Engine::SpillWs, ..) => {
-                                    Route::SpillBfs { mem_budget }
-                                }
-                                (Engine::WorkStealing, false, _) => Route::WorkStealing,
-                                (Engine::Auto, false, 1) => Route::Sequential,
-                                (Engine::Auto, false, _) => Route::WorkStealing,
-                            };
-                            assert_eq!(plan.route, expected, "{what}");
-                            // The plan reports the workers it runs.
-                            let workers = match expected {
-                                Route::Sequential | Route::SpillBfs { .. } => 1,
-                                Route::WorkStealing => threads,
-                            };
-                            assert_eq!(plan.threads, workers, "{what}");
-                            cases += 1;
-                        }
+                    for panic in [false, true] {
+                        let options = ExploreOptions {
+                            engine,
+                            threads: Some(threads),
+                            mem_budget_bytes: explicit,
+                            worker_panic: panic.then_some(WorkerPanic { after_claims: 0 }),
+                            ..ExploreOptions::default()
+                        };
+                        // The environment's thread count loses to the
+                        // explicit one in every cell.
+                        let plan = Plan::resolve(&options, Some(7), env);
+                        let what = format!(
+                            "{engine:?} threads={threads} explicit={explicit:?} \
+                             env={env:?} panic={panic}"
+                        );
+                        // Panic injection pins nothing: the cell routes
+                        // as its twin without it. A spill engine with no
+                        // budget runs under the default one.
+                        let mem_budget = in_force.unwrap_or(DEFAULT_SPILL_BUDGET);
+                        let expected = match (engine, in_force.is_some(), threads) {
+                            (_, true, _) | (Engine::SpillBfs | Engine::SpillWs, ..) => {
+                                Route::SpillBfs { mem_budget }
+                            }
+                            (Engine::WorkStealing, false, _) => Route::WorkStealing,
+                            (Engine::Auto, false, 1) => Route::Sequential,
+                            (Engine::Auto, false, _) => Route::WorkStealing,
+                        };
+                        assert_eq!(plan.route, expected, "{what}");
+                        // The plan reports the workers it runs.
+                        let workers = match expected {
+                            Route::Sequential | Route::SpillBfs { .. } => 1,
+                            Route::WorkStealing => threads,
+                        };
+                        assert_eq!(plan.threads, workers, "{what}");
+                        cases += 1;
                     }
                 }
             }
         }
-        assert_eq!(cases, 4 * 3 * 4 * 2 * 2);
-    }
-
-    /// The fact "the states do not pack" alone — a layout that does
-    /// not compile, no seed state involved — settles a threaded plan on
-    /// the sequential loop in RAM with one worker, and leaves every
-    /// other plan alone. (The fact is handed in: a
-    /// `Vars` one slot past the packed width cap takes half a minute to
-    /// build here. `packed_roundtrip.rs` reaches the same fall-back
-    /// from a real system, through an out-of-domain seed.)
-    #[test]
-    fn states_that_do_not_pack_settle_on_the_sequential_loops() {
-        let mem_budget = EXPLICIT;
-        for (engine, threads, asked, settled) in [
-            (Engine::Auto, 2, Route::WorkStealing, Route::Sequential),
-            (
-                Engine::WorkStealing,
-                1,
-                Route::WorkStealing,
-                Route::Sequential,
-            ),
-            (
-                Engine::SpillWs,
-                4,
-                Route::SpillBfs { mem_budget },
-                Route::SpillBfs { mem_budget },
-            ),
-            (Engine::Auto, 1, Route::Sequential, Route::Sequential),
-            (
-                Engine::SpillBfs,
-                1,
-                Route::SpillBfs { mem_budget },
-                Route::SpillBfs { mem_budget },
-            ),
-        ] {
-            let spill = !matches!(asked, Route::WorkStealing | Route::Sequential);
-            let options = ExploreOptions {
-                engine,
-                threads: Some(threads),
-                mem_budget_bytes: spill.then_some(mem_budget),
-                ..ExploreOptions::default()
-            };
-            let plan = Plan::resolve(&options, None, None);
-            assert_eq!(plan.route, asked, "{engine:?}/{threads}");
-            assert_eq!(plan.over_packed_states(true), plan, "{engine:?}/{threads}");
-            let fallback = plan.over_packed_states(false);
-            assert_eq!(fallback.route, settled, "{engine:?}/{threads}");
-            assert_eq!(fallback.threads, 1, "{engine:?}/{threads}");
-        }
+        assert_eq!(cases, 4 * 3 * 4 * 2);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! records would fill a segment. Without a budget it never leaves RAM
 //! and touches no file. There is one discovery order, this loop's, so
 //! completed graphs are byte-identical across bodies and
-//! [`VisitedMode`]s by construction. A symmetry-reduced run
-//! ([`crate::Reduction`]) is this loop too.
+//! [`VisitedMode`]s by construction.
 //!
 //! The loop steps on slot codes: a parent is its packed row — in RAM a
 //! `rows` column beside the graph (stride bytes a state), on disk its
@@ -18,28 +17,19 @@
 //! effect tables of [`CompiledSystem::for_each_packed_successor`], each
 //! child fingerprinted from the parent's by its effects and built as a
 //! [`State`] (from the layout's shared decode values) only when it is
-//! new. The `Value` stepper ([`CompiledSystem::for_each_successor`])
-//! is left to runs whose states do not pack — no layout compiles, or a
-//! seed lies outside its domain — and to symmetry-reduced runs; both
-//! steppers hand their successors to one intern-and-record visitor.
+//! new.
 
 use super::spill::{self, RunNames, SpillDir, SpillVisited, Tuning};
 use super::{seq_exhaustion_snapshot, Edge, Exploration, ExploreOptions, StateGraph, VisitedMode};
 use crate::budget::{Budget, ExhaustReason, Meter, Outcome};
-use crate::checkpoint::{
-    self, CheckpointError, Checkpointer, Manifest, ReducedRun, RunHeader, Snapshot,
-};
-use crate::compiled::{
-    append_child, child_fingerprint, CompiledSystem, Effect, EvalScratch, StepMemo,
-};
+use crate::checkpoint::{self, CheckpointError, Checkpointer, Manifest, RunHeader, Snapshot};
+use crate::compiled::{append_child, child_fingerprint, CompiledSystem, Effect, StepMemo};
 use crate::obs::{Phase, PhaseGuard};
-use crate::reduction::{Canonicalize, ReductionStats};
 use crate::{CheckError, System};
 use opentla_kernel::store::{SegmentStore, StoreError};
-use opentla_kernel::{PackedLayout, State, Value, VarId};
+use opentla_kernel::{PackedLayout, State};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
 /// What a run starts from.
 pub(super) enum Seed<'a> {
@@ -65,14 +55,6 @@ impl<'a> Seed<'a> {
                 }
                 Ok(Seed::Fresh(init_states))
             }
-        }
-    }
-
-    /// Every state the run starts from.
-    pub(super) fn states(&self) -> &[State] {
-        match self {
-            Seed::Fresh(states) => states,
-            Seed::Resume(snap) => snap.graph().states(),
         }
     }
 
@@ -124,24 +106,19 @@ impl From<StoreError> for Stop {
 /// precisely as an uninterrupted run would.
 ///
 /// With no `mem_budget` the [`Store`] stays in RAM; with one it spills
-/// past that many bytes, packing arena records under `layout` where it
-/// can (with `None`, or for a state outside its declared domain, a
-/// record carries the general codec encoding).
+/// past that many bytes, its arena records the states' rows under
+/// `layout`.
 ///
-/// When every seed state `packs` under `layout`, the loop steps on rows
-/// ([`CompiledSystem::for_each_packed_successor`]): every successor is
-/// then in-domain — the stepper checks each update — so every state of
-/// the run has a row. A symmetry-reduced run steps on `Value`s: its
-/// store keeps the canonicalizer's orbit representatives, whatever
-/// states those are.
+/// The loop steps on rows ([`CompiledSystem::for_each_packed_successor`]):
+/// every seed is in its domains, and every successor too — the stepper
+/// checks each update — so every state of the run has a row.
 pub(super) fn explore_seq(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
     mem_budget: Option<usize>,
     seed: Seed<'_>,
-    layout: Option<PackedLayout>,
-    packs: bool,
+    layout: &PackedLayout,
 ) -> Result<Exploration, CheckError> {
     let meter = &seed.meter(budget);
     // This store's manifests reference its sealed segments, so under a
@@ -152,11 +129,10 @@ pub(super) fn explore_seq(
             Tuning::for_budget(m),
         )
     });
-    let rows = (layout.as_ref()).filter(|_| packs && !options.reduction.is_active());
-    let mut store = Store::create(system, options, meter, layout.as_ref(), rows, disk)
-        .map_err(CheckpointError::from)?;
+    let mut store =
+        Store::create(system, options, meter, layout, disk).map_err(CheckpointError::from)?;
     let compiled = CompiledSystem::compile(system);
-    let (mut memo, mut scratch) = (StepMemo::new(), EvalScratch::new());
+    let mut memo = StepMemo::new();
     let mut parent_row: Vec<u8> = Vec::new();
     let mut ck = Checkpointer::new(budget.checkpoint.clone());
     let mut queue: VecDeque<usize> = VecDeque::new();
@@ -200,58 +176,30 @@ pub(super) fn explore_seq(
             break;
         };
         edge_buf.clear();
-        // What both steppers do with a successor of fingerprint `fp`:
-        // charge it, intern it (built only if it is new), queue it if
-        // new, record the edge.
-        let mut visit = |store: &mut Store<'_>, action: usize, fp: u64, child: Child<'_>| {
-            if let Some(reason) = meter.charge_transition() {
-                return ControlFlow::Break(Stop::Cut(reason));
-            }
-            match store.intern(fp, Some((id, action)), child) {
-                Ok((target, is_new)) => {
-                    if is_new {
-                        queue.push_back(target);
-                    }
-                    edge_buf.push(Edge { action, target });
-                    ControlFlow::Continue(())
+        // Each successor is charged, interned (built only if it is
+        // new), queued if new, and its edge recorded. Its fingerprint
+        // is derived from the parent's, so an already-visited successor
+        // costs a few table reads and one probe.
+        let fp = store.row(id, &mut parent_row)?;
+        let parent = &parent_row[..];
+        let stop =
+            compiled.for_each_packed_successor(layout, parent, &mut memo, |action, effects| {
+                if let Some(reason) = meter.charge_transition() {
+                    return ControlFlow::Break(Stop::Cut(reason));
                 }
-                Err(stop) => ControlFlow::Break(stop),
-            }
-        };
-        // The child's fingerprint is derived from the parent's, so an
-        // already-visited successor costs a few table reads and one
-        // probe.
-        let stop = match rows {
-            Some(layout) => {
-                let fp = store.row(id, &mut parent_row)?;
-                let parent = &parent_row[..];
-                compiled.for_each_packed_successor(
-                    layout,
-                    parent,
-                    &mut memo,
-                    |action, effects| {
-                        let child_fp = child_fingerprint(layout, parent, fp, effects);
-                        let child = Child::Packed {
-                            layout,
-                            parent,
-                            effects,
-                        };
-                        visit(&mut store, action, child_fp, child)
-                    },
-                )?
-            }
-            None => {
-                let (parent, fp) = store.entry(id)?;
-                compiled.for_each_successor(&parent, &mut scratch, |action, assignments| {
-                    let child_fp = parent.fingerprint_with(fp, assignments);
-                    let child = Child::Tree {
-                        parent: &parent,
-                        assignments,
-                    };
-                    visit(&mut store, action, child_fp, child)
-                })?
-            }
-        };
+                let child_fp = child_fingerprint(layout, parent, fp, effects);
+                let child = Child::Packed { parent, effects };
+                match store.intern(child_fp, Some((id, action)), child) {
+                    Ok((target, is_new)) => {
+                        if is_new {
+                            queue.push_back(target);
+                        }
+                        edge_buf.push(Edge { action, target });
+                        ControlFlow::Continue(())
+                    }
+                    Err(stop) => ControlFlow::Break(stop),
+                }
+            })?;
         match stop {
             None => store.push_edges(id, &edge_buf)?,
             Some(Stop::Cut(reason)) => {
@@ -266,71 +214,38 @@ pub(super) fn explore_seq(
         }
     }
     drop(expand_phase);
-    compiled.record_step_memo(rows.map(|_| memo.stats()), &budget.recorder);
+    compiled.record_step_memo(memo.stats(), &budget.recorder);
     let _finish_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
     // A cut during initial-state enumeration is not resumable: a
     // partial init enumeration cannot be continued soundly.
     store.finish(queue, cut_edges, exhausted, !exhausted_in_init, &mut ck)
 }
 
-/// A successor as the loop hands it to the store, which builds it only
-/// if it keeps it.
+/// A state as the loop hands it to the store, which builds its row
+/// only if it keeps it.
 enum Child<'c> {
-    /// A whole state: a seed, a resumed state, an orbit representative.
+    /// A whole state: a seed or a resumed state.
     State(State),
     /// A parent's row with an action's effects written in.
     Packed {
-        layout: &'c PackedLayout,
         parent: &'c [u8],
         effects: &'c [Effect],
-    },
-    /// A parent state with an action's assignments.
-    Tree {
-        parent: &'c State,
-        assignments: &'c [(VarId, Value)],
     },
 }
 
 impl Child<'_> {
-    /// The successor as a state; a row's is built from the layout's
-    /// decode values, shared with every other state that holds them.
-    fn state(self) -> State {
-        match self {
-            Child::State(state) => state,
-            Child::Packed {
-                layout,
-                parent,
-                effects,
-            } => {
-                let mut row = Vec::with_capacity(parent.len());
-                append_child(layout, parent, effects, &mut row);
-                layout.unpack(&row)
-            }
-            Child::Tree {
-                parent,
-                assignments,
-            } => parent.with(assignments),
-        }
-    }
-
-    /// Appends the successor's row under `layout`, in a run that steps
-    /// on rows: a successor is a parent's row and effects, or a state
-    /// the run started from, which packs.
+    /// Appends the state's row under `layout`: a parent's row and
+    /// effects, or a state the run started from, which is in its
+    /// domains.
     fn write_row(&self, layout: &PackedLayout, out: &mut Vec<u8>) {
         match self {
-            Child::Packed {
-                parent, effects, ..
-            } => append_child(layout, parent, effects, out),
+            Child::Packed { parent, effects } => append_child(layout, parent, effects, out),
             Child::State(state) => {
-                let mut row = Vec::new();
-                let packs = layout.pack_into(state.values(), &mut row);
-                assert!(
-                    packs,
-                    "a run that steps on rows starts from states that pack"
-                );
+                let row = layout
+                    .pack(state)
+                    .expect("a run starts from in-domain states");
                 out.extend_from_slice(&row);
             }
-            Child::Tree { .. } => unreachable!("a run that steps on rows steps no tree"),
         }
     }
 }
@@ -341,8 +256,8 @@ impl Child<'_> {
 enum Body {
     /// The [`StateGraph`] under construction — a run that ends here
     /// moves it out finished, each edge list held once — every state's
-    /// unmasked fingerprint, for incremental derivation, and, in a run
-    /// that steps on rows, every state's row (stride bytes each).
+    /// unmasked fingerprint, for incremental derivation, and every
+    /// state's row (stride bytes each).
     Ram {
         graph: StateGraph,
         fps: Vec<u64>,
@@ -359,29 +274,9 @@ enum Body {
 }
 
 impl Body {
-    /// The state with this id and its unmasked fingerprint.
-    fn entry(
-        &mut self,
-        id: usize,
-        layout: Option<&PackedLayout>,
-        buf: &mut Vec<u8>,
-    ) -> Result<(State, u64), CheckpointError> {
-        match self {
-            // An Arc bump, not a copy: releases the arena borrow so
-            // `intern` may push new states into it.
-            Body::Ram { graph, fps, .. } => Ok((graph.state(id).clone(), fps[id])),
-            Body::Disk { arena, .. } => {
-                arena.read(id as u64, buf)?;
-                let rec = checkpoint::decode_arena_record(buf, layout)?;
-                Ok((rec.state, rec.fp))
-            }
-        }
-    }
-
     /// The row of state `id` under `layout` and its unmasked
-    /// fingerprint, in a run that steps on rows: the RAM body's, or the
-    /// arena record read into `buf` and checked — no code outside its
-    /// domain reaches a table key.
+    /// fingerprint: the RAM body's, or the arena record read into `buf`
+    /// and checked — no code outside its domain reaches a table key.
     fn row<'b>(
         &'b mut self,
         id: usize,
@@ -405,23 +300,16 @@ impl Body {
 /// the dedup index over them — one [`super::index::FpIndex`] probe
 /// until a budgeted run drains it to disk ([`SpillVisited`]). In
 /// [`VisitedMode::Exact`] a fingerprint hit is verified against the
-/// body, wherever the candidate lives by then: rows compared as bytes
-/// in a run that steps on rows, states otherwise.
-///
-/// Under a symmetry reduction every state is keyed by its orbit
-/// representative: the body, the index and every snapshot hold
-/// canonical states only.
+/// body, wherever the candidate lives by then: rows compared as bytes.
 struct Store<'a> {
     body: Body,
     visited: SpillVisited,
     /// The segment directory and tier sizes a memory budget bought;
     /// `None` never leaves RAM.
     disk: Option<(SpillDir, Tuning)>,
-    layout: Option<&'a PackedLayout>,
-    /// `layout` when the run steps on rows: every state packs under it,
-    /// the RAM body keeps the rows, and arena records are written from
-    /// them.
-    rows: Option<&'a PackedLayout>,
+    /// Every state's row is under it: the RAM body keeps the rows, and
+    /// arena records are written from them.
+    layout: &'a PackedLayout,
     /// What the `Ram` body's arena and edge records come to as segment
     /// bytes; counted under a budget only.
     arena_bytes: usize,
@@ -434,15 +322,6 @@ struct Store<'a> {
     options: &'a ExploreOptions,
     sys_hash: u64,
     meter: &'a Meter,
-    canon: Option<Arc<dyn Canonicalize>>,
-    /// Successors of fully expanded parents that canonicalization
-    /// changed.
-    canon_hits: usize,
-    /// The same count for the parent being expanded: banked with its
-    /// edges, dropped with them when a budget cuts it half-way, so a
-    /// resumed run counts that parent once.
-    pending_hits: usize,
-    pack_scratch: Vec<u8>,
     rec_buf: Vec<u8>,
     /// Exact mode's successor row, compared with a candidate's.
     probe: Vec<u8>,
@@ -453,8 +332,7 @@ impl<'a> Store<'a> {
         system: &System,
         options: &'a ExploreOptions,
         meter: &'a Meter,
-        layout: Option<&'a PackedLayout>,
-        rows: Option<&'a PackedLayout>,
+        layout: &'a PackedLayout,
         disk: Option<(SpillDir, Tuning)>,
     ) -> Result<Store<'a>, StoreError> {
         let visited = match &disk {
@@ -472,7 +350,6 @@ impl<'a> Store<'a> {
             visited,
             disk,
             layout,
-            rows,
             arena_bytes: 0,
             edge_bytes: 0,
             expanded: 0,
@@ -481,10 +358,6 @@ impl<'a> Store<'a> {
             options,
             sys_hash: checkpoint::system_hash(system),
             meter,
-            canon: options.reduction.symmetry.clone(),
-            canon_hits: 0,
-            pending_hits: 0,
-            pack_scratch: Vec::new(),
             rec_buf: Vec::new(),
             probe: Vec::new(),
         })
@@ -499,25 +372,21 @@ impl<'a> Store<'a> {
     }
 
     /// The store's one transition, `Ram` to `Disk`: every arena and
-    /// edge record, in id order, through [`SegmentStore::append`].
-    /// Whenever this fires, the byte streams — and so the segment
-    /// boundaries — are those of a store on disk from its first state
-    /// (until here packed records were only counted, never encoded).
+    /// edge record, in id order, through [`SegmentStore::append`] — an
+    /// arena record written straight from the state's row. Whenever
+    /// this fires, the byte streams — and so the segment boundaries —
+    /// are those of a store on disk from its first state (until here
+    /// records were only counted, never encoded).
     fn spill(&mut self) -> Result<(), StoreError> {
-        let (Body::Ram { graph, fps, .. }, Some((dir, t))) = (&self.body, &self.disk) else {
+        let (Body::Ram { graph, fps, rows }, Some((dir, t))) = (&self.body, &self.disk) else {
             unreachable!("only the RAM body of a budgeted store spills");
         };
         let mut arena = SegmentStore::create(dir.path(), "arena", t.seg_target, t.arena_cache)?;
         let mut edges = SegmentStore::create(dir.path(), "edges", t.seg_target, t.edge_cache)?;
+        let stride = self.layout.stride();
         for (id, &fp) in fps.iter().enumerate() {
-            checkpoint::encode_arena_record(
-                graph.state(id),
-                fp,
-                graph.parent(id),
-                self.layout,
-                &mut self.pack_scratch,
-                &mut self.rec_buf,
-            );
+            let row = |out: &mut Vec<u8>| out.extend_from_slice(&rows[id * stride..][..stride]);
+            checkpoint::encode_packed_record(graph.parent(id), fp, row, &mut self.rec_buf);
             spill::append(self.meter, "arena", &mut arena, &self.rec_buf)?;
         }
         for id in 0..self.expanded {
@@ -532,10 +401,9 @@ impl<'a> Store<'a> {
         Ok(())
     }
 
-    /// Records `child`, reached from `from`, under the next id: in a
-    /// run that steps on rows its row is written first — into the RAM
-    /// body's rows, from which its state is read, or straight into its
-    /// disk record.
+    /// Records `child`, reached from `from`, under the next id: its row
+    /// is written first — into the RAM body's rows, from which its
+    /// state is read, or straight into its disk record.
     // On the loop's per-state path, which `intern` is inlined into.
     #[inline]
     fn push_state(
@@ -544,40 +412,25 @@ impl<'a> Store<'a> {
         fp: u64,
         from: Option<(usize, usize)>,
     ) -> Result<(), CheckpointError> {
-        let (layout, rows_layout) = (self.layout, self.rows);
+        let layout = self.layout;
         match &mut self.body {
             Body::Ram { graph, fps, rows } => {
-                let state = match rows_layout {
-                    Some(layout) => {
-                        let start = rows.len();
-                        child.write_row(layout, rows);
-                        layout.unpack(&rows[start..])
-                    }
-                    None => child.state(),
-                };
+                let start = rows.len();
+                child.write_row(layout, rows);
                 if self.disk.is_some() {
-                    self.arena_bytes += checkpoint::arena_record_bytes(&state, layout);
+                    self.arena_bytes += checkpoint::arena_record_bytes(layout);
                 }
                 fps.push(fp);
-                graph.push_state(state, from)?;
+                graph.push_state(layout.unpack(&rows[start..]), from)?;
                 self.grown()?;
             }
             Body::Disk { arena, init, .. } => {
                 if from.is_none() {
                     init.push(arena.len() as usize);
                 }
-                let (scratch, rec) = (&mut self.pack_scratch, &mut self.rec_buf);
-                match rows_layout {
-                    Some(layout) => {
-                        let row = |out: &mut Vec<u8>| child.write_row(layout, out);
-                        checkpoint::encode_packed_record(from, fp, row, rec);
-                    }
-                    None => {
-                        let state = child.state();
-                        checkpoint::encode_arena_record(&state, fp, from, layout, scratch, rec);
-                    }
-                }
-                spill::append(self.meter, "arena", arena, rec)?;
+                let row = |out: &mut Vec<u8>| child.write_row(layout, out);
+                checkpoint::encode_packed_record(from, fp, row, &mut self.rec_buf);
+                spill::append(self.meter, "arena", arena, &self.rec_buf)?;
             }
         }
         Ok(())
@@ -593,7 +446,6 @@ impl<'a> Store<'a> {
     /// from (the move to disk rewrites them): a typed I/O error on the
     /// next resume, never a wrong graph.
     fn reseed(&mut self, snap: &Snapshot) -> Result<(), CheckpointError> {
-        self.canon_hits = snap.reduction.as_ref().map_or(0, |r| r.canon_hits);
         for (id, state, parent, edges) in snap.records() {
             let fp = state.fingerprint();
             self.visited
@@ -606,15 +458,10 @@ impl<'a> Store<'a> {
         Ok(())
     }
 
-    fn entry(&mut self, id: usize) -> Result<(State, u64), CheckError> {
-        Ok(self.body.entry(id, self.layout, &mut self.rec_buf)?)
-    }
-
-    /// Copies the row of state `id` into `out`, in a run that steps on
-    /// rows; returns its unmasked fingerprint.
+    /// Copies the row of state `id` into `out`; returns its unmasked
+    /// fingerprint.
     fn row(&mut self, id: usize, out: &mut Vec<u8>) -> Result<u64, CheckError> {
-        let layout = self.rows.expect("a store that steps on rows");
-        let (row, fp) = self.body.row(id, layout, &mut self.rec_buf)?;
+        let (row, fp) = self.body.row(id, self.layout, &mut self.rec_buf)?;
         out.clear();
         out.extend_from_slice(row);
         Ok(fp)
@@ -630,24 +477,8 @@ impl<'a> Store<'a> {
     /// can name ([`checkpoint::id_word`]).
     // Inlined into the loop's successor visitor: left as a call, the
     // fingerprint probe costs the sequential benchmark a few percent.
-    // The symmetric branch is loop-invariant and stays a call.
     #[inline]
     fn intern(
-        &mut self,
-        fp: u64,
-        from: Option<(usize, usize)>,
-        child: Child<'_>,
-    ) -> Result<(usize, bool), Stop> {
-        if let Some(canon) = self.canon.clone() {
-            return self.intern_orbit(&*canon, from, child.state());
-        }
-        self.intern_keyed(fp, from, child)
-    }
-
-    /// [`intern`](Self::intern) under the key the state is to be
-    /// deduplicated by: `(id, whether it is new)`.
-    #[inline]
-    fn intern_keyed(
         &mut self,
         fp: u64,
         from: Option<(usize, usize)>,
@@ -664,63 +495,32 @@ impl<'a> Store<'a> {
                 .charge_state()
                 .map_or(Ok(next), |reason| Err(Stop::Cut(reason)))
         };
-        let child = match (self.options.mode, self.rows) {
+        let found = match self.options.mode {
             // The fingerprinted hot path: one probe, and only
             // genuinely new states are constructed and recorded.
-            (VisitedMode::Fingerprint, _) => {
-                match self.visited.fp_entry(key, |_| Ok(true), admit, meter)? {
-                    (_, true) => child,
-                    found => return Ok(found),
-                }
-            }
-            // The exact fallback: every successor is materialized — as
-            // its row, or as a state — so a hit can be verified against
-            // the body, a candidate interned in RAM perhaps read back
-            // from its disk record. Collision-free by construction, at
-            // a throughput cost.
-            (VisitedMode::Exact, Some(layout)) => {
+            VisitedMode::Fingerprint => self.visited.fp_entry(key, |_| Ok(true), admit, meter)?,
+            // The exact fallback: every successor's row is written, so
+            // a hit can be verified against the body's, a candidate
+            // interned in RAM perhaps read back from its disk record.
+            // Collision-free by construction, at a throughput cost.
+            VisitedMode::Exact => {
                 let (body, buf, probe) = (&mut self.body, &mut self.rec_buf, &mut self.probe);
+                let layout = self.layout;
                 probe.clear();
                 child.write_row(layout, probe);
                 let same = |cand| Ok(body.row(cand, layout, buf)?.0 == &probe[..]);
-                match self.visited.fp_entry(key, same, admit, meter)? {
-                    (_, true) => child,
-                    found => return Ok(found),
-                }
-            }
-            (VisitedMode::Exact, None) => {
-                let state = child.state();
-                let (body, layout, buf) = (&mut self.body, self.layout, &mut self.rec_buf);
-                let same = |cand| Ok(body.entry(cand, layout, buf)?.0 == state);
-                match self.visited.fp_entry(key, same, admit, meter)? {
-                    (_, true) => Child::State(state),
-                    found => return Ok(found),
-                }
+                self.visited.fp_entry(key, same, admit, meter)?
             }
         };
+        if !found.1 {
+            return Ok(found);
+        }
         self.push_state(child, fp, from)?;
         Ok((next, true))
     }
 
-    /// The symmetric intern: `raw` is keyed by its orbit representative,
-    /// which has to be materialized to be found — the loop's incremental
-    /// fingerprint of `raw` does not apply.
-    fn intern_orbit(
-        &mut self,
-        canon: &dyn Canonicalize,
-        from: Option<(usize, usize)>,
-        raw: State,
-    ) -> Result<(usize, bool), Stop> {
-        let state = canon.canonicalize(&raw);
-        if from.is_some() && state != raw {
-            self.pending_hits += 1;
-        }
-        self.intern_keyed(state.fingerprint(), from, Child::State(state))
-    }
-
     /// Records the complete successor list of a fully expanded state.
     fn push_edges(&mut self, id: usize, edges: &[Edge]) -> Result<(), CheckpointError> {
-        self.canon_hits += std::mem::take(&mut self.pending_hits);
         self.expanded += 1;
         self.transitions += edges.len() as u64;
         match &mut self.body {
@@ -743,13 +543,7 @@ impl<'a> Store<'a> {
 
     /// What a snapshot of this store is stamped with.
     fn header(&self) -> RunHeader {
-        RunHeader {
-            reduction: self.canon.as_ref().map(|c| ReducedRun {
-                canonicalizer: c.name().to_string(),
-                canon_hits: self.canon_hits,
-            }),
-            ..RunHeader::of(self.options, self.sys_hash)
-        }
+        RunHeader::of(self.options, self.sys_hash)
     }
 
     /// A checkpoint at a clean cut: everything off `queue` is fully
@@ -816,7 +610,8 @@ impl<'a> Store<'a> {
                 // index, and each tier's cache once read, go first.
                 drop(self.visited);
                 let n = arena.len() as usize;
-                let mut graph = checkpoint::graph_of_arena(spill::records(&arena), n, self.layout)?;
+                let records = spill::records(&arena);
+                let mut graph = checkpoint::graph_of_arena(records, n, Some(self.layout))?;
                 drop(arena);
                 checkpoint::fill_edges(&mut graph, spill::records(&edges))?;
                 graph
@@ -834,12 +629,6 @@ impl<'a> Store<'a> {
             }
             (None, None) => (None, None),
         };
-        let reduction = self.canon.map(|canon| {
-            graph.reduced_under(canon);
-            ReductionStats {
-                canon_hits: self.canon_hits,
-            }
-        });
         let outcome = match exhausted {
             None => Outcome::Complete,
             Some(reason) => Outcome::Exhausted {
@@ -853,7 +642,6 @@ impl<'a> Store<'a> {
             frontier: queue.into_iter().collect(),
             graph,
             outcome,
-            reduction,
             snapshot,
         })
     }
@@ -871,9 +659,9 @@ mod tests {
     /// Breadth-first over the ring `x ∈ 0..N` from 0, each state
     /// stepping to itself and three neighbours: the frontier stays a
     /// few states wide, so the edge records (44 bytes a state) fill a
-    /// segment before the packed arena records (22 bytes) do. A store
-    /// that steps on rows is driven as the loop drives it: parents read
-    /// as rows, children as a parent row and an effect.
+    /// segment before the packed arena records (22 bytes) do. The store
+    /// is driven as the loop drives it: parents read as rows, children
+    /// as a parent row and an effect.
     fn drive(store: &mut Store<'_>) {
         let state = |x: i64| State::new(vec![Value::Int(x)]);
         let Ok((root, true)) = store.intern(state(0).fingerprint(), None, Child::State(state(0)))
@@ -883,16 +671,8 @@ mod tests {
         let mut queue = VecDeque::from([root]);
         let mut row = Vec::new();
         while let Some(id) = queue.pop_front() {
-            let x = match store.rows {
-                Some(layout) => {
-                    store.row(id, &mut row).unwrap();
-                    i64::from(layout.read_code(&row, 0))
-                }
-                None => match store.entry(id).unwrap().0.values()[0] {
-                    Value::Int(x) => x,
-                    _ => panic!("an integer slot"),
-                },
-            };
+            store.row(id, &mut row).unwrap();
+            let x = i64::from(store.layout.read_code(&row, 0));
             let mut edges = Vec::new();
             for (action, y) in [(x + 1) % N, (x + N - 1) % N, (x + 2) % N, x]
                 .into_iter()
@@ -902,13 +682,9 @@ mod tests {
                     slot: 0,
                     code: y as u32,
                 }];
-                let child = match store.rows {
-                    Some(layout) => Child::Packed {
-                        layout,
-                        parent: &row,
-                        effects: &effect,
-                    },
-                    None => Child::State(state(y)),
+                let child = Child::Packed {
+                    parent: &row,
+                    effects: &effect,
                 };
                 let target = match store.intern(state(y).fingerprint(), Some((id, action)), child) {
                     Ok((target, is_new)) => {
@@ -933,65 +709,59 @@ mod tests {
 
     type Stream = (Vec<SegmentMeta>, Vec<Vec<u8>>);
 
-    /// The stream does not depend on when the store left RAM, nor on
-    /// whether it steps on rows: forced out before its first state,
-    /// leaving when the edge records fill a segment (this system's own
-    /// course), or when the arena does (its counter charged half a
-    /// segment in advance), it seals the same segments — name, records,
-    /// length, checksum — and holds the same unsealed tails, in both
-    /// tiers.
+    /// The stream does not depend on when the store left RAM: forced
+    /// out before its first state, leaving when the edge records fill a
+    /// segment (this system's own course), or when the arena does (its
+    /// counter charged half a segment in advance), it seals the same
+    /// segments — name, records, length, checksum — and holds the same
+    /// unsealed tails, in both tiers.
     #[test]
     fn the_record_streams_do_not_depend_on_when_the_store_left_ram() {
         let system = ring();
         let options = ExploreOptions::default();
         let meter = Meter::start(&Budget::unlimited());
         let seg_target = Tuning::for_budget(8 << 10).seg_target;
-        let layout = PackedLayout::compile(system.vars());
-        assert!(layout.is_some(), "one small slot packs");
+        let layout = PackedLayout::compile(system.vars()).expect("one small slot packs");
         let mut streams: Vec<(Stream, Stream)> = Vec::new();
-        for packed in [false, true] {
-            for way in ["before the first state", "edge bytes", "arena bytes"] {
-                let disk = Some((SpillDir::new(None), Tuning::for_budget(8 << 10)));
-                let rows = layout.as_ref().filter(|_| packed);
-                let mut store =
-                    Store::create(&system, &options, &meter, layout.as_ref(), rows, disk).unwrap();
-                match way {
-                    "before the first state" => store.spill().unwrap(),
-                    "arena bytes" => store.arena_bytes = seg_target / 2,
-                    _ => {}
-                }
-                drive(&mut store);
-                // The counters stop where the store left RAM.
-                let tripped = (
-                    store.arena_bytes >= seg_target,
-                    store.edge_bytes >= seg_target,
-                );
-                let expected = match way {
-                    "before the first state" => (false, false),
-                    "edge bytes" => (false, true),
-                    _ => (true, false),
-                };
-                assert_eq!(tripped, expected, "{way}, packed {packed}");
-                let Body::Disk { arena, edges, init } = &store.body else {
-                    panic!("{way}: {N} states outgrow a 1 KiB segment");
-                };
-                assert_eq!(init, &[0], "{way}");
-                assert_eq!((arena.len(), edges.len()), (N as u64, N as u64), "{way}");
-                assert!(
-                    arena.sealed().len() >= 2 && edges.sealed().len() >= 2,
-                    "{way}"
-                );
-                let stream = |s: &SegmentStore| {
-                    (
-                        s.sealed().to_vec(),
-                        s.hot_records().map(<[u8]>::to_vec).collect(),
-                    )
-                };
-                streams.push((stream(arena), stream(edges)));
+        for way in ["before the first state", "edge bytes", "arena bytes"] {
+            let disk = Some((SpillDir::new(None), Tuning::for_budget(8 << 10)));
+            let mut store = Store::create(&system, &options, &meter, &layout, disk).unwrap();
+            match way {
+                "before the first state" => store.spill().unwrap(),
+                "arena bytes" => store.arena_bytes = seg_target / 2,
+                _ => {}
             }
+            drive(&mut store);
+            // The counters stop where the store left RAM.
+            let tripped = (
+                store.arena_bytes >= seg_target,
+                store.edge_bytes >= seg_target,
+            );
+            let expected = match way {
+                "before the first state" => (false, false),
+                "edge bytes" => (false, true),
+                _ => (true, false),
+            };
+            assert_eq!(tripped, expected, "{way}");
+            let Body::Disk { arena, edges, init } = &store.body else {
+                panic!("{way}: {N} states outgrow a 1 KiB segment");
+            };
+            assert_eq!(init, &[0], "{way}");
+            assert_eq!((arena.len(), edges.len()), (N as u64, N as u64), "{way}");
+            assert!(
+                arena.sealed().len() >= 2 && edges.sealed().len() >= 2,
+                "{way}"
+            );
+            let stream = |s: &SegmentStore| {
+                (
+                    s.sealed().to_vec(),
+                    s.hot_records().map(<[u8]>::to_vec).collect(),
+                )
+            };
+            streams.push((stream(arena), stream(edges)));
         }
         for (i, stream) in streams.iter().enumerate() {
-            assert_eq!(stream, &streams[0], "way {} of 3, packed {}", i % 3, i >= 3);
+            assert_eq!(stream, &streams[0], "way {i} of 3");
         }
     }
 
@@ -1008,15 +778,7 @@ mod tests {
         );
         let layout = PackedLayout::compile(system.vars()).expect("one small slot packs");
         let disk = Some((SpillDir::new(None), Tuning::for_budget(8 << 10)));
-        let mut store = Store::create(
-            &system,
-            &options,
-            &meter,
-            Some(&layout),
-            Some(&layout),
-            disk,
-        )
-        .unwrap();
+        let mut store = Store::create(&system, &options, &meter, &layout, disk).unwrap();
         store.spill().unwrap();
         let state = State::new(vec![Value::Int(149)]);
         store

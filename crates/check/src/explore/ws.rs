@@ -25,9 +25,7 @@
 //!   fingerprint is the parent's under the layout's incremental Zobrist
 //!   delta of those effects, and the store is handed the parent's row
 //!   with them written in. Only a table miss unpacks the parent and
-//!   evaluates; no `Value` is built otherwise. A system whose states do
-//!   not pack never gets here: its plan settles on the sequential loop
-//!   (`Plan::start`).
+//!   evaluates; no `Value` is built otherwise.
 //! * **Lock-striped store.** The store shards its index and arenas by
 //!   fingerprint into [`NUM_SHARDS`] independently-locked stripes, so
 //!   interning scales with workers.
@@ -488,10 +486,7 @@ pub(super) fn explore_ws(
     // resumed one (its meter is pre-charged).
     let mut intern_seed = |s: &State, charged: bool| {
         let ok = run.layout.pack_into(s.values(), &mut buf);
-        debug_assert!(
-            ok,
-            "the plan settled on packed states: every seed state packs"
-        );
+        debug_assert!(ok, "a run starts from in-domain states");
         let write = |out: &mut Vec<u8>| out.extend_from_slice(&buf);
         store.intern(s.fingerprint(), write, charged, &mut probe)
     };
@@ -571,7 +566,7 @@ pub(super) fn explore_ws(
             run_workers(&x, seeded, records, cadence, at_pause)?
         }
     };
-    (x.compiled).record_step_memo(Some(memo), &budget.recorder);
+    (x.compiled).record_step_memo(memo, &budget.recorder);
 
     let renumber_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
     let replay = store.replay(&records, &init);
@@ -619,7 +614,6 @@ pub(super) fn explore_ws(
         graph,
         outcome,
         frontier,
-        reduction: None,
         snapshot,
     })
 }

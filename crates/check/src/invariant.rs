@@ -1,18 +1,9 @@
 //! State and step invariants.
 
-use crate::reduction::concretize_trace;
 use crate::{CheckError, Counterexample, StateGraph, System, Verdict};
 use opentla_kernel::{box_action, Expr, StatePair, VarId};
 
 /// Builds the counterexample trace leading to `id`.
-///
-/// On a symmetry-reduced graph the BFS tree runs through *canonical*
-/// representatives, whose steps need not be genuine transitions of the
-/// system; the trace is re-concretized by walking real successors whose
-/// canonical forms match, so the returned counterexample replays under
-/// the trace semantics. (If concretization fails — which only happens
-/// for a canonicalizer that is not automorphism-induced — the canonical
-/// trace is returned as-is, clearly better than nothing.)
 pub(crate) fn trace_counterexample(
     system: &System,
     graph: &StateGraph,
@@ -21,11 +12,6 @@ pub(crate) fn trace_counterexample(
 ) -> Counterexample {
     let trace = graph.trace_to(id);
     let states: Vec<_> = trace.iter().map(|(_, s)| graph.state(*s).clone()).collect();
-    if let Some(canon) = graph.canonicalizer() {
-        if let Some((concrete, actions)) = concretize_trace(system, canon, &states) {
-            return Counterexample::new(reason, concrete, actions, None);
-        }
-    }
     let actions = trace
         .iter()
         .map(|(a, _)| a.map(|i| system.actions()[i].name().to_string()))
@@ -85,26 +71,13 @@ pub fn check_invariant(
 ///
 /// # Errors
 ///
-/// Propagates evaluation errors. Rejects reduced graphs with
-/// [`CheckError::Precondition`]: a reduced graph's edges are not the
-/// system's transition relation (symmetry edges connect canonical
-/// representatives rather than genuine step endpoints), so a per-edge
-/// property cannot be
-/// decided on one — re-explore with [`Reduction::none`](crate::Reduction::none).
+/// Propagates evaluation errors.
 pub fn check_step_invariant(
     system: &System,
     graph: &StateGraph,
     action: &Expr,
     sub: &[VarId],
 ) -> Result<Verdict, CheckError> {
-    if graph.is_reduced() {
-        return Err(CheckError::Precondition {
-            message: "step invariants need the full transition relation; \
-                      this graph was explored under a Reduction (re-explore \
-                      with Reduction::none())"
-                .to_string(),
-        });
-    }
     let boxed = box_action(action.clone(), sub);
     for (id, s) in graph.states().iter().enumerate() {
         for e in graph.edges(id) {

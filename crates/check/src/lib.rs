@@ -80,7 +80,6 @@ pub mod image;
 mod invariant;
 mod liveness;
 pub mod obs;
-mod reduction;
 mod sample;
 mod simulate;
 mod sync;
@@ -108,7 +107,6 @@ pub use obs::{
     CountingRecorder, Event, JsonlRecorder, Phase, ProgressSnapshot, Recorder, RecorderHandle,
     RunReport,
 };
-pub use reduction::{Canonicalize, Reduction, ReductionStats, SlotPermutations};
 pub use sample::sample_behavior;
 pub use simulate::{
     check_simulation, check_simulation_governed, check_simulation_with_images, SimulationReport,

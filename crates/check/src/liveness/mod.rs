@@ -361,18 +361,6 @@ fn liveness_driver(
     images: Option<&Images>,
     budget: &Budget,
 ) -> Result<LivenessRun, CheckError> {
-    // A reduced graph's edges connect canonical orbit representatives
-    // rather than genuine step endpoints — fair-cycle detection over
-    // such a graph is unsound in both directions. We refuse rather than
-    // fight it: re-explore with `Reduction::none()` for liveness.
-    if graph.is_reduced() {
-        return Err(CheckError::Precondition {
-            message: "liveness checking needs the full state graph; this graph \
-                      was explored under a Reduction (re-explore with \
-                      Reduction::none())"
-                .to_string(),
-        });
-    }
     let _phase = PhaseGuard::enter(&budget.recorder, Phase::Liveness);
     let meter = Meter::start(budget);
     let decided = decide(system, graph, target, images, &meter);

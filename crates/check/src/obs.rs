@@ -53,7 +53,7 @@ use std::time::Instant;
 /// Version tag carried by every serialized event (`"v"`) and by
 /// [`RunReport::schema_version`]. Bump when the event schema changes
 /// shape.
-pub const OBS_SCHEMA_VERSION: u64 = 4;
+pub const OBS_SCHEMA_VERSION: u64 = 5;
 
 /// A [`Event::Progress`] snapshot is emitted every this many meter
 /// checkpoints (when a recorder is enabled). Checkpoints run once per
@@ -290,13 +290,6 @@ pub enum Event<'a> {
         /// Whether it passed.
         holds: bool,
     },
-    /// Reduction counters of one exploration run (emitted once, before
-    /// the run's final progress event, only when a
-    /// [`Reduction`](crate::Reduction) was active).
-    Reduction {
-        /// Generated successors changed by symmetry canonicalization.
-        canon_hits: u64,
-    },
     /// A resumable snapshot was written (see
     /// [`Budget::with_checkpoint`](crate::Budget::with_checkpoint)).
     Checkpoint {
@@ -401,9 +394,7 @@ pub enum Event<'a> {
     /// What the effect tables of packed stepping did over one
     /// exploration, summed over its workers (see
     /// [`CompiledSystem`](crate::CompiledSystem)): emitted once, before
-    /// the run's final progress event. A run that stepped on `Value`s —
-    /// its states do not pack, or a symmetry reduction is active — has
-    /// no tables and reports zero of everything but `actions`.
+    /// the run's final progress event.
     StepMemo {
         /// Actions of the system.
         actions: u64,
@@ -593,9 +584,6 @@ describe_events! {
         name: Str Required = name,
         holds: Bool Required = holds,
     }
-    Reduction { canon_hits } => "reduction" {
-        canon_hits: U64 Required = canon_hits,
-    }
     Checkpoint { seq, states, transitions, frontier } => "checkpoint" {
         seq: U64 Required = seq,
         states: U64 Required = states,
@@ -698,8 +686,6 @@ pub struct CountingRecorder {
     counts: [AtomicU64; SCHEMA.len()],
     /// Cumulative spilled bytes of the most recent spill event.
     spilled_bytes: AtomicU64,
-    /// `canon_hits` of the most recent reduction event.
-    red_canon_hits: AtomicU64,
     /// `lookups` and `misses` of the most recent step-memo event.
     step_lookups: AtomicU64,
     step_misses: AtomicU64,
@@ -726,7 +712,6 @@ impl CountingRecorder {
             epoch: Instant::now(),
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
             spilled_bytes: AtomicU64::new(0),
-            red_canon_hits: AtomicU64::new(0),
             step_lookups: AtomicU64::new(0),
             step_misses: AtomicU64::new(0),
             states: AtomicU64::new(0),
@@ -765,12 +750,6 @@ impl CountingRecorder {
     /// event (zero if none was recorded).
     pub fn spilled_bytes(&self) -> u64 {
         self.spilled_bytes.load(Ordering::Relaxed)
-    }
-
-    /// `canon_hits` of the most recent reduction event (zero if none
-    /// was recorded).
-    pub fn reduction_totals(&self) -> u64 {
-        self.red_canon_hits.load(Ordering::Relaxed)
     }
 
     /// `(lookups, misses)` of the most recent step-memo event (zeros if
@@ -813,9 +792,6 @@ impl Recorder for CountingRecorder {
                 self.transitions
                     .store(report.transitions as u64, Ordering::Relaxed);
                 self.depth.store(report.depth as u64, Ordering::Relaxed);
-            }
-            Event::Reduction { canon_hits } => {
-                self.red_canon_hits.store(*canon_hits, Ordering::Relaxed);
             }
             Event::StepMemo {
                 lookups, misses, ..
@@ -1672,7 +1648,7 @@ mod tests {
     /// optional field set — and, read top to bottom, a well-formed
     /// stream. 5 states in 2 s is 2.5 states/s, which `{:.0}` writes as
     /// `2`; the counterexample's reason needs every escape.
-    fn samples(report: &RunReport) -> [Event<'_>; 18] {
+    fn samples(report: &RunReport) -> [Event<'_>; 17] {
         [
             Event::RunStart {
                 engine: "explore_sequential",
@@ -1720,7 +1696,6 @@ mod tests {
                 name: "H2a/P4",
                 holds: true,
             },
-            Event::Reduction { canon_hits: 12 },
             Event::Checkpoint {
                 seq: 1,
                 states: 3,
@@ -1779,7 +1754,7 @@ mod tests {
 
     /// The JSONL bodies (everything after `"t":…,`) of [`samples`], as
     /// the hand-written per-kind writer of commit 667e7d3 produced them.
-    const PINNED_BODIES: [&str; 18] = [
+    const PINNED_BODIES: [&str; 17] = [
         "\"ev\":\"run_start\",\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\"",
         "\"ev\":\"phase_enter\",\"phase\":\"explore_expand\"",
         "\"ev\":\"phase_exit\",\"phase\":\"explore_expand\"",
@@ -1788,7 +1763,6 @@ mod tests {
         "\"ev\":\"fault_activation\",\"action\":\"fault:lossy[sync]\",\"step\":4,\"kind\":\"fired\"",
         "\"ev\":\"counterexample\",\"kind\":\"liveness\",\"reason\":\"a \\\"quoted\\\"\\\\ reason\\n\\twith ⊳ and \\u0001\",\"length\":5,\"fault_steps\":1,\"loop_start\":2",
         "\"ev\":\"check\",\"kind\":\"obligation\",\"name\":\"H2a/P4\",\"holds\":true",
-        "\"ev\":\"reduction\",\"canon_hits\":12",
         "\"ev\":\"checkpoint\",\"seq\":1,\"states\":3,\"transitions\":2,\"frontier\":1",
         "\"ev\":\"worker_failure\",\"worker\":1,\"level\":0,\"requeued\":1",
         "\"ev\":\"resume\",\"seq\":1,\"states\":3,\"transitions\":2,\"frontier\":1",
@@ -1797,7 +1771,7 @@ mod tests {
         "\"ev\":\"image_pass\",\"states\":3,\"mapped_vars\":1,\"distinct_values\":2,\"undefined\":0,\"nanos\":650",
         "\"ev\":\"image_memo\",\"check\":\"simulation\",\"classes\":2,\"distinct_pairs\":2,\"edges\":2,\"skipped\":false",
         "\"ev\":\"step_memo\",\"actions\":13,\"tabled_actions\":12,\"table_entries\":171,\"lookups\":6360302,\"misses\":172",
-        "\"ev\":\"run_end\",\"report\":{\"schema_version\":4,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
+        "\"ev\":\"run_end\",\"report\":{\"schema_version\":5,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
     ];
 
     #[test]
@@ -1854,7 +1828,7 @@ mod tests {
     /// One line of `event` with `field` dropped (`retyped: None`) or
     /// rewritten as `retyped`.
     fn line_with(event: &Event<'_>, field: &str, retyped: Option<&str>) -> String {
-        let mut line = format!("{{\"v\":4,\"t\":1,\"ev\":\"{}\"", event.kind());
+        let mut line = format!("{{\"v\":5,\"t\":1,\"ev\":\"{}\"", event.kind());
         event.for_each_field(|name, value| match retyped {
             _ if name != field => line.push_str(&format!(",\"{name}\":{value}")),
             Some(other) => line.push_str(&format!(",\"{name}\":{other}")),
@@ -1882,22 +1856,23 @@ mod tests {
 
     #[test]
     fn validator_rejects_mistyped_optionals_and_unlisted_members() {
-        let progress = "{\"v\":4,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\
+        let progress = "{\"v\":5,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\
                         \"elapsed_nanos\":0,\"states_per_sec\":0";
         assert!(validate_stream(&format!("{progress}}}\n")).is_ok());
         let err = validate_stream(&format!("{progress},\"frontier\":\"x\"}}\n")).unwrap_err();
         assert_eq!(err, "line 1: missing/invalid \"frontier\"");
-        let cx = "{\"v\":4,\"t\":1,\"ev\":\"counterexample\",\"kind\":\"liveness\",\
+        let cx = "{\"v\":5,\"t\":1,\"ev\":\"counterexample\",\"kind\":\"liveness\",\
                   \"reason\":\"r\",\"length\":3,\"fault_steps\":0";
         assert!(validate_stream(&format!("{cx},\"loop_start\":1}}\n")).is_ok());
         let err = validate_stream(&format!("{cx},\"loop_start\":-1}}\n")).unwrap_err();
         assert_eq!(err, "line 1: missing/invalid \"loop_start\"");
         // A member the kind's row does not list, on the second line.
         let err = validate_stream(&format!(
-            "{cx}}}\n{{\"v\":4,\"t\":2,\"ev\":\"reduction\",\"canon_hits\":4,\"ample_states\":0}}\n"
+            "{cx}}}\n{{\"v\":5,\"t\":2,\"ev\":\"resume\",\"seq\":1,\"states\":3,\
+             \"transitions\":2,\"frontier\":1,\"ample_states\":0}}\n"
         ))
         .unwrap_err();
-        assert_eq!(err, "line 2: unknown member \"ample_states\" on reduction");
+        assert_eq!(err, "line 2: unknown member \"ample_states\" on resume");
     }
 
     #[test]
@@ -2043,7 +2018,7 @@ mod tests {
         assert_eq!(summary.kinds["image_memo"], 1);
         // More evaluations than edges, or a skipped memo that did not
         // evaluate every edge, is not a stream this crate writes.
-        let head = "{\"v\":4,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
+        let head = "{\"v\":5,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
         let bad = format!("{head},\"distinct_pairs\":9,\"edges\":8,\"skipped\":false}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("evaluations"));
         let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8,\"skipped\":true}}\n");
@@ -2075,7 +2050,7 @@ mod tests {
         assert_eq!(summary.kinds["step_memo"], 1);
         // More tabled actions than actions, or more misses than
         // lookups, is not a stream this crate writes.
-        let head = "{\"v\":4,\"t\":1,\"ev\":\"step_memo\",\"actions\":2";
+        let head = "{\"v\":5,\"t\":1,\"ev\":\"step_memo\",\"actions\":2";
         let bad = format!(
             "{head},\"tabled_actions\":3,\"table_entries\":0,\"lookups\":0,\"misses\":0}}\n"
         );
@@ -2109,7 +2084,7 @@ mod tests {
         assert_eq!(summary.kinds["image_pass"], 1);
         // More distinct (or undefined) values than images evaluated, or
         // a missing field, is not a stream this crate writes.
-        let head = "{\"v\":4,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
+        let head = "{\"v\":5,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
         let bad = format!("{head},\"distinct_values\":9,\"undefined\":0,\"nanos\":5}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("distinct"));
         let bad = format!("{head},\"distinct_values\":6,\"undefined\":3,\"nanos\":5}}\n");
@@ -2121,28 +2096,27 @@ mod tests {
     #[test]
     fn validator_rejects_malformed_streams() {
         // Backwards timestamp.
-        let bad = "{\"v\":4,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":4,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
+        let bad = "{\"v\":5,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":5,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("backwards"));
         // Mismatched phase nesting.
-        let bad = "{\"v\":4,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":4,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
+        let bad = "{\"v\":5,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":5,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("closes"));
         // Unclosed run.
-        let bad = "{\"v\":4,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
+        let bad = "{\"v\":5,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("open run"));
         // Wrong version.
         let bad = "{\"v\":99,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\"elapsed_nanos\":0}\n";
         assert!(validate_stream(bad).unwrap_err().contains("schema version"));
-        // An earlier version's `reduction` event (it carried three
-        // ample-set counters) is refused on its version, not half-read.
-        let bad = "{\"v\":1,\"t\":1,\"ev\":\"reduction\",\"ample_states\":0,\"full_states\":9,\
-                   \"skipped_transitions\":0,\"canon_hits\":4}\n";
+        // An earlier version's `reduction` event (symmetry reduction is
+        // gone) is refused on its version, not half-read.
+        let bad = "{\"v\":4,\"t\":1,\"ev\":\"reduction\",\"canon_hits\":4}\n";
         assert!(validate_stream(bad)
             .unwrap_err()
-            .contains("schema version 1"));
+            .contains("schema version 4"));
         // Unknown kind.
-        let bad = "{\"v\":4,\"t\":1,\"ev\":\"mystery\"}\n";
+        let bad = "{\"v\":5,\"t\":1,\"ev\":\"mystery\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("unknown event"));
     }
 

@@ -28,10 +28,6 @@ pub fn sample_behavior<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Lasso {
     assert!(!graph.init().is_empty(), "graph must have initial states");
-    assert!(
-        !graph.is_reduced(),
-        "sampled behaviors must be real behaviors: explore with Reduction::none()"
-    );
     let start = graph.init()[rng.gen_range(0..graph.init().len())];
     let mut ids = vec![start];
     for _ in 0..max_steps {

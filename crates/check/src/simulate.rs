@@ -145,17 +145,6 @@ fn simulate(
     budget: &Budget,
 ) -> Result<SimulationRun, CheckError> {
     let _phase = crate::obs::PhaseGuard::enter(&budget.recorder, crate::obs::Phase::Simulation);
-    // Step-box obligations are per-edge: a reduced graph replaces edge
-    // endpoints by canonical orbit representatives, so simulation
-    // cannot be decided on one.
-    if graph.is_reduced() {
-        return Err(CheckError::Precondition {
-            message: "simulation checking needs the full state graph; this \
-                      graph was explored under a Reduction (re-explore with \
-                      Reduction::none())"
-                .to_string(),
-        });
-    }
     let mapped = mapping.formula(target)?;
     // Substitution keeps a formula's shape, so the two sets of parts
     // line up: `sc` is over the system's variables, `abs` the same

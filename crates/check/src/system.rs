@@ -251,7 +251,10 @@ impl Init {
     ///
     /// # Errors
     ///
-    /// Propagates evaluation errors from the constraint.
+    /// [`CheckError::OutOfDomain`], naming the action `"Init"`, for a
+    /// variable pinned to a value outside its domain — as a successor
+    /// leaving its domain is reported; evaluation errors from the
+    /// constraint.
     pub fn states(&self, universe: &Universe) -> Result<Vec<State>, CheckError> {
         let vars = universe.vars();
         let free: Vec<VarId> = vars
@@ -259,16 +262,18 @@ impl Init {
             .filter(|v| !self.fixed.iter().any(|(w, _)| w == v))
             .collect();
         // Base state: fixed values, first domain value elsewhere.
-        let values: Vec<Value> = vars
+        let values = vars
             .iter()
-            .map(|v| {
-                self.fixed
-                    .iter()
-                    .find(|(w, _)| *w == v)
-                    .map(|(_, val)| val.clone())
-                    .unwrap_or_else(|| vars.domain(v).values()[0].clone())
+            .map(|v| match self.fixed.iter().find(|(w, _)| *w == v) {
+                None => Ok(vars.domain(v).values()[0].clone()),
+                Some((_, val)) if vars.domain(v).contains(val) => Ok(val.clone()),
+                Some((_, val)) => Err(CheckError::OutOfDomain {
+                    action: "Init".to_string(),
+                    var: v,
+                    value: val.clone(),
+                }),
             })
-            .collect();
+            .collect::<Result<Vec<Value>, CheckError>>()?;
         let base = State::new(values);
         let mut out = Vec::new();
         for s in universe.variants(&base, &free) {

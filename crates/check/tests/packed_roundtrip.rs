@@ -1,20 +1,20 @@
 //! Property-based tests for the packed state layout: pack/unpack
 //! round-trips, packed-vs-tree fingerprint agreement, and
 //! work-stealing/sequential graph identity over randomly generated
-//! bounded systems — and the one fixture whose states do *not* pack,
-//! which a threaded plan must run on the sequential loop and say so.
+//! bounded systems — and the one way a run could meet a state that
+//! does not pack, an initial state pinned outside its domain, which is
+//! a typed error on every plan.
 
 mod support {
     pub mod random_system;
 }
 
 use opentla_check::{
-    explore_governed_with, resume_exploration, Budget, Engine, Event, ExploreOptions,
-    GuardedAction, Init, Recorder, RecorderHandle, System, VisitedMode,
+    explore_governed_with, Budget, CheckError, Engine, ExploreOptions, GuardedAction, Init, System,
+    VisitedMode,
 };
 use opentla_kernel::{Domain, Expr, PackedLayout, State, Value, Vars};
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
 use support::random_system::{arb_action_spec, build_system, Family};
 
 const SMALL_INTS: Family = Family { vars: 3, top: 3 };
@@ -164,12 +164,11 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// States that do not pack
+// An initial state outside its domain
 // ---------------------------------------------------------------------
 
 /// Two bit variables, `x` toggling — and `y` pinned by `Init::new` to
-/// 7, outside its declared domain. The layout compiles; the one seed
-/// state does not pack.
+/// 7, outside its declared domain.
 fn system_with_an_out_of_domain_seed() -> System {
     let mut vars = Vars::new();
     let x = vars.declare("x", Domain::bits());
@@ -186,72 +185,35 @@ fn system_with_an_out_of_domain_seed() -> System {
     )
 }
 
-/// `(engine, threads)` of every `run_start` and of every `run_end`
-/// report.
-#[derive(Default)]
-struct Runs {
-    started: Mutex<Vec<(String, usize)>>,
-    reported: Mutex<Vec<(String, usize)>>,
-}
-
-impl Recorder for Runs {
-    fn record(&self, event: &Event<'_>) {
-        match event {
-            Event::RunStart {
-                engine, threads, ..
-            } => self
-                .started
-                .lock()
-                .unwrap()
-                .push((engine.to_string(), *threads)),
-            Event::RunEnd { report } => self
-                .reported
-                .lock()
-                .unwrap()
-                .push((report.engine.clone(), report.threads)),
-            _ => {}
-        }
-    }
-}
-
-/// The work-stealing loops run over packed states only. A system that
-/// starts from a state its layout cannot pack runs the sequential loop
-/// of the same store family at any requested thread count — in RAM, or
-/// over the spill store under a memory budget — builds the graph one
-/// thread builds, and its `run_start` and report name that loop and
-/// its one worker, not the plan that was asked for.
+/// An initial state pinned outside its domain is reported as a
+/// successor leaving its domain is — `OutOfDomain`, naming `Init` —
+/// by the enumeration itself and by every plan, with and without a
+/// memory budget, in both visited modes.
 #[test]
-fn unpackable_states_run_the_sequential_loop_and_say_so() {
+fn an_initial_state_outside_its_domain_is_a_typed_error() {
     let sys = system_with_an_out_of_domain_seed();
-    let layout = PackedLayout::compile(sys.vars()).expect("two bit slots compile");
-    let seed = sys.init().states(sys.universe()).unwrap();
-    assert_eq!(seed.len(), 1);
-    assert!(layout.pack(&seed[0]).is_none(), "y = 7 is outside 0..=1");
-
+    let y = sys.vars().find("y").unwrap();
+    let out_of_domain = |result: Result<_, CheckError>, label: &str| match result {
+        Err(CheckError::OutOfDomain { action, var, value }) => {
+            assert_eq!(
+                (action.as_str(), var, value),
+                ("Init", y, Value::Int(7)),
+                "{label}"
+            );
+        }
+        Err(other) => panic!("{label}: expected OutOfDomain, got {other}"),
+        Ok(_) => panic!("{label}: explored from a state outside its domain"),
+    };
+    out_of_domain(sys.init().states(sys.universe()).map(drop), "enumeration");
     for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-        let reference = explore_governed_with(
-            &sys,
-            &Budget::unlimited(),
-            &ExploreOptions {
-                threads: Some(1),
-                mode,
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(reference.graph.len(), 2);
-        for threads in [2usize, 4] {
-            for (mem_budget_bytes, loop_name) in [
-                (None, "explore_sequential"),
-                (Some(1usize << 20), "explore_spill"),
-            ] {
+        for threads in [1usize, 2, 4] {
+            for mem_budget_bytes in [None, Some(1usize << 20)] {
                 for engine in [Engine::Auto, Engine::WorkStealing] {
                     let label =
                         format!("{mode:?}/threads={threads}/{mem_budget_bytes:?}/{engine:?}");
-                    let runs = Arc::new(Runs::default());
                     let run = explore_governed_with(
                         &sys,
-                        &Budget::unlimited().with_recorder(RecorderHandle::new(runs.clone())),
+                        &Budget::unlimited(),
                         &ExploreOptions {
                             threads: Some(threads),
                             mode,
@@ -259,46 +221,10 @@ fn unpackable_states_run_the_sequential_loop_and_say_so() {
                             mem_budget_bytes,
                             ..ExploreOptions::default()
                         },
-                    )
-                    .unwrap();
-                    assert!(run.outcome.is_complete(), "{label}");
-                    assert_eq!(
-                        reference.graph.first_difference(&run.graph),
-                        None,
-                        "{label}"
                     );
-                    let ran = [(loop_name.to_string(), 1)];
-                    assert_eq!(*runs.started.lock().unwrap(), ran, "{label}: run_start");
-                    assert_eq!(*runs.reported.lock().unwrap(), ran, "{label}: report");
+                    out_of_domain(run.map(drop), &label);
                 }
             }
         }
-        // A resumed run starts from its snapshot's arena, which holds
-        // the same unpackable state.
-        let options = ExploreOptions {
-            threads: Some(2),
-            mode,
-            ..ExploreOptions::default()
-        };
-        let cut = explore_governed_with(&sys, &Budget::default().states(1), &options).unwrap();
-        let snapshot = cut.snapshot.as_deref().expect("a resumable cut");
-        let runs = Arc::new(Runs::default());
-        let resumed = resume_exploration(
-            &sys,
-            &Budget::unlimited().with_recorder(RecorderHandle::new(runs.clone())),
-            &options,
-            snapshot,
-        )
-        .unwrap();
-        assert_eq!(
-            reference.graph.first_difference(&resumed.graph),
-            None,
-            "{mode:?}/resumed"
-        );
-        assert_eq!(
-            *runs.started.lock().unwrap(),
-            [("explore_sequential".to_string(), 1)],
-            "{mode:?}/resumed"
-        );
     }
 }

@@ -14,8 +14,8 @@ mod support {
 }
 
 use opentla_check::{
-    check_invariant, explore_governed_with, Budget, CountingRecorder, Engine, ExploreOptions,
-    Outcome, RecorderHandle, Reduction, StateGraph, System, Verdict, VisitedMode,
+    check_invariant, explore_governed_with, Budget, Engine, ExploreOptions, Outcome,
+    RecorderHandle, StateGraph, System, Verdict, VisitedMode,
 };
 use opentla_kernel::store::{read_segment, FingerprintRun, SegmentStore, StoreError};
 use opentla_kernel::Expr;
@@ -330,40 +330,6 @@ fn exact_mode_verifies_and_chains_in_every_store() {
             }
         }
     }
-}
-
-/// No configuration refuses a memory budget: a reduction-active run —
-/// sequential at any requested thread count — explores under an
-/// explicit `mem_budget_bytes` and returns the reduced graph of the
-/// unbudgeted run, with nothing reported as ignored on the way
-/// (`reduction_equivalence` drives larger ones through real spills).
-#[test]
-fn a_reduced_run_explores_under_an_explicit_budget() {
-    let ring = TokenRing::new(3);
-    let sys = ring.complete_system().expect("ring builds");
-    let reduced = |mem_budget_bytes| ExploreOptions {
-        threads: Some(2),
-        reduction: Reduction::none().with_symmetry(Arc::new(ring.rotation_symmetry())),
-        mem_budget_bytes,
-        ..ExploreOptions::default()
-    };
-    let unbudgeted = explore_governed_with(&sys, &Budget::unlimited(), &reduced(None))
-        .expect("the unbudgeted reduced run succeeds");
-    let recorder = Arc::new(CountingRecorder::new());
-    let budgeted = explore_governed_with(
-        &sys,
-        &Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone())),
-        &reduced(Some(8 << 10)),
-    )
-    .expect("a reduced run honors an explicit budget");
-    assert!(matches!(budgeted.outcome, Outcome::Complete));
-    assert_eq!(budgeted.graph.first_difference(&unbudgeted.graph), None);
-    assert_eq!(budgeted.reduction, unbudgeted.reduction);
-    assert!(budgeted.graph.is_reduced());
-    assert_eq!(
-        (recorder.count("run_start"), recorder.count("run_end")),
-        (1, 1)
-    );
 }
 
 // ---------------------------------------------------------------------

@@ -101,7 +101,3 @@ pub use opentla_check::{escalate, Budget, ExhaustReason, Governed, Outcome};
 // an explicit recorder on the [`Budget`].
 pub use opentla_check::obs;
 pub use opentla_check::{CountingRecorder, JsonlRecorder, Recorder, RecorderHandle, RunReport};
-
-// Reduction layer: pluggable symmetry canonicalization for the
-// explorer, off by default.
-pub use opentla_check::{Canonicalize, Reduction, ReductionStats, SlotPermutations};

@@ -23,33 +23,28 @@
 //!    `z[slot][code] = slot_fingerprint(slot, domain[slot][code])`
 //!    from the same per-slot hash the tree path uses, so the packed
 //!    engine inherits the collision-soundness bound unchanged — it is
-//!    the same hash function, evaluated through a table.
+//!    the same hash function, evaluated through a table. Slots past the
+//!    tabulation budget evaluate it on the decoded value instead.
 //!
-//! [`PackedLayout::compile`] returns `None` when a layout is not
-//! worthwhile or not possible (domains too large to tabulate, or a
-//! state too wide to pack); callers fall back to the `Value`-tree
-//! path. The current in-repo `Vars` builder only declares finite
-//! explicit domains, so compilation virtually always succeeds, but
-//! the fallback keeps the engine honest about the contract.
+//! Every declared `Vars` compiles, however wide its rows: a domain is
+//! a finite value list, and [`PackedLayout::compile`] returns `None`
+//! only for one whose codes do not fit a `u32`.
 
 use crate::codec::DecodeError;
 use crate::state::{slot_fingerprint, State};
 use crate::value::Value;
 use crate::var::{Domain, Vars};
 
-/// Cap on the total packed width of one state, in bits. A state wider
-/// than this (4 KiB packed) is past the point where packing pays.
-const MAX_STATE_BITS: usize = 1 << 15;
-
-/// Cap on the total number of tabulated `(slot, code)` Zobrist
-/// entries across all slots. Each entry costs 8 bytes; past ~4M
-/// entries the tables stop fitting hot caches.
+/// The tabulation budget: how many `(slot, code)` Zobrist entries the
+/// layout keeps in tables, across all slots. Each entry costs 8 bytes;
+/// past ~4M entries the tables stop fitting hot caches, so a slot that
+/// would pass the budget has its entries computed when they are read.
 const MAX_TOTAL_CODES: usize = 1 << 22;
 
 /// One variable's slot in the packed buffer.
 struct Slot {
     /// First bit of the slot, counting little-endian from byte 0.
-    offset: u32,
+    offset: usize,
     /// Width in bits; `0` for singleton domains.
     width: u32,
 }
@@ -61,7 +56,8 @@ pub struct PackedLayout {
     /// Packed size of one state, in bytes.
     stride: usize,
     /// `zobrist[slot][code]` = the tree path's slot hash of the
-    /// decoded value, so packed and tree fingerprints agree exactly.
+    /// decoded value, so packed and tree fingerprints agree exactly;
+    /// empty for a slot past the tabulation budget.
     zobrist: Vec<Vec<u64>>,
     /// Each slot's domain, shared with the `Vars` the layout was
     /// compiled from: a code is a position in its value list, and its
@@ -70,40 +66,40 @@ pub struct PackedLayout {
 }
 
 impl PackedLayout {
-    /// Compiles a layout from declared domains, or `None` when the
-    /// state space is too wide to pack or too large to tabulate.
+    /// Compiles a layout from declared domains, or `None` when a
+    /// domain's codes do not fit a `u32`.
     pub fn compile(vars: &Vars) -> Option<PackedLayout> {
+        PackedLayout::compile_tabulating(vars, MAX_TOTAL_CODES)
+    }
+
+    /// [`compile`](Self::compile), tabulating the Zobrist entries of
+    /// each slot, in order, while their running total stays within
+    /// `budget`.
+    fn compile_tabulating(vars: &Vars, budget: usize) -> Option<PackedLayout> {
         let mut slots = Vec::with_capacity(vars.len());
         let mut zobrist = Vec::with_capacity(vars.len());
         let mut domains = Vec::with_capacity(vars.len());
         let mut offset = 0usize;
-        let mut total_codes = 0usize;
+        let mut tabulated = 0usize;
         for v in vars.iter() {
             let values = vars.domain(v).values();
-            total_codes += values.len();
-            if total_codes > MAX_TOTAL_CODES {
+            let width = match values.len() {
+                0 | 1 => 0,
+                n => usize::BITS - (n - 1).leading_zeros(),
+            };
+            if width > u32::BITS {
                 return None;
             }
-            let width = if values.len() <= 1 {
-                0
+            slots.push(Slot { offset, width });
+            if tabulated + values.len() <= budget {
+                tabulated += values.len();
+                let hash = |val| slot_fingerprint(v.index(), val);
+                zobrist.push(values.iter().map(hash).collect());
             } else {
-                usize::BITS - (values.len() - 1).leading_zeros()
-            };
-            slots.push(Slot {
-                offset: u32::try_from(offset).ok()?,
-                width,
-            });
-            zobrist.push(
-                values
-                    .iter()
-                    .map(|val| slot_fingerprint(v.index(), val))
-                    .collect(),
-            );
+                zobrist.push(Vec::new());
+            }
             domains.push(vars.domain(v).clone());
             offset += width as usize;
-            if offset > MAX_STATE_BITS {
-                return None;
-            }
         }
         Some(PackedLayout {
             slots,
@@ -133,7 +129,7 @@ impl PackedLayout {
     /// value is outside the declared domain.
     #[inline]
     pub fn code_of(&self, slot: usize, value: &Value) -> Option<u32> {
-        // Domains past `MAX_TOTAL_CODES` values never compile.
+        // Domains whose codes do not fit a `u32` never compile.
         self.domains[slot].index_of(value).map(|i| i as u32)
     }
 
@@ -150,7 +146,7 @@ impl PackedLayout {
     #[inline]
     pub fn read_code(&self, buf: &[u8], slot: usize) -> u32 {
         let s = &self.slots[slot];
-        let (mut byte, mut bit) = ((s.offset / 8) as usize, s.offset % 8);
+        let (mut byte, mut bit) = (s.offset / 8, (s.offset % 8) as u32);
         let mut acc = 0u32;
         let mut got = 0u32;
         while got < s.width {
@@ -169,7 +165,7 @@ impl PackedLayout {
     pub fn write_code(&self, buf: &mut [u8], slot: usize, code: u32) {
         let s = &self.slots[slot];
         debug_assert!(s.width == 32 || code < (1u32 << s.width));
-        let (mut byte, mut bit) = ((s.offset / 8) as usize, s.offset % 8);
+        let (mut byte, mut bit) = (s.offset / 8, (s.offset % 8) as u32);
         let mut rest = code;
         let mut put = 0u32;
         while put < s.width {
@@ -278,7 +274,7 @@ impl PackedLayout {
     /// [`State::fingerprint`] of the unpacked state.
     pub fn fingerprint(&self, buf: &[u8]) -> u64 {
         (0..self.slots.len()).fold(0, |fp, slot| {
-            fp ^ self.zobrist[slot][self.read_code(buf, slot) as usize]
+            fp ^ self.zobrist(slot, self.read_code(buf, slot))
         })
     }
 
@@ -286,7 +282,22 @@ impl PackedLayout {
     /// `new`: `fp' = fp ^ delta`. Zero when the codes are equal.
     #[inline]
     pub fn fingerprint_delta(&self, slot: usize, old: u32, new: u32) -> u64 {
-        self.zobrist[slot][old as usize] ^ self.zobrist[slot][new as usize]
+        self.zobrist(slot, old) ^ self.zobrist(slot, new)
+    }
+
+    /// The Zobrist entry of `code` in `slot`: read from the slot's
+    /// table, or computed for a slot past the tabulation budget.
+    #[inline]
+    fn zobrist(&self, slot: usize, code: u32) -> u64 {
+        match self.zobrist[slot].get(code as usize) {
+            Some(&z) => z,
+            None => self.untabulated(slot, code),
+        }
+    }
+
+    #[cold]
+    fn untabulated(&self, slot: usize, code: u32) -> u64 {
+        slot_fingerprint(slot, self.value_of(slot, code))
     }
 }
 
@@ -428,14 +439,46 @@ mod tests {
         assert_eq!(layout.fingerprint(&buf), s.fingerprint());
     }
 
+    /// A row wider than 4 KiB — 4096 ten-bit slots, 5 120 bytes —
+    /// packs, round-trips and fingerprints as its tree does.
     #[test]
-    fn oversized_state_declines_to_compile() {
+    fn a_wide_layout_packs() {
         let mut vars = Vars::new();
-        // 4096 ten-bit variables exceed the 32768-bit state cap.
         for i in 0..4096 {
             vars.declare(format!("v{i}"), Domain::int_range(0, 1000));
         }
-        assert!(PackedLayout::compile(&vars).is_none());
+        let layout = PackedLayout::compile(&vars).expect("every declared Vars compiles");
+        assert_eq!(layout.stride(), 5120);
+        let s = State::new(
+            (0..4096)
+                .map(|i| Value::Int((i * 7) % 1001))
+                .collect::<Vec<_>>(),
+        );
+        let buf = layout.pack(&s).expect("in-domain");
+        assert_eq!(layout.unpack(&buf), s);
+        assert_eq!(layout.fingerprint(&buf), s.fingerprint());
+    }
+
+    /// Past the tabulation budget a slot's Zobrist entries are computed
+    /// from its decoded values, and agree with the tree's: here `w`,
+    /// whose 301 codes pass a budget of 20 after the 19 before them.
+    #[test]
+    fn slots_past_the_tabulation_budget_fingerprint_as_the_tree() {
+        let vars = mixed_vars();
+        let layout = PackedLayout::compile_tabulating(&vars, 20).expect("compiles");
+        let sizes: Vec<usize> = layout.zobrist.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [2, 13, 1, 3, 0]);
+        let mut buf = Vec::new();
+        for s in all_states(&vars).into_iter().step_by(7) {
+            assert!(layout.pack_into(s.values(), &mut buf));
+            let fp = layout.fingerprint(&buf);
+            assert_eq!(fp, s.fingerprint(), "fingerprint of {s:?}");
+            let old = layout.read_code(&buf, 4);
+            let new = (old + 150) % 301;
+            let stepped = s.with(&[(vars.find("w").unwrap(), Value::Int(i64::from(new)))]);
+            let delta = layout.fingerprint_delta(4, old, new);
+            assert_eq!(fp ^ delta, stepped.fingerprint(), "delta from {s:?}");
+        }
     }
 
     #[test]

@@ -300,27 +300,6 @@ impl Mutex {
         Expr::all(conjs)
     }
 
-    /// A symmetry canonicalizer for the mutex world: all `k!`
-    /// permutations of the client indices, applied simultaneously to
-    /// the request and grant wires.
-    ///
-    /// Clients are interchangeable — identical client code, and the
-    /// arbiter's `grant`/`revoke` actions are the same for every wire —
-    /// so any client permutation is an automorphism of the transition
-    /// relation; [`mutual_exclusion`](Mutex::mutual_exclusion) is
-    /// permutation-invariant, so checking it on the reduced graph is
-    /// sound. (Per-client properties like
-    /// [`request_served`](Mutex::request_served) are *not* symmetric —
-    /// check those on a full graph.)
-    pub fn client_symmetry(&self) -> opentla_check::SlotPermutations {
-        opentla_check::SlotPermutations::processes(
-            format!("mutex-clients({})", self.clients()),
-            self.vars.len(),
-            &[&self.r, &self.g],
-            &opentla_check::SlotPermutations::all_index_permutations(self.clients()),
-        )
-    }
-
     /// The service property for client `i` as a leads-to pair:
     /// `rᵢ = 1 ↝ gᵢ = 1`.
     pub fn request_served(&self, i: usize) -> (Expr, Expr) {

@@ -250,27 +250,6 @@ impl TokenRing {
         Expr::all(conjs)
     }
 
-    /// A symmetry canonicalizer for the ring: the `k` cyclic rotations
-    /// of the node indices, applied simultaneously to the channel wire
-    /// pairs and the `crit` flags.
-    ///
-    /// Every node runs identical `take`/`pass` code over its adjacent
-    /// channels, so rotation is an automorphism of the transition
-    /// relation; [`mutual_exclusion`](TokenRing::mutual_exclusion) and
-    /// [`token_conservation`](TokenRing::token_conservation) are
-    /// rotation-invariant, so checking them on the reduced graph is
-    /// sound.
-    pub fn rotation_symmetry(&self) -> opentla_check::SlotPermutations {
-        let sigs: Vec<VarId> = self.channels.iter().map(|c| c.sig).collect();
-        let acks: Vec<VarId> = self.channels.iter().map(|c| c.ack).collect();
-        opentla_check::SlotPermutations::processes(
-            format!("ring-rotations({})", self.len()),
-            self.vars.len(),
-            &[&sigs, &acks, &self.crits],
-            &opentla_check::SlotPermutations::rotations(self.len()),
-        )
-    }
-
     /// Token conservation: exactly one token exists — in flight on some
     /// channel or held by some critical node.
     pub fn token_conservation(&self) -> Expr {

@@ -11,11 +11,10 @@
 
 use opentla_check::System;
 use opentla_check::{
-    explore_governed_with, Budget, Engine, ExploreOptions, Reduction, StateGraph, VisitedMode,
+    explore_governed_with, Budget, Engine, ExploreOptions, StateGraph, VisitedMode,
 };
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, Mutex, TokenRing};
-use std::sync::Arc;
 
 fn seq_graph(system: &System) -> StateGraph {
     explore_governed_with(
@@ -156,42 +155,4 @@ fn ws_exact_mode_survives_forced_collisions() {
             "ring exact fp12 ws({workers})"
         );
     }
-}
-
-/// Reduced (symmetry) configurations resolve to the sequential plan —
-/// the only store that canonicalizes — and produce exactly the reduced
-/// graph a 1-thread run produces, regardless of the requested engine
-/// and thread count.
-#[test]
-fn ws_resolves_to_the_sequential_plan_under_reduction() {
-    let ring = TokenRing::new(3);
-    let system = ring.complete_system().expect("ring builds");
-    let reduction = Reduction::none().with_symmetry(Arc::new(ring.rotation_symmetry()));
-    let level = explore_governed_with(
-        &system,
-        &Budget::unlimited(),
-        &ExploreOptions {
-            threads: Some(1),
-            reduction: reduction.clone(),
-            ..ExploreOptions::default()
-        },
-    )
-    .expect("reduced exploration succeeds");
-    let routed = explore_governed_with(
-        &system,
-        &Budget::unlimited(),
-        &ExploreOptions {
-            threads: Some(2),
-            engine: Engine::WorkStealing,
-            reduction,
-            ..ExploreOptions::default()
-        },
-    )
-    .expect("reduced exploration succeeds");
-    assert!(routed.graph.is_reduced());
-    assert_eq!(
-        level.graph.first_difference(&routed.graph),
-        None,
-        "ring reduced fallback"
-    );
 }

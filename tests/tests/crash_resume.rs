@@ -10,12 +10,12 @@ use std::sync::Arc;
 
 use opentla_check::{
     explore_escalating, explore_governed_with, explore_resumable, resume_exploration, Budget,
-    Canonicalize, CheckError, CheckpointError, CountingRecorder, Engine, Exploration,
-    ExploreOptions, GuardedAction, Init, Outcome, RecorderHandle, Reduction, SlotPermutations,
-    Snapshot, System, VisitedMode, WorkerPanic, DEFAULT_CHECKPOINT_CADENCE,
+    CheckError, CheckpointError, CountingRecorder, Engine, Exploration, ExploreOptions,
+    GuardedAction, Init, Outcome, RecorderHandle, Snapshot, System, VisitedMode, WorkerPanic,
+    DEFAULT_CHECKPOINT_CADENCE,
 };
 use opentla_kernel::store::fnv1a;
-use opentla_kernel::{Domain, Expr, State, Value, VarId, Vars};
+use opentla_kernel::{Domain, Expr, Value, VarId, Vars};
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, Mutex, TokenRing};
 use proptest::prelude::*;
@@ -33,16 +33,10 @@ fn snap_path(tag: &str) -> PathBuf {
     ))
 }
 
-fn options(
-    threads: usize,
-    mode: VisitedMode,
-    reduction: Reduction,
-    fp_bits: u32,
-) -> ExploreOptions {
+fn options(threads: usize, mode: VisitedMode, fp_bits: u32) -> ExploreOptions {
     ExploreOptions {
         threads: Some(threads),
         mode,
-        reduction,
         fp_bits,
         ..ExploreOptions::default()
     }
@@ -53,26 +47,6 @@ fn run_unlimited(system: &System, opts: &ExploreOptions) -> Exploration {
         explore_governed_with(system, &Budget::unlimited(), opts).expect("exploration succeeds");
     assert!(matches!(run.outcome, Outcome::Complete));
     run
-}
-
-/// The two scenarios with a symmetry of their own: mutex(3) under its
-/// client permutations (32 → 10 states, 12 canonicalization hits) and
-/// ring(3) under rotation (no orbit collapse, 3 hits).
-fn symmetric_scenarios() -> Vec<(&'static str, System, Reduction)> {
-    let mutex = Mutex::with_clients(3, ArbiterFairness::Weak);
-    let ring = TokenRing::new(3);
-    vec![
-        (
-            "mutex",
-            mutex.product().unwrap(),
-            Reduction::none().with_symmetry(Arc::new(mutex.client_symmetry())),
-        ),
-        (
-            "ring",
-            ring.complete_system().unwrap(),
-            Reduction::none().with_symmetry(Arc::new(ring.rotation_symmetry())),
-        ),
-    ]
 }
 
 fn scenarios() -> Vec<(&'static str, System)> {
@@ -151,10 +125,6 @@ fn interrupt_and_resume(label: &str, system: &System, opts: &ExploreOptions) {
         reference.graph.edge_count() as u64,
         "{label}"
     );
-    assert_eq!(
-        reference.reduction, resumed.reduction,
-        "{label}: reduction stats must survive the round trip"
-    );
 
     // Resume from the in-memory snapshot too — same result.
     let snap = interrupted.snapshot.as_deref().expect("in-memory snapshot");
@@ -175,67 +145,7 @@ fn interrupt_resume_identity_unreduced() {
         for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
             for threads in [1usize, 2, 4] {
                 let label = format!("{name}/none/{mode:?}/threads={threads}");
-                interrupt_and_resume(
-                    &label,
-                    system,
-                    &options(threads, mode, Reduction::none(), 64),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn interrupt_resume_identity_reduced() {
-    for (name, system, symmetry) in &symmetric_scenarios() {
-        for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-            for threads in [1usize, 2, 4] {
-                let label = format!("{name}/symmetry/{mode:?}/threads={threads}");
-                interrupt_and_resume(
-                    &label,
-                    system,
-                    &options(threads, mode, symmetry.clone(), 64),
-                );
-            }
-        }
-    }
-}
-
-/// A symmetric run cut at *every* transition count — so the cut lands
-/// between parents and in the middle of each one — resumes to the
-/// byte-identical graph with the same `canon_hits`: a half-expanded
-/// parent's hits are not banked, and not counted twice when it
-/// re-expands.
-#[test]
-fn symmetric_run_cut_mid_parent_does_not_double_count_hits() {
-    for (name, system, symmetry) in &symmetric_scenarios() {
-        for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-            let opts = options(1, mode, symmetry.clone(), 64);
-            let reference = run_unlimited(system, &opts);
-            let hits = reference
-                .reduction
-                .expect("reduced run reports stats")
-                .canon_hits;
-            assert!(hits > 0, "{name}: canonicalization must fire");
-            for cut in 1..reference.graph.edge_count() {
-                let label = format!("{name}/{mode:?}/transitions={cut}");
-                let interrupted =
-                    explore_governed_with(system, &Budget::default().transitions(cut), &opts)
-                        .unwrap();
-                assert!(!interrupted.outcome.is_complete(), "{label}");
-                let banked = interrupted.reduction.unwrap().canon_hits;
-                assert!(banked <= hits, "{label}: banked {banked} of {hits} hits");
-                let snap = interrupted.snapshot.as_deref().expect("in-memory snapshot");
-                assert!(snap.reduced, "{label}");
-                let resumed =
-                    resume_exploration(system, &Budget::unlimited(), &opts, snap).unwrap();
-                assert!(resumed.outcome.is_complete(), "{label}");
-                assert_eq!(
-                    reference.graph.first_difference(&resumed.graph),
-                    None,
-                    "{label}"
-                );
-                assert_eq!(reference.reduction, resumed.reduction, "{label}");
+                interrupt_and_resume(&label, system, &options(threads, mode, 64));
             }
         }
     }
@@ -247,7 +157,7 @@ fn symmetric_run_cut_mid_parent_does_not_double_count_hits() {
 #[test]
 fn armed_run_shorter_than_the_cadence_writes_no_snapshot() {
     for (name, system) in &scenarios() {
-        let opts = options(1, VisitedMode::Fingerprint, Reduction::none(), 64);
+        let opts = options(1, VisitedMode::Fingerprint, 64);
         let reference = run_unlimited(system, &opts);
         assert!(
             (reference.graph.len() as u64) < DEFAULT_CHECKPOINT_CADENCE,
@@ -291,24 +201,20 @@ fn interrupt_resume_identity_with_forced_collisions() {
         (VisitedMode::Exact, 2),
     ] {
         let label = format!("chain2/fp12/{mode:?}/threads={threads}");
-        interrupt_and_resume(
-            &label,
-            &system,
-            &options(threads, mode, Reduction::none(), 12),
-        );
+        interrupt_and_resume(&label, &system, &options(threads, mode, 12));
     }
 }
 
 /// Golden chain4 through a parallel interrupt: exhaust a 2-thread run
 /// at 20 000 states, resume with 4 threads, and land exactly on the
-/// pre-reduction golden numbers.
+/// golden numbers.
 #[test]
 fn golden_chain4_survives_parallel_interrupt_and_thread_change() {
     let system = QueueChain::new(4, 1, 2, FairnessStyle::Joint)
         .complete_system()
         .unwrap();
     let path = snap_path("chain4");
-    let opts2 = options(2, VisitedMode::Fingerprint, Reduction::none(), 64);
+    let opts2 = options(2, VisitedMode::Fingerprint, 64);
     let interrupted = explore_resumable(
         &system,
         &Budget::default()
@@ -320,7 +226,7 @@ fn golden_chain4_survives_parallel_interrupt_and_thread_change() {
     assert!(interrupted.outcome.resume_token().is_some());
 
     // Thread count is not pinned: resume the 2-thread snapshot with 4.
-    let opts4 = options(4, VisitedMode::Fingerprint, Reduction::none(), 64);
+    let opts4 = options(4, VisitedMode::Fingerprint, 64);
     let resumed = explore_resumable(
         &system,
         &Budget::unlimited().with_checkpoint(&path, 1 << 20),
@@ -402,7 +308,42 @@ fn corrupted_snapshot_is_a_typed_error_not_a_panic() {
         Snapshot::load(&path),
         Err(CheckpointError::BadMagic)
     ));
+    let _ = std::fs::remove_file(&path);
 
+    // An inline record holding a value outside the resuming system's
+    // domain: a snapshot of `x ∈ 0..=3` resumed under a system with the
+    // same variable and action names — all a snapshot pins — but
+    // `x ∈ 0..=1`. Refused as it is read, never stepped.
+    let over = |top: i64| {
+        let mut vars = Vars::new();
+        vars.declare("x", Domain::int_range(0, top));
+        let y = vars.declare("y", Domain::bits());
+        let toggle = GuardedAction::new(
+            "toggle",
+            Expr::bool(true),
+            vec![(y, Expr::int(1).sub(Expr::var(y)))],
+        );
+        System::new(vars, Init::new([(y, Value::Int(0))]), vec![toggle])
+    };
+    let path = snap_path("domain");
+    let cut = explore_resumable(
+        &over(3),
+        &Budget::default().states(5).with_checkpoint(&path, 1),
+        &ExploreOptions::default(),
+    )
+    .unwrap();
+    assert!(cut.outcome.resume_token().is_some());
+    match explore_resumable(
+        &over(1),
+        &Budget::unlimited().with_checkpoint(&path, 8),
+        &ExploreOptions::default(),
+    ) {
+        Err(CheckError::Checkpoint(CheckpointError::Corrupt { detail })) => assert!(
+            detail.contains("state 2 holds 2 for x, outside its domain"),
+            "{detail}"
+        ),
+        other => panic!("a state outside its domain must be Corrupt, got {other:?}"),
+    }
     let _ = std::fs::remove_file(&path);
 }
 
@@ -425,17 +366,10 @@ fn mismatched_snapshot_is_refused() {
         CheckError::Checkpoint(CheckpointError::Mismatch { .. })
     ));
 
-    // Different fingerprint width, visited mode, or reduction activity.
-    let trivial_group = SlotPermutations::new("identity", system.vars().len(), Vec::new());
+    // Different fingerprint width or visited mode.
     for opts in [
-        options(1, VisitedMode::Fingerprint, Reduction::none(), 32),
-        options(1, VisitedMode::Exact, Reduction::none(), 64),
-        options(
-            1,
-            VisitedMode::Fingerprint,
-            Reduction::none().with_symmetry(Arc::new(trivial_group)),
-            64,
-        ),
+        options(1, VisitedMode::Fingerprint, 32),
+        options(1, VisitedMode::Exact, 64),
     ] {
         let err = resume_exploration(&system, &Budget::unlimited(), &opts, &snap).unwrap_err();
         assert!(
@@ -447,113 +381,6 @@ fn mismatched_snapshot_is_refused() {
         );
     }
 
-    let _ = std::fs::remove_file(&path);
-}
-
-/// A canonicalizer that answers to another's name but picks the
-/// lexicographically *largest* member of each orbit.
-#[derive(Debug)]
-struct Impostor {
-    name: String,
-    perms: Vec<Vec<usize>>,
-}
-
-impl Canonicalize for Impostor {
-    fn canonicalize(&self, s: &State) -> State {
-        self.perms
-            .iter()
-            .map(|p| State::new(p.iter().map(|&j| s.values()[j].clone()).collect::<Vec<_>>()))
-            .max_by(|a, b| a.values().cmp(b.values()))
-            .expect("the group has an identity")
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-}
-
-/// A snapshot's arena is canonical under the group it was explored
-/// under; continuing it under another would build a graph that is
-/// canonical under neither. The snapshot pins the canonicalizer's name,
-/// and the arena itself is checked against the one requested.
-#[test]
-fn snapshot_taken_under_one_symmetry_is_refused_under_another() {
-    let mutex = Mutex::with_clients(3, ArbiterFairness::Weak);
-    let system = mutex.product().unwrap();
-    let clients = mutex.client_symmetry();
-    let under = |canon: Arc<dyn Canonicalize>| {
-        options(
-            1,
-            VisitedMode::Fingerprint,
-            Reduction::none().with_symmetry(canon),
-            64,
-        )
-    };
-    let path = snap_path("symmetry-mismatch");
-    let interrupted = explore_resumable(
-        &system,
-        &Budget::default().states(5).with_checkpoint(&path, 64),
-        &under(Arc::new(clients.clone())),
-    )
-    .unwrap();
-    assert!(interrupted.outcome.resume_token().is_some());
-    let snap = Snapshot::load(&path).unwrap();
-    assert!(snap.reduced);
-    let refused = |opts: &ExploreOptions, why: &str| match resume_exploration(
-        &system,
-        &Budget::unlimited(),
-        opts,
-        &snap,
-    ) {
-        Err(CheckError::Checkpoint(CheckpointError::Mismatch { field, .. })) => {
-            assert_eq!(field, "symmetry canonicalizer", "{why}");
-        }
-        other => panic!("{why}: expected a Mismatch, got {other:?}"),
-    };
-
-    // Another group under another name: refused on the name.
-    let n = system.vars().len();
-    let trivial = SlotPermutations::new("identity", n, Vec::new());
-    refused(&under(Arc::new(trivial)), "differently named group");
-
-    // The same name over a different canonical form: refused on the
-    // arena, whose states are not that canonicalizer's representatives.
-    let all = 0..n;
-    let perms: Vec<Vec<usize>> = SlotPermutations::all_index_permutations(3)
-        .iter()
-        .map(|sigma| {
-            let mut p: Vec<usize> = all.clone().collect();
-            for i in 1..=3 {
-                p[mutex.r(i).index()] = mutex.r(sigma[i - 1] + 1).index();
-                p[mutex.g(i).index()] = mutex.g(sigma[i - 1] + 1).index();
-            }
-            p
-        })
-        .collect();
-    let impostor = Impostor {
-        name: clients.name().to_string(),
-        perms,
-    };
-    refused(
-        &under(Arc::new(impostor)),
-        "same name, different representatives",
-    );
-
-    // The canonicalizer it was taken under resumes, from disk too.
-    let opts = under(Arc::new(clients));
-    let reference = run_unlimited(&system, &opts);
-    let resumed = explore_resumable(
-        &system,
-        &Budget::unlimited().with_checkpoint(&path, 1 << 20),
-        &opts,
-    )
-    .unwrap();
-    assert_eq!(
-        reference.graph.first_difference(&resumed.graph),
-        None,
-        "symmetry/same"
-    );
-    assert_eq!(reference.reduction, resumed.reduction);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -570,7 +397,7 @@ fn snapshot_taken_under_one_symmetry_is_refused_under_another() {
 fn worker_panic_degrades_gracefully_without_losing_states() {
     for (name, system) in &scenarios() {
         for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-            let reference = run_unlimited(system, &options(1, mode, Reduction::none(), 64));
+            let reference = run_unlimited(system, &options(1, mode, 64));
             for threads in [2usize, 4] {
                 for after_claims in [0u64, 5] {
                     let label =
@@ -578,7 +405,7 @@ fn worker_panic_degrades_gracefully_without_losing_states() {
                     let recorder = Arc::new(CountingRecorder::new());
                     let opts = ExploreOptions {
                         worker_panic: Some(WorkerPanic { after_claims }),
-                        ..options(threads, mode, Reduction::none(), 64)
+                        ..options(threads, mode, 64)
                     };
                     let run = explore_governed_with(
                         system,
@@ -647,7 +474,7 @@ fn threaded_run_checkpoints_mid_run_and_resumes_at_another_worker_count() {
         .complete_system()
         .unwrap();
     for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-        let reference = run_unlimited(&system, &options(1, mode, Reduction::none(), 64));
+        let reference = run_unlimited(&system, &options(1, mode, 64));
         let path = snap_path("midrun");
         let copy = snap_path("midrun-copy");
         let recorder = Arc::new(MidRunCopy {
@@ -662,7 +489,7 @@ fn threaded_run_checkpoints_mid_run_and_resumes_at_another_worker_count() {
             &Budget::unlimited()
                 .with_checkpoint(&path, 256)
                 .with_recorder(RecorderHandle::new(recorder.clone())),
-            &options(4, mode, Reduction::none(), 64),
+            &options(4, mode, 64),
         )
         .unwrap();
         assert!(matches!(armed.outcome, Outcome::Complete));
@@ -691,7 +518,7 @@ fn threaded_run_checkpoints_mid_run_and_resumes_at_another_worker_count() {
             let resumed = resume_exploration(
                 &system,
                 &Budget::unlimited(),
-                &options(threads, mode, Reduction::none(), 64),
+                &options(threads, mode, 64),
                 &snap,
             )
             .unwrap();
@@ -704,67 +531,6 @@ fn threaded_run_checkpoints_mid_run_and_resumes_at_another_worker_count() {
         }
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&copy);
-    }
-}
-
-/// The shared sequential loop checkpoints a symmetric run at its queue
-/// cut: armed at cadence 1 it snapshots before every expansion, and a
-/// snapshot from the middle of the run — canonical arena, `reduced`
-/// flag, the hits banked so far — resumes to the byte-identical
-/// reduced graph with the same `canon_hits`.
-#[test]
-fn symmetric_run_checkpoints_at_every_expansion_and_resumes() {
-    for (name, system, symmetry) in &symmetric_scenarios() {
-        for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-            let label = format!("{name}/{mode:?}");
-            let opts = options(1, mode, symmetry.clone(), 64);
-            let reference = run_unlimited(system, &opts);
-            let path = snap_path("sym-midrun");
-            let copy = snap_path("sym-midrun-copy");
-            let recorder = Arc::new(MidRunCopy {
-                from: path.clone(),
-                to: copy.clone(),
-                copy_at: reference.graph.len() as u64 / 2,
-                before_run_end: Default::default(),
-                ended: Default::default(),
-            });
-            let armed = explore_resumable(
-                system,
-                &Budget::unlimited()
-                    .with_checkpoint(&path, 1)
-                    .with_recorder(RecorderHandle::new(recorder.clone())),
-                &opts,
-            )
-            .unwrap();
-            assert!(matches!(armed.outcome, Outcome::Complete));
-            assert_eq!(
-                reference.graph.first_difference(&armed.graph),
-                None,
-                "{label}/armed"
-            );
-            assert_eq!(reference.reduction, armed.reduction, "{label}/armed");
-            assert!(
-                recorder
-                    .before_run_end
-                    .load(std::sync::atomic::Ordering::Relaxed)
-                    >= reference.graph.len() as u64,
-                "{label}: cadence 1 snapshots before every expansion"
-            );
-
-            let snap = Snapshot::load(&copy).expect("mid-run snapshot loads");
-            assert!(snap.reduced, "{label}");
-            assert!(snap.frontier_len() > 0 && snap.states_used() <= reference.graph.len());
-            let resumed = resume_exploration(system, &Budget::unlimited(), &opts, &snap).unwrap();
-            assert!(matches!(resumed.outcome, Outcome::Complete));
-            assert_eq!(
-                reference.graph.first_difference(&resumed.graph),
-                None,
-                "{label}/resumed"
-            );
-            assert_eq!(reference.reduction, resumed.reduction, "{label}/resumed");
-            let _ = std::fs::remove_file(&path);
-            let _ = std::fs::remove_file(&copy);
-        }
     }
 }
 
@@ -784,7 +550,7 @@ fn escalation_resumes_from_the_preserved_frontier() {
     let system = QueueChain::new(3, 1, 2, FairnessStyle::Joint)
         .complete_system()
         .unwrap();
-    let in_ram = options(1, VisitedMode::Fingerprint, Reduction::none(), 64);
+    let in_ram = options(1, VisitedMode::Fingerprint, 64);
     let spilling = ExploreOptions {
         mem_budget_bytes: Some(8 << 10),
         ..in_ram.clone()
@@ -854,8 +620,7 @@ fn escalation_resumes_from_the_preserved_frontier() {
 // Property-based round trip on random systems
 // ---------------------------------------------------------------------
 
-/// A random small boolean system, deterministic in `seed` (same
-/// construction as the reduction suite's).
+/// A random small boolean system, deterministic in `seed`.
 fn random_system(seed: u64) -> System {
     let mut rng = StdRng::seed_from_u64(seed);
     let n_vars = rng.gen_range(2..=4usize);
@@ -884,24 +649,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Checkpoint → serialize → load → resume yields a byte-identical
-    /// graph on random systems, across thread counts, visited modes,
-    /// and reduction activity.
+    /// graph on random systems, across thread counts and visited modes.
     #[test]
     fn snapshot_round_trip_is_byte_identical(seed in any::<u64>()) {
         let system = random_system(seed);
         let threads = [1usize, 2, 4][(seed % 3) as usize];
         let mode = if seed & 1 == 0 { VisitedMode::Fingerprint } else { VisitedMode::Exact };
-        // Swapping the first two slots is no automorphism of a random
-        // system, but round-trip identity needs none: the reduced graph
-        // is whatever canonicalizing under that group builds.
-        let n = system.vars().len();
-        let swap: Vec<usize> = [1, 0].into_iter().chain(2..n).collect();
-        let reduction = if seed & 2 == 0 {
-            Reduction::none()
-        } else {
-            Reduction::none().with_symmetry(Arc::new(SlotPermutations::new("swap01", n, vec![swap])))
-        };
-        let opts = options(threads, mode, reduction, 64);
+        let opts = options(threads, mode, 64);
         let reference = run_unlimited(&system, &opts);
         let total = reference.graph.len();
         if total < 4 {
@@ -921,7 +675,6 @@ proptest! {
             ).unwrap();
             prop_assert!(matches!(resumed.outcome, Outcome::Complete));
             assert_eq!(reference.graph.first_difference(&resumed.graph), None, "prop/{seed}");
-            prop_assert_eq!(reference.reduction, resumed.reduction);
         }
         let _ = std::fs::remove_file(&path);
     }
@@ -966,7 +719,7 @@ fn spill_interrupt_resume_identity() {
         .unwrap();
     for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
         let label = format!("spill/{mode:?}");
-        let base = options(1, mode, Reduction::none(), 64);
+        let base = options(1, mode, 64);
         let reference = run_unlimited(&system, &base);
         let total = reference.graph.len();
         let spill_opts = ExploreOptions {
@@ -1056,14 +809,11 @@ fn corrupted_spill_segment_is_typed_error() {
         .unwrap();
     let opts = ExploreOptions {
         mem_budget_bytes: Some(8 << 10),
-        ..options(1, VisitedMode::Fingerprint, Reduction::none(), 64)
+        ..options(1, VisitedMode::Fingerprint, 64)
     };
-    let total = run_unlimited(
-        &system,
-        &options(1, VisitedMode::Fingerprint, Reduction::none(), 64),
-    )
-    .graph
-    .len();
+    let total = run_unlimited(&system, &options(1, VisitedMode::Fingerprint, 64))
+        .graph
+        .len();
     let path = snap_path("spill_corrupt");
     remove_spill_artifacts(&path);
     let interrupted = explore_resumable(
@@ -1158,7 +908,7 @@ fn every_plan_resumes_every_plans_snapshot() {
         .complete_system()
         .unwrap();
     for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-        let reference = run_unlimited(&system, &options(1, mode, Reduction::none(), 64)).graph;
+        let reference = run_unlimited(&system, &options(1, mode, 64)).graph;
         let cut = Budget::default().states(reference.len() * 2 / 5);
         for writer in PLANS {
             let path = snap_path("every_plan");
@@ -1209,12 +959,9 @@ fn mutated_snapshots_end_in_a_typed_error_or_a_finished_run() {
     let system = QueueChain::new(2, 1, 2, FairnessStyle::Joint)
         .complete_system()
         .unwrap();
-    let total = run_unlimited(
-        &system,
-        &options(1, VisitedMode::Fingerprint, Reduction::none(), 64),
-    )
-    .graph
-    .len();
+    let total = run_unlimited(&system, &options(1, VisitedMode::Fingerprint, 64))
+        .graph
+        .len();
     for (source, writer) in PLANS.into_iter().enumerate() {
         let written = snap_path("fuzz_source");
         remove_spill_artifacts(&written);

@@ -12,14 +12,15 @@
 //! every reachable state.
 
 use opentla_check::{
-    check_invariant, explore, CompiledSystem, Engine, EvalScratch, ExploreOptions, System,
-    VisitedMode,
+    check_invariant, explore, explore_governed_with, Budget, CompiledSystem, CountingRecorder,
+    Engine, EvalScratch, ExploreOptions, Outcome, RecorderHandle, System, VisitedMode,
 };
 use opentla_kernel::{Expr, State};
 use opentla_queue::{FairnessStyle, QueueChain};
 use opentla_scenarios::{AlternatingBit, ArbiterFairness, Mutex, TokenRing};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Every scenario family in the repo, at sizes that keep the whole
 /// file fast while still giving the parallel engine real breadth.
@@ -256,6 +257,40 @@ fn forced_collisions_underapproximate_and_exact_mode_recovers() {
         .unwrap();
         assert_eq!(full.first_difference(&exact), None, "exact recovery");
     }
+}
+
+/// Golden regression: the explorer reproduces the exact chain4
+/// numbers — graph statistics and the `RunReport` totals the
+/// observability layer has seen since it was added.
+#[test]
+fn golden_chain4_unreduced_stats_and_report() {
+    let sys = QueueChain::new(4, 1, 2, FairnessStyle::Joint)
+        .complete_system()
+        .expect("chain4 builds");
+    let recorder = Arc::new(CountingRecorder::new());
+    let budget = Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone()));
+    let run = explore_governed_with(
+        &sys,
+        &budget,
+        &ExploreOptions {
+            threads: Some(1),
+            ..ExploreOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(matches!(run.outcome, Outcome::Complete));
+    let stats = run.graph.stats();
+    assert_eq!(stats.states, 54358, "chain4 state count regressed");
+    assert_eq!(
+        stats.transitions, 164736,
+        "chain4 transition count regressed"
+    );
+    assert_eq!(stats.depth, 55, "chain4 BFS depth regressed");
+    // The RunReport totals routed through the recorder agree exactly.
+    assert_eq!(recorder.count("run_end"), 1);
+    assert_eq!(recorder.states(), 54358);
+    assert_eq!(recorder.transitions(), 164736);
+    assert_eq!(recorder.depth(), 55);
 }
 
 proptest! {

@@ -486,39 +486,46 @@ impl Manifest {
                 graph.edge_count()
             )));
         }
-        // Counterexamples index the system's actions by these words,
-        // and every engine a state's slots by the system's variables,
-        // stepping it on its packed row: every value lies in its domain.
-        let vars = system.vars();
-        let (actions, width) = (system.actions().len(), vars.len());
-        for id in 0..n {
-            let values = graph.state(id).values();
-            if values.len() != width {
-                return Err(corrupt(format!(
-                    "state {id} holds {} value(s) for a system of {width} variable(s)",
-                    values.len()
-                )));
-            }
-            let outside = vars
-                .iter()
-                .zip(values)
-                .find(|(v, val)| !vars.domain(*v).contains(val));
-            if let Some((v, value)) = outside {
-                return Err(corrupt(format!(
-                    "state {id} holds {value} for {}, outside its domain",
-                    vars.name(v)
-                )));
-            }
-            let led_in = graph.parent(id).map(|(_, action)| action);
-            let fired = graph.edges(id).iter().map(|e| e.action);
-            if let Some(action) = led_in.into_iter().chain(fired).find(|&a| a >= actions) {
-                return Err(corrupt(format!(
-                    "state {id} records action {action} of a system with {actions}"
-                )));
-            }
-        }
+        check_states(&graph, system)?;
         Ok(graph)
     }
+}
+
+/// Refuses a snapshot graph that `system` cannot resume from, whether
+/// it was read back from records or captured in RAM: counterexamples
+/// index the system's actions by its action words, and every engine a
+/// state's slots by the system's variables, stepping it on its packed
+/// row, so every value must lie in its domain.
+fn check_states(graph: &StateGraph, system: &System) -> Result<(), CheckpointError> {
+    let vars = system.vars();
+    let (actions, width) = (system.actions().len(), vars.len());
+    for id in 0..graph.len() {
+        let values = graph.state(id).values();
+        if values.len() != width {
+            return Err(corrupt(format!(
+                "state {id} holds {} value(s) for a system of {width} variable(s)",
+                values.len()
+            )));
+        }
+        let outside = vars
+            .iter()
+            .zip(values)
+            .find(|(v, val)| !vars.domain(*v).contains(val));
+        if let Some((v, value)) = outside {
+            return Err(corrupt(format!(
+                "state {id} holds {value} for {}, outside its domain",
+                vars.name(v)
+            )));
+        }
+        let led_in = graph.parent(id).map(|(_, action)| action);
+        let fired = graph.edges(id).iter().map(|e| e.action);
+        if let Some(action) = led_in.into_iter().chain(fired).find(|&a| a >= actions) {
+            return Err(corrupt(format!(
+                "state {id} records action {action} of a system with {actions}"
+            )));
+        }
+    }
+    Ok(())
 }
 
 impl Snapshot {
@@ -714,7 +721,8 @@ impl Snapshot {
 
     /// The snapshot with its graph in RAM, which is what the engines
     /// resume from: a manifest's records are read back, sealed
-    /// segments through the store's verified reader.
+    /// segments through the store's verified reader, and a graph
+    /// captured in RAM is checked against `system` the same way.
     ///
     /// # Errors
     ///
@@ -726,14 +734,17 @@ impl Snapshot {
         &self,
         system: &System,
     ) -> Result<Cow<'_, Snapshot>, CheckpointError> {
-        let Body::Manifest(m) = &self.body else {
-            return Ok(Cow::Borrowed(self));
-        };
-        Ok(Cow::Owned(Snapshot {
-            body: Body::Graph(m.materialize(system)?),
-            frontier: self.frontier.clone(),
-            ..*self
-        }))
+        match &self.body {
+            Body::Graph(graph) => {
+                check_states(graph, system)?;
+                Ok(Cow::Borrowed(self))
+            }
+            Body::Manifest(m) => Ok(Cow::Owned(Snapshot {
+                body: Body::Graph(m.materialize(system)?),
+                frontier: self.frontier.clone(),
+                ..*self
+            })),
+        }
     }
 }
 

@@ -28,8 +28,8 @@
 //! system's [`PackedLayout`](opentla_kernel::PackedLayout): every
 //! declared variable set compiles to one, and every state a run meets
 //! lies in its domains — initial states are checked as they are
-//! enumerated, successors as they are stepped, resumed states as a
-//! snapshot is read.
+//! enumerated, successors as they are stepped, resumed states before
+//! an engine sees the snapshot, whether read from a file or held in RAM.
 //!
 //! The sequential loop is the reference implementation: plain BFS over
 //! the compiled successor stepper ([`crate::CompiledSystem`]), which

@@ -486,7 +486,7 @@ pub(super) fn explore_ws(
     // resumed one (its meter is pre-charged).
     let mut intern_seed = |s: &State, charged: bool| {
         let ok = run.layout.pack_into(s.values(), &mut buf);
-        debug_assert!(ok, "a run starts from in-domain states");
+        assert!(ok, "a run starts from in-domain states");
         let write = |out: &mut Vec<u8>| out.extend_from_slice(&buf);
         store.intern(s.fingerprint(), write, charged, &mut probe)
     };

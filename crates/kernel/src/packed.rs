@@ -23,8 +23,7 @@
 //!    `z[slot][code] = slot_fingerprint(slot, domain[slot][code])`
 //!    from the same per-slot hash the tree path uses, so the packed
 //!    engine inherits the collision-soundness bound unchanged — it is
-//!    the same hash function, evaluated through a table. Slots past the
-//!    tabulation budget evaluate it on the decoded value instead.
+//!    the same hash function, evaluated through a table.
 //!
 //! Every declared `Vars` compiles, however wide its rows: a domain is
 //! a finite value list, and [`PackedLayout::compile`] returns `None`
@@ -34,12 +33,6 @@ use crate::codec::DecodeError;
 use crate::state::{slot_fingerprint, State};
 use crate::value::Value;
 use crate::var::{Domain, Vars};
-
-/// The tabulation budget: how many `(slot, code)` Zobrist entries the
-/// layout keeps in tables, across all slots. Each entry costs 8 bytes;
-/// past ~4M entries the tables stop fitting hot caches, so a slot that
-/// would pass the budget has its entries computed when they are read.
-const MAX_TOTAL_CODES: usize = 1 << 22;
 
 /// One variable's slot in the packed buffer.
 struct Slot {
@@ -56,8 +49,7 @@ pub struct PackedLayout {
     /// Packed size of one state, in bytes.
     stride: usize,
     /// `zobrist[slot][code]` = the tree path's slot hash of the
-    /// decoded value, so packed and tree fingerprints agree exactly;
-    /// empty for a slot past the tabulation budget.
+    /// decoded value, so packed and tree fingerprints agree exactly.
     zobrist: Vec<Vec<u64>>,
     /// Each slot's domain, shared with the `Vars` the layout was
     /// compiled from: a code is a position in its value list, and its
@@ -69,18 +61,10 @@ impl PackedLayout {
     /// Compiles a layout from declared domains, or `None` when a
     /// domain's codes do not fit a `u32`.
     pub fn compile(vars: &Vars) -> Option<PackedLayout> {
-        PackedLayout::compile_tabulating(vars, MAX_TOTAL_CODES)
-    }
-
-    /// [`compile`](Self::compile), tabulating the Zobrist entries of
-    /// each slot, in order, while their running total stays within
-    /// `budget`.
-    fn compile_tabulating(vars: &Vars, budget: usize) -> Option<PackedLayout> {
         let mut slots = Vec::with_capacity(vars.len());
         let mut zobrist = Vec::with_capacity(vars.len());
         let mut domains = Vec::with_capacity(vars.len());
         let mut offset = 0usize;
-        let mut tabulated = 0usize;
         for v in vars.iter() {
             let values = vars.domain(v).values();
             let width = match values.len() {
@@ -91,13 +75,8 @@ impl PackedLayout {
                 return None;
             }
             slots.push(Slot { offset, width });
-            if tabulated + values.len() <= budget {
-                tabulated += values.len();
-                let hash = |val| slot_fingerprint(v.index(), val);
-                zobrist.push(values.iter().map(hash).collect());
-            } else {
-                zobrist.push(Vec::new());
-            }
+            let hash = |val| slot_fingerprint(v.index(), val);
+            zobrist.push(values.iter().map(hash).collect());
             domains.push(vars.domain(v).clone());
             offset += width as usize;
         }
@@ -274,7 +253,7 @@ impl PackedLayout {
     /// [`State::fingerprint`] of the unpacked state.
     pub fn fingerprint(&self, buf: &[u8]) -> u64 {
         (0..self.slots.len()).fold(0, |fp, slot| {
-            fp ^ self.zobrist(slot, self.read_code(buf, slot))
+            fp ^ self.zobrist[slot][self.read_code(buf, slot) as usize]
         })
     }
 
@@ -282,22 +261,7 @@ impl PackedLayout {
     /// `new`: `fp' = fp ^ delta`. Zero when the codes are equal.
     #[inline]
     pub fn fingerprint_delta(&self, slot: usize, old: u32, new: u32) -> u64 {
-        self.zobrist(slot, old) ^ self.zobrist(slot, new)
-    }
-
-    /// The Zobrist entry of `code` in `slot`: read from the slot's
-    /// table, or computed for a slot past the tabulation budget.
-    #[inline]
-    fn zobrist(&self, slot: usize, code: u32) -> u64 {
-        match self.zobrist[slot].get(code as usize) {
-            Some(&z) => z,
-            None => self.untabulated(slot, code),
-        }
-    }
-
-    #[cold]
-    fn untabulated(&self, slot: usize, code: u32) -> u64 {
-        slot_fingerprint(slot, self.value_of(slot, code))
+        self.zobrist[slot][old as usize] ^ self.zobrist[slot][new as usize]
     }
 }
 
@@ -457,28 +421,6 @@ mod tests {
         let buf = layout.pack(&s).expect("in-domain");
         assert_eq!(layout.unpack(&buf), s);
         assert_eq!(layout.fingerprint(&buf), s.fingerprint());
-    }
-
-    /// Past the tabulation budget a slot's Zobrist entries are computed
-    /// from its decoded values, and agree with the tree's: here `w`,
-    /// whose 301 codes pass a budget of 20 after the 19 before them.
-    #[test]
-    fn slots_past_the_tabulation_budget_fingerprint_as_the_tree() {
-        let vars = mixed_vars();
-        let layout = PackedLayout::compile_tabulating(&vars, 20).expect("compiles");
-        let sizes: Vec<usize> = layout.zobrist.iter().map(Vec::len).collect();
-        assert_eq!(sizes, [2, 13, 1, 3, 0]);
-        let mut buf = Vec::new();
-        for s in all_states(&vars).into_iter().step_by(7) {
-            assert!(layout.pack_into(s.values(), &mut buf));
-            let fp = layout.fingerprint(&buf);
-            assert_eq!(fp, s.fingerprint(), "fingerprint of {s:?}");
-            let old = layout.read_code(&buf, 4);
-            let new = (old + 150) % 301;
-            let stepped = s.with(&[(vars.find("w").unwrap(), Value::Int(i64::from(new)))]);
-            let delta = layout.fingerprint_delta(4, old, new);
-            assert_eq!(fp ^ delta, stepped.fingerprint(), "delta from {s:?}");
-        }
     }
 
     #[test]

@@ -313,7 +313,8 @@ fn corrupted_snapshot_is_a_typed_error_not_a_panic() {
     // An inline record holding a value outside the resuming system's
     // domain: a snapshot of `x ∈ 0..=3` resumed under a system with the
     // same variable and action names — all a snapshot pins — but
-    // `x ∈ 0..=1`. Refused as it is read, never stepped.
+    // `x ∈ 0..=1`. Refused as it is read, never stepped — and the same
+    // snapshot held in RAM is refused too, on every plan.
     let over = |top: i64| {
         let mut vars = Vars::new();
         vars.declare("x", Domain::int_range(0, top));
@@ -333,16 +334,31 @@ fn corrupted_snapshot_is_a_typed_error_not_a_panic() {
     )
     .unwrap();
     assert!(cut.outcome.resume_token().is_some());
-    match explore_resumable(
-        &over(1),
-        &Budget::unlimited().with_checkpoint(&path, 8),
-        &ExploreOptions::default(),
-    ) {
+    let refused = |run: Result<Exploration, CheckError>, label: &str| match run {
         Err(CheckError::Checkpoint(CheckpointError::Corrupt { detail })) => assert!(
             detail.contains("state 2 holds 2 for x, outside its domain"),
-            "{detail}"
+            "{label}: {detail}"
         ),
-        other => panic!("a state outside its domain must be Corrupt, got {other:?}"),
+        other => panic!("{label}: a state outside its domain must be Corrupt, got {other:?}"),
+    };
+    refused(
+        explore_resumable(
+            &over(1),
+            &Budget::unlimited().with_checkpoint(&path, 8),
+            &ExploreOptions::default(),
+        ),
+        "file",
+    );
+    let snap = cut.snapshot.as_deref().expect("in-memory snapshot");
+    for (threads, mem_budget_bytes) in [(1, None), (2, None), (2, Some(1 << 20))] {
+        let opts = ExploreOptions {
+            mem_budget_bytes,
+            ..options(threads, VisitedMode::Fingerprint, 64)
+        };
+        refused(
+            resume_exploration(&over(1), &Budget::unlimited(), &opts, snap),
+            &format!("mem/threads={threads}/budget={mem_budget_bytes:?}"),
+        );
     }
     let _ = std::fs::remove_file(&path);
 }

@@ -72,10 +72,11 @@ use crate::obs::{Event, RecorderHandle};
 use crate::{CheckError, ExploreOptions, System, VisitedMode};
 use opentla_kernel::codec::{self, Reader};
 use opentla_kernel::store::{self, fnv1a, SegmentMeta, StoreError};
-use opentla_kernel::{PackedLayout, State};
+use opentla_kernel::{PackedLayout, State, Vars};
 use std::borrow::Cow;
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Default checkpoint cadence, in state expansions between snapshot
 /// writes. At typical sequential throughput this is a snapshot every
@@ -460,10 +461,12 @@ impl Manifest {
     /// Reads every record back — sealed segments through the store's
     /// verified reader — into the graph they describe.
     fn materialize(&self, system: &System) -> Result<StateGraph, CheckpointError> {
-        let layout = PackedLayout::compile(system.vars());
+        let layout = PackedLayout::compile(system.vars())
+            .ok_or_else(|| corrupt("a snapshot of a system no packed layout compiles for"))?;
         let n = self.states as usize;
         let arena = (&*self.dir, &*self.arena_segments, self.arena_hot.iter());
-        let mut graph = graph_of_arena(arena, n.min(1 << 20), layout.as_ref())?;
+        let layout = Arc::new(layout);
+        let mut graph = graph_of_arena(arena, n.min(1 << 20), &layout, system.vars())?;
         if graph.len() != n {
             return Err(corrupt(format!(
                 "manifest claims {n} states, its records held {}",
@@ -497,26 +500,9 @@ impl Manifest {
 /// state's slots by the system's variables, stepping it on its packed
 /// row, so every value must lie in its domain.
 fn check_states(graph: &StateGraph, system: &System) -> Result<(), CheckpointError> {
-    let vars = system.vars();
-    let (actions, width) = (system.actions().len(), vars.len());
+    let actions = system.actions().len();
     for id in 0..graph.len() {
-        let values = graph.state(id).values();
-        if values.len() != width {
-            return Err(corrupt(format!(
-                "state {id} holds {} value(s) for a system of {width} variable(s)",
-                values.len()
-            )));
-        }
-        let outside = vars
-            .iter()
-            .zip(values)
-            .find(|(v, val)| !vars.domain(*v).contains(val));
-        if let Some((v, value)) = outside {
-            return Err(corrupt(format!(
-                "state {id} holds {value} for {}, outside its domain",
-                vars.name(v)
-            )));
-        }
+        check_values(id, graph.state(id), system.vars())?;
         let led_in = graph.parent(id).map(|(_, action)| action);
         let fired = graph.edges(id).iter().map(|e| e.action);
         if let Some(action) = led_in.into_iter().chain(fired).find(|&a| a >= actions) {
@@ -526,6 +512,29 @@ fn check_states(graph: &StateGraph, system: &System) -> Result<(), CheckpointErr
         }
     }
     Ok(())
+}
+
+/// Refuses state `id` unless it holds one value per variable of
+/// `vars`, each in its domain: what every engine steps on a row.
+fn check_values(id: usize, state: &State, vars: &Vars) -> Result<(), CheckpointError> {
+    let (values, width) = (state.values(), vars.len());
+    if values.len() != width {
+        return Err(corrupt(format!(
+            "state {id} holds {} value(s) for a system of {width} variable(s)",
+            values.len()
+        )));
+    }
+    let outside = vars
+        .iter()
+        .zip(values)
+        .find(|(v, val)| !vars.domain(*v).contains(val));
+    match outside {
+        Some((v, value)) => Err(corrupt(format!(
+            "state {id} holds {value} for {}, outside its domain",
+            vars.name(v)
+        ))),
+        None => Ok(()),
+    }
 }
 
 impl Snapshot {
@@ -915,16 +924,34 @@ pub(crate) fn for_each_record<'a>(
 
 /// The one records → graph reader, in two steps so a store can drop
 /// its arena between them. First every arena record, in id order, as a
-/// state of a graph with room for `capacity` and no edges yet.
+/// state of a graph of rows under `layout` (compiled from `vars`) with
+/// room for `capacity` and no edges yet. A packed record's row is
+/// checked and kept; a tree record's state is checked against `vars`
+/// and packed.
 pub(crate) fn graph_of_arena<'a>(
     records: (&Path, &[SegmentMeta], impl Iterator<Item = &'a [u8]>),
     capacity: usize,
-    layout: Option<&PackedLayout>,
+    layout: &Arc<PackedLayout>,
+    vars: &Vars,
 ) -> Result<StateGraph, CheckpointError> {
-    let mut graph = StateGraph::with_capacity(capacity);
+    let mut graph = StateGraph::with_capacity(Arc::clone(layout), capacity);
+    let mut packed = Vec::new();
     for_each_record(records, |bytes| {
         let rec = decode_arena_record(bytes, layout)?;
-        graph.push_state(rec.state, rec.parent).map(drop)
+        let (state, row) = match rec.payload {
+            Payload::Packed(row) => {
+                let mut values = Vec::new();
+                layout.try_unpack_into(row, &mut values)?;
+                (State::new(values), row)
+            }
+            Payload::Tree(state) => {
+                check_values(graph.len(), &state, vars)?;
+                let packs = layout.pack_into(state.values(), &mut packed);
+                assert!(packs, "checked: one in-domain value per variable");
+                (state, &packed[..])
+            }
+        };
+        graph.push_state(state, row, rec.parent).map(drop)
     })?;
     Ok(graph)
 }
@@ -950,9 +977,16 @@ pub(crate) fn fill_edges<'a>(
 /// hand). The fingerprint is stored rather than recomputed so spilled
 /// parents can be re-expanded without rehashing. This file alone knows
 /// the offsets.
-struct ArenaRecord {
+struct ArenaRecord<'b> {
     parent: Option<(usize, usize)>,
-    state: State,
+    payload: Payload<'b>,
+}
+
+/// An arena record's state: a tag-0 record's decoded, a tag-1 record's
+/// row — one stride, codes not yet checked.
+enum Payload<'b> {
+    Tree(State),
+    Packed(&'b [u8]),
 }
 
 /// Bytes of an arena record ahead of its payload.
@@ -1045,25 +1079,22 @@ pub(crate) fn arena_record_bytes(layout: &PackedLayout) -> usize {
     4 + ARENA_RECORD_HEADER + layout.stride()
 }
 
-fn decode_arena_record(
-    bytes: &[u8],
-    layout: Option<&PackedLayout>,
-) -> Result<ArenaRecord, CheckpointError> {
+fn decode_arena_record<'b>(
+    bytes: &'b [u8],
+    layout: &PackedLayout,
+) -> Result<ArenaRecord<'b>, CheckpointError> {
     let mut r = Reader::new(bytes);
     let tag = r.u8("arena record tag")?;
     let parent_word = r.u32("arena record parent")?;
     let action = r.u32("arena record action")?;
     r.u64("arena record fingerprint")?;
-    let state = match tag {
+    let payload = match tag {
         0 => {
             let state = codec::decode_state(&mut r)?;
             expect_end(&r, "an arena record")?;
-            state
+            Payload::Tree(state)
         }
         1 => {
-            let layout = layout.ok_or_else(|| {
-                corrupt("packed arena record but no layout compiles for this system")
-            })?;
             let payload = &bytes[ARENA_RECORD_HEADER..];
             if payload.len() != layout.stride() {
                 return Err(corrupt(format!(
@@ -1072,9 +1103,7 @@ fn decode_arena_record(
                     layout.stride()
                 )));
             }
-            let mut values = Vec::new();
-            layout.try_unpack_into(payload, &mut values)?;
-            State::new(values)
+            Payload::Packed(payload)
         }
         t => return Err(corrupt(format!("unknown arena record tag {t}"))),
     };
@@ -1083,7 +1112,7 @@ fn decode_arena_record(
     } else {
         Some((parent_word as usize, action as usize))
     };
-    Ok(ArenaRecord { parent, state })
+    Ok(ArenaRecord { parent, payload })
 }
 
 /// One edge record: `[id u32][k u32][(action u32,
@@ -1219,7 +1248,8 @@ mod tests {
 
     /// Three states: 0 initial and expanded, 1 and 2 reached from it.
     fn sample_graph() -> StateGraph {
-        let mut graph = StateGraph::with_capacity(3);
+        let layout = PackedLayout::compile(sample_system().vars()).expect("two small slots");
+        let mut graph = StateGraph::with_capacity(Arc::new(layout), 3);
         let states = [
             (0, false, None),
             (1, false, Some((0, 0))),
@@ -1227,7 +1257,8 @@ mod tests {
         ];
         for (x, y, parent) in states {
             let state = State::new(vec![Value::Int(x), Value::Bool(y)]);
-            graph.push_state(state, parent).unwrap();
+            let row = graph.layout().pack(&state).expect("in-domain");
+            graph.push_state(state, &row, parent).unwrap();
         }
         let successors = [
             Edge {

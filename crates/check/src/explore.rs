@@ -15,8 +15,9 @@
 //! |                          |                    | arena in RAM                                             |
 //!
 //! Every plan ends in one [`StateGraph`] (`graph.rs`, the only code
-//! that knows its layout): states, edges and the BFS tree. The dedup
-//! index (`index.rs`) is private to the store and dropped with it.
+//! that knows its layout): states, their packed rows, edges and the BFS
+//! tree. The dedup index (`index.rs`) is private to the store and
+//! dropped with it.
 //!
 //! The routing rule: a memory budget picks the second row at one
 //! worker, whatever thread count was asked for; without one, more than
@@ -55,9 +56,9 @@ use crate::obs::{
     Event, Phase, PhaseGuard, ProgressSnapshot, RecorderHandle, RunReport, OBS_SCHEMA_VERSION,
 };
 use crate::{CheckError, System};
-use opentla_kernel::State;
+use opentla_kernel::{PackedLayout, State};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 // Every lock in the work-stealing engine guards state that is kept
 // consistent *within* each critical section (arena pushes and map
@@ -638,7 +639,8 @@ impl Replay {
 /// Builds the [`Replay`]. The discovery order is fixed first, over
 /// pids alone; `materialize` then turns the pids, in canonical id
 /// order, into their states (each state is an independent unpack once
-/// the order is fixed).
+/// the order is fixed), and the graph takes each state's row under
+/// `layout` from `row_of`, as the stripes hold it.
 /// Each parent's run is indexed first: `edge_index[shard][local]` is
 /// `(which vector, start, length)`, `u32::MAX` marking "no edges".
 /// Every interned state has a recorded incoming edge (interning and
@@ -646,10 +648,12 @@ impl Replay {
 /// truncated records are re-recorded when its parent is re-expanded)
 /// or is initial, so the replay reaches every interned state of a
 /// complete run.
-fn replay_records(
+fn replay_records<'r>(
     arena_lens: &[usize],
     all_edges: &[Vec<ws::EdgeRecord>],
     init_pids: &[Pid],
+    layout: &Arc<PackedLayout>,
+    row_of: impl Fn(Pid) -> &'r [u8],
     materialize: impl FnOnce(&[Pid]) -> Vec<State>,
 ) -> Replay {
     const NO_RUN: (u32, u32, u32) = (u32::MAX, 0, 0);
@@ -698,11 +702,12 @@ fn replay_records(
         next += 1;
     }
 
-    let mut graph = StateGraph::with_capacity(order.len());
-    for (state, from) in materialize(&order).into_iter().zip(from) {
+    let mut graph = StateGraph::with_capacity(Arc::clone(layout), order.len());
+    let states = materialize(&order);
+    for ((state, from), &p) in states.into_iter().zip(from).zip(&order) {
         let parent = from.map(|(id, action)| (id as usize, action as usize));
         graph
-            .push_state(state, parent)
+            .push_state(state, row_of(p), parent)
             .expect("a replayed state is discovered from an earlier one");
     }
     let mut list: Vec<Edge> = Vec::new();

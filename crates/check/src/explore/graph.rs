@@ -4,16 +4,23 @@
 //! below and read it through its accessors, so the representation can
 //! change in this file alone.
 //!
-//! A graph is its states plus flat columns: every successor list back
-//! to back under a row index, and the BFS tree as the two words an
-//! arena record stores. Rows are filled once each in ascending id
-//! order and only a tail of them is ever cleared — how every engine
-//! and snapshot writer works, and all [`StateGraph::set_edges`] takes.
-//! A check's per-edge table (`liveness/fair.rs`) costs a byte an edge,
-//! addressed through [`StateGraph::edge_base`].
+//! A graph is its states, its rows and flat columns. Every state comes
+//! with its packed row under the graph's [`PackedLayout`] (`stride`
+//! bytes, back to back in id order): the row the exploration loops
+//! stepped, kept, so the checks after exploration read slot codes —
+//! an obligation's image and class keys (`image.rs`), a fairness
+//! table's "subscript unchanged" (`liveness/fair.rs`) — without
+//! touching a `Value`. Every successor list sits back to back under a
+//! row index, and the BFS tree is the two words an arena record stores.
+//! Edge rows are filled once each in ascending id order and only a tail
+//! of them is ever cleared — how every engine and snapshot writer works,
+//! and all [`StateGraph::set_edges`] takes. A check's per-edge table
+//! (`liveness/fair.rs`) costs a byte an edge, addressed through
+//! [`StateGraph::edge_base`].
 
 use crate::checkpoint::{corrupt, CheckpointError};
-use opentla_kernel::State;
+use opentla_kernel::{PackedLayout, State};
+use std::sync::Arc;
 
 /// Summary statistics of a reachability graph; see
 /// [`StateGraph::stats`].
@@ -58,7 +65,11 @@ pub struct Edge {
 /// pass restores the exact sequential ordering.
 #[derive(Clone, Debug)]
 pub struct StateGraph {
+    /// The layout every row is under.
+    layout: Arc<PackedLayout>,
     states: Vec<State>,
+    /// Each state's packed row, `layout.stride()` bytes, in id order.
+    rows: Vec<u8>,
     /// The states pushed without a parent, in id order.
     init: Vec<usize>,
     /// Every filled row, back to back in id order.
@@ -76,9 +87,11 @@ pub struct StateGraph {
 const NO_PARENT: u32 = u32::MAX;
 
 impl StateGraph {
-    /// An empty graph with room for `n` states.
-    pub(crate) fn with_capacity(n: usize) -> StateGraph {
+    /// An empty graph of rows under `layout`, with room for `n` states.
+    pub(crate) fn with_capacity(layout: Arc<PackedLayout>, n: usize) -> StateGraph {
         StateGraph {
+            rows: Vec::with_capacity(n * layout.stride()),
+            layout,
             states: Vec::with_capacity(n),
             init: Vec::new(),
             edges: Vec::new(),
@@ -87,11 +100,13 @@ impl StateGraph {
         }
     }
 
-    /// Appends a state reached from `parent = (id, action)`, or an
-    /// initial state (`None`), and returns its id. Every engine and
-    /// every decoder adds states here, so this is where the BFS tree
-    /// is kept well-founded: [`trace_to`](Self::trace_to) terminates
-    /// and stays in bounds because a parent is always an earlier state.
+    /// Appends a state and its `row` under the graph's layout (the row
+    /// the caller stepped, or packed the state into), reached from
+    /// `parent = (id, action)` or initial (`None`), and returns its id.
+    /// Every engine and every decoder adds states here, so this is where
+    /// the BFS tree is kept well-founded: [`trace_to`](Self::trace_to)
+    /// terminates and stays in bounds because a parent is always an
+    /// earlier state.
     ///
     /// # Errors
     ///
@@ -104,8 +119,10 @@ impl StateGraph {
     pub(crate) fn push_state(
         &mut self,
         state: State,
+        row: &[u8],
         parent: Option<(usize, usize)>,
     ) -> Result<usize, CheckpointError> {
+        debug_assert_eq!(row.len(), self.layout.stride(), "one row a state");
         let id = self.states.len();
         let words = match parent {
             None => {
@@ -122,6 +139,7 @@ impl StateGraph {
             },
         };
         self.states.push(state);
+        self.rows.extend_from_slice(row);
         self.tree.push(words);
         Ok(id)
     }
@@ -168,12 +186,14 @@ impl StateGraph {
     /// Edges of kept states are copied as they are: the caller cuts
     /// where none of them leads past `keep`.
     pub(crate) fn prefix(&self, keep: usize) -> StateGraph {
-        let rows = keep.min(self.row_start.len() - 1);
+        let filled = keep.min(self.row_start.len() - 1);
         StateGraph {
+            layout: Arc::clone(&self.layout),
             states: self.states[..keep].to_vec(),
+            rows: self.rows[..keep * self.layout.stride()].to_vec(),
             init: self.init.iter().copied().filter(|&i| i < keep).collect(),
-            edges: self.edges[..self.row_start[rows]].to_vec(),
-            row_start: self.row_start[..=rows].to_vec(),
+            edges: self.edges[..self.row_start[filled]].to_vec(),
+            row_start: self.row_start[..=filled].to_vec(),
             tree: self.tree[..keep].to_vec(),
         }
     }
@@ -220,6 +240,19 @@ impl StateGraph {
     /// All reachable states in discovery order.
     pub fn states(&self) -> &[State] {
         &self.states
+    }
+
+    /// The layout the graph's rows are under.
+    pub(crate) fn layout(&self) -> &PackedLayout {
+        &self.layout
+    }
+
+    /// The packed row of state `id`: its slot codes under
+    /// [`layout`](Self::layout).
+    #[inline]
+    pub(crate) fn row(&self, id: usize) -> &[u8] {
+        let stride = self.layout.stride();
+        &self.rows[id * stride..][..stride]
     }
 
     /// Indices of the initial states.
@@ -324,9 +357,32 @@ impl StateGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opentla_kernel::Value;
+    use opentla_kernel::{Domain, Value, Vars};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::sync::OnceLock;
+
+    /// One integer slot, wide enough for every state below: 16 bits, so
+    /// a row is two bytes. Compiled once.
+    fn layout() -> Arc<PackedLayout> {
+        static LAYOUT: OnceLock<Arc<PackedLayout>> = OnceLock::new();
+        let layout = LAYOUT.get_or_init(|| {
+            let mut vars = Vars::new();
+            vars.declare("x", Domain::int_range(-1, 40_200));
+            Arc::new(PackedLayout::compile(&vars).expect("one integer slot"))
+        });
+        Arc::clone(layout)
+    }
+
+    /// `graph.push_state` with the state's row.
+    fn push(
+        graph: &mut StateGraph,
+        state: State,
+        parent: Option<(usize, usize)>,
+    ) -> Result<usize, CheckpointError> {
+        let row = graph.layout().pack(&state).expect("in the slot's domain");
+        graph.push_state(state, &row, parent)
+    }
 
     /// The graph as a heap row and a tree entry per state.
     #[derive(Default)]
@@ -376,9 +432,9 @@ mod tests {
 
         /// The same graph built in one go: every state, then the rows.
         fn graph(&self) -> StateGraph {
-            let mut graph = StateGraph::with_capacity(self.states.len());
+            let mut graph = StateGraph::with_capacity(layout(), self.states.len());
             for (state, parent) in self.states.iter().zip(&self.parents) {
-                graph.push_state(state.clone(), *parent).unwrap();
+                push(&mut graph, state.clone(), *parent).unwrap();
             }
             for id in 0..self.filled {
                 graph.set_edges(id, &self.rows[id]).unwrap();
@@ -390,8 +446,11 @@ mod tests {
             let n = self.states.len();
             assert_eq!(graph.len(), n, "{step}");
             assert_eq!(graph.states(), &self.states[..], "{step}");
+            assert_eq!(graph.rows.len(), n * graph.layout().stride(), "{step}");
             let mut base = 0;
             for id in 0..n {
+                let row = graph.layout().pack(&self.states[id]).unwrap();
+                assert_eq!(graph.row(id), row, "{step}: row of {id}");
                 assert_eq!(graph.edges(id), &self.rows[id][..], "{step}: edges of {id}");
                 assert_eq!(graph.edge_base(id), base, "{step}: base of {id}");
                 assert_eq!(graph.parent(id), self.parents[id], "{step}: parent of {id}");
@@ -424,7 +483,7 @@ mod tests {
     fn flat_columns_read_as_the_row_per_state_model() {
         for seed in 0..40 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let (mut graph, mut model) = (StateGraph::with_capacity(0), Model::default());
+            let (mut graph, mut model) = (StateGraph::with_capacity(layout(), 0), Model::default());
             for step in 0..120 {
                 let n = model.states.len();
                 let what = match rng.gen_range(0..10) {
@@ -432,7 +491,7 @@ mod tests {
                         let parent = (n > 0 && rng.gen_range(0..4) > 0)
                             .then(|| (rng.gen_range(0..n), rng.gen_range(0..3)));
                         let state = State::new(vec![Value::Int((seed * 1000 + step) as i64)]);
-                        assert_eq!(graph.push_state(state.clone(), parent).unwrap(), n);
+                        assert_eq!(push(&mut graph, state.clone(), parent).unwrap(), n);
                         model.states.push(state);
                         model.rows.push(Vec::new());
                         model.parents.push(parent);
@@ -489,7 +548,7 @@ mod tests {
                         }
                         let state = State::new(vec![Value::Int(-1)]);
                         for p in [n, n + 1, u32::MAX as usize] {
-                            graph.push_state(state.clone(), Some((p, 0))).unwrap_err();
+                            push(&mut graph, state.clone(), Some((p, 0))).unwrap_err();
                         }
                         "refusals"
                     }
@@ -503,10 +562,10 @@ mod tests {
     fn first_difference_names_the_column_that_differs() {
         let state = |x| State::new(vec![Value::Int(x)]);
         let build = |third: i64, action: usize, target: usize| {
-            let mut graph = StateGraph::with_capacity(3);
-            graph.push_state(state(0), None).unwrap();
-            graph.push_state(state(1), Some((0, 0))).unwrap();
-            graph.push_state(state(third), Some((0, action))).unwrap();
+            let mut graph = StateGraph::with_capacity(layout(), 3);
+            push(&mut graph, state(0), None).unwrap();
+            push(&mut graph, state(1), Some((0, 0))).unwrap();
+            push(&mut graph, state(third), Some((0, action))).unwrap();
             graph
                 .set_edges(
                     0,

@@ -16,6 +16,7 @@ use super::{Engine, ExploreOptions};
 use crate::checkpoint::Snapshot;
 use crate::{CheckError, System};
 use opentla_kernel::PackedLayout;
+use std::sync::Arc;
 
 /// Budget assumed when a spill engine is selected without an explicit
 /// [`ExploreOptions::mem_budget_bytes`]: generous enough that typical
@@ -84,8 +85,8 @@ pub(crate) struct Start<'a> {
     /// The packed layout of the system's states: every state of the
     /// run packs under it — each seed is in its domains, and each
     /// successor is domain-checked — so both loops step on its rows and
-    /// the stores hold them.
-    pub(crate) layout: PackedLayout,
+    /// the stores hold them, and so does the graph a run ends in.
+    pub(crate) layout: Arc<PackedLayout>,
 }
 
 impl<'a> Start<'a> {
@@ -103,7 +104,10 @@ impl<'a> Start<'a> {
             PackedLayout::compile(system.vars()).ok_or_else(|| CheckError::Precondition {
                 message: "a variable's domain has more values than a u32 can number".into(),
             })?;
-        Ok(Start { seed, layout })
+        Ok(Start {
+            seed,
+            layout: Arc::new(layout),
+        })
     }
 }
 

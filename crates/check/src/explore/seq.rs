@@ -11,9 +11,9 @@
 //! completed graphs are byte-identical across bodies and
 //! [`VisitedMode`]s by construction.
 //!
-//! The loop steps on slot codes: a parent is its packed row — in RAM a
-//! `rows` column beside the graph (stride bytes a state), on disk its
-//! arena record's payload, checked as it is read — stepped through the
+//! The loop steps on slot codes: a parent is its packed row — in RAM the
+//! graph's own row column (stride bytes a state), on disk its arena
+//! record's payload, checked as it is read — stepped through the
 //! effect tables of [`CompiledSystem::for_each_packed_successor`], each
 //! child fingerprinted from the parent's by its effects and built as a
 //! [`State`] (from the layout's shared decode values) only when it is
@@ -27,9 +27,10 @@ use crate::compiled::{append_child, child_fingerprint, CompiledSystem, Effect, S
 use crate::obs::{Phase, PhaseGuard};
 use crate::{CheckError, System};
 use opentla_kernel::store::{SegmentStore, StoreError};
-use opentla_kernel::{PackedLayout, State};
+use opentla_kernel::{PackedLayout, State, Vars};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 /// What a run starts from.
 pub(super) enum Seed<'a> {
@@ -118,7 +119,7 @@ pub(super) fn explore_seq(
     options: &ExploreOptions,
     mem_budget: Option<usize>,
     seed: Seed<'_>,
-    layout: &PackedLayout,
+    layout: &Arc<PackedLayout>,
 ) -> Result<Exploration, CheckError> {
     let meter = &seed.meter(budget);
     // This store's manifests reference its sealed segments, so under a
@@ -255,14 +256,9 @@ impl Child<'_> {
 #[allow(clippy::large_enum_variant)] // one per run, never moved
 enum Body {
     /// The [`StateGraph`] under construction — a run that ends here
-    /// moves it out finished, each edge list held once — every state's
-    /// unmasked fingerprint, for incremental derivation, and every
-    /// state's row (stride bytes each).
-    Ram {
-        graph: StateGraph,
-        fps: Vec<u64>,
-        rows: Vec<u8>,
-    },
+    /// moves it out finished, each edge list and row held once — and
+    /// every state's unmasked fingerprint, for incremental derivation.
+    Ram { graph: StateGraph, fps: Vec<u64> },
     /// An arena record per state and an edge record per fully expanded
     /// state in [`SegmentStore`]s: sealed segments on disk behind an
     /// LRU cache, the unsealed tails in RAM. `init` is for manifests.
@@ -275,8 +271,9 @@ enum Body {
 
 impl Body {
     /// The row of state `id` under `layout` and its unmasked
-    /// fingerprint: the RAM body's, or the arena record read into `buf`
-    /// and checked — no code outside its domain reaches a table key.
+    /// fingerprint: the RAM body's graph's, or the arena record read
+    /// into `buf` and checked — no code outside its domain reaches a
+    /// table key.
     fn row<'b>(
         &'b mut self,
         id: usize,
@@ -284,10 +281,7 @@ impl Body {
         buf: &'b mut Vec<u8>,
     ) -> Result<(&'b [u8], u64), CheckpointError> {
         match self {
-            Body::Ram { rows, fps, .. } => {
-                let stride = layout.stride();
-                Ok((&rows[id * stride..][..stride], fps[id]))
-            }
+            Body::Ram { graph, fps } => Ok((graph.row(id), fps[id])),
             Body::Disk { arena, .. } => {
                 arena.read(id as u64, buf)?;
                 checkpoint::packed_row(buf, layout)
@@ -307,9 +301,9 @@ struct Store<'a> {
     /// The segment directory and tier sizes a memory budget bought;
     /// `None` never leaves RAM.
     disk: Option<(SpillDir, Tuning)>,
-    /// Every state's row is under it: the RAM body keeps the rows, and
-    /// arena records are written from them.
-    layout: &'a PackedLayout,
+    /// Every state's row is under it: the RAM body's graph keeps the
+    /// rows, and arena records are written from them.
+    layout: &'a Arc<PackedLayout>,
     /// What the `Ram` body's arena and edge records come to as segment
     /// bytes; counted under a budget only.
     arena_bytes: usize,
@@ -321,7 +315,11 @@ struct Store<'a> {
     mask: u64,
     options: &'a ExploreOptions,
     sys_hash: u64,
+    /// The system's variables, which records read back are checked
+    /// against.
+    vars: &'a Vars,
     meter: &'a Meter,
+    /// The record — or, in RAM, the row — being written.
     rec_buf: Vec<u8>,
     /// Exact mode's successor row, compared with a candidate's.
     probe: Vec<u8>,
@@ -329,10 +327,10 @@ struct Store<'a> {
 
 impl<'a> Store<'a> {
     fn create(
-        system: &System,
+        system: &'a System,
         options: &'a ExploreOptions,
         meter: &'a Meter,
-        layout: &'a PackedLayout,
+        layout: &'a Arc<PackedLayout>,
         disk: Option<(SpillDir, Tuning)>,
     ) -> Result<Store<'a>, StoreError> {
         let visited = match &disk {
@@ -343,9 +341,8 @@ impl<'a> Store<'a> {
         };
         Ok(Store {
             body: Body::Ram {
-                graph: StateGraph::with_capacity(0),
+                graph: StateGraph::with_capacity(Arc::clone(layout), 0),
                 fps: Vec::new(),
-                rows: Vec::new(),
             },
             visited,
             disk,
@@ -357,6 +354,7 @@ impl<'a> Store<'a> {
             mask: options.mask(),
             options,
             sys_hash: checkpoint::system_hash(system),
+            vars: system.vars(),
             meter,
             rec_buf: Vec::new(),
             probe: Vec::new(),
@@ -373,19 +371,18 @@ impl<'a> Store<'a> {
 
     /// The store's one transition, `Ram` to `Disk`: every arena and
     /// edge record, in id order, through [`SegmentStore::append`] — an
-    /// arena record written straight from the state's row. Whenever
+    /// arena record written straight from the graph's row. Whenever
     /// this fires, the byte streams — and so the segment boundaries —
     /// are those of a store on disk from its first state (until here
     /// records were only counted, never encoded).
     fn spill(&mut self) -> Result<(), StoreError> {
-        let (Body::Ram { graph, fps, rows }, Some((dir, t))) = (&self.body, &self.disk) else {
+        let (Body::Ram { graph, fps }, Some((dir, t))) = (&self.body, &self.disk) else {
             unreachable!("only the RAM body of a budgeted store spills");
         };
         let mut arena = SegmentStore::create(dir.path(), "arena", t.seg_target, t.arena_cache)?;
         let mut edges = SegmentStore::create(dir.path(), "edges", t.seg_target, t.edge_cache)?;
-        let stride = self.layout.stride();
         for (id, &fp) in fps.iter().enumerate() {
-            let row = |out: &mut Vec<u8>| out.extend_from_slice(&rows[id * stride..][..stride]);
+            let row = |out: &mut Vec<u8>| out.extend_from_slice(graph.row(id));
             checkpoint::encode_packed_record(graph.parent(id), fp, row, &mut self.rec_buf);
             spill::append(self.meter, "arena", &mut arena, &self.rec_buf)?;
         }
@@ -402,8 +399,8 @@ impl<'a> Store<'a> {
     }
 
     /// Records `child`, reached from `from`, under the next id: its row
-    /// is written first — into the RAM body's rows, from which its
-    /// state is read, or straight into its disk record.
+    /// is written first — in RAM, for the graph to keep beside the
+    /// state read from it, or straight into its disk record.
     // On the loop's per-state path, which `intern` is inlined into.
     #[inline]
     fn push_state(
@@ -414,14 +411,15 @@ impl<'a> Store<'a> {
     ) -> Result<(), CheckpointError> {
         let layout = self.layout;
         match &mut self.body {
-            Body::Ram { graph, fps, rows } => {
-                let start = rows.len();
-                child.write_row(layout, rows);
+            Body::Ram { graph, fps } => {
+                let row = &mut self.rec_buf;
+                row.clear();
+                child.write_row(layout, row);
                 if self.disk.is_some() {
                     self.arena_bytes += checkpoint::arena_record_bytes(layout);
                 }
+                graph.push_state(layout.unpack(row), row, from)?;
                 fps.push(fp);
-                graph.push_state(layout.unpack(&rows[start..]), from)?;
                 self.grown()?;
             }
             Body::Disk { arena, init, .. } => {
@@ -611,7 +609,7 @@ impl<'a> Store<'a> {
                 drop(self.visited);
                 let n = arena.len() as usize;
                 let records = spill::records(&arena);
-                let mut graph = checkpoint::graph_of_arena(records, n, Some(self.layout))?;
+                let mut graph = checkpoint::graph_of_arena(records, n, self.layout, self.vars)?;
                 drop(arena);
                 checkpoint::fill_edges(&mut graph, spill::records(&edges))?;
                 graph
@@ -721,7 +719,7 @@ mod tests {
         let options = ExploreOptions::default();
         let meter = Meter::start(&Budget::unlimited());
         let seg_target = Tuning::for_budget(8 << 10).seg_target;
-        let layout = PackedLayout::compile(system.vars()).expect("one small slot packs");
+        let layout = Arc::new(PackedLayout::compile(system.vars()).expect("one small slot packs"));
         let mut streams: Vec<(Stream, Stream)> = Vec::new();
         for way in ["before the first state", "edge bytes", "arena bytes"] {
             let disk = Some((SpillDir::new(None), Tuning::for_budget(8 << 10)));
@@ -776,7 +774,7 @@ mod tests {
             ExploreOptions::default(),
             Meter::start(&Budget::unlimited()),
         );
-        let layout = PackedLayout::compile(system.vars()).expect("one small slot packs");
+        let layout = Arc::new(PackedLayout::compile(system.vars()).expect("one small slot packs"));
         let disk = Some((SpillDir::new(None), Tuning::for_budget(8 << 10)));
         let mut store = Store::create(&system, &options, &meter, &layout, disk).unwrap();
         store.spill().unwrap();

@@ -141,9 +141,9 @@ impl<'a> Store<'a> {
     }
 
     /// The canonical [`Replay`], from the initial pids `init`, of every
-    /// worker's `records`, with the workers stopped. The states are
-    /// unpacked from the stripes' rows in canonical order, fanned out
-    /// across the run's workers.
+    /// worker's `records`, with the workers stopped. The graph takes the
+    /// stripes' rows in canonical order, and the states unpacked from
+    /// them, fanned out across the run's workers.
     pub(super) fn replay(&self, records: &[Vec<EdgeRecord>], init: &[Pid]) -> Replay {
         let stripes: Vec<_> = self.stripes.iter().map(lock).collect();
         let lens: Vec<usize> = stripes.iter().map(|s| s.fps.len()).collect();
@@ -152,11 +152,10 @@ impl<'a> Store<'a> {
         // Unpacking (one tree allocation per state) is the replay's
         // dominant cost, and each state is independent once the
         // canonical order is fixed.
-        replay_records(&lens, records, init, |order| {
+        let row_of = |p: Pid| stripes[shard_of(p)].row(local_of(p), stride);
+        replay_records(&lens, records, init, layout, row_of, |order| {
             let workers = if order.len() < 4096 { 1 } else { threads };
-            par_map(workers, order, |&p| {
-                layout.unpack(stripes[shard_of(p)].row(local_of(p), stride))
-            })
+            par_map(workers, order, |&p| layout.unpack(row_of(p)))
         })
     }
 }

@@ -64,6 +64,7 @@ use crate::compiled::{append_child, child_fingerprint, MemoStats, StepMemo};
 use opentla_kernel::PackedLayout;
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // The scheduler
@@ -393,7 +394,7 @@ pub(super) struct Run<'a> {
     pub(super) options: &'a ExploreOptions,
     /// Workers.
     pub(super) threads: usize,
-    pub(super) layout: &'a PackedLayout,
+    pub(super) layout: &'a Arc<PackedLayout>,
     /// A resumed run's is pre-charged with the snapshot's banked work.
     pub(super) meter: Meter,
 }

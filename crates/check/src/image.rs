@@ -16,10 +16,15 @@
 //! has far fewer images than states — the obligation does not look at
 //! most of them. This module uses the lemma in both directions.
 //!
-//! **The mapping, once.** [`Images::of_graph`] evaluates each `σ(v)` at
-//! every state of a graph (through [`CompiledExpr`]: it is a state
-//! function) and keeps the result as one `u32` column per mapped
-//! variable into a table of the distinct values. Every obligation
+//! **The mapping, once, by key.** [`Images::of_graph`] gives every
+//! state of a graph its image under each mapped variable `v` and keeps
+//! the result as one `u32` column per mapped variable into a table of
+//! the distinct values. `σ(v)` is a state function of the few slots it
+//! reads, so the pass keys on codes, not values: each state's key is the
+//! codes of those slots in its packed row, side by side
+//! ([`PackedLayout::gather_key`], as many `u64` words as the bits
+//! need), and `σ(v)` runs — through [`CompiledExpr`] — once per
+//! distinct key, the first time the key is met. Every obligation
 //! checked under that mapping reads the column; none evaluates `σ`
 //! again. A certificate builds one and hands it to hypothesis 2(a) and
 //! to every condition of 2(b); a stand-alone check builds its own.
@@ -28,9 +33,16 @@
 //! `F` (the variables, primed or not, of its *un*substituted
 //! expressions), [`Classes::of_graph`] gives every graph state a class:
 //! the interned tuple `⟨ v ∈ F : σ(v)(s) if v ∈ dom σ else s[v] ⟩`,
-//! mapped slots read from the [`Images`] column. A [`Memo`] then maps
-//! `(class[s], class[t])` — or `class[s]` for a state predicate — to
-//! the obligation's boolean.
+//! keyed as codes — the unmapped slots' codes in the row, then each
+//! mapped variable's image id from its [`Images`] column, in as many
+//! bits as the largest id needs — so no value is hashed. A [`Memo`] then
+//! maps `(class[s], class[t])` — or `class[s]` for a state predicate —
+//! to the obligation's boolean.
+//!
+//! Both passes number what they meet in state order, so image ids and
+//! class ids are those of interning the values themselves: two states
+//! share a key exactly when they share the values, because a code is a
+//! value's position in its slot's domain.
 //!
 //! **Abstract → substituted: misses.** A pair met for the first time is
 //! decided on `⟨s̄, t̄⟩` itself: the caller's *un*substituted expression,
@@ -77,8 +89,9 @@ use crate::compiled::{CompiledExpr, EvalScratch, Slots};
 use crate::obs::{Event, RecorderHandle};
 use crate::{CheckError, StateGraph};
 use fxhash::FxHashMap;
-use opentla_kernel::{State, Substitution, Value, VarId, VarSet};
+use opentla_kernel::{PackedLayout, Substitution, Value, VarId, VarSet};
 use std::collections::hash_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
@@ -86,10 +99,31 @@ use std::time::Instant;
 /// "`σ(v)` is undefined at this state" in an [`Images`] column.
 const NONE: u32 = u32::MAX;
 
+/// Keys of slot codes and ids side by side in `u64` words, numbered by
+/// the pass that meets them.
+type KeyIds = FxHashMap<Box<[u64]>, u32>;
+
+/// The id `key` has in `ids`, or — met for the first time — the one
+/// `first` gives it.
+fn intern_key(ids: &mut KeyIds, key: &[u64], first: impl FnOnce(usize) -> u32) -> u32 {
+    if let Some(&id) = ids.get(key) {
+        return id;
+    }
+    let id = first(ids.len());
+    ids.insert(key.into(), id);
+    id
+}
+
+/// Words for a key of `bits` bits.
+fn words(bits: usize) -> Vec<u64> {
+    vec![0; bits.div_ceil(64)]
+}
+
 /// `σ(v)(s)` for every mapped variable `v` and every state `s` of one
-/// graph, evaluated once: a `u32` per state and mapped variable into
-/// the table of distinct values. The default is the images of the
-/// empty mapping: none, whatever the graph.
+/// graph, evaluated once per distinct key of the slots `σ(v)` reads: a
+/// `u32` per state and mapped variable into the table of distinct
+/// values. The default is the images of the empty mapping: none,
+/// whatever the graph.
 #[derive(Debug, Default)]
 pub struct Images {
     mapping: Substitution,
@@ -101,14 +135,32 @@ pub struct Images {
     column_of: Vec<u32>,
     /// The distinct values, by id.
     values: Vec<Value>,
+    /// Images that are undefined.
+    undefined: u64,
+}
+
+/// One mapped variable of an image pass.
+struct Mapped {
+    program: CompiledExpr,
+    /// The slots `σ(v)` reads that the graph's rows have: its value is
+    /// a function of their codes (a variable past them is unbound at
+    /// every state alike).
+    reads: Vec<usize>,
+    /// Its image id by key, [`NONE`] for a key where it errs.
+    ids: KeyIds,
+    key: Vec<u64>,
 }
 
 impl Images {
-    /// One pass over `graph`, evaluating every `σ(v)` of `mapping` at
-    /// every state and reporting itself as an [`Event::ImagePass`]. The
-    /// value interner's hash map is dropped before this returns: what
-    /// stays resident is four bytes per state and mapped variable, plus
-    /// the distinct values. The empty mapping has no images: nothing is
+    /// One pass over `graph`, imaging every state under every mapped
+    /// variable of `mapping` and reporting itself as an
+    /// [`Event::ImagePass`]. A state's image is looked up by the codes
+    /// of the slots `σ(v)` reads; only a key met for the first time
+    /// evaluates `σ(v)`, on that state, and interns the value — so the
+    /// ids are those of interning every state's value in state order.
+    /// The key tables are dropped before this returns: what stays
+    /// resident is four bytes per state and mapped variable, plus the
+    /// distinct values. The empty mapping has no images: nothing is
     /// evaluated and nothing reported.
     pub fn of_graph(
         graph: &StateGraph,
@@ -116,44 +168,68 @@ impl Images {
         recorder: &RecorderHandle,
     ) -> Images {
         let started = Instant::now();
-        let programs: Vec<(VarId, CompiledExpr)> = mapping
+        let layout = graph.layout();
+        let mut mapped: Vec<(VarId, Mapped)> = mapping
             .domain()
             .map(|v| {
                 let image = mapping.get(v).expect("a variable of the domain");
-                (v, CompiledExpr::compile(image))
+                let reads: Vec<usize> = (image.unprimed_vars().iter())
+                    .map(VarId::index)
+                    .filter(|&slot| slot < layout.slots())
+                    .collect();
+                let key = words(layout.key_bits(&reads));
+                let program = CompiledExpr::compile(image);
+                let ids = KeyIds::default();
+                (
+                    v,
+                    Mapped {
+                        program,
+                        reads,
+                        ids,
+                        key,
+                    },
+                )
             })
             .collect();
-        let mut columns: Vec<(VarId, Vec<u32>)> = programs
-            .iter()
+        let key_bits = (mapped.iter())
+            .map(|(_, m)| layout.key_bits(&m.reads))
+            .max()
+            .unwrap_or(0);
+        let mut columns: Vec<(VarId, Vec<u32>)> = (mapped.iter())
             .map(|(v, _)| (*v, Vec::with_capacity(graph.len())))
             .collect();
-        let mut ids: FxHashMap<Value, u32> = FxHashMap::default();
+        // Values are met on misses only, in an ordered map: no value is
+        // hashed.
+        let mut ids: BTreeMap<Value, u32> = BTreeMap::new();
         let mut values = Vec::new();
         let mut scratch = EvalScratch::new();
-        let mut undefined = 0u64;
-        for s in graph.states() {
-            for ((_, program), (_, column)) in programs.iter().zip(&mut columns) {
-                column.push(match program.eval(s, &mut scratch) {
-                    Ok(value) => {
-                        let id = intern(&mut ids, &value);
-                        if id as usize == values.len() {
-                            values.push(value);
-                        }
-                        id
-                    }
-                    Err(_) => {
-                        undefined += 1;
-                        NONE
+        let (mut undefined, mut evaluated) = (0u64, 0u64);
+        for id in 0..graph.len() {
+            let row = graph.row(id);
+            for ((_, m), (_, column)) in mapped.iter_mut().zip(&mut columns) {
+                layout.gather_key(row, &m.reads, &mut m.key);
+                let image = intern_key(&mut m.ids, &m.key, |_| {
+                    evaluated += 1;
+                    match m.program.eval(graph.state(id), &mut scratch) {
+                        Ok(value) => *ids.entry(value).or_insert_with_key(|value| {
+                            values.push(value.clone());
+                            u32::try_from(values.len() - 1).expect("distinct values fit in u32")
+                        }),
+                        Err(_) => NONE,
                     }
                 });
+                undefined += u64::from(image == NONE);
+                column.push(image);
             }
         }
-        if !programs.is_empty() && recorder.enabled() {
+        if !mapped.is_empty() && recorder.enabled() {
             recorder.record(&Event::ImagePass {
                 states: graph.len() as u64,
-                mapped_vars: programs.len() as u64,
+                mapped_vars: mapped.len() as u64,
                 distinct_values: values.len() as u64,
                 undefined,
+                evaluated,
+                key_bits: key_bits as u64,
                 nanos: started.elapsed().as_nanos() as u64,
             });
         }
@@ -169,6 +245,7 @@ impl Images {
             columns,
             column_of,
             values,
+            undefined,
         }
     }
 
@@ -213,11 +290,28 @@ impl Images {
         self.values.len()
     }
 
-    /// The image column of `v`; `None` for an unmapped variable.
-    fn column(&self, v: VarId) -> Option<&[u32]> {
+    /// Images that are undefined: `σ(v)` erred at the state.
+    pub fn undefined(&self) -> u64 {
+        self.undefined
+    }
+
+    /// The image column of `v` — per state, the id of `σ(v)` there
+    /// among the distinct values, numbered in state order, or
+    /// `u32::MAX` where it is undefined; `None` for an unmapped
+    /// variable.
+    pub fn column(&self, v: VarId) -> Option<&[u32]> {
         match self.column_of.get(v.index()) {
             Some(&column) if column != NONE => Some(&self.columns[column as usize].1),
             _ => None,
+        }
+    }
+
+    /// Bits of the largest image id: how wide a class key's image field
+    /// is.
+    fn id_bits(&self) -> u32 {
+        match self.values.len() {
+            0 | 1 => 0,
+            n => u32::BITS - ((n - 1) as u32).leading_zeros(),
         }
     }
 }
@@ -275,44 +369,55 @@ pub struct Classes<'g> {
     of: Vec<u32>,
     /// Distinct classes found.
     count: usize,
+    /// What the pass took.
+    nanos: u64,
     /// Step lookups and step evaluations of every memo dropped so far.
     steps: AtomicU64,
     evaluated: AtomicU64,
 }
 
 impl<'g> Classes<'g> {
-    /// One pass over `graph`: interns each state's image tuple over
-    /// `footprint`, a mapped slot read from `images` and an unmapped
-    /// one from the state. Unmapped values are interned to `u32`s and
-    /// the tuples keyed as `Box<[u32]>`; both interners are dropped
-    /// before this returns, so what stays resident is four bytes per
-    /// state (nothing when skipped).
+    /// One pass over `graph`: numbers each state's image tuple over
+    /// `footprint` by its key — the codes of the unmapped slots in the
+    /// state's row, then the image id of each mapped one, read from
+    /// `images`, in as many bits as the largest id needs — in state
+    /// order. The key table is dropped before this returns, so what
+    /// stays resident is four bytes per state (nothing when skipped).
     ///
     /// # Panics
     ///
     /// If `images` are of a graph with fewer states.
     pub fn of_graph(graph: &'g StateGraph, footprint: &VarSet, images: &'g Images) -> Classes<'g> {
-        let slots: Vec<(VarId, Option<&[u32]>)> =
-            footprint.iter().map(|v| (v, images.column(v))).collect();
-        let mut values: FxHashMap<Value, u32> = FxHashMap::default();
-        let mut keys: FxHashMap<Box<[u32]>, u32> = FxHashMap::default();
-        let mut key = Vec::with_capacity(slots.len());
+        let started = Instant::now();
+        let layout = graph.layout();
+        let mut shape = KeyShape {
+            codes: Vec::new(),
+            mapped: Vec::new(),
+            id_bits: images.id_bits(),
+        };
+        // A variable that is neither mapped nor a slot of the rows has
+        // no value at any state: then no state has a class.
+        let mut unbound = false;
+        for v in footprint.iter() {
+            match images.column(v) {
+                Some(column) => shape.mapped.push(column),
+                None if v.index() < layout.slots() => shape.codes.push(v.index()),
+                None => unbound = true,
+            }
+        }
+        let mut key = words(shape.bits(layout));
+        let mut keys = KeyIds::default();
         let mut of = Vec::with_capacity(graph.len());
         let mut classed = 0usize;
-        for (id, s) in graph.states().iter().enumerate() {
-            if !image_key(s, id, &slots, &mut values, &mut key) {
+        for id in 0..graph.len() {
+            if unbound || !shape.write(layout, graph.row(id), id, &mut key) {
                 of.push(NONE);
                 continue;
             }
             classed += 1;
-            let class = match keys.get(key.as_slice()) {
-                Some(class) => *class,
-                None => {
-                    let class = u32::try_from(keys.len()).expect("state ids fit in u32");
-                    keys.insert(key.as_slice().into(), class);
-                    class
-                }
-            };
+            let class = intern_key(&mut keys, &key, |next| {
+                u32::try_from(next).expect("state ids fit in u32")
+            });
             of.push(class);
         }
         let count = keys.len();
@@ -325,6 +430,7 @@ impl<'g> Classes<'g> {
             images,
             of,
             count,
+            nanos: started.elapsed().as_nanos() as u64,
             steps: AtomicU64::new(0),
             evaluated: AtomicU64::new(0),
         }
@@ -361,44 +467,41 @@ impl<'g> Classes<'g> {
                 distinct_pairs: self.evaluated.load(Ordering::Relaxed),
                 edges: self.steps.load(Ordering::Relaxed),
                 skipped: self.skipped(),
+                nanos: self.nanos,
             });
         }
     }
 }
 
-/// Writes the image tuple of `s` (state `id`) into `key`; `false` if
-/// some component has no value there.
-fn image_key(
-    s: &State,
-    id: usize,
-    slots: &[(VarId, Option<&[u32]>)],
-    values: &mut FxHashMap<Value, u32>,
-    key: &mut Vec<u32>,
-) -> bool {
-    key.clear();
-    for (v, column) in slots {
-        let component = match column {
-            Some(column) => column[id],
-            None => match s.try_get(*v) {
-                Some(value) => intern(values, value),
-                None => NONE,
-            },
-        };
-        if component == NONE {
-            return false;
-        }
-        key.push(component);
-    }
-    true
+/// What a class key is made of: the codes of the unmapped footprint
+/// slots, then each mapped variable's image id from its column,
+/// `id_bits` bits each.
+struct KeyShape<'i> {
+    codes: Vec<usize>,
+    mapped: Vec<&'i [u32]>,
+    id_bits: u32,
 }
 
-fn intern(values: &mut FxHashMap<Value, u32>, value: &Value) -> u32 {
-    if let Some(id) = values.get(value) {
-        return *id;
+impl KeyShape<'_> {
+    /// The bits of a key.
+    fn bits(&self, layout: &PackedLayout) -> usize {
+        layout.key_bits(&self.codes) + self.mapped.len() * self.id_bits as usize
     }
-    let id = u32::try_from(values.len()).expect("distinct values fit in u32");
-    values.insert(value.clone(), id);
-    id
+
+    /// Writes the key of state `id`, whose row is `row`, into `key`;
+    /// `false` if some image is undefined there.
+    fn write(&self, layout: &PackedLayout, row: &[u8], id: usize, key: &mut [u64]) -> bool {
+        let mut at = layout.gather_key(row, &self.codes, key);
+        for column in &self.mapped {
+            let image = column[id];
+            if image == NONE {
+                return false;
+            }
+            PackedLayout::put_bits(key, at, u64::from(image), self.id_bits);
+            at += self.id_bits as usize;
+        }
+        true
+    }
 }
 
 /// One predicate's answers by class, filled on demand. A check keeps
@@ -506,12 +609,21 @@ impl Drop for Memo<'_> {
     }
 }
 
+/// The passes over `Value` trees, the reference of the tests below and
+/// of `tests/proptest_image_codes.rs`.
+#[cfg(test)]
+#[path = "../tests/support/value_passes.rs"]
+mod value_passes;
+
 #[cfg(test)]
 mod tests {
+    use super::value_passes::{value_classes, value_images, ValueImages};
     use super::*;
+    use crate::obs::Recorder;
     use crate::{explore, ExploreOptions, GuardedAction, Init, System};
     use opentla_kernel::{Domain, Expr, Vars};
     use std::convert::Infallible;
+    use std::sync::{Arc, Mutex};
 
     fn images(graph: &StateGraph, mapping: &Substitution) -> Images {
         Images::of_graph(graph, mapping, &RecorderHandle::default())
@@ -658,5 +770,109 @@ mod tests {
             memo.step(0, 0, boom, || unreachable!("remembered")),
             Ok(true)
         );
+    }
+
+    /// Keeps the `(evaluated, key_bits)` of every `image_pass` event.
+    #[derive(Default)]
+    struct Passes(Mutex<Vec<(u64, u64)>>);
+
+    impl Recorder for Passes {
+        fn record(&self, event: &Event<'_>) {
+            if let Event::ImagePass {
+                evaluated,
+                key_bits,
+                ..
+            } = *event
+            {
+                self.0.lock().unwrap().push((evaluated, key_bits));
+            }
+        }
+    }
+
+    /// `images` as the reference has them: every column, `None` for
+    /// an undefined image, and the two counts.
+    fn as_reference(images: &Images) -> ValueImages {
+        let columns = (images.columns.iter())
+            .map(|(v, column)| {
+                let ids = column.iter().map(|&id| (id != NONE).then_some(id));
+                (*v, ids.collect())
+            })
+            .collect();
+        ValueImages {
+            columns,
+            distinct_values: images.distinct_values(),
+            undefined: images.undefined(),
+        }
+    }
+
+    /// Keys past one word: 80 bit variables `b0..b79` filled one after
+    /// the other (81 fill levels) beside a free toggle `t`, 162 states.
+    /// `m ↦ Σ bᵢ` reads all 80 bits — an 80-bit image key, 81 images —
+    /// and `t ↦ 1 ÷ b79` is undefined below the last level. Class keys
+    /// of 80 codes, of 80 codes and a 7-bit image id, and of image ids
+    /// alone, number images and classes as the passes over values do.
+    #[test]
+    fn keys_wider_than_a_word_number_as_the_values_do() {
+        let mut vars = Vars::new();
+        let bits: Vec<VarId> = (0..80)
+            .map(|i| vars.declare(format!("b{i}"), Domain::bits()))
+            .collect();
+        let t = vars.declare("t", Domain::bits());
+        let m = vars.declare("m", Domain::new(vec![Value::Int(0)]));
+        let mut actions: Vec<GuardedAction> = (0..80)
+            .map(|i| {
+                let mut guard = Expr::var(bits[i]).eq(Expr::int(0));
+                if i > 0 {
+                    guard = guard.and(Expr::var(bits[i - 1]).eq(Expr::int(1)));
+                }
+                GuardedAction::new(format!("fill{i}"), guard, vec![(bits[i], Expr::int(1))])
+            })
+            .collect();
+        actions.push(GuardedAction::new(
+            "toggle",
+            Expr::bool(true),
+            vec![(t, Expr::int(1).sub(Expr::var(t)))],
+        ));
+        let init = (bits.iter().chain([&t, &m])).map(|&v| (v, Value::Int(0)));
+        let sys = System::new(vars, Init::new(init), actions);
+        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
+        assert_eq!(graph.len(), 162);
+        let sum = bits.iter().fold(Expr::int(0), |e, &b| e.add(Expr::var(b)));
+        let mapping = Substitution::new([(m, sum), (t, Expr::int(1).div(Expr::var(bits[79])))]);
+        let passes = Arc::new(Passes::default());
+        let images = Images::of_graph(&graph, &mapping, &RecorderHandle::new(passes.clone()));
+        let reference = value_images(graph.states(), &mapping);
+        assert_eq!(as_reference(&images), reference);
+        assert_eq!((reference.distinct_values, reference.undefined), (81, 160));
+        // 81 sums and the two keys of b79, each evaluated once.
+        assert_eq!(*passes.0.lock().unwrap(), [(83, 80)]);
+        // Unmapped, `t` is an 81st code: every state its own class.
+        let (unmapped, no_images) = (
+            Images::default(),
+            value_images(graph.states(), &Substitution::default()),
+        );
+        let with_t: Vec<VarId> = bits.iter().copied().chain([t]).collect();
+        let footprints = [
+            (bits.clone(), &images, &reference, 81, false),
+            (
+                bits.iter().copied().chain([m]).collect(),
+                &images,
+                &reference,
+                81,
+                false,
+            ),
+            (with_t.clone(), &images, &reference, 1, false),
+            (vec![m, t], &images, &reference, 1, false),
+            (with_t, &unmapped, &no_images, 162, true),
+        ];
+        for (footprint, images, reference, count, skipped) in footprints {
+            let footprint: VarSet = footprint.into_iter().collect();
+            let classes = Classes::of_graph(&graph, &footprint, images);
+            let expected = value_classes(graph.states(), &footprint, reference);
+            let of: Vec<Option<u32>> = (0..graph.len()).map(|id| classes.get(id)).collect();
+            assert_eq!(of, expected.of, "{} variables", footprint.len());
+            assert_eq!((classes.count(), classes.skipped()), (count, skipped));
+            assert_eq!((expected.count, expected.skipped), (count, skipped));
+        }
     }
 }

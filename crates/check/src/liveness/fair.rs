@@ -60,22 +60,31 @@ pub(super) struct FairInfo {
     pub(super) enabled: Vec<bool>,
 }
 
+/// The tables of the system's own fairness requirements. An edge is an
+/// `⟨A⟩_v` step when one of the actions fired it and the codes of the
+/// subscript's slots differ between the two rows — a code is a value's
+/// position in its slot's domain, so that is `v' ≠ v`.
 pub(super) fn system_fair_infos(
     system: &System,
     graph: &StateGraph,
     meter: &Meter,
 ) -> Result<Vec<FairInfo>, Stop> {
+    let layout = graph.layout();
     system
         .fairness()
         .iter()
         .map(|f| {
+            let sub: Vec<usize> = f.sub.iter().map(|v| v.index()).collect();
+            let unchanged = |s: &[u8], t: &[u8]| {
+                (sub.iter()).all(|&slot| layout.read_code(s, slot) == layout.read_code(t, slot))
+            };
             let (angle, enabled) = table_rows(graph, |id, flags| {
-                let s = graph.state(id);
+                let s = graph.row(id);
                 let mut fires = false;
                 for e in graph.edges(id) {
                     charge_edge(meter)?;
-                    let angle = f.action_ids.contains(&e.action)
-                        && !s.agrees_with(graph.state(e.target), &f.sub);
+                    let angle =
+                        f.action_ids.contains(&e.action) && !unchanged(s, graph.row(e.target));
                     flags.push(angle);
                     fires |= angle;
                 }
@@ -363,6 +372,28 @@ mod tests {
         Ok(tables)
     }
 
+    /// `system_fair_infos` on `graph` is `row_tables`, flag for flag;
+    /// the flags that are set, per requirement.
+    fn assert_flat_tables_are_the_row_tables(system: &System, graph: &StateGraph) -> Vec<usize> {
+        let rows = row_tables(system, graph, &Budget::default()).expect("unbudgeted");
+        let meter = Meter::start(&Budget::default());
+        let infos =
+            system_fair_infos(system, graph, &meter).unwrap_or_else(|_| panic!("unbudgeted"));
+        let requirements = system.fairness().len();
+        assert_eq!(meter.transitions_used(), requirements * graph.edge_count());
+        let mut set = vec![0; requirements];
+        for ((info, (angle, enabled)), set) in infos.iter().zip(&rows).zip(&mut set) {
+            assert_eq!(&info.enabled, enabled);
+            for (s, row) in angle.iter().enumerate() {
+                for (i, flag) in row.iter().enumerate() {
+                    assert_eq!(info.angle.get(graph, s, i), *flag, "{s}/{i}");
+                    *set += usize::from(*flag);
+                }
+            }
+        }
+        set
+    }
+
     #[test]
     fn flat_tables_are_the_row_tables() {
         for top in [9, 19] {
@@ -372,20 +403,57 @@ mod tests {
             assert_eq!(n as i64, 2 * (top + 1) * (top + 1));
             assert_eq!(graph.deadlocks().len(), n / 2, "the halted states");
             assert_eq!(graph.edge_base(n), graph.edge_count());
-            let rows = row_tables(&system, &graph, &Budget::default()).expect("unbudgeted");
-            let meter = Meter::start(&Budget::default());
-            let infos =
-                system_fair_infos(&system, &graph, &meter).unwrap_or_else(|_| panic!("unbudgeted"));
-            assert_eq!(meter.transitions_used(), 2 * graph.edge_count());
-            for (info, (angle, enabled)) in infos.iter().zip(&rows) {
-                assert_eq!(&info.enabled, enabled);
-                for (s, row) in angle.iter().enumerate() {
-                    for (i, flag) in row.iter().enumerate() {
-                        assert_eq!(info.angle.get(&graph, s, i), *flag, "{s}/{i}");
-                    }
-                }
-            }
+            assert_flat_tables_are_the_row_tables(&system, &graph);
         }
+    }
+
+    /// "Subscript unchanged" compares codes in two rows: here `b`'s
+    /// four bits sit at bits 5..=8 of the row, across its first byte
+    /// boundary, behind `p` (2 bits) and `a` (3). `bump` rewrites `c`
+    /// and leaves `b`, so its edges are `⟨A⟩_b` steps for one
+    /// requirement and not for another; `spin` rewrites `p` alone.
+    #[test]
+    fn flat_tables_compare_codes_across_a_byte_boundary() {
+        let mut vars = Vars::new();
+        let p = vars.declare("p", Domain::int_range(0, 2));
+        let a = vars.declare("a", Domain::int_range(0, 4));
+        let b = vars.declare("b", Domain::int_range(0, 9));
+        let c = vars.declare("c", Domain::int_range(0, 20));
+        let step = |v, top: i64| Expr::var(v).add(Expr::int(1)).rem(Expr::int(top + 1));
+        let actions = vec![
+            GuardedAction::new(
+                "inc_b",
+                Expr::var(b).lt(Expr::int(9)),
+                vec![(b, Expr::var(b).add(Expr::int(1)))],
+            ),
+            GuardedAction::new("bump", Expr::bool(true), vec![(c, step(c, 20))]),
+            GuardedAction::new(
+                "dec_b",
+                Expr::var(b).gt(Expr::int(0)),
+                vec![(b, Expr::var(b).sub(Expr::int(1))), (a, step(a, 4))],
+            ),
+            GuardedAction::new("spin", Expr::bool(true), vec![(p, step(p, 2))]),
+        ];
+        let init = Init::new([p, a, b, c].map(|v| (v, Value::Int(0))));
+        let system = System::new(vars, init, actions)
+            .with_fairness(SystemFairness::weak(vec![0, 1], vec![b]))
+            .with_fairness(SystemFairness::strong(vec![1, 2], vec![b, c]))
+            .with_fairness(SystemFairness::weak(vec![1, 3], vec![a, b]));
+        let graph = explore(&system, &ExploreOptions::default()).unwrap();
+        assert_eq!(graph.len(), 3 * 5 * 10 * 21);
+        let layout = graph.layout();
+        let first: usize = (0..b.index()).map(|s| layout.width(s) as usize).sum();
+        let last = first + layout.width(b.index()) as usize - 1;
+        assert_eq!((first / 8, last / 8), (0, 1), "b straddles a byte boundary");
+        // Per requirement: inc_b's edges (b < 9: 3·5·9·21); bump's and
+        // dec_b's (every state, and b > 0); none — neither bump nor
+        // spin changes a or b.
+        let inc_b = 3 * 5 * 9 * 21;
+        let expected = [inc_b, 3150 + inc_b, 0];
+        assert_eq!(
+            assert_flat_tables_are_the_row_tables(&system, &graph),
+            expected
+        );
     }
 
     #[test]

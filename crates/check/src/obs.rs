@@ -53,7 +53,7 @@ use std::time::Instant;
 /// Version tag carried by every serialized event (`"v"`) and by
 /// [`RunReport::schema_version`]. Bump when the event schema changes
 /// shape.
-pub const OBS_SCHEMA_VERSION: u64 = 5;
+pub const OBS_SCHEMA_VERSION: u64 = 6;
 
 /// A [`Event::Progress`] snapshot is emitted every this many meter
 /// checkpoints (when a recorder is enabled). Checkpoints run once per
@@ -360,7 +360,7 @@ pub enum Event<'a> {
     /// its hypotheses 2(a) and 2(b) share; a stand-alone check under a
     /// non-empty mapping emits its own, inside its phase.
     ImagePass {
-        /// States the mapping was evaluated at.
+        /// States given their images.
         states: u64,
         /// Variables the mapping replaces.
         mapped_vars: u64,
@@ -368,6 +368,13 @@ pub enum Event<'a> {
         distinct_values: u64,
         /// Images that are undefined (the evaluation erred there).
         undefined: u64,
+        /// Evaluations of a mapped variable's image: one per distinct
+        /// key of the codes in the slots it reads — the lookups that
+        /// missed. `1 - evaluated / (states × mapped_vars)` is the hit
+        /// ratio.
+        evaluated: u64,
+        /// The widest such key, in bits.
+        key_bits: u64,
         /// What the pass took.
         nanos: u64,
     },
@@ -390,6 +397,8 @@ pub enum Event<'a> {
         /// Whether no two states shared a class, so every lookup
         /// evaluated.
         skipped: bool,
+        /// What the class pass took (the lookups are the check's).
+        nanos: u64,
     },
     /// What the effect tables of packed stepping did over one
     /// exploration, summed over its workers (see
@@ -615,19 +624,22 @@ describe_events! {
         resident_bytes: U64 Required = resident_bytes,
         spilled_bytes: U64 Required = spilled_bytes,
     }
-    ImagePass { states, mapped_vars, distinct_values, undefined, nanos } => "image_pass" {
+    ImagePass { states, mapped_vars, distinct_values, undefined, evaluated, key_bits, nanos } => "image_pass" {
         states: U64 Required = states,
         mapped_vars: U64 Required = mapped_vars,
         distinct_values: U64 Required = distinct_values,
         undefined: U64 Required = undefined,
+        evaluated: U64 Required = evaluated,
+        key_bits: U64 Required = key_bits,
         nanos: U64 Required = nanos,
     }
-    ImageMemo { check, classes, distinct_pairs, edges, skipped } => "image_memo" {
+    ImageMemo { check, classes, distinct_pairs, edges, skipped, nanos } => "image_memo" {
         check: Str Required = check,
         classes: U64 Required = classes,
         distinct_pairs: U64 Required = distinct_pairs,
         edges: U64 Required = edges,
         skipped: Bool Required = skipped,
+        nanos: U64 Required = nanos,
     }
     StepMemo { actions, tabled_actions, table_entries, lookups, misses } => "step_memo" {
         actions: U64 Required = actions,
@@ -1572,6 +1584,15 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                          undefined among {images} images"
                     ));
                 }
+                // Every distinct value came out of an evaluation, and
+                // no image was evaluated twice.
+                let evaluated = req_u64(&obj, "evaluated", line)?;
+                if distinct > evaluated || evaluated > images {
+                    return Err(format!(
+                        "line {line}: {evaluated} evaluations for {distinct} distinct \
+                         values among {images} images"
+                    ));
+                }
             }
             "image_memo" => {
                 let pairs = req_u64(&obj, "distinct_pairs", line)?;
@@ -1732,6 +1753,8 @@ mod tests {
                 mapped_vars: 1,
                 distinct_values: 2,
                 undefined: 0,
+                evaluated: 2,
+                key_bits: 3,
                 nanos: 650,
             },
             Event::ImageMemo {
@@ -1740,6 +1763,7 @@ mod tests {
                 distinct_pairs: 2,
                 edges: 2,
                 skipped: false,
+                nanos: 420,
             },
             Event::StepMemo {
                 actions: 13,
@@ -1768,10 +1792,10 @@ mod tests {
         "\"ev\":\"resume\",\"seq\":1,\"states\":3,\"transitions\":2,\"frontier\":1",
         "\"ev\":\"spill\",\"tier\":\"arena\",\"seq\":0,\"records\":64,\"bytes\":4096,\"total_spilled_bytes\":8192",
         "\"ev\":\"cache_stats\",\"hits\":9,\"misses\":1,\"evictions\":0,\"resident_bytes\":4096,\"spilled_bytes\":8192",
-        "\"ev\":\"image_pass\",\"states\":3,\"mapped_vars\":1,\"distinct_values\":2,\"undefined\":0,\"nanos\":650",
-        "\"ev\":\"image_memo\",\"check\":\"simulation\",\"classes\":2,\"distinct_pairs\":2,\"edges\":2,\"skipped\":false",
+        "\"ev\":\"image_pass\",\"states\":3,\"mapped_vars\":1,\"distinct_values\":2,\"undefined\":0,\"evaluated\":2,\"key_bits\":3,\"nanos\":650",
+        "\"ev\":\"image_memo\",\"check\":\"simulation\",\"classes\":2,\"distinct_pairs\":2,\"edges\":2,\"skipped\":false,\"nanos\":420",
         "\"ev\":\"step_memo\",\"actions\":13,\"tabled_actions\":12,\"table_entries\":171,\"lookups\":6360302,\"misses\":172",
-        "\"ev\":\"run_end\",\"report\":{\"schema_version\":5,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
+        "\"ev\":\"run_end\",\"report\":{\"schema_version\":6,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
     ];
 
     #[test]
@@ -1828,7 +1852,7 @@ mod tests {
     /// One line of `event` with `field` dropped (`retyped: None`) or
     /// rewritten as `retyped`.
     fn line_with(event: &Event<'_>, field: &str, retyped: Option<&str>) -> String {
-        let mut line = format!("{{\"v\":5,\"t\":1,\"ev\":\"{}\"", event.kind());
+        let mut line = format!("{{\"v\":6,\"t\":1,\"ev\":\"{}\"", event.kind());
         event.for_each_field(|name, value| match retyped {
             _ if name != field => line.push_str(&format!(",\"{name}\":{value}")),
             Some(other) => line.push_str(&format!(",\"{name}\":{other}")),
@@ -1856,19 +1880,19 @@ mod tests {
 
     #[test]
     fn validator_rejects_mistyped_optionals_and_unlisted_members() {
-        let progress = "{\"v\":5,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\
+        let progress = "{\"v\":6,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\
                         \"elapsed_nanos\":0,\"states_per_sec\":0";
         assert!(validate_stream(&format!("{progress}}}\n")).is_ok());
         let err = validate_stream(&format!("{progress},\"frontier\":\"x\"}}\n")).unwrap_err();
         assert_eq!(err, "line 1: missing/invalid \"frontier\"");
-        let cx = "{\"v\":5,\"t\":1,\"ev\":\"counterexample\",\"kind\":\"liveness\",\
+        let cx = "{\"v\":6,\"t\":1,\"ev\":\"counterexample\",\"kind\":\"liveness\",\
                   \"reason\":\"r\",\"length\":3,\"fault_steps\":0";
         assert!(validate_stream(&format!("{cx},\"loop_start\":1}}\n")).is_ok());
         let err = validate_stream(&format!("{cx},\"loop_start\":-1}}\n")).unwrap_err();
         assert_eq!(err, "line 1: missing/invalid \"loop_start\"");
         // A member the kind's row does not list, on the second line.
         let err = validate_stream(&format!(
-            "{cx}}}\n{{\"v\":5,\"t\":2,\"ev\":\"resume\",\"seq\":1,\"states\":3,\
+            "{cx}}}\n{{\"v\":6,\"t\":2,\"ev\":\"resume\",\"seq\":1,\"states\":3,\
              \"transitions\":2,\"frontier\":1,\"ample_states\":0}}\n"
         ))
         .unwrap_err();
@@ -2003,6 +2027,7 @@ mod tests {
             distinct_pairs: 178,
             edges: 1_699_992,
             skipped: false,
+            nanos: 21_000_000,
         };
         let rec = CountingRecorder::new();
         rec.record(&event);
@@ -2018,13 +2043,17 @@ mod tests {
         assert_eq!(summary.kinds["image_memo"], 1);
         // More evaluations than edges, or a skipped memo that did not
         // evaluate every edge, is not a stream this crate writes.
-        let head = "{\"v\":5,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
-        let bad = format!("{head},\"distinct_pairs\":9,\"edges\":8,\"skipped\":false}}\n");
+        let head = "{\"v\":6,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
+        let bad =
+            format!("{head},\"distinct_pairs\":9,\"edges\":8,\"skipped\":false,\"nanos\":5}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("evaluations"));
-        let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8,\"skipped\":true}}\n");
+        let bad =
+            format!("{head},\"distinct_pairs\":7,\"edges\":8,\"skipped\":true,\"nanos\":5}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("skipped"));
-        let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8}}\n");
+        let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8,\"nanos\":5}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("skipped"));
+        let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8,\"skipped\":false}}\n");
+        assert!(validate_stream(&bad).unwrap_err().contains("nanos"));
     }
 
     #[test]
@@ -2050,7 +2079,7 @@ mod tests {
         assert_eq!(summary.kinds["step_memo"], 1);
         // More tabled actions than actions, or more misses than
         // lookups, is not a stream this crate writes.
-        let head = "{\"v\":5,\"t\":1,\"ev\":\"step_memo\",\"actions\":2";
+        let head = "{\"v\":6,\"t\":1,\"ev\":\"step_memo\",\"actions\":2";
         let bad = format!(
             "{head},\"tabled_actions\":3,\"table_entries\":0,\"lookups\":0,\"misses\":0}}\n"
         );
@@ -2068,6 +2097,8 @@ mod tests {
             mapped_vars: 1,
             distinct_values: 1_023,
             undefined: 0,
+            evaluated: 44_358,
+            key_bits: 40,
             nanos: 650_000_000,
         };
         let rec = CountingRecorder::new();
@@ -2082,29 +2113,47 @@ mod tests {
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let summary = validate_stream(&text).expect("stream validates");
         assert_eq!(summary.kinds["image_pass"], 1);
-        // More distinct (or undefined) values than images evaluated, or
-        // a missing field, is not a stream this crate writes.
-        let head = "{\"v\":5,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
-        let bad = format!("{head},\"distinct_values\":9,\"undefined\":0,\"nanos\":5}}\n");
-        assert!(validate_stream(&bad).unwrap_err().contains("distinct"));
-        let bad = format!("{head},\"distinct_values\":6,\"undefined\":3,\"nanos\":5}}\n");
-        assert!(validate_stream(&bad).unwrap_err().contains("undefined"));
-        let bad = format!("{head},\"distinct_values\":6,\"undefined\":0}}\n");
+        // More distinct (or undefined) values than images, fewer
+        // evaluations than distinct values or more than images, or a
+        // missing field, is not a stream this crate writes.
+        let head = "{\"v\":6,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
+        let line = |distinct: u64, undefined: u64, evaluated: u64| {
+            format!(
+                "{head},\"distinct_values\":{distinct},\"undefined\":{undefined},\
+                 \"evaluated\":{evaluated},\"key_bits\":7,\"nanos\":5}}\n"
+            )
+        };
+        validate_stream(&line(6, 2, 8)).expect("at the bounds");
+        assert!(validate_stream(&line(9, 0, 8))
+            .unwrap_err()
+            .contains("distinct"));
+        assert!(validate_stream(&line(6, 3, 8))
+            .unwrap_err()
+            .contains("undefined"));
+        assert!(validate_stream(&line(6, 0, 5))
+            .unwrap_err()
+            .contains("evaluations"));
+        assert!(validate_stream(&line(6, 0, 9))
+            .unwrap_err()
+            .contains("evaluations"));
+        let bad = format!(
+            "{head},\"distinct_values\":6,\"undefined\":0,\"evaluated\":6,\"key_bits\":7}}\n"
+        );
         assert!(validate_stream(&bad).unwrap_err().contains("nanos"));
     }
 
     #[test]
     fn validator_rejects_malformed_streams() {
         // Backwards timestamp.
-        let bad = "{\"v\":5,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":5,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
+        let bad = "{\"v\":6,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":6,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("backwards"));
         // Mismatched phase nesting.
-        let bad = "{\"v\":5,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":5,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
+        let bad = "{\"v\":6,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":6,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("closes"));
         // Unclosed run.
-        let bad = "{\"v\":5,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
+        let bad = "{\"v\":6,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("open run"));
         // Wrong version.
         let bad = "{\"v\":99,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\"elapsed_nanos\":0}\n";
@@ -2116,7 +2165,7 @@ mod tests {
             .unwrap_err()
             .contains("schema version 4"));
         // Unknown kind.
-        let bad = "{\"v\":5,\"t\":1,\"ev\":\"mystery\"}\n";
+        let bad = "{\"v\":6,\"t\":1,\"ev\":\"mystery\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("unknown event"));
     }
 

@@ -57,6 +57,17 @@ pub struct PackedLayout {
     domains: Vec<Domain>,
 }
 
+/// The shape, not the tables: a layout's Zobrist entries and domains
+/// are as large as the domains they mirror.
+impl std::fmt::Debug for PackedLayout {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PackedLayout")
+            .field("slots", &self.slots.len())
+            .field("stride", &self.stride)
+            .finish()
+    }
+}
+
 impl PackedLayout {
     /// Compiles a layout from declared domains, or `None` when a
     /// domain's codes do not fit a `u32`.
@@ -102,6 +113,49 @@ impl PackedLayout {
     /// Total packed width of one state, in bits.
     pub fn state_bits(&self) -> usize {
         self.slots.iter().map(|s| s.width as usize).sum()
+    }
+
+    /// The width of `slot`'s codes, in bits.
+    pub fn width(&self, slot: usize) -> u32 {
+        self.slots[slot].width
+    }
+
+    /// The bits a key over `slots` takes: their widths, summed.
+    pub fn key_bits(&self, slots: &[usize]) -> usize {
+        slots.iter().map(|&slot| self.width(slot) as usize).sum()
+    }
+
+    /// Gathers the codes of `slots` in `row` into `key`, zeroed first:
+    /// side by side from bit 0 of word 0, each in its slot's width, so
+    /// two rows agree on those slots exactly when their keys are equal.
+    /// `key` holds at least [`key_bits`](Self::key_bits)`(slots)` bits,
+    /// in as many words as they need; returns that bit count.
+    #[inline]
+    pub fn gather_key(&self, row: &[u8], slots: &[usize], key: &mut [u64]) -> usize {
+        key.fill(0);
+        slots.iter().fold(0, |at, &slot| {
+            let width = self.width(slot);
+            Self::put_bits(key, at, u64::from(self.read_code(row, slot)), width);
+            at + width as usize
+        })
+    }
+
+    /// Writes the low `width` bits of `value` into the zero bits of
+    /// `key` at bit `at` (counting from bit 0 of word 0), across a word
+    /// boundary if they straddle one: how a key gathered by
+    /// [`gather_key`](Self::gather_key) is extended with fields that are
+    /// not slot codes.
+    #[inline]
+    pub fn put_bits(key: &mut [u64], at: usize, value: u64, width: u32) {
+        if width == 0 {
+            return;
+        }
+        let value = value & (u64::MAX >> (64 - width));
+        let (word, bit) = (at / 64, (at % 64) as u32);
+        key[word] |= value << bit;
+        if bit + width > 64 {
+            key[word + 1] |= value >> (64 - bit);
+        }
     }
 
     /// The domain index of `value` in `slot`, or `None` when the
@@ -421,6 +475,37 @@ mod tests {
         let buf = layout.pack(&s).expect("in-domain");
         assert_eq!(layout.unpack(&buf), s);
         assert_eq!(layout.fingerprint(&buf), s.fingerprint());
+    }
+
+    /// A key over slots whose widths sum past a word spills into the
+    /// next one, bit for bit: 13 slots of 7 bits are 91 bits, two
+    /// words, slot 9 straddling their boundary; the key equals the codes
+    /// shifted into place, and `put_bits` extends it past them.
+    #[test]
+    fn keys_gather_codes_side_by_side_across_words() {
+        let mut vars = Vars::new();
+        for i in 0..13 {
+            vars.declare(format!("v{i}"), Domain::int_range(0, 99));
+        }
+        let layout = PackedLayout::compile(&vars).expect("compiles");
+        let s = State::new((0..13).map(|i| Value::Int(7 * i + 3)).collect::<Vec<_>>());
+        let row = layout.pack(&s).expect("in-domain");
+        let slots: Vec<usize> = (0..13).collect();
+        assert_eq!(layout.key_bits(&slots), 91);
+        let mut key = [u64::MAX; 3];
+        assert_eq!(layout.gather_key(&row, &slots, &mut key[..2]), 91);
+        let expected = (0..13).fold(0u128, |k, i| k | ((7 * i as u128 + 3) << (7 * i)));
+        assert_eq!(key[..2], [expected as u64, (expected >> 64) as u64]);
+        assert_eq!(key[2], u64::MAX, "nothing past the key's words");
+        PackedLayout::put_bits(&mut key[..2], 91, 0b1011, 4);
+        assert_eq!(key[1] >> 27, 0b1011);
+        // Only the low `width` bits are written; a subset of the slots
+        // is a shorter key.
+        let mut short = [0u64; 1];
+        PackedLayout::put_bits(&mut short, 60, 0xff, 4);
+        assert_eq!(short[0], 0xf << 60);
+        assert_eq!(layout.gather_key(&row, &[12, 0], &mut short), 14);
+        assert_eq!(short[0], 87 | (3 << 7));
     }
 
     #[test]

@@ -302,7 +302,8 @@ fn golden_image_memo_events_of_a_certificate() {
             "classes",
             "distinct_pairs",
             "edges",
-            "skipped"
+            "skipped",
+            "nanos"
         ]
     );
     assert_eq!(summary.kinds["image_pass"], 1);
@@ -320,6 +321,8 @@ fn golden_image_memo_events_of_a_certificate() {
             "mapped_vars",
             "distinct_values",
             "undefined",
+            "evaluated",
+            "key_bits",
             "nanos"
         ]
     );
@@ -343,6 +346,13 @@ fn golden_image_memo_events_of_a_certificate() {
                 // q̄ is a sequence over two values, and two one-place
                 // queues with the channel between them hold up to three.
                 assert!(num("distinct_values") <= 1 + 2 + 4 + 8);
+                // q̄ is evaluated once per key of the slots it reads:
+                // at least once per value, fewer times than there are
+                // states (the product's other slots vary too).
+                let evaluated = num("evaluated");
+                assert!(evaluated >= num("distinct_values"), "{line}");
+                assert!(evaluated < num("states"), "{line}");
+                assert!(num("key_bits") > 0, "{line}");
             }
             Some("image_memo") => {
                 let check = str_of("check").unwrap();

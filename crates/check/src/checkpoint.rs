@@ -18,19 +18,22 @@
 //!
 //! ```text
 //! magic    8 bytes  b"OTLASNAP"
-//! body     version (u32 LE) + header + manifest + frontier
+//! body     version (u32 LE) + header + layout + manifest + frontier
 //! checksum 8 bytes  FNV-1a over the body
 //! ```
 //!
 //! The manifest is the record stream the disk-backed stores write
-//! anyway — one arena record per state, one edge record per fully
-//! expanded state — with sealed segment files *referenced* (name,
-//! record count, checksum) and everything else inline. The
-//! sequential store, once on disk, references its sealed segments, so
-//! its periodic checkpoint costs O(hot tier), not O(state space); an
-//! engine whose graph is in RAM writes a manifest with no sealed
-//! segment. Either way [`Snapshot::load`] → [`Snapshot::validate`] →
-//! `materialize` → engine is the only way a file becomes a run.
+//! anyway — one arena record per state, of one tag: its packed row —
+//! and one edge record per fully expanded state — with sealed segments
+//! *referenced* (name, record count, checksum) and everything else
+//! inline. The sequential store, once on disk, references its sealed
+//! segments, so its periodic checkpoint costs O(hot tier), not O(state
+//! space); an engine whose graph is in RAM writes a manifest with no
+//! sealed segment. A row means a state only under its layout, which
+//! goes in ahead of the manifest as each slot's domain ([`codec`]
+//! values): a resume under other domains re-packs every row or refuses
+//! the snapshot. Either way [`Snapshot::load`] → [`Snapshot::validate`]
+//! → `materialize` → engine is the only way a file becomes a run.
 //!
 //! The header pins everything that decides *whether the snapshot may
 //! be trusted for a resume*: the system's structural hash, the
@@ -57,7 +60,7 @@
 //! # Why resuming preserves soundness
 //!
 //! A snapshot stores no visited set: on load the dedup structures are
-//! rebuilt by re-fingerprinting the arena ([`State::fingerprint`] is
+//! rebuilt by re-fingerprinting the arena ([`PackedLayout::fingerprint`] is
 //! deterministic across processes), under the *same* `fp_bits` the
 //! original run used — so the resumed run conflates exactly the states
 //! the original would have, keeping the under-approximation argument
@@ -72,7 +75,7 @@ use crate::obs::{Event, RecorderHandle};
 use crate::{CheckError, ExploreOptions, System, VisitedMode};
 use opentla_kernel::codec::{self, Reader};
 use opentla_kernel::store::{self, fnv1a, SegmentMeta, StoreError};
-use opentla_kernel::{PackedLayout, State, Vars};
+use opentla_kernel::{Domain, PackedLayout, Vars};
 use std::borrow::Cow;
 use std::hash::Hasher;
 use std::path::{Path, PathBuf};
@@ -86,10 +89,11 @@ use std::sync::Arc;
 pub const DEFAULT_CHECKPOINT_CADENCE: u64 = 65_536;
 
 /// Snapshot wire-format version written and accepted by this build.
-/// Version 1 carried the graph as a tree-state body of its own, and
-/// version 2 a reduced flag and a trailing symmetry-reduction block;
-/// both are refused, not read.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Version 1 carried the graph as a tree-state body of its own,
+/// version 2 a reduced flag and a trailing symmetry-reduction block,
+/// and version 3 no layout, its in-RAM captures' states as trees; all
+/// three are refused, not read.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 const MAGIC: &[u8; 8] = b"OTLASNAP";
 
@@ -413,6 +417,8 @@ impl<'a> FromIterator<&'a [u8]> for Records {
 /// no sealed segment holds, inline.
 #[derive(Clone, Debug)]
 pub(crate) struct Manifest {
+    /// The layout the arena records' rows are under.
+    pub(crate) layout: Arc<PackedLayout>,
     /// Directory holding the sealed segment files.
     pub(crate) dir: PathBuf,
     /// Total arena states (sealed + inline).
@@ -437,8 +443,10 @@ impl Manifest {
     fn inline(snap: &Snapshot) -> Manifest {
         let (mut record, mut transitions) = (Vec::new(), 0);
         let (mut arena_hot, mut edge_hot) = (Records::default(), Records::default());
-        for (id, state, parent, edges) in snap.records() {
-            encode_arena_record(state, state.fingerprint(), parent, &mut record);
+        let layout = snap.graph().layout();
+        for (id, row, parent, edges) in snap.records() {
+            let payload = |out: &mut Vec<u8>| out.extend_from_slice(row);
+            encode_packed_record(parent, layout.fingerprint(row), payload, &mut record);
             arena_hot.push(&record);
             if let Some(edges) = edges {
                 encode_edge_record(id, edges, &mut record);
@@ -447,6 +455,7 @@ impl Manifest {
             }
         }
         Manifest {
+            layout: Arc::clone(layout),
             dir: PathBuf::new(),
             states: arena_hot.len() as u64,
             transitions,
@@ -459,14 +468,12 @@ impl Manifest {
     }
 
     /// Reads every record back — sealed segments through the store's
-    /// verified reader — into the graph they describe.
-    fn materialize(&self, system: &System) -> Result<StateGraph, CheckpointError> {
-        let layout = PackedLayout::compile(system.vars())
-            .ok_or_else(|| corrupt("a snapshot of a system no packed layout compiles for"))?;
+    /// verified reader — into the graph they describe, under the
+    /// manifest's layout.
+    fn materialize(&self) -> Result<StateGraph, CheckpointError> {
         let n = self.states as usize;
         let arena = (&*self.dir, &*self.arena_segments, self.arena_hot.iter());
-        let layout = Arc::new(layout);
-        let mut graph = graph_of_arena(arena, n.min(1 << 20), &layout, system.vars())?;
+        let mut graph = graph_of_arena(arena, n.min(1 << 20), &self.layout)?;
         if graph.len() != n {
             return Err(corrupt(format!(
                 "manifest claims {n} states, its records held {}",
@@ -489,20 +496,16 @@ impl Manifest {
                 graph.edge_count()
             )));
         }
-        check_states(&graph, system)?;
         Ok(graph)
     }
 }
 
 /// Refuses a snapshot graph that `system` cannot resume from, whether
 /// it was read back from records or captured in RAM: counterexamples
-/// index the system's actions by its action words, and every engine a
-/// state's slots by the system's variables, stepping it on its packed
-/// row, so every value must lie in its domain.
-fn check_states(graph: &StateGraph, system: &System) -> Result<(), CheckpointError> {
+/// index the system's actions by its action words.
+fn check_actions(graph: &StateGraph, system: &System) -> Result<(), CheckpointError> {
     let actions = system.actions().len();
     for id in 0..graph.len() {
-        check_values(id, graph.state(id), system.vars())?;
         let led_in = graph.parent(id).map(|(_, action)| action);
         let fired = graph.edges(id).iter().map(|e| e.action);
         if let Some(action) = led_in.into_iter().chain(fired).find(|&a| a >= actions) {
@@ -514,27 +517,42 @@ fn check_states(graph: &StateGraph, system: &System) -> Result<(), CheckpointErr
     Ok(())
 }
 
-/// Refuses state `id` unless it holds one value per variable of
-/// `vars`, each in its domain: what every engine steps on a row.
-fn check_values(id: usize, state: &State, vars: &Vars) -> Result<(), CheckpointError> {
-    let (values, width) = (state.values(), vars.len());
-    if values.len() != width {
+/// The graph of a materialized `snap` with every row re-packed under
+/// `layout`, compiled from `vars`: how a snapshot is resumed under
+/// other domains than its own. Every engine indexes a state's slots by
+/// the system's variables, stepping it on its packed row, so a value
+/// outside its domain is refused.
+fn repacked(
+    snap: &Snapshot,
+    layout: &Arc<PackedLayout>,
+    vars: &Vars,
+) -> Result<StateGraph, CheckpointError> {
+    let (graph, width) = (snap.graph(), vars.len());
+    let (from, slots) = (graph.layout(), graph.layout().slots());
+    if slots != width && !graph.is_empty() {
         return Err(corrupt(format!(
-            "state {id} holds {} value(s) for a system of {width} variable(s)",
-            values.len()
+            "state 0 holds {slots} value(s) for a system of {width} variable(s)"
         )));
     }
-    let outside = vars
-        .iter()
-        .zip(values)
-        .find(|(v, val)| !vars.domain(*v).contains(val));
-    match outside {
-        Some((v, value)) => Err(corrupt(format!(
-            "state {id} holds {value} for {}, outside its domain",
-            vars.name(v)
-        ))),
-        None => Ok(()),
+    let mut repacked = StateGraph::with_capacity(Arc::clone(layout), graph.len());
+    let mut row = vec![0; layout.stride()];
+    for (id, old, parent, edges) in snap.records() {
+        for (slot, v) in vars.iter().enumerate() {
+            let value = from.value_of(slot, from.read_code(old, slot));
+            let code = layout.code_of(slot, value).ok_or_else(|| {
+                let var = vars.name(v);
+                corrupt(format!(
+                    "state {id} holds {value} for {var}, outside its domain"
+                ))
+            })?;
+            layout.write_code(&mut row, slot, code);
+        }
+        repacked.push_state(&row, parent)?;
+        if let Some(edges) = edges {
+            repacked.set_edges(id, edges)?;
+        }
     }
+    Ok(repacked)
 }
 
 impl Snapshot {
@@ -573,19 +591,19 @@ impl Snapshot {
         }
     }
 
-    /// The one walk of a materialized snapshot, in id order: `(id, state,
+    /// The one walk of a materialized snapshot, in id order: `(id, row,
     /// BFS parent, successors — `None` on the frontier, which re-expands)`.
     #[allow(clippy::type_complexity)]
     pub(crate) fn records(
         &self,
-    ) -> impl Iterator<Item = (usize, &State, Option<(usize, usize)>, Option<&[Edge]>)> {
+    ) -> impl Iterator<Item = (usize, &[u8], Option<(usize, usize)>, Option<&[Edge]>)> {
         let graph = self.graph();
         let mut unexpanded = self.frontier.iter().peekable();
-        graph.states().iter().enumerate().map(move |(id, state)| {
+        (0..graph.len()).map(move |id| {
             let expanded = unexpanded.next_if_eq(&&id).is_none();
             (
                 id,
-                state,
+                graph.row(id),
                 graph.parent(id),
                 expanded.then(|| graph.edges(id)),
             )
@@ -650,6 +668,11 @@ impl Snapshot {
         });
         out.extend_from_slice(&self.system_hash.to_le_bytes());
         out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&(m.layout.slots() as u32).to_le_bytes());
+        for domain in m.layout.domains() {
+            out.extend_from_slice(&(domain.len() as u32).to_le_bytes());
+            domain.iter().for_each(|v| codec::encode_value(v, &mut out));
+        }
         let push_ids = |out: &mut Vec<u8>, ids: &[usize]| {
             out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
             for &i in ids {
@@ -728,10 +751,12 @@ impl Snapshot {
         SnapshotReader { r }.finish()
     }
 
-    /// The snapshot with its graph in RAM, which is what the engines
-    /// resume from: a manifest's records are read back, sealed
-    /// segments through the store's verified reader, and a graph
-    /// captured in RAM is checked against `system` the same way.
+    /// The snapshot with its graph in RAM, its rows under `system`'s
+    /// layout, which is what the engines resume from: a manifest's
+    /// records are read back, sealed segments through the store's
+    /// verified reader, and a graph, read back or captured in RAM, is
+    /// checked against `system` and re-packed under its domains if
+    /// they are not the graph's.
     ///
     /// # Errors
     ///
@@ -743,16 +768,27 @@ impl Snapshot {
         &self,
         system: &System,
     ) -> Result<Cow<'_, Snapshot>, CheckpointError> {
-        match &self.body {
-            Body::Graph(graph) => {
-                check_states(graph, system)?;
-                Ok(Cow::Borrowed(self))
-            }
-            Body::Manifest(m) => Ok(Cow::Owned(Snapshot {
-                body: Body::Graph(m.materialize(system)?),
-                frontier: self.frontier.clone(),
-                ..*self
-            })),
+        let snap = match &self.body {
+            Body::Graph(_) => Cow::Borrowed(self),
+            Body::Manifest(m) => Cow::Owned(self.with_graph(m.materialize()?)),
+        };
+        check_actions(snap.graph(), system)?;
+        let layout = PackedLayout::compile(system.vars())
+            .map(Arc::new)
+            .ok_or_else(|| corrupt("a snapshot of a system no packed layout compiles for"))?;
+        if snap.graph().layout().domains() == layout.domains() {
+            return Ok(snap);
+        }
+        let graph = repacked(&snap, &layout, system.vars())?;
+        Ok(Cow::Owned(snap.with_graph(graph)))
+    }
+
+    /// This snapshot over `graph`.
+    fn with_graph(&self, graph: StateGraph) -> Snapshot {
+        Snapshot {
+            body: Body::Graph(graph),
+            frontier: self.frontier.clone(),
+            ..*self
         }
     }
 }
@@ -807,6 +843,30 @@ impl SnapshotReader<'_> {
         Ok(list)
     }
 
+    /// The layout block: each slot's domain, its values in order. A
+    /// domain is a nonempty list of distinct values.
+    fn layout(&mut self) -> Result<Arc<PackedLayout>, CheckpointError> {
+        let slots = self.r.u32("layout slot count")?;
+        let mut domains = Vec::with_capacity((slots as usize).min(self.r.remaining()));
+        for slot in 0..slots {
+            let count = self.r.u32("domain size")?;
+            let mut values = Vec::with_capacity((count as usize).min(self.r.remaining()));
+            for _ in 0..count {
+                values.push(codec::decode_value(&mut self.r)?);
+            }
+            let mut seen = std::collections::HashSet::new();
+            if values.is_empty() || !values.iter().all(|v| seen.insert(v)) {
+                return Err(corrupt(format!(
+                    "the domain of slot {slot} is empty or repeats a value"
+                )));
+            }
+            domains.push(Domain::new(values));
+        }
+        PackedLayout::of_domains(domains)
+            .map(Arc::new)
+            .ok_or_else(|| corrupt("a layout whose codes do not fit a u32"))
+    }
+
     fn records(&mut self) -> Result<Records, CheckpointError> {
         let count = self.r.u32("inline record count")?;
         (0..count)
@@ -826,6 +886,7 @@ impl SnapshotReader<'_> {
         };
         let system_hash = self.r.u64("system hash")?;
         let seq = self.r.u64("sequence number")?;
+        let layout = self.layout()?;
         let dir = PathBuf::from(self.string("segment directory")?);
         let states = self.r.u64("state count")?;
         let transitions = self.r.u64("transition count")?;
@@ -868,6 +929,7 @@ impl SnapshotReader<'_> {
         }
         expect_end(&self.r, "the snapshot body")?;
         let manifest = Manifest {
+            layout,
             dir,
             states,
             transitions,
@@ -924,34 +986,17 @@ pub(crate) fn for_each_record<'a>(
 
 /// The one records → graph reader, in two steps so a store can drop
 /// its arena between them. First every arena record, in id order, as a
-/// state of a graph of rows under `layout` (compiled from `vars`) with
-/// room for `capacity` and no edges yet. A packed record's row is
-/// checked and kept; a tree record's state is checked against `vars`
-/// and packed.
+/// state of a graph of rows under `layout` with room for `capacity` and
+/// no edges yet, each record checked as [`arena_record`] does.
 pub(crate) fn graph_of_arena<'a>(
     records: (&Path, &[SegmentMeta], impl Iterator<Item = &'a [u8]>),
     capacity: usize,
     layout: &Arc<PackedLayout>,
-    vars: &Vars,
 ) -> Result<StateGraph, CheckpointError> {
     let mut graph = StateGraph::with_capacity(Arc::clone(layout), capacity);
-    let mut packed = Vec::new();
     for_each_record(records, |bytes| {
-        let rec = decode_arena_record(bytes, layout)?;
-        let (state, row) = match rec.payload {
-            Payload::Packed(row) => {
-                let mut values = Vec::new();
-                layout.try_unpack_into(row, &mut values)?;
-                (State::new(values), row)
-            }
-            Payload::Tree(state) => {
-                check_values(graph.len(), &state, vars)?;
-                let packs = layout.pack_into(state.values(), &mut packed);
-                assert!(packs, "checked: one in-domain value per variable");
-                (state, &packed[..])
-            }
-        };
-        graph.push_state(state, row, rec.parent).map(drop)
+        let rec = arena_record(bytes, layout)?;
+        graph.push_state(rec.row, rec.parent).map(drop)
     })?;
     Ok(graph)
 }
@@ -970,23 +1015,16 @@ pub(crate) fn fill_edges<'a>(
 }
 
 /// One arena record: `[tag u8][parent u32, with `u32::MAX` for
-/// "initial"][action u32][fingerprint u64][state payload]`. Tag 1
-/// carries the state's row under the system's [`PackedLayout`], as the
-/// stores write it; tag 0 the state in the general [`codec`] encoding,
-/// as a snapshot of a graph in RAM holds it inline (it has no layout to
-/// hand). The fingerprint is stored rather than recomputed so spilled
-/// parents can be re-expanded without rehashing. This file alone knows
-/// the offsets.
-struct ArenaRecord<'b> {
-    parent: Option<(usize, usize)>,
-    payload: Payload<'b>,
-}
-
-/// An arena record's state: a tag-0 record's decoded, a tag-1 record's
-/// row — one stride, codes not yet checked.
-enum Payload<'b> {
-    Tree(State),
-    Packed(&'b [u8]),
+/// "initial"][action u32][fingerprint u64][row]`, the row the state's
+/// under the system's [`PackedLayout`]. The tag is 1: version 3's tag 0,
+/// a state in a value encoding, is no longer written or read. The
+/// fingerprint is stored rather than recomputed so spilled parents can
+/// be re-expanded without rehashing. This file alone knows the offsets.
+pub(crate) struct ArenaRecord<'b> {
+    pub(crate) parent: Option<(usize, usize)>,
+    /// One stride of in-domain codes.
+    pub(crate) row: &'b [u8],
+    pub(crate) fp: u64,
 }
 
 /// Bytes of an arena record ahead of its payload.
@@ -1023,13 +1061,7 @@ fn begin_arena_record(tag: u8, parent: Option<(usize, usize)>, fp: u64, out: &mu
     out.extend_from_slice(&fp.to_le_bytes());
 }
 
-/// A tree (tag 0) record of `state`.
-fn encode_arena_record(state: &State, fp: u64, parent: Option<(usize, usize)>, out: &mut Vec<u8>) {
-    begin_arena_record(0, parent, fp, out);
-    codec::encode_state(state, out);
-}
-
-/// A packed (tag 1) record, `payload` appending its packed row.
+/// An arena record, `payload` appending its packed row.
 pub(crate) fn encode_packed_record(
     parent: Option<(usize, usize)>,
     fp: u64,
@@ -1040,10 +1072,15 @@ pub(crate) fn encode_packed_record(
     payload(out);
 }
 
-/// The packed row and fingerprint of an arena record read back from a
-/// segment, checked to be a tag-1 record of one stride of in-domain
-/// codes: what stepping keys tables on, and replays unpack, trusting
-/// every code.
+/// What a segment store counts for a packed arena record under
+/// `layout`: 4-byte length prefix, header, row.
+pub(crate) fn arena_record_bytes(layout: &PackedLayout) -> usize {
+    4 + ARENA_RECORD_HEADER + layout.stride()
+}
+
+/// An arena record read back from a segment or a file, its row checked
+/// to be one stride of in-domain codes: what stepping keys tables on,
+/// and the graph keeps, trusting every code.
 ///
 /// # Errors
 ///
@@ -1051,35 +1088,7 @@ pub(crate) fn encode_packed_record(
 /// another width, and — rendering
 /// [`BadCode`](codec::DecodeError::BadCode) — for a code outside its
 /// domain.
-pub(crate) fn packed_row<'r>(
-    record: &'r [u8],
-    layout: &PackedLayout,
-) -> Result<(&'r [u8], u64), CheckpointError> {
-    let mut r = Reader::new(record);
-    let tag = r.u8("arena record tag")?;
-    r.u32("arena record parent")?;
-    r.u32("arena record action")?;
-    let fp = r.u64("arena record fingerprint")?;
-    let row = &record[ARENA_RECORD_HEADER..];
-    if tag != 1 || row.len() != layout.stride() {
-        return Err(corrupt(format!(
-            "arena record of tag {tag} and {} payload byte(s) where a packed row of {} is \
-             expected",
-            row.len(),
-            layout.stride()
-        )));
-    }
-    layout.check(row)?;
-    Ok((row, fp))
-}
-
-/// What a segment store counts for a packed arena record under
-/// `layout`: 4-byte length prefix, header, row.
-pub(crate) fn arena_record_bytes(layout: &PackedLayout) -> usize {
-    4 + ARENA_RECORD_HEADER + layout.stride()
-}
-
-fn decode_arena_record<'b>(
+pub(crate) fn arena_record<'b>(
     bytes: &'b [u8],
     layout: &PackedLayout,
 ) -> Result<ArenaRecord<'b>, CheckpointError> {
@@ -1087,32 +1096,21 @@ fn decode_arena_record<'b>(
     let tag = r.u8("arena record tag")?;
     let parent_word = r.u32("arena record parent")?;
     let action = r.u32("arena record action")?;
-    r.u64("arena record fingerprint")?;
-    let payload = match tag {
-        0 => {
-            let state = codec::decode_state(&mut r)?;
-            expect_end(&r, "an arena record")?;
-            Payload::Tree(state)
-        }
-        1 => {
-            let payload = &bytes[ARENA_RECORD_HEADER..];
-            if payload.len() != layout.stride() {
-                return Err(corrupt(format!(
-                    "packed arena record payload is {} byte(s), layout stride is {}",
-                    payload.len(),
-                    layout.stride()
-                )));
-            }
-            Payload::Packed(payload)
-        }
-        t => return Err(corrupt(format!("unknown arena record tag {t}"))),
-    };
-    let parent = if parent_word == u32::MAX {
-        None
-    } else {
-        Some((parent_word as usize, action as usize))
-    };
-    Ok(ArenaRecord { parent, payload })
+    let fp = r.u64("arena record fingerprint")?;
+    if tag != 1 {
+        return Err(corrupt(format!("unknown arena record tag {tag}")));
+    }
+    let row = &bytes[ARENA_RECORD_HEADER..];
+    if row.len() != layout.stride() {
+        return Err(corrupt(format!(
+            "packed arena record payload is {} byte(s), layout stride is {}",
+            row.len(),
+            layout.stride()
+        )));
+    }
+    layout.check(row)?;
+    let parent = (parent_word != u32::MAX).then_some((parent_word as usize, action as usize));
+    Ok(ArenaRecord { parent, row, fp })
 }
 
 /// One edge record: `[id u32][k u32][(action u32,
@@ -1244,7 +1242,7 @@ impl Checkpointer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opentla_kernel::{Domain, Value, Vars};
+    use opentla_kernel::{State, Value};
 
     /// Three states: 0 initial and expanded, 1 and 2 reached from it.
     fn sample_graph() -> StateGraph {
@@ -1258,7 +1256,7 @@ mod tests {
         for (x, y, parent) in states {
             let state = State::new(vec![Value::Int(x), Value::Bool(y)]);
             let row = graph.layout().pack(&state).expect("in-domain");
-            graph.push_state(state, &row, parent).unwrap();
+            graph.push_state(&row, parent).unwrap();
         }
         let successors = [
             Edge {
@@ -1302,8 +1300,9 @@ mod tests {
     /// `parent` says.
     fn arena_record(id: usize, parent: Option<(usize, usize)>) -> Vec<u8> {
         let graph = sample_graph();
-        let (state, mut rec) = (graph.state(id), Vec::new());
-        encode_arena_record(state, state.fingerprint(), parent, &mut rec);
+        let (row, mut rec) = (graph.row(id), Vec::new());
+        let fp = graph.layout().fingerprint(row);
+        encode_packed_record(parent, fp, |out| out.extend_from_slice(row), &mut rec);
         rec
     }
 
@@ -1311,6 +1310,7 @@ mod tests {
     fn over_arena_records(arena: &[Vec<u8>], frontier: Vec<usize>) -> Snapshot {
         Snapshot {
             body: Body::Manifest(Manifest {
+                layout: Arc::clone(sample_graph().layout()),
                 dir: PathBuf::new(),
                 states: arena.len() as u64,
                 transitions: 0,
@@ -1339,6 +1339,7 @@ mod tests {
         encode_edge_record(0, graph.edges(0), &mut edges);
         Snapshot {
             body: Body::Manifest(Manifest {
+                layout: Arc::clone(graph.layout()),
                 dir: PathBuf::from("pinned.snap.segs"),
                 states: 3,
                 transitions: 2,
@@ -1587,46 +1588,52 @@ mod tests {
         }
     }
 
-    /// A tree-encoded (tag 0) record states its own slot count, and
-    /// every engine indexes a state's slots by the system's variables:
-    /// a state a slot short or a slot long is refused when it is read,
-    /// not stepped into an out-of-bounds panic.
+    /// Version 3 held a graph captured in RAM as arena records of tag
+    /// 0, each state in the value encoding. Nothing writes one any
+    /// more, and the one reader refuses the tag as it refuses any other
+    /// it does not know, before looking at the payload.
     #[test]
-    fn tree_record_of_the_wrong_width_is_corrupt() {
-        let (short, long) = (
-            vec![Value::Int(0)],
-            vec![Value::Int(0), Value::Bool(false), Value::Int(1)],
-        );
-        for values in [short, long] {
-            let (slots, state) = (values.len(), State::new(values));
-            let mut record = Vec::new();
-            encode_arena_record(&state, state.fingerprint(), None, &mut record);
-            let snap = over_arena_records(&[record], vec![0]);
-            let detail = corrupt_detail(through_a_file("width", &snap));
+    fn an_arena_record_of_tag_0_is_corrupt() {
+        let mut record = arena_record(0, None);
+        record[0] = 0;
+        let snap = over_arena_records(&[record], vec![0]);
+        let detail = corrupt_detail(through_a_file("tag_0", &snap));
+        assert!(detail.contains("unknown arena record tag 0"), "{detail}");
+    }
+
+    /// A snapshot names its layout's domains. Resumed under a system
+    /// with other domains, every row is re-packed under the system's —
+    /// here `x ∈ -1..=2`, where each of the sample's codes numbers
+    /// another value — and a value the system's domain lacks is refused
+    /// as it is met, whether the graph was read from a file or is held
+    /// in RAM.
+    #[test]
+    fn a_snapshot_under_other_domains_is_repacked_or_refused() {
+        let over = |lo: i64, hi: i64| {
+            let mut vars = Vars::new();
+            vars.declare("x", Domain::int_range(lo, hi));
+            vars.declare("y", Domain::booleans());
+            let action =
+                |name| crate::GuardedAction::new(name, opentla_kernel::Expr::bool(true), vec![]);
+            System::new(vars, crate::Init::new([]), vec![action("a0"), action("a1")])
+        };
+        let dir = std::env::temp_dir().join("opentla_ckpt_domains");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("domains.snap");
+        sample().save(&path).unwrap();
+        let file = Snapshot::load(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        for snap in [sample(), file] {
+            let wider = snap.materialize(&over(-1, 2)).unwrap();
+            let graph = wider.graph();
+            assert_eq!(graph.first_difference(&sample_graph()), None);
+            assert_ne!(graph.row(0), sample_graph().row(0), "x = 0 is code 1");
+            let detail = corrupt_detail(snap.materialize(&over(0, 0)));
             assert!(
-                detail.contains(&format!(
-                    "state 0 holds {slots} value(s) for a system of 2 variable(s)"
-                )),
+                detail.contains("state 1 holds 1 for x, outside its domain"),
                 "{detail}"
             );
         }
-    }
-
-    /// Every engine steps a state on its packed row: a tree-encoded
-    /// (tag 0) record holding a value outside its variable's domain —
-    /// here `x = 3` of `0..=2` — is refused when it is read, and a run
-    /// never meets a state it cannot pack.
-    #[test]
-    fn tree_record_outside_its_domain_is_corrupt() {
-        let state = State::new(vec![Value::Int(3), Value::Bool(false)]);
-        let mut record = Vec::new();
-        encode_arena_record(&state, state.fingerprint(), None, &mut record);
-        let snap = over_arena_records(&[record], vec![0]);
-        let detail = corrupt_detail(through_a_file("domain", &snap));
-        assert!(
-            detail.contains("state 0 holds 3 for x, outside its domain"),
-            "{detail}"
-        );
     }
 
     /// Counterexample rendering indexes the system's actions by the
@@ -1716,7 +1723,7 @@ mod tests {
 
     /// The file `manifest_sample()` saves, and the one `sample()` — the
     /// same run captured in RAM — saves, as this build first wrote them
-    /// in the version-3 format.
+    /// in the version-4 format.
     #[test]
     fn snapshot_files_are_byte_identical_to_the_recorded_ones() {
         let dir = std::env::temp_dir().join("opentla_ckpt_pinned");
@@ -1725,6 +1732,41 @@ mod tests {
         manifest_sample().save(&path).unwrap();
         assert_eq!(
             hex(&std::fs::read(&path).unwrap()),
+            "4f544c41534e41500400000040000000000df0fecaefbeadde07000000000000\
+             0002000000030000000100000000000000000101000000000000000102000000\
+             0000000002000000000000011000000070696e6e65642e736e61702e73656773\
+             03000000000000000200000000000000010000000f0000006172656e612d3030\
+             3030302e73656700000000000000000100000000000000160000000000000025\
+             241509ba759b3100000000020000001200000001000000000000000052ee4f0a\
+             6c2a83c90112000000010000000001000000c7d06d53b76b061b050100000018\
+             0000000000000002000000000000000100000001000000020000000100000000\
+             00000002000000010000000200000057fd1e883a45eaca"
+        );
+        sample().save(&path).unwrap();
+        assert_eq!(
+            hex(&std::fs::read(&path).unwrap()),
+            "4f544c41534e41500400000040000000000df0fecaefbeadde07000000000000\
+             0002000000030000000100000000000000000101000000000000000102000000\
+             0000000002000000000000010000000003000000000000000200000000000000\
+             0000000000000000030000001200000001ffffffff0000000027e56923276804\
+             9a001200000001000000000000000052ee4f0a6c2a83c9011200000001000000\
+             0001000000c7d06d53b76b061b05010000001800000000000000020000000000\
+             0000010000000100000002000000010000000000000002000000010000000200\
+             0000f80548a7f5fcb59c"
+        );
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// What the builds with a tree record for states held in RAM saved
+    /// for `manifest_sample()` in the version-3 format: no layout, so
+    /// no way to tell what its rows mean. No build reads it any more:
+    /// the version word is all that is looked at.
+    #[test]
+    fn a_version_3_file_is_refused_not_misread() {
+        let dir = std::env::temp_dir().join("opentla_ckpt_v3");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("v3.snap");
+        let recorded = unhex(
             "4f544c41534e41500300000040000000000df0fecaefbeadde07000000000000\
              001000000070696e6e65642e736e61702e736567730300000000000000020000\
              0000000000010000000f0000006172656e612d30303030302e73656700000000\
@@ -1733,19 +1775,12 @@ mod tests {
              000000000000000020000000000000000001000000c7d06d53b76b061b020000\
              0001010000000000000000010100000018000000000000000200000000000000\
              0100000001000000020000000100000000000000020000000100000002000000\
-             87457229bb977313"
+             87457229bb977313",
         );
-        sample().save(&path).unwrap();
+        std::fs::write(&path, recorded).unwrap();
         assert_eq!(
-            hex(&std::fs::read(&path).unwrap()),
-            "4f544c41534e41500300000040000000000df0fecaefbeadde07000000000000\
-             0000000000030000000000000002000000000000000000000000000000030000\
-             002000000000ffffffff0000000027e569232768049a02000000010000000000\
-             00000000002000000000000000000000000052ee4f0a6c2a83c9020000000101\
-             00000000000000000020000000000000000001000000c7d06d53b76b061b0200\
-             0000010100000000000000000101000000180000000000000002000000000000\
-             0001000000010000000200000001000000000000000200000001000000020000\
-             0008dd65b7cb246399"
+            Snapshot::load(&path).unwrap_err(),
+            CheckpointError::UnsupportedVersion { found: 3 }
         );
         std::fs::remove_file(&path).unwrap();
     }

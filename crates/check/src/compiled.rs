@@ -33,9 +33,9 @@
 //!
 //! There is one evaluator loop, generic over where a program reads its
 //! variables (a slot source): a bare `[Value]` slice — a miss's
-//! unpacked row — a [`State`], or
-//! [`ImageView`](crate::image::ImageView), a graph state whose mapped
-//! slots are read from the refinement mapping's image column (what an
+//! unpacked row — a [`State`], a [`RowView`](crate::RowView) (a graph
+//! state on its row), or [`ImageView`](crate::image::ImageView), a graph
+//! state whose mapped slots are read from the image column (what an
 //! obligation's memo miss is decided on). The loop is monomorphized per
 //! source, so the stepper's load is a slice index, as it always was.
 //!
@@ -68,7 +68,7 @@ use std::ops::ControlFlow;
 
 /// Where a running program reads its variables: one slot per
 /// [`VarId`]. The evaluator is monomorphized per implementation. Not
-/// re-exported: the implementations are the three sources above.
+/// re-exported: the implementations are the four sources above.
 pub trait Slots {
     /// The value in `v`'s slot; `None` past the last slot.
     fn slot(&self, v: VarId) -> Option<&Value>;

@@ -15,7 +15,7 @@
 //! |                          |                    | arena in RAM                                             |
 //!
 //! Every plan ends in one [`StateGraph`] (`graph.rs`, the only code
-//! that knows its layout): states, their packed rows, edges and the BFS
+//! that knows its layout): the states' packed rows, edges and the BFS
 //! tree. The dedup index (`index.rs`) is private to the store and
 //! dropped with it.
 //!
@@ -56,7 +56,7 @@ use crate::obs::{
     Event, Phase, PhaseGuard, ProgressSnapshot, RecorderHandle, RunReport, OBS_SCHEMA_VERSION,
 };
 use crate::{CheckError, System};
-use opentla_kernel::{PackedLayout, State};
+use opentla_kernel::PackedLayout;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -77,7 +77,7 @@ mod spill;
 mod stripes;
 mod ws;
 
-pub use graph::{Edge, GraphStats, StateGraph};
+pub use graph::{Edge, GraphStats, RowView, StateGraph};
 use plan::{Plan, Route, Start};
 
 /// How the explorer remembers which states it has already seen.
@@ -636,11 +636,9 @@ impl Replay {
     }
 }
 
-/// Builds the [`Replay`]. The discovery order is fixed first, over
-/// pids alone; `materialize` then turns the pids, in canonical id
-/// order, into their states (each state is an independent unpack once
-/// the order is fixed), and the graph takes each state's row under
-/// `layout` from `row_of`, as the stripes hold it.
+/// Builds the [`Replay`]: the discovery order, fixed over pids alone,
+/// then the graph, which takes each state's row under `layout` from
+/// `row_of`, as the stripes hold it, in canonical id order.
 /// Each parent's run is indexed first: `edge_index[shard][local]` is
 /// `(which vector, start, length)`, `u32::MAX` marking "no edges".
 /// Every interned state has a recorded incoming edge (interning and
@@ -654,7 +652,6 @@ fn replay_records<'r>(
     init_pids: &[Pid],
     layout: &Arc<PackedLayout>,
     row_of: impl Fn(Pid) -> &'r [u8],
-    materialize: impl FnOnce(&[Pid]) -> Vec<State>,
 ) -> Replay {
     const NO_RUN: (u32, u32, u32) = (u32::MAX, 0, 0);
     let mut edge_index: Vec<Vec<(u32, u32, u32)>> =
@@ -703,11 +700,10 @@ fn replay_records<'r>(
     }
 
     let mut graph = StateGraph::with_capacity(Arc::clone(layout), order.len());
-    let states = materialize(&order);
-    for ((state, from), &p) in states.into_iter().zip(from).zip(&order) {
+    for (from, &p) in from.into_iter().zip(&order) {
         let parent = from.map(|(id, action)| (id as usize, action as usize));
         graph
-            .push_state(state, row_of(p), parent)
+            .push_state(row_of(p), parent)
             .expect("a replayed state is discovered from an earlier one");
     }
     let mut list: Vec<Edge> = Vec::new();

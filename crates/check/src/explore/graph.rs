@@ -4,23 +4,27 @@
 //! below and read it through its accessors, so the representation can
 //! change in this file alone.
 //!
-//! A graph is its states, its rows and flat columns. Every state comes
-//! with its packed row under the graph's [`PackedLayout`] (`stride`
-//! bytes, back to back in id order): the row the exploration loops
-//! stepped, kept, so the checks after exploration read slot codes —
-//! an obligation's image and class keys (`image.rs`), a fairness
-//! table's "subscript unchanged" (`liveness/fair.rs`) — without
-//! touching a `Value`. Every successor list sits back to back under a
-//! row index, and the BFS tree is the two words an arena record stores.
-//! Edge rows are filled once each in ascending id order and only a tail
-//! of them is ever cleared — how every engine and snapshot writer works,
-//! and all [`StateGraph::set_edges`] takes. A check's per-edge table
+//! A graph is its rows and flat columns. Each state is its packed row
+//! under the graph's [`PackedLayout`] (`stride` bytes, in id order),
+//! the row the exploration loops stepped. The checks after exploration
+//! key on its slot codes (`image.rs`, `liveness/fair.rs`) and run
+//! compiled programs on a [`RowView`]; a `State` is built only by
+//! [`StateGraph::materialize`], to be handed out. Every successor list
+//! sits back to back under a row index, and the BFS tree is the two
+//! words an arena record stores. Edge rows are filled once each in
+//! ascending id order and only a tail of them is ever cleared — how
+//! every engine and snapshot writer works, and all
+//! [`StateGraph::set_edges`] takes. A check's per-edge table
 //! (`liveness/fair.rs`) costs a byte an edge, addressed through
-//! [`StateGraph::edge_base`].
+//! [`StateGraph::edge_base`]. [`StateGraph::states`] is a compatibility
+//! view for outside callers: its first call unpacks every row, and the
+//! graph keeps the states (several hundred bytes each on the
+//! certificate graphs, whose rows are five or six).
 
 use crate::checkpoint::{corrupt, CheckpointError};
-use opentla_kernel::{PackedLayout, State};
-use std::sync::Arc;
+use crate::compiled::Slots;
+use opentla_kernel::{PackedLayout, State, Value, VarId};
+use std::sync::{Arc, OnceLock};
 
 /// Summary statistics of a reachability graph; see
 /// [`StateGraph::stats`].
@@ -56,6 +60,32 @@ pub struct Edge {
     pub target: usize,
 }
 
+/// A state of a graph read off its packed row ([`StateGraph::view`]):
+/// the value of a slot is its code's value in the slot's domain. A
+/// [`CompiledExpr`](crate::CompiledExpr) runs on it as on the `State`
+/// the row packs, results and errors alike; nothing is copied.
+#[derive(Clone, Copy, Debug)]
+pub struct RowView<'g> {
+    layout: &'g PackedLayout,
+    row: &'g [u8],
+}
+
+impl Slots for RowView<'_> {
+    #[inline]
+    fn slot(&self, v: VarId) -> Option<&Value> {
+        let slot = v.index();
+        (slot < self.layout.slots()).then(|| {
+            self.layout
+                .value_of(slot, self.layout.read_code(self.row, slot))
+        })
+    }
+
+    #[inline]
+    fn slot_count(&self) -> usize {
+        self.layout.slots()
+    }
+}
+
 /// The reachable state graph of a [`System`](crate::System), with a
 /// BFS tree for shortest-trace reconstruction.
 ///
@@ -67,7 +97,6 @@ pub struct Edge {
 pub struct StateGraph {
     /// The layout every row is under.
     layout: Arc<PackedLayout>,
-    states: Vec<State>,
     /// Each state's packed row, `layout.stride()` bytes, in id order.
     rows: Vec<u8>,
     /// The states pushed without a parent, in id order.
@@ -81,6 +110,9 @@ pub struct StateGraph {
     /// The BFS tree: each state's `(parent id, action)` — always an
     /// earlier state, [`NO_PARENT`] for an initial one.
     tree: Vec<(u32, u32)>,
+    /// The compatibility view, every row unpacked: filled by the first
+    /// call of [`states`](Self::states) or [`state`](Self::state).
+    unpacked: OnceLock<Box<[State]>>,
 }
 
 /// The parent word of an initial state, as in an arena record.
@@ -92,16 +124,16 @@ impl StateGraph {
         StateGraph {
             rows: Vec::with_capacity(n * layout.stride()),
             layout,
-            states: Vec::with_capacity(n),
             init: Vec::new(),
             edges: Vec::new(),
             row_start: vec![0],
             tree: Vec::with_capacity(n),
+            unpacked: OnceLock::new(),
         }
     }
 
-    /// Appends a state and its `row` under the graph's layout (the row
-    /// the caller stepped, or packed the state into), reached from
+    /// Appends a state, its `row` under the graph's layout (the row the
+    /// caller stepped, or read back checked), reached from
     /// `parent = (id, action)` or initial (`None`), and returns its id.
     /// Every engine and every decoder adds states here, so this is where
     /// the BFS tree is kept well-founded: [`trace_to`](Self::trace_to)
@@ -118,12 +150,11 @@ impl StateGraph {
     #[inline]
     pub(crate) fn push_state(
         &mut self,
-        state: State,
         row: &[u8],
         parent: Option<(usize, usize)>,
     ) -> Result<usize, CheckpointError> {
         debug_assert_eq!(row.len(), self.layout.stride(), "one row a state");
-        let id = self.states.len();
+        let id = self.len();
         let words = match parent {
             None => {
                 self.init.push(id);
@@ -138,9 +169,9 @@ impl StateGraph {
                 }
             },
         };
-        self.states.push(state);
         self.rows.extend_from_slice(row);
         self.tree.push(words);
+        self.unpacked.take();
         Ok(id)
     }
 
@@ -154,7 +185,7 @@ impl StateGraph {
     /// that does has a bug, and `expect`s.
     #[inline]
     pub(crate) fn set_edges(&mut self, id: usize, edges: &[Edge]) -> Result<(), CheckpointError> {
-        let (rows, n) = (self.row_start.len() - 1, self.states.len());
+        let (rows, n) = (self.row_start.len() - 1, self.len());
         if id < rows || id >= n {
             return Err(corrupt(format!(
                 "edges of state {id} after {rows} row(s) of {n}: rows are filled once each, in \
@@ -189,12 +220,12 @@ impl StateGraph {
         let filled = keep.min(self.row_start.len() - 1);
         StateGraph {
             layout: Arc::clone(&self.layout),
-            states: self.states[..keep].to_vec(),
             rows: self.rows[..keep * self.layout.stride()].to_vec(),
             init: self.init.iter().copied().filter(|&i| i < keep).collect(),
             edges: self.edges[..self.row_start[filled]].to_vec(),
             row_start: self.row_start[..=filled].to_vec(),
             tree: self.tree[..keep].to_vec(),
+            unpacked: OnceLock::new(),
         }
     }
 
@@ -215,12 +246,12 @@ impl StateGraph {
 
     /// Number of reachable states.
     pub fn len(&self) -> usize {
-        self.states.len()
+        self.tree.len()
     }
 
     /// Whether the graph is empty (no initial states).
     pub fn is_empty(&self) -> bool {
-        self.states.is_empty()
+        self.tree.is_empty()
     }
 
     /// Total number of (non-stuttering) transitions.
@@ -228,22 +259,39 @@ impl StateGraph {
         self.edges.len()
     }
 
-    /// The state with the given index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn state(&self, id: usize) -> &State {
-        &self.states[id]
+    /// State `id` (in range), built from its row: what a counterexample
+    /// or an interpreted evaluation is handed.
+    pub fn materialize(&self, id: usize) -> State {
+        self.layout.unpack(self.row(id))
     }
 
-    /// All reachable states in discovery order.
+    /// State `id` (in range) read off its row, for a compiled program
+    /// to run on.
+    #[inline]
+    pub fn view(&self, id: usize) -> RowView<'_> {
+        RowView {
+            layout: &self.layout,
+            row: self.row(id),
+        }
+    }
+
+    /// State `id` (in range) from the compatibility view of
+    /// [`states`](Self::states).
+    pub fn state(&self, id: usize) -> &State {
+        &self.states()[id]
+    }
+
+    /// All reachable states in discovery order: a compatibility view.
+    /// The first call unpacks every row, and the graph keeps the states
+    /// until it is dropped; [`view`](Self::view) and
+    /// [`materialize`](Self::materialize) read one state without it.
     pub fn states(&self) -> &[State] {
-        &self.states
+        self.unpacked
+            .get_or_init(|| (0..self.len()).map(|id| self.materialize(id)).collect())
     }
 
     /// The layout the graph's rows are under.
-    pub(crate) fn layout(&self) -> &PackedLayout {
+    pub(crate) fn layout(&self) -> &Arc<PackedLayout> {
         &self.layout
     }
 
@@ -252,6 +300,7 @@ impl StateGraph {
     #[inline]
     pub(crate) fn row(&self, id: usize) -> &[u8] {
         let stride = self.layout.stride();
+        assert!(id < self.len(), "state {id} of {}", self.len());
         &self.rows[id * stride..][..stride]
     }
 
@@ -330,19 +379,27 @@ impl StateGraph {
     /// Where `self` and `other` first differ in anything a graph
     /// stores — the states in id order, each state's edge list and the
     /// BFS tree (whose parentless states are the initial ones) — or
-    /// `None` when they are the same graph. The description
-    /// names one id and one state, edge list or parent of each side,
-    /// whatever the graphs' size.
+    /// `None` when they are the same graph. States are compared as rows
+    /// when the two layouts have the same domains, and as the states
+    /// they unpack to otherwise. The description names one id and one
+    /// state, edge list or parent of each side, whatever the graphs'
+    /// size.
     pub fn first_difference(&self, other: &StateGraph) -> Option<String> {
         if self.len() != other.len() {
             return Some(format!("{} states vs {}", self.len(), other.len()));
         }
+        let rows_compare = self.layout.domains() == other.layout.domains();
         (0..self.len()).find_map(|id| {
             let differ = |what: &str, a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
                 Some(format!("{what} of state {id}: {a:?} vs {b:?}"))
             };
-            if self.states[id] != other.states[id] {
-                differ("value", &self.states[id], &other.states[id])
+            let same = if rows_compare {
+                self.row(id) == other.row(id)
+            } else {
+                self.materialize(id) == other.materialize(id)
+            };
+            if !same {
+                differ("value", &self.materialize(id), &other.materialize(id))
             } else if self.edges(id) != other.edges(id) {
                 differ("edges", &self.edges(id), &other.edges(id))
             } else if self.parent(id) != other.parent(id) {
@@ -357,10 +414,9 @@ impl StateGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opentla_kernel::{Domain, Value, Vars};
+    use opentla_kernel::{Domain, Vars};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::OnceLock;
 
     /// One integer slot, wide enough for every state below: 16 bits, so
     /// a row is two bytes. Compiled once.
@@ -381,13 +437,13 @@ mod tests {
         parent: Option<(usize, usize)>,
     ) -> Result<usize, CheckpointError> {
         let row = graph.layout().pack(&state).expect("in the slot's domain");
-        graph.push_state(state, &row, parent)
+        graph.push_state(&row, parent)
     }
 
     /// The graph as a heap row and a tree entry per state.
     #[derive(Default)]
     struct Model {
-        states: Vec<State>,
+        pushed: Vec<State>,
         rows: Vec<Vec<Edge>>,
         parents: Vec<Option<(usize, usize)>>,
         /// Rows before this one are filled (possibly with no edge).
@@ -412,7 +468,7 @@ mod tests {
                 }
             }
             GraphStats {
-                states: self.states.len(),
+                states: self.pushed.len(),
                 transitions: self.rows.iter().map(Vec::len).sum(),
                 deadlocks: self.rows.iter().filter(|row| row.is_empty()).count(),
                 depth: depth.into_iter().flatten().max().unwrap_or(0),
@@ -432,8 +488,8 @@ mod tests {
 
         /// The same graph built in one go: every state, then the rows.
         fn graph(&self) -> StateGraph {
-            let mut graph = StateGraph::with_capacity(layout(), self.states.len());
-            for (state, parent) in self.states.iter().zip(&self.parents) {
+            let mut graph = StateGraph::with_capacity(layout(), self.pushed.len());
+            for (state, parent) in self.pushed.iter().zip(&self.parents) {
                 push(&mut graph, state.clone(), *parent).unwrap();
             }
             for id in 0..self.filled {
@@ -443,14 +499,16 @@ mod tests {
         }
 
         fn check(&self, graph: &StateGraph, step: &str) {
-            let n = self.states.len();
+            let n = self.pushed.len();
             assert_eq!(graph.len(), n, "{step}");
-            assert_eq!(graph.states(), &self.states[..], "{step}");
+            assert_eq!(graph.states(), &self.pushed[..], "{step}");
             assert_eq!(graph.rows.len(), n * graph.layout().stride(), "{step}");
             let mut base = 0;
             for id in 0..n {
-                let row = graph.layout().pack(&self.states[id]).unwrap();
+                let row = graph.layout().pack(&self.pushed[id]).unwrap();
                 assert_eq!(graph.row(id), row, "{step}: row of {id}");
+                assert_eq!(graph.materialize(id), self.pushed[id], "{step}: state {id}");
+                assert_eq!(graph.state(id), &self.pushed[id], "{step}: view of {id}");
                 assert_eq!(graph.edges(id), &self.rows[id][..], "{step}: edges of {id}");
                 assert_eq!(graph.edge_base(id), base, "{step}: base of {id}");
                 assert_eq!(graph.parent(id), self.parents[id], "{step}: parent of {id}");
@@ -485,14 +543,14 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let (mut graph, mut model) = (StateGraph::with_capacity(layout(), 0), Model::default());
             for step in 0..120 {
-                let n = model.states.len();
+                let n = model.pushed.len();
                 let what = match rng.gen_range(0..10) {
                     0..=3 => {
                         let parent = (n > 0 && rng.gen_range(0..4) > 0)
                             .then(|| (rng.gen_range(0..n), rng.gen_range(0..3)));
                         let state = State::new(vec![Value::Int((seed * 1000 + step) as i64)]);
                         assert_eq!(push(&mut graph, state.clone(), parent).unwrap(), n);
-                        model.states.push(state);
+                        model.pushed.push(state);
                         model.rows.push(Vec::new());
                         model.parents.push(parent);
                         "push_state"
@@ -529,7 +587,7 @@ mod tests {
                         let keeps: Vec<usize> = (0..=n).filter(|&k| closed(k)).collect();
                         let keep = keeps[rng.gen_range(0..keeps.len())];
                         graph = graph.prefix(keep);
-                        model.states.truncate(keep);
+                        model.pushed.truncate(keep);
                         model.rows.truncate(keep);
                         model.parents.truncate(keep);
                         model.filled = model.filled.min(keep);
@@ -591,5 +649,53 @@ mod tests {
             let found = graph.first_difference(&other).expect(what);
             assert!(found.starts_with(what), "{found}");
         }
+    }
+
+    /// The kernel's wide layout, 4 096 ten-bit slots: all but every
+    /// fourth slot straddle a byte boundary (slot 1 is bits 10..20, in
+    /// bytes 1 and 2), and the view reads each as the state holds it —
+    /// nothing past the last slot.
+    #[test]
+    fn a_row_view_reads_slots_across_byte_boundaries() {
+        let mut vars = Vars::new();
+        let ids: Vec<VarId> = (0..4096)
+            .map(|i| vars.declare(format!("v{i}"), Domain::int_range(0, 1000)))
+            .collect();
+        let ghost = vars.clone().declare("ghost", Domain::bits());
+        let layout = Arc::new(PackedLayout::compile(&vars).expect("every Vars compiles"));
+        let state = State::new(
+            (0..4096)
+                .map(|i| Value::Int((i * 7) % 1001))
+                .collect::<Vec<_>>(),
+        );
+        let mut graph = StateGraph::with_capacity(Arc::clone(&layout), 1);
+        push(&mut graph, state.clone(), None).unwrap();
+        let view = graph.view(0);
+        assert_eq!(view.slot_count(), 4096);
+        for v in ids {
+            assert_eq!(view.slot(v), Some(state.get(v)), "{v:?}");
+        }
+        assert_eq!(view.slot(ghost), None);
+        assert_eq!(graph.materialize(0), state);
+    }
+
+    /// Rows are compared only under layouts of the same domains: over
+    /// `x ∈ 0..=40201` instead of `-1..=40200`, every state's row is the
+    /// row of the value one higher, so equal rows are different states.
+    #[test]
+    fn first_difference_compares_values_across_different_domains() {
+        let mut vars = Vars::new();
+        vars.declare("x", Domain::int_range(0, 40_201));
+        let shifted = Arc::new(PackedLayout::compile(&vars).expect("one integer slot"));
+        let build = |layout: Arc<PackedLayout>, x: i64| {
+            let mut graph = StateGraph::with_capacity(layout, 1);
+            push(&mut graph, State::new(vec![Value::Int(x)]), None).unwrap();
+            graph
+        };
+        let (a, b) = (build(layout(), 0), build(Arc::clone(&shifted), 1));
+        assert_eq!(a.row(0), b.row(0), "code 1 in both");
+        let found = a.first_difference(&b).expect("0 is not 1");
+        assert!(found.starts_with("value of state 0"), "{found}");
+        assert_eq!(a.first_difference(&build(shifted, 0)), None);
     }
 }

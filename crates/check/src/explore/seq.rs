@@ -15,9 +15,9 @@
 //! graph's own row column (stride bytes a state), on disk its arena
 //! record's payload, checked as it is read — stepped through the
 //! effect tables of [`CompiledSystem::for_each_packed_successor`], each
-//! child fingerprinted from the parent's by its effects and built as a
-//! [`State`] (from the layout's shared decode values) only when it is
-//! new.
+//! child fingerprinted from the parent's by its effects and its row
+//! written only when it is new. No `State` is built: the graph keeps
+//! rows.
 
 use super::spill::{self, RunNames, SpillDir, SpillVisited, Tuning};
 use super::{seq_exhaustion_snapshot, Edge, Exploration, ExploreOptions, StateGraph, VisitedMode};
@@ -27,7 +27,7 @@ use crate::compiled::{append_child, child_fingerprint, CompiledSystem, Effect, S
 use crate::obs::{Phase, PhaseGuard};
 use crate::{CheckError, System};
 use opentla_kernel::store::{SegmentStore, StoreError};
-use opentla_kernel::{PackedLayout, State, Vars};
+use opentla_kernel::{PackedLayout, State};
 use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -147,7 +147,8 @@ pub(super) fn explore_seq(
         Seed::Fresh(init_states) => {
             let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
             for s in init_states {
-                match store.intern(s.fingerprint(), None, Child::State(s)) {
+                let row = layout.pack(&s).expect("a run starts from in-domain states");
+                match store.intern(s.fingerprint(), None, &row, &[]) {
                     Ok((_, false)) => {}
                     Ok((id, true)) => queue.push_back(id),
                     Err(Stop::Cut(reason)) => {
@@ -189,8 +190,7 @@ pub(super) fn explore_seq(
                     return ControlFlow::Break(Stop::Cut(reason));
                 }
                 let child_fp = child_fingerprint(layout, parent, fp, effects);
-                let child = Child::Packed { parent, effects };
-                match store.intern(child_fp, Some((id, action)), child) {
+                match store.intern(child_fp, Some((id, action)), parent, effects) {
                     Ok((target, is_new)) => {
                         if is_new {
                             queue.push_back(target);
@@ -220,35 +220,6 @@ pub(super) fn explore_seq(
     // A cut during initial-state enumeration is not resumable: a
     // partial init enumeration cannot be continued soundly.
     store.finish(queue, cut_edges, exhausted, !exhausted_in_init, &mut ck)
-}
-
-/// A state as the loop hands it to the store, which builds its row
-/// only if it keeps it.
-enum Child<'c> {
-    /// A whole state: a seed or a resumed state.
-    State(State),
-    /// A parent's row with an action's effects written in.
-    Packed {
-        parent: &'c [u8],
-        effects: &'c [Effect],
-    },
-}
-
-impl Child<'_> {
-    /// Appends the state's row under `layout`: a parent's row and
-    /// effects, or a state the run started from, which is in its
-    /// domains.
-    fn write_row(&self, layout: &PackedLayout, out: &mut Vec<u8>) {
-        match self {
-            Child::Packed { parent, effects } => append_child(layout, parent, effects, out),
-            Child::State(state) => {
-                let row = layout
-                    .pack(state)
-                    .expect("a run starts from in-domain states");
-                out.extend_from_slice(&row);
-            }
-        }
-    }
 }
 
 /// Where a [`Store`] keeps its states, BFS tree and edge lists. Ids
@@ -284,7 +255,7 @@ impl Body {
             Body::Ram { graph, fps } => Ok((graph.row(id), fps[id])),
             Body::Disk { arena, .. } => {
                 arena.read(id as u64, buf)?;
-                checkpoint::packed_row(buf, layout)
+                checkpoint::arena_record(buf, layout).map(|rec| (rec.row, rec.fp))
             }
         }
     }
@@ -315,9 +286,6 @@ struct Store<'a> {
     mask: u64,
     options: &'a ExploreOptions,
     sys_hash: u64,
-    /// The system's variables, which records read back are checked
-    /// against.
-    vars: &'a Vars,
     meter: &'a Meter,
     /// The record — or, in RAM, the row — being written.
     rec_buf: Vec<u8>,
@@ -354,7 +322,6 @@ impl<'a> Store<'a> {
             mask: options.mask(),
             options,
             sys_hash: checkpoint::system_hash(system),
-            vars: system.vars(),
             meter,
             rec_buf: Vec::new(),
             probe: Vec::new(),
@@ -398,27 +365,28 @@ impl<'a> Store<'a> {
         Ok(())
     }
 
-    /// Records `child`, reached from `from`, under the next id: its row
-    /// is written first — in RAM, for the graph to keep beside the
-    /// state read from it, or straight into its disk record.
+    /// Records the state whose row is `row` with `effects` written in,
+    /// reached from `from`, under the next id: the row is written — in
+    /// RAM, for the graph to keep, or straight into its disk record.
     // On the loop's per-state path, which `intern` is inlined into.
     #[inline]
     fn push_state(
         &mut self,
-        child: Child<'_>,
+        row: &[u8],
+        effects: &[Effect],
         fp: u64,
         from: Option<(usize, usize)>,
     ) -> Result<(), CheckpointError> {
         let layout = self.layout;
         match &mut self.body {
             Body::Ram { graph, fps } => {
-                let row = &mut self.rec_buf;
-                row.clear();
-                child.write_row(layout, row);
+                let child = &mut self.rec_buf;
+                child.clear();
+                append_child(layout, row, effects, child);
                 if self.disk.is_some() {
                     self.arena_bytes += checkpoint::arena_record_bytes(layout);
                 }
-                graph.push_state(layout.unpack(row), row, from)?;
+                graph.push_state(child, from)?;
                 fps.push(fp);
                 self.grown()?;
             }
@@ -426,8 +394,8 @@ impl<'a> Store<'a> {
                 if from.is_none() {
                     init.push(arena.len() as usize);
                 }
-                let row = |out: &mut Vec<u8>| child.write_row(layout, out);
-                checkpoint::encode_packed_record(from, fp, row, &mut self.rec_buf);
+                let child = |out: &mut Vec<u8>| append_child(layout, row, effects, out);
+                checkpoint::encode_packed_record(from, fp, child, &mut self.rec_buf);
                 spill::append(self.meter, "arena", arena, &self.rec_buf)?;
             }
         }
@@ -444,11 +412,11 @@ impl<'a> Store<'a> {
     /// from (the move to disk rewrites them): a typed I/O error on the
     /// next resume, never a wrong graph.
     fn reseed(&mut self, snap: &Snapshot) -> Result<(), CheckpointError> {
-        for (id, state, parent, edges) in snap.records() {
-            let fp = state.fingerprint();
+        for (id, row, parent, edges) in snap.records() {
+            let fp = self.layout.fingerprint(row);
             self.visited
                 .seed(self.options.mode, fp & self.mask, id, self.meter)?;
-            self.push_state(Child::State(state.clone()), fp, parent)?;
+            self.push_state(row, &[], fp, parent)?;
             if let Some(edges) = edges {
                 self.push_edges(id, edges)?;
             }
@@ -467,9 +435,10 @@ impl<'a> Store<'a> {
 
     /// Looks up or records the state whose unmasked fingerprint is
     /// `fp`, reached from `from = (parent id, action)` (`None` for an
-    /// initial state). `child` is built only when it must be:
-    /// fingerprint dedup probes first, so an already-visited successor
-    /// is never constructed. A genuinely new state is charged to the
+    /// initial state): `row` with `effects` written in (none for a
+    /// seed). Its row is written only when it must be: fingerprint
+    /// dedup probes first, so an already-visited successor is never
+    /// constructed. A genuinely new state is charged to the
     /// meter *before* anything is recorded: a [`Stop::Cut`] leaves the
     /// store untouched. No state is admitted past the id a record word
     /// can name ([`checkpoint::id_word`]).
@@ -480,7 +449,8 @@ impl<'a> Store<'a> {
         &mut self,
         fp: u64,
         from: Option<(usize, usize)>,
-        child: Child<'_>,
+        row: &[u8],
+        effects: &[Effect],
     ) -> Result<(usize, bool), Stop> {
         let (meter, key) = (self.meter, fp & self.mask);
         let next = match &self.body {
@@ -505,7 +475,7 @@ impl<'a> Store<'a> {
                 let (body, buf, probe) = (&mut self.body, &mut self.rec_buf, &mut self.probe);
                 let layout = self.layout;
                 probe.clear();
-                child.write_row(layout, probe);
+                append_child(layout, row, effects, probe);
                 let same = |cand| Ok(body.row(cand, layout, buf)?.0 == &probe[..]);
                 self.visited.fp_entry(key, same, admit, meter)?
             }
@@ -513,7 +483,7 @@ impl<'a> Store<'a> {
         if !found.1 {
             return Ok(found);
         }
-        self.push_state(child, fp, from)?;
+        self.push_state(row, effects, fp, from)?;
         Ok((next, true))
     }
 
@@ -555,6 +525,7 @@ impl<'a> Store<'a> {
             }
             Body::Disk { arena, edges, init } => {
                 let manifest = Manifest {
+                    layout: Arc::clone(self.layout),
                     dir: arena.dir().to_path_buf(),
                     states: arena.len(),
                     transitions: self.transitions,
@@ -609,7 +580,7 @@ impl<'a> Store<'a> {
                 drop(self.visited);
                 let n = arena.len() as usize;
                 let records = spill::records(&arena);
-                let mut graph = checkpoint::graph_of_arena(records, n, self.layout, self.vars)?;
+                let mut graph = checkpoint::graph_of_arena(records, n, self.layout)?;
                 drop(arena);
                 checkpoint::fill_edges(&mut graph, spill::records(&edges))?;
                 graph
@@ -662,8 +633,8 @@ mod tests {
     /// as a parent row and an effect.
     fn drive(store: &mut Store<'_>) {
         let state = |x: i64| State::new(vec![Value::Int(x)]);
-        let Ok((root, true)) = store.intern(state(0).fingerprint(), None, Child::State(state(0)))
-        else {
+        let seed = store.layout.pack(&state(0)).expect("in the domain");
+        let Ok((root, true)) = store.intern(state(0).fingerprint(), None, &seed, &[]) else {
             panic!("the first state is new");
         };
         let mut queue = VecDeque::from([root]);
@@ -680,11 +651,8 @@ mod tests {
                     slot: 0,
                     code: y as u32,
                 }];
-                let child = Child::Packed {
-                    parent: &row,
-                    effects: &effect,
-                };
-                let target = match store.intern(state(y).fingerprint(), Some((id, action)), child) {
+                let from = Some((id, action));
+                let target = match store.intern(state(y).fingerprint(), from, &row, &effect) {
                     Ok((target, is_new)) => {
                         if is_new {
                             queue.push_back(target);
@@ -779,8 +747,9 @@ mod tests {
         let mut store = Store::create(&system, &options, &meter, &layout, disk).unwrap();
         store.spill().unwrap();
         let state = State::new(vec![Value::Int(149)]);
+        let seed = layout.pack(&state).expect("in the domain");
         store
-            .intern(state.fingerprint(), None, Child::State(state))
+            .intern(state.fingerprint(), None, &seed, &[])
             .unwrap_or_else(|_| panic!("an unlimited meter and a healthy disk"));
         let mut row = Vec::new();
         store.row(0, &mut row).unwrap();

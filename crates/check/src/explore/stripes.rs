@@ -40,24 +40,6 @@ impl Stripe {
     }
 }
 
-/// `f` over `items` on up to `threads` scoped threads, in item order.
-fn par_map<T: Sync, R: Send>(threads: usize, items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
-    if threads <= 1 {
-        return items.iter().map(f).collect();
-    }
-    let mut out = Vec::with_capacity(items.len());
-    std::thread::scope(|scope| {
-        let parts: Vec<_> = items
-            .chunks(items.len().div_ceil(threads).max(1))
-            .map(|c| scope.spawn(|| c.iter().map(&f).collect::<Vec<R>>()))
-            .collect();
-        for h in parts {
-            out.extend(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
-        }
-    });
-    out
-}
-
 /// The store of one work-stealing run; see the module docs. Every
 /// method but [`replay`](Self::replay) is called by many workers at
 /// once.
@@ -141,21 +123,14 @@ impl<'a> Store<'a> {
     }
 
     /// The canonical [`Replay`], from the initial pids `init`, of every
-    /// worker's `records`, with the workers stopped. The graph takes the
-    /// stripes' rows in canonical order, and the states unpacked from
-    /// them, fanned out across the run's workers.
+    /// worker's `records`, with the workers stopped: the graph takes the
+    /// stripes' rows in canonical order.
     pub(super) fn replay(&self, records: &[Vec<EdgeRecord>], init: &[Pid]) -> Replay {
         let stripes: Vec<_> = self.stripes.iter().map(lock).collect();
         let lens: Vec<usize> = stripes.iter().map(|s| s.fps.len()).collect();
-        let (layout, threads) = (self.run.layout, self.run.threads);
+        let layout = self.run.layout;
         let stride = layout.stride();
-        // Unpacking (one tree allocation per state) is the replay's
-        // dominant cost, and each state is independent once the
-        // canonical order is fixed.
         let row_of = |p: Pid| stripes[shard_of(p)].row(local_of(p), stride);
-        replay_records(&lens, records, init, layout, row_of, |order| {
-            let workers = if order.len() < 4096 { 1 } else { threads };
-            par_map(workers, order, |&p| layout.unpack(row_of(p)))
-        })
+        replay_records(&lens, records, init, layout, row_of)
     }
 }

@@ -482,14 +482,12 @@ pub(super) fn explore_ws(
     let sys_hash = checkpoint::system_hash(system);
     let header = || RunHeader::of(run.options, sys_hash);
     let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let (mut probe, mut buf) = (Vec::new(), Vec::new());
-    // Interns a seed state: charged on a fresh run, meter-free on a
-    // resumed one (its meter is pre-charged).
-    let mut intern_seed = |s: &State, charged: bool| {
-        let ok = run.layout.pack_into(s.values(), &mut buf);
-        assert!(ok, "a run starts from in-domain states");
-        let write = |out: &mut Vec<u8>| out.extend_from_slice(&buf);
-        store.intern(s.fingerprint(), write, charged, &mut probe)
+    let mut probe = Vec::new();
+    // Interns a seed state's row: charged on a fresh run, meter-free on
+    // a resumed one (its meter is pre-charged).
+    let mut intern_seed = |row: &[u8], charged: bool| {
+        let write = |out: &mut Vec<u8>| out.extend_from_slice(row);
+        store.intern(run.layout.fingerprint(row), write, charged, &mut probe)
     };
     let mut init: Vec<Pid> = Vec::new();
     let mut records: Vec<Vec<EdgeRecord>> = Vec::new();
@@ -503,8 +501,8 @@ pub(super) fn explore_ws(
             // banked work from new work.
             let graph = snap.graph();
             let mut pid_of: Vec<Pid> = Vec::with_capacity(graph.len());
-            for s in graph.states() {
-                let Ok((p, _)) = intern_seed(s, false) else {
+            for id in 0..graph.len() {
+                let Ok((p, _)) = intern_seed(graph.row(id), false) else {
                     unreachable!("uncharged interns are never cut");
                 };
                 pid_of.push(p);
@@ -529,7 +527,8 @@ pub(super) fn explore_ws(
             // order is the enumeration order, as in every plan.
             let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
             for s in &states {
-                match intern_seed(s, true) {
+                let row = run.layout.pack(s).expect("seeds are in their domains");
+                match intern_seed(&row, true) {
                     Ok((p, true)) => init.push(p),
                     Ok((_, false)) => {}
                     Err(reason) => {

@@ -87,7 +87,7 @@
 
 use crate::compiled::{CompiledExpr, EvalScratch, Slots};
 use crate::obs::{Event, RecorderHandle};
-use crate::{CheckError, StateGraph};
+use crate::{CheckError, RowView, StateGraph};
 use fxhash::FxHashMap;
 use opentla_kernel::{PackedLayout, Substitution, Value, VarId, VarSet};
 use std::collections::hash_map::Entry;
@@ -210,7 +210,7 @@ impl Images {
                 layout.gather_key(row, &m.reads, &mut m.key);
                 let image = intern_key(&mut m.ids, &m.key, |_| {
                     evaluated += 1;
-                    match m.program.eval(graph.state(id), &mut scratch) {
+                    match m.program.eval(&graph.view(id), &mut scratch) {
                         Ok(value) => *ids.entry(value).or_insert_with_key(|value| {
                             values.push(value.clone());
                             u32::try_from(values.len() - 1).expect("distinct values fit in u32")
@@ -317,12 +317,12 @@ impl Images {
 }
 
 /// `s̄` borrowed: state `id` of a graph, each mapped variable's slot
-/// read from its [`Images`] column and every other slot from the state.
-/// What a [`Memo`] miss is decided on, by a [`CompiledExpr`]; nothing
-/// is copied.
+/// read from its [`Images`] column and every other slot from the
+/// state's row ([`RowView`]). What a [`Memo`] miss is decided on, by a
+/// [`CompiledExpr`]; nothing is copied.
 #[derive(Clone, Copy, Debug)]
 pub struct ImageView<'a> {
-    values: &'a [Value],
+    row: RowView<'a>,
     images: &'a Images,
     id: usize,
 }
@@ -333,12 +333,12 @@ impl<'a> ImageView<'a> {
     /// state has no slot for a mapped variable: that state has no
     /// abstract evaluation.
     pub fn new(images: &'a Images, graph: &'a StateGraph, id: usize) -> Option<ImageView<'a>> {
-        let values = graph.state(id).values();
+        let row = graph.view(id);
         let defined = images
             .columns
             .iter()
-            .all(|(v, column)| column[id] != NONE && v.index() < values.len());
-        defined.then_some(ImageView { values, images, id })
+            .all(|(v, column)| column[id] != NONE && v.index() < row.slot_count());
+        defined.then_some(ImageView { row, images, id })
     }
 }
 
@@ -347,13 +347,13 @@ impl Slots for ImageView<'_> {
     fn slot(&self, v: VarId) -> Option<&Value> {
         match self.images.column(v) {
             Some(column) => Some(&self.images.values[column[self.id] as usize]),
-            None => self.values.get(v.index()),
+            None => self.row.slot(v),
         }
     }
 
     #[inline]
     fn slot_count(&self) -> usize {
-        self.values.len()
+        self.row.slot_count()
     }
 }
 

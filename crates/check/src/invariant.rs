@@ -1,7 +1,8 @@
 //! State and step invariants.
 
+use crate::compiled::{CompiledExpr, EvalScratch};
 use crate::{CheckError, Counterexample, StateGraph, System, Verdict};
-use opentla_kernel::{box_action, Expr, StatePair, VarId};
+use opentla_kernel::{box_action, Expr, VarId};
 
 /// Builds the counterexample trace leading to `id`.
 pub(crate) fn trace_counterexample(
@@ -11,7 +12,7 @@ pub(crate) fn trace_counterexample(
     reason: String,
 ) -> Counterexample {
     let trace = graph.trace_to(id);
-    let states: Vec<_> = trace.iter().map(|(_, s)| graph.state(*s).clone()).collect();
+    let states: Vec<_> = trace.iter().map(|(_, s)| graph.materialize(*s)).collect();
     let actions = trace
         .iter()
         .map(|(a, _)| a.map(|i| system.actions()[i].name().to_string()))
@@ -52,8 +53,9 @@ pub fn check_invariant(
     graph: &StateGraph,
     pred: &Expr,
 ) -> Result<Verdict, CheckError> {
-    for (id, s) in graph.states().iter().enumerate() {
-        if !pred.holds_state(s)? {
+    let (program, scratch) = (CompiledExpr::compile(pred), &mut EvalScratch::new());
+    for id in 0..graph.len() {
+        if !program.holds(&graph.view(id), scratch)? {
             return Ok(Verdict::Violated(trace_counterexample(
                 system,
                 graph,
@@ -78,11 +80,11 @@ pub fn check_step_invariant(
     action: &Expr,
     sub: &[VarId],
 ) -> Result<Verdict, CheckError> {
-    let boxed = box_action(action.clone(), sub);
-    for (id, s) in graph.states().iter().enumerate() {
+    let boxed = CompiledExpr::compile(&box_action(action.clone(), sub));
+    let scratch = &mut EvalScratch::new();
+    for id in 0..graph.len() {
         for e in graph.edges(id) {
-            let t = graph.state(e.target);
-            if !boxed.holds_action(StatePair::new(s, t))? {
+            if !boxed.holds_step(&graph.view(id), &graph.view(e.target), scratch)? {
                 let mut cx = trace_counterexample(
                     system,
                     graph,
@@ -96,7 +98,7 @@ pub fn check_step_invariant(
                 // Append the offending step.
                 let mut states = cx.states().to_vec();
                 let mut actions = cx.actions().to_vec();
-                states.push(t.clone());
+                states.push(graph.materialize(e.target));
                 actions.push(Some(system.actions()[e.action].name().to_string()));
                 cx = Counterexample::new(cx.reason().to_string(), states, actions, None);
                 return Ok(Verdict::Violated(cx));

@@ -95,7 +95,7 @@ pub use counterexample::Counterexample;
 pub use error::CheckError;
 pub use explore::{
     explore, explore_escalating, explore_governed, explore_governed_with, explore_resumable,
-    resume_exploration, Edge, Engine, Exploration, ExploreOptions, GraphStats, StateGraph,
+    resume_exploration, Edge, Engine, Exploration, ExploreOptions, GraphStats, RowView, StateGraph,
     VisitedMode, WorkerPanic,
 };
 pub use invariant::{check_invariant, check_step_invariant};

@@ -154,20 +154,21 @@ pub(super) fn target_fair_info(
     let mut is_angle = Memo::new(&classes);
     let mut is_enabled = Memo::new(&classes);
     let table = table_rows(graph, |id, flags| {
-        let s = graph.state(id);
         if let Some(reason) = meter.checkpoint() {
             return Err(Stop::exhausted(reason));
         }
         let mut fires = false;
         for e in graph.edges(id) {
             charge_edge(meter)?;
-            let step = StatePair::new(s, graph.state(e.target));
             let angle = is_angle
                 .step(
                     id,
                     e.target,
                     |s_bar, t_bar| angle_program.holds_step(&s_bar, &t_bar, scratch),
-                    || angle_expr.holds_action(step),
+                    || {
+                        let (s, t) = (graph.materialize(id), graph.materialize(e.target));
+                        angle_expr.holds_action(StatePair::new(&s, &t))
+                    },
                 )
                 .map_err(CheckError::from)?;
             flags.push(angle);
@@ -178,7 +179,7 @@ pub(super) fn target_fair_info(
                 .state(
                     id,
                     |s_bar| abstract_pred.holds(&s_bar, scratch),
-                    || pred.holds_state(s),
+                    || pred.holds_state(&graph.materialize(id)),
                 )
                 .map_err(CheckError::from)?,
             // An ⟨A⟩_v graph edge is itself an in-universe witness, so
@@ -189,7 +190,11 @@ pub(super) fn target_fair_info(
             // function of the state's class too.
             _ if fires => true,
             _ => {
-                let search = || system.universe().enabled(&angle_expr, s);
+                let search = || {
+                    system
+                        .universe()
+                        .enabled(&angle_expr, &graph.materialize(id))
+                };
                 is_enabled
                     .state(id, |_| search(), search)
                     .map_err(CheckError::from)?

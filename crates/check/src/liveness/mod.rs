@@ -400,9 +400,9 @@ fn decide(
     }
 }
 
-/// `p` at every state, decided once per class of `p`'s variables: by
-/// `p` compiled, on a miss, and by the interpreter where that errs or
-/// the state has no class.
+/// `p` at every state, decided once per class of `p`'s variables, by
+/// `p` compiled: on a miss's image view, and on the state's row where
+/// that errs or the state has no class.
 fn eval_pred(
     graph: &StateGraph,
     p: &Expr,
@@ -411,18 +411,15 @@ fn eval_pred(
     let unmapped = Images::default();
     let classes = Classes::of_graph(graph, &p.all_vars(), &unmapped);
     let program = CompiledExpr::compile(p);
-    let scratch = &mut EvalScratch::new();
+    let (scratch, direct) = (&mut EvalScratch::new(), &mut EvalScratch::new());
     let mut holds = Memo::new(&classes);
-    let table = graph
-        .states()
-        .iter()
-        .enumerate()
-        .map(|(id, s)| {
+    let table = (0..graph.len())
+        .map(|id| {
             holds
                 .state(
                     id,
                     |s_bar| program.holds(&s_bar, scratch),
-                    || p.holds_state(s),
+                    || program.holds(&graph.view(id), direct),
                 )
                 .map_err(CheckError::from)
         })
@@ -698,7 +695,7 @@ fn build_counterexample(
         // The walk re-appended `entry`; drop it — the lasso wraps there.
         ids.pop();
     }
-    let states = ids.iter().map(|(_, n)| graph.state(*n).clone()).collect();
+    let states = ids.iter().map(|(_, n)| graph.materialize(*n)).collect();
     let actions = ids.iter().map(|(a, _)| a.and_then(action_name)).collect();
     Counterexample::new(v.reason.clone(), states, actions, Some(loop_start))
 }

@@ -52,7 +52,7 @@ pub fn sample_behavior<R: Rng + ?Sized>(
         .expect("the last element is present");
     if first_occurrence == ids.len() - 1 {
         // The final state is new: stutter on it forever.
-        let states = ids.iter().map(|i| graph.state(*i).clone()).collect();
+        let states = ids.iter().map(|i| graph.materialize(*i)).collect();
         Lasso::new(states, ids.len() - 1).expect("walk is nonempty")
     } else {
         // Drop the duplicated final state; the wrap step re-enters at
@@ -60,7 +60,7 @@ pub fn sample_behavior<R: Rng + ?Sized>(
         // the wrap) is a real step of the walk.
         let states = ids[..ids.len() - 1]
             .iter()
-            .map(|i| graph.state(*i).clone())
+            .map(|i| graph.materialize(*i))
             .collect();
         Lasso::new(states, first_occurrence).expect("walk is nonempty")
     }

@@ -20,7 +20,7 @@ use crate::compiled::{CompiledExpr, EvalScratch};
 use crate::image::{Classes, Images, Memo};
 use crate::invariant::trace_counterexample;
 use crate::{CheckError, Counterexample, ExhaustReason, StateGraph, System, Verdict};
-use opentla_kernel::{EvalError, Expr, Formula, State, StatePair, Substitution};
+use opentla_kernel::{EvalError, Expr, Formula, StatePair, Substitution};
 use opentla_semantics::{safety_canonical, SafetyCanonical};
 
 /// The result of a simulation check, with workload statistics.
@@ -178,13 +178,14 @@ fn simulate(
     };
 
     // 1. Initial predicates.
+    let init: Vec<_> = sc.init.iter().map(CompiledExpr::compile).collect();
+    let scratch = &mut EvalScratch::new();
     for id in graph.init() {
         if let Some(reason) = meter.checkpoint() {
             return Ok(exhausted(reason, graph.len()));
         }
-        let s = graph.state(*id);
-        for p in &sc.init {
-            if !p.holds_state(s)? {
+        for (p, program) in sc.init.iter().zip(&init) {
+            if !program.holds(&graph.view(*id), scratch)? {
                 let cx = trace_counterexample(
                     system,
                     graph,
@@ -242,11 +243,14 @@ fn check_states_and_edges(
     // 2. Invariants.
     let abs_invariants = compile(&abs.invariants);
     let mut invariants_hold = Memo::new(classes);
-    for (id, s) in graph.states().iter().enumerate() {
+    for id in 0..graph.len() {
         if let Some(reason) = meter.checkpoint().or_else(|| meter.charge_state()) {
             return Ok(exhausted(reason, graph.len() - id));
         }
-        let refuted = |s: &State| first_refuted(&sc.invariants, |p| p.holds_state(s));
+        let refuted = || {
+            let s = graph.materialize(id);
+            first_refuted(&sc.invariants, |p| p.holds_state(&s))
+        };
         if !sc.invariants.is_empty()
             && !invariants_hold.state(
                 id,
@@ -254,10 +258,10 @@ fn check_states_and_edges(
                     first_refuted(&abs_invariants, |p| p.holds(&s_bar, scratch))
                         .map(|r| r.is_none())
                 },
-                || refuted(s).map(|r| r.is_none()),
+                || refuted().map(|r| r.is_none()),
             )?
         {
-            let p = &sc.invariants[refuted(s)?.expect("just refuted at this state")];
+            let p = &sc.invariants[refuted()?.expect("just refuted at this state")];
             let cx = trace_counterexample(
                 system,
                 graph,
@@ -270,9 +274,12 @@ fn check_states_and_edges(
     drop(invariants_hold);
     // 3. Step boxes on every edge.
     let (boxes, abs_boxes) = (sc.step_boxes(), compile(&abs.step_boxes()));
-    let refuted = |step: StatePair<'_>| first_refuted(&boxes, |b| b.holds_action(step));
+    let refuted = |s: usize, t: usize| {
+        let (s, t) = (graph.materialize(s), graph.materialize(t));
+        first_refuted(&boxes, |b| b.holds_action(StatePair::new(&s, &t)))
+    };
     let mut boxes_hold = Memo::new(classes);
-    for (id, s) in graph.states().iter().enumerate() {
+    for id in 0..graph.len() {
         if let Some(reason) = meter.checkpoint() {
             return Ok(exhausted(reason, graph.len() - id));
         }
@@ -280,8 +287,6 @@ fn check_states_and_edges(
             if let Some(reason) = meter.charge_transition() {
                 return Ok(exhausted(reason, graph.len() - id));
             }
-            let t = graph.state(e.target);
-            let step = StatePair::new(s, t);
             if !boxes_hold.step(
                 id,
                 e.target,
@@ -289,9 +294,9 @@ fn check_states_and_edges(
                     first_refuted(&abs_boxes, |b| b.holds_step(&s_bar, &t_bar, scratch))
                         .map(|r| r.is_none())
                 },
-                || refuted(step).map(|r| r.is_none()),
+                || refuted(id, e.target).map(|r| r.is_none()),
             )? {
-                let bi = refuted(step)?.expect("just refuted on this step");
+                let bi = refuted(id, e.target)?.expect("just refuted on this step");
                 let base = trace_counterexample(
                     system,
                     graph,
@@ -304,7 +309,7 @@ fn check_states_and_edges(
                 );
                 let mut states = base.states().to_vec();
                 let mut actions = base.actions().to_vec();
-                states.push(t.clone());
+                states.push(graph.materialize(e.target));
                 actions.push(Some(system.actions()[e.action].name().to_string()));
                 let cx = Counterexample::new(base.reason().to_string(), states, actions, None);
                 return Ok(violated(cx, meter.transitions_used()));

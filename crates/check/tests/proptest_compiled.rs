@@ -1,12 +1,15 @@
 //! The compiled evaluator against its oracle, the interpreter: seeded
 //! random expressions over random variables, compared as
 //! `Result<Value, EvalError>` — so an error of the one must be the same
-//! error of the other — in three pairs:
+//! error of the other — in four pairs:
 //!
 //! * a state function: `CompiledExpr::eval` against `Expr::eval_state`,
 //!   on a `State`, on its bare value slice and on a state too short for
 //!   some variable;
 //! * an action: `CompiledExpr::eval_step` against `Expr::eval_action`;
+//! * a graph's row view: the program on `graph.view(id)`, the state
+//!   read off its packed row, against the interpreter on
+//!   `graph.materialize(id)`, for every state and step of the graph;
 //! * an image view: the program on `ImageView`s of a graph's states
 //!   against the interpreter on `s̄` materialized — `s` with each mapped
 //!   variable set to its image, computed here by the interpreter — and
@@ -309,17 +312,22 @@ const OUTCOMES: [&str; 8] = [
 
 const SEEDS: u64 = 1000;
 
-/// State functions and actions on states and steps: the compiled
-/// program's result is the interpreter's, value or error.
+/// State functions and actions on states and steps, and on the row
+/// views of an explored graph's states: the compiled program's result
+/// is the interpreter's, value or error.
 #[test]
 fn compiled_programs_agree_with_the_interpreter_on_states_and_steps() {
-    let mut seen = Seen::default();
+    let (mut seen, mut on_rows) = (Seen::default(), Seen::default());
     let mut scratch = EvalScratch::new();
     for seed in 0..SEEDS {
         let rng = &mut Rng(seed);
         let world = World::new(rng);
         let (s, t) = (world.state(rng), world.state(rng));
         let short = State::new(s.values()[..rng.below(s.len())].to_vec());
+        let graph = world.graph(&s, &t);
+        let states: Vec<State> = (0..graph.len()).map(|id| graph.materialize(id)).collect();
+        assert_eq!(states[0], s, "seed {seed}: the initial state");
+        assert_eq!(states.last(), Some(&t), "seed {seed}: the jump's target");
         for _ in 0..16 {
             let e = world.expr(rng, true, 4);
             seen.expr(&e);
@@ -346,10 +354,28 @@ fn compiled_programs_agree_with_the_interpreter_on_states_and_steps() {
                 let holds = program.holds_step(old.values(), new.values(), &mut scratch);
                 assert_eq!(holds, e.holds_action(step), "{ctx}");
             }
+            for (id, state) in states.iter().enumerate() {
+                let expected = e.eval_state(state);
+                on_rows.result(&expected);
+                let ctx = format!("seed {seed}: {e:?} on row {id}, {state:?}");
+                assert_eq!(
+                    program.eval(&graph.view(id), &mut scratch),
+                    expected,
+                    "{ctx}"
+                );
+                for (next, next_state) in states.iter().enumerate() {
+                    let expected = e.eval_action(StatePair::new(state, next_state));
+                    on_rows.result(&expected);
+                    let (old, new) = (graph.view(id), graph.view(next));
+                    let got = program.eval_step(&old, &new, &mut scratch);
+                    assert_eq!(got, expected, "{ctx} -> row {next}");
+                }
+            }
         }
     }
     seen.assert_covers("states and steps", &VARIANTS);
     seen.assert_covers("states and steps", &OUTCOMES);
+    on_rows.assert_covers("row views", &OUTCOMES);
 }
 
 /// The program on views of `s̄` and `t̄` is the interpreter on `s̄` and

@@ -3,10 +3,10 @@
 
 use crate::{ComponentSpec, SpecError};
 use opentla_check::{
-    CheckError, CompiledExpr, Counterexample, EvalScratch, GuardedAction, StateGraph, System,
-    Verdict,
+    CheckError, CompiledExpr, Counterexample, EvalScratch, GuardedAction, RowView, StateGraph,
+    System, Verdict,
 };
-use opentla_kernel::{Expr, Formula, Renaming, State, VarId, Vars};
+use opentla_kernel::{Expr, Formula, Renaming, VarId, Vars};
 use opentla_semantics::{safety_canonical, SafetyCanonical};
 use std::collections::HashMap;
 
@@ -260,7 +260,7 @@ impl Side {
     /// state `s`, rendered with `vars` names.
     fn failing_state_conjunct(
         &self,
-        s: &State,
+        s: &RowView<'_>,
         vars: &Vars,
         scratch: &mut EvalScratch,
     ) -> Result<Option<String>, SpecError> {
@@ -278,8 +278,8 @@ impl Side {
     /// transition `⟨s, t⟩`, rendered with `vars` names.
     fn failing_step_conjunct(
         &self,
-        s: &State,
-        t: &State,
+        s: &RowView<'_>,
+        t: &RowView<'_>,
         vars: &Vars,
         scratch: &mut EvalScratch,
     ) -> Result<Option<String>, SpecError> {
@@ -421,7 +421,7 @@ fn ag_monitor(
             }
         }
         rev.reverse();
-        let states = rev.iter().map(|(_, n)| graph.state(*n).clone()).collect();
+        let states = rev.iter().map(|(_, n)| graph.materialize(*n)).collect();
         let actions = rev
             .iter()
             .map(|(a, _)| a.map(|i| system.actions()[i].name().to_string()))
@@ -430,7 +430,7 @@ fn ag_monitor(
     };
 
     for &id in graph.init() {
-        let s = graph.state(id);
+        let s = &graph.view(id);
         if let Some(conjunct) = sys_side.failing_state_conjunct(s, vars, scratch)? {
             // m₀ = 1 ≤ n₀ always.
             return Ok(AgReport {
@@ -440,7 +440,7 @@ fn ag_monitor(
                          (violated conjunct: {conjunct}): E ⊳ M requires M \
                          to hold initially, unconditionally"
                     ),
-                    vec![s.clone()],
+                    vec![graph.materialize(id)],
                     vec![None],
                     None,
                 )),
@@ -463,9 +463,9 @@ fn ag_monitor(
             // No further obligations once the assumption has failed.
             continue;
         }
-        let s = graph.state(id);
+        let s = &graph.view(id);
         for e in graph.edges(id) {
-            let t = graph.state(e.target);
+            let t = &graph.view(e.target);
             if let Some(conjunct) = sys_side.failing_step_conjunct(s, t, vars, scratch)? {
                 // Violation: reconstruct the trace through the monitor.
                 let action = system.actions()[e.action].name().to_string();
@@ -473,7 +473,7 @@ fn ag_monitor(
                 let step = base.states().len();
                 let mut states = base.states().to_vec();
                 let mut actions = base.actions().to_vec();
-                states.push(t.clone());
+                states.push(graph.materialize(e.target));
                 actions.push(Some(action.clone()));
                 return Ok(AgReport {
                     verdict: Verdict::Violated(Counterexample::new(

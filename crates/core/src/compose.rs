@@ -298,15 +298,17 @@ fn build_certificate(
     let mut init_status = ObligationStatus::Proved {
         states: graph.init().len(),
     };
+    let init_cond = opentla_check::CompiledExpr::compile(&init_cond);
+    let scratch = &mut opentla_check::EvalScratch::new();
     for &id in graph.init() {
         if !init_cond
-            .holds_state(graph.state(id))
+            .holds(&graph.view(id), scratch)
             .map_err(opentla_check::CheckError::from)?
         {
             init_status = ObligationStatus::Failed(opentla_check::Counterexample::new(
                 "initial state satisfies neither Init_E nor Init_M \
                  (Proposition 4's hypothesis)",
-                vec![graph.state(id).clone()],
+                vec![graph.materialize(id)],
                 vec![None],
                 None,
             ));

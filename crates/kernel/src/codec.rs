@@ -1,12 +1,14 @@
-//! A zero-dependency binary codec for [`Value`]s and [`State`]s.
+//! A zero-dependency binary reader, and the codec of [`Value`]s.
 //!
-//! Checkpoint/resume (TLC's `-recover`) needs the state arena on disk,
-//! and fingerprints are deliberately *not* a serialization format — so
-//! this module provides the canonical byte encoding: length-prefixed,
-//! little-endian, self-describing via one tag byte per value. The
-//! encoding is total (every value encodes) and decoding is exact
-//! (`decode(encode(v)) == v`); decoding arbitrary bytes never panics,
-//! returning a typed [`DecodeError`] instead.
+//! Checkpoint/resume (TLC's `-recover`) keeps a run's states on disk as
+//! packed rows, which only a layout's domains give meaning to: a
+//! snapshot records those domains, each value in the canonical byte
+//! encoding below — length-prefixed, little-endian, self-describing via
+//! one tag byte per value. The encoding is total (every value encodes)
+//! and decoding is exact (`decode(encode(v)) == v`); decoding arbitrary
+//! bytes never panics, returning a typed [`DecodeError`] instead. The
+//! [`Reader`] is the bounds-checked cursor every snapshot decoder reads
+//! its words through.
 //!
 //! Wire format per value:
 //!
@@ -17,10 +19,8 @@
 //! | `2` | `u32` LE byte length + UTF-8 bytes |
 //! | `3` | `u32` LE arity + that many values (tuple) |
 //! | `4` | `u32` LE length + that many values (sequence) |
-//!
-//! A state is a `u32` LE slot count followed by one value per slot.
 
-use crate::{State, Value};
+use crate::Value;
 
 /// Why a byte stream failed to decode as a value or state.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -260,29 +260,6 @@ pub fn decode_value(r: &mut Reader<'_>) -> Result<Value, DecodeError> {
     }
 }
 
-/// Appends the encoding of `s` (slot count + one value per slot) to
-/// `out`.
-pub fn encode_state(s: &State, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    for v in s.values() {
-        encode_value(v, out);
-    }
-}
-
-/// Decodes one state from the reader.
-///
-/// # Errors
-///
-/// As [`decode_value`].
-pub fn decode_state(r: &mut Reader<'_>) -> Result<State, DecodeError> {
-    let n = r.len("state slot count")?;
-    let mut values = Vec::with_capacity(n);
-    for _ in 0..n {
-        values.push(decode_value(r)?);
-    }
-    Ok(State::new(values))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,25 +297,6 @@ mod tests {
     }
 
     #[test]
-    fn states_round_trip() {
-        for s in [
-            State::new(Vec::<Value>::new()),
-            State::new(vec![Value::Int(3), Value::Bool(true)]),
-            State::new(vec![Value::seq(vec![Value::tuple(vec![
-                Value::Int(1),
-                Value::Int(0),
-                Value::str("ack"),
-            ])])]),
-        ] {
-            let mut bytes = Vec::new();
-            encode_state(&s, &mut bytes);
-            let mut r = Reader::new(&bytes);
-            assert_eq!(decode_state(&mut r).expect("decodes"), s);
-            assert!(r.is_empty());
-        }
-    }
-
-    #[test]
     fn corrupt_input_yields_typed_errors_not_panics() {
         // Truncated integer.
         let mut bytes = Vec::new();
@@ -370,7 +328,7 @@ mod tests {
         );
         // Empty input.
         assert!(matches!(
-            decode_state(&mut Reader::new(&[])),
+            decode_value(&mut Reader::new(&[])),
             Err(DecodeError::Truncated { .. })
         ));
         // Errors display something readable.

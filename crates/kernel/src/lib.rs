@@ -11,8 +11,8 @@
 //! * [`VarId`] / [`Vars`] — interned flexible variables with optional
 //!   finite [`Domain`]s;
 //! * [`State`] — an assignment of values to variables;
-//! * [`codec`] — the canonical binary encoding of values and states
-//!   (what the checker's checkpoint snapshots persist);
+//! * [`codec`] — a byte reader and the canonical binary encoding of
+//!   values (checkpoint snapshots record their layouts' domains in it);
 //! * [`Expr`] — state functions and actions (expressions over primed and
 //!   unprimed variables);
 //! * [`Formula`] — the temporal formula AST, including the paper's

@@ -72,12 +72,16 @@ impl PackedLayout {
     /// Compiles a layout from declared domains, or `None` when a
     /// domain's codes do not fit a `u32`.
     pub fn compile(vars: &Vars) -> Option<PackedLayout> {
-        let mut slots = Vec::with_capacity(vars.len());
-        let mut zobrist = Vec::with_capacity(vars.len());
-        let mut domains = Vec::with_capacity(vars.len());
+        PackedLayout::of_domains(vars.iter().map(|v| vars.domain(v).clone()).collect())
+    }
+
+    /// [`compile`](Self::compile) of a `Vars` with these domains, in order.
+    pub fn of_domains(domains: Vec<Domain>) -> Option<PackedLayout> {
+        let mut slots = Vec::with_capacity(domains.len());
+        let mut zobrist = Vec::with_capacity(domains.len());
         let mut offset = 0usize;
-        for v in vars.iter() {
-            let values = vars.domain(v).values();
+        for (slot, domain) in domains.iter().enumerate() {
+            let values = domain.values();
             let width = match values.len() {
                 0 | 1 => 0,
                 n => usize::BITS - (n - 1).leading_zeros(),
@@ -86,9 +90,8 @@ impl PackedLayout {
                 return None;
             }
             slots.push(Slot { offset, width });
-            let hash = |val| slot_fingerprint(v.index(), val);
+            let hash = |val| slot_fingerprint(slot, val);
             zobrist.push(values.iter().map(hash).collect());
-            domains.push(vars.domain(v).clone());
             offset += width as usize;
         }
         Some(PackedLayout {
@@ -113,6 +116,12 @@ impl PackedLayout {
     /// Total packed width of one state, in bits.
     pub fn state_bits(&self) -> usize {
         self.slots.iter().map(|s| s.width as usize).sum()
+    }
+
+    /// Each slot's domain, whose values its codes number: two layouts
+    /// with equal domains read a row as the same state.
+    pub fn domains(&self) -> &[Domain] {
+        &self.domains
     }
 
     /// The width of `slot`'s codes, in bits.

@@ -124,6 +124,13 @@ pub struct ExploreOptions {
     /// 1 (sequential). Any resolved value above 1 routes a run without
     /// a memory budget to the work-stealing scheduler; budgeted runs are
     /// sequential at any value.
+    ///
+    /// A certificate (`opentla::compose`) reads the same request, off
+    /// [`Exploration::requested_threads`], for its obligation checks:
+    /// they run on two lanes unless it is exactly 1, the machine has one
+    /// hardware thread, or the budget records events — a recorded
+    /// certificate keeps one lane, so its stream stays one nested
+    /// sequence. The certificate is the same either way.
     pub threads: Option<usize>,
     /// Fingerprint width in bits, 1..=64 (default 64). Values below 64
     /// mask the fingerprint, deliberately *forcing* collisions — a test
@@ -261,6 +268,20 @@ pub struct Exploration {
     /// [`explore_escalating`] hands it straight back to the next
     /// attempt, in memory.
     pub snapshot: Option<Box<Snapshot>>,
+    /// See [`Exploration::requested_threads`].
+    requested_threads: Option<usize>,
+}
+
+impl Exploration {
+    /// The workers this run was asked for — [`ExploreOptions::threads`],
+    /// else `OPENTLA_EXPLORE_THREADS`, at least 1 — as its plan read
+    /// them, whatever route it took: a budgeted run reports the request
+    /// though it ran one worker. `None` when neither says. A caller
+    /// that fans out work over the explored graph sizes it by this
+    /// rather than reading the environment again.
+    pub fn requested_threads(&self) -> Option<usize> {
+        self.requested_threads
+    }
 }
 
 impl std::ops::Deref for Exploration {
@@ -437,17 +458,22 @@ fn explore_dispatch(
     launch: Result<Start<'_>, CheckError>,
 ) -> Result<Exploration, CheckError> {
     let Start { seed, layout } = launch?;
-    if plan.route != Route::WorkStealing {
+    let explored = if plan.route != Route::WorkStealing {
         let mem_budget = plan.route.mem_budget();
-        return seq::explore_seq(system, budget, options, mem_budget, seed, &layout);
-    }
-    let run = ws::Run {
-        options,
-        threads: plan.threads,
-        layout: &layout,
-        meter: seed.meter(budget),
+        seq::explore_seq(system, budget, options, mem_budget, seed, &layout)
+    } else {
+        let run = ws::Run {
+            options,
+            threads: plan.threads,
+            layout: &layout,
+            meter: seed.meter(budget),
+        };
+        ws::explore_ws(system, budget, &run, seed, &stripes::Store::new(&run))
     };
-    ws::explore_ws(system, budget, &run, seed, &stripes::Store::new(&run))
+    explored.map(|run| Exploration {
+        requested_threads: plan.requested,
+        ..run
+    })
 }
 
 /// Brackets an engine dispatch in [`Event::RunStart`] /

@@ -77,6 +77,9 @@ pub(crate) struct Plan {
     /// else 1) on the work-stealing route, 1 on the sequential ones
     /// whatever was requested.
     pub(crate) threads: usize,
+    /// The workers asked for — explicit option, else environment, at
+    /// least 1 — whatever the route; `None` when neither says.
+    pub(crate) requested: Option<usize>,
 }
 
 /// What a run starts from, on every plan; see [`Start::of`].
@@ -138,7 +141,8 @@ impl Plan {
         env_threads: Option<usize>,
         env_budget: Option<usize>,
     ) -> Plan {
-        let requested = options.threads.or(env_threads).unwrap_or(1).max(1);
+        let asked = options.threads.or(env_threads).map(|n| n.max(1));
+        let requested = asked.unwrap_or(1);
         let budget = options.mem_budget_bytes.or(env_budget);
         let spill =
             budget.is_some() || matches!(options.engine, Engine::SpillBfs | Engine::SpillWs);
@@ -158,6 +162,7 @@ impl Plan {
         Plan {
             route,
             threads: if parallel { requested } else { 1 },
+            requested: asked,
         }
     }
 
@@ -250,14 +255,20 @@ mod tests {
     fn environment_fills_in_unset_threads() {
         let plan = Plan::resolve(&ExploreOptions::default(), Some(4), None);
         assert_eq!((plan.route, plan.threads), (Route::WorkStealing, 4));
+        assert_eq!(plan.requested, Some(4));
         let plan = Plan::resolve(&ExploreOptions::default(), None, None);
         assert_eq!((plan.route, plan.threads), (Route::Sequential, 1));
+        assert_eq!(plan.requested, None, "nobody asked");
         // A zero thread count is clamped, not trusted.
         let zero = ExploreOptions {
             threads: Some(0),
             ..ExploreOptions::default()
         };
-        assert_eq!(Plan::resolve(&zero, Some(4), None).threads, 1);
+        let plan = Plan::resolve(&zero, Some(4), None);
+        assert_eq!((plan.threads, plan.requested), (1, Some(1)));
+        // A budget runs one worker, and still reports what was asked.
+        let plan = Plan::resolve(&ExploreOptions::default(), Some(4), Some(ENV));
+        assert_eq!((plan.threads, plan.requested), (1, Some(4)));
     }
 
     /// A variable that is set must parse: anything but a positive

@@ -612,6 +612,7 @@ impl<'a> Store<'a> {
             graph,
             outcome,
             snapshot,
+            requested_threads: None,
         })
     }
 }

@@ -615,5 +615,6 @@ pub(super) fn explore_ws(
         outcome,
         frontier,
         snapshot,
+        requested_threads: None,
     })
 }

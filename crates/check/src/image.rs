@@ -23,8 +23,10 @@
 //! reads, so the pass keys on codes, not values: each state's key is the
 //! codes of those slots in its packed row, side by side
 //! ([`PackedLayout::gather_key`], as many `u64` words as the bits
-//! need), and `σ(v)` runs — through [`CompiledExpr`] — once per
-//! distinct key, the first time the key is met. Every obligation
+//! need; a key of 64 bits or fewer — every workload's so far — is
+//! interned as one word, only a wider one as a boxed slice), and `σ(v)`
+//! runs — through [`CompiledExpr`] — once per distinct key, the first
+//! time the key is met. Every obligation
 //! checked under that mapping reads the column; none evaluates `σ`
 //! again. A certificate builds one and hands it to hypothesis 2(a) and
 //! to every condition of 2(b); a stand-alone check builds its own.
@@ -37,7 +39,21 @@
 //! mapped variable's image id from its [`Images`] column, in as many
 //! bits as the largest id needs — so no value is hashed. A [`Memo`] then
 //! maps `(class[s], class[t])` — or `class[s]` for a state predicate —
-//! to the obligation's boolean.
+//! to the obligation's boolean: a state predicate's answers are a byte
+//! per class (unknown, false or true), a step predicate's one word per
+//! pair met — the target class, a link and the answer packed together —
+//! on a list per source class, appended in the order the pairs are met,
+//! so a memo never rehashes and touches only the words it writes. That
+//! matters beyond speed: a check on a second thread keeps what it
+//! allocated in that thread's allocator arena after it frees it.
+//!
+//! **One class column per footprint.** The column a class pass leaves
+//! (four bytes per state) is kept by the [`Images`] it was computed
+//! over and shared: a second [`Classes::of_graph`] of the same footprint
+//! on the same images — 2(a) and 2(b) look at the same abstract
+//! variables — waits for the first if it is still running, then reads
+//! its column, and reports a pass of zero nanoseconds. Two checks on two
+//! threads thus run one class pass between them.
 //!
 //! Both passes number what they meet in state order, so image ids and
 //! class ids are those of interning the values themselves: two states
@@ -90,9 +106,9 @@ use crate::obs::{Event, RecorderHandle};
 use crate::{CheckError, RowView, StateGraph};
 use fxhash::FxHashMap;
 use opentla_kernel::{PackedLayout, Substitution, Value, VarId, VarSet};
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// "This state has no class": its key could not be computed. Also
@@ -100,18 +116,51 @@ use std::time::Instant;
 const NONE: u32 = u32::MAX;
 
 /// Keys of slot codes and ids side by side in `u64` words, numbered by
-/// the pass that meets them.
-type KeyIds = FxHashMap<Box<[u64]>, u32>;
+/// the pass that meets them. A key of one word (64 bits or fewer) is
+/// interned as that word; only a wider one is boxed.
+#[derive(Debug)]
+enum KeyIds {
+    Word(FxHashMap<u64, u32>),
+    Words(FxHashMap<Box<[u64]>, u32>),
+}
 
-/// The id `key` has in `ids`, or — met for the first time — the one
-/// `first` gives it.
-fn intern_key(ids: &mut KeyIds, key: &[u64], first: impl FnOnce(usize) -> u32) -> u32 {
-    if let Some(&id) = ids.get(key) {
-        return id;
+impl KeyIds {
+    /// An empty table for keys of `words` words.
+    fn of_width(words: usize) -> Self {
+        if words <= 1 {
+            KeyIds::Word(FxHashMap::default())
+        } else {
+            KeyIds::Words(FxHashMap::default())
+        }
     }
-    let id = first(ids.len());
-    ids.insert(key.into(), id);
-    id
+
+    /// Keys met so far.
+    fn len(&self) -> usize {
+        match self {
+            KeyIds::Word(ids) => ids.len(),
+            KeyIds::Words(ids) => ids.len(),
+        }
+    }
+
+    /// The id `key` has, or — met for the first time — the one `first`
+    /// gives it.
+    fn intern(&mut self, key: &[u64], first: impl FnOnce(usize) -> u32) -> u32 {
+        let next = self.len();
+        match self {
+            KeyIds::Word(ids) => {
+                let word = key.first().copied().unwrap_or(0);
+                *ids.entry(word).or_insert_with(|| first(next))
+            }
+            KeyIds::Words(ids) => {
+                if let Some(&id) = ids.get(key) {
+                    return id;
+                }
+                let id = first(next);
+                ids.insert(key.into(), id);
+                id
+            }
+        }
+    }
 }
 
 /// Words for a key of `bits` bits.
@@ -137,7 +186,15 @@ pub struct Images {
     values: Vec<Value>,
     /// Images that are undefined.
     undefined: u64,
+    /// The class column of each footprint met so far, computed once and
+    /// shared by every [`Classes`] of that footprint; `None` for the
+    /// default images, which are of no graph in particular.
+    classes: Option<Mutex<Vec<(VarSet, ColumnSlot)>>>,
 }
+
+/// Where one footprint's class column is, or will be once the first
+/// caller has computed it.
+type ColumnSlot = Arc<OnceLock<Arc<Column>>>;
 
 /// One mapped variable of an image pass.
 struct Mapped {
@@ -179,7 +236,7 @@ impl Images {
                     .collect();
                 let key = words(layout.key_bits(&reads));
                 let program = CompiledExpr::compile(image);
-                let ids = KeyIds::default();
+                let ids = KeyIds::of_width(key.len());
                 (
                     v,
                     Mapped {
@@ -208,7 +265,7 @@ impl Images {
             let row = graph.row(id);
             for ((_, m), (_, column)) in mapped.iter_mut().zip(&mut columns) {
                 layout.gather_key(row, &m.reads, &mut m.key);
-                let image = intern_key(&mut m.ids, &m.key, |_| {
+                let image = m.ids.intern(&m.key, |_| {
                     evaluated += 1;
                     match m.program.eval(&graph.view(id), &mut scratch) {
                         Ok(value) => *ids.entry(value).or_insert_with_key(|value| {
@@ -246,6 +303,7 @@ impl Images {
             column_of,
             values,
             undefined,
+            classes: Some(Mutex::default()),
         }
     }
 
@@ -357,13 +415,11 @@ impl Slots for ImageView<'_> {
     }
 }
 
-/// The class of every state of a graph under one footprint and one
-/// mapping, plus the tallies its [`Memo`]s leave behind for
-/// [`Event::ImageMemo`].
+/// The class of every state of a graph under one footprint: what one
+/// class pass computes, shared by every [`Classes`] of that footprint
+/// over the same [`Images`].
 #[derive(Debug)]
-pub struct Classes<'g> {
-    graph: &'g StateGraph,
-    images: &'g Images,
+struct Column {
     /// Class per state ([`NONE`] where the key is not computable);
     /// empty when the memo is skipped.
     of: Vec<u32>,
@@ -371,23 +427,11 @@ pub struct Classes<'g> {
     count: usize,
     /// What the pass took.
     nanos: u64,
-    /// Step lookups and step evaluations of every memo dropped so far.
-    steps: AtomicU64,
-    evaluated: AtomicU64,
 }
 
-impl<'g> Classes<'g> {
-    /// One pass over `graph`: numbers each state's image tuple over
-    /// `footprint` by its key — the codes of the unmapped slots in the
-    /// state's row, then the image id of each mapped one, read from
-    /// `images`, in as many bits as the largest id needs — in state
-    /// order. The key table is dropped before this returns, so what
-    /// stays resident is four bytes per state (nothing when skipped).
-    ///
-    /// # Panics
-    ///
-    /// If `images` are of a graph with fewer states.
-    pub fn of_graph(graph: &'g StateGraph, footprint: &VarSet, images: &'g Images) -> Classes<'g> {
+impl Column {
+    /// The class pass of [`Classes::of_graph`].
+    fn of_graph(graph: &StateGraph, footprint: &VarSet, images: &Images) -> Column {
         let started = Instant::now();
         let layout = graph.layout();
         let mut shape = KeyShape {
@@ -406,7 +450,7 @@ impl<'g> Classes<'g> {
             }
         }
         let mut key = words(shape.bits(layout));
-        let mut keys = KeyIds::default();
+        let mut keys = KeyIds::of_width(key.len());
         let mut of = Vec::with_capacity(graph.len());
         let mut classed = 0usize;
         for id in 0..graph.len() {
@@ -415,7 +459,7 @@ impl<'g> Classes<'g> {
                 continue;
             }
             classed += 1;
-            let class = intern_key(&mut keys, &key, |next| {
+            let class = keys.intern(&key, |next| {
                 u32::try_from(next).expect("state ids fit in u32")
             });
             of.push(class);
@@ -425,12 +469,81 @@ impl<'g> Classes<'g> {
             // Nobody shares a class: keep none.
             of = Vec::new();
         }
-        Classes {
-            graph,
-            images,
+        Column {
             of,
             count,
             nanos: started.elapsed().as_nanos() as u64,
+        }
+    }
+}
+
+impl Images {
+    /// The class column of `footprint` over `graph`, and whether this
+    /// call ran its pass. The images of a graph keep one column per
+    /// footprint: the first caller computes it, a caller that comes
+    /// while it is being computed waits for it, and every later one
+    /// shares it. The default images keep none.
+    fn class_column(&self, graph: &StateGraph, footprint: &VarSet) -> (Arc<Column>, bool) {
+        let Some(shared) = &self.classes else {
+            return (Arc::new(Column::of_graph(graph, footprint, self)), true);
+        };
+        let slot = {
+            let mut slots = shared.lock().unwrap_or_else(PoisonError::into_inner);
+            match slots.iter().find(|(known, _)| known == footprint) {
+                Some((_, slot)) => Arc::clone(slot),
+                None => {
+                    let slot = Arc::default();
+                    slots.push((footprint.clone(), Arc::clone(&slot)));
+                    slot
+                }
+            }
+        };
+        let mut ran = false;
+        let column = slot.get_or_init(|| {
+            ran = true;
+            Arc::new(Column::of_graph(graph, footprint, self))
+        });
+        (Arc::clone(column), ran)
+    }
+}
+
+/// The class of every state of a graph under one footprint and one
+/// mapping, plus the tallies its [`Memo`]s leave behind for
+/// [`Event::ImageMemo`].
+#[derive(Debug)]
+pub struct Classes<'g> {
+    graph: &'g StateGraph,
+    images: &'g Images,
+    column: Arc<Column>,
+    /// What this check's class pass took: zero when it shares a column
+    /// another check computed.
+    nanos: u64,
+    /// Step lookups and step evaluations of every memo dropped so far.
+    steps: AtomicU64,
+    evaluated: AtomicU64,
+}
+
+impl<'g> Classes<'g> {
+    /// The classes of `graph`'s states under `footprint`: numbers each
+    /// state's image tuple by its key — the codes of the unmapped slots
+    /// in the state's row, then the image id of each mapped one, read
+    /// from `images`, in as many bits as the largest id needs — in
+    /// state order. The key table is dropped before the pass returns,
+    /// so what stays resident is four bytes per state (nothing when
+    /// skipped), kept by `images` and shared: a second call with the
+    /// same footprint on the same images — from this thread or another
+    /// — runs no pass of its own and reports it took no time.
+    ///
+    /// # Panics
+    ///
+    /// If `images` are of a graph with fewer states.
+    pub fn of_graph(graph: &'g StateGraph, footprint: &VarSet, images: &'g Images) -> Classes<'g> {
+        let (column, ran) = images.class_column(graph, footprint);
+        Classes {
+            graph,
+            images,
+            nanos: if ran { column.nanos } else { 0 },
+            column,
             steps: AtomicU64::new(0),
             evaluated: AtomicU64::new(0),
         }
@@ -438,18 +551,22 @@ impl<'g> Classes<'g> {
 
     /// Distinct classes found by the pass.
     pub fn count(&self) -> usize {
-        self.count
+        self.column.count
     }
 
     /// Whether no two states share a class, so lookups evaluate.
     pub fn skipped(&self) -> bool {
-        self.of.is_empty()
+        self.column.of.is_empty()
     }
 
     /// The class of state `id`; `None` when its key is not computable
     /// or the memo is skipped.
     pub fn get(&self, id: usize) -> Option<u32> {
-        self.of.get(id).copied().filter(|class| *class != NONE)
+        self.column
+            .of
+            .get(id)
+            .copied()
+            .filter(|class| *class != NONE)
     }
 
     /// `s̄` for state `id`, see [`ImageView`].
@@ -463,7 +580,7 @@ impl<'g> Classes<'g> {
         if recorder.enabled() {
             recorder.record(&Event::ImageMemo {
                 check,
-                classes: self.count as u64,
+                classes: self.count() as u64,
                 distinct_pairs: self.evaluated.load(Ordering::Relaxed),
                 edges: self.steps.load(Ordering::Relaxed),
                 skipped: self.skipped(),
@@ -504,6 +621,58 @@ impl KeyShape<'_> {
     }
 }
 
+/// A state predicate's answer for a class not met yet, in
+/// [`Memo::states`]; a known answer `b` is stored as `1 + b`.
+const UNKNOWN: u8 = 0;
+
+/// A step predicate's answers by class pair: per source class, a list
+/// of the target classes met with it, threaded through one column of
+/// one-word entries that is only ever appended to. A memo touches a word
+/// per pair it meets, in the order it meets them, and never rehashes,
+/// so what it keeps resident is that word, plus four bytes per class.
+#[derive(Debug, Default)]
+struct PairLists {
+    /// Per source class, one past the index of its latest entry; 0 for
+    /// none.
+    heads: Vec<u32>,
+    /// Per pair met: the target class in the high half, the source
+    /// class's previous head in bits 1 to 31, the answer in bit 0.
+    entries: Vec<u64>,
+}
+
+impl PairLists {
+    /// The remembered answer of `(s, t)`.
+    fn get(&self, s: u32, t: u32) -> Option<bool> {
+        let mut at = *self.heads.get(s as usize)?;
+        while at != 0 {
+            let entry = self.entries[at as usize - 1];
+            if (entry >> 32) as u32 == t {
+                return Some(entry & 1 == 1);
+            }
+            at = (entry as u32) >> 1;
+        }
+        None
+    }
+
+    /// Remembers `value` for `(s, t)`, met for the first time. The first
+    /// call sizes the heads for `classes` and reserves an entry per
+    /// edge, the most a scan of the graph's edges can meet; a page of
+    /// that reservation is resident only once an entry is written to it.
+    fn insert(&mut self, classes: usize, edges: usize, s: u32, t: u32, value: bool) {
+        if self.heads.is_empty() {
+            self.heads.resize(classes, 0);
+            self.entries.reserve_exact(edges);
+        }
+        let head = &mut self.heads[s as usize];
+        self.entries
+            .push(u64::from(t) << 32 | u64::from(*head) << 1 | u64::from(value));
+        *head = u32::try_from(self.entries.len())
+            .ok()
+            .filter(|&at| at < 1 << 31)
+            .expect("fewer than 2³¹ class pairs");
+    }
+}
+
 /// One predicate's answers by class, filled on demand. A check keeps
 /// one memo per predicate.
 ///
@@ -517,9 +686,11 @@ impl KeyShape<'_> {
 #[derive(Debug)]
 pub struct Memo<'c> {
     classes: &'c Classes<'c>,
-    /// `(class[s], class[t])`, or `(class[s], NONE)` for a state
-    /// predicate — no class id equals [`NONE`].
-    seen: FxHashMap<(u32, u32), bool>,
+    /// A state predicate's answers, a byte per class ([`UNKNOWN`] or
+    /// `1 +` the answer); sized on the first lookup.
+    states: Vec<u8>,
+    /// A step predicate's answers, by class pair.
+    pairs: PairLists,
     steps: u64,
     evaluated: u64,
 }
@@ -529,7 +700,8 @@ impl<'c> Memo<'c> {
     pub fn new(classes: &'c Classes<'c>) -> Self {
         Memo {
             classes,
-            seen: FxHashMap::default(),
+            states: Vec::new(),
+            pairs: PairLists::default(),
             steps: 0,
             evaluated: 0,
         }
@@ -551,10 +723,19 @@ impl<'c> Memo<'c> {
     ) -> Result<bool, E> {
         self.steps += 1;
         let classes = self.classes;
-        let key = classes.get(s).zip(classes.get(t));
+        let Some((s_class, t_class)) = classes.get(s).zip(classes.get(t)) else {
+            let value = directly()?;
+            self.evaluated += 1;
+            return Ok(value);
+        };
+        if let Some(known) = self.pairs.get(s_class, t_class) {
+            return Ok(known);
+        }
         let on_images = || abstractly(classes.view(s)?, classes.view(t)?).ok();
-        let (value, ran) = self.lookup(key, on_images, directly)?;
-        self.evaluated += u64::from(ran);
+        let value = on_images().map_or_else(directly, Ok)?;
+        self.evaluated += 1;
+        let edges = classes.graph.edge_count();
+        (self.pairs).insert(classes.count(), edges, s_class, t_class, value);
         Ok(value)
     }
 
@@ -571,31 +752,20 @@ impl<'c> Memo<'c> {
         directly: impl FnOnce() -> Result<bool, E>,
     ) -> Result<bool, E> {
         let classes = self.classes;
-        let key = classes.get(s).map(|class| (class, NONE));
+        let Some(class) = classes.get(s) else {
+            return directly();
+        };
+        if self.states.is_empty() {
+            self.states.resize(classes.count(), UNKNOWN);
+        }
+        let known = self.states[class as usize];
+        if known != UNKNOWN {
+            return Ok(known == 1 + u8::from(true));
+        }
         let on_image = || abstractly(classes.view(s)?).ok();
-        Ok(self.lookup(key, on_image, directly)?.0)
-    }
-
-    /// The answer under `key` and whether an evaluation ran for it.
-    fn lookup<E>(
-        &mut self,
-        key: Option<(u32, u32)>,
-        on_images: impl FnOnce() -> Option<bool>,
-        directly: impl FnOnce() -> Result<bool, E>,
-    ) -> Result<(bool, bool), E> {
-        let Some(key) = key else {
-            return Ok((directly()?, true));
-        };
-        let slot = match self.seen.entry(key) {
-            Entry::Occupied(known) => return Ok((*known.get(), false)),
-            Entry::Vacant(slot) => slot,
-        };
-        let value = match on_images() {
-            Some(value) => value,
-            None => directly()?,
-        };
-        slot.insert(value);
-        Ok((value, true))
+        let value = on_image().map_or_else(directly, Ok)?;
+        self.states[class as usize] = 1 + u8::from(value);
+        Ok(value)
     }
 }
 
@@ -770,6 +940,137 @@ mod tests {
             memo.step(0, 0, boom, || unreachable!("remembered")),
             Ok(true)
         );
+        drop(memo);
+        // A state predicate is decided once per class too, from the
+        // class's byte; its errors are not remembered either.
+        let mut memo = Memo::new(&classes);
+        let mut calls = 0u64;
+        for _ in 0..2 {
+            for s in 0..graph.len() {
+                let at_least_two = graph.state(s).get(x) >= &Value::Int(2);
+                let got = memo.state(
+                    s,
+                    |view| {
+                        calls += 1;
+                        Ok::<_, Infallible>(view.slot(x) >= Some(&Value::Int(2)))
+                    },
+                    || unreachable!("the abstract evaluation succeeds"),
+                );
+                assert_eq!(got, Ok(at_least_two));
+            }
+        }
+        assert_eq!(calls, 4, "one evaluation per value of x");
+        let mut memo = Memo::new(&classes);
+        let boom = |_: ImageView<'_>| Err::<bool, _>("abstract");
+        assert_eq!(memo.state(0, boom, || Err("boom")), Err("boom"));
+        assert_eq!(memo.state(0, boom, || Ok(false)), Ok(false));
+        assert_eq!(
+            memo.state(0, boom, || unreachable!("remembered")),
+            Ok(false)
+        );
+    }
+
+    /// Class ids past 2¹⁶: `x` counts (and wraps) through 70 001
+    /// values beside a toggle, 140 002 states in 70 001 classes over
+    /// `x`. Every class pair — `(n, n)` for a toggle, `(n, n + 1)` for
+    /// an increment — is decided once, and answers apart.
+    #[test]
+    fn class_pairs_past_two_to_the_sixteen_are_told_apart() {
+        const TOP: i64 = 70_000;
+        let mut vars = Vars::new();
+        let x = vars.declare("x", Domain::int_range(0, TOP));
+        let t = vars.declare("t", Domain::bits());
+        let incr = GuardedAction::new(
+            "incr",
+            Expr::bool(true),
+            vec![(x, Expr::var(x).add(Expr::int(1)).rem(Expr::int(TOP + 1)))],
+        );
+        let toggle = GuardedAction::new(
+            "toggle",
+            Expr::bool(true),
+            vec![(t, Expr::int(1).sub(Expr::var(t)))],
+        );
+        let init = Init::new([(x, Value::Int(0)), (t, Value::Int(0))]);
+        let sys = System::new(vars, init, vec![incr, toggle]);
+        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
+        assert_eq!(graph.len(), 2 * (TOP as usize + 1));
+        let id = images(&graph, &Substitution::default());
+        let classes = Classes::of_graph(&graph, &[x].into_iter().collect(), &id);
+        assert_eq!(classes.count(), TOP as usize + 1);
+        assert!((0..graph.len()).any(|s| classes.get(s) > Some(1 << 16)));
+        let mut memo = Memo::new(&classes);
+        let mut calls = 0usize;
+        let code = |s: usize| graph.layout().read_code(graph.row(s), x.index());
+        for s in 0..graph.len() {
+            for e in graph.edges(s) {
+                let moved = code(s) != code(e.target);
+                let got = memo.step(
+                    s,
+                    e.target,
+                    |old, new| {
+                        calls += 1;
+                        Ok::<_, Infallible>(old.slot(x) != new.slot(x))
+                    },
+                    || unreachable!("the abstract evaluation succeeds"),
+                );
+                assert_eq!(got, Ok(moved), "{s} → {}", e.target);
+            }
+        }
+        assert_eq!(calls, 2 * (TOP as usize + 1));
+    }
+
+    /// Keeps the `nanos` of every `image_memo` event.
+    #[derive(Default)]
+    struct MemoNanos(Mutex<Vec<u64>>);
+
+    impl Recorder for MemoNanos {
+        fn record(&self, event: &Event<'_>) {
+            if let Event::ImageMemo { nanos, .. } = *event {
+                self.0.lock().unwrap().push(nanos);
+            }
+        }
+    }
+
+    /// The images of a graph keep one class column per footprint: a
+    /// second `Classes` of a footprint shares the first one's column and
+    /// reports no pass of its own; another footprint runs its own pass.
+    /// The default images keep none.
+    #[test]
+    fn one_class_pass_per_footprint() {
+        let (sys, x, y) = counter_and_toggle();
+        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
+        let half = Substitution::new([(x, Expr::var(x).div(Expr::int(2)))]);
+        let images = images(&graph, &half);
+        let nanos = Arc::new(MemoNanos::default());
+        let recorder = RecorderHandle::new(nanos.clone());
+        let report = |footprint: &[VarId], images: &Images| {
+            let footprint: VarSet = footprint.iter().copied().collect();
+            let classes = Classes::of_graph(&graph, &footprint, images);
+            classes.report(&recorder, "simulation");
+            (classes.count(), classes.column)
+        };
+        let (count, first) = report(&[x], &images);
+        let (again, shared) = report(&[x], &images);
+        assert_eq!((count, again), (2, 2));
+        assert!(Arc::ptr_eq(&first, &shared));
+        let (_, other) = report(&[x, y], &images);
+        assert!(!Arc::ptr_eq(&first, &other));
+        let passes = nanos.0.lock().unwrap().clone();
+        assert!(passes[0] > 0 && passes[2] > 0, "{passes:?}");
+        assert_eq!(passes[1], 0, "the second call ran no pass");
+        // Two threads at once: one pass between them.
+        let images = self::images(&graph, &half);
+        let footprint: VarSet = [x].into_iter().collect();
+        let columns = std::thread::scope(|scope| {
+            let of = || Classes::of_graph(&graph, &footprint, &images).column;
+            let theirs = scope.spawn(of);
+            [of(), theirs.join().unwrap()]
+        });
+        assert!(Arc::ptr_eq(&columns[0], &columns[1]));
+        let unmapped = Images::default();
+        let (_, a) = report(&[x], &unmapped);
+        let (_, b) = report(&[x], &unmapped);
+        assert!(!Arc::ptr_eq(&a, &b));
     }
 
     /// Keeps the `(evaluated, key_bits)` of every `image_pass` event.

@@ -3,30 +3,59 @@
 //! The table builders precompute, per fairness requirement, which graph
 //! edges are `⟨A⟩_v` steps and where the action is enabled, one state
 //! row at a time in id order ([`table_rows`]). A per-edge table is flat:
-//! one [`EdgeTable`] flag per graph edge, addressed through the graph's
-//! own row index ([`StateGraph::edge_base`]), so a table costs a byte
+//! one [`EdgeTable`] bit per graph edge, addressed through the graph's
+//! own row index ([`StateGraph::edge_base`]), so a table costs a bit
 //! per edge and one allocation — no heap row per state, no index of
 //! its own.
 //!
 //! [`fair_subcomponent`] is the per-component satisfiability check,
 //! including the Streett-style `SF` removal recursion. It is a pure
-//! function of the component (plus the tables and the meter).
+//! function of the component (plus the tables and the meter), and a
+//! recursion step costs the component, not the graph: the survivors
+//! are marked in one graph-sized mask kept in [`SccWork`], set before
+//! their decomposition and cleared after it.
 
-use super::{charge_edge, scc::tarjan_sccs, Stop};
+use super::scc::{tarjan_sccs, Components};
+use super::{charge_edge, Stop};
 use crate::budget::Meter;
 use crate::compiled::{CompiledExpr, EvalScratch};
 use crate::image::{Classes, Images, Memo};
 use crate::{CheckError, StateGraph, System};
 use opentla_kernel::{Expr, Fairness, FairnessKind, Formula, SccScratch, StatePair, Substitution};
 
-/// One flag per graph edge, in graph order.
-pub(super) struct EdgeTable(Vec<bool>);
+/// One flag per graph edge, in graph order, a bit each.
+pub(super) struct EdgeTable {
+    words: Vec<u64>,
+    len: usize,
+}
 
 impl EdgeTable {
+    /// An empty table with room for `edges` flags.
+    fn with_capacity(edges: usize) -> Self {
+        EdgeTable {
+            words: Vec::with_capacity(edges.div_ceil(64)),
+            len: 0,
+        }
+    }
+
+    /// Appends the flag of the next edge.
+    fn push(&mut self, flag: bool) {
+        let bit = self.len % 64;
+        if bit == 0 {
+            self.words.push(0);
+        }
+        if flag {
+            *self.words.last_mut().expect("pushed above") |= 1 << bit;
+        }
+        self.len += 1;
+    }
+
     /// The flag of the `i`-th edge of `s` in `graph`, the graph the
     /// table was built over.
     pub(super) fn get(&self, graph: &StateGraph, s: usize, i: usize) -> bool {
-        self.0[graph.edge_base(s) + i]
+        let at = graph.edge_base(s) + i;
+        debug_assert!(at < self.len);
+        self.words[at / 64] >> (at % 64) & 1 == 1
     }
 }
 
@@ -39,16 +68,16 @@ impl EdgeTable {
 /// states whose rows were not finished, `n - id` at the failing row.
 fn table_rows(
     graph: &StateGraph,
-    mut row: impl FnMut(usize, &mut Vec<bool>) -> Result<bool, Stop>,
+    mut row: impl FnMut(usize, &mut EdgeTable) -> Result<bool, Stop>,
 ) -> Result<(EdgeTable, Vec<bool>), Stop> {
     let n = graph.len();
-    let mut edges = Vec::with_capacity(graph.edge_count());
+    let mut edges = EdgeTable::with_capacity(graph.edge_count());
     let mut states = Vec::with_capacity(n);
     for id in 0..n {
         states.push(row(id, &mut edges).map_err(|stop| stop.with_pending(n - id))?);
     }
-    assert_eq!(edges.len(), graph.edge_count(), "a flag per graph edge");
-    Ok((EdgeTable(edges), states))
+    assert_eq!(edges.len, graph.edge_count(), "a flag per graph edge");
+    Ok((edges, states))
 }
 
 /// Per-fairness-requirement facts about the graph.
@@ -216,43 +245,84 @@ pub(super) enum Waypoint {
     Node(usize),
 }
 
-/// A fair node set plus one waypoint per fairness requirement that
-/// needs an explicit witness.
-pub(super) type FairWitness = (Vec<usize>, Vec<Waypoint>);
+/// A fair node set (ascending) plus one waypoint per fairness
+/// requirement that needs an explicit witness.
+pub(super) type FairWitness = (Vec<u32>, Vec<Waypoint>);
 
-/// Depth-first search for a strongly connected node set (within `scc`)
-/// in which every fairness requirement is satisfiable and the
-/// `must_contain` requirement holds. Returns the node set plus one
+/// What the component search reuses from one component to the next:
+/// the Tarjan buffers, and a mask over the graph's states that is all
+/// `false` between recursion steps.
+#[derive(Default)]
+pub(super) struct SccWork {
+    pub(super) scratch: SccScratch,
+    mask: Vec<bool>,
+}
+
+impl SccWork {
+    /// The components of the subgraph on `survivors` (ascending): the
+    /// mask is set over them for the decomposition and cleared after
+    /// it, so the step costs the survivors, not the graph.
+    fn decompose(
+        &mut self,
+        graph: &StateGraph,
+        survivors: &[u32],
+        edge_ok: &dyn Fn(usize, usize) -> bool,
+        meter: &Meter,
+    ) -> Result<Components, Stop> {
+        if self.mask.len() < graph.len() {
+            self.mask.resize(graph.len(), false);
+        }
+        for &n in survivors {
+            self.mask[n as usize] = true;
+        }
+        let components = tarjan_sccs(
+            graph,
+            &self.mask,
+            Some(survivors),
+            edge_ok,
+            meter,
+            &mut self.scratch,
+        );
+        for &n in survivors {
+            self.mask[n as usize] = false;
+        }
+        components
+    }
+}
+
+/// Depth-first search for a strongly connected node set (within `scc`,
+/// ascending) in which every fairness requirement is satisfiable and
+/// the `must_contain` requirement holds. Returns the node set plus one
 /// waypoint per fairness requirement that needs an explicit witness.
 pub(super) fn fair_subcomponent(
     graph: &StateGraph,
     fair_infos: &[FairInfo],
     edge_ok: &dyn Fn(usize, usize) -> bool,
-    scc: &[usize],
+    scc: &[u32],
     must_contain: Option<&[bool]>,
     meter: &Meter,
-    scratch: &mut SccScratch,
+    work: &mut SccWork,
 ) -> Result<Option<FairWitness>, Stop> {
     if let Some(reason) = meter.checkpoint() {
         return Err(Stop::exhausted(reason));
     }
     if let Some(req) = must_contain {
-        if !scc.iter().any(|n| req[*n]) {
+        if !scc.iter().any(|&n| req[n as usize]) {
             return Ok(None);
         }
     }
     // Tarjan components are sorted ascending (also in the recursion
     // below), so membership is a binary search, not a scan.
-    let in_scc = |n: usize| scc.binary_search(&n).is_ok();
+    let in_scc = |n: usize| scc.binary_search(&(n as u32)).is_ok();
     let mut waypoints = Vec::new();
     if let Some(req) = must_contain {
-        let node = scc.iter().copied().find(|n| req[*n]).expect("checked");
-        waypoints.push(Waypoint::Node(node));
+        let node = scc.iter().find(|&&n| req[n as usize]).expect("checked");
+        waypoints.push(Waypoint::Node(*node as usize));
     }
     for info in fair_infos {
         // An internal ⟨A⟩_v edge satisfies both WF and SF.
         let mut edge_witness = None;
-        'search: for &s in scc {
+        'search: for s in scc.iter().map(|&s| s as usize) {
             for (i, e) in graph.edges(s).iter().enumerate() {
                 charge_edge(meter)?;
                 if info.angle.get(graph, s, i) && edge_ok(s, i) && in_scc(e.target) {
@@ -269,8 +339,8 @@ pub(super) fn fair_subcomponent(
             FairnessKind::Weak => {
                 // A state where the action is disabled, visited
                 // infinitely often, also satisfies WF.
-                match scc.iter().copied().find(|n| !info.enabled[*n]) {
-                    Some(n) => waypoints.push(Waypoint::Node(n)),
+                match scc.iter().find(|&&n| !info.enabled[n as usize]) {
+                    Some(&n) => waypoints.push(Waypoint::Node(n as usize)),
                     None => return Ok(None), // WF unsatisfiable here and in any subset.
                 }
             }
@@ -278,29 +348,25 @@ pub(super) fn fair_subcomponent(
                 // SF needs *no* enabled state in the cycle. If some are
                 // enabled, remove them and recurse on the
                 // sub-components (Streett decomposition).
-                if scc.iter().all(|n| !info.enabled[*n]) {
+                if scc.iter().all(|&n| !info.enabled[n as usize]) {
                     continue; // Satisfied without a waypoint.
                 }
-                let survivors: Vec<usize> =
-                    scc.iter().copied().filter(|n| !info.enabled[*n]).collect();
+                let survivors: Vec<u32> = (scc.iter().copied())
+                    .filter(|&n| !info.enabled[n as usize])
+                    .collect();
                 if survivors.is_empty() {
                     return Ok(None);
                 }
-                let mut node_ok = vec![false; graph.len()];
-                for &n in &survivors {
-                    node_ok[n] = true;
-                }
-                let sub_edge_ok =
-                    |s: usize, i: usize| edge_ok(s, i) && node_ok[graph.edges(s)[i].target];
-                for sub in tarjan_sccs(graph, &node_ok, &sub_edge_ok, meter, scratch)? {
+                let subs = work.decompose(graph, &survivors, edge_ok, meter)?;
+                for sub in subs.iter() {
                     if let Some(found) = fair_subcomponent(
                         graph,
                         fair_infos,
                         edge_ok,
-                        &sub,
+                        sub,
                         must_contain,
                         meter,
-                        scratch,
+                        work,
                     )? {
                         return Ok(Some(found));
                     }
@@ -317,7 +383,7 @@ mod tests {
     use super::*;
     use crate::{explore, Budget, ExhaustReason, ExploreOptions, GuardedAction, Init};
     use crate::{SystemFairness, Verdict};
-    use opentla_kernel::{Domain, Value, Vars};
+    use opentla_kernel::{tarjan_sccs_with, Domain, Value, Vars};
 
     /// Counters `a` and `b` up to `top` that `halt` freezes for good:
     /// every halted state — half the graph — has no edge. `WF(inc_a)`
@@ -410,6 +476,113 @@ mod tests {
             assert_eq!(graph.edge_base(n), graph.edge_count());
             assert_flat_tables_are_the_row_tables(&system, &graph);
         }
+        // A table is a bit per edge, 64 to a word: at top 7, 176 edges
+        // end in a partial word, and the first requirement's flag on
+        // edge 63 and the second's on edge 64 sit either side of a word
+        // boundary.
+        let system = halting_counters(7);
+        let graph = explore(&system, &ExploreOptions::default()).unwrap();
+        assert_eq!(graph.edge_count(), 176);
+        let rows = row_tables(&system, &graph, &Budget::default()).expect("unbudgeted");
+        let flat = |r: usize| rows[r].0.iter().flatten().copied().collect::<Vec<bool>>();
+        assert_eq!((flat(0)[63], flat(0)[64]), (true, false));
+        assert_eq!((flat(1)[63], flat(1)[64]), (false, true));
+        assert_flat_tables_are_the_row_tables(&system, &graph);
+    }
+
+    /// `y` spins through `0..=top` while `mark`, enabled only at
+    /// `y = top` with `x = 0`, sets `x` under `SF(mark)`: two cycles of
+    /// `top + 1` states, joined by the `mark` edge.
+    fn spinning(top: i64) -> System {
+        let mut vars = Vars::new();
+        let x = vars.declare("x", Domain::bits());
+        let y = vars.declare("y", Domain::int_range(0, top));
+        let spin = GuardedAction::new(
+            "spin",
+            Expr::bool(true),
+            vec![(y, Expr::var(y).add(Expr::int(1)).rem(Expr::int(top + 1)))],
+        );
+        let mark = GuardedAction::new(
+            "mark",
+            Expr::all([
+                Expr::var(y).eq(Expr::int(top)),
+                Expr::var(x).eq(Expr::int(0)),
+            ]),
+            vec![(x, Expr::int(1))],
+        );
+        let init = Init::new([(x, Value::Int(0)), (y, Value::Int(0))]);
+        System::new(vars, init, vec![spin, mark])
+            .with_fairness(SystemFairness::strong(vec![1], vec![x]))
+    }
+
+    /// The flat components of the subgraph on `node_ok` — given as the
+    /// mask and as the listed nodes, on one reused scratch — are the
+    /// kernel driver's components, one `Vec` each, in the same order. Returns
+    /// how many there are.
+    fn assert_flat_components_are_the_drivers(graph: &StateGraph, node_ok: &[bool]) -> usize {
+        let mut reference = Vec::new();
+        tarjan_sccs_with::<()>(
+            graph.len(),
+            &mut SccScratch::new(),
+            &|v| node_ok[v],
+            &|v| graph.edges(v).len(),
+            &mut |v, i| {
+                let t = graph.edges(v)[i].target;
+                Ok(node_ok[t].then_some(t))
+            },
+            &mut |_, _| Ok(()),
+            &mut |component| reference.push(component),
+        )
+        .unwrap();
+        let meter = Meter::start(&Budget::default());
+        let mut scratch = SccScratch::new();
+        let listed: Vec<u32> = (0..graph.len() as u32)
+            .filter(|&v| node_ok[v as usize])
+            .collect();
+        for listed in [None, Some(&listed[..]), None] {
+            let flat = tarjan_sccs(graph, node_ok, listed, &|_, _| true, &meter, &mut scratch)
+                .unwrap_or_else(|_| panic!("unbudgeted"));
+            let flat: Vec<Vec<_>> = (flat.iter())
+                .map(|c| c.iter().map(|&v| v as usize).collect())
+                .collect();
+            assert_eq!(flat, reference, "listed: {}", listed.is_some());
+        }
+        reference.len()
+    }
+
+    #[test]
+    fn flat_components_are_the_drivers() {
+        // Halting counters: every component a single state.
+        let system = halting_counters(9);
+        let graph = explore(&system, &ExploreOptions::default()).unwrap();
+        let n = graph.len();
+        assert_eq!(
+            assert_flat_components_are_the_drivers(&graph, &vec![true; n]),
+            n
+        );
+        let running: Vec<bool> = (0..n).map(|id| !graph.edges(id).is_empty()).collect();
+        assert_eq!(
+            assert_flat_components_are_the_drivers(&graph, &running),
+            n / 2
+        );
+        // The SF graph, whole (two cycles) and as the Streett step keeps
+        // it, without the state where `mark` is enabled: the first cycle
+        // falls apart into its four other states, one component each.
+        let system = spinning(4);
+        let graph = explore(&system, &ExploreOptions::default()).unwrap();
+        assert_eq!(graph.len(), 10);
+        assert_eq!(
+            assert_flat_components_are_the_drivers(&graph, &[true; 10]),
+            2
+        );
+        let meter = Meter::start(&Budget::default());
+        let infos = system_fair_infos(&system, &graph, &meter).unwrap_or_else(|_| panic!());
+        let survivors: Vec<bool> = infos[0].enabled.iter().map(|e| !e).collect();
+        assert_eq!(survivors.iter().filter(|s| !**s).count(), 1);
+        assert_eq!(
+            assert_flat_components_are_the_drivers(&graph, &survivors),
+            4 + 1
+        );
     }
 
     /// "Subscript unchanged" compares codes in two rows: here `b`'s

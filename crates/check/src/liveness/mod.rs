@@ -26,11 +26,17 @@
 //! # One engine
 //!
 //! The search is one sequential pass over one stored graph: flat
-//! fairness tables ([`fair`]), one iterative Tarjan decomposition
-//! ([`scc`]), then the components in Tarjan completion order, the first
-//! fairness-satisfiable one with a reachable entry giving the lasso.
-//! It reads no environment variable and has no engine selection;
-//! [`LivenessOptions`] survives as an inert shape.
+//! fairness tables ([`fair`], a bit per edge), one iterative Tarjan
+//! decomposition ([`scc`], its components flat: one `u32` column and
+//! where each ends, no heap row per component), then the components in
+//! Tarjan completion order, the first fairness-satisfiable one with a
+//! reachable entry giving the lasso. A Streett step decomposes its
+//! survivors alone, so it costs the component, not the graph. It reads
+//! no environment variable and has no engine selection;
+//! [`LivenessOptions`] survives as an inert shape. Several checks may
+//! run at once over one graph — a certificate runs its 2(a) beside its
+//! 2(b) conditions — since a check shares nothing mutable but the
+//! images' class columns.
 //!
 //! # Interruption
 //!
@@ -49,8 +55,8 @@ use crate::compiled::{CompiledExpr, EvalScratch};
 use crate::image::{Classes, Images, Memo};
 use crate::obs::{Phase, PhaseGuard, RecorderHandle};
 use crate::{CheckError, Counterexample, StateGraph, System, Verdict};
-use fair::{fair_subcomponent, EdgeTable, FairInfo, Waypoint};
-use opentla_kernel::{Expr, Fairness, FairnessKind, SccScratch, Substitution};
+use fair::{fair_subcomponent, EdgeTable, FairInfo, SccWork, Waypoint};
+use opentla_kernel::{Expr, Fairness, FairnessKind, Substitution};
 
 /// Why the metered liveness core stopped: budget exhaustion (with the
 /// exact count of pending work items in the interrupted phase) or a
@@ -543,8 +549,15 @@ fn find_violation(
     }
     let edge_ok = |s: usize, i: usize| v.edge_ok(graph, s, i);
     // SCCs of the restricted graph.
-    let mut scratch = SccScratch::new();
-    let sccs = scc::tarjan_sccs(graph, &v.cycle_node_ok, &edge_ok, meter, &mut scratch)?;
+    let mut work = SccWork::default();
+    let sccs = scc::tarjan_sccs(
+        graph,
+        &v.cycle_node_ok,
+        None,
+        &edge_ok,
+        meter,
+        &mut work.scratch,
+    )?;
     // Which states can begin the violating suffix (path constraint).
     let path_region = reachable_from(graph, &v.starts, v.path_node_ok.as_deref());
     for (idx, scc_nodes) in sccs.iter().enumerate() {
@@ -560,13 +573,13 @@ fn find_violation(
             scc_nodes,
             v.must_contain.as_deref(),
             meter,
-            &mut scratch,
+            &mut work,
         )
         .map_err(|stop| stop.with_pending(pending))?;
         if let Some((nodes, waypoints)) = fair {
             // Entry: a node of the component reachable under the path
             // constraint.
-            if let Some(&entry) = nodes.iter().find(|n| path_region[**n]) {
+            if let Some(entry) = nodes.iter().map(|&n| n as usize).find(|&n| path_region[n]) {
                 return Ok(Some(build_counterexample(
                     system, graph, v, &nodes, &waypoints, entry, &edge_ok,
                 )));
@@ -644,7 +657,7 @@ fn build_counterexample(
     system: &System,
     graph: &StateGraph,
     v: &Violation,
-    nodes: &[usize],
+    nodes: &[u32],
     waypoints: &[Waypoint],
     entry: usize,
     edge_ok: &dyn Fn(usize, usize) -> bool,
@@ -670,7 +683,7 @@ fn build_counterexample(
 
     // Cycle: visit every waypoint inside the component, then return.
     // `nodes` is a Tarjan component: sorted ascending.
-    let in_nodes = |n: usize| nodes.binary_search(&n).is_ok();
+    let in_nodes = |n: usize| nodes.binary_search(&(n as u32)).is_ok();
     let comp_edge_ok = |s: usize, i: usize| edge_ok(s, i) && in_nodes(graph.edges(s)[i].target);
     let mut cur = entry;
     let append_path_to = |goal: usize, ids: &mut Vec<(Option<usize>, usize)>, cur: &mut usize| {

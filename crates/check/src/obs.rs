@@ -397,7 +397,9 @@ pub enum Event<'a> {
         /// Whether no two states shared a class, so every lookup
         /// evaluated.
         skipped: bool,
-        /// What the class pass took (the lookups are the check's).
+        /// What the class pass took (the lookups are the check's); 0
+        /// when the check shared the class column an earlier check of
+        /// the same footprint computed over the same images.
         nanos: u64,
     },
     /// What the effect tables of packed stepping did over one

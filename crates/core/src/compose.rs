@@ -1,4 +1,26 @@
 //! The Composition Theorem and its Corollary, as checked proof rules.
+//!
+//! A certificate explores the complete system once, then checks the
+//! theorem's hypotheses over that one immutable graph: H1 per
+//! component, Proposition 4's initial condition, H2a, and H2b per
+//! fairness condition of the target. The hypotheses are independent
+//! reads of the graph, so they can run side by side. They run on two
+//! lanes when the machine has two hardware threads, the exploration
+//! was not asked for exactly one worker ([`ExploreOptions::threads`],
+//! else `OPENTLA_EXPLORE_THREADS`, as the exploration's plan read them)
+//! and the budget records nothing; on one lane otherwise, in
+//! certificate order, as a recorded run must for its stream to nest.
+//!
+//! The split follows what each check reads. A scoped worker runs every
+//! H1 (no mapping), then H2a; the caller runs P4, evaluates the
+//! refinement mapping over the graph ([`Images`]) and runs every H2b
+//! condition. H2a reads the same images, waiting for them if the caller
+//! is still computing them, and the class column it shares with H2b
+//! (same footprint) is computed once. Each check starts its own meter
+//! and keeps its scan order, so a budget cuts the same obligations and
+//! a violated hypothesis yields the same counterexample at either lane
+//! count; obligations are put together in certificate order, and the
+//! first error in that order is the one returned.
 
 use crate::props::{proposition_2_sides, proposition_4_initial_condition};
 use crate::{
@@ -8,9 +30,11 @@ use crate::{
 use opentla_check::image::Images;
 use opentla_check::{
     check_liveness_with_images, check_simulation_governed, check_simulation_with_images,
-    explore_governed_with, Budget, ExploreOptions, LiveTarget, Verdict,
+    explore_governed_with, Budget, Exploration, ExploreOptions, LiveTarget, StateGraph, System,
+    Verdict,
 };
 use opentla_kernel::{Substitution, Vars};
+use std::sync::OnceLock;
 
 /// Options for the composition engine.
 #[derive(Clone, Debug, Default)]
@@ -21,13 +45,21 @@ pub struct CompositionOptions {
     /// default resolves to the sequential in-RAM engine unless the
     /// `OPENTLA_EXPLORE_THREADS` / `OPENTLA_MEM_BUDGET` overrides say
     /// otherwise.
+    ///
+    /// Its thread count also sets the obligation checks' lanes: one
+    /// when it asks for exactly one thread, two otherwise (the default
+    /// included) on a machine with two hardware threads and with no
+    /// recorder on the budget. The certificate is the same on either.
     pub explore: ExploreOptions,
     /// Resource budget for every engine run (exploration and each
     /// obligation check). Exhaustion is not an error: the affected
     /// obligations are recorded as
     /// [`ObligationStatus::Undecided`](crate::ObligationStatus) and the
     /// certificate's [`Certificate::decided`](crate::Certificate) turns
-    /// false. Defaults to unlimited.
+    /// false. Defaults to unlimited. Each check meters the budget on its
+    /// own, so its limits cut the same obligations at one lane and at
+    /// two. A budget with an enabled recorder keeps the checks on one
+    /// lane.
     pub budget: Budget,
 }
 
@@ -273,120 +305,14 @@ fn build_certificate(
         });
     }
 
-    // --- hypothesis 1: C(E) ∧ ∧ C(M_j) ⇒ E_i ------------------------------
-    let empty = Substitution::default();
-    for ag in &problem.components {
-        let run =
-            check_simulation_governed(&product, graph, &ag.env().safety_formula(), &empty, budget)?;
-        obligations.push(Obligation {
-            id: format!("H1[{}]", ag.env().name()),
-            description: format!(
-                "C(E) ∧ ∧ C(M_j) ⇒ {} (assumption of {})",
-                ag.env().name(),
-                ag.sys().name()
-            ),
-            method: Method::Simulation,
-            status: simulation_status(run),
-        });
-    }
-
-    // --- hypothesis 2(a): C(E)+v ∧ ∧ C(M_j) ⇒ C(M) ------------------------
-    // Proposition 4: orthogonality from structural disjointness + the
-    // initial condition Init_E ∨ Init_M (mapped).
-    let mapped_sys_init = problem.mapping.expr(&target_sys.init().as_pred())?;
-    let init_cond = proposition_4_initial_condition(target_env.init().as_pred(), mapped_sys_init);
-    let mut init_status = ObligationStatus::Proved {
-        states: graph.init().len(),
-    };
-    let init_cond = opentla_check::CompiledExpr::compile(&init_cond);
-    let scratch = &mut opentla_check::EvalScratch::new();
-    for &id in graph.init() {
-        if !init_cond
-            .holds(&graph.view(id), scratch)
-            .map_err(opentla_check::CheckError::from)?
-        {
-            init_status = ObligationStatus::Failed(opentla_check::Counterexample::new(
-                "initial state satisfies neither Init_E nor Init_M \
-                 (Proposition 4's hypothesis)",
-                vec![graph.materialize(id)],
-                vec![None],
-                None,
-            ));
-            break;
-        }
-    }
-    obligations.push(Obligation {
-        id: "H2a/P4".into(),
-        description: "Init_E ∨ Init_M holds initially ⟹ C(E) ⊥ C(M) \
-                      (Proposition 4; disjointness is structural)"
-            .into(),
-        method: Method::InitialStates,
-        status: init_status,
-    });
-    // Proposition 3 then reduces 2(a) to the +‑free simulation. The
-    // refinement mapping is evaluated over the graph here, once: 2(a)
-    // and every condition of 2(b) read the same images.
-    let images = Images::of_graph(graph, &problem.mapping, &rec);
-    let run = check_simulation_with_images(
-        &product,
+    let hypotheses = Hypotheses {
+        problem,
+        product: &product,
         graph,
-        &target_sys.safety_formula(),
-        &images,
         budget,
-    )?;
-    obligations.push(Obligation {
-        id: "H2a".into(),
-        description: format!(
-            "C(E) ∧ ∧ C(M_j) ⇒ C({}) under the refinement mapping \
-             (Proposition 3 eliminated the +v)",
-            target_sys.name()
-        ),
-        method: Method::Simulation,
-        status: simulation_status(run),
-    });
-
-    // --- hypothesis 2(b): E ∧ ∧ M_j ⇒ M (liveness half) -------------------
-    for i in 0..target_sys.fairness().len() {
-        // The checker gets the abstract condition and the mapping
-        // apart, so it can decide each step once per image of the
-        // mapping rather than once per product edge. Enabledness:
-        // `Enabled` does not commute with substitution, so the
-        // angle action's enabledness is the *abstract* predicate
-        // (guard holds and the update would change an owned
-        // variable — exact for guarded commands), mapped like any
-        // state function. Using concrete-successor enabledness
-        // here would be unsound: an abstract action can be enabled
-        // at states the concrete implementation has saturated.
-        let run = check_liveness_with_images(
-            &product,
-            graph,
-            &LiveTarget::fair_mapped(
-                target_sys.fairness_condition(i),
-                target_sys.fairness_enabled_expr(i),
-                problem.mapping.clone(),
-            ),
-            &images,
-            budget,
-        )?;
-        obligations.push(Obligation {
-            id: format!("H2b/fairness[{i}]"),
-            description: format!(
-                "E ∧ ∧ M_j ⇒ fairness condition #{i} of {} \
-                 (under the refinement mapping)",
-                target_sys.name()
-            ),
-            method: Method::Liveness,
-            status: match run.verdict {
-                Some(Verdict::Holds) => ObligationStatus::Proved {
-                    states: graph.len(),
-                },
-                Some(Verdict::Violated(cx)) => ObligationStatus::Failed(cx),
-                None => ObligationStatus::Undecided {
-                    outcome: run.outcome,
-                },
-            },
-        });
-    }
+        images: OnceLock::new(),
+    };
+    obligations.extend(hypotheses.check(lanes(&exploration, budget))?);
 
     let conclusion = conclusion_override.unwrap_or_else(|| default_conclusion(problem));
     emit_obligations(&rec, &obligations);
@@ -397,6 +323,262 @@ fn build_certificate(
         product_states: graph.len(),
         product_edges: graph.edge_count(),
     })
+}
+
+/// How many lanes the semantic hypotheses run on: two when the machine
+/// has two hardware threads, the exploration was not asked for one
+/// worker, and nothing is recorded; one otherwise. A recorded run keeps
+/// one lane so its event stream stays one nested sequence.
+fn lanes(exploration: &Exploration, budget: &Budget) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, usize::from);
+    let two =
+        cores >= 2 && exploration.requested_threads() != Some(1) && !budget.recorder.enabled();
+    if two {
+        2
+    } else {
+        1
+    }
+}
+
+/// One step of the semantic hypotheses. The order of the variants and
+/// of their indices is certificate order; `ImagePass` yields no
+/// obligation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+enum Step {
+    /// Hypothesis 1 for the `i`-th component's assumption.
+    H1(usize),
+    /// Proposition 4's initial condition.
+    P4,
+    /// The refinement mapping, evaluated over the graph.
+    ImagePass,
+    /// Hypothesis 2(a).
+    H2a,
+    /// Hypothesis 2(b) for the target's `i`-th fairness condition.
+    H2b(usize),
+}
+
+/// The semantic hypotheses of one certificate, over its complete
+/// product graph.
+struct Hypotheses<'a> {
+    problem: &'a CompositionProblem<'a>,
+    product: &'a System,
+    graph: &'a StateGraph,
+    budget: &'a Budget,
+    /// The refinement mapping's images: evaluated once, by whichever
+    /// lane needs them first, and read by 2(a) and every condition of
+    /// 2(b).
+    images: OnceLock<Images>,
+}
+
+impl Hypotheses<'_> {
+    /// Every obligation, in certificate order, checked on `lanes` lanes.
+    ///
+    /// One lane runs the steps in certificate order. Two lanes split
+    /// them by what they read: a scoped worker runs every H1 (no
+    /// mapping) and then 2(a), while the caller runs P4, the image pass
+    /// and every condition of 2(b); 2(a) waits for the images if the
+    /// caller is still computing them. Each check starts its own meter
+    /// and keeps its scan order, so the obligations — put together in
+    /// certificate order — are those of one lane.
+    ///
+    /// # Errors
+    ///
+    /// The first error in certificate order, as one lane returns it. A
+    /// panic of the worker is resumed here; a worker that cannot be
+    /// spawned has its steps run on the caller.
+    fn check(&self, lanes: usize) -> Result<Vec<Obligation>, SpecError> {
+        let components = self.problem.components.len();
+        let conditions = self.problem.target.sys().fairness().len();
+        let h1 = (0..components).map(Step::H1);
+        let h2b = (0..conditions).map(Step::H2b);
+        let mut done = if lanes < 2 {
+            let steps: Vec<Step> = (h1.chain([Step::P4, Step::ImagePass, Step::H2a]))
+                .chain(h2b)
+                .collect();
+            self.run(&steps)
+        } else {
+            let theirs: Vec<Step> = h1.chain([Step::H2a]).collect();
+            let mine: Vec<Step> = [Step::P4, Step::ImagePass].into_iter().chain(h2b).collect();
+            let worker = || self.run(&theirs);
+            std::thread::scope(|scope| {
+                let spawned = std::thread::Builder::new()
+                    .name("opentla-obligations".into())
+                    .spawn_scoped(scope, worker);
+                let mut done = self.run(&mine);
+                done.extend(match spawned {
+                    Ok(handle) => handle
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                    Err(_) => worker(),
+                });
+                done
+            })
+        };
+        done.sort_by_key(|(step, _)| *step);
+        done.into_iter()
+            .filter_map(|(_, ob)| ob.transpose())
+            .collect()
+    }
+
+    /// Runs `steps` in order, up to and including the first error.
+    fn run(&self, steps: &[Step]) -> Vec<(Step, Result<Option<Obligation>, SpecError>)> {
+        let mut done = Vec::with_capacity(steps.len());
+        for &step in steps {
+            let result = self.step(step);
+            let failed = result.is_err();
+            done.push((step, result));
+            if failed {
+                break;
+            }
+        }
+        done
+    }
+
+    /// The images of the graph under the problem's mapping.
+    fn images(&self) -> &Images {
+        (self.images).get_or_init(|| {
+            Images::of_graph(self.graph, &self.problem.mapping, &self.budget.recorder)
+        })
+    }
+
+    /// One step's obligation.
+    fn step(&self, step: Step) -> Result<Option<Obligation>, SpecError> {
+        let (problem, product, graph, budget) =
+            (self.problem, self.product, self.graph, self.budget);
+        let target_env = problem.target.env();
+        let target_sys = problem.target.sys();
+        let obligation = match step {
+            // --- hypothesis 1: C(E) ∧ ∧ C(M_j) ⇒ E_i --------------------
+            Step::H1(i) => {
+                let ag = problem.components[i];
+                let empty = Substitution::default();
+                let run = check_simulation_governed(
+                    product,
+                    graph,
+                    &ag.env().safety_formula(),
+                    &empty,
+                    budget,
+                )?;
+                Obligation {
+                    id: format!("H1[{}]", ag.env().name()),
+                    description: format!(
+                        "C(E) ∧ ∧ C(M_j) ⇒ {} (assumption of {})",
+                        ag.env().name(),
+                        ag.sys().name()
+                    ),
+                    method: Method::Simulation,
+                    status: simulation_status(run),
+                }
+            }
+            // --- hypothesis 2(a): C(E)+v ∧ ∧ C(M_j) ⇒ C(M) --------------
+            // Proposition 4: orthogonality from structural disjointness
+            // + the initial condition Init_E ∨ Init_M (mapped).
+            Step::P4 => {
+                let mapped_sys_init = problem.mapping.expr(&target_sys.init().as_pred())?;
+                let init_cond =
+                    proposition_4_initial_condition(target_env.init().as_pred(), mapped_sys_init);
+                let mut init_status = ObligationStatus::Proved {
+                    states: graph.init().len(),
+                };
+                let init_cond = opentla_check::CompiledExpr::compile(&init_cond);
+                let scratch = &mut opentla_check::EvalScratch::new();
+                for &id in graph.init() {
+                    if !init_cond
+                        .holds(&graph.view(id), scratch)
+                        .map_err(opentla_check::CheckError::from)?
+                    {
+                        init_status = ObligationStatus::Failed(opentla_check::Counterexample::new(
+                            "initial state satisfies neither Init_E nor Init_M \
+                             (Proposition 4's hypothesis)",
+                            vec![graph.materialize(id)],
+                            vec![None],
+                            None,
+                        ));
+                        break;
+                    }
+                }
+                Obligation {
+                    id: "H2a/P4".into(),
+                    description: "Init_E ∨ Init_M holds initially ⟹ C(E) ⊥ C(M) \
+                                  (Proposition 4; disjointness is structural)"
+                        .into(),
+                    method: Method::InitialStates,
+                    status: init_status,
+                }
+            }
+            // Proposition 3 then reduces 2(a) to the +‑free simulation.
+            // The refinement mapping is evaluated over the graph here,
+            // once: 2(a) and every condition of 2(b) read the same
+            // images.
+            Step::ImagePass => {
+                self.images();
+                return Ok(None);
+            }
+            Step::H2a => {
+                let run = check_simulation_with_images(
+                    product,
+                    graph,
+                    &target_sys.safety_formula(),
+                    self.images(),
+                    budget,
+                )?;
+                Obligation {
+                    id: "H2a".into(),
+                    description: format!(
+                        "C(E) ∧ ∧ C(M_j) ⇒ C({}) under the refinement mapping \
+                         (Proposition 3 eliminated the +v)",
+                        target_sys.name()
+                    ),
+                    method: Method::Simulation,
+                    status: simulation_status(run),
+                }
+            }
+            // --- hypothesis 2(b): E ∧ ∧ M_j ⇒ M (liveness half) ---------
+            Step::H2b(i) => {
+                // The checker gets the abstract condition and the mapping
+                // apart, so it can decide each step once per image of the
+                // mapping rather than once per product edge. Enabledness:
+                // `Enabled` does not commute with substitution, so the
+                // angle action's enabledness is the *abstract* predicate
+                // (guard holds and the update would change an owned
+                // variable — exact for guarded commands), mapped like any
+                // state function. Using concrete-successor enabledness
+                // here would be unsound: an abstract action can be
+                // enabled at states the concrete implementation has
+                // saturated.
+                let run = check_liveness_with_images(
+                    product,
+                    graph,
+                    &LiveTarget::fair_mapped(
+                        target_sys.fairness_condition(i),
+                        target_sys.fairness_enabled_expr(i),
+                        problem.mapping.clone(),
+                    ),
+                    self.images(),
+                    budget,
+                )?;
+                Obligation {
+                    id: format!("H2b/fairness[{i}]"),
+                    description: format!(
+                        "E ∧ ∧ M_j ⇒ fairness condition #{i} of {} \
+                         (under the refinement mapping)",
+                        target_sys.name()
+                    ),
+                    method: Method::Liveness,
+                    status: match run.verdict {
+                        Some(Verdict::Holds) => ObligationStatus::Proved {
+                            states: graph.len(),
+                        },
+                        Some(Verdict::Violated(cx)) => ObligationStatus::Failed(cx),
+                        None => ObligationStatus::Undecided {
+                            outcome: run.outcome,
+                        },
+                    },
+                }
+            }
+        };
+        Ok(Some(obligation))
+    }
 }
 
 /// Reports each obligation's status as a `check` event (`holds` is true
@@ -451,6 +633,44 @@ mod tests {
     use opentla_check::{GuardedAction, Init};
     use opentla_kernel::{Domain, Expr, Value};
 
+    /// `problem` certified under `options` with one exploration thread
+    /// and with two, under the null recorder: one lane and — on a
+    /// machine with two hardware threads — two. The certificates agree
+    /// in their text and in every obligation, counterexamples included;
+    /// the two-lane one is returned.
+    fn at_both_lane_counts(
+        problem: &CompositionProblem<'_>,
+        options: &CompositionOptions,
+    ) -> Result<Certificate, SpecError> {
+        assert!(
+            !options.budget.recorder.enabled(),
+            "a recorder pins one lane"
+        );
+        let at = |threads| {
+            let explore = ExploreOptions {
+                threads: Some(threads),
+                ..options.explore.clone()
+            };
+            compose(
+                problem,
+                &CompositionOptions {
+                    explore,
+                    ..options.clone()
+                },
+            )
+        };
+        let (one, two) = (at(1)?, at(2)?);
+        assert_eq!(
+            one.display(problem.vars).to_string(),
+            two.display(problem.vars).to_string()
+        );
+        assert_eq!(
+            format!("{:?}", one.obligations),
+            format!("{:?}", two.obligations)
+        );
+        Ok(two)
+    }
+
     /// The paper's introductory example, mechanized end to end.
     ///
     /// `M⁰_c` = "c is always 0", `M⁰_d` = "d is always 0". Each process
@@ -491,7 +711,7 @@ mod tests {
             target: &target,
             mapping: Substitution::default(),
         };
-        let cert = compose(&problem, &CompositionOptions::default()).unwrap();
+        let cert = at_both_lane_counts(&problem, &CompositionOptions::default()).unwrap();
         assert!(cert.holds(), "{}", cert.display(&vars));
         // The single reachable state: c = d = 0.
         assert_eq!(cert.product_states, 1);
@@ -519,7 +739,7 @@ mod tests {
             target: &target,
             mapping: Substitution::default(),
         };
-        let cert = compose(&problem, &CompositionOptions::default()).unwrap();
+        let cert = at_both_lane_counts(&problem, &CompositionOptions::default()).unwrap();
         assert!(!cert.holds());
         let failure = cert.first_failure().unwrap();
         assert!(failure.id.starts_with("H2a"), "{}", failure.id);
@@ -568,7 +788,7 @@ mod tests {
             target: &target,
             mapping: Substitution::default(),
         };
-        let cert = compose(&problem, &CompositionOptions::default()).unwrap();
+        let cert = at_both_lane_counts(&problem, &CompositionOptions::default()).unwrap();
         assert!(!cert.holds());
         let failure = cert.first_failure().unwrap();
         assert!(
@@ -668,7 +888,7 @@ mod tests {
             budget: Budget::default().states(0),
             ..CompositionOptions::default()
         };
-        let cert = compose(&problem, &options).unwrap();
+        let cert = at_both_lane_counts(&problem, &options).unwrap();
         // Undecided, not refuted: no failure, but no proof either.
         assert!(!cert.holds());
         assert!(!cert.decided());
@@ -680,7 +900,7 @@ mod tests {
         assert!(text.contains("state limit of 0"), "{text}");
         // Escalating the budget recovers the full proof.
         let cert = opentla_check::escalate(&options.budget.states(1), 4, 4, |b| {
-            compose(
+            at_both_lane_counts(
                 &problem,
                 &CompositionOptions {
                     budget: b.clone(),
@@ -787,7 +1007,7 @@ mod tests {
             target: &target,
             mapping: Substitution::default(),
         };
-        let cert = compose(&problem, &CompositionOptions::default()).unwrap();
+        let cert = at_both_lane_counts(&problem, &CompositionOptions::default()).unwrap();
         assert!(!cert.holds());
         let failure = cert.first_failure().unwrap();
         assert!(failure.id.starts_with("H2b"), "{}", failure.id);

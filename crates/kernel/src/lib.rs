@@ -64,7 +64,7 @@ pub use expr::{expect_bool, BinOp, Expr, ExprDisplay, UnOp};
 pub use formula::FormulaDisplay;
 pub use formula::{Fairness, FairnessKind, Formula};
 pub use packed::PackedLayout;
-pub use scc::{tarjan_sccs_with, SccScratch};
+pub use scc::{tarjan_components_with, tarjan_sccs_with, Nodes, SccScratch};
 pub use state::StateDisplay;
 pub use state::{State, StatePair};
 pub use subst::{prime_expr, Renaming, Substitution};

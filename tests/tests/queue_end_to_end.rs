@@ -93,6 +93,38 @@ fn composition_honours_the_callers_exploration_plan() {
     assert_eq!(summary(&cert), summary(&reference));
 }
 
+/// A certificate does not depend on how many lanes its obligations ran
+/// on: with one exploration thread the hypotheses run on one lane, with
+/// two (no recorder, two hardware threads) on two, and the certificates
+/// agree in their text and in every obligation — for one H2b condition
+/// (Joint) and for two (Split).
+#[test]
+fn double_queue_certificate_does_not_depend_on_its_lanes() {
+    for style in [FairnessStyle::Joint, FairnessStyle::Split] {
+        let w = DoubleQueue::new(2, 3, style);
+        let at = |threads| {
+            let options = CompositionOptions {
+                explore: ExploreOptions {
+                    threads: Some(threads),
+                    ..ExploreOptions::default()
+                },
+                ..CompositionOptions::default()
+            };
+            w.prove_composition(&options).unwrap()
+        };
+        let (one, two) = (at(1), at(2));
+        assert!(two.holds(), "{}", two.display(w.vars()));
+        assert_eq!(
+            one.display(w.vars()).to_string(),
+            two.display(w.vars()).to_string()
+        );
+        assert_eq!(
+            format!("{:?}", one.obligations),
+            format!("{:?}", two.obligations)
+        );
+    }
+}
+
 #[test]
 fn double_queue_refinement_n2_v3() {
     let w = DoubleQueue::new(2, 3, FairnessStyle::Joint);

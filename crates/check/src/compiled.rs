@@ -36,8 +36,24 @@
 //! unpacked row — a [`State`], a [`RowView`](crate::RowView) (a graph
 //! state on its row), or [`ImageView`](crate::image::ImageView), a graph
 //! state whose mapped slots are read from the image column (what an
-//! obligation's memo miss is decided on). The loop is monomorphized per
-//! source, so the stepper's load is a slice index, as it always was.
+//! obligation's memo miss is decided on), or
+//! [`SharedView`](crate::hoist::SharedView), a graph state with the
+//! values of its shared functions (below). The loop is monomorphized
+//! per source, so the stepper's load is a slice index, as it always
+//! was.
+//!
+//! **Hoisting.** A check that decides several expressions on every
+//! step — the `⊳` monitor — may meet one state function many times per
+//! step: the mapped guarantee of a queue chain reads `q̄` or `q̄′` nine
+//! times in one box. [`SharedFunctions::of`] finds the state functions
+//! a set of expressions shares (the maximal subexpressions that read
+//! only unprimed or only primed variables and whose unprimed form
+//! occurs twice or more), and [`SharedFunctions::compile`] compiles an
+//! expression a second time with each occurrence as one op that reads
+//! the function's value at the current or the next state from the
+//! slot source, where [`hoist`](crate::hoist) keeps it, one evaluation
+//! per state. [`CompiledExpr::compile`] is unchanged: it emits exactly
+//! the program it always did, with no such op.
 //!
 //! The compiled form is semantics-preserving by construction: operator
 //! application delegates to the kernel's own [`UnOp::apply`] /
@@ -68,12 +84,19 @@ use std::ops::ControlFlow;
 
 /// Where a running program reads its variables: one slot per
 /// [`VarId`]. The evaluator is monomorphized per implementation. Not
-/// re-exported: the implementations are the four sources above.
+/// re-exported: the implementations are the five sources above.
 pub trait Slots {
     /// The value in `v`'s slot; `None` past the last slot.
     fn slot(&self, v: VarId) -> Option<&Value>;
     /// The number of slots (an unbound variable's `state_len`).
     fn slot_count(&self) -> usize;
+    /// The value of shared function `f` (see [`SharedFunctions`]) at
+    /// this state; `None` for a source that keeps none, where a
+    /// hoisted program fails and its caller runs the plain one.
+    #[inline]
+    fn shared(&self, _f: u32) -> Option<&Value> {
+        None
+    }
 }
 
 impl Slots for [Value] {
@@ -139,6 +162,17 @@ enum Op {
     MkSeq(u32),
     /// Pop a value, push whether it belongs to the listed set.
     InSet(Vec<Value>),
+    /// Push the value of shared function `function` (a hoisted
+    /// occurrence, see [`SharedFunctions`]): at the successor for a
+    /// primed occurrence, else at the current state. `var` is the
+    /// function's first variable, named by the error of a primed
+    /// occurrence in a state function and of a source without shared
+    /// values.
+    Shared {
+        function: u32,
+        primed: bool,
+        var: VarId,
+    },
 }
 
 /// An expression compiled to a flat postfix program.
@@ -158,7 +192,7 @@ impl CompiledExpr {
     /// exactly like the interpreter does.
     pub fn compile(expr: &Expr) -> CompiledExpr {
         let mut ops = Vec::new();
-        emit(expr, &mut ops);
+        emit(expr, &mut ops, None);
         CompiledExpr { ops }
     }
 
@@ -297,6 +331,21 @@ impl CompiledExpr {
                     let v = pop(stack);
                     stack.push(Value::Bool(set.contains(&v)));
                 }
+                Op::Shared {
+                    function,
+                    primed,
+                    var,
+                } => {
+                    let at = match (primed, new) {
+                        (false, _) => old,
+                        (true, Some(new)) => new,
+                        (true, None) => return Err(EvalError::PrimeInStateContext { var: *var }),
+                    };
+                    match at.shared(*function) {
+                        Some(value) => stack.push(value.clone()),
+                        None => return Err(unbound(at, *var)),
+                    }
+                }
             }
         }
         debug_assert_eq!(stack.len(), 1, "compiled program left a ragged stack");
@@ -318,20 +367,24 @@ fn pop(stack: &mut Vec<Value>) -> Value {
     stack.pop().expect("compiled program underflowed its stack")
 }
 
-fn emit(expr: &Expr, ops: &mut Vec<Op>) {
+fn emit(expr: &Expr, ops: &mut Vec<Op>, shared: Option<&SharedFunctions>) {
+    if let Some(op) = shared.and_then(|functions| functions.occurrence(expr)) {
+        ops.push(op);
+        return;
+    }
     match expr {
         Expr::Const(v) => ops.push(Op::Const(v.clone())),
         Expr::Var(v) => ops.push(Op::Load(*v)),
         Expr::Prime(v) => ops.push(Op::LoadPrimed(*v)),
         Expr::Unary(op, e) => {
-            emit(e, ops);
+            emit(e, ops, shared);
             ops.push(Op::Unary(*op));
         }
         Expr::Binary(BinOp::Implies, a, b) => {
-            emit(a, ops);
+            emit(a, ops, shared);
             let probe = ops.len();
             ops.push(Op::ImpliesProbe { end: 0 });
-            emit(b, ops);
+            emit(b, ops, shared);
             ops.push(Op::EnsureBool);
             let end = ops.len() as u32;
             let Op::ImpliesProbe { end: slot } = &mut ops[probe] else {
@@ -340,21 +393,21 @@ fn emit(expr: &Expr, ops: &mut Vec<Op>) {
             *slot = end;
         }
         Expr::Binary(op, a, b) => {
-            emit(a, ops);
-            emit(b, ops);
+            emit(a, ops, shared);
+            emit(b, ops, shared);
             ops.push(Op::Binary(*op));
         }
-        Expr::And(es) => emit_chain(es, ops, true),
-        Expr::Or(es) => emit_chain(es, ops, false),
+        Expr::And(es) => emit_chain(es, ops, true, shared),
+        Expr::Or(es) => emit_chain(es, ops, false, shared),
         Expr::Ite(c, a, b) => {
-            emit(c, ops);
+            emit(c, ops, shared);
             let branch = ops.len();
             ops.push(Op::JumpIfFalse { target: 0 });
-            emit(a, ops);
+            emit(a, ops, shared);
             let join = ops.len();
             ops.push(Op::Jump { target: 0 });
             let else_at = ops.len() as u32;
-            emit(b, ops);
+            emit(b, ops, shared);
             let end = ops.len() as u32;
             let Op::JumpIfFalse { target } = &mut ops[branch] else {
                 unreachable!("branch written above")
@@ -367,18 +420,18 @@ fn emit(expr: &Expr, ops: &mut Vec<Op>) {
         }
         Expr::Tuple(es) => {
             for e in es {
-                emit(e, ops);
+                emit(e, ops, shared);
             }
             ops.push(Op::MkTuple(es.len() as u32));
         }
         Expr::MkSeq(es) => {
             for e in es {
-                emit(e, ops);
+                emit(e, ops, shared);
             }
             ops.push(Op::MkSeq(es.len() as u32));
         }
         Expr::InSet(e, set) => {
-            emit(e, ops);
+            emit(e, ops, shared);
             ops.push(Op::InSet(set.clone()));
         }
     }
@@ -386,10 +439,10 @@ fn emit(expr: &Expr, ops: &mut Vec<Op>) {
 
 /// Emits an `∧` chain (`conjunctive = true`) or `∨` chain, with each
 /// element followed by a probe that short-circuits to the end.
-fn emit_chain(es: &[Expr], ops: &mut Vec<Op>, conjunctive: bool) {
+fn emit_chain(es: &[Expr], ops: &mut Vec<Op>, conjunctive: bool, shared: Option<&SharedFunctions>) {
     let mut probes = Vec::with_capacity(es.len());
     for e in es {
-        emit(e, ops);
+        emit(e, ops, shared);
         probes.push(ops.len());
         ops.push(if conjunctive {
             Op::AndProbe { end: 0 }
@@ -405,6 +458,276 @@ fn emit_chain(es: &[Expr], ops: &mut Vec<Op>, conjunctive: bool) {
             Op::AndProbe { end: slot } | Op::OrProbe { end: slot } => *slot = end,
             _ => unreachable!("probe written above"),
         }
+    }
+}
+
+/// The state functions a set of expressions shares, to be evaluated
+/// once per state instead of once per occurrence ([`hoist`](crate::hoist)
+/// keeps their values).
+///
+/// A *candidate* is a subexpression other than a constant or a
+/// variable that reads only unprimed variables, or only primed ones; a
+/// primed-only one counts as its unprimed twin (`q̄′` as `q̄`). A
+/// candidate is shared when its unprimed form occurs at least twice
+/// across the expressions, and the functions are the maximal shared
+/// candidates, unprimed, numbered in order of first occurrence. On the
+/// `⊳` monitor of `QueueChain(4,1,2)` they are `i.sig = i.ack`,
+/// `1 - i.sig`, `q̄` and `Len(q̄)`.
+///
+/// The analysis records one entry per node, in one vector, with the
+/// node's reads and a hash of its shape (primes and constants' values
+/// left out), and compares twins structurally without building them.
+/// Only the chosen functions are cloned, once each.
+#[derive(Clone, Debug, Default)]
+pub struct SharedFunctions {
+    functions: Vec<SharedFunction>,
+}
+
+/// One shared function: its unprimed form, compiled plainly, and its
+/// first variable (see [`Op::Shared`]).
+#[derive(Clone, Debug)]
+struct SharedFunction {
+    expr: Expr,
+    program: CompiledExpr,
+    var: VarId,
+}
+
+/// One node of the analysis, in pre-order over all expressions.
+struct Node<'e> {
+    expr: &'e Expr,
+    /// The shape hash: equal for twins.
+    hash: u64,
+    /// The node and its descendants.
+    size: u32,
+    /// [`READS_UNPRIMED`] and [`READS_PRIMED`], or'ed.
+    reads: u8,
+}
+
+const READS_UNPRIMED: u8 = 1;
+const READS_PRIMED: u8 = 2;
+/// The class of a node that is no candidate.
+const NO_CLASS: u32 = u32::MAX;
+
+impl SharedFunctions {
+    /// The functions `exprs` share, see [`SharedFunctions`].
+    pub fn of<'e>(exprs: impl IntoIterator<Item = &'e Expr>) -> SharedFunctions {
+        let mut nodes = Vec::new();
+        for e in exprs {
+            record(e, &mut nodes);
+        }
+        let candidate = |n: &Node<'_>| {
+            !matches!(n.expr, Expr::Const(_) | Expr::Var(_) | Expr::Prime(_))
+                && (n.reads == READS_UNPRIMED || n.reads == READS_PRIMED)
+        };
+        let mut order: Vec<u32> = (0..nodes.len() as u32)
+            .filter(|&i| candidate(&nodes[i as usize]))
+            .collect();
+        order.sort_unstable_by_key(|&i| (nodes[i as usize].hash, i));
+        // The class of a candidate is its first twin in node order; the
+        // count is kept at the class's node.
+        let mut class = vec![NO_CLASS; nodes.len()];
+        let mut count = vec![0u32; nodes.len()];
+        for run in order.chunk_by(|&a, &b| nodes[a as usize].hash == nodes[b as usize].hash) {
+            for (k, &i) in run.iter().enumerate() {
+                let expr = nodes[i as usize].expr;
+                let first = run[..k]
+                    .iter()
+                    .find(|&&j| {
+                        class[j as usize] == j
+                            && twins(nodes[j as usize].expr, expr, &|a, b| var_of(a) == var_of(b))
+                    })
+                    .copied()
+                    .unwrap_or(i);
+                class[i as usize] = first;
+                count[first as usize] += 1;
+            }
+        }
+        // Top-down: a shared node is taken whole, its descendants not.
+        let mut functions: Vec<SharedFunction> = Vec::new();
+        let mut taken = vec![false; nodes.len()];
+        let mut i = 0;
+        while i < nodes.len() {
+            let c = class[i];
+            if c == NO_CLASS || count[c as usize] < 2 {
+                i += 1;
+                continue;
+            }
+            if !std::mem::replace(&mut taken[c as usize], true) {
+                let expr = unprimed(nodes[i].expr);
+                functions.push(SharedFunction {
+                    program: CompiledExpr::compile(&expr),
+                    var: first_var(&expr).expect("a candidate reads a variable"),
+                    expr,
+                });
+            }
+            i += nodes[i].size as usize;
+        }
+        SharedFunctions { functions }
+    }
+
+    /// The number of functions.
+    pub fn len(&self) -> usize {
+        self.functions.len()
+    }
+
+    /// Whether nothing is shared.
+    pub fn is_empty(&self) -> bool {
+        self.functions.is_empty()
+    }
+
+    /// The functions, unprimed, by number.
+    pub fn functions(&self) -> impl Iterator<Item = &Expr> {
+        self.functions.iter().map(|f| &f.expr)
+    }
+
+    /// Function `f` compiled plainly: what fills its values.
+    pub(crate) fn program(&self, f: usize) -> &CompiledExpr {
+        &self.functions[f].program
+    }
+
+    /// `expr` compiled with every occurrence of a function — the
+    /// topmost ones, unprimed or primed — as one op that reads its
+    /// value at the current or the next state; `None` where `expr` has
+    /// no occurrence. Wherever the hoisted program returns a value,
+    /// the plain one ([`CompiledExpr::compile`]) returns the same on
+    /// the same states; its errors are not the plain program's, so a
+    /// caller that meets one runs the plain program.
+    pub fn compile(&self, expr: &Expr) -> Option<CompiledExpr> {
+        if self.functions.is_empty() {
+            return None;
+        }
+        let mut ops = Vec::new();
+        emit(expr, &mut ops, Some(self));
+        (ops.iter().any(|op| matches!(op, Op::Shared { .. }))).then_some(CompiledExpr { ops })
+    }
+
+    /// The op of `expr` if it is an occurrence of a function.
+    fn occurrence(&self, expr: &Expr) -> Option<Op> {
+        if matches!(expr, Expr::Const(_) | Expr::Var(_) | Expr::Prime(_)) {
+            return None;
+        }
+        self.functions.iter().enumerate().find_map(|(f, function)| {
+            [false, true].into_iter().find_map(|primed| {
+                let var = |e: &Expr, f: &Expr| match (e, f) {
+                    (Expr::Var(a), Expr::Var(b)) => !primed && a == b,
+                    (Expr::Prime(a), Expr::Var(b)) => primed && a == b,
+                    _ => false,
+                };
+                twins(expr, &function.expr, &var).then_some(Op::Shared {
+                    function: f as u32,
+                    primed,
+                    var: function.var,
+                })
+            })
+        })
+    }
+}
+
+/// Records `e` and its descendants in pre-order (the order [`emit`]
+/// visits them in) and returns its shape hash and reads.
+fn record<'e>(e: &'e Expr, nodes: &mut Vec<Node<'e>>) -> (u64, u8) {
+    let at = nodes.len();
+    nodes.push(Node {
+        expr: e,
+        hash: 0,
+        size: 1,
+        reads: 0,
+    });
+    let (mut hash, mut reads) = match e {
+        Expr::Const(_) => (0, 0),
+        Expr::Var(v) => (mix(1, v.index() as u64), READS_UNPRIMED),
+        Expr::Prime(v) => (mix(1, v.index() as u64), READS_PRIMED),
+        Expr::Unary(op, _) => (mix(2, *op as u64), 0),
+        Expr::Binary(op, ..) => (mix(3, *op as u64), 0),
+        Expr::And(_) => (4, 0),
+        Expr::Or(_) => (5, 0),
+        Expr::Ite(..) => (6, 0),
+        Expr::Tuple(_) => (7, 0),
+        Expr::MkSeq(_) => (8, 0),
+        Expr::InSet(..) => (9, 0),
+    };
+    for child in children(e) {
+        let (h, r) = record(child, nodes);
+        hash = mix(hash, h);
+        reads |= r;
+    }
+    let size = (nodes.len() - at) as u32;
+    let node = &mut nodes[at];
+    (node.hash, node.size, node.reads) = (hash, size, reads);
+    (hash, reads)
+}
+
+#[inline]
+fn mix(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+}
+
+/// The operands of `e`, in evaluation order.
+fn children(e: &Expr) -> impl Iterator<Item = &Expr> {
+    let (boxed, listed): ([Option<&Expr>; 3], &[Expr]) = match e {
+        Expr::Const(_) | Expr::Var(_) | Expr::Prime(_) => ([None; 3], &[]),
+        Expr::Unary(_, a) | Expr::InSet(a, _) => ([Some(a), None, None], &[]),
+        Expr::Binary(_, a, b) => ([Some(a), Some(b), None], &[]),
+        Expr::Ite(c, a, b) => ([Some(c), Some(a), Some(b)], &[]),
+        Expr::And(es) | Expr::Or(es) | Expr::Tuple(es) | Expr::MkSeq(es) => ([None; 3], es),
+    };
+    boxed.into_iter().flatten().chain(listed)
+}
+
+/// Whether `a` and `b` are the same expression up to their variables,
+/// which `var` compares (it sees every pair with a variable on either
+/// side).
+fn twins(a: &Expr, b: &Expr, var: &impl Fn(&Expr, &Expr) -> bool) -> bool {
+    let all = |xs: &[Expr], ys: &[Expr]| {
+        xs.len() == ys.len() && xs.iter().zip(ys).all(|(x, y)| twins(x, y, var))
+    };
+    match (a, b) {
+        (Expr::Var(_) | Expr::Prime(_), _) | (_, Expr::Var(_) | Expr::Prime(_)) => var(a, b),
+        (Expr::Const(x), Expr::Const(y)) => x == y,
+        (Expr::Unary(o, x), Expr::Unary(p, y)) => o == p && twins(x, y, var),
+        (Expr::Binary(o, x1, x2), Expr::Binary(p, y1, y2)) => {
+            o == p && twins(x1, y1, var) && twins(x2, y2, var)
+        }
+        (Expr::And(xs), Expr::And(ys))
+        | (Expr::Or(xs), Expr::Or(ys))
+        | (Expr::Tuple(xs), Expr::Tuple(ys))
+        | (Expr::MkSeq(xs), Expr::MkSeq(ys)) => all(xs, ys),
+        (Expr::Ite(c, x1, x2), Expr::Ite(d, y1, y2)) => {
+            twins(c, d, var) && twins(x1, y1, var) && twins(x2, y2, var)
+        }
+        (Expr::InSet(x, s), Expr::InSet(y, t)) => s == t && twins(x, y, var),
+        _ => false,
+    }
+}
+
+/// The variable of a `Var` or `Prime` node.
+fn var_of(e: &Expr) -> Option<VarId> {
+    match e {
+        Expr::Var(v) | Expr::Prime(v) => Some(*v),
+        _ => None,
+    }
+}
+
+/// The first variable of `e` in evaluation order.
+fn first_var(e: &Expr) -> Option<VarId> {
+    var_of(e).or_else(|| children(e).find_map(first_var))
+}
+
+/// `e` with every primed variable unprimed.
+fn unprimed(e: &Expr) -> Expr {
+    let each = |es: &[Expr]| es.iter().map(unprimed).collect();
+    let boxed = |e: &Expr| Box::new(unprimed(e));
+    match e {
+        Expr::Prime(v) => Expr::Var(*v),
+        Expr::Const(_) | Expr::Var(_) => e.clone(),
+        Expr::Unary(op, a) => Expr::Unary(*op, boxed(a)),
+        Expr::Binary(op, a, b) => Expr::Binary(*op, boxed(a), boxed(b)),
+        Expr::And(es) => Expr::And(each(es)),
+        Expr::Or(es) => Expr::Or(each(es)),
+        Expr::Ite(c, a, b) => Expr::Ite(boxed(c), boxed(a), boxed(b)),
+        Expr::Tuple(es) => Expr::Tuple(each(es)),
+        Expr::MkSeq(es) => Expr::MkSeq(each(es)),
+        Expr::InSet(a, set) => Expr::InSet(boxed(a), set.clone()),
     }
 }
 
@@ -927,6 +1250,97 @@ mod tests {
         // Unbound variable.
         let short = State::new(vec![Value::Int(0)]);
         assert_agree(&Expr::var(q), &short);
+    }
+
+    /// The number of hoisted occurrences in `program`, primed or not.
+    fn occurrences(program: &CompiledExpr) -> (usize, usize) {
+        let count = |primed: bool| {
+            (program.ops.iter())
+                .filter(|op| matches!(op, Op::Shared { primed: p, .. } if *p == primed))
+                .count()
+        };
+        (count(false), count(true))
+    }
+
+    #[test]
+    fn twins_are_shared_and_mixed_reads_are_not() {
+        let (_, x, q) = setup();
+        let sum = |x: Expr, q: Expr| x.add(q.len());
+        let unprimed = sum(Expr::var(x), Expr::var(q));
+        let primed = sum(Expr::prime(x), Expr::prime(q));
+        let mixed = sum(Expr::var(x), Expr::prime(q));
+        let step = unprimed
+            .clone()
+            .eq(primed)
+            .and(mixed.clone().gt(Expr::int(0)));
+        let functions = SharedFunctions::of([&step]);
+        let shared: Vec<&Expr> = functions.functions().collect();
+        // `x + Len(q)` and its primed twin; `Len(q)` occurs a third time
+        // in the mixed sum, outside every chosen function.
+        assert_eq!(shared, [&unprimed, &Expr::var(q).len()]);
+        let program = functions.compile(&step).expect("an occurrence");
+        assert_eq!(occurrences(&program), (1, 2));
+        let in_mixed = functions.compile(&mixed).expect("Len(q′)");
+        assert_eq!(occurrences(&in_mixed), (0, 1));
+        assert!(functions.compile(&Expr::var(x)).is_none());
+        // A plain compile is today's program.
+        let plain = CompiledExpr::compile(&step);
+        assert_eq!(occurrences(&plain), (0, 0));
+        assert!(SharedFunctions::default().compile(&step).is_none());
+    }
+
+    #[test]
+    fn the_maximal_shared_functions_are_taken() {
+        let (_, x, q) = setup();
+        let cat = Expr::var(q).concat(Expr::var(q));
+        // `q ∘ q` occurs only inside `Len(q ∘ q)`: the length alone is
+        // shared.
+        let a = cat.clone().len().lt(Expr::int(2));
+        let b = cat.clone().len().gt(Expr::var(x));
+        let functions = SharedFunctions::of([&a, &b]);
+        let shared: Vec<&Expr> = functions.functions().collect();
+        assert_eq!(shared, [&cat.clone().len()]);
+        // One more occurrence of `q ∘ q` outside makes it shared too.
+        let c = cat.clone().eq(Expr::empty_seq());
+        let functions = SharedFunctions::of([&a, &b, &c]);
+        let shared: Vec<&Expr> = functions.functions().collect();
+        assert_eq!(shared, [&cat.clone().len(), &cat]);
+        // A whole expression met twice is one function; constants and
+        // variables are never functions, however often they occur.
+        let or = Expr::var(x)
+            .eq(Expr::int(1))
+            .or(Expr::var(x).eq(Expr::int(2)));
+        let shared = SharedFunctions::of([&or, &or]);
+        assert_eq!(shared.functions().collect::<Vec<_>>(), [&or]);
+        let leaves = Expr::var(x).add(Expr::int(1)).mul(Expr::var(x));
+        assert!(SharedFunctions::of([&leaves]).is_empty());
+    }
+
+    #[test]
+    fn a_source_without_shared_values_errs() {
+        let (_, _, q) = setup();
+        let f = Expr::var(q).len();
+        let step = f
+            .clone()
+            .lt(Expr::Unary(UnOp::Len, Box::new(Expr::prime(q))));
+        let functions = SharedFunctions::of([&step]);
+        let program = functions.compile(&step).expect("an occurrence");
+        // A source without shared values errs, on a step and on a
+        // state, naming the function's first variable.
+        let s = State::new(vec![Value::Int(0), Value::empty_seq()]);
+        let scratch = &mut EvalScratch::new();
+        assert_eq!(
+            program.eval_step(&s, &s, scratch),
+            Err(EvalError::UnboundVar {
+                var: q,
+                state_len: 2
+            })
+        );
+        let state_fn = functions.compile(&f.clone().eq(Expr::int(0))).unwrap();
+        assert!(matches!(
+            state_fn.eval(&s, scratch),
+            Err(EvalError::UnboundVar { var, .. }) if var == q
+        ));
     }
 
     #[test]

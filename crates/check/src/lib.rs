@@ -76,6 +76,7 @@ mod counterexample;
 mod error;
 mod explore;
 pub mod faults;
+pub mod hoist;
 pub mod image;
 mod invariant;
 mod liveness;
@@ -90,7 +91,9 @@ pub use checkpoint::{
     CheckpointError, CheckpointSpec, ResumeToken, Snapshot, DEFAULT_CHECKPOINT_CADENCE,
     SNAPSHOT_VERSION,
 };
-pub use compiled::{CompiledExpr, CompiledSystem, Effect, EvalScratch, MemoStats, StepMemo};
+pub use compiled::{
+    CompiledExpr, CompiledSystem, Effect, EvalScratch, MemoStats, SharedFunctions, StepMemo,
+};
 pub use counterexample::Counterexample;
 pub use error::CheckError;
 pub use explore::{

@@ -15,15 +15,24 @@
 //!   variable set to its image, computed here by the interpreter — and
 //!   no view exactly where `s̄` cannot be built.
 //!
+//! * a hoisted program: expressions planted with a random state
+//!   function and its primed twin, compiled over the functions they
+//!   share (`SharedFunctions`) and decided through `HoistedExpr` on the
+//!   per-state `SharedColumns` of a graph, against the interpreter on
+//!   every step and state of the graph — where a shared function is
+//!   undefined (no view), where the hoisted program errs (the plain
+//!   program answers) and where it decides.
+//!
 //! Every `Expr` variant, primes, empty `∧`/`∨` chains, ill-typed
 //! operands, `Head`/`Tail` of `⟨⟩`, overflow and out-of-range `VarId`s
 //! are generated; each test also counts what it compared, so a
 //! generator that stopped reaching an outcome fails too.
 
+use opentla_check::hoist::{HoistedExpr, SharedColumns};
 use opentla_check::image::{ImageView, Images};
 use opentla_check::{
     explore, CompiledExpr, EvalScratch, ExploreOptions, GuardedAction, Init, RecorderHandle,
-    StateGraph, System,
+    SharedFunctions, StateGraph, System,
 };
 use opentla_kernel::{
     BinOp, Domain, EvalError, Expr, State, StatePair, Substitution, UnOp, Value, VarId, Vars,
@@ -161,6 +170,47 @@ impl World {
             .collect()
     }
 
+    /// A state function to share: an operator over at least one
+    /// variable, unprimed — often one defined everywhere, often a
+    /// `Head` or `Tail`, undefined at `⟨⟩` and off sequences, or a sum
+    /// that may overflow.
+    fn function(&self, rng: &mut Rng) -> Expr {
+        let (v, w) = (Expr::Var(self.var(rng)), Expr::Var(self.var(rng)));
+        match rng.below(7) {
+            0 => Expr::Tuple(vec![v, w]),
+            1 => v.eq(w),
+            2 => Expr::MkSeq(vec![v]).concat(Expr::MkSeq(vec![w])).len(),
+            3 => v.head(),
+            4 => v.tail(),
+            5 => v.add(Expr::Const(value(rng))),
+            _ => loop {
+                let e = self.expr(rng, false, 3);
+                let leaf = matches!(e, Expr::Const(_) | Expr::Var(_));
+                if !leaf && !e.unprimed_vars().is_empty() {
+                    break e;
+                }
+            },
+        }
+    }
+
+    /// A random action with `f` or its primed twin `f1` planted at some
+    /// of its leaves, and once beside it.
+    fn planted(&self, rng: &mut Rng, f: &Expr, f1: &Expr) -> Expr {
+        let pick = |rng: &mut Rng| if rng.one_in(2) { f } else { f1 }.clone();
+        if rng.one_in(3) {
+            // Well-typed whatever `f` is: compares `f` or `f1` to itself.
+            return pick(rng).eq(pick(rng));
+        }
+        let e = plant(self.expr(rng, true, 4), rng, &pick);
+        let beside = Box::new(pick(rng));
+        match rng.below(4) {
+            0 => Expr::Binary(BINARY[rng.below(BINARY.len())], Box::new(e), beside),
+            1 => Expr::And(vec![e, *beside]),
+            2 => Expr::Or(vec![*beside, e]),
+            _ => Expr::Ite(Box::new(e), beside, Box::new(pick(rng))),
+        }
+    }
+
     /// Up to two variables mapped, and now and then the ghost; an image
     /// is another variable, a constant or a random state function (which
     /// may be undefined).
@@ -198,6 +248,48 @@ impl World {
         );
         let system = System::new(self.vars.clone(), Init::new(assign(s)), vec![jump]);
         explore(&system, &ExploreOptions::default()).expect("a two-state system explores")
+    }
+}
+
+/// `e` with a third of its leaves replaced by `pick`'s expression.
+fn plant(e: Expr, rng: &mut Rng, pick: &impl Fn(&mut Rng) -> Expr) -> Expr {
+    let each = |es: Vec<Expr>, rng: &mut Rng| es.into_iter().map(|e| plant(e, rng, pick)).collect();
+    match e {
+        Expr::Const(_) | Expr::Var(_) | Expr::Prime(_) if rng.one_in(3) => pick(rng),
+        Expr::Const(_) | Expr::Var(_) | Expr::Prime(_) => e,
+        Expr::Unary(op, a) => Expr::Unary(op, Box::new(plant(*a, rng, pick))),
+        Expr::Binary(op, a, b) => {
+            let a = plant(*a, rng, pick);
+            Expr::Binary(op, Box::new(a), Box::new(plant(*b, rng, pick)))
+        }
+        Expr::And(es) => Expr::And(each(es, rng)),
+        Expr::Or(es) => Expr::Or(each(es, rng)),
+        Expr::Tuple(es) => Expr::Tuple(each(es, rng)),
+        Expr::MkSeq(es) => Expr::MkSeq(each(es, rng)),
+        Expr::Ite(c, a, b) => {
+            let c = plant(*c, rng, pick);
+            let a = plant(*a, rng, pick);
+            Expr::Ite(Box::new(c), Box::new(a), Box::new(plant(*b, rng, pick)))
+        }
+        Expr::InSet(a, set) => Expr::InSet(Box::new(plant(*a, rng, pick)), set),
+    }
+}
+
+/// `e` with every variable primed.
+fn primed(e: &Expr) -> Expr {
+    let each = |es: &[Expr]| es.iter().map(primed).collect();
+    let boxed = |e: &Expr| Box::new(primed(e));
+    match e {
+        Expr::Var(v) => Expr::Prime(*v),
+        Expr::Const(_) | Expr::Prime(_) => e.clone(),
+        Expr::Unary(op, a) => Expr::Unary(*op, boxed(a)),
+        Expr::Binary(op, a, b) => Expr::Binary(*op, boxed(a), boxed(b)),
+        Expr::And(es) => Expr::And(each(es)),
+        Expr::Or(es) => Expr::Or(each(es)),
+        Expr::Ite(c, a, b) => Expr::Ite(boxed(c), boxed(a), boxed(b)),
+        Expr::Tuple(es) => Expr::Tuple(each(es)),
+        Expr::MkSeq(es) => Expr::MkSeq(each(es)),
+        Expr::InSet(a, set) => Expr::InSet(boxed(a), set.clone()),
     }
 }
 
@@ -432,5 +524,74 @@ fn compiled_programs_on_image_views_agree_with_the_interpreter_on_materialized_s
     assert!(
         viewed > 1000 && unviewable > 300 && overridden > 400,
         "views {viewed}, none {unviewable}, overriding {overridden}"
+    );
+}
+
+/// Hoisted programs decided through `HoistedExpr` on `SharedColumns`
+/// are the interpreter, value or error, on every step and state of a
+/// graph: on the hoisted program where both views exist and it
+/// decides, else on the plain one. Each path is counted, so a generator
+/// that stopped reaching one fails.
+#[test]
+fn hoisted_programs_agree_with_the_interpreter_on_every_step() {
+    let mut seen = Seen::default();
+    let mut scratch = EvalScratch::new();
+    let (mut shared, mut programs) = (0usize, 0usize);
+    let (mut hoisted, mut fallbacks, mut no_view) = (0usize, 0usize, 0usize);
+    for seed in 0..SEEDS {
+        let rng = &mut Rng(seed);
+        let world = World::new(rng);
+        let (s, t) = (world.state(rng), world.state(rng));
+        let graph = world.graph(&s, &t);
+        let states: Vec<State> = (0..graph.len()).map(|id| graph.materialize(id)).collect();
+        let f = world.function(rng);
+        let f1 = primed(&f);
+        let exprs: Vec<Expr> = (0..2 + rng.below(3))
+            .map(|_| world.planted(rng, &f, &f1))
+            .collect();
+        let functions = SharedFunctions::of(&exprs);
+        shared += functions.len();
+        let mut columns = SharedColumns::new(&functions, &graph);
+        for id in 0..graph.len() {
+            columns.fill(id, &mut scratch);
+        }
+        for e in &exprs {
+            seen.expr(e);
+            let program = HoistedExpr::compile(e, &functions);
+            programs += usize::from(program.hoisted().is_some());
+            for (id, state) in states.iter().enumerate() {
+                let ctx = format!("seed {seed}: {e:?} sharing {functions:?} at {state:?}");
+                let expected = e.eval_state(state);
+                seen.result(&expected);
+                let got = program.eval(&columns, id, &mut scratch);
+                assert_eq!(got, expected, "{ctx}");
+                for (next, next_state) in states.iter().enumerate() {
+                    let step = StatePair::new(state, next_state);
+                    let expected = e.eval_action(step);
+                    seen.result(&expected);
+                    let got = program.eval_step(&columns, id, next, &mut scratch);
+                    assert_eq!(got, expected, "{ctx} -> {next_state:?}");
+                    let holds = program.holds_step(&columns, id, next, &mut scratch);
+                    assert_eq!(holds, e.holds_action(step), "{ctx} -> {next_state:?}");
+                    let Some(h) = program.hoisted() else {
+                        continue;
+                    };
+                    match columns.view(id).zip(columns.view(next)) {
+                        Some((old, new)) => match h.eval_step(&old, &new, &mut scratch) {
+                            Ok(_) => hoisted += 1,
+                            Err(_) => fallbacks += 1,
+                        },
+                        None => no_view += 1,
+                    }
+                }
+            }
+        }
+    }
+    seen.assert_covers("hoisted programs", &VARIANTS);
+    seen.assert_covers("hoisted programs", &OUTCOMES);
+    assert!(
+        shared > 900 && programs > 2000 && hoisted > 1500 && fallbacks > 1500 && no_view > 3000,
+        "functions {shared}, hoisted programs {programs}, steps decided hoisted {hoisted}, \
+         by the plain program after an error {fallbacks}, without a view {no_view}"
     );
 }

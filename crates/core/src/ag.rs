@@ -2,13 +2,14 @@
 //! checking.
 
 use crate::{ComponentSpec, SpecError};
+use opentla_check::hoist::{HoistedExpr, SharedColumns};
 use opentla_check::{
-    CheckError, CompiledExpr, Counterexample, EvalScratch, GuardedAction, RowView, StateGraph,
-    System, Verdict,
+    CheckError, Counterexample, EvalScratch, GuardedAction, SharedFunctions, StateGraph, System,
+    Verdict,
 };
 use opentla_kernel::{Expr, Formula, Renaming, VarId, Vars};
 use opentla_semantics::{safety_canonical, SafetyCanonical};
-use std::collections::HashMap;
+use std::cell::OnceCell;
 
 /// An assumption/guarantee specification `E ⊳ M` (Section 3 of the
 /// paper): the system guarantees `M` at least one step longer than the
@@ -237,71 +238,113 @@ impl AgReport {
 }
 
 /// One side of the monitor, `E` or `M`: its safety-canonical form,
-/// which names the conjuncts, and each conjunct compiled once per run.
+/// which names the conjuncts, its step boxes as actions, and each
+/// conjunct compiled once per run — plainly, then once more over the
+/// monitor's shared functions when it hoists them.
 struct Side {
     sc: SafetyCanonical,
-    init: Vec<CompiledExpr>,
-    invariants: Vec<CompiledExpr>,
-    boxes: Vec<CompiledExpr>,
+    boxes: Vec<Expr>,
+    /// The initial predicates, the invariants, then the boxes.
+    programs: Vec<HoistedExpr>,
+}
+
+/// A failing conjunct of a [`Side`]: a state predicate, numbered over
+/// the initial predicates then the invariants, or a step box.
+#[derive(Clone, Copy)]
+enum Conjunct {
+    Pred(usize),
+    Box(usize),
 }
 
 impl Side {
-    fn compile(sc: SafetyCanonical) -> Side {
-        let compile = |es: &[Expr]| es.iter().map(CompiledExpr::compile).collect();
-        Side {
-            init: compile(&sc.init),
-            invariants: compile(&sc.invariants),
-            boxes: compile(&sc.step_boxes()),
+    fn new(sc: SafetyCanonical) -> Side {
+        let boxes = sc.step_boxes();
+        let mut side = Side {
             sc,
-        }
+            boxes,
+            programs: Vec::new(),
+        };
+        side.hoist(&SharedFunctions::default());
+        side
+    }
+
+    /// Every conjunct, in the order of `programs`.
+    fn conjuncts(&self) -> impl Iterator<Item = &Expr> {
+        let preds = self.sc.init.iter().chain(&self.sc.invariants);
+        preds.chain(&self.boxes)
+    }
+
+    /// Compiles every conjunct over `shared`.
+    fn hoist(&mut self, shared: &SharedFunctions) {
+        let programs = self.conjuncts().map(|e| HoistedExpr::compile(e, shared));
+        self.programs = programs.collect();
+    }
+
+    /// The number of state predicates.
+    fn preds(&self) -> usize {
+        self.sc.init.len() + self.sc.invariants.len()
     }
 
     /// The first conjunct (initial predicate or invariant) failing in
-    /// state `s`, rendered with `vars` names.
-    fn failing_state_conjunct(
+    /// state `s`.
+    fn failing_state(
         &self,
-        s: &RowView<'_>,
-        vars: &Vars,
+        columns: &SharedColumns<'_>,
+        s: usize,
         scratch: &mut EvalScratch,
-    ) -> Result<Option<String>, SpecError> {
-        let preds = self.sc.init.iter().chain(&self.sc.invariants);
-        let programs = self.init.iter().chain(&self.invariants);
-        for (p, program) in preds.zip(programs) {
-            if !program.holds(s, scratch).map_err(CheckError::from)? {
-                return Ok(Some(p.display(vars).to_string()));
+    ) -> Result<Option<Conjunct>, SpecError> {
+        for (i, program) in self.programs[..self.preds()].iter().enumerate() {
+            if !program
+                .holds(columns, s, scratch)
+                .map_err(CheckError::from)?
+            {
+                return Ok(Some(Conjunct::Pred(i)));
             }
         }
         Ok(None)
     }
 
     /// The first conjunct (step box or invariant) failing on the
-    /// transition `⟨s, t⟩`, rendered with `vars` names.
-    fn failing_step_conjunct(
+    /// transition `⟨s, t⟩`.
+    fn failing_step(
         &self,
-        s: &RowView<'_>,
-        t: &RowView<'_>,
-        vars: &Vars,
+        columns: &SharedColumns<'_>,
+        s: usize,
+        t: usize,
         scratch: &mut EvalScratch,
-    ) -> Result<Option<String>, SpecError> {
-        for ((a, sub), step_box) in self.sc.boxes.iter().zip(&self.boxes) {
-            if !step_box
-                .holds_step(s, t, scratch)
-                .map_err(CheckError::from)?
-            {
-                let subscript: Vec<&str> = sub.iter().map(|v| vars.name(*v)).collect();
-                return Ok(Some(format!(
-                    "□[{}]_⟨{}⟩",
-                    a.display(vars),
-                    subscript.join(", ")
-                )));
+    ) -> Result<Option<Conjunct>, SpecError> {
+        let (preds, boxes) = self.programs.split_at(self.preds());
+        for (i, step_box) in boxes.iter().enumerate() {
+            if !(step_box.holds_step(columns, s, t, scratch)).map_err(CheckError::from)? {
+                return Ok(Some(Conjunct::Box(i)));
             }
         }
-        for (p, program) in self.sc.invariants.iter().zip(&self.invariants) {
-            if !program.holds(t, scratch).map_err(CheckError::from)? {
-                return Ok(Some(p.display(vars).to_string()));
+        let init = self.sc.init.len();
+        for (i, program) in preds.iter().enumerate().skip(init) {
+            if !program
+                .holds(columns, t, scratch)
+                .map_err(CheckError::from)?
+            {
+                return Ok(Some(Conjunct::Pred(i)));
             }
         }
         Ok(None)
+    }
+
+    /// The conjunct's text, with `vars` names.
+    fn render(&self, conjunct: Conjunct, vars: &Vars) -> String {
+        match conjunct {
+            Conjunct::Pred(i) => {
+                let mut preds = self.sc.init.iter().chain(&self.sc.invariants);
+                let p = preds.nth(i).expect("a conjunct of this side");
+                p.display(vars).to_string()
+            }
+            Conjunct::Box(i) => {
+                let (a, sub) = &self.sc.boxes[i];
+                let subscript: Vec<&str> = sub.iter().map(|v| vars.name(*v)).collect();
+                format!("□[{}]_⟨{}⟩", a.display(vars), subscript.join(", "))
+            }
+        }
     }
 }
 
@@ -337,6 +380,16 @@ pub fn check_ag_safety(
 /// `E` at which step — so a holding verdict over a hostile environment
 /// reads "M held k+1 steps, E broken at step k" rather than a bare
 /// "holds".
+///
+/// Cost: one evaluation of each conjunct of `E` and `M` per edge the
+/// monitor crosses, except that, from the 256th edge on, a state
+/// function the conjuncts share (found across both sides: on a queue
+/// chain's mapped guarantee, `q̄`, `Len(q̄)`, `i.sig = i.ack` and
+/// `1 - i.sig`) is evaluated once per state the monitor touches, not
+/// once per occurrence per edge. No table of the whole graph is built
+/// up front, so a violation found after a few states costs a few
+/// states. Verdicts, diagnoses, traces and errors are those of
+/// evaluating every conjunct on every edge.
 ///
 /// # Errors
 ///
@@ -374,48 +427,67 @@ pub fn check_ag_safety_diagnosed(
     Ok(report)
 }
 
+/// Edges the monitor crosses on plain programs before it hoists the
+/// shared functions. Finding them, compiling the conjuncts again and
+/// filling the columns of the states met since costs about what
+/// hoisting saves on the next hundred or so edges (a crashing queue of
+/// `QueueChain(4,1,2)` refuted after 132 edges ran slower hoisted), so
+/// a monitor that stops sooner never pays for it.
+const HOIST_AFTER_EDGES: usize = 256;
+
 /// The `⊳` monitor proper (the BFS over `graph × {E intact, E broken}`),
 /// separated from [`check_ag_safety_diagnosed`] so observability events
 /// wrap every exit path uniformly.
+///
+/// Its cost is one evaluation of each conjunct per edge crossed, except
+/// for the state functions the conjuncts share: once the monitor has
+/// crossed [`HOIST_AFTER_EDGES`] edges, those ([`SharedFunctions`],
+/// found across both sides) are evaluated once per state touched, the
+/// first time the BFS touches it, into [`SharedColumns`], and a
+/// conjunct reads them there ([`HoistedExpr`]: where a shared value is
+/// undefined, or the hoisted program errs, the plain program decides).
+/// The BFS tree is a parent and an action entry per flag, four bytes
+/// each, per state met. Only the first assumption break found is
+/// rendered.
 fn ag_monitor(
     system: &System,
     graph: &StateGraph,
     env: &Formula,
     sys: &Formula,
 ) -> Result<AgReport, SpecError> {
-    let env_side = Side::compile(safety_canonical(env).ok_or(CheckError::NotCanonical {
+    let mut env_side = Side::new(safety_canonical(env).ok_or(CheckError::NotCanonical {
         context: "check_ag_safety (assumption)",
     })?);
-    let sys_side = Side::compile(safety_canonical(sys).ok_or(CheckError::NotCanonical {
+    let mut sys_side = Side::new(safety_canonical(sys).ok_or(CheckError::NotCanonical {
         context: "check_ag_safety (guarantee)",
     })?);
+    let (none, shared) = (SharedFunctions::default(), OnceCell::new());
+    let mut columns = SharedColumns::new(&none, graph);
+    let mut crossed = 0usize;
     let vars = system.vars();
     let scratch = &mut EvalScratch::new();
 
     // Monitor state: false = both intact, true = assumption broken.
     // (Guarantee breaking while the assumption is intact — or on the
     // same step — is the violation `m₀ ≤ n₀`.)
-    // Key: (graph state, assumption-broken flag); value: BFS parent
-    // (state, flag, action) or None for roots.
-    type MonitorParents = HashMap<(usize, bool), Option<(usize, bool, usize)>>;
-    let mut seen: MonitorParents = HashMap::new();
+    let mut seen = Parents::default();
     let mut queue = std::collections::VecDeque::new();
-    // The earliest (BFS-first) observed assumption break: the monitor
-    // key where E first failed, plus the offending action and conjunct.
-    let mut env_break: Option<((usize, bool), Option<usize>, String)> = None;
+    // The earliest (BFS-first) observed assumption break: the state
+    // where E first failed, plus the offending action and conjunct.
+    let mut env_break: Option<(usize, Option<usize>, Conjunct)> = None;
 
     // Reconstructs the monitor trace ending at `last`, through `seen`.
-    let rebuild = |seen: &MonitorParents, last: (usize, bool), reason: String| {
+    let rebuild = |seen: &Parents, last: (usize, bool), reason: String| {
         let mut rev = Vec::new();
-        let mut cur = last;
+        let (mut id, mut broken) = last;
         loop {
-            match seen[&cur] {
-                Some((pid, pflag, action)) => {
-                    rev.push((Some(action), cur.0));
-                    cur = (pid, pflag);
+            match seen.parent(id, broken) {
+                Some((pid, action)) => {
+                    rev.push((Some(action), id));
+                    (id, broken) = (pid, false);
                 }
                 None => {
-                    rev.push((None, cur.0));
+                    rev.push((None, id));
                     break;
                 }
             }
@@ -430,9 +502,9 @@ fn ag_monitor(
     };
 
     for &id in graph.init() {
-        let s = &graph.view(id);
-        if let Some(conjunct) = sys_side.failing_state_conjunct(s, vars, scratch)? {
+        if let Some(conjunct) = sys_side.failing_state(&columns, id, scratch)? {
             // m₀ = 1 ≤ n₀ always.
+            let conjunct = sys_side.render(conjunct, vars);
             return Ok(AgReport {
                 verdict: Verdict::Violated(Counterexample::new(
                     format!(
@@ -447,14 +519,11 @@ fn ag_monitor(
                 env_break: None,
             });
         }
-        let broken_conjunct = env_side.failing_state_conjunct(s, vars, scratch)?;
-        let env_broken = broken_conjunct.is_some();
-        if seen.insert((id, env_broken), None).is_none() {
-            queue.push_back((id, env_broken));
-            if env_break.is_none() {
-                if let Some(conjunct) = broken_conjunct {
-                    env_break = Some(((id, true), None, conjunct));
-                }
+        let broken = env_side.failing_state(&columns, id, scratch)?;
+        if seen.insert_root(id, broken.is_some()) {
+            queue.push_back((id, broken.is_some()));
+            if let (None, Some(conjunct)) = (&env_break, broken) {
+                env_break = Some((id, None, conjunct));
             }
         }
     }
@@ -463,11 +532,21 @@ fn ag_monitor(
             // No further obligations once the assumption has failed.
             continue;
         }
-        let s = &graph.view(id);
+        columns.fill(id, scratch);
         for e in graph.edges(id) {
-            let t = &graph.view(e.target);
-            if let Some(conjunct) = sys_side.failing_step_conjunct(s, t, vars, scratch)? {
+            crossed += 1;
+            if crossed == HOIST_AFTER_EDGES {
+                let conjuncts = env_side.conjuncts().chain(sys_side.conjuncts());
+                let functions = shared.get_or_init(|| SharedFunctions::of(conjuncts));
+                env_side.hoist(functions);
+                sys_side.hoist(functions);
+                columns = SharedColumns::new(functions, graph);
+                columns.fill(id, scratch);
+            }
+            columns.fill(e.target, scratch);
+            if let Some(conjunct) = sys_side.failing_step(&columns, id, e.target, scratch)? {
                 // Violation: reconstruct the trace through the monitor.
+                let conjunct = sys_side.render(conjunct, vars);
                 let action = system.actions()[e.action].name().to_string();
                 let base = rebuild(&seen, (id, env_broken), String::new());
                 let step = base.states().len();
@@ -490,27 +569,23 @@ fn ag_monitor(
                     env_break: None,
                 });
             }
-            let broken_conjunct = env_side.failing_step_conjunct(s, t, vars, scratch)?;
-            let next_broken = broken_conjunct.is_some();
-            let key = (e.target, next_broken);
-            if let std::collections::hash_map::Entry::Vacant(entry) = seen.entry(key) {
-                entry.insert(Some((id, env_broken, e.action)));
-                queue.push_back(key);
-                if next_broken && env_break.is_none() {
-                    if let Some(conjunct) = broken_conjunct {
-                        env_break = Some((key, Some(e.action), conjunct));
-                    }
+            let broken = env_side.failing_step(&columns, id, e.target, scratch)?;
+            let next_broken = broken.is_some();
+            if seen.insert(e.target, next_broken, id, e.action) {
+                queue.push_back((e.target, next_broken));
+                if let (None, Some(conjunct)) = (&env_break, broken) {
+                    env_break = Some((e.target, Some(e.action), conjunct));
                 }
             }
         }
     }
-    let env_break = env_break.map(|(key, action, conjunct)| {
+    let env_break = env_break.map(|(id, action, conjunct)| {
         let action = action.map(|i| system.actions()[i].name().to_string());
-        let trace = rebuild(&seen, key, String::new());
+        let trace = rebuild(&seen, (id, true), String::new());
         let mut brk = AssumptionBreak {
             step: trace.states().len() - 1,
             action,
-            conjunct,
+            conjunct: env_side.render(conjunct, vars),
             trace,
         };
         brk.trace = Counterexample::new(
@@ -525,6 +600,71 @@ fn ag_monitor(
         verdict: Verdict::Holds,
         env_break,
     })
+}
+
+/// The monitor's BFS tree over `graph × {E intact, E broken}`: per
+/// state, a parent entry (0 while a monitor state is unseen, [`ROOT`]
+/// for an initial one, else one plus the parent's id) and an action
+/// entry for each flag. A parent always has the assumption intact: a
+/// broken monitor state is never expanded. The table grows to the
+/// largest id met, so an early exit keeps it small.
+#[derive(Default)]
+struct Parents(Vec<Entry>);
+
+/// The [`Parents`] entries of one state, by flag.
+#[derive(Clone, Copy, Default)]
+struct Entry {
+    parent: [u32; 2],
+    action: [u32; 2],
+}
+
+/// A parent entry: an initial state.
+const ROOT: u32 = u32::MAX;
+
+impl Parents {
+    /// The entries of `id`, grown to.
+    fn entry(&mut self, id: usize) -> &mut Entry {
+        if id >= self.0.len() {
+            assert!(id < ROOT as usize - 1, "graph ids fit in u32");
+            self.0
+                .resize((id + 1).next_power_of_two(), Entry::default());
+        }
+        &mut self.0[id]
+    }
+
+    /// Marks `(id, broken)` as an initial monitor state, unless it was
+    /// seen; whether it was new.
+    fn insert_root(&mut self, id: usize, broken: bool) -> bool {
+        let parent = &mut self.entry(id).parent[usize::from(broken)];
+        let new = *parent == 0;
+        if new {
+            *parent = ROOT;
+        }
+        new
+    }
+
+    /// Marks `(id, broken)` as reached from `(parent, false)` by
+    /// `action`, unless it was seen; whether it was new.
+    fn insert(&mut self, id: usize, broken: bool, parent: usize, action: usize) -> bool {
+        let (entry, flag) = (self.entry(id), usize::from(broken));
+        let new = entry.parent[flag] == 0;
+        if new {
+            entry.parent[flag] = 1 + parent as u32;
+            entry.action[flag] = u32::try_from(action).expect("action indices fit in u32");
+        }
+        new
+    }
+
+    /// The parent of a seen `(id, broken)` and the action from it;
+    /// `None` for an initial state.
+    fn parent(&self, id: usize, broken: bool) -> Option<(usize, usize)> {
+        let (entry, flag) = (&self.0[id], usize::from(broken));
+        match entry.parent[flag] {
+            0 => unreachable!("a seen monitor state"),
+            ROOT => None,
+            p => Some((p as usize - 1, entry.action[flag] as usize)),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -284,8 +284,8 @@ impl std::fmt::Display for Outcome {
 /// call returning `Some` reason is where they stop.
 ///
 /// Counters are atomic, so one meter can be shared by reference across
-/// the scoped workers of a parallel engine without locks on the hot
-/// loop: the charge methods take `&self` and enforce the limits with a
+/// threads without locks on the hot loop: the charge methods take
+/// `&self` and enforce the limits with a
 /// compare-and-swap, so at most `max_states` state charges ever succeed
 /// regardless of how many threads race (and likewise for transitions).
 /// The old single-threaded call shapes (`&mut Meter`) still compile

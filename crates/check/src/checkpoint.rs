@@ -66,8 +66,8 @@
 //! the original would have, keeping the under-approximation argument
 //! of [`VisitedMode::Fingerprint`] intact. Frontier states' partial
 //! edge lists are cleared at capture and those states fully re-expand
-//! on resume; a final renumbering pass then replays canonical BFS
-//! discovery order, which is why a resumed run's graph is
+//! on resume, in the BFS discovery order the uninterrupted run would
+//! have followed, which is why a resumed run's graph is
 //! byte-identical to an uninterrupted one.
 
 use crate::explore::{Edge, StateGraph};
@@ -953,17 +953,8 @@ impl SnapshotReader<'_> {
 /// Captures a snapshot from a (possibly partial) exploration whose
 /// only incomplete states are the `frontier` ones: their (possibly
 /// partial) edge lists are cleared so they fully re-expand on resume.
-/// `keep` truncates the arena to a prefix — the work-stealing engines
-/// roll back to the last complete BFS level boundary (every kept edge
-/// then points inside the prefix); sequential captures pass the full
-/// length.
-pub(crate) fn capture(
-    graph: &StateGraph,
-    keep: usize,
-    frontier: &[usize],
-    header: RunHeader,
-) -> Snapshot {
-    let mut graph = graph.prefix(keep);
+pub(crate) fn capture(graph: &StateGraph, frontier: &[usize], header: RunHeader) -> Snapshot {
+    let mut graph = graph.clone();
     graph.clear_edges(frontier);
     header.snapshot(Body::Graph(graph), frontier.to_vec())
 }

@@ -2,46 +2,38 @@
 //!
 //! Every entry point resolves its [`ExploreOptions`] — and the
 //! `OPENTLA_EXPLORE_THREADS` / `OPENTLA_MEM_BUDGET` overrides — once
-//! into one of three plans (`plan.rs`): the sequential engine over its
-//! store without and with a memory budget, and the work-stealing engine
-//! over its store in RAM.
+//! into a plan (`plan.rs`): one loop, `seq::explore_seq`, over one
+//! store, `seq::Store`, without or with a memory budget.
 //!
-//! | plan (`RunStart.engine`) | engine             | states, edges, dedup index                               |
-//! |--------------------------|--------------------|----------------------------------------------------------|
-//! | `explore_sequential`     | `seq::explore_seq` | `seq::Store`, no budget: a [`StateGraph`], one index     |
-//! | `explore_spill`          | `seq::explore_seq` | `seq::Store`, budgeted: the same until its records       |
-//! |                          |                    | fill a segment, then segment files, two-tier index       |
-//! | `explore_parallel_ws`    | `ws::explore_ws`   | `stripes::Store`: 64 stripes, each an index and a packed |
-//! |                          |                    | arena in RAM                                             |
+//! | plan (`RunStart.engine`) | states, edges, dedup index                                      |
+//! |--------------------------|-----------------------------------------------------------------|
+//! | `explore_sequential`     | `seq::Store`, no budget: a [`StateGraph`], one index            |
+//! | `explore_spill`          | `seq::Store`, budgeted: the same until its records fill a       |
+//! |                          | segment, then segment files and a two-tier index                |
 //!
-//! Every plan ends in one [`StateGraph`] (`graph.rs`, the only code
+//! Every run ends in one [`StateGraph`] (`graph.rs`, the only code
 //! that knows its layout): the states' packed rows, edges and the BFS
 //! tree. The dedup index (`index.rs`) is private to the store and
 //! dropped with it.
 //!
-//! The routing rule: a memory budget picks the second row at one
-//! worker, whatever thread count was asked for; without one, more than
-//! one thread picks the third, and one thread the first. An explicit
-//! [`Engine`] other than [`Engine::Auto`] forces its row (both spill
-//! engines the second).
+//! The routing rule: a memory budget, or an explicit spill [`Engine`]
+//! under a default one, picks the second row; otherwise the first. A
+//! run explores at one worker whatever thread count was asked for; the
+//! request is kept on [`Exploration::requested_threads`] for the
+//! callers that fan out work over the finished graph.
 //!
 //! Every run has one state representation, the packed row of the
 //! system's [`PackedLayout`](opentla_kernel::PackedLayout): every
 //! declared variable set compiles to one, and every state a run meets
 //! lies in its domains — initial states are checked as they are
 //! enumerated, successors as they are stepped, resumed states before
-//! an engine sees the snapshot, whether read from a file or held in RAM.
+//! the loop sees the snapshot, whether read from a file or held in RAM.
 //!
-//! The sequential loop is the reference implementation: plain BFS over
-//! the compiled successor stepper ([`crate::CompiledSystem`]), which
-//! both loops run on packed rows through its effect tables. The
-//! work-stealing engine — one driver, one scheduler and one packed
-//! expansion over one striped store — records
-//! `(parent, action, child)` edges under provisional ids and finishes
-//! with a deterministic renumbering pass that replays the discovery
-//! order sequentially, so on complete runs every plan's result is
-//! **byte-identical**: same state indices, same edge lists, same
-//! [`GraphStats`], same counterexample traces.
+//! The loop is plain BFS over the compiled successor stepper
+//! ([`crate::CompiledSystem`]), run on packed rows through its effect
+//! tables, so both plans build **byte-identical** complete graphs:
+//! same state indices, same edge lists, same [`GraphStats`], same
+//! counterexample traces.
 //!
 //! Every plan deduplicates states through a [`VisitedMode`] over one
 //! index design, masked fingerprint → first id: **fingerprinting**
@@ -49,36 +41,19 @@
 //! against the arena and chains the ids of genuinely colliding states
 //! under their key. See [`VisitedMode`] for the soundness trade-off.
 
-use crate::budget::{Budget, ExhaustReason, Governed, Meter, Outcome};
-use crate::checkpoint::{self, Checkpointer, ResumeToken, RunHeader, Snapshot};
-use crate::compiled::CompiledSystem;
-use crate::obs::{
-    Event, Phase, PhaseGuard, ProgressSnapshot, RecorderHandle, RunReport, OBS_SCHEMA_VERSION,
-};
+use crate::budget::{Budget, ExhaustReason, Governed, Outcome};
+use crate::checkpoint::Snapshot;
+use crate::obs::{Event, ProgressSnapshot, RunReport, OBS_SCHEMA_VERSION};
 use crate::{CheckError, System};
-use opentla_kernel::PackedLayout;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-
-// Every lock in the work-stealing engine guards state that is kept
-// consistent *within* each critical section (arena pushes and map
-// inserts happen together), so the shared poison-recovering [`lock`]
-// is safe here: a panic that poisons a lock leaves the protected data
-// structurally sound — the worker's in-flight *records* are rolled
-// back separately by the scheduler's panic isolation. Propagating the
-// poison would instead turn one worker's bug into a whole-run abort.
-use crate::sync::{lock, NUM_SHARDS};
 
 mod graph;
 mod index;
 mod plan;
 mod seq;
 mod spill;
-mod stripes;
-mod ws;
 
 pub use graph::{Edge, GraphStats, RowView, StateGraph};
-use plan::{Plan, Route, Start};
+use plan::{Plan, Start};
 
 /// How the explorer remembers which states it has already seen.
 ///
@@ -119,18 +94,17 @@ pub struct ExploreOptions {
     /// Visited-set representation. Default
     /// [`VisitedMode::Fingerprint`].
     pub mode: VisitedMode,
-    /// Worker threads. `None` (the default) consults the
-    /// `OPENTLA_EXPLORE_THREADS` environment variable, falling back to
-    /// 1 (sequential). Any resolved value above 1 routes a run without
-    /// a memory budget to the work-stealing scheduler; budgeted runs are
-    /// sequential at any value.
+    /// Worker threads asked for. `None` (the default) consults the
+    /// `OPENTLA_EXPLORE_THREADS` environment variable. Exploration
+    /// itself runs one loop at any value; the request is kept on
+    /// [`Exploration::requested_threads`].
     ///
-    /// A certificate (`opentla::compose`) reads the same request, off
-    /// [`Exploration::requested_threads`], for its obligation checks:
-    /// they run on two lanes unless it is exactly 1, the machine has one
-    /// hardware thread, or the budget records events — a recorded
-    /// certificate keeps one lane, so its stream stays one nested
-    /// sequence. The certificate is the same either way.
+    /// A certificate (`opentla::compose`) reads it there for its
+    /// obligation checks: they run on two lanes unless it is exactly 1,
+    /// the machine has one hardware thread, or the budget records
+    /// events — a recorded certificate keeps one lane, so its stream
+    /// stays one nested sequence. The certificate is the same either
+    /// way.
     pub threads: Option<usize>,
     /// Fingerprint width in bits, 1..=64 (default 64). Values below 64
     /// mask the fingerprint, deliberately *forcing* collisions — a test
@@ -138,79 +112,43 @@ pub struct ExploreOptions {
     /// [`VisitedMode::Exact`] fallback; production runs should leave
     /// this at 64.
     pub fp_bits: u32,
-    /// Fault-injection knob for the work-stealing scheduler's panic
-    /// isolation: when set, exactly one worker deliberately panics
-    /// mid-expansion (see [`WorkerPanic`]). The run must survive
-    /// degraded — this exists so tests can prove it does. `None` (the
-    /// default) injects nothing; the sequential loops (every budgeted
-    /// run's among them) ignore it.
-    pub worker_panic: Option<WorkerPanic>,
     /// Forces a plan. The default [`Engine::Auto`] derives it from
-    /// what the run asks for — threads and memory budget (see the
-    /// module docs); the other values pin a plan whatever the thread
-    /// count says. A memory budget runs the disk-backed sequential plan
+    /// the memory budget (see the module docs); the spill values pin
+    /// the disk-backed plan. A memory budget runs the disk-backed plan
     /// under every value.
     pub engine: Engine,
     /// Approximate RAM ceiling, in bytes, for the exploration's state
     /// arena, edge lists, and visited set. Setting it (or exporting
     /// `OPENTLA_MEM_BUDGET`) routes the run to the bounded-memory plan,
-    /// [`Engine::SpillBfs`], at one worker whatever [`Self::threads`]
-    /// says: it spills sealed arena segments and sorted fingerprint
-    /// runs to disk and keeps only a budget-sized working set in RAM.
+    /// [`Engine::SpillBfs`]: it spills sealed arena segments and sorted
+    /// fingerprint runs to disk and keeps only a budget-sized working
+    /// set in RAM.
     /// `None` (the default) keeps everything in RAM; an explicit spill
     /// engine with `None` uses a generous default budget.
     pub mem_budget_bytes: Option<usize>,
 }
 
 /// Forces an exploration plan; see [`ExploreOptions::engine`].
-///
-/// One caveat holds for the work-stealing plan: it interns
-/// first-insert-wins under a stripe lock, so under *forced*
-/// fingerprint collisions (a narrowed [`ExploreOptions::fp_bits`] in
-/// [`VisitedMode::Fingerprint`]) which member of a collision class
-/// survives depends on worker scheduling at two or more workers.
-/// [`VisitedMode::Exact`] is deterministic at every worker count, and
-/// so is fingerprint mode at one worker.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// Derive the plan from threads and memory budget.
+    /// Derive the plan from the memory budget.
     #[default]
     Auto,
-    /// The work-stealing scheduler over packed state buffers in RAM,
-    /// at any thread count: per-worker deques, quiescence-based
-    /// termination, one canonical renumbering post-pass. Produces
-    /// graphs byte-identical to the sequential loop. With a memory
-    /// budget in force the run is [`Engine::SpillBfs`]'s.
+    /// [`Engine::Auto`]'s plan. The name is kept for the benchmark,
+    /// which spells it; nothing else distinguishes it.
     WorkStealing,
-    /// The bounded-memory sequential plan: same BFS order and charge
-    /// discipline as the in-RAM sequential loop, but the state arena
-    /// and edge lists live in an append-only disk-backed segment store
-    /// (read back through an LRU cache) and the visited set spills
-    /// sorted fingerprint runs once its hot tier fills. Completed
-    /// graphs are byte-identical to the sequential loop's in both
-    /// [`VisitedMode`]s. Selecting it explicitly forces the spill path
-    /// even without a [`ExploreOptions::mem_budget_bytes`] budget.
+    /// The bounded-memory plan: same BFS order and charge discipline
+    /// as the in-RAM plan, but the state arena and edge lists live in
+    /// an append-only disk-backed segment store (read back through an
+    /// LRU cache) and the visited set spills sorted fingerprint runs
+    /// once its hot tier fills. Completed graphs are byte-identical to
+    /// the in-RAM plan's in both [`VisitedMode`]s. Selecting it
+    /// explicitly forces the spill path even without a
+    /// [`ExploreOptions::mem_budget_bytes`] budget.
     SpillBfs,
-    /// The same plan as [`Engine::SpillBfs`], at one worker whatever
-    /// [`ExploreOptions::threads`] says: one disk-backed store serves
-    /// every budgeted run.
+    /// [`Engine::SpillBfs`]'s plan. The name is kept for the
+    /// benchmark, which spells it; nothing else distinguishes it.
     SpillWs,
-}
-
-/// Instructs one work-stealing worker to panic mid-expansion — test
-/// instrumentation for the scheduler's panic isolation (see
-/// [`ExploreOptions::worker_panic`]). The victim is whichever worker
-/// makes the first claim past `after_claims`, counted run-wide across
-/// all workers (a fire-once flag guarantees exactly one panic per
-/// run). The panic fires inside the successor callback, *after* at
-/// least one edge of the current parent was recorded, so it exercises
-/// the scheduler's roll-back-and-requeue recovery rather than a clean
-/// boundary.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WorkerPanic {
-    /// The panic arms once this many parents have been claimed
-    /// run-wide (0 = panic during the first claimed parent).
-    pub after_claims: u64,
 }
 
 impl Default for ExploreOptions {
@@ -220,7 +158,6 @@ impl Default for ExploreOptions {
             mode: VisitedMode::Fingerprint,
             threads: None,
             fp_bits: 64,
-            worker_panic: None,
             engine: Engine::Auto,
             mem_budget_bytes: None,
         }
@@ -256,9 +193,7 @@ pub struct Exploration {
     pub outcome: Outcome,
     /// State indices discovered but not yet expanded when the run
     /// stopped (empty on complete runs). Edges out of these states are
-    /// missing from `graph`. The sequential engine reports them in BFS
-    /// queue order; multi-worker parallel runs in ascending index
-    /// order.
+    /// missing from `graph`, and they are listed in BFS queue order.
     pub frontier: Vec<usize>,
     /// The run's resumable core, when it exhausted its budget at a
     /// resumable point (`None` on complete runs, and on runs cut off
@@ -275,10 +210,9 @@ pub struct Exploration {
 impl Exploration {
     /// The workers this run was asked for — [`ExploreOptions::threads`],
     /// else `OPENTLA_EXPLORE_THREADS`, at least 1 — as its plan read
-    /// them, whatever route it took: a budgeted run reports the request
-    /// though it ran one worker. `None` when neither says. A caller
-    /// that fans out work over the explored graph sizes it by this
-    /// rather than reading the environment again.
+    /// them; the exploration itself ran one. `None` when neither says.
+    /// A caller that fans out work over the explored graph sizes it by
+    /// this rather than reading the environment again.
     pub fn requested_threads(&self) -> Option<usize> {
         self.requested_threads
     }
@@ -392,9 +326,8 @@ pub fn explore_resumable(
 /// The snapshot is validated first: resuming under a different system,
 /// fingerprint width or [`VisitedMode`] is refused with a typed error
 /// rather than silently producing a wrong graph, and so is a state
-/// outside the system's domains. Any engine may resume any snapshot —
-/// thread count is not pinned, because the parallel engine's canonical
-/// renumbering makes the result independent of it.
+/// outside the system's domains. Either plan may resume any snapshot,
+/// whatever plan wrote it, and thread count is not pinned.
 ///
 /// # Errors
 ///
@@ -449,7 +382,7 @@ pub fn explore_escalating(
     Ok(result)
 }
 
-/// Runs the plan: its loop over its store.
+/// Runs the plan: the loop over its store.
 fn explore_dispatch(
     system: &System,
     budget: &Budget,
@@ -458,21 +391,11 @@ fn explore_dispatch(
     launch: Result<Start<'_>, CheckError>,
 ) -> Result<Exploration, CheckError> {
     let Start { seed, layout } = launch?;
-    let explored = if plan.route != Route::WorkStealing {
-        let mem_budget = plan.route.mem_budget();
-        seq::explore_seq(system, budget, options, mem_budget, seed, &layout)
-    } else {
-        let run = ws::Run {
-            options,
-            threads: plan.threads,
-            layout: &layout,
-            meter: seed.meter(budget),
-        };
-        ws::explore_ws(system, budget, &run, seed, &stripes::Store::new(&run))
-    };
-    explored.map(|run| Exploration {
-        requested_threads: plan.requested,
-        ..run
+    seq::explore_seq(system, budget, options, plan.mem_budget, seed, &layout).map(|run| {
+        Exploration {
+            requested_threads: plan.requested,
+            ..run
+        }
     })
 }
 
@@ -502,7 +425,8 @@ fn explore_observed(
         return explore_dispatch(system, budget, options, plan, launch);
     }
     let engine = plan.label();
-    let threads = plan.threads;
+    // The loop's one worker, whatever was requested.
+    let threads = 1;
     let mode = match options.mode {
         VisitedMode::Fingerprint => "fingerprint",
         VisitedMode::Exact => "exact",
@@ -593,193 +517,13 @@ pub fn explore(system: &System, options: &ExploreOptions) -> Result<StateGraph, 
     }
 }
 
-/// Builds the final in-RAM snapshot of an exhausted run (shared by
-/// every engine): `keep`/`frontier` follow the engine's cut
-/// discipline, and the snapshot is written to disk when a checkpoint
-/// spec is active.
-fn seq_exhaustion_snapshot(
-    ck: &mut Checkpointer,
-    recorder: &RecorderHandle,
-    graph: &StateGraph,
-    keep: usize,
-    frontier: &[usize],
-    header: RunHeader,
-) -> (Option<Box<Snapshot>>, Option<ResumeToken>) {
-    let snap = checkpoint::capture(graph, keep, frontier, header);
-    let token = if ck.active() {
-        ck.write(snap.clone(), recorder)
-    } else {
-        None
-    };
-    (Some(Box::new(snap)), token)
-}
-
-// ---------------------------------------------------------------------
-// The work-stealing engine's provisional ids, canonical replay and
-// rollback cut
-// ---------------------------------------------------------------------
-
-/// Provisional state id used during parallel exploration:
-/// `stripe << 32 | index within the stripe's arena`. Renumbering maps
-/// these to canonical sequential indices afterwards.
-type Pid = u64;
-
-fn pid(shard: usize, local: usize) -> Pid {
-    ((shard as u64) << 32) | local as u64
-}
-
-fn shard_of(p: Pid) -> usize {
-    (p >> 32) as usize
-}
-
-fn local_of(p: Pid) -> usize {
-    (p & 0xffff_ffff) as usize
-}
-
-/// The canonical replay of a parallel run's edge records, shared by
-/// the final renumbering pass and mid-run checkpoint captures.
-///
-/// Replaying the BFS sequentially over the recorded per-parent edge
-/// runs reproduces the sequential engine's discovery order exactly:
-/// init enumeration order first, then children in (parent BFS order ×
-/// action order) — so ids, edges, parents, and traces coincide with a
-/// sequential run's. `canon[shard][local]` maps pids to canonical ids
-/// (`u32::MAX` = unreachable from the records, e.g. a child whose
-/// recording worker died mid-expansion and whose parent was not
-/// re-expanded before the run stopped); `depth` is each state's BFS
-/// level, non-decreasing in id order.
-struct Replay {
-    canon: Vec<Vec<u32>>,
-    graph: StateGraph,
-    depth: Vec<u32>,
-}
-
-impl Replay {
-    /// The canonical id of `p`, if the replay reached it.
-    fn id_of(&self, p: Pid) -> Option<usize> {
-        let c = self.canon[shard_of(p)][local_of(p)];
-        (c != u32::MAX).then_some(c as usize)
-    }
-}
-
-/// Builds the [`Replay`]: the discovery order, fixed over pids alone,
-/// then the graph, which takes each state's row under `layout` from
-/// `row_of`, as the stripes hold it, in canonical id order.
-/// Each parent's run is indexed first: `edge_index[shard][local]` is
-/// `(which vector, start, length)`, `u32::MAX` marking "no edges".
-/// Every interned state has a recorded incoming edge (interning and
-/// edge-recording are adjacent in the worker, and a panicked worker's
-/// truncated records are re-recorded when its parent is re-expanded)
-/// or is initial, so the replay reaches every interned state of a
-/// complete run.
-fn replay_records<'r>(
-    arena_lens: &[usize],
-    all_edges: &[Vec<ws::EdgeRecord>],
-    init_pids: &[Pid],
-    layout: &Arc<PackedLayout>,
-    row_of: impl Fn(Pid) -> &'r [u8],
-) -> Replay {
-    const NO_RUN: (u32, u32, u32) = (u32::MAX, 0, 0);
-    let mut edge_index: Vec<Vec<(u32, u32, u32)>> =
-        arena_lens.iter().map(|&n| vec![NO_RUN; n]).collect();
-    for (vi, recs) in all_edges.iter().enumerate() {
-        let mut i = 0;
-        while i < recs.len() {
-            let parent = recs[i].0;
-            let mut j = i + 1;
-            while j < recs.len() && recs[j].0 == parent {
-                j += 1;
-            }
-            edge_index[shard_of(parent)][local_of(parent)] = (vi as u32, i as u32, (j - i) as u32);
-            i = j;
-        }
-    }
-    let run_of = |p: Pid| {
-        let (vi, start, len) = edge_index[shard_of(p)][local_of(p)];
-        match vi {
-            u32::MAX => &[][..],
-            _ => &all_edges[vi as usize][start as usize..(start + len) as usize],
-        }
-    };
-
-    let mut canon: Vec<Vec<u32>> = arena_lens.iter().map(|&n| vec![u32::MAX; n]).collect();
-    let mut depth: Vec<u32> = vec![0; init_pids.len()];
-    // The pids in canonical id order — also the BFS queue, `next` its
-    // head — and how each was discovered.
-    let mut order: Vec<Pid> = init_pids.to_vec();
-    let mut from: Vec<Option<(u32, u32)>> = vec![None; init_pids.len()];
-    for (id, &p) in init_pids.iter().enumerate() {
-        canon[shard_of(p)][local_of(p)] = id as u32;
-    }
-    let mut next = 0;
-    while let Some(&p) = order.get(next) {
-        for &(_, action, child) in run_of(p) {
-            let slot = &mut canon[shard_of(child)][local_of(child)];
-            if *slot == u32::MAX {
-                *slot = order.len() as u32;
-                order.push(child);
-                from.push(Some((next as u32, action)));
-                depth.push(depth[next] + 1);
-            }
-        }
-        next += 1;
-    }
-
-    let mut graph = StateGraph::with_capacity(Arc::clone(layout), order.len());
-    for (from, &p) in from.into_iter().zip(&order) {
-        let parent = from.map(|(id, action)| (id as usize, action as usize));
-        graph
-            .push_state(row_of(p), parent)
-            .expect("a replayed state is discovered from an earlier one");
-    }
-    let mut list: Vec<Edge> = Vec::new();
-    for (id, &p) in order.iter().enumerate() {
-        list.clear();
-        list.extend(run_of(p).iter().map(|&(_, action, child)| Edge {
-            action: action as usize,
-            target: canon[shard_of(child)][local_of(child)] as usize,
-        }));
-        graph
-            .set_edges(id, &list)
-            .expect("the replay fills rows in id order");
-    }
-    Replay {
-        canon,
-        graph,
-        depth,
-    }
-}
-
-/// The deepest consistent level-boundary rollback of a stopped or
-/// paused work-stealing run: given the canonical replay and the
-/// discovered-but-unexpanded pids, returns
-/// `(keep, frontier_ids)` for [`checkpoint::capture`]. The cut level L
-/// is the shallowest pending state's depth — everything above L is
-/// fully expanded, and the frontier is *all* of level L (replay depth
-/// is non-decreasing in canonical id order, so that is an id range
-/// landing on the arena's tail, exactly the cut the resume paths
-/// expect). Pending pids unreachable in the replay are ignored; with
-/// no reachable pending state at all, the whole graph is kept with an
-/// empty frontier.
-fn rollback_cut(replay: &Replay, pending: &[Pid]) -> (usize, Vec<usize>) {
-    let depth = &replay.depth;
-    let cut = pending.iter().filter_map(|&p| replay.id_of(p)).min();
-    match cut.map(|id| depth[id]) {
-        None => (replay.graph.len(), Vec::new()),
-        Some(l) => {
-            let keep = depth.partition_point(|&d| d <= l);
-            let first = depth.partition_point(|&d| d < l);
-            (keep, (first..keep).collect())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::RecorderHandle;
     use crate::{GuardedAction, Init};
     use opentla_kernel::{Domain, Expr, Value, Vars};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     fn counter(max: i64) -> System {
         let mut vars = Vars::new();
@@ -792,8 +536,7 @@ mod tests {
         System::new(vars, Init::new([(x, Value::Int(0))]), vec![incr])
     }
 
-    /// A branching system: two counters stepped independently — enough
-    /// breadth for the parallel engine to actually fan out.
+    /// A branching system: two counters stepped independently.
     fn grid(max: i64) -> System {
         let mut vars = Vars::new();
         let x = vars.declare("x", Domain::int_range(0, max));
@@ -860,13 +603,13 @@ mod tests {
             Err(CheckError::NoInitialStates)
         ));
         for engine in [Engine::Auto, Engine::WorkStealing, Engine::SpillWs] {
-            let parallel = ExploreOptions {
+            let two = ExploreOptions {
                 threads: Some(2),
                 engine,
                 ..ExploreOptions::default()
             };
             assert!(matches!(
-                explore(&sys, &parallel),
+                explore(&sys, &two),
                 Err(CheckError::NoInitialStates)
             ));
         }
@@ -1022,49 +765,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_byte_for_byte() {
-        for threads in [1, 2, 4] {
-            let seq = explore(&grid(4), &ExploreOptions::default()).unwrap();
-            let par = explore(
-                &grid(4),
-                &ExploreOptions {
-                    threads: Some(threads),
-                    ..ExploreOptions::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(seq.first_difference(&par), None, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_governed_exhaustion_is_honest() {
-        let run = explore_governed_with(
-            &grid(6),
-            &Budget::default().states(10),
-            &ExploreOptions {
-                threads: Some(3),
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(run.graph.len(), 10);
-        assert!(matches!(
-            run.outcome.exhaustion(),
-            Some(ExhaustReason::StateLimit { limit: 10 })
-        ));
-        // Every recorded state is reachable and traceable; the
-        // frontier holds real, in-graph indices.
-        for id in 0..run.graph.len() {
-            assert!(!run.trace_to(id).is_empty());
-        }
-        for &f in &run.frontier {
-            assert!(f < run.graph.len());
-        }
-        assert!(!run.frontier.is_empty());
-    }
-
-    #[test]
     fn forced_collisions_underapproximate_and_exact_mode_recovers() {
         // 1-bit fingerprints conflate almost everything: the explorer
         // must *under*-approximate (strictly fewer states, no invented
@@ -1109,84 +809,107 @@ mod tests {
             match *event {
                 Event::RunStart {
                     engine, threads, ..
-                } => lock(&self.started).push((engine.to_string(), threads)),
-                Event::RunEnd { report } => {
-                    lock(&self.reported).push((report.engine.clone(), report.threads))
-                }
+                } => self
+                    .started
+                    .lock()
+                    .unwrap()
+                    .push((engine.to_string(), threads)),
+                Event::RunEnd { report } => self
+                    .reported
+                    .lock()
+                    .unwrap()
+                    .push((report.engine.clone(), report.threads)),
                 _ => {}
             }
         }
     }
 
-    /// Runs `options` under the plan resolved against a *given*
-    /// environment — the process environment is never consulted, so
-    /// the CI legs that export the overrides see the same routing.
-    fn run_planned(
-        options: &ExploreOptions,
-        env_budget: Option<usize>,
-    ) -> (Plan, Arc<RoutingLog>, Result<Exploration, CheckError>) {
-        let log = Arc::new(RoutingLog::default());
-        let budget = Budget::default().with_recorder(RecorderHandle::new(log.clone()));
-        let plan = Plan::resolve(options, None, env_budget);
-        let run = explore_observed(&grid(3), &budget, options, &plan, None);
-        (plan, log, run)
-    }
-
-    /// `RunStart` and the run report name the plan that ran and the
-    /// workers it ran — not the workers that were asked for — and every
-    /// plan builds the sequential graph.
+    /// `RunStart` and the run report name the plan that ran, at the one
+    /// worker it ran, and every plan builds the same graph: without a
+    /// budget the in-RAM store whatever engine or thread count was
+    /// asked for; with one, from the option or the environment (the
+    /// resolver takes it as an argument, so the CI legs that export the
+    /// overrides see the same routing), the disk-backed store.
     #[test]
     fn run_start_names_the_plan() {
-        let with = |engine, threads| ExploreOptions {
-            engine,
-            threads: Some(threads),
-            ..ExploreOptions::default()
-        };
-        let reference = explore(&grid(3), &with(Engine::Auto, 1)).unwrap();
-        let check = |options: &ExploreOptions, env_budget, route, label: &str, workers| {
-            let what = format!(
-                "{:?} threads={:?} explicit={:?} env={env_budget:?}",
-                options.engine, options.threads, options.mem_budget_bytes
-            );
-            let (plan, log, run) = run_planned(options, env_budget);
-            assert_eq!((plan.route, plan.label()), (route, label), "{what}");
-            let ran = [(label.to_string(), workers)];
-            assert_eq!(*lock(&log.started), ran, "{what}: run_start");
-            assert_eq!(*lock(&log.reported), ran, "{what}: run report");
-            let graph = run.unwrap().graph;
-            assert_eq!(graph.first_difference(&reference), None, "{what}");
-        };
-        let sequential = (Route::Sequential, "explore_sequential");
-        let parallel = (Route::WorkStealing, "explore_parallel_ws");
-        for (engine, threads, (route, label), workers) in [
-            (Engine::Auto, 1, sequential, 1),
-            (Engine::Auto, 2, parallel, 2),
-            (Engine::WorkStealing, 1, parallel, 1),
-            (Engine::WorkStealing, 4, parallel, 4),
-        ] {
-            check(&with(engine, threads), None, route, label, workers);
-        }
-        // A memory budget, from the option or the environment, runs the
-        // one disk-backed store at one worker under every engine and at
-        // every thread count.
-        let spill = Route::SpillBfs {
-            mem_budget: 1 << 20,
-        };
-        for engine in [
+        let reference = explore(&grid(3), &ExploreOptions::default()).unwrap();
+        let engines = [
             Engine::Auto,
             Engine::WorkStealing,
             Engine::SpillBfs,
             Engine::SpillWs,
-        ] {
+        ];
+        let budgets = [(None, None), (Some(1 << 20), None), (None, Some(1 << 20))];
+        for engine in engines {
             for threads in [1, 2, 4] {
-                for (explicit, env) in [(Some(1 << 20), None), (None, Some(1 << 20))] {
+                for (explicit, env_budget) in budgets {
                     let options = ExploreOptions {
+                        engine,
+                        threads: Some(threads),
                         mem_budget_bytes: explicit,
-                        ..with(engine, threads)
+                        ..ExploreOptions::default()
                     };
-                    check(&options, env, spill, "explore_spill", 1);
+                    let what = format!(
+                        "{engine:?} threads={threads} explicit={explicit:?} env={env_budget:?}"
+                    );
+                    let spill = explicit.or(env_budget).is_some()
+                        || matches!(engine, Engine::SpillBfs | Engine::SpillWs);
+                    let label = if spill {
+                        "explore_spill"
+                    } else {
+                        "explore_sequential"
+                    };
+                    let log = Arc::new(RoutingLog::default());
+                    let budget = Budget::default().with_recorder(RecorderHandle::new(log.clone()));
+                    let plan = Plan::resolve(&options, None, env_budget);
+                    let run = explore_observed(&grid(3), &budget, &options, &plan, None).unwrap();
+                    let ran = [(label.to_string(), 1)];
+                    assert_eq!(*log.started.lock().unwrap(), ran, "{what}: run_start");
+                    assert_eq!(*log.reported.lock().unwrap(), ran, "{what}: run report");
+                    assert_eq!(run.requested_threads(), Some(threads), "{what}");
+                    assert_eq!(run.graph.first_difference(&reference), None, "{what}");
                 }
             }
         }
+    }
+
+    /// The file a build with the work-stealing engine saved when
+    /// `Engine::WorkStealing` at 2 workers exhausted `states(7)` on
+    /// `grid(3)` under `with_checkpoint(path, 1_000_000)`: its canonical
+    /// replay rolled back to the last complete level, so it keeps 6 of
+    /// the 7 states and lists level 2 as the frontier. The one loop
+    /// resumes it to the uninterrupted graph.
+    #[test]
+    fn a_snapshot_the_work_stealing_engine_wrote_resumes() {
+        let recorded: &str = "\
+            4f544c41534e4150040000004000000000b53a3c9dfcdba43f01000000000000\
+            0002000000040000000100000000000000000101000000000000000102000000\
+            0000000001030000000000000004000000010000000000000000010100000000\
+            0000000102000000000000000103000000000000000000000006000000000000\
+            0006000000000000000000000000000000060000001200000001ffffffff0000\
+            000035265eeb5902c3a90012000000010000000000000000402d78c2124044fa\
+            0112000000010000000001000000c01cb8c2eec34c5e04120000000101000000\
+            000000000f4d0255c88dcdce0212000000010100000001000000b5179eeba581\
+            cb0d05120000000102000000010000006f119a19a781c90c0803000000180000\
+            0000000000020000000000000001000000010000000200000018000000010000\
+            0002000000000000000300000001000000040000001800000002000000020000\
+            0000000000040000000100000005000000010000000000000003000000030000\
+            000400000005000000749d6dc0d638e7a7";
+        let bytes: Vec<u8> = (0..recorded.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&recorded[i..i + 2], 16).unwrap())
+            .collect();
+        let dir = std::env::temp_dir().join("opentla_parallel_written_snapshot");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ws.snap");
+        std::fs::write(&path, bytes).unwrap();
+        let snap = Snapshot::load(&path).unwrap();
+        assert_eq!(snap.frontier, [3, 4, 5], "the rolled-back cut");
+        let budget = Budget::default().with_checkpoint(&path, 1_000_000);
+        let resumed = explore_resumable(&grid(3), &budget, &ExploreOptions::default()).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        assert!(resumed.outcome.is_complete());
+        let reference = explore(&grid(3), &ExploreOptions::default()).unwrap();
+        assert_eq!(resumed.graph.first_difference(&reference), None);
     }
 }

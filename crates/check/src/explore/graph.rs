@@ -1,12 +1,12 @@
 //! The reachability graph, and the only code that knows how one is
-//! laid out: stores, the canonical replay, snapshots and the resume
-//! paths build a [`StateGraph`] through the crate-internal methods
-//! below and read it through its accessors, so the representation can
-//! change in this file alone.
+//! laid out: the store, snapshots and the resume paths build a
+//! [`StateGraph`] through the crate-internal methods below and read it
+//! through its accessors, so the representation can change in this
+//! file alone.
 //!
 //! A graph is its rows and flat columns. Each state is its packed row
 //! under the graph's [`PackedLayout`] (`stride` bytes, in id order),
-//! the row the exploration loops stepped. The checks after exploration
+//! the row the exploration loop stepped. The checks after exploration
 //! key on its slot codes (`image.rs`, `liveness/fair.rs`) and run
 //! compiled programs on a [`RowView`]; a `State` is built only by
 //! [`StateGraph::materialize`], to be handed out. Every successor list
@@ -91,8 +91,7 @@ impl Slots for RowView<'_> {
 ///
 /// Exploration order is deterministic (BFS over the system's action
 /// order), so state indices — and therefore counterexamples — are
-/// reproducible. The parallel engine preserves this: its renumbering
-/// pass restores the exact sequential ordering.
+/// reproducible.
 #[derive(Clone, Debug)]
 pub struct StateGraph {
     /// The layout every row is under.
@@ -211,22 +210,6 @@ impl StateGraph {
         );
         self.edges.truncate(self.edge_base(first));
         self.row_start.truncate(first + 1);
-    }
-
-    /// A copy of the first `keep` states, nothing past them cloned.
-    /// Edges of kept states are copied as they are: the caller cuts
-    /// where none of them leads past `keep`.
-    pub(crate) fn prefix(&self, keep: usize) -> StateGraph {
-        let filled = keep.min(self.row_start.len() - 1);
-        StateGraph {
-            layout: Arc::clone(&self.layout),
-            rows: self.rows[..keep * self.layout.stride()].to_vec(),
-            init: self.init.iter().copied().filter(|&i| i < keep).collect(),
-            edges: self.edges[..self.row_start[filled]].to_vec(),
-            row_start: self.row_start[..=filled].to_vec(),
-            tree: self.tree[..keep].to_vec(),
-            unpacked: OnceLock::new(),
-        }
     }
 
     /// The BFS-tree entry of `id`: `(parent id, action)`, or `None`
@@ -534,7 +517,7 @@ mod tests {
     }
 
     /// Random `push_state` / `set_edges` (the next row, or one past a
-    /// gap) / `clear_edges` (a tail) / `prefix` sequences leave the flat
+    /// gap) / `clear_edges` (a tail) sequences leave the flat
     /// columns reading exactly as the row-per-state model does, and the
     /// calls the layout rules out are refused with the graph untouched.
     #[test]
@@ -578,20 +561,6 @@ mod tests {
                         model.rows[first..].iter_mut().for_each(Vec::clear);
                         model.filled = model.filled.min(first);
                         "clear_edges"
-                    }
-                    8 => {
-                        // A cut no kept edge leads past, as callers choose it.
-                        let closed = |keep: usize| {
-                            model.rows[..keep].iter().flatten().all(|e| e.target < keep)
-                        };
-                        let keeps: Vec<usize> = (0..=n).filter(|&k| closed(k)).collect();
-                        let keep = keeps[rng.gen_range(0..keeps.len())];
-                        graph = graph.prefix(keep);
-                        model.pushed.truncate(keep);
-                        model.rows.truncate(keep);
-                        model.parents.truncate(keep);
-                        model.filled = model.filled.min(keep);
-                        "prefix"
                     }
                     _ => {
                         // A filled row, a state that does not exist, a
@@ -640,11 +609,14 @@ mod tests {
         };
         let graph = build(2, 1, 2);
         assert_eq!(graph.first_difference(&build(2, 1, 2)), None);
+        let mut two = StateGraph::with_capacity(layout(), 2);
+        push(&mut two, state(0), None).unwrap();
+        push(&mut two, state(1), Some((0, 0))).unwrap();
         for (other, what) in [
             (build(7, 1, 2), "value of state 2"),
             (build(2, 1, 0), "edges of state 0"),
             (build(2, 0, 2), "BFS parent of state 2"),
-            (graph.prefix(2), "3 states vs 2"),
+            (two, "3 states vs 2"),
         ] {
             let found = graph.first_difference(&other).expect(what);
             assert!(found.starts_with(what), "{found}");

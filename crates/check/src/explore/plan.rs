@@ -1,15 +1,14 @@
-//! Routing, resolved once: which scheduler and stores a run uses, at
-//! how many workers and under which byte budget.
+//! Routing, resolved once: under which byte budget, if any, the one
+//! loop's store runs, and how many workers the caller asked for.
 //!
 //! [`Plan::resolve`] is a pure function of the caller's
 //! [`ExploreOptions`] and the two environment overrides, so the whole
 //! routing table is unit-testable without touching the process
 //! environment. Every entry point resolves one [`Plan`]: the
-//! dispatcher matches on it, the `RunStart`/`RunEnd` engine label and
-//! worker count are read off it, and the disk-backed store takes its
-//! budget from it. [`Start::of`] hands every plan the same start: the
-//! system's packed layout, whose rows every loop steps on, and the
-//! seed.
+//! `RunStart`/`RunEnd` engine label is read off it, and the store
+//! takes its budget from it. [`Start::of`] hands every plan the same
+//! start: the system's packed layout, whose rows the loop steps on,
+//! and the seed.
 
 use super::seq::Seed;
 use super::{Engine, ExploreOptions};
@@ -45,40 +44,14 @@ fn env_override(name: &str) -> Result<Option<usize>, CheckError> {
     }
 }
 
-/// Which scheduler loop runs, over which store. The spill route
-/// carries the byte budget its tiers are tuned to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Route {
-    /// The sequential loop over its store with no budget: it never
-    /// leaves RAM.
-    Sequential,
-    /// The work-stealing loop over in-RAM striped arenas.
-    WorkStealing,
-    /// The sequential loop over the same store with a budget.
-    SpillBfs { mem_budget: usize },
-}
-
-impl Route {
-    /// The byte budget the spill route's tiers are tuned to.
-    pub(crate) fn mem_budget(self) -> Option<usize> {
-        match self {
-            Route::Sequential | Route::WorkStealing => None,
-            Route::SpillBfs { mem_budget } => Some(mem_budget),
-        }
-    }
-}
-
 /// One run's resolved routing.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct Plan {
-    pub(crate) route: Route,
-    /// The workers the plan runs — what `RunStart` and the run report
-    /// carry: the requested count (explicit option, else environment,
-    /// else 1) on the work-stealing route, 1 on the sequential ones
-    /// whatever was requested.
-    pub(crate) threads: usize,
+    /// The byte budget the store's disk tiers are tuned to; `None`
+    /// keeps the store in RAM.
+    pub(crate) mem_budget: Option<usize>,
     /// The workers asked for — explicit option, else environment, at
-    /// least 1 — whatever the route; `None` when neither says.
+    /// least 1 — though the loop runs one; `None` when neither says.
     pub(crate) requested: Option<usize>,
 }
 
@@ -87,8 +60,8 @@ pub(crate) struct Start<'a> {
     pub(crate) seed: Seed<'a>,
     /// The packed layout of the system's states: every state of the
     /// run packs under it — each seed is in its domains, and each
-    /// successor is domain-checked — so both loops step on its rows and
-    /// the stores hold them, and so does the graph a run ends in.
+    /// successor is domain-checked — so the loop steps on its rows and
+    /// the store holds them, and so does the graph a run ends in.
     pub(crate) layout: Arc<PackedLayout>,
 }
 
@@ -131,47 +104,26 @@ impl Plan {
     /// The routing table. Explicit options beat the environment.
     ///
     /// A byte budget in force — or an explicit spill [`Engine`], under
-    /// a default one — runs the sequential loop over its disk-backed
-    /// store at one worker, whatever thread count was asked for: one
-    /// disk-backed store serves every budgeted run. Otherwise more than
-    /// one requested worker, or [`Engine::WorkStealing`], picks the
-    /// work-stealing loop in RAM.
+    /// a default one — runs the store with its disk tiers; otherwise
+    /// it stays in RAM. The thread count routes nothing.
     pub(crate) fn resolve(
         options: &ExploreOptions,
         env_threads: Option<usize>,
         env_budget: Option<usize>,
     ) -> Plan {
-        let asked = options.threads.or(env_threads).map(|n| n.max(1));
-        let requested = asked.unwrap_or(1);
         let budget = options.mem_budget_bytes.or(env_budget);
-        let spill =
-            budget.is_some() || matches!(options.engine, Engine::SpillBfs | Engine::SpillWs);
-        let parallel = !spill
-            && match options.engine {
-                Engine::Auto => requested > 1,
-                Engine::WorkStealing => true,
-                Engine::SpillBfs | Engine::SpillWs => false,
-            };
-        let route = match (parallel, spill) {
-            (true, _) => Route::WorkStealing,
-            (false, true) => Route::SpillBfs {
-                mem_budget: budget.unwrap_or(DEFAULT_SPILL_BUDGET),
-            },
-            (false, false) => Route::Sequential,
-        };
+        let spill = matches!(options.engine, Engine::SpillBfs | Engine::SpillWs);
         Plan {
-            route,
-            threads: if parallel { requested } else { 1 },
-            requested: asked,
+            mem_budget: budget.or(spill.then_some(DEFAULT_SPILL_BUDGET)),
+            requested: options.threads.or(env_threads).map(|n| n.max(1)),
         }
     }
 
     /// The engine name `RunStart` and `RunEnd` carry.
     pub(crate) fn label(&self) -> &'static str {
-        match self.route {
-            Route::Sequential => "explore_sequential",
-            Route::WorkStealing => "explore_parallel_ws",
-            Route::SpillBfs { .. } => "explore_spill",
+        match self.mem_budget {
+            None => "explore_sequential",
+            Some(_) => "explore_spill",
         }
     }
 }
@@ -179,16 +131,15 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::WorkerPanic;
 
     const EXPLICIT: usize = 1 << 20;
     const ENV: usize = 2 << 20;
 
-    /// The whole routing table: engine × threads × budget source ×
-    /// panic injection. The resolver takes the environment
-    /// as arguments, so nothing here touches `std::env`. Every cell
-    /// with a budget in force, from the option or the environment,
-    /// runs the one disk-backed store at one worker.
+    /// The whole routing table: engine × budget source. The resolver
+    /// takes the environment as arguments, so nothing here touches
+    /// `std::env`. Every cell with a budget in force, from the option
+    /// or the environment, runs the store with its disk tiers; a spill
+    /// engine without one runs under the default budget.
     #[test]
     fn routing_table() {
         let engines = [
@@ -207,68 +158,61 @@ mod tests {
         ];
         let mut cases = 0;
         for engine in engines {
-            for threads in [1usize, 2, 4] {
-                for (explicit, env, in_force) in budgets {
-                    for panic in [false, true] {
-                        let options = ExploreOptions {
-                            engine,
-                            threads: Some(threads),
-                            mem_budget_bytes: explicit,
-                            worker_panic: panic.then_some(WorkerPanic { after_claims: 0 }),
-                            ..ExploreOptions::default()
-                        };
-                        // The environment's thread count loses to the
-                        // explicit one in every cell.
-                        let plan = Plan::resolve(&options, Some(7), env);
-                        let what = format!(
-                            "{engine:?} threads={threads} explicit={explicit:?} \
-                             env={env:?} panic={panic}"
-                        );
-                        // Panic injection pins nothing: the cell routes
-                        // as its twin without it. A spill engine with no
-                        // budget runs under the default one.
-                        let mem_budget = in_force.unwrap_or(DEFAULT_SPILL_BUDGET);
-                        let expected = match (engine, in_force.is_some(), threads) {
-                            (_, true, _) | (Engine::SpillBfs | Engine::SpillWs, ..) => {
-                                Route::SpillBfs { mem_budget }
-                            }
-                            (Engine::WorkStealing, false, _) => Route::WorkStealing,
-                            (Engine::Auto, false, 1) => Route::Sequential,
-                            (Engine::Auto, false, _) => Route::WorkStealing,
-                        };
-                        assert_eq!(plan.route, expected, "{what}");
-                        // The plan reports the workers it runs.
-                        let workers = match expected {
-                            Route::Sequential | Route::SpillBfs { .. } => 1,
-                            Route::WorkStealing => threads,
-                        };
-                        assert_eq!(plan.threads, workers, "{what}");
-                        cases += 1;
-                    }
-                }
+            for (explicit, env, in_force) in budgets {
+                let options = ExploreOptions {
+                    engine,
+                    mem_budget_bytes: explicit,
+                    ..ExploreOptions::default()
+                };
+                let plan = Plan::resolve(&options, None, env);
+                let what = format!("{engine:?} explicit={explicit:?} env={env:?}");
+                let expected = match (engine, in_force) {
+                    (_, Some(budget)) => Some(budget),
+                    (Engine::SpillBfs | Engine::SpillWs, None) => Some(DEFAULT_SPILL_BUDGET),
+                    (Engine::Auto | Engine::WorkStealing, None) => None,
+                };
+                assert_eq!(plan.mem_budget, expected, "{what}");
+                let label = match expected {
+                    None => "explore_sequential",
+                    Some(_) => "explore_spill",
+                };
+                assert_eq!(plan.label(), label, "{what}");
+                cases += 1;
             }
         }
-        assert_eq!(cases, 4 * 3 * 4 * 2);
+        assert_eq!(cases, 4 * 4);
+        // More than one thread asked for, and no budget: the one loop
+        // in RAM, with the request kept for the caller.
+        let four = ExploreOptions {
+            threads: Some(4),
+            ..ExploreOptions::default()
+        };
+        let plan = Plan::resolve(&four, None, None);
+        assert_eq!(plan.label(), "explore_sequential");
+        assert_eq!((plan.mem_budget, plan.requested), (None, Some(4)));
     }
 
     #[test]
     fn environment_fills_in_unset_threads() {
         let plan = Plan::resolve(&ExploreOptions::default(), Some(4), None);
-        assert_eq!((plan.route, plan.threads), (Route::WorkStealing, 4));
-        assert_eq!(plan.requested, Some(4));
+        assert_eq!((plan.mem_budget, plan.requested), (None, Some(4)));
+        // The explicit count beats the environment's.
+        let two = ExploreOptions {
+            threads: Some(2),
+            ..ExploreOptions::default()
+        };
+        assert_eq!(Plan::resolve(&two, Some(7), None).requested, Some(2));
         let plan = Plan::resolve(&ExploreOptions::default(), None, None);
-        assert_eq!((plan.route, plan.threads), (Route::Sequential, 1));
         assert_eq!(plan.requested, None, "nobody asked");
         // A zero thread count is clamped, not trusted.
         let zero = ExploreOptions {
             threads: Some(0),
             ..ExploreOptions::default()
         };
-        let plan = Plan::resolve(&zero, Some(4), None);
-        assert_eq!((plan.threads, plan.requested), (1, Some(1)));
-        // A budget runs one worker, and still reports what was asked.
+        assert_eq!(Plan::resolve(&zero, Some(4), None).requested, Some(1));
+        // A budget still reports what was asked.
         let plan = Plan::resolve(&ExploreOptions::default(), Some(4), Some(ENV));
-        assert_eq!((plan.threads, plan.requested), (1, Some(4)));
+        assert_eq!((plan.mem_budget, plan.requested), (Some(ENV), Some(4)));
     }
 
     /// A variable that is set must parse: anything but a positive

@@ -20,11 +20,13 @@
 //! rows.
 
 use super::spill::{self, RunNames, SpillDir, SpillVisited, Tuning};
-use super::{seq_exhaustion_snapshot, Edge, Exploration, ExploreOptions, StateGraph, VisitedMode};
+use super::{Edge, Exploration, ExploreOptions, StateGraph, VisitedMode};
 use crate::budget::{Budget, ExhaustReason, Meter, Outcome};
-use crate::checkpoint::{self, CheckpointError, Checkpointer, Manifest, RunHeader, Snapshot};
+use crate::checkpoint::{
+    self, CheckpointError, Checkpointer, Manifest, ResumeToken, RunHeader, Snapshot,
+};
 use crate::compiled::{append_child, child_fingerprint, CompiledSystem, Effect, StepMemo};
-use crate::obs::{Phase, PhaseGuard};
+use crate::obs::{Phase, PhaseGuard, RecorderHandle};
 use crate::{CheckError, System};
 use opentla_kernel::store::{SegmentStore, StoreError};
 use opentla_kernel::{PackedLayout, State};
@@ -93,15 +95,14 @@ impl From<StoreError> for Stop {
     }
 }
 
-/// The sequential BFS loop, shared by every sequential configuration.
+/// The BFS loop every run explores with, in RAM or under a budget.
 ///
-/// Why resumption needs no renumbering pass: every snapshot — from any
-/// engine — stores its arena in canonical (sequential discovery) order
-/// with the frontier as the arena's *tail*. For sequential-origin
-/// snapshots the BFS queue is always the most recently discovered
-/// suffix of the arena; parallel-origin snapshots are captured from
-/// the canonical replay rolled back to a level boundary, whose
-/// frontier (the last complete level) is likewise the tail. Re-seeding
+/// Why resumption needs no renumbering pass: every snapshot stores its
+/// arena in discovery order with the frontier as the arena's *tail* —
+/// the BFS queue is always the most recently discovered suffix of the
+/// arena. (The files the deleted work-stealing engine wrote hold the
+/// same shape: its canonical replay rolled back to a level boundary,
+/// whose frontier, the last complete level, is the tail.) Re-seeding
 /// the queue with the frontier in id order therefore continues the
 /// *exact* sequential discovery order, and new states extend the arena
 /// precisely as an uninterrupted run would.
@@ -520,9 +521,7 @@ impl<'a> Store<'a> {
     /// unsealed tails are embedded — O(hot tier), not O(state space).
     fn snapshot(&self, queue: &[usize]) -> Snapshot {
         match &self.body {
-            Body::Ram { graph, .. } => {
-                checkpoint::capture(graph, graph.len(), queue, self.header())
-            }
+            Body::Ram { graph, .. } => checkpoint::capture(graph, queue, self.header()),
             Body::Disk { arena, edges, init } => {
                 let manifest = Manifest {
                     layout: Arc::clone(self.layout),
@@ -593,9 +592,7 @@ impl<'a> Store<'a> {
         }
         let (snapshot, resume) = match (by_reference, frontier) {
             (Some(pair), _) => pair,
-            (None, Some(queue)) => {
-                seq_exhaustion_snapshot(ck, meter.recorder(), &graph, graph.len(), queue, header)
-            }
+            (None, Some(queue)) => exhaustion_snapshot(ck, meter.recorder(), &graph, queue, header),
             (None, None) => (None, None),
         };
         let outcome = match exhausted {
@@ -615,6 +612,25 @@ impl<'a> Store<'a> {
             requested_threads: None,
         })
     }
+}
+
+/// Builds the final in-RAM snapshot of an exhausted run, whose
+/// `frontier` states are the unexpanded ones, and writes it to disk
+/// when a checkpoint spec is active.
+fn exhaustion_snapshot(
+    ck: &mut Checkpointer,
+    recorder: &RecorderHandle,
+    graph: &StateGraph,
+    frontier: &[usize],
+    header: RunHeader,
+) -> (Option<Box<Snapshot>>, Option<ResumeToken>) {
+    let snap = checkpoint::capture(graph, frontier, header);
+    let token = if ck.active() {
+        ck.write(snap.clone(), recorder)
+    } else {
+        None
+    };
+    (Some(Box::new(snap)), token)
 }
 
 #[cfg(test)]

@@ -32,11 +32,10 @@
 //! * [`Snapshot`] / [`explore_resumable`] — crash tolerance: budgeted
 //!   explorations periodically checkpoint their resumable core to a
 //!   versioned, checksummed on-disk snapshot
-//!   ([`Budget::with_checkpoint`]; one format, whichever engine wrote
-//!   it) and resume from the preserved frontier instead of restarting,
-//!   with panic-isolated parallel workers degrading gracefully instead
-//!   of aborting the run; an interrupted check *over* a finished graph
-//!   restarts ([`escalate`]);
+//!   ([`Budget::with_checkpoint`]; one format, whichever plan wrote
+//!   it) and resume from the preserved frontier instead of restarting;
+//!   an interrupted check *over* a finished graph restarts
+//!   ([`escalate`]);
 //! * [`image`] — image classes: simulation and fairness-target checks
 //!   decide each obligation once per abstract step under the
 //!   refinement mapping instead of once per concrete edge, and read
@@ -83,7 +82,6 @@ mod liveness;
 pub mod obs;
 mod sample;
 mod simulate;
-mod sync;
 mod system;
 
 pub use budget::{escalate, Budget, ExhaustReason, Governed, Meter, Outcome};
@@ -99,7 +97,7 @@ pub use error::CheckError;
 pub use explore::{
     explore, explore_escalating, explore_governed, explore_governed_with, explore_resumable,
     resume_exploration, Edge, Engine, Exploration, ExploreOptions, GraphStats, RowView, StateGraph,
-    VisitedMode, WorkerPanic,
+    VisitedMode,
 };
 pub use invariant::{check_invariant, check_step_invariant};
 pub use liveness::{

@@ -53,7 +53,7 @@ use std::time::Instant;
 /// Version tag carried by every serialized event (`"v"`) and by
 /// [`RunReport::schema_version`]. Bump when the event schema changes
 /// shape.
-pub const OBS_SCHEMA_VERSION: u64 = 6;
+pub const OBS_SCHEMA_VERSION: u64 = 7;
 
 /// A [`Event::Progress`] snapshot is emitted every this many meter
 /// checkpoints (when a recorder is enabled). Checkpoints run once per
@@ -74,13 +74,11 @@ pub const PROGRESS_SAMPLE: u64 = 1024;
 pub enum Phase {
     /// Enumerating and interning the initial states.
     ExploreInit,
-    /// The expansion loop (sequential BFS or work-stealing workers;
-    /// an epoch run's periodic snapshots fall inside it).
+    /// The BFS expansion loop (its periodic snapshots fall inside it).
     ExploreExpand,
-    /// Turning engine-private storage into the canonical
-    /// [`StateGraph`](crate::StateGraph): the work-stealing engines'
-    /// renumbering pass, the spill stores' read-back, the in-RAM
-    /// store's hand-over.
+    /// Turning the store into the finished
+    /// [`StateGraph`](crate::StateGraph): the disk tiers' read-back,
+    /// or the in-RAM store's hand-over.
     ExploreRenumber,
     /// Fairness-aware liveness analysis (SCC search).
     Liveness,
@@ -165,9 +163,8 @@ impl ProgressSnapshot {
 pub struct RunReport {
     /// Schema version ([`OBS_SCHEMA_VERSION`]).
     pub schema_version: u64,
-    /// Which plan ran: `"explore_sequential"`, `"explore_spill"` or
-    /// `"explore_parallel_ws"` for an exploration; other checks name
-    /// themselves likewise.
+    /// Which plan ran: `"explore_sequential"` or `"explore_spill"` for
+    /// an exploration; other checks name themselves likewise.
     pub engine: String,
     /// Worker threads used.
     pub threads: usize,
@@ -241,19 +238,6 @@ pub enum Event<'a> {
         /// The measurement.
         snapshot: ProgressSnapshot,
     },
-    /// Per-worker throughput for one epoch of the work-stealing
-    /// scheduler (a run has one epoch unless periodic checkpoints are
-    /// armed).
-    WorkerLevel {
-        /// Worker index.
-        worker: usize,
-        /// Which epoch was processed.
-        level: u64,
-        /// Parents this worker claimed.
-        claimed: u64,
-        /// New states this worker interned.
-        inserted: u64,
-    },
     /// A fault-injection combinator armed a fault action on a system,
     /// or a fault action was observed firing on a counterexample /
     /// assumption-break trace.
@@ -301,19 +285,6 @@ pub enum Event<'a> {
         transitions: u64,
         /// Discovered-but-unexpanded states awaiting resume.
         frontier: u64,
-    },
-    /// A work-stealing worker panicked. With `requeued: 1` the parent
-    /// it was expanding went back on a deque and the run continued
-    /// degraded on the surviving workers; with `requeued: 0` nothing
-    /// could be salvaged (the last worker alive, or a panic outside an
-    /// expansion) and the panic propagated.
-    WorkerFailure {
-        /// Worker index that died.
-        worker: usize,
-        /// Scheduler epoch being processed when it died.
-        level: u64,
-        /// Parents re-queued for re-expansion (0 or 1).
-        requeued: u64,
     },
     /// An exploration resumed from an on-disk snapshot instead of
     /// restarting.
@@ -403,7 +374,7 @@ pub enum Event<'a> {
         nanos: u64,
     },
     /// What the effect tables of packed stepping did over one
-    /// exploration, summed over its workers (see
+    /// exploration (see
     /// [`CompiledSystem`](crate::CompiledSystem)): emitted once, before
     /// the run's final progress event.
     StepMemo {
@@ -572,12 +543,6 @@ describe_events! {
         budget_states: U64 Optional = snapshot.budget_states,
         budget_transitions: U64 Optional = snapshot.budget_transitions,
     }
-    WorkerLevel { worker, level, claimed, inserted } => "worker_level" {
-        worker: U64 Required = worker as u64,
-        level: U64 Required = level,
-        claimed: U64 Required = claimed,
-        inserted: U64 Required = inserted,
-    }
     FaultActivation { action, step, kind } => "fault_activation" {
         action: Str Required = action,
         step: U64 Required = step,
@@ -600,11 +565,6 @@ describe_events! {
         states: U64 Required = states,
         transitions: U64 Required = transitions,
         frontier: U64 Required = frontier,
-    }
-    WorkerFailure { worker, level, requeued } => "worker_failure" {
-        worker: U64 Required = worker as u64,
-        level: U64 Required = level,
-        requeued: U64 Required = requeued,
     }
     Resume { seq, states, transitions, frontier } => "resume" {
         seq: U64 Required = seq,
@@ -668,8 +628,8 @@ impl Event<'_> {
 
 /// A sink for engine [`Event`]s.
 ///
-/// Implementations must be `Send + Sync`: one recorder is shared by
-/// every worker of a parallel run. The hot loops consult
+/// Implementations must be `Send + Sync`: one recorder rides on a
+/// [`Budget`](crate::Budget), which threads share. The hot loops consult
 /// [`Recorder::enabled`] once per run and skip instrumentation
 /// entirely when it is `false`, so a disabled recorder costs one
 /// boolean.
@@ -1671,7 +1631,7 @@ mod tests {
     /// optional field set — and, read top to bottom, a well-formed
     /// stream. 5 states in 2 s is 2.5 states/s, which `{:.0}` writes as
     /// `2`; the counterexample's reason needs every escape.
-    fn samples(report: &RunReport) -> [Event<'_>; 17] {
+    fn samples(report: &RunReport) -> [Event<'_>; 15] {
         [
             Event::RunStart {
                 engine: "explore_sequential",
@@ -1696,12 +1656,6 @@ mod tests {
                     budget_transitions: Some(200),
                 },
             },
-            Event::WorkerLevel {
-                worker: 1,
-                level: 0,
-                claimed: 2,
-                inserted: 3,
-            },
             Event::FaultActivation {
                 action: "fault:lossy[sync]",
                 step: 4,
@@ -1724,11 +1678,6 @@ mod tests {
                 states: 3,
                 transitions: 2,
                 frontier: 1,
-            },
-            Event::WorkerFailure {
-                worker: 1,
-                level: 0,
-                requeued: 1,
             },
             Event::Resume {
                 seq: 1,
@@ -1780,24 +1729,22 @@ mod tests {
 
     /// The JSONL bodies (everything after `"t":…,`) of [`samples`], as
     /// the hand-written per-kind writer of commit 667e7d3 produced them.
-    const PINNED_BODIES: [&str; 17] = [
+    const PINNED_BODIES: [&str; 15] = [
         "\"ev\":\"run_start\",\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\"",
         "\"ev\":\"phase_enter\",\"phase\":\"explore_expand\"",
         "\"ev\":\"phase_exit\",\"phase\":\"explore_expand\"",
         "\"ev\":\"progress\",\"states\":5,\"transitions\":4,\"elapsed_nanos\":2000000000,\"states_per_sec\":2,\"frontier\":1,\"level\":2,\"worker\":0,\"budget_states\":100,\"budget_transitions\":200",
-        "\"ev\":\"worker_level\",\"worker\":1,\"level\":0,\"claimed\":2,\"inserted\":3",
         "\"ev\":\"fault_activation\",\"action\":\"fault:lossy[sync]\",\"step\":4,\"kind\":\"fired\"",
         "\"ev\":\"counterexample\",\"kind\":\"liveness\",\"reason\":\"a \\\"quoted\\\"\\\\ reason\\n\\twith ⊳ and \\u0001\",\"length\":5,\"fault_steps\":1,\"loop_start\":2",
         "\"ev\":\"check\",\"kind\":\"obligation\",\"name\":\"H2a/P4\",\"holds\":true",
         "\"ev\":\"checkpoint\",\"seq\":1,\"states\":3,\"transitions\":2,\"frontier\":1",
-        "\"ev\":\"worker_failure\",\"worker\":1,\"level\":0,\"requeued\":1",
         "\"ev\":\"resume\",\"seq\":1,\"states\":3,\"transitions\":2,\"frontier\":1",
         "\"ev\":\"spill\",\"tier\":\"arena\",\"seq\":0,\"records\":64,\"bytes\":4096,\"total_spilled_bytes\":8192",
         "\"ev\":\"cache_stats\",\"hits\":9,\"misses\":1,\"evictions\":0,\"resident_bytes\":4096,\"spilled_bytes\":8192",
         "\"ev\":\"image_pass\",\"states\":3,\"mapped_vars\":1,\"distinct_values\":2,\"undefined\":0,\"evaluated\":2,\"key_bits\":3,\"nanos\":650",
         "\"ev\":\"image_memo\",\"check\":\"simulation\",\"classes\":2,\"distinct_pairs\":2,\"edges\":2,\"skipped\":false,\"nanos\":420",
         "\"ev\":\"step_memo\",\"actions\":13,\"tabled_actions\":12,\"table_entries\":171,\"lookups\":6360302,\"misses\":172",
-        "\"ev\":\"run_end\",\"report\":{\"schema_version\":6,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
+        "\"ev\":\"run_end\",\"report\":{\"schema_version\":7,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
     ];
 
     #[test]
@@ -1854,7 +1801,7 @@ mod tests {
     /// One line of `event` with `field` dropped (`retyped: None`) or
     /// rewritten as `retyped`.
     fn line_with(event: &Event<'_>, field: &str, retyped: Option<&str>) -> String {
-        let mut line = format!("{{\"v\":6,\"t\":1,\"ev\":\"{}\"", event.kind());
+        let mut line = format!("{{\"v\":7,\"t\":1,\"ev\":\"{}\"", event.kind());
         event.for_each_field(|name, value| match retyped {
             _ if name != field => line.push_str(&format!(",\"{name}\":{value}")),
             Some(other) => line.push_str(&format!(",\"{name}\":{other}")),
@@ -1882,19 +1829,19 @@ mod tests {
 
     #[test]
     fn validator_rejects_mistyped_optionals_and_unlisted_members() {
-        let progress = "{\"v\":6,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\
+        let progress = "{\"v\":7,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\
                         \"elapsed_nanos\":0,\"states_per_sec\":0";
         assert!(validate_stream(&format!("{progress}}}\n")).is_ok());
         let err = validate_stream(&format!("{progress},\"frontier\":\"x\"}}\n")).unwrap_err();
         assert_eq!(err, "line 1: missing/invalid \"frontier\"");
-        let cx = "{\"v\":6,\"t\":1,\"ev\":\"counterexample\",\"kind\":\"liveness\",\
+        let cx = "{\"v\":7,\"t\":1,\"ev\":\"counterexample\",\"kind\":\"liveness\",\
                   \"reason\":\"r\",\"length\":3,\"fault_steps\":0";
         assert!(validate_stream(&format!("{cx},\"loop_start\":1}}\n")).is_ok());
         let err = validate_stream(&format!("{cx},\"loop_start\":-1}}\n")).unwrap_err();
         assert_eq!(err, "line 1: missing/invalid \"loop_start\"");
         // A member the kind's row does not list, on the second line.
         let err = validate_stream(&format!(
-            "{cx}}}\n{{\"v\":6,\"t\":2,\"ev\":\"resume\",\"seq\":1,\"states\":3,\
+            "{cx}}}\n{{\"v\":7,\"t\":2,\"ev\":\"resume\",\"seq\":1,\"states\":3,\
              \"transitions\":2,\"frontier\":1,\"ample_states\":0}}\n"
         ))
         .unwrap_err();
@@ -2045,7 +1992,7 @@ mod tests {
         assert_eq!(summary.kinds["image_memo"], 1);
         // More evaluations than edges, or a skipped memo that did not
         // evaluate every edge, is not a stream this crate writes.
-        let head = "{\"v\":6,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
+        let head = "{\"v\":7,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
         let bad =
             format!("{head},\"distinct_pairs\":9,\"edges\":8,\"skipped\":false,\"nanos\":5}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("evaluations"));
@@ -2081,7 +2028,7 @@ mod tests {
         assert_eq!(summary.kinds["step_memo"], 1);
         // More tabled actions than actions, or more misses than
         // lookups, is not a stream this crate writes.
-        let head = "{\"v\":6,\"t\":1,\"ev\":\"step_memo\",\"actions\":2";
+        let head = "{\"v\":7,\"t\":1,\"ev\":\"step_memo\",\"actions\":2";
         let bad = format!(
             "{head},\"tabled_actions\":3,\"table_entries\":0,\"lookups\":0,\"misses\":0}}\n"
         );
@@ -2118,7 +2065,7 @@ mod tests {
         // More distinct (or undefined) values than images, fewer
         // evaluations than distinct values or more than images, or a
         // missing field, is not a stream this crate writes.
-        let head = "{\"v\":6,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
+        let head = "{\"v\":7,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
         let line = |distinct: u64, undefined: u64, evaluated: u64| {
             format!(
                 "{head},\"distinct_values\":{distinct},\"undefined\":{undefined},\
@@ -2147,15 +2094,15 @@ mod tests {
     #[test]
     fn validator_rejects_malformed_streams() {
         // Backwards timestamp.
-        let bad = "{\"v\":6,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":6,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
+        let bad = "{\"v\":7,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":7,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("backwards"));
         // Mismatched phase nesting.
-        let bad = "{\"v\":6,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":6,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
+        let bad = "{\"v\":7,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":7,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("closes"));
         // Unclosed run.
-        let bad = "{\"v\":6,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
+        let bad = "{\"v\":7,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("open run"));
         // Wrong version.
         let bad = "{\"v\":99,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\"elapsed_nanos\":0}\n";
@@ -2167,7 +2114,7 @@ mod tests {
             .unwrap_err()
             .contains("schema version 4"));
         // Unknown kind.
-        let bad = "{\"v\":6,\"t\":1,\"ev\":\"mystery\"}\n";
+        let bad = "{\"v\":7,\"t\":1,\"ev\":\"mystery\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("unknown event"));
     }
 
@@ -2235,8 +2182,8 @@ mod tests {
     fn report_json_is_parseable() {
         let report = RunReport {
             schema_version: OBS_SCHEMA_VERSION,
-            engine: "explore_parallel_ws".into(),
-            threads: 4,
+            engine: "explore_spill".into(),
+            threads: 1,
             mode: "exact".into(),
             states: 10,
             transitions: 20,
@@ -2250,7 +2197,7 @@ mod tests {
         assert_eq!(parsed.get("states").unwrap().as_u64(), Some(10));
         assert_eq!(
             parsed.get("engine").unwrap().as_str(),
-            Some("explore_parallel_ws")
+            Some("explore_spill")
         );
         assert_eq!(parsed.get("complete").unwrap().as_bool(), Some(false));
     }

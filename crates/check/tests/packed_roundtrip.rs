@@ -1,16 +1,15 @@
 //! Property-based tests for the packed state layout: pack/unpack
-//! round-trips, packed-vs-tree fingerprint agreement, and
-//! work-stealing/sequential graph identity over randomly generated
-//! bounded systems — and the one way a run could meet a state that
-//! does not pack, an initial state pinned outside its domain, which is
-//! a typed error on every plan.
+//! round-trips and packed-vs-tree fingerprint agreement over randomly
+//! generated bounded systems — and the one way a run could meet a
+//! state that does not pack, an initial state pinned outside its
+//! domain, which is a typed error on every plan.
 
 mod support {
     pub mod random_system;
 }
 
 use opentla_check::{
-    explore_governed_with, Budget, CheckError, Engine, ExploreOptions, GuardedAction, Init, System,
+    explore_governed_with, Budget, CheckError, ExploreOptions, GuardedAction, Init, System,
     VisitedMode,
 };
 use opentla_kernel::{Domain, Expr, PackedLayout, State, Value, Vars};
@@ -103,8 +102,7 @@ proptest! {
 
 // ---------------------------------------------------------------------
 // Random guarded-command systems: every reachable state of the
-// explored graph must round-trip through the layout, and the
-// work-stealing engine must reproduce the sequential graph exactly.
+// explored graph must round-trip through the layout.
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -125,40 +123,6 @@ proptest! {
             prop_assert!(layout.pack_into(state.values(), &mut buf));
             prop_assert_eq!(&layout.unpack(&buf), state);
             prop_assert_eq!(layout.fingerprint(&buf), state.fingerprint());
-        }
-    }
-
-    /// The work-stealing engine produces byte-identical graphs to the
-    /// sequential engine on random systems, at every worker count and
-    /// in both visited-set modes.
-    #[test]
-    fn ws_matches_sequential_random(
-        specs in proptest::collection::vec(arb_action_spec(SMALL_INTS), 1..5),
-    ) {
-        let sys = build_system(SMALL_INTS, &specs);
-        let budget = Budget::unlimited();
-        let seq = explore_governed_with(
-            &sys,
-            &budget,
-            &ExploreOptions { threads: Some(1), ..ExploreOptions::default() },
-        )
-        .unwrap();
-        for workers in [1usize, 2, 4] {
-            for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-                let ws = explore_governed_with(
-                    &sys,
-                    &budget,
-                    &ExploreOptions {
-                        threads: Some(workers),
-                        engine: Engine::WorkStealing,
-                        mode,
-                        ..ExploreOptions::default()
-                    },
-                )
-                .unwrap();
-                prop_assert!(ws.outcome.is_complete());
-                prop_assert_eq!(seq.graph.first_difference(&ws.graph), None);
-            }
         }
     }
 }
@@ -206,25 +170,18 @@ fn an_initial_state_outside_its_domain_is_a_typed_error() {
     };
     out_of_domain(sys.init().states(sys.universe()).map(drop), "enumeration");
     for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-        for threads in [1usize, 2, 4] {
-            for mem_budget_bytes in [None, Some(1usize << 20)] {
-                for engine in [Engine::Auto, Engine::WorkStealing] {
-                    let label =
-                        format!("{mode:?}/threads={threads}/{mem_budget_bytes:?}/{engine:?}");
-                    let run = explore_governed_with(
-                        &sys,
-                        &Budget::unlimited(),
-                        &ExploreOptions {
-                            threads: Some(threads),
-                            mode,
-                            engine,
-                            mem_budget_bytes,
-                            ..ExploreOptions::default()
-                        },
-                    );
-                    out_of_domain(run.map(drop), &label);
-                }
-            }
+        for mem_budget_bytes in [None, Some(1usize << 20)] {
+            let label = format!("{mode:?}/{mem_budget_bytes:?}");
+            let run = explore_governed_with(
+                &sys,
+                &Budget::unlimited(),
+                &ExploreOptions {
+                    mode,
+                    mem_budget_bytes,
+                    ..ExploreOptions::default()
+                },
+            );
+            out_of_domain(run.map(drop), &label);
         }
     }
 }

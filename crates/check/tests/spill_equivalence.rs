@@ -300,8 +300,6 @@ fn exact_mode_verifies_and_chains_in_every_store() {
     let stores = [
         ("sequential", Engine::Auto, 1, None),
         ("spill", Engine::SpillBfs, 1, Some(32 << 10)),
-        ("ws@1", Engine::WorkStealing, 1, None),
-        ("ws@4", Engine::WorkStealing, 4, None),
     ];
     for (name, sys) in &systems {
         let full = explore_seq(sys, VisitedMode::Exact);

@@ -4,8 +4,8 @@
 use std::path::Path;
 
 /// Count of sealed segment files whose name starts with `prefix`
-/// (`arena-` for the sequential engine's store, `wsarena-` for the
-/// parallel engine's) in the segment directory of `snap_path`.
+/// (`arena-` for the arena, `edges-` for the edge records) in the
+/// segment directory of `snap_path`.
 pub fn sealed_segments(snap_path: &Path, prefix: &str) -> usize {
     std::fs::read_dir(format!("{}.segs", snap_path.display()))
         .map(|dir| {

@@ -1,9 +1,8 @@
 //! Crash-tolerance end-to-end: interrupt/resume byte-identity across
-//! every engine configuration, snapshot save→load round trips,
-//! typed errors for corrupted or mismatched snapshots, panic-isolated
-//! work-stealing workers and their periodic mid-run checkpoints, and
-//! frontier-preserving escalation whose total work is O(final state
-//! space).
+//! every plan, snapshot save→load round trips, typed errors for
+//! corrupted or mismatched snapshots, periodic mid-run checkpoints,
+//! and frontier-preserving escalation whose total work is O(final
+//! state space).
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -11,7 +10,7 @@ use std::sync::Arc;
 use opentla_check::{
     explore_escalating, explore_governed_with, explore_resumable, resume_exploration, Budget,
     CheckError, CheckpointError, CountingRecorder, Engine, Exploration, ExploreOptions,
-    GuardedAction, Init, Outcome, RecorderHandle, Snapshot, System, VisitedMode, WorkerPanic,
+    GuardedAction, Init, Outcome, RecorderHandle, Snapshot, System, VisitedMode,
     DEFAULT_CHECKPOINT_CADENCE,
 };
 use opentla_kernel::store::fnv1a;
@@ -143,10 +142,8 @@ fn interrupt_and_resume(label: &str, system: &System, opts: &ExploreOptions) {
 fn interrupt_resume_identity_unreduced() {
     for (name, system) in &scenarios() {
         for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-            for threads in [1usize, 2, 4] {
-                let label = format!("{name}/none/{mode:?}/threads={threads}");
-                interrupt_and_resume(&label, system, &options(threads, mode, 64));
-            }
+            let label = format!("{name}/none/{mode:?}");
+            interrupt_and_resume(&label, system, &options(1, mode, 64));
         }
     }
 }
@@ -186,28 +183,22 @@ fn armed_run_shorter_than_the_cadence_writes_no_snapshot() {
 
 /// The collision knob is pinned in the snapshot header: a resumed
 /// collision-forcing run reproduces the uninterrupted collision-forcing
-/// run exactly (first-id-wins conflation and all) — wherever the
-/// uninterrupted run is itself reproducible: fingerprint mode at one
-/// worker, exact mode at any worker count (see `Engine`'s docs for why
-/// fingerprint mode at two or more workers is not).
+/// run exactly (first-id-wins conflation and all), in both visited
+/// modes.
 #[test]
 fn interrupt_resume_identity_with_forced_collisions() {
     let system = QueueChain::new(2, 1, 2, FairnessStyle::Joint)
         .complete_system()
         .unwrap();
-    for (mode, threads) in [
-        (VisitedMode::Fingerprint, 1usize),
-        (VisitedMode::Exact, 1),
-        (VisitedMode::Exact, 2),
-    ] {
-        let label = format!("chain2/fp12/{mode:?}/threads={threads}");
-        interrupt_and_resume(&label, &system, &options(threads, mode, 12));
+    for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
+        let label = format!("chain2/fp12/{mode:?}");
+        interrupt_and_resume(&label, &system, &options(1, mode, 12));
     }
 }
 
-/// Golden chain4 through a parallel interrupt: exhaust a 2-thread run
-/// at 20 000 states, resume with 4 threads, and land exactly on the
-/// golden numbers.
+/// Golden chain4 through an interrupt and a thread change: exhaust a
+/// run that asked for 2 threads at 20 000 states, resume asking for 4,
+/// and land exactly on the golden numbers.
 #[test]
 fn golden_chain4_survives_parallel_interrupt_and_thread_change() {
     let system = QueueChain::new(4, 1, 2, FairnessStyle::Joint)
@@ -350,7 +341,7 @@ fn corrupted_snapshot_is_a_typed_error_not_a_panic() {
         "file",
     );
     let snap = cut.snapshot.as_deref().expect("in-memory snapshot");
-    for (threads, mem_budget_bytes) in [(1, None), (2, None), (2, Some(1 << 20))] {
+    for (threads, mem_budget_bytes) in [(1, None), (2, Some(1 << 20))] {
         let opts = ExploreOptions {
             mem_budget_bytes,
             ..options(threads, VisitedMode::Fingerprint, 64)
@@ -401,56 +392,7 @@ fn mismatched_snapshot_is_refused() {
 }
 
 // ---------------------------------------------------------------------
-// Panic isolation
-// ---------------------------------------------------------------------
-
-/// An injected worker panic mid-expansion must not lose states, edges,
-/// or the run: the scheduler rolls the worker's records back and
-/// re-queues its parent, the run degrades to the surviving workers,
-/// and the final graph is byte-identical to the sequential one — at 2
-/// and 4 workers, in both visited modes.
-#[test]
-fn worker_panic_degrades_gracefully_without_losing_states() {
-    for (name, system) in &scenarios() {
-        for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-            let reference = run_unlimited(system, &options(1, mode, 64));
-            for threads in [2usize, 4] {
-                for after_claims in [0u64, 5] {
-                    let label =
-                        format!("{name}/{mode:?}/threads={threads}/panic-after-{after_claims}");
-                    let recorder = Arc::new(CountingRecorder::new());
-                    let opts = ExploreOptions {
-                        worker_panic: Some(WorkerPanic { after_claims }),
-                        ..options(threads, mode, 64)
-                    };
-                    let run = explore_governed_with(
-                        system,
-                        &Budget::unlimited().with_recorder(RecorderHandle::new(recorder.clone())),
-                        &opts,
-                    )
-                    .unwrap_or_else(|e| panic!("{label}: run must survive the panic: {e}"));
-                    assert!(
-                        matches!(run.outcome, Outcome::Complete),
-                        "{label}: degraded run still completes"
-                    );
-                    assert_eq!(
-                        recorder.count("worker_failure"),
-                        1,
-                        "{label}: exactly one worker failure is reported"
-                    );
-                    assert_eq!(
-                        reference.graph.first_difference(&run.graph),
-                        None,
-                        "{label}"
-                    );
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Periodic checkpoints on the work-stealing scheduler
+// Periodic checkpoints
 // ---------------------------------------------------------------------
 
 /// Copies the snapshot file aside when the `copy_at`-th (0-based)
@@ -480,10 +422,10 @@ impl opentla_check::Recorder for MidRunCopy {
     }
 }
 
-/// A checkpoint-armed 4-worker run with a cadence far below the graph
-/// size writes snapshots *while it runs* (what a `kill -9` would leave
-/// behind), and such a mid-run snapshot resumes, at another worker
-/// count, to the byte-identical graph.
+/// A checkpoint-armed run that asked for 4 workers, with a cadence far
+/// below the graph size, writes snapshots *while it runs* (what a
+/// `kill -9` would leave behind), and such a mid-run snapshot resumes,
+/// at another requested worker count, to the byte-identical graph.
 #[test]
 fn threaded_run_checkpoints_mid_run_and_resumes_at_another_worker_count() {
     let system = QueueChain::new(3, 1, 2, FairnessStyle::Joint)
@@ -665,13 +607,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Checkpoint → serialize → load → resume yields a byte-identical
-    /// graph on random systems, across thread counts and visited modes.
+    /// graph on random systems, in both visited modes.
     #[test]
     fn snapshot_round_trip_is_byte_identical(seed in any::<u64>()) {
         let system = random_system(seed);
-        let threads = [1usize, 2, 4][(seed % 3) as usize];
         let mode = if seed & 1 == 0 { VisitedMode::Fingerprint } else { VisitedMode::Exact };
-        let opts = options(threads, mode, 64);
+        let opts = options(1, mode, 64);
         let reference = run_unlimited(&system, &opts);
         let total = reference.graph.len();
         if total < 4 {
@@ -890,15 +831,13 @@ fn corrupted_spill_segment_is_typed_error() {
 // Every plan's snapshot under every plan, and mutated snapshots
 // ---------------------------------------------------------------------
 
-/// The three plans, as `(name, engine, workers, memory budget)`: the
-/// sequential loop in RAM and under an 8 KiB budget, and the
-/// work-stealing engine.
+/// The two plans, as `(name, engine, workers, memory budget)`: the
+/// loop's store in RAM and under an 8 KiB budget.
 type PlanSpec = (&'static str, Engine, usize, Option<usize>);
 
-const PLANS: [PlanSpec; 3] = [
+const PLANS: [PlanSpec; 2] = [
     ("sequential", Engine::Auto, 1, None),
     ("spill", Engine::SpillBfs, 1, Some(8 << 10)),
-    ("ws", Engine::WorkStealing, 2, None),
 ];
 
 fn plan_options(
@@ -959,12 +898,12 @@ fn every_plan_resumes_every_plans_snapshot() {
 }
 
 /// Mutation fuzz over real snapshots of chain2, written by the in-RAM
-/// sequential store, the disk-backed one (8 KiB: sealed segments go in
-/// by reference) and the work-stealing engine at 2 workers. Each case
+/// store and the disk-backed one (8 KiB: sealed segments go in by
+/// reference). Each case
 /// applies seeded byte flips, overwrites, inserts and deletes to the
 /// body, re-stamps the FNV-1a trailer so the checksum passes, and
 /// resumes the file (`explore_resumable` loads it) under a deadline on
-/// one of the three plans, in a thread of its own. It must end in a
+/// one of the two plans, in a thread of its own. It must end in a
 /// typed error or a finished run: a panic fails the test with its
 /// seed, and so does a case still running after the grace period.
 #[test]
@@ -1010,7 +949,7 @@ fn mutated_snapshots_end_in_a_typed_error_or_a_finished_run() {
             let path = snap_path("fuzz_case");
             let checksum = fnv1a(&mutated).to_le_bytes();
             std::fs::write(&path, [magic, &mutated, &checksum].concat()).unwrap();
-            let reader = PLANS[(case % 3) as usize];
+            let reader = PLANS[case as usize % PLANS.len()];
             let (system, opts, at) = (
                 system.clone(),
                 plan_options(reader, VisitedMode::Fingerprint),

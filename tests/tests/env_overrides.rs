@@ -58,7 +58,7 @@ fn malformed_overrides_are_refused_not_dropped() {
         check_liveness(&system, &graph, &target).expect("liveness does not read the variable");
     }
     std::env::set_var(THREADS, "2");
-    let threaded = explore(&system, &ExploreOptions::default()).expect("2 workers: explores");
+    let threaded = explore(&system, &ExploreOptions::default()).expect("asked for 2: explores");
     assert_eq!(threaded.first_difference(&graph), None);
     std::env::remove_var(THREADS);
 }

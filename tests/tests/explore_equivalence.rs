@@ -1,9 +1,9 @@
-//! Engine-equivalence guarantees of the exploration rework: the
-//! fingerprinted, exact, and parallel engines must produce *the same
-//! graph* — identical statistics, identical state indexing, identical
-//! edges, identical counterexample traces — on every scenario in the
-//! repository, so that switching engines can never change a checking
-//! verdict.
+//! Plan-equivalence guarantees of exploration: the fingerprinted and
+//! exact visited sets, in RAM and under a memory budget, must produce
+//! *the same graph* — identical statistics, identical state indexing,
+//! identical edges, identical counterexample traces — on every
+//! scenario in the repository, so that switching plans can never
+//! change a checking verdict.
 //!
 //! Also covered: the deliberate-collision knob (`fp_bits`) showing
 //! that fingerprint collisions only ever *under*-approximate and that
@@ -23,7 +23,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Every scenario family in the repo, at sizes that keep the whole
-/// file fast while still giving the parallel engine real breadth.
+/// file fast while still overflowing a small memory budget.
 fn scenarios() -> Vec<(&'static str, System)> {
     vec![
         (
@@ -59,9 +59,8 @@ fn scenarios() -> Vec<(&'static str, System)> {
 
 /// The seed explorer: a BFS over the interpretive
 /// [`System::successors`] with an exact `HashMap<State, usize>` visited
-/// set. It shares no stepper, fingerprint, index or renumbering pass
-/// with the engines, so agreeing with it is not agreeing with
-/// themselves. Returns the states in discovery order and each state's
+/// set. It shares no stepper, fingerprint or index with the plans, so
+/// agreeing with it is not agreeing with themselves. Returns the states in discovery order and each state's
 /// `(action, target)` list.
 fn explore_seed(system: &System) -> (Vec<State>, Vec<Vec<(usize, usize)>>) {
     let mut index: HashMap<State, usize> = HashMap::new();
@@ -98,15 +97,14 @@ fn explore_seed(system: &System) -> (Vec<State>, Vec<Vec<(usize, usize)>>) {
     (states, edges)
 }
 
-/// Each of the three plans — pinned by engine and worker count, the
-/// disk-backed one under a 32 KiB budget, which the chains overflow —
-/// builds the seed explorer's graph: the same states in the same order,
-/// the same edge lists.
+/// Each of the two plans — pinned by engine, the disk-backed one under
+/// a 32 KiB budget, which the chains overflow — builds the seed
+/// explorer's graph: the same states in the same order, the same edge
+/// lists.
 #[test]
 fn every_plan_builds_the_seed_explorers_graph() {
     let plans = [
         ("sequential", Engine::Auto, 1, None),
-        ("work-stealing", Engine::WorkStealing, 4, None),
         ("spill", Engine::SpillBfs, 1, Some(32 << 10)),
     ];
     for (name, sys) in scenarios() {
@@ -149,43 +147,19 @@ fn exact_mode_is_identical_to_fingerprint_mode_everywhere() {
     }
 }
 
-#[test]
-fn parallel_engine_is_identical_to_sequential_everywhere() {
-    for (name, sys) in scenarios() {
-        let seq = explore(&sys, &ExploreOptions::default()).unwrap();
-        for threads in [1, 2, 4] {
-            for mode in [VisitedMode::Fingerprint, VisitedMode::Exact] {
-                let par = explore(
-                    &sys,
-                    &ExploreOptions {
-                        threads: Some(threads),
-                        mode,
-                        ..ExploreOptions::default()
-                    },
-                )
-                .unwrap();
-                assert_eq!(
-                    seq.first_difference(&par),
-                    None,
-                    "{name}/threads={threads}/{mode:?}"
-                );
-            }
-        }
-    }
-}
-
 /// Counterexamples — the user-visible artifact of a check — must not
-/// depend on the engine. "Every variable stays at its initial value"
+/// depend on the plan. "Every variable stays at its initial value"
 /// fails at the first transition of every scenario, so it yields a
 /// short counterexample everywhere.
 #[test]
 fn counterexample_traces_do_not_depend_on_the_engine() {
     for (name, sys) in scenarios() {
         let seq = explore(&sys, &ExploreOptions::default()).unwrap();
-        let par = explore(
+        let spill = explore(
             &sys,
             &ExploreOptions {
-                threads: Some(3),
+                engine: Engine::SpillBfs,
+                mem_budget_bytes: Some(32 << 10),
                 ..ExploreOptions::default()
             },
         )
@@ -197,15 +171,15 @@ fn counterexample_traces_do_not_depend_on_the_engine() {
             .reduce(|a, b| a.and(b))
             .expect("at least one variable");
         let cx_seq = check_invariant(&sys, &seq, &frozen).unwrap();
-        let cx_par = check_invariant(&sys, &par, &frozen).unwrap();
-        match (cx_seq.counterexample(), cx_par.counterexample()) {
+        let cx_spill = check_invariant(&sys, &spill, &frozen).unwrap();
+        match (cx_seq.counterexample(), cx_spill.counterexample()) {
             (Some(a), Some(b)) => {
                 assert_eq!(a.states(), b.states(), "{name}: trace states differ");
                 assert_eq!(a.actions(), b.actions(), "{name}: trace actions differ");
                 assert_eq!(a.reason(), b.reason(), "{name}: reasons differ");
             }
             (a, b) => panic!(
-                "{name}: engines disagree on the verdict (seq: {:?}, par: {:?})",
+                "{name}: plans disagree on the verdict (seq: {:?}, spill: {:?})",
                 a.is_some(),
                 b.is_some()
             ),
@@ -223,40 +197,36 @@ fn forced_collisions_underapproximate_and_exact_mode_recovers() {
         .complete_system()
         .expect("chain builds");
     let full = explore(&sys, &ExploreOptions::default()).unwrap();
-    for threads in [1, 4] {
-        let collided = explore(
-            &sys,
-            &ExploreOptions {
-                fp_bits: 8,
-                threads: Some(threads),
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
+    let collided = explore(
+        &sys,
+        &ExploreOptions {
+            fp_bits: 8,
+            ..ExploreOptions::default()
+        },
+    )
+    .unwrap();
+    assert!(
+        collided.len() < full.len(),
+        "8-bit fingerprints over {} states must collide",
+        full.len()
+    );
+    let reachable: HashSet<&State> = full.states().iter().collect();
+    for s in collided.states() {
         assert!(
-            collided.len() < full.len(),
-            "8-bit fingerprints over {} states must collide",
-            full.len()
+            reachable.contains(s),
+            "collided run reported an unreachable state"
         );
-        let reachable: HashSet<&State> = full.states().iter().collect();
-        for s in collided.states() {
-            assert!(
-                reachable.contains(s),
-                "collided run reported an unreachable state"
-            );
-        }
-        let exact = explore(
-            &sys,
-            &ExploreOptions {
-                fp_bits: 8,
-                mode: VisitedMode::Exact,
-                threads: Some(threads),
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(full.first_difference(&exact), None, "exact recovery");
     }
+    let exact = explore(
+        &sys,
+        &ExploreOptions {
+            fp_bits: 8,
+            mode: VisitedMode::Exact,
+            ..ExploreOptions::default()
+        },
+    )
+    .unwrap();
+    assert_eq!(full.first_difference(&exact), None, "exact recovery");
 }
 
 /// Golden regression: the explorer reproduces the exact chain4

@@ -5,7 +5,7 @@
 //! monotonic, final progress snapshot equal to the run report — and
 //! the stream's *shape* (event kinds, field sets, run ordering)
 //! snapshotted — and one stream spanning an interrupted and a resumed
-//! run of each of the three plans. Timings are never asserted, so the
+//! run of each of the two plans. Timings are never asserted, so the
 //! test is deterministic.
 
 use opentla_check::{
@@ -33,13 +33,9 @@ impl Write for SharedBuf {
     }
 }
 
-/// The engine matrix every scenario is recorded under: sequential
-/// fingerprinted, sequential exact, and 4-worker parallel.
-const CONFIGS: [(VisitedMode, usize); 3] = [
-    (VisitedMode::Fingerprint, 1),
-    (VisitedMode::Exact, 1),
-    (VisitedMode::Fingerprint, 4),
-];
+/// The matrix every scenario is recorded under: fingerprinted at one
+/// requested worker, exact at four (a request the loop runs at one).
+const CONFIGS: [(VisitedMode, usize); 2] = [(VisitedMode::Fingerprint, 1), (VisitedMode::Exact, 4)];
 
 /// Runs `record` under a [`JsonlRecorder`] and returns the stream it
 /// wrote plus its validated summary.
@@ -117,14 +113,13 @@ fn golden_streams_validate_and_engines_agree() {
         assert_eq!(summary.runs[0].mode, "fingerprint");
         assert_eq!(summary.runs[1].engine, "explore_sequential");
         assert_eq!(summary.runs[1].mode, "exact");
-        assert_eq!(summary.runs[2].engine, "explore_parallel_ws");
-        assert_eq!(summary.runs[2].threads, 4, "{name}");
+        assert_eq!(summary.runs[1].threads, 1, "{name}");
     }
 }
 
-/// One stream narrates a kill and a recovery on each of the three
-/// plans: chain2 cut at two fifths of its states with checkpointing on,
-/// then the same call with the budget lifted. Six run reports, of which
+/// One stream narrates a kill and a recovery on each of the two plans:
+/// chain2 cut at two fifths of its states with checkpointing on, then
+/// the same call with the budget lifted. Four run reports, of which
 /// exactly the resumed ones are complete and carry the uninterrupted
 /// totals; one `resume` per recovery; the disk-backed plan, under an
 /// 8 KiB budget, spills and reports its cache once per run.
@@ -136,7 +131,6 @@ fn golden_stream_spans_interrupted_and_resumed_runs_of_every_plan() {
         .graph;
     let plans = [
         (Engine::Auto, 1, None),
-        (Engine::WorkStealing, 4, None),
         (Engine::SpillBfs, 1, Some(8 << 10)),
     ];
     let dir = std::env::temp_dir().join(format!("opentla_obs_resume_{}", std::process::id()));
@@ -180,10 +174,7 @@ fn golden_stream_spans_interrupted_and_resumed_runs_of_every_plan() {
         .step_by(2)
         .map(|r| r.engine.as_str())
         .collect();
-    assert_eq!(
-        engines,
-        ["explore_sequential", "explore_parallel_ws", "explore_spill"]
-    );
+    assert_eq!(engines, ["explore_sequential", "explore_spill"]);
     assert_eq!(summary.kinds["resume"], plans.len(), "one per plan");
     assert!(summary.kinds["spill"] >= 1);
     assert_eq!(
@@ -208,8 +199,7 @@ fn golden_stream_shape() {
             "progress",
             "run_end",
             "run_start",
-            "step_memo",
-            "worker_level"
+            "step_memo"
         ],
         "event-kind set changed — update the golden shape deliberately"
     );
@@ -224,10 +214,6 @@ fn golden_stream_shape() {
     assert_eq!(fields("phase_enter"), ["v", "t", "ev", "phase"]);
     assert_eq!(fields("phase_exit"), ["v", "t", "ev", "phase"]);
     assert_eq!(
-        fields("worker_level"),
-        ["v", "t", "ev", "worker", "level", "claimed", "inserted"]
-    );
-    assert_eq!(
         fields("step_memo"),
         [
             "v",
@@ -240,7 +226,7 @@ fn golden_stream_shape() {
             "misses"
         ]
     );
-    // One per exploration: three engine configurations.
+    // One per exploration, one exploration per configuration.
     assert_eq!(summary.kinds["step_memo"], CONFIGS.len());
     // Progress fields: the core four always, the optional
     // frontier/level context on the per-level snapshots.

@@ -1,10 +1,9 @@
 //! Observability-layer invariants, property-based: the counters a
 //! [`CountingRecorder`] accumulates are not a *second* notion of run
 //! statistics — for any randomly generated guarded-command system, the
-//! run-report totals must exactly equal the sequential engine's
-//! [`GraphStats`], and must be identical whichever engine produced
-//! them (1 sequential worker, or 2 or 4 work-stealing ones), because
-//! the parallel engine is an exact reformulation of sequential BFS.
+//! run-report totals must exactly equal the explored graph's
+//! [`GraphStats`], and must be identical whatever thread count the
+//! run was asked for.
 
 use opentla_check::{
     check_simulation_governed, explore_governed_with, Budget, CountingRecorder, Event,
@@ -78,7 +77,7 @@ fn build_system(specs: &[ActionSpec]) -> System {
     )
 }
 
-/// Explores `sys` with `threads` workers under a fresh
+/// Explores `sys`, asking for `threads` workers, under a fresh
 /// [`CountingRecorder`], returning the graph's statistics and the
 /// recorder's run-report totals.
 fn counted_run(sys: &System, threads: usize) -> (GraphStats, (u64, u64, u64)) {
@@ -118,8 +117,9 @@ proptest! {
         );
     }
 
-    /// Recorder totals are engine-independent: 1, 2, and 4 workers
-    /// report the same states, transitions, and depth.
+    /// Recorder totals do not depend on the request: 1, 2, and 4
+    /// requested workers report the same states, transitions, and
+    /// depth.
     #[test]
     fn counting_recorder_totals_identical_across_thread_counts(
         specs in proptest::collection::vec(arb_action_spec(), 1..4),

@@ -61,23 +61,53 @@
 //! value's position in its slot's domain.
 //!
 //! **Abstract → substituted: misses.** A pair met for the first time is
-//! decided on `⟨s̄, t̄⟩` itself: the caller's *un*substituted expression,
-//! compiled once per check ([`CompiledExpr`]), runs on two
-//! [`ImageView`]s — `s` and `t` borrowed from the graph, each mapped
-//! slot read from its [`Images`] column. No abstract state is built and
-//! no expression tree is walked. The substituted expression would
-//! re-evaluate `σ(v)` at every occurrence of `v` and `v'`. A
-//! substituted box carries a third disjunct, `UNCHANGED` of the
-//! concrete variables `σ(v)` reads; it implies `σ(v)' = σ(v)`, the
-//! second, so dropping it cannot change a result. When the abstract
-//! evaluation errs, the caller's substituted expression is evaluated
-//! by the interpreter ([`Expr::holds_action`](opentla_kernel::Expr) /
-//! `holds_state`) on the concrete pair and *its* result — value or
-//! typed error — is the answer, so errors are those of the per-edge
-//! check. The interpreter is also the compiled programs' oracle
-//! (`proptest_compiled`, and `image_memo_equivalence` compares the
-//! compiled unsubstituted program on the views against the interpreted
-//! substituted expression on every step of its corpus).
+//! decided on `⟨s̄, t̄⟩` itself, by the first of three tiers that
+//! answers:
+//!
+//! 1. **Ids** ([`IdsProgram`]). The caller's *un*substituted
+//!    expression, read once per check as a boolean skeleton
+//!    (`∧ ∨ ¬ ⇒`) over leaves. A leaf over unprimed variables
+//!    (`i.sig ≠ i.ack`, `Len(q̄) < 7`) is a state function of its reads,
+//!    so it is evaluated once per distinct key of their ids — an
+//!    unmapped variable's slot code, a mapped one's image id, keyed
+//!    as a class is — not once per pair. A leaf `x′ = f`
+//!    (`q̄′ = q̄ ∘ ⟨i.val⟩`, `o.val′ = Head(q̄)`) translates `f`'s value,
+//!    once per key of `f`'s reads, into `x`'s ids (a slot's domain index
+//!    or the images' ordered value index; a value outside them equals
+//!    nothing) and is then an id compare with the successor; `x′ = x`
+//!    compares the two states' ids. The leaves are decided in the
+//!    compiled program's order with its short-circuits, and a leaf that
+//!    errs or is not boolean decides nothing, so an answer here is the
+//!    compiled program's. A primed leaf of any other shape
+//!    (`Len(q′) = Len(q) + 1`), or a leaf whose key is wider than 14
+//!    bits, leaves the check without an ids program.
+//! 2. **The compiled program.** The unsubstituted expression, compiled
+//!    once per check ([`CompiledExpr`]), runs on two [`ImageView`]s —
+//!    `s` and `t` borrowed from the graph, each mapped slot read from
+//!    its [`Images`] column. No abstract state is built and no
+//!    expression tree is walked. The substituted expression would
+//!    re-evaluate `σ(v)` at every occurrence of `v` and `v'`. A
+//!    substituted box carries a third disjunct, `UNCHANGED` of the
+//!    concrete variables `σ(v)` reads; it implies `σ(v)' = σ(v)`, the
+//!    second, so dropping it cannot change a result.
+//! 3. **The interpreter.** When the abstract evaluation errs, the
+//!    caller's substituted expression is evaluated by
+//!    [`Expr::holds_action`](opentla_kernel::Expr) / `holds_state` on
+//!    the concrete pair and *its* result — value or typed error — is the
+//!    answer, so errors are those of the per-edge check.
+//!
+//! The cost model: a miss on the compiled program costs the whole
+//! program on two views (~440 ns a pair on Figure 9's box at (3,3)); on
+//! ids it costs a few keyed lookups and id compares, and each leaf's
+//! evaluations are bounded by its keys — a few thousand against
+//! hundreds of thousands of pairs. A leaf's key indexes a table of
+//! every key (at most 2¹⁴ entries), allocated when the leaf is first
+//! evaluated and filled on misses only, per check, so an early exit
+//! stays proportional. The interpreter is the compiled programs'
+//! oracle (`proptest_compiled`, and `image_memo_equivalence` compares
+//! the compiled unsubstituted program on the views against the
+//! interpreted substituted expression on every step of its corpus);
+//! the compiled program is the ids program's (`proptest_image_ids`).
 //!
 //! Two cases evaluate the substituted expression directly, as a check
 //! without this module would:
@@ -90,10 +120,10 @@
 //!   mapping itself, so `F` covers every varying variable) the memo is
 //!   **skipped**: no class is kept and every lookup evaluates.
 //!
-//! Neither pass charges a budget or polls anything, and a lookup never
-//! replaces a charge: meter accounting, scan order, and hence
-//! first-violation edges, traces, lassos and exhaustion frontiers are
-//! those of the per-edge evaluation.
+//! Neither pass nor the ids program charges a budget or polls
+//! anything, and a lookup never replaces a charge: meter accounting,
+//! scan order, and hence first-violation edges, traces, lassos and
+//! exhaustion frontiers are those of the per-edge evaluation.
 //!
 //! `Enabled` is **not** pushed through the substitution here (it does
 //! not commute with it): the enabledness a mapped fairness target is
@@ -105,7 +135,7 @@ use crate::compiled::{CompiledExpr, EvalScratch, Slots};
 use crate::obs::{Event, RecorderHandle};
 use crate::{CheckError, RowView, StateGraph};
 use fxhash::FxHashMap;
-use opentla_kernel::{PackedLayout, Substitution, Value, VarId, VarSet};
+use opentla_kernel::{BinOp, Expr, PackedLayout, Substitution, UnOp, Value, VarId, VarSet};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -184,6 +214,9 @@ pub struct Images {
     column_of: Vec<u32>,
     /// The distinct values, by id.
     values: Vec<Value>,
+    /// The ids of `values` in the order of the values: a value computed
+    /// elsewhere finds its id by binary search, and no value is hashed.
+    by_value: Vec<u32>,
     /// Images that are undefined.
     undefined: u64,
     /// The class column of each footprint met so far, computed once and
@@ -217,8 +250,9 @@ impl Images {
     /// ids are those of interning every state's value in state order.
     /// The key tables are dropped before this returns: what stays
     /// resident is four bytes per state and mapped variable, plus the
-    /// distinct values. The empty mapping has no images: nothing is
-    /// evaluated and nothing reported.
+    /// distinct values and their order (the value index). The empty
+    /// mapping has no images: nothing is evaluated and nothing
+    /// reported.
     pub fn of_graph(
         graph: &StateGraph,
         mapping: &Substitution,
@@ -290,6 +324,8 @@ impl Images {
                 nanos: started.elapsed().as_nanos() as u64,
             });
         }
+        // The map's ids in the order of their values: the value index.
+        let by_value = ids.into_values().collect();
         let mut column_of = Vec::new();
         for (c, (v, _)) in columns.iter().enumerate() {
             if column_of.len() <= v.index() {
@@ -302,6 +338,7 @@ impl Images {
             columns,
             column_of,
             values,
+            by_value,
             undefined,
             classes: Some(Mutex::default()),
         }
@@ -362,6 +399,15 @@ impl Images {
             Some(&column) if column != NONE => Some(&self.columns[column as usize].1),
             _ => None,
         }
+    }
+
+    /// The id of `value` among the images; `None` when no state's image
+    /// is `value`.
+    pub(crate) fn id_of(&self, value: &Value) -> Option<u32> {
+        let at = (self.by_value)
+            .binary_search_by(|&id| self.values[id as usize].cmp(value))
+            .ok()?;
+        Some(self.by_value[at])
     }
 
     /// Bits of the largest image id: how wide a class key's image field
@@ -518,9 +564,11 @@ pub struct Classes<'g> {
     /// What this check's class pass took: zero when it shares a column
     /// another check computed.
     nanos: u64,
-    /// Step lookups and step evaluations of every memo dropped so far.
+    /// Step lookups, step evaluations, and the evaluations decided on
+    /// ids, of every memo dropped so far.
     steps: AtomicU64,
     evaluated: AtomicU64,
+    on_ids: AtomicU64,
 }
 
 impl<'g> Classes<'g> {
@@ -546,6 +594,7 @@ impl<'g> Classes<'g> {
             column,
             steps: AtomicU64::new(0),
             evaluated: AtomicU64::new(0),
+            on_ids: AtomicU64::new(0),
         }
     }
 
@@ -582,6 +631,7 @@ impl<'g> Classes<'g> {
                 check,
                 classes: self.count() as u64,
                 distinct_pairs: self.evaluated.load(Ordering::Relaxed),
+                on_ids: self.on_ids.load(Ordering::Relaxed),
                 edges: self.steps.load(Ordering::Relaxed),
                 skipped: self.skipped(),
                 nanos: self.nanos,
@@ -593,6 +643,7 @@ impl<'g> Classes<'g> {
 /// What a class key is made of: the codes of the unmapped footprint
 /// slots, then each mapped variable's image id from its column,
 /// `id_bits` bits each.
+#[derive(Debug)]
 struct KeyShape<'i> {
     codes: Vec<usize>,
     mapped: Vec<&'i [u32]>,
@@ -680,12 +731,15 @@ impl PairLists {
 /// expression to run on the [`ImageView`]s of the abstract state(s),
 /// and `directly`, the caller's evaluation of its substituted
 /// expression on the concrete state or step at hand. A first meeting
-/// of a class (pair) runs `abstractly` and, should that err,
-/// `directly`; a state without a class, and every state of a skipped
-/// memo, runs `directly` alone.
+/// of a class (pair) is decided by the memo's [`IdsProgram`], if it has
+/// one and that decides it; else it runs `abstractly` and, should that
+/// err, `directly`. A state without a class, and every state of a
+/// skipped memo, runs `directly` alone.
 #[derive(Debug)]
 pub struct Memo<'c> {
     classes: &'c Classes<'c>,
+    /// The predicate read on ids, if it can be.
+    ids: Option<IdsProgram<'c>>,
     /// A state predicate's answers, a byte per class ([`UNKNOWN`] or
     /// `1 +` the answer); sized on the first lookup.
     states: Vec<u8>,
@@ -693,18 +747,39 @@ pub struct Memo<'c> {
     pairs: PairLists,
     steps: u64,
     evaluated: u64,
+    on_ids: u64,
 }
 
 impl<'c> Memo<'c> {
-    /// An empty memo over `classes`.
+    /// An empty memo over `classes` that decides every miss by its
+    /// callers' evaluations.
     pub fn new(classes: &'c Classes<'c>) -> Self {
         Memo {
             classes,
+            ids: None,
             states: Vec::new(),
             pairs: PairLists::default(),
             steps: 0,
             evaluated: 0,
+            on_ids: 0,
         }
+    }
+
+    /// An empty memo over `classes` for the conjunction of `conjuncts`,
+    /// which decides a miss on ids first where it can
+    /// ([`IdsProgram::of_all`]).
+    ///
+    /// `conjuncts` must be exactly what its callers' `abstractly`
+    /// evaluates, in the same order: a miss decided on ids never runs
+    /// `abstractly`, so nothing else ties the two together. Debug
+    /// builds run `abstractly` on every such miss as well and panic
+    /// unless it gives the same answer.
+    pub fn with_ids(classes: &'c Classes<'c>, conjuncts: &[Expr]) -> Self {
+        let mut memo = Memo::new(classes);
+        if !classes.skipped() {
+            memo.ids = IdsProgram::of_all(classes, conjuncts);
+        }
+        memo
     }
 
     /// The predicate's value on the step `⟨s, t⟩`: the remembered
@@ -731,8 +806,25 @@ impl<'c> Memo<'c> {
         if let Some(known) = self.pairs.get(s_class, t_class) {
             return Ok(known);
         }
-        let on_images = || abstractly(classes.view(s)?, classes.view(t)?).ok();
-        let value = on_images().map_or_else(directly, Ok)?;
+        let views = classes.view(s).zip(classes.view(t));
+        let on_ids = match (&mut self.ids, views) {
+            (Some(ids), Some(_)) => ids.step(s, t),
+            _ => None,
+        };
+        let value = match (on_ids, views) {
+            (Some(value), _) => {
+                debug_assert!(
+                    views.is_some_and(
+                        |(s_bar, t_bar)| abstractly(s_bar, t_bar).is_ok_and(|v| v == value)
+                    ),
+                    "the ids program disagrees with `abstractly` on {s} → {t}"
+                );
+                self.on_ids += 1;
+                value
+            }
+            (None, Some((s_bar, t_bar))) => abstractly(s_bar, t_bar).or_else(|_| directly())?,
+            (None, None) => directly()?,
+        };
         self.evaluated += 1;
         let edges = classes.graph.edge_count();
         (self.pairs).insert(classes.count(), edges, s_class, t_class, value);
@@ -762,8 +854,22 @@ impl<'c> Memo<'c> {
         if known != UNKNOWN {
             return Ok(known == 1 + u8::from(true));
         }
-        let on_image = || abstractly(classes.view(s)?).ok();
-        let value = on_image().map_or_else(directly, Ok)?;
+        let view = classes.view(s);
+        let on_ids = match (&mut self.ids, view) {
+            (Some(ids), Some(_)) => ids.holds(s),
+            _ => None,
+        };
+        let value = match (on_ids, view) {
+            (Some(value), _) => {
+                debug_assert!(
+                    view.is_some_and(|s_bar| abstractly(s_bar).is_ok_and(|v| v == value)),
+                    "the ids program disagrees with `abstractly` at {s}"
+                );
+                value
+            }
+            (None, Some(s_bar)) => abstractly(s_bar).or_else(|_| directly())?,
+            (None, None) => directly()?,
+        };
         self.states[class as usize] = 1 + u8::from(value);
         Ok(value)
     }
@@ -776,6 +882,365 @@ impl Drop for Memo<'_> {
         self.classes
             .evaluated
             .fetch_add(self.evaluated, Ordering::Relaxed);
+        self.classes
+            .on_ids
+            .fetch_add(self.on_ids, Ordering::Relaxed);
+    }
+}
+
+/// A leaf's answer not computed yet for a key, in
+/// [`IdsProgram`]'s tables.
+const UNDECIDED: u32 = u32::MAX;
+/// A leaf that erred (or was not boolean) for a key.
+const ERRED: u32 = u32::MAX - 1;
+/// `f`'s value for a key of `x′ = f` is no value `x` takes: no id of
+/// `x` equals it.
+const ABSENT: u32 = u32::MAX - 2;
+
+/// Where a variable's ids are: an unmapped variable's are its slot
+/// codes, a mapped one's its image ids.
+#[derive(Clone, Copy, Debug)]
+enum Space<'g> {
+    Code(usize),
+    Image(&'g [u32]),
+}
+
+impl Space<'_> {
+    /// The variable's id at state `id` ([`NONE`] for an undefined image).
+    #[inline]
+    fn id(self, graph: &StateGraph, id: usize) -> u32 {
+        match self {
+            Space::Code(slot) => graph.layout().read_code(graph.row(id), slot),
+            Space::Image(column) => column[id],
+        }
+    }
+
+    /// The id `value` has in this space, [`ABSENT`] if none.
+    fn id_of(self, graph: &StateGraph, images: &Images, value: &Value) -> u32 {
+        let id = match self {
+            Space::Code(slot) => graph.layout().code_of(slot, value),
+            Space::Image(_) => images.id_of(value),
+        };
+        id.unwrap_or(ABSENT)
+    }
+}
+
+/// A boolean skeleton node of an [`IdsProgram`], in the order the
+/// compiled program evaluates it.
+#[derive(Debug)]
+enum Node {
+    All(Vec<Node>),
+    Any(Vec<Node>),
+    Not(Box<Node>),
+    Implies(Box<Node>, Box<Node>),
+    Leaf(usize),
+}
+
+/// A leaf of an [`IdsProgram`].
+#[derive(Debug)]
+enum Leaf<'g> {
+    /// A state function of the current state, in a boolean context:
+    /// its truth once per key of its reads.
+    Holds { program: CompiledExpr, group: usize },
+    /// `x′ = f` (`x′ ≠ f` when not `equal`), `f` a state function of
+    /// the current state: its value's id in `x`'s space once per key of
+    /// `f`'s reads, compared with the successor's id of `x`.
+    Assigns {
+        var: Space<'g>,
+        program: CompiledExpr,
+        group: usize,
+        equal: bool,
+    },
+    /// `x′ = x` (or `≠`): the two states' ids of `x` compared.
+    Unchanged { var: Space<'g>, equal: bool },
+}
+
+/// The widest leaf key, in bits: a key is the index of its leaf's
+/// answer in a table of every key. A read set with a wider key leaves
+/// the check without an ids program.
+const DENSE_BITS: usize = 14;
+
+/// The leaves that read one set of variables: their key shape, and the
+/// number of keys it has.
+#[derive(Debug)]
+struct Group<'g> {
+    reads: VarSet,
+    shape: KeyShape<'g>,
+    keys: usize,
+}
+
+/// A step or state predicate decided on ids: the boolean skeleton of an
+/// expression (`∧ ∨ ¬ ⇒`) over leaves, each a function of the ids of
+/// the variables it reads — an unmapped variable's slot code, a mapped
+/// one's image id. A leaf that reads only unprimed variables is
+/// evaluated once per distinct key of their ids; `x′ = f`, `f` such a
+/// state function, translates `f`'s value into `x`'s ids once per key
+/// and is then an id compare; `x′ = x` is one with no evaluation.
+///
+/// The leaves are decided in the compiled program's order, with its
+/// short-circuits, and a leaf that errs or is not boolean decides
+/// nothing (`None`): so an answer is the compiled program's on the
+/// [`ImageView`]s, and `None` wherever that program errs. A leaf is a
+/// state function of its reads because a code is a value's position in
+/// its slot's domain and an image id a value's position among the
+/// interned images. The tables are filled on demand and kept per
+/// program; no budget is charged.
+#[derive(Debug)]
+pub struct IdsProgram<'g> {
+    skeleton: Node,
+    tables: Tables<'g>,
+}
+
+/// An [`IdsProgram`]'s leaves and what it has learnt of them.
+#[derive(Debug)]
+struct Tables<'g> {
+    graph: &'g StateGraph,
+    images: &'g Images,
+    leaves: Vec<Leaf<'g>>,
+    /// Per leaf, its answer by its group's key: [`UNDECIDED`],
+    /// [`ERRED`], a truth value, or an id. A leaf's table holds every
+    /// key and is allocated the first time the leaf is evaluated.
+    answers: Vec<Vec<u32>>,
+    groups: Vec<Group<'g>>,
+    /// Whether some leaf reads a primed variable: then no state
+    /// predicate is decided.
+    primed: bool,
+    /// The state whose group keys `keyed` holds ([`UNDECIDED`] for a
+    /// group not keyed yet).
+    keyed_for: usize,
+    keyed: Vec<u32>,
+    scratch: EvalScratch,
+}
+
+impl<'g> IdsProgram<'g> {
+    /// The conjunction of `conjuncts`, in order, over `classes`' graph
+    /// and images; `None` when some leaf reads a primed variable in
+    /// another shape than `x′ = f` (`Len(q′) = Len(q) + 1`), reads a
+    /// variable that is neither mapped nor a slot of the rows, or has a
+    /// key wider than 14 bits.
+    pub fn of_all(classes: &Classes<'g>, conjuncts: &[Expr]) -> Option<IdsProgram<'g>> {
+        let mut tables = Tables {
+            graph: classes.graph,
+            images: classes.images,
+            leaves: Vec::new(),
+            answers: Vec::new(),
+            groups: Vec::new(),
+            primed: false,
+            keyed_for: usize::MAX,
+            keyed: Vec::new(),
+            scratch: EvalScratch::new(),
+        };
+        let all = (conjuncts.iter())
+            .map(|e| tables.skeleton(e))
+            .collect::<Option<_>>()?;
+        tables.answers = vec![Vec::new(); tables.leaves.len()];
+        Some(IdsProgram {
+            skeleton: Node::All(all),
+            tables,
+        })
+    }
+
+    /// The predicate on the step `⟨s, t⟩`: what the compiled program
+    /// answers on the [`ImageView`]s of `s` and `t`, which must both
+    /// have one, or `None` where that program errs.
+    pub fn step(&mut self, s: usize, t: usize) -> Option<bool> {
+        self.tables.decide(&self.skeleton, s, Some(t))
+    }
+
+    /// The predicate as a state function at `s`, as [`IdsProgram::step`];
+    /// `None` for a predicate with a primed leaf.
+    pub fn holds(&mut self, s: usize) -> Option<bool> {
+        if self.tables.primed {
+            return None;
+        }
+        self.tables.decide(&self.skeleton, s, None)
+    }
+}
+
+impl<'g> Tables<'g> {
+    /// The skeleton of `e`, a boolean context; `None` if unsupported.
+    fn skeleton(&mut self, e: &Expr) -> Option<Node> {
+        let node = match e {
+            Expr::And(es) => Node::All(es.iter().map(|e| self.skeleton(e)).collect::<Option<_>>()?),
+            Expr::Or(es) => Node::Any(es.iter().map(|e| self.skeleton(e)).collect::<Option<_>>()?),
+            Expr::Unary(UnOp::Not, a) => Node::Not(Box::new(self.skeleton(a)?)),
+            Expr::Binary(BinOp::Implies, a, b) => {
+                Node::Implies(Box::new(self.skeleton(a)?), Box::new(self.skeleton(b)?))
+            }
+            Expr::Binary(op @ (BinOp::Eq | BinOp::Ne), a, b) if !e.primed_vars().is_empty() => {
+                let (x, f) = match (&**a, &**b) {
+                    (Expr::Prime(x), f) | (f, Expr::Prime(x)) if f.primed_vars().is_empty() => {
+                        (*x, f)
+                    }
+                    _ => return None,
+                };
+                let var = self.space(x)?;
+                let equal = *op == BinOp::Eq;
+                self.primed = true;
+                let leaf = match f {
+                    Expr::Var(y) if *y == x => Leaf::Unchanged { var, equal },
+                    f => Leaf::Assigns {
+                        var,
+                        program: CompiledExpr::compile(f),
+                        group: self.group(f.unprimed_vars())?,
+                        equal,
+                    },
+                };
+                self.leaf(leaf)
+            }
+            e if e.primed_vars().is_empty() => {
+                let group = self.group(e.unprimed_vars())?;
+                self.leaf(Leaf::Holds {
+                    program: CompiledExpr::compile(e),
+                    group,
+                })
+            }
+            _ => return None,
+        };
+        Some(node)
+    }
+
+    fn leaf(&mut self, leaf: Leaf<'g>) -> Node {
+        self.leaves.push(leaf);
+        Node::Leaf(self.leaves.len() - 1)
+    }
+
+    /// Where `v`'s ids are; `None` for a variable neither mapped nor a
+    /// slot of the rows (unbound at every state).
+    fn space(&self, v: VarId) -> Option<Space<'g>> {
+        match self.images.column(v) {
+            Some(column) => Some(Space::Image(column)),
+            None => (v.index() < self.graph.layout().slots()).then_some(Space::Code(v.index())),
+        }
+    }
+
+    /// The group of the leaves reading `reads`; `None` if its key is
+    /// wider than [`DENSE_BITS`].
+    fn group(&mut self, reads: VarSet) -> Option<usize> {
+        if let Some(at) = self.groups.iter().position(|g| g.reads == reads) {
+            return Some(at);
+        }
+        let mut shape = KeyShape {
+            codes: Vec::new(),
+            mapped: Vec::new(),
+            id_bits: self.images.id_bits(),
+        };
+        for v in reads.iter() {
+            match self.space(v)? {
+                Space::Code(slot) => shape.codes.push(slot),
+                Space::Image(column) => shape.mapped.push(column),
+            }
+        }
+        let bits = shape.bits(self.graph.layout());
+        if bits > DENSE_BITS {
+            return None;
+        }
+        self.groups.push(Group {
+            reads,
+            shape,
+            keys: 1 << bits,
+        });
+        self.keyed.push(UNDECIDED);
+        Some(self.groups.len() - 1)
+    }
+
+    /// `node` on `⟨s, t⟩` (`t` `None` for a state function).
+    fn decide(&mut self, node: &Node, s: usize, t: Option<usize>) -> Option<bool> {
+        match node {
+            Node::All(nodes) => {
+                for node in nodes {
+                    if !self.decide(node, s, t)? {
+                        return Some(false);
+                    }
+                }
+                Some(true)
+            }
+            Node::Any(nodes) => {
+                for node in nodes {
+                    if self.decide(node, s, t)? {
+                        return Some(true);
+                    }
+                }
+                Some(false)
+            }
+            Node::Not(node) => self.decide(node, s, t).map(|b| !b),
+            Node::Implies(a, b) => match self.decide(a, s, t)? {
+                true => self.decide(b, s, t),
+                false => Some(true),
+            },
+            Node::Leaf(leaf) => self.leaf_at(*leaf, s, t),
+        }
+    }
+
+    /// Leaf `i` on `⟨s, t⟩`.
+    #[inline]
+    fn leaf_at(&mut self, i: usize, s: usize, t: Option<usize>) -> Option<bool> {
+        let graph = self.graph;
+        match self.leaves[i] {
+            Leaf::Holds { group, .. } => Some(self.answer(i, group, s)? == 1),
+            Leaf::Assigns {
+                var, group, equal, ..
+            } => {
+                let next = var.id(graph, t?);
+                let id = self.answer(i, group, s)?;
+                (next != NONE).then_some((id == next) == equal)
+            }
+            Leaf::Unchanged { var, equal } => {
+                let (now, next) = (var.id(graph, s), var.id(graph, t?));
+                (now != NONE && next != NONE).then_some((now == next) == equal)
+            }
+        }
+    }
+
+    /// Leaf `i`'s answer for the key of `s` in `group`, evaluated on
+    /// `s`'s view the first time the key is met; `None` where it errs.
+    fn answer(&mut self, i: usize, group: usize, s: usize) -> Option<u32> {
+        if self.keyed_for != s {
+            self.keyed_for = s;
+            self.keyed.fill(UNDECIDED);
+        }
+        let g = &self.groups[group];
+        let mut key = self.keyed[group];
+        if key == UNDECIDED {
+            let mut word = [0];
+            if !g
+                .shape
+                .write(self.graph.layout(), self.graph.row(s), s, &mut word)
+            {
+                return None;
+            }
+            key = word[0] as u32;
+            self.keyed[group] = key;
+        }
+        if self.answers[i].is_empty() {
+            self.answers[i] = vec![UNDECIDED; g.keys];
+        }
+        let key = key as usize;
+        let mut answer = self.answers[i][key];
+        if answer == UNDECIDED {
+            answer = self.evaluate(i, s)?;
+            self.answers[i][key] = answer;
+        }
+        (answer != ERRED).then_some(answer)
+    }
+
+    /// Leaf `i` evaluated on `s`'s view; `None`, and nothing learnt,
+    /// where `s` has none.
+    #[cold]
+    fn evaluate(&mut self, i: usize, s: usize) -> Option<u32> {
+        let view = ImageView::new(self.images, self.graph, s)?;
+        let scratch = &mut self.scratch;
+        Some(match &self.leaves[i] {
+            Leaf::Holds { program, .. } => match program.holds(&view, scratch) {
+                Ok(holds) => u32::from(holds),
+                Err(_) => ERRED,
+            },
+            Leaf::Assigns { var, program, .. } => match program.eval(&view, scratch) {
+                Ok(value) => var.id_of(self.graph, self.images, &value),
+                Err(_) => ERRED,
+            },
+            Leaf::Unchanged { .. } => unreachable!("an id compare evaluates nothing"),
+        })
     }
 }
 
@@ -968,6 +1433,106 @@ mod tests {
             memo.state(0, boom, || unreachable!("remembered")),
             Ok(false)
         );
+    }
+
+    /// A memo with an ids program decides its misses on ids and tallies
+    /// them; with a primed leaf of another shape it has none, and every
+    /// miss runs the compiled program. The answers are the same.
+    /// (Debug builds also run the compiled program on each miss decided
+    /// on ids, to check it: so the tallies, not the calls, tell which
+    /// tier decided.)
+    #[test]
+    fn misses_are_decided_on_ids_first() {
+        let (sys, x, _) = counter_and_toggle();
+        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
+        // x ↦ x ÷ 2: x̄′ = x̄ + 1 holds on half the increments.
+        let half = images(
+            &graph,
+            &Substitution::new([(x, Expr::var(x).div(Expr::int(2)))]),
+        );
+        let classes = Classes::of_graph(&graph, &[x].into_iter().collect(), &half);
+        let step = Expr::prime(x).eq(Expr::var(x).add(Expr::int(1)));
+        let odd = Expr::prime(x).sub(Expr::int(1)).eq(Expr::var(x));
+        let answers = |predicate: &Expr, calls: &mut u64| {
+            let memo = &mut Memo::with_ids(&classes, std::slice::from_ref(predicate));
+            let program = CompiledExpr::compile(predicate);
+            let mut answers = Vec::new();
+            for s in 0..graph.len() {
+                for e in graph.edges(s) {
+                    let got = memo.step(
+                        s,
+                        e.target,
+                        |old, new| {
+                            *calls += 1;
+                            program.holds_step(&old, &new, &mut EvalScratch::new())
+                        },
+                        || unreachable!("the abstract evaluation succeeds"),
+                    );
+                    answers.push(got.unwrap());
+                }
+            }
+            answers
+        };
+        let (mut checked, mut compiled) = (0, 0);
+        let decided = answers(&step, &mut checked);
+        let tallied = classes.on_ids.load(Ordering::Relaxed);
+        assert_eq!(tallied, classes.evaluated.load(Ordering::Relaxed));
+        assert!(tallied > 0);
+        let expected_checks = if cfg!(debug_assertions) { tallied } else { 0 };
+        assert_eq!(checked, expected_checks, "every miss decided on ids");
+        let plain = answers(&odd, &mut compiled);
+        assert_eq!(decided, plain);
+        assert_eq!(compiled, tallied, "no ids program: every miss compiled");
+        assert_eq!(classes.on_ids.load(Ordering::Relaxed), tallied);
+    }
+
+    /// A leaf key of [`DENSE_BITS`] bits indexes its table, and the
+    /// ids program decides as the compiled program does; one bit more
+    /// leaves the predicate without an ids program. `x` counts through
+    /// 0..=999 (10 bits) beside a bit `t` and a 4-bit `c`, constant at
+    /// 9: a leaf over `x` and `c` has a 14-bit key, one over `x`, `c`
+    /// and `t` a 15-bit key.
+    #[test]
+    fn leaf_keys_past_the_dense_bound_leave_no_ids_program() {
+        let mut vars = Vars::new();
+        let x = vars.declare("x", Domain::int_range(0, 999));
+        let t = vars.declare("t", Domain::bits());
+        let c = vars.declare("c", Domain::int_range(0, 15));
+        let incr = GuardedAction::new(
+            "incr",
+            Expr::bool(true),
+            vec![(x, Expr::var(x).add(Expr::int(1)).rem(Expr::int(1000)))],
+        );
+        let toggle = GuardedAction::new(
+            "toggle",
+            Expr::var(x).rem(Expr::int(7)).eq(Expr::int(0)),
+            vec![(t, Expr::int(1).sub(Expr::var(t)))],
+        );
+        let init = Init::new([(x, Value::Int(0)), (t, Value::Int(0)), (c, Value::Int(9))]);
+        let graph = explore(
+            &System::new(vars, init, vec![incr, toggle]),
+            &ExploreOptions::default(),
+        )
+        .unwrap();
+        let id = images(&graph, &Substitution::default());
+        let sum = |vs: &[VarId]| vs.iter().fold(Expr::int(0), |e, &v| e.add(Expr::var(v)));
+        let narrow = Expr::prime(x).eq(sum(&[x, c]).rem(Expr::int(1000)));
+        let wide = sum(&[x, c, t]).rem(Expr::int(3)).eq(Expr::int(0));
+        let step = narrow.clone().or(wide.clone());
+        let classes = Classes::of_graph(&graph, &step.all_vars(), &id);
+        let mut ids = IdsProgram::of_all(&classes, std::slice::from_ref(&narrow)).unwrap();
+        assert_eq!(ids.tables.groups[0].keys, 1 << DENSE_BITS);
+        let program = CompiledExpr::compile(&narrow);
+        let scratch = &mut EvalScratch::new();
+        for s in 0..graph.len() {
+            for e in graph.edges(s) {
+                let (old, new) = (graph.view(s), graph.view(e.target));
+                let expected = program.holds_step(&old, &new, scratch).unwrap();
+                assert_eq!(ids.step(s, e.target), Some(expected), "{s} → {}", e.target);
+            }
+        }
+        assert!(IdsProgram::of_all(&classes, std::slice::from_ref(&wide)).is_none());
+        assert!(IdsProgram::of_all(&classes, std::slice::from_ref(&step)).is_none());
     }
 
     /// Class ids past 2¹⁶: `x` counts (and wraps) through 70 001

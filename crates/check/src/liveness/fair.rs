@@ -135,11 +135,12 @@ pub(super) fn system_fair_infos(
 /// `fair` and `enabled_with` are over the target's own variables and
 /// `mapping` eliminates the abstract ones; `images`, if given, are of
 /// it. Each entry is decided once per image class (pair) of the
-/// unsubstituted expressions, by running those compiled on the views of
-/// the abstract state or step; the substituted expression is
-/// interpreted on the concrete one only where [`Memo`] says it must (no
-/// class, or the abstract evaluation erred). Charges and polls stay per
-/// concrete edge and row.
+/// unsubstituted expressions: on ids where they can be read so
+/// ([`IdsProgram`](crate::image::IdsProgram)), else by running them
+/// compiled on the views of the abstract state or step; the
+/// substituted expression is interpreted on the concrete one only where
+/// [`Memo`] says it must (no class, or the abstract evaluation erred).
+/// Charges and polls stay per concrete edge and row.
 pub(super) fn target_fair_info(
     system: &System,
     graph: &StateGraph,
@@ -180,8 +181,11 @@ pub(super) fn target_fair_info(
     let angle_program = CompiledExpr::compile(&abstract_angle);
     let enabled_program = enabled_with.map(CompiledExpr::compile);
     let scratch = &mut EvalScratch::new();
-    let mut is_angle = Memo::new(&classes);
-    let mut is_enabled = Memo::new(&classes);
+    let mut is_angle = Memo::with_ids(&classes, std::slice::from_ref(&abstract_angle));
+    let mut is_enabled = match enabled_with {
+        Some(pred) => Memo::with_ids(&classes, std::slice::from_ref(pred)),
+        None => Memo::new(&classes),
+    };
     let table = table_rows(graph, |id, flags| {
         if let Some(reason) = meter.checkpoint() {
             return Err(Stop::exhausted(reason));

@@ -406,9 +406,9 @@ fn decide(
     }
 }
 
-/// `p` at every state, decided once per class of `p`'s variables, by
-/// `p` compiled: on a miss's image view, and on the state's row where
-/// that errs or the state has no class.
+/// `p` at every state, decided once per class of `p`'s variables: on
+/// ids, else by `p` compiled on a miss's image view, and on the state's
+/// row where that errs or the state has no class.
 fn eval_pred(
     graph: &StateGraph,
     p: &Expr,
@@ -418,7 +418,7 @@ fn eval_pred(
     let classes = Classes::of_graph(graph, &p.all_vars(), &unmapped);
     let program = CompiledExpr::compile(p);
     let (scratch, direct) = (&mut EvalScratch::new(), &mut EvalScratch::new());
-    let mut holds = Memo::new(&classes);
+    let mut holds = Memo::with_ids(&classes, std::slice::from_ref(p));
     let table = (0..graph.len())
         .map(|id| {
             holds

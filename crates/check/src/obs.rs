@@ -53,7 +53,7 @@ use std::time::Instant;
 /// Version tag carried by every serialized event (`"v"`) and by
 /// [`RunReport::schema_version`]. Bump when the event schema changes
 /// shape.
-pub const OBS_SCHEMA_VERSION: u64 = 7;
+pub const OBS_SCHEMA_VERSION: u64 = 8;
 
 /// A [`Event::Progress`] snapshot is emitted every this many meter
 /// checkpoints (when a recorder is enabled). Checkpoints run once per
@@ -363,6 +363,11 @@ pub enum Event<'a> {
         /// met, plus every step that bypassed the memo.
         /// `1 - distinct_pairs / edges` is the hit ratio.
         distinct_pairs: u64,
+        /// Of those, the class pairs met that were decided on ids (see
+        /// [`IdsProgram`](crate::image::IdsProgram)) rather than by a
+        /// compiled program: `distinct_pairs` when every miss was, 0
+        /// for a predicate with no ids program.
+        on_ids: u64,
         /// Steps looked up — the edges the check examined.
         edges: u64,
         /// Whether no two states shared a class, so every lookup
@@ -595,10 +600,11 @@ describe_events! {
         key_bits: U64 Required = key_bits,
         nanos: U64 Required = nanos,
     }
-    ImageMemo { check, classes, distinct_pairs, edges, skipped, nanos } => "image_memo" {
+    ImageMemo { check, classes, distinct_pairs, on_ids, edges, skipped, nanos } => "image_memo" {
         check: Str Required = check,
         classes: U64 Required = classes,
         distinct_pairs: U64 Required = distinct_pairs,
+        on_ids: U64 Required = on_ids,
         edges: U64 Required = edges,
         skipped: Bool Required = skipped,
         nanos: U64 Required = nanos,
@@ -1564,6 +1570,12 @@ pub fn validate_stream(text: &str) -> Result<StreamSummary, String> {
                         "line {line}: {pairs} step evaluations for {edges} edges"
                     ));
                 }
+                let on_ids = req_u64(&obj, "on_ids", line)?;
+                if on_ids > pairs {
+                    return Err(format!(
+                        "line {line}: {on_ids} step evaluations on ids of {pairs}"
+                    ));
+                }
                 if req_bool(&obj, "skipped", line)? && pairs != edges {
                     return Err(format!(
                         "line {line}: a skipped memo evaluates every edge \
@@ -1712,6 +1724,7 @@ mod tests {
                 check: "simulation",
                 classes: 2,
                 distinct_pairs: 2,
+                on_ids: 2,
                 edges: 2,
                 skipped: false,
                 nanos: 420,
@@ -1742,9 +1755,9 @@ mod tests {
         "\"ev\":\"spill\",\"tier\":\"arena\",\"seq\":0,\"records\":64,\"bytes\":4096,\"total_spilled_bytes\":8192",
         "\"ev\":\"cache_stats\",\"hits\":9,\"misses\":1,\"evictions\":0,\"resident_bytes\":4096,\"spilled_bytes\":8192",
         "\"ev\":\"image_pass\",\"states\":3,\"mapped_vars\":1,\"distinct_values\":2,\"undefined\":0,\"evaluated\":2,\"key_bits\":3,\"nanos\":650",
-        "\"ev\":\"image_memo\",\"check\":\"simulation\",\"classes\":2,\"distinct_pairs\":2,\"edges\":2,\"skipped\":false,\"nanos\":420",
+        "\"ev\":\"image_memo\",\"check\":\"simulation\",\"classes\":2,\"distinct_pairs\":2,\"on_ids\":2,\"edges\":2,\"skipped\":false,\"nanos\":420",
         "\"ev\":\"step_memo\",\"actions\":13,\"tabled_actions\":12,\"table_entries\":171,\"lookups\":6360302,\"misses\":172",
-        "\"ev\":\"run_end\",\"report\":{\"schema_version\":7,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
+        "\"ev\":\"run_end\",\"report\":{\"schema_version\":8,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
     ];
 
     #[test]
@@ -1801,7 +1814,7 @@ mod tests {
     /// One line of `event` with `field` dropped (`retyped: None`) or
     /// rewritten as `retyped`.
     fn line_with(event: &Event<'_>, field: &str, retyped: Option<&str>) -> String {
-        let mut line = format!("{{\"v\":7,\"t\":1,\"ev\":\"{}\"", event.kind());
+        let mut line = format!("{{\"v\":8,\"t\":1,\"ev\":\"{}\"", event.kind());
         event.for_each_field(|name, value| match retyped {
             _ if name != field => line.push_str(&format!(",\"{name}\":{value}")),
             Some(other) => line.push_str(&format!(",\"{name}\":{other}")),
@@ -1829,19 +1842,19 @@ mod tests {
 
     #[test]
     fn validator_rejects_mistyped_optionals_and_unlisted_members() {
-        let progress = "{\"v\":7,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\
+        let progress = "{\"v\":8,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\
                         \"elapsed_nanos\":0,\"states_per_sec\":0";
         assert!(validate_stream(&format!("{progress}}}\n")).is_ok());
         let err = validate_stream(&format!("{progress},\"frontier\":\"x\"}}\n")).unwrap_err();
         assert_eq!(err, "line 1: missing/invalid \"frontier\"");
-        let cx = "{\"v\":7,\"t\":1,\"ev\":\"counterexample\",\"kind\":\"liveness\",\
+        let cx = "{\"v\":8,\"t\":1,\"ev\":\"counterexample\",\"kind\":\"liveness\",\
                   \"reason\":\"r\",\"length\":3,\"fault_steps\":0";
         assert!(validate_stream(&format!("{cx},\"loop_start\":1}}\n")).is_ok());
         let err = validate_stream(&format!("{cx},\"loop_start\":-1}}\n")).unwrap_err();
         assert_eq!(err, "line 1: missing/invalid \"loop_start\"");
         // A member the kind's row does not list, on the second line.
         let err = validate_stream(&format!(
-            "{cx}}}\n{{\"v\":7,\"t\":2,\"ev\":\"resume\",\"seq\":1,\"states\":3,\
+            "{cx}}}\n{{\"v\":8,\"t\":2,\"ev\":\"resume\",\"seq\":1,\"states\":3,\
              \"transitions\":2,\"frontier\":1,\"ample_states\":0}}\n"
         ))
         .unwrap_err();
@@ -1974,6 +1987,7 @@ mod tests {
             check: "simulation",
             classes: 58,
             distinct_pairs: 178,
+            on_ids: 178,
             edges: 1_699_992,
             skipped: false,
             nanos: 21_000_000,
@@ -1990,18 +2004,31 @@ mod tests {
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let summary = validate_stream(&text).expect("stream validates");
         assert_eq!(summary.kinds["image_memo"], 1);
-        // More evaluations than edges, or a skipped memo that did not
-        // evaluate every edge, is not a stream this crate writes.
-        let head = "{\"v\":7,\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3";
-        let bad =
-            format!("{head},\"distinct_pairs\":9,\"edges\":8,\"skipped\":false,\"nanos\":5}}\n");
+        // More evaluations than edges, more decided on ids than were
+        // evaluated, or a skipped memo that did not evaluate every edge,
+        // is not a stream this crate writes.
+        let head = format!(
+            "{{\"v\":{OBS_SCHEMA_VERSION},\"t\":1,\"ev\":\"image_memo\",\"check\":\"liveness\",\"classes\":3"
+        );
+        let bad = format!(
+            "{head},\"distinct_pairs\":9,\"on_ids\":0,\"edges\":8,\"skipped\":false,\"nanos\":5}}\n"
+        );
         assert!(validate_stream(&bad).unwrap_err().contains("evaluations"));
+        let bad = format!(
+            "{head},\"distinct_pairs\":7,\"on_ids\":8,\"edges\":8,\"skipped\":false,\"nanos\":5}}\n"
+        );
+        assert!(validate_stream(&bad).unwrap_err().contains("on ids"));
+        let bad = format!(
+            "{head},\"distinct_pairs\":7,\"on_ids\":0,\"edges\":8,\"skipped\":true,\"nanos\":5}}\n"
+        );
+        assert!(validate_stream(&bad).unwrap_err().contains("skipped"));
+        let bad = format!("{head},\"distinct_pairs\":7,\"on_ids\":0,\"edges\":8,\"nanos\":5}}\n");
+        assert!(validate_stream(&bad).unwrap_err().contains("skipped"));
         let bad =
-            format!("{head},\"distinct_pairs\":7,\"edges\":8,\"skipped\":true,\"nanos\":5}}\n");
-        assert!(validate_stream(&bad).unwrap_err().contains("skipped"));
-        let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8,\"nanos\":5}}\n");
-        assert!(validate_stream(&bad).unwrap_err().contains("skipped"));
-        let bad = format!("{head},\"distinct_pairs\":7,\"edges\":8,\"skipped\":false}}\n");
+            format!("{head},\"distinct_pairs\":7,\"edges\":8,\"skipped\":false,\"nanos\":5}}\n");
+        assert!(validate_stream(&bad).unwrap_err().contains("on_ids"));
+        let bad =
+            format!("{head},\"distinct_pairs\":7,\"on_ids\":0,\"edges\":8,\"skipped\":false}}\n");
         assert!(validate_stream(&bad).unwrap_err().contains("nanos"));
     }
 
@@ -2028,7 +2055,7 @@ mod tests {
         assert_eq!(summary.kinds["step_memo"], 1);
         // More tabled actions than actions, or more misses than
         // lookups, is not a stream this crate writes.
-        let head = "{\"v\":7,\"t\":1,\"ev\":\"step_memo\",\"actions\":2";
+        let head = "{\"v\":8,\"t\":1,\"ev\":\"step_memo\",\"actions\":2";
         let bad = format!(
             "{head},\"tabled_actions\":3,\"table_entries\":0,\"lookups\":0,\"misses\":0}}\n"
         );
@@ -2065,7 +2092,7 @@ mod tests {
         // More distinct (or undefined) values than images, fewer
         // evaluations than distinct values or more than images, or a
         // missing field, is not a stream this crate writes.
-        let head = "{\"v\":7,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
+        let head = "{\"v\":8,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
         let line = |distinct: u64, undefined: u64, evaluated: u64| {
             format!(
                 "{head},\"distinct_values\":{distinct},\"undefined\":{undefined},\
@@ -2094,15 +2121,15 @@ mod tests {
     #[test]
     fn validator_rejects_malformed_streams() {
         // Backwards timestamp.
-        let bad = "{\"v\":7,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":7,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
+        let bad = "{\"v\":8,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":8,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("backwards"));
         // Mismatched phase nesting.
-        let bad = "{\"v\":7,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":7,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
+        let bad = "{\"v\":8,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":8,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("closes"));
         // Unclosed run.
-        let bad = "{\"v\":7,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
+        let bad = "{\"v\":8,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("open run"));
         // Wrong version.
         let bad = "{\"v\":99,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\"elapsed_nanos\":0}\n";
@@ -2114,7 +2141,7 @@ mod tests {
             .unwrap_err()
             .contains("schema version 4"));
         // Unknown kind.
-        let bad = "{\"v\":7,\"t\":1,\"ev\":\"mystery\"}\n";
+        let bad = "{\"v\":8,\"t\":1,\"ev\":\"mystery\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("unknown event"));
     }
 

@@ -224,8 +224,9 @@ fn first_refuted<P>(
 /// Steps 2 and 3 of [`check_simulation_governed`]. Charges, polls and
 /// scan order are per concrete state and edge; only the evaluation of
 /// the mapped predicates goes through the class memos, which decide a
-/// class by `abs` compiled, on the views of its abstract states, and
-/// everything else by `sc` interpreted, on the concrete ones.
+/// class by `abs` on ids or, failing that, compiled on the views of its
+/// abstract states, and everything else by `sc` interpreted, on the
+/// concrete ones.
 #[allow(clippy::too_many_arguments)]
 fn check_states_and_edges(
     system: &System,
@@ -242,7 +243,7 @@ fn check_states_and_edges(
     let scratch = &mut EvalScratch::new();
     // 2. Invariants.
     let abs_invariants = compile(&abs.invariants);
-    let mut invariants_hold = Memo::new(classes);
+    let mut invariants_hold = Memo::with_ids(classes, &abs.invariants);
     for id in 0..graph.len() {
         if let Some(reason) = meter.checkpoint().or_else(|| meter.charge_state()) {
             return Ok(exhausted(reason, graph.len() - id));
@@ -273,12 +274,13 @@ fn check_states_and_edges(
     }
     drop(invariants_hold);
     // 3. Step boxes on every edge.
-    let (boxes, abs_boxes) = (sc.step_boxes(), compile(&abs.step_boxes()));
+    let (boxes, abs_boxes) = (sc.step_boxes(), abs.step_boxes());
+    let mut boxes_hold = Memo::with_ids(classes, &abs_boxes);
+    let abs_boxes = compile(&abs_boxes);
     let refuted = |s: usize, t: usize| {
         let (s, t) = (graph.materialize(s), graph.materialize(t));
         first_refuted(&boxes, |b| b.holds_action(StatePair::new(&s, &t)))
     };
-    let mut boxes_hold = Memo::new(classes);
     for id in 0..graph.len() {
         if let Some(reason) = meter.checkpoint() {
             return Ok(exhausted(reason, graph.len() - id));

@@ -252,7 +252,8 @@ fn golden_stream_shape() {
 
 /// A certificate narrates its obligation checks: one `image_memo` per
 /// simulation (two H1s, H2a) and one per target fairness table (H2b),
-/// each with the golden field set, inside the phase of its check; and
+/// each with the golden field set, inside the phase of its check, every
+/// miss decided on ids; and
 /// one `image_pass`, the evaluation of the refinement mapping that H2a
 /// and H2b share, between the H1s and H2a and inside neither check.
 /// The counts are the chain's own and do not depend on timing.
@@ -287,6 +288,7 @@ fn golden_image_memo_events_of_a_certificate() {
             "check",
             "classes",
             "distinct_pairs",
+            "on_ids",
             "edges",
             "skipped",
             "nanos"
@@ -349,6 +351,9 @@ fn golden_image_memo_events_of_a_certificate() {
                 );
                 assert_eq!(obj.get("skipped").and_then(|j| j.as_bool()), Some(false));
                 assert_eq!(num("edges"), cert.product_edges as u64);
+                // Every target predicate of the chain is read on ids:
+                // every miss is decided there.
+                assert_eq!(num("on_ids"), num("distinct_pairs"), "{line}");
                 passes.push((check, num("classes"), num("distinct_pairs")));
             }
             _ => {}

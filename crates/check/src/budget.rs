@@ -279,17 +279,25 @@ impl std::fmt::Display for Outcome {
 
 /// Running tally of a budget during one engine invocation.
 ///
-/// Engines call [`Meter::charge_state`] / [`Meter::charge_transition`]
-/// as they do work and [`Meter::checkpoint`] at loop heads; the first
-/// call returning `Some` reason is where they stop.
+/// Engines charge states and transitions as they do work and call
+/// [`Meter::checkpoint`] at loop heads; the first charge or checkpoint
+/// returning `Some` reason is where they stop.
 ///
-/// Counters are atomic, so one meter can be shared by reference across
-/// threads without locks on the hot loop: the charge methods take
-/// `&self` and enforce the limits with a
-/// compare-and-swap, so at most `max_states` state charges ever succeed
-/// regardless of how many threads race (and likewise for transitions).
-/// The old single-threaded call shapes (`&mut Meter`) still compile
-/// unchanged — `&mut` access trivially coerces to `&`.
+/// A meter is charged in one of two ways, with the same limits and
+/// the same cut:
+///
+/// - **Exclusive**, through `&mut self`: [`Meter::charge_state_mut`],
+///   [`Meter::charge_transition_mut`] and the bulk
+///   [`Meter::charge_transitions`]. Every engine loop owns its meter
+///   (the exploration store, each simulation, each liveness check and
+///   its tables, Tarjan and component search), so it charges this way:
+///   a plain load and store of the counter, which the CPU overlaps with
+///   the loop's other reads.
+/// - **Shared**, through `&self`: [`Meter::charge_state`] and
+///   [`Meter::charge_transition`]. The counters are atomic, so one
+///   meter can be shared by reference across threads; each charge is a
+///   compare-and-swap, so at most `max_states` state charges ever
+///   succeed however many threads race (and likewise for transitions).
 #[derive(Debug)]
 pub struct Meter {
     budget: Budget,
@@ -361,9 +369,60 @@ impl Meter {
         if Meter::charge(&self.transitions, self.budget.max_transitions) {
             None
         } else {
-            Some(ExhaustReason::TransitionLimit {
-                limit: self.budget.max_transitions,
+            Some(self.transition_limit())
+        }
+    }
+
+    /// Admits up to `n` charges of `counter` under `limit`, through
+    /// exclusive access: how many it admitted.
+    fn charge_mut(counter: &mut AtomicUsize, limit: usize, n: usize) -> usize {
+        let used = counter.get_mut();
+        let admitted = n.min(limit.saturating_sub(*used));
+        *used += admitted;
+        admitted
+    }
+
+    /// [`Meter::charge_state`] through exclusive access.
+    pub fn charge_state_mut(&mut self) -> Option<ExhaustReason> {
+        if Meter::charge_mut(&mut self.states, self.budget.max_states, 1) == 1 {
+            None
+        } else {
+            Some(ExhaustReason::StateLimit {
+                limit: self.budget.max_states,
             })
+        }
+    }
+
+    /// [`Meter::charge_transition`] through exclusive access.
+    pub fn charge_transition_mut(&mut self) -> Option<ExhaustReason> {
+        if Meter::charge_mut(&mut self.transitions, self.budget.max_transitions, 1) == 1 {
+            None
+        } else {
+            Some(self.transition_limit())
+        }
+    }
+
+    /// `n` transitions at once, through exclusive access: it admits
+    /// `min(n, remaining)` — exactly the charges `n` calls of
+    /// [`Meter::charge_transition_mut`] would have admitted before the
+    /// first refusal — and on a cut reports how many it admitted.
+    ///
+    /// # Errors
+    ///
+    /// `(admitted, reason)` when fewer than `n` fit under the limit.
+    pub fn charge_transitions(&mut self, n: usize) -> Result<(), (usize, ExhaustReason)> {
+        let admitted = Meter::charge_mut(&mut self.transitions, self.budget.max_transitions, n);
+        if admitted == n {
+            Ok(())
+        } else {
+            Err((admitted, self.transition_limit()))
+        }
+    }
+
+    /// Why a transition charge is refused.
+    fn transition_limit(&self) -> ExhaustReason {
+        ExhaustReason::TransitionLimit {
+            limit: self.budget.max_transitions,
         }
     }
 
@@ -540,6 +599,60 @@ mod tests {
         );
         assert_eq!(m.states_used(), 2);
         assert_eq!(m.transitions_used(), 1);
+    }
+
+    /// The exclusive charges admit exactly what the shared ones do —
+    /// below, at and across the limit — and the bulk charge admits
+    /// `min(n, remaining)`, cutting where that many single charges
+    /// would have.
+    #[test]
+    fn exclusive_and_bulk_charges_are_exact_at_the_limit() {
+        for limit in [0, 1, 5] {
+            let budget = Budget::default().states(limit).transitions(limit);
+            let (shared, mut exclusive) = (Meter::start(&budget), Meter::start(&budget));
+            for _ in 0..limit + 2 {
+                assert_eq!(exclusive.charge_state_mut(), shared.charge_state());
+                assert_eq!(
+                    exclusive.charge_transition_mut(),
+                    shared.charge_transition()
+                );
+                assert_eq!(exclusive.states_used(), shared.states_used());
+                assert_eq!(exclusive.transitions_used(), shared.transitions_used());
+            }
+            assert_eq!(
+                (exclusive.states_used(), exclusive.transitions_used()),
+                (limit, limit)
+            );
+            assert_eq!(
+                exclusive.charge_state_mut(),
+                Some(ExhaustReason::StateLimit { limit })
+            );
+        }
+        let cut = |admitted| Err((admitted, ExhaustReason::TransitionLimit { limit: 10 }));
+        let mut m = Meter::start(&Budget::default().transitions(10));
+        assert_eq!(m.charge_transitions(0), Ok(()));
+        assert_eq!(m.charge_transitions(4), Ok(()));
+        assert_eq!(m.transitions_used(), 4);
+        // Up to the limit exactly; past it, nothing is admitted.
+        assert_eq!(m.charge_transitions(6), Ok(()));
+        assert_eq!(m.transitions_used(), 10);
+        assert_eq!(m.charge_transitions(0), Ok(()));
+        assert_eq!(m.charge_transitions(1), cut(0));
+        // Across the limit: what is left is admitted.
+        let mut m = Meter::start(&Budget::default().transitions(10));
+        assert_eq!(m.charge_transitions(7), Ok(()));
+        assert_eq!(m.charge_transitions(5), cut(3));
+        assert_eq!(m.transitions_used(), 10);
+        assert!(m.charge_transition_mut().is_some());
+        // A resumed meter already past its limit admits nothing.
+        let mut m = Meter::start_resumed(&Budget::default().transitions(10), 0, 12);
+        assert_eq!(m.charge_transitions(3), cut(0));
+        assert_eq!(m.transitions_used(), 12);
+        // Unlimited: everything is admitted.
+        let mut m = Meter::start(&Budget::default());
+        assert_eq!(m.charge_transitions(usize::MAX / 2), Ok(()));
+        assert_eq!(m.charge_transitions(usize::MAX / 2), Ok(()));
+        assert_eq!(m.transitions_used(), usize::MAX - 1);
     }
 
     #[test]

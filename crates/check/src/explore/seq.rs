@@ -122,7 +122,7 @@ pub(super) fn explore_seq(
     seed: Seed<'_>,
     layout: &Arc<PackedLayout>,
 ) -> Result<Exploration, CheckError> {
-    let meter = &seed.meter(budget);
+    let meter = &mut seed.meter(budget);
     // This store's manifests reference its sealed segments, so under a
     // checkpoint spec the directory outlives the run.
     let disk = mem_budget.map(|m| {
@@ -166,7 +166,7 @@ pub(super) fn explore_seq(
     let mut cut_edges: Option<(usize, Vec<Edge>)> = None;
     let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
     while exhausted.is_none() {
-        if let Some(reason) = meter.checkpoint() {
+        if let Some(reason) = store.meter.checkpoint() {
             exhausted = Some(reason);
             break;
         }
@@ -187,7 +187,7 @@ pub(super) fn explore_seq(
         let parent = &parent_row[..];
         let stop =
             compiled.for_each_packed_successor(layout, parent, &mut memo, |action, effects| {
-                if let Some(reason) = meter.charge_transition() {
+                if let Some(reason) = store.meter.charge_transition_mut() {
                     return ControlFlow::Break(Stop::Cut(reason));
                 }
                 let child_fp = child_fingerprint(layout, parent, fp, effects);
@@ -287,7 +287,7 @@ struct Store<'a> {
     mask: u64,
     options: &'a ExploreOptions,
     sys_hash: u64,
-    meter: &'a Meter,
+    meter: &'a mut Meter,
     /// The record — or, in RAM, the row — being written.
     rec_buf: Vec<u8>,
     /// Exact mode's successor row, compared with a candidate's.
@@ -298,7 +298,7 @@ impl<'a> Store<'a> {
     fn create(
         system: &'a System,
         options: &'a ExploreOptions,
-        meter: &'a Meter,
+        meter: &'a mut Meter,
         layout: &'a Arc<PackedLayout>,
         disk: Option<(SpillDir, Tuning)>,
     ) -> Result<Store<'a>, StoreError> {
@@ -453,17 +453,18 @@ impl<'a> Store<'a> {
         row: &[u8],
         effects: &[Effect],
     ) -> Result<(usize, bool), Stop> {
-        let (meter, key) = (self.meter, fp & self.mask);
+        let key = fp & self.mask;
         let next = match &self.body {
             Body::Ram { graph, .. } => graph.len(),
             Body::Disk { arena, .. } => arena.len() as usize,
         };
-        let admit = || {
+        let admit = |meter: &mut Meter| {
             checkpoint::id_word(next).map_err(Stop::Fail)?;
             meter
-                .charge_state()
+                .charge_state_mut()
                 .map_or(Ok(next), |reason| Err(Stop::Cut(reason)))
         };
+        let meter = &mut *self.meter;
         let found = match self.options.mode {
             // The fingerprinted hot path: one probe, and only
             // genuinely new states are constructed and recorded.
@@ -554,7 +555,8 @@ impl<'a> Store<'a> {
         resumable: bool,
         ck: &mut Checkpointer,
     ) -> Result<Exploration, CheckError> {
-        let (meter, header) = (self.meter, self.header());
+        let header = self.header();
+        let meter = &*self.meter;
         let frontier = (exhausted.is_some() && resumable).then_some(&*queue.make_contiguous());
         if let Body::Disk { arena, edges, .. } = &self.body {
             spill::note_cache_stats(meter, [arena, edges]);
@@ -702,13 +704,13 @@ mod tests {
     fn the_record_streams_do_not_depend_on_when_the_store_left_ram() {
         let system = ring();
         let options = ExploreOptions::default();
-        let meter = Meter::start(&Budget::unlimited());
+        let mut meter = Meter::start(&Budget::unlimited());
         let seg_target = Tuning::for_budget(8 << 10).seg_target;
         let layout = Arc::new(PackedLayout::compile(system.vars()).expect("one small slot packs"));
         let mut streams: Vec<(Stream, Stream)> = Vec::new();
         for way in ["before the first state", "edge bytes", "arena bytes"] {
             let disk = Some((SpillDir::new(None), Tuning::for_budget(8 << 10)));
-            let mut store = Store::create(&system, &options, &meter, &layout, disk).unwrap();
+            let mut store = Store::create(&system, &options, &mut meter, &layout, disk).unwrap();
             match way {
                 "before the first state" => store.spill().unwrap(),
                 "arena bytes" => store.arena_bytes = seg_target / 2,
@@ -755,13 +757,13 @@ mod tests {
     #[test]
     fn a_disk_row_holding_a_code_past_its_domain_is_corrupt() {
         let system = ring();
-        let (options, meter) = (
+        let (options, mut meter) = (
             ExploreOptions::default(),
             Meter::start(&Budget::unlimited()),
         );
         let layout = Arc::new(PackedLayout::compile(system.vars()).expect("one small slot packs"));
         let disk = Some((SpillDir::new(None), Tuning::for_budget(8 << 10)));
-        let mut store = Store::create(&system, &options, &meter, &layout, disk).unwrap();
+        let mut store = Store::create(&system, &options, &mut meter, &layout, disk).unwrap();
         store.spill().unwrap();
         let state = State::new(vec![Value::Int(149)]);
         let seed = layout.pack(&state).expect("in the domain");

@@ -202,10 +202,10 @@ impl SpillVisited {
         mode: VisitedMode,
         key: u64,
         id: usize,
-        meter: &Meter,
+        meter: &mut Meter,
     ) -> Result<(), StoreError> {
         let trust = mode == VisitedMode::Fingerprint;
-        self.fp_entry(key, |_| Ok::<_, StoreError>(trust), || Ok(id), meter)?;
+        self.fp_entry(key, |_| Ok::<_, StoreError>(trust), |_| Ok(id), meter)?;
         Ok(())
     }
 
@@ -213,8 +213,8 @@ impl SpillVisited {
     /// dedup operation, `(id, whether it is new)`; in fingerprint mode
     /// (`same` trusts every hit) it is one hot-tier hash probe.
     /// `same(id)` says whether the probe state is the one recorded
-    /// under `id`. On a full miss `admit` decides admission: `Ok(id)`
-    /// (the meter charged, the id allocated) records `id` under `key`;
+    /// under `id`. On a full miss `admit(meter)` decides admission:
+    /// `Ok(id)` (the meter charged, the id allocated) records `id` under `key`;
     /// `Err` leaves the set untouched — the budget cut happens *before*
     /// the insert. A drain the insert triggers is reported to `meter`.
     #[inline]
@@ -222,8 +222,8 @@ impl SpillVisited {
         &mut self,
         key: u64,
         same: S,
-        admit: impl FnOnce() -> Result<usize, E>,
-        meter: &Meter,
+        admit: impl FnOnce(&mut Meter) -> Result<usize, E>,
+        meter: &mut Meter,
     ) -> Result<(usize, bool), E> {
         let SpillVisited {
             hot,
@@ -247,7 +247,7 @@ impl SpillVisited {
             }
             Ok(None)
         };
-        let hit = hot.intern(key, same, spilled, admit)?;
+        let hit = hot.intern(key, same, spilled, || admit(meter))?;
         if hit.1 {
             self.hot_len += 1;
             if self.hot_len >= self.hot_cap {

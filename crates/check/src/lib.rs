@@ -41,7 +41,9 @@
 //!   refinement mapping instead of once per concrete edge, and read
 //!   the mapping from one evaluation per graph that several checks can
 //!   share ([`check_simulation_with_images`],
-//!   [`check_liveness_with_images`]);
+//!   [`check_liveness_with_images`]); the liveness checks of one
+//!   certificate share one build of the system's fairness tables too
+//!   ([`FairnessTables`], [`check_liveness_with_tables`]);
 //! * [`obs`] — the observability layer: structured run events, live
 //!   progress metrics, and exportable schema-versioned [`RunReport`]s
 //!   from every engine, routed by `OPENTLA_OBS=/path.jsonl` or an
@@ -102,7 +104,8 @@ pub use explore::{
 pub use invariant::{check_invariant, check_step_invariant};
 pub use liveness::{
     check_liveness, check_liveness_governed, check_liveness_governed_with,
-    check_liveness_with_images, LiveTarget, LivenessOptions, LivenessRun,
+    check_liveness_with_images, check_liveness_with_tables, FairnessTables, LiveTarget,
+    LivenessOptions, LivenessRun,
 };
 pub use obs::{
     CountingRecorder, Event, JsonlRecorder, Phase, ProgressSnapshot, Recorder, RecorderHandle,

@@ -2,43 +2,60 @@
 //!
 //! The table builders precompute, per fairness requirement, which graph
 //! edges are `⟨A⟩_v` steps and where the action is enabled, one state
-//! row at a time in id order ([`table_rows`]). A per-edge table is flat:
-//! one [`EdgeTable`] bit per graph edge, addressed through the graph's
-//! own row index ([`StateGraph::edge_base`]), so a table costs a bit
-//! per edge and one allocation — no heap row per state, no index of
-//! its own.
+//! row at a time in id order. A per-edge table is flat: one
+//! [`EdgeTable`] bit per graph edge, addressed through the graph's own
+//! row index ([`StateGraph::edge_base`]), and a per-state one a
+//! [`Bits`] bit per state, so a table costs a bit per edge or state and
+//! one allocation — no heap row per state, no index of its own.
+//!
+//! The system's own tables depend only on the system and the graph.
+//! [`fill_system_fair_infos`] builds every requirement's in one fused
+//! pass over the edges, reading each edge's two rows once for
+//! all requirements, so a certificate builds them once and shares them
+//! among its liveness checks. What a check is charged for them does not
+//! depend on who built them: [`charge_system_tables`] replays, in one
+//! bulk charge, the transition per requirement and edge that a
+//! requirement-by-requirement scan charges, and cuts where that scan
+//! would have.
 //!
 //! [`fair_subcomponent`] is the per-component satisfiability check,
 //! including the Streett-style `SF` removal recursion. It is a pure
 //! function of the component (plus the tables and the meter), and a
 //! recursion step costs the component, not the graph: the survivors
 //! are marked in one graph-sized mask kept in [`SccWork`], set before
-//! their decomposition and cleared after it.
+//! their decomposition and cleared after it. A component of one state
+//! is decided without a scan: it has no internal `⟨A⟩_v` edge, since a
+//! self-loop leaves `v` unchanged, so its `enabled` bits and
+//! `must_contain` decide it, and the edges a scan would have probed
+//! are charged in bulk.
 
 use super::scc::{tarjan_sccs, Components};
-use super::{charge_edge, Stop};
+use super::{charge_edge, charge_edges, Stop};
 use crate::budget::Meter;
 use crate::compiled::{CompiledExpr, EvalScratch};
 use crate::image::{Classes, Images, Memo};
 use crate::{CheckError, StateGraph, System};
-use opentla_kernel::{Expr, Fairness, FairnessKind, Formula, SccScratch, StatePair, Substitution};
+use opentla_kernel::{
+    Expr, Fairness, FairnessKind, Formula, SccScratch, StatePair, Substitution, VarId,
+};
 
-/// One flag per graph edge, in graph order, a bit each.
-pub(super) struct EdgeTable {
+/// A sequence of flags, a bit each, 64 to a word.
+#[derive(Debug)]
+pub(super) struct Bits {
     words: Vec<u64>,
     len: usize,
 }
 
-impl EdgeTable {
-    /// An empty table with room for `edges` flags.
-    fn with_capacity(edges: usize) -> Self {
-        EdgeTable {
-            words: Vec::with_capacity(edges.div_ceil(64)),
+impl Bits {
+    /// An empty row with room for `n` flags.
+    fn with_capacity(n: usize) -> Self {
+        Bits {
+            words: Vec::with_capacity(n.div_ceil(64)),
             len: 0,
         }
     }
 
-    /// Appends the flag of the next edge.
+    /// Appends the next flag.
     fn push(&mut self, flag: bool) {
         let bit = self.len % 64;
         if bit == 0 {
@@ -50,12 +67,37 @@ impl EdgeTable {
         self.len += 1;
     }
 
+    /// The `at`-th flag.
+    pub(super) fn get(&self, at: usize) -> bool {
+        debug_assert!(at < self.len);
+        self.words[at / 64] >> (at % 64) & 1 == 1
+    }
+
+    /// The flags in order.
+    #[cfg(test)]
+    pub(super) fn iter(&self) -> impl Iterator<Item = bool> + '_ {
+        (0..self.len).map(|at| self.get(at))
+    }
+}
+
+/// One flag per graph edge, in graph order, a bit each.
+pub(super) struct EdgeTable(Bits);
+
+impl EdgeTable {
+    /// An empty table with room for `edges` flags.
+    fn with_capacity(edges: usize) -> Self {
+        EdgeTable(Bits::with_capacity(edges))
+    }
+
+    /// Appends the flag of the next edge.
+    fn push(&mut self, flag: bool) {
+        self.0.push(flag);
+    }
+
     /// The flag of the `i`-th edge of `s` in `graph`, the graph the
     /// table was built over.
     pub(super) fn get(&self, graph: &StateGraph, s: usize, i: usize) -> bool {
-        let at = graph.edge_base(s) + i;
-        debug_assert!(at < self.len);
-        self.words[at / 64] >> (at % 64) & 1 == 1
+        self.0.get(graph.edge_base(s) + i)
     }
 }
 
@@ -76,7 +118,7 @@ fn table_rows(
     for id in 0..n {
         states.push(row(id, &mut edges).map_err(|stop| stop.with_pending(n - id))?);
     }
-    assert_eq!(edges.len, graph.edge_count(), "a flag per graph edge");
+    assert_eq!(edges.0.len, graph.edge_count(), "a flag per graph edge");
     Ok((edges, states))
 }
 
@@ -85,47 +127,92 @@ pub(super) struct FairInfo {
     pub(super) kind: FairnessKind,
     /// Is the i-th edge of `s` an `⟨A⟩_v` step?
     pub(super) angle: EdgeTable,
-    /// Is `⟨A⟩_v` enabled in state `s`?
-    pub(super) enabled: Vec<bool>,
+    /// Is `⟨A⟩_v` enabled in state `s`? A bit per state.
+    pub(super) enabled: Bits,
 }
 
-/// The tables of the system's own fairness requirements. An edge is an
-/// `⟨A⟩_v` step when one of the actions fired it and the codes of the
-/// subscript's slots differ between the two rows — a code is a value's
-/// position in its slot's domain, so that is `v' ≠ v`.
-pub(super) fn system_fair_infos(
+/// Charges, in bulk, what a scan of the system's tables charges: a
+/// transition per requirement and graph edge, requirement by
+/// requirement, each in id order. On a cut the reported `pending` is
+/// the one that scan reports, in state units: `n - id`, with `id` the
+/// row of the edge whose charge was refused.
+pub(super) fn charge_system_tables(
     system: &System,
     graph: &StateGraph,
-    meter: &Meter,
-) -> Result<Vec<FairInfo>, Stop> {
-    let layout = graph.layout();
-    system
-        .fairness()
-        .iter()
-        .map(|f| {
-            let sub: Vec<usize> = f.sub.iter().map(|v| v.index()).collect();
-            let unchanged = |s: &[u8], t: &[u8]| {
-                (sub.iter()).all(|&slot| layout.read_code(s, slot) == layout.read_code(t, slot))
-            };
-            let (angle, enabled) = table_rows(graph, |id, flags| {
-                let s = graph.row(id);
-                let mut fires = false;
-                for e in graph.edges(id) {
-                    charge_edge(meter)?;
-                    let angle =
-                        f.action_ids.contains(&e.action) && !unchanged(s, graph.row(e.target));
-                    flags.push(angle);
-                    fires |= angle;
+    meter: &mut Meter,
+) -> Result<(), Stop> {
+    let edges = graph.edge_count();
+    let charges = system.fairness().len() * edges;
+    meter
+        .charge_transitions(charges)
+        .map_err(|(admitted, reason)| {
+            // A cut means `charges > admitted`, so there is an edge; its
+            // row is the first whose edges end past it.
+            let edge = admitted % edges;
+            let (mut id, mut hi) = (0, graph.len());
+            while id < hi {
+                let mid = id + (hi - id) / 2;
+                if graph.edge_base(mid + 1) <= edge {
+                    id = mid + 1;
+                } else {
+                    hi = mid;
                 }
-                Ok(fires)
-            })?;
-            Ok(FairInfo {
-                kind: f.kind,
-                angle,
-                enabled,
-            })
+            }
+            Stop::Exhausted {
+                reason,
+                pending: graph.len() - id,
+            }
+        })
+}
+
+/// The tables of the system's own fairness requirements, empty, with
+/// room for every flag of `graph`: for [`fill_system_fair_infos`].
+pub(super) fn reserve_system_fair_infos(system: &System, graph: &StateGraph) -> Vec<FairInfo> {
+    (system.fairness().iter())
+        .map(|f| FairInfo {
+            kind: f.kind,
+            angle: EdgeTable::with_capacity(graph.edge_count()),
+            enabled: Bits::with_capacity(graph.len()),
         })
         .collect()
+}
+
+/// Fills the tables of the system's own fairness requirements,
+/// reserved by [`reserve_system_fair_infos`], every requirement's in
+/// one pass over the edges, uncharged. An edge is an `⟨A⟩_v` step when
+/// one of the actions fired it and the codes of the subscript's slots
+/// differ between the two rows — a code is a value's position in its
+/// slot's domain, so that is `v' ≠ v`. Each edge's two rows are read
+/// once for all requirements.
+pub(super) fn fill_system_fair_infos(system: &System, graph: &StateGraph, infos: &mut [FairInfo]) {
+    let layout = graph.layout();
+    let fairness = system.fairness();
+    // Whether action `a` is one of requirement `r`'s own, at
+    // `r * actions + a`.
+    let actions = system.actions().len();
+    let own: Vec<bool> = (fairness.iter())
+        .flat_map(|f| (0..actions).map(|a| f.action_ids.contains(&a)))
+        .collect();
+    let unchanged = |sub: &[VarId], s: &[u8], t: &[u8]| {
+        (sub.iter()).all(|v| layout.read_code(s, v.index()) == layout.read_code(t, v.index()))
+    };
+    let mut fires = vec![false; fairness.len()];
+    for id in 0..graph.len() {
+        let s = graph.row(id);
+        fires.fill(false);
+        for e in graph.edges(id) {
+            let t = graph.row(e.target);
+            let requirements = fairness.iter().zip(infos.iter_mut()).zip(&mut fires);
+            for (r, ((f, info), fires)) in requirements.enumerate() {
+                let angle = own[r * actions + e.action] && !unchanged(&f.sub, s, t);
+                info.angle.push(angle);
+                *fires |= angle;
+            }
+        }
+        for (info, &fires) in infos.iter_mut().zip(&fires) {
+            info.enabled.push(fires);
+        }
+    }
 }
 
 /// Facts about the target fairness condition (semantic, since the
@@ -148,7 +235,7 @@ pub(super) fn target_fair_info(
     enabled_with: Option<&Expr>,
     mapping: &Substitution,
     images: Option<&Images>,
-    meter: &Meter,
+    meter: &mut Meter,
 ) -> Result<(EdgeTable, Vec<bool>), Stop> {
     let abstract_angle = fair.angle_action();
     let (angle_expr, enabled_pred) = if mapping.is_empty() {
@@ -271,7 +358,7 @@ impl SccWork {
         graph: &StateGraph,
         survivors: &[u32],
         edge_ok: &dyn Fn(usize, usize) -> bool,
-        meter: &Meter,
+        meter: &mut Meter,
     ) -> Result<Components, Stop> {
         if self.mask.len() < graph.len() {
             self.mask.resize(graph.len(), false);
@@ -304,7 +391,7 @@ pub(super) fn fair_subcomponent(
     edge_ok: &dyn Fn(usize, usize) -> bool,
     scc: &[u32],
     must_contain: Option<&[bool]>,
-    meter: &Meter,
+    meter: &mut Meter,
     work: &mut SccWork,
 ) -> Result<Option<FairWitness>, Stop> {
     if let Some(reason) = meter.checkpoint() {
@@ -315,6 +402,23 @@ pub(super) fn fair_subcomponent(
             return Ok(None);
         }
     }
+    match *scc {
+        [s] => single_state(graph, fair_infos, s as usize, must_contain.is_some(), meter),
+        _ => scan(graph, fair_infos, edge_ok, scc, must_contain, meter, work),
+    }
+}
+
+/// [`fair_subcomponent`] on a component that meets its `must_contain`
+/// requirement, if any, by a scan of its edges per requirement.
+fn scan(
+    graph: &StateGraph,
+    fair_infos: &[FairInfo],
+    edge_ok: &dyn Fn(usize, usize) -> bool,
+    scc: &[u32],
+    must_contain: Option<&[bool]>,
+    meter: &mut Meter,
+    work: &mut SccWork,
+) -> Result<Option<FairWitness>, Stop> {
     // Tarjan components are sorted ascending (also in the recursion
     // below), so membership is a binary search, not a scan.
     let in_scc = |n: usize| scc.binary_search(&(n as u32)).is_ok();
@@ -343,7 +447,7 @@ pub(super) fn fair_subcomponent(
             FairnessKind::Weak => {
                 // A state where the action is disabled, visited
                 // infinitely often, also satisfies WF.
-                match scc.iter().find(|&&n| !info.enabled[n as usize]) {
+                match scc.iter().find(|&&n| !info.enabled.get(n as usize)) {
                     Some(&n) => waypoints.push(Waypoint::Node(n as usize)),
                     None => return Ok(None), // WF unsatisfiable here and in any subset.
                 }
@@ -352,11 +456,11 @@ pub(super) fn fair_subcomponent(
                 // SF needs *no* enabled state in the cycle. If some are
                 // enabled, remove them and recurse on the
                 // sub-components (Streett decomposition).
-                if scc.iter().all(|&n| !info.enabled[n as usize]) {
+                if scc.iter().all(|&n| !info.enabled.get(n as usize)) {
                     continue; // Satisfied without a waypoint.
                 }
                 let survivors: Vec<u32> = (scc.iter().copied())
-                    .filter(|&n| !info.enabled[n as usize])
+                    .filter(|&n| !info.enabled.get(n as usize))
                     .collect();
                 if survivors.is_empty() {
                     return Ok(None);
@@ -382,12 +486,64 @@ pub(super) fn fair_subcomponent(
     Ok(Some((scc.to_vec(), waypoints)))
 }
 
+/// [`fair_subcomponent`] on the component `{s}`, whose `must_contain`
+/// requirement, if any, `s` meets. It has no internal `⟨A⟩_v` edge —
+/// its only possible one is a self-loop, which leaves `v` unchanged —
+/// so no edge scan can find a witness, and each requirement is decided
+/// by whether it is enabled at `s`: a `WF` is met by visiting `s` where
+/// it is disabled, an `SF` by `s` alone, and an enabled one by nothing.
+/// The `deg(s)` probes a scan makes per requirement, up to the first
+/// that fails, are charged in bulk, so the charges are the scan's.
+fn single_state(
+    graph: &StateGraph,
+    fair_infos: &[FairInfo],
+    s: usize,
+    must_contain: bool,
+    meter: &mut Meter,
+) -> Result<Option<FairWitness>, Stop> {
+    let degree = graph.edges(s).len();
+    let mut waypoints = Vec::new();
+    if must_contain {
+        waypoints.push(Waypoint::Node(s));
+    }
+    for info in fair_infos {
+        charge_edges(meter, degree)?;
+        if info.enabled.get(s) {
+            return Ok(None);
+        }
+        if info.kind == FairnessKind::Weak {
+            waypoints.push(Waypoint::Node(s));
+        }
+    }
+    Ok(Some((vec![s as u32], waypoints)))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{explore, Budget, ExhaustReason, ExploreOptions, GuardedAction, Init};
     use crate::{SystemFairness, Verdict};
     use opentla_kernel::{tarjan_sccs_with, Domain, Value, Vars};
+
+    impl PartialEq<Vec<bool>> for Bits {
+        fn eq(&self, other: &Vec<bool>) -> bool {
+            self.iter().eq(other.iter().copied())
+        }
+    }
+
+    /// The tables of the system's own fairness requirements, charged as
+    /// [`charge_system_tables`] charges them and then built: what a check
+    /// that builds its own tables runs, as one call.
+    fn system_fair_infos(
+        system: &System,
+        graph: &StateGraph,
+        meter: &mut Meter,
+    ) -> Result<Vec<FairInfo>, Stop> {
+        charge_system_tables(system, graph, meter)?;
+        let mut infos = reserve_system_fair_infos(system, graph);
+        fill_system_fair_infos(system, graph, &mut infos);
+        Ok(infos)
+    }
 
     /// Counters `a` and `b` up to `top` that `halt` freezes for good:
     /// every halted state — half the graph — has no edge. `WF(inc_a)`
@@ -451,9 +607,9 @@ mod tests {
     /// the flags that are set, per requirement.
     fn assert_flat_tables_are_the_row_tables(system: &System, graph: &StateGraph) -> Vec<usize> {
         let rows = row_tables(system, graph, &Budget::default()).expect("unbudgeted");
-        let meter = Meter::start(&Budget::default());
+        let mut meter = Meter::start(&Budget::default());
         let infos =
-            system_fair_infos(system, graph, &meter).unwrap_or_else(|_| panic!("unbudgeted"));
+            system_fair_infos(system, graph, &mut meter).unwrap_or_else(|_| panic!("unbudgeted"));
         let requirements = system.fairness().len();
         assert_eq!(meter.transitions_used(), requirements * graph.edge_count());
         let mut set = vec![0; requirements];
@@ -538,14 +694,21 @@ mod tests {
             &mut |component| reference.push(component),
         )
         .unwrap();
-        let meter = Meter::start(&Budget::default());
+        let mut meter = Meter::start(&Budget::default());
         let mut scratch = SccScratch::new();
         let listed: Vec<u32> = (0..graph.len() as u32)
             .filter(|&v| node_ok[v as usize])
             .collect();
         for listed in [None, Some(&listed[..]), None] {
-            let flat = tarjan_sccs(graph, node_ok, listed, &|_, _| true, &meter, &mut scratch)
-                .unwrap_or_else(|_| panic!("unbudgeted"));
+            let flat = tarjan_sccs(
+                graph,
+                node_ok,
+                listed,
+                &|_, _| true,
+                &mut meter,
+                &mut scratch,
+            )
+            .unwrap_or_else(|_| panic!("unbudgeted"));
             let flat: Vec<Vec<_>> = (flat.iter())
                 .map(|c| c.iter().map(|&v| v as usize).collect())
                 .collect();
@@ -579,8 +742,8 @@ mod tests {
             assert_flat_components_are_the_drivers(&graph, &[true; 10]),
             2
         );
-        let meter = Meter::start(&Budget::default());
-        let infos = system_fair_infos(&system, &graph, &meter).unwrap_or_else(|_| panic!());
+        let mut meter = Meter::start(&Budget::default());
+        let infos = system_fair_infos(&system, &graph, &mut meter).unwrap_or_else(|_| panic!());
         let survivors: Vec<bool> = infos[0].enabled.iter().map(|e| !e).collect();
         assert_eq!(survivors.iter().filter(|s| !**s).count(), 1);
         assert_eq!(
@@ -648,8 +811,8 @@ mod tests {
             let (reason, pending) =
                 row_tables(&system, &graph, &budget).expect_err("the budget is tight");
             assert_eq!(reason, ExhaustReason::TransitionLimit { limit });
-            let meter = Meter::start(&budget);
-            match system_fair_infos(&system, &graph, &meter) {
+            let mut meter = Meter::start(&budget);
+            match system_fair_infos(&system, &graph, &mut meter) {
                 Err(Stop::Exhausted {
                     reason: r,
                     pending: p,
@@ -687,5 +850,168 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(verdict, Verdict::Violated(_)));
+    }
+
+    /// Guarded updates over `a, b ∈ 0..=3` and a bit `c`, drawn from
+    /// `seed`, plus `idle`, whose every step is a self-loop; three
+    /// fairness requirements, weak and strong, on drawn actions and
+    /// subscripts — `idle`'s among them.
+    fn random_system(seed: u64) -> System {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut draw = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n) as i64
+        };
+        let mut vars = Vars::new();
+        let a = vars.declare("a", Domain::int_range(0, 3));
+        let b = vars.declare("b", Domain::int_range(0, 3));
+        let c = vars.declare("c", Domain::bits());
+        let abc = [a, b, a, b, c];
+        let mut actions: Vec<GuardedAction> = (0..5)
+            .map(|i| {
+                let (guard, v, w) = (abc[draw(4) as usize], abc[i], abc[draw(5) as usize]);
+                let top = if i == 4 { 2 } else { 4 };
+                GuardedAction::new(
+                    format!("act{i}"),
+                    Expr::var(guard).lt(Expr::int(1 + draw(3))),
+                    vec![(
+                        v,
+                        (Expr::var(w).add(Expr::int(draw(3)))).rem(Expr::int(top)),
+                    )],
+                )
+            })
+            .collect();
+        actions.push(GuardedAction::new(
+            "idle",
+            Expr::bool(true),
+            vec![(c, Expr::var(c))],
+        ));
+        let init = Init::new([a, b, c].map(|v| (v, Value::Int(0))));
+        let mut system = System::new(vars, init, actions);
+        for r in 0..3 {
+            let own: Vec<usize> = if r == 0 {
+                vec![5, draw(5) as usize]
+            } else {
+                (0..6).filter(|_| draw(2) == 0).collect()
+            };
+            let sub: Vec<_> = [a, b, c].into_iter().filter(|_| draw(3) != 0).collect();
+            system = system.with_fairness(if draw(2) == 0 {
+                SystemFairness::weak(own, sub)
+            } else {
+                SystemFairness::strong(own, sub)
+            });
+        }
+        system
+    }
+
+    /// What a check's component loop sees of one result: the witness,
+    /// or where the budget stopped it, and the meter's count after.
+    fn outcome(result: Result<Option<FairWitness>, Stop>, meter: &Meter) -> String {
+        let result = match result {
+            Ok(witness) => format!("{witness:?}"),
+            Err(Stop::Exhausted { reason, pending }) => format!("cut {reason} / {pending}"),
+            Err(Stop::Error(e)) => format!("error {e}"),
+        };
+        format!("{result} after {}", meter.transitions_used())
+    }
+
+    /// On every state of `graph` as a component of its own, the
+    /// single-state rule gives the scan's witness and charges the
+    /// scan's transitions, with and without a `must_contain` set, with
+    /// every edge allowed or some banned, and under limits that cut
+    /// before, inside and after the probes. Returns how many states
+    /// the rule found fair (unlimited, no `must_contain`).
+    fn assert_the_rule_is_the_scan(system: &System, graph: &StateGraph) -> usize {
+        let infos = system_fair_infos(system, graph, &mut Meter::start(&Budget::default()))
+            .unwrap_or_else(|_| panic!("unbudgeted"));
+        let every: Vec<bool> = vec![true; graph.len()];
+        let some: Vec<bool> = (0..graph.len()).map(|s| s % 3 != 1).collect();
+        let all_edges = |_: usize, _: usize| true;
+        let odd_edges = |s: usize, i: usize| (s + i) % 2 == 1;
+        let edge_oks: [&dyn Fn(usize, usize) -> bool; 2] = [&all_edges, &odd_edges];
+        let mut work = SccWork::default();
+        let mut fair = 0;
+        for s in 0..graph.len() {
+            let scc = [s as u32];
+            let probes = graph.edges(s).len() * infos.len();
+            for limit in [
+                0,
+                1,
+                probes / 2,
+                probes.saturating_sub(1),
+                probes,
+                usize::MAX,
+            ] {
+                let budget = Budget::default().transitions(limit);
+                for must_contain in [None, Some(&every[..]), Some(&some[..])] {
+                    for edge_ok in edge_oks {
+                        let mut meter = Meter::start(&budget);
+                        let rule = fair_subcomponent(
+                            graph,
+                            &infos,
+                            edge_ok,
+                            &scc,
+                            must_contain,
+                            &mut meter,
+                            &mut work,
+                        );
+                        let rule = outcome(rule, &meter);
+                        let mut meter = Meter::start(&budget);
+                        let scanned = match must_contain {
+                            Some(req) if !req[s] => Ok(None),
+                            _ => scan(
+                                graph,
+                                &infos,
+                                edge_ok,
+                                &scc,
+                                must_contain,
+                                &mut meter,
+                                &mut work,
+                            ),
+                        };
+                        assert_eq!(rule, outcome(scanned, &meter), "state {s}, limit {limit}");
+                        if limit == usize::MAX && must_contain.is_none() {
+                            fair += usize::from(rule.starts_with("Some"));
+                        }
+                    }
+                }
+            }
+        }
+        fair / 2
+    }
+
+    #[test]
+    fn a_single_state_is_decided_as_the_scan_decides_it() {
+        // Halting counters: WF(inc_a) and SF(inc_b). A state is fair
+        // alone where both are disabled: every halted state, and the
+        // running one with both counters at the top.
+        let system = halting_counters(5);
+        let graph = explore(&system, &ExploreOptions::default()).unwrap();
+        assert_eq!(
+            assert_the_rule_is_the_scan(&system, &graph),
+            graph.len() / 2 + 1
+        );
+        // The SF graph with a WF beside it: `spin` under WF is enabled
+        // everywhere, so no single state is fair.
+        let y = spinning(4).vars().find("y").unwrap();
+        let system = spinning(4).with_fairness(SystemFairness::weak(vec![0], vec![y]));
+        let graph = explore(&system, &ExploreOptions::default()).unwrap();
+        assert_eq!(assert_the_rule_is_the_scan(&system, &graph), 0);
+        // Random systems, self-loops included: some state is fair
+        // alone, and some is not.
+        let (mut loops, mut fair, mut states) = (0, 0, 0);
+        for seed in 0..16 {
+            let system = random_system(seed);
+            let graph = explore(&system, &ExploreOptions::default()).unwrap();
+            loops += (0..graph.len())
+                .filter(|&s| graph.edges(s).iter().any(|e| e.target == s))
+                .count();
+            fair += assert_the_rule_is_the_scan(&system, &graph);
+            states += graph.len();
+        }
+        assert!(loops > 0, "some state has a self-loop");
+        assert!(0 < fair && fair < states, "{fair} of {states}");
     }
 }

@@ -26,17 +26,31 @@
 //! # One engine
 //!
 //! The search is one sequential pass over one stored graph: flat
-//! fairness tables ([`fair`], a bit per edge), one iterative Tarjan
-//! decomposition ([`scc`], its components flat: one `u32` column and
-//! where each ends, no heap row per component), then the components in
-//! Tarjan completion order, the first fairness-satisfiable one with a
+//! fairness tables ([`fair`], a bit per edge or state), one iterative
+//! Tarjan decomposition ([`scc`], its components flat: one `u32` column
+//! and where each ends, no heap row per component), then the components
+//! in Tarjan completion order, the first fairness-satisfiable one with a
 //! reachable entry giving the lasso. A Streett step decomposes its
-//! survivors alone, so it costs the component, not the graph. It reads
-//! no environment variable and has no engine selection;
-//! [`LivenessOptions`] survives as an inert shape. Several checks may
-//! run at once over one graph — a certificate runs its 2(a) beside its
-//! 2(b) conditions — since a check shares nothing mutable but the
-//! images' class columns.
+//! survivors alone, so it costs the component, not the graph, and a
+//! component of one state is decided from its `enabled` bits without a
+//! scan of its edges. The region the lasso's entry must lie in is
+//! computed at the first fair component, so a check that holds never
+//! computes it. It reads no environment variable and has no engine
+//! selection; [`LivenessOptions`] survives as an inert shape.
+//!
+//! The system's fairness tables are a function of the system and the
+//! graph alone: one fused pass builds every requirement's
+//! ([`FairnessTables`]), and the checks of one certificate share one
+//! build ([`check_liveness_with_tables`]). Each check still pays for
+//! them: after its target's table and before it reads the tables, it
+//! is charged in bulk exactly the transition per requirement and edge
+//! a build of its own would cost, and cut at the same row, so a budget
+//! cuts the same checks whoever built the tables. Every charge of the
+//! check's loops is exclusive ([`Meter::charge_transitions`] and its
+//! kin): the check owns its meter. Several checks may run at once over
+//! one graph — a certificate runs its 2(a) beside its 2(b) conditions —
+//! since a check shares nothing mutable but the images' class columns
+//! and the tables' one build.
 //!
 //! # Interruption
 //!
@@ -57,6 +71,7 @@ use crate::obs::{Phase, PhaseGuard, RecorderHandle};
 use crate::{CheckError, Counterexample, StateGraph, System, Verdict};
 use fair::{fair_subcomponent, EdgeTable, FairInfo, SccWork, Waypoint};
 use opentla_kernel::{Expr, Fairness, FairnessKind, Substitution};
+use std::sync::OnceLock;
 
 /// Why the metered liveness core stopped: budget exhaustion (with the
 /// exact count of pending work items in the interrupted phase) or a
@@ -93,10 +108,87 @@ impl From<CheckError> for Stop {
 }
 
 /// Charges one edge probe of the tables or a component scan.
-fn charge_edge(meter: &Meter) -> Result<(), Stop> {
+fn charge_edge(meter: &mut Meter) -> Result<(), Stop> {
     meter
-        .charge_transition()
+        .charge_transition_mut()
         .map_or(Ok(()), |reason| Err(Stop::exhausted(reason)))
+}
+
+/// Charges `n` edge probes at once: what `n` calls of [`charge_edge`]
+/// charge, cut at the same probe.
+fn charge_edges(meter: &mut Meter, n: usize) -> Result<(), Stop> {
+    meter
+        .charge_transitions(n)
+        .map_err(|(_, reason)| Stop::exhausted(reason))
+}
+
+/// The tables of a system's own fairness requirements over one graph:
+/// per requirement, which edges are `⟨A⟩_v` steps (a bit per edge) and
+/// where `⟨A⟩_v` is enabled (a bit per state). They depend on the
+/// system and the graph alone, so the liveness checks of one
+/// certificate share one build ([`check_liveness_with_tables`]); the
+/// build is uncharged, and each check is charged for the tables as if
+/// it had built them.
+///
+/// [`FairnessTables::of_graph`] builds them on the calling thread.
+/// [`FairnessTables::reserve`] and [`FairnessTables::filled`] split
+/// that in two, so one thread can allocate them and another fill them:
+/// a thread's allocator arena keeps the pages it touched, which the
+/// rest of the program cannot reuse, so a short-lived thread that
+/// builds tables should fill room its long-lived caller allocated.
+pub struct FairnessTables {
+    infos: Vec<FairInfo>,
+    /// The graph's states and edges once filled, for
+    /// [`FairnessTables::fit`].
+    over: Option<(usize, usize)>,
+}
+
+impl FairnessTables {
+    /// The tables of `system`'s fairness requirements over `graph`, in
+    /// one pass over the edges.
+    pub fn of_graph(system: &System, graph: &StateGraph) -> FairnessTables {
+        FairnessTables::reserve(system, graph).filled(system, graph)
+    }
+
+    /// Empty tables of `system`'s fairness requirements with room for
+    /// every flag of `graph`, for [`FairnessTables::filled`]. A check
+    /// refuses them until they are filled.
+    pub fn reserve(system: &System, graph: &StateGraph) -> FairnessTables {
+        FairnessTables {
+            infos: fair::reserve_system_fair_infos(system, graph),
+            over: None,
+        }
+    }
+
+    /// These reserved tables, filled: [`FairnessTables::of_graph`]
+    /// without allocating the tables.
+    ///
+    /// # Panics
+    ///
+    /// If the tables are already filled.
+    pub fn filled(mut self, system: &System, graph: &StateGraph) -> FairnessTables {
+        assert!(self.over.is_none(), "fairness tables are filled once");
+        fair::fill_system_fair_infos(system, graph, &mut self.infos);
+        self.over = Some((graph.len(), graph.edge_count()));
+        self
+    }
+
+    /// `Precondition` unless these are tables of `system` over `graph`
+    /// in shape, filled: as many requirements, of the same kinds, as
+    /// many states and edges.
+    fn fit(&self, system: &System, graph: &StateGraph) -> Result<&[FairInfo], CheckError> {
+        let kinds =
+            (self.infos.iter().map(|info| info.kind)).eq(system.fairness().iter().map(|f| f.kind));
+        if kinds && self.over == Some((graph.len(), graph.edge_count())) {
+            Ok(&self.infos)
+        } else {
+            Err(CheckError::Precondition {
+                message: "the fairness tables handed to this check are of another \
+                          system or graph, or not filled (FairnessTables::of_graph)"
+                    .to_string(),
+            })
+        }
+    }
 }
 
 /// The liveness property to verify. `Expr`s are state predicates.
@@ -319,7 +411,7 @@ pub fn check_liveness_governed(
     target: &LiveTarget,
     budget: &Budget,
 ) -> Result<LivenessRun, CheckError> {
-    liveness_driver(system, graph, target, None, budget)
+    liveness_driver(system, graph, target, None, None, budget)
 }
 
 /// [`check_liveness_governed`]; `options` are ignored (see
@@ -357,7 +449,30 @@ pub fn check_liveness_with_images(
     images: &Images,
     budget: &Budget,
 ) -> Result<LivenessRun, CheckError> {
-    liveness_driver(system, graph, target, Some(images), budget)
+    liveness_driver(system, graph, target, Some(images), None, budget)
+}
+
+/// [`check_liveness_with_images`] reading the system's fairness tables
+/// from `tables`, built there by the first check that needs them if no
+/// one has yet: how the checks of one certificate share one build of
+/// their tables. Verdict, lasso, charges and errors are those of
+/// [`check_liveness_with_images`] — each check is charged for the
+/// tables, after its target's table, as if it had built them.
+///
+/// # Errors
+///
+/// As [`check_liveness_with_images`], and [`CheckError::Precondition`]
+/// if `tables` hold tables of another system or graph, or reserved
+/// tables not yet filled.
+pub fn check_liveness_with_tables(
+    system: &System,
+    graph: &StateGraph,
+    target: &LiveTarget,
+    images: &Images,
+    tables: &OnceLock<FairnessTables>,
+    budget: &Budget,
+) -> Result<LivenessRun, CheckError> {
+    liveness_driver(system, graph, target, Some(images), Some(tables), budget)
 }
 
 fn liveness_driver(
@@ -365,11 +480,12 @@ fn liveness_driver(
     graph: &StateGraph,
     target: &LiveTarget,
     images: Option<&Images>,
+    tables: Option<&OnceLock<FairnessTables>>,
     budget: &Budget,
 ) -> Result<LivenessRun, CheckError> {
     let _phase = PhaseGuard::enter(&budget.recorder, Phase::Liveness);
-    let meter = Meter::start(budget);
-    let decided = decide(system, graph, target, images, &meter);
+    let mut meter = Meter::start(budget);
+    let decided = decide(system, graph, target, images, tables, &mut meter);
     if let Ok(Verdict::Violated(cx)) = &decided {
         crate::obs::emit_counterexample(&budget.recorder, "liveness", cx);
     }
@@ -396,11 +512,19 @@ fn decide(
     graph: &StateGraph,
     target: &LiveTarget,
     images: Option<&Images>,
-    meter: &Meter,
+    tables: Option<&OnceLock<FairnessTables>>,
+    meter: &mut Meter,
 ) -> Result<Verdict, Stop> {
     let violation = build_violation(system, graph, target, images, meter)?;
-    let fair_infos = fair::system_fair_infos(system, graph, meter)?;
-    match find_violation(system, graph, &fair_infos, &violation, meter)? {
+    fair::charge_system_tables(system, graph, meter)?;
+    let build = || FairnessTables::of_graph(system, graph);
+    let mut own = None;
+    let tables = match tables {
+        Some(shared) => shared.get_or_init(build),
+        None => own.insert(build()),
+    };
+    let fair_infos = tables.fit(system, graph)?;
+    match find_violation(system, graph, fair_infos, &violation, meter)? {
         Some(cx) => Ok(Verdict::Violated(cx)),
         None => Ok(Verdict::Holds),
     }
@@ -440,7 +564,7 @@ fn build_violation(
     graph: &StateGraph,
     target: &LiveTarget,
     images: Option<&Images>,
-    meter: &Meter,
+    meter: &mut Meter,
 ) -> Result<Violation, Stop> {
     let all = vec![true; graph.len()];
     Ok(match target {
@@ -542,7 +666,7 @@ fn find_violation(
     graph: &StateGraph,
     fair_infos: &[FairInfo],
     v: &Violation,
-    meter: &Meter,
+    meter: &mut Meter,
 ) -> Result<Option<Counterexample>, Stop> {
     if v.starts.is_empty() {
         return Ok(None);
@@ -558,8 +682,9 @@ fn find_violation(
         meter,
         &mut work.scratch,
     )?;
-    // Which states can begin the violating suffix (path constraint).
-    let path_region = reachable_from(graph, &v.starts, v.path_node_ok.as_deref());
+    // Which states can begin the violating suffix (path constraint):
+    // computed at the first fair component, if there is one.
+    let mut path_region = None;
     for (idx, scc_nodes) in sccs.iter().enumerate() {
         // Exact: this component and the ones after it.
         let pending = sccs.len() - idx;
@@ -579,6 +704,8 @@ fn find_violation(
         if let Some((nodes, waypoints)) = fair {
             // Entry: a node of the component reachable under the path
             // constraint.
+            let path_region = path_region
+                .get_or_insert_with(|| reachable_from(graph, &v.starts, v.path_node_ok.as_deref()));
             if let Some(entry) = nodes.iter().map(|&n| n as usize).find(|&n| path_region[n]) {
                 return Ok(Some(build_counterexample(
                     system, graph, v, &nodes, &waypoints, entry, &edge_ok,
@@ -612,7 +739,10 @@ fn reachable_from(graph: &StateGraph, starts: &[usize], node_ok: Option<&[bool]>
 }
 
 /// BFS path inside a filtered graph, returning `(action id, node)`
-/// hops after `from`: an empty path means `from` is the goal.
+/// hops after `from`: an empty path means `from` is the goal. The BFS
+/// tree is a dense column, `(parent, action)` per state: a hash map
+/// over a search that may cover the graph peaked several megabytes
+/// higher, by how its rehashes fell.
 fn path_filtered(
     graph: &StateGraph,
     from: usize,
@@ -620,28 +750,28 @@ fn path_filtered(
     node_ok: &dyn Fn(usize) -> bool,
     edge_ok: &dyn Fn(usize, usize) -> bool,
 ) -> Option<Vec<(usize, usize)>> {
+    const UNSEEN: u32 = u32::MAX;
     if goal(from) {
         return Some(Vec::new());
     }
-    let mut prev: std::collections::HashMap<usize, (usize, usize)> =
-        std::collections::HashMap::new();
+    let mut prev = vec![(UNSEEN, 0u32); graph.len()];
     let mut queue = std::collections::VecDeque::from([from]);
     while let Some(s) = queue.pop_front() {
         for (i, e) in graph.edges(s).iter().enumerate() {
             if !edge_ok(s, i) || !node_ok(e.target) {
                 continue;
             }
-            if e.target == from || prev.contains_key(&e.target) {
+            if e.target == from || prev[e.target].0 != UNSEEN {
                 continue;
             }
-            prev.insert(e.target, (s, e.action));
+            prev[e.target] = (s as u32, e.action as u32);
             if goal(e.target) {
                 let mut rev = Vec::new();
                 let mut cur = e.target;
                 while cur != from {
-                    let (p, action) = prev[&cur];
-                    rev.push((action, cur));
-                    cur = p;
+                    let (p, action) = prev[cur];
+                    rev.push((action as usize, cur));
+                    cur = p as usize;
                 }
                 rev.reverse();
                 return Some(rev);
@@ -1190,5 +1320,33 @@ mod tests {
             run(&Images::default()),
             Err(CheckError::Precondition { .. })
         ));
+    }
+
+    #[test]
+    fn handed_tables_must_be_of_the_system_and_graph() {
+        use crate::Budget;
+        let (sys, x) = counter(true);
+        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
+        let fair = Fairness::weak(Expr::prime(x).gt(Expr::var(x)), vec![x]);
+        let target = LiveTarget::fair_with_enabled(fair, Expr::var(x).lt(Expr::int(3)));
+        let images = Images::default();
+        let run = |tables: &OnceLock<FairnessTables>| {
+            check_liveness_with_tables(&sys, &graph, &target, &images, tables, &Budget::default())
+        };
+        // Empty, the check fills them; filled, the next check reads them.
+        let shared = OnceLock::new();
+        for _ in 0..2 {
+            assert!(run(&shared).unwrap().verdict.unwrap().holds());
+            assert!(shared.get().is_some());
+        }
+        // Reserved room is refused until it is filled.
+        let room = OnceLock::from(FairnessTables::reserve(&sys, &graph));
+        assert!(matches!(run(&room), Err(CheckError::Precondition { .. })));
+        let room = FairnessTables::reserve(&sys, &graph).filled(&sys, &graph);
+        assert!(run(&OnceLock::from(room)).unwrap().verdict.unwrap().holds());
+        // Tables of the unfair system: a requirement too few.
+        let (unfair, _) = counter(false);
+        let other = OnceLock::from(FairnessTables::of_graph(&unfair, &graph));
+        assert!(matches!(run(&other), Err(CheckError::Precondition { .. })));
     }
 }

@@ -12,6 +12,7 @@ use super::Stop;
 use crate::budget::Meter;
 use crate::StateGraph;
 use opentla_kernel::{tarjan_components_with, Nodes, SccScratch};
+use std::cell::RefCell;
 
 /// The components of one decomposition, flat: every component's nodes
 /// side by side in one column, and where each ends. No heap row per
@@ -51,10 +52,13 @@ pub(super) fn tarjan_sccs(
     node_ok: &[bool],
     listed: Option<&[u32]>,
     edge_ok: &dyn Fn(usize, usize) -> bool,
-    meter: &Meter,
+    meter: &mut Meter,
     scratch: &mut SccScratch,
 ) -> Result<Components, Stop> {
     let mut components = Components::default();
+    // The edge probe charges and the root polls: two callbacks, one
+    // meter.
+    let meter = RefCell::new(meter);
     let admitted = |v: usize| node_ok[v];
     let nodes = listed.map_or(Nodes::Where(&admitted), Nodes::Listed);
     tarjan_components_with::<Stop>(
@@ -63,7 +67,7 @@ pub(super) fn tarjan_sccs(
         scratch,
         &|v| graph.edges(v).len(),
         &mut |v, i, unvisited| {
-            if let Some(reason) = meter.charge_transition() {
+            if let Some(reason) = meter.borrow_mut().charge_transition_mut() {
                 return Err(Stop::Exhausted {
                     reason,
                     pending: unvisited,
@@ -75,7 +79,7 @@ pub(super) fn tarjan_sccs(
             let t = graph.edges(v)[i].target;
             Ok(node_ok[t].then_some(t))
         },
-        &mut |_, remaining| match meter.checkpoint() {
+        &mut |_, remaining| match meter.borrow().checkpoint() {
             Some(reason) => Err(Stop::Exhausted {
                 reason,
                 pending: remaining,

@@ -234,7 +234,7 @@ fn check_states_and_edges(
     sc: &SafetyCanonical,
     abs: &SafetyCanonical,
     classes: &Classes<'_>,
-    meter: &Meter,
+    meter: &mut Meter,
     exhausted: &dyn Fn(ExhaustReason, usize) -> SimulationRun,
     violated: &dyn Fn(Counterexample, usize) -> SimulationRun,
 ) -> Result<SimulationRun, CheckError> {
@@ -245,7 +245,7 @@ fn check_states_and_edges(
     let abs_invariants = compile(&abs.invariants);
     let mut invariants_hold = Memo::with_ids(classes, &abs.invariants);
     for id in 0..graph.len() {
-        if let Some(reason) = meter.checkpoint().or_else(|| meter.charge_state()) {
+        if let Some(reason) = meter.checkpoint().or_else(|| meter.charge_state_mut()) {
             return Ok(exhausted(reason, graph.len() - id));
         }
         let refuted = || {
@@ -286,7 +286,7 @@ fn check_states_and_edges(
             return Ok(exhausted(reason, graph.len() - id));
         }
         for e in graph.edges(id) {
-            if let Some(reason) = meter.charge_transition() {
+            if let Some(reason) = meter.charge_transition_mut() {
                 return Ok(exhausted(reason, graph.len() - id));
             }
             if !boxes_hold.step(

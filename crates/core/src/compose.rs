@@ -11,16 +11,21 @@
 //! and the budget records nothing; on one lane otherwise, in
 //! certificate order, as a recorded run must for its stream to nest.
 //!
-//! The split follows what each check reads. A scoped worker runs every
-//! H1 (no mapping), then H2a; the caller runs P4, evaluates the
-//! refinement mapping over the graph ([`Images`]) and runs every H2b
-//! condition. H2a reads the same images, waiting for them if the caller
-//! is still computing them, and the class column it shares with H2b
-//! (same footprint) is computed once. Each check starts its own meter
-//! and keeps its scan order, so a budget cuts the same obligations and
-//! a violated hypothesis yields the same counterexample at either lane
-//! count; obligations are put together in certificate order, and the
-//! first error in that order is the one returned.
+//! The split follows what each step costs. A scoped worker takes from
+//! the front of its list: the system's fairness tables
+//! ([`FairnessTables`], built once for every H2b condition, into room
+//! the caller reserved), every H1 (no mapping), then H2a. The caller runs P4, evaluates the refinement
+//! mapping over the graph ([`Images`]) and runs every H2b condition,
+//! then takes the worker's steps it has not started yet from the back
+//! of its list. H2a reads the same images, and H2b the same tables,
+//! waiting for them if the other lane is still computing them; the
+//! class column H2a shares with H2b (same footprint) is computed once.
+//! Each check starts its own meter and keeps its scan order, and is
+//! charged for the tables as if it had built them, so a budget cuts
+//! the same obligations and a violated hypothesis yields the same
+//! counterexample at either lane count; obligations are put together
+//! in certificate order, and the first error in that order is the one
+//! returned.
 
 use crate::props::{proposition_2_sides, proposition_4_initial_condition};
 use crate::{
@@ -29,12 +34,13 @@ use crate::{
 };
 use opentla_check::image::Images;
 use opentla_check::{
-    check_liveness_with_images, check_simulation_governed, check_simulation_with_images,
-    explore_governed_with, Budget, Exploration, ExploreOptions, LiveTarget, StateGraph, System,
-    Verdict,
+    check_liveness_with_tables, check_simulation_governed, check_simulation_with_images,
+    explore_governed_with, Budget, Exploration, ExploreOptions, FairnessTables, LiveTarget,
+    StateGraph, System, Verdict,
 };
 use opentla_kernel::{Substitution, Vars};
-use std::sync::OnceLock;
+use std::collections::VecDeque;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Options for the composition engine.
 #[derive(Clone, Debug, Default)]
@@ -311,6 +317,8 @@ fn build_certificate(
         graph,
         budget,
         images: OnceLock::new(),
+        tables: OnceLock::new(),
+        room: Mutex::new(None),
     };
     obligations.extend(hypotheses.check(lanes(&exploration, budget))?);
 
@@ -341,8 +349,8 @@ fn lanes(exploration: &Exploration, budget: &Budget) -> usize {
 }
 
 /// One step of the semantic hypotheses. The order of the variants and
-/// of their indices is certificate order; `ImagePass` yields no
-/// obligation.
+/// of their indices is certificate order; `ImagePass` and
+/// `SystemTables` yield no obligation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Step {
     /// Hypothesis 1 for the `i`-th component's assumption.
@@ -351,6 +359,10 @@ enum Step {
     P4,
     /// The refinement mapping, evaluated over the graph.
     ImagePass,
+    /// The product's fairness tables, built for every condition of
+    /// 2(b). One lane has no such step: its first 2(b) condition
+    /// builds them.
+    SystemTables,
     /// Hypothesis 2(a).
     H2a,
     /// Hypothesis 2(b) for the target's `i`-th fairness condition.
@@ -368,43 +380,72 @@ struct Hypotheses<'a> {
     /// lane needs them first, and read by 2(a) and every condition of
     /// 2(b).
     images: OnceLock<Images>,
+    /// The product's fairness tables: built once, uncharged, by
+    /// whichever lane needs them first, and read by every condition of
+    /// 2(b).
+    tables: OnceLock<FairnessTables>,
+    /// Room for the tables, reserved by the caller for the worker to
+    /// fill: the worker's allocator arena keeps every page it touches,
+    /// which the next run's exploration cannot reuse.
+    room: Mutex<Option<FairnessTables>>,
+}
+
+/// The result of each step run, up to and including a lane's first
+/// error.
+type Done = Vec<(Step, Result<Option<Obligation>, SpecError>)>;
+
+/// Which end of the worker's list a lane takes its next step from.
+#[derive(Clone, Copy)]
+enum End {
+    Front,
+    Back,
 }
 
 impl Hypotheses<'_> {
     /// Every obligation, in certificate order, checked on `lanes` lanes.
     ///
     /// One lane runs the steps in certificate order. Two lanes split
-    /// them by what they read: a scoped worker runs every H1 (no
-    /// mapping) and then 2(a), while the caller runs P4, the image pass
-    /// and every condition of 2(b); 2(a) waits for the images if the
-    /// caller is still computing them. Each check starts its own meter
-    /// and keeps its scan order, so the obligations — put together in
-    /// certificate order — are those of one lane.
+    /// them by cost. A scoped worker takes from the front of its list —
+    /// the fairness tables, every H1, then 2(a). The caller runs P4,
+    /// the image pass and every condition of 2(b), then takes the
+    /// worker's steps not yet started from the back of that list. A
+    /// step that reads the images or the tables waits for them if the
+    /// other lane is still building them. Each check starts its own
+    /// meter and keeps its scan order, so the obligations — put
+    /// together in certificate order — are those of one lane.
     ///
     /// # Errors
     ///
-    /// The first error in certificate order, as one lane returns it. A
-    /// panic of the worker is resumed here; a worker that cannot be
-    /// spawned has its steps run on the caller.
+    /// The first error in certificate order, as one lane returns it:
+    /// every step before it in certificate order runs, since the worker
+    /// stops only at its own first error and the caller takes no step
+    /// after its first. A panic of the worker is resumed here; a worker
+    /// that cannot be spawned has its steps run on the caller, from the
+    /// front.
     fn check(&self, lanes: usize) -> Result<Vec<Obligation>, SpecError> {
         let components = self.problem.components.len();
         let conditions = self.problem.target.sys().fairness().len();
         let h1 = (0..components).map(Step::H1);
         let h2b = (0..conditions).map(Step::H2b);
         let mut done = if lanes < 2 {
-            let steps: Vec<Step> = (h1.chain([Step::P4, Step::ImagePass, Step::H2a]))
-                .chain(h2b)
-                .collect();
-            self.run(&steps)
+            let steps = (h1.chain([Step::P4, Step::ImagePass, Step::H2a])).chain(h2b);
+            self.run(&Mutex::new(steps.collect()), End::Front)
         } else {
-            let theirs: Vec<Step> = h1.chain([Step::H2a]).collect();
-            let mine: Vec<Step> = [Step::P4, Step::ImagePass].into_iter().chain(h2b).collect();
-            let worker = || self.run(&theirs);
+            let theirs = ([Step::SystemTables].into_iter().chain(h1)).chain([Step::H2a]);
+            let theirs = &Mutex::new(theirs.collect());
+            let mine = [Step::P4, Step::ImagePass].into_iter().chain(h2b);
+            let room = FairnessTables::reserve(self.product, self.graph);
+            *self.room.lock().unwrap_or_else(PoisonError::into_inner) = Some(room);
+            let worker = || self.run(theirs, End::Front);
             std::thread::scope(|scope| {
                 let spawned = std::thread::Builder::new()
                     .name("opentla-obligations".into())
                     .spawn_scoped(scope, worker);
-                let mut done = self.run(&mine);
+                let mut done = self.run(&Mutex::new(mine.collect()), End::Front);
+                let failed = done.last().is_some_and(|(_, result)| result.is_err());
+                if spawned.is_ok() && !failed {
+                    done.extend(self.run(theirs, End::Back));
+                }
                 done.extend(match spawned {
                     Ok(handle) => handle
                         .join()
@@ -420,18 +461,28 @@ impl Hypotheses<'_> {
             .collect()
     }
 
-    /// Runs `steps` in order, up to and including the first error.
-    fn run(&self, steps: &[Step]) -> Vec<(Step, Result<Option<Obligation>, SpecError>)> {
-        let mut done = Vec::with_capacity(steps.len());
-        for &step in steps {
+    /// Runs the steps of `steps`, each taken from its `end` as the last
+    /// finishes, until none is left or up to and including the first
+    /// error.
+    fn run(&self, steps: &Mutex<VecDeque<Step>>, end: End) -> Done {
+        let mut done = Vec::new();
+        loop {
+            let mut list = steps.lock().unwrap_or_else(PoisonError::into_inner);
+            let next = match end {
+                End::Front => list.pop_front(),
+                End::Back => list.pop_back(),
+            };
+            drop(list);
+            let Some(step) = next else {
+                return done;
+            };
             let result = self.step(step);
             let failed = result.is_err();
             done.push((step, result));
             if failed {
-                break;
+                return done;
             }
         }
-        done
     }
 
     /// The images of the graph under the problem's mapping.
@@ -514,6 +565,21 @@ impl Hypotheses<'_> {
                 self.images();
                 return Ok(None);
             }
+            // The product's fairness tables, for every condition of
+            // 2(b): each condition is charged for them as if it had
+            // built them itself. They fill the caller's room.
+            Step::SystemTables => {
+                let room = self
+                    .room
+                    .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .take();
+                (self.tables).get_or_init(|| match room {
+                    Some(room) => room.filled(product, graph),
+                    None => FairnessTables::of_graph(product, graph),
+                });
+                return Ok(None);
+            }
             Step::H2a => {
                 let run = check_simulation_with_images(
                     product,
@@ -546,7 +612,7 @@ impl Hypotheses<'_> {
                 // here would be unsound: an abstract action can be
                 // enabled at states the concrete implementation has
                 // saturated.
-                let run = check_liveness_with_images(
+                let run = check_liveness_with_tables(
                     product,
                     graph,
                     &LiveTarget::fair_mapped(
@@ -555,6 +621,7 @@ impl Hypotheses<'_> {
                         problem.mapping.clone(),
                     ),
                     self.images(),
+                    &self.tables,
                     budget,
                 )?;
                 Obligation {

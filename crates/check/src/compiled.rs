@@ -51,8 +51,9 @@
 //! occurs twice or more), and [`SharedFunctions::compile`] compiles an
 //! expression a second time with each occurrence as one op that reads
 //! the function's value at the current or the next state from the
-//! slot source, where [`hoist`](crate::hoist) keeps it, one evaluation
-//! per state. [`CompiledExpr::compile`] is unchanged: it emits exactly
+//! slot source, where [`hoist`](crate::hoist) keeps it, at most one
+//! evaluation per state (one per key of the slots it reads).
+//! [`CompiledExpr::compile`] is unchanged: it emits exactly
 //! the program it always did, with no such op.
 //!
 //! The compiled form is semantics-preserving by construction: operator
@@ -253,6 +254,19 @@ impl CompiledExpr {
         scratch: &mut EvalScratch,
     ) -> Result<bool, EvalError> {
         expect_bool(self.eval_step(old, new, scratch)?)
+    }
+
+    /// Calls `var` for every variable the program loads, primed or not,
+    /// and `shared` for every shared function it reads (see
+    /// [`SharedFunctions`]): what its value on a step is a function of.
+    pub(crate) fn for_each_read(&self, mut var: impl FnMut(VarId), mut shared: impl FnMut(u32)) {
+        for op in &self.ops {
+            match op {
+                Op::Load(v) | Op::LoadPrimed(v) => var(*v),
+                Op::Shared { function, .. } => shared(*function),
+                _ => {}
+            }
+        }
     }
 
     /// The one evaluator loop. `new` is the successor on a step, `None`
@@ -462,8 +476,8 @@ fn emit_chain(es: &[Expr], ops: &mut Vec<Op>, conjunctive: bool, shared: Option<
 }
 
 /// The state functions a set of expressions shares, to be evaluated
-/// once per state instead of once per occurrence ([`hoist`](crate::hoist)
-/// keeps their values).
+/// at most once per state instead of once per occurrence
+/// ([`hoist`](crate::hoist) keeps their values).
 ///
 /// A *candidate* is a subexpression other than a constant or a
 /// variable that reads only unprimed variables, or only primed ones; a

@@ -149,14 +149,14 @@ const NONE: u32 = u32::MAX;
 /// the pass that meets them. A key of one word (64 bits or fewer) is
 /// interned as that word; only a wider one is boxed.
 #[derive(Debug)]
-enum KeyIds {
+pub(crate) enum KeyIds {
     Word(FxHashMap<u64, u32>),
     Words(FxHashMap<Box<[u64]>, u32>),
 }
 
 impl KeyIds {
     /// An empty table for keys of `words` words.
-    fn of_width(words: usize) -> Self {
+    pub(crate) fn of_width(words: usize) -> Self {
         if words <= 1 {
             KeyIds::Word(FxHashMap::default())
         } else {
@@ -165,7 +165,7 @@ impl KeyIds {
     }
 
     /// Keys met so far.
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             KeyIds::Word(ids) => ids.len(),
             KeyIds::Words(ids) => ids.len(),
@@ -174,7 +174,7 @@ impl KeyIds {
 
     /// The id `key` has, or — met for the first time — the one `first`
     /// gives it.
-    fn intern(&mut self, key: &[u64], first: impl FnOnce(usize) -> u32) -> u32 {
+    pub(crate) fn intern(&mut self, key: &[u64], first: impl FnOnce(usize) -> u32) -> u32 {
         let next = self.len();
         match self {
             KeyIds::Word(ids) => {
@@ -194,7 +194,7 @@ impl KeyIds {
 }
 
 /// Words for a key of `bits` bits.
-fn words(bits: usize) -> Vec<u64> {
+pub(crate) fn words(bits: usize) -> Vec<u64> {
     vec![0; bits.div_ceil(64)]
 }
 
@@ -681,46 +681,67 @@ const UNKNOWN: u8 = 0;
 /// one-word entries that is only ever appended to. A memo touches a word
 /// per pair it meets, in the order it meets them, and never rehashes,
 /// so what it keeps resident is that word, plus four bytes per class.
-#[derive(Debug, Default)]
-struct PairLists {
+/// An answer is a number of a few bits: a truth value for an
+/// obligation, the first failing conjunct for the `⊳` monitor
+/// ([`hoist::ClassMemo`](crate::hoist::ClassMemo)).
+#[derive(Debug)]
+pub(crate) struct PairLists {
     /// Per source class, one past the index of its latest entry; 0 for
     /// none.
     heads: Vec<u32>,
-    /// Per pair met: the target class in the high half, the source
-    /// class's previous head in bits 1 to 31, the answer in bit 0.
+    /// Per pair met: the target class in the high half, then the source
+    /// class's previous head, then the answer in the low `answer_bits`
+    /// bits.
     entries: Vec<u64>,
+    answer_bits: u32,
 }
 
 impl PairLists {
+    /// Empty lists of answers below `2^answer_bits`.
+    pub(crate) fn new(answer_bits: u32) -> Self {
+        assert!((1..16).contains(&answer_bits), "an answer is a few bits");
+        PairLists {
+            heads: Vec::new(),
+            entries: Vec::new(),
+            answer_bits,
+        }
+    }
+
     /// The remembered answer of `(s, t)`.
-    fn get(&self, s: u32, t: u32) -> Option<bool> {
+    pub(crate) fn get(&self, s: u32, t: u32) -> Option<u32> {
         let mut at = *self.heads.get(s as usize)?;
+        let answer = (1u32 << self.answer_bits) - 1;
         while at != 0 {
             let entry = self.entries[at as usize - 1];
             if (entry >> 32) as u32 == t {
-                return Some(entry & 1 == 1);
+                return Some(entry as u32 & answer);
             }
-            at = (entry as u32) >> 1;
+            at = (entry as u32) >> self.answer_bits;
         }
         None
     }
 
     /// Remembers `value` for `(s, t)`, met for the first time. The first
-    /// call sizes the heads for `classes` and reserves an entry per
-    /// edge, the most a scan of the graph's edges can meet; a page of
-    /// that reservation is resident only once an entry is written to it.
-    fn insert(&mut self, classes: usize, edges: usize, s: u32, t: u32, value: bool) {
+    /// call sizes the heads for `classes` and reserves an entry for each
+    /// of `pairs`, the most the caller can meet; a page of that
+    /// reservation is resident only once an entry is written to it. A
+    /// source class past `classes` grows the heads.
+    pub(crate) fn insert(&mut self, classes: usize, pairs: usize, s: u32, t: u32, value: u32) {
         if self.heads.is_empty() {
             self.heads.resize(classes, 0);
-            self.entries.reserve_exact(edges);
+            self.entries.reserve_exact(pairs);
         }
+        if s as usize >= self.heads.len() {
+            self.heads.resize(s as usize + 1, 0);
+        }
+        debug_assert!(value >> self.answer_bits == 0, "an answer fits its bits");
         let head = &mut self.heads[s as usize];
         self.entries
-            .push(u64::from(t) << 32 | u64::from(*head) << 1 | u64::from(value));
+            .push(u64::from(t) << 32 | u64::from(*head) << self.answer_bits | u64::from(value));
         *head = u32::try_from(self.entries.len())
             .ok()
-            .filter(|&at| at < 1 << 31)
-            .expect("fewer than 2³¹ class pairs");
+            .filter(|&at| at >> (32 - self.answer_bits) == 0)
+            .expect("the class pairs met fit their links");
     }
 }
 
@@ -758,7 +779,7 @@ impl<'c> Memo<'c> {
             classes,
             ids: None,
             states: Vec::new(),
-            pairs: PairLists::default(),
+            pairs: PairLists::new(1),
             steps: 0,
             evaluated: 0,
             on_ids: 0,
@@ -804,7 +825,7 @@ impl<'c> Memo<'c> {
             return Ok(value);
         };
         if let Some(known) = self.pairs.get(s_class, t_class) {
-            return Ok(known);
+            return Ok(known == 1);
         }
         let views = classes.view(s).zip(classes.view(t));
         let on_ids = match (&mut self.ids, views) {
@@ -827,7 +848,7 @@ impl<'c> Memo<'c> {
         };
         self.evaluated += 1;
         let edges = classes.graph.edge_count();
-        (self.pairs).insert(classes.count(), edges, s_class, t_class, value);
+        (self.pairs).insert(classes.count(), edges, s_class, t_class, u32::from(value));
         Ok(value)
     }
 

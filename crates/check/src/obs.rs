@@ -353,9 +353,13 @@ pub enum Event<'a> {
     /// [`image`](crate::image)): why the check was cheap, or was not.
     /// A simulation emits one; a liveness check one per table it
     /// builds from the target (`edges` and `distinct_pairs` are 0 for
-    /// a table of a state predicate).
+    /// a table of a state predicate); the `⊳` monitor one per side.
     ImageMemo {
-        /// Which check ran the pass (`"simulation"` / `"liveness"`).
+        /// Which check ran the pass (`"simulation"` / `"liveness"`, or
+        /// a side of the `⊳` monitor, `"ag_monitor/E"` /
+        /// `"ag_monitor/M"`, which has no class pass and no ids
+        /// program: its `nanos` and `on_ids` are 0, and `skipped` says
+        /// the monitor stopped before its memo started).
         check: &'a str,
         /// Distinct image classes among the graph's states.
         classes: u64,

@@ -269,3 +269,123 @@ fn phase_timers_cover_exploration_only() {
     assert_eq!(counter.phase_nanos(Phase::Simulation), 0);
     assert_eq!(counter.phase_nanos(Phase::Compose), 0);
 }
+
+/// The `⊳` monitor's cases for its `image_memo` counts: a queue chain
+/// whose environment keeps the assumption (every edge crossed), one
+/// whose environment crashes (the assumption broken, the guarantee
+/// kept), and one whose queue crashes within a few steps (refuted
+/// before the memos start).
+fn monitored() -> Vec<(opentla_check::System, Formula, Formula)> {
+    use opentla_queue::{FairnessStyle, QueueChain};
+    let (two, three) = (
+        QueueChain::new(2, 1, 2, FairnessStyle::None),
+        QueueChain::new(3, 1, 2, FairnessStyle::None),
+    );
+    let sides = |chain: &QueueChain| {
+        (
+            chain.outer_assumption(),
+            chain.big_queue_guarantee().expect("a guarantee"),
+        )
+    };
+    let ((e2, m2), (e3, m3)) = (sides(&two), sides(&three));
+    vec![
+        (
+            two.complete_system().expect("closed"),
+            e2.clone(),
+            m2.clone(),
+        ),
+        (two.crashy_env_system().expect("closed"), e2, m2),
+        (three.crashy_queue_system(1).expect("closed"), e3, m3),
+    ]
+}
+
+/// Runs the monitor on every [`monitored`] case, in order. Run by
+/// [`ag_monitor_memo_counts_match_the_run`] in a process of its own
+/// whose process-wide recorder writes to a file; on its own, it only
+/// checks the verdicts.
+#[test]
+fn ag_monitor_runs_its_cases_under_the_process_recorder() {
+    let holds: Vec<bool> = (monitored().iter())
+        .map(|(system, env, sys)| {
+            let graph =
+                opentla_check::explore(system, &ExploreOptions::default()).expect("explores");
+            (opentla::check_ag_safety_diagnosed(system, &graph, env, sys))
+                .expect("monitors")
+                .holds()
+        })
+        .collect();
+    assert_eq!(holds, [true, true, false]);
+}
+
+/// The `⊳` monitor reports one `image_memo` per side, `E` then `M`,
+/// and its counts are the run's: `edges` is every edge the monitor
+/// crossed (the whole graph when the assumption always holds; one more
+/// for `M` than for `E` when `M` fails on an edge), `distinct_pairs`
+/// the evaluations — all of them when it stopped before its memos
+/// started (`skipped`), else fewer than the edges and at most the 255
+/// edges before the memos plus one per pair of classes.
+#[test]
+fn ag_monitor_memo_counts_match_the_run() {
+    use opentla_check::obs::Json;
+    let path = std::env::temp_dir().join(format!("opentla-ag-memo-{}.jsonl", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let status = std::process::Command::new(std::env::current_exe().expect("the test binary"))
+        .args([
+            "ag_monitor_runs_its_cases_under_the_process_recorder",
+            "--exact",
+            "--test-threads=1",
+            "-q",
+        ])
+        .env(opentla_check::obs::OBS_ENV, &path)
+        .stdout(std::process::Stdio::null())
+        .status()
+        .expect("the child runs");
+    assert!(status.success(), "the child test passes");
+    let stream = std::fs::read_to_string(&path).expect("the child wrote a stream");
+    let _ = std::fs::remove_file(&path);
+    let memos: Vec<Json> = (stream.lines())
+        .map(|line| Json::parse(line).expect("a JSON line"))
+        .filter(|event| event.get("ev").and_then(Json::as_str) == Some("image_memo"))
+        .collect();
+    let cases = monitored();
+    assert_eq!(memos.len(), 2 * cases.len(), "one event per side and run");
+    for ((system, _, _), sides) in cases.iter().zip(memos.chunks(2)) {
+        let graph = opentla_check::explore(system, &ExploreOptions::default()).expect("explores");
+        let field = |side: &Json, key: &str| side.get(key).and_then(Json::as_u64).expect(key);
+        let (e, m) = (&sides[0], &sides[1]);
+        assert_eq!(e.get("check").and_then(Json::as_str), Some("ag_monitor/E"));
+        assert_eq!(m.get("check").and_then(Json::as_str), Some("ag_monitor/M"));
+        let (e_edges, m_edges) = (field(e, "edges"), field(m, "edges"));
+        assert!(
+            m_edges == e_edges || m_edges == e_edges + 1,
+            "{e_edges} {m_edges}"
+        );
+        assert!(m_edges <= graph.edge_count() as u64);
+        for side in sides {
+            let (classes, pairs, edges) = (
+                field(side, "classes"),
+                field(side, "distinct_pairs"),
+                field(side, "edges"),
+            );
+            assert_eq!((field(side, "on_ids"), field(side, "nanos")), (0, 0));
+            let skipped = side
+                .get("skipped")
+                .and_then(Json::as_bool)
+                .expect("skipped");
+            assert_eq!(skipped, m_edges < 256, "the memos start at the 256th edge");
+            if skipped {
+                assert_eq!((classes, pairs), (0, edges));
+            } else {
+                assert!((1..=graph.len() as u64).contains(&classes));
+                assert!(pairs < edges && pairs <= 255 + classes * classes);
+            }
+        }
+    }
+    // The chain whose environment keeps the assumption crosses every
+    // edge, for both sides; the crashing queue refutes within a few.
+    let first = opentla_check::explore(&cases[0].0, &ExploreOptions::default()).expect("explores");
+    let edges = |i: usize| memos[i].get("edges").and_then(Json::as_u64);
+    assert_eq!(edges(0), Some(first.edge_count() as u64));
+    assert_eq!(edges(1), Some(first.edge_count() as u64));
+    assert!(edges(5) < Some(256));
+}

@@ -15,7 +15,7 @@
 use crate::checkpoint::{CheckpointSpec, ResumeToken};
 use crate::obs::{self, Event, ProgressSnapshot, RecorderHandle};
 use crate::GraphStats;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -283,35 +283,27 @@ impl std::fmt::Display for Outcome {
 /// [`Meter::checkpoint`] at loop heads; the first charge or checkpoint
 /// returning `Some` reason is where they stop.
 ///
-/// A meter is charged in one of two ways, with the same limits and
-/// the same cut:
-///
-/// - **Exclusive**, through `&mut self`: [`Meter::charge_state_mut`],
-///   [`Meter::charge_transition_mut`] and the bulk
-///   [`Meter::charge_transitions`]. Every engine loop owns its meter
-///   (the exploration store, each simulation, each liveness check and
-///   its tables, Tarjan and component search), so it charges this way:
-///   a plain load and store of the counter, which the CPU overlaps with
-///   the loop's other reads.
-/// - **Shared**, through `&self`: [`Meter::charge_state`] and
-///   [`Meter::charge_transition`]. The counters are atomic, so one
-///   meter can be shared by reference across threads; each charge is a
-///   compare-and-swap, so at most `max_states` state charges ever
-///   succeed however many threads race (and likewise for transitions).
+/// Every engine loop owns its meter (the exploration store, each
+/// simulation, each liveness check and its tables, Tarjan and component
+/// search) and charges it through `&mut self`:
+/// [`Meter::charge_state_mut`], [`Meter::charge_transition_mut`] and the
+/// bulk [`Meter::charge_transitions`], a plain load and store of the
+/// counter, which the CPU overlaps with the loop's other reads. Only the
+/// budget's cancellation flag is shared between threads.
 #[derive(Debug)]
 pub struct Meter {
     budget: Budget,
     start: Instant,
-    states: AtomicUsize,
-    transitions: AtomicUsize,
+    states: usize,
+    transitions: usize,
     /// `budget.recorder.enabled()`, hoisted once at start so a null
     /// recorder costs the hot loop a single predictable branch.
     observe: bool,
     /// Checkpoint counter driving sampled progress emission.
-    ticks: AtomicU64,
+    ticks: u64,
     /// Bytes the bounded-memory engine has spilled to disk (zero for
     /// the in-RAM engines).
-    spilled: AtomicU64,
+    spilled: u64,
 }
 
 impl Meter {
@@ -321,11 +313,11 @@ impl Meter {
         Meter {
             budget: budget.clone(),
             start: Instant::now(),
-            states: AtomicUsize::new(0),
-            transitions: AtomicUsize::new(0),
+            states: 0,
+            transitions: 0,
             observe: budget.recorder.enabled(),
-            ticks: AtomicU64::new(0),
-            spilled: AtomicU64::new(0),
+            ticks: 0,
+            spilled: 0,
         }
     }
 
@@ -336,26 +328,26 @@ impl Meter {
     /// deliberately — restarts: a wall-clock allowance budgets an
     /// attempt, not the lifetime of a checkpoint file.
     pub fn start_resumed(budget: &Budget, states: usize, transitions: usize) -> Self {
-        let meter = Meter::start(budget);
-        meter.states.store(states, Ordering::Relaxed);
-        meter.transitions.store(transitions, Ordering::Relaxed);
-        meter
+        Meter {
+            states,
+            transitions,
+            ..Meter::start(budget)
+        }
     }
 
-    /// Charges `counter` by one if it is still under `limit`.
-    fn charge(counter: &AtomicUsize, limit: usize) -> bool {
-        counter
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < limit).then(|| n + 1)
-            })
-            .is_ok()
+    /// Admits up to `n` charges of `used` under `limit`: how many it
+    /// admitted.
+    fn charge(used: &mut usize, limit: usize, n: usize) -> usize {
+        let admitted = n.min(limit.saturating_sub(*used));
+        *used += admitted;
+        admitted
     }
 
     /// Records one unique state; `Some` if that state was over the
     /// limit. The caller should *not* keep the state in that case, so
     /// the recorded graph never exceeds `max_states`.
-    pub fn charge_state(&self) -> Option<ExhaustReason> {
-        if Meter::charge(&self.states, self.budget.max_states) {
+    pub fn charge_state_mut(&mut self) -> Option<ExhaustReason> {
+        if Meter::charge(&mut self.states, self.budget.max_states, 1) == 1 {
             None
         } else {
             Some(ExhaustReason::StateLimit {
@@ -365,44 +357,15 @@ impl Meter {
     }
 
     /// Records one processed transition; `Some` if over the limit.
-    pub fn charge_transition(&self) -> Option<ExhaustReason> {
-        if Meter::charge(&self.transitions, self.budget.max_transitions) {
-            None
-        } else {
-            Some(self.transition_limit())
-        }
-    }
-
-    /// Admits up to `n` charges of `counter` under `limit`, through
-    /// exclusive access: how many it admitted.
-    fn charge_mut(counter: &mut AtomicUsize, limit: usize, n: usize) -> usize {
-        let used = counter.get_mut();
-        let admitted = n.min(limit.saturating_sub(*used));
-        *used += admitted;
-        admitted
-    }
-
-    /// [`Meter::charge_state`] through exclusive access.
-    pub fn charge_state_mut(&mut self) -> Option<ExhaustReason> {
-        if Meter::charge_mut(&mut self.states, self.budget.max_states, 1) == 1 {
-            None
-        } else {
-            Some(ExhaustReason::StateLimit {
-                limit: self.budget.max_states,
-            })
-        }
-    }
-
-    /// [`Meter::charge_transition`] through exclusive access.
     pub fn charge_transition_mut(&mut self) -> Option<ExhaustReason> {
-        if Meter::charge_mut(&mut self.transitions, self.budget.max_transitions, 1) == 1 {
+        if Meter::charge(&mut self.transitions, self.budget.max_transitions, 1) == 1 {
             None
         } else {
             Some(self.transition_limit())
         }
     }
 
-    /// `n` transitions at once, through exclusive access: it admits
+    /// `n` transitions at once: it admits
     /// `min(n, remaining)` — exactly the charges `n` calls of
     /// [`Meter::charge_transition_mut`] would have admitted before the
     /// first refusal — and on a cut reports how many it admitted.
@@ -411,7 +374,7 @@ impl Meter {
     ///
     /// `(admitted, reason)` when fewer than `n` fit under the limit.
     pub fn charge_transitions(&mut self, n: usize) -> Result<(), (usize, ExhaustReason)> {
-        let admitted = Meter::charge_mut(&mut self.transitions, self.budget.max_transitions, n);
+        let admitted = Meter::charge(&mut self.transitions, self.budget.max_transitions, n);
         if admitted == n {
             Ok(())
         } else {
@@ -431,7 +394,7 @@ impl Meter {
     /// [`Event::Progress`] every [`obs::PROGRESS_SAMPLE`] checkpoints
     /// — the instrumentation piggybacks on the cadence the loop
     /// already pays for, keeping the hot path allocation-free.
-    pub fn checkpoint(&self) -> Option<ExhaustReason> {
+    pub fn checkpoint(&mut self) -> Option<ExhaustReason> {
         if self.budget.cancel.load(Ordering::Relaxed) {
             return Some(ExhaustReason::Cancelled);
         }
@@ -441,18 +404,18 @@ impl Meter {
             }
         }
         if self.observe {
-            let tick = self.ticks.fetch_add(1, Ordering::Relaxed);
-            if tick % obs::PROGRESS_SAMPLE == obs::PROGRESS_SAMPLE - 1 {
-                self.emit_progress(None, None, None);
+            self.ticks += 1;
+            if self.ticks.is_multiple_of(obs::PROGRESS_SAMPLE) {
+                self.emit_progress(None);
             }
         }
         None
     }
 
     /// Emits one [`Event::Progress`] snapshot with the current counts
-    /// (no-op when the recorder is disabled). Engines that know their
-    /// frontier size, BFS level, or worker index pass them here.
-    pub fn emit_progress(&self, frontier: Option<u64>, level: Option<u64>, worker: Option<u64>) {
+    /// (no-op when the recorder is disabled). An engine that knows its
+    /// frontier size passes it here.
+    pub fn emit_progress(&self, frontier: Option<u64>) {
         if !self.observe {
             return;
         }
@@ -463,8 +426,8 @@ impl Meter {
                 transitions: self.transitions_used() as u64,
                 elapsed_nanos: self.start.elapsed().as_nanos() as u64,
                 frontier,
-                level,
-                worker,
+                level: None,
+                worker: None,
                 budget_states: finite(self.budget.max_states),
                 budget_transitions: finite(self.budget.max_transitions),
             },
@@ -488,22 +451,22 @@ impl Meter {
 
     /// States charged so far.
     pub fn states_used(&self) -> usize {
-        self.states.load(Ordering::Relaxed)
+        self.states
     }
 
     /// Transitions charged so far.
     pub fn transitions_used(&self) -> usize {
-        self.transitions.load(Ordering::Relaxed)
+        self.transitions
     }
 
     /// Banks `bytes` written to disk by a spilling engine.
-    pub fn add_spilled_bytes(&self, bytes: u64) {
-        self.spilled.fetch_add(bytes, Ordering::Relaxed);
+    pub fn add_spilled_bytes(&mut self, bytes: u64) {
+        self.spilled += bytes;
     }
 
     /// Total bytes spilled to disk so far (zero for in-RAM engines).
     pub fn spilled_bytes(&self) -> u64 {
-        self.spilled.load(Ordering::Relaxed)
+        self.spilled
     }
 }
 
@@ -585,46 +548,39 @@ mod tests {
 
     #[test]
     fn meter_trips_at_limits() {
-        let m = Meter::start(&Budget::default().states(2).transitions(1));
-        assert!(m.charge_state().is_none());
-        assert!(m.charge_state().is_none());
+        let mut m = Meter::start(&Budget::default().states(2).transitions(1));
+        assert!(m.charge_state_mut().is_none());
+        assert!(m.charge_state_mut().is_none());
         assert_eq!(
-            m.charge_state(),
+            m.charge_state_mut(),
             Some(ExhaustReason::StateLimit { limit: 2 })
         );
-        assert!(m.charge_transition().is_none());
+        assert!(m.charge_transition_mut().is_none());
         assert_eq!(
-            m.charge_transition(),
+            m.charge_transition_mut(),
             Some(ExhaustReason::TransitionLimit { limit: 1 })
         );
         assert_eq!(m.states_used(), 2);
         assert_eq!(m.transitions_used(), 1);
     }
 
-    /// The exclusive charges admit exactly what the shared ones do —
-    /// below, at and across the limit — and the bulk charge admits
+    /// The single charges admit exactly `limit` charges — below, at
+    /// and across the limit — and the bulk charge admits
     /// `min(n, remaining)`, cutting where that many single charges
     /// would have.
     #[test]
     fn exclusive_and_bulk_charges_are_exact_at_the_limit() {
         for limit in [0, 1, 5] {
-            let budget = Budget::default().states(limit).transitions(limit);
-            let (shared, mut exclusive) = (Meter::start(&budget), Meter::start(&budget));
-            for _ in 0..limit + 2 {
-                assert_eq!(exclusive.charge_state_mut(), shared.charge_state());
-                assert_eq!(
-                    exclusive.charge_transition_mut(),
-                    shared.charge_transition()
-                );
-                assert_eq!(exclusive.states_used(), shared.states_used());
-                assert_eq!(exclusive.transitions_used(), shared.transitions_used());
+            let mut m = Meter::start(&Budget::default().states(limit).transitions(limit));
+            for i in 0..limit + 2 {
+                let admitted = i < limit;
+                assert_eq!(m.charge_state_mut().is_none(), admitted);
+                assert_eq!(m.charge_transition_mut().is_none(), admitted);
+                let used = (i + 1).min(limit);
+                assert_eq!((m.states_used(), m.transitions_used()), (used, used));
             }
             assert_eq!(
-                (exclusive.states_used(), exclusive.transitions_used()),
-                (limit, limit)
-            );
-            assert_eq!(
-                exclusive.charge_state_mut(),
+                m.charge_state_mut(),
                 Some(ExhaustReason::StateLimit { limit })
             );
         }
@@ -656,39 +612,15 @@ mod tests {
     }
 
     #[test]
-    fn meter_is_shareable_and_exact_under_contention() {
-        fn assert_sync<T: Sync>() {}
-        assert_sync::<Budget>();
-        assert_sync::<Meter>();
-
-        let m = Meter::start(&Budget::default().states(100).transitions(100));
-        let successes = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..100 {
-                        if m.charge_state().is_none() {
-                            successes.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        // 400 racing charges against a limit of 100: exactly 100 win.
-        assert_eq!(successes.load(Ordering::Relaxed), 100);
-        assert_eq!(m.states_used(), 100);
-    }
-
-    #[test]
     fn checkpoint_sees_cancellation_and_deadline() {
         let b = Budget::default();
-        let m = Meter::start(&b);
+        let mut m = Meter::start(&b);
         assert!(m.checkpoint().is_none());
         b.request_cancel();
         assert_eq!(m.checkpoint(), Some(ExhaustReason::Cancelled));
 
         let b = Budget::default().with_deadline(Duration::from_secs(0));
-        let m = Meter::start(&b);
+        let mut m = Meter::start(&b);
         std::thread::sleep(Duration::from_millis(2));
         assert!(matches!(
             m.checkpoint(),

@@ -36,25 +36,18 @@
 //! unpacked row — a [`State`], a [`RowView`](crate::RowView) (a graph
 //! state on its row), or [`ImageView`](crate::image::ImageView), a graph
 //! state whose mapped slots are read from the image column (what an
-//! obligation's memo miss is decided on), or
-//! [`SharedView`](crate::hoist::SharedView), a graph state with the
-//! values of its shared functions (below). The loop is monomorphized
-//! per source, so the stepper's load is a slice index, as it always
-//! was.
+//! obligation's memo miss, and the `⊳` monitor's, is decided on). The
+//! loop is monomorphized per source, so the stepper's load is a slice
+//! index, as it always was.
 //!
-//! **Hoisting.** A check that decides several expressions on every
-//! step — the `⊳` monitor — may meet one state function many times per
-//! step: the mapped guarantee of a queue chain reads `q̄` or `q̄′` nine
-//! times in one box. [`SharedFunctions::of`] finds the state functions
-//! a set of expressions shares (the maximal subexpressions that read
-//! only unprimed or only primed variables and whose unprimed form
-//! occurs twice or more), and [`SharedFunctions::compile`] compiles an
-//! expression a second time with each occurrence as one op that reads
-//! the function's value at the current or the next state from the
-//! slot source, where [`hoist`](crate::hoist) keeps it, at most one
-//! evaluation per state (one per key of the slots it reads).
-//! [`CompiledExpr::compile`] is unchanged: it emits exactly
-//! the program it always did, with no such op.
+//! **Shared functions.** A check that decides several expressions on
+//! every step — the `⊳` monitor — may meet one state function many
+//! times per step: the mapped guarantee of a queue chain reads `q̄` or
+//! `q̄′` nine times in one box. [`SharedFunctions::of`] finds the state
+//! functions a set of expressions shares (the maximal subexpressions
+//! that read only unprimed or only primed variables and whose unprimed
+//! form occurs twice or more); [`hoist`](crate::hoist) names each by a
+//! fresh variable and reads it as a mapped one.
 //!
 //! The compiled form is semantics-preserving by construction: operator
 //! application delegates to the kernel's own [`UnOp::apply`] /
@@ -85,19 +78,12 @@ use std::ops::ControlFlow;
 
 /// Where a running program reads its variables: one slot per
 /// [`VarId`]. The evaluator is monomorphized per implementation. Not
-/// re-exported: the implementations are the five sources above.
+/// re-exported: the implementations are the four sources above.
 pub trait Slots {
     /// The value in `v`'s slot; `None` past the last slot.
     fn slot(&self, v: VarId) -> Option<&Value>;
     /// The number of slots (an unbound variable's `state_len`).
     fn slot_count(&self) -> usize;
-    /// The value of shared function `f` (see [`SharedFunctions`]) at
-    /// this state; `None` for a source that keeps none, where a
-    /// hoisted program fails and its caller runs the plain one.
-    #[inline]
-    fn shared(&self, _f: u32) -> Option<&Value> {
-        None
-    }
 }
 
 impl Slots for [Value] {
@@ -163,17 +149,6 @@ enum Op {
     MkSeq(u32),
     /// Pop a value, push whether it belongs to the listed set.
     InSet(Vec<Value>),
-    /// Push the value of shared function `function` (a hoisted
-    /// occurrence, see [`SharedFunctions`]): at the successor for a
-    /// primed occurrence, else at the current state. `var` is the
-    /// function's first variable, named by the error of a primed
-    /// occurrence in a state function and of a source without shared
-    /// values.
-    Shared {
-        function: u32,
-        primed: bool,
-        var: VarId,
-    },
 }
 
 /// An expression compiled to a flat postfix program.
@@ -193,7 +168,7 @@ impl CompiledExpr {
     /// exactly like the interpreter does.
     pub fn compile(expr: &Expr) -> CompiledExpr {
         let mut ops = Vec::new();
-        emit(expr, &mut ops, None);
+        emit(expr, &mut ops);
         CompiledExpr { ops }
     }
 
@@ -254,19 +229,6 @@ impl CompiledExpr {
         scratch: &mut EvalScratch,
     ) -> Result<bool, EvalError> {
         expect_bool(self.eval_step(old, new, scratch)?)
-    }
-
-    /// Calls `var` for every variable the program loads, primed or not,
-    /// and `shared` for every shared function it reads (see
-    /// [`SharedFunctions`]): what its value on a step is a function of.
-    pub(crate) fn for_each_read(&self, mut var: impl FnMut(VarId), mut shared: impl FnMut(u32)) {
-        for op in &self.ops {
-            match op {
-                Op::Load(v) | Op::LoadPrimed(v) => var(*v),
-                Op::Shared { function, .. } => shared(*function),
-                _ => {}
-            }
-        }
     }
 
     /// The one evaluator loop. `new` is the successor on a step, `None`
@@ -345,21 +307,6 @@ impl CompiledExpr {
                     let v = pop(stack);
                     stack.push(Value::Bool(set.contains(&v)));
                 }
-                Op::Shared {
-                    function,
-                    primed,
-                    var,
-                } => {
-                    let at = match (primed, new) {
-                        (false, _) => old,
-                        (true, Some(new)) => new,
-                        (true, None) => return Err(EvalError::PrimeInStateContext { var: *var }),
-                    };
-                    match at.shared(*function) {
-                        Some(value) => stack.push(value.clone()),
-                        None => return Err(unbound(at, *var)),
-                    }
-                }
             }
         }
         debug_assert_eq!(stack.len(), 1, "compiled program left a ragged stack");
@@ -381,24 +328,20 @@ fn pop(stack: &mut Vec<Value>) -> Value {
     stack.pop().expect("compiled program underflowed its stack")
 }
 
-fn emit(expr: &Expr, ops: &mut Vec<Op>, shared: Option<&SharedFunctions>) {
-    if let Some(op) = shared.and_then(|functions| functions.occurrence(expr)) {
-        ops.push(op);
-        return;
-    }
+fn emit(expr: &Expr, ops: &mut Vec<Op>) {
     match expr {
         Expr::Const(v) => ops.push(Op::Const(v.clone())),
         Expr::Var(v) => ops.push(Op::Load(*v)),
         Expr::Prime(v) => ops.push(Op::LoadPrimed(*v)),
         Expr::Unary(op, e) => {
-            emit(e, ops, shared);
+            emit(e, ops);
             ops.push(Op::Unary(*op));
         }
         Expr::Binary(BinOp::Implies, a, b) => {
-            emit(a, ops, shared);
+            emit(a, ops);
             let probe = ops.len();
             ops.push(Op::ImpliesProbe { end: 0 });
-            emit(b, ops, shared);
+            emit(b, ops);
             ops.push(Op::EnsureBool);
             let end = ops.len() as u32;
             let Op::ImpliesProbe { end: slot } = &mut ops[probe] else {
@@ -407,21 +350,21 @@ fn emit(expr: &Expr, ops: &mut Vec<Op>, shared: Option<&SharedFunctions>) {
             *slot = end;
         }
         Expr::Binary(op, a, b) => {
-            emit(a, ops, shared);
-            emit(b, ops, shared);
+            emit(a, ops);
+            emit(b, ops);
             ops.push(Op::Binary(*op));
         }
-        Expr::And(es) => emit_chain(es, ops, true, shared),
-        Expr::Or(es) => emit_chain(es, ops, false, shared),
+        Expr::And(es) => emit_chain(es, ops, true),
+        Expr::Or(es) => emit_chain(es, ops, false),
         Expr::Ite(c, a, b) => {
-            emit(c, ops, shared);
+            emit(c, ops);
             let branch = ops.len();
             ops.push(Op::JumpIfFalse { target: 0 });
-            emit(a, ops, shared);
+            emit(a, ops);
             let join = ops.len();
             ops.push(Op::Jump { target: 0 });
             let else_at = ops.len() as u32;
-            emit(b, ops, shared);
+            emit(b, ops);
             let end = ops.len() as u32;
             let Op::JumpIfFalse { target } = &mut ops[branch] else {
                 unreachable!("branch written above")
@@ -434,18 +377,18 @@ fn emit(expr: &Expr, ops: &mut Vec<Op>, shared: Option<&SharedFunctions>) {
         }
         Expr::Tuple(es) => {
             for e in es {
-                emit(e, ops, shared);
+                emit(e, ops);
             }
             ops.push(Op::MkTuple(es.len() as u32));
         }
         Expr::MkSeq(es) => {
             for e in es {
-                emit(e, ops, shared);
+                emit(e, ops);
             }
             ops.push(Op::MkSeq(es.len() as u32));
         }
         Expr::InSet(e, set) => {
-            emit(e, ops, shared);
+            emit(e, ops);
             ops.push(Op::InSet(set.clone()));
         }
     }
@@ -453,10 +396,10 @@ fn emit(expr: &Expr, ops: &mut Vec<Op>, shared: Option<&SharedFunctions>) {
 
 /// Emits an `∧` chain (`conjunctive = true`) or `∨` chain, with each
 /// element followed by a probe that short-circuits to the end.
-fn emit_chain(es: &[Expr], ops: &mut Vec<Op>, conjunctive: bool, shared: Option<&SharedFunctions>) {
+fn emit_chain(es: &[Expr], ops: &mut Vec<Op>, conjunctive: bool) {
     let mut probes = Vec::with_capacity(es.len());
     for e in es {
-        emit(e, ops, shared);
+        emit(e, ops);
         probes.push(ops.len());
         ops.push(if conjunctive {
             Op::AndProbe { end: 0 }
@@ -477,7 +420,7 @@ fn emit_chain(es: &[Expr], ops: &mut Vec<Op>, conjunctive: bool, shared: Option<
 
 /// The state functions a set of expressions shares, to be evaluated
 /// at most once per state instead of once per occurrence
-/// ([`hoist`](crate::hoist) keeps their values).
+/// ([`hoist`](crate::hoist) reads them as mapped variables).
 ///
 /// A *candidate* is a subexpression other than a constant or a
 /// variable that reads only unprimed variables, or only primed ones; a
@@ -494,16 +437,8 @@ fn emit_chain(es: &[Expr], ops: &mut Vec<Op>, conjunctive: bool, shared: Option<
 /// Only the chosen functions are cloned, once each.
 #[derive(Clone, Debug, Default)]
 pub struct SharedFunctions {
-    functions: Vec<SharedFunction>,
-}
-
-/// One shared function: its unprimed form, compiled plainly, and its
-/// first variable (see [`Op::Shared`]).
-#[derive(Clone, Debug)]
-struct SharedFunction {
-    expr: Expr,
-    program: CompiledExpr,
-    var: VarId,
+    /// Unprimed, by number.
+    functions: Vec<Expr>,
 }
 
 /// One node of the analysis, in pre-order over all expressions.
@@ -557,7 +492,7 @@ impl SharedFunctions {
             }
         }
         // Top-down: a shared node is taken whole, its descendants not.
-        let mut functions: Vec<SharedFunction> = Vec::new();
+        let mut functions: Vec<Expr> = Vec::new();
         let mut taken = vec![false; nodes.len()];
         let mut i = 0;
         while i < nodes.len() {
@@ -567,12 +502,7 @@ impl SharedFunctions {
                 continue;
             }
             if !std::mem::replace(&mut taken[c as usize], true) {
-                let expr = unprimed(nodes[i].expr);
-                functions.push(SharedFunction {
-                    program: CompiledExpr::compile(&expr),
-                    var: first_var(&expr).expect("a candidate reads a variable"),
-                    expr,
-                });
+                functions.push(unprimed(nodes[i].expr));
             }
             i += nodes[i].size as usize;
         }
@@ -591,32 +521,13 @@ impl SharedFunctions {
 
     /// The functions, unprimed, by number.
     pub fn functions(&self) -> impl Iterator<Item = &Expr> {
-        self.functions.iter().map(|f| &f.expr)
+        self.functions.iter()
     }
 
-    /// Function `f` compiled plainly: what fills its values.
-    pub(crate) fn program(&self, f: usize) -> &CompiledExpr {
-        &self.functions[f].program
-    }
-
-    /// `expr` compiled with every occurrence of a function — the
-    /// topmost ones, unprimed or primed — as one op that reads its
-    /// value at the current or the next state; `None` where `expr` has
-    /// no occurrence. Wherever the hoisted program returns a value,
-    /// the plain one ([`CompiledExpr::compile`]) returns the same on
-    /// the same states; its errors are not the plain program's, so a
-    /// caller that meets one runs the plain program.
-    pub fn compile(&self, expr: &Expr) -> Option<CompiledExpr> {
-        if self.functions.is_empty() {
-            return None;
-        }
-        let mut ops = Vec::new();
-        emit(expr, &mut ops, Some(self));
-        (ops.iter().any(|op| matches!(op, Op::Shared { .. }))).then_some(CompiledExpr { ops })
-    }
-
-    /// The op of `expr` if it is an occurrence of a function.
-    fn occurrence(&self, expr: &Expr) -> Option<Op> {
+    /// The number of the function `expr` is an occurrence of, and
+    /// whether it is its primed twin (`q̄′` of `q̄`); `None` for no
+    /// occurrence.
+    pub(crate) fn occurrence(&self, expr: &Expr) -> Option<(usize, bool)> {
         if matches!(expr, Expr::Const(_) | Expr::Var(_) | Expr::Prime(_)) {
             return None;
         }
@@ -627,11 +538,7 @@ impl SharedFunctions {
                     (Expr::Prime(a), Expr::Var(b)) => primed && a == b,
                     _ => false,
                 };
-                twins(expr, &function.expr, &var).then_some(Op::Shared {
-                    function: f as u32,
-                    primed,
-                    var: function.var,
-                })
+                twins(expr, function, &var).then_some((f, primed))
             })
         })
     }
@@ -722,26 +629,27 @@ fn var_of(e: &Expr) -> Option<VarId> {
     }
 }
 
-/// The first variable of `e` in evaluation order.
-fn first_var(e: &Expr) -> Option<VarId> {
-    var_of(e).or_else(|| children(e).find_map(first_var))
-}
-
 /// `e` with every primed variable unprimed.
 fn unprimed(e: &Expr) -> Expr {
-    let each = |es: &[Expr]| es.iter().map(unprimed).collect();
-    let boxed = |e: &Expr| Box::new(unprimed(e));
     match e {
         Expr::Prime(v) => Expr::Var(*v),
-        Expr::Const(_) | Expr::Var(_) => e.clone(),
-        Expr::Unary(op, a) => Expr::Unary(*op, boxed(a)),
-        Expr::Binary(op, a, b) => Expr::Binary(*op, boxed(a), boxed(b)),
-        Expr::And(es) => Expr::And(each(es)),
-        Expr::Or(es) => Expr::Or(each(es)),
-        Expr::Ite(c, a, b) => Expr::Ite(boxed(c), boxed(a), boxed(b)),
-        Expr::Tuple(es) => Expr::Tuple(each(es)),
-        Expr::MkSeq(es) => Expr::MkSeq(each(es)),
-        Expr::InSet(a, set) => Expr::InSet(boxed(a), set.clone()),
+        e => map_operands(e, unprimed),
+    }
+}
+
+/// `e` with each operand replaced by `f` of it, in evaluation order; a
+/// constant or a variable is itself.
+pub(crate) fn map_operands(e: &Expr, mut f: impl FnMut(&Expr) -> Expr) -> Expr {
+    match e {
+        Expr::Const(_) | Expr::Var(_) | Expr::Prime(_) => e.clone(),
+        Expr::Unary(op, a) => Expr::Unary(*op, Box::new(f(a))),
+        Expr::Binary(op, a, b) => Expr::Binary(*op, Box::new(f(a)), Box::new(f(b))),
+        Expr::And(es) => Expr::And(es.iter().map(f).collect()),
+        Expr::Or(es) => Expr::Or(es.iter().map(f).collect()),
+        Expr::Ite(c, a, b) => Expr::Ite(Box::new(f(c)), Box::new(f(a)), Box::new(f(b))),
+        Expr::Tuple(es) => Expr::Tuple(es.iter().map(f).collect()),
+        Expr::MkSeq(es) => Expr::MkSeq(es.iter().map(f).collect()),
+        Expr::InSet(a, set) => Expr::InSet(Box::new(f(a)), set.clone()),
     }
 }
 
@@ -1188,6 +1096,7 @@ pub(crate) fn append_child(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hoist::Hoisting;
     use crate::{GuardedAction, Init};
     use opentla_kernel::{Domain, Vars};
 
@@ -1266,19 +1175,20 @@ mod tests {
         assert_agree(&Expr::var(q), &short);
     }
 
-    /// The number of hoisted occurrences in `program`, primed or not.
-    fn occurrences(program: &CompiledExpr) -> (usize, usize) {
-        let count = |primed: bool| {
-            (program.ops.iter())
-                .filter(|op| matches!(op, Op::Shared { primed: p, .. } if *p == primed))
-                .count()
-        };
-        (count(false), count(true))
+    /// The occurrences of a variable of `fresh` in `e`, unprimed and
+    /// primed.
+    fn occurrences(fresh: &VarSet, e: &Expr) -> (usize, usize) {
+        match e {
+            Expr::Var(v) if fresh.contains(*v) => (1, 0),
+            Expr::Prime(v) if fresh.contains(*v) => (0, 1),
+            e => (children(e).map(|e| occurrences(fresh, e)))
+                .fold((0, 0), |(a, b), (c, d)| (a + c, b + d)),
+        }
     }
 
     #[test]
     fn twins_are_shared_and_mixed_reads_are_not() {
-        let (_, x, q) = setup();
+        let (vars, x, q) = setup();
         let sum = |x: Expr, q: Expr| x.add(q.len());
         let unprimed = sum(Expr::var(x), Expr::var(q));
         let primed = sum(Expr::prime(x), Expr::prime(q));
@@ -1287,20 +1197,21 @@ mod tests {
             .clone()
             .eq(primed)
             .and(mixed.clone().gt(Expr::int(0)));
-        let functions = SharedFunctions::of([&step]);
-        let shared: Vec<&Expr> = functions.functions().collect();
+        let hoisting = Hoisting::of([&step], &vars);
+        let shared: Vec<&Expr> = hoisting.functions().functions().collect();
         // `x + Len(q)` and its primed twin; `Len(q)` occurs a third time
         // in the mixed sum, outside every chosen function.
         assert_eq!(shared, [&unprimed, &Expr::var(q).len()]);
-        let program = functions.compile(&step).expect("an occurrence");
-        assert_eq!(occurrences(&program), (1, 2));
-        let in_mixed = functions.compile(&mixed).expect("Len(q′)");
-        assert_eq!(occurrences(&in_mixed), (0, 1));
-        assert!(functions.compile(&Expr::var(x)).is_none());
-        // A plain compile is today's program.
-        let plain = CompiledExpr::compile(&step);
-        assert_eq!(occurrences(&plain), (0, 0));
-        assert!(SharedFunctions::default().compile(&step).is_none());
+        let fresh: VarSet = hoisting.mapping().domain().collect();
+        assert!(fresh.iter().all(|y| y.index() >= vars.len()));
+        let rewritten = hoisting.rewrite(&step).expect("an occurrence");
+        assert_eq!(occurrences(&fresh, &rewritten), (1, 2));
+        // Mapped back, the rewritten expression is the original.
+        assert_eq!(hoisting.mapping().expr(&rewritten), Ok(step.clone()));
+        let in_mixed = hoisting.rewrite(&mixed).expect("Len(q′)");
+        assert_eq!(occurrences(&fresh, &in_mixed), (0, 1));
+        assert!(hoisting.rewrite(&Expr::var(x)).is_none());
+        assert!(Hoisting::of([&mixed], &vars).rewrite(&step).is_none());
     }
 
     #[test]
@@ -1332,28 +1243,35 @@ mod tests {
 
     #[test]
     fn a_source_without_shared_values_errs() {
-        let (_, _, q) = setup();
+        let (vars, _, q) = setup();
         let f = Expr::var(q).len();
         let step = f
             .clone()
             .lt(Expr::Unary(UnOp::Len, Box::new(Expr::prime(q))));
-        let functions = SharedFunctions::of([&step]);
-        let program = functions.compile(&step).expect("an occurrence");
-        // A source without shared values errs, on a step and on a
-        // state, naming the function's first variable.
+        let hoisting = Hoisting::of([&step], &vars);
+        let y = hoisting
+            .mapping()
+            .domain()
+            .next()
+            .expect("Len(q) is shared");
+        let rewrite =
+            |e: &Expr| CompiledExpr::compile(&hoisting.rewrite(e).expect("an occurrence"));
+        // A source without the functions' values errs, on a step and on
+        // a state, naming the fresh variable: there a caller runs the
+        // original program.
         let s = State::new(vec![Value::Int(0), Value::empty_seq()]);
         let scratch = &mut EvalScratch::new();
         assert_eq!(
-            program.eval_step(&s, &s, scratch),
+            rewrite(&step).eval_step(&s, &s, scratch),
             Err(EvalError::UnboundVar {
-                var: q,
+                var: y,
                 state_len: 2
             })
         );
-        let state_fn = functions.compile(&f.clone().eq(Expr::int(0))).unwrap();
+        let state_fn = rewrite(&f.clone().eq(Expr::int(0)));
         assert!(matches!(
             state_fn.eval(&s, scratch),
-            Err(EvalError::UnboundVar { var, .. }) if var == q
+            Err(EvalError::UnboundVar { var, .. }) if var == y
         ));
     }
 

@@ -82,7 +82,7 @@ impl Filter {
 /// Accounts one spill — a sealed segment, or a drained fingerprint run
 /// — of `records` in `bytes`, the `seq`-th of its `tier`, and reports
 /// it as a `spill` event.
-fn note_spill(meter: &Meter, tier: &'static str, seq: u64, records: u64, bytes: u64) {
+fn note_spill(meter: &mut Meter, tier: &'static str, seq: u64, records: u64, bytes: u64) {
     meter.add_spilled_bytes(bytes);
     let rec = meter.recorder();
     if rec.enabled() {
@@ -99,7 +99,7 @@ fn note_spill(meter: &Meter, tier: &'static str, seq: u64, records: u64, bytes: 
 /// Appends one record to the store's `tier`, reporting the segment it
 /// seals, if any.
 pub(super) fn append(
-    meter: &Meter,
+    meter: &mut Meter,
     tier: &'static str,
     store: &mut SegmentStore,
     record: &[u8],
@@ -259,7 +259,7 @@ impl SpillVisited {
 
     /// Drains the hot tier into a sorted run file, setting the filter
     /// bits of every drained key.
-    fn drain_hot(&mut self, meter: &Meter) -> Result<(), StoreError> {
+    fn drain_hot(&mut self, meter: &mut Meter) -> Result<(), StoreError> {
         let filter = self
             .filter
             .get_or_insert_with(|| Filter::new(self.filter_bytes));

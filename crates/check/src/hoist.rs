@@ -1,7 +1,6 @@
-//! Hoisted state functions and class memos: each function a set of
-//! expressions shares is evaluated once per distinct key of the slots it
-//! reads, not once per occurrence per step, and a set of expressions
-//! is decided once per pair of classes, not once per step.
+//! Hoisted state functions: each function a set of expressions shares
+//! is read as a mapped variable, so it is evaluated once per distinct
+//! key of the slots it reads, not once per occurrence per step.
 //!
 //! A check that evaluates several expressions on every step of a graph
 //! — the `⊳` monitor decides every conjunct of `E` and of `M` on every
@@ -10,437 +9,102 @@
 //! step: the mapped guarantee of a queue chain reads `q̄` (a
 //! concatenation of every queue of the chain) or `q̄′` nine times per
 //! edge. [`SharedFunctions`](crate::SharedFunctions) finds those
-//! functions; [`SharedColumns`] keeps their values, one `u32` per
-//! state and function into a table of the distinct values, filled the
-//! first time a check touches a state ([`SharedColumns::fill`]) — no
-//! pass over the whole graph, so a check that stops after a few states
-//! evaluates a few states. As
-//! [`Images::of_graph`](crate::image::Images::of_graph) does, a fill
-//! looks each function up by the codes of the slots it reads
-//! ([`PackedLayout::gather_key`]) and evaluates it only for a key met
-//! for the first time; values are interned in an ordered map, so no
-//! value is hashed.
+//! functions `fᵢ`. A [`Hoisting`] names each by a fresh variable `yᵢ`
+//! and rewrites an expression with every occurrence of `fᵢ` as `yᵢ`
+//! (and of `fᵢ′` as `yᵢ′`). That is a refinement mapping read
+//! backwards: under `σ = {yᵢ ↦ fᵢ}` the rewritten expression is the
+//! original one, and by the substitution lemma
+//! [`image`](crate::image) rests on, evaluating it on the image views
+//! of a step (`Images::on_demand`, filled state by state as the check
+//! meets them) gives what the original gives on the step itself,
+//! wherever it gives a value. So the values live in the one image
+//! store, keyed on the codes of the slots each function reads, and a
+//! class of states is the image class of the rewritten expressions'
+//! footprint (`LazyClasses`).
 //!
-//! A [`HoistedExpr`] is an expression compiled twice: plainly, and with
-//! each occurrence of a shared function read from the column of the
-//! current or the next state ([`SharedView`]). A step is decided on the
-//! hoisted program where every shared value of both states is defined,
-//! and on the plain program on [`RowView`]s everywhere else; when the
-//! hoisted program errs, the plain program runs on the same pair and
-//! its result — value or error — is the answer, the rule of
-//! [`image`](crate::image). So results and errors are those of the
-//! plain program, which are the interpreter's.
+//! Where some `fᵢ` is undefined at a state, the state has no view; and
+//! the rewritten program's errors are not the original's (a primed
+//! occurrence in a state function names `yᵢ`). Either way the caller
+//! runs the original program on the rows, and its result — value or
+//! error — is the answer, the rule of [`image`](crate::image).
 //! `crates/check/tests/proptest_compiled.rs` checks that against
 //! [`Expr::eval_action`], on steps where a function is undefined too.
-//!
-//! **Classes.** What a hoisted program answers on a step is a function
-//! of the codes of the slots it reads outside shared occurrences and of
-//! the ids of the shared values it reads, at both states; the plain
-//! program answers the same wherever either answers a value, and errs
-//! wherever the other errs. A [`ClassMemo`] over a list of programs —
-//! one side of the `⊳` monitor — gives a state the class of those codes
-//! and ids, interned on demand into a dense `u32` column, and remembers
-//! its caller's answer about a step once per pair of classes, one word
-//! a pair ([`image`](crate::image)'s pair lists). A state where one of
-//! those shared values is undefined, or that was not filled, has no
-//! class and bypasses the memo; an answer that errs is never
-//! remembered. So answers, errors and the order they are met in are
-//! those of asking every step. A mapped step box reads every variable
-//! the mapping reads in its last disjunct, `UNCHANGED X`, which would
-//! make a class of every state; [`drop_subsumed_unchanged`] removes it
-//! where an earlier disjunct decides every step it would.
+//! A mapped step box reads every variable the mapping reads in its last
+//! disjunct, `UNCHANGED X`, which would make a class of every state;
+//! [`drop_subsumed_unchanged`] removes it where an earlier disjunct
+//! decides every step it would.
 
-use crate::compiled::{CompiledExpr, EvalScratch, SharedFunctions, Slots};
-use crate::image::{words, KeyIds, PairLists};
-use crate::{RowView, StateGraph};
-use opentla_kernel::{
-    expect_bool, prime_expr, BinOp, EvalError, Expr, PackedLayout, Value, VarId, VarSet,
-};
-use std::collections::BTreeMap;
+use crate::compiled::{map_operands, SharedFunctions};
+use crate::StateGraph;
+use opentla_kernel::{prime_expr, BinOp, Domain, Expr, Substitution, VarId, VarSet, Vars};
 
-/// An entry of a column: the state was not filled yet.
-const UNSEEN: u32 = 0;
-/// An entry of a column: the function errs at the state.
-const UNDEFINED: u32 = u32::MAX;
-
-/// The values of a set of shared functions at the states of one graph,
-/// filled on demand: per state, one entry per function — [`UNSEEN`],
-/// [`UNDEFINED`], or one plus the id of its value among the distinct
-/// values. The entries grow to the largest state filled, so a check
-/// that stops early keeps them small.
-#[derive(Debug)]
-pub struct SharedColumns<'a> {
-    functions: &'a SharedFunctions,
-    graph: &'a StateGraph,
-    ids: Vec<u32>,
-    /// Per function, its entry by the key of its reads.
-    keyed: Vec<Keyed>,
-    index: BTreeMap<Value, u32>,
-    values: Vec<Value>,
-    /// Bits enough for every value id the functions can reach.
-    id_bits: u32,
-}
-
-/// One shared function's entries by key: the slots it reads that the
-/// graph's rows have (a variable past them is unbound at every state
-/// alike), a buffer for a key of their codes, and the entry of each key
-/// met.
-#[derive(Debug)]
-struct Keyed {
-    reads: Vec<usize>,
-    key: Vec<u64>,
-    entries: KeyIds,
-}
-
-impl<'a> SharedColumns<'a> {
-    /// Empty columns of `functions` over the states of `graph`.
-    pub fn new(functions: &'a SharedFunctions, graph: &'a StateGraph) -> SharedColumns<'a> {
-        let layout = graph.layout();
-        let keyed: Vec<Keyed> = (functions.functions())
-            .map(|f| {
-                let reads: Vec<usize> = (f.unprimed_vars().iter())
-                    .map(VarId::index)
-                    .filter(|&slot| slot < layout.slots())
-                    .collect();
-                let key = words(layout.key_bits(&reads));
-                let entries = KeyIds::of_width(key.len());
-                Keyed {
-                    reads,
-                    key,
-                    entries,
-                }
-            })
-            .collect();
-        // A function takes at most one value per key of its reads.
-        let values = keyed.iter().fold(0u64, |n, k| {
-            let keys = 1u64.checked_shl(layout.key_bits(&k.reads) as u32);
-            n.saturating_add(keys.unwrap_or(u64::MAX))
-        });
-        SharedColumns {
-            functions,
-            graph,
-            ids: Vec::new(),
-            keyed,
-            index: BTreeMap::new(),
-            values: Vec::new(),
-            id_bits: (u64::BITS - values.saturating_sub(1).leading_zeros()).min(u32::BITS),
-        }
-    }
-
-    /// Evaluates every function at state `id`, unless that was done:
-    /// each only if the codes of the slots it reads are met for the
-    /// first time, else its entry for them is copied.
-    pub fn fill(&mut self, id: usize, scratch: &mut EvalScratch) {
-        let width = self.keyed.len();
-        if (id + 1) * width > self.ids.len() {
-            let states = (id + 1).next_power_of_two().min(self.graph.len());
-            self.ids.resize(states * width, UNSEEN);
-        }
-        let entries = &mut self.ids[id * width..(id + 1) * width];
-        if entries.first().is_none_or(|&e| e != UNSEEN) {
-            return;
-        }
-        let (graph, functions) = (self.graph, self.functions);
-        let (layout, row) = (graph.layout(), graph.row(id));
-        let (index, values) = (&mut self.index, &mut self.values);
-        for (f, (entry, keyed)) in entries.iter_mut().zip(&mut self.keyed).enumerate() {
-            layout.gather_key(row, &keyed.reads, &mut keyed.key);
-            *entry = keyed.entries.intern(&keyed.key, |_| {
-                match functions.program(f).eval(&graph.view(id), scratch) {
-                    Ok(value) => {
-                        1 + *index.entry(value).or_insert_with_key(|value| {
-                            values.push(value.clone());
-                            u32::try_from(values.len() - 1)
-                                .ok()
-                                .filter(|&id| id < UNDEFINED - 1)
-                                .expect("distinct shared values fit in u32")
-                        })
-                    }
-                    Err(_) => UNDEFINED,
-                }
-            });
-        }
-    }
-
-    /// The view of state `id`: `None` unless it was filled and every
-    /// function is defined there.
-    pub fn view(&self, id: usize) -> Option<SharedView<'_>> {
-        let width = self.keyed.len();
-        let ids = self.ids.get(id * width..(id + 1) * width)?;
-        let defined = ids.iter().all(|&e| e != UNSEEN && e != UNDEFINED);
-        defined.then(|| SharedView {
-            row: self.graph.view(id),
-            ids,
-            values: &self.values,
-        })
-    }
-}
-
-/// A graph state on its row, with the values of its shared functions
-/// read from [`SharedColumns`]: what a hoisted program runs on. Built
-/// only where every value is defined.
-#[derive(Clone, Copy, Debug)]
-pub struct SharedView<'a> {
-    row: RowView<'a>,
-    ids: &'a [u32],
-    values: &'a [Value],
-}
-
-impl Slots for SharedView<'_> {
-    #[inline]
-    fn slot(&self, v: VarId) -> Option<&Value> {
-        self.row.slot(v)
-    }
-
-    #[inline]
-    fn slot_count(&self) -> usize {
-        self.row.slot_count()
-    }
-
-    #[inline]
-    fn shared(&self, f: u32) -> Option<&Value> {
-        Some(&self.values[self.ids[f as usize] as usize - 1])
-    }
-}
-
-/// An expression compiled plainly and, where it has an occurrence of a
-/// shared function, hoisted; see the [module docs](self). It is run on
-/// columns of the functions it was compiled over.
+/// The functions a set of expressions shares, each named by a fresh
+/// variable: see the [module docs](self).
 #[derive(Clone, Debug)]
-pub struct HoistedExpr {
-    plain: CompiledExpr,
-    hoisted: Option<CompiledExpr>,
+pub struct Hoisting {
+    functions: SharedFunctions,
+    /// `yᵢ`, by function number.
+    fresh: Vec<VarId>,
 }
 
-impl HoistedExpr {
-    /// Compiles `expr` both ways over `functions`.
-    pub fn compile(expr: &Expr, functions: &SharedFunctions) -> HoistedExpr {
-        HoistedExpr {
-            plain: CompiledExpr::compile(expr),
-            hoisted: functions.compile(expr),
+impl Hoisting {
+    /// The functions `exprs` share ([`SharedFunctions::of`]), each named
+    /// by a variable declared on a clone of `vars`, past every variable
+    /// of `vars` and of `exprs`: so no state has a slot for it and no
+    /// expression reads it.
+    pub fn of<'e, I>(exprs: I, vars: &Vars) -> Hoisting
+    where
+        I: IntoIterator<Item = &'e Expr>,
+        I::IntoIter: Clone,
+    {
+        let exprs = exprs.into_iter();
+        let past = (exprs.clone())
+            .filter_map(|e| e.all_vars().iter().map(|v| v.index() + 1).max())
+            .max()
+            .unwrap_or(0);
+        let functions = SharedFunctions::of(exprs);
+        let mut names = vars.clone();
+        while names.len() < past {
+            names.declare("", Domain::bits());
         }
-    }
-
-    /// The hoisted program, if `expr` has an occurrence of a function.
-    pub fn hoisted(&self) -> Option<&CompiledExpr> {
-        self.hoisted.as_ref()
-    }
-
-    /// The program whose reads a step's answer is a function of: the
-    /// hoisted one if there is one, else the plain one.
-    fn deciding(&self) -> &CompiledExpr {
-        self.hoisted.as_ref().unwrap_or(&self.plain)
-    }
-
-    /// The expression as a state function on state `s` of the columns'
-    /// graph, which must be filled there for the hoisted program to
-    /// run.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`CompiledExpr::eval`] on the plain program.
-    pub fn eval(
-        &self,
-        columns: &SharedColumns<'_>,
-        s: usize,
-        scratch: &mut EvalScratch,
-    ) -> Result<Value, EvalError> {
-        if let Some(hoisted) = &self.hoisted {
-            if let Some(view) = columns.view(s) {
-                if let Ok(value) = hoisted.eval(&view, scratch) {
-                    return Ok(value);
-                }
-            }
-        }
-        self.plain.eval(&columns.graph.view(s), scratch)
-    }
-
-    /// The expression as an action on the step from state `s` to state
-    /// `t` of the columns' graph, which must be filled at both for the
-    /// hoisted program to run.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`CompiledExpr::eval_step`] on the plain program.
-    pub fn eval_step(
-        &self,
-        columns: &SharedColumns<'_>,
-        s: usize,
-        t: usize,
-        scratch: &mut EvalScratch,
-    ) -> Result<Value, EvalError> {
-        if let Some(hoisted) = &self.hoisted {
-            if let Some((old, new)) = columns.view(s).zip(columns.view(t)) {
-                if let Ok(value) = hoisted.eval_step(&old, &new, scratch) {
-                    return Ok(value);
-                }
-            }
-        }
-        let graph = columns.graph;
-        self.plain
-            .eval_step(&graph.view(s), &graph.view(t), scratch)
-    }
-
-    /// [`HoistedExpr::eval`] in a boolean context.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`CompiledExpr::holds`] on the plain program.
-    pub fn holds(
-        &self,
-        columns: &SharedColumns<'_>,
-        s: usize,
-        scratch: &mut EvalScratch,
-    ) -> Result<bool, EvalError> {
-        expect_bool(self.eval(columns, s, scratch)?)
-    }
-
-    /// [`HoistedExpr::eval_step`] in a boolean context.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`CompiledExpr::holds_step`] on the plain program.
-    pub fn holds_step(
-        &self,
-        columns: &SharedColumns<'_>,
-        s: usize,
-        t: usize,
-        scratch: &mut EvalScratch,
-    ) -> Result<bool, EvalError> {
-        expect_bool(self.eval_step(columns, s, t, scratch)?)
-    }
-}
-
-/// The answers to a question about the steps of a graph, decided by a
-/// list of [`HoistedExpr`]s, by pair of classes, filled on demand; see
-/// the [module docs](self). An answer is a number below the count the
-/// memo was built for: the `⊳` monitor asks for the first failing
-/// conjunct of one side, or none.
-///
-/// A state's class is its key — the codes of the slots the programs
-/// read outside shared occurrences, then the id of each shared value
-/// they read — interned the first time the state is asked about, into
-/// a column that grows to the largest state asked about. The answers
-/// are a word per pair of classes met, so an early exit keeps
-/// everything proportional.
-#[derive(Debug)]
-pub struct ClassMemo {
-    /// The slots the programs read outside shared occurrences.
-    codes: Vec<usize>,
-    /// The shared functions they read, ascending.
-    functions: Vec<usize>,
-    id_bits: u32,
-    key: Vec<u64>,
-    keys: KeyIds,
-    /// Per state: [`UNSEEN`], [`UNDEFINED`] for none, or one plus its
-    /// class.
-    of: Vec<u32>,
-    pairs: PairLists,
-}
-
-impl ClassMemo {
-    /// An empty memo of `programs` over `columns`' functions and graph,
-    /// for answers below `answers`, which is positive.
-    pub fn new(programs: &[HoistedExpr], columns: &SharedColumns<'_>, answers: u32) -> ClassMemo {
-        let (mut reads, mut functions) = (VarSet::new(), Vec::new());
-        for program in programs {
-            program.deciding().for_each_read(
-                |v| {
-                    reads.insert(v);
-                },
-                |f| functions.push(f as usize),
-            );
-        }
-        functions.sort_unstable();
-        functions.dedup();
-        let layout = columns.graph.layout();
-        let codes: Vec<usize> = (reads.iter())
-            .map(VarId::index)
-            .filter(|&slot| slot < layout.slots())
+        let fresh = (0..functions.len())
+            .map(|i| names.declare(format!("f{i}"), Domain::bits()))
             .collect();
-        let id_bits = columns.id_bits;
-        let key = words(layout.key_bits(&codes) + functions.len() * id_bits as usize);
-        ClassMemo {
-            codes,
-            functions,
-            id_bits,
-            keys: KeyIds::of_width(key.len()),
-            key,
-            of: Vec::new(),
-            pairs: PairLists::new(u32::BITS - answers.leading_zeros()),
-        }
+        Hoisting { functions, fresh }
     }
 
-    /// Distinct classes met so far.
-    pub fn classes(&self) -> usize {
-        self.keys.len()
+    /// The functions.
+    pub fn functions(&self) -> &SharedFunctions {
+        &self.functions
     }
 
-    /// The class of state `id`, interned if it is met for the first
-    /// time; `None` if `columns` were not filled at `id` or a shared
-    /// value the programs read is undefined there.
-    fn class(&mut self, columns: &SharedColumns<'_>, id: usize) -> Option<u32> {
-        let graph = columns.graph;
-        if id >= self.of.len() {
-            let states = (id + 1).next_power_of_two().min(graph.len());
-            self.of.resize(states, UNSEEN);
-        }
-        match self.of[id] {
-            UNSEEN => {}
-            UNDEFINED => return None,
-            class => return Some(class - 1),
-        }
-        let width = columns.keyed.len();
-        let ids = columns.ids.get(id * width..(id + 1) * width)?;
-        if ids.first() == Some(&UNSEEN) {
-            return None;
-        }
-        let layout = graph.layout();
-        let mut at = layout.gather_key(graph.row(id), &self.codes, &mut self.key);
-        for &f in &self.functions {
-            if ids[f] == UNDEFINED {
-                self.of[id] = UNDEFINED;
-                return None;
+    /// `σ = {yᵢ ↦ fᵢ}`: what the rewritten expressions are read under.
+    pub fn mapping(&self) -> Substitution {
+        Substitution::new((self.fresh.iter().copied()).zip(self.functions.functions().cloned()))
+    }
+
+    /// `expr` with every occurrence of a function — the topmost ones —
+    /// as its variable, primed for a primed occurrence; `None` where
+    /// `expr` has none.
+    pub fn rewrite(&self, expr: &Expr) -> Option<Expr> {
+        let mut found = false;
+        let rewritten = self.replace(expr, &mut found);
+        found.then_some(rewritten)
+    }
+
+    fn replace(&self, expr: &Expr, found: &mut bool) -> Expr {
+        match self.functions.occurrence(expr) {
+            Some((f, primed)) => {
+                *found = true;
+                let y = self.fresh[f];
+                if primed {
+                    Expr::Prime(y)
+                } else {
+                    Expr::Var(y)
+                }
             }
-            let value = u64::from(ids[f] - 1);
-            debug_assert!(value >> self.id_bits == 0, "a value id fits its field");
-            PackedLayout::put_bits(&mut self.key, at, value, self.id_bits);
-            at += self.id_bits as usize;
+            None => map_operands(expr, |e| self.replace(e, found)),
         }
-        let class = self.keys.intern(&self.key, |next| {
-            u32::try_from(next)
-                .ok()
-                .filter(|&class| class < UNDEFINED - 1)
-                .expect("classes fit in u32")
-        });
-        self.of[id] = class + 1;
-        Some(class)
-    }
-
-    /// The answer about the step from state `s` to state `t`: the one
-    /// remembered for their pair of classes, else `decide`'s,
-    /// remembered if both have a class.
-    ///
-    /// # Errors
-    ///
-    /// Whatever `decide` returns; errors are not remembered.
-    pub fn step<E>(
-        &mut self,
-        columns: &SharedColumns<'_>,
-        s: usize,
-        t: usize,
-        decide: impl FnOnce() -> Result<u32, E>,
-    ) -> Result<u32, E> {
-        let (s_class, t_class) = (self.class(columns, s), self.class(columns, t));
-        let Some((s_class, t_class)) = s_class.zip(t_class) else {
-            return decide();
-        };
-        if let Some(known) = self.pairs.get(s_class, t_class) {
-            return Ok(known);
-        }
-        let answer = decide()?;
-        self.pairs.insert(0, 0, s_class, t_class, answer);
-        Ok(answer)
     }
 }
 

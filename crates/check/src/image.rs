@@ -60,6 +60,18 @@
 //! share a key exactly when they share the values, because a code is a
 //! value's position in its slot's domain.
 //!
+//! **On demand.** Each pass is a loop over one per-state path: a
+//! state's images (keyed on its reads' codes, a value interned the
+//! first time it is met) and a state's class key (codes, then image
+//! ids). The same paths, driven state by state as a check meets the
+//! states rather than over the whole graph, are [`Images::on_demand`]
+//! with [`Images::fill`], and [`LazyClasses`]: what the `⊳` monitor,
+//! which may stop after a few states, reads the state functions its
+//! conjuncts share from — each named by a fresh variable, the mapping
+//! read backwards ([`hoist`](crate::hoist)). Ids are then numbered in
+//! the order the states are met, and a class key's image field is wide
+//! enough for every id the mapping can reach.
+//!
 //! **Abstract → substituted: misses.** A pair met for the first time is
 //! decided on `⟨s̄, t̄⟩` itself, by the first of three tiers that
 //! answers:
@@ -144,19 +156,22 @@ use std::time::Instant;
 /// "This state has no class": its key could not be computed. Also
 /// "`σ(v)` is undefined at this state" in an [`Images`] column.
 const NONE: u32 = u32::MAX;
+/// "Not met yet": an entry of a column filled on demand, for a state
+/// no check has asked about. Ids are below it.
+const UNSEEN: u32 = u32::MAX - 1;
 
 /// Keys of slot codes and ids side by side in `u64` words, numbered by
 /// the pass that meets them. A key of one word (64 bits or fewer) is
 /// interned as that word; only a wider one is boxed.
 #[derive(Debug)]
-pub(crate) enum KeyIds {
+enum KeyIds {
     Word(FxHashMap<u64, u32>),
     Words(FxHashMap<Box<[u64]>, u32>),
 }
 
 impl KeyIds {
     /// An empty table for keys of `words` words.
-    pub(crate) fn of_width(words: usize) -> Self {
+    fn of_width(words: usize) -> Self {
         if words <= 1 {
             KeyIds::Word(FxHashMap::default())
         } else {
@@ -165,7 +180,7 @@ impl KeyIds {
     }
 
     /// Keys met so far.
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         match self {
             KeyIds::Word(ids) => ids.len(),
             KeyIds::Words(ids) => ids.len(),
@@ -174,7 +189,7 @@ impl KeyIds {
 
     /// The id `key` has, or — met for the first time — the one `first`
     /// gives it.
-    pub(crate) fn intern(&mut self, key: &[u64], first: impl FnOnce(usize) -> u32) -> u32 {
+    fn intern(&mut self, key: &[u64], first: impl FnOnce(usize) -> u32) -> u32 {
         let next = self.len();
         match self {
             KeyIds::Word(ids) => {
@@ -194,20 +209,28 @@ impl KeyIds {
 }
 
 /// Words for a key of `bits` bits.
-pub(crate) fn words(bits: usize) -> Vec<u64> {
+fn words(bits: usize) -> Vec<u64> {
     vec![0; bits.div_ceil(64)]
+}
+
+/// Bits of the largest of `count` ids: how wide a class key's image
+/// field is.
+fn id_bits(count: u64) -> u32 {
+    (u64::BITS - count.saturating_sub(1).leading_zeros()).min(u32::BITS)
 }
 
 /// `σ(v)(s)` for every mapped variable `v` and every state `s` of one
 /// graph, evaluated once per distinct key of the slots `σ(v)` reads: a
 /// `u32` per state and mapped variable into the table of distinct
-/// values. The default is the images of the empty mapping: none,
-/// whatever the graph.
+/// values. Computed by one pass over the graph ([`Images::of_graph`]),
+/// or state by state as a check meets the states
+/// ([`Images::on_demand`]). The default is the images of the empty
+/// mapping: none, whatever the graph.
 #[derive(Debug, Default)]
 pub struct Images {
     mapping: Substitution,
     /// One column per mapped variable, ascending; [`NONE`] where the
-    /// image is undefined.
+    /// image is undefined, [`UNSEEN`] where it was not filled yet.
     columns: Vec<(VarId, Vec<u32>)>,
     /// The column of each variable, by [`VarId`] index up to the last
     /// mapped one; [`NONE`] for an unmapped variable.
@@ -216,12 +239,19 @@ pub struct Images {
     values: Vec<Value>,
     /// The ids of `values` in the order of the values: a value computed
     /// elsewhere finds its id by binary search, and no value is hashed.
+    /// Empty while the images are filled on demand.
     by_value: Vec<u32>,
     /// Images that are undefined.
     undefined: u64,
+    /// Bits of a value id in a class key: enough for the largest id of
+    /// a pass, or for every id images filled on demand can reach.
+    id_bits: u32,
+    /// What fills a state's images, for images filled on demand.
+    on_demand: Option<Box<Imaging>>,
     /// The class column of each footprint met so far, computed once and
     /// shared by every [`Classes`] of that footprint; `None` for the
-    /// default images, which are of no graph in particular.
+    /// default images, which are of no graph in particular, and for
+    /// images filled on demand.
     classes: Option<Mutex<Vec<(VarSet, ColumnSlot)>>>,
 }
 
@@ -230,6 +260,7 @@ pub struct Images {
 type ColumnSlot = Arc<OnceLock<Arc<Column>>>;
 
 /// One mapped variable of an image pass.
+#[derive(Debug)]
 struct Mapped {
     program: CompiledExpr,
     /// The slots `σ(v)` reads that the graph's rows have: its value is
@@ -241,27 +272,25 @@ struct Mapped {
     key: Vec<u64>,
 }
 
-impl Images {
-    /// One pass over `graph`, imaging every state under every mapped
-    /// variable of `mapping` and reporting itself as an
-    /// [`Event::ImagePass`]. A state's image is looked up by the codes
-    /// of the slots `σ(v)` reads; only a key met for the first time
-    /// evaluates `σ(v)`, on that state, and interns the value — so the
-    /// ids are those of interning every state's value in state order.
-    /// The key tables are dropped before this returns: what stays
-    /// resident is four bytes per state and mapped variable, plus the
-    /// distinct values and their order (the value index). The empty
-    /// mapping has no images: nothing is evaluated and nothing
-    /// reported.
-    pub fn of_graph(
-        graph: &StateGraph,
-        mapping: &Substitution,
-        recorder: &RecorderHandle,
-    ) -> Images {
-        let started = Instant::now();
-        let layout = graph.layout();
-        let mut mapped: Vec<(VarId, Mapped)> = mapping
-            .domain()
+/// What images one state, whether the states are met by a pass or on
+/// demand: every mapped variable, keyed on its reads, and the value
+/// interner.
+#[derive(Debug)]
+struct Imaging {
+    mapped: Vec<Mapped>,
+    /// The id of each distinct value, in an ordered map: values are met
+    /// on misses only, and no value is hashed.
+    ids: BTreeMap<Value, u32>,
+    /// Keys evaluated.
+    evaluated: u64,
+    scratch: EvalScratch,
+}
+
+impl Imaging {
+    /// The mapped variables of `mapping`, in column order, over rows of
+    /// `layout`.
+    fn new(layout: &PackedLayout, mapping: &Substitution) -> Imaging {
+        let mapped = (mapping.domain())
             .map(|v| {
                 let image = mapping.get(v).expect("a variable of the domain");
                 let reads: Vec<usize> = (image.unprimed_vars().iter())
@@ -269,63 +298,145 @@ impl Images {
                     .filter(|&slot| slot < layout.slots())
                     .collect();
                 let key = words(layout.key_bits(&reads));
-                let program = CompiledExpr::compile(image);
-                let ids = KeyIds::of_width(key.len());
-                (
-                    v,
-                    Mapped {
-                        program,
-                        reads,
-                        ids,
-                        key,
-                    },
-                )
+                Mapped {
+                    program: CompiledExpr::compile(image),
+                    ids: KeyIds::of_width(key.len()),
+                    reads,
+                    key,
+                }
             })
             .collect();
-        let key_bits = (mapped.iter())
-            .map(|(_, m)| layout.key_bits(&m.reads))
-            .max()
-            .unwrap_or(0);
-        let mut columns: Vec<(VarId, Vec<u32>)> = (mapped.iter())
-            .map(|(v, _)| (*v, Vec::with_capacity(graph.len())))
-            .collect();
-        // Values are met on misses only, in an ordered map: no value is
-        // hashed.
-        let mut ids: BTreeMap<Value, u32> = BTreeMap::new();
-        let mut values = Vec::new();
-        let mut scratch = EvalScratch::new();
-        let (mut undefined, mut evaluated) = (0u64, 0u64);
-        for id in 0..graph.len() {
-            let row = graph.row(id);
-            for ((_, m), (_, column)) in mapped.iter_mut().zip(&mut columns) {
-                layout.gather_key(row, &m.reads, &mut m.key);
-                let image = m.ids.intern(&m.key, |_| {
-                    evaluated += 1;
-                    match m.program.eval(&graph.view(id), &mut scratch) {
-                        Ok(value) => *ids.entry(value).or_insert_with_key(|value| {
-                            values.push(value.clone());
-                            u32::try_from(values.len() - 1).expect("distinct values fit in u32")
-                        }),
-                        Err(_) => NONE,
-                    }
-                });
-                undefined += u64::from(image == NONE);
-                column.push(image);
-            }
+        Imaging {
+            mapped,
+            ids: BTreeMap::new(),
+            evaluated: 0,
+            scratch: EvalScratch::new(),
         }
-        if !mapped.is_empty() && recorder.enabled() {
+    }
+
+    /// Images state `id` of `graph` under every mapped variable, handing
+    /// `put` each column's image id. A state's image is looked up by the
+    /// codes of the slots `σ(v)` reads; only a key met for the first
+    /// time evaluates `σ(v)`, on that state, and interns the value into
+    /// `values`.
+    fn state(
+        &mut self,
+        graph: &StateGraph,
+        id: usize,
+        values: &mut Vec<Value>,
+        mut put: impl FnMut(usize, u32),
+    ) {
+        let (layout, row) = (graph.layout(), graph.row(id));
+        let Imaging {
+            mapped,
+            ids,
+            evaluated,
+            scratch,
+        } = self;
+        for (c, m) in mapped.iter_mut().enumerate() {
+            layout.gather_key(row, &m.reads, &mut m.key);
+            let image = m.ids.intern(&m.key, |_| {
+                *evaluated += 1;
+                match m.program.eval(&graph.view(id), scratch) {
+                    Ok(value) => *ids.entry(value).or_insert_with_key(|value| {
+                        values.push(value.clone());
+                        u32::try_from(values.len() - 1)
+                            .ok()
+                            .filter(|&id| id < UNSEEN)
+                            .expect("distinct values fit in u32")
+                    }),
+                    Err(_) => NONE,
+                }
+            });
+            put(c, image);
+        }
+    }
+
+    /// Bits of the key of the widest read set.
+    fn key_bits(&self, layout: &PackedLayout) -> usize {
+        (self.mapped.iter())
+            .map(|m| layout.key_bits(&m.reads))
+            .max()
+            .unwrap_or(0)
+    }
+}
+
+impl Images {
+    /// One pass over `graph`, imaging every state under every mapped
+    /// variable of `mapping` in state order and reporting itself as an
+    /// [`Event::ImagePass`] — so the ids are those of interning every
+    /// state's value in state order. The key tables are dropped before
+    /// this returns: what stays resident is four bytes per state and
+    /// mapped variable, plus the distinct values and their order (the
+    /// value index). The empty mapping has no images: nothing is
+    /// evaluated and nothing reported.
+    pub fn of_graph(
+        graph: &StateGraph,
+        mapping: &Substitution,
+        recorder: &RecorderHandle,
+    ) -> Images {
+        let started = Instant::now();
+        let mut imaging = Imaging::new(graph.layout(), mapping);
+        let mut images = Images::empty(mapping, graph.len());
+        let Images {
+            columns,
+            values,
+            undefined,
+            ..
+        } = &mut images;
+        for id in 0..graph.len() {
+            imaging.state(graph, id, values, |c, image| {
+                *undefined += u64::from(image == NONE);
+                columns[c].1.push(image);
+            });
+        }
+        if !imaging.mapped.is_empty() && recorder.enabled() {
             recorder.record(&Event::ImagePass {
                 states: graph.len() as u64,
-                mapped_vars: mapped.len() as u64,
+                mapped_vars: imaging.mapped.len() as u64,
                 distinct_values: values.len() as u64,
-                undefined,
-                evaluated,
-                key_bits: key_bits as u64,
+                undefined: *undefined,
+                evaluated: imaging.evaluated,
+                key_bits: imaging.key_bits(graph.layout()) as u64,
                 nanos: started.elapsed().as_nanos() as u64,
             });
         }
+        images.id_bits = id_bits(images.values.len() as u64);
         // The map's ids in the order of their values: the value index.
-        let by_value = ids.into_values().collect();
+        images.by_value = imaging.ids.into_values().collect();
+        images.classes = Some(Mutex::default());
+        images
+    }
+
+    /// The images of `graph`'s states under `mapping`, none filled yet:
+    /// a state is imaged by [`Images::fill`] — as [`Images::of_graph`]
+    /// images it — the first time a check asks for it, so a check that
+    /// stops after a few states evaluates a few states, and the columns
+    /// grow to the largest state filled. The mapped variables are fresh
+    /// names for state functions ([`hoist`](crate::hoist)): an
+    /// [`ImageView`] reads each from its column, though the rows have no
+    /// slot for it. Nothing is reported.
+    pub fn on_demand(graph: &StateGraph, mapping: &Substitution) -> Images {
+        let layout = graph.layout();
+        let imaging = Imaging::new(layout, mapping);
+        // A variable takes at most one value per key of its reads.
+        let reachable = imaging.mapped.iter().fold(0u64, |n, m| {
+            let keys = 1u64.checked_shl(layout.key_bits(&m.reads) as u32);
+            n.saturating_add(keys.unwrap_or(u64::MAX))
+        });
+        Images {
+            id_bits: id_bits(reachable),
+            on_demand: Some(Box::new(imaging)),
+            ..Images::empty(mapping, 0)
+        }
+    }
+
+    /// No images yet under `mapping`: its columns, with room for
+    /// `states` entries each.
+    fn empty(mapping: &Substitution, states: usize) -> Images {
+        let columns: Vec<(VarId, Vec<u32>)> = (mapping.domain())
+            .map(|v| (v, Vec::with_capacity(states)))
+            .collect();
         let mut column_of = Vec::new();
         for (c, (v, _)) in columns.iter().enumerate() {
             if column_of.len() <= v.index() {
@@ -337,11 +448,41 @@ impl Images {
             mapping: mapping.clone(),
             columns,
             column_of,
-            values,
-            by_value,
-            undefined,
-            classes: Some(Mutex::default()),
+            ..Images::default()
         }
+    }
+
+    /// Images state `id` of `graph`, the graph these are of, under every
+    /// mapped variable, unless that was done; nothing for images of a
+    /// pass, which are complete.
+    pub fn fill(&mut self, graph: &StateGraph, id: usize) {
+        let Images {
+            columns,
+            values,
+            undefined,
+            on_demand: Some(imaging),
+            ..
+        } = self
+        else {
+            return;
+        };
+        let Some((_, first)) = columns.first() else {
+            return;
+        };
+        match first.get(id) {
+            Some(&image) if image != UNSEEN => return,
+            Some(_) => {}
+            None => {
+                let states = (id + 1).next_power_of_two().min(graph.len());
+                for (_, column) in columns.iter_mut() {
+                    column.resize(states, UNSEEN);
+                }
+            }
+        }
+        imaging.state(graph, id, values, |c, image| {
+            *undefined += u64::from(image == NONE);
+            columns[c].1[id] = image;
+        });
     }
 
     /// The mapping these are the images of.
@@ -391,12 +532,23 @@ impl Images {
     }
 
     /// The image column of `v` — per state, the id of `σ(v)` there
-    /// among the distinct values, numbered in state order, or
-    /// `u32::MAX` where it is undefined; `None` for an unmapped
-    /// variable.
+    /// among the distinct values, numbered in the order they were met,
+    /// `u32::MAX` where it is undefined, or `u32::MAX - 1` where it was
+    /// not filled yet; `None` for an unmapped variable.
     pub fn column(&self, v: VarId) -> Option<&[u32]> {
+        self.column_index(v).map(|c| &self.columns[c].1[..])
+    }
+
+    /// The value of image id `id`, as a column holds it; `None` for an
+    /// entry that is no id.
+    pub fn value(&self, id: u32) -> Option<&Value> {
+        self.values.get(id as usize)
+    }
+
+    /// The index of `v`'s column; `None` for an unmapped variable.
+    fn column_index(&self, v: VarId) -> Option<usize> {
         match self.column_of.get(v.index()) {
-            Some(&column) if column != NONE => Some(&self.columns[column as usize].1),
+            Some(&column) if column != NONE => Some(column as usize),
             _ => None,
         }
     }
@@ -404,19 +556,13 @@ impl Images {
     /// The id of `value` among the images; `None` when no state's image
     /// is `value`.
     pub(crate) fn id_of(&self, value: &Value) -> Option<u32> {
+        if let Some(imaging) = &self.on_demand {
+            return imaging.ids.get(value).copied();
+        }
         let at = (self.by_value)
             .binary_search_by(|&id| self.values[id as usize].cmp(value))
             .ok()?;
         Some(self.by_value[at])
-    }
-
-    /// Bits of the largest image id: how wide a class key's image field
-    /// is.
-    fn id_bits(&self) -> u32 {
-        match self.values.len() {
-            0 | 1 => 0,
-            n => u32::BITS - ((n - 1) as u32).leading_zeros(),
-        }
     }
 }
 
@@ -433,15 +579,16 @@ pub struct ImageView<'a> {
 
 impl<'a> ImageView<'a> {
     /// The view of state `id` of `graph` under `images` (which must be
-    /// of that graph). `None` where some image is undefined or the
-    /// state has no slot for a mapped variable: that state has no
-    /// abstract evaluation.
+    /// of that graph). `None` where some image is undefined or not
+    /// filled, or — for images of a pass — the state has no slot for a
+    /// mapped variable: that state has no abstract evaluation.
     pub fn new(images: &'a Images, graph: &'a StateGraph, id: usize) -> Option<ImageView<'a>> {
         let row = graph.view(id);
-        let defined = images
-            .columns
-            .iter()
-            .all(|(v, column)| column[id] != NONE && v.index() < row.slot_count());
+        let fresh = images.on_demand.is_some();
+        let defined = images.columns.iter().all(|(v, column)| {
+            column.get(id).is_some_and(|&image| image < UNSEEN)
+                && (fresh || v.index() < row.slot_count())
+        });
         defined.then_some(ImageView { row, images, id })
     }
 }
@@ -479,38 +626,15 @@ impl Column {
     /// The class pass of [`Classes::of_graph`].
     fn of_graph(graph: &StateGraph, footprint: &VarSet, images: &Images) -> Column {
         let started = Instant::now();
-        let layout = graph.layout();
-        let mut shape = KeyShape {
-            codes: Vec::new(),
-            mapped: Vec::new(),
-            id_bits: images.id_bits(),
-        };
-        // A variable that is neither mapped nor a slot of the rows has
-        // no value at any state: then no state has a class.
-        let mut unbound = false;
-        for v in footprint.iter() {
-            match images.column(v) {
-                Some(column) => shape.mapped.push(column),
-                None if v.index() < layout.slots() => shape.codes.push(v.index()),
-                None => unbound = true,
-            }
-        }
-        let mut key = words(shape.bits(layout));
-        let mut keys = KeyIds::of_width(key.len());
+        let mut keys = ClassKeys::new(graph.layout(), footprint, images);
         let mut of = Vec::with_capacity(graph.len());
         let mut classed = 0usize;
         for id in 0..graph.len() {
-            if unbound || !shape.write(layout, graph.row(id), id, &mut key) {
-                of.push(NONE);
-                continue;
-            }
-            classed += 1;
-            let class = keys.intern(&key, |next| {
-                u32::try_from(next).expect("state ids fit in u32")
-            });
-            of.push(class);
+            let class = keys.class(graph, images, id);
+            classed += usize::from(class.is_some());
+            of.push(class.unwrap_or(NONE));
         }
-        let count = keys.len();
+        let count = keys.keys.len();
         if count == classed {
             // Nobody shares a class: keep none.
             of = Vec::new();
@@ -640,33 +764,138 @@ impl<'g> Classes<'g> {
     }
 }
 
-/// What a class key is made of: the codes of the unmapped footprint
-/// slots, then each mapped variable's image id from its column,
-/// `id_bits` bits each.
+/// The classes of one footprint's states under one [`Images`],
+/// interned state by state as a check asks for them rather than by a
+/// pass: what the `⊳` monitor, which may stop after a few states, keys
+/// its memos on. A state's class is the key [`Classes::of_graph`] gives
+/// it, numbered in the order the states are asked about; the column
+/// grows to the largest state asked about.
 #[derive(Debug)]
-struct KeyShape<'i> {
-    codes: Vec<usize>,
-    mapped: Vec<&'i [u32]>,
-    id_bits: u32,
+pub struct LazyClasses {
+    keys: ClassKeys,
+    /// Per state: [`UNSEEN`], [`NONE`] for no class, or its class.
+    of: Vec<u32>,
 }
 
-impl KeyShape<'_> {
-    /// The bits of a key.
-    fn bits(&self, layout: &PackedLayout) -> usize {
-        layout.key_bits(&self.codes) + self.mapped.len() * self.id_bits as usize
+impl LazyClasses {
+    /// No class met yet among `graph`'s states under `footprint`.
+    pub fn new(graph: &StateGraph, footprint: &VarSet, images: &Images) -> LazyClasses {
+        LazyClasses {
+            keys: ClassKeys::new(graph.layout(), footprint, images),
+            of: Vec::new(),
+        }
     }
 
-    /// Writes the key of state `id`, whose row is `row`, into `key`;
-    /// `false` if some image is undefined there.
-    fn write(&self, layout: &PackedLayout, row: &[u8], id: usize, key: &mut [u64]) -> bool {
-        let mut at = layout.gather_key(row, &self.codes, key);
-        for column in &self.mapped {
-            let image = column[id];
-            if image == NONE {
-                return false;
+    /// Distinct classes met so far.
+    pub fn count(&self) -> usize {
+        self.keys.keys.len()
+    }
+
+    /// The class of state `id` of `graph`, interned if it is met for the
+    /// first time; `None` where its key is not computable — some image
+    /// it reads is undefined, or not filled ([`Images::fill`]) when it
+    /// is first asked about.
+    pub fn get(&mut self, graph: &StateGraph, images: &Images, id: usize) -> Option<u32> {
+        if id >= self.of.len() {
+            let states = (id + 1).next_power_of_two().min(graph.len());
+            self.of.resize(states, UNSEEN);
+        }
+        match self.of[id] {
+            UNSEEN => {}
+            NONE => return None,
+            class => return Some(class),
+        }
+        let class = self.keys.class(graph, images, id);
+        self.of[id] = class.unwrap_or(NONE);
+        class
+    }
+}
+
+/// One footprint's class keys, state by state: what both
+/// [`Classes::of_graph`]'s pass and [`LazyClasses`] number a state by.
+#[derive(Debug)]
+struct ClassKeys {
+    /// `None` if a footprint variable is neither mapped nor a slot of
+    /// the rows: it has no value at any state, so no state has a class.
+    shape: Option<KeyShape>,
+    key: Vec<u64>,
+    keys: KeyIds,
+}
+
+impl ClassKeys {
+    fn new(layout: &PackedLayout, footprint: &VarSet, images: &Images) -> ClassKeys {
+        let shape = KeyShape::of(layout, footprint, images);
+        let key = words(shape.as_ref().map_or(0, |shape| shape.bits(layout)));
+        ClassKeys {
+            shape,
+            keys: KeyIds::of_width(key.len()),
+            key,
+        }
+    }
+
+    /// The class of state `id`, numbered in the order classes are met;
+    /// `None` where its key is not computable.
+    fn class(&mut self, graph: &StateGraph, images: &Images, id: usize) -> Option<u32> {
+        let shape = self.shape.as_ref()?;
+        if !shape.write(graph, images, id, &mut self.key) {
+            return None;
+        }
+        Some(self.keys.intern(&self.key, |next| {
+            u32::try_from(next)
+                .ok()
+                .filter(|&class| class < UNSEEN)
+                .expect("classes fit in u32")
+        }))
+    }
+}
+
+/// What a class key is made of: the codes of the unmapped footprint
+/// slots, then each mapped variable's image id from its column. The
+/// one writer of class and leaf keys.
+#[derive(Debug)]
+struct KeyShape {
+    codes: Vec<usize>,
+    /// Per mapped variable, the index of its [`Images`] column and the
+    /// bits of its field: enough for every id in the column.
+    mapped: Vec<(usize, u32)>,
+}
+
+impl KeyShape {
+    /// The key of `vars` under `images`; `None` if one is neither
+    /// mapped nor a slot of `layout`'s rows.
+    fn of(layout: &PackedLayout, vars: &VarSet, images: &Images) -> Option<KeyShape> {
+        let mut shape = KeyShape {
+            codes: Vec::new(),
+            mapped: Vec::new(),
+        };
+        for v in vars.iter() {
+            match images.column_index(v) {
+                Some(column) => shape.mapped.push((column, images.id_bits)),
+                None if v.index() < layout.slots() => shape.codes.push(v.index()),
+                None => return None,
             }
-            PackedLayout::put_bits(key, at, u64::from(image), self.id_bits);
-            at += self.id_bits as usize;
+        }
+        Some(shape)
+    }
+
+    /// The bits of a key.
+    fn bits(&self, layout: &PackedLayout) -> usize {
+        let ids: u32 = self.mapped.iter().map(|&(_, bits)| bits).sum();
+        layout.key_bits(&self.codes) + ids as usize
+    }
+
+    /// Writes the key of state `id` into `key`; `false` if some image is
+    /// undefined or not filled there.
+    fn write(&self, graph: &StateGraph, images: &Images, id: usize, key: &mut [u64]) -> bool {
+        let mut at = graph.layout().gather_key(graph.row(id), &self.codes, key);
+        for &(column, bits) in &self.mapped {
+            let image = match images.columns[column].1.get(id) {
+                Some(&image) if image < UNSEEN => image,
+                _ => return false,
+            };
+            debug_assert!(u64::from(image) >> bits == 0, "an image id fits its field");
+            PackedLayout::put_bits(key, at, u64::from(image), bits);
+            at += bits as usize;
         }
         true
     }
@@ -682,10 +911,10 @@ const UNKNOWN: u8 = 0;
 /// per pair it meets, in the order it meets them, and never rehashes,
 /// so what it keeps resident is that word, plus four bytes per class.
 /// An answer is a number of a few bits: a truth value for an
-/// obligation, the first failing conjunct for the `⊳` monitor
-/// ([`hoist::ClassMemo`](crate::hoist::ClassMemo)).
+/// obligation, the first failing conjunct of one side for the `⊳`
+/// monitor (over [`LazyClasses`]).
 #[derive(Debug)]
-pub(crate) struct PairLists {
+pub struct PairLists {
     /// Per source class, one past the index of its latest entry; 0 for
     /// none.
     heads: Vec<u32>,
@@ -698,7 +927,7 @@ pub(crate) struct PairLists {
 
 impl PairLists {
     /// Empty lists of answers below `2^answer_bits`.
-    pub(crate) fn new(answer_bits: u32) -> Self {
+    pub fn new(answer_bits: u32) -> Self {
         assert!((1..16).contains(&answer_bits), "an answer is a few bits");
         PairLists {
             heads: Vec::new(),
@@ -708,7 +937,7 @@ impl PairLists {
     }
 
     /// The remembered answer of `(s, t)`.
-    pub(crate) fn get(&self, s: u32, t: u32) -> Option<u32> {
+    pub fn get(&self, s: u32, t: u32) -> Option<u32> {
         let mut at = *self.heads.get(s as usize)?;
         let answer = (1u32 << self.answer_bits) - 1;
         while at != 0 {
@@ -726,7 +955,7 @@ impl PairLists {
     /// of `pairs`, the most the caller can meet; a page of that
     /// reservation is resident only once an entry is written to it. A
     /// source class past `classes` grows the heads.
-    pub(crate) fn insert(&mut self, classes: usize, pairs: usize, s: u32, t: u32, value: u32) {
+    pub fn insert(&mut self, classes: usize, pairs: usize, s: u32, t: u32, value: u32) {
         if self.heads.is_empty() {
             self.heads.resize(classes, 0);
             self.entries.reserve_exact(pairs);
@@ -984,9 +1213,9 @@ const DENSE_BITS: usize = 14;
 /// The leaves that read one set of variables: their key shape, and the
 /// number of keys it has.
 #[derive(Debug)]
-struct Group<'g> {
+struct Group {
     reads: VarSet,
-    shape: KeyShape<'g>,
+    shape: KeyShape,
     keys: usize,
 }
 
@@ -1022,7 +1251,7 @@ struct Tables<'g> {
     /// [`ERRED`], a truth value, or an id. A leaf's table holds every
     /// key and is allocated the first time the leaf is evaluated.
     answers: Vec<Vec<u32>>,
-    groups: Vec<Group<'g>>,
+    groups: Vec<Group>,
     /// Whether some leaf reads a primed variable: then no state
     /// predicate is decided.
     primed: bool,
@@ -1141,17 +1370,7 @@ impl<'g> Tables<'g> {
         if let Some(at) = self.groups.iter().position(|g| g.reads == reads) {
             return Some(at);
         }
-        let mut shape = KeyShape {
-            codes: Vec::new(),
-            mapped: Vec::new(),
-            id_bits: self.images.id_bits(),
-        };
-        for v in reads.iter() {
-            match self.space(v)? {
-                Space::Code(slot) => shape.codes.push(slot),
-                Space::Image(column) => shape.mapped.push(column),
-            }
-        }
+        let shape = KeyShape::of(self.graph.layout(), &reads, self.images)?;
         let bits = shape.bits(self.graph.layout());
         if bits > DENSE_BITS {
             return None;
@@ -1224,10 +1443,7 @@ impl<'g> Tables<'g> {
         let mut key = self.keyed[group];
         if key == UNDECIDED {
             let mut word = [0];
-            if !g
-                .shape
-                .write(self.graph.layout(), self.graph.row(s), s, &mut word)
-            {
+            if !g.shape.write(self.graph, self.images, s, &mut word) {
                 return None;
             }
             key = word[0] as u32;

@@ -580,14 +580,14 @@ mod tests {
         graph: &StateGraph,
         budget: &Budget,
     ) -> Result<RowTables, (ExhaustReason, usize)> {
-        let meter = Meter::start(budget);
+        let mut meter = Meter::start(budget);
         let mut tables = Vec::new();
         for f in system.fairness() {
             let mut rows = Vec::new();
             for (id, s) in graph.states().iter().enumerate() {
                 let mut row = Vec::new();
                 for e in graph.edges(id) {
-                    if let Some(reason) = meter.charge_transition() {
+                    if let Some(reason) = meter.charge_transition_mut() {
                         return Err((reason, graph.len() - id));
                     }
                     row.push(

@@ -79,7 +79,7 @@ pub(super) fn tarjan_sccs(
             let t = graph.edges(v)[i].target;
             Ok(node_ok[t].then_some(t))
         },
-        &mut |_, remaining| match meter.borrow().checkpoint() {
+        &mut |_, remaining| match meter.borrow_mut().checkpoint() {
             Some(reason) => Err(Stop::Exhausted {
                 reason,
                 pending: remaining,

@@ -16,11 +16,13 @@
 //!   no view exactly where `s̄` cannot be built.
 //!
 //! * a hoisted program: expressions planted with a random state
-//!   function and its primed twin, compiled over the functions they
-//!   share (`SharedFunctions`) and decided through `HoistedExpr` on the
-//!   per-state `SharedColumns` of a graph, against the interpreter on
-//!   every step and state of the graph — where a shared function is
-//!   undefined (no view), where the hoisted program errs (the plain
+//!   function and its primed twin, rewritten with each function they
+//!   share as a fresh variable (`Hoisting`) and decided as the `⊳`
+//!   monitor decides them — the rewritten program on the image views of
+//!   the functions' images, filled on demand in reverse state order,
+//!   else the plain program on the rows — against the interpreter on
+//!   every step and state of a graph: where a shared function is
+//!   undefined (no view), where the rewritten program errs (the plain
 //!   program answers) and where it decides.
 //!
 //! Every `Expr` variant, primes, empty `∧`/`∨` chains, ill-typed
@@ -28,11 +30,11 @@
 //! are generated; each test also counts what it compared, so a
 //! generator that stopped reaching an outcome fails too.
 
-use opentla_check::hoist::{HoistedExpr, SharedColumns};
+use opentla_check::hoist::Hoisting;
 use opentla_check::image::{ImageView, Images};
 use opentla_check::{
     explore, CompiledExpr, EvalScratch, ExploreOptions, GuardedAction, Init, RecorderHandle,
-    SharedFunctions, StateGraph, System,
+    StateGraph, System,
 };
 use opentla_kernel::{
     BinOp, Domain, EvalError, Expr, State, StatePair, Substitution, UnOp, Value, VarId, Vars,
@@ -527,11 +529,11 @@ fn compiled_programs_on_image_views_agree_with_the_interpreter_on_materialized_s
     );
 }
 
-/// Hoisted programs decided through `HoistedExpr` on `SharedColumns`
-/// are the interpreter, value or error, on every step and state of a
-/// graph: on the hoisted program where both views exist and it
-/// decides, else on the plain one. Each path is counted, so a generator
-/// that stopped reaching one fails.
+/// Hoisted programs, decided as the `⊳` monitor decides them, are the
+/// interpreter, value or error, on every step and state of a graph: the
+/// rewritten program on the on-demand image views where both exist and
+/// it answers, else the plain program on the rows. Each path is
+/// counted, so a generator that stopped reaching one fails.
 #[test]
 fn hoisted_programs_agree_with_the_interpreter_on_every_step() {
     let mut seen = Seen::default();
@@ -549,40 +551,60 @@ fn hoisted_programs_agree_with_the_interpreter_on_every_step() {
         let exprs: Vec<Expr> = (0..2 + rng.below(3))
             .map(|_| world.planted(rng, &f, &f1))
             .collect();
-        let functions = SharedFunctions::of(&exprs);
-        shared += functions.len();
-        let mut columns = SharedColumns::new(&functions, &graph);
-        for id in 0..graph.len() {
-            columns.fill(id, &mut scratch);
+        let hoisting = Hoisting::of(&exprs, &world.vars);
+        shared += hoisting.functions().len();
+        let mut images = Images::on_demand(&graph, &hoisting.mapping());
+        for id in (0..graph.len()).rev() {
+            images.fill(&graph, id);
         }
+        let views: Vec<Option<ImageView<'_>>> = (0..graph.len())
+            .map(|id| ImageView::new(&images, &graph, id))
+            .collect();
         for e in &exprs {
             seen.expr(e);
-            let program = HoistedExpr::compile(e, &functions);
-            programs += usize::from(program.hoisted().is_some());
+            let plain = CompiledExpr::compile(e);
+            let rewritten = hoisting.rewrite(e).map(|r| CompiledExpr::compile(&r));
+            programs += usize::from(rewritten.is_some());
             for (id, state) in states.iter().enumerate() {
-                let ctx = format!("seed {seed}: {e:?} sharing {functions:?} at {state:?}");
+                let ctx = format!("seed {seed}: {e:?} sharing {hoisting:?} at {state:?}");
                 let expected = e.eval_state(state);
                 seen.result(&expected);
-                let got = program.eval(&columns, id, &mut scratch);
+                let row = graph.view(id);
+                let got = match (&rewritten, views[id]) {
+                    (Some(r), Some(view)) => {
+                        (r.eval(&view, &mut scratch)).or_else(|_| plain.eval(&row, &mut scratch))
+                    }
+                    _ => plain.eval(&row, &mut scratch),
+                };
                 assert_eq!(got, expected, "{ctx}");
                 for (next, next_state) in states.iter().enumerate() {
                     let step = StatePair::new(state, next_state);
                     let expected = e.eval_action(step);
                     seen.result(&expected);
-                    let got = program.eval_step(&columns, id, next, &mut scratch);
-                    assert_eq!(got, expected, "{ctx} -> {next_state:?}");
-                    let holds = program.holds_step(&columns, id, next, &mut scratch);
-                    assert_eq!(holds, e.holds_action(step), "{ctx} -> {next_state:?}");
-                    let Some(h) = program.hoisted() else {
-                        continue;
+                    let next_row = graph.view(next);
+                    let (got, holds) = match (&rewritten, views[id].zip(views[next])) {
+                        (Some(r), Some((old, new))) => {
+                            let got = r.eval_step(&old, &new, &mut scratch);
+                            match got {
+                                Ok(_) => hoisted += 1,
+                                Err(_) => fallbacks += 1,
+                            }
+                            let holds = r.holds_step(&old, &new, &mut scratch);
+                            (
+                                got.or_else(|_| plain.eval_step(&row, &next_row, &mut scratch)),
+                                holds.or_else(|_| plain.holds_step(&row, &next_row, &mut scratch)),
+                            )
+                        }
+                        (rewritten, _) => {
+                            no_view += usize::from(rewritten.is_some());
+                            (
+                                plain.eval_step(&row, &next_row, &mut scratch),
+                                plain.holds_step(&row, &next_row, &mut scratch),
+                            )
+                        }
                     };
-                    match columns.view(id).zip(columns.view(next)) {
-                        Some((old, new)) => match h.eval_step(&old, &new, &mut scratch) {
-                            Ok(_) => hoisted += 1,
-                            Err(_) => fallbacks += 1,
-                        },
-                        None => no_view += 1,
-                    }
+                    assert_eq!(got, expected, "{ctx} -> {next_state:?}");
+                    assert_eq!(holds, e.holds_action(step), "{ctx} -> {next_state:?}");
                 }
             }
         }

@@ -15,15 +15,24 @@
 //! set of the same variables, so an unmapped one that no state has
 //! leaves every state without a class. The test counts what it met, so
 //! a generator that stopped reaching an outcome fails too.
+//!
+//! The same images and classes filled on demand (`Images::on_demand`,
+//! `LazyClasses`), state by state in a random order, are those of the
+//! passes: the same value and the same undefined states under every
+//! mapped variable, and the same class partition and class count over
+//! every footprint — also on a system whose image and class keys are
+//! wider than a word, under a mapping undefined at most states.
 
 mod support {
     pub mod random_system;
     pub mod value_passes;
 }
 
-use opentla_check::image::{Classes, Images};
-use opentla_check::{explore, ExploreOptions, RecorderHandle, StateGraph, System};
-use opentla_kernel::{Domain, Expr, Substitution, VarId, VarSet};
+use opentla_check::image::{Classes, Images, LazyClasses};
+use opentla_check::{
+    explore, ExploreOptions, GuardedAction, Init, RecorderHandle, StateGraph, System,
+};
+use opentla_kernel::{Domain, Expr, Substitution, Value, VarId, VarSet, Vars};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -208,5 +217,184 @@ fn code_keyed_passes_number_as_the_value_passes_do() {
     .into_iter()
     .filter(|o| !seen.contains(*o))
     .collect();
+    assert!(missing.is_empty(), "never met {missing:?} (met {seen:?})");
+}
+
+/// The states of `graph` in an order drawn from `seed`.
+fn shuffled(graph: &StateGraph, seed: u64) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..graph.len()).collect();
+    let mut state = seed;
+    for i in (1..order.len()).rev() {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ (state >> 31)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        order.swap(i, (z % (i as u64 + 1)) as usize);
+    }
+    order
+}
+
+/// `v`'s value under `images` at every state of `graph`, `None` where
+/// it is undefined; and whether some entry is neither.
+fn values_of(images: &Images, v: VarId, graph: &StateGraph) -> (Vec<Option<Value>>, bool) {
+    let column = images.column(v).expect("a mapped variable has a column");
+    let values = (0..graph.len())
+        .map(|id| images.value(column[id]).cloned())
+        .collect();
+    let unfilled = (column.len() != graph.len()) || column.contains(&(u32::MAX - 1));
+    (values, unfilled)
+}
+
+/// `of` renumbered in state order: two numberings of one partition
+/// agree after it.
+fn in_state_order(of: &[Option<u32>]) -> Vec<Option<u32>> {
+    let mut first = std::collections::HashMap::new();
+    (of.iter())
+        .map(|class| {
+            class.map(|c| {
+                let next = first.len() as u32;
+                *first.entry(c).or_insert(next)
+            })
+        })
+        .collect()
+}
+
+/// Images of `graph` under `mapping` and classes over each footprint,
+/// filled on demand in the order `seed` draws, against the passes.
+fn check_on_demand(
+    graph: &StateGraph,
+    mapping: &Substitution,
+    footprints: &[VarSet],
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let eager = Images::of_graph(graph, mapping, &RecorderHandle::default());
+    let mut lazy = Images::on_demand(graph, mapping);
+    let mut classes: Vec<LazyClasses> = (footprints.iter())
+        .map(|footprint| LazyClasses::new(graph, footprint, &lazy))
+        .collect();
+    let mut of = vec![vec![None; graph.len()]; footprints.len()];
+    for id in shuffled(graph, seed) {
+        lazy.fill(graph, id);
+        for (classes, of) in classes.iter_mut().zip(&mut of) {
+            of[id] = classes.get(graph, &lazy, id);
+        }
+    }
+    for v in mapping.domain() {
+        let (values, unfilled) = values_of(&lazy, v, graph);
+        prop_assert!(!unfilled, "every state filled under {:?}", v);
+        prop_assert_eq!(&values, &values_of(&eager, v, graph).0, "values of {:?}", v);
+    }
+    prop_assert_eq!(lazy.undefined(), eager.undefined());
+    prop_assert_eq!(lazy.distinct_values(), eager.distinct_values());
+    for ((footprint, classes), of) in footprints.iter().zip(&classes).zip(&of) {
+        let passed = Classes::of_graph(graph, footprint, &eager);
+        prop_assert_eq!(classes.count(), passed.count(), "over {:?}", footprint);
+        let renumbered = in_state_order(of);
+        if passed.skipped() {
+            let classed = of.iter().flatten().count();
+            prop_assert_eq!(classed, passed.count(), "over {:?}", footprint);
+        } else {
+            let expected: Vec<Option<u32>> = (0..graph.len()).map(|id| passed.get(id)).collect();
+            prop_assert_eq!(&renumbered, &expected, "over {:?}", footprint);
+            note("a shared class filled on demand");
+        }
+    }
+    Ok(())
+}
+
+/// A system whose keys are wider than a word: 66 bit variables filled
+/// one after the other beside a free toggle `t`, 134 states; `m ↦ Σ bᵢ`
+/// has a 66-bit image key and `t ↦ 1 ÷ b65` is undefined below the last
+/// level. Its footprints give class keys of 66 codes, of 66 codes and
+/// an image id, and of image ids alone.
+fn wide() -> (StateGraph, Substitution, Vec<VarSet>) {
+    let mut vars = Vars::new();
+    let bits: Vec<VarId> = (0..66)
+        .map(|i| vars.declare(format!("b{i}"), Domain::bits()))
+        .collect();
+    let t = vars.declare("t", Domain::bits());
+    let m = vars.declare("m", Domain::new(vec![Value::Int(0)]));
+    let mut actions: Vec<GuardedAction> = (0..bits.len())
+        .map(|i| {
+            let mut guard = Expr::var(bits[i]).eq(Expr::int(0));
+            if i > 0 {
+                guard = guard.and(Expr::var(bits[i - 1]).eq(Expr::int(1)));
+            }
+            GuardedAction::new(format!("fill{i}"), guard, vec![(bits[i], Expr::int(1))])
+        })
+        .collect();
+    actions.push(GuardedAction::new(
+        "toggle",
+        Expr::bool(true),
+        vec![(t, Expr::int(1).sub(Expr::var(t)))],
+    ));
+    let init = (bits.iter().chain([&t, &m])).map(|&v| (v, Value::Int(0)));
+    let system = System::new(vars, Init::new(init), actions);
+    let graph = explore(&system, &ExploreOptions::default()).expect("the system explores");
+    let sum = bits.iter().fold(Expr::int(0), |e, &b| e.add(Expr::var(b)));
+    let last = *bits.last().expect("66 bits");
+    let mapping = Substitution::new([(m, sum), (t, Expr::int(1).div(Expr::var(last)))]);
+    let footprints = [
+        bits.clone(),
+        bits.iter().copied().chain([m]).collect(),
+        bits.iter().copied().chain([t]).collect(),
+        vec![m, t],
+    ];
+    let footprints = footprints
+        .into_iter()
+        .map(|f| f.into_iter().collect())
+        .collect();
+    (graph, mapping, footprints)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// One case: the wide system, or a system of either family with a
+    /// mapping and three footprints; then an order to fill them in.
+    fn on_demand_case(
+        family in 0u32..3,
+        bit_specs in proptest::collection::vec(arb_action_spec(BITS), 1..5),
+        int_specs in proptest::collection::vec(arb_action_spec(SMALL_INTS), 1..5),
+        bit_map in proptest::collection::vec(arb_map_spec(BITS), 0..4),
+        int_map in proptest::collection::vec(arb_map_spec(SMALL_INTS), 0..4),
+        masks in proptest::collection::vec(0u32..16, 3..4),
+        seed in any::<u64>(),
+    ) {
+        if family == 0 {
+            let (graph, mapping, footprints) = wide();
+            note("keys wider than a word");
+            check_on_demand(&graph, &mapping, &footprints, seed)?;
+        } else {
+            let (family, specs, map) = if family == 1 {
+                (BITS, &bit_specs, &bit_map)
+            } else {
+                (SMALL_INTS, &int_specs, &int_map)
+            };
+            let system: System = build_system(family, specs);
+            let mut ids: Vec<VarId> = system.vars().iter().collect();
+            ids.push(system.vars().clone().declare("abstract", Domain::bits()));
+            let mapping = Substitution::new(map.iter().map(|spec| (ids[spec.target], image(spec, &ids))));
+            let footprints: Vec<VarSet> = masks
+                .iter()
+                .map(|mask| {
+                    (0..ids.len())
+                        .filter(|i| mask & (1 << i) != 0)
+                        .map(|i| ids[i])
+                        .collect()
+                })
+                .collect();
+            let graph = explore(&system, &ExploreOptions::default()).expect("the systems explore");
+            check_on_demand(&graph, &mapping, &footprints, seed)?;
+        }
+    }
+}
+
+#[test]
+fn on_demand_passes_number_as_the_eager_passes_do() {
+    on_demand_case();
+    let seen = SEEN.lock().unwrap();
+    let missing: Vec<&str> = ["keys wider than a word", "a shared class filled on demand"]
+        .into_iter()
+        .filter(|o| !seen.contains(*o))
+        .collect();
     assert!(missing.is_empty(), "never met {missing:?} (met {seen:?})");
 }

@@ -55,7 +55,7 @@ pub fn direct_simulation(
         });
     };
     let vars = system.vars();
-    let meter = Meter::start(budget);
+    let mut meter = Meter::start(budget);
     let exhausted = |reason: ExhaustReason, pending: usize| SimulationRun {
         report: None,
         outcome: Outcome::Exhausted {
@@ -65,7 +65,7 @@ pub fn direct_simulation(
             resume: None,
         },
     };
-    let violated = |cx: Counterexample| SimulationRun {
+    let violated = |cx: Counterexample, meter: &Meter| SimulationRun {
         report: Some(SimulationReport {
             verdict: Verdict::Violated(cx),
             states: graph.len(),
@@ -80,18 +80,18 @@ pub fn direct_simulation(
         for p in &sc.init {
             if !p.holds_state(graph.state(*id))? {
                 let reason = format!("initial condition of the target fails: {}", p.display(vars));
-                return Ok(violated(trace(system, graph, *id, reason)));
+                return Ok(violated(trace(system, graph, *id, reason), &meter));
             }
         }
     }
     for (id, s) in graph.states().iter().enumerate() {
-        if let Some(reason) = meter.checkpoint().or_else(|| meter.charge_state()) {
+        if let Some(reason) = meter.checkpoint().or_else(|| meter.charge_state_mut()) {
             return Ok(exhausted(reason, graph.len() - id));
         }
         for p in &sc.invariants {
             if !p.holds_state(s)? {
                 let reason = format!("target invariant fails: {}", p.display(vars));
-                return Ok(violated(trace(system, graph, id, reason)));
+                return Ok(violated(trace(system, graph, id, reason), &meter));
             }
         }
     }
@@ -105,7 +105,7 @@ pub fn direct_simulation(
             return Ok(exhausted(reason, graph.len() - id));
         }
         for e in graph.edges(id) {
-            if let Some(reason) = meter.charge_transition() {
+            if let Some(reason) = meter.charge_transition_mut() {
                 return Ok(exhausted(reason, graph.len() - id));
             }
             let t = graph.state(e.target);
@@ -123,12 +123,10 @@ pub fn direct_simulation(
                 let mut actions = base.actions().to_vec();
                 states.push(t.clone());
                 actions.push(Some(action.to_string()));
-                return Ok(violated(Counterexample::new(
-                    base.reason().to_string(),
-                    states,
-                    actions,
-                    None,
-                )));
+                return Ok(violated(
+                    Counterexample::new(base.reason().to_string(), states, actions, None),
+                    &meter,
+                ));
             }
         }
     }

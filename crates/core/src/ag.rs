@@ -2,15 +2,15 @@
 //! checking.
 
 use crate::{ComponentSpec, SpecError};
-use opentla_check::hoist::{drop_subsumed_unchanged, ClassMemo, HoistedExpr, SharedColumns};
+use opentla_check::hoist::{drop_subsumed_unchanged, Hoisting};
+use opentla_check::image::{ImageView, Images, LazyClasses, PairLists};
 use opentla_check::obs::RecorderHandle;
 use opentla_check::{
-    CheckError, Counterexample, EvalScratch, GuardedAction, SharedFunctions, StateGraph, System,
+    CheckError, CompiledExpr, Counterexample, EvalScratch, GuardedAction, StateGraph, System,
     Verdict,
 };
-use opentla_kernel::{Expr, Formula, Renaming, VarId, Vars};
+use opentla_kernel::{EvalError, Expr, Formula, Renaming, VarId, VarSet, Vars};
 use opentla_semantics::{safety_canonical, SafetyCanonical};
-use std::cell::OnceCell;
 
 /// An assumption/guarantee specification `E ⊳ M` (Section 3 of the
 /// paper): the system guarantees `M` at least one step longer than the
@@ -240,17 +240,22 @@ impl AgReport {
 
 /// One side of the monitor, `E` or `M`: its safety-canonical form,
 /// which names the conjuncts, its step boxes as actions, each conjunct
-/// compiled once per run — plainly, then once more over the monitor's
-/// shared functions when it hoists them, with a memo of the side's
-/// answers by class — and the tallies of its `image_memo` event.
+/// compiled once per run — plainly, then once more rewritten over the
+/// monitor's shared functions when it hoists them, with a memo of the
+/// side's answers by class — and the tallies of its `image_memo` event.
 struct Side {
     sc: SafetyCanonical,
     boxes: Vec<Expr>,
     /// The initial predicates, the invariants, then the boxes.
-    programs: Vec<HoistedExpr>,
-    /// The first failing conjunct on a step by class pair, once
-    /// hoisted: 0 for none, else one plus its index in `programs`.
-    memo: Option<ClassMemo>,
+    plain: Vec<CompiledExpr>,
+    /// Once hoisted, each of them rewritten over the shared functions'
+    /// variables ([`Hoisting::rewrite`]): `None` for one without an
+    /// occurrence.
+    rewritten: Vec<Option<CompiledExpr>>,
+    /// Once hoisted, the side's classes, and its first failing conjunct
+    /// on a step by class pair: 0 for none, else one plus its index in
+    /// `plain`.
+    memo: Option<(LazyClasses, PairLists)>,
     /// Steps asked about, and those of them evaluated.
     steps: u64,
     evaluated: u64,
@@ -273,32 +278,41 @@ impl Side {
         let mut side = Side {
             sc,
             boxes,
-            programs: Vec::new(),
+            plain: Vec::new(),
+            rewritten: Vec::new(),
             memo: None,
             steps: 0,
             evaluated: 0,
         };
-        let none = SharedFunctions::default();
-        side.programs = side
-            .conjuncts()
-            .map(|e| HoistedExpr::compile(e, &none))
-            .collect();
+        side.plain = side.conjuncts().map(CompiledExpr::compile).collect();
         side
     }
 
-    /// Every conjunct, in the order of `programs`.
-    fn conjuncts(&self) -> impl Iterator<Item = &Expr> {
+    /// Every conjunct, in the order of `plain`.
+    fn conjuncts(&self) -> impl Iterator<Item = &Expr> + Clone {
         let preds = self.sc.init.iter().chain(&self.sc.invariants);
         preds.chain(&self.boxes)
     }
 
-    /// Compiles every conjunct over `columns`' shared functions,
-    /// `shared`, and starts the memo.
-    fn hoist(&mut self, shared: &SharedFunctions, columns: &SharedColumns<'_>) {
-        let programs = self.conjuncts().map(|e| HoistedExpr::compile(e, shared));
-        self.programs = programs.collect();
-        let answers = u32::try_from(self.programs.len() + 1).expect("conjuncts fit in u32");
-        self.memo = Some(ClassMemo::new(&self.programs, columns, answers));
+    /// Rewrites every conjunct over `hoisting`'s variables, whose values
+    /// `images` keeps, and starts the memo over the classes of the
+    /// rewritten conjuncts' footprint. A variable that is neither mapped
+    /// nor one of the `slots` of `graph`'s rows reads nothing at every
+    /// state alike, so it tells no states apart and is left out.
+    fn hoist(&mut self, hoisting: &Hoisting, images: &Images, graph: &StateGraph, slots: usize) {
+        let mut footprint = VarSet::new();
+        let mut rewritten = Vec::new();
+        for e in self.conjuncts() {
+            let r = hoisting.rewrite(e);
+            let vars = r.as_ref().unwrap_or(e).all_vars();
+            footprint
+                .extend((vars.iter()).filter(|v| v.index() < slots || images.column(*v).is_some()));
+            rewritten.push(r.as_ref().map(CompiledExpr::compile));
+        }
+        self.rewritten = rewritten;
+        let answers = u32::try_from(self.plain.len() + 1).expect("conjuncts fit in u32");
+        let classes = LazyClasses::new(graph, &footprint, images);
+        self.memo = Some((classes, PairLists::new(u32::BITS - answers.leading_zeros())));
     }
 
     /// The number of state predicates.
@@ -315,17 +329,54 @@ impl Side {
         })
     }
 
+    /// Conjunct `i` at state `s`: rewritten on `view`, the image view of
+    /// `s`, where there is one and that answers; else — and then its
+    /// answer, value or error, is the result — plainly on the row.
+    fn holds(
+        &self,
+        i: usize,
+        graph: &StateGraph,
+        view: Option<ImageView<'_>>,
+        s: usize,
+        scratch: &mut EvalScratch,
+    ) -> Result<bool, EvalError> {
+        if let (Some(Some(rewritten)), Some(view)) = (self.rewritten.get(i), view) {
+            if let Ok(holds) = rewritten.holds(&view, scratch) {
+                return Ok(holds);
+            }
+        }
+        self.plain[i].holds(&graph.view(s), scratch)
+    }
+
+    /// Conjunct `i` on the step `⟨s, t⟩`, as [`Side::holds`] on the two
+    /// states' image views.
+    fn holds_step(
+        &self,
+        i: usize,
+        graph: &StateGraph,
+        views: Option<(ImageView<'_>, ImageView<'_>)>,
+        (s, t): (usize, usize),
+        scratch: &mut EvalScratch,
+    ) -> Result<bool, EvalError> {
+        if let (Some(Some(rewritten)), Some((old, new))) = (self.rewritten.get(i), views) {
+            if let Ok(holds) = rewritten.holds_step(&old, &new, scratch) {
+                return Ok(holds);
+            }
+        }
+        self.plain[i].holds_step(&graph.view(s), &graph.view(t), scratch)
+    }
+
     /// The first conjunct (initial predicate or invariant) failing in
     /// state `s`: asked of initial states only, before any memo starts.
     fn failing_state(
         &self,
-        columns: &SharedColumns<'_>,
+        graph: &StateGraph,
         s: usize,
         scratch: &mut EvalScratch,
     ) -> Result<Option<Conjunct>, SpecError> {
-        for (i, program) in self.programs[..self.preds()].iter().enumerate() {
-            if !program
-                .holds(columns, s, scratch)
+        for i in 0..self.preds() {
+            if !self
+                .holds(i, graph, None, s, scratch)
                 .map_err(CheckError::from)?
             {
                 return Ok(Some(Conjunct::Pred(i)));
@@ -335,40 +386,66 @@ impl Side {
     }
 
     /// The first conjunct (step box or invariant) failing on the
-    /// transition `⟨s, t⟩`.
+    /// transition `⟨s, t⟩`: the one remembered for their class pair,
+    /// else evaluated, and remembered if both states have a class.
+    /// Errors are not remembered.
     fn failing_step(
         &mut self,
-        columns: &SharedColumns<'_>,
+        graph: &StateGraph,
+        images: Option<&Images>,
         s: usize,
         t: usize,
         scratch: &mut EvalScratch,
     ) -> Result<Option<Conjunct>, SpecError> {
-        let (init, preds) = (self.sc.init.len(), self.preds());
-        let (invariants, boxes) = self.programs.split_at(preds);
-        let evaluated = &mut self.evaluated;
-        let mut decide = || -> Result<u32, SpecError> {
-            *evaluated += 1;
-            for (i, step_box) in boxes.iter().enumerate() {
-                if !(step_box.holds_step(columns, s, t, scratch)).map_err(CheckError::from)? {
-                    return Ok(1 + (preds + i) as u32);
-                }
-            }
-            for (i, program) in invariants.iter().enumerate().skip(init) {
-                if !program
-                    .holds(columns, t, scratch)
-                    .map_err(CheckError::from)?
-                {
-                    return Ok(1 + i as u32);
-                }
-            }
-            Ok(0)
-        };
         self.steps += 1;
-        let answer = match &mut self.memo {
-            Some(memo) => memo.step(columns, s, t, decide)?,
-            None => decide()?,
+        let pair = match (&mut self.memo, images) {
+            (Some((classes, _)), Some(images)) => {
+                let s_class = classes.get(graph, images, s);
+                s_class.zip(classes.get(graph, images, t))
+            }
+            _ => None,
         };
+        if let (Some((s_class, t_class)), Some((_, pairs))) = (pair, &self.memo) {
+            if let Some(known) = pairs.get(s_class, t_class) {
+                return Ok(self.conjunct(known));
+            }
+        }
+        self.evaluated += 1;
+        let answer = self.first_failing(graph, images, (s, t), scratch)?;
+        if let (Some((s_class, t_class)), Some((_, pairs))) = (pair, &mut self.memo) {
+            pairs.insert(0, 0, s_class, t_class, answer);
+        }
         Ok(self.conjunct(answer))
+    }
+
+    /// The first conjunct failing on `⟨s, t⟩` evaluated, as a memo
+    /// answer: the step boxes, then the invariants at `t`.
+    fn first_failing(
+        &self,
+        graph: &StateGraph,
+        images: Option<&Images>,
+        (s, t): (usize, usize),
+        scratch: &mut EvalScratch,
+    ) -> Result<u32, SpecError> {
+        let view = |id| images.and_then(|images| ImageView::new(images, graph, id));
+        let (old, new) = (view(s), view(t));
+        let (init, preds) = (self.sc.init.len(), self.preds());
+        for i in preds..self.plain.len() {
+            if !(self.holds_step(i, graph, old.zip(new), (s, t), scratch))
+                .map_err(CheckError::from)?
+            {
+                return Ok(1 + i as u32);
+            }
+        }
+        for i in init..preds {
+            if !self
+                .holds(i, graph, new, t, scratch)
+                .map_err(CheckError::from)?
+            {
+                return Ok(1 + i as u32);
+            }
+        }
+        Ok(0)
     }
 
     /// The side's [`Event::ImageMemo`](opentla_check::Event::ImageMemo):
@@ -380,7 +457,7 @@ impl Side {
     fn report(&self, rec: &RecorderHandle, check: &str) {
         rec.record(&opentla_check::Event::ImageMemo {
             check,
-            classes: self.memo.as_ref().map_or(0, |memo| memo.classes() as u64),
+            classes: (self.memo.as_ref()).map_or(0, |(classes, _)| classes.count() as u64),
             distinct_pairs: self.evaluated,
             on_ids: 0,
             edges: self.steps,
@@ -443,11 +520,12 @@ pub fn check_ag_safety(
 /// the first 256 edges the monitor crosses. From there on, a state
 /// function the conjuncts share (found across both sides: on a queue
 /// chain's mapped guarantee, `q̄`, `Len(q̄)`, `i.sig = i.ack` and
-/// `1 - i.sig`) is evaluated once per distinct key of the slots it
-/// reads, and each side's conjuncts are decided once per pair of
-/// classes — a class being the codes of the slots the side reads
-/// outside those functions and the values of the functions it reads —
-/// not once per edge. On the crashing environment of
+/// `1 - i.sig`) is read as a mapped variable — its images kept in the
+/// store the Composition Theorem's obligations use, evaluated once per
+/// distinct key of the slots it reads — and each side's conjuncts are
+/// decided once per pair of image classes — a class being the codes of
+/// the slots the side reads outside those functions and the values of
+/// the functions it reads — not once per edge. On the crashing environment of
 /// `QueueChain(4,1,2)`, `E` meets 300 class pairs and `M` 19 651 over
 /// 212 058 edges. No table of the whole graph is built up front, so a
 /// violation found after a few states costs a few states. Verdicts,
@@ -493,11 +571,12 @@ pub fn check_ag_safety_diagnosed(
 }
 
 /// Edges the monitor crosses on plain programs before it hoists the
-/// shared functions and starts its memos. Finding them, compiling the
-/// conjuncts again and filling the columns of the states met since
+/// shared functions and starts its memos. Finding them, rewriting and
+/// compiling the conjuncts again and imaging the states met since
 /// costs about what hoisting saves on the next hundred or so edges (a
 /// crashing queue of `QueueChain(4,1,2)` refuted after 132 edges ran
-/// slower hoisted), so a monitor that stops sooner never pays for it.
+/// slower hoisted), so a monitor that stops sooner never pays for it:
+/// it builds no images and no class.
 const HOIST_AFTER_EDGES: usize = 256;
 
 /// The two sides of the monitor, then the BFS ([`monitor`]), then — on
@@ -531,24 +610,27 @@ fn ag_monitor(
 ///
 /// Its cost is one evaluation of each conjunct per edge crossed until
 /// the monitor has crossed [`HOIST_AFTER_EDGES`] edges. Then the state
-/// functions the conjuncts share ([`SharedFunctions`], found across
-/// both sides) are evaluated into [`SharedColumns`] — once per key of
-/// their reads, the first time the BFS touches a state with a new key
-/// — a conjunct reads them there ([`HoistedExpr`]: where a shared value
-/// is undefined, or the hoisted program errs, the plain program
-/// decides), and each side's first failing conjunct is remembered by
-/// class and by class pair ([`ClassMemo`]): an edge whose pair of
-/// classes was met is not evaluated again. The BFS tree is a parent and
-/// an action entry per flag, four bytes each, per state met. Only the
-/// first assumption break found is rendered.
+/// functions the conjuncts share, found across both sides, become
+/// mapped variables ([`Hoisting`]: each `fᵢ` a fresh `yᵢ`, every
+/// conjunct rewritten over them), whose images under `{yᵢ ↦ fᵢ}` are
+/// filled on demand ([`Images::on_demand`]) — once per key of their
+/// reads, the first time the BFS touches a state with a new key. A
+/// rewritten conjunct runs on the two states' [`ImageView`]s; where a
+/// view is missing or it errs, the plain conjunct decides on the rows.
+/// Each side's first failing conjunct is remembered by class
+/// ([`LazyClasses`] of its rewritten conjuncts' footprint) and by class
+/// pair ([`PairLists`]): an edge whose pair of classes was met is not
+/// evaluated again. The BFS tree is a parent and an action entry per
+/// flag, four bytes each, per state met. Only the first assumption
+/// break found is rendered.
 fn monitor(
     system: &System,
     graph: &StateGraph,
     env_side: &mut Side,
     sys_side: &mut Side,
 ) -> Result<AgReport, SpecError> {
-    let (none, shared) = (SharedFunctions::default(), OnceCell::new());
-    let mut columns = SharedColumns::new(&none, graph);
+    // The images of the shared functions, once hoisted.
+    let mut images: Option<Images> = None;
     let mut crossed = 0usize;
     let vars = system.vars();
     let scratch = &mut EvalScratch::new();
@@ -588,7 +670,7 @@ fn monitor(
     };
 
     for &id in graph.init() {
-        if let Some(conjunct) = sys_side.failing_state(&columns, id, scratch)? {
+        if let Some(conjunct) = sys_side.failing_state(graph, id, scratch)? {
             // m₀ = 1 ≤ n₀ always.
             let conjunct = sys_side.render(conjunct, vars);
             return Ok(AgReport {
@@ -605,7 +687,7 @@ fn monitor(
                 env_break: None,
             });
         }
-        let broken = env_side.failing_state(&columns, id, scratch)?;
+        let broken = env_side.failing_state(graph, id, scratch)?;
         if seen.insert_root(id, broken.is_some()) {
             queue.push_back((id, broken.is_some()));
             if let (None, Some(conjunct)) = (&env_break, broken) {
@@ -618,19 +700,25 @@ fn monitor(
             // No further obligations once the assumption has failed.
             continue;
         }
-        columns.fill(id, scratch);
+        if let Some(images) = &mut images {
+            images.fill(graph, id);
+        }
         for e in graph.edges(id) {
             crossed += 1;
             if crossed == HOIST_AFTER_EDGES {
                 let conjuncts = env_side.conjuncts().chain(sys_side.conjuncts());
-                let functions = shared.get_or_init(|| SharedFunctions::of(conjuncts));
-                columns = SharedColumns::new(functions, graph);
-                env_side.hoist(functions, &columns);
-                sys_side.hoist(functions, &columns);
-                columns.fill(id, scratch);
+                let hoisting = Hoisting::of(conjuncts, vars);
+                let mut hoisted = Images::on_demand(graph, &hoisting.mapping());
+                hoisted.fill(graph, id);
+                env_side.hoist(&hoisting, &hoisted, graph, vars.len());
+                sys_side.hoist(&hoisting, &hoisted, graph, vars.len());
+                images = Some(hoisted);
             }
-            columns.fill(e.target, scratch);
-            if let Some(conjunct) = sys_side.failing_step(&columns, id, e.target, scratch)? {
+            if let Some(images) = &mut images {
+                images.fill(graph, e.target);
+            }
+            let images = images.as_ref();
+            if let Some(conjunct) = sys_side.failing_step(graph, images, id, e.target, scratch)? {
                 // Violation: reconstruct the trace through the monitor.
                 let conjunct = sys_side.render(conjunct, vars);
                 let action = system.actions()[e.action].name().to_string();
@@ -655,7 +743,7 @@ fn monitor(
                     env_break: None,
                 });
             }
-            let broken = env_side.failing_step(&columns, id, e.target, scratch)?;
+            let broken = env_side.failing_step(graph, images, id, e.target, scratch)?;
             let next_broken = broken.is_some();
             if seen.insert(e.target, next_broken, id, e.action) {
                 queue.push_back((e.target, next_broken));

@@ -78,6 +78,7 @@ use opentla_kernel::store::{self, fnv1a, SegmentMeta, StoreError};
 use opentla_kernel::{Domain, PackedLayout, Vars};
 use std::borrow::Cow;
 use std::hash::Hasher;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -360,11 +361,10 @@ impl RunHeader {
         }
     }
 
-    /// A snapshot of this run, first in its sequence, the `frontier`
-    /// in whatever order the engine holds it.
-    pub(crate) fn snapshot(self, body: Body, mut frontier: Vec<usize>) -> Snapshot {
-        frontier.sort_unstable();
-        frontier.dedup();
+    /// A snapshot of this run, first in its sequence, whose arena's
+    /// tail `frontier` is unexpanded.
+    pub(crate) fn snapshot(self, body: Body, frontier: Range<usize>) -> Snapshot {
+        let frontier = frontier.collect();
         Snapshot {
             fp_bits: self.fp_bits,
             mode: self.mode,
@@ -576,6 +576,17 @@ impl Snapshot {
     /// Number of discovered-but-unexpanded states awaiting resume.
     pub fn frontier_len(&self) -> usize {
         self.frontier.len()
+    }
+
+    /// The first frontier id of a materialized snapshot: the frontier
+    /// is the arena's tail from there, in ascending order.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckpointError::Corrupt`] for a frontier that is not the
+    /// arena's tail.
+    pub(crate) fn frontier_start(&self) -> Result<usize, CheckpointError> {
+        tail_start(&self.frontier, self.graph().len())
     }
 
     /// The graph of a materialized snapshot.
@@ -910,23 +921,7 @@ impl SnapshotReader<'_> {
         }
         let init = self.ids("initial state id", n)?;
         let frontier = self.ids("frontier id", n)?;
-        // Every writer lists the unexpanded states once each, and they
-        // are the arena's tail (what the resume argument of
-        // `explore_seq` rests on): a repeated id would expand, and be
-        // charged, twice.
-        let expanded = n - frontier.len();
-        if let Some(at) = frontier
-            .iter()
-            .enumerate()
-            .position(|(i, &id)| id != expanded + i)
-        {
-            return Err(corrupt(format!(
-                "frontier id {} at position {at} is not the arena's tail in ascending order \
-                 (expected {})",
-                frontier[at],
-                expanded + at
-            )));
-        }
+        tail_start(&frontier, n)?;
         expect_end(&self.r, "the snapshot body")?;
         let manifest = Manifest {
             layout,
@@ -950,13 +945,35 @@ impl SnapshotReader<'_> {
     }
 }
 
+/// Where `frontier` starts in an arena of `n` states. Every writer
+/// lists the unexpanded states once each, and they are the arena's tail
+/// in ascending order (what the resume argument of `explore_seq` rests
+/// on): a repeated id would expand, and be charged, twice.
+fn tail_start(frontier: &[usize], n: usize) -> Result<usize, CheckpointError> {
+    let expanded = n.saturating_sub(frontier.len());
+    match (expanded..)
+        .zip(frontier)
+        .position(|(want, &id)| id != want)
+    {
+        None => Ok(expanded),
+        Some(at) => Err(corrupt(format!(
+            "frontier id {} at position {at} is not the arena's tail in ascending order \
+             (expected {})",
+            frontier[at],
+            expanded + at
+        ))),
+    }
+}
+
 /// Captures a snapshot from a (possibly partial) exploration whose
-/// only incomplete states are the `frontier` ones: their (possibly
-/// partial) edge lists are cleared so they fully re-expand on resume.
-pub(crate) fn capture(graph: &StateGraph, frontier: &[usize], header: RunHeader) -> Snapshot {
+/// only incomplete states are the frontier `first..`, the arena's
+/// tail: their (possibly partial) edge lists are cleared so they fully
+/// re-expand on resume.
+pub(crate) fn capture(graph: &StateGraph, first: usize, header: RunHeader) -> Snapshot {
     let mut graph = graph.clone();
-    graph.clear_edges(frontier);
-    header.snapshot(Body::Graph(graph), frontier.to_vec())
+    graph.clear_edges(first);
+    let frontier = first..graph.len();
+    header.snapshot(Body::Graph(graph), frontier)
 }
 
 /// Hands `take` every record of a segmented store `(dir, sealed,
@@ -1023,8 +1040,8 @@ const ARENA_RECORD_HEADER: usize = 17;
 
 /// The word state `id` is named by in arena and edge records. The
 /// sequential store admits no state past it: `u32::MAX` is the "no
-/// parent" word, and an id that does not fit a word would alias another
-/// state's.
+/// parent" word and the dedup index's empty slot, and an id that does
+/// not fit a word would alias another state's.
 ///
 /// # Errors
 ///
@@ -1063,10 +1080,10 @@ pub(crate) fn encode_packed_record(
     payload(out);
 }
 
-/// What a segment store counts for a packed arena record under
-/// `layout`: 4-byte length prefix, header, row.
-pub(crate) fn arena_record_bytes(layout: &PackedLayout) -> usize {
-    4 + ARENA_RECORD_HEADER + layout.stride()
+/// What a segment store counts for a packed arena record whose row is
+/// `stride` bytes: 4-byte length prefix, header, row.
+pub(crate) fn arena_record_bytes(stride: usize) -> usize {
+    4 + ARENA_RECORD_HEADER + stride
 }
 
 /// An arena record read back from a segment or a file, its row checked

@@ -873,6 +873,36 @@ mod tests {
         }
     }
 
+    /// The loop's queue is the id range from the frontier's first id:
+    /// a snapshot whose frontier is not the arena's tail, in ascending
+    /// order, cannot say where that is, and resuming it is `Corrupt` —
+    /// edited in RAM, where no file reader checked it. Unedited, it
+    /// resumes to the uninterrupted graph.
+    #[test]
+    fn resuming_a_frontier_that_is_not_the_arenas_tail_is_corrupt() {
+        let options = ExploreOptions::default();
+        let run = explore_governed(&grid(3), &Budget::default().states(5)).unwrap();
+        let snap = run.snapshot.expect("a state limit is resumable");
+        assert_eq!(snap.frontier, [2, 3, 4], "the cut parent and the tail");
+        // Reversed, with a gap, with a repeat.
+        for frontier in [vec![4, 3, 2], vec![2, 3], vec![2, 3, 4, 4]] {
+            let mut edited = (*snap).clone();
+            edited.frontier = frontier.clone();
+            match resume_exploration(&grid(3), &Budget::default(), &options, &edited) {
+                Err(CheckError::Checkpoint(crate::CheckpointError::Corrupt { detail })) => {
+                    assert!(
+                        detail.contains("not the arena's tail"),
+                        "{frontier:?}: {detail}"
+                    );
+                }
+                other => panic!("{frontier:?}: {:?}", other.map(|run| run.frontier)),
+            }
+        }
+        let resumed = resume_exploration(&grid(3), &Budget::default(), &options, &snap).unwrap();
+        let reference = explore(&grid(3), &options).unwrap();
+        assert_eq!(resumed.graph.first_difference(&reference), None);
+    }
+
     /// The file a build with the work-stealing engine saved when
     /// `Engine::WorkStealing` at 2 workers exhausted `states(7)` on
     /// `grid(3)` under `with_checkpoint(path, 1_000_000)`: its canonical

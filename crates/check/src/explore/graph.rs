@@ -197,17 +197,9 @@ impl StateGraph {
         Ok(())
     }
 
-    /// Empties the successor lists of `ids`, the arena's tail in
-    /// ascending order: the states a snapshot leaves to be expanded
-    /// again.
-    pub(crate) fn clear_edges(&mut self, ids: &[usize]) {
-        let Some(&first) = ids.first() else {
-            return;
-        };
-        assert!(
-            ids.iter().copied().eq(first..self.len()),
-            "cleared rows are the arena's tail"
-        );
+    /// Empties the successor lists of `first..`, the arena's tail: the
+    /// states a snapshot leaves to be expanded again.
+    pub(crate) fn clear_edges(&mut self, first: usize) {
         self.edges.truncate(self.edge_base(first));
         self.row_start.truncate(first + 1);
     }
@@ -557,7 +549,7 @@ mod tests {
                     }
                     7 => {
                         let first = rng.gen_range(0..=n);
-                        graph.clear_edges(&(first..n).collect::<Vec<_>>());
+                        graph.clear_edges(first);
                         model.rows[first..].iter_mut().for_each(Vec::clear);
                         model.filled = model.filled.min(first);
                         "clear_edges"

@@ -1,135 +1,425 @@
-//! The dedup index of every store: masked fingerprint → the first id
-//! recorded under it.
+//! The dedup index of every store: one open-addressed table of `u32`
+//! id slots over the store's one fingerprint column.
+//!
+//! The column holds the unmasked fingerprint of every id since the
+//! index last drained, in id order: the RAM body reads a parent's
+//! fingerprint there, and a slot's key is read there too, so no key is
+//! kept twice. The table is a power of two long and at most ¾ full;
+//! a key's home slot is a multiplicative hash of the *masked* key (a
+//! narrow mask leaves the top bits zero), and a probe walks the slots
+//! after it until the first empty one. Nothing is ever deleted but by a
+//! drain, so the ids under one key lie along its probe sequence in
+//! insertion order.
 //!
 //! [`VisitedMode::Fingerprint`](super::VisitedMode) trusts a hit: its
 //! `same` answers `true` without looking, so a key holds one id and an
-//! intern is one hash probe. [`VisitedMode::Exact`](super::VisitedMode)
+//! intern is one probe sequence. [`VisitedMode::Exact`](super::VisitedMode)
 //! verifies a hit against the store's arena, and only a state that
-//! differs from every id already under its key is chained there — the
-//! fingerprint then merely indexes candidates, and collisions cost a
-//! comparison, never a conflation.
+//! differs from every id already under its key is recorded after them —
+//! the fingerprint then merely indexes candidates, and collisions cost
+//! a comparison, never a conflation.
 
-use fxhash::FxHashMap;
-use std::collections::hash_map::Entry;
+/// An empty slot. No id is `u32::MAX`: `checkpoint::id_word` admits
+/// none, so every id the stores record fits a slot.
+const EMPTY: u32 = u32::MAX;
 
-#[derive(Default)]
+/// The slot count of a new table.
+const FIRST_SLOTS: usize = 16;
+
 pub(super) struct FpIndex {
-    first: FxHashMap<u64, usize>,
-    /// Second and later ids under a key, in insertion order; every key
-    /// here is also in `first`.
-    chained: FxHashMap<u64, Vec<usize>>,
+    /// Ids since `base`, or [`EMPTY`]; a power of two long.
+    slots: Vec<u32>,
+    /// Occupied slots, at most ¾ of them.
+    len: usize,
+    /// `64 - log2(slots.len())`: a home slot is the top bits of the
+    /// multiplied masked key.
+    shift: u32,
+    /// The unmasked fingerprint of every id from `base` on, in id order.
+    fps: Vec<u64>,
+    /// The first id since the last drain.
+    base: usize,
+    mask: u64,
+    /// Ids in `fps` held in no slot, ascending: resumed states whose
+    /// key was already recorded, under first-id-wins.
+    unindexed: Vec<usize>,
 }
 
 impl FpIndex {
-    /// Looks up or records the state with masked fingerprint `key`:
+    /// An empty index of fingerprints masked by `mask`.
+    pub(super) fn new(mask: u64) -> FpIndex {
+        FpIndex {
+            slots: vec![EMPTY; FIRST_SLOTS],
+            len: 0,
+            shift: 64 - FIRST_SLOTS.trailing_zeros(),
+            fps: Vec::new(),
+            base: 0,
+            mask,
+            unindexed: Vec::new(),
+        }
+    }
+
+    /// The key `fp` is recorded under.
+    #[inline]
+    pub(super) fn key(&self, fp: u64) -> u64 {
+        fp & self.mask
+    }
+
+    /// The unmasked fingerprint of `id`, unless it was drained.
+    #[inline]
+    pub(super) fn fp(&self, id: usize) -> Option<u64> {
+        self.fps.get(id.checked_sub(self.base)?).copied()
+    }
+
+    /// Ids recorded in slots since the last drain.
+    pub(super) fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline]
+    fn home(&self, key: u64) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// Looks up or records the state with unmasked fingerprint `fp`:
     /// `(id, whether it is new)`. `same(id)` says whether the state is
     /// the one recorded under `id`; `beyond` asks it about candidates
     /// this index does not hold (a spilled tier); on a full miss
-    /// `admit` charges the state and allocates its id — an `Err` from
-    /// it leaves the index untouched, so a budget cut lands *before*
-    /// the insert.
+    /// `admit` charges the state and allocates its id, the next in the
+    /// column — an `Err` from it leaves the index untouched, so a
+    /// budget cut lands *before* the insert.
     #[inline]
     pub(super) fn intern<E, S: FnMut(usize) -> Result<bool, E>>(
         &mut self,
-        key: u64,
+        fp: u64,
         mut same: S,
         beyond: impl FnOnce(&mut S) -> Result<Option<usize>, E>,
         admit: impl FnOnce() -> Result<usize, E>,
     ) -> Result<(usize, bool), E> {
-        match self.first.entry(key) {
-            Entry::Vacant(slot) => {
-                if let Some(id) = beyond(&mut same)? {
-                    return Ok((id, false));
-                }
-                let id = admit()?;
-                slot.insert(id);
-                Ok((id, true))
+        let key = self.key(fp);
+        let wrap = self.slots.len() - 1;
+        let mut at = self.home(key);
+        loop {
+            let slot = self.slots[at];
+            if slot == EMPTY {
+                break;
             }
-            Entry::Occupied(first) => {
-                let first = *first.get();
-                if same(first)? {
-                    return Ok((first, false));
-                }
-                for &id in self.chained.get(&key).into_iter().flatten() {
-                    if same(id)? {
-                        return Ok((id, false));
-                    }
-                }
-                if let Some(id) = beyond(&mut same)? {
-                    return Ok((id, false));
-                }
-                let id = admit()?;
-                self.chained.entry(key).or_default().push(id);
-                Ok((id, true))
+            let id = slot as usize;
+            if self.fps[id - self.base] & self.mask == key && same(id)? {
+                return Ok((id, false));
             }
+            at = (at + 1) & wrap;
         }
+        if let Some(id) = beyond(&mut same)? {
+            return Ok((id, false));
+        }
+        let id = admit()?;
+        debug_assert_eq!(id, self.base + self.fps.len(), "ids are the column's");
+        if 4 * (self.len + 1) > 3 * self.slots.len() {
+            self.grow();
+            at = vacant(&self.slots, self.home(key));
+        }
+        self.slots[at] = id as u32;
+        self.len += 1;
+        self.fps.push(fp);
+        Ok((id, true))
     }
 
-    /// Empties the index into `(key, id)` pairs, in no particular
-    /// order.
-    pub(super) fn drain(&mut self) -> impl Iterator<Item = (u64, usize)> + '_ {
-        let chained = self
-            .chained
-            .drain()
-            .flat_map(|(key, ids)| ids.into_iter().map(move |id| (key, id)));
-        self.first.drain().chain(chained)
+    /// Appends `fp` to the column under the next id without a slot: a
+    /// resumed state whose key first-id-wins gave to an earlier id.
+    pub(super) fn push_unindexed(&mut self, fp: u64) {
+        self.unindexed.push(self.base + self.fps.len());
+        self.fps.push(fp);
     }
+
+    /// Every `(key, id)` held in a slot, in id order.
+    fn indexed(&self) -> impl Iterator<Item = (u64, usize)> + '_ {
+        let mut skip = self.unindexed.iter().peekable();
+        (self.base..)
+            .zip(&self.fps)
+            .filter(move |&(id, _)| skip.next_if_eq(&&id).is_none())
+            .map(|(id, &fp)| (fp & self.mask, id))
+    }
+
+    /// Doubles the table. The old one goes first: the new one is
+    /// refilled from the column, in id order, so each key's ids stay in
+    /// insertion order along its probe sequence.
+    fn grow(&mut self) {
+        let len = 2 * self.slots.len();
+        self.slots = Vec::new();
+        self.shift -= 1;
+        let mut slots = vec![EMPTY; len];
+        for (key, id) in self.indexed() {
+            let at = vacant(&slots, self.home(key));
+            slots[at] = id as u32;
+        }
+        self.slots = slots;
+    }
+
+    /// Empties the index, handing `take` every recorded `(key, id)` in
+    /// id order. The column starts again at the next id.
+    pub(super) fn drain(&mut self, take: impl FnMut((u64, usize))) {
+        self.indexed().for_each(take);
+        self.base += self.fps.len();
+        self.fps.clear();
+        self.unindexed.clear();
+        self.slots.fill(EMPTY);
+        self.len = 0;
+    }
+}
+
+/// The first empty slot of `slots` from `at` on, wrapping around.
+fn vacant(slots: &[u32], mut at: usize) -> usize {
+    while slots[at] != EMPTY {
+        at = (at + 1) & (slots.len() - 1);
+    }
+    at
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
     use std::convert::Infallible;
 
-    /// Interns `id` under `key`, `same` deciding every comparison, and
-    /// returns the candidates it was asked about.
-    fn intern(index: &mut FpIndex, key: u64, id: usize, same: bool) -> ((usize, bool), Vec<usize>) {
+    /// Interns the next id under `fp`, `same` deciding every
+    /// comparison, and returns the candidates it was asked about.
+    fn intern(index: &mut FpIndex, fp: u64, same: bool) -> ((usize, bool), Vec<usize>) {
         let mut asked = Vec::new();
+        let next = index.base + index.fps.len();
         let Ok(got) = index.intern(
-            key,
+            fp,
             |cand| {
                 asked.push(cand);
                 Ok::<_, Infallible>(same)
             },
             |_| Ok(None),
-            || Ok(id),
+            || Ok(next),
         );
         (got, asked)
     }
 
+    fn drained(index: &mut FpIndex) -> Vec<(u64, usize)> {
+        let mut out = Vec::new();
+        index.drain(|pair| out.push(pair));
+        out
+    }
+
     #[test]
-    fn exact_mode_chains_in_insertion_order_and_fingerprint_mode_keeps_the_first() {
+    fn exact_mode_keeps_insertion_order_fingerprint_mode_the_first() {
         // Exact mode: every comparison is a verified mismatch, so the
         // ids pile up under the key and each is a candidate, oldest
-        // first.
-        let mut exact = FpIndex::default();
-        assert_eq!(intern(&mut exact, 7, 10, false), ((10, true), vec![]));
-        assert_eq!(intern(&mut exact, 7, 11, false), ((11, true), vec![10]));
-        assert_eq!(intern(&mut exact, 7, 12, false), ((12, true), vec![10, 11]));
-        assert_eq!(intern(&mut exact, 8, 13, false), ((13, true), vec![]));
-        let mut drained: Vec<_> = exact.drain().collect();
-        drained.sort_unstable();
-        assert_eq!(drained, [(7, 10), (7, 11), (7, 12), (8, 13)]);
+        // first — also across the table's growth.
+        let mut exact = FpIndex::new(u64::MAX);
+        assert_eq!(intern(&mut exact, 7, false), ((0, true), vec![]));
+        assert_eq!(intern(&mut exact, 7, false), ((1, true), vec![0]));
+        assert_eq!(intern(&mut exact, 7, false), ((2, true), vec![0, 1]));
+        assert_eq!(intern(&mut exact, 8, false), ((3, true), vec![]));
+        for id in 4..40 {
+            assert_eq!(
+                intern(&mut exact, 7, false).1,
+                (0..id).filter(|&i| i != 3).collect::<Vec<_>>()
+            );
+        }
+        assert!(exact.slots.len() > FIRST_SLOTS, "the table grew");
+        assert_eq!(exact.fp(3), Some(8));
+        let pairs = drained(&mut exact);
+        assert_eq!(pairs.len(), 40);
+        assert!(pairs
+            .iter()
+            .enumerate()
+            .all(|(i, &(key, id))| id == i && key == if i == 3 { 8 } else { 7 }));
+        assert_eq!((exact.fp(3), exact.len()), (None, 0));
+        // After a drain the column restarts at the next id.
+        assert_eq!(intern(&mut exact, 7, false), ((40, true), vec![]));
+        assert_eq!(exact.fp(40), Some(7));
 
-        // Fingerprint mode trusts the first hit and never chains.
-        let mut fp = FpIndex::default();
-        assert_eq!(intern(&mut fp, 7, 10, true), ((10, true), vec![]));
-        assert_eq!(intern(&mut fp, 7, 11, true), ((10, false), vec![10]));
-        assert_eq!(intern(&mut fp, 7, 12, true), ((10, false), vec![10]));
-        assert!(fp.chained.is_empty());
-        assert_eq!(fp.drain().collect::<Vec<_>>(), [(7, 10)]);
+        // Fingerprint mode trusts the first hit and records it once.
+        let mut fp = FpIndex::new(u64::MAX);
+        assert_eq!(intern(&mut fp, 7, true), ((0, true), vec![]));
+        assert_eq!(intern(&mut fp, 7, true), ((0, false), vec![0]));
+        assert_eq!(intern(&mut fp, 7, true), ((0, false), vec![0]));
+        assert_eq!(fp.len(), 1);
+        assert_eq!(drained(&mut fp), [(7, 0)]);
     }
 
     #[test]
     fn a_refused_admission_leaves_the_index_untouched() {
-        let mut index = FpIndex::default();
+        let mut index = FpIndex::new(u64::MAX);
         let refuse = |index: &mut FpIndex, same: bool| {
             index.intern(7, |_| Ok(same), |_| Ok(None), || Err::<usize, _>("cut"))
         };
         assert_eq!(refuse(&mut index, false), Err("cut"));
-        assert_eq!(intern(&mut index, 7, 10, false).0, (10, true));
+        assert_eq!((index.len(), index.fp(0)), (0, None));
+        assert_eq!(intern(&mut index, 7, false).0, (0, true));
         assert_eq!(refuse(&mut index, false), Err("cut"));
-        assert_eq!(refuse(&mut index, true), Ok((10, false)));
-        assert_eq!(index.drain().collect::<Vec<_>>(), [(7, 10)]);
+        assert_eq!(refuse(&mut index, true), Ok((0, false)));
+        assert_eq!((index.len(), index.fp(1)), (1, None));
+        assert_eq!(drained(&mut index), [(7, 0)]);
+    }
+
+    /// One step of a stream: `Intern { fp, state, refuse }` asks for the
+    /// state `(fp, state)` — two ids are the same state only when both
+    /// agree — with its admission refused if `refuse`; `Seed` records
+    /// it as a resumed state does (an exact seed is always new, a
+    /// fingerprint seed whose key is known goes unindexed); `Drain`
+    /// empties the index into the spilled tier.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Intern { fp: u64, state: u8, refuse: bool },
+        Seed { fp: u64, state: u8 },
+        Drain,
+    }
+
+    /// A stream of 0–300 steps over fingerprints from a pool of
+    /// `pool` random 64-bit values, so keys repeat, masked to `bits`.
+    fn stream() -> impl Strategy<Value = (bool, u32, Vec<Op>)> {
+        let op = (any::<u64>(), 0..3u8, 0..100u32).prop_map(|(fp, state, roll)| match roll {
+            0..=2 => Op::Drain,
+            3..=10 => Op::Seed { fp, state },
+            11..=20 => Op::Intern {
+                fp,
+                state,
+                refuse: true,
+            },
+            _ => Op::Intern {
+                fp,
+                state,
+                refuse: false,
+            },
+        });
+        let bits = prop_oneof![Just(64u32), 1..9u32];
+        (
+            any::<bool>(),
+            bits,
+            1..40u64,
+            proptest::collection::vec(op, 0..300),
+        )
+            .prop_map(|(exact, bits, pool, ops)| {
+                // Fold each fingerprint into the pool's: random bits
+                // above, a small choice of values below.
+                let ops = ops
+                    .into_iter()
+                    .map(|op| match op {
+                        Op::Intern { fp, state, refuse } => Op::Intern {
+                            fp: pooled(fp, pool),
+                            state,
+                            refuse,
+                        },
+                        Op::Seed { fp, state } => Op::Seed {
+                            fp: pooled(fp, pool),
+                            state,
+                        },
+                        Op::Drain => Op::Drain,
+                    })
+                    .collect();
+                (exact, bits, ops)
+            })
+    }
+
+    fn pooled(fp: u64, pool: u64) -> u64 {
+        (fp % pool).wrapping_mul(0xD6E8_FEB8_6659_FD93)
+    }
+
+    /// The reference: key → ids, in insertion order, for the hot tier
+    /// and for everything drained, and the state of every id.
+    #[derive(Default)]
+    struct Reference {
+        hot: BTreeMap<u64, Vec<usize>>,
+        spilled: BTreeMap<u64, Vec<usize>>,
+        states: Vec<(u64, u8)>,
+    }
+
+    impl Reference {
+        /// Candidates for `key`, hot tier first, each in insertion
+        /// order; the first `same` one, if any.
+        fn find(&self, key: u64, same: impl Fn(usize) -> bool, trust: bool) -> Option<usize> {
+            let hot = self.hot.get(&key).into_iter().flatten();
+            let spilled = self.spilled.get(&key).into_iter().flatten();
+            hot.chain(spilled).copied().find(|&id| trust || same(id))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Against a reference map: the same `(id, is_new)` answers, the
+        /// same drained `(key, id)` multiset, every fingerprint since
+        /// the last drain readable, and never more than ¾ full.
+        #[test]
+        fn the_table_answers_as_a_map_of_keys_to_ids((exact, bits, ops) in stream()) {
+            let mask = if bits == 64 { u64::MAX } else { (1 << bits) - 1 };
+            let mut index = FpIndex::new(mask);
+            let mut reference = Reference::default();
+            let mut spilled: Vec<(u64, usize)> = Vec::new();
+            let mut expected_spilled: Vec<(u64, usize)> = Vec::new();
+            for op in ops {
+                let (fp, state, refuse, seed) = match op {
+                    Op::Drain => {
+                        index.drain(|pair| spilled.push(pair));
+                        for (key, ids) in std::mem::take(&mut reference.hot) {
+                            for id in ids {
+                                expected_spilled.push((key, id));
+                                reference.spilled.entry(key).or_default().push(id);
+                            }
+                        }
+                        prop_assert_eq!(index.len(), 0);
+                        continue;
+                    }
+                    Op::Intern { fp, state, refuse } => (fp, state, refuse, false),
+                    Op::Seed { fp, state } => (fp, state, false, true),
+                };
+                let key = fp & mask;
+                let next = reference.states.len();
+                let states = &reference.states;
+                // A seed is compared as its mode seeds: an exact seed
+                // is never the same, a fingerprint one always.
+                let same = |id: usize| !seed && states[id] == (fp, state);
+                let trust = !exact;
+                let want = match reference.find(key, same, trust) {
+                    Some(id) => Ok((id, false)),
+                    None if refuse => Err(()),
+                    None => Ok((next, true)),
+                };
+                let spilled_ref = &reference.spilled;
+                let got = index.intern(
+                    fp,
+                    |id| Ok(trust || same(id)),
+                    |same: &mut _| {
+                        for &id in spilled_ref.get(&key).into_iter().flatten() {
+                            if same(id)? {
+                                return Ok(Some(id));
+                            }
+                        }
+                        Ok(None)
+                    },
+                    || if refuse { Err(()) } else { Ok(next) },
+                );
+                prop_assert_eq!(got, want);
+                match got {
+                    Ok((id, true)) => {
+                        reference.hot.entry(key).or_default().push(id);
+                        reference.states.push((fp, state));
+                    }
+                    Ok((_, false)) if seed => {
+                        index.push_unindexed(fp);
+                        reference.states.push((fp, state));
+                    }
+                    _ => {}
+                }
+                prop_assert!(4 * index.len() <= 3 * index.slots.len());
+                prop_assert_eq!(index.len(), reference.hot.values().map(Vec::len).sum::<usize>());
+                for (id, &(fp, _)) in reference.states.iter().enumerate().skip(index.base) {
+                    prop_assert_eq!(index.fp(id), Some(fp));
+                }
+            }
+            index.drain(|pair| spilled.push(pair));
+            for (key, ids) in reference.hot {
+                expected_spilled.extend(ids.into_iter().map(|id| (key, id)));
+            }
+            spilled.sort_unstable();
+            expected_spilled.sort_unstable();
+            prop_assert_eq!(spilled, expected_spilled);
+        }
     }
 }

@@ -30,7 +30,6 @@ use crate::obs::{Phase, PhaseGuard, RecorderHandle};
 use crate::{CheckError, System};
 use opentla_kernel::store::{SegmentStore, StoreError};
 use opentla_kernel::{PackedLayout, State};
-use std::collections::VecDeque;
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
@@ -97,15 +96,20 @@ impl From<StoreError> for Stop {
 
 /// The BFS loop every run explores with, in RAM or under a budget.
 ///
+/// The BFS queue is an id cursor: it is always the id range
+/// `next..store.len()`, the most recently discovered suffix of the
+/// arena — a new state takes the next id, and a cut parent goes back
+/// as the one just taken.
+///
 /// Why resumption needs no renumbering pass: every snapshot stores its
-/// arena in discovery order with the frontier as the arena's *tail* —
-/// the BFS queue is always the most recently discovered suffix of the
-/// arena. (The files the deleted work-stealing engine wrote hold the
-/// same shape: its canonical replay rolled back to a level boundary,
-/// whose frontier, the last complete level, is the tail.) Re-seeding
-/// the queue with the frontier in id order therefore continues the
-/// *exact* sequential discovery order, and new states extend the arena
-/// precisely as an uninterrupted run would.
+/// arena in discovery order with the frontier as the arena's *tail*.
+/// (The files the deleted work-stealing engine wrote hold the same
+/// shape: its canonical replay rolled back to a level boundary, whose
+/// frontier, the last complete level, is the tail.) Starting the cursor
+/// at the frontier's first id therefore continues the *exact*
+/// sequential discovery order, and new states extend the arena
+/// precisely as an uninterrupted run would; a snapshot whose frontier
+/// is not the tail is [`CheckpointError::Corrupt`].
 ///
 /// With no `mem_budget` the [`Store`] stays in RAM; with one it spills
 /// past that many bytes, its arena records the states' rows under
@@ -137,21 +141,21 @@ pub(super) fn explore_seq(
     let mut memo = StepMemo::new();
     let mut parent_row: Vec<u8> = Vec::new();
     let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    let mut queue: VecDeque<usize> = VecDeque::new();
+    // The next state to expand: the queue is `next..store.len()`.
+    let mut next = 0;
     let mut exhausted: Option<ExhaustReason> = None;
     let mut exhausted_in_init = false;
     match seed {
         Seed::Resume(snap) => {
+            next = snap.frontier_start()?;
             store.reseed(snap)?;
-            queue.extend(snap.frontier.iter().copied());
         }
         Seed::Fresh(init_states) => {
             let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
             for s in init_states {
                 let row = layout.pack(&s).expect("a run starts from in-domain states");
                 match store.intern(s.fingerprint(), None, &row, &[]) {
-                    Ok((_, false)) => {}
-                    Ok((id, true)) => queue.push_back(id),
+                    Ok(_) => {}
                     Err(Stop::Cut(reason)) => {
                         exhausted = Some(reason);
                         exhausted_in_init = true;
@@ -173,14 +177,16 @@ pub(super) fn explore_seq(
         // Periodic snapshot at the loop head: the queue is a clean cut
         // (everything off-queue is fully expanded).
         if ck.due(1) {
-            ck.write(store.snapshot(queue.make_contiguous()), &budget.recorder);
+            ck.write(store.snapshot(next), &budget.recorder);
         }
-        let Some(id) = queue.pop_front() else {
+        let id = next;
+        if id == store.len() {
             break;
-        };
+        }
+        next += 1;
         edge_buf.clear();
         // Each successor is charged, interned (built only if it is
-        // new), queued if new, and its edge recorded. Its fingerprint
+        // new, which queues it), and its edge recorded. Its fingerprint
         // is derived from the parent's, so an already-visited successor
         // costs a few table reads and one probe.
         let fp = store.row(id, &mut parent_row)?;
@@ -192,10 +198,7 @@ pub(super) fn explore_seq(
                 }
                 let child_fp = child_fingerprint(layout, parent, fp, effects);
                 match store.intern(child_fp, Some((id, action)), parent, effects) {
-                    Ok((target, is_new)) => {
-                        if is_new {
-                            queue.push_back(target);
-                        }
+                    Ok((target, _)) => {
                         edge_buf.push(Edge { action, target });
                         ControlFlow::Continue(())
                     }
@@ -208,7 +211,7 @@ pub(super) fn explore_seq(
                 // Re-queue the half-expanded state so the frontier
                 // honestly reports it as uncovered; its partial edges
                 // go to the finished graph only, never the store.
-                queue.push_front(id);
+                next = id;
                 cut_edges = Some((id, std::mem::take(&mut edge_buf)));
                 exhausted = Some(reason);
             }
@@ -220,7 +223,7 @@ pub(super) fn explore_seq(
     let _finish_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
     // A cut during initial-state enumeration is not resumable: a
     // partial init enumeration cannot be continued soundly.
-    store.finish(queue, cut_edges, exhausted, !exhausted_in_init, &mut ck)
+    store.finish(next, cut_edges, exhausted, !exhausted_in_init, &mut ck)
 }
 
 /// Where a [`Store`] keeps its states, BFS tree and edge lists. Ids
@@ -228,9 +231,10 @@ pub(super) fn explore_seq(
 #[allow(clippy::large_enum_variant)] // one per run, never moved
 enum Body {
     /// The [`StateGraph`] under construction — a run that ends here
-    /// moves it out finished, each edge list and row held once — and
-    /// every state's unmasked fingerprint, for incremental derivation.
-    Ram { graph: StateGraph, fps: Vec<u64> },
+    /// moves it out finished, each edge list and row held once. Every
+    /// state's unmasked fingerprint, for incremental derivation, is in
+    /// the dedup index's column ([`SpillVisited::fp`]).
+    Ram { graph: StateGraph },
     /// An arena record per state and an edge record per fully expanded
     /// state in [`SegmentStore`]s: sealed segments on disk behind an
     /// LRU cache, the unsealed tails in RAM. `init` is for manifests.
@@ -242,29 +246,35 @@ enum Body {
 }
 
 impl Body {
-    /// The row of state `id` under `layout` and its unmasked
-    /// fingerprint: the RAM body's graph's, or the arena record read
-    /// into `buf` and checked — no code outside its domain reaches a
-    /// table key.
+    /// The row of state `id` under `layout`: the RAM body's graph's, or
+    /// the arena record read into `buf` and checked — no code outside
+    /// its domain reaches a table key — with the unmasked fingerprint
+    /// the record holds.
     fn row<'b>(
         &'b mut self,
         id: usize,
         layout: &PackedLayout,
         buf: &'b mut Vec<u8>,
-    ) -> Result<(&'b [u8], u64), CheckpointError> {
+    ) -> Result<(&'b [u8], Option<u64>), CheckpointError> {
         match self {
-            Body::Ram { graph, fps } => Ok((graph.row(id), fps[id])),
+            Body::Ram { graph } => Ok((graph.row(id), None)),
             Body::Disk { arena, .. } => {
                 arena.read(id as u64, buf)?;
-                checkpoint::arena_record(buf, layout).map(|rec| (rec.row, rec.fp))
+                checkpoint::arena_record(buf, layout).map(|rec| (rec.row, Some(rec.fp)))
             }
         }
     }
 }
 
+/// What a RAM body counts on: its states' fingerprints are all in the
+/// index's column, since a budgeted store leaves RAM before the index's
+/// first drain (pinned for every budget by a test of this module).
+const UNDRAINED: &str = "a budgeted store leaves RAM before its dedup index drains";
+
 /// The sequential store: states, edges and BFS tree in a [`Body`], and
 /// the dedup index over them — one [`super::index::FpIndex`] probe
-/// until a budgeted run drains it to disk ([`SpillVisited`]). In
+/// sequence until a budgeted run drains it to disk ([`SpillVisited`]),
+/// which it does only once the body has left RAM. In
 /// [`VisitedMode::Exact`] a fingerprint hit is verified against the
 /// body, wherever the candidate lives by then: rows compared as bytes.
 struct Store<'a> {
@@ -284,7 +294,6 @@ struct Store<'a> {
     /// order — and the transitions out of them (a manifest's totals).
     expanded: usize,
     transitions: u64,
-    mask: u64,
     options: &'a ExploreOptions,
     sys_hash: u64,
     meter: &'a mut Meter,
@@ -302,16 +311,19 @@ impl<'a> Store<'a> {
         layout: &'a Arc<PackedLayout>,
         disk: Option<(SpillDir, Tuning)>,
     ) -> Result<Store<'a>, StoreError> {
+        let mask = options.mask();
         let visited = match &disk {
-            Some((dir, t)) => {
-                SpillVisited::new(RunNames::create(dir.path())?, t.hot_cap, t.filter_bytes)
-            }
-            None => SpillVisited::in_ram(),
+            Some((dir, t)) => SpillVisited::new(
+                mask,
+                RunNames::create(dir.path())?,
+                t.hot_cap,
+                t.filter_bytes,
+            ),
+            None => SpillVisited::in_ram(mask),
         };
         Ok(Store {
             body: Body::Ram {
                 graph: StateGraph::with_capacity(Arc::clone(layout), 0),
-                fps: Vec::new(),
             },
             visited,
             disk,
@@ -320,7 +332,6 @@ impl<'a> Store<'a> {
             edge_bytes: 0,
             expanded: 0,
             transitions: 0,
-            mask: options.mask(),
             options,
             sys_hash: checkpoint::system_hash(system),
             meter,
@@ -344,12 +355,13 @@ impl<'a> Store<'a> {
     /// are those of a store on disk from its first state (until here
     /// records were only counted, never encoded).
     fn spill(&mut self) -> Result<(), StoreError> {
-        let (Body::Ram { graph, fps }, Some((dir, t))) = (&self.body, &self.disk) else {
+        let (Body::Ram { graph }, Some((dir, t))) = (&self.body, &self.disk) else {
             unreachable!("only the RAM body of a budgeted store spills");
         };
         let mut arena = SegmentStore::create(dir.path(), "arena", t.seg_target, t.arena_cache)?;
         let mut edges = SegmentStore::create(dir.path(), "edges", t.seg_target, t.edge_cache)?;
-        for (id, &fp) in fps.iter().enumerate() {
+        for id in 0..graph.len() {
+            let fp = self.visited.fp(id).expect(UNDRAINED);
             let row = |out: &mut Vec<u8>| out.extend_from_slice(graph.row(id));
             checkpoint::encode_packed_record(graph.parent(id), fp, row, &mut self.rec_buf);
             spill::append(self.meter, "arena", &mut arena, &self.rec_buf)?;
@@ -368,7 +380,8 @@ impl<'a> Store<'a> {
 
     /// Records the state whose row is `row` with `effects` written in,
     /// reached from `from`, under the next id: the row is written — in
-    /// RAM, for the graph to keep, or straight into its disk record.
+    /// RAM, for the graph to keep, or straight into its disk record
+    /// with `fp` (in RAM the index's column has it already).
     // On the loop's per-state path, which `intern` is inlined into.
     #[inline]
     fn push_state(
@@ -380,15 +393,14 @@ impl<'a> Store<'a> {
     ) -> Result<(), CheckpointError> {
         let layout = self.layout;
         match &mut self.body {
-            Body::Ram { graph, fps } => {
+            Body::Ram { graph } => {
                 let child = &mut self.rec_buf;
                 child.clear();
                 append_child(layout, row, effects, child);
                 if self.disk.is_some() {
-                    self.arena_bytes += checkpoint::arena_record_bytes(layout);
+                    self.arena_bytes += checkpoint::arena_record_bytes(layout.stride());
                 }
                 graph.push_state(child, from)?;
-                fps.push(fp);
                 self.grown()?;
             }
             Body::Disk { arena, init, .. } => {
@@ -407,7 +419,8 @@ impl<'a> Store<'a> {
     /// tree come back verbatim — every *non-frontier* state with its
     /// edge record, frontier states re-expand — and the dedup index is
     /// rebuilt by re-fingerprinting the arena (deterministic across
-    /// processes) with first-id-wins collision behavior. Meter-free —
+    /// processes) with first-id-wins collision behavior, every
+    /// fingerprint in its column. Meter-free —
     /// the resumed meter is already pre-charged. A crash *during* this
     /// can invalidate the segment references of the snapshot it came
     /// from (the move to disk rewrites them): a typed I/O error on the
@@ -415,8 +428,7 @@ impl<'a> Store<'a> {
     fn reseed(&mut self, snap: &Snapshot) -> Result<(), CheckpointError> {
         for (id, row, parent, edges) in snap.records() {
             let fp = self.layout.fingerprint(row);
-            self.visited
-                .seed(self.options.mode, fp & self.mask, id, self.meter)?;
+            self.visited.seed(self.options.mode, fp, id, self.meter)?;
             self.push_state(row, &[], fp, parent)?;
             if let Some(edges) = edges {
                 self.push_edges(id, edges)?;
@@ -431,7 +443,15 @@ impl<'a> Store<'a> {
         let (row, fp) = self.body.row(id, self.layout, &mut self.rec_buf)?;
         out.clear();
         out.extend_from_slice(row);
-        Ok(fp)
+        Ok(fp.unwrap_or_else(|| self.visited.fp(id).expect(UNDRAINED)))
+    }
+
+    /// States recorded: the next id.
+    fn len(&self) -> usize {
+        match &self.body {
+            Body::Ram { graph } => graph.len(),
+            Body::Disk { arena, .. } => arena.len() as usize,
+        }
     }
 
     /// Looks up or records the state whose unmasked fingerprint is
@@ -453,11 +473,7 @@ impl<'a> Store<'a> {
         row: &[u8],
         effects: &[Effect],
     ) -> Result<(usize, bool), Stop> {
-        let key = fp & self.mask;
-        let next = match &self.body {
-            Body::Ram { graph, .. } => graph.len(),
-            Body::Disk { arena, .. } => arena.len() as usize,
-        };
+        let next = self.len();
         let admit = |meter: &mut Meter| {
             checkpoint::id_word(next).map_err(Stop::Fail)?;
             meter
@@ -468,7 +484,7 @@ impl<'a> Store<'a> {
         let found = match self.options.mode {
             // The fingerprinted hot path: one probe, and only
             // genuinely new states are constructed and recorded.
-            VisitedMode::Fingerprint => self.visited.fp_entry(key, |_| Ok(true), admit, meter)?,
+            VisitedMode::Fingerprint => self.visited.fp_entry(fp, |_| Ok(true), admit, meter)?,
             // The exact fallback: every successor's row is written, so
             // a hit can be verified against the body's, a candidate
             // interned in RAM perhaps read back from its disk record.
@@ -479,7 +495,7 @@ impl<'a> Store<'a> {
                 probe.clear();
                 append_child(layout, row, effects, probe);
                 let same = |cand| Ok(body.row(cand, layout, buf)?.0 == &probe[..]);
-                self.visited.fp_entry(key, same, admit, meter)?
+                self.visited.fp_entry(fp, same, admit, meter)?
             }
         };
         if !found.1 {
@@ -516,13 +532,14 @@ impl<'a> Store<'a> {
         RunHeader::of(self.options, self.sys_hash)
     }
 
-    /// A checkpoint at a clean cut: everything off `queue` is fully
-    /// expanded. In RAM the graph is captured; on disk the sealed
-    /// segments go in by reference (name and checksum) and only the
-    /// unsealed tails are embedded — O(hot tier), not O(state space).
-    fn snapshot(&self, queue: &[usize]) -> Snapshot {
+    /// A checkpoint at a clean cut: everything before `next` is fully
+    /// expanded, the frontier `next..` not at all. In RAM the graph is
+    /// captured; on disk the sealed segments go in by reference (name
+    /// and checksum) and only the unsealed tails are embedded —
+    /// O(hot tier), not O(state space).
+    fn snapshot(&self, next: usize) -> Snapshot {
         match &self.body {
-            Body::Ram { graph, .. } => checkpoint::capture(graph, queue, self.header()),
+            Body::Ram { graph } => checkpoint::capture(graph, next, self.header()),
             Body::Disk { arena, edges, init } => {
                 let manifest = Manifest {
                     layout: Arc::clone(self.layout),
@@ -536,20 +553,20 @@ impl<'a> Store<'a> {
                     edge_hot: edges.hot_records().collect(),
                 };
                 self.header()
-                    .snapshot(checkpoint::Body::Manifest(manifest), queue.to_vec())
+                    .snapshot(checkpoint::Body::Manifest(manifest), next..self.len())
             }
         }
     }
 
     /// Turns the store, and where the loop stopped, into the run's
     /// result: the canonical [`StateGraph`] — a move in RAM, a decode of
-    /// every record on disk — with the unexpanded `queue` its frontier.
+    /// every record on disk — with the unexpanded `next..` its frontier.
     /// `cut` holds the partial successor list of a half-expanded parent
     /// (graph only, never banked); an `exhausted`, `resumable` run takes
     /// — and, under a checkpoint spec, writes — the exhaustion snapshot.
     fn finish(
         self,
-        mut queue: VecDeque<usize>,
+        next: usize,
         cut: Option<(usize, Vec<Edge>)>,
         exhausted: Option<ExhaustReason>,
         resumable: bool,
@@ -557,7 +574,8 @@ impl<'a> Store<'a> {
     ) -> Result<Exploration, CheckError> {
         let header = self.header();
         let meter = &*self.meter;
-        let frontier = (exhausted.is_some() && resumable).then_some(&*queue.make_contiguous());
+        let queue = next..self.len();
+        let resumable = exhausted.is_some() && resumable;
         if let Body::Disk { arena, edges, .. } = &self.body {
             spill::note_cache_stats(meter, [arena, edges]);
         }
@@ -565,16 +583,16 @@ impl<'a> Store<'a> {
         // the exhaustion snapshot references the sealed segments like
         // the periodic ones. An ephemeral directory is about to go, so
         // there — as in RAM — it is captured from the graph below.
-        let by_reference = match (&self.body, frontier) {
-            (Body::Disk { .. }, Some(queue)) if ck.active() => {
-                let snap = self.snapshot(queue);
+        let by_reference = match &self.body {
+            Body::Disk { .. } if resumable && ck.active() => {
+                let snap = self.snapshot(next);
                 let token = ck.write(snap.clone(), meter.recorder());
                 Some((Some(Box::new(snap)), token))
             }
             _ => None,
         };
         let mut graph = match self.body {
-            Body::Ram { graph, .. } => graph,
+            Body::Ram { graph } => graph,
             Body::Disk { arena, edges, .. } => {
                 // The graph is about to take the budget's place: the
                 // index, and each tier's cache once read, go first.
@@ -592,10 +610,10 @@ impl<'a> Store<'a> {
                 .set_edges(id, &partial)
                 .expect("the cut parent is the next to expand");
         }
-        let (snapshot, resume) = match (by_reference, frontier) {
-            (Some(pair), _) => pair,
-            (None, Some(queue)) => exhaustion_snapshot(ck, meter.recorder(), &graph, queue, header),
-            (None, None) => (None, None),
+        let (snapshot, resume) = match by_reference {
+            Some(pair) => pair,
+            None if resumable => exhaustion_snapshot(ck, meter.recorder(), &graph, next, header),
+            None => (None, None),
         };
         let outcome = match exhausted {
             None => Outcome::Complete,
@@ -607,7 +625,7 @@ impl<'a> Store<'a> {
             },
         };
         Ok(Exploration {
-            frontier: queue.into_iter().collect(),
+            frontier: queue.collect(),
             graph,
             outcome,
             snapshot,
@@ -616,17 +634,17 @@ impl<'a> Store<'a> {
     }
 }
 
-/// Builds the final in-RAM snapshot of an exhausted run, whose
-/// `frontier` states are the unexpanded ones, and writes it to disk
-/// when a checkpoint spec is active.
+/// Builds the final in-RAM snapshot of an exhausted run, whose states
+/// from `next` on are the unexpanded ones, and writes it to disk when a
+/// checkpoint spec is active.
 fn exhaustion_snapshot(
     ck: &mut Checkpointer,
     recorder: &RecorderHandle,
     graph: &StateGraph,
-    frontier: &[usize],
+    next: usize,
     header: RunHeader,
 ) -> (Option<Box<Snapshot>>, Option<ResumeToken>) {
-    let snap = checkpoint::capture(graph, frontier, header);
+    let snap = checkpoint::capture(graph, next, header);
     let token = if ck.active() {
         ck.write(snap.clone(), recorder)
     } else {
@@ -656,9 +674,12 @@ mod tests {
         let Ok((root, true)) = store.intern(state(0).fingerprint(), None, &seed, &[]) else {
             panic!("the first state is new");
         };
-        let mut queue = VecDeque::from([root]);
+        assert_eq!(root, 0);
         let mut row = Vec::new();
-        while let Some(id) = queue.pop_front() {
+        for id in 0.. {
+            if id == store.len() {
+                break;
+            }
             store.row(id, &mut row).unwrap();
             let x = i64::from(store.layout.read_code(&row, 0));
             let mut edges = Vec::new();
@@ -671,14 +692,9 @@ mod tests {
                     code: y as u32,
                 }];
                 let from = Some((id, action));
-                let target = match store.intern(state(y).fingerprint(), from, &row, &effect) {
-                    Ok((target, is_new)) => {
-                        if is_new {
-                            queue.push_back(target);
-                        }
-                        target
-                    }
-                    Err(_) => panic!("an unlimited meter and a healthy disk"),
+                let Ok((target, _)) = store.intern(state(y).fingerprint(), from, &row, &effect)
+                else {
+                    panic!("an unlimited meter and a healthy disk");
                 };
                 edges.push(Edge { action, target });
             }
@@ -747,6 +763,32 @@ mod tests {
         }
         for (i, stream) in streams.iter().enumerate() {
             assert_eq!(stream, &streams[0], "way {i} of 3");
+        }
+    }
+
+    /// A RAM body reads its fingerprints from the dedup index's column,
+    /// which a drain empties; so, for every budget, a store of the
+    /// smallest records (a row of no bytes) has left RAM before its
+    /// index first drains. The drain fires while the `hot_cap`-th state
+    /// is interned, before that state is recorded, and the store leaves
+    /// RAM once its arena records reach `seg_target` bytes — its edge
+    /// records only ever make that sooner — so `hot_cap - 1` records
+    /// must reach it.
+    #[test]
+    fn a_budgeted_store_leaves_ram_before_its_index_drains() {
+        let smallest = checkpoint::arena_record_bytes(0);
+        let around_powers = (11..=40).flat_map(|p| {
+            let m = 1usize << p;
+            [m - 1, m, m + 1, m + m / 2]
+        });
+        for m in (1 << 10..=1 << 16).chain(around_powers) {
+            let t = Tuning::for_budget(m);
+            assert!(
+                (t.hot_cap - 1) * smallest >= t.seg_target,
+                "a {m}-byte budget: {} records of {smallest} bytes fill no {}-byte segment",
+                t.hot_cap - 1,
+                t.seg_target
+            );
         }
     }
 

@@ -7,7 +7,8 @@
 //!   back through an LRU cache, only the unsealed tail stays in RAM —
 //!   with the accounting of each seal ([`append`], [`note_spill`]);
 //! * the **dedup index** in two tiers ([`SpillVisited`]): the hot
-//!   in-RAM [`FpIndex`] that, when full, drains into sorted on-disk
+//!   in-RAM [`FpIndex`] over the fingerprints of the ids since its last
+//!   drain, that, when full, drains into sorted on-disk
 //!   [`FingerprintRun`]s probed behind a one-bit in-RAM [`Filter`];
 //! * where the files live ([`SpillDir`]).
 
@@ -154,11 +155,12 @@ impl RunNames {
 /// A drain moves keys between tiers; it never changes *membership*, so
 /// a lookup's answer is independent of when drains fired. The drain
 /// threshold is itself a pure function of the insert stream (drain
-/// after `hot_cap` inserts), not of timing.
+/// after `hot_cap` inserts), not of timing. The hot tier's column is
+/// the store's one fingerprint column: a store in RAM reads its
+/// parents' fingerprints there, and leaves RAM before the first drain
+/// ([`Tuning::for_budget`]'s sizes see to that).
 pub(super) struct SpillVisited {
     hot: FpIndex,
-    /// Ids recorded since the last drain.
-    hot_len: usize,
     hot_cap: usize,
     /// Created at the first drain — a set that never spills never pays
     /// for zeroing (or walking) the filter's bit array.
@@ -170,20 +172,24 @@ pub(super) struct SpillVisited {
 }
 
 impl SpillVisited {
-    /// A set that never drains — no budget, so no directory: every
-    /// lookup is the one hot-tier probe.
-    pub(super) fn in_ram() -> SpillVisited {
+    /// A set of fingerprints masked by `mask` that never drains — no
+    /// budget, so no directory: every lookup is the one hot-tier probe.
+    pub(super) fn in_ram(mask: u64) -> SpillVisited {
         let nowhere = RunNames {
             dir: PathBuf::new(),
             seq: 0,
         };
-        SpillVisited::new(nowhere, usize::MAX, 0)
+        SpillVisited::new(mask, nowhere, usize::MAX, 0)
     }
 
-    pub(super) fn new(names: RunNames, hot_cap: usize, filter_bytes: usize) -> SpillVisited {
+    pub(super) fn new(
+        mask: u64,
+        names: RunNames,
+        hot_cap: usize,
+        filter_bytes: usize,
+    ) -> SpillVisited {
         SpillVisited {
-            hot: FpIndex::default(),
-            hot_len: 0,
+            hot: FpIndex::new(mask),
             hot_cap,
             filter: None,
             filter_bytes,
@@ -193,38 +199,51 @@ impl SpillVisited {
         }
     }
 
+    /// The unmasked fingerprint of `id`, unless the hot tier drained
+    /// it.
+    #[inline]
+    pub(super) fn fp(&self, id: usize) -> Option<u64> {
+        self.hot.fp(id)
+    }
+
     /// Resume seeding, meter-free: records `id` for a snapshot state
-    /// with masked fingerprint `key` under the run's insertion
+    /// with unmasked fingerprint `fp` under the run's insertion
     /// discipline — first-id-wins in fingerprint mode, every id in
-    /// exact mode (a snapshot lists each state once).
+    /// exact mode (a snapshot lists each state once). Every seed's
+    /// fingerprint joins the column.
     pub(super) fn seed(
         &mut self,
         mode: VisitedMode,
-        key: u64,
+        fp: u64,
         id: usize,
         meter: &mut Meter,
     ) -> Result<(), StoreError> {
         let trust = mode == VisitedMode::Fingerprint;
-        self.fp_entry(key, |_| Ok::<_, StoreError>(trust), |_| Ok(id), meter)?;
+        let (_, new) = self.fp_entry(fp, |_| Ok::<_, StoreError>(trust), |_| Ok(id), meter)?;
+        if !new {
+            self.hot.push_unindexed(fp);
+        }
         Ok(())
     }
 
     /// Lookup-or-insert across both tiers — the engines' innermost
     /// dedup operation, `(id, whether it is new)`; in fingerprint mode
-    /// (`same` trusts every hit) it is one hot-tier hash probe.
+    /// (`same` trusts every hit) it is one hot-tier probe sequence.
     /// `same(id)` says whether the probe state is the one recorded
     /// under `id`. On a full miss `admit(meter)` decides admission:
-    /// `Ok(id)` (the meter charged, the id allocated) records `id` under `key`;
+    /// `Ok(id)` (the meter charged, the next id allocated) records `id`
+    /// under `fp`'s key and `fp` in the column;
     /// `Err` leaves the set untouched — the budget cut happens *before*
     /// the insert. A drain the insert triggers is reported to `meter`.
     #[inline]
     pub(super) fn fp_entry<E: From<StoreError>, S: FnMut(usize) -> Result<bool, E>>(
         &mut self,
-        key: u64,
+        fp: u64,
         same: S,
         admit: impl FnOnce(&mut Meter) -> Result<usize, E>,
         meter: &mut Meter,
     ) -> Result<(usize, bool), E> {
+        let key = self.hot.key(fp);
         let SpillVisited {
             hot,
             runs,
@@ -247,12 +266,9 @@ impl SpillVisited {
             }
             Ok(None)
         };
-        let hit = hot.intern(key, same, spilled, || admit(meter))?;
-        if hit.1 {
-            self.hot_len += 1;
-            if self.hot_len >= self.hot_cap {
-                self.drain_hot(meter)?;
-            }
+        let hit = hot.intern(fp, same, spilled, || admit(meter))?;
+        if hit.1 && self.hot.len() >= self.hot_cap {
+            self.drain_hot(meter)?;
         }
         Ok(hit)
     }
@@ -263,13 +279,12 @@ impl SpillVisited {
         let filter = self
             .filter
             .get_or_insert_with(|| Filter::new(self.filter_bytes));
-        let mut entries: Vec<(u64, u64)> =
-            self.hot.drain().map(|(key, id)| (key, id as u64)).collect();
-        for &(key, _) in &entries {
+        let mut entries: Vec<(u64, u64)> = Vec::with_capacity(self.hot.len());
+        self.hot.drain(|(key, id)| {
             filter.set(key);
-        }
+            entries.push((key, id as u64));
+        });
         entries.sort_unstable();
-        self.hot_len = 0;
         let seq = self.names.seq;
         self.names.seq += 1;
         let path = self.names.dir.join(format!("visited-{seq:05}.run"));

@@ -114,11 +114,15 @@ impl FpIndex {
         }
         let id = admit()?;
         debug_assert_eq!(id, self.base + self.fps.len(), "ids are the column's");
+        let word = u32::try_from(id)
+            .ok()
+            .filter(|&word| word != EMPTY)
+            .expect("`checkpoint::id_word` admits every id a store records");
         if 4 * (self.len + 1) > 3 * self.slots.len() {
             self.grow();
             at = vacant(&self.slots, self.home(key));
         }
-        self.slots[at] = id as u32;
+        self.slots[at] = word;
         self.len += 1;
         self.fps.push(fp);
         Ok((id, true))
@@ -142,7 +146,8 @@ impl FpIndex {
 
     /// Doubles the table. The old one goes first: the new one is
     /// refilled from the column, in id order, so each key's ids stay in
-    /// insertion order along its probe sequence.
+    /// insertion order along its probe sequence (each id was checked to
+    /// fit a slot when it was first recorded).
     fn grow(&mut self) {
         let len = 2 * self.slots.len();
         self.slots = Vec::new();
@@ -332,11 +337,20 @@ mod tests {
 
     impl Reference {
         /// Candidates for `key`, hot tier first, each in insertion
-        /// order; the first `same` one, if any.
-        fn find(&self, key: u64, same: impl Fn(usize) -> bool, trust: bool) -> Option<usize> {
+        /// order, each one asked (and listed in `asked`) until the first
+        /// `same` one.
+        fn find(
+            &self,
+            key: u64,
+            same: impl Fn(usize) -> bool,
+            asked: &mut Vec<usize>,
+        ) -> Option<usize> {
             let hot = self.hot.get(&key).into_iter().flatten();
             let spilled = self.spilled.get(&key).into_iter().flatten();
-            hot.chain(spilled).copied().find(|&id| trust || same(id))
+            hot.chain(spilled).copied().find(|&id| {
+                asked.push(id);
+                same(id)
+            })
         }
     }
 
@@ -372,11 +386,11 @@ mod tests {
                 let key = fp & mask;
                 let next = reference.states.len();
                 let states = &reference.states;
-                // A seed is compared as its mode seeds: an exact seed
-                // is never the same, a fingerprint one always.
-                let same = |id: usize| !seed && states[id] == (fp, state);
-                let trust = !exact;
-                let want = match reference.find(key, same, trust) {
+                // Fingerprint mode trusts every candidate; an exact
+                // seed is never the same as one.
+                let same = |id: usize| !exact || (!seed && states[id] == (fp, state));
+                let (mut asked, mut want_asked) = (Vec::new(), Vec::new());
+                let want = match reference.find(key, same, &mut want_asked) {
                     Some(id) => Ok((id, false)),
                     None if refuse => Err(()),
                     None => Ok((next, true)),
@@ -384,7 +398,10 @@ mod tests {
                 let spilled_ref = &reference.spilled;
                 let got = index.intern(
                     fp,
-                    |id| Ok(trust || same(id)),
+                    |id| {
+                        asked.push(id);
+                        Ok(same(id))
+                    },
                     |same: &mut _| {
                         for &id in spilled_ref.get(&key).into_iter().flatten() {
                             if same(id)? {
@@ -396,6 +413,7 @@ mod tests {
                     || if refuse { Err(()) } else { Ok(next) },
                 );
                 prop_assert_eq!(got, want);
+                prop_assert_eq!(asked, want_asked);
                 match got {
                     Ok((id, true)) => {
                         reference.hot.entry(key).or_default().push(id);

@@ -574,7 +574,7 @@ impl<'a> Store<'a> {
     ) -> Result<Exploration, CheckError> {
         let header = self.header();
         let meter = &*self.meter;
-        let queue = next..self.len();
+        let frontier = next..self.len();
         let resumable = exhausted.is_some() && resumable;
         if let Body::Disk { arena, edges, .. } = &self.body {
             spill::note_cache_stats(meter, [arena, edges]);
@@ -619,13 +619,13 @@ impl<'a> Store<'a> {
             None => Outcome::Complete,
             Some(reason) => Outcome::Exhausted {
                 reason,
-                frontier_size: queue.len(),
+                frontier_size: frontier.len(),
                 stats: graph.stats(),
                 resume,
             },
         };
         Ok(Exploration {
-            frontier: queue.collect(),
+            frontier: frontier.collect(),
             graph,
             outcome,
             snapshot,

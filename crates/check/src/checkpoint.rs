@@ -1211,13 +1211,14 @@ impl Checkpointer {
         }
     }
 
-    /// Writes `snap` to the configured path (stamping the next
-    /// sequence number) and emits [`Event::Checkpoint`]. Returns the
-    /// resume token, or `None` if checkpointing is off, had failed, or
-    /// fails now — which is reported and ends checkpointing.
+    /// Stamps `snap` with the next sequence number, writes it to the
+    /// configured path and emits [`Event::Checkpoint`]. Returns the
+    /// resume token, or `None` if checkpointing is off or had failed
+    /// (`snap` is left as it was), or fails now — which is reported and
+    /// ends checkpointing.
     pub(crate) fn write(
         &mut self,
-        mut snap: Snapshot,
+        snap: &mut Snapshot,
         recorder: &RecorderHandle,
     ) -> Option<ResumeToken> {
         let spec = self.spec.as_ref()?;

@@ -244,8 +244,10 @@ impl Governed for Exploration {
 /// `max_states` regardless of where the frontier stood.
 ///
 /// Uses default [`ExploreOptions`] (fingerprinted visited set;
-/// `OPENTLA_EXPLORE_THREADS` consulted for the engine); see
-/// [`explore_governed_with`] for full control.
+/// `OPENTLA_MEM_BUDGET` gives the run a memory budget, and
+/// `OPENTLA_EXPLORE_THREADS` is only kept on
+/// [`Exploration::requested_threads`]); see [`explore_governed_with`]
+/// for full control.
 ///
 /// # Errors
 ///

@@ -177,7 +177,7 @@ pub(super) fn explore_seq(
         // Periodic snapshot at the loop head: the queue is a clean cut
         // (everything off-queue is fully expanded).
         if ck.due(1) {
-            ck.write(store.snapshot(next), &budget.recorder);
+            ck.write(&mut store.snapshot(next), &budget.recorder);
         }
         let id = next;
         if id == store.len() {
@@ -585,8 +585,8 @@ impl<'a> Store<'a> {
         // there — as in RAM — it is captured from the graph below.
         let by_reference = match &self.body {
             Body::Disk { .. } if resumable && ck.active() => {
-                let snap = self.snapshot(next);
-                let token = ck.write(snap.clone(), meter.recorder());
+                let mut snap = self.snapshot(next);
+                let token = ck.write(&mut snap, meter.recorder());
                 Some((Some(Box::new(snap)), token))
             }
             _ => None,
@@ -644,12 +644,8 @@ fn exhaustion_snapshot(
     next: usize,
     header: RunHeader,
 ) -> (Option<Box<Snapshot>>, Option<ResumeToken>) {
-    let snap = checkpoint::capture(graph, next, header);
-    let token = if ck.active() {
-        ck.write(snap.clone(), recorder)
-    } else {
-        None
-    };
+    let mut snap = checkpoint::capture(graph, next, header);
+    let token = ck.write(&mut snap, recorder);
     (Some(Box::new(snap)), token)
 }
 

@@ -28,8 +28,9 @@
 //! runs — through [`CompiledExpr`] — once per distinct key, the first
 //! time the key is met. Every obligation
 //! checked under that mapping reads the column; none evaluates `σ`
-//! again. A certificate builds one and hands it to hypothesis 2(a) and
-//! to every condition of 2(b); a stand-alone check builds its own.
+//! again. A certificate's [`Session`](crate::Session) builds one for
+//! hypothesis 2(a) and every condition of 2(b); a check under another
+//! mapping, or a stand-alone check, builds its own.
 //!
 //! **Substituted → abstract: classes.** For an obligation with footprint
 //! `F` (the variables, primed or not, of its *un*substituted
@@ -145,7 +146,7 @@
 
 use crate::compiled::{CompiledExpr, EvalScratch, Slots};
 use crate::obs::{Event, RecorderHandle};
-use crate::{CheckError, RowView, StateGraph};
+use crate::{RowView, StateGraph};
 use fxhash::FxHashMap;
 use opentla_kernel::{BinOp, Expr, PackedLayout, Substitution, UnOp, Value, VarId, VarSet};
 use std::collections::BTreeMap;
@@ -488,37 +489,6 @@ impl Images {
     /// The mapping these are the images of.
     pub fn mapping(&self) -> &Substitution {
         &self.mapping
-    }
-
-    /// `given` if they are images of `graph` under `mapping`, as far as
-    /// can be told (the mapping is theirs and the state counts agree);
-    /// the images evaluated here, into `own`, if none are given.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckError::Precondition`] for images of another graph or
-    /// mapping.
-    pub(crate) fn given_or_own<'a>(
-        given: Option<&'a Images>,
-        own: &'a mut Option<Images>,
-        graph: &StateGraph,
-        mapping: &Substitution,
-        recorder: &RecorderHandle,
-    ) -> Result<&'a Images, CheckError> {
-        let Some(images) = given else {
-            return Ok(own.insert(Images::of_graph(graph, mapping, recorder)));
-        };
-        let fit = images.mapping == *mapping
-            && images.columns.iter().all(|(_, c)| c.len() == graph.len());
-        if fit {
-            Ok(images)
-        } else {
-            Err(CheckError::Precondition {
-                message: "the images handed to this check are of another graph or \
-                          another refinement mapping (Images::of_graph)"
-                    .to_string(),
-            })
-        }
     }
 
     /// Distinct values among the images.

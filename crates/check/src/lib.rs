@@ -38,12 +38,12 @@
 //!   ([`escalate`]);
 //! * [`image`] — image classes: simulation and fairness-target checks
 //!   decide each obligation once per abstract step under the
-//!   refinement mapping instead of once per concrete edge, and read
-//!   the mapping from one evaluation per graph that several checks can
-//!   share ([`check_simulation_with_images`],
-//!   [`check_liveness_with_images`]); the liveness checks of one
-//!   certificate share one build of the system's fairness tables too
-//!   ([`FairnessTables`], [`check_liveness_with_tables`]);
+//!   refinement mapping instead of once per concrete edge;
+//! * [`Session`] — the checks over one explored graph under one
+//!   refinement mapping ([`Session::simulation`],
+//!   [`Session::liveness`]), sharing one evaluation of the mapping and
+//!   one build of the system's fairness tables (the standalone
+//!   `check_*` functions run one check on a session of their own);
 //! * [`obs`] — the observability layer: structured run events, live
 //!   progress metrics, and exportable schema-versioned [`RunReport`]s
 //!   from every engine, routed by `OPENTLA_OBS=/path.jsonl` or an
@@ -83,6 +83,7 @@ mod invariant;
 mod liveness;
 pub mod obs;
 mod sample;
+mod session;
 mod simulate;
 mod system;
 
@@ -103,8 +104,7 @@ pub use explore::{
 };
 pub use invariant::{check_invariant, check_step_invariant};
 pub use liveness::{
-    check_liveness, check_liveness_governed, check_liveness_governed_with,
-    check_liveness_with_images, check_liveness_with_tables, FairnessTables, LiveTarget,
+    check_liveness, check_liveness_governed, check_liveness_governed_with, LiveTarget,
     LivenessOptions, LivenessRun,
 };
 pub use obs::{
@@ -112,10 +112,8 @@ pub use obs::{
     RunReport,
 };
 pub use sample::sample_behavior;
-pub use simulate::{
-    check_simulation, check_simulation_governed, check_simulation_with_images, SimulationReport,
-    SimulationRun,
-};
+pub use session::Session;
+pub use simulate::{check_simulation, check_simulation_governed, SimulationReport, SimulationRun};
 pub use system::{GuardedAction, Init, System, SystemFairness};
 
 /// The outcome of a check: either the property holds, or it is violated

@@ -33,8 +33,8 @@ use super::scc::{tarjan_sccs, Components};
 use super::{charge_edge, charge_edges, Stop};
 use crate::budget::Meter;
 use crate::compiled::{CompiledExpr, EvalScratch};
-use crate::image::{Classes, Images, Memo};
-use crate::{CheckError, StateGraph, System};
+use crate::image::{Classes, Memo};
+use crate::{CheckError, Session, StateGraph, System};
 use opentla_kernel::{
     Expr, Fairness, FairnessKind, Formula, SccScratch, StatePair, Substitution, VarId,
 };
@@ -220,8 +220,8 @@ pub(super) fn fill_system_fair_infos(system: &System, graph: &StateGraph, infos:
 /// `(angle, enabled)`, shaped like the fields of [`FairInfo`].
 ///
 /// `fair` and `enabled_with` are over the target's own variables and
-/// `mapping` eliminates the abstract ones; `images`, if given, are of
-/// it. Each entry is decided once per image class (pair) of the
+/// `mapping` eliminates the abstract ones; its images are the
+/// session's if it is the session's mapping. Each entry is decided once per image class (pair) of the
 /// unsubstituted expressions: on ids where they can be read so
 /// ([`IdsProgram`](crate::image::IdsProgram)), else by running them
 /// compiled on the views of the abstract state or step; the
@@ -229,14 +229,13 @@ pub(super) fn fill_system_fair_infos(system: &System, graph: &StateGraph, infos:
 /// [`Memo`] says it must (no class, or the abstract evaluation erred).
 /// Charges and polls stay per concrete edge and row.
 pub(super) fn target_fair_info(
-    system: &System,
-    graph: &StateGraph,
+    session: &Session<'_>,
     fair: &Fairness,
     enabled_with: Option<&Expr>,
     mapping: &Substitution,
-    images: Option<&Images>,
     meter: &mut Meter,
 ) -> Result<(EdgeTable, Vec<bool>), Stop> {
+    let (system, graph) = (session.system(), session.graph());
     let abstract_angle = fair.angle_action();
     let (angle_expr, enabled_pred) = if mapping.is_empty() {
         (abstract_angle.clone(), enabled_with.cloned())
@@ -263,7 +262,7 @@ pub(super) fn target_fair_info(
         footprint.union_with(&pred.all_vars());
     }
     let mut own = None;
-    let images = Images::given_or_own(images, &mut own, graph, mapping, meter.recorder())?;
+    let images = session.images_under(mapping, &mut own);
     let classes = Classes::of_graph(graph, &footprint, images);
     let angle_program = CompiledExpr::compile(&abstract_angle);
     let enabled_program = enabled_with.map(CompiledExpr::compile);

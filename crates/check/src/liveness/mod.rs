@@ -39,9 +39,8 @@
 //! selection; [`LivenessOptions`] survives as an inert shape.
 //!
 //! The system's fairness tables are a function of the system and the
-//! graph alone: one fused pass builds every requirement's
-//! ([`FairnessTables`]), and the checks of one certificate share one
-//! build ([`check_liveness_with_tables`]). Each check still pays for
+//! graph alone: one fused pass builds every requirement's, and the
+//! checks of one [`Session`] share one build. Each check still pays for
 //! them: after its target's table and before it reads the tables, it
 //! is charged in bulk exactly the transition per requirement and edge
 //! a build of its own would cost, and cut at the same row, so a budget
@@ -68,10 +67,9 @@ use crate::budget::{Budget, ExhaustReason, Governed, Meter, Outcome};
 use crate::compiled::{CompiledExpr, EvalScratch};
 use crate::image::{Classes, Images, Memo};
 use crate::obs::{Phase, PhaseGuard, RecorderHandle};
-use crate::{CheckError, Counterexample, StateGraph, System, Verdict};
+use crate::{CheckError, Counterexample, Session, StateGraph, System, Verdict};
 use fair::{fair_subcomponent, EdgeTable, FairInfo, SccWork, Waypoint};
 use opentla_kernel::{Expr, Fairness, FairnessKind, Substitution};
-use std::sync::OnceLock;
 
 /// Why the metered liveness core stopped: budget exhaustion (with the
 /// exact count of pending work items in the interrupted phase) or a
@@ -126,68 +124,36 @@ fn charge_edges(meter: &mut Meter, n: usize) -> Result<(), Stop> {
 /// per requirement, which edges are `⟨A⟩_v` steps (a bit per edge) and
 /// where `⟨A⟩_v` is enabled (a bit per state). They depend on the
 /// system and the graph alone, so the liveness checks of one
-/// certificate share one build ([`check_liveness_with_tables`]); the
-/// build is uncharged, and each check is charged for the tables as if
-/// it had built them.
+/// [`Session`] share one build; the build is uncharged, and each check
+/// is charged for the tables as if it had built them.
 ///
 /// [`FairnessTables::of_graph`] builds them on the calling thread.
 /// [`FairnessTables::reserve`] and [`FairnessTables::filled`] split
-/// that in two, so one thread can allocate them and another fill them:
-/// a thread's allocator arena keeps the pages it touched, which the
-/// rest of the program cannot reuse, so a short-lived thread that
-/// builds tables should fill room its long-lived caller allocated.
+/// that in two, so one thread can allocate them and another fill them.
 pub struct FairnessTables {
     infos: Vec<FairInfo>,
-    /// The graph's states and edges once filled, for
-    /// [`FairnessTables::fit`].
-    over: Option<(usize, usize)>,
 }
 
 impl FairnessTables {
     /// The tables of `system`'s fairness requirements over `graph`, in
     /// one pass over the edges.
-    pub fn of_graph(system: &System, graph: &StateGraph) -> FairnessTables {
+    pub(crate) fn of_graph(system: &System, graph: &StateGraph) -> FairnessTables {
         FairnessTables::reserve(system, graph).filled(system, graph)
     }
 
     /// Empty tables of `system`'s fairness requirements with room for
-    /// every flag of `graph`, for [`FairnessTables::filled`]. A check
-    /// refuses them until they are filled.
-    pub fn reserve(system: &System, graph: &StateGraph) -> FairnessTables {
+    /// every flag of `graph`, for [`FairnessTables::filled`].
+    pub(crate) fn reserve(system: &System, graph: &StateGraph) -> FairnessTables {
         FairnessTables {
             infos: fair::reserve_system_fair_infos(system, graph),
-            over: None,
         }
     }
 
     /// These reserved tables, filled: [`FairnessTables::of_graph`]
     /// without allocating the tables.
-    ///
-    /// # Panics
-    ///
-    /// If the tables are already filled.
-    pub fn filled(mut self, system: &System, graph: &StateGraph) -> FairnessTables {
-        assert!(self.over.is_none(), "fairness tables are filled once");
+    pub(crate) fn filled(mut self, system: &System, graph: &StateGraph) -> FairnessTables {
         fair::fill_system_fair_infos(system, graph, &mut self.infos);
-        self.over = Some((graph.len(), graph.edge_count()));
         self
-    }
-
-    /// `Precondition` unless these are tables of `system` over `graph`
-    /// in shape, filled: as many requirements, of the same kinds, as
-    /// many states and edges.
-    fn fit(&self, system: &System, graph: &StateGraph) -> Result<&[FairInfo], CheckError> {
-        let kinds =
-            (self.infos.iter().map(|info| info.kind)).eq(system.fairness().iter().map(|f| f.kind));
-        if kinds && self.over == Some((graph.len(), graph.edge_count())) {
-            Ok(&self.infos)
-        } else {
-            Err(CheckError::Precondition {
-                message: "the fairness tables handed to this check are of another \
-                          system or graph, or not filled (FairnessTables::of_graph)"
-                    .to_string(),
-            })
-        }
     }
 }
 
@@ -402,6 +368,9 @@ impl Governed for LivenessRun {
 /// [`Outcome::Exhausted`] tag — never a hard error — so callers can
 /// [`escalate`](crate::escalate) or report partial coverage.
 ///
+/// The check runs on a [`Session`] of its own under the empty mapping,
+/// so a mapped target's images are the check's and go with it.
+///
 /// # Errors
 ///
 /// Propagates evaluation errors, as [`check_liveness`] does.
@@ -411,7 +380,7 @@ pub fn check_liveness_governed(
     target: &LiveTarget,
     budget: &Budget,
 ) -> Result<LivenessRun, CheckError> {
-    liveness_driver(system, graph, target, None, None, budget)
+    Session::new(system, graph, &Substitution::default(), budget).liveness(target)
 }
 
 /// [`check_liveness_governed`]; `options` are ignored (see
@@ -430,62 +399,15 @@ pub fn check_liveness_governed_with(
     check_liveness_governed(system, graph, target, budget)
 }
 
-/// [`check_liveness_governed`] for a [`LiveTarget::Fair`] under a
-/// refinement mapping, the mapping's values read from `images` instead
-/// of evaluated: how several obligations over one graph share one
-/// evaluation of their mapping (the Composition Theorem's hypotheses
-/// 2(a) and 2(b) do). Verdict, lasso, charges and errors are those of
-/// [`check_liveness_governed`]; other targets have no mapping and
-/// ignore `images`.
-///
-/// # Errors
-///
-/// As [`check_liveness`], and [`CheckError::Precondition`] if `images`
-/// are not of `graph` under the target's mapping.
-pub fn check_liveness_with_images(
-    system: &System,
-    graph: &StateGraph,
+/// The one liveness check, [`Session::liveness`].
+pub(crate) fn liveness_driver(
+    session: &Session<'_>,
     target: &LiveTarget,
-    images: &Images,
-    budget: &Budget,
 ) -> Result<LivenessRun, CheckError> {
-    liveness_driver(system, graph, target, Some(images), None, budget)
-}
-
-/// [`check_liveness_with_images`] reading the system's fairness tables
-/// from `tables`, built there by the first check that needs them if no
-/// one has yet: how the checks of one certificate share one build of
-/// their tables. Verdict, lasso, charges and errors are those of
-/// [`check_liveness_with_images`] — each check is charged for the
-/// tables, after its target's table, as if it had built them.
-///
-/// # Errors
-///
-/// As [`check_liveness_with_images`], and [`CheckError::Precondition`]
-/// if `tables` hold tables of another system or graph, or reserved
-/// tables not yet filled.
-pub fn check_liveness_with_tables(
-    system: &System,
-    graph: &StateGraph,
-    target: &LiveTarget,
-    images: &Images,
-    tables: &OnceLock<FairnessTables>,
-    budget: &Budget,
-) -> Result<LivenessRun, CheckError> {
-    liveness_driver(system, graph, target, Some(images), Some(tables), budget)
-}
-
-fn liveness_driver(
-    system: &System,
-    graph: &StateGraph,
-    target: &LiveTarget,
-    images: Option<&Images>,
-    tables: Option<&OnceLock<FairnessTables>>,
-    budget: &Budget,
-) -> Result<LivenessRun, CheckError> {
+    let budget = session.budget();
     let _phase = PhaseGuard::enter(&budget.recorder, Phase::Liveness);
     let mut meter = Meter::start(budget);
-    let decided = decide(system, graph, target, images, tables, &mut meter);
+    let decided = decide(session, target, &mut meter);
     if let Ok(Verdict::Violated(cx)) = &decided {
         crate::obs::emit_counterexample(&budget.recorder, "liveness", cx);
     }
@@ -499,7 +421,7 @@ fn liveness_driver(
             outcome: Outcome::Exhausted {
                 reason,
                 frontier_size: pending,
-                stats: graph.stats(),
+                stats: session.graph().stats(),
                 resume: None,
             },
         }),
@@ -507,24 +429,12 @@ fn liveness_driver(
     }
 }
 
-fn decide(
-    system: &System,
-    graph: &StateGraph,
-    target: &LiveTarget,
-    images: Option<&Images>,
-    tables: Option<&OnceLock<FairnessTables>>,
-    meter: &mut Meter,
-) -> Result<Verdict, Stop> {
-    let violation = build_violation(system, graph, target, images, meter)?;
+fn decide(session: &Session<'_>, target: &LiveTarget, meter: &mut Meter) -> Result<Verdict, Stop> {
+    let (system, graph) = (session.system(), session.graph());
+    let violation = build_violation(session, target, meter)?;
     fair::charge_system_tables(system, graph, meter)?;
-    let build = || FairnessTables::of_graph(system, graph);
-    let mut own = None;
-    let tables = match tables {
-        Some(shared) => shared.get_or_init(build),
-        None => own.insert(build()),
-    };
-    let fair_infos = tables.fit(system, graph)?;
-    match find_violation(system, graph, fair_infos, &violation, meter)? {
+    let tables = session.build_tables();
+    match find_violation(system, graph, &tables.infos, &violation, meter)? {
         Some(cx) => Ok(Verdict::Violated(cx)),
         None => Ok(Verdict::Holds),
     }
@@ -560,12 +470,11 @@ fn eval_pred(
 }
 
 fn build_violation(
-    system: &System,
-    graph: &StateGraph,
+    session: &Session<'_>,
     target: &LiveTarget,
-    images: Option<&Images>,
     meter: &mut Meter,
 ) -> Result<Violation, Stop> {
+    let (system, graph) = (session.system(), session.graph());
     let all = vec![true; graph.len()];
     Ok(match target {
         LiveTarget::Fair {
@@ -573,15 +482,8 @@ fn build_violation(
             enabled_with,
             mapping,
         } => {
-            let (angle, enabled) = fair::target_fair_info(
-                system,
-                graph,
-                fair,
-                enabled_with.as_ref(),
-                mapping,
-                images,
-                meter,
-            )?;
+            let (angle, enabled) =
+                fair::target_fair_info(session, fair, enabled_with.as_ref(), mapping, meter)?;
             match fair.kind {
                 FairnessKind::Weak => Violation {
                     reason: "target WF violated: its action stays enabled but is never taken"
@@ -849,6 +751,14 @@ mod tests {
     use crate::{explore, ExploreOptions, GuardedAction, Init, SystemFairness};
     use opentla_kernel::{Domain, Formula, Value, VarId, Vars};
     use opentla_semantics::{eval, EvalCtx};
+
+    impl FairnessTables {
+        /// Where the tables live: the same for reserved room and the
+        /// tables filled into it.
+        pub(crate) fn address(&self) -> *const () {
+            self.infos.as_ptr().cast()
+        }
+    }
 
     /// x counts 0..=3; `incr` increments, `reset` jumps back to 0.
     fn counter(fair: bool) -> (System, VarId) {
@@ -1294,59 +1204,5 @@ mod tests {
             Outcome::Exhausted { frontier_size, .. } => assert_eq!(*frontier_size, 2),
             other => panic!("expected exhaustion, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn handed_images_must_be_of_the_targets_mapping() {
-        use crate::Budget;
-        // x ↦ 3 − x: WF of "x̄ decreases" holds under WF(incr).
-        let (sys, x) = counter(true);
-        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let fair = Fairness::weak(Expr::prime(x).lt(Expr::var(x)), vec![x]);
-        let enabled = Expr::var(x).gt(Expr::int(0));
-        let mirror = Substitution::new([(x, Expr::int(3).sub(Expr::var(x)))]);
-        let target = LiveTarget::fair_mapped(fair, enabled, mirror.clone());
-        let own = check_liveness(&sys, &graph, &target).unwrap();
-        assert!(own.holds());
-        let run = |images: &Images| {
-            check_liveness_with_images(&sys, &graph, &target, images, &Budget::default())
-        };
-        let images = Images::of_graph(&graph, &mirror, &RecorderHandle::default());
-        assert!(run(&images).unwrap().verdict.unwrap().holds());
-        let other = Substitution::new([(x, Expr::var(x))]);
-        let images = Images::of_graph(&graph, &other, &RecorderHandle::default());
-        assert!(matches!(run(&images), Err(CheckError::Precondition { .. })));
-        assert!(matches!(
-            run(&Images::default()),
-            Err(CheckError::Precondition { .. })
-        ));
-    }
-
-    #[test]
-    fn handed_tables_must_be_of_the_system_and_graph() {
-        use crate::Budget;
-        let (sys, x) = counter(true);
-        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let fair = Fairness::weak(Expr::prime(x).gt(Expr::var(x)), vec![x]);
-        let target = LiveTarget::fair_with_enabled(fair, Expr::var(x).lt(Expr::int(3)));
-        let images = Images::default();
-        let run = |tables: &OnceLock<FairnessTables>| {
-            check_liveness_with_tables(&sys, &graph, &target, &images, tables, &Budget::default())
-        };
-        // Empty, the check fills them; filled, the next check reads them.
-        let shared = OnceLock::new();
-        for _ in 0..2 {
-            assert!(run(&shared).unwrap().verdict.unwrap().holds());
-            assert!(shared.get().is_some());
-        }
-        // Reserved room is refused until it is filled.
-        let room = OnceLock::from(FairnessTables::reserve(&sys, &graph));
-        assert!(matches!(run(&room), Err(CheckError::Precondition { .. })));
-        let room = FairnessTables::reserve(&sys, &graph).filled(&sys, &graph);
-        assert!(run(&OnceLock::from(room)).unwrap().verdict.unwrap().holds());
-        // Tables of the unfair system: a requirement too few.
-        let (unfair, _) = counter(false);
-        let other = OnceLock::from(FairnessTables::of_graph(&unfair, &graph));
-        assert!(matches!(run(&other), Err(CheckError::Precondition { .. })));
     }
 }

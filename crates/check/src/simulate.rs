@@ -17,9 +17,9 @@
 
 use crate::budget::{Budget, Governed, Meter, Outcome};
 use crate::compiled::{CompiledExpr, EvalScratch};
-use crate::image::{Classes, Images, Memo};
+use crate::image::{Classes, Memo};
 use crate::invariant::trace_counterexample;
-use crate::{CheckError, Counterexample, ExhaustReason, StateGraph, System, Verdict};
+use crate::{CheckError, Counterexample, ExhaustReason, Session, StateGraph, System, Verdict};
 use opentla_kernel::{EvalError, Expr, Formula, StatePair, Substitution};
 use opentla_semantics::{safety_canonical, SafetyCanonical};
 
@@ -103,47 +103,17 @@ pub fn check_simulation_governed(
     mapping: &Substitution,
     budget: &Budget,
 ) -> Result<SimulationRun, CheckError> {
-    simulate(system, graph, target, mapping, None, budget)
+    Session::new(system, graph, mapping, budget).simulation(target)
 }
 
-/// [`check_simulation_governed`] under the mapping `images` are of,
-/// its values read from them instead of evaluated: how several
-/// obligations over one graph share one evaluation of their mapping
-/// (the Composition Theorem's hypotheses 2(a) and 2(b) do). Verdict,
-/// counterexample, charges and errors are those of
-/// [`check_simulation_governed`] under `images.mapping()`.
-///
-/// # Errors
-///
-/// As [`check_simulation`], and [`CheckError::Precondition`] if
-/// `images` are not of `graph`.
-pub fn check_simulation_with_images(
-    system: &System,
-    graph: &StateGraph,
+/// The one simulation check, [`Session::simulation`]: under the
+/// session's mapping, its values read from the session's images.
+pub(crate) fn simulate(
+    session: &Session<'_>,
     target: &Formula,
-    images: &Images,
-    budget: &Budget,
 ) -> Result<SimulationRun, CheckError> {
-    simulate(
-        system,
-        graph,
-        target,
-        images.mapping(),
-        Some(images),
-        budget,
-    )
-}
-
-/// The one simulation check. `images`, if given, are of `mapping`;
-/// otherwise the check evaluates the mapping itself, once.
-fn simulate(
-    system: &System,
-    graph: &StateGraph,
-    target: &Formula,
-    mapping: &Substitution,
-    images: Option<&Images>,
-    budget: &Budget,
-) -> Result<SimulationRun, CheckError> {
+    let (system, graph, budget) = (session.system(), session.graph(), session.budget());
+    let mapping = session.mapping();
     let _phase = crate::obs::PhaseGuard::enter(&budget.recorder, crate::obs::Phase::Simulation);
     let mapped = mapping.formula(target)?;
     // Substitution keeps a formula's shape, so the two sets of parts
@@ -198,9 +168,7 @@ fn simulate(
     }
     // 2–3. Invariants on every state and step boxes on every edge, each
     // decided once per image class (pair) of the *un*substituted target.
-    let mut own = None;
-    let images = Images::given_or_own(images, &mut own, graph, mapping, &budget.recorder)?;
-    let classes = Classes::of_graph(graph, &target.free_vars(), images);
+    let classes = Classes::of_graph(graph, &target.free_vars(), session.images());
     let run = check_states_and_edges(
         system, graph, &sc, &abs, &classes, meter, &exhausted, &violated,
     );
@@ -463,40 +431,6 @@ mod tests {
             check_simulation_governed(&sys, &graph, &abstract_spec(n), &mapping, &budget).unwrap();
         assert!(run.report.is_none());
         assert!(!run.outcome.is_complete());
-    }
-
-    #[test]
-    fn handed_images_replace_the_evaluation_of_the_mapping() {
-        use crate::{explore_governed, Budget, CountingRecorder, RecorderHandle};
-        use std::sync::Arc;
-        let (sys, lo, hi, n) = setup();
-        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
-        let mapping = Substitution::new([(n, Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)))]);
-        let counting = Arc::new(CountingRecorder::new());
-        let budget = Budget::default().with_recorder(RecorderHandle::new(counting.clone()));
-        let images = Images::of_graph(&graph, &mapping, &budget.recorder);
-        assert_eq!(images.distinct_values(), 4);
-        // Two checks, one evaluation of the mapping — and a third pass
-        // only when a check is left to evaluate it itself.
-        let spec = abstract_spec(n);
-        for _ in 0..2 {
-            let run = check_simulation_with_images(&sys, &graph, &spec, &images, &budget).unwrap();
-            assert!(run.report.unwrap().holds());
-        }
-        assert_eq!(counting.count("image_pass"), 1);
-        let run = check_simulation_governed(&sys, &graph, &spec, &mapping, &budget).unwrap();
-        assert!(run.report.unwrap().holds());
-        assert_eq!(counting.count("image_pass"), 2);
-        // Images of another graph (the first two states of this one)
-        // are refused, typed.
-        let partial = explore_governed(&sys, &Budget::default().states(2))
-            .unwrap()
-            .graph;
-        assert_eq!(partial.len(), 2);
-        assert!(matches!(
-            check_simulation_with_images(&sys, &partial, &spec, &images, &budget),
-            Err(CheckError::Precondition { .. })
-        ));
     }
 
     #[test]

@@ -33,9 +33,8 @@
 use opentla::CompositionOptions;
 use opentla_check::image::{Classes, IdsProgram, ImageView, Images};
 use opentla_check::{
-    check_liveness_with_images, check_simulation_with_images, explore, Budget, CompiledExpr,
-    EvalScratch, Event, ExploreOptions, GuardedAction, Init, LiveTarget, Recorder, RecorderHandle,
-    StateGraph, System,
+    explore, Budget, CompiledExpr, EvalScratch, Event, ExploreOptions, GuardedAction, Init,
+    LiveTarget, Recorder, RecorderHandle, Session, StateGraph, System,
 };
 use opentla_kernel::{Domain, Expr, Fairness, Formula, Substitution, Value, VarId, Vars};
 use opentla_queue::{DoubleQueue, FairnessStyle};
@@ -481,14 +480,14 @@ fn figure_nine_decides_every_miss_on_ids() {
     }
 }
 
-/// `DoubleQueue(2,3,Joint)`: its graph, the target's images, and the
-/// target queue's specification.
-fn figure_nine() -> (DoubleQueue, System, StateGraph, Images) {
+/// `DoubleQueue(2,3,Joint)`: the instance, its complete system, its
+/// graph and the refinement mapping to the target queue.
+fn figure_nine() -> (DoubleQueue, System, StateGraph, Substitution) {
     let dq = DoubleQueue::new(2, 3, FairnessStyle::Joint);
     let system = dq.cdq_system().unwrap();
     let graph = explore(&system, &ExploreOptions::default()).unwrap();
-    let images = Images::of_graph(&graph, &dq.refinement_mapping(), &RecorderHandle::default());
-    (dq, system, graph, images)
+    let mapping = dq.refinement_mapping();
+    (dq, system, graph, mapping)
 }
 
 /// Every class of the target's enabledness predicate, over the
@@ -496,20 +495,23 @@ fn figure_nine() -> (DoubleQueue, System, StateGraph, Images) {
 /// compiled program decides it.
 #[test]
 fn figure_nine_decides_enabledness_on_ids() {
-    let (dq, _, graph, images) = figure_nine();
+    let (dq, system, graph, mapping) = figure_nine();
+    let budget = Budget::unlimited();
+    let session = Session::new(&system, &graph, &mapping, &budget);
+    let images = session.images();
     let target = dq.big_queue();
     let enabled = target.fairness_enabled_expr(0);
     let mut footprint = target.fairness_condition(0).angle_action().all_vars();
     footprint.union_with(&enabled.all_vars());
-    let classes = Classes::of_graph(&graph, &footprint, &images);
+    let classes = Classes::of_graph(&graph, &footprint, images);
     let mut ids = IdsProgram::of_all(&classes, std::slice::from_ref(&enabled))
         .expect("the enabledness predicate reads no primes");
     let program = CompiledExpr::compile(&enabled);
     let scratch = &mut EvalScratch::new();
-    let reps = representatives(&graph, &classes, &images);
+    let reps = representatives(&graph, &classes, images);
     assert_eq!(reps.len(), classes.count());
     for s in reps {
-        let view = ImageView::new(&images, &graph, s).unwrap();
+        let view = ImageView::new(images, &graph, s).unwrap();
         let expected = program.holds(&view, scratch).unwrap();
         assert_eq!(ids.holds(s), Some(expected), "state {s}");
     }
@@ -532,7 +534,7 @@ impl Recorder for OnIds {
 /// verdicts of the plain target, for H2a and for H2b.
 #[test]
 fn an_unsupported_primed_leaf_decides_on_the_compiled_program() {
-    let (dq, system, graph, images) = figure_nine();
+    let (dq, system, graph, mapping) = figure_nine();
     let target = dq.big_queue();
     let (next, owned) = (target.next_expr(), target.owned());
     let q_bar = dq.q_dbl();
@@ -545,16 +547,15 @@ fn an_unsupported_primed_leaf_decides_on_the_compiled_program() {
         LiveTarget::fair_mapped(
             Fairness::weak(action.clone(), fairness.sub.clone()),
             target.fairness_enabled_expr(0),
-            dq.refinement_mapping(),
+            mapping.clone(),
         )
     };
     let run = |next: &Expr| {
         let on_ids = Arc::new(OnIds::default());
         let budget = Budget::unlimited().with_recorder(RecorderHandle::new(on_ids.clone()));
-        let simulation =
-            check_simulation_with_images(&system, &graph, &safety(next), &images, &budget).unwrap();
-        let liveness =
-            check_liveness_with_images(&system, &graph, &live(next), &images, &budget).unwrap();
+        let session = Session::new(&system, &graph, &mapping, &budget);
+        let simulation = session.simulation(&safety(next)).unwrap();
+        let liveness = session.liveness(&live(next)).unwrap();
         let on_ids = on_ids.0.lock().unwrap().clone();
         (
             format!("{:?}", simulation.report.map(|r| r.verdict)),

@@ -11,15 +11,20 @@
 //! and the budget records nothing; on one lane otherwise, in
 //! certificate order, as a recorded run must for its stream to nest.
 //!
+//! The checks of H2a and H2b run on one check [`Session`] over the
+//! graph and the refinement mapping, which owns what they share: the
+//! mapping's images, and the system's fairness tables.
+//!
 //! The split follows what each step costs. A scoped worker takes from
-//! the front of its list: the system's fairness tables
-//! ([`FairnessTables`], built once for every H2b condition, into room
-//! the caller reserved), every H1 (no mapping), then H2a. The caller runs P4, evaluates the refinement
-//! mapping over the graph ([`Images`]) and runs every H2b condition,
-//! then takes the worker's steps it has not started yet from the back
-//! of its list. H2a reads the same images, and H2b the same tables,
-//! waiting for them if the other lane is still computing them; the
-//! class column H2a shares with H2b (same footprint) is computed once.
+//! the front of its list: the system's fairness tables (built once for
+//! every H2b condition, into room the caller reserved with
+//! [`Session::reserve_tables`]), every H1 (no mapping), then H2a. The
+//! caller runs P4, evaluates the refinement mapping over the graph
+//! ([`Session::images`]) and runs every H2b condition, then takes the
+//! worker's steps it has not started yet from the back of its list.
+//! H2a reads the same images, and H2b the same tables, waiting for
+//! them if the other lane is still computing them; the class column
+//! H2a shares with H2b (same footprint) is computed once.
 //! Each check starts its own meter and keeps its scan order, and is
 //! charged for the tables as if it had built them, so a budget cuts
 //! the same obligations and a violated hypothesis yields the same
@@ -32,15 +37,13 @@ use crate::{
     closed_product, AgSpec, Certificate, ComponentSpec, Method, Obligation, ObligationStatus,
     SpecError,
 };
-use opentla_check::image::Images;
 use opentla_check::{
-    check_liveness_with_tables, check_simulation_governed, check_simulation_with_images,
-    explore_governed_with, Budget, Exploration, ExploreOptions, FairnessTables, LiveTarget,
-    StateGraph, System, Verdict,
+    check_simulation_governed, explore_governed_with, Budget, Exploration, ExploreOptions,
+    LiveTarget, Session, Verdict,
 };
 use opentla_kernel::{Substitution, Vars};
 use std::collections::VecDeque;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Options for the composition engine.
 #[derive(Clone, Debug, Default)]
@@ -313,12 +316,7 @@ fn build_certificate(
 
     let hypotheses = Hypotheses {
         problem,
-        product: &product,
-        graph,
-        budget,
-        images: OnceLock::new(),
-        tables: OnceLock::new(),
-        room: Mutex::new(None),
+        session: Session::new(&product, graph, &problem.mapping, budget),
     };
     obligations.extend(hypotheses.check(lanes(&exploration, budget))?);
 
@@ -369,25 +367,11 @@ enum Step {
     H2b(usize),
 }
 
-/// The semantic hypotheses of one certificate, over its complete
-/// product graph.
+/// The semantic hypotheses of one certificate, checked on one session
+/// over its complete product graph and its refinement mapping.
 struct Hypotheses<'a> {
     problem: &'a CompositionProblem<'a>,
-    product: &'a System,
-    graph: &'a StateGraph,
-    budget: &'a Budget,
-    /// The refinement mapping's images: evaluated once, by whichever
-    /// lane needs them first, and read by 2(a) and every condition of
-    /// 2(b).
-    images: OnceLock<Images>,
-    /// The product's fairness tables: built once, uncharged, by
-    /// whichever lane needs them first, and read by every condition of
-    /// 2(b).
-    tables: OnceLock<FairnessTables>,
-    /// Room for the tables, reserved by the caller for the worker to
-    /// fill: the worker's allocator arena keeps every page it touches,
-    /// which the next run's exploration cannot reuse.
-    room: Mutex<Option<FairnessTables>>,
+    session: Session<'a>,
 }
 
 /// The result of each step run, up to and including a lane's first
@@ -434,8 +418,10 @@ impl Hypotheses<'_> {
             let theirs = ([Step::SystemTables].into_iter().chain(h1)).chain([Step::H2a]);
             let theirs = &Mutex::new(theirs.collect());
             let mine = [Step::P4, Step::ImagePass].into_iter().chain(h2b);
-            let room = FairnessTables::reserve(self.product, self.graph);
-            *self.room.lock().unwrap_or_else(PoisonError::into_inner) = Some(room);
+            // The worker's allocator arena keeps every page it
+            // touches, which the next run's exploration cannot reuse:
+            // the tables it builds fill room reserved here.
+            self.session.reserve_tables();
             let worker = || self.run(theirs, End::Front);
             std::thread::scope(|scope| {
                 let spawned = std::thread::Builder::new()
@@ -485,17 +471,10 @@ impl Hypotheses<'_> {
         }
     }
 
-    /// The images of the graph under the problem's mapping.
-    fn images(&self) -> &Images {
-        (self.images).get_or_init(|| {
-            Images::of_graph(self.graph, &self.problem.mapping, &self.budget.recorder)
-        })
-    }
-
     /// One step's obligation.
     fn step(&self, step: Step) -> Result<Option<Obligation>, SpecError> {
-        let (problem, product, graph, budget) =
-            (self.problem, self.product, self.graph, self.budget);
+        let (problem, session) = (self.problem, &self.session);
+        let (product, graph, budget) = (session.system(), session.graph(), session.budget());
         let target_env = problem.target.env();
         let target_sys = problem.target.sys();
         let obligation = match step {
@@ -562,32 +541,18 @@ impl Hypotheses<'_> {
             // once: 2(a) and every condition of 2(b) read the same
             // images.
             Step::ImagePass => {
-                self.images();
+                session.images();
                 return Ok(None);
             }
             // The product's fairness tables, for every condition of
             // 2(b): each condition is charged for them as if it had
             // built them itself. They fill the caller's room.
             Step::SystemTables => {
-                let room = self
-                    .room
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .take();
-                (self.tables).get_or_init(|| match room {
-                    Some(room) => room.filled(product, graph),
-                    None => FairnessTables::of_graph(product, graph),
-                });
+                session.build_tables();
                 return Ok(None);
             }
             Step::H2a => {
-                let run = check_simulation_with_images(
-                    product,
-                    graph,
-                    &target_sys.safety_formula(),
-                    self.images(),
-                    budget,
-                )?;
+                let run = session.simulation(&target_sys.safety_formula())?;
                 Obligation {
                     id: "H2a".into(),
                     description: format!(
@@ -612,18 +577,11 @@ impl Hypotheses<'_> {
                 // here would be unsound: an abstract action can be
                 // enabled at states the concrete implementation has
                 // saturated.
-                let run = check_liveness_with_tables(
-                    product,
-                    graph,
-                    &LiveTarget::fair_mapped(
-                        target_sys.fairness_condition(i),
-                        target_sys.fairness_enabled_expr(i),
-                        problem.mapping.clone(),
-                    ),
-                    self.images(),
-                    &self.tables,
-                    budget,
-                )?;
+                let run = session.liveness(&LiveTarget::fair_mapped(
+                    target_sys.fairness_condition(i),
+                    target_sys.fairness_enabled_expr(i),
+                    problem.mapping.clone(),
+                ))?;
                 Obligation {
                     id: format!("H2b/fairness[{i}]"),
                     description: format!(

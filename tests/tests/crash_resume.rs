@@ -235,6 +235,45 @@ fn golden_chain4_survives_parallel_interrupt_and_thread_change() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// An exhausted run keeps the snapshot it wrote last: the one in
+/// memory, the resume token and the file on disk carry one sequence
+/// number, in RAM and under a memory budget — one the run stays in RAM
+/// under, and one it spills under, whose snapshot names its sealed
+/// segments.
+#[test]
+fn the_kept_snapshot_is_the_one_written_last() {
+    let system = QueueChain::new(2, 1, 2, FairnessStyle::Joint)
+        .complete_system()
+        .unwrap();
+    let cut = run_unlimited(&system, &ExploreOptions::default())
+        .graph
+        .len()
+        / 2;
+    for mem_budget_bytes in [None, Some(1 << 20), Some(8 << 10)] {
+        let label = format!("budget={mem_budget_bytes:?}");
+        let path = snap_path("kept-seq");
+        remove_spill_artifacts(&path);
+        let opts = ExploreOptions {
+            mem_budget_bytes,
+            ..options(1, VisitedMode::Fingerprint, 64)
+        };
+        let run = explore_resumable(
+            &system,
+            &Budget::default().states(cut).with_checkpoint(&path, 8),
+            &opts,
+        )
+        .unwrap();
+        let token = run.outcome.resume_token().expect("an exhausted run");
+        let kept = run.snapshot.as_deref().expect("a resumable cut");
+        let saved = Snapshot::load(&path).unwrap();
+        assert!(token.seq > 1, "{label}: periodic writes came first");
+        assert_eq!((kept.seq, saved.seq), (token.seq, token.seq), "{label}");
+        let spilled = sealed_arena_segments(&path) > 0;
+        assert_eq!(spilled, mem_budget_bytes == Some(8 << 10), "{label}");
+        remove_spill_artifacts(&path);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Corruption and mismatch: typed errors, never panics or wrong graphs
 // ---------------------------------------------------------------------

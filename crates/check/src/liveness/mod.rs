@@ -1205,4 +1205,81 @@ mod tests {
             other => panic!("expected exhaustion, got {other:?}"),
         }
     }
+
+    #[test]
+    fn handed_images_must_be_of_the_targets_mapping() {
+        use crate::{Budget, CountingRecorder, RecorderHandle, Session};
+        use std::sync::Arc;
+        // x ↦ 3 − x: WF of "x̄ decreases" holds under WF(incr); under
+        // x ↦ x it fails, x staying at 3 with x > 0 enabled.
+        let (sys, x) = counter(true);
+        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
+        let fair = Fairness::weak(Expr::prime(x).lt(Expr::var(x)), vec![x]);
+        let enabled = Expr::var(x).gt(Expr::int(0));
+        let mirror = Substitution::new([(x, Expr::int(3).sub(Expr::var(x)))]);
+        let identity = Substitution::new([(x, Expr::var(x))]);
+        let under =
+            |m: &Substitution| LiveTarget::fair_mapped(fair.clone(), enabled.clone(), m.clone());
+        assert!(check_liveness(&sys, &graph, &under(&mirror))
+            .unwrap()
+            .holds());
+        assert!(!check_liveness(&sys, &graph, &under(&identity))
+            .unwrap()
+            .holds());
+        // Whatever the session's mapping, a check reads images of its
+        // target's: the session's when they are the same, else its own.
+        for shared in [&mirror, &identity, &Substitution::default()] {
+            let counting = Arc::new(CountingRecorder::new());
+            let budget = Budget::default().with_recorder(RecorderHandle::new(counting.clone()));
+            let session = Session::new(&sys, &graph, shared, &budget);
+            for _ in 0..2 {
+                let run = session.liveness(&under(&mirror)).unwrap();
+                assert!(run.verdict.unwrap().holds(), "{shared:?}");
+                let run = session.liveness(&under(&identity)).unwrap();
+                assert!(!run.verdict.unwrap().holds(), "{shared:?}");
+            }
+            // Two passes of the session's own mapping make one.
+            let own = [&mirror, &identity].contains(&shared);
+            assert_eq!(counting.count("image_pass"), if own { 3 } else { 4 });
+            assert_eq!(session.images().mapping(), shared);
+        }
+    }
+
+    #[test]
+    fn handed_tables_must_be_of_the_system_and_graph() {
+        use crate::{explore_governed, Budget, Session};
+        // WF(x increases) while x < 3 holds under WF(incr) and fails
+        // without it: a session reads the tables of its own system.
+        let fair = |x| Fairness::weak(Expr::prime(x).gt(Expr::var(x)), vec![x]);
+        let target = |x| LiveTarget::fair_with_enabled(fair(x), Expr::var(x).lt(Expr::int(3)));
+        let none = Substitution::default();
+        let budget = Budget::default();
+        for (is_fair, requirements) in [(true, 1), (false, 0)] {
+            let (sys, x) = counter(is_fair);
+            let graph = explore(&sys, &ExploreOptions::default()).unwrap();
+            for reserve in [false, true] {
+                let session = Session::new(&sys, &graph, &none, &budget);
+                if reserve {
+                    session.reserve_tables();
+                }
+                // The first check builds the tables, the next reads them.
+                for _ in 0..2 {
+                    let run = session.liveness(&target(x)).unwrap();
+                    assert_eq!(run.verdict.unwrap().holds(), is_fair, "{reserve}");
+                }
+                let tables = session.build_tables();
+                assert_eq!(tables.infos.len(), requirements);
+            }
+        }
+        // A session over the first two states builds tables of those.
+        let (sys, x) = counter(true);
+        let partial = explore_governed(&sys, &Budget::default().states(2))
+            .unwrap()
+            .graph;
+        assert_eq!(partial.len(), 2);
+        let session = Session::new(&sys, &partial, &none, &budget);
+        session.reserve_tables();
+        session.liveness(&target(x)).unwrap();
+        assert_eq!(session.build_tables().infos.len(), 1);
+    }
 }

@@ -434,6 +434,40 @@ mod tests {
     }
 
     #[test]
+    fn handed_images_replace_the_evaluation_of_the_mapping() {
+        use crate::{explore_governed, Budget, CountingRecorder, RecorderHandle, Session};
+        use std::sync::Arc;
+        let (sys, lo, hi, n) = setup();
+        let graph = explore(&sys, &ExploreOptions::default()).unwrap();
+        let mapping = Substitution::new([(n, Expr::int(2).mul(Expr::var(hi)).add(Expr::var(lo)))]);
+        let counting = Arc::new(CountingRecorder::new());
+        let budget = Budget::default().with_recorder(RecorderHandle::new(counting.clone()));
+        let session = Session::new(&sys, &graph, &mapping, &budget);
+        assert_eq!(session.images().distinct_values(), 4);
+        // Two checks, one evaluation of the mapping — and a third pass
+        // only when a check is left to evaluate it itself.
+        let spec = abstract_spec(n);
+        for _ in 0..2 {
+            let run = session.simulation(&spec).unwrap();
+            assert!(run.report.unwrap().holds());
+        }
+        assert_eq!(counting.count("image_pass"), 1);
+        let run = check_simulation_governed(&sys, &graph, &spec, &mapping, &budget).unwrap();
+        assert!(run.report.unwrap().holds());
+        assert_eq!(counting.count("image_pass"), 2);
+        // A session over another graph (the first two states of this
+        // one) evaluates the mapping on that graph.
+        let partial = explore_governed(&sys, &Budget::default().states(2))
+            .unwrap()
+            .graph;
+        assert_eq!(partial.len(), 2);
+        let session = Session::new(&sys, &partial, &mapping, &budget);
+        session.simulation(&spec).unwrap();
+        assert_eq!(session.images().distinct_values(), 2);
+        assert_eq!(counting.count("image_pass"), 3);
+    }
+
+    #[test]
     fn non_canonical_rejected() {
         let (sys, _, _, n) = setup();
         let graph = explore(&sys, &ExploreOptions::default()).unwrap();

@@ -978,16 +978,14 @@ pub(crate) fn capture(graph: &StateGraph, first: usize, header: RunHeader) -> Sn
 
 /// Hands `take` every record of a segmented store `(dir, sealed,
 /// hot)`, in id order: the sealed segments under `dir`, each verified
-/// against its `sealed` entry as it is read, then the unsealed `hot`
-/// tail.
+/// against its `sealed` entry as it is read and its records handed out
+/// as slices of its payload, then the unsealed `hot` tail.
 pub(crate) fn for_each_record<'a>(
     (dir, sealed, hot): (&Path, &[SegmentMeta], impl Iterator<Item = &'a [u8]>),
     mut take: impl FnMut(&[u8]) -> Result<(), CheckpointError>,
 ) -> Result<(), CheckpointError> {
     for meta in sealed {
-        for rec in store::read_segment(&dir.join(&meta.name), Some(meta))? {
-            take(&rec)?;
-        }
+        store::for_each_segment_record(&dir.join(&meta.name), Some(meta), &mut take)?;
     }
     hot.into_iter().try_for_each(take)
 }

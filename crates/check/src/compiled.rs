@@ -11,13 +11,13 @@
 //! allocation and recursion. [`CompiledSystem`] is every action's guard
 //! and updates compiled that way: the successor stepper.
 //!
-//! **Stepping on slot codes.** Both exploration engines keep states as
-//! packed rows ([`PackedLayout`]) and step them with
+//! **Stepping on slot codes.** Exploration keeps states as packed rows
+//! ([`PackedLayout`]) and steps them with
 //! [`CompiledSystem::for_each_packed_successor`], which mostly does not
 //! evaluate at all. In the paper's interleaving products every action
 //! is one component's step: its guard and updates read a handful of
-//! slots with a few values each. So each action has a dense table,
-//! per worker ([`StepMemo`]), keyed by the mixed-radix number of the
+//! slots with a few values each. So each action has a dense table, in
+//! the run's one [`StepMemo`], keyed by the mixed-radix number of the
 //! row's codes in the slots it reads (its *read set*, each slot's
 //! domain size the radix), whose entry says "disabled" or lists the
 //! `(slot, new code)` [`Effect`]s of its updates. Only a miss unpacks
@@ -745,12 +745,12 @@ pub struct Effect {
     pub code: u32,
 }
 
-/// One worker's effect tables for
+/// A stepper's effect tables for
 /// [`CompiledSystem::for_each_packed_successor`] — a dense table per
 /// action, filled as parents miss — with the buffers a miss evaluates
 /// in and the counts of the run's `step_memo` event. A memo serves one
 /// compiled system and a layout of that system's variables; it lives
-/// and dies with its worker.
+/// and dies with its stepper.
 #[derive(Debug, Default)]
 pub struct StepMemo {
     tables: Vec<Table>,
@@ -760,6 +760,19 @@ pub struct StepMemo {
     effects: Vec<Effect>,
     eval: EvalScratch,
     stats: MemoStats,
+    /// Each miss since the last [`StepMemo::take_misses`], when the
+    /// memo was made to log them.
+    log: Option<Vec<Miss>>,
+}
+
+/// A lookup that evaluated, as a logging memo keeps it: the action,
+/// and whether its entry was filled (an action without a table has
+/// none to fill). What [`MemoStats`] counted for a row up to any one of
+/// its actions is read off the misses logged for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Miss {
+    pub(crate) action: u32,
+    pub(crate) filled: bool,
 }
 
 impl StepMemo {
@@ -768,9 +781,27 @@ impl StepMemo {
         StepMemo::default()
     }
 
+    /// Empty tables allocated for `compiled`'s actions, with room to
+    /// log a row's misses: stepping then allocates only as entries are
+    /// filled.
+    pub(crate) fn logging(compiled: &CompiledSystem<'_>) -> StepMemo {
+        let mut memo = StepMemo {
+            log: Some(Vec::with_capacity(compiled.actions.len())),
+            ..StepMemo::default()
+        };
+        compiled.size_tables(&mut memo);
+        memo
+    }
+
     /// What the tables did so far.
     pub fn stats(&self) -> MemoStats {
         self.stats
+    }
+
+    /// Drains the misses logged since the last call, in lookup order
+    /// (none unless the memo is [`StepMemo::logging`]).
+    pub(crate) fn take_misses(&mut self) -> impl Iterator<Item = Miss> + '_ {
+        self.log.iter_mut().flat_map(|log| log.drain(..))
     }
 }
 
@@ -785,8 +816,8 @@ struct Table {
     runs: Vec<Effect>,
 }
 
-/// What effect tables did: the counts of a `step_memo` event, for one
-/// worker's [`StepMemo`] or summed over a run's.
+/// What effect tables did: the counts of a `step_memo` event, for a
+/// [`StepMemo`] so far or for a run up to where it stopped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Entries filled.
@@ -796,14 +827,6 @@ pub struct MemoStats {
     /// Lookups that evaluated: the entry was unknown, or the action
     /// has no table.
     pub misses: u64,
-}
-
-impl std::ops::AddAssign for MemoStats {
-    fn add_assign(&mut self, other: MemoStats) {
-        self.entries += other.entries;
-        self.lookups += other.lookups;
-        self.misses += other.misses;
-    }
 }
 
 /// A [`System`] with every action compiled for high-throughput
@@ -922,20 +945,14 @@ impl<'a> CompiledSystem<'a> {
         memo: &mut StepMemo,
         mut visit: impl FnMut(usize, &[Effect]) -> ControlFlow<B>,
     ) -> Result<Option<B>, CheckError> {
-        if memo.tables.len() != self.actions.len() {
-            memo.tables = (self.actions.iter())
-                .map(|ca| Table {
-                    entries: vec![UNKNOWN; ca.keys],
-                    runs: Vec::new(),
-                })
-                .collect();
-        }
+        self.size_tables(memo);
         let StepMemo {
             tables,
             values,
             effects,
             eval,
             stats,
+            log,
         } = memo;
         let mut unpacked = false;
         for (i, (ca, table)) in self.actions.iter().zip(tables.iter_mut()).enumerate() {
@@ -968,6 +985,12 @@ impl<'a> CompiledSystem<'a> {
                         };
                         stats.entries += 1;
                     }
+                    if let Some(log) = log {
+                        log.push(Miss {
+                            action: i as u32,
+                            filled: key.is_some(),
+                        });
+                    }
                     if !enabled {
                         continue;
                     }
@@ -983,6 +1006,18 @@ impl<'a> CompiledSystem<'a> {
             }
         }
         Ok(None)
+    }
+
+    /// Gives `memo` one empty table per action, unless it has them.
+    fn size_tables(&self, memo: &mut StepMemo) {
+        if memo.tables.len() != self.actions.len() {
+            memo.tables = (self.actions.iter())
+                .map(|ca| Table {
+                    entries: vec![UNKNOWN; ca.keys],
+                    runs: Vec::new(),
+                })
+                .collect();
+        }
     }
 
     /// A miss: runs action `i`'s guard and updates on an unpacked row,
@@ -1024,8 +1059,8 @@ impl<'a> CompiledSystem<'a> {
         }
     }
 
-    /// Records one exploration's `step_memo` event: its tables' counts
-    /// summed over its workers.
+    /// Records one exploration's `step_memo` event: what its tables
+    /// had counted where the run stopped.
     pub(crate) fn record_step_memo(&self, stats: MemoStats, recorder: &RecorderHandle) {
         if !recorder.enabled() {
             return;

@@ -17,10 +17,20 @@
 //! dropped with it.
 //!
 //! The routing rule: a memory budget, or an explicit spill [`Engine`]
-//! under a default one, picks the second row; otherwise the first. A
-//! run explores at one worker whatever thread count was asked for; the
-//! request is kept on [`Exploration::requested_threads`] for the
-//! callers that fan out work over the finished graph.
+//! under a default one, picks the second row; otherwise the first.
+//!
+//! The loop runs in two stages over batches of consecutive parents,
+//! on either store: a **stepper** writes each parent's successors —
+//! action, effects, child fingerprint — and an **interner**, which
+//! owns the store, the budget's meter, the checkpointer and the
+//! recorder, charges, interns and records them parent by parent in id
+//! order. At two workers ([`ExploreOptions::threads`]) the stepper
+//! runs on a scoped second thread, a few batches ahead; at one it
+//! steps each batch on the caller. The interner does the same things
+//! in the same order either way, so the worker count changes no id,
+//! edge, cut, snapshot or error. The request itself is kept on
+//! [`Exploration::requested_threads`] for the callers that fan out
+//! work over the finished graph.
 //!
 //! Every run has one state representation, the packed row of the
 //! system's [`PackedLayout`](opentla_kernel::PackedLayout): every
@@ -95,8 +105,13 @@ pub struct ExploreOptions {
     /// [`VisitedMode::Fingerprint`].
     pub mode: VisitedMode,
     /// Worker threads asked for. `None` (the default) consults the
-    /// `OPENTLA_EXPLORE_THREADS` environment variable. Exploration
-    /// itself runs one loop at any value; the request is kept on
+    /// `OPENTLA_EXPLORE_THREADS` environment variable, and when neither
+    /// says, the host's hardware threads. Exploration runs on two
+    /// workers — successors stepped on a second thread, interned on
+    /// the caller — at a count of two or more, and on one, the caller,
+    /// at 1 (or 0); a second thread that fails to spawn leaves it on
+    /// one. [`Exploration::workers`] says which ran, and the graph is
+    /// the same either way. The request is kept on
     /// [`Exploration::requested_threads`].
     ///
     /// A certificate (`opentla::compose`) reads it there for its
@@ -205,16 +220,26 @@ pub struct Exploration {
     pub snapshot: Option<Box<Snapshot>>,
     /// See [`Exploration::requested_threads`].
     requested_threads: Option<usize>,
+    /// The workers the run explored on: 1 or 2.
+    workers: usize,
 }
 
 impl Exploration {
     /// The workers this run was asked for — [`ExploreOptions::threads`],
     /// else `OPENTLA_EXPLORE_THREADS`, at least 1 — as its plan read
-    /// them; the exploration itself ran one. `None` when neither says.
-    /// A caller that fans out work over the explored graph sizes it by
-    /// this rather than reading the environment again.
+    /// them; `None` when neither says. The exploration ran on
+    /// [`Exploration::workers`] of them, at most two. A caller that fans
+    /// out work over the explored graph sizes it by this rather than
+    /// reading the environment again.
     pub fn requested_threads(&self) -> Option<usize> {
         self.requested_threads
+    }
+
+    /// The workers the run explored on: 2 when its successors were
+    /// stepped on a second thread beside the one interning them, else
+    /// 1 (see [`ExploreOptions::threads`]).
+    pub fn workers(&self) -> usize {
+        self.workers
     }
 }
 
@@ -245,9 +270,8 @@ impl Governed for Exploration {
 ///
 /// Uses default [`ExploreOptions`] (fingerprinted visited set;
 /// `OPENTLA_MEM_BUDGET` gives the run a memory budget, and
-/// `OPENTLA_EXPLORE_THREADS` is only kept on
-/// [`Exploration::requested_threads`]); see [`explore_governed_with`]
-/// for full control.
+/// `OPENTLA_EXPLORE_THREADS` picks its workers); see
+/// [`explore_governed_with`] for full control.
 ///
 /// # Errors
 ///
@@ -384,20 +408,27 @@ pub fn explore_escalating(
     Ok(result)
 }
 
-/// Runs the plan: the loop over its store.
+/// Runs the plan: the loop over its store. `started` is told the
+/// workers the run has before it records anything — the plan's, when
+/// the start itself failed.
 fn explore_dispatch(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
     plan: &Plan,
     launch: Result<Start<'_>, CheckError>,
+    started: impl FnOnce(usize),
 ) -> Result<Exploration, CheckError> {
-    let Start { seed, layout } = launch?;
-    seq::explore_seq(system, budget, options, plan.mem_budget, seed, &layout).map(|run| {
-        Exploration {
-            requested_threads: plan.requested,
-            ..run
+    let Start { seed, layout } = match launch {
+        Ok(start) => start,
+        Err(e) => {
+            started(plan.workers);
+            return Err(e);
         }
+    };
+    seq::explore_seq(system, budget, options, plan, seed, &layout, started).map(|run| Exploration {
+        requested_threads: plan.requested,
+        ..run
     })
 }
 
@@ -424,30 +455,33 @@ fn explore_observed(
     let launch = Start::of(system, resume);
     let rec = budget.recorder.clone();
     if !rec.enabled() {
-        return explore_dispatch(system, budget, options, plan, launch);
+        return explore_dispatch(system, budget, options, plan, launch, |_| {});
     }
     let engine = plan.label();
-    // The loop's one worker, whatever was requested.
-    let threads = 1;
     let mode = match options.mode {
         VisitedMode::Fingerprint => "fingerprint",
         VisitedMode::Exact => "exact",
     };
-    rec.record(&Event::RunStart {
-        engine,
-        threads,
-        mode,
-    });
-    if let Some(snap) = resume {
-        rec.record(&Event::Resume {
-            seq: snap.seq,
-            states: snap.states_used() as u64,
-            transitions: snap.transitions_used() as u64,
-            frontier: snap.frontier_len() as u64,
+    // The workers that ran, as the run says once it has them.
+    let mut threads = plan.workers;
+    let started = |workers| {
+        threads = workers;
+        rec.record(&Event::RunStart {
+            engine,
+            threads: workers,
+            mode,
         });
-    }
+        if let Some(snap) = resume {
+            rec.record(&Event::Resume {
+                seq: snap.seq,
+                states: snap.states_used() as u64,
+                transitions: snap.transitions_used() as u64,
+                frontier: snap.frontier_len() as u64,
+            });
+        }
+    };
     let start = std::time::Instant::now();
-    let result = explore_dispatch(system, budget, options, plan, launch);
+    let result = explore_dispatch(system, budget, options, plan, launch, started);
     let report = match &result {
         Ok(run) => {
             let stats = run.graph.stats();
@@ -826,12 +860,13 @@ mod tests {
         }
     }
 
-    /// `RunStart` and the run report name the plan that ran, at the one
-    /// worker it ran, and every plan builds the same graph: without a
-    /// budget the in-RAM store whatever engine or thread count was
-    /// asked for; with one, from the option or the environment (the
-    /// resolver takes it as an argument, so the CI legs that export the
-    /// overrides see the same routing), the disk-backed store.
+    /// `RunStart` and the run report name the plan that ran and the
+    /// workers it ran on — one at a request for one, two at a request
+    /// for more — and every plan builds the same graph: without a
+    /// budget the in-RAM store whatever engine was asked for; with one,
+    /// from the option or the environment (the resolver takes it as an
+    /// argument, so the CI legs that export the overrides see the same
+    /// routing), the disk-backed store.
     #[test]
     fn run_start_names_the_plan() {
         let reference = explore(&grid(3), &ExploreOptions::default()).unwrap();
@@ -863,9 +898,11 @@ mod tests {
                     };
                     let log = Arc::new(RoutingLog::default());
                     let budget = Budget::default().with_recorder(RecorderHandle::new(log.clone()));
-                    let plan = Plan::resolve(&options, None, env_budget);
+                    let plan = Plan::resolve(&options, None, env_budget, 1);
                     let run = explore_observed(&grid(3), &budget, &options, &plan, None).unwrap();
-                    let ran = [(label.to_string(), 1)];
+                    let workers = threads.min(2);
+                    assert_eq!(run.workers(), workers, "{what}");
+                    let ran = [(label.to_string(), workers)];
                     assert_eq!(*log.started.lock().unwrap(), ran, "{what}: run_start");
                     assert_eq!(*log.reported.lock().unwrap(), ran, "{what}: run report");
                     assert_eq!(run.requested_threads(), Some(threads), "{what}");

@@ -1,10 +1,11 @@
 //! Routing, resolved once: under which byte budget, if any, the one
-//! loop's store runs, and how many workers the caller asked for.
+//! loop's store runs, on how many workers, and how many the caller
+//! asked for.
 //!
 //! [`Plan::resolve`] is a pure function of the caller's
-//! [`ExploreOptions`] and the two environment overrides, so the whole
-//! routing table is unit-testable without touching the process
-//! environment. Every entry point resolves one [`Plan`]: the
+//! [`ExploreOptions`], the two environment overrides and the host's
+//! hardware threads, so the whole routing table is unit-testable
+//! without touching the process environment. Every entry point resolves one [`Plan`]: the
 //! `RunStart`/`RunEnd` engine label is read off it, and the store
 //! takes its budget from it. [`Start::of`] hands every plan the same
 //! start: the system's packed layout, whose rows the loop steps on,
@@ -51,8 +52,13 @@ pub(crate) struct Plan {
     /// keeps the store in RAM.
     pub(crate) mem_budget: Option<usize>,
     /// The workers asked for — explicit option, else environment, at
-    /// least 1 — though the loop runs one; `None` when neither says.
+    /// least 1; `None` when neither says.
     pub(crate) requested: Option<usize>,
+    /// The workers the loop runs on: 2 — a stepper thread beside the
+    /// interner — when two or more were asked for, or when nobody
+    /// asked and the host has two hardware threads; else 1, both
+    /// stages on the caller. A run never uses more than two.
+    pub(crate) workers: usize,
 }
 
 /// What a run starts from, on every plan; see [`Start::of`].
@@ -98,24 +104,29 @@ impl Plan {
     pub(crate) fn from_env(options: &ExploreOptions) -> Result<Plan, CheckError> {
         let env_threads = env_override("OPENTLA_EXPLORE_THREADS")?;
         let env_budget = env_override("OPENTLA_MEM_BUDGET")?;
-        Ok(Plan::resolve(options, env_threads, env_budget))
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        Ok(Plan::resolve(options, env_threads, env_budget, cores))
     }
 
     /// The routing table. Explicit options beat the environment.
     ///
     /// A byte budget in force — or an explicit spill [`Engine`], under
     /// a default one — runs the store with its disk tiers; otherwise
-    /// it stays in RAM. The thread count routes nothing.
+    /// it stays in RAM. The thread count asked for, else the host's
+    /// `cores`, picks the workers, on either store.
     pub(crate) fn resolve(
         options: &ExploreOptions,
         env_threads: Option<usize>,
         env_budget: Option<usize>,
+        cores: usize,
     ) -> Plan {
         let budget = options.mem_budget_bytes.or(env_budget);
         let spill = matches!(options.engine, Engine::SpillBfs | Engine::SpillWs);
+        let requested = options.threads.or(env_threads).map(|n| n.max(1));
         Plan {
             mem_budget: budget.or(spill.then_some(DEFAULT_SPILL_BUDGET)),
-            requested: options.threads.or(env_threads).map(|n| n.max(1)),
+            requested,
+            workers: requested.unwrap_or(cores).clamp(1, 2),
         }
     }
 
@@ -164,7 +175,7 @@ mod tests {
                     mem_budget_bytes: explicit,
                     ..ExploreOptions::default()
                 };
-                let plan = Plan::resolve(&options, None, env);
+                let plan = Plan::resolve(&options, None, env, 1);
                 let what = format!("{engine:?} explicit={explicit:?} env={env:?}");
                 let expected = match (engine, in_force) {
                     (_, Some(budget)) => Some(budget),
@@ -182,37 +193,69 @@ mod tests {
         }
         assert_eq!(cases, 4 * 4);
         // More than one thread asked for, and no budget: the one loop
-        // in RAM, with the request kept for the caller.
+        // in RAM on two workers, with the request kept for the caller.
         let four = ExploreOptions {
             threads: Some(4),
             ..ExploreOptions::default()
         };
-        let plan = Plan::resolve(&four, None, None);
+        let plan = Plan::resolve(&four, None, None, 1);
         assert_eq!(plan.label(), "explore_sequential");
         assert_eq!((plan.mem_budget, plan.requested), (None, Some(4)));
+        assert_eq!(plan.workers, 2);
     }
 
     #[test]
     fn environment_fills_in_unset_threads() {
-        let plan = Plan::resolve(&ExploreOptions::default(), Some(4), None);
+        let plan = Plan::resolve(&ExploreOptions::default(), Some(4), None, 1);
         assert_eq!((plan.mem_budget, plan.requested), (None, Some(4)));
         // The explicit count beats the environment's.
         let two = ExploreOptions {
             threads: Some(2),
             ..ExploreOptions::default()
         };
-        assert_eq!(Plan::resolve(&two, Some(7), None).requested, Some(2));
-        let plan = Plan::resolve(&ExploreOptions::default(), None, None);
+        assert_eq!(Plan::resolve(&two, Some(7), None, 1).requested, Some(2));
+        let plan = Plan::resolve(&ExploreOptions::default(), None, None, 1);
         assert_eq!(plan.requested, None, "nobody asked");
         // A zero thread count is clamped, not trusted.
         let zero = ExploreOptions {
             threads: Some(0),
             ..ExploreOptions::default()
         };
-        assert_eq!(Plan::resolve(&zero, Some(4), None).requested, Some(1));
+        assert_eq!(Plan::resolve(&zero, Some(4), None, 1).requested, Some(1));
         // A budget still reports what was asked.
-        let plan = Plan::resolve(&ExploreOptions::default(), Some(4), Some(ENV));
+        let plan = Plan::resolve(&ExploreOptions::default(), Some(4), Some(ENV), 1);
         assert_eq!((plan.mem_budget, plan.requested), (Some(ENV), Some(4)));
+    }
+
+    /// Workers: what was asked for, else the host's hardware threads,
+    /// held to 1..=2 — with or without a budget.
+    #[test]
+    fn workers_follow_the_request_else_the_host() {
+        let one = ExploreOptions {
+            threads: Some(1),
+            ..ExploreOptions::default()
+        };
+        let zero = ExploreOptions {
+            threads: Some(0),
+            ..ExploreOptions::default()
+        };
+        let default = ExploreOptions::default();
+        // (options, environment, budget, cores) → workers
+        let cases = [
+            (&default, None, None, 1, 1),
+            (&default, None, None, 2, 2),
+            (&default, None, Some(ENV), 8, 2),
+            (&default, Some(1), None, 8, 1),
+            (&default, Some(3), None, 1, 2),
+            (&one, Some(4), None, 8, 1),
+            (&one, None, Some(ENV), 8, 1),
+            (&zero, None, None, 8, 1),
+        ];
+        for (options, env, budget, cores, workers) in cases {
+            let plan = Plan::resolve(options, env, budget, cores);
+            let what = format!("{:?} env={env:?} {budget:?} cores={cores}", options.threads);
+            assert_eq!(plan.workers, workers, "{what}");
+        }
     }
 
     /// A variable that is set must parse: anything but a positive

@@ -1,15 +1,16 @@
-//! The sequential scheduler: one BFS loop ([`explore_seq`]) over one
-//! [`Store`].
+//! The one BFS loop ([`explore_seq`]) over one [`Store`], in two
+//! stages: a stepper writes each parent's successors, an interner
+//! interns them in id order.
 //!
-//! The loop owns queue, budget cuts, half-expanded-parent re-queue,
+//! The interner owns queue, budget cuts, half-expanded-parent re-queue,
 //! checkpoint cadence and phases; the store owns where states, edges
 //! and the dedup index live. It starts in RAM — a [`StateGraph`] under
 //! construction and one fingerprint index — and, under a memory
 //! budget, moves once to the disk tiers of [`super::spill`] when its
 //! records would fill a segment. Without a budget it never leaves RAM
 //! and touches no file. There is one discovery order, this loop's, so
-//! completed graphs are byte-identical across bodies and
-//! [`VisitedMode`]s by construction.
+//! completed graphs are byte-identical across bodies, [`VisitedMode`]s
+//! and worker counts by construction.
 //!
 //! The loop steps on slot codes: a parent is its packed row — in RAM the
 //! graph's own row column (stride bytes a state), on disk its arena
@@ -19,19 +20,24 @@
 //! written only when it is new. No `State` is built: the graph keeps
 //! rows.
 
+use super::plan::Plan;
 use super::spill::{self, RunNames, SpillDir, SpillVisited, Tuning};
 use super::{Edge, Exploration, ExploreOptions, StateGraph, VisitedMode};
 use crate::budget::{Budget, ExhaustReason, Meter, Outcome};
 use crate::checkpoint::{
     self, CheckpointError, Checkpointer, Manifest, ResumeToken, RunHeader, Snapshot,
 };
-use crate::compiled::{append_child, child_fingerprint, CompiledSystem, Effect, StepMemo};
+use crate::compiled::{
+    append_child, child_fingerprint, CompiledSystem, Effect, MemoStats, Miss, StepMemo,
+};
 use crate::obs::{Phase, PhaseGuard, RecorderHandle};
 use crate::{CheckError, System};
 use opentla_kernel::store::{SegmentStore, StoreError};
 use opentla_kernel::{PackedLayout, State};
+use std::convert::Infallible;
 use std::ops::ControlFlow;
-use std::sync::Arc;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// What a run starts from.
 pub(super) enum Seed<'a> {
@@ -94,7 +100,34 @@ impl From<StoreError> for Stop {
     }
 }
 
-/// The BFS loop every run explores with, in RAM or under a budget.
+/// Parents a batch holds at most.
+const BATCH: usize = 1024;
+
+/// Successors a batch has room for per parent before it grows: the
+/// paper's products enable fewer on average (chain5 3.5).
+const ROOM: usize = 4;
+
+/// Batches in circulation, each being filled, stepped or interned: at
+/// two workers the stepper has up to two queued while the interner
+/// interns the third.
+const IN_FLIGHT: usize = 3;
+
+/// The BFS loop every run explores with, in RAM or under a budget, in
+/// two stages over batches of consecutive parents: the **interner**
+/// (this function, on the caller) owns the [`Store`], the meter, the
+/// checkpointer and the recorder; the **stepper** ([`Stepper`]) owns
+/// the compiled system and its effect tables. The interner reads each
+/// batch's parents — rows and fingerprints, off its store — and the
+/// stepper writes each parent's successors into it: action, effects
+/// and child fingerprint. The interner then charges, interns and
+/// records them parent by parent, in id order, exactly as one loop
+/// stepping and interning each parent in turn would: every budget
+/// check, cut, snapshot and store operation happens at the same point
+/// of the same sequence, so ids, edges, frontiers and snapshots do not
+/// depend on `plan.workers`. At two workers the stepper runs on a
+/// scoped second thread, up to [`IN_FLIGHT`] batches ahead of the
+/// interner; at one — or when that thread fails to spawn — it steps
+/// each batch on the caller as the interner sends it.
 ///
 /// The BFS queue is an id cursor: it is always the id range
 /// `next..store.len()`, the most recently discovered suffix of the
@@ -111,25 +144,62 @@ impl From<StoreError> for Stop {
 /// precisely as an uninterrupted run would; a snapshot whose frontier
 /// is not the tail is [`CheckpointError::Corrupt`].
 ///
-/// With no `mem_budget` the [`Store`] stays in RAM; with one it spills
-/// past that many bytes, its arena records the states' rows under
-/// `layout`.
+/// With no `plan.mem_budget` the [`Store`] stays in RAM; with one it
+/// spills past that many bytes, its arena records the states' rows
+/// under `layout`.
 ///
 /// The loop steps on rows ([`CompiledSystem::for_each_packed_successor`]):
 /// every seed is in its domains, and every successor too — the stepper
 /// checks each update — so every state of the run has a row.
+///
+/// `started` is told the workers the run has, before anything else of
+/// it is recorded.
 pub(super) fn explore_seq(
     system: &System,
     budget: &Budget,
     options: &ExploreOptions,
-    mem_budget: Option<usize>,
+    plan: &Plan,
     seed: Seed<'_>,
     layout: &Arc<PackedLayout>,
+    started: impl FnOnce(usize),
 ) -> Result<Exploration, CheckError> {
+    // Everything the stepper uses is allocated here, before a second
+    // thread exists: it then allocates only as its tables fill, or a
+    // batch outgrows its room.
+    let compiled = CompiledSystem::compile(system);
+    let stepper = Mutex::new(Stepper::new(&compiled, layout));
+    let pool: Vec<Batch> = (0..IN_FLIGHT)
+        .map(|_| Batch::for_system(system, layout.stride()))
+        .collect();
+    std::thread::scope(|scope| {
+        let mut lane = Lane::open(scope, &stepper, plan.workers);
+        let workers = lane.workers();
+        started(workers);
+        let run = intern(
+            &compiled, budget, options, plan, seed, layout, &mut lane, pool,
+        )?;
+        Ok(Exploration { workers, ..run })
+    })
+}
+
+/// The interner's side of [`explore_seq`]: `compiled` is the
+/// stepper's, read for its shape only.
+#[allow(clippy::too_many_arguments)] // explore_seq's, and what it set up
+fn intern(
+    compiled: &CompiledSystem<'_>,
+    budget: &Budget,
+    options: &ExploreOptions,
+    plan: &Plan,
+    seed: Seed<'_>,
+    layout: &Arc<PackedLayout>,
+    lane: &mut Lane<'_>,
+    mut pool: Vec<Batch>,
+) -> Result<Exploration, CheckError> {
+    let system = compiled.system();
     let meter = &mut seed.meter(budget);
     // This store's manifests reference its sealed segments, so under a
     // checkpoint spec the directory outlives the run.
-    let disk = mem_budget.map(|m| {
+    let disk = plan.mem_budget.map(|m| {
         (
             SpillDir::new(budget.checkpoint.as_ref()),
             Tuning::for_budget(m),
@@ -137,11 +207,9 @@ pub(super) fn explore_seq(
     });
     let mut store =
         Store::create(system, options, meter, layout, disk).map_err(CheckpointError::from)?;
-    let compiled = CompiledSystem::compile(system);
-    let mut memo = StepMemo::new();
-    let mut parent_row: Vec<u8> = Vec::new();
     let mut ck = Checkpointer::new(budget.checkpoint.clone());
-    // The next state to expand: the queue is `next..store.len()`.
+    // The next state to intern the successors of: the queue is
+    // `next..store.len()`.
     let mut next = 0;
     let mut exhausted: Option<ExhaustReason> = None;
     let mut exhausted_in_init = false;
@@ -166,6 +234,13 @@ pub(super) fn explore_seq(
             }
         }
     }
+    let actions = system.actions().len();
+    // Parents before `sent` have gone to the stepper; `unread` is why
+    // the row of `sent` could not be read, which ends the sending.
+    let (mut sent, mut in_flight, mut unread) = (next, 0, None);
+    // The batch being interned, and the index in it of `next`.
+    let (mut batch, mut at): (Option<Batch>, usize) = (None, 0);
+    let mut memo = MemoStats::default();
     let mut edge_buf: Vec<Edge> = Vec::new();
     let mut cut_edges: Option<(usize, Vec<Edge>)> = None;
     let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
@@ -179,51 +254,354 @@ pub(super) fn explore_seq(
         if ck.due(1) {
             ck.write(&mut store.snapshot(next), &budget.recorder);
         }
-        let id = next;
-        if id == store.len() {
+        if next == store.len() {
             break;
         }
+        if batch.as_ref().is_none_or(|b| at == b.len()) {
+            // Keep the stepper supplied with the parents found so far,
+            // then take the batch that holds `next`.
+            pool.extend(batch.take());
+            while in_flight < IN_FLIGHT && sent < store.len() && unread.is_none() {
+                let mut b = pool.pop().expect("a batch out of circulation");
+                if let Err(e) = b.fill(&mut store, sent) {
+                    unread = Some(e);
+                }
+                sent = b.first + b.len();
+                if b.len() == 0 {
+                    pool.push(b);
+                } else {
+                    lane.send(b, in_flight == 0);
+                    in_flight += 1;
+                }
+            }
+            if in_flight == 0 {
+                return Err(unread.expect("a parent not sent has an unreadable row"));
+            }
+            batch = Some(lane.receive());
+            (in_flight, at) = (in_flight - 1, 0);
+        }
+        let b = batch.as_mut().expect("the batch holding `next`");
+        let id = next;
         next += 1;
         edge_buf.clear();
         // Each successor is charged, interned (built only if it is
         // new, which queues it), and its edge recorded. Its fingerprint
-        // is derived from the parent's, so an already-visited successor
-        // costs a few table reads and one probe.
-        let fp = store.row(id, &mut parent_row)?;
-        let parent = &parent_row[..];
-        let stop =
-            compiled.for_each_packed_successor(layout, parent, &mut memo, |action, effects| {
-                if let Some(reason) = store.meter.charge_transition_mut() {
-                    return ControlFlow::Break(Stop::Cut(reason));
+        // was derived from the parent's, so an already-visited
+        // successor costs one probe.
+        let parent = b.row(at, layout.stride());
+        let mut stop = None;
+        for (succ, effects) in b.successors(at) {
+            let action = succ.action as usize;
+            if let Some(reason) = store.meter.charge_transition_mut() {
+                stop = Some((Stop::Cut(reason), action));
+                break;
+            }
+            match store.intern(succ.fp, Some((id, action)), parent, effects) {
+                Ok((target, _)) => edge_buf.push(Edge { action, target }),
+                Err(e) => {
+                    stop = Some((e, action));
+                    break;
                 }
-                let child_fp = child_fingerprint(layout, parent, fp, effects);
-                match store.intern(child_fp, Some((id, action)), parent, effects) {
-                    Ok((target, _)) => {
-                        edge_buf.push(Edge { action, target });
-                        ControlFlow::Continue(())
-                    }
-                    Err(stop) => ControlFlow::Break(stop),
-                }
-            })?;
+            }
+        }
         match stop {
-            None => store.push_edges(id, &edge_buf)?,
-            Some(Stop::Cut(reason)) => {
+            // The parent the stepper failed on: its successors before
+            // the failure are interned, as the failure's order says.
+            None if at == b.ends.len() => {
+                return Err(b.failed.take().expect("a parent short of an end failed"));
+            }
+            None => {
+                store.push_edges(id, &edge_buf)?;
+                at += 1;
+            }
+            Some((Stop::Cut(reason), action)) => {
                 // Re-queue the half-expanded state so the frontier
                 // honestly reports it as uncovered; its partial edges
                 // go to the finished graph only, never the store.
                 next = id;
                 cut_edges = Some((id, std::mem::take(&mut edge_buf)));
                 exhausted = Some(reason);
+                memo = b.memo_stats(at, Some(action), actions);
             }
-            Some(Stop::Fail(e)) => return Err(e),
+            Some((Stop::Fail(e), _)) => return Err(e),
         }
     }
     drop(expand_phase);
-    compiled.record_step_memo(memo.stats(), &budget.recorder);
+    if cut_edges.is_none() {
+        if let Some(b) = &batch {
+            memo = b.memo_stats(at, None, actions);
+        }
+    }
+    compiled.record_step_memo(memo, &budget.recorder);
     let _finish_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreRenumber);
     // A cut during initial-state enumeration is not resumable: a
     // partial init enumeration cannot be continued soundly.
     store.finish(next, cut_edges, exhausted, !exhausted_in_init, &mut ck)
+}
+
+/// One successor as the stepper writes it into a [`Batch`].
+#[derive(Clone, Copy, Debug)]
+struct Successor {
+    /// Its unmasked fingerprint, derived from its parent's.
+    fp: u64,
+    action: u32,
+    /// Where its effects end in the batch's effects; they start where
+    /// the previous successor's end.
+    effects_end: u32,
+}
+
+/// Consecutive parents on their way through the two stages of
+/// [`explore_seq`]: the interner fills in the parents, the stepper
+/// their successors, and the interner interns them. The buffers are
+/// allocated before the run starts and reused by every batch.
+struct Batch {
+    /// The id of the first parent.
+    first: usize,
+    /// The parents' rows, a stride each, and unmasked fingerprints.
+    rows: Vec<u8>,
+    fps: Vec<u64>,
+    /// Where each parent's successors end, for each parent the stepper
+    /// stepped through; a parent it failed on has none.
+    ends: Vec<u32>,
+    successors: Vec<Successor>,
+    effects: Vec<Effect>,
+    /// Each table miss, by the parent's index: with `before`, what the
+    /// effect tables counted at any point of the batch.
+    misses: Vec<(u32, Miss)>,
+    /// What the effect tables had counted before the batch.
+    before: MemoStats,
+    /// Why stepping the parent at `ends.len()` failed, if it did.
+    failed: Option<CheckError>,
+}
+
+impl Batch {
+    /// An empty batch with room for [`BATCH`] parents of `system` whose
+    /// rows are `stride` bytes long, and for [`ROOM`] successors of
+    /// each, of its actions' mean update count: a batch past that
+    /// grows, and keeps what it grew to. Misses are few after the first
+    /// batches; their log grows as they come.
+    fn for_system(system: &System, stride: usize) -> Batch {
+        let actions = system.actions();
+        let updates: usize = actions.iter().map(|a| a.updates().len()).sum();
+        let successors = BATCH * ROOM.min(actions.len());
+        Batch {
+            first: 0,
+            rows: Vec::with_capacity(BATCH * stride),
+            fps: Vec::with_capacity(BATCH),
+            ends: Vec::with_capacity(BATCH),
+            successors: Vec::with_capacity(successors),
+            effects: Vec::with_capacity(successors * updates.div_ceil(actions.len().max(1))),
+            misses: Vec::new(),
+            before: MemoStats::default(),
+            failed: None,
+        }
+    }
+
+    /// Parents in the batch.
+    fn len(&self) -> usize {
+        self.fps.len()
+    }
+
+    /// Reads the parents from `first` — up to [`BATCH`] of them, no
+    /// further than the store's last state — out of `store`. A row
+    /// that cannot be read ends the batch before it.
+    fn fill(&mut self, store: &mut Store<'_>, first: usize) -> Result<(), CheckError> {
+        self.first = first;
+        self.rows.clear();
+        self.fps.clear();
+        for id in first..store.len().min(first + BATCH) {
+            let fp = store.row(id, &mut self.rows)?;
+            self.fps.push(fp);
+        }
+        Ok(())
+    }
+
+    /// The row of parent `at`.
+    fn row(&self, at: usize, stride: usize) -> &[u8] {
+        &self.rows[at * stride..][..stride]
+    }
+
+    /// The successors of parent `at`, each with its effects.
+    fn successors(&self, at: usize) -> impl Iterator<Item = (&Successor, &[Effect])> {
+        let start = at.checked_sub(1).map_or(0, |p| self.ends[p] as usize);
+        let end = self
+            .ends
+            .get(at)
+            .map_or(self.successors.len(), |&e| e as usize);
+        let succs = &self.successors[start..end];
+        let mut from = start
+            .checked_sub(1)
+            .map_or(0, |p| self.successors[p].effects_end as usize);
+        succs.iter().map(move |succ| {
+            let effects = &self.effects[from..succ.effects_end as usize];
+            from = succ.effects_end as usize;
+            (succ, effects)
+        })
+    }
+
+    /// What the effect tables had counted when one loop over the same
+    /// parents would have stopped: at parent `at`'s first action
+    /// (`through` is `None`), or right after looking up its action
+    /// `through` — every action of a system with `actions` of them is
+    /// looked up once per parent, and only a miss evaluates.
+    fn memo_stats(&self, at: usize, through: Option<usize>, actions: usize) -> MemoStats {
+        let mut stats = self.before;
+        stats.lookups += (at * actions + through.map_or(0, |a| a + 1)) as u64;
+        for &(p, miss) in &self.misses {
+            let p = p as usize;
+            if p < at || (p == at && through.is_some_and(|a| miss.action as usize <= a)) {
+                stats.misses += 1;
+                stats.entries += u64::from(miss.filled);
+            }
+        }
+        stats
+    }
+}
+
+/// The stepper's side of [`explore_seq`]: the compiled system and its
+/// effect tables, which step a batch's parents.
+struct Stepper<'a> {
+    compiled: &'a CompiledSystem<'a>,
+    memo: StepMemo,
+    layout: &'a PackedLayout,
+}
+
+impl<'a> Stepper<'a> {
+    fn new(compiled: &'a CompiledSystem<'a>, layout: &'a PackedLayout) -> Stepper<'a> {
+        Stepper {
+            compiled,
+            memo: StepMemo::logging(compiled),
+            layout,
+        }
+    }
+
+    /// Writes the successors of each parent of `batch`, in id order,
+    /// through the effect tables — up to the first parent that fails
+    /// to step, whose successors before the failure are kept.
+    fn step(&mut self, b: &mut Batch) {
+        let Stepper {
+            compiled,
+            memo,
+            layout,
+        } = self;
+        b.before = memo.stats();
+        b.ends.clear();
+        b.successors.clear();
+        b.effects.clear();
+        b.misses.clear();
+        b.failed = None;
+        let stride = layout.stride();
+        for (at, &fp) in b.fps.iter().enumerate() {
+            let parent = &b.rows[at * stride..][..stride];
+            let (successors, effects) = (&mut b.successors, &mut b.effects);
+            let stepped =
+                compiled.for_each_packed_successor(layout, parent, memo, |action, run| {
+                    effects.extend_from_slice(run);
+                    successors.push(Successor {
+                        fp: child_fingerprint(layout, parent, fp, run),
+                        action: action as u32,
+                        effects_end: effects.len() as u32,
+                    });
+                    ControlFlow::<Infallible>::Continue(())
+                });
+            b.misses
+                .extend(memo.take_misses().map(|miss| (at as u32, miss)));
+            if let Err(e) = stepped {
+                b.failed = Some(e);
+                return;
+            }
+            b.ends.push(b.successors.len() as u32);
+        }
+    }
+}
+
+/// Where the interner's batches are stepped: on a scoped second
+/// thread, which sends each back stepped, or on the caller, as each is
+/// sent — every batch at one worker, and at two a batch sent with
+/// nothing else out, which the interner would only wait for. Batches
+/// come back in the order they went, and are stepped in that order.
+struct Lane<'a> {
+    /// Locked by whichever side steps a batch: the caller steps only
+    /// with nothing out on the thread.
+    stepper: &'a Mutex<Stepper<'a>>,
+    /// The second thread's batches, to and from it, when it runs.
+    thread: Option<(SyncSender<Batch>, Receiver<Batch>)>,
+    /// Batches stepped on the caller, not yet received.
+    stepped: Vec<Batch>,
+}
+
+impl<'a> Lane<'a> {
+    /// Puts a stepper thread on `scope` at two workers, unless it
+    /// fails to spawn. Each channel holds every batch there is, so
+    /// neither side blocks sending.
+    fn open<'s>(
+        scope: &'s std::thread::Scope<'s, '_>,
+        stepper: &'a Mutex<Stepper<'a>>,
+        workers: usize,
+    ) -> Lane<'a>
+    where
+        'a: 's,
+    {
+        let mut lane = Lane {
+            stepper,
+            thread: None,
+            stepped: Vec::with_capacity(IN_FLIGHT),
+        };
+        if workers < 2 {
+            return lane;
+        }
+        let (work, work_rx) = sync_channel::<Batch>(IN_FLIGHT);
+        let (done_tx, done) = sync_channel::<Batch>(IN_FLIGHT);
+        let spawned = std::thread::Builder::new()
+            .name("opentla-stepper".into())
+            .spawn_scoped(scope, move || {
+                for mut batch in work_rx {
+                    lock(stepper).step(&mut batch);
+                    if done_tx.send(batch).is_err() {
+                        break;
+                    }
+                }
+            });
+        if spawned.is_ok() {
+            lane.thread = Some((work, done));
+        }
+        lane
+    }
+
+    /// The workers this lane runs the loop on.
+    fn workers(&self) -> usize {
+        1 + usize::from(self.thread.is_some())
+    }
+
+    /// Sends `batch` to be stepped; `first` when nothing else is out.
+    fn send(&mut self, mut batch: Batch, first: bool) {
+        match &self.thread {
+            Some((work, _)) if !first => {
+                work.send(batch)
+                    .expect("the stepper takes batches while the run lasts");
+            }
+            _ => {
+                lock(self.stepper).step(&mut batch);
+                self.stepped.push(batch);
+            }
+        }
+    }
+
+    /// The first batch sent and not yet received, stepped.
+    fn receive(&mut self) -> Batch {
+        if !self.stepped.is_empty() {
+            return self.stepped.remove(0);
+        }
+        let (_, done) = self.thread.as_ref().expect("a batch was sent");
+        done.recv().expect("the stepper steps every batch sent")
+    }
+}
+
+/// The stepper, from either side.
+fn lock<'m, 'a>(stepper: &'m Mutex<Stepper<'a>>) -> MutexGuard<'m, Stepper<'a>> {
+    stepper
+        .lock()
+        .expect("a stepper that panicked ends the run")
 }
 
 /// Where a [`Store`] keeps its states, BFS tree and edge lists. Ids
@@ -437,11 +815,10 @@ impl<'a> Store<'a> {
         Ok(())
     }
 
-    /// Copies the row of state `id` into `out`; returns its unmasked
+    /// Appends the row of state `id` to `out`; returns its unmasked
     /// fingerprint.
     fn row(&mut self, id: usize, out: &mut Vec<u8>) -> Result<u64, CheckError> {
         let (row, fp) = self.body.row(id, self.layout, &mut self.rec_buf)?;
-        out.clear();
         out.extend_from_slice(row);
         Ok(fp.unwrap_or_else(|| self.visited.fp(id).expect(UNDRAINED)))
     }
@@ -630,6 +1007,7 @@ impl<'a> Store<'a> {
             outcome,
             snapshot,
             requested_threads: None,
+            workers: 1,
         })
     }
 }
@@ -676,6 +1054,7 @@ mod tests {
             if id == store.len() {
                 break;
             }
+            row.clear();
             store.row(id, &mut row).unwrap();
             let x = i64::from(store.layout.read_code(&row, 0));
             let mut edges = Vec::new();
@@ -820,6 +1199,7 @@ mod tests {
         arena.append(&record).unwrap();
         arena.seal().unwrap();
         assert_eq!(arena.sealed().len(), 1, "both records are on disk");
+        row.clear();
         store.row(0, &mut row).unwrap();
         match store.row(1, &mut row) {
             Err(CheckError::Checkpoint(CheckpointError::Corrupt { detail })) => {

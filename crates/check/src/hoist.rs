@@ -8,7 +8,7 @@
 //! of them, or in one of them several times, once per occurrence per
 //! step: the mapped guarantee of a queue chain reads `q̄` (a
 //! concatenation of every queue of the chain) or `q̄′` nine times per
-//! edge. [`SharedFunctions`](crate::SharedFunctions) finds those
+//! edge. [`SharedFunctions`] finds those
 //! functions `fᵢ`. A [`Hoisting`] names each by a fresh variable `yᵢ`
 //! and rewrites an expression with every occurrence of `fᵢ` as `yᵢ`
 //! (and of `fᵢ′` as `yᵢ′`). That is a refinement mapping read

@@ -72,12 +72,6 @@ impl Bits {
         debug_assert!(at < self.len);
         self.words[at / 64] >> (at % 64) & 1 == 1
     }
-
-    /// The flags in order.
-    #[cfg(test)]
-    pub(super) fn iter(&self) -> impl Iterator<Item = bool> + '_ {
-        (0..self.len).map(|at| self.get(at))
-    }
 }
 
 /// One flag per graph edge, in graph order, a bit each.
@@ -523,6 +517,13 @@ mod tests {
     use crate::{explore, Budget, ExhaustReason, ExploreOptions, GuardedAction, Init};
     use crate::{SystemFairness, Verdict};
     use opentla_kernel::{tarjan_sccs_with, Domain, Value, Vars};
+
+    impl Bits {
+        /// The flags in order.
+        pub(super) fn iter(&self) -> impl Iterator<Item = bool> + '_ {
+            (0..self.len).map(|at| self.get(at))
+        }
+    }
 
     impl PartialEq<Vec<bool>> for Bits {
         fn eq(&self, other: &Vec<bool>) -> bool {

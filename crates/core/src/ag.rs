@@ -120,9 +120,10 @@ impl AgSpec {
     /// assumption was violated strictly earlier.
     ///
     /// `mapping` eliminates the guarantee's internal variables in terms
-    /// of the implementation's (pass the empty [`Substitution`] when
-    /// the implementation uses the very same internals, as when a
-    /// component realizes its own specification).
+    /// of the implementation's (pass the empty
+    /// [`Substitution`](opentla_kernel::Substitution) when the
+    /// implementation uses the very same internals, as when a component
+    /// realizes its own specification).
     ///
     /// # Errors
     ///

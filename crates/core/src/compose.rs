@@ -3,13 +3,18 @@
 //! A certificate explores the complete system once, then checks the
 //! theorem's hypotheses over that one immutable graph: H1 per
 //! component, Proposition 4's initial condition, H2a, and H2b per
-//! fairness condition of the target. The hypotheses are independent
-//! reads of the graph, so they can run side by side. They run on two
-//! lanes when the machine has two hardware threads, the exploration
-//! was not asked for exactly one worker ([`ExploreOptions::threads`],
-//! else `OPENTLA_EXPLORE_THREADS`, as the exploration's plan read them)
-//! and the budget records nothing; on one lane otherwise, in
-//! certificate order, as a recorded run must for its stream to nest.
+//! fairness condition of the target. The exploration itself runs two
+//! stages on two workers — successors stepped on a second thread,
+//! interned in id order on the caller — unless it was asked for one
+//! ([`ExploreOptions::threads`]) or the host has one hardware thread.
+//! The hypotheses are independent reads of the graph, so they can run
+//! side by side. They run on two lanes when the machine has two
+//! hardware threads, the exploration was not asked for exactly one
+//! worker ([`ExploreOptions::threads`], else `OPENTLA_EXPLORE_THREADS`,
+//! as the exploration's plan read them) and the budget records
+//! nothing; on one lane otherwise, in certificate order, as a recorded
+//! run must for its stream to nest. The graph, and so the certificate,
+//! is the same at any worker and lane count.
 //!
 //! The checks of H2a and H2b run on one check [`Session`] over the
 //! graph and the refinement mapping, which owns what they share: the
@@ -51,9 +56,9 @@ pub struct CompositionOptions {
     /// How the complete system is explored: engine, thread count,
     /// visited-set mode and memory budget. Its `max_states` is ignored:
     /// [`CompositionOptions::budget`] governs the exploration too. The
-    /// default resolves to the sequential in-RAM engine unless the
-    /// `OPENTLA_EXPLORE_THREADS` / `OPENTLA_MEM_BUDGET` overrides say
-    /// otherwise.
+    /// default explores in RAM, on two workers on a host with two
+    /// hardware threads, unless the `OPENTLA_EXPLORE_THREADS` /
+    /// `OPENTLA_MEM_BUDGET` overrides say otherwise.
     ///
     /// Its thread count also sets the obligation checks' lanes: one
     /// when it asks for exactly one thread, two otherwise (the default

@@ -114,7 +114,7 @@ pub enum Formula {
         sys: Box<Formula>,
     },
     /// `E -▷ M`: `M` holds *at least as long as* `E` does (Section 3
-    /// cites this form from [5]); weaker than `⊳` in that `M` may fail
+    /// cites this form from \[5\]); weaker than `⊳` in that `M` may fail
     /// on the same step as `E`.
     While {
         /// The environment assumption `E`.

@@ -9,11 +9,11 @@
 //! * [`SegmentStore`] — an append-only record log split into sealed
 //!   **segment files** (length-prefixed records, FNV-1a-checksummed
 //!   headers, written atomically via tmp+rename like the checkpoint
-//!   snapshots) fronted by an in-RAM LRU [`SegmentCache`] with a
+//!   snapshots) fronted by an in-RAM LRU `SegmentCache` with a
 //!   configurable byte budget;
 //! * [`FingerprintRun`] — an immutable sorted `(fingerprint, id)` run
 //!   with a sparse in-RAM index, answering point lookups with one
-//!   `seek` + one small block read.
+//!   positional read of a small block.
 //!
 //! Both follow the [`codec`](crate::codec) conventions: little-endian,
 //! length-prefixed, and decoding arbitrary bytes never panics — every
@@ -21,7 +21,6 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
-use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file.
@@ -554,16 +553,51 @@ fn open_segment_file(path: &Path, meta: Option<&SegmentMeta>) -> Result<LoadedSe
 /// Any [`StoreError`] describing why the file is unreadable or does
 /// not match `meta`.
 pub fn read_segment(path: &Path, meta: Option<&SegmentMeta>) -> Result<Vec<Vec<u8>>, StoreError> {
+    let mut records = Vec::new();
+    for_each_segment_record(path, meta, |rec| {
+        records.push(rec.to_vec());
+        Ok::<_, StoreError>(())
+    })?;
+    Ok(records)
+}
+
+/// Opens and fully verifies a segment file as [`read_segment`] does,
+/// then hands `take` each record in order as a slice of the verified
+/// payload, stopping at its first error: no record is copied.
+///
+/// # Errors
+///
+/// Any [`StoreError`] describing why the file is unreadable or does
+/// not match `meta` — before any record is handed out — and the first
+/// error of `take`.
+pub fn for_each_segment_record<E: From<StoreError>>(
+    path: &Path,
+    meta: Option<&SegmentMeta>,
+    mut take: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<(), E> {
     let loaded = open_segment_file(path, meta)?;
-    Ok((0..loaded.offsets.len())
-        .map(|i| loaded.record(i).to_vec())
-        .collect())
+    (0..loaded.offsets.len()).try_for_each(|i| take(loaded.record(i)))
+}
+
+/// Fills `buf` from `file` at `offset`: one positional read where the
+/// platform has it, which leaves the file's cursor alone.
+fn read_exact_at(file: &mut fs::File, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+    #[cfg(unix)]
+    {
+        std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
+    }
+    #[cfg(not(unix))]
+    {
+        use std::io::{Read, Seek, SeekFrom};
+        file.seek(SeekFrom::Start(offset))?;
+        file.read_exact(buf)
+    }
 }
 
 /// An immutable sorted `(fingerprint, id)` run on disk, with a sparse
-/// in-RAM index (one entry per [`RUN_BLOCK`] pairs). The bounded
+/// in-RAM index (one entry per block of 256 pairs). The bounded
 /// visited set spills its hot table into runs and answers membership
-/// probes with one seek plus one block read per run.
+/// probes with one block read per run.
 pub struct FingerprintRun {
     path: PathBuf,
     file: fs::File,
@@ -572,6 +606,8 @@ pub struct FingerprintRun {
     index: Vec<(u64, u64)>,
     min: u64,
     max: u64,
+    /// One block, read by every lookup.
+    block: Vec<u8>,
 }
 
 impl FingerprintRun {
@@ -621,6 +657,7 @@ impl FingerprintRun {
             index,
             min: entries[0].0,
             max: entries[entries.len() - 1].0,
+            block: vec![0; RUN_BLOCK * RUN_ENTRY],
         })
     }
 
@@ -699,6 +736,7 @@ impl FingerprintRun {
             index,
             min: fp_at(0),
             max: fp_at(count as usize - 1),
+            block: vec![0; RUN_BLOCK * RUN_ENTRY],
         })
     }
 
@@ -718,8 +756,9 @@ impl FingerprintRun {
     }
 
     /// Appends to `out` the id of every entry whose fingerprint equals
-    /// `fp`. One seek plus one block read in the common case; equal
-    /// fingerprints spanning a block boundary read the next block too.
+    /// `fp`. One positional read of a block into the run's buffer in
+    /// the common case; equal fingerprints spanning a block boundary
+    /// read the next block too.
     ///
     /// # Errors
     ///
@@ -736,16 +775,11 @@ impl FingerprintRun {
         // scan forward until the sorted entries pass fp.
         let start = self.index.partition_point(|&(first, _)| first < fp);
         let mut entry = self.index[start.saturating_sub(1)].1;
-        let mut buf = vec![0u8; RUN_BLOCK * RUN_ENTRY];
+        let buf = &mut self.block;
         while entry < self.count {
             let take = ((self.count - entry) as usize).min(RUN_BLOCK);
             let offset = RUN_HEADER_LEN as u64 + entry * RUN_ENTRY as u64;
-            self.file
-                .seek(SeekFrom::Start(offset))
-                .map_err(|e| io_err(&self.path, e))?;
-            let want = take * RUN_ENTRY;
-            self.file
-                .read_exact(&mut buf[..want])
+            read_exact_at(&mut self.file, &mut buf[..take * RUN_ENTRY], offset)
                 .map_err(|e| io_err(&self.path, e))?;
             for i in 0..take {
                 let e_fp =

@@ -2,8 +2,8 @@
 //!
 //! The build environment has no network access, so this workspace
 //! vendors the *API subset* of proptest that its test suites use:
-//! the [`Strategy`] trait with `prop_map` / `prop_recursive` / `boxed`,
-//! integer-range and tuple strategies, [`Just`], `any::<T>()`,
+//! the [`Strategy`](strategy::Strategy) trait with `prop_map` / `prop_recursive` / `boxed`,
+//! integer-range and tuple strategies, [`Just`](strategy::Just), `any::<T>()`,
 //! `prop_oneof!`, `collection::vec`, and the `proptest!` /
 //! `prop_assert*!` / `prop_assume!` macros.
 //!

@@ -34,7 +34,8 @@ impl Write for SharedBuf {
 }
 
 /// The matrix every scenario is recorded under: fingerprinted at one
-/// requested worker, exact at four (a request the loop runs at one).
+/// requested worker, exact at four (a request the loop runs at two:
+/// a stepper thread beside the interner).
 const CONFIGS: [(VisitedMode, usize); 2] = [(VisitedMode::Fingerprint, 1), (VisitedMode::Exact, 4)];
 
 /// Runs `record` under a [`JsonlRecorder`] and returns the stream it
@@ -113,7 +114,8 @@ fn golden_streams_validate_and_engines_agree() {
         assert_eq!(summary.runs[0].mode, "fingerprint");
         assert_eq!(summary.runs[1].engine, "explore_sequential");
         assert_eq!(summary.runs[1].mode, "exact");
-        assert_eq!(summary.runs[1].threads, 1, "{name}");
+        assert_eq!(summary.runs[0].threads, 1, "{name}");
+        assert_eq!(summary.runs[1].threads, 2, "{name}");
     }
 }
 

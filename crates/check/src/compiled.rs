@@ -943,8 +943,39 @@ impl<'a> CompiledSystem<'a> {
         layout: &PackedLayout,
         row: &[u8],
         memo: &mut StepMemo,
-        mut visit: impl FnMut(usize, &[Effect]) -> ControlFlow<B>,
+        visit: impl FnMut(usize, &[Effect]) -> ControlFlow<B>,
     ) -> Result<Option<B>, CheckError> {
+        let stepped = self.step_packed(layout, row, memo, true, visit)?;
+        Ok(stepped.expect("a step that evaluates finishes"))
+    }
+
+    /// [`for_each_packed_successor`](Self::for_each_packed_successor)
+    /// through the tables alone, evaluating nothing and so allocating
+    /// nothing: `None` at the first lookup that would evaluate — a
+    /// miss, or an action without a table — with the memo's counts as
+    /// before the call, `visit` having seen the row's successors before
+    /// that action.
+    pub(crate) fn for_each_tabled_successor<B>(
+        &self,
+        layout: &PackedLayout,
+        row: &[u8],
+        memo: &mut StepMemo,
+        visit: impl FnMut(usize, &[Effect]) -> ControlFlow<B>,
+    ) -> Option<Option<B>> {
+        (self.step_packed(layout, row, memo, false, visit))
+            .expect("a step that evaluates nothing fails nothing")
+    }
+
+    /// Both steppers on rows: `evaluate` says whether a miss evaluates,
+    /// else ends the step with `None`.
+    fn step_packed<B>(
+        &self,
+        layout: &PackedLayout,
+        row: &[u8],
+        memo: &mut StepMemo,
+        evaluate: bool,
+        mut visit: impl FnMut(usize, &[Effect]) -> ControlFlow<B>,
+    ) -> Result<Option<Option<B>>, CheckError> {
         self.size_tables(memo);
         let StepMemo {
             tables,
@@ -955,12 +986,17 @@ impl<'a> CompiledSystem<'a> {
             log,
         } = memo;
         let mut unpacked = false;
+        let lookups = stats.lookups;
         for (i, (ca, table)) in self.actions.iter().zip(tables.iter_mut()).enumerate() {
             stats.lookups += 1;
             let key = ca.key(layout, row);
             let entry = key.map_or(UNKNOWN, |k| table.entries[k]);
             let run: &[Effect] = match entry {
                 DISABLED => continue,
+                UNKNOWN if !evaluate => {
+                    stats.lookups = lookups;
+                    return Ok(None);
+                }
                 UNKNOWN => {
                     stats.misses += 1;
                     if !unpacked {
@@ -1002,10 +1038,10 @@ impl<'a> CompiledSystem<'a> {
                 }
             };
             if let ControlFlow::Break(b) = visit(i, run) {
-                return Ok(Some(b));
+                return Ok(Some(Some(b)));
             }
         }
-        Ok(None)
+        Ok(Some(None))
     }
 
     /// Gives `memo` one empty table per action, unless it has them.
@@ -1342,6 +1378,89 @@ mod tests {
                     .successors_into(&s, &mut out, &mut scratch)
                     .unwrap();
                 assert_eq!(out, sys.successors(&s).unwrap(), "at x={xv} y={yv}");
+            }
+        }
+    }
+
+    /// Stepping through the tables alone stops at a miss, counting
+    /// nothing, and once the entries are filled visits what the
+    /// evaluating stepper visits.
+    #[test]
+    fn a_tabled_step_refuses_a_miss_and_answers_a_hit() {
+        let mut vars = Vars::new();
+        let x = vars.declare("x", Domain::int_range(0, 3));
+        let y = vars.declare("y", Domain::bits());
+        let actions = vec![
+            GuardedAction::new(
+                "incr",
+                Expr::var(x).lt(Expr::int(3)),
+                vec![(x, Expr::var(x).add(Expr::int(1)))],
+            ),
+            GuardedAction::new(
+                "flip",
+                Expr::bool(true),
+                vec![(y, Expr::int(1).sub(Expr::var(y)))],
+            ),
+        ];
+        let sys = System::new(
+            vars,
+            Init::new([(x, Value::Int(0)), (y, Value::Int(0))]),
+            actions,
+        );
+        let layout = PackedLayout::compile(sys.vars()).unwrap();
+        let compiled = CompiledSystem::compile(&sys);
+        let mut memo = StepMemo::logging(&compiled);
+        type Seen = Vec<(usize, Vec<Effect>)>;
+        fn collect(
+            seen: &mut Seen,
+        ) -> impl FnMut(usize, &[Effect]) -> ControlFlow<std::convert::Infallible> + '_ {
+            |i, run| {
+                seen.push((i, run.to_vec()));
+                ControlFlow::Continue(())
+            }
+        }
+        for xv in 0..=3 {
+            for yv in 0..=1 {
+                let s = State::new(vec![Value::Int(xv), Value::Int(yv)]);
+                let row = layout.pack(&s).unwrap();
+                let before = memo.stats();
+                let mut seen = Vec::new();
+                let tabled = compiled.for_each_tabled_successor(
+                    &layout,
+                    &row,
+                    &mut memo,
+                    collect(&mut seen),
+                );
+                // The first row meets empty tables; a later one may
+                // find every entry its keys name filled.
+                if (xv, yv) == (0, 0) {
+                    assert!(tabled.is_none(), "a miss on empty tables");
+                }
+                if tabled.is_none() {
+                    assert_eq!(memo.stats(), before, "at x={xv} y={yv}");
+                    assert_eq!(memo.take_misses().count(), 0);
+                    seen.clear();
+                }
+                let mut evaluated = Vec::new();
+                (compiled.for_each_packed_successor(
+                    &layout,
+                    &row,
+                    &mut memo,
+                    collect(&mut evaluated),
+                ))
+                .unwrap();
+                memo.take_misses().for_each(drop);
+                if tabled.is_some() {
+                    assert_eq!(seen, evaluated, "at x={xv} y={yv}");
+                }
+                let warm = memo.stats();
+                let mut hit = Vec::new();
+                let tabled =
+                    compiled.for_each_tabled_successor(&layout, &row, &mut memo, collect(&mut hit));
+                assert_eq!(tabled, Some(None));
+                assert_eq!(hit, evaluated, "at x={xv} y={yv}");
+                assert_eq!(memo.stats().lookups, warm.lookups + 2);
+                assert_eq!(memo.stats().misses, warm.misses);
             }
         }
     }

@@ -25,8 +25,10 @@
 //! owns the store, the budget's meter, the checkpointer and the
 //! recorder, charges, interns and records them parent by parent in id
 //! order. At two workers ([`ExploreOptions::threads`]) the stepper
-//! runs on a scoped second thread, a few batches ahead; at one it
-//! steps each batch on the caller. The interner does the same things
+//! runs on a scoped second thread, a few batches ahead, through the
+//! effect tables alone, and the caller finishes each batch from the
+//! first parent whose step would evaluate; at one it steps each batch
+//! on the caller. The interner does the same things
 //! in the same order either way, so the worker count changes no id,
 //! edge, cut, snapshot or error. The request itself is kept on
 //! [`Exploration::requested_threads`] for the callers that fan out

@@ -36,8 +36,8 @@ use opentla_kernel::store::{SegmentStore, StoreError};
 use opentla_kernel::{PackedLayout, State};
 use std::convert::Infallible;
 use std::ops::ControlFlow;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::ScopedJoinHandle;
 
 /// What a run starts from.
 pub(super) enum Seed<'a> {
@@ -103,10 +103,6 @@ impl From<StoreError> for Stop {
 /// Parents a batch holds at most.
 const BATCH: usize = 1024;
 
-/// Successors a batch has room for per parent before it grows: the
-/// paper's products enable fewer on average (chain5 3.5).
-const ROOM: usize = 4;
-
 /// Batches in circulation, each being filled, stepped or interned: at
 /// two workers the stepper has up to two queued while the interner
 /// interns the third.
@@ -126,8 +122,9 @@ const IN_FLIGHT: usize = 3;
 /// of the same sequence, so ids, edges, frontiers and snapshots do not
 /// depend on `plan.workers`. At two workers the stepper runs on a
 /// scoped second thread, up to [`IN_FLIGHT`] batches ahead of the
-/// interner; at one — or when that thread fails to spawn — it steps
-/// each batch on the caller as the interner sends it.
+/// interner, and steps every batch; at one — or when that thread fails
+/// to spawn — it steps each batch on the caller as the interner sends
+/// it.
 ///
 /// The BFS queue is an id cursor: it is always the id range
 /// `next..store.len()`, the most recently discovered suffix of the
@@ -163,22 +160,37 @@ pub(super) fn explore_seq(
     layout: &Arc<PackedLayout>,
     started: impl FnOnce(usize),
 ) -> Result<Exploration, CheckError> {
-    // Everything the stepper uses is allocated here, before a second
-    // thread exists: it then allocates only as its tables fill, or a
-    // batch outgrows its room.
+    // Everything the stepper thread writes is allocated here, before it
+    // exists, at its largest: a batch never grows, and the thread steps
+    // through the tables alone (see `Lane`), so it allocates nothing. A
+    // large block it allocated while the caller freed others would be
+    // mapped or carved from a heap as the race fell (the allocator's
+    // mapping threshold rises as mapped blocks are freed), and the
+    // run's peak resident memory with it.
     let compiled = CompiledSystem::compile(system);
     let stepper = Mutex::new(Stepper::new(&compiled, layout));
     let pool: Vec<Batch> = (0..IN_FLIGHT)
         .map(|_| Batch::for_system(system, layout.stride()))
         .collect();
+    let handoff = Handoff::new();
     std::thread::scope(|scope| {
-        let mut lane = Lane::open(scope, &stepper, plan.workers);
+        let (mut lane, thread) = Lane::open(scope, &stepper, &handoff, plan.workers);
         let workers = lane.workers();
         started(workers);
         let run = intern(
             &compiled, budget, options, plan, seed, layout, &mut lane, pool,
-        )?;
-        Ok(Exploration { workers, ..run })
+        );
+        // Closing the lane ends the stepper's loop. The scope alone
+        // waits only for its closure: the thread would still be exiting,
+        // its allocator arena not yet free, when the caller's next
+        // thread (a certificate's obligation lane, the next run's
+        // stepper) asks for one, and which arena that thread got would
+        // depend on the race. Joining waits for the exit.
+        drop(lane);
+        if let Some(Err(panic)) = thread.map(|t| t.join()) {
+            std::panic::resume_unwind(panic);
+        }
+        Ok(Exploration { workers, ..run? })
     })
 }
 
@@ -240,7 +252,9 @@ fn intern(
     let (mut sent, mut in_flight, mut unread) = (next, 0, None);
     // The batch being interned, and the index in it of `next`.
     let (mut batch, mut at): (Option<Batch>, usize) = (None, 0);
-    let mut memo = MemoStats::default();
+    // What the effect tables counted over the batches interned before
+    // `batch`, and at the end of the run.
+    let (mut counted, mut memo) = (MemoStats::default(), MemoStats::default());
     let mut edge_buf: Vec<Edge> = Vec::new();
     let mut cut_edges: Option<(usize, Vec<Edge>)> = None;
     let expand_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreExpand);
@@ -260,7 +274,10 @@ fn intern(
         if batch.as_ref().is_none_or(|b| at == b.len()) {
             // Keep the stepper supplied with the parents found so far,
             // then take the batch that holds `next`.
-            pool.extend(batch.take());
+            if let Some(b) = batch.take() {
+                counted = b.memo_stats(counted, b.len(), None, actions);
+                pool.push(b);
+            }
             while in_flight < IN_FLIGHT && sent < store.len() && unread.is_none() {
                 let mut b = pool.pop().expect("a batch out of circulation");
                 if let Err(e) = b.fill(&mut store, sent) {
@@ -270,7 +287,7 @@ fn intern(
                 if b.len() == 0 {
                     pool.push(b);
                 } else {
-                    lane.send(b, in_flight == 0);
+                    lane.send(b);
                     in_flight += 1;
                 }
             }
@@ -321,7 +338,7 @@ fn intern(
                 next = id;
                 cut_edges = Some((id, std::mem::take(&mut edge_buf)));
                 exhausted = Some(reason);
-                memo = b.memo_stats(at, Some(action), actions);
+                memo = b.memo_stats(counted, at, Some(action), actions);
             }
             Some((Stop::Fail(e), _)) => return Err(e),
         }
@@ -329,7 +346,7 @@ fn intern(
     drop(expand_phase);
     if cut_edges.is_none() {
         if let Some(b) = &batch {
-            memo = b.memo_stats(at, None, actions);
+            memo = b.memo_stats(counted, at, None, actions);
         }
     }
     compiled.record_step_memo(memo, &budget.recorder);
@@ -365,34 +382,31 @@ struct Batch {
     ends: Vec<u32>,
     successors: Vec<Successor>,
     effects: Vec<Effect>,
-    /// Each table miss, by the parent's index: with `before`, what the
-    /// effect tables counted at any point of the batch.
+    /// Each table miss, by the parent's index: with what they counted
+    /// before the batch, what the effect tables counted at any point of
+    /// it.
     misses: Vec<(u32, Miss)>,
-    /// What the effect tables had counted before the batch.
-    before: MemoStats,
     /// Why stepping the parent at `ends.len()` failed, if it did.
     failed: Option<CheckError>,
 }
 
 impl Batch {
     /// An empty batch with room for [`BATCH`] parents of `system` whose
-    /// rows are `stride` bytes long, and for [`ROOM`] successors of
-    /// each, of its actions' mean update count: a batch past that
-    /// grows, and keeps what it grew to. Misses are few after the first
-    /// batches; their log grows as they come.
+    /// rows are `stride` bytes long, and for everything the stepper
+    /// can write of them: a successor, its effects and a miss per
+    /// action of each. A batch never grows; the pages it does not
+    /// reach are never touched.
     fn for_system(system: &System, stride: usize) -> Batch {
         let actions = system.actions();
         let updates: usize = actions.iter().map(|a| a.updates().len()).sum();
-        let successors = BATCH * ROOM.min(actions.len());
         Batch {
             first: 0,
             rows: Vec::with_capacity(BATCH * stride),
             fps: Vec::with_capacity(BATCH),
             ends: Vec::with_capacity(BATCH),
-            successors: Vec::with_capacity(successors),
-            effects: Vec::with_capacity(successors * updates.div_ceil(actions.len().max(1))),
-            misses: Vec::new(),
-            before: MemoStats::default(),
+            successors: Vec::with_capacity(BATCH * actions.len()),
+            effects: Vec::with_capacity(BATCH * updates),
+            misses: Vec::with_capacity(BATCH * actions.len()),
             failed: None,
         }
     }
@@ -403,12 +417,18 @@ impl Batch {
     }
 
     /// Reads the parents from `first` — up to [`BATCH`] of them, no
-    /// further than the store's last state — out of `store`. A row
-    /// that cannot be read ends the batch before it.
+    /// further than the store's last state — out of `store`, with no
+    /// successors yet. A row that cannot be read ends the batch before
+    /// it.
     fn fill(&mut self, store: &mut Store<'_>, first: usize) -> Result<(), CheckError> {
         self.first = first;
         self.rows.clear();
         self.fps.clear();
+        self.ends.clear();
+        self.successors.clear();
+        self.effects.clear();
+        self.misses.clear();
+        self.failed = None;
         for id in first..store.len().min(first + BATCH) {
             let fp = store.row(id, &mut self.rows)?;
             self.fps.push(fp);
@@ -419,6 +439,21 @@ impl Batch {
     /// The row of parent `at`.
     fn row(&self, at: usize, stride: usize) -> &[u8] {
         &self.rows[at * stride..][..stride]
+    }
+
+    /// Whether every parent has its successors, or failed to step.
+    fn stepped(&self) -> bool {
+        self.ends.len() == self.len() || self.failed.is_some()
+    }
+
+    /// Drops what the stepper wrote of the parent after the last with
+    /// all its successors.
+    fn truncate(&mut self) {
+        let end = self.ends.last().map_or(0, |&e| e as usize);
+        self.successors.truncate(end);
+        let from = end.checked_sub(1);
+        let from = from.map_or(0, |p| self.successors[p].effects_end as usize);
+        self.effects.truncate(from);
     }
 
     /// The successors of parent `at`, each with its effects.
@@ -439,13 +474,19 @@ impl Batch {
         })
     }
 
-    /// What the effect tables had counted when one loop over the same
-    /// parents would have stopped: at parent `at`'s first action
-    /// (`through` is `None`), or right after looking up its action
-    /// `through` — every action of a system with `actions` of them is
-    /// looked up once per parent, and only a miss evaluates.
-    fn memo_stats(&self, at: usize, through: Option<usize>, actions: usize) -> MemoStats {
-        let mut stats = self.before;
+    /// What the effect tables had counted, `before` the batch, when one
+    /// loop over the same parents would have stopped: at parent `at`'s
+    /// first action (`through` is `None`), or right after looking up
+    /// its action `through` — every action of a system with `actions`
+    /// of them is looked up once per parent, and only a miss evaluates.
+    fn memo_stats(
+        &self,
+        before: MemoStats,
+        at: usize,
+        through: Option<usize>,
+        actions: usize,
+    ) -> MemoStats {
+        let mut stats = before;
         stats.lookups += (at * actions + through.map_or(0, |a| a + 1)) as u64;
         for &(p, miss) in &self.misses {
             let p = p as usize;
@@ -475,35 +516,43 @@ impl<'a> Stepper<'a> {
         }
     }
 
-    /// Writes the successors of each parent of `batch`, in id order,
-    /// through the effect tables — up to the first parent that fails
-    /// to step, whose successors before the failure are kept.
-    fn step(&mut self, b: &mut Batch) {
+    /// Writes the successors of `batch`'s parents, from the first it
+    /// has none for, in id order, through the effect tables. With
+    /// `evaluate` a miss evaluates, up to the first parent that fails
+    /// to step, whose successors before the failure are kept; without,
+    /// it stops before the first parent one of whose lookups would
+    /// evaluate, and allocates nothing.
+    fn step(&mut self, b: &mut Batch, evaluate: bool) {
         let Stepper {
             compiled,
             memo,
             layout,
         } = self;
-        b.before = memo.stats();
-        b.ends.clear();
-        b.successors.clear();
-        b.effects.clear();
-        b.misses.clear();
-        b.failed = None;
         let stride = layout.stride();
-        for (at, &fp) in b.fps.iter().enumerate() {
-            let parent = &b.rows[at * stride..][..stride];
+        for at in b.ends.len()..b.len() {
+            let (parent, fp) = (&b.rows[at * stride..][..stride], b.fps[at]);
             let (successors, effects) = (&mut b.successors, &mut b.effects);
-            let stepped =
-                compiled.for_each_packed_successor(layout, parent, memo, |action, run| {
-                    effects.extend_from_slice(run);
-                    successors.push(Successor {
-                        fp: child_fingerprint(layout, parent, fp, run),
-                        action: action as u32,
-                        effects_end: effects.len() as u32,
-                    });
-                    ControlFlow::<Infallible>::Continue(())
+            let visit = |action: usize, run: &[Effect]| {
+                effects.extend_from_slice(run);
+                successors.push(Successor {
+                    fp: child_fingerprint(layout, parent, fp, run),
+                    action: action as u32,
+                    effects_end: effects.len() as u32,
                 });
+                ControlFlow::<Infallible>::Continue(())
+            };
+            if !evaluate {
+                if compiled
+                    .for_each_tabled_successor(layout, parent, memo, visit)
+                    .is_none()
+                {
+                    b.truncate();
+                    return;
+                }
+                b.ends.push(b.successors.len() as u32);
+                continue;
+            }
+            let stepped = compiled.for_each_packed_successor(layout, parent, memo, visit);
             b.misses
                 .extend(memo.take_misses().map(|miss| (at as u32, miss)));
             if let Err(e) = stepped {
@@ -515,30 +564,41 @@ impl<'a> Stepper<'a> {
     }
 }
 
-/// Where the interner's batches are stepped: on a scoped second
-/// thread, which sends each back stepped, or on the caller, as each is
-/// sent — every batch at one worker, and at two a batch sent with
-/// nothing else out, which the interner would only wait for. Batches
-/// come back in the order they went, and are stepped in that order.
+/// Where the interner's batches are stepped: at one worker on the
+/// caller, as each is sent; at two on a scoped second thread, through
+/// the effect tables alone, then on the caller, as each is received,
+/// from the first parent whose step would evaluate. Batches come back
+/// in the order they went, and are stepped in that order, so a table
+/// entry is filled at the parent one loop would fill it at. Dropping
+/// the lane ends the thread's loop.
+///
+/// The thread evaluates nothing, so it allocates nothing: every
+/// allocation of the run is the caller's, in the caller's order. (Misses
+/// are few: 984 of Figure 9's 2 465 424 lookups.) A thread that evaluated its misses built their values in
+/// an allocator arena of its own, which a certificate's obligation
+/// lane takes over next; what the race left there moved Figure 9's
+/// peak resident memory between 44.1 and 46.8 MB from one run to the
+/// next.
 struct Lane<'a> {
-    /// Locked by whichever side steps a batch: the caller steps only
-    /// with nothing out on the thread.
+    /// Locked by the side that steps: the thread while it steps a
+    /// batch, the caller while it finishes one.
     stepper: &'a Mutex<Stepper<'a>>,
     /// The second thread's batches, to and from it, when it runs.
-    thread: Option<(SyncSender<Batch>, Receiver<Batch>)>,
+    thread: Option<&'a Handoff>,
     /// Batches stepped on the caller, not yet received.
     stepped: Vec<Batch>,
 }
 
 impl<'a> Lane<'a> {
-    /// Puts a stepper thread on `scope` at two workers, unless it
-    /// fails to spawn. Each channel holds every batch there is, so
-    /// neither side blocks sending.
+    /// Puts a stepper thread on `scope` at two workers, its batches
+    /// through `handoff`, unless it fails to spawn, and returns its
+    /// handle with the lane.
     fn open<'s>(
         scope: &'s std::thread::Scope<'s, '_>,
         stepper: &'a Mutex<Stepper<'a>>,
+        handoff: &'a Handoff,
         workers: usize,
-    ) -> Lane<'a>
+    ) -> (Lane<'a>, Option<ScopedJoinHandle<'s, ()>>)
     where
         'a: 's,
     {
@@ -548,24 +608,24 @@ impl<'a> Lane<'a> {
             stepped: Vec::with_capacity(IN_FLIGHT),
         };
         if workers < 2 {
-            return lane;
+            return (lane, None);
         }
-        let (work, work_rx) = sync_channel::<Batch>(IN_FLIGHT);
-        let (done_tx, done) = sync_channel::<Batch>(IN_FLIGHT);
         let spawned = std::thread::Builder::new()
             .name("opentla-stepper".into())
             .spawn_scoped(scope, move || {
-                for mut batch in work_rx {
-                    lock(stepper).step(&mut batch);
-                    if done_tx.send(batch).is_err() {
-                        break;
-                    }
+                // However the thread ends, the interner is not left
+                // waiting for a batch it will never get.
+                let _closed = Closed(handoff);
+                while let Some(mut batch) = handoff.next() {
+                    lock(stepper).step(&mut batch, false);
+                    handoff.stepped(batch);
                 }
             });
-        if spawned.is_ok() {
-            lane.thread = Some((work, done));
+        let thread = spawned.ok();
+        if thread.is_some() {
+            lane.thread = Some(handoff);
         }
-        lane
+        (lane, thread)
     }
 
     /// The workers this lane runs the loop on.
@@ -573,27 +633,136 @@ impl<'a> Lane<'a> {
         1 + usize::from(self.thread.is_some())
     }
 
-    /// Sends `batch` to be stepped; `first` when nothing else is out.
-    fn send(&mut self, mut batch: Batch, first: bool) {
-        match &self.thread {
-            Some((work, _)) if !first => {
-                work.send(batch)
-                    .expect("the stepper takes batches while the run lasts");
-            }
-            _ => {
-                lock(self.stepper).step(&mut batch);
+    /// Sends `batch` to be stepped.
+    fn send(&mut self, mut batch: Batch) {
+        match self.thread {
+            Some(handoff) => handoff.send(batch),
+            None => {
+                lock(self.stepper).step(&mut batch, true);
                 self.stepped.push(batch);
             }
         }
     }
 
-    /// The first batch sent and not yet received, stepped.
+    /// The first batch sent and not yet received, stepped: the thread
+    /// steps through the tables alone, and the caller the parents from
+    /// the first whose step would evaluate.
     fn receive(&mut self) -> Batch {
         if !self.stepped.is_empty() {
             return self.stepped.remove(0);
         }
-        let (_, done) = self.thread.as_ref().expect("a batch was sent");
-        done.recv().expect("the stepper steps every batch sent")
+        let mut batch = self.thread.expect("a batch was sent").receive();
+        if !batch.stepped() {
+            lock(self.stepper).step(&mut batch, true);
+        }
+        batch
+    }
+}
+
+impl Drop for Lane<'_> {
+    fn drop(&mut self) {
+        if let Some(handoff) = self.thread {
+            handoff.close();
+        }
+    }
+}
+
+/// The batches between the interner and a stepper thread, each way in
+/// the order they were sent, under one lock and one condition
+/// variable. Handing a batch over or waiting for one allocates
+/// nothing: each queue has room for every batch there is, and neither
+/// primitive allocates. (A channel allocates its waiter list, and a
+/// blocked thread its wait context, the first time a side blocks —
+/// wherever the race puts that, a block the thread keeps to its end
+/// can be what stops the allocator from returning the memory above it.)
+struct Handoff {
+    queues: Mutex<Queues>,
+    changed: Condvar,
+}
+
+struct Queues {
+    /// Sent and not yet taken by the stepper.
+    unstepped: Vec<Batch>,
+    /// Stepped and not yet received.
+    stepped: Vec<Batch>,
+    /// Set when either side is gone: the lane dropped, or the thread
+    /// ended.
+    closed: bool,
+}
+
+impl Handoff {
+    fn new() -> Handoff {
+        Handoff {
+            queues: Mutex::new(Queues {
+                unstepped: Vec::with_capacity(IN_FLIGHT),
+                stepped: Vec::with_capacity(IN_FLIGHT),
+                closed: false,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// The queues; a side that panicked holding them left them whole.
+    fn queues(&self) -> MutexGuard<'_, Queues> {
+        self.queues.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits on the queues until something changes.
+    fn wait<'q>(&self, queues: MutexGuard<'q, Queues>) -> MutexGuard<'q, Queues> {
+        (self.changed.wait(queues)).unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The interner's: `batch` to be stepped.
+    fn send(&self, batch: Batch) {
+        self.queues().unstepped.push(batch);
+        self.changed.notify_all();
+    }
+
+    /// The stepper's: the next batch to step, or `None` once closed.
+    fn next(&self) -> Option<Batch> {
+        let mut queues = self.queues();
+        loop {
+            if queues.closed {
+                return None;
+            }
+            if !queues.unstepped.is_empty() {
+                return Some(queues.unstepped.remove(0));
+            }
+            queues = self.wait(queues);
+        }
+    }
+
+    /// The stepper's: `batch`, stepped.
+    fn stepped(&self, batch: Batch) {
+        self.queues().stepped.push(batch);
+        self.changed.notify_all();
+    }
+
+    /// The interner's: the first batch sent and not yet received,
+    /// stepped.
+    fn receive(&self) -> Batch {
+        let mut queues = self.queues();
+        loop {
+            if !queues.stepped.is_empty() {
+                return queues.stepped.remove(0);
+            }
+            assert!(!queues.closed, "the stepper steps every batch sent");
+            queues = self.wait(queues);
+        }
+    }
+
+    fn close(&self) {
+        self.queues().closed = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Closes a [`Handoff`] when dropped.
+struct Closed<'a>(&'a Handoff);
+
+impl Drop for Closed<'_> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 

@@ -6,8 +6,8 @@
 //! `-checkpoint`/`-recover` discipline, exploration engines running
 //! under a [`Budget`](crate::Budget) with
 //! [`Budget::with_checkpoint`](crate::Budget::with_checkpoint)
-//! periodically serialize their resumable core — the state arena, the
-//! recorded edges and BFS tree, and the unexpanded frontier — to a
+//! periodically record their resumable core — the state arena, the
+//! recorded edges and BFS tree, and the unexpanded frontier — as a
 //! [`Snapshot`], and
 //! [`explore_resumable`](crate::explore_resumable) continues from the
 //! preserved frontier instead of restarting.
@@ -26,14 +26,17 @@
 //! anyway — one arena record per state, of one tag: its packed row —
 //! and one edge record per fully expanded state — with sealed segments
 //! *referenced* (name, record count, checksum) and everything else
-//! inline. The sequential store, once on disk, references its sealed
-//! segments, so its periodic checkpoint costs O(hot tier), not O(state
-//! space); an engine whose graph is in RAM writes a manifest with no
-//! sealed segment. A row means a state only under its layout, which
-//! goes in ahead of the manifest as each slot's domain ([`codec`]
-//! values): a resume under other domains re-packs every row or refuses
-//! the snapshot. Either way [`Snapshot::load`] → [`Snapshot::validate`]
-//! → `materialize` → engine is the only way a file becomes a run.
+//! inline. It is the snapshot's only form, in RAM as in a file, and
+//! saving one writes it out as it stands. The sequential store, once on
+//! disk, references its sealed segments, so its periodic checkpoint
+//! costs O(hot tier), not O(state space); a graph in RAM is encoded
+//! straight into inline records, never copied as a graph. A row means a
+//! state only under its layout, which goes in ahead of the manifest as
+//! each slot's domain ([`codec`] values): a resume under other domains
+//! re-packs every row or refuses the snapshot. Either way a snapshot,
+//! loaded ([`Snapshot::load`] → [`Snapshot::validate`]) or held in RAM,
+//! becomes a run only through `materialize`, which reads its records
+//! back into the graph the engine re-seeds from.
 //!
 //! The header pins everything that decides *whether the snapshot may
 //! be trusted for a resume*: the system's structural hash, the
@@ -64,11 +67,12 @@
 //! deterministic across processes), under the *same* `fp_bits` the
 //! original run used — so the resumed run conflates exactly the states
 //! the original would have, keeping the under-approximation argument
-//! of [`VisitedMode::Fingerprint`] intact. Frontier states' partial
-//! edge lists are cleared at capture and those states fully re-expand
-//! on resume, in the BFS discovery order the uninterrupted run would
-//! have followed, which is why a resumed run's graph is
-//! byte-identical to an uninterrupted one.
+//! of [`VisitedMode::Fingerprint`] intact. A frontier state's partial
+//! edge list is left out at capture — only the states before the
+//! frontier get an edge record — and those states fully re-expand on
+//! resume, in the BFS discovery order the uninterrupted run would have
+//! followed, which is why a resumed run's graph is byte-identical to an
+//! uninterrupted one.
 
 use crate::explore::{Edge, StateGraph};
 use crate::obs::{Event, RecorderHandle};
@@ -76,7 +80,6 @@ use crate::{CheckError, ExploreOptions, System, VisitedMode};
 use opentla_kernel::codec::{self, Reader};
 use opentla_kernel::store::{self, fnv1a, SegmentMeta, StoreError};
 use opentla_kernel::{Domain, PackedLayout, Vars};
-use std::borrow::Cow;
 use std::hash::Hasher;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -271,23 +274,6 @@ impl From<codec::DecodeError> for CheckpointError {
     }
 }
 
-/// Writes the magic, `body` and the FNV-1a checksum of `body` (a
-/// zero-dependency integrity check: it guards against truncation and
-/// bit rot, not adversaries) to `path` atomically: the bytes go to a
-/// temporary file in the same directory, which is then renamed over
-/// `path` — a crash mid-write leaves any previous file intact.
-fn write_framed(path: &Path, body: &[u8]) -> Result<(), CheckpointError> {
-    let mut file = Vec::with_capacity(body.len() + 16);
-    file.extend_from_slice(MAGIC);
-    file.extend_from_slice(body);
-    file.extend_from_slice(&fnv1a(body).to_le_bytes());
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, &file).map_err(|e| io_err(&tmp, e))?;
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
-}
-
 /// A structural hash of a [`System`] — variable names and action
 /// names, in order — pinned into every snapshot so a resume against a
 /// *different* system is refused instead of silently producing
@@ -327,20 +313,10 @@ pub struct Snapshot {
     pub system_hash: u64,
     /// Sequence number of this snapshot within its run.
     pub seq: u64,
-    pub(crate) body: Body,
+    /// The arena, recorded edges and BFS tree, in canonical order.
+    pub(crate) manifest: Manifest,
     /// The unexpanded states: the arena's last ids, ascending.
     pub(crate) frontier: Vec<usize>,
-}
-
-/// The arena, recorded edges and BFS tree of a [`Snapshot`], in
-/// canonical order.
-#[derive(Clone, Debug)]
-pub(crate) enum Body {
-    /// In RAM: what an engine captures and what it resumes from.
-    Graph(StateGraph),
-    /// As records: what a file holds, and what the sequential
-    /// disk-backed engine captures over its own segment files.
-    Manifest(Manifest),
 }
 
 /// What pins a snapshot to the run that takes it: the header fields
@@ -363,14 +339,14 @@ impl RunHeader {
 
     /// A snapshot of this run, first in its sequence, whose arena's
     /// tail `frontier` is unexpanded.
-    pub(crate) fn snapshot(self, body: Body, frontier: Range<usize>) -> Snapshot {
+    pub(crate) fn snapshot(self, manifest: Manifest, frontier: Range<usize>) -> Snapshot {
         let frontier = frontier.collect();
         Snapshot {
             fp_bits: self.fp_bits,
             mode: self.mode,
             system_hash: self.system_hash,
             seq: 0,
-            body,
+            manifest,
             frontier,
         }
     }
@@ -385,6 +361,14 @@ pub(crate) struct Records {
 }
 
 impl Records {
+    /// Room for `records` records of `bytes` in all.
+    fn with_capacity(records: usize, bytes: usize) -> Records {
+        Records {
+            bytes: Vec::with_capacity(bytes),
+            ends: Vec::with_capacity(records),
+        }
+    }
+
     fn push(&mut self, record: &[u8]) {
         self.bytes.extend_from_slice(record);
         self.ends.push(self.bytes.len());
@@ -437,72 +421,8 @@ pub(crate) struct Manifest {
     pub(crate) edge_hot: Records,
 }
 
-impl Manifest {
-    /// A materialized snapshot with no sealed segment: every arena
-    /// record inline, and the edge record of every expanded state.
-    fn inline(snap: &Snapshot) -> Manifest {
-        let (mut record, mut transitions) = (Vec::new(), 0);
-        let (mut arena_hot, mut edge_hot) = (Records::default(), Records::default());
-        let layout = snap.graph().layout();
-        for (id, row, parent, edges) in snap.records() {
-            let payload = |out: &mut Vec<u8>| out.extend_from_slice(row);
-            encode_packed_record(parent, layout.fingerprint(row), payload, &mut record);
-            arena_hot.push(&record);
-            if let Some(edges) = edges {
-                encode_edge_record(id, edges, &mut record);
-                edge_hot.push(&record);
-                transitions += edges.len() as u64;
-            }
-        }
-        Manifest {
-            layout: Arc::clone(layout),
-            dir: PathBuf::new(),
-            states: arena_hot.len() as u64,
-            transitions,
-            init: snap.graph().init().to_vec(),
-            arena_segments: Vec::new(),
-            arena_hot,
-            edge_segments: Vec::new(),
-            edge_hot,
-        }
-    }
-
-    /// Reads every record back — sealed segments through the store's
-    /// verified reader — into the graph they describe, under the
-    /// manifest's layout.
-    fn materialize(&self) -> Result<StateGraph, CheckpointError> {
-        let n = self.states as usize;
-        let arena = (&*self.dir, &*self.arena_segments, self.arena_hot.iter());
-        let mut graph = graph_of_arena(arena, n.min(1 << 20), &self.layout)?;
-        if graph.len() != n {
-            return Err(corrupt(format!(
-                "manifest claims {n} states, its records held {}",
-                graph.len()
-            )));
-        }
-        if graph.init() != self.init {
-            return Err(corrupt(
-                "manifest and arena records disagree on the initial states",
-            ));
-        }
-        fill_edges(
-            &mut graph,
-            (&self.dir, &self.edge_segments, self.edge_hot.iter()),
-        )?;
-        if graph.edge_count() as u64 != self.transitions {
-            return Err(corrupt(format!(
-                "manifest claims {} transitions, edge records held {}",
-                self.transitions,
-                graph.edge_count()
-            )));
-        }
-        Ok(graph)
-    }
-}
-
-/// Refuses a snapshot graph that `system` cannot resume from, whether
-/// it was read back from records or captured in RAM: counterexamples
-/// index the system's actions by its action words.
+/// Refuses a snapshot graph that `system` cannot resume from:
+/// counterexamples index the system's actions by its action words.
 fn check_actions(graph: &StateGraph, system: &System) -> Result<(), CheckpointError> {
     let actions = system.actions().len();
     for id in 0..graph.len() {
@@ -517,17 +437,17 @@ fn check_actions(graph: &StateGraph, system: &System) -> Result<(), CheckpointEr
     Ok(())
 }
 
-/// The graph of a materialized `snap` with every row re-packed under
-/// `layout`, compiled from `vars`: how a snapshot is resumed under
-/// other domains than its own. Every engine indexes a state's slots by
-/// the system's variables, stepping it on its packed row, so a value
-/// outside its domain is refused.
+/// `graph` with every row re-packed under `layout`, compiled from
+/// `vars`: how a snapshot is resumed under other domains than its own.
+/// Every engine indexes a state's slots by the system's variables,
+/// stepping it on its packed row, so a value outside its domain is
+/// refused.
 fn repacked(
-    snap: &Snapshot,
+    graph: &StateGraph,
     layout: &Arc<PackedLayout>,
     vars: &Vars,
 ) -> Result<StateGraph, CheckpointError> {
-    let (graph, width) = (snap.graph(), vars.len());
+    let width = vars.len();
     let (from, slots) = (graph.layout(), graph.layout().slots());
     if slots != width && !graph.is_empty() {
         return Err(corrupt(format!(
@@ -536,7 +456,8 @@ fn repacked(
     }
     let mut repacked = StateGraph::with_capacity(Arc::clone(layout), graph.len());
     let mut row = vec![0; layout.stride()];
-    for (id, old, parent, edges) in snap.records() {
+    for id in 0..graph.len() {
+        let old = graph.row(id);
         for (slot, v) in vars.iter().enumerate() {
             let value = from.value_of(slot, from.read_code(old, slot));
             let code = layout.code_of(slot, value).ok_or_else(|| {
@@ -547,10 +468,8 @@ fn repacked(
             })?;
             layout.write_code(&mut row, slot, code);
         }
-        repacked.push_state(&row, parent)?;
-        if let Some(edges) = edges {
-            repacked.set_edges(id, edges)?;
-        }
+        repacked.push_state(&row, graph.parent(id))?;
+        repacked.set_edges(id, graph.edges(id))?;
     }
     Ok(repacked)
 }
@@ -559,18 +478,12 @@ impl Snapshot {
     /// States banked in the snapshot (what the resumed meter is
     /// pre-charged with).
     pub fn states_used(&self) -> usize {
-        match &self.body {
-            Body::Graph(graph) => graph.len(),
-            Body::Manifest(m) => m.states as usize,
-        }
+        self.manifest.states as usize
     }
 
     /// Fully-committed transitions banked in the snapshot.
     pub fn transitions_used(&self) -> usize {
-        match &self.body {
-            Body::Graph(graph) => graph.edge_count(),
-            Body::Manifest(m) => m.transitions as usize,
-        }
+        self.manifest.transitions as usize
     }
 
     /// Number of discovered-but-unexpanded states awaiting resume.
@@ -578,47 +491,15 @@ impl Snapshot {
         self.frontier.len()
     }
 
-    /// The first frontier id of a materialized snapshot: the frontier
-    /// is the arena's tail from there, in ascending order.
+    /// The first frontier id: the frontier is the arena's tail from
+    /// there, in ascending order.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Corrupt`] for a frontier that is not the
     /// arena's tail.
     pub(crate) fn frontier_start(&self) -> Result<usize, CheckpointError> {
-        tail_start(&self.frontier, self.graph().len())
-    }
-
-    /// The graph of a materialized snapshot.
-    ///
-    /// # Panics
-    ///
-    /// On a manifest: `explore_observed` materializes before any
-    /// engine sees the snapshot.
-    pub(crate) fn graph(&self) -> &StateGraph {
-        match &self.body {
-            Body::Graph(graph) => graph,
-            Body::Manifest(_) => panic!("engines resume materialized snapshots"),
-        }
-    }
-
-    /// The one walk of a materialized snapshot, in id order: `(id, row,
-    /// BFS parent, successors — `None` on the frontier, which re-expands)`.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn records(
-        &self,
-    ) -> impl Iterator<Item = (usize, &[u8], Option<(usize, usize)>, Option<&[Edge]>)> {
-        let graph = self.graph();
-        let mut unexpanded = self.frontier.iter().peekable();
-        (0..graph.len()).map(move |id| {
-            let expanded = unexpanded.next_if_eq(&&id).is_none();
-            (
-                id,
-                graph.row(id),
-                graph.parent(id),
-                expanded.then(|| graph.edges(id)),
-            )
-        })
+        tail_start(&self.frontier, self.states_used())
     }
 
     /// Refuses to resume under a different system or configuration:
@@ -659,18 +540,10 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Serializes the snapshot body (everything between magic and
-    /// checksum).
-    fn encode_body(&self) -> Vec<u8> {
-        let inline;
-        let m = match &self.body {
-            Body::Manifest(m) => m,
-            Body::Graph(_) => {
-                inline = Manifest::inline(self);
-                &inline
-            }
-        };
-        let mut out = Vec::new();
+    /// Appends the snapshot body (everything between magic and
+    /// checksum) to `out`.
+    fn encode_body(&self, out: &mut Vec<u8>) {
+        let m = &self.manifest;
         out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
         out.extend_from_slice(&self.fp_bits.to_le_bytes());
         out.push(match self.mode {
@@ -682,7 +555,7 @@ impl Snapshot {
         out.extend_from_slice(&(m.layout.slots() as u32).to_le_bytes());
         for domain in m.layout.domains() {
             out.extend_from_slice(&(domain.len() as u32).to_le_bytes());
-            domain.iter().for_each(|v| codec::encode_value(v, &mut out));
+            domain.iter().for_each(|v| codec::encode_value(v, out));
         }
         let push_ids = |out: &mut Vec<u8>, ids: &[usize]| {
             out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
@@ -694,13 +567,13 @@ impl Snapshot {
             out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
             out.extend_from_slice(bytes);
         };
-        push_bytes(&mut out, m.dir.to_string_lossy().as_bytes());
+        push_bytes(out, m.dir.to_string_lossy().as_bytes());
         out.extend_from_slice(&m.states.to_le_bytes());
         out.extend_from_slice(&m.transitions.to_le_bytes());
         for segments in [&m.arena_segments, &m.edge_segments] {
             out.extend_from_slice(&(segments.len() as u32).to_le_bytes());
             for seg in segments.iter() {
-                push_bytes(&mut out, seg.name.as_bytes());
+                push_bytes(out, seg.name.as_bytes());
                 for word in [
                     seg.first,
                     seg.records,
@@ -714,24 +587,39 @@ impl Snapshot {
         for hot in [&m.arena_hot, &m.edge_hot] {
             out.extend_from_slice(&(hot.len() as u32).to_le_bytes());
             for rec in hot.iter() {
-                push_bytes(&mut out, rec);
+                push_bytes(out, rec);
             }
         }
-        push_ids(&mut out, &m.init);
-        push_ids(&mut out, &self.frontier);
-        out
+        push_ids(out, &m.init);
+        push_ids(out, &self.frontier);
     }
 
-    /// Writes the snapshot to `path` atomically: the encoding goes to
-    /// a temporary file in the same directory, which is then renamed
-    /// over `path` — a crash mid-write leaves any previous snapshot
-    /// intact.
+    /// Writes the snapshot to `path` atomically: the magic, the body
+    /// and the FNV-1a checksum of the body (a zero-dependency integrity
+    /// check: it guards against truncation and bit rot, not
+    /// adversaries) go to a temporary file in the same directory, which
+    /// is then renamed over `path` — a crash mid-write leaves any
+    /// previous snapshot intact.
     ///
     /// # Errors
     ///
     /// [`CheckpointError::Io`] if the filesystem refuses.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        write_framed(path, &self.encode_body())
+        let m = &self.manifest;
+        // The inline records and the id lists, each word of them
+        // counted: most of the file.
+        let words = m.arena_hot.len() + m.edge_hot.len() + m.init.len() + self.frontier.len();
+        let inline = m.arena_hot.bytes.len() + m.edge_hot.bytes.len() + 4 * words;
+        let mut file = Vec::with_capacity(inline + 1024);
+        file.extend_from_slice(MAGIC);
+        self.encode_body(&mut file);
+        let checksum = fnv1a(&file[MAGIC.len()..]);
+        file.extend_from_slice(&checksum.to_le_bytes());
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        std::fs::write(&tmp, &file).map_err(|e| io_err(&tmp, e))?;
+        std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
     }
 
     /// Loads and verifies a snapshot: magic, checksum, format version,
@@ -762,12 +650,11 @@ impl Snapshot {
         SnapshotReader { r }.finish()
     }
 
-    /// The snapshot with its graph in RAM, its rows under `system`'s
-    /// layout, which is what the engines resume from: a manifest's
-    /// records are read back, sealed segments through the store's
-    /// verified reader, and a graph, read back or captured in RAM, is
-    /// checked against `system` and re-packed under its domains if
-    /// they are not the graph's.
+    /// The graph the engines resume from, its rows under `system`'s
+    /// layout: every record is read back — sealed segments through the
+    /// store's verified reader — and the graph they describe is checked
+    /// against `system` and re-packed under its domains if they are not
+    /// the manifest's.
     ///
     /// # Errors
     ///
@@ -775,32 +662,38 @@ impl Snapshot {
     /// or any corruption-class error when one fails verification or
     /// disagrees with the manifest or with `system`'s variables,
     /// actions and domains.
-    pub(crate) fn materialize(
-        &self,
-        system: &System,
-    ) -> Result<Cow<'_, Snapshot>, CheckpointError> {
-        let snap = match &self.body {
-            Body::Graph(_) => Cow::Borrowed(self),
-            Body::Manifest(m) => Cow::Owned(self.with_graph(m.materialize()?)),
-        };
-        check_actions(snap.graph(), system)?;
+    pub(crate) fn materialize(&self, system: &System) -> Result<StateGraph, CheckpointError> {
+        let m = &self.manifest;
+        let n = m.states as usize;
+        let arena = (&*m.dir, &*m.arena_segments, m.arena_hot.iter());
+        let mut graph = graph_of_arena(arena, n.min(1 << 20), &m.layout)?;
+        if graph.len() != n {
+            return Err(corrupt(format!(
+                "manifest claims {n} states, its records held {}",
+                graph.len()
+            )));
+        }
+        if graph.init() != m.init {
+            return Err(corrupt(
+                "manifest and arena records disagree on the initial states",
+            ));
+        }
+        fill_edges(&mut graph, (&m.dir, &m.edge_segments, m.edge_hot.iter()))?;
+        if graph.edge_count() as u64 != m.transitions {
+            return Err(corrupt(format!(
+                "manifest claims {} transitions, edge records held {}",
+                m.transitions,
+                graph.edge_count()
+            )));
+        }
+        check_actions(&graph, system)?;
         let layout = PackedLayout::compile(system.vars())
             .map(Arc::new)
             .ok_or_else(|| corrupt("a snapshot of a system no packed layout compiles for"))?;
-        if snap.graph().layout().domains() == layout.domains() {
-            return Ok(snap);
+        if m.layout.domains() == layout.domains() {
+            return Ok(graph);
         }
-        let graph = repacked(&snap, &layout, system.vars())?;
-        Ok(Cow::Owned(snap.with_graph(graph)))
-    }
-
-    /// This snapshot over `graph`.
-    fn with_graph(&self, graph: StateGraph) -> Snapshot {
-        Snapshot {
-            body: Body::Graph(graph),
-            frontier: self.frontier.clone(),
-            ..*self
-        }
+        repacked(&graph, &layout, system.vars())
     }
 }
 
@@ -939,7 +832,7 @@ impl SnapshotReader<'_> {
             mode,
             system_hash,
             seq,
-            body: Body::Manifest(manifest),
+            manifest,
             frontier,
         })
     }
@@ -967,13 +860,38 @@ fn tail_start(frontier: &[usize], n: usize) -> Result<usize, CheckpointError> {
 
 /// Captures a snapshot from a (possibly partial) exploration whose
 /// only incomplete states are the frontier `first..`, the arena's
-/// tail: their (possibly partial) edge lists are cleared so they fully
-/// re-expand on resume.
+/// tail, as a manifest with no sealed segment: every state's arena
+/// record inline, and the edge record of every state before `first` —
+/// a frontier state's (possibly partial) edge list is left out, so it
+/// fully re-expands on resume. The graph is read, never copied.
 pub(crate) fn capture(graph: &StateGraph, first: usize, header: RunHeader) -> Snapshot {
-    let mut graph = graph.clone();
-    graph.clear_edges(first);
-    let frontier = first..graph.len();
-    header.snapshot(Body::Graph(graph), frontier)
+    let (layout, n) = (graph.layout(), graph.len());
+    let transitions = graph.edge_base(first);
+    let mut arena_hot = Records::with_capacity(n, n * (ARENA_RECORD_HEADER + layout.stride()));
+    let mut edge_hot = Records::with_capacity(first, 8 * (first + transitions));
+    let mut record = Vec::new();
+    for id in 0..n {
+        let (row, parent) = (graph.row(id), graph.parent(id));
+        let fp = layout.fingerprint(row);
+        encode_packed_record(parent, fp, |out| out.extend_from_slice(row), &mut record);
+        arena_hot.push(&record);
+    }
+    for id in 0..first {
+        encode_edge_record(id, graph.edges(id), &mut record);
+        edge_hot.push(&record);
+    }
+    let manifest = Manifest {
+        layout: Arc::clone(layout),
+        dir: PathBuf::new(),
+        states: n as u64,
+        transitions: transitions as u64,
+        init: graph.init().to_vec(),
+        arena_segments: Vec::new(),
+        arena_hot,
+        edge_segments: Vec::new(),
+        edge_hot,
+    };
+    header.snapshot(manifest, first..n)
 }
 
 /// Hands `take` every record of a segmented store `(dir, sealed,
@@ -1122,8 +1040,8 @@ pub(crate) fn arena_record<'b>(
 /// One edge record: `[id u32][k u32][(action u32,
 /// target u32) × k]`. A record is appended exactly once per state,
 /// when its expansion completes — frontier states have no record,
-/// which is the same invariant [`capture`] enforces by clearing
-/// frontier edge lists.
+/// which is the same invariant [`capture`] keeps by leaving frontier
+/// edge lists out.
 /// Ids and targets are below [`id_word`]'s limit, as in arena records.
 pub(crate) fn encode_edge_record(id: usize, edges: &[Edge], out: &mut Vec<u8>) {
     out.clear();
@@ -1291,16 +1209,22 @@ mod tests {
         System::new(vars, crate::Init::new([]), vec![action("a0"), action("a1")])
     }
 
-    /// In RAM, as an engine captures it.
-    fn sample() -> Snapshot {
-        Snapshot {
-            fp_bits: 64,
+    /// `graph` as an engine captures it in RAM with the frontier `1..`.
+    fn captured(graph: &StateGraph) -> Snapshot {
+        let header = RunHeader {
             mode: VisitedMode::Fingerprint,
+            fp_bits: 64,
             system_hash: 0xdead_beef_cafe_f00d,
+        };
+        Snapshot {
             seq: 7,
-            body: Body::Graph(sample_graph()),
-            frontier: vec![1, 2],
+            ..capture(graph, 1, header)
         }
+    }
+
+    /// [`sample_graph`], captured.
+    fn sample() -> Snapshot {
+        captured(&sample_graph())
     }
 
     /// The arena record of `sample_graph`'s state `id`, reached as
@@ -1316,7 +1240,7 @@ mod tests {
     /// [`sample`] over inline `arena` records, no edge recorded.
     fn over_arena_records(arena: &[Vec<u8>], frontier: Vec<usize>) -> Snapshot {
         Snapshot {
-            body: Body::Manifest(Manifest {
+            manifest: Manifest {
                 layout: Arc::clone(sample_graph().layout()),
                 dir: PathBuf::new(),
                 states: arena.len() as u64,
@@ -1326,7 +1250,7 @@ mod tests {
                 arena_hot: arena.iter().map(Vec::as_slice).collect(),
                 edge_segments: Vec::new(),
                 edge_hot: Records::default(),
-            }),
+            },
             frontier,
             ..sample()
         }
@@ -1345,7 +1269,7 @@ mod tests {
         let mut edges = Vec::new();
         encode_edge_record(0, graph.edges(0), &mut edges);
         Snapshot {
-            body: Body::Manifest(Manifest {
+            manifest: Manifest {
                 layout: Arc::clone(graph.layout()),
                 dir: PathBuf::from("pinned.snap.segs"),
                 states: 3,
@@ -1361,33 +1285,45 @@ mod tests {
                 arena_hot: arena[1..].iter().map(Vec::as_slice).collect(),
                 edge_segments: Vec::new(),
                 edge_hot: [&edges[..]].into_iter().collect(),
-            }),
+            },
             ..sample()
         }
     }
 
+    /// A capture saved and loaded back reads as the graph it was taken
+    /// of. A frontier state's partial edge list — here state 1's, as a
+    /// run cut while expanding it leaves one — is left out: the state
+    /// re-expands on resume.
     #[test]
     fn save_load_round_trip() {
         let dir = std::env::temp_dir().join("opentla_ckpt_rt");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("round_trip.snap");
-        let snap = sample();
-        snap.save(&path).unwrap();
-        let back = Snapshot::load(&path).unwrap();
-        assert_eq!(
-            (back.fp_bits, back.mode, back.system_hash, back.seq),
-            (snap.fp_bits, snap.mode, snap.system_hash, snap.seq)
-        );
-        assert_eq!(back.frontier, snap.frontier);
-        assert_eq!(back.states_used(), 3);
-        assert_eq!(back.transitions_used(), 2);
-        assert_eq!(back.frontier_len(), 2);
-        // A file holds records; the graph they describe is the saved one.
-        assert!(matches!(back.body, Body::Manifest(_)));
-        let back = back.materialize(&sample_system()).unwrap();
-        assert_eq!(back.graph().first_difference(snap.graph()), None);
-        // No temp file left behind.
-        assert!(!dir.join("round_trip.snap.tmp").exists());
+        let mut cut = sample_graph();
+        let partial = Edge {
+            action: 0,
+            target: 2,
+        };
+        cut.set_edges(1, &[partial]).unwrap();
+        for graph in [sample_graph(), cut] {
+            let snap = captured(&graph);
+            snap.save(&path).unwrap();
+            let back = Snapshot::load(&path).unwrap();
+            assert_eq!(
+                (back.fp_bits, back.mode, back.system_hash, back.seq),
+                (snap.fp_bits, snap.mode, snap.system_hash, snap.seq)
+            );
+            assert_eq!(back.frontier, snap.frontier);
+            assert_eq!(back.states_used(), 3);
+            assert_eq!(back.transitions_used(), 2);
+            assert_eq!(back.frontier_len(), 2);
+            assert_eq!(back.manifest.edge_hot.len(), 1, "state 0's record only");
+            let back = back.materialize(&sample_system()).unwrap();
+            assert!(back.edges(1).is_empty());
+            assert_eq!(back.first_difference(&sample_graph()), None);
+            // No temp file left behind.
+            assert!(!dir.join("round_trip.snap.tmp").exists());
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1429,9 +1365,12 @@ mod tests {
             CheckpointError::BadMagic
         );
         // Unsupported version (re-checksummed, so it parses that far).
-        let mut body = pristine[MAGIC.len()..pristine.len() - 8].to_vec();
-        body[..4].copy_from_slice(&99u32.to_le_bytes());
-        write_framed(&path, &body).unwrap();
+        let mut version = pristine.clone();
+        let end = version.len() - 8;
+        version[MAGIC.len()..][..4].copy_from_slice(&99u32.to_le_bytes());
+        let checksum = fnv1a(&version[MAGIC.len()..end]);
+        version[end..].copy_from_slice(&checksum.to_le_bytes());
+        std::fs::write(&path, &version).unwrap();
         assert_eq!(
             Snapshot::load(&path).unwrap_err(),
             CheckpointError::UnsupportedVersion { found: 99 }
@@ -1453,14 +1392,19 @@ mod tests {
 
     /// Saves `snap`, loads it back and materializes it: what a resume
     /// does with a file.
-    fn through_a_file(tag: &str, snap: &Snapshot) -> Result<Snapshot, CheckpointError> {
+    fn through_a_file(
+        tag: &str,
+        snap: &Snapshot,
+    ) -> Result<(Snapshot, StateGraph), CheckpointError> {
         let dir = std::env::temp_dir().join(format!("opentla_ckpt_{tag}"));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("through.snap");
         snap.save(&path).unwrap();
         let loaded = Snapshot::load(&path);
         std::fs::remove_file(&path).unwrap();
-        Ok(loaded?.materialize(&sample_system())?.into_owned())
+        let loaded = loaded?;
+        let graph = loaded.materialize(&sample_system())?;
+        Ok((loaded, graph))
     }
 
     /// `trace_to` follows parents until it meets an initial state, so
@@ -1506,7 +1450,7 @@ mod tests {
         for frontier in [vec![], vec![2], vec![1, 2], vec![0, 1, 2]] {
             let snap = over_arena_records(&arena, frontier.clone());
             assert_eq!(
-                through_a_file("frontier", &snap).unwrap().frontier,
+                through_a_file("frontier", &snap).unwrap().0.frontier,
                 frontier
             );
         }
@@ -1520,9 +1464,7 @@ mod tests {
             .map(|id| arena_record(id, graph.parent(id)))
             .collect();
         let mut snap = over_arena_records(&arena, vec![]);
-        let Body::Manifest(m) = &mut snap.body else {
-            unreachable!()
-        };
+        let m = &mut snap.manifest;
         let mut record = Vec::new();
         for &(id, successors) in edges {
             encode_edge_record(id, successors, &mut record);
@@ -1552,8 +1494,8 @@ mod tests {
             vec![(0, fan), (1, none), (2, none)],
             vec![(0, fan), (2, none)],
         ] {
-            let back = through_a_file("edge_order", &over_edge_records(&edges)).unwrap();
-            assert_eq!(back.graph().first_difference(&graph), None, "{edges:?}");
+            let (_, back) = through_a_file("edge_order", &over_edge_records(&edges)).unwrap();
+            assert_eq!(back.first_difference(&graph), None, "{edges:?}");
         }
     }
 
@@ -1570,9 +1512,10 @@ mod tests {
         assert!(detail.contains("slot 0 holds code 3"), "{detail}");
         // The code below it is the domain's last value.
         *record.last_mut().unwrap() = 0b010;
-        let back = through_a_file("bad_code", &over_arena_records(&[record], vec![0])).unwrap();
+        let (_, back) =
+            through_a_file("bad_code", &over_arena_records(&[record], vec![0])).unwrap();
         assert_eq!(
-            back.graph().state(0).values(),
+            back.materialize(0).values(),
             [Value::Int(2), Value::Bool(false)]
         );
     }
@@ -1612,8 +1555,8 @@ mod tests {
     /// with other domains, every row is re-packed under the system's —
     /// here `x ∈ -1..=2`, where each of the sample's codes numbers
     /// another value — and a value the system's domain lacks is refused
-    /// as it is met, whether the graph was read from a file or is held
-    /// in RAM.
+    /// as it is met, whether the snapshot was read from a file or is
+    /// held in RAM.
     #[test]
     fn a_snapshot_under_other_domains_is_repacked_or_refused() {
         let over = |lo: i64, hi: i64| {
@@ -1631,8 +1574,7 @@ mod tests {
         let file = Snapshot::load(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         for snap in [sample(), file] {
-            let wider = snap.materialize(&over(-1, 2)).unwrap();
-            let graph = wider.graph();
+            let graph = snap.materialize(&over(-1, 2)).unwrap();
             assert_eq!(graph.first_difference(&sample_graph()), None);
             assert_ne!(graph.row(0), sample_graph().row(0), "x = 0 is code 1");
             let detail = corrupt_detail(snap.materialize(&over(0, 0)));
@@ -1688,9 +1630,7 @@ mod tests {
             payload_checksum: 0,
         };
         let mut snap = over_arena_records(&[], vec![0]);
-        let Body::Manifest(m) = &mut snap.body else {
-            unreachable!()
-        };
+        let m = &mut snap.manifest;
         m.states = 1;
         m.arena_segments = vec![segment(u64::MAX), segment(2)];
         let detail = corrupt_detail(through_a_file("overflow_v2", &snap));

@@ -447,14 +447,15 @@ fn explore_observed(
     plan: &Plan,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
-    // Engines resume from a graph in RAM. A manifest — a loaded file,
-    // or the disk-backed store's hand-over to the next escalation
-    // attempt — is records, some of them in segment files on disk:
-    // read them back once, here.
-    let resume = resume.map(|snap| snap.materialize(system)).transpose()?;
-    let resume = resume.as_deref();
+    // Engines resume from a graph in RAM. A snapshot — a loaded file,
+    // or a run's hand-over to the next escalation attempt — is records,
+    // some of them in segment files on disk: read them back once, here.
+    let resumed = match resume {
+        Some(snap) => Some((snap, snap.materialize(system)?)),
+        None => None,
+    };
     // Outside the report's clock, as it is outside the meter's.
-    let launch = Start::of(system, resume);
+    let launch = Start::of(system, resumed);
     let rec = budget.recorder.clone();
     if !rec.enabled() {
         return explore_dispatch(system, budget, options, plan, launch, |_| {});

@@ -12,9 +12,8 @@
 //! [`StateGraph::materialize`], to be handed out. Every successor list
 //! sits back to back under a row index, and the BFS tree is the two
 //! words an arena record stores. Edge rows are filled once each in
-//! ascending id order and only a tail of them is ever cleared — how
-//! every engine and snapshot writer works, and all
-//! [`StateGraph::set_edges`] takes. A check's per-edge table
+//! ascending id order — how every engine and snapshot reader works, and
+//! all [`StateGraph::set_edges`] takes. A check's per-edge table
 //! (`liveness/fair.rs`) costs a byte an edge, addressed through
 //! [`StateGraph::edge_base`]. [`StateGraph::states`] is a compatibility
 //! view for outside callers: its first call unpacks every row, and the
@@ -195,13 +194,6 @@ impl StateGraph {
         self.edges.extend_from_slice(edges);
         self.row_start.push(self.edges.len());
         Ok(())
-    }
-
-    /// Empties the successor lists of `first..`, the arena's tail: the
-    /// states a snapshot leaves to be expanded again.
-    pub(crate) fn clear_edges(&mut self, first: usize) {
-        self.edges.truncate(self.edge_base(first));
-        self.row_start.truncate(first + 1);
     }
 
     /// The BFS-tree entry of `id`: `(parent id, action)`, or `None`
@@ -509,9 +501,9 @@ mod tests {
     }
 
     /// Random `push_state` / `set_edges` (the next row, or one past a
-    /// gap) / `clear_edges` (a tail) sequences leave the flat
-    /// columns reading exactly as the row-per-state model does, and the
-    /// calls the layout rules out are refused with the graph untouched.
+    /// gap) sequences leave the flat columns reading exactly as the
+    /// row-per-state model does, and the calls the layout rules out are
+    /// refused with the graph untouched.
     #[test]
     fn flat_columns_read_as_the_row_per_state_model() {
         for seed in 0..40 {
@@ -546,13 +538,6 @@ mod tests {
                         model.rows[id] = row;
                         model.filled = id + 1;
                         "set_edges"
-                    }
-                    7 => {
-                        let first = rng.gen_range(0..=n);
-                        graph.clear_edges(first);
-                        model.rows[first..].iter_mut().for_each(Vec::clear);
-                        model.filled = model.filled.min(first);
-                        "clear_edges"
                     }
                     _ => {
                         // A filled row, a state that does not exist, a

@@ -12,7 +12,7 @@
 //! and the seed.
 
 use super::seq::Seed;
-use super::{Engine, ExploreOptions};
+use super::{Engine, ExploreOptions, StateGraph};
 use crate::checkpoint::Snapshot;
 use crate::{CheckError, System};
 use opentla_kernel::PackedLayout;
@@ -72,15 +72,18 @@ pub(crate) struct Start<'a> {
 }
 
 impl<'a> Start<'a> {
-    /// Enumerates the seed, or adopts the materialized snapshot, and
-    /// compiles the layout.
+    /// Enumerates the seed, or adopts the snapshot and its materialized
+    /// graph, and compiles the layout.
     ///
     /// # Errors
     ///
     /// What enumerating the initial states reports, and
     /// [`CheckError::Precondition`] for a domain whose codes do not fit
     /// a `u32`, the one layout [`PackedLayout::compile`] refuses.
-    pub(crate) fn of(system: &System, resume: Option<&'a Snapshot>) -> Result<Self, CheckError> {
+    pub(crate) fn of(
+        system: &System,
+        resume: Option<(&'a Snapshot, StateGraph)>,
+    ) -> Result<Self, CheckError> {
         let seed = Seed::of(system, resume)?;
         let layout =
             PackedLayout::compile(system.vars()).ok_or_else(|| CheckError::Precondition {

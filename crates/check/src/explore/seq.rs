@@ -43,19 +43,19 @@ use std::thread::ScopedJoinHandle;
 pub(super) enum Seed<'a> {
     /// The enumerated initial states of a fresh run (never empty).
     Fresh(Vec<State>),
-    /// A materialized snapshot to continue from.
-    Resume(&'a Snapshot),
+    /// A snapshot to continue from, and the graph it materialized to.
+    Resume(&'a Snapshot, StateGraph),
 }
 
 impl<'a> Seed<'a> {
     /// Enumerates the initial states of a fresh run, or adopts the
-    /// materialized snapshot of a resumed one.
+    /// snapshot of a resumed one and its materialized graph.
     pub(super) fn of(
         system: &System,
-        resume: Option<&'a Snapshot>,
+        resume: Option<(&'a Snapshot, StateGraph)>,
     ) -> Result<Seed<'a>, CheckError> {
         match resume {
-            Some(snap) => Ok(Seed::Resume(snap)),
+            Some((snap, graph)) => Ok(Seed::Resume(snap, graph)),
             None => {
                 let init_states = system.init().states(system.universe())?;
                 if init_states.is_empty() {
@@ -73,7 +73,7 @@ impl<'a> Seed<'a> {
     pub(super) fn meter(&self, budget: &Budget) -> Meter {
         match self {
             Seed::Fresh(_) => Meter::start(budget),
-            Seed::Resume(snap) => {
+            Seed::Resume(snap, _) => {
                 Meter::start_resumed(budget, snap.states_used(), snap.transitions_used())
             }
         }
@@ -226,9 +226,9 @@ fn intern(
     let mut exhausted: Option<ExhaustReason> = None;
     let mut exhausted_in_init = false;
     match seed {
-        Seed::Resume(snap) => {
+        Seed::Resume(snap, graph) => {
             next = snap.frontier_start()?;
-            store.reseed(snap)?;
+            store.reseed(&graph, next)?;
         }
         Seed::Fresh(init_states) => {
             let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
@@ -962,23 +962,24 @@ impl<'a> Store<'a> {
         Ok(())
     }
 
-    /// Re-seeds from a materialized snapshot: arena, edges and BFS
-    /// tree come back verbatim — every *non-frontier* state with its
-    /// edge record, frontier states re-expand — and the dedup index is
-    /// rebuilt by re-fingerprinting the arena (deterministic across
-    /// processes) with first-id-wins collision behavior, every
-    /// fingerprint in its column. Meter-free —
+    /// Re-seeds from a snapshot's materialized `graph` whose frontier is
+    /// `first..`: arena, edges and BFS tree come back verbatim — every
+    /// *non-frontier* state with its edges, frontier states re-expand —
+    /// and the dedup index is rebuilt by re-fingerprinting the arena
+    /// (deterministic across processes) with first-id-wins collision
+    /// behavior, every fingerprint in its column. Meter-free —
     /// the resumed meter is already pre-charged. A crash *during* this
     /// can invalidate the segment references of the snapshot it came
     /// from (the move to disk rewrites them): a typed I/O error on the
     /// next resume, never a wrong graph.
-    fn reseed(&mut self, snap: &Snapshot) -> Result<(), CheckpointError> {
-        for (id, row, parent, edges) in snap.records() {
+    fn reseed(&mut self, graph: &StateGraph, first: usize) -> Result<(), CheckpointError> {
+        for id in 0..graph.len() {
+            let row = graph.row(id);
             let fp = self.layout.fingerprint(row);
             self.visited.seed(self.options.mode, fp, id, self.meter)?;
-            self.push_state(row, &[], fp, parent)?;
-            if let Some(edges) = edges {
-                self.push_edges(id, edges)?;
+            self.push_state(row, &[], fp, graph.parent(id))?;
+            if id < first {
+                self.push_edges(id, graph.edges(id))?;
             }
         }
         Ok(())
@@ -1079,10 +1080,10 @@ impl<'a> Store<'a> {
     }
 
     /// A checkpoint at a clean cut: everything before `next` is fully
-    /// expanded, the frontier `next..` not at all. In RAM the graph is
-    /// captured; on disk the sealed segments go in by reference (name
-    /// and checksum) and only the unsealed tails are embedded —
-    /// O(hot tier), not O(state space).
+    /// expanded, the frontier `next..` not at all. In RAM the graph's
+    /// records are encoded inline; on disk the sealed segments go in by
+    /// reference (name and checksum) and only the unsealed tails are
+    /// embedded — O(hot tier), not O(state space).
     fn snapshot(&self, next: usize) -> Snapshot {
         match &self.body {
             Body::Ram { graph } => checkpoint::capture(graph, next, self.header()),
@@ -1098,8 +1099,7 @@ impl<'a> Store<'a> {
                     edge_segments: edges.sealed().to_vec(),
                     edge_hot: edges.hot_records().collect(),
                 };
-                self.header()
-                    .snapshot(checkpoint::Body::Manifest(manifest), next..self.len())
+                self.header().snapshot(manifest, next..self.len())
             }
         }
     }

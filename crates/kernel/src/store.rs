@@ -158,21 +158,25 @@ impl SegmentMeta {
     }
 }
 
-/// One sealed segment resident in the cache: its payload plus the
-/// precomputed (offset, len) of every record.
+/// One sealed segment resident in the cache: the file's bytes as read,
+/// plus the precomputed (offset, len) of every record, offsets measured
+/// from the start of the file.
 struct LoadedSegment {
-    payload: Vec<u8>,
+    bytes: Vec<u8>,
     offsets: Vec<(usize, usize)>,
 }
 
 impl LoadedSegment {
     fn record(&self, i: usize) -> &[u8] {
         let (off, len) = self.offsets[i];
-        &self.payload[off..off + len]
+        &self.bytes[off..off + len]
     }
 
+    /// What the cache charges: the payload (the header is not counted)
+    /// and the offset table.
     fn resident_bytes(&self) -> usize {
-        self.payload.len() + self.offsets.len() * std::mem::size_of::<(usize, usize)>()
+        let payload = self.bytes.len() - SEGMENT_HEADER_LEN;
+        payload + self.offsets.len() * std::mem::size_of::<(usize, usize)>()
     }
 }
 
@@ -526,7 +530,7 @@ fn open_segment_file(path: &Path, meta: Option<&SegmentMeta>) -> Result<LoadedSe
                 ),
             });
         }
-        offsets.push((pos + 4, len));
+        offsets.push((SEGMENT_HEADER_LEN + pos + 4, len));
         pos += 4 + len;
     }
     if offsets.len() as u64 != records {
@@ -538,15 +542,13 @@ fn open_segment_file(path: &Path, meta: Option<&SegmentMeta>) -> Result<LoadedSe
             ),
         });
     }
-    Ok(LoadedSegment {
-        payload: payload.to_vec(),
-        offsets,
-    })
+    Ok(LoadedSegment { bytes, offsets })
 }
 
-/// Opens and fully verifies a segment file, returning its records.
-/// This is the external (test and checkpoint-materialization) entry
-/// point; the store itself reads through its cache.
+/// Opens and fully verifies a segment file, returning a copy of each
+/// of its records: an entry point for tests. The store reads through
+/// its cache, and a checkpoint's materialization through
+/// [`for_each_segment_record`], which copies nothing.
 ///
 /// # Errors
 ///

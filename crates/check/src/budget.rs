@@ -426,8 +426,6 @@ impl Meter {
                 transitions: self.transitions_used() as u64,
                 elapsed_nanos: self.start.elapsed().as_nanos() as u64,
                 frontier,
-                level: None,
-                worker: None,
                 budget_states: finite(self.budget.max_states),
                 budget_transitions: finite(self.budget.max_transitions),
             },

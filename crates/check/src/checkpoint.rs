@@ -3,14 +3,13 @@
 //! Long explicit-state runs — exactly what the Composition Theorem's
 //! complete-system obligations produce — must survive interruption:
 //! a crash at hour three is otherwise a total loss. Following TLC's
-//! `-checkpoint`/`-recover` discipline, exploration engines running
-//! under a [`Budget`](crate::Budget) with
-//! [`Budget::with_checkpoint`](crate::Budget::with_checkpoint)
-//! periodically record their resumable core — the state arena, the
-//! recorded edges and BFS tree, and the unexpanded frontier — as a
-//! [`Snapshot`], and
-//! [`explore_resumable`](crate::explore_resumable) continues from the
-//! preserved frontier instead of restarting.
+//! `-checkpoint`/`-recover` discipline, a checkpoint is the run's
+//! store, sealed: an exploration under a [`Budget`](crate::Budget)
+//! with [`Budget::with_checkpoint`](crate::Budget::with_checkpoint)
+//! periodically records its segment store — the state arena with the
+//! BFS tree, the edge records — and its unexpanded frontier as a
+//! [`Snapshot`], and [`explore_resumable`](crate::explore_resumable)
+//! re-opens that store and continues from the frontier.
 //!
 //! # Format and integrity
 //!
@@ -22,34 +21,36 @@
 //! checksum 8 bytes  FNV-1a over the body
 //! ```
 //!
-//! The manifest is the record stream the disk-backed stores write
-//! anyway — one arena record per state, of one tag: its packed row —
-//! and one edge record per fully expanded state — with sealed segments
-//! *referenced* (name, record count, checksum) and everything else
-//! inline. It is the snapshot's only form, in RAM as in a file, and
-//! saving one writes it out as it stands. The sequential store, once on
-//! disk, references its sealed segments, so its periodic checkpoint
-//! costs O(hot tier), not O(state space); a graph in RAM is encoded
-//! straight into inline records, never copied as a graph. A row means a
-//! state only under its layout, which goes in ahead of the manifest as
-//! each slot's domain ([`codec`] values): a resume under other domains
-//! re-packs every row or refuses the snapshot. Either way a snapshot,
-//! loaded ([`Snapshot::load`] → [`Snapshot::validate`]) or held in RAM,
-//! becomes a run only through `materialize`, which reads its records
-//! back into the graph the engine re-seeds from.
+//! The manifest is the store: one arena record per state (its packed
+//! row) and one edge record per fully expanded state, the sealed
+//! segments *referenced* (name, first id, record count, length,
+//! checksum) and the unsealed tails inline. A store under a checkpoint
+//! spec always has disk tiers, and one still in RAM moves to disk at its
+//! first checkpoint, so a checkpoint costs O(unsealed tail), not
+//! O(state space). The manifest is the snapshot's only form, in RAM as
+//! in a file. A row means a state only under its layout, which goes in
+//! ahead of the manifest as each slot's domain ([`codec`] values).
 //!
 //! The header pins everything that decides *whether the snapshot may
 //! be trusted for a resume*: the system's structural hash, the
 //! fingerprint width (`fp_bits` — a snapshot taken under forced
 //! collisions must not silently resume a full-width run) and the
 //! [`VisitedMode`]. [`Snapshot::load`] verifies magic, version, and
-//! checksum; [`Snapshot::validate`] refuses any mismatch with a typed
-//! [`CheckpointError`], and reading the records back refuses a state
-//! outside the system's domains — never a panic, and never a silent
-//! wrong-configuration resume.
+//! checksum; [`Snapshot::validate`] refuses any mismatch, of the header
+//! or the domains, with a typed [`CheckpointError`]; re-opening the
+//! store refuses a record that does not check — never a panic, and
+//! never a silent wrong-configuration resume.
 //!
-//! Writes are atomic (temp file in the same directory, then rename),
-//! so a crash mid-write leaves the previous snapshot intact.
+//! Writes are durable and atomic: the segments sealed since the last
+//! checkpoint are synced, then the snapshot goes to a synced temporary
+//! file renamed over the path — a crash mid-write leaves the previous
+//! snapshot, and the segments it references, intact.
+//!
+//! # Re-opening
+//!
+//! A resume builds no graph: it re-opens the sealed segments where they
+//! lie, appends the inline tails, rebuilds the dedup index in one
+//! checked pass ([`replay`]) and seals its own segments after them.
 //!
 //! # What restarts instead
 //!
@@ -62,25 +63,27 @@
 //!
 //! # Why resuming preserves soundness
 //!
-//! A snapshot stores no visited set: on load the dedup structures are
-//! rebuilt by re-fingerprinting the arena ([`PackedLayout::fingerprint`] is
-//! deterministic across processes), under the *same* `fp_bits` the
-//! original run used — so the resumed run conflates exactly the states
-//! the original would have, keeping the under-approximation argument
-//! of [`VisitedMode::Fingerprint`] intact. A frontier state's partial
-//! edge list is left out at capture — only the states before the
-//! frontier get an edge record — and those states fully re-expand on
-//! resume, in the BFS discovery order the uninterrupted run would have
-//! followed, which is why a resumed run's graph is byte-identical to an
-//! uninterrupted one.
+//! A snapshot stores no visited set: the re-open rebuilds the dedup
+//! index from the arena records' fingerprints, each checked against its
+//! row ([`PackedLayout::fingerprint`] is deterministic across
+//! processes), under the *same* `fp_bits` the original run used — so
+//! the resumed run conflates exactly the states the original would
+//! have, keeping the under-approximation argument of
+//! [`VisitedMode::Fingerprint`] intact. The store writes a state's edge
+//! record only once its expansion completes, so a frontier state's
+//! partial edge list is never in a snapshot: those states fully
+//! re-expand on resume, in the BFS discovery order the uninterrupted
+//! run would have followed, which is why a resumed run's graph is
+//! byte-identical to an uninterrupted one.
 
 use crate::explore::{Edge, StateGraph};
 use crate::obs::{Event, RecorderHandle};
 use crate::{CheckError, ExploreOptions, System, VisitedMode};
 use opentla_kernel::codec::{self, Reader};
-use opentla_kernel::store::{self, fnv1a, SegmentMeta, StoreError};
-use opentla_kernel::{Domain, PackedLayout, Vars};
+use opentla_kernel::store::{self, fnv1a, SegmentMeta, SegmentStore, StoreError};
+use opentla_kernel::{Domain, PackedLayout};
 use std::hash::Hasher;
+use std::io::Write;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -295,13 +298,14 @@ pub(crate) fn system_hash(system: &System) -> u64 {
     h.finish()
 }
 
-/// A run's resumable core, as captured at a consistent cut of the
-/// exploration: every non-frontier state is fully expanded (its edge
-/// list is complete and in action order), every frontier state is
-/// entirely unexpanded (its edge list is empty), and every arena
-/// state is reachable from the initial states via recorded edges or
-/// sits on the frontier. Resuming therefore only ever *re-does* the
-/// expansion of frontier states — O(new work), not O(total).
+/// A run's resumable core: its store, sealed at a consistent cut of
+/// the exploration, where every non-frontier state is fully expanded
+/// (its edge record complete and in action order), every frontier
+/// state is entirely unexpanded (it has no edge record), and every
+/// arena state is reachable from the initial states via recorded edges
+/// or sits on the frontier. Resuming re-opens the store — its sealed
+/// segments where they lie — and only ever *re-does* the expansion of
+/// frontier states: O(new work), not O(total).
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     /// Fingerprint width the run used (see
@@ -313,41 +317,30 @@ pub struct Snapshot {
     pub system_hash: u64,
     /// Sequence number of this snapshot within its run.
     pub seq: u64,
-    /// The arena, recorded edges and BFS tree, in canonical order.
+    /// The store: arena, recorded edges and BFS tree, in canonical order.
     pub(crate) manifest: Manifest,
     /// The unexpanded states: the arena's last ids, ascending.
     pub(crate) frontier: Vec<usize>,
 }
 
-/// What pins a snapshot to the run that takes it: the header fields
-/// [`Snapshot::validate`] compares on resume.
-pub(crate) struct RunHeader {
-    pub(crate) mode: VisitedMode,
-    pub(crate) fp_bits: u32,
-    pub(crate) system_hash: u64,
-}
-
-impl RunHeader {
-    /// The header of a run of the system with `system_hash`.
-    pub(crate) fn of(options: &ExploreOptions, system_hash: u64) -> RunHeader {
-        RunHeader {
-            mode: options.mode,
-            fp_bits: options.fp_bits.clamp(1, 64),
-            system_hash,
-        }
-    }
-
-    /// A snapshot of this run, first in its sequence, whose arena's
-    /// tail `frontier` is unexpanded.
-    pub(crate) fn snapshot(self, manifest: Manifest, frontier: Range<usize>) -> Snapshot {
-        let frontier = frontier.collect();
+impl Snapshot {
+    /// The first snapshot of a run under `options` of the system with
+    /// `system_hash`, its store `manifest`, whose arena's tail
+    /// `frontier` is unexpanded: the header [`Snapshot::validate`]
+    /// compares on resume.
+    pub(crate) fn of(
+        options: &ExploreOptions,
+        system_hash: u64,
+        manifest: Manifest,
+        frontier: Range<usize>,
+    ) -> Snapshot {
         Snapshot {
-            fp_bits: self.fp_bits,
-            mode: self.mode,
-            system_hash: self.system_hash,
+            fp_bits: options.fp_bits.clamp(1, 64),
+            mode: options.mode,
+            system_hash,
             seq: 0,
             manifest,
-            frontier,
+            frontier: frontier.collect(),
         }
     }
 }
@@ -361,14 +354,6 @@ pub(crate) struct Records {
 }
 
 impl Records {
-    /// Room for `records` records of `bytes` in all.
-    fn with_capacity(records: usize, bytes: usize) -> Records {
-        Records {
-            bytes: Vec::with_capacity(bytes),
-            ends: Vec::with_capacity(records),
-        }
-    }
-
     fn push(&mut self, record: &[u8]) {
         self.bytes.extend_from_slice(record);
         self.ends.push(self.bytes.len());
@@ -378,7 +363,7 @@ impl Records {
         self.ends.len()
     }
 
-    fn iter(&self) -> impl Iterator<Item = &[u8]> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[u8]> {
         let mut start = 0;
         self.ends.iter().map(move |&end| {
             let record = &self.bytes[start..end];
@@ -396,9 +381,9 @@ impl<'a> FromIterator<&'a [u8]> for Records {
     }
 }
 
-/// A graph as the record stream of the disk-backed stores: where the
+/// A sealed segment store, the record stream of a run: where the
 /// sealed segment files live and how to verify them, and every record
-/// no sealed segment holds, inline.
+/// no sealed segment holds — the unsealed tails — inline.
 #[derive(Clone, Debug)]
 pub(crate) struct Manifest {
     /// The layout the arena records' rows are under.
@@ -421,59 +406,6 @@ pub(crate) struct Manifest {
     pub(crate) edge_hot: Records,
 }
 
-/// Refuses a snapshot graph that `system` cannot resume from:
-/// counterexamples index the system's actions by its action words.
-fn check_actions(graph: &StateGraph, system: &System) -> Result<(), CheckpointError> {
-    let actions = system.actions().len();
-    for id in 0..graph.len() {
-        let led_in = graph.parent(id).map(|(_, action)| action);
-        let fired = graph.edges(id).iter().map(|e| e.action);
-        if let Some(action) = led_in.into_iter().chain(fired).find(|&a| a >= actions) {
-            return Err(corrupt(format!(
-                "state {id} records action {action} of a system with {actions}"
-            )));
-        }
-    }
-    Ok(())
-}
-
-/// `graph` with every row re-packed under `layout`, compiled from
-/// `vars`: how a snapshot is resumed under other domains than its own.
-/// Every engine indexes a state's slots by the system's variables,
-/// stepping it on its packed row, so a value outside its domain is
-/// refused.
-fn repacked(
-    graph: &StateGraph,
-    layout: &Arc<PackedLayout>,
-    vars: &Vars,
-) -> Result<StateGraph, CheckpointError> {
-    let width = vars.len();
-    let (from, slots) = (graph.layout(), graph.layout().slots());
-    if slots != width && !graph.is_empty() {
-        return Err(corrupt(format!(
-            "state 0 holds {slots} value(s) for a system of {width} variable(s)"
-        )));
-    }
-    let mut repacked = StateGraph::with_capacity(Arc::clone(layout), graph.len());
-    let mut row = vec![0; layout.stride()];
-    for id in 0..graph.len() {
-        let old = graph.row(id);
-        for (slot, v) in vars.iter().enumerate() {
-            let value = from.value_of(slot, from.read_code(old, slot));
-            let code = layout.code_of(slot, value).ok_or_else(|| {
-                let var = vars.name(v);
-                corrupt(format!(
-                    "state {id} holds {value} for {var}, outside its domain"
-                ))
-            })?;
-            layout.write_code(&mut row, slot, code);
-        }
-        repacked.push_state(&row, graph.parent(id))?;
-        repacked.set_edges(id, graph.edges(id))?;
-    }
-    Ok(repacked)
-}
-
 impl Snapshot {
     /// States banked in the snapshot (what the resumed meter is
     /// pre-charged with).
@@ -491,20 +423,10 @@ impl Snapshot {
         self.frontier.len()
     }
 
-    /// The first frontier id: the frontier is the arena's tail from
-    /// there, in ascending order.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Corrupt`] for a frontier that is not the
-    /// arena's tail.
-    pub(crate) fn frontier_start(&self) -> Result<usize, CheckpointError> {
-        tail_start(&self.frontier, self.states_used())
-    }
-
     /// Refuses to resume under a different system or configuration:
-    /// the structural hash, fingerprint width and visited mode must all
-    /// match what the snapshot was taken under.
+    /// the structural hash, fingerprint width, visited mode and every
+    /// variable's domain must all match what the snapshot was taken
+    /// under.
     ///
     /// # Errors
     ///
@@ -537,7 +459,24 @@ impl Snapshot {
                 format!("{:?}", options.mode),
             );
         }
-        Ok(())
+        // The records are re-opened as they are: a row means its state
+        // only under the snapshot's domains (the hash pins the variables).
+        let (vars, ours) = (system.vars(), self.manifest.layout.domains());
+        match vars
+            .iter()
+            .zip(ours)
+            .find(|&(v, ours)| ours != vars.domain(v))
+        {
+            Some((v, ours)) => {
+                let (name, theirs) = (vars.name(v), vars.domain(v));
+                mismatch(
+                    "variable domains",
+                    format!("{name} ∈ {ours}"),
+                    format!("{name} ∈ {theirs}"),
+                )
+            }
+            None => Ok(()),
+        }
     }
 
     /// Appends the snapshot body (everything between magic and
@@ -598,8 +537,8 @@ impl Snapshot {
     /// and the FNV-1a checksum of the body (a zero-dependency integrity
     /// check: it guards against truncation and bit rot, not
     /// adversaries) go to a temporary file in the same directory, which
-    /// is then renamed over `path` — a crash mid-write leaves any
-    /// previous snapshot intact.
+    /// is synced to disk and then renamed over `path`, its directory
+    /// synced — a crash mid-write leaves any previous snapshot intact.
     ///
     /// # Errors
     ///
@@ -618,8 +557,11 @@ impl Snapshot {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, &file).map_err(|e| io_err(&tmp, e))?;
-        std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+        let mut out = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
+        (out.write_all(&file).and_then(|()| out.sync_all())).map_err(|e| io_err(&tmp, e))?;
+        std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
+        let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        sync(dir.unwrap_or(Path::new(".")))
     }
 
     /// Loads and verifies a snapshot: magic, checksum, format version,
@@ -648,52 +590,6 @@ impl Snapshot {
         }
         // From here every decode error is structural corruption.
         SnapshotReader { r }.finish()
-    }
-
-    /// The graph the engines resume from, its rows under `system`'s
-    /// layout: every record is read back — sealed segments through the
-    /// store's verified reader — and the graph they describe is checked
-    /// against `system` and re-packed under its domains if they are not
-    /// the manifest's.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Io`] when a referenced segment file is gone,
-    /// or any corruption-class error when one fails verification or
-    /// disagrees with the manifest or with `system`'s variables,
-    /// actions and domains.
-    pub(crate) fn materialize(&self, system: &System) -> Result<StateGraph, CheckpointError> {
-        let m = &self.manifest;
-        let n = m.states as usize;
-        let arena = (&*m.dir, &*m.arena_segments, m.arena_hot.iter());
-        let mut graph = graph_of_arena(arena, n.min(1 << 20), &m.layout)?;
-        if graph.len() != n {
-            return Err(corrupt(format!(
-                "manifest claims {n} states, its records held {}",
-                graph.len()
-            )));
-        }
-        if graph.init() != m.init {
-            return Err(corrupt(
-                "manifest and arena records disagree on the initial states",
-            ));
-        }
-        fill_edges(&mut graph, (&m.dir, &m.edge_segments, m.edge_hot.iter()))?;
-        if graph.edge_count() as u64 != m.transitions {
-            return Err(corrupt(format!(
-                "manifest claims {} transitions, edge records held {}",
-                m.transitions,
-                graph.edge_count()
-            )));
-        }
-        check_actions(&graph, system)?;
-        let layout = PackedLayout::compile(system.vars())
-            .map(Arc::new)
-            .ok_or_else(|| corrupt("a snapshot of a system no packed layout compiles for"))?;
-        if m.layout.domains() == layout.domains() {
-            return Ok(graph);
-        }
-        repacked(&graph, &layout, system.vars())
     }
 }
 
@@ -730,14 +626,8 @@ impl SnapshotReader<'_> {
         let count = self.r.u32("segment count")? as usize;
         let mut list = Vec::with_capacity(count.min(1 << 20));
         for _ in 0..count {
-            let name = self.string("segment name")?;
-            if name.contains('/') || name.contains('\\') || name.contains("..") {
-                return Err(corrupt(format!(
-                    "segment name {name:?} escapes the spill dir"
-                )));
-            }
             list.push(SegmentMeta {
-                name,
+                name: self.string("segment name")?,
                 first: self.r.u64("segment first id")?,
                 records: self.r.u64("segment record count")?,
                 payload_len: self.r.u64("segment payload length")?,
@@ -858,42 +748,6 @@ fn tail_start(frontier: &[usize], n: usize) -> Result<usize, CheckpointError> {
     }
 }
 
-/// Captures a snapshot from a (possibly partial) exploration whose
-/// only incomplete states are the frontier `first..`, the arena's
-/// tail, as a manifest with no sealed segment: every state's arena
-/// record inline, and the edge record of every state before `first` —
-/// a frontier state's (possibly partial) edge list is left out, so it
-/// fully re-expands on resume. The graph is read, never copied.
-pub(crate) fn capture(graph: &StateGraph, first: usize, header: RunHeader) -> Snapshot {
-    let (layout, n) = (graph.layout(), graph.len());
-    let transitions = graph.edge_base(first);
-    let mut arena_hot = Records::with_capacity(n, n * (ARENA_RECORD_HEADER + layout.stride()));
-    let mut edge_hot = Records::with_capacity(first, 8 * (first + transitions));
-    let mut record = Vec::new();
-    for id in 0..n {
-        let (row, parent) = (graph.row(id), graph.parent(id));
-        let fp = layout.fingerprint(row);
-        encode_packed_record(parent, fp, |out| out.extend_from_slice(row), &mut record);
-        arena_hot.push(&record);
-    }
-    for id in 0..first {
-        encode_edge_record(id, graph.edges(id), &mut record);
-        edge_hot.push(&record);
-    }
-    let manifest = Manifest {
-        layout: Arc::clone(layout),
-        dir: PathBuf::new(),
-        states: n as u64,
-        transitions: transitions as u64,
-        init: graph.init().to_vec(),
-        arena_segments: Vec::new(),
-        arena_hot,
-        edge_segments: Vec::new(),
-        edge_hot,
-    };
-    header.snapshot(manifest, first..n)
-}
-
 /// Hands `take` every record of a segmented store `(dir, sealed,
 /// hot)`, in id order: the sealed segments under `dir`, each verified
 /// against its `sealed` entry as it is read and its records handed out
@@ -908,31 +762,125 @@ pub(crate) fn for_each_record<'a>(
     hot.into_iter().try_for_each(take)
 }
 
-/// The one records → graph reader, in two steps so a store can drop
-/// its arena between them. First every arena record, in id order, as a
-/// state of a graph of rows under `layout` with room for `capacity` and
-/// no edges yet, each record checked as [`arena_record`] does.
-pub(crate) fn graph_of_arena<'a>(
-    records: (&Path, &[SegmentMeta], impl Iterator<Item = &'a [u8]>),
-    capacity: usize,
+/// The pass a resume re-opens a snapshot's store with: every arena
+/// record in id order, then every edge record, each sealed segment
+/// verified as it is read. An arena record decodes under `layout`
+/// ([`arena_record`]), holds its row's fingerprint (the loop derives its
+/// children's from it) and names an earlier state as its BFS parent by
+/// one of the system's `actions`, or none as an initial state; an edge
+/// record names an expanded state after the last one's, and the
+/// system's actions. `seed(fp, id)` gets each state's fingerprint; the
+/// frontier's first id is returned.
+///
+/// # Errors
+///
+/// [`CheckpointError::Io`] when a referenced segment file is gone, else
+/// any corruption-class error.
+pub(crate) fn replay(
+    snap: &Snapshot,
+    layout: &PackedLayout,
+    actions: usize,
+    mut seed: impl FnMut(u64, usize) -> Result<(), CheckpointError>,
+) -> Result<usize, CheckpointError> {
+    let m = &snap.manifest;
+    let n = m.states as usize;
+    let first = tail_start(&snap.frontier, n)?;
+    let known = |id: usize, action: usize| match action < actions {
+        true => Ok(()),
+        false => Err(corrupt(format!(
+            "state {id} records action {action} of a system with {actions}"
+        ))),
+    };
+    let (mut id, mut init) = (0, Vec::new());
+    for_each_record((&m.dir, &m.arena_segments, m.arena_hot.iter()), |bytes| {
+        let rec = arena_record(bytes, layout)?;
+        match rec.parent {
+            None => init.push(id),
+            Some((p, action)) if p < id => known(id, action)?,
+            Some((p, _)) => {
+                return Err(corrupt(format!(
+                    "state {id} names state {p} as its BFS parent, not an earlier state"
+                )))
+            }
+        }
+        let fp = layout.fingerprint(rec.row);
+        if rec.fp != fp {
+            return Err(corrupt(format!(
+                "state {id}'s record holds fingerprint {:#018x}, its row's is {fp:#018x}",
+                rec.fp
+            )));
+        }
+        seed(fp, id)?;
+        id += 1;
+        Ok(())
+    })?;
+    if id != n {
+        return Err(corrupt(format!(
+            "manifest claims {n} states, its records held {id}"
+        )));
+    }
+    if init != m.init {
+        return Err(corrupt(
+            "manifest and arena records disagree on the initial states",
+        ));
+    }
+    let (mut rows, mut transitions, mut edges) = (0, 0, Vec::new());
+    for_each_record((&m.dir, &m.edge_segments, m.edge_hot.iter()), |bytes| {
+        let id = decode_edge_record(bytes, n, &mut edges)?;
+        if id < rows {
+            return Err(corrupt(format!(
+                "edges of state {id} after {rows} row(s) of {n}: rows are filled once each, in \
+                 ascending id order"
+            )));
+        }
+        if id >= first {
+            return Err(corrupt(format!(
+                "edges of state {id}, on the frontier from {first}: a frontier state is expanded \
+                 on resume"
+            )));
+        }
+        edges.iter().try_for_each(|e| known(id, e.action))?;
+        (rows, transitions) = (id + 1, transitions + edges.len() as u64);
+        Ok(())
+    })?;
+    if transitions != m.transitions {
+        return Err(corrupt(format!(
+            "manifest claims {} transitions, edge records held {transitions}",
+            m.transitions
+        )));
+    }
+    Ok(first)
+}
+
+/// A segment store's records as [`for_each_record`] reads them.
+fn records(store: &SegmentStore) -> (&Path, &[SegmentMeta], impl Iterator<Item = &[u8]>) {
+    (store.dir(), store.sealed(), store.hot_records())
+}
+
+/// The one store → graph reader, in two steps so a run can drop its
+/// arena between them. First every record of `arena`, in id order, as
+/// a state of a graph of rows under `layout` with no edges yet, each
+/// record checked as [`arena_record`] does.
+pub(crate) fn graph_of_arena(
+    arena: &SegmentStore,
     layout: &Arc<PackedLayout>,
 ) -> Result<StateGraph, CheckpointError> {
-    let mut graph = StateGraph::with_capacity(Arc::clone(layout), capacity);
-    for_each_record(records, |bytes| {
+    let mut graph = StateGraph::with_capacity(Arc::clone(layout), arena.len() as usize);
+    for_each_record(records(arena), |bytes| {
         let rec = arena_record(bytes, layout)?;
         graph.push_state(rec.row, rec.parent).map(drop)
     })?;
     Ok(graph)
 }
 
-/// Then every edge record as a row of `graph`, which refuses one out
-/// of ascending id order — as every writer emits them.
-pub(crate) fn fill_edges<'a>(
+/// Then every record of `edges` as a row of `graph`, which refuses one
+/// out of ascending id order — as every writer emits them.
+pub(crate) fn fill_edges(
     graph: &mut StateGraph,
-    records: (&Path, &[SegmentMeta], impl Iterator<Item = &'a [u8]>),
+    edges: &SegmentStore,
 ) -> Result<(), CheckpointError> {
     let (bound, mut list) = (graph.len(), Vec::new());
-    for_each_record(records, |bytes| {
+    for_each_record(records(edges), |bytes| {
         let id = decode_edge_record(bytes, bound, &mut list)?;
         graph.set_edges(id, &list)
     })
@@ -1040,8 +988,7 @@ pub(crate) fn arena_record<'b>(
 /// One edge record: `[id u32][k u32][(action u32,
 /// target u32) × k]`. A record is appended exactly once per state,
 /// when its expansion completes — frontier states have no record,
-/// which is the same invariant [`capture`] keeps by leaving frontier
-/// edge lists out.
+/// which [`replay`] holds a snapshot to.
 /// Ids and targets are below [`id_word`]'s limit, as in arena records.
 pub(crate) fn encode_edge_record(id: usize, edges: &[Edge], out: &mut Vec<u8>) {
     out.clear();
@@ -1089,66 +1036,80 @@ fn decode_edge_record(
 }
 
 /// The checkpoint driver: counts state expansions against the
-/// cadence, stamps sequence numbers, and runs the writes. A write
-/// failure is reported once on stderr and disables further writes —
-/// checkpointing is a best-effort safety net, never a reason to abort
-/// a healthy run.
+/// cadence, stamps sequence numbers, and runs the writes, each made
+/// durable. A write failure is reported once on stderr and drops the
+/// spec — checkpointing is a best-effort safety net, never a reason to
+/// abort a healthy run.
 pub(crate) struct Checkpointer {
     spec: Option<CheckpointSpec>,
     seq: u64,
     since: u64,
-    failed: bool,
+    /// The sealed arena and edge segments already synced, the resumed
+    /// snapshot's included.
+    synced: [usize; 2],
 }
 
 impl Checkpointer {
-    pub(crate) fn new(spec: Option<CheckpointSpec>) -> Checkpointer {
+    /// The driver of a run under `spec`, resumed from `resumed`.
+    pub(crate) fn new(spec: Option<CheckpointSpec>, resumed: Option<&Snapshot>) -> Checkpointer {
+        let synced = resumed.map_or([0, 0], |snap| {
+            let m = &snap.manifest;
+            [m.arena_segments.len(), m.edge_segments.len()]
+        });
         Checkpointer {
             spec,
             seq: 0,
             since: 0,
-            failed: false,
+            synced,
         }
     }
 
-    /// Whether checkpointing is configured and still healthy.
-    pub(crate) fn active(&self) -> bool {
-        self.spec.is_some() && !self.failed
+    /// Whether the run has a checkpoint spec, and no write failed.
+    pub(crate) fn armed(&self) -> bool {
+        self.spec.is_some()
     }
 
     /// Records `n` more state expansions; true when a periodic
     /// snapshot is due (the counter resets on the next write).
     pub(crate) fn due(&mut self, n: u64) -> bool {
         match &self.spec {
-            Some(spec) if !self.failed => {
+            Some(spec) => {
                 self.since += n;
                 self.since >= spec.cadence
             }
-            _ => false,
+            None => false,
         }
     }
 
-    /// Stamps `snap` with the next sequence number, writes it to the
-    /// configured path and emits [`Event::Checkpoint`]. Returns the
-    /// resume token, or `None` if checkpointing is off or had failed
-    /// (`snap` is left as it was), or fails now — which is reported and
-    /// ends checkpointing.
+    /// Stamps `snap` with the next sequence number, syncs the segments
+    /// it references that were sealed since the last write, writes it
+    /// to the configured path and emits [`Event::Checkpoint`]. Returns
+    /// the resume token, or `None` if checkpointing is off (`snap` is
+    /// left as it was) or fails now — which is reported and ends it.
     pub(crate) fn write(
         &mut self,
         snap: &mut Snapshot,
         recorder: &RecorderHandle,
     ) -> Option<ResumeToken> {
-        let spec = self.spec.as_ref()?;
-        if self.failed {
-            return None;
-        }
+        let path = self.spec.as_ref()?.path.clone();
         self.seq += 1;
         self.since = 0;
         snap.seq = self.seq;
-        if let Err(e) = snap.save(&spec.path) {
+        let m = &snap.manifest;
+        let sealed = [&m.arena_segments, &m.edge_segments];
+        let fresh = sealed.iter().zip(self.synced);
+        let fresh =
+            fresh.flat_map(|(s, done)| s.iter().skip(done).map(|seg| m.dir.join(&seg.name)));
+        // The new segments, then the directory their names are in.
+        let mut fresh = fresh.peekable();
+        let dir = fresh.peek().is_some().then(|| m.dir.clone());
+        let synced = fresh.chain(dir).try_for_each(|path| sync(&path));
+        if let Err(e) = synced.and_then(|()| snap.save(&path)) {
             eprintln!("opentla-check: checkpointing disabled: {e}");
-            self.failed = true;
+            self.spec = None;
             return None;
         }
+        self.synced = sealed.map(Vec::len);
         if recorder.enabled() {
             recorder.record(&Event::Checkpoint {
                 seq: self.seq,
@@ -1158,16 +1119,27 @@ impl Checkpointer {
             });
         }
         Some(ResumeToken {
-            path: spec.path.clone(),
+            path,
             seq: self.seq,
         })
     }
 }
 
+/// Flushes the file at `path` to disk, or the directory, so a rename in
+/// it lasts, where the platform syncs one.
+fn sync(path: &Path) -> Result<(), CheckpointError> {
+    let file = match path.is_dir() {
+        true if cfg!(unix) => std::fs::File::open(path),
+        true => return Ok(()),
+        false => std::fs::OpenOptions::new().write(true).open(path),
+    };
+    file.and_then(|f| f.sync_all()).map_err(|e| io_err(path, e))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opentla_kernel::{State, Value};
+    use opentla_kernel::{State, Value, Vars};
 
     /// Three states: 0 initial and expanded, 1 and 2 reached from it.
     fn sample_graph() -> StateGraph {
@@ -1198,7 +1170,7 @@ mod tests {
     }
 
     /// A system over the variables of [`sample_graph`] with the two
-    /// actions its edges name, to materialize under. `x` has a third
+    /// actions its edges name, to resume under. `x` has a third
     /// value: its two bits have room for a code outside the domain.
     fn sample_system() -> System {
         let mut vars = Vars::new();
@@ -1209,22 +1181,36 @@ mod tests {
         System::new(vars, crate::Init::new([]), vec![action("a0"), action("a1")])
     }
 
-    /// `graph` as an engine captures it in RAM with the frontier `1..`.
-    fn captured(graph: &StateGraph) -> Snapshot {
-        let header = RunHeader {
-            mode: VisitedMode::Fingerprint,
-            fp_bits: 64,
-            system_hash: 0xdead_beef_cafe_f00d,
+    /// [`sample_graph`] as its run's store records it with the frontier
+    /// `1..`, nothing sealed: every state's arena record and the edge
+    /// record of state 0, inline.
+    fn sample() -> Snapshot {
+        let graph = sample_graph();
+        let arena: Vec<Vec<u8>> = (0..3)
+            .map(|id| arena_record(id, graph.parent(id)))
+            .collect();
+        let mut edges = Vec::new();
+        encode_edge_record(0, graph.edges(0), &mut edges);
+        let manifest = Manifest {
+            layout: Arc::clone(graph.layout()),
+            dir: PathBuf::new(),
+            states: 3,
+            transitions: 2,
+            init: vec![0],
+            arena_segments: Vec::new(),
+            arena_hot: arena.iter().map(Vec::as_slice).collect(),
+            edge_segments: Vec::new(),
+            edge_hot: [&edges[..]].into_iter().collect(),
         };
         Snapshot {
             seq: 7,
-            ..capture(graph, 1, header)
+            ..Snapshot::of(
+                &ExploreOptions::default(),
+                0xdead_beef_cafe_f00d,
+                manifest,
+                1..3,
+            )
         }
-    }
-
-    /// [`sample_graph`], captured.
-    fn sample() -> Snapshot {
-        captured(&sample_graph())
     }
 
     /// The arena record of `sample_graph`'s state `id`, reached as
@@ -1290,40 +1276,60 @@ mod tests {
         }
     }
 
-    /// A capture saved and loaded back reads as the graph it was taken
-    /// of. A frontier state's partial edge list — here state 1's, as a
-    /// run cut while expanding it leaves one — is left out: the state
+    /// A snapshot saved and loaded back re-opens as the graph it
+    /// describes. A frontier state has no edge record — the store
+    /// writes one only once a state's expansion completes — so state 1
     /// re-expands on resume.
     #[test]
     fn save_load_round_trip() {
         let dir = std::env::temp_dir().join("opentla_ckpt_rt");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("round_trip.snap");
-        let mut cut = sample_graph();
-        let partial = Edge {
-            action: 0,
-            target: 2,
+        let snap = sample();
+        snap.save(&path).unwrap();
+        let back = Snapshot::load(&path).unwrap();
+        assert_eq!(
+            (back.fp_bits, back.mode, back.system_hash, back.seq),
+            (snap.fp_bits, snap.mode, snap.system_hash, snap.seq)
+        );
+        assert_eq!(back.frontier, snap.frontier);
+        assert_eq!(back.states_used(), 3);
+        assert_eq!(back.transitions_used(), 2);
+        assert_eq!(back.frontier_len(), 2);
+        assert_eq!(back.manifest.edge_hot.len(), 1, "state 0's record only");
+        let back = reopened(&back, &sample_system()).unwrap();
+        assert!(back.edges(1).is_empty());
+        assert_eq!(back.first_difference(&sample_graph()), None);
+        // No temp file left behind.
+        assert!(!dir.join("round_trip.snap.tmp").exists());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A write syncs each segment the snapshot references that was
+    /// sealed since the last one — here a file that is not there, so the
+    /// sync fails and checkpointing stops — and no segment synced
+    /// before: the same snapshot, written by a driver resumed from it,
+    /// goes through.
+    #[test]
+    fn a_checkpoint_syncs_the_segments_sealed_since_the_last() {
+        let dir = std::env::temp_dir().join("opentla_ckpt_sync");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("sync.snap");
+        let mut snap = manifest_sample();
+        snap.manifest.dir = dir.join("no_such.segs");
+        let spec = CheckpointSpec {
+            path: path.clone(),
+            cadence: 1,
         };
-        cut.set_edges(1, &[partial]).unwrap();
-        for graph in [sample_graph(), cut] {
-            let snap = captured(&graph);
-            snap.save(&path).unwrap();
-            let back = Snapshot::load(&path).unwrap();
-            assert_eq!(
-                (back.fp_bits, back.mode, back.system_hash, back.seq),
-                (snap.fp_bits, snap.mode, snap.system_hash, snap.seq)
-            );
-            assert_eq!(back.frontier, snap.frontier);
-            assert_eq!(back.states_used(), 3);
-            assert_eq!(back.transitions_used(), 2);
-            assert_eq!(back.frontier_len(), 2);
-            assert_eq!(back.manifest.edge_hot.len(), 1, "state 0's record only");
-            let back = back.materialize(&sample_system()).unwrap();
-            assert!(back.edges(1).is_empty());
-            assert_eq!(back.first_difference(&sample_graph()), None);
-            // No temp file left behind.
-            assert!(!dir.join("round_trip.snap.tmp").exists());
-        }
+        let recorder = RecorderHandle::default();
+        let mut fresh = Checkpointer::new(Some(spec.clone()), None);
+        assert_eq!(fresh.write(&mut snap.clone(), &recorder), None);
+        assert!(!path.exists(), "the snapshot waits for its segments");
+        let mut resumed = Checkpointer::new(Some(spec), Some(&snap));
+        let token = resumed
+            .write(&mut snap, &recorder)
+            .expect("nothing new to sync");
+        assert_eq!((token.path, token.seq), (path.clone(), 1));
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1390,8 +1396,26 @@ mod tests {
         }
     }
 
-    /// Saves `snap`, loads it back and materializes it: what a resume
-    /// does with a file.
+    /// What resuming `snap` under `system` re-opens: the run's graph,
+    /// its budget cancelled so it stops before expanding anything, or
+    /// the checkpoint error the re-open refused it with. The snapshot
+    /// is stamped with `system`'s hash, which the samples do not carry.
+    fn reopened(snap: &Snapshot, system: &System) -> Result<StateGraph, CheckpointError> {
+        let snap = Snapshot {
+            system_hash: system_hash(system),
+            ..snap.clone()
+        };
+        let budget = crate::Budget::default();
+        budget.request_cancel();
+        match crate::resume_exploration(system, &budget, &ExploreOptions::default(), &snap) {
+            Ok(run) => Ok(run.graph),
+            Err(CheckError::Checkpoint(e)) => Err(e),
+            Err(e) => panic!("a resume fails with a checkpoint error, not {e}"),
+        }
+    }
+
+    /// Saves `snap`, loads it back and re-opens it: what a resume does
+    /// with a file.
     fn through_a_file(
         tag: &str,
         snap: &Snapshot,
@@ -1403,7 +1427,7 @@ mod tests {
         let loaded = Snapshot::load(&path);
         std::fs::remove_file(&path).unwrap();
         let loaded = loaded?;
-        let graph = loaded.materialize(&sample_system())?;
+        let graph = reopened(&loaded, &sample_system())?;
         Ok((loaded, graph))
     }
 
@@ -1510,8 +1534,11 @@ mod tests {
         let snap = over_arena_records(&[record.clone()], vec![0]);
         let detail = corrupt_detail(through_a_file("bad_code", &snap));
         assert!(detail.contains("slot 0 holds code 3"), "{detail}");
-        // The code below it is the domain's last value.
-        *record.last_mut().unwrap() = 0b010;
+        // The code below it is the domain's last value, under its
+        // row's fingerprint.
+        let fp = sample_graph().layout().fingerprint(&[0b010]);
+        begin_arena_record(1, None, fp, &mut record);
+        record.push(0b010);
         let (_, back) =
             through_a_file("bad_code", &over_arena_records(&[record], vec![0])).unwrap();
         assert_eq!(
@@ -1551,14 +1578,14 @@ mod tests {
         assert!(detail.contains("unknown arena record tag 0"), "{detail}");
     }
 
-    /// A snapshot names its layout's domains. Resumed under a system
-    /// with other domains, every row is re-packed under the system's —
-    /// here `x ∈ -1..=2`, where each of the sample's codes numbers
-    /// another value — and a value the system's domain lacks is refused
-    /// as it is met, whether the snapshot was read from a file or is
-    /// held in RAM.
+    /// A snapshot names its layout's domains, and its records are
+    /// re-opened as they are: resumed under a system with other domains
+    /// — here `x ∈ -1..=2`, where each of the sample's codes numbers
+    /// another value, and `x ∈ 0..=0`, which lacks a value the sample
+    /// holds — it is refused before a record is read, whether it was
+    /// read from a file or is held in RAM.
     #[test]
-    fn a_snapshot_under_other_domains_is_repacked_or_refused() {
+    fn a_snapshot_under_other_domains_is_refused() {
         let over = |lo: i64, hi: i64| {
             let mut vars = Vars::new();
             vars.declare("x", Domain::int_range(lo, hi));
@@ -1574,13 +1601,26 @@ mod tests {
         let file = Snapshot::load(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
         for snap in [sample(), file] {
-            let graph = snap.materialize(&over(-1, 2)).unwrap();
-            assert_eq!(graph.first_difference(&sample_graph()), None);
-            assert_ne!(graph.row(0), sample_graph().row(0), "x = 0 is code 1");
-            let detail = corrupt_detail(snap.materialize(&over(0, 0)));
-            assert!(
-                detail.contains("state 1 holds 1 for x, outside its domain"),
-                "{detail}"
+            for system in [over(-1, 2), over(0, 0)] {
+                match reopened(&snap, &system) {
+                    Err(CheckpointError::Mismatch {
+                        field,
+                        snapshot,
+                        requested,
+                    }) => {
+                        assert_eq!(field, "variable domains");
+                        assert!(snapshot.starts_with("x ∈ "), "{snapshot}");
+                        assert!(requested.starts_with("x ∈ "), "{requested}");
+                        assert_ne!(snapshot, requested);
+                    }
+                    other => panic!("other domains must be a Mismatch, got {other:?}"),
+                }
+            }
+            assert_eq!(
+                reopened(&snap, &sample_system())
+                    .unwrap()
+                    .first_difference(&sample_graph()),
+                None
             );
         }
     }
@@ -1669,8 +1709,8 @@ mod tests {
     }
 
     /// The file `manifest_sample()` saves, and the one `sample()` — the
-    /// same run captured in RAM — saves, as this build first wrote them
-    /// in the version-4 format.
+    /// same run with nothing sealed — saves, as this build first wrote
+    /// them in the version-4 format.
     #[test]
     fn snapshot_files_are_byte_identical_to_the_recorded_ones() {
         let dir = std::env::temp_dir().join("opentla_ckpt_pinned");

@@ -212,12 +212,11 @@ pub struct Exploration {
     /// stopped (empty on complete runs). Edges out of these states are
     /// missing from `graph`, and they are listed in BFS queue order.
     pub frontier: Vec<usize>,
-    /// The run's resumable core, when it exhausted its budget at a
-    /// resumable point (`None` on complete runs, and on runs cut off
-    /// during initial-state enumeration — a partial init enumeration
-    /// cannot be resumed soundly). This is the same snapshot an active
-    /// [`Budget::with_checkpoint`] writes to disk;
-    /// [`explore_escalating`] hands it straight back to the next
+    /// The run's resumable core — its sealed store's manifest, as the
+    /// [`Budget::with_checkpoint`] file holds it — when it exhausted its
+    /// budget at a resumable point under a spec (`None` otherwise, and
+    /// on runs cut off during initial-state enumeration, which cannot be
+    /// resumed soundly); [`explore_escalating`] hands it to the next
     /// attempt, in memory.
     pub snapshot: Option<Box<Snapshot>>,
     /// See [`Exploration::requested_threads`].
@@ -315,10 +314,10 @@ pub fn explore_governed_with(
 ///
 /// Nothing is cleaned up on completion: a run that *completes* leaves
 /// its last periodic snapshot at the path (none if it was shorter than
-/// the cadence) and, when the sequential store went to disk, its whole
-/// `<path>.segs` directory. A further call with the same path resumes
-/// from that snapshot and re-expands its tail to the same graph;
-/// remove both to start over.
+/// the cadence) and the `<path>.segs` segment directory its store
+/// moved to. A further call with the same path resumes from that
+/// snapshot and re-expands its tail to the same graph; remove both to
+/// start over.
 ///
 /// # Errors
 ///
@@ -352,16 +351,20 @@ pub fn explore_resumable(
 /// [`explore_resumable`] for the load-from-disk path).
 ///
 /// The snapshot is validated first: resuming under a different system,
-/// fingerprint width or [`VisitedMode`] is refused with a typed error
-/// rather than silently producing a wrong graph, and so is a state
-/// outside the system's domains. Either plan may resume any snapshot,
-/// whatever plan wrote it, and thread count is not pinned.
+/// fingerprint width, [`VisitedMode`] or variable domains is refused
+/// with a typed error rather than silently producing a wrong graph.
+/// The run then re-opens the store the snapshot describes, where its
+/// sealed segments lie, and seals its own after them, so the snapshot
+/// resumes again later; no graph is built to resume from. Either plan
+/// may resume any snapshot, whatever plan wrote it, and thread count is
+/// not pinned.
 ///
 /// # Errors
 ///
 /// * [`CheckError::Checkpoint`] with
 ///   [`CheckpointError::Mismatch`](crate::CheckpointError::Mismatch)
-///   if the snapshot does not match `system` / `options`;
+///   if the snapshot does not match `system` / `options`, or another
+///   kind if a segment it references is gone or a record does not check;
 /// * otherwise as [`explore_governed`].
 pub fn resume_exploration(
     system: &System,
@@ -386,6 +389,10 @@ pub fn resume_exploration(
 /// attempt exhausted. Attempts cut off during initial-state
 /// enumeration restart (there is nothing sound to resume).
 ///
+/// Without a [`Budget::with_checkpoint`] spec the attempts checkpoint,
+/// at exhaustion only, to a temporary path removed before this returns,
+/// so a partial result carries no snapshot or resume token.
+///
 /// # Errors
 ///
 /// As [`explore_governed`].
@@ -397,17 +404,35 @@ pub fn explore_escalating(
     options: &ExploreOptions,
 ) -> Result<Exploration, CheckError> {
     let plan = Plan::from_env(options)?;
+    let temp = budget
+        .checkpoint
+        .is_none()
+        .then(|| spill::temp_path("escalate"));
     let mut current = budget.clone();
-    let mut result = explore_observed(system, &current, options, &plan, None)?;
-    for _ in 1..attempts.max(1) {
-        if result.outcome.is_complete() {
-            break;
-        }
-        current = current.escalated(factor);
-        let snap = result.snapshot.take();
-        result = explore_observed(system, &current, options, &plan, snap.as_deref())?;
+    if let Some(path) = &temp {
+        current = current.with_checkpoint(path, u64::MAX);
     }
-    Ok(result)
+    let mut result = explore_observed(system, &current, options, &plan, None);
+    for _ in 1..attempts.max(1) {
+        let run = match &mut result {
+            Ok(run) if !run.outcome.is_complete() => run,
+            _ => break,
+        };
+        current = current.escalated(factor);
+        let snap = run.snapshot.take();
+        result = explore_observed(system, &current, options, &plan, snap.as_deref());
+    }
+    if let Some(path) = temp {
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(format!("{}.segs", path.display()));
+        if let Ok(run) = &mut result {
+            run.snapshot = None;
+            if let Outcome::Exhausted { resume, .. } = &mut run.outcome {
+                *resume = None;
+            }
+        }
+    }
+    result
 }
 
 /// Runs the plan: the loop over its store. `started` is told the
@@ -447,15 +472,8 @@ fn explore_observed(
     plan: &Plan,
     resume: Option<&Snapshot>,
 ) -> Result<Exploration, CheckError> {
-    // Engines resume from a graph in RAM. A snapshot — a loaded file,
-    // or a run's hand-over to the next escalation attempt — is records,
-    // some of them in segment files on disk: read them back once, here.
-    let resumed = match resume {
-        Some(snap) => Some((snap, snap.materialize(system)?)),
-        None => None,
-    };
     // Outside the report's clock, as it is outside the meter's.
-    let launch = Start::of(system, resumed);
+    let launch = Start::of(system, resume);
     let rec = budget.recorder.clone();
     if !rec.enabled() {
         return explore_dispatch(system, budget, options, plan, launch, |_| {});
@@ -485,7 +503,7 @@ fn explore_observed(
     };
     let start = std::time::Instant::now();
     let result = explore_dispatch(system, budget, options, plan, launch, started);
-    let report = match &result {
+    let (totals, outcome, complete) = match &result {
         Ok(run) => {
             let stats = run.graph.stats();
             rec.record(&Event::Progress {
@@ -497,33 +515,29 @@ fn explore_observed(
                     ..ProgressSnapshot::default()
                 },
             });
-            RunReport {
-                schema_version: OBS_SCHEMA_VERSION,
-                engine: engine.to_string(),
-                threads,
-                mode: mode.to_string(),
-                states: stats.states,
-                transitions: stats.transitions,
-                depth: stats.depth,
-                deadlocks: stats.deadlocks,
-                outcome: run.outcome.to_string(),
-                complete: run.outcome.is_complete(),
-                duration_nanos: start.elapsed().as_nanos() as u64,
-            }
+            let totals = [
+                stats.states,
+                stats.transitions,
+                stats.depth,
+                stats.deadlocks,
+            ];
+            (totals, run.outcome.to_string(), run.outcome.is_complete())
         }
-        Err(e) => RunReport {
-            schema_version: OBS_SCHEMA_VERSION,
-            engine: engine.to_string(),
-            threads,
-            mode: mode.to_string(),
-            states: 0,
-            transitions: 0,
-            depth: 0,
-            deadlocks: 0,
-            outcome: format!("error: {e}"),
-            complete: false,
-            duration_nanos: start.elapsed().as_nanos() as u64,
-        },
+        Err(e) => ([0; 4], format!("error: {e}"), false),
+    };
+    let [states, transitions, depth, deadlocks] = totals;
+    let report = RunReport {
+        schema_version: OBS_SCHEMA_VERSION,
+        engine: engine.to_string(),
+        threads,
+        mode: mode.to_string(),
+        states,
+        transitions,
+        depth,
+        deadlocks,
+        outcome,
+        complete,
+        duration_nanos: start.elapsed().as_nanos() as u64,
     };
     rec.record(&Event::RunEnd { report: &report });
     result
@@ -923,7 +937,9 @@ mod tests {
     #[test]
     fn resuming_a_frontier_that_is_not_the_arenas_tail_is_corrupt() {
         let options = ExploreOptions::default();
-        let run = explore_governed(&grid(3), &Budget::default().states(5)).unwrap();
+        let path = spill::temp_path("tail-test").with_extension("snap");
+        let budget = Budget::default().states(5).with_checkpoint(&path, u64::MAX);
+        let run = explore_governed(&grid(3), &budget).unwrap();
         let snap = run.snapshot.expect("a state limit is resumable");
         assert_eq!(snap.frontier, [2, 3, 4], "the cut parent and the tail");
         // Reversed, with a gap, with a repeat.
@@ -943,6 +959,56 @@ mod tests {
         let resumed = resume_exploration(&grid(3), &Budget::default(), &options, &snap).unwrap();
         let reference = explore(&grid(3), &options).unwrap();
         assert_eq!(resumed.graph.first_difference(&reference), None);
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(format!("{}.segs", path.display()));
+    }
+
+    /// A parent cut while its successors were interned keeps the ones
+    /// it had in the run's graph, and none in its snapshot: the store
+    /// records a state's edges only once its expansion completes, so
+    /// the snapshot holds the edge records of the states before the
+    /// frontier, and the cut parent, the frontier's first, re-expands
+    /// on resume.
+    #[test]
+    fn a_cut_parents_partial_edges_stay_out_of_its_snapshot() {
+        let path = spill::temp_path("cut-test").with_extension("snap");
+        let mut partial = 0;
+        for limit in 1..12 {
+            let budget = Budget::default()
+                .transitions(limit)
+                .with_checkpoint(&path, u64::MAX);
+            let run = explore_governed(&grid(3), &budget).unwrap();
+            let snap = run
+                .snapshot
+                .as_deref()
+                .expect("a transition limit is resumable");
+            let first = snap.frontier[0];
+            let m = &snap.manifest;
+            assert!(m.arena_segments.is_empty() && m.edge_segments.is_empty());
+            assert_eq!(m.edge_hot.iter().count(), first, "limit {limit}");
+            assert_eq!(
+                snap.transitions_used(),
+                run.graph.edge_base(first),
+                "limit {limit}"
+            );
+            partial += usize::from(!run.graph.edges(first).is_empty());
+            let resumed = resume_exploration(
+                &grid(3),
+                &Budget::default(),
+                &ExploreOptions::default(),
+                snap,
+            )
+            .unwrap();
+            let reference = explore(&grid(3), &ExploreOptions::default()).unwrap();
+            assert_eq!(
+                resumed.graph.first_difference(&reference),
+                None,
+                "limit {limit}"
+            );
+        }
+        assert!(partial > 0, "some limit cuts a parent after an edge");
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(format!("{}.segs", path.display()));
     }
 
     /// The file a build with the work-stealing engine saved when

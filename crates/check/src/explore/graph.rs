@@ -130,6 +130,14 @@ impl StateGraph {
         }
     }
 
+    /// Makes room for `edges` more edges, and a row for every state: a
+    /// graph filled from records grows its columns once.
+    pub(crate) fn reserve_edges(&mut self, edges: usize) {
+        self.edges.reserve_exact(edges);
+        self.row_start
+            .reserve_exact(self.len() + 1 - self.row_start.len());
+    }
+
     /// Appends a state, its `row` under the graph's layout (the row the
     /// caller stepped, or read back checked), reached from
     /// `parent = (id, action)` or initial (`None`), and returns its id.

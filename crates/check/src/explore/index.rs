@@ -81,14 +81,15 @@ impl FpIndex {
     }
 
     /// Looks up or records the state with unmasked fingerprint `fp`:
-    /// `(id, whether it is new)`. `same(id)` says whether the state is
-    /// the one recorded under `id`; `beyond` asks it about candidates
+    /// `(id, whether it is new)`. `same(id, fp)` says whether the state
+    /// is the one recorded under `id`, whose unmasked fingerprint is
+    /// `fp` when the index holds it; `beyond` asks it about candidates
     /// this index does not hold (a spilled tier); on a full miss
     /// `admit` charges the state and allocates its id, the next in the
     /// column — an `Err` from it leaves the index untouched, so a
     /// budget cut lands *before* the insert.
     #[inline]
-    pub(super) fn intern<E, S: FnMut(usize) -> Result<bool, E>>(
+    pub(super) fn intern<E, S: FnMut(usize, Option<u64>) -> Result<bool, E>>(
         &mut self,
         fp: u64,
         mut same: S,
@@ -103,8 +104,8 @@ impl FpIndex {
             if slot == EMPTY {
                 break;
             }
-            let id = slot as usize;
-            if self.fps[id - self.base] & self.mask == key && same(id)? {
+            let (id, cand) = (slot as usize, self.fps[slot as usize - self.base]);
+            if cand & self.mask == key && same(id, Some(cand))? {
                 return Ok((id, false));
             }
             at = (at + 1) & wrap;
@@ -194,7 +195,7 @@ mod tests {
         let next = index.base + index.fps.len();
         let Ok(got) = index.intern(
             fp,
-            |cand| {
+            |cand, _| {
                 asked.push(cand);
                 Ok::<_, Infallible>(same)
             },
@@ -252,7 +253,7 @@ mod tests {
     fn a_refused_admission_leaves_the_index_untouched() {
         let mut index = FpIndex::new(u64::MAX);
         let refuse = |index: &mut FpIndex, same: bool| {
-            index.intern(7, |_| Ok(same), |_| Ok(None), || Err::<usize, _>("cut"))
+            index.intern(7, |_, _| Ok(same), |_| Ok(None), || Err::<usize, _>("cut"))
         };
         assert_eq!(refuse(&mut index, false), Err("cut"));
         assert_eq!((index.len(), index.fp(0)), (0, None));
@@ -398,13 +399,13 @@ mod tests {
                 let spilled_ref = &reference.spilled;
                 let got = index.intern(
                     fp,
-                    |id| {
+                    |id, _| {
                         asked.push(id);
                         Ok(same(id))
                     },
                     |same: &mut _| {
                         for &id in spilled_ref.get(&key).into_iter().flatten() {
-                            if same(id)? {
+                            if same(id, None)? {
                                 return Ok(Some(id));
                             }
                         }

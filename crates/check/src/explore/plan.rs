@@ -9,20 +9,21 @@
 //! `RunStart`/`RunEnd` engine label is read off it, and the store
 //! takes its budget from it. [`Start::of`] hands every plan the same
 //! start: the system's packed layout, whose rows the loop steps on,
-//! and the seed.
+//! and the seed — the initial states, or the snapshot whose store the
+//! run re-opens.
 
 use super::seq::Seed;
-use super::{Engine, ExploreOptions, StateGraph};
+use super::{Engine, ExploreOptions};
 use crate::checkpoint::Snapshot;
 use crate::{CheckError, System};
 use opentla_kernel::PackedLayout;
 use std::sync::Arc;
 
-/// Budget assumed when a spill engine is selected without an explicit
-/// [`ExploreOptions::mem_budget_bytes`]: generous enough that typical
-/// models never seal a segment, so the engine runs at in-RAM speed
-/// while keeping the spill machinery live.
-const DEFAULT_SPILL_BUDGET: usize = 256 << 20;
+/// Budget assumed by a spill engine without an explicit
+/// [`ExploreOptions::mem_budget_bytes`], or a checkpointed or resumed
+/// run without one: generous enough that typical models never seal a
+/// segment, so the store runs at in-RAM speed.
+pub(super) const DEFAULT_SPILL_BUDGET: usize = 256 << 20;
 
 /// Parses the value of an override variable: a positive integer, or a
 /// typed error naming the variable and what it held. A variable that
@@ -72,19 +73,25 @@ pub(crate) struct Start<'a> {
 }
 
 impl<'a> Start<'a> {
-    /// Enumerates the seed, or adopts the snapshot and its materialized
-    /// graph, and compiles the layout.
+    /// Enumerates the seed, or adopts the snapshot, and compiles the
+    /// layout.
     ///
     /// # Errors
     ///
     /// What enumerating the initial states reports, and
     /// [`CheckError::Precondition`] for a domain whose codes do not fit
     /// a `u32`, the one layout [`PackedLayout::compile`] refuses.
-    pub(crate) fn of(
-        system: &System,
-        resume: Option<(&'a Snapshot, StateGraph)>,
-    ) -> Result<Self, CheckError> {
-        let seed = Seed::of(system, resume)?;
+    pub(crate) fn of(system: &System, resume: Option<&'a Snapshot>) -> Result<Self, CheckError> {
+        let seed = match resume {
+            Some(snap) => Seed::Resume(snap),
+            None => {
+                let init_states = system.init().states(system.universe())?;
+                if init_states.is_empty() {
+                    return Err(CheckError::NoInitialStates);
+                }
+                Seed::Fresh(init_states)
+            }
+        };
         let layout =
             PackedLayout::compile(system.vars()).ok_or_else(|| CheckError::Precondition {
                 message: "a variable's domain has more values than a u32 can number".into(),

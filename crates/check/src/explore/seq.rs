@@ -5,12 +5,13 @@
 //! The interner owns queue, budget cuts, half-expanded-parent re-queue,
 //! checkpoint cadence and phases; the store owns where states, edges
 //! and the dedup index live. It starts in RAM — a [`StateGraph`] under
-//! construction and one fingerprint index — and, under a memory
-//! budget, moves once to the disk tiers of [`super::spill`] when its
-//! records would fill a segment. Without a budget it never leaves RAM
-//! and touches no file. There is one discovery order, this loop's, so
-//! completed graphs are byte-identical across bodies, [`VisitedMode`]s
-//! and worker counts by construction.
+//! construction and one fingerprint index — and, with the disk tiers of
+//! [`super::spill`], moves once to them when its records would fill a
+//! segment or at its first checkpoint; a resumed run re-opens a store
+//! on disk. Without tiers it never leaves RAM and touches no file.
+//! There is one discovery order, this loop's, so completed graphs are
+//! byte-identical across bodies, [`VisitedMode`]s and worker counts by
+//! construction.
 //!
 //! The loop steps on slot codes: a parent is its packed row — in RAM the
 //! graph's own row column (stride bytes a state), on disk its arena
@@ -20,19 +21,17 @@
 //! written only when it is new. No `State` is built: the graph keeps
 //! rows.
 
-use super::plan::Plan;
-use super::spill::{self, RunNames, SpillDir, SpillVisited, Tuning};
+use super::plan::{Plan, DEFAULT_SPILL_BUDGET};
+use super::spill::{self, SpillDir, SpillVisited, Tuning};
 use super::{Edge, Exploration, ExploreOptions, StateGraph, VisitedMode};
 use crate::budget::{Budget, ExhaustReason, Meter, Outcome};
-use crate::checkpoint::{
-    self, CheckpointError, Checkpointer, Manifest, ResumeToken, RunHeader, Snapshot,
-};
+use crate::checkpoint::{self, CheckpointError, Checkpointer, Manifest, ResumeToken, Snapshot};
 use crate::compiled::{
     append_child, child_fingerprint, CompiledSystem, Effect, MemoStats, Miss, StepMemo,
 };
-use crate::obs::{Phase, PhaseGuard, RecorderHandle};
+use crate::obs::{Phase, PhaseGuard};
 use crate::{CheckError, System};
-use opentla_kernel::store::{SegmentStore, StoreError};
+use opentla_kernel::store::{SegmentMeta, SegmentStore, StoreError};
 use opentla_kernel::{PackedLayout, State};
 use std::convert::Infallible;
 use std::ops::ControlFlow;
@@ -43,41 +42,8 @@ use std::thread::ScopedJoinHandle;
 pub(super) enum Seed<'a> {
     /// The enumerated initial states of a fresh run (never empty).
     Fresh(Vec<State>),
-    /// A snapshot to continue from, and the graph it materialized to.
-    Resume(&'a Snapshot, StateGraph),
-}
-
-impl<'a> Seed<'a> {
-    /// Enumerates the initial states of a fresh run, or adopts the
-    /// snapshot of a resumed one and its materialized graph.
-    pub(super) fn of(
-        system: &System,
-        resume: Option<(&'a Snapshot, StateGraph)>,
-    ) -> Result<Seed<'a>, CheckError> {
-        match resume {
-            Some((snap, graph)) => Ok(Seed::Resume(snap, graph)),
-            None => {
-                let init_states = system.init().states(system.universe())?;
-                if init_states.is_empty() {
-                    return Err(CheckError::NoInitialStates);
-                }
-                Ok(Seed::Fresh(init_states))
-            }
-        }
-    }
-
-    /// Starts the run's meter. A resumed meter is pre-charged with the
-    /// snapshot's banked work so cumulative budgets keep their meaning;
-    /// a fresh meter's deadline clock starts here, after initial-state
-    /// enumeration.
-    pub(super) fn meter(&self, budget: &Budget) -> Meter {
-        match self {
-            Seed::Fresh(_) => Meter::start(budget),
-            Seed::Resume(snap, _) => {
-                Meter::start_resumed(budget, snap.states_used(), snap.transitions_used())
-            }
-        }
-    }
+    /// A snapshot whose store the run re-opens and continues.
+    Resume(&'a Snapshot),
 }
 
 /// Why a successor sweep (or a store operation inside one) stopped
@@ -135,15 +101,15 @@ const IN_FLIGHT: usize = 3;
 /// arena in discovery order with the frontier as the arena's *tail*.
 /// (The files the deleted work-stealing engine wrote hold the same
 /// shape: its canonical replay rolled back to a level boundary, whose
-/// frontier, the last complete level, is the tail.) Starting the cursor
-/// at the frontier's first id therefore continues the *exact*
-/// sequential discovery order, and new states extend the arena
-/// precisely as an uninterrupted run would; a snapshot whose frontier
-/// is not the tail is [`CheckpointError::Corrupt`].
+/// frontier, the last complete level, is the tail.) Re-opening its
+/// store and starting the cursor at the frontier's first id therefore
+/// continues the *exact* sequential discovery order, and new states
+/// extend the arena precisely as an uninterrupted run would; a snapshot
+/// whose frontier is not the tail is [`CheckpointError::Corrupt`].
 ///
-/// With no `plan.mem_budget` the [`Store`] stays in RAM; with one it
-/// spills past that many bytes, its arena records the states' rows
-/// under `layout`.
+/// The [`Store`] has disk tiers under `plan.mem_budget`, else, under a
+/// checkpoint spec or resuming, under [`DEFAULT_SPILL_BUDGET`]; its
+/// arena records the states' rows under `layout`.
 ///
 /// The loop steps on rows ([`CompiledSystem::for_each_packed_successor`]):
 /// every seed is in its domains, and every successor too — the stepper
@@ -208,28 +174,31 @@ fn intern(
     mut pool: Vec<Batch>,
 ) -> Result<Exploration, CheckError> {
     let system = compiled.system();
-    let meter = &mut seed.meter(budget);
-    // This store's manifests reference its sealed segments, so under a
-    // checkpoint spec the directory outlives the run.
-    let disk = plan.mem_budget.map(|m| {
-        (
-            SpillDir::new(budget.checkpoint.as_ref()),
-            Tuning::for_budget(m),
-        )
-    });
-    let mut store =
-        Store::create(system, options, meter, layout, disk).map_err(CheckpointError::from)?;
-    let mut ck = Checkpointer::new(budget.checkpoint.clone());
+    // A resumed meter is pre-charged with the snapshot's banked work, so
+    // cumulative budgets keep their meaning; a fresh meter's deadline
+    // clock starts here, after initial-state enumeration.
+    let (resumed, mut meter) = match seed {
+        Seed::Resume(snap) => {
+            let meter = Meter::start_resumed(budget, snap.states_used(), snap.transitions_used());
+            (Some(snap), meter)
+        }
+        Seed::Fresh(_) => (None, Meter::start(budget)),
+    };
+    let (meter, spec) = (&mut meter, budget.checkpoint.as_ref());
+    // A snapshot describes a segment store: the store of a run that
+    // takes one, or re-opens one, has disk tiers.
+    let armed = spec.is_some() || resumed.is_some();
+    let tiers = plan.mem_budget.or(armed.then_some(DEFAULT_SPILL_BUDGET));
+    let disk = tiers.map(|m| (SpillDir::new(spec, resumed), Tuning::for_budget(m)));
+    let mut store = Store::create(system, options, meter, layout, disk);
+    let mut ck = Checkpointer::new(budget.checkpoint.clone(), resumed);
     // The next state to intern the successors of: the queue is
     // `next..store.len()`.
     let mut next = 0;
     let mut exhausted: Option<ExhaustReason> = None;
     let mut exhausted_in_init = false;
     match seed {
-        Seed::Resume(snap, graph) => {
-            next = snap.frontier_start()?;
-            store.reseed(&graph, next)?;
-        }
+        Seed::Resume(snap) => next = store.reopen(snap, system.actions().len())?,
         Seed::Fresh(init_states) => {
             let _init_phase = PhaseGuard::enter(&budget.recorder, Phase::ExploreInit);
             for s in init_states {
@@ -266,7 +235,9 @@ fn intern(
         // Periodic snapshot at the loop head: the queue is a clean cut
         // (everything off-queue is fully expanded).
         if ck.due(1) {
-            ck.write(&mut store.snapshot(next), &budget.recorder);
+            store
+                .checkpoint(next, &mut ck)
+                .map_err(CheckpointError::from)?;
         }
         if next == store.len() {
             break;
@@ -784,7 +755,8 @@ enum Body {
     Ram { graph: StateGraph },
     /// An arena record per state and an edge record per fully expanded
     /// state in [`SegmentStore`]s: sealed segments on disk behind an
-    /// LRU cache, the unsealed tails in RAM. `init` is for manifests.
+    /// LRU cache, the unsealed tails in RAM: what a checkpoint records
+    /// and a resume re-opens. `init` is for manifests.
     Disk {
         arena: SegmentStore,
         edges: SegmentStore,
@@ -814,27 +786,30 @@ impl Body {
 }
 
 /// What a RAM body counts on: its states' fingerprints are all in the
-/// index's column, since a budgeted store leaves RAM before the index's
-/// first drain (pinned for every budget by a test of this module).
+/// index's column, since a store with disk tiers leaves RAM before the
+/// index's first drain (pinned for every budget by a test of this
+/// module).
 const UNDRAINED: &str = "a budgeted store leaves RAM before its dedup index drains";
 
 /// The sequential store: states, edges and BFS tree in a [`Body`], and
 /// the dedup index over them — one [`super::index::FpIndex`] probe
-/// sequence until a budgeted run drains it to disk ([`SpillVisited`]),
-/// which it does only once the body has left RAM. In
-/// [`VisitedMode::Exact`] a fingerprint hit is verified against the
-/// body, wherever the candidate lives by then: rows compared as bytes.
+/// sequence until a store with disk tiers drains it to disk
+/// ([`SpillVisited`]), which it does only once the body has left RAM.
+/// In [`VisitedMode::Exact`] a fingerprint hit is verified against the
+/// body, wherever the candidate lives by then: rows compared as bytes,
+/// unless the fingerprints the index holds already differ. A
+/// checkpoint seals this store, and a resume re-opens it.
 struct Store<'a> {
     body: Body,
     visited: SpillVisited,
-    /// The segment directory and tier sizes a memory budget bought;
-    /// `None` never leaves RAM.
+    /// The segment directory and tier sizes a memory budget, a
+    /// checkpoint spec or a resume bought; `None` never leaves RAM.
     disk: Option<(SpillDir, Tuning)>,
     /// Every state's row is under it: the RAM body's graph keeps the
     /// rows, and arena records are written from them.
     layout: &'a Arc<PackedLayout>,
     /// What the `Ram` body's arena and edge records come to as segment
-    /// bytes; counted under a budget only.
+    /// bytes; counted with disk tiers only.
     arena_bytes: usize,
     edge_bytes: usize,
     /// Fully expanded states — `0..expanded`, the loop expanding in id
@@ -851,24 +826,23 @@ struct Store<'a> {
 }
 
 impl<'a> Store<'a> {
+    /// An empty store in RAM, with `disk` tiers to move to, if any;
+    /// nothing touches the disk before a segment or run is written.
     fn create(
         system: &'a System,
         options: &'a ExploreOptions,
         meter: &'a mut Meter,
         layout: &'a Arc<PackedLayout>,
         disk: Option<(SpillDir, Tuning)>,
-    ) -> Result<Store<'a>, StoreError> {
+    ) -> Store<'a> {
         let mask = options.mask();
         let visited = match &disk {
-            Some((dir, t)) => SpillVisited::new(
-                mask,
-                RunNames::create(dir.path())?,
-                t.hot_cap,
-                t.filter_bytes,
-            ),
-            None => SpillVisited::in_ram(mask),
+            Some((dir, t)) => SpillVisited::new(mask, dir.path(), t.hot_cap, t.filter_bytes),
+            // No tiers: a set that never drains, every lookup the one
+            // hot-tier probe.
+            None => SpillVisited::new(mask, std::path::Path::new(""), usize::MAX, 0),
         };
-        Ok(Store {
+        Store {
             body: Body::Ram {
                 graph: StateGraph::with_capacity(Arc::clone(layout), 0),
             },
@@ -884,7 +858,7 @@ impl<'a> Store<'a> {
             meter,
             rec_buf: Vec::new(),
             probe: Vec::new(),
-        })
+        }
     }
 
     /// Leaves RAM once its arena or edge records would fill a segment.
@@ -903,7 +877,7 @@ impl<'a> Store<'a> {
     /// records were only counted, never encoded).
     fn spill(&mut self) -> Result<(), StoreError> {
         let (Body::Ram { graph }, Some((dir, t))) = (&self.body, &self.disk) else {
-            unreachable!("only the RAM body of a budgeted store spills");
+            unreachable!("only the RAM body of a store with disk tiers spills");
         };
         let mut arena = SegmentStore::create(dir.path(), "arena", t.seg_target, t.arena_cache)?;
         let mut edges = SegmentStore::create(dir.path(), "edges", t.seg_target, t.edge_cache)?;
@@ -962,27 +936,36 @@ impl<'a> Store<'a> {
         Ok(())
     }
 
-    /// Re-seeds from a snapshot's materialized `graph` whose frontier is
-    /// `first..`: arena, edges and BFS tree come back verbatim — every
-    /// *non-frontier* state with its edges, frontier states re-expand —
-    /// and the dedup index is rebuilt by re-fingerprinting the arena
-    /// (deterministic across processes) with first-id-wins collision
-    /// behavior, every fingerprint in its column. Meter-free —
-    /// the resumed meter is already pre-charged. A crash *during* this
-    /// can invalidate the segment references of the snapshot it came
-    /// from (the move to disk rewrites them): a typed I/O error on the
-    /// next resume, never a wrong graph.
-    fn reseed(&mut self, graph: &StateGraph, first: usize) -> Result<(), CheckpointError> {
-        for id in 0..graph.len() {
-            let row = graph.row(id);
-            let fp = self.layout.fingerprint(row);
-            self.visited.seed(self.options.mode, fp, id, self.meter)?;
-            self.push_state(row, &[], fp, graph.parent(id))?;
-            if id < first {
-                self.push_edges(id, graph.edges(id))?;
-            }
+    /// Re-opens the store `snap` describes — its sealed segments where
+    /// they lie, named as a store names them, its inline tails appended
+    /// — once [`checkpoint::replay`] has checked every record against a
+    /// system of `actions` actions and rebuilt the dedup index; returns
+    /// where the frontier starts.
+    /// Meter-free — the resumed meter is already pre-charged.
+    fn reopen(&mut self, snap: &Snapshot, actions: usize) -> Result<usize, CheckpointError> {
+        let (dir, t) = self.disk.as_ref().expect("a resumed store has disk tiers");
+        let m = &snap.manifest;
+        let open = |prefix, sealed: &[SegmentMeta], cache| {
+            SegmentStore::open(dir.path(), prefix, sealed.to_vec(), t.seg_target, cache)
+        };
+        let mut arena = open("arena", &m.arena_segments, t.arena_cache)?;
+        let mut edges = open("edges", &m.edge_segments, t.edge_cache)?;
+        let (mode, visited, meter) = (self.options.mode, &mut self.visited, &mut *self.meter);
+        let seed = |fp, id| Ok(visited.seed(mode, fp, id, meter)?);
+        let first = checkpoint::replay(snap, self.layout, actions, seed)?;
+        for record in m.arena_hot.iter() {
+            spill::append(self.meter, "arena", &mut arena, record)?;
         }
-        Ok(())
+        for record in m.edge_hot.iter() {
+            spill::append(self.meter, "edges", &mut edges, record)?;
+        }
+        self.transitions = m.transitions;
+        self.body = Body::Disk {
+            arena,
+            edges,
+            init: m.init.clone(),
+        };
+        Ok(first)
     }
 
     /// Appends the row of state `id` to `out`; returns its unmasked
@@ -1031,17 +1014,22 @@ impl<'a> Store<'a> {
         let found = match self.options.mode {
             // The fingerprinted hot path: one probe, and only
             // genuinely new states are constructed and recorded.
-            VisitedMode::Fingerprint => self.visited.fp_entry(fp, |_| Ok(true), admit, meter)?,
+            VisitedMode::Fingerprint => self.visited.fp_entry(fp, |_, _| Ok(true), admit, meter)?,
             // The exact fallback: every successor's row is written, so
             // a hit can be verified against the body's, a candidate
-            // interned in RAM perhaps read back from its disk record.
-            // Collision-free by construction, at a throughput cost.
+            // interned in RAM perhaps read back from its disk record —
+            // unless its unmasked fingerprint, which one row has one
+            // of, already tells them apart. Collision-free by
+            // construction, at a throughput cost.
             VisitedMode::Exact => {
                 let (body, buf, probe) = (&mut self.body, &mut self.rec_buf, &mut self.probe);
                 let layout = self.layout;
                 probe.clear();
                 append_child(layout, row, effects, probe);
-                let same = |cand| Ok(body.row(cand, layout, buf)?.0 == &probe[..]);
+                let same = |cand, cand_fp: Option<u64>| {
+                    Ok(cand_fp.is_none_or(|c| c == fp)
+                        && body.row(cand, layout, buf)?.0 == &probe[..])
+                };
                 self.visited.fp_entry(fp, same, admit, meter)?
             }
         };
@@ -1074,80 +1062,83 @@ impl<'a> Store<'a> {
         Ok(())
     }
 
-    /// What a snapshot of this store is stamped with.
-    fn header(&self) -> RunHeader {
-        RunHeader::of(self.options, self.sys_hash)
-    }
-
-    /// A checkpoint at a clean cut: everything before `next` is fully
-    /// expanded, the frontier `next..` not at all. In RAM the graph's
-    /// records are encoded inline; on disk the sealed segments go in by
-    /// reference (name and checksum) and only the unsealed tails are
-    /// embedded — O(hot tier), not O(state space).
-    fn snapshot(&self, next: usize) -> Snapshot {
-        match &self.body {
-            Body::Ram { graph } => checkpoint::capture(graph, next, self.header()),
-            Body::Disk { arena, edges, init } => {
-                let manifest = Manifest {
-                    layout: Arc::clone(self.layout),
-                    dir: arena.dir().to_path_buf(),
-                    states: arena.len(),
-                    transitions: self.transitions,
-                    init: init.clone(),
-                    arena_segments: arena.sealed().to_vec(),
-                    arena_hot: arena.hot_records().collect(),
-                    edge_segments: edges.sealed().to_vec(),
-                    edge_hot: edges.hot_records().collect(),
-                };
-                self.header().snapshot(manifest, next..self.len())
-            }
+    /// A checkpoint at a clean cut — everything before `next` fully
+    /// expanded, the frontier `next..` not at all — written by `ck`,
+    /// the store moved to disk first: its sealed segments referenced,
+    /// only its unsealed tails inline — O(hot tier), not O(state space).
+    fn checkpoint(
+        &mut self,
+        next: usize,
+        ck: &mut Checkpointer,
+    ) -> Result<(Snapshot, Option<ResumeToken>), StoreError> {
+        if let Body::Ram { .. } = self.body {
+            self.spill()?;
         }
+        let Body::Disk { arena, edges, init } = &self.body else {
+            unreachable!("the store has left RAM");
+        };
+        let manifest = Manifest {
+            layout: Arc::clone(self.layout),
+            dir: arena.dir().to_path_buf(),
+            states: arena.len(),
+            transitions: self.transitions,
+            init: init.clone(),
+            arena_segments: arena.sealed().to_vec(),
+            arena_hot: arena.hot_records().collect(),
+            edge_segments: edges.sealed().to_vec(),
+            edge_hot: edges.hot_records().collect(),
+        };
+        let frontier = next..self.len();
+        let mut snap = Snapshot::of(self.options, self.sys_hash, manifest, frontier);
+        let token = ck.write(&mut snap, self.meter.recorder());
+        Ok((snap, token))
     }
 
     /// Turns the store, and where the loop stopped, into the run's
     /// result: the canonical [`StateGraph`] — a move in RAM, a decode of
     /// every record on disk — with the unexpanded `next..` its frontier.
     /// `cut` holds the partial successor list of a half-expanded parent
-    /// (graph only, never banked); an `exhausted`, `resumable` run takes
-    /// — and, under a checkpoint spec, writes — the exhaustion snapshot.
+    /// (graph only, never banked). An `exhausted`, `resumable` run under
+    /// a checkpoint spec takes — and writes — the exhaustion snapshot,
+    /// the store on disk by then; a run without one takes none.
     fn finish(
-        self,
+        mut self,
         next: usize,
         cut: Option<(usize, Vec<Edge>)>,
         exhausted: Option<ExhaustReason>,
         resumable: bool,
         ck: &mut Checkpointer,
     ) -> Result<Exploration, CheckError> {
-        let header = self.header();
-        let meter = &*self.meter;
         let frontier = next..self.len();
-        let resumable = exhausted.is_some() && resumable;
+        let (snapshot, resume) = match exhausted.is_some() && resumable && ck.armed() {
+            true => {
+                let (snap, token) = self.checkpoint(next, ck).map_err(CheckpointError::from)?;
+                (Some(Box::new(snap)), token)
+            }
+            false => (None, None),
+        };
+        let meter = &*self.meter;
         if let Body::Disk { arena, edges, .. } = &self.body {
             spill::note_cache_stats(meter, [arena, edges]);
         }
-        // On disk, under a checkpoint spec (which keeps the directory),
-        // the exhaustion snapshot references the sealed segments like
-        // the periodic ones. An ephemeral directory is about to go, so
-        // there — as in RAM — it is captured from the graph below.
-        let by_reference = match &self.body {
-            Body::Disk { .. } if resumable && ck.active() => {
-                let mut snap = self.snapshot(next);
-                let token = ck.write(&mut snap, meter.recorder());
-                Some((Some(Box::new(snap)), token))
-            }
-            _ => None,
-        };
         let mut graph = match self.body {
             Body::Ram { graph } => graph,
-            Body::Disk { arena, edges, .. } => {
+            Body::Disk {
+                mut arena,
+                mut edges,
+                ..
+            } => {
                 // The graph is about to take the budget's place: the
-                // index, and each tier's cache once read, go first.
+                // index, each tier's cache and each tier once read go
+                // first, and the graph's edge column is sized once.
                 drop(self.visited);
-                let n = arena.len() as usize;
-                let records = spill::records(&arena);
-                let mut graph = checkpoint::graph_of_arena(records, n, self.layout)?;
+                arena.clear_cache();
+                edges.clear_cache();
+                let mut graph = checkpoint::graph_of_arena(&arena, self.layout)?;
                 drop(arena);
-                checkpoint::fill_edges(&mut graph, spill::records(&edges))?;
+                let partial = cut.as_ref().map_or(0, |(_, edges)| edges.len());
+                graph.reserve_edges(self.transitions as usize + partial);
+                checkpoint::fill_edges(&mut graph, &edges)?;
                 graph
             }
         };
@@ -1156,11 +1147,6 @@ impl<'a> Store<'a> {
                 .set_edges(id, &partial)
                 .expect("the cut parent is the next to expand");
         }
-        let (snapshot, resume) = match by_reference {
-            Some(pair) => pair,
-            None if resumable => exhaustion_snapshot(ck, meter.recorder(), &graph, next, header),
-            None => (None, None),
-        };
         let outcome = match exhausted {
             None => Outcome::Complete,
             Some(reason) => Outcome::Exhausted {
@@ -1179,21 +1165,6 @@ impl<'a> Store<'a> {
             workers: 1,
         })
     }
-}
-
-/// Builds the final in-RAM snapshot of an exhausted run, whose states
-/// from `next` on are the unexpanded ones, and writes it to disk when a
-/// checkpoint spec is active.
-fn exhaustion_snapshot(
-    ck: &mut Checkpointer,
-    recorder: &RecorderHandle,
-    graph: &StateGraph,
-    next: usize,
-    header: RunHeader,
-) -> (Option<Box<Snapshot>>, Option<ResumeToken>) {
-    let mut snap = checkpoint::capture(graph, next, header);
-    let token = ck.write(&mut snap, recorder);
-    (Some(Box::new(snap)), token)
 }
 
 #[cfg(test)]
@@ -1269,8 +1240,8 @@ mod tests {
         let layout = Arc::new(PackedLayout::compile(system.vars()).expect("one small slot packs"));
         let mut streams: Vec<(Stream, Stream)> = Vec::new();
         for way in ["before the first state", "edge bytes", "arena bytes"] {
-            let disk = Some((SpillDir::new(None), Tuning::for_budget(8 << 10)));
-            let mut store = Store::create(&system, &options, &mut meter, &layout, disk).unwrap();
+            let disk = Some((SpillDir::new(None, None), Tuning::for_budget(8 << 10)));
+            let mut store = Store::create(&system, &options, &mut meter, &layout, disk);
             match way {
                 "before the first state" => store.spill().unwrap(),
                 "arena bytes" => store.arena_bytes = seg_target / 2,
@@ -1348,8 +1319,8 @@ mod tests {
             Meter::start(&Budget::unlimited()),
         );
         let layout = Arc::new(PackedLayout::compile(system.vars()).expect("one small slot packs"));
-        let disk = Some((SpillDir::new(None), Tuning::for_budget(8 << 10)));
-        let mut store = Store::create(&system, &options, &mut meter, &layout, disk).unwrap();
+        let disk = Some((SpillDir::new(None, None), Tuning::for_budget(8 << 10)));
+        let mut store = Store::create(&system, &options, &mut meter, &layout, disk);
         store.spill().unwrap();
         let state = State::new(vec![Value::Int(149)]);
         let seed = layout.pack(&state).expect("in the domain");

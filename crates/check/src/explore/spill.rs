@@ -14,10 +14,10 @@
 
 use super::index::FpIndex;
 use crate::budget::Meter;
-use crate::checkpoint::CheckpointSpec;
+use crate::checkpoint::{CheckpointSpec, Snapshot};
 use crate::obs::Event;
 use crate::VisitedMode;
-use opentla_kernel::store::{CacheStats, FingerprintRun, SegmentMeta, SegmentStore, StoreError};
+use opentla_kernel::store::{self, CacheStats, FingerprintRun, SegmentStore, StoreError};
 use std::path::{Path, PathBuf};
 
 /// How one memory budget splits across the store's tiers.
@@ -112,39 +112,6 @@ pub(super) fn append(
     Ok(())
 }
 
-/// Allocates the `visited-NNNNN.run` names of one segment directory,
-/// for the one two-tier set that drains into it.
-pub(super) struct RunNames {
-    dir: PathBuf,
-    seq: u64,
-}
-
-impl RunNames {
-    /// Creates `dir` if need be, removes stale `visited-*.run` files an
-    /// earlier process left in it (mirroring `SegmentStore::create`)
-    /// and starts the sequence at 0.
-    pub(super) fn create(dir: &Path) -> Result<RunNames, StoreError> {
-        let io = |path: &Path, e: std::io::Error| StoreError::Io {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        };
-        std::fs::create_dir_all(dir).map_err(|e| io(dir, e))?;
-        for entry in std::fs::read_dir(dir).map_err(|e| io(dir, e))? {
-            let entry = entry.map_err(|e| io(dir, e))?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with("visited-") && name.ends_with(".run") {
-                let path = entry.path();
-                std::fs::remove_file(&path).map_err(|e| io(&path, e))?;
-            }
-        }
-        Ok(RunNames {
-            dir: dir.to_path_buf(),
-            seq: 0,
-        })
-    }
-}
-
 /// The two-tier dedup index. In fingerprint mode each (masked) key is
 /// inserted at most once, so the tiers hold disjoint keys and a
 /// lookup's first answer is *the* answer. In exact mode a key carries
@@ -167,34 +134,21 @@ pub(super) struct SpillVisited {
     filter: Option<Filter>,
     filter_bytes: usize,
     runs: Vec<FingerprintRun>,
-    names: RunNames,
+    /// Where the runs go, as `visited-NNNNN.run`.
+    dir: PathBuf,
     probe: Vec<u64>,
 }
 
 impl SpillVisited {
-    /// A set of fingerprints masked by `mask` that never drains — no
-    /// budget, so no directory: every lookup is the one hot-tier probe.
-    pub(super) fn in_ram(mask: u64) -> SpillVisited {
-        let nowhere = RunNames {
-            dir: PathBuf::new(),
-            seq: 0,
-        };
-        SpillVisited::new(mask, nowhere, usize::MAX, 0)
-    }
-
-    pub(super) fn new(
-        mask: u64,
-        names: RunNames,
-        hot_cap: usize,
-        filter_bytes: usize,
-    ) -> SpillVisited {
+    /// A set that drains into `dir`, first at its first drain.
+    pub(super) fn new(mask: u64, dir: &Path, hot_cap: usize, filter_bytes: usize) -> SpillVisited {
         SpillVisited {
             hot: FpIndex::new(mask),
             hot_cap,
             filter: None,
             filter_bytes,
             runs: Vec::new(),
-            names,
+            dir: dir.to_path_buf(),
             probe: Vec::new(),
         }
     }
@@ -219,7 +173,7 @@ impl SpillVisited {
         meter: &mut Meter,
     ) -> Result<(), StoreError> {
         let trust = mode == VisitedMode::Fingerprint;
-        let (_, new) = self.fp_entry(fp, |_| Ok::<_, StoreError>(trust), |_| Ok(id), meter)?;
+        let (_, new) = self.fp_entry(fp, |_, _| Ok::<_, StoreError>(trust), |_| Ok(id), meter)?;
         if !new {
             self.hot.push_unindexed(fp);
         }
@@ -229,14 +183,15 @@ impl SpillVisited {
     /// Lookup-or-insert across both tiers — the engines' innermost
     /// dedup operation, `(id, whether it is new)`; in fingerprint mode
     /// (`same` trusts every hit) it is one hot-tier probe sequence.
-    /// `same(id)` says whether the probe state is the one recorded
-    /// under `id`. On a full miss `admit(meter)` decides admission:
+    /// `same(id, fp)` says whether the probe state is the one recorded
+    /// under `id`, whose unmasked fingerprint `fp` is known for a
+    /// hot-tier candidate. On a full miss `admit(meter)` decides admission:
     /// `Ok(id)` (the meter charged, the next id allocated) records `id`
     /// under `fp`'s key and `fp` in the column;
     /// `Err` leaves the set untouched — the budget cut happens *before*
     /// the insert. A drain the insert triggers is reported to `meter`.
     #[inline]
-    pub(super) fn fp_entry<E: From<StoreError>, S: FnMut(usize) -> Result<bool, E>>(
+    pub(super) fn fp_entry<E: From<StoreError>, S: FnMut(usize, Option<u64>) -> Result<bool, E>>(
         &mut self,
         fp: u64,
         same: S,
@@ -258,7 +213,7 @@ impl SpillVisited {
                     let seen = probe.len();
                     run.lookup(key, probe)?;
                     for &id in &probe[seen..] {
-                        if same(id as usize)? {
+                        if same(id as usize, None)? {
                             return Ok(Some(id as usize));
                         }
                     }
@@ -274,8 +229,13 @@ impl SpillVisited {
     }
 
     /// Drains the hot tier into a sorted run file, setting the filter
-    /// bits of every drained key.
+    /// bits of every drained key. The first drain clears the directory
+    /// of the runs an earlier run left there: no snapshot names one.
     fn drain_hot(&mut self, meter: &mut Meter) -> Result<(), StoreError> {
+        let seq = self.runs.len() as u64;
+        if seq == 0 {
+            store::clear_stale(&self.dir, "visited-", ".run")?;
+        }
         let filter = self
             .filter
             .get_or_insert_with(|| Filter::new(self.filter_bytes));
@@ -285,9 +245,7 @@ impl SpillVisited {
             entries.push((key, id as u64));
         });
         entries.sort_unstable();
-        let seq = self.names.seq;
-        self.names.seq += 1;
-        let path = self.names.dir.join(format!("visited-{seq:05}.run"));
+        let path = self.dir.join(format!("visited-{seq:05}.run"));
         let run = FingerprintRun::write(&path, &entries)?;
         note_spill(meter, "visited", seq, entries.len() as u64, run.bytes());
         self.runs.push(run);
@@ -295,35 +253,26 @@ impl SpillVisited {
     }
 }
 
-/// A store's records as [`checkpoint::for_each_record`] reads them
-/// back.
-pub(super) fn records(
-    store: &SegmentStore,
-) -> (&Path, &[SegmentMeta], impl Iterator<Item = &[u8]>) {
-    (store.dir(), store.sealed(), store.hot_records())
-}
-
-/// A run's segment directory: next to the checkpoint `pinned_by`, for
-/// a store whose snapshots reference its sealed segments (a resumed
-/// process finds them there); otherwise a process-private temp
-/// directory, removed when this is dropped.
+/// A run's segment directory: where the sealed segments of the
+/// snapshot `resumed` from lie, if any (the store seals its own after
+/// them); else next to the checkpoint `spec`, where a resumed process
+/// finds them; else a process-private temp directory, removed when
+/// this is dropped.
 pub(super) struct SpillDir {
     path: PathBuf,
     ephemeral: bool,
 }
 
 impl SpillDir {
-    pub(super) fn new(pinned_by: Option<&CheckpointSpec>) -> SpillDir {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let temp = || {
-            let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-            std::env::temp_dir().join(format!("opentla-spill-{}-{n}", std::process::id()))
-        };
+    pub(super) fn new(spec: Option<&CheckpointSpec>, resumed: Option<&Snapshot>) -> SpillDir {
+        let lies = resumed
+            .map(|snap| &snap.manifest)
+            .filter(|m| !(m.arena_segments.is_empty() && m.edge_segments.is_empty()));
+        let pinned = spec.map(|spec| format!("{}.segs", spec.path.display()).into());
+        let kept = lies.map(|m| m.dir.clone()).or(pinned);
         SpillDir {
-            path: pinned_by
-                .map_or_else(temp, |spec| format!("{}.segs", spec.path.display()).into()),
-            ephemeral: pinned_by.is_none(),
+            ephemeral: kept.is_none(),
+            path: kept.unwrap_or_else(|| temp_path("spill")),
         }
     }
 
@@ -338,6 +287,14 @@ impl Drop for SpillDir {
             let _ = std::fs::remove_dir_all(&self.path);
         }
     }
+}
+
+/// A process-private temp path, named for `what`, no other call returns.
+pub(super) fn temp_path(what: &str) -> PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static COUNTER: AtomicU64 = AtomicU64::new(0);
+    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("opentla-{what}-{}-{n}", std::process::id()))
 }
 
 /// Emits a run's segment-cache totals, summed over its `stores`.

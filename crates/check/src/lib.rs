@@ -30,11 +30,13 @@
 //!   partial results instead of an error, with [`escalate`] for
 //!   geometric-retry loops;
 //! * [`Snapshot`] / [`explore_resumable`] — crash tolerance: budgeted
-//!   explorations periodically checkpoint their resumable core to a
-//!   versioned, checksummed on-disk snapshot
-//!   ([`Budget::with_checkpoint`]; one format, whichever plan wrote
-//!   it) and resume from the preserved frontier instead of restarting;
-//!   an interrupted check *over* a finished graph restarts
+//!   explorations under [`Budget::with_checkpoint`] keep their store on
+//!   disk and periodically checkpoint it — the sealed segments synced
+//!   and referenced, the unsealed tails inline, in one versioned,
+//!   checksummed snapshot format whichever plan wrote it — and a
+//!   resume re-opens that store where it lies and continues from the
+//!   preserved frontier instead of restarting, building no graph to
+//!   resume from; an interrupted check *over* a finished graph restarts
 //!   ([`escalate`]);
 //! * [`image`] — image classes: simulation and fairness-target checks
 //!   decide each obligation once per abstract step under the

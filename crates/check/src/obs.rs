@@ -53,7 +53,7 @@ use std::time::Instant;
 /// Version tag carried by every serialized event (`"v"`) and by
 /// [`RunReport::schema_version`]. Bump when the event schema changes
 /// shape.
-pub const OBS_SCHEMA_VERSION: u64 = 8;
+pub const OBS_SCHEMA_VERSION: u64 = 9;
 
 /// A [`Event::Progress`] snapshot is emitted every this many meter
 /// checkpoints (when a recorder is enabled). Checkpoints run once per
@@ -138,10 +138,6 @@ pub struct ProgressSnapshot {
     pub elapsed_nanos: u64,
     /// Size of the pending BFS frontier, when the engine knows it.
     pub frontier: Option<u64>,
-    /// Current BFS level / depth, when the engine tracks it.
-    pub level: Option<u64>,
-    /// Reporting worker, for per-worker snapshots.
-    pub worker: Option<u64>,
     /// The finite state budget, if one is set (budget consumption =
     /// `states / budget_states`).
     pub budget_states: Option<u64>,
@@ -547,8 +543,6 @@ describe_events! {
         elapsed_nanos: U64 Required = snapshot.elapsed_nanos,
         states_per_sec: Rate Required = snapshot.states_per_sec(),
         frontier: U64 Optional = snapshot.frontier,
-        level: U64 Optional = snapshot.level,
-        worker: U64 Optional = snapshot.worker,
         budget_states: U64 Optional = snapshot.budget_states,
         budget_transitions: U64 Optional = snapshot.budget_transitions,
     }
@@ -1666,8 +1660,6 @@ mod tests {
                     transitions: 4,
                     elapsed_nanos: 2_000_000_000,
                     frontier: Some(1),
-                    level: Some(2),
-                    worker: Some(0),
                     budget_states: Some(100),
                     budget_transitions: Some(200),
                 },
@@ -1750,7 +1742,7 @@ mod tests {
         "\"ev\":\"run_start\",\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\"",
         "\"ev\":\"phase_enter\",\"phase\":\"explore_expand\"",
         "\"ev\":\"phase_exit\",\"phase\":\"explore_expand\"",
-        "\"ev\":\"progress\",\"states\":5,\"transitions\":4,\"elapsed_nanos\":2000000000,\"states_per_sec\":2,\"frontier\":1,\"level\":2,\"worker\":0,\"budget_states\":100,\"budget_transitions\":200",
+        "\"ev\":\"progress\",\"states\":5,\"transitions\":4,\"elapsed_nanos\":2000000000,\"states_per_sec\":2,\"frontier\":1,\"budget_states\":100,\"budget_transitions\":200",
         "\"ev\":\"fault_activation\",\"action\":\"fault:lossy[sync]\",\"step\":4,\"kind\":\"fired\"",
         "\"ev\":\"counterexample\",\"kind\":\"liveness\",\"reason\":\"a \\\"quoted\\\"\\\\ reason\\n\\twith ⊳ and \\u0001\",\"length\":5,\"fault_steps\":1,\"loop_start\":2",
         "\"ev\":\"check\",\"kind\":\"obligation\",\"name\":\"H2a/P4\",\"holds\":true",
@@ -1761,7 +1753,7 @@ mod tests {
         "\"ev\":\"image_pass\",\"states\":3,\"mapped_vars\":1,\"distinct_values\":2,\"undefined\":0,\"evaluated\":2,\"key_bits\":3,\"nanos\":650",
         "\"ev\":\"image_memo\",\"check\":\"simulation\",\"classes\":2,\"distinct_pairs\":2,\"on_ids\":2,\"edges\":2,\"skipped\":false,\"nanos\":420",
         "\"ev\":\"step_memo\",\"actions\":13,\"tabled_actions\":12,\"table_entries\":171,\"lookups\":6360302,\"misses\":172",
-        "\"ev\":\"run_end\",\"report\":{\"schema_version\":8,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
+        "\"ev\":\"run_end\",\"report\":{\"schema_version\":9,\"engine\":\"explore_sequential\",\"threads\":1,\"mode\":\"fingerprint\",\"states\":5,\"transitions\":4,\"depth\":2,\"deadlocks\":1,\"outcome\":\"complete\",\"complete\":true,\"duration_nanos\":11}",
     ];
 
     #[test]
@@ -1818,7 +1810,7 @@ mod tests {
     /// One line of `event` with `field` dropped (`retyped: None`) or
     /// rewritten as `retyped`.
     fn line_with(event: &Event<'_>, field: &str, retyped: Option<&str>) -> String {
-        let mut line = format!("{{\"v\":8,\"t\":1,\"ev\":\"{}\"", event.kind());
+        let mut line = format!("{{\"v\":9,\"t\":1,\"ev\":\"{}\"", event.kind());
         event.for_each_field(|name, value| match retyped {
             _ if name != field => line.push_str(&format!(",\"{name}\":{value}")),
             Some(other) => line.push_str(&format!(",\"{name}\":{other}")),
@@ -1846,19 +1838,19 @@ mod tests {
 
     #[test]
     fn validator_rejects_mistyped_optionals_and_unlisted_members() {
-        let progress = "{\"v\":8,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\
+        let progress = "{\"v\":9,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\
                         \"elapsed_nanos\":0,\"states_per_sec\":0";
         assert!(validate_stream(&format!("{progress}}}\n")).is_ok());
         let err = validate_stream(&format!("{progress},\"frontier\":\"x\"}}\n")).unwrap_err();
         assert_eq!(err, "line 1: missing/invalid \"frontier\"");
-        let cx = "{\"v\":8,\"t\":1,\"ev\":\"counterexample\",\"kind\":\"liveness\",\
+        let cx = "{\"v\":9,\"t\":1,\"ev\":\"counterexample\",\"kind\":\"liveness\",\
                   \"reason\":\"r\",\"length\":3,\"fault_steps\":0";
         assert!(validate_stream(&format!("{cx},\"loop_start\":1}}\n")).is_ok());
         let err = validate_stream(&format!("{cx},\"loop_start\":-1}}\n")).unwrap_err();
         assert_eq!(err, "line 1: missing/invalid \"loop_start\"");
         // A member the kind's row does not list, on the second line.
         let err = validate_stream(&format!(
-            "{cx}}}\n{{\"v\":8,\"t\":2,\"ev\":\"resume\",\"seq\":1,\"states\":3,\
+            "{cx}}}\n{{\"v\":9,\"t\":2,\"ev\":\"resume\",\"seq\":1,\"states\":3,\
              \"transitions\":2,\"frontier\":1,\"ample_states\":0}}\n"
         ))
         .unwrap_err();
@@ -2059,7 +2051,7 @@ mod tests {
         assert_eq!(summary.kinds["step_memo"], 1);
         // More tabled actions than actions, or more misses than
         // lookups, is not a stream this crate writes.
-        let head = "{\"v\":8,\"t\":1,\"ev\":\"step_memo\",\"actions\":2";
+        let head = "{\"v\":9,\"t\":1,\"ev\":\"step_memo\",\"actions\":2";
         let bad = format!(
             "{head},\"tabled_actions\":3,\"table_entries\":0,\"lookups\":0,\"misses\":0}}\n"
         );
@@ -2096,7 +2088,7 @@ mod tests {
         // More distinct (or undefined) values than images, fewer
         // evaluations than distinct values or more than images, or a
         // missing field, is not a stream this crate writes.
-        let head = "{\"v\":8,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
+        let head = "{\"v\":9,\"t\":1,\"ev\":\"image_pass\",\"states\":4,\"mapped_vars\":2";
         let line = |distinct: u64, undefined: u64, evaluated: u64| {
             format!(
                 "{head},\"distinct_values\":{distinct},\"undefined\":{undefined},\
@@ -2125,15 +2117,15 @@ mod tests {
     #[test]
     fn validator_rejects_malformed_streams() {
         // Backwards timestamp.
-        let bad = "{\"v\":8,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":8,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
+        let bad = "{\"v\":9,\"t\":5,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":9,\"t\":4,\"ev\":\"phase_exit\",\"phase\":\"suite\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("backwards"));
         // Mismatched phase nesting.
-        let bad = "{\"v\":8,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
-                   {\"v\":8,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
+        let bad = "{\"v\":9,\"t\":1,\"ev\":\"phase_enter\",\"phase\":\"suite\"}\n\
+                   {\"v\":9,\"t\":2,\"ev\":\"phase_exit\",\"phase\":\"liveness\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("closes"));
         // Unclosed run.
-        let bad = "{\"v\":8,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
+        let bad = "{\"v\":9,\"t\":1,\"ev\":\"run_start\",\"engine\":\"e\",\"threads\":1,\"mode\":\"m\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("open run"));
         // Wrong version.
         let bad = "{\"v\":99,\"t\":1,\"ev\":\"progress\",\"states\":0,\"transitions\":0,\"elapsed_nanos\":0}\n";
@@ -2145,7 +2137,7 @@ mod tests {
             .unwrap_err()
             .contains("schema version 4"));
         // Unknown kind.
-        let bad = "{\"v\":8,\"t\":1,\"ev\":\"mystery\"}\n";
+        let bad = "{\"v\":9,\"t\":1,\"ev\":\"mystery\"}\n";
         assert!(validate_stream(bad).unwrap_err().contains("unknown event"));
     }
 

@@ -53,6 +53,11 @@ pub enum DecodeError {
         /// The code found there.
         code: u32,
     },
+    /// A packed state sets bits of its last byte past its last slot.
+    BadPadding {
+        /// The bits set there.
+        bits: u8,
+    },
 }
 
 impl std::fmt::Display for DecodeError {
@@ -67,6 +72,9 @@ impl std::fmt::Display for DecodeError {
                 f,
                 "length prefix {claimed} exceeds the {remaining} byte(s) remaining"
             ),
+            DecodeError::BadPadding { bits } => {
+                write!(f, "packed state sets bits {bits:#04x} past its last slot")
+            }
             DecodeError::BadCode { slot, code } => {
                 write!(
                     f,

@@ -55,6 +55,9 @@ pub struct PackedLayout {
     /// compiled from: a code is a position in its value list, and its
     /// index encodes (`Domain::index_of`).
     domains: Vec<Domain>,
+    /// The bits of a row's last byte past its last slot, which every
+    /// row this layout writes leaves clear.
+    padding: u8,
 }
 
 /// The shape, not the tables: a layout's Zobrist entries and domains
@@ -99,6 +102,10 @@ impl PackedLayout {
             stride: offset.div_ceil(8),
             zobrist,
             domains,
+            padding: match offset % 8 {
+                0 => 0,
+                used => u8::MAX << used,
+            },
         })
     }
 
@@ -252,27 +259,23 @@ impl PackedLayout {
     /// # Errors
     ///
     /// [`DecodeError::Truncated`] when `buf` is shorter than one stride,
-    /// [`DecodeError::BadCode`] naming the first slot whose code lies
-    /// outside its domain.
+    /// [`DecodeError::BadPadding`] when it sets a bit past its last
+    /// slot — no row this layout writes does, and two rows of one state
+    /// must be equal as bytes — and [`DecodeError::BadCode`] naming the
+    /// first slot whose code lies outside its domain.
     pub fn try_unpack_into(&self, buf: &[u8], out: &mut Vec<Value>) -> Result<(), DecodeError> {
-        if buf.len() < self.stride {
-            return Err(DecodeError::Truncated {
-                context: "packed state",
-            });
-        }
+        self.check(buf)?;
         out.clear();
-        out.reserve(self.slots.len());
-        for (slot, domain) in self.domains.iter().enumerate() {
-            let code = self.read_code(buf, slot);
-            let value = domain.values().get(code as usize);
-            out.push(value.ok_or(DecodeError::BadCode { slot, code })?.clone());
-        }
+        let codes = self.domains.iter().enumerate();
+        out.extend(
+            codes.map(|(slot, domain)| domain.values()[self.read_code(buf, slot) as usize].clone()),
+        );
         Ok(())
     }
 
     /// Checks what [`try_unpack_into`](Self::try_unpack_into) checks
-    /// without building the values: that `buf` holds one stride and
-    /// every slot a code inside its domain. Packed buffers this layout
+    /// without building the values: that `buf` holds one stride, no
+    /// bit past its last slot, and every slot a code inside its domain. Packed buffers this layout
     /// wrote always pass; a row read back from a file is checked here
     /// once, before anything indexes a table by its codes.
     ///
@@ -284,6 +287,10 @@ impl PackedLayout {
             return Err(DecodeError::Truncated {
                 context: "packed state",
             });
+        }
+        let padding = buf[..self.stride].last().map(|&last| last & self.padding);
+        if let Some(bits) = padding.filter(|&bits| bits != 0) {
+            return Err(DecodeError::BadPadding { bits });
         }
         for (slot, domain) in self.domains.iter().enumerate() {
             let code = self.read_code(buf, slot);
@@ -449,6 +456,25 @@ mod tests {
             context: "packed state",
         });
         assert_eq!(layout.check(&buf[..1]), short);
+    }
+
+    /// A row's last byte keeps the bits past its last slot clear: one
+    /// set there is refused, so two rows of one state are equal bytes.
+    #[test]
+    fn check_refuses_bits_past_the_last_slot() {
+        let mut vars = Vars::new();
+        vars.declare("x", Domain::int_range(0, 2));
+        vars.declare("y", Domain::booleans());
+        let layout = PackedLayout::compile(&vars).expect("compiles");
+        let used = layout.state_bits() % 8;
+        assert_eq!(used, 3, "two bits for x, one for y");
+        let s = State::new(vec![Value::Int(2), Value::Bool(true)]);
+        let mut buf = layout.pack(&s).expect("in-domain");
+        assert_eq!(layout.check(&buf), Ok(()));
+        *buf.last_mut().unwrap() |= 1 << used;
+        let bad = Err(DecodeError::BadPadding { bits: 1 << used });
+        assert_eq!(layout.check(&buf), bad);
+        assert_eq!(layout.try_unpack_into(&buf, &mut Vec::new()), bad);
     }
 
     #[test]

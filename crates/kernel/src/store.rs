@@ -230,15 +230,39 @@ impl SegmentStore {
         target_bytes: usize,
         cache_budget: usize,
     ) -> Result<SegmentStore, StoreError> {
-        fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
-        let stale_prefix = format!("{prefix}-");
-        for entry in fs::read_dir(dir).map_err(|e| io_err(dir, e))? {
-            let entry = entry.map_err(|e| io_err(dir, e))?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if name.starts_with(&stale_prefix) && name.ends_with(".seg") {
-                let path = entry.path();
-                fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
+        clear_stale(dir, &format!("{prefix}-"), ".seg")?;
+        SegmentStore::open(dir, prefix, Vec::new(), target_bytes, cache_budget)
+    }
+
+    /// Re-opens a store whose `sealed` segments lie in `dir`, the `i`-th
+    /// named `{prefix}-{i:05}.seg` and starting where the one before
+    /// ends. Nothing is read or deleted (a segment is verified when first
+    /// read), and new segments are numbered after the last: no file a
+    /// checkpoint manifest references is rewritten.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Corrupt`] for another list.
+    pub fn open(
+        dir: &Path,
+        prefix: &str,
+        sealed: Vec<SegmentMeta>,
+        target_bytes: usize,
+        cache_budget: usize,
+    ) -> Result<SegmentStore, StoreError> {
+        let mut hot_first = 0u64;
+        for (i, meta) in sealed.iter().enumerate() {
+            let name = format!("{prefix}-{i:05}.seg");
+            match hot_first.checked_add(meta.records) {
+                Some(end) if meta.name == name && meta.first == hot_first => hot_first = end,
+                _ => {
+                    return Err(StoreError::Corrupt {
+                        detail: format!(
+                            "segment {i} is {:?} from record {}",
+                            meta.name, meta.first
+                        ),
+                    })
+                }
             }
         }
         Ok(SegmentStore {
@@ -250,8 +274,8 @@ impl SegmentStore {
             cache_budget,
             hot_payload: Vec::new(),
             hot_offsets: Vec::new(),
-            hot_first: 0,
-            sealed: Vec::new(),
+            hot_first,
+            sealed,
             cache: HashMap::new(),
             lru: VecDeque::new(),
             stats: CacheStats::default(),
@@ -301,6 +325,13 @@ impl SegmentStore {
         let mut stats = self.stats;
         stats.resident_bytes = self.cache.values().map(|s| s.resident_bytes() as u64).sum();
         stats
+    }
+
+    /// Frees every resident segment: for a store about to be read from
+    /// end to end, which goes around the cache.
+    pub fn clear_cache(&mut self) {
+        self.cache.clear();
+        self.lru.clear();
     }
 
     /// Appends one record, sealing the in-RAM tail into a segment file
@@ -355,6 +386,7 @@ impl SegmentStore {
         bytes.extend_from_slice(&self.hot_payload);
         let path = self.dir.join(&name);
         let tmp = self.dir.join(format!("{name}.tmp"));
+        fs::create_dir_all(&self.dir).map_err(|e| io_err(&self.dir, e))?;
         fs::write(&tmp, &bytes).map_err(|e| io_err(&tmp, e))?;
         fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
         self.spilled_bytes += bytes.len() as u64;
@@ -439,6 +471,26 @@ impl SegmentStore {
             }
         }
     }
+}
+
+/// Creates `dir` if need be and removes every file in it named
+/// `{prefix}…{suffix}`, which an earlier run left.
+///
+/// # Errors
+///
+/// [`StoreError::Io`] if the filesystem refuses.
+pub fn clear_stale(dir: &Path, prefix: &str, suffix: &str) -> Result<(), StoreError> {
+    fs::create_dir_all(dir).map_err(|e| io_err(dir, e))?;
+    for entry in fs::read_dir(dir).map_err(|e| io_err(dir, e))? {
+        let entry = entry.map_err(|e| io_err(dir, e))?;
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with(prefix) && name.ends_with(suffix) {
+            let path = entry.path();
+            fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
+        }
+    }
+    Ok(())
 }
 
 /// Reads and fully verifies one segment file: magic, version, header
@@ -547,7 +599,7 @@ fn open_segment_file(path: &Path, meta: Option<&SegmentMeta>) -> Result<LoadedSe
 
 /// Opens and fully verifies a segment file, returning a copy of each
 /// of its records: an entry point for tests. The store reads through
-/// its cache, and a checkpoint's materialization through
+/// its cache, and a resume's re-open through
 /// [`for_each_segment_record`], which copies nothing.
 ///
 /// # Errors
@@ -866,6 +918,57 @@ mod tests {
         assert_eq!(all.len(), 100);
         for (i, r) in all.iter().enumerate() {
             assert_eq!(r.as_slice(), (i as u64).to_le_bytes());
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A store re-opened over the sealed segments another sealed reads
+    /// them where they lie, reads its appended records back, and seals
+    /// its own after the last, leaving every file it re-opened as it
+    /// was; a list its names or first records do not number in
+    /// sequence is refused.
+    #[test]
+    fn a_reopened_store_seals_after_the_last_segment() {
+        let dir = tmp_dir("reopen-after");
+        let mut first = SegmentStore::create(&dir, "arena", 64, 1 << 20).expect("create");
+        for i in 0..40u64 {
+            first.append(&i.to_le_bytes()).expect("append");
+        }
+        first.seal().expect("seal");
+        let sealed = first.sealed().to_vec();
+        let files: Vec<Vec<u8>> = sealed
+            .iter()
+            .map(|m| fs::read(dir.join(&m.name)).expect("sealed"))
+            .collect();
+        let mut store = SegmentStore::open(&dir, "arena", sealed.clone(), 256, 1 << 20).unwrap();
+        assert_eq!(store.len(), 40);
+        for i in 40..200u64 {
+            store.append(&i.to_le_bytes()).expect("append");
+        }
+        let mut buf = Vec::new();
+        for i in [0u64, 39, 40, 199] {
+            store.read(i, &mut buf).expect("read");
+            assert_eq!(buf, i.to_le_bytes());
+        }
+        assert!(store.sealed().len() > sealed.len(), "new segments sealed");
+        assert_eq!(&store.sealed()[..sealed.len()], &sealed[..]);
+        for (meta, bytes) in sealed.iter().zip(&files) {
+            assert_eq!(
+                &fs::read(dir.join(&meta.name)).unwrap(),
+                bytes,
+                "{}",
+                meta.name
+            );
+        }
+        let mut renamed = sealed.clone();
+        renamed[0].name = "arena-00007.seg".into();
+        let mut shifted = sealed.clone();
+        shifted[1].first += 1;
+        for list in [renamed, shifted] {
+            assert!(matches!(
+                SegmentStore::open(&dir, "arena", list, 256, 1 << 20),
+                Err(StoreError::Corrupt { .. })
+            ));
         }
         let _ = fs::remove_dir_all(&dir);
     }

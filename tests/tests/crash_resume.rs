@@ -340,11 +340,11 @@ fn corrupted_snapshot_is_a_typed_error_not_a_panic() {
     ));
     let _ = std::fs::remove_file(&path);
 
-    // An inline record holding a value outside the resuming system's
-    // domain: a snapshot of `x ∈ 0..=3` resumed under a system with the
-    // same variable and action names — all a snapshot pins — but
-    // `x ∈ 0..=1`. Refused as it is read, never stepped — and the same
-    // snapshot held in RAM is refused too, on every plan.
+    // A snapshot of `x ∈ 0..=3` resumed under a system with the same
+    // variable and action names — all its hash pins — but `x ∈ 0..=1`:
+    // its records are re-opened as they are, so other domains are
+    // refused before one is read, never stepped — and the same snapshot
+    // held in RAM is refused too, on every plan.
     let over = |top: i64| {
         let mut vars = Vars::new();
         vars.declare("x", Domain::int_range(0, top));
@@ -365,11 +365,16 @@ fn corrupted_snapshot_is_a_typed_error_not_a_panic() {
     .unwrap();
     assert!(cut.outcome.resume_token().is_some());
     let refused = |run: Result<Exploration, CheckError>, label: &str| match run {
-        Err(CheckError::Checkpoint(CheckpointError::Corrupt { detail })) => assert!(
-            detail.contains("state 2 holds 2 for x, outside its domain"),
-            "{label}: {detail}"
+        Err(CheckError::Checkpoint(CheckpointError::Mismatch {
+            field,
+            snapshot,
+            requested,
+        })) => assert_eq!(
+            (field, snapshot.as_str(), requested.as_str()),
+            ("variable domains", "x ∈ {0, 1, 2, 3}", "x ∈ {0, 1}"),
+            "{label}"
         ),
-        other => panic!("{label}: a state outside its domain must be Corrupt, got {other:?}"),
+        other => panic!("{label}: other domains must be a Mismatch, got {other:?}"),
     };
     refused(
         explore_resumable(
@@ -540,8 +545,9 @@ fn threaded_run_checkpoints_mid_run_and_resumes_at_another_worker_count() {
 /// previous one's work (resume events fire), and — measured in
 /// checkpoint cadence units — the total work stays O(final state
 /// space) + one cadence per attempt, not O(attempts × state space).
-/// On the disk-backed store too, whose in-memory hand-over under a
-/// checkpoint spec is a manifest of its segment files.
+/// On the disk-backed store too; the in-memory hand-over is a manifest
+/// of the store's segment files, under the caller's checkpoint spec or,
+/// without one, a temporary one that leaves no file behind.
 #[test]
 fn escalation_resumes_from_the_preserved_frontier() {
     let system = QueueChain::new(3, 1, 2, FairnessStyle::Joint)
@@ -610,7 +616,65 @@ fn escalation_resumes_from_the_preserved_frontier() {
             attempts
         );
         remove_spill_artifacts(&path);
+
+        // Without a spec the attempts hand over through a checkpoint at
+        // a temporary path: they still resume, and the call removes the
+        // path and its segment directory before it returns — a partial
+        // result then carries no snapshot or token pointing into them.
+        let recorder = Arc::new(CountingRecorder::new());
+        let escalated = explore_escalating(
+            &system,
+            &Budget::default()
+                .states((total / 10).max(2))
+                .with_recorder(RecorderHandle::new(recorder.clone())),
+            2,
+            attempts,
+            &opts,
+        )
+        .unwrap();
+        assert!(escalated.outcome.is_complete(), "{label}/no spec");
+        assert_eq!(
+            reference.graph.first_difference(&escalated.graph),
+            None,
+            "escalate/{label}/no spec"
+        );
+        assert!(
+            recorder.count("resume") >= 2,
+            "{label}/no spec: attempts must resume, not restart (saw {} resumes)",
+            recorder.count("resume")
+        );
+        let partial = explore_escalating(
+            &system,
+            &Budget::default().states((total / 10).max(2)),
+            2,
+            2,
+            &opts,
+        )
+        .unwrap();
+        assert!(
+            !partial.outcome.is_complete(),
+            "{label}/no spec: two attempts"
+        );
+        assert!(partial.snapshot.is_none(), "{label}/no spec");
+        assert!(partial.outcome.resume_token().is_none(), "{label}/no spec");
+        assert_eq!(
+            escalation_leftovers(),
+            Vec::<String>::new(),
+            "{label}/no spec"
+        );
     }
+}
+
+/// What escalations without a spec left in the temp directory: the
+/// entries this process named for their checkpoints.
+fn escalation_leftovers() -> Vec<String> {
+    let prefix = format!("opentla-escalate-{}-", std::process::id());
+    std::fs::read_dir(std::env::temp_dir())
+        .expect("the temp directory lists")
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with(&prefix))
+        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -705,8 +769,8 @@ fn remove_spill_artifacts(snap_path: &std::path::Path) {
 /// Kill-mid-spill: a bounded-memory run interrupted after its first
 /// sealed segment leaves a snapshot on disk that *references* the
 /// sealed files instead of copying them, and resuming from it — with
-/// the spill engine or, once materialized, with the plain in-RAM
-/// engine — completes to a graph byte-identical to the unbounded
+/// the spill engine or, re-opened from RAM, with the plain in-RAM
+/// engine's plan — completes to a graph byte-identical to the unbounded
 /// run's.
 #[test]
 fn spill_interrupt_resume_identity() {
@@ -780,8 +844,8 @@ fn spill_interrupt_resume_identity() {
         );
 
         // Cross-engine: the in-memory snapshot, a manifest over the
-        // same segment files, materializes and resumes on the plain
-        // in-RAM engine too.
+        // same segment files, re-opens and resumes under the plain
+        // in-RAM engine's plan too.
         let snap = interrupted.snapshot.as_deref().expect("in-memory snapshot");
         let cross = resume_exploration(&system, &Budget::unlimited(), &base, snap)
             .expect("cross-engine resume succeeds");
@@ -863,6 +927,84 @@ fn corrupted_spill_segment_is_typed_error() {
     .expect_err("truncated segment must refuse to resume");
     assert!(matches!(err, CheckError::Checkpoint(_)));
 
+    remove_spill_artifacts(&path);
+}
+
+/// The sealed segment files in the directory the store pins next to a
+/// checkpoint path, by name, with their bytes.
+fn sealed_segments(snap_path: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    let dir = PathBuf::from(format!("{}.segs", snap_path.display()));
+    std::fs::read_dir(&dir)
+        .expect("segment dir exists")
+        .filter_map(|e| e.ok())
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".seg"))
+        .map(|n| {
+            let bytes = std::fs::read(dir.join(&n)).expect("segment readable");
+            (n, bytes)
+        })
+        .collect()
+}
+
+/// A resume re-opens the store where its snapshot's sealed segments lie
+/// and seals its own after them, rewriting none. Chain3 cut under an
+/// 8 KiB budget and a spec — every segment it sealed is one its
+/// snapshot references — then resumed under a 64 KiB budget, whose
+/// segments are eight times the size, and cut and checkpointed again:
+/// every file the first snapshot references is byte for byte as it
+/// was, the second snapshot resumes from its file, and the first, held
+/// in RAM, still resumes to the uninterrupted graph.
+#[test]
+fn a_resume_rewrites_no_segment_its_snapshot_references() {
+    let system = QueueChain::new(3, 1, 2, FairnessStyle::Joint)
+        .complete_system()
+        .unwrap();
+    let base = options(1, VisitedMode::Fingerprint, 64);
+    let reference = run_unlimited(&system, &base).graph;
+    let under = |bytes: usize| ExploreOptions {
+        mem_budget_bytes: Some(bytes),
+        ..base.clone()
+    };
+    let path = snap_path("reopen");
+    remove_spill_artifacts(&path);
+    let cut = |states: usize, opts: &ExploreOptions| {
+        let budget = Budget::default().states(states).with_checkpoint(&path, 64);
+        let run = explore_resumable(&system, &budget, opts).unwrap();
+        assert!(run.outcome.resume_token().is_some(), "cut at {states}");
+        run
+    };
+    let first = cut(reference.len() / 3, &under(8 << 10));
+    let held = first.snapshot.as_deref().expect("a resumable cut").clone();
+    let referenced = sealed_segments(&path);
+    let count = |prefix: &str| referenced.keys().filter(|n| n.starts_with(prefix)).count();
+    assert!(
+        count("arena-") >= 1 && count("edges-") >= 1,
+        "{referenced:?}"
+    );
+
+    cut(reference.len() * 2 / 3, &under(64 << 10));
+    let now = sealed_segments(&path);
+    assert!(
+        now.len() > referenced.len(),
+        "the resumed run sealed its own"
+    );
+    for (name, bytes) in &referenced {
+        assert!(now.get(name) == Some(bytes), "{name} was rewritten");
+    }
+    let second = explore_resumable(
+        &system,
+        &Budget::unlimited().with_checkpoint(&path, 1 << 20),
+        &under(1 << 20),
+    )
+    .unwrap();
+    assert_eq!(reference.first_difference(&second.graph), None, "second");
+    let first_again = resume_exploration(&system, &Budget::unlimited(), &base, &held).unwrap();
+    assert!(first_again.outcome.is_complete());
+    assert_eq!(
+        reference.first_difference(&first_again.graph),
+        None,
+        "first"
+    );
     remove_spill_artifacts(&path);
 }
 
@@ -1019,4 +1161,165 @@ fn mutated_snapshots_end_in_a_typed_error_or_a_finished_run() {
         }
         remove_spill_artifacts(&written);
     }
+}
+
+/// Bytes of a segment file ahead of its payload: magic, version, first
+/// record, record count, payload length, payload checksum (at 36),
+/// header checksum (at 44).
+const SEGMENT_HEADER: usize = 52;
+
+/// Each record of a segment file's payload as `(offset, length)` of its
+/// body, past its length prefix.
+fn segment_records(file: &[u8]) -> Vec<(usize, usize)> {
+    let mut at = SEGMENT_HEADER;
+    let mut records = Vec::new();
+    while at < file.len() {
+        let len = u32::from_le_bytes(file[at..at + 4].try_into().unwrap()) as usize;
+        records.push((at + 4, len));
+        at += 4 + len;
+    }
+    records
+}
+
+/// Where each field of a record starts and how wide it is: an arena
+/// record's tag, parent, action and fingerprint words and each byte of
+/// its row; an edge record's id and count words and each action and
+/// target word.
+fn record_fields(arena: bool, len: usize) -> Vec<(usize, usize)> {
+    if arena {
+        let header = [(0, 1), (1, 4), (5, 4), (9, 8)];
+        header
+            .into_iter()
+            .chain((17..len).map(|at| (at, 1)))
+            .collect()
+    } else {
+        (0..len / 4).map(|word| (4 * word, 4)).collect()
+    }
+}
+
+/// Re-stamps `file`, a segment whose payload was edited: its payload
+/// checksum, its header checksum, and the entry of `snapshot` (the
+/// body, between magic and checksum) that names it.
+fn restamp(file: &mut [u8], name: &str, snapshot: &mut [u8]) {
+    let payload = fnv1a(&file[SEGMENT_HEADER..]).to_le_bytes();
+    file[36..44].copy_from_slice(&payload);
+    let header = fnv1a(&file[..44]).to_le_bytes();
+    file[44..52].copy_from_slice(&header);
+    let mut named = (name.len() as u32).to_le_bytes().to_vec();
+    named.extend_from_slice(name.as_bytes());
+    let at = snapshot
+        .windows(named.len())
+        .position(|w| w == named)
+        .expect("the manifest names the segment");
+    // The name, then the first id, record count, payload length and
+    // payload checksum words.
+    let checksum = at + named.len() + 24;
+    snapshot[checksum..checksum + 8].copy_from_slice(&payload);
+}
+
+/// Mutation fuzz over the sealed segments a snapshot references: chain2
+/// cut at half its states under an 8 KiB budget, which seals arena and
+/// edge segments. Each case mutates one of them — a header bit flip, a
+/// payload bit flip, a truncation, or a whole field of one record
+/// overwritten with a seeded value, the segment's checksums and its
+/// manifest entry re-stamped so the record decoders are reached — and
+/// resumes the snapshot on one of the two plans, in a thread of its
+/// own. It must end in a typed checkpoint error, or in a finished run
+/// equal to the uninterrupted one: a panic, any other outcome, or a
+/// case still running after the grace period fails the test with its
+/// seed. A field is overwritten whole because a word naming another
+/// valid state or action decodes, and no check short of re-stepping the
+/// parent sees it: against that edit the checksums are the guard.
+#[test]
+fn mutated_segments_end_in_a_typed_error_or_the_uninterrupted_graph() {
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
+    const CASES: u64 = 400;
+    let system = QueueChain::new(2, 1, 2, FairnessStyle::Joint)
+        .complete_system()
+        .unwrap();
+    let reference = run_unlimited(&system, &options(1, VisitedMode::Fingerprint, 64)).graph;
+    let written = snap_path("segment_fuzz");
+    remove_spill_artifacts(&written);
+    explore_resumable(
+        &system,
+        &Budget::default()
+            .states(reference.len() / 2)
+            .with_checkpoint(&written, 64),
+        &plan_options(PLANS[1], VisitedMode::Fingerprint),
+    )
+    .expect("the source run succeeds");
+    let snapshot = std::fs::read(&written).expect("the source snapshot");
+    let segments: Vec<(String, Vec<u8>)> = sealed_segments(&written).into_iter().collect();
+    assert!(segments.iter().any(|(n, _)| n.starts_with("arena-")));
+    assert!(segments.iter().any(|(n, _)| n.starts_with("edges-")));
+    let dir = PathBuf::from(format!("{}.segs", written.display()));
+    let reference = Arc::new(reference);
+    for case in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(case);
+        let (name, pristine) = &segments[rng.gen_range(0..segments.len())];
+        let (mut file, mut body) = (pristine.clone(), snapshot[8..snapshot.len() - 8].to_vec());
+        let (kind, len) = (case % 4, file.len());
+        match kind {
+            0 => file[rng.gen_range(0..SEGMENT_HEADER)] ^= 1 << rng.gen_range(0..8u32),
+            1 => file[rng.gen_range(SEGMENT_HEADER..len)] ^= 1 << rng.gen_range(0..8u32),
+            2 => file.truncate(rng.gen_range(0..len)),
+            _ => {
+                let records = segment_records(&file);
+                let (at, len) = records[rng.gen_range(0..records.len())];
+                let fields = record_fields(name.starts_with("arena-"), len);
+                let (offset, width) = fields[rng.gen_range(0..fields.len())];
+                let value = rng.gen_range(0..=u64::MAX).to_le_bytes();
+                file[at + offset..at + offset + width].copy_from_slice(&value[..width]);
+                restamp(&mut file, name, &mut body);
+            }
+        }
+        std::fs::write(dir.join(name), &file).unwrap();
+        let path = snap_path("segment_fuzz_case");
+        let checksum = fnv1a(&body).to_le_bytes();
+        std::fs::write(&path, [&snapshot[..8], &body, &checksum].concat()).unwrap();
+        let reader = PLANS[(case / 4) as usize % PLANS.len()];
+        let (system, opts, at, reference) = (
+            system.clone(),
+            plan_options(reader, VisitedMode::Fingerprint),
+            path.clone(),
+            Arc::clone(&reference),
+        );
+        // The case's thread says when it ends; a panic drops the
+        // sender unsent. Only a hung case is left unjoined.
+        let (done, ended) = std::sync::mpsc::channel();
+        let what = format!(
+            "seed {case}: {name}, mutation {kind}, resumed on {}",
+            reader.0
+        );
+        let verdict = what.clone();
+        let run = std::thread::spawn(move || {
+            let budget = Budget::unlimited().with_checkpoint(&at, u64::MAX);
+            match explore_resumable(&system, &budget, &opts) {
+                // A re-stamped edit passes every checksum and reaches
+                // the record decoders.
+                Err(CheckError::Checkpoint(CheckpointError::Corrupt { detail })) if kind == 3 => {
+                    assert!(!detail.contains("disagrees"), "{verdict}: {detail}")
+                }
+                Err(CheckError::Checkpoint(e)) if kind == 3 => panic!("{verdict}: {e}"),
+                Err(CheckError::Checkpoint(_)) => {}
+                Ok(run) => {
+                    assert!(run.outcome.is_complete(), "{verdict}: {:?}", run.outcome);
+                    let diff = reference.first_difference(&run.graph);
+                    assert_eq!(diff, None, "{verdict}: a finished run");
+                }
+                Err(other) => panic!("{verdict}: {other}"),
+            }
+            let _ = done.send(());
+        });
+        match ended.recv_timeout(Duration::from_secs(30)) {
+            Ok(()) | Err(RecvTimeoutError::Disconnected) => {
+                assert!(run.join().is_ok(), "{what} failed")
+            }
+            Err(RecvTimeoutError::Timeout) => panic!("{what} did not finish"),
+        }
+        std::fs::write(dir.join(name), pristine).unwrap();
+        let _ = std::fs::remove_file(&path);
+    }
+    remove_spill_artifacts(&written);
 }

@@ -295,8 +295,34 @@ proptest! {
 
 /// What one run of a two-stage comparison yields: its result, with
 /// what `step_memo` reported (actions, tabled actions, entries,
-/// lookups, misses).
-type StagedRun = (Result<Exploration, CheckError>, Option<[u64; 5]>);
+/// lookups, misses), and where it checkpointed.
+type StagedRun = (
+    Result<Exploration, CheckError>,
+    Option<[u64; 5]>,
+    Checkpoint,
+);
+
+/// Where a fresh staged run checkpoints — at exhaustion only, so a cut
+/// leaves a snapshot — a path of its own; the file and its segment
+/// directory are removed once the run, and the snapshot it left, are
+/// dropped.
+struct Checkpoint(std::path::PathBuf);
+
+impl Checkpoint {
+    fn new() -> Checkpoint {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        let name = format!("opentla_stages_{}_{n}.snap", std::process::id());
+        Checkpoint(std::env::temp_dir().join(name))
+    }
+}
+
+impl Drop for Checkpoint {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+        let _ = std::fs::remove_dir_all(format!("{}.segs", self.0.display()));
+    }
+}
 
 /// Reads a run's `step_memo` event, and cancels its budget at the loop
 /// head after its `cancel_after`-th progress event — where the loop
@@ -335,7 +361,8 @@ impl Recorder for StageProbe {
 }
 
 /// Explores `sys` under `budget` (a fresh copy: its cancel flag is its
-/// own) at `threads` workers, or resumes `resume`.
+/// own, and it checkpoints to a [`Checkpoint`]) at `threads` workers,
+/// or resumes `resume`.
 fn staged_run(
     sys: &System,
     options: &ExploreOptions,
@@ -356,35 +383,56 @@ fn staged_run(
         threads: Some(threads),
         ..options.clone()
     };
+    let checkpoint = Checkpoint::new();
     let run = match resume {
         Some(snap) => resume_exploration(sys, &budget, &options, snap),
-        None => explore_governed_with(sys, &budget, &options),
+        None => {
+            let budget = budget.with_checkpoint(&checkpoint.0, u64::MAX);
+            explore_governed_with(sys, &budget, &options)
+        }
     };
     let memo = *probe.memo.lock().unwrap();
-    (run, memo)
+    (run, memo, checkpoint)
+}
+
+/// `text`, a `Debug` rendering, with the value of every `field` that
+/// holds a path cut out.
+fn unnamed(text: &str, field: &str) -> String {
+    let key = format!("{field}: \"");
+    let mut out = String::new();
+    let mut rest = text;
+    while let Some((head, tail)) = rest.split_once(&key) {
+        out.push_str(head);
+        out.push_str(&key);
+        rest = tail.split_once('"').expect("a quoted path").1;
+    }
+    out + rest
 }
 
 /// One stage and two agree: on an error, the same error; else the same
 /// graph (`first_difference`), outcome, frontier, `step_memo` counts
-/// and — unless a budgeted store's segment directory names it —
-/// snapshot, and the two-stage run ran on two workers.
+/// and snapshot — its resume token and manifest field by field, but
+/// for the path each run checkpointed to and its segment directory —
+/// and the two-stage run ran on two workers.
 fn assert_stages_agree(what: &str, one: &StagedRun, two: &StagedRun) {
     match (&one.0, &two.0) {
         (Ok(a), Ok(b)) => {
             assert_eq!((a.workers(), b.workers()), (1, 2), "{what}: workers");
             assert_eq!(a.graph.first_difference(&b.graph), None, "{what}: graph");
             assert_eq!(
-                format!("{:?}", a.outcome),
-                format!("{:?}", b.outcome),
+                unnamed(&format!("{:?}", a.outcome), "path"),
+                unnamed(&format!("{:?}", b.outcome), "path"),
                 "{what}: outcome"
             );
             assert_eq!(a.frontier, b.frontier, "{what}: frontier");
             assert_eq!(one.1, two.1, "{what}: step_memo counts");
             assert!(one.1.is_some(), "{what}: a step_memo event");
-            let snapshot = |run: &Exploration| run.snapshot.as_ref().map(|s| format!("{s:?}"));
-            if snapshot(a).is_none_or(|s| s.contains("dir: \"\"")) {
-                assert_eq!(snapshot(a), snapshot(b), "{what}: snapshot");
-            }
+            let snapshot = |run: &Exploration| {
+                run.snapshot
+                    .as_ref()
+                    .map(|s| unnamed(&format!("{s:?}"), "dir"))
+            };
+            assert_eq!(snapshot(a), snapshot(b), "{what}: snapshot");
         }
         (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}"), "{what}: error"),
         (a, b) => panic!(

@@ -124,7 +124,9 @@ fn golden_streams_validate_and_engines_agree() {
 /// the same call with the budget lifted. Four run reports, of which
 /// exactly the resumed ones are complete and carry the uninterrupted
 /// totals; one `resume` per recovery; the disk-backed plan, under an
-/// 8 KiB budget, spills and reports its cache once per run.
+/// 8 KiB budget, spills. Every run reports its cache once: under a
+/// checkpoint spec the in-RAM plan's store moves to disk at its first
+/// checkpoint, and a resumed run re-opens the store on disk.
 #[test]
 fn golden_stream_spans_interrupted_and_resumed_runs_of_every_plan() {
     let sys = scenarios().remove(1).1;
@@ -180,8 +182,8 @@ fn golden_stream_spans_interrupted_and_resumed_runs_of_every_plan() {
     assert_eq!(summary.kinds["resume"], plans.len(), "one per plan");
     assert!(summary.kinds["spill"] >= 1);
     assert_eq!(
-        summary.kinds["cache_stats"], 2,
-        "one disk-backed plan, two runs"
+        summary.kinds["cache_stats"], 4,
+        "two plans on disk by their first checkpoint, two runs each"
     );
 }
 

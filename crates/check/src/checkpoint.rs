@@ -839,7 +839,9 @@ pub(crate) fn replay(
                  on resume"
             )));
         }
-        edges.iter().try_for_each(|e| known(id, e.action))?;
+        edges
+            .iter()
+            .try_for_each(|e| known(id, e.action as usize))?;
         (rows, transitions) = (id + 1, transitions + edges.len() as u64);
         Ok(())
     })?;
@@ -995,8 +997,8 @@ pub(crate) fn encode_edge_record(id: usize, edges: &[Edge], out: &mut Vec<u8>) {
     out.extend_from_slice(&(id as u32).to_le_bytes());
     out.extend_from_slice(&(edges.len() as u32).to_le_bytes());
     for e in edges {
-        out.extend_from_slice(&(e.action as u32).to_le_bytes());
-        out.extend_from_slice(&(e.target as u32).to_le_bytes());
+        out.extend_from_slice(&e.action.to_le_bytes());
+        out.extend_from_slice(&e.target.to_le_bytes());
     }
 }
 
@@ -1022,9 +1024,9 @@ fn decode_edge_record(
     }
     edges.clear();
     for _ in 0..r.u32("edge record count")? {
-        let action = r.u32("edge action")? as usize;
-        let target = r.u32("edge target")? as usize;
-        if target >= bound {
+        let action = r.u32("edge action")?;
+        let target = r.u32("edge target")?;
+        if target as usize >= bound {
             return Err(corrupt(format!(
                 "edge target {target} out of range (< {bound})"
             )));
@@ -1563,6 +1565,34 @@ mod tests {
                 "{id}"
             );
         }
+    }
+
+    /// An edge at the top of the id range — action and target one short
+    /// of `u32::MAX`, the largest word `id_word` admits — comes back from
+    /// its record exactly: the record's words are the edge's, and
+    /// neither field is narrowed on the way.
+    #[test]
+    fn an_edge_at_the_id_limit_round_trips_exactly() {
+        let top = u32::MAX - 1;
+        let edges = [
+            Edge {
+                action: top,
+                target: top,
+            },
+            Edge {
+                action: 0,
+                target: top,
+            },
+            Edge {
+                action: top,
+                target: 0,
+            },
+        ];
+        let mut record = Vec::new();
+        encode_edge_record(top as usize, &edges, &mut record);
+        let mut back = Vec::new();
+        let id = decode_edge_record(&record, u32::MAX as usize, &mut back).unwrap();
+        assert_eq!((id, &back[..]), (top as usize, &edges[..]));
     }
 
     /// Version 3 held a graph captured in RAM as arena records of tag

@@ -10,15 +10,16 @@
 //! key on its slot codes (`image.rs`, `liveness/fair.rs`) and run
 //! compiled programs on a [`RowView`]; a `State` is built only by
 //! [`StateGraph::materialize`], to be handed out. Every successor list
-//! sits back to back under a row index, and the BFS tree is the two
-//! words an arena record stores. Edge rows are filled once each in
-//! ascending id order — how every engine and snapshot reader works, and
-//! all [`StateGraph::set_edges`] takes. A check's per-edge table
-//! (`liveness/fair.rs`) costs a byte an edge, addressed through
-//! [`StateGraph::edge_base`]. [`StateGraph::states`] is a compatibility
-//! view for outside callers: its first call unpacks every row, and the
-//! graph keeps the states (several hundred bytes each on the
-//! certificate graphs, whose rows are five or six).
+//! sits back to back under a row index, 8 bytes an [`Edge`] — two `u32`
+//! words, as every id is below `checkpoint::id_word`'s limit — and the
+//! BFS tree is the two words an arena record stores. Edge rows are
+//! filled once each in ascending id order — how every engine and
+//! snapshot reader works, and all [`StateGraph::set_edges`] takes. A
+//! check's per-edge table (`liveness/fair.rs`) costs a byte an edge,
+//! addressed through [`StateGraph::edge_base`]. [`StateGraph::states`]
+//! is a compatibility view for outside callers: its first call unpacks
+//! every row, and the graph keeps the states (several hundred bytes
+//! each on the certificate graphs, whose rows are five or six).
 
 use crate::checkpoint::{corrupt, CheckpointError};
 use crate::compiled::Slots;
@@ -50,14 +51,19 @@ impl std::fmt::Display for GraphStats {
 }
 
 /// An edge of the reachability graph: which action fired and where it
-/// leads.
+/// leads, 8 bytes. Both are `u32`, the words of an edge record: every
+/// id a graph holds is below `checkpoint::id_word`'s limit, and a
+/// reader that indexes with one casts it `as usize`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Edge {
     /// Index of the action in the system's action list.
-    pub action: usize,
+    pub action: u32,
     /// Index of the target state in the graph.
-    pub target: usize,
+    pub target: u32,
 }
+
+// The edge column is the graph's largest: keep it at two words.
+const _: () = assert!(std::mem::size_of::<Edge>() == 8);
 
 /// A state of a graph read off its packed row ([`StateGraph::view`]):
 /// the value of a slot is its code's value in the slot's domain. A
@@ -304,19 +310,22 @@ impl StateGraph {
     /// count, and the BFS depth (longest shortest path from an initial
     /// state).
     pub fn stats(&self) -> GraphStats {
-        // BFS depth from all initial states.
-        let mut depth = vec![usize::MAX; self.len()];
+        // BFS depth from all initial states, on ids as the edges hold
+        // them.
+        let mut depth = vec![u32::MAX; self.len()];
         let mut queue = std::collections::VecDeque::new();
         for &i in &self.init {
             depth[i] = 0;
-            queue.push_back(i);
+            queue.push_back(i as u32);
         }
         let mut max_depth = 0;
         while let Some(s) = queue.pop_front() {
-            for e in self.edges(s) {
-                if depth[e.target] == usize::MAX {
-                    depth[e.target] = depth[s] + 1;
-                    max_depth = max_depth.max(depth[e.target]);
+            let next = depth[s as usize] + 1;
+            for e in self.edges(s as usize) {
+                let d = &mut depth[e.target as usize];
+                if *d == u32::MAX {
+                    *d = next;
+                    max_depth = max_depth.max(next);
                     queue.push_back(e.target);
                 }
             }
@@ -324,8 +333,10 @@ impl StateGraph {
         GraphStats {
             states: self.len(),
             transitions: self.edge_count(),
-            deadlocks: self.deadlocks().len(),
-            depth: max_depth,
+            deadlocks: (0..self.len())
+                .filter(|&i| self.edges(i).is_empty())
+                .count(),
+            depth: max_depth as usize,
         }
     }
 
@@ -436,9 +447,9 @@ mod tests {
                 (0..depth.len()).filter(|&i| depth[i].is_some()).collect();
             while let Some(s) = queue.pop_front() {
                 for e in &self.rows[s] {
-                    if depth[e.target].is_none() {
-                        depth[e.target] = depth[s].map(|d| d + 1);
-                        queue.push_back(e.target);
+                    if depth[e.target as usize].is_none() {
+                        depth[e.target as usize] = depth[s].map(|d| d + 1);
+                        queue.push_back(e.target as usize);
                     }
                 }
             }
@@ -536,10 +547,10 @@ mod tests {
                             0 => rng.gen_range(model.filled..n),
                             _ => model.filled,
                         };
-                        let row: Vec<Edge> = (0..rng.gen_range(0..4))
+                        let row: Vec<Edge> = (0..rng.gen_range(0..4usize))
                             .map(|action| Edge {
-                                action,
-                                target: rng.gen_range(0..n),
+                                action: action as u32,
+                                target: rng.gen_range(0..n) as u32,
                             })
                             .collect();
                         graph.set_edges(id, &row).unwrap();
@@ -573,7 +584,7 @@ mod tests {
     #[test]
     fn first_difference_names_the_column_that_differs() {
         let state = |x| State::new(vec![Value::Int(x)]);
-        let build = |third: i64, action: usize, target: usize| {
+        let build = |third: i64, action: usize, target: u32| {
             let mut graph = StateGraph::with_capacity(layout(), 3);
             push(&mut graph, state(0), None).unwrap();
             push(&mut graph, state(1), Some((0, 0))).unwrap();

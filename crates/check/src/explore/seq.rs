@@ -285,7 +285,11 @@ fn intern(
                 break;
             }
             match store.intern(succ.fp, Some((id, action)), parent, effects) {
-                Ok((target, _)) => edge_buf.push(Edge { action, target }),
+                Ok((target, _)) => edge_buf.push(Edge {
+                    action: succ.action,
+                    target: u32::try_from(target)
+                        .expect("`checkpoint::id_word` bounds every id a store admits"),
+                }),
                 Err(e) => {
                     stop = Some((e, action));
                     break;
@@ -1211,7 +1215,10 @@ mod tests {
                 else {
                     panic!("an unlimited meter and a healthy disk");
                 };
-                edges.push(Edge { action, target });
+                edges.push(Edge {
+                    action: action as u32,
+                    target: target as u32,
+                });
             }
             store.push_edges(id, &edges).unwrap();
         }

@@ -414,7 +414,7 @@ mod tests {
         let targets: Vec<i64> = graph
             .edges(s0)
             .iter()
-            .map(|e| match graph.state(e.target).get(x) {
+            .map(|e| match graph.state(e.target as usize).get(x) {
                 Value::Int(i) => *i,
                 other => panic!("unexpected value {other}"),
             })
@@ -446,12 +446,12 @@ mod tests {
         let mut saw_crash = false;
         for id in 0..graph.len() {
             for e in graph.edges(id) {
-                if e.action == crash_id {
+                if e.action as usize == crash_id {
                     saw_crash = true;
-                    let t = graph.state(e.target);
+                    let t = graph.state(e.target as usize);
                     assert_eq!(t.get(flag), &Value::Int(0));
                     assert_eq!(t.get(data), &Value::Int(0));
-                    assert_ne!(e.target, id, "crash must not be a self-loop");
+                    assert_ne!(e.target as usize, id, "crash must not be a self-loop");
                 }
             }
         }
@@ -483,10 +483,12 @@ mod tests {
         let mut saw_sabotage = false;
         for id in 0..graph.len() {
             for e in graph.edges(id) {
-                if is_fault_action(faulted.actions()[e.action].name()) {
+                if is_fault_action(faulted.actions()[e.action as usize].name()) {
                     saw_sabotage = true;
                     assert_eq!(graph.state(id).get(clock), &Value::Int(2));
-                    assert!(!assumption.holds_state(graph.state(e.target)).unwrap());
+                    assert!(!assumption
+                        .holds_state(graph.state(e.target as usize))
+                        .unwrap());
                 }
             }
         }

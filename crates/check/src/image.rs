@@ -1583,10 +1583,10 @@ mod tests {
             for s in 0..graph.len() {
                 for e in graph.edges(s) {
                     edges += 1;
-                    let same = graph.state(s).get(x) == graph.state(e.target).get(x);
+                    let same = graph.state(s).get(x) == graph.state(e.target as usize).get(x);
                     let got = memo.step(
                         s,
-                        e.target,
+                        e.target as usize,
                         |old, new| {
                             calls += 1;
                             Ok::<_, Infallible>(old.slot(x) == new.slot(x))
@@ -1668,7 +1668,7 @@ mod tests {
                 for e in graph.edges(s) {
                     let got = memo.step(
                         s,
-                        e.target,
+                        e.target as usize,
                         |old, new| {
                             *calls += 1;
                             program.holds_step(&old, &new, &mut EvalScratch::new())
@@ -1733,9 +1733,14 @@ mod tests {
         let scratch = &mut EvalScratch::new();
         for s in 0..graph.len() {
             for e in graph.edges(s) {
-                let (old, new) = (graph.view(s), graph.view(e.target));
+                let (old, new) = (graph.view(s), graph.view(e.target as usize));
                 let expected = program.holds_step(&old, &new, scratch).unwrap();
-                assert_eq!(ids.step(s, e.target), Some(expected), "{s} → {}", e.target);
+                assert_eq!(
+                    ids.step(s, e.target as usize),
+                    Some(expected),
+                    "{s} → {}",
+                    e.target
+                );
             }
         }
         assert!(IdsProgram::of_all(&classes, std::slice::from_ref(&wide)).is_none());
@@ -1775,10 +1780,10 @@ mod tests {
         let code = |s: usize| graph.layout().read_code(graph.row(s), x.index());
         for s in 0..graph.len() {
             for e in graph.edges(s) {
-                let moved = code(s) != code(e.target);
+                let moved = code(s) != code(e.target as usize);
                 let got = memo.step(
                     s,
-                    e.target,
+                    e.target as usize,
                     |old, new| {
                         calls += 1;
                         Ok::<_, Infallible>(old.slot(x) != new.slot(x))

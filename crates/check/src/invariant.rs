@@ -84,22 +84,23 @@ pub fn check_step_invariant(
     let scratch = &mut EvalScratch::new();
     for id in 0..graph.len() {
         for e in graph.edges(id) {
-            if !boxed.holds_step(&graph.view(id), &graph.view(e.target), scratch)? {
+            let target = e.target as usize;
+            if !boxed.holds_step(&graph.view(id), &graph.view(target), scratch)? {
                 let mut cx = trace_counterexample(
                     system,
                     graph,
                     id,
                     format!(
                         "step invariant violated by action {}: not a [{}]_v step",
-                        system.actions()[e.action].name(),
+                        system.actions()[e.action as usize].name(),
                         action.display(system.vars()),
                     ),
                 );
                 // Append the offending step.
                 let mut states = cx.states().to_vec();
                 let mut actions = cx.actions().to_vec();
-                states.push(graph.materialize(e.target));
-                actions.push(Some(system.actions()[e.action].name().to_string()));
+                states.push(graph.materialize(target));
+                actions.push(Some(system.actions()[e.action as usize].name().to_string()));
                 cx = Counterexample::new(cx.reason().to_string(), states, actions, None);
                 return Ok(Verdict::Violated(cx));
             }

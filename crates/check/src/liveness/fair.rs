@@ -195,10 +195,10 @@ pub(super) fn fill_system_fair_infos(system: &System, graph: &StateGraph, infos:
         let s = graph.row(id);
         fires.fill(false);
         for e in graph.edges(id) {
-            let t = graph.row(e.target);
+            let t = graph.row(e.target as usize);
             let requirements = fairness.iter().zip(infos.iter_mut()).zip(&mut fires);
             for (r, ((f, info), fires)) in requirements.enumerate() {
-                let angle = own[r * actions + e.action] && !unchanged(&f.sub, s, t);
+                let angle = own[r * actions + e.action as usize] && !unchanged(&f.sub, s, t);
                 info.angle.push(angle);
                 *fires |= angle;
             }
@@ -273,13 +273,14 @@ pub(super) fn target_fair_info(
         let mut fires = false;
         for e in graph.edges(id) {
             charge_edge(meter)?;
+            let target = e.target as usize;
             let angle = is_angle
                 .step(
                     id,
-                    e.target,
+                    target,
                     |s_bar, t_bar| angle_program.holds_step(&s_bar, &t_bar, scratch),
                     || {
-                        let (s, t) = (graph.materialize(id), graph.materialize(e.target));
+                        let (s, t) = (graph.materialize(id), graph.materialize(target));
                         angle_expr.holds_action(StatePair::new(&s, &t))
                     },
                 )
@@ -414,7 +415,7 @@ fn scan(
 ) -> Result<Option<FairWitness>, Stop> {
     // Tarjan components are sorted ascending (also in the recursion
     // below), so membership is a binary search, not a scan.
-    let in_scc = |n: usize| scc.binary_search(&(n as u32)).is_ok();
+    let in_scc = |n: u32| scc.binary_search(&n).is_ok();
     let mut waypoints = Vec::new();
     if let Some(req) = must_contain {
         let node = scc.iter().find(|&&n| req[n as usize]).expect("checked");
@@ -591,8 +592,8 @@ mod tests {
                         return Err((reason, graph.len() - id));
                     }
                     row.push(
-                        f.action_ids.contains(&e.action)
-                            && !s.agrees_with(graph.state(e.target), &f.sub),
+                        f.action_ids.contains(&(e.action as usize))
+                            && !s.agrees_with(graph.state(e.target as usize), &f.sub),
                     );
                 }
                 rows.push(row);
@@ -688,7 +689,7 @@ mod tests {
             &|v| graph.edges(v).len(),
             &mut |v, i| {
                 let t = graph.edges(v)[i].target;
-                Ok(node_ok[t].then_some(t))
+                Ok(node_ok[t as usize].then_some(t))
             },
             &mut |_, _| Ok(()),
             &mut |component| reference.push(component),
@@ -1006,7 +1007,7 @@ mod tests {
             let system = random_system(seed);
             let graph = explore(&system, &ExploreOptions::default()).unwrap();
             loops += (0..graph.len())
-                .filter(|&s| graph.edges(s).iter().any(|e| e.target == s))
+                .filter(|&s| graph.edges(s).iter().any(|e| e.target as usize == s))
                 .count();
             fair += assert_the_rule_is_the_scan(&system, &graph);
             states += graph.len();

@@ -277,7 +277,7 @@ impl Violation {
     /// Whether a violating cycle may take the `i`-th edge of `s`.
     fn edge_ok(&self, graph: &StateGraph, s: usize, i: usize) -> bool {
         self.cycle_node_ok[s]
-            && self.cycle_node_ok[graph.edges(s)[i].target]
+            && self.cycle_node_ok[graph.edges(s)[i].target as usize]
             && self
                 .cycle_edge_banned
                 .as_ref()
@@ -620,19 +620,22 @@ fn find_violation(
 
 /// States reachable from `starts` through states satisfying
 /// `node_ok` (`None` = all). Start states must satisfy it themselves.
+/// The queue holds ids as the edges do, `u32`.
 fn reachable_from(graph: &StateGraph, starts: &[usize], node_ok: Option<&[bool]>) -> Vec<bool> {
     let ok = |n: usize| node_ok.is_none_or(|f| f[n]);
     let mut seen = vec![false; graph.len()];
-    let mut queue: std::collections::VecDeque<usize> = starts
+    let mut queue: std::collections::VecDeque<u32> = starts
         .iter()
         .copied()
-        .filter(|n| ok(*n))
-        .inspect(|n| seen[*n] = true)
+        .filter(|&n| ok(n))
+        .inspect(|&n| seen[n] = true)
+        .map(|n| n as u32)
         .collect();
     while let Some(s) = queue.pop_front() {
-        for e in graph.edges(s) {
-            if ok(e.target) && !seen[e.target] {
-                seen[e.target] = true;
+        for e in graph.edges(s as usize) {
+            let t = e.target as usize;
+            if ok(t) && !seen[t] {
+                seen[t] = true;
                 queue.push_back(e.target);
             }
         }
@@ -642,9 +645,10 @@ fn reachable_from(graph: &StateGraph, starts: &[usize], node_ok: Option<&[bool]>
 
 /// BFS path inside a filtered graph, returning `(action id, node)`
 /// hops after `from`: an empty path means `from` is the goal. The BFS
-/// tree is a dense column, `(parent, action)` per state: a hash map
-/// over a search that may cover the graph peaked several megabytes
-/// higher, by how its rehashes fell.
+/// tree is a dense column, `(parent, action)` per state, and the queue
+/// `u32` ids, the words an edge holds: a hash map over a search that
+/// may cover the graph peaked several megabytes higher, by how its
+/// rehashes fell.
 fn path_filtered(
     graph: &StateGraph,
     from: usize,
@@ -657,19 +661,20 @@ fn path_filtered(
         return Some(Vec::new());
     }
     let mut prev = vec![(UNSEEN, 0u32); graph.len()];
-    let mut queue = std::collections::VecDeque::from([from]);
+    let mut queue = std::collections::VecDeque::from([from as u32]);
     while let Some(s) = queue.pop_front() {
-        for (i, e) in graph.edges(s).iter().enumerate() {
-            if !edge_ok(s, i) || !node_ok(e.target) {
+        for (i, e) in graph.edges(s as usize).iter().enumerate() {
+            let t = e.target as usize;
+            if !edge_ok(s as usize, i) || !node_ok(t) {
                 continue;
             }
-            if e.target == from || prev[e.target].0 != UNSEEN {
+            if t == from || prev[t].0 != UNSEEN {
                 continue;
             }
-            prev[e.target] = (s as u32, e.action as u32);
-            if goal(e.target) {
+            prev[t] = (s, e.action);
+            if goal(t) {
                 let mut rev = Vec::new();
-                let mut cur = e.target;
+                let mut cur = t;
                 while cur != from {
                     let (p, action) = prev[cur];
                     rev.push((action as usize, cur));
@@ -716,7 +721,9 @@ fn build_counterexample(
     // Cycle: visit every waypoint inside the component, then return.
     // `nodes` is a Tarjan component: sorted ascending.
     let in_nodes = |n: usize| nodes.binary_search(&(n as u32)).is_ok();
-    let comp_edge_ok = |s: usize, i: usize| edge_ok(s, i) && in_nodes(graph.edges(s)[i].target);
+    let comp_edge_ok = |s: usize, i: usize| {
+        edge_ok(s, i) && nodes.binary_search(&graph.edges(s)[i].target).is_ok()
+    };
     let mut cur = entry;
     let append_path_to = |goal: usize, ids: &mut Vec<(Option<usize>, usize)>, cur: &mut usize| {
         let hops = path_filtered(graph, *cur, &|n| n == goal, &in_nodes, &comp_edge_ok)
@@ -730,8 +737,8 @@ fn build_counterexample(
             Waypoint::Edge(s, i) => {
                 append_path_to(*s, &mut ids, &mut cur);
                 let e = graph.edges(*s)[*i];
-                ids.push((Some(e.action), e.target));
-                cur = e.target;
+                ids.push((Some(e.action as usize), e.target as usize));
+                cur = e.target as usize;
             }
         }
     }
@@ -805,10 +812,8 @@ mod tests {
             let Some(label) = label else { continue };
             let (from, to) = (id(k - 1), id(k));
             assert!(
-                graph
-                    .edges(from)
-                    .iter()
-                    .any(|e| e.target == to && system.actions()[e.action].name() == label),
+                graph.edges(from).iter().any(|e| e.target as usize == to
+                    && system.actions()[e.action as usize].name() == label),
                 "hop {k} is labelled {label:?}, which has no edge {from} → {to}"
             );
         }

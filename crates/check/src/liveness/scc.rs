@@ -77,7 +77,7 @@ pub(super) fn tarjan_sccs(
                 return Ok(None);
             }
             let t = graph.edges(v)[i].target;
-            Ok(node_ok[t].then_some(t))
+            Ok(node_ok[t as usize].then_some(t))
         },
         &mut |_, remaining| match meter.borrow_mut().checkpoint() {
             Some(reason) => Err(Stop::Exhausted {

@@ -41,7 +41,7 @@ pub fn sample_behavior<R: Rng + ?Sized>(
             ids.push(cur);
             continue;
         }
-        ids.push(edges[rng.gen_range(0..edges.len())].target);
+        ids.push(edges[rng.gen_range(0..edges.len())].target as usize);
     }
     // Close the lasso: loop back to the first earlier occurrence of
     // the final state if there is one, otherwise stutter on it.

@@ -257,30 +257,31 @@ fn check_states_and_edges(
             if let Some(reason) = meter.charge_transition_mut() {
                 return Ok(exhausted(reason, graph.len() - id));
             }
+            let (action, target) = (e.action as usize, e.target as usize);
             if !boxes_hold.step(
                 id,
-                e.target,
+                target,
                 |s_bar, t_bar| {
                     first_refuted(&abs_boxes, |b| b.holds_step(&s_bar, &t_bar, scratch))
                         .map(|r| r.is_none())
                 },
-                || refuted(id, e.target).map(|r| r.is_none()),
+                || refuted(id, target).map(|r| r.is_none()),
             )? {
-                let bi = refuted(id, e.target)?.expect("just refuted on this step");
+                let bi = refuted(id, target)?.expect("just refuted on this step");
                 let base = trace_counterexample(
                     system,
                     graph,
                     id,
                     format!(
                         "step of action {} violates target box #{bi}: {}",
-                        system.actions()[e.action].name(),
+                        system.actions()[action].name(),
                         sc.boxes[bi].0.display(vars),
                     ),
                 );
                 let mut states = base.states().to_vec();
                 let mut actions = base.actions().to_vec();
-                states.push(graph.materialize(e.target));
-                actions.push(Some(system.actions()[e.action].name().to_string()));
+                states.push(graph.materialize(target));
+                actions.push(Some(system.actions()[action].name().to_string()));
                 let cx = Counterexample::new(base.reason().to_string(), states, actions, None);
                 return Ok(violated(cx, meter.transitions_used()));
             }

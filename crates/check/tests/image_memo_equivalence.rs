@@ -612,7 +612,7 @@ fn an_abstract_error_is_the_substituted_expressions_error() {
             "{label}: the mapping is total"
         );
         let erring = (0..graph.len())
-            .flat_map(|s| graph.edges(s).iter().map(move |e| (s, e.target)))
+            .flat_map(|s| graph.edges(s).iter().map(move |e| (s, e.target as usize)))
             .filter(|(s, t)| {
                 substituted
                     .holds_action(StatePair::new(graph.state(*s), graph.state(*t)))
@@ -952,7 +952,7 @@ proptest! {
         let (compiled_box, mut scratch) = (CompiledExpr::compile(&abstract_box), EvalScratch::new());
         let mut memo = Memo::new(&classes);
         for s in 0..graph.len() {
-            let steps = graph.edges(s).iter().map(|e| e.target).chain([s]);
+            let steps = graph.edges(s).iter().map(|e| e.target as usize).chain([s]);
             for t in steps {
                 let on_views = |s_bar: ImageView<'_>, t_bar: ImageView<'_>| {
                     compiled_box.holds_step(&s_bar, &t_bar, &mut scratch)

@@ -153,10 +153,9 @@ fn confirm_semantically(sys: &System, graph: &StateGraph, cx: &Counterexample, t
         let Some(label) = label else { continue };
         let (from, to) = (id(k - 1), id(k));
         assert!(
-            graph
-                .edges(from)
-                .iter()
-                .any(|e| e.target == to && sys.actions()[e.action].name() == label),
+            graph.edges(from).iter().any(
+                |e| e.target as usize == to && sys.actions()[e.action as usize].name() == label
+            ),
             "hop {k} is labelled {label:?}, which has no edge {from} → {to}"
         );
     }

@@ -29,7 +29,7 @@ proptest! {
         let next = sys.next_expr();
         for (id, s) in graph.states().iter().enumerate() {
             let successors: Vec<usize> =
-                graph.edges(id).iter().map(|e| e.target).collect();
+                graph.edges(id).iter().map(|e| e.target as usize).collect();
             for (tid, t) in graph.states().iter().enumerate() {
                 let is_edge = successors.contains(&tid);
                 let satisfies = next.holds_action(StatePair::new(s, t)).unwrap();

@@ -123,7 +123,7 @@ proptest! {
                 prop_assert!(next.holds_action(StatePair::new(s, t)).is_ok());
             }
             for e in graph.edges(id) {
-                let pair = StatePair::new(s, graph.state(e.target));
+                let pair = StatePair::new(s, graph.state(e.target as usize));
                 prop_assert!(next.holds_action(pair).unwrap());
             }
         }
@@ -150,17 +150,17 @@ proptest! {
             };
             prop_assert!((0..=break_at).contains(&now));
             for e in graph.edges(id) {
-                let next = match graph.state(e.target).get(clock) {
+                let next = match graph.state(e.target as usize).get(clock) {
                     Value::Int(i) => *i,
                     other => panic!("clock is not an int: {other}"),
                 };
-                let name = hostile.actions()[e.action].name();
+                let name = hostile.actions()[e.action as usize].name();
                 if faults::is_fault_action(name) {
                     // Saboteur: armed only at the break step, and it
                     // falsifies the assumption.
                     prop_assert_eq!(now, break_at);
                     prop_assert!(
-                        !assumption.holds_state(graph.state(e.target)).unwrap()
+                        !assumption.holds_state(graph.state(e.target as usize)).unwrap()
                     );
                 } else {
                     // Ordinary actions tick the (saturating) clock.

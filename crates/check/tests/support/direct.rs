@@ -108,12 +108,12 @@ pub fn direct_simulation(
             if let Some(reason) = meter.charge_transition_mut() {
                 return Ok(exhausted(reason, graph.len() - id));
             }
-            let t = graph.state(e.target);
+            let t = graph.state(e.target as usize);
             for (bi, b) in boxes.iter().enumerate() {
                 if b.holds_action(StatePair::new(s, t))? {
                     continue;
                 }
-                let action = system.actions()[e.action].name();
+                let action = system.actions()[e.action as usize].name();
                 let reason = format!(
                     "step of action {action} violates target box #{bi}: {}",
                     sc.boxes[bi].0.display(vars),
@@ -249,7 +249,7 @@ fn steps(graph: &StateGraph, stride: usize) -> impl Iterator<Item = (usize, usiz
         graph
             .edges(s)
             .iter()
-            .map(|e| e.target)
+            .map(|e| e.target as usize)
             .chain([s])
             .map(move |t| (s, t))
     })

@@ -705,6 +705,7 @@ fn monitor(
             images.fill(graph, id);
         }
         for e in graph.edges(id) {
+            let target = e.target as usize;
             crossed += 1;
             if crossed == HOIST_AFTER_EDGES {
                 let conjuncts = env_side.conjuncts().chain(sys_side.conjuncts());
@@ -716,18 +717,18 @@ fn monitor(
                 images = Some(hoisted);
             }
             if let Some(images) = &mut images {
-                images.fill(graph, e.target);
+                images.fill(graph, target);
             }
             let images = images.as_ref();
-            if let Some(conjunct) = sys_side.failing_step(graph, images, id, e.target, scratch)? {
+            if let Some(conjunct) = sys_side.failing_step(graph, images, id, target, scratch)? {
                 // Violation: reconstruct the trace through the monitor.
                 let conjunct = sys_side.render(conjunct, vars);
-                let action = system.actions()[e.action].name().to_string();
+                let action = system.actions()[e.action as usize].name().to_string();
                 let base = rebuild(&seen, (id, env_broken), String::new());
                 let step = base.states().len();
                 let mut states = base.states().to_vec();
                 let mut actions = base.actions().to_vec();
-                states.push(graph.materialize(e.target));
+                states.push(graph.materialize(target));
                 actions.push(Some(action.clone()));
                 return Ok(AgReport {
                     verdict: Verdict::Violated(Counterexample::new(
@@ -744,12 +745,12 @@ fn monitor(
                     env_break: None,
                 });
             }
-            let broken = env_side.failing_step(graph, images, id, e.target, scratch)?;
+            let broken = env_side.failing_step(graph, images, id, target, scratch)?;
             let next_broken = broken.is_some();
-            if seen.insert(e.target, next_broken, id, e.action) {
-                queue.push_back((e.target, next_broken));
+            if seen.insert(target, next_broken, id, e.action) {
+                queue.push_back((target, next_broken));
                 if let (None, Some(conjunct)) = (&env_break, broken) {
-                    env_break = Some((e.target, Some(e.action), conjunct));
+                    env_break = Some((target, Some(e.action as usize), conjunct));
                 }
             }
         }
@@ -831,12 +832,12 @@ impl Parents {
 
     /// Marks `(id, broken)` as reached from `(parent, false)` by
     /// `action`, unless it was seen; whether it was new.
-    fn insert(&mut self, id: usize, broken: bool, parent: usize, action: usize) -> bool {
+    fn insert(&mut self, id: usize, broken: bool, parent: usize, action: u32) -> bool {
         let (entry, flag) = (self.entry(id), usize::from(broken));
         let new = entry.parent[flag] == 0;
         if new {
             entry.parent[flag] = 1 + parent as u32;
-            entry.action[flag] = u32::try_from(action).expect("action indices fit in u32");
+            entry.action[flag] = action;
         }
         new
     }

@@ -325,11 +325,14 @@ fn reference(
             continue;
         }
         for e in graph.edges(id) {
-            if let Some(conjunct) = sys.failing_step(graph, id, e.target, vars).map_err(err)? {
-                let action = system.actions()[e.action].name().to_string();
+            if let Some(conjunct) = sys
+                .failing_step(graph, id, e.target as usize, vars)
+                .map_err(err)?
+            {
+                let action = system.actions()[e.action as usize].name().to_string();
                 let (mut states, mut actions) = trace(&parent, (id, false));
                 let step = states.len();
-                states.push(graph.materialize(e.target));
+                states.push(graph.materialize(e.target as usize));
                 actions.push(Some(action.clone()));
                 return Ok(AgReport {
                     verdict: Verdict::Violated(Counterexample::new(
@@ -346,13 +349,15 @@ fn reference(
                     env_break: None,
                 });
             }
-            let broken = env.failing_step(graph, id, e.target, vars).map_err(err)?;
-            let key = (e.target, broken.is_some());
+            let broken = env
+                .failing_step(graph, id, e.target as usize, vars)
+                .map_err(err)?;
+            let key = (e.target as usize, broken.is_some());
             if let Entry::Vacant(slot) = parent.entry(key) {
-                slot.insert(Some((id, e.action)));
+                slot.insert(Some((id, e.action as usize)));
                 queue.push_back(key);
                 if let (None, Some(conjunct)) = (&env_break, broken) {
-                    env_break = Some((e.target, Some(e.action), conjunct));
+                    env_break = Some((e.target as usize, Some(e.action as usize), conjunct));
                 }
             }
         }

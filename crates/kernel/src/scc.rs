@@ -112,7 +112,9 @@ impl SccScratch {
 ///   order `0..out_degree(v)`.
 /// * `edge(v, i, unvisited)` — resolve edge slot `i` of `v`:
 ///   `Ok(Some(t))` if the edge is in the subgraph and leads to
-///   (subgraph) node `t`, `Ok(None)` if the slot is filtered out,
+///   (subgraph) node `t` — a `u32`, the width of the scratch's node
+///   ids and of a graph's edge targets, which the hook hands on as
+///   they are — `Ok(None)` if the slot is filtered out,
 ///   `Err(b)` to abort the whole decomposition (budget exhaustion,
 ///   evaluation error). `unvisited` is the number of subgraph nodes not
 ///   yet visited. Called exactly once per slot of every visited node,
@@ -143,7 +145,7 @@ pub fn tarjan_components_with<B>(
     nodes: Nodes<'_>,
     scratch: &mut SccScratch,
     out_degree: &dyn Fn(usize) -> usize,
-    edge: &mut dyn FnMut(usize, usize, usize) -> Result<Option<usize>, B>,
+    edge: &mut dyn FnMut(usize, usize, usize) -> Result<Option<u32>, B>,
     on_root: &mut dyn FnMut(usize, usize) -> Result<(), B>,
     emit: &mut dyn FnMut(&[u32]),
 ) -> Result<(), B> {
@@ -171,6 +173,7 @@ pub fn tarjan_components_with<B>(
                 let Some(t) = edge(node, i, total - visited)? else {
                     continue;
                 };
+                let t = t as usize;
                 if scratch.index[t] == UNVISITED {
                     scratch.open(t, &mut next);
                     visited += 1;
@@ -206,8 +209,8 @@ pub fn tarjan_components_with<B>(
 /// each component handed to `emit` as a `Vec<usize>` of its own.
 ///
 /// * `node_ok(v)` — is node `v` part of the subgraph?
-/// * `edge(v, i)` — as [`tarjan_components_with`]'s hook, without the
-///   count of unvisited nodes.
+/// * `edge(v, i)` — as [`tarjan_components_with`]'s hook (a `u32`
+///   target), without the count of unvisited nodes.
 ///
 /// Every other argument, the guarantees and the errors are those of
 /// [`tarjan_components_with`].
@@ -220,7 +223,7 @@ pub fn tarjan_sccs_with<B>(
     scratch: &mut SccScratch,
     node_ok: &dyn Fn(usize) -> bool,
     out_degree: &dyn Fn(usize) -> usize,
-    edge: &mut dyn FnMut(usize, usize) -> Result<Option<usize>, B>,
+    edge: &mut dyn FnMut(usize, usize) -> Result<Option<u32>, B>,
     on_root: &mut dyn FnMut(usize, usize) -> Result<(), B>,
     emit: &mut dyn FnMut(Vec<usize>),
 ) -> Result<(), B> {
@@ -240,7 +243,7 @@ mod tests {
     use super::*;
 
     /// Runs the driver over an adjacency list with no filtering.
-    fn sccs_of(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
+    fn sccs_of(adj: &[Vec<u32>]) -> Vec<Vec<usize>> {
         let mut out = Vec::new();
         let mut scratch = SccScratch::new();
         tarjan_sccs_with::<()>(
@@ -274,7 +277,7 @@ mod tests {
     #[test]
     fn node_filter_excludes_roots_and_targets() {
         // Same cycle, but node 1 is filtered: the cycle breaks apart.
-        let adj = [vec![1], vec![2], vec![0, 3], vec![]];
+        let adj: [Vec<u32>; 4] = [vec![1], vec![2], vec![0, 3], vec![]];
         let mut out = Vec::new();
         let mut scratch = SccScratch::new();
         tarjan_sccs_with::<()>(
@@ -297,7 +300,7 @@ mod tests {
 
     #[test]
     fn abort_from_edge_hook_propagates() {
-        let adj = [vec![1], vec![0]];
+        let adj: [Vec<u32>; 2] = [vec![1], vec![0]];
         let mut scratch = SccScratch::new();
         let r = tarjan_sccs_with::<&str>(
             adj.len(),
@@ -315,7 +318,7 @@ mod tests {
     fn on_root_counts_remaining_subgraph_nodes() {
         // Two disjoint singletons: the first root sees 2 remaining, the
         // second sees 1; root ids arrive in ascending order.
-        let adj = [vec![], vec![]];
+        let adj: [Vec<u32>; 2] = [vec![], vec![]];
         let mut seen = Vec::new();
         let mut scratch = SccScratch::new();
         tarjan_sccs_with::<()>(
@@ -336,11 +339,7 @@ mod tests {
 
     /// The components of `adj` restricted to `keep`, through both
     /// subgraph shapes, on one reused scratch.
-    fn restricted(
-        adj: &[Vec<usize>],
-        keep: &[u32],
-        scratch: &mut SccScratch,
-    ) -> [Vec<Vec<u32>>; 2] {
+    fn restricted(adj: &[Vec<u32>], keep: &[u32], scratch: &mut SccScratch) -> [Vec<Vec<u32>>; 2] {
         let member = |v: usize| keep.binary_search(&(v as u32)).is_ok();
         [Nodes::Where(&member), Nodes::Listed(keep)].map(|nodes| {
             let mut out = Vec::new();
@@ -353,7 +352,7 @@ mod tests {
                 &mut |v, i, left| {
                     unvisited.push(left);
                     let t = adj[v][i];
-                    Ok(member(t).then_some(t))
+                    Ok(member(t as usize).then_some(t))
                 },
                 &mut |_, _| Ok(()),
                 &mut |component| out.push(component.to_vec()),
@@ -395,12 +394,12 @@ mod tests {
     #[test]
     fn deep_chain_is_stack_safe() {
         // A 200k-deep chain would overflow a recursive Tarjan.
-        let n = 200_000;
-        let adj: Vec<Vec<usize>> = (0..n)
+        let n = 200_000u32;
+        let adj: Vec<Vec<u32>> = (0..n)
             .map(|v| if v + 1 < n { vec![v + 1] } else { vec![] })
             .collect();
         let sccs = sccs_of(&adj);
-        assert_eq!(sccs.len(), n);
-        assert_eq!(sccs[0], vec![n - 1]);
+        assert_eq!(sccs.len(), n as usize);
+        assert_eq!(sccs[0], vec![n as usize - 1]);
     }
 }

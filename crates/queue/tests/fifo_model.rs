@@ -34,8 +34,8 @@ fn walk_and_check(n: usize, v: i64, seed: u64, steps: usize) {
         }
         let e = edges[rng.gen_range(0..edges.len())];
         let s = graph.state(cur);
-        let t = graph.state(e.target);
-        let action = sys.actions()[e.action].name();
+        let t = graph.state(e.target as usize);
+        let action = sys.actions()[e.action as usize].name();
         match action {
             "Enq" => {
                 // The enqueued value is the input channel's current val.
@@ -59,7 +59,7 @@ fn walk_and_check(n: usize, v: i64, seed: u64, steps: usize) {
         let spec_q: Vec<Value> = t.get(q).as_items().expect("q is a sequence").to_vec();
         let model_q: Vec<Value> = reference.iter().cloned().collect();
         assert_eq!(spec_q, model_q, "q diverged from the reference FIFO");
-        cur = e.target;
+        cur = e.target as usize;
     }
 }
 
@@ -101,8 +101,8 @@ fn walk_double(n: usize, v: i64, seed: u64, steps: usize) {
         }
         let e = edges[rng.gen_range(0..edges.len())];
         let s = graph.state(cur);
-        let t = graph.state(e.target);
-        let action = sys.actions()[e.action].name();
+        let t = graph.state(e.target as usize);
+        let action = sys.actions()[e.action as usize].name();
         // Only the end-to-end events touch the reference model:
         // queue 1's Enq consumes from i; queue 2's Deq produces on o.
         let enq1 = action == "Enq" && t.get(i.ack) != s.get(i.ack);
@@ -124,7 +124,7 @@ fn walk_double(n: usize, v: i64, seed: u64, steps: usize) {
             .to_vec();
         let model_q: Vec<Value> = reference.iter().cloned().collect();
         assert_eq!(spec_q, model_q, "q̄ diverged from the reference FIFO");
-        cur = e.target;
+        cur = e.target as usize;
     }
 }
 

@@ -132,7 +132,7 @@ fn every_plan_builds_the_seed_explorers_graph() {
                 let out: Vec<_> = graph
                     .edges(id)
                     .iter()
-                    .map(|e| (e.action, e.target))
+                    .map(|e| (e.action as usize, e.target as usize))
                     .collect();
                 assert_eq!(out, edges[id], "{name}/{plan}: edges of state {id}");
             }

@@ -191,7 +191,7 @@ fn closed_product_satisfies_disjoint_semantically() {
         for _ in 0..4 {
             match graph.edges(cur).first() {
                 Some(e) => {
-                    cur = e.target;
+                    cur = e.target as usize;
                     states.push(graph.state(cur).clone());
                 }
                 None => break,

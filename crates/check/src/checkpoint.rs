@@ -794,14 +794,9 @@ pub(crate) fn replay(
     let (mut id, mut init) = (0, Vec::new());
     for_each_record((&m.dir, &m.arena_segments, m.arena_hot.iter()), |bytes| {
         let rec = arena_record(bytes, layout)?;
-        match rec.parent {
+        match earlier_parent(id, rec.parent)? {
             None => init.push(id),
-            Some((p, action)) if p < id => known(id, action)?,
-            Some((p, _)) => {
-                return Err(corrupt(format!(
-                    "state {id} names state {p} as its BFS parent, not an earlier state"
-                )))
-            }
+            Some((_, action)) => known(id, action)?,
         }
         let fp = layout.fingerprint(rec.row);
         if rec.fp != fp {
@@ -859,20 +854,46 @@ fn records(store: &SegmentStore) -> (&Path, &[SegmentMeta], impl Iterator<Item =
     (store.dir(), store.sealed(), store.hot_records())
 }
 
-/// The one store → graph reader, in two steps so a run can drop its
-/// arena between them. First every record of `arena`, in id order, as
-/// a state of a graph of rows under `layout` with no edges yet, each
-/// record checked as [`arena_record`] does.
+/// `parent`, the BFS parent the record of state `id` names, if it is
+/// an earlier state (or none: an initial state).
+fn earlier_parent(
+    id: usize,
+    parent: Option<(usize, usize)>,
+) -> Result<Option<(usize, usize)>, CheckpointError> {
+    match parent {
+        Some((p, _)) if p >= id => Err(corrupt(format!(
+            "state {id} names state {p} as its BFS parent, not an earlier state"
+        ))),
+        parent => Ok(parent),
+    }
+}
+
+/// The one store → graph reader, in three steps so a run can drop its
+/// arena after the first. First every record of `arena`, in id order,
+/// as a state of a graph of rows under `layout` with no edges yet, each
+/// record checked as [`arena_record`] does and its parent an earlier
+/// state; with the parents the records name, as `(parent, action)`
+/// words, `u32::MAX` the parent word of an initial state — a column
+/// the caller keeps until [`check_parents`].
 pub(crate) fn graph_of_arena(
     arena: &SegmentStore,
     layout: &Arc<PackedLayout>,
-) -> Result<StateGraph, CheckpointError> {
-    let mut graph = StateGraph::with_capacity(Arc::clone(layout), arena.len() as usize);
+) -> Result<(StateGraph, Vec<(u32, u32)>), CheckpointError> {
+    let n = arena.len() as usize;
+    let (mut graph, mut parents) = (
+        StateGraph::with_capacity(Arc::clone(layout), n),
+        Vec::with_capacity(n),
+    );
     for_each_record(records(arena), |bytes| {
         let rec = arena_record(bytes, layout)?;
-        graph.push_state(rec.row, rec.parent).map(drop)
+        let id = graph.push_state(rec.row, rec.parent.is_none());
+        parents.push(match earlier_parent(id, rec.parent)? {
+            Some((p, a)) => (p as u32, a as u32),
+            None => (u32::MAX, 0),
+        });
+        Ok(())
     })?;
-    Ok(graph)
+    Ok((graph, parents))
 }
 
 /// Then every record of `edges` as a row of `graph`, which refuses one
@@ -886,6 +907,59 @@ pub(crate) fn fill_edges(
         let id = decode_edge_record(bytes, bound, &mut list)?;
         graph.set_edges(id, &list)
     })
+}
+
+/// Last, once every row is filled — the cut parent's partial one too —
+/// checks that each state's recorded parent, in `parents` as
+/// [`graph_of_arena`] read them, is the edge the explorer discovered it
+/// by: the first edge into it, rows in id order. The graph keeps no
+/// parents, so its traces rest on this. A state no edge reaches is one
+/// only `next`, the first unexpanded state, can have discovered: in a
+/// resumed run cut before it re-expanded that state as far as the run
+/// it resumed from had. Its recorded edge becomes one of the graph's
+/// strays.
+///
+/// # Errors
+///
+/// [`CheckpointError::Corrupt`] naming the state whose record names
+/// another parent than its first edge, or a parent other than `next`
+/// for a state no edge reaches.
+pub(crate) fn check_parents(
+    graph: &mut StateGraph,
+    mut parents: Vec<(u32, u32)>,
+    next: usize,
+) -> Result<(), CheckpointError> {
+    // A state once checked is skipped as an initial one is.
+    const DONE: u32 = u32::MAX;
+    for parent in 0..graph.len() {
+        for e in graph.edges(parent) {
+            let state = &mut parents[e.target as usize];
+            if state.0 == DONE {
+                continue;
+            }
+            if *state != (parent as u32, e.action) {
+                return Err(corrupt(format!(
+                    "state {} names state {} by action {} as its BFS parent, but is first \
+                     reached from state {parent} by action {}",
+                    e.target, state.0, state.1, e.action
+                )));
+            }
+            state.0 = DONE;
+        }
+    }
+    for (id, &(parent, action)) in parents.iter().enumerate() {
+        if parent == DONE {
+            continue;
+        }
+        if parent as usize != next {
+            return Err(corrupt(format!(
+                "state {id} names state {parent} as its BFS parent, but no edge reaches it"
+            )));
+        }
+        let target = id as u32;
+        graph.push_stray(next, Edge { action, target });
+    }
+    Ok(())
 }
 
 /// One arena record: `[tag u8][parent u32, with `u32::MAX` for
@@ -1147,15 +1221,10 @@ mod tests {
     fn sample_graph() -> StateGraph {
         let layout = PackedLayout::compile(sample_system().vars()).expect("two small slots");
         let mut graph = StateGraph::with_capacity(Arc::new(layout), 3);
-        let states = [
-            (0, false, None),
-            (1, false, Some((0, 0))),
-            (1, true, Some((0, 1))),
-        ];
-        for (x, y, parent) in states {
+        for (x, y, initial) in [(0, false, true), (1, false, false), (1, true, false)] {
             let state = State::new(vec![Value::Int(x), Value::Bool(y)]);
             let row = graph.layout().pack(&state).expect("in-domain");
-            graph.push_state(&row, parent).unwrap();
+            graph.push_state(&row, initial);
         }
         let successors = [
             Edge {
@@ -1188,9 +1257,7 @@ mod tests {
     /// record of state 0, inline.
     fn sample() -> Snapshot {
         let graph = sample_graph();
-        let arena: Vec<Vec<u8>> = (0..3)
-            .map(|id| arena_record(id, graph.parent(id)))
-            .collect();
+        let arena: Vec<Vec<u8>> = (0..3).map(|id| arena_record(id, parent(id))).collect();
         let mut edges = Vec::new();
         encode_edge_record(0, graph.edges(0), &mut edges);
         let manifest = Manifest {
@@ -1213,6 +1280,11 @@ mod tests {
                 1..3,
             )
         }
+    }
+
+    /// The BFS parent of `sample_graph`'s state `id`.
+    fn parent(id: usize) -> Option<(usize, usize)> {
+        sample_graph().discoveries(3, None).parent(id)
     }
 
     /// The arena record of `sample_graph`'s state `id`, reached as
@@ -1249,9 +1321,7 @@ mod tests {
     /// segment by reference, the rest inline.
     fn manifest_sample() -> Snapshot {
         let graph = sample_graph();
-        let arena: Vec<Vec<u8>> = (0..3)
-            .map(|id| arena_record(id, graph.parent(id)))
-            .collect();
+        let arena: Vec<Vec<u8>> = (0..3).map(|id| arena_record(id, parent(id))).collect();
         let mut sealed = (arena[0].len() as u32).to_le_bytes().to_vec();
         sealed.extend_from_slice(&arena[0]);
         let mut edges = Vec::new();
@@ -1464,17 +1534,25 @@ mod tests {
     /// state would re-expand it on top of its recorded edges.
     #[test]
     fn frontier_that_repeats_or_reorders_an_id_is_corrupt() {
-        let graph = sample_graph();
-        let arena: Vec<Vec<u8>> = (0..3)
-            .map(|id| arena_record(id, graph.parent(id)))
-            .collect();
+        let arena: Vec<Vec<u8>> = (0..3).map(|id| arena_record(id, parent(id))).collect();
         for frontier in [vec![2, 2], vec![2, 1], vec![0, 2], vec![1]] {
             let snap = over_arena_records(&arena, frontier.clone());
             let detail = corrupt_detail(through_a_file("frontier", &snap));
             assert!(detail.contains("frontier id"), "{frontier:?}: {detail}");
         }
+        // Accepted, over state 0's edge record unless state 0 is on the
+        // frontier: states 1 and 2 name it as the parent whose edges
+        // reached them.
+        let fan = sample_graph().edges(0).to_vec();
         for frontier in [vec![], vec![2], vec![1, 2], vec![0, 1, 2]] {
-            let snap = over_arena_records(&arena, frontier.clone());
+            let edges: &[(usize, &[Edge])] = match frontier.first() {
+                Some(0) => &[],
+                _ => &[(0, &fan)],
+            };
+            let snap = Snapshot {
+                frontier: frontier.clone(),
+                ..over_edge_records(edges)
+            };
             assert_eq!(
                 through_a_file("frontier", &snap).unwrap().0.frontier,
                 frontier
@@ -1485,10 +1563,7 @@ mod tests {
     /// [`over_arena_records`] of every state of [`sample_graph`], all
     /// expanded, with these inline edge records.
     fn over_edge_records(edges: &[(usize, &[Edge])]) -> Snapshot {
-        let graph = sample_graph();
-        let arena: Vec<Vec<u8>> = (0..3)
-            .map(|id| arena_record(id, graph.parent(id)))
-            .collect();
+        let arena: Vec<Vec<u8>> = (0..3).map(|id| arena_record(id, parent(id))).collect();
         let mut snap = over_arena_records(&arena, vec![]);
         let m = &mut snap.manifest;
         let mut record = Vec::new();
@@ -1498,6 +1573,58 @@ mod tests {
             m.transitions += successors.len() as u64;
         }
         snap
+    }
+
+    /// The graph keeps no parents: a trace is read off the edges, the
+    /// first edge into a state being its parent. So a record naming an
+    /// earlier state as its parent, but not the edge that first reaches
+    /// it, is refused once the edges are read, as is one no edge reaches
+    /// whose parent was expanded.
+    #[test]
+    fn an_arena_record_naming_a_parent_other_than_its_first_edge_is_corrupt() {
+        let fan = sample_graph().edges(0).to_vec();
+        for (named, says) in [
+            (Some((0, 0)), "state 2 names state 0 by action 0"),
+            (Some((1, 1)), "state 2 names state 1 by action 1"),
+        ] {
+            let mut snap = over_edge_records(&[(0, &fan), (1, &[]), (2, &[])]);
+            let arena = [
+                arena_record(0, None),
+                arena_record(1, parent(1)),
+                arena_record(2, named),
+            ];
+            snap.manifest.arena_hot = arena.iter().map(Vec::as_slice).collect();
+            let detail = corrupt_detail(through_a_file("first_edge", &snap));
+            assert!(
+                detail.contains(says) && detail.contains("first reached from state 0 by action 1"),
+                "{detail}"
+            );
+        }
+        // State 1 reached by no edge, though its parent 0 is expanded.
+        let detail = corrupt_detail(through_a_file(
+            "first_edge",
+            &over_edge_records(&[(0, &fan[1..])]),
+        ));
+        assert!(
+            detail.contains("state 1 names state 0 as its BFS parent, but no edge reaches it"),
+            "{detail}"
+        );
+    }
+
+    /// States the first unexpanded state discovered before a cut, which
+    /// no edge reaches until it is expanded again, keep their recorded
+    /// edges as strays: their traces read as the complete graph's.
+    #[test]
+    fn states_only_the_frontier_head_reached_keep_their_traces() {
+        let arena: Vec<Vec<u8>> = (0..3).map(|id| arena_record(id, parent(id))).collect();
+        let (_, back) =
+            through_a_file("strays", &over_arena_records(&arena, vec![0, 1, 2])).unwrap();
+        assert!(back.edges(0).is_empty());
+        let graph = sample_graph();
+        for id in 0..3 {
+            assert_eq!(back.trace_to(id), graph.trace_to(id), "trace to {id}");
+        }
+        assert_eq!(graph.trace_to(2), [(None, 0), (Some(1), 2)]);
     }
 
     /// Every writer emits edge records in ascending id order, once per

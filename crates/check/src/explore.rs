@@ -756,6 +756,56 @@ mod tests {
         assert!(run.frontier.is_empty());
     }
 
+    /// A graph keeps no parents, so every trace is derived from its
+    /// edges. Each trace of a cut graph — at one worker and two, in RAM
+    /// and spilled — is the complete graph's; and so is each of the graph
+    /// resumed from the cut's snapshot and cut again at once, or one
+    /// transition later, where the states the cut parent had discovered
+    /// are reached by no edge until it is expanded again.
+    #[test]
+    fn cut_and_resumed_graphs_trace_as_the_complete_graph() {
+        let system = grid(6);
+        let full = explore(&system, &ExploreOptions::default()).unwrap();
+        let traces: Vec<_> = (0..full.len()).map(|id| full.trace_to(id)).collect();
+        let check = |run: &Exploration, what: &str| {
+            assert!(!run.outcome.is_complete(), "{what}");
+            for (id, trace) in traces.iter().enumerate().take(run.graph.len()) {
+                assert_eq!(&run.trace_to(id), trace, "{what}: trace to {id}");
+            }
+        };
+        for (threads, mem) in [(1, None), (2, None), (1, Some(1 << 10))] {
+            let options = ExploreOptions {
+                threads: Some(threads),
+                mem_budget_bytes: mem,
+                ..ExploreOptions::default()
+            };
+            for (limit, budget) in [
+                ("9 states", Budget::default().states(9)),
+                ("13 transitions", Budget::default().transitions(13)),
+                ("30 states", Budget::default().states(30)),
+            ] {
+                let what = format!("{threads} worker(s), {mem:?} bytes, {limit}");
+                let path = spill::temp_path("traces");
+                let armed = budget.with_checkpoint(&path, u64::MAX);
+                let run = explore_governed_with(&system, &armed, &options).unwrap();
+                check(&run, &what);
+                let snap = run.snapshot.as_deref().expect("an exhaustion snapshot");
+                let cancelled = Budget::default();
+                cancelled.request_cancel();
+                let used = snap.transitions_used();
+                for (again, budget) in [
+                    ("cancelled", cancelled),
+                    ("one transition on", Budget::default().transitions(used + 1)),
+                ] {
+                    let resumed = resume_exploration(&system, &budget, &options, snap).unwrap();
+                    check(&resumed, &format!("{what}, resumed and {again}"));
+                }
+                std::fs::remove_file(&path).unwrap();
+                let _ = std::fs::remove_dir_all(format!("{}.segs", path.display()));
+            }
+        }
+    }
+
     #[test]
     fn transition_budget_requeues_interrupted_state() {
         let run = explore_governed(&counter(10), &Budget::default().transitions(2)).unwrap();

@@ -11,15 +11,24 @@
 //! compiled programs on a [`RowView`]; a `State` is built only by
 //! [`StateGraph::materialize`], to be handed out. Every successor list
 //! sits back to back under a row index, 8 bytes an [`Edge`] — two `u32`
-//! words, as every id is below `checkpoint::id_word`'s limit — and the
-//! BFS tree is the two words an arena record stores. Edge rows are
-//! filled once each in ascending id order — how every engine and
+//! words, as every id is below `checkpoint::id_word`'s limit. Edge rows
+//! are filled once each in ascending id order — how every engine and
 //! snapshot reader works, and all [`StateGraph::set_edges`] takes. A
 //! check's per-edge table (`liveness/fair.rs`) costs a byte an edge,
 //! addressed through [`StateGraph::edge_base`]. [`StateGraph::states`]
 //! is a compatibility view for outside callers: its first call unpacks
 //! every row, and the graph keeps the states (several hundred bytes
 //! each on the certificate graphs, whose rows are five or six).
+//!
+//! There is no BFS tree column. The explorer expands parents in id
+//! order and interns each one's successors in edge order, so a state's
+//! BFS parent is the first edge into it in that order, and
+//! [`StateGraph::trace_to`] derives the parents it needs in one scan of
+//! the edges below its target. The one exception is a resumed run cut
+//! before it re-expanded its first unexpanded state as far as the run
+//! it resumed had: the states that parent discovered then are reached
+//! by no row, and the graph keeps their discovering edges beside the
+//! rows (the *strays*).
 
 use crate::checkpoint::{corrupt, CheckpointError};
 use crate::compiled::Slots;
@@ -91,8 +100,8 @@ impl Slots for RowView<'_> {
     }
 }
 
-/// The reachable state graph of a [`System`](crate::System), with a
-/// BFS tree for shortest-trace reconstruction.
+/// The reachable state graph of a [`System`](crate::System), whose
+/// edges in discovery order give each state's shortest trace.
 ///
 /// Exploration order is deterministic (BFS over the system's action
 /// order), so state indices — and therefore counterexamples — are
@@ -111,16 +120,57 @@ pub struct StateGraph {
     /// ends: one entry more than there are filled rows. A state past
     /// them has no edges yet.
     row_start: Vec<usize>,
-    /// The BFS tree: each state's `(parent id, action)` — always an
-    /// earlier state, [`NO_PARENT`] for an initial one.
-    tree: Vec<(u32, u32)>,
+    /// Number of states: a zero-width layout's rows have no bytes to
+    /// count.
+    len: usize,
+    /// The edges that discovered a state no row reaches, as `(parent,
+    /// edge)` in id order of their targets: those of a resumed run's
+    /// first unexpanded state, cut before it re-expanded as far as the
+    /// run it resumed from had. Empty in every other graph.
+    strays: Vec<(u32, Edge)>,
     /// The compatibility view, every row unpacked: filled by the first
     /// call of [`states`](Self::states) or [`state`](Self::state).
     unpacked: OnceLock<Box<[State]>>,
 }
 
-/// The parent word of an initial state, as in an arena record.
-const NO_PARENT: u32 = u32::MAX;
+/// The parent words of [`Discoveries`] that name no state: an initial
+/// state's, and that of a state no scanned edge reaches. No parent is
+/// either: a parent is below its child, and every id is below
+/// `checkpoint::id_word`'s limit, `u32::MAX`.
+const INITIAL: u32 = u32::MAX;
+const UNREACHED: u32 = u32::MAX - 1;
+
+/// Each state below some end with the edge the explorer discovered it
+/// by, derived from a graph's edges ([`StateGraph::discoveries`]): 8
+/// bytes a state, for as long as its caller keeps it.
+pub(crate) struct Discoveries {
+    /// Each state's `(parent, action)`, or [`INITIAL`] or [`UNREACHED`]
+    /// in the parent word.
+    found: Vec<(u32, u32)>,
+}
+
+impl Discoveries {
+    /// Takes `edge`, out of `parent`, as the discovering edge of its
+    /// target, unless that state is initial, past the end or reached
+    /// already; returns whether it did.
+    #[inline]
+    pub(crate) fn discover(&mut self, parent: u32, edge: Edge) -> bool {
+        match self.found.get_mut(edge.target as usize) {
+            Some(slot) if slot.0 == UNREACHED => {
+                *slot = (parent, edge.action);
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// The `(parent, action)` that discovered `id`, or `None` for an
+    /// initial state and one no edge reached.
+    pub(crate) fn parent(&self, id: usize) -> Option<(usize, usize)> {
+        let (parent, action) = self.found[id];
+        (parent < UNREACHED).then_some((parent as usize, action as usize))
+    }
+}
 
 impl StateGraph {
     /// An empty graph of rows under `layout`, with room for `n` states.
@@ -131,7 +181,8 @@ impl StateGraph {
             init: Vec::new(),
             edges: Vec::new(),
             row_start: vec![0],
-            tree: Vec::with_capacity(n),
+            len: 0,
+            strays: Vec::new(),
             unpacked: OnceLock::new(),
         }
     }
@@ -145,46 +196,31 @@ impl StateGraph {
     }
 
     /// Appends a state, its `row` under the graph's layout (the row the
-    /// caller stepped, or read back checked), reached from
-    /// `parent = (id, action)` or initial (`None`), and returns its id.
-    /// Every engine and every decoder adds states here, so this is where
-    /// the BFS tree is kept well-founded: [`trace_to`](Self::trace_to)
-    /// terminates and stays in bounds because a parent is always an
-    /// earlier state.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Corrupt`] naming the state, when `parent` is
-    /// not an earlier one (or does not fit a record's words) — which
-    /// only bytes read from disk can cause.
+    /// caller stepped, or read back checked), `initial` or reached by
+    /// an edge, and returns its id. A reached state's BFS parent is not
+    /// stored: it is the first edge into the state
+    /// ([`discoveries`](Self::discoveries)), which the caller adds to
+    /// its parent's row once that parent is expanded.
     // `#[inline]`, like `set_edges`: both sit in the sequential loop's
     // per-state path, which the stores' interns are inlined into.
     #[inline]
-    pub(crate) fn push_state(
-        &mut self,
-        row: &[u8],
-        parent: Option<(usize, usize)>,
-    ) -> Result<usize, CheckpointError> {
+    pub(crate) fn push_state(&mut self, row: &[u8], initial: bool) -> usize {
         debug_assert_eq!(row.len(), self.layout.stride(), "one row a state");
-        let id = self.len();
-        let words = match parent {
-            None => {
-                self.init.push(id);
-                (NO_PARENT, 0)
-            }
-            Some((p, a)) => match (u32::try_from(p), u32::try_from(a)) {
-                (Ok(p32), Ok(a32)) if p < id && p32 != NO_PARENT => (p32, a32),
-                _ => {
-                    return Err(corrupt(format!(
-                        "state {id} names state {p} as its BFS parent, not an earlier state"
-                    )))
-                }
-            },
-        };
+        let id = self.len;
+        if initial {
+            self.init.push(id);
+        }
         self.rows.extend_from_slice(row);
-        self.tree.push(words);
+        self.len += 1;
         self.unpacked.take();
-        Ok(id)
+        id
+    }
+
+    /// Records `edge`, out of `parent`, as the discovering edge of a
+    /// state no row reaches: see `strays`. Only a decoder that has
+    /// checked it against the run's records calls this.
+    pub(crate) fn push_stray(&mut self, parent: usize, edge: Edge) {
+        self.strays.push((parent as u32, edge));
     }
 
     /// Fills the next row: the successor list of `id`, complete and in
@@ -210,11 +246,30 @@ impl StateGraph {
         Ok(())
     }
 
-    /// The BFS-tree entry of `id`: `(parent id, action)`, or `None`
-    /// for an initial state.
-    pub(crate) fn parent(&self, id: usize) -> Option<(usize, usize)> {
-        let (parent, action) = self.tree[id];
-        (parent != NO_PARENT).then_some((parent as usize, action as usize))
+    /// Each state below `end` with the edge the explorer discovered it
+    /// by: the first edge into it, unless it is initial, in a scan of
+    /// the rows of the states below `end` in id order and then of the
+    /// strays. `until` ends the scan once that state is reached: every
+    /// ancestor of a state is reached before it, by an edge of an
+    /// earlier row, as a parent is always an earlier state. The scan
+    /// reads each edge below `end` at most once and keeps 8 bytes a
+    /// state.
+    pub(crate) fn discoveries(&self, end: usize, until: Option<usize>) -> Discoveries {
+        let mut found = Discoveries {
+            found: vec![(UNREACHED, 0); end],
+        };
+        for &id in self.init.iter().take_while(|&&id| id < end) {
+            found.found[id].0 = INITIAL;
+        }
+        let rows = (0..end.min(self.row_start.len() - 1))
+            .flat_map(|parent| self.edges(parent).iter().map(move |&e| (parent as u32, e)));
+        let strays = (self.strays.iter()).filter(|&&(parent, _)| (parent as usize) < end);
+        for (parent, edge) in rows.chain(strays.copied()) {
+            if found.discover(parent, edge) && Some(edge.target as usize) == until {
+                break;
+            }
+        }
+        found
     }
 
     /// Where the edges of `id` start among all the graph's edges in
@@ -227,12 +282,12 @@ impl StateGraph {
 
     /// Number of reachable states.
     pub fn len(&self) -> usize {
-        self.tree.len()
+        self.len
     }
 
     /// Whether the graph is empty (no initial states).
     pub fn is_empty(&self) -> bool {
-        self.tree.is_empty()
+        self.len == 0
     }
 
     /// Total number of (non-stuttering) transitions.
@@ -342,19 +397,27 @@ impl StateGraph {
 
     /// The shortest trace from an initial state to `id`, as
     /// `(action index leading into the state, state index)` pairs; the
-    /// first entry has no action.
+    /// first entry has no action. It costs one scan of the edges below
+    /// `id`, up to the one that discovered it, and 8 bytes a state below
+    /// `id` while it runs.
     pub fn trace_to(&self, id: usize) -> Vec<(Option<usize>, usize)> {
+        assert!(id < self.len, "state {id} of {}", self.len);
+        if self.init.binary_search(&id).is_ok() {
+            return vec![(None, id)];
+        }
+        let found = self.discoveries(id + 1, Some(id));
         let mut rev = Vec::new();
         let mut cur = id;
         loop {
-            match self.parent(cur) {
-                Some((pred, action)) => {
-                    rev.push((Some(action), cur));
-                    cur = pred;
-                }
-                None => {
+            match found.found[cur] {
+                (INITIAL, _) => {
                     rev.push((None, cur));
                     break;
+                }
+                (UNREACHED, _) => panic!("state {cur} is neither initial nor reached by an edge"),
+                (parent, action) => {
+                    rev.push((Some(action as usize), cur));
+                    cur = parent as usize;
                 }
             }
         }
@@ -363,37 +426,55 @@ impl StateGraph {
     }
 
     /// Where `self` and `other` first differ in anything a graph
-    /// stores — the states in id order, each state's edge list and the
-    /// BFS tree (whose parentless states are the initial ones) — or
-    /// `None` when they are the same graph. States are compared as rows
-    /// when the two layouts have the same domains, and as the states
-    /// they unpack to otherwise. The description names one id and one
-    /// state, edge list or parent of each side, whatever the graphs'
-    /// size.
+    /// stores — the states in id order and each state's edge list, then
+    /// the initial states and the strays, which with the edges give
+    /// every BFS parent — or `None` when they are the same graph. States
+    /// are compared as rows when the two layouts have the same domains,
+    /// and as the states they unpack to otherwise. The description names
+    /// one id and one state, edge list, initial state or stray of each
+    /// side, whatever the graphs' size.
     pub fn first_difference(&self, other: &StateGraph) -> Option<String> {
         if self.len() != other.len() {
             return Some(format!("{} states vs {}", self.len(), other.len()));
         }
+        let differ = |what: String, a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
+            Some(format!("{what}: {a:?} vs {b:?}"))
+        };
         let rows_compare = self.layout.domains() == other.layout.domains();
-        (0..self.len()).find_map(|id| {
-            let differ = |what: &str, a: &dyn std::fmt::Debug, b: &dyn std::fmt::Debug| {
-                Some(format!("{what} of state {id}: {a:?} vs {b:?}"))
-            };
+        let state = (0..self.len()).find_map(|id| {
             let same = if rows_compare {
                 self.row(id) == other.row(id)
             } else {
                 self.materialize(id) == other.materialize(id)
             };
             if !same {
-                differ("value", &self.materialize(id), &other.materialize(id))
+                let (a, b) = (self.materialize(id), other.materialize(id));
+                differ(format!("value of state {id}"), &a, &b)
             } else if self.edges(id) != other.edges(id) {
-                differ("edges", &self.edges(id), &other.edges(id))
-            } else if self.parent(id) != other.parent(id) {
-                differ("BFS parent", &self.parent(id), &other.parent(id))
+                differ(
+                    format!("edges of state {id}"),
+                    &self.edges(id),
+                    &other.edges(id),
+                )
             } else {
                 None
             }
-        })
+        });
+        // The first place two lists differ, each side's entry there.
+        fn first<T: PartialEq + Copy>(a: &[T], b: &[T]) -> Option<(usize, Option<T>, Option<T>)> {
+            (0..a.len().max(b.len()))
+                .map(|i| (i, a.get(i).copied(), b.get(i).copied()))
+                .find(|(_, x, y)| x != y)
+        }
+        state
+            .or_else(|| {
+                let (i, a, b) = first(&self.init, &other.init)?;
+                differ(format!("initial state {i}"), &a, &b)
+            })
+            .or_else(|| {
+                let (i, a, b) = first(&self.strays, &other.strays)?;
+                differ(format!("stray {i}"), &a, &b)
+            })
     }
 }
 
@@ -417,16 +498,13 @@ mod tests {
     }
 
     /// `graph.push_state` with the state's row.
-    fn push(
-        graph: &mut StateGraph,
-        state: State,
-        parent: Option<(usize, usize)>,
-    ) -> Result<usize, CheckpointError> {
+    fn push(graph: &mut StateGraph, state: State, initial: bool) -> usize {
         let row = graph.layout().pack(&state).expect("in the slot's domain");
-        graph.push_state(&row, parent)
+        graph.push_state(&row, initial)
     }
 
-    /// The graph as a heap row and a tree entry per state.
+    /// The graph as a heap row and a BFS-tree entry per state, grown as
+    /// the explorer grows one.
     #[derive(Default)]
     struct Model {
         pushed: Vec<State>,
@@ -434,6 +512,7 @@ mod tests {
         parents: Vec<Option<(usize, usize)>>,
         /// Rows before this one are filled (possibly with no edge).
         filled: usize,
+        strays: Vec<(usize, Edge)>,
     }
 
     impl Model {
@@ -472,14 +551,64 @@ mod tests {
             }
         }
 
-        /// The same graph built in one go: every state, then the rows.
+        /// A state of its own, initial or discovered by `parent`.
+        fn push(&mut self, graph: &mut StateGraph, parent: Option<(usize, usize)>) -> usize {
+            let state = State::new(vec![Value::Int(self.pushed.len() as i64)]);
+            let id = push(graph, state.clone(), parent.is_none());
+            assert_eq!(id, self.pushed.len());
+            self.pushed.push(state);
+            self.rows.push(Vec::new());
+            self.parents.push(parent);
+            id
+        }
+
+        /// Expands `id` as the explorer does: up to three successors, each
+        /// a state already there or one it discovers, pushed before its
+        /// parent's row is filled. With `cut`, the row keeps a prefix and
+        /// the states discovered past it are strays: what a resumed run
+        /// cut before it re-expanded `id` that far holds.
+        fn expand(&mut self, graph: &mut StateGraph, rng: &mut StdRng, id: usize, cut: bool) {
+            let mut row = Vec::new();
+            for action in 0..rng.gen_range(0..4u32) {
+                let target = match rng.gen_range(0..2) {
+                    0 => rng.gen_range(0..self.pushed.len()),
+                    _ => self.push(graph, Some((id, action as usize))),
+                };
+                row.push(Edge {
+                    action,
+                    target: target as u32,
+                });
+            }
+            if cut {
+                let kept = rng.gen_range(0..=row.len());
+                for &e in &row[kept..] {
+                    if self.parents[e.target as usize].is_some_and(|(p, _)| p == id)
+                        && !row[..kept].iter().any(|k| k.target == e.target)
+                        && !self.strays.iter().any(|(_, s)| s.target == e.target)
+                    {
+                        graph.push_stray(id, e);
+                        self.strays.push((id, e));
+                    }
+                }
+                row.truncate(kept);
+            }
+            graph.set_edges(id, &row).unwrap();
+            self.rows[id] = row;
+            self.filled = id + 1;
+        }
+
+        /// The same graph built in one go: every state, then the rows,
+        /// then the strays.
         fn graph(&self) -> StateGraph {
             let mut graph = StateGraph::with_capacity(layout(), self.pushed.len());
             for (state, parent) in self.pushed.iter().zip(&self.parents) {
-                push(&mut graph, state.clone(), *parent).unwrap();
+                push(&mut graph, state.clone(), parent.is_none());
             }
             for id in 0..self.filled {
                 graph.set_edges(id, &self.rows[id]).unwrap();
+            }
+            for &(parent, edge) in &self.strays {
+                graph.push_stray(parent, edge);
             }
             graph
         }
@@ -489,6 +618,7 @@ mod tests {
             assert_eq!(graph.len(), n, "{step}");
             assert_eq!(graph.states(), &self.pushed[..], "{step}");
             assert_eq!(graph.rows.len(), n * graph.layout().stride(), "{step}");
+            let found = graph.discoveries(n, None);
             let mut base = 0;
             for id in 0..n {
                 let row = graph.layout().pack(&self.pushed[id]).unwrap();
@@ -497,7 +627,7 @@ mod tests {
                 assert_eq!(graph.state(id), &self.pushed[id], "{step}: view of {id}");
                 assert_eq!(graph.edges(id), &self.rows[id][..], "{step}: edges of {id}");
                 assert_eq!(graph.edge_base(id), base, "{step}: base of {id}");
-                assert_eq!(graph.parent(id), self.parents[id], "{step}: parent of {id}");
+                assert_eq!(found.parent(id), self.parents[id], "{step}: parent of {id}");
                 assert_eq!(
                     graph.trace_to(id),
                     self.trace_to(id),
@@ -519,9 +649,11 @@ mod tests {
         }
     }
 
-    /// Random `push_state` / `set_edges` (the next row, or one past a
-    /// gap) sequences leave the flat columns reading exactly as the
-    /// row-per-state model does, and the calls the layout rules out are
+    /// Random explorer-like sequences — initial states pushed, the next
+    /// row expanded (or one past a gap), and last, now and then, a cut
+    /// that leaves strays — leave the flat columns reading exactly as
+    /// the row-per-state model does, every trace derived from the edges
+    /// the model's own parents, and the calls the layout rules out
     /// refused with the graph untouched.
     #[test]
     fn flat_columns_read_as_the_row_per_state_model() {
@@ -530,37 +662,28 @@ mod tests {
             let (mut graph, mut model) = (StateGraph::with_capacity(layout(), 0), Model::default());
             for step in 0..120 {
                 let n = model.pushed.len();
-                let what = match rng.gen_range(0..10) {
-                    0..=3 => {
-                        let parent = (n > 0 && rng.gen_range(0..4) > 0)
-                            .then(|| (rng.gen_range(0..n), rng.gen_range(0..3)));
-                        let state = State::new(vec![Value::Int((seed * 1000 + step) as i64)]);
-                        assert_eq!(push(&mut graph, state.clone(), parent).unwrap(), n);
-                        model.pushed.push(state);
-                        model.rows.push(Vec::new());
-                        model.parents.push(parent);
-                        "push_state"
+                let what = match rng.gen_range(0..20) {
+                    0..=5 => {
+                        model.push(&mut graph, None);
+                        "initial state"
                     }
-                    4..=6 if model.filled < n => {
+                    6..=13 if model.filled < n => {
                         // Mostly the next row; sometimes past a gap.
                         let id = match rng.gen_range(0..4) {
                             0 => rng.gen_range(model.filled..n),
                             _ => model.filled,
                         };
-                        let row: Vec<Edge> = (0..rng.gen_range(0..4usize))
-                            .map(|action| Edge {
-                                action: action as u32,
-                                target: rng.gen_range(0..n) as u32,
-                            })
-                            .collect();
-                        graph.set_edges(id, &row).unwrap();
-                        model.rows[id] = row;
-                        model.filled = id + 1;
-                        "set_edges"
+                        model.expand(&mut graph, &mut rng, id, false);
+                        "expansion"
+                    }
+                    14 if model.filled < n => {
+                        model.expand(&mut graph, &mut rng, model.filled, true);
+                        model.check(&graph, &format!("seed {seed}, step {step}: cut"));
+                        break;
                     }
                     _ => {
-                        // A filled row, a state that does not exist, a
-                        // parent that is not earlier: refused, no trace.
+                        // A filled row, a state that does not exist:
+                        // refused, no trace.
                         let edge = [Edge {
                             action: 0,
                             target: 0,
@@ -568,10 +691,6 @@ mod tests {
                         for id in (0..model.filled).chain([n, n + 3]) {
                             let err = graph.set_edges(id, &edge).unwrap_err();
                             assert!(matches!(err, CheckpointError::Corrupt { .. }), "{err}");
-                        }
-                        let state = State::new(vec![Value::Int(-1)]);
-                        for p in [n, n + 1, u32::MAX as usize] {
-                            push(&mut graph, state.clone(), Some((p, 0))).unwrap_err();
                         }
                         "refusals"
                     }
@@ -584,34 +703,27 @@ mod tests {
     #[test]
     fn first_difference_names_the_column_that_differs() {
         let state = |x| State::new(vec![Value::Int(x)]);
-        let build = |third: i64, action: usize, target: u32| {
+        let edge = |action, target| Edge { action, target };
+        let build = |third: i64, initial: bool, target: u32| {
             let mut graph = StateGraph::with_capacity(layout(), 3);
-            push(&mut graph, state(0), None).unwrap();
-            push(&mut graph, state(1), Some((0, 0))).unwrap();
-            push(&mut graph, state(third), Some((0, action))).unwrap();
-            graph
-                .set_edges(
-                    0,
-                    &[
-                        Edge {
-                            action: 0,
-                            target: 1,
-                        },
-                        Edge { action: 1, target },
-                    ],
-                )
-                .unwrap();
+            push(&mut graph, state(0), true);
+            push(&mut graph, state(1), false);
+            push(&mut graph, state(third), initial);
+            graph.set_edges(0, &[edge(0, 1), edge(1, target)]).unwrap();
             graph
         };
-        let graph = build(2, 1, 2);
-        assert_eq!(graph.first_difference(&build(2, 1, 2)), None);
+        let graph = build(2, false, 2);
+        assert_eq!(graph.first_difference(&build(2, false, 2)), None);
         let mut two = StateGraph::with_capacity(layout(), 2);
-        push(&mut two, state(0), None).unwrap();
-        push(&mut two, state(1), Some((0, 0))).unwrap();
+        push(&mut two, state(0), true);
+        push(&mut two, state(1), false);
+        let mut stray = build(2, false, 2);
+        stray.push_stray(0, edge(2, 2));
         for (other, what) in [
-            (build(7, 1, 2), "value of state 2"),
-            (build(2, 1, 0), "edges of state 0"),
-            (build(2, 0, 2), "BFS parent of state 2"),
+            (build(7, false, 2), "value of state 2"),
+            (build(2, false, 0), "edges of state 0"),
+            (build(2, true, 2), "initial state 1: None vs Some(2)"),
+            (stray, "stray 0: None vs Some"),
             (two, "3 states vs 2"),
         ] {
             let found = graph.first_difference(&other).expect(what);
@@ -637,7 +749,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let mut graph = StateGraph::with_capacity(Arc::clone(&layout), 1);
-        push(&mut graph, state.clone(), None).unwrap();
+        push(&mut graph, state.clone(), true);
         let view = graph.view(0);
         assert_eq!(view.slot_count(), 4096);
         for v in ids {
@@ -657,7 +769,7 @@ mod tests {
         let shifted = Arc::new(PackedLayout::compile(&vars).expect("one integer slot"));
         let build = |layout: Arc<PackedLayout>, x: i64| {
             let mut graph = StateGraph::with_capacity(layout, 1);
-            push(&mut graph, State::new(vec![Value::Int(x)]), None).unwrap();
+            push(&mut graph, State::new(vec![Value::Int(x)]), true);
             graph
         };
         let (a, b) = (build(layout(), 0), build(Arc::clone(&shifted), 1));

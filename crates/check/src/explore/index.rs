@@ -70,6 +70,11 @@ impl FpIndex {
         self.fps.get(id.checked_sub(self.base)?).copied()
     }
 
+    /// The first id since the last drain: every id drained is below it.
+    pub(super) fn base(&self) -> usize {
+        self.base
+    }
+
     /// Ids recorded in slots since the last drain.
     pub(super) fn len(&self) -> usize {
         self.len

@@ -748,19 +748,30 @@ fn lock<'m, 'a>(stepper: &'m Mutex<Stepper<'a>>) -> MutexGuard<'m, Stepper<'a>> 
         .expect("a stepper that panicked ends the run")
 }
 
-/// Where a [`Store`] keeps its states, BFS tree and edge lists. Ids
-/// are dense and assigned in insertion order in both.
+/// Where a [`Store`] keeps its states and edge lists, and where each
+/// state was reached from. Ids are dense and assigned in insertion
+/// order in both.
 #[allow(clippy::large_enum_variant)] // one per run, never moved
 enum Body {
     /// The [`StateGraph`] under construction — a run that ends here
     /// moves it out finished, each edge list and row held once. Every
     /// state's unmasked fingerprint, for incremental derivation, is in
-    /// the dedup index's column ([`SpillVisited::fp`]).
-    Ram { graph: StateGraph },
-    /// An arena record per state and an edge record per fully expanded
-    /// state in [`SegmentStore`]s: sealed segments on disk behind an
-    /// LRU cache, the unsealed tails in RAM: what a checkpoint records
-    /// and a resume re-opens. `init` is for manifests.
+    /// the dedup index's column ([`SpillVisited::fp`]). A state's BFS
+    /// parent is its first edge in the graph, once its parent's row is
+    /// filled; until then, with disk tiers, it is in `discovering`.
+    Ram {
+        graph: StateGraph,
+        /// With disk tiers, the `(parent, edge)` that discovered each
+        /// state interned since the last row was filled: the expanding
+        /// parent's new successors, which [`Store::spill`] writes into
+        /// their arena records' parent words.
+        discovering: Vec<(u32, Edge)>,
+    },
+    /// An arena record per state, which names its BFS parent, and an
+    /// edge record per fully expanded state in [`SegmentStore`]s:
+    /// sealed segments on disk behind an LRU cache, the unsealed tails
+    /// in RAM: what a checkpoint records and a resume re-opens. `init`
+    /// is for manifests.
     Disk {
         arena: SegmentStore,
         edges: SegmentStore,
@@ -780,7 +791,7 @@ impl Body {
         buf: &'b mut Vec<u8>,
     ) -> Result<(&'b [u8], Option<u64>), CheckpointError> {
         match self {
-            Body::Ram { graph } => Ok((graph.row(id), None)),
+            Body::Ram { graph, .. } => Ok((graph.row(id), None)),
             Body::Disk { arena, .. } => {
                 arena.read(id as u64, buf)?;
                 checkpoint::arena_record(buf, layout).map(|rec| (rec.row, Some(rec.fp)))
@@ -795,7 +806,7 @@ impl Body {
 /// module).
 const UNDRAINED: &str = "a budgeted store leaves RAM before its dedup index drains";
 
-/// The sequential store: states, edges and BFS tree in a [`Body`], and
+/// The sequential store: states, edges and BFS parents in a [`Body`], and
 /// the dedup index over them — one [`super::index::FpIndex`] probe
 /// sequence until a store with disk tiers drains it to disk
 /// ([`SpillVisited`]), which it does only once the body has left RAM.
@@ -849,6 +860,7 @@ impl<'a> Store<'a> {
         Store {
             body: Body::Ram {
                 graph: StateGraph::with_capacity(Arc::clone(layout), 0),
+                discovering: Vec::new(),
             },
             visited,
             disk,
@@ -875,20 +887,27 @@ impl<'a> Store<'a> {
 
     /// The store's one transition, `Ram` to `Disk`: every arena and
     /// edge record, in id order, through [`SegmentStore::append`] — an
-    /// arena record written straight from the graph's row. Whenever
-    /// this fires, the byte streams — and so the segment boundaries —
-    /// are those of a store on disk from its first state (until here
+    /// arena record written straight from the graph's row, its parent
+    /// words the state's discovering edge, derived once for them all:
+    /// the graph's first edge into it, or for a state the expanding (or
+    /// cut) parent discovered, its edge in `discovering`. Whenever this
+    /// fires, the byte streams — and so the segment boundaries — are
+    /// those of a store on disk from its first state (until here
     /// records were only counted, never encoded).
     fn spill(&mut self) -> Result<(), StoreError> {
-        let (Body::Ram { graph }, Some((dir, t))) = (&self.body, &self.disk) else {
+        let (Body::Ram { graph, discovering }, Some((dir, t))) = (&self.body, &self.disk) else {
             unreachable!("only the RAM body of a store with disk tiers spills");
         };
         let mut arena = SegmentStore::create(dir.path(), "arena", t.seg_target, t.arena_cache)?;
         let mut edges = SegmentStore::create(dir.path(), "edges", t.seg_target, t.edge_cache)?;
+        let mut found = graph.discoveries(graph.len(), None);
+        for &(parent, edge) in discovering {
+            found.discover(parent, edge);
+        }
         for id in 0..graph.len() {
             let fp = self.visited.fp(id).expect(UNDRAINED);
             let row = |out: &mut Vec<u8>| out.extend_from_slice(graph.row(id));
-            checkpoint::encode_packed_record(graph.parent(id), fp, row, &mut self.rec_buf);
+            checkpoint::encode_packed_record(found.parent(id), fp, row, &mut self.rec_buf);
             spill::append(self.meter, "arena", &mut arena, &self.rec_buf)?;
         }
         for id in 0..self.expanded {
@@ -918,14 +937,18 @@ impl<'a> Store<'a> {
     ) -> Result<(), CheckpointError> {
         let layout = self.layout;
         match &mut self.body {
-            Body::Ram { graph } => {
+            Body::Ram { graph, discovering } => {
                 let child = &mut self.rec_buf;
                 child.clear();
                 append_child(layout, row, effects, child);
+                let id = graph.push_state(child, from.is_none());
                 if self.disk.is_some() {
                     self.arena_bytes += checkpoint::arena_record_bytes(layout.stride());
+                    if let Some((parent, action)) = from {
+                        let (action, target) = (action as u32, id as u32);
+                        discovering.push((parent as u32, Edge { action, target }));
+                    }
                 }
-                graph.push_state(child, from)?;
                 self.grown()?;
             }
             Body::Disk { arena, init, .. } => {
@@ -983,7 +1006,7 @@ impl<'a> Store<'a> {
     /// States recorded: the next id.
     fn len(&self) -> usize {
         match &self.body {
-            Body::Ram { graph } => graph.len(),
+            Body::Ram { graph, .. } => graph.len(),
             Body::Disk { arena, .. } => arena.len() as usize,
         }
     }
@@ -1049,10 +1072,11 @@ impl<'a> Store<'a> {
         self.expanded += 1;
         self.transitions += edges.len() as u64;
         match &mut self.body {
-            Body::Ram { graph, .. } => {
+            Body::Ram { graph, discovering } => {
                 graph
                     .set_edges(id, edges)
                     .expect("the loop expands in id order");
+                discovering.clear();
                 if self.disk.is_some() {
                     self.edge_bytes += checkpoint::edge_record_bytes(edges.len());
                 }
@@ -1100,7 +1124,9 @@ impl<'a> Store<'a> {
 
     /// Turns the store, and where the loop stopped, into the run's
     /// result: the canonical [`StateGraph`] — a move in RAM, a decode of
-    /// every record on disk — with the unexpanded `next..` its frontier.
+    /// every record on disk, each record's parent checked against the
+    /// edges ([`checkpoint::check_parents`]) — with the unexpanded
+    /// `next..` its frontier.
     /// `cut` holds the partial successor list of a half-expanded parent
     /// (graph only, never banked). An `exhausted`, `resumable` run under
     /// a checkpoint spec takes — and writes — the exhaustion snapshot,
@@ -1125,8 +1151,10 @@ impl<'a> Store<'a> {
         if let Body::Disk { arena, edges, .. } = &self.body {
             spill::note_cache_stats(meter, [arena, edges]);
         }
-        let mut graph = match self.body {
-            Body::Ram { graph } => graph,
+        // A graph read off the disk body comes with its records' parents,
+        // checked once every row, the cut parent's too, is filled.
+        let (mut graph, parents) = match self.body {
+            Body::Ram { graph, .. } => (graph, None),
             Body::Disk {
                 mut arena,
                 mut edges,
@@ -1138,18 +1166,21 @@ impl<'a> Store<'a> {
                 drop(self.visited);
                 arena.clear_cache();
                 edges.clear_cache();
-                let mut graph = checkpoint::graph_of_arena(&arena, self.layout)?;
+                let (mut graph, parents) = checkpoint::graph_of_arena(&arena, self.layout)?;
                 drop(arena);
                 let partial = cut.as_ref().map_or(0, |(_, edges)| edges.len());
                 graph.reserve_edges(self.transitions as usize + partial);
                 checkpoint::fill_edges(&mut graph, &edges)?;
-                graph
+                (graph, Some(parents))
             }
         };
         if let Some((id, partial)) = cut {
             graph
                 .set_edges(id, &partial)
                 .expect("the cut parent is the next to expand");
+        }
+        if let Some(parents) = parents {
+            checkpoint::check_parents(&mut graph, parents, next)?;
         }
         let outcome = match exhausted {
             None => Outcome::Complete,

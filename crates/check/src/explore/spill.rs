@@ -190,6 +190,9 @@ impl SpillVisited {
     /// under `fp`'s key and `fp` in the column;
     /// `Err` leaves the set untouched — the budget cut happens *before*
     /// the insert. A drain the insert triggers is reported to `meter`.
+    /// An id a run holds that no drain can have written — one at or past
+    /// the hot tier's first — is [`StoreError::Corrupt`]: it would
+    /// become an edge to a state that does not exist.
     #[inline]
     pub(super) fn fp_entry<E: From<StoreError>, S: FnMut(usize, Option<u64>) -> Result<bool, E>>(
         &mut self,
@@ -198,7 +201,7 @@ impl SpillVisited {
         admit: impl FnOnce(&mut Meter) -> Result<usize, E>,
         meter: &mut Meter,
     ) -> Result<(usize, bool), E> {
-        let key = self.hot.key(fp);
+        let (key, drained) = (self.hot.key(fp), self.hot.base());
         let SpillVisited {
             hot,
             runs,
@@ -209,10 +212,19 @@ impl SpillVisited {
         let spilled = |same: &mut S| {
             if !runs.is_empty() && filter.as_ref().is_some_and(|f| f.maybe(key)) {
                 probe.clear();
-                for run in runs {
+                for (seq, run) in runs.iter_mut().enumerate() {
                     let seen = probe.len();
                     run.lookup(key, probe)?;
                     for &id in &probe[seen..] {
+                        if id >= drained as u64 {
+                            return Err(StoreError::Corrupt {
+                                detail: format!(
+                                    "visited-{seq:05}.run names state {id}, past the {drained} \
+                                     state(s) drained"
+                                ),
+                            }
+                            .into());
+                        }
                         if same(id as usize, None)? {
                             return Ok(Some(id as usize));
                         }
@@ -318,5 +330,52 @@ pub(super) fn note_cache_stats<'s>(
             resident_bytes: sum.resident_bytes,
             spilled_bytes: meter.spilled_bytes(),
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::budget::Budget;
+
+    /// A run is read back trusting its entries, so an id past every
+    /// state drained — here 9, after the 4 states 0..=3 of the first
+    /// drain — is refused as corrupt, not handed out as an edge to a
+    /// state that does not exist. The same id in range is a hit.
+    #[test]
+    fn a_run_naming_an_id_past_the_drained_states_is_corrupt() {
+        let dir = temp_path("run-ids");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut meter = Meter::start(&Budget::unlimited());
+        let mut visited = SpillVisited::new(u64::MAX, &dir, 4, 4 << 10);
+        let trust = |_, _| Ok::<_, StoreError>(true);
+        for fp in 0..4u64 {
+            let next = fp as usize;
+            let (id, new) = visited
+                .fp_entry(fp, trust, |_| Ok(next), &mut meter)
+                .unwrap();
+            assert_eq!((id, new), (next, true));
+        }
+        assert_eq!((visited.runs.len(), visited.hot.base()), (1, 4), "drained");
+        let (hit, _) = visited
+            .fp_entry(2, trust, |_| unreachable!("a hit"), &mut meter)
+            .unwrap();
+        assert_eq!(hit, 2);
+        let (key, bad) = (100, 9);
+        let path = dir.join("visited-00001.run");
+        visited
+            .runs
+            .push(FingerprintRun::write(&path, &[(key, bad)]).unwrap());
+        visited.filter.as_mut().expect("made by the drain").set(key);
+        let err = visited
+            .fp_entry(key, trust, |_| unreachable!("a hit"), &mut meter)
+            .unwrap_err();
+        match err {
+            StoreError::Corrupt { detail } => {
+                assert!(detail.contains("names state 9"), "{detail}");
+            }
+            other => panic!("{other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -475,7 +475,8 @@ fn build_violation(
     meter: &mut Meter,
 ) -> Result<Violation, Stop> {
     let (system, graph) = (session.system(), session.graph());
-    let all = vec![true; graph.len()];
+    // Every state, for the SF and ◇□ arms, whose cycle may pass any.
+    let all = || vec![true; graph.len()];
     Ok(match target {
         LiveTarget::Fair {
             fair,
@@ -498,7 +499,7 @@ fn build_violation(
                     reason:
                         "target SF violated: its action is enabled infinitely often but taken only finitely often"
                             .into(),
-                    cycle_node_ok: all,
+                    cycle_node_ok: all(),
                     cycle_edge_banned: Some(angle),
                     path_node_ok: None,
                     starts: graph.init().to_vec(),
@@ -535,7 +536,7 @@ fn build_violation(
             let not_p: Vec<bool> = pv.iter().map(|b| !b).collect();
             Violation {
                 reason: format!("◇□({}) violated", p.display(system.vars())),
-                cycle_node_ok: all,
+                cycle_node_ok: all(),
                 cycle_edge_banned: None,
                 path_node_ok: None,
                 starts: graph.init().to_vec(),

@@ -767,9 +767,15 @@ pub(crate) fn for_each_record<'a>(
 /// verified as it is read. An arena record decodes under `layout`
 /// ([`arena_record`]), holds its row's fingerprint (the loop derives its
 /// children's from it) and names an earlier state as its BFS parent by
-/// one of the system's `actions`, or none as an initial state; an edge
-/// record names an expanded state after the last one's, and the
-/// system's actions. `seed(fp, id)` gets each state's fingerprint; the
+/// one of the system's `actions`, or none as an initial state. There is
+/// one edge record for each expanded state, in id order, naming the
+/// system's actions; the first edge into a state is the parent its
+/// arena record names ([`first_edge`]), and a state no edge reaches
+/// names the frontier's first as its parent ([`unreached`]) — what the
+/// finished run's graph is checked against ([`check_parents`]), so a
+/// snapshot it would refuse is refused before the run resumes. The
+/// check keeps each state's recorded parent, 8 bytes a state, while the
+/// pass runs. `seed(fp, id)` gets each state's fingerprint; the
 /// frontier's first id is returned.
 ///
 /// # Errors
@@ -791,13 +797,19 @@ pub(crate) fn replay(
             "state {id} records action {action} of a system with {actions}"
         ))),
     };
-    let (mut id, mut init) = (0, Vec::new());
+    let (mut id, mut init, mut parents) = (0, Vec::new(), Vec::with_capacity(n));
     for_each_record((&m.dir, &m.arena_segments, m.arena_hot.iter()), |bytes| {
         let rec = arena_record(bytes, layout)?;
-        match earlier_parent(id, rec.parent)? {
-            None => init.push(id),
-            Some((_, action)) => known(id, action)?,
-        }
+        parents.push(match earlier_parent(id, rec.parent)? {
+            None => {
+                init.push(id);
+                (INITIAL, 0)
+            }
+            Some((parent, action)) => {
+                known(id, action)?;
+                (parent as u32, action as u32)
+            }
+        });
         let fp = layout.fingerprint(rec.row);
         if rec.fp != fp {
             return Err(corrupt(format!(
@@ -822,31 +834,101 @@ pub(crate) fn replay(
     let (mut rows, mut transitions, mut edges) = (0, 0, Vec::new());
     for_each_record((&m.dir, &m.edge_segments, m.edge_hot.iter()), |bytes| {
         let id = decode_edge_record(bytes, n, &mut edges)?;
-        if id < rows {
-            return Err(corrupt(format!(
-                "edges of state {id} after {rows} row(s) of {n}: rows are filled once each, in \
-                 ascending id order"
-            )));
-        }
+        next_row(id, rows, n)?;
         if id >= first {
             return Err(corrupt(format!(
                 "edges of state {id}, on the frontier from {first}: a frontier state is expanded \
                  on resume"
             )));
         }
-        edges
-            .iter()
-            .try_for_each(|e| known(id, e.action as usize))?;
+        for &e in &edges {
+            known(id, e.action as usize)?;
+            first_edge(&mut parents, id, e)?;
+        }
         (rows, transitions) = (id + 1, transitions + edges.len() as u64);
         Ok(())
     })?;
+    if rows != first {
+        return Err(corrupt(format!(
+            "edge records end at state {rows}, but states up to the frontier's first, {first}, \
+             are expanded: each has an edge record"
+        )));
+    }
     if transitions != m.transitions {
         return Err(corrupt(format!(
             "manifest claims {} transitions, edge records held {transitions}",
             m.transitions
         )));
     }
+    unreached(&parents, first, |_, _| ())?;
     Ok(first)
+}
+
+/// Whether the edge record of `id` is the next after `rows` filled rows
+/// of `n`: one for each expanded state, in ascending id order, as every
+/// writer emits them.
+fn next_row(id: usize, rows: usize, n: usize) -> Result<(), CheckpointError> {
+    match id.cmp(&rows) {
+        std::cmp::Ordering::Equal => Ok(()),
+        std::cmp::Ordering::Less => Err(corrupt(format!(
+            "edges of state {id} after {rows} row(s) of {n}: rows are filled once each, in \
+             ascending id order"
+        ))),
+        std::cmp::Ordering::Greater => Err(corrupt(format!(
+            "edges of state {id} after {rows} row(s) of {n}: state {rows} is expanded but has no \
+             edge record"
+        ))),
+    }
+}
+
+/// The parent word of an initial state in a column of recorded
+/// `(parent, action)` pairs, and of a state whose first edge was
+/// checked: both are skipped alike.
+const INITIAL: u32 = u32::MAX;
+
+/// Checks `e`, an edge out of `parent` met in the order rows are
+/// filled, against the parent its target's record names in `parents`
+/// (`(parent, action)` words as [`graph_of_arena`] reads them), if it
+/// is the first edge into that state: the edge the explorer discovered
+/// it by. A state once checked is marked as an initial one is.
+fn first_edge(parents: &mut [(u32, u32)], parent: usize, e: Edge) -> Result<(), CheckpointError> {
+    let state = &mut parents[e.target as usize];
+    if state.0 == INITIAL {
+        return Ok(());
+    }
+    if *state != (parent as u32, e.action) {
+        return Err(corrupt(format!(
+            "state {} names state {} by action {} as its BFS parent, but is first reached from \
+             state {parent} by action {}",
+            e.target, state.0, state.1, e.action
+        )));
+    }
+    state.0 = INITIAL;
+    Ok(())
+}
+
+/// Once every row's edges went through [`first_edge`]: each state no
+/// edge reached must name `next`, the first unexpanded state, as its
+/// parent — a state only a resumed run cut before re-expanding `next`
+/// as far as the run it resumed from had can be one. `stray(id,
+/// action)` gets each.
+fn unreached(
+    parents: &[(u32, u32)],
+    next: usize,
+    mut stray: impl FnMut(u32, u32),
+) -> Result<(), CheckpointError> {
+    for (id, &(parent, action)) in parents.iter().enumerate() {
+        if parent == INITIAL {
+            continue;
+        }
+        if parent as usize != next {
+            return Err(corrupt(format!(
+                "state {id} names state {parent} as its BFS parent, but no edge reaches it"
+            )));
+        }
+        stray(id as u32, action);
+    }
+    Ok(())
 }
 
 /// A segment store's records as [`for_each_record`] reads them.
@@ -889,22 +971,24 @@ pub(crate) fn graph_of_arena(
         let id = graph.push_state(rec.row, rec.parent.is_none());
         parents.push(match earlier_parent(id, rec.parent)? {
             Some((p, a)) => (p as u32, a as u32),
-            None => (u32::MAX, 0),
+            None => (INITIAL, 0),
         });
         Ok(())
     })?;
     Ok((graph, parents))
 }
 
-/// Then every record of `edges` as a row of `graph`, which refuses one
-/// out of ascending id order — as every writer emits them.
+/// Then every record of `edges` as a row of `graph`: one for each
+/// expanded state, in ascending id order, as every writer emits them.
 pub(crate) fn fill_edges(
     graph: &mut StateGraph,
     edges: &SegmentStore,
 ) -> Result<(), CheckpointError> {
-    let (bound, mut list) = (graph.len(), Vec::new());
+    let (bound, mut list, mut rows) = (graph.len(), Vec::new(), 0);
     for_each_record(records(edges), |bytes| {
         let id = decode_edge_record(bytes, bound, &mut list)?;
+        next_row(id, rows, bound)?;
+        rows = id + 1;
         graph.set_edges(id, &list)
     })
 }
@@ -929,37 +1013,14 @@ pub(crate) fn check_parents(
     mut parents: Vec<(u32, u32)>,
     next: usize,
 ) -> Result<(), CheckpointError> {
-    // A state once checked is skipped as an initial one is.
-    const DONE: u32 = u32::MAX;
     for parent in 0..graph.len() {
-        for e in graph.edges(parent) {
-            let state = &mut parents[e.target as usize];
-            if state.0 == DONE {
-                continue;
-            }
-            if *state != (parent as u32, e.action) {
-                return Err(corrupt(format!(
-                    "state {} names state {} by action {} as its BFS parent, but is first \
-                     reached from state {parent} by action {}",
-                    e.target, state.0, state.1, e.action
-                )));
-            }
-            state.0 = DONE;
+        for &e in graph.edges(parent) {
+            first_edge(&mut parents, parent, e)?;
         }
     }
-    for (id, &(parent, action)) in parents.iter().enumerate() {
-        if parent == DONE {
-            continue;
-        }
-        if parent as usize != next {
-            return Err(corrupt(format!(
-                "state {id} names state {parent} as its BFS parent, but no edge reaches it"
-            )));
-        }
-        let target = id as u32;
-        graph.push_stray(next, Edge { action, target });
-    }
-    Ok(())
+    unreached(&parents, next, |target, action| {
+        graph.push_stray(next, Edge { action, target })
+    })
 }
 
 /// One arena record: `[tag u8][parent u32, with `u32::MAX` for
@@ -1540,18 +1601,16 @@ mod tests {
             let detail = corrupt_detail(through_a_file("frontier", &snap));
             assert!(detail.contains("frontier id"), "{frontier:?}: {detail}");
         }
-        // Accepted, over state 0's edge record unless state 0 is on the
-        // frontier: states 1 and 2 name it as the parent whose edges
+        // Accepted, over the edge records of the states below the
+        // frontier: states 1 and 2 name state 0 as the parent whose edges
         // reached them.
         let fan = sample_graph().edges(0).to_vec();
+        let rows: [(usize, &[Edge]); 3] = [(0, &fan), (1, &[]), (2, &[])];
         for frontier in [vec![], vec![2], vec![1, 2], vec![0, 1, 2]] {
-            let edges: &[(usize, &[Edge])] = match frontier.first() {
-                Some(0) => &[],
-                _ => &[(0, &fan)],
-            };
+            let expanded = frontier.first().map_or(3, |&first| first);
             let snap = Snapshot {
                 frontier: frontier.clone(),
-                ..over_edge_records(edges)
+                ..over_edge_records(&rows[..expanded])
             };
             assert_eq!(
                 through_a_file("frontier", &snap).unwrap().0.frontier,
@@ -1575,11 +1634,21 @@ mod tests {
         snap
     }
 
+    /// What [`replay`] alone makes of `snap` under [`sample_system`]'s
+    /// two actions: the pass a resume re-opens a store with, before it
+    /// expands anything.
+    fn replayed(snap: &Snapshot) -> Result<usize, CheckpointError> {
+        replay(snap, &snap.manifest.layout, 2, |_, _| Ok(()))
+    }
+
     /// The graph keeps no parents: a trace is read off the edges, the
     /// first edge into a state being its parent. So a record naming an
     /// earlier state as its parent, but not the edge that first reaches
     /// it, is refused once the edges are read, as is one no edge reaches
-    /// whose parent was expanded.
+    /// whose parent was expanded — by the resume's pass over the
+    /// records, before the run explores a state, and not only by the
+    /// finished run's check (deleting `first_edge` or `unreached` from
+    /// `replay` leaves the first or the last case replayed).
     #[test]
     fn an_arena_record_naming_a_parent_other_than_its_first_edge_is_corrupt() {
         let fan = sample_graph().edges(0).to_vec();
@@ -1594,21 +1663,28 @@ mod tests {
                 arena_record(2, named),
             ];
             snap.manifest.arena_hot = arena.iter().map(Vec::as_slice).collect();
-            let detail = corrupt_detail(through_a_file("first_edge", &snap));
+            for detail in [
+                corrupt_detail(replayed(&snap)),
+                corrupt_detail(through_a_file("first_edge", &snap)),
+            ] {
+                assert!(
+                    detail.contains(says)
+                        && detail.contains("first reached from state 0 by action 1"),
+                    "{detail}"
+                );
+            }
+        }
+        // State 1 reached by no edge, though its parent 0 is expanded.
+        let snap = over_edge_records(&[(0, &fan[1..]), (1, &[]), (2, &[])]);
+        for detail in [
+            corrupt_detail(replayed(&snap)),
+            corrupt_detail(through_a_file("first_edge", &snap)),
+        ] {
             assert!(
-                detail.contains(says) && detail.contains("first reached from state 0 by action 1"),
+                detail.contains("state 1 names state 0 as its BFS parent, but no edge reaches it"),
                 "{detail}"
             );
         }
-        // State 1 reached by no edge, though its parent 0 is expanded.
-        let detail = corrupt_detail(through_a_file(
-            "first_edge",
-            &over_edge_records(&[(0, &fan[1..])]),
-        ));
-        assert!(
-            detail.contains("state 1 names state 0 as its BFS parent, but no edge reaches it"),
-            "{detail}"
-        );
     }
 
     /// States the first unexpanded state discovered before a cut, which
@@ -1628,28 +1704,54 @@ mod tests {
     }
 
     /// Every writer emits edge records in ascending id order, once per
-    /// state, and the graph's rows are filled that way: a file that
-    /// reorders or repeats one is refused, not read into a wrong graph.
+    /// expanded state (an empty one for a state with no successor), and
+    /// the graph's rows are filled that way: a file that reorders or
+    /// repeats one is refused, not read into a wrong graph, and so is
+    /// one that skips an expanded state, whose edges the graph would
+    /// silently lose — by the resume's pass over the records, before
+    /// the run explores a state (the gap cases are replayed if
+    /// `next_row` accepts an id past the next row, or `replay` drops its
+    /// check that the records reach the frontier).
     #[test]
     fn edge_records_out_of_id_order_are_corrupt() {
         let graph = sample_graph();
         let (fan, none): (&[Edge], &[Edge]) = (graph.edges(0), &[]);
         for edges in [
-            vec![(1, none), (0, fan)],
             vec![(0, fan), (0, none)],
-            vec![(0, fan), (2, none), (1, none)],
+            vec![(0, fan), (1, none), (1, none)],
         ] {
             let detail = corrupt_detail(through_a_file("edge_order", &over_edge_records(&edges)));
             assert!(detail.contains("ascending id order"), "{edges:?}: {detail}");
         }
-        // In order, rows skipped over stay empty.
-        for edges in [
-            vec![(0, fan), (1, none), (2, none)],
-            vec![(0, fan), (2, none)],
+        for (edges, says) in [
+            (
+                vec![(0, fan), (2, none)],
+                "state 1 is expanded but has no edge record",
+            ),
+            (
+                vec![(1, none), (0, fan)],
+                "state 0 is expanded but has no edge record",
+            ),
+            (
+                vec![(0, fan), (2, none), (1, none)],
+                "state 1 is expanded but has no edge record",
+            ),
+            (vec![(0, fan), (1, none)], "edge records end at state 2"),
         ] {
-            let (_, back) = through_a_file("edge_order", &over_edge_records(&edges)).unwrap();
-            assert_eq!(back.first_difference(&graph), None, "{edges:?}");
+            let snap = over_edge_records(&edges);
+            for detail in [
+                corrupt_detail(replayed(&snap)),
+                corrupt_detail(through_a_file("edge_order", &snap)),
+            ] {
+                assert!(detail.contains(says), "{edges:?}: {detail}");
+            }
         }
+        let (_, back) = through_a_file(
+            "edge_order",
+            &over_edge_records(&[(0, fan), (1, none), (2, none)]),
+        )
+        .unwrap();
+        assert_eq!(back.first_difference(&graph), None);
     }
 
     /// A packed record is checked for its length only before it is

@@ -4,21 +4,36 @@
 //! through its accessors, so the representation can change in this
 //! file alone.
 //!
-//! A graph is its rows and flat columns. Each state is its packed row
-//! under the graph's [`PackedLayout`] (`stride` bytes, in id order),
-//! the row the exploration loop stepped. The checks after exploration
-//! key on its slot codes (`image.rs`, `liveness/fair.rs`) and run
-//! compiled programs on a [`RowView`]; a `State` is built only by
-//! [`StateGraph::materialize`], to be handed out. Every successor list
-//! sits back to back under a row index, 8 bytes an [`Edge`] — two `u32`
-//! words, as every id is below `checkpoint::id_word`'s limit. Edge rows
-//! are filled once each in ascending id order — how every engine and
-//! snapshot reader works, and all [`StateGraph::set_edges`] takes. A
-//! check's per-edge table (`liveness/fair.rs`) costs a byte an edge,
-//! addressed through [`StateGraph::edge_base`]. [`StateGraph::states`]
-//! is a compatibility view for outside callers: its first call unpacks
-//! every row, and the graph keeps the states (several hundred bytes
-//! each on the certificate graphs, whose rows are five or six).
+//! A graph is its rows and edges, in blocks. Each state is its packed
+//! row under the graph's [`PackedLayout`] (`stride` bytes), the row the
+//! exploration loop stepped. The checks after exploration key on its
+//! slot codes (`image.rs`, `liveness/fair.rs`) and run compiled
+//! programs on a [`RowView`]; a `State` is built only by
+//! [`StateGraph::materialize`], to be handed out. A state's successor
+//! list is 8 bytes an [`Edge`] — two `u32` words, as every id is below
+//! `checkpoint::id_word`'s limit. Edge rows are filled once each in
+//! ascending id order — how every engine and snapshot reader works,
+//! and all [`StateGraph::set_edges`] takes.
+//!
+//! **Blocks that never move.** The states are kept in blocks of
+//! `BLOCK` (4 096) consecutive ids. A block holds its states' rows
+//! (`BLOCK × stride` bytes, allocated whole at its first state, or
+//! fewer for the last block of a graph whose size is known), a `u32`
+//! offset per filled row local to the block, and its rows' edges. While
+//! its rows are being filled, a block's edges sit in one growing list
+//! the graph reuses; once its last row is filled they are copied into
+//! an allocation of exactly their size, which is never grown, moved or
+//! copied again. So a graph costs `stride + 4` bytes a state and 8 an
+//! edge, plus at most one block's spare room; no column grows by
+//! copying past one block, and none leaves a freed predecessor twice
+//! its size behind in the allocator. A check's per-edge table
+//! (`liveness/fair.rs`) costs a byte an edge, addressed through
+//! [`StateGraph::edge_base`], the dense index of a state's first edge
+//! (its block's first edge's, plus the local offset).
+//! [`StateGraph::states`] is a compatibility view for outside callers:
+//! its first call unpacks every row, and the graph keeps the states
+//! (several hundred bytes each on the certificate graphs, whose rows
+//! are five or six).
 //!
 //! There is no BFS tree column. The explorer expands parents in id
 //! order and interns each one's successors in edge order, so a state's
@@ -110,16 +125,22 @@ impl Slots for RowView<'_> {
 pub struct StateGraph {
     /// The layout every row is under.
     layout: Arc<PackedLayout>,
-    /// Each state's packed row, `layout.stride()` bytes, in id order.
-    rows: Vec<u8>,
+    /// The states, `BLOCK` to a block, in id order.
+    blocks: Vec<Block>,
+    /// The states the builder said the graph holds: the block of the
+    /// last of them is sized to end there.
+    capacity: usize,
+    /// The edges of the open block — the block of the next row to
+    /// fill — back to back, until its last row is filled and they are
+    /// copied into it.
+    open: Vec<Edge>,
+    /// Rows filled: each row below it is (with no edge, if skipped
+    /// over). A state past them has no edges yet.
+    filled: usize,
+    /// Edges in all the filled rows.
+    edge_count: usize,
     /// The states pushed without a parent, in id order.
     init: Vec<usize>,
-    /// Every filled row, back to back in id order.
-    edges: Vec<Edge>,
-    /// Where each filled row starts in `edges`, and where the last one
-    /// ends: one entry more than there are filled rows. A state past
-    /// them has no edges yet.
-    row_start: Vec<usize>,
     /// Number of states: a zero-width layout's rows have no bytes to
     /// count.
     len: usize,
@@ -131,6 +152,30 @@ pub struct StateGraph {
     /// The compatibility view, every row unpacked: filled by the first
     /// call of [`states`](Self::states) or [`state`](Self::state).
     unpacked: OnceLock<Box<[State]>>,
+}
+
+/// Bits of a state id below its block's index: a block holds
+/// `BLOCK` consecutive states.
+const BLOCK_BITS: u32 = 12;
+const BLOCK: usize = 1 << BLOCK_BITS;
+
+/// `BLOCK` consecutive states of a graph, from an id that is a multiple
+/// of `BLOCK`: what its rows, edge offsets and edges take, each
+/// allocated once.
+#[derive(Clone, Debug)]
+struct Block {
+    /// Each state's packed row, `stride` bytes, in id order: room for
+    /// every state of the block, allocated at its first.
+    rows: Vec<u8>,
+    /// Where each filled row's edges start among the block's, in id
+    /// order: room for every state of the block, allocated with `rows`.
+    starts: Vec<u32>,
+    /// The filled rows' edges, back to back, exactly as many: empty
+    /// while the block is open (its edges are the graph's `open`).
+    edges: Box<[Edge]>,
+    /// The dense index of the block's first edge among all the graph's
+    /// edges: set when its first row is filled.
+    base: usize,
 }
 
 /// The parent words of [`Discoveries`] that name no state: an initial
@@ -173,26 +218,29 @@ impl Discoveries {
 }
 
 impl StateGraph {
-    /// An empty graph of rows under `layout`, with room for `n` states.
+    /// An empty graph of rows under `layout`, sized for `n` states: the
+    /// block of the `n`th ends there, and every other block holds
+    /// `BLOCK`. Nothing is allocated before the first state.
     pub(crate) fn with_capacity(layout: Arc<PackedLayout>, n: usize) -> StateGraph {
         StateGraph {
-            rows: Vec::with_capacity(n * layout.stride()),
             layout,
+            blocks: Vec::with_capacity(n.div_ceil(BLOCK)),
+            capacity: n,
+            open: Vec::new(),
+            filled: 0,
+            edge_count: 0,
             init: Vec::new(),
-            edges: Vec::new(),
-            row_start: vec![0],
             len: 0,
             strays: Vec::new(),
             unpacked: OnceLock::new(),
         }
     }
 
-    /// Makes room for `edges` more edges, and a row for every state: a
-    /// graph filled from records grows its columns once.
-    pub(crate) fn reserve_edges(&mut self, edges: usize) {
-        self.edges.reserve_exact(edges);
-        self.row_start
-            .reserve_exact(self.len() + 1 - self.row_start.len());
+    /// Gives back the open block's spare edge room, once its builder has
+    /// filled every row it will: the graph then holds exactly its
+    /// states' rows and edges, but for the last block's unused rows.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.open.shrink_to_fit();
     }
 
     /// Appends a state, its `row` under the graph's layout (the row the
@@ -210,7 +258,23 @@ impl StateGraph {
         if initial {
             self.init.push(id);
         }
-        self.rows.extend_from_slice(row);
+        if id.is_multiple_of(BLOCK) {
+            let states = match self.capacity.checked_sub(id) {
+                Some(left @ 1..) => left.min(BLOCK),
+                _ => BLOCK,
+            };
+            self.blocks.push(Block {
+                rows: Vec::with_capacity(states * self.layout.stride()),
+                starts: Vec::with_capacity(states),
+                edges: Box::default(),
+                base: 0,
+            });
+        }
+        let block = self
+            .blocks
+            .last_mut()
+            .expect("the block of `id` was pushed");
+        block.rows.extend_from_slice(row);
         self.len += 1;
         self.unpacked.take();
         id
@@ -224,7 +288,8 @@ impl StateGraph {
     }
 
     /// Fills the next row: the successor list of `id`, complete and in
-    /// action order. The rows skipped over stay empty.
+    /// action order. The rows skipped over stay empty. A block whose
+    /// last row this fills gets its edges, exactly sized.
     ///
     /// # Errors
     ///
@@ -233,16 +298,30 @@ impl StateGraph {
     /// that does has a bug, and `expect`s.
     #[inline]
     pub(crate) fn set_edges(&mut self, id: usize, edges: &[Edge]) -> Result<(), CheckpointError> {
-        let (rows, n) = (self.row_start.len() - 1, self.len());
+        let (rows, n) = (self.filled, self.len());
         if id < rows || id >= n {
             return Err(corrupt(format!(
                 "edges of state {id} after {rows} row(s) of {n}: rows are filled once each, in \
                  ascending id order"
             )));
         }
-        self.row_start.resize(id + 1, self.edges.len());
-        self.edges.extend_from_slice(edges);
-        self.row_start.push(self.edges.len());
+        for row in rows..=id {
+            let block = &mut self.blocks[row >> BLOCK_BITS];
+            if row.is_multiple_of(BLOCK) {
+                block.base = self.edge_count;
+            }
+            let start = u32::try_from(self.open.len()).expect("a block's edges fit in u32");
+            block.starts.push(start);
+            if row == id {
+                self.open.extend_from_slice(edges);
+                self.edge_count += edges.len();
+            }
+            if row % BLOCK == BLOCK - 1 {
+                block.edges = Box::from(self.open.as_slice());
+                self.open.clear();
+            }
+        }
+        self.filled = id + 1;
         Ok(())
     }
 
@@ -261,7 +340,7 @@ impl StateGraph {
         for &id in self.init.iter().take_while(|&&id| id < end) {
             found.found[id].0 = INITIAL;
         }
-        let rows = (0..end.min(self.row_start.len() - 1))
+        let rows = (0..end.min(self.filled))
             .flat_map(|parent| self.edges(parent).iter().map(move |&e| (parent as u32, e)));
         let strays = (self.strays.iter()).filter(|&&(parent, _)| (parent as usize) < end);
         for (parent, edge) in rows.chain(strays.copied()) {
@@ -274,10 +353,15 @@ impl StateGraph {
 
     /// Where the edges of `id` start among all the graph's edges in
     /// graph order — the index of its first edge in a table with one
-    /// entry per edge.
+    /// entry per edge: its block's first edge's, plus its offset in the
+    /// block. A state past the filled rows starts at the end.
     #[inline]
     pub(crate) fn edge_base(&self, id: usize) -> usize {
-        self.row_start.get(id).copied().unwrap_or(self.edges.len())
+        if id >= self.filled {
+            return self.edge_count;
+        }
+        let block = &self.blocks[id >> BLOCK_BITS];
+        block.base + block.starts[id % BLOCK] as usize
     }
 
     /// Number of reachable states.
@@ -292,7 +376,7 @@ impl StateGraph {
 
     /// Total number of (non-stuttering) transitions.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edge_count
     }
 
     /// State `id` (in range), built from its row: what a counterexample
@@ -337,7 +421,7 @@ impl StateGraph {
     pub(crate) fn row(&self, id: usize) -> &[u8] {
         let stride = self.layout.stride();
         assert!(id < self.len(), "state {id} of {}", self.len());
-        &self.rows[id * stride..][..stride]
+        &self.blocks[id >> BLOCK_BITS].rows[id % BLOCK * stride..][..stride]
     }
 
     /// Indices of the initial states.
@@ -348,7 +432,20 @@ impl StateGraph {
     /// Outgoing edges of a state.
     #[inline]
     pub fn edges(&self, id: usize) -> &[Edge] {
-        &self.edges[self.edge_base(id)..self.edge_base(id + 1)]
+        if id >= self.filled {
+            return &[];
+        }
+        let (b, local) = (id >> BLOCK_BITS, id % BLOCK);
+        let block = &self.blocks[b];
+        let list = match b == self.filled >> BLOCK_BITS {
+            true => &self.open[..],
+            false => &block.edges[..],
+        };
+        let end = block
+            .starts
+            .get(local + 1)
+            .map_or(list.len(), |&end| end as usize);
+        &list[block.starts[local] as usize..end]
     }
 
     /// States with no outgoing transition — "deadlocks" in the TLC
@@ -497,6 +594,15 @@ mod tests {
         Arc::clone(layout)
     }
 
+    /// One slot of one value: rows of no bytes.
+    fn flat() -> Arc<PackedLayout> {
+        let mut vars = Vars::new();
+        vars.declare("x", Domain::int_range(0, 0));
+        let layout = PackedLayout::compile(&vars).expect("one constant slot");
+        assert_eq!(layout.stride(), 0);
+        Arc::new(layout)
+    }
+
     /// `graph.push_state` with the state's row.
     fn push(graph: &mut StateGraph, state: State, initial: bool) -> usize {
         let row = graph.layout().pack(&state).expect("in the slot's domain");
@@ -505,8 +611,9 @@ mod tests {
 
     /// The graph as a heap row and a BFS-tree entry per state, grown as
     /// the explorer grows one.
-    #[derive(Default)]
+    #[derive(Clone)]
     struct Model {
+        layout: Arc<PackedLayout>,
         pushed: Vec<State>,
         rows: Vec<Vec<Edge>>,
         parents: Vec<Option<(usize, usize)>>,
@@ -516,7 +623,21 @@ mod tests {
     }
 
     impl Model {
-        fn stats(&self) -> GraphStats {
+        /// An empty graph under `layout`: [`layout`]'s, whose state `n`
+        /// is `x = n`, or [`flat`]'s, whose every state is `x = 0`.
+        fn over(layout: Arc<PackedLayout>) -> Model {
+            Model {
+                layout,
+                pushed: Vec::new(),
+                rows: Vec::new(),
+                parents: Vec::new(),
+                filled: 0,
+                strays: Vec::new(),
+            }
+        }
+
+        /// Each state's BFS depth from the initial states.
+        fn depths(&self) -> Vec<Option<usize>> {
             let mut depth: Vec<Option<usize>> = self
                 .parents
                 .iter()
@@ -532,11 +653,15 @@ mod tests {
                     }
                 }
             }
+            depth
+        }
+
+        fn stats(&self) -> GraphStats {
             GraphStats {
                 states: self.pushed.len(),
                 transitions: self.rows.iter().map(Vec::len).sum(),
                 deadlocks: self.rows.iter().filter(|row| row.is_empty()).count(),
-                depth: depth.into_iter().flatten().max().unwrap_or(0),
+                depth: self.depths().into_iter().flatten().max().unwrap_or(0),
             }
         }
 
@@ -553,7 +678,11 @@ mod tests {
 
         /// A state of its own, initial or discovered by `parent`.
         fn push(&mut self, graph: &mut StateGraph, parent: Option<(usize, usize)>) -> usize {
-            let state = State::new(vec![Value::Int(self.pushed.len() as i64)]);
+            let x = match self.layout.stride() {
+                0 => 0,
+                _ => self.pushed.len() as i64,
+            };
+            let state = State::new(vec![Value::Int(x)]);
             let id = push(graph, state.clone(), parent.is_none());
             assert_eq!(id, self.pushed.len());
             self.pushed.push(state);
@@ -567,11 +696,18 @@ mod tests {
         /// parent's row is filled. With `cut`, the row keeps a prefix and
         /// the states discovered past it are strays: what a resumed run
         /// cut before it re-expanded `id` that far holds.
-        fn expand(&mut self, graph: &mut StateGraph, rng: &mut StdRng, id: usize, cut: bool) {
+        /// Each successor is a new state `fresh` times in four.
+        fn expand(
+            &mut self,
+            graph: &mut StateGraph,
+            rng: &mut StdRng,
+            (id, fresh): (usize, u32),
+            cut: bool,
+        ) {
             let mut row = Vec::new();
             for action in 0..rng.gen_range(0..4u32) {
-                let target = match rng.gen_range(0..2) {
-                    0 => rng.gen_range(0..self.pushed.len()),
+                let target = match rng.gen_range(0..4u32) < fresh {
+                    false => rng.gen_range(0..self.pushed.len()),
                     _ => self.push(graph, Some((id, action as usize))),
                 };
                 row.push(Edge {
@@ -600,7 +736,7 @@ mod tests {
         /// The same graph built in one go: every state, then the rows,
         /// then the strays.
         fn graph(&self) -> StateGraph {
-            let mut graph = StateGraph::with_capacity(layout(), self.pushed.len());
+            let mut graph = StateGraph::with_capacity(Arc::clone(&self.layout), self.pushed.len());
             for (state, parent) in self.pushed.iter().zip(&self.parents) {
                 push(&mut graph, state.clone(), parent.is_none());
             }
@@ -613,11 +749,15 @@ mod tests {
             graph
         }
 
+        /// `graph` reads as the model does. Traces are compared for the
+        /// first states, those at either end of a block and a sample of
+        /// the rest: each one scans the edges below its state.
         fn check(&self, graph: &StateGraph, step: &str) {
             let n = self.pushed.len();
             assert_eq!(graph.len(), n, "{step}");
             assert_eq!(graph.states(), &self.pushed[..], "{step}");
-            assert_eq!(graph.rows.len(), n * graph.layout().stride(), "{step}");
+            blocks_are_sized_once(graph, step);
+            blocks_are_sized_once(&self.graph(), step);
             let found = graph.discoveries(n, None);
             let mut base = 0;
             for id in 0..n {
@@ -628,11 +768,13 @@ mod tests {
                 assert_eq!(graph.edges(id), &self.rows[id][..], "{step}: edges of {id}");
                 assert_eq!(graph.edge_base(id), base, "{step}: base of {id}");
                 assert_eq!(found.parent(id), self.parents[id], "{step}: parent of {id}");
-                assert_eq!(
-                    graph.trace_to(id),
-                    self.trace_to(id),
-                    "{step}: trace to {id}"
-                );
+                if id < 300 || id % 211 == 0 || (id + 1) % BLOCK < 2 {
+                    assert_eq!(
+                        graph.trace_to(id),
+                        self.trace_to(id),
+                        "{step}: trace to {id}"
+                    );
+                }
                 base += self.rows[id].len();
             }
             assert_eq!(
@@ -649,6 +791,32 @@ mod tests {
         }
     }
 
+    /// Every block of `graph` but the last holds `BLOCK` states, each in
+    /// the room its first state allocated, and every block before the
+    /// open one holds its edges in an allocation of exactly their size.
+    fn blocks_are_sized_once(graph: &StateGraph, step: &str) {
+        let (n, stride) = (graph.len(), graph.layout().stride());
+        assert_eq!(graph.blocks.len(), n.div_ceil(BLOCK), "{step}");
+        for (b, block) in graph.blocks.iter().enumerate() {
+            let states = (n - b * BLOCK).min(BLOCK);
+            let room = match graph.capacity >= n {
+                true => states,
+                false => BLOCK,
+            };
+            assert_eq!(block.rows.len(), states * stride, "{step}: block {b}");
+            assert_eq!(block.rows.capacity(), room * stride, "{step}: block {b}");
+            assert_eq!(block.starts.capacity(), room, "{step}: block {b}");
+            let rows = graph.filled.saturating_sub(b * BLOCK).min(BLOCK);
+            assert_eq!(block.starts.len(), rows, "{step}: block {b}");
+            if b < graph.filled >> BLOCK_BITS {
+                let edges = graph.edge_base((b + 1) * BLOCK) - block.base;
+                assert_eq!(block.edges.len(), edges, "{step}: block {b}");
+            } else {
+                assert!(block.edges.is_empty(), "{step}: open block {b}");
+            }
+        }
+    }
+
     /// Random explorer-like sequences — initial states pushed, the next
     /// row expanded (or one past a gap), and last, now and then, a cut
     /// that leaves strays — leave the flat columns reading exactly as
@@ -659,7 +827,8 @@ mod tests {
     fn flat_columns_read_as_the_row_per_state_model() {
         for seed in 0..40 {
             let mut rng = StdRng::seed_from_u64(seed);
-            let (mut graph, mut model) = (StateGraph::with_capacity(layout(), 0), Model::default());
+            let mut graph = StateGraph::with_capacity(layout(), 0);
+            let mut model = Model::over(layout());
             for step in 0..120 {
                 let n = model.pushed.len();
                 let what = match rng.gen_range(0..20) {
@@ -673,11 +842,11 @@ mod tests {
                             0 => rng.gen_range(model.filled..n),
                             _ => model.filled,
                         };
-                        model.expand(&mut graph, &mut rng, id, false);
+                        model.expand(&mut graph, &mut rng, (id, 2), false);
                         "expansion"
                     }
                     14 if model.filled < n => {
-                        model.expand(&mut graph, &mut rng, model.filled, true);
+                        model.expand(&mut graph, &mut rng, (model.filled, 2), true);
                         model.check(&graph, &format!("seed {seed}, step {step}: cut"));
                         break;
                     }
@@ -697,6 +866,82 @@ mod tests {
                 };
                 model.check(&graph, &format!("seed {seed}, step {step}: {what}"));
             }
+        }
+    }
+
+    /// The same model over more than three blocks, grown breadth-first
+    /// from a few initial states, so BFS levels straddle each block
+    /// boundary and edges run between blocks; now and then a run of rows
+    /// is skipped. Then a run of initial states two blocks long, rows
+    /// skipped over to its last (a whole block of them), and a cut that
+    /// leaves strays. Under rows of two bytes and of none, every row,
+    /// edge list, edge base, trace and difference reads as the model's,
+    /// and each block is sized once.
+    #[test]
+    fn blocks_read_as_the_row_per_state_model() {
+        for (seed, layout) in [(0, layout()), (1, layout()), (2, flat())] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut graph = StateGraph::with_capacity(Arc::clone(&layout), 0);
+            let mut model = Model::over(layout);
+            for _ in 0..3 {
+                model.push(&mut graph, None);
+            }
+            while model.pushed.len() <= 3 * BLOCK + 100 {
+                if model.filled == model.pushed.len() {
+                    model.push(&mut graph, None);
+                }
+                let (filled, n) = (model.filled, model.pushed.len());
+                let id = match rng.gen_range(0..100) {
+                    0 => rng.gen_range(filled..n),
+                    _ => filled,
+                };
+                model.expand(&mut graph, &mut rng, (id, 4), false);
+                if model.pushed.len().is_multiple_of(1500) {
+                    model.check(
+                        &graph,
+                        &format!("seed {seed}: {} states", model.pushed.len()),
+                    );
+                }
+            }
+            let depth = model.depths();
+            for boundary in (1..=3).map(|b| b * BLOCK) {
+                let level = depth[boundary].filter(|&d| d > 0);
+                assert_eq!(
+                    (depth[boundary - 1], level),
+                    (level, depth[boundary]),
+                    "seed {seed}"
+                );
+            }
+            model.check(&graph, &format!("seed {seed}: grown"));
+            graph.shrink_to_fit();
+            assert_eq!(graph.open.capacity(), graph.open.len());
+            model.check(&graph, &format!("seed {seed}: shrunk"));
+            for _ in 0..2 * BLOCK {
+                model.push(&mut graph, None);
+            }
+            let last = model.pushed.len() - 1;
+            assert!(last >= (model.filled.div_ceil(BLOCK) + 1) * BLOCK);
+            model.expand(&mut graph, &mut rng, (last, 3), false);
+            model.check(&graph, &format!("seed {seed}: a block skipped"));
+            // A difference in the third block is named there.
+            let late = (2 * BLOCK..model.filled)
+                .find(|&id| !model.rows[id].is_empty())
+                .expect("a filled row in the third block");
+            let mut other = model.clone();
+            other.rows[late][0].action += 7;
+            let found = graph
+                .first_difference(&other.graph())
+                .expect("an edge differs");
+            assert!(
+                found.starts_with(&format!("edges of state {late}")),
+                "{found}"
+            );
+            while model.filled == model.pushed.len() {
+                model.push(&mut graph, None);
+            }
+            let filled = model.filled;
+            model.expand(&mut graph, &mut rng, (filled, 3), true);
+            model.check(&graph, &format!("seed {seed}: cut"));
         }
     }
 

@@ -1162,14 +1162,12 @@ impl<'a> Store<'a> {
             } => {
                 // The graph is about to take the budget's place: the
                 // index, each tier's cache and each tier once read go
-                // first, and the graph's edge column is sized once.
+                // first, and the graph's rows are sized for its states.
                 drop(self.visited);
                 arena.clear_cache();
                 edges.clear_cache();
                 let (mut graph, parents) = checkpoint::graph_of_arena(&arena, self.layout)?;
                 drop(arena);
-                let partial = cut.as_ref().map_or(0, |(_, edges)| edges.len());
-                graph.reserve_edges(self.transitions as usize + partial);
                 checkpoint::fill_edges(&mut graph, &edges)?;
                 (graph, Some(parents))
             }
@@ -1179,6 +1177,8 @@ impl<'a> Store<'a> {
                 .set_edges(id, &partial)
                 .expect("the cut parent is the next to expand");
         }
+        // Every row the run fills is: the graph keeps no spare edge room.
+        graph.shrink_to_fit();
         if let Some(parents) = parents {
             checkpoint::check_parents(&mut graph, parents, next)?;
         }

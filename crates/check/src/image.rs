@@ -44,9 +44,14 @@
 //! per class (unknown, false or true), a step predicate's one word per
 //! pair met — the target class, a link and the answer packed together —
 //! on a list per source class, appended in the order the pairs are met,
-//! so a memo never rehashes and touches only the words it writes. That
-//! matters beyond speed: a check on a second thread keeps what it
-//! allocated in that thread's allocator arena after it frees it.
+//! so a memo never rehashes, and it holds room for the pairs it met, not
+//! for every edge it might. Room reserved and never written is not free:
+//! it stays untouched only while the allocator maps the block on its
+//! own, and once a large free has raised glibc's mmap threshold past
+//! its size, it comes from the heap, among pages other columns touched.
+//! What a memo holds matters beyond speed: a check on a second thread
+//! keeps what it allocated in that thread's allocator arena after it
+//! frees it.
 //!
 //! **One class column per footprint.** The column a class pass leaves
 //! (four bytes per state) is kept by the [`Images`] it was computed
@@ -166,7 +171,7 @@ const UNSEEN: u32 = u32::MAX - 1;
 /// interned as that word; only a wider one is boxed.
 #[derive(Debug)]
 enum KeyIds {
-    Word(FxHashMap<u64, u32>),
+    Word(WordIds),
     Words(FxHashMap<Box<[u64]>, u32>),
 }
 
@@ -174,7 +179,7 @@ impl KeyIds {
     /// An empty table for keys of `words` words.
     fn of_width(words: usize) -> Self {
         if words <= 1 {
-            KeyIds::Word(FxHashMap::default())
+            KeyIds::Word(WordIds::default())
         } else {
             KeyIds::Words(FxHashMap::default())
         }
@@ -183,7 +188,7 @@ impl KeyIds {
     /// Keys met so far.
     fn len(&self) -> usize {
         match self {
-            KeyIds::Word(ids) => ids.len(),
+            KeyIds::Word(ids) => ids.keys.len(),
             KeyIds::Words(ids) => ids.len(),
         }
     }
@@ -191,20 +196,98 @@ impl KeyIds {
     /// The id `key` has, or — met for the first time — the one `first`
     /// gives it.
     fn intern(&mut self, key: &[u64], first: impl FnOnce(usize) -> u32) -> u32 {
-        let next = self.len();
         match self {
-            KeyIds::Word(ids) => {
-                let word = key.first().copied().unwrap_or(0);
-                *ids.entry(word).or_insert_with(|| first(next))
-            }
+            KeyIds::Word(ids) => ids.intern(key.first().copied().unwrap_or(0), first),
             KeyIds::Words(ids) => {
                 if let Some(&id) = ids.get(key) {
                     return id;
                 }
-                let id = first(next);
+                let id = first(ids.len());
                 ids.insert(key.into(), id);
                 id
             }
+        }
+    }
+}
+
+/// An empty slot of a [`WordIds`] table.
+const VACANT: u32 = u32::MAX;
+
+/// One-word keys and their ids, in the order the keys are met: a dense
+/// column of each, and an open-addressed table of entry indices over
+/// them, a power of two long and at most ¾ full, a key's home slot the
+/// top bits of its multiplicative hash, a probe walking on to the first
+/// vacant slot. A key takes 12 bytes in the columns, and the table 4
+/// a slot; growing the table reads the keys back from their column, and
+/// frees the old table before it allocates the new one.
+#[derive(Debug, Default)]
+struct WordIds {
+    keys: Vec<u64>,
+    /// The id of each key, as `first` gave it: the entry's index, or
+    /// any word, [`NONE`] included.
+    ids: Vec<u32>,
+    /// Entry indices, or [`VACANT`]; empty before the first key.
+    slots: Vec<u32>,
+}
+
+impl WordIds {
+    /// The home slot of `key` in a table of `slots` slots.
+    #[inline]
+    fn home(key: u64, slots: usize) -> usize {
+        let shift = u64::BITS - slots.trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+    }
+
+    /// The slot holding `key`, or the vacant one a probe for it ends at.
+    #[inline]
+    fn probe(&self, key: u64) -> usize {
+        let wrap = self.slots.len() - 1;
+        let mut at = WordIds::home(key, self.slots.len());
+        loop {
+            match self.slots[at] {
+                VACANT => return at,
+                entry if self.keys[entry as usize] == key => return at,
+                _ => at = (at + 1) & wrap,
+            }
+        }
+    }
+
+    /// The id `key` has, or — met for the first time — the one `first`
+    /// gives it, told how many keys were met before.
+    fn intern(&mut self, key: u64, first: impl FnOnce(usize) -> u32) -> u32 {
+        if self.slots.is_empty() {
+            self.grow();
+        }
+        let at = self.probe(key);
+        if self.slots[at] != VACANT {
+            return self.ids[self.slots[at] as usize];
+        }
+        let id = first(self.keys.len());
+        let entry = u32::try_from(self.keys.len())
+            .ok()
+            .filter(|&entry| entry != VACANT)
+            .expect("keys fit in u32");
+        self.keys.push(key);
+        self.ids.push(id);
+        if 4 * self.keys.len() > 3 * self.slots.len() {
+            self.grow();
+        } else {
+            self.slots[at] = entry;
+        }
+        id
+    }
+
+    /// Doubles the table (16 slots at first) and slots every key anew.
+    fn grow(&mut self) {
+        let len = (2 * self.slots.len()).max(16);
+        self.slots = Vec::new();
+        self.slots = vec![VACANT; len];
+        for (entry, &key) in self.keys.iter().enumerate() {
+            let mut at = WordIds::home(key, len);
+            while self.slots[at] != VACANT {
+                at = (at + 1) & (len - 1);
+            }
+            self.slots[at] = entry as u32;
         }
     }
 }
@@ -877,9 +960,10 @@ const UNKNOWN: u8 = 0;
 
 /// A step predicate's answers by class pair: per source class, a list
 /// of the target classes met with it, threaded through one column of
-/// one-word entries that is only ever appended to. A memo touches a word
+/// one-word entries that is only ever appended to. A memo writes a word
 /// per pair it meets, in the order it meets them, and never rehashes,
-/// so what it keeps resident is that word, plus four bytes per class.
+/// so what it holds is that word (and the column's room to grow), plus
+/// four bytes per class.
 /// An answer is a number of a few bits: a truth value for an
 /// obligation, the first failing conjunct of one side for the `⊳`
 /// monitor (over [`LazyClasses`]).
@@ -921,14 +1005,21 @@ impl PairLists {
     }
 
     /// Remembers `value` for `(s, t)`, met for the first time. The first
-    /// call sizes the heads for `classes` and reserves an entry for each
-    /// of `pairs`, the most the caller can meet; a page of that
-    /// reservation is resident only once an entry is written to it. A
-    /// source class past `classes` grows the heads.
+    /// call sizes the heads for `classes`; a source class past them grows
+    /// the heads. The entries grow with the pairs met, doubling, but
+    /// never past `pairs`, the most the caller can meet (0 if it cannot
+    /// say): an H1 memo over Figure 9's 760 344 edges meets 720 pairs.
     pub fn insert(&mut self, classes: usize, pairs: usize, s: u32, t: u32, value: u32) {
         if self.heads.is_empty() {
             self.heads.resize(classes, 0);
-            self.entries.reserve_exact(pairs);
+        }
+        if self.entries.len() == self.entries.capacity() {
+            let grown = self.entries.len().max(4);
+            let room = match pairs.checked_sub(self.entries.len()) {
+                Some(left @ 1..) => grown.min(left),
+                _ => grown,
+            };
+            self.entries.reserve_exact(room);
         }
         if s as usize >= self.heads.len() {
             self.heads.resize(s as usize + 1, 0);
@@ -1492,6 +1583,52 @@ mod tests {
             vec![incr, toggle],
         );
         (sys, x, y)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The one-word key table reads as a `HashMap<u64, u32>`: every
+        /// key met again has the id it was first given, and a key met
+        /// for the first time is given what `first` returns, `first`
+        /// told how many keys came before. The ids need not be dense:
+        /// a class pass numbers keys as met, but an image pass gives a
+        /// key the id of its value, shared with other keys, or
+        /// [`NONE`] where the mapping errs. Keys are small, or spread
+        /// over the high bits, where a hash that read the low bits alone
+        /// would pile them onto one slot; the table stays at most ¾
+        /// full.
+        #[test]
+        fn word_ids_read_as_a_hash_map(
+            ops in proptest::collection::vec((0..500u64, 0..4u8, 0..100u32), 0..900),
+            spread in 0..64u32,
+        ) {
+            let mut table = KeyIds::of_width(1);
+            let mut reference: std::collections::HashMap<u64, u32> = Default::default();
+            for (key, kind, word) in ops {
+                let key = key << spread;
+                let given = match kind {
+                    0 => NONE,
+                    1 => reference.len() as u32,
+                    _ => word,
+                };
+                let mut asked = None;
+                let got = table.intern(&[key], |next| {
+                    asked = Some(next);
+                    given
+                });
+                let before = reference.len();
+                let want = *reference.entry(key).or_insert(given);
+                let new = reference.len() > before;
+                proptest::prop_assert_eq!(got, want);
+                proptest::prop_assert_eq!(asked, new.then_some(before));
+                proptest::prop_assert_eq!(table.len(), reference.len());
+                let KeyIds::Word(ids) = &table else {
+                    unreachable!("one-word keys")
+                };
+                proptest::prop_assert!(4 * ids.keys.len() <= 3 * ids.slots.len());
+            }
+        }
     }
 
     #[test]

@@ -384,14 +384,17 @@ fn adversarial() -> String {
 }
 
 /// The chain4 state space explored by the one-worker disk-backed store
-/// at budgets below its record volume. Segment boundaries are a pure
-/// function of the record stream, so the spill counts are exact.
+/// at a budget that holds its graph and dedup index, and at budgets
+/// below them. Segment boundaries are a pure function of the record
+/// stream, and the move to disk of the graph and index's allocated
+/// size, so the spill counts are exact.
 fn spill_ladder() -> String {
     let system = QueueChain::new(4, 1, 2, FairnessStyle::Joint)
         .complete_system()
         .unwrap();
     let rows = [
         (4usize << 20, "4 MiB"),
+        (2 << 20, "2 MiB"),
         (1 << 20, "1 MiB"),
         (256 << 10, "256 KiB"),
     ]

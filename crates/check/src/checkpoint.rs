@@ -1081,12 +1081,6 @@ pub(crate) fn encode_packed_record(
     payload(out);
 }
 
-/// What a segment store counts for a packed arena record whose row is
-/// `stride` bytes: 4-byte length prefix, header, row.
-pub(crate) fn arena_record_bytes(stride: usize) -> usize {
-    4 + ARENA_RECORD_HEADER + stride
-}
-
 /// An arena record read back from a segment or a file, its row checked
 /// to be one stride of in-domain codes: what stepping keys tables on,
 /// and the graph keeps, trusting every code.
@@ -1135,12 +1129,6 @@ pub(crate) fn encode_edge_record(id: usize, edges: &[Edge], out: &mut Vec<u8>) {
         out.extend_from_slice(&e.action.to_le_bytes());
         out.extend_from_slice(&e.target.to_le_bytes());
     }
-}
-
-/// What a segment store counts for the edge record of `k`
-/// successors: its 4-byte length prefix, id and count, the pairs.
-pub(crate) fn edge_record_bytes(k: usize) -> usize {
-    4 + 8 + 8 * k
 }
 
 /// Decodes one edge record into `edges` (cleared first); returns the

@@ -137,9 +137,15 @@ pub struct ExploreOptions {
     /// Approximate RAM ceiling, in bytes, for the exploration's state
     /// arena, edge lists, and visited set. Setting it (or exporting
     /// `OPENTLA_MEM_BUDGET`) routes the run to the bounded-memory plan,
-    /// [`Engine::SpillBfs`]: it spills sealed arena segments and sorted
-    /// fingerprint runs to disk and keeps only a budget-sized working
-    /// set in RAM.
+    /// [`Engine::SpillBfs`]. Its store stays in RAM — the in-RAM run,
+    /// touching no file — while the graph and the visited set, counted
+    /// as allocated, fit the budget. At the first state or edge list
+    /// that would take them past it, the store moves to disk, a block of
+    /// the graph at a time, each freed once written: that move holds
+    /// about three eighths of the budget beyond it at most — two
+    /// segments being filled and one fingerprint run being sorted. From
+    /// then on it spills sealed arena segments and sorted fingerprint
+    /// runs to disk and keeps only a budget-sized working set in RAM.
     /// `None` (the default) keeps everything in RAM; an explicit spill
     /// engine with `None` uses a generous default budget.
     pub mem_budget_bytes: Option<usize>,

@@ -134,6 +134,9 @@ pub struct StateGraph {
     /// fill — back to back, until its last row is filled and they are
     /// copied into it.
     open: Vec<Edge>,
+    /// What the blocks have allocated: their rows and edge offsets
+    /// from their first state, their edges from their last row.
+    block_bytes: usize,
     /// Rows filled: each row below it is (with no edge, if skipped
     /// over). A state past them has no edges yet.
     filled: usize,
@@ -178,6 +181,53 @@ struct Block {
     base: usize,
 }
 
+/// The capacity a list of capacity `cap` has once it holds `need`
+/// items: `cap` while they fit, else doubled — at least to `need`, and
+/// to no fewer than four. The graph's open edge list and the dedup
+/// index's column grow by it, so what a step adds is known before it
+/// is taken.
+pub(crate) fn grown(cap: usize, need: usize) -> usize {
+    match need <= cap {
+        true => cap,
+        false => need.max(2 * cap).max(4),
+    }
+}
+
+/// A block of a graph handed over by [`StateGraph::into_blocks`]: its
+/// states' rows, and the edges of those of its rows that are filled.
+pub(crate) struct TakenBlock {
+    first: usize,
+    states: usize,
+    stride: usize,
+    rows: Vec<u8>,
+    starts: Vec<u32>,
+    edges: Vec<Edge>,
+}
+
+impl TakenBlock {
+    /// The ids of its states.
+    pub(crate) fn ids(&self) -> std::ops::Range<usize> {
+        self.first..self.first + self.states
+    }
+
+    /// The ids of its filled rows: a prefix of [`ids`](Self::ids).
+    pub(crate) fn filled(&self) -> std::ops::Range<usize> {
+        self.first..self.first + self.starts.len()
+    }
+
+    /// The packed row of state `id`, one of [`ids`](Self::ids).
+    pub(crate) fn row(&self, id: usize) -> &[u8] {
+        &self.rows[(id - self.first) * self.stride..][..self.stride]
+    }
+
+    /// The edges of state `id`, one of [`filled`](Self::filled).
+    pub(crate) fn edges(&self, id: usize) -> &[Edge] {
+        let local = id - self.first;
+        let end = (self.starts.get(local + 1)).map_or(self.edges.len(), |&e| e as usize);
+        &self.edges[self.starts[local] as usize..end]
+    }
+}
+
 /// The parent words of [`Discoveries`] that name no state: an initial
 /// state's, and that of a state no scanned edge reaches. No parent is
 /// either: a parent is below its child, and every id is below
@@ -199,7 +249,7 @@ impl Discoveries {
     /// target, unless that state is initial, past the end or reached
     /// already; returns whether it did.
     #[inline]
-    pub(crate) fn discover(&mut self, parent: u32, edge: Edge) -> bool {
+    fn discover(&mut self, parent: u32, edge: Edge) -> bool {
         match self.found.get_mut(edge.target as usize) {
             Some(slot) if slot.0 == UNREACHED => {
                 *slot = (parent, edge.action);
@@ -211,6 +261,7 @@ impl Discoveries {
 
     /// The `(parent, action)` that discovered `id`, or `None` for an
     /// initial state and one no edge reached.
+    #[cfg(test)]
     pub(crate) fn parent(&self, id: usize) -> Option<(usize, usize)> {
         let (parent, action) = self.found[id];
         (parent < UNREACHED).then_some((parent as usize, action as usize))
@@ -227,6 +278,7 @@ impl StateGraph {
             blocks: Vec::with_capacity(n.div_ceil(BLOCK)),
             capacity: n,
             open: Vec::new(),
+            block_bytes: 0,
             filled: 0,
             edge_count: 0,
             init: Vec::new(),
@@ -241,6 +293,72 @@ impl StateGraph {
     /// states' rows and edges, but for the last block's unused rows.
     pub(crate) fn shrink_to_fit(&mut self) {
         self.open.shrink_to_fit();
+    }
+
+    /// The bytes the graph's states and edges take, as allocated: every
+    /// block's rows and edge offsets, the edges of its filled rows, and
+    /// the open block's edge list at its capacity. The store weighs its
+    /// RAM body with it, and with [`state_bytes`](Self::state_bytes)
+    /// and [`edges_bytes`](Self::edges_bytes) what the next step adds.
+    pub(crate) fn allocated_bytes(&self) -> usize {
+        self.block_bytes + self.open.capacity() * size_of::<Edge>()
+    }
+
+    /// What [`push_state`](Self::push_state) adds to
+    /// [`allocated_bytes`](Self::allocated_bytes): a new block's room,
+    /// at its first state.
+    #[inline]
+    pub(crate) fn state_bytes(&self) -> usize {
+        match self.len.is_multiple_of(BLOCK) {
+            true => self.block_states(self.len) * (self.layout.stride() + size_of::<u32>()),
+            false => 0,
+        }
+    }
+
+    /// What [`set_edges`](Self::set_edges) of the next row, with `n`
+    /// edges, adds to [`allocated_bytes`](Self::allocated_bytes): the
+    /// open list's growth, and, when the row is its block's last, the
+    /// block's edges sized exactly.
+    pub(crate) fn edges_bytes(&self, n: usize) -> usize {
+        let (len, cap) = (self.open.len() + n, self.open.capacity());
+        let closes = self.filled % BLOCK == BLOCK - 1;
+        (grown(cap, len) - cap + usize::from(closes) * len) * size_of::<Edge>()
+    }
+
+    /// The states the block from `first` on has room for: `BLOCK`, or,
+    /// for the block of the last state the builder said the graph
+    /// holds, up to that state.
+    fn block_states(&self, first: usize) -> usize {
+        match self.capacity.checked_sub(first) {
+            Some(left @ 1..) => left.min(BLOCK),
+            _ => BLOCK,
+        }
+    }
+
+    /// Hands the graph over a block at a time, in id order: each block
+    /// is freed when the caller drops it, so a caller that writes the
+    /// states and edges elsewhere holds the graph and their new home
+    /// together for one block only. A graph with strays is never handed
+    /// over (only a decoder makes one).
+    pub(crate) fn into_blocks(self) -> impl Iterator<Item = TakenBlock> {
+        debug_assert!(self.strays.is_empty(), "a graph with strays is kept whole");
+        let (stride, len, open_block) = (self.layout.stride(), self.len, self.filled >> BLOCK_BITS);
+        let mut open = Some(self.open);
+        self.blocks.into_iter().enumerate().map(move |(b, block)| {
+            let first = b * BLOCK;
+            let edges = match b == open_block {
+                true => open.take().unwrap_or_default(),
+                false => Vec::from(block.edges),
+            };
+            TakenBlock {
+                first,
+                states: (len - first).min(BLOCK),
+                stride,
+                rows: block.rows,
+                starts: block.starts,
+                edges,
+            }
+        })
     }
 
     /// Appends a state, its `row` under the graph's layout (the row the
@@ -259,10 +377,8 @@ impl StateGraph {
             self.init.push(id);
         }
         if id.is_multiple_of(BLOCK) {
-            let states = match self.capacity.checked_sub(id) {
-                Some(left @ 1..) => left.min(BLOCK),
-                _ => BLOCK,
-            };
+            let states = self.block_states(id);
+            self.block_bytes += states * (self.layout.stride() + size_of::<u32>());
             self.blocks.push(Block {
                 rows: Vec::with_capacity(states * self.layout.stride()),
                 starts: Vec::with_capacity(states),
@@ -313,11 +429,16 @@ impl StateGraph {
             let start = u32::try_from(self.open.len()).expect("a block's edges fit in u32");
             block.starts.push(start);
             if row == id {
+                // Grown as `edges_bytes` says it grows.
+                let need = self.open.len() + edges.len();
+                let cap = grown(self.open.capacity(), need);
+                self.open.reserve_exact(cap - self.open.len());
                 self.open.extend_from_slice(edges);
                 self.edge_count += edges.len();
             }
             if row % BLOCK == BLOCK - 1 {
                 block.edges = Box::from(self.open.as_slice());
+                self.block_bytes += block.edges.len() * size_of::<Edge>();
                 self.open.clear();
             }
         }
@@ -683,7 +804,9 @@ mod tests {
                 _ => self.pushed.len() as i64,
             };
             let state = State::new(vec![Value::Int(x)]);
+            let grown = graph.allocated_bytes() + graph.state_bytes();
             let id = push(graph, state.clone(), parent.is_none());
+            assert_eq!(graph.allocated_bytes(), grown, "state {id}");
             assert_eq!(id, self.pushed.len());
             self.pushed.push(state);
             self.rows.push(Vec::new());
@@ -728,7 +851,11 @@ mod tests {
                 }
                 row.truncate(kept);
             }
+            let grown = graph.allocated_bytes() + graph.edges_bytes(row.len());
             graph.set_edges(id, &row).unwrap();
+            if id == self.filled {
+                assert_eq!(graph.allocated_bytes(), grown, "edges of {id}");
+            }
             self.rows[id] = row;
             self.filled = id + 1;
         }
@@ -788,7 +915,30 @@ mod tests {
             assert_eq!(graph.deadlocks(), deadlocks, "{step}");
             assert_eq!(graph.stats(), self.stats(), "{step}");
             assert_eq!(graph.first_difference(&self.graph()), None, "{step}");
+            if self.strays.is_empty() {
+                handed_over_as_held(graph, step);
+            }
         }
+    }
+
+    /// `graph`, handed over a block at a time, hands over every row and
+    /// every filled row's edges, in id order.
+    fn handed_over_as_held(graph: &StateGraph, step: &str) {
+        let mut next = 0;
+        for block in graph.clone().into_blocks() {
+            let (ids, filled) = (block.ids(), block.filled());
+            assert_eq!(ids.start, next, "{step}");
+            let rows = graph.filled.clamp(ids.start, ids.end);
+            assert_eq!((filled.start, filled.end), (ids.start, rows), "{step}");
+            for id in ids.clone() {
+                assert_eq!(block.row(id), graph.row(id), "{step}: row of {id}");
+            }
+            for id in filled {
+                assert_eq!(block.edges(id), graph.edges(id), "{step}: edges of {id}");
+            }
+            next = ids.end;
+        }
+        assert_eq!(next, graph.len(), "{step}");
     }
 
     /// Every block of `graph` but the last holds `BLOCK` states, each in
@@ -796,6 +946,14 @@ mod tests {
     /// open one holds its edges in an allocation of exactly their size.
     fn blocks_are_sized_once(graph: &StateGraph, step: &str) {
         let (n, stride) = (graph.len(), graph.layout().stride());
+        let allocated: usize = (graph.blocks.iter())
+            .map(|b| b.rows.capacity() + 4 * b.starts.capacity() + 8 * b.edges.len())
+            .sum();
+        assert_eq!(
+            graph.allocated_bytes(),
+            allocated + 8 * graph.open.capacity(),
+            "{step}"
+        );
         assert_eq!(graph.blocks.len(), n.div_ceil(BLOCK), "{step}");
         for (b, block) in graph.blocks.iter().enumerate() {
             let states = (n - b * BLOCK).min(BLOCK);

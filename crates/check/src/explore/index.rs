@@ -19,6 +19,8 @@
 //! the fingerprint then merely indexes candidates, and collisions cost
 //! a comparison, never a conflation.
 
+use super::graph::grown;
+
 /// An empty slot. No id is `u32::MAX`: `checkpoint::id_word` admits
 /// none, so every id the stores record fits a slot.
 const EMPTY: u32 = u32::MAX;
@@ -80,6 +82,41 @@ impl FpIndex {
         self.len
     }
 
+    /// The bytes the slot table and the column take, as allocated.
+    pub(super) fn allocated_bytes(&self) -> usize {
+        self.slots.capacity() * size_of::<u32>()
+            + (self.fps.capacity() + self.unindexed.capacity()) * size_of::<u64>()
+    }
+
+    /// What recording one more id in a slot adds to
+    /// [`allocated_bytes`](Self::allocated_bytes): the table doubled
+    /// when it would pass ¾ full (the old one freed first), and the
+    /// column's growth.
+    #[inline]
+    pub(super) fn insert_bytes(&self) -> usize {
+        let slots = match self.crowded() {
+            true => self.slots.len() * size_of::<u32>(),
+            false => 0,
+        };
+        let cap = self.fps.capacity();
+        slots + (grown(cap, self.fps.len() + 1) - cap) * size_of::<u64>()
+    }
+
+    /// Whether one more id would leave the table more than ¾ full.
+    #[inline]
+    fn crowded(&self) -> bool {
+        4 * (self.len + 1) > 3 * self.slots.len()
+    }
+
+    /// Appends `fp` to the column, grown as
+    /// [`insert_bytes`](Self::insert_bytes) says it grows.
+    #[inline]
+    fn push_fp(&mut self, fp: u64) {
+        let cap = grown(self.fps.capacity(), self.fps.len() + 1);
+        self.fps.reserve_exact(cap - self.fps.len());
+        self.fps.push(fp);
+    }
+
     #[inline]
     fn home(&self, key: u64) -> usize {
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
@@ -124,13 +161,13 @@ impl FpIndex {
             .ok()
             .filter(|&word| word != EMPTY)
             .expect("`checkpoint::id_word` admits every id a store records");
-        if 4 * (self.len + 1) > 3 * self.slots.len() {
+        if self.crowded() {
             self.grow();
             at = vacant(&self.slots, self.home(key));
         }
         self.slots[at] = word;
         self.len += 1;
-        self.fps.push(fp);
+        self.push_fp(fp);
         Ok((id, true))
     }
 
@@ -138,7 +175,7 @@ impl FpIndex {
     /// resumed state whose key first-id-wins gave to an earlier id.
     pub(super) fn push_unindexed(&mut self, fp: u64) {
         self.unindexed.push(self.base + self.fps.len());
-        self.fps.push(fp);
+        self.push_fp(fp);
     }
 
     /// Every `(key, id)` held in a slot, in id order.
@@ -166,15 +203,40 @@ impl FpIndex {
         self.slots = slots;
     }
 
+    /// Frees the slot table ahead of a [`drain`](Self::drain) that
+    /// releases the index's room, for a caller with work to do first: no
+    /// lookup may come in between, and the drain reads the column only.
+    pub(super) fn free_slots(&mut self) {
+        self.slots = Vec::new();
+    }
+
     /// Empties the index, handing `take` every recorded `(key, id)` in
-    /// id order. The column starts again at the next id.
-    pub(super) fn drain(&mut self, take: impl FnMut((u64, usize))) {
-        self.indexed().for_each(take);
+    /// id order. The column starts again at the next id. With `release`
+    /// the slot table is freed before the first `take` (a drain reads
+    /// the column only) and the column after the last, and the index
+    /// starts again as a new one does; without, both keep their room
+    /// for the next as many ids.
+    pub(super) fn drain<E>(
+        &mut self,
+        take: impl FnMut((u64, usize)) -> Result<(), E>,
+        release: bool,
+    ) -> Result<(), E> {
+        if release {
+            self.free_slots();
+        }
+        self.indexed().try_for_each(take)?;
         self.base += self.fps.len();
-        self.fps.clear();
-        self.unindexed.clear();
-        self.slots.fill(EMPTY);
         self.len = 0;
+        if release {
+            (self.fps, self.unindexed) = (Vec::new(), Vec::new());
+            self.slots = vec![EMPTY; FIRST_SLOTS];
+            self.shift = 64 - FIRST_SLOTS.trailing_zeros();
+        } else {
+            self.fps.clear();
+            self.unindexed.clear();
+            self.slots.fill(EMPTY);
+        }
+        Ok(())
     }
 }
 
@@ -212,8 +274,17 @@ mod tests {
 
     fn drained(index: &mut FpIndex) -> Vec<(u64, usize)> {
         let mut out = Vec::new();
-        index.drain(|pair| out.push(pair));
+        drain_into(index, &mut out, false);
         out
+    }
+
+    /// Drains `index` onto `out`, releasing its room if `release`.
+    fn drain_into(index: &mut FpIndex, out: &mut Vec<(u64, usize)>, release: bool) {
+        let take = |pair| {
+            out.push(pair);
+            Ok::<_, Infallible>(())
+        };
+        let Ok(()) = index.drain(take, release);
     }
 
     #[test]
@@ -274,19 +345,20 @@ mod tests {
     /// agree — with its admission refused if `refuse`; `Seed` records
     /// it as a resumed state does (an exact seed is always new, a
     /// fingerprint seed whose key is known goes unindexed); `Drain`
-    /// empties the index into the spilled tier.
+    /// empties the index into the spilled tier, releasing its room if
+    /// it says so.
     #[derive(Clone, Copy, Debug)]
     enum Op {
         Intern { fp: u64, state: u8, refuse: bool },
         Seed { fp: u64, state: u8 },
-        Drain,
+        Drain(bool),
     }
 
     /// A stream of 0–300 steps over fingerprints from a pool of
     /// `pool` random 64-bit values, so keys repeat, masked to `bits`.
     fn stream() -> impl Strategy<Value = (bool, u32, Vec<Op>)> {
         let op = (any::<u64>(), 0..3u8, 0..100u32).prop_map(|(fp, state, roll)| match roll {
-            0..=2 => Op::Drain,
+            0..=2 => Op::Drain(roll == 0),
             3..=10 => Op::Seed { fp, state },
             11..=20 => Op::Intern {
                 fp,
@@ -321,7 +393,7 @@ mod tests {
                             fp: pooled(fp, pool),
                             state,
                         },
-                        Op::Drain => Op::Drain,
+                        Op::Drain(release) => Op::Drain(release),
                     })
                     .collect();
                 (exact, bits, ops)
@@ -365,7 +437,8 @@ mod tests {
 
         /// Against a reference map: the same `(id, is_new)` answers, the
         /// same drained `(key, id)` multiset, every fingerprint since
-        /// the last drain readable, and never more than ¾ full.
+        /// the last drain readable, never more than ¾ full, and every
+        /// new id growing the room the index takes by what was foretold.
         #[test]
         fn the_table_answers_as_a_map_of_keys_to_ids((exact, bits, ops) in stream()) {
             let mask = if bits == 64 { u64::MAX } else { (1 << bits) - 1 };
@@ -375,8 +448,11 @@ mod tests {
             let mut expected_spilled: Vec<(u64, usize)> = Vec::new();
             for op in ops {
                 let (fp, state, refuse, seed) = match op {
-                    Op::Drain => {
-                        index.drain(|pair| spilled.push(pair));
+                    Op::Drain(release) => {
+                        drain_into(&mut index, &mut spilled, release);
+                        if release {
+                            prop_assert_eq!(index.allocated_bytes(), 4 * FIRST_SLOTS);
+                        }
                         for (key, ids) in std::mem::take(&mut reference.hot) {
                             for id in ids {
                                 expected_spilled.push((key, id));
@@ -402,6 +478,7 @@ mod tests {
                     None => Ok((next, true)),
                 };
                 let spilled_ref = &reference.spilled;
+                let grown = index.allocated_bytes() + index.insert_bytes();
                 let got = index.intern(
                     fp,
                     |id, _| {
@@ -422,6 +499,7 @@ mod tests {
                 prop_assert_eq!(asked, want_asked);
                 match got {
                     Ok((id, true)) => {
+                        prop_assert_eq!(index.allocated_bytes(), grown);
                         reference.hot.entry(key).or_default().push(id);
                         reference.states.push((fp, state));
                     }
@@ -437,7 +515,7 @@ mod tests {
                     prop_assert_eq!(index.fp(id), Some(fp));
                 }
             }
-            index.drain(|pair| spilled.push(pair));
+            drain_into(&mut index, &mut spilled, false);
             for (key, ids) in reference.hot {
                 expected_spilled.extend(ids.into_iter().map(|id| (key, id)));
             }

@@ -21,8 +21,10 @@ use std::sync::Arc;
 
 /// Budget assumed by a spill engine without an explicit
 /// [`ExploreOptions::mem_budget_bytes`], or a checkpointed or resumed
-/// run without one: generous enough that typical models never seal a
-/// segment, so the store runs at in-RAM speed.
+/// run without one: generous enough that a typical model's graph and
+/// dedup index fit it, so the store never leaves RAM — it is the
+/// in-RAM run — unless a checkpoint moves it (a resumed run re-opens
+/// its store on disk).
 pub(super) const DEFAULT_SPILL_BUDGET: usize = 256 << 20;
 
 /// Parses the value of an override variable: a positive integer, or a

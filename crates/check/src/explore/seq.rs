@@ -6,9 +6,12 @@
 //! checkpoint cadence and phases; the store owns where states, edges
 //! and the dedup index live. It starts in RAM — a [`StateGraph`] under
 //! construction and one fingerprint index — and, with the disk tiers of
-//! [`super::spill`], moves once to them when its records would fill a
-//! segment or at its first checkpoint; a resumed run re-opens a store
-//! on disk. Without tiers it never leaves RAM and touches no file.
+//! [`super::spill`], moves once to them: when its next state or edge
+//! list would take the graph and the index, as allocated, past the
+//! memory budget, or at its first checkpoint. A budget that holds the
+//! whole graph therefore runs the in-RAM run, touching no file. A
+//! resumed run re-opens a store on disk. Without tiers the store never
+//! leaves RAM and touches no file.
 //! There is one discovery order, this loop's, so completed graphs are
 //! byte-identical across bodies, [`VisitedMode`]s and worker counts by
 //! construction.
@@ -63,6 +66,25 @@ impl From<CheckpointError> for Stop {
 impl From<StoreError> for Stop {
     fn from(e: StoreError) -> Stop {
         CheckpointError::from(e).into()
+    }
+}
+
+/// Why a store's lookup admitted no new state: a [`Stop`], or no room
+/// for it in the RAM body, which must move to disk first.
+enum Refused {
+    Stop(Stop),
+    Full,
+}
+
+impl From<StoreError> for Refused {
+    fn from(e: StoreError) -> Refused {
+        Refused::Stop(e.into())
+    }
+}
+
+impl From<CheckpointError> for Refused {
+    fn from(e: CheckpointError) -> Refused {
+        Refused::Stop(e.into())
     }
 }
 
@@ -801,15 +823,69 @@ impl Body {
 }
 
 /// What a RAM body counts on: its states' fingerprints are all in the
-/// index's column, since a store with disk tiers leaves RAM before the
-/// index's first drain (pinned for every budget by a test of this
-/// module).
-const UNDRAINED: &str = "a budgeted store leaves RAM before its dedup index drains";
+/// index's column, since the index drains only once the store has left
+/// RAM ([`SpillVisited::cap`]).
+const UNDRAINED: &str = "a store's dedup index drains only once the store is on disk";
+
+/// What [`Store::spill`] counts on: the loop gives each state it
+/// interns in RAM the next id, as it discovers it.
+const UNDISCOVERED: &str = "the RAM body's states are discovered in id order";
+
+/// The discovering edges [`Store::spill`] has scanned and not yet
+/// written into arena records. A state's discovering edge is the first
+/// edge into it, and the RAM body's states are numbered in discovery
+/// order — after the initial states, each takes the next id as its
+/// first edge is met — so an edge discovers its target exactly when
+/// that is the next state to find.
+struct Window {
+    /// The next state to find.
+    found: usize,
+    /// The `(parent, action)` of states found, in id order, up to those
+    /// below `found`: from the `taken`-th on, not yet written.
+    parents: Vec<(u32, u32)>,
+    taken: usize,
+}
+
+impl Window {
+    /// A window with the first `initial` states found, none of them by
+    /// an edge.
+    fn after(initial: usize) -> Window {
+        Window {
+            found: initial,
+            parents: Vec::new(),
+            taken: 0,
+        }
+    }
+
+    /// The `(parent, action)` of the first state found and not yet
+    /// taken. The ones taken go once they are half the window.
+    fn take(&mut self) -> Option<(u32, u32)> {
+        let next = *self.parents.get(self.taken)?;
+        self.taken += 1;
+        if 2 * self.taken >= self.parents.len() {
+            self.parents.drain(..self.taken);
+            self.taken = 0;
+        }
+        Some(next)
+    }
+
+    /// Scans `edges`, out of `parent`, in order.
+    fn scan(&mut self, parent: usize, edges: &[Edge]) {
+        for e in edges {
+            if e.target as usize == self.found {
+                self.parents.push((parent as u32, e.action));
+                self.found += 1;
+            }
+        }
+    }
+}
 
 /// The sequential store: states, edges and BFS parents in a [`Body`], and
 /// the dedup index over them — one [`super::index::FpIndex`] probe
 /// sequence until a store with disk tiers drains it to disk
-/// ([`SpillVisited`]), which it does only once the body has left RAM.
+/// ([`SpillVisited`]), which it does only once the body has left RAM:
+/// when the next state or edge list would take the RAM body past the
+/// budget ([`Store::room`]), or at its first checkpoint.
 /// In [`VisitedMode::Exact`] a fingerprint hit is verified against the
 /// body, wherever the candidate lives by then: rows compared as bytes,
 /// unless the fingerprints the index holds already differ. A
@@ -823,10 +899,6 @@ struct Store<'a> {
     /// Every state's row is under it: the RAM body's graph keeps the
     /// rows, and arena records are written from them.
     layout: &'a Arc<PackedLayout>,
-    /// What the `Ram` body's arena and edge records come to as segment
-    /// bytes; counted with disk tiers only.
-    arena_bytes: usize,
-    edge_bytes: usize,
     /// Fully expanded states — `0..expanded`, the loop expanding in id
     /// order — and the transitions out of them (a manifest's totals).
     expanded: usize,
@@ -838,6 +910,9 @@ struct Store<'a> {
     rec_buf: Vec<u8>,
     /// Exact mode's successor row, compared with a candidate's.
     probe: Vec<u8>,
+    /// Whether a new state would fit ([`Store::room`]): weighed after
+    /// every step that changes the body, as every lookup reads it.
+    state_room: bool,
 }
 
 impl<'a> Store<'a> {
@@ -851,13 +926,13 @@ impl<'a> Store<'a> {
         disk: Option<(SpillDir, Tuning)>,
     ) -> Store<'a> {
         let mask = options.mask();
+        // Uncapped until the store is on disk: in RAM every lookup is
+        // the one hot-tier probe, and without tiers the store never is.
         let visited = match &disk {
-            Some((dir, t)) => SpillVisited::new(mask, dir.path(), t.hot_cap, t.filter_bytes),
-            // No tiers: a set that never drains, every lookup the one
-            // hot-tier probe.
-            None => SpillVisited::new(mask, std::path::Path::new(""), usize::MAX, 0),
+            Some((dir, t)) => SpillVisited::new(mask, dir.path(), t.filter_bytes),
+            None => SpillVisited::new(mask, std::path::Path::new(""), 0),
         };
-        Store {
+        let mut store = Store {
             body: Body::Ram {
                 graph: StateGraph::with_capacity(Arc::clone(layout), 0),
                 discovering: Vec::new(),
@@ -865,8 +940,6 @@ impl<'a> Store<'a> {
             visited,
             disk,
             layout,
-            arena_bytes: 0,
-            edge_bytes: 0,
             expanded: 0,
             transitions: 0,
             options,
@@ -874,51 +947,118 @@ impl<'a> Store<'a> {
             meter,
             rec_buf: Vec::new(),
             probe: Vec::new(),
+            state_room: true,
+        };
+        store.weigh();
+        store
+    }
+
+    /// Weighs the store's room for a new state: a block's room at its
+    /// first, the index's growth.
+    fn weigh(&mut self) {
+        self.state_room = self.room(|graph, visited| graph.state_bytes() + visited.hot_bytes().1);
+    }
+
+    /// The RAM body of a store with disk tiers, what it holds as
+    /// allocated — its graph's blocks, its dedup index's slot table and
+    /// column — and the budget: `None` on disk or without tiers.
+    #[inline]
+    fn ram(&self) -> Option<(&StateGraph, usize, usize)> {
+        match (&self.body, &self.disk) {
+            (Body::Ram { graph, .. }, Some((_, t))) => {
+                let held = graph.allocated_bytes() + self.visited.hot_bytes().0;
+                Some((graph, held, t.budget))
+            }
+            _ => None,
         }
     }
 
-    /// Leaves RAM once its arena or edge records would fill a segment.
-    fn grown(&mut self) -> Result<(), StoreError> {
-        match &self.disk {
-            Some((_, t)) if self.arena_bytes.max(self.edge_bytes) >= t.seg_target => self.spill(),
-            _ => Ok(()),
-        }
+    /// Whether the store has room for a step that grows its RAM body by
+    /// what `grows` says the graph and the index would add: always on
+    /// disk or without tiers, else while the body stays within the
+    /// budget itself.
+    #[inline]
+    fn room(&self, grows: impl FnOnce(&StateGraph, &SpillVisited) -> usize) -> bool {
+        (self.ram())
+            .is_none_or(|(graph, held, budget)| held + grows(graph, &self.visited) <= budget)
     }
 
     /// The store's one transition, `Ram` to `Disk`: every arena and
-    /// edge record, in id order, through [`SegmentStore::append`] — an
-    /// arena record written straight from the graph's row, its parent
-    /// words the state's discovering edge, derived once for them all:
-    /// the graph's first edge into it, or for a state the expanding (or
-    /// cut) parent discovered, its edge in `discovering`. Whenever this
-    /// fires, the byte streams — and so the segment boundaries — are
-    /// those of a store on disk from its first state (until here
-    /// records were only counted, never encoded).
+    /// edge record, in id order, through [`SegmentStore::append`], a
+    /// block of the graph at a time — its states' arena records, written
+    /// straight from their rows, then its filled rows' edge records —
+    /// each block freed once written ([`StateGraph::into_blocks`]); then
+    /// the dedup index capped at the hot tier's size, and drained into a
+    /// run if it holds more ([`SpillVisited::cap`]).
+    ///
+    /// An arena record's parent words are its state's discovering edge:
+    /// the first edge into it in a scan of the rows in id order and then
+    /// of `discovering`. The loop numbers states as it discovers them,
+    /// so the scan meets them in id order ([`Window`]): it runs only as
+    /// far ahead of the records as their parents need, and keeps only
+    /// the discoveries not yet written — a BFS frontier, not a column.
+    ///
+    /// Whenever this fires, the byte streams — and so the segment
+    /// boundaries — are those of a store on disk from its first state
+    /// (until here records were never encoded). What it holds beyond the
+    /// budget is bounded: the index's slot table is freed first when the
+    /// index will drain (nothing looks up before), the graph shrinks as
+    /// the two tiers' unsealed tails fill (a segment each, an eighth of
+    /// the budget, and 4 bytes a record), the window is a frontier, and
+    /// the drain sorts a hot tier's worth of entries at a time (16 bytes
+    /// an entry, another eighth of the budget) before the column goes.
     fn spill(&mut self) -> Result<(), StoreError> {
-        let (Body::Ram { graph, discovering }, Some((dir, t))) = (&self.body, &self.disk) else {
-            unreachable!("only the RAM body of a store with disk tiers spills");
+        let Some((dir, t)) = &self.disk else {
+            unreachable!("only a store with disk tiers spills");
         };
+        let empty = Body::Ram {
+            graph: StateGraph::with_capacity(Arc::clone(self.layout), 0),
+            discovering: Vec::new(),
+        };
+        let Body::Ram { graph, discovering } = std::mem::replace(&mut self.body, empty) else {
+            unreachable!("only the RAM body spills");
+        };
+        self.visited.precap(t.hot_cap);
         let mut arena = SegmentStore::create(dir.path(), "arena", t.seg_target, t.arena_cache)?;
         let mut edges = SegmentStore::create(dir.path(), "edges", t.seg_target, t.edge_cache)?;
-        let mut found = graph.discoveries(graph.len(), None);
-        for &(parent, edge) in discovering {
-            found.discover(parent, edge);
+        let init = graph.init().to_vec();
+        let mut window = Window::after(init.len());
+        let (rows, mut scanned, mut discovering) = (self.expanded, 0, discovering.into_iter());
+        for block in graph.into_blocks() {
+            for id in block.ids() {
+                // A parent is below its child: the row to scan next is
+                // this block's, the rows of earlier blocks all scanned.
+                while id >= window.found {
+                    if scanned < rows {
+                        window.scan(scanned, block.edges(scanned));
+                        scanned += 1;
+                    } else {
+                        let (parent, edge) = discovering.next().expect(UNDISCOVERED);
+                        window.scan(parent as usize, &[edge]);
+                    }
+                }
+                let parent = match id < init.len() {
+                    true => None,
+                    false => Some(window.take().expect(UNDISCOVERED)),
+                };
+                let parent = parent.map(|(p, action)| (p as usize, action as usize));
+                let fp = self.visited.fp(id).expect(UNDRAINED);
+                let row = |out: &mut Vec<u8>| out.extend_from_slice(block.row(id));
+                checkpoint::encode_packed_record(parent, fp, row, &mut self.rec_buf);
+                spill::append(self.meter, "arena", &mut arena, &self.rec_buf)?;
+            }
+            while scanned < rows.min(block.filled().end) {
+                window.scan(scanned, block.edges(scanned));
+                scanned += 1;
+            }
+            for id in block.filled() {
+                checkpoint::encode_edge_record(id, block.edges(id), &mut self.rec_buf);
+                spill::append(self.meter, "edges", &mut edges, &self.rec_buf)?;
+            }
         }
-        for id in 0..graph.len() {
-            let fp = self.visited.fp(id).expect(UNDRAINED);
-            let row = |out: &mut Vec<u8>| out.extend_from_slice(graph.row(id));
-            checkpoint::encode_packed_record(found.parent(id), fp, row, &mut self.rec_buf);
-            spill::append(self.meter, "arena", &mut arena, &self.rec_buf)?;
-        }
-        for id in 0..self.expanded {
-            checkpoint::encode_edge_record(id, graph.edges(id), &mut self.rec_buf);
-            spill::append(self.meter, "edges", &mut edges, &self.rec_buf)?;
-        }
-        self.body = Body::Disk {
-            arena,
-            edges,
-            init: graph.init().to_vec(),
-        };
+        self.body = Body::Disk { arena, edges, init };
+        self.visited.cap(t.hot_cap, self.meter)?;
+        self.weigh();
         Ok(())
     }
 
@@ -943,13 +1083,12 @@ impl<'a> Store<'a> {
                 append_child(layout, row, effects, child);
                 let id = graph.push_state(child, from.is_none());
                 if self.disk.is_some() {
-                    self.arena_bytes += checkpoint::arena_record_bytes(layout.stride());
                     if let Some((parent, action)) = from {
                         let (action, target) = (action as u32, id as u32);
                         discovering.push((parent as u32, Edge { action, target }));
                     }
+                    self.weigh();
                 }
-                self.grown()?;
             }
             Body::Disk { arena, init, .. } => {
                 if from.is_none() {
@@ -977,6 +1116,9 @@ impl<'a> Store<'a> {
         };
         let mut arena = open("arena", &m.arena_segments, t.arena_cache)?;
         let mut edges = open("edges", &m.edge_segments, t.edge_cache)?;
+        // On disk from its first state, the index drains at the hot
+        // tier's size — while replay seeds it too.
+        self.visited.cap(t.hot_cap, self.meter)?;
         let (mode, visited, meter) = (self.options.mode, &mut self.visited, &mut *self.meter);
         let seed = |fp, id| Ok(visited.seed(mode, fp, id, meter)?);
         let first = checkpoint::replay(snap, self.layout, actions, seed)?;
@@ -992,6 +1134,7 @@ impl<'a> Store<'a> {
             edges,
             init: m.init.clone(),
         };
+        self.weigh();
         Ok(first)
     }
 
@@ -1030,18 +1173,45 @@ impl<'a> Store<'a> {
         row: &[u8],
         effects: &[Effect],
     ) -> Result<(usize, bool), Stop> {
+        let found = match self.lookup(fp, row, effects) {
+            Ok(found) => found,
+            Err(Refused::Stop(stop)) => return Err(stop),
+            Err(Refused::Full) => self.moved_lookup(fp, row, effects)?,
+        };
+        if found.1 {
+            self.push_state(row, effects, fp, from)?;
+        }
+        Ok(found)
+    }
+
+    /// [`intern`](Self::intern)'s lookup, the state recorded in the
+    /// index only: `(id, whether it is new)`. A RAM body without room
+    /// for one more state refuses it as [`Refused::Full`], the index
+    /// and the meter untouched.
+    #[inline]
+    fn lookup(
+        &mut self,
+        fp: u64,
+        row: &[u8],
+        effects: &[Effect],
+    ) -> Result<(usize, bool), Refused> {
         let next = self.len();
+        let room = self.state_room;
         let admit = |meter: &mut Meter| {
-            checkpoint::id_word(next).map_err(Stop::Fail)?;
-            meter
-                .charge_state_mut()
-                .map_or(Ok(next), |reason| Err(Stop::Cut(reason)))
+            if !room {
+                return Err(Refused::Full);
+            }
+            checkpoint::id_word(next).map_err(|e| Refused::Stop(Stop::Fail(e)))?;
+            match meter.charge_state_mut() {
+                None => Ok(next),
+                Some(reason) => Err(Refused::Stop(Stop::Cut(reason))),
+            }
         };
         let meter = &mut *self.meter;
-        let found = match self.options.mode {
+        match self.options.mode {
             // The fingerprinted hot path: one probe, and only
             // genuinely new states are constructed and recorded.
-            VisitedMode::Fingerprint => self.visited.fp_entry(fp, |_, _| Ok(true), admit, meter)?,
+            VisitedMode::Fingerprint => self.visited.fp_entry(fp, |_, _| Ok(true), admit, meter),
             // The exact fallback: every successor's row is written, so
             // a hit can be verified against the body's, a candidate
             // interned in RAM perhaps read back from its disk record —
@@ -1057,18 +1227,33 @@ impl<'a> Store<'a> {
                     Ok(cand_fp.is_none_or(|c| c == fp)
                         && body.row(cand, layout, buf)?.0 == &probe[..])
                 };
-                self.visited.fp_entry(fp, same, admit, meter)?
+                self.visited.fp_entry(fp, same, admit, meter)
             }
-        };
-        if !found.1 {
-            return Ok(found);
         }
-        self.push_state(row, effects, fp, from)?;
-        Ok((next, true))
+    }
+
+    /// The lookup a full RAM body refused, once the store has moved to
+    /// disk, where it has room.
+    #[cold]
+    fn moved_lookup(
+        &mut self,
+        fp: u64,
+        row: &[u8],
+        effects: &[Effect],
+    ) -> Result<(usize, bool), Stop> {
+        self.spill()?;
+        match self.lookup(fp, row, effects) {
+            Ok(found) => Ok(found),
+            Err(Refused::Stop(stop)) => Err(stop),
+            Err(Refused::Full) => unreachable!("a store on disk has room"),
+        }
     }
 
     /// Records the complete successor list of a fully expanded state.
     fn push_edges(&mut self, id: usize, edges: &[Edge]) -> Result<(), CheckpointError> {
+        if self.disk.is_some() && !self.room(|graph, _| graph.edges_bytes(edges.len())) {
+            self.spill()?;
+        }
         self.expanded += 1;
         self.transitions += edges.len() as u64;
         match &mut self.body {
@@ -1078,9 +1263,8 @@ impl<'a> Store<'a> {
                     .expect("the loop expands in id order");
                 discovering.clear();
                 if self.disk.is_some() {
-                    self.edge_bytes += checkpoint::edge_record_bytes(edges.len());
+                    self.weigh();
                 }
-                self.grown()?;
             }
             Body::Disk { edges: store, .. } => {
                 checkpoint::encode_edge_record(id, edges, &mut self.rec_buf);
@@ -1209,21 +1393,27 @@ mod tests {
     use opentla_kernel::store::SegmentMeta;
     use opentla_kernel::{Domain, Value, Vars};
 
-    const N: i64 = 150;
+    /// A step of [`drive`]: a successor looked up (`true` when it was
+    /// new), or a parent's edge list recorded.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Step {
+        Intern(bool),
+        Edges,
+    }
 
-    /// Breadth-first over the ring `x ∈ 0..N` from 0, each state
-    /// stepping to itself and three neighbours: the frontier stays a
-    /// few states wide, so the edge records (44 bytes a state) fill a
-    /// segment before the packed arena records (22 bytes) do. The store
-    /// is driven as the loop drives it: parents read as rows, children
-    /// as a parent row and an effect.
-    fn drive(store: &mut Store<'_>) {
+    /// Breadth-first over the ring `x ∈ 0..n` from 0, each state
+    /// stepping to its two successors, its predecessor and itself: the
+    /// frontier stays a few states wide. The store is driven as the loop
+    /// drives it — parents read as rows, children as a parent row and
+    /// an effect — and `after` sees it after every step.
+    fn drive(store: &mut Store<'_>, n: i64, mut after: impl FnMut(&Store<'_>, Step)) {
         let state = |x: i64| State::new(vec![Value::Int(x)]);
         let seed = store.layout.pack(&state(0)).expect("in the domain");
         let Ok((root, true)) = store.intern(state(0).fingerprint(), None, &seed, &[]) else {
             panic!("the first state is new");
         };
         assert_eq!(root, 0);
+        after(store, Step::Intern(true));
         let mut row = Vec::new();
         for id in 0.. {
             if id == store.len() {
@@ -1233,7 +1423,7 @@ mod tests {
             store.row(id, &mut row).unwrap();
             let x = i64::from(store.layout.read_code(&row, 0));
             let mut edges = Vec::new();
-            for (action, y) in [(x + 1) % N, (x + N - 1) % N, (x + 2) % N, x]
+            for (action, y) in [(x + 1) % n, (x + n - 1) % n, (x + 2) % n, x]
                 .into_iter()
                 .enumerate()
             {
@@ -1242,107 +1432,213 @@ mod tests {
                     code: y as u32,
                 }];
                 let from = Some((id, action));
-                let Ok((target, _)) = store.intern(state(y).fingerprint(), from, &row, &effect)
+                let Ok((target, new)) = store.intern(state(y).fingerprint(), from, &row, &effect)
                 else {
                     panic!("an unlimited meter and a healthy disk");
                 };
+                after(store, Step::Intern(new));
                 edges.push(Edge {
                     action: action as u32,
                     target: target as u32,
                 });
             }
             store.push_edges(id, &edges).unwrap();
+            after(store, Step::Edges);
         }
     }
 
-    fn ring() -> System {
+    fn ring(n: i64) -> System {
         let mut vars = Vars::new();
-        vars.declare("x", Domain::int_range(0, N - 1));
+        vars.declare("x", Domain::int_range(0, n - 1));
         System::new(vars, Init::new([]), vec![])
+    }
+
+    /// Each step of driving the ring of `n` in a store whose RAM body
+    /// has no ceiling: the step, the states after it, and the bytes the
+    /// RAM body holds after it.
+    fn profile(n: i64) -> Vec<(Step, usize, usize)> {
+        let system = ring(n);
+        let (options, mut meter) = (
+            ExploreOptions::default(),
+            Meter::start(&Budget::unlimited()),
+        );
+        let layout = Arc::new(PackedLayout::compile(system.vars()).expect("one slot packs"));
+        let mut tuning = Tuning::for_budget(64 << 10);
+        tuning.budget = usize::MAX;
+        let disk = Some((SpillDir::new(None, None), tuning));
+        let mut store = Store::create(&system, &options, &mut meter, &layout, disk);
+        let mut steps = Vec::new();
+        drive(&mut store, n, |store, step| {
+            let held = store
+                .ram()
+                .map(|(_, held, _)| held)
+                .expect("no ceiling: in RAM throughout");
+            steps.push((step, store.len(), held));
+        });
+        steps
+    }
+
+    /// Drives the ring of `n` through a store whose tiers are a 64 KiB
+    /// budget's and whose RAM body's ceiling is `ceiling`, checking that
+    /// the body holds no more than that while in RAM; returns the step
+    /// after which it was first on disk, if it left RAM, and its record
+    /// streams, once on disk (forced there after the last step if it
+    /// never left). `early` moves it before the first state.
+    fn run(n: i64, ceiling: usize, early: bool) -> (Option<usize>, Stream, Stream) {
+        let system = ring(n);
+        let (options, mut meter) = (
+            ExploreOptions::default(),
+            Meter::start(&Budget::unlimited()),
+        );
+        let layout = Arc::new(PackedLayout::compile(system.vars()).expect("one slot packs"));
+        let mut tuning = Tuning::for_budget(64 << 10);
+        tuning.budget = ceiling;
+        let disk = Some((SpillDir::new(None, None), tuning));
+        let mut store = Store::create(&system, &options, &mut meter, &layout, disk);
+        if early {
+            store.spill().unwrap();
+        }
+        let (mut step, mut moved) = (0, None);
+        drive(&mut store, n, |store, _| {
+            match store.ram().map(|(_, held, _)| held) {
+                Some(held) => assert!(held <= ceiling, "step {step}: {held} > {ceiling}"),
+                None if early => {}
+                None => _ = moved.get_or_insert(step),
+            }
+            step += 1;
+        });
+        if let Body::Ram { .. } = store.body {
+            store.spill().unwrap();
+        }
+        let Body::Disk { arena, edges, init } = &store.body else {
+            unreachable!("the store left RAM");
+        };
+        assert_eq!(init, &[0]);
+        assert_eq!((arena.len(), edges.len()), (n as u64, n as u64));
+        let stream = |s: &SegmentStore| {
+            (
+                s.sealed().to_vec(),
+                s.hot_records().map(<[u8]>::to_vec).collect(),
+            )
+        };
+        (moved, stream(arena), stream(edges))
     }
 
     type Stream = (Vec<SegmentMeta>, Vec<Vec<u8>>);
 
-    /// The stream does not depend on when the store left RAM: forced
-    /// out before its first state, leaving when the edge records fill a
-    /// segment (this system's own course), or when the arena does (its
-    /// counter charged half a segment in advance), it seals the same
-    /// segments — name, records, length, checksum — and holds the same
-    /// unsealed tails, in both tiers.
+    /// Under every ceiling the ring's RAM body meets on its way — each
+    /// size it grows from — the body holds no more than the ceiling
+    /// while in RAM, and moves at exactly the first step that, left in
+    /// RAM, would have taken it past: a state (a new block, the index's
+    /// table or column grown) or an edge list (the open block's list
+    /// grown, or a block's edges sized). A ceiling past its last size
+    /// never moves it.
     #[test]
-    fn the_record_streams_do_not_depend_on_when_the_store_left_ram() {
-        let system = ring();
-        let options = ExploreOptions::default();
-        let mut meter = Meter::start(&Budget::unlimited());
-        let seg_target = Tuning::for_budget(8 << 10).seg_target;
-        let layout = Arc::new(PackedLayout::compile(system.vars()).expect("one small slot packs"));
-        let mut streams: Vec<(Stream, Stream)> = Vec::new();
-        for way in ["before the first state", "edge bytes", "arena bytes"] {
-            let disk = Some((SpillDir::new(None, None), Tuning::for_budget(8 << 10)));
-            let mut store = Store::create(&system, &options, &mut meter, &layout, disk);
-            match way {
-                "before the first state" => store.spill().unwrap(),
-                "arena bytes" => store.arena_bytes = seg_target / 2,
-                _ => {}
+    fn the_ram_body_stays_within_its_budget_and_moves_at_the_first_step_past_it() {
+        let steps = profile(150);
+        let mut sizes: Vec<usize> = steps.iter().map(|&(_, _, held)| held).collect();
+        sizes.dedup();
+        assert!(sizes.len() >= 8, "{sizes:?}");
+        for &ceiling in &sizes {
+            let past = steps.iter().position(|&(_, _, held)| held > ceiling);
+            let (moved, _, _) = run(150, ceiling, false);
+            assert_eq!(moved, past, "ceiling {ceiling}");
+            if let Some(at) = past {
+                assert!(matches!(steps[at].0, Step::Intern(true) | Step::Edges));
             }
-            drive(&mut store);
-            // The counters stop where the store left RAM.
-            let tripped = (
-                store.arena_bytes >= seg_target,
-                store.edge_bytes >= seg_target,
-            );
-            let expected = match way {
-                "before the first state" => (false, false),
-                "edge bytes" => (false, true),
-                _ => (true, false),
-            };
-            assert_eq!(tripped, expected, "{way}");
-            let Body::Disk { arena, edges, init } = &store.body else {
-                panic!("{way}: {N} states outgrow a 1 KiB segment");
-            };
-            assert_eq!(init, &[0], "{way}");
-            assert_eq!((arena.len(), edges.len()), (N as u64, N as u64), "{way}");
-            assert!(
-                arena.sealed().len() >= 2 && edges.sealed().len() >= 2,
-                "{way}"
-            );
-            let stream = |s: &SegmentStore| {
-                (
-                    s.sealed().to_vec(),
-                    s.hot_records().map(<[u8]>::to_vec).collect(),
-                )
-            };
-            streams.push((stream(arena), stream(edges)));
         }
-        for (i, stream) in streams.iter().enumerate() {
-            assert_eq!(stream, &streams[0], "way {i} of 3");
-        }
+        let kinds = sizes.iter().filter_map(|&c| {
+            let at = steps.iter().position(|&(_, _, held)| held > c)?;
+            Some(steps[at].0)
+        });
+        let kinds: Vec<Step> = kinds.collect();
+        assert!(kinds.contains(&Step::Edges) && kinds.contains(&Step::Intern(true)));
     }
 
-    /// A RAM body reads its fingerprints from the dedup index's column,
-    /// which a drain empties; so, for every budget, a store of the
-    /// smallest records (a row of no bytes) has left RAM before its
-    /// index first drains. The drain fires while the `hot_cap`-th state
-    /// is interned, before that state is recorded, and the store leaves
-    /// RAM once its arena records reach `seg_target` bytes — its edge
-    /// records only ever make that sooner — so `hot_cap - 1` records
-    /// must reach it.
+    /// The streams do not depend on when the store left RAM: forced out
+    /// before its first state, leaving mid-block at a state, at a block's
+    /// first state (the block's room allocated), at an edge list (a
+    /// block's edges sized), or after the last step, the store seals the
+    /// same segments — name, records, length, checksum — and holds the
+    /// same unsealed tails, in both tiers. Each move lands where the
+    /// ceiling says, with the expanding parent's discoveries not yet in
+    /// the graph's rows.
     #[test]
-    fn a_budgeted_store_leaves_ram_before_its_index_drains() {
-        let smallest = checkpoint::arena_record_bytes(0);
-        let around_powers = (11..=40).flat_map(|p| {
-            let m = 1usize << p;
-            [m - 1, m, m + 1, m + m / 2]
-        });
-        for m in (1 << 10..=1 << 16).chain(around_powers) {
-            let t = Tuning::for_budget(m);
-            assert!(
-                (t.hot_cap - 1) * smallest >= t.seg_target,
-                "a {m}-byte budget: {} records of {smallest} bytes fill no {}-byte segment",
-                t.hot_cap - 1,
-                t.seg_target
-            );
+    fn the_record_streams_do_not_depend_on_when_the_store_left_ram() {
+        const N: i64 = 5000;
+        let steps = profile(N);
+        // The step that first grows the body past what it held before,
+        // among those of `kind` that leave the store `states` long.
+        let growing = |kind: Step, states: std::ops::Range<usize>| {
+            let at = (1..steps.len())
+                .find(|&i| {
+                    let (step, len, held) = steps[i];
+                    step == kind && states.contains(&len) && held > steps[i - 1].2
+                })
+                .expect("a growing step");
+            (at, steps[at - 1].2)
+        };
+        let ways = [
+            ("mid-block", growing(Step::Intern(true), 1500..4000)),
+            (
+                "a block's first state",
+                growing(Step::Intern(true), 4097..4098),
+            ),
+            (
+                "a block's edges",
+                growing(Step::Edges, 4000..N as usize + 1),
+            ),
+        ];
+        let (_, arena, edges) = run(N, usize::MAX, true);
+        let (never, ..) = run(N, usize::MAX, false);
+        assert_eq!(never, None);
+        for (way, (at, ceiling)) in ways {
+            let (moved, a, e) = run(N, ceiling, false);
+            assert_eq!(moved, Some(at), "{way}");
+            assert!(a.0.len() >= 2 && e.0.len() >= 2, "{way}");
+            assert!(a == arena && e == edges, "{way}");
         }
+        let (_, a, e) = run(N, usize::MAX, false);
+        assert!(a == arena && e == edges, "after the last step");
+    }
+
+    /// The dedup index of a store in RAM holds every state's fingerprint
+    /// however far past its hot tier's cap it grows: it drains only once
+    /// the store has left RAM, and then at once, into one run sorted a
+    /// cap's worth at a time, its room released. A store that never leaves RAM writes nothing: no
+    /// segment, no run, no directory.
+    #[test]
+    fn a_store_in_ram_never_drains_its_index() {
+        const N: i64 = 5000;
+        let system = ring(N);
+        let (options, mut meter) = (
+            ExploreOptions::default(),
+            Meter::start(&Budget::unlimited()),
+        );
+        let layout = Arc::new(PackedLayout::compile(system.vars()).expect("one slot packs"));
+        let tuning = Tuning::for_budget(512 << 10);
+        assert!(2 * tuning.hot_cap > N as usize && tuning.hot_cap < N as usize);
+        let disk = Some((SpillDir::new(None, None), tuning));
+        let mut store = Store::create(&system, &options, &mut meter, &layout, disk);
+        let dir = store.disk.as_ref().map(|(dir, _)| dir.path().to_path_buf());
+        let dir = dir.expect("tiers");
+        drive(&mut store, N, |_, _| {});
+        assert!(
+            store.ram().map(|(_, held, _)| held).is_some(),
+            "the ring fits 512 KiB"
+        );
+        assert!((0..N as usize).all(|id| store.visited.fp(id).is_some()));
+        assert!(!dir.exists(), "nothing written");
+        store.spill().unwrap();
+        let mut runs: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("visited-"))
+            .collect();
+        runs.sort();
+        assert_eq!(runs, ["visited-00000.run"], "one run, its parts merged");
+        assert_eq!(store.visited.fp(N as usize - 1), None, "drained");
+        assert_eq!(store.visited.hot_bytes().0, 16 * 4, "a new index's room");
     }
 
     /// A record read back from a sealed segment whose checksums hold
@@ -1351,7 +1647,7 @@ mod tests {
     /// loop reads a parent — never a table index past its end.
     #[test]
     fn a_disk_row_holding_a_code_past_its_domain_is_corrupt() {
-        let system = ring();
+        let system = ring(150);
         let (options, mut meter) = (
             ExploreOptions::default(),
             Meter::start(&Budget::unlimited()),

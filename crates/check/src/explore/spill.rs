@@ -8,8 +8,9 @@
 //!   with the accounting of each seal ([`append`], [`note_spill`]);
 //! * the **dedup index** in two tiers ([`SpillVisited`]): the hot
 //!   in-RAM [`FpIndex`] over the fingerprints of the ids since its last
-//!   drain, that, when full, drains into sorted on-disk
-//!   [`FingerprintRun`]s probed behind a one-bit in-RAM [`Filter`];
+//!   drain, that, when full on the `Disk` body, drains into sorted
+//!   on-disk [`FingerprintRun`]s probed behind a one-bit in-RAM
+//!   [`Filter`];
 //! * where the files live ([`SpillDir`]).
 
 use super::index::FpIndex;
@@ -22,6 +23,9 @@ use std::path::{Path, PathBuf};
 
 /// How one memory budget splits across the store's tiers.
 pub(super) struct Tuning {
+    /// The budget itself: what the `Ram` body's graph and dedup index
+    /// may take, as allocated, before the store moves to its tiers.
+    pub(super) budget: usize,
     /// Seal threshold for both segment stores.
     pub(super) seg_target: usize,
     /// LRU cache budget for the arena store.
@@ -38,6 +42,7 @@ impl Tuning {
     pub(super) fn for_budget(m: usize) -> Tuning {
         let seg_target = (m / 8).clamp(1024, 8 << 20);
         Tuning {
+            budget: m,
             seg_target,
             arena_cache: (m / 4).max(seg_target),
             edge_cache: (m / 8).max(seg_target),
@@ -124,10 +129,13 @@ pub(super) fn append(
 /// threshold is itself a pure function of the insert stream (drain
 /// after `hot_cap` inserts), not of timing. The hot tier's column is
 /// the store's one fingerprint column: a store in RAM reads its
-/// parents' fingerprints there, and leaves RAM before the first drain
-/// ([`Tuning::for_budget`]'s sizes see to that).
+/// parents' fingerprints there, so the set is uncapped — it never
+/// drains — until the store [`cap`](Self::cap)s it on leaving RAM or
+/// re-opening on disk.
 pub(super) struct SpillVisited {
     hot: FpIndex,
+    /// Entries the hot tier drains at: `usize::MAX` while the store is
+    /// in RAM.
     hot_cap: usize,
     /// Created at the first drain — a set that never spills never pays
     /// for zeroing (or walking) the filter's bit array.
@@ -140,11 +148,12 @@ pub(super) struct SpillVisited {
 }
 
 impl SpillVisited {
-    /// A set that drains into `dir`, first at its first drain.
-    pub(super) fn new(mask: u64, dir: &Path, hot_cap: usize, filter_bytes: usize) -> SpillVisited {
+    /// An uncapped set that, once capped, drains into `dir`, first at
+    /// its first drain.
+    pub(super) fn new(mask: u64, dir: &Path, filter_bytes: usize) -> SpillVisited {
         SpillVisited {
             hot: FpIndex::new(mask),
-            hot_cap,
+            hot_cap: usize::MAX,
             filter: None,
             filter_bytes,
             runs: Vec::new(),
@@ -158,6 +167,35 @@ impl SpillVisited {
     #[inline]
     pub(super) fn fp(&self, id: usize) -> Option<u64> {
         self.hot.fp(id)
+    }
+
+    /// The bytes the hot tier takes, as allocated, and what admitting
+    /// one more id adds to them.
+    #[inline]
+    pub(super) fn hot_bytes(&self) -> (usize, usize) {
+        (self.hot.allocated_bytes(), self.hot.insert_bytes())
+    }
+
+    /// Readies the hot tier for [`cap`](Self::cap) at `hot_cap` ahead
+    /// of its caller's work before that: a tier the cap will drain
+    /// frees its slot table now, as no lookup comes in between.
+    pub(super) fn precap(&mut self, hot_cap: usize) {
+        if self.hot.len() >= hot_cap {
+            self.hot.free_slots();
+        }
+    }
+
+    /// Caps the hot tier at `hot_cap` entries from here on. One that
+    /// holds that many already — a store's RAM body, whose index held
+    /// every state — drains now, its room released: the slot table
+    /// freed before the runs are built and the column after, the index
+    /// starting again as a new one does.
+    pub(super) fn cap(&mut self, hot_cap: usize, meter: &mut Meter) -> Result<(), StoreError> {
+        self.hot_cap = hot_cap;
+        match self.hot.len() >= hot_cap {
+            true => self.drain_hot(meter, true),
+            false => Ok(()),
+        }
     }
 
     /// Resume seeding, meter-free: records `id` for a snapshot state
@@ -235,31 +273,65 @@ impl SpillVisited {
         };
         let hit = hot.intern(fp, same, spilled, || admit(meter))?;
         if hit.1 && self.hot.len() >= self.hot_cap {
-            self.drain_hot(meter)?;
+            self.drain_hot(meter, false)?;
         }
         Ok(hit)
     }
 
     /// Drains the hot tier into a sorted run file, setting the filter
-    /// bits of every drained key. The first drain clears the directory
-    /// of the runs an earlier run left there: no snapshot names one.
-    fn drain_hot(&mut self, meter: &mut Meter) -> Result<(), StoreError> {
+    /// bits of every drained key, its room released if `release` says
+    /// so ([`FpIndex::drain`]). A tier past its cap — a RAM body's index,
+    /// drained as the store leaves RAM — is sorted a cap's worth at a
+    /// time into parts, merged into the run as they are read back
+    /// ([`FingerprintRun::merge`]): the run is one, and a lookup reads
+    /// one block of it, but the drain never sorts more than `hot_cap`
+    /// entries. The first drain clears the directory of the runs an
+    /// earlier run left there: no snapshot names one.
+    fn drain_hot(&mut self, meter: &mut Meter, release: bool) -> Result<(), StoreError> {
         let seq = self.runs.len() as u64;
         if seq == 0 {
             store::clear_stale(&self.dir, "visited-", ".run")?;
         }
-        let filter = self
-            .filter
-            .get_or_insert_with(|| Filter::new(self.filter_bytes));
-        let mut entries: Vec<(u64, u64)> = Vec::with_capacity(self.hot.len());
-        self.hot.drain(|(key, id)| {
+        let SpillVisited {
+            hot,
+            hot_cap,
+            filter,
+            filter_bytes,
+            dir,
+            ..
+        } = self;
+        let filter = filter.get_or_insert_with(|| Filter::new(*filter_bytes));
+        let (held, cap) = (hot.len(), *hot_cap);
+        let mut entries: Vec<(u64, u64)> = Vec::with_capacity(held.min(cap));
+        let mut parts = Vec::new();
+        let part = |entries: &mut Vec<(u64, u64)>, name: String| {
+            entries.sort_unstable();
+            let run = FingerprintRun::write(&dir.join(name), entries)?;
+            entries.clear();
+            Ok::<_, StoreError>(run)
+        };
+        let take = |(key, id)| {
             filter.set(key);
             entries.push((key, id as u64));
-        });
-        entries.sort_unstable();
-        let path = self.dir.join(format!("visited-{seq:05}.run"));
-        let run = FingerprintRun::write(&path, &entries)?;
-        note_spill(meter, "visited", seq, entries.len() as u64, run.bytes());
+            if entries.len() == cap && held > cap {
+                let name = format!("visited-{seq:05}-{:05}.run", parts.len());
+                parts.push(part(&mut entries, name)?);
+            }
+            Ok::<_, StoreError>(())
+        };
+        hot.drain(take, release)?;
+        let name = format!("visited-{seq:05}.run");
+        let run = match parts.is_empty() {
+            true => part(&mut entries, name)?,
+            false => {
+                if !entries.is_empty() {
+                    let last = format!("visited-{seq:05}-{:05}.run", parts.len());
+                    parts.push(part(&mut entries, last)?);
+                }
+                FingerprintRun::merge(&dir.join(name), parts)?
+            }
+        };
+        note_spill(meter, "visited", seq, run.len(), run.bytes());
         self.runs.push(run);
         Ok(())
     }
@@ -347,7 +419,8 @@ mod tests {
         let dir = temp_path("run-ids");
         std::fs::create_dir_all(&dir).unwrap();
         let mut meter = Meter::start(&Budget::unlimited());
-        let mut visited = SpillVisited::new(u64::MAX, &dir, 4, 4 << 10);
+        let mut visited = SpillVisited::new(u64::MAX, &dir, 4 << 10);
+        visited.cap(4, &mut meter).unwrap();
         let trust = |_, _| Ok::<_, StoreError>(true);
         for fp in 0..4u64 {
             let next = fp as usize;

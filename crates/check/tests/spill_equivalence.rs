@@ -112,10 +112,17 @@ fn explore_spill_logged(
     (run.graph, log)
 }
 
+/// The default-options run: in RAM, unless `OPENTLA_MEM_BUDGET` is
+/// set — as in CI's low-memory legs, whose budget is below any graph's
+/// first block of 4 096 states (16 KiB and a row each) — and then on
+/// the disk-backed store from its first state. There, a run of 100
+/// states or more must have sealed arena segments: a leg whose budget
+/// let the graph stay in RAM would test nothing it claims to.
 fn explore_seq(sys: &System, mode: VisitedMode) -> StateGraph {
+    let log = Arc::new(SpillLog::default());
     let run = explore_governed_with(
         sys,
-        &Budget::unlimited(),
+        &Budget::unlimited().with_recorder(RecorderHandle::new(log.clone())),
         &ExploreOptions {
             mode,
             threads: Some(1),
@@ -124,6 +131,13 @@ fn explore_seq(sys: &System, mode: VisitedMode) -> StateGraph {
     )
     .expect("sequential run succeeds");
     assert!(matches!(run.outcome, Outcome::Complete));
+    if std::env::var_os("OPENTLA_MEM_BUDGET").is_some() && run.graph.len() >= 100 {
+        assert!(
+            log.sealed("arena") >= 1,
+            "{} states under OPENTLA_MEM_BUDGET sealed no arena segment",
+            run.graph.len()
+        );
+    }
     run.graph
 }
 
@@ -144,13 +158,15 @@ fn last_state_invariant(sys: &System, graph: &StateGraph) -> Expr {
 /// smallest chain does too. Graphs and counterexample traces must
 /// match the in-RAM engine field for field.
 ///
-/// The store starts in RAM and moves to disk once, when its arena or
-/// edge records fill a segment, so a run that sealed an arena segment
-/// interned states in RAM first and read them back from disk records
-/// afterwards — in `Exact` mode, candidates verified where they live
-/// by then. Every scenario that can fill the smallest segment there is
-/// (1 KiB; the others are a few dozen states) must have done so under
-/// one of the budgets, in both modes.
+/// The store starts in RAM and moves to disk once, when its graph and
+/// dedup index would outgrow the budget: under 1 MiB chain4 (about
+/// 2.8 MB of them) interns states in RAM first and reads them back from
+/// disk records afterwards — in `Exact` mode, candidates verified where
+/// they live by then — and under 8 KiB every scenario moves before its
+/// first state, whose block alone takes 16 KiB. Every scenario that can
+/// fill the smallest segment there is (1 KiB; the others are a few
+/// dozen states) must have sealed one under one of the budgets, in both
+/// modes.
 #[test]
 fn spill_matches_sequential_across_matrix() {
     for (name, sys) in systems() {
@@ -256,15 +272,43 @@ fn golden_chain4_under_spill() {
     let seq = explore_seq(&sys, VisitedMode::Fingerprint);
     assert_eq!(seq.first_difference(&run.graph), None, "chain4/golden");
     let _ = std::fs::remove_dir_all(path.parent().expect("has parent"));
+}
 
-    // Under 32 MiB — the benchmark's `explore-spill` warm-up rung —
-    // chain4 fits one segment of each tier: the store must stay in RAM
-    // from first state to last, which is what that workload's
-    // `setup_s` rests on.
-    let (roomy, spilled) = explore_spill_logged(&sys, VisitedMode::Fingerprint, 32 << 20);
-    assert_eq!(seq.first_difference(&roomy), None, "chain4/32MiB");
-    let sealed = (spilled.sealed("arena"), spilled.sealed("edges"));
-    assert_eq!(sealed, (0, 0), "chain4 left RAM under 32 MiB");
+/// A budget that holds the graph costs nothing: chain4's graph and
+/// dedup index, about 2.8 MB, fit 4 MiB — and the 32 MiB of the
+/// benchmark's `explore-spill` warm-up, whose `setup_s` rests on this —
+/// so the store stays in RAM from first state to last, sealing no
+/// segment and writing no fingerprint run. So does an explicit
+/// [`Engine::SpillBfs`] without a budget (unless `OPENTLA_MEM_BUDGET`
+/// gives it one), which runs at the default budget's 256 MiB.
+#[test]
+fn a_budget_that_holds_the_graph_writes_nothing() {
+    let sys = QueueChain::new(4, 1, 2, FairnessStyle::Joint)
+        .complete_system()
+        .expect("chain4 builds");
+    let seq = explore_seq(&sys, VisitedMode::Fingerprint);
+    for budget in [4 << 20, 32 << 20] {
+        let (roomy, spilled) = explore_spill_logged(&sys, VisitedMode::Fingerprint, budget);
+        assert_eq!(seq.first_difference(&roomy), None, "chain4@{budget}");
+        let wrote = ["arena", "edges", "visited"].map(|tier| spilled.sealed(tier));
+        assert_eq!(wrote, [0, 0, 0], "chain4 left RAM under {budget} bytes");
+    }
+    if std::env::var_os("OPENTLA_MEM_BUDGET").is_none() {
+        let log = Arc::new(SpillLog::default());
+        let run = explore_governed_with(
+            &sys,
+            &Budget::unlimited().with_recorder(RecorderHandle::new(log.clone())),
+            &ExploreOptions {
+                threads: Some(1),
+                engine: Engine::SpillBfs,
+                ..ExploreOptions::default()
+            },
+        )
+        .expect("spill run succeeds");
+        assert_eq!(seq.first_difference(&run.graph), None, "chain4/SpillBfs");
+        let wrote = ["arena", "edges", "visited"].map(|tier| log.sealed(tier));
+        assert_eq!(wrote, [0, 0, 0], "chain4 left RAM under SpillBfs");
+    }
 }
 
 /// The one dedup index design, under every store: in

@@ -21,6 +21,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::fs;
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening every segment file.
@@ -43,7 +44,11 @@ const RUN_ENTRY: usize = 16;
 /// FNV-1a over a byte slice — the same convention the checkpoint
 /// snapshots use, so every on-disk artifact shares one checksum.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    fnv1a_on(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a of what `hash` was taken over, followed by `bytes`.
+fn fnv1a_on(mut hash: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
@@ -206,8 +211,12 @@ pub struct SegmentStore {
     prefix: String,
     target_bytes: usize,
     cache_budget: usize,
+    /// The unsealed tail's records, each behind its 4-byte length, as a
+    /// segment holds them: room for `target_bytes` and one record.
     hot_payload: Vec<u8>,
-    hot_offsets: Vec<(usize, usize)>,
+    /// Where each of the tail's records starts in `hot_payload`, its
+    /// length first: below `target_bytes`, which fits a `u32`.
+    hot_offsets: Vec<u32>,
     hot_first: u64,
     sealed: Vec<SegmentMeta>,
     cache: HashMap<usize, LoadedSegment>,
@@ -270,7 +279,7 @@ impl SegmentStore {
             prefix: prefix.to_string(),
             // A zero target would seal one segment per record; clamp
             // to something that still exercises spilling in tests.
-            target_bytes: target_bytes.max(64),
+            target_bytes: target_bytes.clamp(64, u32::MAX as usize),
             cache_budget,
             hot_payload: Vec::new(),
             hot_offsets: Vec::new(),
@@ -310,9 +319,14 @@ impl SegmentStore {
 
     /// The raw records of the unsealed in-RAM tail, in append order.
     pub fn hot_records(&self) -> impl Iterator<Item = &[u8]> {
-        self.hot_offsets
-            .iter()
-            .map(|&(off, len)| &self.hot_payload[off..off + len])
+        (0..self.hot_offsets.len()).map(|i| self.hot_record(i))
+    }
+
+    /// The `i`-th record of the unsealed tail.
+    fn hot_record(&self, i: usize) -> &[u8] {
+        let off = self.hot_offsets[i] as usize;
+        let len = u32::from_le_bytes(self.hot_payload[off..off + 4].try_into().expect("4 bytes"));
+        &self.hot_payload[off + 4..][..len as usize]
     }
 
     /// Total bytes written to sealed segment files so far.
@@ -343,10 +357,19 @@ impl SegmentStore {
     /// [`StoreError::Io`] if sealing fails to write the segment file.
     pub fn append(&mut self, record: &[u8]) -> Result<Option<SegmentMeta>, StoreError> {
         let off = self.hot_payload.len();
+        let need = off + 4 + record.len();
+        if need > self.hot_payload.capacity() {
+            // Doubling, but not past the seal threshold unless this
+            // record needs it: the tail is sealed there.
+            let cap = 2 * self.hot_payload.capacity();
+            let cap = cap.clamp(need, self.target_bytes.max(need));
+            self.hot_payload.reserve_exact(cap - off);
+        }
         self.hot_payload
             .extend_from_slice(&(record.len() as u32).to_le_bytes());
         self.hot_payload.extend_from_slice(record);
-        self.hot_offsets.push((off + 4, record.len()));
+        self.hot_offsets
+            .push(u32::try_from(off).expect("a tail's records start below its u32 target"));
         if self.hot_payload.len() >= self.target_bytes {
             self.seal()
         } else {
@@ -357,7 +380,8 @@ impl SegmentStore {
     /// Seals the in-RAM tail into an immutable segment file (no-op on
     /// an empty tail). The file is written to a temporary name and
     /// atomically renamed, so a crash never leaves a half-written
-    /// segment behind.
+    /// segment behind; the header and then the tail go out as they
+    /// are, with no copy of the segment in RAM.
     ///
     /// # Errors
     ///
@@ -374,22 +398,26 @@ impl SegmentStore {
             payload_len: self.hot_payload.len() as u64,
             payload_checksum: fnv1a(&self.hot_payload),
         };
-        let mut bytes = Vec::with_capacity(SEGMENT_HEADER_LEN + self.hot_payload.len());
-        bytes.extend_from_slice(&SEGMENT_MAGIC);
-        bytes.extend_from_slice(&STORE_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&meta.first.to_le_bytes());
-        bytes.extend_from_slice(&meta.records.to_le_bytes());
-        bytes.extend_from_slice(&meta.payload_len.to_le_bytes());
-        bytes.extend_from_slice(&meta.payload_checksum.to_le_bytes());
-        let header_checksum = fnv1a(&bytes);
-        bytes.extend_from_slice(&header_checksum.to_le_bytes());
-        bytes.extend_from_slice(&self.hot_payload);
+        let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN);
+        header.extend_from_slice(&SEGMENT_MAGIC);
+        header.extend_from_slice(&STORE_VERSION.to_le_bytes());
+        header.extend_from_slice(&meta.first.to_le_bytes());
+        header.extend_from_slice(&meta.records.to_le_bytes());
+        header.extend_from_slice(&meta.payload_len.to_le_bytes());
+        header.extend_from_slice(&meta.payload_checksum.to_le_bytes());
+        let header_checksum = fnv1a(&header);
+        header.extend_from_slice(&header_checksum.to_le_bytes());
         let path = self.dir.join(&name);
         let tmp = self.dir.join(format!("{name}.tmp"));
         fs::create_dir_all(&self.dir).map_err(|e| io_err(&self.dir, e))?;
-        fs::write(&tmp, &bytes).map_err(|e| io_err(&tmp, e))?;
+        let write = || {
+            let mut file = fs::File::create(&tmp)?;
+            file.write_all(&header)?;
+            file.write_all(&self.hot_payload)
+        };
+        write().map_err(|e| io_err(&tmp, e))?;
         fs::rename(&tmp, &path).map_err(|e| io_err(&path, e))?;
-        self.spilled_bytes += bytes.len() as u64;
+        self.spilled_bytes += (header.len() + self.hot_payload.len()) as u64;
         self.hot_first += meta.records;
         self.hot_payload.clear();
         self.hot_offsets.clear();
@@ -412,8 +440,7 @@ impl SegmentStore {
             });
         }
         if idx >= self.hot_first {
-            let (off, len) = self.hot_offsets[(idx - self.hot_first) as usize];
-            out.extend_from_slice(&self.hot_payload[off..off + len]);
+            out.extend_from_slice(self.hot_record((idx - self.hot_first) as usize));
             return Ok(());
         }
         // Sealed segments partition [0, hot_first) by `first`; find
@@ -648,6 +675,46 @@ fn read_exact_at(file: &mut fs::File, buf: &mut [u8], offset: u64) -> std::io::R
     }
 }
 
+/// The entries of several runs, merged in `(fingerprint, id)` order:
+/// each run with the next entry it hands out and the entries of its
+/// block, read into its buffer, from there on.
+struct Merged {
+    heads: Vec<(FingerprintRun, u64, std::ops::Range<usize>)>,
+}
+
+impl Iterator for Merged {
+    type Item = Result<(u64, u64), StoreError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let mut least: Option<((u64, u64), usize)> = None;
+        for (i, (run, next, held)) in self.heads.iter_mut().enumerate() {
+            if held.start == held.end && *next < run.count {
+                let take = ((run.count - *next) as usize).min(RUN_BLOCK);
+                let offset = RUN_HEADER_LEN as u64 + *next * RUN_ENTRY as u64;
+                let buf = &mut run.block[..take * RUN_ENTRY];
+                if let Err(e) = read_exact_at(&mut run.file, buf, offset) {
+                    return Some(Err(io_err(&run.path, e)));
+                }
+                (*next, *held) = (*next + take as u64, 0..take);
+            }
+            let Some(at) = held.clone().next() else {
+                continue;
+            };
+            let word = |w: usize| {
+                let bytes = &run.block[at * RUN_ENTRY + 8 * w..][..8];
+                u64::from_le_bytes(bytes.try_into().expect("8 bytes"))
+            };
+            let head = (word(0), word(1));
+            if least.is_none_or(|(l, _)| head < l) {
+                least = Some((head, i));
+            }
+        }
+        let (head, i) = least?;
+        self.heads[i].2.start += 1;
+        Some(Ok(head))
+    }
+}
+
 /// An immutable sorted `(fingerprint, id)` run on disk, with a sparse
 /// in-RAM index (one entry per block of 256 pairs). The bounded
 /// visited set spills its hot table into runs and answers membership
@@ -666,51 +733,108 @@ pub struct FingerprintRun {
 
 impl FingerprintRun {
     /// Writes `entries` (must be sorted by fingerprint) as a run file
-    /// and reopens it for lookups. Written atomically via tmp+rename.
+    /// and reopens it for lookups. Written atomically via tmp+rename,
+    /// streamed: header first, the body through a buffered writer, then
+    /// the body's checksum into the header, so no copy of the run is
+    /// held in RAM.
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] on any filesystem failure;
     /// [`StoreError::Corrupt`] if `entries` is empty or unsorted.
     pub fn write(path: &Path, entries: &[(u64, u64)]) -> Result<FingerprintRun, StoreError> {
-        if entries.is_empty() {
+        let entries = entries.iter().map(|&entry| Ok(entry));
+        FingerprintRun::stream(path, entries.len() as u64, entries)
+    }
+
+    /// Merges `parts` into one run at `path` and removes their files:
+    /// the run holding every entry of theirs, in `(fingerprint, id)`
+    /// order — the file [`write`](Self::write) makes of all of them
+    /// sorted, when no two parts hold the same entry. Each part is read
+    /// a block at a time, so no run is held in RAM.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on any filesystem failure;
+    /// [`StoreError::Corrupt`] if `parts` hold no entry.
+    pub fn merge(path: &Path, parts: Vec<FingerprintRun>) -> Result<FingerprintRun, StoreError> {
+        let count = parts.iter().map(|part| part.count).sum();
+        let paths: Vec<PathBuf> = parts.iter().map(|part| part.path.clone()).collect();
+        let heads = parts.into_iter().map(|run| (run, 0, 0..0)).collect();
+        let run = FingerprintRun::stream(path, count, Merged { heads })?;
+        for part in paths {
+            fs::remove_file(&part).map_err(|e| io_err(&part, e))?;
+        }
+        Ok(run)
+    }
+
+    /// [`write`](Self::write) of the `count` `entries`, each read as it
+    /// is written.
+    fn stream(
+        path: &Path,
+        count: u64,
+        entries: impl Iterator<Item = Result<(u64, u64), StoreError>>,
+    ) -> Result<FingerprintRun, StoreError> {
+        if count == 0 {
             return Err(StoreError::Corrupt {
                 detail: "refusing to write an empty fingerprint run".to_string(),
             });
         }
-        if entries.windows(2).any(|w| w[0].0 > w[1].0) {
-            return Err(StoreError::Corrupt {
-                detail: "fingerprint run entries are not sorted".to_string(),
-            });
-        }
-        let mut body = Vec::with_capacity(entries.len() * RUN_ENTRY);
-        for &(fp, id) in entries {
-            body.extend_from_slice(&fp.to_le_bytes());
-            body.extend_from_slice(&id.to_le_bytes());
-        }
-        let mut bytes = Vec::with_capacity(RUN_HEADER_LEN + body.len());
-        bytes.extend_from_slice(&RUN_MAGIC);
-        bytes.extend_from_slice(&STORE_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&(entries.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&fnv1a(&body).to_le_bytes());
-        bytes.extend_from_slice(&body);
         let tmp = path.with_extension("run.tmp");
-        fs::write(&tmp, &bytes).map_err(|e| io_err(&tmp, e))?;
+        let (mut index, mut min, mut max) = (Vec::new(), 0, 0);
+        let write = || {
+            let io = |e| io_err(&tmp, e);
+            let mut out = BufWriter::new(fs::File::create(&tmp).map_err(io)?);
+            let mut header = RUN_MAGIC.to_vec();
+            header.extend_from_slice(&STORE_VERSION.to_le_bytes());
+            header.extend_from_slice(&count.to_le_bytes());
+            header.extend_from_slice(&0u64.to_le_bytes());
+            out.write_all(&header).map_err(io)?;
+            let (mut checksum, mut written) = (0xcbf2_9ce4_8422_2325, 0u64);
+            for entry in entries {
+                let (fp, id) = entry?;
+                if written > 0 && fp < max {
+                    return Err(StoreError::Corrupt {
+                        detail: "fingerprint run entries are not sorted".to_string(),
+                    });
+                }
+                if written == 0 {
+                    min = fp;
+                }
+                if written.is_multiple_of(RUN_BLOCK as u64) {
+                    index.push((fp, written));
+                }
+                max = fp;
+                let mut bytes = [0; RUN_ENTRY];
+                bytes[..8].copy_from_slice(&fp.to_le_bytes());
+                bytes[8..].copy_from_slice(&id.to_le_bytes());
+                checksum = fnv1a_on(checksum, &bytes);
+                out.write_all(&bytes).map_err(io)?;
+                written += 1;
+            }
+            if written != count {
+                return Err(StoreError::Corrupt {
+                    detail: format!("a run of {count} entries was handed {written}"),
+                });
+            }
+            let mut file = out.into_inner().map_err(|e| io(e.into_error()))?;
+            file.seek(SeekFrom::Start(RUN_HEADER_LEN as u64 - 8))
+                .map_err(io)?;
+            file.write_all(&checksum.to_le_bytes()).map_err(io)
+        };
+        if let Err(e) = write() {
+            let _ = fs::remove_file(&tmp);
+            return Err(e);
+        }
         fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
         let file = fs::File::open(path).map_err(|e| io_err(path, e))?;
-        let index = entries
-            .iter()
-            .step_by(RUN_BLOCK)
-            .enumerate()
-            .map(|(i, &(fp, _))| (fp, (i * RUN_BLOCK) as u64))
-            .collect();
         Ok(FingerprintRun {
             path: path.to_path_buf(),
             file,
-            count: entries.len() as u64,
+            count,
             index,
-            min: entries[0].0,
-            max: entries[entries.len() - 1].0,
+            min,
+            max,
             block: vec![0; RUN_BLOCK * RUN_ENTRY],
         })
     }
@@ -1068,6 +1192,80 @@ mod tests {
             FingerprintRun::open(&path),
             Err(StoreError::ChecksumMismatch { .. })
         ));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A run file holds the encoding it always has — magic, version,
+    /// entry count, the body's FNV-1a, then each entry's fingerprint and
+    /// id, little-endian — here built in one buffer, over more entries
+    /// than one block of the writer's buffer, and pinned outright for a
+    /// run of two.
+    #[test]
+    fn a_run_file_holds_the_encoding_it_always_had() {
+        let dir = tmp_dir("run-bytes");
+        let encoded = |entries: &[(u64, u64)]| {
+            let mut body = Vec::new();
+            for &(fp, id) in entries {
+                body.extend_from_slice(&fp.to_le_bytes());
+                body.extend_from_slice(&id.to_le_bytes());
+            }
+            let mut bytes = RUN_MAGIC.to_vec();
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(&(entries.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(&fnv1a(&body).to_le_bytes());
+            bytes.extend_from_slice(&body);
+            bytes
+        };
+        let many: Vec<(u64, u64)> = (0..3000u64)
+            .map(|i| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1, i))
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let two = [(3, 9), (0x0102_0304_0506_0708, 1)];
+        for entries in [&many[..], &two[..]] {
+            let path = dir.join("visited-00000.run");
+            FingerprintRun::write(&path, entries).expect("write");
+            assert_eq!(fs::read(&path).expect("read"), encoded(entries));
+        }
+        let mut pinned = b"OTLARUN\0\x01\0\0\0\x02\0\0\0\0\0\0\0".to_vec();
+        pinned.extend_from_slice(&0xf5fd_b8f9_146a_7f36u64.to_le_bytes());
+        pinned.extend_from_slice(&[3, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0]);
+        pinned.extend_from_slice(&[8, 7, 6, 5, 4, 3, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(encoded(&two), pinned);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Runs merged are the run of all their entries sorted, byte for
+    /// byte — equal fingerprints across parts in id order, parts
+    /// straddling blocks — and their files are gone.
+    #[test]
+    fn merged_runs_are_the_run_of_their_entries() {
+        let dir = tmp_dir("run-merge");
+        let all: Vec<(u64, u64)> = (0..1500u64).map(|id| ((id * 7919) % 613, id)).collect();
+        let mut parts = Vec::new();
+        for (i, chunk) in all.chunks(400).enumerate() {
+            let mut chunk = chunk.to_vec();
+            chunk.sort_unstable();
+            let path = dir.join(format!("part-{i}.run"));
+            parts.push(FingerprintRun::write(&path, &chunk).expect("write"));
+        }
+        let paths: Vec<PathBuf> = parts.iter().map(|p| p.path.clone()).collect();
+        let merged = dir.join("merged.run");
+        let mut run = FingerprintRun::merge(&merged, parts).expect("merge");
+        assert!(paths.iter().all(|p| !p.exists()));
+        let mut sorted = all.clone();
+        sorted.sort_unstable();
+        let whole = dir.join("whole.run");
+        FingerprintRun::write(&whole, &sorted).expect("write");
+        assert_eq!(fs::read(&merged).unwrap(), fs::read(&whole).unwrap());
+        let mut out = Vec::new();
+        run.lookup(0, &mut out).expect("lookup");
+        let ids: Vec<u64> = sorted.iter().filter(|e| e.0 == 0).map(|e| e.1).collect();
+        assert_eq!(out, ids);
+        assert_eq!(
+            FingerprintRun::open(&merged).expect("reopens").len(),
+            all.len() as u64
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

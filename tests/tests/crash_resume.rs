@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use opentla_check::{
     explore_escalating, explore_governed_with, explore_resumable, resume_exploration, Budget,
-    CheckError, CheckpointError, CountingRecorder, Engine, Exploration, ExploreOptions,
-    GuardedAction, Init, Outcome, RecorderHandle, Snapshot, System, VisitedMode,
+    CheckError, CheckpointError, CountingRecorder, Engine, Event, Exploration, ExploreOptions,
+    GuardedAction, Init, Outcome, Recorder, RecorderHandle, Snapshot, System, VisitedMode,
     DEFAULT_CHECKPOINT_CADENCE,
 };
 use opentla_kernel::store::fnv1a;
@@ -761,6 +761,22 @@ fn sealed_arena_segments(snap_path: &std::path::Path) -> usize {
         .unwrap_or(0)
 }
 
+/// The fingerprint runs a run drained its dedup index into, counted off
+/// its `spill` events.
+#[derive(Default)]
+struct VisitedRuns(std::sync::atomic::AtomicUsize);
+
+impl Recorder for VisitedRuns {
+    fn record(&self, event: &Event<'_>) {
+        if let Event::Spill {
+            tier: "visited", ..
+        } = event
+        {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+}
+
 fn remove_spill_artifacts(snap_path: &std::path::Path) {
     let _ = std::fs::remove_file(snap_path);
     let _ = std::fs::remove_dir_all(format!("{}.segs", snap_path.display()));
@@ -771,7 +787,9 @@ fn remove_spill_artifacts(snap_path: &std::path::Path) {
 /// sealed files instead of copying them, and resuming from it — with
 /// the spill engine or, re-opened from RAM, with the plain in-RAM
 /// engine's plan — completes to a graph byte-identical to the unbounded
-/// run's.
+/// run's. The re-opened store is on disk from its first state, so its
+/// dedup index drains at the budget's hot-tier size, while the replay
+/// seeds it too: the resumed run writes fingerprint runs of its own.
 #[test]
 fn spill_interrupt_resume_identity() {
     let system = QueueChain::new(2, 1, 2, FairnessStyle::Joint)
@@ -827,12 +845,17 @@ fn spill_interrupt_resume_identity() {
         );
 
         // Resume from disk with the spill engine.
+        let runs = Arc::new(VisitedRuns::default());
         let resumed = explore_resumable(
             &system,
-            &Budget::unlimited().with_checkpoint(&path, 1 << 20),
+            &Budget::unlimited()
+                .with_checkpoint(&path, 1 << 20)
+                .with_recorder(RecorderHandle::new(runs.clone())),
             &spill_opts,
         )
         .expect("resumed spill run succeeds");
+        let drained = runs.0.load(std::sync::atomic::Ordering::Relaxed);
+        assert!(drained >= 1, "{label}: the resumed index never drained");
         assert!(
             matches!(resumed.outcome, Outcome::Complete),
             "{label}: resumed run must complete"
